@@ -117,11 +117,9 @@ func runRecovery(d cluster.Design, pat workload.Pattern, ops int, crashAt sim.Ti
 	nudges0 := c.Stats().Recovering
 	start := cl.Env.Now()
 	if crashAt > 0 {
-		cl.Env.At(start+crashAt, "cold-crash", func(p *sim.Proc) {
+		cl.Env.AtFunc(start+crashAt, func() {
 			srv.Crash()
-			cl.Env.At(p.Now()+recoveryColdGap, "cold-restart", func(*sim.Proc) {
-				srv.RestartCold()
-			})
+			cl.Env.AfterFunc(recoveryColdGap, srv.RestartCold)
 		})
 	}
 	one := func(p *sim.Proc, op core.Op) *core.Req {

@@ -614,8 +614,8 @@ func (s *Server) ScheduleCrash(from, to sim.Time) {
 	if to <= from {
 		panic("server: ScheduleCrash window must have to > from")
 	}
-	s.env.At(from, s.cfg.Name+"/crash", func(p *sim.Proc) { s.Crash() })
-	s.env.At(to, s.cfg.Name+"/restart", func(p *sim.Proc) { s.Restart() })
+	s.env.AtFunc(from, s.Crash)
+	s.env.AtFunc(to, s.Restart)
 }
 
 // rdmaDispatcher drains the shared receive CQ.

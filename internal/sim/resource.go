@@ -7,7 +7,7 @@ type Resource struct {
 	env     *Env
 	total   int
 	inUse   int
-	waiters []*rwaiter
+	waiters ring[rwaiter]
 }
 
 type rwaiter struct {
@@ -33,15 +33,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Available() int { return r.total - r.inUse }
 
 // Waiting returns the number of processes blocked in Acquire.
-func (r *Resource) Waiting() int {
-	n := 0
-	for _, rw := range r.waiters {
-		if !rw.w.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (r *Resource) Waiting() int { return r.waiters.len() }
 
 // TryAcquire takes one unit without blocking; reports success.
 func (r *Resource) TryAcquire() bool { return r.TryAcquireN(1) }
@@ -51,7 +43,7 @@ func (r *Resource) TryAcquireN(n int) bool {
 	if n > r.total {
 		panic("sim: acquiring more units than the Resource holds")
 	}
-	if r.inUse+n > r.total || len(r.waiters) > 0 {
+	if r.inUse+n > r.total || r.waiters.len() > 0 {
 		return false
 	}
 	r.inUse += n
@@ -67,9 +59,8 @@ func (r *Resource) AcquireN(p *Proc, n int) {
 	if r.TryAcquireN(n) {
 		return
 	}
-	w := r.env.pendingWakeup(p, 0)
-	r.waiters = append(r.waiters, &rwaiter{w: w, n: n})
-	p.park()
+	r.waiters.push(rwaiter{w: r.env.newWakeup(p, nil, 0), n: n})
+	p.park("Resource.Acquire")
 }
 
 // Release returns one unit, waking the next eligible waiter.
@@ -81,16 +72,11 @@ func (r *Resource) ReleaseN(n int) {
 	if r.inUse < 0 {
 		panic("sim: Resource released more than acquired")
 	}
-	for len(r.waiters) > 0 {
-		rw := r.waiters[0]
-		if rw.w.canceled {
-			r.waiters = r.waiters[1:]
-			continue
-		}
-		if r.inUse+rw.n > r.total {
+	for r.waiters.len() > 0 {
+		if r.inUse+r.waiters.peek().n > r.total {
 			return // strict FIFO: head blocks the line
 		}
-		r.waiters = r.waiters[1:]
+		rw := r.waiters.pop()
 		r.inUse += rw.n
 		r.env.fireWakeup(rw.w)
 	}

@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -33,58 +32,54 @@ const (
 	Second      = time.Second
 )
 
-// wakeup is a pending reason for a process to resume. A process may have
-// several outstanding wakeups (e.g. an event wait plus a timeout); whichever
-// is delivered first cancels the rest.
+// wakeup is one scheduled or pending thing the kernel will do: resume a
+// parked process (p set) or run a callback event inline (fn set). A process
+// may have several outstanding wakeups (e.g. an event wait plus a timeout);
+// whichever is delivered first cancels the rest.
+//
+// Wakeups are pooled on the Env. A wakeup has exactly one holder at a time —
+// a waiter list (Event, Queue, Resource) while pending, the heap once fired
+// or scheduled — and only that holder recycles it: the scheduler when it
+// pops it off the heap (delivered or canceled), a waiter list when it drops
+// a canceled entry it would otherwise have fired. A process's pending list
+// is emptied at the instant its other wakeups are canceled, so it never
+// outlives them.
 type wakeup struct {
-	at       Time
-	seq      int64
-	p        *Proc
-	tag      int // cause identifier, returned to the parked process
+	p        *Proc  // process to resume; nil for a callback event
+	fn       func() // callback to run (p == nil)
+	tag      int    // cause identifier, returned to the parked process
 	canceled bool
-	index    int // position in the heap, -1 if not scheduled
+	queued   bool    // on the heap
+	free     bool    // on the free list; any use is a kernel bug
+	next     *wakeup // free-list link
 }
 
-type wakeupHeap []*wakeup
+// slot is one heap entry. The (at, seq) key is stored by value so sifting
+// never dereferences the wakeup.
+type slot struct {
+	at  Time
+	seq int64
+	w   *wakeup
+}
 
-func (h wakeupHeap) Len() int { return len(h) }
-func (h wakeupHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a slot) before(b slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h wakeupHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wakeupHeap) Push(x any) {
-	w := x.(*wakeup)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-func (h *wakeupHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	*h = old[:n-1]
-	return w
+	return a.seq < b.seq
 }
 
 // Env owns the virtual clock and the event queue of one simulation.
 type Env struct {
-	now     Time
-	seq     int64
-	heap    wakeupHeap
-	yield   chan struct{}
-	cur     *Proc
-	parked  int // processes alive but blocked with no scheduled wakeup
-	alive   int
-	stopped bool
-	fault   any // first panic value raised by a process
+	now   Time
+	seq   int64
+	heap  []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
+	freeW *wakeup
+	yield chan struct{}
+	cur   *Proc // the process running right now; nil in the scheduler and in callbacks
+	alive int
+	scan  int64 // Parked's visit stamp
+	fault any   // first panic value raised by a process
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -99,6 +94,81 @@ func (e *Env) Now() Time { return e.now }
 // yet finished.
 func (e *Env) Alive() int { return e.alive }
 
+func (e *Env) push(at Time, w *wakeup) {
+	e.seq++
+	s := slot{at: at, seq: e.seq, w: w}
+	w.queued = true
+	h := append(e.heap, s)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !s.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = s
+	e.heap = h
+}
+
+// pop removes the heap's minimum.
+func (e *Env) pop() {
+	h := e.heap
+	n := len(h) - 1
+	s := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(s) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = s
+}
+
+// newWakeup takes a wakeup from the free list for process p (or, with p nil,
+// for callback fn) and registers it among p's pending wakeups.
+func (e *Env) newWakeup(p *Proc, fn func(), tag int) *wakeup {
+	w := e.freeW
+	if w == nil {
+		w = new(wakeup)
+	} else {
+		e.freeW = w.next
+	}
+	*w = wakeup{p: p, fn: fn, tag: tag}
+	if p != nil {
+		p.pending = append(p.pending, w)
+	}
+	return w
+}
+
+// recycle returns w to the free list. Only w's current holder may call it.
+func (e *Env) recycle(w *wakeup) {
+	if w.free {
+		panic("sim: wakeup recycled twice")
+	}
+	*w = wakeup{free: true, next: e.freeW}
+	e.freeW = w
+}
+
 // Proc is one simulated process. All blocking kernel primitives take place
 // on behalf of a Proc and must be invoked from its own goroutine.
 type Proc struct {
@@ -107,7 +177,7 @@ type Proc struct {
 	resume   chan struct{}
 	pending  []*wakeup
 	wokenTag int
-	xfer     any // value slot for queue handoff
+	seen     int64 // Env.scan stamp of Parked's last visit
 	done     bool
 }
 
@@ -121,8 +191,8 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // Spawn creates a new process executing fn and schedules it to start at the
-// current virtual time. It may be called before Run, or from any running
-// process.
+// current virtual time. It may be called before Run, from any running
+// process, or from a callback event.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
@@ -154,41 +224,55 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// scheduleWakeup enqueues a wakeup for p at time t and returns it.
-func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) *wakeup {
-	e.seq++
-	w := &wakeup{at: t, seq: e.seq, p: p, tag: tag, index: -1}
-	p.pending = append(p.pending, w)
-	heap.Push(&e.heap, w)
-	return w
+// AtFunc schedules fn as a callback event at virtual time t (now, if t has
+// passed): RunUntil executes it inline, to completion, at the (t, seq) slot
+// a process spawned here by SpawnAt would have started in — with no
+// goroutine, no handoff and nothing to clean up after. fn must not block:
+// it has no process, and a blocking primitive called from it panics. It may
+// do everything else — fire events, put to queues, spawn processes, schedule
+// further callbacks. Use it for things that happen at an instant (a message
+// arriving, a completion, a timer expiring, a scheduled fault); use Spawn
+// for actors that wait.
+func (e *Env) AtFunc(t Time, fn func()) {
+	if t < e.now {
+		t = e.now
+	}
+	e.push(t, e.newWakeup(nil, fn, 0))
 }
 
-// pendingWakeup registers a wakeup that is not yet scheduled on the clock
-// (used by Event waiters and queue waiters; they are pushed onto the heap
-// when fired/served).
-func (e *Env) pendingWakeup(p *Proc, tag int) *wakeup {
-	e.seq++
-	w := &wakeup{seq: e.seq, p: p, tag: tag, index: -1}
-	p.pending = append(p.pending, w)
-	return w
+// AfterFunc is AtFunc at d from now. Negative durations are treated as zero.
+func (e *Env) AfterFunc(d Time, fn func()) { e.AtFunc(e.now+d, fn) }
+
+// scheduleWakeup enqueues a wakeup for p at time t.
+func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) {
+	e.push(t, e.newWakeup(p, nil, tag))
 }
 
-// fireWakeup schedules a previously pending wakeup to deliver now.
+// fireWakeup schedules a pending wakeup to deliver now. The waiter list that
+// held w gives it up by this call: a canceled w is recycled here, a live one
+// when the scheduler pops it.
 func (e *Env) fireWakeup(w *wakeup) {
-	if w.canceled || w.index >= 0 {
+	if w.free || w.queued {
+		panic("sim: pending wakeup fired twice")
+	}
+	if w.canceled {
+		e.recycle(w)
 		return
 	}
-	w.at = e.now
-	e.seq++
-	w.seq = e.seq
-	heap.Push(&e.heap, w)
+	e.push(e.now, w)
 }
 
 // park blocks the calling process until one of its pending wakeups is
 // delivered, and returns that wakeup's tag. All other pending wakeups are
-// canceled.
-func (p *Proc) park() int {
+// canceled. prim names the blocking primitive for the misuse panic.
+func (p *Proc) park(prim string) int {
 	e := p.env
+	if e.cur != p {
+		// The wakeup just registered would resume a goroutine that never
+		// parked; fail here rather than deadlock the scheduler.
+		panic("sim: " + prim + " called from outside the running process " +
+			"(a callback event, another process's goroutine, or before Run)")
+	}
 	e.yield <- struct{}{}
 	<-p.resume
 	return p.wokenTag
@@ -202,29 +286,41 @@ func (e *Env) Run() Time { return e.RunUntil(-1) }
 // RunUntil executes scheduled wakeups with time ≤ limit (limit < 0 means no
 // limit) and returns the virtual time reached.
 func (e *Env) RunUntil(limit Time) Time {
-	for e.heap.Len() > 0 {
-		w := e.heap[0]
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		w := top.w
 		if w.canceled {
-			heap.Pop(&e.heap)
+			e.pop()
+			e.recycle(w)
 			continue
 		}
-		if limit >= 0 && w.at > limit {
+		if limit >= 0 && top.at > limit {
 			e.now = limit
 			return e.now
 		}
-		heap.Pop(&e.heap)
-		if w.at > e.now {
-			e.now = w.at
+		e.pop()
+		if top.at > e.now {
+			e.now = top.at
+		}
+		if w.p == nil {
+			fn := w.fn
+			e.recycle(w)
+			e.runCallback(fn)
+			continue
 		}
 		p := w.p
 		// Deliver: cancel the process's other pending wakeups.
 		for _, o := range p.pending {
+			if o.free {
+				panic("sim: recycled wakeup still pending on " + p.name)
+			}
 			if o != w {
 				o.canceled = true
 			}
 		}
 		p.pending = p.pending[:0]
 		p.wokenTag = w.tag
+		e.recycle(w)
 		e.cur = p
 		p.resume <- struct{}{}
 		<-e.yield
@@ -241,11 +337,31 @@ func (e *Env) RunUntil(limit Time) Time {
 	return e.now
 }
 
+// runCallback runs one callback event in the scheduler's goroutine. A panic
+// is re-raised from RunUntil like a process's, with the stack of the
+// callback that raised it.
+func (e *Env) runCallback(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Errorf("sim: callback event panicked: %v\n%s", r, debug.Stack()))
+		}
+	}()
+	fn()
+}
+
 // Parked reports how many live processes are currently blocked with no
-// scheduled wakeup (i.e. waiting on an Event, Queue or Resource). Only
-// meaningful when Run has returned.
+// scheduled wakeup (i.e. waiting on an Event, Queue or Resource that nothing
+// has fired). Only meaningful when Run or RunUntil has returned.
 func (e *Env) Parked() int {
-	return e.alive
+	e.scan++
+	scheduled := 0
+	for _, s := range e.heap {
+		if p := s.w.p; p != nil && !s.w.canceled && p.seen != e.scan {
+			p.seen = e.scan
+			scheduled++
+		}
+	}
+	return e.alive - scheduled
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -255,7 +371,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.env.scheduleWakeup(p.env.now+d, p, 0)
-	p.park()
+	p.park("Sleep")
 }
 
 // WaitUntil suspends the process until virtual time t (no-op if t has
@@ -266,26 +382,33 @@ func (p *Proc) WaitUntil(t Time) {
 		return
 	}
 	p.env.scheduleWakeup(t, p, 0)
-	p.park()
+	p.park("WaitUntil")
 }
 
 // Yield reschedules the process at the current time behind already-scheduled
 // same-time wakeups.
 func (p *Proc) Yield() {
 	p.env.scheduleWakeup(p.env.now, p, 0)
-	p.park()
+	p.park("Yield")
 }
 
-// Event is a one-shot condition processes can wait on. The zero value is not
-// usable; create with Env.NewEvent.
+// Event is a one-shot condition processes can wait on and callbacks can
+// observe. Create one with Env.NewEvent, or embed one in a larger record and
+// Init it.
 type Event struct {
-	env     *Env
-	fired   bool
-	waiters []*wakeup
+	env   *Env
+	fired bool
+	// Waiters in arrival order: first, then more. Most events have one.
+	first *wakeup
+	more  []*wakeup
 }
 
 // NewEvent returns a fresh unfired event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
+
+// Init makes a zero Event usable on env, for events embedded by value in a
+// record that is allocated once (a fabric message, a request).
+func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
 
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -297,10 +420,35 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
+	if ev.first != nil {
+		ev.env.fireWakeup(ev.first)
+		ev.first = nil
+	}
+	for _, w := range ev.more {
 		ev.env.fireWakeup(w)
 	}
-	ev.waiters = nil
+	ev.more = nil
+}
+
+func (ev *Event) addWaiter(w *wakeup) {
+	if ev.first == nil && len(ev.more) == 0 {
+		ev.first = w
+		return
+	}
+	ev.more = append(ev.more, w)
+}
+
+// OnFire runs fn as a callback event when ev fires: Fire schedules it at
+// the firing instant, in line with the processes waiting on ev, exactly as
+// it would wake a process that had called Wait here. If ev has already
+// fired, fn runs at once, as Wait would return at once. fn must not block
+// (see AtFunc).
+func (ev *Event) OnFire(fn func()) {
+	if ev.fired {
+		fn()
+		return
+	}
+	ev.addWaiter(ev.env.newWakeup(nil, fn, 0))
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it
@@ -309,14 +457,12 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
-	w := p.env.pendingWakeup(p, 0)
-	ev.waiters = append(ev.waiters, w)
-	p.park()
+	ev.addWaiter(p.env.newWakeup(p, nil, 0))
+	p.park("Wait")
 }
 
 // tags distinguishing wakeup causes for multi-cause parks.
 const (
-	tagDefault = 0
 	tagEvent   = 1
 	tagTimeout = 2
 )
@@ -330,10 +476,9 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 	if d <= 0 {
 		return false
 	}
-	w := p.env.pendingWakeup(p, tagEvent)
-	ev.waiters = append(ev.waiters, w)
+	ev.addWaiter(p.env.newWakeup(p, nil, tagEvent))
 	p.env.scheduleWakeup(p.env.now+d, p, tagTimeout)
-	return p.park() == tagEvent
+	return p.park("WaitTimeout") == tagEvent
 }
 
 // WaitAny blocks until any of the given events fires, returning the index of
@@ -348,10 +493,9 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 		panic("sim: WaitAny with no events")
 	}
 	for i, ev := range evs {
-		w := p.env.pendingWakeup(p, i)
-		ev.waiters = append(ev.waiters, w)
+		ev.addWaiter(p.env.newWakeup(p, nil, i))
 	}
-	return p.park()
+	return p.park("WaitAny")
 }
 
 // AnyOf returns an event that fires as soon as any input event fires.
@@ -364,7 +508,7 @@ func (e *Env) AnyOf(evs ...*Event) *Event {
 		}
 	}
 	for _, ev := range evs {
-		ev.onFire(func() { out.Fire() })
+		e.observe(ev, out.Fire)
 	}
 	return out
 }
@@ -382,36 +526,28 @@ func (e *Env) AllOf(evs ...*Event) *Event {
 		out.Fire()
 		return out
 	}
-	for _, ev := range evs {
-		if ev.fired {
-			continue
+	one := func() {
+		remaining--
+		if remaining == 0 {
+			out.Fire()
 		}
-		ev.onFire(func() {
-			remaining--
-			if remaining == 0 {
-				out.Fire()
-			}
-		})
+	}
+	for _, ev := range evs {
+		if !ev.fired {
+			e.observe(ev, one)
+		}
 	}
 	return out
 }
 
-// callbacks: internal-only observer used by AnyOf/AllOf. Implemented by
-// spawning a tiny waiter process so delivery ordering stays within the
-// kernel's single-runner discipline.
-func (ev *Event) onFire(fn func()) {
-	ev.env.Spawn("event-observer", func(p *Proc) {
-		p.Wait(ev)
-		fn()
-	})
-}
-
-// At schedules fn to run in a fresh process at virtual time t.
-func (e *Env) At(t Time, name string, fn func(p *Proc)) {
-	e.SpawnAt(t, name, fn)
+// observe starts watching ev one scheduler step from now, the step an
+// observer process would have taken to start: input events that fire in
+// between are seen as already fired.
+func (e *Env) observe(ev *Event, fn func()) {
+	e.AtFunc(e.now, func() { ev.OnFire(fn) })
 }
 
 // String renders the env state, for debugging.
 func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now=%v scheduled=%d alive=%d}", e.now, e.heap.Len(), e.alive)
+	return fmt.Sprintf("sim.Env{now=%v scheduled=%d alive=%d}", e.now, len(e.heap), e.alive)
 }

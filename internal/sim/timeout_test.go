@@ -5,7 +5,7 @@ import "testing"
 func TestWaitTimeoutEventWins(t *testing.T) {
 	env := NewEnv()
 	ev := env.NewEvent()
-	env.At(50, "firer", func(p *Proc) { ev.Fire() })
+	env.AtFunc(50, func() { ev.Fire() })
 	var fired bool
 	var at Time
 	env.Spawn("waiter", func(p *Proc) {
@@ -76,10 +76,10 @@ func TestGetTimeoutTable(t *testing.T) {
 			env := NewEnv()
 			q := NewQueue[int](env, 0)
 			if tc.putAt >= 0 {
-				env.At(tc.putAt, "producer", func(p *Proc) { q.TryPut(7) })
+				env.AtFunc(tc.putAt, func() { q.TryPut(7) })
 			}
 			if tc.closeAt >= 0 {
-				env.At(tc.closeAt, "closer", func(p *Proc) { q.Close() })
+				env.AtFunc(tc.closeAt, func() { q.Close() })
 			}
 			var v int
 			var ok, timedOut bool
@@ -128,7 +128,7 @@ func TestGetTimeoutThenNormalGetStillWorks(t *testing.T) {
 		}
 		got = v
 	})
-	env.At(60, "producer", func(p *Proc) { q.TryPut(9) })
+	env.AtFunc(60, func() { q.TryPut(9) })
 	env.Run()
 	if got != 9 {
 		t.Errorf("second get = %d, want 9", got)
@@ -138,8 +138,8 @@ func TestGetTimeoutThenNormalGetStillWorks(t *testing.T) {
 func TestWaitAnyReturnsFirstIndex(t *testing.T) {
 	env := NewEnv()
 	evs := []*Event{env.NewEvent(), env.NewEvent(), env.NewEvent()}
-	env.At(30, "fire1", func(p *Proc) { evs[1].Fire() })
-	env.At(90, "fire2", func(p *Proc) { evs[2].Fire() })
+	env.AtFunc(30, func() { evs[1].Fire() })
+	env.AtFunc(90, func() { evs[2].Fire() })
 	var idx int
 	var at Time
 	env.Spawn("waiter", func(p *Proc) {

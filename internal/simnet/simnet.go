@@ -173,22 +173,41 @@ func (f *Fabric) AddNode(name string) *Node {
 		panic(fmt.Sprintf("simnet: duplicate node %q", name))
 	}
 	n := &Node{fabric: f, name: name}
-	n.tx = sim.NewQueue[*outMsg](f.env, 0)
+	n.tx = sim.NewQueue[*flight](f.env, 0)
 	f.nodes[name] = n
 	f.env.Spawn("nic-tx:"+name, n.txEngine)
 	return n
 }
 
-type outMsg struct {
-	msg *Message
-	out *Outgoing
+// flight is everything one message needs from Post to delivery, in a single
+// allocation: the message, the sender's handle on it with both its events,
+// and where and what to deliver.
+type flight struct {
+	msg       Message
+	out       Outgoing
+	sent      sim.Event
+	delivered sim.Event
+	dst       *Node
+	arriving  *Message // msg, or its bit-flipped copy
+}
+
+// deliver is the delivery callback event: the receiver NIC hands the message
+// up.
+func (fl *flight) deliver() {
+	dst, m := fl.dst, fl.arriving
+	dst.RxBytes += int64(m.Size)
+	dst.RxMsgs++
+	fl.delivered.Fire()
+	if dst.receiver != nil {
+		dst.receiver(m)
+	}
 }
 
 // Node is one host with a single NIC attached to the fabric.
 type Node struct {
 	fabric   *Fabric
 	name     string
-	tx       *sim.Queue[*outMsg]
+	tx       *sim.Queue[*flight]
 	receiver func(m *Message)
 
 	// Stats
@@ -202,8 +221,9 @@ func (n *Node) Name() string { return n.name }
 // Fabric returns the owning fabric.
 func (n *Node) Fabric() *Fabric { return n.fabric }
 
-// SetReceiver installs the delivery callback. It runs in a fresh process at
-// delivery time and must not block for long (spawn work elsewhere).
+// SetReceiver installs the delivery callback. It runs inside the delivery
+// callback event, in the scheduler's goroutine, so it must not block: queue
+// the message or spawn a process for anything that waits.
 func (n *Node) SetReceiver(fn func(m *Message)) { n.receiver = fn }
 
 // txEngine drains the NIC transmit queue, charging serialization time per
@@ -211,22 +231,23 @@ func (n *Node) SetReceiver(fn func(m *Message)) { n.receiver = fn }
 func (n *Node) txEngine(p *sim.Proc) {
 	f := n.fabric
 	for {
-		om, ok := n.tx.Get(p)
+		fl, ok := n.tx.Get(p)
 		if !ok {
 			return
 		}
-		p.Sleep(f.spec.SerializeTime(om.msg.Size))
-		om.out.Sent.Fire()
-		n.TxBytes += int64(om.msg.Size)
+		msg := &fl.msg
+		p.Sleep(f.spec.SerializeTime(msg.Size))
+		fl.sent.Fire()
+		n.TxBytes += int64(msg.Size)
 		n.TxMsgs++
 		f.MsgCount++
-		f.ByteCount += int64(om.msg.Size)
-		dst := f.nodes[om.msg.Dst]
-		if dst == nil {
-			panic(fmt.Sprintf("simnet: send to unknown node %q", om.msg.Dst))
+		f.ByteCount += int64(msg.Size)
+		fl.dst = f.nodes[msg.Dst]
+		if fl.dst == nil {
+			panic(fmt.Sprintf("simnet: send to unknown node %q", msg.Dst))
 		}
 		deliverAt := p.Now() + f.spec.PropDelay + f.spec.RecvCPU
-		msg, out := om.msg, om.out
+		fl.arriving = msg
 		copies := 1
 		if f.faults != nil {
 			v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, p.Now())
@@ -242,22 +263,15 @@ func (n *Node) txEngine(p *sim.Proc) {
 				if c, ok := msg.Payload.(Corruptible); ok {
 					cm := *msg
 					cm.Payload = c.CorruptCopy()
-					msg = &cm
+					fl.arriving = &cm
 					f.Corrupted++
 				}
 			}
 		}
+		deliver := fl.deliver
 		for i := 0; i < copies; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
-			at := deliverAt + sim.Time(i)*f.spec.RecvCPU
-			f.env.SpawnAt(at, "deliver:"+dst.name, func(dp *sim.Proc) {
-				dst.RxBytes += int64(msg.Size)
-				dst.RxMsgs++
-				out.Delivered.Fire()
-				if dst.receiver != nil {
-					dst.receiver(msg)
-				}
-			})
+			f.env.AtFunc(deliverAt+sim.Time(i)*f.spec.RecvCPU, deliver)
 		}
 	}
 }
@@ -265,10 +279,12 @@ func (n *Node) txEngine(p *sim.Proc) {
 // Post hands a message to the NIC without charging caller CPU time (the
 // caller models its own cost, e.g. the verbs layer charging doorbell cost).
 func (n *Node) Post(dst string, size int, payload any) *Outgoing {
-	out := &Outgoing{Sent: n.fabric.env.NewEvent(), Delivered: n.fabric.env.NewEvent()}
-	m := &Message{Src: n.name, Dst: dst, Size: size, Payload: payload}
-	n.tx.TryPut(&outMsg{msg: m, out: out}) // unbounded queue: always succeeds
-	return out
+	fl := &flight{msg: Message{Src: n.name, Dst: dst, Size: size, Payload: payload}}
+	fl.sent.Init(n.fabric.env)
+	fl.delivered.Init(n.fabric.env)
+	fl.out = Outgoing{Sent: &fl.sent, Delivered: &fl.delivered}
+	n.tx.TryPut(fl) // unbounded queue: always succeeds
+	return &fl.out
 }
 
 // Send charges the caller the host-side CPU cost, then posts the message.

@@ -222,13 +222,13 @@ type Completion struct {
 type CQ struct {
 	dev *Device
 	q   *sim.Queue[Completion]
-	ev  *sim.Event // fired when the CQ becomes non-empty; re-armed on drain
+	ev  *sim.Event // armed by Notify, fired and disarmed by the next arrival; nil when nobody asked
 }
 
 // CreateCQ allocates a completion queue. Depth ≤ 0 means unbounded (the
 // simulated HCA never overruns; overrun modeling is out of scope).
 func (d *Device) CreateCQ(depth int) *CQ {
-	return &CQ{dev: d, q: sim.NewQueue[Completion](d.env, depth), ev: d.env.NewEvent()}
+	return &CQ{dev: d, q: sim.NewQueue[Completion](d.env, depth)}
 }
 
 // Poll removes one completion without blocking.
@@ -245,10 +245,10 @@ func (cq *CQ) WaitPoll(p *sim.Proc) Completion {
 
 func (cq *CQ) push(c Completion) {
 	cq.q.TryPut(c)
-	if !cq.ev.Fired() {
+	if cq.ev != nil {
 		cq.ev.Fire()
+		cq.ev = nil
 	}
-	cq.ev = cq.dev.env.NewEvent()
 }
 
 // Notify returns an event that fires on the next completion arrival.
@@ -258,6 +258,9 @@ func (cq *CQ) Notify() *sim.Event {
 		ev := cq.dev.env.NewEvent()
 		ev.Fire()
 		return ev
+	}
+	if cq.ev == nil {
+		cq.ev = cq.dev.env.NewEvent()
 	}
 	return cq.ev
 }
@@ -307,7 +310,7 @@ type QP struct {
 	recvQ      []RecvWR
 	connected  bool
 
-	pendingReads map[uint64]*SendWR
+	pendingReads map[uint64]*MR // WRID of each READ in flight → its LocalMR (may be nil)
 }
 
 // CreateQP allocates a queue pair bound to the given CQs.
@@ -316,7 +319,7 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp := &QP{
 		dev: d, qpn: d.nextQP,
 		sendCQ: sendCQ, recvCQ: recvCQ,
-		pendingReads: make(map[uint64]*SendWR),
+		pendingReads: make(map[uint64]*MR),
 	}
 	d.qps[qp.qpn] = qp
 	return qp
@@ -407,8 +410,7 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 	if wr.Op == OpRead {
 		// A small request packet travels out; the data comes back on the
 		// reverse link driven by the remote HCA, no remote CPU.
-		wrCopy := wr
-		qp.pendingReads[wr.WRID] = &wrCopy
+		qp.pendingReads[wr.WRID] = wr.LocalMR
 		return qp.post(readReqBytes, &wire{
 			kind: OpRead, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
 			wrid: wr.WRID, remoteMR: wr.RemoteMR, remoteOff: wr.RemoteOff,
@@ -423,14 +425,13 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 	if wr.Signaled {
 		// RC send completion: generated when the ACK returns, i.e. one
 		// propagation delay after full delivery.
+		env, sendCQ := d.env, qp.sendCQ
 		prop := qp.dev.node.Fabric().Spec().PropDelay
-		wrID, op, size := wr.WRID, wr.Op, wr.Size
-		localQPN := qp.qpn
-		sendCQ := qp.sendCQ
-		d.env.Spawn("ack-wait", func(p *sim.Proc) {
-			p.Wait(out.Delivered)
-			p.Sleep(prop)
-			sendCQ.push(Completion{WRID: wrID, Op: op, QPN: localQPN, Bytes: size})
+		c := Completion{WRID: wr.WRID, Op: wr.Op, QPN: qp.qpn, Bytes: wr.Size}
+		env.AfterFunc(0, func() {
+			out.Delivered.OnFire(func() {
+				env.AfterFunc(prop, func() { sendCQ.push(c) })
+			})
 		})
 	}
 	return out
@@ -477,13 +478,13 @@ func (d *Device) deliver(m *simnet.Message) {
 	}
 	if w.kind == OpRead && w.ackFor {
 		// READ response arriving back at the requester.
-		rd := qp.pendingReads[w.wrid]
-		if rd == nil {
+		local, ok := qp.pendingReads[w.wrid]
+		if !ok {
 			panic("verbs: READ response with no pending request")
 		}
 		delete(qp.pendingReads, w.wrid)
-		if rd.LocalMR != nil {
-			rd.LocalMR.SetPayload(w.payload, w.size)
+		if local != nil {
+			local.SetPayload(w.payload, w.size)
 		}
 		if w.signaled {
 			qp.sendCQ.push(Completion{
