@@ -275,7 +275,7 @@ func (m *Membership) ReplicaSet(key string, n int) []int {
 	}
 	for _, id := range m.prev.Replicas(key, n) {
 		if !containsID(set, id) {
-			set = append(set, id)
+			set = append(set, id) // the ring's set is full to capacity: this copies
 		}
 	}
 	return set

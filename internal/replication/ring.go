@@ -28,6 +28,11 @@ import (
 type Ring struct {
 	points []ringPoint
 	dirty  bool
+	// memo[i] is the replica walk from sorted point i, as far as any caller
+	// has asked for it; servers is the number of distinct ids on the ring
+	// (the longest a walk can get). Add and Remove drop both.
+	memo    [][]int
+	servers int
 }
 
 type ringPoint struct {
@@ -71,6 +76,7 @@ func (r *Ring) Add(serverID int) {
 			ringPoint{hash: h2, serverID: serverID})
 	}
 	r.dirty = true
+	r.memo = nil
 }
 
 // Clone returns an independent copy of the ring. Membership transitions
@@ -104,6 +110,7 @@ func (r *Ring) Remove(serverID int) {
 	}
 	r.points = out
 	r.dirty = true
+	r.memo = nil
 }
 
 func (r *Ring) sortPoints() {
@@ -133,20 +140,30 @@ func (r *Ring) Pick(key string) int {
 
 // Replicas returns the key's replica set: the first n distinct server ids
 // clockwise from the key's hash, primary first. Fewer than n distinct
-// servers on the ring shortens the set.
+// servers on the ring shortens the set. The set is memoised per ring point
+// and shared between calls: callers must not modify it (appending is safe —
+// its capacity is its length, so append copies).
 func (r *Ring) Replicas(key string, n int) []int {
 	start := r.search(key)
+	if r.memo == nil {
+		r.memo = make([][]int, len(r.points))
+		r.servers = len(r.Members())
+	}
+	n = min(n, r.servers)
+	set := r.memo[start]
+	if len(set) < n {
+		set = r.walk(start, n)
+		r.memo[start] = set
+	}
+	return set[:n:n]
+}
+
+// walk collects the first n distinct server ids clockwise from point start.
+func (r *Ring) walk(start, n int) []int {
 	set := make([]int, 0, n)
 	for i := 0; i < len(r.points) && len(set) < n; i++ {
 		id := r.points[(start+i)%len(r.points)].serverID
-		dup := false
-		for _, have := range set {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !containsID(set, id) {
 			set = append(set, id)
 		}
 	}

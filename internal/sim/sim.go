@@ -39,17 +39,17 @@ const (
 //
 // Wakeups are pooled on the Env. A wakeup has exactly one holder at a time —
 // a waiter list (Event, Queue, Resource) while pending, the heap once fired
-// or scheduled — and only that holder recycles it: the scheduler when it
-// pops it off the heap (delivered or canceled), a waiter list when it drops
-// a canceled entry it would otherwise have fired. A process's pending list
-// is emptied at the instant its other wakeups are canceled, so it never
-// outlives them.
+// or scheduled — and is recycled only when that holder lets go of it: when
+// it leaves the heap (delivered, or removed at the instant it is canceled),
+// or when a waiter list drops a canceled entry instead of firing it. A
+// process's own pending list is emptied at the instant its other wakeups
+// are canceled, so it never outlives them.
 type wakeup struct {
-	p        *Proc  // process to resume; nil for a callback event
-	fn       func() // callback to run (p == nil)
-	tag      int    // cause identifier, returned to the parked process
-	canceled bool
-	queued   bool    // on the heap
+	p        *Proc   // process to resume; nil for a callback event
+	fn       func()  // callback to run (p == nil)
+	tag      int     // cause identifier, returned to the parked process
+	index    int     // position on the heap, -1 while pending
+	canceled bool    // pending, and its process was woken by something else
 	free     bool    // on the free list; any use is a kernel bug
 	next     *wakeup // free-list link
 }
@@ -94,54 +94,70 @@ func (e *Env) Now() Time { return e.now }
 // yet finished.
 func (e *Env) Alive() int { return e.alive }
 
+// push schedules w at time at, behind everything already scheduled for it.
 func (e *Env) push(at Time, w *wakeup) {
 	e.seq++
-	s := slot{at: at, seq: e.seq, w: w}
-	w.queued = true
-	h := append(e.heap, s)
-	i := len(h) - 1
+	e.heap = append(e.heap, slot{})
+	e.siftUp(len(e.heap)-1, slot{at: at, seq: e.seq, w: w})
+}
+
+// remove takes the entry at heap position i off the heap.
+func (e *Env) remove(i int) {
+	h := e.heap
+	n := len(h) - 1
+	h[i].w.index = -1
+	last := h[n]
+	h[n] = slot{}
+	e.heap = h[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(h[(i-1)/4]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
+}
+
+// siftUp places s in the hole at position i or above.
+func (e *Env) siftUp(i int, s slot) {
+	h := e.heap
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !s.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		h[i].w.index = i
 		i = parent
 	}
 	h[i] = s
-	e.heap = h
+	s.w.index = i
 }
 
-// pop removes the heap's minimum.
-func (e *Env) pop() {
+// siftDown places s in the hole at position i or below.
+func (e *Env) siftDown(i int, s slot) {
 	h := e.heap
-	n := len(h) - 1
-	s := h[n]
-	h[n] = slot{}
-	h = h[:n]
-	e.heap = h
-	if n == 0 {
-		return
-	}
-	i := 0
 	for {
 		first := 4*i + 1
-		if first >= n {
+		if first >= len(h) {
 			break
 		}
-		min := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if h[c].before(h[min]) {
-				min = c
+		least := first
+		for c := first + 1; c < first+4 && c < len(h); c++ {
+			if h[c].before(h[least]) {
+				least = c
 			}
 		}
-		if !h[min].before(s) {
+		if !h[least].before(s) {
 			break
 		}
-		h[i] = h[min]
-		i = min
+		h[i] = h[least]
+		h[i].w.index = i
+		i = least
 	}
 	h[i] = s
+	s.w.index = i
 }
 
 // newWakeup takes a wakeup from the free list for process p (or, with p nil,
@@ -153,7 +169,7 @@ func (e *Env) newWakeup(p *Proc, fn func(), tag int) *wakeup {
 	} else {
 		e.freeW = w.next
 	}
-	*w = wakeup{p: p, fn: fn, tag: tag}
+	*w = wakeup{p: p, fn: fn, tag: tag, index: -1}
 	if p != nil {
 		p.pending = append(p.pending, w)
 	}
@@ -165,7 +181,7 @@ func (e *Env) recycle(w *wakeup) {
 	if w.free {
 		panic("sim: wakeup recycled twice")
 	}
-	*w = wakeup{free: true, next: e.freeW}
+	*w = wakeup{index: -1, free: true, next: e.freeW}
 	e.freeW = w
 }
 
@@ -252,7 +268,7 @@ func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) {
 // held w gives it up by this call: a canceled w is recycled here, a live one
 // when the scheduler pops it.
 func (e *Env) fireWakeup(w *wakeup) {
-	if w.free || w.queued {
+	if w.free || w.index >= 0 {
 		panic("sim: pending wakeup fired twice")
 	}
 	if w.canceled {
@@ -288,20 +304,15 @@ func (e *Env) Run() Time { return e.RunUntil(-1) }
 func (e *Env) RunUntil(limit Time) Time {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		w := top.w
-		if w.canceled {
-			e.pop()
-			e.recycle(w)
-			continue
-		}
 		if limit >= 0 && top.at > limit {
 			e.now = limit
 			return e.now
 		}
-		e.pop()
+		e.remove(0)
 		if top.at > e.now {
 			e.now = top.at
 		}
+		w := top.w
 		if w.p == nil {
 			fn := w.fn
 			e.recycle(w)
@@ -311,11 +322,15 @@ func (e *Env) RunUntil(limit Time) Time {
 		p := w.p
 		// Deliver: cancel the process's other pending wakeups.
 		for _, o := range p.pending {
-			if o.free {
+			switch {
+			case o == w:
+			case o.free:
 				panic("sim: recycled wakeup still pending on " + p.name)
-			}
-			if o != w {
-				o.canceled = true
+			case o.index >= 0:
+				e.remove(o.index)
+				e.recycle(o)
+			default:
+				o.canceled = true // its waiter list recycles it
 			}
 		}
 		p.pending = p.pending[:0]
@@ -356,7 +371,7 @@ func (e *Env) Parked() int {
 	e.scan++
 	scheduled := 0
 	for _, s := range e.heap {
-		if p := s.w.p; p != nil && !s.w.canceled && p.seen != e.scan {
+		if p := s.w.p; p != nil && p.seen != e.scan {
 			p.seen = e.scan
 			scheduled++
 		}
