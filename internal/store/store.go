@@ -315,6 +315,19 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 		return nil, 0, 0, 0, protocol.StatusNotFound
 	}
 	v, err := s.mgr.Load(p, it)
+	// Load can suspend (memcpy, SSD read), and a concurrent worker's Set of
+	// this key releases it meanwhile: what Load returned — a nil value, or
+	// ErrDropped — then describes the replaced item, not the key. Serve
+	// whichever item the table holds once a load of it comes back unreplaced.
+	for s.table[key] != it {
+		if it = s.table[key]; it == nil {
+			// Deleted (or expired) under us: a plain miss, nothing to tear down.
+			s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
+			s.GetMisses++
+			return nil, 0, 0, 0, protocol.StatusNotFound
+		}
+		v, err = s.mgr.Load(p, it)
+	}
 	s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
 	if err != nil {
 		if errors.Is(err, hybridslab.ErrRecovering) {
