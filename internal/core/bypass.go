@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -135,7 +133,8 @@ func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
 // iset/iget semantics (return once the operation is in flight).
 func (c *Client) spawnBypass(req *Req, o issueOpts) {
 	force := o.readPath == ReadBypass
-	c.env.Spawn(fmt.Sprintf("client/bypass%d", req.ID), func(p *sim.Proc) {
+	c.env.Spawn("client/bypass", func(p *sim.Proc) {
+		defer req.tagPanic()
 		if !c.resolveBypass(p, req, force) {
 			c.bypassFallback(p, req)
 		}

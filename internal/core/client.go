@@ -212,6 +212,16 @@ type Req struct {
 // Done reports whether the operation has completed (memcached_test).
 func (r *Req) Done() bool { return r.done.Fired() }
 
+// tagPanic, deferred by a request's helper process (bypass resolver, guard,
+// hedge), adds the request id to a panic passing through it. Those
+// processes share one constant name each — a formatted name per request was
+// two allocations on every GET — so the id would otherwise be lost.
+func (r *Req) tagPanic() {
+	if v := recover(); v != nil {
+		panic(fmt.Sprintf("request %d (%v %q): %v", r.ID, r.Op, r.Key, v))
+	}
+}
+
 // TimedOut reports whether the operation ended by deadline expiry.
 func (r *Req) TimedOut() bool { return r.timedOut }
 

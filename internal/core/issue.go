@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"hybridkv/internal/metrics"
@@ -333,8 +332,8 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 	if o.deadline > 0 {
 		deadline = req.IssuedAt + o.deadline
 	}
-	name := fmt.Sprintf("client/guard%d", req.ID)
-	c.env.Spawn(name, func(p *sim.Proc) {
+	c.env.Spawn("client/guard", func(p *sim.Proc) {
+		defer req.tagPanic()
 		if o.retry == nil {
 			if !p.WaitTimeout(req.done, deadline-p.Now()) {
 				c.expire(req)
@@ -445,8 +444,8 @@ func (c *Client) failoverNext(cur *conn, key string) *conn {
 // own credit return. Like retransmit failover, the hedge target skips open
 // breakers and stays inside the key's replica set on replicated clusters.
 func (c *Client) spawnHedge(req *Req, after sim.Time) {
-	name := fmt.Sprintf("client/hedge%d", req.ID)
-	c.env.Spawn(name, func(p *sim.Proc) {
+	c.env.Spawn("client/hedge", func(p *sim.Proc) {
+		defer req.tagPanic()
 		if p.WaitTimeout(req.done, after) || req.done.Fired() {
 			if req.bypassed {
 				// The GET already resolved on the bypass path; the hedge

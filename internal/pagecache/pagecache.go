@@ -18,7 +18,6 @@
 package pagecache
 
 import (
-	"container/list"
 	"fmt"
 
 	"hybridkv/internal/blockdev"
@@ -85,10 +84,14 @@ type pageKey struct {
 	idx  int64
 }
 
+// page is one resident page. Its recency links are intrusive: resident
+// pages form a ring through the cache's lru sentinel, and evicted pages are
+// kept on a spare list and reused by the next fault, so steady-state paging
+// allocates nothing.
 type page struct {
-	key   pageKey
-	dirty bool
-	lru   *list.Element
+	key        pageKey
+	dirty      bool
+	prev, next *page // recency ring while resident; next chains the spare list
 }
 
 // Cache is one host's page cache in front of one device.
@@ -97,7 +100,8 @@ type Cache struct {
 	dev   *blockdev.Device
 	par   Params
 	pages map[pageKey]*page
-	lru   *list.List // front = most recent
+	lru   page  // ring sentinel: lru.next = most recent, lru.prev = least recent
+	spare *page // evicted pages awaiting reuse
 	dirty int
 	files int
 
@@ -122,12 +126,54 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		dev:     dev,
 		par:     par,
 		pages:   make(map[pageKey]*page),
-		lru:     list.New(),
 		wbKick:  env.NewEvent(),
 		wbYield: env.NewEvent(),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	env.Spawn("pagecache-flusher", c.flusher)
 	return c
+}
+
+// unlink takes a resident page out of the recency ring.
+func (pg *page) unlink() {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
+}
+
+// pushFront makes pg the most recently used page.
+func (c *Cache) pushFront(pg *page) {
+	pg.prev, pg.next = &c.lru, c.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
+}
+
+func (c *Cache) moveToFront(pg *page) {
+	if c.lru.next != pg {
+		pg.unlink()
+		c.pushFront(pg)
+	}
+}
+
+// admit makes page k resident and most recently used, reusing an evicted
+// page when one is spare.
+func (c *Cache) admit(k pageKey) *page {
+	pg := c.spare
+	if pg == nil {
+		pg = new(page)
+	} else {
+		c.spare = pg.next
+	}
+	*pg = page{key: k}
+	c.pushFront(pg)
+	c.pages[k] = pg
+	return pg
+}
+
+// evict drops a resident page.
+func (c *Cache) evict(pg *page) {
+	pg.unlink()
+	delete(c.pages, pg.key)
+	pg.next = c.spare
+	c.spare = pg
 }
 
 // Params returns the cache's cost model.
@@ -463,7 +509,8 @@ func (f *File) RecoverExtents() {
 // power-cycled host.
 func (c *Cache) Reset() {
 	c.pages = make(map[pageKey]*page)
-	c.lru = list.New()
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.spare = nil
 	c.dirty = 0
 }
 
@@ -525,11 +572,9 @@ func (f *File) residentRange(p *sim.Proc, off int64, size int, dirty bool) {
 		pg, ok := c.pages[k]
 		if !ok {
 			c.evictFor(p, 1)
-			pg = &page{key: k}
-			pg.lru = c.lru.PushFront(pg)
-			c.pages[k] = pg
+			pg = c.admit(k)
 		} else {
-			c.lru.MoveToFront(pg.lru)
+			c.moveToFront(pg)
 		}
 		if dirty && !pg.dirty {
 			pg.dirty = true
@@ -551,7 +596,7 @@ func (f *File) touchRange(off int64, size int) {
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
 		if pg, ok := c.pages[pageKey{f.id, i}]; ok {
-			c.lru.MoveToFront(pg.lru)
+			c.moveToFront(pg)
 		}
 	}
 }
@@ -566,8 +611,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 	for len(c.pages)+n > c.par.MaxPages {
 		// Scan from the back for a clean victim.
 		var victim *page
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			pg := e.Value.(*page)
+		for pg := c.lru.prev; pg != &c.lru; pg = pg.prev {
 			if !pg.dirty {
 				victim = pg
 				break
@@ -575,19 +619,24 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 		}
 		if victim == nil {
 			// Direct reclaim: flush the oldest dirty page synchronously.
-			e := c.lru.Back()
-			if e == nil {
+			victim = c.lru.prev
+			if victim == &c.lru {
 				return
 			}
-			pg := e.Value.(*page)
+			key := victim.key
 			c.dev.ServeRaw(p, true, c.par.PageSize)
 			c.WritebackPages++
-			pg.dirty = false
-			c.dirty--
-			victim = pg
+			if c.pages[key] != victim {
+				// Another reclaimer evicted it (and the page may already be
+				// reused) while this one slept in the device write.
+				continue
+			}
+			if victim.dirty { // unless the flusher cleaned it meanwhile
+				victim.dirty = false
+				c.dirty--
+			}
 		}
-		c.lru.Remove(victim.lru)
-		delete(c.pages, victim.key)
+		c.evict(victim)
 	}
 }
 
@@ -621,8 +670,7 @@ func (c *Cache) flusher(p *sim.Proc) {
 		}
 		// Collect a batch of dirty pages, oldest first.
 		batch := 0
-		for e := c.lru.Back(); e != nil && batch < c.par.WritebackBatch; e = e.Prev() {
-			pg := e.Value.(*page)
+		for pg := c.lru.prev; pg != &c.lru && batch < c.par.WritebackBatch; pg = pg.prev {
 			if pg.dirty {
 				pg.dirty = false
 				c.dirty--

@@ -290,3 +290,49 @@ func TestDiscardDropsExtent(t *testing.T) {
 		t.Errorf("read after Discard reported ok")
 	}
 }
+
+// TestEvictionIsLRUAndRecyclesPages reads a working set that fits, touches
+// its first half again, then faults in as many new pages as the half that
+// was not touched: exactly that colder half must be evicted, in order, and
+// the new pages must reuse the evicted page records rather than allocate.
+func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
+	env := sim.NewEnv()
+	dev := blockdev.New(env, blockdev.NVMe(), 8<<30)
+	par := DefaultParams()
+	par.MaxPages = 8
+	c := New(env, dev, par)
+	f := c.OpenFile(0, 1<<30)
+	resident := func(i int) bool { _, ok := c.pages[pageKey{f.id, int64(i)}]; return ok }
+	env.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			f.Read(p, int64(i)*4096, 4096, Mmap)
+		}
+		for i := 0; i < 4; i++ { // 0..3 become the most recent
+			f.Read(p, int64(i)*4096, 4096, Mmap)
+		}
+		before := map[*page]bool{}
+		for _, pg := range c.pages {
+			before[pg] = true
+		}
+		for i := 8; i < 12; i++ { // evicts 4..7, oldest first
+			f.Read(p, int64(i)*4096, 4096, Mmap)
+			if resident(i-4) || !resident(i) {
+				t.Errorf("fault of page %d: page %d resident=%v, page %d resident=%v", i, i-4, resident(i-4), i, resident(i))
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if !resident(i) {
+				t.Errorf("recently used page %d was evicted", i)
+			}
+		}
+		for _, pg := range c.pages {
+			if !before[pg] {
+				t.Errorf("page %d got a new record with evicted ones to spare", pg.key.idx)
+			}
+		}
+	})
+	env.Run()
+	if c.Resident() != 8 || c.spare != nil {
+		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.Resident(), c.spare == nil)
+	}
+}
