@@ -127,10 +127,11 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	if q.TryPut(v) {
 		return
 	}
+	p.mustBeRunning("Queue.Put")
 	pw := q.newWaiter(p, 0)
 	pw.v = v
 	q.putters.push(pw)
-	p.park("Queue.Put")
+	p.park()
 	q.recycle(pw)
 }
 
@@ -154,9 +155,10 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	if q.closed {
 		return v, false
 	}
+	p.mustBeRunning("Queue.Get")
 	g := q.newWaiter(p, 0)
 	q.getters.push(g)
-	p.park("Queue.Get")
+	p.park()
 	return q.received(g)
 }
 
@@ -174,10 +176,11 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool, timedOut bool) {
 	if d <= 0 {
 		return v, false, true
 	}
+	p.mustBeRunning("Queue.GetTimeout")
 	g := q.newWaiter(p, tagEvent)
 	q.getters.push(g)
 	q.env.scheduleWakeup(q.env.now+d, p, tagTimeout)
-	if p.park("Queue.GetTimeout") == tagTimeout && !g.served {
+	if p.park() == tagTimeout && !g.served {
 		// Delivery of the timeout canceled g's wakeup, so g can no longer be
 		// served; it is recycled when it reaches the head of the line.
 		q.dropTimedOut()

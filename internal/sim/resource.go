@@ -59,8 +59,9 @@ func (r *Resource) AcquireN(p *Proc, n int) {
 	if r.TryAcquireN(n) {
 		return
 	}
+	p.mustBeRunning("Resource.Acquire")
 	r.waiters.push(rwaiter{w: r.env.newWakeup(p, nil, 0), n: n})
-	p.park("Resource.Acquire")
+	p.park()
 }
 
 // Release returns one unit, waking the next eligible waiter.

@@ -191,7 +191,8 @@ type Proc struct {
 	env      *Env
 	name     string
 	resume   chan struct{}
-	pending  []*wakeup
+	pending  []*wakeup  // outstanding wakeups; starts out backed by pend
+	pend     [2]*wakeup // room for a wait plus its timeout without allocating
 	wokenTag int
 	seen     int64 // Env.scan stamp of Parked's last visit
 	done     bool
@@ -219,22 +220,22 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		t = e.now
 	}
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p.pending = p.pend[:0]
 	e.alive++
 	go func() {
 		<-p.resume
-		func() {
-			// Capture process panics so the scheduler can re-raise them
-			// from Run, in the simulation driver's goroutine.
-			defer func() {
-				if r := recover(); r != nil && e.fault == nil {
-					e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}()
-			fn(p)
+		// Hand control back however fn ends: by returning, by panicking
+		// (re-raised from Run, in the simulation driver's goroutine), or by
+		// runtime.Goexit (a t.Fatal inside a process).
+		defer func() {
+			if r := recover(); r != nil && e.fault == nil {
+				e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+			p.done = true
+			e.alive--
+			e.yield <- struct{}{}
 		}()
-		p.done = true
-		e.alive--
-		e.yield <- struct{}{}
+		fn(p)
 	}()
 	e.scheduleWakeup(t, p, 0)
 	return p
@@ -278,18 +279,23 @@ func (e *Env) fireWakeup(w *wakeup) {
 	e.push(e.now, w)
 }
 
+// mustBeRunning is called by every blocking primitive once it knows it will
+// block, before it registers a wakeup: only the process the scheduler is
+// running right now can park. Anything else — a callback event, another
+// process's goroutine, code outside Run — would leave the scheduler waiting
+// on a goroutine that never yields, so it panics here instead, naming prim.
+func (p *Proc) mustBeRunning(prim string) {
+	if p.env.cur != p {
+		panic("sim: " + prim + " called from outside the running process " +
+			"(a callback event, another process's goroutine, or outside Run)")
+	}
+}
+
 // park blocks the calling process until one of its pending wakeups is
 // delivered, and returns that wakeup's tag. All other pending wakeups are
-// canceled. prim names the blocking primitive for the misuse panic.
-func (p *Proc) park(prim string) int {
-	e := p.env
-	if e.cur != p {
-		// The wakeup just registered would resume a goroutine that never
-		// parked; fail here rather than deadlock the scheduler.
-		panic("sim: " + prim + " called from outside the running process " +
-			"(a callback event, another process's goroutine, or before Run)")
-	}
-	e.yield <- struct{}{}
+// canceled.
+func (p *Proc) park() int {
+	p.env.yield <- struct{}{}
 	<-p.resume
 	return p.wokenTag
 }
@@ -385,8 +391,9 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
+	p.mustBeRunning("Sleep")
 	p.env.scheduleWakeup(p.env.now+d, p, 0)
-	p.park("Sleep")
+	p.park()
 }
 
 // WaitUntil suspends the process until virtual time t (no-op if t has
@@ -396,15 +403,17 @@ func (p *Proc) WaitUntil(t Time) {
 		p.Yield()
 		return
 	}
+	p.mustBeRunning("WaitUntil")
 	p.env.scheduleWakeup(t, p, 0)
-	p.park("WaitUntil")
+	p.park()
 }
 
 // Yield reschedules the process at the current time behind already-scheduled
 // same-time wakeups.
 func (p *Proc) Yield() {
+	p.mustBeRunning("Yield")
 	p.env.scheduleWakeup(p.env.now, p, 0)
-	p.park("Yield")
+	p.park()
 }
 
 // Event is a one-shot condition processes can wait on and callbacks can
@@ -472,8 +481,9 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
+	p.mustBeRunning("Wait")
 	ev.addWaiter(p.env.newWakeup(p, nil, 0))
-	p.park("Wait")
+	p.park()
 }
 
 // tags distinguishing wakeup causes for multi-cause parks.
@@ -491,9 +501,10 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 	if d <= 0 {
 		return false
 	}
+	p.mustBeRunning("WaitTimeout")
 	ev.addWaiter(p.env.newWakeup(p, nil, tagEvent))
 	p.env.scheduleWakeup(p.env.now+d, p, tagTimeout)
-	return p.park("WaitTimeout") == tagEvent
+	return p.park() == tagEvent
 }
 
 // WaitAny blocks until any of the given events fires, returning the index of
@@ -507,10 +518,11 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 	if len(evs) == 0 {
 		panic("sim: WaitAny with no events")
 	}
+	p.mustBeRunning("WaitAny")
 	for i, ev := range evs {
 		ev.addWaiter(p.env.newWakeup(p, nil, i))
 	}
-	return p.park("WaitAny")
+	return p.park()
 }
 
 // AnyOf returns an event that fires as soon as any input event fires.

@@ -67,6 +67,9 @@ func TestGetTimeoutTable(t *testing.T) {
 	}{
 		{"value before deadline", 30, -1, 100, true, false, 30},
 		{"deadline before value", 500, -1, 100, false, true, 100},
+		// The put runs at the deadline instant, ahead of the timeout's turn:
+		// the item is handed over, and must not be lost to the timeout.
+		{"value at the deadline instant", 100, -1, 100, true, false, 100},
 		{"nothing ever arrives", -1, -1, 70, false, true, 70},
 		{"zero budget empty queue", -1, -1, 0, false, true, 0},
 		{"closed while waiting", -1, 40, 100, false, false, 40},
