@@ -341,7 +341,7 @@ func (c *Client) Stats() ClientStats {
 		ScrubCorruptionsFound:    found,
 		ScrubCorruptionsRepaired: repaired,
 		QuarantinedPages:         quarantined,
-		Issued: c.Issued, Completed: c.Completed,
+		Issued:                   c.Issued, Completed: c.Completed,
 		Sends: c.Sends, Frames: c.Frames, FrameOps: c.FrameOps,
 		Retries:   f.Val(metrics.CRetries),
 		Timeouts:  f.Val(metrics.CTimeouts),
