@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // poolSize counts the wakeups on env's free list.
 func poolSize(env *Env) int {
@@ -112,5 +115,49 @@ func TestWakeupPoolSurvivesTimeoutRaces(t *testing.T) {
 	// ever outstanding at once.
 	if n := poolSize(env); n == 0 || n > 16 {
 		t.Errorf("free list holds %d wakeups, want 1..16", n)
+	}
+}
+
+// The heap must hand back what is left in (at, seq) order after arbitrary
+// removals from its middle, and every entry must know where it sits.
+func TestHeapOrdersAfterRemovals(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	env := NewEnv()
+	var live []*wakeup
+	checkIndices := func() {
+		for i, s := range env.heap {
+			if s.w.index != i {
+				t.Fatalf("entry at heap position %d thinks it is at %d", i, s.w.index)
+			}
+		}
+	}
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 1+rng.Intn(20); i++ {
+			w := env.newWakeup(nil, nil, 0)
+			env.push(Time(rng.Intn(50)), w) // few distinct times: seq breaks most ties
+			live = append(live, w)
+		}
+		for i := 0; i < rng.Intn(10) && len(live) > 0; i++ {
+			k := rng.Intn(len(live))
+			env.remove(live[k].index)
+			if live[k].index != -1 {
+				t.Fatalf("removed entry still claims heap position %d", live[k].index)
+			}
+			live = append(live[:k], live[k+1:]...)
+		}
+		checkIndices()
+	}
+	if len(env.heap) != len(live) {
+		t.Fatalf("heap holds %d entries, %d are live", len(env.heap), len(live))
+	}
+	prev := slot{at: -1}
+	for len(env.heap) > 0 {
+		top := env.heap[0]
+		if !prev.before(top) {
+			t.Fatalf("popped (%v, %d) after (%v, %d)", top.at, top.seq, prev.at, prev.seq)
+		}
+		prev = top
+		env.remove(0)
+		checkIndices()
 	}
 }

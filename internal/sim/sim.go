@@ -1,17 +1,22 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Every actor in the simulated cluster (client, server worker, NIC engine,
-// SSD channel, writeback daemon, ...) runs as a Proc: a goroutine that
-// executes under a virtual clock owned by an Env. The kernel enforces a
+// Every actor in the simulated cluster that waits (client, server worker,
+// NIC engine, SSD channel, writeback daemon, ...) runs as a Proc: a goroutine
+// that executes under a virtual clock owned by an Env. The kernel enforces a
 // strict scheduler/process handoff, so exactly one process runs at any
-// instant. Shared simulation state therefore needs no locking, results are
-// bit-for-bit reproducible, and virtual time advances with nanosecond
+// instant. Things that merely happen at an instant (a message arriving, a
+// completion, a scheduled fault) are callback events — AtFunc, AfterFunc,
+// Event.OnFire — that the scheduler runs inline, to completion, in the same
+// single order. Shared simulation state therefore needs no locking, results
+// are bit-for-bit reproducible, and virtual time advances with nanosecond
 // precision regardless of host timer resolution.
 //
 // The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
 // Resource.Acquire) must only be called from inside the owning process's
-// goroutine. Non-blocking variants (TryGet, TryPut, Fire, ...) may be called
-// from any process, or from outside the simulation before Run starts.
+// goroutine while it is the running process; from anywhere else they panic.
+// Non-blocking variants (TryGet, TryPut, Fire, ...) may be called from any
+// process, from a callback event, or from outside the simulation between
+// runs.
 package sim
 
 import (
@@ -54,8 +59,8 @@ type wakeup struct {
 	next     *wakeup // free-list link
 }
 
-// slot is one heap entry. The (at, seq) key is stored by value so sifting
-// never dereferences the wakeup.
+// slot is one heap entry. The (at, seq) key is stored by value so comparing
+// entries never dereferences their wakeups.
 type slot struct {
 	at  Time
 	seq int64
@@ -78,8 +83,7 @@ type Env struct {
 	yield chan struct{}
 	cur   *Proc // the process running right now; nil in the scheduler and in callbacks
 	alive int
-	scan  int64 // Parked's visit stamp
-	fault any   // first panic value raised by a process
+	fault any // first panic value raised by a process
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -194,8 +198,6 @@ type Proc struct {
 	pending  []*wakeup  // outstanding wakeups; starts out backed by pend
 	pend     [2]*wakeup // room for a wait plus its timeout without allocating
 	wokenTag int
-	seen     int64 // Env.scan stamp of Parked's last visit
-	done     bool
 }
 
 // Name returns the process name given at Spawn time.
@@ -231,7 +233,6 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			if r := recover(); r != nil && e.fault == nil {
 				e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
-			p.done = true
 			e.alive--
 			e.yield <- struct{}{}
 		}()
@@ -374,15 +375,13 @@ func (e *Env) runCallback(fn func()) {
 // scheduled wakeup (i.e. waiting on an Event, Queue or Resource that nothing
 // has fired). Only meaningful when Run or RunUntil has returned.
 func (e *Env) Parked() int {
-	e.scan++
-	scheduled := 0
+	scheduled := map[*Proc]bool{}
 	for _, s := range e.heap {
-		if p := s.w.p; p != nil && p.seen != e.scan {
-			p.seen = e.scan
-			scheduled++
+		if s.w.p != nil {
+			scheduled[s.w.p] = true
 		}
 	}
-	return e.alive - scheduled
+	return e.alive - len(scheduled)
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
