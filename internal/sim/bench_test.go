@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// Host-cost microbenchmarks and allocation ceilings for the kernel's four
+// Host-cost microbenchmarks and allocation ceilings for the kernel's
 // primitives. ns/op is host time per primitive, not virtual time; the
 // ceilings are what keeps every layer above allocation-free per event.
 //

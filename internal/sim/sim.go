@@ -454,7 +454,7 @@ func (ev *Event) Fire() {
 }
 
 func (ev *Event) addWaiter(w *wakeup) {
-	if ev.first == nil && len(ev.more) == 0 {
+	if ev.first == nil { // waiters only leave at Fire, all at once: no first means none
 		ev.first = w
 		return
 	}

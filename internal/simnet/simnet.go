@@ -268,7 +268,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 				}
 			}
 		}
-		deliver := fl.deliver
+		deliver := fl.deliver // one closure, shared by the duplicate
 		for i := 0; i < copies; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
 			f.env.AtFunc(deliverAt+sim.Time(i)*f.spec.RecvCPU, deliver)
