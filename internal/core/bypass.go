@@ -102,7 +102,7 @@ type locEntry struct {
 
 // readWait parks one resolver until its READ completion is demuxed.
 type readWait struct {
-	ev   *sim.Event
+	ev   sim.Event
 	comp verbs.Completion
 }
 
@@ -329,7 +329,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 	qreq := c.newReq(protocol.OpDirQuery, "", cn)
 	c.Issued++
 	c.enqueueWire(qreq, cn, c.wireFor(qreq, cn, qreq.ID))
-	if !p.WaitTimeout(qreq.done, dirQueryTimeout) {
+	if !p.WaitTimeout(&qreq.done, dirQueryTimeout) {
 		c.abandon(qreq.cur)
 		return false
 	}
@@ -376,13 +376,14 @@ func (cn *conn) postRead(p *sim.Proc, mr int, off int64, n int) (verbs.Completio
 	c := cn.c
 	c.nextID++
 	id := c.nextID
-	w := &readWait{ev: c.env.NewEvent()}
+	w := &readWait{}
+	w.ev.Init(c.env)
 	cn.readWaits[id] = w
 	cn.readq.TryPut(verbs.SendWR{
 		WRID: id, Op: verbs.OpRead, Size: n,
 		RemoteMR: mr, RemoteOff: off, Signaled: true,
 	})
-	if !p.WaitTimeout(w.ev, bypassReadTimeout) {
+	if !p.WaitTimeout(&w.ev, bypassReadTimeout) {
 		delete(cn.readWaits, id)
 		return verbs.Completion{}, false
 	}
@@ -401,7 +402,7 @@ func (cn *conn) readEngine(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		wrs := append(make([]verbs.SendWR, 0, 4), wr)
+		wrs := append(cn.readWRs[:0], wr)
 		for len(wrs) < MaxBatchOps {
 			next, ok := cn.readq.TryGet()
 			if !ok {
@@ -412,6 +413,7 @@ func (cn *conn) readEngine(p *sim.Proc) {
 		c.Faults.Inc(metrics.CBypassReadDoorbells)
 		c.Faults.Add(string(metrics.CBypassReads), int64(len(wrs)))
 		cn.qp.PostSendList(p, wrs)
+		cn.readWRs = wrs // the chain is consumed by the post: reuse its backing array
 	}
 }
 

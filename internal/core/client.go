@@ -175,9 +175,11 @@ type Req struct {
 	// Attempts counts transmissions (1 without retries).
 	Attempts int
 
-	done     *sim.Event // server response received ("completion flag")
-	reusable *sim.Event // user buffers reusable
-	nudge    *sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
+	// Embedded by value and Init'ed in newReq: a request is one allocation,
+	// not four.
+	done     sim.Event // server response received ("completion flag")
+	reusable sim.Event // user buffers reusable
+	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
 	c        *Client
 	conn     *conn    // connection of the current attempt
 	cur      *attempt // current (latest) attempt
@@ -405,8 +407,10 @@ type conn struct {
 	readWaits map[uint64]*readWait
 	locs      map[string]locEntry
 	// readq feeds the READ-coalescing engine: concurrent resolvers enqueue
-	// WRs here and the engine sweeps the backlog under one doorbell.
-	readq *sim.Queue[verbs.SendWR]
+	// WRs here and the engine sweeps the backlog under one doorbell, building
+	// each chain in readWRs (reused: the post copies the WRs out).
+	readq   *sim.Queue[verbs.SendWR]
+	readWRs []verbs.SendWR
 	// Hot-key state: this server's published hot set and version, and the
 	// single-flight latch for in-progress refresh queries.
 	hotSet     []uint64
@@ -629,17 +633,18 @@ func (c *Client) pick(key string) *conn {
 // newReq builds a request handle.
 func (c *Client) newReq(op protocol.Opcode, key string, cn *conn) *Req {
 	c.nextID++
-	return &Req{
+	req := &Req{
 		ID:       c.nextID,
 		Op:       op,
 		Key:      key,
 		c:        c,
 		conn:     cn,
-		done:     c.env.NewEvent(),
-		reusable: c.env.NewEvent(),
-		nudge:    c.env.NewEvent(),
 		IssuedAt: c.env.Now(),
 	}
+	req.done.Init(c.env)
+	req.reusable.Init(c.env)
+	req.nudge.Init(c.env)
+	return req
 }
 
 // issue hands a request to the connection's TX engine (violet path).
@@ -698,7 +703,7 @@ func (c *Client) Test(req *Req) bool { return req.done.Fired() }
 // the blocked duration as the client-wait stage.
 func (c *Client) Wait(p *sim.Proc, req *Req) {
 	t0 := p.Now()
-	p.Wait(req.done)
+	p.Wait(&req.done)
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 }
 
@@ -707,7 +712,7 @@ func (c *Client) Wait(p *sim.Proc, req *Req) {
 // credit is reclaimed) and false is returned.
 func (c *Client) WaitTimeout(p *sim.Proc, req *Req, d sim.Time) bool {
 	t0 := p.Now()
-	ok := p.WaitTimeout(req.done, d)
+	ok := p.WaitTimeout(&req.done, d)
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 	if !ok {
 		c.expire(req)
@@ -729,7 +734,7 @@ func (c *Client) WaitAny(p *sim.Proc, reqs []*Req) int {
 	t0 := p.Now()
 	evs := make([]*sim.Event, len(reqs))
 	for i, r := range reqs {
-		evs[i] = r.done
+		evs[i] = &r.done
 	}
 	i := p.WaitAny(evs...)
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)

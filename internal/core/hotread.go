@@ -130,7 +130,7 @@ func (c *Client) maybeRefreshHot(cn *conn) {
 		qreq := c.newReq(protocol.OpDirQuery, "", cn)
 		c.Issued++
 		c.enqueueWire(qreq, cn, c.wireFor(qreq, cn, qreq.ID))
-		if !p.WaitTimeout(qreq.done, dirQueryTimeout) {
+		if !p.WaitTimeout(&qreq.done, dirQueryTimeout) {
 			c.abandon(qreq.cur)
 			return
 		}

@@ -168,7 +168,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	// WithBufferAck cannot block here; the buffers become reusable after
 	// Flush (see BeginBatch).
 	if o.ack && c.batching == 0 {
-		p.Wait(req.reusable)
+		p.Wait(&req.reusable)
 	}
 	return req, nil
 }
@@ -303,7 +303,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
 	// sentinel and backoff hint belong to the old attempt alone.
-	req.nudge = c.env.NewEvent()
+	req.nudge.Init(c.env)
 	req.rejected = nil
 	req.retryAfter = 0
 	c.nextID++
@@ -315,12 +315,11 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 // returns false: the server rejected the attempt, so there is no response to
 // keep waiting for — the guard proceeds straight to backoff and retransmit.
 func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
-	nudge := req.nudge
-	if !nudge.Fired() {
+	if !req.nudge.Fired() {
 		// The timeout wakeup is canceled on delivery, so a guard that never
 		// needs it leaves nothing scheduled behind — the instrumentation is
 		// invisible to the run's virtual end time.
-		p.WaitTimeout(c.env.AnyOf(req.done, nudge), d)
+		p.WaitTimeout(c.env.AnyOf(&req.done, &req.nudge), d)
 	}
 	return req.done.Fired()
 }
@@ -335,7 +334,7 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 	c.env.Spawn("client/guard", func(p *sim.Proc) {
 		defer req.tagPanic()
 		if o.retry == nil {
-			if !p.WaitTimeout(req.done, deadline-p.Now()) {
+			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
 				c.expire(req)
 			}
 			return
@@ -382,7 +381,7 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 			}
 			// Back off as a wait-on-done: a response landing during the
 			// backoff window ends the guard without a spurious retransmit.
-			if p.WaitTimeout(req.done, d) {
+			if p.WaitTimeout(&req.done, d) {
 				return
 			}
 			if deadline > 0 && p.Now() >= deadline {
@@ -446,7 +445,7 @@ func (c *Client) failoverNext(cur *conn, key string) *conn {
 func (c *Client) spawnHedge(req *Req, after sim.Time) {
 	c.env.Spawn("client/hedge", func(p *sim.Proc) {
 		defer req.tagPanic()
-		if p.WaitTimeout(req.done, after) || req.done.Fired() {
+		if p.WaitTimeout(&req.done, after) || req.done.Fired() {
 			if req.bypassed {
 				// The GET already resolved on the bypass path; the hedge
 				// would have mirrored an answered read to another server.
