@@ -14,8 +14,9 @@ import (
 // The bypass experiment: the same concurrent GET-heavy workloads driven
 // against two otherwise-identical deployments — one resolving every GET by
 // request/response RPC, one with the server-bypass read path enabled
-// (one-sided RDMA READs against the published directory, RPC fallback on
-// any validation failure). The headline is the read-heavy zipf pair: bypass
+// (one one-sided RDMA READ of the key's directory slot, which carries these
+// cells' 512-byte values inline; RPC fallback on any validation failure).
+// The headline is the read-heavy zipf pair: bypass
 // GETs skip the server's serial dispatch entirely, so hit latency and
 // aggregate throughput both beat the RPC path while the fallback machinery
 // keeps misses, SSD-resident values, and write races exactly correct. The
@@ -50,8 +51,18 @@ func (r *bypassRun) kops() float64 {
 	return float64(r.Ops) / (float64(r.Elapsed) / float64(sim.Second)) / 1e3
 }
 
-// fastpathPct is the share of bypass hits resolved by the single-READ
-// location-cache fast path.
+// perBypassHit averages what the one-sided hits cost (READs, READ bytes)
+// over the hits: ROADMAP item 3's two axes. The third, the share of GETs
+// that got no hit, is fallbackPct.
+func perBypassHit(total int64, st *core.ClientStats) float64 {
+	if st.BypassHits == 0 {
+		return 0
+	}
+	return float64(total) / float64(st.BypassHits)
+}
+
+// fastpathPct is the share of bypass hits resolved by exactly one READ: the
+// value rode in the directory slot, or sat at a cached segment offset.
 func (r *bypassRun) fastpathPct() float64 {
 	if r.Stats.BypassHits == 0 {
 		return 0
@@ -134,6 +145,9 @@ func runBypass(bypass bool, readFrac float64, pat workload.Pattern, fits bool, o
 		run.Stats.BypassFastPath += st.BypassFastPath
 		run.Stats.BypassFallbacks += st.BypassFallbacks
 		run.Stats.BypassBootstraps += st.BypassBootstraps
+		run.Stats.BypassReads += st.BypassReads
+		run.Stats.BypassHitReads += st.BypassHitReads
+		run.Stats.BypassHitReadBytes += st.BypassHitReadBytes
 	}
 	return run
 }
@@ -184,6 +198,8 @@ func bypassExp(o Options) *Result {
 				res.metric(name+".hits", float64(run.Stats.BypassHits))
 				res.metric(name+".fastpath_pct", run.fastpathPct())
 				res.metric(name+".fallback_pct", run.fallbackPct())
+				res.metric(name+".reads_per_hit", perBypassHit(run.Stats.BypassHitReads, &run.Stats))
+				res.metric(name+".read_bytes_per_hit", perBypassHit(run.Stats.BypassHitReadBytes, &run.Stats))
 			}
 		}
 	}

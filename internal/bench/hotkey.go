@@ -166,6 +166,8 @@ func runHotkey(bypass, fanout bool, replicas, ops int) *hotRun {
 		run.Stats.BypassFallbacks += st.BypassFallbacks
 		run.Stats.BypassReprobes += st.BypassReprobes
 		run.Stats.BypassReads += st.BypassReads
+		run.Stats.BypassHitReads += st.BypassHitReads
+		run.Stats.BypassHitReadBytes += st.BypassHitReadBytes
 		run.Stats.BypassReadDoorbells += st.BypassReadDoorbells
 		run.Stats.HotFanouts += st.HotFanouts
 		run.Stats.HotRefreshes += st.HotRefreshes
@@ -413,6 +415,8 @@ func hotkeyExp(o Options) *Result {
 				res.metric(name+".reprobes", float64(run.Stats.BypassReprobes))
 				res.metric(name+".reads", float64(run.Stats.BypassReads))
 				res.metric(name+".read_doorbells", float64(run.Stats.BypassReadDoorbells))
+				res.metric(name+".reads_per_hit", perBypassHit(run.Stats.BypassHitReads, &run.Stats))
+				res.metric(name+".read_bytes_per_hit", perBypassHit(run.Stats.BypassHitReadBytes, &run.Stats))
 				res.metric(name+".hot_samples", float64(run.Stats.HotSamples))
 				res.metric(name+".hot_refreshes", float64(run.Stats.HotRefreshes))
 			}

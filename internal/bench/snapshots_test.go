@@ -26,10 +26,17 @@ var snapshotExpectations = map[string][]string{
 	"bypass": {
 		"bypass.rw50.zipf.fallback_pct", "bypass.read.zipf.kops",
 		"speedup.read.zipf.kops",
+		// ROADMAP item 3's two axes, on every bypass-path cell.
+		"bypass.read.zipf.reads_per_hit", "bypass.read.zipf.read_bytes_per_hit",
+		"bypass.r95.zipf.reads_per_hit", "bypass.r95.zipf.read_bytes_per_hit",
+		"bypass.rw50.zipf.reads_per_hit", "bypass.rw50.zipf.read_bytes_per_hit",
+		"bypass.read.unif.reads_per_hit", "bypass.read.unif.read_bytes_per_hit",
+		"bypass.read.ssd.reads_per_hit", "bypass.read.ssd.read_bytes_per_hit",
 	},
 	"hotkey": {
 		"fanout_speedup_r3", "fanout.R3.goodput_kops", "bypass.R3.goodput_kops",
 		"chaos.violations", "fanout.R3.fanouts",
+		"bypass.R3.reads_per_hit", "fanout.R3.read_bytes_per_hit",
 	},
 	"membership": {
 		"chaos.lost_acked", "chaos.moved_keys", "chaos.violations",

@@ -14,25 +14,32 @@ import (
 //
 //	bootstrap — one OpDirQuery RPC per connection learns the directory
 //	            geometry (single-flight, cached for the connection's life).
-//	fast path — a key resolved before has a cached value-segment location;
-//	            one READ fetches the snapshot, validated by its embedded
-//	            digest. Value offsets are never reused, so a live matching
-//	            segment at the cached offset IS the key's current value.
-//	probe     — otherwise two READs: the key's directory slot, then the
-//	            value segment it names, validated digest+version.
+//	slot READ — one READ of the key's directory slot answers the lookup
+//	            with one of four verdicts: the value itself (it fits
+//	            protocol.DirInlineMax and rides in the slot, under the
+//	            slot's seqlock version), the offset of its snapshot segment
+//	            in the value MR, "SSD-resident", or "not published here".
+//	            A small-value hit is therefore one READ, on first touch and
+//	            right after a SET alike, with no client state behind it.
+//	segment   — an out-of-line value costs a second READ of the segment the
+//	            slot names, validated digest+version. Its location is then
+//	            cached, and the next GET of the key READs the segment
+//	            directly: value offsets are never reused, so a live matching
+//	            segment at the cached offset IS the key's current value, and
+//	            a superseded one reads as emptiness and sends the resolver
+//	            back to the slot.
 //
-// Validation failures split two ways. Definitive ones — empty slot,
-// foreign digest, SSD-resident flag, expiry — mean one-sided resolution
-// cannot succeed and fall back to the ordinary RPC GET immediately.
-// Transient ones — an odd (mid-mutation) seqlock version, version skew
-// between slot and segment, a segment superseded between the two READs —
-// mean a writer was mid-flight: the resolver re-probes the slot (RFP-style
-// self-verifying read) within a small budget before surrendering to RPC,
-// since the mutation window is hundreds of nanoseconds while the fallback
-// costs a full server round trip. Either way a racing SET, eviction, or
-// crash can never produce a torn or stale-after-ack value. Bypass READs
-// consume no flow-control credits (they are not requests the server must
-// buffer); concurrent resolvers' READs are swept into a single
+// Verdicts the directory cannot turn into a value — empty slot, foreign
+// digest, SSD-resident, expired — fall back to the ordinary RPC GET at
+// once. Transient doubts — an odd (mid-mutation) seqlock version, version
+// skew between slot and segment, a segment superseded between the two
+// READs — mean a writer was mid-flight: the resolver READs the slot again
+// (RFP-style self-verifying read) within a small budget before surrendering
+// to RPC, since the mutation window is hundreds of nanoseconds while the
+// fallback costs a full server round trip. Either way a racing SET,
+// eviction, or crash can never produce a torn or stale-after-ack value.
+// Bypass READs consume no flow-control credits (they are not requests the
+// server must buffer); concurrent resolvers' READs are swept into a single
 // doorbell-batched post by the connection's read engine, and completions
 // arrive on the otherwise-idle send CQ, drained by a dedicated demux
 // engine.
@@ -77,14 +84,9 @@ const (
 	bypassReadTimeout = 100 * sim.Microsecond
 )
 
-// Re-probe budgets: how many transient seqlock doubts a resolver retries
-// before falling back to RPC. Hot keys get a bigger budget — they are both
-// the likeliest to be mid-mutation (every writer wants them too) and the
-// most expensive to bounce to a server already melting under their load.
-const (
-	bypassProbeRetries    = 1
-	bypassHotProbeRetries = 3
-)
+// bypassReprobes is how many transient seqlock doubts one resolution READs
+// the slot again for before falling back to RPC.
+const bypassReprobes = 1
 
 // Directory bootstrap states, per connection.
 const (
@@ -93,8 +95,8 @@ const (
 	dirNone           // server answered "no directory attached"
 )
 
-// locEntry caches one key's value-segment location for the single-READ fast
-// path.
+// locEntry caches the value-segment location of one key whose value is too
+// large for the slot, so that a repeat GET costs one READ instead of two.
 type locEntry struct {
 	off int64
 	n   int
@@ -129,119 +131,138 @@ func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
 	return true
 }
 
+// resolution is one GET being resolved one-sided: the resolver process, the
+// request, and the READs spent on it so far.
+type resolution struct {
+	c      *Client
+	p      *sim.Proc
+	req    *Req
+	digest uint64
+	reads  int // READs posted for this GET
+	bytes  int // bytes they asked for
+}
+
 // spawnBypass runs the resolution as its own process so Issue keeps
 // iset/iget semantics (return once the operation is in flight).
 func (c *Client) spawnBypass(req *Req, o issueOpts) {
 	force := o.readPath == ReadBypass
 	c.env.Spawn("client/bypass", func(p *sim.Proc) {
 		defer req.tagPanic()
-		if !c.resolveBypass(p, req, force) {
+		r := resolution{c: c, p: p, req: req, digest: protocol.KeyDigest(req.Key)}
+		if !r.resolve(force) {
 			c.bypassFallback(p, req)
 		}
 	})
 }
 
-// resolveBypass attempts one-sided resolution; true means the request needs
-// no fallback (completed via bypass, or already completed by racing
+// resolve attempts one-sided resolution; true means the request needs no
+// fallback (completed via bypass, or already completed by racing
 // guard/cancel machinery).
-func (c *Client) resolveBypass(p *sim.Proc, req *Req, force bool) bool {
-	cn := req.conn
-	if cn.dir == nil && !c.bootstrapDir(p, cn, force) {
+func (r *resolution) resolve(force bool) bool {
+	req, cn := r.req, r.req.conn
+	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn, force) {
 		return req.done.Fired()
 	}
 	if req.done.Fired() {
 		return true
 	}
-	digest := protocol.KeyDigest(req.Key)
 
-	// Fast path: single READ of the cached segment location.
+	// An out-of-line value resolved before: one READ of the cached segment
+	// location, validated by the digest the segment embeds.
 	if loc, ok := cn.locs[req.Key]; ok {
-		comp, ok := cn.postRead(p, cn.dir.ValMR, loc.off, loc.n)
-		if req.done.Fired() {
+		if r.readSegment(loc, 0) == probeResolved {
 			return true
-		}
-		if ok && comp.Bytes > 0 {
-			if seg, isSeg := comp.Payload.(protocol.DirSegment); isSeg &&
-				seg.Digest == digest && seg.Version%2 == 0 &&
-				!segExpired(seg.ExpireAt, c.env.Now()) {
-				c.completeBypass(p, req, &seg, true)
-				return true
-			}
 		}
 		delete(cn.locs, req.Key) // superseded: the cached location is dead
 	}
 
-	// Probe path: slot READ, then the segment it names. Transient doubts
-	// (a writer mid-flight in the seqlock window) re-probe within the
-	// budget; definitive ones surrender to RPC immediately.
-	budget := bypassProbeRetries
-	if c.isHot(digest) {
-		budget = bypassHotProbeRetries
-	}
-	for attempt := 0; ; attempt++ {
-		switch c.probeOnce(p, req, digest) {
+	for reprobes := 0; ; reprobes++ {
+		switch r.probeSlot() {
 		case probeResolved:
 			return true
 		case probeFallback:
 			return false
 		}
-		if attempt >= budget {
+		if reprobes >= bypassReprobes {
 			return false
 		}
-		c.Faults.Inc(metrics.CBypassReprobes)
+		r.c.Faults.Inc(metrics.CBypassReprobes)
 	}
 }
 
-// probeOnce outcomes.
+// read posts one READ on the request's connection and waits for it.
+func (r *resolution) read(mr int, off int64, n int) (verbs.Completion, bool) {
+	r.reads++
+	r.bytes += n
+	return r.req.conn.postRead(r.p, mr, off, n)
+}
+
+// probeOutcome is what one READ (or slot-then-segment pair) came to.
 type probeOutcome int
 
 const (
 	probeResolved  probeOutcome = iota // request completed (bypass, or raced done)
-	probeFallback                      // definitive: one-sided resolution impossible
-	probeTransient                     // mutation window observed: worth re-probing
+	probeFallback                      // the directory has no value to give: ask the server
+	probeTransient                     // mutation window observed: worth READing the slot again
 )
 
-// probeOnce runs one slot+segment probe round for req.
-func (c *Client) probeOnce(p *sim.Proc, req *Req, digest uint64) probeOutcome {
-	cn := req.conn
-	b := int64(digest % uint64(cn.dir.Buckets))
-	comp, ok := cn.postRead(p, cn.dir.DirMR, b*protocol.DirSlotBytes, protocol.DirSlotBytes)
-	if req.done.Fired() {
+// probeSlot READs the key's directory slot and acts on its verdict.
+func (r *resolution) probeSlot() probeOutcome {
+	dir := r.req.conn.dir
+	n := dir.SlotBytes()
+	b := int64(r.digest % uint64(dir.Buckets))
+	comp, ok := r.read(dir.DirMR, b*int64(n), n)
+	if r.req.done.Fired() {
 		return probeResolved
-	}
-	if !ok {
-		return probeFallback // READ wedged: let the guarded RPC path cope
-	}
-	if comp.Bytes == 0 {
-		return probeFallback // empty slot: the key is not published
 	}
 	slot, isSlot := comp.Payload.(protocol.DirSlot)
-	if !isSlot || slot.Digest != digest || slot.SSD {
-		// Foreign or colliding key, or SSD-resident: resolve via RPC.
+	if !ok || !isSlot || slot.Digest != r.digest || slot.Kind == protocol.DirOnSSD {
+		// READ wedged (let the guarded RPC path cope), empty slot, a
+		// colliding key's slot, or SSD-resident: resolve via RPC.
 		return probeFallback
 	}
-	if slot.Version%2 == 1 || slot.Off < 0 {
+	if slot.Version%2 == 1 {
 		return probeTransient // seqlock held: a publish is in flight
 	}
-	comp, ok = cn.postRead(p, cn.dir.ValMR, slot.Off, slot.Len)
-	if req.done.Fired() {
+	if slot.Kind == protocol.DirAtOffset {
+		return r.readSegment(locEntry{off: slot.Off, n: slot.Len}, slot.Version)
+	}
+	// Inline: the slot READ already moved the value, under the version just
+	// checked.
+	if segExpired(slot.ExpireAt, r.p.Now()) {
+		return probeFallback
+	}
+	r.complete(&protocol.DirSegment{
+		ValueSize: slot.ValueSize, Flags: slot.Flags, CAS: slot.CAS, Value: slot.Value,
+	})
+	return probeResolved
+}
+
+// readSegment READs the value segment at loc and completes the request from
+// it if it is the key's live snapshot — at the slot's version when the slot
+// named it (version != 0), at any committed version when the location came
+// from the cache. An empty or foreign READ is transient: the segment was
+// superseded after its location was learned.
+func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
+	cn := r.req.conn
+	comp, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
+	if r.req.done.Fired() {
 		return probeResolved
 	}
 	if !ok {
 		return probeFallback
 	}
-	if comp.Bytes == 0 {
-		return probeTransient // segment superseded between the two READs
-	}
 	seg, isSeg := comp.Payload.(protocol.DirSegment)
-	if !isSeg || seg.Digest != digest || seg.Version != slot.Version {
-		return probeTransient // torn against a racing republish
+	if !isSeg || seg.Digest != r.digest || (version != 0 && seg.Version != version) {
+		return probeTransient
 	}
-	if segExpired(seg.ExpireAt, c.env.Now()) {
+	if segExpired(seg.ExpireAt, r.p.Now()) {
 		return probeFallback
 	}
-	cn.locs[req.Key] = locEntry{off: slot.Off, n: slot.Len}
-	c.completeBypass(p, req, &seg, false)
+	if version != 0 {
+		cn.locs[r.req.Key] = loc // the next GET of this key starts here
+	}
+	r.complete(&seg)
 	return probeResolved
 }
 
@@ -249,8 +270,10 @@ func segExpired(expireAt int64, now sim.Time) bool {
 	return expireAt != 0 && now >= sim.Time(expireAt)
 }
 
-// completeBypass lands a validated snapshot in the request.
-func (c *Client) completeBypass(p *sim.Proc, req *Req, seg *protocol.DirSegment, fast bool) {
+// complete lands a validated value in the request and books what the hit
+// cost.
+func (r *resolution) complete(seg *protocol.DirSegment) {
+	c, p, req := r.c, r.p, r.req
 	p.Sleep(memcpyTime(seg.ValueSize))
 	if req.done.Fired() {
 		return
@@ -263,7 +286,9 @@ func (c *Client) completeBypass(p *sim.Proc, req *Req, seg *protocol.DirSegment,
 	req.CAS = seg.CAS
 	req.CompletedAt = p.Now()
 	c.Faults.Inc(metrics.CBypassHits)
-	if fast {
+	c.Faults.Add(string(metrics.CBypassHitReads), int64(r.reads))
+	c.Faults.Add(string(metrics.CBypassHitReadBytes), int64(r.bytes))
+	if r.reads == 1 {
 		c.Faults.Inc(metrics.CBypassFastPath)
 	}
 	req.conn.noteSuccess()
@@ -353,18 +378,17 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 }
 
 // noteMemberEpoch applies a directory answer's membership epoch: seeing it
-// advance past what this connection last observed invalidates the location
-// cache — placement learned under an older epoch must not steer one-sided
-// READs. Clients with Config.Membership attached are normally invalidated
-// by the subscription first; this is the wire-observable fallback.
+// advance past what this connection last observed drops the cached segment
+// locations — placement learned under an older epoch must not steer
+// one-sided READs. Clients with Config.Membership attached are normally
+// invalidated by the subscription first; this is the wire-observable
+// fallback.
 func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 	if info.MemberEpoch <= cn.memEpoch {
 		return
 	}
 	cn.memEpoch = info.MemberEpoch
-	if cn.locs != nil && len(cn.locs) > 0 {
-		cn.locs = make(map[string]locEntry)
-	}
+	clear(cn.locs)
 	c.Faults.Inc(metrics.CEpochInvalidations)
 }
 

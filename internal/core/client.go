@@ -302,13 +302,21 @@ type ClientStats struct {
 	Busy, Recovering, NoReplica int64
 	// Circuit breakers.
 	BreakerOpen, BreakerHalfOpen, BreakerClose, BreakerReroutes int64
-	// Server-bypass read path.
+	// Server-bypass read path: GETs resolved one-sided, those among them
+	// that took exactly one READ (the value rode in the slot, or sat at a
+	// cached segment offset), attempts that fell back to RPC, and
+	// directory bootstraps.
 	BypassHits, BypassFastPath, BypassFallbacks, BypassBootstraps int64
-	// Hot-key serving: seqlock re-probes that avoided an RPC fallback,
-	// one-sided READs posted vs the doorbells they cost after coalescing,
-	// hot GETs fanned out across replica sets, and hot-set refreshes.
+	// What the hits cost: READs posted by the GETs that hit, and the bytes
+	// those READs asked for.
+	BypassHitReads, BypassHitReadBytes int64
+	// Slot re-READs after a transient seqlock doubt, every one-sided READ
+	// posted (hits and fallbacks alike), and the doorbells they cost after
+	// coalescing.
 	BypassReprobes, BypassReads, BypassReadDoorbells int64
-	HotFanouts, HotRefreshes, HotSamples             int64
+	// Hot-key serving: hot GETs fanned out across replica sets, hot-set
+	// refreshes, and GETs sampled through RPC for the server's heat sketch.
+	HotFanouts, HotRefreshes, HotSamples int64
 	// Gray-failure defense: service-time samples taken, brown-out state
 	// transitions, and GETs routed around a browned connection. (Pacer
 	// deferrals — the server-side half of the defense — count on the
@@ -360,6 +368,7 @@ func (c *Client) Stats() ClientStats {
 		BypassHits: f.Val(metrics.CBypassHits), BypassFastPath: f.Val(metrics.CBypassFastPath),
 		BypassFallbacks: f.Val(metrics.CBypassFallbacks), BypassBootstraps: f.Val(metrics.CBypassBootstraps),
 		BypassReprobes: f.Val(metrics.CBypassReprobes), BypassReads: f.Val(metrics.CBypassReads),
+		BypassHitReads: f.Val(metrics.CBypassHitReads), BypassHitReadBytes: f.Val(metrics.CBypassHitReadBytes),
 		BypassReadDoorbells: f.Val(metrics.CBypassReadDoorbells),
 		HotFanouts:          f.Val(metrics.CHotFanouts), HotRefreshes: f.Val(metrics.CHotRefreshes),
 		HotSamples:       f.Val(metrics.CHotSamples),
@@ -399,8 +408,9 @@ type conn struct {
 	memEpoch uint64
 	// Bypass read-path state (Config.Bypass only; see bypass.go): the
 	// bootstrapped directory geometry, the single-flight bootstrap latch,
-	// resolvers parked on READ completions, and the per-key location cache
-	// behind the single-READ fast path.
+	// resolvers parked on READ completions, and the segment locations of
+	// out-of-line values resolved before (inline values need no client
+	// state: the slot READ is the whole lookup).
 	dir       *protocol.DirectoryInfo
 	dirState  int
 	dirFetch  *sim.Event
@@ -451,7 +461,7 @@ func (c *Client) replicas(key string) []int {
 }
 
 // invalidatePlacement drops every placement-derived cache: per-connection
-// bypass location entries and hot sets, plus the hot union. Directory
+// cached segment locations and hot sets, plus the hot union. Directory
 // geometry (MR keys, bucket counts) stays — it is a server property, not a
 // placement one, and the seqlock validation path catches individual slots
 // that move afterwards.
@@ -461,9 +471,7 @@ func (c *Client) invalidatePlacement(epoch uint64) {
 			continue
 		}
 		cn.memEpoch = epoch
-		if cn.locs != nil && len(cn.locs) > 0 {
-			cn.locs = make(map[string]locEntry)
-		}
+		clear(cn.locs)
 		cn.hotSet, cn.hotVersion = nil, 0
 	}
 	c.rebuildHot()
@@ -487,9 +495,7 @@ func (c *Client) Retire(serverID int) {
 	cn.brk = nil
 	cn.health = nil
 	cn.dir, cn.dirState = nil, dirNone
-	if cn.locs != nil {
-		cn.locs = make(map[string]locEntry)
-	}
+	clear(cn.locs)
 	cn.hotSet, cn.hotVersion = nil, 0
 	c.rebuildHot()
 	if c.cfg.Membership == nil {

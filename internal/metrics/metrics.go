@@ -233,7 +233,7 @@ const (
 	CAckedRetries Counter = "acked-retries"  // retransmits of already-buffer-acked reqs
 	CHedges       Counter = "hedges"         // hedge attempts actually spawned
 	// CHedgesSuppressed counts hedges skipped because the request had
-	// already been resolved by the bypass fast path; see WithHedge.
+	// already been resolved on the bypass path; see WithHedge.
 	CHedgesSuppressed Counter = "hedges-suppressed"
 
 	// Server-pushback counters.
@@ -250,9 +250,14 @@ const (
 
 	// Server-bypass read-path counters.
 	CBypassHits       Counter = "bypass-hits"       // GETs resolved by one-sided READs
-	CBypassFastPath   Counter = "bypass-fastpath"   // hits resolved by a single cached-location READ
+	CBypassFastPath   Counter = "bypass-fastpath"   // hits resolved by exactly one READ (inline slot, or cached segment location)
 	CBypassFallbacks  Counter = "bypass-fallbacks"  // bypass attempts that fell back to RPC
 	CBypassBootstraps Counter = "bypass-bootstraps" // OpDirQuery directory fetches
+	// What the hits cost: READs posted by the GETs that then resolved
+	// one-sided, and the bytes those READs asked for (READs spent on GETs
+	// that fell back are in CBypassReads only).
+	CBypassHitReads     Counter = "bypass-hit-reads"
+	CBypassHitReadBytes Counter = "bypass-hit-read-bytes"
 
 	// Hot-key serving counters.
 	CBypassReprobes      Counter = "bypass-reprobes"       // transient seqlock doubts re-probed instead of RPC fallback

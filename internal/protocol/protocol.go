@@ -243,28 +243,37 @@ func (r *Request) AppendHeader(dst []byte) []byte {
 }
 
 // Server-bypass directory wire layout. The directory is a bucket array of
-// fixed-size slots inside one registered MR; clients probe it with one-sided
-// READs, so the slot geometry is part of the protocol, not the server.
+// fixed-size slots inside one registered MR; clients resolve a lookup with
+// one one-sided READ of the key's slot, so the slot geometry is part of the
+// protocol, not the server.
 const (
-	// DirSlotBytes is one directory slot on the wire: key digest (8) +
-	// version (8) + value offset (8) + value length (8) + flags (4) +
-	// pad (4) + CAS (8).
-	DirSlotBytes = 48
+	// DirInlineMax is the largest value carried inside the slot itself, so
+	// that the one slot READ that resolves the lookup also returns the bytes.
+	// Larger values live in the value MR and cost a second READ (or one, from
+	// a cached offset). Every slot READ moves DirSlotBytes whatever it finds,
+	// so this constant trades bytes per READ against READs per hit; DESIGN.md
+	// §11 justifies 512 from the measured read_bytes_per_hit.
+	DirInlineMax = 512
+	// DirSlotHeaderBytes is the fixed part of a slot: key digest (8) +
+	// version (8) + kind (4) + item flags (4) + value offset (8) + segment
+	// length (4) + value size (4) + CAS (8) + expiry (8), closed by a second
+	// copy of the version (8) so that a reader can tell a slot caught
+	// half-written from one that was still.
+	DirSlotHeaderBytes = 64
+	// DirSlotBytes is one directory slot on the wire and the length of every
+	// slot READ: the header plus the inline value area, used or not.
+	DirSlotBytes = DirSlotHeaderBytes + DirInlineMax
 	// DirSegHeaderBytes is the validation header an offset-addressed value
 	// READ carries alongside the value bytes: digest (8) + version (8) +
 	// size (4) + flags (4) + CAS (8) + expiry (8).
 	DirSegHeaderBytes = 40
 	// DirInfoBytes is the fixed OpDirQuery response body: directory MR key
-	// (8) + value MR key (8) + bucket count (8) + hot-set version (8) +
-	// hot-set count (8) + membership epoch (8). The hot-key digests follow
-	// at 8 bytes each; use DirectoryInfo.WireSize for the full payload.
+	// (8) + value MR key (8) + bucket count (4) + inline maximum (4) +
+	// hot-set version (8) + hot-set count (8) + membership epoch (8). The
+	// hot-key digests follow at 8 bytes each; use DirectoryInfo.WireSize for
+	// the full payload.
 	DirInfoBytes = 48
 )
-
-// DirSlotSSD in DirSlot.Flags marks a value whose authoritative copy lives
-// in an SSD extent: it is not READ-addressable and the client must fall
-// back to RPC.
-const DirSlotSSD uint32 = 1
 
 // DirectoryInfo is the OpDirQuery response payload: where the directory
 // lives, how it is shaped, and — piggybacked on the same bootstrap — the
@@ -274,6 +283,10 @@ type DirectoryInfo struct {
 	DirMR   int // rkey of the slot-array MR
 	ValMR   int // rkey of the offset-addressed value MR
 	Buckets int // slot count; bucket(key) = KeyDigest(key) % Buckets
+	// InlineMax is the server's DirInlineMax. The client takes the slot
+	// stride and the length of its slot READs from it (SlotBytes), so the
+	// two ends can never disagree silently about where a slot starts.
+	InlineMax int
 
 	// Hot is the server's published hot-key digest set (sorted), and
 	// HotVersion its monotone publication version: a client replaces its
@@ -282,25 +295,54 @@ type DirectoryInfo struct {
 	HotVersion uint64
 
 	// MemberEpoch is the server's membership epoch (0 on static fleets).
-	// A client seeing it advance drops its location cache for the
-	// connection: placement learned under an older epoch is unusable for
+	// A client seeing it advance drops the connection's cached value
+	// offsets: placement learned under an older epoch is unusable for
 	// one-sided READs.
 	MemberEpoch uint64
 }
+
+// SlotBytes returns the directory's slot stride, which is also the length
+// of one slot READ.
+func (i *DirectoryInfo) SlotBytes() int { return DirSlotHeaderBytes + i.InlineMax }
 
 // WireSize returns the OpDirQuery response payload size: the fixed header
 // plus one digest per published hot key.
 func (i *DirectoryInfo) WireSize() int { return DirInfoBytes + 8*len(i.Hot) }
 
+// DirSlotKind says what one slot READ found — the four verdicts a lookup
+// can get from the directory.
+type DirSlotKind uint32
+
+const (
+	// DirEmpty: no key is published in this bucket. Together with a foreign
+	// digest it is the miss verdict: the directory cannot answer (the key
+	// may be absent, displaced by a colliding key, or withheld after a
+	// restart), so the server is asked.
+	DirEmpty DirSlotKind = iota
+	// DirInline: the value is in the slot (Value, ValueSize ≤ DirInlineMax).
+	DirInline
+	// DirAtOffset: the value is the snapshot segment at Off/Len in the value
+	// MR.
+	DirAtOffset
+	// DirOnSSD: the key exists but its value is not in registered memory
+	// (flushed to an SSD extent, or dropped by eviction): RPC only.
+	DirOnSSD
+)
+
 // DirSlot is the client-side decode of one directory slot READ.
 type DirSlot struct {
 	Digest  uint64 // KeyDigest of the occupying key; 0 = empty slot
 	Version uint64 // seqlock: odd = mutation in progress
-	Off     int64  // value segment offset inside ValMR
-	Len     int    // value bytes
-	SSD     bool   // decoded from Flags&DirSlotSSD
-	Flags   uint32 // item flags
-	CAS     uint64 // item CAS token
+	Kind    DirSlotKind
+	Off     int64 // DirAtOffset: value segment offset inside ValMR
+	Len     int   // DirAtOffset: segment bytes to READ there
+	// Item metadata, valid for DirInline (DirAtOffset carries its own copy
+	// in the segment header).
+	ValueSize int
+	Flags     uint32
+	CAS       uint64
+	ExpireAt  int64 // absolute sim time; 0 = never
+	Value     any   // DirInline only
 }
 
 // DirSegment is the client-side decode of one value segment READ: the value

@@ -63,6 +63,19 @@ func TestWireSizes(t *testing.T) {
 	if resp.WireSize() != RespHeaderSize+100 {
 		t.Errorf("resp wire size %d", resp.WireSize())
 	}
+	// The client takes its slot stride from what the server advertises: a
+	// server built with this package's DirInlineMax must yield DirSlotBytes.
+	info := &DirectoryInfo{InlineMax: DirInlineMax, Hot: []uint64{1, 2, 3}}
+	if info.SlotBytes() != DirSlotBytes || DirSlotBytes != DirSlotHeaderBytes+DirInlineMax {
+		t.Errorf("slot stride %d, DirSlotBytes %d", info.SlotBytes(), DirSlotBytes)
+	}
+	if info.WireSize() != DirInfoBytes+24 {
+		t.Errorf("directory info wire size %d", info.WireSize())
+	}
+	seg := &DirSegment{ValueSize: 8192}
+	if seg.WireSize() != DirSegHeaderBytes+8192 {
+		t.Errorf("segment wire size %d", seg.WireSize())
+	}
 }
 
 func TestUnmarshalShortBuffers(t *testing.T) {

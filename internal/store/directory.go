@@ -13,33 +13,43 @@ import (
 //
 // Layout. The directory MR is a bucket array of fixed-size slots
 // (protocol.DirSlotBytes each); bucket(key) = KeyDigest(key) mod Buckets.
-// Each RAM-resident value is published as an immutable snapshot segment
-// (protocol.DirSegment) at a fresh offset in the value MR; offsets grow
+// One READ of a key's slot answers the lookup (protocol.DirSlotKind): a
+// RAM-resident value of at most protocol.DirInlineMax bytes is carried in
+// the slot itself, under the slot's version; a larger one is published as
+// an immutable snapshot segment (protocol.DirSegment) at a fresh offset in
+// the value MR, which the slot names; an SSD-resident key publishes
+// metadata only; anything else reads as the empty slot. Value offsets grow
 // monotonically and are never reused, so a segment that still exists at an
 // offset IS the value that was published there — a client holding a cached
 // offset either reads that exact snapshot or reads emptiness and falls
-// back to RPC. Slots carry a seqlock-style version: odd while a mutation
-// window is open, bumped to a fresh even value at every commit, so probing
-// clients detect in-progress or changed state without locks.
+// back to the slot. Slots carry a seqlock-style version: odd while a
+// mutation window is open, bumped to a fresh even value at every commit, so
+// probing clients detect in-progress or changed state without locks. Every
+// slot, empty ones included, is published at its full length: a slot READ
+// moves protocol.DirSlotBytes whatever it finds.
 //
 // Coherence. The store calls PublishBegin/Publish/Unpublish around every
 // command-path mutation; the slab manager's eviction notifications arrive
 // through EvictionUpdate (identity-checked, since eviction may be acting on
 // a superseded incarnation of a key). Crash quiesces the directory — all
-// segments cleared, versions retained — so clients READing a dead server's
-// still-registered MRs observe emptiness, never stale values.
+// slots emptied, all segments cleared, versions retained — so clients
+// READing a dead server's still-registered MRs observe emptiness, never
+// stale values.
 
 // valArenaBytes sizes the value MR's virtual offset space. Offsets are
 // monotonically allocated and never reused, so this only bounds total bytes
 // ever published, not live bytes.
 const valArenaBytes = 1 << 40
 
-// dirEntry records where one key's snapshot lives (off = -1 when the key is
-// published SSD-resident and has no READ-addressable segment).
+// emptySlot is what an unowned bucket holds (boxed once, shared).
+var emptySlot any = protocol.DirSlot{}
+
+// dirEntry is one published key: the item it mirrors and the slot last
+// committed for it (slot.Off/Len name its value-MR segment when the value
+// is out of line).
 type dirEntry struct {
-	it  *hybridslab.Item
-	off int64
-	n   int
+	it   *hybridslab.Item
+	slot protocol.DirSlot
 }
 
 // Directory is the MR-backed published index. It implements ReadView.
@@ -73,18 +83,17 @@ func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 		buckets:  buckets,
 		versions: make([]uint64, buckets),
 		owner:    make([]string, buckets),
-		entries:  make(map[string]*dirEntry),
 	}
-	// Segment-addressed from birth: a READ of an unpublished slot or
-	// offset returns emptiness, not a whole-region payload.
-	d.dirMR.ClearSegments()
-	d.valMR.ClearSegments()
+	d.Quiesce()
 	return d
 }
 
 // Info describes the directory for the OpDirQuery bootstrap response.
 func (d *Directory) Info() protocol.DirectoryInfo {
-	return protocol.DirectoryInfo{DirMR: d.dirMR.LKey(), ValMR: d.valMR.LKey(), Buckets: d.buckets}
+	return protocol.DirectoryInfo{
+		DirMR: d.dirMR.LKey(), ValMR: d.valMR.LKey(),
+		Buckets: d.buckets, InlineMax: protocol.DirInlineMax,
+	}
 }
 
 // Buckets returns the slot count.
@@ -96,57 +105,57 @@ func (d *Directory) bucket(key string) int {
 
 func (d *Directory) slotOff(b int) int64 { return int64(b) * protocol.DirSlotBytes }
 
-// alloc hands out a fresh, never-reused value offset.
-func (d *Directory) alloc(n int) int64 {
-	off := d.nextOff
-	d.nextOff += int64(n)
-	return off
-}
-
-// writeSlot publishes bucket b's slot for key at the bucket's current
-// version.
-func (d *Directory) writeSlot(b int, key string) {
-	e := d.entries[key]
-	if e == nil {
-		return
-	}
-	it := e.it
-	flags := it.Flags
-	ssd := it.OnSSD()
-	if ssd {
-		flags |= protocol.DirSlotSSD
-	}
-	slot := protocol.DirSlot{
-		Digest:  protocol.KeyDigest(key),
-		Version: d.versions[b],
-		Off:     e.off,
-		Len:     e.n,
-		SSD:     ssd,
-		Flags:   flags,
-		CAS:     it.CAS,
-	}
+// writeSlot publishes bucket b's contents, always at the full slot length.
+func (d *Directory) writeSlot(b int, slot any) {
 	d.dirMR.SetSegment(d.slotOff(b), slot, protocol.DirSlotBytes)
 }
 
+// commitVersion closes bucket b's mutation window (or skips one that was
+// never opened) with a fresh even version.
+func (d *Directory) commitVersion(b int) uint64 {
+	v := d.versions[b]
+	if v%2 == 1 {
+		v++
+	} else {
+		v += 2
+	}
+	d.versions[b] = v
+	return v
+}
+
+// drop removes key's entry and clears its out-of-line segment, if any.
+func (d *Directory) drop(key string) {
+	if e := d.entries[key]; e != nil {
+		if e.slot.Kind == protocol.DirAtOffset {
+			d.valMR.ClearSegment(e.slot.Off)
+		}
+		delete(d.entries, key)
+	}
+}
+
 // PublishBegin opens key's mutation window: the slot version goes odd so
-// probing clients fall back to RPC until the commit. A no-op when key does
-// not own its bucket (fresh insert, or displaced by a colliding key).
+// probing clients re-probe or fall back to RPC until the commit. A no-op
+// when key does not own its bucket (fresh insert, or displaced by a
+// colliding key).
 func (d *Directory) PublishBegin(key string) {
 	b := d.bucket(key)
-	if d.owner[b] != key {
+	e := d.entries[key]
+	if d.owner[b] != key || e == nil {
 		return
 	}
 	if d.versions[b]%2 == 0 {
 		d.versions[b]++
 	}
-	d.writeSlot(b, key)
+	e.slot.Version = d.versions[b]
+	d.writeSlot(b, e.slot)
 }
 
-// Publish commits key's current item: the previous snapshot (and any
-// colliding bucket occupant's) is cleared, a fresh immutable snapshot is
-// published at a new offset, and the slot lands with a fresh even version.
-// SSD-resident items publish slot metadata only, flagged so clients fall
-// back to RPC for the value.
+// Publish commits key's current item under a fresh even version: the
+// previous incarnation (and any colliding bucket occupant) leaves the
+// directory, and the slot lands carrying the value itself when it fits
+// protocol.DirInlineMax, naming a fresh immutable snapshot in the value MR
+// when it does not, or flagged SSD-resident — metadata only, clients fall
+// back to RPC — when the value is not in RAM.
 func (d *Directory) Publish(it *hybridslab.Item) {
 	key := it.Key
 	b := d.bucket(key)
@@ -155,67 +164,56 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 		// entirely — its segment must be cleared, or clients holding its
 		// cached offset would keep reading a snapshot that no directory
 		// state invalidates.
-		if e := d.entries[own]; e != nil {
-			if e.off >= 0 {
-				d.valMR.ClearSegment(e.off)
-			}
-			delete(d.entries, own)
-		}
+		d.drop(own)
 		d.Displacements++
 	}
-	if e := d.entries[key]; e != nil && e.off >= 0 {
-		d.valMR.ClearSegment(e.off)
-	}
-	v := d.versions[b]
-	if v%2 == 1 {
-		v++
-	} else {
-		v += 2
-	}
-	d.versions[b] = v
+	d.drop(key)
 	d.owner[b] = key
 
-	e := &dirEntry{it: it, off: -1}
-	if !it.OnSSD() && !it.Dropped() {
+	slot := protocol.DirSlot{
+		Digest:  protocol.KeyDigest(key),
+		Version: d.commitVersion(b),
+	}
+	switch {
+	case it.OnSSD() || it.Dropped():
+		slot.Kind = protocol.DirOnSSD
+	case it.ValueSize <= protocol.DirInlineMax:
+		slot.Kind = protocol.DirInline
+		slot.ValueSize, slot.Flags, slot.CAS = it.ValueSize, it.Flags, it.CAS
+		slot.ExpireAt = int64(it.ExpireAt)
+		slot.Value = it.Value
+	default:
 		seg := protocol.DirSegment{
-			Digest:    protocol.KeyDigest(key),
-			Version:   v,
+			Digest:    slot.Digest,
+			Version:   slot.Version,
 			ValueSize: it.ValueSize,
 			Flags:     it.Flags,
 			CAS:       it.CAS,
 			ExpireAt:  int64(it.ExpireAt),
 			Value:     it.Value,
 		}
-		e.n = seg.WireSize()
-		e.off = d.alloc(e.n)
-		d.valMR.SetSegment(e.off, seg, e.n)
+		slot.Kind = protocol.DirAtOffset
+		slot.Len = seg.WireSize()
+		// A fresh, never-reused value offset.
+		slot.Off = d.nextOff
+		d.nextOff += int64(slot.Len)
+		d.valMR.SetSegment(slot.Off, seg, slot.Len)
 	}
-	d.entries[key] = e
-	d.writeSlot(b, key)
+	d.entries[key] = &dirEntry{it: it, slot: slot}
+	d.writeSlot(b, slot)
 	d.Publishes++
 }
 
-// Unpublish removes key from the directory: snapshot cleared, slot cleared,
+// Unpublish removes key from the directory: snapshot cleared, slot emptied,
 // version advanced so in-flight probes that saw the old slot fail their
 // validation.
 func (d *Directory) Unpublish(key string) {
 	b := d.bucket(key)
-	if e := d.entries[key]; e != nil {
-		if e.off >= 0 {
-			d.valMR.ClearSegment(e.off)
-		}
-		delete(d.entries, key)
-	}
+	d.drop(key)
 	if d.owner[b] == key {
-		v := d.versions[b]
-		if v%2 == 1 {
-			v++
-		} else {
-			v += 2
-		}
-		d.versions[b] = v
+		d.commitVersion(b)
 		d.owner[b] = ""
-		d.dirMR.ClearSegment(d.slotOff(b))
+		d.writeSlot(b, emptySlot)
 	}
 	d.Unpublishes++
 }
@@ -240,15 +238,18 @@ func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEven
 }
 
 // Quiesce empties the published state (crash, or the prelude to a cold
-// restart): every slot and snapshot reads as emptiness, so clients READing
-// the dead server's still-registered MRs fall back to RPC rather than
-// observe values that may not survive recovery. Versions are retained, so
-// republished slots never reuse a version an old probe might hold.
+// restart): every slot reads as the empty slot and every snapshot as
+// emptiness, so clients READing the dead server's still-registered MRs fall
+// back to RPC rather than observe values that may not survive recovery.
+// Versions are retained, so republished slots never reuse a version an old
+// probe might hold.
 func (d *Directory) Quiesce() {
-	d.dirMR.ClearSegments()
+	// Segment-addressed even when empty: a READ of an unpublished offset
+	// returns emptiness, not a whole-region payload.
 	d.valMR.ClearSegments()
 	d.entries = make(map[string]*dirEntry)
-	for i := range d.owner {
-		d.owner[i] = ""
+	for b := range d.owner {
+		d.owner[b] = ""
+		d.writeSlot(b, emptySlot)
 	}
 }
