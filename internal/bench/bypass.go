@@ -145,7 +145,6 @@ func runBypass(bypass bool, readFrac float64, pat workload.Pattern, fits bool, o
 		run.Stats.BypassFastPath += st.BypassFastPath
 		run.Stats.BypassFallbacks += st.BypassFallbacks
 		run.Stats.BypassBootstraps += st.BypassBootstraps
-		run.Stats.BypassReads += st.BypassReads
 		run.Stats.BypassHitReads += st.BypassHitReads
 		run.Stats.BypassHitReadBytes += st.BypassHitReadBytes
 	}

@@ -84,7 +84,7 @@ func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 		versions: make([]uint64, buckets),
 		owner:    make([]string, buckets),
 	}
-	d.Quiesce()
+	d.Quiesce() // a new directory is a quiesced one: every slot published, empty
 	return d
 }
 
