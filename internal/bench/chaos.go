@@ -131,9 +131,7 @@ func runChaosR(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 		Transport: core.RDMA,
 		Breaker:   core.BreakerConfig{Threshold: 6, Cooldown: 500 * sim.Microsecond},
 	}
-	if replicas > 1 {
-		fcfg.Replicas = replicas
-	}
+	fcfg.Membership = cl.Membership // nil when unreplicated
 	fc := core.New(cl.Env, cl.Fabric.AddNode("flooder"), fcfg)
 	for _, srv := range cl.Servers {
 		fc.ConnectRDMA(srv)

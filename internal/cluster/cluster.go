@@ -290,10 +290,7 @@ func New(cfg Config) *Cluster {
 		node := fab.AddNode(fmt.Sprintf("client%d", i))
 		ccfg := cfg.Client
 		ccfg.Transport = cfg.Design.Transport()
-		if repFactor > 1 {
-			ccfg.Replicas = repFactor
-			ccfg.Membership = cl.Membership
-		}
+		ccfg.Membership = cl.Membership // nil when unreplicated
 		ccfg.Bypass = cfg.Bypass
 		ccfg.HotFanout = cfg.HotFanout
 		c := core.New(env, node, ccfg)

@@ -53,8 +53,8 @@ func (c *Client) BufferedSets() int {
 // bufferedSet queues the Set locally; the caller regains control (and its
 // buffers — the queue copies) immediately.
 func (c *Client) bufferedSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	cn := c.pick(key)
-	p.Sleep(c.cfg.PrepCost)
+	cn := c.route(key, routeWrite, nil)
+	p.Sleep(prepCost)
 	p.Sleep(memcpyTime(valueSize)) // copy into the output buffer
 	c.nextID++
 	cn.buffered = append(cn.buffered, &protocol.Request{

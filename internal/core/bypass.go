@@ -310,20 +310,13 @@ func (c *Client) bypassFallback(p *sim.Proc, req *Req) {
 	if req.done.Fired() {
 		return
 	}
-	p.Sleep(c.cfg.PrepCost)
+	p.Sleep(prepCost)
 	if req.done.Fired() {
 		return
 	}
-	cn := req.conn
-	if !cn.readHealthy() {
-		// The resolving connection browned out (or surrendered because it
-		// is slow): fall back onto a healthy replica's RPC path instead of
-		// queueing behind the limping server, when one exists.
-		if alt := c.readAlternative(cn, req.Key); alt != nil {
-			c.Faults.Inc(metrics.CSlowRoutedGets)
-			cn = alt
-		}
-	}
+	// Stays on the resolving connection unless that one has browned out and
+	// a healthy replica's RPC path exists.
+	cn := c.route(req.Key, routeFallback, req.conn)
 	c.nextID++
 	c.enqueueWire(req, cn, c.wireFor(req, cn, c.nextID))
 }
@@ -351,30 +344,38 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 		ev.Fire()
 	}()
 	c.Faults.Inc(metrics.CBypassBootstraps)
-	qreq := c.newReq(protocol.OpDirQuery, "", cn)
-	c.Issued++
-	c.enqueueWire(qreq, cn, c.wireFor(qreq, cn, qreq.ID))
-	if !p.WaitTimeout(&qreq.done, dirQueryTimeout) {
-		c.abandon(qreq.cur)
-		return false
-	}
-	if qreq.Status != protocol.StatusOK {
-		if qreq.Status == protocol.StatusNotFound {
-			// Definitive: no directory attached server-side.
-			cn.dirState = dirNone
-		}
-		return false
-	}
-	info, ok := qreq.Value.(*protocol.DirectoryInfo)
-	if !ok {
+	switch c.queryDir(p, cn) {
+	case protocol.StatusOK:
+		cn.dirState = dirReady
+		return true
+	case protocol.StatusNotFound:
+		// Definitive: no directory attached server-side.
 		cn.dirState = dirNone
-		return false
+	}
+	return false
+}
+
+// queryDir asks cn's server for its directory geometry, membership epoch
+// and hot set with one OpDirQuery and installs the answer on the
+// connection. It returns the answer's status: StatusNotFound when the server
+// publishes no directory, StatusError when no answer came in time.
+func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
+	req := c.issueOn(cn, protocol.OpDirQuery)
+	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
+		c.abandon(req.cur)
+		return protocol.StatusError
+	}
+	if req.Status != protocol.StatusOK {
+		return req.Status
+	}
+	info, ok := req.Value.(*protocol.DirectoryInfo)
+	if !ok {
+		return protocol.StatusNotFound
 	}
 	cn.dir = info
-	cn.dirState = dirReady
 	c.noteMemberEpoch(cn, info)
 	c.noteHot(cn, info)
-	return true
+	return protocol.StatusOK
 }
 
 // noteMemberEpoch applies a directory answer's membership epoch: seeing it

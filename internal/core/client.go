@@ -74,14 +74,6 @@ func (t Transport) String() string {
 type Config struct {
 	// Transport selects RDMA verbs or IPoIB sockets.
 	Transport Transport
-	// MaxValue sizes the registered response region (default 1 MB + 4 KB).
-	MaxValue int
-	// PrepCost is the library-side cost to build a request header
-	// (default 300 ns).
-	PrepCost sim.Time
-	// AckWanted forces BufferAcks for i-variants too; normally only
-	// b-variants request acks, and sync servers ignore the flag.
-	AckWanted bool
 	// RecvTimeout bounds each blocking IPoIB receive (SO_RCVTIMEO); 0 waits
 	// forever. On timeout the request is resent up to RecvRetries times,
 	// then fails with ErrDeadlineExceeded.
@@ -92,12 +84,6 @@ type Config struct {
 	// Breaker attaches a per-server circuit breaker to every connection
 	// (see BreakerConfig). Zero value = no breakers, routing unchanged.
 	Breaker BreakerConfig
-	// Replicas is the cluster's replication factor R. With R > 1 the
-	// client routes each key within its R-member replica set: reads go to
-	// the first live replica (primary first), and failover/hedging stays
-	// inside the set so a rerouted request always lands on a server that
-	// actually holds the key. 0 or 1 leaves routing exactly as before.
-	Replicas int
 	// Bypass enables the server-bypass read path: GETs resolve via
 	// one-sided RDMA READs against the server's published directory (see
 	// WithReadPath and internal/core/bypass.go), falling back to RPC on any
@@ -110,7 +96,7 @@ type Config struct {
 	// to the primary, spreading a celebrity key over R servers. The hot-key
 	// set piggybacks on the OpDirQuery bootstrap and is refreshed
 	// periodically from issue activity; requires Bypass (the transport for
-	// the hot set) and Replicas > 1 to have any effect. Safe with
+	// the hot set) and Membership to have any effect. Safe with
 	// replication: writes ack only after every replica applied, and
 	// cold-recovered replicas withhold unconfirmed keys.
 	HotFanout bool
@@ -120,10 +106,13 @@ type Config struct {
 	// for GETs while a healthy replica exists, never blocked. Zero value =
 	// no tracking, routing byte-identical to before.
 	Health HealthConfig
-	// Membership attaches the cluster's dynamic membership state machine
-	// (nil for static fleets: routing is byte-identical to before). With it
-	// set, replica-set routing goes through the shared epoch-versioned view
-	// — during a migration that is the union of the old and new rings, so
+	// Membership is the replicated cluster's shared membership state machine
+	// (nil on an unreplicated fleet: every key has one home server). With it
+	// set the client routes each key within its replica set — Membership's
+	// Factor members, primary first; reads go to the first live one, and
+	// failover and hedging stay inside the set so a rerouted request lands
+	// on a server that holds the key. The set comes from the epoch-versioned
+	// view — during a migration the union of the old and new rings, so
 	// failover can still reach an old owner holding a mid-handoff key — and
 	// every epoch change invalidates the client's bypass location caches
 	// and hot sets (a one-sided READ must never hit a moved key's stale
@@ -131,17 +120,13 @@ type Config struct {
 	Membership *replication.Membership
 }
 
-func (c *Config) fill() {
-	if c.MaxValue <= 0 {
-		c.MaxValue = 1<<20 + 4096
-	}
-	if c.PrepCost <= 0 {
-		c.PrepCost = 300 * sim.Nanosecond
-	}
-	if c.Health.Enabled {
-		c.Health.fill()
-	}
-}
+const (
+	// respRegionBytes sizes each connection's registered response region:
+	// the largest item plus header room.
+	respRegionBytes = 1<<20 + 4096
+	// prepCost is the library-side cost to build one request header.
+	prepCost = 300 * sim.Nanosecond
+)
 
 // Host-side copy bandwidth for landing fetched values in user buffers.
 const memcpyBps = 8_000_000_000
@@ -431,7 +416,9 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	cfg.fill()
+	if cfg.Health.Enabled {
+		cfg.Health.fill()
+	}
 	c := &Client{env: env, cfg: cfg, Prof: metrics.NewBreakdown(), Faults: metrics.NewCounters()}
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
@@ -449,15 +436,6 @@ func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
 		})
 	}
 	return c
-}
-
-// replicas returns key's routing replica set: the membership's epoch-aware
-// union when dynamic, the client's static ring otherwise.
-func (c *Client) replicas(key string) []int {
-	if c.cfg.Membership != nil {
-		return c.cfg.Membership.ReplicaSet(key, c.cfg.Replicas)
-	}
-	return c.ring.Replicas(key, c.cfg.Replicas)
 }
 
 // invalidatePlacement drops every placement-derived cache: per-connection
@@ -498,11 +476,6 @@ func (c *Client) Retire(serverID int) {
 	clear(cn.locs)
 	cn.hotSet, cn.hotVersion = nil, 0
 	c.rebuildHot()
-	if c.cfg.Membership == nil {
-		// Static-ring client: take the server out of routing ourselves (a
-		// membership-backed client already routes via the shared rings).
-		c.ring.Remove(serverID)
-	}
 	c.Faults.Inc(metrics.CRetiredConns)
 }
 
@@ -539,7 +512,7 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 		qp:           qp,
 		sendCQ:       sendCQ,
 		recvCQ:       recvCQ,
-		respMR:       c.pd.RegisterMRSetup(c.cfg.MaxValue),
+		respMR:       c.pd.RegisterMRSetup(respRegionBytes),
 		credits:      sim.NewResource(c.env, srv.RecvDepth()),
 		txq:          sim.NewQueue[*txItem](c.env, 0),
 		pending:      make(map[uint64]*attempt),
@@ -597,77 +570,27 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// pick selects the connection for a key via the ketama-style ring. With
-// breakers attached, a key whose home server's breaker is open is routed
-// around the saturated replica in failover-ring order; when every breaker
-// is open, the home server takes the traffic anyway (failing through beats
-// failing everything locally). On a replicated cluster (Config.Replicas >
-// 1) the candidates are the key's replica set, primary first — any member
-// can serve reads and coordinate writes, so rerouting never leaves the set.
-func (c *Client) pick(key string) *conn {
-	if len(c.conns) == 0 {
-		panic("core: no server connections")
-	}
-	if c.cfg.Replicas > 1 {
-		set := c.replicas(key)
-		cn := c.conns[set[0]]
-		if cn.allows() {
-			return cn
-		}
-		for _, id := range set[1:] {
-			if alt := c.conns[id]; alt.allows() {
-				c.Faults.Inc(metrics.CBreakerReroutes)
-				return alt
-			}
-		}
-		return cn
-	}
-	cn := c.conns[c.ring.Pick(key)]
-	if cn.allows() {
-		return cn
-	}
-	for i := 1; i < len(c.conns); i++ {
-		alt := c.conns[(cn.serverID+i)%len(c.conns)]
-		if alt.allows() {
-			c.Faults.Inc(metrics.CBreakerReroutes)
-			return alt
-		}
-	}
-	return cn
-}
-
-// newReq builds a request handle.
-func (c *Client) newReq(op protocol.Opcode, key string, cn *conn) *Req {
+// newReq builds the handle for op on cn, keeping the wire template its
+// attempts are built from.
+func (c *Client) newReq(op Op, cn *conn) *Req {
 	c.nextID++
 	req := &Req{
-		ID:       c.nextID,
-		Op:       op,
-		Key:      key,
-		c:        c,
-		conn:     cn,
-		IssuedAt: c.env.Now(),
+		ID:          c.nextID,
+		Op:          op.Code,
+		Key:         op.Key,
+		c:           c,
+		conn:        cn,
+		IssuedAt:    c.env.Now(),
+		txValueSize: op.ValueSize,
+		txValue:     op.Value,
+		txFlags:     op.Flags,
+		txExpire:    op.Expire,
+		txCAS:       op.CAS,
+		txDelta:     op.Delta,
 	}
 	req.done.Init(c.env)
 	req.reusable.Init(c.env)
 	req.nudge.Init(c.env)
-	return req
-}
-
-// issue hands a request to the connection's TX engine (violet path).
-// Internal form of Issue for the blocking wrappers.
-func (c *Client) issue(p *sim.Proc, op protocol.Opcode, key string, valueSize int, value any, flags, expire uint32, ack bool) *Req {
-	opts := []IssueOption(nil)
-	if ack {
-		opts = append(opts, WithBufferAck())
-	}
-	req, err := c.Issue(p, Op{
-		Code: op, Key: key,
-		ValueSize: valueSize, Value: value,
-		Flags: flags, Expire: expire,
-	}, opts...)
-	if err != nil {
-		panic("core: issue on non-RDMA transport")
-	}
 	return req
 }
 
@@ -762,76 +685,73 @@ func (c *Client) WaitAll(p *sim.Proc, reqs []*Req) error {
 }
 
 // --- Blocking API (default libmemcached semantics) ---
+//
+// Every blocking call — these three and the commands in commands.go — is
+// one roundTrip.
 
 // Set stores a value and blocks for the server's reply (memcached_set).
 // With buffering enabled (SetBuffering), the Set is deferred client-side
 // instead, as classic libmemcached does.
 func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	if c.cfg.Transport == IPoIB {
-		if c.buffering {
-			return c.bufferedSet(p, key, valueSize, value, flags, expire)
-		}
-		return c.ipoibRoundTrip(p, protocol.OpSet, key, valueSize, value, flags, expire).Status
+	if c.buffering {
+		return c.bufferedSet(p, key, valueSize, value, flags, expire)
 	}
-	req := c.issue(p, protocol.OpSet, key, valueSize, value, flags, expire, false)
-	c.Wait(p, req)
-	return req.Status
+	return c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}, nil).Status
 }
 
 // Get fetches a value and blocks for the reply (memcached_get). With
 // buffering enabled, the Get first pushes out the queued Sets — the
 // overhead the paper's Section IV-A attributes to the behaviour-based mode.
 func (c *Client) Get(p *sim.Proc, key string) (value any, size int, status protocol.Status) {
-	if c.cfg.Transport == IPoIB {
-		if c.buffering {
-			c.flushConn(p, c.pick(key))
-		}
-		r := c.ipoibRoundTrip(p, protocol.OpGet, key, 0, nil, 0, 0)
-		return r.Value, r.ValueSize, r.Status
-	}
-	req := c.issue(p, protocol.OpGet, key, 0, nil, 0, 0, false)
-	c.Wait(p, req)
+	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, nil)
 	return req.Value, req.ValueSize, req.Status
 }
 
 // Delete removes a key and blocks for the reply (memcached_delete).
 func (c *Client) Delete(p *sim.Proc, key string) protocol.Status {
-	if c.cfg.Transport == IPoIB {
-		return c.ipoibRoundTrip(p, protocol.OpDelete, key, 0, nil, 0, 0).Status
-	}
-	req := c.issue(p, protocol.OpDelete, key, 0, nil, 0, 0, false)
-	c.Wait(p, req)
-	return req.Status
+	return c.roundTrip(p, Op{Code: protocol.OpDelete, Key: key}, nil).Status
 }
 
-// ipoibRoundTrip performs one blocking request/response over the socket
-// stack: the send blocks for the kernel copy (buffers reusable on return),
-// then the client waits for the reply — bounded by Config.RecvTimeout when
-// set, resending up to Config.RecvRetries times before failing with
-// ErrDeadlineExceeded.
-func (c *Client) ipoibRoundTrip(p *sim.Proc, op protocol.Opcode, key string, valueSize int, value any, flags, expire uint32) *Req {
-	var cn *conn
-	if op == protocol.OpGet {
-		cn = c.pickRead(key) // brown-out aware; identical to pick when untracked
-	} else {
-		cn = c.pick(key)
-	}
-	p.Sleep(c.cfg.PrepCost)
-	req := c.newReq(op, key, cn)
-	wire := &protocol.Request{
-		Op: op, ReqID: req.ID, Key: key,
-		Flags: flags, Expire: expire,
-		ValueSize: valueSize, Value: value,
-	}
-	c.Issued++
-	c.ipoibExchange(p, cn, req, wire)
+// roundTrip runs op to completion and returns its handle: begin + Wait.
+func (c *Client) roundTrip(p *sim.Proc, op Op, on *conn) *Req {
+	req := c.begin(p, op, on)
+	c.Wait(p, req)
 	return req
 }
 
-// ipoibExchange sends wire on cn and fills req from the matching reply,
-// applying the socket-path timeout/resend policy. Shared by the blocking
-// API and the command helpers.
-func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, req *Req, wire *protocol.Request) {
+// begin starts op — on the connection its key routes to, or on the given
+// one for an operation that addresses a server rather than a key — and
+// returns its handle. On RDMA the request is in flight (Issue); the socket
+// stack has no non-blocking send, so on IPoIB it is already complete.
+func (c *Client) begin(p *sim.Proc, op Op, on *conn) *Req {
+	if c.cfg.Transport == IPoIB {
+		if on == nil {
+			on = c.route(op.Key, intentOf(op.Code), nil)
+		}
+		if c.buffering && op.Code == protocol.OpGet {
+			// The queued Sets leave on this connection before the Get does.
+			c.flushConn(p, on)
+		}
+		return c.ipoibExchange(p, on, op)
+	}
+	if on != nil {
+		p.Sleep(prepCost)
+		return c.issueOn(on, op.Code)
+	}
+	req, _ := c.Issue(p, op) // its one error is the transport excluded above
+	return req
+}
+
+// ipoibExchange performs one blocking request/response on cn over the
+// socket stack: the send blocks for the kernel copy (buffers reusable on
+// return), then the client waits for the reply — bounded by
+// Config.RecvTimeout when set, resending up to Config.RecvRetries times
+// before failing with ErrDeadlineExceeded.
+func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op) *Req {
+	p.Sleep(prepCost)
+	req := c.newReq(op, cn)
+	wire := c.wireFor(req, cn, req.ID)
+	c.Issued++
 	req.Attempts = 1
 	c.Sends++
 	cn.stream.Send(p, wire.WireSize(), wire)
@@ -883,4 +803,5 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, req *Req, wire *protocol.R
 	req.done.Fire()
 	req.reusable.Fire()
 	c.Completed++
+	return req
 }

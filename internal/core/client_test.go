@@ -9,6 +9,7 @@ import (
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/pagecache"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/replication"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/simnet"
@@ -28,9 +29,13 @@ type rigOpts struct {
 	transport Transport
 	pipeline  server.Pipeline
 	servers   int
-	memLimit  int64
-	hybrid    bool
-	policy    hybridslab.IOPolicy
+	// replicas > 1 makes the client replica-aware: it gets a membership of
+	// that factor over the rig's servers. (The servers run no replicators;
+	// these rigs test the client's routing, not the chain.)
+	replicas int
+	memLimit int64
+	hybrid   bool
+	policy   hybridslab.IOPolicy
 	// serverCfg / clientCfg optionally tweak the configs beyond the
 	// defaults (overload admission, breakers, buffer sizes).
 	serverCfg func(*server.Config)
@@ -78,6 +83,13 @@ func newTestRig(o rigOpts) *testRig {
 	}
 	cnode := fab.AddNode("client0")
 	ccfg := Config{Transport: o.transport}
+	if o.replicas > 1 {
+		ids := make([]int, o.servers)
+		for i := range ids {
+			ids[i] = i
+		}
+		ccfg.Membership = replication.NewMembership(env, o.replicas, ids)
+	}
 	if o.clientCfg != nil {
 		o.clientCfg(&ccfg)
 	}

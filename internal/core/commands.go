@@ -8,90 +8,59 @@ import (
 // This file adds the remaining libmemcached commands as blocking calls on
 // both transports: memcached_add/replace/cas/append/prepend/
 // incr/decr/touch, plus multi-get. The paper's non-blocking extensions
-// apply to Set/Get; everything else keeps classic blocking semantics.
-
-// do runs one blocking command round trip, building the wire request from
-// the template.
-func (c *Client) do(p *sim.Proc, wire *protocol.Request) *Req {
-	if c.cfg.Transport == IPoIB {
-		return c.ipoibDo(p, wire)
-	}
-	cn := c.pick(wire.Key)
-	p.Sleep(c.cfg.PrepCost)
-	req := c.newReq(wire.Op, wire.Key, cn)
-	wire.ReqID = req.ID
-	wire.RespMR = cn.respMR.LKey()
-	c.enqueueWire(req, cn, wire)
-	c.Issued++
-	c.Wait(p, req)
-	return req
-}
-
-// ipoibDo is the socket-transport command round trip.
-func (c *Client) ipoibDo(p *sim.Proc, wire *protocol.Request) *Req {
-	return c.ipoibDoOn(p, c.pick(wire.Key), wire)
-}
-
-// ipoibDoOn is ipoibDo against a specific connection.
-func (c *Client) ipoibDoOn(p *sim.Proc, cn *conn, wire *protocol.Request) *Req {
-	p.Sleep(c.cfg.PrepCost)
-	req := c.newReq(wire.Op, wire.Key, cn)
-	wire.ReqID = req.ID
-	c.Issued++
-	c.ipoibExchange(p, cn, req, wire)
-	return req
-}
+// apply to Set/Get; everything else keeps classic blocking semantics. Each
+// is one roundTrip (client.go).
 
 // Add stores a value only if the key does not exist (memcached_add).
 func (c *Client) Add(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpAdd, Key: key,
+	return c.roundTrip(p, Op{
+		Code: protocol.OpAdd, Key: key,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
+	}, nil).Status
 }
 
 // Replace stores a value only if the key exists (memcached_replace).
 func (c *Client) Replace(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpReplace, Key: key,
+	return c.roundTrip(p, Op{
+		Code: protocol.OpReplace, Key: key,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
+	}, nil).Status
 }
 
 // CompareAndSet stores a value only if cas matches the item's current token
 // (memcached_cas). Fetch the token with Gets.
 func (c *Client) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cas uint64) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpCAS, Key: key, CAS: cas,
+	return c.roundTrip(p, Op{
+		Code: protocol.OpCAS, Key: key, CAS: cas,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
+	}, nil).Status
 }
 
 // Gets fetches a value together with its CAS token (memcached_gets).
 func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64, status protocol.Status) {
-	req := c.do(p, &protocol.Request{Op: protocol.OpGet, Key: key})
+	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, nil)
 	return req.Value, req.ValueSize, req.CAS, req.Status
 }
 
 // Append concatenates extra bytes after the stored value (memcached_append).
 func (c *Client) Append(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpAppend, Key: key, ValueSize: extraSize, Value: extra,
-	}).Status
+	return c.roundTrip(p, Op{
+		Code: protocol.OpAppend, Key: key, ValueSize: extraSize, Value: extra,
+	}, nil).Status
 }
 
 // Prepend concatenates extra bytes before the stored value
 // (memcached_prepend).
 func (c *Client) Prepend(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpPrepend, Key: key, ValueSize: extraSize, Value: extra,
-	}).Status
+	return c.roundTrip(p, Op{
+		Code: protocol.OpPrepend, Key: key, ValueSize: extraSize, Value: extra,
+	}, nil).Status
 }
 
 // Incr adds delta to a counter and returns the new value
 // (memcached_increment). Store counters with SetCounter.
 func (c *Client) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.do(p, &protocol.Request{Op: protocol.OpIncr, Key: key, Delta: delta})
+	req := c.roundTrip(p, Op{Code: protocol.OpIncr, Key: key, Delta: delta}, nil)
 	v, _ := req.Value.(uint64)
 	return v, req.Status
 }
@@ -99,7 +68,7 @@ func (c *Client) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.S
 // Decr subtracts delta from a counter, flooring at zero
 // (memcached_decrement).
 func (c *Client) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.do(p, &protocol.Request{Op: protocol.OpDecr, Key: key, Delta: delta})
+	req := c.roundTrip(p, Op{Code: protocol.OpDecr, Key: key, Delta: delta}, nil)
 	v, _ := req.Value.(uint64)
 	return v, req.Status
 }
@@ -110,35 +79,24 @@ const CounterSize = 20
 // SetCounter initializes a counter key (a Set whose value is a uint64, the
 // form Incr/Decr require).
 func (c *Client) SetCounter(p *sim.Proc, key string, initial uint64) protocol.Status {
-	return c.do(p, &protocol.Request{
-		Op: protocol.OpSet, Key: key, ValueSize: CounterSize, Value: initial,
-	}).Status
+	return c.roundTrip(p, Op{
+		Code: protocol.OpSet, Key: key, ValueSize: CounterSize, Value: initial,
+	}, nil).Status
 }
 
 // Touch updates a key's expiration without moving data (memcached_touch).
 func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
-	return c.do(p, &protocol.Request{Op: protocol.OpTouch, Key: key, Expire: expire}).Status
+	return c.roundTrip(p, Op{Code: protocol.OpTouch, Key: key, Expire: expire}, nil).Status
 }
 
 // FlushAll invalidates every item on every connected server
 // (memcached_flush). Blocking; returns the first non-OK status.
 func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 	out := protocol.StatusOK
-	for i := range c.conns {
-		cn := c.conns[i]
-		var req *Req
-		if c.cfg.Transport == IPoIB {
-			req = c.ipoibDoOn(p, cn, &protocol.Request{Op: protocol.OpFlushAll})
-		} else {
-			p.Sleep(c.cfg.PrepCost)
-			req = c.newReq(protocol.OpFlushAll, "", cn)
-			wire := &protocol.Request{Op: protocol.OpFlushAll, ReqID: req.ID, RespMR: cn.respMR.LKey()}
-			c.enqueueWire(req, cn, wire)
-			c.Issued++
-			c.Wait(p, req)
-		}
-		if req.Status != protocol.StatusOK && out == protocol.StatusOK {
-			out = req.Status
+	for _, cn := range c.conns {
+		st := c.roundTrip(p, Op{Code: protocol.OpFlushAll}, cn).Status
+		if st != protocol.StatusOK && out == protocol.StatusOK {
+			out = st
 		}
 	}
 	return out
@@ -146,20 +104,13 @@ func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 
 // MGet fetches many keys at once (memcached_mget + fetch): on RDMA it
 // issues every Get non-blockingly — the requests fan out across the server
-// pool in parallel — and waits for the full batch; on IPoIB it degrades to
-// sequential round trips. Results are returned in key order; missing keys
+// pool in parallel — and waits for the full batch; on IPoIB each Get is a
+// sequential round trip. Results are returned in key order; missing keys
 // have Status NotFound.
 func (c *Client) MGet(p *sim.Proc, keys []string) []*Req {
 	out := make([]*Req, 0, len(keys))
-	if c.cfg.Transport == IPoIB {
-		for _, k := range keys {
-			out = append(out, c.ipoibDo(p, &protocol.Request{Op: protocol.OpGet, Key: k}))
-		}
-		return out
-	}
 	for _, k := range keys {
-		req := c.issue(p, protocol.OpGet, k, 0, nil, 0, 0, false)
-		out = append(out, req)
+		out = append(out, c.begin(p, Op{Code: protocol.OpGet, Key: k}, nil))
 	}
 	c.WaitAll(p, out)
 	return out

@@ -14,28 +14,27 @@ import (
 // link, a stalled storage worker. This file tracks per-connection service
 // time (EWMA plus a windowed quantile, split by op class and read path)
 // and compares each connection against the fleet's fastest peer. A
-// connection whose windowed tail exceeds DegradedFactor times the best
+// connection whose windowed tail exceeds degradedFactor times the best
 // peer's EWMA enters BROWN-OUT: not open — requests sent to it still
 // complete, writes it coordinates still route to it — but deprioritized.
-// GETs prefer a healthy replica when one exists (pickRead), hot-key
-// fanout skips browned members while any healthy one remains, bypass
-// fallbacks redirect to a faster replica's RPC path, and hedge thresholds
-// shrink toward the measured healthy baseline instead of waiting out a
-// fixed fraction of the deadline.
+// This file keeps the state; route (route.go) is its one reader: GETs —
+// cold, hot fan-out, a bypass resolution falling back to RPC — pass over a
+// browned replica while a healthy one exists, and hedge thresholds shrink
+// toward the measured healthy baseline instead of waiting out a fixed
+// fraction of the deadline.
 //
-// Two guards keep brown-out strictly weaker than the breaker:
+// Two guards in route keep brown-out strictly weaker than the breaker:
 //
 //   - last-live: a browned connection is never blocked when it is the
-//     only routable replica (single-replica sets return it untouched,
-//     mirroring failoverNext), so brown-out can never turn a slow fleet
-//     into an unavailable one;
+//     only routable replica, so brown-out can never turn a slow fleet into
+//     an unavailable one;
 //   - probe trickle: every ProbeEvery'th GET that would have been routed
 //     around a browned connection is sent to it anyway, so service-time
-//     samples keep flowing and recovery (RecoverFactor hysteresis) is
+//     samples keep flowing and recovery (recoverFactor hysteresis) is
 //     observable even while the connection is deprioritized.
 //
-// Crash visibility is untouched: brown-out only reorders preferences
-// inside allows()-gated candidate walks, so a browned server that then
+// Crash visibility is untouched: brown-out only reorders preferences among
+// the candidates the breakers admit, so a browned server that then
 // cold-crashes still trips its breaker and still gets failed over exactly
 // as an un-tracked one would.
 //
@@ -52,23 +51,10 @@ type HealthConfig struct {
 	// Window is the per-class service-time window compared against the
 	// fleet baseline (default 64 samples).
 	Window int
-	// Alpha is the EWMA smoothing factor for the per-class baseline each
-	// connection publishes to its peers (default 0.125).
-	Alpha float64
-	// Quantile is the windowed quantile judged against the baseline
-	// (default 0.9: the window's p90).
-	Quantile float64
 	// MinSamples is how many samples a class needs — on the judged
 	// connection and on at least one peer — before brown-out decisions
 	// are made (default 16).
 	MinSamples int
-	// DegradedFactor enters brown-out when the windowed quantile exceeds
-	// this multiple of the best peer EWMA (default 3).
-	DegradedFactor float64
-	// RecoverFactor exits brown-out when the quantile drops back under
-	// this multiple (default 1.5; the gap to DegradedFactor is the
-	// hysteresis band).
-	RecoverFactor float64
 	// ProbeEvery admits every Nth otherwise-rerouted GET to a browned
 	// connection as a probe, keeping recovery observable (default 16).
 	ProbeEvery int
@@ -78,25 +64,27 @@ func (h *HealthConfig) fill() {
 	if h.Window <= 0 {
 		h.Window = 64
 	}
-	if h.Alpha <= 0 {
-		h.Alpha = 0.125
-	}
-	if h.Quantile <= 0 {
-		h.Quantile = 0.9
-	}
 	if h.MinSamples <= 0 {
 		h.MinSamples = 16
-	}
-	if h.DegradedFactor <= 0 {
-		h.DegradedFactor = 3
-	}
-	if h.RecoverFactor <= 0 {
-		h.RecoverFactor = 1.5
 	}
 	if h.ProbeEvery <= 0 {
 		h.ProbeEvery = 16
 	}
 }
+
+const (
+	// healthAlpha is the EWMA smoothing factor of the per-class baseline
+	// each connection publishes to its peers.
+	healthAlpha = 0.125
+	// healthQuantile is the windowed quantile judged against the baseline:
+	// the window's p90.
+	healthQuantile = 0.9
+	// degradedFactor enters brown-out when the windowed quantile exceeds
+	// this multiple of the best peer EWMA; recoverFactor exits it when the
+	// quantile drops back under that one. The gap is the hysteresis band.
+	degradedFactor = 3
+	recoverFactor  = 1.5
+)
 
 // Op classes tracked separately: a slow SSD hurts writes long before
 // memory-resident GETs notice, and one-sided bypass READs bypass the
@@ -131,17 +119,17 @@ type classHealth struct {
 	n    int64 // lifetime samples
 }
 
-func (ch *classHealth) add(v float64, hc *HealthConfig) {
+func (ch *classHealth) add(v float64, window int) {
 	if ch.ewma == 0 {
 		ch.ewma = v
 	} else {
-		ch.ewma += hc.Alpha * (v - ch.ewma)
+		ch.ewma += healthAlpha * (v - ch.ewma)
 	}
-	if len(ch.win) < hc.Window {
+	if len(ch.win) < window {
 		ch.win = append(ch.win, v)
 	} else {
 		ch.win[ch.pos] = v
-		ch.pos = (ch.pos + 1) % hc.Window
+		ch.pos = (ch.pos + 1) % window
 	}
 	ch.n++
 }
@@ -202,20 +190,20 @@ func (c *Client) noteServiceTime(cn *conn, class int, d sim.Time) {
 	hc := &c.cfg.Health
 	c.Faults.Inc(metrics.CHealthSamples)
 	ch := &h.classes[class]
-	ch.add(float64(d), hc)
+	ch.add(float64(d), hc.Window)
 	if !h.browned[class] {
 		if ch.n < int64(hc.MinSamples) {
 			return
 		}
 		base := c.fleetBaseline(class, cn)
-		if base > 0 && ch.quantile(hc.Quantile) > hc.DegradedFactor*base {
+		if base > 0 && ch.quantile(healthQuantile) > degradedFactor*base {
 			h.browned[class] = true
 			c.Faults.Inc(metrics.CBrownoutsEntered)
 		}
 		return
 	}
 	base := c.fleetBaseline(class, cn)
-	if base > 0 && ch.quantile(hc.Quantile) < hc.RecoverFactor*base {
+	if base > 0 && ch.quantile(healthQuantile) < recoverFactor*base {
 		h.browned[class] = false
 		c.Faults.Inc(metrics.CBrownoutsExited)
 	}
@@ -243,56 +231,8 @@ func (c *Client) fleetBaseline(class int, exclude *conn) float64 {
 	return best
 }
 
-// pickRead routes one GET with brown-out awareness: pick's choice stands
-// unless it is browned AND the key has a healthy, breaker-admitted
-// alternative replica. Single-replica sets and fully-degraded sets return
-// pick's choice untouched (last-live guard), and a paced probe trickle
-// still reaches the browned server so its recovery is observable.
-func (c *Client) pickRead(key string) *conn {
-	cn := c.pick(key)
-	if cn.readHealthy() || c.cfg.Replicas <= 1 {
-		return cn
-	}
-	set := c.replicas(key)
-	if len(set) < 2 {
-		return cn
-	}
-	if cn.health.admitProbe(&c.cfg.Health) {
-		return cn
-	}
-	for _, id := range set {
-		alt := c.conns[id]
-		if alt == cn || !alt.allows() || !alt.readHealthy() {
-			continue
-		}
-		c.Faults.Inc(metrics.CSlowRoutedGets)
-		return alt
-	}
-	return cn
-}
-
-// readAlternative returns a healthy, breaker-admitted replica of key other
-// than cur, or nil when none exists (single replica, unreplicated client,
-// or a fully-degraded set — the caller then stays on cur).
-func (c *Client) readAlternative(cur *conn, key string) *conn {
-	if c.cfg.Replicas <= 1 {
-		return nil
-	}
-	set := c.replicas(key)
-	if len(set) < 2 {
-		return nil
-	}
-	for _, id := range set {
-		alt := c.conns[id]
-		if alt != cur && alt.allows() && alt.readHealthy() {
-			return alt
-		}
-	}
-	return nil
-}
-
 // hedgeAfter adapts a GET's hedge threshold to the measured healthy
-// baseline: with health tracking live, the hedge fires at DegradedFactor
+// baseline: with health tracking live, the hedge fires at degradedFactor
 // times the fleet's best GET EWMA — "longer than a healthy replica would
 // plausibly take" — instead of the caller's fixed delay, clamped to
 // [d/8, d] so a cold tracker or a noisy baseline can neither hedge-storm
@@ -306,7 +246,7 @@ func (c *Client) hedgeAfter(d sim.Time) sim.Time {
 	if base <= 0 {
 		return d
 	}
-	ad := sim.Time(base * hc.DegradedFactor)
+	ad := sim.Time(base * degradedFactor)
 	if lo := d / 8; ad < lo {
 		ad = lo
 	}

@@ -74,13 +74,12 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 
 // TestBrownoutNeverBlocksLastLiveReplica: brown-out is strictly weaker
 // than the breaker — when every member of a replica set is browned (or the
-// client is unreplicated), pickRead must return pick's choice untouched
+// client is unreplicated), a GET must route exactly where a write would
 // rather than leaving the key unroutable.
 func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 		clientCfg: func(cc *Config) {
-			cc.Replicas = 2
 			cc.Health = HealthConfig{Enabled: true}
 		},
 	})
@@ -88,9 +87,9 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	for _, cn := range c.conns {
 		cn.health.browned[hcGet] = true
 	}
-	want := c.pick("k")
-	if got := c.pickRead("k"); got != want {
-		t.Errorf("fully-browned set: pickRead = server%d, want pick's server%d", got.serverID, want.serverID)
+	want := c.route("k", routeWrite, nil)
+	if got := c.route("k", routeGet, nil); got != want {
+		t.Errorf("fully-browned set: GET routed to server%d, want the write route's server%d", got.serverID, want.serverID)
 	}
 
 	// Unreplicated client: the single home replica is always last-live.
@@ -102,7 +101,7 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	})
 	c1 := r1.client
 	c1.conns[0].health.browned[hcGet] = true
-	if got := c1.pickRead("k"); got != c1.conns[0] {
+	if got := c1.route("k", routeGet, nil); got != c1.conns[0] {
 		t.Error("unreplicated browned conn not returned as last-live")
 	}
 }
@@ -112,19 +111,18 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 // and therefore its recovery — stays observable.
 func TestBrownoutProbeTrickle(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 		clientCfg: func(cc *Config) {
-			cc.Replicas = 2
 			cc.Health = HealthConfig{Enabled: true, ProbeEvery: 4}
 		},
 	})
 	c := r.client
-	home := c.pick("k")
+	home := c.route("k", routeWrite, nil)
 	home.health.browned[hcGet] = true
 
 	probes, rerouted := 0, 0
 	for i := 0; i < 8; i++ {
-		if c.pickRead("k") == home {
+		if c.route("k", routeGet, nil) == home {
 			probes++
 		} else {
 			rerouted++
@@ -145,19 +143,18 @@ func TestBrownoutProbeTrickle(t *testing.T) {
 // the genuinely slow one.
 func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 		clientCfg: func(cc *Config) {
-			cc.Replicas = 2
 			cc.Health = HealthConfig{Enabled: true}
 		},
 	})
 	c := r.client
-	home := c.pick("k")
+	home := c.route("k", routeWrite, nil)
 	home.health.browned[hcWrite] = true
 	if !home.readHealthy() {
 		t.Error("write-class brown-out must not mark the read path unhealthy")
 	}
-	if got := c.pickRead("k"); got != home {
+	if got := c.route("k", routeGet, nil); got != home {
 		t.Errorf("GET rerouted to server%d on a write-class brown-out", got.serverID)
 	}
 	if n := c.Faults.Get("slow-routed-gets"); n != 0 {
@@ -166,14 +163,13 @@ func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 }
 
 // TestBrownoutEnterExitHysteresis: a connection browns when its windowed
-// tail exceeds DegradedFactor times the best peer baseline and recovers
-// only after dropping under RecoverFactor — and both transitions are
+// tail exceeds degradedFactor times the best peer baseline and recovers
+// only after dropping under recoverFactor — and both transitions are
 // counted.
 func TestBrownoutEnterExitHysteresis(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 		clientCfg: func(cc *Config) {
-			cc.Replicas = 2
 			cc.Health = HealthConfig{Enabled: true, Window: 8, MinSamples: 4}
 		},
 	})
@@ -196,7 +192,7 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 		t.Errorf("brownouts-entered = %d, want 1", n)
 	}
 
-	// Recovery: fast samples flush the window under RecoverFactor.
+	// Recovery: fast samples flush the window under recoverFactor.
 	for i := 0; i < 16 && slow.health.browned[hcGet]; i++ {
 		c.noteServiceTime(slow, hcGet, 10*sim.Microsecond)
 	}
@@ -209,14 +205,13 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 }
 
 // TestHedgeAfterAdaptsToBaseline: with health tracking live the hedge
-// threshold tracks DegradedFactor times the best GET baseline, clamped to
+// threshold tracks degradedFactor times the best GET baseline, clamped to
 // [d/8, d]; disabled or unsampled trackers leave the caller's threshold
 // untouched.
 func TestHedgeAfterAdaptsToBaseline(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 		clientCfg: func(cc *Config) {
-			cc.Replicas = 2
 			cc.Health = HealthConfig{Enabled: true}
 		},
 	})
@@ -227,7 +222,7 @@ func TestHedgeAfterAdaptsToBaseline(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.noteServiceTime(c.conns[0], hcGet, 10*sim.Microsecond)
 	}
-	// Baseline 10µs × DegradedFactor 3 = 30µs, inside [d/8, d] for d=160µs.
+	// Baseline 10µs × degradedFactor 3 = 30µs, inside [d/8, d] for d=160µs.
 	if got := c.hedgeAfter(160 * sim.Microsecond); got != 30*sim.Microsecond {
 		t.Errorf("adaptive hedge = %v, want 30µs", got)
 	}

@@ -12,13 +12,13 @@ import (
 // hottest keys with a space-saving sketch (internal/store/hotkeys.go) and
 // publish the digests on the OpDirQuery bootstrap; the client unions the
 // per-server sets and, with Config.HotFanout on a replicated cluster,
-// routes hot GETs round-robin across the key's whole replica set instead
-// of pinning them to the primary. Consistency holds because replicated
-// writes ack only after every replica applied (chain forwarding), and a
-// cold-recovered replica withholds unconfirmed keys from both its RPC path
-// (suspect gating) and its bypass directory (republish is deferred until
-// confirmation) — so any replica a hot GET lands on serves a value at
-// least as new as the last acked write.
+// route starts each hot GET's walk one member further round the key's
+// replica set instead of pinning it to the primary. Consistency holds
+// because replicated writes ack only after every replica applied (chain
+// forwarding), and a cold-recovered replica withholds unconfirmed keys from
+// both its RPC path (suspect gating) and its bypass directory (republish is
+// deferred until confirmation) — so any replica a hot GET lands on serves a
+// value at least as new as the last acked write.
 
 // hotRefreshEvery paces hot-set refresh: one piggybacked OpDirQuery per
 // this many bypass-eligible GETs per client. Ops-triggered, never a timer:
@@ -65,52 +65,6 @@ func (c *Client) isHot(digest uint64) bool {
 	return ok
 }
 
-// pickGet routes one GET: hot keys on a fanout-enabled replicated client
-// spread round-robin across the key's replica set (breaker- and
-// health-aware, like pick/pickRead); everything else routes as pickRead
-// does — pick's choice, unless it is browned and a healthy replica
-// exists. With health tracking off, healthy() is uniformly true and both
-// paths are byte-identical to the pre-health client.
-func (c *Client) pickGet(key string) *conn {
-	if !c.cfg.HotFanout || c.cfg.Replicas <= 1 || !c.isHot(protocol.KeyDigest(key)) {
-		return c.pickRead(key)
-	}
-	set := c.replicas(key)
-	start := int(c.hotRR % uint64(len(set)))
-	c.hotRR++
-	// First pass wants a breaker-admitted AND healthy member; a skip past
-	// an admitted-but-browned head is a slow-route, a skip past a tripped
-	// breaker is the usual reroute.
-	for i := 0; i < len(set); i++ {
-		cn := c.conns[set[(start+i)%len(set)]]
-		if cn.allows() && cn.readHealthy() {
-			if i > 0 {
-				if c.conns[set[start]].allows() {
-					c.Faults.Inc(metrics.CSlowRoutedGets)
-				} else {
-					c.Faults.Inc(metrics.CBreakerReroutes)
-				}
-			}
-			c.Faults.Inc(metrics.CHotFanouts)
-			return cn
-		}
-	}
-	// Every healthy member is breaker-blocked (or the whole set is
-	// browned): fall back to breaker-only preference — a slow replica
-	// still beats none (last-live guard).
-	for i := 0; i < len(set); i++ {
-		cn := c.conns[set[(start+i)%len(set)]]
-		if cn.allows() {
-			if i > 0 {
-				c.Faults.Inc(metrics.CBreakerReroutes)
-			}
-			c.Faults.Inc(metrics.CHotFanouts)
-			return cn
-		}
-	}
-	return c.conns[set[start]]
-}
-
 // maybeRefreshHot paces the piggybacked hot-set refresh from GET issue
 // activity: every hotRefreshEvery bypass-eligible GETs, one OpDirQuery is
 // re-issued on the GET's connection and the hot set updated from the
@@ -127,20 +81,6 @@ func (c *Client) maybeRefreshHot(cn *conn) {
 	c.env.Spawn(fmt.Sprintf("client/hotrefresh%d", cn.serverID), func(p *sim.Proc) {
 		defer func() { cn.hotRefresh = false }()
 		c.Faults.Inc(metrics.CHotRefreshes)
-		qreq := c.newReq(protocol.OpDirQuery, "", cn)
-		c.Issued++
-		c.enqueueWire(qreq, cn, c.wireFor(qreq, cn, qreq.ID))
-		if !p.WaitTimeout(&qreq.done, dirQueryTimeout) {
-			c.abandon(qreq.cur)
-			return
-		}
-		if qreq.Status != protocol.StatusOK {
-			return
-		}
-		if info, ok := qreq.Value.(*protocol.DirectoryInfo); ok {
-			cn.dir = info
-			c.noteMemberEpoch(cn, info)
-			c.noteHot(cn, info)
-		}
+		c.queryDir(p, cn)
 	})
 }

@@ -106,7 +106,7 @@ func WithRetry(rp RetryPolicy) IssueOption {
 	return func(o *issueOpts) { o.retry = &rp }
 }
 
-// WithHedge mirrors a GET to the next server on the failover ring if no
+// WithHedge mirrors a GET to the next server in its routing order if no
 // response arrived within d: first answer wins, the loser is absorbed as a
 // stale response. Tames tail latency when one replica is saturated, at the
 // cost of duplicate load. GET-only (hedging a store would double-apply it)
@@ -117,8 +117,8 @@ func WithHedge(d sim.Time) IssueOption {
 
 // Issue starts one operation described by op, applying the given options,
 // and returns its handle. It is the single entry point behind
-// ISet/IGet/BSet/BGet; RDMA transport only (IPoIB keeps the blocking
-// socket API).
+// ISet/IGet/BSet/BGet and, with Wait, behind every blocking call; RDMA
+// transport only (IPoIB keeps the blocking socket API).
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if c.cfg.Transport != RDMA {
 		return nil, ErrTransport
@@ -127,22 +127,13 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	var cn *conn
+	cn := c.route(op.Key, intentOf(op.Code), nil)
 	if op.Code == protocol.OpGet {
-		// GETs for server-detected hot keys fan out across the replica set
-		// (see hotread.go); cold keys route exactly as pick does.
-		cn = c.pickGet(op.Key)
 		c.maybeRefreshHot(cn)
-	} else {
-		cn = c.pick(op.Key)
 	}
-	p.Sleep(c.cfg.PrepCost)
-	req := c.newReq(op.Code, op.Key, cn)
-	req.txValueSize = op.ValueSize
-	req.txValue = op.Value
-	req.txFlags, req.txExpire = op.Flags, op.Expire
-	req.txCAS, req.txDelta = op.CAS, op.Delta
-	req.ackWanted = o.ack || c.cfg.AckWanted
+	p.Sleep(prepCost)
+	req := c.newReq(op, cn)
+	req.ackWanted = o.ack
 	req.retryable = o.retry != nil
 	if c.bypassEligible(op, &o) {
 		// Server-bypass resolution: no wire request yet — the resolver
@@ -175,14 +166,27 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 
 // wireFor builds the wire request for one attempt of req on cn.
 func (c *Client) wireFor(req *Req, cn *conn, id uint64) *protocol.Request {
-	return &protocol.Request{
+	wire := &protocol.Request{
 		Op: req.Op, ReqID: id, Key: req.Key,
 		Flags: req.txFlags, Expire: req.txExpire,
 		ValueSize: req.txValueSize, Value: req.txValue,
 		CAS: req.txCAS, Delta: req.txDelta,
-		RespMR:    cn.respMR.LKey(),
 		AckWanted: req.ackWanted,
 	}
+	if cn.respMR != nil { // a socket connection has no response region
+		wire.RespMR = cn.respMR.LKey()
+	}
+	return wire
+}
+
+// issueOn starts a key-less operation on cn — a directory query, a
+// flush_all: it addresses a server, so nothing routes it — and returns its
+// handle.
+func (c *Client) issueOn(cn *conn, code protocol.Opcode) *Req {
+	req := c.newReq(Op{Code: code}, cn)
+	c.Issued++
+	c.enqueueWire(req, cn, c.wireFor(req, cn, req.ID))
+	return req
 }
 
 // enqueueWire registers one attempt and hands its wire to cn's TX engine —
@@ -291,7 +295,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	c.abandon(old)
 	cn := old.cn
 	if failover && len(c.conns) > 1 {
-		cn = c.failoverNext(old.cn, req.Key)
+		cn = c.route(req.Key, routeNext, old.cn)
 		c.Faults.Inc(metrics.CFailovers)
 	}
 	if req.acked {
@@ -299,7 +303,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 		c.Faults.Inc(metrics.CAckedRetries)
 	}
 	c.Faults.Inc(metrics.CRetries)
-	p.Sleep(c.cfg.PrepCost)
+	p.Sleep(prepCost)
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
 	// sentinel and backoff hint belong to the old attempt alone.
@@ -393,55 +397,12 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 	})
 }
 
-// failoverNext picks the retransmit (or hedge) target after cur for key:
-// the following connections on the failover ring — the key's replica set
-// when the client is replica-aware, the whole pool otherwise — skipping
-// connections whose breaker is open instead of blindly taking the next
-// slot. Every skipped open breaker is surfaced as a "failover-skips" fault
-// counter; when every alternative is saturated the immediate next candidate
-// stands (failing through beats failing everything locally).
-func (c *Client) failoverNext(cur *conn, key string) *conn {
-	var cand []*conn
-	if c.cfg.Replicas > 1 {
-		set := c.replicas(key)
-		if len(set) < 2 {
-			return cur
-		}
-		pos := 0
-		for i, id := range set {
-			if id == cur.serverID {
-				pos = i
-				break
-			}
-		}
-		for i := 1; i < len(set); i++ {
-			cand = append(cand, c.conns[set[(pos+i)%len(set)]])
-		}
-	} else {
-		for i := 1; i < len(c.conns); i++ {
-			cand = append(cand, c.conns[(cur.serverID+i)%len(c.conns)])
-		}
-	}
-	for _, cn := range cand {
-		if cn.allows() {
-			return cn
-		}
-		c.Faults.Inc(metrics.CFailoverSkip)
-	}
-	if len(cand) == 0 {
-		// Single-connection client: there is nowhere else to go.
-		return cur
-	}
-	return cand[0]
-}
-
 // spawnHedge starts the hedging process for a GET issued with WithHedge:
 // if the request is still unanswered after the threshold, the GET is
-// mirrored to the next live connection on the failover ring as an extra
-// attempt — without abandoning the primary, so the first response (either
-// server) completes the request and the other is absorbed as stale with its
-// own credit return. Like retransmit failover, the hedge target skips open
-// breakers and stays inside the key's replica set on replicated clusters.
+// mirrored to the next connection route offers as an extra attempt —
+// without abandoning the primary, so the first response (either server)
+// completes the request and the other is absorbed as stale with its own
+// credit return.
 func (c *Client) spawnHedge(req *Req, after sim.Time) {
 	c.env.Spawn("client/hedge", func(p *sim.Proc) {
 		defer req.tagPanic()
@@ -453,12 +414,12 @@ func (c *Client) spawnHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.failoverNext(req.conn, req.Key)
+		cn := c.route(req.Key, routeNext, req.conn)
 		if cn == req.conn {
 			return // no distinct replica to hedge onto
 		}
 		c.Faults.Inc(metrics.CHedges)
-		p.Sleep(c.cfg.PrepCost)
+		p.Sleep(prepCost)
 		c.nextID++
 		c.enqueueWire(req, cn, c.wireFor(req, cn, c.nextID))
 	})

@@ -450,8 +450,7 @@ func TestServerAdmissionClassesAndAckedDrain(t *testing.T) {
 // deadlock, no double completion, and the sim drains cleanly.
 func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
-		clientCfg: func(cc *Config) { cc.Replicas = 2 },
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 	})
 	c := r.client
 	var early, late *Req
@@ -519,8 +518,7 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 // explicitly canceled.
 func TestWaitAnyAcrossReplicas(t *testing.T) {
 	r := newTestRig(rigOpts{
-		transport: RDMA, pipeline: server.Async, servers: 2,
-		clientCfg: func(cc *Config) { cc.Replicas = 2 },
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
 	})
 	c := r.client
 
