@@ -129,8 +129,6 @@ type Config struct {
 	ServerMem int64
 	// SSDCapacity bounds hybrid overflow per server (0 = 16 GB arena).
 	SSDCapacity int64
-	// BackendPenalty overrides the miss penalty (0 = paper default).
-	BackendPenalty sim.Time
 	// StorageWorkers / BufferBytes tune the async server (0 = defaults).
 	StorageWorkers int
 	BufferBytes    int
@@ -160,8 +158,6 @@ type Config struct {
 	// see core.WithReadPath). Requires an RDMA design. False leaves every
 	// deployment virtual-time-identical to pre-bypass builds.
 	Bypass bool
-	// BypassBuckets overrides the directory bucket count (0 = 32768).
-	BypassBuckets int
 	// HotFanout enables hot-key replicated-read fan-out on every client:
 	// GETs for server-detected hot keys round-robin across the key's
 	// replica set instead of pinning to the primary. Needs Bypass (the hot
@@ -234,7 +230,7 @@ func New(cfg Config) *Cluster {
 		Fabric:  fab,
 		Design:  cfg.Design,
 		Profile: cfg.Profile,
-		Backend: backend.New(env, backend.Config{Penalty: cfg.BackendPenalty}),
+		Backend: backend.New(env, backend.Config{Penalty: backend.DefaultPenalty}),
 	}
 	// The page-cache budget scales with the server's slab memory (the
 	// testbed nodes had 64-128 GB of RAM, so the cache was never the
@@ -363,9 +359,12 @@ func (cl *Cluster) buildServer(i int) *server.Server {
 	return server.NewIPoIB(env, node, st, scfg)
 }
 
+// bypassBuckets is the slot count of each server's published directory.
+const bypassBuckets = 1 << 15
+
 // attachDirectory publishes a bypass read directory on srv.
 func (cl *Cluster) attachDirectory(srv *server.Server) {
-	d := store.NewDirectory(srv.Device().AllocPD(), cl.cfg.BypassBuckets)
+	d := store.NewDirectory(srv.Device().AllocPD(), bypassBuckets)
 	srv.Attach(server.Extensions{BypassDirectory: d})
 	cl.Directories = append(cl.Directories, d)
 }

@@ -65,20 +65,6 @@ type Config struct {
 	// clients run out of credits — the backpressure that throttles bset
 	// under write-heavy load (Figure 7(a)).
 	BufferBytes int
-	// RecvDepth is the number of receives pre-posted per client QP, which
-	// equals the flow-control credits each client connection gets. The
-	// default (16384) is deliberately deep: like the reference system,
-	// request admission is governed by the buffer-memory bound
-	// (BufferBytes), not by receive credits, so small requests are never
-	// throttled behind bulk responses.
-	RecvDepth int
-	// ParseCost is the per-request header parse/dispatch cost
-	// (default 400 ns).
-	ParseCost sim.Time
-	// BatchOpCost is the incremental parse cost per additional header in a
-	// coalesced BatchFrame (default 100 ns): unpacking N ops from one frame
-	// costs ParseCost + (N-1)·BatchOpCost, far below N·ParseCost.
-	BatchOpCost sim.Time
 	// Overload configures bounded admission with load shedding on the
 	// async pipeline. The zero value disables it: the dispatcher blocks
 	// on the buffer reservation exactly as before.
@@ -93,14 +79,6 @@ type Config struct {
 // storage queue is always drained, so acked work is never lost to shedding.
 type OverloadConfig struct {
 	Enabled bool
-	// SetWatermark and GetWatermark are the fractions of BufferBytes
-	// above which the matching op class is shed (defaults 0.5 and 0.9).
-	// Writes carry their values and are rejected long before reads:
-	// shedding a SET frees the most buffer memory per rejection, while
-	// buffered GETs are header-sized and stay admitted until the buffer
-	// is nearly exhausted.
-	SetWatermark float64
-	GetWatermark float64
 	// QueueHigh sheds writes once the storage queue is this deep
 	// (default 256 tasks); reads are shed at 4×QueueHigh. This bounds
 	// queueing delay even when BufferBytes alone would admit more work
@@ -108,26 +86,42 @@ type OverloadConfig struct {
 	QueueHigh int
 	// RetryAfterUnit scales the retry-after hint carried by a busy
 	// response: hint = unit × (queue depth / storage workers + 1), capped
-	// at MaxRetryAfter (defaults 20 µs and 1 ms).
+	// at maxRetryAfter (default 20 µs).
 	RetryAfterUnit sim.Time
-	MaxRetryAfter  sim.Time
 }
 
+const (
+	// recvDepth is the number of receives pre-posted per client QP, which
+	// equals the flow-control credits each client connection gets.
+	// Deliberately deep: like the reference system, request admission is
+	// governed by the buffer-memory bound (Config.BufferBytes), not by
+	// receive credits, so small requests are never throttled behind bulk
+	// responses.
+	recvDepth = 16384
+	// parseCost is the per-request header parse/dispatch cost; batchOpCost
+	// is the incremental cost per additional header in a coalesced
+	// BatchFrame: unpacking N ops from one frame costs parseCost +
+	// (N-1)·batchOpCost, far below N·parseCost.
+	parseCost   = 400 * sim.Nanosecond
+	batchOpCost = 100 * sim.Nanosecond
+	// shedSetWatermark and shedGetWatermark are the fractions of
+	// BufferBytes above which bounded admission sheds the matching op
+	// class. Writes carry their values and are rejected long before reads:
+	// shedding a SET frees the most buffer memory per rejection, while
+	// buffered GETs are header-sized and stay admitted until the buffer is
+	// nearly exhausted.
+	shedSetWatermark = 0.5
+	shedGetWatermark = 0.9
+	// maxRetryAfter caps the retry-after hint of a busy response.
+	maxRetryAfter = sim.Millisecond
+)
+
 func (oc *OverloadConfig) fill() {
-	if oc.SetWatermark <= 0 {
-		oc.SetWatermark = 0.5
-	}
-	if oc.GetWatermark <= 0 {
-		oc.GetWatermark = 0.9
-	}
 	if oc.QueueHigh <= 0 {
 		oc.QueueHigh = 256
 	}
 	if oc.RetryAfterUnit <= 0 {
 		oc.RetryAfterUnit = 20 * sim.Microsecond
-	}
-	if oc.MaxRetryAfter <= 0 {
-		oc.MaxRetryAfter = sim.Millisecond
 	}
 }
 
@@ -137,15 +131,6 @@ func (c *Config) fill() {
 	}
 	if c.BufferBytes <= 0 {
 		c.BufferBytes = 2 << 20
-	}
-	if c.RecvDepth <= 0 {
-		c.RecvDepth = 16384
-	}
-	if c.ParseCost <= 0 {
-		c.ParseCost = 400 * sim.Nanosecond
-	}
-	if c.BatchOpCost <= 0 {
-		c.BatchOpCost = 100 * sim.Nanosecond
 	}
 	if c.Overload.Enabled {
 		c.Overload.fill()
@@ -342,7 +327,7 @@ func (s *Server) Device() *verbs.Device { return s.dev }
 func (s *Server) Host() *verbs.Host { return s.host }
 
 // RecvDepth returns the per-connection credit count clients must respect.
-func (s *Server) RecvDepth() int { return s.cfg.RecvDepth }
+func (s *Server) RecvDepth() int { return recvDepth }
 
 // Extensions bundles every optional server subsystem behind one attach
 // call, so design constructors hand the server a single extension set
@@ -425,12 +410,7 @@ func (s *Server) foregroundBusy() bool {
 	if s.reqQ.Len() >= s.cfg.StorageWorkers {
 		return true
 	}
-	frac := s.cfg.Overload.SetWatermark
-	if frac <= 0 {
-		frac = 0.5
-	}
-	frac /= 2
-	return float64(s.slots.InUse()) > frac*float64(s.slots.Total())
+	return float64(s.slots.InUse()) > shedSetWatermark/2*float64(s.slots.Total())
 }
 
 // Replicator returns the attached replicator (nil when unreplicated).
@@ -478,7 +458,7 @@ func (s *Server) AcceptQP(clientQP *verbs.QP) *verbs.QP {
 	}
 	qp := s.dev.CreateQP(s.sendCQ, s.recvCQ)
 	verbs.Connect(clientQP, qp)
-	for i := 0; i < s.cfg.RecvDepth; i++ {
+	for i := 0; i < recvDepth; i++ {
 		qp.PostRecv(verbs.RecvWR{})
 	}
 	s.connByQPN[qp.QPN()] = &rdmaConn{qp: qp}
@@ -648,7 +628,7 @@ func (s *Server) dispatchOne(p *sim.Proc, conn *rdmaConn, req *protocol.Request)
 		conn.qp.PostRecv(verbs.RecvWR{})
 		return
 	}
-	p.Sleep(s.cfg.ParseCost)
+	p.Sleep(parseCost)
 	s.Requests++
 	if s.recovering {
 		// Cold-restart recovery in progress: fail fast with a retryable
@@ -750,9 +730,9 @@ func isWrite(op protocol.Opcode) bool { return op != protocol.OpGet }
 // the op class past its buffer watermark or storage-queue depth bound.
 func (s *Server) overLimit(size int, write bool) bool {
 	oc := &s.cfg.Overload
-	frac, qhigh := oc.GetWatermark, 4*oc.QueueHigh
+	frac, qhigh := shedGetWatermark, 4*oc.QueueHigh
 	if write {
-		frac, qhigh = oc.SetWatermark, oc.QueueHigh
+		frac, qhigh = shedSetWatermark, oc.QueueHigh
 	}
 	if float64(s.slots.InUse()+size) > frac*float64(s.slots.Total()) {
 		return true
@@ -772,8 +752,8 @@ func (s *Server) shed(p *sim.Proc, conn *rdmaConn, req *protocol.Request) {
 	}
 	oc := &s.cfg.Overload
 	hint := oc.RetryAfterUnit * sim.Time(s.reqQ.Len()/s.cfg.StorageWorkers+1)
-	if hint > oc.MaxRetryAfter {
-		hint = oc.MaxRetryAfter
+	if hint > maxRetryAfter {
+		hint = maxRetryAfter
 	}
 	s.respond(p, conn, req, &protocol.Response{
 		Op: protocol.OpResponse, ReqID: req.ReqID,
@@ -793,7 +773,7 @@ func (s *Server) dispatchBatch(p *sim.Proc, conn *rdmaConn, frame *protocol.Batc
 		conn.qp.PostRecv(verbs.RecvWR{})
 		return
 	}
-	p.Sleep(s.cfg.ParseCost + sim.Time(n-1)*s.cfg.BatchOpCost)
+	p.Sleep(parseCost + sim.Time(n-1)*batchOpCost)
 	s.Requests += int64(n)
 	s.Batches++
 	if s.recovering {
@@ -1034,7 +1014,7 @@ func (s *Server) ipoibHandler(p *sim.Proc, stream *verbs.Stream) {
 				s.Discarded++
 				continue
 			}
-			p.Sleep(s.cfg.ParseCost)
+			p.Sleep(parseCost)
 			s.Requests++
 			if s.recovering {
 				s.Rejected++
@@ -1060,7 +1040,7 @@ func (s *Server) ipoibHandler(p *sim.Proc, stream *verbs.Stream) {
 				s.Discarded += n
 				continue
 			}
-			p.Sleep(s.cfg.ParseCost + sim.Time(n-1)*s.cfg.BatchOpCost)
+			p.Sleep(parseCost + sim.Time(n-1)*batchOpCost)
 			s.Requests += n
 			s.Batches++
 			if s.recovering {

@@ -238,8 +238,13 @@ func TestIPoIBServerRoundTrip(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.fill()
-	if c.StorageWorkers != 4 || c.BufferBytes != 2<<20 || c.RecvDepth != 16384 {
+	if c.StorageWorkers != 4 || c.BufferBytes != 2<<20 {
 		t.Errorf("defaults %+v", c)
+	}
+	c.Overload.Enabled = true
+	c.fill()
+	if c.Overload.QueueHigh != 256 || c.Overload.RetryAfterUnit != 20*sim.Microsecond {
+		t.Errorf("overload defaults %+v", c.Overload)
 	}
 	if Sync.String() != "sync" || Async.String() != "async" {
 		t.Errorf("pipeline strings")
