@@ -264,13 +264,7 @@ func New(cfg Config) *Cluster {
 		}
 		cl.Membership = replication.NewMembership(env, repFactor, ids)
 		for i, srv := range cl.Servers {
-			repl := replication.New(env, replication.Config{
-				ID: i, Factor: repFactor, Pacer: cfg.Pacer,
-				ScrubInterval: cfg.ScrubInterval,
-			}, cl.Membership.Ring(), srv.Store(), srv.Device())
-			repl.SetMembership(cl.Membership)
-			srv.Attach(server.Extensions{Replicator: repl})
-			cl.Replicators = append(cl.Replicators, repl)
+			cl.Replicators = append(cl.Replicators, cl.attachReplicator(i, srv))
 		}
 		replication.Interconnect(cl.Replicators)
 	}
@@ -357,6 +351,20 @@ func (cl *Cluster) buildServer(i int) *server.Server {
 		return server.NewRDMA(env, node, st, scfg)
 	}
 	return server.NewIPoIB(env, node, st, scfg)
+}
+
+// attachReplicator builds server id's replicator and attaches it to srv.
+// New and Join both build theirs here, so a joined server scrubs and paces
+// exactly as the original fleet does. The caller wires it into the QP mesh
+// and appends it to cl.Replicators.
+func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Replicator {
+	repl := replication.New(cl.Env, replication.Config{
+		ID: id, Factor: cl.repFactor, Pacer: cl.cfg.Pacer,
+		ScrubInterval: cl.cfg.ScrubInterval,
+	}, cl.Membership.Ring(), srv.Store(), srv.Device())
+	repl.SetMembership(cl.Membership)
+	srv.Attach(server.Extensions{Replicator: repl})
+	return repl
 }
 
 // bypassBuckets is the slot count of each server's published directory.

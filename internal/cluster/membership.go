@@ -28,10 +28,7 @@ func (cl *Cluster) Join() (*server.Server, *sim.Event) {
 	srv := cl.buildServer(id)
 	srv.Start()
 	cl.Servers = append(cl.Servers, srv)
-	repl := replication.New(cl.Env, replication.Config{ID: id, Factor: cl.repFactor, Pacer: cl.cfg.Pacer},
-		cl.Membership.Ring(), srv.Store(), srv.Device())
-	repl.SetMembership(cl.Membership)
-	srv.Attach(server.Extensions{Replicator: repl})
+	repl := cl.attachReplicator(id, srv)
 	replication.Join(cl.Replicators, repl)
 	cl.Replicators = append(cl.Replicators, repl)
 	if cl.cfg.Bypass {

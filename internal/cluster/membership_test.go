@@ -294,3 +294,37 @@ func TestBackToBackTransitions(t *testing.T) {
 		t.Errorf("Transitions = %d, want 2", got)
 	}
 }
+
+// A joined server's replicator is configured like the original fleet's: on
+// a scrub-disabled cluster (ScrubInterval < 0) it must not scrub either.
+// The migration and the writes that follow advance its epochs — what arms a
+// scrubber that is running.
+func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
+	cl := New(Config{
+		Design:            HRDMAOptNonBB,
+		Profile:           ClusterA(),
+		Servers:           3,
+		Clients:           1,
+		ServerMem:         8 << 20,
+		ReplicationFactor: 2,
+		ScrubInterval:     -1,
+	})
+	c := cl.Clients[0]
+	cl.Env.Spawn("mem-join-noscrub", func(p *sim.Proc) {
+		if !memPreload(t, c, p) {
+			return
+		}
+		cl.Join()
+		cl.AwaitRebalance(p)
+		memPreload(t, c, p) // the joiner now coordinates and accepts writes
+	})
+	cl.Env.Run()
+	for id, r := range cl.Replicators {
+		if n := r.Counters.Get("scrub-rounds"); n != 0 {
+			t.Errorf("replicator %d ran %d scrub rounds on a scrub-disabled cluster", id, n)
+		}
+	}
+	if cl.Replicators[3].Counters.Get("forwards") == 0 {
+		t.Error("the joiner coordinated no write: nothing would have armed its scrubber")
+	}
+}
