@@ -6,10 +6,10 @@ import (
 )
 
 // Per-server circuit breaker. A connection whose server answers consecutive
-// busy rejections or attempt timeouts trips open: pick() then routes its
-// keys around the saturated replica via the failover ring instead of
-// feeding it more load. After a cooldown the breaker half-opens and admits
-// a single probe request; a real response re-closes it, another failure
+// busy rejections or attempt timeouts trips open: route (route.go) then
+// sends its keys to the next candidate instead of feeding the saturated
+// server more load. After a cooldown the breaker half-opens and admits a
+// single probe request; a real response re-closes it, another failure
 // re-opens it. State transitions are counted in Client.Faults
 // (metrics.CBreakerOpen, CBreakerHalfOpen, CBreakerClose) and reroutes in
 // CBreakerReroutes.
@@ -50,26 +50,36 @@ func newBreaker(c *Client, cfg BreakerConfig) *breaker {
 	return &breaker{c: c, cfg: cfg}
 }
 
-// allow reports whether new traffic may be sent to this server, moving an
-// open breaker to half-open (single probe) once the cooldown has elapsed.
-func (b *breaker) allow() bool {
+// admits reports whether new traffic may be sent to this server: the
+// breaker is closed, open past its cooldown, or half-open with its probe
+// slot free. It changes nothing, so route may ask it of every candidate.
+func (b *breaker) admits() bool {
 	switch b.state {
 	case bkClosed:
 		return true
 	case bkOpen:
-		if b.c.env.Now()-b.openedAt < b.cfg.Cooldown {
-			return false
+		return b.c.env.Now()-b.openedAt >= b.cfg.Cooldown
+	default: // half-open: exactly one probe at a time
+		return !b.probing
+	}
+}
+
+// allow admits one request the caller is about to send: an open breaker
+// past its cooldown moves to half-open, and the half-open breaker's single
+// probe slot is taken until that request's outcome comes back. Call it only
+// for the connection actually chosen — a slot taken for a request that is
+// then sent elsewhere is never given back.
+func (b *breaker) allow() {
+	switch b.state {
+	case bkOpen:
+		if !b.admits() {
+			return
 		}
 		b.state = bkHalfOpen
 		b.probing = true
 		b.c.Faults.Inc(metrics.CBreakerHalfOpen)
-		return true
-	default: // half-open: exactly one probe at a time
-		if b.probing {
-			return false
-		}
+	case bkHalfOpen:
 		b.probing = true
-		return true
 	}
 }
 
@@ -121,11 +131,8 @@ func (cn *conn) noteFailure() {
 	}
 }
 
-// allows reports whether cn accepts new traffic: not retired, and no
-// breaker (or the breaker lets it through).
-func (cn *conn) allows() bool {
-	if cn.retired {
-		return false
-	}
-	return cn.brk == nil || cn.brk.allow()
+// routable reports whether cn accepts new traffic: not retired, and no
+// breaker (or the breaker admits). Side-effect-free.
+func (cn *conn) routable() bool {
+	return !cn.retired && (cn.brk == nil || cn.brk.admits())
 }

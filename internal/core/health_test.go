@@ -67,7 +67,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 	if n := c.Faults.Get("breaker-close"); n != 1 {
 		t.Errorf("breaker-close = %d, want 1 (slow-but-successful probe must re-close)", n)
 	}
-	if !c.conns[0].allows() {
+	if !c.conns[0].routable() {
 		t.Error("connection still blocked after a successful probe")
 	}
 }
@@ -241,4 +241,46 @@ func TestHedgeAfterAdaptsToBaseline(t *testing.T) {
 	if got := off.hedgeAfter(999 * sim.Microsecond); got != 999*sim.Microsecond {
 		t.Errorf("disabled tracker: hedgeAfter = %v, want identity", got)
 	}
+}
+
+// TestBrownedHalfOpenBreakerIsNotStranded: routing a GET around a browned
+// home whose breaker has just cooled down must not take the half-open
+// probe slot — nothing is sent to home, so nothing would ever give the slot
+// back, and every later attempt would be refused for the rest of the run.
+// The slot belongs to the connection an attempt is actually sent on.
+func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
+	const cooldown = sim.Millisecond
+	r := newTestRig(rigOpts{
+		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
+		clientCfg: func(cc *Config) {
+			cc.Breaker = BreakerConfig{Threshold: 1, Cooldown: cooldown}
+			cc.Health = HealthConfig{Enabled: true}
+		},
+	})
+	c := r.client
+	home := c.route("k", routeWrite, nil)
+	r.env.Spawn("bench", func(p *sim.Proc) {
+		home.health.browned[hcGet] = true
+		home.noteFailure() // Threshold 1: open
+		p.Sleep(cooldown + 10*sim.Microsecond)
+
+		if got := c.route("k", routeGet, nil); got == home {
+			t.Fatal("GET routed to the browned home; the test never went around it")
+		}
+		if home.brk.state != bkOpen || home.brk.probing {
+			t.Errorf("routing around home moved its breaker: state %d, probing %v", home.brk.state, home.brk.probing)
+		}
+
+		p.Sleep(10 * sim.Millisecond)
+		if got := c.route("k", routeWrite, nil); got != home {
+			t.Errorf("write routed to server%d: home's probe slot was stranded", got.serverID)
+		}
+		if home.brk.state != bkHalfOpen || !home.brk.probing {
+			t.Errorf("the write sent to home is its probe: state %d, probing %v", home.brk.state, home.brk.probing)
+		}
+		if n := c.Faults.Get("breaker-halfopen"); n != 1 {
+			t.Errorf("breaker-halfopen = %d, want 1", n)
+		}
+	})
+	r.env.Run()
 }

@@ -142,7 +142,7 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 	refused := int64(0)
 	for i := skip; i < n && best == nil; i++ {
 		cn := o.at(start + i)
-		if !cn.allows() {
+		if !cn.routable() {
 			refused++
 			continue
 		}
@@ -178,9 +178,15 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 		// live member, and as the paced probe that keeps its recovery
 		// observable (a trickle tick is spent either way).
 		if live.health.admitProbe(&c.cfg.Health) || best == nil {
-			return live
+			best = live
+		} else {
+			c.Faults.Inc(metrics.CSlowRoutedGets)
 		}
-		c.Faults.Inc(metrics.CSlowRoutedGets)
+	}
+	// The one admission, for the connection the attempt will be sent on:
+	// the walk above only asked.
+	if best.brk != nil {
+		best.brk.allow()
 	}
 	return best
 }
