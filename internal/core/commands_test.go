@@ -9,92 +9,130 @@ import (
 	"hybridkv/internal/sim"
 )
 
-func TestClientAddReplace(t *testing.T) {
-	for _, tr := range []Transport{RDMA, IPoIB} {
-		r := newTestRig(rigOpts{transport: tr})
-		r.env.Spawn("app", func(p *sim.Proc) {
+// TestBlockingCommands runs every blocking command on both transports: they
+// are all one roundTrip, so one script per command family serves RDMA and
+// IPoIB alike.
+func TestBlockingCommands(t *testing.T) {
+	scripts := []struct {
+		name    string
+		servers int
+		run     func(t *testing.T, p *sim.Proc, r *testRig)
+	}{
+		{"add-replace", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
 			if st := r.client.Add(p, "k", 10, "a", 0, 0); st != protocol.StatusStored {
-				t.Errorf("%v: add fresh: %v", tr, st)
+				t.Errorf("add fresh: %v", st)
 			}
 			if st := r.client.Add(p, "k", 10, "b", 0, 0); st != protocol.StatusNotStored {
-				t.Errorf("%v: add dup: %v", tr, st)
+				t.Errorf("add dup: %v", st)
 			}
 			if st := r.client.Replace(p, "k", 10, "c", 0, 0); st != protocol.StatusStored {
-				t.Errorf("%v: replace: %v", tr, st)
+				t.Errorf("replace: %v", st)
 			}
 			if st := r.client.Replace(p, "missing", 10, "d", 0, 0); st != protocol.StatusNotStored {
-				t.Errorf("%v: replace missing: %v", tr, st)
+				t.Errorf("replace missing: %v", st)
 			}
 			v, _, _ := r.client.Get(p, "k")
 			if v != "c" {
-				t.Errorf("%v: final value %v", tr, v)
+				t.Errorf("final value %v", v)
 			}
-		})
-		r.env.Run()
-	}
-}
-
-func TestClientCASCycle(t *testing.T) {
-	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	r.env.Spawn("app", func(p *sim.Proc) {
-		r.client.Set(p, "k", 10, "v1", 0, 0)
-		_, _, cas, st := r.client.Gets(p, "k")
-		if st != protocol.StatusOK || cas == 0 {
-			t.Fatalf("gets: (%d,%v)", cas, st)
-		}
-		if st := r.client.CompareAndSet(p, "k", 10, "v2", 0, 0, cas); st != protocol.StatusStored {
-			t.Errorf("cas current: %v", st)
-		}
-		if st := r.client.CompareAndSet(p, "k", 10, "v3", 0, 0, cas); st != protocol.StatusExists {
-			t.Errorf("cas stale: %v", st)
-		}
-	})
-	r.env.Run()
-}
-
-func TestClientCounters(t *testing.T) {
-	for _, tr := range []Transport{RDMA, IPoIB} {
-		r := newTestRig(rigOpts{transport: tr})
-		r.env.Spawn("app", func(p *sim.Proc) {
+		}},
+		{"cas-cycle", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
+			r.client.Set(p, "k", 10, "v1", 0, 0)
+			_, _, cas, st := r.client.Gets(p, "k")
+			if st != protocol.StatusOK || cas == 0 {
+				t.Fatalf("gets: (%d,%v)", cas, st)
+			}
+			if st := r.client.CompareAndSet(p, "k", 10, "v2", 0, 0, cas); st != protocol.StatusStored {
+				t.Errorf("cas current: %v", st)
+			}
+			if st := r.client.CompareAndSet(p, "k", 10, "v3", 0, 0, cas); st != protocol.StatusExists {
+				t.Errorf("cas stale: %v", st)
+			}
+		}},
+		{"counters", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
 			if st := r.client.SetCounter(p, "hits", 100); st != protocol.StatusStored {
-				t.Fatalf("%v: set counter: %v", tr, st)
+				t.Fatalf("set counter: %v", st)
 			}
 			if v, st := r.client.Incr(p, "hits", 11); st != protocol.StatusOK || v != 111 {
-				t.Errorf("%v: incr -> (%d,%v)", tr, v, st)
+				t.Errorf("incr -> (%d,%v)", v, st)
 			}
 			if v, st := r.client.Decr(p, "hits", 11); st != protocol.StatusOK || v != 100 {
-				t.Errorf("%v: decr -> (%d,%v)", tr, v, st)
+				t.Errorf("decr -> (%d,%v)", v, st)
 			}
 			if _, st := r.client.Incr(p, "nope", 1); st != protocol.StatusNotFound {
-				t.Errorf("%v: incr missing: %v", tr, st)
+				t.Errorf("incr missing: %v", st)
 			}
-		})
-		r.env.Run()
+		}},
+		{"append-prepend-touch", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
+			r.client.Set(p, "log", 100, "entry1", 0, 0)
+			if st := r.client.Append(p, "log", 50, "entry2"); st != protocol.StatusStored {
+				t.Errorf("append: %v", st)
+			}
+			if st := r.client.Prepend(p, "log", 25, "hdr"); st != protocol.StatusStored {
+				t.Errorf("prepend: %v", st)
+			}
+			_, size, st := r.client.Get(p, "log")
+			if st != protocol.StatusOK || size != 175 {
+				t.Errorf("after concat: (%d,%v)", size, st)
+			}
+			if st := r.client.Touch(p, "log", 300); st != protocol.StatusOK {
+				t.Errorf("touch: %v", st)
+			}
+			if st := r.client.Touch(p, "missing", 300); st != protocol.StatusNotFound {
+				t.Errorf("touch missing: %v", st)
+			}
+		}},
+		{"delete", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
+			r.client.Set(p, "k", 100, "v", 0, 0)
+			if st := r.client.Delete(p, "k"); st != protocol.StatusDeleted {
+				t.Errorf("delete: %v", st)
+			}
+			if st := r.client.Delete(p, "k"); st != protocol.StatusNotFound {
+				t.Errorf("delete again: %v", st)
+			}
+		}},
+		{"mget", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
+			r.client.Set(p, "a", 10, "va", 0, 0)
+			reqs := r.client.MGet(p, []string{"a", "missing"})
+			if reqs[0].Status != protocol.StatusOK || reqs[0].Value != "va" {
+				t.Errorf("mget[0] %+v", reqs[0])
+			}
+			if reqs[1].Status != protocol.StatusNotFound {
+				t.Errorf("mget[1] %v", reqs[1].Status)
+			}
+		}},
+		{"flush-all", 3, func(t *testing.T, p *sim.Proc, r *testRig) {
+			for i := 0; i < 30; i++ {
+				r.client.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
+			}
+			if st := r.client.FlushAll(p); st != protocol.StatusOK {
+				t.Errorf("flush_all: %v", st)
+			}
+			for i := 0; i < 30; i++ {
+				if _, _, st := r.client.Get(p, fmt.Sprintf("k%02d", i)); st != protocol.StatusNotFound {
+					t.Errorf("key %d survived flush_all", i)
+					break
+				}
+			}
+			for i, srv := range r.servers {
+				if srv.Store().Len() != 0 {
+					t.Errorf("server %d still holds %d keys", i, srv.Store().Len())
+				}
+			}
+		}},
 	}
-}
-
-func TestClientAppendPrependTouch(t *testing.T) {
-	r := newTestRig(rigOpts{transport: RDMA})
-	r.env.Spawn("app", func(p *sim.Proc) {
-		r.client.Set(p, "log", 100, "entry1", 0, 0)
-		if st := r.client.Append(p, "log", 50, "entry2"); st != protocol.StatusStored {
-			t.Errorf("append: %v", st)
+	for _, tr := range []Transport{RDMA, IPoIB} {
+		for _, sc := range scripts {
+			t.Run(fmt.Sprintf("%v/%s", tr, sc.name), func(t *testing.T) {
+				r := newTestRig(rigOpts{transport: tr, pipeline: server.Async, servers: sc.servers})
+				r.env.Spawn("app", func(p *sim.Proc) { sc.run(t, p, r) })
+				r.env.Run()
+				if st := r.client.Stats(); st.Issued != st.Completed {
+					t.Errorf("issued %d, completed %d", st.Issued, st.Completed)
+				}
+			})
 		}
-		if st := r.client.Prepend(p, "log", 25, "hdr"); st != protocol.StatusStored {
-			t.Errorf("prepend: %v", st)
-		}
-		_, size, st := r.client.Get(p, "log")
-		if st != protocol.StatusOK || size != 175 {
-			t.Errorf("after concat: (%d,%v)", size, st)
-		}
-		if st := r.client.Touch(p, "log", 300); st != protocol.StatusOK {
-			t.Errorf("touch: %v", st)
-		}
-		if st := r.client.Touch(p, "missing", 300); st != protocol.StatusNotFound {
-			t.Errorf("touch missing: %v", st)
-		}
-	})
-	r.env.Run()
+	}
 }
 
 func TestMGetParallelism(t *testing.T) {
@@ -125,47 +163,6 @@ func TestMGetParallelism(t *testing.T) {
 	r.env.Run()
 	if float64(seqTime)/float64(mgetTime) < 2 {
 		t.Errorf("mget (%v) not ≥2x faster than %d sequential gets (%v)", mgetTime, n, seqTime)
-	}
-}
-
-func TestMGetOnIPoIBDegradesGracefully(t *testing.T) {
-	r := newTestRig(rigOpts{transport: IPoIB})
-	r.env.Spawn("app", func(p *sim.Proc) {
-		r.client.Set(p, "a", 10, "va", 0, 0)
-		reqs := r.client.MGet(p, []string{"a", "missing"})
-		if reqs[0].Status != protocol.StatusOK || reqs[0].Value != "va" {
-			t.Errorf("mget[0] %+v", reqs[0])
-		}
-		if reqs[1].Status != protocol.StatusNotFound {
-			t.Errorf("mget[1] %v", reqs[1].Status)
-		}
-	})
-	r.env.Run()
-}
-
-func TestClientFlushAll(t *testing.T) {
-	for _, tr := range []Transport{RDMA, IPoIB} {
-		r := newTestRig(rigOpts{transport: tr, servers: 3})
-		r.env.Spawn("app", func(p *sim.Proc) {
-			for i := 0; i < 30; i++ {
-				r.client.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
-			}
-			if st := r.client.FlushAll(p); st != protocol.StatusOK {
-				t.Errorf("%v: flush_all: %v", tr, st)
-			}
-			for i := 0; i < 30; i++ {
-				if _, _, st := r.client.Get(p, fmt.Sprintf("k%02d", i)); st != protocol.StatusNotFound {
-					t.Errorf("%v: key %d survived flush_all", tr, i)
-					break
-				}
-			}
-		})
-		r.env.Run()
-		for i, srv := range r.servers {
-			if srv.Store().Len() != 0 {
-				t.Errorf("%v: server %d still holds %d keys", tr, i, srv.Store().Len())
-			}
-		}
 	}
 }
 
