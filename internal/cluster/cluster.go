@@ -203,9 +203,8 @@ type Cluster struct {
 
 	// Construction parameters retained so Join can build late servers
 	// identically to the originals.
-	cfg       Config
-	repFactor int
-	pcPar     pagecache.Params
+	cfg   Config
+	pcPar pagecache.Params
 }
 
 // New builds and starts a deployment.
@@ -253,7 +252,6 @@ func New(cfg Config) *Cluster {
 	if repFactor > cfg.Servers {
 		repFactor = cfg.Servers
 	}
-	cl.repFactor = repFactor
 	if repFactor > 1 {
 		if cfg.Design.Transport() != core.RDMA {
 			panic("cluster: ReplicationFactor > 1 requires an RDMA design")
@@ -359,7 +357,7 @@ func (cl *Cluster) buildServer(i int) *server.Server {
 // and appends it to cl.Replicators.
 func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Replicator {
 	repl := replication.New(cl.Env, replication.Config{
-		ID: id, Factor: cl.repFactor, Pacer: cl.cfg.Pacer,
+		ID: id, Factor: cl.Membership.Factor(), Pacer: cl.cfg.Pacer,
 		ScrubInterval: cl.cfg.ScrubInterval,
 	}, cl.Membership.Ring(), srv.Store(), srv.Device())
 	repl.SetMembership(cl.Membership)

@@ -110,7 +110,7 @@ type readWait struct {
 
 // bypassEligible reports whether this Issue should resolve via bypass.
 func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
-	if op.Code != protocol.OpGet || c.cfg.Transport != RDMA || !c.cfg.Bypass {
+	if op.Code != protocol.OpGet || !c.cfg.Bypass {
 		return false
 	}
 	switch o.readPath {
