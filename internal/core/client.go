@@ -696,25 +696,26 @@ func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, e
 	if c.buffering {
 		return c.bufferedSet(p, key, valueSize, value, flags, expire)
 	}
-	return c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}, nil).Status
+	return c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}).Status
 }
 
 // Get fetches a value and blocks for the reply (memcached_get). With
 // buffering enabled, the Get first pushes out the queued Sets — the
 // overhead the paper's Section IV-A attributes to the behaviour-based mode.
 func (c *Client) Get(p *sim.Proc, key string) (value any, size int, status protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, nil)
+	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key})
 	return req.Value, req.ValueSize, req.Status
 }
 
 // Delete removes a key and blocks for the reply (memcached_delete).
 func (c *Client) Delete(p *sim.Proc, key string) protocol.Status {
-	return c.roundTrip(p, Op{Code: protocol.OpDelete, Key: key}, nil).Status
+	return c.roundTrip(p, Op{Code: protocol.OpDelete, Key: key}).Status
 }
 
-// roundTrip runs op to completion and returns its handle: begin + Wait.
-func (c *Client) roundTrip(p *sim.Proc, op Op, on *conn) *Req {
-	req := c.begin(p, op, on)
+// roundTrip runs op to completion on the connection its key routes to and
+// returns its handle: begin + Wait.
+func (c *Client) roundTrip(p *sim.Proc, op Op) *Req {
+	req := c.begin(p, op, nil)
 	c.Wait(p, req)
 	return req
 }

@@ -16,7 +16,7 @@ func (c *Client) Add(p *sim.Proc, key string, valueSize int, value any, flags, e
 	return c.roundTrip(p, Op{
 		Code: protocol.OpAdd, Key: key,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}, nil).Status
+	}).Status
 }
 
 // Replace stores a value only if the key exists (memcached_replace).
@@ -24,7 +24,7 @@ func (c *Client) Replace(p *sim.Proc, key string, valueSize int, value any, flag
 	return c.roundTrip(p, Op{
 		Code: protocol.OpReplace, Key: key,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}, nil).Status
+	}).Status
 }
 
 // CompareAndSet stores a value only if cas matches the item's current token
@@ -33,12 +33,12 @@ func (c *Client) CompareAndSet(p *sim.Proc, key string, valueSize int, value any
 	return c.roundTrip(p, Op{
 		Code: protocol.OpCAS, Key: key, CAS: cas,
 		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}, nil).Status
+	}).Status
 }
 
 // Gets fetches a value together with its CAS token (memcached_gets).
 func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64, status protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, nil)
+	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key})
 	return req.Value, req.ValueSize, req.CAS, req.Status
 }
 
@@ -46,7 +46,7 @@ func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64,
 func (c *Client) Append(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
 	return c.roundTrip(p, Op{
 		Code: protocol.OpAppend, Key: key, ValueSize: extraSize, Value: extra,
-	}, nil).Status
+	}).Status
 }
 
 // Prepend concatenates extra bytes before the stored value
@@ -54,13 +54,13 @@ func (c *Client) Append(p *sim.Proc, key string, extraSize int, extra any) proto
 func (c *Client) Prepend(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
 	return c.roundTrip(p, Op{
 		Code: protocol.OpPrepend, Key: key, ValueSize: extraSize, Value: extra,
-	}, nil).Status
+	}).Status
 }
 
 // Incr adds delta to a counter and returns the new value
 // (memcached_increment). Store counters with SetCounter.
 func (c *Client) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpIncr, Key: key, Delta: delta}, nil)
+	req := c.roundTrip(p, Op{Code: protocol.OpIncr, Key: key, Delta: delta})
 	v, _ := req.Value.(uint64)
 	return v, req.Status
 }
@@ -68,7 +68,7 @@ func (c *Client) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.S
 // Decr subtracts delta from a counter, flooring at zero
 // (memcached_decrement).
 func (c *Client) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpDecr, Key: key, Delta: delta}, nil)
+	req := c.roundTrip(p, Op{Code: protocol.OpDecr, Key: key, Delta: delta})
 	v, _ := req.Value.(uint64)
 	return v, req.Status
 }
@@ -81,12 +81,12 @@ const CounterSize = 20
 func (c *Client) SetCounter(p *sim.Proc, key string, initial uint64) protocol.Status {
 	return c.roundTrip(p, Op{
 		Code: protocol.OpSet, Key: key, ValueSize: CounterSize, Value: initial,
-	}, nil).Status
+	}).Status
 }
 
 // Touch updates a key's expiration without moving data (memcached_touch).
 func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
-	return c.roundTrip(p, Op{Code: protocol.OpTouch, Key: key, Expire: expire}, nil).Status
+	return c.roundTrip(p, Op{Code: protocol.OpTouch, Key: key, Expire: expire}).Status
 }
 
 // FlushAll invalidates every item on every connected server
@@ -94,9 +94,10 @@ func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
 func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 	out := protocol.StatusOK
 	for _, cn := range c.conns {
-		st := c.roundTrip(p, Op{Code: protocol.OpFlushAll}, cn).Status
-		if st != protocol.StatusOK && out == protocol.StatusOK {
-			out = st
+		req := c.begin(p, Op{Code: protocol.OpFlushAll}, cn)
+		c.Wait(p, req)
+		if req.Status != protocol.StatusOK && out == protocol.StatusOK {
+			out = req.Status
 		}
 	}
 	return out

@@ -145,7 +145,7 @@ func TestRouteMatrix(t *testing.T) {
 			case none:
 			case outside:
 				for _, cn := range c.conns {
-					if !inOrder(order, cn) {
+					if position(order, cn) < 0 {
 						cur = cn
 					}
 				}
@@ -186,20 +186,19 @@ func TestRouteMatrix(t *testing.T) {
 	}
 }
 
-func inOrder(order []*conn, cn *conn) bool {
-	for _, have := range order {
+// position returns cn's place in order, -1 when it is not in it.
+func position(order []*conn, cn *conn) int {
+	for pos, have := range order {
 		if have == cn {
-			return true
+			return pos
 		}
 	}
-	return false
+	return -1
 }
 
 func describe(order []*conn, cn *conn) string {
-	for pos, have := range order {
-		if have == cn {
-			return fmt.Sprintf("position %d (server%d)", pos, cn.serverID)
-		}
+	if pos := position(order, cn); pos >= 0 {
+		return fmt.Sprintf("position %d (server%d)", pos, cn.serverID)
 	}
 	return fmt.Sprintf("server%d, outside the order", cn.serverID)
 }
