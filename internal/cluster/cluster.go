@@ -229,7 +229,7 @@ func New(cfg Config) *Cluster {
 		Fabric:  fab,
 		Design:  cfg.Design,
 		Profile: cfg.Profile,
-		Backend: backend.New(env, backend.Config{Penalty: backend.DefaultPenalty}),
+		Backend: backend.New(env, backend.Config{}),
 	}
 	// The page-cache budget scales with the server's slab memory (the
 	// testbed nodes had 64-128 GB of RAM, so the cache was never the

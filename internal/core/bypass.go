@@ -360,7 +360,10 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 // connection. It returns the answer's status: StatusNotFound when the server
 // publishes no directory, StatusError when no answer came in time.
 func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
-	req := c.issueOn(cn, protocol.OpDirQuery)
+	// A key-less control op: it addresses the server, so nothing routes it.
+	req := c.newReq(Op{Code: protocol.OpDirQuery}, cn)
+	c.Issued++
+	c.enqueueWire(req, cn, c.wireFor(req, cn, req.ID))
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
 		c.abandon(req.cur)
 		return protocol.StatusError

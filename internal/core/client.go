@@ -713,33 +713,10 @@ func (c *Client) Delete(p *sim.Proc, key string) protocol.Status {
 }
 
 // roundTrip runs op to completion on the connection its key routes to and
-// returns its handle: begin + Wait.
-func (c *Client) roundTrip(p *sim.Proc, op Op) *Req {
-	req := c.begin(p, op, nil)
+// returns its handle: begin (issue.go) + Wait.
+func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
+	req := c.begin(p, op, opts...)
 	c.Wait(p, req)
-	return req
-}
-
-// begin starts op — on the connection its key routes to, or on the given
-// one for an operation that addresses a server rather than a key — and
-// returns its handle. On RDMA the request is in flight (Issue); the socket
-// stack has no non-blocking send, so on IPoIB it is already complete.
-func (c *Client) begin(p *sim.Proc, op Op, on *conn) *Req {
-	if c.cfg.Transport == IPoIB {
-		if on == nil {
-			on = c.route(op.Key, intentOf(op.Code), nil)
-		}
-		if c.buffering && op.Code == protocol.OpGet {
-			// The queued Sets leave on this connection before the Get does.
-			c.flushConn(p, on)
-		}
-		return c.ipoibExchange(p, on, op)
-	}
-	if on != nil {
-		p.Sleep(prepCost)
-		return c.issueOn(on, op.Code)
-	}
-	req, _ := c.Issue(p, op) // its one error is the transport excluded above
 	return req
 }
 

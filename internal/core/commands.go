@@ -36,9 +36,10 @@ func (c *Client) CompareAndSet(p *sim.Proc, key string, valueSize int, value any
 	}).Status
 }
 
-// Gets fetches a value together with its CAS token (memcached_gets).
+// Gets fetches a value together with its CAS token (memcached_gets), from
+// the server a CompareAndSet on the key would go to (see casRead).
 func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64, status protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key})
+	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead)
 	return req.Value, req.ValueSize, req.CAS, req.Status
 }
 
@@ -94,7 +95,7 @@ func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
 func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 	out := protocol.StatusOK
 	for _, cn := range c.conns {
-		req := c.begin(p, Op{Code: protocol.OpFlushAll}, cn)
+		req := c.beginOn(p, cn, Op{Code: protocol.OpFlushAll}, issueOpts{})
 		c.Wait(p, req)
 		if req.Status != protocol.StatusOK && out == protocol.StatusOK {
 			out = req.Status
@@ -111,7 +112,7 @@ func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 func (c *Client) MGet(p *sim.Proc, keys []string) []*Req {
 	out := make([]*Req, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, c.begin(p, Op{Code: protocol.OpGet, Key: k}, nil))
+		out = append(out, c.begin(p, Op{Code: protocol.OpGet, Key: k}))
 	}
 	c.WaitAll(p, out)
 	return out

@@ -85,6 +85,7 @@ type issueOpts struct {
 	retry    *RetryPolicy
 	hedge    sim.Time // GET hedging threshold; 0 = none
 	readPath ReadPath // GET resolution path; see WithReadPath
+	forCAS   bool     // the GET behind Gets; see casRead
 }
 
 // WithBufferAck requests a server BufferAck and blocks Issue until the
@@ -115,20 +116,55 @@ func WithHedge(d sim.Time) IssueOption {
 	return func(o *issueOpts) { o.hedge = d }
 }
 
+// casRead marks the GET behind Gets. Its CAS token goes back in a
+// CompareAndSet, and tokens are per-store counters the chain does not
+// replicate — one fetched from a backup never matches the primary's. So the
+// read routes as the write will (primary first, no hot fan-out, no brown-out
+// detour) and takes the RPC path.
+func casRead(o *issueOpts) {
+	o.forCAS = true
+	o.readPath = ReadRPC
+}
+
 // Issue starts one operation described by op, applying the given options,
-// and returns its handle. It is the single entry point behind
-// ISet/IGet/BSet/BGet and, with Wait, behind every blocking call; RDMA
-// transport only (IPoIB keeps the blocking socket API).
+// and returns its handle. It is the entry point behind ISet/IGet/BSet/BGet;
+// RDMA transport only (IPoIB keeps the blocking socket API).
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if c.cfg.Transport != RDMA {
 		return nil, ErrTransport
 	}
+	return c.begin(p, op, opts...), nil
+}
+
+// begin starts op on the connection its key routes to and returns its
+// handle: Issue on RDMA, and with Wait every blocking call on either
+// transport (roundTrip).
+func (c *Client) begin(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 	var o issueOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
-	cn := c.route(op.Key, intentOf(op.Code), nil)
-	if op.Code == protocol.OpGet {
+	in := intentOf(op.Code)
+	if o.forCAS {
+		in = routeWrite
+	}
+	return c.beginOn(p, c.route(op.Key, in, nil), op, o)
+}
+
+// beginOn starts op on cn — the connection begin routed it to, or the one a
+// key-less operation addresses (flush_all) — and returns its handle. On
+// RDMA the request is in flight; the socket stack has no non-blocking send,
+// so on IPoIB it is already complete. This is the one place the blocking
+// path asks which transport it is on.
+func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, o issueOpts) *Req {
+	if c.cfg.Transport == IPoIB {
+		if c.buffering && op.Code == protocol.OpGet {
+			// The queued Sets leave on this connection before the Get does.
+			c.flushConn(p, cn)
+		}
+		return c.ipoibExchange(p, cn, op)
+	}
+	if op.Code == protocol.OpGet && !o.forCAS {
 		c.maybeRefreshHot(cn)
 	}
 	p.Sleep(prepCost)
@@ -161,7 +197,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if o.ack && c.batching == 0 {
 		p.Wait(&req.reusable)
 	}
-	return req, nil
+	return req
 }
 
 // wireFor builds the wire request for one attempt of req on cn.
@@ -177,16 +213,6 @@ func (c *Client) wireFor(req *Req, cn *conn, id uint64) *protocol.Request {
 		wire.RespMR = cn.respMR.LKey()
 	}
 	return wire
-}
-
-// issueOn starts a key-less operation on cn — a directory query, a
-// flush_all: it addresses a server, so nothing routes it — and returns its
-// handle.
-func (c *Client) issueOn(cn *conn, code protocol.Opcode) *Req {
-	req := c.newReq(Op{Code: code}, cn)
-	c.Issued++
-	c.enqueueWire(req, cn, c.wireFor(req, cn, req.ID))
-	return req
 }
 
 // enqueueWire registers one attempt and hands its wire to cn's TX engine —
