@@ -35,13 +35,14 @@ const (
 	routeWrite intent = iota
 	// routeGet is the first attempt of a GET: primary first, around a
 	// browned member; a server-detected hot key (hotread.go) starts its walk
-	// one member further round the set on every GET instead.
+	// one member further round the set on every GET instead. The GET behind
+	// Gets is a routeWrite (casRead, issue.go).
 	routeGet
 	// routeNext is the attempt after the one on cur — a retransmit failing
 	// over, a hedge: the walk starts behind cur and never returns to it.
 	routeNext
 	// routeFallback is a bypass resolution on cur surrendering to RPC: it
-	// stays on cur unless cur is browned, then walks like routeNext.
+	// stays on cur unless cur is browned, then walks the set primary first.
 	routeFallback
 )
 
@@ -121,22 +122,24 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 	// live is the first candidate the exclusion filter lets through, best the
 	// first that is also healthy.
 	var live, best *conn
+	hot := false
 	switch in {
 	case routeGet:
 		if c.cfg.HotFanout && o.set != nil && c.isHot(protocol.KeyDigest(key)) {
+			hot = true
 			start = int(c.hotRR % uint64(n))
 			c.hotRR++
-			c.Faults.Inc(metrics.CHotFanouts)
 		}
 	case routeNext:
 		start, skip = o.index(cur), 1
 	case routeFallback:
 		// The request is already on cur, admitted when it was first routed:
-		// cur heads the order and is not asked again.
+		// cur is not asked again. Browned, it is the last resort of a walk
+		// over the whole set, primary first.
 		if !wantHealthy || cur.readHealthy() {
 			return cur
 		}
-		start, skip, live = o.index(cur), 1, cur
+		live = cur
 	}
 
 	refused := int64(0)
@@ -154,13 +157,16 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 		}
 	}
 
+	// rerouted: a first attempt whose head of the walk was refused, a later
+	// member taking its place.
+	rerouted := false
 	switch in {
 	case routeNext:
 		if refused > 0 {
 			c.Faults.Add(string(metrics.CFailoverSkip), refused)
 		}
 	case routeWrite, routeGet:
-		if live != nil && live != o.at(start) {
+		if rerouted = live != nil && live != o.at(start); rerouted {
 			c.Faults.Inc(metrics.CBreakerReroutes)
 		}
 	}
@@ -173,15 +179,24 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 		}
 		return o.at(start + skip)
 	}
+	if hot {
+		c.Faults.Inc(metrics.CHotFanouts)
+	}
 	if live != best {
 		// live is browned. It still gets the attempt when it is the last
-		// live member, and as the paced probe that keeps its recovery
-		// observable (a trickle tick is spent either way).
-		if live.health.admitProbe(&c.cfg.Health) || best == nil {
+		// live member, and a cold GET's gets every ProbeEvery-th as the paced
+		// probe that keeps its recovery observable (the tick is spent whether
+		// or not a healthy member exists). A hot GET that already counted as
+		// a breaker reroute is not counted again.
+		probe := in == routeGet && !hot && n > 1 && live.health.admitProbe(&c.cfg.Health)
+		if probe || best == nil {
 			best = live
-		} else {
+		} else if !(hot && rerouted) {
 			c.Faults.Inc(metrics.CSlowRoutedGets)
 		}
+	}
+	if best == cur {
+		return cur // a fallback staying put
 	}
 	// The one admission, for the connection the attempt will be sent on:
 	// the walk above only asked.

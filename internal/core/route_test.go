@@ -26,7 +26,8 @@ func TestRouteMatrix(t *testing.T) {
 		outside = -2 // cur: a connection that is not in the key's replica set
 		key     = "matrix-key"
 	)
-	type counts struct{ reroutes, slow, skips, fanouts int64 }
+	// ticks is how many brown-out probe ticks were spent (connHealth.probeSeq).
+	type counts struct{ reroutes, slow, skips, fanouts, ticks int64 }
 	rows := []struct {
 		name    string
 		servers int
@@ -59,6 +60,10 @@ func TestRouteMatrix(t *testing.T) {
 		{"single/get/browned", 1, 1, "B", routeGet, false, 0, none, 0, counts{}},
 		{"single/next", 1, 1, "", routeNext, false, 0, 0, 0, counts{}},
 		{"single/next/open", 1, 1, "O", routeNext, false, 0, 0, 0, counts{}},
+		// A replicated key whose set has shrunk to one member: nothing to
+		// reroute to, so no probe tick is spent either.
+		{"one-member-set/get/browned", 1, 2, "B", routeGet, false, 0, none, 0, counts{}},
+		{"one-member-set/fallback/browned", 1, 2, "B", routeFallback, false, 0, 0, 0, counts{}},
 
 		// R = 2.
 		{"r2/write", 4, 2, "", routeWrite, false, 0, none, 0, counts{}},
@@ -68,16 +73,18 @@ func TestRouteMatrix(t *testing.T) {
 		{"r2/write/ignores-brown-out", 4, 2, "B", routeWrite, false, 0, none, 0, counts{}},
 		{"r2/write/hot-key-stays-primary", 4, 2, "", routeWrite, true, 1, none, 0, counts{}},
 		{"r2/get", 4, 2, "", routeGet, false, 0, none, 0, counts{}},
-		{"r2/get/primary-browned", 4, 2, "B", routeGet, false, 0, none, 1, counts{slow: 1}},
-		{"r2/get/both-browned-last-live", 4, 2, "BB", routeGet, false, 0, none, 0, counts{}},
-		{"r2/get/browned-and-backup-open", 4, 2, "BO", routeGet, false, 0, none, 0, counts{}},
-		{"r2/get/primary-open-backup-browned", 4, 2, "OB", routeGet, false, 0, none, 1, counts{reroutes: 1}},
-		{"r2/get/around-browned-half-open", 4, 2, "X", routeGet, false, 0, none, 1, counts{slow: 1}},
-		{"r2/get/half-open-backup-takes-the-probe", 4, 2, "BH", routeGet, false, 0, none, 1, counts{slow: 1}},
+		{"r2/get/primary-browned", 4, 2, "B", routeGet, false, 0, none, 1, counts{slow: 1, ticks: 1}},
+		{"r2/get/both-browned-last-live", 4, 2, "BB", routeGet, false, 0, none, 0, counts{ticks: 1}},
+		{"r2/get/browned-and-backup-open", 4, 2, "BO", routeGet, false, 0, none, 0, counts{ticks: 1}},
+		{"r2/get/primary-open-backup-browned", 4, 2, "OB", routeGet, false, 0, none, 1, counts{reroutes: 1, ticks: 1}},
+		{"r2/get/around-browned-half-open", 4, 2, "X", routeGet, false, 0, none, 1, counts{slow: 1, ticks: 1}},
+		{"r2/get/half-open-backup-takes-the-probe", 4, 2, "BH", routeGet, false, 0, none, 1, counts{slow: 1, ticks: 1}},
 		{"r2/hot", 4, 2, "", routeGet, true, 0, none, 0, counts{fanouts: 1}},
 		{"r2/hot/rotates", 4, 2, "", routeGet, true, 1, none, 1, counts{fanouts: 1}},
 		{"r2/hot/around-browned", 4, 2, ".B", routeGet, true, 1, none, 0, counts{slow: 1, fanouts: 1}},
 		{"r2/hot/around-open", 4, 2, ".O", routeGet, true, 1, none, 0, counts{reroutes: 1, fanouts: 1}},
+		{"r2/hot/both-browned-no-probe-tick", 4, 2, "BB", routeGet, true, 1, none, 1, counts{fanouts: 1}},
+		{"r2/hot/both-open-fails-through-uncounted", 4, 2, "OO", routeGet, true, 1, none, 1, counts{}},
 		{"r2/next/after-primary", 4, 2, "", routeNext, false, 0, 0, 1, counts{}},
 		{"r2/next/after-backup", 4, 2, "", routeNext, false, 0, 1, 0, counts{}},
 		{"r2/next/only-other-open-fails-through", 4, 2, ".O", routeNext, false, 0, 0, 1, counts{skips: 1}},
@@ -91,13 +98,19 @@ func TestRouteMatrix(t *testing.T) {
 
 		// R = 3.
 		{"r3/write/retired-open", 4, 3, "RO", routeWrite, false, 0, none, 2, counts{reroutes: 1}},
-		{"r3/get/open-browned-ok", 4, 3, "OB", routeGet, false, 0, none, 2, counts{reroutes: 1, slow: 1}},
-		{"r3/get/all-browned-last-live", 4, 3, "BBB", routeGet, false, 0, none, 0, counts{}},
+		{"r3/get/open-browned-ok", 4, 3, "OB", routeGet, false, 0, none, 2, counts{reroutes: 1, slow: 1, ticks: 1}},
+		{"r3/get/all-browned-last-live", 4, 3, "BBB", routeGet, false, 0, none, 0, counts{ticks: 1}},
 		{"r3/hot/rotates", 4, 3, "", routeGet, true, 2, none, 2, counts{fanouts: 1}},
-		{"r3/hot/open-then-browned", 4, 3, ".OB", routeGet, true, 1, none, 0, counts{reroutes: 1, slow: 1, fanouts: 1}},
+		// A hot GET counts one reason for leaving its start member: the open
+		// breaker there, not also the browned member it then passed.
+		{"r3/hot/open-then-browned", 4, 3, ".OB", routeGet, true, 1, none, 0, counts{reroutes: 1, fanouts: 1}},
+		{"r3/hot/browned-then-open", 4, 3, ".BO", routeGet, true, 1, none, 0, counts{slow: 1, fanouts: 1}},
 		{"r3/next/skips-open-wraps", 4, 3, "..O", routeNext, false, 0, 1, 0, counts{skips: 1}},
 		{"r3/next/cur-outside-set-skips-primary", 4, 3, "", routeNext, false, 0, outside, 1, counts{}},
-		{"r3/fallback/browned-walks-on", 4, 3, ".B", routeFallback, false, 0, 1, 2, counts{slow: 1}},
+		// A fallback leaving its browned connection walks the set primary first,
+		// not from the position behind it.
+		{"r3/fallback/browned-moves-to-primary", 4, 3, ".B", routeFallback, false, 0, 1, 0, counts{slow: 1}},
+		{"r3/fallback/primary-open-walks-on", 4, 3, "OB", routeFallback, false, 0, 1, 2, counts{slow: 1}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -169,6 +182,11 @@ func TestRouteMatrix(t *testing.T) {
 				skips:    after.FailoverSkips - before.FailoverSkips,
 				fanouts:  after.HotFanouts - before.HotFanouts,
 			}
+			for _, cn := range c.conns {
+				if cn.health != nil { // Retire releases it
+					moved.ticks += int64(cn.health.probeSeq)
+				}
+			}
 			if moved != row.moved {
 				t.Errorf("counters moved %+v, want %+v", moved, row.moved)
 			}
@@ -225,4 +243,31 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 			t.Errorf("R=%d: %v allocations per three routes, want 0", replicas, got)
 		}
 	}
+}
+
+// TestGetsRoutesAsTheWriteWill: the token Gets returns is checked by the
+// server CompareAndSet goes to, so the read behind it must not take a GET's
+// detours — here around a browned primary. (The hot fan-out half, on real
+// replicas, is cluster's TestGetsReadsTheTokenCompareAndSetChecks.)
+func TestGetsRoutesAsTheWriteWill(t *testing.T) {
+	r := newTestRig(rigOpts{
+		transport: RDMA, pipeline: server.Async, servers: 4, replicas: 2,
+		clientCfg: func(cc *Config) { cc.Health = HealthConfig{Enabled: true} },
+	})
+	c := r.client
+	const key = "token-key"
+	primary := c.conns[c.replicas(key)[0]]
+	primary.health.browned[hcGet] = true
+	r.env.Spawn("gets", func(p *sim.Proc) {
+		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.conn == primary {
+			t.Errorf("a plain GET stayed on the browned primary: the rig is not rerouting")
+		}
+		if gets := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead); gets.conn != primary {
+			t.Errorf("Gets read server%d, CompareAndSet writes server%d", gets.conn.serverID, primary.serverID)
+		}
+		if cas := c.roundTrip(p, Op{Code: protocol.OpCAS, Key: key}); cas.conn != primary {
+			t.Errorf("CompareAndSet went to server%d, want the primary", cas.conn.serverID)
+		}
+	})
+	r.env.Run()
 }
