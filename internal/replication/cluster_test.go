@@ -268,3 +268,43 @@ func TestColdRestartSuspectsConfirmed(t *testing.T) {
 	})
 	cl.Env.Run()
 }
+
+// A round that re-coordinates above a conflicting epoch is re-registered
+// under a new id; when it completes, that id — not the one the round was
+// opened under — must leave the table, or the Forward and the value it holds
+// stay for the life of the node and late acks still find it.
+func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
+	cl := itCluster()
+	ring := itRing(3)
+	// Two coordinators of one key: its primary, and the server outside its
+	// replica set, whose own epoch record never sees the members' applies.
+	key, primary, proxy := "", 0, 0
+	for i := 0; key == "" && i < 256; i++ {
+		k := fmt.Sprintf("contended:%04d", i)
+		set := ring.Replicas(k, 2)
+		for sid := 0; sid < 3; sid++ {
+			if sid != set[0] && sid != set[1] {
+				key, primary, proxy = k, set[0], sid
+			}
+		}
+	}
+	conflicts := func() int64 { return cl.ReplicationCounters().Get("epoch-conflicts") }
+	for round := 0; round < 64 && conflicts() == 0; round++ {
+		for i, sid := range []int{primary, proxy} {
+			r, seq := cl.Replicators[sid], uint64(2*round+i+1)
+			cl.Env.Spawn(fmt.Sprintf("it-coord%d", sid), func(p *sim.Proc) {
+				req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: itValue, Value: seq}
+				r.Execute(p, req, r.Begin(p, req))
+			})
+		}
+		cl.Env.Run()
+	}
+	if conflicts() == 0 {
+		t.Fatal("two concurrent coordinators never conflicted: the test exercises nothing")
+	}
+	for sid, r := range cl.Replicators {
+		if n := r.OpenForwardsForTest(); n != 0 {
+			t.Errorf("replicator %d still holds %d write rounds at quiescence", sid, n)
+		}
+	}
+}

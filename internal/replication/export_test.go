@@ -30,3 +30,7 @@ func (r *Replicator) AppliedStateForTest(key string) (epoch, sum uint64, ok bool
 	}
 	return ks.epoch, ks.sum, true
 }
+
+// OpenForwardsForTest reports how many write rounds are still registered:
+// zero on a quiescent replicator.
+func (r *Replicator) OpenForwardsForTest() int { return len(r.fwds) }

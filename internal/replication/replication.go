@@ -608,7 +608,9 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 // laggards and re-coordinating above conflicting epochs. Returns false when
 // the chain cannot be completed within the retry budget.
 func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
-	defer delete(r.fwds, fwd.id)
+	// recoordinate re-registers the round under a new id: delete whichever
+	// one is current when the wait ends.
+	defer func() { delete(r.fwds, fwd.id) }()
 	coordRounds := 0
 	for round := 0; ; round++ {
 		if len(fwd.waiting) > 0 {
