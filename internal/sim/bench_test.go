@@ -75,11 +75,20 @@ func spawnModel() (step func()) {
 	return func() { env.Spawn("child", fn); env.Run() }
 }
 
+// goModel: a step starts a Go process that exits at once, on the Proc the
+// previous step's left behind.
+func goModel() (step func()) {
+	env := NewEnv()
+	fn := func(*Proc) {}
+	return func() { env.Go("child", fn); env.Run() }
+}
+
 func BenchmarkTimer(b *testing.B)         { benchSteps(b, timerModel()) }
 func BenchmarkHandoff(b *testing.B)       { benchSteps(b, handoffModel()) }
 func BenchmarkEventFireWait(b *testing.B) { benchSteps(b, eventModel()) }
 func BenchmarkCallbackEvent(b *testing.B) { benchSteps(b, callbackModel()) }
 func BenchmarkSpawn(b *testing.B)         { benchSteps(b, spawnModel()) }
+func BenchmarkGo(b *testing.B)            { benchSteps(b, goModel()) }
 
 func TestKernelAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
@@ -91,6 +100,7 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		{"Queue put to get across two procs", handoffModel(), 0},
 		{"Event fire to wait (the event itself)", eventModel(), 1},
 		{"callback event", callbackModel(), 0},
+		{"Go process, start to finish", goModel(), 0},
 	} {
 		tc.step() // reach steady state: pools and rings filled
 		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {

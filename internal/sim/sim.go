@@ -37,8 +37,18 @@ const (
 	Second      = time.Second
 )
 
+// Caller is a callback event's receiver: Fire runs inline in the scheduler, to
+// completion, and must not block (see AtCall).
+type Caller interface{ Fire() }
+
+// funcCall adapts a plain func to Caller. A func value is pointer-shaped, so
+// the conversion allocates nothing.
+type funcCall func()
+
+func (f funcCall) Fire() { f() }
+
 // wakeup is one scheduled or pending thing the kernel will do: resume a
-// parked process (p set) or run a callback event inline (fn set). A process
+// parked process (p set) or run a callback event inline (call set). A process
 // may have several outstanding wakeups (e.g. an event wait plus a timeout);
 // whichever is delivered first cancels the rest.
 //
@@ -51,7 +61,7 @@ const (
 // are canceled, so it never outlives them.
 type wakeup struct {
 	p        *Proc   // process to resume; nil for a callback event
-	fn       func()  // callback to run (p == nil)
+	call     Caller  // callback to run (p == nil)
 	tag      int     // cause identifier, returned to the parked process
 	index    int     // position on the heap, -1 while pending
 	canceled bool    // pending, and its process was woken by something else
@@ -80,6 +90,7 @@ type Env struct {
 	seq   int64
 	heap  []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
 	freeW *wakeup
+	idle  *Proc // finished Go processes, ready to run another function
 	yield chan struct{}
 	cur   *Proc // the process running right now; nil in the scheduler and in callbacks
 	alive int
@@ -165,15 +176,15 @@ func (e *Env) siftDown(i int, s slot) {
 }
 
 // newWakeup takes a wakeup from the free list for process p (or, with p nil,
-// for callback fn) and registers it among p's pending wakeups.
-func (e *Env) newWakeup(p *Proc, fn func(), tag int) *wakeup {
+// for callback c) and registers it among p's pending wakeups.
+func (e *Env) newWakeup(p *Proc, c Caller, tag int) *wakeup {
 	w := e.freeW
 	if w == nil {
 		w = new(wakeup)
 	} else {
 		e.freeW = w.next
 	}
-	*w = wakeup{p: p, fn: fn, tag: tag, index: -1}
+	*w = wakeup{p: p, call: c, tag: tag, index: -1}
 	if p != nil {
 		p.pending = append(p.pending, w)
 	}
@@ -198,6 +209,10 @@ type Proc struct {
 	pending  []*wakeup  // outstanding wakeups; starts out backed by pend
 	pend     [2]*wakeup // room for a wait plus its timeout without allocating
 	wokenTag int
+	// A process started by Go: the function of its current run, and its link
+	// on the Env's idle list between runs.
+	fn   func(p *Proc)
+	next *Proc
 }
 
 // Name returns the process name given at Spawn time.
@@ -242,6 +257,70 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// Go is Spawn without the handle, for short-lived helpers started per
+// request: it takes its start slot exactly where Spawn would, and the new
+// process runs and ends like a spawned one, but on the goroutine, channel and
+// Proc of an earlier Go process that has finished, when there is one. Because
+// the Proc is reused, fn must not keep p beyond its own return; no handle is
+// returned for the same reason.
+//
+// Ownership: while a run is live the Proc belongs to it, like any process.
+// When fn returns, the process has no pending wakeups (delivery cleared them,
+// and every primitive that registers one parks), so nothing in the kernel
+// refers to the Proc and the idle list takes it. A run that ends by panic or
+// runtime.Goexit takes its goroutine with it: that Proc is dropped, never
+// reused.
+func (e *Env) Go(name string, fn func(p *Proc)) {
+	p := e.idle
+	if p == nil {
+		p = &Proc{env: e, resume: make(chan struct{})}
+		p.pending = p.pend[:0]
+		go p.serve()
+	} else {
+		e.idle, p.next = p.next, nil
+	}
+	p.name, p.fn = name, fn
+	e.alive++
+	e.scheduleWakeup(e.now, p, 0)
+}
+
+// serve is a Go process's goroutine: one function per start wakeup, until a
+// run ends abnormally.
+func (p *Proc) serve() {
+	for {
+		<-p.resume
+		if !p.runOnce() {
+			return
+		}
+	}
+}
+
+// runOnce runs the current function and hands control back however it ends
+// (see SpawnAt). It reports whether the goroutine may serve another run: only
+// after a plain return is the Proc put on the idle list. On Goexit it does not
+// return at all.
+func (p *Proc) runOnce() (reusable bool) {
+	e := p.env
+	returned := false
+	defer func() {
+		if !returned {
+			if r := recover(); r != nil && e.fault == nil {
+				e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+		p.fn = nil
+		reusable = returned && len(p.pending) == 0
+		if reusable {
+			p.next, e.idle = e.idle, p
+		}
+		e.alive--
+		e.yield <- struct{}{}
+	}()
+	p.fn(p)
+	returned = true
+	return
+}
+
 // AtFunc schedules fn as a callback event at virtual time t (now, if t has
 // passed): RunUntil executes it inline, to completion, at the (t, seq) slot
 // a process spawned here by SpawnAt would have started in — with no
@@ -251,11 +330,17 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // further callbacks. Use it for things that happen at an instant (a message
 // arriving, a completion, a timer expiring, a scheduled fault); use Spawn
 // for actors that wait.
-func (e *Env) AtFunc(t Time, fn func()) {
+func (e *Env) AtFunc(t Time, fn func()) { e.AtCall(t, funcCall(fn)) }
+
+// AtCall is AtFunc for a callback that already lives in a record of the
+// caller's: c.Fire runs where fn would. Binding a method to its receiver
+// (AtFunc(t, rec.deliver)) allocates a closure per event; passing the
+// receiver does not.
+func (e *Env) AtCall(t Time, c Caller) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(t, e.newWakeup(nil, fn, 0))
+	e.push(t, e.newWakeup(nil, c, 0))
 }
 
 // AfterFunc is AtFunc at d from now. Negative durations are treated as zero.
@@ -321,9 +406,9 @@ func (e *Env) RunUntil(limit Time) Time {
 		}
 		w := top.w
 		if w.p == nil {
-			fn := w.fn
+			c := w.call
 			e.recycle(w)
-			e.runCallback(fn)
+			e.runCallback(c)
 			continue
 		}
 		p := w.p
@@ -362,13 +447,13 @@ func (e *Env) RunUntil(limit Time) Time {
 // runCallback runs one callback event in the scheduler's goroutine. A panic
 // is re-raised from RunUntil like a process's, with the stack of the
 // callback that raised it.
-func (e *Env) runCallback(fn func()) {
+func (e *Env) runCallback(c Caller) {
 	defer func() {
 		if r := recover(); r != nil {
 			panic(fmt.Errorf("sim: callback event panicked: %v\n%s", r, debug.Stack()))
 		}
 	}()
-	fn()
+	c.Fire()
 }
 
 // Parked reports how many live processes are currently blocked with no
@@ -471,7 +556,7 @@ func (ev *Event) OnFire(fn func()) {
 		fn()
 		return
 	}
-	ev.addWaiter(ev.env.newWakeup(nil, fn, 0))
+	ev.addWaiter(ev.env.newWakeup(nil, funcCall(fn), 0))
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it
