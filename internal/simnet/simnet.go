@@ -173,16 +173,23 @@ func (f *Fabric) AddNode(name string) *Node {
 		panic(fmt.Sprintf("simnet: duplicate node %q", name))
 	}
 	n := &Node{fabric: f, name: name}
-	n.tx = sim.NewQueue[*flight](f.env, 0)
+	n.tx = sim.NewQueue[*Flight](f.env, 0)
 	f.nodes[name] = n
 	f.env.Spawn("nic-tx:"+name, n.txEngine)
 	return n
 }
 
-// flight is everything one message needs from Post to delivery, in a single
+// Flight is everything one message needs from Post to delivery, in a single
 // allocation: the message, the sender's handle on it with both its events,
-// and where and what to deliver.
-type flight struct {
+// and where and what to deliver. It is also the delivery callback event
+// itself (Fire), so scheduling a delivery allocates nothing.
+//
+// A transport that has a record of its own per message embeds a Flight in it
+// and posts with PostFlight, making the two one object. A Flight carries one
+// message, once: the fabric holds it from PostFlight until its last delivery
+// has fired, the sender's Outgoing points into it, and the receiver is handed
+// a pointer to the Message inside it — so it must not be posted again.
+type Flight struct {
 	msg       Message
 	out       Outgoing
 	sent      sim.Event
@@ -191,9 +198,9 @@ type flight struct {
 	arriving  *Message // msg, or its bit-flipped copy
 }
 
-// deliver is the delivery callback event: the receiver NIC hands the message
+// Fire is the delivery callback event: the receiver NIC hands the message
 // up.
-func (fl *flight) deliver() {
+func (fl *Flight) Fire() {
 	dst, m := fl.dst, fl.arriving
 	dst.RxBytes += int64(m.Size)
 	dst.RxMsgs++
@@ -207,7 +214,7 @@ func (fl *flight) deliver() {
 type Node struct {
 	fabric   *Fabric
 	name     string
-	tx       *sim.Queue[*flight]
+	tx       *sim.Queue[*Flight]
 	receiver func(m *Message)
 
 	// Stats
@@ -268,10 +275,9 @@ func (n *Node) txEngine(p *sim.Proc) {
 				}
 			}
 		}
-		deliver := fl.deliver // one closure, shared by the duplicate
 		for i := 0; i < copies; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
-			f.env.AtFunc(deliverAt+sim.Time(i)*f.spec.RecvCPU, deliver)
+			f.env.AtCall(deliverAt+sim.Time(i)*f.spec.RecvCPU, fl)
 		}
 	}
 }
@@ -279,7 +285,13 @@ func (n *Node) txEngine(p *sim.Proc) {
 // Post hands a message to the NIC without charging caller CPU time (the
 // caller models its own cost, e.g. the verbs layer charging doorbell cost).
 func (n *Node) Post(dst string, size int, payload any) *Outgoing {
-	fl := &flight{msg: Message{Src: n.name, Dst: dst, Size: size, Payload: payload}}
+	return n.PostFlight(new(Flight), dst, size, payload)
+}
+
+// PostFlight is Post carried by fl, a zero Flight the caller allocated —
+// normally as part of the record payload points into.
+func (n *Node) PostFlight(fl *Flight, dst string, size int, payload any) *Outgoing {
+	fl.msg = Message{Src: n.name, Dst: dst, Size: size, Payload: payload}
 	fl.sent.Init(n.fabric.env)
 	fl.delivered.Init(n.fabric.env)
 	fl.out = Outgoing{Sent: &fl.sent, Delivered: &fl.delivered}

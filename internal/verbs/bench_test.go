@@ -1,26 +1,28 @@
 package verbs
 
 import (
+	"fmt"
 	"testing"
 )
 
-// sendModel returns a step that posts one signaled 128-byte SEND and runs
-// until both completions (the peer's receive, the requester's send after the
-// RC ack) have been polled. recvs bounds how many steps may be taken.
-func sendModel(recvs int) (step func()) {
+// sendModel returns a step that posts one 128-byte SEND and runs until its
+// completions have been polled: the peer's receive and, for a signaled one,
+// the requester's send after the RC ack. recvs bounds how many steps may be
+// taken.
+func sendModel(recvs int, signaled bool) (step func()) {
 	r := newRig()
 	for i := 0; i < recvs; i++ {
 		r.qpB.PostRecv(RecvWR{})
 	}
 	r.env.Run()
 	return func() {
-		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 128, Payload: r, Signaled: true})
+		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 128, Payload: r, Signaled: signaled})
 		r.env.Run()
 		if _, ok := r.recvB.Poll(); !ok {
 			panic("no receive completion")
 		}
-		if _, ok := r.sendA.Poll(); !ok {
-			panic("no send completion")
+		if _, ok := r.sendA.Poll(); ok != signaled {
+			panic("send completion: got one is " + fmt.Sprint(ok))
 		}
 	}
 }
@@ -51,20 +53,23 @@ func benchSteps(b *testing.B, step func()) {
 
 // BenchmarkSend and BenchmarkRead are the host cost of one verbs operation,
 // post to completion, on an idle fabric.
-func BenchmarkSend(b *testing.B) { benchSteps(b, sendModel(b.N)) }
-func BenchmarkRead(b *testing.B) { benchSteps(b, readModel()) }
+func BenchmarkSend(b *testing.B)         { benchSteps(b, sendModel(b.N, false)) }
+func BenchmarkSignaledSend(b *testing.B) { benchSteps(b, sendModel(b.N, true)) }
+func BenchmarkRead(b *testing.B)         { benchSteps(b, readModel()) }
 
-// A signaled SEND is the wire header, the fabric message, and the three
-// steps of the ack wait (start, delivered, ack returned); a READ is two
-// fabric messages with a wire header each.
+// A message leg is one allocation, the transfer: wire record, fabric Flight
+// and delivery callback event in one. An unsignaled SEND is one leg, a READ
+// two (request out, response back); a signaled SEND adds the three steps of
+// its ack wait (start, delivered, ack returned).
 func TestOperationAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"signaled SEND", sendModel(300), 6},
-		{"signaled READ", readModel(), 6},
+		{"unsignaled SEND", sendModel(300, false), 1},
+		{"signaled SEND", sendModel(300, true), 4},
+		{"signaled READ", readModel(), 2},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {

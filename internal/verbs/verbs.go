@@ -357,6 +357,16 @@ type wire struct {
 	ackFor    bool // this is a READ response
 }
 
+// transfer is one verbs message on the fabric, in a single allocation: the
+// wire record the peer's HCA reads and the fabric's Flight that carries it.
+// The posting HCA allocates it; the fabric holds it until delivery, the
+// receiving Device reads w during the delivery callback and keeps nothing,
+// and an Outgoing handed to the poster points into fl. It is never reused.
+type transfer struct {
+	w  wire
+	fl simnet.Flight
+}
+
 // PostSend posts a send-queue WR, charging the caller only the doorbell
 // cost. The HCA performs the transfer asynchronously.
 func (qp *QP) PostSend(p *sim.Proc, wr SendWR) {
@@ -411,13 +421,13 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 		// A small request packet travels out; the data comes back on the
 		// reverse link driven by the remote HCA, no remote CPU.
 		qp.pendingReads[wr.WRID] = wr.LocalMR
-		return qp.post(readReqBytes, &wire{
+		return qp.dev.post(qp.remoteNode, readReqBytes, wire{
 			kind: OpRead, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
 			wrid: wr.WRID, remoteMR: wr.RemoteMR, remoteOff: wr.RemoteOff,
 			size: wr.Size, signaled: wr.Signaled,
 		})
 	}
-	out := qp.post(wr.Size, &wire{
+	out := qp.dev.post(qp.remoteNode, wr.Size, wire{
 		kind: wr.Op, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
 		wrid: wr.WRID, payload: wr.Payload, size: wr.Size,
 		remoteMR: wr.RemoteMR, imm: wr.Imm, signaled: wr.Signaled,
@@ -437,9 +447,10 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 	return out
 }
 
-// post hands a wire message to the local NIC towards the connected peer.
-func (qp *QP) post(size int, w *wire) *simnet.Outgoing {
-	return qp.dev.node.Post(qp.remoteNode, size, w)
+// post hands a wire message to the local NIC towards node dst.
+func (d *Device) post(dst string, size int, w wire) *simnet.Outgoing {
+	t := &transfer{w: w}
+	return d.node.PostFlight(&t.fl, dst, size, &t.w)
 }
 
 // PostSendReusable is PostSend that additionally returns an event firing
@@ -538,7 +549,7 @@ func (d *Device) deliver(m *simnet.Message) {
 		if w.size > 0 && w.size < plen {
 			plen = w.size
 		}
-		d.node.Post(m.Src, plen, &wire{
+		d.post(m.Src, plen, wire{
 			kind: OpRead, srcQPN: w.dstQPN, dstQPN: w.srcQPN,
 			wrid: w.wrid, payload: payload, size: plen,
 			signaled: w.signaled, ackFor: true,
