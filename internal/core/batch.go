@@ -105,10 +105,10 @@ func (c *Client) Flush(p *sim.Proc) error {
 		}
 		items := cn.window
 		cn.window = nil
-		var inline, alone []*txItem
+		var inline, alone []*attempt
 		for _, it := range items {
-			if it.att.abandoned {
-				delete(cn.pending, it.att.id)
+			if it.abandoned {
+				delete(cn.pending, it.id)
 				continue
 			}
 			if it.wire.ValueSize > BatchInlineMax {
@@ -125,13 +125,13 @@ func (c *Client) Flush(p *sim.Proc) error {
 			chunk := inline[:n]
 			inline = inline[n:]
 			if n == 1 {
-				cn.txq.TryPut(chunk[0])
+				cn.txq.TryPut(txItem{att: chunk[0]})
 			} else {
-				cn.txq.TryPut(&txItem{frame: chunk})
+				cn.txq.TryPut(txItem{frame: chunk})
 			}
 		}
 		for _, it := range alone {
-			cn.txq.TryPut(it)
+			cn.txq.TryPut(txItem{att: it})
 		}
 	}
 	return nil
@@ -139,11 +139,11 @@ func (c *Client) Flush(p *sim.Proc) error {
 
 // liveItems filters abandoned members out of a frame, tombstoning their
 // never-sent pending entries.
-func (cn *conn) liveItems(items []*txItem) []*txItem {
+func (cn *conn) liveItems(items []*attempt) []*attempt {
 	out := items[:0]
 	for _, it := range items {
-		if it.att.abandoned {
-			delete(cn.pending, it.att.id)
+		if it.abandoned {
+			delete(cn.pending, it.id)
 			continue
 		}
 		out = append(out, it)
@@ -154,8 +154,8 @@ func (cn *conn) liveItems(items []*txItem) []*txItem {
 // drainBatch pulls whatever queued up behind the head item into one frame,
 // up to MaxBatchOps, skipping abandoned attempts and flattening any explicit
 // frames encountered. Oversized values are left to their own doorbells.
-func (cn *conn) drainBatch(head *txItem) (batch, alone []*txItem) {
-	batch = []*txItem{head}
+func (cn *conn) drainBatch(head *attempt) (batch, alone []*attempt) {
+	batch = []*attempt{head}
 	for len(batch) < MaxBatchOps {
 		next, ok := cn.txq.TryGet()
 		if !ok {
@@ -165,15 +165,16 @@ func (cn *conn) drainBatch(head *txItem) (batch, alone []*txItem) {
 			batch = append(batch, cn.liveItems(next.frame)...)
 			continue
 		}
-		if next.att.abandoned {
-			delete(cn.pending, next.att.id)
+		att := next.att
+		if att.abandoned {
+			delete(cn.pending, att.id)
 			continue
 		}
-		if next.wire.ValueSize > BatchInlineMax {
-			alone = append(alone, next)
+		if att.wire.ValueSize > BatchInlineMax {
+			alone = append(alone, att)
 			continue
 		}
-		batch = append(batch, next)
+		batch = append(batch, att)
 	}
 	return batch, alone
 }
@@ -181,17 +182,17 @@ func (cn *conn) drainBatch(head *txItem) (batch, alone []*txItem) {
 // postBatch sends one coalesced frame. The caller already holds the frame's
 // single credit. Buffer-reusable events for every member fire at DMA-sent,
 // exactly as for a single op.
-func (cn *conn) postBatch(p *sim.Proc, items []*txItem) {
+func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	c := cn.c
 	c.nextID++
 	frame := &protocol.BatchFrame{BatchID: c.nextID}
 	b := &txBatch{id: frame.BatchID, cn: cn, live: len(items), sent: true}
-	for _, it := range items {
-		frame.Reqs = append(frame.Reqs, it.wire)
-		it.att.sent = true
-		it.att.batch = b
-		b.members = append(b.members, it.att)
-		if it.att.req.ackWanted {
+	for _, att := range items {
+		frame.Reqs = append(frame.Reqs, &att.wire)
+		att.sent = true
+		att.batch = b
+		b.members = append(b.members, att)
+		if att.wire.AckWanted {
 			frame.AckWanted = true
 		}
 	}
@@ -206,8 +207,8 @@ func (cn *conn) postBatch(p *sim.Proc, items []*txItem) {
 		Payload: frame,
 	})
 	p.Wait(sent)
-	for _, it := range items {
-		it.att.req.reusable.Fire()
+	for _, att := range items {
+		att.req.reusable.Fire()
 	}
 }
 

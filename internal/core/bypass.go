@@ -102,10 +102,12 @@ type locEntry struct {
 	n   int
 }
 
-// readWait parks one resolver until its READ completion is demuxed.
+// readWait parks one resolver until its READ completion is demuxed. A
+// resolver has one READ in flight at a time, so the record lives in its Req
+// and is set up afresh for every READ.
 type readWait struct {
-	ev   sim.Event
-	comp verbs.Completion
+	ev      sim.Event
+	payload any // what the READ fetched
 }
 
 // bypassEligible reports whether this Issue should resolve via bypass.
@@ -142,14 +144,13 @@ type resolution struct {
 	bytes  int // bytes they asked for
 }
 
-// spawnBypass runs the resolution as its own process so Issue keeps
+// startBypass runs the resolution as its own process so Issue keeps
 // iset/iget semantics (return once the operation is in flight).
-func (c *Client) spawnBypass(req *Req, o issueOpts) {
-	force := o.readPath == ReadBypass
-	c.env.Spawn("client/bypass", func(p *sim.Proc) {
+func (c *Client) startBypass(req *Req) {
+	c.env.Go("client/bypass", func(p *sim.Proc) {
 		defer req.tagPanic()
 		r := resolution{c: c, p: p, req: req, digest: protocol.KeyDigest(req.Key)}
-		if !r.resolve(force) {
+		if !r.resolve(req.opts.readPath == ReadBypass) {
 			c.bypassFallback(p, req)
 		}
 	})
@@ -191,10 +192,10 @@ func (r *resolution) resolve(force bool) bool {
 }
 
 // read posts one READ on the request's connection and waits for it.
-func (r *resolution) read(mr int, off int64, n int) (verbs.Completion, bool) {
+func (r *resolution) read(mr int, off int64, n int) (payload any, ok bool) {
 	r.reads++
 	r.bytes += n
-	return r.req.conn.postRead(r.p, mr, off, n)
+	return r.req.conn.postRead(r.p, &r.req.read, mr, off, n)
 }
 
 // probeOutcome is what one READ (or slot-then-segment pair) came to.
@@ -211,11 +212,11 @@ func (r *resolution) probeSlot() probeOutcome {
 	dir := r.req.conn.dir
 	n := dir.SlotBytes()
 	b := int64(r.digest % uint64(dir.Buckets))
-	comp, ok := r.read(dir.DirMR, b*int64(n), n)
+	got, ok := r.read(dir.DirMR, b*int64(n), n)
 	if r.req.done.Fired() {
 		return probeResolved
 	}
-	slot, isSlot := comp.Payload.(protocol.DirSlot)
+	slot, isSlot := got.(protocol.DirSlot)
 	if !ok || !isSlot || slot.Digest != r.digest || slot.Kind == protocol.DirOnSSD {
 		// READ wedged (let the guarded RPC path cope), empty slot, a
 		// colliding key's slot, or SSD-resident: resolve via RPC.
@@ -245,14 +246,14 @@ func (r *resolution) probeSlot() probeOutcome {
 // superseded after its location was learned.
 func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 	cn := r.req.conn
-	comp, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
+	got, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
 	if r.req.done.Fired() {
 		return probeResolved
 	}
 	if !ok {
 		return probeFallback
 	}
-	seg, isSeg := comp.Payload.(protocol.DirSegment)
+	seg, isSeg := got.(protocol.DirSegment)
 	if !isSeg || seg.Digest != r.digest || (version != 0 && seg.Version != version) {
 		return probeTransient
 	}
@@ -318,7 +319,7 @@ func (c *Client) bypassFallback(p *sim.Proc, req *Req) {
 	// a healthy replica's RPC path exists.
 	cn := c.route(req.Key, routeFallback, req.conn)
 	c.nextID++
-	c.enqueueWire(req, cn, c.wireFor(req, cn, c.nextID))
+	c.enqueueWire(req, cn, c.nextID)
 }
 
 // bootstrapDir learns cn's directory geometry with a single-flight
@@ -363,7 +364,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	// A key-less control op: it addresses the server, so nothing routes it.
 	req := c.newReq(Op{Code: protocol.OpDirQuery}, cn)
 	c.Issued++
-	c.enqueueWire(req, cn, c.wireFor(req, cn, req.ID))
+	c.enqueueWire(req, cn, req.ID)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
 		c.abandon(req.cur)
 		return protocol.StatusError
@@ -400,11 +401,10 @@ func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 // engine and blocks until its completion arrives via the demux engine. No
 // flow-control credit is consumed: the server never buffers anything for a
 // READ.
-func (cn *conn) postRead(p *sim.Proc, mr int, off int64, n int) (verbs.Completion, bool) {
+func (cn *conn) postRead(p *sim.Proc, w *readWait, mr int, off int64, n int) (payload any, ok bool) {
 	c := cn.c
 	c.nextID++
 	id := c.nextID
-	w := &readWait{}
 	w.ev.Init(c.env)
 	cn.readWaits[id] = w
 	cn.readq.TryPut(verbs.SendWR{
@@ -413,9 +413,10 @@ func (cn *conn) postRead(p *sim.Proc, mr int, off int64, n int) (verbs.Completio
 	})
 	if !p.WaitTimeout(&w.ev, bypassReadTimeout) {
 		delete(cn.readWaits, id)
-		return verbs.Completion{}, false
+		return nil, false
 	}
-	return w.comp, true
+	payload, w.payload = w.payload, nil // the Req must not pin the slot it was answered from
+	return payload, true
 }
 
 // readEngine sweeps queued bypass READs onto the QP: a lone READ posts as
@@ -457,7 +458,7 @@ func (cn *conn) bypassEngine(p *sim.Proc) {
 			continue // resolver gave up on this READ
 		}
 		delete(cn.readWaits, comp.WRID)
-		w.comp = comp
+		w.payload = comp.Payload
 		w.ev.Fire()
 	}
 }

@@ -152,53 +152,3 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 	})
 	r.env.Run()
 }
-
-// bypassHitModel returns a step that resolves one 512-byte inline hit end to
-// end — Issue, resolver process, slot READ, completion, Wait — between a
-// client node and a server node, driven by a parked process so that the step
-// itself spawns nothing.
-func bypassHitModel() (step func()) {
-	r := newBypassRig()
-	c := r.client
-	kick := sim.NewQueue[struct{}](r.env, 0)
-	r.env.Spawn("driver", func(p *sim.Proc) {
-		c.Set(p, "k", 512, "v", 0, 0)
-		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
-			req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithReadPath(ReadBypass))
-			c.Wait(p, req)
-			if !req.Bypassed() {
-				panic("bypass hit model: GET did not resolve one-sided")
-			}
-		}
-	})
-	return func() {
-		kick.TryPut(struct{}{})
-		r.env.Run()
-	}
-}
-
-// BenchmarkBypassHit is the resolver's own host-cost line: one inline hit.
-func BenchmarkBypassHit(b *testing.B) {
-	step := bypassHitModel()
-	step() // directory bootstrap
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-// One inline hit is 14 allocations: the request (1), its attempt record and
-// its options (2), the resolver process (3) and its closure (1), the READ
-// wait (1), and the READ itself — two fabric messages at two allocations
-// each (4) and a wire header each (2). Nothing is allocated per slot byte.
-func TestBypassHitAllocationCeiling(t *testing.T) {
-	step := bypassHitModel()
-	step()
-	if got := testing.AllocsPerRun(500, step); got > 14 {
-		t.Errorf("one inline bypass hit: %v allocations, ceiling 14", got)
-	}
-}

@@ -160,19 +160,26 @@ type Req struct {
 	// Attempts counts transmissions (1 without retries).
 	Attempts int
 
-	// Embedded by value and Init'ed in newReq: a request is one allocation,
-	// not four.
+	// Everything an operation needs on its common path is embedded by value
+	// and set up in begin/initReq, so a request is one allocation: its three
+	// events, its parsed options, its first attempt (with the wire message
+	// that attempt sends), and the wait record of a bypass READ. Only a
+	// retransmit, a hedge or a bypass fallback — a second attempt — allocates
+	// again. The server and the fabric hold pointers into first.wire while the
+	// message is in flight, which keeps the whole Req reachable until then;
+	// nothing is ever recycled, so no holder can outlive it. first.wire is
+	// also the template later attempts copy their message from: written in
+	// initReq and by the first enqueueWire, never after.
 	done     sim.Event // server response received ("completion flag")
 	reusable sim.Event // user buffers reusable
 	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
 	c        *Client
-	conn     *conn    // connection of the current attempt
-	cur      *attempt // current (latest) attempt
+	conn     *conn     // connection of the current attempt
+	cur      *attempt  // current (latest) attempt; nil until the first exists
+	first    attempt   // the first attempt's record
+	opts     issueOpts // as parsed from Issue's options
+	read     readWait  // the bypass resolver's READ in flight (one at a time)
 
-	// retryable marks a request issued under WithRetry: a retryable
-	// rejection (StatusRecovering, StatusBusy) nudges its guard instead of
-	// completing the request.
-	retryable bool
 	// rejected is the sentinel of the current attempt's retryable
 	// rejection (ErrBusy, ErrRecovering); cleared on retransmit. When the
 	// retry budget runs out right after such a rejection, Err surfaces it
@@ -187,13 +194,6 @@ type Req struct {
 	canceled bool
 	acked    bool // BufferAck received: the server holds the request
 	bypassed bool // completed via one-sided bypass READ, no server CPU
-
-	// Wire template retained for retransmission.
-	txValueSize       int
-	txValue           any
-	txFlags, txExpire uint32
-	txCAS, txDelta    uint64
-	ackWanted         bool
 }
 
 // Done reports whether the operation has completed (memcached_test).
@@ -372,10 +372,10 @@ type conn struct {
 	recvCQ       *verbs.CQ
 	respMR       *verbs.MR
 	credits      *sim.Resource
-	txq          *sim.Queue[*txItem]
+	txq          *sim.Queue[txItem]
 	pending      map[uint64]*attempt
 	pendingBatch map[uint64]*txBatch // in-flight coalesced frames by batch id
-	window       []*txItem           // ops parked by an open BeginBatch window
+	window       []*attempt          // ops parked by an open BeginBatch window
 	// IPoIB state
 	stream   *verbs.Stream
 	buffered []*protocol.Request // libmemcached-style deferred Sets
@@ -514,7 +514,7 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 		recvCQ:       recvCQ,
 		respMR:       c.pd.RegisterMRSetup(respRegionBytes),
 		credits:      sim.NewResource(c.env, srv.RecvDepth()),
-		txq:          sim.NewQueue[*txItem](c.env, 0),
+		txq:          sim.NewQueue[txItem](c.env, 0),
 		pending:      make(map[uint64]*attempt),
 		pendingBatch: make(map[uint64]*txBatch),
 	}
@@ -570,28 +570,33 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// newReq builds the handle for op on cn, keeping the wire template its
-// attempts are built from.
+// newReq builds the handle for op on cn with no options.
 func (c *Client) newReq(op Op, cn *conn) *Req {
+	req := new(Req)
+	c.initReq(req, op, cn)
+	return req
+}
+
+// initReq makes req — zero but for its parsed options — the handle for op on
+// cn as of now, and writes the wire template its attempts are built from.
+func (c *Client) initReq(req *Req, op Op, cn *conn) {
 	c.nextID++
-	req := &Req{
-		ID:          c.nextID,
-		Op:          op.Code,
-		Key:         op.Key,
-		c:           c,
-		conn:        cn,
-		IssuedAt:    c.env.Now(),
-		txValueSize: op.ValueSize,
-		txValue:     op.Value,
-		txFlags:     op.Flags,
-		txExpire:    op.Expire,
-		txCAS:       op.CAS,
-		txDelta:     op.Delta,
+	req.ID = c.nextID
+	req.Op = op.Code
+	req.Key = op.Key
+	req.c = c
+	req.conn = cn
+	req.IssuedAt = c.env.Now()
+	req.first.wire = protocol.Request{
+		Op: op.Code, Key: op.Key,
+		Flags: op.Flags, Expire: op.Expire,
+		ValueSize: op.ValueSize, Value: op.Value,
+		CAS: op.CAS, Delta: op.Delta,
+		AckWanted: req.opts.ack,
 	}
 	req.done.Init(c.env)
 	req.reusable.Init(c.env)
 	req.nudge.Init(c.env)
-	return req
 }
 
 // --- Non-blocking API extensions (Listing 1) ---
@@ -725,10 +730,11 @@ func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 // return), then the client waits for the reply — bounded by
 // Config.RecvTimeout when set, resending up to Config.RecvRetries times
 // before failing with ErrDeadlineExceeded.
-func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op) *Req {
+func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
-	req := c.newReq(op, cn)
-	wire := c.wireFor(req, cn, req.ID)
+	c.initReq(req, op, cn)
+	wire := &req.first.wire // a socket connection has no response region to name
+	wire.ReqID = req.ID
 	c.Issued++
 	req.Attempts = 1
 	c.Sends++

@@ -95,7 +95,7 @@ func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
 func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 	out := protocol.StatusOK
 	for _, cn := range c.conns {
-		req := c.beginOn(p, cn, Op{Code: protocol.OpFlushAll}, issueOpts{})
+		req := c.beginOn(p, cn, Op{Code: protocol.OpFlushAll}, new(Req))
 		c.Wait(p, req)
 		if req.Status != protocol.StatusOK && out == protocol.StatusOK {
 			out = req.Status

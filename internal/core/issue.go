@@ -79,13 +79,18 @@ func (rp *RetryPolicy) fill() {
 // IssueOption customizes one Issue call.
 type IssueOption func(*issueOpts)
 
+// issueOpts is the parsed form of Issue's options; it lives inside the Req
+// (Req.opts), where the request's helper processes read it.
 type issueOpts struct {
 	ack      bool
-	deadline sim.Time // budget from issue time; 0 = none
-	retry    *RetryPolicy
-	hedge    sim.Time // GET hedging threshold; 0 = none
-	readPath ReadPath // GET resolution path; see WithReadPath
 	forCAS   bool     // the GET behind Gets; see casRead
+	readPath ReadPath // GET resolution path; see WithReadPath
+	deadline sim.Time // budget from issue time; 0 = none
+	hedge    sim.Time // GET hedging threshold; 0 = none
+	// retry is non-nil for a request issued under WithRetry: a retryable
+	// rejection (StatusRecovering, StatusBusy) then nudges its guard instead
+	// of completing the request.
+	retry *RetryPolicy
 }
 
 // WithBufferAck requests a server BufferAck and blocks Issue until the
@@ -140,56 +145,60 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 // handle: Issue on RDMA, and with Wait every blocking call on either
 // transport (roundTrip).
 func (c *Client) begin(p *sim.Proc, op Op, opts ...IssueOption) *Req {
-	var o issueOpts
+	// The options are parsed straight into the handle they belong to: a
+	// local issueOpts would escape through the option funcs and be a second
+	// allocation on every operation.
+	req := new(Req)
 	for _, fn := range opts {
-		fn(&o)
+		fn(&req.opts)
 	}
 	in := intentOf(op.Code)
-	if o.forCAS {
+	if req.opts.forCAS {
 		in = routeWrite
 	}
-	return c.beginOn(p, c.route(op.Key, in, nil), op, o)
+	return c.beginOn(p, c.route(op.Key, in, nil), op, req)
 }
 
 // beginOn starts op on cn — the connection begin routed it to, or the one a
-// key-less operation addresses (flush_all) — and returns its handle. On
-// RDMA the request is in flight; the socket stack has no non-blocking send,
-// so on IPoIB it is already complete. This is the one place the blocking
-// path asks which transport it is on.
-func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, o issueOpts) *Req {
+// key-less operation addresses (flush_all) — as req, a handle that is zero
+// but for its parsed options, and returns it. On RDMA the request is in
+// flight; the socket stack has no non-blocking send, so on IPoIB it is
+// already complete. This is the one place the blocking path asks which
+// transport it is on.
+func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	if c.cfg.Transport == IPoIB {
 		if c.buffering && op.Code == protocol.OpGet {
 			// The queued Sets leave on this connection before the Get does.
 			c.flushConn(p, cn)
 		}
-		return c.ipoibExchange(p, cn, op)
+		return c.ipoibExchange(p, cn, op, req)
 	}
+	o := &req.opts
 	if op.Code == protocol.OpGet && !o.forCAS {
 		c.maybeRefreshHot(cn)
 	}
 	p.Sleep(prepCost)
-	req := c.newReq(op, cn)
-	req.ackWanted = o.ack
-	req.retryable = o.retry != nil
-	if c.bypassEligible(op, &o) {
+	c.initReq(req, op, cn)
+	if c.bypassEligible(op, o) {
 		// Server-bypass resolution: no wire request yet — the resolver
 		// process posts one-sided READs, completing the request itself or
 		// handing it to enqueueWire as an ordinary RPC fallback. The
 		// guard/hedge machinery below attaches identically either way.
-		req.cur = &attempt{id: req.ID, req: req, cn: cn, bypass: true}
+		req.first = attempt{id: req.ID, req: req, cn: cn, bypass: true, wire: req.first.wire}
+		req.cur = &req.first
 		req.Attempts = 1
-		c.spawnBypass(req, o)
+		c.startBypass(req)
 	} else {
-		c.enqueueWire(req, cn, c.wireFor(req, cn, req.ID))
+		c.enqueueWire(req, cn, req.ID)
 	}
 	c.Issued++
 	if o.deadline > 0 || o.retry != nil {
-		c.spawnGuard(req, o)
+		c.startGuard(req)
 	}
 	if o.hedge > 0 && op.Code == protocol.OpGet && len(c.conns) > 1 {
 		// With health tracking live the threshold adapts to the measured
 		// healthy baseline (see hedgeAfter); otherwise it is taken as given.
-		c.spawnHedge(req, c.hedgeAfter(o.hedge))
+		c.startHedge(req, c.hedgeAfter(o.hedge))
 	}
 	// Inside an explicit batch window nothing is on the wire yet, so
 	// WithBufferAck cannot block here; the buffers become reusable after
@@ -200,38 +209,32 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, o issueOpts) *Req {
 	return req
 }
 
-// wireFor builds the wire request for one attempt of req on cn.
-func (c *Client) wireFor(req *Req, cn *conn, id uint64) *protocol.Request {
-	wire := &protocol.Request{
-		Op: req.Op, ReqID: id, Key: req.Key,
-		Flags: req.txFlags, Expire: req.txExpire,
-		ValueSize: req.txValueSize, Value: req.txValue,
-		CAS: req.txCAS, Delta: req.txDelta,
-		AckWanted: req.ackWanted,
+// enqueueWire registers one attempt of req on cn under wire id and hands it
+// to cn's TX engine — or parks it in the connection's batch window when one
+// is open (first attempts only: retransmits always go straight out, a
+// stalled window must not delay recovery). The first attempt lives in the
+// Req; every later one — a retransmit, a hedge, a bypass fallback — is its
+// own allocation, because the earlier ones may still be pending, queued or on
+// the wire. It does not touch c.Issued: retransmits are attempts, not
+// operations.
+func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
+	wire := req.first.wire // the template, or the first attempt's message: the same but for the id
+	wire.ReqID = id
+	wire.RespMR = cn.respMR.LKey()
+	att := &req.first
+	if req.cur != nil {
+		att = new(attempt)
 	}
-	if cn.respMR != nil { // a socket connection has no response region
-		wire.RespMR = cn.respMR.LKey()
-	}
-	return wire
-}
-
-// enqueueWire registers one attempt and hands its wire to cn's TX engine —
-// or parks it in the connection's batch window when one is open (first
-// attempts only: retransmits always go straight out, a stalled window must
-// not delay recovery). It does not touch c.Issued: retransmits are
-// attempts, not operations.
-func (c *Client) enqueueWire(req *Req, cn *conn, wire *protocol.Request) *attempt {
-	att := &attempt{id: wire.ReqID, req: req, cn: cn, start: c.env.Now()}
+	*att = attempt{id: id, req: req, cn: cn, start: c.env.Now(), wire: wire}
 	req.cur = att
 	req.conn = cn
 	first := req.Attempts == 0
 	req.Attempts++
 	cn.pending[att.id] = att
-	it := &txItem{wire: wire, att: att}
 	if first && c.batching > 0 {
-		cn.window = append(cn.window, it)
+		cn.window = append(cn.window, att)
 	} else {
-		cn.txq.TryPut(it)
+		cn.txq.TryPut(txItem{att: att})
 	}
 	return att
 }
@@ -337,7 +340,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	req.rejected = nil
 	req.retryAfter = 0
 	c.nextID++
-	c.enqueueWire(req, cn, c.wireFor(req, cn, c.nextID))
+	c.enqueueWire(req, cn, c.nextID)
 }
 
 // awaitOutcome blocks up to d for the request to complete, returning true if
@@ -354,15 +357,16 @@ func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
 	return req.done.Fired()
 }
 
-// spawnGuard starts the watchdog process for a request issued with a
+// startGuard starts the watchdog process for a request issued with a
 // deadline and/or retry policy.
-func (c *Client) spawnGuard(req *Req, o issueOpts) {
-	var deadline sim.Time
-	if o.deadline > 0 {
-		deadline = req.IssuedAt + o.deadline
-	}
-	c.env.Spawn("client/guard", func(p *sim.Proc) {
+func (c *Client) startGuard(req *Req) {
+	c.env.Go("client/guard", func(p *sim.Proc) {
 		defer req.tagPanic()
+		o := &req.opts
+		var deadline sim.Time
+		if o.deadline > 0 {
+			deadline = req.IssuedAt + o.deadline
+		}
 		if o.retry == nil {
 			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
 				c.expire(req)
@@ -423,14 +427,14 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 	})
 }
 
-// spawnHedge starts the hedging process for a GET issued with WithHedge:
+// startHedge starts the hedging process for a GET issued with WithHedge:
 // if the request is still unanswered after the threshold, the GET is
 // mirrored to the next connection route offers as an extra attempt —
 // without abandoning the primary, so the first response (either server)
 // completes the request and the other is absorbed as stale with its own
 // credit return.
-func (c *Client) spawnHedge(req *Req, after sim.Time) {
-	c.env.Spawn("client/hedge", func(p *sim.Proc) {
+func (c *Client) startHedge(req *Req, after sim.Time) {
+	c.env.Go("client/hedge", func(p *sim.Proc) {
 		defer req.tagPanic()
 		if p.WaitTimeout(&req.done, after) || req.done.Fired() {
 			if req.bypassed {
@@ -447,21 +451,21 @@ func (c *Client) spawnHedge(req *Req, after sim.Time) {
 		c.Faults.Inc(metrics.CHedges)
 		p.Sleep(prepCost)
 		c.nextID++
-		c.enqueueWire(req, cn, c.wireFor(req, cn, c.nextID))
+		c.enqueueWire(req, cn, c.nextID)
 	})
 }
 
-// txItem is one attempt's wire message queued for the TX engine — or, when
+// txItem is what the TX engine dequeues, by value: one attempt — or, when
 // frame is set, a pre-built explicit batch window handed over by Flush.
 type txItem struct {
-	wire  *protocol.Request
 	att   *attempt
-	frame []*txItem
+	frame []*attempt
 }
 
-// attempt is one transmission of a request. Retries create fresh attempts
-// with fresh ids; the per-attempt credit/abandon flags keep flow-control
-// accounting exact across races between responses, timeouts, and cancels.
+// attempt is one transmission of a request, wire message included. Retries
+// create fresh attempts with fresh ids; the per-attempt credit/abandon flags
+// keep flow-control accounting exact across races between responses,
+// timeouts, and cancels.
 type attempt struct {
 	id             uint64
 	req            *Req
@@ -480,6 +484,10 @@ type attempt struct {
 	// request/response wire, no credit, no pending entry — abandoning it is
 	// free, and retransmitting it enqueues a normal RPC attempt.
 	bypass bool
+	// wire is the request message this attempt sends. The TX engine posts a
+	// pointer to it and the server reads it there, so it is written once, in
+	// enqueueWire, and never again.
+	wire protocol.Request
 }
 
 // creditBack returns the flow-control credit this attempt consumed, exactly
@@ -522,7 +530,7 @@ func (cn *conn) txEngine(p *sim.Proc) {
 			continue
 		}
 		if cn.credits.TryAcquire() {
-			cn.sendOne(p, item)
+			cn.sendOne(p, att)
 			continue
 		}
 		cn.credits.Acquire(p)
@@ -532,7 +540,7 @@ func (cn *conn) txEngine(p *sim.Proc) {
 			delete(cn.pending, att.id)
 			continue
 		}
-		batch, alone := cn.drainBatch(item)
+		batch, alone := cn.drainBatch(att)
 		if len(batch) == 1 {
 			cn.sendOne(p, batch[0])
 		} else {
@@ -543,15 +551,14 @@ func (cn *conn) txEngine(p *sim.Proc) {
 }
 
 // sendOne posts a single-op doorbell. The caller already holds its credit.
-func (cn *conn) sendOne(p *sim.Proc, item *txItem) {
-	att := item.att
+func (cn *conn) sendOne(p *sim.Proc, att *attempt) {
 	att.sent = true
 	cn.c.Sends++
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
 		WRID:    att.id,
 		Op:      verbs.OpSend,
-		Size:    item.wire.WireSize(),
-		Payload: item.wire,
+		Size:    att.wire.WireSize(),
+		Payload: &att.wire,
 	})
 	// The NIC serializes messages in order; waiting for DMA-sent here
 	// pipelines exactly like the hardware send queue.
@@ -561,7 +568,7 @@ func (cn *conn) sendOne(p *sim.Proc, item *txItem) {
 
 // sendFrame posts an explicit batch window handed over by Flush: one credit
 // for the whole frame, or the plain path for a frame that shrank to one op.
-func (cn *conn) sendFrame(p *sim.Proc, items []*txItem) {
+func (cn *conn) sendFrame(p *sim.Proc, items []*attempt) {
 	items = cn.liveItems(items)
 	if len(items) == 0 {
 		return
@@ -581,21 +588,21 @@ func (cn *conn) sendFrame(p *sim.Proc, items []*txItem) {
 }
 
 // sendAlone posts oversized-value ops excluded from a frame, one credit each.
-func (cn *conn) sendAlone(p *sim.Proc, items []*txItem) {
-	for _, item := range items {
-		if item.att.abandoned {
-			delete(cn.pending, item.att.id)
+func (cn *conn) sendAlone(p *sim.Proc, items []*attempt) {
+	for _, att := range items {
+		if att.abandoned {
+			delete(cn.pending, att.id)
 			continue
 		}
 		if !cn.credits.TryAcquire() {
 			cn.credits.Acquire(p)
-			if item.att.abandoned {
+			if att.abandoned {
 				cn.credits.Release()
-				delete(cn.pending, item.att.id)
+				delete(cn.pending, att.id)
 				continue
 			}
 		}
-		cn.sendOne(p, item)
+		cn.sendOne(p, att)
 	}
 }
 
@@ -648,7 +655,7 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 			} else {
 				cn.noteSuccess()
 			}
-			if RetryableStatus(resp.Status) && req.retryable {
+			if RetryableStatus(resp.Status) && req.opts.retry != nil {
 				// Fail-fast rejection — cold-restart recovery or admission
 				// shedding: don't complete the request. Record the attempt's
 				// sentinel and any retry-after hint, then nudge its guard,
