@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Garbled wraps a value whose bits were corrupted somewhere between the
 // writer and the reader — on rotting media served without verification, or
@@ -41,16 +38,26 @@ func ValueSum(v any) uint64 {
 		}
 		return h
 	case string:
-		h := fnv.New64a()
-		h.Write([]byte(x))
-		return h.Sum64()
+		h := uint64(offset64)
+		for i := 0; i < len(x); i++ {
+			h = (h ^ uint64(x[i])) * prime64
+		}
+		return h
 	case []byte:
-		h := fnv.New64a()
-		h.Write(x)
-		return h.Sum64()
+		return fnv1a(x)
 	default:
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%T:%v", v, v)
-		return h.Sum64()
+		// Any other value sums as its printed form; the text is built in a
+		// stack buffer, so summing a small struct allocates nothing.
+		var buf [64]byte
+		return fnv1a(fmt.Appendf(buf[:0], "%T:%v", v, v))
 	}
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }

@@ -1,5 +1,7 @@
 package replication
 
+import "hybridkv/internal/sim"
+
 // Test-only hooks for the same-epoch content-divergence repair path. The
 // scrub's content fold exists to catch *silent* corruption — an applied
 // value whose bytes changed without an epoch advance — which no public
@@ -16,7 +18,7 @@ func (r *Replicator) SilentlyCorruptForTest(key string, sum uint64) bool {
 	if ks == nil || ks.epoch == 0 || ks.del || ks.suspect {
 		return false
 	}
-	ks.sum = sum
+	r.setState(key, ks, ks.epoch, ks.del, ks.suspect, sum)
 	r.kick()
 	return true
 }
@@ -34,3 +36,27 @@ func (r *Replicator) AppliedStateForTest(key string) (epoch, sum uint64, ok bool
 // OpenForwardsForTest reports how many write rounds are still registered:
 // zero on a quiescent replicator.
 func (r *Replicator) OpenForwardsForTest() int { return len(r.fwds) }
+
+// StaleDigestsForTest compares every digest this replicator maintains with a
+// from-scratch fold over its key table, and names the peers whose maintained
+// digest has drifted. maintained reports how many peers had one to compare.
+func (r *Replicator) StaleDigestsForTest() (stale []int, maintained int) {
+	for _, pid := range r.peerIDs {
+		kept := r.peers[pid].digest
+		if kept == nil || r.placementNow() != r.digestsAt {
+			continue // recomputed on next use: nothing maintained to drift
+		}
+		maintained++
+		for i, v := range r.computeDigest(pid) {
+			if kept[i] != v {
+				stale = append(stale, pid)
+				break
+			}
+		}
+	}
+	return stale, maintained
+}
+
+// MarkCorruptForTest drives the store's corrupt-read hook for key: the key
+// turns suspect and a repair pull opens.
+func (r *Replicator) MarkCorruptForTest(p *sim.Proc, key string) { r.OnCorrupt(p, key) }

@@ -317,7 +317,7 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 		if ks == nil || containsID(r.replicaSet(key), r.cfg.ID) {
 			continue
 		}
-		delete(r.keys, key)
+		r.dropState(key, ks)
 		if !ks.del {
 			r.st.Delete(p, key)
 		}

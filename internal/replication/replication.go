@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"fmt"
 	"sort"
 
 	"hybridkv/internal/metrics"
@@ -157,14 +158,61 @@ type keyState struct {
 	// into the scrub digest so two replicas at the same epoch holding
 	// different bytes (silent corruption) still diverge and get repaired.
 	sum uint64
+	// gone marks a record dropped from the key table. A proc that fetched it
+	// before a blocking call may still write to it; it is in no digest.
+	gone bool
 
 	// Open synchronous pull, shared by concurrent readers of the key.
 	pull     *sim.Event
 	pullFrom map[int]bool // peers yet to answer; data or all-miss fires the event
 }
 
+// maxRoundPeers bounds the peers of one key: its replica set minus self,
+// which during a migration is the union of two rings' sets. New rejects a
+// Factor that could exceed it.
+const maxRoundPeers = 16
+
+// peerSet is a key's replica set minus self, ascending (every send iterates
+// it, so the order is part of the run's determinism), held by value.
+type peerSet struct {
+	n   int
+	ids [maxRoundPeers]int32
+}
+
+// add inserts id in order.
+func (ps *peerSet) add(id int) {
+	if ps.n == maxRoundPeers {
+		panic("replication: replica set exceeds maxRoundPeers")
+	}
+	i := ps.n
+	for ; i > 0 && ps.ids[i-1] > int32(id); i-- {
+		ps.ids[i] = ps.ids[i-1]
+	}
+	ps.ids[i] = int32(id)
+	ps.n++
+}
+
+// index returns id's position, or -1.
+func (ps *peerSet) index(id int) int {
+	for i := 0; i < ps.n; i++ {
+		if ps.ids[i] == int32(id) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Forward is one write's replication round, opened at admission time so the
-// peer forwards overlap the coordinator's local storage phase.
+// peer forwards overlap the coordinator's local storage phase. It is one
+// allocation: the peers it waits for, the event it waits on and the write
+// frame of its first send are all inside it. A resend or a re-coordinated
+// round sends a fresh frame, because the earlier one may still be in flight.
+//
+// The coordinating request's proc owns the Forward; r.fwds holds it from
+// begin until await (or finishPhase, for a write that failed locally) drops
+// it, and the fabric and the peers hold pointers into first until the frames
+// are delivered and handled. Nothing is recycled, so none of them can
+// outlive it.
 type Forward struct {
 	id    uint64
 	key   string
@@ -176,15 +224,32 @@ type Forward struct {
 	valueSize int
 	flags     uint32
 	expire    uint32
+	sum       uint64 // protocol.ValueSum(value), computed once; 0 for a delete
 
-	waiting  map[int]bool // peer ids still owing an ack
-	conflict uint64       // highest epoch seen in stale-reject acks
-	done     *sim.Event   // fired when waiting drains
+	peers    peerSet
+	waiting  uint32    // bit i: peers.ids[i] still owes an ack
+	conflict uint64    // highest epoch seen in stale-reject acks
+	done     sim.Event // fired when waiting drains
+	first    frame     // the write frame of the round's first send
+	sends    int       // sendWrite calls so far
+}
+
+// open (re)arms the round: every peer owes an ack.
+func (fwd *Forward) open(env *sim.Env, peers peerSet) {
+	fwd.peers = peers
+	fwd.waiting = 1<<peers.n - 1
+	fwd.done.Init(env)
+	if fwd.waiting == 0 {
+		fwd.done.Fire()
+	}
 }
 
 type peerLink struct {
 	id int
 	qp *verbs.QP
+	// digest is the maintained scrub digest of the keys shared with this
+	// peer (see Replicator.digest); nil until first used.
+	digest []uint64
 }
 
 // Replicator is one server's replication engine.
@@ -208,10 +273,11 @@ type Replicator struct {
 	peerIDs []int // sorted; all sends iterate this for determinism
 	qpByQPN map[int]*verbs.QP
 
-	keys   map[string]*keyState
-	fwds   map[uint64]*Forward
-	nextID uint64
-	gets   uint64 // served GET hits, drives the read-repair cadence
+	keys      map[string]*keyState
+	digestsAt placement // what the peers' maintained digests were computed under
+	fwds      map[uint64]*Forward
+	nextID    uint64
+	gets      uint64 // served GET hits, drives the read-repair cadence
 
 	// Scrubber arming: every local epoch advance grants the scrubber a
 	// fresh burst of digest rounds, after which it blocks until the next
@@ -236,6 +302,9 @@ type Replicator struct {
 // Interconnect must be called on the full set before the simulation runs.
 func New(env *sim.Env, cfg Config, ring *Ring, st *store.Store, dev *verbs.Device) *Replicator {
 	cfg.fill()
+	if 2*cfg.Factor > maxRoundPeers {
+		panic(fmt.Sprintf("replication: factor %d: a migrating key could have more than %d peers", cfg.Factor, maxRoundPeers))
+	}
 	return &Replicator{
 		env: env, cfg: cfg, ring: ring, st: st, dev: dev,
 		peers:    make(map[int]*peerLink),
@@ -402,22 +471,19 @@ func (r *Replicator) state(key string) *keyState {
 	return ks
 }
 
-// replicaPeers returns the key's replica set minus self (sorted ascending,
-// which Replicas already guarantees per-position; we re-sort for send
-// determinism) and whether self is a member. With a membership attached
+// replicaPeers returns the key's replica set minus self, ascending for send
+// determinism, and whether self is a member. With a membership attached
 // the set is the union of the old and new rings while a migration is in
 // flight, so forwards dual-apply and no interleaving with sealing can
 // lose an acked write.
-func (r *Replicator) replicaPeers(key string) (peers []int, member bool) {
-	set := r.replicaSet(key)
-	for _, id := range set {
+func (r *Replicator) replicaPeers(key string) (peers peerSet, member bool) {
+	for _, id := range r.replicaSet(key) {
 		if id == r.cfg.ID {
 			member = true
 		} else {
-			peers = append(peers, id)
+			peers.add(id)
 		}
 	}
-	sort.Ints(peers)
 	return peers, member
 }
 
@@ -453,39 +519,38 @@ func (r *Replicator) begin(p *sim.Proc, key string, del bool, value any, valueSi
 		id: r.nextID, key: key, del: del, proxy: !member,
 		epoch: r.nextEpoch(ks.epoch),
 		value: value, valueSize: valueSize, flags: flags, expire: expire,
-		waiting: make(map[int]bool, len(peers)),
-		done:    r.env.NewEvent(),
 	}
-	for _, pid := range peers {
-		fwd.waiting[pid] = true
+	if !del {
+		// End-to-end content checksum, computed here once for the round: the
+		// frames carry it (the receiver re-derives it and rejects a frame
+		// whose value was corrupted in flight) and the local epoch record
+		// takes it.
+		fwd.sum = protocol.ValueSum(value)
 	}
+	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
-	if len(fwd.waiting) == 0 {
-		fwd.done.Fire()
-	}
 	r.Counters.Add("forwards", 1)
 	r.sendWrite(p, fwd)
 	return fwd
 }
 
+// sendWrite sends the round's write to every peer still owing an ack: one
+// frame, shared by all of them — nothing writes to a frame once it is sent.
 func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
-	pids := make([]int, 0, len(fwd.waiting))
-	for pid := range fwd.waiting {
-		pids = append(pids, pid)
+	f := &fwd.first
+	if fwd.sends > 0 {
+		f = new(frame)
 	}
-	sort.Ints(pids)
-	var sum uint64
-	if !fwd.del {
-		// End-to-end content checksum: the receiver re-derives it and
-		// rejects the frame if the value was corrupted in flight.
-		sum = protocol.ValueSum(fwd.value)
+	fwd.sends++
+	*f = frame{
+		Kind: frameWrite, From: r.cfg.ID, ID: fwd.id, Key: fwd.key, Epoch: fwd.epoch,
+		Del: fwd.del, Value: fwd.value, ValueSize: fwd.valueSize,
+		Flags: fwd.flags, Expire: fwd.expire, Sum: fwd.sum,
 	}
-	for _, pid := range pids {
-		r.send(p, pid, &frame{
-			Kind: frameWrite, ID: fwd.id, Key: fwd.key, Epoch: fwd.epoch,
-			Del: fwd.del, Value: fwd.value, ValueSize: fwd.valueSize,
-			Flags: fwd.flags, Expire: fwd.expire, Sum: sum,
-		})
+	for i := 0; i < fwd.peers.n; i++ {
+		if fwd.waiting&(1<<i) != 0 {
+			r.send(p, int(fwd.peers.ids[i]), f)
+		}
 	}
 }
 
@@ -559,10 +624,10 @@ func (r *Replicator) finishPhase(p *sim.Proc, req *protocol.Request, resp *proto
 // applyLocalWrite applies a SET/DELETE on the coordinator under the epoch
 // guard and updates the key's epoch record.
 func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
 	if fwd == nil {
 		return r.st.Handle(p, req)
 	}
+	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
 	if fwd.proxy {
 		// Pure coordinator: this server is not in the key's replica set
 		// (the client failed over here). It forwards but must not keep a
@@ -588,7 +653,7 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 	if fwd.del {
 		resp.Status = r.st.Delete(p, req.Key)
 		if resp.Status == protocol.StatusDeleted || resp.Status == protocol.StatusNotFound {
-			ks.epoch, ks.del, ks.suspect, ks.sum = fwd.epoch, true, false, 0
+			r.setState(req.Key, ks, fwd.epoch, true, false, 0)
 			r.kick()
 			r.migSatisfy(req.Key, ks.epoch)
 		}
@@ -596,8 +661,7 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 	}
 	resp.Status = r.st.Set(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
 	if resp.Status == protocol.StatusStored {
-		ks.epoch, ks.del, ks.suspect = fwd.epoch, false, false
-		ks.sum = protocol.ValueSum(req.Value)
+		r.setState(req.Key, ks, fwd.epoch, false, false, fwd.sum)
 		r.kick()
 		r.migSatisfy(req.Key, ks.epoch)
 	}
@@ -613,10 +677,10 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 	defer func() { delete(r.fwds, fwd.id) }()
 	coordRounds := 0
 	for round := 0; ; round++ {
-		if len(fwd.waiting) > 0 {
-			p.WaitTimeout(fwd.done, r.cfg.AckTimeout)
+		if fwd.waiting != 0 {
+			p.WaitTimeout(&fwd.done, r.cfg.AckTimeout)
 		}
-		if len(fwd.waiting) == 0 {
+		if fwd.waiting == 0 {
 			if fwd.conflict <= fwd.epoch {
 				return true
 			}
@@ -657,27 +721,19 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	fwd.conflict = 0
 	r.nextID++
 	fwd.id = r.nextID
-	fwd.done = r.env.NewEvent()
 	peers, member := r.replicaPeers(fwd.key)
-	fwd.waiting = make(map[int]bool, len(peers))
-	for _, pid := range peers {
-		fwd.waiting[pid] = true
-	}
+	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
 	if !fwd.proxy && member {
 		ks := r.state(fwd.key)
 		if fwd.del {
 			r.st.Delete(p, fwd.key)
-			ks.epoch, ks.del, ks.suspect, ks.sum = fwd.epoch, true, false, 0
+			r.setState(fwd.key, ks, fwd.epoch, true, false, 0)
 		} else if r.st.Set(p, fwd.key, fwd.valueSize, fwd.value, fwd.flags, fwd.expire) == protocol.StatusStored {
-			ks.epoch, ks.del, ks.suspect = fwd.epoch, false, false
-			ks.sum = protocol.ValueSum(fwd.value)
+			r.setState(fwd.key, ks, fwd.epoch, false, false, fwd.sum)
 		}
 		r.kick()
 		r.migSatisfy(fwd.key, ks.epoch)
-	}
-	if len(fwd.waiting) == 0 {
-		fwd.done.Fire()
 	}
 	r.sendWrite(p, fwd)
 }
@@ -686,13 +742,11 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 // peer replicas first, and served hits periodically probe the peers for
 // epoch divergence (read repair).
 func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Response {
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
 	peers, member := r.replicaPeers(req.Key)
 	if !member {
 		// Not a replica for this key: this server holds nothing
 		// authoritative, so the only honest answer is a miss.
-		resp.Status = protocol.StatusNotFound
-		return resp
+		return refusal(req, protocol.StatusNotFound)
 	}
 	if r.mem != nil && r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
 		// Double-read window: this server is gaining the key and has not
@@ -701,21 +755,19 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// fails over to an old owner rather than eat a fabricated miss.
 		if !r.doubleRead(p, req.Key) {
 			r.Counters.Add("migrate-read-redirects", 1)
-			resp.Status = protocol.StatusRecovering
-			return resp
+			return refusal(req, protocol.StatusRecovering)
 		}
 	}
 	ks := r.keys[req.Key]
 	if ks != nil && ks.suspect {
-		if !r.syncPull(p, req.Key, ks, peers) {
+		if !r.syncPull(p, req.Key, ks, &peers) {
 			// Unconfirmed cold-recovered value and no peer reachable:
 			// refuse to serve it rather than resurrect a superseded epoch.
 			r.Counters.Add("stale-reads-prevented", 1)
-			resp.Status = protocol.StatusNotFound
-			return resp
+			return refusal(req, protocol.StatusNotFound)
 		}
 	}
-	resp = r.st.Handle(p, req)
+	resp := r.st.Handle(p, req)
 	if resp.Status == protocol.StatusCorrupt {
 		// The local copy failed integrity verification mid-read (the store
 		// already quarantined it and marked us suspect via OnCorrupt).
@@ -723,7 +775,7 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// replicas, and serve the repaired copy instead of garbage. Only
 		// when no peer can help does this degrade to an honest miss.
 		ks := r.state(req.Key)
-		if r.syncPull(p, req.Key, ks, peers) {
+		if r.syncPull(p, req.Key, ks, &peers) {
 			resp = r.st.Handle(p, req)
 			if resp.Status == protocol.StatusOK {
 				r.Counters.Add("corrupt-read-repairs", 1)
@@ -741,8 +793,8 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 			if ks := r.keys[req.Key]; ks != nil {
 				epoch = ks.epoch
 			}
-			for _, pid := range peers {
-				r.send(p, pid, &frame{Kind: frameProbe, Key: req.Key, Epoch: epoch})
+			for i := 0; i < peers.n; i++ {
+				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, Epoch: epoch})
 			}
 		}
 	}
@@ -754,40 +806,36 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 // outcome, then the post-image is replicated like a SET.
 func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Response {
 	peers, member := r.replicaPeers(req.Key)
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
 	if !member {
 		// Read-modify-write needs the authoritative copy; a non-replica
 		// coordinator cannot decide it. Answer retryable so the client
 		// fails over to a real replica.
-		resp.Status = protocol.StatusRecovering
-		return resp
+		return refusal(req, protocol.StatusRecovering)
 	}
 	if r.mem != nil && r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
 		// Deciding an RMW before the old owners were consulted could decide
 		// against a phantom miss; confirm first, else fail retryable.
 		if !r.doubleRead(p, req.Key) {
 			r.Counters.Add("migrate-read-redirects", 1)
-			resp.Status = protocol.StatusRecovering
-			return resp
+			return refusal(req, protocol.StatusRecovering)
 		}
 	}
 	ks := r.keys[req.Key]
 	if ks != nil && ks.suspect {
-		if !r.syncPull(p, req.Key, ks, peers) {
+		if !r.syncPull(p, req.Key, ks, &peers) {
 			// The current value is unconfirmed; deciding an RMW on it could
 			// resurrect a superseded epoch. Fail retryable instead.
 			r.Counters.Add("stale-reads-prevented", 1)
-			resp.Status = protocol.StatusRecovering
-			return resp
+			return refusal(req, protocol.StatusRecovering)
 		}
 	}
-	resp = r.st.Handle(p, req)
+	resp := r.st.Handle(p, req)
 	if resp.Status == protocol.StatusCorrupt {
 		// The RMW's read phase hit a quarantined copy. Repair from the
 		// peers and decide the RMW on the repaired value; if nobody can
 		// confirm one, fail retryable rather than decide against garbage.
 		ks := r.state(req.Key)
-		if r.syncPull(p, req.Key, ks, peers) {
+		if r.syncPull(p, req.Key, ks, &peers) {
 			resp = r.st.Handle(p, req)
 			if resp.Status == protocol.StatusOK || resp.Status == protocol.StatusStored {
 				r.Counters.Add("corrupt-read-repairs", 1)
@@ -815,17 +863,20 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 	if !fwd.proxy {
 		// The local copy was applied by Handle; record it like a SET so a
 		// prior tombstone or suspicion on the key cannot outlive it.
-		ks := r.state(req.Key)
-		ks.epoch, ks.del, ks.suspect = fwd.epoch, false, false
-		ks.sum = protocol.ValueSum(value)
+		r.setState(req.Key, r.state(req.Key), fwd.epoch, false, false, fwd.sum)
 		r.kick()
-		r.migSatisfy(req.Key, ks.epoch)
+		r.migSatisfy(req.Key, fwd.epoch)
 	}
 	if !r.await(p, fwd) {
 		resp.Status = protocol.StatusNoReplica
 		resp.Value, resp.ValueSize = nil, 0
 	}
 	return resp
+}
+
+// refusal answers req with a bare status, the store not consulted.
+func refusal(req *protocol.Request, st protocol.Status) *protocol.Response {
+	return &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: st}
 }
 
 // expireSeconds converts an absolute expiry back to the wire's relative
@@ -850,22 +901,14 @@ func expireSeconds(now, expireAt sim.Time) uint32 {
 // every peer answers "don't have it" the local recovered value is dropped
 // (a miss is always legal; serving an unconfirmable resurrected value is
 // not). Returns false on timeout with the key still suspect.
-func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers []int) bool {
-	if len(peers) == 0 {
+func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peerSet) bool {
+	if peers.n == 0 {
 		// Degenerate single-replica set: nobody can confirm; keep serving
 		// the recovered value as the unreplicated system would.
-		ks.suspect = false
+		r.setState(key, ks, ks.epoch, ks.del, false, ks.sum)
 		return true
 	}
-	if ks.pull == nil {
-		ks.pull = r.env.NewEvent()
-		ks.pullFrom = make(map[int]bool, len(peers))
-		for _, pid := range peers {
-			ks.pullFrom[pid] = true
-			r.send(p, pid, &frame{Kind: framePull, Key: key})
-		}
-		r.Counters.Add("repair-pulls", 1)
-	}
+	r.openPull(p, key, ks, peers)
 	ev := ks.pull
 	p.WaitTimeout(ev, r.cfg.PullTimeout)
 	if !ev.Fired() {
@@ -879,11 +922,31 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers []int
 	return !ks.suspect
 }
 
+// openPull asks every peer for its confirmed copy of key, unless a pull is
+// already open.
+func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet) {
+	if ks.pull != nil {
+		return
+	}
+	ks.pull = r.env.NewEvent()
+	ks.pullFrom = make(map[int]bool, peers.n)
+	for i := 0; i < peers.n; i++ {
+		pid := int(peers.ids[i])
+		ks.pullFrom[pid] = true
+		r.send(p, pid, &frame{Kind: framePull, Key: key})
+	}
+	r.Counters.Add("repair-pulls", 1)
+}
+
 // Wipe models whole-node RAM loss: every epoch record, open forward, and
 // pending pull — including per-segment migration state — dies with the
 // node. Called by Server.Kill. The migrator re-installs its segment state
 // on its next retry round and re-pulls whatever the wipe destroyed.
 func (r *Replicator) Wipe() {
+	for _, ks := range r.keys {
+		ks.gone = true
+	}
+	r.dropDigests()
 	r.keys = make(map[string]*keyState)
 	r.fwds = make(map[uint64]*Forward)
 	r.migPulls = make(map[int]*segPull)
@@ -897,7 +960,7 @@ func (r *Replicator) Wipe() {
 func (r *Replicator) OnColdRecovery(keys []string) {
 	for _, key := range keys {
 		ks := r.state(key)
-		ks.epoch, ks.del, ks.suspect, ks.sum = 0, false, true, 0
+		r.setState(key, ks, 0, false, true, 0)
 		ks.pull, ks.pullFrom = nil, nil
 	}
 	// Arm the scrubber even when nothing was recovered (wiped SSD): the
@@ -914,20 +977,12 @@ func (r *Replicator) OnColdRecovery(keys []string) {
 func (r *Replicator) OnCorrupt(p *sim.Proc, key string) {
 	r.Counters.Add("corrupt-local-reads", 1)
 	ks := r.state(key)
-	ks.suspect = true
+	r.setState(key, ks, ks.epoch, ks.del, true, ks.sum)
 	peers, member := r.replicaPeers(key)
-	if !member || len(peers) == 0 {
+	if !member || peers.n == 0 {
 		return
 	}
-	if ks.pull == nil {
-		ks.pull = r.env.NewEvent()
-		ks.pullFrom = make(map[int]bool, len(peers))
-		for _, pid := range peers {
-			ks.pullFrom[pid] = true
-			r.send(p, pid, &frame{Kind: framePull, Key: key})
-		}
-		r.Counters.Add("repair-pulls", 1)
-	}
+	r.openPull(p, key, ks, &peers)
 	r.kick()
 }
 
@@ -990,7 +1045,13 @@ func (r *Replicator) handle(p *sim.Proc, f *frame) {
 
 // handleWrite applies a forwarded or repair write under the epoch guard.
 func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
-	if !f.Del && f.Sum != 0 && protocol.ValueSum(f.Value) != f.Sum {
+	// The one recompute on the receiving side: it verifies the frame, and
+	// the epoch record takes it if the write applies.
+	var sum uint64
+	if !f.Del {
+		sum = protocol.ValueSum(f.Value)
+	}
+	if !f.Del && f.Sum != 0 && sum != f.Sum {
 		// The frame's value no longer matches the checksum the sender
 		// stamped: it was corrupted in flight. Reject silently — never
 		// apply, never ack — and let the coordinator's resend rounds (or
@@ -1016,7 +1077,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 		// rule, which is how the scrub fixes silent corruption that an
 		// epoch comparison alone would never see.
 		diverged := f.Repair && !f.Del && !ks.del &&
-			protocol.ValueSum(f.Value) != ks.sum &&
+			sum != ks.sum &&
 			winsSameEpoch(f.From, r.cfg.ID, f.Epoch)
 		if !ks.suspect && ks.pull == nil && !diverged {
 			if !f.Repair {
@@ -1040,12 +1101,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 		// resend rounds (or anti-entropy) will retry once we can apply.
 		return
 	}
-	ks.epoch, ks.del, ks.suspect = f.Epoch, f.Del, false
-	if f.Del {
-		ks.sum = 0
-	} else {
-		ks.sum = protocol.ValueSum(f.Value)
-	}
+	r.setState(f.Key, ks, f.Epoch, f.Del, false, sum)
 	r.kick()
 	r.migSatisfy(f.Key, ks.epoch)
 	if ks.pull != nil {
@@ -1060,14 +1116,18 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 
 func (r *Replicator) handleAck(f *frame) {
 	fwd := r.fwds[f.ID]
-	if fwd == nil || !fwd.waiting[f.From] {
-		return // stale or duplicate ack
+	if fwd == nil {
+		return // stale ack
 	}
-	delete(fwd.waiting, f.From)
+	i := fwd.peers.index(f.From)
+	if i < 0 || fwd.waiting&(1<<i) == 0 {
+		return // duplicate ack
+	}
+	fwd.waiting &^= 1 << i
 	if !f.Applied && f.Epoch > fwd.epoch && f.Epoch > fwd.conflict {
 		fwd.conflict = f.Epoch
 	}
-	if len(fwd.waiting) == 0 && !fwd.done.Fired() {
+	if fwd.waiting == 0 {
 		fwd.done.Fire()
 	}
 }
@@ -1097,7 +1157,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string, ks *keyState) boo
 	if !ok {
 		// The slab layer dropped the value (eviction under pressure): stop
 		// claiming the epoch in digests; a peer's copy can repair us later.
-		delete(r.keys, key)
+		r.dropState(key, ks)
 		r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
 		return false
 	}
@@ -1131,7 +1191,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 	}
 	if ks.suspect {
 		r.st.Delete(p, f.Key)
-		delete(r.keys, f.Key)
+		r.dropState(f.Key, ks)
 		r.Counters.Add("suspect-drops", 1)
 	}
 	if !ks.pull.Fired() {

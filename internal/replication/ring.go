@@ -13,7 +13,6 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -47,11 +46,14 @@ const digestsPerServer = 80
 // NewRing returns an empty ring.
 func NewRing() *Ring { return &Ring{} }
 
-// HashKey hashes a key onto the ring's 64-bit space.
+// HashKey hashes a key onto the ring's 64-bit space: FNV-1a, finished with
+// Mix64.
 func HashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return Mix64(h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return Mix64(h)
 }
 
 // Mix64 is the splitmix64 finalizer: it decorrelates the structured vnode

@@ -82,23 +82,115 @@ func (r *Replicator) sharedWith(pid int, key string) bool {
 	return both == 2
 }
 
-// digestFor computes the bucketed epoch+content digest over keys shared
-// with pid: bucket b occupies slots [2b] and [2b+1] — the two independent
-// folds of its keys. Suspect and epoch-0 keys are excluded: they are
-// unconfirmed and must not be claimed. XOR folding makes the digest
-// independent of iteration order, preserving determinism over Go's
+// confirmed reports whether the record may be claimed in a digest: suspect
+// and epoch-0 keys are unconfirmed and must not be.
+func (ks *keyState) confirmed() bool { return !ks.suspect && ks.epoch != 0 }
+
+// fold XORs key's record into — or, being its own inverse, out of — a digest.
+func (r *Replicator) fold(buckets []uint64, key string, epoch uint64, del bool, sum uint64) {
+	b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
+	buckets[2*b] ^= digestEntry(key, epoch, del, sum)
+	buckets[2*b+1] ^= digestEntry2(key, epoch, del, sum)
+}
+
+// computeDigest folds the bucketed epoch+content digest over the confirmed
+// keys shared with pid, from scratch: bucket b occupies slots [2b] and
+// [2b+1] — the two independent folds of its keys. XOR folding makes the
+// digest independent of iteration order, preserving determinism over Go's
 // randomized map iteration.
-func (r *Replicator) digestFor(pid int) []uint64 {
+func (r *Replicator) computeDigest(pid int) []uint64 {
 	buckets := make([]uint64, 2*r.cfg.ScrubBuckets)
 	for key, ks := range r.keys {
-		if ks.suspect || ks.epoch == 0 || !r.sharedWith(pid, key) {
-			continue
+		if ks.confirmed() && r.sharedWith(pid, key) {
+			r.fold(buckets, key, ks.epoch, ks.del, ks.sum)
 		}
-		b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
-		buckets[2*b] ^= digestEntry(key, ks.epoch, ks.del, ks.sum)
-		buckets[2*b+1] ^= digestEntry2(key, ks.epoch, ks.del, ks.sum)
 	}
 	return buckets
+}
+
+// placement identifies what sharedWith depends on: the membership epoch and
+// whether its migration is still in flight (finalizing drops the old ring
+// without bumping the epoch). Constant on a static fleet.
+type placement struct {
+	epoch     uint64
+	migrating bool
+}
+
+func (r *Replicator) placementNow() placement {
+	if r.mem == nil {
+		return placement{}
+	}
+	return placement{epoch: r.mem.Epoch(), migrating: r.mem.Migrating()}
+}
+
+// digest returns the maintained digest of the keys shared with pid; callers
+// must not keep or modify it. Each peer link caches one, computed from
+// scratch on first use and from then on kept current by setState and
+// dropState — a scrub round costs a copy, not a pass over every key. A
+// placement change invalidates them all, a new peer starts without one.
+func (r *Replicator) digest(pid int) []uint64 {
+	if now := r.placementNow(); now != r.digestsAt {
+		r.dropDigests()
+		r.digestsAt = now
+	}
+	pl := r.peers[pid]
+	if pl == nil {
+		return r.computeDigest(pid)
+	}
+	if pl.digest == nil {
+		pl.digest = r.computeDigest(pid)
+	}
+	return pl.digest
+}
+
+// dropDigests forgets every maintained digest.
+func (r *Replicator) dropDigests() {
+	for _, pl := range r.peers {
+		pl.digest = nil
+	}
+}
+
+// setState is the one place a key's replicated record changes: it moves the
+// key's entry in the maintained digest of every peer that shares it from the
+// old record to the new one.
+func (r *Replicator) setState(key string, ks *keyState, epoch uint64, del, suspect bool, sum uint64) {
+	old := *ks
+	ks.epoch, ks.del, ks.suspect, ks.sum = epoch, del, suspect, sum
+	r.refold(key, &old, ks)
+}
+
+// dropState removes key's record from the table and from every digest.
+func (r *Replicator) dropState(key string, ks *keyState) {
+	delete(r.keys, key)
+	r.refold(key, ks, &keyState{})
+	ks.gone = true
+}
+
+// refold replaces was by is (the same key's record before and after a
+// change) in the maintained digests.
+func (r *Replicator) refold(key string, was, is *keyState) {
+	if was.gone || (!was.confirmed() && !is.confirmed()) {
+		return
+	}
+	if r.placementNow() != r.digestsAt {
+		return // every digest is stale: the next use recomputes
+	}
+	set := r.replicaSet(key)
+	if !containsID(set, r.cfg.ID) {
+		return
+	}
+	for _, pid := range set {
+		pl := r.peers[pid]
+		if pid == r.cfg.ID || pl == nil || pl.digest == nil {
+			continue
+		}
+		if was.confirmed() {
+			r.fold(pl.digest, key, was.epoch, was.del, was.sum)
+		}
+		if is.confirmed() {
+			r.fold(pl.digest, key, is.epoch, is.del, is.sum)
+		}
+	}
 }
 
 // scrubber exchanges digests with every peer while armed. It is
@@ -135,7 +227,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 		}
 		for _, pid := range r.peerIDs {
 			r.Counters.Add("scrub-rounds", 1)
-			r.send(p, pid, &frame{Kind: frameDigest, Buckets: r.digestFor(pid)})
+			r.send(p, pid, &frame{Kind: frameDigest, Buckets: append([]uint64(nil), r.digest(pid)...)})
 		}
 		// The scrub pass is also when quarantined SSD media is drained and
 		// returned to service: live slots on suspect regions are re-read,
@@ -158,7 +250,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 // handleDigest compares a peer's digest with our own view of the shared
 // keys and answers with our entries for every differing bucket.
 func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
-	mine := r.digestFor(f.From)
+	mine := r.digest(f.From)
 	n := len(mine) / 2
 	if m := len(f.Buckets) / 2; m < n {
 		n = m
@@ -176,29 +268,30 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 		return
 	}
 	resp := &frame{Kind: frameDiff, Buckets: diff}
-	for _, key := range r.sortedSharedKeys(f.From) {
+	for _, key := range r.sortedSharedKeys(f.From, diff) {
 		ks := r.keys[key]
-		b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
-		for _, db := range diff {
-			if b == db {
-				resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del, Sum: ks.sum})
-				break
-			}
-		}
+		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del, Sum: ks.sum})
 	}
 	r.send(p, f.From, resp)
 }
 
-// sortedSharedKeys lists confirmed keys shared with pid in sorted order
-// (map iteration order is random per run; reconciliation emission order
-// must be deterministic).
-func (r *Replicator) sortedSharedKeys(pid int) []string {
-	keys := make([]string, 0, len(r.keys))
-	for key, ks := range r.keys {
-		if ks.suspect || ks.epoch == 0 || !r.sharedWith(pid, key) {
-			continue
+// sortedSharedKeys lists the confirmed keys shared with pid that fall in one
+// of the given buckets, in sorted order (map iteration order is random per
+// run; reconciliation emission order must be deterministic). Keys are
+// filtered by bucket first: a round that differs in one bucket sorts that
+// bucket's keys, not the table.
+func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
+	in := make([]bool, r.cfg.ScrubBuckets)
+	for _, b := range buckets {
+		if b < uint64(len(in)) {
+			in[b] = true
 		}
-		keys = append(keys, key)
+	}
+	var keys []string
+	for key, ks := range r.keys {
+		if ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key) {
+			keys = append(keys, key)
+		}
 	}
 	sort.Strings(keys)
 	return keys
@@ -211,10 +304,6 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 	theirs := make(map[string]KeyEpoch, len(f.Entries))
 	for _, e := range f.Entries {
 		theirs[e.Key] = e
-	}
-	inDiff := make(map[uint64]bool, len(f.Buckets))
-	for _, b := range f.Buckets {
-		inDiff[b] = true
 	}
 	// Peer-listed keys: compare epochs, then content at equal epochs.
 	for _, e := range f.Entries {
@@ -245,13 +334,9 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 		}
 	}
 	// Keys we hold in a differing bucket that the peer did not list at all.
-	for _, key := range r.sortedSharedKeys(f.From) {
-		if _, listed := theirs[key]; listed {
-			continue
+	for _, key := range r.sortedSharedKeys(f.From, f.Buckets) {
+		if _, listed := theirs[key]; !listed {
+			r.pushKey(p, f.From, key, r.keys[key])
 		}
-		if !inDiff[HashKey(key)%uint64(r.cfg.ScrubBuckets)] {
-			continue
-		}
-		r.pushKey(p, f.From, key, r.keys[key])
 	}
 }
