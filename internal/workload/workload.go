@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Pattern selects the key access distribution.
@@ -84,6 +85,9 @@ type Generator struct {
 	cdf  []float64 // zipf cumulative distribution over ranks
 	seq  int
 	high int // current keyspace size (grows with GrowOnWrite inserts)
+	// keys[i] is Key(i), rendered on first use — a draw costs a table read,
+	// not a Sprintf. "" marks a block not rendered yet.
+	keys []string
 }
 
 // New builds a generator.
@@ -119,9 +123,48 @@ func zipfCDF(n int, s float64) []float64 {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// Key renders the canonical key for index i.
+// keyFormat is the canonical key of an index.
+const keyFormat = "obj:%010d"
+
+// keyBlock is how many neighbouring keys are rendered together, into one
+// string they all slice: a first touch costs 1/keyBlock of an allocation.
+const keyBlock = 64
+
+// Key returns the canonical key for index i. Indexes inside the keyspace are
+// rendered once and served from a table after that; any other index is
+// rendered on the spot.
 func (g *Generator) Key(i int) string {
-	return fmt.Sprintf("obj:%010d", i)
+	if i < 0 || i >= g.high {
+		return fmt.Sprintf(keyFormat, i)
+	}
+	if i >= len(g.keys) {
+		g.keys = append(g.keys, make([]string, g.high-len(g.keys))...)
+	}
+	if g.keys[i] == "" {
+		g.renderBlock(i)
+	}
+	return g.keys[i]
+}
+
+// renderBlock fills the table for the block of indexes around i.
+func (g *Generator) renderBlock(i int) {
+	lo := i &^ (keyBlock - 1)
+	hi := min(lo+keyBlock, len(g.keys))
+	var ends [keyBlock]int
+	buf := make([]byte, 0, keyBlock*len("obj:0000000000"))
+	for j := lo; j < hi; j++ {
+		// keyFormat by hand: fmt would box j, an allocation per key.
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], int64(j), 10)
+		buf = append(buf, "obj:0000000000"[:4+max(0, 10-len(d))]...)
+		buf = append(buf, d...)
+		ends[j-lo] = len(buf)
+	}
+	all, start := string(buf), 0
+	for j := lo; j < hi; j++ {
+		g.keys[j] = all[start:ends[j-lo]]
+		start = ends[j-lo]
+	}
 }
 
 // nextIndex draws a key index per the configured pattern.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -131,6 +132,32 @@ func TestZipfCDFMonotone(t *testing.T) {
 	for i := 1; i < len(cdf); i++ {
 		if cdf[i] < cdf[i-1] {
 			t.Fatalf("CDF not monotone at %d", i)
+		}
+	}
+}
+
+// Keys are rendered once and served from the generator's table after that:
+// the strings are the ones Sprintf would give, inside the keyspace and out,
+// and a draw from a warmed generator allocates nothing.
+func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
+	g := New(Config{Keys: 1000, GrowOnWrite: true, Seed: 9})
+	for _, i := range []int{0, 7, 63, 64, 999, 1000, 123456, -3} {
+		if got, want := g.Key(i), fmt.Sprintf("obj:%010d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for i := 0; i < 300; i++ { // inserts grow the keyspace past the table
+		if _, key := g.Next(); key != fmt.Sprintf("obj:%010d", 1000+i) {
+			t.Fatalf("insert %d drew %q", i, key)
+		}
+	}
+	for _, pattern := range []Pattern{Uniform, Zipf} {
+		g := New(Config{Keys: 4096, ReadFraction: 0.5, Pattern: pattern, Seed: 3})
+		for i := 0; i < 4096; i++ {
+			g.Key(i)
+		}
+		if got := testing.AllocsPerRun(1000, func() { g.Next() }); got != 0 {
+			t.Errorf("pattern %v: Next on a warmed generator allocates %v times", pattern, got)
 		}
 	}
 }
