@@ -485,8 +485,8 @@ type attempt struct {
 	// free, and retransmitting it enqueues a normal RPC attempt.
 	bypass bool
 	// wire is the request message this attempt sends. The TX engine posts a
-	// pointer to it and the server reads it there, so it is written once, in
-	// enqueueWire, and never again.
+	// pointer to it and the server reads it there, so it is complete before
+	// the attempt is queued and never written after.
 	wire protocol.Request
 }
 

@@ -19,13 +19,9 @@ type Garbled struct {
 // divergence signal the scrub digest folds in. Garbled values deliberately
 // sum differently from their originals.
 func ValueSum(v any) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-		// garbleMark separates a corrupted value's sum from its
-		// original's without simulating actual bit flips.
-		garbleMark = 0x9e3779b97f4a7c15
-	)
+	// garbleMark separates a corrupted value's sum from its original's
+	// without simulating actual bit flips.
+	const garbleMark = 0x9e3779b97f4a7c15
 	switch x := v.(type) {
 	case nil:
 		return 0
@@ -53,11 +49,16 @@ func ValueSum(v any) uint64 {
 	}
 }
 
-// fnv1a is the 64-bit FNV-1a hash of b.
+// FNV-1a, 64 bit.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(offset64)
 	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
+		h = (h ^ uint64(c)) * prime64
 	}
 	return h
 }

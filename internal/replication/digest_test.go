@@ -39,7 +39,7 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 			case 1:
 				// A corrupt local read somewhere: the key turns suspect there
 				// and leaves that node's digests until a peer's push repairs it.
-				cl.Replicators[rng.Intn(len(cl.Replicators))].MarkCorruptForTest(p, key)
+				cl.Replicators[rng.Intn(len(cl.Replicators))].OnCorrupt(p, key)
 			case 2:
 				// Silent corruption: same epoch, different content sum.
 				cl.Replicators[rng.Intn(len(cl.Replicators))].SilentlyCorruptForTest(key, rng.Uint64())

@@ -1,7 +1,5 @@
 package replication
 
-import "hybridkv/internal/sim"
-
 // Test-only hooks for the same-epoch content-divergence repair path. The
 // scrub's content fold exists to catch *silent* corruption — an applied
 // value whose bytes changed without an epoch advance — which no public
@@ -56,7 +54,3 @@ func (r *Replicator) StaleDigestsForTest() (stale []int, maintained int) {
 	}
 	return stale, maintained
 }
-
-// MarkCorruptForTest drives the store's corrupt-read hook for key: the key
-// turns suspect and a repair pull opens.
-func (r *Replicator) MarkCorruptForTest(p *sim.Proc, key string) { r.OnCorrupt(p, key) }

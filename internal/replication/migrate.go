@@ -317,7 +317,7 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 		if ks == nil || containsID(r.replicaSet(key), r.cfg.ID) {
 			continue
 		}
-		r.dropState(key, ks)
+		r.dropState(key)
 		if !ks.del {
 			r.st.Delete(p, key)
 		}

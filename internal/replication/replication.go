@@ -535,7 +535,8 @@ func (r *Replicator) begin(p *sim.Proc, key string, del bool, value any, valueSi
 }
 
 // sendWrite sends the round's write to every peer still owing an ack: one
-// frame, shared by all of them — nothing writes to a frame once it is sent.
+// frame, shared by all of them. Receivers only read a frame, and send's
+// stamp of the sender id is the same for every peer, so sharing is safe.
 func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
 	f := &fwd.first
 	if fwd.sends > 0 {
@@ -543,7 +544,7 @@ func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
 	}
 	fwd.sends++
 	*f = frame{
-		Kind: frameWrite, From: r.cfg.ID, ID: fwd.id, Key: fwd.key, Epoch: fwd.epoch,
+		Kind: frameWrite, ID: fwd.id, Key: fwd.key, Epoch: fwd.epoch,
 		Del: fwd.del, Value: fwd.value, ValueSize: fwd.valueSize,
 		Flags: fwd.flags, Expire: fwd.expire, Sum: fwd.sum,
 	}
@@ -1157,7 +1158,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string, ks *keyState) boo
 	if !ok {
 		// The slab layer dropped the value (eviction under pressure): stop
 		// claiming the epoch in digests; a peer's copy can repair us later.
-		r.dropState(key, ks)
+		r.dropState(key)
 		r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
 		return false
 	}
@@ -1191,7 +1192,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 	}
 	if ks.suspect {
 		r.st.Delete(p, f.Key)
-		r.dropState(f.Key, ks)
+		r.dropState(f.Key)
 		r.Counters.Add("suspect-drops", 1)
 	}
 	if !ks.pull.Fired() {

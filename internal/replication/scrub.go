@@ -86,11 +86,13 @@ func (r *Replicator) sharedWith(pid int, key string) bool {
 // and epoch-0 keys are unconfirmed and must not be.
 func (ks *keyState) confirmed() bool { return !ks.suspect && ks.epoch != 0 }
 
-// fold XORs key's record into — or, being its own inverse, out of — a digest.
-func (r *Replicator) fold(buckets []uint64, key string, epoch uint64, del bool, sum uint64) {
-	b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
-	buckets[2*b] ^= digestEntry(key, epoch, del, sum)
-	buckets[2*b+1] ^= digestEntry2(key, epoch, del, sum)
+// folds returns the two digest folds of key's record: zero — XOR's identity —
+// for a record that may not be claimed.
+func (ks *keyState) folds(key string) (uint64, uint64) {
+	if !ks.confirmed() {
+		return 0, 0
+	}
+	return digestEntry(key, ks.epoch, ks.del, ks.sum), digestEntry2(key, ks.epoch, ks.del, ks.sum)
 }
 
 // computeDigest folds the bucketed epoch+content digest over the confirmed
@@ -102,7 +104,10 @@ func (r *Replicator) computeDigest(pid int) []uint64 {
 	buckets := make([]uint64, 2*r.cfg.ScrubBuckets)
 	for key, ks := range r.keys {
 		if ks.confirmed() && r.sharedWith(pid, key) {
-			r.fold(buckets, key, ks.epoch, ks.del, ks.sum)
+			b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
+			e1, e2 := ks.folds(key)
+			buckets[2*b] ^= e1
+			buckets[2*b+1] ^= e2
 		}
 	}
 	return buckets
@@ -134,9 +139,6 @@ func (r *Replicator) digest(pid int) []uint64 {
 		r.digestsAt = now
 	}
 	pl := r.peers[pid]
-	if pl == nil {
-		return r.computeDigest(pid)
-	}
 	if pl.digest == nil {
 		pl.digest = r.computeDigest(pid)
 	}
@@ -159,8 +161,14 @@ func (r *Replicator) setState(key string, ks *keyState, epoch uint64, del, suspe
 	r.refold(key, &old, ks)
 }
 
-// dropState removes key's record from the table and from every digest.
-func (r *Replicator) dropState(key string, ks *keyState) {
+// dropState removes key's record — whichever the table holds now, which
+// after a blocking call need not be the one the caller fetched before it —
+// from the table and from every digest.
+func (r *Replicator) dropState(key string) {
+	ks := r.keys[key]
+	if ks == nil {
+		return
+	}
 	delete(r.keys, key)
 	r.refold(key, ks, &keyState{})
 	ks.gone = true
@@ -179,16 +187,15 @@ func (r *Replicator) refold(key string, was, is *keyState) {
 	if !containsID(set, r.cfg.ID) {
 		return
 	}
+	// XOR is its own inverse: one delta takes the old entry out and puts the
+	// new one in, the same for every peer.
+	b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
+	out1, out2 := was.folds(key)
+	in1, in2 := is.folds(key)
 	for _, pid := range set {
-		pl := r.peers[pid]
-		if pid == r.cfg.ID || pl == nil || pl.digest == nil {
-			continue
-		}
-		if was.confirmed() {
-			r.fold(pl.digest, key, was.epoch, was.del, was.sum)
-		}
-		if is.confirmed() {
-			r.fold(pl.digest, key, is.epoch, is.del, is.sum)
+		if pl := r.peers[pid]; pl != nil && pl.digest != nil {
+			pl.digest[2*b] ^= out1 ^ in1
+			pl.digest[2*b+1] ^= out2 ^ in2
 		}
 	}
 }

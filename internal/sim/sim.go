@@ -6,10 +6,12 @@
 // strict scheduler/process handoff, so exactly one process runs at any
 // instant. Things that merely happen at an instant (a message arriving, a
 // completion, a scheduled fault) are callback events — AtFunc, AfterFunc,
-// Event.OnFire — that the scheduler runs inline, to completion, in the same
-// single order. Shared simulation state therefore needs no locking, results
-// are bit-for-bit reproducible, and virtual time advances with nanosecond
-// precision regardless of host timer resolution.
+// AtCall, Event.OnFire — that the scheduler runs inline, to completion, in
+// the same single order. Short-lived helper processes started per request
+// use Go, which runs them on recycled goroutines. Shared simulation state
+// therefore needs no locking, results are bit-for-bit reproducible, and
+// virtual time advances with nanosecond precision regardless of host timer
+// resolution.
 //
 // The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
 // Resource.Acquire) must only be called from inside the owning process's
@@ -209,10 +211,11 @@ type Proc struct {
 	pending  []*wakeup  // outstanding wakeups; starts out backed by pend
 	pend     [2]*wakeup // room for a wait plus its timeout without allocating
 	wokenTag int
-	// A process started by Go: the function of its current run, and its link
-	// on the Env's idle list between runs.
-	fn   func(p *Proc)
-	next *Proc
+	fn       func(p *Proc) // what the current run executes
+	// A process started by Go goes back on the Env's idle list when its run
+	// returns; next is its link there.
+	recycled bool
+	next     *Proc
 }
 
 // Name returns the process name given at Spawn time.
@@ -236,24 +239,19 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	if t < e.now {
 		t = e.now
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	p.pending = p.pend[:0]
+	p := e.newProc()
+	p.name, p.fn = name, fn
 	e.alive++
-	go func() {
-		<-p.resume
-		// Hand control back however fn ends: by returning, by panicking
-		// (re-raised from Run, in the simulation driver's goroutine), or by
-		// runtime.Goexit (a t.Fatal inside a process).
-		defer func() {
-			if r := recover(); r != nil && e.fault == nil {
-				e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-			e.alive--
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
 	e.scheduleWakeup(t, p, 0)
+	return p
+}
+
+// newProc returns a fresh process parked on its goroutine, waiting for its
+// start wakeup.
+func (e *Env) newProc() *Proc {
+	p := &Proc{env: e, resume: make(chan struct{})}
+	p.pending = p.pend[:0]
+	go p.serve()
 	return p
 }
 
@@ -273,9 +271,8 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 func (e *Env) Go(name string, fn func(p *Proc)) {
 	p := e.idle
 	if p == nil {
-		p = &Proc{env: e, resume: make(chan struct{})}
-		p.pending = p.pend[:0]
-		go p.serve()
+		p = e.newProc()
+		p.recycled = true
 	} else {
 		e.idle, p.next = p.next, nil
 	}
@@ -284,8 +281,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) {
 	e.scheduleWakeup(e.now, p, 0)
 }
 
-// serve is a Go process's goroutine: one function per start wakeup, until a
-// run ends abnormally.
+// serve is a process's goroutine: one function per start wakeup — the only
+// one for a spawned process, one after another for a Go process until a run
+// ends abnormally.
 func (p *Proc) serve() {
 	for {
 		<-p.resume
@@ -295,10 +293,12 @@ func (p *Proc) serve() {
 	}
 }
 
-// runOnce runs the current function and hands control back however it ends
-// (see SpawnAt). It reports whether the goroutine may serve another run: only
-// after a plain return is the Proc put on the idle list. On Goexit it does not
-// return at all.
+// runOnce runs the current function and hands control back however it ends:
+// by returning, by panicking (re-raised from Run, in the simulation driver's
+// goroutine), or by runtime.Goexit (a t.Fatal inside a process). It reports
+// whether the goroutine may serve another run: only a Go process, and only
+// after a plain return, is put on the idle list. On Goexit it does not return
+// at all.
 func (p *Proc) runOnce() (reusable bool) {
 	e := p.env
 	returned := false
@@ -309,7 +309,7 @@ func (p *Proc) runOnce() (reusable bool) {
 			}
 		}
 		p.fn = nil
-		reusable = returned && len(p.pending) == 0
+		reusable = p.recycled && returned && len(p.pending) == 0
 		if reusable {
 			p.next, e.idle = e.idle, p
 		}
