@@ -17,16 +17,19 @@ import (
 	"hybridkv/internal/bench"
 )
 
-// runFigure executes the experiment once per b.N and reports the metrics
-// whose keys appear in report (metric key → benchmark unit suffix).
-func runFigure(b *testing.B, id string, report map[string]string) {
+// runFigure executes the experiment once per b.N under o and reports the
+// metrics whose keys appear in report (metric key → benchmark unit suffix).
+func runFigure(b *testing.B, id string, o bench.Options, report map[string]string) {
 	e := bench.ByID(id)
 	if e == nil {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	var r *bench.Result
 	for i := 0; i < b.N; i++ {
-		r = e.Run(bench.Options{})
+		var err error
+		if r, err = e.Run(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for key, unit := range report {
 		v, ok := r.Metrics[key]
@@ -38,7 +41,7 @@ func runFigure(b *testing.B, id string, report map[string]string) {
 }
 
 func BenchmarkFig1a(b *testing.B) {
-	runFigure(b, "fig1a", map[string]string{
+	runFigure(b, "fig1a", bench.Options{}, map[string]string{
 		"IPoIB-Mem.avg_us":    "ipoib-sim-µs/op",
 		"RDMA-Mem.avg_us":     "rdma-sim-µs/op",
 		"H-RDMA-Def.avg_us":   "hybrid-sim-µs/op",
@@ -47,7 +50,7 @@ func BenchmarkFig1a(b *testing.B) {
 }
 
 func BenchmarkFig1b(b *testing.B) {
-	runFigure(b, "fig1b", map[string]string{
+	runFigure(b, "fig1b", bench.Options{}, map[string]string{
 		"IPoIB-Mem.avg_us":  "ipoib-sim-µs/op",
 		"RDMA-Mem.avg_us":   "rdma-sim-µs/op",
 		"H-RDMA-Def.avg_us": "hybrid-sim-µs/op",
@@ -55,14 +58,14 @@ func BenchmarkFig1b(b *testing.B) {
 }
 
 func BenchmarkFig2a(b *testing.B) {
-	runFigure(b, "fig2a", map[string]string{
+	runFigure(b, "fig2a", bench.Options{}, map[string]string{
 		"RDMA-Mem.client_wait_us": "cliwait-sim-µs/op",
 		"RDMA-Mem.avg_us":         "rdma-sim-µs/op",
 	})
 }
 
 func BenchmarkFig2b(b *testing.B) {
-	runFigure(b, "fig2b", map[string]string{
+	runFigure(b, "fig2b", bench.Options{}, map[string]string{
 		"RDMA-Mem.miss_penalty_us": "miss-sim-µs/op",
 		"H-RDMA-Def.cache_load_us": "ssdload-sim-µs/op",
 		"H-RDMA-Def.slab_alloc_us": "slaballoc-sim-µs/op",
@@ -70,7 +73,7 @@ func BenchmarkFig2b(b *testing.B) {
 }
 
 func BenchmarkFig4(b *testing.B) {
-	runFigure(b, "fig4", map[string]string{
+	runFigure(b, "fig4", bench.Options{}, map[string]string{
 		"direct.32KB_us":   "direct32K-sim-µs",
 		"cached.32KB_us":   "cached32K-sim-µs",
 		"mmap.2KB_us":      "mmap2K-sim-µs",
@@ -79,14 +82,14 @@ func BenchmarkFig4(b *testing.B) {
 }
 
 func BenchmarkFig6a(b *testing.B) {
-	runFigure(b, "fig6a", map[string]string{
+	runFigure(b, "fig6a", bench.Options{}, map[string]string{
 		"H-RDMA-Opt-NonB-i.avg_us": "nonb-sim-µs/op",
 		"RDMA-Mem.avg_us":          "rdmamem-sim-µs/op",
 	})
 }
 
 func BenchmarkFig6b(b *testing.B) {
-	runFigure(b, "fig6b", map[string]string{
+	runFigure(b, "fig6b", bench.Options{}, map[string]string{
 		"improvement.nonb_i_vs_def":      "nonb/def-x",
 		"improvement.nonb_i_vs_optblock": "nonb/opt-x",
 		"improvement.optblock_vs_def":    "opt/def-x",
@@ -95,7 +98,7 @@ func BenchmarkFig6b(b *testing.B) {
 }
 
 func BenchmarkFig7a(b *testing.B) {
-	runFigure(b, "fig7a", map[string]string{
+	runFigure(b, "fig7a", bench.Options{}, map[string]string{
 		"RDMA-NonB-i.read-only.overlap_pct":   "nonbI-ro-%",
 		"RDMA-NonB-i.write-heavy.overlap_pct": "nonbI-wh-%",
 		"RDMA-NonB-b.write-heavy.overlap_pct": "nonbB-wh-%",
@@ -103,14 +106,14 @@ func BenchmarkFig7a(b *testing.B) {
 }
 
 func BenchmarkFig7b(b *testing.B) {
-	runFigure(b, "fig7b", map[string]string{
+	runFigure(b, "fig7b", bench.Options{}, map[string]string{
 		"improvement_pct.nonb_i_vs_def.16KB": "improve16K-%",
 		"improvement_pct.nonb_i_vs_def.64KB": "improve64K-%",
 	})
 }
 
 func BenchmarkFig7c(b *testing.B) {
-	runFigure(b, "fig7c", map[string]string{
+	runFigure(b, "fig7c", bench.Options{}, map[string]string{
 		"speedup.nonb_i_vs_block":       "nonb/block-x",
 		"speedup.optblock_vs_def":       "opt/def-x",
 		"H-RDMA-Opt-NonB-i.ops_per_sec": "nonb-sim-ops/s",
@@ -119,7 +122,7 @@ func BenchmarkFig7c(b *testing.B) {
 }
 
 func BenchmarkFig8a(b *testing.B) {
-	runFigure(b, "fig8a", map[string]string{
+	runFigure(b, "fig8a", bench.Options{}, map[string]string{
 		"improvement_pct.opt_vs_def.SATA.write-heavy":    "optSATA-%",
 		"improvement_pct.nonb_i_vs_def.SATA.write-heavy": "nonbSATA-%",
 		"improvement_pct.opt_vs_def.NVMe.write-heavy":    "optNVMe-%",
@@ -127,7 +130,7 @@ func BenchmarkFig8a(b *testing.B) {
 }
 
 func BenchmarkFig8b(b *testing.B) {
-	runFigure(b, "fig8b", map[string]string{
+	runFigure(b, "fig8b", bench.Options{}, map[string]string{
 		"improvement_pct.access.SATA.2MB":  "accessSATA2M-%",
 		"improvement_pct.access.SATA.16MB": "accessSATA16M-%",
 		"improvement_pct.access.NVMe.16MB": "accessNVMe16M-%",
@@ -137,21 +140,7 @@ func BenchmarkFig8b(b *testing.B) {
 // Ablation benches: the design-choice sweeps DESIGN.md calls out.
 
 func runAblation(b *testing.B, id string, report map[string]string) {
-	e := bench.AblationByID(id)
-	if e == nil {
-		b.Fatalf("unknown ablation %q", id)
-	}
-	var r *bench.Result
-	for i := 0; i < b.N; i++ {
-		r = e.Run(bench.Options{Ops: 1200})
-	}
-	for key, unit := range report {
-		v, ok := r.Metrics[key]
-		if !ok {
-			b.Fatalf("ablation %s did not produce metric %q", id, key)
-		}
-		b.ReportMetric(v, unit)
-	}
+	runFigure(b, id, bench.Options{Ops: 1200}, report)
 }
 
 func BenchmarkAblationZipf(b *testing.B) {

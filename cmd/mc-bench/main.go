@@ -5,15 +5,18 @@
 // Usage:
 //
 //	mc-bench -list
-//	mc-bench [-full] [-ops N] fig1a fig6b ...
+//	mc-bench [-full] [-ops N] fig1a fig6b abl-zipf ...
 //	mc-bench [-full] all
 //	mc-bench -smoke          (whole registry at tiny op counts)
+//	mc-bench -json <path> all     (write records; a directory gets one BENCH_<id>.json each)
+//	mc-bench -verify <path> all   (compare records against committed ones, exactly)
 //
-// Experiment ids follow the paper's figure numbering (fig1a..fig8b); see
-// DESIGN.md §5 for the per-experiment index.
+// Experiment ids follow the paper's figure numbering (fig1a..fig8b), the
+// ablations are abl-*; see DESIGN.md §5 for the per-experiment index.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -23,14 +26,61 @@ import (
 	"hybridkv/internal/bench"
 )
 
-// writeJSON dumps every run experiment's metric records to path.
-func writeJSON(path string, results []*bench.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// snapshot is one records file and the results it holds.
+type snapshot struct {
+	file    string
+	results []*bench.Result
+}
+
+// snapshotFiles maps a -json/-verify path onto files: a directory holds
+// one BENCH_<id>.json per experiment, anything else is one file of every
+// result.
+func snapshotFiles(path string, results []*bench.Result) []snapshot {
+	if st, err := os.Stat(path); err != nil || !st.IsDir() {
+		return []snapshot{{path, results}}
 	}
-	defer f.Close()
-	return bench.WriteJSON(f, results)
+	var files []snapshot
+	for _, r := range results {
+		files = append(files, snapshot{filepath.Join(path, "BENCH_"+r.ID+".json"), []*bench.Result{r}})
+	}
+	return files
+}
+
+// writeJSON dumps the run experiments' metric records to path.
+func writeJSON(path string, results []*bench.Result) error {
+	for _, s := range snapshotFiles(path, results) {
+		var buf bytes.Buffer
+		if err := bench.WriteJSON(&buf, s.results); err != nil {
+			return err
+		}
+		if err := os.WriteFile(s.file, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verify compares the run experiments' records against the committed ones
+// under path and returns how many differ.
+func verify(path string, results []*bench.Result) (int, error) {
+	diffs, total := 0, 0
+	for _, r := range results {
+		total += len(r.Metrics)
+	}
+	for _, s := range snapshotFiles(path, results) {
+		f, err := os.Open(s.file)
+		if err != nil {
+			return 0, err
+		}
+		n, err := bench.Verify(os.Stdout, f, s.results)
+		f.Close()
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", s.file, err)
+		}
+		diffs += n
+	}
+	fmt.Printf("verify: %d records run, %d changed, missing or extra against %s\n", total, diffs, path)
+	return diffs, nil
 }
 
 // writeCSV dumps one experiment's tables to <dir>/<id>.csv.
@@ -42,19 +92,23 @@ func writeCSV(dir string, r *bench.Result) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return r.WriteCSV(f)
+	if err := r.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
-	list := flag.Bool("list", false, "list available experiments and exit")
+	list := flag.Bool("list", false, "list available experiments and ablations and exit")
 	full := flag.Bool("full", false, "use the paper's full sizes (1 GB server memory) instead of the 4x-scaled default")
 	ops := flag.Int("ops", 0, "override the measured operation count")
 	smoke := flag.Bool("smoke", false, "run every registered experiment at a tiny operation count (registry smoke test)")
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV into this directory")
-	jsonPath := flag.String("json", "", "also write every run experiment's metrics as JSON records to this file")
+	jsonPath := flag.String("json", "", "also write every run experiment's metrics as JSON records to this file, or as one BENCH_<id>.json each into this directory")
+	verifyPath := flag.String("verify", "", "compare every run experiment's records, exactly, against the committed ones in this file or directory of BENCH_<id>.json; print the differing records instead of the tables and exit non-zero on any")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] <experiment-id>... | all\n\n")
+		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] [-csv dir] [-json path] [-verify path] <experiment-id>... | all\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -62,6 +116,10 @@ func main() {
 	if *list {
 		for _, e := range bench.Registry {
 			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+		}
+		fmt.Println("ablations (not part of `all`):")
+		for _, e := range bench.Ablations {
+			fmt.Printf("  %-14s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -87,28 +145,49 @@ func main() {
 		ids = args
 	}
 	exit := 0
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mc-bench: "+format+"\n", args...)
+		exit = 1
+	}
+	// Under -verify stdout carries the differing records only; progress
+	// goes to stderr.
+	progress := os.Stdout
+	if *verifyPath != "" {
+		progress = os.Stderr
+	}
 	var results []*bench.Result
 	for _, id := range ids {
 		e := bench.ByID(id)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "mc-bench: unknown experiment %q (try -list)\n", id)
-			exit = 1
+			fail("unknown experiment %q (try -list)", id)
 			continue
 		}
 		t0 := time.Now()
-		r := e.Run(opts)
+		r, err := e.Run(opts)
+		if err != nil {
+			fail("%v", err)
+			continue
+		}
 		results = append(results, r)
-		fmt.Printf("==> %s — %s   [%v wall]\n%s\n", r.ID, e.Title, time.Since(t0).Round(time.Millisecond), r.Output)
+		fmt.Fprintf(progress, "==> %s — %s   [%v wall]\n", r.ID, e.Title, time.Since(t0).Round(time.Millisecond))
+		if *verifyPath == "" {
+			fmt.Printf("%s\n", r.Output)
+		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, r); err != nil {
-				fmt.Fprintf(os.Stderr, "mc-bench: csv: %v\n", err)
-				exit = 1
+				fail("csv: %v", err)
 			}
 		}
 	}
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, results); err != nil {
-			fmt.Fprintf(os.Stderr, "mc-bench: json: %v\n", err)
+			fail("json: %v", err)
+		}
+	}
+	if *verifyPath != "" {
+		if n, err := verify(*verifyPath, results); err != nil {
+			fail("verify: %v", err)
+		} else if n > 0 {
 			exit = 1
 		}
 	}

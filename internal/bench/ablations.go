@@ -15,288 +15,228 @@ import (
 // request-buffer bound, issue window, adaptive cutoff) while holding the
 // rest of the system at the paper's configuration.
 
-// AblationZipf sweeps the zipfian exponent and reports the fig6b-style
+// overcommitted is the paper's 1.5:1 single-server geometry on SATA with
+// one knob of the cluster config turned.
+func overcommitted(d cluster.Design, o Options, knob func(*cluster.Config)) *spec {
+	mem, kv, _ := o.geometry()
+	sp := paperSpec(d, cluster.ClusterA(), mem, mem*3/2, kv)
+	if knob != nil {
+		knob(&sp.Config)
+	}
+	return sp
+}
+
+// halfOps is the ablations' measured operation count.
+func halfOps(o Options) int {
+	_, _, opsDef := o.geometry()
+	return o.ops(opsDef) / 2
+}
+
+var ablSkews = []float64{0.2, 0.5, 0.8, 0.99, 1.2}
+
+// ablZipf sweeps the zipfian exponent and reports the fig6b-style
 // improvement factors, making the calibration sensitivity explicit: the
 // orderings hold across the whole range even though absolute factors move.
-func AblationZipf(o Options) *Result {
-	res := newResult("abl-zipf", "Ablation: workload skew vs design improvements (1.5:1 overcommit, SATA)")
-	mem, kv, opsDef := o.geometry()
-	dataBytes := mem * 3 / 2
-	ops := o.ops(opsDef) / 2
-	defS := &metrics.Series{Name: "Def µs"}
-	optS := &metrics.Series{Name: "Opt µs"}
-	nonbS := &metrics.Series{Name: "NonB-i µs"}
-	ratio := &metrics.Series{Name: "NonB/Def"}
-	for _, s := range []float64{0.2, 0.5, 0.8, 0.99, 1.2} {
-		label := fmt.Sprintf("s=%.2f", s)
-		var def, opt, nonb float64
-		for _, d := range []cluster.Design{cluster.HRDMADef, cluster.HRDMAOptBlock, cluster.HRDMAOptNonBI} {
-			cl, keys := buildAndPreload(d, cluster.ClusterA(), mem, dataBytes, kv, 1, 1)
-			gen := workload.New(workload.Config{
-				Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-				Pattern: workload.Zipf, ZipfS: s, Seed: 23,
-			})
-			var avg float64
-			if d.NonBlocking() {
-				avg = us(RunNonBlocking(cl, gen, 0, ops, false).PerOp)
-			} else {
-				avg = us(RunBlocking(cl, gen, 0, ops).AllLat.Mean())
-			}
-			switch d {
-			case cluster.HRDMADef:
-				def = avg
-			case cluster.HRDMAOptBlock:
-				opt = avg
-			default:
-				nonb = avg
+var ablZipf = Experiment{
+	ID: "abl-zipf", Title: "Ablation: workload skew vs design improvements (1.5:1 overcommit, SATA)",
+	cells: func(o Options) (cells []cell) {
+		for _, s := range ablSkews {
+			for _, d := range []struct {
+				name, col string
+				design    cluster.Design
+			}{
+				{"def", "Def µs", cluster.HRDMADef},
+				{"opt", "Opt µs", cluster.HRDMAOptBlock},
+				{"nonb", "NonB-i µs", cluster.HRDMAOptNonBI},
+			} {
+				sp := overcommitted(d.design, o, nil)
+				w := zipf(0.5, 23)
+				w.ZipfS = s
+				cells = append(cells, cell{
+					prefix: fmt.Sprintf("s=%.2f.%s", s, d.name), row: fmt.Sprintf("s=%.2f", s),
+					spec: sp, drive: sp.closed(w, halfOps(o)),
+					collect: func(_ *cluster.Cluster, r *run) { r.show(d.col, "_us", us(r.PerOp)) },
+				})
 			}
 		}
-		defS.Append(label, def)
-		optS.Append(label, opt)
-		nonbS.Append(label, nonb)
-		ratio.Append(label, def/nonb)
-		res.metric(label+".def_us", def)
-		res.metric(label+".opt_us", opt)
-		res.metric(label+".nonb_us", nonb)
-		res.metric(label+".nonb_vs_def", def/nonb)
-		res.metric(label+".ordering_holds", boolMetric(nonb < opt && opt < def))
-	}
-	res.Output = res.addTable(res.Title, defS, optS, nonbS, ratio) + res.renderMetrics()
-	return res
+		return cells
+	},
+	derive: func(v func(string) float64, h *run) {
+		for _, s := range ablSkews {
+			at := fmt.Sprintf("s=%.2f", s)
+			def, opt, nonb := v(at+".def_us"), v(at+".opt_us"), v(at+".nonb_us")
+			h.plotAt(h.cell.table, "NonB/Def", at, def/nonb)
+			h.set(at+".nonb_vs_def", def/nonb)
+			h.set(at+".ordering_holds", boolMetric(nonb < opt && opt < def))
+		}
+	},
 }
 
-// AblationWorkers sweeps the async server's storage worker pool.
-func AblationWorkers(o Options) *Result {
-	res := newResult("abl-workers", "Ablation: async storage workers vs NonB-i latency")
-	mem, kv, opsDef := o.geometry()
-	dataBytes := mem * 3 / 2
-	ops := o.ops(opsDef) / 2
-	lat := &metrics.Series{Name: "NonB-i µs"}
-	for _, w := range []int{1, 2, 4, 8} {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-			ServerMem: mem, StorageWorkers: w,
-		})
-		keys := int(dataBytes / int64(kv))
-		cl.Preload(keys, kv, keyOf)
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-			Pattern: workload.Zipf, ZipfS: zipfOver, Seed: 29,
-		})
-		r := RunNonBlocking(cl, gen, 0, ops, false)
-		label := fmt.Sprintf("workers=%d", w)
-		lat.Append(label, us(r.PerOp))
-		res.metric(label+".per_op_us", us(r.PerOp))
-	}
-	res.Output = res.addTable(res.Title, lat) + res.renderMetrics()
-	return res
+// ablWorkers sweeps the async server's storage worker pool.
+var ablWorkers = Experiment{
+	ID: "abl-workers", Title: "Ablation: async storage workers vs NonB-i latency",
+	cells: func(o Options) (cells []cell) {
+		for _, n := range []int{1, 2, 4, 8} {
+			sp := overcommitted(cluster.HRDMAOptNonBI, o, func(c *cluster.Config) { c.StorageWorkers = n })
+			cells = append(cells, cell{
+				prefix: fmt.Sprintf("workers=%d.", n), spec: sp, drive: sp.closed(zipf(0.5, 29), halfOps(o)),
+				collect: func(_ *cluster.Cluster, r *run) { r.show("NonB-i µs", "per_op_us", us(r.PerOp)) },
+			})
+		}
+		return cells
+	},
 }
 
-// AblationBuffer sweeps the key-value size against bset's write-heavy
-// overlap, exposing the mechanism behind Figure 7(a)'s collapse: bset must
-// wait until the value leaves the NIC, so overlap falls as the value grows
+// ablBuffer sweeps the key-value size against bset's write-heavy overlap,
+// exposing the mechanism behind Figure 7(a)'s collapse: bset must wait
+// until the value leaves the NIC, so overlap falls as the value grows
 // toward the link's serialization budget.
-func AblationBuffer(o Options) *Result {
-	res := newResult("abl-buffer", "Ablation: value size vs bset write-heavy overlap%")
-	mem, _, opsDef := o.geometry()
-	mem /= 2
-	ops := o.ops(opsDef) / 4
-	ov := &metrics.Series{Name: "overlap %"}
-	for _, kv := range []int{2048, 8192, 32 * 1024, 128 * 1024} {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(),
-			ServerMem: mem,
-		})
-		keys := int(mem * 3 / 2 / int64(kv))
-		cl.Preload(keys, kv, keyOf)
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-			Pattern: workload.Zipf, ZipfS: zipfOver, Seed: 31,
-		})
-		r := RunOverlap(cl, gen, 0, ops, "nonb-b")
-		label := fmt.Sprintf("%dKB", kv/1024)
-		ov.Append(label, r.OverlapPct)
-		res.metric(label+".overlap_pct", r.OverlapPct)
-	}
-	res.Output = res.addTable(res.Title, ov) + res.renderMetrics()
-	return res
-}
-
-// AblationCutoff sweeps the adaptive mmap/cached class boundary.
-func AblationCutoff(o Options) *Result {
-	res := newResult("abl-cutoff", "Ablation: adaptive cutoff vs Opt-Block set latency (write-heavy)")
-	mem, kv, opsDef := o.geometry()
-	dataBytes := mem * 3 / 2
-	ops := o.ops(opsDef) / 2
-	lat := &metrics.Series{Name: "set µs"}
-	for _, cutoff := range []int{0, 4 * 1024, 16 * 1024, 64 * 1024, 1 << 20} {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMAOptBlock, Profile: cluster.ClusterA(),
-			ServerMem: mem, AdaptiveCutoff: cutoff,
-		})
-		keys := int(dataBytes / int64(kv))
-		cl.Preload(keys, kv, keyOf)
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: kv, ReadFraction: 0.3,
-			Pattern: workload.Zipf, ZipfS: zipfOver, Seed: 37,
-		})
-		r := RunBlocking(cl, gen, 0, ops)
-		label := fmt.Sprintf("cutoff=%dK", cutoff/1024)
-		lat.Append(label, us(r.SetLat.Mean()))
-		res.metric(label+".set_us", us(r.SetLat.Mean()))
-	}
-	res.Output = res.addTable(res.Title, lat) + res.renderMetrics()
-	return res
-}
-
-// AblationWindow sweeps the non-blocking issue window against throughput,
-// showing how deep the pipeline must be to hide the hybrid storage path.
-func AblationWindow(o Options) *Result {
-	res := newResult("abl-window", "Ablation: issue window vs NonB-i throughput (4 clients)")
-	mem, kv, _ := o.geometry()
-	dataBytes := mem * 3 / 2
-	tput := &metrics.Series{Name: "ops/sec"}
-	for _, w := range []int{1, 4, 16, 64, 256} {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-			ServerMem: mem, Clients: 4,
-		})
-		keys := int(dataBytes / int64(kv))
-		cl.Preload(keys, kv, keyOf)
-		r := RunThroughput(cl, func(ci int) *workload.Generator {
-			return workload.New(workload.Config{
-				Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-				Pattern: workload.Zipf, ZipfS: zipfOver, Seed: int64(41 + ci),
+var ablBuffer = Experiment{
+	ID: "abl-buffer", Title: "Ablation: value size vs bset write-heavy overlap%",
+	cells: func(o Options) (cells []cell) {
+		mem, _, _ := o.geometry()
+		mem /= 2
+		for _, kv := range []int{2048, 8192, 32 * 1024, 128 * 1024} {
+			sp := paperSpec(cluster.HRDMAOptNonBB, cluster.ClusterA(), mem, mem*3/2, kv)
+			cells = append(cells, cell{
+				prefix: fmt.Sprintf("%dKB.", kv/1024), spec: sp,
+				drive:   func(cl *cluster.Cluster, r *run) { driveOverlap(cl, sp.gen(zipf(0.5, 31)), halfOps(o)/2, r) },
+				collect: func(_ *cluster.Cluster, r *run) { r.show("overlap %", "overlap_pct", r.overlapPct()) },
 			})
-		}, o.ops(3000)/4, true, false, w)
-		label := fmt.Sprintf("window=%d", w)
-		tput.Append(label, r.OpsPerS)
-		res.metric(label+".ops_per_sec", r.OpsPerS)
-	}
-	res.Output = res.addTable(res.Title, tput) + res.renderMetrics()
-	return res
+		}
+		return cells
+	},
 }
 
-// AblationAsyncFlush contrasts synchronous eviction with write-behind
-// flushing (the paper's future work) on the H-RDMA-Def design, whose
-// direct-I/O flushes sit on the request path — the case async SSD I/O is
-// meant to rescue.
-func AblationAsyncFlush(o Options) *Result {
-	res := newResult("abl-asyncflush", "Ablation: synchronous vs write-behind eviction (H-RDMA-Def, write-heavy)")
-	mem, kv, opsDef := o.geometry()
-	dataBytes := mem * 3 / 2
-	ops := o.ops(opsDef) / 2
-	lat := &metrics.Series{Name: "set µs"}
-	for _, async := range []bool{false, true} {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMADef, Profile: cluster.ClusterA(),
-			ServerMem: mem, AsyncFlush: async,
-		})
-		keys := int(dataBytes / int64(kv))
-		cl.Preload(keys, kv, keyOf)
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: kv, ReadFraction: 0.3,
-			Pattern: workload.Zipf, ZipfS: zipfOver, Seed: 43,
-		})
-		r := RunBlocking(cl, gen, 0, ops)
-		label := "sync-flush"
-		if async {
-			label = "write-behind"
-		}
-		lat.Append(label, us(r.SetLat.Mean()))
-		res.metric(label+".set_us", us(r.SetLat.Mean()))
+// setLatencyCell measures blocking Set latency on a write-heavy (30% read)
+// workload: the measurement the cutoff and flush ablations share.
+func setLatencyCell(label string, sp *spec, seed int64, ops int) cell {
+	return cell{
+		prefix: label + ".", spec: sp, drive: sp.closed(zipf(0.3, seed), ops),
+		collect: func(_ *cluster.Cluster, r *run) { r.show("set µs", "set_us", us(r.SetLat.Mean())) },
 	}
-	if res.Metrics["sync-flush.set_us"] > 0 {
-		res.metric("speedup.write_behind", res.Metrics["sync-flush.set_us"]/res.Metrics["write-behind.set_us"])
-	}
-	res.Output = res.addTable(res.Title, lat) + res.renderMetrics()
-	return res
 }
 
-// AblationLibmemcachedBuffering reproduces the paper's Section IV-A
-// comparison: default libmemcached's connection-wide buffering mode defers
-// Sets cheaply but makes every data-returning Get pay to flush the queue,
-// whereas the non-blocking extensions keep both cheap and add per-op
-// completion guarantees. Workload: bursts of 16 Sets followed by one Get.
-func AblationLibmemcachedBuffering(o Options) *Result {
-	res := newResult("abl-libbuf", "Ablation: libmemcached buffering mode vs non-blocking extensions (16 Sets then 1 Get, 32 KB)")
-	ops := o.ops(1600)
-	bursts := ops / 17
-	kv := 32 * 1024
-	setLat := &metrics.Series{Name: "set µs"}
-	getLat := &metrics.Series{Name: "get µs"}
-	run := func(label string, design cluster.Design, buffered bool) {
-		cl := cluster.New(cluster.Config{
-			Design: design, Profile: cluster.ClusterA(), ServerMem: 256 << 20,
-		})
-		c := cl.Clients[0]
-		if buffered {
-			if err := c.SetBuffering(true); err != nil {
-				panic(err)
-			}
+// ablCutoff sweeps the adaptive mmap/cached class boundary.
+var ablCutoff = Experiment{
+	ID: "abl-cutoff", Title: "Ablation: adaptive cutoff vs Opt-Block set latency (write-heavy)",
+	cells: func(o Options) (cells []cell) {
+		for _, cutoff := range []int{0, 4 * 1024, 16 * 1024, 64 * 1024, 1 << 20} {
+			sp := overcommitted(cluster.HRDMAOptBlock, o, func(c *cluster.Config) { c.AdaptiveCutoff = cutoff })
+			cells = append(cells, setLatencyCell(fmt.Sprintf("cutoff=%dK", cutoff/1024), sp, 37, halfOps(o)))
 		}
-		sets, gets := metrics.NewHist(), metrics.NewHist()
-		cl.Env.Spawn("drv", func(p *sim.Proc) {
-			for b := 0; b < bursts; b++ {
-				if design.NonBlocking() {
-					var reqs []*core.Req
-					for i := 0; i < 16; i++ {
-						t0 := p.Now()
-						req, _ := c.ISet(p, burstKey(b, i), kv, b, 0, 0)
-						sets.Add(p.Now() - t0)
-						reqs = append(reqs, req)
-					}
-					t0 := p.Now()
-					rq, _ := c.IGet(p, burstKey(b, 0))
-					c.Wait(p, rq)
-					c.WaitAll(p, reqs)
-					gets.Add(p.Now() - t0)
-					continue
-				}
-				for i := 0; i < 16; i++ {
-					t0 := p.Now()
-					c.Set(p, burstKey(b, i), kv, b, 0, 0)
-					sets.Add(p.Now() - t0)
-				}
+		return cells
+	},
+}
+
+// ablWindow sweeps the non-blocking issue window against throughput,
+// showing how deep the pipeline must be to hide the hybrid storage path.
+var ablWindow = Experiment{
+	ID: "abl-window", Title: "Ablation: issue window vs NonB-i throughput (4 clients)",
+	cells: func(o Options) (cells []cell) {
+		for _, window := range []int{1, 4, 16, 64, 256} {
+			sp := overcommitted(cluster.HRDMAOptNonBI, o, func(c *cluster.Config) { c.Clients = 4 })
+			cells = append(cells, cell{
+				prefix: fmt.Sprintf("window=%d.", window), spec: sp,
+				drive: func(cl *cluster.Cluster, r *run) {
+					driveThroughput(cl, func(ci int) *workload.Generator { return sp.gen(zipf(0.5, int64(41+ci))) },
+						o.ops(3000)/4, window, r)
+				},
+				collect: func(_ *cluster.Cluster, r *run) {
+					r.show("ops/sec", "ops_per_sec", metrics.Throughput(r.Ops, r.Elapsed))
+				},
+			})
+		}
+		return cells
+	},
+}
+
+// ablAsyncFlush contrasts synchronous eviction with write-behind flushing
+// (the paper's future work) on the H-RDMA-Def design, whose direct-I/O
+// flushes sit on the request path — the case async SSD I/O is meant to
+// rescue.
+var ablAsyncFlush = Experiment{
+	ID: "abl-asyncflush", Title: "Ablation: synchronous vs write-behind eviction (H-RDMA-Def, write-heavy)",
+	cells: func(o Options) (cells []cell) {
+		for _, async := range []bool{false, true} {
+			sp := overcommitted(cluster.HRDMADef, o, func(c *cluster.Config) { c.AsyncFlush = async })
+			label := map[bool]string{false: "sync-flush", true: "write-behind"}[async]
+			cells = append(cells, setLatencyCell(label, sp, 43, halfOps(o)))
+		}
+		return cells
+	},
+	derive: func(v func(string) float64, h *run) {
+		h.set("speedup.write_behind", v("sync-flush.set_us")/v("write-behind.set_us"))
+	},
+}
+
+// ablLibbuf reproduces the paper's Section IV-A comparison: default
+// libmemcached's connection-wide buffering mode defers Sets cheaply but
+// makes every data-returning Get pay to flush the queue, whereas the
+// non-blocking extensions keep both cheap and add per-op completion
+// guarantees. Workload: bursts of 16 Sets followed by one Get.
+var ablLibbuf = Experiment{
+	ID: "abl-libbuf", Title: "Ablation: libmemcached buffering mode vs non-blocking extensions (16 Sets then 1 Get, 32 KB)",
+	cells: func(o Options) (cells []cell) {
+		for _, m := range []struct {
+			labeled
+			buffered bool
+		}{
+			{labeled{"IPoIB-plain", cluster.IPoIBMem}, false},
+			{labeled{"IPoIB-buffered", cluster.IPoIBMem}, true},
+			{labeled{"RDMA-NonB-i", cluster.HRDMAOptNonBI}, false},
+		} {
+			cells = append(cells, cell{
+				prefix: m.label + ".",
+				spec:   &spec{Config: cluster.Config{Design: m.design, Profile: cluster.ClusterA(), ServerMem: 256 << 20}},
+				drive:  func(cl *cluster.Cluster, r *run) { driveSetBursts(cl, o.ops(1600)/17, m.buffered, r) },
+				collect: func(_ *cluster.Cluster, r *run) {
+					r.show("set µs", "set_us", us(r.SetLat.Mean()))
+					r.show("get µs", "get_us", us(r.GetLat.Mean()))
+				},
+			})
+		}
+		return cells
+	},
+	derive: func(v func(string) float64, h *run) {
+		h.set("buffered_get_penalty", v("IPoIB-buffered.get_us")/v("IPoIB-plain.get_us"))
+	},
+}
+
+// driveSetBursts runs bursts of 16 32 KB Sets followed by one Get of the
+// burst's first key, timing each Set call (SetLat) and the Get to its data
+// (GetLat). buffered turns on libmemcached's buffering mode first.
+func driveSetBursts(cl *cluster.Cluster, bursts int, buffered bool, r *run) {
+	const kv = 32 * 1024
+	c := cl.Clients[0]
+	if buffered {
+		must(c.SetBuffering(true))
+	}
+	key := func(b, i int) string { return fmt.Sprintf("burst:%05d:%02d", b, i) }
+	cl.Env.Spawn("drv", func(p *sim.Proc) {
+		for b := 0; b < bursts; b++ {
+			var reqs []*core.Req
+			for i := 0; i < 16; i++ {
 				t0 := p.Now()
-				c.Get(p, burstKey(b, 0))
-				gets.Add(p.Now() - t0)
+				if cl.Design.NonBlocking() {
+					req, _ := c.ISet(p, key(b, i), kv, b, 0, 0)
+					reqs = append(reqs, req)
+				} else {
+					c.Set(p, key(b, i), kv, b, 0, 0)
+				}
+				r.SetLat.Add(p.Now() - t0)
 			}
-		})
-		cl.Env.Run()
-		setLat.Append(label, us(sets.Mean()))
-		getLat.Append(label, us(gets.Mean()))
-		res.metric(label+".set_us", us(sets.Mean()))
-		res.metric(label+".get_us", us(gets.Mean()))
-	}
-	run("IPoIB-plain", cluster.IPoIBMem, false)
-	run("IPoIB-buffered", cluster.IPoIBMem, true)
-	run("RDMA-NonB-i", cluster.HRDMAOptNonBI, false)
-	res.metric("buffered_get_penalty",
-		res.Metrics["IPoIB-buffered.get_us"]/res.Metrics["IPoIB-plain.get_us"])
-	res.Output = res.addTable(res.Title, setLat, getLat) + res.renderMetrics()
-	return res
-}
-
-func burstKey(b, i int) string { return fmt.Sprintf("burst:%05d:%02d", b, i) }
-
-// Ablations lists the ablation studies.
-var Ablations = []Experiment{
-	{"abl-zipf", "Workload-skew sensitivity of the improvement factors", AblationZipf},
-	{"abl-workers", "Async storage-worker pool size", AblationWorkers},
-	{"abl-buffer", "Value size vs bset write-heavy overlap", AblationBuffer},
-	{"abl-cutoff", "Adaptive mmap/cached cutoff", AblationCutoff},
-	{"abl-window", "Non-blocking issue window depth", AblationWindow},
-	{"abl-asyncflush", "Synchronous vs write-behind eviction (paper future work)", AblationAsyncFlush},
-	{"abl-libbuf", "libmemcached buffering mode vs non-blocking extensions", AblationLibmemcachedBuffering},
-}
-
-// AblationByID finds an ablation, or nil.
-func AblationByID(id string) *Experiment {
-	for i := range Ablations {
-		if Ablations[i].ID == id {
-			return &Ablations[i]
+			t0 := p.Now()
+			if cl.Design.NonBlocking() {
+				req, _ := c.IGet(p, key(b, 0))
+				c.Wait(p, req)
+				c.WaitAll(p, reqs)
+			} else {
+				c.Get(p, key(b, 0))
+			}
+			r.GetLat.Add(p.Now() - t0)
 		}
-	}
-	return nil
+	})
+	cl.Env.Run()
+	r.Ops = int64(bursts * 17)
 }

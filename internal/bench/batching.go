@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"hybridkv/internal/cluster"
-	"hybridkv/internal/core"
 	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
-	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
 
@@ -17,158 +14,6 @@ import (
 // sweep isolates what coalescing buys: fewer wire sends (credits), a single
 // receive-repost per frame, and merged eviction flushes on the server.
 
-// BatchedResult summarizes one batched measurement phase.
-type BatchedResult struct {
-	Ops     int64
-	Elapsed sim.Time
-	OpsPerS float64
-	// Lat holds per-op completion latency (issue to completion for the
-	// non-blocking designs, call duration for the socket path).
-	Lat *metrics.Hist
-	// Sends counts wire sends during the phase — on RDMA each send consumed
-	// one flow-control credit, so this is also the credits spent. Frames of
-	// N ops count once.
-	Sends  int64
-	Frames int64
-	// SSDWrites counts eviction flush writes issued by the servers during
-	// the phase (merged flushes count once).
-	SSDWrites int64
-	Misses    int64
-}
-
-// sumFlushWrites totals eviction flush write calls across servers.
-func sumFlushWrites(cl *cluster.Cluster) int64 {
-	var n int64
-	for _, s := range cl.Servers {
-		n += s.Store().Manager().FlushWrites
-	}
-	return n
-}
-
-// RunBatched drives ops operations in coalescing windows of batch ops on
-// client ci and reports throughput, tail latency, wire sends, and eviction
-// flush writes. batch == 1 issues one op at a time with no window open — the
-// pre-batching behaviour. On RDMA designs a window is BeginBatch / issue /
-// Flush / WaitAll; on IPoIB it is libmemcached-style request buffering
-// flushed every batch ops.
-func RunBatched(cl *cluster.Cluster, gen *workload.Generator, ci, ops, batch int) *BatchedResult {
-	if batch < 1 {
-		batch = 1
-	}
-	res := &BatchedResult{Lat: metrics.NewHist()}
-	c := cl.Clients[ci]
-	ssd0 := sumFlushWrites(cl)
-	sends0, frames0 := c.Sends, c.Frames
-	start := cl.Env.Now()
-	cl.Env.Spawn(fmt.Sprintf("drv-batch-%d", ci), func(p *sim.Proc) {
-		if cl.Design.Transport() == core.IPoIB {
-			runBatchedIPoIB(p, c, gen, ops, batch, res)
-		} else {
-			runBatchedRDMA(p, c, gen, ops, batch, cl.Design.BufferGuarantee(), res)
-		}
-	})
-	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(ops)
-	res.OpsPerS = metrics.Throughput(res.Ops, res.Elapsed)
-	res.Sends = c.Sends - sends0
-	res.Frames = c.Frames - frames0
-	res.SSDWrites = sumFlushWrites(cl) - ssd0
-	return res
-}
-
-func runBatchedRDMA(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, batch int, bufAck bool, res *BatchedResult) {
-	vs := gen.ValueSize()
-	issue := func() *core.Req {
-		kind, key := gen.Next()
-		var req *core.Req
-		var err error
-		switch {
-		case kind == workload.OpSet && bufAck:
-			req, err = c.BSet(p, key, vs, key, 0, 0)
-		case kind == workload.OpSet:
-			req, err = c.ISet(p, key, vs, key, 0, 0)
-		case bufAck:
-			req, err = c.BGet(p, key)
-		default:
-			req, err = c.IGet(p, key)
-		}
-		if err != nil {
-			panic("bench: batched issue failed: " + err.Error())
-		}
-		return req
-	}
-	for left := ops; left > 0; {
-		n := batch
-		if n > left {
-			n = left
-		}
-		if n > 1 {
-			if err := c.BeginBatch(); err != nil {
-				panic("bench: " + err.Error())
-			}
-		}
-		reqs := make([]*core.Req, 0, n)
-		for i := 0; i < n; i++ {
-			reqs = append(reqs, issue())
-		}
-		if n > 1 {
-			if err := c.Flush(p); err != nil {
-				panic("bench: " + err.Error())
-			}
-		}
-		c.WaitAll(p, reqs)
-		for _, r := range reqs {
-			res.Lat.Add(r.CompletedAt - r.IssuedAt)
-			if r.Status == protocol.StatusNotFound {
-				res.Misses++
-			}
-		}
-		left -= n
-	}
-}
-
-func runBatchedIPoIB(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, batch int, res *BatchedResult) {
-	vs := gen.ValueSize()
-	if batch > 1 {
-		if err := c.SetBuffering(true); err != nil {
-			panic("bench: " + err.Error())
-		}
-	}
-	for i := 1; i <= ops; i++ {
-		kind, key := gen.Next()
-		t0 := p.Now()
-		if kind == workload.OpSet {
-			c.Set(p, key, vs, key, 0, 0)
-		} else if _, _, st := c.Get(p, key); st == protocol.StatusNotFound {
-			res.Misses++
-		}
-		if batch > 1 && i%batch == 0 {
-			c.FlushBuffers(p)
-		}
-		res.Lat.Add(p.Now() - t0)
-	}
-	if batch > 1 {
-		c.FlushBuffers(p)
-		c.SetBuffering(false)
-	}
-}
-
-// --- the `batching` experiment: batch size sweep over every design ---
-
-// batchSizes is the swept coalescing-window size.
-var batchSizes = []int{1, 4, 16, 64}
-
-type batchMix struct {
-	name string
-	read float64
-}
-
-type batchPattern struct {
-	name string
-	pat  workload.Pattern
-}
-
 // batchPageSize is the slab page size for the batching sweep: 128 KB pages
 // make eviction granularity a few 32 KB Sets, so a 16-op window really does
 // contain several evictions for the merged flush to amortize. (At the 1 MB
@@ -176,71 +21,56 @@ type batchPattern struct {
 // rarely sees two.)
 const batchPageSize = 128 << 10
 
-// buildBatching assembles one cell's cluster with the fine-eviction slab
-// geometry and preloads dataBytes of kvSize values.
-func buildBatching(d cluster.Design, mem, dataBytes int64, kvSize int) (*cluster.Cluster, int) {
-	cl := cluster.New(cluster.Config{
-		Design:       d,
-		Profile:      cluster.ClusterA(),
-		Servers:      1,
-		Clients:      1,
-		ServerMem:    mem,
-		SlabPageSize: batchPageSize,
-	})
-	keys := int(dataBytes / int64(kvSize))
-	cl.Preload(keys, kvSize, keyOf)
-	return cl, keys
+// batchCell is one sweep cell: design d with the fine-eviction slab
+// geometry, mem bytes of memory overcommitted 1.5x (so Sets evict to SSD),
+// ops operations of w in windows of batch.
+func batchCell(d cluster.Design, mem int64, kv, ops int, w workload.Config, batch int) cell {
+	sp := paperSpec(d, cluster.ClusterA(), mem, mem*3/2, kv)
+	sp.SlabPageSize = batchPageSize
+	return cell{design: d.String(), row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {
+		driveBatched(cl, sp.gen(w), ops, batch, r)
+	}}
 }
 
-// batchingExp sweeps batch {1,4,16,64} × {uniform, zipf} × {read-only,
-// 50:50} over all six designs under the overcommitted geometry (dataset =
-// 1.5x RAM, so Sets evict to SSD) and reports ops/s, p50/p99, wire sends
-// (credits), and eviction flush writes.
-func batchingExp(o Options) *Result {
-	res := newResult("batching", "Doorbell batching: throughput, tail latency, credits, and SSD writes vs. batch size")
-	mem := int64(24 << 20)
-	if o.Full {
-		mem = 96 << 20
-	}
-	_, kv, _ := o.geometry()
-	dataBytes := mem * 3 / 2
-	ops := o.ops(1200)
-	mixes := []batchMix{{"read-only", 1.0}, {"50:50", 0.5}}
-	patterns := []batchPattern{{"uniform", workload.Uniform}, {"zipf", workload.Zipf}}
-	var out string
-	for _, pat := range patterns {
-		for _, mix := range mixes {
-			tput := make([]*metrics.Series, len(batchSizes))
-			ssd := make([]*metrics.Series, len(batchSizes))
-			for bi, b := range batchSizes {
-				tput[bi] = &metrics.Series{Name: fmt.Sprintf("b%d kop/s", b)}
-				ssd[bi] = &metrics.Series{Name: fmt.Sprintf("b%d flushes", b)}
-			}
-			for _, d := range cluster.Designs {
-				for bi, b := range batchSizes {
-					cl, keys := buildBatching(d, mem, dataBytes, kv)
-					gen := workload.New(workload.Config{
-						Keys: keys, ValueSize: kv, ReadFraction: mix.read,
-						Pattern: pat.pat, ZipfS: zipfOver, Seed: 7,
-					})
-					r := RunBatched(cl, gen, 0, ops, b)
-					tput[bi].Append(d.String(), r.OpsPerS/1000)
-					ssd[bi].Append(d.String(), float64(r.SSDWrites))
-					pre := fmt.Sprintf("%s.%s.%s.b%d", d, pat.name, mix.name, b)
-					res.metric(pre+".ops_s", r.OpsPerS)
-					res.metric(pre+".p50_us", us(r.Lat.Quantile(0.50)))
-					res.metric(pre+".p99_us", us(r.Lat.Quantile(0.99)))
-					res.metric(pre+".sends", float64(r.Sends))
-					res.metric(pre+".frames", float64(r.Frames))
-					res.metric(pre+".ssd_writes", float64(r.SSDWrites))
+// batching sweeps batch {1,4,16,64} × {uniform, zipf} × {read-only, 50:50}
+// over all six designs and reports ops/s, p50/p99, wire sends (credits),
+// and eviction flush writes.
+var batchingExp = Experiment{
+	ID: "batching", Title: "Doorbell batching: batch size sweep over every design", tablesOnly: true,
+	cells: func(o Options) (cells []cell) {
+		mem := int64(24 << 20)
+		if o.Full {
+			mem = 96 << 20
+		}
+		_, kv, _ := o.geometry()
+		ops := o.ops(1200)
+		for _, pat := range []workload.Pattern{workload.Uniform, workload.Zipf} {
+			for _, mix := range []mix{{"read-only", 1.0}, {"50:50", 0.5}} {
+				for _, d := range cluster.Designs {
+					for _, b := range []int{1, 4, 16, 64} {
+						w := zipf(mix.read, 7)
+						w.Pattern = pat
+						c := batchCell(d, mem, kv, ops, w, b)
+						at := fmt.Sprintf("%s / %s", pat, mix.name)
+						c.prefix = fmt.Sprintf("%s.%s.b%d.", pat, mix.name, b)
+						c.collect = func(_ *cluster.Cluster, r *run) {
+							tput := metrics.Throughput(r.Ops, r.Elapsed)
+							r.plotAt("Throughput, "+at, fmt.Sprintf("b%d kop/s", b), r.cell.row, tput/1000)
+							if mix.read < 1 {
+								r.plotAt("Eviction flush writes, "+at, fmt.Sprintf("b%d flushes", b), r.cell.row, float64(r.FlushWrites))
+							}
+							r.set("ops_s", tput)
+							r.set("p50_us", us(r.Lat.Quantile(0.50)))
+							r.set("p99_us", us(r.Lat.Quantile(0.99)))
+							r.set("sends", float64(r.Sends))
+							r.set("frames", float64(r.Frames))
+							r.set("ssd_writes", float64(r.FlushWrites))
+						}
+						cells = append(cells, c)
+					}
 				}
 			}
-			out += res.addTable(fmt.Sprintf("Throughput, %s / %s", pat.name, mix.name), tput...)
-			if mix.read < 1 {
-				out += res.addTable(fmt.Sprintf("Eviction flush writes, %s / %s", pat.name, mix.name), ssd...)
-			}
 		}
-	}
-	res.Output = out
-	return res
+		return cells
+	},
 }

@@ -13,7 +13,7 @@ func TestBitrotExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bitrot experiment is slow")
 	}
-	r := bitrotExp(Options{Ops: 300})
+	r := runExp(t, "bitrot", Options{Ops: 300})
 
 	if v := r.Metrics["nodefense_surfaces"]; v != 1 {
 		t.Error("no nodefense cell ever served a corrupt read: the injection is dead")

@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
 	"hybridkv/internal/cluster"
-	"hybridkv/internal/core"
 	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
-	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
 
@@ -34,179 +29,83 @@ const (
 	bypassClients   = 2
 )
 
-// bypassRun is one measured cell.
-type bypassRun struct {
-	GetLat  *metrics.Hist
-	Ops     int64
-	Misses  int64
-	Elapsed sim.Time
-	Stats   core.ClientStats // summed over clients
+// readPaths are the two read paths the bypass cells contrast, and the
+// hotkey cells extend with fan-out.
+var readPaths = map[bool]string{false: "rpc", true: "bypass"}
+
+// bypassCounts names the values every bypass-path cell keeps about what its
+// one-sided hits cost: READs and READ bytes per hit (ROADMAP item 3's two
+// axes) and the share of GETs that got no hit and fell back to RPC.
+func bypassCounts(r *run) (fallbackPct, readsPerHit, bytesPerHit float64) {
+	hits, fallbacks := r.Faults.Val(metrics.CBypassHits), r.Faults.Val(metrics.CBypassFallbacks)
+	if hits > 0 {
+		readsPerHit = float64(r.Faults.Val(metrics.CBypassHitReads)) / float64(hits)
+		bytesPerHit = float64(r.Faults.Val(metrics.CBypassHitReadBytes)) / float64(hits)
+	}
+	return pct(fallbacks, hits+fallbacks), readsPerHit, bytesPerHit
 }
 
-// kops is throughput in thousand operations per virtual second.
-func (r *bypassRun) kops() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / (float64(r.Elapsed) / float64(sim.Second)) / 1e3
-}
-
-// perBypassHit averages what the one-sided hits cost (READs, READ bytes)
-// over the hits: ROADMAP item 3's two axes. The third, the share of GETs
-// that got no hit, is fallbackPct.
-func perBypassHit(total int64, st *core.ClientStats) float64 {
-	if st.BypassHits == 0 {
-		return 0
-	}
-	return float64(total) / float64(st.BypassHits)
-}
-
-// fastpathPct is the share of bypass hits resolved by exactly one READ: the
-// value rode in the directory slot, or sat at a cached segment offset.
-func (r *bypassRun) fastpathPct() float64 {
-	if r.Stats.BypassHits == 0 {
-		return 0
-	}
-	return 100 * float64(r.Stats.BypassFastPath) / float64(r.Stats.BypassHits)
-}
-
-// fallbackPct is the share of bypass attempts that fell back to RPC.
-func (r *bypassRun) fallbackPct() float64 {
-	total := r.Stats.BypassHits + r.Stats.BypassFallbacks
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(r.Stats.BypassFallbacks) / float64(total)
-}
-
-// runBypass executes one cell: preload, then bypassClients clients ×
-// bypassWorkers workers of mixed non-blocking traffic; GET latency is
-// recorded per completion.
-func runBypass(bypass bool, readFrac float64, pat workload.Pattern, fits bool, ops int) *bypassRun {
-	mem := int64(16 << 20)
-	if !fits {
-		mem = 2 << 20 // half the dataset lives on SSD: fallback territory
-	}
-	cl := cluster.New(cluster.Config{
-		Design:    cluster.HRDMAOptNonBI,
-		Profile:   cluster.ClusterA(),
-		Servers:   1,
-		Clients:   bypassClients,
-		ServerMem: mem,
-		Bypass:    bypass,
-	})
-	keys := int(bypassDataBytes / bypassValueSize)
-	cl.Preload(keys, bypassValueSize, keyOf)
-
-	run := &bypassRun{GetLat: metrics.NewHist()}
-	perWorker := ops / (bypassClients * bypassWorkers)
-	run.Ops = int64(perWorker * bypassClients * bypassWorkers)
-	start := cl.Env.Now()
-	for ci := 0; ci < bypassClients; ci++ {
-		c := cl.Clients[ci]
-		for w := 0; w < bypassWorkers; w++ {
-			gen := workload.New(workload.Config{
-				Keys: keys, ValueSize: bypassValueSize, ReadFraction: readFrac,
-				Pattern: pat, ZipfS: zipfFits, Seed: int64(100 + ci*bypassWorkers + w),
-			})
-			cl.Env.Spawn(fmt.Sprintf("bypass-drv-c%d-w%d", ci, w), func(p *sim.Proc) {
-				for i := 0; i < perWorker; i++ {
-					kind, key := gen.Next()
-					if kind == workload.OpSet {
-						req, err := c.Issue(p, core.Op{
-							Code: protocol.OpSet, Key: key,
-							ValueSize: bypassValueSize, Value: key,
-						})
-						if err != nil {
-							panic("bench: bypass set issue: " + err.Error())
-						}
-						c.Wait(p, req)
-						continue
-					}
-					t0 := p.Now()
-					req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key})
-					if err != nil {
-						panic("bench: bypass get issue: " + err.Error())
-					}
-					c.Wait(p, req)
-					run.GetLat.Add(p.Now() - t0)
-					if req.Status == protocol.StatusNotFound {
-						run.Misses++
-					}
-				}
-			})
-		}
-	}
-	cl.Env.Run()
-	run.Elapsed = cl.Env.Now() - start
-	for _, c := range cl.Clients {
-		st := c.Stats()
-		run.Stats.BypassHits += st.BypassHits
-		run.Stats.BypassFastPath += st.BypassFastPath
-		run.Stats.BypassFallbacks += st.BypassFallbacks
-		run.Stats.BypassBootstraps += st.BypassBootstraps
-		run.Stats.BypassHitReads += st.BypassHitReads
-		run.Stats.BypassHitReadBytes += st.BypassHitReadBytes
-	}
-	return run
-}
-
-// bypassExp is the registry entry: {rpc, bypass} × {read-only, 95:5, 50:50
+// bypass is the registry entry: {rpc, bypass} × {read-only, 95:5, 50:50
 // zipf; read-only uniform; read-only zipf with SSD overcommit}.
-func bypassExp(o Options) *Result {
-	res := newResult("bypass",
-		"Server-bypass GETs: one-sided READ vs RPC read path")
-	ops := o.ops(4800)
-
-	mean := &metrics.Series{Name: "Get µs"}
-	p99 := &metrics.Series{Name: "p99 µs"}
-	thr := &metrics.Series{Name: "kops"}
-	fb := &metrics.Series{Name: "fallback%"}
-
-	cells := []struct {
-		name     string
-		readFrac float64
-		pat      workload.Pattern
-		fits     bool
-	}{
-		{"read.zipf", 1.0, workload.Zipf, true},
-		{"r95.zipf", 0.95, workload.Zipf, true},
-		{"rw50.zipf", 0.5, workload.Zipf, true},
-		{"read.unif", 1.0, workload.Uniform, true},
-		{"read.ssd", 1.0, workload.Zipf, false},
-	}
-	for _, cell := range cells {
-		for _, bypass := range []bool{false, true} {
-			path := "rpc"
-			if bypass {
-				path = "bypass"
-			}
-			name := path + "." + cell.name
-			run := runBypass(bypass, cell.readFrac, cell.pat, cell.fits, ops)
-
-			mean.Append(name, us(run.GetLat.Mean()))
-			p99.Append(name, us(run.GetLat.Quantile(0.99)))
-			thr.Append(name, run.kops())
-			fb.Append(name, run.fallbackPct())
-
-			res.metric(name+".get_us", us(run.GetLat.Mean()))
-			res.metric(name+".get_p99_us", us(run.GetLat.Quantile(0.99)))
-			res.metric(name+".kops", run.kops())
-			res.metric(name+".misses", float64(run.Misses))
-			if bypass {
-				res.metric(name+".hits", float64(run.Stats.BypassHits))
-				res.metric(name+".fastpath_pct", run.fastpathPct())
-				res.metric(name+".fallback_pct", run.fallbackPct())
-				res.metric(name+".reads_per_hit", perBypassHit(run.Stats.BypassHitReads, &run.Stats))
-				res.metric(name+".read_bytes_per_hit", perBypassHit(run.Stats.BypassHitReadBytes, &run.Stats))
+var bypassExp = Experiment{
+	ID: "bypass", Title: "Server-bypass GETs: one-sided READ vs RPC read path",
+	cells: func(o Options) (cells []cell) {
+		perWorker := o.ops(4800) / (bypassClients * bypassWorkers)
+		for _, mix := range []struct {
+			name string
+			w    workload.Config
+			fits bool
+		}{
+			{"read.zipf", zipf(1.0, 100), true},
+			{"r95.zipf", zipf(0.95, 100), true},
+			{"rw50.zipf", zipf(0.5, 100), true},
+			{"read.unif", uniform(1.0, 100), true},
+			{"read.ssd", zipf(1.0, 100), false},
+		} {
+			for _, on := range []bool{false, true} {
+				mem := int64(16 << 20)
+				if !mix.fits {
+					mem = 2 << 20 // half the dataset lives on SSD: fallback territory
+				}
+				sp := paperSpec(cluster.HRDMAOptNonBI, cluster.ClusterA(), mem, bypassDataBytes, bypassValueSize)
+				sp.Clients, sp.Bypass = bypassClients, on
+				cells = append(cells, cell{
+					prefix: readPaths[on] + "." + mix.name + ".", spec: sp,
+					drive: func(cl *cluster.Cluster, r *run) {
+						start := cl.Env.Now()
+						spawnWorkers(cl, workers{perClient: bypassWorkers, ops: perWorker, gen: func(worker int) *workload.Generator {
+							w := mix.w
+							w.Seed += int64(worker)
+							return sp.gen(w)
+						}}, r)
+						cl.Env.Run()
+						r.Elapsed = cl.Env.Now() - start
+					},
+					collect: func(_ *cluster.Cluster, r *run) {
+						fallback, reads, bytes := bypassCounts(r)
+						r.show("Get µs", "get_us", us(r.GetLat.Mean()))
+						r.show("p99 µs", "get_p99_us", us(r.GetLat.Quantile(0.99)))
+						r.show("kops", "kops", opsPerSec(r.Ops, r.Elapsed)/1e3)
+						r.plot("fallback%", fallback)
+						r.set("misses", float64(r.Misses))
+						if !on {
+							return
+						}
+						hits := r.Faults.Val(metrics.CBypassHits)
+						r.set("hits", float64(hits))
+						r.set("fastpath_pct", pct(r.Faults.Val(metrics.CBypassFastPath), hits))
+						r.set("fallback_pct", fallback)
+						r.set("reads_per_hit", reads)
+						r.set("read_bytes_per_hit", bytes)
+					},
+				})
 			}
 		}
-	}
+		return cells
+	},
 	// Headline: the read-heavy zipf speedup of the bypass path.
-	res.metric("speedup.read.zipf.get_us",
-		res.Metrics["rpc.read.zipf.get_us"]/res.Metrics["bypass.read.zipf.get_us"])
-	res.metric("speedup.read.zipf.kops",
-		res.Metrics["bypass.read.zipf.kops"]/res.Metrics["rpc.read.zipf.kops"])
-	res.Output = res.addTable(res.Title, mean, p99, thr, fb) + res.renderMetrics()
-	return res
+	derive: func(v func(string) float64, h *run) {
+		h.set("speedup.read.zipf.get_us", v("rpc.read.zipf.get_us")/v("bypass.read.zipf.get_us"))
+		h.set("speedup.read.zipf.kops", v("bypass.read.zipf.kops")/v("rpc.read.zipf.kops"))
+	},
 }

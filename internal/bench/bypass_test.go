@@ -11,7 +11,7 @@ func TestBypassExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypass experiment is slow")
 	}
-	r := bypassExp(Options{Ops: 4800})
+	r := runExp(t, "bypass", Options{Ops: 4800})
 
 	if v := r.Metrics["speedup.read.zipf.get_us"]; v <= 1 {
 		t.Errorf("bypass hit latency not better than RPC: speedup %.2f", v)

@@ -7,18 +7,14 @@ import (
 	"hybridkv/internal/history"
 )
 
-var chaosHybrids = []cluster.Design{
-	cluster.HRDMADef, cluster.HRDMAOptBlock, cluster.HRDMAOptNonBB, cluster.HRDMAOptNonBI,
-}
-
 // The chaos-soak CI gate: faults + crashes + overload on every hybrid
 // design must produce a history with zero invariant violations — no acked
 // write lost, no stale read after a completed CAS write, no invented
 // values, no counter regression, and every issued operation completed
 // (virtual time kept advancing; nothing deadlocked).
 func TestChaosSoakZeroViolations(t *testing.T) {
-	for _, d := range chaosHybrids {
-		rep := runChaos(d, 24, 42)
+	for _, d := range hybrids {
+		rep := runCell(t, chaosCell(d, 24, 42, 0, false))
 		for _, v := range rep.Violations {
 			t.Errorf("%s: %s", d, v)
 		}
@@ -29,7 +25,7 @@ func TestChaosSoakZeroViolations(t *testing.T) {
 		if rep.Recoveries == 0 {
 			t.Errorf("%s: cold restart never recovered", d)
 		}
-		if rep.InjDrops == 0 {
+		if rep.val("inj_drops") == 0 {
 			t.Errorf("%s: fault injector dropped nothing — the soak ran clean", d)
 		}
 	}
@@ -38,16 +34,16 @@ func TestChaosSoakZeroViolations(t *testing.T) {
 // The soak genuinely exercises the acked-write path on the
 // buffer-guaranteed design, and is deterministic replay for replay.
 func TestChaosSoakAckedWritesAndDeterminism(t *testing.T) {
-	r1 := runChaos(cluster.HRDMAOptNonBB, 24, 42)
-	if r1.AckedWrites == 0 {
+	r1 := runCell(t, chaosCell(cluster.HRDMAOptNonBB, 24, 42, 0, false))
+	if r1.val("acked_writes") == 0 {
 		t.Error("no acked writes logged: the acked-write-lost invariant was vacuous")
 	}
-	r2 := runChaos(cluster.HRDMAOptNonBB, 24, 42)
+	r2 := runCell(t, chaosCell(cluster.HRDMAOptNonBB, 24, 42, 0, false))
 	if r1.Elapsed != r2.Elapsed || len(r1.Log.Entries) != len(r2.Log.Entries) ||
-		r1.Busy != r2.Busy || r1.Retries != r2.Retries {
-		t.Errorf("chaos soak not deterministic: (%v,%d,%d,%d) vs (%v,%d,%d,%d)",
-			r1.Elapsed, len(r1.Log.Entries), r1.Busy, r1.Retries,
-			r2.Elapsed, len(r2.Log.Entries), r2.Busy, r2.Retries)
+		r1.val("busy") != r2.val("busy") || r1.val("retries") != r2.val("retries") {
+		t.Errorf("chaos soak not deterministic: (%v,%d,%v,%v) vs (%v,%d,%v,%v)",
+			r1.Elapsed, len(r1.Log.Entries), r1.val("busy"), r1.val("retries"),
+			r2.Elapsed, len(r2.Log.Entries), r2.val("busy"), r2.val("retries"))
 	}
 }
 
@@ -57,7 +53,7 @@ func TestChaosSoakAckedWritesAndDeterminism(t *testing.T) {
 // must actually flow (the kills force the suspect-confirm and anti-entropy
 // machinery to do real work).
 func TestChaosReplicatedNodeKillsZeroViolations(t *testing.T) {
-	rep := runChaosR(cluster.HRDMAOptNonBB, 24, 42, 2, true)
+	rep := runCell(t, chaosCell(cluster.HRDMAOptNonBB, 24, 42, 2, true))
 	for _, v := range rep.Violations {
 		t.Errorf("R=2 kills: %s", v)
 	}
@@ -65,7 +61,7 @@ func TestChaosReplicatedNodeKillsZeroViolations(t *testing.T) {
 		t.Errorf("R=2 kills: %d of %d expected entries recorded",
 			len(rep.Log.Entries), rep.Log.Expected)
 	}
-	if rep.AckedWrites == 0 {
+	if rep.val("acked_writes") == 0 {
 		t.Error("R=2 kills: no acked writes logged — the invariant was vacuous")
 	}
 }

@@ -1,12 +1,7 @@
-// Package bench implements the paper's evaluation harness: one driver per
-// workload shape and one experiment per table/figure (Section VI). Every
-// experiment builds a cluster, preloads it, runs the measurement phase, and
-// reports the same rows/series the paper plots, plus named scalar metrics
-// (improvement factors, overlap percentages) that EXPERIMENTS.md and the
-// regression tests check.
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"hybridkv/internal/cluster"
@@ -17,323 +12,456 @@ import (
 	"hybridkv/internal/workload"
 )
 
-// BlockingResult summarizes a blocking-API measurement phase.
-type BlockingResult struct {
-	SetLat  *metrics.Hist
-	GetLat  *metrics.Hist
-	AllLat  *metrics.Hist
-	Misses  int64
-	Ops     int64
-	Elapsed sim.Time
-	// Server is the server-side stage breakdown for the phase; Client the
-	// client-side one.
-	Server *metrics.Breakdown
-	Client *metrics.Breakdown
-}
+// The closed-loop drivers: one per workload shape of the paper's
+// evaluation. Each picks the API the cluster's design stands for — blocking
+// Set/Get, iset/iget, or bset/bget — runs the simulation to completion and
+// fills the run's measurement fields. They must be called outside any sim
+// process.
 
-// snapshotServers freezes the per-server profiles.
-func snapshotServers(cl *cluster.Cluster) []*metrics.Breakdown {
-	var snaps []*metrics.Breakdown
-	for _, s := range cl.Servers {
-		snaps = append(snaps, s.Store().Prof.Snapshot())
+// opFor is the operation for one generated (kind, key): the value of a Set
+// is its key, so a later hit is checkable.
+func opFor(kind workload.OpKind, key string, vs int) core.Op {
+	if kind == workload.OpSet {
+		return core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: key}
 	}
-	return snaps
+	return core.Op{Code: protocol.OpGet, Key: key}
 }
 
-func diffServers(cl *cluster.Cluster, snaps []*metrics.Breakdown) *metrics.Breakdown {
-	out := metrics.NewBreakdown()
-	for i, s := range cl.Servers {
-		out.Merge(s.Store().Prof.Sub(snaps[i]))
+// apiOpts are the issue options of the design's non-blocking API: iset and
+// iget take none, bset and bget ask for the BufferAck.
+func apiOpts(cl *cluster.Cluster) []core.IssueOption {
+	if cl.Design.BufferGuarantee() {
+		return []core.IssueOption{core.WithBufferAck()}
 	}
-	return out
+	return nil
 }
 
-// RunBlocking executes ops blocking operations from gen on client ci,
-// emulating the web-caching contract: a Get miss fetches the value from the
-// backend (the miss penalty) and re-populates the cache. It must be called
-// outside any sim process; it runs the simulation to completion.
-func RunBlocking(cl *cluster.Cluster, gen *workload.Generator, ci, ops int) *BlockingResult {
-	res := &BlockingResult{
-		SetLat: metrics.NewHist(), GetLat: metrics.NewHist(), AllLat: metrics.NewHist(),
+// errSocket stands for a blocking-API StatusError in the tally.
+var errSocket = errors.New("bench: blocking operation failed")
+
+// blockingOp runs one blocking Set or Get — the only API the socket design
+// has; its recovery is the client's RecvTimeout/RecvRetries — and maps the
+// status onto the errors classify tallies.
+func blockingOp(p *sim.Proc, c *core.Client, kind workload.OpKind, key string, vs int) error {
+	if kind == workload.OpSet {
+		if c.Set(p, key, vs, key, 0, 0) == protocol.StatusError {
+			return errSocket
+		}
+		return nil
 	}
-	srvSnaps := snapshotServers(cl)
-	clSnap := cl.Clients[ci].Prof.Snapshot()
-	c := cl.Clients[ci]
-	start := cl.Env.Now()
-	cl.Env.Spawn(fmt.Sprintf("drv-block-%d", ci), func(p *sim.Proc) {
-		runBlockingOps(p, cl, c, gen, ops, res)
-	})
-	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(ops)
-	res.Server = diffServers(cl, srvSnaps)
-	res.Client = c.Prof.Sub(clSnap)
-	return res
+	switch _, _, st := c.Get(p, key); st {
+	case protocol.StatusError:
+		return errSocket
+	case protocol.StatusNotFound:
+		return core.ErrNotFound
+	}
+	return nil
 }
 
-// runBlockingOps is the per-process body, reusable for multi-client runs.
-func runBlockingOps(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, res *BlockingResult) {
+// blockingOps is the blocking closed loop's per-process body, emulating the
+// web-caching contract: a Get miss fetches the value from the backend (the
+// miss penalty) and re-populates the cache.
+func blockingOps(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, r *run) {
 	vs := gen.ValueSize()
 	for i := 0; i < ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		if kind == workload.OpSet {
-			c.Set(p, key, vs, key, 0, 0)
-			d := p.Now() - t0
-			res.SetLat.Add(d)
-			res.AllLat.Add(d)
-			continue
-		}
-		_, _, st := c.Get(p, key)
-		if st == protocol.StatusNotFound {
-			// Miss: fetch from the backend and re-populate the cache.
-			res.Misses++
-			mt := p.Now()
-			v := cl.Backend.Fetch(p, key)
-			c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
-			c.Set(p, key, vs, v, 0, 0)
+		err := blockingOp(p, c, kind, key, vs)
+		r.classify(err)
+		if errors.Is(err, core.ErrNotFound) {
+			missRefill(p, cl, c, key, vs, nil)
 		}
 		d := p.Now() - t0
-		res.GetLat.Add(d)
-		res.AllLat.Add(d)
-	}
-}
-
-// NonBlockingResult summarizes a non-blocking measurement phase.
-type NonBlockingResult struct {
-	Ops       int64
-	Misses    int64
-	Elapsed   sim.Time
-	PerOp     sim.Time
-	IssueTime sim.Time // time the app was stuck inside issue calls
-	Server    *metrics.Breakdown
-	Client    *metrics.Breakdown
-}
-
-// RunNonBlocking issues ops operations with iset/iget (buffered=false) or
-// bset/bget (buffered=true) and waits for all completions at the end, the
-// paper's "large iteration of non-blocking Set/Get requests" methodology.
-func RunNonBlocking(cl *cluster.Cluster, gen *workload.Generator, ci, ops int, buffered bool) *NonBlockingResult {
-	res := &NonBlockingResult{}
-	srvSnaps := snapshotServers(cl)
-	c := cl.Clients[ci]
-	clSnap := c.Prof.Snapshot()
-	start := cl.Env.Now()
-	cl.Env.Spawn(fmt.Sprintf("drv-nonb-%d", ci), func(p *sim.Proc) {
-		reqs := issueAll(p, c, gen, ops, buffered, res)
-		c.WaitAll(p, reqs)
-		for _, r := range reqs {
-			if r.Status == protocol.StatusNotFound {
-				res.Misses++
-			}
+		r.Lat.Add(d)
+		if kind == workload.OpSet {
+			r.SetLat.Add(d)
+		} else {
+			r.GetLat.Add(d)
 		}
-	})
-	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(ops)
-	if ops > 0 {
-		res.PerOp = res.Elapsed / sim.Time(ops)
 	}
-	res.Server = diffServers(cl, srvSnaps)
-	res.Client = c.Prof.Sub(clSnap)
-	return res
 }
 
-func issueAll(p *sim.Proc, c *core.Client, gen *workload.Generator, ops int, buffered bool, res *NonBlockingResult) []*core.Req {
-	vs := gen.ValueSize()
-	reqs := make([]*core.Req, 0, ops)
-	for i := 0; i < ops; i++ {
+// missRefill is the web-caching miss contract: fetch the value from the
+// backend, charge the miss penalty, and re-populate the cache — through the
+// guarded path when opts is set, the blocking API otherwise.
+func missRefill(p *sim.Proc, cl *cluster.Cluster, c *core.Client, key string, vs int, opts []core.IssueOption) {
+	mt := p.Now()
+	v := cl.Backend.Fetch(p, key)
+	c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
+	if opts == nil {
+		c.Set(p, key, vs, v, 0, 0)
+		return
+	}
+	// A refill that fails is not the measured op's failure: drop it.
+	if req, err := c.Issue(p, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts...); err == nil {
+		c.Wait(p, req)
+	}
+}
+
+// issueAll issues n operations of gen through the design's non-blocking
+// API without waiting, charging the time the application was stuck inside
+// the issue calls to r.Stall.
+func issueAll(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, n int, r *run) []*core.Req {
+	vs, opts := gen.ValueSize(), apiOpts(cl)
+	reqs := make([]*core.Req, 0, n)
+	for i := 0; i < n; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		var req *core.Req
-		var err error
-		switch {
-		case kind == workload.OpSet && buffered:
-			req, err = c.BSet(p, key, vs, key, 0, 0)
-		case kind == workload.OpSet:
-			req, err = c.ISet(p, key, vs, key, 0, 0)
-		case buffered:
-			req, err = c.BGet(p, key)
-		default:
-			req, err = c.IGet(p, key)
-		}
-		if err != nil {
-			panic("bench: non-blocking issue failed: " + err.Error())
-		}
-		res.IssueTime += p.Now() - t0
-		reqs = append(reqs, req)
+		reqs = append(reqs, issue(p, c, opFor(kind, key, vs), opts))
+		r.Stall += p.Now() - t0
 	}
 	return reqs
 }
 
-// OverlapResult reports the communication/computation overlap experiment.
-type OverlapResult struct {
-	Ops         int64
-	Elapsed     sim.Time
-	ComputeTime sim.Time
-	OverlapPct  float64
+// issueWindows drives n operations in pipelined windows of window ops.
+func issueWindows(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, n, window int, r *run) {
+	for left := n; left > 0; left -= window {
+		c.WaitAll(p, issueAll(p, cl, c, gen, min(window, left), r))
+	}
+}
+
+// closedLoop drives ops operations of gen through client 0 with the API of
+// the cluster's design and profiles the phase: the paper's basic
+// measurement. A blocking design runs them back to back (PerOp: the mean op
+// latency); a non-blocking one issues them all and waits for the
+// completions at the end — the paper's "large iteration of non-blocking
+// Set/Get requests" (PerOp: elapsed over ops).
+func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
+	var srvSnaps []*metrics.Breakdown
+	for _, s := range cl.Servers {
+		srvSnaps = append(srvSnaps, s.Store().Prof.Snapshot())
+	}
+	c := cl.Clients[0]
+	clSnap := c.Prof.Snapshot()
+	start := cl.Env.Now()
+	cl.Env.Spawn("drv-closed", func(p *sim.Proc) {
+		if !cl.Design.NonBlocking() {
+			blockingOps(p, cl, c, gen, ops, r)
+			return
+		}
+		reqs := issueAll(p, cl, c, gen, ops, r)
+		c.WaitAll(p, reqs)
+		for _, req := range reqs {
+			if req.Status == protocol.StatusNotFound {
+				r.Misses++
+			}
+		}
+	})
+	cl.Env.Run()
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(ops)
+	if r.PerOp = r.Lat.Mean(); cl.Design.NonBlocking() && ops > 0 {
+		r.PerOp = r.Elapsed / sim.Time(ops)
+	}
+	r.Server = metrics.NewBreakdown()
+	for i, s := range cl.Servers {
+		r.Server.Merge(s.Store().Prof.Sub(srvSnaps[i]))
+	}
+	r.Client = c.Prof.Sub(clSnap)
 }
 
 // computeGrain is the unit of application computation interleaved with
 // in-flight operations when measuring available overlap.
 const computeGrain = 5 * sim.Microsecond
 
-// RunOverlap measures the fraction of job runtime available for application
-// computation (Figure 7(a)): issue every op non-blockingly, then compute in
-// grains, testing completion between grains; overlap% = compute/total.
-// Blocking mode (mode="block") runs ops back-to-back — no overlap by
-// construction — and reports the measured (≈0) figure.
-func RunOverlap(cl *cluster.Cluster, gen *workload.Generator, ci, ops int, mode string) *OverlapResult {
-	res := &OverlapResult{Ops: int64(ops)}
-	c := cl.Clients[ci]
+// driveOverlap measures the time available for application computation
+// (Figure 7(a)): issue every op non-blockingly, then compute in grains,
+// testing completion between grains; r.Stall is the computation that fit,
+// and overlap% = Stall/Elapsed. A blocking design runs ops back-to-back —
+// no overlap by construction — and reports the measured (≈0) figure.
+func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
+	c := cl.Clients[0]
 	start := cl.Env.Now()
 	cl.Env.Spawn("drv-overlap", func(p *sim.Proc) {
-		switch mode {
-		case "block":
-			vs := gen.ValueSize()
+		if !cl.Design.NonBlocking() {
 			for i := 0; i < ops; i++ {
 				kind, key := gen.Next()
-				if kind == workload.OpSet {
-					c.Set(p, key, vs, key, 0, 0)
-				} else {
-					c.Get(p, key)
-				}
+				blockingOp(p, c, kind, key, gen.ValueSize())
 			}
-		case "nonb-i", "nonb-b":
-			nb := &NonBlockingResult{}
-			reqs := issueAll(p, c, gen, ops, mode == "nonb-b", nb)
-			// Application computation fills the time until completion.
-			for {
-				done := true
-				for _, r := range reqs {
-					if !c.Test(r) {
-						done = false
-						break
-					}
-				}
-				if done {
-					break
-				}
-				p.Sleep(computeGrain)
-				res.ComputeTime += computeGrain
+			return
+		}
+		reqs := issueAll(p, cl, c, gen, ops, newRun(nil))
+		// Application computation fills the time until completion.
+		for pending := reqs; len(pending) > 0; {
+			if c.Test(pending[0]) {
+				pending = pending[1:]
+				continue
 			}
-		default:
-			panic("bench: unknown overlap mode " + mode)
+			p.Sleep(computeGrain)
+			r.Stall += computeGrain
 		}
 	})
 	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	if res.Elapsed > 0 {
-		res.OverlapPct = 100 * float64(res.ComputeTime) / float64(res.Elapsed)
-	}
-	return res
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(ops)
 }
 
-// BlockIOResult reports the bursty block I/O experiment.
-type BlockIOResult struct {
-	Blocks        int
-	WriteBlockLat *metrics.Hist
-	ReadBlockLat  *metrics.Hist
+// overlapPct is the share of the phase available for computation.
+func (r *run) overlapPct() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return 100 * float64(r.Stall) / float64(r.Elapsed)
 }
 
-// RunBlockIO writes then reads every block of the workload. Non-blocking
-// mode issues all chunks of a block and waits block-by-block (Listing 2);
-// blocking mode round-trips each chunk.
-func RunBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, ci int, nonblocking bool) *BlockIOResult {
-	res := &BlockIOResult{
-		Blocks:        bc.Blocks(),
-		WriteBlockLat: metrics.NewHist(),
-		ReadBlockLat:  metrics.NewHist(),
-	}
-	c := cl.Clients[ci]
+// driveBlockIO writes then reads every block of the workload (Figure 8(b)).
+// A non-blocking design issues all chunks of a block and waits block by
+// block (Listing 2); a blocking one round-trips each chunk. SetLat holds
+// the per-block write latency, GetLat the per-block read latency.
+func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
+	c := cl.Clients[0]
 	chunks := bc.ChunksPerBlock()
+	phase := func(p *sim.Proc, lat *metrics.Hist, code protocol.Opcode) {
+		for blk := 0; blk < bc.Blocks(); blk++ {
+			t0 := p.Now()
+			var reqs []*core.Req
+			for ch := 0; ch < chunks; ch++ {
+				op := core.Op{Code: code, Key: bc.ChunkKey(blk, ch)}
+				if code == protocol.OpSet {
+					op.ValueSize, op.Value = bc.ChunkSize, blk*chunks+ch
+				}
+				if req := issue(p, c, op, nil); cl.Design.NonBlocking() {
+					reqs = append(reqs, req)
+				} else {
+					c.Wait(p, req)
+				}
+			}
+			c.WaitAll(p, reqs)
+			lat.Add(p.Now() - t0)
+		}
+	}
 	cl.Env.Spawn("drv-blockio", func(p *sim.Proc) {
-		// Write phase.
-		for blk := 0; blk < res.Blocks; blk++ {
-			t0 := p.Now()
-			if nonblocking {
-				reqs := make([]*core.Req, 0, chunks)
-				for ch := 0; ch < chunks; ch++ {
-					req, err := c.ISet(p, bc.ChunkKey(blk, ch), bc.ChunkSize, blk*chunks+ch, 0, 0)
-					if err != nil {
-						panic(err)
-					}
-					reqs = append(reqs, req)
-				}
-				c.WaitAll(p, reqs)
-			} else {
-				for ch := 0; ch < chunks; ch++ {
-					c.Set(p, bc.ChunkKey(blk, ch), bc.ChunkSize, blk*chunks+ch, 0, 0)
-				}
-			}
-			res.WriteBlockLat.Add(p.Now() - t0)
-		}
-		// Read phase.
-		for blk := 0; blk < res.Blocks; blk++ {
-			t0 := p.Now()
-			if nonblocking {
-				reqs := make([]*core.Req, 0, chunks)
-				for ch := 0; ch < chunks; ch++ {
-					req, err := c.IGet(p, bc.ChunkKey(blk, ch))
-					if err != nil {
-						panic(err)
-					}
-					reqs = append(reqs, req)
-				}
-				c.WaitAll(p, reqs)
-			} else {
-				for ch := 0; ch < chunks; ch++ {
-					c.Get(p, bc.ChunkKey(blk, ch))
-				}
-			}
-			res.ReadBlockLat.Add(p.Now() - t0)
-		}
+		phase(p, r.SetLat, protocol.OpSet)
+		phase(p, r.GetLat, protocol.OpGet)
 	})
 	cl.Env.Run()
-	return res
+	r.Ops = int64(bc.Blocks())
 }
 
-// ThroughputResult reports a multi-client aggregate throughput phase.
-type ThroughputResult struct {
-	Ops     int64
-	Elapsed sim.Time
-	OpsPerS float64
-}
-
-// RunThroughput drives every client concurrently with opsPerClient ops
-// each and reports aggregate operations/second. Non-blocking clients
-// pipeline in windows of window ops.
-func RunThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, opsPerClient int, nonblocking, buffered bool, window int) *ThroughputResult {
-	if window <= 0 {
-		window = 32
-	}
-	res := &ThroughputResult{}
+// driveThroughput drives every client concurrently with opsPer ops each;
+// non-blocking designs pipeline in windows of window ops. Elapsed runs to
+// the Env draining, Last to the last client's completion.
+func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, opsPer, window int, r *run) {
 	start := cl.Env.Now()
 	for ci := range cl.Clients {
-		c := cl.Clients[ci]
-		gen := mk(ci)
+		c, gen := cl.Clients[ci], mk(ci)
 		cl.Env.Spawn(fmt.Sprintf("drv-tput-%d", ci), func(p *sim.Proc) {
-			if !nonblocking {
-				r := &BlockingResult{SetLat: metrics.NewHist(), GetLat: metrics.NewHist(), AllLat: metrics.NewHist()}
-				runBlockingOps(p, cl, c, gen, opsPerClient, r)
-				return
+			if cl.Design.NonBlocking() {
+				issueWindows(p, cl, c, gen, opsPer, window, newRun(nil))
+			} else {
+				blockingOps(p, cl, c, gen, opsPer, newRun(nil))
 			}
-			nb := &NonBlockingResult{}
-			left := opsPerClient
-			for left > 0 {
-				n := window
-				if n > left {
-					n = left
-				}
-				reqs := issueAll(p, c, gen, n, buffered, nb)
-				c.WaitAll(p, reqs)
-				left -= n
-			}
+			r.Last = max(r.Last, p.Now()-start)
 		})
 	}
 	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(opsPerClient * len(cl.Clients))
-	res.OpsPerS = metrics.Throughput(res.Ops, res.Elapsed)
-	return res
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(opsPer * len(cl.Clients))
+}
+
+// sumFlushWrites totals eviction flush write calls across servers.
+func sumFlushWrites(cl *cluster.Cluster) int64 {
+	var n int64
+	for _, s := range cl.Servers {
+		n += s.Store().Manager().FlushWrites
+	}
+	return n
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// driveBatched drives ops operations in coalescing windows of batch ops on
+// client 0, recording per-op latency (issue to completion for the
+// non-blocking designs, call duration on the socket path), wire sends —
+// on RDMA each consumed one flow-control credit; a frame of N ops counts
+// once — and the eviction flush writes the servers issued (merged flushes
+// count once). batch == 1 issues one op at a time with no window open: the
+// pre-batching behaviour. On RDMA designs a window is BeginBatch / issue /
+// Flush / WaitAll; on IPoIB it is libmemcached-style request buffering
+// flushed every batch ops.
+func driveBatched(cl *cluster.Cluster, gen *workload.Generator, ops, batch int, r *run) {
+	c := cl.Clients[0]
+	flush0, sends0, frames0 := sumFlushWrites(cl), c.Sends, c.Frames
+	start := cl.Env.Now()
+	cl.Env.Spawn("drv-batch", func(p *sim.Proc) {
+		if cl.Design.Transport() == core.IPoIB {
+			batchedSocket(p, c, gen, ops, batch, r)
+			return
+		}
+		for left := ops; left > 0; left -= batch {
+			n := min(batch, left)
+			if n > 1 {
+				must(c.BeginBatch())
+			}
+			reqs := issueAll(p, cl, c, gen, n, newRun(nil))
+			if n > 1 {
+				must(c.Flush(p))
+			}
+			c.WaitAll(p, reqs)
+			for _, req := range reqs {
+				r.Lat.Add(req.CompletedAt - req.IssuedAt)
+			}
+		}
+	})
+	cl.Env.Run()
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(ops)
+	r.Sends, r.Frames = c.Sends-sends0, c.Frames-frames0
+	r.FlushWrites = sumFlushWrites(cl) - flush0
+}
+
+func batchedSocket(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, batch int, r *run) {
+	if batch > 1 {
+		must(c.SetBuffering(true))
+	}
+	for i := 1; i <= ops; i++ {
+		kind, key := gen.Next()
+		t0 := p.Now()
+		blockingOp(p, c, kind, key, gen.ValueSize())
+		if batch > 1 && i%batch == 0 {
+			c.FlushBuffers(p)
+		}
+		r.Lat.Add(p.Now() - t0)
+	}
+	if batch > 1 {
+		c.FlushBuffers(p)
+		must(c.SetBuffering(false))
+	}
+}
+
+// workers is a concurrent closed-loop load: perClient processes on every
+// client, each performing ops unguarded operations one at a time.
+type workers struct {
+	perClient, ops int
+	// gen builds worker n's generator (its own seed).
+	gen func(worker int) *workload.Generator
+	// pick, when set, may override the generator's draw for a worker's i-th
+	// operation, rel after the load started (a flash crowd's celebrity key).
+	pick func(i int, rel sim.Time) (kind workload.OpKind, key string, ok bool)
+	// think, when set, is the pause after an operation that completed rel
+	// after the load started.
+	think func(rel sim.Time) sim.Time
+	// finished, when set, runs as each worker ends.
+	finished func()
+}
+
+// spawnWorkers starts the load. GET latency is recorded per completion;
+// OK counts stored SETs and hit GETs, Misses the GETs answered NotFound.
+// The caller runs the Env.
+func spawnWorkers(cl *cluster.Cluster, w workers, r *run) {
+	start := cl.Env.Now()
+	for ci, c := range cl.Clients {
+		for n := 0; n < w.perClient; n++ {
+			gen := w.gen(ci*w.perClient + n)
+			cl.Env.Spawn(fmt.Sprintf("drv-c%d-w%d", ci, n), func(p *sim.Proc) {
+				if w.finished != nil {
+					defer w.finished()
+				}
+				for i := 0; i < w.ops; i++ {
+					kind, key, ok := workload.OpGet, "", false
+					if w.pick != nil {
+						kind, key, ok = w.pick(i, p.Now()-start)
+					}
+					if !ok {
+						kind, key = gen.Next()
+					}
+					t0 := p.Now()
+					req := do(p, c, opFor(kind, key, gen.ValueSize()), nil)
+					if kind == workload.OpGet {
+						r.GetLat.Add(p.Now() - t0)
+					}
+					switch req.Status {
+					case protocol.StatusStored, protocol.StatusOK:
+						r.OK++
+					case protocol.StatusNotFound:
+						r.Misses++
+					}
+					if w.think != nil {
+						p.Sleep(w.think(p.Now() - start))
+					}
+				}
+			})
+		}
+	}
+	r.Ops = int64(w.ops * w.perClient * len(cl.Clients))
+}
+
+// arrivals is an open-loop arrival process: n operations, op(i) issued gap
+// after its predecessor whatever the system's backlog, with pause(i) more
+// idle time after arrival i where a schedule has bursts (nil: steady).
+type arrivals struct {
+	n     int
+	op    func(i int) core.Op
+	gap   sim.Time
+	pause func(i int) sim.Time
+	// from is the instant measurement starts: earlier arrivals are issued
+	// (they are the detectors' warm-up) but not tallied.
+	from sim.Time
+}
+
+// openLoop spawns the arrival process on client c: each arrival is an
+// independent guarded request in its own process, so the driver never
+// self-throttles. Every measured completion is tallied (OK / miss /
+// failed) and timed into Lat; GetLat takes only GETs that were admitted
+// and answered OK — the latency shedding protects. The caller runs the Env.
+func openLoop(cl *cluster.Cluster, c *core.Client, a arrivals, opts []core.IssueOption, r *run) {
+	inflight := 0
+	cl.Env.Spawn("drv-arrivals", func(p *sim.Proc) {
+		for i := 0; i < a.n; i++ {
+			op, t0 := a.op(i), p.Now()
+			inflight++
+			r.InflightPeak = max(r.InflightPeak, inflight)
+			cl.Env.Spawn(fmt.Sprintf("arrival%d", i), func(q *sim.Proc) {
+				req := do(q, c, op, opts)
+				inflight--
+				if t0 < a.from {
+					return
+				}
+				err := req.Err()
+				r.classify(err)
+				r.Lat.Add(q.Now() - t0)
+				if op.Code == protocol.OpGet && err == nil {
+					r.GetLat.Add(q.Now() - t0)
+				}
+			})
+			p.Sleep(a.gap)
+			if a.pause != nil && a.pause(i) > 0 {
+				p.Sleep(a.pause(i))
+			}
+		}
+	})
+	r.Ops = int64(a.n)
+}
+
+// flood is a burst generator of scratch-key SETs: after a quiet start, ops
+// sets of valueSize bytes on key(i), issued burst at a time through opts
+// with gap between bursts. Failures are the point of the pressure; nothing
+// here is logged.
+type flood struct {
+	ops, burst, valueSize int
+	key                   func(i int) string
+	after, gap            sim.Time
+}
+
+func spawnFlood(cl *cluster.Cluster, c *core.Client, f flood, opts []core.IssueOption) {
+	cl.Env.Spawn("flood", func(p *sim.Proc) {
+		if f.after > 0 {
+			p.Sleep(f.after)
+		}
+		var win []*core.Req
+		for i := 0; i < f.ops; i++ {
+			key := f.key(i)
+			win = append(win, issue(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: f.valueSize, Value: key}, opts))
+			if len(win) == f.burst {
+				c.WaitAll(p, win)
+				win = win[:0]
+				p.Sleep(f.gap)
+			}
+		}
+		c.WaitAll(p, win)
+	})
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"hybridkv/internal/cluster"
 )
 
 // The experiment tests lock the paper's result *shapes*: orderings,
@@ -10,11 +12,8 @@ import (
 // with a reduced op count to stay fast; the bands are deliberately wider
 // than the headline numbers to keep the assertions about shape, not noise.
 
-// quick returns reduced-op options for shape tests.
-func quick() Options { return Options{Ops: 1200} }
-
 func TestFig1aShape(t *testing.T) {
-	r := fig1(quick(), true)
+	r := runExp(t, "fig1a", quick())
 	ipoib := r.Metrics["IPoIB-Mem.avg_us"]
 	rdma := r.Metrics["RDMA-Mem.avg_us"]
 	hyb := r.Metrics["H-RDMA-Def.avg_us"]
@@ -28,7 +27,7 @@ func TestFig1aShape(t *testing.T) {
 }
 
 func TestFig1bShape(t *testing.T) {
-	r := fig1(quick(), false)
+	r := runExp(t, "fig1b", quick())
 	ipoib := r.Metrics["IPoIB-Mem.avg_us"]
 	rdma := r.Metrics["RDMA-Mem.avg_us"]
 	hyb := r.Metrics["H-RDMA-Def.avg_us"]
@@ -40,19 +39,19 @@ func TestFig1bShape(t *testing.T) {
 		t.Errorf("IPoIB (%.1fµs) beat RDMA (%.1fµs)", ipoib, rdma)
 	}
 	// And the hybrid itself degrades vs. its fits-in-memory latency.
-	fits := fig1(quick(), true).Metrics["H-RDMA-Def.avg_us"]
+	fits := runExp(t, "fig1a", quick()).Metrics["H-RDMA-Def.avg_us"]
 	if hyb/fits < 1.5 {
 		t.Errorf("H-RDMA-Def degradation %.2fx, want ≥1.5x (paper: 15-17x; see EXPERIMENTS.md)", hyb/fits)
 	}
 }
 
 func TestFig2Breakdown(t *testing.T) {
-	a := fig2(quick(), true)
+	a := runExp(t, "fig2a", quick())
 	// Data fits: client wait dominates the RDMA designs (network-bound).
 	if a.Metrics["RDMA-Mem.client_wait_us"] < a.Metrics["RDMA-Mem.slab_alloc_us"] {
 		t.Errorf("fits-in-memory: client wait does not dominate slab alloc")
 	}
-	b := fig2(quick(), false)
+	b := runExp(t, "fig2b", quick())
 	// Data does not fit: the miss penalty dominates in-memory designs...
 	if b.Metrics["RDMA-Mem.miss_penalty_us"] < b.Metrics["RDMA-Mem.client_wait_us"] {
 		t.Errorf("overcommit: miss penalty does not dominate RDMA-Mem")
@@ -67,7 +66,7 @@ func TestFig2Breakdown(t *testing.T) {
 }
 
 func TestFig4Crossover(t *testing.T) {
-	r := fig4(quick())
+	r := runExp(t, "fig4", quick())
 	if r.Metrics["crossover.small_mmap_wins"] != 1 {
 		t.Errorf("mmap does not win small writes")
 	}
@@ -82,7 +81,7 @@ func TestFig4Crossover(t *testing.T) {
 }
 
 func TestFig6bImprovementBands(t *testing.T) {
-	r := fig6(quick(), false)
+	r := runExp(t, "fig6b", quick())
 	check := func(key string, lo, hi float64) {
 		v := r.Metrics[key]
 		if v < lo || v > hi {
@@ -105,7 +104,7 @@ func TestFig6bImprovementBands(t *testing.T) {
 }
 
 func TestFig7aOverlapShape(t *testing.T) {
-	r := fig7a(quick())
+	r := runExp(t, "fig7a", quick())
 	if v := r.Metrics["RDMA-Block.read-only.overlap_pct"]; v > 5 {
 		t.Errorf("blocking API overlap %.1f%%, want ≈0", v)
 	}
@@ -128,7 +127,7 @@ func TestFig7aOverlapShape(t *testing.T) {
 }
 
 func TestFig8aSATABenefitsExceedNVMe(t *testing.T) {
-	r := fig8a(quick())
+	r := runExp(t, "fig8a", quick())
 	sata := r.Metrics["improvement_pct.opt_vs_def.SATA.write-heavy"]
 	nvme := r.Metrics["improvement_pct.opt_vs_def.NVMe.write-heavy"]
 	if sata <= nvme {
@@ -160,30 +159,24 @@ func TestRegistryComplete(t *testing.T) {
 	if ByID("nope") != nil {
 		t.Errorf("ByID(nope) found something")
 	}
-	ids := IDs()
-	if len(ids) != len(want) {
-		t.Errorf("IDs() returned %d ids", len(ids))
-	}
 }
 
 func TestAblationRegistry(t *testing.T) {
 	for _, e := range Ablations {
-		if AblationByID(e.ID) == nil {
-			t.Errorf("AblationByID(%s) = nil", e.ID)
+		if ByID(e.ID) == nil {
+			t.Errorf("ByID(%s) = nil", e.ID)
 		}
 		if !strings.HasPrefix(e.ID, "abl-") {
 			t.Errorf("ablation id %q not namespaced", e.ID)
 		}
 	}
-	if AblationByID("abl-nope") != nil {
-		t.Errorf("AblationByID(abl-nope) found something")
+	if ByID("abl-nope") != nil {
+		t.Errorf("ByID(abl-nope) found something")
 	}
 }
 
 func TestResultRendering(t *testing.T) {
-	r := newResult("x", "t")
-	r.metric("b.key", 2)
-	r.metric("a.key", 1)
+	r := &Result{Metrics: map[string]float64{"b.key": 2, "a.key": 1}}
 	out := r.renderMetrics()
 	ai, bi := strings.Index(out, "a.key"), strings.Index(out, "b.key")
 	if ai < 0 || bi < 0 || ai > bi {
@@ -192,15 +185,11 @@ func TestResultRendering(t *testing.T) {
 }
 
 func TestDriversProduceConsistentCounts(t *testing.T) {
-	// A tiny end-to-end sanity pass over each driver.
-	o := Options{Ops: 200}
-	mem, kv, _ := o.geometry()
-	mem = 32 << 20
-	cl, keys := buildAndPreload(clusterDesignForTest(), clusterProfileForTest(), mem, mem/2, kv, 1, 1)
-	gen := workloadForTest(keys, kv)
-	r := RunBlocking(cl, gen, 0, 200)
-	if r.Ops != 200 || r.AllLat.Count() != 200 {
-		t.Errorf("blocking driver ops=%d samples=%d", r.Ops, r.AllLat.Count())
+	// A tiny end-to-end sanity pass over the blocking driver.
+	sp := paperSpec(cluster.RDMAMem, cluster.ClusterA(), 32<<20, 16<<20, 32*1024)
+	r := runCell(t, cell{spec: sp, drive: sp.closed(zipf(0.5, 5), 200)})
+	if r.Ops != 200 || r.Lat.Count() != 200 {
+		t.Errorf("blocking driver ops=%d samples=%d", r.Ops, r.Lat.Count())
 	}
 	if r.SetLat.Count()+r.GetLat.Count() != 200 {
 		t.Errorf("set+get samples %d+%d != 200", r.SetLat.Count(), r.GetLat.Count())
@@ -208,19 +197,16 @@ func TestDriversProduceConsistentCounts(t *testing.T) {
 }
 
 func TestNonBlockingDriverCounts(t *testing.T) {
-	mem := int64(32 << 20)
-	kv := 32 * 1024
-	cl, keys := buildAndPreload(nonbDesignForTest(), clusterProfileForTest(), mem, mem/2, kv, 1, 1)
-	gen := workloadForTest(keys, kv)
-	r := RunNonBlocking(cl, gen, 0, 200, false)
+	sp := paperSpec(cluster.HRDMAOptNonBI, cluster.ClusterA(), 32<<20, 16<<20, 32*1024)
+	r := runCell(t, cell{spec: sp, drive: sp.closed(zipf(0.5, 5), 200)})
 	if r.Ops != 200 || r.Misses != 0 {
 		t.Errorf("nonblocking driver ops=%d misses=%d", r.Ops, r.Misses)
 	}
 	if r.PerOp <= 0 || r.Elapsed <= 0 {
 		t.Errorf("per-op %v elapsed %v", r.PerOp, r.Elapsed)
 	}
-	if r.IssueTime <= 0 || r.IssueTime > r.Elapsed {
-		t.Errorf("issue time %v outside (0,%v]", r.IssueTime, r.Elapsed)
+	if r.Stall <= 0 || r.Stall > r.Elapsed {
+		t.Errorf("issue time %v outside (0,%v]", r.Stall, r.Elapsed)
 	}
 }
 
@@ -229,7 +215,7 @@ func TestNonBlockingDriverCounts(t *testing.T) {
 // pipelines — produces bit-identical metrics on every run.
 func TestEndToEndDeterminism(t *testing.T) {
 	run := func() map[string]float64 {
-		return fig1(Options{Ops: 600}, false).Metrics
+		return runExp(t, "fig1b", Options{Ops: 600}).Metrics
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -244,7 +230,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 
 func TestNonBlockingDeterminism(t *testing.T) {
 	run := func() float64 {
-		return fig6(Options{Ops: 400}, false).Metrics["H-RDMA-Opt-NonB-i.avg_us"]
+		return runExp(t, "fig6b", Options{Ops: 400}).Metrics["H-RDMA-Opt-NonB-i.avg_us"]
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("async-pipeline experiment diverged: %v vs %v", a, b)
@@ -252,7 +238,7 @@ func TestNonBlockingDeterminism(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	r := table1(Options{})
+	r := runExp(t, "tbl1", Options{})
 	// Table I's rows, straight from the paper.
 	checks := map[string]float64{
 		"IPoIB-Mem.rdma":                0,
@@ -277,7 +263,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestResultCSVExport(t *testing.T) {
-	r := fig4(Options{})
+	r := runExp(t, "fig4", Options{})
 	var sb strings.Builder
 	if err := r.WriteCSV(&sb); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -288,7 +274,7 @@ func TestResultCSVExport(t *testing.T) {
 			t.Errorf("CSV missing %q:\n%s", want, out)
 		}
 	}
-	if len(r.Tables) == 0 {
+	if len(r.tables) == 0 {
 		t.Errorf("result retained no tables")
 	}
 }

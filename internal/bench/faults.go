@@ -2,13 +2,10 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
 	"hybridkv/internal/fault"
-	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -19,9 +16,9 @@ import (
 // the client's deadline/retry/failover machinery armed. The contrast is
 // tail latency and goodput, not means: a lossy fabric moves p99, not p50.
 
-// FaultSchedule configures one degraded-mode phase. The zero value is a
+// faultSchedule configures one degraded-mode phase. The zero value is a
 // clean run (no injection anywhere).
-type FaultSchedule struct {
+type faultSchedule struct {
 	// Seed drives every injector RNG in the phase.
 	Seed int64
 	// Drop / Dup / Spike are per-message fabric fault probabilities.
@@ -35,17 +32,11 @@ type FaultSchedule struct {
 	SSDReadErr, SSDWriteErr float64
 }
 
-// Empty reports a schedule that injects nothing.
-func (fs FaultSchedule) Empty() bool {
-	return fs.Drop == 0 && fs.Dup == 0 && fs.Spike == 0 &&
-		fs.CrashTo <= fs.CrashFrom && fs.SSDReadErr == 0 && fs.SSDWriteErr == 0
-}
-
-// DefaultFaultSchedule is the standard degraded-mode mix: 1% drops, 0.5%
-// dups, 1% latency spikes of 100 µs, server 0 down for 4 ms early in the
-// phase, and 0.5% SSD read errors.
-func DefaultFaultSchedule() FaultSchedule {
-	return FaultSchedule{
+// defaultFaults is the standard degraded-mode mix: 1% drops, 0.5% dups, 1%
+// latency spikes of 100 µs, server 0 down for 4 ms early in the phase, and
+// 0.5% SSD read errors.
+func defaultFaults() faultSchedule {
+	return faultSchedule{
 		Seed:       42,
 		Drop:       0.01,
 		Dup:        0.005,
@@ -58,53 +49,52 @@ func DefaultFaultSchedule() FaultSchedule {
 }
 
 // Client-side recovery policy, armed for every phase (clean and faulted).
-// The attempt timeout must clear the slowest legitimate clean-run request —
-// a synchronous H-RDMA-Def Set that flushes an eviction batch with direct
-// I/O takes up to ~5.5 ms — or the "recovery" would retransmit against a
-// healthy, merely busy server and perturb the clean baseline.
 const (
-	faultDeadline       = 32 * sim.Millisecond
-	faultAttemptTimeout = 8 * sim.Millisecond
-	faultWindow         = 32 // in-flight window for non-blocking designs
-	ipoibRecvTimeout    = 8 * sim.Millisecond
-	ipoibRecvRetries    = 3
+	faultDeadline    = 32 * sim.Millisecond
+	faultWindow      = 32 // in-flight window for non-blocking designs
+	ipoibRecvTimeout = 8 * sim.Millisecond
+	ipoibRecvRetries = 3
 )
 
-// FaultedResult summarizes one (clean or faulted) measurement phase.
-type FaultedResult struct {
-	// Lat holds per-op completion latency for every op, including ones
-	// that ended in a timeout — that is where the fault tail lives.
-	Lat *metrics.Hist
-	// Ops = OK + Misses + Failed. Misses were answered by the server
-	// (NotFound) and served from the backend; Failed timed out or errored.
-	Ops, OK, Misses, Failed int64
-	Elapsed                 sim.Time
-	// Goodput is answered operations (OK + Misses) per virtual second.
-	Goodput float64
-	// Counters is the phase delta of the client's fault counters
-	// (retries, timeouts, failovers, stale-responses, …).
-	Counters *metrics.Counters
-	// NetDropped counts fabric messages lost to injection in the phase.
-	NetDropped int64
+// socketRecovery is the socket design's whole recovery story: a receive
+// timeout and a resend budget in the client config.
+func socketRecovery(d cluster.Design) core.Config {
+	if d.Transport() == core.IPoIB {
+		return core.Config{RecvTimeout: ipoibRecvTimeout, RecvRetries: ipoibRecvRetries}
+	}
+	return core.Config{}
 }
 
-// RunFaulted executes ops operations on client ci under sched. It arms the
+// faultCell is one phase: design d on a two-server deployment (so failover
+// has somewhere to go) of mem aggregate memory preloaded with dataBytes,
+// driven for ops operations of w under sched.
+func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.Config, sched faultSchedule) cell {
+	sp := &spec{Config: cluster.Config{
+		Design: d, Profile: cluster.ClusterA(), Servers: 2, Clients: 1,
+		ServerMem: mem / 2, Client: socketRecovery(d),
+	}, keys: int(dataBytes / int64(kv)), kv: kv}
+	return cell{design: d.String(), row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {
+		driveFaulted(cl, sp.gen(w), ops, sched, r)
+	}}
+}
+
+// driveFaulted executes ops operations on client 0 under sched. It arms the
 // fabric injector, the server-0 crash window, and SSD error injection at
 // the start of the measurement phase, and uses the deadline/retry client
 // API so no fault can wedge the run. With an empty schedule the op path is
 // virtual-time-identical to the no-fault drivers (guards and timeout arms
-// never fire), so clean numbers match the existing experiments exactly.
-func RunFaulted(cl *cluster.Cluster, gen *workload.Generator, ci, ops int, sched FaultSchedule) *FaultedResult {
-	res := &FaultedResult{Lat: metrics.NewHist()}
-	c := cl.Clients[ci]
+// never fire), so clean numbers match the other experiments exactly. Lat
+// holds every op's completion latency, including ones that ended in a
+// timeout — that is where the fault tail lives.
+func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, sched faultSchedule, r *run) {
+	c := cl.Clients[0]
 	start := cl.Env.Now()
-	if !sched.Empty() {
-		inj := fault.New(fault.Config{
+	if sched != (faultSchedule{}) {
+		cl.Fabric.SetFaults(fault.New(fault.Config{
 			Seed: sched.Seed, Drop: sched.Drop, Dup: sched.Dup,
 			Spike: sched.Spike, SpikeDelay: sched.SpikeDelay,
-		})
-		cl.Fabric.SetFaults(inj)
-		if sched.CrashTo > sched.CrashFrom && len(cl.Servers) > 0 {
+		}))
+		if sched.CrashTo > sched.CrashFrom {
 			cl.Servers[0].ScheduleCrash(start+sched.CrashFrom, start+sched.CrashTo)
 		}
 		if sched.SSDReadErr > 0 || sched.SSDWriteErr > 0 {
@@ -113,223 +103,87 @@ func RunFaulted(cl *cluster.Cluster, gen *workload.Generator, ci, ops int, sched
 			}
 		}
 	}
-	before := c.Faults.Snapshot()
-	droppedBefore := cl.Fabric.Dropped
-	cl.Env.Spawn(fmt.Sprintf("drv-fault-%d", ci), func(p *sim.Proc) {
+	cl.Env.Spawn("drv-fault", func(p *sim.Proc) {
 		if cl.Design.Transport() == core.IPoIB {
-			runFaultedIPoIB(p, cl, c, gen, ops, res)
-			return
+			blockingOps(p, cl, c, gen, ops, r) // the socket design has only the blocking API
+		} else {
+			faultedRDMA(p, cl, c, gen, ops, sched.Seed, r)
 		}
-		runFaultedRDMA(p, cl, c, gen, ops, sched, res)
 	})
 	cl.Env.Run()
 	cl.Fabric.SetFaults(nil)
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(ops)
-	res.Goodput = metrics.Throughput(res.OK+res.Misses, res.Elapsed)
-	res.Counters = metrics.NewCounters()
-	after := c.Faults.Snapshot()
-	for _, name := range after.Names() {
-		if d := after.Get(name) - before.Get(name); d != 0 {
-			res.Counters.Add(name, d)
-		}
-	}
-	res.NetDropped = cl.Fabric.Dropped - droppedBefore
-	return res
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(ops)
 }
 
-// classify tallies one completed request.
-func (res *FaultedResult) classify(err error) {
-	switch {
-	case err == nil:
-		res.OK++
-	case errors.Is(err, core.ErrNotFound):
-		res.Misses++
-	default:
-		res.Failed++
-	}
-}
-
-// runFaultedRDMA drives the RDMA designs with the unified Issue API armed
-// with deadline + retry + failover. Blocking designs run one op at a time
+// faultedRDMA drives the RDMA designs with the unified Issue API armed with
+// deadline + retry + failover. Blocking designs run one op at a time
 // (window 1, web-caching miss contract); non-blocking designs pipeline a
 // window of requests and drain it with WaitAll.
-func runFaultedRDMA(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, sched FaultSchedule, res *FaultedResult) {
+func faultedRDMA(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, seed int64, r *run) {
 	vs := gen.ValueSize()
-	rp := core.RetryPolicy{
-		MaxAttempts:    4,
-		AttemptTimeout: faultAttemptTimeout,
-		Failover:       len(cl.Servers) > 1,
-		Seed:           sched.Seed,
-	}
-	opts := []core.IssueOption{core.WithDeadline(faultDeadline), core.WithRetry(rp)}
-	if cl.Design.BufferGuarantee() {
-		opts = append(opts, core.WithBufferAck())
-	}
-	opFor := func(kind workload.OpKind, key string) core.Op {
-		if kind == workload.OpSet {
-			return core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: key}
-		}
-		return core.Op{Code: protocol.OpGet, Key: key}
-	}
+	opts := guard{
+		deadline: faultDeadline, attempts: 4, seed: seed, failover: len(cl.Servers) > 1,
+		backoff: 5 * sim.Microsecond, maxBackoff: sim.Millisecond, jitter: true,
+	}.opts(cl.Design.BufferGuarantee())
 	if !cl.Design.NonBlocking() {
 		for i := 0; i < ops; i++ {
 			kind, key := gen.Next()
 			t0 := p.Now()
-			req, err := c.Issue(p, opFor(kind, key), opts...)
-			if err != nil {
-				panic("bench: faulted issue failed: " + err.Error())
+			err := do(p, c, opFor(kind, key, vs), opts).Err()
+			if errors.Is(err, core.ErrNotFound) {
+				missRefill(p, cl, c, key, vs, opts)
 			}
-			c.Wait(p, req)
-			e := req.Err()
-			if errors.Is(e, core.ErrNotFound) {
-				// Web-caching contract: serve the miss from the backend and
-				// re-populate.
-				mt := p.Now()
-				v := cl.Backend.Fetch(p, key)
-				c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
-				sreq, _ := c.Issue(p, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts...)
-				c.Wait(p, sreq)
-			}
-			res.classify(e)
-			res.Lat.Add(p.Now() - t0)
+			r.classify(err)
+			r.Lat.Add(p.Now() - t0)
 		}
 		return
 	}
-	left := ops
-	for left > 0 {
-		n := faultWindow
-		if n > left {
-			n = left
-		}
-		reqs := make([]*core.Req, 0, n)
-		for i := 0; i < n; i++ {
+	for left := ops; left > 0; left -= faultWindow {
+		reqs := make([]*core.Req, 0, faultWindow)
+		for i := 0; i < min(faultWindow, left); i++ {
 			kind, key := gen.Next()
-			req, err := c.Issue(p, opFor(kind, key), opts...)
-			if err != nil {
-				panic("bench: faulted issue failed: " + err.Error())
-			}
-			reqs = append(reqs, req)
+			reqs = append(reqs, issue(p, c, opFor(kind, key, vs), opts))
 		}
 		c.WaitAll(p, reqs)
-		for _, r := range reqs {
-			res.classify(r.Err())
-			res.Lat.Add(r.CompletedAt - r.IssuedAt)
+		for _, req := range reqs {
+			r.classify(req.Err())
+			r.Lat.Add(req.CompletedAt - req.IssuedAt)
 		}
-		left -= n
 	}
 }
 
-// runFaultedIPoIB drives the socket design with the blocking API; recovery
-// comes from the client's RecvTimeout/RecvRetries config.
-func runFaultedIPoIB(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, res *FaultedResult) {
-	vs := gen.ValueSize()
-	for i := 0; i < ops; i++ {
-		kind, key := gen.Next()
-		t0 := p.Now()
-		if kind == workload.OpSet {
-			st := c.Set(p, key, vs, key, 0, 0)
-			if st == protocol.StatusError {
-				res.Failed++
-			} else {
-				res.OK++
-			}
-		} else {
-			_, _, st := c.Get(p, key)
-			switch st {
-			case protocol.StatusNotFound:
-				res.Misses++
-				mt := p.Now()
-				v := cl.Backend.Fetch(p, key)
-				c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
-				c.Set(p, key, vs, v, 0, 0)
-			case protocol.StatusError:
-				res.Failed++
-			default:
-				res.OK++
-			}
-		}
-		res.Lat.Add(p.Now() - t0)
-	}
-}
-
-// buildFaultCluster assembles a two-server deployment (so failover has
-// somewhere to go) with the degraded-mode client config, and preloads it.
-func buildFaultCluster(d cluster.Design, mem int64, dataBytes int64, kv int) (*cluster.Cluster, int) {
-	ccfg := core.Config{}
-	if d.Transport() == core.IPoIB {
-		ccfg.RecvTimeout = ipoibRecvTimeout
-		ccfg.RecvRetries = ipoibRecvRetries
-	}
-	cl := cluster.New(cluster.Config{
-		Design:    d,
-		Profile:   cluster.ClusterA(),
-		Servers:   2,
-		Clients:   1,
-		ServerMem: mem / 2,
-		Client:    ccfg,
-	})
-	keys := int(dataBytes / int64(kv))
-	cl.Preload(keys, kv, keyOf)
-	return cl, keys
-}
-
-// faultsExp is the registry entry: every design, clean vs faulted phase on
+// faults is the registry entry: every design, clean vs faulted phase on
 // fresh clusters, reporting p50/p99 latency, goodput, and recovery counts.
-func faultsExp(o Options) *Result {
-	res := newResult("faults", "Degraded mode: tail latency and goodput under a fault schedule")
-	mem, kv, opsDef := o.geometry()
-	ops := o.ops(opsDef / 2)
-	dataBytes := mem * 3 / 2 // overcommit: SSD paths (and their faults) in play
-	sched := DefaultFaultSchedule()
-
-	cleanP50 := &metrics.Series{Name: "clean p50µs"}
-	cleanP99 := &metrics.Series{Name: "clean p99µs"}
-	cleanGP := &metrics.Series{Name: "clean op/s"}
-	faultP50 := &metrics.Series{Name: "fault p50µs"}
-	faultP99 := &metrics.Series{Name: "fault p99µs"}
-	faultGP := &metrics.Series{Name: "fault op/s"}
-	retries := &metrics.Series{Name: "retries"}
-	timeouts := &metrics.Series{Name: "timeouts"}
-	failed := &metrics.Series{Name: "failed"}
-
-	phase := func(d cluster.Design, s FaultSchedule) *FaultedResult {
-		cl, keys := buildFaultCluster(d, mem, dataBytes, kv)
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-			Pattern: workload.Zipf, ZipfS: zipfOver, Seed: 7,
-		})
-		return RunFaulted(cl, gen, 0, ops, s)
-	}
-	for _, d := range cluster.Designs {
-		clean := phase(d, FaultSchedule{})
-		faulted := phase(d, sched)
-		name := d.String()
-		cleanP50.Append(name, us(clean.Lat.Quantile(0.50)))
-		cleanP99.Append(name, us(clean.Lat.Quantile(0.99)))
-		cleanGP.Append(name, clean.Goodput)
-		faultP50.Append(name, us(faulted.Lat.Quantile(0.50)))
-		faultP99.Append(name, us(faulted.Lat.Quantile(0.99)))
-		faultGP.Append(name, faulted.Goodput)
-		retries.Append(name, float64(faulted.Counters.Get("retries")))
-		timeouts.Append(name, float64(faulted.Counters.Get("timeouts")))
-		failed.Append(name, float64(faulted.Failed))
-		res.metric(name+".clean_p50_us", us(clean.Lat.Quantile(0.50)))
-		res.metric(name+".clean_p99_us", us(clean.Lat.Quantile(0.99)))
-		res.metric(name+".clean_goodput", clean.Goodput)
-		res.metric(name+".clean_failed", float64(clean.Failed))
-		res.metric(name+".clean_retries", float64(clean.Counters.Get("retries")))
-		res.metric(name+".fault_p50_us", us(faulted.Lat.Quantile(0.50)))
-		res.metric(name+".fault_p99_us", us(faulted.Lat.Quantile(0.99)))
-		res.metric(name+".fault_goodput", faulted.Goodput)
-		res.metric(name+".fault_failed", float64(faulted.Failed))
-		res.metric(name+".fault_retries", float64(faulted.Counters.Get("retries")))
-		res.metric(name+".fault_timeouts", float64(faulted.Counters.Get("timeouts")))
-		res.metric(name+".fault_failovers", float64(faulted.Counters.Get("failovers")))
-		res.metric(name+".net_dropped", float64(faulted.NetDropped))
-	}
-	res.Output = res.addTable(res.Title,
-		cleanP50, cleanP99, cleanGP, faultP50, faultP99, faultGP,
-		retries, timeouts, failed) + res.renderMetrics()
-	return res
+var faultsExp = Experiment{
+	ID: "faults", Title: "Degraded mode: tail latency and goodput under a fault schedule",
+	cells: func(o Options) (cells []cell) {
+		mem, kv, opsDef := o.geometry()
+		ops := o.ops(opsDef / 2)
+		dataBytes := mem * 3 / 2 // overcommit: SSD paths (and their faults) in play
+		for _, d := range cluster.Designs {
+			clean := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), faultSchedule{})
+			clean.prefix = "clean_"
+			clean.collect = func(_ *cluster.Cluster, r *run) {
+				r.show("clean p50µs", "p50_us", us(r.Lat.Quantile(0.50)))
+				r.show("clean p99µs", "p99_us", us(r.Lat.Quantile(0.99)))
+				r.show("clean op/s", "goodput", r.goodput())
+				r.set("failed", float64(r.Failed))
+				r.counts(r.Faults, "retries")
+			}
+			faulted := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), defaultFaults())
+			faulted.collect = func(_ *cluster.Cluster, r *run) {
+				r.show("fault p50µs", "fault_p50_us", us(r.Lat.Quantile(0.50)))
+				r.show("fault p99µs", "fault_p99_us", us(r.Lat.Quantile(0.99)))
+				r.show("fault op/s", "fault_goodput", r.goodput())
+				r.show("retries", "fault_retries", float64(r.Faults.Get("retries")))
+				r.show("timeouts", "fault_timeouts", float64(r.Faults.Get("timeouts")))
+				r.show("failed", "fault_failed", float64(r.Failed))
+				r.set("fault_failovers", float64(r.Faults.Get("failovers")))
+				r.set("net_dropped", float64(r.Dropped))
+			}
+			cells = append(cells, clean, faulted)
+		}
+		return cells
+	},
 }

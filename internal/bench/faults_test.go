@@ -6,22 +6,22 @@ import (
 	"hybridkv/internal/cluster"
 )
 
-const (
-	faultTestMem = 32 << 20
-	faultTestKV  = 32 << 10
-)
+// faultRun runs one phase on the test geometry (32 MB over two servers,
+// 1.5x overcommitted, 32 KB values) under sched.
+func faultRun(t *testing.T, d cluster.Design, ops int, sched faultSchedule) *run {
+	t.Helper()
+	return runCell(t, faultTestCell(d, ops, sched))
+}
 
-func faultTestCluster(d cluster.Design) (*cluster.Cluster, int) {
-	return buildFaultCluster(d, faultTestMem, faultTestMem*3/2, faultTestKV)
+func faultTestCell(d cluster.Design, ops int, sched faultSchedule) cell {
+	return faultCell(d, 32<<20, 48<<20, 32<<10, ops, zipf(0.5, 5), sched)
 }
 
 // A clean (empty-schedule) run must never engage the recovery machinery:
 // no retries, no timeouts, no failures, nothing dropped.
 func TestFaultedCleanRun(t *testing.T) {
 	for _, d := range []cluster.Design{cluster.HRDMAOptBlock, cluster.HRDMAOptNonBI, cluster.IPoIBMem} {
-		cl, keys := faultTestCluster(d)
-		gen := workloadForTest(keys, faultTestKV)
-		r := RunFaulted(cl, gen, 0, 300, FaultSchedule{})
+		r := faultRun(t, d, 300, faultSchedule{})
 		if r.Failed != 0 {
 			t.Errorf("%s: clean run failed %d ops", d, r.Failed)
 		}
@@ -29,15 +29,15 @@ func TestFaultedCleanRun(t *testing.T) {
 			t.Errorf("%s: OK %d + Misses %d != Ops %d", d, r.OK, r.Misses, r.Ops)
 		}
 		for _, name := range []string{"retries", "timeouts", "failovers", "cancels"} {
-			if n := r.Counters.Get(name); n != 0 {
+			if n := r.Faults.Get(name); n != 0 {
 				t.Errorf("%s: clean run has %s=%d", d, name, n)
 			}
 		}
-		if r.NetDropped != 0 {
-			t.Errorf("%s: clean run dropped %d messages", d, r.NetDropped)
+		if r.Dropped != 0 {
+			t.Errorf("%s: clean run dropped %d messages", d, r.Dropped)
 		}
-		if r.Goodput <= 0 {
-			t.Errorf("%s: goodput %f", d, r.Goodput)
+		if r.goodput() <= 0 {
+			t.Errorf("%s: goodput %f", d, r.goodput())
 		}
 	}
 }
@@ -46,17 +46,12 @@ func TestFaultedCleanRun(t *testing.T) {
 // invisible: the run takes exactly the same virtual time as the plain
 // blocking driver on an identical cluster and workload.
 func TestFaultedEmptyScheduleParity(t *testing.T) {
-	d := cluster.HRDMAOptBlock
-	ops := 300
+	const ops = 300
+	c := faultTestCell(cluster.HRDMAOptBlock, ops, faultSchedule{})
+	r := runCell(t, c)
 
-	cl1, keys := faultTestCluster(d)
-	r := RunFaulted(cl1, workloadForTest(keys, faultTestKV), 0, ops, FaultSchedule{})
-
-	cl2, keys2 := faultTestCluster(d)
-	if keys2 != keys {
-		t.Fatalf("cluster geometry mismatch: %d vs %d keys", keys2, keys)
-	}
-	b := RunBlocking(cl2, workloadForTest(keys, faultTestKV), 0, ops)
+	c.drive = c.spec.closed(zipf(0.5, 5), ops) // H-RDMA-Opt-Block: the blocking API
+	b := runCell(t, c)
 
 	if r.Elapsed != b.Elapsed {
 		t.Errorf("empty-schedule elapsed %v != blocking driver elapsed %v", r.Elapsed, b.Elapsed)
@@ -69,26 +64,21 @@ func TestFaultedEmptyScheduleParity(t *testing.T) {
 // Every design must survive the default fault schedule: all ops accounted
 // for, recovery engaged on the lossy fabric, and the run fully deterministic.
 func TestFaultedAllDesigns(t *testing.T) {
-	sched := DefaultFaultSchedule()
 	for _, d := range cluster.Designs {
-		run := func() *FaultedResult {
-			cl, keys := faultTestCluster(d)
-			return RunFaulted(cl, workloadForTest(keys, faultTestKV), 0, 300, sched)
-		}
-		r1 := run()
+		r1 := faultRun(t, d, 300, defaultFaults())
 		if r1.OK+r1.Misses+r1.Failed != r1.Ops {
 			t.Errorf("%s: OK %d + Misses %d + Failed %d != Ops %d",
 				d, r1.OK, r1.Misses, r1.Failed, r1.Ops)
 		}
-		if r1.NetDropped == 0 {
+		if r1.Dropped == 0 {
 			t.Errorf("%s: fault schedule dropped nothing", d)
 		}
 		if d.Transport() != cluster.IPoIBMem.Transport() {
-			if r1.Counters.Get("retries") == 0 && r1.Failed == 0 {
+			if r1.Faults.Get("retries") == 0 && r1.Failed == 0 {
 				t.Errorf("%s: drops injected but no retries and no failures", d)
 			}
 		}
-		r2 := run()
+		r2 := faultRun(t, d, 300, defaultFaults())
 		if r1.Elapsed != r2.Elapsed || r1.OK != r2.OK || r1.Failed != r2.Failed {
 			t.Errorf("%s: faulted run not deterministic: (%v,%d,%d) vs (%v,%d,%d)",
 				d, r1.Elapsed, r1.OK, r1.Failed, r2.Elapsed, r2.OK, r2.Failed)
@@ -101,7 +91,7 @@ func TestFaultsExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faults experiment is slow")
 	}
-	r := faultsExp(quick())
+	r := runExp(t, "faults", quick())
 	for _, d := range cluster.Designs {
 		name := d.String()
 		if r.Metrics[name+".clean_failed"] != 0 {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
 	"hybridkv/internal/cluster"
@@ -11,7 +10,6 @@ import (
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
-	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -40,16 +38,9 @@ const (
 
 	// Client guard: chaos-grade budgets, plus a hedge so the adaptive
 	// threshold (hedgeAfter) is exercised once health tracking is live.
-	grayDeadline       = 40 * sim.Millisecond
-	grayAttemptTimeout = 8 * sim.Millisecond
-	grayMaxAttempts    = 6
-	grayBackoff        = 100 * sim.Microsecond
-	grayMaxBackoff     = 2 * sim.Millisecond
-	grayHedge          = 2 * sim.Millisecond
-
-	grayWriters       = 2
-	grayKeysPerWriter = 4
-	grayThink         = 80 * sim.Microsecond
+	grayDeadline    = 40 * sim.Millisecond
+	grayMaxAttempts = 6
+	grayHedge       = 2 * sim.Millisecond
 
 	// Open-loop GET arrivals: steady, no bursts — the tail under test is
 	// the slow node's, not the admission layer's.
@@ -93,9 +84,9 @@ const (
 	grayBurstGap   = 2 * sim.Millisecond
 )
 
-// grayCell is one experiment cell: which faults are injected and which
+// grayDefense is one experiment cell: which faults are injected and which
 // defenses are armed.
-type grayCell struct {
+type grayDefense struct {
 	name   string
 	slow   bool // inject the fail-slow schedule on server graySlowID
 	health bool // latency-aware health scoring + brown-out routing
@@ -103,310 +94,134 @@ type grayCell struct {
 	crash  bool // cold-kill the slow node mid-run (failover proof)
 }
 
-// grayReport is one cell's outcome.
-type grayReport struct {
-	GetLat               *metrics.Hist // admitted GETs issued in the measured window
-	GetsOK, GetsFailed   int64
-	Violations           []history.Violation
-	AckedWrites          int
-	Stats                core.ClientStats
-	PacerDeferrals       int64
-	NetSlowed, DevSlowed int64 // injection ground truth: faults actually fired
-	WorkerStalls         int64
-}
-
-// runGrayfail runs one cell: a 5-server R=2 NonB-b cluster, CAS-chain
-// writers under the history checker, and an open-loop admitted-GET driver.
-func runGrayfail(rounds, gets int, seed int64, cell grayCell) *grayReport {
-	ccfg := core.Config{
-		Breaker: core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond},
-	}
-	if cell.health {
+// grayCell runs one cell: a 5-server R=2 NonB-b cluster, CAS-chain writers
+// under the history checker for rounds rounds, and gets open-loop
+// admitted GETs; seed drives the link injector and the retry jitter.
+func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
+	ccfg := core.Config{Breaker: core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond}}
+	if def.health {
 		// Faster detection than the defaults so smoke-scale runs trip the
 		// brown-out inside the warmup window; ProbeEvery is raised so the
 		// probe trickle stays under the measured window's p99 mass.
 		ccfg.Health = core.HealthConfig{Enabled: true, Window: 32, MinSamples: 8, ProbeEvery: 64}
 	}
-	cfg := cluster.Config{
-		Design:            cluster.HRDMAOptNonBB,
-		Profile:           cluster.ClusterA(),
-		Servers:           grayServers,
-		Clients:           1,
+	sp := &spec{Config: cluster.Config{
+		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: grayServers, Clients: 1,
 		ReplicationFactor: grayReplicas,
 		ServerMem:         4 << 20, // dataset fits: the tail under test is the slow node's, not eviction's
-		StorageWorkers:    grayWorkers,
-		BufferBytes:       overBufferBytes,
-		Overload: server.OverloadConfig{
-			Enabled:        true,
-			QueueHigh:      overQueueHigh,
-			RetryAfterUnit: 10 * sim.Microsecond,
-		},
-		Client: ccfg,
-	}
-	if cell.pacing {
-		cfg.Pacer = replication.PacerConfig{Enabled: true}
-	}
-	cl := cluster.New(cfg)
-	cl.Preload(grayKeys, grayValueSize, keyOf)
-	start := cl.Env.Now()
-
+		StorageWorkers:    grayWorkers, BufferBytes: overBufferBytes, Overload: admission(),
+		Client: ccfg, Pacer: replication.PacerConfig{Enabled: def.pacing},
+	}, keys: grayKeys, kv: grayValueSize}
 	var inj *fault.Injector
-	if cell.slow {
-		from, to := start+graySlowOnset, start+grayLimit
-		cl.Devices[graySlowID].AddSlow(from, to, graySSDMult, graySSDFloor)
-		cl.Servers[graySlowID].AddWorkerStall(from, to, grayStall)
-		inj = fault.New(fault.Config{Seed: seed})
-		inj.AddSlow(fmt.Sprintf("server%d", graySlowID), from, to, grayNetFloor, grayNetPerKB)
-		cl.Fabric.SetFaults(inj)
-	}
-
-	log := &history.Log{Replicated: true}
-	rp := core.RetryPolicy{
-		MaxAttempts:    grayMaxAttempts,
-		AttemptTimeout: grayAttemptTimeout,
-		Backoff:        grayBackoff,
-		MaxBackoff:     grayMaxBackoff,
-		Jitter:         -1, // deterministic backoff
-		Seed:           seed,
-		Failover:       true,
-	}
-	guardGet := []core.IssueOption{core.WithDeadline(grayDeadline), core.WithRetry(rp)}
-	// NonB-b: BufferAck marks the writes the acked-write-lost invariant holds.
-	guardSet := append(append([]core.IssueOption{}, guardGet...), core.WithBufferAck())
-	c := cl.Clients[0]
-
-	// Writers: per-key CAS chains, exactly the chaos soak's evidence
-	// discipline (one Read + one Write entry per round, Acked per the
-	// buffer guarantee).
-	expected := 0
-	for w := 0; w < grayWriters; w++ {
-		w := w
-		expected += rounds * 2
-		cl.Env.Spawn(fmt.Sprintf("gray-writer%d", w), func(p *sim.Proc) {
-			next := make([]uint64, grayKeysPerWriter)
-			for r := 0; r < rounds; r++ {
-				ki := r % grayKeysPerWriter
-				key := fmt.Sprintf("gray:w%d:k%d", w, ki)
-
-				t0 := p.Now()
-				rreq, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, guardGet...)
-				if err != nil {
-					panic("bench: grayfail read issue failed: " + err.Error())
-				}
-				c.Wait(p, rreq)
-				rerr := rreq.Err()
-				hit := rerr == nil
-				var seq uint64
-				if hit {
-					seq, _ = rreq.Value.(uint64)
-				}
-				log.Record(history.Entry{
-					Worker: w, Kind: history.Read, Key: key, Seq: seq,
-					Hit: hit, OK: hit || errors.Is(rerr, core.ErrNotFound),
-					IssuedAt: t0, CompletedAt: p.Now(),
-				})
-
-				next[ki]++
-				seqW := next[ki]
-				op := core.Op{Code: protocol.OpAdd, Key: key, ValueSize: grayValueSize, Value: seqW}
-				if hit {
-					op = core.Op{Code: protocol.OpCAS, Key: key, ValueSize: grayValueSize, Value: seqW, CAS: rreq.CAS}
-				}
-				t1 := p.Now()
-				wreq, err := c.Issue(p, op, guardSet...)
-				if err != nil {
-					panic("bench: grayfail write issue failed: " + err.Error())
-				}
-				c.Wait(p, wreq)
-				werr := wreq.Err()
-				acked := wreq.Acked() &&
-					(werr == nil || errors.Is(werr, core.ErrDeadlineExceeded))
-				log.Record(history.Entry{
-					Worker: w, Kind: history.Write, Key: key, Seq: seqW,
-					OK: werr == nil, Acked: acked,
-					IssuedAt: t1, CompletedAt: p.Now(),
-				})
-				p.Sleep(grayThink)
+	return cell{
+		prefix: def.name + ".", spec: sp,
+		drive: func(cl *cluster.Cluster, r *run) {
+			c := cl.Clients[0]
+			start := cl.Env.Now()
+			if def.slow {
+				from, to := start+graySlowOnset, start+grayLimit
+				cl.Devices[graySlowID].AddSlow(from, to, graySSDMult, graySSDFloor)
+				cl.Servers[graySlowID].AddWorkerStall(from, to, grayStall)
+				inj = fault.New(fault.Config{Seed: seed})
+				inj.AddSlow(fmt.Sprintf("server%d", graySlowID), from, to, grayNetFloor, grayNetPerKB)
+				cl.Fabric.SetFaults(inj)
 			}
-		})
-	}
 
-	// Open-loop GET driver: each arrival is an independent guarded request
-	// in its own process. Only GETs issued after grayMeasureFrom count —
-	// the warmup gap is the detector's sample budget, identical across
-	// cells so the comparison stays fair.
-	rep := &grayReport{GetLat: metrics.NewHist()}
-	getOpts := []core.IssueOption{
-		core.WithDeadline(grayDeadline), core.WithRetry(rp), core.WithHedge(grayHedge),
-	}
-	cl.Env.Spawn("gray-gets", func(p *sim.Proc) {
-		for i := 0; i < gets; i++ {
-			key := keyOf(i % grayKeys)
-			t0 := p.Now()
-			cl.Env.Spawn(fmt.Sprintf("gray-get%d", i), func(gp *sim.Proc) {
-				req, err := c.Issue(gp, core.Op{Code: protocol.OpGet, Key: key}, getOpts...)
-				if err != nil {
-					panic("bench: grayfail get issue failed: " + err.Error())
-				}
-				c.Wait(gp, req)
-				if t0 < start+grayMeasureFrom {
-					return
-				}
-				if req.Err() == nil {
-					rep.GetLat.Add(gp.Now() - t0)
-					rep.GetsOK++
-				} else {
-					rep.GetsFailed++
-				}
+			// Writers: per-key CAS chains, exactly the chaos soak's
+			// evidence discipline. NonB-b: BufferAck marks the writes the
+			// acked-write-lost invariant holds.
+			r.Log = &history.Log{Replicated: true}
+			g := guard{deadline: grayDeadline, attempts: grayMaxAttempts, seed: seed, failover: true}
+			r.spawnWriters(cl, c, &chain{
+				ns: "gray", writers: 2, keysPer: 4, rounds: rounds,
+				valueSize: grayValueSize, think: 80 * sim.Microsecond,
+				get: g.opts(false), set: g.opts(true),
 			})
-			p.Sleep(grayGetGap)
-		}
-	})
 
-	// Foreground bursts: open-loop scratch SETs that spike buffer
-	// occupancy past the watermark while the writers keep scrubs armed.
-	// Failures are the point of the pressure; nothing here is logged.
-	cl.Env.Spawn("gray-burst", func(p *sim.Proc) {
-		p.Sleep(grayBurstAt)
-		for b := 0; b < grayBursts; b++ {
-			var win []*core.Req
-			for i := 0; i < grayBurstOps; i++ {
-				key := fmt.Sprintf("burst:%03d", b*grayBurstOps+i)
-				req, err := c.Issue(p, core.Op{
-					Code: protocol.OpSet, Key: key,
-					ValueSize: grayBurstValue, Value: key,
-				}, core.WithDeadline(4*sim.Millisecond))
-				if err != nil {
-					panic("bench: grayfail burst issue failed: " + err.Error())
-				}
-				win = append(win, req)
+			// Open-loop GET driver. Only GETs issued after grayMeasureFrom
+			// count — the warmup gap is the detector's sample budget,
+			// identical across cells so the comparison stays fair.
+			g.hedge = grayHedge
+			openLoop(cl, c, arrivals{
+				n:    gets,
+				op:   func(i int) core.Op { return core.Op{Code: protocol.OpGet, Key: keyOf(i % grayKeys)} },
+				gap:  grayGetGap,
+				from: start + grayMeasureFrom,
+			}, g.opts(false), r)
+
+			// Foreground bursts: open-loop scratch SETs that spike buffer
+			// occupancy past the watermark while the writers keep scrubs
+			// armed.
+			spawnFlood(cl, c, flood{
+				ops: grayBursts * grayBurstOps, burst: grayBurstOps, valueSize: grayBurstValue,
+				after: grayBurstAt, gap: grayBurstGap,
+				key: func(i int) string { return fmt.Sprintf("burst:%03d", i) },
+			}, []core.IssueOption{core.WithDeadline(4 * sim.Millisecond)})
+
+			// Crash cell: the browned node cold-dies mid-measurement, dead
+			// long enough that writes chained through it (and probe GETs)
+			// run into their attempt timeouts and must fail over. Brown-out
+			// must not mask it — the breaker trips, GETs fail over, and
+			// recovery rejoins the node (still limping) behind the usual
+			// crash excuse.
+			if def.crash {
+				spawnOutages(cl, nil, r.Log, outage{grayCrashAt, graySlowID, killRAM, 3 * sim.Millisecond})
 			}
-			c.WaitAll(p, win)
-			p.Sleep(grayBurstGap)
-		}
-	})
-
-	// Crash cell: the browned node cold-dies mid-measurement. Brown-out
-	// must not mask it — the breaker trips, GETs fail over, and recovery
-	// rejoins the node (still limping) behind the usual crash excuse.
-	if cell.crash {
-		cl.Env.Spawn("gray-crash", func(p *sim.Proc) {
-			srv := cl.Servers[graySlowID]
-			p.Sleep(grayCrashAt)
-			from := p.Now()
-			srv.Kill(false)
-			// Dead long enough that writes chained through the node (and
-			// probe GETs) run into their attempt timeouts and must fail
-			// over — the proof brown-out did not mask the crash.
-			p.Sleep(3 * sim.Millisecond)
-			srv.RestartCold()
-			for srv.Recovering() {
-				p.Sleep(100 * sim.Microsecond)
+			cl.Env.RunUntil(start + grayLimit)
+		},
+		collect: func(cl *cluster.Cluster, r *run) {
+			p99 := us(r.GetLat.Quantile(0.99))
+			r.show("get p99 µs", "get_p99_us", p99)
+			r.show("get p50 µs", "get_p50_us", us(r.GetLat.Quantile(0.5)))
+			r.set("gets_measured", float64(r.OK))
+			r.set("gets_failed", float64(r.Misses+r.Failed))
+			r.show("violations", "violations", r.check(false))
+			r.set("acked_writes", r.ackedWrites())
+			r.show("brownouts", "brownouts_entered", float64(r.Faults.Val(metrics.CBrownoutsEntered)))
+			r.show("slow-routed", "slow_routed_gets", float64(r.Faults.Val(metrics.CSlowRoutedGets)))
+			r.counts(r.Faults, "brownouts-exited", "health-samples", "hedges", "failovers", "breaker-open")
+			r.show("pacer-defer", "pacer_deferrals", float64(r.Repl.Val(metrics.CPacerDeferrals)))
+			// Injection ground truth: the faults actually fired.
+			slowed := int64(0)
+			if inj != nil {
+				slowed = inj.Slowed
 			}
-			log.CrashWindow(from, p.Now())
-		})
+			r.set("net_slowed", float64(slowed))
+			r.set("dev_slowed_ios", float64(cl.Devices[graySlowID].SlowedIOs))
+			r.set("worker_stalls", float64(cl.Servers[graySlowID].Stalled))
+		},
 	}
-
-	cl.Env.RunUntil(start + grayLimit)
-	log.Expected = expected
-
-	rep.Violations = log.Check()
-	for _, e := range log.Entries {
-		if e.Kind == history.Write && e.Acked {
-			rep.AckedWrites++
-		}
-	}
-	rep.Stats = c.Stats()
-	rep.PacerDeferrals = cl.ReplicationCounters().Get(string(metrics.CPacerDeferrals))
-	if inj != nil {
-		rep.NetSlowed = inj.Slowed
-	}
-	rep.DevSlowed = cl.Devices[graySlowID].SlowedIOs
-	rep.WorkerStalls = cl.Servers[graySlowID].Stalled
-	return rep
 }
 
-// grayfailExp is the registry entry. The headline metrics: with brown-out
+// grayfail is the registry entry. The headline metrics: with brown-out
 // routing and pacing up, admitted-GET p99 stays within 3x the all-healthy
 // baseline (p99_bound_ok), violations stay zero in every cell, and the
 // crash cell still fails over (failovers > 0) despite the node being
 // browned when it died.
-func grayfailExp(o Options) *Result {
-	res := newResult("grayfail", "Gray failure: fail-slow node, brown-out routing, background pacing")
-	ops := o.ops(300)
-	gets := ops * 2
-	// Writers must still be running when the crash cell kills the slow
-	// node (grayCrashAt) — rounds are sized so the CAS chains span the
-	// whole measured window, not just its head.
-	rounds := ops / 3
-	if rounds < 16 {
-		rounds = 16
-	}
-
-	cells := []grayCell{
-		{name: "healthy"},
-		{name: "nodefense", slow: true},
-		{name: "brownout", slow: true, health: true},
-		{name: "brownout+pacing", slow: true, health: true, pacing: true},
-		{name: "crash", slow: true, health: true, pacing: true, crash: true},
-	}
-
-	p99s := &metrics.Series{Name: "get p99 µs"}
-	p50s := &metrics.Series{Name: "get p50 µs"}
-	viol := &metrics.Series{Name: "violations"}
-	brown := &metrics.Series{Name: "brownouts"}
-	slowR := &metrics.Series{Name: "slow-routed"}
-	pacer := &metrics.Series{Name: "pacer-defer"}
-
-	byName := map[string]float64{}
-	detail := ""
-	for _, cell := range cells {
-		rep := runGrayfail(rounds, gets, 42, cell)
-		p99 := us(rep.GetLat.Quantile(0.99))
-		byName[cell.name] = p99
-
-		p99s.Append(cell.name, p99)
-		p50s.Append(cell.name, us(rep.GetLat.Quantile(0.5)))
-		viol.Append(cell.name, float64(len(rep.Violations)))
-		brown.Append(cell.name, float64(rep.Stats.BrownoutsEntered))
-		slowR.Append(cell.name, float64(rep.Stats.SlowRoutedGets))
-		pacer.Append(cell.name, float64(rep.PacerDeferrals))
-
-		res.metric(cell.name+".get_p99_us", p99)
-		res.metric(cell.name+".get_p50_us", us(rep.GetLat.Quantile(0.5)))
-		res.metric(cell.name+".gets_measured", float64(rep.GetsOK))
-		res.metric(cell.name+".gets_failed", float64(rep.GetsFailed))
-		res.metric(cell.name+".violations", float64(len(rep.Violations)))
-		res.metric(cell.name+".acked_writes", float64(rep.AckedWrites))
-		res.metric(cell.name+".brownouts_entered", float64(rep.Stats.BrownoutsEntered))
-		res.metric(cell.name+".brownouts_exited", float64(rep.Stats.BrownoutsExited))
-		res.metric(cell.name+".slow_routed_gets", float64(rep.Stats.SlowRoutedGets))
-		res.metric(cell.name+".health_samples", float64(rep.Stats.HealthSamples))
-		res.metric(cell.name+".hedges", float64(rep.Stats.Hedges))
-		res.metric(cell.name+".failovers", float64(rep.Stats.Failovers))
-		res.metric(cell.name+".breaker_open", float64(rep.Stats.BreakerOpen))
-		res.metric(cell.name+".pacer_deferrals", float64(rep.PacerDeferrals))
-		res.metric(cell.name+".net_slowed", float64(rep.NetSlowed))
-		res.metric(cell.name+".dev_slowed_ios", float64(rep.DevSlowed))
-		res.metric(cell.name+".worker_stalls", float64(rep.WorkerStalls))
-
-		for _, v := range rep.Violations {
-			detail += fmt.Sprintf("VIOLATION %s: %s\n", cell.name, v)
+var grayfailExp = Experiment{
+	ID: "grayfail", Title: "Gray failure: fail-slow node, brown-out routing, background pacing",
+	cells: func(o Options) (cells []cell) {
+		ops := o.ops(300)
+		// Writers must still be running when the crash cell kills the slow
+		// node (grayCrashAt) — rounds are sized so the CAS chains span the
+		// whole measured window, not just its head.
+		rounds := max(16, ops/3)
+		for _, def := range []grayDefense{
+			{name: "healthy"},
+			{name: "nodefense", slow: true},
+			{name: "brownout", slow: true, health: true},
+			{name: "brownout+pacing", slow: true, health: true, pacing: true},
+			{name: "crash", slow: true, health: true, pacing: true, crash: true},
+		} {
+			cells = append(cells, grayCell(rounds, ops*2, 42, def))
 		}
-	}
-
+		return cells
+	},
 	// Headline ratios against the all-healthy baseline.
-	if h := byName["healthy"]; h > 0 {
-		res.metric("nodefense_over_healthy", byName["nodefense"]/h)
-		res.metric("defended_over_healthy", byName["brownout+pacing"]/h)
-		bound := 0.0
-		if byName["brownout+pacing"] <= 3*h {
-			bound = 1
-		}
-		res.metric("p99_bound_ok", bound)
-	}
-
-	res.Output = res.addTable(res.Title, p99s, p50s, viol, brown, slowR, pacer) +
-		detail + res.renderMetrics()
-	return res
+	derive: func(v func(string) float64, h *run) {
+		healthy, defended := v("healthy.get_p99_us"), v("brownout+pacing.get_p99_us")
+		h.set("nodefense_over_healthy", v("nodefense.get_p99_us")/healthy)
+		h.set("defended_over_healthy", defended/healthy)
+		h.set("p99_bound_ok", boolMetric(defended <= 3*healthy))
+	},
 }

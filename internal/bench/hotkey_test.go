@@ -13,7 +13,7 @@ func TestHotkeyExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hotkey experiment is slow")
 	}
-	r := hotkeyExp(Options{Ops: 14400})
+	r := runExp(t, "hotkey", Options{Ops: 14400})
 
 	if v := r.Metrics["fanout_speedup_r3"]; v < 1.5 {
 		t.Errorf("R=3 fan-out goodput speedup %.2f, want ≥1.5", v)

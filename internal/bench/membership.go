@@ -1,17 +1,12 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"hybridkv/internal/cluster"
-	"hybridkv/internal/core"
 	"hybridkv/internal/fault"
 	"hybridkv/internal/history"
 	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
-	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -27,8 +22,8 @@ import (
 // recorded as a rebalance window, and rebalance windows are NOT excuse
 // windows: the checker enforces no-stale-read and no-lost-acked-write right
 // through the resharding, which is the experiment's headline claim. After
-// the churn settles, a server-side durability sweep (the replication
-// experiment's oracle) counts lost acked keys — zero is the acceptance bar.
+// the churn settles, the server-side durability sweep counts lost acked
+// keys — zero is the acceptance bar.
 //
 // Part two is the scaling sweep: static clusters of N ∈ {3,5,7,9} servers
 // at R ∈ {1,2,3} drive a 90:10 read-heavy workload through windowed
@@ -38,10 +33,6 @@ import (
 // replication factor.
 
 const (
-	memChaosWriters = 3
-	memChaosKeysPer = 2
-	memChaosValue   = 4 * 1024
-	memChaosThink   = 120 * sim.Microsecond
 	// memChaosLimit bounds the churn phase: an unfinished rebalance or a
 	// wedged worker past this limit becomes a liveness/rebalance-stuck
 	// violation instead of a hung benchmark.
@@ -52,349 +43,141 @@ const (
 	memScaleKeys  = 96 // per server
 )
 
-// membershipChaosRun is the churn phase's outcome.
-type membershipChaosRun struct {
-	Log        *history.Log
-	Violations []history.Violation
-	// AckedKeys / LostAcked: the end-of-run durability sweep over every key
-	// with at least one client-confirmed OK write.
-	AckedKeys, LostAcked int64
-	// Rebalances is the number of membership transitions driven (3).
-	Rebalances int
-	Repl       *metrics.Counters
-	Faults     *metrics.Counters
-}
+// churnCell drives the churn phase: checker workers on a 3-server R=2
+// cluster through join ×2, a kill-during-migration, and a decommission,
+// under link faults (seed drives the injector), then sweeps for lost acked
+// writes. The writers are the chaos soak's, unchanged — the point is that
+// the same workload that proves the invariants in steady state proves them
+// across reshards.
+func churnCell(rounds int, seed int64) cell {
+	rebalances := 0
+	return cell{
+		prefix: "chaos.",
+		spec: &spec{Config: cluster.Config{
+			Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: 3, Clients: 1,
+			ServerMem:         8 << 20, // dataset fits: eviction never drops keys, the sweep oracle is exact
+			ReplicationFactor: 2,
+		}},
+		drive: func(cl *cluster.Cluster, r *run) {
+			cl.Fabric.SetFaults(fault.New(fault.Config{Seed: seed, Drop: 0.005, Dup: 0.005, Spike: 0.01}))
+			r.Log = &history.Log{Replicated: true}
+			// R=2: every replica holds each acked write, so failover is safe.
+			ch := checkerChain("mem", rounds, seed, true, true)
+			r.spawnWriters(cl, cl.Clients[0], ch)
+			r.spawnCounter(cl, cl.Clients[0], ch)
 
-// runMembershipChaos drives the churn phase: checker workers on a 3-server
-// R=2 cluster through join ×2, a kill-during-migration, and a decommission,
-// under link faults, then sweeps for lost acked writes.
-func runMembershipChaos(rounds int, seed int64) *membershipChaosRun {
-	cl := cluster.New(cluster.Config{
-		Design:            cluster.HRDMAOptNonBB,
-		Profile:           cluster.ClusterA(),
-		Servers:           3,
-		Clients:           1,
-		ServerMem:         8 << 20, // dataset fits: eviction never drops keys, the sweep oracle is exact
-		ReplicationFactor: 2,
-	})
-	inj := fault.New(fault.Config{Seed: seed, Drop: 0.005, Dup: 0.005, Spike: 0.01})
-	cl.Fabric.SetFaults(inj)
-	c := cl.Clients[0]
-
-	log := &history.Log{Replicated: true}
-	rp := core.RetryPolicy{
-		MaxAttempts:    chaosMaxAttempts,
-		AttemptTimeout: chaosAttemptTimeout,
-		Backoff:        chaosBackoff,
-		MaxBackoff:     chaosMaxBackoff,
-		Jitter:         -1,
-		Seed:           seed,
-		Failover:       true, // R=2: every replica holds each acked write
-	}
-	guardGet := []core.IssueOption{core.WithDeadline(chaosDeadline), core.WithRetry(rp)}
-	guardSet := append(append([]core.IssueOption{}, guardGet...), core.WithBufferAck())
-
-	// lastOK tracks, per key, the newest sequence a writer saw complete OK —
-	// the durability sweep's floor. Single-threaded simulation: no locking.
-	lastOK := map[string]uint64{}
-	expected := 0
-
-	// Writers: the chaos soak's per-key CAS chains, unchanged — the point is
-	// that the same workload that proves the invariants in steady state
-	// proves them across reshards.
-	for w := 0; w < memChaosWriters; w++ {
-		w := w
-		expected += rounds * 2
-		cl.Env.Spawn(fmt.Sprintf("mem-writer%d", w), func(p *sim.Proc) {
-			next := make([]uint64, memChaosKeysPer)
-			for r := 0; r < rounds; r++ {
-				ki := r % memChaosKeysPer
-				key := fmt.Sprintf("mem:w%d:k%d", w, ki)
-
-				t0 := p.Now()
-				rreq, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, guardGet...)
-				if err != nil {
-					panic("bench: membership read issue failed: " + err.Error())
+			// The churn schedule: join, join-with-a-kill, decommission —
+			// serialized, each recorded as a rebalance window. A window left
+			// open at the end of the run (To == 0) is a rebalance-stuck
+			// violation.
+			cl.Env.Spawn("mem-churn", func(p *sim.Proc) {
+				await := func(from sim.Time, done *sim.Event) {
+					p.Wait(done)
+					r.Log.RebalanceWindow(from, p.Now())
+					rebalances++
 				}
-				c.Wait(p, rreq)
-				rerr := rreq.Err()
-				hit := rerr == nil
-				var seq uint64
-				if hit {
-					seq, _ = rreq.Value.(uint64)
-				}
-				log.Record(history.Entry{
-					Worker: w, Kind: history.Read, Key: key, Seq: seq,
-					Hit: hit, OK: hit || errors.Is(rerr, core.ErrNotFound),
-					IssuedAt: t0, CompletedAt: p.Now(),
-				})
 
-				next[ki]++
-				seqW := next[ki]
-				op := core.Op{Code: protocol.OpAdd, Key: key, ValueSize: memChaosValue, Value: seqW}
-				if hit {
-					op = core.Op{Code: protocol.OpCAS, Key: key, ValueSize: memChaosValue, Value: seqW, CAS: rreq.CAS}
-				}
-				t1 := p.Now()
-				wreq, err := c.Issue(p, op, guardSet...)
-				if err != nil {
-					panic("bench: membership write issue failed: " + err.Error())
-				}
-				c.Wait(p, wreq)
-				werr := wreq.Err()
-				acked := wreq.Acked() &&
-					(werr == nil || errors.Is(werr, core.ErrDeadlineExceeded))
-				log.Record(history.Entry{
-					Worker: w, Kind: history.Write, Key: key, Seq: seqW,
-					OK: werr == nil, Acked: acked,
-					IssuedAt: t1, CompletedAt: p.Now(),
-				})
-				if werr == nil && seqW > lastOK[key] {
-					lastOK[key] = seqW
-				}
-				p.Sleep(memChaosThink)
-			}
-		})
-	}
+				// Join #1: capacity up 3 → 4 under live traffic.
+				p.Sleep(2 * sim.Millisecond)
+				from := p.Now()
+				_, done := cl.Join()
+				await(from, done)
 
-	// Counter worker, as in the chaos soak.
-	expected += rounds
-	cl.Env.Spawn("mem-counter", func(p *sim.Proc) {
-		const key = "mem:ctr"
-		seedCtr := func() {
-			req, err := c.Issue(p, core.Op{
-				Code: protocol.OpSet, Key: key,
-				ValueSize: core.CounterSize, Value: uint64(0),
-			}, guardSet...)
-			if err != nil {
-				panic("bench: membership counter issue failed: " + err.Error())
-			}
-			c.Wait(p, req)
-		}
-		seedCtr()
-		for r := 0; r < rounds; r++ {
-			t0 := p.Now()
-			req, err := c.Issue(p, core.Op{Code: protocol.OpIncr, Key: key, Delta: 1}, guardGet...)
-			if err != nil {
-				panic("bench: membership incr issue failed: " + err.Error())
-			}
-			c.Wait(p, req)
-			e := req.Err()
-			v, _ := req.Value.(uint64)
-			log.Record(history.Entry{
-				Worker: memChaosWriters, Kind: history.IncrOp, Key: key, Seq: v,
-				OK: e == nil, IssuedAt: t0, CompletedAt: p.Now(),
-			})
-			if errors.Is(e, core.ErrNotFound) {
-				seedCtr()
-			}
-			p.Sleep(memChaosThink)
-		}
-	})
-
-	// The churn schedule: join, join-with-a-kill, decommission — serialized,
-	// each recorded as a rebalance window. A window left open at the end of
-	// the run (To == 0) is a rebalance-stuck violation.
-	run := &membershipChaosRun{Log: log}
-	cl.Env.Spawn("mem-churn", func(p *sim.Proc) {
-		await := func(from sim.Time, done *sim.Event) {
-			p.Wait(done)
-			log.RebalanceWindow(from, p.Now())
-			run.Rebalances++
-		}
-
-		// Join #1: capacity up 3 → 4 under live traffic.
-		p.Sleep(2 * sim.Millisecond)
-		from := p.Now()
-		_, done := cl.Join()
-		await(from, done)
-
-		// Join #2, with a whole-node kill of a migration source mid-flight:
-		// the joiner keeps re-pulling until the victim cold-restarts and its
-		// suspect keys reconfirm; the other replicas cover the overlap.
-		p.Sleep(sim.Millisecond)
-		from = p.Now()
-		_, done = cl.Join()
-		p.Sleep(200 * sim.Microsecond)
-		victim := cl.Servers[1]
-		cfrom := p.Now()
-		victim.Kill(false) // RAM and buffers gone; SSD intact
-		p.Sleep(300 * sim.Microsecond)
-		victim.RestartCold()
-		for victim.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
-		log.CrashWindow(cfrom, p.Now())
-		await(from, done)
-
-		// Decommission an original member: drain its range to the survivors,
-		// then the watcher crashes it and retires its client-side state. No
-		// crash window — the node's death must be invisible to the checker.
-		p.Sleep(sim.Millisecond)
-		from = p.Now()
-		await(from, cl.Decommission(0))
-	})
-
-	start := cl.Env.Now()
-	cl.Env.RunUntil(start + memChaosLimit)
-	log.Expected = expected
-
-	// Durability sweep: wait out recovery on every surviving server, let the
-	// anti-entropy scrubber settle, then ask each survivor directly whether
-	// it still holds every acked key at or past its newest OK sequence.
-	cl.Env.Spawn("mem-sweep", func(p *sim.Proc) {
-		for sid, s := range cl.Servers {
-			if cl.Membership.State(sid) == replication.NodeDead {
-				continue
-			}
-			for s.Down() || s.Recovering() {
+				// Join #2, with a whole-node kill of a migration source
+				// mid-flight: the joiner keeps re-pulling until the victim
+				// cold-restarts and its suspect keys reconfirm; the other
+				// replicas cover the overlap.
 				p.Sleep(sim.Millisecond)
-			}
-		}
-		p.Sleep(memSettle)
-		keys := make([]string, 0, len(lastOK))
-		for k := range lastOK {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			run.AckedKeys++
-			held := false
-			for sid, s := range cl.Servers {
-				if cl.Membership.State(sid) == replication.NodeDead {
-					continue
-				}
-				if v, _, _, _, ok := s.Store().ReadItem(p, k); ok {
-					if seq, _ := v.(uint64); seq >= lastOK[k] {
-						held = true
-						break
-					}
-				}
-			}
-			if !held {
-				run.LostAcked++
-			}
-		}
-	})
-	cl.Env.Run()
+				from = p.Now()
+				_, done = cl.Join()
+				p.Sleep(200 * sim.Microsecond)
+				takeDown(p, cl.Servers[1], killRAM, 300*sim.Microsecond, r.Log)
+				await(from, done)
 
-	run.Violations = log.Check()
-	run.Repl = cl.ReplicationCounters()
-	run.Faults = c.Faults
-	return run
+				// Decommission an original member: drain its range to the
+				// survivors, then the watcher crashes it and retires its
+				// client-side state. No crash window — the node's death
+				// must be invisible to the checker.
+				p.Sleep(sim.Millisecond)
+				from = p.Now()
+				await(from, cl.Decommission(0))
+			})
+			cl.Env.RunUntil(cl.Env.Now() + memChaosLimit)
+			r.Ops = int64(r.Log.Expected)
+
+			cl.Env.Spawn("mem-sweep", func(p *sim.Proc) { r.sweepLostAcked(p, cl, memSettle, nil) })
+			cl.Env.Run()
+		},
+		collect: func(_ *cluster.Cluster, r *run) {
+			moved := float64(r.Repl.Get("migrate-keys-moved"))
+			r.set("violations", r.check(false))
+			r.set("entries", float64(len(r.Log.Entries)))
+			r.set("acked_keys", float64(r.AckedKeys))
+			r.set("lost_acked", float64(r.LostAcked))
+			r.set("rebalances", float64(rebalances))
+			r.set("moved_keys", moved)
+			r.plotAt(r.cell.table, "churn", "violations", r.val("violations"))
+			r.plotAt(r.cell.table, "churn", "lost acked", float64(r.LostAcked))
+			r.plotAt(r.cell.table, "churn", "moved keys", moved)
+			r.plotAt(r.cell.table, "churn", "rebalances", float64(rebalances))
+			r.counts(r.Repl, "migrate-seals", "migrate-manifests")
+			r.set("double_reads", float64(r.Repl.Get("migrate-double-reads")))
+			r.set("read_redirects", float64(r.Repl.Get("migrate-read-redirects")))
+			r.set("gc_keys", float64(r.Repl.Get("migrate-gc-keys")))
+			r.counts(r.Repl, "forwards")
+			r.counts(r.Faults, "epoch-invalidations", "retired-conns")
+		},
+	}
 }
 
-// runMembershipScale is one scaling cell: a static cluster of servers
-// nodes at replication factor, 2 clients per server pipelining a 90:10
-// read-heavy mix in windows of 32. Returns aggregate goodput in kops.
-// Elapsed is the last client's completion, not the Env drain — at R ≥ 2 the
-// anti-entropy scrubber keeps ticking after the load stops, and counting
-// that tail would charge replication for idle time.
-func runMembershipScale(servers, factor, totalOps int) float64 {
+// scaleCell is one scaling cell: a static cluster of servers nodes at
+// replication factor, 2 clients per server pipelining a 90:10 read-heavy mix
+// in windows of 32, reporting aggregate goodput in kops. The span is the
+// last client's completion, not the Env drain — at R ≥ 2 the anti-entropy
+// scrubber keeps ticking after the load stops, and counting that tail would
+// charge replication for idle time.
+func scaleCell(servers, factor, totalOps int) cell {
 	clients := 2 * servers
-	keys := memScaleKeys * servers
-	cl := cluster.New(cluster.Config{
-		Design:            cluster.HRDMAOptNonBB,
-		Profile:           cluster.ClusterA(),
-		Servers:           servers,
-		Clients:           clients,
-		ServerMem:         8 << 20,
-		ReplicationFactor: factor,
-	})
-	cl.Preload(keys, memScaleValue, keyOf)
-	opsPer := totalOps / clients
-	if opsPer < 32 {
-		opsPer = 32
+	sp := &spec{Config: cluster.Config{
+		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: servers, Clients: clients,
+		ServerMem: 8 << 20, ReplicationFactor: factor,
+	}, keys: memScaleKeys * servers, kv: memScaleValue}
+	name := fmt.Sprintf("R%d.N%d", factor, servers)
+	return cell{
+		prefix: "scale." + name + ".", row: name, table: "scaling", spec: sp,
+		drive: func(cl *cluster.Cluster, r *run) {
+			driveThroughput(cl, func(ci int) *workload.Generator { return sp.gen(uniform(0.9, int64(300+ci))) },
+				max(32, totalOps/clients), 32, r)
+		},
+		collect: func(_ *cluster.Cluster, r *run) {
+			r.show("goodput kops", "kops", metrics.Throughput(r.Ops, r.Last)/1000)
+		},
 	}
-	var last sim.Time
-	start := cl.Env.Now()
-	for ci := range cl.Clients {
-		c := cl.Clients[ci]
-		gen := workload.New(workload.Config{
-			Keys: keys, ValueSize: memScaleValue, ReadFraction: 0.9,
-			Pattern: workload.Uniform, Seed: int64(300 + ci),
-		})
-		cl.Env.Spawn(fmt.Sprintf("mem-scale-%d", ci), func(p *sim.Proc) {
-			nb := &NonBlockingResult{}
-			left := opsPer
-			for left > 0 {
-				n := 32
-				if n > left {
-					n = left
-				}
-				reqs := issueAll(p, c, gen, n, true, nb)
-				c.WaitAll(p, reqs)
-				left -= n
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
-	}
-	cl.Env.Run()
-	return metrics.Throughput(int64(opsPer*clients), last-start) / 1000
 }
 
-// membershipExp is the registry entry.
-func membershipExp(o Options) *Result {
-	res := newResult("membership",
-		"Dynamic membership: join/decommission under chaos, zero acked-write loss, and the scaling sweep")
-	rounds := o.ops(420) / (memChaosWriters*2 + 1)
-	if rounds < 8 {
-		rounds = 8
-	}
-
-	rep := runMembershipChaos(rounds, 42)
-	moved := rep.Repl.Get("migrate-keys-moved")
-
-	churn := &metrics.Series{Name: "churn"}
-	churn.Append("violations", float64(len(rep.Violations)))
-	churn.Append("lost acked", float64(rep.LostAcked))
-	churn.Append("moved keys", float64(moved))
-	churn.Append("rebalances", float64(rep.Rebalances))
-
-	res.metric("chaos.violations", float64(len(rep.Violations)))
-	res.metric("chaos.entries", float64(len(rep.Log.Entries)))
-	res.metric("chaos.acked_keys", float64(rep.AckedKeys))
-	res.metric("chaos.lost_acked", float64(rep.LostAcked))
-	res.metric("chaos.rebalances", float64(rep.Rebalances))
-	res.metric("chaos.moved_keys", float64(moved))
-	res.metric("chaos.migrate_seals", float64(rep.Repl.Get("migrate-seals")))
-	res.metric("chaos.migrate_manifests", float64(rep.Repl.Get("migrate-manifests")))
-	res.metric("chaos.double_reads", float64(rep.Repl.Get("migrate-double-reads")))
-	res.metric("chaos.read_redirects", float64(rep.Repl.Get("migrate-read-redirects")))
-	res.metric("chaos.gc_keys", float64(rep.Repl.Get("migrate-gc-keys")))
-	res.metric("chaos.forwards", float64(rep.Repl.Get("forwards")))
-	res.metric("chaos.epoch_invalidations", float64(rep.Faults.Val(metrics.CEpochInvalidations)))
-	res.metric("chaos.retired_conns", float64(rep.Faults.Val(metrics.CRetiredConns)))
-
-	detail := ""
-	for _, v := range rep.Violations {
-		detail += fmt.Sprintf("VIOLATION %s\n", v)
-	}
-
-	// Scaling sweep: op/s vs node count at every factor; goodput must grow
-	// monotonically 3 → 9 servers.
-	nodes := []int{3, 5, 7, 9}
-	scaleOps := o.ops(4800)
-	scale := &metrics.Series{Name: "goodput kops"}
-	for _, factor := range []int{1, 2, 3} {
-		prev := 0.0
-		monotone := 1.0
-		for _, n := range nodes {
-			kops := runMembershipScale(n, factor, scaleOps)
-			name := fmt.Sprintf("R%d.N%d", factor, n)
-			scale.Append(name, kops)
-			res.metric("scale."+name+".kops", kops)
-			if kops <= prev {
-				monotone = 0
+// membership is the registry entry.
+var membershipExp = Experiment{
+	ID: "membership", Title: "Dynamic membership: join/decommission under chaos, zero acked-write loss, and the scaling sweep",
+	cells: func(o Options) []cell {
+		cells := []cell{churnCell(checkerRounds(o), 42)}
+		// Scaling sweep: op/s vs node count at every factor.
+		for _, factor := range []int{1, 2, 3} {
+			for _, n := range []int{3, 5, 7, 9} {
+				cells = append(cells, scaleCell(n, factor, o.ops(4800)))
 			}
-			prev = kops
 		}
-		res.metric(fmt.Sprintf("scale.R%d.monotonic", factor), monotone)
-	}
-
-	res.Output = res.addTable(res.Title, churn) + res.addTable("scaling", scale) +
-		detail + res.renderMetrics()
-	return res
+		return cells
+	},
+	// Goodput must grow monotonically 3 → 9 servers at every factor.
+	derive: func(v func(string) float64, h *run) {
+		for _, factor := range []int{1, 2, 3} {
+			prev, monotone := 0.0, true
+			for _, n := range []int{3, 5, 7, 9} {
+				kops := v(fmt.Sprintf("scale.R%d.N%d.kops", factor, n))
+				monotone = monotone && kops > prev
+				prev = kops
+			}
+			h.set(fmt.Sprintf("scale.R%d.monotonic", factor), boolMetric(monotone))
+		}
+	},
 }

@@ -10,9 +10,9 @@ import (
 // enforcing its rules straight through every rebalance window (rebalance
 // windows excuse nothing).
 func TestMembershipChurnZeroLoss(t *testing.T) {
-	rep := runMembershipChaos(40, 42)
-	if rep.Rebalances != 3 {
-		t.Errorf("drove %d rebalances, want 3", rep.Rebalances)
+	rep := runCell(t, churnCell(40, 42))
+	if n := rep.val("rebalances"); n != 3 {
+		t.Errorf("drove %v rebalances, want 3", n)
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
@@ -40,8 +40,8 @@ func TestMembershipChurnZeroLoss(t *testing.T) {
 // Membership churn runs are deterministic: same rounds, same seed, same
 // virtual outcome.
 func TestMembershipChurnDeterminism(t *testing.T) {
-	a := runMembershipChaos(24, 7)
-	b := runMembershipChaos(24, 7)
+	a := runCell(t, churnCell(24, 7))
+	b := runCell(t, churnCell(24, 7))
 	if len(a.Log.Entries) != len(b.Log.Entries) || a.LostAcked != b.LostAcked ||
 		len(a.Violations) != len(b.Violations) ||
 		a.Repl.Get("migrate-keys-moved") != b.Repl.Get("migrate-keys-moved") {
@@ -55,8 +55,8 @@ func TestMembershipChurnDeterminism(t *testing.T) {
 // cell pair keeps the tier-1 suite fast; the committed BENCH_membership.json
 // snapshot pins the full 3→9 sweep.
 func TestMembershipScaleGrowsWithServers(t *testing.T) {
-	small := runMembershipScale(3, 2, 1200)
-	large := runMembershipScale(9, 2, 1200)
+	small := runCell(t, scaleCell(3, 2, 1200)).val("kops")
+	large := runCell(t, scaleCell(9, 2, 1200)).val("kops")
 	if large <= small {
 		t.Errorf("9-server goodput %.1f kops not above 3-server %.1f kops", large, small)
 	}

@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"errors"
-	"fmt"
-
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
-	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
@@ -23,30 +18,19 @@ import (
 // shed with StatusBusy and retried into the idle gaps, keeping admitted-GET
 // tail latency bounded.
 
-// BurstSchedule is an open-loop arrival process: Bursts groups of arrivals
-// spaced Interarrival apart, with Idle gaps between groups.
-type BurstSchedule struct {
-	Bursts       int
-	Interarrival sim.Time
-	Idle         sim.Time
-}
-
-// DefaultBurstSchedule: three tight bursts with recovery gaps — arrivals
-// far faster than the hybrid storage path drains, idle long enough for a
-// protected server to catch up.
-func DefaultBurstSchedule() BurstSchedule {
-	return BurstSchedule{Bursts: 3, Interarrival: 2 * sim.Microsecond, Idle: 3 * sim.Millisecond}
-}
-
-// Overload-phase client policy. The deadline is generous on purpose: the
-// unprotected baseline must be allowed to finish its queued work so the
-// damage shows up as tail latency, not as truncated failures.
 const (
-	overDeadline       = 40 * sim.Millisecond
-	overAttemptTimeout = 8 * sim.Millisecond
-	overMaxAttempts    = 6
-	overBackoff        = 100 * sim.Microsecond
-	overMaxBackoff     = 2 * sim.Millisecond
+	// The arrival schedule: three tight bursts with recovery gaps —
+	// arrivals far faster than the hybrid storage path drains, idle long
+	// enough for a protected server to catch up.
+	overBursts       = 3
+	overInterarrival = 2 * sim.Microsecond
+	overIdle         = 3 * sim.Millisecond
+
+	// The deadline is generous on purpose: the unprotected baseline must be
+	// allowed to finish its queued work so the damage shows up as tail
+	// latency, not as truncated failures.
+	overDeadline = 40 * sim.Millisecond
+
 	// Server admission geometry for the protected phase: a small buffer
 	// and shallow queue bound so smoke-scale bursts saturate.
 	overBufferBytes = 96 << 10
@@ -54,265 +38,122 @@ const (
 	overWorkers     = 2
 )
 
-// OverloadRun summarizes one phase.
-type OverloadRun struct {
-	// Lat is completion latency for every op; GetLat only for GETs that
-	// were admitted and answered OK — the latency shedding protects.
-	Lat, GetLat             *metrics.Hist
-	Ops, OK, Misses, Failed int64
-	Elapsed                 sim.Time
-	Goodput                 float64
-	// InflightPeak is the driver-side open-loop backlog high-water mark.
-	InflightPeak int
-	// Counters is the phase delta of client fault counters (busy,
-	// retries, breaker-open, breaker-reroutes, ...).
-	Counters *metrics.Counters
-	// Server aggregates: sheds summed, peaks maxed across servers.
-	ShedSets, ShedGets    int64
-	BufferPeak, QueuePeak int
+// admission is the bounded-admission server config the protected cells
+// (and every robustness soak after them) run with.
+func admission() server.OverloadConfig {
+	return server.OverloadConfig{Enabled: true, QueueHigh: overQueueHigh, RetryAfterUnit: 10 * sim.Microsecond}
 }
 
-func (res *OverloadRun) classify(err error) {
-	switch {
-	case err == nil:
-		res.OK++
-	case errors.Is(err, core.ErrNotFound):
-		res.Misses++
-	default:
-		res.Failed++
+// overloadCell is one phase: design d on a two-server deployment sized so
+// bursts saturate at smoke scale — a deliberately small async buffer, two
+// storage workers, and the overcommitted dataset that makes every SET pay
+// the hybrid eviction path. protected arms the server's bounded admission
+// and the client's per-server circuit breakers.
+func overloadCell(d cluster.Design, mem int64, kv, ops int, protected bool) cell {
+	cfg := cluster.Config{
+		Design: d, Profile: cluster.ClusterA(), Servers: 2, Clients: 1,
+		ServerMem: mem / 2, StorageWorkers: overWorkers, BufferBytes: overBufferBytes,
+		// Small slab pages: eviction flushes every few SETs instead of
+		// every 128, so bursts genuinely contend for the storage workers.
+		SlabPageSize: 4 * kv,
+		Client:       socketRecovery(d),
 	}
+	prefix := "off_"
+	if protected {
+		prefix = "on_"
+		cfg.Overload = admission()
+		cfg.Client.Breaker = core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond}
+	}
+	sp := &spec{Config: cfg, keys: int(mem * 3 / 2 / int64(kv)), kv: kv}
+	return cell{design: d.String(), prefix: prefix, row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {
+		// Uniform over the overcommitted dataset: a third of the GETs hit
+		// the SSD-resident tail, so the storage workers are the contended
+		// resource (a Zipf-hot workload would serve almost everything from
+		// RAM and the bursts would never queue).
+		driveBursts(cl, sp.gen(uniform(0.5, 7)), ops, r)
+	}}
 }
 
-// RunOverload drives ops operations through the bursty schedule on client
-// ci. RDMA designs run true open loop — each arrival is an independent
-// guarded request in its own process, so the driver never self-throttles;
-// the socket design runs the same schedule closed-loop (one stream admits
-// no concurrency), with lateness accumulating in the driver instead.
-func RunOverload(cl *cluster.Cluster, gen *workload.Generator, ci, ops int, sched BurstSchedule) *OverloadRun {
-	res := &OverloadRun{Lat: metrics.NewHist(), GetLat: metrics.NewHist()}
-	c := cl.Clients[ci]
+// driveBursts drives ops operations through the bursty schedule on client
+// 0. RDMA designs run true open loop; the socket design runs the same
+// schedule closed-loop (one stream admits no concurrency), with lateness
+// accumulating in the driver instead.
+func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
+	c, vs := cl.Clients[0], gen.ValueSize()
 	start := cl.Env.Now()
-	before := c.Faults.Snapshot()
-	vs := gen.ValueSize()
-	perBurst := (ops + sched.Bursts - 1) / sched.Bursts
-
-	rp := core.RetryPolicy{
-		MaxAttempts:    overMaxAttempts,
-		AttemptTimeout: overAttemptTimeout,
-		Backoff:        overBackoff,
-		MaxBackoff:     overMaxBackoff,
-		Seed:           11,
-	}
-	opts := []core.IssueOption{core.WithDeadline(overDeadline), core.WithRetry(rp)}
-	if cl.Design.BufferGuarantee() {
-		opts = append(opts, core.WithBufferAck())
-	}
-
+	perBurst := (ops + overBursts - 1) / overBursts
 	if cl.Design.Transport() == core.RDMA {
-		inflight := 0
-		cl.Env.Spawn("drv-overload", func(p *sim.Proc) {
-			n := 0
-			for b := 0; b < sched.Bursts; b++ {
-				for i := 0; i < perBurst && n < ops; i++ {
-					kind, key := gen.Next()
-					op := core.Op{Code: protocol.OpGet, Key: key}
-					if kind == workload.OpSet {
-						op = core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: key}
-					}
-					n++
-					inflight++
-					if inflight > res.InflightPeak {
-						res.InflightPeak = inflight
-					}
-					cl.Env.Spawn(fmt.Sprintf("ovl-op%d", n), func(q *sim.Proc) {
-						t0 := q.Now()
-						req, err := c.Issue(q, op, opts...)
-						if err != nil {
-							panic("bench: overload issue failed: " + err.Error())
-						}
-						c.Wait(q, req)
-						inflight--
-						e := req.Err()
-						res.classify(e)
-						d := q.Now() - t0
-						res.Lat.Add(d)
-						if op.Code == protocol.OpGet && e == nil {
-							res.GetLat.Add(d)
-						}
-					})
-					p.Sleep(sched.Interarrival)
+		opts := guard{deadline: overDeadline, attempts: 6, seed: 11, jitter: true}.opts(cl.Design.BufferGuarantee())
+		openLoop(cl, c, arrivals{
+			n: ops,
+			op: func(int) core.Op {
+				kind, key := gen.Next()
+				return opFor(kind, key, vs)
+			},
+			gap: overInterarrival,
+			pause: func(i int) sim.Time {
+				if (i+1)%perBurst == 0 && (i+1)/perBurst < overBursts {
+					return overIdle
 				}
-				if b < sched.Bursts-1 {
-					p.Sleep(sched.Idle)
-				}
-			}
-		})
+				return 0
+			},
+		}, opts, r)
 	} else {
-		cl.Env.Spawn("drv-overload", func(p *sim.Proc) {
+		cl.Env.Spawn("drv-bursts", func(p *sim.Proc) {
 			for n := 0; n < ops; n++ {
-				at := start + sim.Time(n/perBurst)*sched.Idle +
-					sim.Time(n)*sched.Interarrival
+				at := start + sim.Time(n/perBurst)*overIdle + sim.Time(n)*overInterarrival
 				if now := p.Now(); now < at {
 					p.Sleep(at - now)
 				}
 				kind, key := gen.Next()
 				t0 := p.Now()
-				if kind == workload.OpSet {
-					st := c.Set(p, key, vs, key, 0, 0)
-					if st == protocol.StatusError {
-						res.Failed++
-					} else {
-						res.OK++
-					}
-				} else {
-					_, _, st := c.Get(p, key)
-					switch st {
-					case protocol.StatusNotFound:
-						res.Misses++
-					case protocol.StatusError:
-						res.Failed++
-					default:
-						res.OK++
-						res.GetLat.Add(p.Now() - t0)
-					}
+				err := blockingOp(p, c, kind, key, vs)
+				r.classify(err)
+				if kind == workload.OpGet && err == nil {
+					r.GetLat.Add(p.Now() - t0)
 				}
-				res.Lat.Add(p.Now() - t0)
+				r.Lat.Add(p.Now() - t0)
 			}
 		})
+		r.Ops = int64(ops)
 	}
 	cl.Env.Run()
-	res.Elapsed = cl.Env.Now() - start
-	res.Ops = int64(ops)
-	res.Goodput = metrics.Throughput(res.OK+res.Misses, res.Elapsed)
-	res.Counters = metrics.NewCounters()
-	after := c.Faults.Snapshot()
-	for _, name := range after.Names() {
-		if d := after.Get(name) - before.Get(name); d != 0 {
-			res.Counters.Add(name, d)
-		}
-	}
-	for _, srv := range cl.Servers {
-		res.ShedSets += srv.ShedSets
-		res.ShedGets += srv.ShedGets
-		if srv.BufferPeak > res.BufferPeak {
-			res.BufferPeak = srv.BufferPeak
-		}
-		if srv.QueuePeak > res.QueuePeak {
-			res.QueuePeak = srv.QueuePeak
-		}
-	}
-	return res
+	r.Elapsed = cl.Env.Now() - start
 }
 
-// buildOverloadCluster assembles a two-server deployment sized so bursts
-// saturate at smoke scale: a deliberately small async buffer, two storage
-// workers, and the overcommitted dataset that makes every SET pay the
-// hybrid eviction path. protected arms the server's bounded admission and
-// the client's per-server circuit breakers.
-func buildOverloadCluster(d cluster.Design, mem int64, kv int, protected bool) (*cluster.Cluster, int) {
-	ccfg := core.Config{}
-	if d.Transport() == core.IPoIB {
-		ccfg.RecvTimeout = ipoibRecvTimeout
-		ccfg.RecvRetries = ipoibRecvRetries
-	}
-	cfg := cluster.Config{
-		Design:         d,
-		Profile:        cluster.ClusterA(),
-		Servers:        2,
-		Clients:        1,
-		ServerMem:      mem / 2,
-		StorageWorkers: overWorkers,
-		BufferBytes:    overBufferBytes,
-		// Small slab pages: eviction flushes every few SETs instead of
-		// every 128, so bursts genuinely contend for the storage workers.
-		SlabPageSize: 4 * kv,
-	}
-	if protected {
-		cfg.Overload = server.OverloadConfig{
-			Enabled:        true,
-			QueueHigh:      overQueueHigh,
-			RetryAfterUnit: 10 * sim.Microsecond,
+// overload is the registry entry: six designs × {unprotected, protected},
+// reporting admitted-GET p99, overall p99, goodput, shed and breaker
+// counters, and the buffer/queue high-water marks.
+var overloadExp = Experiment{
+	ID: "overload", Title: "Graceful degradation: bounded admission and shedding under bursty arrivals",
+	cells: func(o Options) (cells []cell) {
+		mem, _, opsDef := o.geometry()
+		mem /= 8 // small memory: bursts must saturate at smoke scale
+		ops := o.ops(opsDef / 2)
+		for _, d := range cluster.Designs {
+			for _, protected := range []bool{false, true} {
+				c := overloadCell(d, mem, 8*1024, ops, protected)
+				tag := map[bool]string{false: "off", true: "on"}[protected]
+				c.collect = func(_ *cluster.Cluster, r *run) {
+					r.show(tag+" get-p99µs", "get_p99_us", us(r.GetLat.Quantile(0.99)))
+					r.show(tag+" p99µs", "p99_us", us(r.Lat.Quantile(0.99)))
+					r.set("goodput", r.goodput())
+					r.set("failed", float64(r.Failed))
+					r.set("buffer_peak", float64(r.BufferPeak))
+					r.show(tag+" q-peak", "queue_peak", float64(r.QueuePeak))
+					r.set("inflight_peak", float64(r.InflightPeak))
+					if !protected {
+						return
+					}
+					r.plot("shed s/g", float64(r.ShedSets+r.ShedGets))
+					r.set("shed_sets", float64(r.ShedSets))
+					r.set("shed_gets", float64(r.ShedGets))
+					r.show("busy-retries", "busy", float64(r.Faults.Get("busy")))
+					r.counts(r.Faults, "retries", "breaker-open", "breaker-close", "breaker-reroutes")
+				}
+				cells = append(cells, c)
+			}
 		}
-		ccfg.Breaker = core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond}
-	}
-	cfg.Client = ccfg
-	cl := cluster.New(cfg)
-	dataBytes := mem * 3 / 2
-	keys := int(dataBytes / int64(kv))
-	cl.Preload(keys, kv, keyOf)
-	return cl, keys
-}
-
-// overloadPhase runs one (protected or unprotected) measurement.
-func overloadPhase(d cluster.Design, mem int64, kv, ops int, protected bool) *OverloadRun {
-	cl, keys := buildOverloadCluster(d, mem, kv, protected)
-	// Uniform over the overcommitted dataset: a third of the GETs hit the
-	// SSD-resident tail, so the storage workers are the contended resource
-	// (a Zipf-hot workload would serve almost everything from RAM and the
-	// bursts would never queue).
-	gen := workload.New(workload.Config{
-		Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-		Pattern: workload.Uniform, Seed: 7,
-	})
-	return RunOverload(cl, gen, 0, ops, DefaultBurstSchedule())
-}
-
-// overloadExp is the registry entry: six designs × {unprotected,
-// protected}, reporting admitted-GET p99, overall p99, goodput, shed and
-// breaker counters, and the buffer/queue high-water marks.
-func overloadExp(o Options) *Result {
-	res := newResult("overload", "Graceful degradation: bounded admission and shedding under bursty arrivals")
-	mem, _, opsDef := o.geometry()
-	mem /= 8 // small memory: bursts must saturate at smoke scale
-	kv := 8 * 1024
-	ops := o.ops(opsDef / 2)
-
-	offGetP99 := &metrics.Series{Name: "off get-p99µs"}
-	onGetP99 := &metrics.Series{Name: "on get-p99µs"}
-	offP99 := &metrics.Series{Name: "off p99µs"}
-	onP99 := &metrics.Series{Name: "on p99µs"}
-	offQPeak := &metrics.Series{Name: "off q-peak"}
-	onQPeak := &metrics.Series{Name: "on q-peak"}
-	shed := &metrics.Series{Name: "shed s/g"}
-	busy := &metrics.Series{Name: "busy-retries"}
-
-	for _, d := range cluster.Designs {
-		off := overloadPhase(d, mem, kv, ops, false)
-		on := overloadPhase(d, mem, kv, ops, true)
-		name := d.String()
-		offGetP99.Append(name, us(off.GetLat.Quantile(0.99)))
-		onGetP99.Append(name, us(on.GetLat.Quantile(0.99)))
-		offP99.Append(name, us(off.Lat.Quantile(0.99)))
-		onP99.Append(name, us(on.Lat.Quantile(0.99)))
-		offQPeak.Append(name, float64(off.QueuePeak))
-		onQPeak.Append(name, float64(on.QueuePeak))
-		shed.Append(name, float64(on.ShedSets+on.ShedGets))
-		busy.Append(name, float64(on.Counters.Get("busy")))
-
-		res.metric(name+".off_get_p99_us", us(off.GetLat.Quantile(0.99)))
-		res.metric(name+".off_p99_us", us(off.Lat.Quantile(0.99)))
-		res.metric(name+".off_goodput", off.Goodput)
-		res.metric(name+".off_failed", float64(off.Failed))
-		res.metric(name+".off_buffer_peak", float64(off.BufferPeak))
-		res.metric(name+".off_queue_peak", float64(off.QueuePeak))
-		res.metric(name+".off_inflight_peak", float64(off.InflightPeak))
-		res.metric(name+".on_get_p99_us", us(on.GetLat.Quantile(0.99)))
-		res.metric(name+".on_p99_us", us(on.Lat.Quantile(0.99)))
-		res.metric(name+".on_goodput", on.Goodput)
-		res.metric(name+".on_failed", float64(on.Failed))
-		res.metric(name+".on_buffer_peak", float64(on.BufferPeak))
-		res.metric(name+".on_queue_peak", float64(on.QueuePeak))
-		res.metric(name+".on_inflight_peak", float64(on.InflightPeak))
-		res.metric(name+".on_shed_sets", float64(on.ShedSets))
-		res.metric(name+".on_shed_gets", float64(on.ShedGets))
-		res.metric(name+".on_busy", float64(on.Counters.Get("busy")))
-		res.metric(name+".on_retries", float64(on.Counters.Get("retries")))
-		res.metric(name+".on_breaker_open", float64(on.Counters.Get("breaker-open")))
-		res.metric(name+".on_breaker_close", float64(on.Counters.Get("breaker-close")))
-		res.metric(name+".on_breaker_reroutes", float64(on.Counters.Get("breaker-reroutes")))
-	}
-	res.Output = res.addTable(res.Title,
-		offGetP99, onGetP99, offP99, onP99, offQPeak, onQPeak, shed, busy) +
-		res.renderMetrics()
-	return res
+		return cells
+	},
 }

@@ -5,7 +5,6 @@ import (
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/server"
-	"hybridkv/internal/workload"
 )
 
 const (
@@ -14,11 +13,22 @@ const (
 	overTestOps = 300
 )
 
-func overTestGen(keys int) *workload.Generator {
-	return workload.New(workload.Config{
-		Keys: keys, ValueSize: overTestKV, ReadFraction: 0.5,
-		Pattern: workload.Uniform, Seed: 7,
-	})
+// overTestCell is a two-server cell of the overload geometry with the
+// given admission config, preloaded with dataBytes, driven by drive over
+// the overload workload.
+func overTestCell(d cluster.Design, over server.OverloadConfig, dataBytes int,
+	drive func(*cluster.Cluster, *spec, *run)) cell {
+	sp := &spec{Config: cluster.Config{
+		Design: d, Profile: cluster.ClusterA(), Servers: 2,
+		ServerMem: overTestMem / 2, StorageWorkers: overWorkers,
+		BufferBytes: overBufferBytes, Overload: over,
+	}, keys: dataBytes / overTestKV, kv: overTestKV}
+	return cell{spec: sp, drive: func(cl *cluster.Cluster, r *run) { drive(cl, sp, r) }}
+}
+
+func overloadRun(t *testing.T, d cluster.Design, ops int, protected bool) *run {
+	t.Helper()
+	return runCell(t, overloadCell(d, overTestMem, overTestKV, ops, protected))
 }
 
 // With protection disabled, the admission layer must be invisible: a plain
@@ -26,26 +36,10 @@ func overTestGen(keys int) *workload.Generator {
 // explicit zero OverloadConfig take exactly the same virtual time. The
 // zero-value path is the old blocking-reservation path, bit for bit.
 func TestOverloadDisabledIsPlain(t *testing.T) {
-	d := cluster.HRDMAOptNonBI
-	build := func(withZero bool) (*cluster.Cluster, int) {
-		cfg := cluster.Config{
-			Design: d, Profile: cluster.ClusterA(), Servers: 2,
-			ServerMem: overTestMem / 2, StorageWorkers: overWorkers,
-			BufferBytes: overBufferBytes,
-		}
-		if withZero {
-			cfg.Overload = server.OverloadConfig{} // explicit zero: disabled
-		}
-		cl := cluster.New(cfg)
-		keys := int(overTestMem * 3 / 2 / overTestKV)
-		cl.Preload(keys, overTestKV, keyOf)
-		return cl, keys
-	}
-
-	cl1, keys := build(false)
-	r1 := RunNonBlocking(cl1, overTestGen(keys), 0, overTestOps, false)
-	cl2, _ := build(true)
-	r2 := RunNonBlocking(cl2, overTestGen(keys), 0, overTestOps, false)
+	nonb := func(cl *cluster.Cluster, sp *spec, r *run) { closedLoop(cl, sp.gen(uniform(0.5, 7)), overTestOps, r) }
+	// The zero OverloadConfig, spelled out or left unset, is "disabled".
+	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, server.OverloadConfig{Enabled: false}, overTestMem*3/2, nonb))
+	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, server.OverloadConfig{}, overTestMem*3/2, nonb))
 
 	if r1.Elapsed != r2.Elapsed {
 		t.Errorf("zero OverloadConfig changed timing: %v vs %v", r1.Elapsed, r2.Elapsed)
@@ -53,10 +47,8 @@ func TestOverloadDisabledIsPlain(t *testing.T) {
 	if r1.Misses != r2.Misses {
 		t.Errorf("zero OverloadConfig changed misses: %d vs %d", r1.Misses, r2.Misses)
 	}
-	for _, s := range cl2.Servers {
-		if s.ShedSets != 0 || s.ShedGets != 0 {
-			t.Errorf("disabled admission shed %d/%d requests", s.ShedSets, s.ShedGets)
-		}
+	if r2.ShedSets != 0 || r2.ShedGets != 0 {
+		t.Errorf("disabled admission shed %d/%d requests", r2.ShedSets, r2.ShedGets)
 	}
 }
 
@@ -65,35 +57,18 @@ func TestOverloadDisabledIsPlain(t *testing.T) {
 // watermark, and an uncontended TryAcquireN costs exactly what an
 // uncontended AcquireN does.
 func TestOverloadEnabledLightLoadParity(t *testing.T) {
-	d := cluster.HRDMAOptNonBB
-	build := func(enabled bool) (*cluster.Cluster, int) {
-		cfg := cluster.Config{
-			Design: d, Profile: cluster.ClusterA(), Servers: 2,
-			ServerMem: overTestMem / 2, StorageWorkers: overWorkers,
-			BufferBytes: overBufferBytes,
-		}
-		if enabled {
-			cfg.Overload = server.OverloadConfig{Enabled: true, QueueHigh: overQueueHigh}
-		}
-		cl := cluster.New(cfg)
-		keys := int(overTestMem / 2 / overTestKV) // fits in memory: no storage queue
-		cl.Preload(keys, overTestKV, keyOf)
-		return cl, keys
+	// One op at a time on a fits-in-memory dataset: no storage queue.
+	block := func(cl *cluster.Cluster, sp *spec, r *run) {
+		driveBatched(cl, sp.gen(uniform(0.5, 7)), overTestOps, 1, r)
 	}
-
-	cl1, keys := build(false)
-	r1 := RunBlocking(cl1, overTestGen(keys), 0, overTestOps)
-	cl2, _ := build(true)
-	r2 := RunBlocking(cl2, overTestGen(keys), 0, overTestOps)
+	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBB, server.OverloadConfig{}, overTestMem/2, block))
+	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBB,
+		server.OverloadConfig{Enabled: true, QueueHigh: overQueueHigh}, overTestMem/2, block))
 
 	if r1.Elapsed != r2.Elapsed {
 		t.Errorf("light-load admission changed timing: %v vs %v", r1.Elapsed, r2.Elapsed)
 	}
-	var sheds int64
-	for _, s := range cl2.Servers {
-		sheds += s.ShedSets + s.ShedGets
-	}
-	if sheds != 0 {
+	if sheds := r2.ShedSets + r2.ShedGets; sheds != 0 {
 		t.Errorf("light sequential load shed %d requests", sheds)
 	}
 }
@@ -106,8 +81,8 @@ func TestOverloadProtectionBoundsGetTail(t *testing.T) {
 	d := cluster.HRDMAOptNonBB
 	ops := 240
 
-	off := overloadPhase(d, overTestMem, overTestKV, ops, false)
-	on := overloadPhase(d, overTestMem, overTestKV, ops, true)
+	off := overloadRun(t, d, ops, false)
+	on := overloadRun(t, d, ops, true)
 
 	if off.ShedSets+off.ShedGets != 0 {
 		t.Errorf("unprotected run shed %d/%d", off.ShedSets, off.ShedGets)
@@ -115,7 +90,7 @@ func TestOverloadProtectionBoundsGetTail(t *testing.T) {
 	if on.ShedSets == 0 {
 		t.Error("protected run shed nothing: burst never crossed the SET watermark")
 	}
-	if on.Counters.Get("busy") == 0 {
+	if on.Faults.Get("busy") == 0 {
 		t.Error("no busy responses observed by the client")
 	}
 	if on.QueuePeak > off.QueuePeak {
@@ -135,7 +110,7 @@ func TestOverloadProtectionBoundsGetTail(t *testing.T) {
 // rejects SETs strictly before GETs — at test scale GET sheds stay zero
 // while SET sheds engage.
 func TestOverloadShedsSetsBeforeGets(t *testing.T) {
-	on := overloadPhase(cluster.HRDMAOptNonBI, overTestMem, overTestKV, 240, true)
+	on := overloadRun(t, cluster.HRDMAOptNonBI, 240, true)
 	if on.ShedSets == 0 {
 		t.Fatal("no SETs shed")
 	}
@@ -147,30 +122,28 @@ func TestOverloadShedsSetsBeforeGets(t *testing.T) {
 // The overload run is deterministic: identical seeds and schedules replay to
 // identical virtual time and counters.
 func TestOverloadDeterministic(t *testing.T) {
-	run := func() *OverloadRun {
-		return overloadPhase(cluster.HRDMAOptNonBB, overTestMem, overTestKV, 240, true)
-	}
-	r1, r2 := run(), run()
+	r1 := overloadRun(t, cluster.HRDMAOptNonBB, 240, true)
+	r2 := overloadRun(t, cluster.HRDMAOptNonBB, 240, true)
 	if r1.Elapsed != r2.Elapsed || r1.OK != r2.OK || r1.ShedSets != r2.ShedSets ||
-		r1.Counters.Get("busy") != r2.Counters.Get("busy") {
+		r1.Faults.Get("busy") != r2.Faults.Get("busy") {
 		t.Errorf("overload run not deterministic: (%v,%d,%d,%d) vs (%v,%d,%d,%d)",
-			r1.Elapsed, r1.OK, r1.ShedSets, r1.Counters.Get("busy"),
-			r2.Elapsed, r2.OK, r2.ShedSets, r2.Counters.Get("busy"))
+			r1.Elapsed, r1.OK, r1.ShedSets, r1.Faults.Get("busy"),
+			r2.Elapsed, r2.OK, r2.ShedSets, r2.Faults.Get("busy"))
 	}
 }
 
 // A busy response must carry a non-zero retry-after hint and the client must
 // floor its backoff with it (the hint is in wire microseconds).
 func TestOverloadRetryAfterHintFlows(t *testing.T) {
-	on := overloadPhase(cluster.HRDMAOptNonBB, overTestMem, overTestKV, 240, true)
+	on := overloadRun(t, cluster.HRDMAOptNonBB, 240, true)
 	if on.ShedSets == 0 {
 		t.Skip("burst did not shed at this scale")
 	}
-	// The hint unit is 10µs in buildOverloadCluster; any shed op's guard
+	// The hint unit is 10µs in overloadCell; any shed op's guard
 	// must have slept at least that long before its successful retry, so
 	// the run's elapsed must exceed the no-backoff floor. Cheap proxy:
 	// retries happened and nothing failed.
-	if on.Counters.Get("retries") == 0 {
+	if on.Faults.Get("retries") == 0 {
 		t.Error("sheds without retries: busy nudge path dead")
 	}
 	if on.Failed != 0 {
@@ -183,7 +156,7 @@ func TestOverloadExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload experiment is slow")
 	}
-	r := overloadExp(quick())
+	r := runExp(t, "overload", quick())
 	for _, d := range []cluster.Design{cluster.HRDMAOptNonBB, cluster.HRDMAOptNonBI} {
 		name := d.String()
 		if r.Metrics[name+".on_shed_sets"] == 0 {

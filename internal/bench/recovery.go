@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"errors"
-	"fmt"
-
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
-	"hybridkv/internal/hybridslab"
-	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
@@ -27,8 +22,8 @@ import (
 const (
 	recoveryMem      = 24 << 20
 	recoveryKV       = 32 * 1024
+	recoveryKeys     = recoveryMem * 3 / 2 / recoveryKV
 	recoveryDeadline = 64 * sim.Millisecond
-	recoveryAttempt  = 8 * sim.Millisecond
 	// recoveryColdGap is how long the machine stays dark between the crash
 	// and the cold restart that kicks off the recovery scan.
 	recoveryColdGap = 2 * sim.Millisecond
@@ -37,47 +32,16 @@ const (
 	recoveryTornProb = 0.2
 )
 
-// RecoveryRun summarizes one (clean or crashed) recovery-experiment run.
-type RecoveryRun struct {
-	// Main-phase op outcomes (Ops = OK + Misses + Failed).
-	Ops, OK, Misses, Failed int64
-	// CorruptReads counts hits whose value differs from the value written
-	// for that key — the crash-consistency assertion; must stay zero.
-	CorruptReads int64
-	// VerifyHits / VerifyOps are the post-recovery sweep over every key.
-	VerifyHits, VerifyOps int64
-	// Elapsed covers the main phase only (the verify sweep is excluded so
-	// clean and crashed elapsed are comparable).
-	Elapsed sim.Time
-	// Rejected counts server-side StatusRecovering answers; Nudges the
-	// client-side retries they triggered.
-	Rejected, Nudges int64
-	// Report / RecoveryTime are the server's cold-restart scan results.
-	Report       hybridslab.RecoveryReport
-	RecoveryTime sim.Time
-}
-
-// HitRatio is the post-recovery verify-sweep hit ratio.
-func (r *RecoveryRun) HitRatio() float64 {
-	if r.VerifyOps == 0 {
-		return 0
-	}
-	return float64(r.VerifyHits) / float64(r.VerifyOps)
-}
-
-// runRecovery executes one recovery-experiment run: preload (value == key,
-// so every later hit is checkable), a main phase of ops mixed operations,
-// and a verify sweep over every key. crashAt > 0 power-cycles the server
+// recoveryPhase executes one run on a fresh cluster: preload (value == key,
+// so every later hit is checkable), a main phase of ops mixed operations of
+// w, and a verify sweep over every key. crashAt > 0 power-cycles the server
 // that far into the main phase, with torn writes armed from preload on.
-func runRecovery(d cluster.Design, pat workload.Pattern, ops int, crashAt sim.Time) *RecoveryRun {
-	cl := cluster.New(cluster.Config{
-		Design:    d,
-		Profile:   cluster.ClusterA(),
-		Servers:   1,
-		Clients:   1,
-		ServerMem: recoveryMem,
-	})
-	keys := int(int64(recoveryMem) * 3 / 2 / int64(recoveryKV))
+// Elapsed covers the main phase only (the verify sweep is excluded so clean
+// and crashed elapsed are comparable). It returns the verify sweep's hit
+// ratio and the number of corrupt reads: hits whose value differs from the
+// value written for that key — the crash-consistency assertion.
+func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.Time, r *run) (hitRatio float64, corrupt int64) {
+	srv, c := cl.Servers[0], cl.Clients[0]
 	if crashAt > 0 {
 		for i, dev := range cl.Devices {
 			dev.SetTornWrites(int64(1000+i), recoveryTornProb)
@@ -87,34 +51,19 @@ func runRecovery(d cluster.Design, pat workload.Pattern, ops int, crashAt sim.Ti
 	// recovered value is correct iff it equals its key — stale or torn data
 	// surfacing after recovery is directly observable.
 	cl.Env.Spawn("preload", func(p *sim.Proc) {
-		for i := 0; i < keys; i++ {
-			k := keyOf(i)
-			cl.Clients[0].Set(p, k, recoveryKV, k, 0, 0)
+		for i := 0; i < recoveryKeys; i++ {
+			c.Set(p, keyOf(i), recoveryKV, keyOf(i), 0, 0)
 		}
 	})
 	cl.Env.Run()
 	cl.SettleIO()
 
-	gen := workload.New(workload.Config{
-		Keys: keys, ValueSize: recoveryKV, ReadFraction: 0.5,
-		Pattern: pat, ZipfS: zipfOver, Seed: 7,
-	})
-	srv := cl.Servers[0]
-	c := cl.Clients[0]
-	rp := core.RetryPolicy{
-		MaxAttempts:    12,
-		AttemptTimeout: recoveryAttempt,
-		Backoff:        500 * sim.Microsecond,
-		MaxBackoff:     6 * sim.Millisecond,
-		Seed:           99,
-	}
-	opts := []core.IssueOption{core.WithDeadline(recoveryDeadline), core.WithRetry(rp)}
-	if d.BufferGuarantee() {
-		opts = append(opts, core.WithBufferAck())
-	}
-
-	run := &RecoveryRun{Ops: int64(ops)}
-	nudges0 := c.Stats().Recovering
+	w.Keys, w.ValueSize = recoveryKeys, recoveryKV
+	gen := workload.New(w)
+	opts := guard{
+		deadline: recoveryDeadline, attempts: 12, seed: 99,
+		backoff: 500 * sim.Microsecond, maxBackoff: 6 * sim.Millisecond, jitter: true,
+	}.opts(cl.Design.BufferGuarantee())
 	start := cl.Env.Now()
 	if crashAt > 0 {
 		cl.Env.AtFunc(start+crashAt, func() {
@@ -122,119 +71,91 @@ func runRecovery(d cluster.Design, pat workload.Pattern, ops int, crashAt sim.Ti
 			cl.Env.AfterFunc(recoveryColdGap, srv.RestartCold)
 		})
 	}
-	one := func(p *sim.Proc, op core.Op) *core.Req {
-		req, err := c.Issue(p, op, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: recovery issue failed: %v", err))
-		}
-		c.Wait(p, req)
-		return req
-	}
+	var hits int64
 	cl.Env.Spawn("drv-recovery", func(p *sim.Proc) {
 		for i := 0; i < ops; i++ {
 			kind, key := gen.Next()
-			op := core.Op{Code: protocol.OpGet, Key: key}
-			if kind == workload.OpSet {
-				op = core.Op{Code: protocol.OpSet, Key: key, ValueSize: recoveryKV, Value: key}
-			}
-			req := one(p, op)
-			switch e := req.Err(); {
-			case e == nil:
-				run.OK++
-				if req.Op == protocol.OpGet && req.Value != any(key) {
-					run.CorruptReads++
-				}
-			case errors.Is(e, core.ErrNotFound):
-				run.Misses++
-			default:
-				run.Failed++
+			req := do(p, c, opFor(kind, key, recoveryKV), opts)
+			r.classify(req.Err())
+			if req.Err() == nil && req.Op == protocol.OpGet && req.Value != any(key) {
+				corrupt++
 			}
 		}
-		run.Elapsed = p.Now() - start
+		r.Elapsed = p.Now() - start
 		// Let any in-flight outage drain, then sweep every key: the hit
 		// ratio measures what the crash cost, the value check that nothing
 		// torn or uncommitted is served.
 		for srv.Down() || srv.Recovering() {
 			p.Sleep(sim.Millisecond)
 		}
-		for i := 0; i < keys; i++ {
+		for i := 0; i < recoveryKeys; i++ {
 			k := keyOf(i)
-			req := one(p, core.Op{Code: protocol.OpGet, Key: k})
-			run.VerifyOps++
-			if req.Err() == nil {
-				run.VerifyHits++
+			if req := do(p, c, core.Op{Code: protocol.OpGet, Key: k}, opts); req.Err() == nil {
+				hits++
 				if req.Value != any(k) {
-					run.CorruptReads++
+					corrupt++
 				}
 			}
 		}
 	})
 	cl.Env.Run()
-	run.Rejected = srv.Rejected
-	run.Nudges = c.Stats().Recovering - nudges0
-	run.Report = srv.LastRecovery
-	run.RecoveryTime = srv.RecoveryTime
-	return run
+	r.Ops = int64(ops)
+	return float64(hits) / recoveryKeys, corrupt
 }
 
-// recoveryExp is the registry entry: for each hybrid design × access
-// pattern, a clean run and a twin with a mid-run power cycle under torn
-// writes, contrasting recovery time, scan outcome, and hit-ratio cost.
-func recoveryExp(o Options) *Result {
-	res := newResult("recovery", "Cold-restart recovery: crash consistency under torn writes")
-	_, _, opsDef := o.geometry()
-	ops := o.ops(opsDef / 2)
-
-	recMS := &metrics.Series{Name: "recovery ms"}
-	scanned := &metrics.Series{Name: "pages scan"}
-	recovered := &metrics.Series{Name: "pages ok"}
-	discarded := &metrics.Series{Name: "pages drop"}
-	cleanHit := &metrics.Series{Name: "clean hit%"}
-	postHit := &metrics.Series{Name: "post hit%"}
-	failed := &metrics.Series{Name: "failed"}
-	corrupt := &metrics.Series{Name: "corrupt"}
-
-	designs := []cluster.Design{
-		cluster.HRDMADef, cluster.HRDMAOptBlock,
-		cluster.HRDMAOptNonBB, cluster.HRDMAOptNonBI,
+// recoveryCell is one design × access pattern: a clean run and a twin with
+// a power cycle under torn writes halfway through the clean run's span.
+func recoveryCell(d cluster.Design, w workload.Config, ops int) cell {
+	sp := &spec{Config: cluster.Config{Design: d, Profile: cluster.ClusterA(), ServerMem: recoveryMem}}
+	var cleanHit, postHit float64
+	var corrupt int64
+	return cell{
+		design: d.String(), prefix: w.Pattern.String() + ".", spec: sp,
+		// The clean twin runs first, on a cluster of its own; the cell's
+		// cluster — the one the runner gathers — takes the crash.
+		drive: func(cl *cluster.Cluster, r *run) {
+			clean := newRun(nil)
+			hit, bad := recoveryPhase(sp.build(), w, ops, 0, clean)
+			cleanHit, corrupt = hit, bad
+			postHit, bad = recoveryPhase(cl, w, ops, clean.Elapsed/2, r)
+			corrupt += bad
+		},
+		collect: func(cl *cluster.Cluster, r *run) {
+			srv := cl.Servers[0]
+			rep := srv.LastRecovery
+			r.show("recovery ms", "recovery_ms", ms(srv.RecoveryTime))
+			r.show("pages scan", "pages_scanned", float64(rep.PagesScanned))
+			r.show("pages ok", "pages_recovered", float64(rep.PagesRecovered))
+			r.show("pages drop", "pages_discarded", float64(rep.PagesDiscarded))
+			r.plot("clean hit%", 100*cleanHit)
+			r.plot("post hit%", 100*postHit)
+			r.plot("failed", float64(r.Failed))
+			r.plot("corrupt", float64(corrupt))
+			r.set("pages_torn", float64(rep.PagesTorn))
+			r.set("pages_uncommitted", float64(rep.PagesUncommitted))
+			r.set("items_recovered", float64(rep.ItemsRecovered))
+			r.set("clean_hit_ratio", cleanHit)
+			r.set("post_hit_ratio", postHit)
+			// rejected counts server-side StatusRecovering answers,
+			// recovering_retries the client-side retries they triggered.
+			r.set("rejected", float64(r.Rejected))
+			r.set("recovering_retries", float64(r.Faults.Get("recovering")))
+			r.set("failed", float64(r.Failed))
+			r.set("corrupt_reads", float64(corrupt))
+		},
 	}
-	patterns := []struct {
-		name string
-		pat  workload.Pattern
-	}{
-		{"uniform", workload.Uniform},
-		{"zipf", workload.Zipf},
-	}
-	for _, d := range designs {
-		for _, pc := range patterns {
-			clean := runRecovery(d, pc.pat, ops, 0)
-			crash := runRecovery(d, pc.pat, ops, clean.Elapsed/2)
-			name := d.String() + "." + pc.name
-			recMS.Append(name, float64(crash.RecoveryTime)/float64(sim.Millisecond))
-			scanned.Append(name, float64(crash.Report.PagesScanned))
-			recovered.Append(name, float64(crash.Report.PagesRecovered))
-			discarded.Append(name, float64(crash.Report.PagesDiscarded))
-			cleanHit.Append(name, 100*clean.HitRatio())
-			postHit.Append(name, 100*crash.HitRatio())
-			failed.Append(name, float64(crash.Failed))
-			corrupt.Append(name, float64(crash.CorruptReads+clean.CorruptReads))
-			res.metric(name+".recovery_ms", float64(crash.RecoveryTime)/float64(sim.Millisecond))
-			res.metric(name+".pages_scanned", float64(crash.Report.PagesScanned))
-			res.metric(name+".pages_recovered", float64(crash.Report.PagesRecovered))
-			res.metric(name+".pages_discarded", float64(crash.Report.PagesDiscarded))
-			res.metric(name+".pages_torn", float64(crash.Report.PagesTorn))
-			res.metric(name+".pages_uncommitted", float64(crash.Report.PagesUncommitted))
-			res.metric(name+".items_recovered", float64(crash.Report.ItemsRecovered))
-			res.metric(name+".clean_hit_ratio", clean.HitRatio())
-			res.metric(name+".post_hit_ratio", crash.HitRatio())
-			res.metric(name+".rejected", float64(crash.Rejected))
-			res.metric(name+".recovering_retries", float64(crash.Nudges))
-			res.metric(name+".failed", float64(crash.Failed))
-			res.metric(name+".corrupt_reads", float64(crash.CorruptReads+clean.CorruptReads))
+}
+
+// recovery is the registry entry: each hybrid design × access pattern,
+// contrasting recovery time, scan outcome, and hit-ratio cost.
+var recoveryExp = Experiment{
+	ID: "recovery", Title: "Cold-restart recovery: crash consistency under torn writes",
+	cells: func(o Options) (cells []cell) {
+		_, _, opsDef := o.geometry()
+		ops := o.ops(opsDef / 2)
+		for _, d := range hybrids {
+			cells = append(cells, recoveryCell(d, uniform(0.5, 7), ops), recoveryCell(d, zipf(0.5, 7), ops))
 		}
-	}
-	res.Output = res.addTable(res.Title,
-		recMS, scanned, recovered, discarded, cleanHit, postHit, failed, corrupt) +
-		res.renderMetrics()
-	return res
+		return cells
+	},
 }

@@ -14,7 +14,7 @@ func TestRecoveryExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery experiment is slow")
 	}
-	r := recoveryExp(quick())
+	r := runExp(t, "recovery", quick())
 	designs := []cluster.Design{
 		cluster.HRDMADef, cluster.HRDMAOptBlock,
 		cluster.HRDMAOptNonBB, cluster.HRDMAOptNonBI,

@@ -1,73 +1,36 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
-// Experiment is one reproducible table/figure from the paper.
-type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Options) *Result
-}
-
-// Registry lists every experiment in paper order.
+// Registry lists every experiment in paper order: the paper's own tables
+// and figures, then the post-paper robustness experiments. `all` and
+// -smoke mean exactly these.
 var Registry = []Experiment{
-	{"tbl1", "Design comparison with existing work (Table I)", table1},
-	{"fig1a", "Overall Set/Get latency, data fits in memory", func(o Options) *Result { return fig1(o, true) }},
-	{"fig1b", "Overall Set/Get latency, data exceeds memory", func(o Options) *Result { return fig1(o, false) }},
-	{"fig2a", "Six-stage breakdown, data fits in memory", func(o Options) *Result { return fig2(o, true) }},
-	{"fig2b", "Six-stage breakdown, data exceeds memory", func(o Options) *Result { return fig2(o, false) }},
-	{"fig4", "Eviction I/O schemes across data sizes", fig4},
-	{"fig6a", "Breakdown with proposed designs, data fits", func(o Options) *Result { return fig6(o, true) }},
-	{"fig6b", "Breakdown with proposed designs, data exceeds memory", func(o Options) *Result { return fig6(o, false) }},
-	{"fig7a", "Overlap% with different workload patterns", fig7a},
-	{"fig7b", "Latency with varying key-value pair sizes", fig7b},
-	{"fig7c", "Aggregated throughput scalability", fig7c},
-	{"fig8a", "SATA vs NVMe, read-only and write-heavy", fig8a},
-	{"fig8b", "Bursty block I/O workload", fig8b},
-	{"faults", "Degraded mode: tail latency and goodput under a fault schedule", faultsExp},
-	{"batching", "Doorbell batching: batch size sweep over every design", batchingExp},
-	{"recovery", "Cold-restart recovery: crash consistency under torn writes", recoveryExp},
-	{"overload", "Graceful degradation: bounded admission and shedding under bursty arrivals", overloadExp},
-	{"chaos", "Chaos soak: faults + crashes + overload under the history invariant checker", chaosExp},
-	{"replication", "Primary-backup replication: acked-write durability under whole-node kills", replicationExp},
-	{"bypass", "Server-bypass GETs: one-sided READ vs RPC read path", bypassExp},
-	{"hotkey", "Hot-key serving: celebrity flash crowd vs replicated-read fan-out", hotkeyExp},
-	{"membership", "Dynamic membership: join/decommission under chaos and the scaling sweep", membershipExp},
-	{"grayfail", "Gray failure: fail-slow node, brown-out routing, background pacing", grayfailExp},
-	{"bitrot", "Bit-rot: at-rest SSD corruption vs read verification and scrub repair", bitrotExp},
+	table1,
+	fig1("fig1a", "Figure 1(a): Overall latency, data fits in memory", true),
+	fig1("fig1b", "Figure 1(b): Overall latency, data does not fit in memory (miss penalty < 2 ms)", false),
+	breakdown("fig2a", "Figure 2(a): Time-wise breakdown, data fits in memory", true, existing),
+	breakdown("fig2b", "Figure 2(b): Time-wise breakdown, data does not fit in memory", false, existing),
+	fig4,
+	fig6("fig6a", "Figure 6(a): Breakdown with blocking and non-blocking APIs, data fits", true),
+	fig6("fig6b", "Figure 6(b): Breakdown with blocking and non-blocking APIs, data does not fit", false),
+	fig7a, fig7b, fig7c, fig8a, fig8b,
+	faultsExp, batchingExp, recoveryExp, overloadExp, chaosExp, replicationExp,
+	bypassExp, hotkeyExp, membershipExp, grayfailExp, bitrotExp,
 }
 
-// ByID finds an experiment, or nil.
+// Ablations lists the ablation studies: addressable by id like any
+// experiment, but not part of `all`.
+var Ablations = []Experiment{
+	ablZipf, ablWorkers, ablBuffer, ablCutoff, ablWindow, ablAsyncFlush, ablLibbuf,
+}
+
+// ByID finds an experiment or an ablation, or nil.
 func ByID(id string) *Experiment {
-	for i := range Registry {
-		if Registry[i].ID == id {
-			return &Registry[i]
+	for _, list := range [][]Experiment{Registry, Ablations} {
+		for i := range list {
+			if list[i].ID == id {
+				return &list[i]
+			}
 		}
 	}
 	return nil
-}
-
-// IDs returns every registered experiment id, sorted.
-func IDs() []string {
-	ids := make([]string, len(Registry))
-	for i, e := range Registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// RunAll executes every experiment and streams results to w.
-func RunAll(w io.Writer, o Options) []*Result {
-	var out []*Result
-	for _, e := range Registry {
-		r := e.Run(o)
-		out = append(out, r)
-		fmt.Fprintf(w, "==> %s — %s\n%s\n", r.ID, e.Title, r.Output)
-	}
-	return out
 }

@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"hybridkv/internal/cluster"
-	"hybridkv/internal/core"
-	"hybridkv/internal/metrics"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -17,242 +12,81 @@ import (
 // R ∈ {1, 2, 3} runs a read-only and a 50:50 workload through a node-kill
 // schedule — one server loses its RAM mid-run, another later loses RAM and
 // SSD both — and the run reports goodput, p99 latency, repair traffic, and
-// the headline durability number: lost acked writes. The oracle is a
-// server-side sweep after the cluster settles: a key is lost when no
-// server still holds a value at least as new as the newest write the
-// client saw acknowledged and completed. At R=1 the kills make that count
-// strictly positive (whatever the dead node exclusively held is gone); at
-// R ≥ 2 it must be exactly zero — every acked write was applied by every
-// replica before the client saw the ack, and a cold-restarted node
-// re-confirms or re-fetches its keys from the survivors.
+// the headline durability number: lost acked writes, counted by the
+// server-side sweep of actors.go after the cluster settles. At R=1 the
+// kills make that count strictly positive (whatever the dead node
+// exclusively held is gone); at R ≥ 2 it must be exactly zero — every acked
+// write was applied by every replica before the client saw the ack, and a
+// cold-restarted node re-confirms or re-fetches its keys from the
+// survivors.
 
 const (
 	replServers   = 3
 	replKeys      = 96
 	replValueSize = 4 * 1024
 	replDeadline  = 60 * sim.Millisecond
-	replAttempt   = 8 * sim.Millisecond
 	replThink     = 100 * sim.Microsecond
 	// replSettle is how long the cluster idles after the driver finishes
-	// before the durability sweep: long enough for several anti-entropy
-	// scrub rounds (2 ms cadence) to reconverge any divergence the kills
-	// left behind.
+	// before the durability sweep.
 	replSettle = 10 * sim.Millisecond
 )
 
-// replRun is one replication-experiment cell.
-type replRun struct {
-	Ops, OK, Misses, Failed int64
-	// AckedKeys is the number of distinct keys with at least one
-	// client-confirmed OK write (the durability oracle's subjects).
-	AckedKeys int64
-	// LostAcked counts keys whose newest OK-written value survives on no
-	// server. Zero is the replication guarantee for R ≥ 2.
-	LostAcked int64
-	Lat       *metrics.Hist
-	Elapsed   sim.Time
-	// Now is the final virtual clock, for the R=1-identity test.
-	Now sim.Time
-	// Repl merges the replicators' counters; Faults the client's.
-	Repl, Faults *metrics.Counters
-}
-
-// Goodput is OK operations per virtual second.
-func (r *replRun) Goodput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.OK) / (float64(r.Elapsed) / float64(sim.Second))
-}
-
-// runReplication executes one cell: preload every key (seq 1), drive ops
-// mixed operations under a retry guard with failover, optionally kill two
-// nodes mid-run, then settle and sweep. factor ≤ 1 runs unreplicated —
-// with kills=false such a run must be virtual-time-identical to the same
-// driver on a cluster built with ReplicationFactor 0.
-func runReplication(factor int, readFrac float64, ops int, kills bool) *replRun {
-	cl := cluster.New(cluster.Config{
-		Design:            cluster.HRDMAOptNonBB,
-		Profile:           cluster.ClusterA(),
-		Servers:           replServers,
-		Clients:           1,
+// replicationCell is one cell: preload every key (seq 1), drive ops mixed
+// operations under a retry guard with failover, optionally kill two nodes
+// mid-run, then settle and sweep. factor ≤ 1 runs unreplicated — with
+// kills=false such a run must be virtual-time-identical to the same driver
+// on a cluster built with ReplicationFactor 0.
+func replicationCell(factor int, readFrac float64, ops int, kills bool) cell {
+	sp := &spec{Config: cluster.Config{
+		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: replServers, Clients: 1,
 		ServerMem:         8 << 20, // dataset fits: eviction never drops keys, so the sweep oracle is exact
 		ReplicationFactor: factor,
-	})
-	c := cl.Clients[0]
-	gen := workload.New(workload.Config{
-		Keys: replKeys, ValueSize: replValueSize, ReadFraction: readFrac,
-		Pattern: workload.Uniform, Seed: 11,
-	})
-
-	// Preload the whole key space with seq 1. These are acked writes too:
-	// a read-only run still has a durability oracle — the preloaded values
-	// themselves — and every GET has something to hit.
-	lastOK := map[string]uint64{}
-	cl.Env.Spawn("repl-preload", func(p *sim.Proc) {
-		for i := 0; i < replKeys; i++ {
-			c.Set(p, gen.Key(i), replValueSize, uint64(1), 0, 0)
-			lastOK[gen.Key(i)] = 1
+	}}
+	return cell{spec: sp, drive: func(cl *cluster.Cluster, r *run) {
+		c := cl.Clients[0]
+		w := uniform(readFrac, 11)
+		w.Keys, w.ValueSize = replKeys, replValueSize
+		gen := workload.New(w)
+		r.preloadSeq(cl, c, gen, replKeys, nil)
+		opts := guard{deadline: replDeadline, attempts: 8, seed: 13, failover: true}.opts(true)
+		if kills {
+			spawnOutages(cl, nil, nil, nodeKills(300*sim.Microsecond)...)
 		}
-	})
-	cl.Env.Run()
-	cl.SettleIO()
-	rp := core.RetryPolicy{
-		MaxAttempts:    8,
-		AttemptTimeout: replAttempt,
-		Backoff:        100 * sim.Microsecond,
-		MaxBackoff:     2 * sim.Millisecond,
-		Jitter:         -1,
-		Seed:           13,
-		Failover:       true,
-	}
-	guard := []core.IssueOption{
-		core.WithDeadline(replDeadline), core.WithRetry(rp), core.WithBufferAck(),
-	}
-
-	run := &replRun{Ops: int64(ops), Lat: metrics.NewHist()}
-	nextSeq := uint64(1)
-	start := cl.Env.Now()
-
-	if kills {
-		cl.Env.Spawn("repl-kills", func(p *sim.Proc) {
-			s0, s1 := cl.Servers[0], cl.Servers[1]
-			p.Sleep(3 * sim.Millisecond)
-			s0.Kill(false) // RAM and pending buffers gone; SSD intact
-			p.Sleep(300 * sim.Microsecond)
-			s0.RestartCold()
-			for s0.Recovering() {
-				p.Sleep(100 * sim.Microsecond)
-			}
-			p.Sleep(4 * sim.Millisecond)
-			s1.Kill(true) // total loss: RAM gone, SSD wiped
-			p.Sleep(300 * sim.Microsecond)
-			s1.RestartCold()
-			for s1.Recovering() {
-				p.Sleep(100 * sim.Microsecond)
-			}
+		cl.Env.Spawn("repl-driver", func(p *sim.Proc) {
+			r.seqLoop(p, c, gen, ops, opts, replThink, nil)
+			r.sweepLostAcked(p, cl, replSettle, nil)
 		})
-	}
-
-	cl.Env.Spawn("repl-driver", func(p *sim.Proc) {
-		for i := 0; i < ops; i++ {
-			kind, key := gen.Next()
-			op := core.Op{Code: protocol.OpGet, Key: key}
-			if kind == workload.OpSet {
-				nextSeq++
-				op = core.Op{Code: protocol.OpSet, Key: key, ValueSize: replValueSize, Value: nextSeq}
-			}
-			t0 := p.Now()
-			req, err := c.Issue(p, op, guard...)
-			if err != nil {
-				panic("bench: replication issue failed: " + err.Error())
-			}
-			c.Wait(p, req)
-			switch e := req.Err(); {
-			case e == nil:
-				run.OK++
-				run.Lat.Add(p.Now() - t0)
-				if kind == workload.OpSet {
-					if seq, _ := op.Value.(uint64); seq > lastOK[key] {
-						lastOK[key] = seq
-					}
-				}
-			case errors.Is(e, core.ErrNotFound):
-				run.Misses++
-			default:
-				run.Failed++
-			}
-			p.Sleep(replThink)
-		}
-		run.Elapsed = p.Now() - start
-
-		// Durability sweep: wait out any in-flight outage, let the
-		// anti-entropy scrubber run a few rounds, then ask every server
-		// directly (bypassing the client path) whether it still holds each
-		// acked key at or past its newest OK sequence.
-		for _, s := range cl.Servers {
-			for s.Down() || s.Recovering() {
-				p.Sleep(sim.Millisecond)
-			}
-		}
-		p.Sleep(replSettle)
-		keys := make([]string, 0, len(lastOK))
-		for k := range lastOK {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			run.AckedKeys++
-			held := false
-			for _, s := range cl.Servers {
-				if v, _, _, _, ok := s.Store().ReadItem(p, k); ok {
-					if seq, _ := v.(uint64); seq >= lastOK[k] {
-						held = true
-						break
-					}
-				}
-			}
-			if !held {
-				run.LostAcked++
-			}
-		}
-	})
-	cl.Env.Run()
-	run.Now = cl.Env.Now()
-	run.Repl = cl.ReplicationCounters()
-	run.Faults = c.Faults
-	return run
+		cl.Env.Run()
+	}}
 }
 
-// replicationExp is the registry entry: R ∈ {1,2,3} × {read-only, 50:50}
+// replication is the registry entry: R ∈ {1,2,3} × {read-only, 50:50}
 // through the node-kill schedule. The headline: lost_acked is positive at
 // R=1 (the kills destroy data only one node held) and exactly zero for
 // every R ≥ 2 cell.
-func replicationExp(o Options) *Result {
-	res := newResult("replication",
-		"Primary-backup replication: acked-write durability under whole-node kills")
-	ops := o.ops(600)
-
-	goodput := &metrics.Series{Name: "goodput op/s"}
-	p99 := &metrics.Series{Name: "p99 µs"}
-	lost := &metrics.Series{Name: "lost acked"}
-	repair := &metrics.Series{Name: "repair tx"}
-
-	mixes := []struct {
-		name     string
-		readFrac float64
-	}{
-		{"read", 1.0},
-		{"rw50", 0.5},
-	}
-	for _, r := range []int{1, 2, 3} {
-		for _, mix := range mixes {
-			run := runReplication(r, mix.readFrac, ops, true)
-			name := fmt.Sprintf("R%d.%s", r, mix.name)
-			repairTx := run.Repl.Get("repair-pushes") + run.Repl.Get("repair-pulls")
-
-			goodput.Append(name, run.Goodput())
-			p99.Append(name, us(run.Lat.Quantile(0.99)))
-			lost.Append(name, float64(run.LostAcked))
-			repair.Append(name, float64(repairTx))
-
-			res.metric(name+".goodput_ops", run.Goodput())
-			res.metric(name+".p99_us", us(run.Lat.Quantile(0.99)))
-			res.metric(name+".ok", float64(run.OK))
-			res.metric(name+".misses", float64(run.Misses))
-			res.metric(name+".failed", float64(run.Failed))
-			res.metric(name+".acked_keys", float64(run.AckedKeys))
-			res.metric(name+".lost_acked", float64(run.LostAcked))
-			res.metric(name+".forwards", float64(run.Repl.Get("forwards")))
-			res.metric(name+".repair_pushes", float64(run.Repl.Get("repair-pushes")))
-			res.metric(name+".repair_pulls", float64(run.Repl.Get("repair-pulls")))
-			res.metric(name+".epoch_conflicts", float64(run.Repl.Get("epoch-conflicts")))
-			res.metric(name+".stale_reads_prevented", float64(run.Repl.Get("stale-reads-prevented")))
-			res.metric(name+".scrub_rounds", float64(run.Repl.Get("scrub-rounds")))
-			res.metric(name+".failovers", float64(run.Faults.Val(metrics.CFailovers)))
-			res.metric(name+".failover_skips", float64(run.Faults.Val(metrics.CFailoverSkip)))
+var replicationExp = Experiment{
+	ID: "replication", Title: "Primary-backup replication: acked-write durability under whole-node kills",
+	cells: func(o Options) (cells []cell) {
+		for _, factor := range []int{1, 2, 3} {
+			for _, mix := range []mix{{"read", 1.0}, {"rw50", 0.5}} {
+				c := replicationCell(factor, mix.read, o.ops(600), true)
+				c.prefix = fmt.Sprintf("R%d.%s.", factor, mix.name)
+				c.collect = func(_ *cluster.Cluster, r *run) {
+					r.show("goodput op/s", "goodput_ops", opsPerSec(r.OK, r.Elapsed))
+					r.show("p99 µs", "p99_us", us(r.Lat.Quantile(0.99)))
+					r.set("ok", float64(r.OK))
+					r.set("misses", float64(r.Misses))
+					r.set("failed", float64(r.Failed))
+					r.set("acked_keys", float64(r.AckedKeys))
+					r.show("lost acked", "lost_acked", float64(r.LostAcked))
+					r.plot("repair tx", float64(r.Repl.Get("repair-pushes")+r.Repl.Get("repair-pulls")))
+					r.counts(r.Repl, "forwards", "repair-pushes", "repair-pulls", "epoch-conflicts",
+						"stale-reads-prevented", "scrub-rounds")
+					r.counts(r.Faults, "failovers", "failover-skips")
+				}
+				cells = append(cells, c)
+			}
 		}
-	}
-	res.Output = res.addTable(res.Title, goodput, p99, lost, repair) + res.renderMetrics()
-	return res
+		return cells
+	},
 }

@@ -11,8 +11,8 @@ import (
 // server and client is gated on attachment, so an unreplicated deployment
 // pays nothing, not even a branch that changes event ordering.
 func TestReplicationR1VirtualTimeIdentity(t *testing.T) {
-	a := runReplication(0, 0.5, 200, false)
-	b := runReplication(1, 0.5, 200, false)
+	a := runCell(t, replicationCell(0, 0.5, 200, false))
+	b := runCell(t, replicationCell(1, 0.5, 200, false))
 	if a.Now != b.Now {
 		t.Errorf("final virtual clock differs: R=0 %v vs R=1 %v", a.Now, b.Now)
 	}
@@ -34,11 +34,11 @@ func TestReplicationR1VirtualTimeIdentity(t *testing.T) {
 // none: every acked write was on both replicas before the ack, and the
 // killed nodes re-fetch from the survivors.
 func TestReplicationKillsDurability(t *testing.T) {
-	solo := runReplication(1, 0.5, 400, true)
+	solo := runCell(t, replicationCell(1, 0.5, 400, true))
 	if solo.LostAcked == 0 {
 		t.Error("R=1 lost nothing through a wiped-SSD node kill — the oracle is not observing the kills")
 	}
-	dup := runReplication(2, 0.5, 400, true)
+	dup := runCell(t, replicationCell(2, 0.5, 400, true))
 	if dup.LostAcked != 0 {
 		t.Errorf("R=2 lost %d of %d acked keys — replication failed its guarantee",
 			dup.LostAcked, dup.AckedKeys)
@@ -56,8 +56,8 @@ func TestReplicationKillsDurability(t *testing.T) {
 
 // Replication runs are deterministic: same cell, same virtual outcome.
 func TestReplicationDeterminism(t *testing.T) {
-	a := runReplication(2, 0.5, 200, true)
-	b := runReplication(2, 0.5, 200, true)
+	a := runCell(t, replicationCell(2, 0.5, 200, true))
+	b := runCell(t, replicationCell(2, 0.5, 200, true))
 	if a.Now != b.Now || a.OK != b.OK || a.Failed != b.Failed ||
 		a.LostAcked != b.LostAcked {
 		t.Errorf("replication run not deterministic: (%v,%d,%d,%d) vs (%v,%d,%d,%d)",

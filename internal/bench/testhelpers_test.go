@@ -1,19 +1,29 @@
 package bench
 
-import (
-	"hybridkv/internal/cluster"
-	"hybridkv/internal/workload"
-)
+import "testing"
 
-// Small helpers keeping the driver sanity tests readable.
-
-func clusterDesignForTest() cluster.Design   { return cluster.RDMAMem }
-func nonbDesignForTest() cluster.Design      { return cluster.HRDMAOptNonBI }
-func clusterProfileForTest() cluster.Profile { return cluster.ClusterA() }
-
-func workloadForTest(keys, kv int) *workload.Generator {
-	return workload.New(workload.Config{
-		Keys: keys, ValueSize: kv, ReadFraction: 0.5,
-		Pattern: workload.Zipf, ZipfS: 0.99, Seed: 5,
-	})
+// runCell runs one cell through the runner — build, drive, gather, collect,
+// with the runner's own checks — and fails the test on an error. Tests reach
+// every cell this way: a registry cell via its constructor with the
+// registry's arguments, a variant via the same constructor with its own.
+func runCell(t testing.TB, c cell) *run {
+	t.Helper()
+	r, err := (&Experiment{ID: "test", Title: "test"}).runCell(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
+
+// runExp runs a whole registry experiment or ablation by id.
+func runExp(t testing.TB, id string, o Options) *Result {
+	t.Helper()
+	r, err := ByID(id).Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// quick returns reduced-op options for shape tests.
+func quick() Options { return Options{Ops: 1200} }
