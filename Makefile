@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-robustness smoke robustness vuln benchmark-check virtual-identity snapshots-drift allocs loc check
+.PHONY: build test vet race race-robustness smoke robustness verify vuln benchmark-check virtual-identity allocs loc check
 
 build:
 	$(GO) build ./...
@@ -55,10 +55,14 @@ vuln:
 benchmark-check:
 	$(GO) run ./benchmark -check
 
-# RECORDS turns an mc-bench -json file into sortable lines, one per record:
-# experiment, [design.]metric, value, tab-separated.
-RECORDS = awk -F'"' '$$2=="experiment"{e=$$4} $$2=="design"{d=$$4"."} $$2=="metric"{m=$$4} $$2=="value"{v=substr($$3,3)} \
-	/^ }/{print e "\t" d m "\t" v; d=""}'
+# The golden gate: every registry experiment at default op counts (how the
+# snapshots are taken), compared record by record and exactly against the
+# committed BENCH_<id>.json at the repo root. Any changed, missing or extra
+# record is named — experiment, design.metric, committed, fresh — and fails
+# the target. A model change that is meant to move numbers regenerates the
+# snapshots it moved, explicitly: mc-bench -json . <experiment ids>.
+verify:
+	$(GO) run ./cmd/mc-bench -verify . all
 
 # Virtual-clock identity against another commit, for changes that must not
 # move a simulated number (kernel, fabric, host-cost work):
@@ -67,47 +71,32 @@ RECORDS = awk -F'"' '$$2=="experiment"{e=$$4} $$2=="design"{d=$$4"."} $$2=="metr
 #	make virtual-identity BASE=<git ref> EXCEPT="bypass hotkey"
 #
 # builds cmd/mc-bench from BASE (a `git archive` snapshot in a temporary
-# directory) and from the working tree, runs the whole experiment registry
-# at smoke scale with -json on both, and compares the two files record by
-# record. The records hold only virtual-clock metrics, and a commit is
-# self-identical run to run, so one differing value is a behaviour change.
-# EXCEPT names the experiments a model change is meant to move: their
-# differing records are printed as the expected-diff table (base, working
-# tree, ratio) and do not fail the target; a differing record of any other
-# experiment still does. Compare against a parent commit, never against the
-# committed BENCH_*.json snapshots: those are regenerated by hand and drift.
+# directory), runs the whole experiment registry at smoke scale with -json
+# there, then runs it from the working tree with -verify against that file.
+# The records hold only virtual-clock metrics, and a commit is self-identical
+# run to run, so one differing value is a behaviour change. EXCEPT names the
+# experiments a model change is meant to move: their differing records are
+# printed as the expected differences (experiment, metric, BASE, working
+# tree) and do not fail the target; a differing record of any other
+# experiment still does.
 virtual-identity:
 	@test -n "$(BASE)" || { echo "usage: make virtual-identity BASE=<git ref> [EXCEPT=\"exp ...\"]" >&2; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/mc-bench-base" ./cmd/mc-bench); \
 	$(GO) build -o "$$tmp/mc-bench-head" ./cmd/mc-bench; \
-	"$$tmp/mc-bench-base" -smoke -json "$$tmp/base.json" >/dev/null & base=$$!; \
-	"$$tmp/mc-bench-head" -smoke -json "$$tmp/head.json" >/dev/null; \
-	wait $$base; \
-	for side in base head; do \
-		$(RECORDS) "$$tmp/$$side.json" > "$$tmp/$$side.rec"; \
-	done; \
-	awk -F'\t' -v except=" $(EXCEPT) " ' \
-		function row(k, b, h,   a) { split(k, a, FS); \
-			print (index(except, " " a[1] " ") ? "expected" : "UNEXPECTED") FS k FS b FS h FS ((b+0 != 0 && h != "-") ? sprintf("%.4f", h/b) : "-") } \
-		NR==FNR { base[$$1 FS $$2] = $$3; next } \
-		{ k = $$1 FS $$2; seen[k] = 1; b = (k in base) ? base[k] : "-"; if (b != $$3) row(k, b, $$3) } \
-		END { for (k in base) if (!(k in seen)) row(k, base[k], "-") }' "$$tmp/base.rec" "$$tmp/head.rec" | sort > "$$tmp/diff.rec"; \
-	show() { grep "^$$1" "$$tmp/diff.rec" | awk -F'\t' '{printf "  %-12s %-44s %16s %16s %8s\n", $$2, $$3, $$4, $$5, $$6}'; }; \
-	total=$$(wc -l < "$$tmp/head.rec"); \
-	moved=$$(grep -c '^expected' "$$tmp/diff.rec" || true); bad=$$(grep -c '^UNEXPECTED' "$$tmp/diff.rec" || true); \
-	if [ "$$moved" -gt 0 ]; then \
-		echo "virtual-identity: expected differences (EXCEPT=\"$(EXCEPT)\"): experiment, metric, $(BASE), working tree, ratio"; \
-		show expected; \
-	fi; \
-	if [ "$$bad" -eq 0 ]; then \
-		echo "virtual-identity: $(BASE) and the working tree agree on $$((total - moved)) of $$total records; the other $$moved are in EXCEPT=\"$(EXCEPT)\""; \
-	else \
-		show UNEXPECTED | head -40; \
-		echo "virtual-identity: FAILED — $$bad records outside EXCEPT=\"$(EXCEPT)\" differ between $(BASE) and the working tree" >&2; \
-		exit 1; \
-	fi
+	"$$tmp/mc-bench-base" -smoke -json "$$tmp/base.json" >/dev/null; \
+	"$$tmp/mc-bench-head" -smoke -verify "$$tmp/base.json" >"$$tmp/verify.txt" 2>"$$tmp/verify.err" || \
+		grep -q '^verify:' "$$tmp/verify.txt" || { cat "$$tmp/verify.err" >&2; exit 1; }; \
+	expected() { for e in $(EXCEPT); do [ "$$e" = "$$1" ] && return 0; done; return 1; }; \
+	bad=0; moved=0; \
+	while read -r exp rest; do \
+		if [ "$$exp" = "verify:" ]; then summary="$$rest"; \
+		elif expected "$$exp"; then moved=$$((moved+1)); echo "  expected   $$exp $$rest"; \
+		else bad=$$((bad+1)); echo "  UNEXPECTED $$exp $$rest"; fi; \
+	done < "$$tmp/verify.txt"; \
+	echo "virtual-identity: $(BASE) vs the working tree: $$summary; $$moved in EXCEPT=\"$(EXCEPT)\", $$bad outside it"; \
+	[ "$$bad" -eq 0 ]
 
 # Heap allocations per operation, one line per layer of the op path: first the
 # tier-1 ceiling tests of those layers (testing.AllocsPerRun on a warmed rig —
@@ -124,32 +113,6 @@ allocs:
 			for (i = 2; i <= NF; i++) if ($$i == "allocs/op") line = line " " name "=" $$(i-1) } \
 		END { flush() }'
 
-# Committed BENCH_*.json snapshots against a fresh run of the experiments
-# they hold (default op counts, which is how every snapshot was taken),
-# compared record by record. The snapshots are regenerated by hand and drift
-# silently — PR 13 found BENCH_replication.json had, and this target's first
-# run found four throughput records of BENCH_membership.json had — so this
-# names the drifted records. A model change is meant to move numbers: CI runs
-# it non-blocking, like virtual-identity, and the change that moves them
-# regenerates the snapshot (mc-bench -json <file> <experiment ids>).
-snapshots-drift:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/mc-bench" ./cmd/mc-bench; \
-	bad=0; \
-	for snap in BENCH_*.json; do \
-		ids=$$(awk -F'"' '$$2=="experiment"{print $$4}' "$$snap" | sort -u | tr '\n' ' '); \
-		"$$tmp/mc-bench" -json "$$tmp/fresh.json" $$ids >/dev/null; \
-		$(RECORDS) "$$snap" | sort > "$$tmp/committed.rec"; $(RECORDS) "$$tmp/fresh.json" | sort > "$$tmp/fresh.rec"; \
-		n=$$(diff "$$tmp/committed.rec" "$$tmp/fresh.rec" | grep -c '^[<>]' || true); \
-		if [ "$$n" -eq 0 ]; then \
-			echo "snapshots-drift: $$snap agrees with a fresh run ($$(wc -l < "$$tmp/fresh.rec") records: $$ids)"; \
-		else \
-			bad=1; echo "snapshots-drift: $$snap DRIFTED — experiment, metric, value (< committed, > fresh):"; \
-			diff "$$tmp/committed.rec" "$$tmp/fresh.rec" | grep '^[<>]' | head -40; \
-		fi; \
-	done; \
-	exit $$bad
-
 # Non-test Go lines per internal/ package, one line each: the count a
 # simplification is reported in (comments and blank lines included, so
 # deleting comments shows up as what it is).
@@ -160,6 +123,7 @@ loc:
 
 # The pre-merge gate: static analysis, the full suite under the race
 # detector (plus the robustness packages at -count=2), the robustness
-# gate, a registry smoke run, the benchmark's determinism gate, and the
-# gated vulnerability scan.
-check: vet race race-robustness robustness smoke benchmark-check vuln
+# gate, a registry smoke run, the golden gate over the committed
+# snapshots, the benchmark's determinism gate, and the gated vulnerability
+# scan.
+check: vet race race-robustness robustness smoke verify benchmark-check vuln

@@ -179,7 +179,7 @@ func main() {
 			}
 		}
 	}
-	if *jsonPath != "" {
+	if *jsonPath != "" && len(results) > 0 {
 		if err := writeJSON(*jsonPath, results); err != nil {
 			fail("json: %v", err)
 		}

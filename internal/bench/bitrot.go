@@ -146,7 +146,9 @@ func bitrotCell(factor, ops int, defense string) cell {
 			r.plot("rotten reads", r.val("rotten_reads"))
 			r.plot("quarantined", r.val("quarantined"))
 			r.plot("scrub repaired", r.val("scrub_repaired"))
-			r.aux("now", float64(r.Now))
+			if r.cell.silent {
+				r.set("now", float64(r.Now)) // for the replay comparison only
+			}
 		},
 	}
 }

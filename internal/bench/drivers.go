@@ -12,11 +12,11 @@ import (
 	"hybridkv/internal/workload"
 )
 
-// The closed-loop drivers: one per workload shape of the paper's
-// evaluation. Each picks the API the cluster's design stands for — blocking
-// Set/Get, iset/iget, or bset/bget — runs the simulation to completion and
-// fills the run's measurement fields. They must be called outside any sim
-// process.
+// The drivers: one per workload shape. The closed-loop ones pick the API
+// the cluster's design stands for — blocking Set/Get, iset/iget, or
+// bset/bget — run the simulation to completion and fill the run's
+// measurement fields; they must be called outside any sim process. The
+// spawn* ones only start their processes: the caller runs the Env.
 
 // opFor is the operation for one generated (kind, key): the value of a Set
 // is its key, so a later hit is checkable.
@@ -36,8 +36,17 @@ func apiOpts(cl *cluster.Cluster) []core.IssueOption {
 	return nil
 }
 
-// errSocket stands for a blocking-API StatusError in the tally.
-var errSocket = errors.New("bench: blocking operation failed")
+// phase runs body as the one driver process on client 0 until the Env
+// drains, and stamps the span and the operation count.
+func phase(cl *cluster.Cluster, ops int, r *run, body func(p *sim.Proc, c *core.Client)) {
+	start := cl.Env.Now()
+	cl.Env.Spawn("driver", func(p *sim.Proc) { body(p, cl.Clients[0]) })
+	cl.Env.Run()
+	r.Elapsed = cl.Env.Now() - start
+	r.Ops = int64(ops)
+}
+
+var errBlocking = errors.New("bench: blocking operation failed")
 
 // blockingOp runs one blocking Set or Get — the only API the socket design
 // has; its recovery is the client's RecvTimeout/RecvRetries — and maps the
@@ -45,31 +54,45 @@ var errSocket = errors.New("bench: blocking operation failed")
 func blockingOp(p *sim.Proc, c *core.Client, kind workload.OpKind, key string, vs int) error {
 	if kind == workload.OpSet {
 		if c.Set(p, key, vs, key, 0, 0) == protocol.StatusError {
-			return errSocket
+			return errBlocking
 		}
 		return nil
 	}
 	switch _, _, st := c.Get(p, key); st {
 	case protocol.StatusError:
-		return errSocket
+		return errBlocking
 	case protocol.StatusNotFound:
 		return core.ErrNotFound
 	}
 	return nil
 }
 
-// blockingOps is the blocking closed loop's per-process body, emulating the
-// web-caching contract: a Get miss fetches the value from the backend (the
-// miss penalty) and re-populates the cache.
-func blockingOps(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, r *run) {
+// oneAtATime is the depth-1 closed loop's per-process body: ops operations
+// through the blocking API, or the guarded Issue path when opts is set,
+// under the web-caching contract — a Get miss fetches the value from the
+// backend (the miss penalty) and re-populates the cache. Every op is
+// tallied and timed, the miss's refill included.
+func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, opts []core.IssueOption, r *run) {
 	vs := gen.ValueSize()
 	for i := 0; i < ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		err := blockingOp(p, c, kind, key, vs)
+		var err error
+		if opts == nil {
+			err = blockingOp(p, c, kind, key, vs)
+		} else {
+			err = do(p, c, opFor(kind, key, vs), opts).Err()
+		}
 		r.classify(err)
 		if errors.Is(err, core.ErrNotFound) {
-			missRefill(p, cl, c, key, vs, nil)
+			mt := p.Now()
+			v := cl.Backend.Fetch(p, key)
+			c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
+			if opts == nil {
+				c.Set(p, key, vs, v, 0, 0)
+			} else {
+				do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts)
+			}
 		}
 		d := p.Now() - t0
 		r.Lat.Add(d)
@@ -81,42 +104,34 @@ func blockingOps(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload
 	}
 }
 
-// missRefill is the web-caching miss contract: fetch the value from the
-// backend, charge the miss penalty, and re-populate the cache — through the
-// guarded path when opts is set, the blocking API otherwise.
-func missRefill(p *sim.Proc, cl *cluster.Cluster, c *core.Client, key string, vs int, opts []core.IssueOption) {
-	mt := p.Now()
-	v := cl.Backend.Fetch(p, key)
-	c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
-	if opts == nil {
-		c.Set(p, key, vs, v, 0, 0)
-		return
-	}
-	// A refill that fails is not the measured op's failure: drop it.
-	if req, err := c.Issue(p, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts...); err == nil {
-		c.Wait(p, req)
-	}
-}
-
-// issueAll issues n operations of gen through the design's non-blocking
-// API without waiting, charging the time the application was stuck inside
-// the issue calls to r.Stall.
-func issueAll(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, n int, r *run) []*core.Req {
-	vs, opts := gen.ValueSize(), apiOpts(cl)
+// issueAll issues n operations of gen without waiting, charging the time
+// the application was stuck inside the issue calls to r.Stall.
+func issueAll(p *sim.Proc, c *core.Client, gen *workload.Generator, n int, opts []core.IssueOption, r *run) []*core.Req {
 	reqs := make([]*core.Req, 0, n)
 	for i := 0; i < n; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		reqs = append(reqs, issue(p, c, opFor(kind, key, vs), opts))
+		reqs = append(reqs, issue(p, c, opFor(kind, key, gen.ValueSize()), opts))
 		r.Stall += p.Now() - t0
 	}
 	return reqs
 }
 
-// issueWindows drives n operations in pipelined windows of window ops.
-func issueWindows(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, n, window int, r *run) {
+// drain waits for every request, then tallies and times each (issue to
+// completion: a timed-out op's tail counts — that is where faults show).
+func drain(p *sim.Proc, c *core.Client, reqs []*core.Req, r *run) {
+	c.WaitAll(p, reqs)
+	for _, req := range reqs {
+		r.classify(req.Err())
+		r.Lat.Add(req.CompletedAt - req.IssuedAt)
+	}
+}
+
+// pipelined drives n operations in windows of window: issue a window, drain
+// it, issue the next.
+func pipelined(p *sim.Proc, c *core.Client, gen *workload.Generator, n, window int, opts []core.IssueOption, r *run) {
 	for left := n; left > 0; left -= window {
-		c.WaitAll(p, issueAll(p, cl, c, gen, min(window, left), r))
+		drain(p, c, issueAll(p, c, gen, min(window, left), opts, r), r)
 	}
 }
 
@@ -127,37 +142,26 @@ func issueWindows(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workloa
 // completions at the end — the paper's "large iteration of non-blocking
 // Set/Get requests" (PerOp: elapsed over ops).
 func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
-	var srvSnaps []*metrics.Breakdown
+	var before []*metrics.Breakdown
 	for _, s := range cl.Servers {
-		srvSnaps = append(srvSnaps, s.Store().Prof.Snapshot())
+		before = append(before, s.Store().Prof.Snapshot())
 	}
-	c := cl.Clients[0]
-	clSnap := c.Prof.Snapshot()
-	start := cl.Env.Now()
-	cl.Env.Spawn("drv-closed", func(p *sim.Proc) {
-		if !cl.Design.NonBlocking() {
-			blockingOps(p, cl, c, gen, ops, r)
-			return
-		}
-		reqs := issueAll(p, cl, c, gen, ops, r)
-		c.WaitAll(p, reqs)
-		for _, req := range reqs {
-			if req.Status == protocol.StatusNotFound {
-				r.Misses++
-			}
+	clientBefore := cl.Clients[0].Prof.Snapshot()
+	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
+		if cl.Design.NonBlocking() {
+			pipelined(p, c, gen, ops, ops, apiOpts(cl), r)
+		} else {
+			oneAtATime(p, cl, c, gen, ops, nil, r)
 		}
 	})
-	cl.Env.Run()
-	r.Elapsed = cl.Env.Now() - start
-	r.Ops = int64(ops)
 	if r.PerOp = r.Lat.Mean(); cl.Design.NonBlocking() && ops > 0 {
 		r.PerOp = r.Elapsed / sim.Time(ops)
 	}
 	r.Server = metrics.NewBreakdown()
 	for i, s := range cl.Servers {
-		r.Server.Merge(s.Store().Prof.Sub(srvSnaps[i]))
+		r.Server.Merge(s.Store().Prof.Sub(before[i]))
 	}
-	r.Client = c.Prof.Sub(clSnap)
+	r.Client = cl.Clients[0].Prof.Sub(clientBefore)
 }
 
 // computeGrain is the unit of application computation interleaved with
@@ -170,9 +174,7 @@ const computeGrain = 5 * sim.Microsecond
 // and overlap% = Stall/Elapsed. A blocking design runs ops back-to-back —
 // no overlap by construction — and reports the measured (≈0) figure.
 func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
-	c := cl.Clients[0]
-	start := cl.Env.Now()
-	cl.Env.Spawn("drv-overlap", func(p *sim.Proc) {
+	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
 		if !cl.Design.NonBlocking() {
 			for i := 0; i < ops; i++ {
 				kind, key := gen.Next()
@@ -180,9 +182,7 @@ func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run)
 			}
 			return
 		}
-		reqs := issueAll(p, cl, c, gen, ops, newRun(nil))
-		// Application computation fills the time until completion.
-		for pending := reqs; len(pending) > 0; {
+		for pending := issueAll(p, c, gen, ops, apiOpts(cl), newRun(nil)); len(pending) > 0; {
 			if c.Test(pending[0]) {
 				pending = pending[1:]
 				continue
@@ -191,12 +191,8 @@ func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run)
 			r.Stall += computeGrain
 		}
 	})
-	cl.Env.Run()
-	r.Elapsed = cl.Env.Now() - start
-	r.Ops = int64(ops)
 }
 
-// overlapPct is the share of the phase available for computation.
 func (r *run) overlapPct() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -209,9 +205,8 @@ func (r *run) overlapPct() float64 {
 // block (Listing 2); a blocking one round-trips each chunk. SetLat holds
 // the per-block write latency, GetLat the per-block read latency.
 func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
-	c := cl.Clients[0]
 	chunks := bc.ChunksPerBlock()
-	phase := func(p *sim.Proc, lat *metrics.Hist, code protocol.Opcode) {
+	pass := func(p *sim.Proc, c *core.Client, lat *metrics.Hist, code protocol.Opcode) {
 		for blk := 0; blk < bc.Blocks(); blk++ {
 			t0 := p.Now()
 			var reqs []*core.Req
@@ -230,12 +225,10 @@ func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
 			lat.Add(p.Now() - t0)
 		}
 	}
-	cl.Env.Spawn("drv-blockio", func(p *sim.Proc) {
-		phase(p, r.SetLat, protocol.OpSet)
-		phase(p, r.GetLat, protocol.OpGet)
+	phase(cl, bc.Blocks(), r, func(p *sim.Proc, c *core.Client) {
+		pass(p, c, r.SetLat, protocol.OpSet)
+		pass(p, c, r.GetLat, protocol.OpGet)
 	})
-	cl.Env.Run()
-	r.Ops = int64(bc.Blocks())
 }
 
 // driveThroughput drives every client concurrently with opsPer ops each;
@@ -243,13 +236,13 @@ func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
 // the Env draining, Last to the last client's completion.
 func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, opsPer, window int, r *run) {
 	start := cl.Env.Now()
-	for ci := range cl.Clients {
-		c, gen := cl.Clients[ci], mk(ci)
+	for ci, c := range cl.Clients {
+		gen := mk(ci)
 		cl.Env.Spawn(fmt.Sprintf("drv-tput-%d", ci), func(p *sim.Proc) {
 			if cl.Design.NonBlocking() {
-				issueWindows(p, cl, c, gen, opsPer, window, newRun(nil))
+				pipelined(p, c, gen, opsPer, window, apiOpts(cl), newRun(nil))
 			} else {
-				blockingOps(p, cl, c, gen, opsPer, newRun(nil))
+				oneAtATime(p, cl, c, gen, opsPer, nil, newRun(nil))
 			}
 			r.Last = max(r.Last, p.Now()-start)
 		})
@@ -259,9 +252,8 @@ func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, o
 	r.Ops = int64(opsPer * len(cl.Clients))
 }
 
-// sumFlushWrites totals eviction flush write calls across servers.
-func sumFlushWrites(cl *cluster.Cluster) int64 {
-	var n int64
+// flushWrites totals eviction flush write calls across servers.
+func flushWrites(cl *cluster.Cluster) (n int64) {
 	for _, s := range cl.Servers {
 		n += s.Store().Manager().FlushWrites
 	}
@@ -285,9 +277,8 @@ func must(err error) {
 // flushed every batch ops.
 func driveBatched(cl *cluster.Cluster, gen *workload.Generator, ops, batch int, r *run) {
 	c := cl.Clients[0]
-	flush0, sends0, frames0 := sumFlushWrites(cl), c.Sends, c.Frames
-	start := cl.Env.Now()
-	cl.Env.Spawn("drv-batch", func(p *sim.Proc) {
+	flush0, sends0, frames0 := flushWrites(cl), c.Sends, c.Frames
+	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
 		if cl.Design.Transport() == core.IPoIB {
 			batchedSocket(p, c, gen, ops, batch, r)
 			return
@@ -297,26 +288,22 @@ func driveBatched(cl *cluster.Cluster, gen *workload.Generator, ops, batch int, 
 			if n > 1 {
 				must(c.BeginBatch())
 			}
-			reqs := issueAll(p, cl, c, gen, n, newRun(nil))
+			reqs := issueAll(p, c, gen, n, apiOpts(cl), r)
 			if n > 1 {
 				must(c.Flush(p))
 			}
-			c.WaitAll(p, reqs)
-			for _, req := range reqs {
-				r.Lat.Add(req.CompletedAt - req.IssuedAt)
-			}
+			drain(p, c, reqs, r)
 		}
 	})
-	cl.Env.Run()
-	r.Elapsed = cl.Env.Now() - start
-	r.Ops = int64(ops)
 	r.Sends, r.Frames = c.Sends-sends0, c.Frames-frames0
-	r.FlushWrites = sumFlushWrites(cl) - flush0
+	r.FlushWrites = flushWrites(cl) - flush0
 }
 
 func batchedSocket(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, batch int, r *run) {
 	if batch > 1 {
 		must(c.SetBuffering(true))
+		defer func() { must(c.SetBuffering(false)) }()
+		defer c.FlushBuffers(p)
 	}
 	for i := 1; i <= ops; i++ {
 		kind, key := gen.Next()
@@ -326,10 +313,6 @@ func batchedSocket(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, ba
 			c.FlushBuffers(p)
 		}
 		r.Lat.Add(p.Now() - t0)
-	}
-	if batch > 1 {
-		c.FlushBuffers(p)
-		must(c.SetBuffering(false))
 	}
 }
 
@@ -351,7 +334,6 @@ type workers struct {
 
 // spawnWorkers starts the load. GET latency is recorded per completion;
 // OK counts stored SETs and hit GETs, Misses the GETs answered NotFound.
-// The caller runs the Env.
 func spawnWorkers(cl *cluster.Cluster, w workers, r *run) {
 	start := cl.Env.Now()
 	for ci, c := range cl.Clients {
@@ -403,12 +385,12 @@ type arrivals struct {
 	from sim.Time
 }
 
-// openLoop spawns the arrival process on client c: each arrival is an
+// spawnArrivals starts the arrival process on client c: each arrival is an
 // independent guarded request in its own process, so the driver never
 // self-throttles. Every measured completion is tallied (OK / miss /
 // failed) and timed into Lat; GetLat takes only GETs that were admitted
-// and answered OK — the latency shedding protects. The caller runs the Env.
-func openLoop(cl *cluster.Cluster, c *core.Client, a arrivals, opts []core.IssueOption, r *run) {
+// and answered OK — the latency shedding protects.
+func spawnArrivals(cl *cluster.Cluster, c *core.Client, a arrivals, opts []core.IssueOption, r *run) {
 	inflight := 0
 	cl.Env.Spawn("drv-arrivals", func(p *sim.Proc) {
 		for i := 0; i < a.n; i++ {
@@ -421,10 +403,9 @@ func openLoop(cl *cluster.Cluster, c *core.Client, a arrivals, opts []core.Issue
 				if t0 < a.from {
 					return
 				}
-				err := req.Err()
-				r.classify(err)
+				r.classify(req.Err())
 				r.Lat.Add(q.Now() - t0)
-				if op.Code == protocol.OpGet && err == nil {
+				if op.Code == protocol.OpGet && req.Err() == nil {
 					r.GetLat.Add(q.Now() - t0)
 				}
 			})

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"errors"
-
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
 	"hybridkv/internal/fault"
@@ -81,13 +79,12 @@ func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.C
 // driveFaulted executes ops operations on client 0 under sched. It arms the
 // fabric injector, the server-0 crash window, and SSD error injection at
 // the start of the measurement phase, and uses the deadline/retry client
-// API so no fault can wedge the run. With an empty schedule the op path is
-// virtual-time-identical to the no-fault drivers (guards and timeout arms
-// never fire), so clean numbers match the other experiments exactly. Lat
-// holds every op's completion latency, including ones that ended in a
-// timeout — that is where the fault tail lives.
+// API so no fault can wedge the run: blocking designs one op at a time
+// under the web-caching miss contract, non-blocking designs in pipelined
+// windows. With an empty schedule the op path is virtual-time-identical to
+// the no-fault drivers (guards and timeout arms never fire), so clean
+// numbers match the other experiments exactly.
 func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, sched faultSchedule, r *run) {
-	c := cl.Clients[0]
 	start := cl.Env.Now()
 	if sched != (faultSchedule{}) {
 		cl.Fabric.SetFaults(fault.New(fault.Config{
@@ -103,54 +100,23 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, sched f
 			}
 		}
 	}
-	cl.Env.Spawn("drv-fault", func(p *sim.Proc) {
-		if cl.Design.Transport() == core.IPoIB {
-			blockingOps(p, cl, c, gen, ops, r) // the socket design has only the blocking API
-		} else {
-			faultedRDMA(p, cl, c, gen, ops, sched.Seed, r)
-		}
-	})
-	cl.Env.Run()
-	cl.Fabric.SetFaults(nil)
-	r.Elapsed = cl.Env.Now() - start
-	r.Ops = int64(ops)
-}
-
-// faultedRDMA drives the RDMA designs with the unified Issue API armed with
-// deadline + retry + failover. Blocking designs run one op at a time
-// (window 1, web-caching miss contract); non-blocking designs pipeline a
-// window of requests and drain it with WaitAll.
-func faultedRDMA(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, seed int64, r *run) {
-	vs := gen.ValueSize()
+	// The RDMA designs use the Issue API armed with deadline + retry +
+	// failover; the socket design has only the blocking API.
 	opts := guard{
-		deadline: faultDeadline, attempts: 4, seed: seed, failover: len(cl.Servers) > 1,
+		deadline: faultDeadline, attempts: 4, seed: sched.Seed, failover: len(cl.Servers) > 1,
 		backoff: 5 * sim.Microsecond, maxBackoff: sim.Millisecond, jitter: true,
 	}.opts(cl.Design.BufferGuarantee())
-	if !cl.Design.NonBlocking() {
-		for i := 0; i < ops; i++ {
-			kind, key := gen.Next()
-			t0 := p.Now()
-			err := do(p, c, opFor(kind, key, vs), opts).Err()
-			if errors.Is(err, core.ErrNotFound) {
-				missRefill(p, cl, c, key, vs, opts)
-			}
-			r.classify(err)
-			r.Lat.Add(p.Now() - t0)
-		}
-		return
+	if cl.Design.Transport() == core.IPoIB {
+		opts = nil
 	}
-	for left := ops; left > 0; left -= faultWindow {
-		reqs := make([]*core.Req, 0, faultWindow)
-		for i := 0; i < min(faultWindow, left); i++ {
-			kind, key := gen.Next()
-			reqs = append(reqs, issue(p, c, opFor(kind, key, vs), opts))
+	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
+		if cl.Design.NonBlocking() {
+			pipelined(p, c, gen, ops, faultWindow, opts, r)
+		} else {
+			oneAtATime(p, cl, c, gen, ops, opts, r)
 		}
-		c.WaitAll(p, reqs)
-		for _, req := range reqs {
-			r.classify(req.Err())
-			r.Lat.Add(req.CompletedAt - req.IssuedAt)
-		}
-	}
+	})
+	cl.Fabric.SetFaults(nil)
 }
 
 // faults is the registry entry: every design, clean vs faulted phase on

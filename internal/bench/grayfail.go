@@ -142,7 +142,7 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 			// count — the warmup gap is the detector's sample budget,
 			// identical across cells so the comparison stays fair.
 			g.hedge = grayHedge
-			openLoop(cl, c, arrivals{
+			spawnArrivals(cl, c, arrivals{
 				n:    gets,
 				op:   func(i int) core.Op { return core.Op{Code: protocol.OpGet, Key: keyOf(i % grayKeys)} },
 				gap:  grayGetGap,

@@ -84,7 +84,7 @@ func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) 
 	perBurst := (ops + overBursts - 1) / overBursts
 	if cl.Design.Transport() == core.RDMA {
 		opts := guard{deadline: overDeadline, attempts: 6, seed: 11, jitter: true}.opts(cl.Design.BufferGuarantee())
-		openLoop(cl, c, arrivals{
+		spawnArrivals(cl, c, arrivals{
 			n: ops,
 			op: func(int) core.Op {
 				kind, key := gen.Next()

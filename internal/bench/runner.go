@@ -152,12 +152,10 @@ type run struct {
 	cell   *cell
 	names  []string // value names in the order set
 	vals   map[string]float64
-	hidden map[string]bool
 	points []point
 	notes  []string
 }
 
-// point places one value in a table.
 type point struct {
 	table, col, row string
 	v               float64
@@ -166,8 +164,7 @@ type point struct {
 func newRun(c *cell) *run {
 	return &run{
 		Lat: metrics.NewHist(), GetLat: metrics.NewHist(), SetLat: metrics.NewHist(),
-		lastOK: map[string]uint64{}, cell: c,
-		vals: map[string]float64{}, hidden: map[string]bool{},
+		lastOK: map[string]uint64{}, cell: c, vals: map[string]float64{},
 	}
 }
 
@@ -186,12 +183,6 @@ func (r *run) counts(bag *metrics.Counters, names ...string) {
 	for _, name := range names {
 		r.set(strings.ReplaceAll(name, "-", "_"), float64(bag.Get(name)))
 	}
-}
-
-// aux keeps a value for derive and the tests without recording it.
-func (r *run) aux(name string, v float64) {
-	r.set(name, v)
-	r.hidden[name] = true
 }
 
 // val reads a kept value back; an unknown name is a bug in the caller.
@@ -278,7 +269,6 @@ func (r *run) ackedWrites() float64 {
 // Result is one experiment's output.
 type Result struct {
 	ID     string
-	Title  string
 	Output string
 	// Metrics holds the named scalar results by full key (latencies in µs,
 	// throughput in ops/s, overlap in %), for EXPERIMENTS.md and the
@@ -362,12 +352,14 @@ func (e *Experiment) Run(o Options) (*Result, error) {
 	}
 	close(next)
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the first failing cell, by index
+		}
 	}
 
-	res := &Result{ID: e.ID, Title: e.Title, Metrics: map[string]float64{}}
-	all := map[string]float64{} // every value, hidden and silent ones too: derive's view
+	res := &Result{ID: e.ID, Metrics: map[string]float64{}}
+	all := map[string]float64{} // every value, silent cells' too: derive's view
 	for _, r := range runs {
 		if err := res.add(r, all); err != nil {
 			return nil, err
@@ -418,7 +410,7 @@ func (res *Result) add(r *run, all map[string]float64) error {
 			return fmt.Errorf("bench: %s cell %s: metric %q is %v", res.ID, r.cell.label(), key, v)
 		}
 		all[key] = v
-		if !r.hidden[name] && !r.cell.silent {
+		if !r.cell.silent {
 			res.Metrics[key] = v
 			res.records = append(res.records, record{res.ID, r.cell.design, r.cell.prefix + name, v})
 		}

@@ -18,7 +18,6 @@ type spec struct {
 	keys, kv int
 }
 
-// build assembles the deployment on a fresh sim.Env and preloads it.
 func (s *spec) build() *cluster.Cluster {
 	cl := cluster.New(s.Config)
 	if s.keys > 0 {
@@ -27,7 +26,7 @@ func (s *spec) build() *cluster.Cluster {
 	return cl
 }
 
-// gen is a workload generator over the spec's preloaded key space.
+// gen is a generator of w over the spec's preloaded key space.
 func (s *spec) gen(w workload.Config) *workload.Generator {
 	w.Keys, w.ValueSize = s.keys, s.kv
 	return workload.New(w)
@@ -70,8 +69,8 @@ func uniform(read float64, seed int64) workload.Config {
 }
 
 // guard is the one guarded-issue policy: a request deadline and the retry
-// budget behind it. The zero attempt/backoff/maxBackoff select the budget
-// the robustness cells share: 8 ms attempts — the timeout must clear the
+// budget behind it. Zero attempt/backoff/maxBackoff select the budget the
+// robustness cells share: 8 ms attempts — the timeout must clear the
 // slowest legitimate clean-run request, a synchronous H-RDMA-Def Set that
 // flushes an eviction batch with direct I/O at up to ~5.5 ms, or the
 // "recovery" would retransmit against a healthy, merely busy server — and
@@ -97,13 +96,9 @@ type guard struct {
 // acked-write-lost invariant's subjects).
 func (g guard) opts(bufferAck bool) []core.IssueOption {
 	rp := core.RetryPolicy{
-		MaxAttempts:    g.attempts,
-		AttemptTimeout: 8 * sim.Millisecond,
-		Backoff:        100 * sim.Microsecond,
-		MaxBackoff:     2 * sim.Millisecond,
-		Jitter:         -1,
-		Seed:           g.seed,
-		Failover:       g.failover,
+		MaxAttempts: g.attempts, AttemptTimeout: 8 * sim.Millisecond,
+		Backoff: 100 * sim.Microsecond, MaxBackoff: 2 * sim.Millisecond,
+		Jitter: -1, Seed: g.seed, Failover: g.failover,
 	}
 	if g.attempt > 0 {
 		rp.AttemptTimeout = g.attempt
@@ -127,18 +122,19 @@ func (g guard) opts(bufferAck bool) []core.IssueOption {
 	return opts
 }
 
-// do issues one operation and waits for it. Issue errors only on a misuse
-// of the API (an unknown opcode, a closed client): a harness bug.
-func do(p *sim.Proc, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
-	req := issue(p, c, op, opts)
-	c.Wait(p, req)
-	return req
-}
-
+// issue starts one operation. Issue errors only on a misuse of the API (an
+// unknown opcode, the socket transport): a harness bug.
 func issue(p *sim.Proc, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
 	req, err := c.Issue(p, op, opts...)
 	if err != nil {
 		panic("issue failed: " + err.Error())
 	}
+	return req
+}
+
+// do issues one operation and waits for it.
+func do(p *sim.Proc, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
+	req := issue(p, c, op, opts)
+	c.Wait(p, req)
 	return req
 }
