@@ -41,7 +41,6 @@ type chain struct {
 	done  func()
 }
 
-// key names writer w's ki-th key.
 func (ch *chain) key(w, ki int) string { return fmt.Sprintf("%s:w%d:k%d", ch.ns, w, ki) }
 
 // enter and leave bracket an actor's body.
@@ -85,7 +84,6 @@ func (r *run) read(p *sim.Proc, c *core.Client, w int, key string, opts []core.I
 // exactly one Read and one Write entry.
 func (r *run) spawnWriters(cl *cluster.Cluster, c *core.Client, ch *chain) {
 	for w := 0; w < ch.writers; w++ {
-		w := w
 		r.Log.Expected += ch.rounds * 2
 		cl.Env.Spawn(fmt.Sprintf("%s-writer%d", ch.ns, w), func(p *sim.Proc) {
 			defer ch.leave()

@@ -127,8 +127,7 @@ func drain(p *sim.Proc, c *core.Client, reqs []*core.Req, r *run) {
 	}
 }
 
-// pipelined drives n operations in windows of window: issue a window, drain
-// it, issue the next.
+// pipelined drives n operations in windows: issue one, drain it, repeat.
 func pipelined(p *sim.Proc, c *core.Client, gen *workload.Generator, n, window int, opts []core.IssueOption, r *run) {
 	for left := n; left > 0; left -= window {
 		drain(p, c, issueAll(p, c, gen, min(window, left), opts, r), r)
@@ -252,7 +251,6 @@ func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, o
 	r.Ops = int64(opsPer * len(cl.Clients))
 }
 
-// flushWrites totals eviction flush write calls across servers.
 func flushWrites(cl *cluster.Cluster) (n int64) {
 	for _, s := range cl.Servers {
 		n += s.Store().Manager().FlushWrites

@@ -59,38 +59,38 @@ func Verify(w io.Writer, committed io.Reader, results []*Result) (int, error) {
 	for _, r := range results {
 		ran[r.ID] = true
 	}
-	type id struct{ exp, key string }
-	old := map[id]float64{}
+	// Both sides by (experiment, key), each value in its shortest exact
+	// form: two floats print alike only if they are the same float.
+	type sides struct{ committed, fresh string }
+	rows := map[[2]string]*sides{}
+	side := func(r record) *sides {
+		k := [2]string{r.Experiment, r.key()}
+		if rows[k] == nil {
+			rows[k] = &sides{"-", "-"}
+		}
+		return rows[k]
+	}
 	for _, r := range want {
 		if ran[r.Experiment] {
-			old[id{r.Experiment, r.key()}] = r.Value
+			side(r).committed = fmt.Sprint(r.Value)
 		}
 	}
-	diffs := 0
-	line := func(k id, committed, fresh string) {
-		diffs++
-		fmt.Fprintf(w, "%-12s %-52s %18s %18s\n", k.exp, k.key, committed, fresh)
-	}
-	num := func(v float64) string { return fmt.Sprintf("%v", v) }
 	for _, r := range sorted(results) {
-		k := id{r.Experiment, r.key()}
-		switch v, ok := old[k]; {
-		case !ok:
-			line(k, "-", num(r.Value))
-		case v != r.Value:
-			line(k, num(v), num(r.Value))
-		}
-		delete(old, k)
+		side(r).fresh = fmt.Sprint(r.Value)
 	}
-	missing := make([]id, 0, len(old))
-	for k := range old {
-		missing = append(missing, k)
+	keys := make([][2]string, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
 	}
-	sort.Slice(missing, func(i, j int) bool {
-		return missing[i].exp < missing[j].exp || missing[i].exp == missing[j].exp && missing[i].key < missing[j].key
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i][0] < keys[j][0] || keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1]
 	})
-	for _, k := range missing {
-		line(k, num(old[k]), "-")
+	diffs := 0
+	for _, k := range keys {
+		if s := rows[k]; s.committed != s.fresh {
+			diffs++
+			fmt.Fprintf(w, "%-12s %-52s %18s %18s\n", k[0], k[1], s.committed, s.fresh)
+		}
 	}
 	return diffs, nil
 }

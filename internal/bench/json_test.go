@@ -51,8 +51,8 @@ func TestVerify(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	want := [][]string{
 		{"exp1", "H-RDMA-Def.avg_us", "12.5", "12.75"},
-		{"exp1", "new", "-", "9"},
 		{"exp1", "gone", "7", "-"},
+		{"exp1", "new", "-", "9"},
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), out.String())

@@ -43,7 +43,6 @@ type Options struct {
 	Ops int
 }
 
-// geometry returns (serverMem, kvSize, opsDefault) under o.
 func (o Options) geometry() (int64, int, int) {
 	if o.Full {
 		return 1 << 30, 32 * 1024, 12000
@@ -94,10 +93,8 @@ type cell struct {
 	drive, collect func(cl *cluster.Cluster, r *run)
 }
 
-// label names the cell in errors: design and axis values.
 func (c *cell) label() string { return strings.TrimRight(c.key(""), "._") }
 
-// key is the full metric key of one of the cell's values.
 func (c *cell) key(name string) string {
 	if c.design != "" {
 		return c.design + "." + c.prefix + name
@@ -194,10 +191,10 @@ func (r *run) val(name string) float64 {
 	return v
 }
 
-// plot places v in column col of the cell's table, at the cell's row.
+// plot places v in column col of the cell's table, at the cell's row;
+// plotAt at an explicit table, column and row.
 func (r *run) plot(col string, v float64) { r.plotAt(r.cell.table, col, r.cell.row, v) }
 
-// plotAt places v at an explicit table, column and row.
 func (r *run) plotAt(table, col, row string, v float64) {
 	r.points = append(r.points, point{table, col, row, v})
 }
@@ -208,7 +205,6 @@ func (r *run) show(col, name string, v float64) {
 	r.plot(col, v)
 }
 
-// classify tallies one completed request.
 func (r *run) classify(err error) {
 	switch {
 	case err == nil:
@@ -266,7 +262,6 @@ func (r *run) ackedWrites() float64 {
 	return float64(n)
 }
 
-// Result is one experiment's output.
 type Result struct {
 	ID     string
 	Output string
@@ -281,7 +276,6 @@ type Result struct {
 	notes   []string
 }
 
-// table is one figure table: labeled rows × named series columns.
 type table struct {
 	title string
 	cols  []*metrics.Series
@@ -498,7 +492,6 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
-// pct is 100·part/whole, 0 when there is no whole.
 func pct(part, whole int64) float64 {
 	if whole == 0 {
 		return 0
