@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -26,61 +27,57 @@ import (
 	"hybridkv/internal/bench"
 )
 
-// snapshot is one records file and the results it holds.
-type snapshot struct {
-	file    string
-	results []*bench.Result
-}
-
-// snapshotFiles maps a -json/-verify path onto files: a directory holds
-// one BENCH_<id>.json per experiment, anything else is one file of every
-// result.
-func snapshotFiles(path string, results []*bench.Result) []snapshot {
+// snapshots calls fn for every records file a -json/-verify path stands
+// for, with the results it holds: a directory holds one BENCH_<id>.json per
+// experiment, anything else is one file of every result.
+func snapshots(path string, results []*bench.Result, fn func(file string, rs []*bench.Result) error) error {
 	if st, err := os.Stat(path); err != nil || !st.IsDir() {
-		return []snapshot{{path, results}}
+		return fn(path, results)
 	}
-	var files []snapshot
 	for _, r := range results {
-		files = append(files, snapshot{filepath.Join(path, "BENCH_"+r.ID+".json"), []*bench.Result{r}})
-	}
-	return files
-}
-
-// writeJSON dumps the run experiments' metric records to path.
-func writeJSON(path string, results []*bench.Result) error {
-	for _, s := range snapshotFiles(path, results) {
-		var buf bytes.Buffer
-		if err := bench.WriteJSON(&buf, s.results); err != nil {
-			return err
-		}
-		if err := os.WriteFile(s.file, buf.Bytes(), 0o644); err != nil {
+		if err := fn(filepath.Join(path, "BENCH_"+r.ID+".json"), []*bench.Result{r}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// writeFile writes what encode produces, whole or not at all: a result that
+// cannot be encoded leaves no zero-byte file behind.
+func writeFile(path string, encode func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// writeJSON dumps the run experiments' metric records under path.
+func writeJSON(path string, results []*bench.Result) error {
+	return snapshots(path, results, func(file string, rs []*bench.Result) error {
+		return writeFile(file, func(w io.Writer) error { return bench.WriteJSON(w, rs) })
+	})
+}
+
 // verify compares the run experiments' records against the committed ones
-// under path and returns how many differ.
-func verify(path string, results []*bench.Result) (int, error) {
-	diffs, total := 0, 0
-	for _, r := range results {
-		total += len(r.Metrics)
-	}
-	for _, s := range snapshotFiles(path, results) {
-		f, err := os.Open(s.file)
+// under path, prints the differing records and returns how many there are.
+func verify(path string, results []*bench.Result) (diffs int, err error) {
+	total := 0
+	err = snapshots(path, results, func(file string, rs []*bench.Result) error {
+		f, err := os.Open(file)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		n, err := bench.Verify(os.Stdout, f, s.results)
-		f.Close()
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", s.file, err)
-		}
+		defer f.Close()
+		n, err := bench.Verify(os.Stdout, f, rs)
 		diffs += n
-	}
+		for _, r := range rs {
+			total += len(r.Metrics)
+		}
+		return err
+	})
 	fmt.Printf("verify: %d records run, %d changed, missing or extra against %s\n", total, diffs, path)
-	return diffs, nil
+	return diffs, err
 }
 
 // writeCSV dumps one experiment's tables to <dir>/<id>.csv.
@@ -88,15 +85,7 @@ func writeCSV(dir string, r *bench.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, r.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := r.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(filepath.Join(dir, r.ID+".csv"), r.WriteCSV)
 }
 
 func main() {
@@ -124,25 +113,20 @@ func main() {
 		return
 	}
 
-	args := flag.Args()
-	if *smoke && len(args) == 0 {
-		args = []string{"all"}
+	ids := flag.Args()
+	if (*smoke && len(ids) == 0) || (len(ids) == 1 && ids[0] == "all") {
+		ids = nil
+		for _, e := range bench.Registry {
+			ids = append(ids, e.ID)
+		}
 	}
-	if len(args) == 0 {
+	if len(ids) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 	opts := bench.Options{Full: *full, Ops: *ops}
 	if *smoke && opts.Ops == 0 {
 		opts.Ops = 300
-	}
-	var ids []string
-	if len(args) == 1 && args[0] == "all" {
-		for _, e := range bench.Registry {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		ids = args
 	}
 	exit := 0
 	fail := func(format string, args ...any) {
