@@ -146,9 +146,6 @@ func bitrotCell(factor, ops int, defense string) cell {
 			r.plot("rotten reads", r.val("rotten_reads"))
 			r.plot("quarantined", r.val("quarantined"))
 			r.plot("scrub repaired", r.val("scrub_repaired"))
-			if r.cell.silent {
-				r.set("now", float64(r.Now)) // for the replay comparison only
-			}
 		},
 	}
 }
@@ -226,6 +223,11 @@ var bitrotExp = Experiment{
 		for _, tag := range []string{"replay.a.", "replay.b."} {
 			c := bitrotCell(2, o.ops(600), "verify+scrub")
 			c.prefix, c.silent = tag, true
+			ledgers := c.collect
+			c.collect = func(cl *cluster.Cluster, r *run) {
+				ledgers(cl, r)
+				r.set("now", float64(r.Now))
+			}
 			cells = append(cells, c)
 		}
 		return cells

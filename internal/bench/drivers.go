@@ -234,14 +234,14 @@ func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
 // non-blocking designs pipeline in windows of window ops. Elapsed runs to
 // the Env draining, Last to the last client's completion.
 func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, opsPer, window int, r *run) {
-	start := cl.Env.Now()
+	start, perOp := cl.Env.Now(), newRun(nil) // per-op tallies are not what this driver measures
 	for ci, c := range cl.Clients {
 		gen := mk(ci)
 		cl.Env.Spawn(fmt.Sprintf("drv-tput-%d", ci), func(p *sim.Proc) {
 			if cl.Design.NonBlocking() {
-				pipelined(p, c, gen, opsPer, window, apiOpts(cl), newRun(nil))
+				pipelined(p, c, gen, opsPer, window, apiOpts(cl), perOp)
 			} else {
-				oneAtATime(p, cl, c, gen, opsPer, nil, newRun(nil))
+				oneAtATime(p, cl, c, gen, opsPer, nil, perOp)
 			}
 			r.Last = max(r.Last, p.Now()-start)
 		})

@@ -304,7 +304,7 @@ var fig7c = Experiment{
 			}, keys: int(2 * aggMem / kv), kv: kv}
 			c := cell{design: d.label, spec: sp}
 			if d.label != d.design.String() {
-				c = cell{prefix: d.label + ".", spec: sp}
+				c.design, c.prefix = "", d.label+"."
 			}
 			c.drive = func(cl *cluster.Cluster, r *run) {
 				driveThroughput(cl, func(ci int) *workload.Generator { return sp.gen(zipf(0.5, int64(100+ci))) }, opsPer, 32, r)

@@ -244,9 +244,10 @@ func (r *run) gather(cl *cluster.Cluster) {
 func (r *run) check(quiet bool) float64 {
 	r.Violations = r.Log.Check()
 	for _, v := range r.Violations {
-		if !quiet {
-			r.notes = append(r.notes, fmt.Sprintf("VIOLATION %s: %s", r.cell.label(), v))
+		if quiet {
+			break
 		}
+		r.notes = append(r.notes, fmt.Sprintf("VIOLATION %s: %s", r.cell.label(), v))
 	}
 	return float64(len(r.Violations))
 }
@@ -361,7 +362,7 @@ func (e *Experiment) Run(o Options) (*Result, error) {
 	}
 	if e.derive != nil {
 		// The headline values are one more cell, collected over the rest.
-		h, err := e.runCell(&cell{prefix: "", row: "headline", collect: func(_ *cluster.Cluster, h *run) {
+		h, err := e.runCell(&cell{row: "headline", collect: func(_ *cluster.Cluster, h *run) {
 			e.derive(func(key string) float64 {
 				v, ok := all[key]
 				if !ok {
