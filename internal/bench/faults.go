@@ -14,37 +14,20 @@ import (
 // the client's deadline/retry/failover machinery armed. The contrast is
 // tail latency and goodput, not means: a lossy fabric moves p99, not p50.
 
-// faultSchedule configures one degraded-mode phase. The zero value is a
-// clean run (no injection anywhere).
-type faultSchedule struct {
-	// Seed drives every injector RNG in the phase.
-	Seed int64
-	// Drop / Dup / Spike are per-message fabric fault probabilities.
-	Drop, Dup, Spike float64
-	// SpikeDelay is the extra latency of a spiked message.
-	SpikeDelay sim.Time
-	// CrashFrom / CrashTo crash server 0 for [From, To) relative to the
-	// start of the measurement phase (CrashTo ≤ CrashFrom disables).
-	CrashFrom, CrashTo sim.Time
-	// SSDReadErr / SSDWriteErr are per-command SSD I/O error probabilities.
-	SSDReadErr, SSDWriteErr float64
-}
-
-// defaultFaults is the standard degraded-mode mix: 1% drops, 0.5% dups, 1%
-// latency spikes of 100 µs, server 0 down for 4 ms early in the phase, and
-// 0.5% SSD read errors.
-func defaultFaults() faultSchedule {
-	return faultSchedule{
-		Seed:       42,
-		Drop:       0.01,
-		Dup:        0.005,
-		Spike:      0.01,
-		SpikeDelay: 100 * sim.Microsecond,
-		CrashFrom:  2 * sim.Millisecond,
-		CrashTo:    6 * sim.Millisecond,
-		SSDReadErr: 0.005,
-	}
-}
+// The degraded-mode mix of a faulted phase: 1% drops, 0.5% dups, 1% latency
+// spikes of 100 µs, server 0 down for 4 ms early in the phase, and 0.5% SSD
+// read errors, every injector seeded from faultSeed. A clean phase injects
+// nothing anywhere.
+const (
+	faultSeed       = 42
+	faultDrop       = 0.01
+	faultDup        = 0.005
+	faultSpike      = 0.01
+	faultSpikeDelay = 100 * sim.Microsecond
+	faultCrashFrom  = 2 * sim.Millisecond
+	faultCrashTo    = 6 * sim.Millisecond
+	faultSSDReadErr = 0.005
+)
 
 // Client-side recovery policy, armed for every phase (clean and faulted).
 const (
@@ -65,45 +48,42 @@ func socketRecovery(d cluster.Design) core.Config {
 
 // faultCell is one phase: design d on a two-server deployment (so failover
 // has somewhere to go) of mem aggregate memory preloaded with dataBytes,
-// driven for ops operations of w under sched.
-func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.Config, sched faultSchedule) cell {
+// driven for ops operations of w, clean or faulted.
+func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.Config, faulted bool) cell {
 	sp := &spec{Config: cluster.Config{
 		Design: d, Profile: cluster.ClusterA(), Servers: 2, Clients: 1,
 		ServerMem: mem / 2, Client: socketRecovery(d),
 	}, keys: int(dataBytes / int64(kv)), kv: kv}
 	return cell{design: d.String(), row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {
-		driveFaulted(cl, sp.gen(w), ops, sched, r)
+		driveFaulted(cl, sp.gen(w), ops, faulted, r)
 	}}
 }
 
-// driveFaulted executes ops operations on client 0 under sched. It arms the
+// driveFaulted executes ops operations on client 0. A faulted phase arms the
 // fabric injector, the server-0 crash window, and SSD error injection at
-// the start of the measurement phase, and uses the deadline/retry client
-// API so no fault can wedge the run: blocking designs one op at a time
-// under the web-caching miss contract, non-blocking designs in pipelined
-// windows. With an empty schedule the op path is virtual-time-identical to
-// the no-fault drivers (guards and timeout arms never fire), so clean
-// numbers match the other experiments exactly.
-func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, sched faultSchedule, r *run) {
-	start := cl.Env.Now()
-	if sched != (faultSchedule{}) {
+// the start of the measurement phase; either way the RDMA designs use the
+// deadline/retry client API so no fault can wedge the run: blocking designs
+// one op at a time under the web-caching miss contract, non-blocking designs
+// in pipelined windows. In a clean phase the op path is virtual-time-
+// identical to the no-fault drivers (guards and timeout arms never fire), so
+// clean numbers match the other experiments exactly.
+func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted bool, r *run) {
+	var seed int64
+	if faulted {
+		seed = faultSeed
+		start := cl.Env.Now()
 		cl.Fabric.SetFaults(fault.New(fault.Config{
-			Seed: sched.Seed, Drop: sched.Drop, Dup: sched.Dup,
-			Spike: sched.Spike, SpikeDelay: sched.SpikeDelay,
+			Seed: seed, Drop: faultDrop, Dup: faultDup, Spike: faultSpike, SpikeDelay: faultSpikeDelay,
 		}))
-		if sched.CrashTo > sched.CrashFrom {
-			cl.Servers[0].ScheduleCrash(start+sched.CrashFrom, start+sched.CrashTo)
-		}
-		if sched.SSDReadErr > 0 || sched.SSDWriteErr > 0 {
-			for i, dev := range cl.Devices {
-				dev.SetFaults(sched.Seed+int64(i)+1, sched.SSDReadErr, sched.SSDWriteErr)
-			}
+		cl.Servers[0].ScheduleCrash(start+faultCrashFrom, start+faultCrashTo)
+		for i, dev := range cl.Devices {
+			dev.SetFaults(seed+int64(i)+1, faultSSDReadErr, 0)
 		}
 	}
 	// The RDMA designs use the Issue API armed with deadline + retry +
 	// failover; the socket design has only the blocking API.
 	opts := guard{
-		deadline: faultDeadline, attempts: 4, seed: sched.Seed, failover: len(cl.Servers) > 1,
+		deadline: faultDeadline, attempts: 4, seed: seed, failover: len(cl.Servers) > 1,
 		backoff: 5 * sim.Microsecond, maxBackoff: sim.Millisecond, jitter: true,
 	}.opts(cl.Design.BufferGuarantee())
 	if cl.Design.Transport() == core.IPoIB {
@@ -128,7 +108,7 @@ var faultsExp = Experiment{
 		ops := o.ops(opsDef / 2)
 		dataBytes := mem * 3 / 2 // overcommit: SSD paths (and their faults) in play
 		for _, d := range cluster.Designs {
-			clean := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), faultSchedule{})
+			clean := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), false)
 			clean.prefix = "clean_"
 			clean.collect = func(_ *cluster.Cluster, r *run) {
 				r.show("clean p50µs", "p50_us", us(r.Lat.Quantile(0.50)))
@@ -137,7 +117,7 @@ var faultsExp = Experiment{
 				r.set("failed", float64(r.Failed))
 				r.counts(r.Faults, "retries")
 			}
-			faulted := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), defaultFaults())
+			faulted := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), true)
 			faulted.collect = func(_ *cluster.Cluster, r *run) {
 				r.show("fault p50µs", "fault_p50_us", us(r.Lat.Quantile(0.50)))
 				r.show("fault p99µs", "fault_p99_us", us(r.Lat.Quantile(0.99)))

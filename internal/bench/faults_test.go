@@ -7,21 +7,21 @@ import (
 )
 
 // faultRun runs one phase on the test geometry (32 MB over two servers,
-// 1.5x overcommitted, 32 KB values) under sched.
-func faultRun(t *testing.T, d cluster.Design, ops int, sched faultSchedule) *run {
+// 1.5x overcommitted, 32 KB values), clean or faulted.
+func faultRun(t *testing.T, d cluster.Design, ops int, faulted bool) *run {
 	t.Helper()
-	return runCell(t, faultTestCell(d, ops, sched))
+	return runCell(t, faultTestCell(d, ops, faulted))
 }
 
-func faultTestCell(d cluster.Design, ops int, sched faultSchedule) cell {
-	return faultCell(d, 32<<20, 48<<20, 32<<10, ops, zipf(0.5, 5), sched)
+func faultTestCell(d cluster.Design, ops int, faulted bool) cell {
+	return faultCell(d, 32<<20, 48<<20, 32<<10, ops, zipf(0.5, 5), faulted)
 }
 
-// A clean (empty-schedule) run must never engage the recovery machinery:
+// A clean run must never engage the recovery machinery:
 // no retries, no timeouts, no failures, nothing dropped.
 func TestFaultedCleanRun(t *testing.T) {
 	for _, d := range []cluster.Design{cluster.HRDMAOptBlock, cluster.HRDMAOptNonBI, cluster.IPoIBMem} {
-		r := faultRun(t, d, 300, faultSchedule{})
+		r := faultRun(t, d, 300, false)
 		if r.Failed != 0 {
 			t.Errorf("%s: clean run failed %d ops", d, r.Failed)
 		}
@@ -47,7 +47,7 @@ func TestFaultedCleanRun(t *testing.T) {
 // blocking driver on an identical cluster and workload.
 func TestFaultedEmptyScheduleParity(t *testing.T) {
 	const ops = 300
-	c := faultTestCell(cluster.HRDMAOptBlock, ops, faultSchedule{})
+	c := faultTestCell(cluster.HRDMAOptBlock, ops, false)
 	r := runCell(t, c)
 
 	c.drive = c.spec.closed(zipf(0.5, 5), ops) // H-RDMA-Opt-Block: the blocking API
@@ -65,7 +65,7 @@ func TestFaultedEmptyScheduleParity(t *testing.T) {
 // for, recovery engaged on the lossy fabric, and the run fully deterministic.
 func TestFaultedAllDesigns(t *testing.T) {
 	for _, d := range cluster.Designs {
-		r1 := faultRun(t, d, 300, defaultFaults())
+		r1 := faultRun(t, d, 300, true)
 		if r1.OK+r1.Misses+r1.Failed != r1.Ops {
 			t.Errorf("%s: OK %d + Misses %d + Failed %d != Ops %d",
 				d, r1.OK, r1.Misses, r1.Failed, r1.Ops)
@@ -78,7 +78,7 @@ func TestFaultedAllDesigns(t *testing.T) {
 				t.Errorf("%s: drops injected but no retries and no failures", d)
 			}
 		}
-		r2 := faultRun(t, d, 300, defaultFaults())
+		r2 := faultRun(t, d, 300, true)
 		if r1.Elapsed != r2.Elapsed || r1.OK != r2.OK || r1.Failed != r2.Failed {
 			t.Errorf("%s: faulted run not deterministic: (%v,%d,%d) vs (%v,%d,%d)",
 				d, r1.Elapsed, r1.OK, r1.Failed, r2.Elapsed, r2.OK, r2.Failed)
