@@ -154,10 +154,10 @@ type Server struct {
 	cfg Config
 
 	// RDMA mode
-	dev       *verbs.Device
-	recvCQ    *verbs.CQ
-	sendCQ    *verbs.CQ
-	connByQPN map[int]*rdmaConn
+	dev     *verbs.Device
+	recvCQ  *verbs.CQ
+	sendCQ  *verbs.CQ
+	qpByQPN map[int]*verbs.QP
 
 	// IPoIB mode
 	host *verbs.Host
@@ -232,10 +232,6 @@ type Server struct {
 	RecoveryTime sim.Time
 }
 
-type rdmaConn struct {
-	qp *verbs.QP
-}
-
 // stallWindow is one scheduled storage-pool stall interval.
 type stallWindow struct {
 	from, to sim.Time
@@ -261,23 +257,50 @@ func (s *Server) stallFor(at sim.Time) sim.Time {
 	return d
 }
 
+// task is one receive on its way from the communication phase to the
+// response: a bare request or a coalesced frame, answered over a QP or over a
+// socket stream. A bare request is a frame of one — every step below runs
+// once per member — that skips what only a real frame amortizes (the batch
+// counter, the eviction-coalescing window, the heap-allocated views).
 type task struct {
-	req  *protocol.Request
-	conn *rdmaConn
-	// batch is set instead of req for a coalesced frame: one storage worker
-	// executes the whole batch's storage phases back-to-back.
-	batch *protocol.BatchFrame
-	// gen is the server generation at buffering time; a worker popping a
-	// task from before a crash discards it instead of answering.
+	// frame is the coalesced frame; nil for a bare request, which sits in one.
+	frame *protocol.BatchFrame
+	one   [1]*protocol.Request
+	// qp or stream is where the answers go.
+	qp     *verbs.QP
+	stream *verbs.Stream
+	// gen is the server generation at receive time; a task from before a
+	// crash is discarded instead of answered.
 	gen uint64
-	// fwd/fwds are the replication rounds opened at admission time for the
-	// task's write(s); the peer applies overlap the local storage phase.
-	fwd  *replication.Forward
-	fwds []*replication.Forward
+	// held is the buffer memory reserved for the task on the async pipeline.
+	// Zero on the inline paths, where a QP task holds its receive slot
+	// instead until it finishes.
+	held int
+	// rounds are the replication rounds opened at admission time, one per
+	// member (nil for reads and RMW ops); the peer applies overlap the local
+	// storage phase. A bare request's sits in round.
+	rounds []*replication.Forward
+	round  [1]*replication.Forward
 	// ackDeferred marks a requested BufferAck that replication withheld at
-	// admission: the worker sends it only once the write is applied AND
+	// admission: finish sends it only once every write is applied AND
 	// replicated, so an acked write is durable on every replica.
 	ackDeferred bool
+}
+
+// members returns the task's requests, in wire order.
+func (t *task) members() []*protocol.Request {
+	if t.frame != nil {
+		return t.frame.Reqs
+	}
+	return t.one[:]
+}
+
+// repost returns the receive slot (and with it the client's flow-control
+// credit) to the QP the task arrived on; a socket has none.
+func (t *task) repost() {
+	if t.qp != nil {
+		t.qp.PostRecv(verbs.RecvWR{})
+	}
 }
 
 // NewRDMA creates an RDMA-transport server on node.
@@ -287,12 +310,12 @@ func NewRDMA(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Serv
 		cfg.Name = "server:" + node.Name()
 	}
 	s := &Server{
-		env:       env,
-		st:        st,
-		cfg:       cfg,
-		dev:       verbs.OpenDevice(node),
-		connByQPN: make(map[int]*rdmaConn),
-		Recovery:  metrics.NewCounters(),
+		env:      env,
+		st:       st,
+		cfg:      cfg,
+		dev:      verbs.OpenDevice(node),
+		qpByQPN:  make(map[int]*verbs.QP),
+		Recovery: metrics.NewCounters(),
 	}
 	s.recvCQ = s.dev.CreateCQ(0)
 	s.sendCQ = s.dev.CreateCQ(0)
@@ -416,27 +439,6 @@ func (s *Server) foregroundBusy() bool {
 // Replicator returns the attached replicator (nil when unreplicated).
 func (s *Server) Replicator() *replication.Replicator { return s.repl }
 
-// exec runs one buffered request's storage phase, replicated when a
-// replicator is attached.
-func (s *Server) exec(p *sim.Proc, t task) *protocol.Response {
-	if s.repl != nil {
-		return s.repl.Execute(p, t.req, t.fwd)
-	}
-	return degradeCorrupt(s.st.Handle(p, t.req))
-}
-
-// execBatch runs a buffered frame's storage phases back-to-back.
-func (s *Server) execBatch(p *sim.Proc, t task) []*protocol.Response {
-	if s.repl != nil {
-		return s.repl.ExecuteBatch(p, t.batch.Reqs, t.fwds)
-	}
-	resps := s.st.HandleBatch(p, t.batch.Reqs)
-	for i, resp := range resps {
-		resps[i] = degradeCorrupt(resp)
-	}
-	return resps
-}
-
 // degradeCorrupt converts a StatusCorrupt read into a plain miss: with no
 // replicator attached there is nowhere to repair from, and the one thing an
 // unreplicated server must still guarantee is that quarantined garbage is
@@ -461,7 +463,7 @@ func (s *Server) AcceptQP(clientQP *verbs.QP) *verbs.QP {
 	for i := 0; i < recvDepth; i++ {
 		qp.PostRecv(verbs.RecvWR{})
 	}
-	s.connByQPN[qp.QPN()] = &rdmaConn{qp: qp}
+	s.qpByQPN[qp.QPN()] = qp
 	return qp
 }
 
@@ -602,123 +604,152 @@ func (s *Server) ScheduleCrash(from, to sim.Time) {
 func (s *Server) rdmaDispatcher(p *sim.Proc) {
 	for {
 		c := s.recvCQ.WaitPoll(p)
-		conn := s.connByQPN[c.QPN]
-		if conn == nil {
+		qp := s.qpByQPN[c.QPN]
+		if qp == nil {
 			panic(fmt.Sprintf("server: completion for unknown QP %d", c.QPN))
 		}
-		switch pl := c.Payload.(type) {
-		case *protocol.Request:
-			s.dispatchOne(p, conn, pl)
-		case *protocol.BatchFrame:
-			s.dispatchBatch(p, conn, pl)
-		default:
-			panic("server: non-request payload on receive CQ")
-		}
+		s.receive(p, c.Payload, task{qp: qp})
 	}
 }
 
-// dispatchOne handles a single-op receive.
-func (s *Server) dispatchOne(p *sim.Proc, conn *rdmaConn, req *protocol.Request) {
+// receive is the communication phase of Figure 3 for one arrival — a bare
+// request or a coalesced frame, off a QP or a socket (t names which). A frame
+// is one unit throughout: one parse pass, one receive-repost, and on the async
+// pipeline one buffer reservation, one BufferAck covering every member and
+// one task, so a single storage worker runs its storage phases back-to-back.
+func (s *Server) receive(p *sim.Proc, payload any, t task) {
+	switch pl := payload.(type) {
+	case *protocol.Request:
+		t.one[0] = pl
+	case *protocol.BatchFrame:
+		t.frame = pl
+	default:
+		panic("server: non-request payload received")
+	}
+	reqs := t.members()
+	n := int64(len(reqs))
 	if s.down {
-		// Crashed: swallow the request. Re-post the receive so retried
+		// Crashed: swallow the arrival. Re-post the receive so retried
 		// requests don't hit receiver-not-ready, but never respond — the
 		// client's credit is stranded until its deadline machinery
 		// reclaims it.
-		s.Discarded++
-		conn.qp.PostRecv(verbs.RecvWR{})
+		s.Discarded += n
+		t.repost()
 		return
 	}
-	p.Sleep(parseCost)
-	s.Requests++
+	p.Sleep(parseCost + sim.Time(n-1)*batchOpCost)
+	s.Requests += n
+	if t.frame != nil {
+		s.Batches++
+	}
 	if s.recovering {
-		// Cold-restart recovery in progress: fail fast with a retryable
-		// status instead of queueing the request behind the scan.
-		s.Rejected++
-		s.respond(p, conn, req, &protocol.Response{
-			Op: protocol.OpResponse, ReqID: req.ReqID,
-			Status: protocol.StatusRecovering,
-		})
-		conn.qp.PostRecv(verbs.RecvWR{})
+		// Cold-restart recovery in progress: fail every member fast with a
+		// retryable status instead of queueing it behind the scan.
+		s.Rejected += n
+		for _, req := range reqs {
+			s.respond(p, &t, req, &protocol.Response{
+				Op: protocol.OpResponse, ReqID: req.ReqID,
+				Status: protocol.StatusRecovering,
+			})
+		}
+		t.repost()
 		return
 	}
-	if req.Op == protocol.OpDirQuery {
-		// Bypass bootstrap: answer with the directory geometry inline —
-		// this is control-plane work, never queued behind storage. The
-		// store's published hot-key set piggybacks on the same payload.
-		resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
-		if s.bypass != nil {
-			info := s.bypass.Info()
-			info.Hot, info.HotVersion = s.st.HotSnapshot()
-			if s.repl != nil {
-				info.MemberEpoch = s.repl.MembershipEpoch()
-			}
-			resp.Status = protocol.StatusOK
-			resp.Value = &info
-			resp.ValueSize = info.WireSize()
-		} else {
-			resp.Status = protocol.StatusNotFound
-		}
-		s.respond(p, conn, req, resp)
-		conn.qp.PostRecv(verbs.RecvWR{})
+	if t.frame == nil && reqs[0].Op == protocol.OpDirQuery {
+		// Bypass bootstrap: control-plane work, answered inline and never
+		// queued behind storage.
+		s.respond(p, &t, reqs[0], s.dirQuery(reqs[0]))
+		t.repost()
 		return
 	}
-	gen0 := s.gen
-	if s.cfg.Pipeline == Sync {
-		// Storage phase inline; the receive slot is held until the
-		// request finishes (the client's credit comes back with the
-		// response).
-		var resp *protocol.Response
-		if s.repl != nil {
-			resp = s.repl.Execute(p, req, s.repl.Begin(p, req))
-		} else {
-			resp = s.st.Handle(p, req)
-		}
-		if s.down || s.gen != gen0 {
-			// Crashed mid-storage-phase (e.g. during a hybrid eviction):
-			// the response is lost with the process, even if the server
-			// already restarted by the time the storage phase unwound.
-			s.Discarded++
-			conn.qp.PostRecv(verbs.RecvWR{})
-			return
-		}
-		s.respond(p, conn, req, resp)
-		conn.qp.PostRecv(verbs.RecvWR{})
+	t.gen = s.gen
+	if s.cfg.Pipeline == Sync || t.stream != nil {
+		// Storage phase inline (every socket connection is its own sync
+		// handler); a QP's receive slot is held until the task finishes, so
+		// the client's credit comes back with the response.
+		s.openRounds(p, &t)
+		s.finish(p, &t)
 		return
 	}
 	// Async: communication phase only. Reserve buffer memory for the
-	// request (header + any carried value): this is where
-	// backpressure forms when storage falls behind. Bounded admission
-	// never blocks here: an over-watermark request is shed with
-	// StatusBusy before any ack, and the dispatcher keeps serving the
-	// classes still under their watermarks.
-	size := req.WireSize()
+	// arrival (headers + any carried values): this is where backpressure
+	// forms when storage falls behind. Bounded admission never blocks here:
+	// an over-watermark arrival is shed with StatusBusy — whole, under the
+	// write watermark if any member mutates — before any ack, and the
+	// dispatcher keeps serving the classes still under their watermarks.
+	write := false
+	for _, req := range reqs {
+		write = write || isWrite(req.Op)
+	}
+	if t.frame != nil {
+		t.held = t.frame.WireSize()
+	} else {
+		t.held = reqs[0].WireSize()
+	}
 	if s.cfg.Overload.Enabled {
-		if s.overLimit(size, isWrite(req.Op)) || !s.slots.TryAcquireN(size) {
-			s.shed(p, conn, req)
-			conn.qp.PostRecv(verbs.RecvWR{})
+		if s.overLimit(t.held, write) || !s.slots.TryAcquireN(t.held) {
+			for _, req := range reqs {
+				s.shed(p, &t, req)
+			}
+			t.repost()
 			return
 		}
 	} else {
-		s.slots.AcquireN(p, size)
+		s.slots.AcquireN(p, t.held)
 	}
 	if u := s.slots.InUse(); u > s.BufferPeak {
 		s.BufferPeak = u
 	}
-	conn.qp.PostRecv(verbs.RecvWR{})
-	t := task{req: req, conn: conn, gen: gen0}
-	if s.repl != nil {
-		// Open the replication round now so peer applies overlap the local
-		// slab phase; the early ack for writes moves past the ack wait so
-		// "acked" keeps meaning "durable" — now on every replica.
-		t.fwd = s.repl.Begin(p, req)
-		t.ackDeferred = req.AckWanted && isWrite(req.Op)
+	t.repost()
+	// Open the replication rounds now so peer applies overlap the local slab
+	// phase. The early ack covers every member, so if any of them writes it
+	// moves past the whole task's rounds: "acked" keeps meaning "durable" —
+	// now on every replica.
+	s.openRounds(p, &t)
+	wanted := reqs[0].AckWanted
+	if t.frame != nil {
+		wanted = t.frame.AckWanted
 	}
-	if req.AckWanted && !t.ackDeferred {
-		s.sendAck(p, conn, req)
+	t.ackDeferred = wanted && write && s.repl != nil
+	if wanted && !t.ackDeferred {
+		s.sendAck(p, &t)
 	}
 	s.reqQ.Put(p, t)
 	if n := s.reqQ.Len(); n > s.QueuePeak {
 		s.QueuePeak = n
+	}
+}
+
+// dirQuery answers a bypass bootstrap with the directory geometry; the
+// store's published hot-key set piggybacks on the same payload.
+func (s *Server) dirQuery(req *protocol.Request) *protocol.Response {
+	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: protocol.StatusNotFound}
+	if s.bypass != nil {
+		info := s.bypass.Info()
+		info.Hot, info.HotVersion = s.st.HotSnapshot()
+		if s.repl != nil {
+			info.MemberEpoch = s.repl.MembershipEpoch()
+		}
+		resp.Status = protocol.StatusOK
+		resp.Value = &info
+		resp.ValueSize = info.WireSize()
+	}
+	return resp
+}
+
+// openRounds opens the replication round of every member back-to-back, so
+// all the forwards are in flight before any storage phase starts.
+func (s *Server) openRounds(p *sim.Proc, t *task) {
+	if s.repl == nil {
+		return
+	}
+	if t.frame == nil {
+		t.round[0] = s.repl.Begin(p, t.one[0])
+		return
+	}
+	t.rounds = make([]*replication.Forward, len(t.frame.Reqs))
+	for i, req := range t.frame.Reqs {
+		t.rounds[i] = s.repl.Begin(p, req)
 	}
 }
 
@@ -744,7 +775,7 @@ func (s *Server) overLimit(size int, write bool) bool {
 // the storage backlog. The request was never buffered and never acked —
 // admission happens strictly before the BufferAck — so an acked bset can
 // never be lost to shedding.
-func (s *Server) shed(p *sim.Proc, conn *rdmaConn, req *protocol.Request) {
+func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 	if isWrite(req.Op) {
 		s.ShedSets++
 	} else {
@@ -755,118 +786,14 @@ func (s *Server) shed(p *sim.Proc, conn *rdmaConn, req *protocol.Request) {
 	if hint > maxRetryAfter {
 		hint = maxRetryAfter
 	}
-	s.respond(p, conn, req, &protocol.Response{
+	s.respond(p, t, req, &protocol.Response{
 		Op: protocol.OpResponse, ReqID: req.ReqID,
 		Status:       protocol.StatusBusy,
 		RetryAfterUS: uint32(hint / sim.Microsecond),
 	})
 }
 
-// dispatchBatch unpacks a coalesced frame in one communication phase: one
-// parse, one receive-repost, and — on the async pipeline — one buffer
-// reservation, one early BufferAck covering every member, and one task so a
-// single storage worker runs the batch's storage phases back-to-back.
-func (s *Server) dispatchBatch(p *sim.Proc, conn *rdmaConn, frame *protocol.BatchFrame) {
-	n := len(frame.Reqs)
-	if s.down {
-		s.Discarded += int64(n)
-		conn.qp.PostRecv(verbs.RecvWR{})
-		return
-	}
-	p.Sleep(parseCost + sim.Time(n-1)*batchOpCost)
-	s.Requests += int64(n)
-	s.Batches++
-	if s.recovering {
-		// Reject every member fast; one receive-repost for the frame.
-		s.Rejected += int64(n)
-		for _, req := range frame.Reqs {
-			s.respond(p, conn, req, &protocol.Response{
-				Op: protocol.OpResponse, ReqID: req.ReqID,
-				Status: protocol.StatusRecovering,
-			})
-		}
-		conn.qp.PostRecv(verbs.RecvWR{})
-		return
-	}
-	gen0 := s.gen
-	if s.cfg.Pipeline == Sync {
-		var resps []*protocol.Response
-		if s.repl != nil {
-			resps = s.repl.ExecuteBatch(p, frame.Reqs, s.beginAll(p, frame.Reqs))
-		} else {
-			resps = s.st.HandleBatch(p, frame.Reqs)
-		}
-		if s.down || s.gen != gen0 {
-			s.Discarded += int64(n)
-			conn.qp.PostRecv(verbs.RecvWR{})
-			return
-		}
-		for i, resp := range resps {
-			s.respond(p, conn, frame.Reqs[i], resp)
-		}
-		conn.qp.PostRecv(verbs.RecvWR{})
-		return
-	}
-	// Async: reserve buffer memory for the whole frame at once, give the
-	// client its credit back with a single receive-repost, and ack the
-	// batch as a unit. Under bounded admission the frame is one unit: it
-	// is admitted under the write watermark if any member mutates, or
-	// shed whole (one busy response per member, one receive-repost).
-	size := frame.WireSize()
-	if s.cfg.Overload.Enabled {
-		write := false
-		for _, req := range frame.Reqs {
-			if isWrite(req.Op) {
-				write = true
-				break
-			}
-		}
-		if s.overLimit(size, write) || !s.slots.TryAcquireN(size) {
-			for _, req := range frame.Reqs {
-				s.shed(p, conn, req)
-			}
-			conn.qp.PostRecv(verbs.RecvWR{})
-			return
-		}
-	} else {
-		s.slots.AcquireN(p, size)
-	}
-	if u := s.slots.InUse(); u > s.BufferPeak {
-		s.BufferPeak = u
-	}
-	conn.qp.PostRecv(verbs.RecvWR{})
-	t := task{batch: frame, conn: conn, gen: gen0}
-	if s.repl != nil {
-		t.fwds = s.beginAll(p, frame.Reqs)
-		for _, req := range frame.Reqs {
-			if isWrite(req.Op) {
-				// The batch-wide ack covers every member, so it moves past
-				// the whole batch's replication rounds if any member writes.
-				t.ackDeferred = frame.AckWanted
-				break
-			}
-		}
-	}
-	if frame.AckWanted && !t.ackDeferred {
-		s.sendBatchAck(p, conn, frame)
-	}
-	s.reqQ.Put(p, t)
-	if n := s.reqQ.Len(); n > s.QueuePeak {
-		s.QueuePeak = n
-	}
-}
-
-// beginAll opens the replication rounds for a batch's members back-to-back
-// so all their forwards are in flight before any storage phase starts.
-func (s *Server) beginAll(p *sim.Proc, reqs []*protocol.Request) []*replication.Forward {
-	fwds := make([]*replication.Forward, len(reqs))
-	for i, req := range reqs {
-		fwds[i] = s.repl.Begin(p, req)
-	}
-	return fwds
-}
-
-// storageWorker executes buffered requests and responds.
+// storageWorker drains the async buffer: one task, one storage phase.
 func (s *Server) storageWorker(p *sim.Proc) {
 	for {
 		t, ok := s.reqQ.Get(p)
@@ -879,115 +806,131 @@ func (s *Server) storageWorker(p *sim.Proc) {
 				p.Sleep(d)
 			}
 		}
-		if t.batch != nil {
-			s.workBatch(p, t)
-			continue
-		}
-		if s.down || t.gen != s.gen {
-			// Crashed, or a task buffered before a crash: the buffered
-			// request died with the process.
-			s.Discarded++
-			s.slots.ReleaseN(t.req.WireSize())
-			continue
-		}
-		resp := s.exec(p, t)
-		if s.down || t.gen != s.gen {
-			// Crashed mid-storage-phase: drop the finished work.
-			s.Discarded++
-			s.slots.ReleaseN(t.req.WireSize())
-			continue
-		}
-		if t.ackDeferred && resp.Status != protocol.StatusNoReplica {
-			// The write is applied and every replica acked: only now is the
-			// early ack honest.
-			s.sendAck(p, t.conn, t.req)
-		}
-		s.respond(p, t.conn, t.req, resp)
-		s.slots.ReleaseN(t.req.WireSize())
+		s.finish(p, &t)
 	}
 }
 
-// workBatch runs a buffered frame's storage phases back-to-back on one
-// worker — merging the evictions its Sets trigger into larger sequential
-// SSD flushes — then scatters one response per member op.
-func (s *Server) workBatch(p *sim.Proc, t task) {
-	size := t.batch.WireSize()
-	n := int64(len(t.batch.Reqs))
-	if s.down || t.gen != s.gen {
-		s.Discarded += n
-		s.slots.ReleaseN(size)
+// finish runs an admitted task's storage phase and answers it — inline on
+// the dispatcher or socket handler, or on a storage worker. The rules every
+// path shares live here, once:
+//
+//   - a task from before a crash, or whose storage phase a crash interrupted
+//     (e.g. during a hybrid eviction), is discarded: its response is lost with
+//     the process even if the server already restarted by the time the storage
+//     phase unwound;
+//   - a deferred BufferAck goes out only when every member's write is applied
+//     and replicated — a member answering StatusNoReplica withholds it, so
+//     the client keeps its right to retransmit the whole task;
+//   - every member gets exactly one response, and whatever the task held
+//     (buffer bytes, or the receive slot) is released on every way out.
+func (s *Server) finish(p *sim.Proc, t *task) {
+	reqs := t.members()
+	var one [1]*protocol.Response
+	resps := one[:]
+	if t.frame != nil {
+		resps = make([]*protocol.Response, len(reqs))
+	}
+	dead := s.down || t.gen != s.gen
+	if !dead {
+		s.storagePhase(p, t, resps)
+		dead = s.down || t.gen != s.gen
+	}
+	if dead {
+		s.Discarded += int64(len(reqs))
+		s.release(t)
 		return
 	}
-	resps := s.execBatch(p, t)
-	if s.down || t.gen != s.gen {
-		// Crashed mid-storage-phase: drop the finished work.
-		s.Discarded += n
-		s.slots.ReleaseN(size)
-		return
+	ack := t.ackDeferred
+	for _, resp := range resps {
+		ack = ack && resp.Status != protocol.StatusNoReplica
 	}
-	if t.ackDeferred {
-		// Every member's replication round has completed (member failures
-		// carry their own NoReplica status); the batch-wide ack is honest.
-		s.sendBatchAck(p, t.conn, t.batch)
+	if ack {
+		s.sendAck(p, t)
 	}
 	for i, resp := range resps {
-		s.respond(p, t.conn, t.batch.Reqs[i], resp)
+		s.respond(p, t, reqs[i], resp)
 	}
-	s.slots.ReleaseN(size)
+	s.release(t)
 }
 
-// respond RDMA-WRITEs the response into the client's registered response
-// region, with the request id as immediate data. The time to stage the
-// value into a registered bounce buffer plus the doorbell is the server's
-// "Server Response" stage.
-func (s *Server) respond(p *sim.Proc, conn *rdmaConn, req *protocol.Request, resp *protocol.Response) {
+// storagePhase executes every member's storage phase, replicated when a
+// replicator is attached, and fills resps in member order.
+func (s *Server) storagePhase(p *sim.Proc, t *task, resps []*protocol.Response) {
+	switch {
+	case s.repl != nil && t.frame != nil:
+		copy(resps, s.repl.ExecuteBatch(p, t.frame.Reqs, t.rounds))
+	case s.repl != nil:
+		resps[0] = s.repl.Execute(p, t.one[0], t.round[0])
+	case t.frame != nil:
+		copy(resps, s.st.HandleBatch(p, t.frame.Reqs))
+	default:
+		resps[0] = s.st.Handle(p, t.one[0])
+	}
+	if s.repl == nil {
+		for _, resp := range resps {
+			degradeCorrupt(resp)
+		}
+	}
+}
+
+// release returns what the task held through its storage phase: its buffer
+// reservation on the async pipeline, its receive slot on the inline one.
+func (s *Server) release(t *task) {
+	if t.held > 0 {
+		s.slots.ReleaseN(t.held)
+	} else {
+		t.repost()
+	}
+}
+
+// respond delivers one response: over a QP, an RDMA WRITE into the client's
+// registered response region with the request id as immediate data; over a
+// socket, a stream send. The time to stage the value into a registered
+// bounce buffer plus the doorbell is the server's "Server Response" stage.
+func (s *Server) respond(p *sim.Proc, t *task, req *protocol.Request, resp *protocol.Response) {
 	t0 := p.Now()
 	p.Sleep(memcpyTime(resp.ValueSize))
-	conn.qp.PostSend(p, verbs.SendWR{
-		WRID:     resp.ReqID,
-		Op:       verbs.OpWriteImm,
-		Size:     resp.WireSize(),
-		Payload:  resp,
-		RemoteMR: req.RespMR,
-		Imm:      resp.ReqID,
-	})
+	if t.stream != nil {
+		t.stream.Send(p, resp.WireSize(), resp)
+	} else {
+		t.qp.PostSend(p, verbs.SendWR{
+			WRID:     resp.ReqID,
+			Op:       verbs.OpWriteImm,
+			Size:     resp.WireSize(),
+			Payload:  resp,
+			RemoteMR: req.RespMR,
+			Imm:      resp.ReqID,
+		})
+	}
 	s.st.Prof.Add(metrics.StageResponse, p.Now()-t0)
 }
 
-// sendAck notifies the client that its request is buffered server-side and
-// its buffers are reusable (async design; carries a flow-control credit).
-func (s *Server) sendAck(p *sim.Proc, conn *rdmaConn, req *protocol.Request) {
-	ack := &protocol.Response{Op: protocol.OpBufferAck, ReqID: req.ReqID, Status: protocol.StatusOK}
-	conn.qp.PostSend(p, verbs.SendWR{
-		WRID:     req.ReqID,
+// sendAck notifies the client that its task is buffered server-side and its
+// buffers are reusable (async design; carries a flow-control credit). A
+// frame gets one BufferAck carrying the batch id: the client fans it out to
+// every member and takes its single credit back.
+func (s *Server) sendAck(p *sim.Proc, t *task) {
+	first := t.members()[0]
+	id := first.ReqID
+	if t.frame != nil {
+		id = t.frame.BatchID
+	}
+	ack := &protocol.Response{Op: protocol.OpBufferAck, ReqID: id, Status: protocol.StatusOK}
+	t.qp.PostSend(p, verbs.SendWR{
+		WRID:     id,
 		Op:       verbs.OpWriteImm,
 		Size:     ack.WireSize(),
 		Payload:  ack,
-		RemoteMR: req.RespMR,
-		Imm:      req.ReqID,
-	})
-	s.Acks++
-}
-
-// sendBatchAck acknowledges a whole coalesced frame with one BufferAck
-// carrying the batch id; the client fans it out to every member and takes
-// its single flow-control credit back.
-func (s *Server) sendBatchAck(p *sim.Proc, conn *rdmaConn, frame *protocol.BatchFrame) {
-	ack := &protocol.Response{Op: protocol.OpBufferAck, ReqID: frame.BatchID, Status: protocol.StatusOK}
-	conn.qp.PostSend(p, verbs.SendWR{
-		WRID:     frame.BatchID,
-		Op:       verbs.OpWriteImm,
-		Size:     ack.WireSize(),
-		Payload:  ack,
-		RemoteMR: frame.Reqs[0].RespMR,
-		Imm:      frame.BatchID,
+		RemoteMR: first.RespMR,
+		Imm:      id,
 	})
 	s.Acks++
 }
 
 // ipoibAcceptLoop accepts stream connections and spawns a handler per
 // connection (default Memcached's thread-per-connection event handling,
-// always the sync design).
+// always the sync design). A frame on a stream is libmemcached's buffering
+// mode: one vectored send, answered one response per op, in order.
 func (s *Server) ipoibAcceptLoop(p *sim.Proc) {
 	n := 0
 	for {
@@ -997,80 +940,13 @@ func (s *Server) ipoibAcceptLoop(p *sim.Proc) {
 		}
 		n++
 		s.env.Spawn(fmt.Sprintf("%s/conn%d", s.cfg.Name, n), func(hp *sim.Proc) {
-			s.ipoibHandler(hp, stream)
+			for {
+				msg, ok := stream.Recv(hp)
+				if !ok {
+					return
+				}
+				s.receive(hp, msg.Payload, task{stream: stream})
+			}
 		})
 	}
-}
-
-func (s *Server) ipoibHandler(p *sim.Proc, stream *verbs.Stream) {
-	for {
-		msg, ok := stream.Recv(p)
-		if !ok {
-			return
-		}
-		switch pl := msg.Payload.(type) {
-		case *protocol.Request:
-			if s.down {
-				s.Discarded++
-				continue
-			}
-			p.Sleep(parseCost)
-			s.Requests++
-			if s.recovering {
-				s.Rejected++
-				s.ipoibRespond(p, stream, &protocol.Response{
-					Op: protocol.OpResponse, ReqID: pl.ReqID,
-					Status: protocol.StatusRecovering,
-				})
-				continue
-			}
-			gen0 := s.gen
-			resp := s.st.Handle(p, pl)
-			if s.down || s.gen != gen0 {
-				s.Discarded++
-				continue
-			}
-			s.ipoibRespond(p, stream, resp)
-		case *protocol.BatchFrame:
-			// One vectored frame (libmemcached buffering mode): unpack in
-			// one parse pass, run the storage phases back-to-back, answer
-			// each op in order.
-			n := int64(len(pl.Reqs))
-			if s.down {
-				s.Discarded += n
-				continue
-			}
-			p.Sleep(parseCost + sim.Time(n-1)*batchOpCost)
-			s.Requests += n
-			s.Batches++
-			if s.recovering {
-				s.Rejected += n
-				for _, req := range pl.Reqs {
-					s.ipoibRespond(p, stream, &protocol.Response{
-						Op: protocol.OpResponse, ReqID: req.ReqID,
-						Status: protocol.StatusRecovering,
-					})
-				}
-				continue
-			}
-			gen0 := s.gen
-			resps := s.st.HandleBatch(p, pl.Reqs)
-			if s.down || s.gen != gen0 {
-				s.Discarded += n
-				continue
-			}
-			for _, resp := range resps {
-				s.ipoibRespond(p, stream, resp)
-			}
-		default:
-			panic("server: non-request payload on IPoIB stream")
-		}
-	}
-}
-
-func (s *Server) ipoibRespond(p *sim.Proc, stream *verbs.Stream, resp *protocol.Response) {
-	t0 := p.Now()
-	p.Sleep(memcpyTime(resp.ValueSize))
-	stream.Send(p, resp.WireSize(), resp)
-	s.st.Prof.Add(metrics.StageResponse, p.Now()-t0)
 }
