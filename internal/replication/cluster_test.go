@@ -32,6 +32,15 @@ func itRing(servers int) *replication.Ring {
 	return ring
 }
 
+// execute coordinates one request on r as a server does a bare one: open
+// the round, apply locally, wait for the chain.
+func execute(p *sim.Proc, r *replication.Replicator, req *protocol.Request) *protocol.Response {
+	fwd := r.Begin(p, req)
+	resp := r.Apply(p, req, fwd)
+	r.Finish(p, resp, fwd)
+	return resp
+}
+
 func itCluster() *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Design:            cluster.HRDMAOptNonBB,
@@ -111,7 +120,7 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 	cl.Env.Spawn("it-proxy", func(p *sim.Proc) {
 		r := cl.Replicators[2]
 		req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: itValue, Value: uint64(7)}
-		resp := r.Execute(p, req, r.Begin(p, req))
+		resp := execute(p, r, req)
 		if resp.Status != protocol.StatusStored {
 			t.Fatalf("proxy-coordinated SET answered %v", resp.Status)
 		}
@@ -294,7 +303,7 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 			r, seq := cl.Replicators[sid], uint64(2*round+i+1)
 			cl.Env.Spawn(fmt.Sprintf("it-coord%d", sid), func(p *sim.Proc) {
 				req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: itValue, Value: seq}
-				r.Execute(p, req, r.Begin(p, req))
+				execute(p, r, req)
 			})
 		}
 		cl.Env.Run()

@@ -209,7 +209,7 @@ func (ps *peerSet) index(id int) int {
 // round sends a fresh frame, because the earlier one may still be in flight.
 //
 // The coordinating request's proc owns the Forward; r.fwds holds it from
-// begin until await (or finishPhase, for a write that failed locally) drops
+// begin until await (or Finish, for a write that failed locally) drops
 // it, and the fabric and the peers hold pointers into first until the frames
 // are delivered and handled. Nothing is recycled, so none of them can
 // outlive it.
@@ -500,7 +500,7 @@ func (r *Replicator) send(p *sim.Proc, pid int, f *frame) {
 // Begin opens a replication round for an admitted SET or DELETE and posts
 // the forward frames, so the peer applies overlap the local storage phase.
 // Returns nil for any other opcode (RMW post-images replicate inside
-// Execute, after the local apply decides the outcome).
+// Apply, after the local apply decides the outcome).
 func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 	switch req.Op {
 	case protocol.OpSet:
@@ -555,37 +555,14 @@ func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
 	}
 }
 
-// Execute runs one request through the replicated storage phase: it is the
-// drop-in replacement for store.Handle on servers with a replicator
-// attached. fwd is the round opened by Begin at admission time (nil for
-// reads, RMW ops, and unreplicated opcodes).
-func (r *Replicator) Execute(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
-	resp := r.applyPhase(p, req, fwd)
-	return r.finishPhase(p, req, resp, fwd)
-}
-
-// ExecuteBatch is the replicated HandleBatch: the whole batch's applies run
-// inside one eviction-coalescing window (forwards for the batch were opened
-// back-to-back at admission), then the coordinator waits for every member's
-// replication round.
-func (r *Replicator) ExecuteBatch(p *sim.Proc, reqs []*protocol.Request, fwds []*Forward) []*protocol.Response {
-	mgr := r.st.Manager()
-	mgr.BeginEvictionBatch(p)
-	resps := make([]*protocol.Response, len(reqs))
-	for i, req := range reqs {
-		resps[i] = r.applyPhase(p, req, fwds[i])
-	}
-	mgr.EndEvictionBatch(p)
-	for i, req := range reqs {
-		resps[i] = r.finishPhase(p, req, resps[i], fwds[i])
-	}
-	return resps
-}
-
-// applyPhase performs the local storage work for one request. For SET and
-// DELETE the ack wait is deferred to finishPhase so batch members overlap;
-// GETs and RMW opcodes complete entirely here.
-func (r *Replicator) applyPhase(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
+// Apply performs the local storage work for one request: the first half of
+// the replicated storage phase, which replaces store.Handle on servers with a
+// replicator attached. fwd is the round Begin opened at admission time (nil
+// for reads, RMW ops, and unreplicated opcodes). For SET and DELETE the ack
+// wait is left to Finish, so the members of a frame apply back-to-back (inside
+// the server's eviction-coalescing window) and their rounds overlap; GETs and
+// RMW opcodes complete entirely here.
+func (r *Replicator) Apply(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
 	switch req.Op {
 	case protocol.OpSet, protocol.OpDelete:
 		return r.applyLocalWrite(p, req, fwd)
@@ -601,11 +578,12 @@ func (r *Replicator) applyPhase(p *sim.Proc, req *protocol.Request, fwd *Forward
 	}
 }
 
-// finishPhase completes a SET/DELETE round: wait for every replica ack and
-// fail the write with StatusNoReplica if the chain cannot be completed.
-func (r *Replicator) finishPhase(p *sim.Proc, req *protocol.Request, resp *protocol.Response, fwd *Forward) *protocol.Response {
-	if fwd == nil || resp == nil {
-		return resp
+// Finish completes the SET/DELETE round behind resp, the answer Apply gave:
+// wait for every replica ack, and fail the write with StatusNoReplica if the
+// chain cannot be completed.
+func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) {
+	if fwd == nil {
+		return
 	}
 	if resp.Status != protocol.StatusStored && resp.Status != protocol.StatusDeleted &&
 		resp.Status != protocol.StatusNotFound {
@@ -613,13 +591,12 @@ func (r *Replicator) finishPhase(p *sim.Proc, req *protocol.Request, resp *proto
 		// sees that failure; peers that applied anyway reconverge via
 		// anti-entropy.
 		delete(r.fwds, fwd.id)
-		return resp
+		return
 	}
 	if !r.await(p, fwd) {
 		resp.Status = protocol.StatusNoReplica
 		resp.Value, resp.ValueSize = nil, 0
 	}
-	return resp
 }
 
 // applyLocalWrite applies a SET/DELETE on the coordinator under the epoch
@@ -739,33 +716,36 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	r.sendWrite(p, fwd)
 }
 
-// executeGet serves a replicated GET: suspect keys are confirmed against
-// peer replicas first, and served hits periodically probe the peers for
-// epoch divergence (read repair).
-func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Response {
+// confirmedRead is the prologue a GET and an RMW share: run req against the
+// local store only once this server may honestly answer for the key. Where
+// it may not — it is no replica of the key, its copy is suspect and no peer
+// confirms it, or the copy is corrupt and no peer repairs it — the answer is
+// a refusal with the caller's status: a miss for a GET (always legal), a
+// retryable rejection for an RMW (which must not be decided on a guess, so
+// the client fails over to a replica that can). Also returns the key's peers.
+func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse protocol.Status) (*protocol.Response, peerSet) {
 	peers, member := r.replicaPeers(req.Key)
 	if !member {
-		// Not a replica for this key: this server holds nothing
-		// authoritative, so the only honest answer is a miss.
-		return refusal(req, protocol.StatusNotFound)
+		// This server holds nothing authoritative for the key.
+		return refusal(req, refuse), peers
 	}
 	if r.mem != nil && r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
 		// Double-read window: this server is gaining the key and has not
 		// sealed its segment, so a local miss proves nothing. Consult the
 		// old owners; if none answers in time, fail retryable — the client
-		// fails over to an old owner rather than eat a fabricated miss.
+		// fails over to an old owner rather than eat a fabricated miss (or
+		// have an RMW decided against a phantom one).
 		if !r.doubleRead(p, req.Key) {
 			r.Counters.Add("migrate-read-redirects", 1)
-			return refusal(req, protocol.StatusRecovering)
+			return refusal(req, protocol.StatusRecovering), peers
 		}
 	}
-	ks := r.keys[req.Key]
-	if ks != nil && ks.suspect {
+	if ks := r.keys[req.Key]; ks != nil && ks.suspect {
 		if !r.syncPull(p, req.Key, ks, &peers) {
-			// Unconfirmed cold-recovered value and no peer reachable:
-			// refuse to serve it rather than resurrect a superseded epoch.
+			// Unconfirmed cold-recovered value and no peer reachable: refuse
+			// it rather than resurrect a superseded epoch.
 			r.Counters.Add("stale-reads-prevented", 1)
-			return refusal(req, protocol.StatusNotFound)
+			return refusal(req, refuse), peers
 		}
 	}
 	resp := r.st.Handle(p, req)
@@ -773,20 +753,25 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// The local copy failed integrity verification mid-read (the store
 		// already quarantined it and marked us suspect via OnCorrupt).
 		// Treat it exactly like a suspect miss: confirm against the peer
-		// replicas, and serve the repaired copy instead of garbage. Only
-		// when no peer can help does this degrade to an honest miss.
-		ks := r.state(req.Key)
-		if r.syncPull(p, req.Key, ks, &peers) {
+		// replicas, and run the request on the repaired copy instead of
+		// garbage. Only when no peer can help does this degrade to a refusal.
+		if r.syncPull(p, req.Key, r.state(req.Key), &peers) {
 			resp = r.st.Handle(p, req)
-			if resp.Status == protocol.StatusOK {
+			if resp.Status == protocol.StatusOK || resp.Status == protocol.StatusStored {
 				r.Counters.Add("corrupt-read-repairs", 1)
 			}
 		}
 		if resp.Status == protocol.StatusCorrupt {
-			resp.Status = protocol.StatusNotFound
-			resp.Value, resp.ValueSize = nil, 0
+			resp = refusal(req, refuse)
 		}
 	}
+	return resp, peers
+}
+
+// executeGet serves a replicated GET: a confirmed read, whose served hits
+// periodically probe the peers for epoch divergence (read repair).
+func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Response {
+	resp, peers := r.confirmedRead(p, req, protocol.StatusNotFound)
 	if resp.Status == protocol.StatusOK && r.cfg.ReadRepairEvery > 0 {
 		r.gets++
 		if r.gets%uint64(r.cfg.ReadRepairEvery) == 0 {
@@ -804,49 +789,9 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 
 // executeRMW handles the conditional/mutating command set (add, replace,
 // cas, append, prepend, incr, decr, touch): the local store decides the
-// outcome, then the post-image is replicated like a SET.
+// outcome on a confirmed read, then the post-image is replicated like a SET.
 func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Response {
-	peers, member := r.replicaPeers(req.Key)
-	if !member {
-		// Read-modify-write needs the authoritative copy; a non-replica
-		// coordinator cannot decide it. Answer retryable so the client
-		// fails over to a real replica.
-		return refusal(req, protocol.StatusRecovering)
-	}
-	if r.mem != nil && r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
-		// Deciding an RMW before the old owners were consulted could decide
-		// against a phantom miss; confirm first, else fail retryable.
-		if !r.doubleRead(p, req.Key) {
-			r.Counters.Add("migrate-read-redirects", 1)
-			return refusal(req, protocol.StatusRecovering)
-		}
-	}
-	ks := r.keys[req.Key]
-	if ks != nil && ks.suspect {
-		if !r.syncPull(p, req.Key, ks, &peers) {
-			// The current value is unconfirmed; deciding an RMW on it could
-			// resurrect a superseded epoch. Fail retryable instead.
-			r.Counters.Add("stale-reads-prevented", 1)
-			return refusal(req, protocol.StatusRecovering)
-		}
-	}
-	resp := r.st.Handle(p, req)
-	if resp.Status == protocol.StatusCorrupt {
-		// The RMW's read phase hit a quarantined copy. Repair from the
-		// peers and decide the RMW on the repaired value; if nobody can
-		// confirm one, fail retryable rather than decide against garbage.
-		ks := r.state(req.Key)
-		if r.syncPull(p, req.Key, ks, &peers) {
-			resp = r.st.Handle(p, req)
-			if resp.Status == protocol.StatusOK || resp.Status == protocol.StatusStored {
-				r.Counters.Add("corrupt-read-repairs", 1)
-			}
-		}
-		if resp.Status == protocol.StatusCorrupt {
-			resp.Status = protocol.StatusRecovering
-			resp.Value, resp.ValueSize = nil, 0
-		}
-	}
+	resp, _ := r.confirmedRead(p, req, protocol.StatusRecovering)
 	switch resp.Status {
 	case protocol.StatusStored, protocol.StatusOK:
 	default:

@@ -853,22 +853,33 @@ func (s *Server) finish(p *sim.Proc, t *task) {
 	s.release(t)
 }
 
-// storagePhase executes every member's storage phase, replicated when a
-// replicator is attached, and fills resps in member order.
+// storagePhase executes every member's storage phase — replicated when a
+// replicator is attached — and fills resps in member order. The server is
+// what knows a frame is a unit, so it owns the eviction-coalescing window:
+// a frame's members apply back-to-back inside one, and the slab evictions
+// its Sets trigger merge into fewer, larger sequential SSD flushes instead
+// of one small write per allocating Set. A bare request lands its eviction
+// itself; the window closes before any replication wait.
 func (s *Server) storagePhase(p *sim.Proc, t *task, resps []*protocol.Response) {
-	switch {
-	case s.repl != nil && t.frame != nil:
-		copy(resps, s.repl.ExecuteBatch(p, t.frame.Reqs, t.rounds))
-	case s.repl != nil:
-		resps[0] = s.repl.Execute(p, t.one[0], t.round[0])
-	case t.frame != nil:
-		copy(resps, s.st.HandleBatch(p, t.frame.Reqs))
-	default:
-		resps[0] = s.st.Handle(p, t.one[0])
+	reqs, rounds := t.members(), t.rounds
+	if t.frame == nil {
+		rounds = t.round[:]
+	} else {
+		s.st.Manager().BeginEvictionBatch(p)
 	}
-	if s.repl == nil {
-		for _, resp := range resps {
-			degradeCorrupt(resp)
+	for i, req := range reqs {
+		if s.repl != nil {
+			resps[i] = s.repl.Apply(p, req, rounds[i])
+		} else {
+			resps[i] = degradeCorrupt(s.st.Handle(p, req))
+		}
+	}
+	if t.frame != nil {
+		s.st.Manager().EndEvictionBatch(p)
+	}
+	if s.repl != nil {
+		for i, resp := range resps {
+			s.repl.Finish(p, resp, rounds[i])
 		}
 	}
 }

@@ -78,7 +78,13 @@ func BenchmarkStoreHandleBatch16(b *testing.B) {
 	env.Spawn("bench", func(p *sim.Proc) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.HandleBatch(p, reqs)
+			// A frame's storage phases, as the server runs them: back-to-back
+			// inside one eviction-coalescing window.
+			mgr.BeginEvictionBatch(p)
+			for _, req := range reqs {
+				s.Handle(p, req)
+			}
+			mgr.EndEvictionBatch(p)
 		}
 	})
 	env.Run()

@@ -379,20 +379,6 @@ func (s *Store) Delete(p *sim.Proc, key string) protocol.Status {
 	return protocol.StatusDeleted
 }
 
-// HandleBatch executes a coalesced batch's storage phases back-to-back
-// inside one eviction-coalescing window: slab evictions triggered by the
-// batch are merged into fewer, larger sequential SSD flushes instead of one
-// small write per allocating Set. Responses are returned in request order.
-func (s *Store) HandleBatch(p *sim.Proc, reqs []*protocol.Request) []*protocol.Response {
-	s.mgr.BeginEvictionBatch(p)
-	resps := make([]*protocol.Response, len(reqs))
-	for i, req := range reqs {
-		resps[i] = s.Handle(p, req)
-	}
-	s.mgr.EndEvictionBatch(p)
-	return resps
-}
-
 // Handle executes one parsed request against the store and builds the
 // response. This is the storage phase shared by the sync and async server
 // designs.
