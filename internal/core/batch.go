@@ -111,10 +111,10 @@ func (c *Client) Flush(p *sim.Proc) error {
 				delete(cn.pending, it.id)
 				continue
 			}
-			if it.wire.ValueSize > BatchInlineMax {
-				alone = append(alone, it)
-			} else {
+			if it.frameable() {
 				inline = append(inline, it)
+			} else {
+				alone = append(alone, it)
 			}
 		}
 		for len(inline) > 0 {
@@ -137,6 +137,15 @@ func (c *Client) Flush(p *sim.Proc) error {
 	return nil
 }
 
+// frameable reports whether the attempt may ride a coalesced frame. A value
+// over BatchInlineMax is posted as its own doorbell, and so is the key-less
+// control op (OpDirQuery): the server answers it in the communication phase
+// of a bare request, and a frame has no control-plane case — inside one,
+// nothing would answer it.
+func (att *attempt) frameable() bool {
+	return att.wire.ValueSize <= BatchInlineMax && att.wire.Op != protocol.OpDirQuery
+}
+
 // liveItems filters abandoned members out of a frame, tombstoning their
 // never-sent pending entries.
 func (cn *conn) liveItems(items []*attempt) []*attempt {
@@ -153,7 +162,8 @@ func (cn *conn) liveItems(items []*attempt) []*attempt {
 
 // drainBatch pulls whatever queued up behind the head item into one frame,
 // up to MaxBatchOps, skipping abandoned attempts and flattening any explicit
-// frames encountered. Oversized values are left to their own doorbells.
+// frames encountered. What may not ride a frame (see frameable) is left to its
+// own doorbell.
 func (cn *conn) drainBatch(head *attempt) (batch, alone []*attempt) {
 	batch = []*attempt{head}
 	for len(batch) < MaxBatchOps {
@@ -170,7 +180,7 @@ func (cn *conn) drainBatch(head *attempt) (batch, alone []*attempt) {
 			delete(cn.pending, att.id)
 			continue
 		}
-		if att.wire.ValueSize > BatchInlineMax {
+		if !att.frameable() {
 			alone = append(alone, att)
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -151,4 +152,80 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 		}
 	})
 	r.env.Run()
+}
+
+// The directory bootstrap is a key-less control op the server answers only as
+// a bare request. A bypass client that resolves its first GETs inside an
+// explicit batch window must still bootstrap once, on its own doorbell: the
+// query is never parked in the window nor swept into the window's frame,
+// where nothing would answer it (the GET behind it would fall back to RPC and
+// the next one bootstrap again).
+func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
+	r := newBypassRig()
+	c := r.client
+	r.env.Spawn("driver", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ { // blocking SETs: RPCs, no directory needed yet
+			c.Set(p, fmt.Sprintf("win:%d", i), 64, i, 0, 0)
+		}
+		if err := c.BeginBatch(); err != nil {
+			t.Fatal(err)
+		}
+		var reqs []*Req
+		issue := func(op Op) {
+			req, err := c.Issue(p, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, req)
+		}
+		issue(Op{Code: protocol.OpSet, Key: "win:set", ValueSize: 64, Value: "v"})
+		for i := 0; i < 8; i++ {
+			issue(Op{Code: protocol.OpGet, Key: fmt.Sprintf("win:%d", i)}) // auto read path
+		}
+		if err := c.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		c.WaitAll(p, reqs)
+		st := c.Stats()
+		if st.BypassBootstraps != 1 || st.BypassFallbacks != 0 {
+			t.Errorf("bootstraps=%d fallbacks=%d with a batch window open, want 1 and 0 (as without one)",
+				st.BypassBootstraps, st.BypassFallbacks)
+		}
+		if reqs[0].Status != protocol.StatusStored {
+			t.Errorf("windowed SET: %v", reqs[0].Status)
+		}
+		for i, req := range reqs[1:] {
+			if req.Status != protocol.StatusOK || req.Value != i {
+				t.Errorf("GET win:%d: status %v value %v", i, req.Status, req.Value)
+			}
+		}
+	})
+	r.env.Run()
+}
+
+// The other way into a frame is the TX engine's sweep once credits run out:
+// it must leave the control op to its own doorbell too, like a value over
+// BatchInlineMax.
+func TestSweepLeavesTheControlOpOutOfTheFrame(t *testing.T) {
+	r := newBypassRig()
+	c, cn := r.client, r.client.conns[0]
+	ops := []Op{
+		{Code: protocol.OpSet, Key: "a", ValueSize: 64},
+		{Code: protocol.OpDirQuery},
+		{Code: protocol.OpSet, Key: "big", ValueSize: BatchInlineMax + 1},
+		{Code: protocol.OpGet, Key: "b"},
+	}
+	var atts []*attempt
+	for _, op := range ops { // queued, not sent: no process has run yet
+		req := c.newReq(op, cn)
+		atts = append(atts, c.enqueueWire(req, cn, req.ID))
+	}
+	head, _ := cn.txq.TryGet()
+	batch, alone := cn.drainBatch(head.att)
+	if len(batch) != 2 || batch[0] != atts[0] || batch[1] != atts[3] {
+		t.Errorf("frame holds %d members, want the SET and the GET", len(batch))
+	}
+	if len(alone) != 2 || alone[0] != atts[1] || alone[1] != atts[2] {
+		t.Errorf("%d ops left to their own doorbells, want the control op and the oversized SET", len(alone))
+	}
 }

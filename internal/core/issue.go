@@ -212,7 +212,8 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 // enqueueWire registers one attempt of req on cn under wire id and hands it
 // to cn's TX engine — or parks it in the connection's batch window when one
 // is open (first attempts only: retransmits always go straight out, a
-// stalled window must not delay recovery). The first attempt lives in the
+// stalled window must not delay recovery; and never the key-less control op,
+// which no frame may carry — see frameable). The first attempt lives in the
 // Req; every later one — a retransmit, a hedge, a bypass fallback — is its
 // own allocation, because the earlier ones may still be pending, queued or on
 // the wire. It does not touch c.Issued: retransmits are attempts, not
@@ -231,7 +232,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
 	first := req.Attempts == 0
 	req.Attempts++
 	cn.pending[att.id] = att
-	if first && c.batching > 0 {
+	if first && c.batching > 0 && wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
 		cn.txq.TryPut(txItem{att: att})
@@ -504,54 +505,70 @@ func (att *attempt) creditBack() {
 	}
 }
 
-// txEngine drains the issue queue: waits for a flow-control credit, posts
-// the WR, and fires the request's buffer-reusable event when the data has
-// left the NIC (red path of Figure 3). Abandoned attempts are skipped, and
-// their credit — if consumed — was already reclaimed by abandon.
+// txEngine drains the issue queue: takes a flow-control credit, posts the
+// WR, and fires the request's buffer-reusable event when the data has left
+// the NIC (red path of Figure 3). What it dequeues is a frame — a bare
+// attempt is a frame of one — and every frame leaves under one credit.
 //
 // When a credit is free the engine sends one op per doorbell, exactly as
 // before batching existed. Only when credits are exhausted — the moment the
 // per-op cost actually hurts — does it block for one credit and then sweep
-// everything that queued up behind it into a single coalesced BatchFrame.
-// Explicit Flush frames arrive pre-built and take the same send path.
+// everything that queued up behind the attempt into a single coalesced
+// BatchFrame. Explicit Flush frames arrive pre-built and leave as they are.
 func (cn *conn) txEngine(p *sim.Proc) {
 	for {
 		item, ok := cn.txq.Get(p)
 		if !ok {
 			return
 		}
-		if item.frame != nil {
-			cn.sendFrame(p, item.frame)
+		one := [1]*attempt{item.att}
+		items := item.frame
+		if items == nil {
+			items = one[:]
+		}
+		items, waited := cn.takeCredit(p, items)
+		if len(items) == 0 {
 			continue
 		}
-		att := item.att
-		if att.abandoned {
-			delete(cn.pending, att.id) // never sent: no stale response can come
-			continue
+		var alone []*attempt
+		if waited && item.frame == nil && items[0].frameable() {
+			items, alone = cn.drainBatch(items[0])
 		}
-		if cn.credits.TryAcquire() {
-			cn.sendOne(p, att)
-			continue
+		cn.post(p, items)
+		// What the sweep left out of the frame goes alone, one credit each.
+		for _, att := range alone {
+			one[0] = att
+			if items, _ := cn.takeCredit(p, one[:]); len(items) == 1 {
+				cn.post(p, items)
+			}
 		}
-		cn.credits.Acquire(p)
-		if att.abandoned {
-			// Abandoned while waiting for a credit.
-			cn.credits.Release()
-			delete(cn.pending, att.id)
-			continue
-		}
-		batch, alone := cn.drainBatch(att)
-		if len(batch) == 1 {
-			cn.sendOne(p, batch[0])
-		} else {
-			cn.postBatch(p, batch)
-		}
-		cn.sendAlone(p, alone)
 	}
 }
 
-// sendOne posts a single-op doorbell. The caller already holds its credit.
-func (cn *conn) sendOne(p *sim.Proc, att *attempt) {
+// takeCredit takes the one flow-control credit items will leave under,
+// blocking while none is free (waited reports that it did). Abandoned members
+// are dropped on the way — before the wait and again after it — and if
+// nothing is left to send the credit goes straight back.
+func (cn *conn) takeCredit(p *sim.Proc, items []*attempt) (live []*attempt, waited bool) {
+	if items = cn.liveItems(items); len(items) == 0 || cn.credits.TryAcquire() {
+		return items, false
+	}
+	cn.credits.Acquire(p)
+	if items = cn.liveItems(items); len(items) == 0 {
+		cn.credits.Release()
+	}
+	return items, true
+}
+
+// post sends items under the credit the caller holds: a single-op doorbell
+// for a frame of one (one that shrank to one included), a coalesced
+// BatchFrame otherwise.
+func (cn *conn) post(p *sim.Proc, items []*attempt) {
+	if len(items) > 1 {
+		cn.postBatch(p, items)
+		return
+	}
+	att := items[0]
 	att.sent = true
 	cn.c.Sends++
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
@@ -564,46 +581,6 @@ func (cn *conn) sendOne(p *sim.Proc, att *attempt) {
 	// pipelines exactly like the hardware send queue.
 	p.Wait(sent)
 	att.req.reusable.Fire()
-}
-
-// sendFrame posts an explicit batch window handed over by Flush: one credit
-// for the whole frame, or the plain path for a frame that shrank to one op.
-func (cn *conn) sendFrame(p *sim.Proc, items []*attempt) {
-	items = cn.liveItems(items)
-	if len(items) == 0 {
-		return
-	}
-	if !cn.credits.TryAcquire() {
-		cn.credits.Acquire(p)
-		if items = cn.liveItems(items); len(items) == 0 {
-			cn.credits.Release()
-			return
-		}
-	}
-	if len(items) == 1 {
-		cn.sendOne(p, items[0])
-		return
-	}
-	cn.postBatch(p, items)
-}
-
-// sendAlone posts oversized-value ops excluded from a frame, one credit each.
-func (cn *conn) sendAlone(p *sim.Proc, items []*attempt) {
-	for _, att := range items {
-		if att.abandoned {
-			delete(cn.pending, att.id)
-			continue
-		}
-		if !cn.credits.TryAcquire() {
-			cn.credits.Acquire(p)
-			if att.abandoned {
-				cn.credits.Release()
-				delete(cn.pending, att.id)
-				continue
-			}
-		}
-		cn.sendOne(p, att)
-	}
 }
 
 // progressEngine polls the receive CQ: returns credits, lands values in the
