@@ -49,9 +49,6 @@ func New(env *sim.Env, cfg Config) *DB {
 	}
 }
 
-// Penalty returns the configured per-access latency.
-func (db *DB) Penalty() sim.Time { return db.penalty }
-
 // Fetch retrieves the authoritative value for key, blocking p for the miss
 // penalty. The returned token is the backend's value for the key.
 func (db *DB) Fetch(p *sim.Proc, key string) any {

@@ -216,12 +216,6 @@ func New(env *sim.Env, prof Profile, capacity int64) *Device {
 // Profile returns the drive's cost model.
 func (d *Device) Profile() Profile { return d.prof }
 
-// Capacity returns the drive capacity in bytes.
-func (d *Device) Capacity() int64 { return d.capacity }
-
-// QueueDepth reports commands waiting for a channel.
-func (d *Device) QueueDepth() int { return d.channels.Waiting() }
-
 // SetFaults arms I/O error injection: each read (write) command fails
 // uncorrectably with probability readErr (writeErr). Zero probabilities
 // disarm injection.

@@ -361,7 +361,7 @@ func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Rep
 		ScrubInterval: cl.cfg.ScrubInterval,
 	}, cl.Membership.Ring(), srv.Store(), srv.Device())
 	repl.SetMembership(cl.Membership)
-	srv.Attach(server.Extensions{Replicator: repl})
+	srv.AttachReplicator(repl)
 	return repl
 }
 
@@ -371,7 +371,7 @@ const bypassBuckets = 1 << 15
 // attachDirectory publishes a bypass read directory on srv.
 func (cl *Cluster) attachDirectory(srv *server.Server) {
 	d := store.NewDirectory(srv.Device().AllocPD(), bypassBuckets)
-	srv.Attach(server.Extensions{BypassDirectory: d})
+	srv.AttachBypassDirectory(d)
 	cl.Directories = append(cl.Directories, d)
 }
 
@@ -434,15 +434,6 @@ func (cl *Cluster) TotalSetOps() int64 {
 	var n int64
 	for _, s := range cl.Servers {
 		n += s.Store().SetOps
-	}
-	return n
-}
-
-// TotalGetOps sums Get operations across servers.
-func (cl *Cluster) TotalGetOps() int64 {
-	var n int64
-	for _, s := range cl.Servers {
-		n += s.Store().GetOps
 	}
 	return n
 }

@@ -38,9 +38,6 @@ func (c *Client) SetBuffering(on bool) error {
 	return nil
 }
 
-// Buffering reports whether request buffering is enabled.
-func (c *Client) Buffering() bool { return c.buffering }
-
 // BufferedSets reports Sets currently queued client-side.
 func (c *Client) BufferedSets() int {
 	n := 0

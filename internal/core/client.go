@@ -88,7 +88,7 @@ type Config struct {
 	// one-sided RDMA READs against the server's published directory (see
 	// WithReadPath and internal/core/bypass.go), falling back to RPC on any
 	// validation failure. RDMA transport only; requires the servers to have
-	// a directory attached (server.Extensions.BypassDirectory). Zero value
+	// a directory attached (server.AttachBypassDirectory). Zero value
 	// = every GET takes the request/response path, exactly as before.
 	Bypass bool
 	// HotFanout routes GETs for server-detected hot keys across the key's
@@ -235,8 +235,11 @@ type Client struct {
 	// IPoIB mode
 	host *verbs.Host
 
-	conns     []*conn
-	ring      *ring
+	conns []*conn
+	// ring is the ketama ring the server-side replicators use too: every
+	// party must agree on each key's replica set, so there is one
+	// implementation, in internal/replication.
+	ring      *replication.Ring
 	nextID    uint64
 	buffering bool
 	batching  int // explicit BeginBatch/Flush window depth
@@ -426,7 +429,7 @@ func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
 	} else {
 		c.host = verbs.NewHost(node)
 	}
-	c.ring = newRing()
+	c.ring = replication.NewRing()
 	if cfg.Membership != nil {
 		// Every epoch change — transition begin and finalize — invalidates
 		// the per-connection bypass location caches and hot sets: both were
@@ -478,12 +481,6 @@ func (c *Client) Retire(serverID int) {
 	c.rebuildHot()
 	c.Faults.Inc(metrics.CRetiredConns)
 }
-
-// Env returns the simulation environment.
-func (c *Client) Env() *sim.Env { return c.env }
-
-// Conns returns the number of server connections.
-func (c *Client) Conns() int { return len(c.conns) }
 
 // ErrTransport reports an API unavailable on this transport.
 var ErrTransport = errors.New("core: operation not supported on this transport")

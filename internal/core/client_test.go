@@ -400,7 +400,7 @@ func TestCreditsBoundOutstanding(t *testing.T) {
 }
 
 func TestRingBalanceAndStability(t *testing.T) {
-	rg := newRing()
+	rg := replication.NewRing()
 	for i := 0; i < 4; i++ {
 		rg.Add(i)
 	}

@@ -88,14 +88,6 @@ func RetryableStatus(s protocol.Status) bool {
 		s == protocol.StatusNoReplica
 }
 
-// Retryable reports whether err is transient: a rejection or timeout that
-// WithRetry may absorb. Definite outcomes (ErrNotFound, ErrExists, ...)
-// are not retryable — retrying cannot change them.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrRecovering) || errors.Is(err, ErrBusy) ||
-		errors.Is(err, ErrNoReplica) || errors.Is(err, ErrDeadlineExceeded)
-}
-
 // Err returns the operation outcome as an error: nil on success,
 // ErrCanceled / ErrDeadlineExceeded for local abandonment, ErrInFlight
 // before completion, and the protocol status's sentinel otherwise. A

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"hybridkv/internal/replication"
 )
 
 func ringKeys(n int) []string {
@@ -17,7 +19,7 @@ func ringKeys(n int) []string {
 // uniform — every server within ±35% of the fair share for 8 servers.
 func TestRingBalance(t *testing.T) {
 	const servers = 8
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < servers; s++ {
 		r.Add(s)
 	}
@@ -36,7 +38,7 @@ func TestRingBalance(t *testing.T) {
 
 // TestRingStability: pick is deterministic and unaffected by re-sorting.
 func TestRingStability(t *testing.T) {
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < 4; s++ {
 		r.Add(s)
 	}
@@ -57,7 +59,7 @@ func TestRingStability(t *testing.T) {
 // every key that moves, moves TO the new server, never between old ones.
 func TestRingKeyMovementOnAdd(t *testing.T) {
 	const before = 4
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < before; s++ {
 		r.Add(s)
 	}
@@ -93,7 +95,7 @@ func TestRingKeyMovementOnAdd(t *testing.T) {
 // re-streams ~1/N of the key space, never a reshuffle among old members.
 func TestRingMovementBoundAcrossJoins(t *testing.T) {
 	keys := ringKeys(20000)
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < 3; s++ {
 		r.Add(s)
 	}
@@ -131,7 +133,7 @@ func TestRingMovementBoundAcrossJoins(t *testing.T) {
 // 1.5 × R/N.
 func TestRingReplicaSetMovementOnJoin(t *testing.T) {
 	const before, rf = 5, 2
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < before; s++ {
 		r.Add(s)
 	}
@@ -188,7 +190,7 @@ func TestRingReplicaSetMovementOnJoin(t *testing.T) {
 // server's keys; everything else stays put.
 func TestRingKeyMovementOnRemove(t *testing.T) {
 	const servers = 5
-	r := newRing()
+	r := replication.NewRing()
 	for s := 0; s < servers; s++ {
 		r.Add(s)
 	}
@@ -217,5 +219,5 @@ func TestRingEmptyPanics(t *testing.T) {
 			t.Error("pick on empty ring did not panic")
 		}
 	}()
-	newRing().Pick("k")
+	replication.NewRing().Pick("k")
 }

@@ -215,7 +215,6 @@ type Manager struct {
 	FlushErrors            int64 // eviction flushes failed by device errors
 	FlushedItems           int64
 	SSDLoads               int64
-	Promotions             int64 // SSD items moved back to RAM on Get
 	CorruptLoads           int64 // uncorrectable SSD reads (data loss)
 	QuarantinedPages       int64 // regions quarantined after serving corrupt bits
 	QuarantineReclaims     int64 // quarantined regions released back by scrub
@@ -284,9 +283,6 @@ func (m *Manager) event(it *Item, ev NotifyEvent) {
 
 // Allocator exposes the underlying slab allocator (read-only use).
 func (m *Manager) Allocator() *slab.Allocator { return m.alloc }
-
-// Hybrid reports whether an SSD is attached.
-func (m *Manager) Hybrid() bool { return m.file != nil }
 
 // SSDUsed returns bytes of SSD space holding live items.
 func (m *Manager) SSDUsed() int64 { return m.ssdUsed }

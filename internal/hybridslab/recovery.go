@@ -47,9 +47,6 @@ type RecoveryReport struct {
 	Elapsed sim.Time
 }
 
-// Recovering reports whether a recovery scan is rebuilding the manager.
-func (m *Manager) Recovering() bool { return m.recovering }
-
 // AbortEvictionBatches tears down every open eviction-coalescing window:
 // their staged victims' RAM chunks were freed at staging time and their SSD
 // writes never happened, so the items are shed. Server.Crash calls this so

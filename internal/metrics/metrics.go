@@ -63,9 +63,6 @@ func (h *Hist) Add(d sim.Time) {
 // Count returns the number of samples.
 func (h *Hist) Count() int64 { return h.count }
 
-// Sum returns the total of all samples.
-func (h *Hist) Sum() sim.Time { return h.sum }
-
 // Mean returns the average sample, or 0 when empty.
 func (h *Hist) Mean() sim.Time {
 	if h.count == 0 {
@@ -285,7 +282,6 @@ const (
 	// via the cluster's integrity hook rather than the client's own bag).
 	CScrubCorruptionsFound    Counter = "scrub-corruptions-found"    // same-epoch content divergences detected by scrub
 	CScrubCorruptionsRepaired Counter = "scrub-corruptions-repaired" // divergences overwritten with the coordinator's copy
-	CQuarantinedPages         Counter = "quarantined-pages"          // SSD pages pulled from reuse after failed verification
 )
 
 // Counters is a named-counter bag for fault, retry, and availability
@@ -327,25 +323,6 @@ func (c *Counters) Merge(other *Counters) {
 	for k, v := range other.vals {
 		c.vals[k] += v
 	}
-}
-
-// Snapshot returns an independent copy.
-func (c *Counters) Snapshot() *Counters {
-	s := NewCounters()
-	s.Merge(c)
-	return s
-}
-
-// Render formats the non-zero counters one per line, sorted by name.
-func (c *Counters) Render() string {
-	var sb strings.Builder
-	for _, k := range c.Names() {
-		if c.vals[k] == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %-22s %12d\n", k, c.vals[k])
-	}
-	return sb.String()
 }
 
 // Throughput returns operations per (virtual) second.

@@ -105,9 +105,8 @@ type Cache struct {
 	dirty int
 	files int
 
-	wbKick   *sim.Event
-	wbYield  *sim.Event // fired after each flusher batch; throttled writers wait on it
-	stopping bool
+	wbKick  *sim.Event
+	wbYield *sim.Event // fired after each flusher batch; throttled writers wait on it
 
 	// Stats
 	Hits, Misses   int64
@@ -178,9 +177,6 @@ func (c *Cache) evict(pg *page) {
 
 // Params returns the cache's cost model.
 func (c *Cache) Params() Params { return c.par }
-
-// Device returns the backing device.
-func (c *Cache) Device() *blockdev.Device { return c.dev }
 
 // Resident reports the number of resident pages.
 func (c *Cache) Resident() int { return len(c.pages) }

@@ -316,9 +316,6 @@ func New(env *sim.Env, cfg Config, ring *Ring, st *store.Store, dev *verbs.Devic
 	}
 }
 
-// ID returns the replicator's server id.
-func (r *Replicator) ID() int { return r.cfg.ID }
-
 // SetDown installs the host server's liveness probe: while it reports true
 // the engine discards incoming frames (a crashed node neither applies nor
 // acks).

@@ -176,9 +176,6 @@ type Server struct {
 	// are answering OpDirQuery bootstraps and keeping the directory
 	// coherent across crash/restart; steady-state reads cost it nothing.
 	bypass *store.Directory
-	// onColdRecovery hooks run after a cold-restart recovery scan rebuilds
-	// the store, before requests are admitted.
-	onColdRecovery []func(keys []string)
 
 	started bool
 	down    bool
@@ -340,9 +337,6 @@ func NewIPoIB(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Ser
 // Store returns the server's item store.
 func (s *Server) Store() *store.Store { return s.st }
 
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Device returns the RDMA device (nil in IPoIB mode).
 func (s *Server) Device() *verbs.Device { return s.dev }
 
@@ -351,35 +345,6 @@ func (s *Server) Host() *verbs.Host { return s.host }
 
 // RecvDepth returns the per-connection credit count clients must respect.
 func (s *Server) RecvDepth() int { return recvDepth }
-
-// Extensions bundles every optional server subsystem behind one attach
-// call, so design constructors hand the server a single extension set
-// instead of invoking a growing pile of AttachX hooks.
-type Extensions struct {
-	// Replicator makes the storage phase the replicated one (see
-	// AttachReplicator).
-	Replicator *replication.Replicator
-	// BypassDirectory publishes the store's read side for one-sided-READ
-	// GETs (see AttachBypassDirectory).
-	BypassDirectory *store.Directory
-	// OnColdRecovery runs after a cold-restart recovery scan rebuilds the
-	// store, with the recovered key set, before requests are admitted.
-	OnColdRecovery func(keys []string)
-}
-
-// Attach installs an extension bundle. Call before the simulation runs;
-// fields left nil are skipped, and repeated calls accumulate.
-func (s *Server) Attach(ext Extensions) {
-	if ext.Replicator != nil {
-		s.AttachReplicator(ext.Replicator)
-	}
-	if ext.BypassDirectory != nil {
-		s.AttachBypassDirectory(ext.BypassDirectory)
-	}
-	if ext.OnColdRecovery != nil {
-		s.onColdRecovery = append(s.onColdRecovery, ext.OnColdRecovery)
-	}
-}
 
 // AttachBypassDirectory installs the published read-side directory: the
 // store's read view is wired to it, and OpDirQuery bootstraps answer with
@@ -435,9 +400,6 @@ func (s *Server) foregroundBusy() bool {
 	}
 	return float64(s.slots.InUse()) > shedSetWatermark/2*float64(s.slots.Total())
 }
-
-// Replicator returns the attached replicator (nil when unreplicated).
-func (s *Server) Replicator() *replication.Replicator { return s.repl }
 
 // degradeCorrupt converts a StatusCorrupt read into a plain miss: with no
 // replicator attached there is nowhere to repair from, and the one thing an
@@ -565,19 +527,12 @@ func (s *Server) RestartCold() {
 		s.Recovery.Add("pages-uncommitted", rep.PagesUncommitted)
 		s.Recovery.Add("items-recovered", rep.ItemsRecovered)
 		s.Recovery.Add("items-missing", rep.ItemsMissing)
-		if s.repl != nil || len(s.onColdRecovery) > 0 {
-			keys := s.st.Keys()
-			if s.repl != nil {
-				// The SSD resurrected values, but the epoch table proving
-				// their freshness died with the node: every recovered key is
-				// suspect until a peer replica confirms it.
-				s.repl.OnColdRecovery(keys)
-			}
-			for _, fn := range s.onColdRecovery {
-				fn(keys)
-			}
-		}
-		if s.repl == nil {
+		if s.repl != nil {
+			// The SSD resurrected values, but the epoch table proving
+			// their freshness died with the node: every recovered key is
+			// suspect until a peer replica confirms it.
+			s.repl.OnColdRecovery(s.st.Keys())
+		} else {
 			// Republish the recovered read side. Under replication the
 			// directory instead refills lazily as anti-entropy confirms or
 			// rewrites keys — recovered values are suspect until then, and

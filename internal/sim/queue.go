@@ -68,12 +68,6 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-// Cap returns the capacity bound (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 func (q *Queue[T]) newWaiter(p *Proc, tag int) *qwaiter[T] {
 	qw := q.spare
 	if qw == nil {

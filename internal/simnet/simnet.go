@@ -164,9 +164,6 @@ func (f *Fabric) Spec() LinkSpec { return f.spec }
 // between phases of a run; it affects messages serialized from then on.
 func (f *Fabric) SetFaults(fi FaultInjector) { f.faults = fi }
 
-// Node returns the named node, or nil.
-func (f *Fabric) Node(name string) *Node { return f.nodes[name] }
-
 // AddNode attaches a new node to the fabric. Node names must be unique.
 func (f *Fabric) AddNode(name string) *Node {
 	if _, dup := f.nodes[name]; dup {

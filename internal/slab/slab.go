@@ -106,9 +106,6 @@ func (a *Allocator) Class(idx int) Class { return a.classes[idx] }
 // MemUsed returns bytes of slab memory currently reserved in pages.
 func (a *Allocator) MemUsed() int64 { return a.memUsed }
 
-// MemLimit returns the configured budget.
-func (a *Allocator) MemLimit() int64 { return a.cfg.MemLimit }
-
 // ClassFor returns the smallest class whose chunks fit an item of the given
 // total size (key + value + overhead). ok is false for oversized items.
 func (a *Allocator) ClassFor(size int) (idx int, ok bool) {
@@ -190,12 +187,6 @@ func (a *Allocator) ReclaimEmptyPage() bool {
 		}
 	}
 	return false
-}
-
-// TotalChunks returns used+free chunks of class idx.
-func (a *Allocator) TotalChunks(idx int) int {
-	c := a.classes[idx]
-	return c.UsedChunks + c.FreeChunks
 }
 
 // Utilization returns the fraction of reserved slab memory holding live

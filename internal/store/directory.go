@@ -96,9 +96,6 @@ func (d *Directory) Info() protocol.DirectoryInfo {
 	}
 }
 
-// Buckets returns the slot count.
-func (d *Directory) Buckets() int { return d.buckets }
-
 func (d *Directory) bucket(key string) int {
 	return int(protocol.KeyDigest(key) % uint64(d.buckets))
 }

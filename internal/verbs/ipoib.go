@@ -52,16 +52,9 @@ func NewHost(node *simnet.Node) *Host {
 	return h
 }
 
-// Node returns the underlying fabric node.
-func (h *Host) Node() *simnet.Node { return h.node }
-
 type streamWire struct {
 	dstStream int
 	msg       StreamMsg
-	// connect handshake
-	connReq   bool
-	srcStream int
-	srcHost   *Host
 }
 
 // Dial opens a connection to the remote host (out-of-band handshake with no
@@ -87,11 +80,6 @@ func (h *Host) Accept(p *sim.Proc) (*Stream, bool) {
 	return h.accept.Get(p)
 }
 
-// TryAccept returns a pending inbound connection without blocking.
-func (h *Host) TryAccept() (*Stream, bool) {
-	return h.accept.TryGet()
-}
-
 // Send writes one message to the stream. The caller blocks for the kernel
 // stack cost and until the bytes have left the NIC (source buffer reusable),
 // per blocking-socket semantics.
@@ -113,14 +101,6 @@ func (s *Stream) Recv(p *sim.Proc) (StreamMsg, bool) {
 func (s *Stream) RecvTimeout(p *sim.Proc, d sim.Time) (msg StreamMsg, ok bool, timedOut bool) {
 	return s.inbox.GetTimeout(p, d)
 }
-
-// TryRecv returns a pending message without blocking.
-func (s *Stream) TryRecv() (StreamMsg, bool) {
-	return s.inbox.TryGet()
-}
-
-// Pending reports queued inbound messages.
-func (s *Stream) Pending() int { return s.inbox.Len() }
 
 func (h *Host) deliver(m *simnet.Message) {
 	w, ok := m.Payload.(*streamWire)

@@ -42,7 +42,6 @@ const (
 	OpWrite
 	OpWriteImm
 	OpRead
-	OpAtomic
 )
 
 func (o Op) String() string {
@@ -57,8 +56,6 @@ func (o Op) String() string {
 		return "WRITE_IMM"
 	case OpRead:
 		return "READ"
-	case OpAtomic:
-		return "ATOMIC"
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
@@ -84,7 +81,6 @@ type Device struct {
 
 	// Stats
 	SendsPosted, WritesPosted, ReadsPosted int64
-	AtomicsPosted                          int64
 }
 
 // OpenDevice attaches an HCA to node and installs its packet demultiplexer.
@@ -98,12 +94,6 @@ func OpenDevice(node *simnet.Node) *Device {
 	node.SetReceiver(d.deliver)
 	return d
 }
-
-// Env returns the simulation environment.
-func (d *Device) Env() *sim.Env { return d.env }
-
-// Node returns the fabric node under this device.
-func (d *Device) Node() *simnet.Node { return d.node }
 
 // PD is a protection domain.
 type PD struct{ dev *Device }
@@ -124,7 +114,6 @@ type MR struct {
 	payload  any
 	plen     int
 	segments map[int64]mrSegment
-	atomic   uint64
 	valid    bool
 }
 
@@ -156,9 +145,6 @@ func (pd *PD) RegisterMRSetup(size int) *MR { return pd.registerMRFree(size) }
 
 // LKey returns the region's local key (also used as its remote key).
 func (mr *MR) LKey() int { return mr.lkey }
-
-// Size returns the registered length.
-func (mr *MR) Size() int { return mr.size }
 
 // Payload returns the last contents deposited in the region and its length.
 func (mr *MR) Payload() (any, int) { return mr.payload, mr.plen }
@@ -300,7 +286,6 @@ type RecvWR struct {
 
 // QP is a reliable-connected queue pair.
 type QP struct {
-	srq        *SRQ
 	dev        *Device
 	qpn        int
 	remoteNode string
@@ -341,6 +326,16 @@ func (qp *QP) PostRecv(wr RecvWR) { qp.recvQ = append(qp.recvQ, wr) }
 
 // RecvDepth reports outstanding receive WRs.
 func (qp *QP) RecvDepth() int { return len(qp.recvQ) }
+
+// consumeRecv takes the next posted receive WR, in posting order.
+func (qp *QP) consumeRecv() (RecvWR, bool) {
+	if len(qp.recvQ) == 0 {
+		return RecvWR{}, false
+	}
+	wr := qp.recvQ[0]
+	qp.recvQ = qp.recvQ[1:]
+	return wr, true
+}
 
 // wire is the fabric payload for verbs traffic.
 type wire struct {
@@ -475,10 +470,6 @@ func (qp *QP) PostSendReusable(p *sim.Proc, wr SendWR) *sim.Event {
 
 // deliver demultiplexes an arriving fabric message to verbs semantics.
 func (d *Device) deliver(m *simnet.Message) {
-	if aw, ok := m.Payload.(*atomicWire); ok {
-		d.deliverAtomic(m.Src, aw)
-		return
-	}
 	w, ok := m.Payload.(*wire)
 	if !ok {
 		panic("verbs: non-verbs payload on device node")

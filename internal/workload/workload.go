@@ -257,9 +257,6 @@ func (g *Generator) High() int { return g.high }
 // ValueSize returns the configured value size.
 func (g *Generator) ValueSize() int { return g.cfg.ValueSize }
 
-// Keys returns the keyspace size.
-func (g *Generator) Keys() int { return g.cfg.Keys }
-
 // BlockConfig describes the bursty block I/O pattern: data is read and
 // written in blocks, each split into chunks that fit key-value pairs and
 // may scatter across servers (Section IV-B).
