@@ -17,11 +17,12 @@ race:
 # The concurrency-heavy robustness packages under the race detector at
 # -count=2: the client guard/hedge/cancel races, the bypass READ-vs-
 # eviction-vs-crash soak in cluster, the replication forward/ack/scrub
-# engine, and the history checker. A named subset of `race`, kept
-# separate so a detector hit points straight at the robustness suite
-# (and so it stays cheap enough to run on every edit).
+# engine, the server's path matrix (every way an arrival reaches the
+# storage phase, crashed at each point), and the history checker. A named
+# subset of `race`, kept separate so a detector hit points straight at the
+# robustness suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/history
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/history
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:
@@ -113,13 +114,15 @@ allocs:
 			for (i = 2; i <= NF; i++) if ($$i == "allocs/op") line = line " " name "=" $$(i-1) } \
 		END { flush() }'
 
-# Non-test Go lines per internal/ package, one line each: the count a
-# simplification is reported in (comments and blank lines included, so
-# deleting comments shows up as what it is).
+# Non-test Go lines per internal/ package, one line each, then their total:
+# the count a simplification is reported in (comments and blank lines
+# included, so deleting comments shows up as what it is), and one number to
+# diff between two commits.
 loc:
-	@for d in internal/*/; do \
-		printf '%-22s %6d\n' "$${d%/}" "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)"; \
-	done
+	@total=0; for d in internal/*/; do \
+		n=$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l); total=$$((total+n)); \
+		printf '%-22s %6d\n' "$${d%/}" "$$n"; \
+	done; printf '%-22s %6d\n' total "$$total"
 
 # The pre-merge gate: static analysis, the full suite under the race
 # detector (plus the robustness packages at -count=2), the robustness

@@ -111,10 +111,10 @@ const (
 	// anti-entropy reconverges the subset.
 	StatusNoReplica
 	// StatusCorrupt fails a read whose local copy failed integrity
-	// verification: the item is quarantined, not served as garbage. A
-	// replicated server converts it into a repair-pull from its peers
-	// before answering; an unreplicated server degrades it to a miss.
-	// Clients never observe this status on the wire.
+	// verification: the item is quarantined, not served as garbage. It never
+	// leaves the server's storage phase, on any pipeline or transport: a
+	// replicated server repair-pulls from its peers before answering, an
+	// unreplicated one degrades it to a miss. Clients never see it.
 	StatusCorrupt
 )
 
