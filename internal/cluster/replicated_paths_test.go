@@ -2,28 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"hybridkv/internal/core"
+	"hybridkv/internal/fault"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
-	"hybridkv/internal/simnet"
 )
-
-// slowChain holds every server-to-server message for 50 µs (well inside the
-// replicator's ack timeout): a write's chain completes long after an ack sent
-// at admission would have reached the client, so which came first is
-// unmistakable.
-type slowChain struct{}
-
-func (slowChain) Transmit(src, dst string, _ int, _ sim.Time) simnet.Verdict {
-	if strings.HasPrefix(src, "server") && strings.HasPrefix(dst, "server") {
-		return simnet.Verdict{ExtraDelay: 50 * sim.Microsecond}
-	}
-	return simnet.Verdict{}
-}
 
 // TestReplicatedPathMatrix is the replicated half of the server's path matrix
 // (internal/server TestPathMatrix), driven through the real client: eight
@@ -42,7 +28,14 @@ func TestReplicatedPathMatrix(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%v", shape, d.Pipeline()), func(t *testing.T) {
 				cl := New(Config{Design: d, Profile: ClusterA(), Servers: 3, ServerMem: 8 << 20, ReplicationFactor: 3})
-				cl.Fabric.SetFaults(slowChain{})
+				// Every message to or from a backup takes 50 µs longer (well
+				// inside the replicator's ack timeout): a write's chain
+				// completes long after an ack sent at admission would have
+				// reached the client, so which came first is unmistakable.
+				slow := fault.New(fault.Config{})
+				slow.AddSlow("server1", 0, sim.Second, 50*sim.Microsecond, 0)
+				slow.AddSlow("server2", 0, sim.Second, 50*sim.Microsecond, 0)
+				cl.Fabric.SetFaults(slow)
 				c := cl.Clients[0]
 				var keys []string
 				for i := 0; len(keys) < sets; i++ { // all coordinated by server 0

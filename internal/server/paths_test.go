@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
+	"hybridkv/internal/fault"
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
@@ -134,7 +134,15 @@ func newPathRig(row pathRow, cfg Config) *pathRig {
 	}
 	if repls != nil {
 		replication.Interconnect(repls)
-		fab.SetFaults(slowForwards{})
+		// Every message to or from a backup takes 50 µs longer (well inside
+		// the replicator's ack timeout): a write's chain then completes long
+		// after an ack sent at admission would have landed, so the order of
+		// the two is unmistakable at the client.
+		slow := fault.New(fault.Config{})
+		for i := 1; i < row.replicas; i++ {
+			slow.AddSlow(fmt.Sprintf("server%d", i), 0, sim.Second, 50*sim.Microsecond, 0)
+		}
+		fab.SetFaults(slow)
 	}
 	cdev := verbs.OpenDevice(cnode)
 	recvCQ := cdev.CreateCQ(0)
@@ -155,19 +163,6 @@ func newPathRig(row pathRow, cfg Config) *pathRig {
 		}
 	})
 	return r
-}
-
-// slowForwards holds every message the server under test sends a backup for
-// 50 µs (well inside the replicator's ack timeout): a write's chain then
-// completes long after an ack sent at admission would have landed, so the
-// order of the two is unmistakable at the client.
-type slowForwards struct{}
-
-func (slowForwards) Transmit(src, dst string, _ int, _ sim.Time) simnet.Verdict {
-	if src == "server0" && strings.HasPrefix(dst, "server") {
-		return simnet.Verdict{ExtraDelay: 50 * sim.Microsecond}
-	}
-	return simnet.Verdict{}
 }
 
 func (r *pathRig) note(payload any) {

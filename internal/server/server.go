@@ -292,6 +292,14 @@ func (t *task) members() []*protocol.Request {
 	return t.one[:]
 }
 
+// forwards returns the members' replication rounds, in member order.
+func (t *task) forwards() []*replication.Forward {
+	if t.frame != nil {
+		return t.rounds
+	}
+	return t.round[:]
+}
+
 // repost returns the receive slot (and with it the client's flow-control
 // credit) to the QP the task arrived on; a socket has none.
 func (t *task) repost() {
@@ -698,13 +706,12 @@ func (s *Server) openRounds(p *sim.Proc, t *task) {
 	if s.repl == nil {
 		return
 	}
-	if t.frame == nil {
-		t.round[0] = s.repl.Begin(p, t.one[0])
-		return
+	if t.frame != nil {
+		t.rounds = make([]*replication.Forward, len(t.frame.Reqs))
 	}
-	t.rounds = make([]*replication.Forward, len(t.frame.Reqs))
-	for i, req := range t.frame.Reqs {
-		t.rounds[i] = s.repl.Begin(p, req)
+	rounds := t.forwards()
+	for i, req := range t.members() {
+		rounds[i] = s.repl.Begin(p, req)
 	}
 }
 
@@ -816,10 +823,8 @@ func (s *Server) finish(p *sim.Proc, t *task) {
 // of one small write per allocating Set. A bare request lands its eviction
 // itself; the window closes before any replication wait.
 func (s *Server) storagePhase(p *sim.Proc, t *task, resps []*protocol.Response) {
-	reqs, rounds := t.members(), t.rounds
-	if t.frame == nil {
-		rounds = t.round[:]
-	} else {
+	reqs, rounds := t.members(), t.forwards()
+	if t.frame != nil {
 		s.st.Manager().BeginEvictionBatch(p)
 	}
 	for i, req := range reqs {
