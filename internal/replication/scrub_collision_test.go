@@ -87,7 +87,7 @@ func TestWinsSameEpochTotalOrder(t *testing.T) {
 		{2, 4, true},  //   …regardless of the other id
 		{0, 2, false}, // I am the coordinator: sender loses
 		{4, 2, false},
-		{1, 3, true},  // neither is coordinator: lower id wins
+		{1, 3, true}, // neither is coordinator: lower id wins
 		{3, 1, false},
 	}
 	for _, tc := range cases {
