@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-robustness smoke robustness verify vuln benchmark-check virtual-identity allocs loc check
+.PHONY: build test vet fmt race race-robustness smoke robustness verify vuln benchmark-check virtual-identity allocs loc check
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# gofmt over the whole tree must have nothing to say.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
 race:
 	$(GO) test -race ./...
 
@@ -18,11 +22,13 @@ race:
 # -count=2: the client guard/hedge/cancel races, the bypass READ-vs-
 # eviction-vs-crash soak in cluster, the replication forward/ack/scrub
 # engine, the server's path matrix (every way an arrival reaches the
-# storage phase, crashed at each point), and the history checker. A named
-# subset of `race`, kept separate so a detector hit points straight at the
-# robustness suite (and so it stays cheap enough to run on every edit).
+# storage phase, crashed at each point), the hybrid slab's region-writer
+# matrix (every way a region reaches the SSD, refused, restarted and torn at
+# each point), and the history checker. A named subset of `race`, kept
+# separate so a detector hit points straight at the robustness suite (and so
+# it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/history
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/history
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:
@@ -104,7 +110,7 @@ virtual-identity:
 # a new allocation on the path fails here), then every benchmark of the layer
 # as name=allocs/op. The counts are exact and repeat run to run; the ns/op the
 # same benchmarks print are not part of this target.
-ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication
+ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/hybridslab ./internal/pagecache
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
 	@$(GO) test -run '^$$' -bench . -benchmem -benchtime 2000x $(ALLOC_PKGS) | awk ' \
@@ -124,9 +130,9 @@ loc:
 		printf '%-22s %6d\n' "$${d%/}" "$$n"; \
 	done; printf '%-22s %6d\n' total "$$total"
 
-# The pre-merge gate: static analysis, the full suite under the race
-# detector (plus the robustness packages at -count=2), the robustness
+# The pre-merge gate: static analysis and formatting, the full suite under
+# the race detector (plus the robustness packages at -count=2), the robustness
 # gate, a registry smoke run, the golden gate over the committed
 # snapshots, the benchmark's determinism gate, and the gated vulnerability
 # scan.
-check: vet race race-robustness robustness smoke verify benchmark-check vuln
+check: vet fmt race race-robustness robustness smoke verify benchmark-check vuln
