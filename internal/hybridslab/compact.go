@@ -3,7 +3,6 @@ package hybridslab
 import (
 	"sort"
 
-	"hybridkv/internal/pagecache"
 	"hybridkv/internal/sim"
 )
 
@@ -87,22 +86,11 @@ func (m *Manager) compactPage(p *sim.Proc, pg *ssdPage, items []*Item) int64 {
 		}
 	}
 	job := flushJob{victims: items, class: class, chunk: chunk, gen: gen0}
-	data, commit := m.buildRegion(job, newBase, m.nextEpoch())
-	ok = m.file.WriteExtents(p, newBase, int(newSize)-PageCommitSize, data, scheme)
-	if m.gen != gen0 {
+	switch m.writeRun(p, []flushJob{job}, newBase, scheme) {
+	case runAbandoned:
 		return 0
-	}
-	if ok {
-		ok = m.file.WriteCommit(p, []pagecache.Extent{commit})
-		if m.gen != gen0 {
-			return 0
-		}
-	}
-	if !ok {
+	case runRefused:
 		// Device write error: the old region stays authoritative.
-		m.FlushErrors++
-		m.discardRegionExtents(newBase, job)
-		m.ssdFree[newSize] = append(m.ssdFree[newSize], newBase)
 		pg.compacting = false
 		return 0
 	}
@@ -119,10 +107,7 @@ func (m *Manager) compactPage(p *sim.Proc, pg *ssdPage, items []*Item) int64 {
 		newPg.live++
 	}
 	// Retire the old region entirely.
-	m.file.Discard(pg.base)
-	m.file.Discard(commitOff(pg.base, pg.size))
-	m.ssdFree[pg.size] = append(m.ssdFree[pg.size], pg.base)
-	m.ssdUsed -= pg.size
+	m.retireRegion(pg)
 	m.ssdUsed += newSize
 	m.Compactions++
 	return pg.size - newSize

@@ -123,9 +123,10 @@ func commitOff(base, size int64) int64 {
 	return base + size - PageCommitSize
 }
 
-// buildRegion assembles the header and slot extents of one job's region at
-// base plus its commit-record extent (written separately, afterwards).
-func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64) (data []pagecache.Extent, commit pagecache.Extent) {
+// buildRegion appends the header and slot extents of one job's region at
+// base to data, and returns its commit-record extent (written separately,
+// afterwards).
+func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pagecache.Extent) ([]pagecache.Extent, pagecache.Extent) {
 	hdr := &pageHeader{
 		Magic: pageMagic,
 		Class: job.class,
@@ -133,8 +134,6 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64) (data []pa
 		Epoch: epoch,
 		Items: make([]itemMeta, len(job.victims)),
 	}
-	size := regionSize(len(job.victims), job.chunk)
-	data = make([]pagecache.Extent, 0, len(job.victims)+1)
 	data = append(data, pagecache.Extent{Off: base, Size: PageHeaderSize, Payload: hdr})
 	for i, v := range job.victims {
 		hdr.Items[i] = itemMeta{Digest: keyDigest(v.Key), Len: v.ValueSize}
@@ -149,8 +148,7 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64) (data []pa
 		data = append(data, pagecache.Extent{Off: slotOff(base, i, job.chunk), Size: job.chunk, Payload: rec})
 	}
 	hdr.Sum = headerSum(hdr)
-	cr := &commitRecord{Magic: commitMagic, Epoch: epoch, Base: base, Size: size}
+	cr := &commitRecord{Magic: commitMagic, Epoch: epoch, Base: base, Size: job.size()}
 	cr.Sum = commitSum(cr)
-	commit = pagecache.Extent{Off: commitOff(base, size), Size: PageCommitSize, Payload: cr}
-	return data, commit
+	return data, pagecache.Extent{Off: commitOff(base, cr.Size), Size: PageCommitSize, Payload: cr}
 }

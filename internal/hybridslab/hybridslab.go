@@ -260,15 +260,23 @@ func New(env *sim.Env, cfg Config, file *pagecache.File) *Manager {
 	return m
 }
 
-// flushJob is one staged slab eviction awaiting its SSD write. gen pins the
-// manager incarnation that staged it: jobs staged before a cold restart are
+// flushJob is one slab eviction awaiting its SSD write. gen pins the manager
+// incarnation that staged it: jobs staged before a cold restart are
 // abandoned, not placed into the rebuilt arena.
 type flushJob struct {
 	victims []*Item
 	class   int
 	chunk   int
 	gen     uint64
+	// inRAM: the victims still occupy their RAM chunks, and whoever settles
+	// the job frees them (the synchronous path). A staged job — write-behind
+	// or a coalescing window — freed them at buffering time, so undoing its
+	// refused write has to allocate them again.
+	inRAM bool
 }
+
+// size is the arena footprint of the job's region.
+func (j flushJob) size() int64 { return regionSize(len(j.victims), j.chunk) }
 
 // SetNotify installs the eviction lifecycle observer. One observer; the
 // store layer fans out if it ever needs more.
@@ -378,7 +386,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 				// ourselves. Land them now and let the caller retry.
 				jobs := w.jobs
 				w.jobs = nil
-				m.placeMerged(p, jobs)
+				m.place(p, jobs)
 				return
 			}
 			if m.flushing > 0 {
@@ -411,10 +419,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 		// cannot be raced.
 		for _, v := range victims {
 			m.alloc.Free(victimClass)
-			v.Value = nil
-			v.dropped = true
-			m.DropEvictions++
-			m.event(v, EvictDropped)
+			m.shed(v)
 		}
 		return
 	}
@@ -437,31 +442,24 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 		return
 	}
 	job := flushJob{victims: victims, class: victimClass, chunk: chunk, gen: gen0}
-	if m.cfg.AsyncFlush {
-		// Write-behind: the staging copy holds the data, so the RAM
-		// chunks free immediately; the background flusher performs the
-		// SSD write. Put blocks when the staging pool is full — that is
-		// the only stall the allocating request can see.
+	if w := m.windows[p]; m.cfg.AsyncFlush || w != nil {
+		// Staged: the staging copy holds the data, so the RAM chunks free
+		// now and the SSD write is deferred — to the background flusher
+		// (write-behind; Put blocks when the staging pool is full, the only
+		// stall the allocating request can see), or to this worker's
+		// EndEvictionBatch, where a window's jobs merge (doorbell batching).
 		for range victims {
 			m.alloc.Free(victimClass)
 		}
-		m.flushQ.Put(p, job)
-		m.FlushTime += p.Now() - t0
-		return
-	}
-	if w := m.windows[p]; w != nil {
-		// Eviction coalescing window (doorbell batching): stage like
-		// write-behind — the staging copy holds the data, so the RAM
-		// chunks free now — but the deferred SSD write stays with this
-		// worker and lands in EndEvictionBatch's merged flush.
-		for range victims {
-			m.alloc.Free(victimClass)
+		if w != nil {
+			w.jobs = append(w.jobs, job)
+		} else {
+			m.flushQ.Put(p, job)
 		}
-		w.jobs = append(w.jobs, job)
-		m.FlushTime += p.Now() - t0
-		return
+	} else {
+		job.inRAM = true
+		m.place(p, []flushJob{job})
 	}
-	m.placeVictims(p, job, true)
 	m.FlushTime += p.Now() - t0
 }
 
@@ -473,7 +471,7 @@ func (m *Manager) asyncFlusher(p *sim.Proc) {
 			return
 		}
 		t0 := p.Now()
-		m.placeVictims(p, job, false)
+		m.place(p, []flushJob{job})
 		m.AsyncFlushTime += p.Now() - t0
 	}
 }
@@ -506,10 +504,7 @@ func (m *Manager) BeginEvictionBatch(p *sim.Proc) {
 }
 
 // EndEvictionBatch closes the calling process's window and lands its
-// deferred evictions: adjacent jobs flushed with the same I/O scheme share
-// one contiguously allocated arena region and one larger sequential SSD
-// write — the amortization that makes a batch of Sets cost far fewer device
-// writes than the same Sets issued one by one.
+// deferred evictions, merged (place).
 func (m *Manager) EndEvictionBatch(p *sim.Proc) {
 	w := m.windows[p]
 	if w == nil {
@@ -523,118 +518,179 @@ func (m *Manager) EndEvictionBatch(p *sim.Proc) {
 		return
 	}
 	t0 := p.Now()
-	m.placeMerged(p, w.jobs)
+	m.place(p, w.jobs)
 	m.FlushTime += p.Now() - t0
 }
 
-// placeMerged performs a window's deferred SSD writes, coalescing runs of
-// same-scheme jobs into single sequential writes. Page-granular reclaim is
-// preserved: every job keeps its own ssdPage inside the merged region. Runs
-// that cannot get a contiguous region (arena full or fragmented) fall back
-// to per-job placement, which reuses freed regions and discards cold SSD
-// items.
-//
-// Atomicity: the run's data write covers every region's header and slots;
-// the regions' commit records then land in one further small journal write.
-// A crash (or torn write) between the two leaves the whole batch
-// uncommitted — recovery discards every one of its pages.
-func (m *Manager) placeMerged(p *sim.Proc, jobs []flushJob) {
-	for i := 0; i < len(jobs); {
-		scheme := m.flushScheme(jobs[i].class)
-		j := i
-		var total int64
-		for j < len(jobs) && m.flushScheme(jobs[j].class) == scheme {
-			total += regionSize(len(jobs[j].victims), jobs[j].chunk)
-			j++
+// place lands jobs on the SSD, in order. Adjacent jobs flushed under the same
+// I/O scheme form a run. A run of several — a coalescing window's — shares
+// one contiguously allocated stretch of arena and one larger sequential
+// write, the amortization that makes a batch of Sets cost far fewer device
+// writes than the same Sets issued one by one; every job still keeps its own
+// region inside it, so arena reclaim stays page-granular. A run of one — all
+// a synchronous eviction or the write-behind flusher ever passes — takes
+// whatever region ssdAlloc finds: a pooled one, fresh arena, or one scavenged
+// from cold SSD items; with none to be had its victims are dropped (LRU
+// overflow discard). So does each job of a run the arena has no contiguous
+// stretch left for (full or fragmented), one by one — and since every write
+// suspends, each re-checks that its incarnation is still the live one.
+func (m *Manager) place(p *sim.Proc, jobs []flushJob) {
+	for len(jobs) > 0 {
+		scheme := m.flushScheme(jobs[0].class)
+		n, total := 0, int64(0)
+		for n < len(jobs) && m.flushScheme(jobs[n].class) == scheme {
+			total += jobs[n].size()
+			n++
 		}
-		run := jobs[i:j]
-		i = j
-		if run[0].gen != m.gen {
-			// Staged before a cold restart: the rebuilt arena must not
-			// receive these pages.
-			for _, job := range run {
-				m.abandonJob(job)
-			}
-			continue
-		}
-		if len(run) == 1 {
-			m.placeVictims(p, run[0], false)
-			continue
-		}
-		base, ok := m.ssdAllocContig(total)
-		if !ok {
-			for _, job := range run {
-				m.placeVictims(p, job, false)
-			}
-			continue
-		}
-		gen0 := m.gen
-		epoch := m.nextEpoch()
-		var data []pagecache.Extent
-		commits := make([]pagecache.Extent, 0, len(run))
-		bases := make([]int64, len(run))
-		off := base
-		for k, job := range run {
-			bases[k] = off
-			d, c := m.buildRegion(job, off, epoch)
-			data = append(data, d...)
-			commits = append(commits, c)
-			off += regionSize(len(job.victims), job.chunk)
-		}
-		ok = m.file.WriteExtents(p, base, int(total), data, scheme)
-		if m.gen != gen0 {
-			for _, job := range run {
-				m.abandonJob(job)
-			}
-			continue
-		}
-		if ok {
-			m.FlushWrites++
-			ok = m.file.WriteCommit(p, commits)
-			if m.gen != gen0 {
-				for _, job := range run {
-					m.abandonJob(job)
-				}
+		run := jobs[:n]
+		jobs = jobs[n:]
+		if n > 1 && run[0].gen == m.gen {
+			if base, ok := m.ssdAllocContig(total); ok {
+				m.land(p, run, base, scheme)
 				continue
 			}
 		}
-		if !ok {
-			// Injected device write error on the data or commit write: the
-			// batch is not on the SSD. Keep the victims RAM-resident and
-			// return the regions to the free pool.
-			m.FlushErrors++
-			m.flushFailStreak++
-			for k, job := range run {
-				m.discardRegionExtents(bases[k], job)
-				m.ssdFree[regionSize(len(job.victims), job.chunk)] = append(m.ssdFree[regionSize(len(job.victims), job.chunk)], bases[k])
-				m.unflush(job, false)
+		for i, job := range run {
+			if job.gen != m.gen {
+				// Staged before a cold restart: the rebuilt arena must not
+				// receive this page.
+				m.abandonJob(job)
+			} else if base, ok := m.ssdAlloc(job.size()); ok {
+				m.land(p, run[i:i+1], base, scheme)
+			} else {
+				m.dropJob(job)
 				m.jobDone()
 			}
+		}
+	}
+}
+
+// land writes run's regions back to back from base and settles every job by
+// how the write ended. A refused write leaves the victims RAM-resident —
+// unless the device keeps failing past a small budget, when eviction sheds
+// them: a cache must make forward progress on a dying drive.
+func (m *Manager) land(p *sim.Proc, run []flushJob, base int64, scheme pagecache.Scheme) {
+	outcome := m.writeRun(p, run, base, scheme)
+	for _, job := range run {
+		switch {
+		case outcome == runAbandoned:
+			m.abandonJob(job)
 			continue
+		case outcome == runLanded:
+			m.placeAt(job, base)
+			base += job.size()
+		case m.flushFailStreak > flushFailBudget:
+			m.dropJob(job)
+		default:
+			m.unflush(job)
 		}
-		m.flushFailStreak = 0
-		m.CommitWrites++
-		for k, job := range run {
-			m.placeAt(job, bases[k], false)
-			m.jobDone()
-		}
+		m.jobDone()
 	}
 }
 
-// discardRegionExtents drops any logical/durable extents a failed or
-// abandoned region write may have placed, so the region is clean for reuse.
-func (m *Manager) discardRegionExtents(base int64, job flushJob) {
-	size := regionSize(len(job.victims), job.chunk)
+// runOutcome is how a region write ended.
+type runOutcome int
+
+const (
+	// runLanded: data and commit records are on the SSD; the caller links
+	// the items to their slots.
+	runLanded runOutcome = iota
+	// runRefused: the device refused the data or the commit write. Nothing
+	// is placed and the regions are back in the free pool, clean.
+	runRefused
+	// runAbandoned: a cold restart tore this incarnation down while the
+	// write was suspended. The items are unreachable from the rebuilt
+	// index, and the caller must touch none of the rebuilt state.
+	runAbandoned
+)
+
+// writeRun is the one region writer: every slab page that reaches the SSD —
+// an eviction's, a merged window's, a relocation's — is written here, in the
+// crash-consistent format of format.go. The regions of run lie back to back
+// from base, under one commit epoch. One data write covers every region's
+// header and slots; the regions' commit records then land in one further
+// small journal write, and only then is anything visible to recovery: a
+// crash or a torn write between the two leaves the whole run uncommitted,
+// and recovery discards every one of its pages.
+//
+// Both writes suspend, and a cold restart may happen under either; the
+// generation is re-checked after each before any manager state is touched.
+// A refused write (injected device error, direct I/O only) is undone here:
+// whatever extents it placed are discarded and the regions pooled. The
+// caller decides what becomes of the items.
+func (m *Manager) writeRun(p *sim.Proc, run []flushJob, base int64, scheme pagecache.Scheme) runOutcome {
+	gen0 := m.gen
+	epoch := m.nextEpoch()
+	slots, total := 0, int64(0)
+	for _, job := range run {
+		slots += 1 + len(job.victims)
+		total += job.size()
+	}
+	// One backing array serves both writes — every region's data extents,
+	// then the commit records — so a run of one allocates one slice.
+	data := make([]pagecache.Extent, 0, slots+len(run))
+	commits := data[slots:slots]
+	off := base
+	for _, job := range run {
+		var commit pagecache.Extent
+		data, commit = m.buildRegion(job, off, epoch, data)
+		commits = append(commits, commit)
+		off += job.size()
+	}
+	// The one wart, kept: a lone region's data write is charged without its
+	// trailing commit sector, a merged run's with every region's, the last
+	// included. A uniform rule would move every merged-write number the
+	// batching experiments record (ROADMAP, Residue).
+	length := int(total)
+	if len(run) == 1 {
+		length -= PageCommitSize
+	}
+	ok := m.file.WriteExtents(p, base, length, data, scheme)
+	if m.gen != gen0 {
+		return runAbandoned
+	}
+	if ok {
+		m.FlushWrites++
+		ok = m.file.WriteCommit(p, commits)
+		if m.gen != gen0 {
+			return runAbandoned
+		}
+	}
+	if !ok {
+		m.FlushErrors++
+		m.flushFailStreak++
+		for _, job := range run {
+			m.purgeRegion(base, len(job.victims), job.chunk)
+			base += job.size()
+		}
+		return runRefused
+	}
+	m.flushFailStreak = 0
+	m.CommitWrites++
+	return runLanded
+}
+
+// purgeRegion drops every extent a region may hold on the SSD — header, n
+// slots, commit record — and returns it to the free pool, clean for reuse.
+func (m *Manager) purgeRegion(base int64, n, chunk int) {
+	for i := 0; i < n; i++ {
+		m.file.Discard(slotOff(base, i, chunk))
+	}
+	m.recycle(base, regionSize(n, chunk))
+}
+
+// recycle returns a region with no live slot to the free pool. Its header
+// and commit record go too, so a later recovery scan doesn't wade through a
+// dead page.
+func (m *Manager) recycle(base, size int64) {
 	m.file.Discard(base)
-	for i := range job.victims {
-		m.file.Discard(slotOff(base, i, job.chunk))
-	}
 	m.file.Discard(commitOff(base, size))
+	m.ssdFree[size] = append(m.ssdFree[size], base)
 }
 
-// ssdAllocContig bump-allocates one contiguous region for a merged flush.
-// Unlike ssdAlloc it does not scavenge on failure — freed regions are
-// job-sized, not run-sized — so callers fall back to per-job placement.
+// ssdAllocContig bump-allocates fresh arena. A merged run has nowhere else
+// to go — freed regions are job-sized, not run-sized — so on failure place
+// falls back to job-by-job placement.
 func (m *Manager) ssdAllocContig(size int64) (int64, bool) {
 	if m.ssdNext+size <= m.ssdLimit {
 		off := m.ssdNext
@@ -644,93 +700,31 @@ func (m *Manager) ssdAllocContig(size int64) (int64, bool) {
 	return 0, false
 }
 
-// placeVictims performs the SSD write and placement for one evicted slab.
-// freeRAM releases the victims' RAM chunks (the synchronous path; the
-// async and coalesced paths freed them at buffering time).
-//
-// The data write (header + slots) and the commit-record write are separate
-// device commands; the page becomes durable only when both land intact. On
-// an injected device write error the victims stay RAM-resident (unless the
-// device keeps failing past a small retry budget, in which case eviction
-// sheds them — a cache must make forward progress on a dying drive).
-func (m *Manager) placeVictims(p *sim.Proc, job flushJob, freeRAM bool) {
-	if job.gen != m.gen {
-		m.abandonJob(job)
-		return
-	}
-	defer func(gen0 uint64) {
-		if m.gen == gen0 {
-			m.jobDone()
-		}
-	}(m.gen)
-	size := regionSize(len(job.victims), job.chunk)
-	base, ok := m.ssdAlloc(size)
-	if !ok {
-		// SSD full: drop the victims entirely (LRU overflow discard).
-		m.dropJob(job, freeRAM)
-		return
-	}
-	gen0 := m.gen
-	data, commit := m.buildRegion(job, base, m.nextEpoch())
-	ok = m.file.WriteExtents(p, base, int(size)-PageCommitSize, data, m.flushScheme(job.class))
-	if m.gen != gen0 {
-		m.abandonJob(job)
-		return
-	}
-	if ok {
-		m.FlushWrites++
-		ok = m.file.WriteCommit(p, []pagecache.Extent{commit})
-		if m.gen != gen0 {
-			m.abandonJob(job)
-			return
-		}
-	}
-	if !ok {
-		m.FlushErrors++
-		m.flushFailStreak++
-		m.discardRegionExtents(base, job)
-		m.ssdFree[size] = append(m.ssdFree[size], base)
-		if m.flushFailStreak > flushFailBudget {
-			m.dropJob(job, freeRAM)
-			return
-		}
-		m.unflush(job, freeRAM)
-		return
-	}
-	m.flushFailStreak = 0
-	m.CommitWrites++
-	m.placeAt(job, base, freeRAM)
-}
-
-// flushFailBudget is how many consecutive eviction flushes may fail on
-// device write errors before eviction falls back to dropping victims
-// outright instead of keeping them RAM-resident (which would otherwise
-// livelock allocation against a persistently failing drive).
+// flushFailBudget is how many consecutive region writes may fail on device
+// write errors before eviction falls back to dropping victims outright
+// instead of keeping them RAM-resident (which would otherwise livelock
+// allocation against a persistently failing drive).
 const flushFailBudget = 3
 
-// unflush undoes a failed flush: the victims return to the RAM recency
-// list instead of being half-placed on the SSD. When their chunks were
-// already freed at staging time (freeRAM=false), they are re-allocated
-// without recursive eviction — victims that no longer fit are shed.
-func (m *Manager) unflush(job flushJob, freeRAM bool) {
+// unflush undoes a refused flush: the victims return to the RAM recency
+// list instead of being half-placed on the SSD. Chunks already freed at
+// staging time are re-allocated without recursive eviction — victims that no
+// longer fit are shed.
+func (m *Manager) unflush(job flushJob) {
 	for _, v := range job.victims {
 		v.inTransit = false
 		if v.dropped {
-			if freeRAM {
+			if job.inRAM {
 				m.alloc.Free(job.class)
 			}
 			continue
 		}
-		if !freeRAM {
+		if !job.inRAM {
 			switch m.alloc.Alloc(job.class) {
 			case slab.AllocOK, slab.AllocNewPage:
 			default:
-				// No RAM left and we must not evict from a failure path:
-				// shed the victim.
-				v.Value = nil
-				v.dropped = true
-				m.DropEvictions++
-				m.event(v, EvictDropped)
+				// No RAM left and we must not evict from a failure path.
+				m.shed(v)
 				continue
 			}
 		}
@@ -766,36 +760,40 @@ func (m *Manager) nextEpoch() uint64 {
 	return m.epoch
 }
 
-// dropJob discards a staged job's victims entirely (SSD full).
-func (m *Manager) dropJob(job flushJob, freeRAM bool) {
+// shed discards an item's value entirely: the key is dead, a Get of it a
+// miss. The caller has already released whatever storage the item held.
+func (m *Manager) shed(v *Item) {
+	v.Value = nil
+	v.dropped = true
+	m.DropEvictions++
+	m.event(v, EvictDropped)
+}
+
+// dropJob discards a job's victims entirely (SSD full, or a device failing
+// past its budget).
+func (m *Manager) dropJob(job flushJob) {
 	for _, v := range job.victims {
-		if freeRAM {
+		if job.inRAM {
 			m.alloc.Free(job.class)
 		}
 		v.inTransit = false
 		if !v.dropped {
-			v.Value = nil
-			v.dropped = true
-			m.DropEvictions++
-			m.event(v, EvictDropped)
+			m.shed(v)
 		}
 	}
 }
 
-// placeAt links one staged job's victims to their SSD slots at base; the
-// region write (header + slots) and its commit record have already landed.
-// Each job keeps its own ssdPage so arena reclaim stays page-granular even
-// when several jobs share one merged write.
-func (m *Manager) placeAt(job flushJob, base int64, freeRAM bool) {
-	victims, victimClass, chunk := job.victims, job.class, job.chunk
-	size := regionSize(len(victims), chunk)
-	pg := &ssdPage{base: base, size: size}
-	for i, v := range victims {
-		if freeRAM {
-			m.alloc.Free(victimClass)
+// placeAt links one landed job's victims to their SSD slots in the region
+// at base. Each job gets its own ssdPage, so arena reclaim stays
+// page-granular even when several jobs shared one merged write.
+func (m *Manager) placeAt(job flushJob, base int64) {
+	pg := &ssdPage{base: base, size: job.size()}
+	for i, v := range job.victims {
+		if job.inRAM {
+			m.alloc.Free(job.class)
 		}
 		v.inTransit = false
-		off := slotOff(base, i, chunk)
+		off := slotOff(base, i, job.chunk)
 		if v.dropped {
 			// Deleted or replaced while the flush was in flight: invalidate
 			// the slot the region write just placed so recovery cannot
@@ -811,42 +809,47 @@ func (m *Manager) placeAt(job flushJob, base int64, freeRAM bool) {
 		m.FlushedItems++
 		m.event(v, EvictLanded)
 	}
-	if pg.live == 0 {
-		// Every victim died mid-flush; recycle the region immediately.
-		m.file.Discard(base)
-		m.file.Discard(commitOff(base, size))
-		m.ssdFree[pg.size] = append(m.ssdFree[pg.size], pg.base)
-	} else {
-		m.ssdUsed += size
-	}
+	m.settle(pg)
 	m.FlushPages++
 }
 
-// ssdAlloc finds space for a flush page, reusing freed regions of the same
-// size, evicting cold SSD items if the arena is full.
+// settle accounts a freshly written region once its items are linked: one
+// nobody survived into (every item died while the write was in flight) is
+// recycled on the spot.
+func (m *Manager) settle(pg *ssdPage) {
+	if pg.live == 0 {
+		m.recycle(pg.base, pg.size)
+	} else {
+		m.ssdUsed += pg.size
+	}
+}
+
+// popFree takes a pooled region of exactly size, if there is one.
+func (m *Manager) popFree(size int64) (int64, bool) {
+	free := m.ssdFree[size]
+	if len(free) == 0 {
+		return 0, false
+	}
+	m.ssdFree[size] = free[:len(free)-1]
+	return free[len(free)-1], true
+}
+
+// ssdAlloc finds space for one region: a pooled region of the same size,
+// else fresh arena, else — the arena being full — whatever discarding cold
+// SSD items frees up.
 func (m *Manager) ssdAlloc(size int64) (int64, bool) {
-	if free := m.ssdFree[size]; len(free) > 0 {
-		off := free[len(free)-1]
-		m.ssdFree[size] = free[:len(free)-1]
+	if off, ok := m.popFree(size); ok {
 		return off, true
 	}
-	if m.ssdNext+size <= m.ssdLimit {
-		off := m.ssdNext
-		m.ssdNext += size
+	if off, ok := m.ssdAllocContig(size); ok {
 		return off, true
 	}
 	// Reclaim: drop LRU SSD items until a same-size free region appears.
 	for m.ssdLRU.Len() > 0 {
-		e := m.ssdLRU.PopBack()
-		v := e.Value
+		v := m.ssdLRU.PopBack().Value
 		m.freeSSD(v)
-		v.Value = nil
-		v.dropped = true
-		m.DropEvictions++
-		m.event(v, EvictDropped)
-		if free := m.ssdFree[size]; len(free) > 0 {
-			off := free[len(free)-1]
-			m.ssdFree[size] = free[:len(free)-1]
+		m.shed(v)
+		if off, ok := m.popFree(size); ok {
 			return off, true
 		}
 	}
@@ -860,19 +863,20 @@ func (m *Manager) freeSSD(it *Item) {
 	pg := it.ssdPage
 	pg.live--
 	if pg.live == 0 && !pg.compacting && !pg.quarantined {
-		// The region is dead: drop its header and commit record too, so a
-		// later recovery scan doesn't wade through an all-freed page.
 		// Quarantined regions are deliberately NOT pooled here — they sit
 		// out until the scrub pass reclaims them (ReclaimQuarantined), so
 		// the allocator can never place fresh data on suspect media
 		// before scrub has looked at it.
-		m.file.Discard(pg.base)
-		m.file.Discard(commitOff(pg.base, pg.size))
-		m.ssdFree[pg.size] = append(m.ssdFree[pg.size], pg.base)
-		m.ssdUsed -= pg.size
+		m.retireRegion(pg)
 	}
 	it.onSSD = false
 	it.ssdPage = nil
+}
+
+// retireRegion recycles an accounted region whose last live slot is gone.
+func (m *Manager) retireRegion(pg *ssdPage) {
+	m.recycle(pg.base, pg.size)
+	m.ssdUsed -= pg.size
 }
 
 // Load fetches the item's value for a Get, charging p the chunk copy and,

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"hybridkv/internal/blockdev"
-	"hybridkv/internal/pagecache"
 	"hybridkv/internal/sim"
 )
 
@@ -89,11 +88,8 @@ func (m *Manager) ReclaimQuarantined() int {
 			kept = append(kept, pg)
 			continue
 		}
-		m.file.Discard(pg.base)
-		m.file.Discard(commitOff(pg.base, pg.size))
 		pg.quarantined = false
-		m.ssdFree[pg.size] = append(m.ssdFree[pg.size], pg.base)
-		m.ssdUsed -= pg.size
+		m.retireRegion(pg)
 		m.QuarantineReclaims++
 		n++
 	}
@@ -178,22 +174,10 @@ func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) 
 			continue // arena exhausted; leave the region for a later pass
 		}
 		job := flushJob{victims: keep, class: class, chunk: chunk, gen: gen0}
-		data, cext := m.buildRegion(job, newBase, m.nextEpoch())
-		scheme := m.flushScheme(class)
-		okW := m.file.WriteExtents(p, newBase, int(newSize)-PageCommitSize, data, scheme)
-		if m.gen != gen0 {
+		switch m.writeRun(p, []flushJob{job}, newBase, m.flushScheme(class)) {
+		case runAbandoned:
 			return moved, corrupt
-		}
-		if okW {
-			okW = m.file.WriteCommit(p, []pagecache.Extent{cext})
-			if m.gen != gen0 {
-				return moved, corrupt
-			}
-		}
-		if !okW {
-			m.FlushErrors++
-			m.discardRegionExtents(newBase, job)
-			m.ssdFree[newSize] = append(m.ssdFree[newSize], newBase)
+		case runRefused:
 			continue
 		}
 		newPg := &ssdPage{base: newBase, size: newSize}

@@ -65,7 +65,7 @@ func (m *Manager) AbortEvictionBatches() {
 		w := m.windows[p]
 		delete(m.windows, p)
 		for _, job := range w.jobs {
-			m.dropJob(job, false)
+			m.dropJob(job)
 			m.jobDone()
 		}
 		m.AbortedWindows++
@@ -182,7 +182,7 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 		if !committed {
 			rep.PagesUncommitted++
 			rep.PagesDiscarded++
-			m.purgeRegion(base, hdr)
+			m.purgeRegion(base, len(hdr.Items), hdr.Chunk)
 			continue
 		}
 
@@ -242,14 +242,14 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 		if corrupt {
 			rep.PagesTorn++
 			rep.PagesDiscarded++
-			m.purgeRegion(base, hdr)
+			m.purgeRegion(base, len(hdr.Items), hdr.Chunk)
 			continue
 		}
 		rep.ItemsMissing += missing
 		if pg.live == 0 {
 			// Every slot was freed before the crash.
 			rep.PagesDiscarded++
-			m.purgeRegion(base, hdr)
+			m.purgeRegion(base, len(hdr.Items), hdr.Chunk)
 			continue
 		}
 		pages = append(pages, rp)
@@ -262,7 +262,7 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 		if rp.pg.live == 0 {
 			// Fully demoted by duplicate resolution after being scanned.
 			rep.PagesDiscarded++
-			m.ssdFree[rp.pg.size] = append(m.ssdFree[rp.pg.size], rp.pg.base)
+			m.recycle(rp.pg.base, rp.pg.size)
 			continue
 		}
 		rep.PagesRecovered++
@@ -292,16 +292,4 @@ func (m *Manager) demoteRecovered(it *Item) {
 	it.ssdPage.live--
 	it.Value = nil
 	it.dropped = true
-}
-
-// purgeRegion invalidates a discarded page's durable extents and returns
-// its region to the free pool.
-func (m *Manager) purgeRegion(base int64, hdr *pageHeader) {
-	size := regionSize(len(hdr.Items), hdr.Chunk)
-	m.file.Discard(base)
-	for i := range hdr.Items {
-		m.file.Discard(slotOff(base, i, hdr.Chunk))
-	}
-	m.file.Discard(commitOff(base, size))
-	m.ssdFree[size] = append(m.ssdFree[size], base)
 }
