@@ -52,25 +52,15 @@ func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) int64 {
 	return reclaimed
 }
 
-// compactPage moves a region's live items into a fresh dense region. The
-// rewrite uses the same crash-consistent format as eviction flushes: a
-// checksummed header plus per-slot item records, committed by a journaled
-// commit record — a crash mid-compaction leaves the old region authoritative
-// and the half-written new region uncommitted.
+// compactPage moves a region's live items into a fresh dense region.
 func (m *Manager) compactPage(p *sim.Proc, pg *ssdPage, items []*Item) int64 {
 	if len(items) == 0 {
 		return 0
 	}
-	pg.compacting = true
+	pg.relocating = true
 	gen0 := m.gen
 	class := items[0].class
 	chunk := m.alloc.ChunkSize(class)
-	newSize := regionSize(len(items), chunk)
-	newBase, ok := m.ssdAlloc(newSize)
-	if !ok {
-		pg.compacting = false
-		return 0 // arena exhausted; leave the region as is
-	}
 	// Read the live chunks (one scattered read per item — compaction runs
 	// in the background, so latency is off the request path), then write
 	// the dense region in one sweep.
@@ -85,32 +75,66 @@ func (m *Manager) compactPage(p *sim.Proc, pg *ssdPage, items []*Item) int64 {
 			return 0 // cold restart mid-compaction: abandon
 		}
 	}
-	job := flushJob{victims: items, class: class, chunk: chunk, gen: gen0}
-	switch m.writeRun(p, []flushJob{job}, newBase, scheme) {
-	case runAbandoned:
-		return 0
-	case runRefused:
-		// Device write error: the old region stays authoritative.
-		pg.compacting = false
+	fresh, _ := m.rewrite(p, pg, items)
+	if fresh == nil {
 		return 0
 	}
-	newPg := &ssdPage{base: newBase, size: newSize}
-	for i, it := range items {
-		off := slotOff(newBase, i, chunk)
-		if it.dropped || !it.onSSD {
+	m.Compactions++
+	return pg.size - fresh.size
+}
+
+// rewrite is the second half of a relocation: the items of region old that
+// are to survive move into one fresh, dense region, written through writeRun
+// in the crash-consistent format of every flush — a crash mid-relocation
+// leaves the old region authoritative and the half-written new one
+// uncommitted. So does a refused write or an exhausted arena (a later pass
+// retries). It returns the fresh region, nil when none landed, and false
+// when a cold restart abandoned the relocation: the caller must stop.
+//
+// old is marked relocating, so it is rewrite's to retire: freeSSD does not
+// pool it while the write is in flight, however many of its items die, and
+// rewrite pools it once its last slot is gone — unless it is quarantined,
+// when ReclaimQuarantined owns its release.
+func (m *Manager) rewrite(p *sim.Proc, old *ssdPage, keep []*Item) (fresh *ssdPage, alive bool) {
+	if len(keep) > 0 {
+		class := keep[0].class
+		job := flushJob{victims: keep, class: class, chunk: m.alloc.ChunkSize(class), gen: m.gen}
+		if base, ok := m.ssdAlloc(job.size()); ok {
+			switch m.writeRun(p, []flushJob{job}, base, m.flushScheme(class)) {
+			case runAbandoned:
+				return nil, false
+			case runLanded:
+				fresh = m.relink(job, base)
+			}
+		}
+	}
+	old.relocating = false
+	if old.live == 0 && !old.quarantined {
+		m.retireRegion(old)
+	}
+	return fresh, true
+}
+
+// relink moves a relocation's survivors to their slots in the region just
+// written at base. An item released, replaced or scavenged while the write
+// was in flight gives its new slot up; the others free their old slot by
+// hand — the old region's retirement is rewrite's, so freeSSD's pooling path
+// must not run.
+func (m *Manager) relink(job flushJob, base int64) *ssdPage {
+	pg := &ssdPage{base: base, size: job.size()}
+	for i, it := range job.victims {
+		off := slotOff(base, i, job.chunk)
+		if it.dropped {
 			m.file.Discard(off)
 			continue
 		}
 		m.file.Discard(it.ssdOff)
-		it.ssdOff = off
-		it.ssdPage = newPg
-		newPg.live++
+		it.ssdPage.live--
+		it.ssdOff, it.ssdPage = off, pg
+		pg.live++
 	}
-	// Retire the old region entirely.
-	m.retireRegion(pg)
-	m.ssdUsed += newSize
-	m.Compactions++
-	return pg.size - newSize
+	m.settle(pg)
+	return pg
 }
 
 // StartCompactor runs Compact every interval until StopCompactor is called.

@@ -100,9 +100,10 @@ type ssdPage struct {
 	base int64
 	size int64
 	live int
-	// compacting marks a region being rewritten: freeSSD must not return
-	// it to the pool (the compactor retires it exactly once).
-	compacting bool
+	// relocating marks a region whose live items are being moved out:
+	// freeSSD must not return it to the pool (the relocation retires it,
+	// exactly once).
+	relocating bool
 	// quarantined marks a region that served corrupt bits: the allocator
 	// must never reuse it until a scrub pass reclaims it (ReclaimQuarantined).
 	quarantined bool
@@ -862,7 +863,7 @@ func (m *Manager) freeSSD(it *Item) {
 	m.file.Discard(it.ssdOff)
 	pg := it.ssdPage
 	pg.live--
-	if pg.live == 0 && !pg.compacting && !pg.quarantined {
+	if pg.live == 0 && !pg.relocating && !pg.quarantined {
 		// Quarantined regions are deliberately NOT pooled here — they sit
 		// out until the scrub pass reclaims them (ReclaimQuarantined), so
 		// the allocator can never place fresh data on suspect media

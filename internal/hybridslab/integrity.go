@@ -159,46 +159,18 @@ func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) 
 			}
 			keep = append(keep, it)
 		}
-		if len(keep) == 0 {
-			continue
-		}
-		// Rewrite the verified survivors into a fresh dense region, the
-		// same crash-consistent format the compactor uses. On any write
+		// Rewrite the verified survivors onto trusted media. On any write
 		// failure the old slots stay authoritative (still quarantined, so
 		// nothing new lands there) and the next scrub round retries.
-		class := keep[0].class
-		chunk := m.alloc.ChunkSize(class)
-		newSize := regionSize(len(keep), chunk)
-		newBase, okA := m.ssdAlloc(newSize)
-		if !okA {
-			continue // arena exhausted; leave the region for a later pass
-		}
-		job := flushJob{victims: keep, class: class, chunk: chunk, gen: gen0}
-		switch m.writeRun(p, []flushJob{job}, newBase, m.flushScheme(class)) {
-		case runAbandoned:
+		pg.relocating = true
+		fresh, alive := m.rewrite(p, pg, keep)
+		if !alive {
 			return moved, corrupt
-		case runRefused:
-			continue
 		}
-		newPg := &ssdPage{base: newBase, size: newSize}
-		for i, it := range keep {
-			off := slotOff(newBase, i, chunk)
-			if it.dropped || !it.onSSD {
-				m.file.Discard(off)
-				continue
-			}
-			// Free the old slot by hand: the old region must stay
-			// quarantined (ReclaimQuarantined owns its release and its
-			// arena accounting), so freeSSD's pooling path must not run.
-			m.file.Discard(it.ssdOff)
-			it.ssdPage.live--
-			it.ssdOff = off
-			it.ssdPage = newPg
-			newPg.live++
-			moved++
-			m.QuarantineEvacuated++
+		if fresh != nil {
+			moved += fresh.live
+			m.QuarantineEvacuated += int64(fresh.live)
 		}
-		m.ssdUsed += newSize
 	}
 	return moved, corrupt
 }

@@ -1,0 +1,171 @@
+package hybridslab
+
+import (
+	"sort"
+	"testing"
+
+	"hybridkv/internal/sim"
+)
+
+// relocation names the two callers of the one relocation, for tests that
+// must hold on both: the compactor over a sparse region, and the scrub pass's
+// evacuation over a quarantined one.
+type relocation struct {
+	name string
+	// prepare leaves region 0 of a rotFixture (items[0..30]) with exactly
+	// two live, clean slots — items[0] and items[1] — selected for this
+	// relocation.
+	prepare func(t *testing.T, env *sim.Env, m *Manager, items []*Item)
+	run     func(p *sim.Proc, m *Manager)
+}
+
+var relocations = []relocation{
+	{
+		name: "compaction",
+		prepare: func(t *testing.T, env *sim.Env, m *Manager, items []*Item) {
+			cutRegion(t, m, items, 2)
+		},
+		run: func(p *sim.Proc, m *Manager) { m.Compact(p, 0.5) },
+	},
+	{
+		name: "evacuation",
+		prepare: func(t *testing.T, env *sim.Env, m *Manager, items []*Item) {
+			// A record that no longer matches its header summary fails
+			// verification and quarantines the region; its siblings are clean.
+			bad := items[2]
+			m.file.SetExtent(bad.ssdOff, m.alloc.ChunkSize(bad.class), &itemRecord{Key: "not-the-key", ValueSize: bad.ValueSize})
+			var err error
+			env.Spawn("trip", func(p *sim.Proc) { _, err = m.Load(p, bad) })
+			env.Run()
+			if err != ErrCorrupt || len(m.quarantine) != 1 {
+				t.Fatalf("fixture: planted mismatch gave err=%v, %d quarantined", err, len(m.quarantine))
+			}
+			cutRegion(t, m, items, 2)
+		},
+		run: func(p *sim.Proc, m *Manager) { m.EvacuateQuarantined(p) },
+	},
+}
+
+// cutRegion releases all but the first keep items of the fixture's first
+// flush region.
+func cutRegion(t *testing.T, m *Manager, items []*Item, keep int) {
+	t.Helper()
+	pg := items[0].ssdPage
+	for _, it := range items[keep:] {
+		if it.ssdPage == pg && !it.dropped {
+			m.Release(it)
+		}
+	}
+	if pg.live != keep {
+		t.Fatalf("fixture: region 0 holds %d live slots, want %d", pg.live, keep)
+	}
+}
+
+// checkArena asserts that the SSD arena is partitioned: every byte below the
+// bump pointer belongs to exactly one of a region holding a live slot, a
+// quarantined region, the free pool, or one of the stranded intervals the
+// caller names (pages recovery could not size); and that ssdUsed is the sum
+// of the first two.
+func checkArena(t *testing.T, m *Manager, stranded ...[2]int64) {
+	t.Helper()
+	type span struct {
+		base, size int64
+		what       string
+	}
+	var spans []span
+	var used int64
+	seen := map[*ssdPage]bool{}
+	held := func(pg *ssdPage, what string) {
+		if !seen[pg] {
+			seen[pg] = true
+			spans = append(spans, span{pg.base, pg.size, what})
+			used += pg.size
+		}
+	}
+	live := map[*ssdPage]int{}
+	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
+		it := e.Value
+		if it.dropped || !it.onSSD || it.inTransit || it.ssdPage == nil {
+			t.Errorf("%q is on the SSD recency list but dropped=%v onSSD=%v inTransit=%v page=%v",
+				it.Key, it.dropped, it.onSSD, it.inTransit, it.ssdPage)
+			continue
+		}
+		if _, ok := m.file.Peek(it.ssdOff); !ok {
+			t.Errorf("%q claims slot %d, which holds nothing", it.Key, it.ssdOff)
+		}
+		live[it.ssdPage]++
+		held(it.ssdPage, "live")
+	}
+	for pg, n := range live {
+		if pg.live != n {
+			t.Errorf("region %d counts %d live slots, the recency list holds %d", pg.base, pg.live, n)
+		}
+	}
+	for _, pg := range m.quarantine {
+		if !pg.quarantined {
+			t.Errorf("region %d is on the quarantine list without the flag", pg.base)
+		}
+		held(pg, "quarantined")
+	}
+	for size, bases := range m.ssdFree {
+		for _, base := range bases {
+			spans = append(spans, span{base, size, "free"})
+		}
+	}
+	for _, s := range stranded {
+		spans = append(spans, span{s[0], s[1] - s[0], "stranded"})
+	}
+	if used != m.ssdUsed {
+		t.Errorf("ssdUsed = %d, regions holding live slots or quarantined sum to %d", m.ssdUsed, used)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].base < spans[j].base })
+	at := int64(0)
+	for _, s := range spans {
+		switch {
+		case s.base < at:
+			t.Errorf("arena: %s region [%d,%d) overlaps the one before it (ends %d)", s.what, s.base, s.base+s.size, at)
+		case s.base > at:
+			t.Errorf("arena: [%d,%d) belongs to nothing (%d bytes lost)", at, s.base, s.base-at)
+		}
+		if end := s.base + s.size; end > at {
+			at = end
+		}
+	}
+	if at != m.ssdNext {
+		t.Errorf("arena: regions end at %d, the bump pointer is %d (%d bytes lost)", at, m.ssdNext, m.ssdNext-at)
+	}
+}
+
+// relocationTime is how long the relocation of the prepared region takes on
+// an otherwise idle manager.
+func relocationTime(t *testing.T, r relocation) sim.Time {
+	env, m, _, items := rotFixture(t, false)
+	r.prepare(t, env, m, items)
+	t0 := env.Now()
+	env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
+	return env.Run() - t0
+}
+
+// A relocation whose survivors all die while its write is in flight must
+// leave no region behind: the new region nobody survived into is recycled,
+// not counted as used and stranded.
+func TestRelocationNobodySurvivedIntoIsRecycled(t *testing.T) {
+	for _, r := range relocations {
+		t.Run(r.name, func(t *testing.T) {
+			env, m, _, items := rotFixture(t, false)
+			r.prepare(t, env, m, items)
+			total := relocationTime(t, r)
+			env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
+			env.Spawn("release", func(p *sim.Proc) {
+				// Past both slot reads, inside the region write.
+				p.Sleep(total - 100*sim.Microsecond)
+				m.Release(items[0])
+				m.Release(items[1])
+			})
+			env.Run()
+			checkArena(t, m)
+			m.ReclaimQuarantined()
+			checkArena(t, m)
+		})
+	}
+}
