@@ -1,3 +1,12 @@
+// Relocation: moving the live items of an SSD flush region into a fresh,
+// dense one. Two policies select regions for it. Compaction picks sparse
+// ones: page-granular reclaim (fatcache-style) leaves dead slots inside
+// regions whose other items are still live, and under delete/replace churn
+// the arena fills with holes; rewriting the live remainder densely returns
+// the old region to the free pool — the flash-friendly sequential rewrite a
+// real SSD cache performs during maintenance windows. Evacuation
+// (EvacuateQuarantined, integrity.go) picks quarantined ones: suspect media
+// is drained onto trusted media before the scrub pass reclaims it.
 package hybridslab
 
 import (
@@ -6,103 +15,80 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// SSD arena compaction. Page-granular reclaim (fatcache-style) leaves dead
-// slots inside flush regions whose other items are still live; under
-// delete/replace churn the arena fills with holes. Compact rewrites the
-// live remainder of fragmented regions into fresh, dense regions and
-// returns the old regions to the free pool — the flash-friendly sequential
-// rewrite a real SSD cache performs during maintenance windows.
+// liveRegion is one flush region and the live items in it, coldest first.
+type liveRegion struct {
+	pg    *ssdPage
+	items []*Item
+}
 
-// Compact rewrites every flush region whose live share is at or below
-// liveThreshold (e.g. 0.5 = half dead), charging p the region reads and the
-// batched rewrite. It returns the number of arena bytes reclaimed.
-func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) int64 {
-	if m.file == nil {
-		return 0
-	}
-	// Group live SSD items by their flush region.
+// liveRegions scans the SSD recency list once, groups the live items by
+// flush region, and returns the regions pred selects in arena order
+// (deterministic), each marked relocating: from here on the region is the
+// relocation's to retire — freeSSD leaves it out of the pool however many of
+// its items die before relocate gets to it. A region another relocation
+// already holds is not offered.
+func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveRegion {
 	groups := make(map[*ssdPage][]*Item)
 	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
-		it := e.Value
-		// Quarantined regions are the scrub pass's to drain and reclaim
-		// (EvacuateQuarantined); the compactor must not pool suspect media.
-		if it.ssdPage != nil && !it.ssdPage.quarantined {
-			groups[it.ssdPage] = append(groups[it.ssdPage], it)
+		if pg := e.Value.ssdPage; pg != nil && !pg.relocating {
+			groups[pg] = append(groups[pg], e.Value)
 		}
 	}
-	// Deterministic processing order.
-	pages := make([]*ssdPage, 0, len(groups))
-	for pg := range groups {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].base < pages[j].base })
-
-	var reclaimed int64
-	for _, pg := range pages {
-		items := groups[pg]
-		liveBytes := 0
-		for _, it := range items {
-			liveBytes += m.alloc.ChunkSize(it.class)
+	var regions []liveRegion
+	for pg, items := range groups {
+		if pred(pg, items) {
+			pg.relocating = true
+			regions = append(regions, liveRegion{pg, items})
 		}
-		if float64(liveBytes) > liveThreshold*float64(pg.size) {
-			continue // dense enough
-		}
-		reclaimed += m.compactPage(p, pg, items)
 	}
-	return reclaimed
+	sort.Slice(regions, func(i, j int) bool { return regions[i].pg.base < regions[j].pg.base })
+	return regions
 }
 
-// compactPage moves a region's live items into a fresh dense region.
-func (m *Manager) compactPage(p *sim.Proc, pg *ssdPage, items []*Item) int64 {
-	if len(items) == 0 {
-		return 0
-	}
-	pg.relocating = true
-	gen0 := m.gen
-	class := items[0].class
-	chunk := m.alloc.ChunkSize(class)
-	// Read the live chunks (one scattered read per item — compaction runs
-	// in the background, so latency is off the request path), then write
-	// the dense region in one sweep.
-	scheme := m.flushScheme(class)
-	for _, it := range items {
-		if _, okR := m.file.Read(p, it.ssdOff, chunk, scheme); !okR {
-			// Raced with corruption; the item will be retired on its next
-			// Load. Skip it here.
-			continue
-		}
-		if m.gen != gen0 {
-			return 0 // cold restart mid-compaction: abandon
-		}
-	}
-	fresh, _ := m.rewrite(p, pg, items)
-	if fresh == nil {
-		return 0
-	}
-	m.Compactions++
-	return pg.size - fresh.size
-}
-
-// rewrite is the second half of a relocation: the items of region old that
-// are to survive move into one fresh, dense region, written through writeRun
-// in the crash-consistent format of every flush — a crash mid-relocation
+// relocate moves the live items of region old (marked by liveRegions) into
+// one fresh, dense region. Every item's slot is read back first — one
+// scattered read each; relocation runs in the background, off the request
+// path — and verified exactly as a Load verifies it (readSlot): what is
+// rewritten is what the media still holds, never the in-memory item under a
+// fresh checksum. Items that fail are retired and returned, so the store can
+// drop their table entries and open replica repairs; items released or
+// replaced meanwhile are skipped. The survivors are written through writeRun,
+// in the crash-consistent format of every flush: a crash mid-relocation
 // leaves the old region authoritative and the half-written new one
 // uncommitted. So does a refused write or an exhausted arena (a later pass
-// retries). It returns the fresh region, nil when none landed, and false
-// when a cold restart abandoned the relocation: the caller must stop.
+// retries).
 //
-// old is marked relocating, so it is rewrite's to retire: freeSSD does not
-// pool it while the write is in flight, however many of its items die, and
-// rewrite pools it once its last slot is gone — unless it is quarantined,
-// when ReclaimQuarantined owns its release.
-func (m *Manager) rewrite(p *sim.Proc, old *ssdPage, keep []*Item) (fresh *ssdPage, alive bool) {
+// It returns the fresh region (nil when none landed) and false when a cold
+// restart abandoned the relocation: the caller must stop. Otherwise old is
+// unmarked and, once its last slot is gone, pooled — unless it is
+// quarantined, when ReclaimQuarantined owns its release.
+func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssdPage, corrupt []*Item, alive bool) {
+	gen0 := m.gen
+	class := items[0].class
+	scheme := m.flushScheme(class)
+	keep := items[:0]
+	for _, it := range items {
+		_, state := m.readSlot(p, it, scheme)
+		if m.gen != gen0 {
+			return nil, corrupt, false
+		}
+		switch state {
+		case slotClean:
+			keep = append(keep, it)
+		case slotLost:
+			m.retire(it)
+			corrupt = append(corrupt, it)
+		case slotCorrupt:
+			m.quarantineCorrupt(it)
+			corrupt = append(corrupt, it)
+		}
+	}
 	if len(keep) > 0 {
-		class := keep[0].class
-		job := flushJob{victims: keep, class: class, chunk: m.alloc.ChunkSize(class), gen: m.gen}
+		job := flushJob{victims: keep, class: class, chunk: m.alloc.ChunkSize(class), gen: gen0}
 		if base, ok := m.ssdAlloc(job.size()); ok {
-			switch m.writeRun(p, []flushJob{job}, base, m.flushScheme(class)) {
+			switch m.writeRun(p, []flushJob{job}, base, scheme) {
 			case runAbandoned:
-				return nil, false
+				return nil, corrupt, false
 			case runLanded:
 				fresh = m.relink(job, base)
 			}
@@ -112,13 +98,13 @@ func (m *Manager) rewrite(p *sim.Proc, old *ssdPage, keep []*Item) (fresh *ssdPa
 	if old.live == 0 && !old.quarantined {
 		m.retireRegion(old)
 	}
-	return fresh, true
+	return fresh, corrupt, true
 }
 
 // relink moves a relocation's survivors to their slots in the region just
 // written at base. An item released, replaced or scavenged while the write
 // was in flight gives its new slot up; the others free their old slot by
-// hand — the old region's retirement is rewrite's, so freeSSD's pooling path
+// hand — the old region's retirement is relocate's, so freeSSD's pooling path
 // must not run.
 func (m *Manager) relink(job flushJob, base int64) *ssdPage {
 	pg := &ssdPage{base: base, size: job.size()}
@@ -135,6 +121,32 @@ func (m *Manager) relink(job flushJob, base int64) *ssdPage {
 	}
 	m.settle(pg)
 	return pg
+}
+
+// Compact relocates every flush region whose live share is at or below
+// liveThreshold (e.g. 0.5 = half dead), charging p the slot reads and the
+// dense rewrites. It returns the number of arena bytes reclaimed.
+func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) (reclaimed int64) {
+	if m.file == nil {
+		return 0
+	}
+	// Quarantined regions are the scrub pass's to drain and reclaim
+	// (EvacuateQuarantined); the compactor must not pool suspect media.
+	sparse := m.liveRegions(func(pg *ssdPage, live []*Item) bool {
+		liveBytes := len(live) * m.alloc.ChunkSize(live[0].class)
+		return !pg.quarantined && float64(liveBytes) <= liveThreshold*float64(pg.size)
+	})
+	for _, r := range sparse {
+		fresh, _, alive := m.relocate(p, r.pg, r.items)
+		if !alive {
+			break
+		}
+		if fresh != nil {
+			m.Compactions++
+			reclaimed += r.pg.size - fresh.size
+		}
+	}
+	return reclaimed
 }
 
 // StartCompactor runs Compact every interval until StopCompactor is called.

@@ -22,9 +22,7 @@ import (
 	"errors"
 	"fmt"
 
-	"hybridkv/internal/blockdev"
 	"hybridkv/internal/pagecache"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
 )
@@ -907,58 +905,17 @@ func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
 		return it.Value, nil
 	}
 	t0 := p.Now()
-	chunk := m.alloc.ChunkSize(it.class)
-	v, ok := m.file.Read(p, it.ssdOff, chunk, m.loadScheme(it.class))
+	v, state := m.readSlot(p, it, m.loadScheme(it.class))
 	m.SSDLoads++
-	if it.gen != m.gen {
+	switch state {
+	case slotGone:
 		return nil, ErrDropped
-	}
-	if it.dropped {
+	case slotLost:
+		m.retire(it)
 		return nil, ErrDropped
-	}
-	if rot, isRot := v.(blockdev.Rotted); ok && isRot {
-		// The media cells rotted under this slot since it was flushed.
-		// With verification on this is exactly what the page-header
-		// checksum / key-digest re-check catches: quarantine the region
-		// and fail typed, never surfacing the bits. The check itself
-		// charges no extra time — it rides the chunk read already paid
-		// for — so defense and nodefense cells stay time-comparable.
-		if !m.cfg.NoVerify {
-			return nil, m.quarantineCorrupt(it)
-		}
-		// Verification disabled: serve the rotted bits as a garbled
-		// value, the silent-corruption failure mode the nodefense cells
-		// of the bitrot experiment measure.
-		if rec, isRec := rot.Payload.(*itemRecord); isRec {
-			v = protocol.Garbled{Inner: rec.Value}
-		} else {
-			v = protocol.Garbled{Inner: rot.Payload}
-		}
-	} else if rec, isRec := v.(*itemRecord); ok && isRec {
-		// Slots store the full item record (key + metadata ride along for
-		// recovery); the value is what the caller wants.
-		if !m.cfg.NoVerify && !m.verifySlot(it, rec) {
-			return nil, m.quarantineCorrupt(it)
-		}
-		v = rec.Value
-	}
-	if !ok {
-		if it.onSSD {
-			// The extent is gone while the item still claims it: an
-			// uncorrectable device read (or injected corruption). A cache
-			// may lose data; retire the item so the key reads as a miss
-			// and the client re-populates from the backend.
-			m.ssdLRU.Remove(&it.lru)
-			m.freeSSD(it)
-			it.Value = nil
-			it.dropped = true
-			m.CorruptLoads++
-			m.event(it, EvictDropped)
-			return nil, ErrDropped
-		}
-		// Raced with a replace that moved the value while the device read
-		// was in flight: the item's live value is current.
-		v = it.Value
+	case slotCorrupt:
+		m.quarantineCorrupt(it)
+		return nil, ErrCorrupt
 	}
 	p.Sleep(memcpyTime(it.ValueSize))
 	m.SSDLoadTime += p.Now() - t0

@@ -1,18 +1,19 @@
-// Foreground read integrity: every SSD load re-checks the page-header
-// checksum and the header's per-slot key digest against the record just
-// read — the same validation recovery applies, moved onto the hot read
-// path so latent media corruption (bit-rot) is caught when it is read, not
-// only after the next crash. A failed check retires the item, quarantines
-// the whole region (the allocator must not place fresh data on suspect
-// media), and surfaces a typed ErrCorrupt so the server can repair from
-// replicas instead of answering with garbage or a silent miss.
+// Read integrity: every read of an SSD slot — a Get's, a relocation's —
+// re-checks the page-header checksum and the header's per-slot key digest
+// against the record just read — the same validation recovery applies, moved
+// onto the read path so latent media corruption (bit-rot) is caught when it
+// is read, not only after the next crash. A failed check retires the item,
+// quarantines the whole region (the allocator must not place fresh data on
+// suspect media), and surfaces a typed ErrCorrupt so the server can repair
+// from replicas instead of answering with garbage or a silent miss.
 package hybridslab
 
 import (
 	"errors"
-	"sort"
 
 	"hybridkv/internal/blockdev"
+	"hybridkv/internal/pagecache"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -21,6 +22,62 @@ import (
 // Distinct from ErrDropped (a legal eviction) so the store layer can turn
 // it into a replica repair-pull instead of a plain miss.
 var ErrCorrupt = errors.New("hybridslab: on-SSD contents failed integrity verification")
+
+// slotState is what reading an item's SSD slot back found.
+type slotState int
+
+const (
+	// slotClean: the value returned is the item's.
+	slotClean slotState = iota
+	// slotGone: the item was released or replaced, or its incarnation torn
+	// down by a cold restart, before the read returned.
+	slotGone
+	// slotLost: the extent is gone while the item still claims it — an
+	// uncorrectable device read (or injected corruption).
+	slotLost
+	// slotCorrupt: bits came back, and they fail verification.
+	slotCorrupt
+)
+
+// readSlot is the one read of an SSD slot and the one statement of the
+// verify rule: it charges p the chunk read under scheme and classifies what
+// came back. With verification on, the read must return an item record the
+// media did not rot, and one verifySlot accepts against the region header;
+// anything else is slotCorrupt, and the bits are never surfaced. The check
+// itself charges no extra time — it rides the chunk read already paid for —
+// so defense and nodefense cells stay time-comparable. With NoVerify nothing
+// is checked, and rotted bits are served as a garbled value: the silent-
+// corruption failure mode the nodefense cells of the bitrot experiment
+// measure. What the caller does about a slot that is not clean — retire the
+// item, quarantine the region — is the caller's.
+func (m *Manager) readSlot(p *sim.Proc, it *Item, scheme pagecache.Scheme) (any, slotState) {
+	v, ok := m.file.Read(p, it.ssdOff, m.alloc.ChunkSize(it.class), scheme)
+	switch {
+	case it.gen != m.gen || it.dropped:
+		return nil, slotGone
+	case !ok:
+		return nil, slotLost
+	}
+	rot, rotted := v.(blockdev.Rotted)
+	if rotted {
+		v = rot.Payload
+	}
+	// Slots store the full item record (key and metadata ride along for
+	// recovery); the value is what a reader wants.
+	rec, isRec := v.(*itemRecord)
+	if isRec {
+		v = rec.Value
+	}
+	switch {
+	case m.cfg.NoVerify && rotted:
+		return protocol.Garbled{Inner: v}, slotClean
+	case m.cfg.NoVerify:
+		return v, slotClean
+	case rotted || !isRec || !m.verifySlot(it, rec):
+		return nil, slotCorrupt
+	}
+	return v, slotClean
+}
 
 // verifySlot re-checks a just-read slot against its region header: the
 // header checksum must hold, and the header's digest and length for this
@@ -54,29 +111,36 @@ func (m *Manager) verifySlot(it *Item, rec *itemRecord) bool {
 	return im.Digest == keyDigest(rec.Key) && im.Len == rec.ValueSize && rec.Key == it.Key
 }
 
-// quarantineCorrupt retires an item whose SSD read failed verification and
+// quarantineCorrupt retires an item whose slot failed verification and
 // quarantines its region: the slot is freed, but the region never returns
 // to the free pool until ReclaimQuarantined releases it.
-func (m *Manager) quarantineCorrupt(it *Item) error {
-	if pg := it.ssdPage; pg != nil && !pg.quarantined {
+func (m *Manager) quarantineCorrupt(it *Item) {
+	if pg := it.ssdPage; !pg.quarantined {
 		pg.quarantined = true
 		m.quarantine = append(m.quarantine, pg)
 		m.QuarantinedPages++
 	}
+	m.retire(it)
+}
+
+// retire gives up an SSD-resident item whose slot cannot be read back. A
+// cache may lose data: the key reads as a miss from here on, and the client
+// re-populates it from the backend (or the server from a replica).
+func (m *Manager) retire(it *Item) {
 	m.ssdLRU.Remove(&it.lru)
 	m.freeSSD(it)
 	it.Value = nil
 	it.dropped = true
 	m.CorruptLoads++
 	m.event(it, EvictDropped)
-	return ErrCorrupt
 }
 
 // ReclaimQuarantined releases fully-dead quarantined regions back to the
 // free pool — the scrub pass calls this after its repair round, which is
 // what "the allocator never reuses a corrupt page until scrubbed" means
 // operationally. Regions still holding live slots stay quarantined until
-// their last slot is freed. Returns the number of regions reclaimed.
+// their last slot is freed, and one being evacuated is the relocation's
+// until it is done. Returns the number of regions reclaimed.
 func (m *Manager) ReclaimQuarantined() int {
 	if len(m.quarantine) == 0 {
 		return 0
@@ -84,7 +148,7 @@ func (m *Manager) ReclaimQuarantined() int {
 	kept := m.quarantine[:0]
 	n := 0
 	for _, pg := range m.quarantine {
-		if pg.live > 0 {
+		if pg.live > 0 || pg.relocating {
 			kept = append(kept, pg)
 			continue
 		}
@@ -100,72 +164,27 @@ func (m *Manager) ReclaimQuarantined() int {
 // QuarantineHeld reports regions currently held in quarantine.
 func (m *Manager) QuarantineHeld() int { return len(m.quarantine) }
 
-// EvacuateQuarantined is the scrub pass over quarantined media: every live
-// slot still sitting on a quarantined region is re-read from the device and
-// re-verified. Slots that verify clean are rewritten into a fresh dense
-// region (the compaction rewrite, on trusted media); slots that fail are
-// retired and returned so the store can drop their table entries and open
-// replica repairs. After a full evacuation the regions hold no live slots,
-// and ReclaimQuarantined returns them to the free pool — which together is
-// what "a corrupt page is never reused until scrubbed" means operationally:
-// suspect media is drained, re-verified, and only then reclaimed.
+// EvacuateQuarantined is the scrub pass over quarantined media: relocate,
+// over every quarantined region still holding live slots. Each slot is
+// re-read from the device and re-verified; those that verify clean move to a
+// fresh dense region on trusted media, those that fail are retired and
+// returned so the store can drop their table entries and open replica
+// repairs. After a full evacuation the regions hold no live slots, and
+// ReclaimQuarantined returns them to the free pool — which together is what
+// "a corrupt page is never reused until scrubbed" means operationally:
+// suspect media is drained, re-verified, and only then reclaimed. On a write
+// failure the old slots stay authoritative (still quarantined, so nothing
+// new lands there) and the next scrub round retries.
 func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) {
 	if m.file == nil || len(m.quarantine) == 0 {
 		return 0, nil
 	}
-	// Group the live slots of quarantined regions, deterministically.
-	groups := make(map[*ssdPage][]*Item)
-	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
-		it := e.Value
-		if it.ssdPage != nil && it.ssdPage.quarantined {
-			groups[it.ssdPage] = append(groups[it.ssdPage], it)
-		}
-	}
-	pages := make([]*ssdPage, 0, len(groups))
-	for pg := range groups {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].base < pages[j].base })
-
-	gen0 := m.gen
-	for _, pg := range pages {
-		var keep []*Item
-		for _, it := range groups[pg] {
-			chunk := m.alloc.ChunkSize(it.class)
-			v, ok := m.file.Read(p, it.ssdOff, chunk, m.flushScheme(it.class))
-			if m.gen != gen0 {
-				return moved, corrupt // cold restart mid-scan: abandon
-			}
-			if it.dropped || !it.onSSD {
-				continue // raced with a replace or release during the read
-			}
-			bad := !ok
-			if !bad {
-				if _, isRot := v.(blockdev.Rotted); isRot {
-					bad = true
-				} else if rec, isRec := v.(*itemRecord); !isRec || !m.verifySlot(it, rec) {
-					bad = true
-				}
-			}
-			if bad {
-				m.ssdLRU.Remove(&it.lru)
-				m.freeSSD(it)
-				it.Value = nil
-				it.dropped = true
-				m.CorruptLoads++
-				m.event(it, EvictDropped)
-				corrupt = append(corrupt, it)
-				continue
-			}
-			keep = append(keep, it)
-		}
-		// Rewrite the verified survivors onto trusted media. On any write
-		// failure the old slots stay authoritative (still quarantined, so
-		// nothing new lands there) and the next scrub round retries.
-		pg.relocating = true
-		fresh, alive := m.rewrite(p, pg, keep)
+	suspect := m.liveRegions(func(pg *ssdPage, _ []*Item) bool { return pg.quarantined })
+	for _, r := range suspect {
+		fresh, bad, alive := m.relocate(p, r.pg, r.items)
+		corrupt = append(corrupt, bad...)
 		if !alive {
-			return moved, corrupt
+			break
 		}
 		if fresh != nil {
 			moved += fresh.live

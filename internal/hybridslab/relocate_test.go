@@ -169,3 +169,36 @@ func TestRelocationNobodySurvivedIntoIsRecycled(t *testing.T) {
 		})
 	}
 }
+
+// The compactor must not launder bit rot: a slot whose media rotted is
+// re-read by the relocation, and what was read is verified exactly as a Load
+// verifies it — never rewritten from the in-memory item under a fresh
+// checksum.
+func TestCompactVerifiesWhatItReads(t *testing.T) {
+	env, m, dev, items := rotFixture(t, false)
+	cutRegion(t, m, items, 2)
+	pg := items[0].ssdPage
+	dev.AddBitRot(17, env.Now(), env.Now()+sim.Millisecond, 1.0)
+	var errs [2]error
+	env.Spawn("compact", func(p *sim.Proc) {
+		p.Sleep(2 * sim.Millisecond)
+		m.Compact(p, 0.5)
+		for i := range errs {
+			_, errs[i] = m.Load(p, items[i])
+		}
+	})
+	env.Run()
+	if dev.RottenReads != 2 {
+		t.Fatalf("RottenReads = %d: the compactor was meant to read both rotted slots", dev.RottenReads)
+	}
+	if m.CorruptLoads != 2 || m.QuarantinedPages != 1 || !pg.quarantined {
+		t.Errorf("CorruptLoads=%d QuarantinedPages=%d quarantined=%v after compacting rotted media, want 2/1/true",
+			m.CorruptLoads, m.QuarantinedPages, pg.quarantined)
+	}
+	for i, err := range errs {
+		if err != ErrDropped || !items[i].Dropped() {
+			t.Errorf("items[%d] loads (%v) after its rotted slot was compacted, want it retired", i, err)
+		}
+	}
+	checkArena(t, m)
+}
