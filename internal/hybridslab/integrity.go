@@ -51,10 +51,18 @@ const (
 // measure. What the caller does about a slot that is not clean — retire the
 // item, quarantine the region — is the caller's.
 func (m *Manager) readSlot(p *sim.Proc, it *Item, scheme pagecache.Scheme) (any, slotState) {
-	v, ok := m.file.Read(p, it.ssdOff, m.alloc.ChunkSize(it.class), scheme)
+	off := it.ssdOff
+	v, ok := m.file.Read(p, off, m.alloc.ChunkSize(it.class), scheme)
 	switch {
 	case it.gen != m.gen || it.dropped:
 		return nil, slotGone
+	case it.ssdOff != off:
+		// A relocation moved the item while the read slept. The page cache
+		// looks the extent up after charging the device, so what came back
+		// is whatever the old slot holds by now — nothing, once relink has
+		// discarded it — and says nothing about the item, which is live at
+		// its new slot. Read that one, charged like any read.
+		return m.readSlot(p, it, scheme)
 	case !ok:
 		return nil, slotLost
 	}

@@ -146,6 +146,49 @@ func relocationTime(t *testing.T, r relocation) sim.Time {
 	return env.Run() - t0
 }
 
+// A GET that overlaps a relocation must not lose a live, clean item: the
+// relink moves the slot under the read (the page cache looks the extent up
+// after charging the device), and the read must follow it, not retire the
+// item at its new slot. One Load started at each of 200 evenly spaced
+// offsets into the relocation.
+func TestLoadRacingRelocationKeepsItem(t *testing.T) {
+	const points = 200
+	for _, r := range relocations {
+		t.Run(r.name, func(t *testing.T) {
+			total := relocationTime(t, r)
+			lost := 0
+			for k := 1; k <= points; k++ {
+				env, m, _, items := rotFixture(t, false)
+				r.prepare(t, env, m, items)
+				corrupt0 := m.CorruptLoads
+				startAt := total * sim.Time(k) / sim.Time(points+1)
+				var v any
+				var err error
+				env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
+				env.Spawn("get", func(p *sim.Proc) {
+					p.Sleep(startAt)
+					v, err = m.Load(p, items[k%2])
+				})
+				env.Run()
+				if err != nil || v != k%2 {
+					if lost == 0 {
+						t.Logf("first loss: GET started +%v into a %v relocation: (%v, %v), CorruptLoads=%d",
+							startAt, total, v, err, m.CorruptLoads)
+					}
+					lost++
+				}
+				if m.CorruptLoads != corrupt0 {
+					t.Errorf("+%v: CorruptLoads %d -> %d with no rot anywhere", startAt, corrupt0, m.CorruptLoads)
+				}
+				checkArena(t, m)
+			}
+			if lost != 0 {
+				t.Errorf("%d of %d GET start offsets lost a live, clean item to a racing %s", lost, points, r.name)
+			}
+		})
+	}
+}
+
 // A relocation whose survivors all die while its write is in flight must
 // leave no region behind: the new region nobody survived into is recycled,
 // not counted as used and stranded.
