@@ -230,6 +230,17 @@ func (f *File) check(off int64, size int) {
 // the scheme's cost.
 func (f *File) Write(p *sim.Proc, off int64, size int, payload any, scheme Scheme) {
 	f.check(off, size)
+	if f.chargeWrite(p, off, size, scheme) {
+		f.extents[off] = extent{size: size, payload: payload}
+	}
+}
+
+// chargeWrite charges p one size-byte write at off under scheme, and reports
+// whether the device accepted it. Only direct I/O can be refused — there the
+// failure is synchronous — and a refused write places nothing: the extent
+// keeps its old contents (or stays absent), which a later Read surfaces as
+// ok=false.
+func (f *File) chargeWrite(p *sim.Proc, off int64, size int, scheme Scheme) bool {
 	c := f.c
 	switch scheme {
 	case Direct:
@@ -238,33 +249,19 @@ func (f *File) Write(p *sim.Proc, off int64, size int, payload any, scheme Schem
 		p.Sleep(c.par.SyscallCost)
 		c.dev.ServeRaw(p, true, size)
 		c.dev.Barrier(p)
-		if c.dev.InjectWriteError() {
-			// Failed program: the extent keeps its old contents (or stays
-			// absent), which a later Read surfaces as ok=false.
-			return
-		}
+		return !c.dev.InjectWriteError()
 	case Cached:
 		p.Sleep(c.par.SyscallCost)
-		p.Sleep(c.memcpyTime(size))
-		f.dirtyRange(p, off, size)
-		c.throttle(p)
 	case Mmap:
-		first, last := f.pageRange(off, size)
-		var faults int
-		for i := first; i <= last; i++ {
-			if _, ok := c.pages[pageKey{f.id, i}]; !ok {
-				faults++
-			}
-		}
-		if faults > 0 {
+		if faults := f.missPages(off, size); faults > 0 {
 			p.Sleep(sim.Time(faults) * c.par.FaultCost)
 			c.Faults += int64(faults)
 		}
-		p.Sleep(c.memcpyTime(size))
-		f.dirtyRange(p, off, size)
-		c.throttle(p)
 	}
-	f.extents[off] = extent{size: size, payload: payload}
+	p.Sleep(c.memcpyTime(size))
+	f.dirtyRange(p, off, size)
+	c.throttle(p)
+	return true
 }
 
 // Read fetches the payload stored at off using the given scheme. ok reports
@@ -280,7 +277,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		touchedDev = true
 	case Cached:
 		p.Sleep(c.par.SyscallCost)
-		missBytes := f.missBytes(off, size)
+		missBytes := f.missPages(off, size) * c.par.PageSize
 		if missBytes > 0 {
 			c.Misses++
 			ra := c.par.ReadAheadPages * c.par.PageSize
@@ -366,11 +363,11 @@ type Extent struct {
 }
 
 // WriteExtents writes [off, off+size) as one device command under the given
-// scheme — charged exactly like Write — and places each sub-extent both in
-// the file's logical view and in the device's durable view. It returns false
-// when the device injects a write error (direct I/O only, where the failure
-// is synchronous): nothing is placed, logical or durable, so a failed flush
-// cannot leave items half-placed.
+// scheme — charged exactly like Write (chargeWrite) — and places each
+// sub-extent both in the file's logical view and in the device's durable
+// view. It returns false when the device refuses the write: nothing is
+// placed, logical or durable, so a failed flush cannot leave items
+// half-placed.
 //
 // The durable placement draws one torn-write decision for the command: only
 // sub-extents wholly inside the persisted sector prefix survive a crash
@@ -381,36 +378,10 @@ type Extent struct {
 // models writeback as completing in write order.
 func (f *File) WriteExtents(p *sim.Proc, off int64, size int, exts []Extent, scheme Scheme) bool {
 	f.check(off, size)
-	c := f.c
-	switch scheme {
-	case Direct:
-		p.Sleep(c.par.SyscallCost)
-		c.dev.ServeRaw(p, true, size)
-		c.dev.Barrier(p)
-		if c.dev.InjectWriteError() {
-			return false
-		}
-	case Cached:
-		p.Sleep(c.par.SyscallCost)
-		p.Sleep(c.memcpyTime(size))
-		f.dirtyRange(p, off, size)
-		c.throttle(p)
-	case Mmap:
-		first, last := f.pageRange(off, size)
-		var faults int
-		for i := first; i <= last; i++ {
-			if _, ok := c.pages[pageKey{f.id, i}]; !ok {
-				faults++
-			}
-		}
-		if faults > 0 {
-			p.Sleep(sim.Time(faults) * c.par.FaultCost)
-			c.Faults += int64(faults)
-		}
-		p.Sleep(c.memcpyTime(size))
-		f.dirtyRange(p, off, size)
-		c.throttle(p)
+	if !f.chargeWrite(p, off, size, scheme) {
+		return false
 	}
+	c := f.c
 	persisted, _ := c.dev.InjectTorn(size)
 	tearAt := off + int64(persisted)
 	for _, e := range exts {
@@ -543,8 +514,8 @@ func (f *File) SetExtent(off int64, size int, payload any) {
 	f.extents[off] = extent{size: size, payload: payload}
 }
 
-// missBytes returns the byte count of non-resident pages in the range.
-func (f *File) missBytes(off int64, size int) int {
+// missPages counts the non-resident pages in the range.
+func (f *File) missPages(off int64, size int) int {
 	first, last := f.pageRange(off, size)
 	n := 0
 	for i := first; i <= last; i++ {
@@ -552,7 +523,7 @@ func (f *File) missBytes(off int64, size int) int {
 			n++
 		}
 	}
-	return n * f.c.par.PageSize
+	return n
 }
 
 // residentRange marks pages resident (dirty if dirty=true), evicting as
