@@ -480,23 +480,6 @@ func (d *Device) ReadAt(p *sim.Proc, off int64, size int) (payload any, ok bool)
 	return e.payload, true
 }
 
-// Peek returns stored contents without any time charge (for assertions and
-// for page-cache hits, whose timing the cache models itself).
-func (d *Device) Peek(off int64) (payload any, size int, ok bool) {
-	e, ok := d.extents[off]
-	return e.payload, e.size, ok
-}
-
-// Poke stores contents without any time charge (the page cache uses this
-// when its writeback daemon has already charged device time).
-func (d *Device) Poke(off int64, size int, payload any) {
-	d.extents[off] = extent{size: size, payload: payload}
-}
-
-// Trim discards the extent at offset (no time charge; TRIM is queued and
-// free at this fidelity).
-func (d *Device) Trim(off int64) { delete(d.extents, off) }
-
 // Barrier charges a synchronous flush barrier (direct/sync write path).
 func (d *Device) Barrier(p *sim.Proc) {
 	if d.prof.SyncBarrier <= 0 {

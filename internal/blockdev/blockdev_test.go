@@ -77,7 +77,7 @@ func TestChannelParallelism(t *testing.T) {
 	d2 := New(env2, SATA(), 1<<30)
 	for i := 0; i < 8; i++ {
 		off := int64(i) << 20
-		d2.Poke(off, 1<<20, i)
+		d2.extents[off] = extent{size: 1 << 20, payload: i}
 	}
 	for i := 0; i < 8; i++ {
 		off := int64(i) << 20
@@ -96,7 +96,7 @@ func TestNVMeParallelismBeatsSATAUnderLoad(t *testing.T) {
 		d := New(env, prof, 1<<30)
 		for i := 0; i < 16; i++ {
 			off := int64(i) * 4096
-			d.Poke(off, 4096, i)
+			d.extents[off] = extent{size: 4096, payload: i}
 			env.Spawn("r", func(p *sim.Proc) { d.ReadAt(p, off, 4096) })
 		}
 		return env.Run()
@@ -117,19 +117,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	env.Spawn("w", func(p *sim.Proc) { d.WriteAt(p, 1<<20-100, 4096, nil) })
 	env.Run()
-}
-
-func TestTrimAndPeek(t *testing.T) {
-	env := sim.NewEnv()
-	d := New(env, NVMe(), 1<<30)
-	d.Poke(0, 100, "x")
-	if v, n, ok := d.Peek(0); !ok || v != "x" || n != 100 {
-		t.Errorf("Peek after Poke: (%v,%d,%v)", v, n, ok)
-	}
-	d.Trim(0)
-	if _, _, ok := d.Peek(0); ok {
-		t.Errorf("Peek after Trim still found extent")
-	}
 }
 
 func TestStatsAndBusyTime(t *testing.T) {

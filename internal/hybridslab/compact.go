@@ -148,32 +148,3 @@ func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) (reclaimed int64) 
 	}
 	return reclaimed
 }
-
-// StartCompactor runs Compact every interval until StopCompactor is called.
-func (m *Manager) StartCompactor(interval sim.Time, liveThreshold float64) {
-	if m.compactStop != nil {
-		panic("hybridslab: compactor already running")
-	}
-	if interval <= 0 {
-		interval = sim.Second
-	}
-	m.compactStop = m.env.NewEvent()
-	stop := m.compactStop
-	m.env.Spawn("ssd-compactor", func(p *sim.Proc) {
-		for {
-			if p.WaitTimeout(stop, interval) {
-				return
-			}
-			m.Compact(p, liveThreshold)
-		}
-	})
-}
-
-// StopCompactor terminates the background compactor.
-func (m *Manager) StopCompactor() {
-	if m.compactStop == nil {
-		return
-	}
-	m.compactStop.Fire()
-	m.compactStop = nil
-}

@@ -11,7 +11,6 @@
 //	PolicyDirect   : direct I/O for every class (H-RDMA-Def behaviour)
 //	PolicyAdaptive : mmap-ed slabs for small classes, cached I/O for large
 //	                 classes (H-RDMA-Opt behaviour)
-//	PolicyCached / PolicyMmap : single-scheme variants for ablations
 //
 // A RAM-only manager (no SSD attached) evicts LRU items outright, modeling
 // default Memcached; subsequent Gets of those keys miss and the client pays
@@ -33,8 +32,6 @@ type IOPolicy int
 const (
 	PolicyDirect IOPolicy = iota
 	PolicyAdaptive
-	PolicyCached
-	PolicyMmap
 )
 
 func (p IOPolicy) String() string {
@@ -43,10 +40,6 @@ func (p IOPolicy) String() string {
 		return "direct"
 	case PolicyAdaptive:
 		return "adaptive"
-	case PolicyCached:
-		return "cached"
-	case PolicyMmap:
-		return "mmap"
 	}
 	return fmt.Sprintf("IOPolicy(%d)", int(p))
 }
@@ -176,16 +169,15 @@ type Manager struct {
 
 	notify func(*Item, NotifyEvent)
 
-	file        *pagecache.File // nil for RAM-only
-	flushing    int             // evictions in flight (concurrent workers)
-	flushEv     *sim.Event      // fired when a flush completes
-	flushQ      *sim.Queue[flushJob]
-	compactStop *sim.Event
-	ssdUsed     int64
-	ssdLimit    int64
-	ssdNext     int64             // bump pointer for fresh flush pages
-	ssdFree     map[int64][]int64 // fully-reclaimed flush regions by size
-	windows     map[*sim.Proc]*evictionWindow
+	file     *pagecache.File // nil for RAM-only
+	flushing int             // evictions in flight (concurrent workers)
+	flushEv  *sim.Event      // fired when a flush completes
+	flushQ   *sim.Queue[flushJob]
+	ssdUsed  int64
+	ssdLimit int64
+	ssdNext  int64             // bump pointer for fresh flush pages
+	ssdFree  map[int64][]int64 // fully-reclaimed flush regions by size
+	windows  map[*sim.Proc]*evictionWindow
 	// quarantine holds regions that served corrupt bits, in quarantine
 	// order. They are withheld from the free pool until ReclaimQuarantined
 	// (the scrub pass) releases the fully-dead ones.
@@ -296,20 +288,13 @@ func (m *Manager) SSDUsed() int64 { return m.ssdUsed }
 
 // flushScheme returns the I/O scheme used to evict chunks of class idx.
 func (m *Manager) flushScheme(class int) pagecache.Scheme {
-	switch m.cfg.Policy {
-	case PolicyDirect:
+	switch {
+	case m.cfg.Policy != PolicyAdaptive:
 		return pagecache.Direct
-	case PolicyCached:
-		return pagecache.Cached
-	case PolicyMmap:
+	case m.alloc.ChunkSize(class) <= m.cfg.AdaptiveCutoff:
 		return pagecache.Mmap
-	case PolicyAdaptive:
-		if m.alloc.ChunkSize(class) <= m.cfg.AdaptiveCutoff {
-			return pagecache.Mmap
-		}
-		return pagecache.Cached
 	}
-	return pagecache.Direct
+	return pagecache.Cached
 }
 
 // loadScheme returns the I/O scheme used to read an evicted item back:

@@ -600,37 +600,6 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 	}
 }
 
-func TestCompactorLifecycle(t *testing.T) {
-	env := sim.NewEnv()
-	m := newManager(env, 4<<20, PolicyAdaptive, true, blockdev.SATA())
-	items := make([]*Item, 300)
-	env.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 300; i++ {
-			items[i] = item(i, 32*1024)
-			m.Store(p, items[i])
-		}
-	})
-	env.Run()
-	for i, it := range items {
-		if it.OnSSD() && i%2 == 0 {
-			m.Release(it)
-		}
-	}
-	m.StartCompactor(10*sim.Millisecond, 0.6)
-	env.Spawn("stopper", func(p *sim.Proc) {
-		p.Sleep(100 * sim.Millisecond)
-		m.StopCompactor()
-	})
-	env.Run()
-	if m.Compactions == 0 {
-		t.Errorf("background compactor never compacted")
-	}
-	// Restart allowed after stop.
-	m.StartCompactor(sim.Second, 0.5)
-	m.StopCompactor()
-	env.Run()
-}
-
 func TestCompactSkipsDenseRegions(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 4<<20, PolicyAdaptive, true, blockdev.SATA())

@@ -169,9 +169,6 @@ func (m *Manager) ReclaimQuarantined() int {
 	return n
 }
 
-// QuarantineHeld reports regions currently held in quarantine.
-func (m *Manager) QuarantineHeld() int { return len(m.quarantine) }
-
 // EvacuateQuarantined is the scrub pass over quarantined media: relocate,
 // over every quarantined region still holding live slots. Each slot is
 // re-read from the device and re-verified; those that verify clean move to a

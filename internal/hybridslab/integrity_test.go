@@ -58,8 +58,8 @@ func TestRottedLoadQuarantinesRegion(t *testing.T) {
 	if !victim.Dropped() {
 		t.Error("corrupt item not retired")
 	}
-	if m.QuarantinedPages != 1 || m.QuarantineHeld() != 1 {
-		t.Fatalf("QuarantinedPages=%d held=%d, want 1/1", m.QuarantinedPages, m.QuarantineHeld())
+	if m.QuarantinedPages != 1 || len(m.quarantine) != 1 {
+		t.Fatalf("QuarantinedPages=%d held=%d, want 1/1", m.QuarantinedPages, len(m.quarantine))
 	}
 	if m.CorruptLoads != 1 {
 		t.Errorf("CorruptLoads = %d, want 1", m.CorruptLoads)
@@ -69,7 +69,7 @@ func TestRottedLoadQuarantinesRegion(t *testing.T) {
 	if n := m.ReclaimQuarantined(); n != 0 {
 		t.Fatalf("ReclaimQuarantined released %d regions while slots were live", n)
 	}
-	if m.QuarantineHeld() != 1 {
+	if len(m.quarantine) != 1 {
 		t.Error("live-slot region left quarantine early")
 	}
 	// Free every remaining SSD slot, then reclaim: the region returns to
@@ -85,8 +85,8 @@ func TestRottedLoadQuarantinesRegion(t *testing.T) {
 	if n := m.ReclaimQuarantined(); n != 1 {
 		t.Fatalf("ReclaimQuarantined = %d after the last slot freed, want 1", n)
 	}
-	if m.QuarantineHeld() != 0 || m.QuarantineReclaims != 1 {
-		t.Errorf("held=%d reclaims=%d after reclaim", m.QuarantineHeld(), m.QuarantineReclaims)
+	if len(m.quarantine) != 0 || m.QuarantineReclaims != 1 {
+		t.Errorf("held=%d reclaims=%d after reclaim", len(m.quarantine), m.QuarantineReclaims)
 	}
 	if m.SSDUsed() != 0 {
 		t.Errorf("SSDUsed = %d after releasing and reclaiming everything", m.SSDUsed())

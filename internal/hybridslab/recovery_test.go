@@ -153,7 +153,7 @@ func TestRecoverDiscardsUncommittedPage(t *testing.T) {
 
 	// Walk the SSD recency list directly (same package) to pick a victim page.
 	var onSSD []*Item
-	for e := m.ssdLRU.Front(); e != nil; e = e.Next() {
+	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
 		onSSD = append(onSSD, e.Value)
 	}
 	if len(onSSD) == 0 {

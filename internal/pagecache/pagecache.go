@@ -6,7 +6,7 @@
 //	             written back asynchronously by a flusher daemon, with
 //	             dirty-ratio throttling stalling writers under pressure.
 //	Mmap I/O   : no syscall; minor fault per non-resident page, then pure
-//	             memcpy; msync or the flusher eventually cleans pages.
+//	             memcpy; the flusher eventually cleans pages.
 //
 // These first-order costs are why the adaptive slab manager picks mmap for
 // small slab classes (syscall cost dominates) and cached I/O for large ones
@@ -177,9 +177,6 @@ func (c *Cache) evict(pg *page) {
 
 // Params returns the cache's cost model.
 func (c *Cache) Params() Params { return c.par }
-
-// Resident reports the number of resident pages.
-func (c *Cache) Resident() int { return len(c.pages) }
 
 // Dirty reports the number of dirty pages.
 func (c *Cache) Dirty() int { return c.dirty }
@@ -479,23 +476,6 @@ func (c *Cache) Reset() {
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.spare = nil
 	c.dirty = 0
-}
-
-// Msync synchronously writes back all dirty pages of the file.
-func (f *File) Msync(p *sim.Proc) {
-	c := f.c
-	var batch int
-	for k, pg := range c.pages {
-		if k.file == f.id && pg.dirty {
-			pg.dirty = false
-			c.dirty--
-			batch++
-		}
-	}
-	if batch > 0 {
-		c.dev.ServeRaw(p, true, batch*c.par.PageSize)
-		c.WritebackPages += int64(batch)
-	}
 }
 
 // Discard drops the extent bookkeeping at off (slab reuse), both in the

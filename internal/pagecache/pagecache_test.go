@@ -206,27 +206,6 @@ func TestWritebackDrainsDirtyPages(t *testing.T) {
 	}
 }
 
-func TestMsyncCleansFile(t *testing.T) {
-	env, c := newCache(blockdev.SATA())
-	f := c.OpenFile(0, 1<<30)
-	var syncT sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
-		for i := 0; i < 16; i++ {
-			f.Write(p, int64(i)*4096, 4096, i, Mmap)
-		}
-		t0 := p.Now()
-		f.Msync(p)
-		syncT = p.Now() - t0
-	})
-	env.Run()
-	if c.Dirty() != 0 {
-		t.Errorf("dirty=%d after msync, want 0", c.Dirty())
-	}
-	if syncT < blockdev.SATA().WriteTime(16*4096) {
-		t.Errorf("msync of 16 dirty pages took %v, below one device write", syncT)
-	}
-}
-
 func TestEvictionBoundsResidency(t *testing.T) {
 	env := sim.NewEnv()
 	dev := blockdev.New(env, blockdev.NVMe(), 8<<30)
@@ -242,8 +221,8 @@ func TestEvictionBoundsResidency(t *testing.T) {
 		}
 	})
 	env.Run()
-	if c.Resident() > 100 {
-		t.Errorf("resident pages %d exceed MaxPages 100", c.Resident())
+	if len(c.pages) > 100 {
+		t.Errorf("resident pages %d exceed MaxPages 100", len(c.pages))
 	}
 }
 
@@ -332,7 +311,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 		}
 	})
 	env.Run()
-	if c.Resident() != 8 || c.spare != nil {
-		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.Resident(), c.spare == nil)
+	if len(c.pages) != 8 || c.spare != nil {
+		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", len(c.pages), c.spare == nil)
 	}
 }

@@ -70,14 +70,8 @@ func (l *LRU[T]) Touch(e *LRUEntry[T]) {
 // Back returns the least recently used entry, or nil.
 func (l *LRU[T]) Back() *LRUEntry[T] { return l.tail }
 
-// Front returns the most recently used entry, or nil.
-func (l *LRU[T]) Front() *LRUEntry[T] { return l.head }
-
 // Prev returns the entry closer to the front, or nil.
 func (e *LRUEntry[T]) Prev() *LRUEntry[T] { return e.prev }
-
-// Next returns the entry closer to the back, or nil.
-func (e *LRUEntry[T]) Next() *LRUEntry[T] { return e.next }
 
 // PopBack removes and returns the LRU entry, or nil when empty.
 func (l *LRU[T]) PopBack() *LRUEntry[T] {

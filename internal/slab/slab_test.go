@@ -168,18 +168,18 @@ func TestLRUBasics(t *testing.T) {
 	l.PushFront(a)
 	l.PushFront(b)
 	l.PushFront(c) // order: c b a
-	if l.Len() != 3 || l.Front() != c || l.Back() != a {
-		t.Fatalf("front=%v back=%v len=%d", l.Front().Value, l.Back().Value, l.Len())
+	if l.Len() != 3 || l.head != c || l.Back() != a {
+		t.Fatalf("front=%v back=%v len=%d", l.head.Value, l.Back().Value, l.Len())
 	}
 	l.Touch(a) // order: a c b
-	if l.Front() != a || l.Back() != b {
-		t.Errorf("after touch front=%v back=%v", l.Front().Value, l.Back().Value)
+	if l.head != a || l.Back() != b {
+		t.Errorf("after touch front=%v back=%v", l.head.Value, l.Back().Value)
 	}
 	if got := l.PopBack(); got != b {
 		t.Errorf("PopBack %v, want b", got.Value)
 	}
 	l.Remove(c)
-	if l.Len() != 1 || l.Front() != a || l.Back() != a {
+	if l.Len() != 1 || l.head != a || l.Back() != a {
 		t.Errorf("after removals len=%d", l.Len())
 	}
 	l.Remove(a)
@@ -258,7 +258,7 @@ func TestLRUMatchesReferenceProperty(t *testing.T) {
 		if l.Len() != len(ref) {
 			return false
 		}
-		cur := l.Front()
+		cur := l.head
 		for _, want := range ref {
 			if cur == nil || cur.Value != want {
 				return false
