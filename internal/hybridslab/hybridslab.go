@@ -12,6 +12,12 @@
 //	PolicyAdaptive : mmap-ed slabs for small classes, cached I/O for large
 //	                 classes (H-RDMA-Opt behaviour)
 //
+// Every slab page that reaches the SSD — a synchronous eviction's, a
+// coalescing window's merged run, the write-behind flusher's, a relocation's
+// — is placed by one function (place) and written by one (writeRun); arena
+// compaction and the evacuation of quarantined media are one relocation
+// (compact.go), reading slots back through the same verified read as a Get.
+//
 // A RAM-only manager (no SSD attached) evicts LRU items outright, modeling
 // default Memcached; subsequent Gets of those keys miss and the client pays
 // the backend penalty.
@@ -70,9 +76,9 @@ type Item struct {
 	class   int
 	onSSD   bool
 	dropped bool
-	// inTransit marks an item being promoted from SSD to RAM: it is on no
-	// recency list while the promoting worker may be suspended in eviction
-	// I/O, so concurrent Touch/Release must not relink it.
+	// inTransit marks a victim of an eviction in flight: it is on no
+	// recency list while the evicting worker may be suspended in flush I/O,
+	// so concurrent Touch/Release must not relink it.
 	inTransit bool
 	ssdOff    int64
 	ssdPage   *ssdPage
@@ -382,11 +388,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 		victimClass = best
 	}
 	chunk := m.alloc.ChunkSize(victimClass)
-	pageSize := m.alloc.Config().PageSize
-	want := pageSize / chunk
-	if want < 1 {
-		want = 1
-	}
+	want := max(1, m.alloc.Config().PageSize/chunk)
 	var victims []*Item
 	for len(victims) < want {
 		e := m.lrus[victimClass].PopBack()
@@ -414,18 +416,16 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 		v.inTransit = true
 		m.event(v, EvictStaged)
 	}
-	gen0 := m.gen
+	job := flushJob{victims: victims, class: victimClass, chunk: chunk, gen: m.gen}
 	m.flushing++
-	flushBytes := len(victims) * chunk
 	t0 := p.Now()
-	p.Sleep(memcpyTime(flushBytes))
-	if m.gen != gen0 {
+	p.Sleep(memcpyTime(len(victims) * chunk))
+	if m.gen != job.gen {
 		// Cold restart happened while we were buffering: the allocator and
 		// LRU state the victims belonged to is gone. Abandon them.
-		m.abandonJob(flushJob{victims: victims, class: victimClass, chunk: chunk, gen: gen0})
+		m.abandonJob(job)
 		return
 	}
-	job := flushJob{victims: victims, class: victimClass, chunk: chunk, gen: gen0}
 	if w := m.windows[p]; m.cfg.AsyncFlush || w != nil {
 		// Staged: the staging copy holds the data, so the RAM chunks free
 		// now and the SSD write is deferred — to the background flusher
@@ -876,12 +876,9 @@ func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
 		return nil, ErrRecovering
 	}
 	m.Gets++
-	if it.gen != m.gen {
-		// An item reference that crossed a cold restart: its storage
-		// belongs to the torn-down incarnation.
-		return nil, ErrDropped
-	}
-	if it.dropped {
+	if it.gen != m.gen || it.dropped {
+		// Discarded — or a reference that crossed a cold restart: its
+		// storage belongs to the torn-down incarnation.
 		return nil, ErrDropped
 	}
 	if !it.onSSD {
@@ -932,23 +929,16 @@ func (m *Manager) Release(it *Item) {
 	if it.dropped {
 		return
 	}
-	if it.gen != m.gen {
+	switch {
+	case it.gen != m.gen:
 		// Stale reference across a cold restart: its storage is gone.
-		it.Value = nil
-		it.dropped = true
-		return
-	}
-	if it.inTransit {
-		// The promoting worker owns the chunk; it will free it when it
+	case it.inTransit:
+		// The evicting worker owns the chunk; it will free it when it
 		// observes the drop.
-		it.Value = nil
-		it.dropped = true
-		return
-	}
-	if it.onSSD {
+	case it.onSSD:
 		m.ssdLRU.Remove(&it.lru)
 		m.freeSSD(it)
-	} else {
+	default:
 		m.lrus[it.class].Remove(&it.lru)
 		m.alloc.Free(it.class)
 	}
