@@ -137,3 +137,41 @@ func TestTornMergedCommitDropsSuffix(t *testing.T) {
 		t.Errorf("single-record commit not atomic: %+v found=%v", d, found)
 	}
 }
+
+// TestWriteInFlightAcrossColdRestartPlacesNothing: a durable write whose
+// process is still suspended in the device when the host loses power never
+// reached the media. The process may resume in the next incarnation — the
+// simulation has no way to kill it — but the command reports failure and
+// places nothing, logical or durable: a recovery scan (or a later one) must
+// not meet a page that was "written" after the power cut.
+func TestWriteInFlightAcrossColdRestartPlacesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	dev := blockdev.New(env, blockdev.SATA(), 1<<30)
+	f := New(env, dev, DefaultParams()).OpenFile(0, 16<<20)
+	data, commit := true, true
+	env.Spawn("data", func(p *sim.Proc) {
+		data = f.WriteExtents(p, 0, 4608, []Extent{{Off: 0, Size: 512, Payload: "hdr"}, {Off: 512, Size: 4096, Payload: "slot"}}, Direct)
+	})
+	env.Spawn("commit", func(p *sim.Proc) {
+		commit = f.WriteCommit(p, []Extent{{Off: 1 << 20, Size: 512, Payload: "commit"}})
+	})
+	env.Spawn("power-cut", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond) // both commands are in the device
+		f.RecoverExtents()
+	})
+	env.Run()
+	if data || commit {
+		t.Errorf("writes in flight across the power cut report success: data=%v commit=%v", data, commit)
+	}
+	if offs := f.DurableOffsets(); len(offs) != 0 || len(f.extents) != 0 {
+		t.Errorf("writes in flight across the power cut placed durable extents %v, %d logical", offs, len(f.extents))
+	}
+	// The next incarnation's writes land as usual.
+	env.Spawn("after", func(p *sim.Proc) {
+		data = f.WriteExtents(p, 0, 512, []Extent{{Off: 0, Size: 512, Payload: "hdr2"}}, Direct)
+	})
+	env.Run()
+	if d, ok := f.PeekDurable(0); !data || !ok || d.Payload != "hdr2" {
+		t.Errorf("write after the restart: ok=%v durable=%+v", data, d)
+	}
+}

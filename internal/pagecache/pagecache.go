@@ -196,6 +196,10 @@ type File struct {
 	base    int64
 	size    int64
 	extents map[int64]extent
+	// boots counts cold restarts (RecoverExtents). A durable write still in
+	// flight when the host lost power never reached the media: its process
+	// may resume in the next incarnation, but it places nothing.
+	boots int
 }
 
 type extent struct {
@@ -375,11 +379,14 @@ type Extent struct {
 // models writeback as completing in write order.
 func (f *File) WriteExtents(p *sim.Proc, off int64, size int, exts []Extent, scheme Scheme) bool {
 	f.check(off, size)
+	c, boot := f.c, f.boots
 	if !f.chargeWrite(p, off, size, scheme) {
 		return false
 	}
-	c := f.c
 	persisted, _ := c.dev.InjectTorn(size)
+	if f.boots != boot {
+		return false
+	}
 	tearAt := off + int64(persisted)
 	for _, e := range exts {
 		f.extents[e.Off] = extent{size: e.Size, payload: e.Payload}
@@ -405,13 +412,16 @@ func (f *File) WriteCommit(p *sim.Proc, exts []Extent) bool {
 		f.check(e.Off, e.Size)
 		total += e.Size
 	}
-	c := f.c
+	c, boot := f.c, f.boots
 	p.Sleep(c.par.SyscallCost)
 	c.dev.ServeRaw(p, true, total)
 	if c.dev.InjectWriteError() {
 		return false
 	}
 	persisted, _ := c.dev.InjectTorn(total)
+	if f.boots != boot {
+		return false
+	}
 	written := 0
 	for _, e := range exts {
 		f.extents[e.Off] = extent{size: e.Size, payload: e.Payload}
@@ -460,6 +470,7 @@ func (f *File) DurableEnd() int64 {
 // durable view. Torn extents are left out of the logical view — recovery
 // code inspects them through PeekDurable.
 func (f *File) RecoverExtents() {
+	f.boots++
 	f.c.Reset()
 	f.extents = make(map[int64]extent)
 	for _, off := range f.DurableOffsets() {
