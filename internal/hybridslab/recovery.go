@@ -171,6 +171,10 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			maxEpoch = hdr.Epoch
 		}
 		size := regionSize(len(hdr.Items), hdr.Chunk)
+		// A page cut off between its data write and its commit record ends
+		// one sector past the last durable extent: the bump pointer must
+		// clear every region the scan recovers or pools, whole.
+		m.ssdNext = max(m.ssdNext, base+size)
 
 		// Commit check: the page is visible only if its commit record is
 		// durable, intact, and matches the header's epoch and extent.

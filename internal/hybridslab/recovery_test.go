@@ -359,3 +359,35 @@ func TestAbortEvictionBatchesTearsDownWindows(t *testing.T) {
 	env.Run()
 	_ = dev
 }
+
+// TestRecoverBumpPointerClearsUncommittedLastPage: a power cut between the
+// last page's data write and its commit record leaves the highest durable
+// extent one sector short of that page's end. Recovery pools the page as
+// uncommitted, so its rebuilt bump pointer must clear the whole region — or
+// the next fresh page starts inside the pooled one, on its commit sector.
+func TestRecoverBumpPointerClearsUncommittedLastPage(t *testing.T) {
+	env, m, _ := newRecoveryRig(1, 0)
+	stop := false
+	driveRecoveryRig(env, m, 150, &stop)
+	env.Run()
+	var last *ssdPage
+	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
+		if pg := e.Value.ssdPage; last == nil || pg.base > last.base {
+			last = pg
+		}
+	}
+	if last == nil || last.base+last.size != m.ssdNext {
+		t.Fatalf("fixture: no page at the end of the arena")
+	}
+	m.file.Discard(commitOff(last.base, last.size)) // the commit write never happened
+	env.Spawn("recover", func(p *sim.Proc) {
+		if _, rep := m.Recover(p); rep.PagesUncommitted != 1 {
+			t.Errorf("PagesUncommitted = %d, want 1", rep.PagesUncommitted)
+		}
+	})
+	env.Run()
+	if want := last.base + last.size; m.ssdNext != want {
+		t.Errorf("bump pointer %d after recovery, the pooled last page ends at %d", m.ssdNext, want)
+	}
+	checkArena(t, m, true)
+}
