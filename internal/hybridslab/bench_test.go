@@ -119,14 +119,14 @@ func BenchmarkEvictWindowOf4(b *testing.B) { benchSteps(b, newEvictRig(4, true).
 func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel()) }
 
 // What the region writer allocates, the page's Stores included (they allocate
-// nothing: the rig reuses its Items). One page of 31 victims is 42: the
-// victim slice as it grows (6), then per region the header, its slot
-// summaries, one item record per slot (31), the extent slice, the commit
-// record and the arena page. A window adds itself and its job list; a window
-// of four writes four such regions with one extent slice. An SSD Load
-// allocates nothing. The ceilings are what the separate lone and merged
-// writers measured before they became one: a run of one must allocate no
-// slice the lone writer did not.
+// nothing: the rig reuses its Items). One page of 30 victims is 42: the
+// victim slice as it grows (6), one item record per slot (30), and the
+// region's header, its slot summaries, the extent slice, the commit record,
+// the arena page and the flush-done event (6). A window adds itself and its
+// job list; a window of four writes four such regions with one extent slice.
+// An SSD Load allocates nothing. The ceilings are what the separate lone and
+// merged writers measured before they became one: a run of one must allocate
+// no slice the lone writer did not.
 func TestRegionWriterAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
