@@ -417,3 +417,39 @@ func TestRegionWriterMatrix(t *testing.T) {
 		})
 	}
 }
+
+// When a window's jobs land one by one, every write suspends, and a cold
+// restart under an early job must stop the later ones too: each re-checks
+// its incarnation before it touches the rebuilt arena. The matrix's restart
+// columns cut the last write; this cuts the first of two.
+func TestPlaceRechecksEachJobAcrossColdRestart(t *testing.T) {
+	row := writerRows[3]
+	if row.writes != 2 {
+		t.Fatalf("row %q is not the job-by-job window", row.name)
+	}
+	start := func() *writerCell {
+		c := newWriterCell(t, row.cfg)
+		row.prepare(c)
+		c.env.Spawn("act", func(p *sim.Proc) { row.act(p, c) })
+		return c
+	}
+	clean := start()
+	flushes := clean.m.FlushWrites
+	for i := 0; clean.m.FlushWrites == flushes && i < 1000; i++ {
+		clean.env.RunUntil(clean.env.Now() + 100*sim.Microsecond)
+	}
+	firstDataEnd := clean.env.Now()
+
+	c := start()
+	c.env.SpawnAt(midData(firstDataEnd), "power-cut", func(p *sim.Proc) { c.powerCycle(p, true, false) })
+	c.env.Run()
+	if got := c.m.FlushWrites - flushes; got != 0 {
+		t.Errorf("%d region writes landed across the cold restart, want 0", got)
+	}
+	for _, it := range c.moving {
+		if !it.dropped {
+			t.Errorf("%q of the abandoned window is not dropped", it.Key)
+		}
+	}
+	c.check()
+}
