@@ -12,11 +12,11 @@
 //	PolicyAdaptive : mmap-ed slabs for small classes, cached I/O for large
 //	                 classes (H-RDMA-Opt behaviour)
 //
-// Every slab page that reaches the SSD — a synchronous eviction's, a
-// coalescing window's merged run, the write-behind flusher's, a relocation's
-// — is placed by one function (place) and written by one (writeRun); arena
-// compaction and the evacuation of quarantined media are one relocation
-// (compact.go), reading slots back through the same verified read as a Get.
+// Every slab page that reaches the SSD — an eviction's, a coalescing window's
+// merged run, the write-behind flusher's, a relocation's — is placed by one
+// function (place) and written by one (writeRun); arena compaction and the
+// evacuation of quarantined media are one relocation (compact.go), reading
+// slots back through the same verified read as a Get (readSlot).
 //
 // A RAM-only manager (no SSD attached) evicts LRU items outright, modeling
 // default Memcached; subsequent Gets of those keys miss and the client pays
@@ -207,9 +207,9 @@ type Manager struct {
 	// Stats
 	Sets, Gets, Hits       int64
 	FlushPages             int64 // slab pages flushed to SSD
-	FlushWrites            int64 // successful eviction data writes
-	CommitWrites           int64 // successful commit-record writes
-	FlushErrors            int64 // eviction flushes failed by device errors
+	FlushWrites            int64 // region data writes that landed (evictions and relocations)
+	CommitWrites           int64 // commit-record writes that landed, one per run
+	FlushErrors            int64 // region writes refused by device errors
 	FlushedItems           int64
 	SSDLoads               int64
 	CorruptLoads           int64 // uncorrectable SSD reads (data loss)

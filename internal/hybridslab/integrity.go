@@ -184,8 +184,7 @@ func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) 
 	if m.file == nil || len(m.quarantine) == 0 {
 		return 0, nil
 	}
-	suspect := m.liveRegions(func(pg *ssdPage, _ []*Item) bool { return pg.quarantined })
-	for _, r := range suspect {
+	for _, r := range m.liveRegions(func(pg *ssdPage, _ []*Item) bool { return pg.quarantined }) {
 		fresh, bad, alive := m.relocate(p, r.pg, r.items)
 		corrupt = append(corrupt, bad...)
 		if !alive {

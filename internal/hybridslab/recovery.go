@@ -171,9 +171,8 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			maxEpoch = hdr.Epoch
 		}
 		size := regionSize(len(hdr.Items), hdr.Chunk)
-		// A page cut off between its data write and its commit record ends
-		// one sector past the last durable extent: the bump pointer must
-		// clear every region the scan recovers or pools, whole.
+		// The bump pointer must clear every region the scan recovers or pools:
+		// a page cut off before its commit record ends a sector past DurableEnd.
 		m.ssdNext = max(m.ssdNext, base+size)
 
 		// Commit check: the page is visible only if its commit record is
