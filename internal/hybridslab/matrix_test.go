@@ -72,17 +72,10 @@ func (c *writerCell) coldest(n int) {
 	}
 }
 
-// plant swaps a record for another key into the item's slot: the header
-// summary no longer matches, so the slot fails verification when it is next
-// read off the SSD.
-func (c *writerCell) plant(it *Item) {
-	c.m.file.SetExtent(it.ssdOff, c.m.alloc.ChunkSize(it.class), &itemRecord{Key: "not-the-key", ValueSize: it.ValueSize})
-}
-
 // sparseRegion leaves region 0 with three live slots: items[0] and items[1]
 // clean, items[2] failing verification.
 func (c *writerCell) sparseRegion() {
-	c.plant(c.items[2])
+	plantMismatch(c.m, c.items[2])
 	cutRegion(c.t, c.m, c.items, 3)
 	c.moving, c.bad = c.items[:2], c.items[2:3]
 }
@@ -159,13 +152,7 @@ var writerRows = []writerRow{
 	{
 		name: "evacuation", writes: 1, lastRegions: 1,
 		prepare: func(c *writerCell) {
-			c.plant(c.items[3])
-			var err error
-			c.env.Spawn("trip", func(p *sim.Proc) { _, err = c.m.Load(p, c.items[3]) })
-			c.env.Run()
-			if err != ErrCorrupt || len(c.m.quarantine) != 1 {
-				c.t.Fatalf("fixture: planted mismatch gave err=%v, %d quarantined", err, len(c.m.quarantine))
-			}
+			quarantineRegionOf(c.t, c.env, c.m, c.items[3])
 			c.sparseRegion()
 		},
 		act: func(p *sim.Proc, c *writerCell) { c.m.EvacuateQuarantined(p) },

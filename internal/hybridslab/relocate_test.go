@@ -30,20 +30,31 @@ var relocations = []relocation{
 	{
 		name: "evacuation",
 		prepare: func(t *testing.T, env *sim.Env, m *Manager, items []*Item) {
-			// A record that no longer matches its header summary fails
-			// verification and quarantines the region; its siblings are clean.
-			bad := items[2]
-			m.file.SetExtent(bad.ssdOff, m.alloc.ChunkSize(bad.class), &itemRecord{Key: "not-the-key", ValueSize: bad.ValueSize})
-			var err error
-			env.Spawn("trip", func(p *sim.Proc) { _, err = m.Load(p, bad) })
-			env.Run()
-			if err != ErrCorrupt || len(m.quarantine) != 1 {
-				t.Fatalf("fixture: planted mismatch gave err=%v, %d quarantined", err, len(m.quarantine))
-			}
+			quarantineRegionOf(t, env, m, items[2])
 			cutRegion(t, m, items, 2)
 		},
 		run: func(p *sim.Proc, m *Manager) { m.EvacuateQuarantined(p) },
 	},
+}
+
+// plantMismatch swaps a record for another key into the item's slot: the
+// header summary no longer matches, so the slot fails verification when it is
+// next read off the SSD.
+func plantMismatch(m *Manager, it *Item) {
+	m.file.SetExtent(it.ssdOff, m.alloc.ChunkSize(it.class), &itemRecord{Key: "not-the-key", ValueSize: it.ValueSize})
+}
+
+// quarantineRegionOf makes a Load of it fail verification: the item is
+// retired and its region quarantined, its siblings left clean.
+func quarantineRegionOf(t *testing.T, env *sim.Env, m *Manager, it *Item) {
+	t.Helper()
+	plantMismatch(m, it)
+	var err error
+	env.Spawn("trip", func(p *sim.Proc) { _, err = m.Load(p, it) })
+	env.Run()
+	if err != ErrCorrupt || len(m.quarantine) != 1 {
+		t.Fatalf("fixture: planted mismatch gave err=%v, %d quarantined", err, len(m.quarantine))
+	}
 }
 
 // cutRegion releases all but the first keep items of the fixture's first
