@@ -47,6 +47,23 @@ type KeyEpoch struct {
 	Sum   uint64
 }
 
+// version is one replicated write of a key: what a round forwards, what a
+// write frame carries, and what install lands.
+type version struct {
+	epoch  uint64
+	del    bool // tombstone: this version deletes the key
+	value  any
+	size   int
+	flags  uint32
+	expire uint32
+	// sum is the end-to-end content checksum, protocol.ValueSum(value),
+	// computed once by whoever built the version: the receiver of a frame
+	// re-derives it and silently rejects a value corrupted in flight, and the
+	// epoch record of every replica that lands the version takes it. Zero for
+	// a delete.
+	sum uint64
+}
+
 // frame is the single wire message of the replication protocol; Kind
 // selects which fields are meaningful.
 type frame struct {
@@ -54,21 +71,15 @@ type frame struct {
 	From int    // sender's server id
 	ID   uint64 // forward round id (frameWrite/frameAck)
 
-	Key    string
-	Epoch  uint64
-	Del    bool
+	Key string
+	// version is the write a frameWrite carries. The other kinds use its
+	// epoch alone: the replica's own in a stale-rejecting frameAck, the epoch
+	// served in a frameProbe, the membership epoch in frameSegPull and
+	// frameSegManifest.
+	version
 	Repair bool // frameWrite: unacked repair push
 
-	Applied bool // frameAck: false = stale-rejected, Epoch holds the newer one
-
-	Value     any
-	ValueSize int
-	Flags     uint32
-	Expire    uint32
-	// Sum is the end-to-end content checksum of Value (frameWrite): the
-	// receiver re-derives it and silently rejects a frame whose value was
-	// corrupted in flight. Zero means "not stamped" (deletes).
-	Sum uint64
+	Applied bool // frameAck: false = stale-rejected, epoch holds the newer one
 
 	Buckets []uint64   // frameDigest: digest; frameDiff: differing bucket ids
 	Entries []KeyEpoch // frameDiff, frameSegManifest
@@ -80,12 +91,12 @@ type frame struct {
 // corruption delivers this instead of the original. Only a write's value
 // payload garbles — header fields are covered by link-layer CRC in any real
 // fabric, so a corrupt header is a dropped frame, already modeled by drop
-// injection. The stamped Sum is deliberately left as the sender computed it,
+// injection. The stamped sum is deliberately left as the sender computed it,
 // which is exactly how the receiver detects the mismatch.
 func (f *frame) CorruptCopy() any {
 	g := *f
-	if g.Kind == frameWrite && !g.Del && g.Value != nil {
-		g.Value = protocol.Garbled{Inner: g.Value}
+	if g.Kind == frameWrite && !g.del && g.value != nil {
+		g.value = protocol.Garbled{Inner: g.value}
 	}
 	return &g
 }
@@ -96,7 +107,7 @@ const frameHeaderBytes = 64
 
 // wireSize is the modeled fabric size of the frame.
 func (f *frame) wireSize() int {
-	n := frameHeaderBytes + len(f.Key) + f.ValueSize + 8*len(f.Buckets)
+	n := frameHeaderBytes + len(f.Key) + f.size + 8*len(f.Buckets)
 	for _, e := range f.Entries {
 		n += len(e.Key) + 17 // key + epoch + del bit + content sum
 	}

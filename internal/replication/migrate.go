@@ -165,7 +165,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		// every satisfied want's local state — the resent pulls rebuild both.
 		r.migPulls[seg] = st
 		for _, pid := range sortedIDSet(st.waiting) {
-			r.send(p, pid, &frame{Kind: frameSegPull, Seg: seg, Epoch: epoch})
+			r.send(p, pid, &frame{Kind: frameSegPull, Seg: seg, version: version{epoch: epoch}})
 		}
 		for _, key := range sortedWantKeys(st.wants) {
 			for _, pid := range sortedIDSet(st.wants[key].from) {
@@ -181,10 +181,10 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 // manifest is still sent — "answered, nothing for you" seals faster than a
 // timeout.
 func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
-	if r.mem == nil || !r.mem.Migrating() || r.mem.Epoch() != f.Epoch {
+	if r.mem == nil || !r.mem.Migrating() || r.mem.Epoch() != f.epoch {
 		return
 	}
-	resp := &frame{Kind: frameSegManifest, Seg: f.Seg, Epoch: f.Epoch}
+	resp := &frame{Kind: frameSegManifest, Seg: f.Seg, version: version{epoch: f.epoch}}
 	newRing := r.mem.Ring()
 	for _, key := range r.sortedConfirmedKeys() {
 		if SegmentOf(key) != f.Seg || !containsID(newRing.Replicas(key, r.cfg.Factor), f.From) {
@@ -201,7 +201,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 // not hold at the promised epoch yet.
 func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 	st := r.migPulls[f.Seg]
-	if st == nil || st.epoch != f.Epoch {
+	if st == nil || st.epoch != f.epoch {
 		return
 	}
 	delete(st.waiting, f.From)

@@ -216,15 +216,8 @@ func (ps *peerSet) index(id int) int {
 type Forward struct {
 	id    uint64
 	key   string
-	epoch uint64
-	del   bool
 	proxy bool // coordinator is not in the replica set: no local apply
-
-	value     any
-	valueSize int
-	flags     uint32
-	expire    uint32
-	sum       uint64 // protocol.ValueSum(value), computed once; 0 for a delete
+	version
 
 	peers    peerSet
 	waiting  uint32    // bit i: peers.ids[i] still owes an ack
@@ -459,6 +452,15 @@ func (r *Replicator) nextEpoch(cur uint64) uint64 {
 	return ((cur>>8)+1)<<8 | uint64(r.cfg.ID&0xff)
 }
 
+// mint hands out the epoch of a new round for key: above the key's record,
+// and above floor — the conflicting epoch a re-coordinated round has to beat.
+func (r *Replicator) mint(key string, floor uint64) uint64 {
+	if ks := r.state(key); ks.epoch > floor {
+		floor = ks.epoch
+	}
+	return r.nextEpoch(floor)
+}
+
 func (r *Replicator) state(key string) *keyState {
 	ks := r.keys[key]
 	if ks == nil {
@@ -501,28 +503,22 @@ func (r *Replicator) send(p *sim.Proc, pid int, f *frame) {
 func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 	switch req.Op {
 	case protocol.OpSet:
-		return r.begin(p, req.Key, false, req.Value, req.ValueSize, req.Flags, req.Expire)
+		return r.begin(p, req.Key, version{value: req.Value, size: req.ValueSize, flags: req.Flags, expire: req.Expire})
 	case protocol.OpDelete:
-		return r.begin(p, req.Key, true, nil, 0, 0, 0)
+		return r.begin(p, req.Key, version{del: true})
 	}
 	return nil
 }
 
-func (r *Replicator) begin(p *sim.Proc, key string, del bool, value any, valueSize int, flags, expire uint32) *Forward {
+// begin opens the round of one write of key: it mints v's epoch, stamps its
+// content checksum, registers the round and forwards it to every peer.
+func (r *Replicator) begin(p *sim.Proc, key string, v version) *Forward {
 	peers, member := r.replicaPeers(key)
-	ks := r.state(key)
 	r.nextID++
-	fwd := &Forward{
-		id: r.nextID, key: key, del: del, proxy: !member,
-		epoch: r.nextEpoch(ks.epoch),
-		value: value, valueSize: valueSize, flags: flags, expire: expire,
-	}
-	if !del {
-		// End-to-end content checksum, computed here once for the round: the
-		// frames carry it (the receiver re-derives it and rejects a frame
-		// whose value was corrupted in flight) and the local epoch record
-		// takes it.
-		fwd.sum = protocol.ValueSum(value)
+	fwd := &Forward{id: r.nextID, key: key, proxy: !member, version: v}
+	fwd.epoch = r.mint(key, 0)
+	if !v.del {
+		fwd.sum = protocol.ValueSum(v.value)
 	}
 	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
@@ -540,11 +536,7 @@ func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
 		f = new(frame)
 	}
 	fwd.sends++
-	*f = frame{
-		Kind: frameWrite, ID: fwd.id, Key: fwd.key, Epoch: fwd.epoch,
-		Del: fwd.del, Value: fwd.value, ValueSize: fwd.valueSize,
-		Flags: fwd.flags, Expire: fwd.expire, Sum: fwd.sum,
-	}
+	*f = frame{Kind: frameWrite, ID: fwd.id, Key: fwd.key, version: fwd.version}
 	for i := 0; i < fwd.peers.n; i++ {
 		if fwd.waiting&(1<<i) != 0 {
 			r.send(p, int(fwd.peers.ids[i]), f)
@@ -582,8 +574,7 @@ func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) 
 	if fwd == nil {
 		return
 	}
-	if resp.Status != protocol.StatusStored && resp.Status != protocol.StatusDeleted &&
-		resp.Status != protocol.StatusNotFound {
+	if !applied(resp.Status) {
 		// Local apply failed outright (recovering, too large): the client
 		// sees that failure; peers that applied anyway reconverge via
 		// anti-entropy.
@@ -597,50 +588,83 @@ func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) 
 }
 
 // applyLocalWrite applies a SET/DELETE on the coordinator under the epoch
-// guard and updates the key's epoch record.
+// guard.
 func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
 	if fwd == nil {
 		return r.st.Handle(p, req)
 	}
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
+	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: protocol.StatusStored}
+	if fwd.del {
+		resp.Status = protocol.StatusDeleted
+	}
 	if fwd.proxy {
 		// Pure coordinator: this server is not in the key's replica set
 		// (the client failed over here). It forwards but must not keep a
 		// local copy that nothing would ever repair.
-		if fwd.del {
-			resp.Status = protocol.StatusDeleted
-		} else {
-			resp.Status = protocol.StatusStored
-		}
 		return resp
 	}
-	ks := r.state(fwd.key)
-	if fwd.epoch <= ks.epoch {
-		// A concurrent coordinator already applied a newer epoch locally:
-		// last-write-wins, this write completes as overwritten.
-		if fwd.del {
-			resp.Status = protocol.StatusDeleted
-		} else {
-			resp.Status = protocol.StatusStored
-		}
-		return resp
-	}
-	if fwd.del {
-		resp.Status = r.st.Delete(p, req.Key)
-		if resp.Status == protocol.StatusDeleted || resp.Status == protocol.StatusNotFound {
-			r.setState(req.Key, ks, fwd.epoch, true, false, 0)
-			r.kick()
-			r.migSatisfy(req.Key, ks.epoch)
-		}
-		return resp
-	}
-	resp.Status = r.st.Set(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
-	if resp.Status == protocol.StatusStored {
-		r.setState(req.Key, ks, fwd.epoch, false, false, fwd.sum)
-		r.kick()
-		r.migSatisfy(req.Key, ks.epoch)
+	// Refused by the guard, a newer epoch is already applied locally — a
+	// concurrent coordinator's, or a later round of this one: last-write-wins,
+	// this write completes as overwritten.
+	if st := r.install(p, fwd.key, &fwd.version, func() bool { return r.newer(fwd) }); st != protocol.StatusNotStored {
+		resp.Status = st
 	}
 	return resp
+}
+
+// newer is the coordinator's guard: the round's epoch is still above the
+// key's record.
+func (r *Replicator) newer(fwd *Forward) bool { return fwd.epoch > r.state(fwd.key).epoch }
+
+// applied reports whether a store status means the write is what the store
+// now holds (deleting an absent key included).
+func applied(st protocol.Status) bool {
+	return st == protocol.StatusStored || st == protocol.StatusDeleted || st == protocol.StatusNotFound
+}
+
+// install is the one way a version of a key reaches the local store, and —
+// through landed — the epoch record: every replicated write, whoever
+// coordinated it and however it arrived, is admit asked, the store call with
+// admit as its swap-time guard, landed. admit is the caller's rule for "this
+// version may still replace what the key holds" (the coordinator's newer, a
+// write frame's judge). It is asked before the store call, so a version that
+// is already stale costs no allocation and no time, and again by the store at
+// the instant of the swap, because the store call suspends — allocation,
+// eviction, copy — and other writes of the key land meanwhile: the record
+// never moves backwards and never names a value the store does not hold.
+// Returns the store's status; StatusNotStored is admit's refusal, at either
+// point.
+func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() bool) protocol.Status {
+	if !admit() {
+		return protocol.StatusNotStored
+	}
+	var st protocol.Status
+	if v.del {
+		st = r.st.DeleteIf(p, key, admit)
+	} else {
+		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expire, admit)
+	}
+	if applied(st) {
+		r.landed(key, v)
+	}
+	return st
+}
+
+// landed records that v is what the local store holds for key, in the same
+// instant the store swapped it in: the epoch record (and with it the
+// maintained digests) moves, a prior tombstone or suspicion is cleared, the
+// scrubber is armed, and whoever was waiting for the key — a migration want,
+// an open pull and the readers parked on it — is answered.
+func (r *Replicator) landed(key string, v *version) {
+	ks := r.state(key)
+	r.setState(key, ks, v.epoch, v.del, false, v.sum)
+	r.kick()
+	r.migSatisfy(key, v.epoch)
+	if ks.pull != nil {
+		// An open pull is satisfied by any confirmed write.
+		ks.pull.Fire()
+		ks.pull, ks.pullFrom = nil, nil
+	}
 }
 
 // await blocks until every replica acked the forward, re-sending to
@@ -688,11 +712,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 // conflict seen, re-applies locally, and re-sends to every peer.
 func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	delete(r.fwds, fwd.id)
-	base := fwd.conflict
-	if ks := r.keys[fwd.key]; ks != nil && ks.epoch > base {
-		base = ks.epoch
-	}
-	fwd.epoch = r.nextEpoch(base)
+	fwd.epoch = r.mint(fwd.key, fwd.conflict)
 	fwd.conflict = 0
 	r.nextID++
 	fwd.id = r.nextID
@@ -700,15 +720,7 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
 	if !fwd.proxy && member {
-		ks := r.state(fwd.key)
-		if fwd.del {
-			r.st.Delete(p, fwd.key)
-			r.setState(fwd.key, ks, fwd.epoch, true, false, 0)
-		} else if r.st.Set(p, fwd.key, fwd.valueSize, fwd.value, fwd.flags, fwd.expire) == protocol.StatusStored {
-			r.setState(fwd.key, ks, fwd.epoch, false, false, fwd.sum)
-		}
-		r.kick()
-		r.migSatisfy(fwd.key, ks.epoch)
+		r.install(p, fwd.key, &fwd.version, func() bool { return r.newer(fwd) })
 	}
 	r.sendWrite(p, fwd)
 }
@@ -777,7 +789,7 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 				epoch = ks.epoch
 			}
 			for i := 0; i < peers.n; i++ {
-				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, Epoch: epoch})
+				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, version: version{epoch: epoch}})
 			}
 		}
 	}
@@ -802,13 +814,11 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// key is now a legal miss everywhere.
 		return resp
 	}
-	fwd := r.begin(p, req.Key, false, value, size, flags, expireSeconds(r.env.Now(), expireAt))
+	fwd := r.begin(p, req.Key, version{value: value, size: size, flags: flags, expire: expireSeconds(r.env.Now(), expireAt)})
 	if !fwd.proxy {
 		// The local copy was applied by Handle; record it like a SET so a
 		// prior tombstone or suspicion on the key cannot outlive it.
-		r.setState(req.Key, r.state(req.Key), fwd.epoch, false, false, fwd.sum)
-		r.kick()
-		r.migSatisfy(req.Key, fwd.epoch)
+		r.landed(req.Key, &fwd.version)
 	}
 	if !r.await(p, fwd) {
 		resp.Status = protocol.StatusNoReplica
@@ -986,75 +996,83 @@ func (r *Replicator) handle(p *sim.Proc, f *frame) {
 	}
 }
 
-// handleWrite applies a forwarded or repair write under the epoch guard.
-func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
-	// The one recompute on the receiving side: it verifies the frame, and
-	// the epoch record takes it if the write applies.
-	var sum uint64
-	if !f.Del {
-		sum = protocol.ValueSum(f.Value)
-	}
-	if !f.Del && f.Sum != 0 && sum != f.Sum {
-		// The frame's value no longer matches the checksum the sender
-		// stamped: it was corrupted in flight. Reject silently — never
-		// apply, never ack — and let the coordinator's resend rounds (or
-		// anti-entropy) deliver a clean copy.
-		r.Counters.Add("corrupt-frames-rejected", 1)
-		return
-	}
+// verdict is what judge makes of a write frame.
+type verdict int
+
+const (
+	stale     verdict = iota // below the record: reject, naming the newer epoch
+	duplicate                // the record already is this version: ack, apply nothing
+	lands                    // goes to the store
+	repairs                  // lands, replacing diverged bytes at the same epoch
+)
+
+// judge decides what write frame f — its value verified, sum its content
+// checksum — does to the key's record as it stands at this instant.
+func (r *Replicator) judge(f *frame, sum uint64) verdict {
 	ks := r.state(f.Key)
 	switch {
-	case f.Epoch < ks.epoch:
-		// Stale: reject, telling the coordinator the newer epoch.
-		if !f.Repair {
-			r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Applied: false, Epoch: ks.epoch, Key: f.Key})
-		}
-		return
-	case f.Epoch == ks.epoch && f.Epoch != 0:
+	case f.epoch < ks.epoch:
+		return stale
+	case f.epoch == ks.epoch && f.epoch != 0:
 		// Same epoch at both ends normally means duplicate delivery: ack
 		// idempotently without re-applying. Two exceptions genuinely need
-		// the apply below. A suspect local copy (corrupt read, cold
-		// recovery) lost its value: any confirmed same-epoch push restores
-		// it. And a content-divergence repair — same epoch, different
-		// bytes — applies when the sender's copy wins the coordinator
-		// rule, which is how the scrub fixes silent corruption that an
-		// epoch comparison alone would never see.
-		diverged := f.Repair && !f.Del && !ks.del &&
+		// the apply. A suspect local copy (corrupt read, cold recovery) lost
+		// its value: any confirmed same-epoch push restores it. And a
+		// content-divergence repair — same epoch, different bytes — applies
+		// when the sender's copy wins the coordinator rule, which is how the
+		// scrub fixes silent corruption that an epoch comparison alone would
+		// never see.
+		diverged := f.Repair && !f.del && !ks.del &&
 			sum != ks.sum &&
-			winsSameEpoch(f.From, r.cfg.ID, f.Epoch)
-		if !ks.suspect && ks.pull == nil && !diverged {
-			if !f.Repair {
-				r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Applied: true, Epoch: ks.epoch, Key: f.Key})
-			}
+			winsSameEpoch(f.From, r.cfg.ID, f.epoch)
+		switch {
+		case diverged && !ks.suspect:
+			return repairs
+		case !ks.suspect && ks.pull == nil:
+			return duplicate
+		}
+	}
+	return lands
+}
+
+// handleWrite applies a forwarded or repair write: verified, judged, and
+// installed with the same judgement as its swap-time guard. A forward is
+// answered with what became of it; a repair push is never acked.
+func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
+	v := f.version
+	if !f.del {
+		// The one recompute on the receiving side: it verifies the frame, and
+		// the epoch record takes it if the write applies.
+		if v.sum = protocol.ValueSum(f.value); f.sum != 0 && v.sum != f.sum {
+			// The frame's value no longer matches the checksum the sender
+			// stamped: it was corrupted in flight. Reject silently — never
+			// apply, never ack — and let the coordinator's resend rounds (or
+			// anti-entropy) deliver a clean copy.
+			r.Counters.Add("corrupt-frames-rejected", 1)
 			return
 		}
-		if diverged && !ks.suspect {
-			r.Counters.Add("scrub-corruptions-repaired", 1)
-		}
 	}
-	var applied bool
-	if f.Del {
-		st := r.st.Delete(p, f.Key)
-		applied = st == protocol.StatusDeleted || st == protocol.StatusNotFound
-	} else {
-		applied = r.st.Set(p, f.Key, f.ValueSize, f.Value, f.Flags, f.Expire) == protocol.StatusStored
+	var how verdict
+	st := r.install(p, f.Key, &v, func() bool {
+		how = r.judge(f, v.sum)
+		return how >= lands
+	})
+	if how == repairs && applied(st) {
+		r.Counters.Add("scrub-corruptions-repaired", 1)
 	}
-	if !applied {
-		// Recovering or allocation failure: stay silent; the coordinator's
-		// resend rounds (or anti-entropy) will retry once we can apply.
+	if f.Repair {
 		return
 	}
-	r.setState(f.Key, ks, f.Epoch, f.Del, false, sum)
-	r.kick()
-	r.migSatisfy(f.Key, ks.epoch)
-	if ks.pull != nil {
-		// An open suspect pull is satisfied by any confirmed write.
-		ks.pull.Fire()
-		ks.pull, ks.pullFrom = nil, nil
+	switch {
+	case how == stale:
+		// Tell the coordinator the newer epoch.
+		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, version: version{epoch: r.state(f.Key).epoch}})
+	case how == duplicate || applied(st):
+		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, Applied: true, version: version{epoch: f.epoch}})
 	}
-	if !f.Repair {
-		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Applied: true, Epoch: f.Epoch, Key: f.Key})
-	}
+	// Otherwise the store refused (recovering, allocation failure): stay
+	// silent; the coordinator's resend rounds (or anti-entropy) will retry
+	// once we can apply.
 }
 
 func (r *Replicator) handleAck(f *frame) {
@@ -1067,8 +1085,8 @@ func (r *Replicator) handleAck(f *frame) {
 		return // duplicate ack
 	}
 	fwd.waiting &^= 1 << i
-	if !f.Applied && f.Epoch > fwd.epoch && f.Epoch > fwd.conflict {
-		fwd.conflict = f.Epoch
+	if !f.Applied && f.epoch > fwd.epoch && f.epoch > fwd.conflict {
+		fwd.conflict = f.epoch
 	}
 	if fwd.waiting == 0 {
 		fwd.done.Fire()
@@ -1091,26 +1109,23 @@ func (r *Replicator) handlePull(p *sim.Proc, f *frame) {
 // Returns false when the local value turned out to be gone (evicted and
 // dropped), in which case the epoch record is retired too.
 func (r *Replicator) pushKey(p *sim.Proc, pid int, key string, ks *keyState) bool {
-	if ks.del {
-		r.Counters.Add("repair-pushes", 1)
-		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, Epoch: ks.epoch, Del: true})
-		return true
-	}
-	value, size, flags, expireAt, ok := r.st.ReadItem(p, key)
-	if !ok {
-		// The slab layer dropped the value (eviction under pressure): stop
-		// claiming the epoch in digests; a peer's copy can repair us later.
-		r.dropState(key)
-		r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
-		return false
+	v := version{epoch: ks.epoch, del: ks.del}
+	if !ks.del {
+		value, size, flags, expireAt, ok := r.st.ReadItem(p, key)
+		if !ok {
+			// The slab layer dropped the value (eviction under pressure): stop
+			// claiming the epoch in digests; a peer's copy can repair us later.
+			r.dropState(key)
+			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+			return false
+		}
+		v = version{
+			epoch: ks.epoch, value: value, size: size, flags: flags,
+			expire: expireSeconds(r.env.Now(), expireAt), sum: protocol.ValueSum(value),
+		}
 	}
 	r.Counters.Add("repair-pushes", 1)
-	r.send(p, pid, &frame{
-		Kind: frameWrite, Repair: true, Key: key, Epoch: ks.epoch,
-		Value: value, ValueSize: size, Flags: flags,
-		Expire: expireSeconds(r.env.Now(), expireAt),
-		Sum:    protocol.ValueSum(value),
-	})
+	r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
 	return true
 }
 
@@ -1153,9 +1168,9 @@ func (r *Replicator) handleProbe(p *sim.Proc, f *frame) {
 		epoch = ks.epoch
 	}
 	switch {
-	case epoch < f.Epoch:
+	case epoch < f.epoch:
 		r.send(p, f.From, &frame{Kind: framePull, Key: f.Key})
-	case epoch > f.Epoch:
+	case epoch > f.epoch:
 		r.pushKey(p, f.From, f.Key, ks)
 	}
 }

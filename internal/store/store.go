@@ -247,8 +247,21 @@ func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
 }
 
 // Set stores a value, charging p the slab-allocation and cache-update
-// stages. Returns StatusStored, or StatusTooLarge.
+// stages. Returns StatusStored, StatusTooLarge, or StatusRecovering.
 func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uint32, expire uint32) protocol.Status {
+	return s.SetIf(p, key, valueSize, value, flags, expire, nil)
+}
+
+// SetIf is Set under a guard: the one form of "store unless something changed
+// meanwhile". The allocation, an eviction it triggers and the copy all
+// suspend, so whatever the caller checked before the call may no longer hold
+// when the value is ready; guard (nil: always) is asked at the instant the
+// table entry is swapped, and nothing suspends between its answer, the swap
+// and the return — the caller's own bookkeeping, done right after, is part of
+// the same instant. A refused value is released, the key is left exactly as
+// it was, and the answer is StatusNotStored. Costs and the order of sleeps
+// are Set's either way.
+func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, expire uint32, guard func() bool) protocol.Status {
 	s.SetOps++
 
 	// Stage 1: slab allocation (may trigger hybrid eviction I/O).
@@ -273,20 +286,35 @@ func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uin
 	s.Prof.Add(metrics.StageSlabAlloc, p.Now()-t0)
 
 	// Stage 3: cache update — freshness of the table and recency list.
-	// Re-read the table entry: the allocation above can suspend, and a
+	// Read the table entry only now: the allocation above can suspend, and a
 	// concurrent worker may have replaced the key meanwhile.
 	t0 = p.Now()
 	s.publishBegin(key)
 	p.Sleep(updateCost)
-	if old := s.table[key]; old != nil {
-		s.mgr.Release(old)
+	status := protocol.StatusStored
+	if guard == nil || guard() {
+		if old := s.table[key]; old != nil {
+			s.mgr.Release(old)
+		}
+		s.cas++
+		it.CAS = s.cas
+		s.table[key] = it
+		s.publish(it)
+	} else {
+		s.mgr.Release(it)
+		s.republish(key)
+		status = protocol.StatusNotStored
 	}
-	s.cas++
-	it.CAS = s.cas
-	s.table[key] = it
-	s.publish(it)
 	s.Prof.Add(metrics.StageCacheUpdate, p.Now()-t0)
-	return protocol.StatusStored
+	return status
+}
+
+// republish closes the mutation window publishBegin opened for a change that
+// then did not happen: key's live item, if it has one, is what readers see.
+func (s *Store) republish(key string) {
+	if cur := s.table[key]; cur != nil {
+		s.publish(cur)
+	}
 }
 
 // Get fetches a value, charging p the cache-check-and-load and cache-update
@@ -367,8 +395,18 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 
 // Delete removes a key.
 func (s *Store) Delete(p *sim.Proc, key string) protocol.Status {
+	return s.DeleteIf(p, key, nil)
+}
+
+// DeleteIf is Delete under a guard, asked as SetIf's is: after the probe's
+// suspension, at the instant the entry is removed. Refused, the key is left
+// as it was and the answer is StatusNotStored.
+func (s *Store) DeleteIf(p *sim.Proc, key string, guard func() bool) protocol.Status {
 	s.DeleteOps++
 	p.Sleep(hashCost)
+	if guard != nil && !guard() {
+		return protocol.StatusNotStored
+	}
 	it := s.table[key]
 	if it == nil {
 		return protocol.StatusNotFound
