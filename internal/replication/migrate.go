@@ -267,8 +267,8 @@ func (r *Replicator) migPullMissed(key string, from int) {
 // confirm) returns true, an all-miss returns true with the key legally
 // absent, and a timeout returns false — the caller then answers retryable
 // so the client fails over to an old owner instead of eating a fabricated
-// miss. Shares the suspect-pull machinery (ks.pull / ks.pullFrom), so a
-// concurrent suspect confirmation and a double-read coalesce.
+// miss. It is the key's one pull (openPull), so a concurrent suspect
+// confirmation and a double-read coalesce.
 func (r *Replicator) doubleRead(p *sim.Proc, key string) bool {
 	srcs := r.mem.OldOwners(key, r.cfg.ID)
 	if len(srcs) == 0 {
@@ -278,24 +278,11 @@ func (r *Replicator) doubleRead(p *sim.Proc, key string) bool {
 	if ks.epoch != 0 && !ks.suspect {
 		return true
 	}
-	if ks.pull == nil {
-		ks.pull = r.env.NewEvent()
-		ks.pullFrom = make(map[int]bool, len(srcs))
-		for _, pid := range srcs {
-			ks.pullFrom[pid] = true
-			r.send(p, pid, &frame{Kind: framePull, Key: key})
-		}
-		r.Counters.Add("migrate-double-reads", 1)
+	var peers peerSet
+	for _, pid := range srcs {
+		peers.add(pid)
 	}
-	ev := ks.pull
-	p.WaitTimeout(ev, r.cfg.PullTimeout)
-	if !ev.Fired() {
-		if ks.pull == ev {
-			ks.pull, ks.pullFrom = nil, nil
-		}
-		return false
-	}
-	return true
+	return r.waitPull(p, ks, r.openPull(p, key, ks, &peers, "migrate-double-reads"))
 }
 
 // gcMoved drops every key this node no longer replicates after a finalized

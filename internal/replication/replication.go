@@ -660,11 +660,7 @@ func (r *Replicator) landed(key string, v *version) {
 	r.setState(key, ks, v.epoch, v.del, false, v.sum)
 	r.kick()
 	r.migSatisfy(key, v.epoch)
-	if ks.pull != nil {
-		// An open pull is satisfied by any confirmed write.
-		ks.pull.Fire()
-		ks.pull, ks.pullFrom = nil, nil
-	}
+	ks.closePull() // an open pull is satisfied by any confirmed write
 }
 
 // await blocks until every replica acked the forward, re-sending to
@@ -861,34 +857,51 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 		r.setState(key, ks, ks.epoch, ks.del, false, ks.sum)
 		return true
 	}
-	r.openPull(p, key, ks, peers)
-	ev := ks.pull
-	p.WaitTimeout(ev, r.cfg.PullTimeout)
-	if !ev.Fired() {
-		// Abandon this round so the next reader restarts the pull (the
-		// frames may have been lost to a partition).
-		if ks.pull == ev {
-			ks.pull, ks.pullFrom = nil, nil
-		}
-		return false
-	}
-	return !ks.suspect
+	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, "repair-pulls")) && !ks.suspect
 }
 
-// openPull asks every peer for its confirmed copy of key, unless a pull is
-// already open.
-func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet) {
+// openPull asks every one of peers for its confirmed copy of key and returns
+// the event that fires when the pull concludes: a confirmed write of the key
+// lands (landed), or every peer asked answers that it holds none
+// (handlePullMiss). A key has one pull at a time — a suspect confirmation, a
+// corrupt read's background repair and a migration double-read that coincide
+// share it, as do all their readers — so with one already open this only
+// returns its event. counter names what a newly opened round is counted as.
+func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet, counter string) *sim.Event {
 	if ks.pull != nil {
-		return
+		return ks.pull
 	}
-	ks.pull = r.env.NewEvent()
-	ks.pullFrom = make(map[int]bool, peers.n)
+	ev := r.env.NewEvent()
+	ks.pull, ks.pullFrom = ev, make(map[int]bool, peers.n)
 	for i := 0; i < peers.n; i++ {
 		pid := int(peers.ids[i])
 		ks.pullFrom[pid] = true
 		r.send(p, pid, &frame{Kind: framePull, Key: key})
 	}
-	r.Counters.Add("repair-pulls", 1)
+	r.Counters.Add(counter, 1)
+	return ev
+}
+
+// waitPull parks the caller on a pull of ks's key until it concludes or
+// PullTimeout passes, and reports which. On a timeout the pull is abandoned —
+// not fired: the readers that joined it later keep their own timeouts — so
+// the next reader opens a fresh round (the frames may have been lost to a
+// partition).
+func (r *Replicator) waitPull(p *sim.Proc, ks *keyState, ev *sim.Event) bool {
+	p.WaitTimeout(ev, r.cfg.PullTimeout)
+	if !ev.Fired() && ks.pull == ev {
+		ks.pull, ks.pullFrom = nil, nil
+	}
+	return ev.Fired()
+}
+
+// closePull concludes the key's open pull, if it has one: every reader parked
+// on it resumes.
+func (ks *keyState) closePull() {
+	if ks.pull != nil {
+		ks.pull.Fire()
+		ks.pull, ks.pullFrom = nil, nil
+	}
 }
 
 // Wipe models whole-node RAM loss: every epoch record, open forward, and
@@ -935,7 +948,7 @@ func (r *Replicator) OnCorrupt(p *sim.Proc, key string) {
 	if !member || peers.n == 0 {
 		return
 	}
-	r.openPull(p, key, ks, &peers)
+	r.openPull(p, key, ks, &peers, "repair-pulls")
 	r.kick()
 }
 
@@ -1152,10 +1165,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 		r.dropState(f.Key)
 		r.Counters.Add("suspect-drops", 1)
 	}
-	if !ks.pull.Fired() {
-		ks.pull.Fire()
-	}
-	ks.pull, ks.pullFrom = nil, nil
+	ks.closePull()
 }
 
 // handleProbe is the read-repair rendezvous: a replica that served a GET
