@@ -18,8 +18,9 @@ const (
 	framePull
 	// framePullMiss answers a pull when the peer has no confirmed copy.
 	framePullMiss
-	// frameProbe is the read-repair rendezvous: "I just served this key at
-	// this epoch" — a lagging peer asks for a push, a fresher one pushes.
+	// frameProbe is the read-repair rendezvous: "I just served this key from
+	// this record" (epoch, tombstone, content sum) — a lagging peer asks for
+	// a push, a fresher one pushes.
 	frameProbe
 	// frameDigest carries a scrubber's bucketed epoch digest.
 	frameDigest
@@ -72,10 +73,10 @@ type frame struct {
 	ID   uint64 // forward round id (frameWrite/frameAck)
 
 	Key string
-	// version is the write a frameWrite carries. The other kinds use its
-	// epoch alone: the replica's own in a stale-rejecting frameAck, the epoch
-	// served in a frameProbe, the membership epoch in frameSegPull and
-	// frameSegManifest.
+	// version is the write a frameWrite carries. A frameProbe uses its
+	// epoch, del and sum for the record it served; the other kinds its epoch
+	// alone: the replica's own in a stale-rejecting frameAck, the membership
+	// epoch in frameSegPull and frameSegManifest.
 	version
 	Repair bool // frameWrite: unacked repair push
 

@@ -206,7 +206,7 @@ func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 	}
 	delete(st.waiting, f.From)
 	for _, e := range f.Entries {
-		if ks := r.keys[e.Key]; ks != nil && !ks.suspect && ks.epoch >= e.Epoch {
+		if r.keys[e.Key].confirmedEpoch() >= e.Epoch {
 			continue // already current (or fresher) locally
 		}
 		w := st.wants[e.Key]
@@ -317,7 +317,7 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 func (r *Replicator) sortedConfirmedKeys() []string {
 	keys := make([]string, 0, len(r.keys))
 	for key, ks := range r.keys {
-		if ks.suspect || ks.epoch == 0 {
+		if !ks.confirmed() {
 			continue
 		}
 		keys = append(keys, key)

@@ -780,12 +780,12 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 	if resp.Status == protocol.StatusOK && r.cfg.ReadRepairEvery > 0 {
 		r.gets++
 		if r.gets%uint64(r.cfg.ReadRepairEvery) == 0 {
-			var epoch uint64
+			var served version // the record behind the hit: epoch, tombstone, content sum
 			if ks := r.keys[req.Key]; ks != nil {
-				epoch = ks.epoch
+				served = version{epoch: ks.epoch, del: ks.del, sum: ks.sum}
 			}
 			for i := 0; i < peers.n; i++ {
-				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, version: version{epoch: epoch}})
+				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, version: served})
 			}
 		}
 	}
@@ -1110,7 +1110,7 @@ func (r *Replicator) handleAck(f *frame) {
 // (value or tombstone) or admit we do not have one.
 func (r *Replicator) handlePull(p *sim.Proc, f *frame) {
 	ks := r.keys[f.Key]
-	if ks == nil || ks.suspect || ks.epoch == 0 {
+	if !ks.confirmed() {
 		// Nothing confirmed here — never propagate an unconfirmed value.
 		r.send(p, f.From, &frame{Kind: framePullMiss, Key: f.Key})
 		return
@@ -1169,18 +1169,8 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 }
 
 // handleProbe is the read-repair rendezvous: a replica that served a GET
-// tells us the epoch it served. If we are behind we ask it to push; if we
-// are ahead we push our fresher copy back.
+// tells us the record it served, and we reconcile against it — behind, we ask
+// it to push; ahead, we push our fresher copy back.
 func (r *Replicator) handleProbe(p *sim.Proc, f *frame) {
-	ks := r.keys[f.Key]
-	var epoch uint64
-	if ks != nil && !ks.suspect {
-		epoch = ks.epoch
-	}
-	switch {
-	case epoch < f.epoch:
-		r.send(p, f.From, &frame{Kind: framePull, Key: f.Key})
-	case epoch > f.epoch:
-		r.pushKey(p, f.From, f.Key, ks)
-	}
+	r.reconcile(p, f.From, KeyEpoch{Key: f.Key, Epoch: f.epoch, Del: f.del, Sum: f.sum})
 }

@@ -82,9 +82,20 @@ func (r *Replicator) sharedWith(pid int, key string) bool {
 	return both == 2
 }
 
-// confirmed reports whether the record may be claimed in a digest: suspect
-// and epoch-0 keys are unconfirmed and must not be.
-func (ks *keyState) confirmed() bool { return !ks.suspect && ks.epoch != 0 }
+// confirmedEpoch is the epoch this server may claim for a key — in a digest,
+// a manifest, the answer to a pull or a probe: its record's, or zero when it
+// has no record (ks is nil) or only a suspect one. A cold-recovered or
+// corrupt-read value proves nothing until a peer confirms it, and an
+// unconfirmed epoch must never propagate.
+func (ks *keyState) confirmedEpoch() uint64 {
+	if ks == nil || ks.suspect {
+		return 0
+	}
+	return ks.epoch
+}
+
+// confirmed reports whether there is anything to claim.
+func (ks *keyState) confirmed() bool { return ks.confirmedEpoch() != 0 }
 
 // folds returns the two digest folds of key's record: zero — XOR's identity —
 // for a record that may not be claimed.
@@ -305,45 +316,45 @@ func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
 }
 
 // handleDiff reconciles against the peer's entries for the differing
-// buckets: push what we hold fresher, pull what the peer holds fresher,
-// push what the peer does not hold at all.
+// buckets, then pushes what the peer does not hold at all.
 func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
-	theirs := make(map[string]KeyEpoch, len(f.Entries))
+	theirs := make(map[string]bool, len(f.Entries))
 	for _, e := range f.Entries {
-		theirs[e.Key] = e
-	}
-	// Peer-listed keys: compare epochs, then content at equal epochs.
-	for _, e := range f.Entries {
-		ks := r.keys[e.Key]
-		var epoch uint64
-		if ks != nil && !ks.suspect {
-			epoch = ks.epoch
-		}
-		switch {
-		case epoch < e.Epoch:
+		theirs[e.Key] = true
+		if r.reconcile(p, f.From, e) {
 			r.Counters.Add("repair-pulls", 1)
-			r.send(p, f.From, &frame{Kind: framePull, Key: e.Key})
-		case epoch > e.Epoch:
-			r.pushKey(p, f.From, e.Key, ks)
-		case epoch != 0 && !ks.del && !e.Del && ks.sum != e.Sum:
-			// Same epoch, different bytes: silent corruption on one side.
-			// The epoch's coordinator keeps its copy; the loser takes the
-			// winner's. Either push our copy (we win — the peer's
-			// handleWrite applies it under the same rule) or pull the
-			// peer's (it wins).
-			r.Counters.Add("scrub-corruptions-found", 1)
-			if winsSameEpoch(r.cfg.ID, f.From, epoch) {
-				r.pushKey(p, f.From, e.Key, ks)
-			} else {
-				r.Counters.Add("repair-pulls", 1)
-				r.send(p, f.From, &frame{Kind: framePull, Key: e.Key})
-			}
 		}
 	}
 	// Keys we hold in a differing bucket that the peer did not list at all.
 	for _, key := range r.sortedSharedKeys(f.From, f.Buckets) {
-		if _, listed := theirs[key]; !listed {
+		if !theirs[key] {
 			r.pushKey(p, f.From, key, r.keys[key])
 		}
 	}
+}
+
+// reconcile settles one key against the record a peer says it holds — an
+// entry of a scrub diff, or what a read-repair probe just served: pull what
+// the peer holds fresher, push what we hold fresher. At equal epochs, both
+// sides live and the content sums different, one side is silently corrupt:
+// the epoch's coordinator keeps its copy and the loser takes the winner's, so
+// either we push ours (we win — the peer's judge applies it under the same
+// rule) or pull the peer's (it wins). Reports whether it asked the peer for
+// its copy.
+func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
+	ks := r.keys[theirs.Key]
+	mine := ks.confirmedEpoch()
+	pull, push := mine < theirs.Epoch, mine > theirs.Epoch
+	if mine == theirs.Epoch && mine != 0 && !ks.del && !theirs.Del && ks.sum != theirs.Sum {
+		r.Counters.Add("scrub-corruptions-found", 1)
+		push = winsSameEpoch(r.cfg.ID, from, mine)
+		pull = !push
+	}
+	if push {
+		r.pushKey(p, from, theirs.Key, ks)
+	}
+	if pull {
+		r.send(p, from, &frame{Kind: framePull, Key: theirs.Key})
+	}
+	return pull
 }
