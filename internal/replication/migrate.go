@@ -1,10 +1,6 @@
 package replication
 
-import (
-	"sort"
-
-	"hybridkv/internal/sim"
-)
+import "hybridkv/internal/sim"
 
 // Migration engine
 //
@@ -164,11 +160,11 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		// (Re)install: a Wipe between rounds cleared r.migPulls, and with it
 		// every satisfied want's local state — the resent pulls rebuild both.
 		r.migPulls[seg] = st
-		for _, pid := range sortedIDSet(st.waiting) {
+		for _, pid := range sortedKeys(st.waiting, nil) {
 			r.send(p, pid, &frame{Kind: frameSegPull, Seg: seg, version: version{epoch: epoch}})
 		}
-		for _, key := range sortedWantKeys(st.wants) {
-			for _, pid := range sortedIDSet(st.wants[key].from) {
+		for _, key := range sortedKeys(st.wants, nil) {
+			for _, pid := range sortedKeys(st.wants[key].from, nil) {
 				r.send(p, pid, &frame{Kind: framePull, Key: key})
 			}
 		}
@@ -186,10 +182,10 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 	}
 	resp := &frame{Kind: frameSegManifest, Seg: f.Seg, version: version{epoch: f.epoch}}
 	newRing := r.mem.Ring()
-	for _, key := range r.sortedConfirmedKeys() {
-		if SegmentOf(key) != f.Seg || !containsID(newRing.Replicas(key, r.cfg.Factor), f.From) {
-			continue
-		}
+	theirs := func(key string, ks *keyState) bool {
+		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.cfg.Factor), f.From)
+	}
+	for _, key := range sortedKeys(r.keys, theirs) {
 		ks := r.keys[key]
 		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del})
 	}
@@ -294,12 +290,7 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 	if r.isDown() {
 		return
 	}
-	keys := make([]string, 0, len(r.keys))
-	for key := range r.keys {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range sortedKeys(r.keys, nil) {
 		ks := r.keys[key]
 		if ks == nil || containsID(r.replicaSet(key), r.cfg.ID) {
 			continue
@@ -310,36 +301,4 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 		}
 		r.Counters.Add("migrate-gc-keys", 1)
 	}
-}
-
-// sortedConfirmedKeys lists confirmed (non-suspect, epoch > 0) keys in
-// sorted order for deterministic manifest emission.
-func (r *Replicator) sortedConfirmedKeys() []string {
-	keys := make([]string, 0, len(r.keys))
-	for key, ks := range r.keys {
-		if !ks.confirmed() {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedIDSet(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedWantKeys(wants map[string]*migWant) []string {
-	out := make([]string, 0, len(wants))
-	for key := range wants {
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return out
 }

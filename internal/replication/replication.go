@@ -1,8 +1,9 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
@@ -414,13 +415,21 @@ func link(a, b *Replicator) {
 	b.refreshPeerIDs()
 }
 
-func (r *Replicator) refreshPeerIDs() {
-	ids := make([]int, 0, len(r.peers))
-	for id := range r.peers {
-		ids = append(ids, id)
+func (r *Replicator) refreshPeerIDs() { r.peerIDs = sortedKeys(r.peers, nil) }
+
+// sortedKeys lists the keys of m that keep admits (nil: all of them),
+// ascending. Map iteration order is random per run, and whatever a replicator
+// emits from a map — a diff's entries, a manifest, resent pulls, the GC sweep,
+// its own peer list — must come out in the same order every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
+	var keys []K
+	for k, v := range m {
+		if keep == nil || keep(k, v) {
+			keys = append(keys, k)
+		}
 	}
-	sort.Ints(ids)
-	r.peerIDs = ids
+	slices.Sort(keys)
+	return keys
 }
 
 func (r *Replicator) start() {

@@ -1,10 +1,6 @@
 package replication
 
-import (
-	"sort"
-
-	"hybridkv/internal/sim"
-)
+import "hybridkv/internal/sim"
 
 // Anti-entropy scrubber: write forwards and read repair fix divergence on
 // keys that clients keep touching; the scrubber fixes everything else. Each
@@ -294,10 +290,8 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 }
 
 // sortedSharedKeys lists the confirmed keys shared with pid that fall in one
-// of the given buckets, in sorted order (map iteration order is random per
-// run; reconciliation emission order must be deterministic). Keys are
-// filtered by bucket first: a round that differs in one bucket sorts that
-// bucket's keys, not the table.
+// of the given buckets, in sorted order. Keys are filtered by bucket first: a
+// round that differs in one bucket sorts that bucket's keys, not the table.
 func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
 	in := make([]bool, r.cfg.ScrubBuckets)
 	for _, b := range buckets {
@@ -305,14 +299,9 @@ func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
 			in[b] = true
 		}
 	}
-	var keys []string
-	for key, ks := range r.keys {
-		if ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key) {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
+	return sortedKeys(r.keys, func(key string, ks *keyState) bool {
+		return ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key)
+	})
 }
 
 // handleDiff reconciles against the peer's entries for the differing
