@@ -359,8 +359,7 @@ func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Rep
 	repl := replication.New(cl.Env, replication.Config{
 		ID: id, Factor: cl.Membership.Factor(), Pacer: cl.cfg.Pacer,
 		ScrubInterval: cl.cfg.ScrubInterval,
-	}, cl.Membership.Ring(), srv.Store(), srv.Device())
-	repl.SetMembership(cl.Membership)
+	}, cl.Membership, srv.Store(), srv.Device())
 	srv.AttachReplicator(repl)
 	return repl
 }

@@ -294,7 +294,7 @@ type DirectoryInfo struct {
 	Hot        []uint64
 	HotVersion uint64
 
-	// MemberEpoch is the server's membership epoch (0 on static fleets).
+	// MemberEpoch is the server's membership epoch (0 from an unreplicated one).
 	// A client seeing it advance drops the connection's cached value
 	// offsets: placement learned under an older epoch is unusable for
 	// one-sided READs.

@@ -4,7 +4,7 @@ import "hybridkv/internal/sim"
 
 // Migration engine
 //
-// Every replicator with a Membership attached runs a migrator proc. When a
+// Every replicator runs a migrator proc. When a
 // transition begins it walks the hash space segment by segment: for each
 // segment it asks every pull source (the previous ring's live members) for
 // a manifest of the keys it now owns there, compares the manifest against
@@ -50,36 +50,14 @@ func (st *segPull) maybeDone() {
 	}
 }
 
-// SetMembership attaches the shared membership state machine. Must be
-// called before Interconnect/Join starts the engines. Ring lookups route
-// through the membership from then on, returning the union of old and new
-// replica sets while a migration is in flight.
-func (r *Replicator) SetMembership(m *Membership) {
-	r.mem = m
-	m.Subscribe(func(epoch uint64, final bool) {
-		if !final && r.memWake != nil && !r.memWake.Fired() {
-			r.memWake.Fire()
-		}
-	})
-}
+// MembershipEpoch returns the membership's epoch. The server stamps it into
+// directory query answers so bypass clients can detect a stale location cache
+// on the wire.
+func (r *Replicator) MembershipEpoch() uint64 { return r.mem.Epoch() }
 
-// MembershipEpoch returns the attached membership's epoch (0 when static).
-// The server stamps it into directory query answers so bypass clients can
-// detect a stale location cache on the wire.
-func (r *Replicator) MembershipEpoch() uint64 {
-	if r.mem == nil {
-		return 0
-	}
-	return r.mem.Epoch()
-}
-
-// replicaSet is the routing primitive: the membership's epoch-aware union
-// when dynamic, the static ring otherwise.
+// replicaSet is the routing primitive: the membership's epoch-aware union.
 func (r *Replicator) replicaSet(key string) []int {
-	if r.mem != nil {
-		return r.mem.ReplicaSet(key, r.cfg.Factor)
-	}
-	return r.ring.Replicas(key, r.cfg.Factor)
+	return r.mem.ReplicaSet(key, r.cfg.Factor)
 }
 
 // migrator drives this node's side of every membership transition. It
@@ -88,9 +66,6 @@ func (r *Replicator) replicaSet(key string) []int {
 // member, waits for the global finalize, then garbage-collects keys this
 // node no longer replicates.
 func (r *Replicator) migrator(p *sim.Proc) {
-	if r.mem == nil {
-		return
-	}
 	var seen uint64
 	for {
 		for !r.mem.Migrating() || r.mem.Epoch() == seen {
@@ -177,7 +152,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 // manifest is still sent — "answered, nothing for you" seals faster than a
 // timeout.
 func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
-	if r.mem == nil || !r.mem.Migrating() || r.mem.Epoch() != f.epoch {
+	if !r.mem.Migrating() || r.mem.Epoch() != f.epoch {
 		return
 	}
 	resp := &frame{Kind: frameSegManifest, Seg: f.Seg, version: version{epoch: f.epoch}}

@@ -250,7 +250,6 @@ type peerLink struct {
 type Replicator struct {
 	env  *sim.Env
 	cfg  Config
-	ring *Ring
 	st   *store.Store
 	dev  *verbs.Device
 	down func() bool // host server crashed or recovering: drop frames
@@ -280,9 +279,9 @@ type Replicator struct {
 	scrubWake *sim.Event
 	scrubLeft int
 
-	// Dynamic membership (nil for static fleets): the shared epoch state
-	// machine, the migrator's park event, and the per-segment pull state of
-	// the in-flight transition (see migrate.go).
+	// Membership: the shared epoch state machine every replica set is read
+	// from, the migrator's park event, and the per-segment pull state of the
+	// in-flight transition (see migrate.go).
 	mem      *Membership
 	memWake  *sim.Event
 	migPulls map[int]*segPull
@@ -292,15 +291,18 @@ type Replicator struct {
 	Counters *metrics.Counters
 }
 
-// New creates a replicator for server cfg.ID over its store and device.
-// Interconnect must be called on the full set before the simulation runs.
-func New(env *sim.Env, cfg Config, ring *Ring, st *store.Store, dev *verbs.Device) *Replicator {
+// New creates a replicator for server cfg.ID over its store and device,
+// reading every replica set from the shared membership mem — the union of the
+// old and the new ring's while a migration is in flight — and waking its
+// migrator at every transition mem begins. Interconnect (or Join) must wire
+// it into the mesh before the simulation runs.
+func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.Device) *Replicator {
 	cfg.fill()
 	if 2*cfg.Factor > maxRoundPeers {
 		panic(fmt.Sprintf("replication: factor %d: a migrating key could have more than %d peers", cfg.Factor, maxRoundPeers))
 	}
-	return &Replicator{
-		env: env, cfg: cfg, ring: ring, st: st, dev: dev,
+	r := &Replicator{
+		env: env, cfg: cfg, mem: mem, st: st, dev: dev,
 		peers:    make(map[int]*peerLink),
 		qpByQPN:  make(map[int]*verbs.QP),
 		keys:     make(map[string]*keyState),
@@ -308,6 +310,12 @@ func New(env *sim.Env, cfg Config, ring *Ring, st *store.Store, dev *verbs.Devic
 		migPulls: make(map[int]*segPull),
 		Counters: metrics.NewCounters(),
 	}
+	mem.Subscribe(func(epoch uint64, final bool) {
+		if !final && r.memWake != nil && !r.memWake.Fired() {
+			r.memWake.Fire()
+		}
+	})
+	return r
 }
 
 // SetDown installs the host server's liveness probe: while it reports true
@@ -480,10 +488,9 @@ func (r *Replicator) state(key string) *keyState {
 }
 
 // replicaPeers returns the key's replica set minus self, ascending for send
-// determinism, and whether self is a member. With a membership attached
-// the set is the union of the old and new rings while a migration is in
-// flight, so forwards dual-apply and no interleaving with sealing can
-// lose an acked write.
+// determinism, and whether self is a member. The set is the union of the old
+// and new rings while a migration is in flight, so forwards dual-apply and no
+// interleaving with sealing can lose an acked write.
 func (r *Replicator) replicaPeers(key string) (peers peerSet, member bool) {
 	for _, id := range r.replicaSet(key) {
 		if id == r.cfg.ID {
@@ -743,7 +750,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// This server holds nothing authoritative for the key.
 		return refusal(req, refuse), peers
 	}
-	if r.mem != nil && r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
+	if r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
 		// Double-read window: this server is gaining the key and has not
 		// sealed its segment, so a local miss proves nothing. Consult the
 		// old owners; if none answers in time, fail retryable — the client

@@ -122,16 +122,13 @@ func (r *Replicator) computeDigest(pid int) []uint64 {
 
 // placement identifies what sharedWith depends on: the membership epoch and
 // whether its migration is still in flight (finalizing drops the old ring
-// without bumping the epoch). Constant on a static fleet.
+// without bumping the epoch).
 type placement struct {
 	epoch     uint64
 	migrating bool
 }
 
 func (r *Replicator) placementNow() placement {
-	if r.mem == nil {
-		return placement{}
-	}
 	return placement{epoch: r.mem.Epoch(), migrating: r.mem.Migrating()}
 }
 

@@ -113,15 +113,18 @@ func newPathRig(row pathRow, cfg Config) *pathRig {
 		})
 		return r
 	}
-	ring := replication.NewRing()
+	ids := make([]int, row.replicas)
+	for i := range ids {
+		ids[i] = i
+	}
+	mem := replication.NewMembership(env, row.replicas, ids)
 	var repls []*replication.Replicator
 	for i := 0; i < row.replicas; i++ {
 		srv := NewRDMA(env, fab.AddNode(fmt.Sprintf("server%d", i)), newStore(), cfg)
 		if row.replicas > 1 {
 			// Every server replicates every key, so server 0 coordinates as a
 			// member and both others are its backups.
-			ring.Add(i)
-			repl := replication.New(env, replication.Config{ID: i, Factor: row.replicas}, ring, srv.Store(), srv.Device())
+			repl := replication.New(env, replication.Config{ID: i, Factor: row.replicas}, mem, srv.Store(), srv.Device())
 			srv.AttachReplicator(repl)
 			repls = append(repls, repl)
 		}
