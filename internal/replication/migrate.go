@@ -111,7 +111,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		if r.isDown() {
 			// A dead node neither pulls nor seals; keep checking until the
 			// cold restart brings us back.
-			p.Sleep(4 * r.cfg.PullTimeout)
+			p.Sleep(4 * pullTimeout)
 			continue
 		}
 		if len(st.waiting) == 0 && len(st.wants) == 0 {
@@ -143,7 +143,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 				r.send(p, pid, &frame{Kind: framePull, Key: key})
 			}
 		}
-		p.WaitTimeout(st.done, 4*r.cfg.PullTimeout)
+		p.WaitTimeout(st.done, 4*pullTimeout)
 	}
 }
 

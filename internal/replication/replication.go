@@ -61,24 +61,10 @@ type Config struct {
 	// Factor is the replication factor R: each key lives on its primary
 	// plus R−1 backups.
 	Factor int
-	// ReadRepairEvery probes the peer replicas for epoch divergence on
-	// every Nth served GET hit. Zero selects the default (8); a negative
-	// value disables read repair.
-	ReadRepairEvery int
 	// ScrubInterval is the anti-entropy digest exchange period. Zero
 	// selects the default (2 ms); a negative value disables the scrubber
 	// entirely (the bitrot experiment's verify-without-scrub cells).
 	ScrubInterval sim.Time
-	// ScrubBuckets is the digest width: keys fold into this many buckets.
-	ScrubBuckets int
-	// AckTimeout bounds one wait-for-acks round of a write forward; unacked
-	// peers are re-sent the frame after each round.
-	AckTimeout sim.Time
-	// AckRetries is the number of resend rounds before the coordinator
-	// gives up and fails the write with StatusNoReplica.
-	AckRetries int
-	// PullTimeout bounds a synchronous suspect-confirmation pull.
-	PullTimeout sim.Time
 	// Pacer throttles background traffic (scrub digest rounds and
 	// migration pull rounds) behind a token bucket that yields to the host
 	// server's foreground load. The zero value disables pacing: background
@@ -86,57 +72,45 @@ type Config struct {
 	Pacer PacerConfig
 }
 
-// PacerConfig is the background-traffic token bucket. When Enabled, every
-// anti-entropy digest round and every migration pull round first takes a
-// token; tokens refill one per RefillEvery up to Burst. A round that finds
-// the bucket empty — or the host server's foreground-busy probe (SetBusy)
-// asserted — is deferred, never dropped: it sleeps a refill interval and
-// retries, so convergence and rebalance finalization are delayed but never
-// lost. MaxDefer bounds how long the busy probe alone can hold a round
+// PacerConfig switches the background-traffic token bucket. When Enabled,
+// every anti-entropy digest round and every migration pull round first takes
+// a token; tokens refill one per paceRefillEvery up to paceBurst. A round that
+// finds the bucket empty — or the host server's foreground-busy probe
+// (SetBusy) asserted — is deferred, never dropped: it sleeps a refill interval
+// and retries, so convergence and rebalance finalization are delayed but never
+// lost. paceMaxDefer bounds how long the busy probe alone can hold a round
 // back, so a permanently-loaded server still scrubs and migrates.
 type PacerConfig struct {
 	Enabled bool
-	// Burst is the bucket capacity (default 4 rounds).
-	Burst int
-	// RefillEvery is the per-token refill interval (default 200 µs).
-	RefillEvery sim.Time
-	// MaxDefer caps busy-probe deferral of a single round (default 5 ms).
-	MaxDefer sim.Time
 }
 
-func (pc *PacerConfig) fill() {
-	if pc.Burst <= 0 {
-		pc.Burst = 4
-	}
-	if pc.RefillEvery <= 0 {
-		pc.RefillEvery = 200 * sim.Microsecond
-	}
-	if pc.MaxDefer <= 0 {
-		pc.MaxDefer = 5 * sim.Millisecond
-	}
-}
+// The protocol's fixed parameters. Each was a Config or PacerConfig field that
+// no experiment, workload, example, command or test ever set; they hold the
+// values those fields defaulted to.
+const (
+	// readRepairEvery probes the peer replicas for epoch divergence on
+	// every Nth served GET hit.
+	readRepairEvery = 8
+	// scrubBuckets is the digest width: keys fold into this many buckets.
+	scrubBuckets = 32
+	// ackTimeout bounds one wait-for-acks round of a write forward; unacked
+	// peers are re-sent the frame after each round.
+	ackTimeout = 300 * sim.Microsecond
+	// ackRetries is the number of resend rounds before the coordinator
+	// gives up and fails the write with StatusNoReplica.
+	ackRetries = 3
+	// pullTimeout bounds one wait on a key's pull.
+	pullTimeout = 300 * sim.Microsecond
+	// The pacer's bucket: its capacity in rounds, the per-token refill
+	// interval, and the cap on busy-probe deferral of a single round.
+	paceBurst       = 4
+	paceRefillEvery = 200 * sim.Microsecond
+	paceMaxDefer    = 5 * sim.Millisecond
+)
 
 func (c *Config) fill() {
-	if c.ReadRepairEvery == 0 {
-		c.ReadRepairEvery = 8
-	}
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = 2 * sim.Millisecond
-	}
-	if c.ScrubBuckets == 0 {
-		c.ScrubBuckets = 32
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 300 * sim.Microsecond
-	}
-	if c.AckRetries == 0 {
-		c.AckRetries = 3
-	}
-	if c.PullTimeout == 0 {
-		c.PullTimeout = 300 * sim.Microsecond
-	}
-	if c.Pacer.Enabled {
-		c.Pacer.fill()
 	}
 }
 
@@ -334,29 +308,28 @@ func (r *Replicator) SetBusy(fn func() bool) { r.busy = fn }
 // the bucket is empty or the host server reports foreground load. Rounds
 // are deferred, never dropped: when pacing is disabled this returns
 // immediately, and under pacing the caller always proceeds eventually —
-// the busy probe can hold a round back at most MaxDefer, and the bucket
+// the busy probe can hold a round back at most paceMaxDefer, and the bucket
 // refills on a fixed schedule.
 func (r *Replicator) pace(p *sim.Proc) {
-	pc := &r.cfg.Pacer
-	if !pc.Enabled {
+	if !r.cfg.Pacer.Enabled {
 		return
 	}
 	if !r.paceInit {
 		// First use: start with a full bucket so pacing never delays the
 		// initial convergence burst of a fresh cluster.
 		r.paceInit = true
-		r.paceTokens = pc.Burst
+		r.paceTokens = paceBurst
 		r.paceLast = p.Now()
 	}
-	deadline := p.Now() + pc.MaxDefer
+	deadline := p.Now() + paceMaxDefer
 	for {
 		now := p.Now()
-		if refill := int((now - r.paceLast) / pc.RefillEvery); refill > 0 {
+		if refill := int((now - r.paceLast) / paceRefillEvery); refill > 0 {
 			r.paceTokens += refill
-			if r.paceTokens > pc.Burst {
-				r.paceTokens = pc.Burst
+			if r.paceTokens > paceBurst {
+				r.paceTokens = paceBurst
 			}
-			r.paceLast += sim.Time(refill) * pc.RefillEvery
+			r.paceLast += sim.Time(refill) * paceRefillEvery
 		}
 		if r.paceTokens > 0 {
 			isBusy := r.busy != nil && r.busy()
@@ -366,7 +339,7 @@ func (r *Replicator) pace(p *sim.Proc) {
 			}
 		}
 		r.Counters.Add(string(metrics.CPacerDeferrals), 1)
-		p.Sleep(pc.RefillEvery)
+		p.Sleep(paceRefillEvery)
 	}
 }
 
@@ -689,7 +662,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 	coordRounds := 0
 	for round := 0; ; round++ {
 		if fwd.waiting != 0 {
-			p.WaitTimeout(&fwd.done, r.cfg.AckTimeout)
+			p.WaitTimeout(&fwd.done, ackTimeout)
 		}
 		if fwd.waiting == 0 {
 			if fwd.conflict <= fwd.epoch {
@@ -712,7 +685,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 			round = -1 // fresh resend budget for the new epoch
 			continue
 		}
-		if round >= r.cfg.AckRetries {
+		if round >= ackRetries {
 			return false
 		}
 		r.Counters.Add("forward-resends", 1)
@@ -793,9 +766,9 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 // periodically probe the peers for epoch divergence (read repair).
 func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Response {
 	resp, peers := r.confirmedRead(p, req, protocol.StatusNotFound)
-	if resp.Status == protocol.StatusOK && r.cfg.ReadRepairEvery > 0 {
+	if resp.Status == protocol.StatusOK {
 		r.gets++
-		if r.gets%uint64(r.cfg.ReadRepairEvery) == 0 {
+		if r.gets%readRepairEvery == 0 {
 			var served version // the record behind the hit: epoch, tombstone, content sum
 			if ks := r.keys[req.Key]; ks != nil {
 				served = version{epoch: ks.epoch, del: ks.del, sum: ks.sum}
@@ -899,12 +872,12 @@ func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peer
 }
 
 // waitPull parks the caller on a pull of ks's key until it concludes or
-// PullTimeout passes, and reports which. On a timeout the pull is abandoned —
+// pullTimeout passes, and reports which. On a timeout the pull is abandoned —
 // not fired: the readers that joined it later keep their own timeouts — so
 // the next reader opens a fresh round (the frames may have been lost to a
 // partition).
 func (r *Replicator) waitPull(p *sim.Proc, ks *keyState, ev *sim.Event) bool {
-	p.WaitTimeout(ev, r.cfg.PullTimeout)
+	p.WaitTimeout(ev, pullTimeout)
 	if !ev.Fired() && ks.pull == ev {
 		ks.pull, ks.pullFrom = nil, nil
 	}

@@ -108,10 +108,10 @@ func (ks *keyState) folds(key string) (uint64, uint64) {
 // digest independent of iteration order, preserving determinism over Go's
 // randomized map iteration.
 func (r *Replicator) computeDigest(pid int) []uint64 {
-	buckets := make([]uint64, 2*r.cfg.ScrubBuckets)
+	buckets := make([]uint64, 2*scrubBuckets)
 	for key, ks := range r.keys {
 		if ks.confirmed() && r.sharedWith(pid, key) {
-			b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
+			b := HashKey(key) % scrubBuckets
 			e1, e2 := ks.folds(key)
 			buckets[2*b] ^= e1
 			buckets[2*b+1] ^= e2
@@ -193,7 +193,7 @@ func (r *Replicator) refold(key string, was, is *keyState) {
 	}
 	// XOR is its own inverse: one delta takes the old entry out and puts the
 	// new one in, the same for every peer.
-	b := HashKey(key) % uint64(r.cfg.ScrubBuckets)
+	b := HashKey(key) % scrubBuckets
 	out1, out2 := was.folds(key)
 	in1, in2 := is.folds(key)
 	for _, pid := range set {
@@ -290,7 +290,7 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 // of the given buckets, in sorted order. Keys are filtered by bucket first: a
 // round that differs in one bucket sorts that bucket's keys, not the table.
 func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
-	in := make([]bool, r.cfg.ScrubBuckets)
+	in := make([]bool, scrubBuckets)
 	for _, b := range buckets {
 		if b < uint64(len(in)) {
 			in[b] = true
