@@ -133,6 +133,9 @@ type keyState struct {
 	// into the scrub digest so two replicas at the same epoch holding
 	// different bytes (silent corruption) still diverge and get repaired.
 	sum uint64
+	// minted is the highest epoch this server handed out for the key as a
+	// coordinator (mint); the rounds above epoch are still on their way here.
+	minted uint64
 	// gone marks a record dropped from the key table. A proc that fetched it
 	// before a blocking call may still write to it; it is in no digest.
 	gone bool
@@ -443,12 +446,18 @@ func (r *Replicator) nextEpoch(cur uint64) uint64 {
 }
 
 // mint hands out the epoch of a new round for key: above the key's record,
-// and above floor — the conflicting epoch a re-coordinated round has to beat.
+// above floor — the conflicting epoch a re-coordinated round has to beat —
+// and above every epoch it has handed out for the key before. A round is
+// opened at admission and applied later (that is what overlaps the peers'
+// applies with the local storage phase), so several rounds of one key are
+// open before the first moves the record: every member of a frame, every
+// arrival of a non-blocking window. Minted above the record alone they would
+// share an epoch, the peers would ack the later ones as duplicate deliveries
+// of the first, and a write answered STORED would be applied nowhere.
 func (r *Replicator) mint(key string, floor uint64) uint64 {
-	if ks := r.state(key); ks.epoch > floor {
-		floor = ks.epoch
-	}
-	return r.nextEpoch(floor)
+	ks := r.state(key)
+	ks.minted = r.nextEpoch(max(floor, ks.epoch, ks.minted))
+	return ks.minted
 }
 
 func (r *Replicator) state(key string) *keyState {
