@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridkv/internal/cluster"
+	"hybridkv/internal/core"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
@@ -316,4 +317,101 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 			t.Errorf("replicator %d still holds %d write rounds at quiescence", sid, n)
 		}
 	}
+}
+
+// The epoch guard has to hold at the instant the value is swapped in, not
+// just when the store call starts: the call suspends in the allocation and
+// the copy, and a later write of the key — from this coordinator's next round
+// on another storage worker, or forwarded by another coordinator — lands
+// meanwhile. SET k 512 KB then SET k 64 B, neither awaited, on the async
+// server: the small write finishes first, and the large one must then find
+// itself superseded instead of swapping its value in over it and moving the
+// coordinator's record back. The moment both are answered every replica holds
+// the second value at one epoch; the scrubber is off, so nothing but the write
+// path can have put it there.
+func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
+	cl := cluster.New(cluster.Config{
+		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+		Servers: 3, Clients: 1, ServerMem: 64 << 20,
+		ReplicationFactor: 3, ScrubInterval: -1,
+	})
+	c := cl.Clients[0]
+	const key = "overtake:k"
+	cl.Env.Spawn("it-overtake", func(p *sim.Proc) {
+		var sets []*core.Req
+		for seq, size := range []int{512 << 10, 64} {
+			req, err := c.Issue(p, core.Op{Code: protocol.OpSet, Key: key, ValueSize: size, Value: uint64(seq + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, req)
+		}
+		c.WaitAll(p, sets)
+		for i, req := range sets {
+			if req.Status != protocol.StatusStored {
+				t.Errorf("SET %d: %v", i+1, req.Status)
+			}
+		}
+		var epochs []uint64
+		for sid, s := range cl.Servers {
+			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
+			epochs = append(epochs, epoch)
+			if v, _, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+				t.Errorf("server %d holds %v (present=%v) once both SETs are answered, want 2", sid, v, ok)
+			}
+		}
+		if epochs[0] == 0 || epochs[0] != epochs[1] || epochs[1] != epochs[2] {
+			t.Errorf("epoch records %#x once both SETs are answered, want one epoch on all three", epochs)
+		}
+		if v, _, st := c.Get(p, key); st != protocol.StatusOK || v != uint64(2) {
+			t.Errorf("GET after both SETs were answered: %v (%v), want 2", v, st)
+		}
+	})
+	cl.Env.Run()
+}
+
+// The same guard, mirrored: the suspended store call is a forwarded write's, on
+// the receiver's engine, and what lands meanwhile is the receiver's own
+// coordinated write of the key, on a storage worker. Server 0 coordinates a
+// 512 KB SET; while server 1 is copying it in, server 1 coordinates a 64 B SET
+// of the same key, which mints above server 0's epoch and lands first. The
+// forwarded value must then be judged stale at the swap, not applied over it.
+func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
+	cl := cluster.New(cluster.Config{
+		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+		Servers: 3, Clients: 1, ServerMem: 64 << 20,
+		ReplicationFactor: 3, ScrubInterval: -1,
+	})
+	const key = "overtake:fwd"
+	set := func(size int, seq uint64) *protocol.Request {
+		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
+	}
+	cl.Env.Spawn("it-coord0", func(p *sim.Proc) {
+		if resp := execute(p, cl.Replicators[0], set(512<<10, 1)); resp.Status != protocol.StatusStored {
+			t.Errorf("the large SET: %v", resp.Status)
+		}
+	})
+	cl.Env.Spawn("it-coord1", func(p *sim.Proc) {
+		for cl.Servers[1].Store().SetOps == 0 { // until the forwarded value's store call has begun
+			p.Sleep(sim.Microsecond)
+		}
+		if resp := execute(p, cl.Replicators[1], set(64, 2)); resp.Status != protocol.StatusStored {
+			t.Errorf("the small SET: %v", resp.Status)
+		}
+	})
+	cl.Env.Run()
+	cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+		var epochs []uint64
+		for sid, s := range cl.Servers {
+			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
+			epochs = append(epochs, epoch)
+			if v, _, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+				t.Errorf("server %d holds %v (present=%v), want 2", sid, v, ok)
+			}
+		}
+		if epochs[0]&0xff != 1 || epochs[0] != epochs[1] || epochs[1] != epochs[2] {
+			t.Errorf("epoch records %#x, want server 1's epoch on all three", epochs)
+		}
+	})
+	cl.Env.Run()
 }
