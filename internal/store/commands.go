@@ -31,36 +31,74 @@ func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
 	return it
 }
 
+// Every command below decides on what the key holds and then suspends — in
+// the allocation, an eviction, a copy, the update itself — before it acts, and
+// a server's storage workers run them side by side. So each asks again at the
+// instant it acts: the conditional stores pass their condition to SetIf as the
+// swap guard, and the read-modify-write commands check that the entry they
+// read is still the entry (still) and start over on what the key holds now
+// when it is not. Uncontended, nothing here costs more than it did.
+
+// setWhen is the one conditional store behind Add, Replace and CompareAndSet:
+// they differ in cond alone, which maps the key's live item (nil: none) to
+// StatusStored — go ahead — or to the refusal to answer. cond is asked on
+// arrival, so a refusal costs no allocation, and again at the swap: one CAS
+// token buys one store, a fresh key is added once.
+func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
+	p.Sleep(hashCost)
+	verdict := cond(s.lookup(p, key))
+	if verdict != protocol.StatusStored {
+		return verdict
+	}
+	st := s.SetIf(p, key, valueSize, value, flags, expire, func() bool {
+		verdict = cond(s.lookup(p, key))
+		return verdict == protocol.StatusStored
+	})
+	if verdict != protocol.StatusStored {
+		return verdict // refused at the swap: the key changed under the store call
+	}
+	return st
+}
+
 // Add stores the value only if the key does not already exist.
 func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	p.Sleep(hashCost)
-	if s.lookup(p, key) != nil {
-		return protocol.StatusNotStored
-	}
-	return s.Set(p, key, valueSize, value, flags, expire)
+	return s.setWhen(p, key, valueSize, value, flags, expire, func(it *hybridslab.Item) protocol.Status {
+		if it != nil {
+			return protocol.StatusNotStored
+		}
+		return protocol.StatusStored
+	})
 }
 
 // Replace stores the value only if the key already exists.
 func (s *Store) Replace(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	p.Sleep(hashCost)
-	if s.lookup(p, key) == nil {
-		return protocol.StatusNotStored
-	}
-	return s.Set(p, key, valueSize, value, flags, expire)
+	return s.setWhen(p, key, valueSize, value, flags, expire, func(it *hybridslab.Item) protocol.Status {
+		if it == nil {
+			return protocol.StatusNotStored
+		}
+		return protocol.StatusStored
+	})
 }
 
 // CompareAndSet stores the value only if the caller's CAS token matches the
 // item's current token (memcached cas command).
 func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cas uint64) protocol.Status {
-	p.Sleep(hashCost)
-	it := s.lookup(p, key)
-	if it == nil {
-		return protocol.StatusNotFound
-	}
-	if it.CAS != cas {
-		return protocol.StatusExists
-	}
-	return s.Set(p, key, valueSize, value, flags, expire)
+	return s.setWhen(p, key, valueSize, value, flags, expire, func(it *hybridslab.Item) protocol.Status {
+		switch {
+		case it == nil:
+			return protocol.StatusNotFound
+		case it.CAS != cas:
+			return protocol.StatusExists
+		}
+		return protocol.StatusStored
+	})
+}
+
+// still reports whether key's entry is the item a read-modify-write command
+// read, unchanged since: not replaced, deleted or expired (another item, or
+// none), and not mutated in place (every in-place write takes a fresh token).
+func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
+	return s.table[key] == it && it.CAS == cas
 }
 
 // Concatenated represents an append/prepend result: the surviving value is
@@ -89,33 +127,41 @@ func (s *Store) Prepend(p *sim.Proc, key string, extraSize int, extra any) proto
 }
 
 func (s *Store) concatCmd(p *sim.Proc, key string, extraSize int, extra any, prepend bool) protocol.Status {
-	p.Sleep(hashCost)
-	it := s.lookup(p, key)
-	if it == nil {
-		return protocol.StatusNotStored
-	}
-	// Load the current value (may reside on SSD), then store the
-	// combined item through the regular slab path so it is re-classed by
-	// its new size.
-	old, err := s.mgr.Load(p, it)
-	if err != nil {
-		delete(s.table, key)
-		s.unpublish(key)
-		return protocol.StatusNotStored
-	}
-	newValue, newSize := concat(prepend, old, it.ValueSize, extra, extraSize)
-	flags := it.Flags
-	var expire uint32
-	if it.ExpireAt != 0 {
-		remaining := it.ExpireAt - s.env.Now()
-		if remaining > 0 {
-			expire = uint32(remaining / sim.Second)
-			if expire == 0 {
-				expire = 1
+	for {
+		p.Sleep(hashCost)
+		it := s.lookup(p, key)
+		if it == nil {
+			return protocol.StatusNotStored
+		}
+		// Load the current value (may reside on SSD), then store the
+		// combined item through the regular slab path so it is re-classed by
+		// its new size.
+		old, err := s.mgr.Load(p, it)
+		cas := it.CAS
+		if s.table[key] != it {
+			continue // replaced while the load was suspended: it answered for the old item
+		}
+		if err != nil {
+			delete(s.table, key)
+			s.unpublish(key)
+			return protocol.StatusNotStored
+		}
+		newValue, newSize := concat(prepend, old, it.ValueSize, extra, extraSize)
+		var expire uint32
+		if it.ExpireAt != 0 {
+			remaining := it.ExpireAt - s.env.Now()
+			if remaining > 0 {
+				expire = uint32(remaining / sim.Second)
+				if expire == 0 {
+					expire = 1
+				}
 			}
 		}
+		st := s.SetIf(p, key, newSize, newValue, it.Flags, expire, func() bool { return s.still(key, it, cas) })
+		if st != protocol.StatusNotStored {
+			return st
+		}
 	}
-	return s.Set(p, key, newSize, newValue, flags, expire)
 }
 
 // counterSize is the stored size of a numeric counter (decimal ASCII in
@@ -134,48 +180,62 @@ func (s *Store) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 }
 
 func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, protocol.Status) {
-	p.Sleep(hashCost)
-	it := s.lookup(p, key)
-	if it == nil {
-		return 0, protocol.StatusNotFound
-	}
-	v, err := s.mgr.Load(p, it)
-	if err != nil {
-		delete(s.table, key)
-		s.unpublish(key)
-		return 0, protocol.StatusNotFound
-	}
-	cur, ok := v.(uint64)
-	if !ok {
-		return 0, protocol.StatusBadValue
-	}
-	var next uint64
-	if dec {
-		if delta > cur {
-			next = 0
+	for {
+		p.Sleep(hashCost)
+		it := s.lookup(p, key)
+		if it == nil {
+			return 0, protocol.StatusNotFound
+		}
+		v, err := s.mgr.Load(p, it)
+		cas := it.CAS
+		if s.table[key] != it {
+			continue // replaced while the load was suspended: it answered for the old item
+		}
+		if err != nil {
+			delete(s.table, key)
+			s.unpublish(key)
+			return 0, protocol.StatusNotFound
+		}
+		cur, ok := v.(uint64)
+		if !ok {
+			return 0, protocol.StatusBadValue
+		}
+		var next uint64
+		if dec {
+			if delta > cur {
+				next = 0
+			} else {
+				next = cur - delta
+			}
 		} else {
-			next = cur - delta
+			next = cur + delta
 		}
-	} else {
-		next = cur + delta
-	}
-	if it.OnSSD() {
-		// The authoritative copy lives in the SSD extent; rewrite through
-		// the regular store path so the new value lands somewhere live.
-		if st := s.Set(p, key, counterSize, next, it.Flags, 0); st != protocol.StatusStored {
-			return 0, st
+		if it.OnSSD() {
+			// The authoritative copy lives in the SSD extent; rewrite through
+			// the regular store path so the new value lands somewhere live.
+			switch st := s.SetIf(p, key, counterSize, next, it.Flags, 0, func() bool { return s.still(key, it, cas) }); st {
+			case protocol.StatusStored:
+				return next, protocol.StatusOK
+			case protocol.StatusNotStored:
+				continue
+			default:
+				return 0, st
+			}
 		}
+		// RAM-resident counters mutate in place: same class, no reallocation.
+		s.publishBegin(key)
+		p.Sleep(updateCost)
+		if !s.still(key, it, cas) {
+			s.republish(key)
+			continue
+		}
+		it.Value = next
+		s.cas++
+		it.CAS = s.cas
+		s.mgr.Touch(it)
+		s.publish(it)
 		return next, protocol.StatusOK
 	}
-	// RAM-resident counters mutate in place: same class, no reallocation.
-	s.publishBegin(key)
-	p.Sleep(updateCost)
-	it.Value = next
-	s.cas++
-	it.CAS = s.cas
-	s.mgr.Touch(it)
-	s.publish(it)
-	return next, protocol.StatusOK
 }
 
 // FlushAll invalidates every item (the memcached flush_all command),
@@ -205,19 +265,27 @@ func (s *Store) FlushAll(p *sim.Proc) protocol.Status {
 
 // Touch updates the expiration time without fetching the value.
 func (s *Store) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
-	p.Sleep(hashCost)
-	it := s.lookup(p, key)
-	if it == nil {
-		return protocol.StatusNotFound
+	for {
+		p.Sleep(hashCost)
+		it := s.lookup(p, key)
+		if it == nil {
+			return protocol.StatusNotFound
+		}
+		s.publishBegin(key)
+		p.Sleep(updateCost)
+		if s.table[key] != it {
+			// Replaced under the update: publishing the item looked up would
+			// put a released one over the live item's slot.
+			s.republish(key)
+			continue
+		}
+		if expire > 0 {
+			it.ExpireAt = s.env.Now() + sim.Time(expire)*sim.Second
+		} else {
+			it.ExpireAt = 0
+		}
+		s.mgr.Touch(it)
+		s.publish(it)
+		return protocol.StatusOK
 	}
-	s.publishBegin(key)
-	p.Sleep(updateCost)
-	if expire > 0 {
-		it.ExpireAt = s.env.Now() + sim.Time(expire)*sim.Second
-	} else {
-		it.ExpireAt = 0
-	}
-	s.mgr.Touch(it)
-	s.publish(it)
-	return protocol.StatusOK
 }

@@ -68,3 +68,161 @@ func TestGetRacingSetOnOneKey(t *testing.T) {
 		})
 	}
 }
+
+// pieces counts the payload tokens of an append/prepend result.
+func pieces(v any) int {
+	if c, ok := v.(Concatenated); ok {
+		return pieces(c.First) + pieces(c.Second)
+	}
+	return 1
+}
+
+// TestConditionalCommandsRacingOnOneKey is the async server's storage pool in
+// miniature: four workers run the conditional and read-modify-write commands
+// against the same keys with nothing ordering them. Each command decides on
+// what it read and then suspends — in the allocation, an eviction, a memcpy —
+// before it stores, so the decision has to be made again at the instant of
+// the store: one CAS token buys one store, a fresh key is added once, no
+// increment, decrement or appended piece is lost, and a touch or an in-place
+// increment never republishes an item a concurrent Set released meanwhile.
+// Checked on values that stay in RAM and on a store small enough that the
+// raced keys start out spilled to the SSD.
+func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
+	const (
+		workers   = 4
+		perWorker = 100
+		fillSize  = 32 << 10
+	)
+	for _, tc := range []struct {
+		name     string
+		memLimit int64
+		fill     int // filler keys that push the raced ones out to the SSD
+	}{
+		{"values in RAM", 64 << 20, 0},
+		{"values spilled to SSD", 4 << 20, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			s := newStore(env, tc.memLimit, true)
+			d := newTestDirectory(1 << 10)
+			s.SetReadView(d)
+			var token uint64
+			env.Spawn("preload", func(p *sim.Proc) {
+				// Eviction takes its victims from the class that is allocating, so
+				// to start out spilled a raced key is stored at the fillers' size.
+				size := counterSize
+				if tc.fill > 0 {
+					size = fillSize
+				}
+				s.Set(p, "cas", size, "v0", 0, 0)
+				s.Set(p, "up", size, uint64(0), 0, 0)
+				s.Set(p, "down", size, uint64(workers*perWorker), 0, 0)
+				s.Set(p, "cat", fillSize, "base", 0, 0)
+				s.Set(p, "ttl", size, "v0", 0, 0)
+				// The fillers push the raced keys out and then go: with room in RAM
+				// nothing is evicted during the race (ROADMAP "Residue": an in-place
+				// write to an item staged for eviction is a separate loss).
+				for i := 0; i < tc.fill; i++ {
+					s.Set(p, fmt.Sprintf("fill-%05d", i), fillSize, i, 0, 0)
+				}
+				for i := 0; i < tc.fill; i++ {
+					s.Delete(p, fmt.Sprintf("fill-%05d", i))
+				}
+				for _, key := range []string{"cas", "up", "down", "cat", "ttl"} {
+					if spilled := s.table[key].OnSSD(); spilled != (tc.fill > 0) {
+						t.Fatalf("fixture: %s on the SSD = %v", key, spilled)
+					}
+				}
+				_, _, _, token, _ = s.Get(p, "cas")
+			})
+			env.Run()
+
+			// A seeded jitter between commands sweeps how the workers' suspensions
+			// line up instead of leaving them in lockstep.
+			rng := rand.New(rand.NewSource(1))
+			// published checks that what the directory holds for key is the live
+			// item: a RAM-resident one is never flagged SSD-resident (what
+			// publishing a released item writes), and — once the race is over — no
+			// mutation window is left open.
+			published := func(key string, quiet bool) {
+				it := s.table[key]
+				slot, ok := d.slotFor(t, key)
+				if it == nil || !ok {
+					return // displaced by a colliding filler key
+				}
+				if slot.Version%2 != 0 {
+					if quiet {
+						t.Errorf("%s: mutation window left open (version %d)", key, slot.Version)
+					}
+					return
+				}
+				if !it.OnSSD() && slot.Kind != protocol.DirInline {
+					t.Errorf("%s: RAM-resident item published as %v", key, slot.Kind)
+				}
+				if slot.Kind == protocol.DirInline && slot.CAS != it.CAS {
+					t.Errorf("%s: slot carries CAS %d, the live item %d", key, slot.CAS, it.CAS)
+				}
+			}
+			var casStored, addStored int
+			for w := 0; w < workers; w++ {
+				env.Spawn("worker", func(p *sim.Proc) {
+					if s.CompareAndSet(p, "cas", 64, fmt.Sprintf("w%d", w), 0, 0, token) == protocol.StatusStored {
+						casStored++
+					}
+					if s.Add(p, "fresh", 64, w, 0, 0) == protocol.StatusStored {
+						addStored++
+					}
+					for i := 0; i < perWorker; i++ {
+						if _, st := s.Incr(p, "up", 1); st != protocol.StatusOK {
+							t.Errorf("incr: %v", st)
+						}
+						published("up", false)
+						if _, st := s.Decr(p, "down", 1); st != protocol.StatusOK {
+							t.Errorf("decr: %v", st)
+						}
+						cat := s.Append
+						if i%2 == 1 {
+							cat = s.Prepend
+						}
+						if st := cat(p, "cat", 1, w*perWorker+i); st != protocol.StatusStored {
+							t.Errorf("append/prepend: %v", st)
+						}
+						p.Sleep(sim.Time(rng.Intn(400)) * sim.Nanosecond)
+						// A touch racing a replacement of the same key.
+						if w%2 == 0 {
+							s.Touch(p, "ttl", 3600)
+							published("ttl", false)
+						} else {
+							s.Set(p, "ttl", 64, i, 0, 0)
+						}
+					}
+				})
+			}
+			env.Run()
+
+			if casStored != 1 {
+				t.Errorf("%d of %d CAS stores holding one token answered STORED, want 1", casStored, workers)
+			}
+			if addStored != 1 {
+				t.Errorf("%d of %d adds of one fresh key answered STORED, want 1", addStored, workers)
+			}
+			env.Spawn("audit", func(p *sim.Proc) {
+				if v, _, _, _, _ := s.Get(p, "up"); v != uint64(workers*perWorker) {
+					t.Errorf("counter after %d increments: %v", workers*perWorker, v)
+				}
+				if v, _, _, _, _ := s.Get(p, "down"); v != uint64(0) {
+					t.Errorf("counter after %d decrements from %d: %v", workers*perWorker, workers*perWorker, v)
+				}
+				v, size, _, _, _ := s.Get(p, "cat")
+				if n := pieces(v); n != 1+workers*perWorker || size != fillSize+workers*perWorker {
+					t.Errorf("after %d appends and prepends the value holds %d pieces in %d bytes, want %d in %d",
+						workers*perWorker, n-1, size, workers*perWorker, fillSize+workers*perWorker)
+				}
+				for _, key := range []string{"cas", "fresh", "up", "down", "ttl"} {
+					published(key, true)
+				}
+			})
+			env.Run()
+		})
+	}
+}
