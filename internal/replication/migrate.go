@@ -93,16 +93,8 @@ func (r *Replicator) migrator(p *sim.Proc) {
 // migrateSegment pulls one segment from every source and seals it. Returns
 // false if the transition was superseded before the seal.
 func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
-	st := &segPull{
-		seg: seg, epoch: epoch,
-		waiting: make(map[int]bool),
-		wants:   make(map[string]*migWant),
-	}
-	for _, id := range r.mem.Sources() {
-		if id != r.cfg.ID {
-			st.waiting[id] = true
-		}
-	}
+	var st *segPull
+	var gen uint64
 	for {
 		if !r.mem.Migrating() || r.mem.Epoch() != epoch {
 			delete(r.migPulls, seg)
@@ -113,6 +105,22 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 			// cold restart brings us back.
 			p.Sleep(4 * pullTimeout)
 			continue
+		}
+		if st == nil || gen != r.gen {
+			// The first round — or the first after a Wipe, which took the
+			// installed state and every key the segment had moved so far with
+			// it. The segment starts over: fresh manifests list every key
+			// again, and what survived, or has come back another way since,
+			// is skipped as already current. (Carrying the old wants over
+			// instead wedges the migration: a want whose key landed while
+			// nothing was installed to notice is re-pulled forever, every
+			// answer a duplicate of what is already held.)
+			st, gen = &segPull{seg: seg, epoch: epoch, waiting: make(map[int]bool), wants: make(map[string]*migWant)}, r.gen
+			for _, id := range r.mem.Sources() {
+				if id != r.cfg.ID {
+					st.waiting[id] = true
+				}
+			}
 		}
 		if len(st.waiting) == 0 && len(st.wants) == 0 {
 			delete(r.migPulls, seg)
@@ -128,12 +136,10 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 			delete(r.migPulls, seg)
 			return false
 		}
-		if r.isDown() {
+		if r.isDown() || gen != r.gen {
 			continue
 		}
 		st.done = r.env.NewEvent()
-		// (Re)install: a Wipe between rounds cleared r.migPulls, and with it
-		// every satisfied want's local state — the resent pulls rebuild both.
 		r.migPulls[seg] = st
 		for _, pid := range sortedKeys(st.waiting, nil) {
 			r.send(p, pid, &frame{Kind: frameSegPull, Seg: seg, version: version{epoch: epoch}})

@@ -243,6 +243,10 @@ type Replicator struct {
 	peerIDs []int // sorted; all sends iterate this for determinism
 	qpByQPN map[int]*verbs.QP
 
+	// gen counts Wipes: the incarnation of everything below. A proc suspended
+	// in a store call across a whole-node kill resumes in the next one, where
+	// what it was about to record is no longer true.
+	gen       uint64
 	keys      map[string]*keyState
 	digestsAt placement // what the peers' maintained digests were computed under
 	fwds      map[uint64]*Forward
@@ -508,9 +512,16 @@ func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 	return nil
 }
 
-// begin opens the round of one write of key: it mints v's epoch, stamps its
-// content checksum, registers the round and forwards it to every peer.
+// begin opens the round of one write of key and forwards it to every peer.
 func (r *Replicator) begin(p *sim.Proc, key string, v version) *Forward {
+	fwd := r.open(key, v)
+	r.sendWrite(p, fwd)
+	return fwd
+}
+
+// open registers the round of one write of key, minting v's epoch and stamping
+// its content checksum. Nothing here suspends.
+func (r *Replicator) open(key string, v version) *Forward {
 	peers, member := r.replicaPeers(key)
 	r.nextID++
 	fwd := &Forward{id: r.nextID, key: key, proxy: !member, version: v}
@@ -521,7 +532,6 @@ func (r *Replicator) begin(p *sim.Proc, key string, v version) *Forward {
 	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
 	r.Counters.Add("forwards", 1)
-	r.sendWrite(p, fwd)
 	return fwd
 }
 
@@ -629,18 +639,21 @@ func applied(st protocol.Status) bool {
 // is already stale costs no allocation and no time, and again by the store at
 // the instant of the swap, because the store call suspends — allocation,
 // eviction, copy — and other writes of the key land meanwhile: the record
-// never moves backwards and never names a value the store does not hold.
-// Returns the store's status; StatusNotStored is admit's refusal, at either
-// point.
+// never moves backwards and never names a value the store does not hold. A
+// whole-node kill under the call refuses it too: the store it would swap into
+// and the table it would record in are the dead incarnation's. Returns the
+// store's status; StatusNotStored is a refusal, at either point.
 func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() bool) protocol.Status {
 	if !admit() {
 		return protocol.StatusNotStored
 	}
+	gen := r.gen
+	guard := func() bool { return r.gen == gen && admit() }
 	var st protocol.Status
 	if v.del {
-		st = r.st.DeleteIf(p, key, admit)
+		st = r.st.DeleteIf(p, key, guard)
 	} else {
-		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expire, admit)
+		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expire, guard)
 	}
 	if applied(st) {
 		r.landed(key, v)
@@ -794,12 +807,16 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 // cas, append, prepend, incr, decr, touch): the local store decides the
 // outcome on a confirmed read, then the post-image is replicated like a SET.
 func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Response {
+	gen := r.gen
 	resp, _ := r.confirmedRead(p, req, protocol.StatusRecovering)
 	switch resp.Status {
 	case protocol.StatusStored, protocol.StatusOK:
 	default:
 		return resp
 	}
+	// The store has swapped the command's result in and nothing has suspended
+	// since: the record still names what the key held before.
+	was := r.state(req.Key).epoch
 	// Replicate the post-image just applied (it may already live on SSD —
 	// ReadItem loads it back without disturbing LRU or stats).
 	value, size, flags, expireAt, ok := r.st.ReadItem(p, req.Key)
@@ -808,12 +825,21 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// key is now a legal miss everywhere.
 		return resp
 	}
-	fwd := r.begin(p, req.Key, version{value: value, size: size, flags: flags, expire: expireSeconds(r.env.Now(), expireAt)})
+	if r.gen != gen || r.state(req.Key).epoch != was {
+		// A write of the key landed here while the post-image was being read
+		// back (or the node died under the command): it replaced what the
+		// command stored. Last write wins — the command completes as
+		// overwritten, and there is nothing of it left to record or forward.
+		return resp
+	}
+	fwd := r.open(req.Key, version{value: value, size: size, flags: flags, expire: expireSeconds(r.env.Now(), expireAt)})
 	if !fwd.proxy {
-		// The local copy was applied by Handle; record it like a SET so a
-		// prior tombstone or suspicion on the key cannot outlive it.
+		// The local copy was applied by Handle; record it like a SET — in the
+		// instant its epoch is minted, before the sends suspend — so a prior
+		// tombstone or suspicion on the key cannot outlive it.
 		r.landed(req.Key, &fwd.version)
 	}
+	r.sendWrite(p, fwd)
 	if !r.await(p, fwd) {
 		resp.Status = protocol.StatusNoReplica
 		resp.Value, resp.ValueSize = nil, 0
@@ -904,9 +930,10 @@ func (ks *keyState) closePull() {
 
 // Wipe models whole-node RAM loss: every epoch record, open forward, and
 // pending pull — including per-segment migration state — dies with the
-// node. Called by Server.Kill. The migrator re-installs its segment state
-// on its next retry round and re-pulls whatever the wipe destroyed.
+// node. Called by Server.Kill. The migrator starts the segment it was on
+// over on its next round and re-pulls whatever of it the wipe destroyed.
 func (r *Replicator) Wipe() {
+	r.gen++
 	for _, ks := range r.keys {
 		ks.gone = true
 	}
