@@ -1,5 +1,10 @@
 package replication
 
+import (
+	"hybridkv/internal/protocol"
+	"hybridkv/internal/sim"
+)
+
 // Test-only hooks for the same-epoch content-divergence repair path. The
 // scrub's content fold exists to catch *silent* corruption — an applied
 // value whose bytes changed without an epoch advance — which no public
@@ -53,4 +58,51 @@ func (r *Replicator) StaleDigestsForTest() (stale []int, maintained int) {
 		}
 	}
 	return stale, maintained
+}
+
+// EpochForTest is the epoch the round ended on: the one begin minted, or the
+// last one a re-coordination moved it to.
+func (fwd *Forward) EpochForTest() uint64 { return fwd.epoch }
+
+// RecordForTest exposes a key's whole epoch record, suspect or not; ok is false
+// when the key has none.
+func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, del, suspect, ok bool) {
+	ks := r.keys[key]
+	if ks == nil {
+		return 0, 0, false, false, false
+	}
+	return ks.epoch, ks.sum, ks.del, ks.suspect, true
+}
+
+// OpenPullsForTest and OpenWantsForTest count what a quiescent replicator must
+// not be holding: keys with a pull open, and migration state — a segment still
+// installed, or a key still wanted in one.
+func (r *Replicator) OpenPullsForTest() (n int) {
+	for _, ks := range r.keys {
+		if ks.pull != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *Replicator) OpenWantsForTest() (n int) {
+	for _, st := range r.migPulls {
+		n += 1 + len(st.wants)
+	}
+	return n
+}
+
+// DeliverStaleForwardForTest hands r a forward of key from peer from, one
+// coordination round below r's record of the key: what a coordinator's write
+// delayed in the fabric past a newer one looks like when it finally arrives.
+// Returns false when r holds no record to be below.
+func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key string) bool {
+	ks := r.keys[key]
+	if ks == nil || ks.epoch < 0x100 {
+		return false
+	}
+	v := version{epoch: ks.epoch - 0x100, value: "stale", size: 64, sum: protocol.ValueSum("stale")}
+	r.handle(p, &frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: key, version: v})
+	return true
 }
