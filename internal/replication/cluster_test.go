@@ -415,3 +415,100 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 	})
 	cl.Env.Run()
 }
+
+// A repair push has to carry a value and the epoch it was written under, read
+// in one instant: reading the value back suspends (a 256 KB copy, or an SSD
+// load), and a write of the key that lands on the pusher meanwhile releases
+// the item being read and moves the record. Server 1 asks for the key after a
+// corrupt read; while server 2 is reading its copy back to answer, server 2
+// coordinates a small SET of the key. What reaches server 1 under the new
+// epoch must be the new value — never the released item's emptiness, which at
+// the epoch's own coordinator's word server 1 would take for a divergence
+// repair and apply over the write it had just been forwarded.
+func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
+	cl := cluster.New(cluster.Config{
+		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+		Servers: 3, Clients: 1, ServerMem: 64 << 20,
+		ReplicationFactor: 3, ScrubInterval: -1,
+	})
+	const key = "push:k"
+	set := func(size int, seq uint64) *protocol.Request {
+		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
+	}
+	cl.Env.Spawn("it-preload", func(p *sim.Proc) { execute(p, cl.Replicators[0], set(256<<10, 1)) })
+	cl.Env.Run()
+	cl.Env.Spawn("it-corrupt", func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, key) })
+	cl.Env.Spawn("it-write", func(p *sim.Proc) {
+		pushes := func() int64 { return cl.Replicators[2].Counters.Get("repair-pushes") }
+		for n := pushes(); cl.Servers[2].Store().Manager().Gets == 0 && pushes() == n; { // until server 2 is reading its copy back
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		p.Sleep(2 * sim.Microsecond)
+		if resp := execute(p, cl.Replicators[2], set(64, 2)); resp.Status != protocol.StatusStored {
+			t.Errorf("the SET: %v", resp.Status)
+		}
+	})
+	cl.Env.Run()
+	cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+		for sid, s := range cl.Servers {
+			epoch, sum, _ := cl.Replicators[sid].AppliedStateForTest(key)
+			v, _, _, _, ok := s.Store().ReadItem(p, key)
+			if !ok || v != uint64(2) || sum != protocol.ValueSum(uint64(2)) {
+				t.Errorf("server %d holds %v (present=%v) under %#x/%#x, want 2 under its content sum", sid, v, ok, epoch, sum)
+			}
+		}
+	})
+	cl.Env.Run()
+	if n := cl.ReplicationCounters().Get("scrub-corruptions-repaired"); n != 0 {
+		t.Errorf("%d divergence repairs applied: nothing diverged", n)
+	}
+}
+
+// Dropping a suspect value every peer disowned is a store call too, and a write
+// of the key that lands under it has to survive it: the drop is decided when
+// the last miss arrives, the delete suspends for its probe, and a SET the same
+// server coordinates meanwhile clears the suspicion and puts a fresh, acked
+// value where the delete is about to strike. Swept over the SET's start, 40 ns
+// apart across the whole pull (the probe is 120 ns): wherever it lands, once it
+// is answered STORED every replica holds it.
+func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
+	const key = "drop:k"
+	lost := 0
+	for at := sim.Microsecond; at < 5*sim.Microsecond; at += 40 * sim.Nanosecond {
+		cl := cluster.New(cluster.Config{
+			Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+			Servers: 3, Clients: 1, ServerMem: 64 << 20,
+			ReplicationFactor: 3, ScrubInterval: -1,
+		})
+		r, st := cl.Replicators[1], cl.Servers[1].Store()
+		cl.Env.Spawn("it-recovered", func(p *sim.Proc) {
+			// A value only server 1 holds, as a cold restart would resurrect it.
+			st.Set(p, key, 64, "resurrected", 0, 0)
+			r.OnColdRecovery([]string{key})
+			r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: key}, nil)
+		})
+		stored := false
+		cl.Env.SpawnAt(at, "it-write", func(p *sim.Proc) {
+			req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: 64, Value: "written"}
+			stored = execute(p, r, req).Status == protocol.StatusStored
+		})
+		cl.Env.Run()
+		if !stored {
+			t.Fatalf("SET started at +%v was not stored", at)
+		}
+		cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+			for sid, s := range cl.Servers {
+				_, _, ok := cl.Replicators[sid].AppliedStateForTest(key)
+				if v, _, _, _, held := s.Store().ReadItem(p, key); !ok || !held || v != "written" {
+					if lost++; lost <= 3 {
+						t.Errorf("SET started at +%v: server %d holds %v (present=%v, record=%v), want the value written", at, sid, v, held, ok)
+					}
+				}
+			}
+		})
+		cl.Env.Run()
+	}
+	if lost > 0 {
+		t.Errorf("the acked write was missing on a replica at %d of the start offsets", lost)
+	}
+}

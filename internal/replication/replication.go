@@ -1133,38 +1133,44 @@ func (r *Replicator) handleAck(f *frame) {
 
 // handlePull answers a peer's confirmation request: push our confirmed copy
 // (value or tombstone) or admit we do not have one.
-func (r *Replicator) handlePull(p *sim.Proc, f *frame) {
-	ks := r.keys[f.Key]
-	if !ks.confirmed() {
-		// Nothing confirmed here — never propagate an unconfirmed value.
-		r.send(p, f.From, &frame{Kind: framePullMiss, Key: f.Key})
+func (r *Replicator) handlePull(p *sim.Proc, f *frame) { r.pushKey(p, f.From, f.Key) }
+
+// pushKey sends our confirmed copy of key to a peer as a repair write: the
+// value and the epoch it was written under, as they stand together in one
+// instant. Reading the value back suspends (a copy, or an SSD load), and a
+// write of the key that lands meanwhile releases the item being read and moves
+// the record — pairing what the read returned with the record after it would
+// push the released item's emptiness under the new epoch — so a read the
+// record moved under is done again. With nothing confirmed to push — never
+// propagate an unconfirmed value — or a value that turned out to be gone, the
+// answer is a miss.
+func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
+	for {
+		ks := r.keys[key]
+		if !ks.confirmed() {
+			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+			return
+		}
+		v := version{epoch: ks.epoch, del: ks.del}
+		if !v.del {
+			value, size, flags, expireAt, ok := r.st.ReadItem(p, key)
+			if r.keys[key] != ks || ks.confirmedEpoch() != v.epoch || ks.del {
+				continue
+			}
+			if !ok {
+				// The slab layer dropped the value (eviction under pressure): stop
+				// claiming the epoch in digests; a peer's copy can repair us later.
+				r.dropState(key)
+				r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+				return
+			}
+			v.value, v.size, v.flags, v.sum = value, size, flags, protocol.ValueSum(value)
+			v.expire = expireSeconds(r.env.Now(), expireAt)
+		}
+		r.Counters.Add("repair-pushes", 1)
+		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
 		return
 	}
-	r.pushKey(p, f.From, f.Key, ks)
-}
-
-// pushKey sends our confirmed copy of key to a peer as a repair write.
-// Returns false when the local value turned out to be gone (evicted and
-// dropped), in which case the epoch record is retired too.
-func (r *Replicator) pushKey(p *sim.Proc, pid int, key string, ks *keyState) bool {
-	v := version{epoch: ks.epoch, del: ks.del}
-	if !ks.del {
-		value, size, flags, expireAt, ok := r.st.ReadItem(p, key)
-		if !ok {
-			// The slab layer dropped the value (eviction under pressure): stop
-			// claiming the epoch in digests; a peer's copy can repair us later.
-			r.dropState(key)
-			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
-			return false
-		}
-		v = version{
-			epoch: ks.epoch, value: value, size: size, flags: flags,
-			expire: expireSeconds(r.env.Now(), expireAt), sum: protocol.ValueSum(value),
-		}
-	}
-	r.Counters.Add("repair-pushes", 1)
-	r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
-	return true
 }
 
 // handlePullMiss records a peer's "don't have it" answer to an open pull;
@@ -1185,8 +1191,11 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 	if len(ks.pullFrom) > 0 {
 		return
 	}
-	if ks.suspect {
-		r.st.Delete(p, f.Key)
+	// The drop is a store call like any other: its probe suspends, and a write
+	// of the key that lands under it — clearing the suspicion, answering the
+	// pull — must find neither its value deleted nor its record dropped.
+	unconfirmed := func() bool { return ks.suspect && !ks.gone }
+	if unconfirmed() && r.st.DeleteIf(p, f.Key, unconfirmed) != protocol.StatusNotStored {
 		r.dropState(f.Key)
 		r.Counters.Add("suspect-drops", 1)
 	}

@@ -314,7 +314,7 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 	// Keys we hold in a differing bucket that the peer did not list at all.
 	for _, key := range r.sortedSharedKeys(f.From, f.Buckets) {
 		if !theirs[key] {
-			r.pushKey(p, f.From, key, r.keys[key])
+			r.pushKey(p, f.From, key)
 		}
 	}
 }
@@ -337,7 +337,7 @@ func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
 		pull = !push
 	}
 	if push {
-		r.pushKey(p, from, theirs.Key, ks)
+		r.pushKey(p, from, theirs.Key)
 	}
 	if pull {
 		r.send(p, from, &frame{Kind: framePull, Key: theirs.Key})
