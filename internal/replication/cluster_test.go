@@ -512,3 +512,39 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 		t.Errorf("the acked write was missing on a replica at %d of the start offsets", lost)
 	}
 }
+
+// A suspect key every peer disowns is dropped, counted once — as a suspect
+// drop, not also as a stale read prevented: nothing was refused — and the
+// request that asked then runs against the key as it now is: a GET misses, an
+// Add finds no such key and stores, where it used to be turned away as
+// retryable.
+func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
+	cl := cluster.New(cluster.Config{
+		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+		Servers: 3, Clients: 1, ServerMem: 64 << 20,
+		ReplicationFactor: 3, ScrubInterval: -1,
+	})
+	r, st := cl.Replicators[1], cl.Servers[1].Store()
+	cl.Env.Spawn("it-suspects", func(p *sim.Proc) {
+		for _, key := range []string{"gone:get", "gone:add"} {
+			st.Set(p, key, 64, "resurrected", 0, 0)
+		}
+		r.OnColdRecovery([]string{"gone:get", "gone:add"})
+		if resp := r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: "gone:get"}, nil); resp.Status != protocol.StatusNotFound {
+			t.Errorf("GET of a suspect key nobody holds: %v, want a miss", resp.Status)
+		}
+		add := &protocol.Request{Op: protocol.OpAdd, Key: "gone:add", ValueSize: 64, Value: "added"}
+		if resp := r.Apply(p, add, nil); resp.Status != protocol.StatusStored {
+			t.Errorf("Add of a suspect key nobody holds: %v, want it decided on the absent key", resp.Status)
+		}
+		for sid, s := range cl.Servers {
+			if v, _, _, _, ok := s.Store().ReadItem(p, "gone:add"); !ok || v != "added" {
+				t.Errorf("server %d holds %v (present=%v) for the added key", sid, v, ok)
+			}
+		}
+	})
+	cl.Env.Run()
+	if drops, prevented := r.Counters.Get("suspect-drops"), r.Counters.Get("stale-reads-prevented"); drops != 2 || prevented != 0 {
+		t.Errorf("suspect-drops %d, stale-reads-prevented %d; want 2 and 0", drops, prevented)
+	}
+}

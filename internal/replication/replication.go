@@ -873,7 +873,9 @@ func expireSeconds(now, expireAt sim.Time) uint32 {
 // peer pushing a confirmed copy (any epoch ≥ 1) clears the suspicion; if
 // every peer answers "don't have it" the local recovered value is dropped
 // (a miss is always legal; serving an unconfirmable resurrected value is
-// not). Returns false on timeout with the key still suspect.
+// not) and the request runs against the key as it now is, absent: a GET
+// misses, an RMW is decided on a key that does not exist. Returns false on
+// timeout, and when the pull concluded with the key still suspect.
 func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peerSet) bool {
 	if peers.n == 0 {
 		// Degenerate single-replica set: nobody can confirm; keep serving
@@ -881,7 +883,7 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 		r.setState(key, ks, ks.epoch, ks.del, false, ks.sum)
 		return true
 	}
-	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, "repair-pulls")) && !ks.suspect
+	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, "repair-pulls")) && (!ks.suspect || ks.gone)
 }
 
 // openPull asks every one of peers for its confirmed copy of key and returns
