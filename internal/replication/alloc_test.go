@@ -64,3 +64,72 @@ func TestReplicatedSetAllocationCeiling(t *testing.T) {
 		t.Errorf("one replicated SET at R=3: %v allocations, ceiling 14", got)
 	}
 }
+
+// digestModel returns a replicator of a three-server R=2 cluster holding 512
+// keys at quiescence — every maintained digest computed and current — and the
+// keys.
+func digestModel() (*cluster.Cluster, []string) {
+	cl := itCluster()
+	keys := make([]string, 512)
+	cl.Env.Spawn("preload", func(p *sim.Proc) {
+		for i := range keys {
+			keys[i] = itKey(i)
+			cl.Clients[0].Set(p, keys[i], 64, uint64(i), 0, 0)
+		}
+	})
+	cl.Env.Run()
+	return cl, keys
+}
+
+// BenchmarkScrubRound and BenchmarkSetStateRefold are the host-cost lines of
+// the maintained scrub digest: a round is a copy of 2×32 words per peer, and a
+// record change is two XORs per peer sharing the key — neither a pass over the
+// key table, which is what computeDigest costs and what both replaced.
+func BenchmarkScrubRound(b *testing.B) {
+	cl, _ := digestModel()
+	r := cl.Replicators[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ScrubRoundForTest()
+	}
+}
+
+func BenchmarkSetStateRefold(b *testing.B) {
+	cl, keys := digestModel()
+	r := cl.Replicators[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RefoldForTest(keys[i%len(keys)])
+	}
+}
+
+// One scrub round toward two peers is 4 allocations — a frame and its copy of
+// the digest each — whatever the table holds; one refold is none.
+func TestScrubRoundAllocationCeiling(t *testing.T) {
+	cl, _ := digestModel()
+	r := cl.Replicators[0]
+	if words := r.ScrubRoundForTest(); words != 2*2*32 {
+		t.Fatalf("a round toward two peers carries %d words, want two digests of 2x32", words)
+	}
+	if got := testing.AllocsPerRun(300, func() { r.ScrubRoundForTest() }); got > 4 {
+		t.Errorf("one scrub round: %v allocations, ceiling 4", got)
+	}
+	if stale, kept := r.StaleDigestsForTest(); len(stale) > 0 || kept != 2 {
+		t.Errorf("maintained digests: %d kept, stale for peers %v", kept, stale)
+	}
+}
+
+func TestSetStateRefoldAllocationCeiling(t *testing.T) {
+	cl, keys := digestModel()
+	r := cl.Replicators[0]
+	r.ScrubRoundForTest() // the digests exist: a refold has something to move
+	i := 0
+	if got := testing.AllocsPerRun(300, func() { r.RefoldForTest(keys[i%len(keys)]); i++ }); got > 0 {
+		t.Errorf("one setState refold: %v allocations, ceiling 0", got)
+	}
+	if stale, kept := r.StaleDigestsForTest(); len(stale) > 0 || kept != 2 {
+		t.Errorf("after the refolds: %d maintained digests kept, stale for peers %v", kept, stale)
+	}
+}

@@ -106,3 +106,23 @@ func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key strin
 	r.handle(p, &frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: key, version: v})
 	return true
 }
+
+// ScrubRoundForTest builds what one scrub round sends — a digest frame per
+// peer — without sending it, and returns the words it would carry. The frames
+// go to a package-level sink, as the fabric would hold them.
+func (r *Replicator) ScrubRoundForTest() (words int) {
+	for _, pid := range r.peerIDs {
+		scrubSink = r.digestFrame(pid)
+		words += len(scrubSink.Buckets)
+	}
+	return words
+}
+
+var scrubSink *frame
+
+// RefoldForTest moves key's record one epoch up through setState, which
+// refolds the key's entry in the maintained digest of every peer sharing it.
+func (r *Replicator) RefoldForTest(key string) {
+	ks := r.state(key)
+	r.setState(key, ks, ks.epoch+0x100, ks.del, ks.suspect, ks.sum)
+}

@@ -192,13 +192,13 @@ func (ps *peerSet) index(id int) int {
 // are delivered and handled. Nothing is recycled, so none of them can
 // outlive it.
 type Forward struct {
-	id    uint64
-	key   string
-	proxy bool // coordinator is not in the replica set: no local apply
+	id  uint64
+	key string
 	version
 
 	peers    peerSet
 	waiting  uint32    // bit i: peers.ids[i] still owes an ack
+	proxy    bool      // coordinator is not in the replica set: no local apply
 	conflict uint64    // highest epoch seen in stale-reject acks
 	done     sim.Event // fired when waiting drains
 	first    frame     // the write frame of the round's first send

@@ -149,6 +149,12 @@ func (r *Replicator) digest(pid int) []uint64 {
 	return pl.digest
 }
 
+// digestFrame is one scrub round's message to pid: a copy of the maintained
+// digest, so what a round costs is the width of the digest, not the table.
+func (r *Replicator) digestFrame(pid int) *frame {
+	return &frame{Kind: frameDigest, Buckets: append([]uint64(nil), r.digest(pid)...)}
+}
+
 // dropDigests forgets every maintained digest.
 func (r *Replicator) dropDigests() {
 	for _, pl := range r.peers {
@@ -238,7 +244,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 		}
 		for _, pid := range r.peerIDs {
 			r.Counters.Add("scrub-rounds", 1)
-			r.send(p, pid, &frame{Kind: frameDigest, Buckets: append([]uint64(nil), r.digest(pid)...)})
+			r.send(p, pid, r.digestFrame(pid))
 		}
 		// The scrub pass is also when quarantined SSD media is drained and
 		// returned to service: live slots on suspect regions are re-read,
