@@ -21,14 +21,17 @@ race:
 # The concurrency-heavy robustness packages under the race detector at
 # -count=2: the client guard/hedge/cancel races, the bypass READ-vs-
 # eviction-vs-crash soak in cluster, the replication forward/ack/scrub
-# engine, the server's path matrix (every way an arrival reaches the
-# storage phase, crashed at each point), the hybrid slab's region-writer
-# matrix (every way a region reaches the SSD, refused, restarted and torn at
-# each point), and the history checker. A named subset of `race`, kept
-# separate so a detector hit points straight at the robustness suite (and so
-# it stays cheap enough to run on every edit).
+# engine and its install matrix (every way a version of a key reaches a
+# store, against everything going on there when it does), the server's path
+# matrix (every way an arrival reaches the storage phase, crashed at each
+# point), the hybrid slab's region-writer matrix (every way a region reaches
+# the SSD, refused, restarted and torn at each point), the store's command
+# races (four workers on one key: get vs set, and the conditional and
+# read-modify-write commands), and the history checker. A named subset of
+# `race`, kept separate so a detector hit points straight at the robustness
+# suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/history
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:
@@ -121,14 +124,19 @@ allocs:
 		END { flush() }'
 
 # Non-test Go lines per internal/ package, one line each, then their total:
-# the count a simplification is reported in (comments and blank lines
-# included, so deleting comments shows up as what it is), and one number to
-# diff between two commits.
+# the count a simplification is reported in, and one number to diff between
+# two commits. Beside each total, its split into code, comment (a line that is
+# only a // comment) and blank lines: a count bought by deleting rationale
+# comments, or by packing code denser, shows up as what it is.
 loc:
-	@total=0; for d in internal/*/; do \
-		n=$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l); total=$$((total+n)); \
-		printf '%-22s %6d\n' "$${d%/}" "$$n"; \
-	done; printf '%-22s %6d\n' total "$$total"
+	@printf '%-22s %6s %6s %8s %6s\n' package total code comment blank; \
+	for d in internal/*/ total; do \
+		if [ "$$d" = total ]; then files=$$(ls internal/*/*.go | grep -v _test.go); \
+		else files=$$(ls $$d*.go | grep -v _test.go); fi; \
+		cat $$files | awk -v name="$${d%/}" ' \
+			/^[ \t]*$$/ { blank++; next } /^[ \t]*\/\// { comment++; next } { code++ } \
+			END { printf "%-22s %6d %6d %8d %6d\n", name, code+comment+blank, code, comment, blank }'; \
+	done
 
 # The pre-merge gate: static analysis and formatting, the full suite under
 # the race detector (plus the robustness packages at -count=2), the robustness

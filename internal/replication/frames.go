@@ -58,10 +58,9 @@ type version struct {
 	flags  uint32
 	expire uint32
 	// sum is the end-to-end content checksum, protocol.ValueSum(value),
-	// computed once by whoever built the version: the receiver of a frame
-	// re-derives it and silently rejects a value corrupted in flight, and the
-	// epoch record of every replica that lands the version takes it. Zero for
-	// a delete.
+	// computed once by whoever built the version: a frame's receiver re-derives
+	// it and silently rejects a value corrupted in flight, and the record of
+	// every replica that lands the version takes it. Zero for a delete.
 	sum uint64
 }
 

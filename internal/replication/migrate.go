@@ -108,12 +108,11 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		}
 		if st == nil || gen != r.gen {
 			// The first round — or the first after a Wipe, which took the
-			// installed state and every key the segment had moved so far with
-			// it. The segment starts over: fresh manifests list every key
-			// again, and what survived, or has come back another way since,
-			// is skipped as already current. (Carrying the old wants over
-			// instead wedges the migration: a want whose key landed while
-			// nothing was installed to notice is re-pulled forever, every
+			// installed state and every key the segment had moved with it. The
+			// segment starts over: fresh manifests list every key again, and
+			// what survived or came back another way is skipped as current.
+			// (Old wants carried over wedge the migration: one whose key landed
+			// while nothing was installed to notice is re-pulled forever, every
 			// answer a duplicate of what is already held.)
 			st, gen = &segPull{seg: seg, epoch: epoch, waiting: make(map[int]bool), wants: make(map[string]*migWant)}, r.gen
 			for _, id := range r.mem.Sources() {

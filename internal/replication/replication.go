@@ -17,42 +17,44 @@ import (
 // Every server hosts a Replicator sharing the server's verbs Device, so
 // replication frames traverse the same simulated fabric as client traffic
 // and are subject to the same fault injection (drops, duplicates, delay
-// spikes, link-down windows, asymmetric partitions).
+// spikes, link-down windows, asymmetric partitions). The protocol is four
+// rules, each written once (DESIGN.md §10 tabulates who calls which):
 //
-// Writes: the coordinator (whichever server admitted the request — the
-// primary in the common case, a backup or even a non-replica after client
-// failover) assigns the key a fresh version epoch and forwards the
-// post-image to every other replica BEFORE the acknowledgement, overlapping
-// the peers' applies with its own slab phase. The response (and the
-// buffered early-ack, when requested) is withheld until every replica
-// acknowledged, so a completed write is durable on R nodes: that is the
-// invariant that lets the history checker demand "no acked write lost"
-// across whole-node kills.
+// mint. The coordinator (whichever server admitted the request — the primary
+// in the common case, a backup or even a non-replica after client failover)
+// assigns the write a version epoch and forwards the post-image to every
+// other replica BEFORE its own apply and the acknowledgement, overlapping the
+// peers' applies with its slab phase. Epochs are per-key and totally ordered
+// across coordinators: the high 56 bits count coordination rounds, the low
+// byte is the coordinator's server id, so two coordinators never mint the
+// same epoch and last-write-wins resolution is deterministic; one
+// coordinator never mints the same epoch twice either, however many rounds
+// of the key it has open. The response (and the buffered early-ack, when
+// requested) is withheld until every replica acknowledged, so a completed
+// write is durable on R nodes: the invariant that lets the history checker
+// demand "no acked write lost" across whole-node kills.
 //
-// Epochs are per-key and totally ordered across coordinators: the high 56
-// bits count coordination rounds, the low byte is the coordinator's server
-// id, so two concurrent coordinators can never mint the same epoch and
-// last-write-wins resolution is deterministic. A replica holding a newer
-// epoch rejects the apply and returns its epoch in the ack; the coordinator
-// re-coordinates above it (counted as an epoch-conflict) unless its own
-// store has already been superseded by the newer write, in which case the
-// older write completes as overwritten.
+// install. A version reaches a store one way: the rule admitting it — the
+// coordinator's "still above the record", a frame's judge — asked before the
+// store call and again by the store at the instant of the swap, then landed:
+// record, digests, scrubber, waiters, all in that instant. A replica holding
+// a newer epoch rejects a forward, naming it; the coordinator re-coordinates
+// above it (an epoch-conflict) unless the newer write has reached its own
+// store too, in which case the older one completes as overwritten.
 //
-// Reads: any replica may serve a GET. Completed writes are on all replicas,
-// so replica reads never serve stale data while nodes are merely slow or
-// partitioned. The dangerous window is a cold restart after a whole-node
-// kill: the SSD resurrects old values whose RAM epoch table died with the
-// node. All recovered keys are therefore marked *suspect*; a suspect key
-// must be confirmed against its peer replicas (a synchronous pull) before
-// it is served. If no peer can confirm within the pull timeout the server
-// answers a miss rather than risk resurrecting a superseded value — the
-// stale-reads-prevented counter tracks exactly those refusals.
+// pull. Any replica may serve a GET, and completed writes are on all of
+// them. The dangerous window is a cold restart after a whole-node kill: the
+// SSD resurrects values whose RAM epoch table died with the node. Recovered
+// keys are *suspect*, and a suspect key is confirmed against its peers — one
+// pull per key, shared by its readers, a corrupt read's repair and a
+// migration's double-read — before it is served. Unconfirmable in time, the
+// answer is a miss (stale-reads-prevented), never a superseded value.
 //
-// Anti-entropy: a background scrubber periodically exchanges bucketed
-// epoch digests with each peer and pushes/pulls whatever diverged, so
-// replicas reconverge after partitions heal even for keys no client
-// touches again (repair-pushes counts the repair traffic, shared with the
-// read-repair probes piggybacked on served GETs).
+// reconcile. A scrubber exchanges bucketed digests of (epoch, content sum)
+// with each peer, and every eighth served GET probes them; either way one
+// key is settled against what the peer holds — pull what is fresher there,
+// push what is fresher here — so replicas reconverge after partitions heal
+// even for keys no client touches again.
 
 // Config parameterizes one server's replicator.
 type Config struct {
@@ -84,9 +86,7 @@ type PacerConfig struct {
 	Enabled bool
 }
 
-// The protocol's fixed parameters. Each was a Config or PacerConfig field that
-// no experiment, workload, example, command or test ever set; they hold the
-// values those fields defaulted to.
+// The protocol's fixed parameters.
 const (
 	// readRepairEvery probes the peer replicas for epoch divergence on
 	// every Nth served GET hit.
@@ -216,7 +216,6 @@ func (fwd *Forward) open(env *sim.Env, peers peerSet) {
 }
 
 type peerLink struct {
-	id int
 	qp *verbs.QP
 	// digest is the maintained scrub digest of the keys shared with this
 	// peer (see Replicator.digest); nil until first used.
@@ -244,8 +243,7 @@ type Replicator struct {
 	qpByQPN map[int]*verbs.QP
 
 	// gen counts Wipes: the incarnation of everything below. A proc suspended
-	// in a store call across a whole-node kill resumes in the next one, where
-	// what it was about to record is no longer true.
+	// across a whole-node kill resumes in the next one (install, migrateSegment).
 	gen       uint64
 	keys      map[string]*keyState
 	digestsAt placement // what the peers' maintained digests were computed under
@@ -267,8 +265,7 @@ type Replicator struct {
 	memWake  *sim.Event
 	migPulls map[int]*segPull
 
-	// Counters: forwards, forward-resends, epoch-conflicts, repair-pushes,
-	// repair-pulls, stale-reads-prevented, suspect-drops, pull-confirms.
+	// Counters: DESIGN.md §10 says what each one counts.
 	Counters *metrics.Counters
 }
 
@@ -395,8 +392,8 @@ func link(a, b *Replicator) {
 		qa.PostRecv(verbs.RecvWR{})
 		qb.PostRecv(verbs.RecvWR{})
 	}
-	a.peers[b.cfg.ID] = &peerLink{id: b.cfg.ID, qp: qa}
-	b.peers[a.cfg.ID] = &peerLink{id: a.cfg.ID, qp: qb}
+	a.peers[b.cfg.ID] = &peerLink{qp: qa}
+	b.peers[a.cfg.ID] = &peerLink{qp: qb}
 	a.qpByQPN[qa.QPN()] = qa
 	b.qpByQPN[qb.QPN()] = qb
 	a.refreshPeerIDs()
@@ -421,10 +418,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
 }
 
 func (r *Replicator) start() {
-	rr := r
-	r.env.Spawn("repl-engine", func(p *sim.Proc) { rr.engine(p) })
-	r.env.Spawn("repl-scrub", func(p *sim.Proc) { rr.scrubber(p) })
-	r.env.Spawn("repl-migrate", func(p *sim.Proc) { rr.migrator(p) })
+	r.env.Spawn("repl-engine", r.engine)
+	r.env.Spawn("repl-scrub", r.scrubber)
+	r.env.Spawn("repl-migrate", r.migrator)
 }
 
 // scrubBurst is how many digest rounds one kick arms. Repair writes that
@@ -451,13 +447,12 @@ func (r *Replicator) nextEpoch(cur uint64) uint64 {
 
 // mint hands out the epoch of a new round for key: above the key's record,
 // above floor — the conflicting epoch a re-coordinated round has to beat —
-// and above every epoch it has handed out for the key before. A round is
-// opened at admission and applied later (that is what overlaps the peers'
-// applies with the local storage phase), so several rounds of one key are
-// open before the first moves the record: every member of a frame, every
-// arrival of a non-blocking window. Minted above the record alone they would
-// share an epoch, the peers would ack the later ones as duplicate deliveries
-// of the first, and a write answered STORED would be applied nowhere.
+// and above every epoch handed out for the key before. A round opens at
+// admission and is applied later, so several rounds of one key are open
+// before the first moves the record (every member of a frame, every arrival
+// of a non-blocking window): minted above the record alone they would share
+// an epoch, the peers would ack the later ones as duplicate deliveries of the
+// first, and a write answered STORED would be applied nowhere.
 func (r *Replicator) mint(key string, floor uint64) uint64 {
 	ks := r.state(key)
 	ks.minted = r.nextEpoch(max(floor, ks.epoch, ks.minted))
@@ -503,18 +498,16 @@ func (r *Replicator) send(p *sim.Proc, pid int, f *frame) {
 // Returns nil for any other opcode (RMW post-images replicate inside
 // Apply, after the local apply decides the outcome).
 func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
+	var v version
 	switch req.Op {
 	case protocol.OpSet:
-		return r.begin(p, req.Key, version{value: req.Value, size: req.ValueSize, flags: req.Flags, expire: req.Expire})
+		v = version{value: req.Value, size: req.ValueSize, flags: req.Flags, expire: req.Expire}
 	case protocol.OpDelete:
-		return r.begin(p, req.Key, version{del: true})
+		v.del = true
+	default:
+		return nil
 	}
-	return nil
-}
-
-// begin opens the round of one write of key and forwards it to every peer.
-func (r *Replicator) begin(p *sim.Proc, key string, v version) *Forward {
-	fwd := r.open(key, v)
+	fwd := r.open(req.Key, v)
 	r.sendWrite(p, fwd)
 	return fwd
 }
@@ -630,19 +623,18 @@ func applied(st protocol.Status) bool {
 	return st == protocol.StatusStored || st == protocol.StatusDeleted || st == protocol.StatusNotFound
 }
 
-// install is the one way a version of a key reaches the local store, and —
-// through landed — the epoch record: every replicated write, whoever
-// coordinated it and however it arrived, is admit asked, the store call with
-// admit as its swap-time guard, landed. admit is the caller's rule for "this
-// version may still replace what the key holds" (the coordinator's newer, a
-// write frame's judge). It is asked before the store call, so a version that
-// is already stale costs no allocation and no time, and again by the store at
-// the instant of the swap, because the store call suspends — allocation,
-// eviction, copy — and other writes of the key land meanwhile: the record
-// never moves backwards and never names a value the store does not hold. A
-// whole-node kill under the call refuses it too: the store it would swap into
-// and the table it would record in are the dead incarnation's. Returns the
-// store's status; StatusNotStored is a refusal, at either point.
+// install is the one way a version of a key reaches the local store and —
+// through landed — the epoch record, whoever coordinated the write and however
+// it arrived. admit is the caller's rule for "this version may still replace
+// what the key holds" (the coordinator's newer, a write frame's judge). It is
+// asked before the store call, so a version that is already stale costs no
+// allocation and no time, and again by the store at the instant of the swap,
+// because the call suspends — allocation, eviction, copy — and other writes of
+// the key land meanwhile: the record never moves backwards and never names a
+// value the store does not hold. A whole-node kill under the call refuses it
+// too: the store it would swap into and the table it would record in are the
+// dead incarnation's. Returns the store's status; StatusNotStored is a
+// refusal, at either point.
 func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() bool) protocol.Status {
 	if !admit() {
 		return protocol.StatusNotStored
@@ -814,8 +806,8 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 	default:
 		return resp
 	}
-	// The store has swapped the command's result in and nothing has suspended
-	// since: the record still names what the key held before.
+	// Nothing has suspended since the store swapped the command's result in: the
+	// record still names what the key held before.
 	was := r.state(req.Key).epoch
 	// Replicate the post-image just applied (it may already live on SSD —
 	// ReadItem loads it back without disturbing LRU or stats).
@@ -827,16 +819,15 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 	}
 	if r.gen != gen || r.state(req.Key).epoch != was {
 		// A write of the key landed here while the post-image was being read
-		// back (or the node died under the command): it replaced what the
-		// command stored. Last write wins — the command completes as
-		// overwritten, and there is nothing of it left to record or forward.
+		// back (or the node died under the command) and replaced what the
+		// command stored: it completes as overwritten, with nothing to forward.
 		return resp
 	}
 	fwd := r.open(req.Key, version{value: value, size: size, flags: flags, expire: expireSeconds(r.env.Now(), expireAt)})
 	if !fwd.proxy {
-		// The local copy was applied by Handle; record it like a SET — in the
-		// instant its epoch is minted, before the sends suspend — so a prior
-		// tombstone or suspicion on the key cannot outlive it.
+		// The local copy was applied by Handle; record it like a SET, in the
+		// instant its epoch is minted (the sends suspend), so a prior tombstone
+		// or suspicion on the key cannot outlive it.
 		r.landed(req.Key, &fwd.version)
 	}
 	r.sendWrite(p, fwd)
@@ -888,11 +879,11 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 
 // openPull asks every one of peers for its confirmed copy of key and returns
 // the event that fires when the pull concludes: a confirmed write of the key
-// lands (landed), or every peer asked answers that it holds none
-// (handlePullMiss). A key has one pull at a time — a suspect confirmation, a
-// corrupt read's background repair and a migration double-read that coincide
-// share it, as do all their readers — so with one already open this only
-// returns its event. counter names what a newly opened round is counted as.
+// lands (landed), or every peer asked holds none (handlePullMiss). A key has
+// one pull at a time — a suspect confirmation, a corrupt read's background
+// repair and a migration double-read that coincide share it, with all their
+// readers — so with one open this only returns its event. counter names what
+// a newly opened round is counted as.
 func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet, counter string) *sim.Event {
 	if ks.pull != nil {
 		return ks.pull
@@ -909,10 +900,9 @@ func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peer
 }
 
 // waitPull parks the caller on a pull of ks's key until it concludes or
-// pullTimeout passes, and reports which. On a timeout the pull is abandoned —
-// not fired: the readers that joined it later keep their own timeouts — so
-// the next reader opens a fresh round (the frames may have been lost to a
-// partition).
+// pullTimeout passes, and reports which. On a timeout the pull is abandoned
+// (not fired: readers that joined it later keep their own timeouts), so the
+// next reader opens a fresh round — the frames may have been lost.
 func (r *Replicator) waitPull(p *sim.Proc, ks *keyState, ev *sim.Event) bool {
 	p.WaitTimeout(ev, pullTimeout)
 	if !ev.Fired() && ks.pull == ev {
@@ -1019,8 +1009,8 @@ func (r *Replicator) handle(p *sim.Proc, f *frame) {
 		r.handleWrite(p, f)
 	case frameAck:
 		r.handleAck(f)
-	case framePull:
-		r.handlePull(p, f)
+	case framePull: // a peer's confirmation request: our confirmed copy, or a miss
+		r.pushKey(p, f.From, f.Key)
 	case framePullMiss:
 		r.handlePullMiss(p, f)
 	case frameProbe:
@@ -1133,19 +1123,13 @@ func (r *Replicator) handleAck(f *frame) {
 	}
 }
 
-// handlePull answers a peer's confirmation request: push our confirmed copy
-// (value or tombstone) or admit we do not have one.
-func (r *Replicator) handlePull(p *sim.Proc, f *frame) { r.pushKey(p, f.From, f.Key) }
-
 // pushKey sends our confirmed copy of key to a peer as a repair write: the
 // value and the epoch it was written under, as they stand together in one
 // instant. Reading the value back suspends (a copy, or an SSD load), and a
-// write of the key that lands meanwhile releases the item being read and moves
-// the record — pairing what the read returned with the record after it would
-// push the released item's emptiness under the new epoch — so a read the
-// record moved under is done again. With nothing confirmed to push — never
-// propagate an unconfirmed value — or a value that turned out to be gone, the
-// answer is a miss.
+// write of the key landing meanwhile releases the item being read and moves
+// the record — the released item's emptiness would go out under the new epoch
+// — so a read the record moved under is done again. With nothing confirmed
+// (never propagate an unconfirmed value), or a value that is gone: a miss.
 func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 	for {
 		ks := r.keys[key]
@@ -1194,8 +1178,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 		return
 	}
 	// The drop is a store call like any other: its probe suspends, and a write
-	// of the key that lands under it — clearing the suspicion, answering the
-	// pull — must find neither its value deleted nor its record dropped.
+	// of the key landing under it must lose neither its value nor its record.
 	unconfirmed := func() bool { return ks.suspect && !ks.gone }
 	if unconfirmed() && r.st.DeleteIf(p, f.Key, unconfirmed) != protocol.StatusNotStored {
 		r.dropState(f.Key)

@@ -79,10 +79,9 @@ func (r *Replicator) sharedWith(pid int, key string) bool {
 }
 
 // confirmedEpoch is the epoch this server may claim for a key — in a digest,
-// a manifest, the answer to a pull or a probe: its record's, or zero when it
-// has no record (ks is nil) or only a suspect one. A cold-recovered or
-// corrupt-read value proves nothing until a peer confirms it, and an
-// unconfirmed epoch must never propagate.
+// a manifest, the answer to a pull or a probe: its record's, or zero with no
+// record (ks is nil) or only a suspect one. A recovered or corrupt-read value
+// proves nothing until a peer confirms it; an unconfirmed epoch never travels.
 func (ks *keyState) confirmedEpoch() uint64 {
 	if ks == nil || ks.suspect {
 		return 0
@@ -329,10 +328,9 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 // entry of a scrub diff, or what a read-repair probe just served: pull what
 // the peer holds fresher, push what we hold fresher. At equal epochs, both
 // sides live and the content sums different, one side is silently corrupt:
-// the epoch's coordinator keeps its copy and the loser takes the winner's, so
-// either we push ours (we win — the peer's judge applies it under the same
-// rule) or pull the peer's (it wins). Reports whether it asked the peer for
-// its copy.
+// the epoch's coordinator keeps its copy, so either we push ours (we win — the
+// peer's judge applies it under the same rule) or pull the peer's. Reports
+// whether it asked the peer for its copy.
 func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
 	ks := r.keys[theirs.Key]
 	mine := ks.confirmedEpoch()

@@ -156,10 +156,15 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
 	env.Spawn("op", func(p *sim.Proc) {
-		s.Set(p, "c", counterSize, uint64(41), 0, 0)
-		// Push the counter to the SSD with filler.
+		// Push the counter to the SSD with filler. Eviction takes its victims
+		// from the class that is allocating, so the counter is stored at the
+		// fillers' size (at counterSize it stayed in RAM, and this test with it).
+		s.Set(p, "c", 32*1024, uint64(41), 0, 0)
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
+		}
+		if !s.table["c"].OnSSD() {
+			t.Fatal("fixture: the counter is not on the SSD")
 		}
 		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
