@@ -319,6 +319,18 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 	}
 }
 
+// writePathCluster is three async servers at R = 3 with the scrubber off:
+// every server replicates every key, and whatever a test finds on a replica
+// was put there by the write path, the pull or a push it asked for — not by a
+// scrub round that happened to pass.
+func writePathCluster() *cluster.Cluster {
+	return cluster.New(cluster.Config{
+		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
+		Servers: 3, Clients: 1, ServerMem: 64 << 20,
+		ReplicationFactor: 3, ScrubInterval: -1,
+	})
+}
+
 // The epoch guard has to hold at the instant the value is swapped in, not
 // just when the store call starts: the call suspends in the allocation and
 // the copy, and a later write of the key — from this coordinator's next round
@@ -330,11 +342,7 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 // the second value at one epoch; the scrubber is off, so nothing but the write
 // path can have put it there.
 func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-		Servers: 3, Clients: 1, ServerMem: 64 << 20,
-		ReplicationFactor: 3, ScrubInterval: -1,
-	})
+	cl := writePathCluster()
 	c := cl.Clients[0]
 	const key = "overtake:k"
 	cl.Env.Spawn("it-overtake", func(p *sim.Proc) {
@@ -377,11 +385,7 @@ func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
 // of the same key, which mints above server 0's epoch and lands first. The
 // forwarded value must then be judged stale at the swap, not applied over it.
 func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-		Servers: 3, Clients: 1, ServerMem: 64 << 20,
-		ReplicationFactor: 3, ScrubInterval: -1,
-	})
+	cl := writePathCluster()
 	const key = "overtake:fwd"
 	set := func(size int, seq uint64) *protocol.Request {
 		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
@@ -426,11 +430,7 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 // the epoch's own coordinator's word server 1 would take for a divergence
 // repair and apply over the write it had just been forwarded.
 func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-		Servers: 3, Clients: 1, ServerMem: 64 << 20,
-		ReplicationFactor: 3, ScrubInterval: -1,
-	})
+	cl := writePathCluster()
 	const key = "push:k"
 	set := func(size int, seq uint64) *protocol.Request {
 		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
@@ -475,11 +475,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 	const key = "drop:k"
 	lost := 0
 	for at := sim.Microsecond; at < 5*sim.Microsecond; at += 40 * sim.Nanosecond {
-		cl := cluster.New(cluster.Config{
-			Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-			Servers: 3, Clients: 1, ServerMem: 64 << 20,
-			ReplicationFactor: 3, ScrubInterval: -1,
-		})
+		cl := writePathCluster()
 		r, st := cl.Replicators[1], cl.Servers[1].Store()
 		cl.Env.Spawn("it-recovered", func(p *sim.Proc) {
 			// A value only server 1 holds, as a cold restart would resurrect it.
@@ -519,11 +515,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 // Add finds no such key and stores, where it used to be turned away as
 // retryable.
 func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-		Servers: 3, Clients: 1, ServerMem: 64 << 20,
-		ReplicationFactor: 3, ScrubInterval: -1,
-	})
+	cl := writePathCluster()
 	r, st := cl.Replicators[1], cl.Servers[1].Store()
 	cl.Env.Spawn("it-suspects", func(p *sim.Proc) {
 		for _, key := range []string{"gone:get", "gone:add"} {

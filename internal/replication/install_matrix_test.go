@@ -116,6 +116,12 @@ func (c *installCell) counts() imCounts {
 	return imCounts{n.Get("forwards"), n.Get("epoch-conflicts"), n.Get("repair-pulls"), n.Get("repair-pushes")}
 }
 
+// moved is what the counters have done since the action started.
+func (c *installCell) moved() imCounts {
+	n := c.counts()
+	return imCounts{n.forwards - c.base.forwards, n.conflicts - c.base.conflicts, n.pulls - c.base.pulls, n.pushes - c.base.pushes}
+}
+
 func (c *installCell) value(op protocol.Opcode, size int) *protocol.Request {
 	c.seq++
 	c.issued = append(c.issued, protocol.ValueSum(c.seq))
@@ -126,10 +132,9 @@ func (c *installCell) del() *protocol.Request {
 	return &protocol.Request{Op: protocol.OpDelete, Key: imKey}
 }
 
-// open, apply and finish coordinate one request on server sid as the server
-// does — coordinate all at once, as a bare request; apart, as the members of a
-// frame, whose rounds all open before any is applied. A write answered STORED
-// or DELETED is recorded as acked.
+// coordinate runs one request on server sid as the server runs a bare one —
+// open the round, apply, wait for the chain — and records a write answered
+// STORED or DELETED as acked.
 func (c *installCell) coordinate(p *sim.Proc, sid int, req *protocol.Request) *protocol.Response {
 	r := c.cl.Replicators[sid]
 	fwd := r.Begin(p, req)
@@ -299,10 +304,8 @@ var imCols = []imCol{
 		// Minted after it by the same coordinator, the row's write is the later
 		// one; arriving from elsewhere, it carries server 0's epoch or an older
 		// round's, and the subject's own is.
-		other: func(row imRow) bool { return !row.coordinated },
-		rule: func(row imRow, clean, got imCounts) bool {
-			return got.forwards == clean.forwards+1 && got.conflicts == clean.conflicts && got.pulls == clean.pulls && repairs(clean, got)
-		},
+		other:    func(row imRow) bool { return !row.coordinated },
+		rule:     oneMoreForward,
 		ruleText: "one more forward and no more conflicts or pull rounds: whichever write loses completes as overwritten",
 	},
 	{
@@ -323,10 +326,8 @@ var imCols = []imCol{
 			})
 		},
 		// An RMW mints after its store call, above whatever landed under it.
-		other: func(row imRow) bool { return row.name != "RMW post-image" },
-		rule: func(row imRow, clean, got imCounts) bool {
-			return got.forwards == clean.forwards+1 && got.conflicts == clean.conflicts && got.pulls == clean.pulls && repairs(clean, got)
-		},
+		other:    func(row imRow) bool { return row.name != "RMW post-image" },
+		rule:     oneMoreForward,
 		ruleText: "one more forward and no more conflicts or pull rounds: the row's write is refused at the swap and completes as overwritten",
 	},
 	{
@@ -415,6 +416,11 @@ func repairs(clean, got imCounts) bool {
 		return got.pushes == 0
 	}
 	return got.pushes >= clean.pushes
+}
+
+// oneMoreForward is the rule of a column that adds one coordinated write.
+func oneMoreForward(row imRow, clean, got imCounts) bool {
+	return got.forwards == clean.forwards+1 && got.conflicts == clean.conflicts && got.pulls == clean.pulls && repairs(clean, got)
 }
 
 func (c *installCell) wrote(sum uint64) bool {
@@ -537,9 +543,7 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 			t.Errorf("%s = %d", name, n)
 		}
 	}
-	got := c.counts()
-	got.forwards, got.conflicts, got.pulls, got.pushes = got.forwards-c.base.forwards, got.conflicts-c.base.conflicts, got.pulls-c.base.pulls, got.pushes-c.base.pushes
-	if !col.rule(row, clean, got) {
+	if got := c.moved(); !col.rule(row, clean, got) {
 		t.Errorf("counters: %v; the clean run's: %v; the column's rule: %s", got, clean, col.ruleText)
 	}
 }
@@ -560,8 +564,7 @@ func TestInstallMatrix(t *testing.T) {
 				if begin == 0 || landed == 0 {
 					t.Fatalf("clean run (spill=%v): the row's store call at server %d began at %v and landed at %v", spill, row.s, begin, landed)
 				}
-				got := c.counts()
-				clocks[spill] = clock{begin, landed, imCounts{got.forwards - c.base.forwards, got.conflicts - c.base.conflicts, got.pulls - c.base.pulls, got.pushes - c.base.pushes}}
+				clocks[spill] = clock{begin, landed, c.moved()}
 			}
 			for _, col := range imCols {
 				t.Run(col.name, func(t *testing.T) {

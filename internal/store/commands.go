@@ -126,24 +126,36 @@ func (s *Store) Prepend(p *sim.Proc, key string, extraSize int, extra any) proto
 	return s.concatCmd(p, key, extraSize, extra, true)
 }
 
-func (s *Store) concatCmd(p *sim.Proc, key string, extraSize int, extra any, prepend bool) protocol.Status {
+// read returns key's live item with its value and CAS token as they stand
+// together in one instant — where a read-modify-write starts — or nil when the
+// key is dead. The load suspends, and an answer given for an item replaced
+// meanwhile (a nil value, "dropped") describes that item, not the key: again.
+func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64) {
 	for {
 		p.Sleep(hashCost)
-		it := s.lookup(p, key)
-		if it == nil {
-			return protocol.StatusNotStored
+		if it = s.lookup(p, key); it == nil {
+			return nil, nil, 0
 		}
-		// Load the current value (may reside on SSD), then store the
-		// combined item through the regular slab path so it is re-classed by
-		// its new size.
-		old, err := s.mgr.Load(p, it)
-		cas := it.CAS
+		v, err := s.mgr.Load(p, it)
 		if s.table[key] != it {
-			continue // replaced while the load was suspended: it answered for the old item
+			continue
 		}
 		if err != nil {
 			delete(s.table, key)
 			s.unpublish(key)
+			return nil, nil, 0
+		}
+		return it, v, it.CAS
+	}
+}
+
+func (s *Store) concatCmd(p *sim.Proc, key string, extraSize int, extra any, prepend bool) protocol.Status {
+	for {
+		// Load the current value (may reside on SSD), then store the
+		// combined item through the regular slab path so it is re-classed by
+		// its new size.
+		it, old, cas := s.read(p, key)
+		if it == nil {
 			return protocol.StatusNotStored
 		}
 		newValue, newSize := concat(prepend, old, it.ValueSize, extra, extraSize)
@@ -181,19 +193,8 @@ func (s *Store) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 
 func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, protocol.Status) {
 	for {
-		p.Sleep(hashCost)
-		it := s.lookup(p, key)
+		it, v, cas := s.read(p, key)
 		if it == nil {
-			return 0, protocol.StatusNotFound
-		}
-		v, err := s.mgr.Load(p, it)
-		cas := it.CAS
-		if s.table[key] != it {
-			continue // replaced while the load was suspended: it answered for the old item
-		}
-		if err != nil {
-			delete(s.table, key)
-			s.unpublish(key)
 			return 0, protocol.StatusNotFound
 		}
 		cur, ok := v.(uint64)
