@@ -24,45 +24,15 @@ const (
 )
 
 // txBatch is the client-side record of one coalesced frame in flight. The
-// whole frame consumed a single flow-control credit; the record arbitrates
-// who returns it across batch acks, member responses, and per-op
-// deadline/cancel tombstones.
+// whole frame consumed a single flow-control credit; the record is what its
+// members' settle (issue.go) arbitrates through — who returns the credit
+// across batch acks, member responses, and per-op deadline/cancel tombstones,
+// and who, giving back the last slot, drops the record.
 type txBatch struct {
 	id             uint64
-	cn             *conn
 	members        []*attempt
-	live           int // members not yet responded or abandoned
-	sent           bool
+	live           int // members still holding their slot: neither responded nor given up on
 	creditReturned bool
-}
-
-// returnCredit releases the frame's single credit, exactly once.
-func (b *txBatch) returnCredit() {
-	if b.sent && !b.creditReturned {
-		b.creditReturned = true
-		b.cn.credits.Release()
-	}
-}
-
-// resolveOne marks one member settled. When the last member settles the
-// credit is reclaimed (if no response or ack beat us to it) and the batch
-// record is dropped.
-func (b *txBatch) resolveOne() {
-	b.live--
-	if b.live <= 0 {
-		b.returnCredit()
-		delete(b.cn.pendingBatch, b.id)
-	}
-}
-
-// resolve settles a batched attempt's slot, idempotently; no-op for
-// unbatched attempts.
-func (att *attempt) resolve() {
-	if att.batch == nil || att.resolved {
-		return
-	}
-	att.resolved = true
-	att.batch.resolveOne()
 }
 
 // BeginBatch opens an explicit coalescing window: subsequent Issue calls on
@@ -106,11 +76,7 @@ func (c *Client) Flush(p *sim.Proc) error {
 		items := cn.window
 		cn.window = nil
 		var inline, alone []*attempt
-		for _, it := range items {
-			if it.abandoned {
-				delete(cn.pending, it.id)
-				continue
-			}
+		for _, it := range cn.liveItems(items) {
 			if it.frameable() {
 				inline = append(inline, it)
 			} else {
@@ -146,16 +112,14 @@ func (att *attempt) frameable() bool {
 	return att.wire.ValueSize <= BatchInlineMax && att.wire.Op != protocol.OpDirQuery
 }
 
-// liveItems filters abandoned members out of a frame, tombstoning their
-// never-sent pending entries.
+// liveItems filters out of a frame the members that ended before they were
+// sent (settle took their pending entries with it).
 func (cn *conn) liveItems(items []*attempt) []*attempt {
 	out := items[:0]
 	for _, it := range items {
-		if it.abandoned {
-			delete(cn.pending, it.id)
-			continue
+		if it.state == attQueued {
+			out = append(out, it)
 		}
-		out = append(out, it)
 	}
 	return out
 }
@@ -176,8 +140,7 @@ func (cn *conn) drainBatch(head *attempt) (batch, alone []*attempt) {
 			continue
 		}
 		att := next.att
-		if att.abandoned {
-			delete(cn.pending, att.id)
+		if att.state != attQueued {
 			continue
 		}
 		if !att.frameable() {
@@ -196,10 +159,10 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	c := cn.c
 	c.nextID++
 	frame := &protocol.BatchFrame{BatchID: c.nextID}
-	b := &txBatch{id: frame.BatchID, cn: cn, live: len(items), sent: true}
+	b := &txBatch{id: frame.BatchID, live: len(items)}
 	for _, att := range items {
 		frame.Reqs = append(frame.Reqs, &att.wire)
-		att.sent = true
+		att.state = attSent
 		att.batch = b
 		b.members = append(b.members, att)
 		if att.wire.AckWanted {
@@ -223,13 +186,14 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 }
 
 // batchAcked handles the server's single early BufferAck covering a whole
-// frame: the shared credit comes back and every live member is marked
+// frame: the shared credit comes back (with the first member still flying;
+// there is one, or the record would be gone) and every live member is marked
 // buffered server-side (so stores are not retransmitted) with its buffers
 // reusable.
 func (cn *conn) batchAcked(b *txBatch) {
-	b.returnCredit()
 	for _, att := range b.members {
-		if att.abandoned || att.req.done.Fired() {
+		att.settle(acked)
+		if !att.outstanding() || att.req.done.Fired() {
 			continue
 		}
 		att.req.acked = true

@@ -292,11 +292,7 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 	if r.reads == 1 {
 		c.Faults.Inc(metrics.CBypassFastPath)
 	}
-	req.conn.noteSuccess()
-	// Bypass resolutions are their own health class: one-sided READs never
-	// touch the server CPU, so their tail degrades with the fabric and the
-	// host memory system, not the storage path.
-	c.noteServiceTime(req.conn, hcBypass, req.CompletedAt-req.IssuedAt)
+	req.first.settle(answered) // the resolution is the request's first attempt
 	req.done.Fire()
 	req.reusable.Fire()
 	c.Completed++
@@ -366,7 +362,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	c.Issued++
 	c.enqueueWire(req, cn, req.ID)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
-		c.abandon(req.cur)
+		req.cur.settle(dropped)
 		return protocol.StatusError
 	}
 	if req.Status != protocol.StatusOK {

@@ -730,13 +730,19 @@ func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
 	c.initReq(req, op, cn)
-	wire := &req.first.wire // a socket connection has no response region to name
+	// The exchange is the request's one attempt, resends included: it holds
+	// nothing a socket connection could give back but its verdict.
+	att := &req.first
+	att.id, att.req, att.cn, att.state = req.ID, req, cn, attOffWire
+	req.cur = att
+	wire := &att.wire // a socket connection has no response region to name
 	wire.ReqID = req.ID
 	c.Issued++
 	req.Attempts = 1
 	c.Sends++
 	cn.stream.Send(p, wire.WireSize(), wire)
 	t0 := p.Now()
+	att.start = t0
 	for {
 		var msg verbs.StreamMsg
 		var ok, timedOut bool
@@ -756,7 +762,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			req.timedOut = true
 			req.Status = protocol.StatusError
 			c.Faults.Inc(metrics.CTimeouts)
-			cn.noteFailure()
+			att.settle(silent)
 			break
 		}
 		if !ok {
@@ -767,10 +773,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		if resp.ReqID != req.ID {
 			continue // stale reply from an abandoned request
 		}
-		cn.noteSuccess()
-		if class, ok := classOfOp(req.Op); ok {
-			c.noteServiceTime(cn, class, p.Now()-t0)
-		}
+		att.settle(answered)
 		p.Sleep(memcpyTime(resp.ValueSize))
 		req.Status = resp.Status
 		req.Value = resp.Value

@@ -184,7 +184,7 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		// process posts one-sided READs, completing the request itself or
 		// handing it to enqueueWire as an ordinary RPC fallback. The
 		// guard/hedge machinery below attaches identically either way.
-		req.first = attempt{id: req.ID, req: req, cn: cn, bypass: true, wire: req.first.wire}
+		req.first = attempt{id: req.ID, req: req, cn: cn, start: req.IssuedAt, state: attOffWire, wire: req.first.wire}
 		req.cur = &req.first
 		req.Attempts = 1
 		c.startBypass(req)
@@ -226,7 +226,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
 	if req.cur != nil {
 		att = new(attempt)
 	}
-	*att = attempt{id: id, req: req, cn: cn, start: c.env.Now(), wire: wire}
+	*att = attempt{id: id, req: req, cn: cn, start: c.env.Now(), state: attQueued, wire: wire}
 	req.cur = att
 	req.conn = cn
 	first := req.Attempts == 0
@@ -238,27 +238,6 @@ func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
 		cn.txq.TryPut(txItem{att: att})
 	}
 	return att
-}
-
-// abandon detaches an attempt from its request: any credit it consumed is
-// reclaimed, and a response that still arrives for it is absorbed as stale
-// (the pending entry stays as a tombstone until then).
-func (c *Client) abandon(att *attempt) {
-	if att == nil || att.abandoned {
-		return
-	}
-	att.abandoned = true
-	if att.batch != nil {
-		// Tombstone one slot inside a coalesced frame: siblings keep
-		// flying; the frame's single credit comes back when the last
-		// member resolves (or earlier, via the batch ack / first response).
-		att.resolve()
-		return
-	}
-	if att.sent && !att.creditReturned {
-		att.creditReturned = true
-		att.cn.credits.Release()
-	}
 }
 
 // mayRetry reports whether retransmitting req is safe: Gets always; a
@@ -286,12 +265,7 @@ func (c *Client) expire(req *Req) {
 	}
 	req.timedOut = true
 	req.Status = protocol.StatusError
-	if req.rejected == nil && req.cur != nil && !req.cur.abandoned {
-		// The final attempt got no answer at all — a timeout the breaker
-		// counts alongside busy rejections.
-		req.cur.cn.noteFailure()
-	}
-	c.abandon(req.cur)
+	req.cur.settle(req.lapse())
 	req.CompletedAt = c.env.Now()
 	c.Faults.Inc(metrics.CTimeouts)
 	req.done.Fire()
@@ -307,7 +281,7 @@ func (c *Client) Cancel(req *Req) {
 	}
 	req.canceled = true
 	req.Status = protocol.StatusError
-	c.abandon(req.cur)
+	req.cur.settle(dropped)
 	req.CompletedAt = c.env.Now()
 	c.Faults.Inc(metrics.CCancels)
 	req.done.Fire()
@@ -318,11 +292,7 @@ func (c *Client) Cancel(req *Req) {
 // next connection when failing over.
 func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	old := req.cur
-	if !req.nudge.Fired() {
-		// No rejection arrived: the attempt timed out outright.
-		old.cn.noteFailure()
-	}
-	c.abandon(old)
+	old.settle(req.lapse())
 	cn := old.cn
 	if failover && len(c.conns) > 1 {
 		cn = c.route(req.Key, routeNext, old.cn)
@@ -464,45 +434,153 @@ type txItem struct {
 }
 
 // attempt is one transmission of a request, wire message included. Retries
-// create fresh attempts with fresh ids; the per-attempt credit/abandon flags
-// keep flow-control accounting exact across races between responses,
-// timeouts, and cancels.
+// create fresh attempts with fresh ids. What an attempt holds at any moment —
+// a pending entry, a flow-control credit or a share of its frame's, a slot in
+// its frame, the start of a service-time sample — follows from its state, and
+// settle is the one place any of it is given back.
 type attempt struct {
-	id             uint64
-	req            *Req
-	cn             *conn
-	start          sim.Time // enqueue time, for per-attempt service-time samples
-	sent           bool     // credit consumed and wire handed to the NIC
-	creditReturned bool
-	abandoned      bool
+	id    uint64
+	req   *Req
+	cn    *conn
+	start sim.Time // enqueue time, for per-attempt service-time samples
 	// batch is non-nil once this attempt was coalesced into a doorbell
-	// batch; credit accounting then runs through the shared record (the
-	// whole frame consumed one credit). resolved guards the one slot this
-	// attempt settles in it.
-	batch    *txBatch
-	resolved bool
-	// bypass marks a one-sided READ resolution attempt: nothing on the
-	// request/response wire, no credit, no pending entry — abandoning it is
-	// free, and retransmitting it enqueues a normal RPC attempt.
-	bypass bool
+	// batch: the whole frame left under one credit, and the shared record
+	// says whether it is back.
+	batch *txBatch
+	state attState
 	// wire is the request message this attempt sends. The TX engine posts a
 	// pointer to it and the server reads it there, so it is complete before
 	// the attempt is queued and never written after.
 	wire protocol.Request
 }
 
-// creditBack returns the flow-control credit this attempt consumed, exactly
-// once. A batched attempt shares one credit with its whole frame, so the
-// first member to hear from the server returns it for everyone.
-func (att *attempt) creditBack() {
-	if b := att.batch; b != nil {
-		b.returnCredit()
+// attState is where an attempt stands, which is what it holds.
+type attState uint8
+
+const (
+	// attSettled holds nothing: the zero attempt, and every attempt once
+	// settle has ended it.
+	attSettled attState = iota
+	// attOffWire is outstanding without ever being registered on its
+	// connection — a bypass resolution's one-sided READs, a socket exchange:
+	// no pending entry, no credit.
+	attOffWire
+	// attQueued has its pending entry and waits for the TX engine, parked in
+	// a batch window or in the issue queue: no credit yet.
+	attQueued
+	// attSent is on the wire under a credit: its own, or — batch set — its
+	// frame's, in which it also holds one slot.
+	attSent
+	// attAcked was sent alone and BufferAck'ed: the credit is back, the
+	// response is still to come.
+	attAcked
+	// attLapsed was sent and then given up on: everything is back but the
+	// pending entry, left as a tombstone for the late response to collect.
+	attLapsed
+)
+
+// outstanding reports whether the attempt can still end its request.
+func (att *attempt) outstanding() bool {
+	return att.state != attSettled && att.state != attLapsed
+}
+
+// ending is how an attempt ended — or, for acked, that the server has taken
+// it and it has not ended yet. The order matters: up to stale the server was
+// heard from.
+type ending uint8
+
+const (
+	acked    ending = iota // BufferAck: the credit comes back, nothing else moves
+	answered               // its response completes the request: success, and a service-time sample
+	rejected               // its response is a retryable rejection handed to the guard: the server is up, success
+	refused                // its response is a busy shed: breaker food
+	stale                  // its response came after the request moved on: no verdict
+	silent                 // nothing came in the time it was given: breaker food
+	dropped                // the request ended without it — canceled, never sent: no verdict
+)
+
+// settle ends the attempt, giving back what it holds: the flow-control
+// credit, the frame slot, the pending entry, and — as a verdict on its
+// connection — the breaker's answer and the health tracker's sample. It is
+// the only place any of those is given back, and it is idempotent: an attempt
+// ends once, whoever gets there first.
+func (att *attempt) settle(how ending) {
+	cn := att.cn
+	heard := how <= stale
+	switch att.state {
+	case attSettled:
+		return
+	case attLapsed:
+		if heard && how != acked {
+			delete(cn.pending, att.id)
+			att.state = attSettled
+		}
+		return
+	case attSent:
+		// A bare attempt's credit comes back however it ends. A frame's one
+		// credit comes back when the server is first heard from about any
+		// member — the batch ack, the first response — or with the last slot.
+		b := att.batch
+		if b == nil {
+			cn.credits.Release()
+			break
+		}
+		if how != acked {
+			b.live--
+		}
+		if (heard || b.live == 0) && !b.creditReturned {
+			b.creditReturned = true
+			cn.credits.Release()
+		}
+		if b.live == 0 {
+			delete(cn.pendingBatch, b.id)
+		}
+	}
+	if how == acked {
+		if att.state == attSent && att.batch == nil {
+			att.state = attAcked
+		}
 		return
 	}
-	if att.sent && !att.creditReturned {
-		att.creditReturned = true
-		att.cn.credits.Release()
+	if heard || att.state == attQueued {
+		delete(cn.pending, att.id)
+		att.state = attSettled
+	} else if att.state == attOffWire {
+		att.state = attSettled
+	} else {
+		att.state = attLapsed
 	}
+	switch how {
+	case answered:
+		cn.noteSuccess()
+		// Feed the health tracker the attempt's service time. Rejections are
+		// excluded: a fast rejection is not fast service. Bypass resolutions
+		// are their own class: one-sided READs never touch the server CPU, so
+		// their tail degrades with the fabric and the host memory system, not
+		// the storage path.
+		class, ok := classOfOp(att.req.Op)
+		if att.req.bypassed {
+			class = hcBypass
+		}
+		if ok {
+			cn.c.noteServiceTime(cn, class, cn.c.env.Now()-att.start)
+		}
+	case rejected:
+		cn.noteSuccess()
+	case refused, silent:
+		cn.noteFailure()
+	}
+}
+
+// lapse is how an attempt still outstanding ends when the guard stops
+// waiting for it: silent — it got no answer at all, a timeout the breaker
+// counts alongside busy rejections — unless a retryable rejection is what cut
+// the wait short.
+func (req *Req) lapse() ending {
+	if req.rejected != nil {
+		return dropped
+	}
+	return silent
 }
 
 // txEngine drains the issue queue: takes a flow-control credit, posts the
@@ -569,7 +647,7 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 		return
 	}
 	att := items[0]
-	att.sent = true
+	att.state = attSent
 	cn.c.Sends++
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
 		WRID:    att.id,
@@ -611,28 +689,29 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		switch resp.Op {
 		case protocol.OpBufferAck:
 			// Request is buffered server-side: buffers reusable, credit back.
-			att.creditBack()
-			if !att.abandoned {
+			att.settle(acked)
+			if att.outstanding() {
 				req.acked = true
 				req.reusable.Fire()
 			}
 		case protocol.OpResponse:
-			att.creditBack()
-			att.resolve()
-			delete(cn.pending, resp.ReqID)
-			if att.abandoned || req.done.Fired() {
+			nudging := RetryableStatus(resp.Status) && req.opts.retry != nil
+			switch {
+			case !att.outstanding() || req.done.Fired():
+				att.settle(stale)
 				cn.c.Faults.Inc(metrics.CStaleResponses)
 				continue
-			}
-			if resp.Status == protocol.StatusBusy {
+			case resp.Status == protocol.StatusBusy:
 				// Shed at admission: breaker food, unlike recovering — a
 				// recovering server is rebuilding, not saturated.
-				cn.noteFailure()
+				att.settle(refused)
 				cn.c.Faults.Inc(metrics.CBusy)
-			} else {
-				cn.noteSuccess()
+			case nudging:
+				att.settle(rejected)
+			default:
+				att.settle(answered)
 			}
-			if RetryableStatus(resp.Status) && req.opts.retry != nil {
+			if nudging {
 				// Fail-fast rejection — cold-restart recovery or admission
 				// shedding: don't complete the request. Record the attempt's
 				// sentinel and any retry-after hint, then nudge its guard,
@@ -651,13 +730,6 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 				}
 				req.nudge.Fire()
 				continue
-			}
-			if resp.Status != protocol.StatusBusy {
-				// Feed the health tracker the attempt's service time. Busy
-				// sheds are excluded: a fast rejection is not fast service.
-				if class, ok := classOfOp(req.Op); ok {
-					cn.c.noteServiceTime(cn, class, p.Now()-att.start)
-				}
 			}
 			// Zero-copy: the value was RDMA-WRITten directly into the
 			// request's registered response buffer; no client copy.
