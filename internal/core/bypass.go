@@ -280,12 +280,6 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 		return
 	}
 	req.bypassed = true
-	req.Status = protocol.StatusOK
-	req.Value = seg.Value
-	req.ValueSize = seg.ValueSize
-	req.Flags = seg.Flags
-	req.CAS = seg.CAS
-	req.CompletedAt = p.Now()
 	c.Faults.Inc(metrics.CBypassHits)
 	c.Faults.Add(string(metrics.CBypassHitReads), int64(r.reads))
 	c.Faults.Add(string(metrics.CBypassHitReadBytes), int64(r.bytes))
@@ -293,9 +287,9 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 		c.Faults.Inc(metrics.CBypassFastPath)
 	}
 	req.first.settle(answered) // the resolution is the request's first attempt
-	req.done.Fire()
-	req.reusable.Fire()
-	c.Completed++
+	req.finish(completed, &protocol.Response{
+		Status: protocol.StatusOK, Value: seg.Value, ValueSize: seg.ValueSize, Flags: seg.Flags, CAS: seg.CAS,
+	})
 }
 
 // bypassFallback hands the request to the ordinary RPC path after a failed
@@ -362,8 +356,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	c.Issued++
 	c.enqueueWire(req, cn, req.ID)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
-		req.cur.settle(dropped)
-		return protocol.StatusError
+		req.finish(timedOut, nil)
 	}
 	if req.Status != protocol.StatusOK {
 		return req.Status

@@ -646,7 +646,7 @@ func (c *Client) WaitTimeout(p *sim.Proc, req *Req, d sim.Time) bool {
 	ok := p.WaitTimeout(&req.done, d)
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 	if !ok {
-		c.expire(req)
+		req.finish(timedOut, nil)
 	}
 	return ok
 }
@@ -743,49 +743,34 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	cn.stream.Send(p, wire.WireSize(), wire)
 	t0 := p.Now()
 	att.start = t0
-	for {
+	for !req.done.Fired() {
 		var msg verbs.StreamMsg
-		var ok, timedOut bool
+		var ok, late bool
 		if c.cfg.RecvTimeout > 0 {
-			msg, ok, timedOut = cn.stream.RecvTimeout(p, c.cfg.RecvTimeout)
+			msg, ok, late = cn.stream.RecvTimeout(p, c.cfg.RecvTimeout)
 		} else {
 			msg, ok = cn.stream.Recv(p)
 		}
-		if timedOut {
-			if req.Attempts <= c.cfg.RecvRetries {
-				req.Attempts++
-				c.Faults.Inc(metrics.CRetries)
-				c.Sends++
-				cn.stream.Send(p, wire.WireSize(), wire)
-				continue
+		switch {
+		case late && req.Attempts <= c.cfg.RecvRetries:
+			req.Attempts++
+			c.Faults.Inc(metrics.CRetries)
+			c.Sends++
+			cn.stream.Send(p, wire.WireSize(), wire)
+		case late:
+			req.finish(timedOut, nil)
+		case !ok: // the stream closed under the exchange
+			req.finish(completed, &protocol.Response{Status: protocol.StatusError})
+		default:
+			resp := msg.Payload.(*protocol.Response)
+			if resp.ReqID != req.ID {
+				continue // stale reply from an abandoned request
 			}
-			req.timedOut = true
-			req.Status = protocol.StatusError
-			c.Faults.Inc(metrics.CTimeouts)
-			att.settle(silent)
-			break
+			att.settle(answered)
+			p.Sleep(memcpyTime(resp.ValueSize))
+			req.finish(completed, resp)
 		}
-		if !ok {
-			req.Status = protocol.StatusError
-			break
-		}
-		resp := msg.Payload.(*protocol.Response)
-		if resp.ReqID != req.ID {
-			continue // stale reply from an abandoned request
-		}
-		att.settle(answered)
-		p.Sleep(memcpyTime(resp.ValueSize))
-		req.Status = resp.Status
-		req.Value = resp.Value
-		req.ValueSize = resp.ValueSize
-		req.Flags = resp.Flags
-		req.CAS = resp.CAS
-		break
 	}
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
-	req.CompletedAt = p.Now()
-	req.done.Fire()
-	req.reusable.Fire()
-	c.Completed++
 	return req
 }

@@ -257,17 +257,48 @@ func mayRetry(req *Req) bool {
 	return !req.acked
 }
 
-// expire completes req locally with a timeout outcome. Idempotent; a
-// response that races in first wins.
-func (c *Client) expire(req *Req) {
+// outcome is how a request ended.
+type outcome uint8
+
+const (
+	completed outcome = iota // an answer landed: a response, a bypass hit
+	timedOut                 // its deadline, its retry budget or a WaitTimeout ran out
+	canceled                 // Cancel
+)
+
+// finish ends the request: it lands the answer (resp, for completed), stamps
+// the completion, counts it, settles the attempt still outstanding and fires
+// the completion flag and the buffer-reusable event. It is the only place
+// done fires, and it is idempotent: whichever of a response, a deadline and a
+// cancel gets there first wins, and the rest are no-ops.
+func (req *Req) finish(how outcome, resp *protocol.Response) {
 	if req.done.Fired() {
 		return
 	}
-	req.timedOut = true
-	req.Status = protocol.StatusError
-	req.cur.settle(req.lapse())
+	c := req.c
+	switch how {
+	case completed:
+		// Zero-copy: the value was RDMA-WRITten directly into the request's
+		// registered response buffer (or READ out of the server's directory);
+		// no client copy.
+		req.Status = resp.Status
+		req.Value = resp.Value
+		req.ValueSize = resp.ValueSize
+		req.Flags = resp.Flags
+		req.CAS = resp.CAS
+		c.Completed++
+	case timedOut:
+		req.timedOut = true
+		req.Status = protocol.StatusError
+		c.Faults.Inc(metrics.CTimeouts)
+		req.cur.settle(req.lapse())
+	case canceled:
+		req.canceled = true
+		req.Status = protocol.StatusError
+		c.Faults.Inc(metrics.CCancels)
+		req.cur.settle(dropped)
+	}
 	req.CompletedAt = c.env.Now()
-	c.Faults.Inc(metrics.CTimeouts)
 	req.done.Fire()
 	req.reusable.Fire()
 }
@@ -275,18 +306,7 @@ func (c *Client) expire(req *Req) {
 // Cancel abandons an in-flight request: it completes immediately with
 // ErrCanceled, and any flow-control credit its current attempt holds is
 // returned. Canceling a completed request is a no-op.
-func (c *Client) Cancel(req *Req) {
-	if req.done.Fired() {
-		return
-	}
-	req.canceled = true
-	req.Status = protocol.StatusError
-	req.cur.settle(dropped)
-	req.CompletedAt = c.env.Now()
-	c.Faults.Inc(metrics.CCancels)
-	req.done.Fire()
-	req.reusable.Fire()
-}
+func (c *Client) Cancel(req *Req) { req.finish(canceled, nil) }
 
 // retransmit abandons the current attempt and enqueues a fresh one, on the
 // next connection when failing over.
@@ -340,7 +360,7 @@ func (c *Client) startGuard(req *Req) {
 		}
 		if o.retry == nil {
 			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
-				c.expire(req)
+				req.finish(timedOut, nil)
 			}
 			return
 		}
@@ -353,7 +373,7 @@ func (c *Client) startGuard(req *Req) {
 			if deadline > 0 {
 				rem := deadline - p.Now()
 				if rem <= 0 {
-					c.expire(req)
+					req.finish(timedOut, nil)
 					return
 				}
 				if rem < wait {
@@ -364,11 +384,11 @@ func (c *Client) startGuard(req *Req) {
 				return
 			}
 			if deadline > 0 && p.Now() >= deadline {
-				c.expire(req)
+				req.finish(timedOut, nil)
 				return
 			}
 			if req.Attempts >= pol.MaxAttempts || !mayRetry(req) {
-				c.expire(req)
+				req.finish(timedOut, nil)
 				return
 			}
 			d := backoff
@@ -390,7 +410,7 @@ func (c *Client) startGuard(req *Req) {
 				return
 			}
 			if deadline > 0 && p.Now() >= deadline {
-				c.expire(req)
+				req.finish(timedOut, nil)
 				return
 			}
 			c.retransmit(p, req, pol.Failover)
@@ -731,17 +751,7 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 				req.nudge.Fire()
 				continue
 			}
-			// Zero-copy: the value was RDMA-WRITten directly into the
-			// request's registered response buffer; no client copy.
-			req.Status = resp.Status
-			req.Value = resp.Value
-			req.ValueSize = resp.ValueSize
-			req.Flags = resp.Flags
-			req.CAS = resp.CAS
-			req.CompletedAt = p.Now()
-			req.done.Fire()
-			req.reusable.Fire()
-			cn.c.Completed++
+			req.finish(completed, resp)
 		default:
 			panic("core: unexpected opcode " + resp.Op.String())
 		}
