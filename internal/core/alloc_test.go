@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/simnet"
 )
 
 // opModel returns a step that runs one operation end to end — Issue, the
@@ -56,6 +60,56 @@ func bypassHitModel() (step func()) {
 	}, WithReadPath(ReadBypass)) // forced: no 1-in-64 RPC heat sample
 }
 
+// dropAfterWarm loses client messages selected by pick — which sees the
+// message's 1-based count and destination — once the model's warm-up SET (the
+// first message) is through.
+type dropAfterWarm struct {
+	pick func(n int, dst string) bool
+	n    int
+}
+
+func (d *dropAfterWarm) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
+	if !strings.HasPrefix(src, "client") {
+		return simnet.Verdict{}
+	}
+	d.n++
+	return simnet.Verdict{Drop: d.n > 1 && d.pick(d.n, dst)}
+}
+
+// The second-attempt models: one GET each whose first attempt does not answer
+// it. retransmitModel loses every first attempt on the fabric, and the guard's
+// retransmit is answered; hedgeModel's home server never hears the GET, and
+// the hedge to its neighbour is answered (a miss); fallbackModel resolves a
+// key the directory does not publish, and the RPC fallback is answered.
+func retransmitModel() (step func()) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	r.fabric.SetFaults(&dropAfterWarm{pick: func(n int, _ string) bool { return n%2 == 0 }})
+	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+		if req.Attempts != 2 || req.Status != protocol.StatusOK {
+			panic("retransmit model: the GET was not answered on its second attempt")
+		}
+	}, WithRetry(RetryPolicy{MaxAttempts: 2, AttemptTimeout: 20 * sim.Microsecond, Jitter: -1}))
+}
+
+func hedgeModel() (step func()) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
+	home := fmt.Sprintf("server%d", r.client.route("k", routeGet, nil).serverID)
+	r.fabric.SetFaults(&dropAfterWarm{pick: func(_ int, dst string) bool { return dst == home }})
+	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+		if req.Attempts != 2 || req.Status != protocol.StatusNotFound {
+			panic("hedge model: the GET was not answered by its hedge")
+		}
+	}, WithHedge(20*sim.Microsecond))
+}
+
+func fallbackModel() (step func()) {
+	return opModel(newBypassRig(), Op{Code: protocol.OpGet, Key: "absent"}, func(req *Req) {
+		if req.Attempts != 2 || req.Bypassed() || req.Status != protocol.StatusNotFound {
+			panic("fallback model: the GET was not answered by its RPC fallback")
+		}
+	}, WithReadPath(ReadBypass))
+}
+
 func benchOp(b *testing.B, step func()) {
 	step() // warm: pools, rings, maps, the directory bootstrap
 	b.ReportAllocs()
@@ -73,6 +127,12 @@ func BenchmarkRPCGet(b *testing.B) {
 	benchOp(b, rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK))
 }
 func BenchmarkBypassHit(b *testing.B) { benchOp(b, bypassHitModel()) }
+
+// The second attempt's line: what a GET costs when its first attempt is not
+// the one that answers it.
+func BenchmarkRetransmit(b *testing.B)     { benchOp(b, retransmitModel()) }
+func BenchmarkHedge(b *testing.B)          { benchOp(b, hedgeModel()) }
+func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 
 // What one operation allocates, every layer under the client included. An
 // RPC is the request handle (1: its attempt, wire message and options ride
@@ -97,5 +157,50 @@ func TestOperationAllocationCeilings(t *testing.T) {
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
 			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// A second attempt — a retransmit, a hedge, a bypass fallback — allocates its
+// attempt record (1: the first attempt's is embedded in the Req, and the
+// earlier attempts may still be queued, pending or on the wire, so it cannot
+// be reused) and nothing else in the client: chaining a request's attempts
+// costs a pointer in a record that exists anyway. The rest of each ceiling is
+// the extra traffic and the helper that made the attempt. A hedged GET is an
+// RPC GET (4) plus the message the home server never hears (1), the hedger's
+// closure (1), the second waiter it makes on the completion flag (1) and the
+// attempt (1). A fallback is an RPC GET (4) plus the resolver's closure and its
+// READ out and back (3) and the attempt (1). A retransmitted GET is an RPC GET
+// (4) plus the lost message (1), the attempt (1) and the guard: its closure
+// (1), its jitter source (2), and two attempt-waits of five each — the joined
+// event and the two observers it watches the completion flag and the nudge
+// through — with five waiter records between them (15). The counts are the
+// parent commit's (e6fe223), measured there with this test.
+func TestSecondAttemptAllocationCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		step    func()
+		ceiling float64
+	}{
+		{"retransmitted GET", retransmitModel(), 24},
+		{"hedged GET", hedgeModel(), 8},
+		{"bypass fallback", fallbackModel(), 8},
+	} {
+		tc.step()
+		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
+			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// Req and attempt are allocated once per operation and once per second
+// attempt, and the benchmark's host_bytes_per_op has a 2 % bound: the
+// attempt chain, the attempt's state and the breaker's probe holder cost no
+// bytes. The sizes are the parent commit's (e6fe223).
+func TestRequestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Req{}); got != 560 {
+		t.Errorf("Req is %d bytes, was 560", got)
+	}
+	if got := unsafe.Sizeof(attempt{}); got != 152 {
+		t.Errorf("attempt is %d bytes, was 152", got)
 	}
 }

@@ -225,6 +225,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
 	att := &req.first
 	if req.cur != nil {
 		att = new(attempt)
+		req.cur.next = att
 	}
 	*att = attempt{id: id, req: req, cn: cn, start: c.env.Now(), state: attQueued, wire: wire}
 	req.cur = att
@@ -467,6 +468,10 @@ type attempt struct {
 	// batch: the whole frame left under one credit, and the shared record
 	// says whether it is back.
 	batch *txBatch
+	// next chains the request's attempts in the order they were made, from
+	// Req.first on: a hedge or a bypass fallback leaves an earlier attempt
+	// flying beside the one it adds, and the request owns them all.
+	next  *attempt
 	state attState
 	// wire is the request message this attempt sends. The TX engine posts a
 	// pointer to it and the server reads it there, so it is complete before
