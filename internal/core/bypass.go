@@ -134,11 +134,17 @@ func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
 }
 
 // resolution is one GET being resolved one-sided: the resolver process, the
-// request, and the READs spent on it so far.
+// request, the connection it resolves on, and the READs spent on it so far.
+// The connection is the resolver's own — that of the request's first attempt,
+// which the resolution is: a hedge, a retransmit or the fallback may give the
+// request another attempt on another connection at any suspension, and a
+// resolver that asked the request where it stands would finish on a directory
+// it never bootstrapped.
 type resolution struct {
 	c      *Client
 	p      *sim.Proc
 	req    *Req
+	cn     *conn
 	digest uint64
 	reads  int // READs posted for this GET
 	bytes  int // bytes they asked for
@@ -149,9 +155,9 @@ type resolution struct {
 func (c *Client) startBypass(req *Req) {
 	c.env.Go("client/bypass", func(p *sim.Proc) {
 		defer req.tagPanic()
-		r := resolution{c: c, p: p, req: req, digest: protocol.KeyDigest(req.Key)}
+		r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
 		if !r.resolve(req.opts.readPath == ReadBypass) {
-			c.bypassFallback(p, req)
+			r.fallback()
 		}
 	})
 }
@@ -160,7 +166,7 @@ func (c *Client) startBypass(req *Req) {
 // fallback (completed via bypass, or already completed by racing
 // guard/cancel machinery).
 func (r *resolution) resolve(force bool) bool {
-	req, cn := r.req, r.req.conn
+	req, cn := r.req, r.cn
 	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn, force) {
 		return req.done.Fired()
 	}
@@ -191,11 +197,11 @@ func (r *resolution) resolve(force bool) bool {
 	}
 }
 
-// read posts one READ on the request's connection and waits for it.
+// read posts one READ on the resolver's connection and waits for it.
 func (r *resolution) read(mr int, off int64, n int) (payload any, ok bool) {
 	r.reads++
 	r.bytes += n
-	return r.req.conn.postRead(r.p, &r.req.read, mr, off, n)
+	return r.cn.postRead(r.p, &r.req.read, mr, off, n)
 }
 
 // probeOutcome is what one READ (or slot-then-segment pair) came to.
@@ -209,7 +215,7 @@ const (
 
 // probeSlot READs the key's directory slot and acts on its verdict.
 func (r *resolution) probeSlot() probeOutcome {
-	dir := r.req.conn.dir
+	dir := r.cn.dir
 	n := dir.SlotBytes()
 	b := int64(r.digest % uint64(dir.Buckets))
 	got, ok := r.read(dir.DirMR, b*int64(n), n)
@@ -245,7 +251,7 @@ func (r *resolution) probeSlot() probeOutcome {
 // from the cache. An empty or foreign READ is transient: the segment was
 // superseded after its location was learned.
 func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
-	cn := r.req.conn
+	cn := r.cn
 	got, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
 	if r.req.done.Fired() {
 		return probeResolved
@@ -292,11 +298,12 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 	})
 }
 
-// bypassFallback hands the request to the ordinary RPC path after a failed
+// fallback hands the request to the ordinary RPC path after a failed
 // resolution. The guard/hedge machinery attached at Issue time keeps
 // working unchanged: the RPC attempt registered here is just the request's
 // next attempt.
-func (c *Client) bypassFallback(p *sim.Proc, req *Req) {
+func (r *resolution) fallback() {
+	c, p, req := r.c, r.p, r.req
 	c.Faults.Inc(metrics.CBypassFallbacks)
 	if req.done.Fired() {
 		return
@@ -307,7 +314,7 @@ func (c *Client) bypassFallback(p *sim.Proc, req *Req) {
 	}
 	// Stays on the resolving connection unless that one has browned out and
 	// a healthy replica's RPC path exists.
-	cn := c.route(req.Key, routeFallback, req.conn)
+	cn := c.route(req.Key, routeFallback, r.cn)
 	c.nextID++
 	c.enqueueWire(req, cn, c.nextID)
 }
