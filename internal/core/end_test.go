@@ -45,3 +45,53 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 		t.Errorf("bypass-bootstraps = %d, want the resolver's one", n)
 	}
 }
+
+// drained reports, once a run has drained, everything a finished request's
+// attempts may have left behind on the client's connections.
+func drained(t *testing.T, c *Client) {
+	t.Helper()
+	for _, cn := range c.conns {
+		if n := cn.credits.InUse(); n != 0 {
+			t.Errorf("server%d: %d credits still in use", cn.serverID, n)
+		}
+	}
+}
+
+// A hedge is added beside the attempt it hedges over, and the request used to
+// remember only the later of the two: with the home server silent, the
+// earlier one kept its credit for good however the request ended — by the
+// hedge's answer, by the deadline, by a cancel. The request settles every
+// attempt it made.
+func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
+	for _, end := range []string{"the hedge's answer", "the deadline", "a cancel"} {
+		t.Run(end, func(t *testing.T) {
+			r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
+			c := r.client
+			r.env.Spawn("bench", func(p *sim.Proc) {
+				home := c.route("h", routeGet, nil)
+				r.servers[home.serverID].Crash()
+				if end == "the deadline" {
+					r.servers[1-home.serverID].Crash()
+				}
+				for i := 0; i < 10; i++ {
+					req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "h"},
+						WithDeadline(500*sim.Microsecond), WithHedge(20*sim.Microsecond))
+					if err != nil {
+						t.Errorf("issue: %v", err)
+						return
+					}
+					if end == "a cancel" {
+						p.Sleep(21 * sim.Microsecond)
+						c.Cancel(req)
+					}
+					c.Wait(p, req)
+				}
+			})
+			r.env.Run()
+			if n := c.Faults.Get("hedges"); n != 10 {
+				t.Fatalf("hedges = %d of 10 GETs: the test proves nothing", n)
+			}
+			drained(t, c)
+		})
+	}
+}

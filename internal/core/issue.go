@@ -268,10 +268,12 @@ const (
 )
 
 // finish ends the request: it lands the answer (resp, for completed), stamps
-// the completion, counts it, settles the attempt still outstanding and fires
-// the completion flag and the buffer-reusable event. It is the only place
-// done fires, and it is idempotent: whichever of a response, a deadline and a
-// cancel gets there first wins, and the rest are no-ops.
+// the completion, counts it, settles every attempt still outstanding — the
+// one that answered is settled already; a hedge, or the attempt a hedge or a
+// fallback was added beside, may well not be — and fires the completion flag
+// and the buffer-reusable event. It is the only place done fires, and it is
+// idempotent: whichever of a response, a deadline and a cancel gets there
+// first wins, and the rest are no-ops.
 func (req *Req) finish(how outcome, resp *protocol.Response) {
 	if req.done.Fired() {
 		return
@@ -292,14 +294,19 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		req.timedOut = true
 		req.Status = protocol.StatusError
 		c.Faults.Inc(metrics.CTimeouts)
-		req.cur.settle(req.lapse())
 	case canceled:
 		req.canceled = true
 		req.Status = protocol.StatusError
 		c.Faults.Inc(metrics.CCancels)
-		req.cur.settle(dropped)
 	}
 	req.CompletedAt = c.env.Now()
+	for att := &req.first; att != nil; att = att.next {
+		end := dropped
+		if how == timedOut && att == req.cur {
+			end = req.lapse()
+		}
+		att.settle(end)
+	}
 	req.done.Fire()
 	req.reusable.Fire()
 }
