@@ -192,10 +192,10 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 // reusable.
 func (cn *conn) batchAcked(b *txBatch) {
 	for _, att := range b.members {
-		att.settle(acked)
-		if !att.outstanding() || att.req.done.Fired() {
-			continue
+		if att.state == attSettled {
+			continue // answered, or given up on, before the ack
 		}
+		att.settle(acked)
 		att.req.acked = true
 		att.req.reusable.Fire()
 	}

@@ -54,6 +54,9 @@ func drained(t *testing.T, c *Client) {
 		if n := cn.credits.InUse(); n != 0 {
 			t.Errorf("server%d: %d credits still in use", cn.serverID, n)
 		}
+		if n, m := len(cn.pending), len(cn.pendingBatch); n != 0 || m != 0 {
+			t.Errorf("server%d: %d pending entries and %d frame records left behind", cn.serverID, n, m)
+		}
 	}
 }
 
@@ -94,4 +97,31 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 			drained(t, c)
 		})
 	}
+}
+
+// An attempt given up on after it was sent used to leave its pending entry
+// behind as a tombstone for the late response to collect — and against a
+// server that never answers, nothing ever did: one entry per timed-out
+// attempt, for the life of the client. settle takes the entry with everything
+// else; a response that does come late finds none and counts as stale.
+func TestTimedOutAttemptsLeaveNoPendingEntry(t *testing.T) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	c := r.client
+	r.env.Spawn("bench", func(p *sim.Proc) {
+		r.servers[0].Crash()
+		for i := 0; i < 10; i++ {
+			req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "h"},
+				WithRetry(RetryPolicy{MaxAttempts: 3, AttemptTimeout: 50 * sim.Microsecond, Jitter: -1}))
+			if err != nil {
+				t.Errorf("issue: %v", err)
+				return
+			}
+			c.Wait(p, req)
+		}
+	})
+	r.env.Run()
+	if n := c.Faults.Get("retries"); n != 20 {
+		t.Fatalf("retries = %d, want 10 GETs x 2: the test proves nothing", n)
+	}
+	drained(t, c)
 }

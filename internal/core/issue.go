@@ -506,19 +506,11 @@ const (
 	// attAcked was sent alone and BufferAck'ed: the credit is back, the
 	// response is still to come.
 	attAcked
-	// attLapsed was sent and then given up on: everything is back but the
-	// pending entry, left as a tombstone for the late response to collect.
-	attLapsed
 )
 
-// outstanding reports whether the attempt can still end its request.
-func (att *attempt) outstanding() bool {
-	return att.state != attSettled && att.state != attLapsed
-}
-
 // ending is how an attempt ended — or, for acked, that the server has taken
-// it and it has not ended yet. The order matters: up to stale the server was
-// heard from.
+// it and it has not ended yet. The order matters: up to refused the server
+// was heard from.
 type ending uint8
 
 const (
@@ -526,62 +518,49 @@ const (
 	answered               // its response completes the request: success, and a service-time sample
 	rejected               // its response is a retryable rejection handed to the guard: the server is up, success
 	refused                // its response is a busy shed: breaker food
-	stale                  // its response came after the request moved on: no verdict
 	silent                 // nothing came in the time it was given: breaker food
-	dropped                // the request ended without it — canceled, never sent: no verdict
+	dropped                // the request ended without it — canceled, outrun, never sent: no verdict
 )
 
 // settle ends the attempt, giving back what it holds: the flow-control
 // credit, the frame slot, the pending entry, and — as a verdict on its
 // connection — the breaker's answer and the health tracker's sample. It is
 // the only place any of those is given back, and it is idempotent: an attempt
-// ends once, whoever gets there first.
+// ends once, whoever gets there first. Nothing of a settled attempt stays
+// behind on the connection, so whatever the server still sends for it — a
+// late response, a late BufferAck — finds no entry and counts as stale.
 func (att *attempt) settle(how ending) {
 	cn := att.cn
-	heard := how <= stale
 	switch att.state {
 	case attSettled:
-		return
-	case attLapsed:
-		if heard && how != acked {
-			delete(cn.pending, att.id)
-			att.state = attSettled
-		}
 		return
 	case attSent:
 		// A bare attempt's credit comes back however it ends. A frame's one
 		// credit comes back when the server is first heard from about any
 		// member — the batch ack, the first response — or with the last slot.
 		b := att.batch
-		if b == nil {
+		release := b == nil
+		if b != nil {
+			if how != acked {
+				b.live--
+			}
+			if b.live == 0 {
+				delete(cn.pendingBatch, b.id)
+			}
+			release = (how <= refused || b.live == 0) && !b.creditReturned
+			b.creditReturned = b.creditReturned || release
+		} else if how == acked {
+			att.state = attAcked
+		}
+		if release {
 			cn.credits.Release()
-			break
-		}
-		if how != acked {
-			b.live--
-		}
-		if (heard || b.live == 0) && !b.creditReturned {
-			b.creditReturned = true
-			cn.credits.Release()
-		}
-		if b.live == 0 {
-			delete(cn.pendingBatch, b.id)
 		}
 	}
 	if how == acked {
-		if att.state == attSent && att.batch == nil {
-			att.state = attAcked
-		}
 		return
 	}
-	if heard || att.state == attQueued {
-		delete(cn.pending, att.id)
-		att.state = attSettled
-	} else if att.state == attOffWire {
-		att.state = attSettled
-	} else {
-		att.state = attLapsed
-	}
+	delete(cn.pending, att.id)
+	att.state = attSettled
 	switch how {
 	case answered:
 		cn.noteSuccess()
@@ -695,8 +674,9 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 
 // progressEngine polls the receive CQ: returns credits, lands values in the
 // user buffer, and fires completion flags (dark-green path of Figure 3).
-// Responses for unknown or abandoned attempts — duplicates, or answers that
-// lost a race with a deadline/cancel/retransmit — are absorbed as stale.
+// A response or an ack that finds no pending entry — a duplicate, or one for
+// an attempt that ended first: given up on, outrun, its request timed out or
+// canceled — is absorbed as stale.
 func (cn *conn) progressEngine(p *sim.Proc) {
 	for {
 		comp := cn.recvCQ.WaitPoll(p)
@@ -722,17 +702,11 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		case protocol.OpBufferAck:
 			// Request is buffered server-side: buffers reusable, credit back.
 			att.settle(acked)
-			if att.outstanding() {
-				req.acked = true
-				req.reusable.Fire()
-			}
+			req.acked = true
+			req.reusable.Fire()
 		case protocol.OpResponse:
 			nudging := RetryableStatus(resp.Status) && req.opts.retry != nil
 			switch {
-			case !att.outstanding() || req.done.Fired():
-				att.settle(stale)
-				cn.c.Faults.Inc(metrics.CStaleResponses)
-				continue
 			case resp.Status == protocol.StatusBusy:
 				// Shed at admission: breaker food, unlike recovering — a
 				// recovering server is rebuilding, not saturated.
