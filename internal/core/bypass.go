@@ -359,7 +359,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 // publishes no directory, StatusError when no answer came in time.
 func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	// A key-less control op: it addresses the server, so nothing routes it.
-	req := c.newReq(Op{Code: protocol.OpDirQuery}, cn)
+	req := c.newReq(Op{Code: protocol.OpDirQuery})
 	c.Issued++
 	c.enqueueWire(req, cn, req.ID)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {

@@ -217,8 +217,9 @@ func TestSweepLeavesTheControlOpOutOfTheFrame(t *testing.T) {
 	}
 	var atts []*attempt
 	for _, op := range ops { // queued, not sent: no process has run yet
-		req := c.newReq(op, cn)
-		atts = append(atts, c.enqueueWire(req, cn, req.ID))
+		req := c.newReq(op)
+		c.enqueueWire(req, cn, req.ID)
+		atts = append(atts, req.cur)
 	}
 	head, _ := cn.txq.TryGet()
 	batch, alone := cn.drainBatch(head.att)

@@ -165,17 +165,19 @@ type Req struct {
 	// events, its parsed options, its first attempt (with the wire message
 	// that attempt sends), and the wait record of a bypass READ. Only a
 	// retransmit, a hedge or a bypass fallback — a second attempt — allocates
-	// again. The server and the fabric hold pointers into first.wire while the
-	// message is in flight, which keeps the whole Req reachable until then;
-	// nothing is ever recycled, so no holder can outlive it. first.wire is
-	// also the template later attempts copy their message from: written in
-	// initReq and by the first enqueueWire, never after.
+	// again, and the request owns those too: its attempts are chained from
+	// first in the order attach made them, cur the latest, and finish settles
+	// whichever are still outstanding. The server and the fabric hold pointers
+	// into first.wire while the message is in flight, which keeps the whole Req
+	// reachable until then; nothing is ever recycled, so no holder can outlive
+	// it. first.wire is also the template later attempts copy their message
+	// from: written in initReq and by the first attach, never after.
 	done     sim.Event // server response received ("completion flag")
 	reusable sim.Event // user buffers reusable
 	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
 	c        *Client
-	conn     *conn     // connection of the current attempt
-	cur      *attempt  // current (latest) attempt; nil until the first exists
+	conn     *conn     // connection of the latest attempt
+	cur      *attempt  // the latest attempt; nil until the first exists
 	first    attempt   // the first attempt's record
 	opts     issueOpts // as parsed from Issue's options
 	read     readWait  // the bypass resolver's READ in flight (one at a time)
@@ -567,22 +569,21 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// newReq builds the handle for op on cn with no options.
-func (c *Client) newReq(op Op, cn *conn) *Req {
+// newReq builds the handle for op with no options.
+func (c *Client) newReq(op Op) *Req {
 	req := new(Req)
-	c.initReq(req, op, cn)
+	c.initReq(req, op)
 	return req
 }
 
-// initReq makes req — zero but for its parsed options — the handle for op on
-// cn as of now, and writes the wire template its attempts are built from.
-func (c *Client) initReq(req *Req, op Op, cn *conn) {
+// initReq makes req — zero but for its parsed options — the handle for op as
+// of now, and writes the wire template its attempts are built from.
+func (c *Client) initReq(req *Req, op Op) {
 	c.nextID++
 	req.ID = c.nextID
 	req.Op = op.Code
 	req.Key = op.Key
 	req.c = c
-	req.conn = cn
 	req.IssuedAt = c.env.Now()
 	req.first.wire = protocol.Request{
 		Op: op.Code, Key: op.Key,
@@ -729,20 +730,16 @@ func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 // before failing with ErrDeadlineExceeded.
 func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
-	c.initReq(req, op, cn)
+	c.initReq(req, op)
 	// The exchange is the request's one attempt, resends included: it holds
 	// nothing a socket connection could give back but its verdict.
-	att := &req.first
-	att.id, att.req, att.cn, att.state = req.ID, req, cn, attOffWire
-	req.cur = att
+	att := req.attach(cn, req.ID, attOffWire)
 	wire := &att.wire // a socket connection has no response region to name
-	wire.ReqID = req.ID
 	c.Issued++
-	req.Attempts = 1
 	c.Sends++
 	cn.stream.Send(p, wire.WireSize(), wire)
 	t0 := p.Now()
-	att.start = t0
+	att.start = t0 // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
 		var msg verbs.StreamMsg
 		var ok, late bool

@@ -178,15 +178,13 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		c.maybeRefreshHot(cn)
 	}
 	p.Sleep(prepCost)
-	c.initReq(req, op, cn)
+	c.initReq(req, op)
 	if c.bypassEligible(op, o) {
 		// Server-bypass resolution: no wire request yet — the resolver
 		// process posts one-sided READs, completing the request itself or
 		// handing it to enqueueWire as an ordinary RPC fallback. The
 		// guard/hedge machinery below attaches identically either way.
-		req.first = attempt{id: req.ID, req: req, cn: cn, start: req.IssuedAt, state: attOffWire, wire: req.first.wire}
-		req.cur = &req.first
-		req.Attempts = 1
+		req.attach(cn, req.ID, attOffWire)
 		c.startBypass(req)
 	} else {
 		c.enqueueWire(req, cn, req.ID)
@@ -209,36 +207,41 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	return req
 }
 
-// enqueueWire registers one attempt of req on cn under wire id and hands it
-// to cn's TX engine — or parks it in the connection's batch window when one
-// is open (first attempts only: retransmits always go straight out, a
-// stalled window must not delay recovery; and never the key-less control op,
-// which no frame may carry — see frameable). The first attempt lives in the
-// Req; every later one — a retransmit, a hedge, a bypass fallback — is its
-// own allocation, because the earlier ones may still be pending, queued or on
-// the wire. It does not touch c.Issued: retransmits are attempts, not
-// operations.
-func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) *attempt {
-	wire := req.first.wire // the template, or the first attempt's message: the same but for the id
+// attach makes req's next attempt — on cn, under wire id, standing at state —
+// and chains it to the ones before. The first attempt lives in the Req; every
+// later one — a retransmit, a hedge, a bypass fallback — is its own
+// allocation, because the earlier ones may still be pending, queued or on the
+// wire. Its message is the template initReq wrote but for the id.
+func (req *Req) attach(cn *conn, id uint64, state attState) *attempt {
+	wire := req.first.wire // the template, or the first attempt's message
 	wire.ReqID = id
-	wire.RespMR = cn.respMR.LKey()
 	att := &req.first
 	if req.cur != nil {
 		att = new(attempt)
 		req.cur.next = att
 	}
-	*att = attempt{id: id, req: req, cn: cn, start: c.env.Now(), state: attQueued, wire: wire}
-	req.cur = att
-	req.conn = cn
-	first := req.Attempts == 0
+	*att = attempt{id: id, req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
+	req.cur, req.conn = att, cn
 	req.Attempts++
-	cn.pending[att.id] = att
-	if first && c.batching > 0 && wire.Op != protocol.OpDirQuery {
+	return att
+}
+
+// enqueueWire registers one attempt of req on cn under wire id and hands it
+// to cn's TX engine — or parks it in the connection's batch window when one
+// is open (first attempts only: retransmits always go straight out, a
+// stalled window must not delay recovery; and never the key-less control op,
+// which no frame may carry — see frameable). It does not touch c.Issued:
+// retransmits are attempts, not operations.
+func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) {
+	first := req.cur == nil
+	att := req.attach(cn, id, attQueued)
+	att.wire.RespMR = cn.respMR.LKey()
+	cn.pending[id] = att
+	if first && c.batching > 0 && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
 		cn.txq.TryPut(txItem{att: att})
 	}
-	return att
 }
 
 // mayRetry reports whether retransmitting req is safe: Gets always; a
