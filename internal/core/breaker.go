@@ -10,7 +10,10 @@ import (
 // sends its keys to the next candidate instead of feeding the saturated
 // server more load. After a cooldown the breaker half-opens and admits a
 // single probe request; a real response re-closes it, another failure
-// re-opens it. State transitions are counted in Client.Faults
+// re-opens it, and a probe that ends with neither — canceled, never sent,
+// outrun by a hedge — hands its slot to the next request (settle, issue.go,
+// is where every attempt reports). State transitions are counted in
+// Client.Faults
 // (metrics.CBreakerOpen, CBreakerHalfOpen, CBreakerClose) and reroutes in
 // CBreakerReroutes.
 
@@ -41,6 +44,10 @@ type breaker struct {
 	fails    int // consecutive failures while closed
 	openedAt sim.Time
 	probing  bool // half-open: the single probe is in flight
+	// probe is the attempt the slot was taken for, from the moment it exists
+	// (allow runs when the attempt is routed, attach when it is made): the
+	// one attempt that gives the slot back if it ends without a verdict.
+	probe *attempt
 }
 
 func newBreaker(c *Client, cfg BreakerConfig) *breaker {
@@ -66,7 +73,7 @@ func (b *breaker) admits() bool {
 
 // allow admits one request the caller is about to send: an open breaker
 // past its cooldown moves to half-open, and the half-open breaker's single
-// probe slot is taken until that request's outcome comes back. Call it only
+// probe slot is taken until that request's attempt is settled. Call it only
 // for the connection actually chosen — a slot taken for a request that is
 // then sent elsewhere is never given back.
 func (b *breaker) allow() {
@@ -91,7 +98,7 @@ func (b *breaker) onSuccess() {
 	}
 	b.state = bkClosed
 	b.fails = 0
-	b.probing = false
+	b.probing, b.probe = false, nil
 }
 
 // onFailure records a busy rejection or attempt timeout. A failed half-open
@@ -113,8 +120,22 @@ func (b *breaker) trip() {
 	b.state = bkOpen
 	b.openedAt = b.c.env.Now()
 	b.fails = 0
-	b.probing = false
+	b.probing, b.probe = false, nil
 	b.c.Faults.Inc(metrics.CBreakerOpen)
+}
+
+// claim makes att the holder of a probe slot that allow took for it; release
+// hands the slot back when att, holding it, ended with no verdict to give.
+func (b *breaker) claim(att *attempt) {
+	if b.probing && b.probe == nil {
+		b.probe = att
+	}
+}
+
+func (b *breaker) release(att *attempt) {
+	if b.probe == att {
+		b.probing, b.probe = false, nil
+	}
 }
 
 // noteSuccess / noteFailure feed the connection's breaker, if one is

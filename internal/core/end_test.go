@@ -125,3 +125,65 @@ func TestTimedOutAttemptsLeaveNoPendingEntry(t *testing.T) {
 	}
 	drained(t, c)
 }
+
+// A half-open breaker admits one probe and refuses everything else until the
+// probe reports. A probe that was canceled, or hedged over and then outrun by
+// the hedge, used to report nothing — no attempt timeout, no response anyone
+// was still listening for — and the recovered server was refused for the rest
+// of the run. An attempt that ends with no verdict hands the slot back, and
+// the next request probes.
+func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
+	for _, end := range []string{"canceled", "outrun by its hedge"} {
+		t.Run(end, func(t *testing.T) {
+			r := newTestRig(rigOpts{
+				transport: RDMA, pipeline: server.Async, servers: 2,
+				clientCfg: func(cc *Config) {
+					cc.Breaker = BreakerConfig{Threshold: 2, Cooldown: 300 * sim.Microsecond}
+				},
+			})
+			c := r.client
+			home := c.route("k", routeGet, nil)
+			reached := 0
+			r.env.Spawn("bench", func(p *sim.Proc) {
+				srv := r.servers[home.serverID]
+				srv.Crash()
+				for i := 0; i < 2; i++ { // two timeouts open the breaker
+					req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithDeadline(100*sim.Microsecond))
+					c.Wait(p, req)
+				}
+				srv.Restart()
+				p.Sleep(400 * sim.Microsecond) // past the cooldown: the next request is the probe
+				var probe *Req
+				if end == "canceled" {
+					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
+					c.Cancel(probe)
+				} else {
+					// The recovered server limps for a while: the hedge's miss
+					// comes first, the probe's answer late.
+					srv.AddWorkerStall(p.Now(), p.Now()+200*sim.Microsecond, 100*sim.Microsecond)
+					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithHedge(10*sim.Microsecond))
+					c.Wait(p, probe)
+				}
+				if probe.first.cn != home || c.Faults.Get("breaker-halfopen") != 1 {
+					t.Error("the request was not the half-open probe: the test proves nothing")
+				}
+				p.Sleep(5 * sim.Millisecond)
+				for i := 0; i < 100; i++ {
+					req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
+					c.Wait(p, req)
+					if req.conn == home {
+						reached++
+					}
+				}
+			})
+			r.env.Run()
+			if reached != 100 {
+				t.Errorf("%d of 100 later GETs reached the recovered server", reached)
+			}
+			if n := c.Faults.Get("breaker-close"); n != 1 {
+				t.Errorf("breaker-close = %d, want 1", n)
+			}
+			drained(t, c)
+		})
+	}
+}

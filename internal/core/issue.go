@@ -223,6 +223,9 @@ func (req *Req) attach(cn *conn, id uint64, state attState) *attempt {
 	*att = attempt{id: id, req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
 	req.cur, req.conn = att, cn
 	req.Attempts++
+	if cn.brk != nil {
+		cn.brk.claim(att)
+	}
 	return att
 }
 
@@ -303,11 +306,11 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		c.Faults.Inc(metrics.CCancels)
 	}
 	req.CompletedAt = c.env.Now()
+	end := dropped
+	if how == timedOut {
+		end = req.lapse()
+	}
 	for att := &req.first; att != nil; att = att.next {
-		end := dropped
-		if how == timedOut && att == req.cur {
-			end = req.lapse()
-		}
 		att.settle(end)
 	}
 	req.done.Fire()
@@ -583,6 +586,10 @@ func (att *attempt) settle(how ending) {
 		cn.noteSuccess()
 	case refused, silent:
 		cn.noteFailure()
+	case dropped:
+		if cn.brk != nil {
+			cn.brk.release(att)
+		}
 	}
 }
 
