@@ -233,9 +233,13 @@ func (req *Req) attach(cn *conn, id uint64, state attState) *attempt {
 // to cn's TX engine — or parks it in the connection's batch window when one
 // is open (first attempts only: retransmits always go straight out, a
 // stalled window must not delay recovery; and never the key-less control op,
-// which no frame may carry — see frameable). It does not touch c.Issued:
-// retransmits are attempts, not operations.
+// which no frame may carry — see frameable). A request that ended while the
+// attempt was being prepared gets none: nothing would ever settle it. It does
+// not touch c.Issued: retransmits are attempts, not operations.
 func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) {
+	if req.done.Fired() {
+		return
+	}
 	first := req.cur == nil
 	att := req.attach(cn, id, attQueued)
 	att.wire.RespMR = cn.respMR.LKey()
@@ -382,28 +386,19 @@ func (c *Client) startGuard(req *Req) {
 		pol.fill()
 		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID)*0x9e3779b9))
 		backoff := pol.Backoff
-		for {
+		// The loop is left two ways: the request completed under it (return),
+		// or its time or its attempts ran out (the one timeout below).
+		past := func() bool { return deadline > 0 && p.Now() >= deadline }
+		for !past() {
 			wait := pol.AttemptTimeout
-			if deadline > 0 {
-				rem := deadline - p.Now()
-				if rem <= 0 {
-					req.finish(timedOut, nil)
-					return
-				}
-				if rem < wait {
-					wait = rem
-				}
+			if deadline > 0 && deadline-p.Now() < wait {
+				wait = deadline - p.Now()
 			}
 			if c.awaitOutcome(p, req, wait) {
 				return
 			}
-			if deadline > 0 && p.Now() >= deadline {
-				req.finish(timedOut, nil)
-				return
-			}
-			if req.Attempts >= pol.MaxAttempts || !mayRetry(req) {
-				req.finish(timedOut, nil)
-				return
+			if past() || req.Attempts >= pol.MaxAttempts || !mayRetry(req) {
+				break
 			}
 			d := backoff
 			if pol.Jitter > 0 {
@@ -423,12 +418,12 @@ func (c *Client) startGuard(req *Req) {
 			if p.WaitTimeout(&req.done, d) {
 				return
 			}
-			if deadline > 0 && p.Now() >= deadline {
-				req.finish(timedOut, nil)
-				return
+			if past() {
+				break
 			}
 			c.retransmit(p, req, pol.Failover)
 		}
+		req.finish(timedOut, nil)
 	})
 }
 
