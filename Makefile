@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race race-robustness smoke robustness verify vuln benchmark-check virtual-identity allocs loc check
+.PHONY: build test vet fmt race race-robustness smoke robustness verify vuln benchmark-check virtual-identity allocs loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,17 @@ smoke:
 # failures name the robustness suite directly.
 robustness:
 	$(GO) run ./cmd/mc-bench -smoke faults recovery overload chaos replication bypass hotkey membership grayfail bitrot
+
+# Native fuzzing of the parsers that face the wire (internal/protocol/
+# fuzz_test.go): each target for a short fixed time, one `go test` each because
+# -fuzz takes exactly one. The seed corpus already runs under plain `go test`;
+# this explores from it, so it is not part of `check` — a finding lands in the
+# package's testdata/fuzz/ as a new seed, to be committed with its fix.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in FuzzUnmarshalHeader FuzzUnmarshalResponse FuzzUnmarshalBatch; do \
+		$(GO) test ./internal/protocol -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Known-vulnerability scan, gated on the tool being present: the build
 # environment is offline, so the scanner is never fetched here — when

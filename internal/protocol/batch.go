@@ -77,15 +77,17 @@ func UnmarshalBatch(b []byte) (*BatchFrame, error) {
 	if len(b) < batchFixedBytes || Opcode(b[0]) != OpBatch {
 		return nil, ErrBadBatch
 	}
+	// The count is the sender's word: it sizes nothing until the frame has
+	// been seen to hold that many table entries.
 	count := int(binary.LittleEndian.Uint32(b[4:]))
+	tbl := batchFixedBytes
+	if uint64(len(b)-tbl) < 4*uint64(count) {
+		return nil, ErrBadBatch
+	}
 	f := &BatchFrame{
 		BatchID:   binary.LittleEndian.Uint64(b[8:]),
 		AckWanted: b[1] == 1,
 		Reqs:      make([]*Request, 0, count),
-	}
-	tbl := batchFixedBytes
-	if len(b) < tbl+4*count {
-		return nil, ErrBadBatch
 	}
 	prev := 0
 	for i := 0; i < count; i++ {

@@ -399,10 +399,12 @@ func UnmarshalHeader(b []byte) (*Request, error) {
 	keyLen := binary.LittleEndian.Uint64(b[28:])
 	r.CAS = binary.LittleEndian.Uint64(b[36:])
 	r.Delta = binary.LittleEndian.Uint64(b[44:])
-	if uint64(len(b)) < uint64(reqFixedBytes)+keyLen {
+	// Compared on the side that cannot wrap: a key length near 2^64 added to
+	// the fixed size comes out small.
+	if keyLen > uint64(len(b)-reqFixedBytes) {
 		return nil, ErrShortHeader
 	}
-	r.Key = string(b[reqFixedBytes : uint64(reqFixedBytes)+keyLen])
+	r.Key = string(b[reqFixedBytes : reqFixedBytes+int(keyLen)])
 	return r, nil
 }
 
