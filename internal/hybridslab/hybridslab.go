@@ -113,6 +113,14 @@ func (it *Item) Dropped() bool { return it.dropped }
 // OnSSD reports whether the item's value currently lives on the SSD.
 func (it *Item) OnSSD() bool { return it.onSSD }
 
+// InPlace reports whether the item's fields are its authoritative copy, so
+// that writing them updates the value: it is RAM-resident and not staged for
+// eviction. A staged item's flush may already have captured the fields it
+// will land on the SSD with, and from then on only a rewrite through the
+// store path — which releases the item and lets the flush discard its slot —
+// reaches what later reads see.
+func (it *Item) InPlace() bool { return !it.onSSD && !it.inTransit }
+
 // Class returns the item's slab class.
 func (it *Item) Class() int { return it.class }
 

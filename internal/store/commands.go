@@ -211,9 +211,10 @@ func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, 
 		} else {
 			next = cur + delta
 		}
-		if it.OnSSD() {
-			// The authoritative copy lives in the SSD extent; rewrite through
-			// the regular store path so the new value lands somewhere live.
+		if !it.InPlace() {
+			// The authoritative copy lives in an SSD extent, or is on its way
+			// into one; rewrite through the regular store path so the new
+			// value lands somewhere live.
 			switch st := s.SetIf(p, key, counterSize, next, it.Flags, 0, func() bool { return s.still(key, it, cas) }); st {
 			case protocol.StatusStored:
 				return next, protocol.StatusOK
@@ -226,7 +227,9 @@ func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, 
 		// RAM-resident counters mutate in place: same class, no reallocation.
 		s.publishBegin(key)
 		p.Sleep(updateCost)
-		if !s.still(key, it, cas) {
+		if !s.still(key, it, cas) || !it.InPlace() {
+			// Replaced under the update — or staged for eviction under it:
+			// the flush lands what it captured, not what is written here.
 			s.republish(key)
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -120,8 +121,8 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				s.Set(p, "cat", fillSize, "base", 0, 0)
 				s.Set(p, "ttl", size, "v0", 0, 0)
 				// The fillers push the raced keys out and then go: with room in RAM
-				// nothing is evicted during the race (ROADMAP "Residue": an in-place
-				// write to an item staged for eviction is a separate loss).
+				// nothing is evicted during the race (an eviction under it is
+				// TestIncrementsRacingTheEvictionOfTheirCounter's).
 				for i := 0; i < tc.fill; i++ {
 					s.Set(p, fmt.Sprintf("fill-%05d", i), fillSize, i, 0, 0)
 				}
@@ -225,4 +226,86 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			env.Run()
 		})
 	}
+}
+
+// TestIncrementsRacingTheEvictionOfTheirCounter is the increment race of
+// TestConditionalCommandsRacingOnOneKey with a fifth worker whose stores force
+// the counter out to the SSD under it. The slab manager stages its victims —
+// the flush captures their fields while they are still the table's entries —
+// and an in-place write to a staged item used to land nowhere: the SSD copy
+// held what the flush had captured. The store asks the item whether its
+// fields are still the authoritative copy (Item.InPlace) at the instant it
+// writes them, and rewrites through the store path when they are not. Direct
+// I/O keeps the flush in flight for the length of the device write, so most of
+// the race runs between the capture and the landing: 29 of 400 increments
+// survived.
+func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
+	const (
+		workers   = 4
+		perWorker = 100
+		memLimit  = 4 << 20
+		fillSize  = 32 << 10
+	)
+	filler := func(i int) string { return fmt.Sprintf("fill-%05d", i) }
+	// How many fillers RAM holds beside the counter before the next store
+	// evicts: counted on a store of the same geometry.
+	room := 0
+	{
+		env := sim.NewEnv()
+		s := newStoreWithPolicy(env, memLimit, true, hybridslab.PolicyDirect)
+		env.Spawn("measure", func(p *sim.Proc) {
+			s.Set(p, "up", fillSize, uint64(0), 0, 0)
+			for s.Manager().FlushPages == 0 {
+				s.Set(p, filler(room), fillSize, room, 0, 0)
+				room++
+			}
+			room-- // the last one evicted
+		})
+		env.Run()
+	}
+
+	env := sim.NewEnv()
+	s := newStoreWithPolicy(env, memLimit, true, hybridslab.PolicyDirect)
+	env.Spawn("preload", func(p *sim.Proc) {
+		// The counter is stored at the fillers' size (eviction takes its victims
+		// from the class that is allocating) and first: the oldest of its class.
+		s.Set(p, "up", fillSize, uint64(0), 0, 0)
+		for i := 0; i < room; i++ {
+			s.Set(p, filler(i), fillSize, i, 0, 0)
+		}
+		if s.Manager().FlushPages != 0 || !s.table["up"].InPlace() {
+			t.Fatal("fixture: the counter left RAM before the race")
+		}
+	})
+	env.Run()
+
+	for w := 0; w < workers; w++ {
+		env.Spawn("worker", func(p *sim.Proc) {
+			for i := 0; i < perWorker; i++ {
+				if _, st := s.Incr(p, "up", 1); st != protocol.StatusOK {
+					t.Errorf("incr: %v", st)
+				}
+			}
+		})
+	}
+	staged := false
+	env.Spawn("evictor", func(p *sim.Proc) {
+		s.Set(p, filler(room), fillSize, room, 0, 0)
+	})
+	env.Spawn("watch", func(p *sim.Proc) {
+		for i := 0; i < 1000 && !staged; i++ {
+			p.Sleep(sim.Microsecond)
+			staged = !s.table["up"].InPlace() && !s.table["up"].OnSSD()
+		}
+	})
+	env.Run()
+	if !staged {
+		t.Fatal("the counter was never staged for eviction under the increments: the test proves nothing")
+	}
+	env.Spawn("audit", func(p *sim.Proc) {
+		if v, _, _, _, _ := s.Get(p, "up"); v != uint64(workers*perWorker) {
+			t.Errorf("%v of %d increments survived", v, workers*perWorker)
+		}
+	})
+	env.Run()
 }
