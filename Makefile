@@ -139,15 +139,44 @@ allocs:
 # two commits. Beside each total, its split into code, comment (a line that is
 # only a // comment) and blank lines: a count bought by deleting rationale
 # comments, or by packing code denser, shows up as what it is.
-loc:
-	@printf '%-22s %6s %6s %8s %6s\n' package total code comment blank; \
-	for d in internal/*/ total; do \
+#
+# LOC_ROWS prints the rows — "name total code comment blank", one per package
+# and a last `total` — for the tree in the current directory; loc and loc-diff
+# share it.
+LOC_ROWS = for d in internal/*/ total; do \
 		if [ "$$d" = total ]; then files=$$(ls internal/*/*.go | grep -v _test.go); \
 		else files=$$(ls $$d*.go | grep -v _test.go); fi; \
 		cat $$files | awk -v name="$${d%/}" ' \
 			/^[ \t]*$$/ { blank++; next } /^[ \t]*\/\// { comment++; next } { code++ } \
-			END { printf "%-22s %6d %6d %8d %6d\n", name, code+comment+blank, code, comment, blank }'; \
+			END { print name, code+comment+blank, code, comment, blank }'; \
 	done
+loc:
+	@printf '%-22s %6s %6s %8s %6s\n' package total code comment blank; \
+	$(LOC_ROWS) | awk '{ printf "%-22s %6d %6d %8d %6d\n", $$1, $$2, $$3, $$4, $$5 }'
+
+# The same count at another commit and here, side by side:
+#
+#	make loc-diff BASE=<git ref>
+#
+# takes a `git archive` snapshot of BASE in a temporary directory (as
+# virtual-identity does), counts both trees with loc's rule, and prints per
+# package total / code / comment / blank as before -> after (delta), skipping
+# packages nothing changed in. A simplification's size claim is this printed
+# diff, not a sentence.
+loc-diff:
+	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<git ref>" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(LOC_ROWS)) > "$$tmp/before.txt"; \
+	$(LOC_ROWS) > "$$tmp/after.txt"; \
+	echo "loc-diff: $(BASE) -> the working tree, non-test Go lines (before -> after, delta)"; \
+	awk 'function cell(b, a) { return sprintf("%6d ->%6d (%+5d)", b, a, a - b) } \
+		NR == FNR { for (i = 2; i <= 5; i++) before[$$1, i] = $$i; seen[$$1] = 1; next } \
+		{ same = seen[$$1]; for (i = 2; i <= 5; i++) if (before[$$1, i] != $$i) same = 0; delete seen[$$1]; \
+		  if (!same) printf "%-22s total %s  code %s  comment %s  blank %s\n", $$1, \
+			cell(before[$$1, 2], $$2), cell(before[$$1, 3], $$3), cell(before[$$1, 4], $$4), cell(before[$$1, 5], $$5) } \
+		END { for (name in seen) printf "%-22s gone (was %d lines)\n", name, before[name, 2] }' \
+		"$$tmp/before.txt" "$$tmp/after.txt"
 
 # The pre-merge gate: static analysis and formatting, the full suite under
 # the race detector (plus the robustness packages at -count=2), the robustness
