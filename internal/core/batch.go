@@ -83,18 +83,13 @@ func (c *Client) Flush(p *sim.Proc) error {
 				alone = append(alone, it)
 			}
 		}
-		for len(inline) > 0 {
-			n := len(inline)
-			if n > MaxBatchOps {
-				n = MaxBatchOps
-			}
-			chunk := inline[:n]
+		for len(inline) > 1 {
+			n := min(len(inline), MaxBatchOps)
+			cn.txq.TryPut(txItem{frame: inline[:n]})
 			inline = inline[n:]
-			if n == 1 {
-				cn.txq.TryPut(txItem{att: chunk[0]})
-			} else {
-				cn.txq.TryPut(txItem{frame: chunk})
-			}
+		}
+		for _, it := range inline { // a chunk of one is no frame
+			cn.txq.TryPut(txItem{att: it})
 		}
 		for _, it := range alone {
 			cn.txq.TryPut(txItem{att: it})
@@ -164,7 +159,7 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 		frame.Reqs = append(frame.Reqs, &att.wire)
 		att.state = attSent
 		att.batch = b
-		b.members = append(b.members, att)
+		b.members = append(b.members, att) // a copy: items may be the TX engine's stack
 		if att.wire.AckWanted {
 			frame.AckWanted = true
 		}
@@ -181,22 +176,6 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	})
 	p.Wait(sent)
 	for _, att := range items {
-		att.req.reusable.Fire()
-	}
-}
-
-// batchAcked handles the server's single early BufferAck covering a whole
-// frame: the shared credit comes back (with the first member still flying;
-// there is one, or the record would be gone) and every live member is marked
-// buffered server-side (so stores are not retransmitted) with its buffers
-// reusable.
-func (cn *conn) batchAcked(b *txBatch) {
-	for _, att := range b.members {
-		if att.state == attSettled {
-			continue // answered, or given up on, before the ack
-		}
-		att.settle(acked)
-		att.req.acked = true
 		att.req.reusable.Fire()
 	}
 }

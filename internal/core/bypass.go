@@ -60,16 +60,6 @@ const (
 	ReadRPC
 )
 
-func (rp ReadPath) String() string {
-	switch rp {
-	case ReadBypass:
-		return "bypass"
-	case ReadRPC:
-		return "rpc"
-	}
-	return "auto"
-}
-
 // WithReadPath selects the read path for one GET (see ReadPath). Non-GET
 // opcodes ignore it: only reads have a one-sided resolution.
 func WithReadPath(rp ReadPath) IssueOption {
@@ -315,8 +305,7 @@ func (r *resolution) fallback() {
 	// Stays on the resolving connection unless that one has browned out and
 	// a healthy replica's RPC path exists.
 	cn := c.route(req.Key, routeFallback, r.cn)
-	c.nextID++
-	c.enqueueWire(req, cn, c.nextID)
+	c.enqueueWire(req, cn)
 }
 
 // bootstrapDir learns cn's directory geometry with a single-flight
@@ -361,7 +350,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	// A key-less control op: it addresses the server, so nothing routes it.
 	req := c.newReq(Op{Code: protocol.OpDirQuery})
 	c.Issued++
-	c.enqueueWire(req, cn, req.ID)
+	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
 		req.finish(timedOut, nil)
 	}

@@ -218,7 +218,7 @@ func TestSweepLeavesTheControlOpOutOfTheFrame(t *testing.T) {
 	var atts []*attempt
 	for _, op := range ops { // queued, not sent: no process has run yet
 		req := c.newReq(op)
-		c.enqueueWire(req, cn, req.ID)
+		c.enqueueWire(req, cn)
 		atts = append(atts, req.cur)
 	}
 	head, _ := cn.txq.TryGet()

@@ -13,10 +13,10 @@
 // Issue returns once the request is handed to the RDMA communication
 // engine (iset/iget semantics); WithBufferAck additionally blocks until
 // the key/value buffers are reusable (bset/bget). Completion is observed
-// with Test / Wait / WaitTimeout / WaitDeadline / WaitAny / WaitAll, or
-// abandoned with Cancel. Outcomes are read as errors: Req.Err() maps the
-// protocol status plus local timeout/cancel outcomes onto sentinel errors
-// (ErrNotFound, ErrDeadlineExceeded, ErrCanceled, …).
+// with Test / Wait / WaitTimeout / WaitAny / WaitAll, or abandoned with
+// Cancel. Outcomes are read as errors: Req.Err() maps the protocol status
+// plus local timeout/cancel outcomes onto sentinel errors (ErrNotFound,
+// ErrDeadlineExceeded, ErrCanceled, …).
 //
 // API mapping from the paper's C extensions to Go:
 //
@@ -33,14 +33,16 @@
 // a TX engine process drains an issue queue, respecting per-connection
 // flow-control credits (the server's pre-posted receive depth), posts the
 // work request, and fires the request's buffer-reusable event at DMA-sent
-// time; a progress engine process polls the receive CQ, returns credits on
-// BufferAck/Response, copies fetched values into the user's buffer, and
-// fires the completion flag. Recovery runs beside them: requests issued
-// with a deadline or retry policy get a guard process that expires,
-// retransmits (idempotency-aware, with exponential backoff + jitter), or
-// fails the operation over to another connection; every retransmission is
-// a fresh attempt with a fresh wire id, and late or duplicate responses to
-// old attempts are absorbed as stale.
+// time; a progress engine process polls the receive CQ and hands each
+// BufferAck and Response to the attempt it is for. Recovery runs beside them:
+// requests issued with a deadline or retry policy get a guard process that
+// times out, retransmits (idempotency-aware, with exponential backoff +
+// jitter), or fails the operation over to another connection; every
+// retransmission is a fresh attempt with a fresh wire id. A request owns all
+// of its attempts; each ends in attempt.settle, which gives back whatever it
+// held, and the request in Req.finish, the one place its completion flag
+// fires (issue.go) — so late or duplicate responses find nothing and are
+// absorbed as stale.
 package core
 
 import (
@@ -62,13 +64,6 @@ const (
 	RDMA Transport = iota
 	IPoIB
 )
-
-func (t Transport) String() string {
-	if t == IPoIB {
-		return "ipoib"
-	}
-	return "rdma"
-}
 
 // Config tunes a client.
 type Config struct {
@@ -191,11 +186,10 @@ type Req struct {
 	// backoff. Cleared on retransmit.
 	retryAfter sim.Time
 
-	// Outcome flags behind Err.
-	timedOut bool
-	canceled bool
-	acked    bool // BufferAck received: the server holds the request
-	bypassed bool // completed via one-sided bypass READ, no server CPU
+	// What is behind Err and the accessors below.
+	how      outcome // how the request ended (finish); meaningless until done fires
+	acked    bool    // BufferAck received: the server holds the request
+	bypassed bool    // completed via one-sided bypass READ, no server CPU
 }
 
 // Done reports whether the operation has completed (memcached_test).
@@ -212,10 +206,10 @@ func (r *Req) tagPanic() {
 }
 
 // TimedOut reports whether the operation ended by deadline expiry.
-func (r *Req) TimedOut() bool { return r.timedOut }
+func (r *Req) TimedOut() bool { return r.how == timedOut }
 
 // Canceled reports whether the operation was abandoned by Cancel.
-func (r *Req) Canceled() bool { return r.canceled }
+func (r *Req) Canceled() bool { return r.how == canceled }
 
 // Acked reports whether the server acknowledged buffering the request (a
 // BufferAck arrived, individually or covering the request's whole batch).
@@ -652,11 +646,6 @@ func (c *Client) WaitTimeout(p *sim.Proc, req *Req, d sim.Time) bool {
 	return ok
 }
 
-// WaitDeadline is WaitTimeout against an absolute virtual time.
-func (c *Client) WaitDeadline(p *sim.Proc, req *Req, at sim.Time) bool {
-	return c.WaitTimeout(p, req, at-p.Now())
-}
-
 // WaitAny blocks until any request in the batch completes and returns its
 // index (first-completed dispatch for overlap patterns).
 func (c *Client) WaitAny(p *sim.Proc, reqs []*Req) int {
@@ -733,7 +722,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	c.initReq(req, op)
 	// The exchange is the request's one attempt, resends included: it holds
 	// nothing a socket connection could give back but its verdict.
-	att := req.attach(cn, req.ID, attOffWire)
+	att := req.attach(cn, attOffWire)
 	wire := &att.wire // a socket connection has no response region to name
 	c.Issued++
 	c.Sends++

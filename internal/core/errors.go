@@ -96,15 +96,14 @@ func RetryableStatus(s protocol.Status) bool {
 // the generic deadline error: the caller learns *why* the attempts failed.
 func (r *Req) Err() error {
 	switch {
-	case r.canceled:
-		return ErrCanceled
-	case r.timedOut:
-		if r.rejected != nil {
-			return r.rejected
-		}
-		return ErrDeadlineExceeded
 	case !r.done.Fired():
 		return ErrInFlight
+	case r.how == canceled:
+		return ErrCanceled
+	case r.how == timedOut && r.rejected != nil:
+		return r.rejected
+	case r.how == timedOut:
+		return ErrDeadlineExceeded
 	}
 	return statusErr(r.Status)
 }

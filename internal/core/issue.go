@@ -11,9 +11,11 @@ import (
 
 // This file is the unified issue path: one descriptor-based entry point
 // (Client.Issue) with functional options for buffer-ack, deadline, and
-// retry behaviour, plus the recovery machinery behind it — per-attempt
-// bookkeeping, deadline expiry, cancelation, and idempotency-aware
-// retransmission with connection failover.
+// retry behaviour, plus the recovery machinery behind it — the guard's
+// idempotency-aware retransmission with connection failover, the hedge — and
+// the request's whole lifecycle in three functions (DESIGN.md §20): attach
+// gives a request an attempt, attempt.settle is the one way an attempt ends,
+// Req.finish the one way a request does.
 
 // Op describes one operation for Issue. Code and Key are required; the
 // remaining fields apply per-opcode (ValueSize/Value for stores, CAS for
@@ -184,10 +186,10 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		// process posts one-sided READs, completing the request itself or
 		// handing it to enqueueWire as an ordinary RPC fallback. The
 		// guard/hedge machinery below attaches identically either way.
-		req.attach(cn, req.ID, attOffWire)
+		req.attach(cn, attOffWire)
 		c.startBypass(req)
 	} else {
-		c.enqueueWire(req, cn, req.ID)
+		c.enqueueWire(req, cn)
 	}
 	c.Issued++
 	if o.deadline > 0 || o.retry != nil {
@@ -207,20 +209,22 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	return req
 }
 
-// attach makes req's next attempt — on cn, under wire id, standing at state —
-// and chains it to the ones before. The first attempt lives in the Req; every
-// later one — a retransmit, a hedge, a bypass fallback — is its own
-// allocation, because the earlier ones may still be pending, queued or on the
-// wire. Its message is the template initReq wrote but for the id.
-func (req *Req) attach(cn *conn, id uint64, state attState) *attempt {
-	wire := req.first.wire // the template, or the first attempt's message
-	wire.ReqID = id
-	att := &req.first
+// attach makes req's next attempt — on cn, standing at state — and chains it
+// to the ones before. The first attempt lives in the Req and goes by the
+// request's id; every later one — a retransmit, a hedge, a bypass fallback —
+// is its own allocation under a fresh id, because the earlier ones may still
+// be pending, queued or on the wire. Its message is the template initReq
+// wrote, but for the id.
+func (req *Req) attach(cn *conn, state attState) *attempt {
+	att, wire := &req.first, req.first.wire
+	wire.ReqID = req.ID
 	if req.cur != nil {
 		att = new(attempt)
 		req.cur.next = att
+		req.c.nextID++
+		wire.ReqID = req.c.nextID
 	}
-	*att = attempt{id: id, req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
+	*att = attempt{id: wire.ReqID, req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
 	req.cur, req.conn = att, cn
 	req.Attempts++
 	if cn.brk != nil {
@@ -229,21 +233,21 @@ func (req *Req) attach(cn *conn, id uint64, state attState) *attempt {
 	return att
 }
 
-// enqueueWire registers one attempt of req on cn under wire id and hands it
-// to cn's TX engine — or parks it in the connection's batch window when one
-// is open (first attempts only: retransmits always go straight out, a
-// stalled window must not delay recovery; and never the key-less control op,
-// which no frame may carry — see frameable). A request that ended while the
-// attempt was being prepared gets none: nothing would ever settle it. It does
-// not touch c.Issued: retransmits are attempts, not operations.
-func (c *Client) enqueueWire(req *Req, cn *conn, id uint64) {
+// enqueueWire registers one more attempt of req on cn and hands it to cn's TX
+// engine — or parks it in the connection's batch window when one is open
+// (first attempts only: retransmits always go straight out, a stalled window
+// must not delay recovery; and never the key-less control op, which no frame
+// may carry — see frameable). A request that ended while the attempt was
+// being prepared gets none: nothing would ever settle it. It does not touch
+// c.Issued: retransmits are attempts, not operations.
+func (c *Client) enqueueWire(req *Req, cn *conn) {
 	if req.done.Fired() {
 		return
 	}
 	first := req.cur == nil
-	att := req.attach(cn, id, attQueued)
+	att := req.attach(cn, attQueued)
 	att.wire.RespMR = cn.respMR.LKey()
-	cn.pending[id] = att
+	cn.pending[att.id] = att
 	if first && c.batching > 0 && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
@@ -278,17 +282,19 @@ const (
 )
 
 // finish ends the request: it lands the answer (resp, for completed), stamps
-// the completion, counts it, settles every attempt still outstanding — the
+// and counts the completion, settles every attempt still outstanding — the
 // one that answered is settled already; a hedge, or the attempt a hedge or a
-// fallback was added beside, may well not be — and fires the completion flag
-// and the buffer-reusable event. It is the only place done fires, and it is
-// idempotent: whichever of a response, a deadline and a cancel gets there
-// first wins, and the rest are no-ops.
+// fallback joined, may well not be — and fires the completion flag and the
+// buffer-reusable event. It is the only place done fires, and it is
+// idempotent: the first of a response, a deadline and a cancel wins.
 func (req *Req) finish(how outcome, resp *protocol.Response) {
 	if req.done.Fired() {
 		return
 	}
 	c := req.c
+	req.how = how
+	req.Status = protocol.StatusError
+	end := dropped
 	switch how {
 	case completed:
 		// Zero-copy: the value was RDMA-WRITten directly into the request's
@@ -301,19 +307,12 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		req.CAS = resp.CAS
 		c.Completed++
 	case timedOut:
-		req.timedOut = true
-		req.Status = protocol.StatusError
 		c.Faults.Inc(metrics.CTimeouts)
+		end = req.lapse()
 	case canceled:
-		req.canceled = true
-		req.Status = protocol.StatusError
 		c.Faults.Inc(metrics.CCancels)
 	}
 	req.CompletedAt = c.env.Now()
-	end := dropped
-	if how == timedOut {
-		end = req.lapse()
-	}
 	for att := &req.first; att != nil; att = att.next {
 		att.settle(end)
 	}
@@ -348,8 +347,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	req.nudge.Init(c.env)
 	req.rejected = nil
 	req.retryAfter = 0
-	c.nextID++
-	c.enqueueWire(req, cn, c.nextID)
+	c.enqueueWire(req, cn)
 }
 
 // awaitOutcome blocks up to d for the request to complete, returning true if
@@ -450,8 +448,7 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 		}
 		c.Faults.Inc(metrics.CHedges)
 		p.Sleep(prepCost)
-		c.nextID++
-		c.enqueueWire(req, cn, c.nextID)
+		c.enqueueWire(req, cn)
 	})
 }
 
@@ -463,22 +460,18 @@ type txItem struct {
 }
 
 // attempt is one transmission of a request, wire message included. Retries
-// create fresh attempts with fresh ids. What an attempt holds at any moment —
-// a pending entry, a flow-control credit or a share of its frame's, a slot in
-// its frame, the start of a service-time sample — follows from its state, and
-// settle is the one place any of it is given back.
+// create fresh attempts with fresh ids. What an attempt holds at any moment
+// follows from its state, and settle is the one place any of it is given back.
 type attempt struct {
 	id    uint64
 	req   *Req
 	cn    *conn
 	start sim.Time // enqueue time, for per-attempt service-time samples
-	// batch is non-nil once this attempt was coalesced into a doorbell
-	// batch: the whole frame left under one credit, and the shared record
-	// says whether it is back.
+	// batch is non-nil once this attempt was coalesced into a doorbell batch:
+	// the whole frame left under one credit, which the shared record tracks.
 	batch *txBatch
-	// next chains the request's attempts in the order they were made, from
-	// Req.first on: a hedge or a bypass fallback leaves an earlier attempt
-	// flying beside the one it adds, and the request owns them all.
+	// next chains the request's attempts in the order attach made them: a
+	// hedge or a fallback leaves an earlier one flying beside the one it adds.
 	next  *attempt
 	state attState
 	// wire is the request message this attempt sends. The TX engine posts a
@@ -491,12 +484,10 @@ type attempt struct {
 type attState uint8
 
 const (
-	// attSettled holds nothing: the zero attempt, and every attempt once
-	// settle has ended it.
+	// attSettled holds nothing: the zero attempt, and any attempt once ended.
 	attSettled attState = iota
-	// attOffWire is outstanding without ever being registered on its
-	// connection — a bypass resolution's one-sided READs, a socket exchange:
-	// no pending entry, no credit.
+	// attOffWire is outstanding but was never registered on its connection —
+	// a bypass resolution, a socket exchange: no pending entry, no credit.
 	attOffWire
 	// attQueued has its pending entry and waits for the TX engine, parked in
 	// a batch window or in the issue queue: no credit yet.
@@ -505,13 +496,12 @@ const (
 	// frame's, in which it also holds one slot.
 	attSent
 	// attAcked was sent alone and BufferAck'ed: the credit is back, the
-	// response is still to come.
+	// response still to come.
 	attAcked
 )
 
 // ending is how an attempt ended — or, for acked, that the server has taken
-// it and it has not ended yet. The order matters: up to refused the server
-// was heard from.
+// it and it has not. The order matters: up to refused the server was heard.
 type ending uint8
 
 const (
@@ -524,12 +514,12 @@ const (
 )
 
 // settle ends the attempt, giving back what it holds: the flow-control
-// credit, the frame slot, the pending entry, and — as a verdict on its
-// connection — the breaker's answer and the health tracker's sample. It is
-// the only place any of those is given back, and it is idempotent: an attempt
-// ends once, whoever gets there first. Nothing of a settled attempt stays
-// behind on the connection, so whatever the server still sends for it — a
-// late response, a late BufferAck — finds no entry and counts as stale.
+// credit, the frame slot, the pending entry, the probe slot, and — its verdict
+// on the connection — the breaker's answer and the health tracker's sample.
+// It is the only place any of those is given back, and it is idempotent: an
+// attempt ends once, whoever gets there first. Nothing of a settled attempt
+// stays on the connection, so what the server still sends for it — a late
+// response, a late BufferAck — finds no entry and counts as stale.
 func (att *attempt) settle(how ending) {
 	cn := att.cn
 	switch att.state {
@@ -565,11 +555,10 @@ func (att *attempt) settle(how ending) {
 	switch how {
 	case answered:
 		cn.noteSuccess()
-		// Feed the health tracker the attempt's service time. Rejections are
-		// excluded: a fast rejection is not fast service. Bypass resolutions
+		// The attempt's service time feeds the health tracker; a rejection's
+		// does not (a fast rejection is not fast service). Bypass resolutions
 		// are their own class: one-sided READs never touch the server CPU, so
-		// their tail degrades with the fabric and the host memory system, not
-		// the storage path.
+		// their tail degrades with the fabric and the host memory system.
 		class, ok := classOfOp(att.req.Op)
 		if att.req.bypassed {
 			class = hcBypass
@@ -586,6 +575,19 @@ func (att *attempt) settle(how ending) {
 			cn.brk.release(att)
 		}
 	}
+}
+
+// ack is the server's word that it holds the attempt's request — its own
+// BufferAck, or its frame's: the credit comes back, the buffers are reusable,
+// and a store is no longer retransmitted (mayRetry). An attempt that ended
+// first hears nothing.
+func (att *attempt) ack() {
+	if att.state == attSettled {
+		return
+	}
+	att.settle(acked)
+	att.req.acked = true
+	att.req.reusable.Fire()
 }
 
 // lapse is how an attempt still outstanding ends when the guard stops
@@ -690,12 +692,13 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		if !ok {
 			panic("core: non-response payload on client receive CQ")
 		}
-		if resp.Op == protocol.OpBufferAck {
-			if b := cn.pendingBatch[resp.ReqID]; b != nil {
-				// One ack covers the whole coalesced frame.
-				cn.batchAcked(b)
-				continue
+		if b := cn.pendingBatch[resp.ReqID]; b != nil && resp.Op == protocol.OpBufferAck {
+			// One ack covers the whole coalesced frame: the first member
+			// still flying brings the shared credit back.
+			for _, att := range b.members {
+				att.ack()
 			}
+			continue
 		}
 		att := cn.pending[resp.ReqID]
 		if att == nil {
@@ -705,44 +708,39 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		req := att.req
 		switch resp.Op {
 		case protocol.OpBufferAck:
-			// Request is buffered server-side: buffers reusable, credit back.
-			att.settle(acked)
-			req.acked = true
-			req.reusable.Fire()
+			att.ack()
 		case protocol.OpResponse:
-			nudging := RetryableStatus(resp.Status) && req.opts.retry != nil
+			how, nudging := answered, RetryableStatus(resp.Status) && req.opts.retry != nil
 			switch {
 			case resp.Status == protocol.StatusBusy:
 				// Shed at admission: breaker food, unlike recovering — a
 				// recovering server is rebuilding, not saturated.
-				att.settle(refused)
+				how = refused
 				cn.c.Faults.Inc(metrics.CBusy)
 			case nudging:
-				att.settle(rejected)
-			default:
-				att.settle(answered)
+				how = rejected
 			}
-			if nudging {
-				// Fail-fast rejection — cold-restart recovery or admission
-				// shedding: don't complete the request. Record the attempt's
-				// sentinel and any retry-after hint, then nudge its guard,
-				// which backs off and retransmits (failing over when
-				// configured).
-				req.rejected = statusErr(resp.Status)
-				switch resp.Status {
-				case protocol.StatusBusy:
-					req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond
-				case protocol.StatusNoReplica:
-					// The coordinator itself is healthy (it answered); the
-					// chain behind it is not. No breaker food, just a counter.
-					cn.c.Faults.Inc(metrics.CNoReplica)
-				default:
-					cn.c.Faults.Inc(metrics.CRecovering)
-				}
-				req.nudge.Fire()
+			att.settle(how)
+			if !nudging {
+				req.finish(completed, resp)
 				continue
 			}
-			req.finish(completed, resp)
+			// Fail-fast rejection — cold-restart recovery or admission
+			// shedding: don't complete the request. Record the attempt's
+			// sentinel and any retry-after hint, then nudge its guard, which
+			// backs off and retransmits (failing over when configured).
+			req.rejected = statusErr(resp.Status)
+			switch resp.Status {
+			case protocol.StatusBusy:
+				req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond
+			case protocol.StatusNoReplica:
+				// The coordinator itself is healthy (it answered); the
+				// chain behind it is not. No breaker food, just a counter.
+				cn.c.Faults.Inc(metrics.CNoReplica)
+			default:
+				cn.c.Faults.Inc(metrics.CRecovering)
+			}
+			req.nudge.Fire()
 		default:
 			panic("core: unexpected opcode " + resp.Op.String())
 		}
