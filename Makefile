@@ -19,7 +19,9 @@ race:
 	$(GO) test -race ./...
 
 # The concurrency-heavy robustness packages under the race detector at
-# -count=2: the client guard/hedge/cancel races, the bypass READ-vs-
+# -count=2: the client guard/hedge/cancel races and its request-end matrix
+# (every way a request ends, against everywhere its attempts can stand when
+# it does), the bypass READ-vs-
 # eviction-vs-crash soak in cluster, the replication forward/ack/scrub
 # engine and its install matrix (every way a version of a key reaches a
 # store, against everything going on there when it does), the server's path

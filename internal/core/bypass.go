@@ -348,7 +348,8 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 // publishes no directory, StatusError when no answer came in time.
 func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	// A key-less control op: it addresses the server, so nothing routes it.
-	req := c.newReq(Op{Code: protocol.OpDirQuery})
+	req := new(Req)
+	c.initReq(req, Op{Code: protocol.OpDirQuery})
 	c.Issued++
 	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {

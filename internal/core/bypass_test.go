@@ -217,7 +217,8 @@ func TestSweepLeavesTheControlOpOutOfTheFrame(t *testing.T) {
 	}
 	var atts []*attempt
 	for _, op := range ops { // queued, not sent: no process has run yet
-		req := c.newReq(op)
+		req := new(Req)
+		c.initReq(req, op)
 		c.enqueueWire(req, cn)
 		atts = append(atts, req.cur)
 	}

@@ -65,6 +65,13 @@ const (
 	IPoIB
 )
 
+func (t Transport) String() string {
+	if t == IPoIB {
+		return "ipoib"
+	}
+	return "rdma"
+}
+
 // Config tunes a client.
 type Config struct {
 	// Transport selects RDMA verbs or IPoIB sockets.
@@ -563,13 +570,6 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// newReq builds the handle for op with no options.
-func (c *Client) newReq(op Op) *Req {
-	req := new(Req)
-	c.initReq(req, op)
-	return req
-}
-
 // initReq makes req — zero but for its parsed options — the handle for op as
 // of now, and writes the wire template its attempts are built from.
 func (c *Client) initReq(req *Req, op Op) {
@@ -727,8 +727,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	c.Issued++
 	c.Sends++
 	cn.stream.Send(p, wire.WireSize(), wire)
-	t0 := p.Now()
-	att.start = t0 // a socket attempt's service time runs from the end of the blocking send
+	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
 		var msg verbs.StreamMsg
 		var ok, late bool
@@ -757,6 +756,6 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			req.finish(completed, resp)
 		}
 	}
-	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
+	c.Prof.Add(metrics.StageClientWait, p.Now()-att.start)
 	return req
 }

@@ -321,11 +321,11 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 }
 
 // Cancel abandons an in-flight request: it completes immediately with
-// ErrCanceled, and any flow-control credit its current attempt holds is
-// returned. Canceling a completed request is a no-op.
+// ErrCanceled, and whatever its attempts hold is given back. Canceling a
+// completed request is a no-op.
 func (c *Client) Cancel(req *Req) { req.finish(canceled, nil) }
 
-// retransmit abandons the current attempt and enqueues a fresh one, on the
+// retransmit gives up on the current attempt and enqueues a fresh one, on the
 // next connection when failing over.
 func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	old := req.cur
@@ -429,8 +429,8 @@ func (c *Client) startGuard(req *Req) {
 // if the request is still unanswered after the threshold, the GET is
 // mirrored to the next connection route offers as an extra attempt —
 // without abandoning the primary, so the first response (either server)
-// completes the request and the other is absorbed as stale with its own
-// credit return.
+// completes the request; finish settles the other, whose answer then finds
+// nothing and is absorbed as stale.
 func (c *Client) startHedge(req *Req, after sim.Time) {
 	c.env.Go("client/hedge", func(p *sim.Proc) {
 		defer req.tagPanic()
