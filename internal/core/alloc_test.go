@@ -1,15 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
-	"hybridkv/internal/simnet"
 )
 
 // opModel returns a step that runs one operation end to end — Issue, the
@@ -60,30 +57,21 @@ func bypassHitModel() (step func()) {
 	}, WithReadPath(ReadBypass)) // forced: no 1-in-64 RPC heat sample
 }
 
-// dropAfterWarm loses client messages selected by pick — which sees the
-// message's 1-based count and destination — once the model's warm-up SET (the
-// first message) is through.
-type dropAfterWarm struct {
-	pick func(n int, dst string) bool
-	n    int
-}
-
-func (d *dropAfterWarm) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
-	if !strings.HasPrefix(src, "client") {
-		return simnet.Verdict{}
-	}
-	d.n++
-	return simnet.Verdict{Drop: d.n > 1 && d.pick(d.n, dst)}
+// loseFirstAttempts loses every even client message: after the model's
+// warm-up SET (the first), a step's first attempt — each step of the models
+// below sends exactly two, the attempt that is lost and the one that answers.
+func loseFirstAttempts() *filterInjector {
+	return &filterInjector{pick: func(n int) bool { return n%2 == 0 }}
 }
 
 // The second-attempt models: one GET each whose first attempt does not answer
-// it. retransmitModel loses every first attempt on the fabric, and the guard's
-// retransmit is answered; hedgeModel's home server never hears the GET, and
-// the hedge to its neighbour is answered (a miss); fallbackModel resolves a
-// key the directory does not publish, and the RPC fallback is answered.
+// it. retransmitModel's is lost on the fabric, and the guard's retransmit is
+// answered; hedgeModel's too, and the hedge to the neighbour is answered (a
+// miss); fallbackModel resolves a key the directory does not publish, and the
+// RPC fallback is answered.
 func retransmitModel() (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	r.fabric.SetFaults(&dropAfterWarm{pick: func(n int, _ string) bool { return n%2 == 0 }})
+	r.fabric.SetFaults(loseFirstAttempts())
 	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if req.Attempts != 2 || req.Status != protocol.StatusOK {
 			panic("retransmit model: the GET was not answered on its second attempt")
@@ -93,8 +81,7 @@ func retransmitModel() (step func()) {
 
 func hedgeModel() (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
-	home := fmt.Sprintf("server%d", r.client.route("k", routeGet, nil).serverID)
-	r.fabric.SetFaults(&dropAfterWarm{pick: func(_ int, dst string) bool { return dst == home }})
+	r.fabric.SetFaults(loseFirstAttempts())
 	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if req.Attempts != 2 || req.Status != protocol.StatusNotFound {
 			panic("hedge model: the GET was not answered by its hedge")

@@ -26,8 +26,8 @@ const (
 // txBatch is the client-side record of one coalesced frame in flight. The
 // whole frame consumed a single flow-control credit; the record is what its
 // members' settle (issue.go) arbitrates through — who returns the credit
-// across batch acks, member responses, and per-op deadline/cancel tombstones,
-// and who, giving back the last slot, drops the record.
+// across batch acks, member responses, and per-op deadlines and cancels, and
+// who, giving back the last slot, drops the record.
 type txBatch struct {
 	id             uint64
 	members        []*attempt

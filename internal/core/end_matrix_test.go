@@ -314,7 +314,7 @@ var endRows = []endRow{
 	},
 }
 
-// unbuildable says why the cell cannot be constructed, "" when it can.
+// cannot says why the cell cannot be constructed, "" when it can.
 func (row *endRow) cannot(col *endCol) string {
 	switch {
 	case row.unbuildable != "":
@@ -339,6 +339,7 @@ type endCell struct {
 	r           *testRig
 	c           *Client
 	net         shaper
+	op          Op    // the subject operation
 	home, other *conn // where the subject key's first attempt goes, and its hedge or failover
 	on          *conn // where the placed attempt goes
 	sibling     *Req  // the subject's frame-mate
@@ -370,10 +371,10 @@ func newEndCell(t *testing.T, row *endRow, col *endCol) *endCell {
 			srv.AttachBypassDirectory(store.NewDirectory(srv.Device().AllocPD(), 0))
 		}
 	}
-	if row.op.Key == "" {
-		row.op = endGet(endKey)
+	if x.op = row.op; x.op.Key == "" {
+		x.op = endGet(endKey)
 	}
-	x.home = x.c.route(row.op.Key, routeWrite, nil)
+	x.home = x.c.route(x.op.Key, routeWrite, nil)
 	x.other = x.c.conns[(x.home.serverID+1)%len(x.c.conns)]
 	if x.on = x.home; row.other {
 		x.on = x.other
@@ -444,7 +445,7 @@ func (x *endCell) issue(p *sim.Proc, opts ...IssueOption) *Req {
 		x.c.BeginBatch()
 		x.sibling, _ = x.c.Issue(p, endGet(x.mate("sibling")))
 	}
-	req, err := x.c.Issue(p, x.row.op, opts...)
+	req, err := x.c.Issue(p, x.op, opts...)
 	if err != nil {
 		x.t.Fatalf("issue: %v", err)
 	}
@@ -472,15 +473,13 @@ func (x *endCell) run() {
 	var req *Req
 	before, after := map[string]int64{}, map[string]int64{}
 	x.r.env.Spawn("cell", func(p *sim.Proc) {
-		if !row.ipoib || row.op.Code == protocol.OpGet {
-			c.Set(p, endKey, 512, "v", 0, 0)
-			if row.bypass {
-				c.Set(p, "big", 8<<10, "V", 0, 0)
-			}
-			if row.bypass && !row.cold {
-				c.Set(p, x.mate("warm"), 512, "w", 0, 0)
-				bypassGet(t, p, c, x.mate("warm"), "w")
-			}
+		c.Set(p, endKey, 512, "v", 0, 0)
+		if row.bypass {
+			c.Set(p, "big", 8<<10, "V", 0, 0)
+		}
+		if row.bypass && !row.cold {
+			c.Set(p, x.mate("warm"), 512, "w", 0, 0)
+			bypassGet(t, p, c, x.mate("warm"), "w")
 		}
 		x.place(p)
 		for _, name := range endCounters {
@@ -501,23 +500,9 @@ func (x *endCell) run() {
 		t.Fatal("the subject was never issued")
 	}
 
-	// Nothing is left on any connection.
-	for _, cn := range c.conns {
-		if cn.credits != nil && cn.credits.InUse() != 0 {
-			t.Errorf("server%d: %d credits still in use", cn.serverID, cn.credits.InUse())
-		}
-		if n := len(cn.pending) + len(cn.pendingBatch) + len(cn.readWaits) + len(cn.window); n != 0 {
-			t.Errorf("server%d: %d pending, %d frame records, %d READ waits, %d parked attempts left behind",
-				cn.serverID, len(cn.pending), len(cn.pendingBatch), len(cn.readWaits), len(cn.window))
-		}
-		if b := cn.brk; b != nil && b.state == bkHalfOpen && b.probing {
-			t.Errorf("server%d: the breaker's probe slot is taken and no attempt is out to give it back", cn.serverID)
-		}
-	}
-	// done fired once per request, the subject's attempts are all settled.
-	if st := c.Stats(); st.Issued != st.Completed+st.Timeouts+st.Cancels {
-		t.Errorf("issued %d != completed %d + timeouts %d + cancels %d", st.Issued, st.Completed, st.Timeouts, st.Cancels)
-	}
+	// Nothing is left on any connection, done fired once per request, and the
+	// subject's attempts are all settled.
+	drained(t, c)
 	attempts := 0
 	for att := &req.first; att != nil; att = att.next {
 		attempts++

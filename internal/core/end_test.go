@@ -51,12 +51,19 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 func drained(t *testing.T, c *Client) {
 	t.Helper()
 	for _, cn := range c.conns {
-		if n := cn.credits.InUse(); n != 0 {
-			t.Errorf("server%d: %d credits still in use", cn.serverID, n)
+		if cn.credits != nil && cn.credits.InUse() != 0 {
+			t.Errorf("server%d: %d credits still in use", cn.serverID, cn.credits.InUse())
 		}
-		if n, m := len(cn.pending), len(cn.pendingBatch); n != 0 || m != 0 {
-			t.Errorf("server%d: %d pending entries and %d frame records left behind", cn.serverID, n, m)
+		if len(cn.pending)+len(cn.pendingBatch)+len(cn.readWaits)+len(cn.window) != 0 {
+			t.Errorf("server%d: %d pending entries, %d frame records, %d READ waits, %d parked attempts left behind",
+				cn.serverID, len(cn.pending), len(cn.pendingBatch), len(cn.readWaits), len(cn.window))
 		}
+		if b := cn.brk; b != nil && b.state == bkHalfOpen && b.probing {
+			t.Errorf("server%d: the breaker's probe slot is taken and no attempt is out to give it back", cn.serverID)
+		}
+	}
+	if st := c.Stats(); st.Issued != st.Completed+st.Timeouts+st.Cancels {
+		t.Errorf("issued %d != completed %d + timeouts %d + cancels %d", st.Issued, st.Completed, st.Timeouts, st.Cancels)
 	}
 }
 

@@ -289,14 +289,11 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 		})
 	}
 	staged := false
+	s.Manager().SetNotify(func(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
+		staged = staged || it.Key == "up" && ev == hybridslab.EvictStaged
+	})
 	env.Spawn("evictor", func(p *sim.Proc) {
 		s.Set(p, filler(room), fillSize, room, 0, 0)
-	})
-	env.Spawn("watch", func(p *sim.Proc) {
-		for i := 0; i < 1000 && !staged; i++ {
-			p.Sleep(sim.Microsecond)
-			staged = !s.table["up"].InPlace() && !s.table["up"].OnSSD()
-		}
 	})
 	env.Run()
 	if !staged {
