@@ -14,6 +14,10 @@
 // internal/workload generates the OHB-style workloads, and internal/bench
 // reproduces every table and figure of the evaluation.
 //
+// cmd/mc-bench is the one command; examples/ holds the paper's Listings 1
+// and 2 against the client API. internal/reach.keep lists the functions no
+// run of either enters yet, and who is to drive each (make reach checks it).
+//
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
 package hybridkv

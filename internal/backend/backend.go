@@ -59,13 +59,3 @@ func (db *DB) Fetch(p *sim.Proc, key string) any {
 	db.TimeSpent += db.penalty
 	return "db:" + key
 }
-
-// Store writes a value through to the backend (write-behind caching setups;
-// charged like a fetch).
-func (db *DB) Store(p *sim.Proc, key string, value any) {
-	db.depth.Acquire(p)
-	p.Sleep(db.penalty)
-	db.depth.Release()
-	db.Accesses++
-	db.TimeSpent += db.penalty
-}

@@ -42,15 +42,3 @@ func TestConcurrencyBound(t *testing.T) {
 		t.Errorf("4 fetches at depth 2 took %v, want 2ms", end)
 	}
 }
-
-func TestStoreCharges(t *testing.T) {
-	env := sim.NewEnv()
-	db := New(env, Config{})
-	env.Spawn("client", func(p *sim.Proc) { db.Store(p, "k", 1) })
-	if end := env.Run(); end != DefaultPenalty {
-		t.Errorf("store took %v", end)
-	}
-	if db.Accesses != 1 {
-		t.Errorf("accesses %d", db.Accesses)
-	}
-}

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
+
+	"hybridkv/internal/metrics"
 )
 
 // The acceptance gate for attaching replication at all: a run at R=1 (no
@@ -23,8 +26,8 @@ func TestReplicationR1VirtualTimeIdentity(t *testing.T) {
 		t.Errorf("outcomes differ: R=0 (%d,%d,%d) vs R=1 (%d,%d,%d)",
 			a.OK, a.Misses, a.Failed, b.OK, b.Misses, b.Failed)
 	}
-	if got := b.Repl.Names(); len(got) != 0 {
-		t.Errorf("R=1 run produced replication counters: %v", got)
+	if !reflect.DeepEqual(b.Repl, metrics.NewCounters()) {
+		t.Errorf("R=1 run produced replication counters: %+v", b.Repl)
 	}
 }
 

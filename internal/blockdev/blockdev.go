@@ -260,17 +260,6 @@ func (d *Device) AddSlow(from, to sim.Time, mult float64, floor sim.Time) {
 	d.slowWindows = append(d.slowWindows, SlowWindow{From: from, To: to, Mult: mult, Floor: floor})
 }
 
-// Slowed reports whether any slow window covers time at — the ground truth
-// a health-tracking experiment compares its detector against.
-func (d *Device) Slowed(at sim.Time) bool {
-	for _, w := range d.slowWindows {
-		if at >= w.From && at < w.To {
-			return true
-		}
-	}
-	return false
-}
-
 // slowTime applies the active slow windows to a modeled service time.
 func (d *Device) slowTime(at sim.Time, t sim.Time) sim.Time {
 	if len(d.slowWindows) == 0 {

@@ -35,7 +35,7 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 	// Record the victim's eviction lifecycle while forwarding every event to
 	// the directory (the store's installed observer), so publication behaves
 	// exactly as in production.
-	dir := srv.BypassDirectory()
+	dir := cl.Directories[0]
 	staged, landed := 0, 0
 	srv.Store().Manager().SetNotify(func(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
 		if it.Key == victim {

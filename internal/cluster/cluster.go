@@ -143,7 +143,10 @@ type Config struct {
 	// servers (zero value: blocking reservation, exactly as before).
 	Overload server.OverloadConfig
 	// Client seeds every client's core.Config (timeout/retry knobs for
-	// degraded-mode runs); its Transport is forced to the design's.
+	// degraded-mode runs); its Transport is forced to the design's. Its
+	// Membership, Bypass and HotFanout are the deployment's to decide —
+	// ReplicationFactor, Bypass and HotFanout here — and New panics on a
+	// value set there instead.
 	Client core.Config
 	// ReplicationFactor R maps each key to a primary plus R-1 backups on
 	// the shared ketama ring: servers forward admitted writes along the
@@ -217,6 +220,14 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.ServerMem <= 0 {
 		cfg.ServerMem = 1 << 30
+	}
+	switch {
+	case cfg.Client.Membership != nil:
+		panic("cluster: Config.Client.Membership is built by the deployment; set Config.ReplicationFactor")
+	case cfg.Client.Bypass:
+		panic("cluster: Config.Client.Bypass is ignored; set Config.Bypass")
+	case cfg.Client.HotFanout:
+		panic("cluster: Config.Client.HotFanout is ignored; set Config.HotFanout")
 	}
 	env := sim.NewEnv()
 	spec := simnet.FDRInfiniBand()
@@ -426,13 +437,4 @@ func (cl *Cluster) ReplicationCounters() *metrics.Counters {
 		c.Merge(r.Counters)
 	}
 	return c
-}
-
-// TotalSetOps sums Set operations across servers.
-func (cl *Cluster) TotalSetOps() int64 {
-	var n int64
-	for _, s := range cl.Servers {
-		n += s.Store().SetOps
-	}
-	return n
 }

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hybridkv/internal/core"
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/replication"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
@@ -60,6 +62,15 @@ func TestEachDesignServesTraffic(t *testing.T) {
 	}
 }
 
+// totalSetOps sums the Set operations the servers' stores counted.
+func totalSetOps(cl *Cluster) int64 {
+	var n int64
+	for _, s := range cl.Servers {
+		n += s.Store().SetOps
+	}
+	return n
+}
+
 func TestPreloadPlacesData(t *testing.T) {
 	cl := New(Config{
 		Design: HRDMADef, Profile: ClusterA(),
@@ -69,7 +80,7 @@ func TestPreloadPlacesData(t *testing.T) {
 	if elapsed <= 0 {
 		t.Errorf("preload consumed no time")
 	}
-	if got := cl.TotalSetOps(); got != 1500 {
+	if got := totalSetOps(cl); got != 1500 {
 		t.Errorf("server saw %d sets", got)
 	}
 	mgr := cl.Servers[0].Store().Manager()
@@ -105,8 +116,8 @@ func TestMultiNodeDeployment(t *testing.T) {
 	if done != 8*50 {
 		t.Errorf("%d of 400 round trips verified", done)
 	}
-	if cl.TotalSetOps() != 400 {
-		t.Errorf("servers saw %d sets", cl.TotalSetOps())
+	if totalSetOps(cl) != 400 {
+		t.Errorf("servers saw %d sets", totalSetOps(cl))
 	}
 }
 
@@ -147,5 +158,32 @@ func TestDesignStrings(t *testing.T) {
 		if d.String() != s {
 			t.Errorf("%d stringifies to %q, want %q", int(d), d.String(), s)
 		}
+	}
+}
+
+// New builds every client's Membership, Bypass and HotFanout from the
+// deployment's own fields; a value set on Config.Client instead used to be
+// overwritten without a word (a caller asking for Client.Bypass got an
+// RPC-only fleet). It is refused, naming the field to set.
+func TestNewRefusesClientFieldsTheDeploymentDecides(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		client core.Config
+		want   string
+	}{
+		{"Membership", core.Config{Membership: replication.NewMembership(sim.NewEnv(), 2, []int{0, 1})}, "Config.ReplicationFactor"},
+		{"Bypass", core.Config{Bypass: true}, "set Config.Bypass"},
+		{"HotFanout", core.Config{HotFanout: true}, "set Config.HotFanout"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Config.Client."+tc.name) || !strings.Contains(msg, tc.want) {
+					t.Errorf("New panicked with %q, want Config.Client.%s refused in favour of %q", msg, tc.name, tc.want)
+				}
+			}()
+			New(Config{Design: HRDMAOptNonBI, Profile: ClusterA(), Servers: 2, ReplicationFactor: 2, Bypass: true, Client: tc.client})
+			t.Error("New accepted the field")
+		})
 	}
 }

@@ -38,15 +38,6 @@ func (c *Client) SetBuffering(on bool) error {
 	return nil
 }
 
-// BufferedSets reports Sets currently queued client-side.
-func (c *Client) BufferedSets() int {
-	n := 0
-	for _, cn := range c.conns {
-		n += len(cn.buffered)
-	}
-	return n
-}
-
 // bufferedSet queues the Set locally; the caller regains control (and its
 // buffers — the queue copies) immediately.
 func (c *Client) bufferedSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {

@@ -65,13 +65,6 @@ const (
 	IPoIB
 )
 
-func (t Transport) String() string {
-	if t == IPoIB {
-		return "ipoib"
-	}
-	return "rdma"
-}
-
 // Config tunes a client.
 type Config struct {
 	// Transport selects RDMA verbs or IPoIB sockets.

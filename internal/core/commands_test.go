@@ -121,9 +121,10 @@ func TestBlockingCommands(t *testing.T) {
 			}
 		}},
 	}
+	names := map[Transport]string{RDMA: "rdma", IPoIB: "ipoib"}
 	for _, tr := range []Transport{RDMA, IPoIB} {
 		for _, sc := range scripts {
-			t.Run(fmt.Sprintf("%v/%s", tr, sc.name), func(t *testing.T) {
+			t.Run(names[tr]+"/"+sc.name, func(t *testing.T) {
 				r := newTestRig(rigOpts{transport: tr, pipeline: server.Async, servers: sc.servers})
 				r.env.Spawn("app", func(p *sim.Proc) { sc.run(t, p, r) })
 				r.env.Run()
@@ -181,7 +182,7 @@ func TestBufferedModeDefersSets(t *testing.T) {
 			}
 		}
 		setLat = (p.Now() - t0) / 8
-		if got := r.client.BufferedSets(); got != 8 {
+		if got := bufferedSets(r.client); got != 8 {
 			t.Errorf("queued %d sets, want 8", got)
 		}
 		// The first Get must flush the queue and absorb its cost.
@@ -191,7 +192,7 @@ func TestBufferedModeDefersSets(t *testing.T) {
 		if st != protocol.StatusOK || v != 0 {
 			t.Errorf("get after flush: (%v,%v)", v, st)
 		}
-		if r.client.BufferedSets() != 0 {
+		if bufferedSets(r.client) != 0 {
 			t.Errorf("queue not drained by Get")
 		}
 		// A Get with an empty queue is normal-priced.
@@ -208,6 +209,16 @@ func TestBufferedModeDefersSets(t *testing.T) {
 	}
 }
 
+// bufferedSets is how many Sets the client holds queued, over all its
+// connections.
+func bufferedSets(c *Client) int {
+	n := 0
+	for _, cn := range c.conns {
+		n += len(cn.buffered)
+	}
+	return n
+}
+
 func TestBufferedModeExplicitFlushAndThreshold(t *testing.T) {
 	r := newTestRig(rigOpts{transport: IPoIB})
 	r.client.SetBuffering(true)
@@ -215,12 +226,12 @@ func TestBufferedModeExplicitFlushAndThreshold(t *testing.T) {
 		for i := 0; i < 70; i++ { // beyond the 64-entry threshold
 			r.client.Set(p, fmt.Sprintf("k%03d", i), 1024, i, 0, 0)
 		}
-		if got := r.client.BufferedSets(); got >= 64 {
+		if got := bufferedSets(r.client); got >= 64 {
 			t.Errorf("threshold flush did not trigger: %d queued", got)
 		}
 		r.client.FlushBuffers(p)
-		if r.client.BufferedSets() != 0 {
-			t.Errorf("explicit flush left %d queued", r.client.BufferedSets())
+		if bufferedSets(r.client) != 0 {
+			t.Errorf("explicit flush left %d queued", bufferedSets(r.client))
 		}
 		// Everything is durable server-side.
 		for i := 0; i < 70; i += 13 {

@@ -14,7 +14,6 @@ package fault
 import (
 	"math/rand"
 
-	"hybridkv/internal/metrics"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/simnet"
 )
@@ -253,17 +252,4 @@ func (in *Injector) Transmit(src, dst string, size int, now sim.Time) simnet.Ver
 		}
 	}
 	return v
-}
-
-// Counters exports the injector's statistics as named counters.
-func (in *Injector) Counters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Add("net-drops", in.Drops)
-	c.Add("net-dups", in.Dups)
-	c.Add("net-spikes", in.Spikes)
-	c.Add("net-link-drops", in.LinkDrops)
-	c.Add("net-partition-drops", in.PartitionDrops)
-	c.Add("net-slowed", in.Slowed)
-	c.Add("net-corrupts", in.Corrupts)
-	return c
 }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"strings"
 	"testing"
 
 	"hybridkv/internal/sim"
@@ -48,10 +49,17 @@ func TestCheckDetectsEachRule(t *testing.T) {
 	l.Record(Entry{Kind: Read, Key: "t", IssuedAt: us(20), CompletedAt: us(15)})
 	l.Expected = 9
 
-	got := rules(l.Check())
+	vs := l.Check()
+	got := rules(vs)
 	for _, rule := range []string{"acked-write-lost", "stale-read", "future-read", "counter-regression", "time-regression", "liveness"} {
 		if got[rule] == 0 {
 			t.Errorf("rule %q not detected (got %v)", rule, got)
+		}
+	}
+	// The line a failing oracle prints names the rule and the entry.
+	for _, v := range vs {
+		if v.Rule == "stale-read" && !strings.HasPrefix(v.String(), `stale-read: read ok key="k" seq=1 [7µs..8µs]: `) {
+			t.Errorf("the stale read is reported as %q", v)
 		}
 	}
 }

@@ -25,7 +25,6 @@ package hybridslab
 
 import (
 	"errors"
-	"fmt"
 
 	"hybridkv/internal/pagecache"
 	"hybridkv/internal/sim"
@@ -39,16 +38,6 @@ const (
 	PolicyDirect IOPolicy = iota
 	PolicyAdaptive
 )
-
-func (p IOPolicy) String() string {
-	switch p {
-	case PolicyDirect:
-		return "direct"
-	case PolicyAdaptive:
-		return "adaptive"
-	}
-	return fmt.Sprintf("IOPolicy(%d)", int(p))
-}
 
 // Host-side copy bandwidth used for chunk buffering (matches the page-cache
 // memcpy model).
@@ -120,9 +109,6 @@ func (it *Item) OnSSD() bool { return it.onSSD }
 // store path — which releases the item and lets the flush discard its slot —
 // reaches what later reads see.
 func (it *Item) InPlace() bool { return !it.onSSD && !it.inTransit }
-
-// Class returns the item's slab class.
-func (it *Item) Class() int { return it.class }
 
 // ErrTooLarge is returned for items exceeding the largest slab chunk.
 var ErrTooLarge = errors.New("hybridslab: item exceeds maximum chunk size")
@@ -974,54 +960,6 @@ func (m *Manager) VisitLRU(limit int, fn func(*Item) bool) {
 		}
 		e = e.Prev()
 	}
-}
-
-// FragReport describes SSD arena utilization: pages still holding live
-// items versus reclaimed regions, and the dead-slot share inside live pages
-// (fatcache-style page-granular reclaim leaves holes until a whole region
-// frees).
-type FragReport struct {
-	// ArenaBytes is the total bump-allocated arena extent.
-	ArenaBytes int64
-	// LiveBytes is the space holding live items.
-	LiveBytes int64
-	// DeadBytes is the space of freed slots inside still-live pages.
-	DeadBytes int64
-	// FreeRegions is the count of fully-reclaimed regions awaiting reuse.
-	FreeRegions int
-}
-
-// Fragmentation returns the dead-space share of the allocated arena
-// (0 when empty).
-func (fr FragReport) Fragmentation() float64 {
-	if fr.ArenaBytes == 0 {
-		return 0
-	}
-	return float64(fr.DeadBytes) / float64(fr.ArenaBytes)
-}
-
-// FragStats scans the SSD recency list and free pools to build a
-// fragmentation report.
-func (m *Manager) FragStats() FragReport {
-	var fr FragReport
-	if m.file == nil {
-		return fr
-	}
-	fr.ArenaBytes = m.ssdNext
-	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
-		fr.LiveBytes += int64(m.alloc.ChunkSize(e.Value.class))
-	}
-	// Dead space inside live pages = used regions minus live bytes.
-	var freeBytes int64
-	for size, offs := range m.ssdFree {
-		freeBytes += size * int64(len(offs))
-		fr.FreeRegions += len(offs)
-	}
-	fr.DeadBytes = fr.ArenaBytes - freeBytes - fr.LiveBytes
-	if fr.DeadBytes < 0 {
-		fr.DeadBytes = 0
-	}
-	return fr
 }
 
 // RAMItems returns the number of RAM-resident items.

@@ -244,7 +244,7 @@ func TestReleaseFreesRAMChunk(t *testing.T) {
 	it := item(1, 32*1024)
 	env.Spawn("op", func(p *sim.Proc) {
 		m.Store(p, it)
-		cls := it.Class()
+		cls := it.class
 		used := m.Allocator().Class(cls).UsedChunks
 		m.Release(it)
 		if got := m.Allocator().Class(cls).UsedChunks; got != used-1 {
@@ -505,46 +505,17 @@ func TestCorruptSSDExtentReadsAsMiss(t *testing.T) {
 	}
 }
 
-func TestFragStats(t *testing.T) {
-	env := sim.NewEnv()
-	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
-	const n = 300
-	items := make([]*Item, n)
-	env.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			items[i] = item(i, 32*1024)
-			m.Store(p, items[i])
-		}
-	})
-	env.Run()
-	fresh := m.FragStats()
-	if fresh.ArenaBytes == 0 || fresh.LiveBytes == 0 {
-		t.Fatalf("empty frag report after flushes: %+v", fresh)
+// deadBytes is the arena space that is neither a live SSD item nor a pooled
+// free region: the freed slots inside pages that still hold live items.
+func deadBytes(m *Manager) int64 {
+	dead := m.ssdNext
+	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
+		dead -= int64(m.alloc.ChunkSize(e.Value.class))
 	}
-	if fresh.Fragmentation() > 0.05 {
-		t.Errorf("fresh arena already fragmented: %+v", fresh)
+	for size, offs := range m.ssdFree {
+		dead -= size * int64(len(offs))
 	}
-	// Delete every other SSD item: holes form inside live pages.
-	deleted := 0
-	for _, it := range items {
-		if it.OnSSD() && deleted%2 == 0 {
-			m.Release(it)
-		}
-		if it.OnSSD() || it.Dropped() {
-			deleted++
-		}
-	}
-	holey := m.FragStats()
-	if holey.DeadBytes == 0 {
-		t.Errorf("no dead space after deleting alternate items: %+v", holey)
-	}
-	if holey.Fragmentation() <= fresh.Fragmentation() {
-		t.Errorf("fragmentation did not grow: %.3f -> %.3f",
-			fresh.Fragmentation(), holey.Fragmentation())
-	}
-	if holey.LiveBytes >= fresh.LiveBytes {
-		t.Errorf("live bytes did not shrink")
-	}
+	return dead
 }
 
 func TestCompactReclaimsDeadSpace(t *testing.T) {
@@ -567,19 +538,18 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 			killed++
 		}
 	}
-	before := m.FragStats()
-	if before.DeadBytes == 0 {
+	before := deadBytes(m)
+	if before <= 0 {
 		t.Fatalf("no fragmentation to compact (killed=%d)", killed)
 	}
 	var reclaimed int64
 	env.Spawn("compact", func(p *sim.Proc) { reclaimed = m.Compact(p, 0.5) })
 	env.Run()
 	if reclaimed == 0 || m.Compactions == 0 {
-		t.Fatalf("compaction reclaimed nothing (dead was %d)", before.DeadBytes)
+		t.Fatalf("compaction reclaimed nothing (dead was %d)", before)
 	}
-	after := m.FragStats()
-	if after.DeadBytes >= before.DeadBytes {
-		t.Errorf("dead bytes %d -> %d, want a reduction", before.DeadBytes, after.DeadBytes)
+	if after := deadBytes(m); after >= before {
+		t.Errorf("dead bytes %d -> %d, want a reduction", before, after)
 	}
 	// Every surviving item is still readable with its original value.
 	bad := 0

@@ -391,3 +391,53 @@ func TestRecoverBumpPointerClearsUncommittedLastPage(t *testing.T) {
 	}
 	checkArena(t, m, true)
 }
+
+// Two committed copies of one key on the media — the stale slot's
+// invalidation never reached the device — and a cold restart: the copy in the
+// page with the higher epoch wins, the loser's slot is invalidated so no later
+// restart can resurrect it, and its page counts one live slot fewer.
+func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
+	env, m, _ := newRecoveryRig(1, 0)
+	older, newer := item(0, 32*1024), item(0, 32*1024)
+	older.Value, newer.Value = "older", "newer"
+	env.Spawn("drv", func(p *sim.Proc) {
+		m.Store(p, older)
+		for i := 1; i < 150; i++ {
+			if i == 75 {
+				m.Store(p, newer) // same key, and nobody releases the first copy
+			}
+			m.Store(p, item(i, 32*1024))
+		}
+	})
+	env.Run()
+	if !older.onSSD || !newer.onSSD || older.ssdPage == newer.ssdPage {
+		t.Fatalf("fixture: the two copies must sit in two flushed pages (onSSD %v / %v)", older.onSSD, newer.onSSD)
+	}
+	loserOff, loserBase := older.ssdOff, older.ssdPage.base
+	siblings := older.ssdPage.live - 1
+
+	env.Spawn("recover", func(p *sim.Proc) {
+		items, _ := m.Recover(p)
+		var copies []any
+		var loserPage *ssdPage
+		for _, it := range items {
+			if it.Key == older.Key {
+				copies = append(copies, it.Value)
+			}
+			if it.ssdPage.base == loserBase {
+				loserPage = it.ssdPage
+			}
+		}
+		if loserPage == nil || loserPage.live != siblings {
+			t.Errorf("the loser's page after recovery: %+v, want its %d other items live", loserPage, siblings)
+		}
+		if len(copies) != 1 || copies[0] != "newer" {
+			t.Errorf("recovered copies of the duplicated key: %v, want only the higher epoch's", copies)
+		}
+	})
+	env.Run()
+	if _, ok := m.file.PeekDurable(loserOff); ok {
+		t.Error("the losing copy's slot is still durable: the next cold restart would meet it again")
+	}
+	checkArena(t, m, true)
+}

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"hybridkv/internal/sim"
@@ -19,7 +18,6 @@ type Hist struct {
 	buckets []int64
 	count   int64
 	sum     sim.Time
-	min     sim.Time
 	max     sim.Time
 }
 
@@ -27,7 +25,7 @@ const histBucketsPerOctave = 16
 
 // NewHist returns an empty histogram.
 func NewHist() *Hist {
-	return &Hist{min: math.MaxInt64}
+	return &Hist{}
 }
 
 func bucketOf(d sim.Time) int {
@@ -52,9 +50,6 @@ func (h *Hist) Add(d sim.Time) {
 	h.buckets[idx]++
 	h.count++
 	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
@@ -71,17 +66,6 @@ func (h *Hist) Mean() sim.Time {
 	return h.sum / sim.Time(h.count)
 }
 
-// Min returns the smallest sample, or 0 when empty.
-func (h *Hist) Min() sim.Time {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample.
-func (h *Hist) Max() sim.Time { return h.max }
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with ~4% bucket resolution.
 func (h *Hist) Quantile(q float64) sim.Time {
 	if h.count == 0 {
@@ -96,12 +80,6 @@ func (h *Hist) Quantile(q float64) sim.Time {
 		}
 	}
 	return h.max
-}
-
-// String renders a one-line summary.
-func (h *Hist) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.max)
 }
 
 // Stage labels for the six critical stages of a Memcached Set/Get
@@ -124,18 +102,16 @@ var Stages = []string{
 // Breakdown accumulates per-stage virtual time.
 type Breakdown struct {
 	total map[string]sim.Time
-	ops   map[string]int64
 }
 
 // NewBreakdown returns an empty accumulator.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{total: make(map[string]sim.Time), ops: make(map[string]int64)}
+	return &Breakdown{total: make(map[string]sim.Time)}
 }
 
 // Add records d of time in the given stage.
 func (b *Breakdown) Add(stage string, d sim.Time) {
 	b.total[stage] += d
-	b.ops[stage]++
 }
 
 // Snapshot returns an independent copy (freeze the state before a
@@ -144,9 +120,6 @@ func (b *Breakdown) Snapshot() *Breakdown {
 	c := NewBreakdown()
 	for k, v := range b.total {
 		c.total[k] = v
-	}
-	for k, v := range b.ops {
-		c.ops[k] = v
 	}
 	return c
 }
@@ -160,11 +133,6 @@ func (b *Breakdown) Sub(snap *Breakdown) *Breakdown {
 			c.total[k] = d
 		}
 	}
-	for k, v := range b.ops {
-		if d := v - snap.ops[k]; d != 0 {
-			c.ops[k] = d
-		}
-	}
 	return c
 }
 
@@ -173,16 +141,10 @@ func (b *Breakdown) Merge(other *Breakdown) {
 	for k, v := range other.total {
 		b.total[k] += v
 	}
-	for k, v := range other.ops {
-		b.ops[k] += v
-	}
 }
 
 // Total returns the accumulated time in a stage.
 func (b *Breakdown) Total(stage string) sim.Time { return b.total[stage] }
-
-// Ops returns the number of samples recorded for a stage.
-func (b *Breakdown) Ops(stage string) int64 { return b.ops[stage] }
 
 // PerOp returns stage time divided across n operations.
 func (b *Breakdown) PerOp(stage string, n int64) sim.Time {
@@ -190,27 +152,6 @@ func (b *Breakdown) PerOp(stage string, n int64) sim.Time {
 		return 0
 	}
 	return b.total[stage] / sim.Time(n)
-}
-
-// GrandTotal sums every stage.
-func (b *Breakdown) GrandTotal() sim.Time {
-	var t sim.Time
-	for _, v := range b.total {
-		t += v
-	}
-	return t
-}
-
-// Render formats the breakdown as per-op rows over n operations.
-func (b *Breakdown) Render(n int64) string {
-	var sb strings.Builder
-	for _, s := range Stages {
-		if b.total[s] == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %-22s %12v/op\n", s, b.PerOp(s, n))
-	}
-	return sb.String()
 }
 
 // Counter names the fault, retry, and availability counters the client
@@ -308,16 +249,6 @@ func (c *Counters) Inc(ctr Counter) { c.vals[string(ctr)]++ }
 // Val returns a typed counter's value.
 func (c *Counters) Val(ctr Counter) int64 { return c.vals[string(ctr)] }
 
-// Names returns the touched counter names in sorted order.
-func (c *Counters) Names() []string {
-	out := make([]string, 0, len(c.vals))
-	for k := range c.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Merge folds other's counters into c.
 func (c *Counters) Merge(other *Counters) {
 	for k, v := range other.vals {
@@ -370,25 +301,4 @@ func Table(title string, series ...*Series) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortedStages returns the stages present in b, presentation order first,
-// then extras alphabetically (for tests).
-func (b *Breakdown) SortedStages() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range Stages {
-		if b.total[s] != 0 {
-			out = append(out, s)
-			seen[s] = true
-		}
-	}
-	var extra []string
-	for s := range b.total {
-		if !seen[s] {
-			extra = append(extra, s)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
 }

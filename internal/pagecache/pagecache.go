@@ -497,9 +497,9 @@ func (f *File) Discard(off int64) {
 	f.c.dev.DiscardDurable(f.base + off)
 }
 
-// SetExtent records contents at off without any time charge. Callers use it
-// to place sub-extents inside a region whose I/O cost was already charged by
-// a single batched Write (e.g. a 1 MB slab flush containing many items).
+// SetExtent records contents at off without any time charge and without
+// touching the durable view: a misdirected write, as a test plants one (the
+// slab's region writer places its own extents through WriteExtents).
 func (f *File) SetExtent(off int64, size int, payload any) {
 	f.check(off, size)
 	f.extents[off] = extent{size: size, payload: payload}

@@ -6,6 +6,7 @@ import (
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
+	"hybridkv/internal/fault"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
@@ -538,5 +539,78 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 	cl.Env.Run()
 	if drops, prevented := r.Counters.Get("suspect-drops"), r.Counters.Get("stale-reads-prevented"); drops != 2 || prevented != 0 {
 		t.Errorf("suspect-drops %d, stale-reads-prevented %d; want 2 and 0", drops, prevented)
+	}
+}
+
+// A suspect key whose peers cannot answer — both crashed, the pull times out
+// — is refused, not served: the value the SSD resurrected may be a superseded
+// epoch and nobody is left to say. A GET is answered as a miss (always
+// legal), an RMW as retryable, so the client takes it to a replica that can
+// decide; both are counted as stale reads prevented, and the recovered copy
+// stays, still suspect, for a peer to confirm later.
+func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
+	cl := writePathCluster()
+	r, st := cl.Replicators[1], cl.Servers[1].Store()
+	cl.Env.Spawn("it-unconfirmed", func(p *sim.Proc) {
+		for _, key := range []string{"old:get", "old:incr"} {
+			st.Set(p, key, 64, uint64(7), 0, 0)
+		}
+		r.OnColdRecovery([]string{"old:get", "old:incr"})
+		cl.Servers[0].Crash()
+		cl.Servers[2].Crash()
+		get := &protocol.Request{Op: protocol.OpGet, ReqID: 41, Key: "old:get"}
+		if resp := r.Apply(p, get, nil); resp.Status != protocol.StatusNotFound || resp.Value != nil || resp.ReqID != 41 {
+			t.Errorf("GET of a suspect key no peer confirms: %+v, want a bare miss for request 41", resp)
+		}
+		incr := &protocol.Request{Op: protocol.OpIncr, ReqID: 42, Key: "old:incr", Delta: 1}
+		if resp := r.Apply(p, incr, nil); resp.Status != protocol.StatusRecovering || resp.ReqID != 42 {
+			t.Errorf("Incr of a suspect key no peer confirms: %+v, want StatusRecovering for request 42", resp)
+		}
+		if v, _, _, _, ok := st.ReadItem(p, "old:incr"); !ok || v != uint64(7) {
+			t.Errorf("the refused Incr left (%v, present=%v), want the recovered 7 untouched", v, ok)
+		}
+	})
+	cl.Env.Run()
+	if prevented, drops := r.Counters.Get("stale-reads-prevented"), r.Counters.Get("suspect-drops"); prevented != 2 || drops != 0 {
+		t.Errorf("stale-reads-prevented %d, suspect-drops %d; want 2 and 0", prevented, drops)
+	}
+	for _, key := range []string{"old:get", "old:incr"} {
+		if _, _, _, suspect, ok := r.RecordForTest(key); !ok || !suspect {
+			t.Errorf("%s after the refusal: suspect=%v present=%v, want it still suspect", key, suspect, ok)
+		}
+	}
+}
+
+// A forward whose value is garbled in flight (fault.AddCorrupt: the fabric
+// delivers the frame's CorruptCopy, sum as the sender stamped it) is rejected
+// by the replica that receives it — not installed, not acked — and the write
+// still lands everywhere: the coordinator's resend, at a later instant,
+// re-rolls the fault. The scrubber is off, so nothing but a resend can have
+// delivered the clean copy.
+func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
+	cl := writePathCluster()
+	inj := fault.New(fault.Config{Seed: 1})
+	inj.AddCorrupt(7, 0.3)
+	cl.Fabric.SetFaults(inj)
+	c := cl.Clients[0]
+	cl.Env.Spawn("it-garbled", func(p *sim.Proc) {
+		for i := 0; i < itKeys; i++ {
+			if st := c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0); st != protocol.StatusStored {
+				t.Errorf("SET %s under in-flight corruption: %v", itKey(i), st)
+			}
+		}
+		for i := 0; i < itKeys; i++ {
+			for sid, s := range cl.Servers {
+				if v, _, _, _, ok := s.Store().ReadItem(p, itKey(i)); !ok || v != uint64(i+1) {
+					t.Errorf("server %d holds %v (present=%v) for %s, want %d", sid, v, ok, itKey(i), i+1)
+				}
+			}
+		}
+	})
+	cl.Env.Run()
+	total := cl.ReplicationCounters()
+	if rejected, resends := total.Get("corrupt-frames-rejected"), total.Get("forward-resends"); rejected == 0 || resends == 0 {
+		t.Errorf("corrupt-frames-rejected %d, forward-resend rounds %d (the injector garbled %d messages): want forwards rejected and resent",
+			rejected, resends, inj.Corrupts)
 	}
 }

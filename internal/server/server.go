@@ -365,9 +365,6 @@ func (s *Server) AttachBypassDirectory(d *store.Directory) {
 	s.st.SetReadView(d)
 }
 
-// BypassDirectory returns the attached directory (nil when not attached).
-func (s *Server) BypassDirectory() *store.Directory { return s.bypass }
-
 // AttachReplicator installs the server's replicator: the storage phase
 // becomes the replicated one, and requested BufferAcks on writes are
 // withheld until the replication chain completes. Attach before the

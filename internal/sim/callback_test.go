@@ -249,7 +249,8 @@ func mixedModel(seed int64, h helpers) []string {
 					})
 					p.Sleep(d())
 					sent.Fire()
-					p.Wait(env.AllOf(sent, acked))
+					p.Wait(sent)
+					p.Wait(acked)
 					note(name, "acked")
 				case 8:
 					h.at(env, env.Now()+d(), func() {

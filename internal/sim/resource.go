@@ -29,12 +29,6 @@ func (r *Resource) Total() int { return r.total }
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.total - r.inUse }
-
-// Waiting returns the number of processes blocked in Acquire.
-func (r *Resource) Waiting() int { return r.waiters.len() }
-
 // TryAcquire takes one unit without blocking; reports success.
 func (r *Resource) TryAcquire() bool { return r.TryAcquireN(1) }
 

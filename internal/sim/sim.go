@@ -624,41 +624,9 @@ func (e *Env) AnyOf(evs ...*Event) *Event {
 	return out
 }
 
-// AllOf returns an event that fires once all input events have fired.
-func (e *Env) AllOf(evs ...*Event) *Event {
-	out := e.NewEvent()
-	remaining := 0
-	for _, ev := range evs {
-		if !ev.fired {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		out.Fire()
-		return out
-	}
-	one := func() {
-		remaining--
-		if remaining == 0 {
-			out.Fire()
-		}
-	}
-	for _, ev := range evs {
-		if !ev.fired {
-			e.observe(ev, one)
-		}
-	}
-	return out
-}
-
 // observe starts watching ev one scheduler step from now, the step an
 // observer process would have taken to start: input events that fire in
 // between are seen as already fired.
 func (e *Env) observe(ev *Event, fn func()) {
 	e.AtFunc(e.now, func() { ev.OnFire(fn) })
-}
-
-// String renders the env state, for debugging.
-func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now=%v scheduled=%d alive=%d}", e.now, len(e.heap), e.alive)
 }

@@ -202,14 +202,12 @@ func TestWaitAny(t *testing.T) {
 	}
 }
 
-func TestAnyOfAllOf(t *testing.T) {
+func TestAnyOf(t *testing.T) {
 	e := NewEnv()
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
 	anyEv := e.AnyOf(a, b, c)
-	allEv := e.AllOf(a, b, c)
-	var anyAt, allAt Time = -1, -1
+	var anyAt Time = -1
 	e.Spawn("watchAny", func(p *Proc) { p.Wait(anyEv); anyAt = p.Now() })
-	e.Spawn("watchAll", func(p *Proc) { p.Wait(allEv); allAt = p.Now() })
 	e.Spawn("f", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
 		b.Fire()
@@ -221,21 +219,6 @@ func TestAnyOfAllOf(t *testing.T) {
 	e.Run()
 	if anyAt != 10*Microsecond {
 		t.Errorf("AnyOf fired at %v, want 10µs", anyAt)
-	}
-	if allAt != 30*Microsecond {
-		t.Errorf("AllOf fired at %v, want 30µs", allAt)
-	}
-}
-
-func TestAllOfEmptyAndPreFired(t *testing.T) {
-	e := NewEnv()
-	if !e.AllOf().Fired() {
-		t.Errorf("AllOf() should be immediately fired")
-	}
-	a := e.NewEvent()
-	a.Fire()
-	if !e.AllOf(a).Fired() {
-		t.Errorf("AllOf(fired) should be immediately fired")
 	}
 	if !e.AnyOf(a).Fired() {
 		t.Errorf("AnyOf(fired) should be immediately fired")
@@ -453,8 +436,8 @@ func TestResourceAccounting(t *testing.T) {
 	if !r.TryAcquireN(3) {
 		t.Fatalf("TryAcquireN(3) failed on fresh resource")
 	}
-	if r.InUse() != 3 || r.Available() != 1 {
-		t.Errorf("InUse=%d Available=%d, want 3/1", r.InUse(), r.Available())
+	if r.InUse() != 3 {
+		t.Errorf("InUse=%d, want 3", r.InUse())
 	}
 	if r.TryAcquireN(2) {
 		t.Errorf("TryAcquireN(2) succeeded with 1 free")

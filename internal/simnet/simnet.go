@@ -301,11 +301,3 @@ func (n *Node) Send(p *sim.Proc, dst string, size int, payload any) *Outgoing {
 	p.Sleep(n.fabric.spec.SendCost(size))
 	return n.Post(dst, size, payload)
 }
-
-// SendWait is Send followed by blocking until the message has fully left
-// the NIC (kernel-copy semantics: buffer reusable on return).
-func (n *Node) SendWait(p *sim.Proc, dst string, size int, payload any) *Outgoing {
-	out := n.Send(p, dst, size, payload)
-	p.Wait(out.Sent)
-	return out
-}

@@ -105,21 +105,6 @@ func TestSentFiresBeforeDelivered(t *testing.T) {
 	}
 }
 
-func TestSendWaitBlocksForSerialization(t *testing.T) {
-	env, f, a, _ := rdmaPair(t)
-	size := 6 << 20
-	var done sim.Time
-	env.Spawn("sender", func(p *sim.Proc) {
-		a.SendWait(p, "b", size, nil)
-		done = p.Now()
-	})
-	env.Run()
-	min := f.Spec().SerializeTime(size)
-	if done < min {
-		t.Errorf("SendWait returned at %v, before serialization completes (%v)", done, min)
-	}
-}
-
 func TestIndependentLinksDoNotContend(t *testing.T) {
 	env := sim.NewEnv()
 	f := New(env, FDRInfiniBand())

@@ -4,10 +4,10 @@
 //
 // The client and server runtimes in this repository are written against this
 // API the same way RDMA-Memcached is written against libibverbs: protection
-// domains, registered memory regions (with realistic registration cost),
-// reliable-connected queue pairs, completion queues that are polled, two-sided
-// SEND/RECV and one-sided RDMA WRITE / WRITE-with-immediate / READ. Only the
-// wire underneath is simulated.
+// domains, memory regions registered at set-up, reliable-connected queue
+// pairs, completion queues that are polled, two-sided SEND/RECV and one-sided
+// RDMA WRITE / WRITE-with-immediate / READ. Only the wire underneath is
+// simulated.
 //
 // Semantics modeled:
 //
@@ -44,30 +44,9 @@ const (
 	OpRead
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpSend:
-		return "SEND"
-	case OpRecv:
-		return "RECV"
-	case OpWrite:
-		return "WRITE"
-	case OpWriteImm:
-		return "WRITE_IMM"
-	case OpRead:
-		return "READ"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
-// Registration cost model: pinning pages and programming the HCA's MTT is
-// expensive; this is why reusable pre-registered buffers (bset/bget) matter.
 const (
-	regBaseCost    = 35 * sim.Microsecond
-	regPerPageCost = 300 * sim.Nanosecond
-	regPageSize    = 4096
-	doorbellCost   = 200 * sim.Nanosecond
-	readReqBytes   = 16 // RDMA READ request packet size on the wire
+	doorbellCost = 200 * sim.Nanosecond
+	readReqBytes = 16 // RDMA READ request packet size on the wire
 )
 
 // Device is the HCA attached to one fabric node.
@@ -108,13 +87,11 @@ func (d *Device) AllocPD() *PD { return &PD{dev: d} }
 // remote offset fetches the segment at that offset instead of the whole
 // payload slot.
 type MR struct {
-	pd       *PD
 	lkey     int
 	size     int
 	payload  any
 	plen     int
 	segments map[int64]mrSegment
-	valid    bool
 }
 
 // mrSegment is one offset-addressed region of an MR's contents.
@@ -123,25 +100,15 @@ type mrSegment struct {
 	n int
 }
 
-// RegisterMR registers size bytes, charging p the pin+MTT-programming cost.
-func (pd *PD) RegisterMR(p *sim.Proc, size int) *MR {
-	pages := (size + regPageSize - 1) / regPageSize
-	p.Sleep(regBaseCost + sim.Time(pages)*regPerPageCost)
-	return pd.registerMRFree(size)
-}
-
-// registerMRFree registers without charging time (used for pre-run setup).
-func (pd *PD) registerMRFree(size int) *MR {
+// RegisterMRSetup registers a region with no time charge; for simulation
+// setup outside any process.
+func (pd *PD) RegisterMRSetup(size int) *MR {
 	d := pd.dev
 	d.nextMR++
-	mr := &MR{pd: pd, lkey: d.nextMR, size: size, valid: true}
+	mr := &MR{lkey: d.nextMR, size: size}
 	d.mrs[mr.lkey] = mr
 	return mr
 }
-
-// RegisterMRSetup registers a region with no time charge; for simulation
-// setup outside any process.
-func (pd *PD) RegisterMRSetup(size int) *MR { return pd.registerMRFree(size) }
 
 // LKey returns the region's local key (also used as its remote key).
 func (mr *MR) LKey() int { return mr.lkey }
@@ -188,12 +155,6 @@ func (mr *MR) Segment(off int64) (any, int) {
 	return seg.v, seg.n
 }
 
-// Deregister invalidates the region.
-func (mr *MR) Deregister() {
-	mr.valid = false
-	delete(mr.pd.dev.mrs, mr.lkey)
-}
-
 // Completion is one CQ entry.
 type Completion struct {
 	WRID    uint64
@@ -208,7 +169,6 @@ type Completion struct {
 type CQ struct {
 	dev *Device
 	q   *sim.Queue[Completion]
-	ev  *sim.Event // armed by Notify, fired and disarmed by the next arrival; nil when nobody asked
 }
 
 // CreateCQ allocates a completion queue. Depth ≤ 0 means unbounded (the
@@ -220,9 +180,6 @@ func (d *Device) CreateCQ(depth int) *CQ {
 // Poll removes one completion without blocking.
 func (cq *CQ) Poll() (Completion, bool) { return cq.q.TryGet() }
 
-// Len reports queued completions.
-func (cq *CQ) Len() int { return cq.q.Len() }
-
 // WaitPoll blocks the process until a completion is available and returns it.
 func (cq *CQ) WaitPoll(p *sim.Proc) Completion {
 	c, _ := cq.q.Get(p)
@@ -231,24 +188,6 @@ func (cq *CQ) WaitPoll(p *sim.Proc) Completion {
 
 func (cq *CQ) push(c Completion) {
 	cq.q.TryPut(c)
-	if cq.ev != nil {
-		cq.ev.Fire()
-		cq.ev = nil
-	}
-}
-
-// Notify returns an event that fires on the next completion arrival.
-// A completion may already be pending; callers must Poll first.
-func (cq *CQ) Notify() *sim.Event {
-	if cq.q.Len() > 0 {
-		ev := cq.dev.env.NewEvent()
-		ev.Fire()
-		return ev
-	}
-	if cq.ev == nil {
-		cq.ev = cq.dev.env.NewEvent()
-	}
-	return cq.ev
 }
 
 // SendWR is a send-queue work request.
@@ -352,6 +291,18 @@ type wire struct {
 	ackFor    bool // this is a READ response
 }
 
+// CorruptCopy implements simnet.Corruptible for verbs traffic: an in-flight
+// bit flip lands in what the work request carried, when that payload knows
+// how to present itself garbled; the header fields are the link CRC's to
+// protect (a corrupt header is a dropped message).
+func (w *wire) CorruptCopy() any {
+	g := *w
+	if c, ok := w.payload.(simnet.Corruptible); ok {
+		g.payload = c.CorruptCopy()
+	}
+	return &g
+}
+
 // transfer is one verbs message on the fabric, in a single allocation: the
 // wire record the peer's HCA reads and the fabric's Flight that carries it.
 // The posting HCA allocates it; the fabric holds it until delivery, the
@@ -410,7 +361,7 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 	case OpRead:
 		d.ReadsPosted++
 	default:
-		panic("verbs: bad send opcode " + wr.Op.String())
+		panic(fmt.Sprintf("verbs: bad send opcode %d", wr.Op))
 	}
 	if wr.Op == OpRead {
 		// A small request packet travels out; the data comes back on the
@@ -508,13 +459,13 @@ func (d *Device) deliver(m *simnet.Message) {
 		})
 	case OpWrite:
 		mr := d.mrs[w.remoteMR]
-		if mr == nil || !mr.valid {
+		if mr == nil {
 			panic(fmt.Sprintf("verbs: WRITE to invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		mr.SetPayload(w.payload, w.size)
 	case OpWriteImm:
 		mr := d.mrs[w.remoteMR]
-		if mr == nil || !mr.valid {
+		if mr == nil {
 			panic(fmt.Sprintf("verbs: WRITE_IMM to invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		mr.SetPayload(w.payload, w.size)
@@ -529,7 +480,7 @@ func (d *Device) deliver(m *simnet.Message) {
 	case OpRead:
 		// Responder HCA streams the MR contents back; zero remote CPU.
 		mr := d.mrs[w.remoteMR]
-		if mr == nil || !mr.valid {
+		if mr == nil {
 			panic(fmt.Sprintf("verbs: READ of invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		payload, plen := mr.payload, mr.plen

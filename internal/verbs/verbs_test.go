@@ -96,7 +96,7 @@ func TestRDMAWriteDepositsIntoMR(t *testing.T) {
 	if v != "value-bytes" || n != 32*1024 {
 		t.Errorf("MR contents (%v,%d), want (value-bytes,32768)", v, n)
 	}
-	if r.recvB.Len() != 0 {
+	if _, ok := r.recvB.Poll(); ok {
 		t.Errorf("plain WRITE generated a remote completion")
 	}
 }
@@ -197,69 +197,6 @@ func TestOversizeInlinePanics(t *testing.T) {
 		r.qpA.PostSend(p, SendWR{Op: OpSend, Size: MaxInline + 1, Inline: true})
 	})
 	r.env.Run()
-}
-
-func TestMRRegistrationCostScalesWithPages(t *testing.T) {
-	env := sim.NewEnv()
-	f := simnet.New(env, simnet.FDRInfiniBand())
-	dev := OpenDevice(f.AddNode("n"))
-	pd := dev.AllocPD()
-	var small, large sim.Time
-	env.Spawn("reg", func(p *sim.Proc) {
-		t0 := p.Now()
-		pd.RegisterMR(p, 4096)
-		small = p.Now() - t0
-		t0 = p.Now()
-		pd.RegisterMR(p, 4096*1024)
-		large = p.Now() - t0
-	})
-	env.Run()
-	if small < regBaseCost {
-		t.Errorf("small registration %v below base %v", small, regBaseCost)
-	}
-	if large <= small {
-		t.Errorf("1024-page registration (%v) not costlier than 1-page (%v)", large, small)
-	}
-	if want := regBaseCost + 1024*regPerPageCost; large != want {
-		t.Errorf("large registration %v, want %v", large, want)
-	}
-}
-
-func TestMRDeregisterInvalidatesWrites(t *testing.T) {
-	r := newRig()
-	mr := r.pdB.RegisterMRSetup(4096)
-	mr.Deregister()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("WRITE to deregistered MR did not panic")
-		}
-	}()
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{Op: OpWrite, Size: 8, RemoteMR: mr.LKey()})
-	})
-	r.env.Run()
-}
-
-func TestCQNotify(t *testing.T) {
-	r := newRig()
-	r.qpB.PostRecv(RecvWR{WRID: 1})
-	var notified sim.Time = -1
-	r.env.Spawn("poller", func(p *sim.Proc) {
-		ev := r.recvB.Notify()
-		p.Wait(ev)
-		notified = p.Now()
-		if _, ok := r.recvB.Poll(); !ok {
-			t.Errorf("notify fired with empty CQ")
-		}
-	})
-	r.env.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(30 * sim.Microsecond)
-		r.qpA.PostSend(p, SendWR{Op: OpSend, Size: 64})
-	})
-	r.env.Run()
-	if notified < 30*sim.Microsecond {
-		t.Errorf("notified at %v, before the send", notified)
-	}
 }
 
 func TestQPOrderingPreserved(t *testing.T) {

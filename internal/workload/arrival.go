@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"hybridkv/internal/sim"
@@ -26,16 +25,6 @@ const (
 	// base rate (peak) and Trough times it (quietest point).
 	Diurnal
 )
-
-func (s Schedule) String() string {
-	switch s {
-	case FlashCrowd:
-		return "flashcrowd"
-	case Diurnal:
-		return "diurnal"
-	}
-	return "steady"
-}
 
 // Arrival is one arrival schedule instance.
 type Arrival struct {
@@ -96,15 +85,4 @@ func (a Arrival) Think(now sim.Time) sim.Time {
 // false for other schedules.
 func (a Arrival) InBurst(now sim.Time) bool {
 	return a.Schedule == FlashCrowd && now >= a.BurstStart && now < a.BurstStart+a.BurstLen
-}
-
-// Validate checks the schedule's parameters are usable.
-func (a Arrival) Validate() error {
-	if a.Schedule == FlashCrowd && a.BurstLen <= 0 {
-		return fmt.Errorf("workload: flash-crowd schedule needs BurstLen > 0")
-	}
-	if a.Schedule == Diurnal && a.Period <= 0 {
-		return fmt.Errorf("workload: diurnal schedule needs Period > 0")
-	}
-	return nil
 }

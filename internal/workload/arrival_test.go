@@ -20,9 +20,6 @@ func TestFlashCrowdSpikesInsideWindow(t *testing.T) {
 		Schedule: FlashCrowd, Base: 80 * sim.Microsecond,
 		Spike: 8, BurstStart: 10 * sim.Millisecond, BurstLen: 5 * sim.Millisecond,
 	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := a.Think(sim.Millisecond); got != 80*sim.Microsecond {
 		t.Errorf("pre-burst think %v, want base", got)
 	}
@@ -46,9 +43,6 @@ func TestDiurnalSwingsBetweenPeakAndTrough(t *testing.T) {
 		Schedule: Diurnal, Base: 100 * sim.Microsecond,
 		Period: 40 * sim.Millisecond, Trough: 0.25,
 	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Peak rate at Period/4 (sin = +1): think = base.
 	peak := a.Think(10 * sim.Millisecond)
 	// Trough at 3*Period/4 (sin = -1): think = base/0.25 = 4×base.
@@ -62,17 +56,5 @@ func TestDiurnalSwingsBetweenPeakAndTrough(t *testing.T) {
 	// One full period later the shape repeats.
 	if again := a.Think(50 * sim.Millisecond); again != peak {
 		t.Errorf("periodicity broken: %v vs %v", again, peak)
-	}
-}
-
-func TestArrivalValidate(t *testing.T) {
-	if err := (Arrival{Schedule: FlashCrowd, Base: sim.Microsecond}).Validate(); err == nil {
-		t.Errorf("flash crowd without BurstLen accepted")
-	}
-	if err := (Arrival{Schedule: Diurnal, Base: sim.Microsecond}).Validate(); err == nil {
-		t.Errorf("diurnal without Period accepted")
-	}
-	if err := (Arrival{Schedule: Steady}).Validate(); err != nil {
-		t.Errorf("steady rejected: %v", err)
 	}
 }

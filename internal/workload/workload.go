@@ -23,9 +23,6 @@ const (
 	Uniform
 	// Sequential sweeps the keyspace in order (preloads, scans).
 	Sequential
-	// Latest skews reads toward recently inserted keys (YCSB workload D):
-	// the drawn rank counts back from the newest key.
-	Latest
 )
 
 func (pt Pattern) String() string {
@@ -36,8 +33,6 @@ func (pt Pattern) String() string {
 		return "uniform"
 	case Sequential:
 		return "sequential"
-	case Latest:
-		return "latest"
 	}
 	return fmt.Sprintf("Pattern(%d)", int(pt))
 }
@@ -48,9 +43,6 @@ type OpKind int
 const (
 	OpGet OpKind = iota
 	OpSet
-	// OpScan is a short range read of consecutive keys (YCSB workload E);
-	// drawn only by NextScan.
-	OpScan
 )
 
 // Config describes one workload.
@@ -69,22 +61,14 @@ type Config struct {
 	ZipfS float64
 	// Seed makes the stream reproducible.
 	Seed int64
-	// GrowOnWrite makes every write target a brand-new key appended to
-	// the keyspace (YCSB D inserts). Keys then counts the preloaded
-	// prefix; the generator tracks growth.
-	GrowOnWrite bool
-	// ScanMax bounds the scan length drawn by NextScan (uniform in
-	// [1, ScanMax]; default 100, YCSB E's maxscanlength).
-	ScanMax int
 }
 
 // Generator produces a deterministic operation stream.
 type Generator struct {
-	cfg  Config
-	rng  *rand.Rand
-	cdf  []float64 // zipf cumulative distribution over ranks
-	seq  int
-	high int // current keyspace size (grows with GrowOnWrite inserts)
+	cfg Config
+	rng *rand.Rand
+	cdf []float64 // zipf cumulative distribution over ranks
+	seq int
 	// keys[i] is Key(i), rendered on first use — a draw costs a table read,
 	// not a Sprintf. "" marks a block not rendered yet.
 	keys []string
@@ -98,8 +82,8 @@ func New(cfg Config) *Generator {
 	if cfg.ZipfS <= 0 {
 		cfg.ZipfS = 0.99
 	}
-	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), high: cfg.Keys}
-	if cfg.Pattern == Zipf || cfg.Pattern == Latest {
+	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	if cfg.Pattern == Zipf {
 		g.cdf = zipfCDF(cfg.Keys, cfg.ZipfS)
 	}
 	return g
@@ -134,11 +118,11 @@ const keyBlock = 64
 // rendered once and served from a table after that; any other index is
 // rendered on the spot.
 func (g *Generator) Key(i int) string {
-	if i < 0 || i >= g.high {
+	if i < 0 || i >= g.cfg.Keys {
 		return fmt.Sprintf(keyFormat, i)
 	}
-	if i >= len(g.keys) {
-		g.keys = append(g.keys, make([]string, g.high-len(g.keys))...)
+	if g.keys == nil {
+		g.keys = make([]string, g.cfg.Keys)
 	}
 	if g.keys[i] == "" {
 		g.renderBlock(i)
@@ -176,13 +160,6 @@ func (g *Generator) nextIndex() int {
 		i := g.seq % g.cfg.Keys
 		g.seq++
 		return i
-	case Latest:
-		// Rank 0 = the newest key; draw the rank zipfian and count back.
-		rank := g.zipfRank()
-		if rank >= g.high {
-			rank = g.high - 1
-		}
-		return g.high - 1 - rank
 	default: // Zipf
 		// Scramble rank → key index so popular keys are spread across the
 		// keyspace (and across servers), as YCSB does.
@@ -221,38 +198,8 @@ func (g *Generator) Next() (OpKind, string) {
 	if g.rng.Float64() < g.cfg.ReadFraction {
 		return OpGet, g.Key(g.nextIndex())
 	}
-	return OpSet, g.Key(g.nextWrite())
+	return OpSet, g.Key(g.nextIndex())
 }
-
-// NextScan draws one operation from a scan mix (YCSB workload E): the read
-// share becomes OpScan with a start key and a length uniform in
-// [1, ScanMax]; the write share is the same insert/update draw as Next.
-// For OpGet/OpSet results the length is 1.
-func (g *Generator) NextScan() (kind OpKind, key string, scanLen int) {
-	if g.rng.Float64() < g.cfg.ReadFraction {
-		max := g.cfg.ScanMax
-		if max <= 0 {
-			max = 100
-		}
-		return OpScan, g.Key(g.nextIndex()), 1 + g.rng.Intn(max)
-	}
-	return OpSet, g.Key(g.nextWrite()), 1
-}
-
-// nextWrite draws the target index of one write: a fresh appended key
-// under GrowOnWrite (inserts), otherwise a distribution draw (updates).
-func (g *Generator) nextWrite() int {
-	if g.cfg.GrowOnWrite {
-		idx := g.high
-		g.high++
-		return idx
-	}
-	return g.nextIndex()
-}
-
-// High returns the current keyspace size (> Keys once GrowOnWrite inserts
-// have run).
-func (g *Generator) High() int { return g.high }
 
 // ValueSize returns the configured value size.
 func (g *Generator) ValueSize() int { return g.cfg.ValueSize }

@@ -140,15 +140,10 @@ func TestZipfCDFMonotone(t *testing.T) {
 // the strings are the ones Sprintf would give, inside the keyspace and out,
 // and a draw from a warmed generator allocates nothing.
 func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
-	g := New(Config{Keys: 1000, GrowOnWrite: true, Seed: 9})
+	g := New(Config{Keys: 1000, Seed: 9})
 	for _, i := range []int{0, 7, 63, 64, 999, 1000, 123456, -3} {
 		if got, want := g.Key(i), fmt.Sprintf("obj:%010d", i); got != want {
 			t.Errorf("Key(%d) = %q, want %q", i, got, want)
-		}
-	}
-	for i := 0; i < 300; i++ { // inserts grow the keyspace past the table
-		if _, key := g.Next(); key != fmt.Sprintf("obj:%010d", 1000+i) {
-			t.Fatalf("insert %d drew %q", i, key)
 		}
 	}
 	for _, pattern := range []Pattern{Uniform, Zipf} {
