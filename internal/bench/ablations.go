@@ -6,6 +6,7 @@ import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -218,22 +219,12 @@ func driveSetBursts(cl *cluster.Cluster, bursts int, buffered bool, r *run) {
 			var reqs []*core.Req
 			for i := 0; i < 16; i++ {
 				t0 := p.Now()
-				if cl.Design.NonBlocking() {
-					req, _ := c.ISet(p, key(b, i), kv, b, 0, 0)
-					reqs = append(reqs, req)
-				} else {
-					c.Set(p, key(b, i), kv, b, 0, 0)
-				}
+				reqs = append(reqs, issueAs(p, cl, c, core.Op{Code: protocol.OpSet, Key: key(b, i), ValueSize: kv, Value: b}, nil))
 				r.SetLat.Add(p.Now() - t0)
 			}
 			t0 := p.Now()
-			if cl.Design.NonBlocking() {
-				req, _ := c.IGet(p, key(b, 0))
-				c.Wait(p, req)
-				c.WaitAll(p, reqs)
-			} else {
-				c.Get(p, key(b, 0))
-			}
+			do(p, c, core.Op{Code: protocol.OpGet, Key: key(b, 0)}, nil)
+			c.WaitAll(p, reqs)
 			r.GetLat.Add(p.Now() - t0)
 		}
 	})

@@ -12,11 +12,15 @@ import (
 	"hybridkv/internal/workload"
 )
 
-// The drivers: one per workload shape. The closed-loop ones pick the API
-// the cluster's design stands for — blocking Set/Get, iset/iget, or
-// bset/bget — run the simulation to completion and fill the run's
-// measurement fields; they must be called outside any sim process. The
-// spawn* ones only start their processes: the caller runs the Env.
+// The drivers: one per workload shape. Every operation of every design
+// starts in issue / do (spec.go) — core.Client.Issue, on RDMA and on the
+// socket alike — and what differs between designs is only when the driver
+// waits: a non-blocking design (iset/iget, or bset/bget through apiOpts)
+// has requests in flight and collects them later, a blocking one waits after
+// each issue (issueAs). The closed-loop drivers run the simulation to
+// completion and fill the run's measurement fields; they must be called
+// outside any sim process. The spawn* ones only start their processes: the
+// caller runs the Env.
 
 // opFor is the operation for one generated (kind, key): the value of a Set
 // is its key, so a later hit is checkable.
@@ -46,30 +50,20 @@ func phase(cl *cluster.Cluster, ops int, r *run, body func(p *sim.Proc, c *core.
 	r.Ops = int64(ops)
 }
 
-var errBlocking = errors.New("bench: blocking operation failed")
-
-// blockingOp runs one blocking Set or Get — the only API the socket design
-// has; its recovery is the client's RecvTimeout/RecvRetries — and maps the
-// status onto the errors classify tallies.
-func blockingOp(p *sim.Proc, c *core.Client, kind workload.OpKind, key string, vs int) error {
-	if kind == workload.OpSet {
-		if c.Set(p, key, vs, key, 0, 0) == protocol.StatusError {
-			return errBlocking
-		}
-		return nil
+// issueAs starts op through the API the cluster's design stands for: on a
+// non-blocking design the request is in flight on return, a blocking one
+// waits after each issue and hands back a request that is done.
+func issueAs(p *sim.Proc, cl *cluster.Cluster, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
+	req := issue(p, c, op, opts)
+	if !cl.Design.NonBlocking() {
+		c.Wait(p, req)
 	}
-	switch _, _, st := c.Get(p, key); st {
-	case protocol.StatusError:
-		return errBlocking
-	case protocol.StatusNotFound:
-		return core.ErrNotFound
-	}
-	return nil
+	return req
 }
 
-// oneAtATime is the depth-1 closed loop's per-process body: ops operations
-// through the blocking API, or the guarded Issue path when opts is set,
-// under the web-caching contract — a Get miss fetches the value from the
+// oneAtATime is the depth-1 closed loop's per-process body: ops operations,
+// each issued through opts (nil: unguarded) and waited for, under the
+// web-caching contract — a Get miss fetches the value from the
 // backend (the miss penalty) and re-populates the cache. Every op is
 // tallied and timed, the miss's refill included.
 func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, opts []core.IssueOption, r *run) {
@@ -77,22 +71,13 @@ func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.
 	for i := 0; i < ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		var err error
-		if opts == nil {
-			err = blockingOp(p, c, kind, key, vs)
-		} else {
-			err = do(p, c, opFor(kind, key, vs), opts).Err()
-		}
+		err := do(p, c, opFor(kind, key, vs), opts).Err()
 		r.classify(err)
 		if errors.Is(err, core.ErrNotFound) {
 			mt := p.Now()
 			v := cl.Backend.Fetch(p, key)
 			c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
-			if opts == nil {
-				c.Set(p, key, vs, v, 0, 0)
-			} else {
-				do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts)
-			}
+			do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts)
 		}
 		d := p.Now() - t0
 		r.Lat.Add(d)
@@ -168,20 +153,18 @@ func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
 const computeGrain = 5 * sim.Microsecond
 
 // driveOverlap measures the time available for application computation
-// (Figure 7(a)): issue every op non-blockingly, then compute in grains,
-// testing completion between grains; r.Stall is the computation that fit,
-// and overlap% = Stall/Elapsed. A blocking design runs ops back-to-back —
-// no overlap by construction — and reports the measured (≈0) figure.
+// (Figure 7(a)): issue every op, then compute in grains, testing completion
+// between grains; r.Stall is the computation that fit, and overlap% =
+// Stall/Elapsed. A blocking design's requests are done as issued — no
+// overlap by construction — and it reports the measured (≈0) figure.
 func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
-		if !cl.Design.NonBlocking() {
-			for i := 0; i < ops; i++ {
-				kind, key := gen.Next()
-				blockingOp(p, c, kind, key, gen.ValueSize())
-			}
-			return
+		var pending []*core.Req
+		for i := 0; i < ops; i++ {
+			kind, key := gen.Next()
+			pending = append(pending, issueAs(p, cl, c, opFor(kind, key, gen.ValueSize()), apiOpts(cl)))
 		}
-		for pending := issueAll(p, c, gen, ops, apiOpts(cl), newRun(nil)); len(pending) > 0; {
+		for len(pending) > 0 {
 			if c.Test(pending[0]) {
 				pending = pending[1:]
 				continue
@@ -214,11 +197,7 @@ func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
 				if code == protocol.OpSet {
 					op.ValueSize, op.Value = bc.ChunkSize, blk*chunks+ch
 				}
-				if req := issue(p, c, op, nil); cl.Design.NonBlocking() {
-					reqs = append(reqs, req)
-				} else {
-					c.Wait(p, req)
-				}
+				reqs = append(reqs, issueAs(p, cl, c, op, nil))
 			}
 			c.WaitAll(p, reqs)
 			lat.Add(p.Now() - t0)
@@ -306,7 +285,7 @@ func batchedSocket(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, ba
 	for i := 1; i <= ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		blockingOp(p, c, kind, key, gen.ValueSize())
+		do(p, c, opFor(kind, key, gen.ValueSize()), nil)
 		if batch > 1 && i%batch == 0 {
 			c.FlushBuffers(p)
 		}

@@ -31,20 +31,9 @@ const (
 
 // Client-side recovery policy, armed for every phase (clean and faulted).
 const (
-	faultDeadline    = 32 * sim.Millisecond
-	faultWindow      = 32 // in-flight window for non-blocking designs
-	ipoibRecvTimeout = 8 * sim.Millisecond
-	ipoibRecvRetries = 3
+	faultDeadline = 32 * sim.Millisecond
+	faultWindow   = 32 // in-flight window for non-blocking designs
 )
-
-// socketRecovery is the socket design's whole recovery story: a receive
-// timeout and a resend budget in the client config.
-func socketRecovery(d cluster.Design) core.Config {
-	if d.Transport() == core.IPoIB {
-		return core.Config{RecvTimeout: ipoibRecvTimeout, RecvRetries: ipoibRecvRetries}
-	}
-	return core.Config{}
-}
 
 // faultCell is one phase: design d on a two-server deployment (so failover
 // has somewhere to go) of mem aggregate memory preloaded with dataBytes,
@@ -52,7 +41,7 @@ func socketRecovery(d cluster.Design) core.Config {
 func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.Config, faulted bool) cell {
 	sp := &spec{Config: cluster.Config{
 		Design: d, Profile: cluster.ClusterA(), Servers: 2, Clients: 1,
-		ServerMem: mem / 2, Client: socketRecovery(d),
+		ServerMem: mem / 2,
 	}, keys: int(dataBytes / int64(kv)), kv: kv}
 	return cell{design: d.String(), row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {
 		driveFaulted(cl, sp.gen(w), ops, faulted, r)
@@ -61,10 +50,11 @@ func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.C
 
 // driveFaulted executes ops operations on client 0. A faulted phase arms the
 // fabric injector, the server-0 crash window, and SSD error injection at
-// the start of the measurement phase; either way the RDMA designs use the
-// deadline/retry client API so no fault can wedge the run: blocking designs
-// one op at a time under the web-caching miss contract, non-blocking designs
-// in pipelined windows. In a clean phase the op path is virtual-time-
+// the start of the measurement phase; either way every design issues under
+// the same deadline/retry policy so no fault can wedge the run (the socket
+// reads its receive timeout and resend budget off it: 8 ms, 3 resends):
+// blocking designs one op at a time under the web-caching miss contract,
+// non-blocking designs in pipelined windows. In a clean phase the op path is virtual-time-
 // identical to the no-fault drivers (guards and timeout arms never fire), so
 // clean numbers match the other experiments exactly.
 func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted bool, r *run) {
@@ -80,15 +70,10 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted
 			dev.SetFaults(seed+int64(i)+1, faultSSDReadErr, 0)
 		}
 	}
-	// The RDMA designs use the Issue API armed with deadline + retry +
-	// failover; the socket design has only the blocking API.
 	opts := guard{
 		deadline: faultDeadline, attempts: 4, seed: seed, failover: len(cl.Servers) > 1,
 		backoff: 5 * sim.Microsecond, maxBackoff: sim.Millisecond, jitter: true,
 	}.opts(cl.Design.BufferGuarantee())
-	if cl.Design.Transport() == core.IPoIB {
-		opts = nil
-	}
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
 		if cl.Design.NonBlocking() {
 			pipelined(p, c, gen, ops, faultWindow, opts, r)

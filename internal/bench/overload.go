@@ -56,7 +56,6 @@ func overloadCell(d cluster.Design, mem int64, kv, ops int, protected bool) cell
 		// Small slab pages: eviction flushes every few SETs instead of
 		// every 128, so bursts genuinely contend for the storage workers.
 		SlabPageSize: 4 * kv,
-		Client:       socketRecovery(d),
 	}
 	prefix := "off_"
 	if protected {
@@ -82,8 +81,8 @@ func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) 
 	c, vs := cl.Clients[0], gen.ValueSize()
 	start := cl.Env.Now()
 	perBurst := (ops + overBursts - 1) / overBursts
+	opts := guard{deadline: overDeadline, attempts: 6, seed: 11, jitter: true}.opts(cl.Design.BufferGuarantee())
 	if cl.Design.Transport() == core.RDMA {
-		opts := guard{deadline: overDeadline, attempts: 6, seed: 11, jitter: true}.opts(cl.Design.BufferGuarantee())
 		spawnArrivals(cl, c, arrivals{
 			n: ops,
 			op: func(int) core.Op {
@@ -107,7 +106,7 @@ func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) 
 				}
 				kind, key := gen.Next()
 				t0 := p.Now()
-				err := blockingOp(p, c, kind, key, vs)
+				err := do(p, c, opFor(kind, key, vs), opts).Err()
 				r.classify(err)
 				if kind == workload.OpGet && err == nil {
 					r.GetLat.Add(p.Now() - t0)

@@ -81,8 +81,9 @@ func TestGetsReadsTheTokenCompareAndSetChecks(t *testing.T) {
 				t.Errorf("pair %d: gets: %v", i, st)
 				return
 			}
-			if st := c.CompareAndSet(p, key, 64, i, 0, 0, cas); st != protocol.StatusStored {
-				t.Errorf("pair %d: compare-and-set with the token Gets returned: %v", i, st)
+			req, _ := c.Issue(p, core.Op{Code: protocol.OpCAS, Key: key, ValueSize: 64, Value: i, CAS: cas})
+			if c.Wait(p, req); req.Status != protocol.StatusStored {
+				t.Errorf("pair %d: compare-and-set with the token Gets returned: %v", i, req.Status)
 			}
 		}
 	})

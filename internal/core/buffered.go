@@ -38,22 +38,23 @@ func (c *Client) SetBuffering(on bool) error {
 	return nil
 }
 
-// bufferedSet queues the Set locally; the caller regains control (and its
-// buffers — the queue copies) immediately.
-func (c *Client) bufferedSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	cn := c.route(key, routeWrite, nil)
+// bufferSet queues the Set on cn; the caller regains control (and its
+// buffers — the queue copies) immediately, holding a request that is already
+// complete: libmemcached reports BUFFERED as success, and nothing the server
+// later says about a deferred Set reaches its handle. Its attempt ends with
+// it, without a verdict, so whatever routing took for it — a half-open
+// breaker's probe slot — goes back through settle.
+func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
-	p.Sleep(memcpyTime(valueSize)) // copy into the output buffer
-	c.nextID++
-	cn.buffered = append(cn.buffered, &protocol.Request{
-		Op: protocol.OpSet, ReqID: c.nextID, Key: key,
-		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	})
+	c.initReq(req, op)
+	p.Sleep(memcpyTime(op.ValueSize)) // copy into the output buffer
+	cn.buffered = append(cn.buffered, &req.attach(cn, attOffWire).wire)
 	c.Issued++
+	req.finish(completed, &protocol.Response{Status: protocol.StatusStored})
 	if len(cn.buffered) >= bufferFlushThreshold {
 		c.flushConn(p, cn)
 	}
-	return protocol.StatusStored // libmemcached reports BUFFERED/SUCCESS
+	return req
 }
 
 // FlushBuffers pushes out every queued Set and waits for the responses.
@@ -84,14 +85,12 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 		c.FrameOps += int64(len(batch))
 		cn.stream.Send(p, frame.WireSize(), frame)
 	}
+	// Statuses of deferred sets are not reported per-op, and each was counted
+	// complete when it was queued: the responses are only drained.
 	for range batch {
-		msg, ok := cn.stream.Recv(p)
-		if !ok {
+		if _, ok := cn.stream.Recv(p); !ok {
 			break
 		}
-		resp := msg.Payload.(*protocol.Response)
-		_ = resp // statuses of deferred sets are not reported per-op
-		c.Completed++
 	}
 	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 }

@@ -10,17 +10,21 @@
 //	        WithDeadline(5*sim.Millisecond),  // bound completion
 //	        WithRetry(RetryPolicy{Failover: true}))
 //
-// Issue returns once the request is handed to the RDMA communication
-// engine (iset/iget semantics); WithBufferAck additionally blocks until
-// the key/value buffers are reusable (bset/bget). Completion is observed
-// with Test / Wait / WaitTimeout / WaitAny / WaitAll, or abandoned with
-// Cancel. Outcomes are read as errors: Req.Err() maps the protocol status
-// plus local timeout/cancel outcomes onto sentinel errors (ErrNotFound,
-// ErrDeadlineExceeded, ErrCanceled, …).
+// Issue is the one way an operation starts, on either transport, and the
+// memcached command alphabet is protocol.Opcode through it. On RDMA it returns
+// once the request is handed to the communication engine (iset/iget
+// semantics); WithBufferAck additionally blocks until the key/value buffers
+// are reusable (bset/bget). A socket has no non-blocking send: on IPoIB the
+// request Issue returns is already complete, its receive timeout and resend
+// budget read off the same WithRetry / WithDeadline options (ipoibExchange).
+// Completion is observed with Test / Wait / WaitTimeout / WaitAny / WaitAll,
+// or abandoned with Cancel. Outcomes are read as errors: Req.Err() maps the
+// protocol status plus local timeout/cancel outcomes onto sentinel errors
+// (ErrNotFound, ErrDeadlineExceeded, ErrCanceled, …).
 //
 // API mapping from the paper's C extensions to Go:
 //
-//	memcached_set/get/delete → Client.Set / Client.Get / Client.Delete
+//	memcached_set/get        → Client.Set / Client.Get (Issue + Wait)
 //	memcached_iset/iget      → Issue(p, Op{...})            (wrappers:
 //	    Client.ISet / Client.IGet; key/value buffers NOT yet reusable)
 //	memcached_bset/bget      → Issue(p, Op{...}, WithBufferAck())
@@ -28,6 +32,8 @@
 //	memcached_test/wait      → Client.Test / Client.Wait (+ WaitAny/WaitAll)
 //	memcached_req            → Req (completion flag, response buffer,
 //	    status, Err, timing)
+//	memcached_add/cas/incr/… → Issue(p, Op{Code: protocol.OpAdd, ...})
+//	    (commands.go keeps Gets and FlushAll, which an Op cannot spell)
 //
 // Runtime structure per connection (violet/red/green paths of Figure 3):
 // a TX engine process drains an issue queue, respecting per-connection
@@ -69,13 +75,6 @@ const (
 type Config struct {
 	// Transport selects RDMA verbs or IPoIB sockets.
 	Transport Transport
-	// RecvTimeout bounds each blocking IPoIB receive (SO_RCVTIMEO); 0 waits
-	// forever. On timeout the request is resent up to RecvRetries times,
-	// then fails with ErrDeadlineExceeded.
-	RecvTimeout sim.Time
-	// RecvRetries is the resend budget per IPoIB operation when RecvTimeout
-	// is set.
-	RecvRetries int
 	// Breaker attaches a per-server circuit breaker to every connection
 	// (see BreakerConfig). Zero value = no breakers, routing unchanged.
 	Breaker BreakerConfig
@@ -671,16 +670,13 @@ func (c *Client) WaitAll(p *sim.Proc, reqs []*Req) error {
 
 // --- Blocking API (default libmemcached semantics) ---
 //
-// Every blocking call — these three and the commands in commands.go — is
-// one roundTrip.
+// Set and Get are the paper's memcached_set/get: one Issue and its Wait.
+// Every other command is spelled Issue(p, Op{Code: ...}) — see commands.go.
 
 // Set stores a value and blocks for the server's reply (memcached_set).
 // With buffering enabled (SetBuffering), the Set is deferred client-side
 // instead, as classic libmemcached does.
 func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	if c.buffering {
-		return c.bufferedSet(p, key, valueSize, value, flags, expire)
-	}
 	return c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}).Status
 }
 
@@ -692,25 +688,33 @@ func (c *Client) Get(p *sim.Proc, key string) (value any, size int, status proto
 	return req.Value, req.ValueSize, req.Status
 }
 
-// Delete removes a key and blocks for the reply (memcached_delete).
-func (c *Client) Delete(p *sim.Proc, key string) protocol.Status {
-	return c.roundTrip(p, Op{Code: protocol.OpDelete, Key: key}).Status
-}
-
 // roundTrip runs op to completion on the connection its key routes to and
-// returns its handle: begin (issue.go) + Wait.
+// returns its handle: Issue + Wait.
 func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
-	req := c.begin(p, op, opts...)
+	req, _ := c.Issue(p, op, opts...)
 	c.Wait(p, req)
 	return req
 }
 
 // ipoibExchange performs one blocking request/response on cn over the
 // socket stack: the send blocks for the kernel copy (buffers reusable on
-// return), then the client waits for the reply — bounded by
-// Config.RecvTimeout when set, resending up to Config.RecvRetries times
-// before failing with ErrDeadlineExceeded.
+// return), then the client waits for the reply. The request's own options
+// bound that wait: under WithRetry every receive gets AttemptTimeout and the
+// request is resent up to MaxAttempts-1 times, under WithDeadline alone the
+// one receive gets the deadline, with neither it waits forever; past the
+// budget the request fails with ErrDeadlineExceeded. Hedge, failover, backoff
+// and BufferAck are ignored: a blocking socket carries one exchange at a time
+// to one server and its send has already copied the buffers, so none of them
+// has anything to act on.
 func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
+	o := &req.opts
+	o.ack = false
+	timeout, resends := o.deadline, 0
+	if o.retry != nil {
+		pol := *o.retry
+		pol.fill()
+		timeout, resends = pol.AttemptTimeout, pol.MaxAttempts-1
+	}
 	p.Sleep(prepCost)
 	c.initReq(req, op)
 	// The exchange is the request's one attempt, resends included: it holds
@@ -724,13 +728,13 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	for !req.done.Fired() {
 		var msg verbs.StreamMsg
 		var ok, late bool
-		if c.cfg.RecvTimeout > 0 {
-			msg, ok, late = cn.stream.RecvTimeout(p, c.cfg.RecvTimeout)
+		if timeout > 0 {
+			msg, ok, late = cn.stream.RecvTimeout(p, timeout)
 		} else {
 			msg, ok = cn.stream.Recv(p)
 		}
 		switch {
-		case late && req.Attempts <= c.cfg.RecvRetries:
+		case late && req.Attempts <= resends:
 			req.Attempts++
 			c.Faults.Inc(metrics.CRetries)
 			c.Sends++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -150,7 +151,7 @@ func TestDelete(t *testing.T) {
 	var st1, st2 protocol.Status
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		r.client.Set(p, "k", 100, "v", 0, 0)
-		st1 = r.client.Delete(p, "k")
+		st1 = r.client.roundTrip(p, Op{Code: protocol.OpDelete, Key: "k"}).Status
 		_, _, st2 = r.client.Get(p, "k")
 	})
 	r.env.Run()
@@ -315,23 +316,68 @@ func TestTestSemantics(t *testing.T) {
 	r.env.Run()
 }
 
-func TestNonBlockingUnsupportedOnIPoIB(t *testing.T) {
-	r := newTestRig(rigOpts{transport: IPoIB})
-	r.env.Spawn("bench", func(p *sim.Proc) {
-		if _, err := r.client.ISet(p, "k", 100, "v", 0, 0); err != ErrTransport {
-			t.Errorf("ISet on IPoIB err=%v", err)
+// TestIssueOnIPoIB: Issue is the front door on the socket too. The stack has
+// no non-blocking send, so the request it returns is already done and Err
+// agrees with its status; the request's own options bound the exchange —
+// WithDeadline alone, WithRetry with its resends — and a hedge, a failover or
+// a BufferAck option is inert.
+func TestIssueOnIPoIB(t *testing.T) {
+	r := newTestRig(rigOpts{transport: IPoIB, servers: 2})
+	lost := &filterInjector{pick: func(int) bool { return false }}
+	r.fabric.SetFaults(lost)
+	get := Op{Code: protocol.OpGet, Key: "k"}
+	retry := WithRetry(RetryPolicy{MaxAttempts: 3, AttemptTimeout: 50 * sim.Microsecond, Failover: true})
+	r.env.Spawn("app", func(p *sim.Proc) {
+		issue := func(op Op, opts ...IssueOption) *Req {
+			req, err := r.client.Issue(p, op, opts...)
+			if err != nil || !req.Done() {
+				t.Fatalf("%v %q: err %v, done %v: want a request that is complete on return", op.Code, op.Key, err, req.Done())
+			}
+			if !errors.Is(req.Err(), statusErr(req.Status)) && !req.TimedOut() {
+				t.Errorf("%v %q: status %v but err %v", op.Code, op.Key, req.Status, req.Err())
+			}
+			return req
 		}
-		if _, err := r.client.IGet(p, "k"); err != ErrTransport {
-			t.Errorf("IGet on IPoIB err=%v", err)
+		if req := issue(Op{Code: protocol.OpSet, Key: "k", ValueSize: 100, Value: "v"}, WithBufferAck()); req.Err() != nil || req.Acked() {
+			t.Errorf("set with a BufferAck option: err %v, acked %v", req.Err(), req.Acked())
 		}
-		if _, err := r.client.BSet(p, "k", 100, "v", 0, 0); err != ErrTransport {
-			t.Errorf("BSet on IPoIB err=%v", err)
+		if req := issue(get, WithHedge(sim.Nanosecond)); req.Value != "v" || req.Attempts != 1 {
+			t.Errorf("hedged get: value %v in %d attempts", req.Value, req.Attempts)
 		}
-		if _, err := r.client.BGet(p, "k"); err != ErrTransport {
-			t.Errorf("BGet on IPoIB err=%v", err)
+		if req := issue(Op{Code: protocol.OpGet, Key: "nope"}); !errors.Is(req.Err(), ErrNotFound) {
+			t.Errorf("get of a missing key: %v", req.Err())
+		}
+
+		// One lost request: the first resend is answered, on the same server.
+		lost.n, lost.pick = 0, func(n int) bool { return n == 1 }
+		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.conn != r.client.route("k", routeGet, nil) {
+			t.Errorf("one lost request under WithRetry: err %v after %d attempts", req.Err(), req.Attempts)
+		}
+		// A mute server: each option bounds the exchange by its own budget.
+		lost.pick = func(int) bool { return true }
+		for _, c := range []struct {
+			name     string
+			opts     []IssueOption
+			attempts int
+			within   sim.Time
+		}{
+			{"WithDeadline alone", []IssueOption{WithDeadline(200 * sim.Microsecond)}, 1, 200 * sim.Microsecond},
+			{"WithRetry", []IssueOption{retry}, 3, 3 * 50 * sim.Microsecond},
+		} {
+			t0 := p.Now()
+			req := issue(get, c.opts...)
+			if !errors.Is(req.Err(), ErrDeadlineExceeded) || req.Attempts != c.attempts {
+				t.Errorf("%s against a mute server: err %v after %d attempts, want a timeout after %d", c.name, req.Err(), req.Attempts, c.attempts)
+			}
+			if took := p.Now() - t0; took < c.within || took > c.within+40*sim.Microsecond { // the slack: the blocking sends
+				t.Errorf("%s against a mute server: took %v, want its budget of %v", c.name, took, c.within)
+			}
 		}
 	})
 	r.env.Run()
+	if st := r.client.Stats(); st.Hedges != 0 || st.Failovers != 0 || st.Retries != 3 || st.Timeouts != 2 {
+		t.Errorf("hedges %d, failovers %d, retries %d, timeouts %d; want 0, 0, 3, 2", st.Hedges, st.Failovers, st.Retries, st.Timeouts)
+	}
 }
 
 func TestMultiServerDistribution(t *testing.T) {

@@ -5,90 +5,24 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// This file adds the remaining libmemcached commands as blocking calls on
-// both transports: memcached_add/replace/cas/append/prepend/
-// incr/decr/touch, plus multi-get. The paper's non-blocking extensions
-// apply to Set/Get; everything else keeps classic blocking semantics. Each
-// is one roundTrip (client.go).
-
-// Add stores a value only if the key does not exist (memcached_add).
-func (c *Client) Add(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpAdd, Key: key,
-		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
-}
-
-// Replace stores a value only if the key exists (memcached_replace).
-func (c *Client) Replace(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpReplace, Key: key,
-		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
-}
-
-// CompareAndSet stores a value only if cas matches the item's current token
-// (memcached_cas). Fetch the token with Gets.
-func (c *Client) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cas uint64) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpCAS, Key: key, CAS: cas,
-		ValueSize: valueSize, Value: value, Flags: flags, Expire: expire,
-	}).Status
-}
+// The memcached command alphabet is protocol.Opcode through Issue, on both
+// transports: memcached_add/replace/cas/append/prepend/incr/decr/touch/delete
+// are Issue(p, Op{Code: protocol.OpAdd, ...}) and a Wait, so each takes the
+// same options — a deadline, a retry budget — as a Set or a Get, and a
+// multi-get is a loop of Issue and one WaitAll. What is left here is the two
+// commands an Op cannot spell: Gets, whose GET routes as the CompareAndSet
+// after it will, and FlushAll, which addresses every connection and no key.
 
 // Gets fetches a value together with its CAS token (memcached_gets), from
-// the server a CompareAndSet on the key would go to (see casRead).
+// the server an OpCAS on the key would go to (see casRead).
 func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64, status protocol.Status) {
 	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead)
 	return req.Value, req.ValueSize, req.CAS, req.Status
 }
 
-// Append concatenates extra bytes after the stored value (memcached_append).
-func (c *Client) Append(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpAppend, Key: key, ValueSize: extraSize, Value: extra,
-	}).Status
-}
-
-// Prepend concatenates extra bytes before the stored value
-// (memcached_prepend).
-func (c *Client) Prepend(p *sim.Proc, key string, extraSize int, extra any) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpPrepend, Key: key, ValueSize: extraSize, Value: extra,
-	}).Status
-}
-
-// Incr adds delta to a counter and returns the new value
-// (memcached_increment). Store counters with SetCounter.
-func (c *Client) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpIncr, Key: key, Delta: delta})
-	v, _ := req.Value.(uint64)
-	return v, req.Status
-}
-
-// Decr subtracts delta from a counter, flooring at zero
-// (memcached_decrement).
-func (c *Client) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	req := c.roundTrip(p, Op{Code: protocol.OpDecr, Key: key, Delta: delta})
-	v, _ := req.Value.(uint64)
-	return v, req.Status
-}
-
-// CounterSize is the stored size of a numeric counter value.
+// CounterSize is the stored size of a numeric counter value: what OpIncr and
+// OpDecr work on is an OpSet of this size whose value is a uint64.
 const CounterSize = 20
-
-// SetCounter initializes a counter key (a Set whose value is a uint64, the
-// form Incr/Decr require).
-func (c *Client) SetCounter(p *sim.Proc, key string, initial uint64) protocol.Status {
-	return c.roundTrip(p, Op{
-		Code: protocol.OpSet, Key: key, ValueSize: CounterSize, Value: initial,
-	}).Status
-}
-
-// Touch updates a key's expiration without moving data (memcached_touch).
-func (c *Client) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
-	return c.roundTrip(p, Op{Code: protocol.OpTouch, Key: key, Expire: expire}).Status
-}
 
 // FlushAll invalidates every item on every connected server
 // (memcached_flush). Blocking; returns the first non-OK status.
@@ -101,19 +35,5 @@ func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
 			out = req.Status
 		}
 	}
-	return out
-}
-
-// MGet fetches many keys at once (memcached_mget + fetch): on RDMA it
-// issues every Get non-blockingly — the requests fan out across the server
-// pool in parallel — and waits for the full batch; on IPoIB each Get is a
-// sequential round trip. Results are returned in key order; missing keys
-// have Status NotFound.
-func (c *Client) MGet(p *sim.Proc, keys []string) []*Req {
-	out := make([]*Req, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, c.begin(p, Op{Code: protocol.OpGet, Key: k}))
-	}
-	c.WaitAll(p, out)
 	return out
 }

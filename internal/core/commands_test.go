@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -9,127 +10,121 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// TestBlockingCommands runs every blocking command on both transports: they
-// are all one roundTrip, so one script per command family serves RDMA and
-// IPoIB alike.
+// cmdStep is one operation of a TestBlockingCommands script and what its
+// request must hold once waited for: the status, and — when set — the value
+// and the size. token +1 makes the step a gets (the GET carries casRead, its
+// CAS token must be non-zero and is remembered), -1 sends the remembered one.
+type cmdStep struct {
+	op    Op
+	want  protocol.Status
+	value any
+	size  int
+	token int
+}
+
+// TestBlockingCommands runs the memcached command alphabet — every opcode,
+// through Issue and Wait — on both transports: one table serves RDMA and
+// IPoIB alike, because Issue is the front door of both. flush_all, the one
+// command an Op does not spell, goes through FlushAll.
 func TestBlockingCommands(t *testing.T) {
+	const ok, stored, notStored, notFound = protocol.StatusOK, protocol.StatusStored, protocol.StatusNotStored, protocol.StatusNotFound
+	store := func(code protocol.Opcode, key string, size int, v any, want protocol.Status) cmdStep {
+		return cmdStep{op: Op{Code: code, Key: key, ValueSize: size, Value: v}, want: want}
+	}
+	set := func(key string, size int, v any) cmdStep { return store(protocol.OpSet, key, size, v, stored) }
+	on := func(code protocol.Opcode, key string, want protocol.Status) cmdStep {
+		return cmdStep{op: Op{Code: code, Key: key}, want: want}
+	}
+	var fill, gone []cmdStep
+	for i := 0; i < 30; i++ {
+		fill = append(fill, set(fmt.Sprintf("k%02d", i), 1024, i))
+		gone = append(gone, on(protocol.OpGet, fmt.Sprintf("k%02d", i), notFound))
+	}
 	scripts := []struct {
 		name    string
 		servers int
-		run     func(t *testing.T, p *sim.Proc, r *testRig)
+		steps   []cmdStep
 	}{
-		{"add-replace", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			if st := r.client.Add(p, "k", 10, "a", 0, 0); st != protocol.StatusStored {
-				t.Errorf("add fresh: %v", st)
-			}
-			if st := r.client.Add(p, "k", 10, "b", 0, 0); st != protocol.StatusNotStored {
-				t.Errorf("add dup: %v", st)
-			}
-			if st := r.client.Replace(p, "k", 10, "c", 0, 0); st != protocol.StatusStored {
-				t.Errorf("replace: %v", st)
-			}
-			if st := r.client.Replace(p, "missing", 10, "d", 0, 0); st != protocol.StatusNotStored {
-				t.Errorf("replace missing: %v", st)
-			}
-			v, _, _ := r.client.Get(p, "k")
-			if v != "c" {
-				t.Errorf("final value %v", v)
-			}
+		{"add-replace", 1, []cmdStep{
+			store(protocol.OpAdd, "k", 10, "a", stored),
+			store(protocol.OpAdd, "k", 10, "b", notStored),
+			store(protocol.OpReplace, "k", 10, "c", stored),
+			store(protocol.OpReplace, "missing", 10, "d", notStored),
+			{op: Op{Code: protocol.OpGet, Key: "k"}, want: ok, value: "c"},
 		}},
-		{"cas-cycle", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			r.client.Set(p, "k", 10, "v1", 0, 0)
-			_, _, cas, st := r.client.Gets(p, "k")
-			if st != protocol.StatusOK || cas == 0 {
-				t.Fatalf("gets: (%d,%v)", cas, st)
-			}
-			if st := r.client.CompareAndSet(p, "k", 10, "v2", 0, 0, cas); st != protocol.StatusStored {
-				t.Errorf("cas current: %v", st)
-			}
-			if st := r.client.CompareAndSet(p, "k", 10, "v3", 0, 0, cas); st != protocol.StatusExists {
-				t.Errorf("cas stale: %v", st)
-			}
+		{"cas-cycle", 1, []cmdStep{
+			set("k", 10, "v1"),
+			{op: Op{Code: protocol.OpGet, Key: "k"}, want: ok, token: +1},
+			{op: Op{Code: protocol.OpCAS, Key: "k", ValueSize: 10, Value: "v2"}, want: stored, token: -1},
+			{op: Op{Code: protocol.OpCAS, Key: "k", ValueSize: 10, Value: "v3"}, want: protocol.StatusExists, token: -1},
 		}},
-		{"counters", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			if st := r.client.SetCounter(p, "hits", 100); st != protocol.StatusStored {
-				t.Fatalf("set counter: %v", st)
-			}
-			if v, st := r.client.Incr(p, "hits", 11); st != protocol.StatusOK || v != 111 {
-				t.Errorf("incr -> (%d,%v)", v, st)
-			}
-			if v, st := r.client.Decr(p, "hits", 11); st != protocol.StatusOK || v != 100 {
-				t.Errorf("decr -> (%d,%v)", v, st)
-			}
-			if _, st := r.client.Incr(p, "nope", 1); st != protocol.StatusNotFound {
-				t.Errorf("incr missing: %v", st)
-			}
+		{"counters", 1, []cmdStep{
+			set("hits", CounterSize, uint64(100)),
+			{op: Op{Code: protocol.OpIncr, Key: "hits", Delta: 11}, want: ok, value: uint64(111)},
+			{op: Op{Code: protocol.OpDecr, Key: "hits", Delta: 11}, want: ok, value: uint64(100)},
+			{op: Op{Code: protocol.OpIncr, Key: "nope", Delta: 1}, want: notFound},
 		}},
-		{"append-prepend-touch", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			r.client.Set(p, "log", 100, "entry1", 0, 0)
-			if st := r.client.Append(p, "log", 50, "entry2"); st != protocol.StatusStored {
-				t.Errorf("append: %v", st)
-			}
-			if st := r.client.Prepend(p, "log", 25, "hdr"); st != protocol.StatusStored {
-				t.Errorf("prepend: %v", st)
-			}
-			_, size, st := r.client.Get(p, "log")
-			if st != protocol.StatusOK || size != 175 {
-				t.Errorf("after concat: (%d,%v)", size, st)
-			}
-			if st := r.client.Touch(p, "log", 300); st != protocol.StatusOK {
-				t.Errorf("touch: %v", st)
-			}
-			if st := r.client.Touch(p, "missing", 300); st != protocol.StatusNotFound {
-				t.Errorf("touch missing: %v", st)
-			}
+		{"append-prepend-touch", 1, []cmdStep{
+			set("log", 100, "entry1"),
+			store(protocol.OpAppend, "log", 50, "entry2", stored),
+			store(protocol.OpPrepend, "log", 25, "hdr", stored),
+			{op: Op{Code: protocol.OpGet, Key: "log"}, want: ok, size: 175},
+			{op: Op{Code: protocol.OpTouch, Key: "log", Expire: 300}, want: ok},
+			{op: Op{Code: protocol.OpTouch, Key: "missing", Expire: 300}, want: notFound},
 		}},
-		{"delete", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			r.client.Set(p, "k", 100, "v", 0, 0)
-			if st := r.client.Delete(p, "k"); st != protocol.StatusDeleted {
-				t.Errorf("delete: %v", st)
-			}
-			if st := r.client.Delete(p, "k"); st != protocol.StatusNotFound {
-				t.Errorf("delete again: %v", st)
-			}
+		{"delete", 1, []cmdStep{
+			set("k", 100, "v"),
+			on(protocol.OpDelete, "k", protocol.StatusDeleted),
+			on(protocol.OpDelete, "k", notFound),
 		}},
-		{"mget", 1, func(t *testing.T, p *sim.Proc, r *testRig) {
-			r.client.Set(p, "a", 10, "va", 0, 0)
-			reqs := r.client.MGet(p, []string{"a", "missing"})
-			if reqs[0].Status != protocol.StatusOK || reqs[0].Value != "va" {
-				t.Errorf("mget[0] %+v", reqs[0])
-			}
-			if reqs[1].Status != protocol.StatusNotFound {
-				t.Errorf("mget[1] %v", reqs[1].Status)
-			}
+		{"mget", 1, []cmdStep{
+			set("a", 10, "va"),
+			{op: Op{Code: protocol.OpGet, Key: "a"}, want: ok, value: "va"},
+			on(protocol.OpGet, "missing", notFound),
 		}},
-		{"flush-all", 3, func(t *testing.T, p *sim.Proc, r *testRig) {
-			for i := 0; i < 30; i++ {
-				r.client.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
-			}
-			if st := r.client.FlushAll(p); st != protocol.StatusOK {
-				t.Errorf("flush_all: %v", st)
-			}
-			for i := 0; i < 30; i++ {
-				if _, _, st := r.client.Get(p, fmt.Sprintf("k%02d", i)); st != protocol.StatusNotFound {
-					t.Errorf("key %d survived flush_all", i)
-					break
-				}
-			}
-			for i, srv := range r.servers {
-				if srv.Store().Len() != 0 {
-					t.Errorf("server %d still holds %d keys", i, srv.Store().Len())
-				}
-			}
-		}},
+		{"flush-all", 3, append(append(fill, on(protocol.OpFlushAll, "", ok)), gone...)},
 	}
 	names := map[Transport]string{RDMA: "rdma", IPoIB: "ipoib"}
 	for _, tr := range []Transport{RDMA, IPoIB} {
 		for _, sc := range scripts {
 			t.Run(names[tr]+"/"+sc.name, func(t *testing.T) {
 				r := newTestRig(rigOpts{transport: tr, pipeline: server.Async, servers: sc.servers})
-				r.env.Spawn("app", func(p *sim.Proc) { sc.run(t, p, r) })
+				r.env.Spawn("app", func(p *sim.Proc) {
+					var token uint64
+					for _, st := range sc.steps {
+						if st.op.Code == protocol.OpFlushAll {
+							if got := r.client.FlushAll(p); got != st.want {
+								t.Errorf("flush_all: %v", got)
+							}
+							continue
+						}
+						var opts []IssueOption
+						if st.token > 0 {
+							opts = []IssueOption{casRead}
+						} else if st.token < 0 {
+							st.op.CAS = token
+						}
+						req, _ := r.client.Issue(p, st.op, opts...)
+						r.client.Wait(p, req)
+						if st.token > 0 {
+							token = req.CAS
+						}
+						if req.Status != st.want || !errors.Is(req.Err(), statusErr(st.want)) ||
+							st.value != nil && req.Value != st.value || st.size != 0 && req.ValueSize != st.size ||
+							st.token > 0 && req.CAS == 0 {
+							t.Errorf("%v %q: (%v, %v, %d bytes, cas %d), err %v; want %+v",
+								st.op.Code, st.op.Key, req.Status, req.Value, req.ValueSize, req.CAS, req.Err(), st)
+						}
+					}
+				})
 				r.env.Run()
 				if st := r.client.Stats(); st.Issued != st.Completed {
 					t.Errorf("issued %d, completed %d", st.Issued, st.Completed)
+				}
+				for i, srv := range r.servers {
+					if sc.name == "flush-all" && srv.Store().Len() != 0 {
+						t.Errorf("server %d still holds %d keys", i, srv.Store().Len())
+					}
 				}
 			})
 		}
@@ -148,7 +143,11 @@ func TestMGetParallelism(t *testing.T) {
 			r.client.Set(p, k, 8192, i, 0, 0)
 		}
 		t0 := p.Now()
-		reqs := r.client.MGet(p, keys)
+		reqs := make([]*Req, n)
+		for i, k := range keys {
+			reqs[i], _ = r.client.IGet(p, k)
+		}
+		r.client.WaitAll(p, reqs)
 		mgetTime = p.Now() - t0
 		for i, req := range reqs {
 			if req.Status != protocol.StatusOK || req.Value != i {

@@ -26,7 +26,7 @@ import (
 // below is far enough apart that no two of them race.
 const (
 	endHedgeAt  = 20 * sim.Microsecond  // the hedge threshold
-	endAttempt  = 50 * sim.Microsecond  // the retry rows' per-attempt timeout, the socket's RecvTimeout
+	endAttempt  = 50 * sim.Microsecond  // the retry rows' per-attempt timeout, the socket rows' too
 	endCancelAt = 60 * sim.Microsecond  // when the cancel rows cancel
 	endDeadline = 150 * sim.Microsecond // the deadline rows' budget
 	endSlowBy   = 60 * sim.Microsecond  // a server slower than the hedge threshold
@@ -123,6 +123,9 @@ type endRow struct {
 }
 
 const endKey = "k"
+
+// endSocketRetry is the socket rows' budget: two resends, endAttempt apart.
+var endSocketRetry = WithRetry(RetryPolicy{MaxAttempts: 3, AttemptTimeout: endAttempt})
 
 func endGet(key string) Op { return Op{Code: protocol.OpGet, Key: key} }
 
@@ -289,7 +292,7 @@ var endRows = []endRow{
 	{
 		name: "on a socket, the answer", ipoib: true, offWire: true, heard: true, ends: answered,
 		drive: func(x *endCell, p *sim.Proc) *Req {
-			return x.c.roundTrip(p, endGet(endKey))
+			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
 		},
 	},
 	{
@@ -297,7 +300,7 @@ var endRows = []endRow{
 		moved: map[string]int64{"retries": 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.net["client0"] = &shape{lose: 1}
-			return x.c.roundTrip(p, endGet(endKey))
+			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
 		},
 	},
 	{
@@ -305,7 +308,7 @@ var endRows = []endRow{
 		moved: map[string]int64{"retries": 2, "timeouts": 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.net["client0"] = &shape{mute: true}
-			return x.c.roundTrip(p, endGet(endKey))
+			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
 		},
 	},
 	{
@@ -353,7 +356,6 @@ func newEndCell(t *testing.T, row *endRow, col *endCol) *endCell {
 	}
 	o.clientCfg = func(cc *Config) {
 		cc.Bypass = row.bypass
-		cc.RecvTimeout, cc.RecvRetries = endAttempt, 2
 		if col.probe {
 			cc.Breaker = BreakerConfig{Threshold: endTrips, Cooldown: endCooldown}
 		}

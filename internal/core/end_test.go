@@ -194,3 +194,38 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 		})
 	}
 }
+
+// A buffered socket Set was routed like any attempt — so a half-open breaker
+// gave it its one probe slot — but was no request: nothing ever settled for
+// it, and the slot stayed taken, the breaker half-open and refusing, until
+// some request failed through to it. It is a request now, made in beginOn:
+// its attempt ends with it, without a verdict, and hands the slot on.
+func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
+	r := newTestRig(rigOpts{transport: IPoIB, servers: 2, clientCfg: func(c *Config) {
+		c.Breaker = BreakerConfig{Threshold: 2, Cooldown: 100 * sim.Microsecond}
+	}})
+	c := r.client
+	c.SetBuffering(true)
+	r.env.Spawn("app", func(p *sim.Proc) {
+		home := c.route("k", routeWrite, nil)
+		home.noteFailure()
+		home.noteFailure()
+		p.Sleep(101 * sim.Microsecond) // past the cooldown: the next attempt routed here takes the probe slot
+		if st := c.Set(p, "k", 512, "v", 0, 0); st != protocol.StatusStored || home.brk.state != bkHalfOpen {
+			t.Fatalf("buffered set: %v, breaker state %d: the Set was not the probe, the test proves nothing", st, home.brk.state)
+		}
+		c.FlushBuffers(p)
+		if !home.routable() {
+			t.Error("after the flush the breaker still refuses: the buffered Set kept the probe slot")
+		}
+		// The next request is the probe: it goes home, hits, and closes the breaker.
+		if v, _, st := c.Get(p, "k"); st != protocol.StatusOK || v != "v" || home.brk.state != bkClosed {
+			t.Errorf("get after the flush: (%v, %v), breaker state %d; want the value, from home, and the breaker closed", v, st, home.brk.state)
+		}
+	})
+	r.env.Run()
+	if n := c.Faults.Get("breaker-reroutes"); n != 0 {
+		t.Errorf("breaker-reroutes = %d: a request was sent around a server that had answered", n)
+	}
+	drained(t, c)
+}

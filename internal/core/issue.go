@@ -134,19 +134,12 @@ func casRead(o *issueOpts) {
 }
 
 // Issue starts one operation described by op, applying the given options,
-// and returns its handle. It is the entry point behind ISet/IGet/BSet/BGet;
-// RDMA transport only (IPoIB keeps the blocking socket API).
+// and returns its handle: the one way an operation starts, on either
+// transport. On RDMA the request is in flight when Issue returns; the socket
+// stack has no non-blocking send, so on IPoIB it is already complete (Wait
+// returns at once, Err agrees with Status). The error is always nil; the
+// signature is what the paper's memcached_iset/iget return.
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
-	if c.cfg.Transport != RDMA {
-		return nil, ErrTransport
-	}
-	return c.begin(p, op, opts...), nil
-}
-
-// begin starts op on the connection its key routes to and returns its
-// handle: Issue on RDMA, and with Wait every blocking call on either
-// transport (roundTrip).
-func (c *Client) begin(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 	// The options are parsed straight into the handle they belong to: a
 	// local issueOpts would escape through the option funcs and be a second
 	// allocation on every operation.
@@ -158,18 +151,21 @@ func (c *Client) begin(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 	if req.opts.forCAS {
 		in = routeWrite
 	}
-	return c.beginOn(p, c.route(op.Key, in, nil), op, req)
+	return c.beginOn(p, c.route(op.Key, in, nil), op, req), nil
 }
 
-// beginOn starts op on cn — the connection begin routed it to, or the one a
+// beginOn starts op on cn — the connection Issue routed it to, or the one a
 // key-less operation addresses (flush_all) — as req, a handle that is zero
-// but for its parsed options, and returns it. On RDMA the request is in
-// flight; the socket stack has no non-blocking send, so on IPoIB it is
-// already complete. This is the one place the blocking path asks which
-// transport it is on.
+// but for its parsed options, and returns it. This is the one place that asks
+// which transport the client is on, and the one place that asks whether it is
+// buffering (SetBuffering): a buffered Set is queued and complete on return,
+// and a Get pushes the queue out ahead of itself.
 func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	if c.cfg.Transport == IPoIB {
-		if c.buffering && op.Code == protocol.OpGet {
+		switch {
+		case c.buffering && op.Code == protocol.OpSet:
+			return c.bufferSet(p, cn, op, req)
+		case c.buffering && op.Code == protocol.OpGet:
 			// The queued Sets leave on this connection before the Get does.
 			c.flushConn(p, cn)
 		}

@@ -23,6 +23,13 @@ const (
 
 func itKey(i int) string { return fmt.Sprintf("it:%04d", i) }
 
+// itDo runs op to completion and returns the server's status.
+func itDo(p *sim.Proc, c *core.Client, op core.Op) protocol.Status {
+	req, _ := c.Issue(p, op)
+	c.Wait(p, req)
+	return req.Status
+}
+
 // itRing rebuilds the replica mapping the cluster used: NewRing over the
 // same ids is deterministic, so the test knows each key's replica set
 // without reaching into unexported state.
@@ -212,11 +219,11 @@ func TestRMWAfterDeleteSurvivesReplicaRestart(t *testing.T) {
 			t.Errorf("set: %v", st)
 			return
 		}
-		if st := c.Delete(p, key); st != protocol.StatusDeleted {
+		if st := itDo(p, c, core.Op{Code: protocol.OpDelete, Key: key}); st != protocol.StatusDeleted {
 			t.Errorf("delete: %v", st)
 			return
 		}
-		if st := c.Add(p, key, itValue, uint64(2), 0, 0); st != protocol.StatusStored {
+		if st := itDo(p, c, core.Op{Code: protocol.OpAdd, Key: key, ValueSize: itValue, Value: uint64(2)}); st != protocol.StatusStored {
 			t.Errorf("add after delete: %v", st)
 			return
 		}

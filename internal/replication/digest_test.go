@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"hybridkv/internal/core"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -35,7 +37,7 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 			key := itKey(rng.Intn(itKeys))
 			switch rng.Intn(6) {
 			case 0:
-				c.Delete(p, key)
+				itDo(p, c, core.Op{Code: protocol.OpDelete, Key: key})
 			case 1:
 				// A corrupt local read somewhere: the key turns suspect there
 				// and leaves that node's digests until a peer's push repairs it.
