@@ -119,7 +119,7 @@ func bitrotCell(factor, ops int, defense string) cell {
 				// numbers. A rotted copy fails verification in the sweep
 				// too (or, nodefense, parses as garbage) — either way that
 				// replica does not count as holding the key.
-				r.sweepLostAcked(p, cl, rotSettle, func() { rotLedgers(cl, c, r) })
+				r.sweepLostAcked(p, cl, rotSettle, func() { rotLedgers(cl, r) })
 			})
 			cl.Env.Run()
 		},
@@ -179,9 +179,8 @@ func rotEntry(kind workload.OpKind, op core.Op, req *core.Req, t0, now sim.Time)
 // measured phase: reads that actually served rotted contents (device),
 // foreground reads answered StatusCorrupt (store), suspect pages held out
 // of the free pool and quarantined regions scrubbed + reclaimed (manager),
-// content divergences scrub detected and repaired (replication) — and
-// whether Client.Stats() reports the same triple the servers hold.
-func rotLedgers(cl *cluster.Cluster, c *core.Client, r *run) {
+// content divergences scrub detected and repaired (replication).
+func rotLedgers(cl *cluster.Cluster, r *run) {
 	var detected, quarantined, reclaims int64
 	for _, s := range cl.Servers {
 		st := s.Store().Stats()
@@ -191,15 +190,12 @@ func rotLedgers(cl *cluster.Cluster, c *core.Client, r *run) {
 	}
 	repl := cl.ReplicationCounters()
 	found, repaired := repl.Val(metrics.CScrubCorruptionsFound), repl.Val(metrics.CScrubCorruptionsRepaired)
-	cs := c.Stats()
 	r.set("rotten_reads", float64(cl.Devices[rotVictim].RottenReads))
 	r.set("detected_corrupt", float64(detected))
 	r.set("quarantined", float64(quarantined))
 	r.set("quarantine_reclaims", float64(reclaims))
 	r.set("scrub_found", float64(found))
 	r.set("scrub_repaired", float64(repaired))
-	r.set("stats_agree", boolMetric(cs.ScrubCorruptionsFound == found &&
-		cs.ScrubCorruptionsRepaired == repaired && cs.QuarantinedPages == quarantined))
 }
 
 // bitrot is the registry entry: R ∈ {1,2,3} × the three defense levels over

@@ -44,11 +44,4 @@ func TestBitrotExperimentShape(t *testing.T) {
 	if v := r.Metrics["R1.verify.misses"]; v == 0 {
 		t.Error("R1 verify cell shows no misses: rot-destroyed keys went somewhere")
 	}
-	// The per-run stats triple (client-visible counters vs server ledgers)
-	// must agree in every cell the experiment snapshots.
-	for _, cell := range []string{"R1.nodefense", "R2.verify", "R2.verify+scrub", "R3.verify+scrub"} {
-		if v := r.Metrics[cell+".stats_agree"]; v != 1 {
-			t.Errorf("%s: Client.Stats() disagrees with the server ledgers", cell)
-		}
-	}
 }

@@ -300,26 +300,9 @@ func New(cfg Config) *Cluster {
 				c.ConnectIPoIB(srv)
 			}
 		}
-		// Integrity counters live server-side; every client's Stats sums
-		// the fleet's at snapshot time (servers may join after the client).
-		c.SetIntegrityStats(cl.IntegrityStats)
 		cl.Clients = append(cl.Clients, c)
 	}
 	return cl
-}
-
-// IntegrityStats sums the fleet's data-integrity counters: scrub-detected
-// content divergences, repairs applied, and SSD pages quarantined by failed
-// read verification. Wired into every client's Stats snapshot.
-func (cl *Cluster) IntegrityStats() (found, repaired, quarantined int64) {
-	for _, r := range cl.Replicators {
-		found += r.Counters.Get(string(metrics.CScrubCorruptionsFound))
-		repaired += r.Counters.Get(string(metrics.CScrubCorruptionsRepaired))
-	}
-	for _, s := range cl.Servers {
-		quarantined += s.Store().Manager().QuarantinedPages
-	}
-	return found, repaired, quarantined
 }
 
 // buildServer assembles one server node (SSD, page cache, hybrid slab,

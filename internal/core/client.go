@@ -257,10 +257,6 @@ type Client struct {
 	// counters with Faults.Val, or take a whole snapshot with Stats.
 	Faults *metrics.Counters
 
-	// integrityStats, when set (SetIntegrityStats), supplies the
-	// cluster-wide integrity counters folded into Stats.
-	integrityStats func() (found, repaired, quarantined int64)
-
 	// Stats
 	Issued, Completed int64
 	// Doorbell accounting: Sends counts wire sends — also the flow-control
@@ -307,34 +303,13 @@ type ClientStats struct {
 	HealthSamples                     int64
 	BrownoutsEntered, BrownoutsExited int64
 	SlowRoutedGets                    int64
-	// Data integrity (cluster-wide, summed over the servers via the
-	// integrity hook installed with SetIntegrityStats; all zero without it).
-	ScrubCorruptionsFound    int64
-	ScrubCorruptionsRepaired int64
-	QuarantinedPages         int64
-}
-
-// SetIntegrityStats installs the hook Stats consults for the cluster-wide
-// data-integrity counters: scrub-detected content divergences, repairs, and
-// quarantined SSD pages. These live on the servers, not the client, so the
-// harness (internal/cluster) wires a summing hook here; without one the
-// integrity fields of ClientStats stay zero.
-func (c *Client) SetIntegrityStats(fn func() (found, repaired, quarantined int64)) {
-	c.integrityStats = fn
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
 	f := c.Faults
-	var found, repaired, quarantined int64
-	if c.integrityStats != nil {
-		found, repaired, quarantined = c.integrityStats()
-	}
 	return ClientStats{
-		ScrubCorruptionsFound:    found,
-		ScrubCorruptionsRepaired: repaired,
-		QuarantinedPages:         quarantined,
-		Issued:                   c.Issued, Completed: c.Completed,
+		Issued: c.Issued, Completed: c.Completed,
 		Sends: c.Sends, Frames: c.Frames, FrameOps: c.FrameOps,
 		Retries:   f.Val(metrics.CRetries),
 		Timeouts:  f.Val(metrics.CTimeouts),
