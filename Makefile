@@ -48,9 +48,10 @@ smoke:
 # the gray-failure cells (a fail-slow node under brown-out routing,
 # background pacing, and a crash-during-brown-out failover), and the
 # bit-rot matrix (at-rest SSD corruption vs read verification and scrub
-# repair, with the corrupt-read oracle), all at smoke scale. Also
-# covered by the full `smoke` run; kept as an explicit target so
-# failures name the robustness suite directly.
+# repair, with the corrupt-read oracle), all at smoke scale. The full
+# `smoke` run covers every one of them with the same binary and flags, so
+# `check` runs that and not this; kept as a named target for a quick pass
+# over the robustness suite alone.
 robustness:
 	$(GO) run ./cmd/mc-bench -smoke faults recovery overload chaos replication bypass hotkey membership grayfail bitrot
 
@@ -204,8 +205,8 @@ loc-diff:
 		"$$tmp/before.txt" "$$tmp/after.txt"
 
 # The pre-merge gate: static analysis and formatting, the full suite under
-# the race detector (plus the robustness packages at -count=2), the robustness
-# gate, a registry smoke run, the three examples, the golden gate over the
-# committed snapshots, the benchmark's determinism gate, and the gated
-# vulnerability scan.
-check: vet fmt race race-robustness robustness smoke examples verify benchmark-check vuln
+# the race detector (plus the robustness packages at -count=2), a registry
+# smoke run (the ten robustness experiments among its 24), the three examples,
+# the golden gate over the committed snapshots, the benchmark's determinism
+# gate, and the gated vulnerability scan. Each thing runs once.
+check: vet fmt race race-robustness smoke examples verify benchmark-check vuln

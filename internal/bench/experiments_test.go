@@ -214,10 +214,8 @@ func TestNonBlockingDriverCounts(t *testing.T) {
 // entire experiment — fabric, servers, SSDs, page caches, eviction, client
 // pipelines — produces bit-identical metrics on every run.
 func TestEndToEndDeterminism(t *testing.T) {
-	run := func() map[string]float64 {
-		return runExp(t, "fig1b", Options{Ops: 600}).Metrics
-	}
-	a, b := run(), run()
+	a := runExp(t, "fig1b", Options{Ops: 600}).Metrics
+	b := freshExp(t, "fig1b", Options{Ops: 600}).Metrics
 	if len(a) != len(b) {
 		t.Fatalf("metric sets differ in size: %d vs %d", len(a), len(b))
 	}
@@ -229,10 +227,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 }
 
 func TestNonBlockingDeterminism(t *testing.T) {
-	run := func() float64 {
-		return runExp(t, "fig6b", Options{Ops: 400}).Metrics["H-RDMA-Opt-NonB-i.avg_us"]
-	}
-	if a, b := run(), run(); a != b {
+	const key = "H-RDMA-Opt-NonB-i.avg_us"
+	if a, b := runExp(t, "fig6b", Options{Ops: 400}).Metrics[key], freshExp(t, "fig6b", Options{Ops: 400}).Metrics[key]; a != b {
 		t.Errorf("async-pipeline experiment diverged: %v vs %v", a, b)
 	}
 }

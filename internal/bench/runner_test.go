@@ -104,7 +104,7 @@ func TestPanickingCellIsLabelled(t *testing.T) {
 func TestParallelCellsByteIdentical(t *testing.T) {
 	render := func(procs int) string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		r := runExp(t, "replication", Options{Ops: 150}) // six clusters, kills and sweeps
+		r := freshExp(t, "replication", Options{Ops: 150}) // six clusters, kills and sweeps; each render its own run
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, []*Result{r}); err != nil {
 			t.Fatal(err)
