@@ -133,8 +133,11 @@ virtual-identity:
 # writes -csv and -json and -verifies its own output, the seven ablations at
 # smoke scale, the four benchmark workloads at -seconds 1 with the traced pass,
 # the examples; then the tier-1 tests under the same instrumentation. Prints
-# per package statements / production / tests-only / nothing, and every
-# function no production run enters beside its class in internal/reach.keep.
+# per package statements / production / tests-only / nothing; under the table,
+# per file and function, the blocks inside production-entered functions that
+# neither production nor any test executes (the branches: item 1's target list
+# at the granularity it works at); and every function no production run enters
+# beside its class in internal/reach.keep.
 # Fails when such a function has no line there, when a line there names a
 # function that is now reached or gone, and when a function is entered by
 # neither production nor any test. 2 m 20 s here on 2 cores: the covered

@@ -6,10 +6,10 @@ import (
 )
 
 // Routing: which server one attempt of one operation goes to. Every attempt
-// asks route — the first one Issue or a socket round trip makes, a buffered
-// Set, a retransmit, a hedge, a bypass resolution surrendering to RPC — and
-// route is the only code that reads the replica set, the retired flag, the
-// breakers and the brown-out state. One walk decides:
+// asks route — the first one Issue makes (on either transport, a buffered
+// Set's included), a retransmit, a hedge, a bypass resolution surrendering to
+// RPC — and route is the only code that reads the replica set, the retired
+// flag, the breakers and the brown-out state. One walk decides:
 //
 //	candidate order → exclusion filter → preference → last-live guard
 //

@@ -8,7 +8,9 @@
 #
 #	statements / production / tests-only / nothing
 #
-# and every function no production run entered. Each such function must have
+# then, per file, the blocks inside production-entered functions that neither
+# production nor any test executes (the branches, where the table counts
+# statements), and every function no production run entered. Each such function must have
 # a line in internal/reach.keep — `pkg.Func  class  who will drive it` — and
 # each keep line must name a function that exists and is still unreached; an
 # unlisted or stale entry fails the target, naming it. Run from the repo root.
@@ -35,9 +37,9 @@ $GO tool covdata textfmt -i="$tmp/prod" -pkg=hybridkv/internal/... -o "$tmp/prod
 $GO test -count=1 -coverpkg=./internal/... -coverprofile="$tmp/tests.txt" ./... >"$tmp/test.log" 2>&1 ||
 	{ cat "$tmp/test.log" >&2; exit 1; }
 
-# One row per function of a profile: "pkg.[Recv.]Func covered%". `go tool
-# cover -func` names a method without its receiver; the declaration line has
-# it.
+# One row per function of a profile: "pkg.[Recv.]Func covered% file line".
+# `go tool cover -func` names a method without its receiver; the declaration
+# line has it.
 funcs() {
 	$GO tool cover -func="$1" | awk -F'[:\t ]+' '$1 != "total" {
 		file = $1; sub(/^hybridkv\//, "", file)
@@ -48,7 +50,7 @@ funcs() {
 			sub(/^.*[ *]/, "", recv); sub(/\[.*$/, "", recv); recv = recv "."
 		}
 		n = split(file, dir, "/")
-		print dir[n-1] "." recv $3, $4 + 0
+		print dir[n-1] "." recv $3, $4 + 0, file, $2
 	}'
 }
 funcs "$tmp/prod.txt" >"$tmp/prod.funcs"
@@ -68,6 +70,34 @@ awk -F'[: ]' 'FNR == 1 { next }
 	}' "$tmp/prod.txt" "$tmp/tests.txt" | sort -k1,1 | awk '
 	BEGIN { printf "%-12s %6s %6s %6s %6s  %s\n", "package", "stmts", "prod", "tests", "none", "prod%" }
 	$1 == "total" { total = $0; next } { print } END { print total }'
+
+# The branches: every block with a zero count in both profiles whose enclosing
+# function — the last one declared at or above it in its file — a production
+# run entered. Per file, then per function, the line ranges.
+awk 'FILENAME == ARGV[1] { n = ++fns[$3]; line[$3, n] = $4; name[$3, n] = $2 > 0 ? $1 : ""; next }
+	FNR == 1 { next }
+	{ stmts[$1] = $2; hits[$1] += $3 }
+	END {
+		for (key in hits) if (!hits[key]) {
+			split(key, part, ":"); file = part[1]; sub(/^hybridkv\//, "", file); split(part[2], at, /[.,]/)
+			fn = ""; above = 0
+			for (i = 1; i <= fns[file]; i++) if (line[file, i] <= at[1] && line[file, i] > above) { above = line[file, i]; fn = name[file, i] }
+			if (fn != "") print file, at[1], at[3], stmts[key], fn
+		}
+	}' "$tmp/prod.funcs" "$tmp/prod.txt" "$tmp/tests.txt" | sort -k1,1 -k2,2n >"$tmp/blocks.txt"
+echo
+awk '{ blocks++; all += $4; perfile[$1]++; stmts[$1] += $4
+		if (!($1 in order)) { order[$1] = ++files; fileof[files] = $1 }
+		if (!(($1, $5) in seen)) { seen[$1, $5] = 1; fnof[$1, ++fns[$1]] = $5 }
+		ranges[$1, $5] = ranges[$1, $5] " " ($2 == $3 ? $2 : $2 "-" $3) }
+	END {
+		printf "reach: %d blocks (%d statements) inside production-entered functions that neither production nor any test executes\n", blocks, all
+		for (f = 1; f <= files; f++) {
+			file = fileof[f]
+			printf "  %s: %d blocks, %d statements\n", file, perfile[file], stmts[file]
+			for (i = 1; i <= fns[file]; i++) printf "    %-40s%s\n", fnof[file, i], ranges[file, fnof[file, i]]
+		}
+	}' "$tmp/blocks.txt"
 
 # Functions no production run entered (a package no program links has no row
 # in the production profile at all), against the keep file.
