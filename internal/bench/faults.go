@@ -54,9 +54,9 @@ func faultCell(d cluster.Design, mem, dataBytes int64, kv, ops int, w workload.C
 // the same deadline/retry policy so no fault can wedge the run (the socket
 // reads its receive timeout and resend budget off it: 8 ms, 3 resends):
 // blocking designs one op at a time under the web-caching miss contract,
-// non-blocking designs in pipelined windows. In a clean phase the op path is virtual-time-
-// identical to the no-fault drivers (guards and timeout arms never fire), so
-// clean numbers match the other experiments exactly.
+// non-blocking designs in pipelined windows. In a clean phase the op path is
+// virtual-time-identical to the no-fault drivers (guards and timeout arms
+// never fire), so clean numbers match the other experiments exactly.
 func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted bool, r *run) {
 	var seed int64
 	if faulted {

@@ -137,8 +137,9 @@ func casRead(o *issueOpts) {
 // and returns its handle: the one way an operation starts, on either
 // transport. On RDMA the request is in flight when Issue returns; the socket
 // stack has no non-blocking send, so on IPoIB it is already complete (Wait
-// returns at once, Err agrees with Status). The error is always nil; the
-// signature is what the paper's memcached_iset/iget return.
+// returns at once, Err agrees with Status). The error is always nil: it
+// stands where memcached_iset/iget return their memcached_return_t, and how
+// an operation went is Req.Err.
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	// The options are parsed straight into the handle they belong to: a
 	// local issueOpts would escape through the option funcs and be a second
