@@ -228,7 +228,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 
 func TestNonBlockingDeterminism(t *testing.T) {
 	const key = "H-RDMA-Opt-NonB-i.avg_us"
-	if a, b := runExp(t, "fig6b", Options{Ops: 400}).Metrics[key], freshExp(t, "fig6b", Options{Ops: 400}).Metrics[key]; a != b {
+	o := Options{Ops: 400}
+	if a, b := runExp(t, "fig6b", o).Metrics[key], freshExp(t, "fig6b", o).Metrics[key]; a != b {
 		t.Errorf("async-pipeline experiment diverged: %v vs %v", a, b)
 	}
 }

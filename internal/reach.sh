@@ -10,10 +10,11 @@
 #
 # then, per file, the blocks inside production-entered functions that neither
 # production nor any test executes (the branches, where the table counts
-# statements), and every function no production run entered. Each such function must have
-# a line in internal/reach.keep — `pkg.Func  class  who will drive it` — and
-# each keep line must name a function that exists and is still unreached; an
-# unlisted or stale entry fails the target, naming it. Run from the repo root.
+# statements), and every function no production run entered. Each such
+# function must have a line in internal/reach.keep — `pkg.Func  class  who will
+# drive it` — and each keep line must name a function that exists and is still
+# unreached; an unlisted or stale entry fails the target, naming it. Run from
+# the repo root.
 set -euo pipefail
 
 GO=${GO:-go}
