@@ -23,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
@@ -93,7 +94,6 @@ type Env struct {
 	heap  []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
 	freeW *wakeup
 	idle  *Proc // finished Go processes, ready to run another function
-	yield chan struct{}
 	cur   *Proc // the process running right now; nil in the scheduler and in callbacks
 	alive int
 	fault any // first panic value raised by a process
@@ -101,7 +101,7 @@ type Env struct {
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -207,9 +207,10 @@ func (e *Env) recycle(w *wakeup) {
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan struct{}
-	pending  []*wakeup  // outstanding wakeups; starts out backed by pend
-	pend     [2]*wakeup // room for a wait plus its timeout without allocating
+	resume   func() (struct{}, bool) // runs the process until it parks or ends
+	yield    func(struct{}) bool     // parks it: control returns to resume's caller
+	pending  []*wakeup               // outstanding wakeups; starts out backed by pend
+	pend     [2]*wakeup              // room for a wait plus its timeout without allocating
 	wokenTag int
 	fn       func(p *Proc) // what the current run executes
 	// A process started by Go goes back on the Env's idle list when its run
@@ -249,9 +250,9 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // newProc returns a fresh process parked on its goroutine, waiting for its
 // start wakeup.
 func (e *Env) newProc() *Proc {
-	p := &Proc{env: e, resume: make(chan struct{})}
+	p := &Proc{env: e}
 	p.pending = p.pend[:0]
-	go p.serve()
+	p.resume, _ = iter.Pull(p.serve)
 	return p
 }
 
@@ -281,32 +282,29 @@ func (e *Env) Go(name string, fn func(p *Proc)) {
 	e.scheduleWakeup(e.now, p, 0)
 }
 
-// serve is a process's goroutine: one function per start wakeup — the only
-// one for a spawned process, one after another for a Go process until a run
-// ends abnormally.
-func (p *Proc) serve() {
-	for {
-		<-p.resume
-		if !p.runOnce() {
-			return
-		}
+// serve is a process's coroutine, the sequence iter.Pull resumes: one
+// function per start wakeup — the only one for a spawned process, one after
+// another for a Go process, parked between them, until a run ends abnormally.
+func (p *Proc) serve(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.runOnce() && yield(struct{}{}) {
 	}
 }
 
 // runOnce runs the current function and hands control back however it ends:
 // by returning, by panicking (re-raised from Run, in the simulation driver's
 // goroutine), or by runtime.Goexit (a t.Fatal inside a process). It reports
-// whether the goroutine may serve another run: only a Go process, and only
+// whether the coroutine may serve another run: only a Go process, and only
 // after a plain return, is put on the idle list. On Goexit it does not return
-// at all.
+// at all: it parks for the last time from here, because a coroutine that
+// exits that way makes iter.Pull raise the Goexit in RunUntil's caller.
 func (p *Proc) runOnce() (reusable bool) {
 	e := p.env
 	returned := false
 	defer func() {
-		if !returned {
-			if r := recover(); r != nil && e.fault == nil {
-				e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
+		r := recover()
+		if r != nil && e.fault == nil {
+			e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 		p.fn = nil
 		reusable = p.recycled && returned && len(p.pending) == 0
@@ -314,7 +312,9 @@ func (p *Proc) runOnce() (reusable bool) {
 			p.next, e.idle = e.idle, p
 		}
 		e.alive--
-		e.yield <- struct{}{}
+		if !returned && r == nil {
+			p.yield(struct{}{})
+		}
 	}()
 	p.fn(p)
 	returned = true
@@ -381,8 +381,7 @@ func (p *Proc) mustBeRunning(prim string) {
 // delivered, and returns that wakeup's tag. All other pending wakeups are
 // canceled.
 func (p *Proc) park() int {
-	p.env.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	return p.wokenTag
 }
 
@@ -429,8 +428,7 @@ func (e *Env) RunUntil(limit Time) Time {
 		p.wokenTag = w.tag
 		e.recycle(w)
 		e.cur = p
-		p.resume <- struct{}{}
-		<-e.yield
+		p.resume()
 		e.cur = nil
 		if e.fault != nil {
 			f := e.fault
