@@ -43,6 +43,25 @@ func readModel() (step func()) {
 	}
 }
 
+// replenishModel returns a step that takes two laps of a 64-deep receive
+// queue the way every connection does for life: consume the oldest RECV, post
+// one in its place. (Two laps a step, because AllocsPerRun rounds down and a
+// slice eaten from the front reallocates a little less than once a lap.)
+func replenishModel() (step func()) {
+	r := newRig()
+	for i := 0; i < 64; i++ {
+		r.qpB.PostRecv(RecvWR{})
+	}
+	return func() {
+		for i := 0; i < 128; i++ {
+			if _, ok := r.qpB.consumeRecv(); !ok || r.qpB.RecvDepth() != 63 {
+				panic("receive queue lost a WR")
+			}
+			r.qpB.PostRecv(RecvWR{})
+		}
+	}
+}
+
 func benchSteps(b *testing.B, step func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,6 +89,7 @@ func TestOperationAllocationCeilings(t *testing.T) {
 		{"unsignaled SEND", sendModel(300, false), 1},
 		{"signaled SEND", sendModel(300, true), 4},
 		{"signaled READ", readModel(), 2},
+		{"receive queue replenished through two laps", replenishModel(), 0},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {

@@ -231,7 +231,7 @@ type QP struct {
 	remoteQPN  int
 	sendCQ     *CQ
 	recvCQ     *CQ
-	recvQ      []RecvWR
+	recvQ      *sim.Queue[RecvWR] // only ever tried, never waited on
 	connected  bool
 
 	pendingReads map[uint64]*MR // WRID of each READ in flight → its LocalMR (may be nil)
@@ -243,6 +243,7 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp := &QP{
 		dev: d, qpn: d.nextQP,
 		sendCQ: sendCQ, recvCQ: recvCQ,
+		recvQ:        sim.NewQueue[RecvWR](d.env, 0),
 		pendingReads: make(map[uint64]*MR),
 	}
 	d.qps[qp.qpn] = qp
@@ -261,20 +262,16 @@ func Connect(a, b *QP) {
 }
 
 // PostRecv posts a receive work request (no time cost; pre-posted buffers).
-func (qp *QP) PostRecv(wr RecvWR) { qp.recvQ = append(qp.recvQ, wr) }
+// Replenishment posts one per message consumed for the life of a connection,
+// so the queue is the kernel's ring: a slice eaten from the front walks off
+// its backing array and reallocates it every few messages.
+func (qp *QP) PostRecv(wr RecvWR) { qp.recvQ.TryPut(wr) }
 
 // RecvDepth reports outstanding receive WRs.
-func (qp *QP) RecvDepth() int { return len(qp.recvQ) }
+func (qp *QP) RecvDepth() int { return qp.recvQ.Len() }
 
 // consumeRecv takes the next posted receive WR, in posting order.
-func (qp *QP) consumeRecv() (RecvWR, bool) {
-	if len(qp.recvQ) == 0 {
-		return RecvWR{}, false
-	}
-	wr := qp.recvQ[0]
-	qp.recvQ = qp.recvQ[1:]
-	return wr, true
-}
+func (qp *QP) consumeRecv() (RecvWR, bool) { return qp.recvQ.TryGet() }
 
 // wire is the fabric payload for verbs traffic.
 type wire struct {
