@@ -320,6 +320,10 @@ func (e *Experiment) runCell(c *cell) (r *run, err error) {
 	if c.collect != nil {
 		c.collect(cl, r)
 	}
+	if cl != nil {
+		// All is read; a parked process would pin its cluster for good.
+		cl.Env.Close()
+	}
 	return r, nil
 }
 

@@ -101,6 +101,7 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		{"Event fire to wait (the event itself)", eventModel(), 1},
 		{"callback event", callbackModel(), 0},
 		{"Go process, start to finish", goModel(), 0},
+		{"Spawn, start to finish (set-up, not the op path: the Proc and its coroutine)", spawnModel(), 13},
 	} {
 		tc.step() // reach steady state: pools and rings filled
 		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {

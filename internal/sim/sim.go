@@ -1,24 +1,23 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // Every actor in the simulated cluster that waits (client, server worker,
-// NIC engine, SSD channel, writeback daemon, ...) runs as a Proc: a goroutine
-// that executes under a virtual clock owned by an Env. The kernel enforces a
-// strict scheduler/process handoff, so exactly one process runs at any
-// instant. Things that merely happen at an instant (a message arriving, a
-// completion, a scheduled fault) are callback events — AtFunc, AfterFunc,
-// AtCall, Event.OnFire — that the scheduler runs inline, to completion, in
-// the same single order. Short-lived helper processes started per request
-// use Go, which runs them on recycled goroutines. Shared simulation state
-// therefore needs no locking, results are bit-for-bit reproducible, and
-// virtual time advances with nanosecond precision regardless of host timer
-// resolution.
+// NIC engine, SSD channel, writeback daemon, ...) runs as a Proc: a coroutine
+// (iter.Pull) under a virtual clock owned by an Env. The scheduler resumes a
+// process and gets control back when it parks or ends — a direct switch, no
+// channel and no run queue — so exactly one process runs at any instant.
+// Things that merely happen at an instant (a message arriving, a completion,
+// a scheduled fault) are callback events — AtFunc, AfterFunc, AtCall,
+// Event.OnFire — that the scheduler runs inline, to completion, in the same
+// single order. Short-lived helper processes started per request use Go,
+// which runs them on recycled coroutines. Shared simulation state therefore
+// needs no locking, results are bit-for-bit reproducible, and virtual time
+// advances with nanosecond precision regardless of host timer resolution.
 //
 // The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
-// Resource.Acquire) must only be called from inside the owning process's
-// goroutine while it is the running process; from anywhere else they panic.
-// Non-blocking variants (TryGet, TryPut, Fire, ...) may be called from any
-// process, from a callback event, or from outside the simulation between
-// runs.
+// Resource.Acquire) must only be called by the owning process while it is
+// the running process; from anywhere else they panic. Non-blocking variants
+// (TryGet, TryPut, Fire, ...) may be called from any process, from a callback
+// event, or from outside the simulation between runs.
 package sim
 
 import (
@@ -89,19 +88,46 @@ func (a slot) before(b slot) bool {
 
 // Env owns the virtual clock and the event queue of one simulation.
 type Env struct {
-	now   Time
-	seq   int64
-	heap  []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
-	freeW *wakeup
-	idle  *Proc // finished Go processes, ready to run another function
-	cur   *Proc // the process running right now; nil in the scheduler and in callbacks
-	alive int
-	fault any // first panic value raised by a process
+	now    Time
+	seq    int64
+	heap   []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
+	freeW  *wakeup
+	idle   *Proc   // finished Go processes, ready to run another function
+	procs  []*Proc // every process whose coroutine can still be resumed, for Close
+	cur    *Proc   // the process running right now; nil in the scheduler and in callbacks
+	alive  int
+	fault  any // first panic value raised by a process
+	closed bool
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{}
+func NewEnv() *Env { return &Env{} }
+
+// Close unwinds every parked process where it stands (its deferred functions
+// run, no fault is recorded) and drops the heap: a parked coroutine never ends
+// by itself, and it roots all that its stack reaches. Legal only between runs;
+// afterwards Now still reads, another Close is a no-op, and whatever
+// schedules, runs or blocks panics by name.
+func (e *Env) Close() {
+	if e.cur != nil {
+		panic("sim: Close called from a running process")
+	}
+	e.closed = true
+	for _, p := range e.procs {
+		p.stop()
+	}
+	f := e.fault // a deferred function of an unwinding process panicked
+	*e = Env{now: e.now, closed: true}
+	if f != nil {
+		panic(f)
+	}
+}
+
+// mustBeOpen guards whatever schedules or runs: Close left nothing to do it on.
+func (e *Env) mustBeOpen(call string) {
+	if e.closed {
+		panic("sim: " + call + " on a closed Env")
+	}
 }
 
 // Now returns the current virtual time.
@@ -203,12 +229,14 @@ func (e *Env) recycle(w *wakeup) {
 }
 
 // Proc is one simulated process. All blocking kernel primitives take place
-// on behalf of a Proc and must be invoked from its own goroutine.
+// on behalf of a Proc and must be invoked from its own coroutine.
 type Proc struct {
 	env      *Env
 	name     string
 	resume   func() (struct{}, bool) // runs the process until it parks or ends
 	yield    func(struct{}) bool     // parks it: control returns to resume's caller
+	stop     func()                  // unwinds it where it is parked
+	slot     int                     // its place in env.procs
 	pending  []*wakeup               // outstanding wakeups; starts out backed by pend
 	pend     [2]*wakeup              // room for a wait plus its timeout without allocating
 	wokenTag int
@@ -237,6 +265,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is like Spawn but delays the process start until virtual time t.
 func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+	e.mustBeOpen("Spawn")
 	if t < e.now {
 		t = e.now
 	}
@@ -247,29 +276,29 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// newProc returns a fresh process parked on its goroutine, waiting for its
-// start wakeup.
+// newProc returns a fresh process, its coroutine made and not yet started.
 func (e *Env) newProc() *Proc {
-	p := &Proc{env: e}
+	p := &Proc{env: e, slot: len(e.procs)}
 	p.pending = p.pend[:0]
-	p.resume, _ = iter.Pull(p.serve)
+	p.resume, p.stop = iter.Pull(p.serve)
+	e.procs = append(e.procs, p)
 	return p
 }
 
 // Go is Spawn without the handle, for short-lived helpers started per
 // request: it takes its start slot exactly where Spawn would, and the new
-// process runs and ends like a spawned one, but on the goroutine, channel and
-// Proc of an earlier Go process that has finished, when there is one. Because
-// the Proc is reused, fn must not keep p beyond its own return; no handle is
+// process runs and ends like a spawned one, but on the coroutine and Proc of
+// an earlier Go process that has finished, when there is one. Because the
+// Proc is reused, fn must not keep p beyond its own return; no handle is
 // returned for the same reason.
 //
 // Ownership: while a run is live the Proc belongs to it, like any process.
 // When fn returns, the process has no pending wakeups (delivery cleared them,
 // and every primitive that registers one parks), so nothing in the kernel
 // refers to the Proc and the idle list takes it. A run that ends by panic or
-// runtime.Goexit takes its goroutine with it: that Proc is dropped, never
-// reused.
+// runtime.Goexit ends its coroutine too: that Proc is dropped, never reused.
 func (e *Env) Go(name string, fn func(p *Proc)) {
+	e.mustBeOpen("Go")
 	p := e.idle
 	if p == nil {
 		p = e.newProc()
@@ -293,23 +322,27 @@ func (p *Proc) serve(yield func(struct{}) bool) {
 
 // runOnce runs the current function and hands control back however it ends:
 // by returning, by panicking (re-raised from Run, in the simulation driver's
-// goroutine), or by runtime.Goexit (a t.Fatal inside a process). It reports
-// whether the coroutine may serve another run: only a Go process, and only
-// after a plain return, is put on the idle list. On Goexit it does not return
-// at all: it parks for the last time from here, because a coroutine that
-// exits that way makes iter.Pull raise the Goexit in RunUntil's caller.
+// goroutine), by runtime.Goexit (a t.Fatal inside a process), or unwound by
+// Close. It reports whether the coroutine may serve another run: only a Go
+// process, and only after a plain return, is put on the idle list. On Goexit
+// it does not return at all: it parks for the last time from the handler,
+// because iter.Pull would raise a coroutine's Goexit in RunUntil's caller.
 func (p *Proc) runOnce() (reusable bool) {
 	e := p.env
 	returned := false
 	defer func() {
 		r := recover()
-		if r != nil && e.fault == nil {
+		if r != nil && r != (unwind{}) && e.fault == nil {
 			e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 		p.fn = nil
 		reusable = p.recycled && returned && len(p.pending) == 0
 		if reusable {
 			p.next, e.idle = e.idle, p
+		} else if n := len(e.procs) - 1; !e.closed { // ending, or (Goexit) never resumed again
+			e.procs[p.slot], e.procs[n].slot = e.procs[n], p.slot
+			e.procs[n] = nil
+			e.procs = e.procs[:n]
 		}
 		e.alive--
 		if !returned && r == nil {
@@ -337,6 +370,7 @@ func (e *Env) AtFunc(t Time, fn func()) { e.AtCall(t, funcCall(fn)) }
 // (AtFunc(t, rec.deliver)) allocates a closure per event; passing the
 // receiver does not.
 func (e *Env) AtCall(t Time, c Caller) {
+	e.mustBeOpen("AtCall")
 	if t < e.now {
 		t = e.now
 	}
@@ -368,8 +402,8 @@ func (e *Env) fireWakeup(w *wakeup) {
 // mustBeRunning is called by every blocking primitive once it knows it will
 // block, before it registers a wakeup: only the process the scheduler is
 // running right now can park. Anything else — a callback event, another
-// process's goroutine, code outside Run — would leave the scheduler waiting
-// on a goroutine that never yields, so it panics here instead, naming prim.
+// process, code outside Run — has no resume of its own to yield to, so it
+// panics here instead, naming prim.
 func (p *Proc) mustBeRunning(prim string) {
 	if p.env.cur != p {
 		panic("sim: " + prim + " called from outside the running process " +
@@ -381,9 +415,14 @@ func (p *Proc) mustBeRunning(prim string) {
 // delivered, and returns that wakeup's tag. All other pending wakeups are
 // canceled.
 func (p *Proc) park() int {
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(unwind{})
+	}
 	return p.wokenTag
 }
+
+// unwind is what park panics with when Close has stopped the process.
+type unwind struct{}
 
 // Run executes the simulation until no scheduled wakeups remain, and returns
 // the final virtual time. Processes still blocked on events/queues at that
@@ -393,6 +432,7 @@ func (e *Env) Run() Time { return e.RunUntil(-1) }
 // RunUntil executes scheduled wakeups with time ≤ limit (limit < 0 means no
 // limit) and returns the virtual time reached.
 func (e *Env) RunUntil(limit Time) Time {
+	e.mustBeOpen("RunUntil")
 	for len(e.heap) > 0 {
 		top := e.heap[0]
 		if limit >= 0 && top.at > limit {
@@ -430,8 +470,7 @@ func (e *Env) RunUntil(limit Time) Time {
 		e.cur = p
 		p.resume()
 		e.cur = nil
-		if e.fault != nil {
-			f := e.fault
+		if f := e.fault; f != nil {
 			e.fault = nil
 			panic(f)
 		}
