@@ -149,8 +149,11 @@ reach:
 # Heap allocations per operation, one line per layer of the op path: first the
 # tier-1 ceiling tests of those layers (testing.AllocsPerRun on a warmed rig —
 # a new allocation on the path fails here), then every benchmark of the layer
-# as name=allocs/op. The counts are exact and repeat run to run; the ns/op the
-# same benchmarks print are not part of this target.
+# as name=allocs/op. The counts are exact and repeat run to run. Last, from the
+# same run, one ns/op line for the kernel's primitives and the ratio of a
+# process wakeup to a callback event: printed for the eye, gating nothing —
+# nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
+# week and 25:1 the next is seen.
 ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/hybridslab ./internal/pagecache
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
@@ -158,8 +161,10 @@ allocs:
 		function flush() { if (layer != "") printf "allocs/op  %-12s%s\n", layer, line } \
 		/^pkg:/ { flush(); n = split($$2, part, "/"); layer = part[n]; line = "" } \
 		/^Benchmark/ { name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-			for (i = 2; i <= NF; i++) if ($$i == "allocs/op") line = line " " name "=" $$(i-1) } \
-		END { flush() }'
+			for (i = 2; i <= NF; i++) { if ($$i == "allocs/op") line = line " " name "=" $$(i-1); \
+				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
+		END { flush(); printf "ns/op      %-12s Timer=%s Handoff=%s CallbackEvent=%s Go=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
+			"sim", ns["Timer"], ns["Handoff"], ns["CallbackEvent"], ns["Go"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
 
 # Non-test Go lines per internal/ package, one line each, then their total:
 # the count a simplification is reported in, and one number to diff between
