@@ -68,9 +68,10 @@ func TestRunUntilFromSeveralGoroutinesInTurn(t *testing.T) {
 	defer func() { // gone before a later test counts goroutines
 		close(work)
 		for i := 0; runtime.NumGoroutine() > before; i++ {
-			if runtime.Gosched(); i == 1e6 {
+			if i == 1e6 {
 				t.Fatal("the helper goroutines, or a closed Env's coroutines, are still there")
 			}
+			runtime.Gosched()
 		}
 	}()
 	elsewhere := func(f func()) { work <- f; <-turn }

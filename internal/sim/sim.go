@@ -339,7 +339,8 @@ func (p *Proc) runOnce() (reusable bool) {
 		reusable = p.recycled && returned && len(p.pending) == 0
 		if reusable {
 			p.next, e.idle = e.idle, p
-		} else if n := len(e.procs) - 1; !e.closed { // ending, or (Goexit) never resumed again
+		} else if !e.closed { // ending, or (Goexit) never resumed again: off Close's list
+			n := len(e.procs) - 1
 			e.procs[p.slot], e.procs[n].slot = e.procs[n], p.slot
 			e.procs[n] = nil
 			e.procs = e.procs[:n]
