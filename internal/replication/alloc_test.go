@@ -65,6 +65,44 @@ func TestReplicatedSetAllocationCeiling(t *testing.T) {
 	}
 }
 
+// forwardHandoffModel returns a step that takes one forward from a replicator's
+// engine to an applier of its pool and out again, rejected: the hand-off and
+// nothing else.
+func forwardHandoffModel() (step func(), rejected func() int64) {
+	cl := itCluster()
+	r := cl.Replicators[0]
+	handoff := r.ForwardHandoffForTest()
+	return func() {
+		handoff()
+		cl.Env.Run()
+	}, func() int64 { return r.Counters.Get("corrupt-frames-rejected") }
+}
+
+// BenchmarkForwardHandoff is the host-cost line of the apply lane.
+func BenchmarkForwardHandoff(b *testing.B) {
+	step, _ := forwardHandoffModel()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// One forward through the apply lane is no allocation: the queue hands a
+// (frame, incarnation) pair by value to a parked applier, whose waiter record
+// and wakeup are recycled.
+func TestForwardHandoffAllocationCeiling(t *testing.T) {
+	step, rejected := forwardHandoffModel()
+	step()
+	if got := testing.AllocsPerRun(300, step); got > 0 {
+		t.Errorf("one forward through the apply lane: %v allocations, ceiling 0", got)
+	}
+	if n := rejected(); n != 302 {
+		t.Errorf("%d of 302 forwards reached an applier", n)
+	}
+}
+
 // digestModel returns a replicator of a three-server R=2 cluster holding 512
 // keys at quiescence — every maintained digest computed and current — and the
 // keys.

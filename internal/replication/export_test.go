@@ -107,6 +107,42 @@ func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key strin
 	return true
 }
 
+// DeliverWriteForTest hands r's engine a write frame of key from peer from, as
+// polled off the receive queue at this instant and in this incarnation: a
+// forward of a round nobody has open, or with repair a repair push.
+func (r *Replicator) DeliverWriteForTest(from int, key string, epoch uint64, value any, size int, repair bool) {
+	v := version{epoch: epoch, value: value, size: size, sum: protocol.ValueSum(value)}
+	r.demux(&frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: key, Repair: repair, version: v})
+}
+
+// ResendRoundsForTest hands to's engine a fresh copy of the write of every
+// round r has open on which to still owes its ack — what await's resend is
+// when it arrives — and returns how many that was.
+func (r *Replicator) ResendRoundsForTest(to *Replicator) (n int) {
+	for _, id := range sortedKeys(r.fwds, nil) {
+		fwd := r.fwds[id]
+		if i := fwd.peers.index(to.cfg.ID); i >= 0 && fwd.waiting&(1<<i) != 0 {
+			to.demux(&frame{Kind: frameWrite, From: r.cfg.ID, ID: fwd.id, Key: fwd.key, version: fwd.version})
+			n++
+		}
+	}
+	return n
+}
+
+// ForwardHandoffForTest returns a step that hands r's engine one forward whose
+// value fails its checksum: the applier that takes it rejects it, which
+// allocates nothing, so the step costs what the hand-off costs.
+func (r *Replicator) ForwardHandoffForTest() (step func()) {
+	f := &frame{Kind: frameWrite, ID: ^uint64(0), Key: "handoff", version: version{epoch: 0x100, value: "v", size: 1, sum: 1}}
+	return func() { r.demux(f) }
+}
+
+// QueuedForTest is how many frames the engine has handed over that no lane has
+// taken yet: forwards waiting for an applier, and background frames.
+func (r *Replicator) QueuedForTest() (forwards, background int) {
+	return r.applyQ.Len(), r.backQ.Len()
+}
+
 // ScrubRoundForTest builds what one scrub round sends — a digest frame per
 // peer — without sending it, and returns the words it would carry. The frames
 // go to a package-level sink, as the fabric would hold them.

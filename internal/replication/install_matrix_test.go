@@ -71,6 +71,9 @@ type installCell struct {
 	floor  map[int]uint64 // per server, the highest confirmed epoch seen for the key
 	start  sim.Time       // when the action starts
 	base   imCounts       // the counters when it does
+	// epoch is the epoch under which the row's write landed at the subject in
+	// the clean run: what a column needs to name a version just below it.
+	epoch uint64
 }
 
 // newInstallCell builds three servers at R = 3 holding the key at 256 KB,
@@ -262,9 +265,12 @@ var imRows = []imRow{
 // begins at begin, its record moves at landed; rule states what the counters
 // do, given what they did in the row's clean run.
 type imCol struct {
-	name      string
-	fcfg      fault.Config
-	spill     bool
+	name  string
+	fcfg  fault.Config
+	spill bool
+	// skip, when set, says why the column cannot be built on a row ("" when it
+	// can): the cell is a SKIP with that reason.
+	skip      func(row imRow) string
 	interfere func(c *installCell, row imRow, begin, landed sim.Time)
 	// other, when set, says whose write the replicas must end up holding — the
 	// column's own (its values are 64 bytes) or the row's (256 KB, or a
@@ -407,6 +413,127 @@ var imCols = []imCol{
 		rule:     func(row imRow, clean, got imCounts) bool { return got.forwards <= clean.forwards },
 		ruleText: "no round the clean run does not open; what refills the subject afterwards is the scrubber's business",
 	},
+	{
+		// What the lanes newly allow, one: 2 µs into the subject's store call the
+		// coordinator's resend of the same forward arrives — await's, a round
+		// early — and a second applier takes it. Both copies pass the judge (the
+		// record has not moved yet) and both are in the store at once; the one
+		// that reaches the swap second finds the record at its own epoch and is
+		// refused there, acked as the duplicate it is: one version, one swap.
+		name: "the forward resent while its first copy's store call is suspended on another applier",
+		skip: func(row imRow) string {
+			switch {
+			case row.coordinated:
+				return "the subject coordinates the row's write: no forward of it comes here"
+			case row.clean.pushes > 0:
+				return "a repair push belongs to no round, and a second copy of one waits behind the first on the one background process, as it did on the engine"
+			}
+			return ""
+		},
+		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
+			c.cl.Env.SpawnAt(begin+2*sim.Microsecond, "im-resend", func(p *sim.Proc) {
+				subject, st := c.cl.Replicators[c.s], c.cl.Servers[c.s].Store()
+				calls, resent := st.SetOps+st.DeleteOps, 0
+				for _, r := range c.cl.Replicators {
+					if r != subject {
+						resent += r.ResendRoundsForTest(subject)
+					}
+				}
+				p.Sleep(100 * sim.Nanosecond)
+				if epoch, _, _, _, _ := subject.RecordForTest(imKey); resent != 1 || st.SetOps+st.DeleteOps != calls+1 || epoch == c.epoch {
+					c.t.Errorf("the premise: %d rounds resent, %d store calls begun by them, the record at %#x (the row's write lands at %#x)", resent, st.SetOps+st.DeleteOps-calls, epoch, c.epoch)
+				}
+				// A key swapped in twice for one version would fail a client's cas
+				// between its gets and the second swap: every replica has swapped the
+				// key in as often as the coordinator, which was sent nothing twice.
+				p.Sleep(landed - begin + 100*sim.Microsecond)
+				var swaps [3]uint64
+				for sid := range swaps {
+					_, _, _, swaps[sid], _ = c.cl.Servers[sid].Store().Get(p, imKey)
+				}
+				if swaps[1] != swaps[0] || swaps[2] != swaps[0] {
+					c.t.Errorf("the key's CAS at the three replicas is %v: the resent copy was swapped in again", swaps)
+				}
+			})
+		},
+		rule:     func(row imRow, clean, got imCounts) bool { return got == clean },
+		ruleText: "nothing moves: the second copy is refused at the swap and acked as a duplicate, and the round takes one ack per peer",
+	},
+	{
+		// Two: a forward is no longer ordered against the same peer's background
+		// frames. 2 µs before the row's write reaches the subject, an older
+		// version of the key from the same peer — one epoch below the row's —
+		// arrives for the other lane: a repair push when the row's write is a
+		// forward, a forward when it is a repair push. At twice the size it is
+		// still being copied when the row's write lands: first to arrive, last to
+		// reach the swap, refused there.
+		name: "the peer's older version of the key in the other lane: first to arrive, last to land",
+		skip: func(row imRow) string {
+			if row.coordinated {
+				return "the subject's own proc installs the row's version: it comes through no lane"
+			}
+			return ""
+		},
+		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
+			c.cl.Env.AtFunc(begin-2*sim.Microsecond, func() {
+				older := c.set(2 * imBig)
+				c.cl.Replicators[c.s].DeliverWriteForTest(0, imKey, c.epoch-1, older.Value, older.ValueSize, row.clean.pushes == 0)
+			})
+		},
+		other: func(imRow) bool { return false },
+		rule: func(row imRow, clean, got imCounts) bool {
+			return got.forwards == clean.forwards && got.conflicts == clean.conflicts && got.pulls == clean.pulls && repairs(clean, got)
+		},
+		ruleText: "the same rounds, conflicts and pull rounds: the older version is refused, and a refused forward names a round nobody has open",
+	},
+	{
+		// Three: a frame now waits between the engine and the process that runs
+		// it. Every process of the lane the row's write comes through is busy —
+		// all four appliers, or the one background process — with a write of
+		// another key when it arrives; 1 µs later the node is killed, 1 µs after
+		// that it restarts cold (the SSD is empty: the scan is over at once), and
+		// only then does a process come free. The frame belongs to the dead
+		// incarnation, and so do the writes that held the lane.
+		name: "whole-node kill and cold restart while the write waits for its lane",
+		skip: func(row imRow) string {
+			if row.coordinated {
+				return "the subject's own proc installs the row's version: it waits for no lane"
+			}
+			return ""
+		},
+		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
+			env, repair := c.cl.Env, row.clean.pushes > 0
+			env.AtFunc(begin-3*sim.Microsecond, func() {
+				busy := 4
+				if repair {
+					busy = 1
+				}
+				for i := 0; i < busy; i++ {
+					c.cl.Replicators[c.s].DeliverWriteForTest(0, fmt.Sprintf("im:busy:%d", i), 0x100, i, 2*imBig, repair)
+				}
+			})
+			env.SpawnAt(begin+sim.Microsecond, "im-kill", func(p *sim.Proc) {
+				subject := c.cl.Replicators[c.s]
+				if forwards, background := subject.QueuedForTest(); forwards+background == 0 {
+					c.t.Errorf("the premise: nothing is waiting for a lane at the subject")
+				}
+				c.cl.Servers[c.s].Kill(false)
+				c.forget(c.s)
+				p.Sleep(sim.Microsecond)
+				c.cl.Servers[c.s].RestartCold()
+				p.Sleep(landed - begin + 120*sim.Microsecond)
+				forwards, background := subject.QueuedForTest()
+				if c.cl.Servers[c.s].Recovering() || forwards+background != 0 {
+					c.t.Errorf("the premise: by now the node is back (recovering: %v) and the lanes have caught up (%d + %d waiting)", c.cl.Servers[c.s].Recovering(), forwards, background)
+				}
+				if epoch, _, _, suspect, _ := subject.RecordForTest(imKey); epoch != 0 && !suspect {
+					c.t.Errorf("%v into the new incarnation, before any resend or scrub round, the key is confirmed at %#x: a write of the dead one was installed", p.Now()-begin, epoch)
+				}
+			})
+		},
+		rule:     func(row imRow, clean, got imCounts) bool { return got.forwards <= clean.forwards },
+		ruleText: "no round the clean run does not open; what refills the subject afterwards is the scrubber's business",
+	},
 }
 
 // repairs states the part every column but the clean one shares: repair pushes
@@ -460,7 +587,7 @@ func (c *installCell) run(row imRow, clock bool) (begin, landed sim.Time) {
 				case begin == 0 && st.SetOps+st.DeleteOps-ops0 >= row.storeCall:
 					begin, was = p.Now(), record()
 				case begin != 0 && record() != was:
-					landed = p.Now()
+					landed, c.epoch = p.Now(), record()[0].(uint64)
 				}
 			}
 		})
@@ -556,6 +683,7 @@ func TestInstallMatrix(t *testing.T) {
 			type clock struct {
 				begin, landed sim.Time
 				counts        imCounts
+				epoch         uint64
 			}
 			clocks := map[bool]clock{}
 			for _, spill := range []bool{false, true} {
@@ -564,12 +692,16 @@ func TestInstallMatrix(t *testing.T) {
 				if begin == 0 || landed == 0 {
 					t.Fatalf("clean run (spill=%v): the row's store call at server %d began at %v and landed at %v", spill, row.s, begin, landed)
 				}
-				clocks[spill] = clock{begin, landed, c.moved()}
+				clocks[spill] = clock{begin, landed, c.moved(), c.epoch}
 			}
 			for _, col := range imCols {
 				t.Run(col.name, func(t *testing.T) {
+					if col.skip != nil && col.skip(row) != "" {
+						t.Skip(col.skip(row))
+					}
 					c := newInstallCell(t, row.s, col.fcfg, col.spill)
 					clk := clocks[col.spill]
+					c.epoch = clk.epoch
 					col.interfere(c, row, clk.begin, clk.landed)
 					c.run(row, false)
 					c.audit(row, col, clk.counts)

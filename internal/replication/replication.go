@@ -99,6 +99,9 @@ const (
 	// ackRetries is the number of resend rounds before the coordinator
 	// gives up and fails the write with StatusNoReplica.
 	ackRetries = 3
+	// applyPool is how many processes apply coordinators' forwards, off the
+	// engine: the server's default storage pool.
+	applyPool = 4
 	// pullTimeout bounds one wait on a key's pull.
 	pullTimeout = 300 * sim.Microsecond
 	// The pacer's bucket: its capacity in rounds, the per-token refill
@@ -115,8 +118,8 @@ func (c *Config) fill() {
 }
 
 // recvDepth is the receive-WR pool pre-posted per peer QP. The engine
-// re-posts after every completion; the pool only bounds frames in flight
-// while the engine is busy applying.
+// re-posts after every completion and never waits on anything else, so the
+// pool only bounds the frames of one burst.
 const recvDepth = 4096
 
 // maxCoordRounds bounds epoch-conflict re-coordination attempts per write.
@@ -238,12 +241,15 @@ type Replicator struct {
 
 	sendCQ  *verbs.CQ
 	recvCQ  *verbs.CQ
+	applyQ  *sim.Queue[queued] // forwards, for the apply pool
+	backQ   *sim.Queue[queued] // every other frame but acks, for the one background process
 	peers   map[int]*peerLink
 	peerIDs []int // sorted; all sends iterate this for determinism
 	qpByQPN map[int]*verbs.QP
 
 	// gen counts Wipes: the incarnation of everything below. A proc suspended
-	// across a whole-node kill resumes in the next one (install, migrateSegment).
+	// across a whole-node kill resumes in the next one (install, migrateSegment),
+	// and a frame that waited in a lane across one is dropped at dequeue.
 	gen       uint64
 	keys      map[string]*keyState
 	digestsAt placement // what the peers' maintained digests were computed under
@@ -297,8 +303,8 @@ func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.
 }
 
 // SetDown installs the host server's liveness probe: while it reports true
-// the engine discards incoming frames (a crashed node neither applies nor
-// acks).
+// the engine discards incoming frames and the lanes discard what they had
+// waiting (a crashed node neither applies nor acks).
 func (r *Replicator) SetDown(fn func() bool) { r.down = fn }
 
 // isDown reports whether the host server is crashed.
@@ -418,7 +424,13 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
 }
 
 func (r *Replicator) start() {
+	r.applyQ = sim.NewQueue[queued](r.env, 0)
+	r.backQ = sim.NewQueue[queued](r.env, 0)
 	r.env.Spawn("repl-engine", r.engine)
+	for i := 0; i < applyPool; i++ {
+		r.env.Spawn("repl-apply", r.lane(r.applyQ))
+	}
+	r.env.Spawn("repl-background", r.lane(r.backQ))
 	r.env.Spawn("repl-scrub", r.scrubber)
 	r.env.Spawn("repl-migrate", r.migrator)
 }
@@ -924,6 +936,8 @@ func (ks *keyState) closePull() {
 // pending pull — including per-segment migration state — dies with the
 // node. Called by Server.Kill. The migrator starts the segment it was on
 // over on its next round and re-pulls whatever of it the wipe destroyed.
+// Frames waiting in a lane are not searched out: each carries the incarnation
+// it arrived in, and the lane drops it when its turn comes.
 func (r *Replicator) Wipe() {
 	r.gen++
 	for _, ks := range r.keys {
@@ -985,30 +999,70 @@ func winsSameEpoch(senderID, myID int, epoch uint64) bool {
 	return senderID < myID
 }
 
-// engine drains the replicator's receive CQ, dispatching peer frames.
+// engine is the replicator's communication phase: it drains the receive CQ and
+// hands every frame to the lane that handles it, and suspends nowhere else —
+// in particular never in the store, so neither a forward nor an ack for one of
+// this node's own rounds waits behind the store call of the frame before it.
 func (r *Replicator) engine(p *sim.Proc) {
 	for {
 		c := r.recvCQ.WaitPoll(p)
+		// Replenish before looking at isDown: the NIC of a dead node still
+		// consumes a receive per frame, and a pool left to run dry while the
+		// process is down would strand the peers' sends long after it is back.
 		if qp := r.qpByQPN[c.QPN]; qp != nil {
-			qp.PostRecv(verbs.RecvWR{}) // replenish the pool
+			qp.PostRecv(verbs.RecvWR{})
 		}
-		f, ok := c.Payload.(*frame)
-		if !ok {
-			continue
+		if f, ok := c.Payload.(*frame); ok && !r.isDown() { // a dead node neither applies nor acks
+			r.demux(f)
 		}
-		if r.isDown() {
-			continue // a dead node neither applies nor acks
-		}
-		r.handle(p, f)
 	}
 }
 
+// demux is the three lanes. An ack is handled on the spot: it frees a request
+// that is waiting for nothing else. A coordinator's forward — the one frame a
+// client is waiting on at this end — goes to the apply pool, where forwards of
+// one key may land in either order: install's swap-time guard is what makes
+// that safe. Everything else is background and keeps its arrival order on one
+// process, so a scrub round's diff still follows the previous round's repairs.
+// A forward is therefore no longer ordered against the background frames of
+// the same peer; the same guard covers that too. Neither hand-off suspends.
+func (r *Replicator) demux(f *frame) {
+	switch {
+	case f.Kind == frameAck:
+		r.handleAck(f)
+	case f.Kind == frameWrite && !f.Repair:
+		r.applyQ.TryPut(queued{f, r.gen})
+	default:
+		r.backQ.TryPut(queued{f, r.gen})
+	}
+}
+
+// queued is a frame waiting in a lane, with the incarnation it arrived in (a
+// frame is shared by every peer it was sent to, so the stamp is beside it).
+type queued struct {
+	f   *frame
+	gen uint64
+}
+
+// lane serves one queue, a frame at a time. What the engine's inline call gave
+// for free is asked again here, at dequeue: a frame that arrived before a
+// whole-node kill belongs to the dead incarnation, and one that arrived a
+// microsecond before a crash is neither applied nor acked after it.
+func (r *Replicator) lane(q *sim.Queue[queued]) func(*sim.Proc) {
+	return func(p *sim.Proc) {
+		for {
+			if it, _ := q.Get(p); it.gen == r.gen && !r.isDown() {
+				r.handle(p, it.f)
+			}
+		}
+	}
+}
+
+// handle runs one queued frame; acks never get here.
 func (r *Replicator) handle(p *sim.Proc, f *frame) {
 	switch f.Kind {
 	case frameWrite:
 		r.handleWrite(p, f)
-	case frameAck:
-		r.handleAck(f)
 	case framePull: // a peer's confirmation request: our confirmed copy, or a miss
 		r.pushKey(p, f.From, f.Key)
 	case framePullMiss:
