@@ -26,8 +26,8 @@ race:
 # engine (TestEngineNeverWaitsOnTheStore: acks and forwards against a wedged
 # store call, a forward queued across a crash) and its install matrix (every
 # way a version of a key reaches a store, against everything going on there
-# when it does — the apply pool and the background lane included), the server's path
-# matrix (every way an arrival reaches the storage phase, crashed at each
+# when it does — the apply pool and the background lane included), the
+# server's path matrix (every way an arrival reaches the storage phase, crashed at each
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
 # races (four workers on one key: get vs set, and the conditional and

@@ -6,6 +6,7 @@ import (
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
 )
 
@@ -128,7 +129,7 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 		var status protocol.Status
 		var crashed, answered sim.Time
 		cl.Env.Spawn("en-driver", func(p *sim.Proc) {
-			for i := 0; i < 4; i++ {
+			for i := 0; i < replication.ApplyPoolForTest; i++ {
 				b.DeliverWriteForTest(0, fmt.Sprintf("en:wedge:%d", i), 0x100, i, 256<<10, false)
 			}
 			status = execute(p, a, enSet("en:queued", enSmall, 1)).Status

@@ -137,6 +137,9 @@ func (r *Replicator) ForwardHandoffForTest() (step func()) {
 	return func() { r.demux(f) }
 }
 
+// ApplyPoolForTest is how many forwards hold every applier.
+const ApplyPoolForTest = applyPool
+
 // QueuedForTest is how many frames the engine has handed over that no lane has
 // taken yet: forwards waiting for an applier, and background frames.
 func (r *Replicator) QueuedForTest() (forwards, background int) {

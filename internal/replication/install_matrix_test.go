@@ -7,6 +7,7 @@ import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/fault"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
 )
 
@@ -260,6 +261,19 @@ var imRows = []imRow{
 	},
 }
 
+// pushed reports whether the row's version reaches the subject in a repair
+// push — through the background lane — rather than in a forward.
+func (row imRow) pushed() bool { return !row.coordinated && row.clean.pushes > 0 }
+
+// noLane is the skip of a column about the lanes on a row whose version comes
+// through none.
+func noLane(row imRow) string {
+	if row.coordinated {
+		return "the subject's own proc installs the row's version: it comes through no lane"
+	}
+	return ""
+}
+
 // imCol is one thing going on at the subject when the row's write gets there.
 // interfere arranges it by the clean run's clock — the subject's store call
 // begins at begin, its record moves at landed; rule states what the counters
@@ -422,13 +436,10 @@ var imCols = []imCol{
 		// refused there, acked as the duplicate it is: one version, one swap.
 		name: "the forward resent while its first copy's store call is suspended on another applier",
 		skip: func(row imRow) string {
-			switch {
-			case row.coordinated:
-				return "the subject coordinates the row's write: no forward of it comes here"
-			case row.clean.pushes > 0:
+			if row.pushed() {
 				return "a repair push belongs to no round, and a second copy of one waits behind the first on the one background process, as it did on the engine"
 			}
-			return ""
+			return noLane(row)
 		},
 		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
 			c.cl.Env.SpawnAt(begin+2*sim.Microsecond, "im-resend", func(p *sim.Proc) {
@@ -468,16 +479,11 @@ var imCols = []imCol{
 		// still being copied when the row's write lands: first to arrive, last to
 		// reach the swap, refused there.
 		name: "the peer's older version of the key in the other lane: first to arrive, last to land",
-		skip: func(row imRow) string {
-			if row.coordinated {
-				return "the subject's own proc installs the row's version: it comes through no lane"
-			}
-			return ""
-		},
+		skip: noLane,
 		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
 			c.cl.Env.AtFunc(begin-2*sim.Microsecond, func() {
 				older := c.set(2 * imBig)
-				c.cl.Replicators[c.s].DeliverWriteForTest(0, imKey, c.epoch-1, older.Value, older.ValueSize, row.clean.pushes == 0)
+				c.cl.Replicators[c.s].DeliverWriteForTest(0, imKey, c.epoch-1, older.Value, older.ValueSize, !row.pushed())
 			})
 		},
 		other: func(imRow) bool { return false },
@@ -495,21 +501,16 @@ var imCols = []imCol{
 		// only then does a process come free. The frame belongs to the dead
 		// incarnation, and so do the writes that held the lane.
 		name: "whole-node kill and cold restart while the write waits for its lane",
-		skip: func(row imRow) string {
-			if row.coordinated {
-				return "the subject's own proc installs the row's version: it waits for no lane"
-			}
-			return ""
-		},
+		skip: noLane,
 		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
-			env, repair := c.cl.Env, row.clean.pushes > 0
+			env := c.cl.Env
 			env.AtFunc(begin-3*sim.Microsecond, func() {
-				busy := 4
-				if repair {
+				busy := replication.ApplyPoolForTest
+				if row.pushed() {
 					busy = 1
 				}
 				for i := 0; i < busy; i++ {
-					c.cl.Replicators[c.s].DeliverWriteForTest(0, fmt.Sprintf("im:busy:%d", i), 0x100, i, 2*imBig, repair)
+					c.cl.Replicators[c.s].DeliverWriteForTest(0, fmt.Sprintf("im:busy:%d", i), 0x100, i, 2*imBig, row.pushed())
 				}
 			})
 			env.SpawnAt(begin+sim.Microsecond, "im-kill", func(p *sim.Proc) {
@@ -696,8 +697,10 @@ func TestInstallMatrix(t *testing.T) {
 			}
 			for _, col := range imCols {
 				t.Run(col.name, func(t *testing.T) {
-					if col.skip != nil && col.skip(row) != "" {
-						t.Skip(col.skip(row))
+					if col.skip != nil {
+						if why := col.skip(row); why != "" {
+							t.Skip(why)
+						}
 					}
 					c := newInstallCell(t, row.s, col.fcfg, col.spill)
 					clk := clocks[col.spill]
