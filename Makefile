@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity reach allocs loc loc-diff fuzz check
+.PHONY: build test vet fmt race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity reach allocs knobs loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -167,6 +167,14 @@ allocs:
 				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
 		END { flush(); printf "ns/op      %-12s Timer=%s Handoff=%s CallbackEvent=%s Go=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
 			"sim", ns["Timer"], ns["Handoff"], ns["CallbackEvent"], ns["Go"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
+
+# Independently settable values per configuration struct under internal/, one
+# line each with its pinned count and its fields: the table of the tier-1
+# TestConfigSurface (internal/cluster), which fails on a count that moved. A
+# value with one setting in use is a constant, not a field.
+knobs:
+	@status=0; out=$$($(GO) test -count=1 -run '^TestConfigSurface$$' -v ./internal/cluster 2>&1) || status=$$?; \
+	echo "$$out" | sed -n 's/^ *config_surface_test.go:[0-9]*: //p'; exit $$status
 
 # Non-test Go lines per internal/ package, one line each, then their total:
 # the count a simplification is reported in, and one number to diff between

@@ -8,37 +8,28 @@ import (
 
 func TestFetchPaysPenalty(t *testing.T) {
 	env := sim.NewEnv()
-	db := New(env, Config{})
+	db := New(env)
 	var v any
 	env.Spawn("client", func(p *sim.Proc) { v = db.Fetch(p, "k1") })
 	end := env.Run()
-	if end != DefaultPenalty {
-		t.Errorf("fetch took %v, want %v", end, DefaultPenalty)
+	if end != Penalty {
+		t.Errorf("fetch took %v, want %v", end, Penalty)
 	}
 	if v != "db:k1" {
 		t.Errorf("fetch returned %v", v)
 	}
-	if db.Accesses != 1 || db.TimeSpent != DefaultPenalty {
+	if db.Accesses != 1 || db.TimeSpent != Penalty {
 		t.Errorf("stats %d/%v", db.Accesses, db.TimeSpent)
-	}
-}
-
-func TestCustomPenalty(t *testing.T) {
-	env := sim.NewEnv()
-	db := New(env, Config{Penalty: 500 * sim.Microsecond})
-	env.Spawn("client", func(p *sim.Proc) { db.Fetch(p, "x") })
-	if end := env.Run(); end != 500*sim.Microsecond {
-		t.Errorf("fetch took %v", end)
 	}
 }
 
 func TestConcurrencyBound(t *testing.T) {
 	env := sim.NewEnv()
-	db := New(env, Config{Penalty: sim.Millisecond, Concurrency: 2})
-	for i := 0; i < 4; i++ {
+	db := New(env)
+	for i := 0; i < 2*Concurrency; i++ {
 		env.Spawn("client", func(p *sim.Proc) { db.Fetch(p, "k") })
 	}
-	if end := env.Run(); end != 2*sim.Millisecond {
-		t.Errorf("4 fetches at depth 2 took %v, want 2ms", end)
+	if end := env.Run(); end != 2*Penalty {
+		t.Errorf("%d fetches at depth %d took %v, want %v", 2*Concurrency, Concurrency, end, 2*Penalty)
 	}
 }

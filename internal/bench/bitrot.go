@@ -80,7 +80,7 @@ func bitrotCell(factor, ops int, defense string) cell {
 		NoVerify: defense == "nodefense",
 	}
 	if defense != "verify+scrub" {
-		cfg.ScrubInterval = -1 // no background repair
+		cfg.NoScrub = true // no background repair
 	}
 	return cell{
 		prefix: fmt.Sprintf("R%d.%s.", factor, defense), spec: &spec{Config: cfg},

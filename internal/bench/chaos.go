@@ -90,7 +90,7 @@ func chaosCell(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 			Design: d, Profile: cluster.ClusterA(), Servers: servers, Clients: 1,
 			ReplicationFactor: replicas,
 			ServerMem:         2 << 20, // 2 MB/server: the flood overcommits it
-			StorageWorkers:    overWorkers, BufferBytes: overBufferBytes, Overload: admission(),
+			StorageWorkers:    overWorkers, BufferBytes: overBufferBytes, Overload: true,
 		}},
 		drive: func(cl *cluster.Cluster, r *run) {
 			inj = fault.New(fault.Config{Seed: seed, Drop: 0.005, Dup: 0.005, Spike: 0.01})
@@ -152,7 +152,7 @@ func chaosCell(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 func floodClient(cl *cluster.Cluster) *core.Client {
 	fc := core.New(cl.Env, cl.Fabric.AddNode("flooder"), core.Config{
 		Transport:  core.RDMA,
-		Breaker:    core.BreakerConfig{Threshold: 6, Cooldown: 500 * sim.Microsecond},
+		Breaker:    6,
 		Membership: cl.Membership, // nil when unreplicated
 	})
 	for _, srv := range cl.Servers {

@@ -64,8 +64,8 @@ func issueAs(p *sim.Proc, cl *cluster.Cluster, c *core.Client, op core.Op, opts 
 // oneAtATime is the depth-1 closed loop's per-process body: ops operations,
 // each issued through opts (nil: unguarded) and waited for, under the
 // web-caching contract — a Get miss fetches the value from the
-// backend (the miss penalty) and re-populates the cache. Every op is
-// tallied and timed, the miss's refill included.
+// backend (the miss penalty, summed in r.MissPenalty) and re-populates the
+// cache. Every op is tallied and timed, the miss's refill included.
 func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops int, opts []core.IssueOption, r *run) {
 	vs := gen.ValueSize()
 	for i := 0; i < ops; i++ {
@@ -76,7 +76,7 @@ func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.
 		if errors.Is(err, core.ErrNotFound) {
 			mt := p.Now()
 			v := cl.Backend.Fetch(p, key)
-			c.Prof.Add(metrics.StageMissPenalty, p.Now()-mt)
+			r.MissPenalty += p.Now() - mt
 			do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts)
 		}
 		d := p.Now() - t0
@@ -130,7 +130,6 @@ func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
 	for _, s := range cl.Servers {
 		before = append(before, s.Store().Prof.Snapshot())
 	}
-	clientBefore := cl.Clients[0].Prof.Snapshot()
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
 		if cl.Design.NonBlocking() {
 			pipelined(p, c, gen, ops, ops, apiOpts(cl), r)
@@ -145,7 +144,6 @@ func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
 	for i, s := range cl.Servers {
 		r.Server.Merge(s.Store().Prof.Sub(before[i]))
 	}
-	r.Client = cl.Clients[0].Prof.Sub(clientBefore)
 }
 
 // computeGrain is the unit of application computation interleaved with

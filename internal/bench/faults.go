@@ -23,7 +23,6 @@ const (
 	faultDrop       = 0.01
 	faultDup        = 0.005
 	faultSpike      = 0.01
-	faultSpikeDelay = 100 * sim.Microsecond
 	faultCrashFrom  = 2 * sim.Millisecond
 	faultCrashTo    = 6 * sim.Millisecond
 	faultSSDReadErr = 0.005
@@ -63,7 +62,7 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted
 		seed = faultSeed
 		start := cl.Env.Now()
 		cl.Fabric.SetFaults(fault.New(fault.Config{
-			Seed: seed, Drop: faultDrop, Dup: faultDup, Spike: faultSpike, SpikeDelay: faultSpikeDelay,
+			Seed: seed, Drop: faultDrop, Dup: faultDup, Spike: faultSpike,
 		}))
 		cl.Servers[0].ScheduleCrash(start+faultCrashFrom, start+faultCrashTo)
 		for i, dev := range cl.Devices {

@@ -9,7 +9,6 @@ import (
 	"hybridkv/internal/history"
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
-	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
 )
 
@@ -19,8 +18,8 @@ import (
 // size-proportional degradation — so error-count breakers see nothing
 // while every request routed through it eats the slow path. Cells layer
 // the defenses: no defense, latency-aware brown-out routing
-// (core.HealthConfig), brown-out plus background-traffic pacing
-// (replication.PacerConfig), and a crash cell where the browned node also
+// (core.Config.Health), brown-out plus background-traffic pacing
+// (replication.Config.Pacer), and a crash cell where the browned node also
 // cold-dies mid-run to prove deprioritization never masks a real failure
 // from the breaker/failover path. Throughout, CAS-chain writers run under
 // the history invariant checker and an open-loop driver measures
@@ -64,7 +63,8 @@ const (
 
 	// Schedule, relative to measurement start (after preload): fail-slow
 	// onset, the start of the measured-GET window (the gap is detector
-	// warmup — MinSamples must accumulate before brown-out can trip), the
+	// warmup — the health tracker's minimum samples must accumulate before
+	// brown-out can trip), the
 	// crash instant for the crash cell, the first foreground write burst
 	// (after the GET window so the pacer contrast does not pollute the
 	// measured tail), and the run bound.
@@ -75,7 +75,7 @@ const (
 	grayLimit       = 200 * sim.Millisecond
 
 	// Foreground write bursts: enough in-flight bytes to cross the
-	// OverloadConfig buffer watermark on several coordinators, so armed
+	// admission buffer watermark on several coordinators, so armed
 	// anti-entropy scrub rounds observe foregroundBusy and — with the
 	// pacer on — defer instead of competing.
 	grayBursts     = 3
@@ -98,19 +98,12 @@ type grayDefense struct {
 // under the history checker for rounds rounds, and gets open-loop
 // admitted GETs; seed drives the link injector and the retry jitter.
 func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
-	ccfg := core.Config{Breaker: core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond}}
-	if def.health {
-		// Faster detection than the defaults so smoke-scale runs trip the
-		// brown-out inside the warmup window; ProbeEvery is raised so the
-		// probe trickle stays under the measured window's p99 mass.
-		ccfg.Health = core.HealthConfig{Enabled: true, Window: 32, MinSamples: 8, ProbeEvery: 64}
-	}
 	sp := &spec{Config: cluster.Config{
 		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: grayServers, Clients: 1,
 		ReplicationFactor: grayReplicas,
 		ServerMem:         4 << 20, // dataset fits: the tail under test is the slow node's, not eviction's
-		StorageWorkers:    grayWorkers, BufferBytes: overBufferBytes, Overload: admission(),
-		Client: ccfg, Pacer: replication.PacerConfig{Enabled: def.pacing},
+		StorageWorkers:    grayWorkers, BufferBytes: overBufferBytes, Overload: true,
+		Breaker: overBreaker, Health: def.health, Pacer: def.pacing,
 	}, keys: grayKeys, kv: grayValueSize}
 	var inj *fault.Injector
 	return cell{

@@ -3,7 +3,6 @@ package bench
 import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
-	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -31,18 +30,16 @@ const (
 	// latency, not as truncated failures.
 	overDeadline = 40 * sim.Millisecond
 
-	// Server admission geometry for the protected phase: a small buffer
-	// and shallow queue bound so smoke-scale bursts saturate.
+	// Server admission geometry for the protected phase (and every
+	// robustness soak after it): a small buffer so smoke-scale bursts
+	// saturate.
 	overBufferBytes = 96 << 10
-	overQueueHigh   = 24
 	overWorkers     = 2
-)
 
-// admission is the bounded-admission server config the protected cells
-// (and every robustness soak after them) run with.
-func admission() server.OverloadConfig {
-	return server.OverloadConfig{Enabled: true, QueueHigh: overQueueHigh, RetryAfterUnit: 10 * sim.Microsecond}
-}
+	// overBreaker is the protected client's breaker threshold: consecutive
+	// busy rejections or timeouts from one server before it opens.
+	overBreaker = 8
+)
 
 // overloadCell is one phase: design d on a two-server deployment sized so
 // bursts saturate at smoke scale — a deliberately small async buffer, two
@@ -60,8 +57,8 @@ func overloadCell(d cluster.Design, mem int64, kv, ops int, protected bool) cell
 	prefix := "off_"
 	if protected {
 		prefix = "on_"
-		cfg.Overload = admission()
-		cfg.Client.Breaker = core.BreakerConfig{Threshold: 8, Cooldown: 500 * sim.Microsecond}
+		cfg.Overload = true
+		cfg.Breaker = overBreaker
 	}
 	sp := &spec{Config: cfg, keys: int(mem * 3 / 2 / int64(kv)), kv: kv}
 	return cell{design: d.String(), prefix: prefix, row: d.String(), spec: sp, drive: func(cl *cluster.Cluster, r *run) {

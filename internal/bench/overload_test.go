@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hybridkv/internal/cluster"
-	"hybridkv/internal/server"
 )
 
 const (
@@ -14,9 +13,9 @@ const (
 )
 
 // overTestCell is a two-server cell of the overload geometry with the
-// given admission config, preloaded with dataBytes, driven by drive over
+// given admission switch, preloaded with dataBytes, driven by drive over
 // the overload workload.
-func overTestCell(d cluster.Design, over server.OverloadConfig, dataBytes int,
+func overTestCell(d cluster.Design, over bool, dataBytes int,
 	drive func(*cluster.Cluster, *spec, *run)) cell {
 	sp := &spec{Config: cluster.Config{
 		Design: d, Profile: cluster.ClusterA(), Servers: 2,
@@ -31,21 +30,19 @@ func overloadRun(t *testing.T, d cluster.Design, ops int, protected bool) *run {
 	return runCell(t, overloadCell(d, overTestMem, overTestKV, ops, protected))
 }
 
-// With protection disabled, the admission layer must be invisible: a plain
-// non-blocking run on the default cluster and on a cluster carrying an
-// explicit zero OverloadConfig take exactly the same virtual time. The
-// zero-value path is the old blocking-reservation path, bit for bit.
+// With protection disabled, the admission layer must be invisible: a
+// non-blocking run that fills the buffer takes the blocking-reservation path
+// — it sheds nothing, and replays to the same virtual time and misses.
 func TestOverloadDisabledIsPlain(t *testing.T) {
 	nonb := func(cl *cluster.Cluster, sp *spec, r *run) { closedLoop(cl, sp.gen(uniform(0.5, 7)), overTestOps, r) }
-	// The zero OverloadConfig, spelled out or left unset, is "disabled".
-	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, server.OverloadConfig{Enabled: false}, overTestMem*3/2, nonb))
-	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, server.OverloadConfig{}, overTestMem*3/2, nonb))
+	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, false, overTestMem*3/2, nonb))
+	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBI, false, overTestMem*3/2, nonb))
 
 	if r1.Elapsed != r2.Elapsed {
-		t.Errorf("zero OverloadConfig changed timing: %v vs %v", r1.Elapsed, r2.Elapsed)
+		t.Errorf("disabled admission changed timing: %v vs %v", r1.Elapsed, r2.Elapsed)
 	}
 	if r1.Misses != r2.Misses {
-		t.Errorf("zero OverloadConfig changed misses: %d vs %d", r1.Misses, r2.Misses)
+		t.Errorf("disabled admission changed misses: %d vs %d", r1.Misses, r2.Misses)
 	}
 	if r2.ShedSets != 0 || r2.ShedGets != 0 {
 		t.Errorf("disabled admission shed %d/%d requests", r2.ShedSets, r2.ShedGets)
@@ -61,9 +58,8 @@ func TestOverloadEnabledLightLoadParity(t *testing.T) {
 	block := func(cl *cluster.Cluster, sp *spec, r *run) {
 		driveBatched(cl, sp.gen(uniform(0.5, 7)), overTestOps, 1, r)
 	}
-	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBB, server.OverloadConfig{}, overTestMem/2, block))
-	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBB,
-		server.OverloadConfig{Enabled: true, QueueHigh: overQueueHigh}, overTestMem/2, block))
+	r1 := runCell(t, overTestCell(cluster.HRDMAOptNonBB, false, overTestMem/2, block))
+	r2 := runCell(t, overTestCell(cluster.HRDMAOptNonBB, true, overTestMem/2, block))
 
 	if r1.Elapsed != r2.Elapsed {
 		t.Errorf("light-load admission changed timing: %v vs %v", r1.Elapsed, r2.Elapsed)
@@ -139,7 +135,7 @@ func TestOverloadRetryAfterHintFlows(t *testing.T) {
 	if on.ShedSets == 0 {
 		t.Skip("burst did not shed at this scale")
 	}
-	// The hint unit is 10µs in overloadCell; any shed op's guard
+	// The hint unit is the server's retryAfterUnit; any shed op's guard
 	// must have slept at least that long before its successful retry, so
 	// the run's elapsed must exceed the no-backoff floor. Cheap proxy:
 	// retries happened and nothing failed.

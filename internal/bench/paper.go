@@ -142,7 +142,7 @@ func collectStages(_ *cluster.Cluster, r *run) {
 		row[st] = r.Server.PerOp(st, r.Ops)
 		accounted += row[st]
 	}
-	row[metrics.StageMissPenalty] = r.Client.PerOp(metrics.StageMissPenalty, r.Ops)
+	row[metrics.StageMissPenalty] = r.MissPenalty / sim.Time(r.Ops)
 	accounted += row[metrics.StageMissPenalty]
 	if r.PerOp > accounted {
 		row[metrics.StageClientWait] = r.PerOp - accounted

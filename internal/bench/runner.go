@@ -125,8 +125,10 @@ type run struct {
 	// Sends and Frames are the wire sends and coalesced frames of a batched
 	// phase, FlushWrites the eviction flush writes its servers issued.
 	Sends, Frames, FlushWrites int64
-	// Server and Client are the stage breakdowns of a closed-loop phase.
-	Server, Client *metrics.Breakdown
+	// Server is the servers' stage breakdown of a closed-loop phase;
+	// MissPenalty the backend time its misses paid.
+	Server      *metrics.Breakdown
+	MissPenalty sim.Time
 	// Log is the operation history the checked actors record; Violations
 	// what its invariant checker found.
 	Log        *history.Log
@@ -233,7 +235,7 @@ func (r *run) gather(cl *cluster.Cluster) {
 		r.ShedGets += s.ShedGets
 		r.Rejected += s.Rejected
 		r.Discarded += s.Discarded
-		r.Recoveries += s.Recovery.Get("recoveries")
+		r.Recoveries += s.Recoveries
 		r.BufferPeak = max(r.BufferPeak, s.BufferPeak)
 		r.QueuePeak = max(r.QueuePeak, s.QueuePeak)
 	}

@@ -139,15 +139,16 @@ type Config struct {
 	SlabPageSize int
 	// AsyncFlush enables write-behind eviction (paper future work).
 	AsyncFlush bool
-	// Overload configures bounded admission with load shedding on async
-	// servers (zero value: blocking reservation, exactly as before).
-	Overload server.OverloadConfig
-	// Client seeds every client's core.Config (timeout/retry knobs for
-	// degraded-mode runs); its Transport is forced to the design's. Its
-	// Membership, Bypass and HotFanout are the deployment's to decide —
-	// ReplicationFactor, Bypass and HotFanout here — and New panics on a
-	// value set there instead.
-	Client core.Config
+	// Overload arms bounded admission with load shedding on async servers
+	// (server.Config.Overload; false: blocking reservation).
+	Overload bool
+	// Breaker attaches a circuit breaker to every client connection that
+	// opens after this many consecutive busy rejections or attempt timeouts
+	// (core.Config.Breaker; 0: none).
+	Breaker int
+	// Health arms every client's latency-aware brown-out routing
+	// (core.Config.Health).
+	Health bool
 	// ReplicationFactor R maps each key to a primary plus R-1 backups on
 	// the shared ketama ring: servers forward admitted writes along the
 	// chain before acking, clients route gets to any live replica, and a
@@ -169,17 +170,16 @@ type Config struct {
 	HotFanout bool
 	// Pacer throttles background replication traffic (anti-entropy scrub
 	// and migration pulls) behind a token bucket that yields to each
-	// server's foreground load. Zero value: background rounds run exactly
-	// as before. Only meaningful with ReplicationFactor > 1.
-	Pacer replication.PacerConfig
+	// server's foreground load (replication.Config.Pacer). Only meaningful
+	// with ReplicationFactor > 1.
+	Pacer bool
 	// NoVerify disables on-SSD integrity verification on every server
 	// (hybridslab.Config.NoVerify) — the "nodefense" baseline of the bitrot
 	// experiment. Production configs leave it false: verification is on.
 	NoVerify bool
-	// ScrubInterval overrides the replication scrubber cadence; negative
-	// disables the scrubber entirely (the "verify-only" bitrot cell), zero
-	// keeps the replication default.
-	ScrubInterval sim.Time
+	// NoScrub disables the replication scrubber entirely (the
+	// "verify-only" bitrot cell).
+	NoScrub bool
 }
 
 // Cluster is one assembled deployment.
@@ -221,14 +221,6 @@ func New(cfg Config) *Cluster {
 	if cfg.ServerMem <= 0 {
 		cfg.ServerMem = 1 << 30
 	}
-	switch {
-	case cfg.Client.Membership != nil:
-		panic("cluster: Config.Client.Membership is built by the deployment; set Config.ReplicationFactor")
-	case cfg.Client.Bypass:
-		panic("cluster: Config.Client.Bypass is ignored; set Config.Bypass")
-	case cfg.Client.HotFanout:
-		panic("cluster: Config.Client.HotFanout is ignored; set Config.HotFanout")
-	}
 	env := sim.NewEnv()
 	spec := simnet.FDRInfiniBand()
 	if cfg.Design.Transport() == core.IPoIB {
@@ -240,7 +232,7 @@ func New(cfg Config) *Cluster {
 		Fabric:  fab,
 		Design:  cfg.Design,
 		Profile: cfg.Profile,
-		Backend: backend.New(env, backend.Config{}),
+		Backend: backend.New(env),
 	}
 	// The page-cache budget scales with the server's slab memory (the
 	// testbed nodes had 64-128 GB of RAM, so the cache was never the
@@ -287,12 +279,14 @@ func New(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		node := fab.AddNode(fmt.Sprintf("client%d", i))
-		ccfg := cfg.Client
-		ccfg.Transport = cfg.Design.Transport()
-		ccfg.Membership = cl.Membership // nil when unreplicated
-		ccfg.Bypass = cfg.Bypass
-		ccfg.HotFanout = cfg.HotFanout
-		c := core.New(env, node, ccfg)
+		c := core.New(env, node, core.Config{
+			Transport:  cfg.Design.Transport(),
+			Breaker:    cfg.Breaker,
+			Bypass:     cfg.Bypass,
+			HotFanout:  cfg.HotFanout,
+			Health:     cfg.Health,
+			Membership: cl.Membership, // nil when unreplicated
+		})
 		for _, srv := range cl.Servers {
 			if cfg.Design.Transport() == core.RDMA {
 				c.ConnectRDMA(srv)
@@ -351,8 +345,7 @@ func (cl *Cluster) buildServer(i int) *server.Server {
 // and appends it to cl.Replicators.
 func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Replicator {
 	repl := replication.New(cl.Env, replication.Config{
-		ID: id, Factor: cl.Membership.Factor(), Pacer: cl.cfg.Pacer,
-		ScrubInterval: cl.cfg.ScrubInterval,
+		ID: id, Factor: cl.Membership.Factor(), Pacer: cl.cfg.Pacer, NoScrub: cl.cfg.NoScrub,
 	}, cl.Membership, srv.Store(), srv.Device())
 	srv.AttachReplicator(repl)
 	return repl

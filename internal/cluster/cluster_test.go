@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"hybridkv/internal/core"
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
-	"hybridkv/internal/replication"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
@@ -158,32 +156,5 @@ func TestDesignStrings(t *testing.T) {
 		if d.String() != s {
 			t.Errorf("%d stringifies to %q, want %q", int(d), d.String(), s)
 		}
-	}
-}
-
-// New builds every client's Membership, Bypass and HotFanout from the
-// deployment's own fields; a value set on Config.Client instead used to be
-// overwritten without a word (a caller asking for Client.Bypass got an
-// RPC-only fleet). It is refused, naming the field to set.
-func TestNewRefusesClientFieldsTheDeploymentDecides(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		client core.Config
-		want   string
-	}{
-		{"Membership", core.Config{Membership: replication.NewMembership(sim.NewEnv(), 2, []int{0, 1})}, "Config.ReplicationFactor"},
-		{"Bypass", core.Config{Bypass: true}, "set Config.Bypass"},
-		{"HotFanout", core.Config{HotFanout: true}, "set Config.HotFanout"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "Config.Client."+tc.name) || !strings.Contains(msg, tc.want) {
-					t.Errorf("New panicked with %q, want Config.Client.%s refused in favour of %q", msg, tc.name, tc.want)
-				}
-			}()
-			New(Config{Design: HRDMAOptNonBI, Profile: ClusterA(), Servers: 2, ReplicationFactor: 2, Bypass: true, Client: tc.client})
-			t.Error("New accepted the field")
-		})
 	}
 }

@@ -296,7 +296,7 @@ func TestBackToBackTransitions(t *testing.T) {
 }
 
 // A joined server's replicator is configured like the original fleet's: on
-// a scrub-disabled cluster (ScrubInterval < 0) it must not scrub either.
+// a scrub-disabled cluster (NoScrub) it must not scrub either.
 // The migration and the writes that follow advance its epochs — what arms a
 // scrubber that is running.
 func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
@@ -307,7 +307,7 @@ func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
 		Clients:           1,
 		ServerMem:         8 << 20,
 		ReplicationFactor: 2,
-		ScrubInterval:     -1,
+		NoScrub:           true,
 	})
 	c := cl.Clients[0]
 	cl.Env.Spawn("mem-join-noscrub", func(p *sim.Proc) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hybridkv/internal/protocol"
-	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
 )
 
@@ -24,7 +23,7 @@ func TestKillDuringJoinConvergesWithPacing(t *testing.T) {
 		Clients:           1,
 		ServerMem:         8 << 20,
 		ReplicationFactor: 2,
-		Pacer:             replication.PacerConfig{Enabled: true},
+		Pacer:             true,
 	})
 	c := cl.Clients[0]
 	victim := 1

@@ -17,17 +17,9 @@ import (
 // (metrics.CBreakerOpen, CBreakerHalfOpen, CBreakerClose) and reroutes in
 // CBreakerReroutes.
 
-// BreakerConfig configures the per-connection circuit breaker. The zero
-// value disables it entirely: no breaker is attached and routing is
-// byte-identical to a breaker-less client.
-type BreakerConfig struct {
-	// Threshold opens the breaker after this many consecutive busy
-	// rejections or attempt timeouts from one server (0 disables).
-	Threshold int
-	// Cooldown is how long an open breaker deflects traffic before
-	// half-opening to admit one probe (default 1 ms).
-	Cooldown sim.Time
-}
+// breakerCooldown is how long an open breaker deflects traffic before
+// half-opening to admit one probe.
+const breakerCooldown = 500 * sim.Microsecond
 
 type breakerState int
 
@@ -39,7 +31,6 @@ const (
 
 type breaker struct {
 	c        *Client
-	cfg      BreakerConfig
 	state    breakerState
 	fails    int // consecutive failures while closed
 	openedAt sim.Time
@@ -50,13 +41,6 @@ type breaker struct {
 	probe *attempt
 }
 
-func newBreaker(c *Client, cfg BreakerConfig) *breaker {
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = sim.Millisecond
-	}
-	return &breaker{c: c, cfg: cfg}
-}
-
 // admits reports whether new traffic may be sent to this server: the
 // breaker is closed, open past its cooldown, or half-open with its probe
 // slot free. It changes nothing, so route may ask it of every candidate.
@@ -65,7 +49,7 @@ func (b *breaker) admits() bool {
 	case bkClosed:
 		return true
 	case bkOpen:
-		return b.c.env.Now()-b.openedAt >= b.cfg.Cooldown
+		return b.c.env.Now()-b.openedAt >= breakerCooldown
 	default: // half-open: exactly one probe at a time
 		return !b.probing
 	}
@@ -102,15 +86,15 @@ func (b *breaker) onSuccess() {
 }
 
 // onFailure records a busy rejection or attempt timeout. A failed half-open
-// probe re-opens immediately; while closed, Threshold consecutive failures
-// trip the breaker.
+// probe re-opens immediately; while closed, Config.Breaker consecutive
+// failures trip the breaker.
 func (b *breaker) onFailure() {
 	switch b.state {
 	case bkHalfOpen:
 		b.trip()
 	case bkClosed:
 		b.fails++
-		if b.fails >= b.cfg.Threshold {
+		if b.fails >= b.c.cfg.Breaker {
 			b.trip()
 		}
 	}

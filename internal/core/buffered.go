@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -74,7 +73,6 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	}
 	batch := cn.buffered
 	cn.buffered = nil
-	t0 := p.Now()
 	c.Sends++
 	if len(batch) == 1 {
 		cn.stream.Send(p, batch[0].WireSize(), batch[0])
@@ -92,5 +90,4 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 			break
 		}
 	}
-	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 }

@@ -76,8 +76,10 @@ type Config struct {
 	// Transport selects RDMA verbs or IPoIB sockets.
 	Transport Transport
 	// Breaker attaches a per-server circuit breaker to every connection
-	// (see BreakerConfig). Zero value = no breakers, routing unchanged.
-	Breaker BreakerConfig
+	// (breaker.go) that opens after this many consecutive busy rejections
+	// or attempt timeouts from one server and half-opens breakerCooldown
+	// later. Zero = no breakers, routing unchanged.
+	Breaker int
 	// Bypass enables the server-bypass read path: GETs resolve via
 	// one-sided RDMA READs against the server's published directory (see
 	// WithReadPath and internal/core/bypass.go), falling back to RPC on any
@@ -95,11 +97,11 @@ type Config struct {
 	// cold-recovered replicas withhold unconfirmed keys.
 	HotFanout bool
 	// Health attaches latency-aware health scoring to every connection
-	// (see HealthConfig and health.go): per-op-class service-time tracking
-	// that puts persistently slow servers in a brown-out — deprioritized
-	// for GETs while a healthy replica exists, never blocked. Zero value =
-	// no tracking, routing byte-identical to before.
-	Health HealthConfig
+	// (health.go): per-op-class service-time tracking that puts
+	// persistently slow servers in a brown-out — deprioritized for GETs
+	// while a healthy replica exists, never blocked. False = no tracking,
+	// routing byte-identical to before.
+	Health bool
 	// Membership is the replicated cluster's shared membership state machine
 	// (nil on an unreplicated fleet: every key has one home server). With it
 	// set the client routes each key within its replica set — Membership's
@@ -248,10 +250,6 @@ type Client struct {
 	hotGets      uint64
 	hotSampleSeq uint64 // auto-path GETs seen, for the 1-in-N RPC heat sample
 
-	// Prof accumulates the client-side stages (client wait, miss penalty
-	// is recorded by the workload driver).
-	Prof *metrics.Breakdown
-
 	// Faults counts recovery activity under the typed counters in
 	// internal/metrics (metrics.CRetries, CTimeouts, …). Read individual
 	// counters with Faults.Val, or take a whole snapshot with Stats.
@@ -356,7 +354,7 @@ type conn struct {
 	// zero: no state, no routing change). Released on Retire.
 	brk *breaker
 	// health is the latency-aware health tracker (nil when Config.Health
-	// is zero: no samples, no brown-outs). Released on Retire.
+	// is false: no samples, no brown-outs). Released on Retire.
 	health *connHealth
 	// retired marks a decommissioned server's connection: it takes no new
 	// traffic and its routing/bypass/breaker state has been released.
@@ -389,10 +387,7 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	if cfg.Health.Enabled {
-		cfg.Health.fill()
-	}
-	c := &Client{env: env, cfg: cfg, Prof: metrics.NewBreakdown(), Faults: metrics.NewCounters()}
+	c := &Client{env: env, cfg: cfg, Faults: metrics.NewCounters()}
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
 		c.pd = c.dev.AllocPD()
@@ -485,10 +480,10 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 		pending:      make(map[uint64]*attempt),
 		pendingBatch: make(map[uint64]*txBatch),
 	}
-	if c.cfg.Breaker.Threshold > 0 {
-		cn.brk = newBreaker(c, c.cfg.Breaker)
+	if c.cfg.Breaker > 0 {
+		cn.brk = &breaker{c: c}
 	}
-	if c.cfg.Health.Enabled {
+	if c.cfg.Health {
 		cn.health = &connHealth{}
 	}
 	if c.cfg.Membership != nil {
@@ -527,10 +522,10 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 		panic("core: ConnectIPoIB on an RDMA client")
 	}
 	cn := &conn{c: c, serverID: len(c.conns), stream: c.host.Dial(srv.Host())}
-	if c.cfg.Breaker.Threshold > 0 {
-		cn.brk = newBreaker(c, c.cfg.Breaker)
+	if c.cfg.Breaker > 0 {
+		cn.brk = &breaker{c: c}
 	}
-	if c.cfg.Health.Enabled {
+	if c.cfg.Health {
 		cn.health = &connHealth{}
 	}
 	c.conns = append(c.conns, cn)
@@ -592,21 +587,16 @@ func (c *Client) BGet(p *sim.Proc, key string) (*Req, error) {
 // (memcached_test).
 func (c *Client) Test(req *Req) bool { return req.done.Fired() }
 
-// Wait blocks until the operation completes (memcached_wait) and records
-// the blocked duration as the client-wait stage.
+// Wait blocks until the operation completes (memcached_wait).
 func (c *Client) Wait(p *sim.Proc, req *Req) {
-	t0 := p.Now()
 	p.Wait(&req.done)
-	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 }
 
 // WaitTimeout waits up to d of virtual time for the operation. On timeout
 // the request completes locally with ErrDeadlineExceeded (its flow-control
 // credit is reclaimed) and false is returned.
 func (c *Client) WaitTimeout(p *sim.Proc, req *Req, d sim.Time) bool {
-	t0 := p.Now()
 	ok := p.WaitTimeout(&req.done, d)
-	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
 	if !ok {
 		req.finish(timedOut, nil)
 	}
@@ -619,14 +609,11 @@ func (c *Client) WaitAny(p *sim.Proc, reqs []*Req) int {
 	if len(reqs) == 0 {
 		return -1
 	}
-	t0 := p.Now()
 	evs := make([]*sim.Event, len(reqs))
 	for i, r := range reqs {
 		evs[i] = &r.done
 	}
-	i := p.WaitAny(evs...)
-	c.Prof.Add(metrics.StageClientWait, p.Now()-t0)
-	return i
+	return p.WaitAny(evs...)
 }
 
 // WaitAll waits for a batch of requests (block-by-block completion of the
@@ -728,6 +715,5 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			req.finish(completed, resp)
 		}
 	}
-	c.Prof.Add(metrics.StageClientWait, p.Now()-att.start)
 	return req
 }

@@ -481,14 +481,3 @@ func TestRingBalanceAndStability(t *testing.T) {
 		t.Errorf("%d of ~750 stable keys moved after removing one server", moved)
 	}
 }
-
-func TestClientWaitStageRecorded(t *testing.T) {
-	r := newTestRig(rigOpts{transport: RDMA})
-	r.env.Spawn("bench", func(p *sim.Proc) {
-		r.client.Set(p, "k", 32*1024, "v", 0, 0)
-	})
-	r.env.Run()
-	if r.client.Prof.Total("client-wait") == 0 {
-		t.Errorf("client-wait stage not recorded for blocking set")
-	}
-}

@@ -33,8 +33,7 @@ const (
 	endReadBy   = 20 * sim.Microsecond  // a fabric slow enough to hedge between two READs
 	endLateBy   = 400 * sim.Microsecond // a server whose answer outlives the request
 	endSettleBy = 2 * sim.Millisecond   // by when everything late has landed
-	endCooldown = 100 * sim.Microsecond // the probe column's breaker
-	endTrips    = 2
+	endTrips    = 2                     // the probe column's breaker
 )
 
 // shape is what the fabric does to one node's messages from when it is set:
@@ -357,13 +356,13 @@ func newEndCell(t *testing.T, row *endRow, col *endCol) *endCell {
 	o.clientCfg = func(cc *Config) {
 		cc.Bypass = row.bypass
 		if col.probe {
-			cc.Breaker = BreakerConfig{Threshold: endTrips, Cooldown: endCooldown}
+			cc.Breaker = endTrips
 		}
 	}
 	if row.overload {
 		o.serverCfg = func(sc *server.Config) {
 			sc.BufferBytes = 4096
-			sc.Overload = server.OverloadConfig{Enabled: true}
+			sc.Overload = true
 		}
 	}
 	x := &endCell{t: t, row: row, col: col, r: newTestRig(o), net: shaper{}}
@@ -420,7 +419,7 @@ func (x *endCell) place(p *sim.Proc) {
 		for i := 0; i < endTrips; i++ {
 			x.on.noteFailure()
 		}
-		p.Sleep(endCooldown + sim.Microsecond) // the next attempt routed here is the probe
+		p.Sleep(breakerCooldown + sim.Microsecond) // the next attempt routed here is the probe
 	}
 }
 

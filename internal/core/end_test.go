@@ -144,9 +144,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 		t.Run(end, func(t *testing.T) {
 			r := newTestRig(rigOpts{
 				transport: RDMA, pipeline: server.Async, servers: 2,
-				clientCfg: func(cc *Config) {
-					cc.Breaker = BreakerConfig{Threshold: 2, Cooldown: 300 * sim.Microsecond}
-				},
+				clientCfg: func(cc *Config) { cc.Breaker = 2 },
 			})
 			c := r.client
 			home := c.route("k", routeGet, nil)
@@ -159,7 +157,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 					c.Wait(p, req)
 				}
 				srv.Restart()
-				p.Sleep(400 * sim.Microsecond) // past the cooldown: the next request is the probe
+				p.Sleep(breakerCooldown + 100*sim.Microsecond) // the next request is the probe
 				var probe *Req
 				if end == "canceled" {
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
@@ -201,16 +199,14 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 // some request failed through to it. It is a request now, made in beginOn:
 // its attempt ends with it, without a verdict, and hands the slot on.
 func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
-	r := newTestRig(rigOpts{transport: IPoIB, servers: 2, clientCfg: func(c *Config) {
-		c.Breaker = BreakerConfig{Threshold: 2, Cooldown: 100 * sim.Microsecond}
-	}})
+	r := newTestRig(rigOpts{transport: IPoIB, servers: 2, clientCfg: func(c *Config) { c.Breaker = 2 }})
 	c := r.client
 	c.SetBuffering(true)
 	r.env.Spawn("app", func(p *sim.Proc) {
 		home := c.route("k", routeWrite, nil)
 		home.noteFailure()
 		home.noteFailure()
-		p.Sleep(101 * sim.Microsecond) // past the cooldown: the next attempt routed here takes the probe slot
+		p.Sleep(breakerCooldown + sim.Microsecond) // the next attempt routed here takes the probe slot
 		if st := c.Set(p, "k", 512, "v", 0, 0); st != protocol.StatusStored || home.brk.state != bkHalfOpen {
 			t.Fatalf("buffered set: %v, breaker state %d: the Set was not the probe, the test proves nothing", st, home.brk.state)
 		}

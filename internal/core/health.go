@@ -28,7 +28,7 @@ import (
 //   - last-live: a browned connection is never blocked when it is the
 //     only routable replica, so brown-out can never turn a slow fleet into
 //     an unavailable one;
-//   - probe trickle: every ProbeEvery'th GET that would have been routed
+//   - probe trickle: every healthProbeEvery'th GET that would have been routed
 //     around a browned connection is sent to it anyway, so service-time
 //     samples keep flowing and recovery (recoverFactor hysteresis) is
 //     observable even while the connection is deprioritized.
@@ -38,41 +38,22 @@ import (
 // cold-crashes still trips its breaker and still gets failed over exactly
 // as an un-tracked one would.
 //
-// The zero value disables everything: no state is allocated, no samples
-// are taken, routing and virtual time are byte-identical to a client
-// without health tracking.
-
-// HealthConfig tunes latency-aware health scoring (Config.Health). The
-// zero value disables it entirely.
-type HealthConfig struct {
-	// Enabled turns health tracking on. Off, the client takes no samples
-	// and routing is unchanged.
-	Enabled bool
-	// Window is the per-class service-time window compared against the
-	// fleet baseline (default 64 samples).
-	Window int
-	// MinSamples is how many samples a class needs — on the judged
-	// connection and on at least one peer — before brown-out decisions
-	// are made (default 16).
-	MinSamples int
-	// ProbeEvery admits every Nth otherwise-rerouted GET to a browned
-	// connection as a probe, keeping recovery observable (default 16).
-	ProbeEvery int
-}
-
-func (h *HealthConfig) fill() {
-	if h.Window <= 0 {
-		h.Window = 64
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 16
-	}
-	if h.ProbeEvery <= 0 {
-		h.ProbeEvery = 16
-	}
-}
+// Config.Health false disables everything: no state is allocated, no
+// samples are taken, routing and virtual time are byte-identical to a
+// client without health tracking.
 
 const (
+	// healthWindow is the per-class service-time window compared against
+	// the fleet baseline, in samples.
+	healthWindow = 32
+	// healthMinSamples is how many samples a class needs — on the judged
+	// connection and on at least one peer — before brown-out decisions are
+	// made.
+	healthMinSamples = 8
+	// healthProbeEvery admits every Nth otherwise-rerouted GET to a browned
+	// connection as a probe, keeping recovery observable; rare enough that
+	// the probes stay under a measured window's p99 mass.
+	healthProbeEvery = 64
 	// healthAlpha is the EWMA smoothing factor of the per-class baseline
 	// each connection publishes to its peers.
 	healthAlpha = 0.125
@@ -119,17 +100,17 @@ type classHealth struct {
 	n    int64 // lifetime samples
 }
 
-func (ch *classHealth) add(v float64, window int) {
+func (ch *classHealth) add(v float64) {
 	if ch.ewma == 0 {
 		ch.ewma = v
 	} else {
 		ch.ewma += healthAlpha * (v - ch.ewma)
 	}
-	if len(ch.win) < window {
+	if len(ch.win) < healthWindow {
 		ch.win = append(ch.win, v)
 	} else {
 		ch.win[ch.pos] = v
-		ch.pos = (ch.pos + 1) % window
+		ch.pos = (ch.pos + 1) % healthWindow
 	}
 	ch.n++
 }
@@ -146,7 +127,7 @@ func (ch *classHealth) quantile(q float64) float64 {
 }
 
 // connHealth is one connection's health state. Allocated only when
-// Config.Health.Enabled; a nil connHealth means "healthy, untracked".
+// Config.Health; a nil connHealth means "healthy, untracked".
 //
 // Brown-out is PER CLASS, not per connection: a coordinator whose chain
 // writes crawl because its replication partner is the limping node has a
@@ -168,9 +149,9 @@ type connHealth struct {
 
 // admitProbe reports whether this otherwise-rerouted GET should go to the
 // browned connection anyway, keeping its sample stream alive.
-func (h *connHealth) admitProbe(hc *HealthConfig) bool {
+func (h *connHealth) admitProbe() bool {
 	h.probeSeq++
-	return h.probeSeq%uint64(hc.ProbeEvery) == 0
+	return h.probeSeq%healthProbeEvery == 0
 }
 
 // readHealthy reports whether cn's RPC GET path is routable at full
@@ -187,12 +168,11 @@ func (c *Client) noteServiceTime(cn *conn, class int, d sim.Time) {
 	if h == nil || d < 0 {
 		return
 	}
-	hc := &c.cfg.Health
 	c.Faults.Inc(metrics.CHealthSamples)
 	ch := &h.classes[class]
-	ch.add(float64(d), hc.Window)
+	ch.add(float64(d))
 	if !h.browned[class] {
-		if ch.n < int64(hc.MinSamples) {
+		if ch.n < healthMinSamples {
 			return
 		}
 		base := c.fleetBaseline(class, cn)
@@ -214,14 +194,13 @@ func (c *Client) noteServiceTime(cn *conn, class int, d sim.Time) {
 // peer has enough samples yet — no verdict is possible, which fails safe
 // (no brown-out without evidence of a faster alternative).
 func (c *Client) fleetBaseline(class int, exclude *conn) float64 {
-	hc := &c.cfg.Health
 	best := 0.0
 	for _, cn := range c.conns {
 		if cn == exclude || cn.retired || cn.health == nil {
 			continue
 		}
 		ch := &cn.health.classes[class]
-		if ch.n < int64(hc.MinSamples) || ch.ewma <= 0 {
+		if ch.n < healthMinSamples || ch.ewma <= 0 {
 			continue
 		}
 		if best == 0 || ch.ewma < best {
@@ -238,8 +217,7 @@ func (c *Client) fleetBaseline(class int, exclude *conn) float64 {
 // [d/8, d] so a cold tracker or a noisy baseline can neither hedge-storm
 // nor defer past the configured threshold.
 func (c *Client) hedgeAfter(d sim.Time) sim.Time {
-	hc := &c.cfg.Health
-	if !hc.Enabled || d <= 0 {
+	if !c.cfg.Health || d <= 0 {
 		return d
 	}
 	base := c.fleetBaseline(hcGet, nil)

@@ -14,15 +14,10 @@ import (
 // breaker, not re-open it. Latency verdicts belong to the health tracker's
 // brown-out state, which deprioritizes without ever blocking.
 func TestHalfOpenSlowProbeRecloses(t *testing.T) {
-	const (
-		cooldown = sim.Millisecond
-		stall    = 500 * sim.Microsecond
-	)
+	const stall = 500 * sim.Microsecond
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async,
-		clientCfg: func(cc *Config) {
-			cc.Breaker = BreakerConfig{Threshold: 2, Cooldown: cooldown}
-		},
+		clientCfg: func(cc *Config) { cc.Breaker = 2 },
 	})
 	c, srv := r.client, r.servers[0]
 	var probe *Req
@@ -44,7 +39,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 		// The restarted server limps: every storage dequeue stalls, so the
 		// half-open probe is slow — but it answers.
 		srv.AddWorkerStall(p.Now(), p.Now()+10*sim.Millisecond, stall)
-		p.Sleep(cooldown + 10*sim.Microsecond)
+		p.Sleep(breakerCooldown + 10*sim.Microsecond)
 		t0 := p.Now()
 		var err error
 		probe, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"},
@@ -79,9 +74,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	for _, cn := range c.conns {
@@ -95,9 +88,7 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	// Unreplicated client: the single home replica is always last-live.
 	r1 := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c1 := r1.client
 	c1.conns[0].health.browned[hcGet] = true
@@ -106,33 +97,31 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	}
 }
 
-// TestBrownoutProbeTrickle: every ProbeEvery'th GET that would be routed
+// TestBrownoutProbeTrickle: every healthProbeEvery'th GET that would be routed
 // around a browned connection is sent to it anyway, so its sample stream —
 // and therefore its recovery — stays observable.
 func TestBrownoutProbeTrickle(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true, ProbeEvery: 4}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	home := c.route("k", routeWrite, nil)
 	home.health.browned[hcGet] = true
 
 	probes, rerouted := 0, 0
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*healthProbeEvery; i++ {
 		if c.route("k", routeGet, nil) == home {
 			probes++
 		} else {
 			rerouted++
 		}
 	}
-	if probes != 2 || rerouted != 6 {
-		t.Errorf("probes=%d rerouted=%d over 8 picks with ProbeEvery=4, want 2/6", probes, rerouted)
+	if probes != 2 || rerouted != 2*healthProbeEvery-2 {
+		t.Errorf("probes=%d rerouted=%d over %d picks, want 2/%d", probes, rerouted, 2*healthProbeEvery, 2*healthProbeEvery-2)
 	}
-	if n := c.Faults.Get("slow-routed-gets"); n != 6 {
-		t.Errorf("slow-routed-gets = %d, want 6", n)
+	if n := c.Faults.Get("slow-routed-gets"); n != int64(rerouted) {
+		t.Errorf("slow-routed-gets = %d, want %d", n, rerouted)
 	}
 }
 
@@ -144,9 +133,7 @@ func TestBrownoutProbeTrickle(t *testing.T) {
 func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	home := c.route("k", routeWrite, nil)
@@ -169,20 +156,18 @@ func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 func TestBrownoutEnterExitHysteresis(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true, Window: 8, MinSamples: 4}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	fast, slow := c.conns[0], c.conns[1]
-	for i := 0; i < 8; i++ {
+	for i := 0; i < healthWindow; i++ {
 		c.noteServiceTime(fast, hcGet, 10*sim.Microsecond)
 	}
 	// Slow conn: a fast history, then a degraded tail.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < healthMinSamples; i++ {
 		c.noteServiceTime(slow, hcGet, 10*sim.Microsecond)
 	}
-	for i := 0; i < 8 && !slow.health.browned[hcGet]; i++ {
+	for i := 0; i < healthWindow && !slow.health.browned[hcGet]; i++ {
 		c.noteServiceTime(slow, hcGet, 200*sim.Microsecond)
 	}
 	if !slow.health.browned[hcGet] {
@@ -193,7 +178,7 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 	}
 
 	// Recovery: fast samples flush the window under recoverFactor.
-	for i := 0; i < 16 && slow.health.browned[hcGet]; i++ {
+	for i := 0; i < 2*healthWindow && slow.health.browned[hcGet]; i++ {
 		c.noteServiceTime(slow, hcGet, 10*sim.Microsecond)
 	}
 	if slow.health.browned[hcGet] {
@@ -211,9 +196,7 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 func TestHedgeAfterAdaptsToBaseline(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Health = HealthConfig{Enabled: true}
-		},
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	if got := c.hedgeAfter(2 * sim.Millisecond); got != 2*sim.Millisecond {
@@ -249,20 +232,16 @@ func TestHedgeAfterAdaptsToBaseline(t *testing.T) {
 // back, and every later attempt would be refused for the rest of the run.
 // The slot belongs to the connection an attempt is actually sent on.
 func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
-	const cooldown = sim.Millisecond
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2, replicas: 2,
-		clientCfg: func(cc *Config) {
-			cc.Breaker = BreakerConfig{Threshold: 1, Cooldown: cooldown}
-			cc.Health = HealthConfig{Enabled: true}
-		},
+		clientCfg: func(cc *Config) { cc.Breaker, cc.Health = 1, true },
 	})
 	c := r.client
 	home := c.route("k", routeWrite, nil)
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		home.health.browned[hcGet] = true
-		home.noteFailure() // Threshold 1: open
-		p.Sleep(cooldown + 10*sim.Microsecond)
+		home.noteFailure() // Breaker 1: open
+		p.Sleep(breakerCooldown + 10*sim.Microsecond)
 
 		if got := c.route("k", routeGet, nil); got == home {
 			t.Fatal("GET routed to the browned home; the test never went around it")

@@ -61,7 +61,7 @@ func TestBudgetExhaustionSurfacesBusy(t *testing.T) {
 		transport: RDMA, pipeline: server.Async,
 		serverCfg: func(sc *server.Config) {
 			sc.BufferBytes = 4096
-			sc.Overload = server.OverloadConfig{Enabled: true}
+			sc.Overload = true
 		},
 	})
 	c := r.client
@@ -161,9 +161,7 @@ func TestBudgetExhaustionSurfacesRecovering(t *testing.T) {
 func TestDeadlineDuringOpenBreaker(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async,
-		clientCfg: func(cc *Config) {
-			cc.Breaker = BreakerConfig{Threshold: 2, Cooldown: 300 * sim.Microsecond}
-		},
+		clientCfg: func(cc *Config) { cc.Breaker = 2 },
 	})
 	c := r.client
 	srv := r.servers[0]
@@ -201,7 +199,7 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 		// Recovery: restart, wait out the cooldown, and let the half-open
 		// probe re-close the breaker.
 		srv.Restart()
-		p.Sleep(400 * sim.Microsecond)
+		p.Sleep(breakerCooldown + 100*sim.Microsecond)
 		_, _, probe = c.Get(p, "k")
 	})
 	r.env.Run()
@@ -229,9 +227,7 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 2,
-		clientCfg: func(cc *Config) {
-			cc.Breaker = BreakerConfig{Threshold: 2, Cooldown: 10 * sim.Millisecond}
-		},
+		clientCfg: func(cc *Config) { cc.Breaker = 2 },
 	})
 	c := r.client
 	var rerouted *Req
@@ -357,7 +353,7 @@ func TestServerAdmissionClassesAndAckedDrain(t *testing.T) {
 		serverCfg: func(sc *server.Config) {
 			sc.BufferBytes = 128 << 10
 			sc.StorageWorkers = 1
-			sc.Overload = server.OverloadConfig{Enabled: true}
+			sc.Overload = true
 		},
 	})
 	c := r.client

@@ -184,11 +184,11 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 	}
 	if live != best {
 		// live is browned. It still gets the attempt when it is the last
-		// live member, and a cold GET's gets every ProbeEvery-th as the paced
+		// live member, and a cold GET's gets every healthProbeEvery-th as the paced
 		// probe that keeps its recovery observable (the tick is spent whether
 		// or not a healthy member exists). A hot GET that already counted as
 		// a breaker reroute is not counted again.
-		probe := in == routeGet && !hot && n > 1 && live.health.admitProbe(&c.cfg.Health)
+		probe := in == routeGet && !hot && n > 1 && live.health.admitProbe()
 		if probe || best == nil {
 			best = live
 		} else if !(hot && rerouted) {

@@ -118,8 +118,7 @@ func TestRouteMatrix(t *testing.T) {
 				transport: RDMA, pipeline: server.Async,
 				servers: row.servers, replicas: row.r,
 				clientCfg: func(cc *Config) {
-					cc.Breaker = BreakerConfig{Threshold: 1, Cooldown: sim.Millisecond}
-					cc.Health = HealthConfig{Enabled: true}
+					cc.Breaker, cc.Health = 1, true
 					cc.HotFanout = true
 				},
 			})
@@ -252,7 +251,7 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 	r := newTestRig(rigOpts{
 		transport: RDMA, pipeline: server.Async, servers: 4, replicas: 2,
-		clientCfg: func(cc *Config) { cc.Health = HealthConfig{Enabled: true} },
+		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
 	const key = "token-key"

@@ -28,15 +28,15 @@ type Config struct {
 	Drop float64
 	// Dup is the probability a message is delivered twice.
 	Dup float64
-	// Spike is the probability a message is delayed by SpikeDelay beyond
+	// Spike is the probability a message is delayed by spikeDelay beyond
 	// normal propagation. A spike is a one-shot, per-message event; it
 	// cannot model a link that stays degraded. For sustained degradation
 	// use AddSlow, which schedules a SlowWindow instead.
 	Spike float64
-	// SpikeDelay is the extra latency of a spiked message
-	// (default 100 µs).
-	SpikeDelay sim.Time
 }
+
+// spikeDelay is the extra latency of a spiked message.
+const spikeDelay = 100 * sim.Microsecond
 
 // Window is one link-down interval for a node: messages to or from the node
 // in [From, To) are dropped.
@@ -98,9 +98,6 @@ type Injector struct {
 
 // New returns an injector for cfg.
 func New(cfg Config) *Injector {
-	if cfg.SpikeDelay <= 0 {
-		cfg.SpikeDelay = 100 * sim.Microsecond
-	}
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -236,7 +233,7 @@ func (in *Injector) Transmit(src, dst string, size int, now sim.Time) simnet.Ver
 	}
 	if in.cfg.Spike > 0 && in.rng.Float64() < in.cfg.Spike {
 		in.Spikes++
-		v.ExtraDelay = in.cfg.SpikeDelay
+		v.ExtraDelay = spikeDelay
 	}
 	if d := in.slowDelay(src, dst, size, now); d > 0 {
 		in.Slowed++

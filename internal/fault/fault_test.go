@@ -145,8 +145,8 @@ func TestSymmetricPartitionFromTwoDirWindows(t *testing.T) {
 func TestSpikeDelayDefaults(t *testing.T) {
 	in := New(Config{Seed: 3, Spike: 1})
 	v := in.Transmit("a", "b", 10, 0)
-	if v.ExtraDelay != 100*sim.Microsecond {
-		t.Errorf("default spike delay %v, want 100µs", v.ExtraDelay)
+	if v.ExtraDelay != spikeDelay {
+		t.Errorf("spike delay %v, want %v", v.ExtraDelay, spikeDelay)
 	}
 	if v.Drop {
 		t.Error("spike verdict also dropped")

@@ -110,6 +110,10 @@ func (it *Item) OnSSD() bool { return it.onSSD }
 // reaches what later reads see.
 func (it *Item) InPlace() bool { return !it.onSSD && !it.inTransit }
 
+// asyncFlushDepth bounds the staged flushes write-behind eviction
+// (Config.AsyncFlush) holds in flight.
+const asyncFlushDepth = 4
+
 // ErrTooLarge is returned for items exceeding the largest slab chunk.
 var ErrTooLarge = errors.New("hybridslab: item exceeds maximum chunk size")
 
@@ -128,11 +132,9 @@ type Config struct {
 	// Section VII): the allocating request only buffers the victims into
 	// a bounded staging pool and frees their RAM chunks; a background
 	// flusher performs the SSD write and placement. Staging is bounded to
-	// AsyncFlushDepth in-flight slabs, which is the backpressure under
+	// asyncFlushDepth in-flight slabs, which is the backpressure under
 	// sustained write bursts.
 	AsyncFlush bool
-	// AsyncFlushDepth bounds in-flight staged flushes (default 4).
-	AsyncFlushDepth int
 	// NoVerify disables the foreground read-integrity checks (page-header
 	// checksum, per-slot key digest, rot detection). The zero value —
 	// verification on — is the production configuration; NoVerify exists
@@ -240,11 +242,7 @@ func New(env *sim.Env, cfg Config, file *pagecache.File) *Manager {
 			m.ssdLimit = file.Size()
 		}
 		if cfg.AsyncFlush {
-			depth := cfg.AsyncFlushDepth
-			if depth <= 0 {
-				depth = 4
-			}
-			m.flushQ = sim.NewQueue[flushJob](env, depth)
+			m.flushQ = sim.NewQueue[flushJob](env, asyncFlushDepth)
 			env.Spawn("hybridslab-flusher", m.asyncFlusher)
 		}
 	}

@@ -447,23 +447,25 @@ func TestAsyncFlushBoundedStaging(t *testing.T) {
 	dev := blockdev.New(env, blockdev.SATA(), 8<<30)
 	cache := pagecache.New(env, dev, pagecache.DefaultParams())
 	m := New(env, Config{
-		Slab:            slab.Config{MemLimit: 4 << 20},
-		Policy:          PolicyDirect,
-		AsyncFlush:      true,
-		AsyncFlushDepth: 1, // single staging slot: producers must stall
+		Slab:       slab.Config{MemLimit: 4 << 20},
+		Policy:     PolicyDirect,
+		AsyncFlush: true,
 	}, cache.OpenFile(0, 4<<30))
+	var staged sim.Time
 	env.Spawn("op", func(p *sim.Proc) {
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 600; i++ {
 			m.Store(p, item(i, 32*1024))
 		}
+		staged = p.Now()
 	})
-	end := env.Run()
-	// With one slot and direct-I/O flushes (~5.5ms each), sustained
-	// overcommit must have stalled on the staging bound: the run cannot
-	// be faster than (flushes-1) sequential device writes.
-	minTime := sim.Time(m.FlushPages-1) * blockdev.SATA().WriteTime(1<<20)
-	if end < minTime {
-		t.Errorf("run finished in %v, below the bounded-staging floor %v", end, minTime)
+	env.Run()
+	// The producer's last flush can be staged only once the one flusher has
+	// taken all but asyncFlushDepth of the others off the pool, one device
+	// write (~2.5 ms of direct I/O) each: sustained overcommit must have
+	// stalled on the staging bound. Unbounded, staging costs only copies.
+	minTime := sim.Time(m.FlushPages-asyncFlushDepth-1) * blockdev.SATA().WriteTime(1<<20)
+	if m.FlushPages <= 2*asyncFlushDepth || staged < minTime {
+		t.Errorf("%d flushes staged by %v, below the bounded-staging floor %v", m.FlushPages, staged, minTime)
 	}
 }
 

@@ -219,8 +219,8 @@ const (
 	CPacerDeferrals   Counter = "pacer-deferrals"   // background replication rounds deferred to foreground load
 	CHealthSamples    Counter = "health-samples"    // per-op service-time samples fed to the health tracker
 
-	// Data-integrity counters (server-side; surfaced through Client.Stats
-	// via the cluster's integrity hook rather than the client's own bag).
+	// Data-integrity counters (server-side: the replicators count them, read
+	// through Cluster.ReplicationCounters).
 	CScrubCorruptionsFound    Counter = "scrub-corruptions-found"    // same-epoch content divergences detected by scrub
 	CScrubCorruptionsRepaired Counter = "scrub-corruptions-repaired" // divergences overwritten with the coordinator's copy
 )

@@ -55,7 +55,6 @@ type Params struct {
 	MemcpyBps      int64    // host copy bandwidth
 	SyscallCost    sim.Time // read/write syscall entry+exit
 	FaultCost      sim.Time // minor page fault (mmap first touch)
-	ReadAheadPages int      // extra pages fetched on a cached read miss
 }
 
 // DefaultParams models a contemporary Linux host: 4 KB pages, ~8 GB/s
@@ -72,10 +71,6 @@ func DefaultParams() Params {
 		MemcpyBps:      8_000_000_000,
 		SyscallCost:    1800 * sim.Nanosecond,
 		FaultCost:      1500 * sim.Nanosecond,
-		// Read-ahead is disabled by default: the key-value load pattern is
-		// random, and the kernel's readahead heuristic backs off to zero
-		// on random access. Sequential-scan callers can raise it.
-		ReadAheadPages: 0,
 	}
 }
 
@@ -281,12 +276,11 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		missBytes := f.missPages(off, size) * c.par.PageSize
 		if missBytes > 0 {
 			c.Misses++
-			ra := c.par.ReadAheadPages * c.par.PageSize
-			c.dev.ServeRaw(p, false, missBytes+ra)
+			// No read-ahead: a key-value load is random access, on which
+			// the kernel's readahead heuristic backs off to zero.
+			c.dev.ServeRaw(p, false, missBytes)
 			touchedDev = true
 			f.residentRange(p, off, size, false)
-			// Read-ahead pages become resident beyond the request.
-			f.residentRange(p, min64(off+int64(size), f.size-1), int(min64(int64(ra), f.size-(off+int64(size)))), false)
 		} else {
 			c.Hits++
 		}
@@ -649,11 +643,4 @@ func (c *Cache) flusher(p *sim.Proc) {
 		c.wbYield = c.env.NewEvent()
 		y.Fire()
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

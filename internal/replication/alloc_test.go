@@ -20,7 +20,7 @@ func replicatedSetModel() (step func()) {
 		Clients:           1,
 		ServerMem:         8 << 20,
 		ReplicationFactor: 3,
-		ScrubInterval:     -1,
+		NoScrub:           true,
 	})
 	c := cl.Clients[0]
 	kick := sim.NewQueue[struct{}](cl.Env, 0)

@@ -335,7 +335,7 @@ func writePathCluster() *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
 		Servers: 3, Clients: 1, ServerMem: 64 << 20,
-		ReplicationFactor: 3, ScrubInterval: -1,
+		ReplicationFactor: 3, NoScrub: true,
 	})
 }
 

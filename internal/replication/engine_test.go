@@ -123,7 +123,7 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 	t.Run("a forward queued before a crash dies with the node", func(t *testing.T) {
 		cl := cluster.New(cluster.Config{
 			Design: cluster.HRDMAOptNonBI, Profile: cluster.ClusterA(),
-			Servers: 2, Clients: 1, ServerMem: 64 << 20, ReplicationFactor: 2, ScrubInterval: -1,
+			Servers: 2, Clients: 1, ServerMem: 64 << 20, ReplicationFactor: 2, NoScrub: true,
 		})
 		a, b := cl.Replicators[0], cl.Replicators[1]
 		var status protocol.Status

@@ -63,27 +63,21 @@ type Config struct {
 	// Factor is the replication factor R: each key lives on its primary
 	// plus R−1 backups.
 	Factor int
-	// ScrubInterval is the anti-entropy digest exchange period. Zero
-	// selects the default (2 ms); a negative value disables the scrubber
-	// entirely (the bitrot experiment's verify-without-scrub cells).
-	ScrubInterval sim.Time
-	// Pacer throttles background traffic (scrub digest rounds and
-	// migration pull rounds) behind a token bucket that yields to the host
-	// server's foreground load. The zero value disables pacing: background
-	// rounds run exactly as before.
-	Pacer PacerConfig
-}
-
-// PacerConfig switches the background-traffic token bucket. When Enabled,
-// every anti-entropy digest round and every migration pull round first takes
-// a token; tokens refill one per paceRefillEvery up to paceBurst. A round that
-// finds the bucket empty — or the host server's foreground-busy probe
-// (SetBusy) asserted — is deferred, never dropped: it sleeps a refill interval
-// and retries, so convergence and rebalance finalization are delayed but never
-// lost. paceMaxDefer bounds how long the busy probe alone can hold a round
-// back, so a permanently-loaded server still scrubs and migrates.
-type PacerConfig struct {
-	Enabled bool
+	// NoScrub disables the anti-entropy scrubber entirely (the bitrot
+	// experiment's verify-without-scrub cells). False: digests are exchanged
+	// every scrubInterval.
+	NoScrub bool
+	// Pacer throttles background traffic behind a token bucket that yields
+	// to the host server's foreground load: every anti-entropy digest round
+	// and every migration pull round first takes a token; tokens refill one
+	// per paceRefillEvery up to paceBurst. A round that finds the bucket
+	// empty — or the host server's foreground-busy probe (SetBusy) asserted
+	// — is deferred, never dropped: it sleeps a refill interval and retries,
+	// so convergence and rebalance finalization are delayed but never lost.
+	// paceMaxDefer bounds how long the busy probe alone can hold a round
+	// back, so a permanently-loaded server still scrubs and migrates. False:
+	// background rounds run unpaced.
+	Pacer bool
 }
 
 // The protocol's fixed parameters.
@@ -93,6 +87,8 @@ const (
 	readRepairEvery = 8
 	// scrubBuckets is the digest width: keys fold into this many buckets.
 	scrubBuckets = 32
+	// scrubInterval is the anti-entropy digest exchange period.
+	scrubInterval = 2 * sim.Millisecond
 	// ackTimeout bounds one wait-for-acks round of a write forward; unacked
 	// peers are re-sent the frame after each round.
 	ackTimeout = 300 * sim.Microsecond
@@ -110,12 +106,6 @@ const (
 	paceRefillEvery = 200 * sim.Microsecond
 	paceMaxDefer    = 5 * sim.Millisecond
 )
-
-func (c *Config) fill() {
-	if c.ScrubInterval == 0 {
-		c.ScrubInterval = 2 * sim.Millisecond
-	}
-}
 
 // recvDepth is the receive-WR pool pre-posted per peer QP. The engine
 // re-posts after every completion and never waits on anything else, so the
@@ -281,7 +271,6 @@ type Replicator struct {
 // migrator at every transition mem begins. Interconnect (or Join) must wire
 // it into the mesh before the simulation runs.
 func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.Device) *Replicator {
-	cfg.fill()
 	if 2*cfg.Factor > maxRoundPeers {
 		panic(fmt.Sprintf("replication: factor %d: a migrating key could have more than %d peers", cfg.Factor, maxRoundPeers))
 	}
@@ -321,7 +310,7 @@ func (r *Replicator) SetBusy(fn func() bool) { r.busy = fn }
 // the busy probe can hold a round back at most paceMaxDefer, and the bucket
 // refills on a fixed schedule.
 func (r *Replicator) pace(p *sim.Proc) {
-	if !r.cfg.Pacer.Enabled {
+	if !r.cfg.Pacer {
 		return
 	}
 	if !r.paceInit {

@@ -212,7 +212,7 @@ func (r *Replicator) refold(key string, was, is *keyState) {
 // scrubber exchanges digests with every peer while armed. It is
 // kick-driven: every genuine local epoch advance (a coordinated write, an
 // accepted forward, a repair apply, a cold restart) grants a burst of
-// scrubBurst rounds at ScrubInterval cadence, after which the scrubber
+// scrubBurst rounds at scrubInterval cadence, after which the scrubber
 // parks on an event until the next kick. Receiving a digest or diff does
 // NOT re-arm the receiver — only real state changes do — so a converged
 // cluster stops exchanging digests, schedules no timers, and the
@@ -220,7 +220,7 @@ func (r *Replicator) refold(key string, was, is *keyState) {
 // peers (not just higher ids): a freshly restarted node must be able to
 // start reconciliation toward lower-id survivors.
 func (r *Replicator) scrubber(p *sim.Proc) {
-	if len(r.peerIDs) == 0 || r.cfg.ScrubInterval < 0 {
+	if len(r.peerIDs) == 0 || r.cfg.NoScrub {
 		return
 	}
 	for {
@@ -230,7 +230,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 			p.Wait(ev)
 			r.scrubWake = nil
 		}
-		p.Sleep(r.cfg.ScrubInterval)
+		p.Sleep(scrubInterval)
 		r.scrubLeft--
 		if r.isDown() {
 			continue

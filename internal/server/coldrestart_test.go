@@ -82,7 +82,7 @@ func TestColdRestartRecoversCommittedState(t *testing.T) {
 	if r.srv.RecoveryTime <= 0 {
 		t.Errorf("RecoveryTime = %v, want > 0", r.srv.RecoveryTime)
 	}
-	if got := r.srv.Recovery.Get("recoveries"); got != 1 {
+	if got := r.srv.Recoveries; got != 1 {
 		t.Errorf("recovery counter = %d, want 1", got)
 	}
 }

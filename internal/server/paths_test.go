@@ -371,7 +371,7 @@ func pathAckWanted(t *testing.T, row pathRow) {
 // The inline pipeline has no admission stage and serves the arrival.
 func pathOverloadShed(t *testing.T, row pathRow) {
 	// One member alone overshoots the write watermark of a 4 KB buffer.
-	r := newPathRig(row, Config{BufferBytes: pathValueSize, Overload: OverloadConfig{Enabled: true}})
+	r := newPathRig(row, Config{BufferBytes: pathValueSize, Overload: true})
 	r.env.Spawn("client", func(p *sim.Proc) { r.sendArrival(p, true) })
 	r.env.Run()
 	n := row.members()

@@ -51,8 +51,6 @@ func (pl Pipeline) String() string {
 
 // Config tunes one server.
 type Config struct {
-	// Name identifies the server in logs and process names.
-	Name string
 	// Pipeline selects the sync or async design.
 	Pipeline Pipeline
 	// StorageWorkers is the async storage pool size (default 4).
@@ -65,29 +63,16 @@ type Config struct {
 	// clients run out of credits — the backpressure that throttles bset
 	// under write-heavy load (Figure 7(a)).
 	BufferBytes int
-	// Overload configures bounded admission with load shedding on the
-	// async pipeline. The zero value disables it: the dispatcher blocks
-	// on the buffer reservation exactly as before.
-	Overload OverloadConfig
-}
-
-// OverloadConfig bounds admission on the async pipeline. When Enabled, the
-// dispatcher never blocks on the buffer reservation: a request whose op
-// class is over its watermark is shed with StatusBusy (plus a retry-after
-// hint) instead of head-of-line-blocking the communication phase. Shedding
-// happens strictly before buffering and before any BufferAck, and the
-// storage queue is always drained, so acked work is never lost to shedding.
-type OverloadConfig struct {
-	Enabled bool
-	// QueueHigh sheds writes once the storage queue is this deep
-	// (default 256 tasks); reads are shed at 4×QueueHigh. This bounds
-	// queueing delay even when BufferBytes alone would admit more work
-	// (e.g. a flood of header-sized GETs).
-	QueueHigh int
-	// RetryAfterUnit scales the retry-after hint carried by a busy
-	// response: hint = unit × (queue depth / storage workers + 1), capped
-	// at maxRetryAfter (default 20 µs).
-	RetryAfterUnit sim.Time
+	// Overload bounds admission on the async pipeline: the dispatcher never
+	// blocks on the buffer reservation, and a request whose op class is over
+	// its watermark (shedSetWatermark / shedGetWatermark of BufferBytes, or
+	// a storage queue of shedQueueHigh) is shed with StatusBusy plus a
+	// retry-after hint instead of head-of-line-blocking the communication
+	// phase. Shedding happens strictly before buffering and before any
+	// BufferAck, and the storage queue is always drained, so acked work is
+	// never lost to shedding. False: the dispatcher blocks on the buffer
+	// reservation.
+	Overload bool
 }
 
 const (
@@ -112,18 +97,15 @@ const (
 	// nearly exhausted.
 	shedSetWatermark = 0.5
 	shedGetWatermark = 0.9
-	// maxRetryAfter caps the retry-after hint of a busy response.
-	maxRetryAfter = sim.Millisecond
+	// shedQueueHigh sheds writes once the storage queue is this deep, reads
+	// at 4×shedQueueHigh: it bounds queueing delay even when BufferBytes
+	// alone would admit more work (a flood of header-sized GETs).
+	shedQueueHigh = 24
+	// retryAfterUnit scales the retry-after hint of a busy response: unit ×
+	// (queue depth / storage workers + 1), capped at maxRetryAfter.
+	retryAfterUnit = 10 * sim.Microsecond
+	maxRetryAfter  = sim.Millisecond
 )
-
-func (oc *OverloadConfig) fill() {
-	if oc.QueueHigh <= 0 {
-		oc.QueueHigh = 256
-	}
-	if oc.RetryAfterUnit <= 0 {
-		oc.RetryAfterUnit = 20 * sim.Microsecond
-	}
-}
 
 func (c *Config) fill() {
 	if c.StorageWorkers <= 0 {
@@ -131,9 +113,6 @@ func (c *Config) fill() {
 	}
 	if c.BufferBytes <= 0 {
 		c.BufferBytes = 2 << 20
-	}
-	if c.Overload.Enabled {
-		c.Overload.fill()
 	}
 }
 
@@ -152,6 +131,8 @@ type Server struct {
 	env *sim.Env
 	st  *store.Store
 	cfg Config
+	// name prefixes the server's process names: "server:" and its node's.
+	name string
 
 	// RDMA mode
 	dev     *verbs.Device
@@ -220,11 +201,10 @@ type Server struct {
 	QueuePeak  int
 	// Stalled counts storage tasks delayed by an AddWorkerStall window.
 	Stalled int64
-	// Recovery holds the cold-restart counters ("pages-scanned",
-	// "pages-recovered", "pages-discarded", "items-recovered", ...).
-	Recovery *metrics.Counters
-	// LastRecovery is the most recent cold-restart recovery report;
-	// RecoveryTime is its virtual duration.
+	// Recoveries counts completed cold-restart recovery scans.
+	Recoveries int64
+	// LastRecovery is the most recent scan's report; RecoveryTime is its
+	// virtual duration.
 	LastRecovery hybridslab.RecoveryReport
 	RecoveryTime sim.Time
 }
@@ -311,16 +291,13 @@ func (t *task) repost() {
 // NewRDMA creates an RDMA-transport server on node.
 func NewRDMA(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Server {
 	cfg.fill()
-	if cfg.Name == "" {
-		cfg.Name = "server:" + node.Name()
-	}
 	s := &Server{
-		env:      env,
-		st:       st,
-		cfg:      cfg,
-		dev:      verbs.OpenDevice(node),
-		qpByQPN:  make(map[int]*verbs.QP),
-		Recovery: metrics.NewCounters(),
+		env:     env,
+		st:      st,
+		cfg:     cfg,
+		name:    "server:" + node.Name(),
+		dev:     verbs.OpenDevice(node),
+		qpByQPN: make(map[int]*verbs.QP),
 	}
 	s.recvCQ = s.dev.CreateCQ(0)
 	s.sendCQ = s.dev.CreateCQ(0)
@@ -330,15 +307,12 @@ func NewRDMA(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Serv
 // NewIPoIB creates an IPoIB-transport server on node (default Memcached).
 func NewIPoIB(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Server {
 	cfg.fill()
-	if cfg.Name == "" {
-		cfg.Name = "server:" + node.Name()
-	}
 	return &Server{
-		env:      env,
-		st:       st,
-		cfg:      cfg,
-		host:     verbs.NewHost(node),
-		Recovery: metrics.NewCounters(),
+		env:  env,
+		st:   st,
+		cfg:  cfg,
+		name: "server:" + node.Name(),
+		host: verbs.NewHost(node),
 	}
 }
 
@@ -444,13 +418,13 @@ func (s *Server) Start() {
 		s.slots = sim.NewResource(s.env, s.cfg.BufferBytes)
 		s.reqQ = sim.NewQueue[task](s.env, 0)
 		for i := 0; i < s.cfg.StorageWorkers; i++ {
-			s.env.Spawn(fmt.Sprintf("%s/worker%d", s.cfg.Name, i), s.storageWorker)
+			s.env.Spawn(fmt.Sprintf("%s/worker%d", s.name, i), s.storageWorker)
 		}
 	}
 	if s.dev != nil {
-		s.env.Spawn(s.cfg.Name+"/dispatcher", s.rdmaDispatcher)
+		s.env.Spawn(s.name+"/dispatcher", s.rdmaDispatcher)
 	} else {
-		s.env.Spawn(s.cfg.Name+"/accept", s.ipoibAcceptLoop)
+		s.env.Spawn(s.name+"/accept", s.ipoibAcceptLoop)
 	}
 }
 
@@ -519,19 +493,12 @@ func (s *Server) RestartCold() {
 	s.down = false
 	s.killed = false
 	s.recovering = true
-	s.env.Spawn(s.cfg.Name+"/recovery", func(p *sim.Proc) {
+	s.env.Spawn(s.name+"/recovery", func(p *sim.Proc) {
 		t0 := p.Now()
 		rep := s.st.RecoverCold(p)
 		s.LastRecovery = rep
 		s.RecoveryTime = p.Now() - t0
-		s.Recovery.Add("recoveries", 1)
-		s.Recovery.Add("pages-scanned", rep.PagesScanned)
-		s.Recovery.Add("pages-recovered", rep.PagesRecovered)
-		s.Recovery.Add("pages-discarded", rep.PagesDiscarded)
-		s.Recovery.Add("pages-torn", rep.PagesTorn)
-		s.Recovery.Add("pages-uncommitted", rep.PagesUncommitted)
-		s.Recovery.Add("items-recovered", rep.ItemsRecovered)
-		s.Recovery.Add("items-missing", rep.ItemsMissing)
+		s.Recoveries++
 		if s.repl != nil {
 			// The SSD resurrected values, but the epoch table proving
 			// their freshness died with the node: every recovered key is
@@ -646,7 +613,7 @@ func (s *Server) receive(p *sim.Proc, payload any, t task) {
 	} else {
 		t.held = reqs[0].WireSize()
 	}
-	if s.cfg.Overload.Enabled {
+	if s.cfg.Overload {
 		if s.overLimit(t.held, write) || !s.slots.TryAcquireN(t.held) {
 			for _, req := range reqs {
 				s.shed(p, &t, req)
@@ -719,10 +686,9 @@ func isWrite(op protocol.Opcode) bool { return op != protocol.OpGet }
 // overLimit reports whether admitting size more buffered bytes would take
 // the op class past its buffer watermark or storage-queue depth bound.
 func (s *Server) overLimit(size int, write bool) bool {
-	oc := &s.cfg.Overload
-	frac, qhigh := shedGetWatermark, 4*oc.QueueHigh
+	frac, qhigh := shedGetWatermark, 4*shedQueueHigh
 	if write {
-		frac, qhigh = shedSetWatermark, oc.QueueHigh
+		frac, qhigh = shedSetWatermark, shedQueueHigh
 	}
 	if float64(s.slots.InUse()+size) > frac*float64(s.slots.Total()) {
 		return true
@@ -740,8 +706,7 @@ func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 	} else {
 		s.ShedGets++
 	}
-	oc := &s.cfg.Overload
-	hint := oc.RetryAfterUnit * sim.Time(s.reqQ.Len()/s.cfg.StorageWorkers+1)
+	hint := retryAfterUnit * sim.Time(s.reqQ.Len()/s.cfg.StorageWorkers+1)
 	if hint > maxRetryAfter {
 		hint = maxRetryAfter
 	}
@@ -907,7 +872,7 @@ func (s *Server) ipoibAcceptLoop(p *sim.Proc) {
 			return
 		}
 		n++
-		s.env.Spawn(fmt.Sprintf("%s/conn%d", s.cfg.Name, n), func(hp *sim.Proc) {
+		s.env.Spawn(fmt.Sprintf("%s/conn%d", s.name, n), func(hp *sim.Proc) {
 			for {
 				msg, ok := stream.Recv(hp)
 				if !ok {

@@ -241,11 +241,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.StorageWorkers != 4 || c.BufferBytes != 2<<20 {
 		t.Errorf("defaults %+v", c)
 	}
-	c.Overload.Enabled = true
-	c.fill()
-	if c.Overload.QueueHigh != 256 || c.Overload.RetryAfterUnit != 20*sim.Microsecond {
-		t.Errorf("overload defaults %+v", c.Overload)
-	}
 	if Sync.String() != "sync" || Async.String() != "async" {
 		t.Errorf("pipeline strings")
 	}

@@ -15,15 +15,17 @@ import (
 // DefaultPageSize is Memcached's slab page size.
 const DefaultPageSize = 1 << 20
 
-// Config sets the class geometry and memory budget.
+// The class geometry, as Memcached's: class 0's chunk size, and the
+// chunk-size ratio between consecutive classes.
+const (
+	minChunk     = 96
+	growthFactor = 1.25
+)
+
+// Config sets the page size and memory budget.
 type Config struct {
 	// PageSize is the slab page size in bytes (default 1 MB).
 	PageSize int
-	// MinChunk is the chunk size of class 0 (default 96, as Memcached).
-	MinChunk int
-	// GrowthFactor is the chunk-size ratio between consecutive classes
-	// (default 1.25, as Memcached).
-	GrowthFactor float64
 	// MemLimit is the total slab memory budget in bytes (the -m flag).
 	MemLimit int64
 }
@@ -31,12 +33,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.PageSize <= 0 {
 		c.PageSize = DefaultPageSize
-	}
-	if c.MinChunk <= 0 {
-		c.MinChunk = 96
-	}
-	if c.GrowthFactor <= 1 {
-		c.GrowthFactor = 1.25
 	}
 	if c.MemLimit <= 0 {
 		c.MemLimit = 64 << 20
@@ -60,11 +56,11 @@ type Allocator struct {
 	memUsed int64
 }
 
-// New builds an allocator with classes spanning MinChunk up to PageSize.
+// New builds an allocator with classes spanning minChunk up to PageSize.
 func New(cfg Config) *Allocator {
 	cfg.fill()
 	a := &Allocator{cfg: cfg}
-	size := cfg.MinChunk
+	size := minChunk
 	for idx := 0; ; idx++ {
 		if size > cfg.PageSize {
 			break
@@ -74,7 +70,7 @@ func New(cfg Config) *Allocator {
 			ChunkSize:  size,
 			ChunksPage: cfg.PageSize / size,
 		})
-		next := int(math.Ceil(float64(size) * cfg.GrowthFactor))
+		next := int(math.Ceil(float64(size) * growthFactor))
 		// Memcached aligns chunk sizes to 8 bytes.
 		next = (next + 7) &^ 7
 		if next == size {

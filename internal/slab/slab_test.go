@@ -50,7 +50,7 @@ func TestClassForBoundaries(t *testing.T) {
 }
 
 func TestAllocGrowsPagesUntilLimit(t *testing.T) {
-	a := New(Config{MemLimit: 2 << 20, MinChunk: 1024, GrowthFactor: 2})
+	a := New(Config{MemLimit: 2 << 20})
 	idx, _ := a.ClassFor(1024)
 	perPage := a.Class(idx).ChunksPage
 	// First alloc grows a page.
@@ -78,7 +78,7 @@ func TestAllocGrowsPagesUntilLimit(t *testing.T) {
 }
 
 func TestFreeEnablesReuseWithoutNewPage(t *testing.T) {
-	a := New(Config{MemLimit: 1 << 20, MinChunk: 64 * 1024, GrowthFactor: 2})
+	a := New(Config{MemLimit: 1 << 20})
 	idx, _ := a.ClassFor(64 * 1024)
 	per := a.Class(idx).ChunksPage
 	for i := 0; i < per; i++ {
@@ -104,14 +104,18 @@ func TestFreeWithoutAllocPanics(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	a := New(Config{MemLimit: 4 << 20, MinChunk: 512 * 1024, GrowthFactor: 2})
+	a := New(Config{MemLimit: 4 << 20})
 	if a.Utilization() != 0 {
 		t.Errorf("fresh allocator utilization %v", a.Utilization())
 	}
-	idx, _ := a.ClassFor(512 * 1024)
+	// The smallest class over a third of a page holds two chunks a page.
+	idx, _ := a.ClassFor(DefaultPageSize/3 + 1)
+	if per := a.Class(idx).ChunksPage; per != 2 {
+		t.Fatalf("class %d holds %d chunks a page, want 2", idx, per)
+	}
 	a.Alloc(idx) // one page reserved, one of two chunks used
-	if u := a.Utilization(); u < 0.4 || u > 0.6 {
-		t.Errorf("utilization %v, want ≈0.5", u)
+	if u, want := a.Utilization(), float64(a.ChunkSize(idx))/DefaultPageSize; u != want {
+		t.Errorf("utilization %v, want %v (one chunk of the page)", u, want)
 	}
 }
 
@@ -137,7 +141,7 @@ func TestClassForSmallestFitProperty(t *testing.T) {
 // Property: alloc/free sequences never corrupt chunk accounting.
 func TestAllocFreeAccountingProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		a := New(Config{MemLimit: 4 << 20, MinChunk: 4096, GrowthFactor: 2})
+		a := New(Config{MemLimit: 4 << 20})
 		idx, _ := a.ClassFor(4096)
 		live := 0
 		for _, alloc := range ops {
