@@ -183,10 +183,10 @@ func rotEntry(kind workload.OpKind, op core.Op, req *core.Req, t0, now sim.Time)
 func rotLedgers(cl *cluster.Cluster, r *run) {
 	var detected, quarantined, reclaims int64
 	for _, s := range cl.Servers {
-		st := s.Store().Stats()
+		st, m := s.Store(), s.Store().Manager()
 		detected += st.CorruptReads
-		quarantined += st.QuarantinedPages
-		reclaims += s.Store().Manager().QuarantineReclaims
+		quarantined += m.QuarantinedPages
+		reclaims += m.QuarantineReclaims
 	}
 	repl := cl.ReplicationCounters()
 	found, repaired := repl.Val(metrics.CScrubCorruptionsFound), repl.Val(metrics.CScrubCorruptionsRepaired)

@@ -78,8 +78,7 @@ func hotkeyCell(path string, replicas, ops int) cell {
 		ReplicationFactor: replicas, Bypass: path != "rpc", HotFanout: path == "fanout",
 	}, keys: hotKeys, kv: hotValueSize}
 	arr := workload.Arrival{
-		Schedule: workload.FlashCrowd, Base: hotThink,
-		Spike: hotSpike, BurstStart: hotBurstStart, BurstLen: hotBurstLen,
+		Base: hotThink, Spike: hotSpike, BurstStart: hotBurstStart, BurstLen: hotBurstLen,
 	}
 	return cell{
 		prefix: fmt.Sprintf("%s.R%d.", path, replicas), spec: sp,

@@ -23,7 +23,6 @@ import (
 
 // Profile is the cost model of one drive type.
 type Profile struct {
-	Name      string
 	ReadBase  sim.Time // command setup + flash read latency
 	WriteBase sim.Time // command setup + program latency (drive-buffer ack)
 	ReadBps   int64    // sustained read bandwidth, bytes/sec
@@ -42,7 +41,6 @@ type Profile struct {
 // SATA models the local SATA SSD on SDSC Comet compute nodes ("Cluster A").
 func SATA() Profile {
 	return Profile{
-		Name:      "SATA-SSD",
 		ReadBase:  90 * sim.Microsecond,
 		WriteBase: 70 * sim.Microsecond,
 		ReadBps:   500_000_000,
@@ -57,7 +55,6 @@ func SATA() Profile {
 // NVMe models the Intel P3700 NVMe SSD on OSU NowLab nodes ("Cluster B").
 func NVMe() Profile {
 	return Profile{
-		Name:        "NVMe-SSD",
 		ReadBase:    20 * sim.Microsecond,
 		WriteBase:   15 * sim.Microsecond,
 		ReadBps:     2_700_000_000,
@@ -69,19 +66,12 @@ func NVMe() Profile {
 
 // ReadTime returns the single-command service time for a size-byte read.
 func (pr Profile) ReadTime(size int) sim.Time {
-	return pr.ReadBase + bwTime(size, pr.ReadBps)
+	return pr.ReadBase + sim.TransferTime(size, pr.ReadBps)
 }
 
 // WriteTime returns the single-command service time for a size-byte write.
 func (pr Profile) WriteTime(size int) sim.Time {
-	return pr.WriteBase + bwTime(size, pr.WriteBps)
-}
-
-func bwTime(size int, bps int64) sim.Time {
-	if size <= 0 || bps <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(bps) * float64(sim.Second))
+	return pr.WriteBase + sim.TransferTime(size, pr.WriteBps)
 }
 
 // SectorSize is the atomic write unit of the media: a torn write persists a

@@ -103,19 +103,18 @@ func (d Design) BufferGuarantee() bool { return d == HRDMAOptNonBB }
 
 // Profile describes one testbed's hardware.
 type Profile struct {
-	Name      string
 	SSD       blockdev.Profile
 	PageCache pagecache.Params
 }
 
 // ClusterA models SDSC Comet: FDR InfiniBand + local SATA SSDs.
 func ClusterA() Profile {
-	return Profile{Name: "Cluster-A(SDSC-Comet,SATA)", SSD: blockdev.SATA(), PageCache: pagecache.DefaultParams()}
+	return Profile{SSD: blockdev.SATA(), PageCache: pagecache.DefaultParams()}
 }
 
 // ClusterB models OSU NowLab: FDR InfiniBand + Intel P3700 NVMe SSDs.
 func ClusterB() Profile {
-	return Profile{Name: "Cluster-B(OSU-NowLab,NVMe)", SSD: blockdev.NVMe(), PageCache: pagecache.DefaultParams()}
+	return Profile{SSD: blockdev.NVMe(), PageCache: pagecache.DefaultParams()}
 }
 
 // Config sizes one deployment.
@@ -362,7 +361,7 @@ func (cl *Cluster) attachDirectory(srv *server.Server) {
 }
 
 // Preload stores n keys of valueSize bytes through client 0 using blocking
-// sets (Sequential order), lets background writeback settle, and returns
+// sets in index order, lets background writeback settle, and returns
 // the virtual time consumed. The caller's measurement starts after this.
 func (cl *Cluster) Preload(n, valueSize int, keyOf func(int) string) sim.Time {
 	start := cl.Env.Now()

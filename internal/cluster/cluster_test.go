@@ -121,9 +121,6 @@ func TestMultiNodeDeployment(t *testing.T) {
 
 func TestProfilesDiffer(t *testing.T) {
 	a, b := ClusterA(), ClusterB()
-	if a.SSD.Name == b.SSD.Name {
-		t.Errorf("profiles share SSD model")
-	}
 	if a.SSD.ReadBase <= b.SSD.ReadBase {
 		t.Errorf("SATA read base not slower than NVMe")
 	}

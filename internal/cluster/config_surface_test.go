@@ -29,16 +29,16 @@ var configSurface = []struct {
 	typ  reflect.Type
 	want int
 }{
-	{reflect.TypeOf(Config{}), 35},
-	{reflect.TypeOf(Profile{}), 16},
+	{reflect.TypeOf(Config{}), 29},
+	{reflect.TypeOf(Profile{}), 10},
 	{reflect.TypeOf(core.Config{}), 6},
 	{reflect.TypeOf(server.Config{}), 4},
 	{reflect.TypeOf(replication.Config{}), 4},
 	{reflect.TypeOf(hybridslab.Config{}), 7},
 	{reflect.TypeOf(slab.Config{}), 2},
-	{reflect.TypeOf(pagecache.Params{}), 8},
-	{reflect.TypeOf(blockdev.Profile{}), 7},
-	{reflect.TypeOf(simnet.LinkSpec{}), 6},
+	{reflect.TypeOf(pagecache.Params{}), 4},
+	{reflect.TypeOf(blockdev.Profile{}), 6},
+	{reflect.TypeOf(simnet.LinkSpec{}), 5},
 	{reflect.TypeOf(fault.Config{}), 4},
 	{reflect.TypeOf(workload.Config{}), 6},
 	{reflect.TypeOf(workload.BlockConfig{}), 3},

@@ -85,8 +85,7 @@ func Example_hybridRetention() {
 		fmt.Println("misses:", misses)
 	})
 	cl.Env.Run()
-	st := cl.Servers[0].Store().Stats()
-	fmt.Println("ssd items > 0:", st.SSDItems > 0)
+	fmt.Println("ssd items > 0:", cl.Servers[0].Store().Manager().SSDItems() > 0)
 	// Output:
 	// misses: 0
 	// ssd items > 0: true

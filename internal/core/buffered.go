@@ -46,7 +46,7 @@ func (c *Client) SetBuffering(on bool) error {
 func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
 	c.initReq(req, op)
-	p.Sleep(memcpyTime(op.ValueSize)) // copy into the output buffer
+	p.Sleep(sim.TransferTime(op.ValueSize, sim.MemcpyBps)) // copy into the output buffer
 	cn.buffered = append(cn.buffered, &req.attach(cn, attOffWire).wire)
 	c.Issued++
 	req.finish(completed, &protocol.Response{Status: protocol.StatusStored})

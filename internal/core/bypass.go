@@ -271,7 +271,7 @@ func segExpired(expireAt int64, now sim.Time) bool {
 // cost.
 func (r *resolution) complete(seg *protocol.DirSegment) {
 	c, p, req := r.c, r.p, r.req
-	p.Sleep(memcpyTime(seg.ValueSize))
+	p.Sleep(sim.TransferTime(seg.ValueSize, sim.MemcpyBps))
 	if req.done.Fired() {
 		return
 	}

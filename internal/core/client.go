@@ -124,16 +124,6 @@ const (
 	prepCost = 300 * sim.Nanosecond
 )
 
-// Host-side copy bandwidth for landing fetched values in user buffers.
-const memcpyBps = 8_000_000_000
-
-func memcpyTime(size int) sim.Time {
-	if size <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(memcpyBps) * float64(sim.Second))
-}
-
 // Req is the memcached_req analog: the handle for one in-flight operation.
 type Req struct {
 	// ID is the request id on the wire.
@@ -711,7 +701,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 				continue // stale reply from an abandoned request
 			}
 			att.settle(answered)
-			p.Sleep(memcpyTime(resp.ValueSize))
+			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)
 		}
 	}

@@ -39,17 +39,6 @@ const (
 	PolicyAdaptive
 )
 
-// Host-side copy bandwidth used for chunk buffering (matches the page-cache
-// memcpy model).
-const memcpyBps = 8_000_000_000
-
-func memcpyTime(size int) sim.Time {
-	if size <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(memcpyBps) * float64(sim.Second))
-}
-
 // Per-operation slab metadata cost (freelist/page bookkeeping).
 const slabMetaCost = 200 * sim.Nanosecond
 
@@ -201,12 +190,11 @@ type Manager struct {
 	flushFailStreak int
 
 	// Stats
-	Sets, Gets, Hits       int64
+	Gets, Hits             int64
 	FlushPages             int64 // slab pages flushed to SSD
 	FlushWrites            int64 // region data writes that landed (evictions and relocations)
 	CommitWrites           int64 // commit-record writes that landed, one per run
 	FlushErrors            int64 // region writes refused by device errors
-	FlushedItems           int64
 	SSDLoads               int64
 	CorruptLoads           int64 // uncorrectable SSD reads (data loss)
 	QuarantinedPages       int64 // regions quarantined after serving corrupt bits
@@ -216,7 +204,6 @@ type Manager struct {
 	DropEvictions          int64 // items discarded entirely
 	AbortedWindows         int64 // eviction windows torn down by Crash
 	FlushTime, SSDLoadTime sim.Time
-	AsyncFlushTime         sim.Time // background write-behind time
 	AllocStalls            int64
 }
 
@@ -324,11 +311,10 @@ func (m *Manager) Store(p *sim.Proc, it *Item) error {
 		switch m.alloc.Alloc(class) {
 		case slab.AllocOK, slab.AllocNewPage:
 			// Copy the value into the chunk.
-			p.Sleep(memcpyTime(it.ValueSize))
+			p.Sleep(sim.TransferTime(it.ValueSize, sim.MemcpyBps))
 			m.lrus[class].PushFront(&it.lru)
 			it.lru.Value = it
 			it.onSSD = false
-			m.Sets++
 			return nil
 		case slab.AllocNeedEvict:
 			m.AllocStalls++
@@ -411,7 +397,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 	job := flushJob{victims: victims, class: victimClass, chunk: chunk, gen: m.gen}
 	m.flushing++
 	t0 := p.Now()
-	p.Sleep(memcpyTime(len(victims) * chunk))
+	p.Sleep(sim.TransferTime(len(victims)*chunk, sim.MemcpyBps))
 	if m.gen != job.gen {
 		// Cold restart happened while we were buffering: the allocator and
 		// LRU state the victims belonged to is gone. Abandon them.
@@ -446,9 +432,7 @@ func (m *Manager) asyncFlusher(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		t0 := p.Now()
 		m.place(p, []flushJob{job})
-		m.AsyncFlushTime += p.Now() - t0
 	}
 }
 
@@ -782,7 +766,6 @@ func (m *Manager) placeAt(job flushJob, base int64) {
 		v.ssdPage = pg
 		m.ssdLRU.PushFront(&v.lru)
 		pg.live++
-		m.FlushedItems++
 		m.event(v, EvictLanded)
 	}
 	m.settle(pg)
@@ -874,7 +857,7 @@ func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
 		return nil, ErrDropped
 	}
 	if !it.onSSD {
-		p.Sleep(memcpyTime(it.ValueSize))
+		p.Sleep(sim.TransferTime(it.ValueSize, sim.MemcpyBps))
 		m.Hits++
 		return it.Value, nil
 	}
@@ -891,7 +874,7 @@ func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
 		m.quarantineCorrupt(it)
 		return nil, ErrCorrupt
 	}
-	p.Sleep(memcpyTime(it.ValueSize))
+	p.Sleep(sim.TransferTime(it.ValueSize, sim.MemcpyBps))
 	m.SSDLoadTime += p.Now() - t0
 	m.Hits++
 	return v, nil

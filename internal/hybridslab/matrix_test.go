@@ -357,7 +357,7 @@ func (c *writerCell) check() {
 
 func TestRegionWriterMatrix(t *testing.T) {
 	commitTime := func(regions int) sim.Time {
-		return pagecache.DefaultParams().SyscallCost + blockdev.SATA().WriteTime(regions*PageCommitSize)
+		return pagecache.SyscallCost + blockdev.SATA().WriteTime(regions*PageCommitSize)
 	}
 	for _, row := range writerRows {
 		t.Run(row.name, func(t *testing.T) {

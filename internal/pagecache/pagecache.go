@@ -45,32 +45,33 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
-// Params is the host-side cost model and cache geometry.
+// The host-side cost model of a contemporary Linux host; a copy is charged
+// at sim.MemcpyBps.
+const (
+	// SyscallCost is one read/write syscall's entry and exit.
+	SyscallCost = 1800 * sim.Nanosecond
+	// faultCost is one minor page fault (an mmap page's first touch).
+	faultCost = 1500 * sim.Nanosecond
+	// writebackBatch is the pages per flusher device command (1 MB).
+	writebackBatch = 256
+)
+
+// Params is the cache geometry.
 type Params struct {
-	PageSize       int      // bytes per page
-	MaxPages       int      // resident-page limit (cache memory budget)
-	DirtyHighPages int      // flusher daemon kicks in above this
-	ThrottlePages  int      // writers stall above this
-	WritebackBatch int      // pages per flusher device command
-	MemcpyBps      int64    // host copy bandwidth
-	SyscallCost    sim.Time // read/write syscall entry+exit
-	FaultCost      sim.Time // minor page fault (mmap first touch)
+	PageSize       int // bytes per page
+	MaxPages       int // resident-page limit (cache memory budget)
+	DirtyHighPages int // flusher daemon kicks in above this
+	ThrottlePages  int // writers stall above this
 }
 
-// DefaultParams models a contemporary Linux host: 4 KB pages, ~8 GB/s
-// single-threaded copy bandwidth, ~1.8 µs syscall, ~1.5 µs minor fault, and
-// a 128 MB cache budget (the experiments cap server RAM, so the cache is
-// deliberately modest).
+// DefaultParams models 4 KB pages and a 128 MB cache budget (the experiments
+// cap server RAM, so the cache is deliberately modest).
 func DefaultParams() Params {
 	return Params{
 		PageSize:       4096,
 		MaxPages:       32768, // 128 MB
 		DirtyHighPages: 8192,  // 32 MB
 		ThrottlePages:  16384, // 64 MB
-		WritebackBatch: 256,   // 1 MB per flusher command
-		MemcpyBps:      8_000_000_000,
-		SyscallCost:    1800 * sim.Nanosecond,
-		FaultCost:      1500 * sim.Nanosecond,
 	}
 }
 
@@ -170,18 +171,11 @@ func (c *Cache) evict(pg *page) {
 	c.spare = pg
 }
 
-// Params returns the cache's cost model.
+// Params returns the cache geometry.
 func (c *Cache) Params() Params { return c.par }
 
 // Dirty reports the number of dirty pages.
 func (c *Cache) Dirty() int { return c.dirty }
-
-func (c *Cache) memcpyTime(size int) sim.Time {
-	if size <= 0 || c.par.MemcpyBps <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(c.par.MemcpyBps) * float64(sim.Second))
-}
 
 // File is a region of the device accessed through the cache. Offsets are
 // file-relative; the file owns [base, base+size) on the device.
@@ -242,19 +236,19 @@ func (f *File) chargeWrite(p *sim.Proc, off int64, size int, scheme Scheme) bool
 	case Direct:
 		// Synchronous direct I/O: full device write plus the flush
 		// barrier, all on the caller's critical path.
-		p.Sleep(c.par.SyscallCost)
+		p.Sleep(SyscallCost)
 		c.dev.ServeRaw(p, true, size)
 		c.dev.Barrier(p)
 		return !c.dev.InjectWriteError()
 	case Cached:
-		p.Sleep(c.par.SyscallCost)
+		p.Sleep(SyscallCost)
 	case Mmap:
 		if faults := f.missPages(off, size); faults > 0 {
-			p.Sleep(sim.Time(faults) * c.par.FaultCost)
+			p.Sleep(sim.Time(faults) * faultCost)
 			c.Faults += int64(faults)
 		}
 	}
-	p.Sleep(c.memcpyTime(size))
+	p.Sleep(sim.TransferTime(size, sim.MemcpyBps))
 	f.dirtyRange(p, off, size)
 	c.throttle(p)
 	return true
@@ -268,11 +262,11 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 	touchedDev := false
 	switch scheme {
 	case Direct:
-		p.Sleep(c.par.SyscallCost)
+		p.Sleep(SyscallCost)
 		c.dev.ServeRaw(p, false, size)
 		touchedDev = true
 	case Cached:
-		p.Sleep(c.par.SyscallCost)
+		p.Sleep(SyscallCost)
 		missBytes := f.missPages(off, size) * c.par.PageSize
 		if missBytes > 0 {
 			c.Misses++
@@ -284,7 +278,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		} else {
 			c.Hits++
 		}
-		p.Sleep(c.memcpyTime(size))
+		p.Sleep(sim.TransferTime(size, sim.MemcpyBps))
 		f.touchRange(off, size)
 	case Mmap:
 		first, last := f.pageRange(off, size)
@@ -305,7 +299,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 			}
 			if !missing && runStart >= 0 {
 				run := i - runStart
-				p.Sleep(sim.Time(run) * c.par.FaultCost)
+				p.Sleep(sim.Time(run) * faultCost)
 				c.dev.ServeRaw(p, false, int(run*ps))
 				faulted += run
 				runStart = -1
@@ -319,7 +313,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		} else {
 			c.Hits++
 		}
-		p.Sleep(c.memcpyTime(size))
+		p.Sleep(sim.TransferTime(size, sim.MemcpyBps))
 		f.touchRange(off, size)
 	}
 	if touchedDev && c.dev.InjectReadError() {
@@ -407,7 +401,7 @@ func (f *File) WriteCommit(p *sim.Proc, exts []Extent) bool {
 		total += e.Size
 	}
 	c, boot := f.c, f.boots
-	p.Sleep(c.par.SyscallCost)
+	p.Sleep(SyscallCost)
 	c.dev.ServeRaw(p, true, total)
 	if c.dev.InjectWriteError() {
 		return false
@@ -434,7 +428,7 @@ func (f *File) WriteCommit(p *sim.Proc, exts []Extent) bool {
 // touching the extent maps — the recovery scan's I/O cost.
 func (f *File) ReadRaw(p *sim.Proc, off int64, size int) {
 	f.check(off, size)
-	p.Sleep(f.c.par.SyscallCost)
+	p.Sleep(SyscallCost)
 	f.c.dev.ServeRaw(p, false, size)
 }
 
@@ -622,7 +616,7 @@ func (c *Cache) flusher(p *sim.Proc) {
 		}
 		// Collect a batch of dirty pages, oldest first.
 		batch := 0
-		for pg := c.lru.prev; pg != &c.lru && batch < c.par.WritebackBatch; pg = pg.prev {
+		for pg := c.lru.prev; pg != &c.lru && batch < writebackBatch; pg = pg.prev {
 			if pg.dirty {
 				pg.dirty = false
 				c.dirty--

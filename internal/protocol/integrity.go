@@ -34,18 +34,14 @@ func ValueSum(v any) uint64 {
 		}
 		return h
 	case string:
-		h := uint64(offset64)
-		for i := 0; i < len(x); i++ {
-			h = (h ^ uint64(x[i])) * prime64
-		}
-		return h
+		return FNV1a(x)
 	case []byte:
-		return fnv1a(x)
+		return FNV1a(x)
 	default:
 		// Any other value sums as its printed form; the text is built in a
 		// stack buffer, so summing a small struct allocates nothing.
 		var buf [64]byte
-		return fnv1a(fmt.Appendf(buf[:0], "%T:%v", v, v))
+		return FNV1a(fmt.Appendf(buf[:0], "%T:%v", v, v))
 	}
 }
 
@@ -55,10 +51,13 @@ const (
 	prime64  = 1099511628211
 )
 
-func fnv1a(b []byte) uint64 {
+// FNV1a is the 64-bit FNV-1a hash of a string or a byte slice: the one loop
+// behind the directory's key digest, the content checksum and the ring's key
+// hash.
+func FNV1a[T ~string | ~[]byte](b T) uint64 {
 	h := uint64(offset64)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * prime64
 	}
 	return h
 }

@@ -364,15 +364,7 @@ func (s *DirSegment) WireSize() int { return DirSegHeaderBytes + s.ValueSize }
 // KeyDigest hashes a key for directory slot matching (FNV-1a). Digest 0 is
 // reserved to mean "empty slot", so real digests are folded away from it.
 func KeyDigest(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	d := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		d ^= uint64(key[i])
-		d *= prime64
-	}
+	d := FNV1a(key)
 	if d == 0 {
 		d = 1
 	}

@@ -10,7 +10,9 @@
 #
 # then, per file, the blocks inside production-entered functions that neither
 # production nor any test executes (the branches, where the table counts
-# statements), and every function no production run entered. Each such
+# statements), the same for the blocks there that only tests execute (a
+# branch, a case or a value no production run takes: the list gates nothing),
+# and every function no production run entered. Each such
 # function must have a line in internal/reach.keep — `pkg.Func  class  who will
 # drive it` — and each keep line must name a function that exists and is still
 # unreached; an unlisted or stale entry fails the target, naming it. Run from
@@ -72,33 +74,40 @@ awk -F'[: ]' 'FNR == 1 { next }
 	BEGIN { printf "%-12s %6s %6s %6s %6s  %s\n", "package", "stmts", "prod", "tests", "none", "prod%" }
 	$1 == "total" { total = $0; next } { print } END { print total }'
 
-# The branches: every block with a zero count in both profiles whose enclosing
+# The branches: every block no production run executes whose enclosing
 # function — the last one declared at or above it in its file — a production
-# run entered. Per file, then per function, the line ranges.
+# run entered, classed "none" (no test executes it either) or "tests". Per
+# class, per file, then per function, the line ranges.
 awk 'FILENAME == ARGV[1] { n = ++fns[$3]; line[$3, n] = $4; name[$3, n] = $2 > 0 ? $1 : ""; next }
 	FNR == 1 { next }
-	{ stmts[$1] = $2; hits[$1] += $3 }
+	{ stmts[$1] = $2; if (FILENAME == ARGV[2]) prod[$1] += $3; else test[$1] += $3 }
 	END {
-		for (key in hits) if (!hits[key]) {
+		for (key in stmts) if (!prod[key]) {
 			split(key, part, ":"); file = part[1]; sub(/^hybridkv\//, "", file); split(part[2], at, /[.,]/)
 			fn = ""; above = 0
 			for (i = 1; i <= fns[file]; i++) if (line[file, i] <= at[1] && line[file, i] > above) { above = line[file, i]; fn = name[file, i] }
-			if (fn != "") print file, at[1], at[3], stmts[key], fn
+			if (fn != "") print file, at[1], at[3], stmts[key], fn, test[key] ? "tests" : "none"
 		}
 	}' "$tmp/prod.funcs" "$tmp/prod.txt" "$tmp/tests.txt" | sort -k1,1 -k2,2n >"$tmp/blocks.txt"
+branches() {
+	awk -v class="$1" -v who="$2" '$6 != class { next }
+		{ blocks++; all += $4; perfile[$1]++; stmts[$1] += $4
+			if (!($1 in order)) { order[$1] = ++files; fileof[files] = $1 }
+			if (!(($1, $5) in seen)) { seen[$1, $5] = 1; fnof[$1, ++fns[$1]] = $5 }
+			ranges[$1, $5] = ranges[$1, $5] " " ($2 == $3 ? $2 : $2 "-" $3) }
+		END {
+			printf "reach: %d blocks (%d statements) inside production-entered functions that %s\n", blocks, all, who
+			for (f = 1; f <= files; f++) {
+				file = fileof[f]
+				printf "  %s: %d blocks, %d statements\n", file, perfile[file], stmts[file]
+				for (i = 1; i <= fns[file]; i++) printf "    %-40s%s\n", fnof[file, i], ranges[file, fnof[file, i]]
+			}
+		}' "$tmp/blocks.txt"
+}
 echo
-awk '{ blocks++; all += $4; perfile[$1]++; stmts[$1] += $4
-		if (!($1 in order)) { order[$1] = ++files; fileof[files] = $1 }
-		if (!(($1, $5) in seen)) { seen[$1, $5] = 1; fnof[$1, ++fns[$1]] = $5 }
-		ranges[$1, $5] = ranges[$1, $5] " " ($2 == $3 ? $2 : $2 "-" $3) }
-	END {
-		printf "reach: %d blocks (%d statements) inside production-entered functions that neither production nor any test executes\n", blocks, all
-		for (f = 1; f <= files; f++) {
-			file = fileof[f]
-			printf "  %s: %d blocks, %d statements\n", file, perfile[file], stmts[file]
-			for (i = 1; i <= fns[file]; i++) printf "    %-40s%s\n", fnof[file, i], ranges[file, fnof[file, i]]
-		}
-	}' "$tmp/blocks.txt"
+branches none "neither production nor any test executes"
+echo
+branches tests "only tests execute"
 
 # Functions no production run entered (a package no program links has no row
 # in the production profile at all), against the keep file.

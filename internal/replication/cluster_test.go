@@ -103,6 +103,56 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 	}
 }
 
+// A TTL is relative seconds where a request enters and an instant below: the
+// coordinator fixes the instant once, and every replica lands the write with
+// it, not with its own apply time plus the TTL. An append's post-image, read
+// back and forwarded, keeps the same instant.
+func TestTTLLandsWithOneExpiryOnEveryReplica(t *testing.T) {
+	cl := itCluster()
+	c := cl.Clients[0]
+	key := itKey(0)
+	replicas := itRing(3).Replicas(key, 2)
+
+	cl.Env.Spawn("it-driver", func(p *sim.Proc) {
+		// expiry reads the instant key expires at on every replica; they agree.
+		expiry := func(after string) sim.Time {
+			var at []sim.Time
+			for _, sid := range replicas {
+				_, _, _, expireAt, ok := cl.Servers[sid].Store().ReadItem(p, key)
+				if !ok {
+					t.Fatalf("after the %s, replica %d does not hold %q", after, sid, key)
+				}
+				at = append(at, expireAt)
+			}
+			if at[0] != at[1] {
+				t.Errorf("after the %s, replicas %v expire %q at %v", after, replicas, key, at)
+			}
+			return at[0]
+		}
+		issued := p.Now()
+		if st := itDo(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: itValue, Value: uint64(1), Expire: 60}); st != protocol.StatusStored {
+			t.Fatalf("SET answered %v", st)
+		}
+		expireAt := expiry("SET")
+		if expireAt < issued+60*sim.Second || expireAt > p.Now()+60*sim.Second {
+			t.Errorf("a 60 s TTL issued at %v, answered at %v, expires at %v", issued, p.Now(), expireAt)
+		}
+		if st := itDo(p, c, core.Op{Code: protocol.OpAppend, Key: key, ValueSize: 8, Value: "tail"}); st != protocol.StatusStored {
+			t.Fatalf("APPEND answered %v", st)
+		}
+		if got := expiry("APPEND"); got != expireAt {
+			t.Errorf("the append moved the expiry from %v to %v", expireAt, got)
+		}
+		p.Sleep(expireAt - p.Now())
+		for _, sid := range replicas {
+			if _, _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, key); ok {
+				t.Errorf("replica %d serves %q at its expiry", sid, key)
+			}
+		}
+	})
+	cl.Env.Run()
+}
+
 // A coordinator outside the key's replica set must still drive the chain —
 // forward to both members, wait for their acks — without applying locally.
 func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {

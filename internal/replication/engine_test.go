@@ -73,7 +73,7 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 		if wedged == 0 {
 			t.Fatal("no SET server 0 coordinated was ever held up: nothing evicted")
 		}
-		if at0, at1 := cl.Servers[0].Store().Stats().FlushPages, cl.Servers[1].Store().Stats().FlushPages; at0 != 0 || at1 == 0 || evicting < sim.Millisecond {
+		if at0, at1 := cl.Servers[0].Store().Manager().FlushPages, cl.Servers[1].Store().Manager().FlushPages; at0 != 0 || at1 == 0 || evicting < sim.Millisecond {
 			t.Fatalf("the premise: the SET that was held up took %v, with %d pages flushed at server 0 and %d at server 1; want a millisecond-long eviction at server 1 alone", evicting, at0, at1)
 		}
 		if status != protocol.StatusStored || wedged != clean {

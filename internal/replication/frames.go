@@ -1,6 +1,9 @@
 package replication
 
-import "hybridkv/internal/protocol"
+import (
+	"hybridkv/internal/protocol"
+	"hybridkv/internal/sim"
+)
 
 // Frame kinds of the server-to-server replication protocol. Frames travel
 // as verbs SENDs over the replicators' dedicated QP mesh, so they pay real
@@ -49,14 +52,17 @@ type KeyEpoch struct {
 }
 
 // version is one replicated write of a key: what a round forwards, what a
-// write frame carries, and what install lands.
+// write frame carries, and what install lands. Every Forward and frame holds
+// one, so del and flags share a word (56 bytes).
 type version struct {
-	epoch  uint64
-	del    bool // tombstone: this version deletes the key
-	value  any
-	size   int
-	flags  uint32
-	expire uint32
+	epoch uint64
+	del   bool // tombstone: this version deletes the key
+	flags uint32
+	value any
+	size  int
+	// expireAt is the instant the value expires (0: never), fixed where the
+	// write entered: every replica that lands the version expires it together.
+	expireAt sim.Time
 	// sum is the end-to-end content checksum, protocol.ValueSum(value),
 	// computed once by whoever built the version: a frame's receiver re-derives
 	// it and silently rejects a value corrupted in flight, and the record of

@@ -502,7 +502,7 @@ func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 	var v version
 	switch req.Op {
 	case protocol.OpSet:
-		v = version{value: req.Value, size: req.ValueSize, flags: req.Flags, expire: req.Expire}
+		v = version{value: req.Value, size: req.ValueSize, flags: req.Flags, expireAt: store.ExpireAt(r.env.Now(), req.Expire)}
 	case protocol.OpDelete:
 		v.del = true
 	default:
@@ -646,7 +646,7 @@ func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() b
 	if v.del {
 		st = r.st.DeleteIf(p, key, guard)
 	} else {
-		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expire, guard)
+		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expireAt, guard)
 	}
 	if applied(st) {
 		r.landed(key, v)
@@ -824,7 +824,7 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// command stored: it completes as overwritten, with nothing to forward.
 		return resp
 	}
-	fwd := r.open(req.Key, version{value: value, size: size, flags: flags, expire: expireSeconds(r.env.Now(), expireAt)})
+	fwd := r.open(req.Key, version{value: value, size: size, flags: flags, expireAt: expireAt})
 	if !fwd.proxy {
 		// The local copy was applied by Handle; record it like a SET, in the
 		// instant its epoch is minted (the sends suspend), so a prior tombstone
@@ -842,23 +842,6 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 // refusal answers req with a bare status, the store not consulted.
 func refusal(req *protocol.Request, st protocol.Status) *protocol.Response {
 	return &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: st}
-}
-
-// expireSeconds converts an absolute expiry back to the wire's relative
-// seconds, rounding up so a nearly-expired item does not become immortal.
-func expireSeconds(now, expireAt sim.Time) uint32 {
-	if expireAt == 0 {
-		return 0
-	}
-	remaining := expireAt - now
-	if remaining <= 0 {
-		return 1
-	}
-	secs := uint32(remaining / sim.Second)
-	if secs == 0 {
-		secs = 1
-	}
-	return secs
 }
 
 // syncPull confirms a suspect key against its peer replicas: the first
@@ -1193,8 +1176,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 				r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
 				return
 			}
-			v.value, v.size, v.flags, v.sum = value, size, flags, protocol.ValueSum(value)
-			v.expire = expireSeconds(r.env.Now(), expireAt)
+			v.value, v.size, v.flags, v.expireAt, v.sum = value, size, flags, expireAt, protocol.ValueSum(value)
 		}
 		r.Counters.Add("repair-pushes", 1)
 		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"hybridkv/internal/protocol"
 )
 
 // Ring is a ketama-style consistent-hash ring distributing keys across
@@ -48,13 +50,7 @@ func NewRing() *Ring { return &Ring{} }
 
 // HashKey hashes a key onto the ring's 64-bit space: FNV-1a, finished with
 // Mix64.
-func HashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return Mix64(h)
-}
+func HashKey(s string) uint64 { return Mix64(protocol.FNV1a(s)) }
 
 // Mix64 is the splitmix64 finalizer: it decorrelates the structured vnode
 // and key strings that make raw FNV cluster on a ring.

@@ -116,16 +116,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Host-side copy bandwidth for staging responses into registered buffers.
-const memcpyBps = 8_000_000_000
-
-func memcpyTime(size int) sim.Time {
-	if size <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(memcpyBps) * float64(sim.Second))
-}
-
 // Server is one Memcached server instance.
 type Server struct {
 	env *sim.Env
@@ -822,7 +812,7 @@ func (s *Server) release(t *task) {
 // bounce buffer plus the doorbell is the server's "Server Response" stage.
 func (s *Server) respond(p *sim.Proc, t *task, req *protocol.Request, resp *protocol.Response) {
 	t0 := p.Now()
-	p.Sleep(memcpyTime(resp.ValueSize))
+	p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 	if t.stream != nil {
 		t.stream.Send(p, resp.WireSize(), resp)
 	} else {

@@ -39,6 +39,21 @@ const (
 	Second      = time.Second
 )
 
+// MemcpyBps is the host's single-threaded copy bandwidth, bytes per second:
+// the one rate every model layer charges a memory copy at (client and server
+// buffers, slab chunk staging, the page cache).
+const MemcpyBps = 8_000_000_000
+
+// TransferTime is how long n bytes take at perSec bytes per second — a copy,
+// a link's serialization, a drive's transfer. Zero for an empty transfer or
+// an unset rate.
+func TransferTime(n int, perSec int64) Time {
+	if n <= 0 || perSec <= 0 {
+		return 0
+	}
+	return Time(float64(n) / float64(perSec) * float64(Second))
+}
+
 // Caller is a callback event's receiver: Fire runs inline in the scheduler, to
 // completion, and must not block (see AtCall).
 type Caller interface{ Fire() }

@@ -21,10 +21,12 @@ import (
 	"hybridkv/internal/sim"
 )
 
+// PropDelay is the one-way wire + switch propagation latency, the same for
+// both transports: they share one FDR fabric.
+const PropDelay = 1200 * sim.Nanosecond
+
 // LinkSpec is the first-order cost model of one transport over the fabric.
 type LinkSpec struct {
-	// PropDelay is the one-way wire + switch propagation latency.
-	PropDelay sim.Time
 	// BytesPerSec is the effective link bandwidth for payload bytes.
 	BytesPerSec int64
 	// SendCPU is the fixed caller-side cost to hand a message to the NIC
@@ -44,7 +46,6 @@ type LinkSpec struct {
 // small-message latency and ~6 GB/s payload bandwidth (PCIe Gen3 limited).
 func FDRInfiniBand() LinkSpec {
 	return LinkSpec{
-		PropDelay:   1200 * sim.Nanosecond,
 		BytesPerSec: 6_000_000_000,
 		SendCPU:     200 * sim.Nanosecond,
 		SegSize:     0,
@@ -57,7 +58,6 @@ func FDRInfiniBand() LinkSpec {
 // 64 KB segmentation, and much lower effective bandwidth (~2 GB/s).
 func IPoIB() LinkSpec {
 	return LinkSpec{
-		PropDelay:   1200 * sim.Nanosecond,
 		BytesPerSec: 2_000_000_000,
 		SendCPU:     8 * sim.Microsecond,
 		SegSize:     64 * 1024,
@@ -79,10 +79,7 @@ func (s LinkSpec) SendCost(size int) sim.Time {
 
 // SerializeTime returns how long size bytes occupy the TX link.
 func (s LinkSpec) SerializeTime(size int) sim.Time {
-	if s.BytesPerSec <= 0 || size <= 0 {
-		return 0
-	}
-	return sim.Time(float64(size) / float64(s.BytesPerSec) * float64(sim.Second))
+	return sim.TransferTime(size, s.BytesPerSec)
 }
 
 // Message is one fabric transfer. Payload is opaque to the fabric.
@@ -250,7 +247,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 		if fl.dst == nil {
 			panic(fmt.Sprintf("simnet: send to unknown node %q", msg.Dst))
 		}
-		deliverAt := p.Now() + f.spec.PropDelay + f.spec.RecvCPU
+		deliverAt := p.Now() + PropDelay + f.spec.RecvCPU
 		fl.arriving = msg
 		copies := 1
 		if f.faults != nil {

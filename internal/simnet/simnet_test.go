@@ -22,7 +22,7 @@ func TestSmallMessageLatency(t *testing.T) {
 	})
 	env.Run()
 	spec := f.Spec()
-	want := spec.SendCPU + spec.SerializeTime(64) + spec.PropDelay + spec.RecvCPU
+	want := spec.SendCPU + spec.SerializeTime(64) + PropDelay + spec.RecvCPU
 	if deliveredAt != want {
 		t.Errorf("64B delivery at %v, want %v", deliveredAt, want)
 	}
@@ -100,8 +100,8 @@ func TestSentFiresBeforeDelivered(t *testing.T) {
 	if sentAt <= 0 || delivAt <= sentAt {
 		t.Errorf("sent=%v delivered=%v, want 0 < sent < delivered", sentAt, delivAt)
 	}
-	if d := delivAt - sentAt; d != f.Spec().PropDelay+f.Spec().RecvCPU {
-		t.Errorf("delivered-sent = %v, want prop+recv = %v", d, f.Spec().PropDelay+f.Spec().RecvCPU)
+	if d := delivAt - sentAt; d != PropDelay+f.Spec().RecvCPU {
+		t.Errorf("delivered-sent = %v, want prop+recv = %v", d, PropDelay+f.Spec().RecvCPU)
 	}
 }
 

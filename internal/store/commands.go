@@ -21,7 +21,7 @@ func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
 	if it == nil {
 		return nil
 	}
-	if it.ExpireAt != 0 && s.env.Now() >= it.ExpireAt {
+	if expired(it, s.env.Now()) {
 		s.mgr.Release(it)
 		delete(s.table, key)
 		s.unpublish(key)
@@ -45,12 +45,13 @@ func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
 // arrival, so a refusal costs no allocation, and again at the swap: one CAS
 // token buys one store, a fresh key is added once.
 func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
+	expireAt := ExpireAt(s.env.Now(), expire)
 	p.Sleep(hashCost)
 	verdict := cond(s.lookup(p, key))
 	if verdict != protocol.StatusStored {
 		return verdict
 	}
-	st := s.SetIf(p, key, valueSize, value, flags, expire, func() bool {
+	st := s.SetIf(p, key, valueSize, value, flags, expireAt, func() bool {
 		verdict = cond(s.lookup(p, key))
 		return verdict == protocol.StatusStored
 	})
@@ -95,10 +96,12 @@ func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any,
 }
 
 // still reports whether key's entry is the item a read-modify-write command
-// read, unchanged since: not replaced, deleted or expired (another item, or
-// none), and not mutated in place (every in-place write takes a fresh token).
+// read, unchanged since: not replaced or deleted (another item, or none), not
+// mutated in place (every in-place write takes a fresh token), and not
+// expired — an item that outlived its TTL meanwhile is dead even while its
+// entry stands, which a rewrite of it must not revive.
 func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
-	return s.table[key] == it && it.CAS == cas
+	return s.table[key] == it && it.CAS == cas && !expired(it, s.env.Now())
 }
 
 // Concatenated represents an append/prepend result: the surviving value is
@@ -159,17 +162,7 @@ func (s *Store) concatCmd(p *sim.Proc, key string, extraSize int, extra any, pre
 			return protocol.StatusNotStored
 		}
 		newValue, newSize := concat(prepend, old, it.ValueSize, extra, extraSize)
-		var expire uint32
-		if it.ExpireAt != 0 {
-			remaining := it.ExpireAt - s.env.Now()
-			if remaining > 0 {
-				expire = uint32(remaining / sim.Second)
-				if expire == 0 {
-					expire = 1
-				}
-			}
-		}
-		st := s.SetIf(p, key, newSize, newValue, it.Flags, expire, func() bool { return s.still(key, it, cas) })
+		st := s.SetIf(p, key, newSize, newValue, it.Flags, it.ExpireAt, func() bool { return s.still(key, it, cas) })
 		if st != protocol.StatusNotStored {
 			return st
 		}
@@ -214,8 +207,8 @@ func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, 
 		if !it.InPlace() {
 			// The authoritative copy lives in an SSD extent, or is on its way
 			// into one; rewrite through the regular store path so the new
-			// value lands somewhere live.
-			switch st := s.SetIf(p, key, counterSize, next, it.Flags, 0, func() bool { return s.still(key, it, cas) }); st {
+			// value lands somewhere live, with the item's flags and expiry.
+			switch st := s.SetIf(p, key, counterSize, next, it.Flags, it.ExpireAt, func() bool { return s.still(key, it, cas) }); st {
 			case protocol.StatusStored:
 				return next, protocol.StatusOK
 			case protocol.StatusNotStored:
@@ -283,11 +276,7 @@ func (s *Store) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
 			s.republish(key)
 			continue
 		}
-		if expire > 0 {
-			it.ExpireAt = s.env.Now() + sim.Time(expire)*sim.Second
-		} else {
-			it.ExpireAt = 0
-		}
+		it.ExpireAt = ExpireAt(s.env.Now(), expire)
 		s.mgr.Touch(it)
 		s.publish(it)
 		return protocol.StatusOK

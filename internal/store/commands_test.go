@@ -178,6 +178,68 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 	env.Run()
 }
 
+// A counter that is not in RAM is rewritten through the store path rather
+// than mutated in place; the rewrite is still the same item, expiry included.
+func TestIncrOnSSDResidentCounterKeepsItsTTL(t *testing.T) {
+	env := sim.NewEnv()
+	s := newStore(env, 4<<20, true)
+	env.Spawn("op", func(p *sim.Proc) {
+		s.Set(p, "c", 32*1024, uint64(41), 0, 60)
+		expireAt := s.table["c"].ExpireAt
+		for i := 0; i < 200; i++ {
+			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
+		}
+		if !s.table["c"].OnSSD() {
+			t.Fatal("fixture: the counter is not on the SSD")
+		}
+		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
+			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
+		}
+		if got := s.table["c"].ExpireAt; got != expireAt {
+			t.Errorf("the rewritten counter expires at %v, want %v (its TTL)", got, expireAt)
+		}
+		p.Sleep(expireAt - p.Now())
+		if _, _, _, _, st := s.Get(p, "c"); st != protocol.StatusNotFound {
+			t.Errorf("the counter is served at its expiry: %v", st)
+		}
+	})
+	env.Run()
+}
+
+// An append decides on the item it read and swaps its result in after the
+// allocation and the copy. If the item expired in between, the key is dead:
+// the swap is refused, and the key is not served past its TTL.
+func TestAppendRacingItsItemsExpiryIsRefused(t *testing.T) {
+	// appendBefore appends lead before the item's expiry; it returns the
+	// answer, how long the append took, and what a Get right after it finds.
+	appendBefore := func(lead sim.Time) (st protocol.Status, took sim.Time, after protocol.Status) {
+		env := sim.NewEnv()
+		s := newStore(env, 16<<20, false)
+		env.Spawn("op", func(p *sim.Proc) {
+			s.Set(p, "k", 100, "base", 0, 10)
+			p.Sleep(s.table["k"].ExpireAt - lead - p.Now())
+			t0 := p.Now()
+			st = s.Append(p, "k", 50, "tail")
+			took = p.Now() - t0
+			_, _, _, _, after = s.Get(p, "k")
+		})
+		env.Run()
+		return st, took, after
+	}
+	st, took, after := appendBefore(sim.Second)
+	if st != protocol.StatusStored || after != protocol.StatusOK {
+		t.Fatalf("fixture: an append a second before the expiry -> %v, then a Get -> %v", st, after)
+	}
+	// Half the clean append before the expiry: the read sees a live item, the
+	// swap comes after the expiry.
+	if st, _, after = appendBefore(took / 2); st != protocol.StatusNotStored {
+		t.Errorf("an append that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotStored)
+	}
+	if after != protocol.StatusNotFound {
+		t.Errorf("the key is served after its TTL: %v", after)
+	}
+}
+
 func TestTouchSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)

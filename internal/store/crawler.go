@@ -60,19 +60,19 @@ func (s *Store) StopCrawler() {
 // crawlOnce performs one crawl pass.
 func (s *Store) crawlOnce(p *sim.Proc, batch int) {
 	now := s.env.Now()
-	var expired []*hybridslab.Item
+	var dead []*hybridslab.Item
 	scanned := 0
 	s.mgr.VisitLRU(batch, func(it *hybridslab.Item) bool {
 		scanned++
-		if it.ExpireAt != 0 && now >= it.ExpireAt {
-			expired = append(expired, it)
+		if expired(it, now) {
+			dead = append(dead, it)
 		}
 		return true
 	})
 	if scanned > 0 {
 		p.Sleep(sim.Time(scanned) * crawlItemCost)
 	}
-	for _, it := range expired {
+	for _, it := range dead {
 		if it.Dropped() {
 			continue
 		}

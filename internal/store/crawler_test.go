@@ -106,15 +106,16 @@ func TestStatsSnapshot(t *testing.T) {
 		s.Delete(p, "k199")
 	})
 	env.Run()
-	st := s.Stats()
-	if st.Items != 199 || st.SetOps != 200 || st.GetOps != 2 ||
-		st.GetHits != 1 || st.GetMisses != 1 || st.DeleteOps != 1 {
-		t.Errorf("stats %+v", st)
+	if s.Len() != 199 || s.SetOps != 200 || s.GetOps != 2 ||
+		s.GetHits != 1 || s.GetMisses != 1 || s.DeleteOps != 1 {
+		t.Errorf("stats: %d items, %d sets, %d gets (%d hits, %d misses), %d deletes",
+			s.Len(), s.SetOps, s.GetOps, s.GetHits, s.GetMisses, s.DeleteOps)
 	}
-	if st.RAMItems+st.SSDItems != st.Items {
-		t.Errorf("placement mismatch: %d + %d != %d", st.RAMItems, st.SSDItems, st.Items)
+	m := s.Manager()
+	if m.RAMItems()+m.SSDItems() != s.Len() {
+		t.Errorf("placement mismatch: %d + %d != %d", m.RAMItems(), m.SSDItems(), s.Len())
 	}
-	if st.FlushPages == 0 || st.SSDUsed == 0 || st.SlabMemUsed == 0 {
-		t.Errorf("hybrid stats empty: %+v", st)
+	if m.FlushPages == 0 || m.SSDUsed() == 0 || m.Allocator().MemUsed() == 0 {
+		t.Errorf("hybrid stats empty: %d pages flushed, %d SSD bytes, %d slab bytes", m.FlushPages, m.SSDUsed(), m.Allocator().MemUsed())
 	}
 }

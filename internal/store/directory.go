@@ -65,8 +65,6 @@ type Directory struct {
 	nextOff  int64
 
 	// Stats
-	Publishes     int64
-	Unpublishes   int64
 	Displacements int64
 }
 
@@ -198,7 +196,6 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 	}
 	d.entries[key] = &dirEntry{it: it, slot: slot}
 	d.writeSlot(b, slot)
-	d.Publishes++
 }
 
 // Unpublish removes key from the directory: snapshot cleared, slot emptied,
@@ -212,7 +209,6 @@ func (d *Directory) Unpublish(key string) {
 		d.owner[b] = ""
 		d.writeSlot(b, emptySlot)
 	}
-	d.Unpublishes++
 }
 
 // EvictionUpdate applies a slab-manager eviction transition. Eviction can

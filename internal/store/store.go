@@ -151,49 +151,6 @@ func (s *Store) PublishAll() {
 	}
 }
 
-// Stats is a point-in-time server statistics snapshot (the memcached
-// "stats" command).
-type Stats struct {
-	Items            int
-	RAMItems         int
-	SSDItems         int
-	SetOps           int64
-	GetOps           int64
-	DeleteOps        int64
-	GetHits          int64
-	GetMisses        int64
-	Expired          int64
-	CrawlerReclaimed int64
-	SlabMemUsed      int64
-	SSDUsed          int64
-	FlushPages       int64
-	DropEvictions    int64
-	CorruptReads     int64
-	QuarantinedPages int64
-}
-
-// Stats snapshots the server state.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Items:            len(s.table),
-		RAMItems:         s.mgr.RAMItems(),
-		SSDItems:         s.mgr.SSDItems(),
-		SetOps:           s.SetOps,
-		GetOps:           s.GetOps,
-		DeleteOps:        s.DeleteOps,
-		GetHits:          s.GetHits,
-		GetMisses:        s.GetMisses,
-		Expired:          s.Expired,
-		CrawlerReclaimed: s.CrawlerReclaimed,
-		SlabMemUsed:      s.mgr.Allocator().MemUsed(),
-		SSDUsed:          s.mgr.SSDUsed(),
-		FlushPages:       s.mgr.FlushPages,
-		DropEvictions:    s.mgr.DropEvictions,
-		CorruptReads:     s.CorruptReads,
-		QuarantinedPages: s.mgr.QuarantinedPages,
-	}
-}
-
 // Len returns the number of live keys.
 func (s *Store) Len() int { return len(s.table) }
 
@@ -220,7 +177,7 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 	if it == nil {
 		return nil, 0, 0, 0, false
 	}
-	if it.ExpireAt != 0 && s.env.Now() >= it.ExpireAt {
+	if expired(it, s.env.Now()) {
 		return nil, 0, 0, 0, false
 	}
 	v, err := s.mgr.Load(p, it)
@@ -246,10 +203,27 @@ func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
 	return rep
 }
 
-// Set stores a value, charging p the slab-allocation and cache-update
-// stages. Returns StatusStored, StatusTooLarge, or StatusRecovering.
+// Set stores a value that expires expire seconds from now (0: never),
+// charging p the slab-allocation and cache-update stages. Returns
+// StatusStored, StatusTooLarge, or StatusRecovering.
 func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uint32, expire uint32) protocol.Status {
-	return s.SetIf(p, key, valueSize, value, flags, expire, nil)
+	return s.SetIf(p, key, valueSize, value, flags, ExpireAt(s.env.Now(), expire), nil)
+}
+
+// ExpireAt is the instant a TTL of expire seconds given at now runs out (0:
+// never). A TTL is relative only where a request enters — the wire, the
+// command API, a replication round's start; below that every layer carries
+// the instant, so a rewrite, a forward or a repair push keeps it as it is.
+func ExpireAt(now sim.Time, expire uint32) sim.Time {
+	if expire == 0 {
+		return 0
+	}
+	return now + sim.Time(expire)*sim.Second
+}
+
+// expired is the one expiry rule: an item is dead from its expiry instant on.
+func expired(it *hybridslab.Item, now sim.Time) bool {
+	return it.ExpireAt != 0 && now >= it.ExpireAt
 }
 
 // SetIf is Set under a guard: the one form of "store unless something changed
@@ -260,8 +234,8 @@ func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uin
 // and the return — the caller's own bookkeeping, done right after, is part of
 // the same instant. A refused value is released, the key is left exactly as
 // it was, and the answer is StatusNotStored. Costs and the order of sleeps
-// are Set's either way.
-func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, expire uint32, guard func() bool) protocol.Status {
+// are Set's either way. expireAt is the value's expiry instant (0: never).
+func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, expireAt sim.Time, guard func() bool) protocol.Status {
 	s.SetOps++
 
 	// Stage 1: slab allocation (may trigger hybrid eviction I/O).
@@ -272,9 +246,7 @@ func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags u
 		Value:     value,
 		ValueSize: valueSize,
 		Flags:     flags,
-	}
-	if expire > 0 {
-		it.ExpireAt = s.env.Now() + sim.Time(expire)*sim.Second
+		ExpireAt:  expireAt,
 	}
 	if err := s.mgr.Store(p, it); err != nil {
 		s.Prof.Add(metrics.StageSlabAlloc, p.Now()-t0)
@@ -327,17 +299,8 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 	// Stage 2: cache check and load (may read from SSD).
 	t0 := p.Now()
 	p.Sleep(hashCost)
-	it := s.table[key]
+	it := s.lookup(p, key)
 	if it == nil {
-		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
-		s.GetMisses++
-		return nil, 0, 0, 0, protocol.StatusNotFound
-	}
-	if it.ExpireAt != 0 && s.env.Now() >= it.ExpireAt {
-		s.mgr.Release(it)
-		delete(s.table, key)
-		s.unpublish(key)
-		s.Expired++
 		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
 		s.GetMisses++
 		return nil, 0, 0, 0, protocol.StatusNotFound

@@ -379,11 +379,10 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 		// RC send completion: generated when the ACK returns, i.e. one
 		// propagation delay after full delivery.
 		env, sendCQ := d.env, qp.sendCQ
-		prop := qp.dev.node.Fabric().Spec().PropDelay
 		c := Completion{WRID: wr.WRID, Op: wr.Op, QPN: qp.qpn, Bytes: wr.Size}
 		env.AfterFunc(0, func() {
 			out.Delivered.OnFire(func() {
-				env.AfterFunc(prop, func() { sendCQ.push(c) })
+				env.AfterFunc(simnet.PropDelay, func() { sendCQ.push(c) })
 			})
 		})
 	}

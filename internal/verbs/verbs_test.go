@@ -76,7 +76,7 @@ func TestSignaledSendCompletionAfterAck(t *testing.T) {
 	})
 	r.env.Run()
 	spec := r.fabric.Spec()
-	min := spec.SerializeTime(4096) + 2*spec.PropDelay
+	min := spec.SerializeTime(4096) + 2*simnet.PropDelay
 	if compAt < min {
 		t.Errorf("send completion at %v, before ack can arrive (%v)", compAt, min)
 	}
@@ -148,7 +148,7 @@ func TestRDMAReadFetchesRemoteMR(t *testing.T) {
 		t.Errorf("local MR after READ: (%v,%d)", v, n)
 	}
 	spec := r.fabric.Spec()
-	min := 2*spec.PropDelay + spec.SerializeTime(100*1024)
+	min := 2*simnet.PropDelay + spec.SerializeTime(100*1024)
 	if doneAt < min {
 		t.Errorf("READ completed at %v, faster than a round trip + data (%v)", doneAt, min)
 	}
@@ -252,7 +252,7 @@ func TestIPoIBStreamRoundTrip(t *testing.T) {
 	}
 	// Kernel-stack round trip must exceed 2× the IPoIB per-side costs.
 	spec := simnet.IPoIB()
-	min := 2 * (spec.SendCPU + spec.SegCPU + spec.PropDelay + spec.RecvCPU)
+	min := 2 * (spec.SendCPU + spec.SegCPU + simnet.PropDelay + spec.RecvCPU)
 	if rtt < min {
 		t.Errorf("IPoIB RTT %v below floor %v", rtt, min)
 	}

@@ -21,8 +21,6 @@ const (
 	Zipf Pattern = iota
 	// Uniform picks keys uniformly at random.
 	Uniform
-	// Sequential sweeps the keyspace in order (preloads, scans).
-	Sequential
 )
 
 func (pt Pattern) String() string {
@@ -31,8 +29,6 @@ func (pt Pattern) String() string {
 		return "zipf"
 	case Uniform:
 		return "uniform"
-	case Sequential:
-		return "sequential"
 	}
 	return fmt.Sprintf("Pattern(%d)", int(pt))
 }
@@ -68,7 +64,6 @@ type Generator struct {
 	cfg Config
 	rng *rand.Rand
 	cdf []float64 // zipf cumulative distribution over ranks
-	seq int
 	// keys[i] is Key(i), rendered on first use — a draw costs a table read,
 	// not a Sprintf. "" marks a block not rendered yet.
 	keys []string
@@ -156,10 +151,6 @@ func (g *Generator) nextIndex() int {
 	switch g.cfg.Pattern {
 	case Uniform:
 		return g.rng.Intn(g.cfg.Keys)
-	case Sequential:
-		i := g.seq % g.cfg.Keys
-		g.seq++
-		return i
 	default: // Zipf
 		// Scramble rank → key index so popular keys are spread across the
 		// keyspace (and across servers), as YCSB does.

@@ -50,18 +50,6 @@ func TestUniformCoverage(t *testing.T) {
 	}
 }
 
-func TestSequentialSweeps(t *testing.T) {
-	g := New(Config{Keys: 5, Pattern: Sequential, ReadFraction: 1, Seed: 3})
-	var keys []string
-	for i := 0; i < 7; i++ {
-		_, k := g.Next()
-		keys = append(keys, k)
-	}
-	if keys[0] != g.Key(0) || keys[4] != g.Key(4) || keys[5] != g.Key(0) {
-		t.Errorf("sequential order wrong: %v", keys)
-	}
-}
-
 func TestReadFractionMix(t *testing.T) {
 	g := New(Config{Keys: 100, Pattern: Uniform, ReadFraction: 0.5, Seed: 4})
 	gets := 0
