@@ -15,6 +15,9 @@
 //	        the buffer, executes the storage phase, and responds. Expensive
 //	        hybrid-memory eviction thus happens asynchronously while the
 //	        client proceeds — the enhancement behind H-RDMA-Opt-NonB-b/i.
+//	        With a replicator attached, a write's wait for its peers' acks
+//	        and its response run on a pool of responders, not on the
+//	        storage worker that applied it.
 //
 // The RDMA path speaks verbs (two-sided SEND for requests, one-sided RDMA
 // WRITE-with-immediate into the client's registered response region for
@@ -107,6 +110,13 @@ const (
 	maxRetryAfter  = sim.Millisecond
 )
 
+// responders is the number of processes that run a replicated task's tail —
+// the wait for its peers' acks, the deferred BufferAck, the answers and the
+// release — once a storage worker has applied it, so the worker goes back to
+// the queue instead of holding the ack round trip. Sixteen: with four a pool
+// full of browned-out acks starts to queue tails, and 64 changes nothing.
+const responders = 16
+
 func (c *Config) fill() {
 	if c.StorageWorkers <= 0 {
 		c.StorageWorkers = 4
@@ -136,6 +146,9 @@ type Server struct {
 	// Async pipeline
 	slots *sim.Resource
 	reqQ  *sim.Queue[task]
+	// tailQ holds applied tasks with a replication round open, waiting for a
+	// responder (replicated async servers only).
+	tailQ *sim.Queue[task]
 
 	// repl, when attached, replaces the plain storage phase with the
 	// replicated one: admitted writes are forwarded to the key's peer
@@ -186,7 +199,9 @@ type Server struct {
 	// BufferPeak and QueuePeak are high-water marks of async buffer bytes
 	// in use and storage-queue depth, maintained on both the blocking and
 	// bounded-admission paths — the overload experiment's evidence that
-	// the unprotected queue grows without bound.
+	// the unprotected queue grows without bound. The queue depth counts tasks
+	// waiting for a storage worker; a replicated task whose tail waits for
+	// acks on a responder counts in the buffer bytes only.
 	BufferPeak int
 	QueuePeak  int
 	// Stalled counts storage tasks delayed by an AddWorkerStall window.
@@ -248,8 +263,12 @@ type task struct {
 	// storage phase. A bare request's sits in round.
 	rounds []*replication.Forward
 	round  [1]*replication.Forward
+	// resps are the members' answers, filled by the storage phase in member
+	// order and sent by the tail; a bare request's sits in resp.
+	resps []*protocol.Response
+	resp  [1]*protocol.Response
 	// ackDeferred marks a requested BufferAck that replication withheld at
-	// admission: finish sends it only once every write is applied AND
+	// admission: the tail sends it only once every write is applied AND
 	// replicated, so an acked write is durable on every replica.
 	ackDeferred bool
 }
@@ -268,6 +287,25 @@ func (t *task) forwards() []*replication.Forward {
 		return t.rounds
 	}
 	return t.round[:]
+}
+
+// responses returns the members' answers, in member order.
+func (t *task) responses() []*protocol.Response {
+	if t.frame != nil {
+		return t.resps
+	}
+	return t.resp[:]
+}
+
+// replicating reports whether any member has a replication round open: the
+// task's tail then waits for acks.
+func (t *task) replicating() bool {
+	for _, fwd := range t.forwards() {
+		if fwd != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // repost returns the receive slot (and with it the client's flow-control
@@ -338,6 +376,7 @@ func (s *Server) AttachReplicator(r *replication.Replicator) {
 		panic("server: replication requires the RDMA transport")
 	}
 	s.repl = r
+	s.startResponders()
 	// A crashed or still-recovering node neither applies nor acks peer
 	// frames; silence (not a negative ack) is what lets coordinators
 	// distinguish "retry later" from "stale epoch".
@@ -352,8 +391,10 @@ func (s *Server) AttachReplicator(r *replication.Replicator) {
 
 // foregroundBusy reports whether the async pipeline currently holds queued
 // foreground work: storage tasks waiting beyond the worker pool, or
-// buffered bytes above half the shed watermark. The replication pacer
-// yields background scrub/migration rounds while this holds — deliberately
+// buffered bytes above half the shed watermark. The queue counts only tasks
+// waiting for a worker; a replicated task waiting for its acks on a responder
+// has left it, and is seen through the bytes it still holds. The replication
+// pacer yields background scrub/migration rounds while this holds — deliberately
 // engaging well below the point where admission starts rejecting SETs,
 // because once the server sheds foreground work the buffer never rises
 // past the shed watermark and a probe at that level would never fire; the
@@ -410,11 +451,26 @@ func (s *Server) Start() {
 		for i := 0; i < s.cfg.StorageWorkers; i++ {
 			s.env.Spawn(fmt.Sprintf("%s/worker%d", s.name, i), s.storageWorker)
 		}
+		s.startResponders()
 	}
 	if s.dev != nil {
 		s.env.Spawn(s.name+"/dispatcher", s.rdmaDispatcher)
 	} else {
 		s.env.Spawn(s.name+"/accept", s.ipoibAcceptLoop)
+	}
+}
+
+// startResponders creates the tail queue and its responders once the server is
+// an async one, started, with a replicator attached — whichever of Start and
+// AttachReplicator comes second. Only a replicated task has a tail to hand
+// over, so an unreplicated server runs no responder.
+func (s *Server) startResponders() {
+	if !s.started || s.repl == nil || s.cfg.Pipeline != Async {
+		return
+	}
+	s.tailQ = sim.NewQueue[task](s.env, 0)
+	for i := 0; i < responders; i++ {
+		s.env.Spawn(fmt.Sprintf("%s/responder%d", s.name, i), s.responder)
 	}
 }
 
@@ -687,9 +743,10 @@ func (s *Server) overLimit(size int, write bool) bool {
 }
 
 // shed answers one request StatusBusy with a retry-after hint scaled by
-// the storage backlog. The request was never buffered and never acked —
-// admission happens strictly before the BufferAck — so an acked bset can
-// never be lost to shedding.
+// the storage backlog: the tasks waiting for a worker, not those whose tail
+// is waiting for acks on a responder. The request was never buffered and
+// never acked — admission happens strictly before the BufferAck — so an
+// acked bset can never be lost to shedding.
 func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 	if isWrite(req.Op) {
 		s.ShedSets++
@@ -707,7 +764,9 @@ func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 	})
 }
 
-// storageWorker drains the async buffer: one task, one storage phase.
+// storageWorker drains the async buffer: one task, one storage phase. A
+// replicated write's tail goes to a responder, so the worker is back at the
+// queue as soon as the write is applied.
 func (s *Server) storageWorker(p *sim.Proc) {
 	for {
 		t, ok := s.reqQ.Get(p)
@@ -724,34 +783,57 @@ func (s *Server) storageWorker(p *sim.Proc) {
 	}
 }
 
-// finish runs an admitted task's storage phase and answers it — inline on
-// the dispatcher or socket handler, or on a storage worker. The rules every
-// path shares live here, once:
+// responder runs handed-over tails, one task at a time.
+func (s *Server) responder(p *sim.Proc) {
+	for {
+		t, ok := s.tailQ.Get(p)
+		if !ok {
+			return
+		}
+		s.tail(p, &t)
+	}
+}
+
+// finish runs an admitted task's storage phase and then its tail — inline on
+// the dispatcher or socket handler, or on a storage worker. Where the server
+// has responders (the async pipeline, replicated) and a member has a round
+// open, the tail is handed to one instead: the worker's job ends at Apply.
+// The inline paths keep the tail, because their receive slot is held until
+// the answer goes out anyway.
+func (s *Server) finish(p *sim.Proc, t *task) {
+	if s.discarded(t) {
+		return
+	}
+	s.storagePhase(p, t)
+	if s.tailQ != nil && t.replicating() {
+		s.tailQ.Put(p, *t)
+		return
+	}
+	s.tail(p, t)
+}
+
+// tail completes an applied task: it waits for every member's replication
+// round, then answers. The rules every path shares live here, once:
 //
-//   - a task from before a crash, or whose storage phase a crash interrupted
-//     (e.g. during a hybrid eviction), is discarded: its response is lost with
-//     the process even if the server already restarted by the time the storage
-//     phase unwound;
+//   - a task whose storage phase or ack wait a crash interrupted (e.g. during
+//     a hybrid eviction) is discarded: its response is lost with the process
+//     even if the server already restarted by the time the phase unwound;
 //   - a deferred BufferAck goes out only when every member's write is applied
 //     and replicated — a member answering StatusNoReplica withholds it, so
 //     the client keeps its right to retransmit the whole task;
 //   - every member gets exactly one response, and whatever the task held
-//     (buffer bytes, or the receive slot) is released on every way out.
-func (s *Server) finish(p *sim.Proc, t *task) {
-	reqs := t.members()
-	var one [1]*protocol.Response
-	resps := one[:]
-	if t.frame != nil {
-		resps = make([]*protocol.Response, len(reqs))
+//     (buffer bytes, or the receive slot) is released on every way out. The
+//     buffer reservation is held through the ack wait, so admission stays
+//     bounded by bytes, not by workers.
+func (s *Server) tail(p *sim.Proc, t *task) {
+	reqs, resps := t.members(), t.responses()
+	if s.repl != nil {
+		rounds := t.forwards()
+		for i, resp := range resps {
+			s.repl.Finish(p, resp, rounds[i])
+		}
 	}
-	dead := s.down || t.gen != s.gen
-	if !dead {
-		s.storagePhase(p, t, resps)
-		dead = s.down || t.gen != s.gen
-	}
-	if dead {
-		s.Discarded += int64(len(reqs))
-		s.release(t)
+	if s.discarded(t) {
 		return
 	}
 	ack := t.ackDeferred
@@ -767,18 +849,33 @@ func (s *Server) finish(p *sim.Proc, t *task) {
 	s.release(t)
 }
 
+// discarded drops t if it is from before a crash or the server is down: every
+// member is counted Discarded and what the task held is released. Reports
+// whether it did.
+func (s *Server) discarded(t *task) bool {
+	if !s.down && t.gen == s.gen {
+		return false
+	}
+	s.Discarded += int64(len(t.members()))
+	s.release(t)
+	return true
+}
+
 // storagePhase executes every member's storage phase — replicated when a
-// replicator is attached — and fills resps in member order. The server is
-// what knows a frame is a unit, so it owns the eviction-coalescing window:
-// a frame's members apply back-to-back inside one, and the slab evictions
-// its Sets trigger merge into fewer, larger sequential SSD flushes instead
-// of one small write per allocating Set. A bare request lands its eviction
-// itself; the window closes before any replication wait.
-func (s *Server) storagePhase(p *sim.Proc, t *task, resps []*protocol.Response) {
+// replicator is attached — and fills the task's responses in member order.
+// The server is what knows a frame is a unit, so it owns the
+// eviction-coalescing window: a frame's members apply back-to-back inside
+// one, and the slab evictions its Sets trigger merge into fewer, larger
+// sequential SSD flushes instead of one small write per allocating Set. A
+// bare request lands its eviction itself; the window closes before the tail
+// waits for any ack.
+func (s *Server) storagePhase(p *sim.Proc, t *task) {
 	reqs, rounds := t.members(), t.forwards()
 	if t.frame != nil {
+		t.resps = make([]*protocol.Response, len(reqs))
 		s.st.Manager().BeginEvictionBatch(p)
 	}
+	resps := t.responses()
 	for i, req := range reqs {
 		if s.repl != nil {
 			resps[i] = s.repl.Apply(p, req, rounds[i])
@@ -789,15 +886,10 @@ func (s *Server) storagePhase(p *sim.Proc, t *task, resps []*protocol.Response) 
 	if t.frame != nil {
 		s.st.Manager().EndEvictionBatch(p)
 	}
-	if s.repl != nil {
-		for i, resp := range resps {
-			s.repl.Finish(p, resp, rounds[i])
-		}
-	}
 }
 
-// release returns what the task held through its storage phase: its buffer
-// reservation on the async pipeline, its receive slot on the inline one.
+// release returns what the task held through its storage phase and tail: its
+// buffer reservation on the async pipeline, its receive slot on the inline one.
 func (s *Server) release(t *task) {
 	if t.held > 0 {
 		s.slots.ReleaseN(t.held)
