@@ -167,8 +167,8 @@ allocs:
 		/^Benchmark/ { name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
 			for (i = 2; i <= NF; i++) { if ($$i == "allocs/op") line = line " " name "=" $$(i-1); \
 				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
-		END { flush(); printf "ns/op      %-12s Timer=%s Handoff=%s CallbackEvent=%s Go=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
-			"sim", ns["Timer"], ns["Handoff"], ns["CallbackEvent"], ns["Go"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
+		END { flush(); printf "ns/op      %-12s Timer=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
+			"sim", ns["Timer"], ns["Handoff"], ns["CallbackEvent"], ns["SpawnRecycled"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
 
 # Independently settable values per configuration struct under internal/, one
 # line each with its pinned count and its fields: the table of the tier-1

@@ -119,6 +119,17 @@ func pipelined(p *sim.Proc, c *core.Client, gen *workload.Generator, n, window i
 	}
 }
 
+// byDesign drives ops operations of gen on c, each issued through opts, with
+// the API of the cluster's design: a non-blocking design pipelines them in
+// windows of window ops, a blocking one runs them one at a time.
+func byDesign(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.Generator, ops, window int, opts []core.IssueOption, r *run) {
+	if cl.Design.NonBlocking() {
+		pipelined(p, c, gen, ops, window, opts, r)
+	} else {
+		oneAtATime(p, cl, c, gen, ops, opts, r)
+	}
+}
+
 // closedLoop drives ops operations of gen through client 0 with the API of
 // the cluster's design and profiles the phase: the paper's basic
 // measurement. A blocking design runs them back to back (PerOp: the mean op
@@ -126,21 +137,17 @@ func pipelined(p *sim.Proc, c *core.Client, gen *workload.Generator, n, window i
 // completions at the end — the paper's "large iteration of non-blocking
 // Set/Get requests" (PerOp: elapsed over ops).
 func closedLoop(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) {
-	var before []*metrics.Breakdown
-	for _, s := range cl.Servers {
-		before = append(before, s.Store().Prof.Snapshot())
+	before := make([]metrics.Breakdown, len(cl.Servers))
+	for i, s := range cl.Servers {
+		before[i] = s.Store().Prof
 	}
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
-		if cl.Design.NonBlocking() {
-			pipelined(p, c, gen, ops, ops, apiOpts(cl), r)
-		} else {
-			oneAtATime(p, cl, c, gen, ops, nil, r)
-		}
+		byDesign(p, cl, c, gen, ops, ops, apiOpts(cl), r)
 	})
 	if r.PerOp = r.Lat.Mean(); cl.Design.NonBlocking() && ops > 0 {
 		r.PerOp = r.Elapsed / sim.Time(ops)
 	}
-	r.Server = metrics.NewBreakdown()
+	r.Server = metrics.Breakdown{}
 	for i, s := range cl.Servers {
 		r.Server.Merge(s.Store().Prof.Sub(before[i]))
 	}
@@ -215,11 +222,7 @@ func driveThroughput(cl *cluster.Cluster, mk func(ci int) *workload.Generator, o
 	for ci, c := range cl.Clients {
 		gen := mk(ci)
 		cl.Env.Spawn(fmt.Sprintf("drv-tput-%d", ci), func(p *sim.Proc) {
-			if cl.Design.NonBlocking() {
-				pipelined(p, c, gen, opsPer, window, apiOpts(cl), perOp)
-			} else {
-				oneAtATime(p, cl, c, gen, opsPer, nil, perOp)
-			}
+			byDesign(p, cl, c, gen, opsPer, window, apiOpts(cl), perOp)
 			r.Last = max(r.Last, p.Now()-start)
 		})
 	}

@@ -74,11 +74,7 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted
 		backoff: 5 * sim.Microsecond, maxBackoff: sim.Millisecond, jitter: true,
 	}.opts(cl.Design.BufferGuarantee())
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
-		if cl.Design.NonBlocking() {
-			pipelined(p, c, gen, ops, faultWindow, opts, r)
-		} else {
-			oneAtATime(p, cl, c, gen, ops, opts, r)
-		}
+		byDesign(p, cl, c, gen, ops, faultWindow, opts, r)
 	})
 	cl.Fabric.SetFaults(nil)
 }

@@ -136,9 +136,9 @@ func breakdown(id, title string, fits bool, designs []cluster.Design) Experiment
 // or the miss penalty (pure network + blocking time; for a non-blocking run
 // the issue stall plus the final wait, amortized).
 func collectStages(_ *cluster.Cluster, r *run) {
-	row := map[string]sim.Time{}
+	var row metrics.Breakdown
 	var accounted sim.Time
-	for _, st := range []string{metrics.StageSlabAlloc, metrics.StageCacheLoad, metrics.StageCacheUpdate, metrics.StageResponse} {
+	for _, st := range []metrics.Stage{metrics.StageSlabAlloc, metrics.StageCacheLoad, metrics.StageCacheUpdate, metrics.StageResponse} {
 		row[st] = r.Server.PerOp(st, r.Ops)
 		accounted += row[st]
 	}
@@ -147,12 +147,12 @@ func collectStages(_ *cluster.Cluster, r *run) {
 	if r.PerOp > accounted {
 		row[metrics.StageClientWait] = r.PerOp - accounted
 	}
-	short := map[string]string{
+	short := [len(row)]string{
 		metrics.StageSlabAlloc: "slab", metrics.StageCacheLoad: "load", metrics.StageCacheUpdate: "update",
 		metrics.StageResponse: "resp", metrics.StageClientWait: "cli-wait", metrics.StageMissPenalty: "miss",
 	}
-	for _, st := range metrics.Stages {
-		r.plot(short[st], us(row[st]))
+	for st, d := range row {
+		r.plot(short[st], us(d))
 	}
 	r.show("total µs", "avg_us", us(r.PerOp))
 	r.set("client_wait_us", us(row[metrics.StageClientWait]))

@@ -127,7 +127,7 @@ type run struct {
 	Sends, Frames, FlushWrites int64
 	// Server is the servers' stage breakdown of a closed-loop phase;
 	// MissPenalty the backend time its misses paid.
-	Server      *metrics.Breakdown
+	Server      metrics.Breakdown
 	MissPenalty sim.Time
 	// Log is the operation history the checked actors record; Violations
 	// what its invariant checker found.

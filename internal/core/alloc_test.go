@@ -158,17 +158,17 @@ func TestOperationAllocationCeilings(t *testing.T) {
 // attempt (1). A fallback is an RPC GET (4) plus the resolver's closure and its
 // READ out and back (3) and the attempt (1). A retransmitted GET is an RPC GET
 // (4) plus the lost message (1), the attempt (1) and the guard: its closure
-// (1), its jitter source (2), and two attempt-waits of five each — the joined
-// event and the two observers it watches the completion flag and the nudge
-// through — with five waiter records between them (15). The counts are the
-// parent commit's (e6fe223), measured there with this test.
+// (1), its jitter source (1: the rand.Rand around it stays on the guard's
+// stack), and two attempt-waits of five each — the joined event and the two
+// observers it watches the completion flag and the nudge through — with five
+// waiter records between them (15).
 func TestSecondAttemptAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"retransmitted GET", retransmitModel(), 24},
+		{"retransmitted GET", retransmitModel(), 23},
 		{"hedged GET", hedgeModel(), 8},
 		{"bypass fallback", fallbackModel(), 8},
 	} {

@@ -6,9 +6,8 @@ import (
 	"hybridkv/internal/verbs"
 )
 
-// Doorbell batching (RFP-style coalescing): operations that pile up while a
-// connection's send credits are exhausted, or that are issued inside an
-// explicit BeginBatch/Flush window, are merged per connection into a single
+// Doorbell batching (RFP-style coalescing): operations issued inside an
+// explicit BeginBatch/Flush window are merged per connection into a single
 // BatchFrame — one doorbell, one wire send, one flow-control credit, and one
 // server receive-repost for N operations. Responses are untouched: each
 // member keeps its own request id and registered response slot, so the
@@ -117,34 +116,6 @@ func (cn *conn) liveItems(items []*attempt) []*attempt {
 		}
 	}
 	return out
-}
-
-// drainBatch pulls whatever queued up behind the head item into one frame,
-// up to MaxBatchOps, skipping abandoned attempts and flattening any explicit
-// frames encountered. What may not ride a frame (see frameable) is left to its
-// own doorbell.
-func (cn *conn) drainBatch(head *attempt) (batch, alone []*attempt) {
-	batch = []*attempt{head}
-	for len(batch) < MaxBatchOps {
-		next, ok := cn.txq.TryGet()
-		if !ok {
-			break
-		}
-		if next.frame != nil {
-			batch = append(batch, cn.liveItems(next.frame)...)
-			continue
-		}
-		att := next.att
-		if att.state != attQueued {
-			continue
-		}
-		if !att.frameable() {
-			alone = append(alone, att)
-			continue
-		}
-		batch = append(batch, att)
-	}
-	return batch, alone
 }
 
 // postBatch sends one coalesced frame. The caller already holds the frame's

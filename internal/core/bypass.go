@@ -143,7 +143,7 @@ type resolution struct {
 // startBypass runs the resolution as its own process so Issue keeps
 // iset/iget semantics (return once the operation is in flight).
 func (c *Client) startBypass(req *Req) {
-	c.env.Go("client/bypass", func(p *sim.Proc) {
+	c.env.Spawn("client/bypass", func(p *sim.Proc) {
 		defer req.tagPanic()
 		r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
 		if !r.resolve(req.opts.readPath == ReadBypass) {

@@ -157,7 +157,7 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 // The directory bootstrap is a key-less control op the server answers only as
 // a bare request. A bypass client that resolves its first GETs inside an
 // explicit batch window must still bootstrap once, on its own doorbell: the
-// query is never parked in the window nor swept into the window's frame,
+// query is never parked in the window nor put into the window's frame,
 // where nothing would answer it (the GET behind it would fall back to RPC and
 // the next one bootstrap again).
 func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
@@ -201,33 +201,4 @@ func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
 		}
 	})
 	r.env.Run()
-}
-
-// The other way into a frame is the TX engine's sweep once credits run out:
-// it must leave the control op to its own doorbell too, like a value over
-// BatchInlineMax.
-func TestSweepLeavesTheControlOpOutOfTheFrame(t *testing.T) {
-	r := newBypassRig()
-	c, cn := r.client, r.client.conns[0]
-	ops := []Op{
-		{Code: protocol.OpSet, Key: "a", ValueSize: 64},
-		{Code: protocol.OpDirQuery},
-		{Code: protocol.OpSet, Key: "big", ValueSize: BatchInlineMax + 1},
-		{Code: protocol.OpGet, Key: "b"},
-	}
-	var atts []*attempt
-	for _, op := range ops { // queued, not sent: no process has run yet
-		req := new(Req)
-		c.initReq(req, op)
-		c.enqueueWire(req, cn)
-		atts = append(atts, req.cur)
-	}
-	head, _ := cn.txq.TryGet()
-	batch, alone := cn.drainBatch(head.att)
-	if len(batch) != 2 || batch[0] != atts[0] || batch[1] != atts[3] {
-		t.Errorf("frame holds %d members, want the SET and the GET", len(batch))
-	}
-	if len(alone) != 2 || alone[0] != atts[1] || alone[1] != atts[2] {
-		t.Errorf("%d ops left to their own doorbells, want the control op and the oversized SET", len(alone))
-	}
 }

@@ -78,7 +78,7 @@ func (c *Client) maybeRefreshHot(cn *conn) {
 		return
 	}
 	cn.hotRefresh = true
-	c.env.Go(fmt.Sprintf("client/hotrefresh%d", cn.serverID), func(p *sim.Proc) {
+	c.env.Spawn(fmt.Sprintf("client/hotrefresh%d", cn.serverID), func(p *sim.Proc) {
 		defer func() { cn.hotRefresh = false }()
 		c.Faults.Inc(metrics.CHotRefreshes)
 		c.queryDir(p, cn)

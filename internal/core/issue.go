@@ -364,7 +364,7 @@ func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
 // startGuard starts the watchdog process for a request issued with a
 // deadline and/or retry policy.
 func (c *Client) startGuard(req *Req) {
-	c.env.Go("client/guard", func(p *sim.Proc) {
+	c.env.Spawn("client/guard", func(p *sim.Proc) {
 		defer req.tagPanic()
 		o := &req.opts
 		var deadline sim.Time
@@ -429,7 +429,7 @@ func (c *Client) startGuard(req *Req) {
 // completes the request; finish settles the other, whose answer then finds
 // nothing and is absorbed as stale.
 func (c *Client) startHedge(req *Req, after sim.Time) {
-	c.env.Go("client/hedge", func(p *sim.Proc) {
+	c.env.Spawn("client/hedge", func(p *sim.Proc) {
 		defer req.tagPanic()
 		if p.WaitTimeout(&req.done, after) || req.done.Fired() {
 			if req.bypassed {
@@ -601,13 +601,8 @@ func (req *Req) lapse() ending {
 // txEngine drains the issue queue: takes a flow-control credit, posts the
 // WR, and fires the request's buffer-reusable event when the data has left
 // the NIC (red path of Figure 3). What it dequeues is a frame — a bare
-// attempt is a frame of one — and every frame leaves under one credit.
-//
-// When a credit is free the engine sends one op per doorbell, exactly as
-// before batching existed. Only when credits are exhausted — the moment the
-// per-op cost actually hurts — does it block for one credit and then sweep
-// everything that queued up behind the attempt into a single coalesced
-// BatchFrame. Explicit Flush frames arrive pre-built and leave as they are.
+// attempt is a frame of one, an explicit Flush frame arrives pre-built — and
+// every frame leaves as it is, under one credit.
 func (cn *conn) txEngine(p *sim.Proc) {
 	for {
 		item, ok := cn.txq.Get(p)
@@ -619,38 +614,25 @@ func (cn *conn) txEngine(p *sim.Proc) {
 		if items == nil {
 			items = one[:]
 		}
-		items, waited := cn.takeCredit(p, items)
-		if len(items) == 0 {
-			continue
-		}
-		var alone []*attempt
-		if waited && item.frame == nil && items[0].frameable() {
-			items, alone = cn.drainBatch(items[0])
-		}
-		cn.post(p, items)
-		// What the sweep left out of the frame goes alone, one credit each.
-		for _, att := range alone {
-			one[0] = att
-			if items, _ := cn.takeCredit(p, one[:]); len(items) == 1 {
-				cn.post(p, items)
-			}
+		if items = cn.takeCredit(p, items); len(items) > 0 {
+			cn.post(p, items)
 		}
 	}
 }
 
 // takeCredit takes the one flow-control credit items will leave under,
-// blocking while none is free (waited reports that it did). Abandoned members
-// are dropped on the way — before the wait and again after it — and if
-// nothing is left to send the credit goes straight back.
-func (cn *conn) takeCredit(p *sim.Proc, items []*attempt) (live []*attempt, waited bool) {
+// blocking while none is free. Abandoned members are dropped on the way —
+// before the wait and again after it — and if nothing is left to send the
+// credit goes straight back.
+func (cn *conn) takeCredit(p *sim.Proc, items []*attempt) (live []*attempt) {
 	if items = cn.liveItems(items); len(items) == 0 || cn.credits.TryAcquire() {
-		return items, false
+		return items
 	}
 	cn.credits.Acquire(p)
 	if items = cn.liveItems(items); len(items) == 0 {
 		cn.credits.Release()
 	}
-	return items, true
+	return items
 }
 
 // post sends items under the credit the caller holds: a single-op doorbell

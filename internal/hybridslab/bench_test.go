@@ -76,7 +76,7 @@ func newEvictRig(pages int, windowed bool) *evictRig {
 }
 
 func (r *evictRig) step() {
-	r.env.Go("step", r.run)
+	r.env.Spawn("step", r.run)
 	r.env.Run()
 }
 
@@ -97,7 +97,7 @@ func loadModel() (step func()) {
 			panic("loadModel: SSD load failed")
 		}
 	}
-	return func() { env.Go("load", load); env.Run() }
+	return func() { env.Spawn("load", load); env.Run() }
 }
 
 func benchSteps(b *testing.B, step func()) {

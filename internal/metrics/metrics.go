@@ -82,76 +82,52 @@ func (h *Hist) Quantile(q float64) sim.Time {
 	return h.max
 }
 
-// Stage labels for the six critical stages of a Memcached Set/Get
-// (Section III-A of the paper).
+// Stage is one of the six critical stages of a Memcached Set/Get (Section
+// III-A of the paper), numbered in presentation order (as in Fig. 2).
+type Stage int
+
 const (
-	StageSlabAlloc   = "slab-allocation"
-	StageCacheLoad   = "cache-check-and-load"
-	StageCacheUpdate = "cache-update"
-	StageResponse    = "server-response"
-	StageClientWait  = "client-wait"
-	StageMissPenalty = "miss-penalty"
+	StageSlabAlloc Stage = iota
+	StageCacheLoad
+	StageCacheUpdate
+	StageResponse
+	StageClientWait
+	StageMissPenalty
+	numStages
 )
 
-// Stages lists the breakdown stages in presentation order (as in Fig. 2).
-var Stages = []string{
-	StageSlabAlloc, StageCacheLoad, StageCacheUpdate,
-	StageResponse, StageClientWait, StageMissPenalty,
-}
-
-// Breakdown accumulates per-stage virtual time.
-type Breakdown struct {
-	total map[string]sim.Time
-}
-
-// NewBreakdown returns an empty accumulator.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{total: make(map[string]sim.Time)}
-}
+// Breakdown accumulates virtual time per stage. The zero value is empty, and
+// a copy is a snapshot.
+type Breakdown [numStages]sim.Time
 
 // Add records d of time in the given stage.
-func (b *Breakdown) Add(stage string, d sim.Time) {
-	b.total[stage] += d
-}
-
-// Snapshot returns an independent copy (freeze the state before a
-// measurement phase, then Sub it away afterwards).
-func (b *Breakdown) Snapshot() *Breakdown {
-	c := NewBreakdown()
-	for k, v := range b.total {
-		c.total[k] = v
-	}
-	return c
-}
+func (b *Breakdown) Add(stage Stage, d sim.Time) { b[stage] += d }
 
 // Sub returns b minus an earlier snapshot: the activity of just the
 // measurement phase.
-func (b *Breakdown) Sub(snap *Breakdown) *Breakdown {
-	c := NewBreakdown()
-	for k, v := range b.total {
-		if d := v - snap.total[k]; d != 0 {
-			c.total[k] = d
-		}
+func (b *Breakdown) Sub(snap Breakdown) Breakdown {
+	for i := range snap {
+		snap[i] = b[i] - snap[i]
 	}
-	return c
+	return snap
 }
 
 // Merge folds other into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for k, v := range other.total {
-		b.total[k] += v
+func (b *Breakdown) Merge(other Breakdown) {
+	for i, d := range other {
+		b[i] += d
 	}
 }
 
 // Total returns the accumulated time in a stage.
-func (b *Breakdown) Total(stage string) sim.Time { return b.total[stage] }
+func (b *Breakdown) Total(stage Stage) sim.Time { return b[stage] }
 
 // PerOp returns stage time divided across n operations.
-func (b *Breakdown) PerOp(stage string, n int64) sim.Time {
+func (b *Breakdown) PerOp(stage Stage, n int64) sim.Time {
 	if n == 0 {
 		return 0
 	}
-	return b.total[stage] / sim.Time(n)
+	return b[stage] / sim.Time(n)
 }
 
 // Counter names the fault, retry, and availability counters the client

@@ -82,7 +82,7 @@ func TestHistInvariantsProperty(t *testing.T) {
 }
 
 func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
+	var b Breakdown
 	b.Add(StageSlabAlloc, 10*sim.Microsecond)
 	b.Add(StageSlabAlloc, 30*sim.Microsecond)
 	b.Add(StageClientWait, 100*sim.Microsecond)
@@ -98,11 +98,15 @@ func TestBreakdown(t *testing.T) {
 }
 
 func TestBreakdownMerge(t *testing.T) {
-	a, b := NewBreakdown(), NewBreakdown()
+	var a, b Breakdown
 	a.Add(StageCacheLoad, 5*sim.Microsecond)
+	snap := a
 	b.Add(StageCacheLoad, 7*sim.Microsecond)
 	b.Add(StageResponse, 2*sim.Microsecond)
 	a.Merge(b)
+	if d := a.Sub(snap); d != b {
+		t.Errorf("merged minus the snapshot %v, want what was merged %v", d, b)
+	}
 	if a.Total(StageCacheLoad) != 12*sim.Microsecond {
 		t.Errorf("merged load %v", a.Total(StageCacheLoad))
 	}

@@ -47,7 +47,7 @@ func regionModel(scheme Scheme) (write, read func()) {
 		}
 	})
 	env.Run()
-	return func() { env.Go("write", doWrite); env.Run() }, func() { env.Go("read", doRead); env.Run() }
+	return func() { env.Spawn("write", doWrite); env.Run() }, func() { env.Spawn("read", doRead); env.Run() }
 }
 
 func benchSteps(b *testing.B, step func()) {

@@ -134,7 +134,7 @@ func newDirectRig(t *testing.T, memLimit int64) *rig {
 		qp.PostRecv(verbs.RecvWR{})
 	}
 	return &rig{env: env, srv: srv, qp: qp, sendCQ: sendCQ, recvCQ: recvCQ,
-		respMR: pd.RegisterMRSetup(2 << 20)}
+		respMR: pd.RegisterMRSetup(2 << 20), dev: dev}
 }
 
 // A sync server crashing in the middle of an eviction's storage phase must

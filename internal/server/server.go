@@ -411,15 +411,15 @@ func (s *Server) foregroundBusy() bool {
 	return float64(s.slots.InUse()) > shedSetWatermark/2*float64(s.slots.Total())
 }
 
-// degradeCorrupt converts a StatusCorrupt read into a plain miss: with no
-// replicator attached there is nowhere to repair from, and the one thing an
-// unreplicated server must still guarantee is that quarantined garbage is
-// never served — a miss lets the client re-populate from its backend.
-// (Replicated servers intercept the status earlier and repair-pull instead.)
-func degradeCorrupt(resp *protocol.Response) *protocol.Response {
-	if resp != nil && resp.Status == protocol.StatusCorrupt {
+// degradeCorrupt answers a StatusCorrupt read as req's miss (NotStored for
+// append/prepend, else NotFound): with no peer to repair from, a miss is what
+// never serves quarantined garbage and lets the client refill from its backend.
+func degradeCorrupt(req *protocol.Request, resp *protocol.Response) *protocol.Response {
+	if resp.Status == protocol.StatusCorrupt {
 		resp.Status = protocol.StatusNotFound
-		resp.Value = nil
+		if req.Op == protocol.OpAppend || req.Op == protocol.OpPrepend {
+			resp.Status = protocol.StatusNotStored
+		}
 	}
 	return resp
 }
@@ -880,7 +880,7 @@ func (s *Server) storagePhase(p *sim.Proc, t *task) {
 		if s.repl != nil {
 			resps[i] = s.repl.Apply(p, req, rounds[i])
 		} else {
-			resps[i] = degradeCorrupt(s.st.Handle(p, req))
+			resps[i] = degradeCorrupt(req, s.st.Handle(p, req))
 		}
 	}
 	if t.frame != nil {

@@ -24,6 +24,7 @@ type rig struct {
 	sendCQ *verbs.CQ
 	recvCQ *verbs.CQ
 	respMR *verbs.MR
+	dev    *blockdev.Device // the direct rig's SSD (newDirectRig)
 }
 
 func newRig(t *testing.T, cfg Config, memLimit int64, hybrid bool) *rig {

@@ -68,19 +68,30 @@ func callbackModel() (step func()) {
 	return func() { env.AfterFunc(Microsecond, fn); env.Run() }
 }
 
-// spawnModel: a step spawns a process that exits at once.
+// spawnModel: a step spawns a process on a fresh Proc. Before it, the Proc
+// the previous step's child finished on is taken off the idle list and its
+// coroutine ended, as a kernel that never recycled would have done; a child
+// that parked for good instead would cost the runtime a goroutine per step on
+// top (its g is never freed for reuse).
 func spawnModel() (step func()) {
 	env := NewEnv()
 	fn := func(*Proc) {}
-	return func() { env.Spawn("child", fn); env.Run() }
+	return func() {
+		if p := env.idle; p != nil {
+			env.idle, env.procs = nil, env.procs[:0]
+			p.stop()
+		}
+		env.Spawn("child", fn)
+		env.Run()
+	}
 }
 
-// goModel: a step starts a Go process that exits at once, on the Proc the
-// previous step's left behind.
-func goModel() (step func()) {
+// spawnRecycledModel: a step spawns a process that exits at once, on the Proc
+// the previous step's left behind.
+func spawnRecycledModel() (step func()) {
 	env := NewEnv()
 	fn := func(*Proc) {}
-	return func() { env.Go("child", fn); env.Run() }
+	return func() { env.Spawn("child", fn); env.Run() }
 }
 
 func BenchmarkTimer(b *testing.B)         { benchSteps(b, timerModel()) }
@@ -88,7 +99,7 @@ func BenchmarkHandoff(b *testing.B)       { benchSteps(b, handoffModel()) }
 func BenchmarkEventFireWait(b *testing.B) { benchSteps(b, eventModel()) }
 func BenchmarkCallbackEvent(b *testing.B) { benchSteps(b, callbackModel()) }
 func BenchmarkSpawn(b *testing.B)         { benchSteps(b, spawnModel()) }
-func BenchmarkGo(b *testing.B)            { benchSteps(b, goModel()) }
+func BenchmarkSpawnRecycled(b *testing.B) { benchSteps(b, spawnRecycledModel()) }
 
 func TestKernelAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
@@ -100,8 +111,8 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		{"Queue put to get across two procs", handoffModel(), 0},
 		{"Event fire to wait (the event itself)", eventModel(), 1},
 		{"callback event", callbackModel(), 0},
-		{"Go process, start to finish", goModel(), 0},
-		{"Spawn, start to finish (set-up, not the op path: the Proc and its coroutine)", spawnModel(), 13},
+		{"recycled Spawn, start to finish", spawnRecycledModel(), 0},
+		{"fresh Spawn (set-up, not the op path: the Proc and its coroutine)", spawnModel(), 13},
 	} {
 		tc.step() // reach steady state: pools and rings filled
 		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {

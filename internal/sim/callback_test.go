@@ -98,7 +98,7 @@ func TestBlockingOutsideTheRunningProcessPanics(t *testing.T) {
 	res := NewResource(env, 1)
 	res.TryAcquire()
 	var idle *Proc
-	idle = env.Spawn("idle", func(p *Proc) { p.Wait(env.NewEvent()) })
+	env.Spawn("idle", func(p *Proc) { idle = p; p.Wait(env.NewEvent()) })
 	env.Run()
 
 	for prim, call := range map[string]func(){

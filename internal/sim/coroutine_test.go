@@ -14,7 +14,7 @@ import (
 // parked.
 
 // steppedModel builds four workers that sleep, hand items over a queue, start
-// Go helpers with timed waits and schedule callback events, with delays drawn
+// helpers with timed waits and schedule callback events, with delays drawn
 // from 0..3 ns so that ties only seq decides are common. Nothing runs until
 // the caller advances env; trace fills with (at, seq, name) as it does.
 func steppedModel(seed int64) (env *Env, trace *[]string) {
@@ -37,7 +37,7 @@ func steppedModel(seed int64) (env *Env, trace *[]string) {
 					q.Get(p)
 				case 2:
 					done, budget := env.NewEvent(), d()
-					env.Go(name+".guard", func(hp *Proc) {
+					env.Spawn(name+".guard", func(hp *Proc) {
 						note(fmt.Sprint(hp.Name(), " won=", hp.WaitTimeout(done, budget)))
 					})
 					p.Sleep(d())
@@ -158,21 +158,21 @@ func TestCloseUnwindsEveryParkedProcess(t *testing.T) {
 	}
 	var sleeper *Proc
 	for name, block := range parked {
-		p := env.Spawn(name, func(p *Proc) {
+		env.Spawn(name, func(p *Proc) {
+			if name == "in Sleep" {
+				sleeper = p // parked for good: its Proc is never reused
+			}
 			defer func() { unwound[name]++ }()
 			block(p)
 			t.Errorf("%s: came back from its park", name)
 		})
-		if name == "in Sleep" {
-			sleeper = p
-		}
 	}
-	env.Go("helper", func(p *Proc) { p.Sleep(1) }) // idle between runs by the time of Close
-	env.Spawn("finished", func(p *Proc) {})
+	env.Spawn("helper", func(p *Proc) { p.Sleep(1) }) // idle between runs by the time of Close
+	env.Spawn("finished", func(p *Proc) {})           // idle too, until "never started" takes it
 	env.RunUntil(10)
 	env.SpawnAt(20, "never started", func(p *Proc) { t.Error("a process started by Close") })
 	if got := runtime.NumGoroutine() - base; got != len(parked)+2 || len(env.procs) != got {
-		t.Fatalf("%d goroutines and %d procs on the Env's list before Close, want the %d parked, the idle helper and the unstarted one",
+		t.Fatalf("%d goroutines and %d procs on the Env's list before Close, want the %d parked, the idle one and the unstarted one",
 			got, len(env.procs), len(parked))
 	}
 	for i, p := range env.procs {
@@ -199,7 +199,6 @@ func TestCloseUnwindsEveryParkedProcess(t *testing.T) {
 	}
 	for call, fn := range map[string]func(){
 		"Spawn":    func() { env.Spawn("late", func(*Proc) {}) },
-		"Go":       func() { env.Go("late", func(*Proc) {}) },
 		"AtCall":   func() { env.AfterFunc(1, func() {}) },
 		"RunUntil": func() { env.Run() },
 	} {

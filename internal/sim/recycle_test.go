@@ -8,19 +8,24 @@ import (
 	"testing"
 )
 
-// --- order equivalence: Go processes vs spawned processes ---
+// --- order equivalence: recycled processes vs fresh ones ---
 
 // starter is how a model starts a per-request helper. A helper is written in
 // two parts — what it does before it first blocks, and the rest — so that a
 // deliberately wrong starter can be told apart from a right one.
 type starter func(env *Env, name string, before func(), rest func(p *Proc))
 
-var spawnStarter starter = func(env *Env, name string, before func(), rest func(p *Proc)) {
+// freshStarter starts every helper on a Proc of its own, as a kernel that
+// never recycled would: the idle list is hidden from Spawn.
+var freshStarter starter = func(env *Env, name string, before func(), rest func(p *Proc)) {
+	idle := env.idle
+	env.idle = nil
 	env.Spawn(name, func(p *Proc) { before(); rest(p) })
+	env.idle = idle
 }
 
-var goStarter starter = func(env *Env, name string, before func(), rest func(p *Proc)) {
-	env.Go(name, func(p *Proc) { before(); rest(p) })
+var recycledStarter starter = func(env *Env, name string, before func(), rest func(p *Proc)) {
+	env.Spawn(name, func(p *Proc) { before(); rest(p) })
 }
 
 // collapsedStarter skips the start hop: the helper's first stretch runs at
@@ -28,7 +33,7 @@ var goStarter starter = func(env *Env, name string, before func(), rest func(p *
 // a spawned process would have begun in.
 var collapsedStarter starter = func(env *Env, name string, before func(), rest func(p *Proc)) {
 	before()
-	env.Go(name, rest)
+	env.Spawn(name, rest)
 }
 
 // helperModel runs four workers through seeded random steps that start
@@ -37,14 +42,13 @@ var collapsedStarter starter = func(env *Env, name string, before func(), rest f
 // event, a helper that starts a helper, and one started from a callback
 // event — with delays drawn from 0..3 ns so that same-instant ties, where
 // only seq decides, are the common case. Finished helpers leave idle procs
-// behind, so later ones run recycled. It returns the (at, seq, name) trace.
-// The rng is shared and drawn from in execution order: one reordering
-// anywhere changes everything after it.
-func helperModel(seed int64, start starter) []string {
+// behind, so later ones run recycled. It returns the (at, seq, name) trace
+// and how many Procs were made. The rng is shared and drawn from in execution
+// order: one reordering anywhere changes everything after it.
+func helperModel(seed int64, start starter) (trace []string, procs int) {
 	env := NewEnv()
 	rng := rand.New(rand.NewSource(seed))
 	d := func() Time { return Time(rng.Intn(4)) }
-	var trace []string
 	note := func(name, what string) {
 		trace = append(trace, fmt.Sprintf("%d/%d %s %s", env.now, env.seq, name, what))
 	}
@@ -123,40 +127,46 @@ func helperModel(seed int64, start starter) []string {
 	}
 	env.Run()
 	note("end", fmt.Sprint("alive=", env.Alive()))
-	return trace
+	procs = len(env.procs)
+	env.Close()
+	return trace, procs
 }
 
-func TestGoProcessesOrderLikeSpawnedOnes(t *testing.T) {
+func TestRecycledSpawnOrdersLikeAFreshOne(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		spawned, recycled := helperModel(seed, spawnStarter), helperModel(seed, goStarter)
-		if len(spawned) < 1000 {
-			t.Fatalf("seed %d: model recorded only %d steps", seed, len(spawned))
+		fresh, made := helperModel(seed, freshStarter)
+		recycled, reused := helperModel(seed, recycledStarter)
+		if len(fresh) < 1000 {
+			t.Fatalf("seed %d: model recorded only %d steps", seed, len(fresh))
 		}
-		for i := range spawned {
-			if i >= len(recycled) || spawned[i] != recycled[i] {
-				t.Fatalf("seed %d: traces part at step %d of %d:\n Spawn: %v\n Go:    %v",
-					seed, i, len(spawned), spawned[max(0, i-2):i+1], recycled[max(0, i-2):min(i+1, len(recycled))])
+		if reused >= made {
+			t.Fatalf("seed %d: %d Procs with recycling, %d without: nothing was recycled", seed, reused, made)
+		}
+		for i := range fresh {
+			if i >= len(recycled) || fresh[i] != recycled[i] {
+				t.Fatalf("seed %d: traces part at step %d of %d:\n fresh:    %v\n recycled: %v",
+					seed, i, len(fresh), fresh[max(0, i-2):i+1], recycled[max(0, i-2):min(i+1, len(recycled))])
 			}
 		}
-		if len(recycled) != len(spawned) {
-			t.Fatalf("seed %d: %d steps with Spawn, %d with Go", seed, len(spawned), len(recycled))
+		if len(recycled) != len(fresh) {
+			t.Fatalf("seed %d: %d steps on fresh Procs, %d on recycled ones", seed, len(fresh), len(recycled))
 		}
 		// The comparison has teeth: a start that does not take its own slot
 		// is a different run.
-		if collapsed := helperModel(seed, collapsedStarter); strings.Join(collapsed, "\n") == strings.Join(spawned, "\n") {
+		if collapsed, _ := helperModel(seed, collapsedStarter); strings.Join(collapsed, "\n") == strings.Join(fresh, "\n") {
 			t.Errorf("seed %d: collapsing the start hop left the trace unchanged", seed)
 		}
 	}
 }
 
-func TestGoReusesFinishedProcesses(t *testing.T) {
+func TestSpawnReusesFinishedProcesses(t *testing.T) {
 	env := NewEnv()
 	seen := map[*Proc]bool{}
 	base := runtime.NumGoroutine()
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("h%d.%d", round, i)
-			env.Go(name, func(p *Proc) {
+			env.Spawn(name, func(p *Proc) {
 				if p.Name() != name {
 					t.Errorf("process %q runs under the name %q", name, p.Name())
 				}
@@ -177,7 +187,7 @@ func TestGoReusesFinishedProcesses(t *testing.T) {
 	}
 }
 
-// TestRecycledProcessesComeBackCleanOrNotAtAll starts and finishes 10⁵ Go
+// TestRecycledProcessesComeBackCleanOrNotAtAll starts and finishes 10⁵
 // processes, a few at a time, ending some by panic and some by
 // runtime.Goexit. Every one must run exactly once, under its own name, with
 // no wakeup pending from whoever had the Proc before; a Proc whose run ended
@@ -199,7 +209,7 @@ func TestRecycledProcessesComeBackCleanOrNotAtAll(t *testing.T) {
 		next++
 		name := fmt.Sprint("helper-", id)
 		fate := rng.Intn(100)
-		env.Go(name, func(p *Proc) {
+		env.Spawn(name, func(p *Proc) {
 			ran[id]++
 			procs[p] = true
 			if dead[p] {

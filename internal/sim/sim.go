@@ -8,8 +8,8 @@
 // Things that merely happen at an instant (a message arriving, a completion,
 // a scheduled fault) are callback events — AtFunc, AfterFunc, AtCall,
 // Event.OnFire — that the scheduler runs inline, to completion, in the same
-// single order. Short-lived helper processes started per request use Go,
-// which runs them on recycled coroutines. Shared simulation state therefore
+// single order. Spawn runs a new process on the coroutine of one that has
+// finished, when there is one. Shared simulation state therefore
 // needs no locking, results are bit-for-bit reproducible, and virtual time
 // advances with nanosecond precision regardless of host timer resolution.
 //
@@ -107,7 +107,7 @@ type Env struct {
 	seq    int64
 	heap   []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
 	freeW  *wakeup
-	idle   *Proc   // finished Go processes, ready to run another function
+	idle   *Proc   // finished processes, ready to run another function
 	procs  []*Proc // every process whose coroutine can still be resumed, for Close
 	cur    *Proc   // the process running right now; nil in the scheduler and in callbacks
 	alive  int
@@ -256,10 +256,7 @@ type Proc struct {
 	pend     [2]*wakeup              // room for a wait plus its timeout without allocating
 	wokenTag int
 	fn       func(p *Proc) // what the current run executes
-	// A process started by Go goes back on the Env's idle list when its run
-	// returns; next is its link there.
-	recycled bool
-	next     *Proc
+	next     *Proc         // its link on the Env's idle list, between runs
 }
 
 // Name returns the process name given at Spawn time.
@@ -271,24 +268,38 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Spawn creates a new process executing fn and schedules it to start at the
-// current virtual time. It may be called before Run, from any running
-// process, or from a callback event.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
+// Spawn starts a process executing fn at the current virtual time. It may be
+// called before Run, from any running process, or from a callback event.
+//
+// The process runs on the Proc and coroutine of one that has finished, when
+// there is one, and on a fresh one otherwise; either way it starts in the
+// same (now, seq) slot. Because the Proc is reused, fn must not keep p beyond
+// its own return, and no handle is returned.
+//
+// Ownership: while a run is live the Proc belongs to it. When fn returns, the
+// process has no pending wakeups (delivery cleared them, and every primitive
+// that registers one parks), so nothing in the kernel refers to the Proc and
+// the idle list takes it. A run that ends by panic or runtime.Goexit ends its
+// coroutine too: that Proc is dropped, never reused.
+func (e *Env) Spawn(name string, fn func(p *Proc)) {
+	e.SpawnAt(e.now, name, fn)
 }
 
 // SpawnAt is like Spawn but delays the process start until virtual time t.
-func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) {
 	e.mustBeOpen("Spawn")
 	if t < e.now {
 		t = e.now
 	}
-	p := e.newProc()
+	p := e.idle
+	if p == nil {
+		p = e.newProc()
+	} else {
+		e.idle, p.next = p.next, nil
+	}
 	p.name, p.fn = name, fn
 	e.alive++
 	e.scheduleWakeup(t, p, 0)
-	return p
 }
 
 // newProc returns a fresh process, its coroutine made and not yet started.
@@ -300,35 +311,9 @@ func (e *Env) newProc() *Proc {
 	return p
 }
 
-// Go is Spawn without the handle, for short-lived helpers started per
-// request: it takes its start slot exactly where Spawn would, and the new
-// process runs and ends like a spawned one, but on the coroutine and Proc of
-// an earlier Go process that has finished, when there is one. Because the
-// Proc is reused, fn must not keep p beyond its own return; no handle is
-// returned for the same reason.
-//
-// Ownership: while a run is live the Proc belongs to it, like any process.
-// When fn returns, the process has no pending wakeups (delivery cleared them,
-// and every primitive that registers one parks), so nothing in the kernel
-// refers to the Proc and the idle list takes it. A run that ends by panic or
-// runtime.Goexit ends its coroutine too: that Proc is dropped, never reused.
-func (e *Env) Go(name string, fn func(p *Proc)) {
-	e.mustBeOpen("Go")
-	p := e.idle
-	if p == nil {
-		p = e.newProc()
-		p.recycled = true
-	} else {
-		e.idle, p.next = p.next, nil
-	}
-	p.name, p.fn = name, fn
-	e.alive++
-	e.scheduleWakeup(e.now, p, 0)
-}
-
 // serve is a process's coroutine, the sequence iter.Pull resumes: one
-// function per start wakeup — the only one for a spawned process, one after
-// another for a Go process, parked between them, until a run ends abnormally.
+// function per start wakeup, one after another, parked between them, until a
+// run ends abnormally.
 func (p *Proc) serve(yield func(struct{}) bool) {
 	p.yield = yield
 	for p.runOnce() && yield(struct{}{}) {
@@ -338,8 +323,8 @@ func (p *Proc) serve(yield func(struct{}) bool) {
 // runOnce runs the current function and hands control back however it ends:
 // by returning, by panicking (re-raised from Run, in the simulation driver's
 // goroutine), by runtime.Goexit (a t.Fatal inside a process), or unwound by
-// Close. It reports whether the coroutine may serve another run: only a Go
-// process, and only after a plain return, is put on the idle list. On Goexit
+// Close. It reports whether the coroutine may serve another run: only after a
+// plain return is the process put on the idle list. On Goexit
 // it does not return at all: it parks for the last time from the handler,
 // because iter.Pull would raise a coroutine's Goexit in RunUntil's caller.
 func (p *Proc) runOnce() (reusable bool) {
@@ -351,7 +336,7 @@ func (p *Proc) runOnce() (reusable bool) {
 			e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 		p.fn = nil
-		reusable = p.recycled && returned && len(p.pending) == 0
+		reusable = returned && len(p.pending) == 0
 		if reusable {
 			p.next, e.idle = e.idle, p
 		} else if !e.closed { // ending, or (Goexit) never resumed again: off Close's list

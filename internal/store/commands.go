@@ -35,9 +35,9 @@ func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
 // the allocation, an eviction, a copy, the update itself — before it acts, and
 // a server's storage workers run them side by side. So each asks again at the
 // instant it acts: the conditional stores pass their condition to SetIf as the
-// swap guard, and the read-modify-write commands check that the entry they
-// read is still the entry (still) and start over on what the key holds now
-// when it is not. Uncontended, nothing here costs more than it did.
+// swap guard, and the read-modify-write commands and Touch check that the
+// entry they read is still the entry (still) and start over on what the key
+// holds now when it is not. Uncontended, nothing here costs more than it did.
 
 // setWhen is the one conditional store behind Add, Replace and CompareAndSet:
 // they differ in cond alone, which maps the key's live item (nil: none) to
@@ -96,10 +96,10 @@ func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any,
 }
 
 // still reports whether key's entry is the item a read-modify-write command
-// read, unchanged since: not replaced or deleted (another item, or none), not
-// mutated in place (every in-place write takes a fresh token), and not
-// expired — an item that outlived its TTL meanwhile is dead even while its
-// entry stands, which a rewrite of it must not revive.
+// or Touch read, unchanged since: not replaced or deleted (another item, or
+// none), not mutated in place (every in-place write takes a fresh token), and
+// not expired — an item that outlived its TTL meanwhile is dead even while
+// its entry stands, which a rewrite of it must not revive.
 func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
 	return s.table[key] == it && it.CAS == cas && !expired(it, s.env.Now())
 }
@@ -130,25 +130,27 @@ func (s *Store) Prepend(p *sim.Proc, key string, extraSize int, extra any) proto
 }
 
 // read returns key's live item with its value and CAS token as they stand
-// together in one instant — where a read-modify-write starts — or nil when the
-// key is dead. The load suspends, and an answer given for an item replaced
-// meanwhile (a nil value, "dropped") describes that item, not the key: again.
-func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64) {
+// together in one instant — where a read-modify-write starts — or nil and the
+// key's answer: a miss, or a failed load's (loadFailed). The load suspends,
+// and an answer given for an item replaced meanwhile (a nil value, "dropped")
+// describes that item, not the key: again.
+func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64, st protocol.Status) {
 	for {
 		p.Sleep(hashCost)
 		if it = s.lookup(p, key); it == nil {
-			return nil, nil, 0
+			return nil, nil, 0, protocol.StatusNotFound
 		}
 		v, err := s.mgr.Load(p, it)
 		if s.table[key] != it {
 			continue
 		}
 		if err != nil {
-			delete(s.table, key)
-			s.unpublish(key)
-			return nil, nil, 0
+			if st = s.loadFailed(p, key, err); st == protocol.StatusCorrupt {
+				s.CorruptReads++
+			}
+			return nil, nil, 0, st
 		}
-		return it, v, it.CAS
+		return it, v, it.CAS, protocol.StatusOK
 	}
 }
 
@@ -157,12 +159,15 @@ func (s *Store) concatCmd(p *sim.Proc, key string, extraSize int, extra any, pre
 		// Load the current value (may reside on SSD), then store the
 		// combined item through the regular slab path so it is re-classed by
 		// its new size.
-		it, old, cas := s.read(p, key)
-		if it == nil {
+		it, old, cas, st := s.read(p, key)
+		if st == protocol.StatusNotFound {
 			return protocol.StatusNotStored
 		}
+		if it == nil {
+			return st
+		}
 		newValue, newSize := concat(prepend, old, it.ValueSize, extra, extraSize)
-		st := s.SetIf(p, key, newSize, newValue, it.Flags, it.ExpireAt, func() bool { return s.still(key, it, cas) })
+		st = s.SetIf(p, key, newSize, newValue, it.Flags, it.ExpireAt, func() bool { return s.still(key, it, cas) })
 		if st != protocol.StatusNotStored {
 			return st
 		}
@@ -186,9 +191,9 @@ func (s *Store) Decr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 
 func (s *Store) arith(p *sim.Proc, key string, delta uint64, dec bool) (uint64, protocol.Status) {
 	for {
-		it, v, cas := s.read(p, key)
+		it, v, cas, st := s.read(p, key)
 		if it == nil {
-			return 0, protocol.StatusNotFound
+			return 0, st
 		}
 		cur, ok := v.(uint64)
 		if !ok {
@@ -268,11 +273,12 @@ func (s *Store) Touch(p *sim.Proc, key string, expire uint32) protocol.Status {
 		if it == nil {
 			return protocol.StatusNotFound
 		}
+		cas := it.CAS
 		s.publishBegin(key)
 		p.Sleep(updateCost)
-		if s.table[key] != it {
-			// Replaced under the update: publishing the item looked up would
-			// put a released one over the live item's slot.
+		if !s.still(key, it, cas) {
+			// Replaced, mutated or expired under the update: neither put a
+			// released item over the live one's slot nor lease a dead one anew.
 			s.republish(key)
 			continue
 		}

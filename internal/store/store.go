@@ -52,7 +52,7 @@ type Store struct {
 	hotVersion uint64
 
 	// Prof accumulates the server-side stage breakdown.
-	Prof *metrics.Breakdown
+	Prof metrics.Breakdown
 
 	crawlerStop *sim.Event
 
@@ -84,7 +84,6 @@ func New(env *sim.Env, mgr *hybridslab.Manager) *Store {
 		mgr:   mgr,
 		table: make(map[string]*hybridslab.Item),
 		hot:   newHotSketch(hotSketchCap),
-		Prof:  metrics.NewBreakdown(),
 	}
 }
 
@@ -92,10 +91,9 @@ func New(env *sim.Env, mgr *hybridslab.Manager) *Store {
 func (s *Store) Manager() *hybridslab.Manager { return s.mgr }
 
 // EvacuateQuarantined drains quarantined SSD regions: verified-clean slots
-// move to fresh media, slots that fail re-verification are retired here —
-// table entry dropped, read view unpublished, and the corrupt-read callback
-// fired so replication opens a repair-pull — exactly the foreground
-// corrupt-read teardown, driven by the scrub pass instead of a client.
+// move to fresh media, slots that fail re-verification are retired as a
+// corrupt read retires its item (loadFailed) — but by the scrub pass, not a
+// client's read, so CorruptReads does not count them.
 func (s *Store) EvacuateQuarantined(p *sim.Proc) (moved, dropped int) {
 	moved, corrupt := s.mgr.EvacuateQuarantined(p)
 	for _, it := range corrupt {
@@ -104,14 +102,32 @@ func (s *Store) EvacuateQuarantined(p *sim.Proc) (moved, dropped int) {
 		if s.table[it.Key] != it {
 			continue
 		}
-		delete(s.table, it.Key)
-		s.unpublish(it.Key)
+		s.loadFailed(p, it.Key, hybridslab.ErrCorrupt)
 		dropped++
-		if s.corruptNotify != nil {
-			s.corruptNotify(p, it.Key)
-		}
 	}
 	return moved, dropped
+}
+
+// loadFailed is the one rule for a failed load of key's item: it tears down
+// what err killed and returns the answer. ErrRecovering is transient — the
+// item may well be recovered — so the entry stays: StatusRecovering. Anything
+// else drops the entry and unpublishes it. ErrCorrupt (the SSD copy failed
+// verification: quarantined, not legally evicted) fires the corrupt hook, so
+// replication opens a repair-pull, and answers StatusCorrupt; the rest (the
+// value dropped by eviction) is a miss.
+func (s *Store) loadFailed(p *sim.Proc, key string, err error) protocol.Status {
+	if errors.Is(err, hybridslab.ErrRecovering) {
+		return protocol.StatusRecovering
+	}
+	delete(s.table, key)
+	s.unpublish(key)
+	if !errors.Is(err, hybridslab.ErrCorrupt) {
+		return protocol.StatusNotFound
+	}
+	if s.corruptNotify != nil {
+		s.corruptNotify(p, key)
+	}
+	return protocol.StatusCorrupt
 }
 
 // SetReadView installs the read-side publication view and subscribes it to
@@ -291,7 +307,7 @@ func (s *Store) republish(key string) {
 
 // Get fetches a value, charging p the cache-check-and-load and cache-update
 // stages. A miss (never stored, evicted-and-dropped, or expired) returns
-// StatusNotFound.
+// StatusNotFound; a failed load answers as loadFailed says.
 func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32, cas uint64, status protocol.Status) {
 	s.GetOps++
 	s.hot.Touch(key)
@@ -299,61 +315,39 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 	// Stage 2: cache check and load (may read from SSD).
 	t0 := p.Now()
 	p.Sleep(hashCost)
-	it := s.lookup(p, key)
-	if it == nil {
-		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
-		s.GetMisses++
-		return nil, 0, 0, 0, protocol.StatusNotFound
-	}
-	v, err := s.mgr.Load(p, it)
 	// Load can suspend (memcpy, SSD read), and a concurrent worker's Set of
 	// this key releases it meanwhile: what Load returned — a nil value, or
 	// ErrDropped — then describes the replaced item, not the key. Serve
-	// whichever item the table holds once a load of it comes back unreplaced.
-	for s.table[key] != it {
-		if it = s.table[key]; it == nil {
-			// Deleted (or expired) under us: a plain miss, nothing to tear down.
-			s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
-			s.GetMisses++
-			return nil, 0, 0, 0, protocol.StatusNotFound
+	// whichever live item the table holds once a load of it comes back unreplaced.
+	for it := s.lookup(p, key); it != nil; it = s.lookup(p, key) {
+		v, err := s.mgr.Load(p, it)
+		if s.table[key] != it {
+			continue
 		}
-		v, err = s.mgr.Load(p, it)
-	}
-	s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
-	if err != nil {
-		if errors.Is(err, hybridslab.ErrRecovering) {
-			// Transient rejection, not a dead key: the item may well be
-			// recovered — keep the table entry and fail the request fast.
-			return nil, 0, 0, 0, protocol.StatusRecovering
-		}
-		if errors.Is(err, hybridslab.ErrCorrupt) {
-			// The on-SSD copy failed integrity verification: the item is
-			// quarantined, not legally evicted. Drop the dead table entry
-			// but answer StatusCorrupt — distinct from a miss — so the
-			// replication layer can repair-pull the key from its peers
-			// instead of letting the client see a false miss.
-			delete(s.table, key)
-			s.unpublish(key)
-			s.CorruptReads++
-			if s.corruptNotify != nil {
-				s.corruptNotify(p, key)
+		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
+		if err != nil {
+			st := s.loadFailed(p, key, err)
+			switch st {
+			case protocol.StatusCorrupt:
+				s.CorruptReads++
+			case protocol.StatusNotFound:
+				s.GetMisses++
 			}
-			return nil, 0, 0, 0, protocol.StatusCorrupt
+			return nil, 0, 0, 0, st
 		}
-		// Value dropped by eviction: the key is dead.
-		delete(s.table, key)
-		s.unpublish(key)
-		s.GetMisses++
-		return nil, 0, 0, 0, protocol.StatusNotFound
-	}
 
-	// Stage 3: cache update — promote in the LRU.
-	t0 = p.Now()
-	p.Sleep(updateCost)
-	s.mgr.Touch(it)
-	s.Prof.Add(metrics.StageCacheUpdate, p.Now()-t0)
-	s.GetHits++
-	return v, it.ValueSize, it.Flags, it.CAS, protocol.StatusOK
+		// Stage 3: cache update — promote in the LRU.
+		t0 = p.Now()
+		p.Sleep(updateCost)
+		s.mgr.Touch(it)
+		s.Prof.Add(metrics.StageCacheUpdate, p.Now()-t0)
+		s.GetHits++
+		return v, it.ValueSize, it.Flags, it.CAS, protocol.StatusOK
+	}
+	// Never there, expired, or deleted under the load: nothing to tear down.
+	s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
+	s.GetMisses++
+	return nil, 0, 0, 0, protocol.StatusNotFound
 }
 
 // Delete removes a key.

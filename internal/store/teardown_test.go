@@ -1,0 +1,93 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+
+	"hybridkv/internal/blockdev"
+	"hybridkv/internal/hybridslab"
+	"hybridkv/internal/pagecache"
+	"hybridkv/internal/protocol"
+	"hybridkv/internal/sim"
+	"hybridkv/internal/slab"
+)
+
+// A read-modify-write whose load fails verification answers as a GET does
+// (loadFailed): StatusCorrupt, counted, the corrupt hook fired, the dead entry
+// gone — so a replicated server repair-pulls the key and re-runs the command,
+// instead of deciding it on a miss the peers would contradict.
+func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		value any
+		run   func(s *Store, p *sim.Proc) protocol.Status
+	}{
+		{"incr", uint64(41), func(s *Store, p *sim.Proc) protocol.Status { _, st := s.Incr(p, "k", 1); return st }},
+		{"append", "base", func(s *Store, p *sim.Proc) protocol.Status { return s.Append(p, "k", 10, "tail") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			dev := blockdev.New(env, blockdev.SATA(), 8<<30)
+			cache := pagecache.New(env, dev, pagecache.DefaultParams())
+			// Direct I/O: every SSD load comes off the media, where rot lives.
+			s := New(env, hybridslab.New(env, hybridslab.Config{
+				Slab:   slab.Config{MemLimit: 4 << 20},
+				Policy: hybridslab.PolicyDirect,
+			}, cache.OpenFile(0, 4<<30)))
+			hooked := map[string]int{}
+			s.SetCorruptNotify(func(_ *sim.Proc, key string) { hooked[key]++ })
+			var st protocol.Status
+			env.Spawn("op", func(p *sim.Proc) {
+				// Stored at the fillers' size so the fillers evict it.
+				s.Set(p, "k", 32*1024, tc.value, 0, 0)
+				for i := 0; i < 200; i++ {
+					s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
+				}
+				if !s.table["k"].OnSSD() {
+					t.Fatal("fixture: the key is not on the SSD")
+				}
+				dev.AddBitRot(17, p.Now(), p.Now()+sim.Millisecond, 1.0)
+				p.Sleep(2 * sim.Millisecond) // past every extent's rot instant
+				st = tc.run(s, p)
+			})
+			env.Run()
+			if st != protocol.StatusCorrupt {
+				t.Errorf("%s of a rotted copy answered %v, want %v", tc.name, st, protocol.StatusCorrupt)
+			}
+			if s.CorruptReads != 1 {
+				t.Errorf("CorruptReads = %d, want 1", s.CorruptReads)
+			}
+			if len(hooked) != 1 || hooked["k"] != 1 {
+				t.Errorf("the corrupt hook fired %v, want once for k", hooked)
+			}
+			if _, ok := s.table["k"]; ok {
+				t.Error("the rotted key is still in the table")
+			}
+		})
+	}
+}
+
+// A Touch decides on the item it looked up and writes the new expiry an
+// update later. If the item expired in between, the key is dead: the touch
+// must not give it a new lease (still, as the read-modify-writes ask it).
+func TestTouchRacingItsItemsExpiryFindsTheKeyDead(t *testing.T) {
+	env := sim.NewEnv()
+	s := newStore(env, 16<<20, false)
+	var st, later protocol.Status
+	env.Spawn("op", func(p *sim.Proc) {
+		s.Set(p, "k", 100, "v", 0, 10)
+		// The lookup lands 50 ns before the expiry, the update updateCost
+		// after the lookup: past it.
+		p.Sleep(s.table["k"].ExpireAt - 50*sim.Nanosecond - hashCost - p.Now())
+		st = s.Touch(p, "k", 60)
+		p.Sleep(10 * sim.Second)
+		_, _, _, _, later = s.Get(p, "k")
+	})
+	env.Run()
+	if st != protocol.StatusNotFound {
+		t.Errorf("a touch that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotFound)
+	}
+	if later != protocol.StatusNotFound {
+		t.Errorf("the key is served 10 s after its TTL: %v", later)
+	}
+}
