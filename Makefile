@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity reach allocs knobs loc loc-diff fuzz check
+.PHONY: build test vet fmt counters race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity reach allocs knobs loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ vet:
 # gofmt over the whole tree must have nothing to say.
 fmt:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# Every counter under internal/ is written and read through its registered
+# metrics.Counter, never its name (DESIGN.md §10): a string literal reaching
+# a counter's Add or Get there fails, tests included. Only internal/metrics'
+# own registry tests, which drive Get's refusal of an unknown name, spell one.
+counters:
+	@out=$$(grep -rnE '\.(Add|Get)\("' internal | grep -v '^internal/metrics/metrics_test.go:'); \
+	test -z "$$out" || { echo "make counters: a counter written or read by name:"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -224,9 +232,10 @@ loc-diff:
 		END { for (name in seen) printf "%-22s gone (was %d lines)\n", name, before[name, 2] }' \
 		"$$tmp/before.txt" "$$tmp/after.txt"
 
-# The pre-merge gate: static analysis and formatting, the full suite under
+# The pre-merge gate: static analysis, formatting and the counter rule, the
+# full suite under
 # the race detector (plus the robustness packages at -count=2), a registry
 # smoke run (the ten robustness experiments among its 24), the three examples,
 # the golden gate over the committed snapshots, the benchmark's determinism
 # gate, and the gated vulnerability scan. Each thing runs once.
-check: vet fmt race race-robustness smoke examples verify benchmark-check vuln
+check: vet fmt counters race race-robustness smoke examples verify benchmark-check vuln

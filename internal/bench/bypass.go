@@ -37,10 +37,10 @@ var readPaths = map[bool]string{false: "rpc", true: "bypass"}
 // one-sided hits cost: READs and READ bytes per hit (ROADMAP item 3's two
 // axes) and the share of GETs that got no hit and fell back to RPC.
 func bypassCounts(r *run) (fallbackPct, readsPerHit, bytesPerHit float64) {
-	hits, fallbacks := r.Faults.Val(metrics.CBypassHits), r.Faults.Val(metrics.CBypassFallbacks)
+	hits, fallbacks := r.Clients.Val(metrics.CBypassHits), r.Clients.Val(metrics.CBypassFallbacks)
 	if hits > 0 {
-		readsPerHit = float64(r.Faults.Val(metrics.CBypassHitReads)) / float64(hits)
-		bytesPerHit = float64(r.Faults.Val(metrics.CBypassHitReadBytes)) / float64(hits)
+		readsPerHit = float64(r.Clients.Val(metrics.CBypassHitReads)) / float64(hits)
+		bytesPerHit = float64(r.Clients.Val(metrics.CBypassHitReadBytes)) / float64(hits)
 	}
 	return pct(fallbacks, hits+fallbacks), readsPerHit, bytesPerHit
 }
@@ -91,9 +91,9 @@ var bypassExp = Experiment{
 						if !on {
 							return
 						}
-						hits := r.Faults.Val(metrics.CBypassHits)
+						hits := r.Clients.Val(metrics.CBypassHits)
 						r.set("hits", float64(hits))
-						r.set("fastpath_pct", pct(r.Faults.Val(metrics.CBypassFastPath), hits))
+						r.set("fastpath_pct", pct(r.Clients.Val(metrics.CBypassFastPath), hits))
 						r.set("fallback_pct", fallback)
 						r.set("reads_per_hit", reads)
 						r.set("read_bytes_per_hit", bytes)

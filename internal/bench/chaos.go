@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
@@ -128,7 +129,7 @@ func chaosCell(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 			}
 		},
 		collect: func(_ *cluster.Cluster, r *run) {
-			fs := flooder.Faults
+			fs := &flooder.Counters
 			r.show("violations", "violations", r.check(false))
 			r.show("entries", "entries", float64(len(r.Log.Entries)))
 			r.show("acked-writes", "acked_writes", r.ackedWrites())
@@ -137,9 +138,9 @@ func chaosCell(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 			r.set("shed_gets", float64(r.ShedGets))
 			r.set("rejected", float64(r.Rejected))
 			r.set("discarded", float64(r.Discarded))
-			r.show("busy", "busy", float64(r.Faults.Get("busy")+fs.Get("busy")))
-			r.set("retries", float64(r.Faults.Get("retries")+fs.Get("retries")))
-			r.set("breaker_open", float64(fs.Get("breaker-open")))
+			r.show("busy", "busy", float64(r.Clients.Val(metrics.CBusy)+fs.Val(metrics.CBusy)))
+			r.set("retries", float64(r.Clients.Val(metrics.CRetries)+fs.Val(metrics.CRetries)))
+			r.set("breaker_open", float64(fs.Val(metrics.CBreakerOpen)))
 			r.show("recoveries", "recoveries", float64(r.Recoveries))
 			r.set("inj_drops", float64(inj.Drops))
 			r.set("elapsed_us", us(r.Elapsed))

@@ -255,7 +255,7 @@ func must(err error) {
 // flushed every batch ops.
 func driveBatched(cl *cluster.Cluster, gen *workload.Generator, ops, batch int, r *run) {
 	c := cl.Clients[0]
-	flush0, sends0, frames0 := flushWrites(cl), c.Sends, c.Frames
+	flush0, sends0, frames0 := flushWrites(cl), c.Counters.Val(metrics.CSends), c.Counters.Val(metrics.CFrames)
 	phase(cl, ops, r, func(p *sim.Proc, c *core.Client) {
 		if cl.Design.Transport() == core.IPoIB {
 			batchedSocket(p, c, gen, ops, batch, r)
@@ -273,7 +273,7 @@ func driveBatched(cl *cluster.Cluster, gen *workload.Generator, ops, batch int, 
 			drain(p, c, reqs, r)
 		}
 	})
-	r.Sends, r.Frames = c.Sends-sends0, c.Frames-frames0
+	r.Sends, r.Frames = c.Counters.Val(metrics.CSends)-sends0, c.Counters.Val(metrics.CFrames)-frames0
 	r.FlushWrites = flushWrites(cl) - flush0
 }
 

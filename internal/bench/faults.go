@@ -4,6 +4,7 @@ import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
 	"hybridkv/internal/fault"
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -95,17 +96,17 @@ var faultsExp = Experiment{
 				r.show("clean p99µs", "p99_us", us(r.Lat.Quantile(0.99)))
 				r.show("clean op/s", "goodput", r.goodput())
 				r.set("failed", float64(r.Failed))
-				r.counts(r.Faults, "retries")
+				r.counts(r.Clients, metrics.CRetries)
 			}
 			faulted := faultCell(d, mem, dataBytes, kv, ops, zipf(0.5, 7), true)
 			faulted.collect = func(_ *cluster.Cluster, r *run) {
 				r.show("fault p50µs", "fault_p50_us", us(r.Lat.Quantile(0.50)))
 				r.show("fault p99µs", "fault_p99_us", us(r.Lat.Quantile(0.99)))
 				r.show("fault op/s", "fault_goodput", r.goodput())
-				r.show("retries", "fault_retries", float64(r.Faults.Get("retries")))
-				r.show("timeouts", "fault_timeouts", float64(r.Faults.Get("timeouts")))
+				r.show("retries", "fault_retries", float64(r.Clients.Val(metrics.CRetries)))
+				r.show("timeouts", "fault_timeouts", float64(r.Clients.Val(metrics.CTimeouts)))
 				r.show("failed", "fault_failed", float64(r.Failed))
-				r.set("fault_failovers", float64(r.Faults.Get("failovers")))
+				r.set("fault_failovers", float64(r.Clients.Val(metrics.CFailovers)))
 				r.set("net_dropped", float64(r.Dropped))
 			}
 			cells = append(cells, clean, faulted)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -28,9 +29,9 @@ func TestFaultedCleanRun(t *testing.T) {
 		if r.OK+r.Misses != r.Ops {
 			t.Errorf("%s: OK %d + Misses %d != Ops %d", d, r.OK, r.Misses, r.Ops)
 		}
-		for _, name := range []string{"retries", "timeouts", "failovers", "cancels"} {
-			if n := r.Faults.Get(name); n != 0 {
-				t.Errorf("%s: clean run has %s=%d", d, name, n)
+		for _, ctr := range []metrics.Counter{metrics.CRetries, metrics.CTimeouts, metrics.CFailovers, metrics.CCancels} {
+			if n := r.Clients.Val(ctr); n != 0 {
+				t.Errorf("%s: clean run has %s=%d", d, ctr, n)
 			}
 		}
 		if r.Dropped != 0 {
@@ -74,7 +75,7 @@ func TestFaultedAllDesigns(t *testing.T) {
 			t.Errorf("%s: fault schedule dropped nothing", d)
 		}
 		if d.Transport() != cluster.IPoIBMem.Transport() {
-			if r1.Faults.Get("retries") == 0 && r1.Failed == 0 {
+			if r1.Clients.Val(metrics.CRetries) == 0 && r1.Failed == 0 {
 				t.Errorf("%s: drops injected but no retries and no failures", d)
 			}
 		}

@@ -170,9 +170,10 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 			r.set("gets_failed", float64(r.Misses+r.Failed))
 			r.show("violations", "violations", r.check(false))
 			r.set("acked_writes", r.ackedWrites())
-			r.show("brownouts", "brownouts_entered", float64(r.Faults.Val(metrics.CBrownoutsEntered)))
-			r.show("slow-routed", "slow_routed_gets", float64(r.Faults.Val(metrics.CSlowRoutedGets)))
-			r.counts(r.Faults, "brownouts-exited", "health-samples", "hedges", "failovers", "breaker-open")
+			r.show("brownouts", "brownouts_entered", float64(r.Clients.Val(metrics.CBrownoutsEntered)))
+			r.show("slow-routed", "slow_routed_gets", float64(r.Clients.Val(metrics.CSlowRoutedGets)))
+			r.counts(r.Clients, metrics.CBrownoutsExited, metrics.CHealthSamples, metrics.CHedges,
+				metrics.CFailovers, metrics.CBreakerOpen)
 			r.show("pacer-defer", "pacer_deferrals", float64(r.Repl.Val(metrics.CPacerDeferrals)))
 			// Injection ground truth: the faults actually fired.
 			slowed := int64(0)

@@ -99,21 +99,21 @@ func hotkeyCell(path string, replicas, ops int) cell {
 			r.show("goodput kops", "goodput_kops", opsPerSec(r.OK, r.Elapsed)/1e3)
 			r.set("get_us", us(r.GetLat.Mean()))
 			r.show("p99 µs", "get_p99_us", us(r.GetLat.Quantile(0.99)))
-			r.plot("fanouts", float64(r.Faults.Val(metrics.CHotFanouts)))
+			r.plot("fanouts", float64(r.Clients.Val(metrics.CHotFanouts)))
 			r.plot("fallback%", fallback)
 			r.set("ok", float64(r.OK))
 			if path == "rpc" {
 				return
 			}
 			r.set("fallback_pct", fallback)
-			r.set("reprobes", float64(r.Faults.Val(metrics.CBypassReprobes)))
-			r.set("reads", float64(r.Faults.Val(metrics.CBypassReads)))
-			r.set("read_doorbells", float64(r.Faults.Val(metrics.CBypassReadDoorbells)))
+			r.set("reprobes", float64(r.Clients.Val(metrics.CBypassReprobes)))
+			r.set("reads", float64(r.Clients.Val(metrics.CBypassReads)))
+			r.set("read_doorbells", float64(r.Clients.Val(metrics.CBypassReadDoorbells)))
 			r.set("reads_per_hit", reads)
 			r.set("read_bytes_per_hit", bytes)
-			r.counts(r.Faults, "hot-samples", "hot-refreshes")
+			r.counts(r.Clients, metrics.CHotSamples, metrics.CHotRefreshes)
 			if path == "fanout" {
-				r.set("fanouts", float64(r.Faults.Val(metrics.CHotFanouts)))
+				r.set("fanouts", float64(r.Clients.Val(metrics.CHotFanouts)))
 			}
 		},
 	}
@@ -161,7 +161,7 @@ func hotChaosCell(rounds int) cell {
 		collect: func(_ *cluster.Cluster, r *run) {
 			r.set("violations", r.check(false))
 			r.set("entries", float64(len(r.Log.Entries)))
-			r.set("fanouts", float64(r.Faults.Val(metrics.CHotFanouts)))
+			r.set("fanouts", float64(r.Clients.Val(metrics.CHotFanouts)))
 		},
 	}
 }

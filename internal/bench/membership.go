@@ -109,7 +109,7 @@ func churnCell(rounds int, seed int64) cell {
 			cl.Env.Run()
 		},
 		collect: func(_ *cluster.Cluster, r *run) {
-			moved := float64(r.Repl.Get("migrate-keys-moved"))
+			moved := float64(r.Repl.Val(metrics.CMigrateKeysMoved))
 			r.set("violations", r.check(false))
 			r.set("entries", float64(len(r.Log.Entries)))
 			r.set("acked_keys", float64(r.AckedKeys))
@@ -120,12 +120,12 @@ func churnCell(rounds int, seed int64) cell {
 			r.plotAt(r.cell.table, "churn", "lost acked", float64(r.LostAcked))
 			r.plotAt(r.cell.table, "churn", "moved keys", moved)
 			r.plotAt(r.cell.table, "churn", "rebalances", float64(rebalances))
-			r.counts(r.Repl, "migrate-seals", "migrate-manifests")
-			r.set("double_reads", float64(r.Repl.Get("migrate-double-reads")))
-			r.set("read_redirects", float64(r.Repl.Get("migrate-read-redirects")))
-			r.set("gc_keys", float64(r.Repl.Get("migrate-gc-keys")))
-			r.counts(r.Repl, "forwards")
-			r.counts(r.Faults, "epoch-invalidations", "retired-conns")
+			r.counts(r.Repl, metrics.CMigrateSeals, metrics.CMigrateManifests)
+			r.set("double_reads", float64(r.Repl.Val(metrics.CMigrateDoubleReads)))
+			r.set("read_redirects", float64(r.Repl.Val(metrics.CMigrateReadRedirects)))
+			r.set("gc_keys", float64(r.Repl.Val(metrics.CMigrateGCKeys)))
+			r.counts(r.Repl, metrics.CForwards)
+			r.counts(r.Clients, metrics.CEpochInvalidations, metrics.CRetiredConns)
 		},
 	}
 }

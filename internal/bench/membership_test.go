@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 )
 
@@ -23,16 +24,16 @@ func TestMembershipChurnZeroLoss(t *testing.T) {
 	if rep.AckedKeys == 0 {
 		t.Error("durability oracle had no subjects")
 	}
-	if rep.Repl.Get("migrate-seals") == 0 {
+	if rep.Repl.Val(metrics.CMigrateSeals) == 0 {
 		t.Error("no segment was ever sealed — migration never ran")
 	}
-	if rep.Repl.Get("migrate-manifests") == 0 {
+	if rep.Repl.Val(metrics.CMigrateManifests) == 0 {
 		t.Error("no migration manifest was ever exchanged")
 	}
-	if rep.Faults.Get("retired-conns") == 0 {
+	if rep.Clients.Val(metrics.CRetiredConns) == 0 {
 		t.Error("decommission never retired the client's conn state")
 	}
-	if rep.Faults.Get("epoch-invalidations") == 0 {
+	if rep.Clients.Val(metrics.CEpochInvalidations) == 0 {
 		t.Error("no membership epoch bump ever invalidated client placement state")
 	}
 }
@@ -44,10 +45,10 @@ func TestMembershipChurnDeterminism(t *testing.T) {
 	b := runCell(t, churnCell(24, 7))
 	if len(a.Log.Entries) != len(b.Log.Entries) || a.LostAcked != b.LostAcked ||
 		len(a.Violations) != len(b.Violations) ||
-		a.Repl.Get("migrate-keys-moved") != b.Repl.Get("migrate-keys-moved") {
+		a.Repl.Val(metrics.CMigrateKeysMoved) != b.Repl.Val(metrics.CMigrateKeysMoved) {
 		t.Errorf("churn run not deterministic: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-			len(a.Log.Entries), a.LostAcked, len(a.Violations), a.Repl.Get("migrate-keys-moved"),
-			len(b.Log.Entries), b.LostAcked, len(b.Violations), b.Repl.Get("migrate-keys-moved"))
+			len(a.Log.Entries), a.LostAcked, len(a.Violations), a.Repl.Val(metrics.CMigrateKeysMoved),
+			len(b.Log.Entries), b.LostAcked, len(b.Violations), b.Repl.Val(metrics.CMigrateKeysMoved))
 	}
 }
 

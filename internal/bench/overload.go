@@ -3,6 +3,7 @@ package bench
 import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
 )
@@ -144,8 +145,9 @@ var overloadExp = Experiment{
 					r.plot("shed s/g", float64(r.ShedSets+r.ShedGets))
 					r.set("shed_sets", float64(r.ShedSets))
 					r.set("shed_gets", float64(r.ShedGets))
-					r.show("busy-retries", "busy", float64(r.Faults.Get("busy")))
-					r.counts(r.Faults, "retries", "breaker-open", "breaker-close", "breaker-reroutes")
+					r.show("busy-retries", "busy", float64(r.Clients.Val(metrics.CBusy)))
+					r.counts(r.Clients, metrics.CRetries, metrics.CBreakerOpen, metrics.CBreakerClose,
+						metrics.CBreakerReroutes)
 				}
 				cells = append(cells, c)
 			}

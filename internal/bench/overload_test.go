@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -86,7 +87,7 @@ func TestOverloadProtectionBoundsGetTail(t *testing.T) {
 	if on.ShedSets == 0 {
 		t.Error("protected run shed nothing: burst never crossed the SET watermark")
 	}
-	if on.Faults.Get("busy") == 0 {
+	if on.Clients.Val(metrics.CBusy) == 0 {
 		t.Error("no busy responses observed by the client")
 	}
 	if on.QueuePeak > off.QueuePeak {
@@ -121,10 +122,10 @@ func TestOverloadDeterministic(t *testing.T) {
 	r1 := overloadRun(t, cluster.HRDMAOptNonBB, 240, true)
 	r2 := overloadRun(t, cluster.HRDMAOptNonBB, 240, true)
 	if r1.Elapsed != r2.Elapsed || r1.OK != r2.OK || r1.ShedSets != r2.ShedSets ||
-		r1.Faults.Get("busy") != r2.Faults.Get("busy") {
+		r1.Clients.Val(metrics.CBusy) != r2.Clients.Val(metrics.CBusy) {
 		t.Errorf("overload run not deterministic: (%v,%d,%d,%d) vs (%v,%d,%d,%d)",
-			r1.Elapsed, r1.OK, r1.ShedSets, r1.Faults.Get("busy"),
-			r2.Elapsed, r2.OK, r2.ShedSets, r2.Faults.Get("busy"))
+			r1.Elapsed, r1.OK, r1.ShedSets, r1.Clients.Val(metrics.CBusy),
+			r2.Elapsed, r2.OK, r2.ShedSets, r2.Clients.Val(metrics.CBusy))
 	}
 }
 
@@ -139,7 +140,7 @@ func TestOverloadRetryAfterHintFlows(t *testing.T) {
 	// must have slept at least that long before its successful retry, so
 	// the run's elapsed must exceed the no-backoff floor. Cheap proxy:
 	// retries happened and nothing failed.
-	if on.Faults.Get("retries") == 0 {
+	if on.Clients.Val(metrics.CRetries) == 0 {
 		t.Error("sheds without retries: busy nudge path dead")
 	}
 	if on.Failed != 0 {

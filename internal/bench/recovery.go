@@ -3,6 +3,7 @@ package bench
 import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/workload"
@@ -139,7 +140,7 @@ func recoveryCell(d cluster.Design, w workload.Config, ops int) cell {
 			// rejected counts server-side StatusRecovering answers,
 			// recovering_retries the client-side retries they triggered.
 			r.set("rejected", float64(r.Rejected))
-			r.set("recovering_retries", float64(r.Faults.Get("recovering")))
+			r.set("recovering_retries", float64(r.Clients.Val(metrics.CRecovering)))
 			r.set("failed", float64(r.Failed))
 			r.set("corrupt_reads", float64(corrupt))
 		},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/sim"
@@ -79,10 +80,10 @@ var replicationExp = Experiment{
 					r.set("failed", float64(r.Failed))
 					r.set("acked_keys", float64(r.AckedKeys))
 					r.show("lost acked", "lost_acked", float64(r.LostAcked))
-					r.plot("repair tx", float64(r.Repl.Get("repair-pushes")+r.Repl.Get("repair-pulls")))
-					r.counts(r.Repl, "forwards", "repair-pushes", "repair-pulls", "epoch-conflicts",
-						"stale-reads-prevented", "scrub-rounds")
-					r.counts(r.Faults, "failovers", "failover-skips")
+					r.plot("repair tx", float64(r.Repl.Val(metrics.CRepairPushes)+r.Repl.Val(metrics.CRepairPulls)))
+					r.counts(r.Repl, metrics.CForwards, metrics.CRepairPushes, metrics.CRepairPulls,
+						metrics.CEpochConflicts, metrics.CStaleReadsPrevented, metrics.CScrubRounds)
+					r.counts(r.Clients, metrics.CFailovers, metrics.CFailoverSkip)
 				}
 				cells = append(cells, c)
 			}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
 	"hybridkv/internal/metrics"
@@ -26,8 +25,9 @@ func TestReplicationR1VirtualTimeIdentity(t *testing.T) {
 		t.Errorf("outcomes differ: R=0 (%d,%d,%d) vs R=1 (%d,%d,%d)",
 			a.OK, a.Misses, a.Failed, b.OK, b.Misses, b.Failed)
 	}
-	if !reflect.DeepEqual(b.Repl, metrics.NewCounters()) {
-		t.Errorf("R=1 run produced replication counters: %+v", b.Repl)
+	if b.Repl != (metrics.Counters{}) {
+		t.Errorf("R=1 run produced replication counters: %d forwards, %d repair pushes",
+			b.Repl.Val(metrics.CForwards), b.Repl.Val(metrics.CRepairPushes))
 	}
 }
 
@@ -49,10 +49,10 @@ func TestReplicationKillsDurability(t *testing.T) {
 	if dup.AckedKeys == 0 {
 		t.Error("R=2 oracle had no subjects")
 	}
-	if dup.Repl.Get("forwards") == 0 {
+	if dup.Repl.Val(metrics.CForwards) == 0 {
 		t.Error("R=2 run never forwarded a write")
 	}
-	if dup.Repl.Get("repair-pushes")+dup.Repl.Get("repair-pulls") == 0 {
+	if dup.Repl.Val(metrics.CRepairPushes)+dup.Repl.Val(metrics.CRepairPulls) == 0 {
 		t.Error("R=2 kills produced no repair traffic — suspect confirm and anti-entropy never ran")
 	}
 }

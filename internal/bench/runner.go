@@ -138,11 +138,11 @@ type run struct {
 	// keys whose newest OK value survives on no server.
 	lastOK               map[string]uint64
 	AckedKeys, LostAcked int64
-	// Gathered after the drive: Faults merges every client's fault, retry
-	// and routing counters, Repl every replicator's; sheds, rejections and
-	// recoveries are summed over servers and the peaks maxed; Dropped
-	// counts fabric messages lost to injection.
-	Faults, Repl          *metrics.Counters
+	// Gathered after the drive: Clients sums every client's counters, Repl
+	// every replicator's; sheds, rejections and recoveries are summed over
+	// servers and the peaks maxed; Dropped counts fabric messages lost to
+	// injection.
+	Clients, Repl         metrics.Counters
 	ShedSets, ShedGets    int64
 	Rejected, Discarded   int64
 	Recoveries, Dropped   int64
@@ -176,11 +176,11 @@ func (r *run) set(name string, v float64) {
 	r.vals[name] = v
 }
 
-// counts keeps one record per named counter of bag, the counter's dashes
-// turned into the metric's underscores.
-func (r *run) counts(bag *metrics.Counters, names ...string) {
-	for _, name := range names {
-		r.set(strings.ReplaceAll(name, "-", "_"), float64(bag.Get(name)))
+// counts keeps one record per counter of bag, named by the counter with its
+// dashes turned into the metric's underscores.
+func (r *run) counts(bag metrics.Counters, ctrs ...metrics.Counter) {
+	for _, ctr := range ctrs {
+		r.set(strings.ReplaceAll(ctr.String(), "-", "_"), float64(bag.Val(ctr)))
 	}
 }
 
@@ -224,10 +224,7 @@ func (r *run) goodput() float64 { return metrics.Throughput(r.OK+r.Misses, r.Ela
 // gather reads the cluster-wide ledgers every collector may want.
 func (r *run) gather(cl *cluster.Cluster) {
 	r.Now = cl.Env.Now()
-	r.Faults = metrics.NewCounters()
-	for _, c := range cl.Clients {
-		r.Faults.Merge(c.Faults)
-	}
+	r.Clients = cl.ClientCounters()
 	r.Repl = cl.ReplicationCounters()
 	r.Dropped = cl.Fabric.Dropped
 	for _, s := range cl.Servers {

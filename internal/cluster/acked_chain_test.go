@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -62,7 +63,7 @@ func TestFailedChainIsNeverAcked(t *testing.T) {
 				c.WaitAll(p, reqs)
 			})
 			cl.Env.Run()
-			if framed && c.Frames == 0 {
+			if framed && c.Counters.Val(metrics.CFrames) == 0 {
 				t.Fatal("the window sent no frame: the framed shape was not driven")
 			}
 			for i, req := range reqs {

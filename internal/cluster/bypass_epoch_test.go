@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -50,10 +51,10 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if st := c.Stats(); st.BypassFastPath == 0 {
-		t.Fatalf("location cache never engaged: %+v", st)
+	if c.Counters.Val(metrics.CBypassFastPath) == 0 {
+		t.Fatalf("location cache never engaged: %d bypass hits", c.Counters.Val(metrics.CBypassHits))
 	}
-	if n := c.Faults.Get("epoch-invalidations"); n != 0 {
+	if n := c.Counters.Val(metrics.CEpochInvalidations); n != 0 {
 		t.Fatalf("placement invalidated before any transition: %d", n)
 	}
 
@@ -65,7 +66,7 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 		p.Sleep(5 * sim.Millisecond)
 	})
 	cl.Env.Run()
-	if n := c.Faults.Get("epoch-invalidations"); n == 0 {
+	if n := c.Counters.Val(metrics.CEpochInvalidations); n == 0 {
 		t.Fatal("epoch bump never invalidated client placement state")
 	}
 
@@ -137,10 +138,10 @@ func TestDecommissionReleasesClientState(t *testing.T) {
 	})
 	cl.Env.Run()
 
-	if n := c.Faults.Get("retired-conns"); n == 0 {
+	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Fatal("decommission never retired the victim's conn state")
 	}
-	if n := c.Faults.Get("epoch-invalidations"); n == 0 {
+	if n := c.Counters.Val(metrics.CEpochInvalidations); n == 0 {
 		t.Fatal("decommission's epoch bump never invalidated placement state")
 	}
 }

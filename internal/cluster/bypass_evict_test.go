@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -70,8 +71,8 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if st := c.Stats(); st.BypassFastPath == 0 {
-		t.Fatalf("location cache never engaged: %+v", st)
+	if c.Counters.Val(metrics.CBypassFastPath) == 0 {
+		t.Fatalf("location cache never engaged: %d bypass hits", c.Counters.Val(metrics.CBypassHits))
 	}
 
 	// Phase 2: filler writes overrun the 2 MB RAM budget; the victim is the
@@ -91,7 +92,7 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 	// Phase 3: the cached location now points at dead (or reused) RAM. The
 	// forced-bypass GET must refuse the one-sided result and come back via
 	// RPC with the genuine value.
-	fallbacks := c.Stats().BypassFallbacks
+	fallbacks := c.Counters.Val(metrics.CBypassFallbacks)
 	cl.Env.Spawn("phase3", func(p *sim.Proc) {
 		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim},
 			core.WithReadPath(core.ReadBypass))
@@ -108,7 +109,7 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if got := c.Stats().BypassFallbacks; got <= fallbacks {
+	if got := c.Counters.Val(metrics.CBypassFallbacks); got <= fallbacks {
 		t.Fatalf("eviction did not force an RPC fallback: %d -> %d", fallbacks, got)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -39,7 +40,7 @@ func TestBypassServesReads(t *testing.T) {
 			}
 		}
 		// Forced RPC must still work and must not touch the bypass path.
-		before := c.Stats().BypassHits
+		before := c.Counters.Val(metrics.CBypassHits)
 		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: keyOf(0)},
 			core.WithReadPath(core.ReadRPC))
 		if err != nil {
@@ -50,7 +51,7 @@ func TestBypassServesReads(t *testing.T) {
 		if req.Bypassed() || req.Status != protocol.StatusOK {
 			t.Errorf("rpc-forced GET bypassed=%v status=%v", req.Bypassed(), req.Status)
 		}
-		if c.Stats().BypassHits != before {
+		if c.Counters.Val(metrics.CBypassHits) != before {
 			t.Errorf("rpc-forced GET incremented bypass hits")
 		}
 		// A miss probes an empty slot and falls back to an RPC miss.
@@ -75,19 +76,20 @@ func TestBypassServesReads(t *testing.T) {
 	if bad != 0 {
 		t.Fatalf("%d of %d bypass reads returned wrong value/status", bad, 2*n)
 	}
-	st := c.Stats()
-	if st.BypassHits == 0 || st.BypassBootstraps == 0 {
-		t.Fatalf("bypass never engaged: %+v", st)
+	st := c.Counters
+	hits, boots := st.Val(metrics.CBypassHits), st.Val(metrics.CBypassBootstraps)
+	if hits == 0 || boots == 0 {
+		t.Fatalf("bypass never engaged: %d hits, %d bootstraps", hits, boots)
 	}
-	if st.BypassFastPath == 0 {
-		t.Fatalf("location-cache fast path never engaged: %+v", st)
+	if st.Val(metrics.CBypassFastPath) == 0 {
+		t.Fatalf("location-cache fast path never engaged over %d hits", hits)
 	}
-	if st.BypassFallbacks == 0 {
-		t.Fatalf("the miss should have fallen back: %+v", st)
+	if st.Val(metrics.CBypassFallbacks) == 0 {
+		t.Fatalf("the miss should have fallen back: %d hits, no fallback", hits)
 	}
-	if st.HedgesSuppressed == 0 || st.Hedges != 0 {
+	if st.Val(metrics.CHedgesSuppressed) == 0 || st.Val(metrics.CHedges) != 0 {
 		t.Fatalf("hedge not suppressed for bypass-resolved GET: hedges=%d suppressed=%d",
-			st.Hedges, st.HedgesSuppressed)
+			st.Val(metrics.CHedges), st.Val(metrics.CHedgesSuppressed))
 	}
 }
 
@@ -105,8 +107,8 @@ func TestBypassDisabledByDefault(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if st := c.Stats(); st.BypassHits != 0 || st.BypassBootstraps != 0 {
-		t.Fatalf("bypass machinery ran while disabled: %+v", st)
+	if hits, boots := c.Counters.Val(metrics.CBypassHits), c.Counters.Val(metrics.CBypassBootstraps); hits != 0 || boots != 0 {
+		t.Fatalf("bypass machinery ran while disabled: %d hits, %d bootstraps", hits, boots)
 	}
 }
 
@@ -272,13 +274,14 @@ func TestBypassRaceChaos(t *testing.T) {
 	for _, v := range log.Check() {
 		t.Errorf("violation: %v", v)
 	}
-	st := c.Stats()
-	if st.BypassHits == 0 {
-		t.Fatalf("soak never resolved a GET via bypass: %+v", st)
+	st := c.Counters
+	if st.Val(metrics.CBypassHits) == 0 {
+		t.Fatalf("soak never resolved a GET via bypass: %d fallbacks", st.Val(metrics.CBypassFallbacks))
 	}
-	if st.BypassFallbacks == 0 {
-		t.Fatalf("soak never exercised the fallback path: %+v", st)
+	if st.Val(metrics.CBypassFallbacks) == 0 {
+		t.Fatalf("soak never exercised the fallback path: %d hits", st.Val(metrics.CBypassHits))
 	}
 	t.Logf("bypass soak: hits=%d fastpath=%d fallbacks=%d bootstraps=%d retries=%d",
-		st.BypassHits, st.BypassFastPath, st.BypassFallbacks, st.BypassBootstraps, st.Retries)
+		st.Val(metrics.CBypassHits), st.Val(metrics.CBypassFastPath), st.Val(metrics.CBypassFallbacks),
+		st.Val(metrics.CBypassBootstraps), st.Val(metrics.CRetries))
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -56,11 +57,11 @@ func TestGetsReadsTheTokenCompareAndSetChecks(t *testing.T) {
 			c.Wait(p, req)
 		}
 		p.Sleep(2 * crawl)
-		for i := 0; i < 1024 && c.Stats().HotFanouts < 4; i++ {
+		for i := 0; i < 1024 && c.Counters.Val(metrics.CHotFanouts) < 4; i++ {
 			c.Get(p, key)
 		}
-		if c.Stats().HotFanouts < 4 {
-			t.Errorf("the key never fanned out: %+v", c.Stats())
+		if c.Counters.Val(metrics.CHotFanouts) < 4 {
+			t.Errorf("the key never fanned out: %d hot fan-outs", c.Counters.Val(metrics.CHotFanouts))
 			return
 		}
 		// The premise: two fanned-out reads land on the two replicas, and
@@ -88,7 +89,7 @@ func TestGetsReadsTheTokenCompareAndSetChecks(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if got := c.Stats().HotFanouts; got < 4 {
+	if got := c.Counters.Val(metrics.CHotFanouts); got < 4 {
 		t.Fatalf("hot-fanouts = %d", got)
 	}
 }

@@ -403,13 +403,21 @@ func (cl *Cluster) SettleIO() {
 	cl.Env.Run()
 }
 
-// ReplicationCounters merges every replicator's counters (repair-pushes,
-// repair-pulls, epoch-conflicts, stale-reads-prevented, ...) into one set;
-// nil-safe when the deployment is unreplicated.
-func (cl *Cluster) ReplicationCounters() *metrics.Counters {
-	c := metrics.NewCounters()
-	for _, r := range cl.Replicators {
-		c.Merge(r.Counters)
+// ClientCounters sums every client's counters.
+func (cl *Cluster) ClientCounters() metrics.Counters {
+	var sum metrics.Counters
+	for _, c := range cl.Clients {
+		sum.Merge(&c.Counters)
 	}
-	return c
+	return sum
+}
+
+// ReplicationCounters sums every replicator's counters: all zero when the
+// deployment is unreplicated.
+func (cl *Cluster) ReplicationCounters() metrics.Counters {
+	var sum metrics.Counters
+	for _, r := range cl.Replicators {
+		sum.Merge(&r.Counters)
+	}
+	return sum
 }

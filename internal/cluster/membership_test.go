@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -141,13 +142,13 @@ func TestJoinMigratesAndServes(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if want := int64(4 * replication.Segments); total.Get("migrate-seals") != want {
-		t.Errorf("migrate-seals = %d, want %d (members × segments)", total.Get("migrate-seals"), want)
+	if want := int64(4 * replication.Segments); total.Val(metrics.CMigrateSeals) != want {
+		t.Errorf("migrate-seals = %d, want %d (members × segments)", total.Val(metrics.CMigrateSeals), want)
 	}
-	if total.Get("migrate-keys-moved") == 0 {
+	if total.Val(metrics.CMigrateKeysMoved) == 0 {
 		t.Error("join migrated zero keys")
 	}
-	if total.Get("migrate-gc-keys") == 0 {
+	if total.Val(metrics.CMigrateGCKeys) == 0 {
 		t.Error("no key was garbage-collected off an old owner")
 	}
 }
@@ -182,11 +183,11 @@ func TestDecommissionDrainsWithoutLoss(t *testing.T) {
 	})
 	cl.Env.Run()
 
-	if n := c.Faults.Get("retired-conns"); n == 0 {
+	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Error("decommission never retired the client's conn state")
 	}
 	total := cl.ReplicationCounters()
-	if total.Get("migrate-keys-moved") == 0 {
+	if total.Val(metrics.CMigrateKeysMoved) == 0 {
 		t.Error("decommission migrated zero keys")
 	}
 }
@@ -222,7 +223,7 @@ func TestKillDuringJoinConverges(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if total.Get("migrate-seals") == 0 {
+	if total.Val(metrics.CMigrateSeals) == 0 {
 		t.Error("no segment was ever sealed")
 	}
 }
@@ -261,7 +262,7 @@ func TestAbruptLeaveReReplicates(t *testing.T) {
 	})
 	cl.Env.Run()
 
-	if n := c.Faults.Get("retired-conns"); n == 0 {
+	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Error("abrupt leave never retired the client's conn state")
 	}
 }
@@ -320,11 +321,11 @@ func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
 	})
 	cl.Env.Run()
 	for id, r := range cl.Replicators {
-		if n := r.Counters.Get("scrub-rounds"); n != 0 {
+		if n := r.Counters.Val(metrics.CScrubRounds); n != 0 {
 			t.Errorf("replicator %d ran %d scrub rounds on a scrub-disabled cluster", id, n)
 		}
 	}
-	if cl.Replicators[3].Counters.Get("forwards") == 0 {
+	if cl.Replicators[3].Counters.Val(metrics.CForwards) == 0 {
 		t.Error("the joiner coordinated no write: nothing would have armed its scrubber")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -74,8 +75,8 @@ func TestUnawaitedSetsOfOneKeyBothApply(t *testing.T) {
 					}
 				})
 				cl.Env.Run()
-				if framed && c.Frames != 1 {
-					t.Fatalf("frames=%d, want the two SETs in one frame", c.Frames)
+				if framed && c.Counters.Val(metrics.CFrames) != 1 {
+					t.Fatalf("frames=%d, want the two SETs in one frame", c.Counters.Val(metrics.CFrames))
 				}
 				for _, v := range log.Check() {
 					t.Errorf("history: %v", v)

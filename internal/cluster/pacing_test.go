@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -77,10 +78,10 @@ func TestKillDuringJoinConvergesWithPacing(t *testing.T) {
 		t.Errorf("foreground writer acked %d/%d writes under paced migration", fgAcked, fgWrites)
 	}
 	total := cl.ReplicationCounters()
-	if total.Get("migrate-seals") == 0 {
+	if total.Val(metrics.CMigrateSeals) == 0 {
 		t.Error("no segment was ever sealed with the pacer enabled")
 	}
-	if total.Get("migrate-keys-moved") == 0 {
+	if total.Val(metrics.CMigrateKeysMoved) == 0 {
 		t.Error("paced join migrated zero keys")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/core"
@@ -82,8 +83,8 @@ func TestReplicatedPathMatrix(t *testing.T) {
 					}
 				})
 				cl.Env.Run()
-				if framed && (c.Frames != 1 || c.FrameOps != sets) {
-					t.Fatalf("frames=%d carrying %d ops, want one frame of %d", c.Frames, c.FrameOps, sets)
+				if framed && (c.Counters.Val(metrics.CFrames) != 1 || c.Counters.Val(metrics.CFrameOps) != sets) {
+					t.Fatalf("frames=%d carrying %d ops, want one frame of %d", c.Counters.Val(metrics.CFrames), c.Counters.Val(metrics.CFrameOps), sets)
 				}
 				for i, req := range reqs {
 					if req.Status != protocol.StatusStored {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/verbs"
@@ -136,9 +137,9 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 		}
 	}
 	cn.pendingBatch[b.id] = b
-	c.Sends++
-	c.Frames++
-	c.FrameOps += int64(len(items))
+	c.Counters.Inc(metrics.CSends)
+	c.Counters.Inc(metrics.CFrames)
+	c.Counters.Add(metrics.CFrameOps, int64(len(items)))
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
 		WRID:    b.id,
 		Op:      verbs.OpSend,

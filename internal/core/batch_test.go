@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -19,7 +20,7 @@ func TestBatchWindowCoalesces(t *testing.T) {
 		var reqs []*Req
 		r.env.Spawn("bench", func(p *sim.Proc) {
 			c.Set(p, "k", 4096, "v0", 0, 0)
-			sends0, frames0 := c.Sends, c.Frames
+			sends0, frames0 := c.Counters.Val(metrics.CSends), c.Counters.Val(metrics.CFrames)
 			if err := c.BeginBatch(); err != nil {
 				t.Errorf("BeginBatch: %v", err)
 				return
@@ -37,10 +38,10 @@ func TestBatchWindowCoalesces(t *testing.T) {
 				return
 			}
 			c.WaitAll(p, reqs)
-			if got := c.Sends - sends0; got != 1 {
+			if got := c.Counters.Val(metrics.CSends) - sends0; got != 1 {
 				t.Errorf("pipeline %v: %d wire sends for the window, want 1", pl, got)
 			}
-			if got := c.Frames - frames0; got != 1 {
+			if got := c.Counters.Val(metrics.CFrames) - frames0; got != 1 {
 				t.Errorf("pipeline %v: %d frames, want 1", pl, got)
 			}
 		})
@@ -98,7 +99,7 @@ func TestDroppedBatchFrameRetriesAndConverges(t *testing.T) {
 			t.Errorf("req %d attempts = %d, want 2 (frame lost, retry delivered)", i, req.Attempts)
 		}
 	}
-	if got := c.Faults.Get("retries"); got != 4 {
+	if got := c.Counters.Val(metrics.CRetries); got != 4 {
 		t.Errorf("retries counter = %d, want 4 (one per member)", got)
 	}
 }
@@ -146,7 +147,7 @@ func TestCancelInsideBatchSparesSiblings(t *testing.T) {
 			t.Errorf("sibling %d value %v", i, req.Value)
 		}
 	}
-	if got := c.Faults.Get("cancels"); got != 1 {
+	if got := c.Counters.Val(metrics.CCancels); got != 1 {
 		t.Errorf("cancels counter = %d, want 1", got)
 	}
 }

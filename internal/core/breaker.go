@@ -13,9 +13,8 @@ import (
 // re-opens it, and a probe that ends with neither — canceled, never sent,
 // outrun by a hedge — hands its slot to the next request (settle, issue.go,
 // is where every attempt reports). State transitions are counted in
-// Client.Faults
-// (metrics.CBreakerOpen, CBreakerHalfOpen, CBreakerClose) and reroutes in
-// CBreakerReroutes.
+// Client.Counters (metrics.CBreakerOpen, CBreakerHalfOpen, CBreakerClose)
+// and reroutes in CBreakerReroutes.
 
 // breakerCooldown is how long an open breaker deflects traffic before
 // half-opening to admit one probe.
@@ -68,7 +67,7 @@ func (b *breaker) allow() {
 		}
 		b.state = bkHalfOpen
 		b.probing = true
-		b.c.Faults.Inc(metrics.CBreakerHalfOpen)
+		b.c.Counters.Inc(metrics.CBreakerHalfOpen)
 	case bkHalfOpen:
 		b.probing = true
 	}
@@ -78,7 +77,7 @@ func (b *breaker) allow() {
 // half-open probe (or lingering failure streak) resets to closed.
 func (b *breaker) onSuccess() {
 	if b.state != bkClosed {
-		b.c.Faults.Inc(metrics.CBreakerClose)
+		b.c.Counters.Inc(metrics.CBreakerClose)
 	}
 	b.state = bkClosed
 	b.fails = 0
@@ -105,7 +104,7 @@ func (b *breaker) trip() {
 	b.openedAt = b.c.env.Now()
 	b.fails = 0
 	b.probing, b.probe = false, nil
-	b.c.Faults.Inc(metrics.CBreakerOpen)
+	b.c.Counters.Inc(metrics.CBreakerOpen)
 }
 
 // claim makes att the holder of a probe slot that allow took for it; release

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -48,7 +49,7 @@ func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	c.initReq(req, op)
 	p.Sleep(sim.TransferTime(op.ValueSize, sim.MemcpyBps)) // copy into the output buffer
 	cn.buffered = append(cn.buffered, &req.attach(cn, attOffWire).wire)
-	c.Issued++
+	c.Counters.Inc(metrics.CIssued)
 	req.finish(completed, &protocol.Response{Status: protocol.StatusStored})
 	if len(cn.buffered) >= bufferFlushThreshold {
 		c.flushConn(p, cn)
@@ -73,14 +74,14 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	}
 	batch := cn.buffered
 	cn.buffered = nil
-	c.Sends++
+	c.Counters.Inc(metrics.CSends)
 	if len(batch) == 1 {
 		cn.stream.Send(p, batch[0].WireSize(), batch[0])
 	} else {
 		c.nextID++
 		frame := &protocol.BatchFrame{BatchID: c.nextID, Reqs: batch}
-		c.Frames++
-		c.FrameOps += int64(len(batch))
+		c.Counters.Inc(metrics.CFrames)
+		c.Counters.Add(metrics.CFrameOps, int64(len(batch)))
 		cn.stream.Send(p, frame.WireSize(), frame)
 	}
 	// Statuses of deferred sets are not reported per-op, and each was counted

@@ -117,7 +117,7 @@ func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
 	// the read distribution at a bounded dispatch cost.
 	c.hotSampleSeq++
 	if c.hotSampleSeq%hotSampleEvery == 0 {
-		c.Faults.Inc(metrics.CHotSamples)
+		c.Counters.Inc(metrics.CHotSamples)
 		return false
 	}
 	return true
@@ -183,7 +183,7 @@ func (r *resolution) resolve(force bool) bool {
 		if reprobes >= bypassReprobes {
 			return false
 		}
-		r.c.Faults.Inc(metrics.CBypassReprobes)
+		r.c.Counters.Inc(metrics.CBypassReprobes)
 	}
 }
 
@@ -276,11 +276,11 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 		return
 	}
 	req.bypassed = true
-	c.Faults.Inc(metrics.CBypassHits)
-	c.Faults.Add(string(metrics.CBypassHitReads), int64(r.reads))
-	c.Faults.Add(string(metrics.CBypassHitReadBytes), int64(r.bytes))
+	c.Counters.Inc(metrics.CBypassHits)
+	c.Counters.Add(metrics.CBypassHitReads, int64(r.reads))
+	c.Counters.Add(metrics.CBypassHitReadBytes, int64(r.bytes))
 	if r.reads == 1 {
-		c.Faults.Inc(metrics.CBypassFastPath)
+		c.Counters.Inc(metrics.CBypassFastPath)
 	}
 	req.first.settle(answered) // the resolution is the request's first attempt
 	req.finish(completed, &protocol.Response{
@@ -294,7 +294,7 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 // next attempt.
 func (r *resolution) fallback() {
 	c, p, req := r.c, r.p, r.req
-	c.Faults.Inc(metrics.CBypassFallbacks)
+	c.Counters.Inc(metrics.CBypassFallbacks)
 	if req.done.Fired() {
 		return
 	}
@@ -330,7 +330,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 		cn.dirFetch = nil
 		ev.Fire()
 	}()
-	c.Faults.Inc(metrics.CBypassBootstraps)
+	c.Counters.Inc(metrics.CBypassBootstraps)
 	switch c.queryDir(p, cn) {
 	case protocol.StatusOK:
 		cn.dirState = dirReady
@@ -350,7 +350,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
 	// A key-less control op: it addresses the server, so nothing routes it.
 	req := new(Req)
 	c.initReq(req, Op{Code: protocol.OpDirQuery})
-	c.Issued++
+	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
 		req.finish(timedOut, nil)
@@ -380,7 +380,7 @@ func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 	}
 	cn.memEpoch = info.MemberEpoch
 	clear(cn.locs)
-	c.Faults.Inc(metrics.CEpochInvalidations)
+	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 
 // postRead hands one signaled one-sided READ to the connection's read
@@ -425,8 +425,8 @@ func (cn *conn) readEngine(p *sim.Proc) {
 			}
 			wrs = append(wrs, next)
 		}
-		c.Faults.Inc(metrics.CBypassReadDoorbells)
-		c.Faults.Add(string(metrics.CBypassReads), int64(len(wrs)))
+		c.Counters.Inc(metrics.CBypassReadDoorbells)
+		c.Counters.Add(metrics.CBypassReads, int64(len(wrs)))
 		cn.qp.PostSendList(p, wrs)
 		cn.readWRs = wrs // the chain is consumed by the post: reuse its backing array
 	}

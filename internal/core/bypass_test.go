@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -26,7 +27,7 @@ func newBypassRig() *testRig {
 // sample) and reports the READs it cost.
 func bypassGet(t *testing.T, p *sim.Proc, c *Client, key string, want any) (reads int64) {
 	t.Helper()
-	before := c.Stats().BypassReads
+	before := c.Counters.Val(metrics.CBypassReads)
 	req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key}, WithReadPath(ReadBypass))
 	if err != nil {
 		t.Fatalf("issue %q: %v", key, err)
@@ -36,7 +37,7 @@ func bypassGet(t *testing.T, p *sim.Proc, c *Client, key string, want any) (read
 		t.Fatalf("GET %q: bypassed=%v status=%v value=%v, want a bypass hit with %v",
 			key, req.Bypassed(), req.Status, req.Value, want)
 	}
-	return c.Stats().BypassReads - before
+	return c.Counters.Val(metrics.CBypassReads) - before
 }
 
 // A quiescent small-value GET is exactly one READ: on first touch, on
@@ -71,12 +72,13 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 				gets++
 			}
 		}
-		st := c.Stats()
-		if st.BypassHits != gets || st.BypassReads != st.BypassHits || st.BypassFastPath != st.BypassHits {
-			t.Errorf("hits=%d reads=%d one-READ hits=%d over %d GETs", st.BypassHits, st.BypassReads, st.BypassFastPath, gets)
+		st := c.Counters
+		hits, reads, fast := st.Val(metrics.CBypassHits), st.Val(metrics.CBypassReads), st.Val(metrics.CBypassFastPath)
+		if hits != gets || reads != hits || fast != hits {
+			t.Errorf("hits=%d reads=%d one-READ hits=%d over %d GETs", hits, reads, fast, gets)
 		}
-		if st.BypassFallbacks != 0 || st.BypassReprobes != 0 {
-			t.Errorf("quiescent hits fell back %d times, re-probed %d times", st.BypassFallbacks, st.BypassReprobes)
+		if st.Val(metrics.CBypassFallbacks) != 0 || st.Val(metrics.CBypassReprobes) != 0 {
+			t.Errorf("quiescent hits fell back %d times, re-probed %d times", st.Val(metrics.CBypassFallbacks), st.Val(metrics.CBypassReprobes))
 		}
 		if n := len(c.conns[0].locs); n != 0 {
 			t.Errorf("inline hits left %d cached locations behind", n)
@@ -105,8 +107,8 @@ func TestBypassOutOfLineRepeatHitsUseCachedOffset(t *testing.T) {
 				t.Errorf("repeat GET %d cost %d READs, want one from the cached offset", i, n)
 			}
 		}
-		if st := c.Stats(); st.BypassFastPath != 3 {
-			t.Errorf("one-READ hits = %d, want the 3 repeats", st.BypassFastPath)
+		if n := c.Counters.Val(metrics.CBypassFastPath); n != 3 {
+			t.Errorf("one-READ hits = %d, want the 3 repeats", n)
 		}
 		c.Set(p, key, 8<<10, "v2", 0, 0)
 		if n := bypassGet(t, p, c, key, "v2"); n != 3 {
@@ -186,10 +188,10 @@ func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.WaitAll(p, reqs)
-		st := c.Stats()
-		if st.BypassBootstraps != 1 || st.BypassFallbacks != 0 {
+		st := c.Counters
+		if st.Val(metrics.CBypassBootstraps) != 1 || st.Val(metrics.CBypassFallbacks) != 0 {
 			t.Errorf("bootstraps=%d fallbacks=%d with a batch window open, want 1 and 0 (as without one)",
-				st.BypassBootstraps, st.BypassFallbacks)
+				st.Val(metrics.CBypassBootstraps), st.Val(metrics.CBypassFallbacks))
 		}
 		if reqs[0].Status != protocol.StatusStored {
 			t.Errorf("windowed SET: %v", reqs[0].Status)

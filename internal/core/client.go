@@ -240,87 +240,36 @@ type Client struct {
 	hotGets      uint64
 	hotSampleSeq uint64 // auto-path GETs seen, for the 1-in-N RPC heat sample
 
-	// Faults counts recovery activity under the typed counters in
-	// internal/metrics (metrics.CRetries, CTimeouts, …). Read individual
-	// counters with Faults.Val, or take a whole snapshot with Stats.
-	Faults *metrics.Counters
-
-	// Stats
-	Issued, Completed int64
-	// Doorbell accounting: Sends counts wire sends — also the flow-control
-	// credits consumed; Frames counts coalesced BatchFrames among them and
-	// FrameOps the operations those frames carried.
-	Sends, Frames, FrameOps int64
+	// Counters holds the client's counts, one slot per registered
+	// metrics.Counter: operations, wire sends and frames, and the recovery,
+	// routing and bypass activity. Read one with Counters.Val.
+	Counters metrics.Counters
 }
 
-// ClientStats is a point-in-time snapshot of a client's operation and fault
-// counters, taken with Client.Stats. It replaces reaching into the Faults
-// counter map with string keys.
+// ClientStats is the snapshot of a client's counters that benchmark/layers.go
+// reads, taken with Client.Stats.
 type ClientStats struct {
-	// Operation flow.
-	Issued, Completed       int64
-	Sends, Frames, FrameOps int64
-	// Recovery machinery.
-	Retries, Timeouts, Cancels             int64
-	Failovers, FailoverSkips, AckedRetries int64
-	Hedges, HedgesSuppressed               int64
-	StaleResponses                         int64
-	// Server rejections.
-	Busy, Recovering, NoReplica int64
-	// Circuit breakers.
-	BreakerOpen, BreakerHalfOpen, BreakerClose, BreakerReroutes int64
-	// Server-bypass read path: GETs resolved one-sided, those among them
-	// that took exactly one READ (the value rode in the slot, or sat at a
-	// cached segment offset), attempts that fell back to RPC, and
-	// directory bootstraps.
-	BypassHits, BypassFastPath, BypassFallbacks, BypassBootstraps int64
-	// What the hits cost: READs posted by the GETs that hit, and the bytes
-	// those READs asked for.
-	BypassHitReads, BypassHitReadBytes int64
-	// Slot re-READs after a transient seqlock doubt, every one-sided READ
-	// posted (hits and fallbacks alike), and the doorbells they cost after
-	// coalescing.
-	BypassReprobes, BypassReads, BypassReadDoorbells int64
-	// Hot-key serving: hot GETs fanned out across replica sets, hot-set
-	// refreshes, and GETs sampled through RPC for the server's heat sketch.
-	HotFanouts, HotRefreshes, HotSamples int64
-	// Gray-failure defense: service-time samples taken, brown-out state
-	// transitions, and GETs routed around a browned connection. (Pacer
-	// deferrals — the server-side half of the defense — count on the
-	// replicators' counter sets under metrics.CPacerDeferrals.)
-	HealthSamples                     int64
-	BrownoutsEntered, BrownoutsExited int64
-	SlowRoutedGets                    int64
+	Sends, Frames                        int64
+	Retries, Timeouts, Failovers, Hedges int64
+	Busy, Recovering, NoReplica          int64
+	BypassHits, BypassFastPath           int64
+	BypassFallbacks, BypassReprobes      int64
+	BypassReads, BypassReadDoorbells     int64
+	HotFanouts                           int64
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
-	f := c.Faults
+	v := c.Counters.Val
 	return ClientStats{
-		Issued: c.Issued, Completed: c.Completed,
-		Sends: c.Sends, Frames: c.Frames, FrameOps: c.FrameOps,
-		Retries:   f.Val(metrics.CRetries),
-		Timeouts:  f.Val(metrics.CTimeouts),
-		Cancels:   f.Val(metrics.CCancels),
-		Failovers: f.Val(metrics.CFailovers), FailoverSkips: f.Val(metrics.CFailoverSkip),
-		AckedRetries: f.Val(metrics.CAckedRetries),
-		Hedges:       f.Val(metrics.CHedges), HedgesSuppressed: f.Val(metrics.CHedgesSuppressed),
-		StaleResponses: f.Val(metrics.CStaleResponses),
-		Busy:           f.Val(metrics.CBusy),
-		Recovering:     f.Val(metrics.CRecovering),
-		NoReplica:      f.Val(metrics.CNoReplica),
-		BreakerOpen:    f.Val(metrics.CBreakerOpen), BreakerHalfOpen: f.Val(metrics.CBreakerHalfOpen),
-		BreakerClose: f.Val(metrics.CBreakerClose), BreakerReroutes: f.Val(metrics.CBreakerReroutes),
-		BypassHits: f.Val(metrics.CBypassHits), BypassFastPath: f.Val(metrics.CBypassFastPath),
-		BypassFallbacks: f.Val(metrics.CBypassFallbacks), BypassBootstraps: f.Val(metrics.CBypassBootstraps),
-		BypassReprobes: f.Val(metrics.CBypassReprobes), BypassReads: f.Val(metrics.CBypassReads),
-		BypassHitReads: f.Val(metrics.CBypassHitReads), BypassHitReadBytes: f.Val(metrics.CBypassHitReadBytes),
-		BypassReadDoorbells: f.Val(metrics.CBypassReadDoorbells),
-		HotFanouts:          f.Val(metrics.CHotFanouts), HotRefreshes: f.Val(metrics.CHotRefreshes),
-		HotSamples:       f.Val(metrics.CHotSamples),
-		HealthSamples:    f.Val(metrics.CHealthSamples),
-		BrownoutsEntered: f.Val(metrics.CBrownoutsEntered), BrownoutsExited: f.Val(metrics.CBrownoutsExited),
-		SlowRoutedGets: f.Val(metrics.CSlowRoutedGets),
+		Sends: v(metrics.CSends), Frames: v(metrics.CFrames),
+		Retries: v(metrics.CRetries), Timeouts: v(metrics.CTimeouts),
+		Failovers: v(metrics.CFailovers), Hedges: v(metrics.CHedges),
+		Busy: v(metrics.CBusy), Recovering: v(metrics.CRecovering), NoReplica: v(metrics.CNoReplica),
+		BypassHits: v(metrics.CBypassHits), BypassFastPath: v(metrics.CBypassFastPath),
+		BypassFallbacks: v(metrics.CBypassFallbacks), BypassReprobes: v(metrics.CBypassReprobes),
+		BypassReads: v(metrics.CBypassReads), BypassReadDoorbells: v(metrics.CBypassReadDoorbells),
+		HotFanouts: v(metrics.CHotFanouts),
 	}
 }
 
@@ -377,7 +326,7 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	c := &Client{env: env, cfg: cfg, Faults: metrics.NewCounters()}
+	c := &Client{env: env, cfg: cfg}
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
 		c.pd = c.dev.AllocPD()
@@ -411,7 +360,7 @@ func (c *Client) invalidatePlacement(epoch uint64) {
 		cn.hotSet, cn.hotVersion = nil, 0
 	}
 	c.rebuildHot()
-	c.Faults.Inc(metrics.CEpochInvalidations)
+	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 
 // Retire releases every piece of client state held for a decommissioned
@@ -434,7 +383,7 @@ func (c *Client) Retire(serverID int) {
 	clear(cn.locs)
 	cn.hotSet, cn.hotVersion = nil, 0
 	c.rebuildHot()
-	c.Faults.Inc(metrics.CRetiredConns)
+	c.Counters.Inc(metrics.CRetiredConns)
 }
 
 // ErrTransport reports an API unavailable on this transport.
@@ -673,8 +622,8 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	// nothing a socket connection could give back but its verdict.
 	att := req.attach(cn, attOffWire)
 	wire := &att.wire // a socket connection has no response region to name
-	c.Issued++
-	c.Sends++
+	c.Counters.Inc(metrics.CIssued)
+	c.Counters.Inc(metrics.CSends)
 	cn.stream.Send(p, wire.WireSize(), wire)
 	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
@@ -688,8 +637,8 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		switch {
 		case late && req.Attempts <= resends:
 			req.Attempts++
-			c.Faults.Inc(metrics.CRetries)
-			c.Sends++
+			c.Counters.Inc(metrics.CRetries)
+			c.Counters.Inc(metrics.CSends)
 			cn.stream.Send(p, wire.WireSize(), wire)
 		case late:
 			req.finish(timedOut, nil)

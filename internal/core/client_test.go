@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"math"
 	"testing"
 
@@ -214,8 +215,8 @@ func TestNonBlockingBatchCompletes(t *testing.T) {
 			t.Fatalf("get %d: status=%v value=%v", i, req.Status, req.Value)
 		}
 	}
-	if r.client.Issued != 2*n || r.client.Completed != 2*n {
-		t.Errorf("issued=%d completed=%d", r.client.Issued, r.client.Completed)
+	if r.client.Counters.Val(metrics.CIssued) != 2*n || r.client.Counters.Val(metrics.CCompleted) != 2*n {
+		t.Errorf("issued=%d completed=%d", r.client.Counters.Val(metrics.CIssued), r.client.Counters.Val(metrics.CCompleted))
 	}
 }
 
@@ -379,8 +380,8 @@ func TestIssueOnIPoIB(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if st := r.client.Stats(); st.Hedges != 0 || st.Failovers != 0 || st.Retries != 3 || st.Timeouts != 2 {
-		t.Errorf("hedges %d, failovers %d, retries %d, timeouts %d; want 0, 0, 3, 2", st.Hedges, st.Failovers, st.Retries, st.Timeouts)
+	if st := r.client.Counters; st.Val(metrics.CHedges) != 0 || st.Val(metrics.CFailovers) != 0 || st.Val(metrics.CRetries) != 3 || st.Val(metrics.CTimeouts) != 2 {
+		t.Errorf("hedges %d, failovers %d, retries %d, timeouts %d; want 0, 0, 3, 2", st.Val(metrics.CHedges), st.Val(metrics.CFailovers), st.Val(metrics.CRetries), st.Val(metrics.CTimeouts))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -118,8 +119,8 @@ func TestBlockingCommands(t *testing.T) {
 					}
 				})
 				r.env.Run()
-				if st := r.client.Stats(); st.Issued != st.Completed {
-					t.Errorf("issued %d, completed %d", st.Issued, st.Completed)
+				if st := r.client.Counters; st.Val(metrics.CIssued) != st.Val(metrics.CCompleted) {
+					t.Errorf("issued %d, completed %d", st.Val(metrics.CIssued), st.Val(metrics.CCompleted))
 				}
 				for i, srv := range r.servers {
 					if sc.name == "flush-all" && srv.Store().Len() != 0 {

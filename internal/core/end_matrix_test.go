@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -115,8 +116,8 @@ type endRow struct {
 	err  error
 	// moved is every counter the ending moves, exactly (adjust: but for what
 	// the column adds).
-	moved  map[string]int64
-	adjust func(x *endCell, moved map[string]int64)
+	moved  map[metrics.Counter]int64
+	adjust func(x *endCell, moved map[metrics.Counter]int64)
 	// unbuildable: why no cell of the row can be constructed.
 	unbuildable string
 }
@@ -139,7 +140,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a retransmit's response, the first attempt silent", ends: silent, err: ErrNotFound,
-		moved: map[string]int64{"retries": 1, "failovers": 1},
+		moved: map[metrics.Counter]int64{metrics.CRetries: 1, metrics.CFailovers: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			return x.wait(p, x.issue(p, WithRetry(endRetry)))
@@ -147,7 +148,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a retransmit's response, the first attempt answering late", heard: true, ends: silent, late: true, err: ErrNotFound,
-		moved: map[string]int64{"retries": 1, "failovers": 1},
+		moved: map[metrics.Counter]int64{metrics.CRetries: 1, metrics.CFailovers: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{late: endLateBy})
 			return x.wait(p, x.issue(p, WithRetry(endRetry)))
@@ -155,7 +156,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a hedge's response, the primary silent", ends: dropped, err: ErrNotFound,
-		moved: map[string]int64{"hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			return x.wait(p, x.issue(p, WithHedge(endHedgeAt)))
@@ -163,7 +164,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a hedge's response, the primary answering late", heard: true, ends: dropped, late: true, err: ErrNotFound,
-		moved: map[string]int64{"hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{late: endLateBy})
 			return x.wait(p, x.issue(p, WithHedge(endHedgeAt)))
@@ -171,7 +172,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "the primary's response, the hedge answering late", later: true, other: true, ends: dropped, late: true,
-		moved: map[string]int64{"hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{late: endSlowBy})
 			x.shape(x.other, shape{late: endLateBy})
@@ -180,7 +181,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a bypass hit", bypass: true, offWire: true, ends: answered,
-		moved: map[string]int64{"bypass-hits": 1},
+		moved: map[metrics.Counter]int64{metrics.CBypassHits: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			return x.wait(p, x.issue(p, WithReadPath(ReadBypass)))
 		},
@@ -189,7 +190,7 @@ var endRows = []endRow{
 		// The resolver is still bootstrapping its connection's directory when
 		// the hedge gives the request an attempt on the other one.
 		name: "a bypass hit, a hedge fired mid-bootstrap", bypass: true, cold: true, later: true, other: true, ends: dropped, late: true,
-		moved: map[string]int64{"bypass-hits": 1, "bypass-bootstraps": 1, "hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CBypassHits: 1, metrics.CBypassBootstraps: 1, metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.other, shape{late: endLateBy})
 			return x.wait(p, x.issue(p, WithReadPath(ReadBypass), WithHedge(sim.Microsecond)))
@@ -200,13 +201,13 @@ var endRows = []endRow{
 		// fires after the slot came back and before the segment does.
 		name: "a bypass hit, a hedge fired between the slot and the segment READ", bypass: true, op: endGet("big"),
 		later: true, other: true, ends: dropped, late: true,
-		moved: map[string]int64{"bypass-hits": 1, "hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CBypassHits: 1, metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{late: endReadBy})
 			x.shape(x.other, shape{late: endLateBy})
-			reads := x.c.Faults.Get("bypass-reads")
+			reads := x.c.Counters.Val(metrics.CBypassReads)
 			req := x.wait(p, x.issue(p, WithReadPath(ReadBypass), WithHedge(endReadBy*3/2)))
-			if n := x.c.Faults.Get("bypass-reads") - reads; n != 2 {
+			if n := x.c.Counters.Val(metrics.CBypassReads) - reads; n != 2 {
 				x.t.Errorf("the hit took %d READs, want the slot and the segment with the hedge between them", n)
 			}
 			return req
@@ -214,7 +215,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "a bypass fallback's response", bypass: true, op: endGet("absent"), later: true, heard: true, ends: answered, err: ErrNotFound,
-		moved: map[string]int64{"bypass-fallbacks": 1},
+		moved: map[metrics.Counter]int64{metrics.CBypassFallbacks: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			return x.wait(p, x.issue(p, WithReadPath(ReadBypass)))
 		},
@@ -224,10 +225,10 @@ var endRows = []endRow{
 		name: "a retryable rejection, the budget then out", overload: true,
 		op:    Op{Code: protocol.OpSet, Key: endKey, ValueSize: 8192, Value: "v"},
 		heard: true, noAck: true, ends: refused, err: ErrBusy,
-		moved: map[string]int64{"busy": 3, "retries": 2, "timeouts": 1},
-		adjust: func(x *endCell, moved map[string]int64) {
+		moved: map[metrics.Counter]int64{metrics.CBusy: 3, metrics.CRetries: 2, metrics.CTimeouts: 1},
+		adjust: func(x *endCell, moved map[metrics.Counter]int64) {
 			if x.col.frame {
-				moved["busy"]++ // the frame is shed whole: the sibling too
+				moved[metrics.CBusy]++ // the frame is shed whole: the sibling too
 			}
 		},
 		drive: func(x *endCell, p *sim.Proc) *Req {
@@ -238,7 +239,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "the guard's deadline", ends: silent, err: ErrDeadlineExceeded,
-		moved: map[string]int64{"timeouts": 1},
+		moved: map[metrics.Counter]int64{metrics.CTimeouts: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			return x.wait(p, x.issue(p, WithDeadline(endDeadline)))
@@ -246,7 +247,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "the guard's deadline, a hedge out too", ends: silent, err: ErrDeadlineExceeded,
-		moved: map[string]int64{"timeouts": 1, "hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CTimeouts: 1, metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			x.shape(x.other, shape{mute: true})
@@ -255,7 +256,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "WaitTimeout", ends: silent, err: ErrDeadlineExceeded,
-		moved: map[string]int64{"timeouts": 1},
+		moved: map[metrics.Counter]int64{metrics.CTimeouts: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			req := x.issue(p)
@@ -267,7 +268,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "Cancel", ends: dropped, err: ErrCanceled,
-		moved: map[string]int64{"cancels": 1},
+		moved: map[metrics.Counter]int64{metrics.CCancels: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			req := x.issue(p)
@@ -278,7 +279,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "Cancel, a hedge out too", ends: dropped, err: ErrCanceled,
-		moved: map[string]int64{"cancels": 1, "hedges": 1},
+		moved: map[metrics.Counter]int64{metrics.CCancels: 1, metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.home, shape{mute: true})
 			x.shape(x.other, shape{mute: true})
@@ -296,7 +297,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "on a socket, a RecvTimeout resend, then the answer", ipoib: true, offWire: true, heard: true, ends: answered,
-		moved: map[string]int64{"retries": 1},
+		moved: map[metrics.Counter]int64{metrics.CRetries: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.net["client0"] = &shape{lose: 1}
 			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
@@ -304,7 +305,7 @@ var endRows = []endRow{
 	},
 	{
 		name: "on a socket, the resend budget out", ipoib: true, offWire: true, ends: silent, err: ErrDeadlineExceeded,
-		moved: map[string]int64{"retries": 2, "timeouts": 1},
+		moved: map[metrics.Counter]int64{metrics.CRetries: 2, metrics.CTimeouts: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.net["client0"] = &shape{mute: true}
 			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
@@ -463,16 +464,17 @@ func (x *endCell) wait(p *sim.Proc, req *Req) *Req {
 
 // endCounters are the counters a cell accounts for exactly: the row's moved,
 // the column's breaker transitions, and nothing else.
-var endCounters = []string{
-	"retries", "failovers", "timeouts", "cancels", "hedges", "hedges-suppressed", "busy", "recovering",
-	"stale-responses", "bypass-hits", "bypass-fallbacks", "bypass-bootstraps",
-	"breaker-open", "breaker-halfopen", "breaker-close", "breaker-reroutes",
+var endCounters = []metrics.Counter{
+	metrics.CRetries, metrics.CFailovers, metrics.CTimeouts, metrics.CCancels,
+	metrics.CHedges, metrics.CHedgesSuppressed, metrics.CBusy, metrics.CRecovering,
+	metrics.CStaleResponses, metrics.CBypassHits, metrics.CBypassFallbacks, metrics.CBypassBootstraps,
+	metrics.CBreakerOpen, metrics.CBreakerHalfOpen, metrics.CBreakerClose, metrics.CBreakerReroutes,
 }
 
 func (x *endCell) run() {
 	t, c, row, col := x.t, x.c, x.row, x.col
 	var req *Req
-	before, after := map[string]int64{}, map[string]int64{}
+	var before, after metrics.Counters
 	x.r.env.Spawn("cell", func(p *sim.Proc) {
 		c.Set(p, endKey, 512, "v", 0, 0)
 		if row.bypass {
@@ -483,17 +485,13 @@ func (x *endCell) run() {
 			bypassGet(t, p, c, x.mate("warm"), "w")
 		}
 		x.place(p)
-		for _, name := range endCounters {
-			before[name] = c.Faults.Get(name)
-		}
+		before = c.Counters
 		req = row.drive(x, p)
 		if !req.Done() {
 			t.Error("the drive returned before the request ended")
 		}
 		p.Sleep(endSettleBy)
-		for _, name := range endCounters {
-			after[name] = c.Faults.Get(name)
-		}
+		after = c.Counters
 		x.unplace(p)
 	})
 	x.r.env.Run()
@@ -519,7 +517,7 @@ func (x *endCell) run() {
 	}
 
 	// The counters the ending moves, and only those.
-	want := map[string]int64{}
+	want := map[metrics.Counter]int64{}
 	for name, n := range row.moved {
 		want[name] = n
 	}
@@ -527,29 +525,29 @@ func (x *endCell) run() {
 		row.adjust(x, want)
 	}
 	if row.late && col.sent {
-		want["stale-responses"]++
+		want[metrics.CStaleResponses]++
 	}
 	if col.probe {
 		// The placed attempt took the slot, and its ending is the breaker's
 		// verdict — or, dropped, none: the slot is free and the breaker
 		// still half-open.
-		want["breaker-halfopen"]++
+		want[metrics.CBreakerHalfOpen]++
 		state := bkHalfOpen
 		switch row.ends {
 		case answered:
-			want["breaker-close"]++
+			want[metrics.CBreakerClose]++
 			state = bkClosed
 		case silent, refused:
-			want["breaker-open"]++
+			want[metrics.CBreakerOpen]++
 			state = bkOpen
 		}
 		if got := x.on.brk.state; got != state {
 			t.Errorf("the probe ended %d: breaker state %d, want %d", row.ends, got, state)
 		}
 	}
-	for _, name := range endCounters {
-		if got := after[name] - before[name]; got != want[name] {
-			t.Errorf("%s moved by %d, want %d", name, got, want[name])
+	for _, ctr := range endCounters {
+		if got := after.Val(ctr) - before.Val(ctr); got != want[ctr] {
+			t.Errorf("%s moved by %d, want %d", ctr, got, want[ctr])
 		}
 	}
 }

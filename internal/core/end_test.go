@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -38,10 +39,10 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 	if req == nil || !req.Done() {
 		t.Fatal("the GET never completed")
 	}
-	if n := c.Faults.Get("hedges"); n != 1 {
+	if n := c.Counters.Val(metrics.CHedges); n != 1 {
 		t.Errorf("hedges = %d: the hedge never fired mid-bootstrap, the test proves nothing", n)
 	}
-	if n := c.Faults.Get("bypass-bootstraps"); n != 1 {
+	if n := c.Counters.Val(metrics.CBypassBootstraps); n != 1 {
 		t.Errorf("bypass-bootstraps = %d, want the resolver's one", n)
 	}
 }
@@ -62,8 +63,9 @@ func drained(t *testing.T, c *Client) {
 			t.Errorf("server%d: the breaker's probe slot is taken and no attempt is out to give it back", cn.serverID)
 		}
 	}
-	if st := c.Stats(); st.Issued != st.Completed+st.Timeouts+st.Cancels {
-		t.Errorf("issued %d != completed %d + timeouts %d + cancels %d", st.Issued, st.Completed, st.Timeouts, st.Cancels)
+	v := c.Counters.Val
+	if issued, completed, timeouts, cancels := v(metrics.CIssued), v(metrics.CCompleted), v(metrics.CTimeouts), v(metrics.CCancels); issued != completed+timeouts+cancels {
+		t.Errorf("issued %d != completed %d + timeouts %d + cancels %d", issued, completed, timeouts, cancels)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 				}
 			})
 			r.env.Run()
-			if n := c.Faults.Get("hedges"); n != 10 {
+			if n := c.Counters.Val(metrics.CHedges); n != 10 {
 				t.Fatalf("hedges = %d of 10 GETs: the test proves nothing", n)
 			}
 			drained(t, c)
@@ -127,7 +129,7 @@ func TestTimedOutAttemptsLeaveNoPendingEntry(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if n := c.Faults.Get("retries"); n != 20 {
+	if n := c.Counters.Val(metrics.CRetries); n != 20 {
 		t.Fatalf("retries = %d, want 10 GETs x 2: the test proves nothing", n)
 	}
 	drained(t, c)
@@ -169,7 +171,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithHedge(10*sim.Microsecond))
 					c.Wait(p, probe)
 				}
-				if probe.first.cn != home || c.Faults.Get("breaker-halfopen") != 1 {
+				if probe.first.cn != home || c.Counters.Val(metrics.CBreakerHalfOpen) != 1 {
 					t.Error("the request was not the half-open probe: the test proves nothing")
 				}
 				p.Sleep(5 * sim.Millisecond)
@@ -185,7 +187,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 			if reached != 100 {
 				t.Errorf("%d of 100 later GETs reached the recovered server", reached)
 			}
-			if n := c.Faults.Get("breaker-close"); n != 1 {
+			if n := c.Counters.Val(metrics.CBreakerClose); n != 1 {
 				t.Errorf("breaker-close = %d, want 1", n)
 			}
 			drained(t, c)
@@ -220,7 +222,7 @@ func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if n := c.Faults.Get("breaker-reroutes"); n != 0 {
+	if n := c.Counters.Val(metrics.CBreakerReroutes); n != 0 {
 		t.Errorf("breaker-reroutes = %d: a request was sent around a server that had answered", n)
 	}
 	drained(t, c)

@@ -168,7 +168,7 @@ func (c *Client) noteServiceTime(cn *conn, class int, d sim.Time) {
 	if h == nil || d < 0 {
 		return
 	}
-	c.Faults.Inc(metrics.CHealthSamples)
+	c.Counters.Inc(metrics.CHealthSamples)
 	ch := &h.classes[class]
 	ch.add(float64(d))
 	if !h.browned[class] {
@@ -178,14 +178,14 @@ func (c *Client) noteServiceTime(cn *conn, class int, d sim.Time) {
 		base := c.fleetBaseline(class, cn)
 		if base > 0 && ch.quantile(healthQuantile) > degradedFactor*base {
 			h.browned[class] = true
-			c.Faults.Inc(metrics.CBrownoutsEntered)
+			c.Counters.Inc(metrics.CBrownoutsEntered)
 		}
 		return
 	}
 	base := c.fleetBaseline(class, cn)
 	if base > 0 && ch.quantile(healthQuantile) < recoverFactor*base {
 		h.browned[class] = false
-		c.Faults.Inc(metrics.CBrownoutsExited)
+		c.Counters.Inc(metrics.CBrownoutsExited)
 	}
 }
 

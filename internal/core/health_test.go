@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -32,7 +33,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 				WithDeadline(100*sim.Microsecond))
 			c.Wait(p, req)
 		}
-		if n := c.Faults.Get("breaker-open"); n != 1 {
+		if n := c.Counters.Val(metrics.CBreakerOpen); n != 1 {
 			t.Errorf("breaker-open = %d after two timeouts, want 1", n)
 		}
 		srv.Restart()
@@ -59,7 +60,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 	if probeLat < stall {
 		t.Fatalf("probe latency %v — the stall window did not bite; the test proves nothing", probeLat)
 	}
-	if n := c.Faults.Get("breaker-close"); n != 1 {
+	if n := c.Counters.Val(metrics.CBreakerClose); n != 1 {
 		t.Errorf("breaker-close = %d, want 1 (slow-but-successful probe must re-close)", n)
 	}
 	if !c.conns[0].routable() {
@@ -120,7 +121,7 @@ func TestBrownoutProbeTrickle(t *testing.T) {
 	if probes != 2 || rerouted != 2*healthProbeEvery-2 {
 		t.Errorf("probes=%d rerouted=%d over %d picks, want 2/%d", probes, rerouted, 2*healthProbeEvery, 2*healthProbeEvery-2)
 	}
-	if n := c.Faults.Get("slow-routed-gets"); n != int64(rerouted) {
+	if n := c.Counters.Val(metrics.CSlowRoutedGets); n != int64(rerouted) {
 		t.Errorf("slow-routed-gets = %d, want %d", n, rerouted)
 	}
 }
@@ -144,7 +145,7 @@ func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 	if got := c.route("k", routeGet, nil); got != home {
 		t.Errorf("GET rerouted to server%d on a write-class brown-out", got.serverID)
 	}
-	if n := c.Faults.Get("slow-routed-gets"); n != 0 {
+	if n := c.Counters.Val(metrics.CSlowRoutedGets); n != 0 {
 		t.Errorf("slow-routed-gets = %d, want 0", n)
 	}
 }
@@ -173,7 +174,7 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 	if !slow.health.browned[hcGet] {
 		t.Fatal("degraded tail never tripped the brown-out")
 	}
-	if n := c.Faults.Get("brownouts-entered"); n != 1 {
+	if n := c.Counters.Val(metrics.CBrownoutsEntered); n != 1 {
 		t.Errorf("brownouts-entered = %d, want 1", n)
 	}
 
@@ -184,7 +185,7 @@ func TestBrownoutEnterExitHysteresis(t *testing.T) {
 	if slow.health.browned[hcGet] {
 		t.Fatal("brown-out never recovered after the tail subsided")
 	}
-	if n := c.Faults.Get("brownouts-exited"); n != 1 {
+	if n := c.Counters.Val(metrics.CBrownoutsExited); n != 1 {
 		t.Errorf("brownouts-exited = %d, want 1", n)
 	}
 }
@@ -257,7 +258,7 @@ func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
 		if home.brk.state != bkHalfOpen || !home.brk.probing {
 			t.Errorf("the write sent to home is its probe: state %d, probing %v", home.brk.state, home.brk.probing)
 		}
-		if n := c.Faults.Get("breaker-halfopen"); n != 1 {
+		if n := c.Counters.Val(metrics.CBreakerHalfOpen); n != 1 {
 			t.Errorf("breaker-halfopen = %d, want 1", n)
 		}
 	})

@@ -80,7 +80,7 @@ func (c *Client) maybeRefreshHot(cn *conn) {
 	cn.hotRefresh = true
 	c.env.Spawn(fmt.Sprintf("client/hotrefresh%d", cn.serverID), func(p *sim.Proc) {
 		defer func() { cn.hotRefresh = false }()
-		c.Faults.Inc(metrics.CHotRefreshes)
+		c.Counters.Inc(metrics.CHotRefreshes)
 		c.queryDir(p, cn)
 	})
 }

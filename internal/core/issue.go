@@ -188,7 +188,7 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	} else {
 		c.enqueueWire(req, cn)
 	}
-	c.Issued++
+	c.Counters.Inc(metrics.CIssued)
 	if o.deadline > 0 || o.retry != nil {
 		c.startGuard(req)
 	}
@@ -236,7 +236,7 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 // must not delay recovery; and never the key-less control op, which no frame
 // may carry — see frameable). A request that ended while the attempt was
 // being prepared gets none: nothing would ever settle it. It does not touch
-// c.Issued: retransmits are attempts, not operations.
+// metrics.CIssued: retransmits are attempts, not operations.
 func (c *Client) enqueueWire(req *Req, cn *conn) {
 	if req.done.Fired() {
 		return
@@ -302,12 +302,12 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		req.ValueSize = resp.ValueSize
 		req.Flags = resp.Flags
 		req.CAS = resp.CAS
-		c.Completed++
+		c.Counters.Inc(metrics.CCompleted)
 	case timedOut:
-		c.Faults.Inc(metrics.CTimeouts)
+		c.Counters.Inc(metrics.CTimeouts)
 		end = req.lapse()
 	case canceled:
-		c.Faults.Inc(metrics.CCancels)
+		c.Counters.Inc(metrics.CCancels)
 	}
 	req.CompletedAt = c.env.Now()
 	for att := &req.first; att != nil; att = att.next {
@@ -330,13 +330,9 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	cn := old.cn
 	if failover && len(c.conns) > 1 {
 		cn = c.route(req.Key, routeNext, old.cn)
-		c.Faults.Inc(metrics.CFailovers)
+		c.Counters.Inc(metrics.CFailovers)
 	}
-	if req.acked {
-		// A self-guarded write chasing its lost final response.
-		c.Faults.Inc(metrics.CAckedRetries)
-	}
-	c.Faults.Inc(metrics.CRetries)
+	c.Counters.Inc(metrics.CRetries)
 	p.Sleep(prepCost)
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
@@ -435,7 +431,7 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			if req.bypassed {
 				// The GET already resolved on the bypass path; the hedge
 				// would have mirrored an answered read to another server.
-				c.Faults.Inc(metrics.CHedgesSuppressed)
+				c.Counters.Inc(metrics.CHedgesSuppressed)
 			}
 			return
 		}
@@ -443,7 +439,7 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 		if cn == req.conn {
 			return // no distinct replica to hedge onto
 		}
-		c.Faults.Inc(metrics.CHedges)
+		c.Counters.Inc(metrics.CHedges)
 		p.Sleep(prepCost)
 		c.enqueueWire(req, cn)
 	})
@@ -645,7 +641,7 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 	}
 	att := items[0]
 	att.state = attSent
-	cn.c.Sends++
+	cn.c.Counters.Inc(metrics.CSends)
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
 		WRID:    att.id,
 		Op:      verbs.OpSend,
@@ -681,7 +677,7 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		}
 		att := cn.pending[resp.ReqID]
 		if att == nil {
-			cn.c.Faults.Inc(metrics.CStaleResponses)
+			cn.c.Counters.Inc(metrics.CStaleResponses)
 			continue
 		}
 		req := att.req
@@ -695,7 +691,7 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 				// Shed at admission: breaker food, unlike recovering — a
 				// recovering server is rebuilding, not saturated.
 				how = refused
-				cn.c.Faults.Inc(metrics.CBusy)
+				cn.c.Counters.Inc(metrics.CBusy)
 			case nudging:
 				how = rejected
 			}
@@ -715,9 +711,9 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 			case protocol.StatusNoReplica:
 				// The coordinator itself is healthy (it answered); the
 				// chain behind it is not. No breaker food, just a counter.
-				cn.c.Faults.Inc(metrics.CNoReplica)
+				cn.c.Counters.Inc(metrics.CNoReplica)
 			default:
-				cn.c.Faults.Inc(metrics.CRecovering)
+				cn.c.Counters.Inc(metrics.CRecovering)
 			}
 			req.nudge.Fire()
 		default:

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"strings"
 	"testing"
 
@@ -147,10 +148,10 @@ func TestIssueOutcomes(t *testing.T) {
 			if tc.wantAttempts > 0 && req.Attempts != tc.wantAttempts {
 				t.Errorf("attempts = %d, want %d", req.Attempts, tc.wantAttempts)
 			}
-			if got := r.client.Faults.Get("timeouts"); got != tc.wantTimeouts {
+			if got := r.client.Counters.Val(metrics.CTimeouts); got != tc.wantTimeouts {
 				t.Errorf("timeouts counter = %d, want %d", got, tc.wantTimeouts)
 			}
-			if got := r.client.Faults.Get("retries"); got != tc.wantRetries {
+			if got := r.client.Counters.Val(metrics.CRetries); got != tc.wantRetries {
 				t.Errorf("retries counter = %d, want %d", got, tc.wantRetries)
 			}
 			if tc.wantErr == ErrDeadlineExceeded && !req.TimedOut() {
@@ -182,14 +183,14 @@ func TestDeadlineFiresExactlyOnce(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 	})
 	r.env.Run()
-	if n := r.client.Faults.Get("timeouts"); n != 1 {
+	if n := r.client.Counters.Val(metrics.CTimeouts); n != 1 {
 		t.Errorf("timeouts counter = %d, want exactly 1", n)
 	}
 	if !errors.Is(req.Err(), ErrDeadlineExceeded) {
 		t.Errorf("Err() = %v", req.Err())
 	}
-	if r.client.Completed != 0 {
-		t.Errorf("Completed = %d for a request that never got a response", r.client.Completed)
+	if r.client.Counters.Val(metrics.CCompleted) != 0 {
+		t.Errorf("Completed = %d for a request that never got a response", r.client.Counters.Val(metrics.CCompleted))
 	}
 }
 
@@ -231,11 +232,11 @@ func TestCancelReturnsCredit(t *testing.T) {
 	if st != protocol.StatusStored {
 		t.Errorf("post-cancel set status %v", st)
 	}
-	if n := r.client.Faults.Get("cancels"); n != int64(depth) {
+	if n := r.client.Counters.Val(metrics.CCancels); n != int64(depth) {
 		t.Errorf("cancels counter = %d, want %d", n, depth)
 	}
-	if r.client.Completed != 1 {
-		t.Errorf("Completed = %d, want 1 (only the post-cancel set)", r.client.Completed)
+	if r.client.Counters.Val(metrics.CCompleted) != 1 {
+		t.Errorf("Completed = %d, want 1 (only the post-cancel set)", r.client.Counters.Val(metrics.CCompleted))
 	}
 }
 
@@ -251,7 +252,7 @@ func TestCancelAfterDoneIsNoop(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if n := r.client.Faults.Get("cancels"); n != 0 {
+	if n := r.client.Counters.Val(metrics.CCancels); n != 0 {
 		t.Errorf("cancels counter = %d for a no-op cancel", n)
 	}
 }
@@ -290,7 +291,7 @@ func TestRetryFailsOverToSecondServer(t *testing.T) {
 	if req.Attempts < 2 {
 		t.Errorf("attempts = %d, want ≥2", req.Attempts)
 	}
-	if n := r.client.Faults.Get("failovers"); n == 0 {
+	if n := r.client.Counters.Val(metrics.CFailovers); n == 0 {
 		t.Error("failovers counter = 0")
 	}
 }
@@ -359,11 +360,11 @@ func TestLateResponseAfterRetransmitIsStale(t *testing.T) {
 	if req.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", req.Attempts)
 	}
-	if n := r.client.Faults.Get("stale-responses"); n != 1 {
+	if n := r.client.Counters.Val(metrics.CStaleResponses); n != 1 {
 		t.Errorf("stale-responses = %d, want 1 (the late original reply)", n)
 	}
-	if r.client.Completed != 2 { // preload set + the retried get
-		t.Errorf("Completed = %d, want 2", r.client.Completed)
+	if r.client.Counters.Val(metrics.CCompleted) != 2 { // preload set + the retried get
+		t.Errorf("Completed = %d, want 2", r.client.Counters.Val(metrics.CCompleted))
 	}
 }
 

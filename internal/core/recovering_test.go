@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/hybridslab"
@@ -73,7 +74,7 @@ func TestRetryRidesOutColdRestart(t *testing.T) {
 	if guarded.Attempts < 2 {
 		t.Errorf("attempts = %d, want ≥2 (at least one recovering rejection)", guarded.Attempts)
 	}
-	if n := c.Faults.Get("recovering"); n == 0 {
+	if n := c.Counters.Val(metrics.CRecovering); n == 0 {
 		t.Error("recovering counter = 0; nudge path never exercised")
 	}
 	if srv.Rejected < 2 {
@@ -149,7 +150,7 @@ func TestCrashMidBatchFrameFailsAllMembers(t *testing.T) {
 			t.Errorf("guarded member %d attempts = %d, want ≥2", i, req.Attempts)
 		}
 	}
-	if n := c.Faults.Get("failovers"); n == 0 {
+	if n := c.Counters.Val(metrics.CFailovers); n == 0 {
 		t.Error("failovers counter = 0")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/hybridslab"
@@ -47,7 +48,7 @@ func TestWaitAnyWithConcurrentCancel(t *testing.T) {
 	if !errors.Is(reqs[1].Err(), ErrCanceled) {
 		t.Errorf("canceled request err = %v, want ErrCanceled", reqs[1].Err())
 	}
-	if n := c.Faults.Get("cancels"); n != 3 {
+	if n := c.Counters.Val(metrics.CCancels); n != 3 {
 		t.Errorf("cancels counter = %d, want 3", n)
 	}
 }
@@ -92,7 +93,7 @@ func TestBudgetExhaustionSurfacesBusy(t *testing.T) {
 	if req.Attempts != 3 {
 		t.Errorf("attempts = %d, want 3", req.Attempts)
 	}
-	if n := c.Faults.Get("busy"); n != 3 {
+	if n := c.Counters.Val(metrics.CBusy); n != 3 {
 		t.Errorf("busy counter = %d, want 3", n)
 	}
 	if r.servers[0].ShedSets != 3 {
@@ -181,7 +182,7 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 			}
 			c.Wait(p, req)
 		}
-		if n := c.Faults.Get("breaker-open"); n != 1 {
+		if n := c.Counters.Val(metrics.CBreakerOpen); n != 1 {
 			t.Errorf("breaker-open = %d after two timeouts, want 1", n)
 		}
 
@@ -213,10 +214,10 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 	if probe != protocol.StatusOK {
 		t.Errorf("post-recovery get status = %v, want OK", probe)
 	}
-	if n := c.Faults.Get("breaker-halfopen"); n == 0 {
+	if n := c.Counters.Val(metrics.CBreakerHalfOpen); n == 0 {
 		t.Error("no half-open probe recorded")
 	}
-	if n := c.Faults.Get("breaker-close"); n == 0 {
+	if n := c.Counters.Val(metrics.CBreakerClose); n == 0 {
 		t.Error("breaker never closed after recovery")
 	}
 }
@@ -263,7 +264,7 @@ func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 	if !errors.Is(rerouted.Err(), ErrNotFound) {
 		t.Errorf("rerouted err = %v, want ErrNotFound from the live replica", rerouted.Err())
 	}
-	if n := c.Faults.Get("breaker-reroutes"); n == 0 {
+	if n := c.Counters.Val(metrics.CBreakerReroutes); n == 0 {
 		t.Error("no reroute recorded")
 	}
 }
@@ -306,7 +307,7 @@ func TestHedgedGetBeatsDeadServer(t *testing.T) {
 	if took >= 2*sim.Millisecond {
 		t.Errorf("hedged get took the full deadline (%v); hedge never fired", took)
 	}
-	if n := c.Faults.Get("hedges"); n != 1 {
+	if n := c.Counters.Val(metrics.CHedges); n != 1 {
 		t.Errorf("hedges counter = %d, want 1", n)
 	}
 }
@@ -338,7 +339,7 @@ func TestHedgedGetSingleServerNoPanic(t *testing.T) {
 	if !errors.Is(req.Err(), ErrDeadlineExceeded) {
 		t.Errorf("err = %v, want ErrDeadlineExceeded (nowhere to hedge)", req.Err())
 	}
-	if n := c.Faults.Get("hedges"); n != 0 {
+	if n := c.Counters.Val(metrics.CHedges); n != 0 {
 		t.Errorf("hedges counter = %d, want 0 on a single-server client", n)
 	}
 }
@@ -471,7 +472,7 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 			c.Cancel(early)
 		})
 		c.Wait(p, early)
-		if n := c.Faults.Get("hedges"); n != 0 {
+		if n := c.Counters.Val(metrics.CHedges); n != 0 {
 			t.Errorf("hedger fired despite the pre-threshold cancel (hedges = %d)", n)
 		}
 
@@ -500,10 +501,10 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 	if !errors.Is(late.Err(), ErrCanceled) {
 		t.Errorf("post-hedge cancel err = %v, want ErrCanceled", late.Err())
 	}
-	if n := c.Faults.Get("hedges"); n != 1 {
+	if n := c.Counters.Val(metrics.CHedges); n != 1 {
 		t.Errorf("hedges counter = %d, want exactly the post-threshold one", n)
 	}
-	if n := c.Faults.Get("cancels"); n != 2 {
+	if n := c.Counters.Val(metrics.CCancels); n != 2 {
 		t.Errorf("cancels counter = %d, want 2", n)
 	}
 }

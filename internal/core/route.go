@@ -163,11 +163,11 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 	switch in {
 	case routeNext:
 		if refused > 0 {
-			c.Faults.Add(string(metrics.CFailoverSkip), refused)
+			c.Counters.Add(metrics.CFailoverSkip, refused)
 		}
 	case routeWrite, routeGet:
 		if rerouted = live != nil && live != o.at(start); rerouted {
-			c.Faults.Inc(metrics.CBreakerReroutes)
+			c.Counters.Inc(metrics.CBreakerReroutes)
 		}
 	}
 	if live == nil {
@@ -180,7 +180,7 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 		return o.at(start + skip)
 	}
 	if hot {
-		c.Faults.Inc(metrics.CHotFanouts)
+		c.Counters.Inc(metrics.CHotFanouts)
 	}
 	if live != best {
 		// live is browned. It still gets the attempt when it is the last
@@ -192,7 +192,7 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 		if probe || best == nil {
 			best = live
 		} else if !(hot && rerouted) {
-			c.Faults.Inc(metrics.CSlowRoutedGets)
+			c.Counters.Inc(metrics.CSlowRoutedGets)
 		}
 	}
 	if best == cur {

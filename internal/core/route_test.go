@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/protocol"
@@ -168,18 +169,18 @@ func TestRouteMatrix(t *testing.T) {
 				cur = order[row.cur]
 			}
 
-			before := c.Stats()
+			before := c.Counters
 			got := c.route(key, row.in, cur)
-			after := c.Stats()
+			after := c.Counters
 
 			if got != order[row.want] {
 				t.Errorf("routed to %s, want position %d (server%d)", describe(order, got), row.want, order[row.want].serverID)
 			}
 			moved := counts{
-				reroutes: after.BreakerReroutes - before.BreakerReroutes,
-				slow:     after.SlowRoutedGets - before.SlowRoutedGets,
-				skips:    after.FailoverSkips - before.FailoverSkips,
-				fanouts:  after.HotFanouts - before.HotFanouts,
+				reroutes: after.Val(metrics.CBreakerReroutes) - before.Val(metrics.CBreakerReroutes),
+				slow:     after.Val(metrics.CSlowRoutedGets) - before.Val(metrics.CSlowRoutedGets),
+				skips:    after.Val(metrics.CFailoverSkip) - before.Val(metrics.CFailoverSkip),
+				fanouts:  after.Val(metrics.CHotFanouts) - before.Val(metrics.CHotFanouts),
 			}
 			for _, cn := range c.conns {
 				if cn.health != nil { // Retire releases it

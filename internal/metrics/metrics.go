@@ -1,12 +1,14 @@
 // Package metrics provides the measurement plumbing for the experiment
 // harness: latency histograms over virtual time, the paper's six-stage
-// time-wise breakdown accumulators (Figures 2 and 6), and throughput /
-// overlap helpers.
+// time-wise breakdown accumulators (Figures 2 and 6), the counter registry
+// the client runtime and the replicators count in, and throughput / overlap
+// helpers.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"hybridkv/internal/sim"
@@ -130,105 +132,132 @@ func (b *Breakdown) PerOp(stage Stage, n int64) sim.Time {
 	return b[stage] / sim.Time(n)
 }
 
-// Counter names the fault, retry, and availability counters the client
-// runtime maintains. Typed constants replace the stringly-typed keys that
-// used to be scattered through internal/core: call sites increment with
-// Counters.Inc and read with Counters.Val, so a typo is a compile error
-// instead of a silently-zero counter.
-type Counter string
+// Counter is one count the client runtime or a replicator keeps: a slot of
+// Counters, registered once with its name in the block below.
+type Counter uint8
 
-const (
+var counterNames []string // each registered counter's name, at its slot
+
+// counter registers name in the next slot. A name registered twice panics,
+// and so does one past the registry's fixed capacity.
+func counter(name string) Counter {
+	if slices.Contains(counterNames, name) {
+		panic(fmt.Sprintf("metrics: counter %q registered twice", name))
+	}
+	if len(counterNames) == len(Counters{}) {
+		panic(fmt.Sprintf("metrics: counter %q past the registry's %d slots", name, len(Counters{})))
+	}
+	counterNames = append(counterNames, name)
+	return Counter(len(counterNames) - 1)
+}
+
+// String returns the name the counter was registered with.
+func (c Counter) String() string { return counterNames[c] }
+
+// The registry: a core.Client's Counters hold the client runtime's counts, a
+// replication.Replicator's the replication counts (DESIGN.md §10).
+var (
+	// Operation flow.
+	CIssued    = counter("issued")    // operations issued
+	CCompleted = counter("completed") // operations completed
+	CSends     = counter("sends")     // wire sends, also the flow-control credits consumed
+	CFrames    = counter("frames")    // coalesced frames among those sends
+	CFrameOps  = counter("frame-ops") // operations those frames carried
+
 	// Retry/guard counters.
-	CRetries      Counter = "retries"        // guard retransmissions
-	CTimeouts     Counter = "timeouts"       // attempts abandoned at the deadline
-	CCancels      Counter = "cancels"        // caller-initiated cancellations
-	CFailovers    Counter = "failovers"      // retransmissions redirected to a replica
-	CFailoverSkip Counter = "failover-skips" // failover candidates skipped (down/open)
-	CAckedRetries Counter = "acked-retries"  // retransmits of already-buffer-acked reqs
-	CHedges       Counter = "hedges"         // hedge attempts actually spawned
-	// CHedgesSuppressed counts hedges skipped because the request had
-	// already been resolved on the bypass path; see WithHedge.
-	CHedgesSuppressed Counter = "hedges-suppressed"
+	CRetries          = counter("retries")           // guard retransmissions
+	CTimeouts         = counter("timeouts")          // attempts abandoned at the deadline
+	CCancels          = counter("cancels")           // caller-initiated cancellations
+	CFailovers        = counter("failovers")         // retransmissions redirected to a replica
+	CFailoverSkip     = counter("failover-skips")    // failover candidates skipped (down/open)
+	CHedges           = counter("hedges")            // hedge attempts actually spawned
+	CHedgesSuppressed = counter("hedges-suppressed") // hedges skipped: the bypass path had resolved the request
 
 	// Server-pushback counters.
-	CStaleResponses Counter = "stale-responses" // responses for superseded attempts
-	CBusy           Counter = "busy"            // StatusBusy shed rejections
-	CRecovering     Counter = "recovering"      // StatusRecovering rejections
-	CNoReplica      Counter = "no-replica"      // StatusNoReplica chain failures
+	CStaleResponses = counter("stale-responses") // responses for superseded attempts
+	CBusy           = counter("busy")            // StatusBusy shed rejections
+	CRecovering     = counter("recovering")      // StatusRecovering rejections
+	CNoReplica      = counter("no-replica")      // StatusNoReplica chain failures
 
 	// Circuit-breaker counters.
-	CBreakerOpen     Counter = "breaker-open"
-	CBreakerHalfOpen Counter = "breaker-halfopen"
-	CBreakerClose    Counter = "breaker-close"
-	CBreakerReroutes Counter = "breaker-reroutes"
+	CBreakerOpen     = counter("breaker-open")
+	CBreakerHalfOpen = counter("breaker-halfopen")
+	CBreakerClose    = counter("breaker-close")
+	CBreakerReroutes = counter("breaker-reroutes")
 
 	// Server-bypass read-path counters.
-	CBypassHits       Counter = "bypass-hits"       // GETs resolved by one-sided READs
-	CBypassFastPath   Counter = "bypass-fastpath"   // hits resolved by exactly one READ (inline slot, or cached segment location)
-	CBypassFallbacks  Counter = "bypass-fallbacks"  // bypass attempts that fell back to RPC
-	CBypassBootstraps Counter = "bypass-bootstraps" // OpDirQuery directory fetches
-	// What the hits cost: READs posted by the GETs that then resolved
-	// one-sided, and the bytes those READs asked for (READs spent on GETs
-	// that fell back are in CBypassReads only).
-	CBypassHitReads     Counter = "bypass-hit-reads"
-	CBypassHitReadBytes Counter = "bypass-hit-read-bytes"
+	CBypassHits         = counter("bypass-hits")           // GETs resolved by one-sided READs
+	CBypassFastPath     = counter("bypass-fastpath")       // hits resolved by exactly one READ (inline slot, or cached segment location)
+	CBypassFallbacks    = counter("bypass-fallbacks")      // bypass attempts that fell back to RPC
+	CBypassBootstraps   = counter("bypass-bootstraps")     // OpDirQuery directory fetches
+	CBypassHitReads     = counter("bypass-hit-reads")      // READs posted by the GETs that hit (a fallback's are in CBypassReads only)
+	CBypassHitReadBytes = counter("bypass-hit-read-bytes") // the bytes those READs asked for
 
 	// Hot-key serving counters.
-	CBypassReprobes      Counter = "bypass-reprobes"       // transient seqlock doubts re-probed instead of RPC fallback
-	CBypassReads         Counter = "bypass-reads"          // one-sided READs posted by the bypass path
-	CBypassReadDoorbells Counter = "bypass-read-doorbells" // doorbells those READs cost after coalescing
-	CHotFanouts          Counter = "hot-fanouts"           // hot-key GETs routed across the replica set
-	CHotRefreshes        Counter = "hot-refreshes"         // piggybacked hot-set refresh queries
-	CHotSamples          Counter = "hot-samples"           // GETs routed via RPC to feed the server's heat sketch
+	CBypassReprobes      = counter("bypass-reprobes")       // transient seqlock doubts re-probed instead of RPC fallback
+	CBypassReads         = counter("bypass-reads")          // one-sided READs posted by the bypass path
+	CBypassReadDoorbells = counter("bypass-read-doorbells") // doorbells those READs cost after coalescing
+	CHotFanouts          = counter("hot-fanouts")           // hot-key GETs routed across the replica set
+	CHotRefreshes        = counter("hot-refreshes")         // piggybacked hot-set refresh queries
+	CHotSamples          = counter("hot-samples")           // GETs routed via RPC to feed the server's heat sketch
 
 	// Dynamic membership counters.
-	CEpochInvalidations Counter = "epoch-invalidations" // placement caches dropped on a membership epoch change
-	CRetiredConns       Counter = "retired-conns"       // decommissioned servers whose client state was released
+	CEpochInvalidations = counter("epoch-invalidations") // placement caches dropped on a membership epoch change
+	CRetiredConns       = counter("retired-conns")       // decommissioned servers whose client state was released
 
-	// Gray-failure counters. Brown-out is the deprioritized-but-routable
-	// breaker state driven by the latency health tracker: the connection
-	// still answers, so it is never opened, but GET routing prefers a
-	// healthy replica while one exists.
-	CBrownoutsEntered Counter = "brownouts-entered" // connections demoted to brown-out by the health tracker
-	CBrownoutsExited  Counter = "brownouts-exited"  // connections restored to healthy
-	CSlowRoutedGets   Counter = "slow-routed-gets"  // GETs steered away from a browned-out replica
-	CPacerDeferrals   Counter = "pacer-deferrals"   // background replication rounds deferred to foreground load
-	CHealthSamples    Counter = "health-samples"    // per-op service-time samples fed to the health tracker
+	// Gray-failure counters (brown-out: a routable connection GETs avoid).
+	CBrownoutsEntered = counter("brownouts-entered") // connections demoted to brown-out by the health tracker
+	CBrownoutsExited  = counter("brownouts-exited")  // connections restored to healthy
+	CSlowRoutedGets   = counter("slow-routed-gets")  // GETs steered away from a browned-out replica
+	CHealthSamples    = counter("health-samples")    // per-op service-time samples fed to the health tracker
 
-	// Data-integrity counters (server-side: the replicators count them, read
-	// through Cluster.ReplicationCounters).
-	CScrubCorruptionsFound    Counter = "scrub-corruptions-found"    // same-epoch content divergences detected by scrub
-	CScrubCorruptionsRepaired Counter = "scrub-corruptions-repaired" // divergences overwritten with the coordinator's copy
+	// Replication counters.
+	CForwards                 = counter("forwards")
+	CForwardResends           = counter("forward-resends")
+	CEpochConflicts           = counter("epoch-conflicts")
+	CRepairPushes             = counter("repair-pushes")
+	CRepairPulls              = counter("repair-pulls")
+	CScrubRounds              = counter("scrub-rounds")
+	CSuspectDrops             = counter("suspect-drops")
+	CStaleReadsPrevented      = counter("stale-reads-prevented")
+	CCorruptFramesRejected    = counter("corrupt-frames-rejected")
+	CScrubCorruptionsFound    = counter("scrub-corruptions-found")
+	CScrubCorruptionsRepaired = counter("scrub-corruptions-repaired")
+	CPacerDeferrals           = counter("pacer-deferrals")
+	CMigrateSeals             = counter("migrate-seals")
+	CMigrateManifests         = counter("migrate-manifests")
+	CMigrateKeysMoved         = counter("migrate-keys-moved")
+	CMigrateGCKeys            = counter("migrate-gc-keys")
+	CMigrateReadRedirects     = counter("migrate-read-redirects")
+	CMigrateDoubleReads       = counter("migrate-double-reads")
 )
 
-// Counters is a named-counter bag for fault, retry, and availability
-// accounting. The zero value is not usable; call NewCounters.
-type Counters struct {
-	vals map[string]int64
+// Counters holds one value per registered Counter. The zero value is ready
+// to use, and a copy is a snapshot.
+type Counters [64]int64
+
+// Inc adds one to ctr.
+func (c *Counters) Inc(ctr Counter) { c[ctr]++ }
+
+// Add adds n to ctr.
+func (c *Counters) Add(ctr Counter, n int64) { c[ctr] += n }
+
+// Val returns ctr's value: how code under internal/ reads a counter.
+func (c *Counters) Val(ctr Counter) int64 { return c[ctr] }
+
+// Get returns the counter registered as name and panics on a name nobody
+// registered: it is for benchmark/layers.go, and code under internal/ uses Val.
+func (c *Counters) Get(name string) int64 {
+	if i := slices.Index(counterNames, name); i >= 0 {
+		return c[i]
+	}
+	panic(fmt.Sprintf("metrics: no counter named %q", name))
 }
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters {
-	return &Counters{vals: make(map[string]int64)}
-}
-
-// Add increments the named counter by n.
-func (c *Counters) Add(name string, n int64) { c.vals[name] += n }
-
-// Get returns the named counter (0 if never touched).
-func (c *Counters) Get(name string) int64 { return c.vals[name] }
-
-// Inc increments a typed counter by one (every runtime site counts single
-// events).
-func (c *Counters) Inc(ctr Counter) { c.vals[string(ctr)]++ }
-
-// Val returns a typed counter's value.
-func (c *Counters) Val(ctr Counter) int64 { return c.vals[string(ctr)] }
 
 // Merge folds other's counters into c.
 func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.vals {
-		c.vals[k] += v
+	for i, v := range other {
+		c[i] += v
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,5 +140,59 @@ func TestSeriesAndTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+func TestCounterRegistryRefusesDuplicatesAndOverflow(t *testing.T) {
+	mustPanic(t, "registering forwards twice", func() { counter(CForwards.String()) })
+
+	saved := counterNames
+	defer func() { counterNames = saved }()
+	counterNames = make([]string, len(Counters{}))
+	for i := range counterNames {
+		counterNames[i] = fmt.Sprint("slot-", i)
+	}
+	mustPanic(t, "registering past the capacity", func() { counter("one-too-many") })
+}
+
+func TestGetOfAnUnregisteredNamePanics(t *testing.T) {
+	var c Counters
+	mustPanic(t, "Get of an unregistered name", func() { c.Get("no-such-counter") })
+}
+
+// Every registered counter is found by its own name, at its own slot: each
+// slot holds a different value, and Get must return exactly that one.
+func TestEveryCounterResolvesByName(t *testing.T) {
+	var c Counters
+	for i := range counterNames {
+		c.Add(Counter(i), int64(i)+1)
+	}
+	for i := range counterNames {
+		ctr := Counter(i)
+		if got := c.Get(ctr.String()); got != int64(i)+1 || got != c.Val(ctr) {
+			t.Errorf("Get(%q) = %d, want its slot's %d", ctr, got, i+1)
+		}
+	}
+}
+
+func TestCountersMerge(t *testing.T) {
+	var a, b Counters
+	a.Inc(CRetries)
+	b.Add(CRetries, 2)
+	b.Inc(CForwards)
+	a.Merge(&b)
+	if a.Val(CRetries) != 3 || a.Val(CForwards) != 1 || a.Val(CBusy) != 0 {
+		t.Errorf("merged retries=%d forwards=%d busy=%d, want 3 1 0", a.Val(CRetries), a.Val(CForwards), a.Val(CBusy))
 	}
 }

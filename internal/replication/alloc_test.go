@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -75,7 +76,7 @@ func forwardHandoffModel() (step func(), rejected func() int64) {
 	return func() {
 		handoff()
 		cl.Env.Run()
-	}, func() int64 { return r.Counters.Get("corrupt-frames-rejected") }
+	}, func() int64 { return r.Counters.Val(metrics.CCorruptFramesRejected) }
 }
 
 // BenchmarkForwardHandoff is the host-cost line of the apply lane.

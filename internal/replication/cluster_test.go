@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -98,7 +99,7 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if total.Get("forwards") == 0 {
+	if total.Val(metrics.CForwards) == 0 {
 		t.Error("no write was ever forwarded")
 	}
 }
@@ -244,10 +245,10 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if total.Get("repair-pushes") == 0 {
+	if total.Val(metrics.CRepairPushes) == 0 {
 		t.Error("reconvergence without a single repair push — scrub never ran")
 	}
-	if total.Get("scrub-rounds") == 0 {
+	if total.Val(metrics.CScrubRounds) == 0 {
 		t.Error("no scrub round after a cold recovery kick")
 	}
 }
@@ -356,7 +357,7 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 			}
 		}
 	}
-	conflicts := func() int64 { return cl.ReplicationCounters().Get("epoch-conflicts") }
+	conflicts := func() int64 { total := cl.ReplicationCounters(); return total.Val(metrics.CEpochConflicts) }
 	for round := 0; round < 64 && conflicts() == 0; round++ {
 		for i, sid := range []int{primary, proxy} {
 			r, seq := cl.Replicators[sid], uint64(2*round+i+1)
@@ -497,7 +498,7 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 	cl.Env.Run()
 	cl.Env.Spawn("it-corrupt", func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, key) })
 	cl.Env.Spawn("it-write", func(p *sim.Proc) {
-		pushes := func() int64 { return cl.Replicators[2].Counters.Get("repair-pushes") }
+		pushes := func() int64 { return cl.Replicators[2].Counters.Val(metrics.CRepairPushes) }
 		for n := pushes(); cl.Servers[2].Store().Manager().Gets == 0 && pushes() == n; { // until server 2 is reading its copy back
 			p.Sleep(100 * sim.Nanosecond)
 		}
@@ -517,7 +518,8 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if n := cl.ReplicationCounters().Get("scrub-corruptions-repaired"); n != 0 {
+	total := cl.ReplicationCounters()
+	if n := total.Val(metrics.CScrubCorruptionsRepaired); n != 0 {
 		t.Errorf("%d divergence repairs applied: nothing diverged", n)
 	}
 }
@@ -594,7 +596,7 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if drops, prevented := r.Counters.Get("suspect-drops"), r.Counters.Get("stale-reads-prevented"); drops != 2 || prevented != 0 {
+	if drops, prevented := r.Counters.Val(metrics.CSuspectDrops), r.Counters.Val(metrics.CStaleReadsPrevented); drops != 2 || prevented != 0 {
 		t.Errorf("suspect-drops %d, stale-reads-prevented %d; want 2 and 0", drops, prevented)
 	}
 }
@@ -628,7 +630,7 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 		}
 	})
 	cl.Env.Run()
-	if prevented, drops := r.Counters.Get("stale-reads-prevented"), r.Counters.Get("suspect-drops"); prevented != 2 || drops != 0 {
+	if prevented, drops := r.Counters.Val(metrics.CStaleReadsPrevented), r.Counters.Val(metrics.CSuspectDrops); prevented != 2 || drops != 0 {
 		t.Errorf("stale-reads-prevented %d, suspect-drops %d; want 2 and 0", prevented, drops)
 	}
 	for _, key := range []string{"old:get", "old:incr"} {
@@ -666,7 +668,7 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 	})
 	cl.Env.Run()
 	total := cl.ReplicationCounters()
-	if rejected, resends := total.Get("corrupt-frames-rejected"), total.Get("forward-resends"); rejected == 0 || resends == 0 {
+	if rejected, resends := total.Val(metrics.CCorruptFramesRejected), total.Val(metrics.CForwardResends); rejected == 0 || resends == 0 {
 		t.Errorf("corrupt-frames-rejected %d, forward-resend rounds %d (the injector garbled %d messages): want forwards rejected and resent",
 			rejected, resends, inj.Corrupts)
 	}

@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"hybridkv/internal/metrics"
 	"math/rand"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 	if compared < 50 {
 		t.Fatalf("only %d maintained digests were ever compared: the scrubber is not using them", compared)
 	}
-	if cl.ReplicationCounters().Get("repair-pushes") == 0 {
+	if total := cl.ReplicationCounters(); total.Val(metrics.CRepairPushes) == 0 {
 		t.Error("the mix triggered no repair")
 	}
 }

@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -117,7 +118,8 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 					})
 				}
 				cl.Env.Run()
-				resends += cl.ReplicationCounters().Get("forward-resends")
+				total := cl.ReplicationCounters()
+				resends += total.Val(metrics.CForwardResends)
 				cl.Env.Close()
 			}
 			t.Logf("%v: %d of 6400 SETs NO_REPLICA, %d forward-resends", row.design, noReplica, resends)

@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"fmt"
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -117,7 +118,7 @@ func newInstallCell(t *testing.T, s int, fcfg fault.Config, spill bool) *install
 
 func (c *installCell) counts() imCounts {
 	n := c.cl.ReplicationCounters()
-	return imCounts{n.Get("forwards"), n.Get("epoch-conflicts"), n.Get("repair-pulls"), n.Get("repair-pushes")}
+	return imCounts{n.Val(metrics.CForwards), n.Val(metrics.CEpochConflicts), n.Val(metrics.CRepairPulls), n.Val(metrics.CRepairPushes)}
 }
 
 // moved is what the counters have done since the action started.
@@ -666,9 +667,9 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 		}
 	}
 	// Nothing in any cell corrupts a value, in flight or at rest.
-	for _, name := range []string{"scrub-corruptions-found", "scrub-corruptions-repaired", "corrupt-frames-rejected"} {
-		if n := total.Get(name); n != 0 {
-			t.Errorf("%s = %d", name, n)
+	for _, ctr := range []metrics.Counter{metrics.CScrubCorruptionsFound, metrics.CScrubCorruptionsRepaired, metrics.CCorruptFramesRejected} {
+		if n := total.Val(ctr); n != 0 {
+			t.Errorf("%s = %d", ctr, n)
 		}
 	}
 	if got := c.moved(); !col.rule(row, clean, got) {

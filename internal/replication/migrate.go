@@ -1,6 +1,9 @@
 package replication
 
-import "hybridkv/internal/sim"
+import (
+	"hybridkv/internal/metrics"
+	"hybridkv/internal/sim"
+)
 
 // Migration engine
 //
@@ -124,7 +127,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		if len(st.waiting) == 0 && len(st.wants) == 0 {
 			delete(r.migPulls, seg)
 			r.mem.SealFor(epoch, r.cfg.ID, seg)
-			r.Counters.Add("migrate-seals", 1)
+			r.Counters.Inc(metrics.CMigrateSeals)
 			return true
 		}
 		// Background pacing: one token per pull round. Deferred rounds are
@@ -169,7 +172,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 		ks := r.keys[key]
 		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del})
 	}
-	r.Counters.Add("migrate-manifests", 1)
+	r.Counters.Inc(metrics.CMigrateManifests)
 	r.send(p, f.From, resp)
 }
 
@@ -189,7 +192,6 @@ func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 		if w == nil {
 			w = &migWant{epoch: e.Epoch, from: make(map[int]bool)}
 			st.wants[e.Key] = w
-			r.Counters.Add("migrate-keys-wanted", 1)
 		}
 		if e.Epoch > w.epoch {
 			w.epoch = e.Epoch
@@ -212,7 +214,7 @@ func (r *Replicator) migSatisfy(key string, epoch uint64) {
 		return
 	}
 	delete(st.wants, key)
-	r.Counters.Add("migrate-keys-moved", 1)
+	r.Counters.Inc(metrics.CMigrateKeysMoved)
 	st.maybeDone()
 }
 
@@ -234,7 +236,6 @@ func (r *Replicator) migPullMissed(key string, from int) {
 		return
 	}
 	delete(st.wants, key)
-	r.Counters.Add("migrate-want-vanished", 1)
 	st.maybeDone()
 }
 
@@ -258,7 +259,7 @@ func (r *Replicator) doubleRead(p *sim.Proc, key string) bool {
 	for _, pid := range srcs {
 		peers.add(pid)
 	}
-	return r.waitPull(p, ks, r.openPull(p, key, ks, &peers, "migrate-double-reads"))
+	return r.waitPull(p, ks, r.openPull(p, key, ks, &peers, metrics.CMigrateDoubleReads))
 }
 
 // gcMoved drops every key this node no longer replicates after a finalized
@@ -279,6 +280,6 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 		if !ks.del {
 			r.st.Delete(p, key)
 		}
-		r.Counters.Add("migrate-gc-keys", 1)
+		r.Counters.Inc(metrics.CMigrateGCKeys)
 	}
 }

@@ -262,7 +262,7 @@ type Replicator struct {
 	migPulls map[int]*segPull
 
 	// Counters: DESIGN.md §10 says what each one counts.
-	Counters *metrics.Counters
+	Counters metrics.Counters
 }
 
 // New creates a replicator for server cfg.ID over its store and device,
@@ -281,7 +281,6 @@ func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.
 		keys:     make(map[string]*keyState),
 		fwds:     make(map[uint64]*Forward),
 		migPulls: make(map[int]*segPull),
-		Counters: metrics.NewCounters(),
 	}
 	mem.Subscribe(func(epoch uint64, final bool) {
 		if !final && r.memWake != nil && !r.memWake.Fired() {
@@ -337,7 +336,7 @@ func (r *Replicator) pace(p *sim.Proc) {
 				return
 			}
 		}
-		r.Counters.Add(string(metrics.CPacerDeferrals), 1)
+		r.Counters.Inc(metrics.CPacerDeferrals)
 		p.Sleep(paceRefillEvery)
 	}
 }
@@ -525,7 +524,7 @@ func (r *Replicator) open(key string, v version) *Forward {
 	}
 	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
-	r.Counters.Add("forwards", 1)
+	r.Counters.Inc(metrics.CForwards)
 	return fwd
 }
 
@@ -689,7 +688,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 				// write completed and was overwritten, which is fine.
 				return true
 			}
-			r.Counters.Add("epoch-conflicts", 1)
+			r.Counters.Inc(metrics.CEpochConflicts)
 			coordRounds++
 			if coordRounds > maxCoordRounds {
 				return false
@@ -703,7 +702,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 		if round >= ackRetries {
 			return false
 		}
-		r.Counters.Add("forward-resends", 1)
+		r.Counters.Inc(metrics.CForwardResends)
 		r.sendWrite(p, fwd)
 	}
 }
@@ -745,7 +744,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// fails over to an old owner rather than eat a fabricated miss (or
 		// have an RMW decided against a phantom one).
 		if !r.doubleRead(p, req.Key) {
-			r.Counters.Add("migrate-read-redirects", 1)
+			r.Counters.Inc(metrics.CMigrateReadRedirects)
 			return refusal(req, protocol.StatusRecovering), peers
 		}
 	}
@@ -753,7 +752,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		if !r.syncPull(p, req.Key, ks, &peers) {
 			// Unconfirmed cold-recovered value and no peer reachable: refuse
 			// it rather than resurrect a superseded epoch.
-			r.Counters.Add("stale-reads-prevented", 1)
+			r.Counters.Inc(metrics.CStaleReadsPrevented)
 			return refusal(req, refuse), peers
 		}
 	}
@@ -766,9 +765,6 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// garbage. Only when no peer can help does this degrade to a refusal.
 		if r.syncPull(p, req.Key, r.state(req.Key), &peers) {
 			resp = r.st.Handle(p, req)
-			if resp.Status == protocol.StatusOK || resp.Status == protocol.StatusStored {
-				r.Counters.Add("corrupt-read-repairs", 1)
-			}
 		}
 		if resp.Status == protocol.StatusCorrupt {
 			resp = refusal(req, refuse)
@@ -858,7 +854,7 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 		r.setState(key, ks, ks.epoch, ks.del, false, ks.sum)
 		return true
 	}
-	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, "repair-pulls")) && (!ks.suspect || ks.gone)
+	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, metrics.CRepairPulls)) && (!ks.suspect || ks.gone)
 }
 
 // openPull asks every one of peers for its confirmed copy of key and returns
@@ -868,7 +864,7 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 // repair and a migration double-read that coincide share it, with all their
 // readers — so with one open this only returns its event. counter names what
 // a newly opened round is counted as.
-func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet, counter string) *sim.Event {
+func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet, counter metrics.Counter) *sim.Event {
 	if ks.pull != nil {
 		return ks.pull
 	}
@@ -879,7 +875,7 @@ func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peer
 		ks.pullFrom[pid] = true
 		r.send(p, pid, &frame{Kind: framePull, Key: key})
 	}
-	r.Counters.Add(counter, 1)
+	r.Counters.Inc(counter)
 	return ev
 }
 
@@ -944,14 +940,13 @@ func (r *Replicator) OnColdRecovery(keys []string) {
 // repaired even if no client ever retries it. The reader that tripped the
 // corruption joins this same pull through executeGet's syncPull.
 func (r *Replicator) OnCorrupt(p *sim.Proc, key string) {
-	r.Counters.Add("corrupt-local-reads", 1)
 	ks := r.state(key)
 	r.setState(key, ks, ks.epoch, ks.del, true, ks.sum)
 	peers, member := r.replicaPeers(key)
 	if !member || peers.n == 0 {
 		return
 	}
-	r.openPull(p, key, ks, &peers, "repair-pulls")
+	r.openPull(p, key, ks, &peers, metrics.CRepairPulls)
 	r.kick()
 }
 
@@ -1104,7 +1099,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 			// stamped: it was corrupted in flight. Reject silently — never
 			// apply, never ack — and let the coordinator's resend rounds (or
 			// anti-entropy) deliver a clean copy.
-			r.Counters.Add("corrupt-frames-rejected", 1)
+			r.Counters.Inc(metrics.CCorruptFramesRejected)
 			return
 		}
 	}
@@ -1114,7 +1109,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 		return how >= lands
 	})
 	if how == repairs && applied(st) {
-		r.Counters.Add("scrub-corruptions-repaired", 1)
+		r.Counters.Inc(metrics.CScrubCorruptionsRepaired)
 	}
 	if f.Repair {
 		return
@@ -1178,7 +1173,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 			}
 			v.value, v.size, v.flags, v.expireAt, v.sum = value, size, flags, expireAt, protocol.ValueSum(value)
 		}
-		r.Counters.Add("repair-pushes", 1)
+		r.Counters.Inc(metrics.CRepairPushes)
 		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
 		return
 	}
@@ -1207,7 +1202,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 	unconfirmed := func() bool { return ks.suspect && !ks.gone }
 	if unconfirmed() && r.st.DeleteIf(p, f.Key, unconfirmed) != protocol.StatusNotStored {
 		r.dropState(f.Key)
-		r.Counters.Add("suspect-drops", 1)
+		r.Counters.Inc(metrics.CSuspectDrops)
 	}
 	ks.closePull()
 }

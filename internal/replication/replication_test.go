@@ -86,7 +86,7 @@ func TestNextEpochOrdering(t *testing.T) {
 // consumed once, and answers from peers that were never asked are ignored.
 func TestPullMissDeduplicatesByPeer(t *testing.T) {
 	env := sim.NewEnv()
-	r := &Replicator{env: env, keys: make(map[string]*keyState), Counters: metrics.NewCounters()}
+	r := &Replicator{env: env, keys: make(map[string]*keyState)}
 	ks := &keyState{suspect: true, pull: env.NewEvent(), pullFrom: map[int]bool{1: true, 2: true}}
 	r.keys["k"] = ks
 
@@ -100,7 +100,7 @@ func TestPullMissDeduplicatesByPeer(t *testing.T) {
 	if len(ks.pullFrom) != 1 || !ks.pullFrom[2] {
 		t.Errorf("outstanding peer set = %v, want just peer 2", ks.pullFrom)
 	}
-	if n := r.Counters.Get("suspect-drops"); n != 0 {
+	if n := r.Counters.Val(metrics.CSuspectDrops); n != 0 {
 		t.Errorf("suspect-drops = %d, want 0 while a peer is outstanding", n)
 	}
 }

@@ -1,6 +1,9 @@
 package replication
 
-import "hybridkv/internal/sim"
+import (
+	"hybridkv/internal/metrics"
+	"hybridkv/internal/sim"
+)
 
 // Anti-entropy scrubber: write forwards and read repair fix divergence on
 // keys that clients keep touching; the scrubber fixes everything else. Each
@@ -242,7 +245,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 			continue // crashed while the pacer held the round back
 		}
 		for _, pid := range r.peerIDs {
-			r.Counters.Add("scrub-rounds", 1)
+			r.Counters.Inc(metrics.CScrubRounds)
 			r.send(p, pid, r.digestFrame(pid))
 		}
 		// The scrub pass is also when quarantined SSD media is drained and
@@ -250,16 +253,11 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 		// re-verified, and either moved to fresh media or retired into a
 		// repair-pull (EvacuateQuarantined); the reclaim then releases the
 		// fully-dead regions back to the free pool.
-		if moved, dropped := r.st.EvacuateQuarantined(p); moved > 0 || dropped > 0 {
-			r.Counters.Add("quarantine-evacuated", int64(moved))
-			r.Counters.Add("quarantine-evac-drops", int64(dropped))
-		}
+		r.st.EvacuateQuarantined(p)
 		if r.isDown() {
 			continue // crashed during the evacuation I/O
 		}
-		if n := r.st.Manager().ReclaimQuarantined(); n > 0 {
-			r.Counters.Add("quarantine-reclaims", int64(n))
-		}
+		r.st.Manager().ReclaimQuarantined()
 	}
 }
 
@@ -313,7 +311,7 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 	for _, e := range f.Entries {
 		theirs[e.Key] = true
 		if r.reconcile(p, f.From, e) {
-			r.Counters.Add("repair-pulls", 1)
+			r.Counters.Inc(metrics.CRepairPulls)
 		}
 	}
 	// Keys we hold in a differing bucket that the peer did not list at all.
@@ -336,7 +334,7 @@ func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
 	mine := ks.confirmedEpoch()
 	pull, push := mine < theirs.Epoch, mine > theirs.Epoch
 	if mine == theirs.Epoch && mine != 0 && !ks.del && !theirs.Del && ks.sum != theirs.Sum {
-		r.Counters.Add("scrub-corruptions-found", 1)
+		r.Counters.Inc(metrics.CScrubCorruptionsFound)
 		push = winsSameEpoch(r.cfg.ID, from, mine)
 		pull = !push
 	}

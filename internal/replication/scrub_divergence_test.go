@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"hybridkv/internal/metrics"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -86,10 +87,10 @@ func TestScrubRepairsSameEpochContentDivergence(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if total.Get("scrub-corruptions-found") == 0 {
+	if total.Val(metrics.CScrubCorruptionsFound) == 0 {
 		t.Error("same-epoch divergence never detected: the content fold is dead")
 	}
-	if total.Get("scrub-corruptions-repaired") == 0 {
+	if total.Val(metrics.CScrubCorruptionsRepaired) == 0 {
 		t.Error("detected divergence never repaired")
 	}
 }
@@ -128,10 +129,10 @@ func TestScrubCoordinatorWinsSameEpochDivergence(t *testing.T) {
 	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
-	if total.Get("scrub-corruptions-found") == 0 {
+	if total.Val(metrics.CScrubCorruptionsFound) == 0 {
 		t.Error("same-epoch divergence never detected")
 	}
-	if total.Get("scrub-corruptions-repaired") == 0 {
+	if total.Val(metrics.CScrubCorruptionsRepaired) == 0 {
 		t.Error("the non-coordinator never took the coordinator's copy")
 	}
 }

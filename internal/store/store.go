@@ -94,8 +94,8 @@ func (s *Store) Manager() *hybridslab.Manager { return s.mgr }
 // move to fresh media, slots that fail re-verification are retired as a
 // corrupt read retires its item (loadFailed) — but by the scrub pass, not a
 // client's read, so CorruptReads does not count them.
-func (s *Store) EvacuateQuarantined(p *sim.Proc) (moved, dropped int) {
-	moved, corrupt := s.mgr.EvacuateQuarantined(p)
+func (s *Store) EvacuateQuarantined(p *sim.Proc) {
+	_, corrupt := s.mgr.EvacuateQuarantined(p)
 	for _, it := range corrupt {
 		// The read may have suspended; only tear down a table entry the
 		// retired item still owns (a concurrent Set installs a new one).
@@ -103,9 +103,7 @@ func (s *Store) EvacuateQuarantined(p *sim.Proc) (moved, dropped int) {
 			continue
 		}
 		s.loadFailed(p, it.Key, hybridslab.ErrCorrupt)
-		dropped++
 	}
-	return moved, dropped
 }
 
 // loadFailed is the one rule for a failed load of key's item: it tears down
