@@ -6,15 +6,14 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// rotDev builds a device with n durable+logical extents of size sz at
-// offsets 0, sz, 2sz, … written at virtual time 0.
+// rotDev builds a device with n durable extents of size sz at offsets 0, sz,
+// 2sz, … written at virtual time 0.
 func rotDev(env *sim.Env, n, sz int) *Device {
 	d := New(env, SATA(), 1<<30)
 	env.Spawn("seed", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			off := int64(i * sz)
 			d.WriteAt(p, off, sz, i)
-			d.Persist(off, sz, sz, i)
 		}
 	})
 	env.Run()
@@ -87,7 +86,6 @@ func TestBitRotRewriteRefreshesCells(t *testing.T) {
 	env.Spawn("rewrite", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		d.WriteAt(p, victim, 4096, "fresh")
-		d.Persist(victim, 4096, 4096, "fresh")
 	})
 	env.Run()
 	if d.Rotten(victim, env.Now()+sim.Second) {

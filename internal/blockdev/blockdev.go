@@ -8,9 +8,9 @@
 // channels are busy, which is how a busy hybrid Memcached server's SSD
 // backlog forms.
 //
-// Contents are tracked as opaque payload references per (offset,size)
-// extent — the simulation moves ownership tokens, not bytes, so a 4 GB
-// simulated store costs a few MB of host memory.
+// Contents are tracked as opaque payload references per durable
+// (offset,size) extent — the simulation moves ownership tokens, not bytes, so
+// a 4 GB simulated store costs a few MB of host memory.
 package blockdev
 
 import (
@@ -84,13 +84,11 @@ type Device struct {
 	prof     Profile
 	capacity int64
 	channels *sim.Resource
-	extents  map[int64]extent
 
-	// durable is what the platters hold across a power cycle, fed by the
-	// persistence-aware write paths (pagecache.File.WriteExtents /
-	// WriteCommit). It is kept separate from extents — the running system's
-	// logical view — so that torn writes can persist a sector prefix without
-	// the live store observing the tear.
+	// durable is what the platters hold, across a power cycle too: fed by
+	// WriteAt and by the persistence-aware write paths
+	// (pagecache.File.WriteExtents / WriteCommit), which may persist a torn
+	// sector prefix. The running system's logical view is pagecache.File's.
 	durable map[int64]DurExtent
 
 	// Fault injection (SetFaults). The RNG is only consulted while a
@@ -159,11 +157,6 @@ type RotWindow struct {
 	Rate     float64
 }
 
-type extent struct {
-	size    int
-	payload any
-}
-
 // DurExtent is one durably-persisted extent. Valid < Size marks a torn
 // extent: only the first Valid bytes reached the media, so any checksum
 // over the full extent fails. WrittenAt is the persist instant, consulted
@@ -198,7 +191,6 @@ func New(env *sim.Env, prof Profile, capacity int64) *Device {
 		prof:     prof,
 		capacity: capacity,
 		channels: sim.NewResource(env, prof.Channels),
-		extents:  make(map[int64]extent),
 		durable:  make(map[int64]DurExtent),
 	}
 }
@@ -415,48 +407,36 @@ func (d *Device) DurableEnd(lo, hi int64) int64 {
 	return end
 }
 
-// WriteAt stores payload at offset, blocking the calling process for the
-// queueing plus service time.
+// WriteAt stores payload at offset, durably, blocking the calling process for
+// the queueing plus service time.
 func (d *Device) WriteAt(p *sim.Proc, off int64, size int, payload any) {
 	d.check(off, size)
-	d.channels.Acquire(p)
-	t := d.slowTime(p.Now(), d.prof.WriteTime(size))
-	p.Sleep(t)
-	d.channels.Release()
-	d.Writes++
-	d.BytesWrite += int64(size)
-	d.BusyTime += t
+	d.ServeRaw(p, true, size)
 	if d.InjectWriteError() {
 		// Failed program: the extent keeps (or lacks) its old contents.
 		return
 	}
-	d.extents[off] = extent{size: size, payload: payload}
+	d.Persist(off, size, size, payload)
 }
 
-// ReadAt fetches the payload stored at offset, blocking for the queueing
-// plus service time. ok is false if nothing was ever written there.
+// ReadAt fetches the payload durably stored at offset, blocking for the
+// queueing plus service time. ok is false if nothing was ever written there.
 func (d *Device) ReadAt(p *sim.Proc, off int64, size int) (payload any, ok bool) {
 	d.check(off, size)
-	d.channels.Acquire(p)
-	t := d.slowTime(p.Now(), d.prof.ReadTime(size))
-	p.Sleep(t)
-	d.channels.Release()
-	d.Reads++
-	d.BytesRead += int64(size)
-	d.BusyTime += t
+	d.ServeRaw(p, false, size)
 	if d.InjectReadError() {
 		return nil, false
 	}
-	e, ok := d.extents[off]
+	e, ok := d.durable[off]
 	if !ok {
 		return nil, false
 	}
 	// Service time is already charged: a rotted read costs what a clean
 	// one does, it just hands back bits that no longer match the write.
 	if d.RotRead(off, p.Now()) {
-		return Rotted{Payload: e.payload}, true
+		return Rotted{Payload: e.Payload}, true
 	}
-	return e.payload, true
+	return e.Payload, true
 }
 
 // Barrier charges a synchronous flush barrier (direct/sync write path).
@@ -471,8 +451,10 @@ func (d *Device) Barrier(p *sim.Proc) {
 	d.BusyTime += t
 }
 
-// ServeRaw charges the device for a command of the given kind and size
-// without touching the extent map. The page cache writeback path uses it.
+// ServeRaw is one timed command of the given kind and size, contents aside:
+// it waits for a channel, counts the command and holds the channel for its
+// (possibly slowed) service time. WriteAt and ReadAt time themselves with it,
+// and the page cache, which keeps the contents itself, calls it directly.
 func (d *Device) ServeRaw(p *sim.Proc, write bool, size int) {
 	d.channels.Acquire(p)
 	var t sim.Time

@@ -77,7 +77,7 @@ func TestChannelParallelism(t *testing.T) {
 	d2 := New(env2, SATA(), 1<<30)
 	for i := 0; i < 8; i++ {
 		off := int64(i) << 20
-		d2.extents[off] = extent{size: 1 << 20, payload: i}
+		d2.Persist(off, 1<<20, 1<<20, i)
 	}
 	for i := 0; i < 8; i++ {
 		off := int64(i) << 20
@@ -96,7 +96,7 @@ func TestNVMeParallelismBeatsSATAUnderLoad(t *testing.T) {
 		d := New(env, prof, 1<<30)
 		for i := 0; i < 16; i++ {
 			off := int64(i) * 4096
-			d.extents[off] = extent{size: 4096, payload: i}
+			d.Persist(off, 4096, 4096, i)
 			env.Spawn("r", func(p *sim.Proc) { d.ReadAt(p, off, 4096) })
 		}
 		return env.Run()

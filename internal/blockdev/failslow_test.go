@@ -14,7 +14,7 @@ func timedRead(windows []SlowWindow) sim.Time {
 	for _, w := range windows {
 		d.AddSlow(w.From, w.To, w.Mult, w.Floor)
 	}
-	d.extents[0] = extent{size: 32 * 1024, payload: "v"}
+	d.Persist(0, 32*1024, 32*1024, "v")
 	env.Spawn("io", func(p *sim.Proc) { d.ReadAt(p, 0, 32*1024) })
 	return env.Run()
 }
@@ -47,8 +47,8 @@ func TestFailSlowWindowBoundsAndCounting(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, SATA(), 1<<30)
 	d.AddSlow(0, base+1, 4, 0)
-	d.extents[0] = extent{size: 32 * 1024, payload: "v"}
-	d.extents[1<<20] = extent{size: 32 * 1024, payload: "w"}
+	d.Persist(0, 32*1024, 32*1024, "v")
+	d.Persist(1<<20, 32*1024, 32*1024, "w")
 	env.Spawn("io", func(p *sim.Proc) {
 		d.ReadAt(p, 0, 32*1024)     // starts inside the window
 		d.ReadAt(p, 1<<20, 32*1024) // starts after it closes

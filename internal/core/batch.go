@@ -141,7 +141,6 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	c.Counters.Inc(metrics.CFrames)
 	c.Counters.Add(metrics.CFrameOps, int64(len(items)))
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
-		WRID:    b.id,
 		Op:      verbs.OpSend,
 		Size:    frame.WireSize(),
 		Payload: frame,

@@ -643,7 +643,6 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 	att.state = attSent
 	cn.c.Counters.Inc(metrics.CSends)
 	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
-		WRID:    att.id,
 		Op:      verbs.OpSend,
 		Size:    att.wire.WireSize(),
 		Payload: &att.wire,

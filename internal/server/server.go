@@ -898,9 +898,9 @@ func (s *Server) release(t *task) {
 	}
 }
 
-// respond delivers one response: over a QP, an RDMA WRITE into the client's
-// registered response region with the request id as immediate data; over a
-// socket, a stream send. The time to stage the value into a registered
+// respond delivers one response: over a QP, an RDMA WRITE-with-immediate into
+// the client's registered response region (the payload carries the request
+// id the client matches it by); over a socket, a stream send. The time to stage the value into a registered
 // bounce buffer plus the doorbell is the server's "Server Response" stage.
 func (s *Server) respond(p *sim.Proc, t *task, req *protocol.Request, resp *protocol.Response) {
 	t0 := p.Now()
@@ -909,12 +909,10 @@ func (s *Server) respond(p *sim.Proc, t *task, req *protocol.Request, resp *prot
 		t.stream.Send(p, resp.WireSize(), resp)
 	} else {
 		t.qp.PostSend(p, verbs.SendWR{
-			WRID:     resp.ReqID,
 			Op:       verbs.OpWriteImm,
 			Size:     resp.WireSize(),
 			Payload:  resp,
 			RemoteMR: req.RespMR,
-			Imm:      resp.ReqID,
 		})
 	}
 	s.st.Prof.Add(metrics.StageResponse, p.Now()-t0)
@@ -932,12 +930,10 @@ func (s *Server) sendAck(p *sim.Proc, t *task) {
 	}
 	ack := &protocol.Response{Op: protocol.OpBufferAck, ReqID: id, Status: protocol.StatusOK}
 	t.qp.PostSend(p, verbs.SendWR{
-		WRID:     id,
 		Op:       verbs.OpWriteImm,
 		Size:     ack.WireSize(),
 		Payload:  ack,
 		RemoteMR: first.RespMR,
-		Imm:      id,
 	})
 	s.Acks++
 }

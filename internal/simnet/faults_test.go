@@ -57,8 +57,8 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 	if len(times) != 2 {
 		t.Fatalf("duplicated message delivered %d times, want 2", len(times))
 	}
-	if gap := times[1] - times[0]; gap != f.Spec().RecvCPU {
-		t.Errorf("duplicate trails original by %v, want one RecvCPU (%v)", gap, f.Spec().RecvCPU)
+	if gap, want := times[1]-times[0], FDRInfiniBand().RecvCPU; gap != want {
+		t.Errorf("duplicate trails original by %v, want one RecvCPU (%v)", gap, want)
 	}
 }
 

@@ -154,9 +154,6 @@ func New(env *sim.Env, spec LinkSpec) *Fabric {
 // Env returns the simulation environment.
 func (f *Fabric) Env() *sim.Env { return f.env }
 
-// Spec returns the fabric's link spec.
-func (f *Fabric) Spec() LinkSpec { return f.spec }
-
 // SetFaults installs (or, with nil, removes) a fault injector. Safe to call
 // between phases of a run; it affects messages serialized from then on.
 func (f *Fabric) SetFaults(fi FaultInjector) { f.faults = fi }
@@ -196,8 +193,6 @@ type Flight struct {
 // up.
 func (fl *Flight) Fire() {
 	dst, m := fl.dst, fl.arriving
-	dst.RxBytes += int64(m.Size)
-	dst.RxMsgs++
 	fl.delivered.Fire()
 	if dst.receiver != nil {
 		dst.receiver(m)
@@ -210,10 +205,6 @@ type Node struct {
 	name     string
 	tx       *sim.Queue[*Flight]
 	receiver func(m *Message)
-
-	// Stats
-	TxBytes, RxBytes int64
-	TxMsgs, RxMsgs   int64
 }
 
 // Name returns the node name.
@@ -239,8 +230,6 @@ func (n *Node) txEngine(p *sim.Proc) {
 		msg := &fl.msg
 		p.Sleep(f.spec.SerializeTime(msg.Size))
 		fl.sent.Fire()
-		n.TxBytes += int64(msg.Size)
-		n.TxMsgs++
 		f.MsgCount++
 		f.ByteCount += int64(msg.Size)
 		fl.dst = f.nodes[msg.Dst]

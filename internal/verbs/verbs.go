@@ -6,21 +6,18 @@
 // API the same way RDMA-Memcached is written against libibverbs: protection
 // domains, memory regions registered at set-up, reliable-connected queue
 // pairs, completion queues that are polled, two-sided SEND/RECV and one-sided
-// RDMA WRITE / WRITE-with-immediate / READ. Only the wire underneath is
-// simulated.
-//
-// Semantics modeled:
+// RDMA WRITE-with-immediate and READ. Only the wire underneath is simulated,
+// and only what the client, server and replicator post is modeled:
 //
 //   - SEND consumes a pre-posted RECV at the responder and generates a
-//     completion on the responder's receive CQ. The requester's send
-//     completion fires when the RC ACK returns (serialization + 2×prop),
-//     at which point the source buffer is reusable. Inline sends copy at
-//     post time, so the buffer is reusable immediately.
-//   - RDMA WRITE deposits the payload into the remote MR with no remote CPU
-//     involvement and no remote completion. WRITE_IMM additionally consumes
-//     a RECV and completes on the responder's receive CQ.
-//   - RDMA READ fetches the remote MR's current contents with no remote CPU
-//     involvement; the local completion carries the data.
+//     completion on the responder's receive CQ. The requester learns that
+//     its source buffer is reusable from PostSendReusable's event, when the
+//     NIC has read the message out of host memory.
+//   - WRITE_IMM deposits the payload into the remote MR with no remote CPU
+//     involvement, consumes a RECV and completes on the responder's receive
+//     CQ.
+//   - A signaled RDMA READ fetches the remote MR's current contents with no
+//     remote CPU involvement; the local completion carries the data.
 //   - Posting any WR charges the caller a doorbell cost; the NIC performs
 //     the transfer asynchronously (this is what non-blocking iset/iget
 //     exploit).
@@ -38,8 +35,6 @@ type Op int
 
 const (
 	OpSend Op = iota
-	OpRecv
-	OpWrite
 	OpWriteImm
 	OpRead
 )
@@ -81,7 +76,7 @@ type PD struct{ dev *Device }
 func (d *Device) AllocPD() *PD { return &PD{dev: d} }
 
 // MR is a registered memory region. Contents are modeled as an opaque
-// payload slot that RDMA WRITEs deposit into and RDMA READs fetch from.
+// payload slot that WRITE_IMMs deposit into and RDMA READs fetch from.
 // Regions that serve offset-addressed READs (the server-bypass directory)
 // additionally carry a segment map keyed by byte offset; a READ with a
 // remote offset fetches the segment at that offset instead of the whole
@@ -155,14 +150,12 @@ func (mr *MR) Segment(off int64) (any, int) {
 	return seg.v, seg.n
 }
 
-// Completion is one CQ entry.
+// Completion is one CQ entry: a READ's on the send CQ (WRID names it), or a
+// consumed RECV's on the receive CQ (QPN says which QP took the message).
 type Completion struct {
 	WRID    uint64
-	Op      Op
 	QPN     int // local QP number
-	Bytes   int
 	Payload any
-	Imm     uint64
 }
 
 // CQ is a completion queue.
@@ -192,36 +185,27 @@ func (cq *CQ) push(c Completion) {
 
 // SendWR is a send-queue work request.
 type SendWR struct {
+	// WRID names a READ's completion.
 	WRID uint64
-	Op   Op // OpSend, OpWrite, OpWriteImm, OpRead
+	Op   Op // OpSend, OpWriteImm, OpRead
 	// Size is the wire size in bytes (header + value for SEND).
 	Size int
-	// Payload travels to the responder (SEND/WRITE*) or names the local
-	// destination MR (READ: payload ignored).
+	// Payload travels to the responder (SEND/WRITE_IMM; ignored for READ).
 	Payload any
-	// RemoteMR is the remote region targeted by WRITE/WRITE_IMM/READ.
+	// RemoteMR is the remote region targeted by WRITE_IMM/READ.
 	RemoteMR int
 	// RemoteOff addresses a segment inside the remote region (READ of a
 	// segment-addressed MR only; ignored for whole-region operations).
 	RemoteOff int64
 	// LocalMR receives RDMA READ data.
 	LocalMR *MR
-	// Imm is delivered with WRITE_IMM.
-	Imm uint64
-	// Signaled requests a local completion.
+	// Signaled asks for a READ's local completion.
 	Signaled bool
-	// Inline copies the payload at post time: the source buffer is
-	// reusable immediately, allowed only for small payloads.
-	Inline bool
 }
 
-// MaxInline is the largest inline send the simulated HCA accepts.
-const MaxInline = 256
-
-// RecvWR is a receive-queue work request.
-type RecvWR struct {
-	WRID uint64
-}
+// RecvWR is a receive-queue work request. Every posted receive is alike, so
+// it carries nothing: a QP's receive queue is its depth.
+type RecvWR struct{}
 
 // QP is a reliable-connected queue pair.
 type QP struct {
@@ -231,7 +215,7 @@ type QP struct {
 	remoteQPN  int
 	sendCQ     *CQ
 	recvCQ     *CQ
-	recvQ      *sim.Queue[RecvWR] // only ever tried, never waited on
+	recvs      int // posted receives not yet consumed
 	connected  bool
 
 	pendingReads map[uint64]*MR // WRID of each READ in flight → its LocalMR (may be nil)
@@ -243,7 +227,6 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp := &QP{
 		dev: d, qpn: d.nextQP,
 		sendCQ: sendCQ, recvCQ: recvCQ,
-		recvQ:        sim.NewQueue[RecvWR](d.env, 0),
 		pendingReads: make(map[uint64]*MR),
 	}
 	d.qps[qp.qpn] = qp
@@ -262,28 +245,30 @@ func Connect(a, b *QP) {
 }
 
 // PostRecv posts a receive work request (no time cost; pre-posted buffers).
-// Replenishment posts one per message consumed for the life of a connection,
-// so the queue is the kernel's ring: a slice eaten from the front walks off
-// its backing array and reallocates it every few messages.
-func (qp *QP) PostRecv(wr RecvWR) { qp.recvQ.TryPut(wr) }
+func (qp *QP) PostRecv(RecvWR) { qp.recvs++ }
 
 // RecvDepth reports outstanding receive WRs.
-func (qp *QP) RecvDepth() int { return qp.recvQ.Len() }
+func (qp *QP) RecvDepth() int { return qp.recvs }
 
-// consumeRecv takes the next posted receive WR, in posting order.
-func (qp *QP) consumeRecv() (RecvWR, bool) { return qp.recvQ.TryGet() }
+// consumeRecv takes one posted receive for an arriving op: with none posted
+// the RC QP would answer RNR, which no runtime here ever provokes.
+func (qp *QP) consumeRecv(op string) {
+	if qp.recvs == 0 {
+		panic(fmt.Sprintf("verbs: RNR — %s with no posted RECV on %s qp%d", op, qp.dev.node.Name(), qp.qpn))
+	}
+	qp.recvs--
+}
 
 // wire is the fabric payload for verbs traffic.
 type wire struct {
 	kind      Op
 	srcQPN    int
 	dstQPN    int
-	wrid      uint64 // requester's WRID (for READ responses)
+	wrid      uint64 // requester's WRID (READ and its response)
 	payload   any
 	size      int
 	remoteMR  int
 	remoteOff int64
-	imm       uint64
 	signaled  bool
 	ackFor    bool // this is a READ response
 }
@@ -316,9 +301,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr SendWR) {
 	if !qp.connected {
 		panic("verbs: PostSend on unconnected QP")
 	}
-	if wr.Inline && wr.Size > MaxInline {
-		panic(fmt.Sprintf("verbs: inline send of %d bytes exceeds MaxInline", wr.Size))
-	}
 	p.Sleep(doorbellCost)
 	qp.start(wr)
 }
@@ -334,11 +316,6 @@ func (qp *QP) PostSendList(p *sim.Proc, wrs []SendWR) {
 	if len(wrs) == 0 {
 		return
 	}
-	for _, wr := range wrs {
-		if wr.Inline && wr.Size > MaxInline {
-			panic(fmt.Sprintf("verbs: inline send of %d bytes exceeds MaxInline", wr.Size))
-		}
-	}
 	p.Sleep(doorbellCost)
 	for _, wr := range wrs {
 		qp.start(wr)
@@ -353,7 +330,7 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 	switch wr.Op {
 	case OpSend:
 		d.SendsPosted++
-	case OpWrite, OpWriteImm:
+	case OpWriteImm:
 		d.WritesPosted++
 	case OpRead:
 		d.ReadsPosted++
@@ -370,23 +347,10 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 			size: wr.Size, signaled: wr.Signaled,
 		})
 	}
-	out := qp.dev.post(qp.remoteNode, wr.Size, wire{
+	return qp.dev.post(qp.remoteNode, wr.Size, wire{
 		kind: wr.Op, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
-		wrid: wr.WRID, payload: wr.Payload, size: wr.Size,
-		remoteMR: wr.RemoteMR, imm: wr.Imm, signaled: wr.Signaled,
+		payload: wr.Payload, size: wr.Size, remoteMR: wr.RemoteMR,
 	})
-	if wr.Signaled {
-		// RC send completion: generated when the ACK returns, i.e. one
-		// propagation delay after full delivery.
-		env, sendCQ := d.env, qp.sendCQ
-		c := Completion{WRID: wr.WRID, Op: wr.Op, QPN: qp.qpn, Bytes: wr.Size}
-		env.AfterFunc(0, func() {
-			out.Delivered.OnFire(func() {
-				env.AfterFunc(simnet.PropDelay, func() { sendCQ.push(c) })
-			})
-		})
-	}
-	return out
 }
 
 // post hands a wire message to the local NIC towards node dst.
@@ -406,13 +370,7 @@ func (qp *QP) PostSendReusable(p *sim.Proc, wr SendWR) *sim.Event {
 		panic("verbs: PostSendReusable does not apply to READ")
 	}
 	p.Sleep(doorbellCost)
-	out := qp.start(wr)
-	if wr.Inline && wr.Size <= MaxInline {
-		ev := qp.dev.env.NewEvent()
-		ev.Fire()
-		return ev
-	}
-	return out.Sent
+	return qp.start(wr).Sent
 }
 
 // deliver demultiplexes an arriving fabric message to verbs semantics.
@@ -436,43 +394,22 @@ func (d *Device) deliver(m *simnet.Message) {
 			local.SetPayload(w.payload, w.size)
 		}
 		if w.signaled {
-			qp.sendCQ.push(Completion{
-				WRID: w.wrid, Op: OpRead, QPN: qp.qpn,
-				Bytes: w.size, Payload: w.payload,
-			})
+			qp.sendCQ.push(Completion{WRID: w.wrid, QPN: qp.qpn, Payload: w.payload})
 		}
 		return
 	}
 	switch w.kind {
 	case OpSend:
-		rwr, ok := qp.consumeRecv()
-		if !ok {
-			panic(fmt.Sprintf("verbs: RNR — SEND with no posted RECV on %s qp%d", d.node.Name(), qp.qpn))
-		}
-		qp.recvCQ.push(Completion{
-			WRID: rwr.WRID, Op: OpRecv, QPN: qp.qpn,
-			Bytes: w.size, Payload: w.payload,
-		})
-	case OpWrite:
-		mr := d.mrs[w.remoteMR]
-		if mr == nil {
-			panic(fmt.Sprintf("verbs: WRITE to invalid MR %d on %s", w.remoteMR, d.node.Name()))
-		}
-		mr.SetPayload(w.payload, w.size)
+		qp.consumeRecv("SEND")
+		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpWriteImm:
 		mr := d.mrs[w.remoteMR]
 		if mr == nil {
 			panic(fmt.Sprintf("verbs: WRITE_IMM to invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		mr.SetPayload(w.payload, w.size)
-		rwr, ok := qp.consumeRecv()
-		if !ok {
-			panic(fmt.Sprintf("verbs: RNR — WRITE_IMM with no posted RECV on %s qp%d", d.node.Name(), qp.qpn))
-		}
-		qp.recvCQ.push(Completion{
-			WRID: rwr.WRID, Op: OpWriteImm, QPN: qp.qpn,
-			Bytes: w.size, Payload: w.payload, Imm: w.imm,
-		})
+		qp.consumeRecv("WRITE_IMM")
+		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpRead:
 		// Responder HCA streams the MR contents back; zero remote CPU.
 		mr := d.mrs[w.remoteMR]

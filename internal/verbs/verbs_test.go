@@ -10,7 +10,6 @@ import (
 // rig builds two connected RC QPs on an FDR fabric.
 type rig struct {
 	env          *sim.Env
-	fabric       *simnet.Fabric
 	devA, devB   *Device
 	pdA, pdB     *PD
 	qpA, qpB     *QP
@@ -21,7 +20,7 @@ type rig struct {
 func newRig() *rig {
 	env := sim.NewEnv()
 	f := simnet.New(env, simnet.FDRInfiniBand())
-	r := &rig{env: env, fabric: f}
+	r := &rig{env: env}
 	r.devA = OpenDevice(f.AddNode("a"))
 	r.devB = OpenDevice(f.AddNode("b"))
 	r.pdA, r.pdB = r.devA.AllocPD(), r.devB.AllocPD()
@@ -35,7 +34,7 @@ func newRig() *rig {
 
 func TestSendRecvDeliversPayload(t *testing.T) {
 	r := newRig()
-	r.qpB.PostRecv(RecvWR{WRID: 9})
+	r.qpB.PostRecv(RecvWR{})
 	var got Completion
 	r.env.Spawn("server", func(p *sim.Proc) {
 		got = r.recvB.WaitPoll(p)
@@ -44,8 +43,11 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 		r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 128, Payload: "req"})
 	})
 	r.env.Run()
-	if got.WRID != 9 || got.Op != OpRecv || got.Bytes != 128 || got.Payload != "req" {
+	if got.QPN != r.qpB.QPN() || got.Payload != "req" {
 		t.Errorf("recv completion %+v", got)
+	}
+	if r.qpB.RecvDepth() != 0 {
+		t.Errorf("SEND did not consume the RECV")
 	}
 }
 
@@ -62,59 +64,19 @@ func TestSendWithoutRecvPanics(t *testing.T) {
 	r.env.Run()
 }
 
-func TestSignaledSendCompletionAfterAck(t *testing.T) {
-	r := newRig()
-	r.qpB.PostRecv(RecvWR{})
-	var compAt sim.Time
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{WRID: 7, Op: OpSend, Size: 4096, Signaled: true})
-		c := r.sendA.WaitPoll(p)
-		if c.WRID != 7 || c.Op != OpSend {
-			t.Errorf("send completion %+v", c)
-		}
-		compAt = p.Now()
-	})
-	r.env.Run()
-	spec := r.fabric.Spec()
-	min := spec.SerializeTime(4096) + 2*simnet.PropDelay
-	if compAt < min {
-		t.Errorf("send completion at %v, before ack can arrive (%v)", compAt, min)
-	}
-}
-
-func TestRDMAWriteDepositsIntoMR(t *testing.T) {
-	r := newRig()
-	mr := r.pdB.RegisterMRSetup(64 * 1024)
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{
-			WRID: 3, Op: OpWrite, Size: 32 * 1024,
-			Payload: "value-bytes", RemoteMR: mr.LKey(),
-		})
-	})
-	r.env.Run()
-	v, n := mr.Payload()
-	if v != "value-bytes" || n != 32*1024 {
-		t.Errorf("MR contents (%v,%d), want (value-bytes,32768)", v, n)
-	}
-	if _, ok := r.recvB.Poll(); ok {
-		t.Errorf("plain WRITE generated a remote completion")
-	}
-}
-
 func TestRDMAWriteImmConsumesRecv(t *testing.T) {
 	r := newRig()
 	mr := r.pdB.RegisterMRSetup(4096)
-	r.qpB.PostRecv(RecvWR{WRID: 20})
+	r.qpB.PostRecv(RecvWR{})
 	var got Completion
 	r.env.Spawn("server", func(p *sim.Proc) { got = r.recvB.WaitPoll(p) })
 	r.env.Spawn("client", func(p *sim.Proc) {
 		r.qpA.PostSend(p, SendWR{
-			Op: OpWriteImm, Size: 512, Payload: "x",
-			RemoteMR: mr.LKey(), Imm: 0xbeef,
+			Op: OpWriteImm, Size: 512, Payload: "x", RemoteMR: mr.LKey(),
 		})
 	})
 	r.env.Run()
-	if got.WRID != 20 || got.Op != OpWriteImm || got.Imm != 0xbeef {
+	if got.QPN != r.qpB.QPN() || got.Payload != "x" {
 		t.Errorf("WRITE_IMM completion %+v", got)
 	}
 	if v, _ := mr.Payload(); v != "x" {
@@ -141,31 +103,15 @@ func TestRDMAReadFetchesRemoteMR(t *testing.T) {
 		doneAt = p.Now()
 	})
 	r.env.Run()
-	if comp.WRID != 11 || comp.Op != OpRead || comp.Bytes != 100*1024 {
+	if comp.WRID != 11 || comp.QPN != r.qpA.QPN() || comp.Payload != "remote-data" {
 		t.Errorf("READ completion %+v", comp)
 	}
 	if v, n := local.Payload(); v != "remote-data" || n != 100*1024 {
 		t.Errorf("local MR after READ: (%v,%d)", v, n)
 	}
-	spec := r.fabric.Spec()
-	min := 2*simnet.PropDelay + spec.SerializeTime(100*1024)
+	min := 2*simnet.PropDelay + simnet.FDRInfiniBand().SerializeTime(100*1024)
 	if doneAt < min {
 		t.Errorf("READ completed at %v, faster than a round trip + data (%v)", doneAt, min)
-	}
-}
-
-func TestInlineSendBufferReusableImmediately(t *testing.T) {
-	r := newRig()
-	r.qpB.PostRecv(RecvWR{})
-	var reusableAt sim.Time = -1
-	r.env.Spawn("client", func(p *sim.Proc) {
-		ev := r.qpA.PostSendReusable(p, SendWR{Op: OpSend, Size: 128, Inline: true})
-		p.Wait(ev)
-		reusableAt = p.Now()
-	})
-	r.env.Run()
-	if reusableAt != doorbellCost {
-		t.Errorf("inline buffer reusable at %v, want doorbell cost %v", reusableAt, doorbellCost)
 	}
 }
 
@@ -180,29 +126,16 @@ func TestNonInlineReusableAfterSerialization(t *testing.T) {
 		reusableAt = p.Now()
 	})
 	r.env.Run()
-	min := r.fabric.Spec().SerializeTime(size)
+	min := simnet.FDRInfiniBand().SerializeTime(size)
 	if reusableAt < min {
 		t.Errorf("1MB buffer reusable at %v, before DMA completes (%v)", reusableAt, min)
 	}
 }
 
-func TestOversizeInlinePanics(t *testing.T) {
-	r := newRig()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("oversize inline send did not panic")
-		}
-	}()
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{Op: OpSend, Size: MaxInline + 1, Inline: true})
-	})
-	r.env.Run()
-}
-
 func TestQPOrderingPreserved(t *testing.T) {
 	r := newRig()
 	for i := 0; i < 10; i++ {
-		r.qpB.PostRecv(RecvWR{WRID: uint64(i)})
+		r.qpB.PostRecv(RecvWR{})
 	}
 	var got []uint64
 	r.env.Spawn("server", func(p *sim.Proc) {
@@ -292,9 +225,10 @@ func TestDeviceStats(t *testing.T) {
 	r := newRig()
 	mr := r.pdB.RegisterMRSetup(4096)
 	r.qpB.PostRecv(RecvWR{})
+	r.qpB.PostRecv(RecvWR{})
 	r.env.Spawn("client", func(p *sim.Proc) {
 		r.qpA.PostSend(p, SendWR{Op: OpSend, Size: 64})
-		r.qpA.PostSend(p, SendWR{Op: OpWrite, Size: 64, RemoteMR: mr.LKey()})
+		r.qpA.PostSend(p, SendWR{Op: OpWriteImm, Size: 64, RemoteMR: mr.LKey()})
 		r.qpA.PostSend(p, SendWR{Op: OpRead, RemoteMR: mr.LKey()})
 	})
 	r.env.Run()
