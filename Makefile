@@ -166,7 +166,7 @@ reach:
 # process wakeup to a callback event: printed for the eye, gating nothing —
 # nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
 # week and 25:1 the next is seen.
-ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/hybridslab ./internal/pagecache
+ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
 	@$(GO) test -run '^$$' -bench . -benchmem -benchtime 2000x $(ALLOC_PKGS) | awk ' \

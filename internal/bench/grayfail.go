@@ -13,10 +13,9 @@ import (
 )
 
 // The gray-failure experiment: one limping server out of five at R=2. The
-// node does not crash — its SSD service times are multiplied and floored,
-// its storage workers stall on every dequeue, and its links pay a
-// size-proportional degradation — so error-count breakers see nothing
-// while every request routed through it eats the slow path. Cells layer
+// node does not crash — its storage workers stall on every dequeue and its
+// links pay a size-proportional degradation — so error-count breakers see
+// nothing while every request routed through it eats the slow path. Cells layer
 // the defenses: no defense, latency-aware brown-out routing
 // (core.Config.Health), brown-out plus background-traffic pacing
 // (replication.Config.Pacer), and a crash cell where the browned node also
@@ -55,8 +54,6 @@ const (
 	// Fail-slow magnitudes on the limping node. Each alone is survivable;
 	// together a request through the node costs ~10x a healthy one —
 	// classic gray failure, far below any timeout.
-	graySSDMult  = 8.0
-	graySSDFloor = 400 * sim.Microsecond
 	grayStall    = 250 * sim.Microsecond
 	grayNetFloor = 30 * sim.Microsecond
 	grayNetPerKB = 3 * sim.Microsecond
@@ -113,7 +110,6 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 			start := cl.Env.Now()
 			if def.slow {
 				from, to := start+graySlowOnset, start+grayLimit
-				cl.Devices[graySlowID].AddSlow(from, to, graySSDMult, graySSDFloor)
 				cl.Servers[graySlowID].AddWorkerStall(from, to, grayStall)
 				inj = fault.New(fault.Config{Seed: seed})
 				inj.AddSlow(fmt.Sprintf("server%d", graySlowID), from, to, grayNetFloor, grayNetPerKB)
@@ -181,10 +177,19 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 				slowed = inj.Slowed
 			}
 			r.set("net_slowed", float64(slowed))
-			r.set("dev_slowed_ios", float64(cl.Devices[graySlowID].SlowedIOs))
 			r.set("worker_stalls", float64(cl.Servers[graySlowID].Stalled))
 		},
 	}
+}
+
+// grayDefenses are grayfail's cells: the all-healthy baseline, then the
+// limping node undefended, defended, and defended while it crashes.
+var grayDefenses = []grayDefense{
+	{name: "healthy"},
+	{name: "nodefense", slow: true},
+	{name: "brownout", slow: true, health: true},
+	{name: "brownout+pacing", slow: true, health: true, pacing: true},
+	{name: "crash", slow: true, health: true, pacing: true, crash: true},
 }
 
 // grayfail is the registry entry. The headline metrics: with brown-out
@@ -200,13 +205,7 @@ var grayfailExp = Experiment{
 		// node (grayCrashAt) — rounds are sized so the CAS chains span the
 		// whole measured window, not just its head.
 		rounds := max(16, ops/3)
-		for _, def := range []grayDefense{
-			{name: "healthy"},
-			{name: "nodefense", slow: true},
-			{name: "brownout", slow: true, health: true},
-			{name: "brownout+pacing", slow: true, health: true, pacing: true},
-			{name: "crash", slow: true, health: true, pacing: true, crash: true},
-		} {
+		for _, def := range grayDefenses {
 			cells = append(cells, grayCell(rounds, ops*2, 42, def))
 		}
 		return cells

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -281,16 +282,10 @@ func (d *Device) AddBitRot(seed int64, from, to sim.Time, rate float64) {
 	d.rotWindows = append(d.rotWindows, RotWindow{Seed: uint64(seed), From: from, To: to, Rate: rate})
 }
 
-// rotHash is a seeded splitmix64-style mix over an extent offset; stream
+// rotHash is a seeded splitmix64 mix over an extent offset; stream
 // separates the "does it rot" draw from the "when does it rot" draw.
 func rotHash(seed, off, stream uint64) uint64 {
-	x := seed ^ off*0x9e3779b97f4a7c15 ^ stream*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return protocol.Mix64(seed ^ off*0x9e3779b97f4a7c15 ^ stream*0xbf58476d1ce4e5b9)
 }
 
 // Rotten reports whether the durable extent at off reads corrupt at time

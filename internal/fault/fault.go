@@ -14,6 +14,7 @@ package fault
 import (
 	"math/rand"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/simnet"
 )
@@ -148,12 +149,7 @@ func corruptHash(seed uint64, src, dst string, size int, now sim.Time) uint64 {
 	}
 	x ^= uint64(size) * 0xbf58476d1ce4e5b9
 	x ^= uint64(now) * 0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return protocol.Mix64(x)
 }
 
 // slowDelay returns the extra latency slow windows impose on a message of

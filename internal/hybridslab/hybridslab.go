@@ -597,15 +597,9 @@ func (m *Manager) writeRun(p *sim.Proc, run []flushJob, base int64, scheme pagec
 		commits = append(commits, commit)
 		off += job.size()
 	}
-	// The one wart, kept: a lone region's data write is charged without its
-	// trailing commit sector, a merged run's with every region's, the last
-	// included. A uniform rule would move every merged-write number the
-	// batching experiments record (ROADMAP, Residue).
-	length := int(total)
-	if len(run) == 1 {
-		length -= PageCommitSize
-	}
-	ok := m.file.WriteExtents(p, base, length, data, scheme)
+	// The data write is the contiguous stretch up to the last commit sector,
+	// which WriteCommit writes: interior commit sectors lie inside it.
+	ok := m.file.WriteExtents(p, base, int(total)-PageCommitSize, data, scheme)
 	if m.gen != gen0 {
 		return runAbandoned
 	}

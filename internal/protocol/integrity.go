@@ -61,3 +61,16 @@ func FNV1a[T ~string | ~[]byte](b T) uint64 {
 	}
 	return h
 }
+
+// Mix64 is the splitmix64 finalizer, a bijection that decorrelates
+// structured inputs: the one mixer behind the ring's key hash and scrub
+// digest, the zipf key scramble, and the seeded bit-rot and in-flight
+// corruption verdicts.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}

@@ -49,19 +49,9 @@ const digestsPerServer = 80
 func NewRing() *Ring { return &Ring{} }
 
 // HashKey hashes a key onto the ring's 64-bit space: FNV-1a, finished with
-// Mix64.
-func HashKey(s string) uint64 { return Mix64(protocol.FNV1a(s)) }
-
-// Mix64 is the splitmix64 finalizer: it decorrelates the structured vnode
-// and key strings that make raw FNV cluster on a ring.
-func Mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// protocol.Mix64, which decorrelates the structured key strings that make raw
+// FNV cluster on a ring.
+func HashKey(s string) uint64 { return protocol.Mix64(protocol.FNV1a(s)) }
 
 // Add inserts a server's virtual nodes.
 func (r *Ring) Add(serverID int) {

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func digestEntry(key string, epoch uint64, del bool, sum uint64) uint64 {
 	if del {
 		e |= 1
 	}
-	return Mix64(HashKey(key) ^ Mix64(e) ^ Mix64(sum*0x9e3779b97f4a7c15+1))
+	return protocol.Mix64(HashKey(key) ^ protocol.Mix64(e) ^ protocol.Mix64(sum*0x9e3779b97f4a7c15+1))
 }
 
 // digestEntry2 is the second, independent fold of the same record. An
@@ -57,7 +58,7 @@ func hashKeyAlt(s string) uint64 {
 	return mixAlt(h)
 }
 
-// mixAlt is the murmur3 finalizer — same shape as Mix64, independent
+// mixAlt is the murmur3 finalizer — same shape as protocol.Mix64, independent
 // constants, so a collision under one does not survive the other.
 func mixAlt(x uint64) uint64 {
 	x ^= x >> 33

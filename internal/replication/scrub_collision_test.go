@@ -1,6 +1,10 @@
 package replication
 
-import "testing"
+import (
+	"testing"
+
+	"hybridkv/internal/protocol"
+)
 
 // modInverse64 computes the multiplicative inverse of an odd v mod 2^64 by
 // Newton iteration (each step doubles the correct low bits).
@@ -21,9 +25,9 @@ func unshiftRight(y uint64, s uint) uint64 {
 	return x
 }
 
-// mix64Inverse inverts Mix64 step by step — the finalizer is a bijection,
-// which is exactly why a single XOR-folded digest is attackable: any target
-// fold value can be solved for.
+// mix64Inverse inverts protocol.Mix64 step by step — the finalizer is a
+// bijection, which is exactly why a single XOR-folded digest is attackable:
+// any target fold value can be solved for.
 func mix64Inverse(y uint64) uint64 {
 	x := unshiftRight(y, 31)
 	x *= modInverse64(0x94d049bb133111eb)
@@ -39,8 +43,8 @@ func mix64Inverse(y uint64) uint64 {
 // convergence. The second, independently-built fold (digestEntry2) must
 // still tell them apart, which is why buckets now carry both.
 func TestDigestCollisionPairCaughtBySecondFold(t *testing.T) {
-	if Mix64(mix64Inverse(0xdeadbeefcafef00d)) != 0xdeadbeefcafef00d {
-		t.Fatal("mix64Inverse is not the inverse of Mix64; the construction below is void")
+	if protocol.Mix64(mix64Inverse(0xdeadbeefcafef00d)) != 0xdeadbeefcafef00d {
+		t.Fatal("mix64Inverse is not the inverse of protocol.Mix64; the construction below is void")
 	}
 	const (
 		k1, k2 = "k-000017", "k-000042"
@@ -52,7 +56,7 @@ func TestDigestCollisionPairCaughtBySecondFold(t *testing.T) {
 	// Mix64 inputs — hence the outputs — equal:
 	//   Mix64(e2) = Mix64(e1) ^ HashKey(k1) ^ HashKey(k2)
 	e1 := epoch1 << 1 // del = false
-	e2 := mix64Inverse(Mix64(e1) ^ HashKey(k1) ^ HashKey(k2))
+	e2 := mix64Inverse(protocol.Mix64(e1) ^ HashKey(k1) ^ HashKey(k2))
 	epoch2, del2 := e2>>1, e2&1 == 1
 
 	d1 := digestEntry(k1, epoch1, false, sum)

@@ -60,8 +60,7 @@ type Directory struct {
 	// versions is the per-bucket seqlock; it survives Quiesce so slots
 	// republished after a restart always carry advanced versions.
 	versions []uint64
-	owner    []string
-	entries  map[string]*dirEntry
+	entries  []*dirEntry // by bucket; the bucket's owner is its entry's item's key
 	nextOff  int64
 
 	// Stats
@@ -80,7 +79,7 @@ func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 		valMR:    pd.RegisterMRSetup(valArenaBytes),
 		buckets:  buckets,
 		versions: make([]uint64, buckets),
-		owner:    make([]string, buckets),
+		entries:  make([]*dirEntry, buckets),
 	}
 	d.Quiesce() // a new directory is a quiesced one: every slot published, empty
 	return d
@@ -118,13 +117,10 @@ func (d *Directory) commitVersion(b int) uint64 {
 	return v
 }
 
-// drop removes key's entry and clears its out-of-line segment, if any.
-func (d *Directory) drop(key string) {
-	if e := d.entries[key]; e != nil {
-		if e.slot.Kind == protocol.DirAtOffset {
-			d.valMR.ClearSegment(e.slot.Off)
-		}
-		delete(d.entries, key)
+// drop withdraws e's out-of-line snapshot, if it has one.
+func (d *Directory) drop(e *dirEntry) {
+	if e.slot.Kind == protocol.DirAtOffset {
+		d.valMR.ClearSegment(e.slot.Off)
 	}
 }
 
@@ -134,8 +130,8 @@ func (d *Directory) drop(key string) {
 // colliding key).
 func (d *Directory) PublishBegin(key string) {
 	b := d.bucket(key)
-	e := d.entries[key]
-	if d.owner[b] != key || e == nil {
+	e := d.entries[b]
+	if e == nil || e.it.Key != key {
 		return
 	}
 	if d.versions[b]%2 == 0 {
@@ -154,16 +150,18 @@ func (d *Directory) PublishBegin(key string) {
 func (d *Directory) Publish(it *hybridslab.Item) {
 	key := it.Key
 	b := d.bucket(key)
-	if own := d.owner[b]; own != "" && own != key {
+	e := d.entries[b]
+	if e == nil {
+		e = new(dirEntry) // its empty slot names no snapshot to drop
+		d.entries[b] = e
+	} else if e.it.Key != key {
 		// Bucket collision: the displaced key leaves the directory
 		// entirely — its segment must be cleared, or clients holding its
 		// cached offset would keep reading a snapshot that no directory
 		// state invalidates.
-		d.drop(own)
 		d.Displacements++
 	}
-	d.drop(key)
-	d.owner[b] = key
+	d.drop(e)
 
 	slot := protocol.DirSlot{
 		Digest:  protocol.KeyDigest(key),
@@ -194,7 +192,7 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 		d.nextOff += int64(slot.Len)
 		d.valMR.SetSegment(slot.Off, seg, slot.Len)
 	}
-	d.entries[key] = &dirEntry{it: it, slot: slot}
+	e.it, e.slot = it, slot
 	d.writeSlot(b, slot)
 }
 
@@ -203,12 +201,14 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 // validation.
 func (d *Directory) Unpublish(key string) {
 	b := d.bucket(key)
-	d.drop(key)
-	if d.owner[b] == key {
-		d.commitVersion(b)
-		d.owner[b] = ""
-		d.writeSlot(b, emptySlot)
+	e := d.entries[b]
+	if e == nil || e.it.Key != key {
+		return
 	}
+	d.drop(e)
+	d.entries[b] = nil
+	d.commitVersion(b)
+	d.writeSlot(b, emptySlot)
 }
 
 // EvictionUpdate applies a slab-manager eviction transition. Eviction can
@@ -216,8 +216,7 @@ func (d *Directory) Unpublish(key string) {
 // window after a replace), so the event is identity-checked against the
 // published entry and ignored unless it concerns the current one.
 func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
-	e := d.entries[it.Key]
-	if e == nil || e.it != it {
+	if e := d.entries[d.bucket(it.Key)]; e == nil || e.it != it {
 		return
 	}
 	switch ev {
@@ -240,9 +239,8 @@ func (d *Directory) Quiesce() {
 	// Segment-addressed even when empty: a READ of an unpublished offset
 	// returns emptiness, not a whole-region payload.
 	d.valMR.ClearSegments()
-	d.entries = make(map[string]*dirEntry)
-	for b := range d.owner {
-		d.owner[b] = ""
+	for b := range d.entries {
+		d.entries[b] = nil
 		d.writeSlot(b, emptySlot)
 	}
 }

@@ -30,6 +30,15 @@ func (d *Directory) readSlot(t *testing.T, b int) protocol.DirSlot {
 	return slot
 }
 
+// entry returns key's published entry, or nil when key does not own its
+// bucket.
+func (d *Directory) entry(key string) *dirEntry {
+	if e := d.entries[d.bucket(key)]; e != nil && e.it.Key == key {
+		return e
+	}
+	return nil
+}
+
 // slotFor returns key's slot, and whether key is what the slot holds.
 func (d *Directory) slotFor(t *testing.T, key string) (protocol.DirSlot, bool) {
 	t.Helper()
@@ -188,7 +197,7 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 	a := &hybridslab.Item{Key: "a", Value: "va", ValueSize: big}
 	b := &hybridslab.Item{Key: "b", Value: "vb", ValueSize: 10}
 	d.Publish(a)
-	offA := d.entries["a"].slot.Off
+	offA := d.entry("a").slot.Off
 	d.Publish(b)
 	if d.Displacements != 1 {
 		t.Fatalf("Displacements = %d", d.Displacements)
@@ -199,7 +208,7 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 	if _, ok := d.segmentAt(t, offA); ok {
 		t.Fatal("displaced key's segment still readable")
 	}
-	if d.entries["a"] != nil {
+	if d.entry("a") != nil {
 		t.Fatal("displaced key still has an entry")
 	}
 	if slot, ok := d.slotFor(t, "b"); !ok || slot.Value != "vb" {
@@ -219,7 +228,7 @@ func TestDirectoryQuiesceKeepsVersions(t *testing.T) {
 	d.Publish(small)
 	d.Publish(large)
 	ver := d.versions[d.bucket("k")]
-	off := d.entries["L"].slot.Off
+	off := d.entry("L").slot.Off
 
 	d.Quiesce()
 	for b := 0; b < d.buckets; b++ {
@@ -252,12 +261,12 @@ func TestDirectoryEvictionIdentityCheck(t *testing.T) {
 	// Eviction of a superseded incarnation must not disturb the published
 	// current one.
 	d.EvictionUpdate(stale, hybridslab.EvictDropped)
-	if d.entries["k"] == nil || d.versions[d.bucket("k")] != ver {
+	if d.entry("k") == nil || d.versions[d.bucket("k")] != ver {
 		t.Fatal("stale item's eviction disturbed the current entry")
 	}
 
 	d.EvictionUpdate(cur, hybridslab.EvictDropped)
-	if d.entries["k"] != nil {
+	if d.entry("k") != nil {
 		t.Fatal("current item's eviction did not unpublish")
 	}
 }

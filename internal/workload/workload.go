@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+
+	"hybridkv/internal/protocol"
 )
 
 // Pattern selects the key access distribution.
@@ -175,13 +177,7 @@ func (g *Generator) zipfRank() int {
 
 // scramble maps a popularity rank to a stable pseudo-random key index.
 func scramble(rank, n int) int {
-	x := uint64(rank)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(n))
+	return int(protocol.Mix64(uint64(rank)) % uint64(n))
 }
 
 // Next draws one operation: its kind and key.
