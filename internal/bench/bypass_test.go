@@ -5,8 +5,10 @@ import "testing"
 // TestBypassExperimentShape runs the bypass experiment and checks the
 // claims the cells exist to make: on read-heavy zipf the bypass path beats
 // the RPC path on both mean hit latency and aggregate throughput, every
-// in-RAM cell serves without misses, and the SSD-overcommit cell actually
-// exercises the fallback path (and still serves correctly).
+// in-RAM cell serves without misses and almost never falls back (its 8 192
+// keys fit the two-way directory's 32 768 buckets with few overflowing),
+// and the SSD-overcommit cell actually exercises the fallback path (and
+// still serves correctly).
 func TestBypassExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypass experiment is slow")
@@ -33,6 +35,12 @@ func TestBypassExperimentShape(t *testing.T) {
 	}
 	if v := r.Metrics["bypass.read.zipf.fastpath_pct"]; v <= 0 {
 		t.Error("zipf cell resolved no hit in one READ")
+	}
+	// A direct-mapped directory fell back 11.5 / 10.7 / 6.2 / 4.7 % here.
+	for _, cell := range []string{"read.zipf", "read.unif", "r95.zipf", "rw50.zipf"} {
+		if v := r.Metrics["bypass."+cell+".fallback_pct"]; v >= 2 {
+			t.Errorf("bypass.%s: %.1f%% of GETs fell back with every key in RAM, want < 2%%", cell, v)
+		}
 	}
 	// Half the SSD cell's dataset is flash-resident: probes must see the
 	// SSD flag and fall back far more often than the in-RAM cells do.

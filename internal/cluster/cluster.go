@@ -350,7 +350,8 @@ func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Rep
 	return repl
 }
 
-// bypassBuckets is the slot count of each server's published directory.
+// bypassBuckets is the bucket count of each server's published directory,
+// each of protocol.DirWays slots.
 const bypassBuckets = 1 << 15
 
 // attachDirectory publishes a bypass read directory on srv.

@@ -14,7 +14,8 @@ import (
 //
 //	bootstrap — one OpDirQuery RPC per connection learns the directory
 //	            geometry (single-flight, cached for the connection's life).
-//	slot READ — one READ of the key's directory slot answers the lookup
+//	slot READ — one READ of the key's directory bucket (every way of it)
+//	            answers the lookup from the way holding the key's digest,
 //	            with one of four verdicts: the value itself (it fits
 //	            protocol.DirInlineMax and rides in the slot, under the
 //	            slot's seqlock version), the offset of its snapshot segment
@@ -29,9 +30,9 @@ import (
 //	            a superseded one reads as emptiness and sends the resolver
 //	            back to the slot.
 //
-// Verdicts the directory cannot turn into a value — empty slot, foreign
-// digest, SSD-resident, expired — fall back to the ordinary RPC GET at
-// once. Transient doubts — an odd (mid-mutation) seqlock version, version
+// Verdicts the directory cannot turn into a value — no way holding the
+// key's digest, SSD-resident, expired — fall back to the ordinary RPC GET
+// at once. Transient doubts — an odd (mid-mutation) seqlock version, version
 // skew between slot and segment, a segment superseded between the two
 // READs — mean a writer was mid-flight: the resolver READs the slot again
 // (RFP-style self-verifying read) within a small budget before surrendering
@@ -203,19 +204,24 @@ const (
 	probeTransient                     // mutation window observed: worth READing the slot again
 )
 
-// probeSlot READs the key's directory slot and acts on its verdict.
+// probeSlot READs the key's directory bucket and acts on the verdict of the
+// way holding the key's digest.
 func (r *resolution) probeSlot() probeOutcome {
 	dir := r.cn.dir
-	n := dir.SlotBytes()
+	n := dir.BucketBytes()
 	b := int64(r.digest % uint64(dir.Buckets))
 	got, ok := r.read(dir.DirMR, b*int64(n), n)
 	if r.req.done.Fired() {
 		return probeResolved
 	}
-	slot, isSlot := got.(protocol.DirSlot)
-	if !ok || !isSlot || slot.Digest != r.digest || slot.Kind == protocol.DirOnSSD {
-		// READ wedged (let the guarded RPC path cope), empty slot, a
-		// colliding key's slot, or SSD-resident: resolve via RPC.
+	bucket, isBucket := got.(protocol.DirBucket)
+	if !ok || !isBucket {
+		return probeFallback // READ wedged: let the guarded RPC path cope
+	}
+	slot, found := bucket.Way(r.digest)
+	if !found || slot.Kind == protocol.DirOnSSD {
+		// No way holds the key (empty, or colliding keys' slots), or it is
+		// SSD-resident: resolve via RPC.
 		return probeFallback
 	}
 	if slot.Version%2 == 1 {

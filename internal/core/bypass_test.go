@@ -87,6 +87,59 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 	r.env.Run()
 }
 
+// Keys that hash to one bucket of the default geometry share it: two of them
+// each resolve in one READ of the bucket with no fallback, and a third
+// displaces the second (the last way), whose GETs then fall back to RPC and
+// still answer.
+func TestBypassCollidingKeysShareABucket(t *testing.T) {
+	const buckets = 1 << 15 // NewDirectory's default
+	bucket := func(key string) uint64 { return protocol.KeyDigest(key) % buckets }
+	keys := []string{"collide:0"}
+	for i := 1; len(keys) < 3; i++ {
+		if key := fmt.Sprintf("collide:%d", i); bucket(key) == bucket(keys[0]) {
+			keys = append(keys, key)
+		}
+	}
+	r := newBypassRig()
+	c := r.client
+	r.env.Spawn("driver", func(p *sim.Proc) {
+		for i, key := range keys[:2] {
+			c.Set(p, key, protocol.DirInlineMax, i, 0, 0)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, key := range keys[:2] {
+				if n := bypassGet(t, p, c, key, i); n != 1 {
+					t.Errorf("pass %d GET %q cost %d READs", pass, key, n)
+				}
+			}
+		}
+		if n := c.Counters.Val(metrics.CBypassFallbacks); n != 0 {
+			t.Errorf("two keys in one bucket fell back %d times", n)
+		}
+
+		c.Set(p, keys[2], protocol.DirInlineMax, 2, 0, 0)
+		if n := bypassGet(t, p, c, keys[0], 0); n != 1 {
+			t.Errorf("GET of the first way's key after a third collided cost %d READs", n)
+		}
+		if n := bypassGet(t, p, c, keys[2], 2); n != 1 {
+			t.Errorf("GET of the displacing key cost %d READs", n)
+		}
+		req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: keys[1]}, WithReadPath(ReadBypass))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Wait(p, req)
+		if req.Bypassed() || req.Status != protocol.StatusOK || req.Value != 1 {
+			t.Errorf("GET of the displaced key: bypassed=%v status=%v value=%v, want an RPC answer of 1",
+				req.Bypassed(), req.Status, req.Value)
+		}
+		if n := c.Counters.Val(metrics.CBypassFallbacks); n != 1 {
+			t.Errorf("fallbacks = %d, want the displaced key's one", n)
+		}
+	})
+	r.env.Run()
+}
+
 // An out-of-line value costs two READs once (slot, then segment) and one
 // READ from the cached offset afterwards; a SET supersedes the cached
 // segment, which the next GET discovers and replaces.

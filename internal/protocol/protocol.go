@@ -242,36 +242,44 @@ func (r *Request) AppendHeader(dst []byte) []byte {
 	return dst
 }
 
-// Server-bypass directory wire layout. The directory is a bucket array of
-// fixed-size slots inside one registered MR; clients resolve a lookup with
-// one one-sided READ of the key's slot, so the slot geometry is part of the
-// protocol, not the server.
+// Server-bypass directory wire layout. The directory is a bucket array
+// inside one registered MR, each bucket DirWays fixed-size slots; clients
+// resolve a lookup with one one-sided READ of the key's bucket, so the
+// bucket geometry is part of the protocol, not the server.
 const (
 	// DirInlineMax is the largest value carried inside the slot itself, so
-	// that the one slot READ that resolves the lookup also returns the bytes.
-	// Larger values live in the value MR and cost a second READ (or one, from
-	// a cached offset). Every slot READ moves DirSlotBytes whatever it finds,
-	// so this constant trades bytes per READ against READs per hit; DESIGN.md
-	// §11 justifies 512 from the measured read_bytes_per_hit.
+	// that the one bucket READ that resolves the lookup also returns the
+	// bytes. Larger values live in the value MR and cost a second READ (or
+	// one, from a cached offset). Every bucket READ moves DirBucketBytes
+	// whatever it finds, so this constant trades bytes per READ against READs
+	// per hit; DESIGN.md §11 justifies 512 from the measured
+	// read_bytes_per_hit.
 	DirInlineMax = 512
+	// DirWays is the directory's associativity: how many keys that hash to
+	// one bucket it holds before another displaces one of them (DESIGN.md
+	// §11 measures 1, 2 and 4).
+	DirWays = 2
 	// DirSlotHeaderBytes is the fixed part of a slot: key digest (8) +
 	// version (8) + kind (4) + item flags (4) + value offset (8) + segment
 	// length (4) + value size (4) + CAS (8) + expiry (8), closed by a second
 	// copy of the version (8) so that a reader can tell a slot caught
 	// half-written from one that was still.
 	DirSlotHeaderBytes = 64
-	// DirSlotBytes is one directory slot on the wire and the length of every
-	// slot READ: the header plus the inline value area, used or not.
+	// DirSlotBytes is one directory slot on the wire: the header plus the
+	// inline value area, used or not.
 	DirSlotBytes = DirSlotHeaderBytes + DirInlineMax
+	// DirBucketBytes is one bucket on the wire and the length of every
+	// bucket READ: DirWays slots, empty ones included.
+	DirBucketBytes = DirWays * DirSlotBytes
 	// DirSegHeaderBytes is the validation header an offset-addressed value
 	// READ carries alongside the value bytes: digest (8) + version (8) +
 	// size (4) + flags (4) + CAS (8) + expiry (8).
 	DirSegHeaderBytes = 40
 	// DirInfoBytes is the fixed OpDirQuery response body: directory MR key
-	// (8) + value MR key (8) + bucket count (4) + inline maximum (4) +
-	// hot-set version (8) + hot-set count (8) + membership epoch (8). The
-	// hot-key digests follow at 8 bytes each; use DirectoryInfo.WireSize for
-	// the full payload.
+	// (8) + value MR key (8) + bucket count (4) + inline maximum (2) + way
+	// count (2) + hot-set version (8) + hot-set count (8) + membership epoch
+	// (8). The hot-key digests follow at 8 bytes each; use
+	// DirectoryInfo.WireSize for the full payload.
 	DirInfoBytes = 48
 )
 
@@ -280,13 +288,15 @@ const (
 // server's currently published hot-key set, so clients learn which keys
 // merit replicated-read fan-out without a dedicated control channel.
 type DirectoryInfo struct {
-	DirMR   int // rkey of the slot-array MR
+	DirMR   int // rkey of the bucket-array MR
 	ValMR   int // rkey of the offset-addressed value MR
-	Buckets int // slot count; bucket(key) = KeyDigest(key) % Buckets
-	// InlineMax is the server's DirInlineMax. The client takes the slot
-	// stride and the length of its slot READs from it (SlotBytes), so the
-	// two ends can never disagree silently about where a slot starts.
+	Buckets int // bucket count; bucket(key) = KeyDigest(key) % Buckets
+	// InlineMax and Ways are the server's DirInlineMax and DirWays. The
+	// client takes the bucket stride and the length of its bucket READs from
+	// them (BucketBytes), so the two ends can never disagree silently about
+	// where a bucket starts.
 	InlineMax int
+	Ways      int
 
 	// Hot is the server's published hot-key digest set (sorted), and
 	// HotVersion its monotone publication version: a client replaces its
@@ -301,23 +311,23 @@ type DirectoryInfo struct {
 	MemberEpoch uint64
 }
 
-// SlotBytes returns the directory's slot stride, which is also the length
-// of one slot READ.
-func (i *DirectoryInfo) SlotBytes() int { return DirSlotHeaderBytes + i.InlineMax }
+// BucketBytes returns the directory's bucket stride, which is also the
+// length of one bucket READ.
+func (i *DirectoryInfo) BucketBytes() int { return i.Ways * (DirSlotHeaderBytes + i.InlineMax) }
 
 // WireSize returns the OpDirQuery response payload size: the fixed header
 // plus one digest per published hot key.
 func (i *DirectoryInfo) WireSize() int { return DirInfoBytes + 8*len(i.Hot) }
 
-// DirSlotKind says what one slot READ found — the four verdicts a lookup
-// can get from the directory.
+// DirSlotKind says what the key's slot in one bucket READ holds — the four
+// verdicts a lookup can get from the directory.
 type DirSlotKind uint32
 
 const (
-	// DirEmpty: no key is published in this bucket. Together with a foreign
-	// digest it is the miss verdict: the directory cannot answer (the key
-	// may be absent, displaced by a colliding key, or withheld after a
-	// restart), so the server is asked.
+	// DirEmpty: no key is published in this slot. A bucket with no slot
+	// holding the key's digest is the miss verdict: the directory cannot
+	// answer (the key may be absent, displaced by colliding keys, or
+	// withheld after a restart), so the server is asked.
 	DirEmpty DirSlotKind = iota
 	// DirInline: the value is in the slot (Value, ValueSize ≤ DirInlineMax).
 	DirInline
@@ -329,7 +339,7 @@ const (
 	DirOnSSD
 )
 
-// DirSlot is the client-side decode of one directory slot READ.
+// DirSlot is the client-side decode of one way of a directory bucket.
 type DirSlot struct {
 	Digest  uint64 // KeyDigest of the occupying key; 0 = empty slot
 	Version uint64 // seqlock: odd = mutation in progress
@@ -343,6 +353,21 @@ type DirSlot struct {
 	CAS       uint64
 	ExpireAt  int64 // absolute sim time; 0 = never
 	Value     any   // DirInline only
+}
+
+// DirBucket is the client-side decode of one bucket READ: its ways in
+// order, each under its own seqlock version.
+type DirBucket [DirWays]DirSlot
+
+// Way returns the slot holding digest, and false when no way does (the miss
+// verdict).
+func (b *DirBucket) Way(digest uint64) (DirSlot, bool) {
+	for _, s := range b {
+		if s.Digest == digest {
+			return s, true
+		}
+	}
+	return DirSlot{}, false
 }
 
 // DirSegment is the client-side decode of one value segment READ: the value

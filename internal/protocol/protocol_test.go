@@ -63,11 +63,21 @@ func TestWireSizes(t *testing.T) {
 	if resp.WireSize() != RespHeaderSize+100 {
 		t.Errorf("resp wire size %d", resp.WireSize())
 	}
-	// The client takes its slot stride from what the server advertises: a
-	// server built with this package's DirInlineMax must yield DirSlotBytes.
-	info := &DirectoryInfo{InlineMax: DirInlineMax, Hot: []uint64{1, 2, 3}}
-	if info.SlotBytes() != DirSlotBytes || DirSlotBytes != DirSlotHeaderBytes+DirInlineMax {
-		t.Errorf("slot stride %d, DirSlotBytes %d", info.SlotBytes(), DirSlotBytes)
+	// The client takes its bucket stride from what the server advertises: a
+	// server built with this package's DirInlineMax and DirWays must yield
+	// DirBucketBytes, DirWays slots of DirSlotBytes.
+	info := &DirectoryInfo{InlineMax: DirInlineMax, Ways: DirWays, Hot: []uint64{1, 2, 3}}
+	if info.BucketBytes() != DirBucketBytes || DirBucketBytes != DirWays*DirSlotBytes ||
+		DirSlotBytes != DirSlotHeaderBytes+DirInlineMax {
+		t.Errorf("bucket stride %d, DirBucketBytes %d, DirSlotBytes %d", info.BucketBytes(), DirBucketBytes, DirSlotBytes)
+	}
+	// A bucket READ answers from the way holding the digest, whichever it is.
+	bucket := DirBucket{{Digest: 7, Version: 2}, {Digest: 9, Version: 4}}
+	if s, ok := bucket.Way(9); !ok || s.Version != 4 {
+		t.Errorf("Way(9) = %+v, %v", s, ok)
+	}
+	if _, ok := bucket.Way(8); ok {
+		t.Error("Way found a digest no way holds")
 	}
 	if info.WireSize() != DirInfoBytes+24 {
 		t.Errorf("directory info wire size %d", info.WireSize())

@@ -32,6 +32,7 @@ type dirModel struct {
 
 	checks                               int
 	inline, atOffset, onSSD, odd, staged int
+	full                                 int // buckets seen with every way owned
 }
 
 func (m *dirModel) PublishBegin(key string) {
@@ -65,63 +66,21 @@ func (m *dirModel) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent
 	m.check(fmt.Sprintf("EvictionUpdate %s %d", it.Key, ev))
 }
 
-// check READs every slot and every offset ever published.
+// check READs every way of every bucket and every offset ever published.
 func (m *dirModel) check(step string) {
 	t, d := m.t, m.d
 	m.checks++
 	for b := 0; b < d.buckets; b++ {
-		slot := d.readSlot(t, b)
-		if slot.Digest == 0 {
-			if slot != (protocol.DirSlot{}) {
-				t.Fatalf("after %s: empty bucket %d carries state: %+v", step, b, slot)
+		bucket := d.bucketAt(t, b)
+		owned := 0
+		for w := range bucket {
+			m.checkSlot(step, b, w, bucket)
+			if bucket[w].Digest != 0 {
+				owned++
 			}
-			continue // the miss verdict: always safe
 		}
-		key, known := m.key[slot.Digest]
-		if !known || d.bucket(key) != b {
-			t.Fatalf("after %s: bucket %d holds digest %x (key %q) that does not hash there", step, b, slot.Digest, key)
-		}
-		if m.open[key] {
-			if slot.Version%2 != 1 {
-				t.Fatalf("after %s: %q is inside a mutation window but its slot reads even: %+v", step, key, slot)
-			}
-			m.odd++
-			continue // a client re-probes or falls back
-		}
-		if slot.Version%2 != 0 {
-			t.Fatalf("after %s: %q has no window open but its slot reads odd: %+v", step, key, slot)
-		}
-		it := m.s.table[key]
-		if it == nil {
-			t.Fatalf("after %s: slot serves %q, which the store no longer holds: %+v", step, key, slot)
-		}
-		switch slot.Kind {
-		case protocol.DirInline:
-			m.inline++
-			if slot.Value != it.Value || slot.CAS != it.CAS || slot.ValueSize != it.ValueSize ||
-				slot.Flags != it.Flags || slot.ExpireAt != int64(it.ExpireAt) ||
-				it.ValueSize > protocol.DirInlineMax || it.OnSSD() || it.Dropped() {
-				t.Fatalf("after %s: inline slot %+v does not match the committed item %+v", step, slot, it)
-			}
-		case protocol.DirAtOffset:
-			m.atOffset++
-			seg, ok := d.segmentAt(t, slot.Off)
-			if !ok || seg.Digest != slot.Digest || seg.Version != slot.Version || slot.Len != seg.WireSize() ||
-				seg.Value != it.Value || seg.CAS != it.CAS || seg.ValueSize != it.ValueSize ||
-				it.ValueSize <= protocol.DirInlineMax || it.OnSSD() || it.Dropped() || slot.Value != nil {
-				t.Fatalf("after %s: slot %+v names segment %+v (live=%v), committed item %+v", step, slot, seg, ok, it)
-			}
-			if old, dup := m.seen[slot.Off]; dup && old != seg {
-				t.Fatalf("after %s: offset %d reused: was %+v, now %+v", step, slot.Off, old, seg)
-			}
-			m.seen[slot.Off] = seg
-		case protocol.DirOnSSD:
-			m.onSSD++ // the RPC verdict: always safe
-			if slot.Value != nil {
-				t.Fatalf("after %s: SSD-resident slot carries inline bytes: %+v", step, slot)
-			}
-		default:
-			t.Fatalf("after %s: owned slot with kind %d: %+v", step, slot.Kind, slot)
+		if owned == protocol.DirWays {
+			m.full++
 		}
 	}
 	// A client holding any offset a slot ever named reads that exact
@@ -140,19 +99,84 @@ func (m *dirModel) check(step string) {
 	}
 }
 
+// checkSlot checks way w of bucket b as a client's READ of the bucket
+// decodes it.
+func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
+	t, d := m.t, m.d
+	slot := bucket[w]
+	if slot.Digest == 0 {
+		if slot != (protocol.DirSlot{}) {
+			t.Fatalf("after %s: empty way %d of bucket %d carries state: %+v", step, w, b, slot)
+		}
+		return // the miss verdict: always safe
+	}
+	key, known := m.key[slot.Digest]
+	if !known || d.bucket(key) != b {
+		t.Fatalf("after %s: bucket %d holds digest %x (key %q) that does not hash there", step, b, slot.Digest, key)
+	}
+	for v := range w {
+		if bucket[v].Digest == slot.Digest {
+			t.Fatalf("after %s: %q holds ways %d and %d of bucket %d: %+v", step, key, v, w, b, bucket)
+		}
+	}
+	if m.open[key] {
+		if slot.Version%2 != 1 {
+			t.Fatalf("after %s: %q is inside a mutation window but its slot reads even: %+v", step, key, slot)
+		}
+		m.odd++
+		return // a client re-probes or falls back
+	}
+	if slot.Version%2 != 0 {
+		t.Fatalf("after %s: %q has no window open but its slot reads odd: %+v", step, key, slot)
+	}
+	it := m.s.table[key]
+	if it == nil {
+		t.Fatalf("after %s: slot serves %q, which the store no longer holds: %+v", step, key, slot)
+	}
+	switch slot.Kind {
+	case protocol.DirInline:
+		m.inline++
+		if slot.Value != it.Value || slot.CAS != it.CAS || slot.ValueSize != it.ValueSize ||
+			slot.Flags != it.Flags || slot.ExpireAt != int64(it.ExpireAt) ||
+			it.ValueSize > protocol.DirInlineMax || it.OnSSD() || it.Dropped() {
+			t.Fatalf("after %s: inline slot %+v does not match the committed item %+v", step, slot, it)
+		}
+	case protocol.DirAtOffset:
+		m.atOffset++
+		seg, ok := d.segmentAt(t, slot.Off)
+		if !ok || seg.Digest != slot.Digest || seg.Version != slot.Version || slot.Len != seg.WireSize() ||
+			seg.Value != it.Value || seg.CAS != it.CAS || seg.ValueSize != it.ValueSize ||
+			it.ValueSize <= protocol.DirInlineMax || it.OnSSD() || it.Dropped() || slot.Value != nil {
+			t.Fatalf("after %s: slot %+v names segment %+v (live=%v), committed item %+v", step, slot, seg, ok, it)
+		}
+		if old, dup := m.seen[slot.Off]; dup && old != seg {
+			t.Fatalf("after %s: offset %d reused: was %+v, now %+v", step, slot.Off, old, seg)
+		}
+		m.seen[slot.Off] = seg
+	case protocol.DirOnSSD:
+		m.onSSD++ // the RPC verdict: always safe
+		if slot.Value != nil {
+			t.Fatalf("after %s: SSD-resident slot carries inline bytes: %+v", step, slot)
+		}
+	default:
+		t.Fatalf("after %s: owned slot with kind %d: %+v", step, slot.Kind, slot)
+	}
+}
+
 // TestDirectoryModel drives a hybrid store that overcommits its RAM with
 // seeded random Sets (sizes on both sides of DirInlineMax), Deletes, Gets,
 // failed flushes (staged, then restored) and crash-style Quiesce/PublishAll
-// rounds, over a 16-bucket directory so that keys collide constantly. After
-// every publication step every slot READ and every cached-offset READ must
-// decode to the committed value or to a fallback verdict.
+// rounds, over an 8-bucket directory (16 ways for 48 keys) so that buckets
+// fill and overflow constantly. After every publication step every way of
+// every bucket READ and every cached-offset READ must decode to the
+// committed value or to a fallback verdict.
 func TestDirectoryModel(t *testing.T) {
 	sizes := []int{40, protocol.DirInlineMax, protocol.DirInlineMax + 1, 8 << 10, 32 << 10, 96 << 10}
 	for _, seed := range []int64{1, 2, 3} {
 		env := sim.NewEnv()
 		s := newStore(env, 2<<20, true)
 		m := &dirModel{
-			t: t, s: s, d: newTestDirectory(16),
+			t: t, s: s, d: newTestDirectory(8),
 			key: map[uint64]string{}, open: map[string]bool{}, seen: map[int64]protocol.DirSegment{},
 		}
 		s.SetReadView(m)
@@ -216,11 +240,11 @@ func TestDirectoryModel(t *testing.T) {
 				s.PublishAll() // restart
 			}
 		}
-		if m.inline == 0 || m.atOffset == 0 || m.onSSD == 0 || m.odd == 0 || m.staged == 0 || m.d.Displacements == 0 {
-			t.Fatalf("seed %d: the run never exercised a verdict: inline=%d at-offset=%d ssd=%d odd=%d staged=%d displaced=%d",
-				seed, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.d.Displacements)
+		if m.inline == 0 || m.atOffset == 0 || m.onSSD == 0 || m.odd == 0 || m.staged == 0 || m.full == 0 || m.d.Displacements == 0 {
+			t.Fatalf("seed %d: the run never exercised a verdict: inline=%d at-offset=%d ssd=%d odd=%d staged=%d full=%d displaced=%d",
+				seed, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.full, m.d.Displacements)
 		}
-		t.Logf("seed %d: %d checks; slots seen inline=%d at-offset=%d ssd=%d odd=%d; evictions staged=%d, displacements=%d",
-			seed, m.checks, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.d.Displacements)
+		t.Logf("seed %d: %d checks; slots seen inline=%d at-offset=%d ssd=%d odd=%d; evictions staged=%d; full buckets %d, displacements=%d",
+			seed, m.checks, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.full, m.d.Displacements)
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"hybridkv/internal/hybridslab"
@@ -18,32 +19,50 @@ func newTestDirectory(buckets int) *Directory {
 	return NewDirectory(pd, buckets)
 }
 
-// readSlot is what a client's slot READ of bucket b returns. Every slot is
-// published at its full length, empty ones included.
-func (d *Directory) readSlot(t *testing.T, b int) protocol.DirSlot {
+// bucketAt is what a client's READ of bucket b returns: every way, at the
+// bucket stride. Every bucket is published at its full length, empty ways
+// included.
+func (d *Directory) bucketAt(t *testing.T, b int) protocol.DirBucket {
 	t.Helper()
-	v, n := d.dirMR.Segment(d.slotOff(b))
-	slot, ok := v.(protocol.DirSlot)
-	if !ok || n != protocol.DirSlotBytes {
-		t.Fatalf("bucket %d holds %T published at %d bytes, want a DirSlot at %d", b, v, n, protocol.DirSlotBytes)
+	v, n := d.dirMR.Segment(int64(b) * protocol.DirBucketBytes)
+	bucket, ok := v.(protocol.DirBucket)
+	if !ok || n != protocol.DirBucketBytes {
+		t.Fatalf("bucket %d holds %T published at %d bytes, want a DirBucket at %d", b, v, n, protocol.DirBucketBytes)
 	}
-	return slot
+	return bucket
 }
 
-// entry returns key's published entry, or nil when key does not own its
-// bucket.
+// slotAt is way w of bucket b as a client's bucket READ returns it.
+func (d *Directory) slotAt(t *testing.T, b, w int) protocol.DirSlot {
+	t.Helper()
+	return d.bucketAt(t, b)[w]
+}
+
+// entry returns key's published entry, or nil when key owns no way.
 func (d *Directory) entry(key string) *dirEntry {
-	if e := d.entries[d.bucket(key)]; e != nil && e.it.Key == key {
-		return e
+	if _, w := d.find(key); w >= 0 {
+		return d.entries[w]
 	}
 	return nil
 }
 
-// slotFor returns key's slot, and whether key is what the slot holds.
+// version is the seqlock version of the way key owns; the test fails when
+// it owns none.
+func (d *Directory) version(t *testing.T, key string) uint64 {
+	t.Helper()
+	_, w := d.find(key)
+	if w < 0 {
+		t.Fatalf("%q owns no way", key)
+	}
+	return d.versions[w]
+}
+
+// slotFor returns the slot a client's bucket READ finds for key, and whether
+// any way holds it.
 func (d *Directory) slotFor(t *testing.T, key string) (protocol.DirSlot, bool) {
 	t.Helper()
-	slot := d.readSlot(t, d.bucket(key))
-	return slot, slot.Digest == protocol.KeyDigest(key)
+	bucket := d.bucketAt(t, d.bucket(key))
+	return bucket.Way(protocol.KeyDigest(key))
 }
 
 // segmentAt is what a client's value READ at off returns.
@@ -107,16 +126,17 @@ func TestDirectoryPublishLifecycle(t *testing.T) {
 		t.Fatalf("bad replacement segment: %+v", seg2)
 	}
 
-	// Unpublish: the slot reads as the empty slot, the snapshot as
-	// emptiness, and the version advances.
+	// Unpublish: the bucket reads as the empty bucket, the snapshot as
+	// emptiness, and the way's version advances.
+	_, w := d.find("k")
 	d.Unpublish("k")
-	if s := d.readSlot(t, d.bucket("k")); s.Kind != protocol.DirEmpty || s.Digest != 0 {
-		t.Fatalf("slot not empty after Unpublish: %+v", s)
+	if b := d.bucketAt(t, d.bucket("k")); b != (protocol.DirBucket{}) {
+		t.Fatalf("bucket not empty after Unpublish: %+v", b)
 	}
 	if _, ok := d.segmentAt(t, slot2.Off); ok {
 		t.Fatal("segment readable after Unpublish")
 	}
-	if d.versions[d.bucket("k")] <= slot2.Version {
+	if d.versions[w] <= slot2.Version {
 		t.Fatal("Unpublish did not advance the version")
 	}
 }
@@ -192,32 +212,78 @@ func TestDirectoryInlineBoundaryCrossing(t *testing.T) {
 	}
 }
 
+// Two keys that hash to one bucket each own a way of it and keep it across
+// republishes; a window or a removal on one way leaves the other way's slot
+// and version as they were; a third key takes displaceWay and clears its
+// occupant's segment; a key with no way takes an empty one without
+// displacing anything.
 func TestDirectoryCollisionDisplacement(t *testing.T) {
-	d := newTestDirectory(1) // every key collides
-	a := &hybridslab.Item{Key: "a", Value: "va", ValueSize: big}
-	b := &hybridslab.Item{Key: "b", Value: "vb", ValueSize: 10}
-	d.Publish(a)
-	offA := d.entry("a").slot.Off
-	d.Publish(b)
-	if d.Displacements != 1 {
-		t.Fatalf("Displacements = %d", d.Displacements)
+	d := newTestDirectory(1) // every key hashes to bucket 0
+	a := &hybridslab.Item{Key: "a", Value: "va", ValueSize: 10}
+	b := &hybridslab.Item{Key: "b", Value: "vb", ValueSize: big}
+	c := &hybridslab.Item{Key: "c", Value: "vc", ValueSize: 10}
+	owner := func(w int, key string) {
+		t.Helper()
+		if s := d.slotAt(t, 0, w); s.Digest != protocol.KeyDigest(key) || s.Version%2 != 0 {
+			t.Fatalf("way %d = %+v, want %q's committed slot", w, s, key)
+		}
 	}
-	// The displaced key's snapshot must be cleared: clients holding its
-	// cached offset would otherwise read a forever-stale value, because no
-	// directory state invalidates it.
-	if _, ok := d.segmentAt(t, offA); ok {
+	// untouched runs step and checks that way w's slot and version are what
+	// they were before it.
+	untouched := func(w int, step func()) {
+		t.Helper()
+		slot, ver := d.slotAt(t, 0, w), d.versions[w]
+		step()
+		if s := d.slotAt(t, 0, w); s != slot || d.versions[w] != ver {
+			t.Fatalf("way %d went from %+v (version %d) to %+v (version %d)", w, slot, ver, s, d.versions[w])
+		}
+	}
+
+	d.Publish(a)
+	d.Publish(b)
+	owner(0, "a")
+	owner(1, "b")
+	untouched(1, func() { d.Publish(&hybridslab.Item{Key: "a", Value: "va2", ValueSize: 10}) })
+	owner(0, "a")
+	if s, ok := d.slotFor(t, "a"); !ok || s.Value != "va2" {
+		t.Fatalf("a republished as %+v", s)
+	}
+	untouched(1, func() { d.PublishBegin("a") })
+	if s := d.slotAt(t, 0, 0); s.Version%2 != 1 {
+		t.Fatalf("PublishBegin left way 0 even: %+v", s)
+	}
+	untouched(0, func() { d.PublishBegin("b") })
+	untouched(1, func() { d.Publish(a) })
+	untouched(0, func() { d.Publish(b) })
+	if d.Displacements != 0 {
+		t.Fatalf("two keys in two ways displaced %d times", d.Displacements)
+	}
+
+	// A third key takes displaceWay: b leaves the directory, and its snapshot
+	// must be cleared — clients holding its cached offset would otherwise read
+	// a forever-stale value, because no directory state invalidates it.
+	offB := d.entry("b").slot.Off
+	untouched(0, func() { d.Publish(c) })
+	if displaceWay != 1 || d.Displacements != 1 || d.entry("b") != nil {
+		t.Fatalf("displaceWay %d, Displacements %d, b's entry %+v", displaceWay, d.Displacements, d.entry("b"))
+	}
+	owner(1, "c")
+	if _, ok := d.segmentAt(t, offB); ok {
 		t.Fatal("displaced key's segment still readable")
 	}
-	if d.entry("a") != nil {
-		t.Fatal("displaced key still has an entry")
+	// The displaced key opening a window touches neither way.
+	untouched(0, func() { untouched(1, func() { d.PublishBegin("b") }) })
+
+	// Unpublish empties its way alone, and a key with no way takes the empty
+	// one without displacing.
+	untouched(1, func() { d.Unpublish("a") })
+	if s := d.slotAt(t, 0, 0); s != (protocol.DirSlot{}) {
+		t.Fatalf("way 0 after Unpublish = %+v", s)
 	}
-	if slot, ok := d.slotFor(t, "b"); !ok || slot.Value != "vb" {
-		t.Fatalf("slot not owned by displacing key: %+v", slot)
-	}
-	// The displaced key opening a window must not touch the new owner's slot.
-	d.PublishBegin("a")
-	if slot, _ := d.slotFor(t, "b"); slot.Version%2 != 0 {
-		t.Fatalf("a displaced key's window went odd on the owner's slot: %+v", slot)
+	untouched(1, func() { d.Publish(b) })
+	owner(0, "b")
+	if d.Displacements != 1 {
+		t.Fatalf("publishing into an empty way displaced: %d", d.Displacements)
 	}
 }
 
@@ -227,26 +293,27 @@ func TestDirectoryQuiesceKeepsVersions(t *testing.T) {
 	large := &hybridslab.Item{Key: "L", Value: "V", ValueSize: big}
 	d.Publish(small)
 	d.Publish(large)
-	ver := d.versions[d.bucket("k")]
+	ver := d.version(t, "k")
 	off := d.entry("L").slot.Off
+	versions := slices.Clone(d.versions)
 
 	d.Quiesce()
 	for b := 0; b < d.buckets; b++ {
-		if s := d.readSlot(t, b); s != (protocol.DirSlot{}) {
+		if s := d.bucketAt(t, b); s != (protocol.DirBucket{}) {
 			t.Fatalf("bucket %d not empty after Quiesce: %+v", b, s)
 		}
 	}
 	if _, ok := d.segmentAt(t, off); ok {
 		t.Fatal("segment readable after Quiesce")
 	}
-	if d.versions[d.bucket("k")] != ver {
+	if !slices.Equal(d.versions, versions) {
 		t.Fatal("Quiesce reset versions — republished slots could reuse one an old probe holds")
 	}
 
-	// Republish after recovery: version strictly advances past the pre-crash
-	// one.
+	// Republish after recovery: the key takes its old way back (the first
+	// empty one) and its version strictly advances past the pre-crash one.
 	d.Publish(small)
-	if got := d.versions[d.bucket("k")]; got <= ver || got%2 != 0 {
+	if got := d.version(t, "k"); got <= ver || got%2 != 0 {
 		t.Fatalf("post-recovery version %d not a fresh even after %d", got, ver)
 	}
 }
@@ -256,12 +323,12 @@ func TestDirectoryEvictionIdentityCheck(t *testing.T) {
 	cur := &hybridslab.Item{Key: "k", Value: "new", ValueSize: 10}
 	stale := &hybridslab.Item{Key: "k", Value: "old", ValueSize: 10}
 	d.Publish(cur)
-	ver := d.versions[d.bucket("k")]
+	ver := d.version(t, "k")
 
 	// Eviction of a superseded incarnation must not disturb the published
 	// current one.
 	d.EvictionUpdate(stale, hybridslab.EvictDropped)
-	if d.entry("k") == nil || d.versions[d.bucket("k")] != ver {
+	if d.entry("k") == nil || d.version(t, "k") != ver {
 		t.Fatal("stale item's eviction disturbed the current entry")
 	}
 
