@@ -39,11 +39,14 @@ race:
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
 # races (four workers on one key: get vs set, and the conditional and
-# read-modify-write commands), and the history checker. A named subset of
+# read-modify-write commands), the history checker, and the fabric's
+# transfer pool (TestRecycledTransfersUnderFaults in internal/verbs: 10^5
+# posts through drops, duplicates, corruption and spikes, every completion
+# checked against its own work request). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:

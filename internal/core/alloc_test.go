@@ -123,22 +123,22 @@ func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 
 // What one operation allocates, every layer under the client included. An
 // RPC is the request handle (1: its attempt, wire message and options ride
-// inside it), two fabric messages (2: request and response, each one verbs
-// transfer) and the server's response record (1); a SET adds the stored item
-// (1). A bypass hit is the request handle (1), its resolver's closure (1 —
-// the resolver itself runs on a recycled process) and two fabric messages (2:
-// READ request and READ response). Nothing is allocated per value byte. The
-// ceilings are what is measured: a new allocation anywhere on the path fails
-// here first.
+// inside it) and the server's response record (1); a SET adds the stored item
+// (1). A bypass hit is the request handle (1) and its resolver's closure (1 —
+// the resolver itself runs on a recycled process). Its fabric messages — an
+// RPC's request and response, a hit's READ out and back — cost nothing: each
+// verbs transfer comes off its HCA's free list and goes back after delivery.
+// Nothing is allocated per value byte. The ceilings are what is measured: a
+// new allocation anywhere on the path fails here first.
 func TestOperationAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 5},
-		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 4},
-		{"inline bypass hit", bypassHitModel(), 4},
+		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 3},
+		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 2},
+		{"inline bypass hit", bypassHitModel(), 2},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
@@ -152,25 +152,26 @@ func TestOperationAllocationCeilings(t *testing.T) {
 // earlier attempts may still be queued, pending or on the wire, so it cannot
 // be reused) and nothing else in the client: chaining a request's attempts
 // costs a pointer in a record that exists anyway. The rest of each ceiling is
-// the extra traffic and the helper that made the attempt. A hedged GET is an
-// RPC GET (4) plus the message the home server never hears (1), the hedger's
-// closure (1), the second waiter it makes on the completion flag (1) and the
-// attempt (1). A fallback is an RPC GET (4) plus the resolver's closure and its
-// READ out and back (3) and the attempt (1). A retransmitted GET is an RPC GET
-// (4) plus the lost message (1), the attempt (1) and the guard: its closure
-// (1), its jitter source (1: the rand.Rand around it stays on the guard's
-// stack), and two attempt-waits of five each — the joined event and the two
-// observers it watches the completion flag and the nudge through — with five
-// waiter records between them (15).
+// the helper that made the attempt, and the message the fabric lost: a
+// dropped transfer never goes back to its HCA's free list, while the rest of
+// the traffic costs nothing. A hedged GET is an RPC GET (2) plus the message
+// the home server never hears (1), the hedger's closure (1), the second
+// waiter it makes on the completion flag (1) and the attempt (1). A fallback
+// is an RPC GET (2) plus the resolver's closure (1) and the attempt (1). A
+// retransmitted GET is an RPC GET (2) plus the lost message (1), the attempt
+// (1) and the guard: its closure (1), its jitter source (1: the rand.Rand
+// around it stays on the guard's stack), and two attempt-waits of five each —
+// the joined event and the two observers it watches the completion flag and
+// the nudge through — with five waiter records between them (15).
 func TestSecondAttemptAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"retransmitted GET", retransmitModel(), 23},
-		{"hedged GET", hedgeModel(), 8},
-		{"bypass fallback", fallbackModel(), 8},
+		{"retransmitted GET", retransmitModel(), 21},
+		{"hedged GET", hedgeModel(), 6},
+		{"bypass fallback", fallbackModel(), 4},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {

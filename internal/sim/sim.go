@@ -552,8 +552,9 @@ type Event struct {
 // NewEvent returns a fresh unfired event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
-// Init makes a zero Event usable on env, for events embedded by value in a
-// record that is allocated once (a fabric message, a request).
+// Init makes a zero Event, or one that has fired, usable on env, for events
+// embedded by value in a record: a request, or a fabric message whose record
+// its sender reuses once the message has been delivered.
 func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
 
 // Fired reports whether the event has fired.

@@ -89,7 +89,9 @@ type Message struct {
 	Payload  any
 }
 
-// Outgoing tracks the lifecycle of a message handed to the NIC.
+// Outgoing tracks the lifecycle of a message handed to the NIC. It lives in
+// the message's Flight, so when that Flight has an owner it is valid only
+// until the message's delivery (see Flight).
 type Outgoing struct {
 	// Sent fires when the message has fully left the sender's NIC — the
 	// source buffer is reusable from this point.
@@ -176,10 +178,18 @@ func (f *Fabric) AddNode(name string) *Node {
 // itself (Fire), so scheduling a delivery allocates nothing.
 //
 // A transport that has a record of its own per message embeds a Flight in it
-// and posts with PostFlight, making the two one object. A Flight carries one
-// message, once: the fabric holds it from PostFlight until its last delivery
-// has fired, the sender's Outgoing points into it, and the receiver is handed
-// a pointer to the Message inside it — so it must not be posted again.
+// and posts with PostFlight, making the two one object. The fabric holds a
+// posted Flight — in the tx queue, then on the scheduler heap — until its last
+// delivery has fired; the receiver is handed a pointer to the Message inside
+// it, valid only while its receiver callback runs. The sender's Outgoing
+// points into it too, so Sent and Delivered are valid until delivery: the
+// poster waits on Sent at once or not at all.
+//
+// A Flight posted with no owner carries one message, once. One posted with an
+// owner (a Recycler) is handed back to it after its last delivery — the
+// first, or the second of a duplicate — and may then be posted again; a
+// dropped one is never handed back. Posting a Flight that is still in flight
+// panics, and so does firing one whose last delivery has fired.
 type Flight struct {
 	msg       Message
 	out       Outgoing
@@ -187,15 +197,35 @@ type Flight struct {
 	delivered sim.Event
 	dst       *Node
 	arriving  *Message // msg, or its bit-flipped copy
+	owner     Recycler
+	owed      int // deliveries still to fire; nonzero from PostFlight on
+}
+
+// Recycler is the owner of a Flight that carries many messages: the record
+// the Flight is embedded in, which knows the free list it belongs on. The
+// fabric calls Recycle once the Flight's last delivery has fired. Recycle
+// clears what the message referenced, so a free list keeps no dead value
+// reachable.
+type Recycler interface {
+	Recycle()
 }
 
 // Fire is the delivery callback event: the receiver NIC hands the message
-// up.
+// up. After the last delivery the Flight goes back to its owner.
 func (fl *Flight) Fire() {
+	if fl.owed <= 0 {
+		panic("simnet: Flight fired after its last delivery")
+	}
 	dst, m := fl.dst, fl.arriving
 	fl.delivered.Fire()
 	if dst.receiver != nil {
 		dst.receiver(m)
+	}
+	if fl.owed--; fl.owed == 0 {
+		fl.arriving = nil
+		if fl.owner != nil {
+			fl.owner.Recycle()
+		}
 	}
 }
 
@@ -215,7 +245,9 @@ func (n *Node) Fabric() *Fabric { return n.fabric }
 
 // SetReceiver installs the delivery callback. It runs inside the delivery
 // callback event, in the scheduler's goroutine, so it must not block: queue
-// the message or spawn a process for anything that waits.
+// the message or spawn a process for anything that waits. m is the fabric's
+// until the callback returns (its Flight may carry another message next), so
+// the receiver copies out whatever it keeps.
 func (n *Node) SetReceiver(fn func(m *Message)) { n.receiver = fn }
 
 // txEngine drains the NIC transmit queue, charging serialization time per
@@ -238,7 +270,6 @@ func (n *Node) txEngine(p *sim.Proc) {
 		}
 		deliverAt := p.Now() + PropDelay + f.spec.RecvCPU
 		fl.arriving = msg
-		copies := 1
 		if f.faults != nil {
 			v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, p.Now())
 			if v.Drop {
@@ -247,7 +278,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 			}
 			deliverAt += v.ExtraDelay
 			if v.Duplicate {
-				copies = 2
+				fl.owed = 2
 			}
 			if v.Corrupt {
 				if c, ok := msg.Payload.(Corruptible); ok {
@@ -258,7 +289,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 				}
 			}
 		}
-		for i := 0; i < copies; i++ {
+		for i := 0; i < fl.owed; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
 			f.env.AtCall(deliverAt+sim.Time(i)*f.spec.RecvCPU, fl)
 		}
@@ -268,16 +299,23 @@ func (n *Node) txEngine(p *sim.Proc) {
 // Post hands a message to the NIC without charging caller CPU time (the
 // caller models its own cost, e.g. the verbs layer charging doorbell cost).
 func (n *Node) Post(dst string, size int, payload any) *Outgoing {
-	return n.PostFlight(new(Flight), dst, size, payload)
+	return n.PostFlight(new(Flight), nil, dst, size, payload)
 }
 
-// PostFlight is Post carried by fl, a zero Flight the caller allocated —
-// normally as part of the record payload points into.
-func (n *Node) PostFlight(fl *Flight, dst string, size int, payload any) *Outgoing {
+// PostFlight is Post carried by fl, a Flight the caller allocated — normally
+// inside the record payload points into. owner, normally that record, gets
+// fl back after its last delivery; with owner nil, fl is used once.
+func (n *Node) PostFlight(fl *Flight, owner Recycler, dst string, size int, payload any) *Outgoing {
+	if fl.owed != 0 {
+		panic("simnet: Flight posted while still in flight")
+	}
 	fl.msg = Message{Src: n.name, Dst: dst, Size: size, Payload: payload}
 	fl.sent.Init(n.fabric.env)
 	fl.delivered.Init(n.fabric.env)
 	fl.out = Outgoing{Sent: &fl.sent, Delivered: &fl.delivered}
+	fl.owner = owner
+	// One delivery is owed, unless the fault injector drops or duplicates it.
+	fl.owed = 1
 	n.tx.TryPut(fl) // unbounded queue: always succeeds
 	return &fl.out
 }
@@ -286,4 +324,10 @@ func (n *Node) PostFlight(fl *Flight, dst string, size int, payload any) *Outgoi
 func (n *Node) Send(p *sim.Proc, dst string, size int, payload any) *Outgoing {
 	p.Sleep(n.fabric.spec.SendCost(size))
 	return n.Post(dst, size, payload)
+}
+
+// SendFlight is Send carried by fl, as PostFlight is Post.
+func (n *Node) SendFlight(p *sim.Proc, fl *Flight, owner Recycler, dst string, size int, payload any) *Outgoing {
+	p.Sleep(n.fabric.spec.SendCost(size))
+	return n.PostFlight(fl, owner, dst, size, payload)
 }

@@ -38,6 +38,7 @@ type Host struct {
 	streams map[int]*Stream
 	nextID  int
 	accept  *sim.Queue[*Stream]
+	free    *streamSend // sends whose delivery has fired
 }
 
 // NewHost installs a socket stack on node.
@@ -55,6 +56,23 @@ func NewHost(node *simnet.Node) *Host {
 type streamWire struct {
 	dstStream int
 	msg       StreamMsg
+}
+
+// streamSend is one IPoIB message on the fabric, in a single allocation: the
+// stream wire and the Flight that carries it. Like a verbs transfer, it is
+// taken from the sending Host's free list and handed back by the fabric after
+// its last delivery; the sender holds its Sent event only until Send returns.
+type streamSend struct {
+	w    streamWire
+	fl   simnet.Flight
+	host *Host
+	next *streamSend // free-list link
+}
+
+// Recycle implements simnet.Recycler.
+func (r *streamSend) Recycle() {
+	r.w = streamWire{}
+	r.next, r.host.free = r.host.free, r
 }
 
 // Dial opens a connection to the remote host (out-of-band handshake with no
@@ -84,10 +102,15 @@ func (h *Host) Accept(p *sim.Proc) (*Stream, bool) {
 // stack cost and until the bytes have left the NIC (source buffer reusable),
 // per blocking-socket semantics.
 func (s *Stream) Send(p *sim.Proc, size int, payload any) {
-	out := s.local.node.Send(p, s.remote.node.Name(), size, &streamWire{
-		dstStream: s.peer.id,
-		msg:       StreamMsg{Size: size, Payload: payload},
-	})
+	h := s.local
+	r := h.free
+	if r == nil {
+		r = &streamSend{host: h}
+	} else {
+		h.free, r.next = r.next, nil
+	}
+	r.w = streamWire{dstStream: s.peer.id, msg: StreamMsg{Size: size, Payload: payload}}
+	out := h.node.SendFlight(p, &r.fl, r, s.remote.node.Name(), size, &r.w)
 	p.Wait(out.Sent)
 }
 

@@ -52,6 +52,7 @@ type Device struct {
 	mrs    map[int]*MR
 	nextQP int
 	nextMR int
+	free   *transfer // transfers whose last delivery has fired
 
 	// Stats
 	SendsPosted, WritesPosted, ReadsPosted int64
@@ -287,12 +288,23 @@ func (w *wire) CorruptCopy() any {
 
 // transfer is one verbs message on the fabric, in a single allocation: the
 // wire record the peer's HCA reads and the fabric's Flight that carries it.
-// The posting HCA allocates it; the fabric holds it until delivery, the
-// receiving Device reads w during the delivery callback and keeps nothing,
-// and an Outgoing handed to the poster points into fl. It is never reused.
+// The posting HCA takes it from its free list; the fabric holds it until its
+// last delivery has fired, the receiving Device reads w during the delivery
+// callback and copies out what it keeps, and the Flight then hands it back
+// (Recycle) for the HCA's next post. An Outgoing handed to the poster points
+// into fl, so it is valid until delivery (see simnet.Flight).
 type transfer struct {
-	w  wire
-	fl simnet.Flight
+	w    wire
+	fl   simnet.Flight
+	dev  *Device
+	next *transfer // free-list link
+}
+
+// Recycle implements simnet.Recycler: t goes back on its HCA's free list,
+// holding no payload.
+func (t *transfer) Recycle() {
+	t.w = wire{}
+	t.next, t.dev.free = t.dev.free, t
 }
 
 // PostSend posts a send-queue WR, charging the caller only the doorbell
@@ -355,13 +367,21 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 
 // post hands a wire message to the local NIC towards node dst.
 func (d *Device) post(dst string, size int, w wire) *simnet.Outgoing {
-	t := &transfer{w: w}
-	return d.node.PostFlight(&t.fl, dst, size, &t.w)
+	t := d.free
+	if t == nil {
+		t = &transfer{dev: d}
+	} else {
+		d.free, t.next = t.next, nil
+	}
+	t.w = w
+	return d.node.PostFlight(&t.fl, t, dst, size, &t.w)
 }
 
 // PostSendReusable is PostSend that additionally returns an event firing
 // when the caller's buffers are reusable (DMA has read them out of host
-// memory). This is the primitive under memcached_bset/bget.
+// memory). This is the primitive under memcached_bset/bget. The event lives
+// in the message's transfer, which the HCA reuses after delivery: it is valid
+// until then, so the caller waits on it at once.
 func (qp *QP) PostSendReusable(p *sim.Proc, wr SendWR) *sim.Event {
 	if !qp.connected {
 		panic("verbs: PostSendReusable on unconnected QP")
