@@ -18,8 +18,9 @@ import (
 // bypass with hot-key replicated-read fan-out. Without fan-out every
 // celebrity GET lands on the key's primary, so the burst saturates one
 // server's egress while its replicas idle; with fan-out the servers' sketches
-// detect the key (fed by the 1-in-N RPC heat sample), the crawler publishes
-// it, clients learn it on their next piggybacked directory refresh, and the
+// detect the key (fed by the heat samples riding the clients' directory
+// refreshes), the crawler publishes it, clients learn it on their next
+// refresh, and the
 // burst spreads across the whole replica set. The headline is the R=3
 // goodput ratio of fan-out over plain bypass. A separate chaos cell re-runs
 // the CAS-chain history checker under fan-out plus whole-node kills: spread
@@ -182,7 +183,7 @@ func warmHotSet(cl *cluster.Cluster, c *core.Client, ch *chain) *sim.Event {
 				do(p, c, core.Op{Code: protocol.OpGet, Key: key}, []core.IssueOption{core.WithReadPath(core.ReadRPC)})
 			}
 		}
-		seed(256)                     // heat the sketch (and trip one refresh)
+		seed(256)                     // heat the sketch (and trip refreshes)
 		p.Sleep(2 * hotCrawl)         // let a crawl pass publish the set
 		seed(256)                     // the refresh this trips learns it
 		p.Sleep(50 * sim.Microsecond) // let the refresh response land

@@ -350,13 +350,10 @@ func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Rep
 	return repl
 }
 
-// bypassBuckets is the bucket count of each server's published directory,
-// each of protocol.DirWays slots.
-const bypassBuckets = 1 << 15
-
-// attachDirectory publishes a bypass read directory on srv.
+// attachDirectory publishes a bypass read directory of the default geometry
+// on srv.
 func (cl *Cluster) attachDirectory(srv *server.Server) {
-	d := store.NewDirectory(srv.Device().AllocPD(), bypassBuckets)
+	d := store.NewDirectory(srv.Device().AllocPD(), 0)
 	srv.AttachBypassDirectory(d)
 	cl.Directories = append(cl.Directories, d)
 }

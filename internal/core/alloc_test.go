@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
@@ -48,13 +49,35 @@ func rpcModel(op Op, want protocol.Status) (step func()) {
 }
 
 // bypassHitModel is opModel for one 512-byte inline bypass hit: Issue, the
-// resolver process, the slot READ out and back, completion, Wait.
+// resolver process, the slot READ out and back, completion, Wait. No hit
+// ticks a hot-set refresh: the counter restarts after each.
 func bypassHitModel() (step func()) {
-	return opModel(newBypassRig(), Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+	r := newBypassRig()
+	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if !req.Bypassed() {
 			panic("bypass hit model: GET did not resolve one-sided")
 		}
-	}, WithReadPath(ReadBypass)) // forced: no 1-in-64 RPC heat sample
+		r.client.hotGets = 0
+	})
+}
+
+// sampledModel is bypassHitModel for the hit that ticks a hot-set refresh:
+// the hit, and its key carried to the server's heat sketch on one
+// OpDirQuery out and the directory answer back.
+func sampledModel() (step func()) {
+	r := newBypassRig()
+	refreshes := int64(0)
+	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+		c := r.client
+		if !req.Bypassed() {
+			panic("sampled model: GET did not resolve one-sided")
+		}
+		if c.hotGets%hotSampleEvery == 0 && c.Counters.Val(metrics.CHotSamples) != refreshes+1 {
+			panic("sampled model: the GET's refresh did not carry its key")
+		}
+		refreshes = c.Counters.Val(metrics.CHotSamples)
+		c.hotGets = hotSampleEvery - 1 // the next GET ticks one
+	})
 }
 
 // loseFirstAttempts loses every even client message: after the model's
@@ -113,7 +136,8 @@ func BenchmarkRPCSet(b *testing.B) {
 func BenchmarkRPCGet(b *testing.B) {
 	benchOp(b, rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK))
 }
-func BenchmarkBypassHit(b *testing.B) { benchOp(b, bypassHitModel()) }
+func BenchmarkBypassHit(b *testing.B)     { benchOp(b, bypassHitModel()) }
+func BenchmarkBypassSampled(b *testing.B) { benchOp(b, sampledModel()) }
 
 // The second attempt's line: what a GET costs when its first attempt is not
 // the one that answers it.
@@ -125,7 +149,11 @@ func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 // RPC is the request handle (1: its attempt, wire message and options ride
 // inside it) and the server's response record (1); a SET adds the stored item
 // (1). A bypass hit is the request handle (1) and its resolver's closure (1 —
-// the resolver itself runs on a recycled process). Its fabric messages — an
+// the resolver itself runs on a recycled process). The hit that ticks a
+// hot-set refresh adds the server's response record (1) and nothing else: the
+// refresh goes out from the connection's long-lived refresher, which reuses
+// one request record, and the server answers every query with the one
+// DirectoryInfo it holds for its hot-set version and epoch. Its fabric messages — an
 // RPC's request and response, a hit's READ out and back — cost nothing: each
 // verbs transfer comes off its HCA's free list and goes back after delivery.
 // Nothing is allocated per value byte. The ceilings are what is measured: a
@@ -139,6 +167,7 @@ func TestOperationAllocationCeilings(t *testing.T) {
 		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 3},
 		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 2},
 		{"inline bypass hit", bypassHitModel(), 2},
+		{"sampled bypass GET + its refresh", sampledModel(), 3},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {

@@ -14,8 +14,11 @@ import (
 //
 //	bootstrap — one OpDirQuery RPC per connection learns the directory
 //	            geometry (single-flight, cached for the connection's life).
-//	slot READ — one READ of the key's directory bucket (every way of it)
-//	            answers the lookup from the way holding the key's digest,
+//	slot READ — one READ of the key's home bucket (every way of it)
+//	            answers the lookup from the way holding the key's digest —
+//	            or, when no way does and the bucket counts keys spilled to
+//	            their second-choice bucket, a second READ of the key's
+//	            alternate (protocol.AltBucket) does —
 //	            with one of four verdicts: the value itself (it fits
 //	            protocol.DirInlineMax and rides in the slot, under the
 //	            slot's seqlock version), the offset of its snapshot segment
@@ -103,25 +106,7 @@ type readWait struct {
 
 // bypassEligible reports whether this Issue should resolve via bypass.
 func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
-	if op.Code != protocol.OpGet || !c.cfg.Bypass {
-		return false
-	}
-	switch o.readPath {
-	case ReadRPC:
-		return false
-	case ReadBypass:
-		return true
-	}
-	// One-sided READs never touch the server CPU, so its hot-key sketch is
-	// blind to bypass read heat. Route a fixed 1-in-hotSampleEvery sample of
-	// auto-path GETs through RPC: the sketch sees an unbiased thumbnail of
-	// the read distribution at a bounded dispatch cost.
-	c.hotSampleSeq++
-	if c.hotSampleSeq%hotSampleEvery == 0 {
-		c.Counters.Inc(metrics.CHotSamples)
-		return false
-	}
-	return true
+	return op.Code == protocol.OpGet && c.cfg.Bypass && o.readPath != ReadRPC
 }
 
 // resolution is one GET being resolved one-sided: the resolver process, the
@@ -204,21 +189,22 @@ const (
 	probeTransient                     // mutation window observed: worth READing the slot again
 )
 
-// probeSlot READs the key's directory bucket and acts on the verdict of the
-// way holding the key's digest.
+// probeSlot READs the key's home bucket — and its alternate, when the home
+// lacks the key but counts spills — and acts on the verdict of the way
+// holding the key's digest.
 func (r *resolution) probeSlot() probeOutcome {
-	dir := r.cn.dir
-	n := dir.BucketBytes()
-	b := int64(r.digest % uint64(dir.Buckets))
-	got, ok := r.read(dir.DirMR, b*int64(n), n)
-	if r.req.done.Fired() {
-		return probeResolved
-	}
-	bucket, isBucket := got.(protocol.DirBucket)
-	if !ok || !isBucket {
-		return probeFallback // READ wedged: let the guarded RPC path cope
+	home := int(r.digest % uint64(r.cn.dir.Buckets))
+	bucket, out, ok := r.readBucket(home)
+	if !ok {
+		return out
 	}
 	slot, found := bucket.Way(r.digest)
+	if !found && bucket.Spill > 0 {
+		if bucket, out, ok = r.readBucket(protocol.AltBucket(home, r.digest, r.cn.dir.Buckets)); !ok {
+			return out
+		}
+		slot, found = bucket.Way(r.digest)
+	}
 	if !found || slot.Kind == protocol.DirOnSSD {
 		// No way holds the key (empty, or colliding keys' slots), or it is
 		// SSD-resident: resolve via RPC.
@@ -239,6 +225,20 @@ func (r *resolution) probeSlot() probeOutcome {
 		ValueSize: slot.ValueSize, Flags: slot.Flags, CAS: slot.CAS, Value: slot.Value,
 	})
 	return probeResolved
+}
+
+// readBucket READs directory bucket b. ok is false when the probe stops
+// there, with out: the request ended meanwhile (resolved), or the READ
+// brought no bucket back — wedged, so the guarded RPC path copes (fallback).
+func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutcome, ok bool) {
+	dir := r.cn.dir
+	n := dir.BucketBytes()
+	got, read := r.read(dir.DirMR, int64(b)*int64(n), n)
+	if r.req.done.Fired() {
+		return bucket, probeResolved, false
+	}
+	bucket, ok = got.(protocol.DirBucket)
+	return bucket, probeFallback, read && ok
 }
 
 // readSegment READs the value segment at loc and completes the request from
@@ -337,7 +337,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 		ev.Fire()
 	}()
 	c.Counters.Inc(metrics.CBypassBootstraps)
-	switch c.queryDir(p, cn) {
+	switch c.queryDir(p, cn, new(Req), "") {
 	case protocol.StatusOK:
 		cn.dirState = dirReady
 		return true
@@ -349,13 +349,15 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 }
 
 // queryDir asks cn's server for its directory geometry, membership epoch
-// and hot set with one OpDirQuery and installs the answer on the
-// connection. It returns the answer's status: StatusNotFound when the server
-// publishes no directory, StatusError when no answer came in time.
-func (c *Client) queryDir(p *sim.Proc, cn *conn) protocol.Status {
-	// A key-less control op: it addresses the server, so nothing routes it.
-	req := new(Req)
-	c.initReq(req, Op{Code: protocol.OpDirQuery})
+// and hot set with one OpDirQuery, sent as req — a zero request record —
+// and installs the answer on the connection. key, when not empty, is a GET
+// resolved one-sided that the server is to count as read heat. It returns
+// the answer's status: StatusNotFound when the server publishes no
+// directory, StatusError when no answer came in time.
+func (c *Client) queryDir(p *sim.Proc, cn *conn, req *Req, key string) protocol.Status {
+	// A control op: it addresses the server, so nothing routes it, whatever
+	// key it carries.
+	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key})
 	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {

@@ -23,8 +23,8 @@ func newBypassRig() *testRig {
 	return r
 }
 
-// bypassGet resolves key on the forced-bypass path (no 1-in-64 RPC heat
-// sample) and reports the READs it cost.
+// bypassGet resolves key on the forced-bypass path and reports the READs it
+// cost.
 func bypassGet(t *testing.T, p *sim.Proc, c *Client, key string, want any) (reads int64) {
 	t.Helper()
 	before := c.Counters.Val(metrics.CBypassReads)
@@ -89,16 +89,33 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 
 // Keys that hash to one bucket of the default geometry share it: two of them
 // each resolve in one READ of the bucket with no fallback, and a third
-// displaces the second (the last way), whose GETs then fall back to RPC and
-// still answer.
+// spills to its second-choice bucket, where it hits in two READs (home, then
+// alternate). A fourth whose home and alternate are both full displaces the
+// home's last way, and resolves in one READ; the displaced key's GET falls
+// back to RPC once and still answers.
 func TestBypassCollidingKeysShareABucket(t *testing.T) {
 	const buckets = 1 << 15 // NewDirectory's default
-	bucket := func(key string) uint64 { return protocol.KeyDigest(key) % buckets }
-	keys := []string{"collide:0"}
-	for i := 1; len(keys) < 3; i++ {
-		if key := fmt.Sprintf("collide:%d", i); bucket(key) == bucket(keys[0]) {
-			keys = append(keys, key)
+	home := func(key string) int { return int(protocol.KeyDigest(key) % buckets) }
+	alt := func(key string) int { return protocol.AltBucket(home(key), protocol.KeyDigest(key), buckets) }
+	// keyWhere returns the first key of the form prefix:i that pred accepts.
+	keyWhere := func(prefix string, pred func(string) bool) string {
+		for i := 0; ; i++ {
+			if key := fmt.Sprintf("%s:%d", prefix, i); pred(key) {
+				return key
+			}
 		}
+	}
+	h := home("collide:0")
+	keys := []string{"collide:0"}
+	for len(keys) < 4 {
+		keys = append(keys, keyWhere(fmt.Sprintf("collide%d", len(keys)), func(k string) bool {
+			return home(k) == h && (len(keys) < 3 || alt(k) != alt(keys[2]))
+		}))
+	}
+	// Two keys homed at the fourth key's alternate fill it.
+	fill := []string{
+		keyWhere("fillA", func(k string) bool { return home(k) == alt(keys[3]) }),
+		keyWhere("fillB", func(k string) bool { return home(k) == alt(keys[3]) }),
 	}
 	r := newBypassRig()
 	c := r.client
@@ -113,16 +130,32 @@ func TestBypassCollidingKeysShareABucket(t *testing.T) {
 				}
 			}
 		}
-		if n := c.Counters.Val(metrics.CBypassFallbacks); n != 0 {
-			t.Errorf("two keys in one bucket fell back %d times", n)
-		}
 
 		c.Set(p, keys[2], protocol.DirInlineMax, 2, 0, 0)
-		if n := bypassGet(t, p, c, keys[0], 0); n != 1 {
-			t.Errorf("GET of the first way's key after a third collided cost %d READs", n)
+		for i, key := range keys[:2] {
+			if n := bypassGet(t, p, c, key, i); n != 1 {
+				t.Errorf("GET of %q after a third key collided cost %d READs", key, n)
+			}
 		}
-		if n := bypassGet(t, p, c, keys[2], 2); n != 1 {
+		if n := bypassGet(t, p, c, keys[2], 2); n != 2 {
+			t.Errorf("GET of the spilled key cost %d READs, want home + alternate", n)
+		}
+		if n := c.Counters.Val(metrics.CBypassFallbacks); n != 0 {
+			t.Errorf("three keys sharing a home fell back %d times", n)
+		}
+
+		for i, key := range fill {
+			c.Set(p, key, 64, "fill", 0, 0)
+			if n := bypassGet(t, p, c, key, "fill"); n != 1 {
+				t.Errorf("GET of filler %d cost %d READs", i, n)
+			}
+		}
+		c.Set(p, keys[3], protocol.DirInlineMax, 3, 0, 0)
+		if n := bypassGet(t, p, c, keys[3], 3); n != 1 {
 			t.Errorf("GET of the displacing key cost %d READs", n)
+		}
+		if n := bypassGet(t, p, c, keys[0], 0); n != 1 {
+			t.Errorf("GET of the first way's key after a displacement cost %d READs", n)
 		}
 		req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: keys[1]}, WithReadPath(ReadBypass))
 		if err != nil {
@@ -135,6 +168,54 @@ func TestBypassCollidingKeysShareABucket(t *testing.T) {
 		}
 		if n := c.Counters.Val(metrics.CBypassFallbacks); n != 1 {
 			t.Errorf("fallbacks = %d, want the displaced key's one", n)
+		}
+	})
+	r.env.Run()
+}
+
+// The server's heat sketch learns of one-sided GETs from the hot-set
+// refresh, not from GETs diverted to RPC: 64·k GETs on a warm client all
+// resolve one-sided, send k refreshes and no RPC GET, and each refresh
+// carries the GET that ticked it, which the server counts exactly once —
+// and no other GET is counted at all.
+func TestBypassHeatRidesTheRefresh(t *testing.T) {
+	const k = 4
+	r := newBypassRig()
+	c, st := r.client, r.servers[0].Store()
+	keys := make([]string, hotSampleEvery*k)
+	r.env.Spawn("driver", func(p *sim.Proc) {
+		for i := range keys {
+			keys[i] = fmt.Sprintf("heat:%d", i)
+			c.Set(p, keys[i], 64, i, 0, 0)
+		}
+		c.Get(p, keys[0]) // bootstraps the directory
+		c.hotGets = 0
+		getOps, refreshes, samples := st.GetOps, c.Counters.Val(metrics.CHotRefreshes), c.Counters.Val(metrics.CHotSamples)
+		for i, key := range keys {
+			req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Wait(p, req)
+			if !req.Bypassed() || req.Value != i {
+				t.Fatalf("GET %q: bypassed=%v value=%v", key, req.Bypassed(), req.Value)
+			}
+		}
+		p.Sleep(dirQueryTimeout) // the last refresh lands
+		if n := st.GetOps - getOps; n != 0 {
+			t.Errorf("%d GETs reached the server", n)
+		}
+		if n, m := c.Counters.Val(metrics.CHotRefreshes)-refreshes, c.Counters.Val(metrics.CHotSamples)-samples; n != k || m != k {
+			t.Errorf("%d refreshes carrying %d samples, want %d of each", n, m, k)
+		}
+		for i, key := range keys {
+			want := int64(0)
+			if (i+1)%hotSampleEvery == 0 {
+				want = 1
+			}
+			if got := st.Heat(key); got != want {
+				t.Errorf("GET %d (%q) counted %d times in the sketch, want %d", i+1, key, got, want)
+			}
 		}
 	})
 	r.env.Run()

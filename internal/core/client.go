@@ -233,12 +233,11 @@ type Client struct {
 
 	// Hot-key serving state (Config.HotFanout; see hotread.go): the union
 	// of the per-connection hot sets, a round-robin cursor spreading hot
-	// GETs across replica sets, and the issue counter that paces hot-set
-	// refresh queries.
-	hot          map[uint64]struct{}
-	hotRR        uint64
-	hotGets      uint64
-	hotSampleSeq uint64 // auto-path GETs seen, for the 1-in-N RPC heat sample
+	// GETs across replica sets, and the GET counter that paces hot-set
+	// refreshes and the heat samples riding them.
+	hot     map[uint64]struct{}
+	hotRR   uint64
+	hotGets uint64
 
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
@@ -316,10 +315,12 @@ type conn struct {
 	// each chain in readWRs (reused: the post copies the WRs out).
 	readq   *sim.Queue[verbs.SendWR]
 	readWRs []verbs.SendWR
-	// Hot-key state: this server's published hot set and version, and the
-	// single-flight latch for in-progress refresh queries.
+	// Hot-key state: this server's published hot set and version, the
+	// refresher's inbox (the sampled key of the refresh it is to send), and
+	// the single-flight latch for the refresh in progress.
 	hotSet     []uint64
 	hotVersion uint64
+	heat       *sim.Queue[string]
 	hotRefresh bool
 }
 
@@ -445,8 +446,10 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 		cn.readWaits = make(map[uint64]*readWait)
 		cn.locs = make(map[string]locEntry)
 		cn.readq = sim.NewQueue[verbs.SendWR](c.env, 0)
+		cn.heat = sim.NewQueue[string](c.env, 0)
 		c.env.Spawn(name+"/bypass", cn.bypassEngine)
 		c.env.Spawn(name+"/reads", cn.readEngine)
+		c.env.Spawn(name+"/refresh", cn.refresher)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -20,15 +18,12 @@ import (
 // deferred until confirmation) — so any replica a hot GET lands on serves a
 // value at least as new as the last acked write.
 
-// hotRefreshEvery paces hot-set refresh: one piggybacked OpDirQuery per
-// this many bypass-eligible GETs per client. Ops-triggered, never a timer:
-// an idle client learns nothing and costs nothing, and the simulation's
-// Run still drains.
-const hotRefreshEvery = 256
-
-// hotSampleEvery routes every Nth auto-path GET via RPC instead of bypass,
-// feeding the server-side sketch a read-heat sample the one-sided path would
-// otherwise hide (see bypassEligible).
+// hotSampleEvery paces the hot-set refresh, and with it the heat sample:
+// every this many non-CAS GETs of a bypass client, one OpDirQuery goes out
+// on the GET's connection, carrying the GET's key when the GET resolves
+// one-sided — a read the server's sketch would otherwise never see.
+// Ops-triggered, never a timer: an idle client learns nothing and costs
+// nothing, and the simulation's Run still drains.
 const hotSampleEvery = 64
 
 // noteHot installs a server's published hot set on its connection and
@@ -65,22 +60,43 @@ func (c *Client) isHot(digest uint64) bool {
 	return ok
 }
 
-// maybeRefreshHot paces the piggybacked hot-set refresh from GET issue
-// activity: every hotRefreshEvery bypass-eligible GETs, one OpDirQuery is
-// re-issued on the GET's connection and the hot set updated from the
-// response. Single-flight per connection.
-func (c *Client) maybeRefreshHot(cn *conn) {
-	if !c.cfg.Bypass {
-		return
-	}
+// tickHeat counts one non-CAS GET issued on cn. Every hotSampleEvery-th
+// hands cn's refresher the GET's key — key is empty when the GET goes to the
+// server, whose sketch then counts it itself. A tick whose connection is not
+// bootstrapped, or already has a refresh in flight, sends nothing: the next
+// tick samples instead.
+func (c *Client) tickHeat(cn *conn, key string) {
 	c.hotGets++
-	if c.hotGets%hotRefreshEvery != 0 || cn.hotRefresh || cn.dirState != dirReady {
+	if c.hotGets%hotSampleEvery != 0 || cn.hotRefresh || cn.dirState != dirReady {
 		return
 	}
 	cn.hotRefresh = true
-	c.env.Spawn(fmt.Sprintf("client/hotrefresh%d", cn.serverID), func(p *sim.Proc) {
-		defer func() { cn.hotRefresh = false }()
+	cn.heat.TryPut(key)
+}
+
+// refresher is cn's hot-set refresh process, one per bypass connection:
+// parked until tickHeat hands it a key, it sends one OpDirQuery carrying it
+// and installs the answer. It reuses one request record for every query that
+// was answered; a query that timed out keeps its record — the message may
+// still be queued or in flight — and the next takes a fresh one.
+func (cn *conn) refresher(p *sim.Proc) {
+	c := cn.c
+	req := new(Req)
+	for {
+		key, ok := cn.heat.Get(p)
+		if !ok {
+			return
+		}
 		c.Counters.Inc(metrics.CHotRefreshes)
-		c.queryDir(p, cn)
-	})
+		if key != "" {
+			c.Counters.Inc(metrics.CHotSamples)
+		}
+		c.queryDir(p, cn, req, key)
+		if req.TimedOut() {
+			req = new(Req)
+		} else {
+			*req = Req{}
+		}
+		cn.hotRefresh = false
+	}
 }

@@ -173,12 +173,10 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		return c.ipoibExchange(p, cn, op, req)
 	}
 	o := &req.opts
-	if op.Code == protocol.OpGet && !o.forCAS {
-		c.maybeRefreshHot(cn)
-	}
 	p.Sleep(prepCost)
 	c.initReq(req, op)
-	if c.bypassEligible(op, o) {
+	bypass := c.bypassEligible(op, o)
+	if bypass {
 		// Server-bypass resolution: no wire request yet — the resolver
 		// process posts one-sided READs, completing the request itself or
 		// handing it to enqueueWire as an ordinary RPC fallback. The
@@ -187,6 +185,15 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		c.startBypass(req)
 	} else {
 		c.enqueueWire(req, cn)
+	}
+	if op.Code == protocol.OpGet && !o.forCAS && c.cfg.Bypass {
+		// The GET is on its way first; a refresh it ticks follows it. Its key
+		// rides the refresh only when the server will not see the GET.
+		sample := ""
+		if bypass {
+			sample = op.Key
+		}
+		c.tickHeat(cn, sample)
 	}
 	c.Counters.Inc(metrics.CIssued)
 	if o.deadline > 0 || o.retry != nil {

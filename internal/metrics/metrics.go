@@ -198,8 +198,8 @@ var (
 	CBypassReads         = counter("bypass-reads")          // one-sided READs posted by the bypass path
 	CBypassReadDoorbells = counter("bypass-read-doorbells") // doorbells those READs cost after coalescing
 	CHotFanouts          = counter("hot-fanouts")           // hot-key GETs routed across the replica set
-	CHotRefreshes        = counter("hot-refreshes")         // piggybacked hot-set refresh queries
-	CHotSamples          = counter("hot-samples")           // GETs routed via RPC to feed the server's heat sketch
+	CHotRefreshes        = counter("hot-refreshes")         // hot-set refresh queries, one per 64 GETs
+	CHotSamples          = counter("hot-samples")           // one-sided GETs whose key a refresh carried to the server's heat sketch
 
 	// Dynamic membership counters.
 	CEpochInvalidations = counter("epoch-invalidations") // placement caches dropped on a membership epoch change

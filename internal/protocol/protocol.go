@@ -38,7 +38,9 @@ const (
 	// OpDirQuery bootstraps the server-bypass read path: the response
 	// carries a DirectoryInfo naming the server's published directory and
 	// value MRs, after which the client resolves GET hits with one-sided
-	// READs and never involves the server CPU again.
+	// READs and never involves the server CPU again. Re-sent periodically
+	// to refresh the hot set, it may carry in Key a GET the client resolved
+	// one-sided: the server counts that read in its heat sketch.
 	OpDirQuery
 )
 
@@ -255,14 +257,14 @@ const (
 	// per hit; DESIGN.md §11 justifies 512 from the measured
 	// read_bytes_per_hit.
 	DirInlineMax = 512
-	// DirWays is the directory's associativity: how many keys that hash to
-	// one bucket it holds before another displaces one of them (DESIGN.md
-	// §11 measures 1, 2 and 4).
+	// DirWays is the directory's associativity: how many keys one bucket
+	// holds (DESIGN.md §11 measures 1, 2 and 4).
 	DirWays = 2
 	// DirSlotHeaderBytes is the fixed part of a slot: key digest (8) +
-	// version (8) + kind (4) + item flags (4) + value offset (8) + segment
-	// length (4) + value size (4) + CAS (8) + expiry (8), closed by a second
-	// copy of the version (8) so that a reader can tell a slot caught
+	// version (8) + kind (2) + the bucket's spill count (2, in the first
+	// way's header; zero in the others) + item flags (4) + value offset (8) +
+	// segment length (4) + value size (4) + CAS (8) + expiry (8), closed by a
+	// second copy of the version (8) so that a reader can tell a slot caught
 	// half-written from one that was still.
 	DirSlotHeaderBytes = 64
 	// DirSlotBytes is one directory slot on the wire: the header plus the
@@ -288,9 +290,11 @@ const (
 // server's currently published hot-key set, so clients learn which keys
 // merit replicated-read fan-out without a dedicated control channel.
 type DirectoryInfo struct {
-	DirMR   int // rkey of the bucket-array MR
-	ValMR   int // rkey of the offset-addressed value MR
-	Buckets int // bucket count; bucket(key) = KeyDigest(key) % Buckets
+	DirMR int // rkey of the bucket-array MR
+	ValMR int // rkey of the offset-addressed value MR
+	// Buckets is the bucket count: a key's home bucket is KeyDigest(key) %
+	// Buckets, and its second choice AltBucket of that.
+	Buckets int
 	// InlineMax and Ways are the server's DirInlineMax and DirWays. The
 	// client takes the bucket stride and the length of its bucket READs from
 	// them (BucketBytes), so the two ends can never disagree silently about
@@ -324,10 +328,11 @@ func (i *DirectoryInfo) WireSize() int { return DirInfoBytes + 8*len(i.Hot) }
 type DirSlotKind uint32
 
 const (
-	// DirEmpty: no key is published in this slot. A bucket with no slot
-	// holding the key's digest is the miss verdict: the directory cannot
-	// answer (the key may be absent, displaced by colliding keys, or
-	// withheld after a restart), so the server is asked.
+	// DirEmpty: no key is published in this slot. A key that no way of its
+	// home bucket holds — nor, when the home counts spills, of its
+	// alternate — gets the miss verdict: the directory cannot answer (the key
+	// may be absent, displaced by colliding keys, or withheld after a
+	// restart), so the server is asked.
 	DirEmpty DirSlotKind = iota
 	// DirInline: the value is in the slot (Value, ValueSize ≤ DirInlineMax).
 	DirInline
@@ -356,18 +361,38 @@ type DirSlot struct {
 }
 
 // DirBucket is the client-side decode of one bucket READ: its ways in
-// order, each under its own seqlock version.
-type DirBucket [DirWays]DirSlot
+// order, each under its own seqlock version, and its header.
+type DirBucket struct {
+	Ways [DirWays]DirSlot
+	// Spill counts the keys whose home is this bucket and that live in their
+	// alternate (AltBucket), because every way here was taken when they
+	// arrived. A client whose key this bucket lacks READs the alternate only
+	// while it is non-zero. It is a hint, not under a seqlock: a key found
+	// in either bucket is validated by its own way's version, and one found
+	// in neither falls back to the server.
+	Spill uint16
+}
 
-// Way returns the slot holding digest, and false when no way does (the miss
-// verdict).
+// Way returns the slot holding digest, and false when no way does.
 func (b *DirBucket) Way(digest uint64) (DirSlot, bool) {
-	for _, s := range b {
+	for _, s := range b.Ways {
 		if s.Digest == digest {
 			return s, true
 		}
 	}
 	return DirSlot{}, false
+}
+
+// AltBucket is the second-choice bucket of a key whose home bucket is home,
+// in a directory of buckets buckets: a key that finds every way of its home
+// taken spills there. It is never the home itself (but in a one-bucket
+// directory, which has no second choice), and keys sharing a home spread
+// over different alternates, picked by the mixed digest.
+func AltBucket(home int, digest uint64, buckets int) int {
+	if buckets < 2 {
+		return home
+	}
+	return (home + 1 + int(Mix64(digest)%uint64(buckets-1))) % buckets
 }
 
 // DirSegment is the client-side decode of one value segment READ: the value

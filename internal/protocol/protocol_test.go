@@ -27,6 +27,45 @@ func TestRequestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// A hot-set refresh carries the GET it samples in the request's own Key
+// field: the codec round-trips it, and it costs the key's bytes on the wire
+// and nothing else.
+func TestKeyedDirQueryRoundTrip(t *testing.T) {
+	bare := &Request{Op: OpDirQuery, ReqID: 5}
+	keyed := &Request{Op: OpDirQuery, ReqID: 6, Key: "user:7", RespMR: 3}
+	got, err := UnmarshalHeader(keyed.MarshalHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *keyed {
+		t.Errorf("round trip: %+v, sent %+v", got, keyed)
+	}
+	if keyed.WireSize() != bare.WireSize()+len(keyed.Key) {
+		t.Errorf("keyed query is %d bytes, bare %d", keyed.WireSize(), bare.WireSize())
+	}
+}
+
+// A key's second choice is a bucket other than its home, in range, the same
+// at both ends; a one-bucket directory has none.
+func TestAltBucket(t *testing.T) {
+	const buckets = 1 << 15
+	spread := map[int]bool{}
+	for i := uint64(1); i <= 256; i++ {
+		digest := i*buckets + 17 // every one homed at bucket 17
+		alt := AltBucket(17, digest, buckets)
+		if alt == 17 || alt < 0 || alt >= buckets || alt != AltBucket(17, digest, buckets) {
+			t.Fatalf("digest %x: alternate %d", digest, alt)
+		}
+		spread[alt] = true
+	}
+	if len(spread) < 250 {
+		t.Errorf("256 keys sharing a home have %d distinct alternates", len(spread))
+	}
+	if AltBucket(0, 99, 1) != 0 {
+		t.Error("a one-bucket directory has a second choice")
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	r := &Response{
 		Op: OpResponse, ReqID: 777, Status: StatusOK,
@@ -72,7 +111,7 @@ func TestWireSizes(t *testing.T) {
 		t.Errorf("bucket stride %d, DirBucketBytes %d, DirSlotBytes %d", info.BucketBytes(), DirBucketBytes, DirSlotBytes)
 	}
 	// A bucket READ answers from the way holding the digest, whichever it is.
-	bucket := DirBucket{{Digest: 7, Version: 2}, {Digest: 9, Version: 4}}
+	bucket := DirBucket{Ways: [DirWays]DirSlot{{Digest: 7, Version: 2}, {Digest: 9, Version: 4}}}
 	if s, ok := bucket.Way(9); !ok || s.Version != 4 {
 		t.Errorf("Way(9) = %+v, %v", s, ok)
 	}

@@ -160,6 +160,10 @@ type Server struct {
 	// are answering OpDirQuery bootstraps and keeping the directory
 	// coherent across crash/restart; steady-state reads cost it nothing.
 	bypass *store.Directory
+	// dirInfo is the answer dirQuery gives, one per (hot-set version,
+	// membership epoch): rebuilt when either moves, never mutated, because
+	// every client it answered keeps the pointer.
+	dirInfo *protocol.DirectoryInfo
 
 	started bool
 	down    bool
@@ -363,7 +367,7 @@ func (s *Server) AttachBypassDirectory(d *store.Directory) {
 	if s.dev == nil {
 		panic("server: bypass directory requires the RDMA transport")
 	}
-	s.bypass = d
+	s.bypass, s.dirInfo = d, nil
 	s.st.SetReadView(d)
 }
 
@@ -693,19 +697,29 @@ func (s *Server) receive(p *sim.Proc, payload any, t task) {
 	}
 }
 
-// dirQuery answers a bypass bootstrap with the directory geometry; the
-// store's published hot-key set piggybacks on the same payload.
+// dirQuery answers a bypass bootstrap or hot-set refresh with the directory
+// geometry; the store's published hot-key set and the membership epoch
+// piggyback on the same payload. A refresh that carries a key reports a GET
+// the client resolved one-sided: it is counted in the heat sketch first.
 func (s *Server) dirQuery(req *protocol.Request) *protocol.Response {
+	if req.Key != "" {
+		s.st.NoteHeat(req.Key)
+	}
 	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: protocol.StatusNotFound}
 	if s.bypass != nil {
-		info := s.bypass.Info()
-		info.Hot, info.HotVersion = s.st.HotSnapshot()
+		hot, version := s.st.HotSnapshot()
+		var epoch uint64
 		if s.repl != nil {
-			info.MemberEpoch = s.repl.MembershipEpoch()
+			epoch = s.repl.MembershipEpoch()
+		}
+		if i := s.dirInfo; i == nil || i.HotVersion != version || i.MemberEpoch != epoch {
+			info := s.bypass.Info()
+			info.Hot, info.HotVersion, info.MemberEpoch = hot, version, epoch
+			s.dirInfo = &info
 		}
 		resp.Status = protocol.StatusOK
-		resp.Value = &info
-		resp.ValueSize = info.WireSize()
+		resp.Value = s.dirInfo
+		resp.ValueSize = s.dirInfo.WireSize()
 	}
 	return resp
 }

@@ -11,11 +11,13 @@ import (
 // one-sided RDMA READs and zero server CPU (RFP's remote-fetching paradigm,
 // with HiStore's published-and-versioned index making it safe).
 //
-// Layout. The directory MR is a bucket array; bucket(key) = KeyDigest(key)
-// mod Buckets, and a bucket is protocol.DirWays fixed-size slots
-// (protocol.DirSlotBytes each) published together as one protocol.DirBucket.
-// One READ of a key's bucket answers the lookup from the way whose digest is
-// the key's (protocol.DirSlotKind): a RAM-resident value of at most
+// Layout. The directory MR is a bucket array; a key's home bucket is
+// KeyDigest(key) mod Buckets, and a bucket is protocol.DirWays fixed-size
+// slots (protocol.DirSlotBytes each) published together, with the bucket's
+// spill count, as one protocol.DirBucket. One READ of a key's home bucket
+// answers the lookup from the way whose digest is the key's — a second READ,
+// of its alternate, when the home lacks it and counts spills
+// (protocol.DirSlotKind): a RAM-resident value of at most
 // protocol.DirInlineMax bytes is carried in the slot itself, under the
 // slot's version; a larger one is published as an immutable snapshot
 // segment (protocol.DirSegment) at a fresh offset in the value MR, which the
@@ -30,9 +32,12 @@ import (
 // included, is published at its full length: a bucket READ moves
 // protocol.DirBucketBytes whatever it finds.
 //
-// Placement. A published key keeps its way across republishes; a new key
-// takes the bucket's first empty way, and when every way holds another key
-// it displaces the last way's occupant (displaceWay).
+// Placement: spill, then displace. A published key keeps its way across
+// republishes. A new key takes its home bucket's first empty way; when every
+// way there holds another key it spills to the first empty way of its
+// alternate (protocol.AltBucket), and the home counts one more spill; only
+// when both buckets are full does it displace the home's last occupant
+// (displaceWay).
 //
 // Coherence. The store calls PublishBegin/Publish/Unpublish around every
 // command-path mutation; the slab manager's eviction notifications arrive
@@ -47,10 +52,17 @@ import (
 // ever published, not live bytes.
 const valArenaBytes = 1 << 40
 
-// displaceWay is the way a key takes in a bucket whose every way holds
-// another key: the last one, so the first way's occupant stays until it
-// leaves and only one of a full bucket's keys turns over (DESIGN.md §11).
+// displaceWay is the way a key takes in its home bucket when every way there
+// and in its alternate holds another key: the last one, so the first way's
+// occupant stays until it leaves and only one of a full bucket's keys turns
+// over (DESIGN.md §11).
 const displaceWay = protocol.DirWays - 1
+
+// maxSpill is the most spills a bucket header can count (two bytes on the
+// wire): a key that would count one more displaces instead. With the default
+// geometry it is out of reach — a bucket's spills each hold a way elsewhere,
+// and there are fewer other ways than this.
+const maxSpill = 1<<16 - 1
 
 // emptyBucket is what a bucket with no owned way holds (boxed once, shared).
 var emptyBucket any = protocol.DirBucket{}
@@ -75,6 +87,9 @@ type Directory struct {
 	// entries holds bucket b's ways at [b*DirWays, (b+1)*DirWays); a way's
 	// owner is its entry's item's key, and nil is an empty way.
 	entries []*dirEntry
+	// spills[b] counts the keys homed at bucket b that live in their
+	// alternate; published in b's header.
+	spills  []uint16
 	nextOff int64
 
 	// Stats
@@ -83,7 +98,8 @@ type Directory struct {
 
 // NewDirectory registers the directory and value MRs on pd (setup-time, no
 // simulated cost — directory bring-up is not on the measured path).
-// buckets ≤ 0 selects the default geometry.
+// buckets ≤ 0 selects the default geometry, 2^15 buckets of
+// protocol.DirWays ways: the one every cluster server publishes.
 func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 	if buckets <= 0 {
 		buckets = 1 << 15
@@ -94,6 +110,7 @@ func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 		buckets:  buckets,
 		versions: make([]uint64, buckets*protocol.DirWays),
 		entries:  make([]*dirEntry, buckets*protocol.DirWays),
+		spills:   make([]uint16, buckets),
 	}
 	d.Quiesce() // a new directory is a quiesced one: every bucket published, empty
 	return d
@@ -107,47 +124,89 @@ func (d *Directory) Info() protocol.DirectoryInfo {
 	}
 }
 
-func (d *Directory) bucket(key string) int {
-	return int(protocol.KeyDigest(key) % uint64(d.buckets))
-}
+// home is the home bucket of a key with this digest.
+func (d *Directory) home(digest uint64) int { return int(digest % uint64(d.buckets)) }
 
 // ways returns the index range of bucket b's ways in entries and versions.
 func ways(b int) (lo, hi int) { return b * protocol.DirWays, (b + 1) * protocol.DirWays }
 
-// find returns key's bucket and the index of the way key owns there, or -1
-// when it owns none (fresh insert, or displaced by colliding keys).
-func (d *Directory) find(key string) (b, w int) {
-	b = d.bucket(key)
+// wayOf returns the index of the way key owns in bucket b, or -1.
+func (d *Directory) wayOf(b int, key string) int {
 	lo, hi := ways(b)
 	for w := lo; w < hi; w++ {
 		if e := d.entries[w]; e != nil && e.it.Key == key {
-			return b, w
+			return w
 		}
 	}
-	return b, -1
+	return -1
 }
 
-// place returns the way a key that owns none in bucket b takes: the first
-// empty one, else displaceWay.
-func (d *Directory) place(b int) int {
+// emptyWay returns the index of bucket b's first empty way, or -1.
+func (d *Directory) emptyWay(b int) int {
 	lo, hi := ways(b)
 	for w := lo; w < hi; w++ {
 		if d.entries[w] == nil {
 			return w
 		}
 	}
-	return lo + displaceWay
+	return -1
 }
 
-// writeBucket publishes bucket b's ways, always at the full bucket length:
-// boxed once, or the shared empty bucket when no way is owned.
+// find returns the bucket key lives in and the index of the way it owns
+// there, or -1 when it owns none (fresh insert, or displaced by colliding
+// keys). A key lives in its home bucket or, spilled, in its alternate, which
+// is searched — as a client does — only while the home counts spills.
+func (d *Directory) find(key string) (b, w int) {
+	digest := protocol.KeyDigest(key)
+	b = d.home(digest)
+	if w = d.wayOf(b, key); w >= 0 || d.spills[b] == 0 {
+		return b, w
+	}
+	alt := protocol.AltBucket(b, digest, d.buckets)
+	if w = d.wayOf(alt, key); w >= 0 {
+		return alt, w
+	}
+	return b, -1
+}
+
+// place returns the bucket and way a key that owns none takes: the first
+// empty way of its home, else the first empty way of its alternate —
+// counted, and published, as a spill of the home — else the home's
+// displaceWay.
+func (d *Directory) place(digest uint64) (b, w int) {
+	home := d.home(digest)
+	if w = d.emptyWay(home); w >= 0 {
+		return home, w
+	}
+	alt := protocol.AltBucket(home, digest, d.buckets)
+	if w = d.emptyWay(alt); w >= 0 && d.spills[home] < maxSpill {
+		d.spills[home]++
+		d.writeBucket(home)
+		return alt, w
+	}
+	lo, _ := ways(home)
+	return home, lo + displaceWay
+}
+
+// leave notes that e's key no longer lives in bucket b: when b is its
+// alternate, its home counts one spill fewer.
+func (d *Directory) leave(b int, e *dirEntry) {
+	if home := d.home(e.slot.Digest); home != b {
+		d.spills[home]--
+		d.writeBucket(home)
+	}
+}
+
+// writeBucket publishes bucket b's ways and spill count, always at the full
+// bucket length: boxed once, or the shared empty bucket when no way is owned
+// and nothing spilled.
 func (d *Directory) writeBucket(b int) {
-	var bucket protocol.DirBucket
-	owned := false
+	bucket := protocol.DirBucket{Spill: d.spills[b]}
+	owned := bucket.Spill != 0
 	lo, hi := ways(b)
 	for w := lo; w < hi; w++ {
 		if e := d.entries[w]; e != nil {
-			bucket[w-lo], owned = e.slot, true
+			bucket.Ways[w-lo], owned = e.slot, true
 		}
 	}
 	v := emptyBucket
@@ -201,25 +260,27 @@ func (d *Directory) PublishBegin(key string) {
 // back to RPC — when the value is not in RAM.
 func (d *Directory) Publish(it *hybridslab.Item) {
 	key := it.Key
+	digest := protocol.KeyDigest(key)
 	b, w := d.find(key)
 	if w < 0 {
-		w = d.place(b)
+		b, w = d.place(digest)
 	}
 	e := d.entries[w]
 	if e == nil {
 		e = new(dirEntry) // its empty slot names no snapshot to drop
 		d.entries[w] = e
 	} else if e.it.Key != key {
-		// Every way is taken: the displaced key leaves the directory
-		// entirely — its segment must be cleared, or clients holding its
-		// cached offset would keep reading a snapshot that no directory
-		// state invalidates.
+		// Every way of both buckets is taken: the displaced key leaves the
+		// directory entirely — its segment must be cleared, or clients
+		// holding its cached offset would keep reading a snapshot that no
+		// directory state invalidates.
 		d.Displacements++
+		d.leave(b, e)
 	}
 	d.drop(e)
 
 	slot := protocol.DirSlot{
-		Digest:  protocol.KeyDigest(key),
+		Digest:  digest,
 		Version: d.commitVersion(w),
 	}
 	switch {
@@ -251,15 +312,16 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 	d.writeBucket(b)
 }
 
-// Unpublish removes key from the directory: snapshot cleared, way emptied,
-// its version advanced so in-flight probes that saw the old slot fail their
-// validation.
+// Unpublish removes key from the directory: snapshot cleared, way emptied
+// (and, for a spilled key, the home's count dropped), its version advanced
+// so in-flight probes that saw the old slot fail their validation.
 func (d *Directory) Unpublish(key string) {
 	b, w := d.find(key)
 	if w < 0 {
 		return
 	}
 	d.drop(d.entries[w])
+	d.leave(b, d.entries[w])
 	d.entries[w] = nil
 	d.commitVersion(w)
 	d.writeBucket(b)
@@ -294,6 +356,7 @@ func (d *Directory) Quiesce() {
 	// returns emptiness, not a whole-region payload.
 	d.valMR.ClearSegments()
 	clear(d.entries)
+	clear(d.spills)
 	for b := 0; b < d.buckets; b++ {
 		d.writeBucket(b)
 	}

@@ -33,6 +33,8 @@ type dirModel struct {
 	checks                               int
 	inline, atOffset, onSSD, odd, staged int
 	full                                 int // buckets seen with every way owned
+	spilled                              int // ways seen held by a key homed elsewhere
+	spillDisplaced, spillRemoved         int // spilled keys displaced, and unpublished
 }
 
 func (m *dirModel) PublishBegin(key string) {
@@ -42,19 +44,19 @@ func (m *dirModel) PublishBegin(key string) {
 }
 
 func (m *dirModel) Publish(it *hybridslab.Item) {
-	m.d.Publish(it)
+	m.forward(it.Key, func() { m.d.Publish(it) })
 	delete(m.open, it.Key)
 	m.check("Publish " + it.Key)
 }
 
 func (m *dirModel) Unpublish(key string) {
-	m.d.Unpublish(key)
+	m.forward(key, func() { m.d.Unpublish(key) })
 	delete(m.open, key)
 	m.check("Unpublish " + key)
 }
 
 func (m *dirModel) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
-	m.d.EvictionUpdate(it, ev)
+	m.forward(it.Key, func() { m.d.EvictionUpdate(it, ev) })
 	if m.s.table[it.Key] == it { // else: a superseded incarnation, not the key's window
 		if ev == hybridslab.EvictStaged {
 			m.open[it.Key] = true
@@ -66,21 +68,65 @@ func (m *dirModel) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent
 	m.check(fmt.Sprintf("EvictionUpdate %s %d", it.Key, ev))
 }
 
+// forward makes one directory call about key and counts what it did to the
+// keys that lived in their alternate bucket before it: one that owns no way
+// after it was removed (key itself) or displaced (another key).
+func (m *dirModel) forward(key string, call func()) {
+	var spilled []string
+	for w, e := range m.d.entries {
+		if e != nil && m.d.home(e.slot.Digest) != w/protocol.DirWays {
+			spilled = append(spilled, e.it.Key)
+		}
+	}
+	call()
+	for _, k := range spilled {
+		switch _, w := m.d.find(k); {
+		case w >= 0:
+		case k == key:
+			m.spillRemoved++
+		default:
+			m.spillDisplaced++
+		}
+	}
+}
+
 // check READs every way of every bucket and every offset ever published.
 func (m *dirModel) check(step string) {
 	t, d := m.t, m.d
 	m.checks++
+	spilled := make([]int, d.buckets) // keys living in each bucket's alternates, as READ
 	for b := 0; b < d.buckets; b++ {
 		bucket := d.bucketAt(t, b)
 		owned := 0
-		for w := range bucket {
+		for w, slot := range bucket.Ways {
 			m.checkSlot(step, b, w, bucket)
-			if bucket[w].Digest != 0 {
-				owned++
+			if slot.Digest == 0 {
+				continue
+			}
+			owned++
+			if home := d.home(slot.Digest); home != b {
+				spilled[home]++
+				m.spilled++
+				// A spilled key is found where it lives, by the directory and
+				// by a client's two READs alike.
+				key := m.key[slot.Digest]
+				if at, w := d.find(key); at != b || w < 0 {
+					t.Fatalf("after %s: %q lives in bucket %d, but find says bucket %d way %d", step, key, b, at, w)
+				}
+				if s, ok := d.slotFor(t, key); !ok || s != slot {
+					t.Fatalf("after %s: a client looking up spilled %q finds %+v (%v), not %+v", step, key, s, ok, slot)
+				}
 			}
 		}
 		if owned == protocol.DirWays {
 			m.full++
+		}
+	}
+	// Every header counts exactly the keys homed there that live in their
+	// alternate — through spills, displacements, removals and Quiesce.
+	for b, n := range spilled {
+		if got := d.bucketAt(t, b).Spill; int(got) != n {
+			t.Fatalf("after %s: bucket %d publishes spill count %d, %d of its keys live in their alternate", step, b, got, n)
 		}
 	}
 	// A client holding any offset a slot ever named reads that exact
@@ -103,7 +149,7 @@ func (m *dirModel) check(step string) {
 // decodes it.
 func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
 	t, d := m.t, m.d
-	slot := bucket[w]
+	slot := bucket.Ways[w]
 	if slot.Digest == 0 {
 		if slot != (protocol.DirSlot{}) {
 			t.Fatalf("after %s: empty way %d of bucket %d carries state: %+v", step, w, b, slot)
@@ -111,11 +157,11 @@ func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
 		return // the miss verdict: always safe
 	}
 	key, known := m.key[slot.Digest]
-	if !known || d.bucket(key) != b {
-		t.Fatalf("after %s: bucket %d holds digest %x (key %q) that does not hash there", step, b, slot.Digest, key)
+	if home := d.home(slot.Digest); !known || home != b && protocol.AltBucket(home, slot.Digest, d.buckets) != b {
+		t.Fatalf("after %s: bucket %d holds digest %x (key %q), which is neither homed nor spilled there", step, b, slot.Digest, key)
 	}
 	for v := range w {
-		if bucket[v].Digest == slot.Digest {
+		if bucket.Ways[v].Digest == slot.Digest {
 			t.Fatalf("after %s: %q holds ways %d and %d of bucket %d: %+v", step, key, v, w, b, bucket)
 		}
 	}
@@ -167,11 +213,14 @@ func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
 // seeded random Sets (sizes on both sides of DirInlineMax), Deletes, Gets,
 // failed flushes (staged, then restored) and crash-style Quiesce/PublishAll
 // rounds, over an 8-bucket directory (16 ways for 48 keys) so that buckets
-// fill and overflow constantly. After every publication step every way of
-// every bucket READ and every cached-offset READ must decode to the
-// committed value or to a fallback verdict.
+// fill, spill and overflow constantly. After every publication step every
+// way of every bucket READ and every cached-offset READ must decode to the
+// committed value or to a fallback verdict, every key must live in its home
+// or its alternate, and every bucket's published spill count must be the
+// number of its keys living in their alternates.
 func TestDirectoryModel(t *testing.T) {
 	sizes := []int{40, protocol.DirInlineMax, protocol.DirInlineMax + 1, 8 << 10, 32 << 10, 96 << 10}
+	spillDisplaced, spillRemoved := 0, 0
 	for _, seed := range []int64{1, 2, 3} {
 		env := sim.NewEnv()
 		s := newStore(env, 2<<20, true)
@@ -240,11 +289,18 @@ func TestDirectoryModel(t *testing.T) {
 				s.PublishAll() // restart
 			}
 		}
-		if m.inline == 0 || m.atOffset == 0 || m.onSSD == 0 || m.odd == 0 || m.staged == 0 || m.full == 0 || m.d.Displacements == 0 {
-			t.Fatalf("seed %d: the run never exercised a verdict: inline=%d at-offset=%d ssd=%d odd=%d staged=%d full=%d displaced=%d",
-				seed, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.full, m.d.Displacements)
+		if m.inline == 0 || m.atOffset == 0 || m.onSSD == 0 || m.odd == 0 || m.staged == 0 || m.full == 0 || m.spilled == 0 || m.d.Displacements == 0 {
+			t.Fatalf("seed %d: the run never exercised a verdict: inline=%d at-offset=%d ssd=%d odd=%d staged=%d full=%d spilled=%d displaced=%d",
+				seed, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.full, m.spilled, m.d.Displacements)
 		}
-		t.Logf("seed %d: %d checks; slots seen inline=%d at-offset=%d ssd=%d odd=%d; evictions staged=%d; full buckets %d, displacements=%d",
-			seed, m.checks, m.inline, m.atOffset, m.onSSD, m.odd, m.staged, m.full, m.d.Displacements)
+		spillDisplaced += m.spillDisplaced
+		spillRemoved += m.spillRemoved
+		t.Logf("seed %d: %d checks; slots seen inline=%d at-offset=%d ssd=%d odd=%d spilled=%d; spilled keys displaced %d, removed %d; evictions staged=%d; full buckets %d, displacements=%d",
+			seed, m.checks, m.inline, m.atOffset, m.onSSD, m.odd, m.spilled, m.spillDisplaced, m.spillRemoved, m.staged, m.full, m.d.Displacements)
+	}
+	// Rarer, so counted over the three seeds: the spill counts were checked
+	// exact after a spilled key was displaced and after one was removed.
+	if spillDisplaced == 0 || spillRemoved == 0 {
+		t.Fatalf("no run displaced (%d) or removed (%d) a spilled key", spillDisplaced, spillRemoved)
 	}
 }

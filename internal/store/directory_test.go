@@ -35,7 +35,7 @@ func (d *Directory) bucketAt(t *testing.T, b int) protocol.DirBucket {
 // slotAt is way w of bucket b as a client's bucket READ returns it.
 func (d *Directory) slotAt(t *testing.T, b, w int) protocol.DirSlot {
 	t.Helper()
-	return d.bucketAt(t, b)[w]
+	return d.bucketAt(t, b).Ways[w]
 }
 
 // entry returns key's published entry, or nil when key owns no way.
@@ -57,12 +57,18 @@ func (d *Directory) version(t *testing.T, key string) uint64 {
 	return d.versions[w]
 }
 
-// slotFor returns the slot a client's bucket READ finds for key, and whether
-// any way holds it.
+// slotFor returns the slot a client's bucket READs find for key — its home
+// bucket's, or its alternate's when the home lacks it and counts spills —
+// and whether any way holds it.
 func (d *Directory) slotFor(t *testing.T, key string) (protocol.DirSlot, bool) {
 	t.Helper()
-	bucket := d.bucketAt(t, d.bucket(key))
-	return bucket.Way(protocol.KeyDigest(key))
+	digest := protocol.KeyDigest(key)
+	home := d.bucketAt(t, d.home(digest))
+	if slot, ok := home.Way(digest); ok || home.Spill == 0 {
+		return slot, ok
+	}
+	alt := d.bucketAt(t, protocol.AltBucket(d.home(digest), digest, d.buckets))
+	return alt.Way(digest)
 }
 
 // segmentAt is what a client's value READ at off returns.
@@ -130,7 +136,7 @@ func TestDirectoryPublishLifecycle(t *testing.T) {
 	// emptiness, and the way's version advances.
 	_, w := d.find("k")
 	d.Unpublish("k")
-	if b := d.bucketAt(t, d.bucket("k")); b != (protocol.DirBucket{}) {
+	if b := d.bucketAt(t, d.home(protocol.KeyDigest("k"))); b != (protocol.DirBucket{}) {
 		t.Fatalf("bucket not empty after Unpublish: %+v", b)
 	}
 	if _, ok := d.segmentAt(t, slot2.Off); ok {
@@ -284,6 +290,100 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 	owner(0, "b")
 	if d.Displacements != 1 {
 		t.Fatalf("publishing into an empty way displaced: %d", d.Displacements)
+	}
+}
+
+// A key whose home bucket is full spills to its alternate, and the home's
+// header counts it until it leaves — by removal or by displacement; only a
+// key whose home and alternate are both full displaces, and then the home's
+// last way.
+func TestDirectorySpillThenDisplace(t *testing.T) {
+	const buckets = 16
+	d := newTestDirectory(buckets)
+	used := map[string]bool{}
+	// keyWhere returns an unused key whose digest satisfies pred.
+	keyWhere := func(pred func(home, digest uint64) bool) *hybridslab.Item {
+		for i := 0; ; i++ {
+			key := fmt.Sprintf("k%d", i)
+			digest := protocol.KeyDigest(key)
+			if !used[key] && pred(digest%buckets, digest) {
+				used[key] = true
+				return &hybridslab.Item{Key: key, Value: "v" + key, ValueSize: 10}
+			}
+		}
+	}
+	homedAt := func(b int) *hybridslab.Item {
+		return keyWhere(func(home, _ uint64) bool { return int(home) == b })
+	}
+	alt := func(it *hybridslab.Item) int {
+		digest := protocol.KeyDigest(it.Key)
+		return protocol.AltBucket(d.home(digest), digest, buckets)
+	}
+	lives := func(it *hybridslab.Item, want int) {
+		t.Helper()
+		if b, w := d.find(it.Key); w < 0 || b != want {
+			t.Fatalf("%q lives in bucket %d way %d, want bucket %d", it.Key, b, w, want)
+		}
+		if s, ok := d.slotFor(t, it.Key); !ok || s.Value != it.Value {
+			t.Fatalf("a client finds %+v (%v) for %q", s, ok, it.Key)
+		}
+	}
+	spill := func(b int, want uint16) {
+		t.Helper()
+		if got := d.bucketAt(t, b).Spill; got != want || d.spills[b] != want {
+			t.Fatalf("bucket %d publishes spill count %d (holds %d), want %d", b, got, d.spills[b], want)
+		}
+	}
+
+	const h = 3
+	a, b, c := homedAt(h), homedAt(h), homedAt(h)
+	x := homedAt(alt(c)) // c's alternate is x's home
+	for _, it := range []*hybridslab.Item{x, a, b, c} {
+		d.Publish(it)
+	}
+	lives(a, h)
+	lives(b, h)
+	lives(c, alt(c)) // the home was full: c spilled, beside x
+	spill(h, 1)
+	spill(alt(c), 0)
+	d.Publish(&hybridslab.Item{Key: c.Key, Value: "v2", ValueSize: 10}) // a spilled key keeps its way
+	c.Value = "v2"
+	lives(c, alt(c))
+	spill(h, 1)
+	d.Unpublish(c.Key)
+	spill(h, 0)
+	if d.entry(c.Key) != nil {
+		t.Fatal("c still published after Unpublish")
+	}
+	d.Publish(c)
+	spill(h, 1)
+	if d.Displacements != 0 {
+		t.Fatalf("spilling displaced %d keys", d.Displacements)
+	}
+
+	// z, homed at c's alternate (full: x and c), with its own alternate
+	// full too, displaces that bucket's last way — c, spilled in from h —
+	// and h counts one spill fewer.
+	z := keyWhere(func(home, digest uint64) bool {
+		return int(home) == alt(c) && protocol.AltBucket(int(home), digest, buckets) == h
+	})
+	d.Publish(z)
+	lives(z, alt(c))
+	lives(x, alt(c))
+	if d.Displacements != 1 || d.entry(c.Key) != nil {
+		t.Fatalf("Displacements %d, c's entry %+v", d.Displacements, d.entry(c.Key))
+	}
+	spill(h, 0)
+	spill(alt(c), 0)
+
+	// Quiesce empties every header with the ways.
+	d.Unpublish(x.Key)
+	d.Publish(c)
+	lives(c, alt(c))
+	spill(h, 1)
+	d.Quiesce()
+	for b := 0; b < buckets; b++ {
+		spill(b, 0)
 	}
 }
 

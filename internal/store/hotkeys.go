@@ -11,7 +11,9 @@ import (
 // a fixed roster of candidate keys with approximate counts; when a new key
 // arrives and the roster is full, the minimum-count entry is replaced and
 // the newcomer inherits min+1 — the classic over-estimate that guarantees
-// any key with true frequency above min is in the roster. The crawler
+// any key with true frequency above min is in the roster. Reads the server
+// never serves (one-sided bypass GETs) reach it as samples riding the
+// clients' hot-set refreshes (NoteHeat). The crawler
 // periodically distills the roster into a published hot set (key digests
 // above a share threshold) and then ages the counts so yesterday's
 // celebrity cools off.
@@ -162,6 +164,19 @@ func (s *Store) refreshHotSet() {
 	if s.hot.total >= hotAgeWindow {
 		s.hot.Age()
 	}
+}
+
+// NoteHeat counts one read of key that the store never served — a GET a
+// client resolved one-sided, reported on its hot-set refresh — in the heat
+// sketch, as Get counts the reads it serves.
+func (s *Store) NoteHeat(key string) { s.hot.Touch(key) }
+
+// Heat returns key's count in the heat sketch: 0 when it is no candidate.
+func (s *Store) Heat(key string) int64 {
+	if i, ok := s.hot.idx[key]; ok {
+		return s.hot.entries[i].count
+	}
+	return 0
 }
 
 // HotSnapshot returns the currently published hot-key digests and the set's

@@ -22,28 +22,33 @@ func (t *tag) CorruptCopy() any { return &tag{id: t.id, garbled: true} }
 
 // legInjector is a seeded fault.Injector that writes down its verdict on
 // each SEND / WRITE_IMM leg from a to b, in serialization order — the order
-// they were posted, since a's transmit queue is FIFO. A READ leg (the 16-byte
-// request out, the response back) keeps every verdict but Duplicate: the RC
-// requester completes a READ once and panics on a second response.
+// they were posted, since a's transmit queue is FIFO — and counts the READ
+// legs (the 16-byte request out, the response back) it duplicates.
 type legInjector struct {
-	in   *fault.Injector
-	legs []simnet.Verdict
+	in       *fault.Injector
+	legs     []simnet.Verdict
+	readDups int
 }
 
 func (li *legInjector) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
 	v := li.in.Transmit(src, dst, size, now)
-	if src == "b" || size == readReqBytes {
-		v.Duplicate = false
-		return v
+	switch {
+	case src == "b" || size == readReqBytes:
+		if v.Duplicate {
+			li.readDups++
+		}
+	default:
+		li.legs = append(li.legs, v)
 	}
-	li.legs = append(li.legs, v)
 	return v
 }
 
 // Transfers are recycled after their last delivery — the second, for a
 // duplicate — so under drops, duplicates, corruption and latency spikes on
 // every leg, each completion still carries what its own work request posted,
-// and the two deliveries of a duplicate carry the same thing.
+// and the two deliveries of a duplicate carry the same thing. A READ whose
+// request or response is duplicated completes once: the requester drops
+// the second response.
 func TestRecycledTransfersUnderFaults(t *testing.T) {
 	const posts = 100_000
 	const segs = 64
@@ -150,9 +155,33 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 		}
 		reads++
 	}
-	if dups < posts/20 || garbled < posts/20 || reads < posts/5 || in.Drops < posts/20 || in.Spikes < posts/20 {
-		t.Errorf("faults too rare to tell: %d duplicates, %d garbled, %d READs completed, %d drops, %d spikes",
-			dups, garbled, reads, in.Drops, in.Spikes)
+	if dups < posts/20 || li.readDups < posts/20 || garbled < posts/20 || reads < posts/5 || in.Drops < posts/20 || in.Spikes < posts/20 {
+		t.Errorf("faults too rare to tell: %d duplicates, %d duplicated READ legs, %d garbled, %d READs completed, %d drops, %d spikes",
+			dups, li.readDups, garbled, reads, in.Drops, in.Spikes)
+	}
+
+	// With nothing lost, every READ completes, and exactly once, whichever
+	// of its legs are duplicated: each of these duplicates both.
+	r.devA.node.Fabric().SetFaults(fault.New(fault.Config{Seed: 9, Dup: 1}))
+	const lossless = 1000
+	r.env.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < lossless; i++ {
+			r.qpA.PostSend(p, SendWR{WRID: uint64(posts + i), Op: OpRead, Size: 64,
+				RemoteMR: remote.LKey(), RemoteOff: int64(i % segs * 64), LocalMR: local, Signaled: true})
+		}
+	})
+	r.env.Run()
+	for i := 0; i < lossless; i++ {
+		c, ok := r.sendA.Poll()
+		if !ok {
+			t.Fatalf("%d of %d READs completed with every leg duplicated", i, lossless)
+		}
+		if want := uint64(posts + i); c.WRID != want || c.Payload.(*tag).id != segTags[i%segs].id {
+			t.Fatalf("completion %d: WRID %d carrying %+v, want WRID %d with segment %d", i, c.WRID, c.Payload, want, i%segs)
+		}
+	}
+	if c, ok := r.sendA.Poll(); ok {
+		t.Fatalf("READ %d completed twice", c.WRID)
 	}
 }
 

@@ -404,10 +404,13 @@ func (d *Device) deliver(m *simnet.Message) {
 		panic(fmt.Sprintf("verbs: delivery to unknown QP %d on %s", w.dstQPN, d.node.Name()))
 	}
 	if w.kind == OpRead && w.ackFor {
-		// READ response arriving back at the requester.
+		// READ response arriving back at the requester. One whose READ has
+		// completed already — a duplicated response, or the answer to a
+		// duplicated request — is dropped, as an RC requester drops a
+		// response whose PSN it has passed: a READ completes once.
 		local, ok := qp.pendingReads[w.wrid]
 		if !ok {
-			panic("verbs: READ response with no pending request")
+			return
 		}
 		delete(qp.pendingReads, w.wrid)
 		if local != nil {
