@@ -6,7 +6,8 @@
 // executed on a bounded number of internal channels (the effective queue
 // depth the drive can serve in parallel). Commands queue FIFO when all
 // channels are busy, which is how a busy hybrid Memcached server's SSD
-// backlog forms.
+// backlog forms. Writes on different channels overlap their base latency
+// but share the one sustained write bandwidth (writeShare).
 //
 // Contents are tracked as opaque payload references per durable
 // (offset,size) extent — the simulation moves ownership tokens, not bytes, so
@@ -85,6 +86,7 @@ type Device struct {
 	prof     Profile
 	capacity int64
 	channels *sim.Resource
+	writeBW  writeShare
 
 	// durable is what the platters hold, across a power cycle too: fed by
 	// WriteAt and by the persistence-aware write paths
@@ -192,6 +194,7 @@ func New(env *sim.Env, prof Profile, capacity int64) *Device {
 		prof:     prof,
 		capacity: capacity,
 		channels: sim.NewResource(env, prof.Channels),
+		writeBW:  newWriteShare(prof.Channels),
 		durable:  make(map[int64]DurExtent),
 	}
 }
@@ -450,22 +453,28 @@ func (d *Device) Barrier(p *sim.Proc) {
 // it waits for a channel, counts the command and holds the channel for its
 // (possibly slowed) service time. WriteAt and ReadAt time themselves with it,
 // and the page cache, which keeps the contents itself, calls it directly.
+// A write shares the drive's write bandwidth with the other writes in
+// flight (writeShare): it takes a channel only once the bandwidth will be
+// free when its base is paid, and it may still take longer than its service
+// time if a smaller write arrives meanwhile. A slow window stretches the
+// transfer.
 func (d *Device) ServeRaw(p *sim.Proc, write bool, size int) {
-	d.channels.Acquire(p)
-	var t sim.Time
 	if write {
-		t = d.prof.WriteTime(size)
+		d.writeBW.await(p, d.prof.WriteBase, d.prof.WriteTime(size))
+	}
+	d.channels.Acquire(p)
+	t0 := p.Now()
+	if write {
 		d.Writes++
 		d.BytesWrite += int64(size)
+		d.writeBW.serve(p, d.prof.WriteBase, d.slowTime(t0, d.prof.WriteTime(size)))
 	} else {
-		t = d.prof.ReadTime(size)
 		d.Reads++
 		d.BytesRead += int64(size)
+		p.Sleep(d.slowTime(t0, d.prof.ReadTime(size)))
 	}
-	t = d.slowTime(p.Now(), t)
-	p.Sleep(t)
 	d.channels.Release()
-	d.BusyTime += t
+	d.BusyTime += p.Now() - t0
 }
 
 func (d *Device) check(off int64, size int) {
