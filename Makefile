@@ -42,11 +42,14 @@ race:
 # read-modify-write commands), the history checker, and the fabric's
 # transfer pool (TestRecycledTransfersUnderFaults in internal/verbs: 10^5
 # posts through drops, duplicates, corruption and spikes, every completion
-# checked against its own work request). A named subset of
+# checked against its own work request), and the page cache's writeback
+# (TestThrottledWritebackDepth: a throttled writer starts a second writeback
+# stream, so two procs take from the one dirty set across their device
+# waits). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet ./internal/pagecache
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:

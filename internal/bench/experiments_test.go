@@ -143,6 +143,30 @@ func TestFig8aSATABenefitsExceedNVMe(t *testing.T) {
 	}
 }
 
+// TestFig8bImprovementBands locks Fig. 8(b)'s shape: the non-blocking
+// design beats Opt-Block on block write, read and access latency on both
+// drives at both block sizes, and a 16 MB block gains at least as much
+// access latency as a 2 MB one (the paper: 79-85 %, growing with block
+// size). The experiment's byte counts ignore Ops, so this is the registry
+// run itself.
+func TestFig8bImprovementBands(t *testing.T) {
+	r := runExp(t, "fig8b", quick())
+	for _, ssd := range []string{"SATA", "NVMe"} {
+		for _, mb := range []string{"2MB", "16MB"} {
+			for _, kind := range []string{"write", "read", "access"} {
+				key := "improvement_pct." + kind + "." + ssd + "." + mb
+				if v, ok := r.Metrics[key]; !ok || v <= 0 {
+					t.Errorf("%s = %.1f%% (present %v): NonB-i does not beat Opt-Block", key, v, ok)
+				}
+			}
+		}
+		small, large := r.Metrics["improvement_pct.access."+ssd+".2MB"], r.Metrics["improvement_pct.access."+ssd+".16MB"]
+		if large < small {
+			t.Errorf("%s access gain %.1f%% at 16 MB, below %.1f%% at 2 MB", ssd, large, small)
+		}
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"tbl1", "fig1a", "fig1b", "fig2a", "fig2b", "fig4", "fig6a", "fig6b", "fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "faults", "batching", "recovery", "overload", "chaos", "replication", "bypass", "hotkey", "membership", "grayfail", "bitrot"}
 	if len(Registry) != len(want) {

@@ -102,7 +102,13 @@ type Cache struct {
 	files int
 
 	wbKick  *sim.Event
-	wbYield *sim.Event // fired after each flusher batch; throttled writers wait on it
+	wbYield *sim.Event // fired after each writeback command; throttled writers wait on it
+	// Writeback depth (see throttle): the flusher's stream, plus a second
+	// one while a writer is throttled.
+	parked  int             // writers parked in throttle
+	extra   bool            // the extra writeback proc is running
+	extraWB func(*sim.Proc) // c.extraWriteback, bound once so a Spawn allocates nothing
+	writing int             // writeback commands in flight
 
 	// Stats
 	Hits, Misses   int64
@@ -124,6 +130,7 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		wbKick:  env.NewEvent(),
 		wbYield: env.NewEvent(),
 	}
+	c.extraWB = c.extraWriteback
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	env.Spawn("pagecache-flusher", c.flusher)
 	return c
@@ -587,13 +594,37 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 }
 
 // throttle stalls the writer while the dirty set exceeds ThrottlePages.
+//
+// Background writeback keeps one command in flight (the flusher's), so it
+// never competes with reads for more than one of the drive's channels. A
+// writer parked here is balance_dirty_pages' case, where Linux's writeback
+// throttling lets writeback go deeper: a second writeback stream, the extra
+// proc, runs beside the flusher while any writer is parked. One stream's
+// command pays its base while the other's moves its bytes, so the drive's
+// write bandwidth never idles between commands. A third stream would add
+// nothing: two already keep all of it busy (blockdev's writeShare).
 func (c *Cache) throttle(p *sim.Proc) {
 	for c.dirty > c.par.ThrottlePages {
 		c.ThrottleStalls++
 		c.kickFlusher()
-		ev := c.wbYield
-		p.Wait(ev)
+		if !c.extra {
+			c.extra = true
+			c.env.Spawn("pagecache-writeback", c.extraWB)
+		}
+		c.parked++
+		p.Wait(c.wbYield)
+		c.parked--
 	}
+}
+
+// extraWriteback is the second writeback stream. Like the flusher, it takes
+// its next batch the instant its command completes, before the writers it
+// released look at the dirty set, and it stops at a completion that finds
+// no writer parked.
+func (c *Cache) extraWriteback(p *sim.Proc) {
+	for c.parked > 0 && c.writeback(p) {
+	}
+	c.extra = false
 }
 
 func (c *Cache) kickFlusher() {
@@ -610,31 +641,42 @@ func (c *Cache) Kick() { c.kickFlusher() }
 func (c *Cache) flusher(p *sim.Proc) {
 	for {
 		if c.dirty <= c.par.DirtyHighPages/2 {
-			ev := c.wbKick
-			p.Wait(ev)
-			c.wbKick = c.env.NewEvent()
+			c.awaitKick(p)
 		}
-		// Collect a batch of dirty pages, oldest first.
-		batch := 0
-		for pg := c.lru.prev; pg != &c.lru && batch < writebackBatch; pg = pg.prev {
-			if pg.dirty {
-				pg.dirty = false
-				c.dirty--
-				batch++
-			}
-		}
-		if batch == 0 {
+		if !c.writeback(p) {
 			// Nothing flushable despite the kick; rearm and wait.
-			ev := c.wbKick
-			p.Wait(ev)
-			c.wbKick = c.env.NewEvent()
-			continue
+			c.awaitKick(p)
 		}
-		c.dev.ServeRaw(p, true, batch*c.par.PageSize)
-		c.WritebackPages += int64(batch)
-		// Release throttled writers.
-		y := c.wbYield
-		c.wbYield = c.env.NewEvent()
-		y.Fire()
 	}
+}
+
+// awaitKick parks the flusher until the next kick.
+func (c *Cache) awaitKick(p *sim.Proc) {
+	p.Wait(c.wbKick)
+	c.wbKick = c.env.NewEvent()
+}
+
+// writeback takes up to writebackBatch of the oldest dirty pages, marks them
+// clean, writes them back in one device command and releases the throttled
+// writers. It reports false, issuing nothing, when no page is dirty.
+func (c *Cache) writeback(p *sim.Proc) bool {
+	batch := 0
+	for pg := c.lru.prev; pg != &c.lru && batch < writebackBatch; pg = pg.prev {
+		if pg.dirty {
+			pg.dirty = false
+			c.dirty--
+			batch++
+		}
+	}
+	if batch == 0 {
+		return false
+	}
+	c.writing++
+	c.dev.ServeRaw(p, true, batch*c.par.PageSize)
+	c.writing--
+	c.WritebackPages += int64(batch)
+	y := c.wbYield
+	c.wbYield = c.env.NewEvent()
+	y.Fire()
+	return true
 }
