@@ -45,7 +45,10 @@ race:
 # checked against its own work request), and the page cache's writeback
 # (TestThrottledWritebackDepth: a throttled writer starts a second writeback
 # stream, so two procs take from the one dirty set across their device
-# waits). A named subset of
+# waits) and its throttle (TestThrottleReleaseIgnoresLaterWriters,
+# TestThrottledWritersLeaveInParkOrder, TestColdRestartReleasesParkedWriters:
+# each parked writer's ticket against the streams' completions, other
+# writers and a cold restart). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:

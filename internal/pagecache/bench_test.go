@@ -75,9 +75,37 @@ func BenchmarkReadDirect(b *testing.B)         { benchScheme(b, Direct, true) }
 func BenchmarkReadCached(b *testing.B)         { benchScheme(b, Cached, true) }
 func BenchmarkReadMmap(b *testing.B)           { benchScheme(b, Mmap, true) }
 
+// throttledWrites returns a step in which two writers make cached writes
+// to resident pages of a cache that starts clean: a 576 KB write that
+// leaves the dirty set above ThrottlePages, parks and is released by the
+// writeback command its overshoot starts, and a 16 KB one that does not.
+func throttledWrites() (step func(), c *Cache) {
+	env := sim.NewEnv()
+	par := DefaultParams()
+	par.MaxPages = 256
+	par.DirtyHighPages, par.ThrottlePages = 64, 128
+	c = New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
+	f := c.OpenFile(0, 1<<20)
+	big := func(p *sim.Proc) { f.Write(p, 0, 144*4096, c, Cached) }
+	small := func(p *sim.Proc) { f.Write(p, 512*1024, 4*4096, c, Cached) }
+	return func() { env.Spawn("big", big); env.Spawn("small", small); env.Run() }, c
+}
+
+// The host cost of two cached writers, one of them throttled.
+func BenchmarkThrottledWrite(b *testing.B) {
+	step, _ := throttledWrites()
+	benchSteps(b, step)
+}
+
+// throttledWriteCeiling is throttledWrites' step: the flusher's re-armed
+// kick and the writeback completion's fresh wake-up event. The throttle's
+// ticket is a number on the writer's stack and adds nothing.
+const throttledWriteCeiling = 2
+
 // Steady-state paging allocates nothing: resident pages are recycled through
 // the spare list, the extent maps are at size, and neither the write charge
-// nor the read path builds anything per call.
+// nor the read path builds anything per call. A throttled write costs only
+// the events its park and release re-arm (throttledWriteCeiling).
 func TestFileOpAllocationCeilings(t *testing.T) {
 	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
 		write, read := regionModel(scheme)
@@ -90,5 +118,15 @@ func TestFileOpAllocationCeilings(t *testing.T) {
 				t.Errorf("one %s %s: %v allocations, ceiling 0", scheme, tc.name, got)
 			}
 		}
+	}
+	step, c := throttledWrites()
+	step()
+	stalls := c.ThrottleStalls
+	got := testing.AllocsPerRun(200, step)
+	if parks := c.ThrottleStalls - stalls; parks != 201 {
+		t.Fatalf("%d throttled writes in 201 steps, want one per step", parks)
+	}
+	if got > throttledWriteCeiling {
+		t.Errorf("two cached writers, one throttled: %v allocations, ceiling %d", got, throttledWriteCeiling)
 	}
 }

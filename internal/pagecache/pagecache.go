@@ -109,11 +109,16 @@ type Cache struct {
 	extra   bool            // the extra writeback proc is running
 	extraWB func(*sim.Proc) // c.extraWriteback, bound once so a Spawn allocates nothing
 	writing int             // writeback commands in flight
+	// taken counts every page that has left the dirty set through writeback
+	// or direct reclaim; a throttled writer's ticket is a value of it.
+	taken int
 
 	// Stats
 	Hits, Misses   int64
 	Faults         int64
 	WritebackPages int64
+	// ThrottleStalls counts throttled writes: writes that left the dirty set
+	// above ThrottlePages and parked, once each however often they woke.
 	ThrottleStalls int64
 }
 
@@ -587,13 +592,22 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			if victim.dirty { // unless the flusher cleaned it meanwhile
 				victim.dirty = false
 				c.dirty--
+				c.taken++
 			}
 		}
 		c.evict(victim)
 	}
 }
 
-// throttle stalls the writer while the dirty set exceeds ThrottlePages.
+// throttle stalls a writer that left the dirty set above ThrottlePages for
+// its own overshoot, as Linux's IO-less balance_dirty_pages pauses a task for
+// the pages it dirtied. The writer parks with a ticket: the pages taken from
+// the dirty set so far plus its excess, dirty − ThrottlePages. It leaves at
+// the first writeback completion by which that many pages have been taken, or
+// that finds the dirty set back at the limit, so pages dirtied by writers
+// that park after it never lengthen its stall. A later writer's ticket is
+// never smaller (it adds what was dirtied meanwhile), so writers leave in the
+// order they parked.
 //
 // Background writeback keeps one command in flight (the flusher's), so it
 // never competes with reads for more than one of the drive's channels. A
@@ -604,8 +618,12 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 // write bandwidth never idles between commands. A third stream would add
 // nothing: two already keep all of it busy (blockdev's writeShare).
 func (c *Cache) throttle(p *sim.Proc) {
-	for c.dirty > c.par.ThrottlePages {
-		c.ThrottleStalls++
+	excess := c.dirty - c.par.ThrottlePages
+	if excess <= 0 {
+		return
+	}
+	c.ThrottleStalls++
+	for ticket := c.taken + excess; c.dirty > c.par.ThrottlePages && c.taken < ticket; {
 		c.kickFlusher()
 		if !c.extra {
 			c.extra = true
@@ -671,6 +689,7 @@ func (c *Cache) writeback(p *sim.Proc) bool {
 	if batch == 0 {
 		return false
 	}
+	c.taken += batch
 	c.writing++
 	c.dev.ServeRaw(p, true, batch*c.par.PageSize)
 	c.writing--

@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hybridkv/internal/blockdev"
@@ -20,6 +21,12 @@ func writebackRig(prof blockdev.Profile) (*sim.Env, *Cache, *File) {
 	return env, c, c.OpenFile(0, 4<<30)
 }
 
+// drives are the two drive profiles every writeback test runs on.
+var drives = []struct {
+	name string
+	p    blockdev.Profile
+}{{"SATA", blockdev.SATA()}, {"NVMe", blockdev.NVMe()}}
+
 // TestThrottledWritebackDepth watches the writeback commands in flight,
 // sampled every microsecond (a command lasts at least the drive's write
 // base, 15 µs on NVMe), through three phases: bursts that cross the
@@ -29,10 +36,7 @@ func writebackRig(prof blockdev.Profile) (*sim.Env, *Cache, *File) {
 // count; and the idle tail after they stop, where the dirty set drains to
 // half the watermark, so no kick was lost while several procs were parked.
 func TestThrottledWritebackDepth(t *testing.T) {
-	for _, prof := range []struct {
-		name string
-		p    blockdev.Profile
-	}{{"SATA", blockdev.SATA()}, {"NVMe", blockdev.NVMe()}} {
+	for _, prof := range drives {
 		t.Run(prof.name, func(t *testing.T) {
 			env, c, f := writebackRig(prof.p)
 			const mb = 1 << 20
@@ -114,10 +118,7 @@ func TestThrottledWritebackDepth(t *testing.T) {
 // (2.8 and 2.6 % short), and fails here; with each channel writing at the
 // full WriteBps, it measured 836.0 and 3 699.5 MB/s, and fails too.
 func TestThrottledWritebackRate(t *testing.T) {
-	for _, prof := range []struct {
-		name string
-		p    blockdev.Profile
-	}{{"SATA", blockdev.SATA()}, {"NVMe", blockdev.NVMe()}} {
+	for _, prof := range drives {
 		t.Run(prof.name, func(t *testing.T) {
 			env, c, f := writebackRig(prof.p)
 			const mb, warm, window = 1 << 20, 16, 128
@@ -147,6 +148,207 @@ func TestThrottledWritebackRate(t *testing.T) {
 			}
 			if c.ThrottleStalls == 0 {
 				t.Errorf("the writers never throttled")
+			}
+		})
+	}
+}
+
+// cachedWriteTime is what a 1 MB cached write costs a writer that does not
+// park: the syscall and the copy into the cache. A write that took longer
+// parked in the throttle from that point on.
+var cachedWriteTime = SyscallCost + sim.TransferTime(1<<20, sim.MemcpyBps)
+
+// TestThrottleReleaseIgnoresLaterWriters runs one schedule twice: writer A
+// issues 1 MB cached writes until its second write that parks in the
+// throttle returns (the first starts the second writeback stream), and in
+// the second run writer B starts a 1 MB write the microsecond after A parks
+// for the second time, so B's pages land while A is still parked. A is held
+// for its own overshoot, so it leaves at the same instant in both runs. When
+// a writer left only once the dirty set was back at ThrottlePages, B's
+// megabyte held A for one more 1 MB writeback command, and this failed.
+func TestThrottleReleaseIgnoresLaterWriters(t *testing.T) {
+	for _, prof := range drives {
+		t.Run(prof.name, func(t *testing.T) {
+			run := func(withB bool) (released, bDirtied sim.Time) {
+				env, c, f := writebackRig(prof.p)
+				const mb = 1 << 20
+				env.Spawn("A", func(p *sim.Proc) {
+					for off, parks := int64(0), 0; parks < 2; off += mb {
+						start := p.Now()
+						f.Write(p, off, mb, off, Cached)
+						if p.Now() > start+cachedWriteTime {
+							parks++
+						}
+					}
+					released = p.Now()
+				})
+				if withB {
+					env.Spawn("B", func(p *sim.Proc) {
+						for parks, wasParked := 0, false; parks < 2; p.Sleep(sim.Microsecond) {
+							if c.parked > 0 && !wasParked {
+								parks++
+							}
+							wasParked = c.parked > 0
+						}
+						bDirtied = p.Now() + cachedWriteTime
+						f.Write(p, 1<<30, mb, "B", Cached)
+					})
+				}
+				env.Run()
+				if dev := c.dev; dev.BytesWrite != dev.Writes*mb {
+					t.Errorf("%d device writes of %d bytes: a write other than a 1 MB writeback command", dev.Writes, dev.BytesWrite)
+				}
+				return released, bDirtied
+			}
+			alone, _ := run(false)
+			shared, bDirtied := run(true)
+			if bDirtied >= shared {
+				t.Fatalf("B's pages dirtied at %v, A released at %v: want B's pages in while A is parked", bDirtied, shared)
+			}
+			if shared != alone {
+				t.Errorf("A released at %v with B's megabyte dirtied behind it, at %v without; want the same instant", shared, alone)
+			}
+		})
+	}
+}
+
+// TestThrottledWritersLeaveInParkOrder runs four writers of 1 MB cached
+// writes, far faster than the drive, and checks the throttle's oracle:
+//   - a write that parked earlier leaves no later than one that parked after
+//     it (a later ticket adds what was dirtied in between, so it is never
+//     smaller);
+//   - the dirty set, sampled every microsecond, never exceeds ThrottlePages
+//     plus the pages of the writes parked at that instant;
+//   - ThrottleStalls counts the writes that parked, once each;
+//   - every device write is a full 1 MB writeback command, so direct reclaim
+//     (a 4 KB write in the writer's context) is never reached.
+func TestThrottledWritersLeaveInParkOrder(t *testing.T) {
+	for _, prof := range drives {
+		t.Run(prof.name, func(t *testing.T) {
+			env, c, f := writebackRig(prof.p)
+			const mb, writers, each = 1 << 20, 4, 6
+			pages := mb / c.Params().PageSize
+			type write struct{ start, end sim.Time }
+			var writes []*write
+			current := make([]*write, writers)
+			var next int64
+			for w := range writers {
+				env.Spawn("writer", func(p *sim.Proc) {
+					for range each {
+						wr := &write{start: p.Now()}
+						writes, current[w] = append(writes, wr), wr
+						off := next
+						next += mb
+						f.Write(p, off, mb, off, Cached)
+						wr.end, current[w] = p.Now(), nil
+					}
+				})
+			}
+			violations := 0
+			env.Spawn("monitor", func(p *sim.Proc) {
+				for len(writes) < writers*each || slices.ContainsFunc(current, func(w *write) bool { return w != nil }) {
+					parked := 0
+					for _, wr := range current {
+						if wr != nil && p.Now() >= wr.start+cachedWriteTime {
+							parked += pages
+						}
+					}
+					if c.Dirty() > c.Params().ThrottlePages+parked {
+						if violations++; violations == 1 {
+							t.Errorf("at %v: %d dirty pages, above ThrottlePages %d plus %d pages of parked writes", p.Now(), c.Dirty(), c.Params().ThrottlePages, parked)
+						}
+					}
+					p.Sleep(sim.Microsecond)
+				}
+			})
+			env.Run()
+
+			var parked []*write
+			for _, wr := range writes {
+				if wr.end > wr.start+cachedWriteTime {
+					parked = append(parked, wr)
+				}
+			}
+			if len(parked) < writers || int64(len(parked)) != c.ThrottleStalls {
+				t.Errorf("%d writes parked, ThrottleStalls %d; want equal, and at least %d", len(parked), c.ThrottleStalls, writers)
+			}
+			for _, a := range parked {
+				for _, b := range parked {
+					if a.start < b.start && a.end > b.end {
+						t.Errorf("a write parked at %v left at %v, after one parked at %v that left at %v", a.start+cachedWriteTime, a.end, b.start+cachedWriteTime, b.end)
+					}
+				}
+			}
+			if dev := c.dev; dev.Writes == 0 || dev.BytesWrite != dev.Writes*mb || dev.BytesWrite != c.WritebackPages*int64(c.Params().PageSize) {
+				t.Errorf("%d device writes of %d bytes for %d pages written back: want only 1 MB writeback commands", dev.Writes, dev.BytesWrite, c.WritebackPages)
+			}
+		})
+	}
+}
+
+// TestColdRestartReleasesParkedWriters cuts the power while region writes
+// (WriteExtents, cached) are parked in the throttle. The restart drops the
+// dirty set, so the first writeback completion after it releases every
+// parked writer, none hangs, and every write in flight across the restart,
+// parked or still copying, places nothing, logical or durable.
+func TestColdRestartReleasesParkedWriters(t *testing.T) {
+	for _, prof := range drives {
+		t.Run(prof.name, func(t *testing.T) {
+			env, c, f := writebackRig(prof.p)
+			const mb, writers = 1 << 20, 4
+			type write struct {
+				off        int64
+				start, end sim.Time
+				ok         bool
+			}
+			var writes []*write
+			var next int64
+			done := 0
+			for range writers {
+				env.Spawn("writer", func(p *sim.Proc) {
+					for range 8 {
+						wr := &write{off: next, start: p.Now()}
+						next += mb
+						writes = append(writes, wr)
+						wr.ok = f.WriteExtents(p, wr.off, mb, []Extent{{Off: wr.off, Size: mb, Payload: wr.off}}, Cached)
+						wr.end = p.Now()
+					}
+					done++
+				})
+			}
+			var cut, firstCompletion sim.Time
+			env.Spawn("power-cut", func(p *sim.Proc) {
+				for c.parked < 2 {
+					p.Sleep(sim.Microsecond)
+				}
+				cut = p.Now()
+				f.RecoverExtents()
+				p.Wait(c.wbYield)
+				firstCompletion = p.Now()
+			})
+			env.Run()
+			if done != writers {
+				t.Fatalf("%d of %d writers finished: a writer parked across the restart hangs", done, writers)
+			}
+			parked := 0
+			for _, wr := range writes {
+				if wr.start >= cut || wr.end < cut {
+					continue // before or after the restart
+				}
+				if wr.start+cachedWriteTime <= cut {
+					parked++
+					if wr.end != firstCompletion {
+						t.Errorf("write at %d parked across the restart left at %v, want the first writeback completion after it, %v", wr.off, wr.end, firstCompletion)
+					}
+				}
+				_, logical := f.Peek(wr.off)
+				_, durable := f.PeekDurable(wr.off)
+				if wr.ok || logical || durable {
+					t.Errorf("write at %d in flight across the restart: ok=%v, placed logical=%v durable=%v; want nothing", wr.off, wr.ok, logical, durable)
+				}
+			}
+			if parked < 2 {
+				t.Errorf("%d writes parked across the restart, want at least 2", parked)
 			}
 		})
 	}

@@ -185,7 +185,10 @@ func (s *Store) Keys() []string {
 // build push frames for values that may reside on SSD, and the bench
 // verification oracle uses it to audit post-run state; neither should
 // perturb cache behavior. Returns ok=false on a miss or when the value is
-// unreadable (dropped by eviction, or the store is recovering).
+// unreadable (dropped by eviction, corrupt, or the store is recovering). A
+// failed load of the item the table still holds is torn down as Get's is
+// (loadFailed): a corrupt copy met on the repair path fires the corrupt hook,
+// so this replica repair-pulls the key with no client reading it.
 func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags uint32, expireAt sim.Time, ok bool) {
 	it := s.table[key]
 	if it == nil {
@@ -196,6 +199,9 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 	}
 	v, err := s.mgr.Load(p, it)
 	if err != nil {
+		if s.table[key] == it {
+			s.loadFailed(p, key, err)
+		}
 		return nil, 0, 0, 0, false
 	}
 	return v, it.ValueSize, it.Flags, it.ExpireAt, true
