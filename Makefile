@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt counters race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity reach allocs knobs loc loc-diff fuzz check
+.PHONY: build test vet fmt counters race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,24 @@ virtual-identity:
 	done < "$$tmp/verify.txt"; \
 	echo "virtual-identity: $(BASE) vs the working tree: $$summary; $$moved in EXCEPT=\"$(EXCEPT)\", $$bad outside it"; \
 	[ "$$bad" -eq 0 ]
+
+# Paired seeds against another commit, the measurement a performance claim is
+# judged by (cmd/ab):
+#
+#	make ab BASE=<git ref> WORKLOAD=<w> METRIC=<end-to-end metric> [SEEDS=701-710] [RUN_SECONDS=T]
+#
+# builds the benchmark from a `git archive` snapshot of BASE (as
+# virtual-identity does) and from the working tree, runs both through
+# benchmark/run.sh once per seed, alternating which side runs first, at
+# BENCHMARK.json's run_seconds unless RUN_SECONDS is given; prints per pair both
+# values of METRIC and the winner, then the wins out of the pairs, both medians
+# and BASE's interquartile range, then every other end-to-end metric's median
+# change beside its bound, the failed shares and the host time per pair.
+SEEDS ?= 701-710
+RUN_SECONDS ?= 0
+ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(METRIC)" || { echo "usage: make ab BASE=<git ref> WORKLOAD=<w> METRIC=<m> [SEEDS=first-last] [RUN_SECONDS=T]" >&2; exit 2; }
+	@$(GO) run ./cmd/ab -base "$(BASE)" -workload "$(WORKLOAD)" -metric "$(METRIC)" -seeds "$(SEEDS)" -seconds "$(RUN_SECONDS)"
 
 # Who runs what under internal/ (internal/reach.sh): -cover builds of
 # cmd/mc-bench, benchmark and the examples; one -smoke registry run that also

@@ -17,12 +17,12 @@ import (
 
 // The actors the robustness cells share: checker workers that log every
 // operation they perform into the run's history.Log (CAS-chain writers, a
-// guarded counter), the outage schedule that takes servers down under them,
-// and the server-side sweep that counts lost acked writes afterwards. The
-// log is checked offline against the cache's invariants: no acked write
-// lost outside a crash window, no stale read after a completed CAS write,
-// no read of a value nobody wrote, no counter regression, and no wedged
-// process (every issued operation completes).
+// guarded counter), the fault schedule that takes servers down and reshards
+// the ring under them, and the server-side sweep that counts lost acked
+// writes afterwards. The log is checked offline against the cache's
+// invariants: no acked write lost outside a crash window, no stale read after
+// a completed CAS write, no read of a value nobody wrote, no counter
+// regression, and no wedged process (every issued operation completes).
 
 // chain configures the CAS-chain writers of one cell.
 type chain struct {
@@ -153,68 +153,69 @@ func (r *run) spawnCounter(cl *cluster.Cluster, c *core.Client, ch *chain) {
 	})
 }
 
-// outage is one step of a cell's failure schedule: after more of quiet,
-// server goes down — how selects the failure mode — stays dark for down,
-// and is brought back.
-type outage struct {
+// step is one entry of a cell's fault schedule: after quiet time since the
+// previous step completed, kind happens to server target (an outage keeps it
+// dark for down). An outage completes when its server answers again, a join
+// or a decommission as it starts, a settle when the open rebalance has
+// finalized.
+type step struct {
 	after  sim.Time
-	server int
-	how    failure
+	kind   stepKind
+	target int
 	down   sim.Time
 }
 
-type failure int
+type stepKind int
 
 const (
-	// warmCrash wedges the process; the store survives and Restart resumes it.
-	warmCrash failure = iota
-	// coldCrash loses RAM; the recovery scan rebuilds from the SSD.
-	coldCrash
-	// killRAM is a whole-node kill that loses RAM and every pending buffer
-	// (SSD intact — recovered keys come back suspect and must be confirmed
-	// against peers before being served).
-	killRAM
-	// killAll also wipes the SSD, as if the node were replaced: every key
-	// it held comes back only through the replication chain.
-	killAll
+	warmCrash = stepKind(server.WarmCrash) // the four outages are server.Outage's
+	coldCrash = stepKind(server.ColdCrash)
+	killRAM   = stepKind(server.KillRAM)
+	killAll   = stepKind(server.KillAll)
 )
 
-// takeDown runs one outage on srv from process p and returns once the
-// server answers again. When log is set the window is recorded
-// conservatively — down through fully recovered — since invariant floors
-// do not carry across it.
-func takeDown(p *sim.Proc, srv *server.Server, how failure, down sim.Time, log *history.Log) {
-	from := p.Now()
-	switch how {
-	case warmCrash, coldCrash:
-		srv.Crash()
-	default:
-		srv.Kill(how == killAll)
-	}
-	p.Sleep(down)
-	if how == warmCrash {
-		srv.Restart()
-	} else {
-		srv.RestartCold()
-		for srv.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
-	}
-	if log != nil {
-		log.CrashWindow(from, p.Now())
-	}
-}
+const (
+	// join adds a server and decommission drains target out of the ring;
+	// each opens a rebalance window (To == 0) that the next settle closes.
+	join stepKind = killAll + 1 + iota
+	decommission
+	settle
+)
 
-// spawnOutages runs the schedule, step after step, from its own process
-// (held back by start when set). log may be nil.
-func spawnOutages(cl *cluster.Cluster, start *sim.Event, log *history.Log, steps ...outage) {
-	cl.Env.Spawn("outages", func(p *sim.Proc) {
+// spawnSchedule runs steps one after another from their own process (held
+// back by start when set). Into log it records each outage conservatively,
+// down through fully recovered, since invariant floors do not carry across
+// it, and each rebalance from its start to its finalize. log may be nil for a
+// schedule of outages alone.
+func spawnSchedule(cl *cluster.Cluster, start *sim.Event, log *history.Log, steps []step) {
+	cl.Env.Spawn("schedule", func(p *sim.Proc) {
 		if start != nil {
 			p.Wait(start)
 		}
-		for _, o := range steps {
-			p.Sleep(o.after)
-			takeDown(p, cl.Servers[o.server], o.how, o.down, log)
+		for _, s := range steps {
+			if s.after > 0 {
+				p.Sleep(s.after)
+			}
+			switch s.kind {
+			case join:
+				cl.Join()
+				log.RebalanceWindow(p.Now(), 0)
+			case decommission:
+				cl.Decommission(s.target)
+				log.RebalanceWindow(p.Now(), 0)
+			case settle:
+				// Transitions are serialized, so at most one is open.
+				cl.AwaitRebalance(p)
+				if w := &log.Rebalances[len(log.Rebalances)-1]; w.To == 0 {
+					w.To = p.Now()
+				}
+			default:
+				from := p.Now()
+				cl.Servers[s.target].Outage(p, server.OutageKind(s.kind), s.down)
+				if log != nil {
+					log.CrashWindow(from, p.Now())
+				}
+			}
 		}
 	})
 }
@@ -222,10 +223,10 @@ func spawnOutages(cl *cluster.Cluster, start *sim.Event, log *history.Log, steps
 // nodeKills is the whole-node kill schedule the replicated cells share:
 // server 0 loses its RAM 3 ms in, server 1 dies completely 4 ms after
 // server 0 is back; secondDown is how long the second node stays dark.
-func nodeKills(secondDown sim.Time) []outage {
-	return []outage{
-		{3 * sim.Millisecond, 0, killRAM, 300 * sim.Microsecond},
-		{4 * sim.Millisecond, 1, killAll, secondDown},
+func nodeKills(secondDown sim.Time) []step {
+	return []step{
+		{3 * sim.Millisecond, killRAM, 0, 300 * sim.Microsecond},
+		{4 * sim.Millisecond, killAll, 1, secondDown},
 	}
 }
 

@@ -96,3 +96,54 @@ func TestCASChainActor(t *testing.T) {
 		l.Entries = l.Entries[:len(l.Entries)-1]
 	})
 }
+
+// TestScheduleTiming runs one fault schedule on a quiet three-server R=2
+// deployment and reads the interpreter's contract off the log it keeps: a
+// cold crash's window spans down through fully recovered (its restart plus
+// the recovery scan, up to the first 100 µs poll after it); each step's
+// after counts from the previous step's completion — an outage's when its
+// server answers again, a join's as it starts, a
+// settle's when the open rebalance finalized; and each settle closes one
+// window per open rebalance.
+func TestScheduleTiming(t *testing.T) {
+	const crashAt, down, quiet = sim.Millisecond, 300 * sim.Microsecond, 500 * sim.Microsecond
+	cl := (&spec{Config: cluster.Config{
+		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: 3, Clients: 1,
+		ServerMem: 1 << 20, ReplicationFactor: 2,
+	}}).build()
+	cl.Preload(1024, 4<<10, keyOf) // 4 MB at R=2 over 3 MB of RAM: the recovery scan has pages to read
+	log := &history.Log{}
+	start := cl.Env.Now()
+	spawnSchedule(cl, nil, log, []step{
+		{crashAt, coldCrash, 1, down},
+		{after: quiet, kind: join},
+		{kind: settle},
+		{quiet, warmCrash, 2, down},
+		{after: quiet, kind: decommission, target: 0},
+		{kind: settle},
+	})
+	cl.Env.Run()
+	recovery := cl.Servers[1].RecoveryTime
+	if len(log.Crashes) != 2 || len(log.Rebalances) != 2 {
+		t.Fatalf("logged %d crash and %d rebalance windows, want 2 and 2", len(log.Crashes), len(log.Rebalances))
+	}
+	cold, warm := log.Crashes[0], log.Crashes[1]
+	joined, left := log.Rebalances[0], log.Rebalances[1]
+	if span := cold.To - cold.From; cold.From != start+crashAt || span < down+recovery || span > down+recovery+100*sim.Microsecond {
+		t.Errorf("cold crash window %v..%v (%v long), want from %v, down %v plus the %v scan and at most one poll",
+			cold.From-start, cold.To-start, span, crashAt, down, recovery)
+	}
+	if joined.From != cold.To+quiet {
+		t.Errorf("join began %v after the crashed server answered again, want %v", joined.From-cold.To, quiet)
+	}
+	if joined.To <= joined.From || warm.From != joined.To+quiet || warm.To != warm.From+down {
+		t.Errorf("join window %v..%v, warm crash window %v..%v: want the join to take time, and the crash %v after it finalized and %v long",
+			joined.From-start, joined.To-start, warm.From-start, warm.To-start, quiet, down)
+	}
+	if left.From != warm.To+quiet || left.To <= left.From {
+		t.Errorf("decommission window %v..%v, want from %v after the warm crash, and closed", left.From-start, left.To-start, quiet)
+	}
+	for _, v := range log.Check() {
+		t.Errorf("violation: %v", v)
+	}
+}

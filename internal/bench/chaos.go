@@ -112,12 +112,13 @@ func chaosCell(d cluster.Design, rounds int, seed int64, replicas int, kills boo
 				attempt: 2 * sim.Millisecond, backoff: 50 * sim.Microsecond, maxBackoff: sim.Millisecond,
 			}.opts(false))
 			if kills {
-				spawnOutages(cl, nil, r.Log, nodeKills(200*sim.Microsecond)...)
+				spawnSchedule(cl, nil, r.Log, nodeKills(200*sim.Microsecond))
 			} else {
 				// A warm crash early, a cold restart later, both of server 0.
-				spawnOutages(cl, nil, r.Log,
-					outage{3 * sim.Millisecond, 0, warmCrash, 300 * sim.Microsecond},
-					outage{4 * sim.Millisecond, 0, coldCrash, 200 * sim.Microsecond})
+				spawnSchedule(cl, nil, r.Log, []step{
+					{3 * sim.Millisecond, warmCrash, 0, 300 * sim.Microsecond},
+					{4 * sim.Millisecond, coldCrash, 0, 200 * sim.Microsecond},
+				})
 			}
 			start := cl.Env.Now()
 			cl.Env.RunUntil(start + chaosLimit)

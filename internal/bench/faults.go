@@ -16,16 +16,14 @@ import (
 // tail latency and goodput, not means: a lossy fabric moves p99, not p50.
 
 // The degraded-mode mix of a faulted phase: 1% drops, 0.5% dups, 1% latency
-// spikes of 100 µs, server 0 down for 4 ms early in the phase, and 0.5% SSD
-// read errors, every injector seeded from faultSeed. A clean phase injects
-// nothing anywhere.
+// spikes of 100 µs, server 0 down for 4 ms from 2 ms into the phase (a warm
+// crash), and 0.5% SSD read errors, every injector seeded from faultSeed. A
+// clean phase injects nothing anywhere.
 const (
 	faultSeed       = 42
 	faultDrop       = 0.01
 	faultDup        = 0.005
 	faultSpike      = 0.01
-	faultCrashFrom  = 2 * sim.Millisecond
-	faultCrashTo    = 6 * sim.Millisecond
 	faultSSDReadErr = 0.005
 )
 
@@ -61,11 +59,10 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted
 	var seed int64
 	if faulted {
 		seed = faultSeed
-		start := cl.Env.Now()
 		cl.Fabric.SetFaults(fault.New(fault.Config{
 			Seed: seed, Drop: faultDrop, Dup: faultDup, Spike: faultSpike,
 		}))
-		cl.Servers[0].ScheduleCrash(start+faultCrashFrom, start+faultCrashTo)
+		spawnSchedule(cl, nil, nil, []step{{2 * sim.Millisecond, warmCrash, 0, 4 * sim.Millisecond}})
 		for i, dev := range cl.Devices {
 			dev.SetFaults(seed+int64(i)+1, faultSSDReadErr, 0)
 		}

@@ -154,7 +154,7 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 			// recovery rejoins the node (still limping) behind the usual
 			// crash excuse.
 			if def.crash {
-				spawnOutages(cl, nil, r.Log, outage{grayCrashAt, graySlowID, killRAM, 3 * sim.Millisecond})
+				spawnSchedule(cl, nil, r.Log, []step{{grayCrashAt, killRAM, graySlowID, 3 * sim.Millisecond}})
 			}
 			cl.Env.RunUntil(start + grayLimit)
 		},

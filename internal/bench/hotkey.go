@@ -155,7 +155,7 @@ func hotChaosCell(rounds int) cell {
 					}
 				})
 			}
-			spawnOutages(cl, ch.start, r.Log, nodeKills(300*sim.Microsecond)...)
+			spawnSchedule(cl, ch.start, r.Log, nodeKills(300*sim.Microsecond))
 			cl.Env.Run()
 			r.Ops = int64(r.Log.Expected)
 		},

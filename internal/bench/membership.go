@@ -34,7 +34,7 @@ import (
 
 const (
 	// memChaosLimit bounds the churn phase: an unfinished rebalance or a
-	// wedged worker past this limit becomes a liveness/rebalance-stuck
+	// wedged worker past this limit becomes a rebalance-stuck/liveness
 	// violation instead of a hung benchmark.
 	memChaosLimit = 500 * sim.Millisecond
 	memSettle     = 10 * sim.Millisecond
@@ -48,9 +48,10 @@ const (
 // under link faults (seed drives the injector), then sweeps for lost acked
 // writes. The writers are the chaos soak's, unchanged — the point is that
 // the same workload that proves the invariants in steady state proves them
-// across reshards.
-func churnCell(rounds int, seed int64) cell {
-	rebalances := 0
+// across reshards. The history is checked at limit, so a rebalance or an
+// operation still open there is a violation whatever the sweep's drain
+// finishes later.
+func churnCell(rounds int, seed int64, limit sim.Time) cell {
 	return cell{
 		prefix: "chaos.",
 		spec: &spec{Config: cluster.Config{
@@ -66,60 +67,40 @@ func churnCell(rounds int, seed int64) cell {
 			r.spawnWriters(cl, cl.Clients[0], ch)
 			r.spawnCounter(cl, cl.Clients[0], ch)
 
-			// The churn schedule: join, join-with-a-kill, decommission —
-			// serialized, each recorded as a rebalance window. A window left
-			// open at the end of the run (To == 0) is a rebalance-stuck
-			// violation.
-			cl.Env.Spawn("mem-churn", func(p *sim.Proc) {
-				await := func(from sim.Time, done *sim.Event) {
-					p.Wait(done)
-					r.Log.RebalanceWindow(from, p.Now())
-					rebalances++
-				}
-
-				// Join #1: capacity up 3 → 4 under live traffic.
-				p.Sleep(2 * sim.Millisecond)
-				from := p.Now()
-				_, done := cl.Join()
-				await(from, done)
-
-				// Join #2, with a whole-node kill of a migration source
-				// mid-flight: the joiner keeps re-pulling until the victim
-				// cold-restarts and its suspect keys reconfirm; the other
-				// replicas cover the overlap.
-				p.Sleep(sim.Millisecond)
-				from = p.Now()
-				_, done = cl.Join()
-				p.Sleep(200 * sim.Microsecond)
-				takeDown(p, cl.Servers[1], killRAM, 300*sim.Microsecond, r.Log)
-				await(from, done)
-
-				// Decommission an original member: drain its range to the
-				// survivors, then the watcher crashes it and retires its
-				// client-side state. No crash window — the node's death
-				// must be invisible to the checker.
-				p.Sleep(sim.Millisecond)
-				from = p.Now()
-				await(from, cl.Decommission(0))
+			// The churn: join #1 (3 → 4 servers under live traffic); join #2
+			// with a whole-node kill of a migration source mid-flight (the
+			// joiner re-pulls until the victim cold-restarts and its suspect
+			// keys reconfirm; the other replicas cover the overlap); and the
+			// decommission of an original member, crashed by its watcher once
+			// drained with no crash window: its death must be invisible.
+			spawnSchedule(cl, nil, r.Log, []step{
+				{after: 2 * sim.Millisecond, kind: join},
+				{kind: settle},
+				{after: sim.Millisecond, kind: join},
+				{200 * sim.Microsecond, killRAM, 1, 300 * sim.Microsecond},
+				{kind: settle},
+				{after: sim.Millisecond, kind: decommission, target: 0},
+				{kind: settle},
 			})
-			cl.Env.RunUntil(cl.Env.Now() + memChaosLimit)
+			cl.Env.RunUntil(cl.Env.Now() + limit)
 			r.Ops = int64(r.Log.Expected)
+			r.check(false)
 
 			cl.Env.Spawn("mem-sweep", func(p *sim.Proc) { r.sweepLostAcked(p, cl, memSettle, nil) })
 			cl.Env.Run()
 		},
 		collect: func(_ *cluster.Cluster, r *run) {
 			moved := float64(r.Repl.Val(metrics.CMigrateKeysMoved))
-			r.set("violations", r.check(false))
+			r.set("violations", float64(len(r.Violations)))
 			r.set("entries", float64(len(r.Log.Entries)))
 			r.set("acked_keys", float64(r.AckedKeys))
 			r.set("lost_acked", float64(r.LostAcked))
-			r.set("rebalances", float64(rebalances))
+			r.set("rebalances", float64(len(r.Log.Rebalances)))
 			r.set("moved_keys", moved)
 			r.plotAt(r.cell.table, "churn", "violations", r.val("violations"))
 			r.plotAt(r.cell.table, "churn", "lost acked", float64(r.LostAcked))
 			r.plotAt(r.cell.table, "churn", "moved keys", moved)
-			r.plotAt(r.cell.table, "churn", "rebalances", float64(rebalances))
+			r.plotAt(r.cell.table, "churn", "rebalances", r.val("rebalances"))
 			r.counts(r.Repl, metrics.CMigrateSeals, metrics.CMigrateManifests)
 			r.set("double_reads", float64(r.Repl.Val(metrics.CMigrateDoubleReads)))
 			r.set("read_redirects", float64(r.Repl.Val(metrics.CMigrateReadRedirects)))
@@ -159,7 +140,7 @@ func scaleCell(servers, factor, totalOps int) cell {
 var membershipExp = Experiment{
 	ID: "membership", Title: "Dynamic membership: join/decommission under chaos, zero acked-write loss, and the scaling sweep",
 	cells: func(o Options) []cell {
-		cells := []cell{churnCell(checkerRounds(o), 42)}
+		cells := []cell{churnCell(checkerRounds(o), 42, memChaosLimit)}
 		// Scaling sweep: op/s vs node count at every factor.
 		for _, factor := range []int{1, 2, 3} {
 			for _, n := range []int{3, 5, 7, 9} {

@@ -1,8 +1,10 @@
 package bench
 
 import (
-	"hybridkv/internal/metrics"
 	"testing"
+
+	"hybridkv/internal/metrics"
+	"hybridkv/internal/sim"
 )
 
 // The membership headline: the full churn schedule — two joins, a
@@ -11,7 +13,7 @@ import (
 // enforcing its rules straight through every rebalance window (rebalance
 // windows excuse nothing).
 func TestMembershipChurnZeroLoss(t *testing.T) {
-	rep := runCell(t, churnCell(40, 42))
+	rep := runCell(t, churnCell(40, 42, memChaosLimit))
 	if n := rep.val("rebalances"); n != 3 {
 		t.Errorf("drove %v rebalances, want 3", n)
 	}
@@ -41,8 +43,8 @@ func TestMembershipChurnZeroLoss(t *testing.T) {
 // Membership churn runs are deterministic: same rounds, same seed, same
 // virtual outcome.
 func TestMembershipChurnDeterminism(t *testing.T) {
-	a := runCell(t, churnCell(24, 7))
-	b := runCell(t, churnCell(24, 7))
+	a := runCell(t, churnCell(24, 7, memChaosLimit))
+	b := runCell(t, churnCell(24, 7, memChaosLimit))
 	if len(a.Log.Entries) != len(b.Log.Entries) || a.LostAcked != b.LostAcked ||
 		len(a.Violations) != len(b.Violations) ||
 		a.Repl.Val(metrics.CMigrateKeysMoved) != b.Repl.Val(metrics.CMigrateKeysMoved) {
@@ -60,5 +62,23 @@ func TestMembershipScaleGrowsWithServers(t *testing.T) {
 	large := runCell(t, scaleCell(9, 2, 1200)).val("kops")
 	if large <= small {
 		t.Errorf("9-server goodput %.1f kops not above 3-server %.1f kops", large, small)
+	}
+}
+
+// The churn schedule's verdict is taken at its run limit: a limit inside
+// join #1 (it starts 2 ms in and finalizes about 0.5 ms later) leaves that
+// rebalance open in the log, and the checker reports exactly one
+// rebalance-stuck. When a window was logged only once its rebalance
+// finalized, a rebalance that never did left no trace, and this reported 0.
+func TestChurnRebalanceOpenAtLimitIsStuck(t *testing.T) {
+	rep := runCell(t, churnCell(8, 42, 2*sim.Millisecond+250*sim.Microsecond))
+	stuck := 0
+	for _, v := range rep.Violations {
+		if v.Rule == "rebalance-stuck" {
+			stuck++
+		}
+	}
+	if stuck != 1 {
+		t.Errorf("%d rebalance-stuck violations with the limit inside join #1, want 1: %v", stuck, rep.Violations)
 	}
 }

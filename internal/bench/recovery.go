@@ -67,10 +67,7 @@ func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.
 	}.opts(cl.Design.BufferGuarantee())
 	start := cl.Env.Now()
 	if crashAt > 0 {
-		cl.Env.AtFunc(start+crashAt, func() {
-			srv.Crash()
-			cl.Env.AfterFunc(recoveryColdGap, srv.RestartCold)
-		})
+		spawnSchedule(cl, nil, nil, []step{{crashAt, coldCrash, 0, recoveryColdGap}})
 	}
 	var hits int64
 	cl.Env.Spawn("drv-recovery", func(p *sim.Proc) {

@@ -51,7 +51,7 @@ func replicationCell(factor int, readFrac float64, ops int, kills bool) cell {
 		r.preloadSeq(cl, c, gen, replKeys, nil)
 		opts := guard{deadline: replDeadline, attempts: 8, seed: 13, failover: true}.opts(true)
 		if kills {
-			spawnOutages(cl, nil, nil, nodeKills(300*sim.Microsecond)...)
+			spawnSchedule(cl, nil, nil, nodeKills(300*sim.Microsecond))
 		}
 		cl.Env.Spawn("repl-driver", func(p *sim.Proc) {
 			r.seqLoop(p, c, gen, ops, opts, replThink, nil)

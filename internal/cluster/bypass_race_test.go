@@ -9,6 +9,7 @@ import (
 	"hybridkv/internal/core"
 	"hybridkv/internal/history"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -250,22 +251,12 @@ func TestBypassRaceChaos(t *testing.T) {
 	// observe emptiness), then a cold restart (recovery gate + republish).
 	srv := cl.Servers[0]
 	cl.Env.Spawn("bypass-crasher", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Millisecond)
-		from := p.Now()
-		srv.Crash()
-		p.Sleep(300 * sim.Microsecond)
-		srv.Restart()
-		log.CrashWindow(from, p.Now())
-
-		p.Sleep(3 * sim.Millisecond)
-		from = p.Now()
-		srv.Crash()
-		p.Sleep(300 * sim.Microsecond)
-		srv.RestartCold()
-		for srv.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
+		for i, how := range []server.OutageKind{server.WarmCrash, server.ColdCrash} {
+			p.Sleep(sim.Time(2+i) * sim.Millisecond) // 2 ms in, then 3 ms after the first is back
+			from := p.Now()
+			srv.Outage(p, how, 300*sim.Microsecond)
+			log.CrashWindow(from, p.Now())
 		}
-		log.CrashWindow(from, p.Now())
 	})
 
 	cl.Env.Run()

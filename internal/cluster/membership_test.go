@@ -8,6 +8,7 @@ import (
 	"hybridkv/internal/core"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
+	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -206,13 +207,8 @@ func TestKillDuringJoinConverges(t *testing.T) {
 			return
 		}
 		_, done := cl.Join()
-		s := cl.Servers[victim]
-		s.Kill(false) // RAM gone, SSD intact — mid-migration
-		p.Sleep(500 * sim.Microsecond)
-		s.RestartCold()
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		// RAM gone, SSD intact — mid-migration.
+		cl.Servers[victim].Outage(p, server.KillRAM, 500*sim.Microsecond)
 		cl.AwaitRebalance(p)
 		if !done.Fired() {
 			t.Error("join finalize event never fired despite the restart")

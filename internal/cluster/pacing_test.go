@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -50,13 +51,7 @@ func TestKillDuringJoinConvergesWithPacing(t *testing.T) {
 			}
 		})
 
-		s := cl.Servers[victim]
-		s.Kill(false)
-		p.Sleep(500 * sim.Microsecond)
-		s.RestartCold()
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		cl.Servers[victim].Outage(p, server.KillRAM, 500*sim.Microsecond)
 		cl.AwaitRebalance(p)
 		if !done.Fired() {
 			t.Error("paced join finalize event never fired despite the restart")

@@ -6,9 +6,9 @@
 // in delivery order, and every window is a fixed [From, To) schedule, so
 // faulted runs are exactly as reproducible as fault-free ones.
 //
-// Server crash/restart schedules live in internal/server (ScheduleCrash) and
-// SSD I/O error injection in internal/blockdev (SetFaults); this package
-// covers the interconnect.
+// Server outages live in internal/server (Server.Outage) and SSD I/O error
+// injection in internal/blockdev (SetFaults); this package covers the
+// interconnect.
 package fault
 
 import (

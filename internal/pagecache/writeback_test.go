@@ -353,3 +353,71 @@ func TestColdRestartReleasesParkedWriters(t *testing.T) {
 		})
 	}
 }
+
+// TestThrottleCountsPagesAtTakeTime parks one writer while the flusher's
+// command is in flight with a batch smaller than the writer's excess, and
+// checks that it leaves at the first writeback completion after it parks. A
+// page counts toward a ticket the moment writeback takes it: the flusher's
+// in-flight 200 pages were counted before the ticket was cut, and the
+// second stream's full batch, taken as the writer parks, covers its 256-page
+// excess, so that completion releases it although a later 2 MB write keeps
+// the dirty set above ThrottlePages. Counting a batch only when its command
+// completes would hold the writer to the second stream's completion.
+func TestThrottleCountsPagesAtTakeTime(t *testing.T) {
+	for _, prof := range drives {
+		t.Run(prof.name, func(t *testing.T) {
+			env, c, f := writebackRig(prof.p)
+			const mb, group = 1 << 20, 9
+			ps := c.Params().PageSize
+			// 200 pages dirty, then a kick: the flusher's command takes them
+			// all. Nine 1 MB writers land together while it is in flight, so
+			// the last of them leaves 2 304 pages dirty, 256 over the limit,
+			// and parks; a 2 MB writer lands after the second stream took its
+			// batch.
+			type write struct{ start, end sim.Time }
+			var writes []*write
+			env.Spawn("start", func(p *sim.Proc) {
+				f.Write(p, 0, 200*ps, "small", Cached)
+				c.Kick()
+				for i := range group {
+					wr := &write{start: p.Now()}
+					writes = append(writes, wr)
+					env.Spawn("writer", func(q *sim.Proc) {
+						f.Write(q, int64(i+1)*mb, mb, i, Cached)
+						wr.end = q.Now()
+					})
+				}
+				env.Spawn("late", func(q *sim.Proc) { f.Write(q, 16*mb, 2*mb, "late", Cached) })
+			})
+			var parkedAt, firstCompletion sim.Time
+			var done int64
+			var dirtyThen int
+			env.Spawn("monitor", func(p *sim.Proc) {
+				for c.parked == 0 {
+					p.Sleep(sim.Microsecond)
+				}
+				parkedAt, done = p.Now(), c.WritebackPages
+				p.Wait(c.wbYield)
+				firstCompletion, dirtyThen = p.Now(), c.Dirty()
+			})
+			env.Run()
+
+			var parked []*write
+			for _, wr := range writes {
+				if wr.end > wr.start+cachedWriteTime {
+					parked = append(parked, wr)
+				}
+			}
+			if len(parked) != 1 {
+				t.Fatalf("%d of the %d 1 MB writes parked, want 1", len(parked), group)
+			}
+			if done != 0 || dirtyThen <= c.Params().ThrottlePages {
+				t.Fatalf("the premise: %d pages written back before the park at %v (want none: the flusher's batch still in flight), %d pages dirty at the first completion (want above %d)",
+					done, parkedAt, dirtyThen, c.Params().ThrottlePages)
+			}
+			if got := parked[0].end; got != firstCompletion {
+				t.Errorf("the parked writer left at %v, want the first writeback completion after it parked, %v", got, firstCompletion)
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"hybridkv/internal/fault"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
+	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -212,12 +213,7 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 			c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0)
 		}
 		s := cl.Servers[victim]
-		s.Kill(true)
-		p.Sleep(300 * sim.Microsecond)
-		s.RestartCold()
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		s.Outage(p, server.KillAll, 300*sim.Microsecond)
 		// Let the scrub bursts run; repair applies re-kick, so convergence
 		// does not depend on the first burst finishing the job.
 		p.Sleep(30 * sim.Millisecond)
@@ -279,12 +275,7 @@ func TestRMWAfterDeleteSurvivesReplicaRestart(t *testing.T) {
 			return
 		}
 		s := cl.Servers[backup]
-		s.Kill(false)
-		p.Sleep(300 * sim.Microsecond)
-		s.RestartCold()
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		s.Outage(p, server.KillRAM, 300*sim.Microsecond)
 		p.Sleep(30 * sim.Millisecond)
 		v, _, _, _, ok := s.Store().ReadItem(p, key)
 		if !ok {
@@ -315,12 +306,7 @@ func TestColdRestartSuspectsConfirmed(t *testing.T) {
 			c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0)
 		}
 		s := cl.Servers[victim]
-		s.Kill(false)
-		p.Sleep(300 * sim.Microsecond)
-		s.RestartCold()
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		s.Outage(p, server.KillRAM, 300*sim.Microsecond)
 		p.Sleep(30 * sim.Millisecond)
 		// Client reads must still see the latest value for every key, no
 		// matter which replica serves them.

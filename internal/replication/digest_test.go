@@ -7,6 +7,7 @@ import (
 
 	"hybridkv/internal/core"
 	"hybridkv/internal/protocol"
+	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
 
@@ -60,13 +61,8 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 		mix(p, 96)
 		check("writes, deletes and suspect marks")
 
-		s := cl.Servers[1]
-		s.Kill(false)
-		p.Sleep(300 * sim.Microsecond)
-		s.RestartCold() // every key it recovers comes back suspect
-		for s.Recovering() {
-			p.Sleep(100 * sim.Microsecond)
-		}
+		// Every key the node recovers comes back suspect.
+		cl.Servers[1].Outage(p, server.KillRAM, 300*sim.Microsecond)
 		mix(p, 64)
 		check("a cold restart and its repairs")
 

@@ -67,45 +67,84 @@ func TestCrashDiscardsAndWarmRestartServes(t *testing.T) {
 	}
 }
 
-func TestScheduleCrashWindow(t *testing.T) {
-	r := newRig(t, Config{Pipeline: Sync}, 64<<20, false)
-	const from, to = 100 * sim.Microsecond, 300 * sim.Microsecond
-	r.srv.ScheduleCrash(from, to)
-	var resp *protocol.Response
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 512, Value: "v"})
-		if got := r.awaitResp(p); got.Status != protocol.StatusStored {
-			t.Errorf("pre-window set status %v", got.Status)
-		}
-		p.Sleep(200*sim.Microsecond - p.Now())
-		if !r.srv.Down() {
-			t.Error("server not down inside the scheduled window")
-		}
-		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 2, Key: "k"})
-		p.Sleep(400*sim.Microsecond - p.Now())
-		if r.srv.Down() {
-			t.Error("server still down after the scheduled restart")
-		}
-		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 3, Key: "k"})
-		resp = r.awaitResp(p)
-	})
-	r.env.Run()
-	if resp == nil || resp.ReqID != 3 || resp.Status != protocol.StatusOK {
-		t.Fatalf("post-window response %+v, want ReqID 3 OK", resp)
-	}
-	if r.srv.Discarded != 1 {
-		t.Errorf("Discarded = %d, want 1", r.srv.Discarded)
-	}
-}
+// TestOutage takes a direct-I/O hybrid server (40 items of 32 KB over 1 MB of
+// slab, so most are on the SSD) down once per OutageKind and checks the
+// contract a fault schedule times its next step from: the server is dark for
+// exactly down, a request sent meanwhile is discarded, a warm crash keeps the
+// store, a cold restart recovers the SSD's items (none after KillAll), and
+// Outage returns at once after a warm restart, at the first 100 µs poll that
+// finds the recovery scan done after a cold one.
+func TestOutage(t *testing.T) {
+	const fill, down, poll = 40, 500 * sim.Microsecond, 100 * sim.Microsecond
+	for _, tc := range []struct {
+		name string
+		how  OutageKind
+	}{{"warm-crash", WarmCrash}, {"cold-crash", ColdCrash}, {"kill-ram", KillRAM}, {"kill-all", KillAll}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newDirectRig(t, 1<<20)
+			var from, back sim.Time
+			var onSSD int
+			var after *protocol.Response
+			r.env.Spawn("outage", func(p *sim.Proc) {
+				for i := 0; i < fill; i++ {
+					r.sendReq(p, &protocol.Request{
+						Op: protocol.OpSet, ReqID: uint64(i + 1),
+						Key: fmt.Sprintf("k%02d", i), ValueSize: 32 << 10, Value: i,
+					})
+					if got := r.awaitResp(p); got.Status != protocol.StatusStored {
+						t.Errorf("fill set %d status %v", i, got.Status)
+					}
+				}
+				onSSD = r.srv.Store().Manager().SSDItems()
+				from = p.Now()
+				r.env.Spawn("probe", func(q *sim.Proc) {
+					q.Sleep(down / 2)
+					r.sendReq(q, &protocol.Request{Op: protocol.OpGet, ReqID: 100, Key: "k39"})
+					q.Sleep(from + down - 1 - q.Now())
+					if !r.srv.Down() {
+						t.Errorf("up at %v, before the outage's down ended", q.Now()-from)
+					}
+					q.Sleep(1)
+					if r.srv.Down() {
+						t.Errorf("still down at %v, when the outage's down ended", q.Now()-from)
+					}
+				})
+				r.srv.Outage(p, tc.how, down)
+				back = p.Now()
+				r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 101, Key: "k39"})
+				after = r.awaitResp(p)
+			})
+			r.env.Run()
 
-func TestScheduleCrashRejectsEmptyWindow(t *testing.T) {
-	r := newRig(t, Config{Pipeline: Sync}, 64<<20, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("ScheduleCrash(to <= from) did not panic")
-		}
-	}()
-	r.srv.ScheduleCrash(50, 50)
+			if r.srv.Discarded != 1 {
+				t.Errorf("Discarded = %d, want 1 (the request sent while down)", r.srv.Discarded)
+			}
+			if after == nil || after.ReqID != 101 {
+				t.Fatalf("first response after the outage %+v, want ReqID 101", after)
+			}
+			if tc.how == WarmCrash {
+				if after.Status != protocol.StatusOK || after.Value != 39 {
+					t.Errorf("store did not survive the warm crash: %+v", after)
+				}
+				if back != from+down || r.srv.Recoveries != 0 {
+					t.Errorf("returned %v after the crash with %d recoveries, want %v and none", back-from, r.srv.Recoveries, down)
+				}
+				return
+			}
+			want := int64(onSSD)
+			if tc.how == KillAll {
+				want = 0
+			}
+			if got := r.srv.LastRecovery.ItemsRecovered; got != want || onSSD == 0 {
+				t.Errorf("recovered %d items with %d on the SSD, want %d", got, onSSD, want)
+			}
+			scanEnd := from + down + r.srv.RecoveryTime
+			if polled := back - from - down; polled <= 0 || polled%poll != 0 || back < scanEnd || back-poll >= max(scanEnd, from+down+1) {
+				t.Errorf("returned %v after the restart, the scan ended %v after it: want the first %v poll at or after it",
+					back-from-down, r.srv.RecoveryTime, poll)
+			}
+		})
+	}
 }
 
 // newDirectRig is newRig with a direct-I/O hybrid store (H-RDMA-Def

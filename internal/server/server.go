@@ -568,13 +568,35 @@ func (s *Server) RestartCold() {
 // Recovering reports whether a cold-restart recovery scan is in progress.
 func (s *Server) Recovering() bool { return s.recovering }
 
-// ScheduleCrash arranges a crash at from and a restart at to (virtual time).
-func (s *Server) ScheduleCrash(from, to sim.Time) {
-	if to <= from {
-		panic("server: ScheduleCrash window must have to > from")
+// OutageKind is a failure Outage injects, each undone by the restart it allows.
+type OutageKind int
+
+const (
+	WarmCrash OutageKind = iota // the process wedges; the store survives and Restart resumes it
+	ColdCrash                   // RAM is lost; RestartCold's recovery scan rebuilds from the SSD
+	KillRAM                     // a whole-node Kill: RAM, pending buffers and epoch records die, the SSD survives
+	KillAll                     // KillRAM with the SSD wiped, as if the node were replaced
+)
+
+// Outage takes the server down from process p as how says, keeps it dark for
+// down, brings it back with the restart that failure allows, and returns once
+// it answers again: at once after a warm restart, after a cold one at the
+// first 100 µs poll that finds the recovery scan done.
+func (s *Server) Outage(p *sim.Proc, how OutageKind, down sim.Time) {
+	if how <= ColdCrash {
+		s.Crash()
+	} else {
+		s.Kill(how == KillAll)
 	}
-	s.env.AtFunc(from, s.Crash)
-	s.env.AtFunc(to, s.Restart)
+	p.Sleep(down)
+	if how == WarmCrash {
+		s.Restart()
+		return
+	}
+	s.RestartCold()
+	for s.recovering {
+		p.Sleep(100 * sim.Microsecond)
+	}
 }
 
 // rdmaDispatcher drains the shared receive CQ.

@@ -65,7 +65,7 @@ func callbackModel() (step func()) {
 	env := NewEnv()
 	n := 0
 	fn := func() { n++ }
-	return func() { env.AfterFunc(Microsecond, fn); env.Run() }
+	return func() { env.AtFunc(env.Now()+Microsecond, fn); env.Run() }
 }
 
 // spawnModel: a step spawns a process on a fresh Proc. Before it, the Proc

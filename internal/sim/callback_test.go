@@ -13,7 +13,7 @@ func TestAtFuncRunsInlineAtItsSlot(t *testing.T) {
 	env.Spawn("first", func(p *Proc) { p.Sleep(10); order = append(order, "proc-a") })
 	env.AtFunc(10, func() { order = append(order, fmt.Sprint("callback@", env.Now())) })
 	env.Spawn("second", func(p *Proc) { p.Sleep(10); order = append(order, "proc-b") })
-	env.AfterFunc(-5, func() { order = append(order, fmt.Sprint("callback@", env.Now())) })
+	env.AtFunc(env.Now()-5, func() { order = append(order, fmt.Sprint("callback@", env.Now())) })
 	if end := env.Run(); end != 10 {
 		t.Errorf("run ended at %v, want 10", end)
 	}
@@ -30,7 +30,7 @@ func TestOnFireRunsWithTheWaiters(t *testing.T) {
 	ev := env.NewEvent()
 	var order []string
 	env.Spawn("w1", func(p *Proc) { p.Wait(ev); order = append(order, "w1") })
-	env.AfterFunc(0, func() { ev.OnFire(func() { order = append(order, "cb") }) })
+	env.AtFunc(env.Now(), func() { ev.OnFire(func() { order = append(order, "cb") }) })
 	env.Spawn("w2", func(p *Proc) { p.Wait(ev); order = append(order, "w2") })
 	env.AtFunc(5, ev.Fire)
 	env.Run()
@@ -49,7 +49,7 @@ func TestCallbackMaySpawnAndSchedule(t *testing.T) {
 	var at []Time
 	env.AtFunc(3, func() {
 		env.Spawn("child", func(p *Proc) { p.Sleep(4); at = append(at, p.Now()) })
-		env.AfterFunc(2, func() { at = append(at, env.Now()) })
+		env.AtFunc(env.Now()+2, func() { at = append(at, env.Now()) })
 	})
 	env.Run()
 	if len(at) != 2 || at[0] != 5 || at[1] != 7 {
@@ -115,7 +115,7 @@ func TestBlockingOutsideTheRunningProcessPanics(t *testing.T) {
 		// From outside Run, from a callback event, and from another process.
 		for where, run := range map[string]func(){
 			"outside Run": call,
-			"a callback":  func() { env.AfterFunc(0, call); env.Run() },
+			"a callback":  func() { env.AtFunc(env.Now(), call); env.Run() },
 			"another process": func() {
 				env.Spawn("intruder", func(*Proc) { call() })
 				env.Run()
@@ -174,8 +174,8 @@ var procHelpers = helpers{
 var callbackHelpers = helpers{
 	at: func(env *Env, t Time, fn func()) { env.AtFunc(t, fn) },
 	chain: func(env *Env, ev *Event, d Time, fn func()) {
-		env.AfterFunc(0, func() {
-			ev.OnFire(func() { env.AfterFunc(d, fn) })
+		env.AtFunc(env.Now(), func() {
+			ev.OnFire(func() { env.AtFunc(env.Now()+d, fn) })
 		})
 	},
 }
@@ -245,7 +245,7 @@ func mixedModel(seed int64, h helpers) []string {
 					// A second observer of sent, registered before the
 					// helper has started: the helper must queue behind it.
 					sent.OnFire(func() {
-						env.AfterFunc(0, func() { note(hname, "sent seen") })
+						env.AtFunc(env.Now(), func() { note(hname, "sent seen") })
 					})
 					p.Sleep(d())
 					sent.Fire()

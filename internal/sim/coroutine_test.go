@@ -33,7 +33,7 @@ func steppedModel(seed int64) (env *Env, trace *[]string) {
 				case 0:
 					p.Sleep(d())
 				case 1:
-					env.AfterFunc(d(), func() { note(name + ".cb"); q.TryPut(step) })
+					env.AtFunc(env.Now()+d(), func() { note(name + ".cb"); q.TryPut(step) })
 					q.Get(p)
 				case 2:
 					done, budget := env.NewEvent(), d()
@@ -199,7 +199,7 @@ func TestCloseUnwindsEveryParkedProcess(t *testing.T) {
 	}
 	for call, fn := range map[string]func(){
 		"Spawn":    func() { env.Spawn("late", func(*Proc) {}) },
-		"AtCall":   func() { env.AfterFunc(1, func() {}) },
+		"AtCall":   func() { env.AtFunc(env.Now()+1, func() {}) },
 		"RunUntil": func() { env.Run() },
 	} {
 		if msg := recovered(fn); msg != "sim: "+call+" on a closed Env" {

@@ -53,7 +53,7 @@ func TestWakeupPoolSurvivesTimeoutRaces(t *testing.T) {
 			// scheduled after the waiter's timeout is, so that it runs later.
 			schedule := func(fn func()) {
 				if i%4 == 3 {
-					env.AtFunc(p.Now()+arrive-1, func() { env.AfterFunc(1, fn) })
+					env.AtFunc(p.Now()+arrive-1, func() { env.AtFunc(env.Now()+1, fn) })
 				} else {
 					env.AtFunc(p.Now()+arrive, fn)
 				}

@@ -114,7 +114,7 @@ func helperModel(seed int64, start starter) (trace []string, procs int) {
 					note(name, "saw inner")
 				case 5: // started from a callback event
 					ran := env.NewEvent()
-					env.AfterFunc(d(), func() {
+					env.AtFunc(env.Now()+d(), func() {
 						start(env, hname,
 							func() { note(hname, "up from callback") },
 							func(hp *Proc) { hp.Yield(); ran.Fire() })

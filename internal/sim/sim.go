@@ -6,7 +6,7 @@
 // process and gets control back when it parks or ends — a direct switch, no
 // channel and no run queue — so exactly one process runs at any instant.
 // Things that merely happen at an instant (a message arriving, a completion,
-// a scheduled fault) are callback events — AtFunc, AfterFunc, AtCall,
+// a scheduled fault) are callback events — AtFunc, AtCall,
 // Event.OnFire — that the scheduler runs inline, to completion, in the same
 // single order. Spawn runs a new process on the coroutine of one that has
 // finished, when there is one. Shared simulation state therefore
@@ -377,9 +377,6 @@ func (e *Env) AtCall(t Time, c Caller) {
 	}
 	e.push(t, e.newWakeup(nil, c, 0))
 }
-
-// AfterFunc is AtFunc at d from now. Negative durations are treated as zero.
-func (e *Env) AfterFunc(d Time, fn func()) { e.AtFunc(e.now+d, fn) }
 
 // scheduleWakeup enqueues a wakeup for p at time t.
 func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) {
