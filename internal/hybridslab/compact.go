@@ -107,14 +107,14 @@ func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssd
 // hand — the old region's retirement is relocate's, so freeSSD's pooling path
 // must not run.
 func (m *Manager) relink(job flushJob, base int64) *ssdPage {
-	pg := &ssdPage{base: base, size: job.size()}
+	pg := &ssdPage{base: base, size: job.size(), landed: m.written}
 	for i, it := range job.victims {
 		off := slotOff(base, i, job.chunk)
 		if it.dropped {
-			m.file.Discard(off)
+			m.freeSlot(pg, off)
 			continue
 		}
-		m.file.Discard(it.ssdOff)
+		m.freeSlot(it.ssdPage, it.ssdOff)
 		it.ssdPage.live--
 		it.ssdOff, it.ssdPage = off, pg
 		pg.live++

@@ -75,6 +75,9 @@ type ssdPage struct {
 	base int64
 	size int64
 	live int
+	// landed is the manager's written count once the region's write landed:
+	// how recently its pages entered the page cache (freeSlot).
+	landed int64
 	// relocating marks a region whose live items are being moved out:
 	// freeSSD must not return it to the pool (the relocation retires it,
 	// exactly once).
@@ -167,6 +170,8 @@ type Manager struct {
 	ssdUsed  int64
 	ssdLimit int64
 	ssdNext  int64             // bump pointer for fresh flush pages
+	written  int64             // bytes of region data writes landed, ever
+	punches  int               // page-cache punches the next Store pays for
 	ssdFree  map[int64][]int64 // fully-reclaimed flush regions by size
 	windows  map[*sim.Proc]*evictionWindow
 	// quarantine holds regions that served corrupt bits, in quarantine
@@ -306,6 +311,10 @@ func (m *Manager) Store(p *sim.Proc, it *Item) error {
 	}
 	it.class = class
 	it.gen = m.gen
+	if n := m.punches; n > 0 {
+		m.punches = 0
+		p.Sleep(sim.Time(n) * pagecache.SyscallCost)
+	}
 	p.Sleep(slabMetaCost)
 	for {
 		switch m.alloc.Alloc(class) {
@@ -605,6 +614,7 @@ func (m *Manager) writeRun(p *sim.Proc, run []flushJob, base int64, scheme pagec
 	}
 	if ok {
 		m.FlushWrites++
+		m.written += total
 		ok = m.file.WriteCommit(p, commits)
 		if m.gen != gen0 {
 			return runAbandoned
@@ -741,7 +751,7 @@ func (m *Manager) dropJob(job flushJob) {
 // at base. Each job gets its own ssdPage, so arena reclaim stays
 // page-granular even when several jobs shared one merged write.
 func (m *Manager) placeAt(job flushJob, base int64) {
-	pg := &ssdPage{base: base, size: job.size()}
+	pg := &ssdPage{base: base, size: job.size(), landed: m.written}
 	for i, v := range job.victims {
 		if job.inRAM {
 			m.alloc.Free(job.class)
@@ -752,7 +762,7 @@ func (m *Manager) placeAt(job flushJob, base int64) {
 			// Deleted or replaced while the flush was in flight: invalidate
 			// the slot the region write just placed so recovery cannot
 			// resurrect the dead copy.
-			m.file.Discard(off)
+			m.freeSlot(pg, off)
 			continue
 		}
 		v.onSSD = true
@@ -812,8 +822,8 @@ func (m *Manager) ssdAlloc(size int64) (int64, bool) {
 // freeSSD releases an item's SSD slot; the flush region returns to the free
 // pool once its last slot is freed. The caller owns LRU bookkeeping.
 func (m *Manager) freeSSD(it *Item) {
-	m.file.Discard(it.ssdOff)
 	pg := it.ssdPage
+	m.freeSlot(pg, it.ssdOff)
 	pg.live--
 	if pg.live == 0 && !pg.relocating && !pg.quarantined {
 		// Quarantined regions are deliberately NOT pooled here — they sit
@@ -825,6 +835,27 @@ func (m *Manager) freeSSD(it *Item) {
 	it.onSSD = false
 	it.ssdPage = nil
 }
+
+// freeSlot is every slot death outside recovery: the slot at off in region
+// pg holds nothing any more. Under PolicyAdaptive the region was written
+// through the page cache, and if it landed less than the cache's dirty limit
+// of region writes ago its pages may still be queued for writeback: the slot
+// is punched out of the cache (pagecache.File.Punch), so its dead interior
+// pages never reach the drive. A release must not suspend, so the punch
+// takes effect now and its syscall is owed to the next Store. An older
+// slot's pages are clean, and direct I/O caches none: those are only
+// discarded, at no cost.
+func (m *Manager) freeSlot(pg *ssdPage, off int64) {
+	if m.cfg.Policy == PolicyAdaptive && m.written-pg.landed < m.dirtyLimit() {
+		m.file.Punch(off)
+		m.punches++
+		return
+	}
+	m.file.Discard(off)
+}
+
+// dirtyLimit is the page cache's dirty limit in bytes.
+func (m *Manager) dirtyLimit() int64 { return m.file.Cache().Params().DirtyLimit() }
 
 // retireRegion recycles an accounted region whose last live slot is gone.
 func (m *Manager) retireRegion(pg *ssdPage) {

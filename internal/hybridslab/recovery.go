@@ -95,6 +95,7 @@ func (m *Manager) resetVolatile() {
 	m.ssdLRU = slab.LRU[*Item]{}
 	m.flushing = 0
 	m.flushFailStreak = 0
+	m.punches = 0
 	m.windows = make(map[*sim.Proc]*evictionWindow)
 	m.ssdUsed = 0
 	m.ssdNext = 0
@@ -192,7 +193,8 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 		// Slot validation: every durable slot must match the header's
 		// digest and length; one bad slot condemns the page (the data
 		// write tore under a commit that still landed).
-		pg := &ssdPage{base: base, size: size}
+		// The cache was just reset: nothing of the region is dirty.
+		pg := &ssdPage{base: base, size: size, landed: m.written - m.dirtyLimit()}
 		rp := &recPage{pg: pg}
 		corrupt := false
 		missing := int64(0)

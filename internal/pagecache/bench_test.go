@@ -7,12 +7,13 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// regionModel returns two steps over a file of 64 slab-page-like regions
+// regionModel returns three steps over a file of 64 slab-page-like regions
 // (a 512-byte header and three 32 KB slots each): write rewrites the next
 // region with one WriteExtents under the scheme, read fetches one slot of the
-// next region. The file is eight times the cache, so in steady state the
-// reads miss and the writes fault and evict.
-func regionModel(scheme Scheme) (write, read func()) {
+// next region, punch rewrites the next region and punches its three slots
+// (seven whole pages each). The file is eight times the cache, so in steady
+// state the reads miss and the writes fault and evict.
+func regionModel(scheme Scheme) (write, read, punch func()) {
 	env := sim.NewEnv()
 	par := DefaultParams()
 	par.MaxPages = 256
@@ -41,13 +42,22 @@ func regionModel(scheme Scheme) (write, read func()) {
 			panic("regionModel: slot missing")
 		}
 	}
+	doPunch := func(p *sim.Proc) {
+		base := int64(next%regions) * size
+		doWrite(p)
+		for i := 0; i < 3; i++ {
+			f.Punch(base + 512 + int64(i)*slot)
+		}
+	}
 	env.Spawn("fill", func(p *sim.Proc) {
 		for i := 0; i < regions; i++ {
 			doWrite(p)
 		}
 	})
 	env.Run()
-	return func() { env.Spawn("write", doWrite); env.Run() }, func() { env.Spawn("read", doRead); env.Run() }
+	return func() { env.Spawn("write", doWrite); env.Run() },
+		func() { env.Spawn("read", doRead); env.Run() },
+		func() { env.Spawn("punch", doPunch); env.Run() }
 }
 
 func benchSteps(b *testing.B, step func()) {
@@ -60,7 +70,7 @@ func benchSteps(b *testing.B, step func()) {
 }
 
 func benchScheme(b *testing.B, scheme Scheme, reads bool) {
-	write, read := regionModel(scheme)
+	write, read, _ := regionModel(scheme)
 	if reads {
 		write = read
 	}
@@ -74,6 +84,12 @@ func BenchmarkWriteExtentsMmap(b *testing.B)   { benchScheme(b, Mmap, false) }
 func BenchmarkReadDirect(b *testing.B)         { benchScheme(b, Direct, true) }
 func BenchmarkReadCached(b *testing.B)         { benchScheme(b, Cached, true) }
 func BenchmarkReadMmap(b *testing.B)           { benchScheme(b, Mmap, true) }
+
+// The host cost of a cached region write and the punch of its three slots.
+func BenchmarkPunch(b *testing.B) {
+	_, _, punch := regionModel(Cached)
+	benchSteps(b, punch)
+}
 
 // throttledWrites returns a step in which two writers make cached writes
 // to resident pages of a cache that starts clean: a 576 KB write that
@@ -103,16 +119,16 @@ func BenchmarkThrottledWrite(b *testing.B) {
 const throttledWriteCeiling = 2
 
 // Steady-state paging allocates nothing: resident pages are recycled through
-// the spare list, the extent maps are at size, and neither the write charge
-// nor the read path builds anything per call. A throttled write costs only
+// the spare list, the extent maps are at size, and neither the write charge,
+// the read path nor a punch builds anything per call. A throttled write costs only
 // the events its park and release re-arm (throttledWriteCeiling).
 func TestFileOpAllocationCeilings(t *testing.T) {
 	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
-		write, read := regionModel(scheme)
+		write, read, punch := regionModel(scheme)
 		for _, tc := range []struct {
 			name string
 			step func()
-		}{{"WriteExtents", write}, {"Read", read}} {
+		}{{"WriteExtents", write}, {"Read", read}, {"Punch", punch}} {
 			tc.step()
 			if got := testing.AllocsPerRun(200, tc.step); got > 0 {
 				t.Errorf("one %s %s: %v allocations, ceiling 0", scheme, tc.name, got)

@@ -64,6 +64,11 @@ type Params struct {
 	ThrottlePages  int // writers stall above this
 }
 
+// DirtyLimit is the most dirty data the cache holds before it stalls
+// writers, in bytes: data written longer ago than this much later writing
+// has been through writeback.
+func (par Params) DirtyLimit() int64 { return int64(par.ThrottlePages) * int64(par.PageSize) }
+
 // DefaultParams models 4 KB pages and a 128 MB cache budget (the experiments
 // cap server RAM, so the cache is deliberately modest).
 func DefaultParams() Params {
@@ -109,8 +114,8 @@ type Cache struct {
 	extra   bool            // the extra writeback proc is running
 	extraWB func(*sim.Proc) // c.extraWriteback, bound once so a Spawn allocates nothing
 	writing int             // writeback commands in flight
-	// taken counts every page that has left the dirty set through writeback
-	// or direct reclaim; a throttled writer's ticket is a value of it.
+	// taken counts every page that has left the dirty set through writeback,
+	// direct reclaim or a punch; a throttled writer's ticket is a value of it.
 	taken int
 
 	// Stats
@@ -120,6 +125,8 @@ type Cache struct {
 	// ThrottleStalls counts throttled writes: writes that left the dirty set
 	// above ThrottlePages and parked, once each however often they woke.
 	ThrottleStalls int64
+	// PunchedPages counts dirty pages a punch dropped unwritten.
+	PunchedPages int64
 }
 
 // New creates a page cache over dev and starts its flusher daemon.
@@ -213,6 +220,9 @@ func (c *Cache) OpenFile(base, size int64) *File {
 	c.files++
 	return &File{c: c, id: c.files, base: base, size: size, extents: make(map[int64]extent)}
 }
+
+// Cache returns the page cache the file is accessed through.
+func (f *File) Cache() *Cache { return f.c }
 
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
@@ -495,6 +505,35 @@ func (c *Cache) Reset() {
 func (f *File) Discard(off int64) {
 	delete(f.extents, off)
 	f.c.dev.DiscardDurable(f.base + off)
+}
+
+// Punch discards the extent at off as Discard does and drops every resident
+// page that lies wholly inside it — fallocate(PUNCH_HOLE|KEEP_SIZE) over a
+// dead slab slot. A dirty page leaves the dirty set unwritten and counts
+// toward taken, so a parked writer's ticket sees it at the next writeback
+// completion (a punch wakes nobody); a clean page is freed for reuse. The
+// pages at either end that the extent shares with a neighbour stay as they
+// are. The caller pays the syscall (SyscallCost).
+func (f *File) Punch(off int64) {
+	e, ok := f.extents[off]
+	f.Discard(off)
+	if !ok {
+		return
+	}
+	c := f.c
+	ps := int64(c.par.PageSize)
+	for i, end := (off+ps-1)/ps, (off+int64(e.size))/ps; i < end; i++ {
+		pg, ok := c.pages[pageKey{f.id, i}]
+		if !ok {
+			continue
+		}
+		if pg.dirty {
+			c.dirty--
+			c.taken++
+			c.PunchedPages++
+		}
+		c.evict(pg)
+	}
 }
 
 // SetExtent records contents at off without any time charge and without
