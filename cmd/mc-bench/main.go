@@ -10,6 +10,7 @@
 //	mc-bench -smoke          (whole registry at tiny op counts)
 //	mc-bench -json <path> all     (write records; a directory gets one BENCH_<id>.json each)
 //	mc-bench -verify <path> all   (compare records against committed ones, exactly)
+//	mc-bench -cpuprofile <file> fig8b   (also write a pprof CPU profile of the run)
 //
 // Experiment ids follow the paper's figure numbering (fig1a..fig8b), the
 // ablations are abl-*; see DESIGN.md §5 for the per-experiment index.
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"time"
 
 	"hybridkv/internal/bench"
@@ -88,6 +90,23 @@ func writeCSV(dir string, r *bench.Result) error {
 	return writeFile(filepath.Join(dir, r.ID+".csv"), r.WriteCSV)
 }
 
+// startCPUProfile starts a pprof CPU profile into path and returns the
+// function that ends it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
 func main() {
 	list := flag.Bool("list", false, "list available experiments and ablations and exit")
 	full := flag.Bool("full", false, "use the paper's full sizes (1 GB server memory) instead of the 4x-scaled default")
@@ -96,8 +115,9 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV into this directory")
 	jsonPath := flag.String("json", "", "also write every run experiment's metrics as JSON records to this file, or as one BENCH_<id>.json each into this directory")
 	verifyPath := flag.String("verify", "", "compare every run experiment's records, exactly, against the committed ones in this file or directory of BENCH_<id>.json; print the differing records instead of the tables and exit non-zero on any")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiments run to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] [-csv dir] [-json path] [-verify path] <experiment-id>... | all\n\n")
+		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] [-csv dir] [-json path] [-verify path] [-cpuprofile file] <experiment-id>... | all\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -139,6 +159,14 @@ func main() {
 	if *verifyPath != "" {
 		progress = os.Stderr
 	}
+	stopProfile := func() error { return nil }
+	if *cpuProfile != "" {
+		var err error
+		if stopProfile, err = startCPUProfile(*cpuProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "mc-bench: cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	var results []*bench.Result
 	for _, id := range ids {
 		e := bench.ByID(id)
@@ -162,6 +190,9 @@ func main() {
 				fail("csv: %v", err)
 			}
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fail("cpuprofile: %v", err)
 	}
 	if *jsonPath != "" && len(results) > 0 {
 		if err := writeJSON(*jsonPath, results); err != nil {

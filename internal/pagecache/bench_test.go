@@ -91,6 +91,39 @@ func BenchmarkPunch(b *testing.B) {
 	benchSteps(b, punch)
 }
 
+// readMissBehindDirtyTail returns a step that makes one cached read of a
+// page that is not resident, in a full cache whose ThrottlePages least
+// recent pages are dirty, so the read must evict a clean page from behind
+// them. The flusher's watermark is raised to the throttle's, so nothing
+// cleans the dirty pages. The reads cycle over twice the clean capacity:
+// every one misses.
+func readMissBehindDirtyTail() func() {
+	env := sim.NewEnv()
+	par := DefaultParams()
+	par.DirtyHighPages = par.ThrottlePages
+	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
+	ps := int64(par.PageSize)
+	dirty, clean := int64(par.ThrottlePages), int64(par.MaxPages-par.ThrottlePages)
+	f := c.OpenFile(0, (dirty+2*clean)*ps)
+	env.Spawn("fill", func(p *sim.Proc) {
+		f.Write(p, 0, int(dirty*ps), c, Cached)
+		f.Read(p, dirty*ps, int(clean*ps), Cached)
+	})
+	env.Run()
+	if c.Dirty() != par.ThrottlePages || len(c.pages) != par.MaxPages {
+		panic("readMissBehindDirtyTail: the fill left the cache not full or not dirty at the throttle")
+	}
+	next := clean
+	read := func(p *sim.Proc) {
+		f.Read(p, (dirty+next%(2*clean))*ps, int(ps), Cached)
+		next++
+	}
+	return func() { env.Spawn("read", read); env.Run() }
+}
+
+// The host cost of a read miss that evicts past a dirty tail.
+func BenchmarkReadMissBehindDirtyTail(b *testing.B) { benchSteps(b, readMissBehindDirtyTail()) }
+
 // throttledWrites returns a step in which two writers make cached writes
 // to resident pages of a cache that starts clean: a 576 KB write that
 // leaves the dirty set above ThrottlePages, parks and is released by the
@@ -120,8 +153,9 @@ const throttledWriteCeiling = 2
 
 // Steady-state paging allocates nothing: resident pages are recycled through
 // the spare list, the extent maps are at size, and neither the write charge,
-// the read path nor a punch builds anything per call. A throttled write costs only
-// the events its park and release re-arm (throttledWriteCeiling).
+// the read path nor a punch builds anything per call, nor a read miss that
+// evicts past a dirty tail. A throttled write costs only the events its park
+// and release re-arm (throttledWriteCeiling).
 func TestFileOpAllocationCeilings(t *testing.T) {
 	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
 		write, read, punch := regionModel(scheme)
@@ -134,6 +168,11 @@ func TestFileOpAllocationCeilings(t *testing.T) {
 				t.Errorf("one %s %s: %v allocations, ceiling 0", scheme, tc.name, got)
 			}
 		}
+	}
+	miss := readMissBehindDirtyTail()
+	miss()
+	if got := testing.AllocsPerRun(200, miss); got > 0 {
+		t.Errorf("one cached read miss behind a dirty tail: %v allocations, ceiling 0", got)
 	}
 	step, c := throttledWrites()
 	step()

@@ -85,14 +85,21 @@ type pageKey struct {
 	idx  int64
 }
 
-// page is one resident page. Its recency links are intrusive: resident
-// pages form a ring through the cache's lru sentinel, and evicted pages are
-// kept on a spare list and reused by the next fault, so steady-state paging
-// allocates nothing.
+// page is one resident page. Its recency links are intrusive: a clean page
+// sits on the cache's clean ring and a dirty one on its dirty ring, and
+// evicted pages are kept on a spare list and reused by the next fault, so
+// steady-state paging allocates nothing.
 type page struct {
-	key        pageKey
-	dirty      bool
-	prev, next *page // recency ring while resident; next chains the spare list
+	key   pageKey
+	dirty bool
+	// gen counts the admissions of this page record: a direct reclaimer
+	// that slept in its device write evicts its victim only if the record
+	// still holds the admission it chose.
+	gen        uint32
+	prev, next *page // ring links while resident; next chains the spare list
+	// stamp is the cache's access clock at the page's last touch: the pages
+	// of both rings in stamp order are the cache's one recency order.
+	stamp uint64
 }
 
 // Cache is one host's page cache in front of one device.
@@ -101,10 +108,14 @@ type Cache struct {
 	dev   *blockdev.Device
 	par   Params
 	pages map[pageKey]*page
-	lru   page  // ring sentinel: lru.next = most recent, lru.prev = least recent
-	spare *page // evicted pages awaiting reuse
-	dirty int
-	files int
+	// The recency rings, each through its sentinel: ring.next = most recent,
+	// ring.prev = least recent. Each is in stamp order, so the clean victim,
+	// the direct-reclaim victim and the writeback batch are ring tails.
+	clean, dirtied page
+	clock          uint64 // the last stamp issued
+	spare          *page  // evicted pages awaiting reuse
+	dirty          int
+	files          int
 
 	wbKick  *sim.Event
 	wbYield *sim.Event // fired after each writeback command; throttled writers wait on it
@@ -143,32 +154,53 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		wbYield: env.NewEvent(),
 	}
 	c.extraWB = c.extraWriteback
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.clearRings()
 	env.Spawn("pagecache-flusher", c.flusher)
 	return c
 }
 
-// unlink takes a resident page out of the recency ring.
+// clearRings empties both recency rings.
+func (c *Cache) clearRings() {
+	c.clean.prev, c.clean.next = &c.clean, &c.clean
+	c.dirtied.prev, c.dirtied.next = &c.dirtied, &c.dirtied
+}
+
+// ring returns the sentinel of the ring pg belongs on.
+func (c *Cache) ring(pg *page) *page {
+	if pg.dirty {
+		return &c.dirtied
+	}
+	return &c.clean
+}
+
+// unlink takes a resident page out of its ring.
 func (pg *page) unlink() {
 	pg.prev.next, pg.next.prev = pg.next, pg.prev
 	pg.prev, pg.next = nil, nil
 }
 
-// pushFront makes pg the most recently used page.
-func (c *Cache) pushFront(pg *page) {
-	pg.prev, pg.next = &c.lru, c.lru.next
+// linkAfter puts pg on a ring just after at: toward the tail of the ring
+// from at, or at the head when at is the sentinel.
+func (pg *page) linkAfter(at *page) {
+	pg.prev, pg.next = at, at.next
 	pg.prev.next, pg.next.prev = pg, pg
 }
 
-func (c *Cache) moveToFront(pg *page) {
-	if c.lru.next != pg {
+// touch makes pg the most recently used page, at the head of the ring of
+// its state (moving it there when a write has just dirtied it). The stamp
+// moves even when the page is already its ring's head: the other ring's
+// head may be more recent.
+func (c *Cache) touch(pg *page) {
+	c.clock++
+	pg.stamp = c.clock
+	if r := c.ring(pg); r.next != pg {
 		pg.unlink()
-		c.pushFront(pg)
+		pg.linkAfter(r)
 	}
 }
 
-// admit makes page k resident and most recently used, reusing an evicted
-// page when one is spare.
+// admit makes page k resident, clean, at the clean ring's head, reusing an
+// evicted page record when one is spare; the caller touches it.
 func (c *Cache) admit(k pageKey) *page {
 	pg := c.spare
 	if pg == nil {
@@ -176,8 +208,8 @@ func (c *Cache) admit(k pageKey) *page {
 	} else {
 		c.spare = pg.next
 	}
-	*pg = page{key: k}
-	c.pushFront(pg)
+	*pg = page{key: k, gen: pg.gen + 1}
+	pg.linkAfter(&c.clean)
 	c.pages[k] = pg
 	return pg
 }
@@ -494,7 +526,7 @@ func (f *File) RecoverExtents() {
 // power-cycled host.
 func (c *Cache) Reset() {
 	c.pages = make(map[pageKey]*page)
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.clearRings()
 	c.spare = nil
 	c.dirty = 0
 }
@@ -569,14 +601,17 @@ func (f *File) residentRange(p *sim.Proc, off int64, size int, dirty bool) {
 		pg, ok := c.pages[k]
 		if !ok {
 			c.evictFor(p, 1)
-			pg = c.admit(k)
-		} else {
-			c.moveToFront(pg)
+			// A direct reclaim sleeps in its device write, and another
+			// proc may have faulted the page in meanwhile.
+			if pg, ok = c.pages[k]; !ok {
+				pg = c.admit(k)
+			}
 		}
 		if dirty && !pg.dirty {
 			pg.dirty = true
 			c.dirty++
 		}
+		c.touch(pg)
 	}
 }
 
@@ -593,39 +628,33 @@ func (f *File) touchRange(off int64, size int) {
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
 		if pg, ok := c.pages[pageKey{f.id, i}]; ok {
-			c.moveToFront(pg)
+			c.touch(pg)
 		}
 	}
 }
 
-// evictFor makes room for n new pages by dropping clean LRU pages; dirty
-// LRU pages are flushed synchronously in the caller's context if no clean
-// page is available (direct-reclaim behaviour).
+// evictFor makes room for n new pages by dropping the least recent clean
+// pages; when no page is clean, the least recent dirty page is written in
+// the caller's context and then dropped (direct reclaim).
 func (c *Cache) evictFor(p *sim.Proc, n int) {
 	if c.par.MaxPages <= 0 {
 		return
 	}
 	for len(c.pages)+n > c.par.MaxPages {
-		// Scan from the back for a clean victim.
-		var victim *page
-		for pg := c.lru.prev; pg != &c.lru; pg = pg.prev {
-			if !pg.dirty {
-				victim = pg
-				break
-			}
-		}
-		if victim == nil {
-			// Direct reclaim: flush the oldest dirty page synchronously.
-			victim = c.lru.prev
-			if victim == &c.lru {
+		victim := c.clean.prev
+		if victim == &c.clean {
+			victim = c.dirtied.prev
+			if victim == &c.dirtied {
 				return
 			}
-			key := victim.key
+			key, gen := victim.key, victim.gen
 			c.dev.ServeRaw(p, true, c.par.PageSize)
 			c.WritebackPages++
-			if c.pages[key] != victim {
-				// Another reclaimer evicted it (and the page may already be
-				// reused) while this one slept in the device write.
+			if c.pages[key] != victim || victim.gen != gen {
+				// While this reclaimer slept in the device write, the page
+				// left the cache: another reclaimer evicted it, or the
+				// flusher cleaned it and an eviction dropped it. Its record
+				// may since hold a new admission, even of the same page.
 				continue
 			}
 			if victim.dirty { // unless the flusher cleaned it meanwhile
@@ -716,14 +745,30 @@ func (c *Cache) awaitKick(p *sim.Proc) {
 // writeback takes up to writebackBatch of the oldest dirty pages, marks them
 // clean, writes them back in one device command and releases the throttled
 // writers. It reports false, issuing nothing, when no page is dirty.
+//
+// The batch leaves the dirty ring's tail oldest first, so one cursor moving
+// toward the clean ring's head places each page among the clean pages by
+// its stamp.
 func (c *Cache) writeback(p *sim.Proc) bool {
 	batch := 0
-	for pg := c.lru.prev; pg != &c.lru && batch < writebackBatch; pg = pg.prev {
-		if pg.dirty {
-			pg.dirty = false
-			c.dirty--
-			batch++
+	// at is the newest clean page older than the batch's next page, or the
+	// sentinel when none is. The batch's first page finds it walking in from
+	// whichever end of the clean ring its stamp lies nearer.
+	at := &c.clean
+	if first, head, tail := c.dirtied.prev, c.clean.next, c.clean.prev; first.stamp+first.stamp > head.stamp+tail.stamp {
+		for at = head; at != &c.clean && at.stamp > first.stamp; at = at.next {
 		}
+	}
+	for pg := c.dirtied.prev; pg != &c.dirtied && batch < writebackBatch; pg = c.dirtied.prev {
+		pg.unlink()
+		pg.dirty = false
+		c.dirty--
+		batch++
+		for at.prev != &c.clean && at.prev.stamp < pg.stamp {
+			at = at.prev
+		}
+		pg.linkAfter(at.prev)
+		at = pg
 	}
 	if batch == 0 {
 		return false
