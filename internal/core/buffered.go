@@ -85,10 +85,13 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 		cn.stream.Send(p, frame.WireSize(), frame)
 	}
 	// Statuses of deferred sets are not reported per-op, and each was counted
-	// complete when it was queued: the responses are only drained.
+	// complete when it was queued: the responses are only drained, and
+	// released.
 	for range batch {
-		if _, ok := cn.stream.Recv(p); !ok {
+		msg, ok := cn.stream.Recv(p)
+		if !ok {
 			break
 		}
+		msg.Payload.(*protocol.Response).Release()
 	}
 }

@@ -127,15 +127,24 @@ type resolution struct {
 }
 
 // startBypass runs the resolution as its own process so Issue keeps
-// iset/iget semantics (return once the operation is in flight).
+// iset/iget semantics (return once the operation is in flight). The request
+// waits in c.resolving for the resolver spawned with it: processes start in
+// spawn order, so each resolver takes the oldest waiting GET — its own —
+// and any resolver would do, since they are all alike.
 func (c *Client) startBypass(req *Req) {
-	c.env.Spawn("client/bypass", func(p *sim.Proc) {
-		defer req.tagPanic()
-		r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
-		if !r.resolve(req.opts.readPath == ReadBypass) {
-			r.fallback()
-		}
-	})
+	c.resolving.TryPut(req)
+	c.env.Spawn("client/bypass", c.resolver)
+}
+
+// resolveNext is a bypass resolver process: it resolves the oldest GET
+// waiting for one, or hands it to the RPC path.
+func (c *Client) resolveNext(p *sim.Proc) {
+	req, _ := c.resolving.TryGet()
+	defer req.tagPanic()
+	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
+	if !r.resolve(req.opts.readPath == ReadBypass) {
+		r.fallback()
+	}
 }
 
 // resolve attempts one-sided resolution; true means the request needs no

@@ -239,6 +239,12 @@ type Client struct {
 	hotRR   uint64
 	hotGets uint64
 
+	// Bypass GETs waiting for their resolver process, oldest first, and the
+	// function every resolver is spawned with, bound once here so a spawn
+	// builds no closure (startBypass).
+	resolving *sim.Queue[*Req]
+	resolver  func(*sim.Proc)
+
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
 	// routing and bypass activity. Read one with Counters.Val.
@@ -327,7 +333,8 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	c := &Client{env: env, cfg: cfg}
+	c := &Client{env: env, cfg: cfg, resolving: sim.NewQueue[*Req](env, 0)}
+	c.resolver = c.resolveNext
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
 		c.pd = c.dev.AllocPD()
@@ -648,13 +655,17 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 		case !ok: // the stream closed under the exchange
 			req.finish(completed, &protocol.Response{Status: protocol.StatusError})
 		default:
+			// The delivery's hold on the reply is released once finish has
+			// copied it out, or at once for a stale one.
 			resp := msg.Payload.(*protocol.Response)
 			if resp.ReqID != req.ID {
+				resp.Release()
 				continue // stale reply from an abandoned request
 			}
 			att.settle(answered)
 			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)
+			resp.Release()
 		}
 	}
 	return req

@@ -662,9 +662,9 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 
 // progressEngine polls the receive CQ: returns credits, lands values in the
 // user buffer, and fires completion flags (dark-green path of Figure 3).
-// A response or an ack that finds no pending entry — a duplicate, or one for
-// an attempt that ended first: given up on, outrun, its request timed out or
-// canceled — is absorbed as stale.
+// Each delivery holds its reply until it has landed: land copies out
+// everything it keeps, and the release hands the reply back to the server's
+// free list once its sender has let go of it too.
 func (cn *conn) progressEngine(p *sim.Proc) {
 	for {
 		comp := cn.recvCQ.WaitPoll(p)
@@ -673,57 +673,66 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 		if !ok {
 			panic("core: non-response payload on client receive CQ")
 		}
-		if b := cn.pendingBatch[resp.ReqID]; b != nil && resp.Op == protocol.OpBufferAck {
-			// One ack covers the whole coalesced frame: the first member
-			// still flying brings the shared credit back.
-			for _, att := range b.members {
-				att.ack()
-			}
-			continue
-		}
-		att := cn.pending[resp.ReqID]
-		if att == nil {
-			cn.c.Counters.Inc(metrics.CStaleResponses)
-			continue
-		}
-		req := att.req
-		switch resp.Op {
-		case protocol.OpBufferAck:
+		cn.land(resp)
+		resp.Release()
+	}
+}
+
+// land acts on one response or BufferAck without suspending. One that finds
+// no pending entry — a duplicate, or one for an attempt that ended first:
+// given up on, outrun, its request timed out or canceled — is absorbed as
+// stale.
+func (cn *conn) land(resp *protocol.Response) {
+	if b := cn.pendingBatch[resp.ReqID]; b != nil && resp.Op == protocol.OpBufferAck {
+		// One ack covers the whole coalesced frame: the first member
+		// still flying brings the shared credit back.
+		for _, att := range b.members {
 			att.ack()
-		case protocol.OpResponse:
-			how, nudging := answered, RetryableStatus(resp.Status) && req.opts.retry != nil
-			switch {
-			case resp.Status == protocol.StatusBusy:
-				// Shed at admission: breaker food, unlike recovering — a
-				// recovering server is rebuilding, not saturated.
-				how = refused
-				cn.c.Counters.Inc(metrics.CBusy)
-			case nudging:
-				how = rejected
-			}
-			att.settle(how)
-			if !nudging {
-				req.finish(completed, resp)
-				continue
-			}
-			// Fail-fast rejection — cold-restart recovery or admission
-			// shedding: don't complete the request. Record the attempt's
-			// sentinel and any retry-after hint, then nudge its guard, which
-			// backs off and retransmits (failing over when configured).
-			req.rejected = statusErr(resp.Status)
-			switch resp.Status {
-			case protocol.StatusBusy:
-				req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond
-			case protocol.StatusNoReplica:
-				// The coordinator itself is healthy (it answered); the
-				// chain behind it is not. No breaker food, just a counter.
-				cn.c.Counters.Inc(metrics.CNoReplica)
-			default:
-				cn.c.Counters.Inc(metrics.CRecovering)
-			}
-			req.nudge.Fire()
-		default:
-			panic("core: unexpected opcode " + resp.Op.String())
 		}
+		return
+	}
+	att := cn.pending[resp.ReqID]
+	if att == nil {
+		cn.c.Counters.Inc(metrics.CStaleResponses)
+		return
+	}
+	req := att.req
+	switch resp.Op {
+	case protocol.OpBufferAck:
+		att.ack()
+	case protocol.OpResponse:
+		how, nudging := answered, RetryableStatus(resp.Status) && req.opts.retry != nil
+		switch {
+		case resp.Status == protocol.StatusBusy:
+			// Shed at admission: breaker food, unlike recovering — a
+			// recovering server is rebuilding, not saturated.
+			how = refused
+			cn.c.Counters.Inc(metrics.CBusy)
+		case nudging:
+			how = rejected
+		}
+		att.settle(how)
+		if !nudging {
+			req.finish(completed, resp)
+			return
+		}
+		// Fail-fast rejection — cold-restart recovery or admission
+		// shedding: don't complete the request. Record the attempt's
+		// sentinel and any retry-after hint, then nudge its guard, which
+		// backs off and retransmits (failing over when configured).
+		req.rejected = statusErr(resp.Status)
+		switch resp.Status {
+		case protocol.StatusBusy:
+			req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond
+		case protocol.StatusNoReplica:
+			// The coordinator itself is healthy (it answered); the
+			// chain behind it is not. No breaker food, just a counter.
+			cn.c.Counters.Inc(metrics.CNoReplica)
+		default:
+			cn.c.Counters.Inc(metrics.CRecovering)
+		}
+		req.nudge.Fire()
+	default:
+		panic("core: unexpected opcode " + resp.Op.String())
 	}
 }

@@ -187,6 +187,13 @@ type Response struct {
 	// so the hint reuses the flags slot on the wire: header size and
 	// therefore all transfer timings are unchanged.
 	RetryAfterUS uint32
+
+	// A server's reply comes from its store's free list (Replies): holds
+	// counts who may still read it, pool is where the last Release puts it
+	// back, next links it there. A reply with no pool is nobody's to recycle.
+	holds int32
+	pool  *Replies
+	next  *Response
 }
 
 // Header sizes, fixed by the marshaled layout below.

@@ -594,7 +594,8 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 	if fwd == nil {
 		return r.st.Handle(p, req)
 	}
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: protocol.StatusStored}
+	resp := r.st.Reply(req.ReqID)
+	resp.Status = protocol.StatusStored
 	if fwd.del {
 		resp.Status = protocol.StatusDeleted
 	}
@@ -735,7 +736,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 	peers, member := r.replicaPeers(req.Key)
 	if !member {
 		// This server holds nothing authoritative for the key.
-		return refusal(req, refuse), peers
+		return r.refusal(req, refuse), peers
 	}
 	if r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
 		// Double-read window: this server is gaining the key and has not
@@ -745,7 +746,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// have an RMW decided against a phantom one).
 		if !r.doubleRead(p, req.Key) {
 			r.Counters.Inc(metrics.CMigrateReadRedirects)
-			return refusal(req, protocol.StatusRecovering), peers
+			return r.refusal(req, protocol.StatusRecovering), peers
 		}
 	}
 	if ks := r.keys[req.Key]; ks != nil && ks.suspect {
@@ -753,7 +754,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 			// Unconfirmed cold-recovered value and no peer reachable: refuse
 			// it rather than resurrect a superseded epoch.
 			r.Counters.Inc(metrics.CStaleReadsPrevented)
-			return refusal(req, refuse), peers
+			return r.refusal(req, refuse), peers
 		}
 	}
 	resp := r.st.Handle(p, req)
@@ -763,11 +764,14 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// Treat it exactly like a suspect miss: confirm against the peer
 		// replicas, and run the request on the repaired copy instead of
 		// garbage. Only when no peer can help does this degrade to a refusal.
+		// A replaced answer was never sent: it goes back to the free list.
 		if r.syncPull(p, req.Key, r.state(req.Key), &peers) {
+			resp.Release()
 			resp = r.st.Handle(p, req)
 		}
 		if resp.Status == protocol.StatusCorrupt {
-			resp = refusal(req, refuse)
+			resp.Release()
+			resp = r.refusal(req, refuse)
 		}
 	}
 	return resp, peers
@@ -836,8 +840,10 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 }
 
 // refusal answers req with a bare status, the store not consulted.
-func refusal(req *protocol.Request, st protocol.Status) *protocol.Response {
-	return &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: st}
+func (r *Replicator) refusal(req *protocol.Request, st protocol.Status) *protocol.Response {
+	resp := r.st.Reply(req.ReqID)
+	resp.Status = st
+	return resp
 }
 
 // syncPull confirms a suspect key against its peer replicas: the first

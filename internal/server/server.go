@@ -646,10 +646,9 @@ func (s *Server) receive(p *sim.Proc, payload any, t task) {
 		// retryable status instead of queueing it behind the scan.
 		s.Rejected += n
 		for _, req := range reqs {
-			s.respond(p, &t, req, &protocol.Response{
-				Op: protocol.OpResponse, ReqID: req.ReqID,
-				Status: protocol.StatusRecovering,
-			})
+			resp := s.st.Reply(req.ReqID)
+			resp.Status = protocol.StatusRecovering
+			s.respond(p, &t, req, resp)
 		}
 		t.repost()
 		return
@@ -727,7 +726,8 @@ func (s *Server) dirQuery(req *protocol.Request) *protocol.Response {
 	if req.Key != "" {
 		s.st.NoteHeat(req.Key)
 	}
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID, Status: protocol.StatusNotFound}
+	resp := s.st.Reply(req.ReqID)
+	resp.Status = protocol.StatusNotFound
 	if s.bypass != nil {
 		hot, version := s.st.HotSnapshot()
 		var epoch uint64
@@ -793,11 +793,9 @@ func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 	if hint > maxRetryAfter {
 		hint = maxRetryAfter
 	}
-	s.respond(p, t, req, &protocol.Response{
-		Op: protocol.OpResponse, ReqID: req.ReqID,
-		Status:       protocol.StatusBusy,
-		RetryAfterUS: uint32(hint / sim.Microsecond),
-	})
+	resp := s.st.Reply(req.ReqID)
+	resp.Status, resp.RetryAfterUS = protocol.StatusBusy, uint32(hint/sim.Microsecond)
+	s.respond(p, t, req, resp)
 }
 
 // storageWorker drains the async buffer: one task, one storage phase. A
@@ -938,6 +936,8 @@ func (s *Server) release(t *task) {
 // the client's registered response region (the payload carries the request
 // id the client matches it by); over a socket, a stream send. The time to stage the value into a registered
 // bounce buffer plus the doorbell is the server's "Server Response" stage.
+// resp is a Store.Reply: its sender's hold goes with the message, which drops
+// it after the last delivery, so the server does not read resp after this.
 func (s *Server) respond(p *sim.Proc, t *task, req *protocol.Request, resp *protocol.Response) {
 	t0 := p.Now()
 	p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
@@ -964,7 +964,8 @@ func (s *Server) sendAck(p *sim.Proc, t *task) {
 	if t.frame != nil {
 		id = t.frame.BatchID
 	}
-	ack := &protocol.Response{Op: protocol.OpBufferAck, ReqID: id, Status: protocol.StatusOK}
+	ack := s.st.Reply(id)
+	ack.Op, ack.Status = protocol.OpBufferAck, protocol.StatusOK
 	t.qp.PostSend(p, verbs.SendWR{
 		Op:       verbs.OpWriteImm,
 		Size:     ack.WireSize(),

@@ -3,6 +3,7 @@ package store
 import (
 	"testing"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -71,6 +72,52 @@ func TestDirectoryAllocationCeiling(t *testing.T) {
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(300, tc.step); got > tc.ceiling {
+			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// handleModel returns a step that runs req through Store.Handle on a RAM
+// store holding key "k", and releases the reply as a client does once it has
+// landed.
+func handleModel(req *protocol.Request) (step func()) {
+	env := sim.NewEnv()
+	s := newStore(env, 16<<20, false)
+	kick := sim.NewQueue[struct{}](env, 0)
+	env.Spawn("driver", func(p *sim.Proc) {
+		s.Set(p, "k", 512, "v", 0, 0)
+		for {
+			if _, ok := kick.Get(p); !ok {
+				return
+			}
+			resp := s.Handle(p, req)
+			if resp.Status != protocol.StatusOK && resp.Status != protocol.StatusStored {
+				panic("handle model: " + req.Op.String() + " answered " + resp.Status.String())
+			}
+			resp.Release()
+		}
+	})
+	return func() {
+		kick.TryPut(struct{}{})
+		env.Run()
+	}
+}
+
+// The storage phase's answer comes from the store's free list, and a released
+// reply is the next one handed out: a GET hit allocates nothing, and a SET
+// only its item (1).
+func TestHandleAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		req     *protocol.Request
+		ceiling float64
+	}{
+		{"GET hit, its reply released", &protocol.Request{Op: protocol.OpGet, Key: "k"}, 0},
+		{"SET, its reply released", &protocol.Request{Op: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"}, 1},
+	} {
+		step := handleModel(tc.req)
+		step()
+		if got := testing.AllocsPerRun(300, step); got > tc.ceiling {
 			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
 		}
 	}

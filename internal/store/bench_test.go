@@ -79,10 +79,11 @@ func BenchmarkStoreHandleBatch16(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A frame's storage phases, as the server runs them: back-to-back
-			// inside one eviction-coalescing window.
+			// inside one eviction-coalescing window. Each reply is released
+			// as its client would once it has landed, so it is reused.
 			mgr.BeginEvictionBatch(p)
 			for _, req := range reqs {
-				s.Handle(p, req)
+				s.Handle(p, req).Release()
 			}
 			mgr.EndEvictionBatch(p)
 		}

@@ -62,6 +62,10 @@ type Store struct {
 	// even when the client never retries the key.
 	corruptNotify func(p *sim.Proc, key string)
 
+	// replies is the free list every answer of this store's server comes
+	// from (Reply).
+	replies protocol.Replies
+
 	// Stats
 	SetOps, GetOps, DeleteOps int64
 	GetHits, GetMisses        int64
@@ -378,11 +382,27 @@ func (s *Store) DeleteIf(p *sim.Proc, key string, guard func() bool) protocol.St
 	return protocol.StatusDeleted
 }
 
+// Reply hands out an OpResponse for request reqID from the store's free list,
+// holding its sender's hold: every answer the server sends — the store's,
+// the replicator's and the server's own — is one. Sending it passes that hold
+// to the message, released after the message's last delivery; each delivery
+// holds it for its reader, who releases it once it has copied out what it
+// keeps (protocol.Replies).
+func (s *Store) Reply(reqID uint64) *protocol.Response {
+	resp := s.replies.Get()
+	resp.Op, resp.ReqID = protocol.OpResponse, reqID
+	return resp
+}
+
+// ReplyCounts reports how many replies the store has allocated and how many
+// are back on its free list (protocol.Replies.Counts).
+func (s *Store) ReplyCounts() (made, free int) { return s.replies.Counts() }
+
 // Handle executes one parsed request against the store and builds the
 // response. This is the storage phase shared by the sync and async server
 // designs.
 func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
-	resp := &protocol.Response{Op: protocol.OpResponse, ReqID: req.ReqID}
+	resp := s.Reply(req.ReqID)
 	switch req.Op {
 	case protocol.OpSet:
 		resp.Status = s.Set(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)

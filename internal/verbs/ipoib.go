@@ -69,8 +69,10 @@ type streamSend struct {
 	next *streamSend // free-list link
 }
 
-// Recycle implements simnet.Recycler.
+// Recycle implements simnet.Recycler; a Shared payload loses its sender's
+// hold.
 func (r *streamSend) Recycle() {
+	release(r.w.msg.Payload)
 	r.w = streamWire{}
 	r.next, r.host.free = r.host.free, r
 }
@@ -134,5 +136,6 @@ func (h *Host) deliver(m *simnet.Message) {
 	if s == nil {
 		panic(fmt.Sprintf("verbs: delivery to unknown stream %d on %s", w.dstStream, h.node.Name()))
 	}
+	retain(w.msg.Payload)
 	s.inbox.TryPut(w.msg)
 }

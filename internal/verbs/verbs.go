@@ -300,9 +300,36 @@ type transfer struct {
 	next *transfer // free-list link
 }
 
+// Shared is a payload with counted holders — a server's pooled reply
+// (protocol.Response). Its sender holds it until its message's last delivery
+// has fired, when the transfer is recycled; each SEND or WRITE_IMM delivery
+// adds a hold for the receiver, who releases it once it has read it.
+type Shared interface {
+	Retain()
+	Release()
+}
+
+// retain adds the receiver's hold on a delivered payload that counts them.
+func retain(payload any) {
+	if s, ok := payload.(Shared); ok {
+		s.Retain()
+	}
+}
+
+// release drops the sender's hold on a payload that counts them.
+func release(payload any) {
+	if s, ok := payload.(Shared); ok {
+		s.Release()
+	}
+}
+
 // Recycle implements simnet.Recycler: t goes back on its HCA's free list,
-// holding no payload.
+// holding no payload — a Shared one a SEND or WRITE_IMM carried loses its
+// sender's hold (a READ's data is the region's, which holds nothing).
 func (t *transfer) Recycle() {
+	if t.w.kind != OpRead {
+		release(t.w.payload)
+	}
 	t.w = wire{}
 	t.next, t.dev.free = t.dev.free, t
 }
@@ -424,6 +451,7 @@ func (d *Device) deliver(m *simnet.Message) {
 	switch w.kind {
 	case OpSend:
 		qp.consumeRecv("SEND")
+		retain(w.payload)
 		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpWriteImm:
 		mr := d.mrs[w.remoteMR]
@@ -432,6 +460,7 @@ func (d *Device) deliver(m *simnet.Message) {
 		}
 		mr.SetPayload(w.payload, w.size)
 		qp.consumeRecv("WRITE_IMM")
+		retain(w.payload)
 		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpRead:
 		// Responder HCA streams the MR contents back; zero remote CPU.
