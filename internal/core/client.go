@@ -33,7 +33,7 @@
 //	memcached_req            → Req (completion flag, response buffer,
 //	    status, Err, timing)
 //	memcached_add/cas/incr/… → Issue(p, Op{Code: protocol.OpAdd, ...})
-//	    (commands.go keeps Gets and FlushAll, which an Op cannot spell)
+//	    (commands.go keeps Gets, which an Op cannot spell)
 //
 // Runtime structure per connection (violet/red/green paths of Figure 3):
 // a TX engine process drains an issue queue, respecting per-connection

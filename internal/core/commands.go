@@ -6,12 +6,11 @@ import (
 )
 
 // The memcached command alphabet is protocol.Opcode through Issue, on both
-// transports: memcached_add/replace/cas/append/prepend/incr/decr/touch/delete
-// are Issue(p, Op{Code: protocol.OpAdd, ...}) and a Wait, so each takes the
-// same options — a deadline, a retry budget — as a Set or a Get, and a
-// multi-get is a loop of Issue and one WaitAll. What is left here is the two
-// commands an Op cannot spell: Gets, whose GET routes as the CompareAndSet
-// after it will, and FlushAll, which addresses every connection and no key.
+// transports: memcached_add/cas/incr/delete are Issue(p, Op{Code:
+// protocol.OpAdd, ...}) and a Wait, so each takes the same options — a
+// deadline, a retry budget — as a Set or a Get, and a multi-get is a loop of
+// Issue and one WaitAll. What is left here is the one command an Op cannot
+// spell: Gets, whose GET routes as the CompareAndSet after it will.
 
 // Gets fetches a value together with its CAS token (memcached_gets), from
 // the server an OpCAS on the key would go to (see casRead).
@@ -20,20 +19,6 @@ func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64,
 	return req.Value, req.ValueSize, req.CAS, req.Status
 }
 
-// CounterSize is the stored size of a numeric counter value: what OpIncr and
-// OpDecr work on is an OpSet of this size whose value is a uint64.
+// CounterSize is the stored size of a numeric counter value: what OpIncr
+// works on is an OpSet of this size whose value is a uint64.
 const CounterSize = 20
-
-// FlushAll invalidates every item on every connected server
-// (memcached_flush). Blocking; returns the first non-OK status.
-func (c *Client) FlushAll(p *sim.Proc) protocol.Status {
-	out := protocol.StatusOK
-	for _, cn := range c.conns {
-		req := c.beginOn(p, cn, Op{Code: protocol.OpFlushAll}, new(Req))
-		c.Wait(p, req)
-		if req.Status != protocol.StatusOK && out == protocol.StatusOK {
-			out = req.Status
-		}
-	}
-	return out
-}

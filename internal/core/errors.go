@@ -9,14 +9,14 @@ import (
 // Sentinel errors for Req.Err: one Go error per operation outcome, so
 // callers use errors.Is instead of switching on raw protocol.Status.
 var (
-	// ErrNotFound reports a Get/Delete/Incr/Decr/Touch on a missing key.
+	// ErrNotFound reports a Get/Delete/Incr on a missing key, or a CAS store
+	// on one.
 	ErrNotFound = errors.New("core: key not found")
-	// ErrNotStored reports an Add on an existing key, or a
-	// Replace/Append/Prepend on a missing one.
+	// ErrNotStored reports an Add on an existing key.
 	ErrNotStored = errors.New("core: not stored")
 	// ErrExists reports a CAS store with a stale token.
 	ErrExists = errors.New("core: CAS token stale")
-	// ErrBadValue reports Incr/Decr on a non-counter value.
+	// ErrBadValue reports Incr on a non-counter value.
 	ErrBadValue = errors.New("core: value is not a counter")
 	// ErrTooLarge reports a value over the server's item size limit.
 	ErrTooLarge = errors.New("core: value too large")

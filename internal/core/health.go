@@ -84,9 +84,7 @@ func classOfOp(op protocol.Opcode) (int, bool) {
 	switch op {
 	case protocol.OpGet:
 		return hcGet, true
-	case protocol.OpSet, protocol.OpAdd, protocol.OpReplace, protocol.OpAppend,
-		protocol.OpPrepend, protocol.OpCAS, protocol.OpIncr, protocol.OpDecr,
-		protocol.OpDelete, protocol.OpTouch:
+	case protocol.OpSet, protocol.OpAdd, protocol.OpCAS, protocol.OpIncr, protocol.OpDelete:
 		return hcWrite, true
 	}
 	return 0, false

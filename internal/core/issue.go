@@ -19,7 +19,7 @@ import (
 
 // Op describes one operation for Issue. Code and Key are required; the
 // remaining fields apply per-opcode (ValueSize/Value for stores, CAS for
-// compare-and-set, Delta for Incr/Decr).
+// compare-and-set, Delta for Incr).
 type Op struct {
 	Code      protocol.Opcode
 	Key       string
@@ -152,25 +152,20 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if req.opts.forCAS {
 		in = routeWrite
 	}
-	return c.beginOn(p, c.route(op.Key, in, nil), op, req), nil
-}
-
-// beginOn starts op on cn — the connection Issue routed it to, or the one a
-// key-less operation addresses (flush_all) — as req, a handle that is zero
-// but for its parsed options, and returns it. This is the one place that asks
-// which transport the client is on, and the one place that asks whether it is
-// buffering (SetBuffering): a buffered Set is queued and complete on return,
-// and a Get pushes the queue out ahead of itself.
-func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
+	cn := c.route(op.Key, in, nil)
+	// This is the one place that asks which transport the client is on, and
+	// the one place that asks whether it is buffering (SetBuffering): a
+	// buffered Set is queued and complete on return, and a Get pushes the
+	// queue out ahead of itself.
 	if c.cfg.Transport == IPoIB {
 		switch {
 		case c.buffering && op.Code == protocol.OpSet:
-			return c.bufferSet(p, cn, op, req)
+			return c.bufferSet(p, cn, op, req), nil
 		case c.buffering && op.Code == protocol.OpGet:
 			// The queued Sets leave on this connection before the Get does.
 			c.flushConn(p, cn)
 		}
-		return c.ipoibExchange(p, cn, op, req)
+		return c.ipoibExchange(p, cn, op, req), nil
 	}
 	o := &req.opts
 	p.Sleep(prepCost)
@@ -210,7 +205,7 @@ func (c *Client) beginOn(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	if o.ack && c.batching == 0 {
 		p.Wait(&req.reusable)
 	}
-	return req
+	return req, nil
 }
 
 // attach makes req's next attempt — on cn, standing at state — and chains it

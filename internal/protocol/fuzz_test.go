@@ -58,8 +58,11 @@ func FuzzUnmarshalHeader(f *testing.F) {
 		Op: OpSet, ReqID: 12345, Key: "user:99:profile",
 		Flags: 7, Expire: 3600, ValueSize: 32 * 1024, RespMR: 42, AckWanted: true,
 	}).MarshalHeader())
-	for op := OpSet; op <= OpFlushAll; op++ {
+	// Every opcode twice: with the arithmetic fields, and with every field of
+	// a store.
+	for op := OpSet; op <= OpDirQuery; op++ {
 		f.Add((&Request{Op: op, ReqID: 9, Key: "key", CAS: 3, Delta: 4}).MarshalHeader())
+		f.Add((&Request{Op: op, ReqID: 10, Key: "k", Flags: 1, Expire: 60, ValueSize: 8, RespMR: 2, AckWanted: true}).MarshalHeader())
 	}
 	get := (&Request{Op: OpGet, Key: "0123456789"}).MarshalHeader()
 	f.Add(get[:len(get)-1])

@@ -24,17 +24,10 @@ const (
 	// buffered server-side and its buffers are reusable; it also returns
 	// one flow-control credit (the server re-posted a receive).
 	OpBufferAck
-	// Storage commands of the full memcached command set.
-	OpAdd     // store only if the key does not exist
-	OpReplace // store only if the key exists
-	OpAppend  // concatenate after the existing value
-	OpPrepend // concatenate before the existing value
-	OpCAS     // store only if the caller's CAS token is current
-	OpIncr    // arithmetic increment of a counter value
-	OpDecr    // arithmetic decrement (floored at zero)
-	OpTouch   // update the expiration time only
-	// OpFlushAll invalidates every item on the server.
-	OpFlushAll
+	// The conditional and read-modify-write commands of memcached.
+	OpAdd  // store only if the key does not exist
+	OpCAS  // store only if the caller's CAS token is current
+	OpIncr // arithmetic increment of a counter value
 	// OpDirQuery bootstraps the server-bypass read path: the response
 	// carries a DirectoryInfo naming the server's published directory and
 	// value MRs, after which the client resolves GET hits with one-sided
@@ -58,22 +51,10 @@ func (o Opcode) String() string {
 		return "BUFFER_ACK"
 	case OpAdd:
 		return "ADD"
-	case OpReplace:
-		return "REPLACE"
-	case OpAppend:
-		return "APPEND"
-	case OpPrepend:
-		return "PREPEND"
 	case OpCAS:
 		return "CAS"
 	case OpIncr:
 		return "INCR"
-	case OpDecr:
-		return "DECR"
-	case OpTouch:
-		return "TOUCH"
-	case OpFlushAll:
-		return "FLUSH_ALL"
 	case OpDirQuery:
 		return "DIR_QUERY"
 	}
@@ -90,12 +71,11 @@ const (
 	StatusDeleted
 	StatusTooLarge
 	StatusError
-	// StatusNotStored rejects Add on an existing key or Replace/Append/
-	// Prepend on a missing one.
+	// StatusNotStored rejects Add on an existing key.
 	StatusNotStored
 	// StatusExists rejects a CAS store whose token is stale.
 	StatusExists
-	// StatusBadValue rejects Incr/Decr on a non-counter value.
+	// StatusBadValue rejects Incr on a non-counter value.
 	StatusBadValue
 	// StatusRecovering fails a request fast while the server rebuilds its
 	// store from the SSD after a cold restart; clients treat it as
@@ -169,7 +149,7 @@ type Request struct {
 	AckWanted bool
 	// CAS carries the caller's token for OpCAS.
 	CAS uint64
-	// Delta carries the Incr/Decr amount.
+	// Delta carries the Incr amount.
 	Delta uint64
 }
 

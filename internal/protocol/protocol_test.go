@@ -204,7 +204,7 @@ func TestUnmarshalRobustnessProperty(t *testing.T) {
 
 // Property: a marshaled header always round-trips regardless of opcode.
 func TestAllOpcodesRoundTrip(t *testing.T) {
-	for op := OpSet; op <= OpFlushAll; op++ {
+	for op := OpSet; op <= OpDirQuery; op++ {
 		r := &Request{Op: op, ReqID: 9, Key: "key", CAS: 3, Delta: 4}
 		got, err := UnmarshalHeader(r.MarshalHeader())
 		if err != nil {

@@ -107,8 +107,8 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 
 // A TTL is relative seconds where a request enters and an instant below: the
 // coordinator fixes the instant once, and every replica lands the write with
-// it, not with its own apply time plus the TTL. An append's post-image, read
-// back and forwarded, keeps the same instant.
+// it, not with its own apply time plus the TTL. An increment's post-image,
+// read back and forwarded, keeps the same instant.
 func TestTTLLandsWithOneExpiryOnEveryReplica(t *testing.T) {
 	cl := itCluster()
 	c := cl.Clients[0]
@@ -139,11 +139,11 @@ func TestTTLLandsWithOneExpiryOnEveryReplica(t *testing.T) {
 		if expireAt < issued+60*sim.Second || expireAt > p.Now()+60*sim.Second {
 			t.Errorf("a 60 s TTL issued at %v, answered at %v, expires at %v", issued, p.Now(), expireAt)
 		}
-		if st := itDo(p, c, core.Op{Code: protocol.OpAppend, Key: key, ValueSize: 8, Value: "tail"}); st != protocol.StatusStored {
-			t.Fatalf("APPEND answered %v", st)
+		if st := itDo(p, c, core.Op{Code: protocol.OpIncr, Key: key, Delta: 1}); st != protocol.StatusOK {
+			t.Fatalf("INCR answered %v", st)
 		}
-		if got := expiry("APPEND"); got != expireAt {
-			t.Errorf("the append moved the expiry from %v to %v", expireAt, got)
+		if got := expiry("INCR"); got != expireAt {
+			t.Errorf("the increment moved the expiry from %v to %v", expireAt, got)
 		}
 		p.Sleep(expireAt - p.Now())
 		for _, sid := range replicas {

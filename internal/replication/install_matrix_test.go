@@ -207,10 +207,16 @@ var imRows = []imRow{
 		act: func(p *sim.Proc, c *installCell) { c.coordinate(p, 1, c.del()) },
 	},
 	{
-		// The store decides and applies (Replace, on the guarded swap); the
-		// post-image is then forwarded like a SET and recorded through landed.
+		// The store decides and applies (CompareAndSet, on the guarded swap,
+		// with the token the subject's store holds); the post-image is then
+		// forwarded like a SET and recorded through landed.
 		name: "RMW post-image", s: 1, coordinated: true, storeCall: 1, clean: imCounts{forwards: 1},
-		act: func(p *sim.Proc, c *installCell) { c.coordinate(p, 1, c.value(protocol.OpReplace, imBig)) },
+		act: func(p *sim.Proc, c *installCell) {
+			_, _, _, token, _ := c.cl.Servers[1].Store().Get(p, imKey)
+			req := c.value(protocol.OpCAS, imBig)
+			req.CAS = token
+			c.coordinate(p, 1, req)
+		},
 	},
 	{
 		// Servers 1 and 2 coordinate at once, and 2's forward to 1 is lost for
@@ -346,10 +352,15 @@ var imCols = []imCol{
 				}
 			})
 		},
-		// An RMW mints after its store call, above whatever landed under it.
-		other:    func(row imRow) bool { return row.name != "RMW post-image" },
-		rule:     oneMoreForward,
-		ruleText: "one more forward and no more conflicts or pull rounds: the row's write is refused at the swap and completes as overwritten",
+		other: func(imRow) bool { return true },
+		rule: func(row imRow, clean, got imCounts) bool {
+			if row.name == "RMW post-image" {
+				// A CAS refused at the swap opens no round: the column's forward is the only one.
+				return got.forwards == clean.forwards && got.conflicts == clean.conflicts && got.pulls == clean.pulls && repairs(clean, got)
+			}
+			return oneMoreForward(row, clean, got)
+		},
+		ruleText: "the row's write is refused at the swap and completes as overwritten: one more forward and no more conflicts or pull rounds, or, for a CAS, the same forwards (it opens no round)",
 	},
 	{
 		name: "a lower epoch arriving after",

@@ -558,11 +558,6 @@ func (r *Replicator) Apply(p *sim.Proc, req *protocol.Request, fwd *Forward) *pr
 		return r.applyLocalWrite(p, req, fwd)
 	case protocol.OpGet:
 		return r.executeGet(p, req)
-	case protocol.OpFlushAll:
-		// flush_all is a cache-wide administrative wipe, not a keyed write;
-		// it is deliberately not replicated (each server is flushed by the
-		// operator individually, as with real memcached pools).
-		return r.st.Handle(p, req)
 	default:
 		return r.executeRMW(p, req)
 	}
@@ -796,9 +791,9 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 	return resp
 }
 
-// executeRMW handles the conditional/mutating command set (add, replace,
-// cas, append, prepend, incr, decr, touch): the local store decides the
-// outcome on a confirmed read, then the post-image is replicated like a SET.
+// executeRMW handles the conditional and read-modify-write commands (add,
+// cas, incr): the local store decides the outcome on a confirmed read, then
+// the post-image is replicated like a SET.
 func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Response {
 	gen := r.gen
 	resp, _ := r.confirmedRead(p, req, protocol.StatusRecovering)

@@ -415,15 +415,12 @@ func (s *Server) foregroundBusy() bool {
 	return float64(s.slots.InUse()) > shedSetWatermark/2*float64(s.slots.Total())
 }
 
-// degradeCorrupt answers a StatusCorrupt read as req's miss (NotStored for
-// append/prepend, else NotFound): with no peer to repair from, a miss is what
-// never serves quarantined garbage and lets the client refill from its backend.
-func degradeCorrupt(req *protocol.Request, resp *protocol.Response) *protocol.Response {
+// degradeCorrupt answers a StatusCorrupt read as a miss (NotFound): with no
+// peer to repair from, a miss is what never serves quarantined garbage and
+// lets the client refill from its backend.
+func degradeCorrupt(resp *protocol.Response) *protocol.Response {
 	if resp.Status == protocol.StatusCorrupt {
 		resp.Status = protocol.StatusNotFound
-		if req.Op == protocol.OpAppend || req.Op == protocol.OpPrepend {
-			resp.Status = protocol.StatusNotStored
-		}
 	}
 	return resp
 }
@@ -914,7 +911,7 @@ func (s *Server) storagePhase(p *sim.Proc, t *task) {
 		if s.repl != nil {
 			resps[i] = s.repl.Apply(p, req, rounds[i])
 		} else {
-			resps[i] = degradeCorrupt(req, s.st.Handle(p, req))
+			resps[i] = degradeCorrupt(s.st.Handle(p, req))
 		}
 	}
 	if t.frame != nil {

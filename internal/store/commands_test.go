@@ -39,25 +39,6 @@ func TestAddSucceedsAfterExpiry(t *testing.T) {
 	env.Run()
 }
 
-func TestReplaceSemantics(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
-		if st := s.Replace(p, "k", 100, "x", 0, 0); st != protocol.StatusNotStored {
-			t.Errorf("replace on missing key: %v", st)
-		}
-		s.Set(p, "k", 100, "old", 0, 0)
-		if st := s.Replace(p, "k", 200, "new", 0, 0); st != protocol.StatusStored {
-			t.Errorf("replace on existing key: %v", st)
-		}
-		v, size, _, _, _ := s.Get(p, "k")
-		if v != "new" || size != 200 {
-			t.Errorf("replace result (%v,%d)", v, size)
-		}
-	})
-	env.Run()
-}
-
 func TestCompareAndSetSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
@@ -82,35 +63,7 @@ func TestCompareAndSetSemantics(t *testing.T) {
 	env.Run()
 }
 
-func TestAppendPrependSemantics(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
-		if st := s.Append(p, "k", 10, "x"); st != protocol.StatusNotStored {
-			t.Errorf("append on missing key: %v", st)
-		}
-		s.Set(p, "k", 100, "base", 0, 0)
-		if st := s.Append(p, "k", 50, "tail"); st != protocol.StatusStored {
-			t.Errorf("append: %v", st)
-		}
-		v, size, _, _, _ := s.Get(p, "k")
-		cc, ok := v.(Concatenated)
-		if !ok || cc.First != "base" || cc.Second != "tail" || size != 150 {
-			t.Errorf("append result (%+v,%d)", v, size)
-		}
-		if st := s.Prepend(p, "k", 25, "head"); st != protocol.StatusStored {
-			t.Errorf("prepend: %v", st)
-		}
-		v, size, _, _, _ = s.Get(p, "k")
-		cc, ok = v.(Concatenated)
-		if !ok || cc.First != "head" || size != 175 {
-			t.Errorf("prepend result (%+v,%d)", v, size)
-		}
-	})
-	env.Run()
-}
-
-func TestIncrDecrSemantics(t *testing.T) {
+func TestIncrSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	env.Spawn("op", func(p *sim.Proc) {
@@ -120,13 +73,6 @@ func TestIncrDecrSemantics(t *testing.T) {
 		s.Set(p, "c", counterSize, uint64(10), 0, 0)
 		if v, st := s.Incr(p, "c", 5); st != protocol.StatusOK || v != 15 {
 			t.Errorf("incr -> (%d,%v)", v, st)
-		}
-		if v, st := s.Decr(p, "c", 3); st != protocol.StatusOK || v != 12 {
-			t.Errorf("decr -> (%d,%v)", v, st)
-		}
-		// Decr floors at zero, as memcached specifies.
-		if v, st := s.Decr(p, "c", 100); st != protocol.StatusOK || v != 0 {
-			t.Errorf("decr floor -> (%d,%v)", v, st)
 		}
 		// Non-counter values are rejected.
 		s.Set(p, "s", 10, "text", 0, 0)
@@ -206,65 +152,39 @@ func TestIncrOnSSDResidentCounterKeepsItsTTL(t *testing.T) {
 	env.Run()
 }
 
-// An append decides on the item it read and swaps its result in after the
-// allocation and the copy. If the item expired in between, the key is dead:
-// the swap is refused, and the key is not served past its TTL.
-func TestAppendRacingItsItemsExpiryIsRefused(t *testing.T) {
-	// appendBefore appends lead before the item's expiry; it returns the
-	// answer, how long the append took, and what a Get right after it finds.
-	appendBefore := func(lead sim.Time) (st protocol.Status, took sim.Time, after protocol.Status) {
+// An increment decides on the item it read and writes its result an update
+// later. If the item expired in between, the key is dead: the write is
+// refused (still), the retry finds no item, and the key is not served past
+// its TTL.
+func TestIncrRacingItsItemsExpiryIsRefused(t *testing.T) {
+	// incrBefore increments lead before the item's expiry; it returns the
+	// answer, how long the increment took, and what a Get right after it finds.
+	incrBefore := func(lead sim.Time) (st protocol.Status, took sim.Time, after protocol.Status) {
 		env := sim.NewEnv()
 		s := newStore(env, 16<<20, false)
 		env.Spawn("op", func(p *sim.Proc) {
-			s.Set(p, "k", 100, "base", 0, 10)
+			s.Set(p, "k", counterSize, uint64(1), 0, 10)
 			p.Sleep(s.table["k"].ExpireAt - lead - p.Now())
 			t0 := p.Now()
-			st = s.Append(p, "k", 50, "tail")
+			_, st = s.Incr(p, "k", 1)
 			took = p.Now() - t0
 			_, _, _, _, after = s.Get(p, "k")
 		})
 		env.Run()
 		return st, took, after
 	}
-	st, took, after := appendBefore(sim.Second)
-	if st != protocol.StatusStored || after != protocol.StatusOK {
-		t.Fatalf("fixture: an append a second before the expiry -> %v, then a Get -> %v", st, after)
+	st, took, after := incrBefore(sim.Second)
+	if st != protocol.StatusOK || after != protocol.StatusOK {
+		t.Fatalf("fixture: an incr a second before the expiry -> %v, then a Get -> %v", st, after)
 	}
-	// Half the clean append before the expiry: the read sees a live item, the
-	// swap comes after the expiry.
-	if st, _, after = appendBefore(took / 2); st != protocol.StatusNotStored {
-		t.Errorf("an append that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotStored)
+	// Half the clean increment before the expiry: the read sees a live item,
+	// the write comes after the expiry.
+	if st, _, after = incrBefore(took / 2); st != protocol.StatusNotFound {
+		t.Errorf("an incr that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotFound)
 	}
 	if after != protocol.StatusNotFound {
 		t.Errorf("the key is served after its TTL: %v", after)
 	}
-}
-
-func TestTouchSemantics(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
-		if st := s.Touch(p, "k", 10); st != protocol.StatusNotFound {
-			t.Errorf("touch on missing key: %v", st)
-		}
-		s.Set(p, "k", 100, "v", 0, 1) // expires in 1s
-		if st := s.Touch(p, "k", 60); st != protocol.StatusOK {
-			t.Errorf("touch: %v", st)
-		}
-		p.Sleep(5 * sim.Second) // would have expired without the touch
-		if _, _, _, _, st := s.Get(p, "k"); st != protocol.StatusOK {
-			t.Errorf("touched key expired anyway: %v", st)
-		}
-		// Touch with 0 clears the expiry.
-		if st := s.Touch(p, "k", 0); st != protocol.StatusOK {
-			t.Errorf("touch clear: %v", st)
-		}
-		p.Sleep(120 * sim.Second)
-		if _, _, _, _, st := s.Get(p, "k"); st != protocol.StatusOK {
-			t.Errorf("unexpiring key expired: %v", st)
-		}
-	})
-	env.Run()
 }
 
 func TestHandleExtendedOps(t *testing.T) {
@@ -274,23 +194,10 @@ func TestHandleExtendedOps(t *testing.T) {
 		if r := s.Handle(p, &protocol.Request{Op: protocol.OpAdd, Key: "k", ValueSize: 10, Value: "v"}); r.Status != protocol.StatusStored {
 			t.Errorf("handle add: %v", r.Status)
 		}
-		if r := s.Handle(p, &protocol.Request{Op: protocol.OpReplace, Key: "k", ValueSize: 10, Value: "w"}); r.Status != protocol.StatusStored {
-			t.Errorf("handle replace: %v", r.Status)
-		}
-		if r := s.Handle(p, &protocol.Request{Op: protocol.OpAppend, Key: "k", ValueSize: 5, Value: "+"}); r.Status != protocol.StatusStored {
-			t.Errorf("handle append: %v", r.Status)
-		}
-		if r := s.Handle(p, &protocol.Request{Op: protocol.OpTouch, Key: "k", Expire: 60}); r.Status != protocol.StatusOK {
-			t.Errorf("handle touch: %v", r.Status)
-		}
 		s.Handle(p, &protocol.Request{Op: protocol.OpSet, Key: "c", ValueSize: counterSize, Value: uint64(1)})
 		r := s.Handle(p, &protocol.Request{Op: protocol.OpIncr, Key: "c", Delta: 9})
 		if r.Status != protocol.StatusOK || r.Value != uint64(10) || r.ValueSize != counterSize {
 			t.Errorf("handle incr: %+v", r)
-		}
-		r = s.Handle(p, &protocol.Request{Op: protocol.OpDecr, Key: "c", Delta: 4})
-		if r.Status != protocol.StatusOK || r.Value != uint64(6) {
-			t.Errorf("handle decr: %+v", r)
 		}
 		// CAS via Handle.
 		g := s.Handle(p, &protocol.Request{Op: protocol.OpGet, Key: "c"})
@@ -300,33 +207,4 @@ func TestHandleExtendedOps(t *testing.T) {
 		}
 	})
 	env.Run()
-}
-
-func TestFlushAll(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 4<<20, true)
-	env.Spawn("op", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			s.Set(p, fmt.Sprintf("k%03d", i), 32*1024, i, 0, 0)
-		}
-		if st := s.FlushAll(p); st != protocol.StatusOK {
-			t.Errorf("flush_all: %v", st)
-		}
-		if _, _, _, _, st := s.Get(p, "k000"); st != protocol.StatusNotFound {
-			t.Errorf("key survived flush_all: %v", st)
-		}
-		// The store is fully usable afterwards.
-		if st := s.Set(p, "fresh", 1024, "v", 0, 0); st != protocol.StatusStored {
-			t.Errorf("set after flush_all: %v", st)
-		}
-	})
-	env.Run()
-	if s.Len() != 1 || s.Flushes != 1 {
-		t.Errorf("len=%d flushes=%d", s.Len(), s.Flushes)
-	}
-	mgr := s.Manager()
-	if mgr.RAMItems() != 1 || mgr.SSDItems() != 0 || mgr.SSDUsed() != 0 {
-		t.Errorf("storage not reclaimed: ram=%d ssd=%d used=%d",
-			mgr.RAMItems(), mgr.SSDItems(), mgr.SSDUsed())
-	}
 }

@@ -70,22 +70,14 @@ func TestGetRacingSetOnOneKey(t *testing.T) {
 	}
 }
 
-// pieces counts the payload tokens of an append/prepend result.
-func pieces(v any) int {
-	if c, ok := v.(Concatenated); ok {
-		return pieces(c.First) + pieces(c.Second)
-	}
-	return 1
-}
-
 // TestConditionalCommandsRacingOnOneKey is the async server's storage pool in
 // miniature: four workers run the conditional and read-modify-write commands
 // against the same keys with nothing ordering them. Each command decides on
 // what it read and then suspends — in the allocation, an eviction, a memcpy —
 // before it stores, so the decision has to be made again at the instant of
 // the store: one CAS token buys one store, a fresh key is added once, no
-// increment, decrement or appended piece is lost, and a touch or an in-place
-// increment never republishes an item a concurrent Set released meanwhile.
+// increment is lost, and an in-place increment never republishes an item a
+// concurrent Set released meanwhile.
 // Checked on values that stay in RAM and on a store small enough that the
 // raced keys start out spilled to the SSD.
 func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
@@ -117,9 +109,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				}
 				s.Set(p, "cas", size, "v0", 0, 0)
 				s.Set(p, "up", size, uint64(0), 0, 0)
-				s.Set(p, "down", size, uint64(workers*perWorker), 0, 0)
-				s.Set(p, "cat", fillSize, "base", 0, 0)
-				s.Set(p, "ttl", size, "v0", 0, 0)
+				s.Set(p, "raced", size, uint64(0), 0, 0)
 				// The fillers push the raced keys out and then go: with room in RAM
 				// nothing is evicted during the race (an eviction under it is
 				// TestIncrementsRacingTheEvictionOfTheirCounter's).
@@ -129,7 +119,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				for i := 0; i < tc.fill; i++ {
 					s.Delete(p, fmt.Sprintf("fill-%05d", i))
 				}
-				for _, key := range []string{"cas", "up", "down", "cat", "ttl"} {
+				for _, key := range []string{"cas", "up", "raced"} {
 					if spilled := s.table[key].OnSSD(); spilled != (tc.fill > 0) {
 						t.Fatalf("fixture: %s on the SSD = %v", key, spilled)
 					}
@@ -178,23 +168,15 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 							t.Errorf("incr: %v", st)
 						}
 						published("up", false)
-						if _, st := s.Decr(p, "down", 1); st != protocol.StatusOK {
-							t.Errorf("decr: %v", st)
-						}
-						cat := s.Append
-						if i%2 == 1 {
-							cat = s.Prepend
-						}
-						if st := cat(p, "cat", 1, w*perWorker+i); st != protocol.StatusStored {
-							t.Errorf("append/prepend: %v", st)
-						}
 						p.Sleep(sim.Time(rng.Intn(400)) * sim.Nanosecond)
-						// A touch racing a replacement of the same key.
+						// An increment racing a replacement of the same key.
 						if w%2 == 0 {
-							s.Touch(p, "ttl", 3600)
-							published("ttl", false)
+							if _, st := s.Incr(p, "raced", 1); st != protocol.StatusOK {
+								t.Errorf("incr of a replaced counter: %v", st)
+							}
+							published("raced", false)
 						} else {
-							s.Set(p, "ttl", 64, i, 0, 0)
+							s.Set(p, "raced", 64, uint64(i), 0, 0)
 						}
 					}
 				})
@@ -211,15 +193,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				if v, _, _, _, _ := s.Get(p, "up"); v != uint64(workers*perWorker) {
 					t.Errorf("counter after %d increments: %v", workers*perWorker, v)
 				}
-				if v, _, _, _, _ := s.Get(p, "down"); v != uint64(0) {
-					t.Errorf("counter after %d decrements from %d: %v", workers*perWorker, workers*perWorker, v)
-				}
-				v, size, _, _, _ := s.Get(p, "cat")
-				if n := pieces(v); n != 1+workers*perWorker || size != fillSize+workers*perWorker {
-					t.Errorf("after %d appends and prepends the value holds %d pieces in %d bytes, want %d in %d",
-						workers*perWorker, n-1, size, workers*perWorker, fillSize+workers*perWorker)
-				}
-				for _, key := range []string{"cas", "fresh", "up", "down", "ttl"} {
+				for _, key := range []string{"cas", "fresh", "up", "raced"} {
 					published(key, true)
 				}
 			})

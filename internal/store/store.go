@@ -71,7 +71,6 @@ type Store struct {
 	GetHits, GetMisses        int64
 	Expired                   int64
 	CrawlerReclaimed          int64
-	Flushes                   int64
 	// CorruptReads counts foreground reads answered StatusCorrupt: the
 	// on-SSD copy failed verification and was quarantined.
 	CorruptReads int64
@@ -417,14 +416,8 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 		resp.Status = s.Delete(p, req.Key)
 	case protocol.OpAdd:
 		resp.Status = s.Add(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
-	case protocol.OpReplace:
-		resp.Status = s.Replace(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
 	case protocol.OpCAS:
 		resp.Status = s.CompareAndSet(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire, req.CAS)
-	case protocol.OpAppend:
-		resp.Status = s.Append(p, req.Key, req.ValueSize, req.Value)
-	case protocol.OpPrepend:
-		resp.Status = s.Prepend(p, req.Key, req.ValueSize, req.Value)
 	case protocol.OpIncr:
 		v, st := s.Incr(p, req.Key, req.Delta)
 		resp.Status = st
@@ -432,17 +425,6 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 			resp.Value = v
 			resp.ValueSize = counterSize
 		}
-	case protocol.OpDecr:
-		v, st := s.Decr(p, req.Key, req.Delta)
-		resp.Status = st
-		if st == protocol.StatusOK {
-			resp.Value = v
-			resp.ValueSize = counterSize
-		}
-	case protocol.OpTouch:
-		resp.Status = s.Touch(p, req.Key, req.Expire)
-	case protocol.OpFlushAll:
-		resp.Status = s.FlushAll(p)
 	default:
 		resp.Status = protocol.StatusError
 	}

@@ -23,7 +23,6 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 		run   func(s *Store, p *sim.Proc) protocol.Status
 	}{
 		{"incr", uint64(41), func(s *Store, p *sim.Proc) protocol.Status { _, st := s.Incr(p, "k", 1); return st }},
-		{"append", "base", func(s *Store, p *sim.Proc) protocol.Status { return s.Append(p, "k", 10, "tail") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
@@ -64,30 +63,5 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 				t.Error("the rotted key is still in the table")
 			}
 		})
-	}
-}
-
-// A Touch decides on the item it looked up and writes the new expiry an
-// update later. If the item expired in between, the key is dead: the touch
-// must not give it a new lease (still, as the read-modify-writes ask it).
-func TestTouchRacingItsItemsExpiryFindsTheKeyDead(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	var st, later protocol.Status
-	env.Spawn("op", func(p *sim.Proc) {
-		s.Set(p, "k", 100, "v", 0, 10)
-		// The lookup lands 50 ns before the expiry, the update updateCost
-		// after the lookup: past it.
-		p.Sleep(s.table["k"].ExpireAt - 50*sim.Nanosecond - hashCost - p.Now())
-		st = s.Touch(p, "k", 60)
-		p.Sleep(10 * sim.Second)
-		_, _, _, _, later = s.Get(p, "k")
-	})
-	env.Run()
-	if st != protocol.StatusNotFound {
-		t.Errorf("a touch that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotFound)
-	}
-	if later != protocol.StatusNotFound {
-		t.Errorf("the key is served 10 s after its TTL: %v", later)
 	}
 }
