@@ -48,11 +48,13 @@ race:
 # waits) and its throttle (TestThrottleReleaseIgnoresLaterWriters,
 # TestThrottledWritersLeaveInParkOrder, TestColdRestartReleasesParkedWriters:
 # each parked writer's ticket against the streams' completions, other
-# writers and a cold restart). A named subset of
+# writers and a cold restart), the kernel's waits (internal/sim) and the
+# fault injectors' scheduled windows (internal/fault, internal/blockdev). A
+# named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet ./internal/pagecache
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet ./internal/pagecache ./internal/sim ./internal/fault ./internal/blockdev
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:

@@ -109,13 +109,13 @@ type Device struct {
 	// command's service time is multiplied and floored. Purely a timing
 	// transform — no RNG, no errors — so a limping drive stays limping for
 	// exactly the scheduled interval on every replay.
-	slowWindows []SlowWindow
+	slowWindows []slowWindow
 
 	// Bit-rot injection (AddBitRot): latent at-rest corruption. Whether and
 	// when a durable extent rots is a pure hash of (seed, offset), drawn
 	// from no RNG stream, so arming rot perturbs nothing else and faulted
 	// runs replay exactly.
-	rotWindows []RotWindow
+	rotWindows []rotWindow
 
 	// Stats
 	Reads, Writes         int64
@@ -132,32 +132,18 @@ type Device struct {
 	RottenReads int64
 }
 
-// SlowWindow is one fail-slow interval: commands serviced in [From, To)
-// take Mult times their modeled service time, floored at Floor. This is
-// the SSD-side gray failure — a drive that still completes every command,
-// just slowly (media wear, thermal throttling, internal GC storms).
-type SlowWindow struct {
-	From, To sim.Time
-	// Mult multiplies the profile's service time (1.0 = no change; values
-	// below 1 are treated as 1).
-	Mult float64
-	// Floor is the minimum service time of an affected command, modeling
-	// degraded drives whose small-command latency collapses to a fixed,
-	// high per-command cost.
-	Floor sim.Time
+// slowWindow is one fail-slow interval (AddSlow).
+type slowWindow struct {
+	sim.Window
+	mult  float64
+	floor sim.Time
 }
 
-// RotWindow is one scheduled bit-rot interval: a rate-sized fraction of
-// durable extents each silently corrupt at a per-extent instant inside
-// [From, To), chosen by hashing the extent offset with Seed. Rot is latent:
-// nothing happens until the extent is next read off the media, which is
-// what distinguishes it from the write-time torn/error injection. An
-// extent rewritten after its rot instant is clean again (fresh charge in
-// the cells), matching how real latent sector errors behave.
-type RotWindow struct {
-	Seed     uint64
-	From, To sim.Time
-	Rate     float64
+// rotWindow is one scheduled bit-rot interval (AddBitRot).
+type rotWindow struct {
+	sim.Window
+	seed uint64
+	rate float64
 }
 
 // DurExtent is one durably-persisted extent. Valid < Size marks a torn
@@ -237,34 +223,28 @@ func (d *Device) InjectWriteError() bool {
 	return false
 }
 
-// AddSlow schedules a fail-slow window: commands serviced in [from, to)
-// take mult× their modeled time, floored at floor. Windows may overlap;
-// the worst (longest) resulting service time wins. With no windows
-// installed the timing paths are untouched, keeping unfaulted runs
-// bit-identical.
+// AddSlow schedules a fail-slow window, the SSD-side gray failure: a drive
+// that still completes every command, just slowly (media wear, thermal
+// throttling, internal GC storms). Commands serviced in [from, to) take
+// mult× their modeled time (a mult of 1 or less multiplies nothing), floored
+// at floor: the fixed, high per-command cost a degraded drive's small
+// commands collapse to. Windows may overlap; the worst (longest) resulting
+// service time wins. With no windows installed the timing paths are
+// untouched, keeping unfaulted runs bit-identical.
 func (d *Device) AddSlow(from, to sim.Time, mult float64, floor sim.Time) {
-	d.slowWindows = append(d.slowWindows, SlowWindow{From: from, To: to, Mult: mult, Floor: floor})
+	d.slowWindows = append(d.slowWindows, slowWindow{Window: sim.Window{From: from, To: to}, mult: mult, floor: floor})
 }
 
 // slowTime applies the active slow windows to a modeled service time.
 func (d *Device) slowTime(at sim.Time, t sim.Time) sim.Time {
-	if len(d.slowWindows) == 0 {
-		return t
-	}
 	out := t
 	for _, w := range d.slowWindows {
-		if at < w.From || at >= w.To {
-			continue
-		}
-		st := t
-		if w.Mult > 1 {
-			st = sim.Time(float64(t) * w.Mult)
-		}
-		if st < w.Floor {
-			st = w.Floor
-		}
-		if st > out {
-			out = st
+		if w.Covers(at) {
+			st := t
+			if w.mult > 1 {
+				st = sim.Time(float64(t) * w.mult)
+			}
+			out = max(out, st, w.floor)
 		}
 	}
 	if out > t {
@@ -282,7 +262,7 @@ func (d *Device) slowTime(at sim.Time, t sim.Time) sim.Time {
 // after the extent's rot instant observes Rotted contents, while extents
 // rewritten after their rot instant read clean.
 func (d *Device) AddBitRot(seed int64, from, to sim.Time, rate float64) {
-	d.rotWindows = append(d.rotWindows, RotWindow{Seed: uint64(seed), From: from, To: to, Rate: rate})
+	d.rotWindows = append(d.rotWindows, rotWindow{Window: sim.Window{From: from, To: to}, seed: uint64(seed), rate: rate})
 }
 
 // rotHash is a seeded splitmix64 mix over an extent offset; stream
@@ -304,13 +284,12 @@ func (d *Device) Rotten(off int64, at sim.Time) bool {
 		return false
 	}
 	for _, w := range d.rotWindows {
-		h := rotHash(w.Seed, uint64(off), 1)
-		if float64(h>>11)/float64(1<<53) >= w.Rate {
+		if protocol.Chance(rotHash(w.seed, uint64(off), 1)) >= w.rate {
 			continue
 		}
 		rotAt := w.From
 		if span := w.To - w.From; span > 0 {
-			rotAt += sim.Time(rotHash(w.Seed, uint64(off), 2) % uint64(span))
+			rotAt += sim.Time(rotHash(w.seed, uint64(off), 2) % uint64(span))
 		}
 		if at >= rotAt && e.WrittenAt <= rotAt {
 			return true

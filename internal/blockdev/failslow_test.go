@@ -6,9 +6,16 @@ import (
 	"hybridkv/internal/sim"
 )
 
+// slowSpec is one AddSlow call.
+type slowSpec struct {
+	From, To sim.Time
+	Mult     float64
+	Floor    sim.Time
+}
+
 // timedRead measures one 32 KiB read at the head of a fresh run on a SATA
 // device carrying the given slow windows.
-func timedRead(windows []SlowWindow) sim.Time {
+func timedRead(windows []slowSpec) sim.Time {
 	env := sim.NewEnv()
 	d := New(env, SATA(), 1<<30)
 	for _, w := range windows {
@@ -21,18 +28,18 @@ func timedRead(windows []SlowWindow) sim.Time {
 
 func TestFailSlowWindowStretchesServiceTime(t *testing.T) {
 	base := SATA().ReadTime(32 * 1024)
-	win := SlowWindow{From: 0, To: sim.Second, Mult: 8}
-	if got, want := timedRead([]SlowWindow{win}), sim.Time(float64(base)*8); got != want {
+	win := slowSpec{From: 0, To: sim.Second, Mult: 8}
+	if got, want := timedRead([]slowSpec{win}), sim.Time(float64(base)*8); got != want {
 		t.Errorf("8× window: read took %v, want %v (base %v)", got, want, base)
 	}
 	// A floor above the multiplied time wins: degraded drives whose
 	// per-command cost collapses to a fixed stall.
 	win.Floor = 10 * sim.Millisecond
-	if got := timedRead([]SlowWindow{win}); got != 10*sim.Millisecond {
+	if got := timedRead([]slowSpec{win}); got != 10*sim.Millisecond {
 		t.Errorf("floored window: read took %v, want the 10ms floor", got)
 	}
 	// Mult ≤ 1 is treated as no multiplier; only the floor acts.
-	if got := timedRead([]SlowWindow{{From: 0, To: sim.Second, Mult: 0.5, Floor: 5 * sim.Millisecond}}); got != 5*sim.Millisecond {
+	if got := timedRead([]slowSpec{{From: 0, To: sim.Second, Mult: 0.5, Floor: 5 * sim.Millisecond}}); got != 5*sim.Millisecond {
 		t.Errorf("floor-only window: read took %v, want 5ms", got)
 	}
 }
@@ -40,7 +47,7 @@ func TestFailSlowWindowStretchesServiceTime(t *testing.T) {
 func TestFailSlowWindowBoundsAndCounting(t *testing.T) {
 	base := SATA().ReadTime(32 * 1024)
 	// A window that closed before the command leaves timing untouched.
-	if got := timedRead([]SlowWindow{{From: 0, To: 0, Mult: 100}}); got != base {
+	if got := timedRead([]slowSpec{{From: 0, To: 0, Mult: 100}}); got != base {
 		t.Errorf("expired window: read took %v, want unfaulted %v", got, base)
 	}
 
@@ -67,7 +74,7 @@ func TestFailSlowWindowBoundsAndCounting(t *testing.T) {
 // identically-scheduled runs land on the same virtual-time trace.
 func TestFailSlowOverlapTakesWorstAndReplays(t *testing.T) {
 	base := SATA().ReadTime(32 * 1024)
-	wins := []SlowWindow{
+	wins := []slowSpec{
 		{From: 0, To: sim.Second, Mult: 2},
 		{From: 0, To: sim.Second, Mult: 6},
 	}

@@ -14,7 +14,7 @@ import (
 // makes them wrong — the cached value-segment location may now belong to a
 // server that no longer owns the key. On an epoch bump the client must drop
 // every cached location and hot digest (metrics: epoch-invalidations) and a
-// later forced-bypass GET must re-resolve and still produce the genuine
+// later bypass GET must re-resolve and still produce the genuine
 // value, never a stale fast-path hit routed by the dead ring.
 func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 	cl := New(Config{
@@ -30,15 +30,14 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 	c := cl.Clients[0]
 	const victim = "epoch:victim"
 
-	// Phase 1: store the victim and resolve it twice via forced bypass; the
+	// Phase 1: store the victim and resolve it twice via bypass; the
 	// second GET must ride the per-key location cache.
 	cl.Env.Spawn("phase1", func(p *sim.Proc) {
 		if st := c.Set(p, victim, 4096, "genuine", 0, 0); st != protocol.StatusStored {
 			t.Errorf("victim set: %v", st)
 		}
 		for pass := 0; pass < 2; pass++ {
-			req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim},
-				core.WithReadPath(core.ReadBypass))
+			req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 			if err != nil {
 				t.Errorf("pass %d issue: %v", pass, err)
 				return
@@ -74,8 +73,7 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 	// new ring — either a fresh bypass resolve or an RPC fallback, but never
 	// a stale cached location.
 	cl.Env.Spawn("phase3", func(p *sim.Proc) {
-		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim},
-			core.WithReadPath(core.ReadBypass))
+		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 		if err != nil {
 			t.Errorf("post-join issue: %v", err)
 			return

@@ -14,7 +14,7 @@ import (
 // A bypass client caches a key's value-segment location after resolving it
 // once (the single-READ fast path). When slab pressure then evicts that key
 // to SSD — EvictStaged republishes the slot mid-flush, EvictLanded lands it
-// SSD-resident — the cached RAM location is dead: a later forced-bypass GET
+// SSD-resident — the cached RAM location is dead: a later bypass GET
 // must detect that via digest/version validation and fall back to RPC with
 // the genuine value, never serve a stale RAM hit. The test observes the
 // eviction lifecycle directly by wrapping the slab manager's notify hook
@@ -50,15 +50,14 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 		dir.EvictionUpdate(it, ev)
 	})
 
-	// Phase 1: the victim lands in RAM; two forced-bypass GETs resolve it
+	// Phase 1: the victim lands in RAM; two bypass GETs resolve it
 	// and populate the per-key location cache (the second is the fast path).
 	cl.Env.Spawn("phase1", func(p *sim.Proc) {
 		if st := c.Set(p, victim, valSize, "genuine", 0, 0); st != protocol.StatusStored {
 			t.Errorf("victim set: %v", st)
 		}
 		for pass := 0; pass < 2; pass++ {
-			req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim},
-				core.WithReadPath(core.ReadBypass))
+			req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 			if err != nil {
 				t.Errorf("pass %d issue: %v", pass, err)
 				return
@@ -90,12 +89,11 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 	}
 
 	// Phase 3: the cached location now points at dead (or reused) RAM. The
-	// forced-bypass GET must refuse the one-sided result and come back via
+	// bypass GET must refuse the one-sided result and come back via
 	// RPC with the genuine value.
 	fallbacks := c.Counters.Val(metrics.CBypassFallbacks)
 	cl.Env.Spawn("phase3", func(p *sim.Proc) {
-		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim},
-			core.WithReadPath(core.ReadBypass))
+		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 		if err != nil {
 			t.Errorf("post-eviction issue: %v", err)
 			return

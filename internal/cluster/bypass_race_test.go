@@ -100,8 +100,7 @@ func TestBypassDisabledByDefault(t *testing.T) {
 	c := cl.Clients[0]
 	cl.Env.Spawn("reader", func(p *sim.Proc) {
 		c.Set(p, "k", 1024, "v", 0, 0)
-		req, _ := c.Issue(p, core.Op{Code: protocol.OpGet, Key: "k"},
-			core.WithReadPath(core.ReadBypass))
+		req, _ := c.Issue(p, core.Op{Code: protocol.OpGet, Key: "k"})
 		c.Wait(p, req)
 		if req.Bypassed() || req.Status != protocol.StatusOK {
 			t.Errorf("bypassed=%v status=%v on a bypass-disabled client", req.Bypassed(), req.Status)
@@ -113,7 +112,7 @@ func TestBypassDisabledByDefault(t *testing.T) {
 	}
 }
 
-// The bypass safety soak: forced-bypass readers race CAS-chained writers,
+// The bypass safety soak: bypass readers race CAS-chained writers,
 // slab eviction (RAM overcommitted 3x), a warm crash, and a cold restart.
 // The seqlock/digest validation must turn every race into a fallback, never
 // a torn or stale read — checked offline by the history oracle.
@@ -145,7 +144,6 @@ func TestBypassRaceChaos(t *testing.T) {
 		Seed:           42,
 	}
 	guard := []core.IssueOption{core.WithDeadline(50 * sim.Millisecond), core.WithRetry(rp)}
-	forced := append([]core.IssueOption{core.WithReadPath(core.ReadBypass)}, guard...)
 
 	log := &history.Log{}
 	expected := 0
@@ -162,7 +160,7 @@ func TestBypassRaceChaos(t *testing.T) {
 				ki := r % keysPerW
 				key := fmt.Sprintf("race:w%d:k%d", w, ki)
 				t0 := p.Now()
-				rreq, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, forced...)
+				rreq, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, guard...)
 				if err != nil {
 					panic("bypass chaos read: " + err.Error())
 				}
@@ -205,7 +203,7 @@ func TestBypassRaceChaos(t *testing.T) {
 		})
 	}
 
-	// Readers: forced-bypass GETs over both the contended CAS keys and the
+	// Readers: bypass GETs over both the contended CAS keys and the
 	// eviction-churned filler, so probes race SET windows, evictions, SSD
 	// residence, and the crash quiesce.
 	for rd := 0; rd < readers; rd++ {
@@ -220,7 +218,7 @@ func TestBypassRaceChaos(t *testing.T) {
 					key = keyOf((rd*readRound + r) % 256)
 				}
 				t0 := p.Now()
-				req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, forced...)
+				req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: key}, guard...)
 				if err != nil {
 					panic("bypass chaos reader: " + err.Error())
 				}

@@ -361,6 +361,8 @@ func (cl *Cluster) attachDirectory(srv *server.Server) {
 // Preload stores n keys of valueSize bytes through client 0 using blocking
 // sets in index order, lets background writeback settle, and returns
 // the virtual time consumed. The caller's measurement starts after this.
+// Key i holds the value "v<i>" (the string "v" then i in decimal): the
+// benchmark's reply check accepts exactly that for a preloaded key.
 func (cl *Cluster) Preload(n, valueSize int, keyOf func(int) string) sim.Time {
 	start := cl.Env.Now()
 	cl.Env.Spawn("preload", func(p *sim.Proc) {

@@ -117,7 +117,7 @@ func fallbackModel() (step func()) {
 		if req.Attempts != 2 || req.Bypassed() || req.Status != protocol.StatusNotFound {
 			panic("fallback model: the GET was not answered by its RPC fallback")
 		}
-	}, WithReadPath(ReadBypass))
+	})
 }
 
 func benchOp(b *testing.B, step func()) {
@@ -193,18 +193,21 @@ func TestOperationAllocationCeilings(t *testing.T) {
 // (1). A fallback is an RPC GET (1) plus the attempt (1): its resolver is
 // spawned with no closure. A retransmitted GET is an RPC GET (1) plus the lost
 // message (1), the attempt (1) and the guard: its closure (1), its jitter
-// source (1: the rand.Rand around it stays on the guard's stack), and two
-// attempt-waits of five each — the joined event and the two observers it
-// watches the completion flag and the nudge through — with five waiter
-// records between them (15). They were 21, 6 and 4 while every answer and
-// every resolver was allocated afresh.
+// source (1: the rand.Rand around it stays on the guard's stack), and what
+// its waits leave behind (5): the completion flag's waiter list grows at each
+// of its three waits there (3: the two attempt-waits and the backoff between
+// them), and each attempt's nudge keeps the wakeup its attempt-wait put on it
+// until the nudge is re-armed or the request dropped (2). The attempt-waits
+// wait on the flag and the nudge directly, with no joined event and no
+// observers (the ceiling was 20 while they did). They were 21, 6 and 4 while
+// every answer and every resolver was allocated afresh.
 func TestSecondAttemptAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"retransmitted GET", retransmitModel(), 20},
+		{"retransmitted GET", retransmitModel(), 10},
 		{"hedged GET", hedgeModel(), 5},
 		{"bypass fallback", fallbackModel(), 2},
 	} {

@@ -140,7 +140,7 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	c.Counters.Inc(metrics.CSends)
 	c.Counters.Inc(metrics.CFrames)
 	c.Counters.Add(metrics.CFrameOps, int64(len(items)))
-	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
+	sent := cn.qp.PostSend(p, verbs.SendWR{
 		Op:      verbs.OpSend,
 		Size:    frame.WireSize(),
 		Payload: frame,

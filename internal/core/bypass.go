@@ -56,10 +56,6 @@ const (
 	// (Config.Bypass) and the connection's server publishes a directory;
 	// otherwise plain RPC. The default.
 	ReadAuto ReadPath = iota
-	// ReadBypass insists on attempting bypass resolution first, re-probing
-	// the directory bootstrap even after a server reported none. Validation
-	// failures still fall back to RPC — correctness is never negotiable.
-	ReadBypass
 	// ReadRPC forces the ordinary request/response path.
 	ReadRPC
 )
@@ -142,7 +138,7 @@ func (c *Client) resolveNext(p *sim.Proc) {
 	req, _ := c.resolving.TryGet()
 	defer req.tagPanic()
 	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
-	if !r.resolve(req.opts.readPath == ReadBypass) {
+	if !r.resolve() {
 		r.fallback()
 	}
 }
@@ -150,9 +146,9 @@ func (c *Client) resolveNext(p *sim.Proc) {
 // resolve attempts one-sided resolution; true means the request needs no
 // fallback (completed via bypass, or already completed by racing
 // guard/cancel machinery).
-func (r *resolution) resolve(force bool) bool {
+func (r *resolution) resolve() bool {
 	req, cn := r.req, r.cn
-	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn, force) {
+	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn) {
 		return req.done.Fired()
 	}
 	if req.done.Fired() {
@@ -324,9 +320,9 @@ func (r *resolution) fallback() {
 }
 
 // bootstrapDir learns cn's directory geometry with a single-flight
-// OpDirQuery RPC. force re-asks a server that previously reported no
-// directory (ReadBypass semantics).
-func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
+// OpDirQuery RPC. A server that has answered "no directory" is not asked
+// again.
+func (c *Client) bootstrapDir(p *sim.Proc, cn *conn) bool {
 	for cn.dirFetch != nil {
 		// Another resolver's bootstrap is in flight: share its outcome.
 		p.Wait(cn.dirFetch)
@@ -335,9 +331,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn, force bool) bool {
 	case dirReady:
 		return true
 	case dirNone:
-		if !force {
-			return false
-		}
+		return false
 	}
 	cn.dirFetch = c.env.NewEvent()
 	defer func() {

@@ -23,12 +23,12 @@ func newBypassRig() *testRig {
 	return r
 }
 
-// bypassGet resolves key on the forced-bypass path and reports the READs it
+// bypassGet resolves key on the bypass path and reports the READs it
 // cost.
 func bypassGet(t *testing.T, p *sim.Proc, c *Client, key string, want any) (reads int64) {
 	t.Helper()
 	before := c.Counters.Val(metrics.CBypassReads)
-	req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key}, WithReadPath(ReadBypass))
+	req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key})
 	if err != nil {
 		t.Fatalf("issue %q: %v", key, err)
 	}
@@ -157,7 +157,7 @@ func TestBypassCollidingKeysShareABucket(t *testing.T) {
 		if n := bypassGet(t, p, c, keys[0], 0); n != 1 {
 			t.Errorf("GET of the first way's key after a displacement cost %d READs", n)
 		}
-		req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: keys[1]}, WithReadPath(ReadBypass))
+		req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: keys[1]})
 		if err != nil {
 			t.Fatal(err)
 		}

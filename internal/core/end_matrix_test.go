@@ -183,7 +183,7 @@ var endRows = []endRow{
 		name: "a bypass hit", bypass: true, offWire: true, ends: answered,
 		moved: map[metrics.Counter]int64{metrics.CBypassHits: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
-			return x.wait(p, x.issue(p, WithReadPath(ReadBypass)))
+			return x.wait(p, x.issue(p))
 		},
 	},
 	{
@@ -193,7 +193,7 @@ var endRows = []endRow{
 		moved: map[metrics.Counter]int64{metrics.CBypassHits: 1, metrics.CBypassBootstraps: 1, metrics.CHedges: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
 			x.shape(x.other, shape{late: endLateBy})
-			return x.wait(p, x.issue(p, WithReadPath(ReadBypass), WithHedge(sim.Microsecond)))
+			return x.wait(p, x.issue(p, WithHedge(sim.Microsecond)))
 		},
 	},
 	{
@@ -206,7 +206,7 @@ var endRows = []endRow{
 			x.shape(x.home, shape{late: endReadBy})
 			x.shape(x.other, shape{late: endLateBy})
 			reads := x.c.Counters.Val(metrics.CBypassReads)
-			req := x.wait(p, x.issue(p, WithReadPath(ReadBypass), WithHedge(endReadBy*3/2)))
+			req := x.wait(p, x.issue(p, WithHedge(endReadBy*3/2)))
 			if n := x.c.Counters.Val(metrics.CBypassReads) - reads; n != 2 {
 				x.t.Errorf("the hit took %d READs, want the slot and the segment with the hedge between them", n)
 			}
@@ -217,7 +217,7 @@ var endRows = []endRow{
 		name: "a bypass fallback's response", bypass: true, op: endGet("absent"), later: true, heard: true, ends: answered, err: ErrNotFound,
 		moved: map[metrics.Counter]int64{metrics.CBypassFallbacks: 1},
 		drive: func(x *endCell, p *sim.Proc) *Req {
-			return x.wait(p, x.issue(p, WithReadPath(ReadBypass)))
+			return x.wait(p, x.issue(p))
 		},
 	},
 	{

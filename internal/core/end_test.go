@@ -28,7 +28,7 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		c.Set(p, "h", 512, "v", 0, 0)
 		var err error
-		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "h"}, WithHedge(sim.Microsecond), WithReadPath(ReadBypass))
+		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "h"}, WithHedge(sim.Microsecond))
 		if err != nil {
 			t.Errorf("issue: %v", err)
 			return

@@ -354,7 +354,7 @@ func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
 		// The timeout wakeup is canceled on delivery, so a guard that never
 		// needs it leaves nothing scheduled behind — the instrumentation is
 		// invisible to the run's virtual end time.
-		p.WaitTimeout(c.env.AnyOf(&req.done, &req.nudge), d)
+		p.WaitEither(&req.done, &req.nudge, d)
 	}
 	return req.done.Fired()
 }
@@ -644,7 +644,7 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 	att := items[0]
 	att.state = attSent
 	cn.c.Counters.Inc(metrics.CSends)
-	sent := cn.qp.PostSendReusable(p, verbs.SendWR{
+	sent := cn.qp.PostSend(p, verbs.SendWR{
 		Op:      verbs.OpSend,
 		Size:    att.wire.WireSize(),
 		Payload: &att.wire,

@@ -1,10 +1,12 @@
 // Package fault provides deterministic fault injection for the simulated
-// cluster: probabilistic message drop / duplication / latency spikes on the
-// fabric, scheduled link-down windows per node, and sustained slow windows
+// cluster: probabilistic message drop / duplication / latency spikes and
+// hash-seeded in-flight corruption on the fabric, and scheduled windows —
+// link-down per node, one-directional partitions, and sustained slow windows
 // (bandwidth brown-outs) per node. An Injector plugs into simnet.Fabric via
-// SetFaults; every probabilistic decision comes from a seeded RNG consulted
-// in delivery order, and every window is a fixed [From, To) schedule, so
-// faulted runs are exactly as reproducible as fault-free ones.
+// SetFaults. Every probabilistic decision comes from a seeded RNG consulted
+// in delivery order, and every window is a sim.Window on one rule list,
+// scanned once per message before any draw, so faulted runs are exactly as
+// reproducible as fault-free ones.
 //
 // Server outages live in internal/server (Server.Outage) and SSD I/O error
 // injection in internal/blockdev (SetFaults); this package covers the
@@ -32,54 +34,36 @@ type Config struct {
 	// Spike is the probability a message is delayed by spikeDelay beyond
 	// normal propagation. A spike is a one-shot, per-message event; it
 	// cannot model a link that stays degraded. For sustained degradation
-	// use AddSlow, which schedules a SlowWindow instead.
+	// use AddSlow, which schedules a slow window instead.
 	Spike float64
 }
 
 // spikeDelay is the extra latency of a spiked message.
 const spikeDelay = 100 * sim.Microsecond
 
-// Window is one link-down interval for a node: messages to or from the node
-// in [From, To) are dropped.
-type Window struct {
-	Node     string
-	From, To sim.Time
-}
+// ruleKind is what a scheduled window does to the messages it matches.
+type ruleKind uint8
 
-// DirWindow is one asymmetric (one-directional) partition: messages from Src
-// to Dst in [From, To) are dropped, while the reverse direction keeps
-// flowing. This models the classic half-open failure — a dead transmit path
-// with a live receive path — that symmetric link-down windows cannot
-// express, and that replication ack/retry logic must survive.
-type DirWindow struct {
-	Src, Dst string
-	From, To sim.Time
-}
+const (
+	linkDown  ruleKind = iota // drop every message to or from node
+	partition                 // drop every message from node to dst
+	slow                      // delay every message to or from node by floor + perKB per KiB
+)
 
-// SlowWindow is one sustained link-degradation interval for a node: every
-// message to or from the node in [From, To) is delayed by Floor plus
-// PerKB-scaled serialization drag beyond normal propagation. Unlike a
-// Spike — a one-shot random event on a single message — a slow window is
-// the gray failure itself: the link stays up, every message still arrives,
-// and only latency (fixed floor plus a bandwidth-shaped size term) tells
-// the story. No RNG is consulted, so replays are exact.
-type SlowWindow struct {
-	Node     string
-	From, To sim.Time
-	// Floor is the fixed extra latency added to every affected message.
-	Floor sim.Time
-	// PerKB adds delay proportional to message size (per KiB), modeling a
-	// degraded effective link bandwidth rather than a fixed stall.
-	PerKB sim.Time
+// rule is one scheduled window of the injector. No RNG is consulted, so
+// replays are exact.
+type rule struct {
+	sim.Window
+	kind         ruleKind
+	node, dst    string
+	floor, perKB sim.Time
 }
 
 // Injector implements simnet.FaultInjector with seeded randomness.
 type Injector struct {
-	cfg         Config
-	rng         *rand.Rand
-	windows     []Window
-	dirWindows  []DirWindow
-	slowWindows []SlowWindow
+	cfg   Config
+	rng   *rand.Rand
+	rules []rule // the scheduled windows, every kind, in the order added
 
 	// In-flight corruption (AddCorrupt): decided by a pure hash of the
 	// message coordinates, never the RNG stream, so arming it leaves every
@@ -105,24 +89,25 @@ func New(cfg Config) *Injector {
 // AddLinkDown schedules a link-down window for node: traffic to or from it
 // in [from, to) is dropped.
 func (in *Injector) AddLinkDown(node string, from, to sim.Time) {
-	in.windows = append(in.windows, Window{Node: node, From: from, To: to})
+	in.rules = append(in.rules, rule{Window: sim.Window{From: from, To: to}, kind: linkDown, node: node})
 }
 
 // AddPartition schedules an asymmetric partition: messages from src to dst
-// in [from, to) are dropped; dst→src traffic is unaffected. Call twice with
-// the arguments swapped for a symmetric partition between two nodes.
+// in [from, to) are dropped; dst→src traffic is unaffected. This is the
+// half-open failure — a dead transmit path with a live receive path — that
+// replication ack/retry logic must survive. Call twice with the arguments
+// swapped for a symmetric partition between two nodes.
 func (in *Injector) AddPartition(src, dst string, from, to sim.Time) {
-	in.dirWindows = append(in.dirWindows, DirWindow{Src: src, Dst: dst, From: from, To: to})
+	in.rules = append(in.rules, rule{Window: sim.Window{From: from, To: to}, kind: partition, node: src, dst: dst})
 }
 
 // AddSlow schedules a sustained slow window for node: every message to or
 // from it in [from, to) is delayed by floor plus perKB for each KiB of
-// message size. Deterministic — no RNG draw — so the same schedule replays
-// to the same virtual-time trace.
+// message size. Unlike a Spike — a one-shot random event on a single
+// message — a slow window is the gray failure itself: the link stays up,
+// every message still arrives, and only latency tells the story.
 func (in *Injector) AddSlow(node string, from, to sim.Time, floor, perKB sim.Time) {
-	in.slowWindows = append(in.slowWindows, SlowWindow{
-		Node: node, From: from, To: to, Floor: floor, PerKB: perKB,
-	})
+	in.rules = append(in.rules, rule{Window: sim.Window{From: from, To: to}, kind: slow, node: node, floor: floor, perKB: perKB})
 }
 
 // AddCorrupt arms seeded in-flight payload corruption: each message is
@@ -152,69 +137,48 @@ func corruptHash(seed uint64, src, dst string, size int, now sim.Time) uint64 {
 	return protocol.Mix64(x)
 }
 
-// slowDelay returns the extra latency slow windows impose on a message of
-// the given size between src and dst at time at. Overlapping windows (both
-// endpoints limping, or stacked schedules) take the worst single window
-// rather than summing, so a symmetric schedule does not double-charge.
-func (in *Injector) slowDelay(src, dst string, size int, at sim.Time) sim.Time {
-	var d sim.Time
-	for _, w := range in.slowWindows {
-		if w.Node != src && w.Node != dst {
-			continue
-		}
-		if at < w.From || at >= w.To {
-			continue
-		}
-		e := w.Floor + w.PerKB*sim.Time(size)/1024
-		if e > d {
-			d = e
-		}
-	}
-	return d
-}
-
-// Partitioned reports whether the src→dst direction is cut at time at.
-func (in *Injector) Partitioned(src, dst string, at sim.Time) bool {
-	for _, w := range in.dirWindows {
-		if w.Src == src && w.Dst == dst && at >= w.From && at < w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// LinkDown reports whether node's link is down at time at.
-func (in *Injector) LinkDown(node string, at sim.Time) bool {
-	for _, w := range in.windows {
-		if w.Node == node && at >= w.From && at < w.To {
-			return true
-		}
-	}
-	return false
-}
-
 // Active reports whether the injector can affect any message at all. An
 // inactive injector never consults its RNG, so installing one with a zero
 // Config leaves the simulation bit-identical to having none.
 func (in *Injector) Active() bool {
 	return in.cfg.Drop > 0 || in.cfg.Dup > 0 || in.cfg.Spike > 0 ||
-		in.corruptRate > 0 ||
-		len(in.windows) > 0 || len(in.dirWindows) > 0 || len(in.slowWindows) > 0
+		in.corruptRate > 0 || len(in.rules) > 0
 }
 
-// Transmit decides the fate of one message at serialization end.
+// Transmit decides the fate of one message at serialization end. The
+// schedule is scanned once, before any RNG draw: a scheduled drop consumes
+// none, and a link-down drop counts before a partition drop. A message pays
+// the worst single slow window, not the sum, so a symmetric schedule does
+// not double-charge. Corruption is decided last.
 func (in *Injector) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
 	var v simnet.Verdict
 	if !in.Active() {
 		return v
 	}
-	if in.LinkDown(src, now) || in.LinkDown(dst, now) {
-		in.LinkDrops++
-		v.Drop = true
-		return v
+	var down, cut bool
+	var slowBy sim.Time
+	for i := range in.rules {
+		r := &in.rules[i]
+		if !r.Covers(now) {
+			continue
+		}
+		switch r.kind {
+		case linkDown:
+			down = down || r.node == src || r.node == dst
+		case partition:
+			cut = cut || r.node == src && r.dst == dst
+		case slow:
+			if r.node == src || r.node == dst {
+				slowBy = max(slowBy, r.floor+r.perKB*sim.Time(size)/1024)
+			}
+		}
 	}
-	if in.Partitioned(src, dst, now) {
-		in.PartitionDrops++
+	if down || cut {
+		if down {
+			in.LinkDrops++
+		} else {
+			in.PartitionDrops++
+		}
 		v.Drop = true
 		return v
 	}
@@ -231,18 +195,15 @@ func (in *Injector) Transmit(src, dst string, size int, now sim.Time) simnet.Ver
 		in.Spikes++
 		v.ExtraDelay = spikeDelay
 	}
-	if d := in.slowDelay(src, dst, size, now); d > 0 {
+	if slowBy > 0 {
 		in.Slowed++
-		v.ExtraDelay += d
+		v.ExtraDelay += slowBy
 	}
-	// Corruption is decided last and by hash, not RNG: the draws above are
-	// identical whether or not corruption is armed.
-	if in.corruptRate > 0 {
-		h := corruptHash(in.corruptSeed, src, dst, size, now)
-		if float64(h>>11)/float64(1<<53) < in.corruptRate {
-			in.Corrupts++
-			v.Corrupt = true
-		}
+	// Corruption is decided by hash, not RNG: the draws above are identical
+	// whether or not corruption is armed.
+	if in.corruptRate > 0 && protocol.Chance(corruptHash(in.corruptSeed, src, dst, size, now)) < in.corruptRate {
+		in.Corrupts++
+		v.Corrupt = true
 	}
 	return v
 }

@@ -138,7 +138,7 @@ func TestSymmetricPartitionFromTwoDirWindows(t *testing.T) {
 	in.AddPartition("a", "b", 0, 100)
 	in.AddPartition("b", "a", 0, 100)
 	if !in.Transmit("a", "b", 10, 50).Drop || !in.Transmit("b", "a", 10, 50).Drop {
-		t.Error("two mirrored DirWindows did not cut both directions")
+		t.Error("two mirrored partition windows did not cut both directions")
 	}
 }
 
@@ -153,5 +153,65 @@ func TestSpikeDelayDefaults(t *testing.T) {
 	}
 	if in.Spikes != 1 {
 		t.Errorf("Spikes = %d, want 1", in.Spikes)
+	}
+}
+
+// TestLinkDownCountsBeforePartition: a message that a link-down window and a
+// partition window both cut is one link drop, whichever window was added
+// first.
+func TestLinkDownCountsBeforePartition(t *testing.T) {
+	for _, partitionFirst := range []bool{false, true} {
+		in := New(Config{Seed: 1})
+		if partitionFirst {
+			in.AddPartition("a", "b", 0, 100)
+		}
+		in.AddLinkDown("b", 0, 100)
+		if !partitionFirst {
+			in.AddPartition("a", "b", 0, 100)
+		}
+		if !in.Transmit("a", "b", 10, 50).Drop {
+			t.Fatalf("partition added first=%v: message not dropped", partitionFirst)
+		}
+		if in.LinkDrops != 1 || in.PartitionDrops != 0 {
+			t.Errorf("partition added first=%v: link=%d partition=%d, want 1 and 0",
+				partitionFirst, in.LinkDrops, in.PartitionDrops)
+		}
+	}
+}
+
+// TestDropWindowsConsumeNoRNG: a scheduled drop is decided before any RNG
+// draw and takes none, so every message outside the link-down and partition
+// windows gets the same drop / dup / spike verdict as in a run that never
+// sent the messages the windows cut.
+func TestDropWindowsConsumeNoRNG(t *testing.T) {
+	cfg := Config{Seed: 7, Drop: 0.2, Dup: 0.2, Spike: 0.2}
+	windowed := New(cfg)
+	windowed.AddLinkDown("b", 50, 100)
+	windowed.AddPartition("a", "b", 200, 250)
+	windowed.AddPartition("b", "a", 280, 300) // cuts the other direction only
+	plain := New(cfg)
+	var cut, sent int
+	for i := 0; i < 300; i++ {
+		at := sim.Time(i)
+		v := windowed.Transmit("a", "b", 100, at)
+		if (at >= 50 && at < 100) || (at >= 200 && at < 250) {
+			if !v.Drop {
+				t.Fatalf("message at %v inside a drop window went through", at)
+			}
+			cut++
+			continue
+		}
+		sent++
+		w := plain.Transmit("a", "b", 100, at)
+		if (simVerdict{v.Drop, v.Duplicate, v.ExtraDelay}) != (simVerdict{w.Drop, w.Duplicate, w.ExtraDelay}) {
+			t.Fatalf("verdict at %v: %+v with drop windows, %+v without", at, v, w)
+		}
+	}
+	if windowed.LinkDrops+windowed.PartitionDrops != int64(cut) {
+		t.Errorf("scheduled drops %d+%d, want %d", windowed.LinkDrops, windowed.PartitionDrops, cut)
+	}
+	if windowed.Drops != plain.Drops || windowed.Dups != plain.Dups || windowed.Spikes != plain.Spikes {
+		t.Errorf("random counts differ: drops %d/%d dups %d/%d spikes %d/%d over %d messages",
+			windowed.Drops, plain.Drops, windowed.Dups, plain.Dups, windowed.Spikes, plain.Spikes, sent)
 	}
 }

@@ -24,9 +24,8 @@
 package hybridslab
 
 import (
-	"hash/fnv"
-
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -79,13 +78,6 @@ type itemRecord struct {
 	ExpireAt  sim.Time
 }
 
-// keyDigest hashes a key for the header's per-slot summary.
-func keyDigest(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
-
 // headerSum checksums the header fields (Sum excluded).
 func headerSum(h *pageHeader) uint64 {
 	s := uint64(h.Magic)
@@ -136,7 +128,7 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pag
 	}
 	data = append(data, pagecache.Extent{Off: base, Size: PageHeaderSize, Payload: hdr})
 	for i, v := range job.victims {
-		hdr.Items[i] = itemMeta{Digest: keyDigest(v.Key), Len: v.ValueSize}
+		hdr.Items[i] = itemMeta{Digest: protocol.FNV1a(v.Key), Len: v.ValueSize}
 		rec := &itemRecord{
 			Key:       v.Key,
 			Value:     v.Value,

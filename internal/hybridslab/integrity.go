@@ -116,7 +116,7 @@ func (m *Manager) verifySlot(it *Item, rec *itemRecord) bool {
 		return false
 	}
 	im := hdr.Items[slot]
-	return im.Digest == keyDigest(rec.Key) && im.Len == rec.ValueSize && rec.Key == it.Key
+	return im.Digest == protocol.FNV1a(rec.Key) && im.Len == rec.ValueSize && rec.Key == it.Key
 }
 
 // quarantineCorrupt retires an item whose slot failed verification and

@@ -20,6 +20,7 @@ package hybridslab
 import (
 	"sort"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
 )
@@ -206,7 +207,7 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 				continue
 			}
 			rec, isRec := se.Payload.(*itemRecord)
-			if se.Torn() || !isRec || keyDigest(rec.Key) != im.Digest || rec.ValueSize != im.Len {
+			if se.Torn() || !isRec || protocol.FNV1a(rec.Key) != im.Digest || rec.ValueSize != im.Len {
 				corrupt = true
 				break
 			}

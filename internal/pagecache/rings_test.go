@@ -29,10 +29,10 @@ func (m *recencyModel) touch(k pageKey, dirtied bool) {
 	m.dirty[k] = m.dirty[k] || dirtied
 }
 
-// observe brings the model up to date with what other procs did since the
+// catchUp brings the model up to date with what other procs did since the
 // last look: evictions and cleanings, which move nothing in recency order.
 // Anything else the cache did unasked is an error.
-func (m *recencyModel) observe(c *Cache) error {
+func (m *recencyModel) catchUp(c *Cache) error {
 	kept := m.order[:0]
 	for _, k := range m.order {
 		pg, ok := c.pages[k]
@@ -70,7 +70,7 @@ func ringKeys(r *page, n int) []pageKey {
 // none is clean) and the next writeback batch, each a ring tail, are what a
 // scan of the model's one list in recency order finds.
 func (m *recencyModel) agree(c *Cache) error {
-	if err := m.observe(c); err != nil {
+	if err := m.catchUp(c); err != nil {
 		return err
 	}
 	n, dirtyLen := 0, 0

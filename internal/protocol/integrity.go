@@ -52,8 +52,8 @@ const (
 )
 
 // FNV1a is the 64-bit FNV-1a hash of a string or a byte slice: the one loop
-// behind the directory's key digest, the content checksum and the ring's key
-// hash.
+// behind the directory's key digest, the SSD page header's key digests, the
+// content checksum and the ring's key hash.
 func FNV1a[T ~string | ~[]byte](b T) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(b); i++ {
@@ -74,3 +74,7 @@ func Mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// Chance maps a hash to [0, 1) by its top 53 bits: a seeded verdict drawn
+// from a hash instead of an RNG stream (h's chance < rate means "yes").
+func Chance(h uint64) float64 { return float64(h>>11) / float64(1<<53) }

@@ -220,8 +220,8 @@ type Server struct {
 
 // stallWindow is one scheduled storage-pool stall interval.
 type stallWindow struct {
-	from, to sim.Time
-	stall    sim.Time
+	sim.Window
+	stall sim.Time
 }
 
 // AddWorkerStall schedules a fail-slow window on the storage pool: every
@@ -229,14 +229,14 @@ type stallWindow struct {
 // Deterministic and replayable; with no windows the worker loop is
 // untouched, keeping unfaulted runs bit-identical.
 func (s *Server) AddWorkerStall(from, to sim.Time, stall sim.Time) {
-	s.stallWindows = append(s.stallWindows, stallWindow{from: from, to: to, stall: stall})
+	s.stallWindows = append(s.stallWindows, stallWindow{Window: sim.Window{From: from, To: to}, stall: stall})
 }
 
 // stallFor returns the worst scheduled stall covering time at.
 func (s *Server) stallFor(at sim.Time) sim.Time {
 	var d sim.Time
 	for _, w := range s.stallWindows {
-		if at >= w.from && at < w.to && w.stall > d {
+		if w.Covers(at) && w.stall > d {
 			d = w.stall
 		}
 	}

@@ -25,25 +25,6 @@ func TestAtFuncRunsInlineAtItsSlot(t *testing.T) {
 	}
 }
 
-func TestOnFireRunsWithTheWaiters(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent()
-	var order []string
-	env.Spawn("w1", func(p *Proc) { p.Wait(ev); order = append(order, "w1") })
-	env.AtFunc(env.Now(), func() { ev.OnFire(func() { order = append(order, "cb") }) })
-	env.Spawn("w2", func(p *Proc) { p.Wait(ev); order = append(order, "w2") })
-	env.AtFunc(5, ev.Fire)
-	env.Run()
-	if got := strings.Join(order, " "); got != "w1 cb w2" {
-		t.Errorf("order %q, want \"w1 cb w2\"", got)
-	}
-	ran := false
-	ev.OnFire(func() { ran = true })
-	if !ran {
-		t.Error("OnFire on a fired event did not run at once")
-	}
-}
-
 func TestCallbackMaySpawnAndSchedule(t *testing.T) {
 	env := NewEnv()
 	var at []Time
@@ -108,6 +89,7 @@ func TestBlockingOutsideTheRunningProcessPanics(t *testing.T) {
 		"Wait":             func() { idle.Wait(ev) },
 		"WaitTimeout":      func() { idle.WaitTimeout(ev, 5) },
 		"WaitAny":          func() { idle.WaitAny(ev) },
+		"WaitEither":       func() { idle.WaitEither(ev, ev, 5) },
 		"Queue.Get":        func() { q.Get(idle) },
 		"Queue.GetTimeout": func() { q.GetTimeout(idle, 5) },
 		"Resource.Acquire": func() { res.Acquire(idle) },
@@ -154,30 +136,16 @@ func TestParkedCountsProcessesWithNothingScheduled(t *testing.T) {
 type helpers struct {
 	// at runs fn at virtual time t.
 	at func(env *Env, t Time, fn func())
-	// chain runs fn d after ev fires (the shape of an RC ack wait).
-	chain func(env *Env, ev *Event, d Time, fn func())
 }
 
 var procHelpers = helpers{
 	at: func(env *Env, t Time, fn func()) {
 		env.SpawnAt(t, "helper", func(*Proc) { fn() })
 	},
-	chain: func(env *Env, ev *Event, d Time, fn func()) {
-		env.Spawn("helper", func(p *Proc) {
-			p.Wait(ev)
-			p.Sleep(d)
-			fn()
-		})
-	},
 }
 
 var callbackHelpers = helpers{
 	at: func(env *Env, t Time, fn func()) { env.AtFunc(t, fn) },
-	chain: func(env *Env, ev *Event, d Time, fn func()) {
-		env.AtFunc(env.Now(), func() {
-			ev.OnFire(func() { env.AtFunc(env.Now()+d, fn) })
-		})
-	},
 }
 
 // mixedModel runs six workers through seeded random steps over every
@@ -240,12 +208,13 @@ func mixedModel(seed int64, h helpers) []string {
 					_, ok, timedOut := own.GetTimeout(p, d())
 					note(name, "closed=%v,%v", ok, timedOut)
 				case 7:
-					sent, acked := env.NewEvent(), env.NewEvent()
-					h.chain(env, sent, d(), fire(acked))
-					// A second observer of sent, registered before the
-					// helper has started: the helper must queue behind it.
-					sent.OnFire(func() {
-						env.AtFunc(env.Now(), func() { note(hname, "sent seen") })
+					// An ack chained d after sent fires, through a process
+					// in both variants (the shape of an RC ack wait).
+					sent, acked, ackDelay := env.NewEvent(), env.NewEvent(), d()
+					env.Spawn("chain", func(cp *Proc) {
+						cp.Wait(sent)
+						cp.Sleep(ackDelay)
+						fire(acked)()
 					})
 					p.Sleep(d())
 					sent.Fire()

@@ -6,12 +6,12 @@
 // process and gets control back when it parks or ends — a direct switch, no
 // channel and no run queue — so exactly one process runs at any instant.
 // Things that merely happen at an instant (a message arriving, a completion,
-// a scheduled fault) are callback events — AtFunc, AtCall,
-// Event.OnFire — that the scheduler runs inline, to completion, in the same
-// single order. Spawn runs a new process on the coroutine of one that has
-// finished, when there is one. Shared simulation state therefore
-// needs no locking, results are bit-for-bit reproducible, and virtual time
-// advances with nanosecond precision regardless of host timer resolution.
+// a scheduled fault) are callback events — AtFunc, AtCall — that the
+// scheduler runs inline, to completion, in the same single order. Spawn runs
+// a new process on the coroutine of one that has finished, when there is
+// one. Shared simulation state therefore needs no locking, results are
+// bit-for-bit reproducible, and virtual time advances with nanosecond
+// precision regardless of host timer resolution.
 //
 // The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
 // Resource.Acquire) must only be called by the owning process while it is
@@ -53,6 +53,13 @@ func TransferTime(n int, perSec int64) Time {
 	}
 	return Time(float64(n) / float64(perSec) * float64(Second))
 }
+
+// Window is a scheduled interval of virtual time, [From, To): the span of
+// one injected fault.
+type Window struct{ From, To Time }
+
+// Covers reports whether t falls inside the window.
+func (w Window) Covers(t Time) bool { return t >= w.From && t < w.To }
 
 // Caller is a callback event's receiver: Fire runs inline in the scheduler, to
 // completion, and must not block (see AtCall).
@@ -535,9 +542,8 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Event is a one-shot condition processes can wait on and callbacks can
-// observe. Create one with Env.NewEvent, or embed one in a larger record and
-// Init it.
+// Event is a one-shot condition processes can wait on. Create one with
+// Env.NewEvent, or embed one in a larger record and Init it.
 type Event struct {
 	env   *Env
 	fired bool
@@ -582,19 +588,6 @@ func (ev *Event) addWaiter(w *wakeup) {
 	ev.more = append(ev.more, w)
 }
 
-// OnFire runs fn as a callback event when ev fires: Fire schedules it at
-// the firing instant, in line with the processes waiting on ev, exactly as
-// it would wake a process that had called Wait here. If ev has already
-// fired, fn runs at once, as Wait would return at once. fn must not block
-// (see AtFunc).
-func (ev *Event) OnFire(fn func()) {
-	if ev.fired {
-		fn()
-		return
-	}
-	ev.addWaiter(ev.env.newWakeup(nil, funcCall(fn), 0))
-}
-
 // Wait blocks the process until the event fires. Returns immediately if it
 // already has.
 func (p *Proc) Wait(ev *Event) {
@@ -627,6 +620,24 @@ func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
 	return p.park() == tagEvent
 }
 
+// WaitEither blocks until a or b fires or d elapses, whichever is first. It
+// reports whether an event fired (true) or the timeout won (false). The
+// wakeup left on the event that did not fire is recycled when that event
+// fires.
+func (p *Proc) WaitEither(a, b *Event, d Time) bool {
+	if a.fired || b.fired {
+		return true
+	}
+	if d <= 0 {
+		return false
+	}
+	p.mustBeRunning("WaitEither")
+	a.addWaiter(p.env.newWakeup(p, nil, tagEvent))
+	b.addWaiter(p.env.newWakeup(p, nil, tagEvent))
+	p.env.scheduleWakeup(p.env.now+d, p, tagTimeout)
+	return p.park() == tagEvent
+}
+
 // WaitAny blocks until any of the given events fires, returning the index of
 // the first fired event. If one is already fired, returns immediately.
 func (p *Proc) WaitAny(evs ...*Event) int {
@@ -643,26 +654,4 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 		ev.addWaiter(p.env.newWakeup(p, nil, i))
 	}
 	return p.park()
-}
-
-// AnyOf returns an event that fires as soon as any input event fires.
-func (e *Env) AnyOf(evs ...*Event) *Event {
-	out := e.NewEvent()
-	for _, ev := range evs {
-		if ev.fired {
-			out.Fire()
-			return out
-		}
-	}
-	for _, ev := range evs {
-		e.observe(ev, out.Fire)
-	}
-	return out
-}
-
-// observe starts watching ev one scheduler step from now, the step an
-// observer process would have taken to start: input events that fire in
-// between are seen as already fired.
-func (e *Env) observe(ev *Event, fn func()) {
-	e.AtFunc(e.now, func() { ev.OnFire(fn) })
 }

@@ -116,7 +116,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	}
 }
 
-func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
+func TestWaitReturnsAtOnceOnAFiredEvent(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
 	ev.Fire()
@@ -199,29 +199,6 @@ func TestWaitAny(t *testing.T) {
 	e.Run()
 	if idx != 1 || at != 30*Microsecond {
 		t.Errorf("WaitAny=(%d,%v), want (1,30µs)", idx, at)
-	}
-}
-
-func TestAnyOf(t *testing.T) {
-	e := NewEnv()
-	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
-	anyEv := e.AnyOf(a, b, c)
-	var anyAt Time = -1
-	e.Spawn("watchAny", func(p *Proc) { p.Wait(anyEv); anyAt = p.Now() })
-	e.Spawn("f", func(p *Proc) {
-		p.Sleep(10 * Microsecond)
-		b.Fire()
-		p.Sleep(10 * Microsecond)
-		a.Fire()
-		p.Sleep(10 * Microsecond)
-		c.Fire()
-	})
-	e.Run()
-	if anyAt != 10*Microsecond {
-		t.Errorf("AnyOf fired at %v, want 10µs", anyAt)
-	}
-	if !e.AnyOf(a).Fired() {
-		t.Errorf("AnyOf(fired) should be immediately fired")
 	}
 }
 

@@ -154,3 +154,77 @@ func TestWaitAnyReturnsFirstIndex(t *testing.T) {
 		t.Errorf("WaitAny = %d at %v, want 1 at 30", idx, at)
 	}
 }
+
+// TestWaitEither: either event wakes the waiter, and so does the timeout; an
+// event that has already fired returns at once. What did not wake the waiter
+// goes back to the pool: the timeout at once, a wakeup canceled on an event
+// as soon as that event fires.
+func TestWaitEither(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		fireA, fireB Time // 0: not before the wait ends
+		want         bool
+		at           Time
+	}{
+		{"a fires", 30, 0, true, 30},
+		{"b fires", 0, 30, true, 30},
+		{"b fires first", 50, 30, true, 30},
+		{"timeout", 0, 0, false, 100},
+	} {
+		env := NewEnv()
+		a, b := env.NewEvent(), env.NewEvent()
+		if tc.fireA > 0 {
+			env.AtFunc(tc.fireA, a.Fire)
+		}
+		if tc.fireB > 0 {
+			env.AtFunc(tc.fireB, b.Fire)
+		}
+		var got bool
+		var at Time
+		var canceled []*wakeup
+		env.Spawn("waiter", func(p *Proc) {
+			got, at = p.WaitEither(a, b, 100), p.Now()
+			for _, s := range env.heap {
+				if s.w.p == p {
+					t.Errorf("%s: a wakeup of the waiter is still scheduled", tc.name)
+				}
+			}
+			for _, ev := range []*Event{a, b} {
+				if !ev.Fired() {
+					if w := ev.first; w == nil || !w.canceled {
+						t.Errorf("%s: unfired event holds %+v, want the canceled wakeup", tc.name, w)
+					}
+					canceled = append(canceled, ev.first)
+				}
+			}
+		})
+		env.Run()
+		if got != tc.want || at != tc.at {
+			t.Errorf("%s: WaitEither = %v at %v, want %v at %v", tc.name, got, at, tc.want, tc.at)
+		}
+		a.Fire()
+		b.Fire()
+		env.Run()
+		for _, w := range canceled {
+			if !w.free {
+				t.Errorf("%s: a canceled wakeup is not back in the pool after its event fired", tc.name)
+			}
+		}
+	}
+
+	env := NewEnv()
+	a, b := env.NewEvent(), env.NewEvent()
+	b.Fire()
+	env.Spawn("waiter", func(p *Proc) {
+		if !p.WaitEither(a, b, 100) || p.Now() != 0 {
+			t.Errorf("WaitEither on a fired event: returned at %v, want true at once", p.Now())
+		}
+		if p.WaitEither(a, env.NewEvent(), 0) {
+			t.Error("WaitEither with no budget and nothing fired returned true")
+		}
+	})
+	env.Run()
+	if a.first != nil {
+		t.Error("WaitEither that returned at once left a waiter behind")
+	}
+}

@@ -81,7 +81,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 				sent = append(sent, pl)
 				wr := SendWR{Op: OpSend, Size: 64 + rng.Intn(960), Payload: pl}
 				if i%2 == 0 {
-					p.Wait(r.qpA.PostSendReusable(p, wr))
+					p.Wait(r.qpA.PostSend(p, wr))
 				} else {
 					r.qpA.PostSend(p, wr)
 				}

@@ -11,8 +11,8 @@
 //
 //   - SEND consumes a pre-posted RECV at the responder and generates a
 //     completion on the responder's receive CQ. The requester learns that
-//     its source buffer is reusable from PostSendReusable's event, when the
-//     NIC has read the message out of host memory.
+//     its source buffer is reusable from PostSend's event, when the NIC has
+//     read the message out of host memory.
 //   - WRITE_IMM deposits the payload into the remote MR with no remote CPU
 //     involvement, consumes a RECV and completes on the responder's receive
 //     CQ.
@@ -335,13 +335,18 @@ func (t *transfer) Recycle() {
 }
 
 // PostSend posts a send-queue WR, charging the caller only the doorbell
-// cost. The HCA performs the transfer asynchronously.
-func (qp *QP) PostSend(p *sim.Proc, wr SendWR) {
+// cost. The HCA performs the transfer asynchronously. The returned event
+// fires when the caller's buffers are reusable (DMA has read them out of host
+// memory; for a READ, when its request has left): the primitive under
+// memcached_bset/bget. It lives in the message's transfer, which the HCA
+// reuses after delivery: it is valid until then, so a caller that wants it
+// waits on it at once.
+func (qp *QP) PostSend(p *sim.Proc, wr SendWR) *sim.Event {
 	if !qp.connected {
 		panic("verbs: PostSend on unconnected QP")
 	}
 	p.Sleep(doorbellCost)
-	qp.start(wr)
+	return qp.start(wr).Sent
 }
 
 // PostSendList posts a chain of send-queue WRs under a single doorbell —
@@ -402,22 +407,6 @@ func (d *Device) post(dst string, size int, w wire) *simnet.Outgoing {
 	}
 	t.w = w
 	return d.node.PostFlight(&t.fl, t, dst, size, &t.w)
-}
-
-// PostSendReusable is PostSend that additionally returns an event firing
-// when the caller's buffers are reusable (DMA has read them out of host
-// memory). This is the primitive under memcached_bset/bget. The event lives
-// in the message's transfer, which the HCA reuses after delivery: it is valid
-// until then, so the caller waits on it at once.
-func (qp *QP) PostSendReusable(p *sim.Proc, wr SendWR) *sim.Event {
-	if !qp.connected {
-		panic("verbs: PostSendReusable on unconnected QP")
-	}
-	if wr.Op == OpRead {
-		panic("verbs: PostSendReusable does not apply to READ")
-	}
-	p.Sleep(doorbellCost)
-	return qp.start(wr).Sent
 }
 
 // deliver demultiplexes an arriving fabric message to verbs semantics.

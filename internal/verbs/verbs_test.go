@@ -121,7 +121,7 @@ func TestNonInlineReusableAfterSerialization(t *testing.T) {
 	size := 1 << 20
 	var reusableAt sim.Time
 	r.env.Spawn("client", func(p *sim.Proc) {
-		ev := r.qpA.PostSendReusable(p, SendWR{Op: OpSend, Size: size})
+		ev := r.qpA.PostSend(p, SendWR{Op: OpSend, Size: size})
 		p.Wait(ev)
 		reusableAt = p.Now()
 	})
