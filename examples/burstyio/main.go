@@ -45,6 +45,9 @@ func main() {
 				reqs = append(reqs, req)
 			}
 			c.WaitAll(p, reqs)
+			for _, r := range reqs {
+				c.Release(r) // the next block's requests reuse the handles
+			}
 		}
 		wrote := p.Now() - t0
 		fmt.Printf("wrote %d blocks (%d MB) in %v of virtual time — %.0f MB/s\n",
@@ -67,6 +70,7 @@ func main() {
 				if r.Value != blk {
 					panic("chunk verification failed")
 				}
+				c.Release(r)
 			}
 		}
 		read := p.Now() - t0

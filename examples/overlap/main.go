@@ -69,6 +69,9 @@ func main() {
 			}
 			c.WaitAll(p, reqs) // guarantee completion (memcached_wait)
 			total = p.Now() - t0
+			for _, req := range reqs {
+				c.Release(req) // the handles go back to the client for reuse
+			}
 		})
 		cl.Env.Run()
 		return total

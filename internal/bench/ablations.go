@@ -223,8 +223,8 @@ func driveSetBursts(cl *cluster.Cluster, bursts int, buffered bool, r *run) {
 				r.SetLat.Add(p.Now() - t0)
 			}
 			t0 := p.Now()
-			do(p, c, core.Op{Code: protocol.OpGet, Key: key(b, 0)}, nil)
-			c.WaitAll(p, reqs)
+			c.Release(do(p, c, core.Op{Code: protocol.OpGet, Key: key(b, 0)}, nil))
+			waitRelease(p, c, reqs)
 			r.GetLat.Add(p.Now() - t0)
 		}
 	})

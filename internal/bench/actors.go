@@ -56,22 +56,24 @@ func (ch *chain) leave() {
 	}
 }
 
-// read performs one logged GET of key as worker w and returns the request.
-func (r *run) read(p *sim.Proc, c *core.Client, w int, key string, opts []core.IssueOption) *core.Req {
+// read performs one logged GET of key as worker w and returns the CAS token
+// it fetched and how it ended.
+func (r *run) read(p *sim.Proc, c *core.Client, w int, key string, opts []core.IssueOption) (cas uint64, err error) {
 	t0 := p.Now()
 	req := do(p, c, core.Op{Code: protocol.OpGet, Key: key}, opts)
-	err := req.Err()
+	err, cas = req.Err(), req.CAS
 	hit := err == nil
 	var seq uint64
 	if hit {
 		seq, _ = req.Value.(uint64)
 	}
+	c.Release(req)
 	r.Log.Record(history.Entry{
 		Worker: w, Kind: history.Read, Key: key, Seq: seq,
 		Hit: hit, OK: hit || errors.Is(err, core.ErrNotFound),
 		IssuedAt: t0, CompletedAt: p.Now(),
 	})
-	return req
+	return cas, err
 }
 
 // spawnWriters starts the cell's CAS-chain writers on client c. The value
@@ -92,7 +94,7 @@ func (r *run) spawnWriters(cl *cluster.Cluster, c *core.Client, ch *chain) {
 			for round := 0; round < ch.rounds; round++ {
 				ki := round % ch.keysPer
 				key := ch.key(w, ki)
-				rreq := r.read(p, c, w, key, ch.get)
+				rcas, rerr := r.read(p, c, w, key, ch.get)
 
 				// Single writer per key: the local counter is the
 				// authoritative clock, bumped on every attempt so even a
@@ -100,8 +102,8 @@ func (r *run) spawnWriters(cl *cluster.Cluster, c *core.Client, ch *chain) {
 				next[ki]++
 				seq := next[ki]
 				op := core.Op{Code: protocol.OpAdd, Key: key, ValueSize: ch.valueSize, Value: seq}
-				if rreq.Err() == nil {
-					op.Code, op.CAS = protocol.OpCAS, rreq.CAS
+				if rerr == nil {
+					op.Code, op.CAS = protocol.OpCAS, rcas
 				}
 				t1 := p.Now()
 				wreq := do(p, c, op, ch.set)
@@ -115,6 +117,7 @@ func (r *run) spawnWriters(cl *cluster.Cluster, c *core.Client, ch *chain) {
 					Acked:    wreq.Acked() && (werr == nil || errors.Is(werr, core.ErrDeadlineExceeded)),
 					IssuedAt: t1, CompletedAt: p.Now(),
 				})
+				c.Release(wreq)
 				if werr == nil && seq > r.lastOK[key] {
 					r.lastOK[key] = seq
 				}
@@ -135,18 +138,19 @@ func (r *run) spawnCounter(cl *cluster.Cluster, c *core.Client, ch *chain) {
 		defer ch.leave()
 		ch.enter(p)
 		seed := core.Op{Code: protocol.OpSet, Key: key, ValueSize: core.CounterSize, Value: uint64(0)}
-		do(p, c, seed, ch.set)
+		c.Release(do(p, c, seed, ch.set))
 		for round := 0; round < ch.rounds; round++ {
 			t0 := p.Now()
 			req := do(p, c, core.Op{Code: protocol.OpIncr, Key: key, Delta: 1}, ch.get)
 			err := req.Err()
 			v, _ := req.Value.(uint64)
+			c.Release(req)
 			r.Log.Record(history.Entry{
 				Worker: ch.writers, Kind: history.IncrOp, Key: key, Seq: v,
 				OK: err == nil, IssuedAt: t0, CompletedAt: p.Now(),
 			})
 			if errors.Is(err, core.ErrNotFound) {
-				do(p, c, seed, ch.set) // a cold restart lost the counter: re-seed
+				c.Release(do(p, c, seed, ch.set)) // a cold restart lost the counter: re-seed
 			}
 			p.Sleep(ch.think)
 		}
@@ -305,6 +309,7 @@ func (r *run) seqLoop(p *sim.Proc, c *core.Client, gen *workload.Generator, ops 
 		if observe != nil {
 			observe(kind, op, req, t0)
 		}
+		c.Release(req)
 		p.Sleep(think)
 	}
 	r.Elapsed = p.Now() - start

@@ -71,13 +71,15 @@ func oneAtATime(p *sim.Proc, cl *cluster.Cluster, c *core.Client, gen *workload.
 	for i := 0; i < ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		err := do(p, c, opFor(kind, key, vs), opts).Err()
+		req := do(p, c, opFor(kind, key, vs), opts)
+		err := req.Err()
+		c.Release(req)
 		r.classify(err)
 		if errors.Is(err, core.ErrNotFound) {
 			mt := p.Now()
 			v := cl.Backend.Fetch(p, key)
 			r.MissPenalty += p.Now() - mt
-			do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts)
+			c.Release(do(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: vs, Value: v}, opts))
 		}
 		d := p.Now() - t0
 		r.Lat.Add(d)
@@ -103,12 +105,14 @@ func issueAll(p *sim.Proc, c *core.Client, gen *workload.Generator, n int, opts 
 }
 
 // drain waits for every request, then tallies and times each (issue to
-// completion: a timed-out op's tail counts — that is where faults show).
+// completion: a timed-out op's tail counts — that is where faults show) and
+// releases it.
 func drain(p *sim.Proc, c *core.Client, reqs []*core.Req, r *run) {
 	c.WaitAll(p, reqs)
 	for _, req := range reqs {
 		r.classify(req.Err())
 		r.Lat.Add(req.CompletedAt - req.IssuedAt)
+		c.Release(req)
 	}
 }
 
@@ -171,6 +175,7 @@ func driveOverlap(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run)
 		}
 		for len(pending) > 0 {
 			if c.Test(pending[0]) {
+				c.Release(pending[0])
 				pending = pending[1:]
 				continue
 			}
@@ -204,7 +209,7 @@ func driveBlockIO(cl *cluster.Cluster, bc workload.BlockConfig, r *run) {
 				}
 				reqs = append(reqs, issueAs(p, cl, c, op, nil))
 			}
-			c.WaitAll(p, reqs)
+			waitRelease(p, c, reqs)
 			lat.Add(p.Now() - t0)
 		}
 	}
@@ -286,7 +291,7 @@ func batchedSocket(p *sim.Proc, c *core.Client, gen *workload.Generator, ops, ba
 	for i := 1; i <= ops; i++ {
 		kind, key := gen.Next()
 		t0 := p.Now()
-		do(p, c, opFor(kind, key, gen.ValueSize()), nil)
+		c.Release(do(p, c, opFor(kind, key, gen.ValueSize()), nil))
 		if batch > 1 && i%batch == 0 {
 			c.FlushBuffers(p)
 		}
@@ -340,6 +345,7 @@ func spawnWorkers(cl *cluster.Cluster, w workers, r *run) {
 					case protocol.StatusNotFound:
 						r.Misses++
 					}
+					c.Release(req)
 					if w.think != nil {
 						p.Sleep(w.think(p.Now() - start))
 					}
@@ -377,13 +383,15 @@ func spawnArrivals(cl *cluster.Cluster, c *core.Client, a arrivals, opts []core.
 			r.InflightPeak = max(r.InflightPeak, inflight)
 			cl.Env.Spawn(fmt.Sprintf("arrival%d", i), func(q *sim.Proc) {
 				req := do(q, c, op, opts)
+				err := req.Err()
+				c.Release(req)
 				inflight--
 				if t0 < a.from {
 					return
 				}
-				r.classify(req.Err())
+				r.classify(err)
 				r.Lat.Add(q.Now() - t0)
-				if op.Code == protocol.OpGet && req.Err() == nil {
+				if op.Code == protocol.OpGet && err == nil {
 					r.GetLat.Add(q.Now() - t0)
 				}
 			})
@@ -416,11 +424,11 @@ func spawnFlood(cl *cluster.Cluster, c *core.Client, f flood, opts []core.IssueO
 			key := f.key(i)
 			win = append(win, issue(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: f.valueSize, Value: key}, opts))
 			if len(win) == f.burst {
-				c.WaitAll(p, win)
+				waitRelease(p, c, win)
 				win = win[:0]
 				p.Sleep(f.gap)
 			}
 		}
-		c.WaitAll(p, win)
+		waitRelease(p, c, win)
 	})
 }

@@ -180,7 +180,7 @@ func warmHotSet(cl *cluster.Cluster, c *core.Client, ch *chain) *sim.Event {
 		seed := func(n int) {
 			for i := 0; i < n; i++ {
 				key := ch.key(i%ch.writers, (i/ch.writers)%ch.keysPer)
-				do(p, c, core.Op{Code: protocol.OpGet, Key: key}, []core.IssueOption{core.WithReadPath(core.ReadRPC)})
+				c.Release(do(p, c, core.Op{Code: protocol.OpGet, Key: key}, []core.IssueOption{core.WithReadPath(core.ReadRPC)}))
 			}
 		}
 		seed(256)                     // heat the sketch (and trip refreshes)

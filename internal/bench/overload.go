@@ -104,7 +104,9 @@ func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) 
 				}
 				kind, key := gen.Next()
 				t0 := p.Now()
-				err := do(p, c, opFor(kind, key, vs), opts).Err()
+				req := do(p, c, opFor(kind, key, vs), opts)
+				err := req.Err()
+				c.Release(req)
 				r.classify(err)
 				if kind == workload.OpGet && err == nil {
 					r.GetLat.Add(p.Now() - t0)

@@ -78,6 +78,7 @@ func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.
 			if req.Err() == nil && req.Op == protocol.OpGet && req.Value != any(key) {
 				corrupt++
 			}
+			c.Release(req)
 		}
 		r.Elapsed = p.Now() - start
 		// Let any in-flight outage drain, then sweep every key: the hit
@@ -88,12 +89,14 @@ func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.
 		}
 		for i := 0; i < recoveryKeys; i++ {
 			k := keyOf(i)
-			if req := do(p, c, core.Op{Code: protocol.OpGet, Key: k}, opts); req.Err() == nil {
+			req := do(p, c, core.Op{Code: protocol.OpGet, Key: k}, opts)
+			if req.Err() == nil {
 				hits++
 				if req.Value != any(k) {
 					corrupt++
 				}
 			}
+			c.Release(req)
 		}
 	})
 	cl.Env.Run()

@@ -123,15 +123,25 @@ func (g guard) opts(bufferAck bool) []core.IssueOption {
 }
 
 // issue starts one operation through core.Client.Issue, the one front door
-// of both transports (its error is always nil).
+// of both transports (its error is always nil). The caller releases the
+// request (core.Client.Release) once it has read it.
 func issue(p *sim.Proc, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
 	req, _ := c.Issue(p, op, opts...)
 	return req
 }
 
-// do issues one operation and waits for it.
+// do issues one operation and waits for it; the caller releases it.
 func do(p *sim.Proc, c *core.Client, op core.Op, opts []core.IssueOption) *core.Req {
 	req := issue(p, c, op, opts)
 	c.Wait(p, req)
 	return req
+}
+
+// waitRelease waits for every request and releases it, for a caller that
+// reads nothing of them.
+func waitRelease(p *sim.Proc, c *core.Client, reqs []*core.Req) {
+	c.WaitAll(p, reqs)
+	for _, req := range reqs {
+		c.Release(req)
+	}
 }

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"hybridkv/internal/backend"
 	"hybridkv/internal/blockdev"
@@ -367,7 +368,7 @@ func (cl *Cluster) Preload(n, valueSize int, keyOf func(int) string) sim.Time {
 	start := cl.Env.Now()
 	cl.Env.Spawn("preload", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			cl.Clients[0].Set(p, keyOf(i), valueSize, fmt.Sprintf("v%d", i), 0, 0)
+			cl.Clients[0].Set(p, keyOf(i), valueSize, "v"+strconv.Itoa(i), 0, 0)
 		}
 	})
 	cl.Env.Run()

@@ -12,11 +12,25 @@ import (
 
 // opModel returns a step that runs one operation end to end — Issue, the
 // request's fabric message, the server's dispatch and storage phases, the
-// response's fabric message, Wait — between a client node and an async
-// server node, driven by a parked process so that the step itself spawns
-// nothing. The value is pointer-shaped and the options are built once:
-// boxing and option closures are the caller's cost, not the client's.
+// response's fabric message, Wait, Release — between a client node and an
+// async server node, driven by a parked process so that the step itself
+// spawns nothing. The value is pointer-shaped and the options are built
+// once: boxing and option closures are the caller's cost, not the client's.
 func opModel(r *testRig, op Op, check func(*Req), opts ...IssueOption) (step func()) {
+	return driverModel(r, func(p *sim.Proc, c *Client) {
+		req, err := c.Issue(p, op, opts...)
+		if err != nil {
+			panic(err)
+		}
+		c.Wait(p, req)
+		check(req)
+		c.Release(req)
+	})
+}
+
+// driverModel is opModel for any one call: a step runs body once on the
+// parked driver, after the warm-up SET of "k".
+func driverModel(r *testRig, body func(p *sim.Proc, c *Client)) (step func()) {
 	c := r.client
 	kick := sim.NewQueue[struct{}](r.env, 0)
 	r.env.Spawn("driver", func(p *sim.Proc) {
@@ -25,18 +39,33 @@ func opModel(r *testRig, op Op, check func(*Req), opts ...IssueOption) (step fun
 			if _, ok := kick.Get(p); !ok {
 				return
 			}
-			req, err := c.Issue(p, op, opts...)
-			if err != nil {
-				panic(err)
-			}
-			c.Wait(p, req)
-			check(req)
+			body(p, c)
 		}
 	})
 	return func() {
 		kick.TryPut(struct{}{})
 		r.env.Run()
 	}
+}
+
+// The blocking calls: Get copies the answer out and Set its status, and each
+// releases its own request.
+func blockingGetModel() (step func()) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	return driverModel(r, func(p *sim.Proc, c *Client) {
+		if v, _, st := c.Get(p, "k"); st != protocol.StatusOK || v != r {
+			panic("blocking GET model: answered " + st.String())
+		}
+	})
+}
+
+func blockingSetModel(value any) (step func()) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	return driverModel(r, func(p *sim.Proc, c *Client) {
+		if st := c.Set(p, "k", 512, value, 0, 0); st != protocol.StatusStored {
+			panic("blocking SET model: answered " + st.String())
+		}
+	})
 }
 
 func rpcModel(op Op, want protocol.Status) (step func()) {
@@ -136,6 +165,8 @@ func BenchmarkRPCSet(b *testing.B) {
 func BenchmarkRPCGet(b *testing.B) {
 	benchOp(b, rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK))
 }
+func BenchmarkBlockingSet(b *testing.B)   { benchOp(b, blockingSetModel(b)) }
+func BenchmarkBlockingGet(b *testing.B)   { benchOp(b, blockingGetModel()) }
 func BenchmarkBypassHit(b *testing.B)     { benchOp(b, bypassHitModel()) }
 func BenchmarkBypassSampled(b *testing.B) { benchOp(b, sampledModel()) }
 
@@ -145,33 +176,39 @@ func BenchmarkRetransmit(b *testing.B)     { benchOp(b, retransmitModel()) }
 func BenchmarkHedge(b *testing.B)          { benchOp(b, hedgeModel()) }
 func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 
-// What one operation allocates, every layer under the client included: the
-// request handle (1: its attempt, wire message and options ride inside it),
-// and for a SET the stored item (1). The server's answer is none: it comes
-// off the store's free list and goes back once the client has landed it and
-// the message carrying it has been recycled (protocol.Replies). A bypass hit
-// is the handle alone: its resolver runs on a recycled process, spawned with
-// a function bound once per client, and takes the GET from the client's
-// resolver queue. The hit that ticks a hot-set refresh adds nothing: the
-// refresh goes out from the connection's long-lived refresher, which reuses
-// one request record, and the server answers every query with a pooled reply
-// carrying the one DirectoryInfo it holds for its hot-set version and epoch.
-// Its fabric messages — an RPC's request and response, a hit's READ out and
-// back — cost nothing: each verbs transfer comes off its HCA's free list and
-// goes back after delivery. Nothing is allocated per value byte. The
+// What one operation allocates, every layer under the client included: for
+// a SET the stored item (1), and nothing else. The request handle — its
+// attempt, wire message and options ride inside it — comes off the client's
+// free list and goes back at its last hold: the caller's Release, the answer
+// to its message, the TX engine's post. The server's answer comes off the
+// store's free list and goes back once the client has landed it and the
+// message carrying it has been recycled (protocol.Replies). A bypass hit's
+// resolver runs on a recycled process, spawned with a function bound once
+// per client, and takes the GET from the client's resolver queue. The hit
+// that ticks a hot-set refresh adds nothing: the refresh goes out from the
+// connection's long-lived refresher on a pooled request record, and the
+// server answers every query with a pooled reply carrying the one
+// DirectoryInfo it holds for its hot-set version and epoch. Its fabric
+// messages — an RPC's request and response, a hit's READ out and back —
+// cost nothing: each verbs transfer comes off its HCA's free list and goes
+// back after delivery. The blocking Get and Set copy their answer out and
+// release their own request. Nothing is allocated per value byte. The
 // ceilings are what is measured: a new allocation anywhere on the path fails
-// here first. They were 3, 2, 2 and 3 while every answer and every resolver
-// was allocated afresh.
+// here first. They were 2, 1, 1 and 1 while every request had a handle of
+// its own, and 3, 2, 2 and 3 while every answer and every resolver was
+// allocated afresh too.
 func TestOperationAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 2},
-		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 1},
-		{"inline bypass hit", bypassHitModel(), 1},
-		{"sampled bypass GET + its refresh", sampledModel(), 1},
+		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 1},
+		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 0},
+		{"blocking SET", blockingSetModel(t), 1},
+		{"blocking GET", blockingGetModel(), 0},
+		{"inline bypass hit", bypassHitModel(), 0},
+		{"sampled bypass GET + its refresh", sampledModel(), 0},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
@@ -187,20 +224,25 @@ func TestOperationAllocationCeilings(t *testing.T) {
 // costs a pointer in a record that exists anyway. The rest of each ceiling is
 // the helper that made the attempt, and the message the fabric lost: a
 // dropped transfer never goes back to its HCA's free list, while the rest of
-// the traffic, the answer included, costs nothing. A hedged GET is an RPC GET
-// (1) plus the message the home server never hears (1), the hedger's closure
+// the traffic, the answer included, costs nothing. A fallback's first
+// attempt never left the client, so its request handle is recycled: it is
+// the attempt (1) alone, its resolver spawned with no closure. A retransmit's
+// or a hedge's first attempt was sent and never answered — the server may
+// still read its message in the handle — so the handle is never recycled
+// and each such GET allocates a fresh one (1). A hedged GET is that handle
+// plus the message the home server never hears (1), the hedger's closure
 // (1), the second waiter it makes on the completion flag (1) and the attempt
-// (1). A fallback is an RPC GET (1) plus the attempt (1): its resolver is
-// spawned with no closure. A retransmitted GET is an RPC GET (1) plus the lost
-// message (1), the attempt (1) and the guard: its closure (1), its jitter
-// source (1: the rand.Rand around it stays on the guard's stack), and what
-// its waits leave behind (5): the completion flag's waiter list grows at each
-// of its three waits there (3: the two attempt-waits and the backoff between
-// them), and each attempt's nudge keeps the wakeup its attempt-wait put on it
-// until the nudge is re-armed or the request dropped (2). The attempt-waits
-// wait on the flag and the nudge directly, with no joined event and no
-// observers (the ceiling was 20 while they did). They were 21, 6 and 4 while
-// every answer and every resolver was allocated afresh.
+// (1). A retransmitted GET is the handle plus the lost message (1), the
+// attempt (1) and the guard: its closure (1), its jitter source (1: the
+// rand.Rand around it stays on the guard's stack), and what its waits leave
+// behind (5): the completion flag's waiter list grows at each of its three
+// waits there (3: the two attempt-waits and the backoff between them), and
+// each attempt's nudge keeps the wakeup its attempt-wait put on it until the
+// nudge is re-armed or the request dropped (2). The attempt-waits wait on the
+// flag and the nudge directly, with no joined event and no observers (the
+// ceiling was 20 while they did). They were 21, 6 and 4 while every answer
+// and every resolver was allocated afresh, and the fallback 2 while every
+// request had a handle of its own.
 func TestSecondAttemptAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -209,7 +251,7 @@ func TestSecondAttemptAllocationCeilings(t *testing.T) {
 	}{
 		{"retransmitted GET", retransmitModel(), 10},
 		{"hedged GET", hedgeModel(), 5},
-		{"bypass fallback", fallbackModel(), 2},
+		{"bypass fallback", fallbackModel(), 1},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {

@@ -27,7 +27,8 @@ const (
 // whole frame consumed a single flow-control credit; the record is what its
 // members' settle (issue.go) arbitrates through — who returns the credit
 // across batch acks, member responses, and per-op deadlines and cancels, and
-// who, giving back the last slot, drops the record.
+// who, giving back the last slot, drops the record. Its member list holds
+// each member's request until then: a late batch ack walks it.
 type txBatch struct {
 	id             uint64
 	members        []*attempt
@@ -108,15 +109,27 @@ func (att *attempt) frameable() bool {
 }
 
 // liveItems filters out of a frame the members that ended before they were
-// sent (settle took their pending entries with it).
+// sent (settle took their pending entries with it), giving back the queue's
+// hold on each.
 func (cn *conn) liveItems(items []*attempt) []*attempt {
 	out := items[:0]
 	for _, it := range items {
 		if it.state == attQueued {
 			out = append(out, it)
+		} else {
+			it.req.drop()
 		}
 	}
 	return out
+}
+
+// drop forgets the frame once its last slot is given back: the connection's
+// record of it goes, and so do the member list's holds.
+func (b *txBatch) drop() {
+	delete(b.members[0].cn.pendingBatch, b.id)
+	for _, att := range b.members {
+		att.req.drop()
+	}
 }
 
 // postBatch sends one coalesced frame. The caller already holds the frame's
@@ -129,9 +142,10 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	b := &txBatch{id: frame.BatchID, live: len(items)}
 	for _, att := range items {
 		frame.Reqs = append(frame.Reqs, &att.wire)
-		att.state = attSent
+		att.sent()
 		att.batch = b
 		b.members = append(b.members, att) // a copy: items may be the TX engine's stack
+		att.req.hold()
 		if att.wire.AckWanted {
 			frame.AckWanted = true
 		}
@@ -148,5 +162,6 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	p.Wait(sent)
 	for _, att := range items {
 		att.req.reusable.Fire()
+		att.req.drop() // the queue's hold
 	}
 }

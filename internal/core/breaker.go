@@ -36,8 +36,21 @@ type breaker struct {
 	probing  bool // half-open: the single probe is in flight
 	// probe is the attempt the slot was taken for, from the moment it exists
 	// (allow runs when the attempt is routed, attach when it is made): the
-	// one attempt that gives the slot back if it ends without a verdict.
+	// one attempt that gives the slot back if it ends without a verdict. It
+	// holds the attempt's request until the slot is given back or cleared
+	// (setProbe), so release never matches a record reused for another.
 	probe *attempt
+}
+
+// setProbe makes att (nil: none) the probe, moving the hold from the old one.
+func (b *breaker) setProbe(att *attempt) {
+	if b.probe != nil {
+		b.probe.req.drop()
+	}
+	b.probe = att
+	if att != nil {
+		att.req.hold()
+	}
 }
 
 // admits reports whether new traffic may be sent to this server: the
@@ -81,7 +94,8 @@ func (b *breaker) onSuccess() {
 	}
 	b.state = bkClosed
 	b.fails = 0
-	b.probing, b.probe = false, nil
+	b.probing = false
+	b.setProbe(nil)
 }
 
 // onFailure records a busy rejection or attempt timeout. A failed half-open
@@ -103,7 +117,8 @@ func (b *breaker) trip() {
 	b.state = bkOpen
 	b.openedAt = b.c.env.Now()
 	b.fails = 0
-	b.probing, b.probe = false, nil
+	b.probing = false
+	b.setProbe(nil)
 	b.c.Counters.Inc(metrics.CBreakerOpen)
 }
 
@@ -111,13 +126,14 @@ func (b *breaker) trip() {
 // hands the slot back when att, holding it, ended with no verdict to give.
 func (b *breaker) claim(att *attempt) {
 	if b.probing && b.probe == nil {
-		b.probe = att
+		b.setProbe(att)
 	}
 }
 
 func (b *breaker) release(att *attempt) {
 	if b.probe == att {
-		b.probing, b.probe = false, nil
+		b.probing = false
+		b.setProbe(nil)
 	}
 }
 

@@ -43,12 +43,16 @@ func (c *Client) SetBuffering(on bool) error {
 // complete: libmemcached reports BUFFERED as success, and nothing the server
 // later says about a deferred Set reaches its handle. Its attempt ends with
 // it, without a verdict, so whatever routing took for it — a half-open
-// breaker's probe slot — goes back through settle.
+// breaker's probe slot — goes back through settle. The queue holds the
+// request, whose record carries the message, until the server has answered
+// it (flushConn).
 func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
 	c.initReq(req, op)
 	p.Sleep(sim.TransferTime(op.ValueSize, sim.MemcpyBps)) // copy into the output buffer
-	cn.buffered = append(cn.buffered, &req.attach(cn, attOffWire).wire)
+	req.attach(cn, attOffWire)
+	req.hold()
+	cn.buffered = append(cn.buffered, req)
 	c.Counters.Inc(metrics.CIssued)
 	req.finish(completed, &protocol.Response{Status: protocol.StatusStored})
 	if len(cn.buffered) >= bufferFlushThreshold {
@@ -76,22 +80,34 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	cn.buffered = nil
 	c.Counters.Inc(metrics.CSends)
 	if len(batch) == 1 {
-		cn.stream.Send(p, batch[0].WireSize(), batch[0])
+		wire := &batch[0].first.wire
+		cn.stream.Send(p, wire.WireSize(), wire)
 	} else {
 		c.nextID++
-		frame := &protocol.BatchFrame{BatchID: c.nextID, Reqs: batch}
+		frame := &protocol.BatchFrame{BatchID: c.nextID, Reqs: make([]*protocol.Request, len(batch))}
+		for i, req := range batch {
+			frame.Reqs[i] = &req.first.wire
+		}
 		c.Counters.Inc(metrics.CFrames)
 		c.Counters.Add(metrics.CFrameOps, int64(len(batch)))
 		cn.stream.Send(p, frame.WireSize(), frame)
 	}
 	// Statuses of deferred sets are not reported per-op, and each was counted
 	// complete when it was queued: the responses are only drained, and
-	// released.
-	for range batch {
+	// released. The stream is in order, so the i-th is the i-th Set's answer
+	// — unless a stale reply of an abandoned exchange came first: from the
+	// first mismatch on, the queue keeps its holds, as the server may not be
+	// done with those messages.
+	answered := true
+	for _, req := range batch {
 		msg, ok := cn.stream.Recv(p)
 		if !ok {
 			break
 		}
-		msg.Payload.(*protocol.Response).Release()
+		resp := msg.Payload.(*protocol.Response)
+		if answered = answered && resp.ReqID == req.ID; answered {
+			req.drop()
+		}
+		resp.Release()
 	}
 }

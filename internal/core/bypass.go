@@ -128,14 +128,17 @@ type resolution struct {
 // spawn order, so each resolver takes the oldest waiting GET — its own —
 // and any resolver would do, since they are all alike.
 func (c *Client) startBypass(req *Req) {
+	req.hold()
 	c.resolving.TryPut(req)
 	c.env.Spawn("client/bypass", c.resolver)
 }
 
 // resolveNext is a bypass resolver process: it resolves the oldest GET
-// waiting for one, or hands it to the RPC path.
+// waiting for one, or hands it to the RPC path. It holds the request from
+// startBypass until it returns.
 func (c *Client) resolveNext(p *sim.Proc) {
 	req, _ := c.resolving.TryGet()
+	defer req.drop()
 	defer req.tagPanic()
 	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
 	if !r.resolve() {
@@ -182,7 +185,7 @@ func (r *resolution) resolve() bool {
 func (r *resolution) read(mr int, off int64, n int) (payload any, ok bool) {
 	r.reads++
 	r.bytes += n
-	return r.cn.postRead(r.p, &r.req.read, mr, off, n)
+	return r.cn.postRead(r.p, r.req, mr, off, n)
 }
 
 // probeOutcome is what one READ (or slot-then-segment pair) came to.
@@ -340,7 +343,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn) bool {
 		ev.Fire()
 	}()
 	c.Counters.Inc(metrics.CBypassBootstraps)
-	switch c.queryDir(p, cn, new(Req), "") {
+	switch c.queryDir(p, cn, "") {
 	case protocol.StatusOK:
 		cn.dirState = dirReady
 		return true
@@ -352,14 +355,17 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn) bool {
 }
 
 // queryDir asks cn's server for its directory geometry, membership epoch
-// and hot set with one OpDirQuery, sent as req — a zero request record —
-// and installs the answer on the connection. key, when not empty, is a GET
-// resolved one-sided that the server is to count as read heat. It returns
-// the answer's status: StatusNotFound when the server publishes no
-// directory, StatusError when no answer came in time.
-func (c *Client) queryDir(p *sim.Proc, cn *conn, req *Req, key string) protocol.Status {
+// and hot set with one OpDirQuery and installs the answer on the
+// connection. key, when not empty, is a GET resolved one-sided that the
+// server is to count as read heat. It returns the answer's status:
+// StatusNotFound when the server publishes no directory, StatusError when no
+// answer came in time. The query is a request like any other: its record
+// comes off the free list and goes back when it is answered.
+func (c *Client) queryDir(p *sim.Proc, cn *conn, key string) protocol.Status {
 	// A control op: it addresses the server, so nothing routes it, whatever
 	// key it carries.
+	req := c.newReq()
+	defer c.Release(req)
 	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key})
 	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
@@ -394,22 +400,25 @@ func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 
-// postRead hands one signaled one-sided READ to the connection's read
-// engine and blocks until its completion arrives via the demux engine. No
-// flow-control credit is consumed: the server never buffers anything for a
-// READ.
-func (cn *conn) postRead(p *sim.Proc, w *readWait, mr int, off int64, n int) (payload any, ok bool) {
+// postRead hands one signaled one-sided READ for req to the connection's
+// read engine and blocks until its completion arrives via the demux engine,
+// in req.read. No flow-control credit is consumed: the server never buffers
+// anything for a READ. The wait entry holds req until it is deleted.
+func (cn *conn) postRead(p *sim.Proc, req *Req, mr int, off int64, n int) (payload any, ok bool) {
 	c := cn.c
 	c.nextID++
 	id := c.nextID
+	w := &req.read
 	w.ev.Init(c.env)
-	cn.readWaits[id] = w
+	cn.readWaits[id] = req
+	req.hold()
 	cn.readq.TryPut(verbs.SendWR{
 		WRID: id, Op: verbs.OpRead, Size: n,
 		RemoteMR: mr, RemoteOff: off, Signaled: true,
 	})
 	if !p.WaitTimeout(&w.ev, bypassReadTimeout) {
 		delete(cn.readWaits, id)
+		req.drop()
 		return nil, false
 	}
 	payload, w.payload = w.payload, nil // the Req must not pin the slot it was answered from
@@ -450,12 +459,13 @@ func (cn *conn) readEngine(p *sim.Proc) {
 func (cn *conn) bypassEngine(p *sim.Proc) {
 	for {
 		comp := cn.sendCQ.WaitPoll(p)
-		w := cn.readWaits[comp.WRID]
-		if w == nil {
+		req := cn.readWaits[comp.WRID]
+		if req == nil {
 			continue // resolver gave up on this READ
 		}
 		delete(cn.readWaits, comp.WRID)
-		w.payload = comp.Payload
-		w.ev.Fire()
+		req.read.payload = comp.Payload
+		req.read.ev.Fire()
+		req.drop()
 	}
 }

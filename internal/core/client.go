@@ -20,7 +20,9 @@
 // Completion is observed with Test / Wait / WaitTimeout / WaitAny / WaitAll,
 // or abandoned with Cancel. Outcomes are read as errors: Req.Err() maps the
 // protocol status plus local timeout/cancel outcomes onto sentinel errors
-// (ErrNotFound, ErrDeadlineExceeded, ErrCanceled, …).
+// (ErrNotFound, ErrDeadlineExceeded, ErrCanceled, …). Once read, a request
+// is handed back with Release, and the client reuses its record for a later
+// Issue.
 //
 // API mapping from the paper's C extensions to Go:
 //
@@ -31,7 +33,8 @@
 //	    (wrappers: Client.BSet / Client.BGet)
 //	memcached_test/wait      → Client.Test / Client.Wait (+ WaitAny/WaitAll)
 //	memcached_req            → Req (completion flag, response buffer,
-//	    status, Err, timing)
+//	    status, Err, timing); the caller's req struct, reused for its next
+//	    operation → Client.Release, then the next Issue
 //	memcached_add/cas/incr/… → Issue(p, Op{Code: protocol.OpAdd, ...})
 //	    (commands.go keeps Gets, which an Op cannot spell)
 //
@@ -147,17 +150,25 @@ type Req struct {
 	Attempts int
 
 	// Everything an operation needs on its common path is embedded by value
-	// and set up in begin/initReq, so a request is one allocation: its three
-	// events, its parsed options, its first attempt (with the wire message
-	// that attempt sends), and the wait record of a bypass READ. Only a
+	// and set up in initReq, so a request is one record: its three events,
+	// its parsed options, its first attempt (with the wire message that
+	// attempt sends), and the wait record of a bypass READ. Only a
 	// retransmit, a hedge or a bypass fallback — a second attempt — allocates
 	// again, and the request owns those too: its attempts are chained from
 	// first in the order attach made them, cur the latest, and finish settles
-	// whichever are still outstanding. The server and the fabric hold pointers
-	// into first.wire while the message is in flight, which keeps the whole Req
-	// reachable until then; nothing is ever recycled, so no holder can outlive
-	// it. first.wire is also the template later attempts copy their message
-	// from: written in initReq and by the first attach, never after.
+	// whichever are still outstanding. first.wire is also the template later
+	// attempts copy their message from: written in initReq and by the first
+	// attach, never after.
+	//
+	// The record is recycled through its client's free list (Client.free):
+	// holds counts who may still touch it, and the last drop zeroes it and
+	// puts it back. The caller holds one from Issue until Release; so does
+	// every internal holder while it holds a pointer into the record — the
+	// TX queue or batch window, the server reading first.wire (from post
+	// until the first attempt is answered: one sent and never answered keeps
+	// its hold for good, and the record goes to the GC), the guard, hedge and
+	// bypass-resolver procs, conn.readWaits, a frame's member list and a
+	// half-open breaker's probe.
 	done     sim.Event // server response received ("completion flag")
 	reusable sim.Event // user buffers reusable
 	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
@@ -181,6 +192,60 @@ type Req struct {
 	how      outcome // how the request ended (finish); meaningless until done fires
 	acked    bool    // BufferAck received: the server holds the request
 	bypassed bool    // completed via one-sided bypass READ, no server CPU
+	released bool    // the caller's hold is given back (Release)
+	holds    int32   // who may still touch the record; see hold and drop
+}
+
+// hold adds one holder of the record.
+func (r *Req) hold() { r.holds++ }
+
+// drop gives back one hold; the last one zeroes the record and puts it on
+// its client's free list. Dropping a hold nobody took panics.
+func (r *Req) drop() {
+	if r.holds--; r.holds > 0 {
+		return
+	}
+	if r.holds < 0 {
+		panic("core: request dropped more often than held")
+	}
+	c := r.c
+	*r = Req{}
+	c.free = append(c.free, r)
+}
+
+// newReq hands out a zero request record holding one hold, its caller's:
+// from the free list when it has one. It panics if the record at the top of
+// the list was touched after its last drop.
+func (c *Client) newReq() *Req {
+	n := len(c.free)
+	if n == 0 {
+		return &Req{holds: 1}
+	}
+	r := c.free[n-1]
+	c.free = c.free[:n-1]
+	if r.holds != 0 || r.c != nil || r.done.Fired() || r.reusable.Fired() {
+		panic("core: a free request was touched after its last release")
+	}
+	r.holds = 1
+	return r
+}
+
+// Release gives the caller's hold on req back: the caller has read what it
+// keeps of the request, and the client may reuse the record for another
+// operation once its internal holders are done with it too. Every request
+// Issue returns is released at most once, after it is done; a caller that
+// never releases leaves the record to the GC. Releasing a request that is
+// not done, or a second time, panics. The blocking calls (Set, Get, Gets)
+// release their own.
+func (c *Client) Release(req *Req) {
+	if !req.done.Fired() {
+		panic("core: Release of a request that is not done (or was released already)")
+	}
+	if req.released {
+		panic("core: request released twice")
+	}
+	req.released = true
+	req.drop()
 }
 
 // Done reports whether the operation has completed (memcached_test).
@@ -245,6 +310,10 @@ type Client struct {
 	resolving *sim.Queue[*Req]
 	resolver  func(*sim.Proc)
 
+	// free is the request records whose last hold was dropped, zeroed, for
+	// Issue to take before it allocates (newReq).
+	free []*Req
+
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
 	// routing and bypass activity. Read one with Counters.Val.
@@ -293,7 +362,7 @@ type conn struct {
 	window       []*attempt          // ops parked by an open BeginBatch window
 	// IPoIB state
 	stream   *verbs.Stream
-	buffered []*protocol.Request // libmemcached-style deferred Sets
+	buffered []*Req // libmemcached-style deferred Sets
 	// brk is the per-server circuit breaker (nil when Config.Breaker is
 	// zero: no state, no routing change). Released on Retire.
 	brk *breaker
@@ -314,7 +383,7 @@ type conn struct {
 	dir       *protocol.DirectoryInfo
 	dirState  int
 	dirFetch  *sim.Event
-	readWaits map[uint64]*readWait
+	readWaits map[uint64]*Req // by WRID: the request whose read record waits
 	locs      map[string]locEntry
 	// readq feeds the READ-coalescing engine: concurrent resolvers enqueue
 	// WRs here and the engine sweeps the backlog under one doorbell, building
@@ -450,7 +519,7 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 	c.env.Spawn(name+"/tx", cn.txEngine)
 	c.env.Spawn(name+"/progress", cn.progressEngine)
 	if c.cfg.Bypass {
-		cn.readWaits = make(map[uint64]*readWait)
+		cn.readWaits = make(map[uint64]*Req)
 		cn.locs = make(map[string]locEntry)
 		cn.readq = sim.NewQueue[verbs.SendWR](c.env, 0)
 		cn.heat = sim.NewQueue[string](c.env, 0)
@@ -588,7 +657,10 @@ func (c *Client) WaitAll(p *sim.Proc, reqs []*Req) error {
 // With buffering enabled (SetBuffering), the Set is deferred client-side
 // instead, as classic libmemcached does.
 func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}).Status
+	req := c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire})
+	status := req.Status
+	c.Release(req)
+	return status
 }
 
 // Get fetches a value and blocks for the reply (memcached_get). With
@@ -596,11 +668,13 @@ func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, e
 // overhead the paper's Section IV-A attributes to the behaviour-based mode.
 func (c *Client) Get(p *sim.Proc, key string) (value any, size int, status protocol.Status) {
 	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key})
-	return req.Value, req.ValueSize, req.Status
+	value, size, status = req.Value, req.ValueSize, req.Status
+	c.Release(req)
+	return value, size, status
 }
 
 // roundTrip runs op to completion on the connection its key routes to and
-// returns its handle: Issue + Wait.
+// returns its handle, which the caller releases: Issue + Wait.
 func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 	req, _ := c.Issue(p, op, opts...)
 	c.Wait(p, req)
@@ -629,11 +703,15 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	p.Sleep(prepCost)
 	c.initReq(req, op)
 	// The exchange is the request's one attempt, resends included: it holds
-	// nothing a socket connection could give back but its verdict.
+	// nothing a socket connection could give back but its verdict. The
+	// server reads its message in the request record, which it holds until
+	// the answer comes — for good if the message was sent more than once,
+	// since the server may read another copy after answering one.
 	att := req.attach(cn, attOffWire)
 	wire := &att.wire // a socket connection has no response region to name
 	c.Counters.Inc(metrics.CIssued)
 	c.Counters.Inc(metrics.CSends)
+	req.hold()
 	cn.stream.Send(p, wire.WireSize(), wire)
 	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
@@ -663,6 +741,9 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 				continue // stale reply from an abandoned request
 			}
 			att.settle(answered)
+			if req.Attempts == 1 {
+				req.drop()
+			}
 			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)
 			resp.Release()

@@ -16,7 +16,9 @@ import (
 // the server an OpCAS on the key would go to (see casRead).
 func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64, status protocol.Status) {
 	req := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead)
-	return req.Value, req.ValueSize, req.CAS, req.Status
+	value, size, cas, status = req.Value, req.ValueSize, req.CAS, req.Status
+	c.Release(req)
+	return value, size, cas, status
 }
 
 // CounterSize is the stored size of a numeric counter value: what OpIncr

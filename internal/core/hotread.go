@@ -76,12 +76,9 @@ func (c *Client) tickHeat(cn *conn, key string) {
 
 // refresher is cn's hot-set refresh process, one per bypass connection:
 // parked until tickHeat hands it a key, it sends one OpDirQuery carrying it
-// and installs the answer. It reuses one request record for every query that
-// was answered; a query that timed out keeps its record — the message may
-// still be queued or in flight — and the next takes a fresh one.
+// and installs the answer.
 func (cn *conn) refresher(p *sim.Proc) {
 	c := cn.c
-	req := new(Req)
 	for {
 		key, ok := cn.heat.Get(p)
 		if !ok {
@@ -91,12 +88,7 @@ func (cn *conn) refresher(p *sim.Proc) {
 		if key != "" {
 			c.Counters.Inc(metrics.CHotSamples)
 		}
-		c.queryDir(p, cn, req, key)
-		if req.TimedOut() {
-			req = new(Req)
-		} else {
-			*req = Req{}
-		}
+		c.queryDir(p, cn, key)
 		cn.hotRefresh = false
 	}
 }

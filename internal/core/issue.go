@@ -139,12 +139,13 @@ func casRead(o *issueOpts) {
 // stack has no non-blocking send, so on IPoIB it is already complete (Wait
 // returns at once, Err agrees with Status). The error is always nil: it
 // stands where memcached_iset/iget return their memcached_return_t, and how
-// an operation went is Req.Err.
+// an operation went is Req.Err. The caller holds the handle until it hands
+// it back with Release, once done and read.
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	// The options are parsed straight into the handle they belong to: a
 	// local issueOpts would escape through the option funcs and be a second
 	// allocation on every operation.
-	req := new(Req)
+	req := c.newReq()
 	for _, fn := range opts {
 		fn(&req.opts)
 	}
@@ -238,7 +239,9 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 // must not delay recovery; and never the key-less control op, which no frame
 // may carry — see frameable). A request that ended while the attempt was
 // being prepared gets none: nothing would ever settle it. It does not touch
-// metrics.CIssued: retransmits are attempts, not operations.
+// metrics.CIssued: retransmits are attempts, not operations. The window or
+// the queue holds the request until the TX engine has posted the attempt or
+// dropped it (post, liveItems).
 func (c *Client) enqueueWire(req *Req, cn *conn) {
 	if req.done.Fired() {
 		return
@@ -247,6 +250,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn) {
 	att := req.attach(cn, attQueued)
 	att.wire.RespMR = cn.respMR.LKey()
 	cn.pending[att.id] = att
+	req.hold()
 	if first && c.batching > 0 && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
@@ -362,7 +366,9 @@ func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
 // startGuard starts the watchdog process for a request issued with a
 // deadline and/or retry policy.
 func (c *Client) startGuard(req *Req) {
+	req.hold()
 	c.env.Spawn("client/guard", func(p *sim.Proc) {
+		defer req.drop()
 		defer req.tagPanic()
 		o := &req.opts
 		var deadline sim.Time
@@ -427,7 +433,9 @@ func (c *Client) startGuard(req *Req) {
 // completes the request; finish settles the other, whose answer then finds
 // nothing and is absorbed as stale.
 func (c *Client) startHedge(req *Req, after sim.Time) {
+	req.hold()
 	c.env.Spawn("client/hedge", func(p *sim.Proc) {
+		defer req.drop()
 		defer req.tagPanic()
 		if p.WaitTimeout(&req.done, after) || req.done.Fired() {
 			if req.bypassed {
@@ -515,8 +523,15 @@ const (
 // attempt ends once, whoever gets there first. Nothing of a settled attempt
 // stays on the connection, so what the server still sends for it — a late
 // response, a late BufferAck — finds no entry and counts as stale.
+//
+// A request's first attempt that was sent and is answered — with a value, a
+// rejection or a shed — gives back the hold its message took at post: the
+// server has done with it. One that ends any other way keeps it: the server
+// may still read the message, so the request record is never reused.
 func (att *attempt) settle(how ending) {
 	cn := att.cn
+	req := att.req
+	heard := att.state >= attSent && how > acked && how <= refused && att == &req.first
 	switch att.state {
 	case attSettled:
 		return
@@ -531,7 +546,7 @@ func (att *attempt) settle(how ending) {
 				b.live--
 			}
 			if b.live == 0 {
-				delete(cn.pendingBatch, b.id)
+				b.drop()
 			}
 			release = (how <= refused || b.live == 0) && !b.creditReturned
 			b.creditReturned = b.creditReturned || release
@@ -554,8 +569,8 @@ func (att *attempt) settle(how ending) {
 		// does not (a fast rejection is not fast service). Bypass resolutions
 		// are their own class: one-sided READs never touch the server CPU, so
 		// their tail degrades with the fabric and the host memory system.
-		class, ok := classOfOp(att.req.Op)
-		if att.req.bypassed {
+		class, ok := classOfOp(req.Op)
+		if req.bypassed {
 			class = hcBypass
 		}
 		if ok {
@@ -569,6 +584,9 @@ func (att *attempt) settle(how ending) {
 		if cn.brk != nil {
 			cn.brk.release(att)
 		}
+	}
+	if heard {
+		req.drop()
 	}
 }
 
@@ -642,7 +660,7 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 		return
 	}
 	att := items[0]
-	att.state = attSent
+	att.sent()
 	cn.c.Counters.Inc(metrics.CSends)
 	sent := cn.qp.PostSend(p, verbs.SendWR{
 		Op:      verbs.OpSend,
@@ -653,6 +671,17 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 	// pipelines exactly like the hardware send queue.
 	p.Wait(sent)
 	att.req.reusable.Fire()
+	att.req.drop() // the queue's hold
+}
+
+// sent marks the attempt as on the wire. The first attempt's message lives
+// in the request record, which the server reads from now on: it takes a hold
+// that settle gives back once the attempt is answered.
+func (att *attempt) sent() {
+	att.state = attSent
+	if att == &att.req.first {
+		att.req.hold()
+	}
 }
 
 // progressEngine polls the receive CQ: returns credits, lands values in the

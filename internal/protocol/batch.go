@@ -44,6 +44,18 @@ func (f *BatchFrame) WireSize() int {
 	return n
 }
 
+// Snapshot is a copy of f and of every member for a duplicated delivery, as
+// Request.Snapshot.
+func (f *BatchFrame) Snapshot() any {
+	c := *f
+	c.Reqs = make([]*Request, len(f.Reqs))
+	for i, r := range f.Reqs {
+		m := *r
+		c.Reqs[i] = &m
+	}
+	return &c
+}
+
 // Marshal encodes the frame header, offset table, and member headers into
 // dst (appending; pass nil or a reused slice). Inline values occupy the
 // trailing region in WireSize terms but, as everywhere in the simulation,

@@ -190,6 +190,14 @@ func (r *Request) WireSize() int {
 	return reqFixedBytes + len(r.Key) + r.ValueSize
 }
 
+// Snapshot is a copy of r for a duplicated delivery (simnet.Snapshotter): a
+// client keeps the message in a request record it reuses once the request is
+// answered, so a second copy the server reads later must not alias it.
+func (r *Request) Snapshot() any {
+	c := *r
+	return &c
+}
+
 // HeaderSize returns the bytes of the request header alone (no value).
 func (r *Request) HeaderSize() int {
 	return reqFixedBytes + len(r.Key)

@@ -131,6 +131,16 @@ type Corruptible interface {
 	CorruptCopy() any
 }
 
+// Snapshotter is a payload that points into memory its sender may reuse once
+// the receiver has answered it — a request message kept in its sender's
+// request record. When the message is duplicated, each delivery carries a
+// Snapshot of its own: the bytes as they were serialized, since the sender
+// reuses its memory after the first answer, knowing of no second copy.
+// Snapshot returns nil when the payload may be delivered twice as it is.
+type Snapshotter interface {
+	Snapshot() any
+}
+
 // Fabric is the switch plus its attached nodes.
 type Fabric struct {
 	env    *sim.Env
@@ -270,6 +280,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 		}
 		deliverAt := p.Now() + PropDelay + f.spec.RecvCPU
 		fl.arriving = msg
+		var dup *Flight
 		if f.faults != nil {
 			v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, p.Now())
 			if v.Drop {
@@ -277,9 +288,6 @@ func (n *Node) txEngine(p *sim.Proc) {
 				continue
 			}
 			deliverAt += v.ExtraDelay
-			if v.Duplicate {
-				fl.owed = 2
-			}
 			if v.Corrupt {
 				if c, ok := msg.Payload.(Corruptible); ok {
 					cm := *msg
@@ -288,12 +296,44 @@ func (n *Node) txEngine(p *sim.Proc) {
 					f.Corrupted++
 				}
 			}
+			if v.Duplicate {
+				if dup = fl.snapshot(); dup == nil {
+					fl.owed = 2
+				}
+			}
 		}
 		for i := 0; i < fl.owed; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
 			f.env.AtCall(deliverAt+sim.Time(i)*f.spec.RecvCPU, fl)
 		}
+		if dup != nil {
+			f.env.AtCall(deliverAt+f.spec.RecvCPU, dup)
+		}
 	}
+}
+
+// snapshot splits the delivery of a duplicated message whose payload is a
+// Snapshotter that copies into two deliveries of copies: fl delivers one, and
+// the Flight returned — of its own, belonging to no one — the other. Neither
+// aliases the sender's memory: the receiver may still be reading one copy
+// after it answered the other. nil means fl delivers the message twice.
+func (fl *Flight) snapshot() *Flight {
+	s, ok := fl.arriving.Payload.(Snapshotter)
+	if !ok {
+		return nil
+	}
+	payload := s.Snapshot()
+	if payload == nil {
+		return nil
+	}
+	dup := &Flight{dst: fl.dst, owed: 1}
+	dup.msg = *fl.arriving
+	dup.msg.Payload = payload
+	dup.arriving = &dup.msg
+	first := dup.msg
+	first.Payload = s.Snapshot()
+	fl.arriving = &first
+	return dup
 }
 
 // Post hands a message to the NIC without charging caller CPU time (the

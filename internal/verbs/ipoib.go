@@ -58,6 +58,17 @@ type streamWire struct {
 	msg       StreamMsg
 }
 
+// Snapshot implements simnet.Snapshotter for stream traffic, as wire's does.
+func (w *streamWire) Snapshot() any {
+	payload := snapshot(w.msg.Payload)
+	if payload == nil {
+		return nil
+	}
+	g := *w
+	g.msg.Payload = payload
+	return &g
+}
+
 // streamSend is one IPoIB message on the fabric, in a single allocation: the
 // stream wire and the Flight that carries it. Like a verbs transfer, it is
 // taken from the sending Host's free list and handed back by the fabric after

@@ -286,6 +286,28 @@ func (w *wire) CorruptCopy() any {
 	return &g
 }
 
+// Snapshot implements simnet.Snapshotter for verbs traffic: a duplicated
+// SEND carries a copy of what the work request carried, when that payload
+// copies itself (a request in its sender's request record); anything else is
+// delivered twice as it is.
+func (w *wire) Snapshot() any {
+	payload := snapshot(w.payload)
+	if payload == nil {
+		return nil
+	}
+	g := *w
+	g.payload = payload
+	return &g
+}
+
+// snapshot is payload's Snapshot, or nil when it takes none.
+func snapshot(payload any) any {
+	if s, ok := payload.(simnet.Snapshotter); ok {
+		return s.Snapshot()
+	}
+	return nil
+}
+
 // transfer is one verbs message on the fabric, in a single allocation: the
 // wire record the peer's HCA reads and the fabric's Flight that carries it.
 // The posting HCA takes it from its free list; the fabric holds it until its

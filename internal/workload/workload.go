@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"hybridkv/internal/protocol"
 )
@@ -86,9 +87,35 @@ func New(cfg Config) *Generator {
 	return g
 }
 
-// zipfCDF precomputes the cumulative rank distribution P(rank ≤ k) for a
-// zipfian with exponent s over n ranks.
+// zipfCDFs memoises zipfCDF per (n, s): every generator of a run — and
+// every cell of a registry run, which cells run on several goroutines at
+// once — shares one read-only table per shape.
+var (
+	zipfMu   sync.Mutex
+	zipfCDFs = map[zipfShape][]float64{}
+)
+
+type zipfShape struct {
+	n int
+	s float64
+}
+
+// zipfCDF returns the cumulative rank distribution P(rank ≤ k) for a
+// zipfian with exponent s over n ranks, computed once per shape. Callers
+// must not write to it.
 func zipfCDF(n int, s float64) []float64 {
+	zipfMu.Lock()
+	defer zipfMu.Unlock()
+	shape := zipfShape{n, s}
+	cdf, ok := zipfCDFs[shape]
+	if !ok {
+		cdf = newZipfCDF(n, s)
+		zipfCDFs[shape] = cdf
+	}
+	return cdf
+}
+
+func newZipfCDF(n int, s float64) []float64 {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {

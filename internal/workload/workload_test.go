@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -120,6 +121,44 @@ func TestZipfCDFMonotone(t *testing.T) {
 	for i := 1; i < len(cdf); i++ {
 		if cdf[i] < cdf[i-1] {
 			t.Fatalf("CDF not monotone at %d", i)
+		}
+	}
+}
+
+// Generators of one shape built at once on several goroutines — as mc-bench
+// runs cells — share one table, equal to a fresh computation, and draw the
+// stream a lone generator of the seed draws.
+func TestZipfCDFSharedAcrossGoroutines(t *testing.T) {
+	const n, s = 4321, 0.77
+	cfg := Config{Keys: n, ZipfS: s, Pattern: Zipf, ReadFraction: 1, Seed: 5}
+	gens := make([]*Generator, 8)
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gens[i] = New(cfg)
+		}()
+	}
+	wg.Wait()
+	want := newZipfCDF(n, s)
+	lone := New(cfg)
+	for i, g := range gens {
+		if &g.cdf[0] != &gens[0].cdf[0] {
+			t.Errorf("generator %d has a table of its own", i)
+		}
+		for k, v := range g.cdf {
+			if v != want[k] {
+				t.Fatalf("generator %d: cdf[%d] = %v, want %v", i, k, v, want[k])
+			}
+		}
+	}
+	for range 100 {
+		_, key := lone.Next()
+		for i, g := range gens {
+			if _, got := g.Next(); got != key {
+				t.Fatalf("generator %d drew %q, a lone one %q", i, got, key)
+			}
 		}
 	}
 }
