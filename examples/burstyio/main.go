@@ -38,7 +38,7 @@ func main() {
 			// (memcached_wait) — completion is guaranteed block by block.
 			reqs := make([]*core.Req, 0, bc.ChunksPerBlock())
 			for ch := 0; ch < bc.ChunksPerBlock(); ch++ {
-				req, err := c.ISet(p, bc.ChunkKey(blk, ch), bc.ChunkSize, blk, 0, 0)
+				req, err := c.ISet(p, bc.ChunkKey(blk, ch), bc.ChunkSize, blk, 0)
 				if err != nil {
 					panic(err)
 				}

@@ -59,7 +59,7 @@ func main() {
 			t0 := p.Now()
 			reqs := make([]*core.Req, 0, nOps)
 			for i := 0; i < nOps; i++ {
-				req, err := c.ISet(p, fmt.Sprintf("result:%04d", i), valueSize, i, 0, 0)
+				req, err := c.ISet(p, fmt.Sprintf("result:%04d", i), valueSize, i, 0)
 				if err != nil {
 					panic(err)
 				}

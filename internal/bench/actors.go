@@ -266,7 +266,7 @@ func (r *run) sweepLostAcked(p *sim.Proc, cl *cluster.Cluster, settle sim.Time, 
 			if !live(sid) {
 				continue
 			}
-			if v, _, _, _, ok := s.Store().ReadItem(p, k); ok {
+			if v, _, _, ok := s.Store().ReadItem(p, k); ok {
 				if seq, _ := v.(uint64); seq >= r.lastOK[k] {
 					held = true
 					break

@@ -6,6 +6,7 @@ import (
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/history"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/workload"
 )
 
 // chainRun runs the shared CAS-chain writers (and the counter) on a quiet,
@@ -111,7 +112,7 @@ func TestScheduleTiming(t *testing.T) {
 		Design: cluster.HRDMAOptNonBB, Profile: cluster.ClusterA(), Servers: 3, Clients: 1,
 		ServerMem: 1 << 20, ReplicationFactor: 2,
 	}}).build()
-	cl.Preload(1024, 4<<10, keyOf) // 4 MB at R=2 over 3 MB of RAM: the recovery scan has pages to read
+	cl.Preload(1024, 4<<10, workload.KeyOf) // 4 MB at R=2 over 3 MB of RAM: the recovery scan has pages to read
 	log := &history.Log{}
 	start := cl.Env.Now()
 	spawnSchedule(cl, nil, log, []step{

@@ -61,7 +61,7 @@ func TestBatchOneMatchesPlainDriver(t *testing.T) {
 				var req *core.Req
 				var err error
 				if kind == workload.OpSet {
-					req, err = client.ISet(p, key, vs, key, 0, 0)
+					req, err = client.ISet(p, key, vs, key, 0)
 				} else {
 					req, err = client.IGet(p, key)
 				}

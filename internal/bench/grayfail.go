@@ -10,6 +10,7 @@ import (
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/workload"
 )
 
 // The gray-failure experiment: one limping server out of five at R=2. The
@@ -133,7 +134,7 @@ func grayCell(rounds, gets int, seed int64, def grayDefense) cell {
 			g.hedge = grayHedge
 			spawnArrivals(cl, c, arrivals{
 				n:    gets,
-				op:   func(i int) core.Op { return core.Op{Code: protocol.OpGet, Key: keyOf(i % grayKeys)} },
+				op:   func(i int) core.Op { return core.Op{Code: protocol.OpGet, Key: workload.KeyOf(i % grayKeys)} },
 				gap:  grayGetGap,
 				from: start + grayMeasureFrom,
 			}, g.opts(false), r)

@@ -88,7 +88,7 @@ func hotkeyCell(path string, replicas, ops int) cell {
 				perClient: hotWorkers, ops: ops / (hotClients * hotWorkers),
 				gen: func(worker int) *workload.Generator { return sp.gen(zipf(0.95, int64(1000+worker))) },
 				pick: func(i int, rel sim.Time) (workload.OpKind, string, bool) {
-					return workload.OpGet, keyOf(0), arr.InBurst(rel) && i%8 != 0
+					return workload.OpGet, workload.KeyOf(0), arr.InBurst(rel) && i%8 != 0
 				},
 				think:    arr.Think,
 				finished: startCrawlers(cl, hotClients*hotWorkers, r),

@@ -48,12 +48,12 @@ func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.
 			dev.SetTornWrites(int64(1000+i), recoveryTornProb)
 		}
 	}
-	// Idempotent preload: the value for keyOf(i) is always keyOf(i), so a
+	// Idempotent preload: the value of key i is always the key itself, so a
 	// recovered value is correct iff it equals its key — stale or torn data
 	// surfacing after recovery is directly observable.
 	cl.Env.Spawn("preload", func(p *sim.Proc) {
 		for i := 0; i < recoveryKeys; i++ {
-			c.Set(p, keyOf(i), recoveryKV, keyOf(i), 0, 0)
+			c.Set(p, workload.KeyOf(i), recoveryKV, workload.KeyOf(i), 0, 0)
 		}
 	})
 	cl.Env.Run()
@@ -88,7 +88,7 @@ func recoveryPhase(cl *cluster.Cluster, w workload.Config, ops int, crashAt sim.
 			p.Sleep(sim.Millisecond)
 		}
 		for i := 0; i < recoveryKeys; i++ {
-			k := keyOf(i)
+			k := workload.KeyOf(i)
 			req := do(p, c, core.Op{Code: protocol.OpGet, Key: k}, opts)
 			if req.Err() == nil {
 				hits++

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
 	"hybridkv/internal/sim"
@@ -13,15 +11,16 @@ import (
 // standard preload. Every cluster in the package is built here.
 type spec struct {
 	cluster.Config
-	// keys values of kv bytes are preloaded under keyOf before the driver
-	// runs (keys == 0: nothing, or the driver preloads values it can check).
+	// keys values of kv bytes are preloaded under workload.KeyOf before the
+	// driver runs (keys == 0: nothing, or the driver preloads values it can
+	// check).
 	keys, kv int
 }
 
 func (s *spec) build() *cluster.Cluster {
 	cl := cluster.New(s.Config)
 	if s.keys > 0 {
-		cl.Preload(s.keys, s.kv, keyOf)
+		cl.Preload(s.keys, s.kv, workload.KeyOf)
 	}
 	return cl
 }
@@ -46,9 +45,6 @@ func paperSpec(d cluster.Design, prof cluster.Profile, mem, dataBytes int64, kv 
 		keys:   int(dataBytes / int64(kv)), kv: kv,
 	}
 }
-
-// keyOf is the canonical key naming shared with workload.Generator.Key.
-func keyOf(i int) string { return fmt.Sprintf("obj:%010d", i) }
 
 // zipfS is the zipfian exponent of every skewed workload: the YCSB default.
 // The paper says only "Zipf-like ... repeated requests to a subset"; the

@@ -46,7 +46,7 @@ func TestRottedReplicaRepairsWhenAPeerPullsIt(t *testing.T) {
 		cl.Replicators[puller].OnCorrupt(p, key)
 		p.Sleep(5 * sim.Millisecond)
 		pulls = cl.Replicators[rotted].Counters.Val(metrics.CRepairPulls)
-		got, _, _, _, held = cl.Servers[rotted].Store().ReadItem(p, key)
+		got, _, _, held = cl.Servers[rotted].Store().ReadItem(p, key)
 	})
 	cl.Env.RunUntil(cl.Env.Now() + sim.Second)
 	if pulls == 0 {

@@ -41,7 +41,7 @@ func Example_nonBlocking() {
 	cl.Env.Spawn("app", func(p *sim.Proc) {
 		var reqs []*core.Req
 		for i := 0; i < 4; i++ {
-			req, err := c.ISet(p, fmt.Sprintf("chunk:%d", i), 4096, i, 0, 0)
+			req, err := c.ISet(p, fmt.Sprintf("chunk:%d", i), 4096, i, 0)
 			if err != nil {
 				panic(err)
 			}

@@ -111,7 +111,7 @@ func TestJoinMigratesAndServes(t *testing.T) {
 		for i := 0; i < memKeys; i++ {
 			key := memKey(i)
 			member := memHas(ring.Replicas(key, 2), 3)
-			_, _, _, _, ok := srv.Store().ReadItem(p, key)
+			_, _, _, ok := srv.Store().ReadItem(p, key)
 			if member {
 				owned++
 				if !ok {
@@ -134,7 +134,7 @@ func TestJoinMigratesAndServes(t *testing.T) {
 				if memHas(ring.Replicas(key, 2), sid) {
 					continue
 				}
-				if _, _, _, _, ok := s.Store().ReadItem(p, key); ok {
+				if _, _, _, ok := s.Store().ReadItem(p, key); ok {
 					t.Errorf("server %d still holds %q after losing it to the joiner", sid, key)
 				}
 			}
@@ -250,7 +250,7 @@ func TestAbruptLeaveReReplicates(t *testing.T) {
 		for i := 0; i < memKeys; i++ {
 			key := memKey(i)
 			for _, sid := range ring.Replicas(key, 2) {
-				if _, _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, key); !ok {
+				if _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, key); !ok {
 					t.Errorf("server %d missing re-replicated copy of %q", sid, key)
 				}
 			}

@@ -76,7 +76,7 @@ func TestReplicatedPathMatrix(t *testing.T) {
 					c.WaitAll(p, reqs)
 					for i, key := range keys {
 						for sid, s := range cl.Servers {
-							if v, _, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(i+1) {
+							if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(i+1) {
 								t.Errorf("server %d holds %v for %s (present=%v), want %d", sid, v, key, ok, i+1)
 							}
 						}

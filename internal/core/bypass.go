@@ -34,7 +34,7 @@ import (
 //	            back to the slot.
 //
 // Verdicts the directory cannot turn into a value — no way holding the
-// key's digest, SSD-resident, expired — fall back to the ordinary RPC GET
+// key's digest, SSD-resident — fall back to the ordinary RPC GET
 // at once. Transient doubts — an odd (mid-mutation) seqlock version, version
 // skew between slot and segment, a segment superseded between the two
 // READs — mean a writer was mid-flight: the resolver READs the slot again
@@ -226,9 +226,6 @@ func (r *resolution) probeSlot() probeOutcome {
 	}
 	// Inline: the slot READ already moved the value, under the version just
 	// checked.
-	if segExpired(slot.ExpireAt, r.p.Now()) {
-		return probeFallback
-	}
 	r.complete(&protocol.DirSegment{
 		ValueSize: slot.ValueSize, Flags: slot.Flags, CAS: slot.CAS, Value: slot.Value,
 	})
@@ -267,18 +264,11 @@ func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 	if !isSeg || seg.Digest != r.digest || (version != 0 && seg.Version != version) {
 		return probeTransient
 	}
-	if segExpired(seg.ExpireAt, r.p.Now()) {
-		return probeFallback
-	}
 	if version != 0 {
 		cn.locs[r.req.Key] = loc // the next GET of this key starts here
 	}
 	r.complete(&seg)
 	return probeResolved
-}
-
-func segExpired(expireAt int64, now sim.Time) bool {
-	return expireAt != 0 && now >= sim.Time(expireAt)
 }
 
 // complete lands a validated value in the request and books what the hit

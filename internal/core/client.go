@@ -560,8 +560,7 @@ func (c *Client) initReq(req *Req, op Op) {
 	req.c = c
 	req.IssuedAt = c.env.Now()
 	req.first.wire = protocol.Request{
-		Op: op.Code, Key: op.Key,
-		Flags: op.Flags, Expire: op.Expire,
+		Op: op.Code, Key: op.Key, Flags: op.Flags,
 		ValueSize: op.ValueSize, Value: op.Value,
 		CAS: op.CAS, Delta: op.Delta,
 		AckWanted: req.opts.ack,
@@ -578,8 +577,8 @@ func (c *Client) initReq(req *Req, op Op) {
 
 // ISet issues a non-blocking Set. The key/value buffers must NOT be reused
 // until Wait/Test report completion (memcached_iset).
-func (c *Client) ISet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) (*Req, error) {
-	return c.Issue(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire})
+func (c *Client) ISet(p *sim.Proc, key string, valueSize int, value any, flags uint32) (*Req, error) {
+	return c.Issue(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags})
 }
 
 // IGet issues a non-blocking Get. The key buffer must NOT be reused until
@@ -591,8 +590,8 @@ func (c *Client) IGet(p *sim.Proc, key string) (*Req, error) {
 // BSet issues a non-blocking Set and returns once the key/value buffers are
 // reusable (memcached_bset): when the value has left the NIC, or — against
 // an async server — when the server acknowledges it is buffered.
-func (c *Client) BSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) (*Req, error) {
-	return c.Issue(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire}, WithBufferAck())
+func (c *Client) BSet(p *sim.Proc, key string, valueSize int, value any, flags uint32) (*Req, error) {
+	return c.Issue(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags}, WithBufferAck())
 }
 
 // BGet issues a non-blocking Get and returns once the key buffer is
@@ -655,9 +654,13 @@ func (c *Client) WaitAll(p *sim.Proc, reqs []*Req) error {
 
 // Set stores a value and blocks for the server's reply (memcached_set).
 // With buffering enabled (SetBuffering), the Set is deferred client-side
-// instead, as classic libmemcached does.
+// instead, as classic libmemcached does. The store keeps no expiry: expire is
+// memcached's TTL argument, and anything but 0 panics.
 func (c *Client) Set(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	req := c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags, Expire: expire})
+	if expire != 0 {
+		panic("core: Set with a TTL; the store keeps no expiry")
+	}
+	req := c.roundTrip(p, Op{Code: protocol.OpSet, Key: key, ValueSize: valueSize, Value: value, Flags: flags})
 	status := req.Status
 	c.Release(req)
 	return status

@@ -147,18 +147,16 @@ func TestGetMissReturnsNotFound(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
+// The store keeps no expiry: a TTL handed to the blocking Set panics before
+// anything is sent, rather than being stored as "never".
+func TestSetPanicsOnATTL(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA})
-	var st1, st2 protocol.Status
-	r.env.Spawn("bench", func(p *sim.Proc) {
-		r.client.Set(p, "k", 100, "v", 0, 0)
-		st1 = r.client.roundTrip(p, Op{Code: protocol.OpDelete, Key: "k"}).Status
-		_, _, st2 = r.client.Get(p, "k")
-	})
-	r.env.Run()
-	if st1 != protocol.StatusDeleted || st2 != protocol.StatusNotFound {
-		t.Errorf("delete=%v get-after=%v", st1, st2)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set with a 60 s TTL did not panic")
+		}
+	}()
+	r.client.Set(nil, "k", 100, "v", 0, 60)
 }
 
 func TestBlockingIPoIBSlowerThanRDMA(t *testing.T) {
@@ -190,7 +188,7 @@ func TestNonBlockingBatchCompletes(t *testing.T) {
 	var reqs []*Req
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			req, err := r.client.ISet(p, fmt.Sprintf("k%04d", i), 8*1024, i, 0, 0)
+			req, err := r.client.ISet(p, fmt.Sprintf("k%04d", i), 8*1024, i, 0)
 			if err != nil {
 				t.Errorf("iset: %v", err)
 				return
@@ -244,7 +242,7 @@ func TestNonBlockingFasterThanBlocking(t *testing.T) {
 			t0 := p.Now()
 			var reqs []*Req
 			for i := 0; i < n; i++ {
-				req, _ := r.client.ISet(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
+				req, _ := r.client.ISet(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0)
 				reqs = append(reqs, req)
 			}
 			r.client.WaitAll(p, reqs)
@@ -262,7 +260,7 @@ func TestBSetBuffersReusableBeforeCompletion(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	var reusableAt, doneAt sim.Time
 	r.env.Spawn("bench", func(p *sim.Proc) {
-		req, err := r.client.BSet(p, "k", 512*1024, "big", 0, 0)
+		req, err := r.client.BSet(p, "k", 512*1024, "big", 0)
 		if err != nil {
 			t.Errorf("bset: %v", err)
 			return
@@ -282,11 +280,11 @@ func TestISetReturnsBeforeDataLeavesNIC(t *testing.T) {
 	var isetRet, bsetRet sim.Time
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		t0 := p.Now()
-		req, _ := r.client.ISet(p, "k1", 1<<20, "v", 0, 0)
+		req, _ := r.client.ISet(p, "k1", 1<<20, "v", 0)
 		isetRet = p.Now() - t0
 		r.client.Wait(p, req)
 		t0 = p.Now()
-		req2, _ := r.client.BSet(p, "k2", 1<<20, "v", 0, 0)
+		req2, _ := r.client.BSet(p, "k2", 1<<20, "v", 0)
 		bsetRet = p.Now() - t0
 		r.client.Wait(p, req2)
 	})
@@ -303,7 +301,7 @@ func TestISetReturnsBeforeDataLeavesNIC(t *testing.T) {
 func TestTestSemantics(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	r.env.Spawn("bench", func(p *sim.Proc) {
-		req, _ := r.client.ISet(p, "k", 32*1024, "v", 0, 0)
+		req, _ := r.client.ISet(p, "k", 32*1024, "v", 0)
 		if r.client.Test(req) {
 			t.Errorf("Test true immediately after issue")
 		}
@@ -340,7 +338,7 @@ func TestIssueOnIPoIB(t *testing.T) {
 		}
 		issue := func(op Op, opts ...IssueOption) *Req { return done(r.client.Issue(p, op, opts...)) }
 		// Listing 1's bset/bget are Issue with a BufferAck option: inert here.
-		if req := done(r.client.BSet(p, "k", 100, "v", 0, 0)); req.Err() != nil || req.Acked() {
+		if req := done(r.client.BSet(p, "k", 100, "v", 0)); req.Err() != nil || req.Acked() {
 			t.Errorf("bset: err %v, acked %v", req.Err(), req.Acked())
 		}
 		if req := done(r.client.BGet(p, "k")); req.Value != "v" || req.Acked() {
@@ -391,7 +389,7 @@ func TestMultiServerDistribution(t *testing.T) {
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		var reqs []*Req
 		for i := 0; i < n; i++ {
-			req, _ := r.client.ISet(p, fmt.Sprintf("key-%05d", i), 4096, i, 0, 0)
+			req, _ := r.client.ISet(p, fmt.Sprintf("key-%05d", i), 4096, i, 0)
 			reqs = append(reqs, req)
 		}
 		r.client.WaitAll(p, reqs)
@@ -437,7 +435,7 @@ func TestCreditsBoundOutstanding(t *testing.T) {
 	var reqs []*Req
 	r.env.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			req, _ := r.client.ISet(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
+			req, _ := r.client.ISet(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0)
 			reqs = append(reqs, req)
 		}
 		r.client.WaitAll(p, reqs)

@@ -56,11 +56,6 @@ func TestBlockingCommands(t *testing.T) {
 			{op: Op{Code: protocol.OpGet, Key: "hits"}, want: ok, value: uint64(111), size: CounterSize},
 			{op: Op{Code: protocol.OpIncr, Key: "nope", Delta: 1}, want: notFound},
 		}},
-		{"delete", []cmdStep{
-			set("k", 100, "v"),
-			on(protocol.OpDelete, "k", protocol.StatusDeleted),
-			on(protocol.OpDelete, "k", notFound),
-		}},
 		{"mget", []cmdStep{
 			set("a", 10, "va"),
 			{op: Op{Code: protocol.OpGet, Key: "a"}, want: ok, value: "va"},

@@ -9,7 +9,7 @@ import (
 // Sentinel errors for Req.Err: one Go error per operation outcome, so
 // callers use errors.Is instead of switching on raw protocol.Status.
 var (
-	// ErrNotFound reports a Get/Delete/Incr on a missing key, or a CAS store
+	// ErrNotFound reports a Get/Incr on a missing key, or a CAS store
 	// on one.
 	ErrNotFound = errors.New("core: key not found")
 	// ErrNotStored reports an Add on an existing key.
@@ -52,7 +52,7 @@ var (
 // success statuses).
 func statusErr(s protocol.Status) error {
 	switch s {
-	case protocol.StatusOK, protocol.StatusStored, protocol.StatusDeleted:
+	case protocol.StatusOK, protocol.StatusStored:
 		return nil
 	case protocol.StatusNotFound:
 		return ErrNotFound

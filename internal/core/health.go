@@ -84,7 +84,7 @@ func classOfOp(op protocol.Opcode) (int, bool) {
 	switch op {
 	case protocol.OpGet:
 		return hcGet, true
-	case protocol.OpSet, protocol.OpAdd, protocol.OpCAS, protocol.OpIncr, protocol.OpDelete:
+	case protocol.OpSet, protocol.OpAdd, protocol.OpCAS, protocol.OpIncr:
 		return hcWrite, true
 	}
 	return 0, false

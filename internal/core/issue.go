@@ -26,7 +26,6 @@ type Op struct {
 	ValueSize int
 	Value     any
 	Flags     uint32
-	Expire    uint32
 	CAS       uint64
 	Delta     uint64
 }

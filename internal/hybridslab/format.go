@@ -26,7 +26,6 @@ package hybridslab
 import (
 	"hybridkv/internal/pagecache"
 	"hybridkv/internal/protocol"
-	"hybridkv/internal/sim"
 )
 
 const (
@@ -75,7 +74,6 @@ type itemRecord struct {
 	ValueSize int
 	Flags     uint32
 	CAS       uint64
-	ExpireAt  sim.Time
 }
 
 // headerSum checksums the header fields (Sum excluded).
@@ -135,7 +133,6 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pag
 			ValueSize: v.ValueSize,
 			Flags:     v.Flags,
 			CAS:       v.CAS,
-			ExpireAt:  v.ExpireAt,
 		}
 		data = append(data, pagecache.Extent{Off: slotOff(base, i, job.chunk), Size: job.chunk, Payload: rec})
 	}

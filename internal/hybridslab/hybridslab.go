@@ -49,7 +49,6 @@ type Item struct {
 	ValueSize int
 	Flags     uint32
 	CAS       uint64
-	ExpireAt  sim.Time // zero = no expiry
 
 	class   int
 	onSSD   bool

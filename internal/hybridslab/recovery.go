@@ -217,7 +217,6 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 				ValueSize: rec.ValueSize,
 				Flags:     rec.Flags,
 				CAS:       rec.CAS,
-				ExpireAt:  rec.ExpireAt,
 				class:     hdr.Class,
 				onSSD:     true,
 				ssdOff:    off,

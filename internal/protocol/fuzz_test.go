@@ -56,16 +56,23 @@ func roundTrip[T any](t *testing.T, v *T, marshal func(*T) []byte, decode func([
 func FuzzUnmarshalHeader(f *testing.F) {
 	f.Add((&Request{
 		Op: OpSet, ReqID: 12345, Key: "user:99:profile",
-		Flags: 7, Expire: 3600, ValueSize: 32 * 1024, RespMR: 42, AckWanted: true,
+		Flags: 7, ValueSize: 32 * 1024, RespMR: 42, AckWanted: true,
 	}).MarshalHeader())
 	// Every opcode twice: with the arithmetic fields, and with every field of
 	// a store.
 	for op := OpSet; op <= OpDirQuery; op++ {
 		f.Add((&Request{Op: op, ReqID: 9, Key: "key", CAS: 3, Delta: 4}).MarshalHeader())
-		f.Add((&Request{Op: op, ReqID: 10, Key: "k", Flags: 1, Expire: 60, ValueSize: 8, RespMR: 2, AckWanted: true}).MarshalHeader())
+		f.Add((&Request{Op: op, ReqID: 10, Key: "k", Flags: 1, ValueSize: 8, RespMR: 2, AckWanted: true}).MarshalHeader())
 	}
 	get := (&Request{Op: OpGet, Key: "0123456789"}).MarshalHeader()
 	f.Add(get[:len(get)-1])
+	// Memcached's exptime set, on a SET and on a GET: refused whatever the
+	// opcode, never stored as "never".
+	for _, op := range []Opcode{OpSet, OpGet} {
+		ttl := (&Request{Op: op, Key: "k"}).MarshalHeader()
+		binary.LittleEndian.PutUint32(ttl[8:], 60)
+		f.Add(ttl)
+	}
 	f.Add(get[:10])
 	// A key length of 2^64-1: added to the fixed size it wrapped to 51,
 	// passed the length check, and sliced [52:51].
@@ -74,6 +81,9 @@ func FuzzUnmarshalHeader(f *testing.F) {
 	f.Add(wrap)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if r, ok := fuzzDecode(t, b, UnmarshalHeader); ok {
+			if binary.LittleEndian.Uint32(b[8:]) != 0 {
+				t.Fatalf("a header with exptime %d decoded to %+v", binary.LittleEndian.Uint32(b[8:]), r)
+			}
 			roundTrip(t, r, (*Request).MarshalHeader, UnmarshalHeader)
 		}
 	})

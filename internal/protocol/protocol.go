@@ -18,7 +18,6 @@ type Opcode uint8
 const (
 	OpSet Opcode = iota + 1
 	OpGet
-	OpDelete
 	OpResponse
 	// OpBufferAck tells the client its request (header and value) is
 	// buffered server-side and its buffers are reusable; it also returns
@@ -43,8 +42,6 @@ func (o Opcode) String() string {
 		return "SET"
 	case OpGet:
 		return "GET"
-	case OpDelete:
-		return "DELETE"
 	case OpResponse:
 		return "RESPONSE"
 	case OpBufferAck:
@@ -138,9 +135,8 @@ type Request struct {
 	ReqID     uint64
 	Key       string
 	Flags     uint32
-	Expire    uint32 // seconds; 0 = never
-	ValueSize int    // bytes of value carried (Set only)
-	Value     any    // opaque payload token (Set only)
+	ValueSize int // bytes of value carried (Set only)
+	Value     any // opaque payload token (Set only)
 	// RespMR is the client's registered response region; the server
 	// RDMA-WRITEs the response there (RDMA transport only).
 	RespMR int
@@ -178,8 +174,9 @@ type Response struct {
 
 // Header sizes, fixed by the marshaled layout below.
 const (
-	// op + ackWanted + pad(2) + flags + expire + valueSize + respMR +
-	// reqID + keyLen + cas + delta
+	// op + ackWanted + pad(2) + flags + exptime + valueSize + respMR +
+	// reqID + keyLen + cas + delta. The 4 exptime bytes are memcached's;
+	// this store keeps no expiry, so they are always zero.
 	reqFixedBytes  = 52
 	RespHeaderSize = 32
 )
@@ -228,7 +225,7 @@ func (r *Request) AppendHeader(dst []byte) []byte {
 	}
 	dst = append(dst, 0, 0) // pad
 	dst = binary.LittleEndian.AppendUint32(dst, r.Flags)
-	dst = binary.LittleEndian.AppendUint32(dst, r.Expire)
+	dst = append(dst, 0, 0, 0, 0) // exptime
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.ValueSize))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.RespMR))
 	dst = binary.LittleEndian.AppendUint64(dst, r.ReqID)
@@ -258,7 +255,7 @@ const (
 	// DirSlotHeaderBytes is the fixed part of a slot: key digest (8) +
 	// version (8) + kind (2) + the bucket's spill count (2, in the first
 	// way's header; zero in the others) + item flags (4) + value offset (8) +
-	// segment length (4) + value size (4) + CAS (8) + expiry (8), closed by a
+	// segment length (4) + value size (4) + CAS (8) + reserved (8), closed by a
 	// second copy of the version (8) so that a reader can tell a slot caught
 	// half-written from one that was still.
 	DirSlotHeaderBytes = 64
@@ -270,7 +267,7 @@ const (
 	DirBucketBytes = DirWays * DirSlotBytes
 	// DirSegHeaderBytes is the validation header an offset-addressed value
 	// READ carries alongside the value bytes: digest (8) + version (8) +
-	// size (4) + flags (4) + CAS (8) + expiry (8).
+	// size (4) + flags (4) + CAS (8) + reserved (8).
 	DirSegHeaderBytes = 40
 	// DirInfoBytes is the fixed OpDirQuery response body: directory MR key
 	// (8) + value MR key (8) + bucket count (4) + inline maximum (2) + way
@@ -351,8 +348,7 @@ type DirSlot struct {
 	ValueSize int
 	Flags     uint32
 	CAS       uint64
-	ExpireAt  int64 // absolute sim time; 0 = never
-	Value     any   // DirInline only
+	Value     any // DirInline only
 }
 
 // DirBucket is the client-side decode of one bucket READ: its ways in
@@ -399,7 +395,6 @@ type DirSegment struct {
 	ValueSize int
 	Flags     uint32
 	CAS       uint64
-	ExpireAt  int64 // absolute sim time; 0 = never
 	Value     any
 }
 
@@ -419,16 +414,17 @@ func KeyDigest(key string) uint64 {
 // ErrShortHeader reports a truncated or corrupt header.
 var ErrShortHeader = errors.New("protocol: short or corrupt header")
 
-// UnmarshalHeader decodes a request header produced by MarshalHeader.
+// UnmarshalHeader decodes a request header produced by MarshalHeader. A
+// non-zero exptime is refused as corrupt: this store keeps no expiry, and a
+// TTL it cannot honour must not be stored as "never".
 func UnmarshalHeader(b []byte) (*Request, error) {
-	if len(b) < reqFixedBytes {
+	if len(b) < reqFixedBytes || binary.LittleEndian.Uint32(b[8:]) != 0 {
 		return nil, ErrShortHeader
 	}
 	r := &Request{
 		Op:        Opcode(b[0]),
 		AckWanted: b[1] == 1,
 		Flags:     binary.LittleEndian.Uint32(b[4:]),
-		Expire:    binary.LittleEndian.Uint32(b[8:]),
 		ValueSize: int(binary.LittleEndian.Uint32(b[12:])),
 		RespMR:    int(binary.LittleEndian.Uint32(b[16:])),
 		ReqID:     binary.LittleEndian.Uint64(b[20:]),

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -8,7 +9,7 @@ import (
 func TestRequestHeaderRoundTrip(t *testing.T) {
 	r := &Request{
 		Op: OpSet, ReqID: 12345, Key: "user:99:profile",
-		Flags: 7, Expire: 3600, ValueSize: 32 * 1024,
+		Flags: 7, ValueSize: 32 * 1024,
 		RespMR: 42, AckWanted: true,
 	}
 	b := r.MarshalHeader()
@@ -20,7 +21,7 @@ func TestRequestHeaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Op != r.Op || got.ReqID != r.ReqID || got.Key != r.Key ||
-		got.Flags != r.Flags || got.Expire != r.Expire ||
+		got.Flags != r.Flags ||
 		got.ValueSize != r.ValueSize || got.RespMR != r.RespMR ||
 		got.AckWanted != r.AckWanted {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, r)
@@ -142,11 +143,23 @@ func TestUnmarshalShortBuffers(t *testing.T) {
 	}
 }
 
+// A header carrying memcached's exptime is refused: the store keeps no
+// expiry, so decoding it would store a TTL'd item as one that never expires.
+func TestUnmarshalRefusesExptime(t *testing.T) {
+	b := (&Request{Op: OpSet, Key: "k", ValueSize: 8}).MarshalHeader()
+	if got := binary.LittleEndian.Uint32(b[8:]); got != 0 {
+		t.Fatalf("marshaled exptime = %d, want 0", got)
+	}
+	binary.LittleEndian.PutUint32(b[8:], 60)
+	if r, err := UnmarshalHeader(b); err != ErrShortHeader {
+		t.Errorf("header with exptime 60 decoded to %+v, err %v", r, err)
+	}
+}
+
 func TestOpcodeAndStatusStrings(t *testing.T) {
 	cases := map[string]string{
 		OpSet.String():          "SET",
 		OpGet.String():          "GET",
-		OpDelete.String():       "DELETE",
 		OpResponse.String():     "RESPONSE",
 		OpBufferAck.String():    "BUFFER_ACK",
 		StatusOK.String():       "OK",
@@ -167,9 +180,9 @@ func TestOpcodeAndStatusStrings(t *testing.T) {
 
 // Property: header round trip is lossless for arbitrary fields.
 func TestHeaderRoundTripProperty(t *testing.T) {
-	f := func(reqID uint64, key string, flags, expire uint32, vs uint16, mr uint8, ack bool) bool {
+	f := func(reqID uint64, key string, flags uint32, vs uint16, mr uint8, ack bool) bool {
 		r := &Request{
-			Op: OpSet, ReqID: reqID, Key: key, Flags: flags, Expire: expire,
+			Op: OpSet, ReqID: reqID, Key: key, Flags: flags,
 			ValueSize: int(vs), RespMR: int(mr), AckWanted: ack,
 		}
 		got, err := UnmarshalHeader(r.MarshalHeader())
@@ -177,7 +190,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return got.ReqID == r.ReqID && got.Key == r.Key && got.Flags == r.Flags &&
-			got.Expire == r.Expire && got.ValueSize == r.ValueSize &&
+			got.ValueSize == r.ValueSize &&
 			got.RespMR == r.RespMR && got.AckWanted == r.AckWanted
 	}
 	if err := quick.Check(f, nil); err != nil {

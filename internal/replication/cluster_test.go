@@ -82,7 +82,7 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 				member[id] = true
 			}
 			for sid, s := range cl.Servers {
-				v, _, _, _, ok := s.Store().ReadItem(p, key)
+				v, _, _, ok := s.Store().ReadItem(p, key)
 				if member[sid] && !ok {
 					t.Errorf("server %d is a replica of %q but does not hold it", sid, key)
 				}
@@ -103,56 +103,6 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 	if total.Val(metrics.CForwards) == 0 {
 		t.Error("no write was ever forwarded")
 	}
-}
-
-// A TTL is relative seconds where a request enters and an instant below: the
-// coordinator fixes the instant once, and every replica lands the write with
-// it, not with its own apply time plus the TTL. An increment's post-image,
-// read back and forwarded, keeps the same instant.
-func TestTTLLandsWithOneExpiryOnEveryReplica(t *testing.T) {
-	cl := itCluster()
-	c := cl.Clients[0]
-	key := itKey(0)
-	replicas := itRing(3).Replicas(key, 2)
-
-	cl.Env.Spawn("it-driver", func(p *sim.Proc) {
-		// expiry reads the instant key expires at on every replica; they agree.
-		expiry := func(after string) sim.Time {
-			var at []sim.Time
-			for _, sid := range replicas {
-				_, _, _, expireAt, ok := cl.Servers[sid].Store().ReadItem(p, key)
-				if !ok {
-					t.Fatalf("after the %s, replica %d does not hold %q", after, sid, key)
-				}
-				at = append(at, expireAt)
-			}
-			if at[0] != at[1] {
-				t.Errorf("after the %s, replicas %v expire %q at %v", after, replicas, key, at)
-			}
-			return at[0]
-		}
-		issued := p.Now()
-		if st := itDo(p, c, core.Op{Code: protocol.OpSet, Key: key, ValueSize: itValue, Value: uint64(1), Expire: 60}); st != protocol.StatusStored {
-			t.Fatalf("SET answered %v", st)
-		}
-		expireAt := expiry("SET")
-		if expireAt < issued+60*sim.Second || expireAt > p.Now()+60*sim.Second {
-			t.Errorf("a 60 s TTL issued at %v, answered at %v, expires at %v", issued, p.Now(), expireAt)
-		}
-		if st := itDo(p, c, core.Op{Code: protocol.OpIncr, Key: key, Delta: 1}); st != protocol.StatusOK {
-			t.Fatalf("INCR answered %v", st)
-		}
-		if got := expiry("INCR"); got != expireAt {
-			t.Errorf("the increment moved the expiry from %v to %v", expireAt, got)
-		}
-		p.Sleep(expireAt - p.Now())
-		for _, sid := range replicas {
-			if _, _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, key); ok {
-				t.Errorf("replica %d serves %q at its expiry", sid, key)
-			}
-		}
-	})
-	cl.Env.Run()
 }
 
 // A coordinator outside the key's replica set must still drive the chain —
@@ -186,7 +136,7 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 			t.Fatalf("proxy-coordinated SET answered %v", resp.Status)
 		}
 		for sid, s := range cl.Servers {
-			_, _, _, _, ok := s.Store().ReadItem(p, key)
+			_, _, _, ok := s.Store().ReadItem(p, key)
 			if member[sid] && !ok {
 				t.Errorf("replica %d missing proxy-coordinated write of %q", sid, key)
 			}
@@ -228,7 +178,7 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 			if !shared {
 				continue
 			}
-			v, _, _, _, ok := s.Store().ReadItem(p, key)
+			v, _, _, ok := s.Store().ReadItem(p, key)
 			if !ok {
 				t.Errorf("wiped node never re-fetched its replica of %q", key)
 				continue
@@ -249,37 +199,27 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 	}
 }
 
-// An RMW that follows a DELETE must clear the coordinator's tombstone
-// record along with advancing the epoch: otherwise the coordinator
-// "repairs" a cold-restarted replica with a tombstone at the RMW's epoch,
-// the live value is deleted there, and the acked RMW write would die with
-// the coordinator — the exact durability promise R=2 makes.
-func TestRMWAfterDeleteSurvivesReplicaRestart(t *testing.T) {
+// An acked RMW post-image is replicated like a SET: a backup that loses its
+// RAM right after the Add holds the added value again once it has recovered
+// and reconverged, and a client reads it.
+func TestAckedAddSurvivesReplicaRestart(t *testing.T) {
 	cl := itCluster()
 	c := cl.Clients[0]
 	ring := itRing(3)
-	key := "rmw:after:del"
+	key := "rmw:add"
 	backup := ring.Replicas(key, 2)[1]
 
 	cl.Env.Spawn("it-rmw", func(p *sim.Proc) {
-		if st := c.Set(p, key, itValue, uint64(1), 0, 0); st != protocol.StatusStored {
-			t.Errorf("set: %v", st)
-			return
-		}
-		if st := itDo(p, c, core.Op{Code: protocol.OpDelete, Key: key}); st != protocol.StatusDeleted {
-			t.Errorf("delete: %v", st)
-			return
-		}
 		if st := itDo(p, c, core.Op{Code: protocol.OpAdd, Key: key, ValueSize: itValue, Value: uint64(2)}); st != protocol.StatusStored {
-			t.Errorf("add after delete: %v", st)
+			t.Errorf("add: %v", st)
 			return
 		}
 		s := cl.Servers[backup]
 		s.Outage(p, server.KillRAM, 300*sim.Microsecond)
 		p.Sleep(30 * sim.Millisecond)
-		v, _, _, _, ok := s.Store().ReadItem(p, key)
+		v, _, _, ok := s.Store().ReadItem(p, key)
 		if !ok {
-			t.Error("restarted backup lost the post-RMW value: repaired with a stale tombstone")
+			t.Error("restarted backup lost the acked Add")
 		} else if seq, _ := v.(uint64); seq != 2 {
 			t.Errorf("restarted backup holds seq %d, want 2", seq)
 		}
@@ -409,7 +349,7 @@ func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
 		for sid, s := range cl.Servers {
 			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
 			epochs = append(epochs, epoch)
-			if v, _, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+			if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
 				t.Errorf("server %d holds %v (present=%v) once both SETs are answered, want 2", sid, v, ok)
 			}
 		}
@@ -454,7 +394,7 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 		for sid, s := range cl.Servers {
 			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
 			epochs = append(epochs, epoch)
-			if v, _, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+			if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
 				t.Errorf("server %d holds %v (present=%v), want 2", sid, v, ok)
 			}
 		}
@@ -497,7 +437,7 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 	cl.Env.Spawn("it-audit", func(p *sim.Proc) {
 		for sid, s := range cl.Servers {
 			epoch, sum, _ := cl.Replicators[sid].AppliedStateForTest(key)
-			v, _, _, _, ok := s.Store().ReadItem(p, key)
+			v, _, _, ok := s.Store().ReadItem(p, key)
 			if !ok || v != uint64(2) || sum != protocol.ValueSum(uint64(2)) {
 				t.Errorf("server %d holds %v (present=%v) under %#x/%#x, want 2 under its content sum", sid, v, ok, epoch, sum)
 			}
@@ -541,7 +481,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 		cl.Env.Spawn("it-audit", func(p *sim.Proc) {
 			for sid, s := range cl.Servers {
 				_, _, ok := cl.Replicators[sid].AppliedStateForTest(key)
-				if v, _, _, _, held := s.Store().ReadItem(p, key); !ok || !held || v != "written" {
+				if v, _, _, held := s.Store().ReadItem(p, key); !ok || !held || v != "written" {
 					if lost++; lost <= 3 {
 						t.Errorf("SET started at +%v: server %d holds %v (present=%v, record=%v), want the value written", at, sid, v, held, ok)
 					}
@@ -576,7 +516,7 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 			t.Errorf("Add of a suspect key nobody holds: %v, want it decided on the absent key", resp.Status)
 		}
 		for sid, s := range cl.Servers {
-			if v, _, _, _, ok := s.Store().ReadItem(p, "gone:add"); !ok || v != "added" {
+			if v, _, _, ok := s.Store().ReadItem(p, "gone:add"); !ok || v != "added" {
 				t.Errorf("server %d holds %v (present=%v) for the added key", sid, v, ok)
 			}
 		}
@@ -611,7 +551,7 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 		if resp := r.Apply(p, incr, nil); resp.Status != protocol.StatusRecovering || resp.ReqID != 42 {
 			t.Errorf("Incr of a suspect key no peer confirms: %+v, want StatusRecovering for request 42", resp)
 		}
-		if v, _, _, _, ok := st.ReadItem(p, "old:incr"); !ok || v != uint64(7) {
+		if v, _, _, ok := st.ReadItem(p, "old:incr"); !ok || v != uint64(7) {
 			t.Errorf("the refused Incr left (%v, present=%v), want the recovered 7 untouched", v, ok)
 		}
 	})
@@ -620,7 +560,7 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 		t.Errorf("stale-reads-prevented %d, suspect-drops %d; want 2 and 0", prevented, drops)
 	}
 	for _, key := range []string{"old:get", "old:incr"} {
-		if _, _, _, suspect, ok := r.RecordForTest(key); !ok || !suspect {
+		if _, _, suspect, ok := r.RecordForTest(key); !ok || !suspect {
 			t.Errorf("%s after the refusal: suspect=%v present=%v, want it still suspect", key, suspect, ok)
 		}
 	}
@@ -646,7 +586,7 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 		}
 		for i := 0; i < itKeys; i++ {
 			for sid, s := range cl.Servers {
-				if v, _, _, _, ok := s.Store().ReadItem(p, itKey(i)); !ok || v != uint64(i+1) {
+				if v, _, _, ok := s.Store().ReadItem(p, itKey(i)); !ok || v != uint64(i+1) {
 					t.Errorf("server %d holds %v (present=%v) for %s, want %d", sid, v, ok, itKey(i), i+1)
 				}
 			}

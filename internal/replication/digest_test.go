@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"hybridkv/internal/core"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
@@ -15,7 +13,7 @@ import (
 // record moves its entry in the digest of each peer sharing the key — and a
 // maintained digest that drifts from the truth would make two diverged
 // replicas look converged, or two converged ones reconcile forever. So after
-// every phase of a seeded random mix of writes, deletes, suspect marks
+// every phase of a seeded random mix of writes, suspect marks
 // (corrupt reads, a cold restart), the repairs those trigger, and a
 // membership change, each maintained digest must equal a from-scratch fold
 // over the key table, on every replicator, for every peer.
@@ -37,14 +35,12 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 	mix := func(p *sim.Proc, ops int) {
 		for i := 0; i < ops; i++ {
 			key := itKey(rng.Intn(itKeys))
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
-				itDo(p, c, core.Op{Code: protocol.OpDelete, Key: key})
-			case 1:
 				// A corrupt local read somewhere: the key turns suspect there
 				// and leaves that node's digests until a peer's push repairs it.
 				cl.Replicators[rng.Intn(len(cl.Replicators))].OnCorrupt(p, key)
-			case 2:
+			case 1:
 				// Silent corruption: same epoch, different content sum.
 				cl.Replicators[rng.Intn(len(cl.Replicators))].SilentlyCorruptForTest(key, rng.Uint64())
 			default:

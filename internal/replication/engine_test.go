@@ -166,7 +166,7 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 		if status != protocol.StatusNoReplica || answered-crashed < sim.Millisecond {
 			t.Errorf("the SET was answered %v, %v after its backup crashed with the forward queued; want NO_REPLICA once the resends run out", status, answered-crashed)
 		}
-		if _, _, _, _, ok := b.RecordForTest("en:queued"); ok {
+		if _, _, _, ok := b.RecordForTest("en:queued"); ok {
 			t.Error("the dead node applied the forward it had queued")
 		}
 	})

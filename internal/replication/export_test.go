@@ -12,16 +12,16 @@ import (
 // path verifies media). Tests reach in here to create exactly that state.
 
 // SilentlyCorruptForTest models silent in-RAM corruption of an applied
-// value: the key's recorded content sum is overwritten while its epoch,
-// tombstone, and suspect state stand, and the scrubber is kicked as if a
+// value: the key's recorded content sum is overwritten while its epoch and
+// suspect state stand, and the scrubber is kicked as if a
 // periodic round were due. Returns false if the key has no confirmed live
 // record here (nothing to corrupt).
 func (r *Replicator) SilentlyCorruptForTest(key string, sum uint64) bool {
 	ks := r.keys[key]
-	if ks == nil || ks.epoch == 0 || ks.del || ks.suspect {
+	if ks == nil || ks.epoch == 0 || ks.suspect {
 		return false
 	}
-	r.setState(key, ks, ks.epoch, ks.del, ks.suspect, sum)
+	r.setState(key, ks, ks.epoch, ks.suspect, sum)
 	r.kick()
 	return true
 }
@@ -66,12 +66,12 @@ func (fwd *Forward) EpochForTest() uint64 { return fwd.epoch }
 
 // RecordForTest exposes a key's whole epoch record, suspect or not; ok is false
 // when the key has none.
-func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, del, suspect, ok bool) {
+func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, suspect, ok bool) {
 	ks := r.keys[key]
 	if ks == nil {
-		return 0, 0, false, false, false
+		return 0, 0, false, false
 	}
-	return ks.epoch, ks.sum, ks.del, ks.suspect, true
+	return ks.epoch, ks.sum, ks.suspect, true
 }
 
 // OpenPullsForTest and OpenWantsForTest count what a quiescent replicator must
@@ -163,5 +163,5 @@ var scrubSink *frame
 // refolds the key's entry in the maintained digest of every peer sharing it.
 func (r *Replicator) RefoldForTest(key string) {
 	ks := r.state(key)
-	r.setState(key, ks, ks.epoch+0x100, ks.del, ks.suspect, ks.sum)
+	r.setState(key, ks, ks.epoch+0x100, ks.suspect, ks.sum)
 }

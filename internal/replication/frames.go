@@ -1,9 +1,6 @@
 package replication
 
-import (
-	"hybridkv/internal/protocol"
-	"hybridkv/internal/sim"
-)
+import "hybridkv/internal/protocol"
 
 // Frame kinds of the server-to-server replication protocol. Frames travel
 // as verbs SENDs over the replicators' dedicated QP mesh, so they pay real
@@ -22,7 +19,7 @@ const (
 	// framePullMiss answers a pull when the peer has no confirmed copy.
 	framePullMiss
 	// frameProbe is the read-repair rendezvous: "I just served this key from
-	// this record" (epoch, tombstone, content sum) — a lagging peer asks for
+	// this record" (epoch, content sum) — a lagging peer asks for
 	// a push, a fresher one pushes.
 	frameProbe
 	// frameDigest carries a scrubber's bucketed epoch digest.
@@ -47,26 +44,21 @@ const (
 type KeyEpoch struct {
 	Key   string
 	Epoch uint64
-	Del   bool
 	Sum   uint64
 }
 
 // version is one replicated write of a key: what a round forwards, what a
 // write frame carries, and what install lands. Every Forward and frame holds
-// one, so del and flags share a word (56 bytes).
+// one (48 bytes).
 type version struct {
 	epoch uint64
-	del   bool // tombstone: this version deletes the key
 	flags uint32
 	value any
 	size  int
-	// expireAt is the instant the value expires (0: never), fixed where the
-	// write entered: every replica that lands the version expires it together.
-	expireAt sim.Time
 	// sum is the end-to-end content checksum, protocol.ValueSum(value),
 	// computed once by whoever built the version: a frame's receiver re-derives
 	// it and silently rejects a value corrupted in flight, and the record of
-	// every replica that lands the version takes it. Zero for a delete.
+	// every replica that lands the version takes it.
 	sum uint64
 }
 
@@ -79,7 +71,7 @@ type frame struct {
 
 	Key string
 	// version is the write a frameWrite carries. A frameProbe uses its
-	// epoch, del and sum for the record it served; the other kinds its epoch
+	// epoch and sum for the record it served; the other kinds its epoch
 	// alone: the replica's own in a stale-rejecting frameAck, the membership
 	// epoch in frameSegPull and frameSegManifest.
 	version
@@ -101,7 +93,7 @@ type frame struct {
 // which is exactly how the receiver detects the mismatch.
 func (f *frame) CorruptCopy() any {
 	g := *f
-	if g.Kind == frameWrite && !g.del && g.value != nil {
+	if g.Kind == frameWrite && g.value != nil {
 		g.value = protocol.Garbled{Inner: g.value}
 	}
 	return &g
@@ -115,7 +107,7 @@ const frameHeaderBytes = 64
 func (f *frame) wireSize() int {
 	n := frameHeaderBytes + len(f.Key) + f.size + 8*len(f.Buckets)
 	for _, e := range f.Entries {
-		n += len(e.Key) + 17 // key + epoch + del bit + content sum
+		n += len(e.Key) + 17 // key + epoch + reserved byte + content sum
 	}
 	return n
 }

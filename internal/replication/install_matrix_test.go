@@ -58,8 +58,7 @@ func (n imCounts) String() string {
 }
 
 // imWrite is one write of the key: the epoch its round ended on (0 when the
-// round is not the test's to see: an RMW's) and the content sum of its value
-// (0 for a delete).
+// round is not the test's to see: an RMW's) and the content sum of its value.
 type imWrite struct{ epoch, sum uint64 }
 
 type installCell struct {
@@ -133,23 +132,17 @@ func (c *installCell) value(op protocol.Opcode, size int) *protocol.Request {
 	return &protocol.Request{Op: op, Key: imKey, ValueSize: size, Value: c.seq}
 }
 func (c *installCell) set(size int) *protocol.Request { return c.value(protocol.OpSet, size) }
-func (c *installCell) del() *protocol.Request {
-	return &protocol.Request{Op: protocol.OpDelete, Key: imKey}
-}
 
 // coordinate runs one request on server sid as the server runs a bare one —
 // open the round, apply, wait for the chain — and records a write answered
-// STORED or DELETED as acked.
+// STORED as acked.
 func (c *installCell) coordinate(p *sim.Proc, sid int, req *protocol.Request) *protocol.Response {
 	r := c.cl.Replicators[sid]
 	fwd := r.Begin(p, req)
 	resp := r.Apply(p, req, fwd)
 	r.Finish(p, resp, fwd)
-	if resp.Status == protocol.StatusStored || resp.Status == protocol.StatusDeleted {
-		w := imWrite{}
-		if req.Op != protocol.OpDelete {
-			w.sum = protocol.ValueSum(req.Value)
-		}
+	if resp.Status == protocol.StatusStored {
+		w := imWrite{sum: protocol.ValueSum(req.Value)}
 		if fwd != nil {
 			w.epoch = fwd.EpochForTest()
 		}
@@ -165,7 +158,7 @@ func (c *installCell) watch() {
 	c.cl.Env.Spawn("im-watch", func(p *sim.Proc) {
 		for {
 			for sid, r := range c.cl.Replicators {
-				epoch, _, _, suspect, ok := r.RecordForTest(imKey)
+				epoch, _, suspect, ok := r.RecordForTest(imKey)
 				if !ok || suspect {
 					continue
 				}
@@ -201,10 +194,6 @@ var imRows = []imRow{
 	{
 		name: "coordinated SET", s: 1, coordinated: true, storeCall: 1, clean: imCounts{forwards: 1},
 		act: func(p *sim.Proc, c *installCell) { c.coordinate(p, 1, c.set(imBig)) },
-	},
-	{
-		name: "coordinated DELETE", s: 1, coordinated: true, storeCall: 1, clean: imCounts{forwards: 1},
-		act: func(p *sim.Proc, c *installCell) { c.coordinate(p, 1, c.del()) },
 	},
 	{
 		// The store decides and applies (CompareAndSet, on the guarded swap,
@@ -294,8 +283,8 @@ type imCol struct {
 	skip      func(row imRow) string
 	interfere func(c *installCell, row imRow, begin, landed sim.Time)
 	// other, when set, says whose write the replicas must end up holding — the
-	// column's own (its values are 64 bytes) or the row's (256 KB, or a
-	// tombstone): the premise that the column did interfere as it says.
+	// column's own (its values are 64 bytes) or the row's (256 KB): the
+	// premise that the column did interfere as it says.
 	other    func(row imRow) bool
 	rule     func(row imRow, clean, got imCounts) bool
 	ruleText string
@@ -463,7 +452,7 @@ var imCols = []imCol{
 					}
 				}
 				p.Sleep(100 * sim.Nanosecond)
-				if epoch, _, _, _, _ := subject.RecordForTest(imKey); resent != 1 || st.SetOps+st.DeleteOps != calls+1 || epoch == c.epoch {
+				if epoch, _, _, _ := subject.RecordForTest(imKey); resent != 1 || st.SetOps+st.DeleteOps != calls+1 || epoch == c.epoch {
 					c.t.Errorf("the premise: %d rounds resent, %d store calls begun by them, the record at %#x (the row's write lands at %#x)", resent, st.SetOps+st.DeleteOps-calls, epoch, c.epoch)
 				}
 				// A key swapped in twice for one version would fail a client's cas
@@ -539,7 +528,7 @@ var imCols = []imCol{
 				if c.cl.Servers[c.s].Recovering() || forwards+background != 0 {
 					c.t.Errorf("the premise: by now the node is back (recovering: %v) and the lanes have caught up (%d + %d waiting)", c.cl.Servers[c.s].Recovering(), forwards, background)
 				}
-				if epoch, _, _, suspect, _ := subject.RecordForTest(imKey); epoch != 0 && !suspect {
+				if epoch, _, suspect, _ := subject.RecordForTest(imKey); epoch != 0 && !suspect {
 					c.t.Errorf("%v into the new incarnation, before any resend or scrub round, the key is confirmed at %#x: a write of the dead one was installed", p.Now()-begin, epoch)
 				}
 			})
@@ -582,10 +571,10 @@ func (c *installCell) run(row imRow, clock bool) (begin, landed sim.Time) {
 	if clock {
 		env.SpawnAt(c.start, "im-clock", func(p *sim.Proc) {
 			var ops0 int64
-			var was [4]any
-			record := func() [4]any {
-				epoch, sum, del, suspect, _ := c.cl.Replicators[c.s].RecordForTest(imKey)
-				return [4]any{epoch, sum, del, suspect}
+			var was [3]any
+			record := func() [3]any {
+				epoch, sum, suspect, _ := c.cl.Replicators[c.s].RecordForTest(imKey)
+				return [3]any{epoch, sum, suspect}
 			}
 			if c.s < len(c.cl.Servers) {
 				st := c.cl.Servers[c.s].Store()
@@ -626,13 +615,12 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 		replica[id] = true
 	}
 	var final imWrite
-	var finalDel bool
 	var finalSize int
 	cl.Env.Spawn("im-audit", func(p *sim.Proc) {
 		first := true
 		for sid, r := range cl.Replicators {
-			epoch, sum, del, suspect, ok := r.RecordForTest(imKey)
-			v, size, _, _, held := cl.Servers[sid].Store().ReadItem(p, imKey)
+			epoch, sum, suspect, ok := r.RecordForTest(imKey)
+			v, size, _, held := cl.Servers[sid].Store().ReadItem(p, imKey)
 			switch {
 			case !replica[sid]:
 				if ok || held {
@@ -642,25 +630,23 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 			case !ok || suspect || epoch == 0:
 				t.Errorf("server %d: record present=%v suspect=%v epoch=%#x at quiescence", sid, ok, suspect, epoch)
 				continue
-			case del && held:
-				t.Errorf("server %d records a tombstone at %#x and its store holds %v", sid, epoch, v)
-			case !del && (!held || protocol.ValueSum(v) != sum):
+			case !held || protocol.ValueSum(v) != sum:
 				t.Errorf("server %d records %#x/%#x and its store holds %v (present=%v)", sid, epoch, sum, v, held)
 			}
 			if first {
-				final, finalDel, finalSize, first = imWrite{epoch, sum}, del, size, false
-			} else if (imWrite{epoch, sum}) != final || del != finalDel {
-				t.Errorf("server %d records %#x/%#x del=%v, another replica %#x/%#x del=%v", sid, epoch, sum, del, final.epoch, final.sum, finalDel)
+				final, finalSize, first = imWrite{epoch, sum}, size, false
+			} else if (imWrite{epoch, sum}) != final {
+				t.Errorf("server %d records %#x/%#x, another replica %#x/%#x", sid, epoch, sum, final.epoch, final.sum)
 			}
 		}
 	})
 	cl.Env.RunUntil(cl.Env.Now() + sim.Millisecond)
 	if col.other != nil && col.other(row) != (finalSize == imSmall) {
-		t.Errorf("the replicas hold a value of %d bytes (tombstone: %v): the column's own write won = %v, want %v", finalSize, finalDel, finalSize == imSmall, col.other(row))
+		t.Errorf("the replicas hold a value of %d bytes: the column's own write won = %v, want %v", finalSize, finalSize == imSmall, col.other(row))
 	}
 	// What the replicas hold is something somebody wrote, and no write that was
-	// answered STORED or DELETED lost to a lower epoch.
-	if !finalDel && !c.wrote(final.sum) {
+	// answered STORED lost to a lower epoch.
+	if !c.wrote(final.sum) {
 		t.Errorf("the replicas hold content %#x, which nobody wrote", final.sum)
 	}
 	for _, w := range c.acked {

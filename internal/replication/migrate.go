@@ -170,7 +170,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 	}
 	for _, key := range sortedKeys(r.keys, theirs) {
 		ks := r.keys[key]
-		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del})
+		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch})
 	}
 	r.Counters.Inc(metrics.CMigrateManifests)
 	r.send(p, f.From, resp)
@@ -277,9 +277,7 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 			continue
 		}
 		r.dropState(key)
-		if !ks.del {
-			r.st.Delete(p, key)
-		}
+		r.st.Delete(p, key)
 		r.Counters.Inc(metrics.CMigrateGCKeys)
 	}
 }

@@ -120,7 +120,6 @@ const maxCoordRounds = 3
 // back suspect.
 type keyState struct {
 	epoch   uint64
-	del     bool // tombstone: the latest epoch deleted the key
 	suspect bool // cold-recovered or corrupt-read, unconfirmed by any peer
 	// sum is the content checksum of the value applied at epoch, folded
 	// into the scrub digest so two replicas at the same epoch holding
@@ -493,21 +492,15 @@ func (r *Replicator) send(p *sim.Proc, pid int, f *frame) {
 	pl.qp.PostSend(p, verbs.SendWR{Op: verbs.OpSend, Size: f.wireSize(), Payload: f})
 }
 
-// Begin opens a replication round for an admitted SET or DELETE and posts
-// the forward frames, so the peer applies overlap the local storage phase.
-// Returns nil for any other opcode (RMW post-images replicate inside
-// Apply, after the local apply decides the outcome).
+// Begin opens a replication round for an admitted SET and posts the forward
+// frames, so the peer applies overlap the local storage phase. Returns nil
+// for any other opcode (RMW post-images replicate inside Apply, after the
+// local apply decides the outcome).
 func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
-	var v version
-	switch req.Op {
-	case protocol.OpSet:
-		v = version{value: req.Value, size: req.ValueSize, flags: req.Flags, expireAt: store.ExpireAt(r.env.Now(), req.Expire)}
-	case protocol.OpDelete:
-		v.del = true
-	default:
+	if req.Op != protocol.OpSet {
 		return nil
 	}
-	fwd := r.open(req.Key, v)
+	fwd := r.open(req.Key, version{value: req.Value, size: req.ValueSize, flags: req.Flags})
 	r.sendWrite(p, fwd)
 	return fwd
 }
@@ -519,9 +512,7 @@ func (r *Replicator) open(key string, v version) *Forward {
 	r.nextID++
 	fwd := &Forward{id: r.nextID, key: key, proxy: !member, version: v}
 	fwd.epoch = r.mint(key, 0)
-	if !v.del {
-		fwd.sum = protocol.ValueSum(v.value)
-	}
+	fwd.sum = protocol.ValueSum(v.value)
 	fwd.open(r.env, peers)
 	r.fwds[fwd.id] = fwd
 	r.Counters.Inc(metrics.CForwards)
@@ -548,13 +539,13 @@ func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
 // Apply performs the local storage work for one request: the first half of
 // the replicated storage phase, which replaces store.Handle on servers with a
 // replicator attached. fwd is the round Begin opened at admission time (nil
-// for reads, RMW ops, and unreplicated opcodes). For SET and DELETE the ack
+// for reads, RMW ops, and unreplicated opcodes). For a SET the ack
 // wait is left to Finish, so the members of a frame apply back-to-back (inside
 // the server's eviction-coalescing window) and their rounds overlap; GETs and
 // RMW opcodes complete entirely here.
 func (r *Replicator) Apply(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
 	switch req.Op {
-	case protocol.OpSet, protocol.OpDelete:
+	case protocol.OpSet:
 		return r.applyLocalWrite(p, req, fwd)
 	case protocol.OpGet:
 		return r.executeGet(p, req)
@@ -563,14 +554,14 @@ func (r *Replicator) Apply(p *sim.Proc, req *protocol.Request, fwd *Forward) *pr
 	}
 }
 
-// Finish completes the SET/DELETE round behind resp, the answer Apply gave:
+// Finish completes the SET round behind resp, the answer Apply gave:
 // wait for every replica ack, and fail the write with StatusNoReplica if the
 // chain cannot be completed.
 func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) {
 	if fwd == nil {
 		return
 	}
-	if !applied(resp.Status) {
+	if resp.Status != protocol.StatusStored {
 		// Local apply failed outright (recovering, too large): the client
 		// sees that failure; peers that applied anyway reconverge via
 		// anti-entropy.
@@ -583,17 +574,13 @@ func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) 
 	}
 }
 
-// applyLocalWrite applies a SET/DELETE on the coordinator under the epoch
-// guard.
+// applyLocalWrite applies a SET on the coordinator under the epoch guard.
 func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Forward) *protocol.Response {
 	if fwd == nil {
 		return r.st.Handle(p, req)
 	}
 	resp := r.st.Reply(req.ReqID)
 	resp.Status = protocol.StatusStored
-	if fwd.del {
-		resp.Status = protocol.StatusDeleted
-	}
 	if fwd.proxy {
 		// Pure coordinator: this server is not in the key's replica set
 		// (the client failed over here). It forwards but must not keep a
@@ -613,12 +600,6 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 // key's record.
 func (r *Replicator) newer(fwd *Forward) bool { return fwd.epoch > r.state(fwd.key).epoch }
 
-// applied reports whether a store status means the write is what the store
-// now holds (deleting an absent key included).
-func applied(st protocol.Status) bool {
-	return st == protocol.StatusStored || st == protocol.StatusDeleted || st == protocol.StatusNotFound
-}
-
 // install is the one way a version of a key reaches the local store and —
 // through landed — the epoch record, whoever coordinated the write and however
 // it arrived. admit is the caller's rule for "this version may still replace
@@ -636,14 +617,8 @@ func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() b
 		return protocol.StatusNotStored
 	}
 	gen := r.gen
-	guard := func() bool { return r.gen == gen && admit() }
-	var st protocol.Status
-	if v.del {
-		st = r.st.DeleteIf(p, key, guard)
-	} else {
-		st = r.st.SetIf(p, key, v.size, v.value, v.flags, v.expireAt, guard)
-	}
-	if applied(st) {
+	st := r.st.SetIf(p, key, v.size, v.value, v.flags, func() bool { return r.gen == gen && admit() })
+	if st == protocol.StatusStored {
 		r.landed(key, v)
 	}
 	return st
@@ -651,12 +626,12 @@ func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() b
 
 // landed records that v is what the local store holds for key, in the same
 // instant the store swapped it in: the epoch record (and with it the
-// maintained digests) moves, a prior tombstone or suspicion is cleared, the
+// maintained digests) moves, a prior suspicion is cleared, the
 // scrubber is armed, and whoever was waiting for the key — a migration want,
 // an open pull and the readers parked on it — is answered.
 func (r *Replicator) landed(key string, v *version) {
 	ks := r.state(key)
-	r.setState(key, ks, v.epoch, v.del, false, v.sum)
+	r.setState(key, ks, v.epoch, false, v.sum)
 	r.kick()
 	r.migSatisfy(key, v.epoch)
 	ks.closePull() // an open pull is satisfied by any confirmed write
@@ -779,9 +754,9 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 	if resp.Status == protocol.StatusOK {
 		r.gets++
 		if r.gets%readRepairEvery == 0 {
-			var served version // the record behind the hit: epoch, tombstone, content sum
+			var served version // the record behind the hit: epoch, content sum
 			if ks := r.keys[req.Key]; ks != nil {
-				served = version{epoch: ks.epoch, del: ks.del, sum: ks.sum}
+				served = version{epoch: ks.epoch, sum: ks.sum}
 			}
 			for i := 0; i < peers.n; i++ {
 				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, version: served})
@@ -807,7 +782,7 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 	was := r.state(req.Key).epoch
 	// Replicate the post-image just applied (it may already live on SSD —
 	// ReadItem loads it back without disturbing LRU or stats).
-	value, size, flags, expireAt, ok := r.st.ReadItem(p, req.Key)
+	value, size, flags, ok := r.st.ReadItem(p, req.Key)
 	if !ok {
 		// Evicted-and-dropped in the same instant: nothing replicable; the
 		// key is now a legal miss everywhere.
@@ -819,11 +794,11 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// command stored: it completes as overwritten, with nothing to forward.
 		return resp
 	}
-	fwd := r.open(req.Key, version{value: value, size: size, flags: flags, expireAt: expireAt})
+	fwd := r.open(req.Key, version{value: value, size: size, flags: flags})
 	if !fwd.proxy {
 		// The local copy was applied by Handle; record it like a SET, in the
-		// instant its epoch is minted (the sends suspend), so a prior tombstone
-		// or suspicion on the key cannot outlive it.
+		// instant its epoch is minted (the sends suspend), so a prior
+		// suspicion on the key cannot outlive it.
 		r.landed(req.Key, &fwd.version)
 	}
 	r.sendWrite(p, fwd)
@@ -852,7 +827,7 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 	if peers.n == 0 {
 		// Degenerate single-replica set: nobody can confirm; keep serving
 		// the recovered value as the unreplicated system would.
-		r.setState(key, ks, ks.epoch, ks.del, false, ks.sum)
+		r.setState(key, ks, ks.epoch, false, ks.sum)
 		return true
 	}
 	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, metrics.CRepairPulls)) && (!ks.suspect || ks.gone)
@@ -926,7 +901,7 @@ func (r *Replicator) Wipe() {
 func (r *Replicator) OnColdRecovery(keys []string) {
 	for _, key := range keys {
 		ks := r.state(key)
-		r.setState(key, ks, 0, false, true, 0)
+		r.setState(key, ks, 0, true, 0)
 		ks.pull, ks.pullFrom = nil, nil
 	}
 	// Arm the scrubber even when nothing was recovered (wiped SSD): the
@@ -942,7 +917,7 @@ func (r *Replicator) OnColdRecovery(keys []string) {
 // corruption joins this same pull through executeGet's syncPull.
 func (r *Replicator) OnCorrupt(p *sim.Proc, key string) {
 	ks := r.state(key)
-	r.setState(key, ks, ks.epoch, ks.del, true, ks.sum)
+	r.setState(key, ks, ks.epoch, true, ks.sum)
 	peers, member := r.replicaPeers(key)
 	if !member || peers.n == 0 {
 		return
@@ -1074,9 +1049,7 @@ func (r *Replicator) judge(f *frame, sum uint64) verdict {
 		// when the sender's copy wins the coordinator rule, which is how the
 		// scrub fixes silent corruption that an epoch comparison alone would
 		// never see.
-		diverged := f.Repair && !f.del && !ks.del &&
-			sum != ks.sum &&
-			winsSameEpoch(f.From, r.cfg.ID, f.epoch)
+		diverged := f.Repair && sum != ks.sum && winsSameEpoch(f.From, r.cfg.ID, f.epoch)
 		switch {
 		case diverged && !ks.suspect:
 			return repairs
@@ -1092,24 +1065,22 @@ func (r *Replicator) judge(f *frame, sum uint64) verdict {
 // answered with what became of it; a repair push is never acked.
 func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 	v := f.version
-	if !f.del {
-		// The one recompute on the receiving side: it verifies the frame, and
-		// the epoch record takes it if the write applies.
-		if v.sum = protocol.ValueSum(f.value); f.sum != 0 && v.sum != f.sum {
-			// The frame's value no longer matches the checksum the sender
-			// stamped: it was corrupted in flight. Reject silently — never
-			// apply, never ack — and let the coordinator's resend rounds (or
-			// anti-entropy) deliver a clean copy.
-			r.Counters.Inc(metrics.CCorruptFramesRejected)
-			return
-		}
+	// The one recompute on the receiving side: it verifies the frame, and
+	// the epoch record takes it if the write applies.
+	if v.sum = protocol.ValueSum(f.value); f.sum != 0 && v.sum != f.sum {
+		// The frame's value no longer matches the checksum the sender
+		// stamped: it was corrupted in flight. Reject silently — never
+		// apply, never ack — and let the coordinator's resend rounds (or
+		// anti-entropy) deliver a clean copy.
+		r.Counters.Inc(metrics.CCorruptFramesRejected)
+		return
 	}
 	var how verdict
 	st := r.install(p, f.Key, &v, func() bool {
 		how = r.judge(f, v.sum)
 		return how >= lands
 	})
-	if how == repairs && applied(st) {
+	if how == repairs && st == protocol.StatusStored {
 		r.Counters.Inc(metrics.CScrubCorruptionsRepaired)
 	}
 	if f.Repair {
@@ -1119,7 +1090,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 	case how == stale:
 		// Tell the coordinator the newer epoch.
 		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, version: version{epoch: r.state(f.Key).epoch}})
-	case how == duplicate || applied(st):
+	case how == duplicate || st == protocol.StatusStored:
 		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, Applied: true, version: version{epoch: f.epoch}})
 	}
 	// Otherwise the store refused (recovering, allocation failure): stay
@@ -1159,21 +1130,19 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
 			return
 		}
-		v := version{epoch: ks.epoch, del: ks.del}
-		if !v.del {
-			value, size, flags, expireAt, ok := r.st.ReadItem(p, key)
-			if r.keys[key] != ks || ks.confirmedEpoch() != v.epoch || ks.del {
-				continue
-			}
-			if !ok {
-				// The slab layer dropped the value (eviction under pressure): stop
-				// claiming the epoch in digests; a peer's copy can repair us later.
-				r.dropState(key)
-				r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
-				return
-			}
-			v.value, v.size, v.flags, v.expireAt, v.sum = value, size, flags, expireAt, protocol.ValueSum(value)
+		v := version{epoch: ks.epoch}
+		value, size, flags, ok := r.st.ReadItem(p, key)
+		if r.keys[key] != ks || ks.confirmedEpoch() != v.epoch {
+			continue
 		}
+		if !ok {
+			// The slab layer dropped the value (eviction under pressure): stop
+			// claiming the epoch in digests; a peer's copy can repair us later.
+			r.dropState(key)
+			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+			return
+		}
+		v.value, v.size, v.flags, v.sum = value, size, flags, protocol.ValueSum(value)
 		r.Counters.Inc(metrics.CRepairPushes)
 		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
 		return
@@ -1212,5 +1181,5 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 // tells us the record it served, and we reconcile against it — behind, we ask
 // it to push; ahead, we push our fresher copy back.
 func (r *Replicator) handleProbe(p *sim.Proc, f *frame) {
-	r.reconcile(p, f.From, KeyEpoch{Key: f.Key, Epoch: f.epoch, Del: f.del, Sum: f.sum})
+	r.reconcile(p, f.From, KeyEpoch{Key: f.Key, Epoch: f.epoch, Sum: f.sum})
 }

@@ -106,23 +106,19 @@ func TestPullMissDeduplicatesByPeer(t *testing.T) {
 }
 
 // The digest must be insensitive to iteration order (XOR fold) and
-// sensitive to every component: epoch, tombstone flag, key, and the
-// value-content checksum.
+// sensitive to every component: epoch, key, and the value-content checksum.
 func TestDigestEntryDistinguishes(t *testing.T) {
-	base := digestEntry("k", 0x100, false, 7)
-	if digestEntry("k", 0x100, false, 7) != base {
+	base := digestEntry("k", 0x100, 7)
+	if digestEntry("k", 0x100, 7) != base {
 		t.Error("digestEntry is not deterministic")
 	}
-	if digestEntry("k", 0x200, false, 7) == base {
+	if digestEntry("k", 0x200, 7) == base {
 		t.Error("digest ignores the epoch")
 	}
-	if digestEntry("k", 0x100, true, 7) == base {
-		t.Error("digest ignores the tombstone flag")
-	}
-	if digestEntry("j", 0x100, false, 7) == base {
+	if digestEntry("j", 0x100, 7) == base {
 		t.Error("digest ignores the key")
 	}
-	if digestEntry("k", 0x100, false, 8) == base {
+	if digestEntry("k", 0x100, 8) == base {
 		t.Error("digest ignores the value content checksum")
 	}
 }

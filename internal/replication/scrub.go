@@ -22,12 +22,8 @@ import (
 // is what lets the scrub see *silent corruption*: two replicas at the same
 // epoch whose bytes differ produce different digests and reconcile, where
 // an epoch-only digest would call them converged forever.
-func digestEntry(key string, epoch uint64, del bool, sum uint64) uint64 {
-	e := epoch << 1
-	if del {
-		e |= 1
-	}
-	return protocol.Mix64(HashKey(key) ^ protocol.Mix64(e) ^ protocol.Mix64(sum*0x9e3779b97f4a7c15+1))
+func digestEntry(key string, epoch, sum uint64) uint64 {
+	return protocol.Mix64(HashKey(key) ^ protocol.Mix64(epoch) ^ protocol.Mix64(sum*0x9e3779b97f4a7c15+1))
 }
 
 // digestEntry2 is the second, independent fold of the same record. An
@@ -38,12 +34,8 @@ func digestEntry(key string, epoch uint64, del bool, sum uint64) uint64 {
 // alternate key hash and alternate mixing constants — would only mask the
 // same pair if it collided under both, which independent hashes don't do.
 // Buckets carry both folds; a mismatch in either flags the bucket.
-func digestEntry2(key string, epoch uint64, del bool, sum uint64) uint64 {
-	e := epoch << 1
-	if del {
-		e |= 1
-	}
-	return mixAlt(hashKeyAlt(key) ^ mixAlt(e) ^ mixAlt(sum*0xff51afd7ed558ccd+1))
+func digestEntry2(key string, epoch, sum uint64) uint64 {
+	return mixAlt(hashKeyAlt(key) ^ mixAlt(epoch) ^ mixAlt(sum*0xff51afd7ed558ccd+1))
 }
 
 // hashKeyAlt is the alternate key hash of the second digest fold: FNV-1
@@ -102,7 +94,7 @@ func (ks *keyState) folds(key string) (uint64, uint64) {
 	if !ks.confirmed() {
 		return 0, 0
 	}
-	return digestEntry(key, ks.epoch, ks.del, ks.sum), digestEntry2(key, ks.epoch, ks.del, ks.sum)
+	return digestEntry(key, ks.epoch, ks.sum), digestEntry2(key, ks.epoch, ks.sum)
 }
 
 // computeDigest folds the bucketed epoch+content digest over the confirmed
@@ -168,9 +160,9 @@ func (r *Replicator) dropDigests() {
 // setState is the one place a key's replicated record changes: it moves the
 // key's entry in the maintained digest of every peer that shares it from the
 // old record to the new one.
-func (r *Replicator) setState(key string, ks *keyState, epoch uint64, del, suspect bool, sum uint64) {
+func (r *Replicator) setState(key string, ks *keyState, epoch uint64, suspect bool, sum uint64) {
 	old := *ks
-	ks.epoch, ks.del, ks.suspect, ks.sum = epoch, del, suspect, sum
+	ks.epoch, ks.suspect, ks.sum = epoch, suspect, sum
 	r.refold(key, &old, ks)
 }
 
@@ -285,7 +277,7 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 	resp := &frame{Kind: frameDiff, Buckets: diff}
 	for _, key := range r.sortedSharedKeys(f.From, diff) {
 		ks := r.keys[key]
-		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Del: ks.del, Sum: ks.sum})
+		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Sum: ks.sum})
 	}
 	r.send(p, f.From, resp)
 }
@@ -334,7 +326,7 @@ func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
 	ks := r.keys[theirs.Key]
 	mine := ks.confirmedEpoch()
 	pull, push := mine < theirs.Epoch, mine > theirs.Epoch
-	if mine == theirs.Epoch && mine != 0 && !ks.del && !theirs.Del && ks.sum != theirs.Sum {
+	if mine == theirs.Epoch && mine != 0 && ks.sum != theirs.Sum {
 		r.Counters.Inc(metrics.CScrubCorruptionsFound)
 		push = winsSameEpoch(r.cfg.ID, from, mine)
 		pull = !push

@@ -51,16 +51,14 @@ func TestDigestCollisionPairCaughtBySecondFold(t *testing.T) {
 		epoch1 = uint64(0x300) | 2 // some coordinator-2 epoch
 		sum    = uint64(7)         // same content sum on both records
 	)
-	// digestEntry = Mix64(HashKey(k) ^ Mix64(e) ^ Mix64(sum·φ+1)) with
-	// e = epoch<<1|del. Equal sums cancel; solve for the e2 that makes the
-	// Mix64 inputs — hence the outputs — equal:
-	//   Mix64(e2) = Mix64(e1) ^ HashKey(k1) ^ HashKey(k2)
-	e1 := epoch1 << 1 // del = false
-	e2 := mix64Inverse(protocol.Mix64(e1) ^ HashKey(k1) ^ HashKey(k2))
-	epoch2, del2 := e2>>1, e2&1 == 1
+	// digestEntry = Mix64(HashKey(k) ^ Mix64(epoch) ^ Mix64(sum·φ+1)).
+	// Equal sums cancel; solve for the epoch2 that makes the Mix64 inputs —
+	// hence the outputs — equal:
+	//   Mix64(epoch2) = Mix64(epoch1) ^ HashKey(k1) ^ HashKey(k2)
+	epoch2 := mix64Inverse(protocol.Mix64(epoch1) ^ HashKey(k1) ^ HashKey(k2))
 
-	d1 := digestEntry(k1, epoch1, false, sum)
-	d2 := digestEntry(k2, epoch2, del2, sum)
+	d1 := digestEntry(k1, epoch1, sum)
+	d2 := digestEntry(k2, epoch2, sum)
 	if d1 != d2 {
 		t.Fatalf("constructed pair does not collide under digestEntry: %#x vs %#x", d1, d2)
 	}
@@ -69,8 +67,8 @@ func TestDigestCollisionPairCaughtBySecondFold(t *testing.T) {
 	}
 	// The whole point: the alternate fold, built from a different key hash
 	// and different mixing constants, refuses to collide on the same pair.
-	a1 := digestEntry2(k1, epoch1, false, sum)
-	a2 := digestEntry2(k2, epoch2, del2, sum)
+	a1 := digestEntry2(k1, epoch1, sum)
+	a2 := digestEntry2(k2, epoch2, sum)
 	if a1 == a2 {
 		t.Fatalf("second fold also collides (%#x): the paired digest adds nothing", a1)
 	}

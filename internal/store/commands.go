@@ -6,25 +6,9 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// This file implements the memcached commands beyond Set/Get/Delete that the
+// This file implements the memcached commands beyond Set/Get that the
 // history-checked workloads issue, on top of the hybrid slab manager: the
 // conditional stores add and cas, and the counter increment incr.
-
-// lookup returns the live item for key, lazily expiring it.
-func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
-	it := s.table[key]
-	if it == nil {
-		return nil
-	}
-	if expired(it, s.env.Now()) {
-		s.mgr.Release(it)
-		delete(s.table, key)
-		s.unpublish(key)
-		s.Expired++
-		return nil
-	}
-	return it
-}
 
 // Every command below decides on what the key holds and then suspends — in
 // the allocation, an eviction, a copy, the update itself — before it acts, and
@@ -39,15 +23,14 @@ func (s *Store) lookup(p *sim.Proc, key string) *hybridslab.Item {
 // StatusStored — go ahead — or to the refusal to answer. cond is asked on
 // arrival, so a refusal costs no allocation, and again at the swap: one CAS
 // token buys one store, a fresh key is added once.
-func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
-	expireAt := ExpireAt(s.env.Now(), expire)
+func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
 	p.Sleep(hashCost)
-	verdict := cond(s.lookup(p, key))
+	verdict := cond(s.table[key])
 	if verdict != protocol.StatusStored {
 		return verdict
 	}
-	st := s.SetIf(p, key, valueSize, value, flags, expireAt, func() bool {
-		verdict = cond(s.lookup(p, key))
+	st := s.SetIf(p, key, valueSize, value, flags, func() bool {
+		verdict = cond(s.table[key])
 		return verdict == protocol.StatusStored
 	})
 	if verdict != protocol.StatusStored {
@@ -57,8 +40,8 @@ func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags
 }
 
 // Add stores the value only if the key does not already exist.
-func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32) protocol.Status {
-	return s.setWhen(p, key, valueSize, value, flags, expire, func(it *hybridslab.Item) protocol.Status {
+func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags uint32) protocol.Status {
+	return s.setWhen(p, key, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		if it != nil {
 			return protocol.StatusNotStored
 		}
@@ -68,8 +51,8 @@ func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags, ex
 
 // CompareAndSet stores the value only if the caller's CAS token matches the
 // item's current token (memcached cas command).
-func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags, expire uint32, cas uint64) protocol.Status {
-	return s.setWhen(p, key, valueSize, value, flags, expire, func(it *hybridslab.Item) protocol.Status {
+func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
+	return s.setWhen(p, key, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		switch {
 		case it == nil:
 			return protocol.StatusNotFound
@@ -81,12 +64,10 @@ func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any,
 }
 
 // still reports whether key's entry is the item Incr read, unchanged since:
-// not replaced or deleted (another item, or none), not mutated in place (every
-// in-place write takes a fresh token), and not expired — an item that outlived
-// its TTL meanwhile is dead even while its entry stands, which a rewrite of it
-// must not revive.
+// not replaced or removed (another item, or none), and not mutated in place
+// (every in-place write takes a fresh token).
 func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
-	return s.table[key] == it && it.CAS == cas && !expired(it, s.env.Now())
+	return s.table[key] == it && it.CAS == cas
 }
 
 // read returns key's live item with its value and CAS token as they stand
@@ -97,7 +78,7 @@ func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
 func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64, st protocol.Status) {
 	for {
 		p.Sleep(hashCost)
-		if it = s.lookup(p, key); it == nil {
+		if it = s.table[key]; it == nil {
 			return nil, nil, 0, protocol.StatusNotFound
 		}
 		v, err := s.mgr.Load(p, it)
@@ -134,8 +115,8 @@ func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 		if !it.InPlace() {
 			// The authoritative copy lives in an SSD extent, or is on its way
 			// into one; rewrite through the regular store path so the new
-			// value lands somewhere live, with the item's flags and expiry.
-			switch st := s.SetIf(p, key, counterSize, next, it.Flags, it.ExpireAt, func() bool { return s.still(key, it, cas) }); st {
+			// value lands somewhere live, with the item's flags.
+			switch st := s.SetIf(p, key, counterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
 			case protocol.StatusStored:
 				return next, protocol.StatusOK
 			case protocol.StatusNotStored:

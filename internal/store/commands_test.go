@@ -12,10 +12,10 @@ func TestAddSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	env.Spawn("op", func(p *sim.Proc) {
-		if st := s.Add(p, "k", 100, "first", 0, 0); st != protocol.StatusStored {
+		if st := s.Add(p, "k", 100, "first", 0); st != protocol.StatusStored {
 			t.Errorf("add on fresh key: %v", st)
 		}
-		if st := s.Add(p, "k", 100, "second", 0, 0); st != protocol.StatusNotStored {
+		if st := s.Add(p, "k", 100, "second", 0); st != protocol.StatusNotStored {
 			t.Errorf("add on existing key: %v", st)
 		}
 		v, _, _, _, _ := s.Get(p, "k")
@@ -26,33 +26,20 @@ func TestAddSemantics(t *testing.T) {
 	env.Run()
 }
 
-func TestAddSucceedsAfterExpiry(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
-		s.Set(p, "k", 100, "old", 0, 1)
-		p.Sleep(2 * sim.Second)
-		if st := s.Add(p, "k", 100, "new", 0, 0); st != protocol.StatusStored {
-			t.Errorf("add on expired key: %v", st)
-		}
-	})
-	env.Run()
-}
-
 func TestCompareAndSetSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	env.Spawn("op", func(p *sim.Proc) {
-		if st := s.CompareAndSet(p, "k", 10, "x", 0, 0, 1); st != protocol.StatusNotFound {
+		if st := s.CompareAndSet(p, "k", 10, "x", 0, 1); st != protocol.StatusNotFound {
 			t.Errorf("cas on missing key: %v", st)
 		}
 		s.Set(p, "k", 10, "v1", 0, 0)
 		_, _, _, cas, _ := s.Get(p, "k")
-		if st := s.CompareAndSet(p, "k", 10, "v2", 0, 0, cas); st != protocol.StatusStored {
+		if st := s.CompareAndSet(p, "k", 10, "v2", 0, cas); st != protocol.StatusStored {
 			t.Errorf("cas with current token: %v", st)
 		}
 		// The old token is now stale.
-		if st := s.CompareAndSet(p, "k", 10, "v3", 0, 0, cas); st != protocol.StatusExists {
+		if st := s.CompareAndSet(p, "k", 10, "v3", 0, cas); st != protocol.StatusExists {
 			t.Errorf("cas with stale token: %v", st)
 		}
 		v, _, _, _, _ := s.Get(p, "k")
@@ -125,66 +112,35 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 }
 
 // A counter that is not in RAM is rewritten through the store path rather
-// than mutated in place; the rewrite is still the same item, expiry included.
-func TestIncrOnSSDResidentCounterKeepsItsTTL(t *testing.T) {
+// than mutated in place: a new RAM-resident item holding the sum, under a
+// fresh CAS token, with the counter's flags.
+func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
 	env.Spawn("op", func(p *sim.Proc) {
-		s.Set(p, "c", 32*1024, uint64(41), 0, 60)
-		expireAt := s.table["c"].ExpireAt
+		s.Set(p, "c", 32*1024, uint64(41), 9, 0)
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
 		}
-		if !s.table["c"].OnSSD() {
+		cold := s.table["c"]
+		if !cold.OnSSD() {
 			t.Fatal("fixture: the counter is not on the SSD")
 		}
 		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
 		}
-		if got := s.table["c"].ExpireAt; got != expireAt {
-			t.Errorf("the rewritten counter expires at %v, want %v (its TTL)", got, expireAt)
+		it := s.table["c"]
+		if it == cold || it.OnSSD() || it.Value != uint64(42) || it.ValueSize != counterSize || it.Flags != 9 {
+			t.Errorf("rewritten counter: %+v (the cold item was %p)", it, cold)
 		}
-		p.Sleep(expireAt - p.Now())
-		if _, _, _, _, st := s.Get(p, "c"); st != protocol.StatusNotFound {
-			t.Errorf("the counter is served at its expiry: %v", st)
+		if it.CAS <= cold.CAS {
+			t.Errorf("rewrite kept CAS %d (cold item had %d)", it.CAS, cold.CAS)
+		}
+		if _, _, flags, cas, st := s.Get(p, "c"); st != protocol.StatusOK || flags != 9 || cas != it.CAS {
+			t.Errorf("get after the rewrite: flags %d, cas %d, %v", flags, cas, st)
 		}
 	})
 	env.Run()
-}
-
-// An increment decides on the item it read and writes its result an update
-// later. If the item expired in between, the key is dead: the write is
-// refused (still), the retry finds no item, and the key is not served past
-// its TTL.
-func TestIncrRacingItsItemsExpiryIsRefused(t *testing.T) {
-	// incrBefore increments lead before the item's expiry; it returns the
-	// answer, how long the increment took, and what a Get right after it finds.
-	incrBefore := func(lead sim.Time) (st protocol.Status, took sim.Time, after protocol.Status) {
-		env := sim.NewEnv()
-		s := newStore(env, 16<<20, false)
-		env.Spawn("op", func(p *sim.Proc) {
-			s.Set(p, "k", counterSize, uint64(1), 0, 10)
-			p.Sleep(s.table["k"].ExpireAt - lead - p.Now())
-			t0 := p.Now()
-			_, st = s.Incr(p, "k", 1)
-			took = p.Now() - t0
-			_, _, _, _, after = s.Get(p, "k")
-		})
-		env.Run()
-		return st, took, after
-	}
-	st, took, after := incrBefore(sim.Second)
-	if st != protocol.StatusOK || after != protocol.StatusOK {
-		t.Fatalf("fixture: an incr a second before the expiry -> %v, then a Get -> %v", st, after)
-	}
-	// Half the clean increment before the expiry: the read sees a live item,
-	// the write comes after the expiry.
-	if st, _, after = incrBefore(took / 2); st != protocol.StatusNotFound {
-		t.Errorf("an incr that outlived its item's TTL answered %v, want %v", st, protocol.StatusNotFound)
-	}
-	if after != protocol.StatusNotFound {
-		t.Errorf("the key is served after its TTL: %v", after)
-	}
 }
 
 func TestHandleExtendedOps(t *testing.T) {

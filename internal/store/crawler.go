@@ -8,9 +8,9 @@ import (
 )
 
 // This file implements memcached's LRU crawler: a background process that
-// walks the recency lists reclaiming expired items, so memory is returned
-// even for keys that are never touched again (lazy expiration alone only
-// reclaims on access).
+// walks the recency lists at a fixed per-item cost and publishes the hot-key
+// set. The store keeps no expiry, so the walk reclaims nothing; its cost and
+// cadence are what time the hot-set publication.
 
 // crawlItemCost is the CPU cost to examine one item during a crawl pass.
 const crawlItemCost = 100 * sim.Nanosecond
@@ -20,7 +20,7 @@ const crawlItemCost = 100 * sim.Nanosecond
 var ErrCrawlerRunning = errors.New("store: crawler already running")
 
 // StartCrawler launches the LRU crawler: every interval it examines up to
-// batch items per recency list and reclaims the expired ones, then distills
+// batch items per recency list, then distills
 // the hot-key sketch into the published hot set. Call StopCrawler to
 // terminate it (the simulation's Run drains only after all periodic
 // processes stop). A second start while one is running returns
@@ -59,28 +59,13 @@ func (s *Store) StopCrawler() {
 
 // crawlOnce performs one crawl pass.
 func (s *Store) crawlOnce(p *sim.Proc, batch int) {
-	now := s.env.Now()
-	var dead []*hybridslab.Item
 	scanned := 0
-	s.mgr.VisitLRU(batch, func(it *hybridslab.Item) bool {
+	s.mgr.VisitLRU(batch, func(*hybridslab.Item) bool {
 		scanned++
-		if expired(it, now) {
-			dead = append(dead, it)
-		}
 		return true
 	})
 	if scanned > 0 {
 		p.Sleep(sim.Time(scanned) * crawlItemCost)
-	}
-	for _, it := range dead {
-		if it.Dropped() {
-			continue
-		}
-		s.mgr.Release(it)
-		delete(s.table, it.Key)
-		s.unpublish(it.Key)
-		s.Expired++
-		s.CrawlerReclaimed++
 	}
 	// The crawler doubles as the hot-set publisher: each pass distills the
 	// access sketch into the digests clients receive on their next

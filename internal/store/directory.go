@@ -289,7 +289,6 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 	case it.ValueSize <= protocol.DirInlineMax:
 		slot.Kind = protocol.DirInline
 		slot.ValueSize, slot.Flags, slot.CAS = it.ValueSize, it.Flags, it.CAS
-		slot.ExpireAt = int64(it.ExpireAt)
 		slot.Value = it.Value
 	default:
 		seg := protocol.DirSegment{
@@ -298,7 +297,6 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 			ValueSize: it.ValueSize,
 			Flags:     it.Flags,
 			CAS:       it.CAS,
-			ExpireAt:  int64(it.ExpireAt),
 			Value:     it.Value,
 		}
 		slot.Kind = protocol.DirAtOffset

@@ -183,7 +183,7 @@ func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
 	case protocol.DirInline:
 		m.inline++
 		if slot.Value != it.Value || slot.CAS != it.CAS || slot.ValueSize != it.ValueSize ||
-			slot.Flags != it.Flags || slot.ExpireAt != int64(it.ExpireAt) ||
+			slot.Flags != it.Flags ||
 			it.ValueSize > protocol.DirInlineMax || it.OnSSD() || it.Dropped() {
 			t.Fatalf("after %s: inline slot %+v does not match the committed item %+v", step, slot, it)
 		}

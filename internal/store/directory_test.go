@@ -153,7 +153,7 @@ func TestDirectoryInlinePublish(t *testing.T) {
 	d := newTestDirectory(64)
 	it := &hybridslab.Item{
 		Key: "k", Value: "v1", ValueSize: protocol.DirInlineMax,
-		Flags: 7, CAS: 3, ExpireAt: 5 * sim.Second,
+		Flags: 7, CAS: 3,
 	}
 	d.Publish(it)
 	slot, ok := d.slotFor(t, "k")
@@ -162,7 +162,7 @@ func TestDirectoryInlinePublish(t *testing.T) {
 	}
 	want := protocol.DirSlot{
 		Digest: protocol.KeyDigest("k"), Version: slot.Version, Kind: protocol.DirInline,
-		ValueSize: protocol.DirInlineMax, Flags: 7, CAS: 3, ExpireAt: int64(5 * sim.Second), Value: "v1",
+		ValueSize: protocol.DirInlineMax, Flags: 7, CAS: 3, Value: "v1",
 	}
 	if slot != want || slot.Version%2 != 0 {
 		t.Fatalf("inline slot = %+v, want %+v", slot, want)

@@ -157,10 +157,10 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			var casStored, addStored int
 			for w := 0; w < workers; w++ {
 				env.Spawn("worker", func(p *sim.Proc) {
-					if s.CompareAndSet(p, "cas", 64, fmt.Sprintf("w%d", w), 0, 0, token) == protocol.StatusStored {
+					if s.CompareAndSet(p, "cas", 64, fmt.Sprintf("w%d", w), 0, token) == protocol.StatusStored {
 						casStored++
 					}
-					if s.Add(p, "fresh", 64, w, 0, 0) == protocol.StatusStored {
+					if s.Add(p, "fresh", 64, w, 0) == protocol.StatusStored {
 						addStored++
 					}
 					for i := 0; i < perWorker; i++ {

@@ -1,5 +1,5 @@
 // Package store implements the Memcached item store: the hash table and
-// item lifecycle (CAS, flags, lazy expiration) on top of the hybrid slab
+// item lifecycle (CAS, flags) on top of the hybrid slab
 // manager, instrumented with the paper's per-stage profiler (Section III-A):
 // slab allocation, cache check and load, and cache update are measured here;
 // server response, client wait and miss penalty are measured by the server
@@ -69,8 +69,6 @@ type Store struct {
 	// Stats
 	SetOps, GetOps, DeleteOps int64
 	GetHits, GetMisses        int64
-	Expired                   int64
-	CrawlerReclaimed          int64
 	// CorruptReads counts foreground reads answered StatusCorrupt: the
 	// on-SSD copy failed verification and was quarantined.
 	CorruptReads int64
@@ -184,7 +182,7 @@ func (s *Store) Keys() []string {
 }
 
 // ReadItem fetches key's current value and metadata without touching
-// statistics, expiry, or LRU state. The replication repair path uses it to
+// statistics or LRU state. The replication repair path uses it to
 // build push frames for values that may reside on SSD, and the bench
 // verification oracle uses it to audit post-run state; neither should
 // perturb cache behavior. Returns ok=false on a miss or when the value is
@@ -192,22 +190,19 @@ func (s *Store) Keys() []string {
 // failed load of the item the table still holds is torn down as Get's is
 // (loadFailed): a corrupt copy met on the repair path fires the corrupt hook,
 // so this replica repair-pulls the key with no client reading it.
-func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags uint32, expireAt sim.Time, ok bool) {
+func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags uint32, ok bool) {
 	it := s.table[key]
 	if it == nil {
-		return nil, 0, 0, 0, false
-	}
-	if expired(it, s.env.Now()) {
-		return nil, 0, 0, 0, false
+		return nil, 0, 0, false
 	}
 	v, err := s.mgr.Load(p, it)
 	if err != nil {
 		if s.table[key] == it {
 			s.loadFailed(p, key, err)
 		}
-		return nil, 0, 0, 0, false
+		return nil, 0, 0, false
 	}
-	return v, it.ValueSize, it.Flags, it.ExpireAt, true
+	return v, it.ValueSize, it.Flags, true
 }
 
 // RecoverCold rebuilds the store from the SSD after a cold restart: the hash
@@ -226,27 +221,15 @@ func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
 	return rep
 }
 
-// Set stores a value that expires expire seconds from now (0: never),
-// charging p the slab-allocation and cache-update stages. Returns
-// StatusStored, StatusTooLarge, or StatusRecovering.
+// Set stores a value, charging p the slab-allocation and cache-update
+// stages. Returns StatusStored, StatusTooLarge, or StatusRecovering. The store
+// keeps no expiry: expire is memcached's TTL argument, and anything but 0
+// panics.
 func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uint32, expire uint32) protocol.Status {
-	return s.SetIf(p, key, valueSize, value, flags, ExpireAt(s.env.Now(), expire), nil)
-}
-
-// ExpireAt is the instant a TTL of expire seconds given at now runs out (0:
-// never). A TTL is relative only where a request enters — the wire, the
-// command API, a replication round's start; below that every layer carries
-// the instant, so a rewrite, a forward or a repair push keeps it as it is.
-func ExpireAt(now sim.Time, expire uint32) sim.Time {
-	if expire == 0 {
-		return 0
+	if expire != 0 {
+		panic("store: Set with a TTL; the store keeps no expiry")
 	}
-	return now + sim.Time(expire)*sim.Second
-}
-
-// expired is the one expiry rule: an item is dead from its expiry instant on.
-func expired(it *hybridslab.Item, now sim.Time) bool {
-	return it.ExpireAt != 0 && now >= it.ExpireAt
+	return s.SetIf(p, key, valueSize, value, flags, nil)
 }
 
 // SetIf is Set under a guard: the one form of "store unless something changed
@@ -257,8 +240,8 @@ func expired(it *hybridslab.Item, now sim.Time) bool {
 // and the return — the caller's own bookkeeping, done right after, is part of
 // the same instant. A refused value is released, the key is left exactly as
 // it was, and the answer is StatusNotStored. Costs and the order of sleeps
-// are Set's either way. expireAt is the value's expiry instant (0: never).
-func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, expireAt sim.Time, guard func() bool) protocol.Status {
+// are Set's either way.
+func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, guard func() bool) protocol.Status {
 	s.SetOps++
 
 	// Stage 1: slab allocation (may trigger hybrid eviction I/O).
@@ -269,7 +252,6 @@ func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags u
 		Value:     value,
 		ValueSize: valueSize,
 		Flags:     flags,
-		ExpireAt:  expireAt,
 	}
 	if err := s.mgr.Store(p, it); err != nil {
 		s.Prof.Add(metrics.StageSlabAlloc, p.Now()-t0)
@@ -313,7 +295,7 @@ func (s *Store) republish(key string) {
 }
 
 // Get fetches a value, charging p the cache-check-and-load and cache-update
-// stages. A miss (never stored, evicted-and-dropped, or expired) returns
+// stages. A miss (never stored, or evicted-and-dropped) returns
 // StatusNotFound; a failed load answers as loadFailed says.
 func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32, cas uint64, status protocol.Status) {
 	s.GetOps++
@@ -326,7 +308,7 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 	// this key releases it meanwhile: what Load returned — a nil value, or
 	// ErrDropped — then describes the replaced item, not the key. Serve
 	// whichever live item the table holds once a load of it comes back unreplaced.
-	for it := s.lookup(p, key); it != nil; it = s.lookup(p, key) {
+	for it := s.table[key]; it != nil; it = s.table[key] {
 		v, err := s.mgr.Load(p, it)
 		if s.table[key] != it {
 			continue
@@ -351,7 +333,7 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 		s.GetHits++
 		return v, it.ValueSize, it.Flags, it.CAS, protocol.StatusOK
 	}
-	// Never there, expired, or deleted under the load: nothing to tear down.
+	// Never there, or removed under the load: nothing to tear down.
 	s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
 	s.GetMisses++
 	return nil, 0, 0, 0, protocol.StatusNotFound
@@ -404,7 +386,7 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 	resp := s.Reply(req.ReqID)
 	switch req.Op {
 	case protocol.OpSet:
-		resp.Status = s.Set(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
+		resp.Status = s.SetIf(p, req.Key, req.ValueSize, req.Value, req.Flags, nil)
 	case protocol.OpGet:
 		v, size, flags, cas, st := s.Get(p, req.Key)
 		resp.Status = st
@@ -412,12 +394,10 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 		resp.ValueSize = size
 		resp.Flags = flags
 		resp.CAS = cas
-	case protocol.OpDelete:
-		resp.Status = s.Delete(p, req.Key)
 	case protocol.OpAdd:
-		resp.Status = s.Add(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire)
+		resp.Status = s.Add(p, req.Key, req.ValueSize, req.Value, req.Flags)
 	case protocol.OpCAS:
-		resp.Status = s.CompareAndSet(p, req.Key, req.ValueSize, req.Value, req.Flags, req.Expire, req.CAS)
+		resp.Status = s.CompareAndSet(p, req.Key, req.ValueSize, req.Value, req.Flags, req.CAS)
 	case protocol.OpIncr:
 		v, st := s.Incr(p, req.Key, req.Delta)
 		resp.Status = st

@@ -82,26 +82,19 @@ func TestReplaceUpdatesValueAndCAS(t *testing.T) {
 	}
 }
 
-func TestLazyExpiration(t *testing.T) {
-	env := sim.NewEnv()
-	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
-		s.Set(p, "k", 100, "v", 0, 1) // 1-second TTL
-		if _, _, _, _, st := s.Get(p, "k"); st != protocol.StatusOK {
-			t.Errorf("fresh item miss: %v", st)
+// The store keeps no expiry: a TTL handed to Set panics before anything is
+// stored, rather than being stored as "never".
+func TestSetPanicsOnATTL(t *testing.T) {
+	s := newStore(sim.NewEnv(), 16<<20, false)
+	defer func() {
+		if recover() == nil {
+			t.Error("Set with a 1 s TTL did not panic")
 		}
-		p.Sleep(2 * sim.Second)
-		if _, _, _, _, st := s.Get(p, "k"); st != protocol.StatusNotFound {
-			t.Errorf("expired item still served: %v", st)
+		if s.Len() != 0 || s.SetOps != 0 {
+			t.Errorf("a refused Set left %d keys, %d set ops", s.Len(), s.SetOps)
 		}
-	})
-	env.Run()
-	if s.Expired != 1 {
-		t.Errorf("expired count %d", s.Expired)
-	}
-	if s.Len() != 0 {
-		t.Errorf("expired key not removed from table")
-	}
+	}()
+	s.Set(nil, "k", 100, "v", 0, 1)
 }
 
 func TestTooLarge(t *testing.T) {
@@ -190,10 +183,6 @@ func TestHandleDispatch(t *testing.T) {
 		get := s.Handle(p, &protocol.Request{Op: protocol.OpGet, ReqID: 2, Key: "a"})
 		if get.Status != protocol.StatusOK || get.Value != "v" || get.ValueSize != 128 {
 			t.Errorf("get resp %+v", get)
-		}
-		del := s.Handle(p, &protocol.Request{Op: protocol.OpDelete, ReqID: 3, Key: "a"})
-		if del.Status != protocol.StatusDeleted {
-			t.Errorf("del resp %+v", del)
 		}
 		bad := s.Handle(p, &protocol.Request{Op: protocol.Opcode(77), ReqID: 4})
 		if bad.Status != protocol.StatusError {

@@ -131,8 +131,24 @@ func newZipfCDF(n int, s float64) []float64 {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// keyFormat is the canonical key of an index.
-const keyFormat = "obj:%010d"
+// keyPrefix is the canonical key of index 0, and the prefix every other
+// key's digits are padded into: the format "obj:%010d".
+const keyPrefix = "obj:0000000000"
+
+// KeyOf returns the canonical key of a non-negative index i, as
+// fmt.Sprintf("obj:%010d", i) renders it but without boxing i.
+func KeyOf(i int) string {
+	var buf [len(keyPrefix) + 10]byte
+	return string(appendKey(buf[:0], i))
+}
+
+// appendKey appends the canonical key of a non-negative index i to dst.
+func appendKey(dst []byte, i int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	dst = append(dst, keyPrefix[:len(keyPrefix)-min(10, len(d))]...)
+	return append(dst, d...)
+}
 
 // keyBlock is how many neighbouring keys are rendered together, into one
 // string they all slice: a first touch costs 1/keyBlock of an allocation.
@@ -142,8 +158,11 @@ const keyBlock = 64
 // rendered once and served from a table after that; any other index is
 // rendered on the spot.
 func (g *Generator) Key(i int) string {
-	if i < 0 || i >= g.cfg.Keys {
-		return fmt.Sprintf(keyFormat, i)
+	if i < 0 {
+		return fmt.Sprintf("obj:%010d", i)
+	}
+	if i >= g.cfg.Keys {
+		return KeyOf(i)
 	}
 	if g.keys == nil {
 		g.keys = make([]string, g.cfg.Keys)
@@ -159,13 +178,9 @@ func (g *Generator) renderBlock(i int) {
 	lo := i &^ (keyBlock - 1)
 	hi := min(lo+keyBlock, len(g.keys))
 	var ends [keyBlock]int
-	buf := make([]byte, 0, keyBlock*len("obj:0000000000"))
+	buf := make([]byte, 0, keyBlock*len(keyPrefix))
 	for j := lo; j < hi; j++ {
-		// keyFormat by hand: fmt would box j, an allocation per key.
-		var digits [20]byte
-		d := strconv.AppendInt(digits[:0], int64(j), 10)
-		buf = append(buf, "obj:0000000000"[:4+max(0, 10-len(d))]...)
-		buf = append(buf, d...)
+		buf = appendKey(buf, j)
 		ends[j-lo] = len(buf)
 	}
 	all, start := string(buf), 0

@@ -164,13 +164,18 @@ func TestZipfCDFSharedAcrossGoroutines(t *testing.T) {
 }
 
 // Keys are rendered once and served from the generator's table after that:
-// the strings are the ones Sprintf would give, inside the keyspace and out,
-// and a draw from a warmed generator allocates nothing.
+// the strings are the ones Sprintf would give, inside the keyspace and out
+// (KeyOf's, for a non-negative index: ten digits, and more once an index
+// needs them), and a draw from a warmed generator allocates nothing.
 func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
 	g := New(Config{Keys: 1000, Seed: 9})
-	for _, i := range []int{0, 7, 63, 64, 999, 1000, 123456, -3} {
-		if got, want := g.Key(i), fmt.Sprintf("obj:%010d", i); got != want {
+	for _, i := range []int{0, 7, 9, 10, 63, 64, 999, 1000, 4095, 123456, 9_999_999_999, 10_000_000_000, -3} {
+		want := fmt.Sprintf("obj:%010d", i)
+		if got := g.Key(i); got != want {
 			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+		if i >= 0 && KeyOf(i) != want {
+			t.Errorf("KeyOf(%d) = %q, want %q", i, KeyOf(i), want)
 		}
 	}
 	for _, pattern := range []Pattern{Uniform, Zipf} {
