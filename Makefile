@@ -39,8 +39,10 @@ race:
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
 # races (four workers on one key: get vs set, and the conditional and
-# read-modify-write commands), the history checker, and the fabric's
-# transfer pool (TestRecycledTransfersUnderFaults in internal/verbs: 10^5
+# read-modify-write commands) and its item pool (TestPooledItemsUnderFaults:
+# four workers on eight keys against every holder of a stored item, through
+# compaction, bit rot, a scrub and a cold restart), the history checker, and
+# the fabric's transfer pool (TestRecycledTransfersUnderFaults in internal/verbs: 10^5
 # posts through drops, duplicates, corruption and spikes, every completion
 # checked against its own work request), and the page cache's writeback
 # (TestThrottledWritebackDepth: a throttled writer starts a second writeback

@@ -119,23 +119,24 @@ func BenchmarkEvictWindowOf4(b *testing.B) { benchSteps(b, newEvictRig(4, true).
 func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel()) }
 
 // What the region writer allocates, the page's Stores included (they allocate
-// nothing: the rig reuses its Items). One page of 30 victims is 42: the
-// victim slice as it grows (6), one item record per slot (30), and the
+// nothing: the rig reuses its Items). One page of 30 victims is 8: the victim
+// slice, sized once (1), the region's slot records, one array (1), and the
 // region's header, its slot summaries, the extent slice, the commit record,
 // the arena page and the flush-done event (6). A window adds itself and its
-// job list; a window of four writes four such regions with one extent slice.
-// An SSD Load allocates nothing. The ceilings are what the separate lone and
-// merged writers measured before they became one: a run of one must allocate
-// no slice the lone writer did not.
+// job list (10); a window of four writes four such regions with one extent
+// slice, and its job list is allocated three times as it grows (33). An SSD
+// Load allocates nothing.
+// They were 42, 44 and 169 while the victim slice grew by appending and
+// every slot record was allocated on its own.
 func TestRegionWriterAllocationCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		step    func()
 		ceiling float64
 	}{
-		{"synchronous eviction of one page", newEvictRig(1, false).step, 42},
-		{"window of one page", newEvictRig(1, true).step, 44},
-		{"window of four pages", newEvictRig(4, true).step, 177},
+		{"synchronous eviction of one page", newEvictRig(1, false).step, 8},
+		{"window of one page", newEvictRig(1, true).step, 10},
+		{"window of four pages", newEvictRig(4, true).step, 33},
 		{"SSD load", loadModel(), 0},
 	} {
 		tc.step()

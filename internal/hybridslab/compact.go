@@ -26,7 +26,8 @@ type liveRegion struct {
 // (deterministic), each marked relocating: from here on the region is the
 // relocation's to retire — freeSSD leaves it out of the pool however many of
 // its items die before relocate gets to it. A region another relocation
-// already holds is not offered.
+// already holds is not offered. The relocation holds every item it is
+// offered: relocate lets go of each, but for the corrupt ones it returns.
 func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveRegion {
 	groups := make(map[*ssdPage][]*Item)
 	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
@@ -38,6 +39,9 @@ func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveR
 	for pg, items := range groups {
 		if pred(pg, items) {
 			pg.relocating = true
+			for _, it := range items {
+				it.Hold()
+			}
 			regions = append(regions, liveRegion{pg, items})
 		}
 	}
@@ -61,7 +65,10 @@ func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveR
 // It returns the fresh region (nil when none landed) and false when a cold
 // restart abandoned the relocation: the caller must stop. Otherwise old is
 // unmarked and, once its last slot is gone, pooled — unless it is
-// quarantined, when ReclaimQuarantined owns its release.
+// quarantined, when ReclaimQuarantined owns its release. The corrupt items
+// come back still held, for the caller to let go of; every other item's
+// hold goes here — but after a cold restart, when they are an older
+// incarnation's and count none.
 func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssdPage, corrupt []*Item, alive bool) {
 	gen0 := m.gen
 	class := items[0].class
@@ -70,11 +77,14 @@ func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssd
 	for _, it := range items {
 		_, state := m.readSlot(p, it, scheme)
 		if m.gen != gen0 {
+			// The items are an older incarnation's now: no holds to give up.
 			return nil, corrupt, false
 		}
 		switch state {
 		case slotClean:
 			keep = append(keep, it)
+		case slotGone:
+			it.Unhold()
 		case slotLost:
 			m.retire(it)
 			corrupt = append(corrupt, it)
@@ -93,12 +103,20 @@ func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssd
 				fresh = m.relink(job, base)
 			}
 		}
+		unholdAll(keep)
 	}
 	old.relocating = false
 	if old.live == 0 && !old.quarantined {
 		m.retireRegion(old)
 	}
 	return fresh, corrupt, true
+}
+
+// unholdAll lets go of one hold on each item.
+func unholdAll(items []*Item) {
+	for _, it := range items {
+		it.Unhold()
+	}
 }
 
 // relink moves a relocation's survivors to their slots in the region just
@@ -137,9 +155,10 @@ func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) (reclaimed int64) 
 		return !pg.quarantined && float64(liveBytes) <= liveThreshold*float64(pg.size)
 	})
 	for _, r := range sparse {
-		fresh, _, alive := m.relocate(p, r.pg, r.items)
+		fresh, corrupt, alive := m.relocate(p, r.pg, r.items)
+		unholdAll(corrupt)
 		if !alive {
-			break
+			break // the rest are an older incarnation's: no holds to give up
 		}
 		if fresh != nil {
 			m.Compactions++

@@ -115,7 +115,8 @@ func commitOff(base, size int64) int64 {
 
 // buildRegion appends the header and slot extents of one job's region at
 // base to data, and returns its commit-record extent (written separately,
-// afterwards).
+// afterwards). The region's slot records share one array: each lives exactly
+// as long as its region does.
 func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pagecache.Extent) ([]pagecache.Extent, pagecache.Extent) {
 	hdr := &pageHeader{
 		Magic: pageMagic,
@@ -125,16 +126,17 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pag
 		Items: make([]itemMeta, len(job.victims)),
 	}
 	data = append(data, pagecache.Extent{Off: base, Size: PageHeaderSize, Payload: hdr})
+	recs := make([]itemRecord, len(job.victims))
 	for i, v := range job.victims {
 		hdr.Items[i] = itemMeta{Digest: protocol.FNV1a(v.Key), Len: v.ValueSize}
-		rec := &itemRecord{
+		recs[i] = itemRecord{
 			Key:       v.Key,
 			Value:     v.Value,
 			ValueSize: v.ValueSize,
 			Flags:     v.Flags,
 			CAS:       v.CAS,
 		}
-		data = append(data, pagecache.Extent{Off: slotOff(base, i, job.chunk), Size: job.chunk, Payload: rec})
+		data = append(data, pagecache.Extent{Off: slotOff(base, i, job.chunk), Size: job.chunk, Payload: &recs[i]})
 	}
 	hdr.Sum = headerSum(hdr)
 	cr := &commitRecord{Magic: commitMagic, Epoch: epoch, Base: base, Size: job.size()}

@@ -43,12 +43,21 @@ const (
 const slabMetaCost = 200 * sim.Nanosecond
 
 // Item is one key-value pair and its placement.
+//
+// An item a manager hands out (NewItem) comes off that manager's free list
+// and counts its holds: everyone who may touch it — the store's table, the
+// manager while it is resident, an eviction in flight, a caller suspended in
+// Load — holds it, and the last Unhold puts it back, zeroed, for the next
+// NewItem. An item built by hand has no pool, and one a cold restart left
+// behind is never reused: neither counts holds, and the GC takes both.
 type Item struct {
 	Key       string
 	Value     any
 	ValueSize int
 	Flags     uint32
-	CAS       uint64
+	// holds counts who may still touch the item (pooled items only).
+	holds int32
+	CAS   uint64
 
 	class   int
 	onSSD   bool
@@ -57,14 +66,74 @@ type Item struct {
 	// recency list while the evicting worker may be suspended in flush I/O,
 	// so concurrent Touch/Release must not relink it.
 	inTransit bool
-	ssdOff    int64
-	ssdPage   *ssdPage
-	lru       slab.LRUEntry[*Item]
 	// gen is the manager incarnation that owns the item. A cold-restart
 	// recovery bumps the manager's generation; items from the previous
 	// incarnation (still referenced by workers that were suspended in I/O
-	// across the crash) become inert — Touch/Release/Load ignore them.
-	gen uint64
+	// across the crash) become inert — Touch/Release/Load ignore them, and
+	// so do Hold and Unhold.
+	gen     uint32
+	ssdOff  int64
+	ssdPage *ssdPage
+	lru     slab.LRUEntry[*Item]
+	// pool is the manager whose free list the item goes back to; nil for an
+	// item built by hand.
+	pool *Manager
+}
+
+// NewItem hands out a zero item holding one hold, its caller's: off the free
+// list when it has one. It panics if the item at the top of the list was
+// touched after its last Unhold.
+func (m *Manager) NewItem() *Item {
+	n := len(m.free)
+	if n == 0 {
+		m.ItemsMade++
+		return &Item{holds: 1, gen: m.gen, pool: m}
+	}
+	it := m.free[n-1]
+	m.free = m.free[:n-1]
+	if *it != (Item{gen: m.gen, pool: m}) {
+		panic("hybridslab: a free item was touched after its last Unhold")
+	}
+	it.holds = 1
+	return it
+}
+
+// pooled reports whether it counts holds: it came off its manager's free
+// list, in the incarnation that is live now.
+func (it *Item) pooled() bool { return it.pool != nil && it.gen == it.pool.gen }
+
+// Hold adds a hold on it: one more holder may touch it until its own Unhold.
+// Holding a pooled item nobody holds panics: it is free already.
+func (it *Item) Hold() {
+	it.mustBeHeld("Hold")
+	if it.pooled() {
+		it.holds++
+	}
+}
+
+// Unhold drops one hold on it; the last one zeroes a pooled item and puts it
+// back on its manager's free list. Unholding below zero panics.
+func (it *Item) Unhold() {
+	if !it.pooled() {
+		return
+	}
+	if it.holds--; it.holds > 0 {
+		return
+	}
+	if it.holds < 0 {
+		panic("hybridslab: item unheld more often than held")
+	}
+	m := it.pool
+	*it = Item{gen: m.gen, pool: m}
+	m.free = append(m.free, it)
+}
+
+// mustBeHeld panics on a pooled item nobody holds: whoever passed it in let
+// go of it, and it may be another key's by now.
+func (it *Item) mustBeHeld(op string) {
+	if it.pooled() && it.holds <= 0 {
+		panic("hybridslab: " + op + " of an item nobody holds")
+	}
 }
 
 // ssdPage is one flushed slab page on the SSD arena. Like fatcache, the
@@ -181,7 +250,11 @@ type Manager struct {
 	// gen counts cold-restart recoveries: workers suspended in I/O across a
 	// crash observe a changed generation on resume and abandon their work
 	// instead of mutating the rebuilt state.
-	gen uint64
+	gen uint32
+
+	// free is the item free list (NewItem, Item.Unhold).
+	free []*Item
+
 	// epoch stamps flushed pages; the commit record must match it. It only
 	// grows, surviving recovery (restored to max-seen+1), so a newer copy of
 	// a key always carries a higher epoch.
@@ -209,6 +282,9 @@ type Manager struct {
 	AbortedWindows         int64 // eviction windows torn down by Crash
 	FlushTime, SSDLoadTime sim.Time
 	AllocStalls            int64
+	// ItemsMade counts the items NewItem allocated because the free list
+	// was empty.
+	ItemsMade int64
 }
 
 // New builds a hybrid manager. file may be nil for a RAM-only store; then
@@ -242,12 +318,15 @@ func New(env *sim.Env, cfg Config, file *pagecache.File) *Manager {
 
 // flushJob is one slab eviction awaiting its SSD write. gen pins the manager
 // incarnation that staged it: jobs staged before a cold restart are
-// abandoned, not placed into the rebuilt arena.
+// abandoned, not placed into the rebuilt arena. An eviction holds each of its
+// victims from staging until whoever settles the job — placeAt, unflush,
+// dropJob, abandonJob — is done with it: a victim the store releases and
+// replaces meanwhile is still the job's to read and to account for.
 type flushJob struct {
 	victims []*Item
 	class   int
 	chunk   int
-	gen     uint64
+	gen     uint32
 	// inRAM: the victims still occupy their RAM chunks, and whoever settles
 	// the job frees them (the synchronous path). A staged job — write-behind
 	// or a coalescing window — freed them at buffering time, so undoing its
@@ -299,8 +378,10 @@ func (m *Manager) loadScheme(class int) pagecache.Scheme {
 
 // Store inserts or replaces the item for key, charging p the slab
 // management and any eviction I/O time. This is the "Slab Allocation"
-// stage of a Set.
+// stage of a Set. A stored item is resident, and the manager holds it until
+// its residency ends (Release, or eviction dropping or retiring it).
 func (m *Manager) Store(p *sim.Proc, it *Item) error {
+	it.mustBeHeld("Store")
 	if m.recovering {
 		return ErrRecovering
 	}
@@ -323,6 +404,7 @@ func (m *Manager) Store(p *sim.Proc, it *Item) error {
 			m.lrus[class].PushFront(&it.lru)
 			it.lru.Value = it
 			it.onSSD = false
+			it.Hold()
 			return nil
 		case slab.AllocNeedEvict:
 			m.AllocStalls++
@@ -375,7 +457,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 	}
 	chunk := m.alloc.ChunkSize(victimClass)
 	want := max(1, m.alloc.Config().PageSize/chunk)
-	var victims []*Item
+	victims := make([]*Item, 0, want)
 	for len(victims) < want {
 		e := m.lrus[victimClass].PopBack()
 		if e == nil {
@@ -397,9 +479,11 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 	}
 	// Buffer one slab of key-value pairs. The victims are on no recency
 	// list while the flush is in flight; mark them in transit so
-	// concurrent Touch/Release leave the relinking to us.
+	// concurrent Touch/Release leave the relinking to us, and hold them for
+	// the job.
 	for _, v := range victims {
 		v.inTransit = true
+		v.Hold()
 		m.event(v, EvictStaged)
 	}
 	job := flushJob{victims: victims, class: victimClass, chunk: chunk, gen: m.gen}
@@ -676,30 +760,28 @@ const flushFailBudget = 3
 func (m *Manager) unflush(job flushJob) {
 	for _, v := range job.victims {
 		v.inTransit = false
-		if v.dropped {
+		switch {
+		case v.dropped:
 			if job.inRAM {
 				m.alloc.Free(job.class)
 			}
-			continue
+		case !job.inRAM && m.alloc.Alloc(job.class) == slab.AllocNeedEvict:
+			// No RAM left and we must not evict from a failure path.
+			m.shed(v)
+		default:
+			v.onSSD = false
+			m.lrus[job.class].PushFront(&v.lru)
+			m.event(v, EvictRestored)
 		}
-		if !job.inRAM {
-			switch m.alloc.Alloc(job.class) {
-			case slab.AllocOK, slab.AllocNewPage:
-			default:
-				// No RAM left and we must not evict from a failure path.
-				m.shed(v)
-				continue
-			}
-		}
-		v.onSSD = false
-		m.lrus[job.class].PushFront(&v.lru)
-		m.event(v, EvictRestored)
+		v.Unhold()
 	}
 }
 
 // abandonJob discards a job staged by a previous manager incarnation (cold
 // restart while its worker was suspended): the items are unreachable from
-// the rebuilt index, and none of the rebuilt state may be touched.
+// the rebuilt index, and none of the rebuilt state may be touched. Being an
+// older incarnation's, they count no holds (Item.pooled): there are none to
+// give up.
 func (m *Manager) abandonJob(job flushJob) {
 	for _, v := range job.victims {
 		v.inTransit = false
@@ -724,12 +806,14 @@ func (m *Manager) nextEpoch() uint64 {
 }
 
 // shed discards an item's value entirely: the key is dead, a Get of it a
-// miss. The caller has already released whatever storage the item held.
+// miss, and the item no longer resident. The caller has already released
+// whatever storage the item held.
 func (m *Manager) shed(v *Item) {
 	v.Value = nil
 	v.dropped = true
 	m.DropEvictions++
 	m.event(v, EvictDropped)
+	v.Unhold()
 }
 
 // dropJob discards a job's victims entirely (SSD full, or a device failing
@@ -743,6 +827,7 @@ func (m *Manager) dropJob(job flushJob) {
 		if !v.dropped {
 			m.shed(v)
 		}
+		v.Unhold()
 	}
 }
 
@@ -762,14 +847,15 @@ func (m *Manager) placeAt(job flushJob, base int64) {
 			// the slot the region write just placed so recovery cannot
 			// resurrect the dead copy.
 			m.freeSlot(pg, off)
-			continue
+		} else {
+			v.onSSD = true
+			v.ssdOff = off
+			v.ssdPage = pg
+			m.ssdLRU.PushFront(&v.lru)
+			pg.live++
+			m.event(v, EvictLanded)
 		}
-		v.onSSD = true
-		v.ssdOff = off
-		v.ssdPage = pg
-		m.ssdLRU.PushFront(&v.lru)
-		pg.live++
-		m.event(v, EvictLanded)
+		v.Unhold()
 	}
 	m.settle(pg)
 	m.FlushPages++
@@ -870,7 +956,11 @@ func (m *Manager) retireRegion(pg *ssdPage) {
 // semantics: minimal disk reads on hits, no write-amplifying promotion
 // churn); recency is tracked in the SSD-side list so overflow eviction
 // still discards the coldest items first.
+//
+// The caller holds it across the call: the load suspends, and an item
+// released meanwhile is not reused under it.
 func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
+	it.mustBeHeld("Load")
 	if m.recovering {
 		return nil, ErrRecovering
 	}
@@ -913,6 +1003,7 @@ var ErrRecovering = errors.New("hybridslab: recovery in progress")
 
 // Touch promotes the item in its recency list (the "Cache Update" stage).
 func (m *Manager) Touch(it *Item) {
+	it.mustBeHeld("Touch")
 	if it.dropped || it.inTransit || it.gen != m.gen {
 		return
 	}
@@ -923,8 +1014,10 @@ func (m *Manager) Touch(it *Item) {
 	}
 }
 
-// Release frees the item's storage (delete or replace).
+// Release frees the item's storage (delete or replace), and with it the
+// manager's hold.
 func (m *Manager) Release(it *Item) {
+	it.mustBeHeld("Release")
 	if it.dropped {
 		return
 	}
@@ -943,6 +1036,7 @@ func (m *Manager) Release(it *Item) {
 	}
 	it.Value = nil
 	it.dropped = true
+	it.Unhold()
 }
 
 // VisitLRU calls fn for up to limit items per recency list (each RAM class

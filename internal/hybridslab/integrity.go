@@ -141,6 +141,7 @@ func (m *Manager) retire(it *Item) {
 	it.dropped = true
 	m.CorruptLoads++
 	m.event(it, EvictDropped)
+	it.Unhold()
 }
 
 // ReclaimQuarantined releases fully-dead quarantined regions back to the
@@ -179,7 +180,9 @@ func (m *Manager) ReclaimQuarantined() int {
 // "a corrupt page is never reused until scrubbed" means operationally:
 // suspect media is drained, re-verified, and only then reclaimed. On a write
 // failure the old slots stay authoritative (still quarantined, so nothing
-// new lands there) and the next scrub round retries.
+// new lands there) and the next scrub round retries. Each corrupt item comes
+// back held, and the caller lets go of it (Item.Unhold) once it is done with
+// it.
 func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) {
 	if m.file == nil || len(m.quarantine) == 0 {
 		return 0, nil
@@ -188,7 +191,7 @@ func (m *Manager) EvacuateQuarantined(p *sim.Proc) (moved int, corrupt []*Item) 
 		fresh, bad, alive := m.relocate(p, r.pg, r.items)
 		corrupt = append(corrupt, bad...)
 		if !alive {
-			break
+			break // the rest are an older incarnation's: no holds to give up
 		}
 		if fresh != nil {
 			moved += fresh.live

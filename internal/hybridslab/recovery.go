@@ -91,6 +91,11 @@ func (m *Manager) WipeSSD() {
 // I/O across the crash abandon their work on resume.
 func (m *Manager) resetVolatile() {
 	m.gen++
+	// A free item belongs to no incarnation's state: it carries the live one,
+	// so a hold on it is still checked (Item.pooled).
+	for _, it := range m.free {
+		it.gen = m.gen
+	}
 	m.alloc = slab.New(m.cfg.Slab)
 	m.lrus = make([]slab.LRU[*Item], m.alloc.NumClasses())
 	m.ssdLRU = slab.LRU[*Item]{}
@@ -119,7 +124,8 @@ type recPage struct {
 // Recover rebuilds the manager from the SSD after a cold restart and
 // returns the recovered items for the store to re-index. The scan charges
 // one sequential read over the used arena extent plus the in-place header
-// validation; while it runs, Store/Load fail fast with ErrRecovering.
+// validation; while it runs, Store/Load fail fast with ErrRecovering. Every
+// item returned is resident, held by the manager like any stored one.
 func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 	var rep RecoveryReport
 	t0 := p.Now()
@@ -148,6 +154,9 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 	epochOf := make(map[string]uint64)
 	var pages []*recPage
 	var maxEpoch uint64
+	// The scan holds every item it makes until it is done: byKey may name an
+	// item of a page discarded later, which a later duplicate still demotes.
+	var scanned []*Item
 
 	for _, base := range m.file.DurableOffsets() {
 		e, ok := m.file.PeekDurable(base)
@@ -211,18 +220,10 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 				corrupt = true
 				break
 			}
-			it := &Item{
-				Key:       rec.Key,
-				Value:     rec.Value,
-				ValueSize: rec.ValueSize,
-				Flags:     rec.Flags,
-				CAS:       rec.CAS,
-				class:     hdr.Class,
-				onSSD:     true,
-				ssdOff:    off,
-				ssdPage:   pg,
-				gen:       m.gen,
-			}
+			it := m.NewItem()
+			scanned = append(scanned, it)
+			it.Key, it.Value, it.ValueSize, it.Flags, it.CAS = rec.Key, rec.Value, rec.ValueSize, rec.Flags, rec.CAS
+			it.class, it.onSSD, it.ssdOff, it.ssdPage = hdr.Class, true, off, pg
 			if prev, dup := byKey[rec.Key]; dup {
 				// Two committed copies of one key (higher epoch wins). The
 				// running system invalidates stale slots eagerly, so this
@@ -279,10 +280,12 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			}
 			it.lru.Value = it
 			m.ssdLRU.PushFront(&it.lru)
+			it.Hold() // resident
 			items = append(items, it)
 			rep.ItemsRecovered++
 		}
 	}
+	unholdAll(scanned)
 	if maxEpoch > m.epoch {
 		m.epoch = maxEpoch
 	}

@@ -395,7 +395,8 @@ func TestRecoverBumpPointerClearsUncommittedLastPage(t *testing.T) {
 // Two committed copies of one key on the media — the stale slot's
 // invalidation never reached the device — and a cold restart: the copy in the
 // page with the higher epoch wins, the loser's slot is invalidated so no later
-// restart can resurrect it, and its page counts one live slot fewer.
+// restart can resurrect it, its page counts one live slot fewer, and its item
+// goes back on the free list.
 func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 	env, m, _ := newRecoveryRig(1, 0)
 	older, newer := item(0, 32*1024), item(0, 32*1024)
@@ -433,6 +434,17 @@ func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 		}
 		if len(copies) != 1 || copies[0] != "newer" {
 			t.Errorf("recovered copies of the duplicated key: %v, want only the higher epoch's", copies)
+		}
+		// The scan made an item per copy and held each until it was done:
+		// the winners keep the manager's residency hold alone, the loser none.
+		for _, it := range items {
+			if it.holds != 1 {
+				t.Errorf("recovered %q has %d holds, want 1 (resident)", it.Key, it.holds)
+				break
+			}
+		}
+		if len(m.free) != 1 {
+			t.Errorf("%d items free after recovery, want 1: the demoted copy", len(m.free))
 		}
 	})
 	env.Run()

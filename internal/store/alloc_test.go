@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
+	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -57,9 +59,11 @@ func BenchmarkDirectoryRepublish(b *testing.B) {
 
 // A published key keeps its directory entry for as long as it owns its
 // bucket, so republishing it allocates only the slot boxed for the MR: a Set
-// of an inline value is 3 allocations (the item, the slot boxed at the odd
-// version that opens the window and at the commit) and a republish alone is
-// 1. They were 4 and 2 while every publish allocated a fresh entry.
+// of an inline value is 2 allocations (the slot boxed at the odd version that
+// opens the window and at the commit) and a republish alone is 1. The Set's
+// item is the one the Set before it replaced, off the manager's free list.
+// They were 3 and 1 while every stored item was allocated afresh, and 4 and 2
+// while every publish allocated a fresh entry too.
 func TestDirectoryAllocationCeiling(t *testing.T) {
 	set, republish := directoryModel()
 	for _, tc := range []struct {
@@ -67,7 +71,7 @@ func TestDirectoryAllocationCeiling(t *testing.T) {
 		step    func()
 		ceiling float64
 	}{
-		{"SET of an inline value onto a store with a directory", set, 3},
+		{"SET of an inline value onto a store with a directory", set, 2},
 		{"republish of that key", republish, 1},
 	} {
 		tc.step()
@@ -104,8 +108,9 @@ func handleModel(req *protocol.Request) (step func()) {
 }
 
 // The storage phase's answer comes from the store's free list, and a released
-// reply is the next one handed out: a GET hit allocates nothing, and a SET
-// only its item (1).
+// reply is the next one handed out; a SET's item comes from its manager's,
+// and the item it replaces is the next one handed out. A GET hit and a SET
+// allocate nothing (a SET was 1, its item, before items were reused).
 func TestHandleAllocationCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -113,12 +118,73 @@ func TestHandleAllocationCeiling(t *testing.T) {
 		ceiling float64
 	}{
 		{"GET hit, its reply released", &protocol.Request{Op: protocol.OpGet, Key: "k"}, 0},
-		{"SET, its reply released", &protocol.Request{Op: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"}, 1},
+		{"SET, its reply released", &protocol.Request{Op: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"}, 0},
 	} {
 		step := handleModel(tc.req)
 		step()
 		if got := testing.AllocsPerRun(300, step); got > tc.ceiling {
 			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// overwriteSpilledModel returns a hybrid store with four times its RAM in
+// 32 KB values, and a step that SETs keys round robin until one slab page has
+// been evicted: from the second pass on, every key a SET replaces is the
+// oldest, on the SSD, and RAM is full, so the step is one page's worth of
+// overwrites of SSD-resident items and the one synchronous eviction they
+// cause. items reports how many items the manager has allocated.
+func overwriteSpilledModel() (step func(), items func() int64) {
+	env := sim.NewEnv()
+	s := newStoreWithPolicy(env, 4<<20, true, hybridslab.PolicyDirect)
+	keys := make([]string, 512)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	sets := 0
+	kick := sim.NewQueue[struct{}](env, 0)
+	env.Spawn("driver", func(p *sim.Proc) {
+		for {
+			if _, ok := kick.Get(p); !ok {
+				return
+			}
+			for flushed := s.mgr.FlushPages; s.mgr.FlushPages == flushed; sets++ {
+				key := keys[sets%len(keys)]
+				if old := s.table[key]; old != nil && !old.OnSSD() {
+					panic("overwrite model: the oldest key is in RAM")
+				}
+				s.Set(p, key, 32<<10, "v", 0, 0)
+			}
+		}
+	})
+	step = func() {
+		kick.TryPut(struct{}{})
+		env.Run()
+	}
+	for sets < 2*len(keys) {
+		step() // two passes: every key written, then rewritten from the SSD
+	}
+	return step, func() int64 { return s.mgr.ItemsMade }
+}
+
+// BenchmarkStoreOverwriteSpilled is one page's worth of SETs that replace
+// SSD-resident items, with the eviction they cause.
+func BenchmarkStoreOverwriteSpilled(b *testing.B) {
+	step, _ := overwriteSpilledModel()
+	benchStep(b, step)
+}
+
+// A SET that replaces an SSD-resident item frees its slot and its item, and
+// the next SET takes that item: once warm, no SET allocates one. What a page
+// of them allocates is the eviction's region write alone (8: the region
+// writer's ceiling in internal/hybridslab).
+func TestOverwriteSpilledAllocationCeiling(t *testing.T) {
+	step, items := overwriteSpilledModel()
+	made := items()
+	if got := testing.AllocsPerRun(100, step); got > 8 {
+		t.Errorf("one page of SETs over SSD-resident items: %v allocations, ceiling 8", got)
+	}
+	if n := items() - made; n != 0 {
+		t.Errorf("%d items allocated after warm-up, want 0", n)
 	}
 }

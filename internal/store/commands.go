@@ -74,21 +74,25 @@ func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
 // together in one instant — where a read-modify-write starts — or nil and the
 // key's answer: a miss, or a failed load's (loadFailed). The load suspends,
 // and an answer given for an item replaced meanwhile (a nil value, "dropped")
-// describes that item, not the key: again.
+// describes that item, not the key: again. The item comes back held, and the
+// caller lets go of it once it has asked still for the last time.
 func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64, st protocol.Status) {
 	for {
 		p.Sleep(hashCost)
 		if it = s.table[key]; it == nil {
 			return nil, nil, 0, protocol.StatusNotFound
 		}
+		it.Hold()
 		v, err := s.mgr.Load(p, it)
 		if s.table[key] != it {
+			it.Unhold()
 			continue
 		}
 		if err != nil {
 			if st = s.loadFailed(p, key, err); st == protocol.StatusCorrupt {
 				s.CorruptReads++
 			}
+			it.Unhold()
 			return nil, nil, 0, st
 		}
 		return it, v, it.CAS, protocol.StatusOK
@@ -107,38 +111,48 @@ func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 		if it == nil {
 			return 0, st
 		}
-		cur, ok := v.(uint64)
-		if !ok {
-			return 0, protocol.StatusBadValue
+		next, st, again := s.incr(p, key, it, v, cas, delta)
+		it.Unhold()
+		if !again {
+			return next, st
 		}
-		next := cur + delta
-		if !it.InPlace() {
-			// The authoritative copy lives in an SSD extent, or is on its way
-			// into one; rewrite through the regular store path so the new
-			// value lands somewhere live, with the item's flags.
-			switch st := s.SetIf(p, key, counterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
-			case protocol.StatusStored:
-				return next, protocol.StatusOK
-			case protocol.StatusNotStored:
-				continue
-			default:
-				return 0, st
-			}
-		}
-		// RAM-resident counters mutate in place: same class, no reallocation.
-		s.publishBegin(key)
-		p.Sleep(updateCost)
-		if !s.still(key, it, cas) || !it.InPlace() {
-			// Replaced under the update — or staged for eviction under it:
-			// the flush lands what it captured, not what is written here.
-			s.republish(key)
-			continue
-		}
-		it.Value = next
-		s.cas++
-		it.CAS = s.cas
-		s.mgr.Touch(it)
-		s.publish(it)
-		return next, protocol.StatusOK
 	}
+}
+
+// incr is one attempt of Incr on the item read returned, held across it:
+// the answer, or again when the key changed under the attempt.
+func (s *Store) incr(p *sim.Proc, key string, it *hybridslab.Item, v any, cas, delta uint64) (next uint64, st protocol.Status, again bool) {
+	cur, ok := v.(uint64)
+	if !ok {
+		return 0, protocol.StatusBadValue, false
+	}
+	next = cur + delta
+	if !it.InPlace() {
+		// The authoritative copy lives in an SSD extent, or is on its way
+		// into one; rewrite through the regular store path so the new
+		// value lands somewhere live, with the item's flags.
+		switch st := s.SetIf(p, key, counterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
+		case protocol.StatusStored:
+			return next, protocol.StatusOK, false
+		case protocol.StatusNotStored:
+			return 0, 0, true
+		default:
+			return 0, st, false
+		}
+	}
+	// RAM-resident counters mutate in place: same class, no reallocation.
+	s.publishBegin(key)
+	p.Sleep(updateCost)
+	if !s.still(key, it, cas) || !it.InPlace() {
+		// Replaced under the update — or staged for eviction under it:
+		// the flush lands what it captured, not what is written here.
+		s.republish(key)
+		return 0, 0, true
+	}
+	it.Value = next
+	s.cas++
+	it.CAS = s.cas
+	s.mgr.Touch(it)
+	s.publish(it)
+	return next, protocol.StatusOK, false
 }

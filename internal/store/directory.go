@@ -69,7 +69,9 @@ var emptyBucket any = protocol.DirBucket{}
 
 // dirEntry is one published key: the item it mirrors and the slot last
 // committed for it (slot.Off/Len name its value-MR segment when the value
-// is out of line).
+// is out of line). The entry holds its item until another replaces it or the
+// key is unpublished: EvictionUpdate compares identity, which a reused item
+// would fake.
 type dirEntry struct {
 	it   *hybridslab.Item
 	slot protocol.DirSlot
@@ -306,7 +308,14 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 		d.nextOff += int64(slot.Len)
 		d.valMR.SetSegment(slot.Off, seg, slot.Len)
 	}
-	e.it, e.slot = it, slot
+	if e.it != it {
+		it.Hold()
+		if e.it != nil {
+			e.it.Unhold()
+		}
+		e.it = it
+	}
+	e.slot = slot
 	d.writeBucket(b)
 }
 
@@ -318,8 +327,10 @@ func (d *Directory) Unpublish(key string) {
 	if w < 0 {
 		return
 	}
-	d.drop(d.entries[w])
-	d.leave(b, d.entries[w])
+	e := d.entries[w]
+	d.drop(e)
+	d.leave(b, e)
+	e.it.Unhold()
 	d.entries[w] = nil
 	d.commitVersion(w)
 	d.writeBucket(b)
@@ -353,6 +364,11 @@ func (d *Directory) Quiesce() {
 	// Segment-addressed even when empty: a READ of an unpublished offset
 	// returns emptiness, not a whole-region payload.
 	d.valMR.ClearSegments()
+	for _, e := range d.entries {
+		if e != nil {
+			e.it.Unhold()
+		}
+	}
 	clear(d.entries)
 	clear(d.spills)
 	for b := 0; b < d.buckets; b++ {

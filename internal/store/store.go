@@ -98,19 +98,25 @@ func (s *Store) Manager() *hybridslab.Manager { return s.mgr }
 func (s *Store) EvacuateQuarantined(p *sim.Proc) {
 	_, corrupt := s.mgr.EvacuateQuarantined(p)
 	for _, it := range corrupt {
-		// The read may have suspended; only tear down a table entry the
-		// retired item still owns (a concurrent Set installs a new one).
+		// The read may have suspended, and so may each loadFailed; only tear
+		// down a table entry the retired item still owns (a concurrent Set
+		// installs a new one). The evacuation holds every item of the list
+		// until the loop ends, so none is reused and matches by accident.
 		if s.table[it.Key] != it {
 			continue
 		}
 		s.loadFailed(p, it.Key, hybridslab.ErrCorrupt)
 	}
+	for _, it := range corrupt {
+		it.Unhold()
+	}
 }
 
-// loadFailed is the one rule for a failed load of key's item: it tears down
-// what err killed and returns the answer. ErrRecovering is transient — the
-// item may well be recovered — so the entry stays: StatusRecovering. Anything
-// else drops the entry and unpublishes it. ErrCorrupt (the SSD copy failed
+// loadFailed is the one rule for a failed load of key's item, the table's
+// entry: it tears down what err killed and returns the answer. ErrRecovering
+// is transient — the item may well be recovered — so the entry stays:
+// StatusRecovering. Anything else drops the entry, with the table's hold on
+// the item, and unpublishes it. ErrCorrupt (the SSD copy failed
 // verification: quarantined, not legally evicted) fires the corrupt hook, so
 // replication opens a repair-pull, and answers StatusCorrupt; the rest (the
 // value dropped by eviction) is a miss.
@@ -118,6 +124,7 @@ func (s *Store) loadFailed(p *sim.Proc, key string, err error) protocol.Status {
 	if errors.Is(err, hybridslab.ErrRecovering) {
 		return protocol.StatusRecovering
 	}
+	s.table[key].Unhold()
 	delete(s.table, key)
 	s.unpublish(key)
 	if !errors.Is(err, hybridslab.ErrCorrupt) {
@@ -195,6 +202,8 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 	if it == nil {
 		return nil, 0, 0, false
 	}
+	it.Hold()
+	defer it.Unhold()
 	v, err := s.mgr.Load(p, it)
 	if err != nil {
 		if s.table[key] == it {
@@ -210,9 +219,12 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 // CAS counter resumes above the highest recovered token so post-recovery
 // stores never reuse a pre-crash CAS value.
 func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
+	// The old table's items are the torn-down incarnation's: they count no
+	// holds (hybridslab.Item), so the table goes with nothing to give up.
 	s.table = make(map[string]*hybridslab.Item)
 	items, rep := s.mgr.Recover(p)
 	for _, it := range items {
+		it.Hold()
 		s.table[it.Key] = it
 	}
 	if rep.MaxCAS > s.cas {
@@ -241,19 +253,20 @@ func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uin
 // the same instant. A refused value is released, the key is left exactly as
 // it was, and the answer is StatusNotStored. Costs and the order of sleeps
 // are Set's either way.
+//
+// The item comes off the manager's free list holding SetIf's hold, which the
+// swap hands to the table entry; the entry it replaces gives the table's hold
+// on the old item up (Item.Unhold).
 func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, guard func() bool) protocol.Status {
 	s.SetOps++
 
 	// Stage 1: slab allocation (may trigger hybrid eviction I/O).
 	t0 := p.Now()
 	p.Sleep(hashCost)
-	it := &hybridslab.Item{
-		Key:       key,
-		Value:     value,
-		ValueSize: valueSize,
-		Flags:     flags,
-	}
+	it := s.mgr.NewItem()
+	it.Key, it.Value, it.ValueSize, it.Flags = key, value, valueSize, flags
 	if err := s.mgr.Store(p, it); err != nil {
+		it.Unhold()
 		s.Prof.Add(metrics.StageSlabAlloc, p.Now()-t0)
 		if errors.Is(err, hybridslab.ErrRecovering) {
 			return protocol.StatusRecovering
@@ -272,13 +285,15 @@ func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags u
 	if guard == nil || guard() {
 		if old := s.table[key]; old != nil {
 			s.mgr.Release(old)
+			old.Unhold()
 		}
 		s.cas++
 		it.CAS = s.cas
-		s.table[key] = it
+		s.table[key] = it // SetIf's hold is the table's from here
 		s.publish(it)
 	} else {
 		s.mgr.Release(it)
+		it.Unhold()
 		s.republish(key)
 		status = protocol.StatusNotStored
 	}
@@ -308,14 +323,19 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 	// this key releases it meanwhile: what Load returned — a nil value, or
 	// ErrDropped — then describes the replaced item, not the key. Serve
 	// whichever live item the table holds once a load of it comes back unreplaced.
+	// The Get holds each item it loads until it is done with it, so one
+	// released under it is not reused for another key meanwhile.
 	for it := s.table[key]; it != nil; it = s.table[key] {
+		it.Hold()
 		v, err := s.mgr.Load(p, it)
 		if s.table[key] != it {
+			it.Unhold()
 			continue
 		}
 		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
 		if err != nil {
 			st := s.loadFailed(p, key, err)
+			it.Unhold()
 			switch st {
 			case protocol.StatusCorrupt:
 				s.CorruptReads++
@@ -331,7 +351,9 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 		s.mgr.Touch(it)
 		s.Prof.Add(metrics.StageCacheUpdate, p.Now()-t0)
 		s.GetHits++
-		return v, it.ValueSize, it.Flags, it.CAS, protocol.StatusOK
+		size, flags, cas := it.ValueSize, it.Flags, it.CAS
+		it.Unhold()
+		return v, size, flags, cas, protocol.StatusOK
 	}
 	// Never there, or removed under the load: nothing to tear down.
 	s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
@@ -358,6 +380,7 @@ func (s *Store) DeleteIf(p *sim.Proc, key string, guard func() bool) protocol.St
 		return protocol.StatusNotFound
 	}
 	s.mgr.Release(it)
+	it.Unhold()
 	delete(s.table, key)
 	s.unpublish(key)
 	return protocol.StatusDeleted
