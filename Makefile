@@ -50,13 +50,14 @@ race:
 # waits) and its throttle (TestThrottleReleaseIgnoresLaterWriters,
 # TestThrottledWritersLeaveInParkOrder, TestColdRestartReleasesParkedWriters:
 # each parked writer's ticket against the streams' completions, other
-# writers and a cold restart), the kernel's waits (internal/sim) and the
-# fault injectors' scheduled windows (internal/fault, internal/blockdev). A
-# named subset of
+# writers and a cold restart), the kernel's waits (internal/sim), the
+# fault injectors' scheduled windows (internal/fault, internal/blockdev) and
+# the hold-counted free list the client's requests, the server's replies and
+# the store's items recycle through (internal/pool). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet ./internal/pagecache ./internal/sim ./internal/fault ./internal/blockdev
+	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/server ./internal/hybridslab ./internal/store ./internal/history ./internal/verbs ./internal/simnet ./internal/pagecache ./internal/sim ./internal/fault ./internal/blockdev ./internal/pool
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:
@@ -197,7 +198,7 @@ reach:
 # process wakeup to a callback event: printed for the eye, gating nothing —
 # nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
 # week and 25:1 the next is seen.
-ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache
+ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
 	@$(GO) test -run '^$$' -bench . -benchmem -benchtime 2000x $(ALLOC_PKGS) | awk ' \

@@ -184,7 +184,7 @@ func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 // free list and goes back at its last hold: the caller's Release, the answer
 // to its message, the TX engine's post. The server's answer comes off the
 // store's free list and goes back once the client has landed it and the
-// message carrying it has been recycled (protocol.Replies). A bypass hit's
+// message carrying it has been recycled (protocol.NewReply). A bypass hit's
 // resolver runs on a recycled process, spawned with a function bound once
 // per client, and takes the GET from the client's resolver queue. The hit
 // that ticks a hot-set refresh adds nothing: the refresh goes out from the

@@ -59,6 +59,7 @@ import (
 	"fmt"
 
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
 	"hybridkv/internal/sim"
@@ -160,9 +161,8 @@ type Req struct {
 	// attempts copy their message from: written in initReq and by the first
 	// attach, never after.
 	//
-	// The record is recycled through its client's free list (Client.free):
-	// holds counts who may still touch it, and the last drop zeroes it and
-	// puts it back. The caller holds one from Issue until Release; so does
+	// The record is recycled through its client's free list (Client.reqs,
+	// DESIGN §16). The caller holds it from Issue until Release; so does
 	// every internal holder while it holds a pointer into the record — the
 	// TX queue or batch window, the server reading first.wire (from post
 	// until the first attempt is answered: one sent and never answered keeps
@@ -193,40 +193,27 @@ type Req struct {
 	acked    bool    // BufferAck received: the server holds the request
 	bypassed bool    // completed via one-sided bypass READ, no server CPU
 	released bool    // the caller's hold is given back (Release)
-	holds    int32   // who may still touch the record; see hold and drop
+	pool.Holds
 }
 
-// hold adds one holder of the record.
-func (r *Req) hold() { r.holds++ }
+// hold adds one holder of the record; holding a free record panics.
+func (r *Req) hold() { pool.Hold(r) }
 
-// drop gives back one hold; the last one zeroes the record and puts it on
-// its client's free list. Dropping a hold nobody took panics.
+// drop gives back one hold; the last one puts the record back on its
+// client's free list, zeroed. Dropping a hold nobody took panics.
 func (r *Req) drop() {
-	if r.holds--; r.holds > 0 {
-		return
+	if pool.Drop(r) {
+		r.c.reqs.Put(r)
 	}
-	if r.holds < 0 {
-		panic("core: request dropped more often than held")
-	}
-	c := r.c
-	*r = Req{}
-	c.free = append(c.free, r)
 }
 
-// newReq hands out a zero request record holding one hold, its caller's:
-// from the free list when it has one. It panics if the record at the top of
-// the list was touched after its last drop.
+// newReq hands out a zero request record holding one hold, its caller's. It
+// panics if the record was touched after its last drop.
 func (c *Client) newReq() *Req {
-	n := len(c.free)
-	if n == 0 {
-		return &Req{holds: 1}
-	}
-	r := c.free[n-1]
-	c.free = c.free[:n-1]
-	if r.holds != 0 || r.c != nil || r.done.Fired() || r.reusable.Fired() {
+	r := c.reqs.Get()
+	if r.c != nil || r.done.Fired() || r.reusable.Fired() {
 		panic("core: a free request was touched after its last release")
 	}
-	r.holds = 1
 	return r
 }
 
@@ -310,9 +297,8 @@ type Client struct {
 	resolving *sim.Queue[*Req]
 	resolver  func(*sim.Proc)
 
-	// free is the request records whose last hold was dropped, zeroed, for
-	// Issue to take before it allocates (newReq).
-	free []*Req
+	// reqs is the free list of request records (newReq, Req.drop).
+	reqs pool.List[Req, *Req]
 
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
@@ -292,17 +293,10 @@ func poolSoak(t *testing.T, transport Transport) {
 		}
 	}
 
-	free := make(map[*Req]bool)
-	for _, req := range c.free {
-		if free[req] {
-			t.Fatalf("a request record is on the free list twice")
-		}
-		free[req] = true
-	}
 	held := 0
 	for req, po := range seen {
-		if free[req] {
-			continue
+		if pool.Holders(req) < 0 {
+			continue // free
 		}
 		held++
 		// Still held: the record was not reused, so it describes its last
@@ -311,10 +305,13 @@ func poolSoak(t *testing.T, transport Transport) {
 		// the first attempt's answer — or, buffered, never matched to one.
 		sent := !rdma || req.first.wire.RespMR != 0
 		unanswered := req.TimedOut() || req.Attempts > 1 || po.buffered
-		if !req.released || req.holds != 1 || !sent || !unanswered {
+		if !req.released || pool.Holders(req) != 1 || !sent || !unanswered {
 			t.Errorf("%v %s: released=%v, %d holds, sent=%v, ended %v after %d attempts, and not free",
-				po.op.Code, po.op.Key, req.released, req.holds, sent, req.Err(), req.Attempts)
+				po.op.Code, po.op.Key, req.released, pool.Holders(req), sent, req.Err(), req.Attempts)
 		}
+	}
+	if made, free := c.reqs.Made, c.reqs.Len(); made != free+held {
+		t.Errorf("%d request records made: %d free and %d held for good, %d unaccounted for", made, free, held, made-free-held)
 	}
 	if len(seen) >= ops*3/4 {
 		t.Errorf("%d operations used %d request records: the free list is not reused", ops, len(seen))
@@ -367,9 +364,9 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		})
 		req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: get}, WithHedge(sim.Microsecond))
 		c.Wait(p, req)
-		if req.Status != protocol.StatusOK || req.Attempts != 2 || req.holds != 2 {
+		if req.Status != protocol.StatusOK || req.Attempts != 2 || pool.Holders(req) != 2 {
 			t.Fatalf("GET: %v after %d attempts, %d holds; want OK after 2, held by its caller and the TX engine",
-				req.Status, req.Attempts, req.holds)
+				req.Status, req.Attempts, pool.Holders(req))
 		}
 		c.Release(req)
 		set, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: next, ValueSize: 64, Value: "v"}, WithBufferAck())
@@ -428,7 +425,7 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 			t.Errorf("SET answered %v", req.Status)
 		}
 		c.Release(req)
-		held = req.holds != 0
+		held = pool.Holders(req) >= 0
 	})
 	r.env.Run()
 	if held {

@@ -68,7 +68,7 @@ func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveR
 // quarantined, when ReclaimQuarantined owns its release. The corrupt items
 // come back still held, for the caller to let go of; every other item's
 // hold goes here — but after a cold restart, when they are an older
-// incarnation's and count none.
+// incarnation's and never put back.
 func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssdPage, corrupt []*Item, alive bool) {
 	gen0 := m.gen
 	class := items[0].class

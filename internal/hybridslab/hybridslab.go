@@ -27,6 +27,7 @@ import (
 	"errors"
 
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
 )
@@ -45,19 +46,18 @@ const slabMetaCost = 200 * sim.Nanosecond
 // Item is one key-value pair and its placement.
 //
 // An item a manager hands out (NewItem) comes off that manager's free list
-// and counts its holds: everyone who may touch it — the store's table, the
-// manager while it is resident, an eviction in flight, a caller suspended in
-// Load — holds it, and the last Unhold puts it back, zeroed, for the next
-// NewItem. An item built by hand has no pool, and one a cold restart left
-// behind is never reused: neither counts holds, and the GC takes both.
+// and counts its holds (DESIGN §16): everyone who may touch it — the store's
+// table, the manager while it is resident, an eviction in flight, a caller
+// suspended in Load — holds it, and the last Unhold puts it back, zeroed, for
+// the next NewItem. An item built by hand counts no holds, and one a cold
+// restart left behind is never reused: the GC takes both.
 type Item struct {
 	Key       string
 	Value     any
 	ValueSize int
 	Flags     uint32
-	// holds counts who may still touch the item (pooled items only).
-	holds int32
-	CAS   uint64
+	pool.Holds
+	CAS uint64
 
 	class   int
 	onSSD   bool
@@ -70,68 +70,44 @@ type Item struct {
 	// recovery bumps the manager's generation; items from the previous
 	// incarnation (still referenced by workers that were suspended in I/O
 	// across the crash) become inert — Touch/Release/Load ignore them, and
-	// so do Hold and Unhold.
+	// Unhold never puts them back.
 	gen     uint32
 	ssdOff  int64
 	ssdPage *ssdPage
 	lru     slab.LRUEntry[*Item]
-	// pool is the manager whose free list the item goes back to; nil for an
+	// owner is the manager whose free list the item goes back to; nil for an
 	// item built by hand.
-	pool *Manager
+	owner *Manager
 }
 
-// NewItem hands out a zero item holding one hold, its caller's: off the free
-// list when it has one. It panics if the item at the top of the list was
-// touched after its last Unhold.
+// NewItem hands out a zero item holding one hold, its caller's. It panics if
+// the item was touched after its last Unhold.
 func (m *Manager) NewItem() *Item {
-	n := len(m.free)
-	if n == 0 {
-		m.ItemsMade++
-		return &Item{holds: 1, gen: m.gen, pool: m}
-	}
-	it := m.free[n-1]
-	m.free = m.free[:n-1]
-	if *it != (Item{gen: m.gen, pool: m}) {
+	it := m.Items.Get()
+	if *it != (Item{Holds: it.Holds}) {
 		panic("hybridslab: a free item was touched after its last Unhold")
 	}
-	it.holds = 1
+	it.gen, it.owner = m.gen, m
 	return it
 }
 
-// pooled reports whether it counts holds: it came off its manager's free
-// list, in the incarnation that is live now.
-func (it *Item) pooled() bool { return it.pool != nil && it.gen == it.pool.gen }
-
 // Hold adds a hold on it: one more holder may touch it until its own Unhold.
-// Holding a pooled item nobody holds panics: it is free already.
-func (it *Item) Hold() {
-	it.mustBeHeld("Hold")
-	if it.pooled() {
-		it.holds++
-	}
-}
+// Holding an item nobody holds panics: it is free already.
+func (it *Item) Hold() { pool.Hold(it) }
 
-// Unhold drops one hold on it; the last one zeroes a pooled item and puts it
-// back on its manager's free list. Unholding below zero panics.
+// Unhold drops one hold on it; the last one puts it back on its manager's
+// free list, zeroed, unless a cold restart left it behind. Unholding below
+// zero panics.
 func (it *Item) Unhold() {
-	if !it.pooled() {
-		return
+	if m := it.owner; (m == nil || it.gen == m.gen) && pool.Drop(it) {
+		m.Items.Put(it)
 	}
-	if it.holds--; it.holds > 0 {
-		return
-	}
-	if it.holds < 0 {
-		panic("hybridslab: item unheld more often than held")
-	}
-	m := it.pool
-	*it = Item{gen: m.gen, pool: m}
-	m.free = append(m.free, it)
 }
 
-// mustBeHeld panics on a pooled item nobody holds: whoever passed it in let
-// go of it, and it may be another key's by now.
+// mustBeHeld panics on a free item: whoever passed it in let go of it, and
+// it may be another key's by now.
 func (it *Item) mustBeHeld(op string) {
-	if it.pooled() && it.holds <= 0 {
+	if pool.Holders(it) < 0 {
 		panic("hybridslab: " + op + " of an item nobody holds")
 	}
 }
@@ -252,8 +228,8 @@ type Manager struct {
 	// instead of mutating the rebuilt state.
 	gen uint32
 
-	// free is the item free list (NewItem, Item.Unhold).
-	free []*Item
+	// Items is the item free list (NewItem, Item.Unhold).
+	Items pool.List[Item, *Item]
 
 	// epoch stamps flushed pages; the commit record must match it. It only
 	// grows, surviving recovery (restored to max-seen+1), so a newer copy of
@@ -282,9 +258,6 @@ type Manager struct {
 	AbortedWindows         int64 // eviction windows torn down by Crash
 	FlushTime, SSDLoadTime sim.Time
 	AllocStalls            int64
-	// ItemsMade counts the items NewItem allocated because the free list
-	// was empty.
-	ItemsMade int64
 }
 
 // New builds a hybrid manager. file may be nil for a RAM-only store; then
@@ -780,8 +753,8 @@ func (m *Manager) unflush(job flushJob) {
 // abandonJob discards a job staged by a previous manager incarnation (cold
 // restart while its worker was suspended): the items are unreachable from
 // the rebuilt index, and none of the rebuilt state may be touched. Being an
-// older incarnation's, they count no holds (Item.pooled): there are none to
-// give up.
+// older incarnation's, they are never put back (Item.Unhold): there are no
+// holds to give up.
 func (m *Manager) abandonJob(job flushJob) {
 	for _, v := range job.victims {
 		v.inTransit = false

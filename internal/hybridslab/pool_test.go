@@ -6,10 +6,11 @@ import (
 	"unsafe"
 
 	"hybridkv/internal/blockdev"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/sim"
 )
 
-// The hold count and the pool pointer fit in the item as it was: the count
+// The hold count and the owner pointer fit in the item as it was: the count
 // sits in the padding after Flags, and the generation shrank to 32 bits. An
 // item per key is what a store keeps resident, so a field that grows it has
 // to be a decision.
@@ -48,13 +49,13 @@ func TestItemHolds(t *testing.T) {
 		}
 	})
 	env.Run()
-	if it.holds != 2 {
-		t.Fatalf("a stored item the caller still holds has %d holds, want 2", it.holds)
+	if n := pool.Holders(it); n != 2 {
+		t.Fatalf("a stored item the caller still holds has %d holds, want 2", n)
 	}
 	m.Release(it)
 	it.Unhold()
-	if len(m.free) != 1 || *it != (Item{gen: m.gen, pool: m}) {
-		t.Fatalf("released and unheld: free list %d, item %+v", len(m.free), *it)
+	if m.Items.Len() != 1 || *it != (Item{Holds: it.Holds}) || pool.Holders(it) != -1 {
+		t.Fatalf("released and unheld: free list %d, item %+v", m.Items.Len(), *it)
 	}
 	for _, tc := range []struct {
 		op string
@@ -69,10 +70,9 @@ func TestItemHolds(t *testing.T) {
 		mustPanic(t, env, tc.op+" of a free item", "nobody holds", tc.fn)
 	}
 	mustPanic(t, env, "Unhold of a free item", "more often than held", func(*sim.Proc) { it.Unhold() })
-	it.holds = 0 // undo the count the failed Unhold left behind
 
-	if again := m.NewItem(); again != it || m.ItemsMade != 1 {
-		t.Fatalf("NewItem after a release: %p (made %d), want the released %p", again, m.ItemsMade, it)
+	if again := m.NewItem(); again != it || m.Items.Made != 1 {
+		t.Fatalf("NewItem after a release: %p (made %d), want the released %p", again, m.Items.Made, it)
 	}
 	it.Unhold()
 	it.Key = "written after its last hold"
@@ -98,8 +98,8 @@ func TestItemsOfAnOlderIncarnationAreNotReused(t *testing.T) {
 		live.Unhold() // uncounted: no panic
 	})
 	env.Run()
-	if len(m.free) != 1 || m.free[0] != spare {
-		t.Fatalf("free list after the restart: %v, want only the spare %p", m.free, spare)
+	if m.Items.Len() != 1 {
+		t.Fatalf("%d items free after the restart, want only the spare %p", m.Items.Len(), spare)
 	}
 	if it := m.NewItem(); it != spare {
 		t.Fatalf("NewItem after the restart handed out %p, want the spare %p", it, spare)

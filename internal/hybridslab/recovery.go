@@ -91,11 +91,6 @@ func (m *Manager) WipeSSD() {
 // I/O across the crash abandon their work on resume.
 func (m *Manager) resetVolatile() {
 	m.gen++
-	// A free item belongs to no incarnation's state: it carries the live one,
-	// so a hold on it is still checked (Item.pooled).
-	for _, it := range m.free {
-		it.gen = m.gen
-	}
 	m.alloc = slab.New(m.cfg.Slab)
 	m.lrus = make([]slab.LRU[*Item], m.alloc.NumClasses())
 	m.ssdLRU = slab.LRU[*Item]{}

@@ -5,6 +5,7 @@ import (
 
 	"hybridkv/internal/blockdev"
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
 )
@@ -438,13 +439,13 @@ func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 		// The scan made an item per copy and held each until it was done:
 		// the winners keep the manager's residency hold alone, the loser none.
 		for _, it := range items {
-			if it.holds != 1 {
-				t.Errorf("recovered %q has %d holds, want 1 (resident)", it.Key, it.holds)
+			if n := pool.Holders(it); n != 1 {
+				t.Errorf("recovered %q has %d holds, want 1 (resident)", it.Key, n)
 				break
 			}
 		}
-		if len(m.free) != 1 {
-			t.Errorf("%d items free after recovery, want 1: the demoted copy", len(m.free))
+		if m.Items.Len() != 1 {
+			t.Errorf("%d items free after recovery, want 1: the demoted copy", m.Items.Len())
 		}
 	})
 	env.Run()

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"hybridkv/internal/pool"
 )
 
 // Opcode identifies a message type.
@@ -164,12 +166,10 @@ type Response struct {
 	// therefore all transfer timings are unchanged.
 	RetryAfterUS uint32
 
-	// A server's reply comes from its store's free list (Replies): holds
-	// counts who may still read it, pool is where the last Release puts it
-	// back, next links it there. A reply with no pool is nobody's to recycle.
-	holds int32
-	pool  *Replies
-	next  *Response
+	// owner is the store's free list a server's reply came off (NewReply),
+	// where its last Release puts it back; nil for a reply nobody recycles.
+	pool.Holds
+	owner *pool.List[Response, *Response]
 }
 
 // Header sizes, fixed by the marshaled layout below.

@@ -1,6 +1,10 @@
 package protocol
 
-import "testing"
+import (
+	"testing"
+
+	"hybridkv/internal/pool"
+)
 
 // mustPanic reports whether fn panicked.
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -13,29 +17,35 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
+// replies is a store's free list of replies.
+type replies = pool.List[Response, *Response]
+
 // A reply goes back to its free list on its last release only, zeroed, and
-// is the next one handed out; a reply with no pool ignores the hold count.
+// is the next one handed out; a reply with no owner ignores the hold count.
 func TestRepliesHoldCount(t *testing.T) {
-	var l Replies
-	r := l.Get()
-	r.ReqID, r.Status, r.Value = 7, StatusOK, "v"
+	var l replies
+	r := NewReply(&l, 7)
+	if r.Op != OpResponse || r.ReqID != 7 {
+		t.Fatalf("NewReply handed out %+v, want an OpResponse for request 7", *r)
+	}
+	r.Status, r.Value = StatusOK, "v"
 	r.Retain() // one delivery
 	r.Release()
-	if made, free := l.Counts(); made != 1 || free != 0 {
-		t.Fatalf("after the sender's release with a delivery outstanding: made %d, free %d; want 1, 0", made, free)
+	if l.Made != 1 || l.Len() != 0 {
+		t.Fatalf("after the sender's release with a delivery outstanding: made %d, free %d; want 1, 0", l.Made, l.Len())
 	}
 	r.Release()
-	if made, free := l.Counts(); made != 1 || free != 1 {
-		t.Fatalf("after the last release: made %d, free %d; want 1, 1", made, free)
+	if l.Made != 1 || l.Len() != 1 {
+		t.Fatalf("after the last release: made %d, free %d; want 1, 1", l.Made, l.Len())
 	}
-	if r.ReqID != 0 || r.Status != 0 || r.Value != nil {
+	if r.ReqID != 0 || r.Status != 0 || r.Value != nil || r.owner != nil {
 		t.Errorf("a released reply keeps %+v", *r)
 	}
-	if again := l.Get(); again != r {
-		t.Error("the released reply was not the next one handed out")
+	if again := NewReply(&l, 8); again != r || again.owner != &l {
+		t.Error("the released reply was not the next one handed out, owned by its list")
 	}
-	if made, _ := l.Counts(); made != 1 {
-		t.Errorf("made %d replies, want 1", made)
+	if l.Made != 1 {
+		t.Errorf("made %d replies, want 1", l.Made)
 	}
 
 	decoded, err := UnmarshalResponse((&Response{Op: OpResponse, ReqID: 9}).Marshal())
@@ -50,17 +60,18 @@ func TestRepliesHoldCount(t *testing.T) {
 	}
 }
 
-// Releasing a reply below zero panics, and so does handing out a free reply
-// someone retained after its last release.
+// Releasing a reply below zero panics, and so does retaining a free reply
+// and handing out a free reply someone wrote over after its last release.
 func TestRepliesMisuse(t *testing.T) {
-	var l Replies
-	r := l.Get()
+	var l replies
+	r := NewReply(&l, 1)
 	r.Release()
 	mustPanic(t, "a release below zero", r.Release)
+	mustPanic(t, "a stale pointer's hold on a free reply", r.Retain)
 
-	var m Replies
-	s := m.Get()
+	var m replies
+	s := NewReply(&m, 2)
 	s.Release()
-	s.Retain() // a stale pointer takes a hold on a free reply
-	mustPanic(t, "handing out a held free reply", func() { m.Get() })
+	*s = Response{ReqID: 2} // a stale pointer writes the free reply over
+	mustPanic(t, "handing out a free reply written over", func() { NewReply(&m, 3) })
 }

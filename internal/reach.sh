@@ -50,7 +50,7 @@ funcs() {
 		decl = src[$2]; recv = ""
 		if (match(decl, /^func \([^)]*\)/)) {
 			recv = substr(decl, RSTART + 6, RLENGTH - 7)
-			sub(/^.*[ *]/, "", recv); sub(/\[.*$/, "", recv); recv = recv "."
+			sub(/\[.*$/, "", recv); sub(/^.*[ *]/, "", recv); recv = recv "."
 		}
 		n = split(file, dir, "/")
 		print dir[n-1] "." recv $3, $4 + 0, file, $2

@@ -164,7 +164,7 @@ func overwriteSpilledModel() (step func(), items func() int64) {
 	for sets < 2*len(keys) {
 		step() // two passes: every key written, then rewritten from the SSD
 	}
-	return step, func() int64 { return s.mgr.ItemsMade }
+	return step, func() int64 { return int64(s.mgr.Items.Made) }
 }
 
 // BenchmarkStoreOverwriteSpilled is one page's worth of SETs that replace

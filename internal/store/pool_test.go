@@ -29,13 +29,12 @@ func spillingStore(env *sim.Env, asyncFlush bool) (*Store, *blockdev.Device) {
 // drainFree takes every item off the manager's free list — NewItem checks
 // each is untouched — and returns how many there were. The items stay the
 // caller's, so none is handed out again.
-func drainFree(m *hybridslab.Manager) (free int) {
-	for made := m.ItemsMade; ; free++ {
+func drainFree(m *hybridslab.Manager) int {
+	free := m.Items.Len()
+	for range free {
 		m.NewItem()
-		if m.ItemsMade != made {
-			return free
-		}
 	}
+	return free
 }
 
 // TestPooledItemsUnderFaults runs four storage workers against eight keys of
@@ -196,7 +195,7 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 	// before is every item made before the restart: afterwards they are an
 	// older incarnation's, never reused, whoever still refers to them.
 	before := map[*hybridslab.Item]bool{}
-	var madeBefore int64
+	var madeBefore int
 	var recovered int64
 	env.Spawn("restart", func(p *sim.Proc) {
 		p.Wait(half)
@@ -207,7 +206,7 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 		m.AbortEvictionBatches()
 		d.Quiesce()
 		drainFree(m) // the drained items are the test's now
-		madeBefore = m.ItemsMade
+		madeBefore = m.Items.Made
 		for _, it := range s.table {
 			before[it] = true
 		}
@@ -222,7 +221,7 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 	if done != workers || madeBefore == 0 {
 		t.Fatalf("the run did not finish: %d of %d workers done, restart made %d", done, workers, madeBefore)
 	}
-	made := m.ItemsMade - madeBefore
+	made := m.Items.Made - madeBefore
 	free := drainFree(m)
 	held := map[*hybridslab.Item]string{}
 	for key, it := range s.table {
@@ -249,8 +248,8 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 			t.Errorf("%q's item is %s, but not its table entry", it.Key, holder)
 		}
 	}
-	if made != int64(free+live) {
-		t.Errorf("%d items made since the restart: %d free and %d held, %d unaccounted for", made, free, live, made-int64(free+live))
+	if made != free+live {
+		t.Errorf("%d items made since the restart: %d free and %d held, %d unaccounted for", made, free, live, made-(free+live))
 	}
 	t.Logf("at %v: ssd loads %d; answers %v; recovered %d, corrupt loads %d, evacuated %d, compactions %d; items made %d before the restart and %d after",
 		env.Now(), m.SSDLoads, answered, recovered, m.CorruptLoads, m.QuarantineEvacuated, m.Compactions, madeBefore, made)
@@ -260,8 +259,8 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 		"recovered items": recovered,
 		"evacuated slots": m.QuarantineEvacuated,
 		"compactions":     m.Compactions,
-		"items made":      made,
-		"items reused":    s.SetOps - m.ItemsMade,
+		"items made":      int64(made),
+		"items reused":    s.SetOps - int64(m.Items.Made),
 		"SSD loads":       m.SSDLoads,
 		"pages flushed":   m.FlushPages,
 	} {

@@ -12,6 +12,7 @@ import (
 
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -64,7 +65,7 @@ type Store struct {
 
 	// replies is the free list every answer of this store's server comes
 	// from (Reply).
-	replies protocol.Replies
+	replies pool.List[protocol.Response, *protocol.Response]
 
 	// Stats
 	SetOps, GetOps, DeleteOps int64
@@ -219,8 +220,8 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 // CAS counter resumes above the highest recovered token so post-recovery
 // stores never reuse a pre-crash CAS value.
 func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
-	// The old table's items are the torn-down incarnation's: they count no
-	// holds (hybridslab.Item), so the table goes with nothing to give up.
+	// The old table's items are the torn-down incarnation's, never put back
+	// (hybridslab.Item.Unhold): the table goes with nothing to give up.
 	s.table = make(map[string]*hybridslab.Item)
 	items, rep := s.mgr.Recover(p)
 	for _, it := range items {
@@ -391,16 +392,14 @@ func (s *Store) DeleteIf(p *sim.Proc, key string, guard func() bool) protocol.St
 // the replicator's and the server's own — is one. Sending it passes that hold
 // to the message, released after the message's last delivery; each delivery
 // holds it for its reader, who releases it once it has copied out what it
-// keeps (protocol.Replies).
+// keeps (protocol.NewReply).
 func (s *Store) Reply(reqID uint64) *protocol.Response {
-	resp := s.replies.Get()
-	resp.Op, resp.ReqID = protocol.OpResponse, reqID
-	return resp
+	return protocol.NewReply(&s.replies, reqID)
 }
 
 // ReplyCounts reports how many replies the store has allocated and how many
-// are back on its free list (protocol.Replies.Counts).
-func (s *Store) ReplyCounts() (made, free int) { return s.replies.Counts() }
+// are back on its free list.
+func (s *Store) ReplyCounts() (made, free int) { return s.replies.Made, s.replies.Len() }
 
 // Handle executes one parsed request against the store and builds the
 // response. This is the storage phase shared by the sync and async server
