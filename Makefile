@@ -32,9 +32,12 @@ race:
 # it does), the bypass READ-vs-
 # eviction-vs-crash soak in cluster, the replication forward/ack/scrub
 # engine (TestEngineNeverWaitsOnTheStore: acks and forwards against a wedged
-# store call, a forward queued across a crash) and its install matrix (every
+# store call, a forward queued across a crash), its install matrix (every
 # way a version of a key reaches a store, against everything going on there
-# when it does — the apply pool and the background lane included), the
+# when it does — the apply pool and the background lane included) and its
+# frame and round lists (TestPooledFramesUnderFaults: every holder of a
+# frame and a round through drops, duplicates, corruption, a link-down
+# window and a kill with a cold restart), the
 # server's path matrix (every way an arrival reaches the storage phase, crashed at each
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
@@ -52,8 +55,9 @@ race:
 # each parked writer's ticket against the streams' completions, other
 # writers and a cold restart), the kernel's waits (internal/sim), the
 # fault injectors' scheduled windows (internal/fault, internal/blockdev) and
-# the hold-counted free list the client's requests, the server's replies and
-# the store's items recycle through (internal/pool). A named subset of
+# the hold-counted free list the client's requests, the server's replies,
+# the store's items and replication's frames and rounds recycle through
+# (internal/pool). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:

@@ -1,10 +1,10 @@
 // Package pool is the hold-counted free list the client's request records,
-// the server's replies and the store's items are recycled through (DESIGN
-// §16). A record embeds Holds, and its owner's List hands it out holding one
-// hold, its caller's; whoever else may touch it holds it too (Hold) until
-// their Drop, and the last drop puts it back on the list (Put), zeroed. A
-// record built by hand counts nothing. A list belongs to one Env, which one
-// goroutine advances at a time, so it takes no lock.
+// the server's replies, the store's items and replication's frames and rounds
+// are recycled through (DESIGN §16). A record embeds Holds, and its owner's
+// List hands it out holding one hold, its caller's; whoever else may touch it
+// holds it too (Hold) until their Drop, and the last drop puts it back on the
+// list (Put), zeroed. A record built by hand counts nothing. A list belongs to
+// one Env, which one goroutine advances at a time, so it takes no lock.
 package pool
 
 // freed is the count of a record on its list: a stray Hold or Drop of it

@@ -1,20 +1,21 @@
 package replication_test
 
 import (
-	"hybridkv/internal/metrics"
+	"fmt"
 	"testing"
 
 	"hybridkv/internal/cluster"
+	"hybridkv/internal/core"
+	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
-// replicatedSetModel returns a step that runs one SET end to end on a
-// three-server R=3 cluster: the client's request, the coordinator's forward
-// to both backups, their applies and acks, the coordinator's apply, the
-// response. The scrubber is off, so the step is the write and nothing else.
-func replicatedSetModel() (step func()) {
-	cl := cluster.New(cluster.Config{
+// replicatedModel builds a three-server R=3 cluster with the scrubber off, so
+// a step is the operations it drives and nothing else, and a driver that runs
+// op once per step.
+func replicatedModel(op func(p *sim.Proc, c *core.Client)) (step func(), cl *cluster.Cluster) {
+	cl = cluster.New(cluster.Config{
 		Design:            cluster.HRDMAOptNonBI,
 		Profile:           cluster.ClusterA(),
 		Servers:           3,
@@ -30,15 +31,25 @@ func replicatedSetModel() (step func()) {
 			if _, ok := kick.Get(p); !ok {
 				return
 			}
-			if st := c.Set(p, "k", itValue, "v", 0, 0); st != protocol.StatusStored {
-				panic("replicated SET answered " + st.String())
-			}
+			op(p, c)
 		}
 	})
 	return func() {
 		kick.TryPut(struct{}{})
 		cl.Env.Run()
-	}
+	}, cl
+}
+
+// replicatedSetModel returns a step that runs one SET end to end on the R=3
+// cluster: the client's request, the coordinator's forward to both backups,
+// their applies and acks, the coordinator's apply, the response.
+func replicatedSetModel() (step func()) {
+	step, _ = replicatedModel(func(p *sim.Proc, c *core.Client) {
+		if st := c.Set(p, "k", itValue, "v", 0, 0); st != protocol.StatusStored {
+			panic("replicated SET answered " + st.String())
+		}
+	})
+	return step
 }
 
 // BenchmarkReplicatedSet is the replication layer's host-cost line.
@@ -52,23 +63,75 @@ func BenchmarkReplicatedSet(b *testing.B) {
 	}
 }
 
-// One SET at R=3 is 3 allocations: the round (1: the Forward carries its
-// peers, its event and the write frame both forwards share) and an ack frame
-// per backup (2). The stored item on each of the three servers comes off its
-// manager's free list and goes back once the next SET of the key has replaced
-// it. The request handle comes off the client's free list and goes back once
-// the blocking Set has read its status and the answer has come; the answer
-// comes off the coordinator's reply free list and goes back once the client
-// has landed it. Its six fabric messages (request, two forwards, two acks,
-// response) are none: each HCA reuses its transfers after delivery. It was 38
-// before the round, the messages and the request were each made one object,
-// 14 before the transfers were reused, 8 before the replies were, 7 before
-// the request handles were and 6 before the stored items were.
+// One SET at R=3 is no allocation. The round comes off the coordinator's free
+// list and goes back once Finish has waited for both acks; the forward frame
+// both backups share comes off it too, and so does each backup's ack frame off
+// the backup's, each going back once the last delivery is handled. The stored
+// item on each of the three servers comes off its manager's free list and
+// goes back once the next SET of the key has replaced it. The request handle
+// comes off the client's free list and goes back once the blocking Set has
+// read its status and the answer has come; the answer comes off the
+// coordinator's reply free list and goes back once the client has landed it.
+// Its six fabric messages (request, two forwards, two acks, response) are
+// none: each HCA reuses its transfers after delivery. It was 38 before the
+// round, the messages and the request were each made one object, 14 before
+// the transfers were reused, 8 before the replies were, 7 before the request
+// handles were, 6 before the stored items were and 3 before the rounds and
+// the frames were.
 func TestReplicatedSetAllocationCeiling(t *testing.T) {
 	step := replicatedSetModel()
 	step()
-	if got := testing.AllocsPerRun(300, step); got > 3 {
-		t.Errorf("one replicated SET at R=3: %v allocations, ceiling 3", got)
+	if got := testing.AllocsPerRun(300, step); got > 0 {
+		t.Errorf("one replicated SET at R=3: %v allocations, ceiling 0", got)
+	}
+}
+
+// replicatedGetModel returns a step that runs eight GET hits of one key on the
+// R=3 cluster after one SET of it. The coordinator serves them all, so every
+// step carries exactly one read-repair probe round: one probe frame, shared
+// by both backups, which find nothing to reconcile.
+func replicatedGetModel() (step func(), cl *cluster.Cluster) {
+	set := false
+	return replicatedModel(func(p *sim.Proc, c *core.Client) {
+		if !set {
+			set = true
+			c.Set(p, "k", itValue, "v", 0, 0)
+		}
+		for range 8 {
+			if v, _, st := c.Get(p, "k"); st != protocol.StatusOK || v != "v" {
+				panic(fmt.Sprintf("replicated GET answered %v %v", st, v))
+			}
+		}
+	})
+}
+
+// BenchmarkReplicatedGet is the host-cost line of replicated reads: eight
+// GET hits per op, one read-repair probe round among them.
+func BenchmarkReplicatedGet(b *testing.B) {
+	step, _ := replicatedGetModel()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// Eight RPC GET hits at R=3, one read-repair probe round among them, are no
+// allocation: the probe frame comes off the coordinator's free list and goes
+// back once both backups have handled it, and each GET's handle and answer
+// come off their lists as a SET's do. The probe was 2 frames of its own, one
+// per backup, before the frames were reused.
+func TestReplicatedGetAllocationCeiling(t *testing.T) {
+	step, cl := replicatedGetModel()
+	step()
+	msgs := cl.Fabric.MsgCount
+	step()
+	if n := cl.Fabric.MsgCount - msgs; n != 8*2+2 {
+		t.Fatalf("a step sent %d messages, want eight requests, eight answers and one probe to each backup", n)
+	}
+	if got := testing.AllocsPerRun(300, step); got > 0 {
+		t.Errorf("eight replicated GET hits at R=3 with a read-repair probe: %v allocations, ceiling 0", got)
 	}
 }
 
@@ -150,16 +213,18 @@ func BenchmarkSetStateRefold(b *testing.B) {
 	}
 }
 
-// One scrub round toward two peers is 4 allocations — a frame and its copy of
-// the digest each — whatever the table holds; one refold is none.
+// One scrub round toward two peers is 2 allocations — each frame's copy of the
+// digest — whatever the table holds; the frames come off the replicator's free
+// list and go back after their last delivery. One refold is none. A round was
+// 4 while every frame was allocated afresh.
 func TestScrubRoundAllocationCeiling(t *testing.T) {
 	cl, _ := digestModel()
 	r := cl.Replicators[0]
 	if words := r.ScrubRoundForTest(); words != 2*2*32 {
 		t.Fatalf("a round toward two peers carries %d words, want two digests of 2x32", words)
 	}
-	if got := testing.AllocsPerRun(300, func() { r.ScrubRoundForTest() }); got > 4 {
-		t.Errorf("one scrub round: %v allocations, ceiling 4", got)
+	if got := testing.AllocsPerRun(300, func() { r.ScrubRoundForTest() }); got > 2 {
+		t.Errorf("one scrub round: %v allocations, ceiling 2", got)
 	}
 	if stale, kept := r.StaleDigestsForTest(); len(stale) > 0 || kept != 2 {
 		t.Errorf("maintained digests: %d kept, stale for peers %v", kept, stale)

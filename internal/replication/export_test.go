@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
@@ -60,9 +61,26 @@ func (r *Replicator) StaleDigestsForTest() (stale []int, maintained int) {
 	return stale, maintained
 }
 
-// EpochForTest is the epoch the round ended on: the one begin minted, or the
-// last one a re-coordination moved it to.
-func (fwd *Forward) EpochForTest() uint64 { return fwd.epoch }
+// FinishForTest is Finish, returning the epoch the round ended on: the one
+// begin minted, or the last one a re-coordination moved it to. It holds the
+// round across Finish, as any reader of a round after Finish must, and puts it
+// back once it has read it.
+func (r *Replicator) FinishForTest(p *sim.Proc, resp *protocol.Response, fwd *Forward) (epoch uint64) {
+	if fwd == nil {
+		r.Finish(p, resp, nil)
+		return 0
+	}
+	pool.Hold(fwd)
+	r.Finish(p, resp, fwd)
+	epoch = fwd.epoch
+	r.closeRound(fwd)
+	return epoch
+}
+
+// FramesForTest and RoundsForTest report how many frames and Forwards r's free
+// lists have made, and how many of them are back on the list.
+func (r *Replicator) FramesForTest() (made, free int) { return r.frames.Made, r.frames.Len() }
+func (r *Replicator) RoundsForTest() (made, free int) { return r.rounds.Made, r.rounds.Len() }
 
 // RecordForTest exposes a key's whole epoch record, suspect or not; ok is false
 // when the key has none.
@@ -137,6 +155,23 @@ func (r *Replicator) ForwardHandoffForTest() (step func()) {
 	return func() { r.demux(f) }
 }
 
+// GarbleForwardForTest builds a forward of key off r's list and delivers what
+// in-flight corruption makes of it to's engine, as the fabric would: the
+// frame's CorruptCopy, held by its receiver (Retain) and demuxed. The original
+// then loses its post's hold, as its transfer does after the last delivery.
+// It returns the holds the copy counted when it was made.
+func (r *Replicator) GarbleForwardForTest(to *Replicator, key string) (copyHolds int) {
+	f := r.newFrame(frameWrite, key)
+	f.From, f.ID = r.cfg.ID, ^uint64(0)
+	f.version = version{epoch: 0x100, value: "v", size: 1, sum: protocol.ValueSum("v")}
+	g := f.CorruptCopy().(*frame)
+	copyHolds = pool.Holders(g)
+	g.Retain()
+	to.demux(g)
+	f.Release()
+	return copyHolds
+}
+
 // ApplyPoolForTest is how many forwards hold every applier.
 const ApplyPoolForTest = applyPool
 
@@ -147,17 +182,16 @@ func (r *Replicator) QueuedForTest() (forwards, background int) {
 }
 
 // ScrubRoundForTest builds what one scrub round sends — a digest frame per
-// peer — without sending it, and returns the words it would carry. The frames
-// go to a package-level sink, as the fabric would hold them.
+// peer — without sending it, and returns the words it would carry. Each frame
+// goes back on r's list, as its last delivery would put it.
 func (r *Replicator) ScrubRoundForTest() (words int) {
 	for _, pid := range r.peerIDs {
-		scrubSink = r.digestFrame(pid)
-		words += len(scrubSink.Buckets)
+		f := r.digestFrame(pid)
+		words += len(f.Buckets)
+		f.Release()
 	}
 	return words
 }
-
-var scrubSink *frame
 
 // RefoldForTest moves key's record one epoch up through setState, which
 // refolds the key's entry in the maintained digest of every peer sharing it.

@@ -1,6 +1,9 @@
 package replication
 
-import "hybridkv/internal/protocol"
+import (
+	"hybridkv/internal/pool"
+	"hybridkv/internal/protocol"
+)
 
 // Frame kinds of the server-to-server replication protocol. Frames travel
 // as verbs SENDs over the replicators' dedicated QP mesh, so they pay real
@@ -63,7 +66,11 @@ type version struct {
 }
 
 // frame is the single wire message of the replication protocol; Kind
-// selects which fields are meaningful.
+// selects which fields are meaningful. Its sender takes it off its own free
+// list (newFrame) holding the builder's hold; each post adds one, which the
+// transfer gives back after the last delivery, and each delivery one for its
+// receiver, given back once the frame is handled or dropped. The last Release
+// puts it back, zeroed (DESIGN §16).
 type frame struct {
 	Kind frameKind
 	From int    // sender's server id
@@ -83,6 +90,31 @@ type frame struct {
 	Entries []KeyEpoch // frameDiff, frameSegManifest
 
 	Seg int // frameSegPull/frameSegManifest: hash-space segment id
+
+	// owner is the sending replicator's free list, where the last Release
+	// puts the frame back; nil for a frame nobody recycles.
+	pool.Holds
+	owner *pool.List[frame, *frame]
+}
+
+// newFrame hands out a frame of kind about key off r's free list, holding its
+// builder's hold: the builder fills it in, sends it, and then Releases it.
+func (r *Replicator) newFrame(kind frameKind, key string) *frame {
+	f := r.frames.Get()
+	f.Kind, f.Key, f.owner = kind, key, &r.frames
+	return f
+}
+
+// Retain adds a hold on f: one more post, or one more delivery's reader.
+// Retaining a free frame panics.
+func (f *frame) Retain() { pool.Hold(f) }
+
+// Release drops one hold on f; the last one puts it back on its owner's list,
+// zeroed. Releasing a frame nobody holds panics.
+func (f *frame) Release() {
+	if pool.Drop(f) {
+		f.owner.Put(f)
+	}
 }
 
 // CorruptCopy implements simnet.Corruptible: the fault injector's in-flight
@@ -90,9 +122,12 @@ type frame struct {
 // payload garbles — header fields are covered by link-layer CRC in any real
 // fabric, so a corrupt header is a dropped frame, already modeled by drop
 // injection. The stamped sum is deliberately left as the sender computed it,
-// which is exactly how the receiver detects the mismatch.
+// which is exactly how the receiver detects the mismatch. The copy counts no
+// holds and has no owner: its reader's Retain and Release pass it by, and the
+// original goes back on its list when the transfer lets go of it.
 func (f *frame) CorruptCopy() any {
 	g := *f
+	g.Holds, g.owner = pool.Holds{}, nil
 	if g.Kind == frameWrite && g.value != nil {
 		g.value = protocol.Garbled{Inner: g.value}
 	}

@@ -140,13 +140,9 @@ func (c *installCell) coordinate(p *sim.Proc, sid int, req *protocol.Request) *p
 	r := c.cl.Replicators[sid]
 	fwd := r.Begin(p, req)
 	resp := r.Apply(p, req, fwd)
-	r.Finish(p, resp, fwd)
+	epoch := r.FinishForTest(p, resp, fwd)
 	if resp.Status == protocol.StatusStored {
-		w := imWrite{sum: protocol.ValueSum(req.Value)}
-		if fwd != nil {
-			w.epoch = fwd.EpochForTest()
-		}
-		c.acked = append(c.acked, w)
+		c.acked = append(c.acked, imWrite{epoch, protocol.ValueSum(req.Value)})
 	}
 	return resp
 }
@@ -310,11 +306,11 @@ var imCols = []imCol{
 				fwd := r.Begin(p, req)
 				p.Sleep(landed + sim.Microsecond - p.Now())
 				resp := r.Apply(p, req, fwd)
-				r.Finish(p, resp, fwd)
+				epoch := r.FinishForTest(p, resp, fwd)
 				if resp.Status != protocol.StatusStored {
 					c.t.Errorf("the second write was answered %v", resp.Status)
 				}
-				c.acked = append(c.acked, imWrite{fwd.EpochForTest(), protocol.ValueSum(req.Value)})
+				c.acked = append(c.acked, imWrite{epoch, protocol.ValueSum(req.Value)})
 			})
 		},
 		// Minted after it by the same coordinator, the row's write is the later

@@ -143,13 +143,18 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		}
 		st.done = r.env.NewEvent()
 		r.migPulls[seg] = st
+		f := r.newFrame(frameSegPull, "")
+		f.Seg, f.epoch = seg, epoch
 		for _, pid := range sortedKeys(st.waiting, nil) {
-			r.send(p, pid, &frame{Kind: frameSegPull, Seg: seg, version: version{epoch: epoch}})
+			r.send(p, pid, f)
 		}
+		f.Release()
 		for _, key := range sortedKeys(st.wants, nil) {
+			f := r.newFrame(framePull, key)
 			for _, pid := range sortedKeys(st.wants[key].from, nil) {
-				r.send(p, pid, &frame{Kind: framePull, Key: key})
+				r.send(p, pid, f)
 			}
+			f.Release()
 		}
 		p.WaitTimeout(st.done, 4*pullTimeout)
 	}
@@ -163,7 +168,8 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 	if !r.mem.Migrating() || r.mem.Epoch() != f.epoch {
 		return
 	}
-	resp := &frame{Kind: frameSegManifest, Seg: f.Seg, version: version{epoch: f.epoch}}
+	resp := r.newFrame(frameSegManifest, "")
+	resp.Seg, resp.epoch = f.Seg, f.epoch
 	newRing := r.mem.Ring()
 	theirs := func(key string, ks *keyState) bool {
 		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.cfg.Factor), f.From)
@@ -173,7 +179,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch})
 	}
 	r.Counters.Inc(metrics.CMigrateManifests)
-	r.send(p, f.From, resp)
+	r.post(p, f.From, resp)
 }
 
 // handleSegManifest records a source's answer: pull every listed key we do
@@ -197,7 +203,7 @@ func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 			w.epoch = e.Epoch
 		}
 		w.from[f.From] = true
-		r.send(p, f.From, &frame{Kind: framePull, Key: e.Key})
+		r.post(p, f.From, r.newFrame(framePull, e.Key))
 	}
 	st.maybeDone()
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/store"
@@ -173,17 +174,17 @@ func (ps *peerSet) index(id int) int {
 }
 
 // Forward is one write's replication round, opened at admission time so the
-// peer forwards overlap the coordinator's local storage phase. It is one
-// allocation: the peers it waits for, the event it waits on and the write
-// frame of its first send are all inside it. A resend or a re-coordinated
-// round sends a fresh frame, because the earlier one may still be in flight.
+// peer forwards overlap the coordinator's local storage phase. The peers it
+// waits for and the event it waits on are inside it; every send of its write
+// is a frame of its own, so nothing in flight points into it.
 //
-// The coordinating request's proc owns the Forward; r.fwds holds it from
-// begin until await (or Finish, for a write that failed locally) drops
-// it, and the fabric and the peers hold pointers into first until the frames
-// are delivered and handled. Nothing is recycled, so none of them can
-// outlive it.
+// It comes off the replicator's free list (open) with one hold, the
+// coordinating request's proc's, and goes back when closeRound ends the round:
+// at the end of Finish or of executeRMW's round, or through Discard for a task
+// a crash discarded. closeRound first takes it out of r.fwds, the only other
+// place that names it (DESIGN §16).
 type Forward struct {
+	pool.Holds
 	id  uint64
 	key string
 	version
@@ -193,8 +194,6 @@ type Forward struct {
 	proxy    bool      // coordinator is not in the replica set: no local apply
 	conflict uint64    // highest epoch seen in stale-reject acks
 	done     sim.Event // fired when waiting drains
-	first    frame     // the write frame of the round's first send
-	sends    int       // sendWrite calls so far
 }
 
 // open (re)arms the round: every peer owes an ack.
@@ -245,6 +244,11 @@ type Replicator struct {
 	fwds      map[uint64]*Forward
 	nextID    uint64
 	gets      uint64 // served GET hits, drives the read-repair cadence
+
+	// frames and rounds are the free lists this replicator's frames and
+	// Forwards come off and go back to (DESIGN §16).
+	frames pool.List[frame, *frame]
+	rounds pool.List[Forward, *Forward]
 
 	// Scrubber arming: every local epoch advance grants the scrubber a
 	// fresh burst of digest rounds, after which it blocks until the next
@@ -482,14 +486,23 @@ func (r *Replicator) replicaPeers(key string) (peers peerSet, member bool) {
 	return peers, member
 }
 
-// send posts one frame to a peer replicator over the verbs fabric.
+// send posts one frame to a peer replicator over the verbs fabric, holding it
+// for the post: the transfer gives that hold back after its last delivery. A
+// frame sent to several peers is held once per peer.
 func (r *Replicator) send(p *sim.Proc, pid int, f *frame) {
 	pl := r.peers[pid]
 	if pl == nil {
 		return
 	}
 	f.From = r.cfg.ID
+	f.Retain()
 	pl.qp.PostSend(p, verbs.SendWR{Op: verbs.OpSend, Size: f.wireSize(), Payload: f})
+}
+
+// post sends f, built for this one send, to pid and drops its builder's hold.
+func (r *Replicator) post(p *sim.Proc, pid int, f *frame) {
+	r.send(p, pid, f)
+	f.Release()
 }
 
 // Begin opens a replication round for an admitted SET and posts the forward
@@ -510,7 +523,8 @@ func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 func (r *Replicator) open(key string, v version) *Forward {
 	peers, member := r.replicaPeers(key)
 	r.nextID++
-	fwd := &Forward{id: r.nextID, key: key, proxy: !member, version: v}
+	fwd := r.rounds.Get()
+	fwd.id, fwd.key, fwd.proxy, fwd.version = r.nextID, key, !member, v
 	fwd.epoch = r.mint(key, 0)
 	fwd.sum = protocol.ValueSum(v.value)
 	fwd.open(r.env, peers)
@@ -521,18 +535,26 @@ func (r *Replicator) open(key string, v version) *Forward {
 
 // sendWrite sends the round's write to every peer still owing an ack: one
 // frame, shared by all of them. Receivers only read a frame, and send's
-// stamp of the sender id is the same for every peer, so sharing is safe.
+// stamp of the sender id is the same for every peer, so sharing is safe. A
+// resend or a re-coordinated round sends a fresh frame: the earlier one may
+// still be in flight.
 func (r *Replicator) sendWrite(p *sim.Proc, fwd *Forward) {
-	f := &fwd.first
-	if fwd.sends > 0 {
-		f = new(frame)
-	}
-	fwd.sends++
-	*f = frame{Kind: frameWrite, ID: fwd.id, Key: fwd.key, version: fwd.version}
+	f := r.newFrame(frameWrite, fwd.key)
+	f.ID, f.version = fwd.id, fwd.version
 	for i := 0; i < fwd.peers.n; i++ {
 		if fwd.waiting&(1<<i) != 0 {
 			r.send(p, int(fwd.peers.ids[i]), f)
 		}
+	}
+	f.Release()
+}
+
+// closeRound ends fwd's round: out of r.fwds, under the id it holds now (a
+// re-coordinated round changes id), and back on its list.
+func (r *Replicator) closeRound(fwd *Forward) {
+	delete(r.fwds, fwd.id)
+	if pool.Drop(fwd) {
+		r.rounds.Put(fwd)
 	}
 }
 
@@ -556,21 +578,27 @@ func (r *Replicator) Apply(p *sim.Proc, req *protocol.Request, fwd *Forward) *pr
 
 // Finish completes the SET round behind resp, the answer Apply gave:
 // wait for every replica ack, and fail the write with StatusNoReplica if the
-// chain cannot be completed.
+// chain cannot be completed. The round goes back on its list: fwd is not
+// touched after Finish.
 func (r *Replicator) Finish(p *sim.Proc, resp *protocol.Response, fwd *Forward) {
 	if fwd == nil {
 		return
 	}
-	if resp.Status != protocol.StatusStored {
-		// Local apply failed outright (recovering, too large): the client
-		// sees that failure; peers that applied anyway reconverge via
-		// anti-entropy.
-		delete(r.fwds, fwd.id)
-		return
-	}
-	if !r.await(p, fwd) {
+	// A local apply that failed outright (recovering, too large) waits for no
+	// ack: the client sees that failure; peers that applied anyway reconverge
+	// via anti-entropy.
+	if resp.Status == protocol.StatusStored && !r.await(p, fwd) {
 		resp.Status = protocol.StatusNoReplica
 		resp.Value, resp.ValueSize = nil, 0
+	}
+	r.closeRound(fwd)
+}
+
+// Discard ends the round of a write a crash discarded before its storage
+// phase: nothing waits for its acks, and a late one finds no round.
+func (r *Replicator) Discard(fwd *Forward) {
+	if fwd != nil {
+		r.closeRound(fwd)
 	}
 }
 
@@ -639,11 +667,9 @@ func (r *Replicator) landed(key string, v *version) {
 
 // await blocks until every replica acked the forward, re-sending to
 // laggards and re-coordinating above conflicting epochs. Returns false when
-// the chain cannot be completed within the retry budget.
+// the chain cannot be completed within the retry budget. The round stays
+// registered until its caller closes it.
 func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
-	// recoordinate re-registers the round under a new id: delete whichever
-	// one is current when the wait ends.
-	defer func() { delete(r.fwds, fwd.id) }()
 	coordRounds := 0
 	for round := 0; ; round++ {
 		if fwd.waiting != 0 {
@@ -754,13 +780,14 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 	if resp.Status == protocol.StatusOK {
 		r.gets++
 		if r.gets%readRepairEvery == 0 {
-			var served version // the record behind the hit: epoch, content sum
+			f := r.newFrame(frameProbe, req.Key)
 			if ks := r.keys[req.Key]; ks != nil {
-				served = version{epoch: ks.epoch, sum: ks.sum}
+				f.epoch, f.sum = ks.epoch, ks.sum // the record behind the hit
 			}
 			for i := 0; i < peers.n; i++ {
-				r.send(p, int(peers.ids[i]), &frame{Kind: frameProbe, Key: req.Key, version: served})
+				r.send(p, int(peers.ids[i]), f)
 			}
+			f.Release()
 		}
 	}
 	return resp
@@ -806,6 +833,7 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		resp.Status = protocol.StatusNoReplica
 		resp.Value, resp.ValueSize = nil, 0
 	}
+	r.closeRound(fwd)
 	return resp
 }
 
@@ -846,11 +874,13 @@ func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peer
 	}
 	ev := r.env.NewEvent()
 	ks.pull, ks.pullFrom = ev, make(map[int]bool, peers.n)
+	f := r.newFrame(framePull, key)
 	for i := 0; i < peers.n; i++ {
 		pid := int(peers.ids[i])
 		ks.pullFrom[pid] = true
-		r.send(p, pid, &frame{Kind: framePull, Key: key})
+		r.send(p, pid, f)
 	}
+	f.Release()
 	r.Counters.Inc(counter)
 	return ev
 }
@@ -955,8 +985,12 @@ func (r *Replicator) engine(p *sim.Proc) {
 		if qp := r.qpByQPN[c.QPN]; qp != nil {
 			qp.PostRecv(verbs.RecvWR{})
 		}
-		if f, ok := c.Payload.(*frame); ok && !r.isDown() { // a dead node neither applies nor acks
-			r.demux(f)
+		if f, ok := c.Payload.(*frame); ok {
+			if r.isDown() { // a dead node neither applies nor acks
+				f.Release()
+			} else {
+				r.demux(f)
+			}
 		}
 	}
 }
@@ -969,14 +1003,19 @@ func (r *Replicator) engine(p *sim.Proc) {
 // process, so a scrub round's diff still follows the previous round's repairs.
 // A forward is therefore no longer ordered against the background frames of
 // the same peer; the same guard covers that too. Neither hand-off suspends.
+// The delivery's hold on f goes with it into a lane, or is given back here.
 func (r *Replicator) demux(f *frame) {
+	q := r.backQ
 	switch {
 	case f.Kind == frameAck:
 		r.handleAck(f)
+		f.Release()
+		return
 	case f.Kind == frameWrite && !f.Repair:
-		r.applyQ.TryPut(queued{f, r.gen})
-	default:
-		r.backQ.TryPut(queued{f, r.gen})
+		q = r.applyQ
+	}
+	if !q.TryPut(queued{f, r.gen}) {
+		f.Release()
 	}
 }
 
@@ -990,13 +1029,16 @@ type queued struct {
 // lane serves one queue, a frame at a time. What the engine's inline call gave
 // for free is asked again here, at dequeue: a frame that arrived before a
 // whole-node kill belongs to the dead incarnation, and one that arrived a
-// microsecond before a crash is neither applied nor acked after it.
+// microsecond before a crash is neither applied nor acked after it. Either
+// way the frame's delivery hold is given back once its turn is over.
 func (r *Replicator) lane(q *sim.Queue[queued]) func(*sim.Proc) {
 	return func(p *sim.Proc) {
 		for {
-			if it, _ := q.Get(p); it.gen == r.gen && !r.isDown() {
+			it, _ := q.Get(p)
+			if it.gen == r.gen && !r.isDown() {
 				r.handle(p, it.f)
 			}
+			it.f.Release()
 		}
 	}
 }
@@ -1086,16 +1128,19 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 	if f.Repair {
 		return
 	}
-	switch {
-	case how == stale:
-		// Tell the coordinator the newer epoch.
-		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, version: version{epoch: r.state(f.Key).epoch}})
-	case how == duplicate || st == protocol.StatusStored:
-		r.send(p, f.From, &frame{Kind: frameAck, ID: f.ID, Key: f.Key, Applied: true, version: version{epoch: f.epoch}})
+	applied := how == duplicate || st == protocol.StatusStored
+	if how != stale && !applied {
+		// The store refused (recovering, allocation failure): stay silent;
+		// the coordinator's resend rounds (or anti-entropy) will retry once
+		// we can apply.
+		return
 	}
-	// Otherwise the store refused (recovering, allocation failure): stay
-	// silent; the coordinator's resend rounds (or anti-entropy) will retry
-	// once we can apply.
+	ack := r.newFrame(frameAck, f.Key)
+	ack.ID, ack.Applied, ack.epoch = f.ID, applied, f.epoch
+	if how == stale {
+		ack.epoch = r.state(f.Key).epoch // tell the coordinator the newer epoch
+	}
+	r.post(p, f.From, ack)
 }
 
 func (r *Replicator) handleAck(f *frame) {
@@ -1127,7 +1172,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 	for {
 		ks := r.keys[key]
 		if !ks.confirmed() {
-			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+			r.post(p, pid, r.newFrame(framePullMiss, key))
 			return
 		}
 		v := version{epoch: ks.epoch}
@@ -1139,12 +1184,14 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
 			// The slab layer dropped the value (eviction under pressure): stop
 			// claiming the epoch in digests; a peer's copy can repair us later.
 			r.dropState(key)
-			r.send(p, pid, &frame{Kind: framePullMiss, Key: key})
+			r.post(p, pid, r.newFrame(framePullMiss, key))
 			return
 		}
 		v.value, v.size, v.flags, v.sum = value, size, flags, protocol.ValueSum(value)
 		r.Counters.Inc(metrics.CRepairPushes)
-		r.send(p, pid, &frame{Kind: frameWrite, Repair: true, Key: key, version: v})
+		f := r.newFrame(frameWrite, key)
+		f.Repair, f.version = true, v
+		r.post(p, pid, f)
 		return
 	}
 }

@@ -147,7 +147,9 @@ func (r *Replicator) digest(pid int) []uint64 {
 // digestFrame is one scrub round's message to pid: a copy of the maintained
 // digest, so what a round costs is the width of the digest, not the table.
 func (r *Replicator) digestFrame(pid int) *frame {
-	return &frame{Kind: frameDigest, Buckets: append([]uint64(nil), r.digest(pid)...)}
+	f := r.newFrame(frameDigest, "")
+	f.Buckets = append([]uint64(nil), r.digest(pid)...)
+	return f
 }
 
 // dropDigests forgets every maintained digest.
@@ -239,7 +241,7 @@ func (r *Replicator) scrubber(p *sim.Proc) {
 		}
 		for _, pid := range r.peerIDs {
 			r.Counters.Inc(metrics.CScrubRounds)
-			r.send(p, pid, r.digestFrame(pid))
+			r.post(p, pid, r.digestFrame(pid))
 		}
 		// The scrub pass is also when quarantined SSD media is drained and
 		// returned to service: live slots on suspect regions are re-read,
@@ -274,19 +276,20 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 	if len(diff) == 0 {
 		return
 	}
-	resp := &frame{Kind: frameDiff, Buckets: diff}
+	resp := r.newFrame(frameDiff, "")
+	resp.Buckets = diff
 	for _, key := range r.sortedSharedKeys(f.From, diff) {
 		ks := r.keys[key]
 		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Sum: ks.sum})
 	}
-	r.send(p, f.From, resp)
+	r.post(p, f.From, resp)
 }
 
 // sortedSharedKeys lists the confirmed keys shared with pid that fall in one
 // of the given buckets, in sorted order. Keys are filtered by bucket first: a
 // round that differs in one bucket sorts that bucket's keys, not the table.
 func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
-	in := make([]bool, scrubBuckets)
+	var in [scrubBuckets]bool
 	for _, b := range buckets {
 		if b < uint64(len(in)) {
 			in[b] = true
@@ -335,7 +338,7 @@ func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
 		r.pushKey(p, from, theirs.Key)
 	}
 	if pull {
-		r.send(p, from, &frame{Kind: framePull, Key: theirs.Key})
+		r.post(p, from, r.newFrame(framePull, theirs.Key))
 	}
 	return pull
 }

@@ -264,7 +264,8 @@ type task struct {
 	held int
 	// rounds are the replication rounds opened at admission time, one per
 	// member (nil for reads and RMW ops); the peer applies overlap the local
-	// storage phase. A bare request's sits in round.
+	// storage phase. A bare request's sits in round. The tail clears each
+	// slot once Finish has put its round back on the replicator's list.
 	rounds []*replication.Forward
 	round  [1]*replication.Forward
 	// resps are the members' answers, filled by the storage phase in member
@@ -862,6 +863,7 @@ func (s *Server) tail(p *sim.Proc, t *task) {
 		rounds := t.forwards()
 		for i, resp := range resps {
 			s.repl.Finish(p, resp, rounds[i])
+			rounds[i] = nil
 		}
 	}
 	if s.discarded(t) {
@@ -881,13 +883,21 @@ func (s *Server) tail(p *sim.Proc, t *task) {
 }
 
 // discarded drops t if it is from before a crash or the server is down: every
-// member is counted Discarded and what the task held is released. Reports
-// whether it did.
+// member is counted Discarded and what the task held is released — a
+// replication round still open goes back to its replicator. Reports whether
+// it did.
 func (s *Server) discarded(t *task) bool {
 	if !s.down && t.gen == s.gen {
 		return false
 	}
 	s.Discarded += int64(len(t.members()))
+	if s.repl != nil {
+		rounds := t.forwards()
+		for i, fwd := range rounds {
+			s.repl.Discard(fwd)
+			rounds[i] = nil
+		}
+	}
 	s.release(t)
 	return true
 }

@@ -229,16 +229,20 @@ func BenchmarkTailHandoff(b *testing.B) {
 // one-element arrays, a frame's in the slices admission and the storage phase
 // made — to a parked responder, whose waiter record and wakeup are recycled.
 // So a replicated write costs exactly what it cost with its tail on the
-// worker. A bare SET at R = 2 is 3: the round, the backup's ack frame and the
-// response record; its four fabric messages (request, forward, ack, answer)
-// are none, each HCA reusing its transfers after delivery, and the stored
-// item on each server comes off its manager's free list. A frame of four is
-// 14. They were 5 and 22 while every stored item was allocated afresh.
+// worker. A bare SET at R = 2 is 1: the reply, which the raw client never
+// releases, so it never goes back on its store's list. The round and the
+// forward and ack frames come off the replicators' lists and go back once the
+// round is finished and each frame handled; its four fabric messages
+// (request, forward, ack, answer) are none, each HCA reusing its transfers
+// after delivery, and the stored item on each server comes off its manager's
+// free list. A frame of four is 6: its four replies and the two slices of its
+// members' rounds and answers. They were 3 and 14 while every round and frame
+// was allocated afresh, and 5 and 22 while every stored item was too.
 func TestTailHandoffAllocationCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		frame   bool
 		ceiling float64
-	}{{false, 3}, {true, 14}} {
+	}{{false, 1}, {true, 6}} {
 		step := tailModel(tc.frame)
 		step()
 		if got := testing.AllocsPerRun(300, step); got > tc.ceiling {
