@@ -49,7 +49,7 @@ import (
 // engine.
 
 // ReadPath selects how a GET is resolved; see WithReadPath.
-type ReadPath int
+type ReadPath uint8
 
 const (
 	// ReadAuto resolves via bypass when the client has it enabled
@@ -399,7 +399,7 @@ func (cn *conn) postRead(p *sim.Proc, req *Req, mr int, off int64, n int) (paylo
 	c.nextID++
 	id := c.nextID
 	w := &req.read
-	w.ev.Init(c.env)
+	w.ev.Init()
 	cn.readWaits[id] = req
 	req.hold()
 	cn.readq.TryPut(verbs.SendWR{

@@ -134,16 +134,16 @@ type Req struct {
 	ID uint64
 	// Op is the issued opcode.
 	Op protocol.Opcode
-	// Key is the requested key.
-	Key string
 	// Status is valid once Done fires.
 	Status protocol.Status
-	// Value / ValueSize hold the fetched value for Gets once Done fires.
-	Value     any
-	ValueSize int
 	// Flags / CAS are the item metadata from the response.
 	Flags uint32
 	CAS   uint64
+	// Key is the requested key.
+	Key string
+	// Value / ValueSize hold the fetched value for Gets once Done fires.
+	Value     any
+	ValueSize int
 	// IssuedAt / CompletedAt are virtual timestamps.
 	IssuedAt    sim.Time
 	CompletedAt sim.Time
@@ -151,9 +151,9 @@ type Req struct {
 	Attempts int
 
 	// Everything an operation needs on its common path is embedded by value
-	// and set up in initReq, so a request is one record: its three events,
-	// its parsed options, its first attempt (with the wire message that
-	// attempt sends), and the wait record of a bypass READ. Only a
+	// — zero, or set up in initReq — so a request is one record: its three
+	// events, its parsed options, its first attempt (with the wire message
+	// that attempt sends), and the wait record of a bypass READ. Only a
 	// retransmit, a hedge or a bypass fallback — a second attempt — allocates
 	// again, and the request owns those too: its attempts are chained from
 	// first in the order attach made them, cur the latest, and finish settles
@@ -551,9 +551,6 @@ func (c *Client) initReq(req *Req, op Op) {
 		CAS: op.CAS, Delta: op.Delta,
 		AckWanted: req.opts.ack,
 	}
-	req.done.Init(c.env)
-	req.reusable.Init(c.env)
-	req.nudge.Init(c.env)
 }
 
 // --- Non-blocking API extensions (Listing 1) ---

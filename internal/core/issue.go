@@ -223,7 +223,7 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 		req.c.nextID++
 		wire.ReqID = req.c.nextID
 	}
-	*att = attempt{id: wire.ReqID, req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
+	*att = attempt{req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
 	req.cur, req.conn = att, cn
 	req.Attempts++
 	if cn.brk != nil {
@@ -248,7 +248,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn) {
 	first := req.cur == nil
 	att := req.attach(cn, attQueued)
 	att.wire.RespMR = cn.respMR.LKey()
-	cn.pending[att.id] = att
+	cn.pending[att.wire.ReqID] = att
 	req.hold()
 	if first && c.batching > 0 && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
@@ -342,7 +342,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
 	// sentinel and backoff hint belong to the old attempt alone.
-	req.nudge.Init(c.env)
+	req.nudge.Init()
 	req.rejected = nil
 	req.retryAfter = 0
 	c.enqueueWire(req, cn)
@@ -465,7 +465,6 @@ type txItem struct {
 // create fresh attempts with fresh ids. What an attempt holds at any moment
 // follows from its state, and settle is the one place any of it is given back.
 type attempt struct {
-	id    uint64
 	req   *Req
 	cn    *conn
 	start sim.Time // enqueue time, for per-attempt service-time samples
@@ -559,7 +558,7 @@ func (att *attempt) settle(how ending) {
 	if how == acked {
 		return
 	}
-	delete(cn.pending, att.id)
+	delete(cn.pending, att.wire.ReqID)
 	att.state = attSettled
 	switch how {
 	case answered:

@@ -133,18 +133,18 @@ func (s Status) String() string {
 
 // Request is a client→server message.
 type Request struct {
-	Op        Opcode
+	Op Opcode
+	// AckWanted asks the server to send OpBufferAck as soon as the
+	// request is buffered (bset/bget semantics on an async server).
+	AckWanted bool
+	Flags     uint32
 	ReqID     uint64
 	Key       string
-	Flags     uint32
 	ValueSize int // bytes of value carried (Set only)
 	Value     any // opaque payload token (Set only)
 	// RespMR is the client's registered response region; the server
 	// RDMA-WRITEs the response there (RDMA transport only).
 	RespMR int
-	// AckWanted asks the server to send OpBufferAck as soon as the
-	// request is buffered (bset/bget semantics on an async server).
-	AckWanted bool
 	// CAS carries the caller's token for OpCAS.
 	CAS uint64
 	// Delta carries the Incr amount.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRequestHeaderRoundTrip(t *testing.T) {
@@ -83,6 +84,18 @@ func TestResponseRoundTrip(t *testing.T) {
 	if got.Op != r.Op || got.ReqID != r.ReqID || got.Status != r.Status ||
 		got.Flags != r.Flags || got.CAS != r.CAS || got.ValueSize != r.ValueSize {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, r)
+	}
+}
+
+// Every client attempt embeds the Request it sends, and the request record
+// embeds its first attempt, so the benchmark's host_bytes_per_op (2 % bound)
+// pays for each byte here once per operation. At the parent commit (2caa2d8)
+// Request was 96 bytes (the 96-byte size class), its one-byte Op and
+// AckWanted each padded to a word; with them beside Flags it is 80, the
+// 80-byte class.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 80 {
+		t.Errorf("Request is %d bytes, was 96", got)
 	}
 }
 

@@ -197,10 +197,10 @@ type Forward struct {
 }
 
 // open (re)arms the round: every peer owes an ack.
-func (fwd *Forward) open(env *sim.Env, peers peerSet) {
+func (fwd *Forward) open(peers peerSet) {
 	fwd.peers = peers
 	fwd.waiting = 1<<peers.n - 1
-	fwd.done.Init(env)
+	fwd.done.Init()
 	if fwd.waiting == 0 {
 		fwd.done.Fire()
 	}
@@ -527,7 +527,7 @@ func (r *Replicator) open(key string, v version) *Forward {
 	fwd.id, fwd.key, fwd.proxy, fwd.version = r.nextID, key, !member, v
 	fwd.epoch = r.mint(key, 0)
 	fwd.sum = protocol.ValueSum(v.value)
-	fwd.open(r.env, peers)
+	fwd.open(peers)
 	r.fwds[fwd.id] = fwd
 	r.Counters.Inc(metrics.CForwards)
 	return fwd
@@ -713,7 +713,7 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	r.nextID++
 	fwd.id = r.nextID
 	peers, member := r.replicaPeers(fwd.key)
-	fwd.open(r.env, peers)
+	fwd.open(peers)
 	r.fwds[fwd.id] = fwd
 	if !fwd.proxy && member {
 		r.install(p, fwd.key, &fwd.version, func() bool { return r.newer(fwd) })

@@ -77,12 +77,17 @@ func (f funcCall) Fire() { f() }
 // whichever is delivered first cancels the rest.
 //
 // Wakeups are pooled on the Env. A wakeup has exactly one holder at a time —
-// a waiter list (Event, Queue, Resource) while pending, the heap once fired
-// or scheduled — and is recycled only when that holder lets go of it: when
-// it leaves the heap (delivered, or removed at the instant it is canceled),
-// or when a waiter list drops a canceled entry instead of firing it. A
-// process's own pending list is emptied at the instant its other wakeups
-// are canceled, so it never outlives them.
+// a waiter list (an Event's chain, a Queue's or Resource's slice) while
+// pending, the heap once fired or scheduled — and is recycled only when that
+// holder lets go of it: when it leaves the heap (delivered, or removed at the
+// instant it is canceled), or when a waiter list drops a canceled entry
+// instead of firing it. A process's own pending list is emptied at the
+// instant its other wakeups are canceled, so it never outlives them.
+//
+// next is the one link a wakeup has, and its holder owns it: an Event chains
+// its waiters through it, the free list its free wakeups. Recycling
+// overwrites it, so a holder that walks a chain reads a wakeup's next before
+// it lets go of that wakeup.
 type wakeup struct {
 	p        *Proc   // process to resume; nil for a callback event
 	call     Caller  // callback to run (p == nil)
@@ -90,7 +95,7 @@ type wakeup struct {
 	index    int     // position on the heap, -1 while pending
 	canceled bool    // pending, and its process was woken by something else
 	free     bool    // on the free list; any use is a kernel bug
-	next     *wakeup // free-list link
+	next     *wakeup // the next waiter on its Event, or the next free wakeup
 }
 
 // slot is one heap entry. The (at, seq) key is stored by value so comparing
@@ -543,49 +548,52 @@ func (p *Proc) Yield() {
 }
 
 // Event is a one-shot condition processes can wait on. Create one with
-// Env.NewEvent, or embed one in a larger record and Init it.
+// Env.NewEvent, or embed one in a larger record: the zero Event is unfired
+// and usable.
+//
+// Its waiters are a chain through their wakeups' next links, first to last
+// in arrival order, so adding one allocates nothing. Every waiter is a
+// process's, and Fire reaches the Env through it: the event keeps no Env.
 type Event struct {
-	env   *Env
-	fired bool
-	// Waiters in arrival order: first, then more. Most events have one.
-	first *wakeup
-	more  []*wakeup
+	first, last *wakeup
+	fired       bool
 }
 
 // NewEvent returns a fresh unfired event.
-func (e *Env) NewEvent() *Event { return &Event{env: e} }
+func (e *Env) NewEvent() *Event { return &Event{} }
 
-// Init makes a zero Event, or one that has fired, usable on env, for events
-// embedded by value in a record: a request, or a fabric message whose record
-// its sender reuses once the message has been delivered.
-func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
+// Init makes the event unfired again, for events embedded by value in a
+// record its owner reuses: a request, or a fabric message whose record its
+// sender reuses once the message has been delivered. Waiters still on the
+// event stay on it; one whose process something else already woke is
+// recycled at the next Fire.
+func (ev *Event) Init() { ev.fired = false }
 
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 
 // Fire marks the event complete and wakes all waiters at the current virtual
-// time. Firing an already-fired event is a no-op.
+// time, in the order they arrived. Firing an already-fired event is a no-op.
 func (ev *Event) Fire() {
 	if ev.fired {
 		return
 	}
-	ev.fired = true
-	if ev.first != nil {
-		ev.env.fireWakeup(ev.first)
-		ev.first = nil
+	w := ev.first
+	ev.first, ev.last, ev.fired = nil, nil, true
+	for w != nil {
+		next := w.next // fireWakeup may recycle w, which overwrites next
+		w.p.env.fireWakeup(w)
+		w = next
 	}
-	for _, w := range ev.more {
-		ev.env.fireWakeup(w)
-	}
-	ev.more = nil
 }
 
 func (ev *Event) addWaiter(w *wakeup) {
-	if ev.first == nil { // waiters only leave at Fire, all at once: no first means none
+	if ev.last == nil {
 		ev.first = w
-		return
+	} else {
+		ev.last.next = w
 	}
-	ev.more = append(ev.more, w)
+	ev.last = w
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it

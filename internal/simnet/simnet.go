@@ -350,8 +350,8 @@ func (n *Node) PostFlight(fl *Flight, owner Recycler, dst string, size int, payl
 		panic("simnet: Flight posted while still in flight")
 	}
 	fl.msg = Message{Src: n.name, Dst: dst, Size: size, Payload: payload}
-	fl.sent.Init(n.fabric.env)
-	fl.delivered.Init(n.fabric.env)
+	fl.sent.Init()
+	fl.delivered.Init()
 	fl.out = Outgoing{Sent: &fl.sent, Delivered: &fl.delivered}
 	fl.owner = owner
 	// One delivery is owed, unless the fault injector drops or duplicates it.
