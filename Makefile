@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt counters race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs loc loc-diff fuzz check
+.PHONY: build test vet fmt counters maporder race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ counters:
 	@out=$$(grep -rnE '\.(Add|Get)\("' internal | grep -v '^internal/metrics/metrics_test.go:'); \
 	test -z "$$out" || { echo "make counters: a counter written or read by name:"; echo "$$out"; exit 1; }
 
+# Map iteration order decides nothing (DESIGN §16): every range over a map in
+# production code under internal/ sorts the slice it appends to, after the
+# range, or carries an `// order-free` comment saying why its order cannot
+# matter. cmd/maporder type-checks the tree with go/types (standard library
+# only) and names each range that does neither.
+maporder:
+	$(GO) run ./cmd/maporder internal
+
 race:
 	$(GO) test -race ./...
 
@@ -37,7 +45,11 @@ race:
 # when it does — the apply pool and the background lane included) and its
 # frame and round lists (TestPooledFramesUnderFaults: every holder of a
 # frame and a round through drops, duplicates, corruption, a link-down
-# window and a kill with a cold restart), the
+# window and a kill with a cold restart), the client's bypass reads of the
+# directory's held buckets and segments (TestPooledBucketsUnderFaults in
+# internal/core: drops, duplicated and late READs and a cold restart with
+# READs in flight; at quiesce every published record is free or held once,
+# by its segment), the
 # server's path matrix (every way an arrival reaches the storage phase, crashed at each
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
@@ -202,7 +214,7 @@ reach:
 # process wakeup to a callback event: printed for the eye, gating nothing —
 # nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
 # week and 25:1 the next is seen.
-ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool
+ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool ./internal/workload
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
 	@$(GO) test -run '^$$' -bench . -benchmem -benchtime 2000x $(ALLOC_PKGS) | awk ' \
@@ -268,10 +280,10 @@ loc-diff:
 		END { for (name in seen) printf "%-22s gone (was %d lines)\n", name, before[name, 2] }' \
 		"$$tmp/before.txt" "$$tmp/after.txt"
 
-# The pre-merge gate: static analysis, formatting and the counter rule, the
-# full suite under
+# The pre-merge gate: static analysis, formatting, the counter rule and the
+# map-order rule, the full suite under
 # the race detector (plus the robustness packages at -count=2), a registry
 # smoke run (the ten robustness experiments among its 24), the three examples,
 # the golden gate over the committed snapshots, the benchmark's determinism
 # gate, and the gated vulnerability scan. Each thing runs once.
-check: vet fmt counters race race-robustness smoke examples verify benchmark-check vuln
+check: vet fmt counters maporder race race-robustness smoke examples verify benchmark-check vuln

@@ -376,7 +376,7 @@ func (d *Device) DurableOffsets(lo, hi int64) []int64 {
 // resume to avoid overwriting surviving data.
 func (d *Device) DurableEnd(lo, hi int64) int64 {
 	end := lo
-	for off, e := range d.durable {
+	for off, e := range d.durable { // order-free: a maximum
 		if off >= lo && off < hi && off+int64(e.Size) > end {
 			end = off + int64(e.Size)
 		}

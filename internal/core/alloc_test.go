@@ -266,15 +266,16 @@ func TestSecondAttemptAllocationCeilings(t *testing.T) {
 // Req and attempt are allocated once per operation and once per second
 // attempt, and the benchmark's host_bytes_per_op has a 2 % bound: the
 // attempt chain, the attempt's state and the breaker's probe holder cost no
-// bytes. At the parent commit (2caa2d8) Req was 560 bytes (the 576-byte size
-// class) and attempt 152 (the 160-byte class). Now Req is 416, its own size
-// class: three 24-byte events in place of three of 48, its exported Op,
-// Status and Flags in one word, and its attempt and options packed. attempt
-// is 128, its own class: no id beside its message's ReqID, and an 80-byte
-// message.
+// bytes. Req was 560 bytes (the 576-byte size class), then 416 (the 416-byte
+// class): three 24-byte events in place of three of 48, its exported Op,
+// Status and Flags in one word, and its attempt and options packed. Now it is
+// 376, in the 384-byte class: its id and key are read off its first
+// attempt's message (ID, Key), and a retryable rejection is kept as its
+// one-byte status beside Status rather than as an error. attempt is 128, its
+// own class: no id beside its message's ReqID, and an 80-byte message.
 func TestRequestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Req{}); got != 416 {
-		t.Errorf("Req is %d bytes, was 560", got)
+	if got := unsafe.Sizeof(Req{}); got != 376 {
+		t.Errorf("Req is %d bytes, was 416", got)
 	}
 	if got := unsafe.Sizeof(attempt{}); got != 128 {
 		t.Errorf("attempt is %d bytes, was 152", got)

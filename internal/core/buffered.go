@@ -105,7 +105,7 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 			break
 		}
 		resp := msg.Payload.(*protocol.Response)
-		if answered = answered && resp.ReqID == req.ID; answered {
+		if answered = answered && resp.ReqID == req.ID(); answered {
 			req.drop()
 		}
 		resp.Release()

@@ -140,7 +140,7 @@ func (c *Client) resolveNext(p *sim.Proc) {
 	req, _ := c.resolving.TryGet()
 	defer req.drop()
 	defer req.tagPanic()
-	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key)}
+	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key())}
 	if !r.resolve() {
 		r.fallback()
 	}
@@ -160,11 +160,11 @@ func (r *resolution) resolve() bool {
 
 	// An out-of-line value resolved before: one READ of the cached segment
 	// location, validated by the digest the segment embeds.
-	if loc, ok := cn.locs[req.Key]; ok {
+	if loc, ok := cn.locs[req.Key()]; ok {
 		if r.readSegment(loc, 0) == probeResolved {
 			return true
 		}
-		delete(cn.locs, req.Key) // superseded: the cached location is dead
+		delete(cn.locs, req.Key()) // superseded: the cached location is dead
 	}
 
 	for reprobes := 0; ; reprobes++ {
@@ -232,18 +232,23 @@ func (r *resolution) probeSlot() probeOutcome {
 	return probeResolved
 }
 
-// readBucket READs directory bucket b. ok is false when the probe stops
-// there, with out: the request ended meanwhile (resolved), or the READ
-// brought no bucket back — wedged, so the guarded RPC path copes (fallback).
+// readBucket READs directory bucket b and copies out its ways and spill
+// count. ok is false when the probe stops there, with out: the request ended
+// meanwhile (resolved), or the READ brought no bucket back — wedged, so the
+// guarded RPC path copes (fallback).
 func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutcome, ok bool) {
 	dir := r.cn.dir
 	n := dir.BucketBytes()
 	got, read := r.read(dir.DirMR, int64(b)*int64(n), n)
+	held, isBucket := got.(*protocol.DirBucket)
+	if isBucket {
+		bucket = held.Copy()
+	}
+	verbs.Release(got)
 	if r.req.done.Fired() {
 		return bucket, probeResolved, false
 	}
-	bucket, ok = got.(protocol.DirBucket)
-	return bucket, probeFallback, read && ok
+	return bucket, probeFallback, read && isBucket
 }
 
 // readSegment READs the value segment at loc and completes the request from
@@ -254,18 +259,23 @@ func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutc
 func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 	cn := r.cn
 	got, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
+	var seg protocol.DirSegment
+	held, isSeg := got.(*protocol.DirSegment)
+	if isSeg {
+		seg = held.Copy()
+	}
+	verbs.Release(got)
 	if r.req.done.Fired() {
 		return probeResolved
 	}
 	if !ok {
 		return probeFallback
 	}
-	seg, isSeg := got.(protocol.DirSegment)
 	if !isSeg || seg.Digest != r.digest || (version != 0 && seg.Version != version) {
 		return probeTransient
 	}
 	if version != 0 {
-		cn.locs[r.req.Key] = loc // the next GET of this key starts here
+		cn.locs[r.req.Key()] = loc // the next GET of this key starts here
 	}
 	r.complete(&seg)
 	return probeResolved
@@ -308,7 +318,7 @@ func (r *resolution) fallback() {
 	}
 	// Stays on the resolving connection unless that one has browned out and
 	// a healthy replica's RPC path exists.
-	cn := c.route(req.Key, routeFallback, r.cn)
+	cn := c.route(req.Key(), routeFallback, r.cn)
 	c.enqueueWire(req, cn)
 }
 
@@ -451,7 +461,8 @@ func (cn *conn) bypassEngine(p *sim.Proc) {
 		comp := cn.sendCQ.WaitPoll(p)
 		req := cn.readWaits[comp.WRID]
 		if req == nil {
-			continue // resolver gave up on this READ
+			verbs.Release(comp.Payload) // resolver gave up on this READ
+			continue
 		}
 		delete(cn.readWaits, comp.WRID)
 		req.read.payload = comp.Payload

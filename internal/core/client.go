@@ -130,17 +130,19 @@ const (
 
 // Req is the memcached_req analog: the handle for one in-flight operation.
 type Req struct {
-	// ID is the request id on the wire.
-	ID uint64
 	// Op is the issued opcode.
 	Op protocol.Opcode
 	// Status is valid once Done fires.
 	Status protocol.Status
+	// rejected is the status of the current attempt's retryable rejection
+	// (StatusBusy, StatusRecovering); StatusOK, which rejects nothing, when
+	// there is none. Cleared on retransmit. When the retry budget runs out
+	// right after such a rejection, Err surfaces its sentinel instead of the
+	// generic deadline error.
+	rejected protocol.Status
 	// Flags / CAS are the item metadata from the response.
 	Flags uint32
 	CAS   uint64
-	// Key is the requested key.
-	Key string
 	// Value / ValueSize hold the fetched value for Gets once Done fires.
 	Value     any
 	ValueSize int
@@ -179,11 +181,6 @@ type Req struct {
 	opts     issueOpts // as parsed from Issue's options
 	read     readWait  // the bypass resolver's READ in flight (one at a time)
 
-	// rejected is the sentinel of the current attempt's retryable
-	// rejection (ErrBusy, ErrRecovering); cleared on retransmit. When the
-	// retry budget runs out right after such a rejection, Err surfaces it
-	// instead of the generic deadline error.
-	rejected error
 	// retryAfter is the server's busy hint: it floors the guard's next
 	// backoff. Cleared on retransmit.
 	retryAfter sim.Time
@@ -238,13 +235,19 @@ func (c *Client) Release(req *Req) {
 // Done reports whether the operation has completed (memcached_test).
 func (r *Req) Done() bool { return r.done.Fired() }
 
+// ID returns the request id on the wire: its first attempt's.
+func (r *Req) ID() uint64 { return r.first.wire.ReqID }
+
+// Key returns the requested key.
+func (r *Req) Key() string { return r.first.wire.Key }
+
 // tagPanic, deferred by a request's helper process (bypass resolver, guard,
 // hedge), adds the request id to a panic passing through it. Those
 // processes share one constant name each — a formatted name per request was
 // two allocations on every GET — so the id would otherwise be lost.
 func (r *Req) tagPanic() {
 	if v := recover(); v != nil {
-		panic(fmt.Sprintf("request %d (%v %q): %v", r.ID, r.Op, r.Key, v))
+		panic(fmt.Sprintf("request %d (%v %q): %v", r.ID(), r.Op, r.Key(), v))
 	}
 }
 
@@ -540,13 +543,11 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 // of now, and writes the wire template its attempts are built from.
 func (c *Client) initReq(req *Req, op Op) {
 	c.nextID++
-	req.ID = c.nextID
 	req.Op = op.Code
-	req.Key = op.Key
 	req.c = c
 	req.IssuedAt = c.env.Now()
 	req.first.wire = protocol.Request{
-		Op: op.Code, Key: op.Key, Flags: op.Flags,
+		ReqID: c.nextID, Op: op.Code, Key: op.Key, Flags: op.Flags,
 		ValueSize: op.ValueSize, Value: op.Value,
 		CAS: op.CAS, Delta: op.Delta,
 		AckWanted: req.opts.ack,
@@ -722,7 +723,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			// The delivery's hold on the reply is released once finish has
 			// copied it out, or at once for a stale one.
 			resp := msg.Payload.(*protocol.Response)
-			if resp.ReqID != req.ID {
+			if resp.ReqID != req.ID() {
 				resp.Release()
 				continue // stale reply from an abandoned request
 			}

@@ -100,8 +100,8 @@ func (r *Req) Err() error {
 		return ErrInFlight
 	case r.how == canceled:
 		return ErrCanceled
-	case r.how == timedOut && r.rejected != nil:
-		return r.rejected
+	case r.how == timedOut && r.rejected != protocol.StatusOK:
+		return statusErr(r.rejected)
 	case r.how == timedOut:
 		return ErrDeadlineExceeded
 	}

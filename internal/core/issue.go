@@ -216,7 +216,6 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 // wrote, but for the id.
 func (req *Req) attach(cn *conn, state attState) *attempt {
 	att, wire := &req.first, req.first.wire
-	wire.ReqID = req.ID
 	if req.cur != nil {
 		att = new(attempt)
 		req.cur.next = att
@@ -334,7 +333,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	old.settle(req.lapse())
 	cn := old.cn
 	if failover && len(c.conns) > 1 {
-		cn = c.route(req.Key, routeNext, old.cn)
+		cn = c.route(req.Key(), routeNext, old.cn)
 		c.Counters.Inc(metrics.CFailovers)
 	}
 	c.Counters.Inc(metrics.CRetries)
@@ -343,7 +342,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	// attempt must not short-circuit the new one's response wait, and its
 	// sentinel and backoff hint belong to the old attempt alone.
 	req.nudge.Init()
-	req.rejected = nil
+	req.rejected = protocol.StatusOK
 	req.retryAfter = 0
 	c.enqueueWire(req, cn)
 }
@@ -382,7 +381,7 @@ func (c *Client) startGuard(req *Req) {
 		}
 		pol := *o.retry
 		pol.fill()
-		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID)*0x9e3779b9))
+		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID())*0x9e3779b9))
 		backoff := pol.Backoff
 		// The loop is left two ways: the request completed under it (return),
 		// or its time or its attempts ran out (the one timeout below).
@@ -444,7 +443,7 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.route(req.Key, routeNext, req.conn)
+		cn := c.route(req.Key(), routeNext, req.conn)
 		if cn == req.conn {
 			return // no distinct replica to hedge onto
 		}
@@ -606,7 +605,7 @@ func (att *attempt) ack() {
 // counts alongside busy rejections — unless a retryable rejection is what cut
 // the wait short.
 func (req *Req) lapse() ending {
-	if req.rejected != nil {
+	if req.rejected != protocol.StatusOK {
 		return dropped
 	}
 	return silent
@@ -742,7 +741,7 @@ func (cn *conn) land(resp *protocol.Response) {
 		// shedding: don't complete the request. Record the attempt's
 		// sentinel and any retry-after hint, then nudge its guard, which
 		// backs off and retransmits (failing over when configured).
-		req.rejected = statusErr(resp.Status)
+		req.rejected = resp.Status
 		switch resp.Status {
 		case protocol.StatusBusy:
 			req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond

@@ -141,8 +141,8 @@ func poolSoak(t *testing.T, transport Transport) {
 	mustStore := make(map[string]bool)
 	check := func(po poolOp, req *Req) {
 		op := po.op
-		if req.Key != op.Key || req.Op != op.Code {
-			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.Key)
+		if req.Key() != op.Key || req.Op != op.Code {
+			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.Key())
 			return
 		}
 		if req.Acked() && op.Code == protocol.OpSet {

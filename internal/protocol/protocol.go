@@ -351,8 +351,12 @@ type DirSlot struct {
 	Value     any // DirInline only
 }
 
-// DirBucket is the client-side decode of one bucket READ: its ways in
-// order, each under its own seqlock version, and its header.
+// DirBucket is one published directory bucket — what a bucket READ brings
+// back: its ways in order, each under its own seqlock version, and its
+// header. A server's bucket is a held record (NewDirBucket): its MR segment,
+// each READ that captured it and each reader of such a READ hold it, and it
+// is never rewritten, so every READ sees the bucket as it was at the instant
+// of capture.
 type DirBucket struct {
 	Ways [DirWays]DirSlot
 	// Spill counts the keys whose home is this bucket and that live in their
@@ -362,6 +366,11 @@ type DirBucket struct {
 	// in either bucket is validated by its own way's version, and one found
 	// in neither falls back to the server.
 	Spill uint16
+
+	// owner is the directory's free list the bucket came off, where its last
+	// Release puts it back; nil for a bucket nobody recycles.
+	pool.Holds
+	owner *pool.List[DirBucket, *DirBucket]
 }
 
 // Way returns the slot holding digest, and false when no way does.
@@ -386,9 +395,11 @@ func AltBucket(home int, digest uint64, buckets int) int {
 	return (home + 1 + int(Mix64(digest)%uint64(buckets-1))) % buckets
 }
 
-// DirSegment is the client-side decode of one value segment READ: the value
-// bytes prefixed by a validation header that lets the client detect a slot
-// that was republished for a different key or bumped mid-flight.
+// DirSegment is one published out-of-line value — what a value segment READ
+// brings back: the value bytes prefixed by a validation header that lets the
+// client detect a slot that was republished for a different key or bumped
+// mid-flight. A server's segment is a held record (NewDirSegment), as a
+// bucket is.
 type DirSegment struct {
 	Digest    uint64
 	Version   uint64
@@ -396,6 +407,10 @@ type DirSegment struct {
 	Flags     uint32
 	CAS       uint64
 	Value     any
+
+	// owner is as DirBucket's.
+	pool.Holds
+	owner *pool.List[DirSegment, *DirSegment]
 }
 
 // WireSize returns the bytes a segment READ of this value moves.

@@ -250,7 +250,7 @@ func (m *Membership) finalize() {
 	m.prev = nil
 	m.sources = m.sources[:0]
 	m.sealed = nil
-	for id, st := range m.states {
+	for id, st := range m.states { // order-free: each node's state moves on its own
 		switch st {
 		case NodeJoining:
 			m.states[id] = NodeActive

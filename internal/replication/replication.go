@@ -914,7 +914,7 @@ func (ks *keyState) closePull() {
 // it arrived in, and the lane drops it when its turn comes.
 func (r *Replicator) Wipe() {
 	r.gen++
-	for _, ks := range r.keys {
+	for _, ks := range r.keys { // order-free: each record is marked alone
 		ks.gone = true
 	}
 	r.dropDigests()

@@ -104,7 +104,7 @@ func (ks *keyState) folds(key string) (uint64, uint64) {
 // randomized map iteration.
 func (r *Replicator) computeDigest(pid int) []uint64 {
 	buckets := make([]uint64, 2*scrubBuckets)
-	for key, ks := range r.keys {
+	for key, ks := range r.keys { // order-free: XOR folds commute
 		if ks.confirmed() && r.sharedWith(pid, key) {
 			b := HashKey(key) % scrubBuckets
 			e1, e2 := ks.folds(key)
@@ -154,7 +154,7 @@ func (r *Replicator) digestFrame(pid int) *frame {
 
 // dropDigests forgets every maintained digest.
 func (r *Replicator) dropDigests() {
-	for _, pl := range r.peers {
+	for _, pl := range r.peers { // order-free: each digest is dropped alone
 		pl.digest = nil
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"hybridkv/internal/hybridslab"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/verbs"
 )
@@ -64,8 +65,10 @@ const displaceWay = protocol.DirWays - 1
 // and there are fewer other ways than this.
 const maxSpill = 1<<16 - 1
 
-// emptyBucket is what a bucket with no owned way holds (boxed once, shared).
-var emptyBucket any = protocol.DirBucket{}
+// emptyBucket is what a bucket with no owned way holds: one record shared by
+// every directory, built by hand, so it counts no holds and is never put
+// back, and never written.
+var emptyBucket = &protocol.DirBucket{}
 
 // dirEntry is one published key: the item it mirrors and the slot last
 // committed for it (slot.Off/Len name its value-MR segment when the value
@@ -93,6 +96,11 @@ type Directory struct {
 	// alternate; published in b's header.
 	spills  []uint16
 	nextOff int64
+	// BucketRecs and SegmentRecs are the free lists the published records come
+	// off: a record is taken per publish, never rewritten, and goes back
+	// when its segment and every READ that captured it have let go.
+	BucketRecs  pool.List[protocol.DirBucket, *protocol.DirBucket]
+	SegmentRecs pool.List[protocol.DirSegment, *protocol.DirSegment]
 
 	// Stats
 	Displacements int64
@@ -125,6 +133,9 @@ func (d *Directory) Info() protocol.DirectoryInfo {
 		Buckets: d.buckets, InlineMax: protocol.DirInlineMax, Ways: protocol.DirWays,
 	}
 }
+
+// Regions returns the directory's bucket and value MRs.
+func (d *Directory) Regions() (dir, val *verbs.MR) { return d.dirMR, d.valMR }
 
 // home is the home bucket of a key with this digest.
 func (d *Directory) home(digest uint64) int { return int(digest % uint64(d.buckets)) }
@@ -200,22 +211,35 @@ func (d *Directory) leave(b int, e *dirEntry) {
 }
 
 // writeBucket publishes bucket b's ways and spill count, always at the full
-// bucket length: boxed once, or the shared empty bucket when no way is owned
-// and nothing spilled.
+// bucket length: a fresh record off BucketRecs, which the bucket's segment holds
+// from here on, or the shared empty bucket when no way is owned and nothing
+// spilled.
 func (d *Directory) writeBucket(b int) {
-	bucket := protocol.DirBucket{Spill: d.spills[b]}
-	owned := bucket.Spill != 0
+	off := int64(b) * protocol.DirBucketBytes
 	lo, hi := ways(b)
+	if d.spills[b] == 0 && !d.owns(lo, hi) {
+		d.dirMR.SetSegment(off, emptyBucket, protocol.DirBucketBytes)
+		return
+	}
+	bucket := protocol.NewDirBucket(&d.BucketRecs)
+	bucket.Spill = d.spills[b]
 	for w := lo; w < hi; w++ {
 		if e := d.entries[w]; e != nil {
-			bucket.Ways[w-lo], owned = e.slot, true
+			bucket.Ways[w-lo] = e.slot
 		}
 	}
-	v := emptyBucket
-	if owned {
-		v = bucket
+	d.dirMR.SetSegment(off, bucket, protocol.DirBucketBytes)
+	bucket.Release()
+}
+
+// owns reports whether any of the ways [lo, hi) holds a key.
+func (d *Directory) owns(lo, hi int) bool {
+	for w := lo; w < hi; w++ {
+		if d.entries[w] != nil {
+			return true
+		}
 	}
-	d.dirMR.SetSegment(int64(b)*protocol.DirBucketBytes, v, protocol.DirBucketBytes)
+	return false
 }
 
 // commitVersion closes way w's mutation window (or skips one that was never
@@ -293,20 +317,16 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 		slot.ValueSize, slot.Flags, slot.CAS = it.ValueSize, it.Flags, it.CAS
 		slot.Value = it.Value
 	default:
-		seg := protocol.DirSegment{
-			Digest:    slot.Digest,
-			Version:   slot.Version,
-			ValueSize: it.ValueSize,
-			Flags:     it.Flags,
-			CAS:       it.CAS,
-			Value:     it.Value,
-		}
+		seg := protocol.NewDirSegment(&d.SegmentRecs)
+		seg.Digest, seg.Version = slot.Digest, slot.Version
+		seg.ValueSize, seg.Flags, seg.CAS, seg.Value = it.ValueSize, it.Flags, it.CAS, it.Value
 		slot.Kind = protocol.DirAtOffset
 		slot.Len = seg.WireSize()
 		// A fresh, never-reused value offset.
 		slot.Off = d.nextOff
 		d.nextOff += int64(slot.Len)
 		d.valMR.SetSegment(slot.Off, seg, slot.Len)
+		seg.Release()
 	}
 	if e.it != it {
 		it.Hold()

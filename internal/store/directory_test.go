@@ -19,17 +19,17 @@ func newTestDirectory(buckets int) *Directory {
 	return NewDirectory(pd, buckets)
 }
 
-// bucketAt is what a client's READ of bucket b returns: every way, at the
+// bucketAt is what a client's READ of bucket b copies out: every way, at the
 // bucket stride. Every bucket is published at its full length, empty ways
 // included.
 func (d *Directory) bucketAt(t *testing.T, b int) protocol.DirBucket {
 	t.Helper()
 	v, n := d.dirMR.Segment(int64(b) * protocol.DirBucketBytes)
-	bucket, ok := v.(protocol.DirBucket)
+	bucket, ok := v.(*protocol.DirBucket)
 	if !ok || n != protocol.DirBucketBytes {
-		t.Fatalf("bucket %d holds %T published at %d bytes, want a DirBucket at %d", b, v, n, protocol.DirBucketBytes)
+		t.Fatalf("bucket %d holds %T published at %d bytes, want a *DirBucket at %d", b, v, n, protocol.DirBucketBytes)
 	}
-	return bucket
+	return bucket.Copy()
 }
 
 // slotAt is way w of bucket b as a client's bucket READ returns it.
@@ -78,11 +78,11 @@ func (d *Directory) segmentAt(t *testing.T, off int64) (protocol.DirSegment, boo
 	if n == 0 {
 		return protocol.DirSegment{}, false
 	}
-	seg, ok := v.(protocol.DirSegment)
+	seg, ok := v.(*protocol.DirSegment)
 	if !ok {
 		t.Fatalf("value segment holds %T", v)
 	}
-	return seg, true
+	return seg.Copy(), true
 }
 
 // big is a value size that cannot ride in the slot.

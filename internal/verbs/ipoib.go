@@ -83,7 +83,7 @@ type streamSend struct {
 // Recycle implements simnet.Recycler; a Shared payload loses its sender's
 // hold.
 func (r *streamSend) Recycle() {
-	release(r.w.msg.Payload)
+	Release(r.w.msg.Payload)
 	r.w = streamWire{}
 	r.next, r.host.free = r.host.free, r
 }

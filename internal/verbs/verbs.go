@@ -81,7 +81,8 @@ func (d *Device) AllocPD() *PD { return &PD{dev: d} }
 // Regions that serve offset-addressed READs (the server-bypass directory)
 // additionally carry a segment map keyed by byte offset; a READ with a
 // remote offset fetches the segment at that offset instead of the whole
-// payload slot.
+// payload slot. A segment holds a Shared value — a server's published bucket
+// or value — for as long as the value is the segment's.
 type MR struct {
 	lkey     int
 	size     int
@@ -122,8 +123,9 @@ func (mr *MR) SetPayload(v any, n int) {
 }
 
 // SetSegment stores contents at a byte offset inside the region, making it
-// addressable by RDMA READs carrying that offset. Offsets are opaque to the
-// HCA model; the caller owns the allocation discipline.
+// addressable by RDMA READs carrying that offset: the segment takes a hold
+// on v and gives back its hold on the value it had. Offsets are opaque to
+// the HCA model; the caller owns the allocation discipline.
 func (mr *MR) SetSegment(off int64, v any, n int) {
 	if off < 0 || off+int64(n) > int64(mr.size) {
 		panic(fmt.Sprintf("verbs: segment [%d,%d) exceeds MR size %d", off, off+int64(n), mr.size))
@@ -131,18 +133,32 @@ func (mr *MR) SetSegment(off int64, v any, n int) {
 	if mr.segments == nil {
 		mr.segments = make(map[int64]mrSegment)
 	}
+	retain(v)
+	old := mr.segments[off]
 	mr.segments[off] = mrSegment{v: v, n: n}
+	Release(old.v)
 }
 
-// ClearSegment removes the segment at off; READs of it then return empty.
+// ClearSegment removes the segment at off, giving back its hold on its
+// value; READs of it then return empty.
 func (mr *MR) ClearSegment(off int64) {
-	delete(mr.segments, off)
+	if seg, ok := mr.segments[off]; ok {
+		delete(mr.segments, off)
+		Release(seg.v)
+	}
 }
 
-// ClearSegments drops every segment but keeps the region segment-addressed,
-// so in-flight READs observe emptiness rather than the whole-payload slot.
+// ClearSegments drops every segment, giving back their holds, but keeps the
+// region segment-addressed, so in-flight READs observe emptiness rather than
+// the whole-payload slot.
 func (mr *MR) ClearSegments() {
-	mr.segments = make(map[int64]mrSegment)
+	for _, seg := range mr.segments { // order-free: each value gets its one release
+		Release(seg.v)
+	}
+	if mr.segments == nil {
+		mr.segments = make(map[int64]mrSegment)
+	}
+	clear(mr.segments)
 }
 
 // Segment returns the local contents at off (zero value if absent).
@@ -323,35 +339,38 @@ type transfer struct {
 }
 
 // Shared is a payload with counted holders — a server's pooled reply
-// (protocol.Response). Its sender holds it until its message's last delivery
-// has fired, when the transfer is recycled; each SEND or WRITE_IMM delivery
-// adds a hold for the receiver, who releases it once it has read it.
+// (protocol.Response) or a published directory bucket or value
+// (protocol.DirBucket, protocol.DirSegment). Every message that carries one
+// holds it until its last delivery has fired, when the transfer is recycled:
+// a SEND or WRITE_IMM its sender's hold, a READ response the hold the READ
+// took when it captured the segment. Each delivery that completes — a SEND,
+// a WRITE_IMM, a signaled READ — adds a hold for the completion's reader, who
+// releases it once it has read it.
 type Shared interface {
 	Retain()
 	Release()
 }
 
-// retain adds the receiver's hold on a delivered payload that counts them.
+// retain adds a hold on a payload that counts them.
 func retain(payload any) {
 	if s, ok := payload.(Shared); ok {
 		s.Retain()
 	}
 }
 
-// release drops the sender's hold on a payload that counts them.
-func release(payload any) {
+// Release drops a hold on payload when it counts them (Shared): a
+// completion's reader calls it once it has read the payload. Any other
+// payload is left to the GC.
+func Release(payload any) {
 	if s, ok := payload.(Shared); ok {
 		s.Release()
 	}
 }
 
 // Recycle implements simnet.Recycler: t goes back on its HCA's free list,
-// holding no payload — a Shared one a SEND or WRITE_IMM carried loses its
-// sender's hold (a READ's data is the region's, which holds nothing).
+// holding no payload — a Shared one loses the message's hold.
 func (t *transfer) Recycle() {
-	if t.w.kind != OpRead {
-		release(t.w.payload)
-	}
+	Release(t.w.payload)
 	t.w = wire{}
 	t.next, t.dev.free = t.dev.free, t
 }
@@ -455,6 +474,7 @@ func (d *Device) deliver(m *simnet.Message) {
 			local.SetPayload(w.payload, w.size)
 		}
 		if w.signaled {
+			retain(w.payload)
 			qp.sendCQ.push(Completion{WRID: w.wrid, QPN: qp.qpn, Payload: w.payload})
 		}
 		return
@@ -474,7 +494,9 @@ func (d *Device) deliver(m *simnet.Message) {
 		retain(w.payload)
 		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpRead:
-		// Responder HCA streams the MR contents back; zero remote CPU.
+		// Responder HCA streams the MR contents back; zero remote CPU. The
+		// response holds what it captured, so a later SetSegment or
+		// ClearSegment of the offset leaves this READ its snapshot.
 		mr := d.mrs[w.remoteMR]
 		if mr == nil {
 			panic(fmt.Sprintf("verbs: READ of invalid MR %d on %s", w.remoteMR, d.node.Name()))
@@ -487,6 +509,7 @@ func (d *Device) deliver(m *simnet.Message) {
 		if w.size > 0 && w.size < plen {
 			plen = w.size
 		}
+		retain(payload)
 		d.post(m.Src, plen, wire{
 			kind: OpRead, srcQPN: w.dstQPN, dstQPN: w.srcQPN,
 			wrid: w.wrid, payload: payload, size: plen,

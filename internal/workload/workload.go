@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"hybridkv/internal/protocol"
 )
@@ -67,9 +68,6 @@ type Generator struct {
 	cfg Config
 	rng *rand.Rand
 	cdf []float64 // zipf cumulative distribution over ranks
-	// keys[i] is Key(i), rendered on first use — a draw costs a table read,
-	// not a Sprintf. "" marks a block not rendered yet.
-	keys []string
 }
 
 // New builds a generator.
@@ -154,40 +152,94 @@ func appendKey(dst []byte, i int) []byte {
 // string they all slice: a first touch costs 1/keyBlock of an allocation.
 const keyBlock = 64
 
-// Key returns the canonical key for index i. Indexes inside the keyspace are
-// rendered once and served from a table after that; any other index is
-// rendered on the spot.
-func (g *Generator) Key(i int) string {
-	if i < 0 {
-		return fmt.Sprintf("obj:%010d", i)
-	}
-	if i >= g.cfg.Keys {
-		return KeyOf(i)
-	}
-	if g.keys == nil {
-		g.keys = make([]string, g.cfg.Keys)
-	}
-	if g.keys[i] == "" {
-		g.renderBlock(i)
-	}
-	return g.keys[i]
+// keyLen is the length of every key below tabledKeys, which the table
+// serves: the prefix with the index's digits padded into it.
+const keyLen = len(keyPrefix)
+
+// tabledKeys bounds the indexes the key table serves: 10^10, the first whose
+// key is longer than keyLen. It is a multiple of keyBlock, so every block of
+// the table is whole.
+const tabledKeys = 10_000_000_000
+
+// chunkBlocks is how many blocks one chunk of the table's second level
+// points to.
+const chunkBlocks = 4096
+
+// keyChunk is one second-level chunk of the table: each block rendered once,
+// published atomically, never written again.
+type keyChunk [chunkBlocks]atomic.Pointer[string]
+
+// keyTable is the process's one table of rendered keys: every generator —
+// and every cell of a registry run, which cells run on several goroutines at
+// once — serves Key from it, so a keyspace is rendered once however many
+// generators draw from it. Readers take no lock: the chunk list is replaced,
+// never written in place, and a block is published whole. Rendering and
+// growing take mu.
+var keyTable struct {
+	mu     sync.Mutex
+	chunks atomic.Pointer[[]*keyChunk]
 }
 
-// renderBlock fills the table for the block of indexes around i.
-func (g *Generator) renderBlock(i int) {
-	lo := i &^ (keyBlock - 1)
-	hi := min(lo+keyBlock, len(g.keys))
-	var ends [keyBlock]int
-	buf := make([]byte, 0, keyBlock*len(keyPrefix))
-	for j := lo; j < hi; j++ {
+// Key returns the canonical key for index i. Indexes inside the keyspace are
+// served from the process's key table, rendered there on first use by any
+// generator; any other index is rendered on the spot.
+func (g *Generator) Key(i int) string {
+	switch {
+	case i < 0:
+		return fmt.Sprintf("obj:%010d", i)
+	case i >= g.cfg.Keys || i >= tabledKeys:
+		return KeyOf(i)
+	}
+	if k, ok := tabledKey(i); ok {
+		return k
+	}
+	return renderKey(i)
+}
+
+// tabledKey returns Key(i) from the table, when its block is rendered.
+func tabledKey(i int) (string, bool) {
+	b := i / keyBlock
+	chunks := keyTable.chunks.Load()
+	if chunks == nil || b/chunkBlocks >= len(*chunks) || (*chunks)[b/chunkBlocks] == nil {
+		return "", false
+	}
+	blk := (*chunks)[b/chunkBlocks][b%chunkBlocks].Load()
+	if blk == nil {
+		return "", false
+	}
+	off := i % keyBlock * keyLen
+	return (*blk)[off : off+keyLen], true
+}
+
+// renderKey renders the block of indexes around i into the table, unless
+// another generator got there first, and returns Key(i).
+func renderKey(i int) string {
+	keyTable.mu.Lock()
+	defer keyTable.mu.Unlock()
+	if k, ok := tabledKey(i); ok {
+		return k
+	}
+	b := i / keyBlock
+	var chunks []*keyChunk
+	if p := keyTable.chunks.Load(); p != nil {
+		chunks = *p
+	}
+	c := b / chunkBlocks
+	if c >= len(chunks) || chunks[c] == nil {
+		grown := make([]*keyChunk, max(len(chunks), c+1))
+		copy(grown, chunks)
+		grown[c] = new(keyChunk)
+		keyTable.chunks.Store(&grown)
+		chunks = grown
+	}
+	buf := make([]byte, 0, keyBlock*keyLen)
+	for j := b * keyBlock; j < (b+1)*keyBlock; j++ {
 		buf = appendKey(buf, j)
-		ends[j-lo] = len(buf)
 	}
-	all, start := string(buf), 0
-	for j := lo; j < hi; j++ {
-		g.keys[j] = all[start:ends[j-lo]]
-		start = ends[j-lo]
-	}
+	blk := string(buf)
+	chunks[c][b%chunkBlocks].Store(&blk)
+	k, _ := tabledKey(i)
+	return k
 }
 
 // nextIndex draws a key index per the configured pattern.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestZipfSkew(t *testing.T) {
@@ -163,7 +164,7 @@ func TestZipfCDFSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// Keys are rendered once and served from the generator's table after that:
+// Keys are rendered once and served from the process's table after that:
 // the strings are the ones Sprintf would give, inside the keyspace and out
 // (KeyOf's, for a non-negative index: ten digits, and more once an index
 // needs them), and a draw from a warmed generator allocates nothing.
@@ -186,5 +187,94 @@ func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, func() { g.Next() }); got != 0 {
 			t.Errorf("pattern %v: Next on a warmed generator allocates %v times", pattern, got)
 		}
+	}
+}
+
+// Every generator serves a key of its keyspace from the one table as a slice
+// of its block, equal to KeyOf's rendering: at block and chunk edges, and on
+// both sides of 10^10, the first index whose key is longer than the table's
+// fixed 14 bytes.
+func TestSharedKeyTableMatchesKeyOf(t *testing.T) {
+	g := New(Config{Keys: tabledKeys + 1, Pattern: Uniform, Seed: 1})
+	chunkEdge := keyBlock * chunkBlocks // the first index of the second chunk
+	for _, i := range []int{0, 1, keyBlock - 1, keyBlock, keyBlock + 1, 2*keyBlock - 1,
+		chunkEdge - 1, chunkEdge, chunkEdge + 1, tabledKeys - keyBlock, tabledKeys - 1, tabledKeys} {
+		if got, want := g.Key(i), KeyOf(i); got != want {
+			t.Errorf("Key(%d) = %q, KeyOf gives %q", i, got, want)
+		}
+		if k, ok := tabledKey(i); ok != (i < tabledKeys) || ok && k != KeyOf(i) {
+			t.Errorf("index %d: table holds %q (%v)", i, k, ok)
+		}
+	}
+	other := New(Config{Keys: 2 * keyBlock, Pattern: Uniform, Seed: 2})
+	if a, b := g.Key(keyBlock+1), other.Key(keyBlock+1); unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Errorf("two generators render Key(%d) apart", keyBlock+1)
+	}
+}
+
+// Eight generators on eight goroutines draw from one keyspace nothing has
+// rendered yet, each rendering blocks the others read: every key is KeyOf's.
+// Run under -race, this is the table's race check.
+func TestSharedKeyTableAcrossGoroutines(t *testing.T) {
+	const keys = 3 * keyBlock * chunkBlocks // three chunks, rendered by whoever comes first
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := New(Config{Keys: keys, Pattern: Uniform, ReadFraction: 0.5, Seed: int64(w)})
+			for range 20000 {
+				i := g.nextIndex()
+				if got := g.Key(i); got != KeyOf(i) {
+					errs <- fmt.Sprintf("generator %d: Key(%d) = %q", w, i, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// A generator built after another has rendered its keyspace renders nothing
+// itself: its first 1 000 draws allocate nothing. Each generator once kept a
+// table of its own, and rendered the whole keyspace again.
+func TestKeyTableAllocationCeiling(t *testing.T) {
+	cfg := Config{Keys: 5000, Pattern: Zipf, ReadFraction: 0.95, Seed: 11}
+	first := New(cfg)
+	for i := range cfg.Keys {
+		first.Key(i)
+	}
+	// AllocsPerRun calls its function once before it counts: the first
+	// generator drawn by the warm-up, the counted run is the second's.
+	gens := []*Generator{New(cfg), New(cfg)}
+	n := 0
+	got := testing.AllocsPerRun(1, func() {
+		g := gens[n]
+		n++
+		for range 1000 {
+			g.Next()
+		}
+	})
+	if got != 0 {
+		t.Errorf("a second generator's first 1000 draws: %v allocations, ceiling 0", got)
+	}
+}
+
+// BenchmarkNext is the host cost of one draw from a generator whose keyspace
+// is rendered.
+func BenchmarkNext(b *testing.B) {
+	g := New(Config{Keys: 8192, Pattern: Zipf, ReadFraction: 0.95, Seed: 1})
+	for i := range 8192 {
+		g.Key(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		g.Next()
 	}
 }
