@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"fmt"
+
 	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -191,6 +193,45 @@ func (r *Replicator) ScrubRoundForTest() (words int) {
 		f.Release()
 	}
 	return words
+}
+
+// ScrubExchangeForTest returns a step that starts one scrub exchange from r to
+// peer to, for the caller to run to quiescence: r's digest for to with the
+// first fold of one bucket flipped, handed to to's engine as if just polled
+// off its receive queue. On a converged pair, to answers with its entries for
+// that bucket and r reconciles them, finding nothing to push or pull.
+func (r *Replicator) ScrubExchangeForTest(to *Replicator, bucket int) (step func()) {
+	return func() {
+		f := r.digestFrame(to.cfg.ID)
+		f.From = r.cfg.ID
+		f.Buckets[2*bucket] ^= 1
+		f.Retain()
+		to.demux(f)
+		f.Release()
+	}
+}
+
+// SpareAliasForTest audits r's stacks of spare slices: it names the first
+// backing array found on them twice — two frames would fill one array — or
+// reports "" when every spare is its own; spares is how many it looked at.
+func (r *Replicator) SpareAliasForTest() (spares int, alias string) {
+	spares = len(r.frames.buckets) + len(r.frames.entries)
+	seen := map[any]bool{}
+	for i, s := range r.frames.buckets {
+		if cap(s) > 0 && !seen[&s[:cap(s)][0]] {
+			seen[&s[:cap(s)][0]] = true
+			continue
+		}
+		return spares, fmt.Sprintf("spare buckets slice %d of %d (cap %d) is empty or shared", i, len(r.frames.buckets), cap(s))
+	}
+	for i, s := range r.frames.entries {
+		if cap(s) > 0 && !seen[&s[:cap(s)][0]] {
+			seen[&s[:cap(s)][0]] = true
+			continue
+		}
+		return spares, fmt.Sprintf("spare entries slice %d of %d (cap %d) is empty or shared", i, len(r.frames.entries), cap(s))
+	}
+	return spares, ""
 }
 
 // RefoldForTest moves key's record one epoch up through setState, which

@@ -94,7 +94,47 @@ type frame struct {
 	// owner is the sending replicator's free list, where the last Release
 	// puts the frame back; nil for a frame nobody recycles.
 	pool.Holds
-	owner *pool.List[frame, *frame]
+	owner *frameList
+}
+
+// frameList is a replicator's free list of frames, beside the spare Buckets
+// and Entries slices of the frames that went back on it: Put zeroes a frame,
+// and the slices it carried would go with it. A frame gives its slices up on
+// its last Release, so a spare is never shared with a frame someone holds;
+// each stack is bounded by the frames in flight, as the list is.
+type frameList struct {
+	pool.List[frame, *frame]
+	buckets [][]uint64
+	entries [][]KeyEpoch
+}
+
+// put stashes f's slices, emptied — its entries cleared first, so no key
+// string stays reachable — and puts f back.
+func (l *frameList) put(f *frame) {
+	if f.Buckets != nil {
+		l.buckets = append(l.buckets, f.Buckets[:0])
+	}
+	if f.Entries != nil {
+		clear(f.Entries)
+		l.entries = append(l.entries, f.Entries[:0])
+	}
+	l.Put(f)
+}
+
+// spareBuckets and spareEntries hand out an empty slice off their stack to
+// append to, or nil when it is empty.
+func (l *frameList) spareBuckets() (s []uint64) {
+	if n := len(l.buckets); n > 0 {
+		s, l.buckets[n-1], l.buckets = l.buckets[n-1], nil, l.buckets[:n-1]
+	}
+	return s
+}
+
+func (l *frameList) spareEntries() (s []KeyEpoch) {
+	if n := len(l.entries); n > 0 {
+		s, l.entries[n-1], l.entries = l.entries[n-1], nil, l.entries[:n-1]
+	}
+	return s
 }
 
 // newFrame hands out a frame of kind about key off r's free list, holding its
@@ -113,7 +153,7 @@ func (f *frame) Retain() { pool.Hold(f) }
 // zeroed. Releasing a frame nobody holds panics.
 func (f *frame) Release() {
 	if pool.Drop(f) {
-		f.owner.Put(f)
+		f.owner.put(f)
 	}
 }
 
@@ -121,14 +161,20 @@ func (f *frame) Release() {
 // corruption delivers this instead of the original. Only a write's value
 // payload garbles — header fields are covered by link-layer CRC in any real
 // fabric, so a corrupt header is a dropped frame, already modeled by drop
-// injection. The stamped sum is deliberately left as the sender computed it,
-// which is exactly how the receiver detects the mismatch. The copy counts no
-// holds and has no owner: its reader's Retain and Release pass it by, and the
-// original goes back on its list when the transfer lets go of it.
+// injection — and every other kind is delivered as itself, held by its reader
+// like any delivery. The stamped sum is deliberately left as the sender
+// computed it, which is exactly how the receiver detects the mismatch. A
+// write's copy counts no holds, has no owner and carries no slices: its
+// reader's Retain and Release pass it by, the original goes back on its list
+// when the transfer lets go of it, and whatever slices the original had go on
+// to the next frame off that list without the copy reading them.
 func (f *frame) CorruptCopy() any {
+	if f.Kind != frameWrite {
+		return f
+	}
 	g := *f
-	g.Holds, g.owner = pool.Holds{}, nil
-	if g.Kind == frameWrite && g.value != nil {
+	g.Holds, g.owner, g.Buckets, g.Entries = pool.Holds{}, nil, nil, nil
+	if g.value != nil {
 		g.value = protocol.Garbled{Inner: g.value}
 	}
 	return &g

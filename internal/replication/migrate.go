@@ -169,7 +169,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 		return
 	}
 	resp := r.newFrame(frameSegManifest, "")
-	resp.Seg, resp.epoch = f.Seg, f.epoch
+	resp.Seg, resp.epoch, resp.Entries = f.Seg, f.epoch, r.frames.spareEntries()
 	newRing := r.mem.Ring()
 	theirs := func(key string, ks *keyState) bool {
 		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.cfg.Factor), f.From)

@@ -50,7 +50,8 @@ func (f *frameFaults) Transmit(src, dst string, size int, now sim.Time) simnet.V
 // quiet, every round is back on its list and out of the replicator's table,
 // and every frame but those the fabric dropped a post of: at R=3 a frame is
 // posted to at most two peers, so the dropped posts hold at least half as
-// many frames as there are of them, and at most as many.
+// many frames as there are of them, and at most as many. No two spare slices
+// the frames gave back share an array.
 func TestPooledFramesUnderFaults(t *testing.T) {
 	const (
 		setKeys = 3
@@ -210,6 +211,21 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	}
 	if held > inj.dropped || 2*held < inj.dropped {
 		t.Errorf("%d frames still held against %d posts the fabric dropped: want between half as many and as many", held, inj.dropped)
+	}
+	// Every spare slice a replicator keeps for its next digest, diff or
+	// manifest is its own: one array twice on the stacks would be filled by
+	// two frames at once. A spare still carried by a frame that nobody gave
+	// back would show above as one frame held beyond the dropped posts.
+	spares := 0
+	for sid, r := range cl.Replicators {
+		n, alias := r.SpareAliasForTest()
+		if alias != "" {
+			t.Errorf("server %d: %s", sid, alias)
+		}
+		spares += n
+	}
+	if spares == 0 {
+		t.Error("no spare digest or diff slice at quiesce: the audit saw nothing")
 	}
 
 	// A forward corrupted in flight: the copy delivered counts no holds, the

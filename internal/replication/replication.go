@@ -247,8 +247,17 @@ type Replicator struct {
 
 	// frames and rounds are the free lists this replicator's frames and
 	// Forwards come off and go back to (DESIGN §16).
-	frames pool.List[frame, *frame]
+	frames frameList
 	rounds pool.List[Forward, *Forward]
+
+	// keyScratch (sortedSharedKeys' list, keysBusy while a caller holds it)
+	// and theirs (handleDiff's set of the peer's keys, empty between diffs)
+	// serve every digest and diff this replicator handles. One of each is
+	// enough because both handlers run on the one background lane, a frame at
+	// a time: a second user while one is suspended would be a second lane.
+	keyScratch []string
+	keysBusy   bool
+	theirs     map[string]bool
 
 	// Scrubber arming: every local epoch advance grants the scrubber a
 	// fresh burst of digest rounds, after which it blocks until the next
@@ -284,6 +293,7 @@ func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.
 		keys:     make(map[string]*keyState),
 		fwds:     make(map[uint64]*Forward),
 		migPulls: make(map[int]*segPull),
+		theirs:   make(map[string]bool),
 	}
 	mem.Subscribe(func(epoch uint64, final bool) {
 		if !final && r.memWake != nil && !r.memWake.Fired() {
@@ -401,8 +411,9 @@ func (r *Replicator) refreshPeerIDs() { r.peerIDs = sortedKeys(r.peers, nil) }
 
 // sortedKeys lists the keys of m that keep admits (nil: all of them),
 // ascending. Map iteration order is random per run, and whatever a replicator
-// emits from a map — a diff's entries, a manifest, resent pulls, the GC sweep,
-// its own peer list — must come out in the same order every run.
+// emits from a map — a manifest, resent pulls, the GC sweep, its own peer list
+// (a diff's entries: sortedSharedKeys) — must come out in the same order every
+// run.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
 	var keys []K
 	for k, v := range m {

@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"slices"
+
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -146,9 +148,10 @@ func (r *Replicator) digest(pid int) []uint64 {
 
 // digestFrame is one scrub round's message to pid: a copy of the maintained
 // digest, so what a round costs is the width of the digest, not the table.
+// The copy goes into a spare slice of an earlier frame.
 func (r *Replicator) digestFrame(pid int) *frame {
 	f := r.newFrame(frameDigest, "")
-	f.Buckets = append([]uint64(nil), r.digest(pid)...)
+	f.Buckets = append(r.frames.spareBuckets(), r.digest(pid)...)
 	return f
 }
 
@@ -264,7 +267,7 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 	if m := len(f.Buckets) / 2; m < n {
 		n = m
 	}
-	var diff []uint64
+	diff := r.frames.spareBuckets()
 	for b := 0; b < n; b++ {
 		// Each bucket carries two independent folds; a mismatch in either
 		// flags it (the second fold is what defeats colliding-pair masking
@@ -274,36 +277,59 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 		}
 	}
 	if len(diff) == 0 {
+		if diff != nil {
+			r.frames.buckets = append(r.frames.buckets, diff)
+		}
 		return
 	}
 	resp := r.newFrame(frameDiff, "")
-	resp.Buckets = diff
+	resp.Buckets, resp.Entries = diff, r.frames.spareEntries()
 	for _, key := range r.sortedSharedKeys(f.From, diff) {
 		ks := r.keys[key]
 		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Sum: ks.sum})
 	}
+	r.doneKeys()
 	r.post(p, f.From, resp)
 }
 
 // sortedSharedKeys lists the confirmed keys shared with pid that fall in one
 // of the given buckets, in sorted order. Keys are filtered by bucket first: a
 // round that differs in one bucket sorts that bucket's keys, not the table.
+// The list is r.keyScratch, the caller's until it calls doneKeys; calling
+// again before that panics.
 func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
+	if r.keysBusy {
+		panic("replication: sortedSharedKeys re-entered while its key list is in use")
+	}
+	r.keysBusy = true
 	var in [scrubBuckets]bool
 	for _, b := range buckets {
 		if b < uint64(len(in)) {
 			in[b] = true
 		}
 	}
-	return sortedKeys(r.keys, func(key string, ks *keyState) bool {
-		return ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key)
-	})
+	keys := r.keyScratch[:0]
+	for key, ks := range r.keys { // order-free: sorted below
+		if ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key) {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	r.keyScratch = keys
+	return keys
+}
+
+// doneKeys gives sortedSharedKeys' list back: it may be refilled, and the
+// strings it held stay reachable only until then.
+func (r *Replicator) doneKeys() {
+	clear(r.keyScratch)
+	r.keysBusy = false
 }
 
 // handleDiff reconciles against the peer's entries for the differing
 // buckets, then pushes what the peer does not hold at all.
 func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
-	theirs := make(map[string]bool, len(f.Entries))
+	theirs := r.theirs
 	for _, e := range f.Entries {
 		theirs[e.Key] = true
 		if r.reconcile(p, f.From, e) {
@@ -316,6 +342,8 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 			r.pushKey(p, f.From, key)
 		}
 	}
+	r.doneKeys()
+	clear(theirs)
 }
 
 // reconcile settles one key against the record a peer says it holds — an
