@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt counters maporder race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs loc loc-diff fuzz check
+.PHONY: build test vet fmt counters maporder race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs claims loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -233,6 +233,14 @@ allocs:
 knobs:
 	@status=0; out=$$($(GO) test -count=1 -run '^TestConfigSurface$$' -v ./internal/cluster 2>&1) || status=$$?; \
 	echo "$$out" | sed -n 's/^ *config_surface_test.go:[0-9]*: //p'; exit $$status
+
+# The paper's headline claims against the committed BENCH_<id>.json records,
+# one row each with its band, measured value and verdict, and the verdict rule
+# under them: the table the tier-1 TestClaimsTable (internal/bench) renders and
+# holds EXPERIMENTS.md's copy to. It reads the records and runs no simulation.
+claims:
+	@status=0; out=$$($(GO) test -count=1 -run '^TestClaimsTable$$' -v ./internal/bench 2>&1) || status=$$?; \
+	echo "$$out" | sed -n 's/^ *claims_test.go:[0-9]*: \{0,1\}//p'; exit $$status
 
 # Non-test Go lines per internal/ package, one line each, then their total:
 # the count a simplification is reported in, and one number to diff between

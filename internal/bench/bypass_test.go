@@ -15,10 +15,10 @@ func TestBypassExperimentShape(t *testing.T) {
 	}
 	r := runExp(t, "bypass", Options{Ops: 4800})
 
-	if v := r.Metrics["speedup.read.zipf.get_us"]; v <= 1 {
+	if v := metric(t, r, "speedup.read.zipf.get_us"); v <= 1 {
 		t.Errorf("bypass hit latency not better than RPC: speedup %.2f", v)
 	}
-	if v := r.Metrics["speedup.read.zipf.kops"]; v <= 1 {
+	if v := metric(t, r, "speedup.read.zipf.kops"); v <= 1 {
 		t.Errorf("bypass throughput not better than RPC: speedup %.2f", v)
 	}
 	for _, cell := range []string{
@@ -26,25 +26,25 @@ func TestBypassExperimentShape(t *testing.T) {
 		"rpc.rw50.zipf", "bypass.rw50.zipf", "rpc.read.unif", "bypass.read.unif",
 		"rpc.read.ssd", "bypass.read.ssd",
 	} {
-		if v := r.Metrics[cell+".misses"]; v != 0 {
+		if v := metric(t, r, cell+".misses"); v != 0 {
 			t.Errorf("%s: %v misses on a fully-preloaded keyspace", cell, v)
 		}
 	}
-	if v := r.Metrics["bypass.read.zipf.hits"]; v == 0 {
+	if v := metric(t, r, "bypass.read.zipf.hits"); v == 0 {
 		t.Error("zipf cell resolved nothing via bypass")
 	}
-	if v := r.Metrics["bypass.read.zipf.fastpath_pct"]; v <= 0 {
+	if v := metric(t, r, "bypass.read.zipf.fastpath_pct"); v <= 0 {
 		t.Error("zipf cell resolved no hit in one READ")
 	}
 	// A direct-mapped directory fell back 11.5 / 10.7 / 6.2 / 4.7 % here.
 	for _, cell := range []string{"read.zipf", "read.unif", "r95.zipf", "rw50.zipf"} {
-		if v := r.Metrics["bypass."+cell+".fallback_pct"]; v >= 2 {
+		if v := metric(t, r, "bypass."+cell+".fallback_pct"); v >= 2 {
 			t.Errorf("bypass.%s: %.1f%% of GETs fell back with every key in RAM, want < 2%%", cell, v)
 		}
 	}
 	// Half the SSD cell's dataset is flash-resident: probes must see the
 	// SSD flag and fall back far more often than the in-RAM cells do.
-	ssd, ram := r.Metrics["bypass.read.ssd.fallback_pct"], r.Metrics["bypass.read.zipf.fallback_pct"]
+	ssd, ram := metric(t, r, "bypass.read.ssd.fallback_pct"), metric(t, r, "bypass.read.zipf.fallback_pct")
 	if ssd <= ram {
 		t.Errorf("SSD-overcommit fallback%% (%.1f) not above in-RAM (%.1f)", ssd, ram)
 	}

@@ -95,17 +95,17 @@ func TestFaultsExperimentShape(t *testing.T) {
 	r := runExp(t, "faults", quick())
 	for _, d := range cluster.Designs {
 		name := d.String()
-		if r.Metrics[name+".clean_failed"] != 0 {
-			t.Errorf("%s: clean phase failed %v ops", name, r.Metrics[name+".clean_failed"])
+		if metric(t, r, name+".clean_failed") != 0 {
+			t.Errorf("%s: clean phase failed %v ops", name, metric(t, r, name+".clean_failed"))
 		}
-		if r.Metrics[name+".clean_retries"] != 0 {
-			t.Errorf("%s: clean phase retried %v times", name, r.Metrics[name+".clean_retries"])
+		if metric(t, r, name+".clean_retries") != 0 {
+			t.Errorf("%s: clean phase retried %v times", name, metric(t, r, name+".clean_retries"))
 		}
-		if r.Metrics[name+".net_dropped"] == 0 {
+		if metric(t, r, name+".net_dropped") == 0 {
 			t.Errorf("%s: faulted phase dropped nothing", name)
 		}
-		if r.Metrics[name+".fault_goodput"] <= 0 {
-			t.Errorf("%s: faulted goodput %v", name, r.Metrics[name+".fault_goodput"])
+		if metric(t, r, name+".fault_goodput") <= 0 {
+			t.Errorf("%s: faulted goodput %v", name, metric(t, r, name+".fault_goodput"))
 		}
 	}
 	if r.Output == "" {

@@ -15,10 +15,7 @@ func TestGrayfailFaultLegsFire(t *testing.T) {
 	for _, def := range grayDefenses {
 		for _, leg := range []string{"net_slowed", "worker_stalls"} {
 			name := def.name + "." + leg
-			v, ok := r.Metrics[name]
-			switch {
-			case !ok:
-				t.Errorf("no %s record", name)
+			switch v := metric(t, r, name); {
 			case def.slow && v <= 0:
 				t.Errorf("%s = %v: the leg never fired in a limping cell", name, v)
 			case !def.slow && v != 0:

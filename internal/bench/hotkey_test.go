@@ -15,30 +15,30 @@ func TestHotkeyExperimentShape(t *testing.T) {
 	}
 	r := runExp(t, "hotkey", Options{Ops: 14400})
 
-	if v := r.Metrics["fanout_speedup_r3"]; v < 1.5 {
+	if v := metric(t, r, "fanout_speedup_r3"); v < 1.5 {
 		t.Errorf("R=3 fan-out goodput speedup %.2f, want ≥1.5", v)
 	}
-	if v := r.Metrics["fanout.R3.fanouts"]; v == 0 {
+	if v := metric(t, r, "fanout.R3.fanouts"); v == 0 {
 		t.Error("R=3 fan-out cell never fanned a GET out")
 	}
-	if v := r.Metrics["fanout.R1.fanouts"]; v != 0 {
+	if v := metric(t, r, "fanout.R1.fanouts"); v != 0 {
 		t.Errorf("R=1 cell fanned out %v GETs with nothing to fan to", v)
 	}
-	if v := r.Metrics["fanout.R3.hot_samples"]; v == 0 {
+	if v := metric(t, r, "fanout.R3.hot_samples"); v == 0 {
 		t.Error("no RPC heat samples reached the server sketch")
 	}
-	if v := r.Metrics["fanout.R3.hot_refreshes"]; v == 0 {
+	if v := metric(t, r, "fanout.R3.hot_refreshes"); v == 0 {
 		t.Error("clients never refreshed the hot set")
 	}
 	// The doorbell-batched read engine must coalesce: strictly fewer
 	// doorbells than READs posted.
-	if d, n := r.Metrics["bypass.R3.read_doorbells"], r.Metrics["bypass.R3.reads"]; d >= n {
+	if d, n := metric(t, r, "bypass.R3.read_doorbells"), metric(t, r, "bypass.R3.reads"); d >= n {
 		t.Errorf("read engine never coalesced: %v doorbells for %v READs", d, n)
 	}
-	if v := r.Metrics["chaos.violations"]; v != 0 {
+	if v := metric(t, r, "chaos.violations"); v != 0 {
 		t.Errorf("fan-out chaos cell recorded %v history violations, want 0", v)
 	}
-	if v := r.Metrics["chaos.fanouts"]; v == 0 {
+	if v := metric(t, r, "chaos.fanouts"); v == 0 {
 		t.Error("chaos cell never fanned out: safety claim untested")
 	}
 }

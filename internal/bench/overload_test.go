@@ -156,12 +156,12 @@ func TestOverloadExperimentShape(t *testing.T) {
 	r := runExp(t, "overload", quick())
 	for _, d := range []cluster.Design{cluster.HRDMAOptNonBB, cluster.HRDMAOptNonBI} {
 		name := d.String()
-		if r.Metrics[name+".on_shed_sets"] == 0 {
+		if metric(t, r, name+".on_shed_sets") == 0 {
 			t.Errorf("%s: protected phase shed nothing", name)
 		}
-		if r.Metrics[name+".off_get_p99_us"] <= r.Metrics[name+".on_get_p99_us"] {
+		if metric(t, r, name+".off_get_p99_us") <= metric(t, r, name+".on_get_p99_us") {
 			t.Errorf("%s: protection did not bound GET p99 (off %v vs on %v)",
-				name, r.Metrics[name+".off_get_p99_us"], r.Metrics[name+".on_get_p99_us"])
+				name, metric(t, r, name+".off_get_p99_us"), metric(t, r, name+".on_get_p99_us"))
 		}
 	}
 	if r.Output == "" {

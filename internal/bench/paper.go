@@ -164,9 +164,7 @@ func collectStages(_ *cluster.Cluster, r *run) {
 func fig6(id, title string, fits bool) Experiment {
 	e := breakdown(id, title, fits, cluster.Designs)
 	e.tablesOnly = false
-	// Headline improvement factors (paper: Opt-Block ≈2x over Def; NonB
-	// ≈10-16x over Def; NonB ≈3.3-8x over Opt-Block; ≈3.6x over IPoIB when
-	// data fits).
+	// Headline improvement factors: claims rows 4–7 (claims_test.go).
 	e.derive = func(v func(string) float64, h *run) {
 		def, opt := v("H-RDMA-Def.avg_us"), v("H-RDMA-Opt-Block.avg_us")
 		nbI, nbB := v("H-RDMA-Opt-NonB-i.avg_us"), v("H-RDMA-Opt-NonB-b.avg_us")
@@ -273,7 +271,7 @@ var fig7b = Experiment{
 		}
 		return cells
 	},
-	// Paper: NonB improves 65-89% over both blocking designs across sizes.
+	// NonB-i's gain over Def per size: claims row 12 (claims_test.go).
 	derive: func(v func(string) float64, h *run) {
 		for _, kb := range fig7bKB {
 			size := fmt.Sprintf("%dKB", kb)

@@ -22,29 +22,29 @@ func TestRecoveryExperimentShape(t *testing.T) {
 	for _, d := range designs {
 		for _, pat := range []string{"uniform", "zipf"} {
 			name := d.String() + "." + pat
-			if v := r.Metrics[name+".corrupt_reads"]; v != 0 {
+			if v := metric(t, r, name+".corrupt_reads"); v != 0 {
 				t.Errorf("%s: %v corrupt reads", name, v)
 			}
-			if v := r.Metrics[name+".failed"]; v != 0 {
+			if v := metric(t, r, name+".failed"); v != 0 {
 				t.Errorf("%s: %v guarded ops failed across the outage", name, v)
 			}
-			if r.Metrics[name+".recovery_ms"] <= 0 {
+			if metric(t, r, name+".recovery_ms") <= 0 {
 				t.Errorf("%s: no recovery time recorded", name)
 			}
-			scanned := r.Metrics[name+".pages_scanned"]
+			scanned := metric(t, r, name+".pages_scanned")
 			if scanned == 0 {
 				t.Errorf("%s: recovery scanned nothing", name)
 			}
-			if got := r.Metrics[name+".pages_recovered"] + r.Metrics[name+".pages_discarded"]; got != scanned {
+			if got := metric(t, r, name+".pages_recovered") + metric(t, r, name+".pages_discarded"); got != scanned {
 				t.Errorf("%s: recovered+discarded = %v, scanned = %v", name, got, scanned)
 			}
-			if r.Metrics[name+".items_recovered"] == 0 {
+			if metric(t, r, name+".items_recovered") == 0 {
 				t.Errorf("%s: nothing recovered from the SSD", name)
 			}
-			if r.Metrics[name+".rejected"] == 0 {
+			if metric(t, r, name+".rejected") == 0 {
 				t.Errorf("%s: no request was rejected during the outage", name)
 			}
-			clean, post := r.Metrics[name+".clean_hit_ratio"], r.Metrics[name+".post_hit_ratio"]
+			clean, post := metric(t, r, name+".clean_hit_ratio"), metric(t, r, name+".post_hit_ratio")
 			if post <= 0 || post >= clean {
 				t.Errorf("%s: post-crash hit ratio %v vs clean %v, want 0 < post < clean",
 					name, post, clean)

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // runCell runs one cell through the runner — build, drive, gather, collect,
 // with the runner's own checks — and fails the test on an error. Tests reach
@@ -47,3 +50,24 @@ func freshExp(t testing.TB, id string, o Options) *Result {
 
 // quick returns reduced-op options for shape tests.
 func quick() Options { return Options{Ops: 1200} }
+
+// metric is r's record key, and fails the test if r has none: a check of a
+// metric that was renamed or dropped fails rather than reading 0.
+func metric(t testing.TB, r *Result, key string) float64 {
+	t.Helper()
+	v, err := lookup(r.ID, r.Metrics, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// lookup is every test's read of one record: a missing key is an error naming
+// the experiment and the key.
+func lookup(exp string, m map[string]float64, key string) (float64, error) {
+	v, ok := m[key]
+	if !ok {
+		return 0, fmt.Errorf("%s has no record %q", exp, key)
+	}
+	return v, nil
+}

@@ -178,7 +178,7 @@ func TestBlockingIPoIBSlowerThanRDMA(t *testing.T) {
 	rdma, ipoib := measure(RDMA), measure(IPoIB)
 	ratio := float64(ipoib) / float64(rdma)
 	if ratio < 2.5 || ratio > 8 {
-		t.Errorf("IPoIB/RDMA blocking ratio %.2f, want within [2.5,8] (paper ≈3.6x)", ratio)
+		t.Errorf("IPoIB/RDMA blocking ratio %.2f, want within [2.5,8] (the paper: claims row 1)", ratio)
 	}
 }
 

@@ -340,8 +340,8 @@ func (m *Manager) flushScheme(class int) pagecache.Scheme {
 
 // loadScheme returns the I/O scheme used to read an evicted item back:
 // O_DIRECT chunk reads for the default design, buffered (page-cache) reads
-// for the optimized designs — a large share of the 54-83% read-side gain of
-// H-RDMA-Opt over H-RDMA-Def (Fig. 8a) is exactly direct-vs-buffered reads.
+// for the optimized designs — a large share of H-RDMA-Opt's read-side gain
+// over H-RDMA-Def (Fig. 8a, claims row 15) is exactly direct-vs-buffered reads.
 func (m *Manager) loadScheme(class int) pagecache.Scheme {
 	if m.cfg.Policy == PolicyDirect {
 		return pagecache.Direct
