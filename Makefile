@@ -210,8 +210,9 @@ reach:
 # tier-1 ceiling tests of those layers (testing.AllocsPerRun on a warmed rig —
 # a new allocation on the path fails here), then every benchmark of the layer
 # as name=allocs/op. The counts are exact and repeat run to run. Last, from the
-# same run, one ns/op line for the kernel's primitives and the ratio of a
-# process wakeup to a callback event: printed for the eye, gating nothing —
+# same run, one ns/op line for the kernel's primitives (Timer a sleep taken in
+# place, SleepParked one that parks) and the ratio of a process wakeup to a
+# callback event: printed for the eye, gating nothing —
 # nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
 # week and 25:1 the next is seen.
 ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool ./internal/workload
@@ -223,8 +224,8 @@ allocs:
 		/^Benchmark/ { name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
 			for (i = 2; i <= NF; i++) { if ($$i == "allocs/op") line = line " " name "=" $$(i-1); \
 				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
-		END { flush(); printf "ns/op      %-12s Timer=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
-			"sim", ns["Timer"], ns["Handoff"], ns["CallbackEvent"], ns["SpawnRecycled"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
+		END { flush(); printf "ns/op      %-12s Timer=%s SleepParked=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
+			"sim", ns["Timer"], ns["SleepParked"], ns["Handoff"], ns["CallbackEvent"], ns["SpawnRecycled"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
 
 # Independently settable values per configuration struct under internal/, one
 # line each with its pinned count and its fields: the table of the tier-1

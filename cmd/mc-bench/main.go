@@ -181,7 +181,9 @@ func main() {
 			continue
 		}
 		results = append(results, r)
-		fmt.Fprintf(progress, "==> %s — %s   [%v wall]\n", r.ID, e.Title, time.Since(t0).Round(time.Millisecond))
+		k := r.Kernel
+		fmt.Fprintf(progress, "==> %s — %s   [%v wall]  kernel: %d resumes, %d callbacks, %d sleeps in place\n",
+			r.ID, e.Title, time.Since(t0).Round(time.Millisecond), k.Resumes, k.Callbacks, k.InPlace)
 		if *verifyPath == "" {
 			fmt.Printf("%s\n", r.Output)
 		}

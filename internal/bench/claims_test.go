@@ -363,23 +363,58 @@ func TestClaimsTable(t *testing.T) {
 			t.Errorf("claim %d (%s): verdict ✓ is %v but its note is %q: a ✗ row says why, a ✓ row says nothing", i+1, c.text, ok, c.note)
 		}
 	}
+	checkCopy(t, "claims table", claimsBegin, claimsEnd, got)
+}
+
+// checkCopy holds EXPERIMENTS.md's text between the markers begin and end to
+// want, byte for byte, and names the first line that differs.
+func checkCopy(t *testing.T, what, begin, end, want string) {
+	t.Helper()
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, ok1 := strings.Cut(string(doc), claimsBegin)
-	have, _, ok2 := strings.Cut(rest, claimsEnd)
+	_, rest, ok1 := strings.Cut(string(doc), begin)
+	have, _, ok2 := strings.Cut(rest, end)
 	if !ok1 || !ok2 {
-		t.Fatalf("EXPERIMENTS.md has no %q … %q block", strings.TrimSpace(claimsBegin), claimsEnd)
+		t.Fatalf("EXPERIMENTS.md has no %q … %q block", strings.TrimSpace(begin), end)
 	}
-	if have != got {
-		haveLines, gotLines := strings.Split(have, "\n"), strings.Split(got, "\n")
+	if have != want {
+		haveLines, wantLines := strings.Split(have, "\n"), strings.Split(want, "\n")
 		i := 0
-		for i < len(haveLines)-1 && i < len(gotLines)-1 && haveLines[i] == gotLines[i] {
+		for i < len(haveLines)-1 && i < len(wantLines)-1 && haveLines[i] == wantLines[i] {
 			i++
 		}
-		t.Errorf("EXPERIMENTS.md's claims table differs from the committed records, first at %q; between the markers it should read:\n%s", gotLines[i], got)
+		t.Errorf("EXPERIMENTS.md's %s differs from the committed records, first at %q; between the markers it should read:\n%s", what, wantLines[i], want)
 	}
+}
+
+// renderFig1 renders EXPERIMENTS.md's Figure 1 table from r: each design's
+// mean Set / Get latency with the data fitting in memory (fig1a) and
+// exceeding it (fig1b), at one decimal.
+func renderFig1(r *records) (string, error) {
+	var b strings.Builder
+	b.WriteString("| design | fits: Set/Get µs | exceeds: Set/Get µs |\n|---|---|---|\n")
+	r.err = nil
+	for _, d := range []string{"IPoIB-Mem", "RDMA-Mem", "H-RDMA-Def"} {
+		fmt.Fprintf(&b, "| %s | %.1f / %.1f | %.1f / %.1f |\n", d,
+			r.v("fig1a", d+".set_us"), r.v("fig1a", d+".get_us"),
+			r.v("fig1b", d+".set_us"), r.v("fig1b", d+".get_us"))
+	}
+	return b.String(), r.err
+}
+
+const fig1Begin, fig1End = "<!-- fig1:begin -->\n", "<!-- fig1:end -->"
+
+// TestFig1Table renders the Figure 1 table from the committed records (no
+// simulation runs) and holds EXPERIMENTS.md's copy between the fig1 markers
+// to it, byte for byte.
+func TestFig1Table(t *testing.T) {
+	got, err := renderFig1(committedRecords())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCopy(t, "Figure 1 table", fig1Begin, fig1End, got)
 }
 
 // TestClaimsAtQuickScale holds each claim that declares a quick band to it,

@@ -186,7 +186,7 @@ var fig4 = Experiment{
 			for _, s := range []pagecache.Scheme{pagecache.Direct, pagecache.Cached, pagecache.Mmap} {
 				kb := fmt.Sprintf("%dKB", size/1024)
 				cells = append(cells, cell{prefix: s.String() + "." + kb, row: kb, collect: func(_ *cluster.Cluster, r *run) {
-					r.show(s.String()+" µs", "_us", us(evictionWrite(size, s)))
+					r.show(s.String()+" µs", "_us", us(evictionWrite(r, size, s)))
 				}})
 			}
 		}
@@ -200,7 +200,8 @@ var fig4 = Experiment{
 
 // evictionWrite times 64 synchronous writes of size bytes through scheme s
 // to a bare SATA device and returns the mean: the cell needs no cluster.
-func evictionWrite(size int, s pagecache.Scheme) sim.Time {
+// The env's kernel counts go to r.
+func evictionWrite(r *run, size int, s pagecache.Scheme) sim.Time {
 	const rounds = 64
 	arena := int64(64 << 20)
 	env := sim.NewEnv()
@@ -222,6 +223,7 @@ func evictionWrite(size int, s pagecache.Scheme) sim.Time {
 		}
 	})
 	env.Run()
+	r.tally(env)
 	return total / rounds
 }
 

@@ -115,8 +115,10 @@ func recoveryCell(d cluster.Design, w workload.Config, ops int) cell {
 		// The clean twin runs first, on a cluster of its own; the cell's
 		// cluster — the one the runner gathers — takes the crash.
 		drive: func(cl *cluster.Cluster, r *run) {
-			clean := newRun(nil)
-			hit, bad := recoveryPhase(sp.build(), w, ops, 0, clean)
+			clean, twin := newRun(nil), sp.build()
+			hit, bad := recoveryPhase(twin, w, ops, 0, clean)
+			twin.Env.Close()
+			r.tally(twin.Env)
 			cleanHit, corrupt = hit, bad
 			postHit, bad = recoveryPhase(cl, w, ops, clean.Elapsed/2, r)
 			corrupt += bad

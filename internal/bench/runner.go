@@ -147,6 +147,8 @@ type run struct {
 	Rejected, Discarded   int64
 	Recoveries, Dropped   int64
 	BufferPeak, QueuePeak int
+	// kernel sums the kernel counts of every env the cell ran (tally).
+	kernel sim.Counts
 
 	cell   *cell
 	names  []string // value names in the order set
@@ -183,6 +185,9 @@ func (r *run) counts(bag metrics.Counters, ctrs ...metrics.Counter) {
 		r.set(strings.ReplaceAll(ctr.String(), "-", "_"), float64(bag.Val(ctr)))
 	}
 }
+
+// tally adds a finished env's kernel counts to the cell's.
+func (r *run) tally(env *sim.Env) { r.kernel = r.kernel.Add(env.Counts()) }
 
 // val reads a kept value back; an unknown name is a bug in the caller.
 func (r *run) val(name string) float64 {
@@ -274,6 +279,9 @@ type Result struct {
 	records []record
 	tables  []*table
 	notes   []string
+	// Kernel sums every cell's kernel counts (sim.Counts): host work, exact
+	// and repeatable, but not a record.
+	Kernel sim.Counts
 }
 
 type table struct {
@@ -322,6 +330,7 @@ func (e *Experiment) runCell(c *cell) (r *run, err error) {
 	if cl != nil {
 		// All is read; a parked process would pin its cluster for good.
 		cl.Env.Close()
+		r.tally(cl.Env)
 	}
 	return r, nil
 }
@@ -395,10 +404,11 @@ func (e *Experiment) Run(o Options) (*Result, error) {
 	return res, nil
 }
 
-// add folds one cell's output into the result: its values into all, and
-// unless the cell is silent its records, table points and notes. A key
-// recorded twice and a non-finite value are errors.
+// add folds one cell's output into the result: its values into all, its
+// kernel counts into Kernel, and unless the cell is silent its records, table
+// points and notes. A key recorded twice and a non-finite value are errors.
 func (res *Result) add(r *run, all map[string]float64) error {
+	res.Kernel = res.Kernel.Add(r.kernel)
 	for _, name := range r.names {
 		key, v := r.cell.key(name), r.vals[name]
 		if _, dup := all[key]; dup {

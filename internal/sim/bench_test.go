@@ -10,7 +10,8 @@ import "testing"
 
 // Each model below is long-lived: building it spawns its processes, and each
 // call of the step it returns performs one primitive and runs the env until
-// it is idle again.
+// it is idle again; the two sleep models' steps run the env to a limit
+// instead, as their sleepers are never idle.
 
 func benchSteps(b *testing.B, step func()) {
 	b.ReportAllocs()
@@ -20,16 +21,45 @@ func benchSteps(b *testing.B, step func()) {
 	}
 }
 
-// timerModel: one process sleeping 1 µs at a time; a step is one Sleep
-// round trip (schedule, park, deliver, resume).
+// timerModel: one process sleeping 1 µs at a time with nothing else due, so
+// its sleeps take their wakeups in place. A step runs the env 1 ms further:
+// 1000 sleeps, 999 of them in place and the last parked by the step's limit.
 func timerModel() (step func()) {
 	env := NewEnv()
-	env.Spawn("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(Microsecond)
-		}
-	})
+	sleepers(env, 1, -1)
+	return func() { env.RunUntil(env.Now() + Millisecond) }
+}
+
+// sleepParkedModel: two processes sleeping 1 µs at a time in lockstep, so the
+// other's wakeup is always due first and every sleep parks. A step is one
+// sleep of each (schedule, park, deliver, resume).
+func sleepParkedModel() (step func()) {
+	env := NewEnv()
+	sleepers(env, 2, -1)
 	return func() { env.RunUntil(env.Now() + Microsecond) }
+}
+
+// sleepers spawns n processes that sleep 1 µs at a time in lockstep and take
+// sleeps sleeps between them (sleeps < 0: forever). With n = 1 nothing else
+// is due, so every sleep is taken in place; with n = 2 every sleep parks.
+func sleepers(env *Env, n, sleeps int) {
+	for i := 0; i < n; i++ {
+		mine := (sleeps + i) / n
+		env.Spawn("sleeper", func(p *Proc) {
+			for j := 0; sleeps < 0 || j < mine; j++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+}
+
+// benchSleeps prices one Sleep: b.N of them between n sleepers, in one run.
+func benchSleeps(b *testing.B, n int) {
+	env := NewEnv()
+	sleepers(env, n, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
 }
 
 // handoffModel: a step puts one item that a blocked consumer receives.
@@ -94,7 +124,10 @@ func spawnRecycledModel() (step func()) {
 	return func() { env.Spawn("child", fn); env.Run() }
 }
 
-func BenchmarkTimer(b *testing.B)         { benchSteps(b, timerModel()) }
+// BenchmarkTimer prices a sleep taken in place, BenchmarkSleepParked one that
+// parks: the round trip through the heap that Sleep made before the fast path.
+func BenchmarkTimer(b *testing.B)         { benchSleeps(b, 1) }
+func BenchmarkSleepParked(b *testing.B)   { benchSleeps(b, 2) }
 func BenchmarkHandoff(b *testing.B)       { benchSteps(b, handoffModel()) }
 func BenchmarkEventFireWait(b *testing.B) { benchSteps(b, eventModel()) }
 func BenchmarkCallbackEvent(b *testing.B) { benchSteps(b, callbackModel()) }
@@ -107,7 +140,8 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		step    func()
 		ceiling float64
 	}{
-		{"Sleep round trip", timerModel(), 0},
+		{"Sleep in place (a step: 1 ms of 1 µs sleeps)", timerModel(), 0},
+		{"Sleep parked, round trip through the heap", sleepParkedModel(), 0},
 		{"Queue put to get across two procs", handoffModel(), 0},
 		{"Event fire to wait (the event itself)", eventModel(), 1},
 		{"callback event", callbackModel(), 0},

@@ -4,7 +4,9 @@
 // NIC engine, SSD channel, writeback daemon, ...) runs as a Proc: a coroutine
 // (iter.Pull) under a virtual clock owned by an Env. The scheduler resumes a
 // process and gets control back when it parks or ends — a direct switch, no
-// channel and no run queue — so exactly one process runs at any instant.
+// channel and no run queue — so exactly one process runs at any instant. A
+// sleep whose wakeup is certain to be the next one popped skips the round
+// trip: the process takes its seq and the clock in place and runs on.
 // Things that merely happen at an instant (a message arriving, a completion,
 // a scheduled fault) are callback events — AtFunc, AtCall — that the
 // scheduler runs inline, to completion, in the same single order. Spawn runs
@@ -113,18 +115,34 @@ func (a slot) before(b slot) bool {
 	return a.seq < b.seq
 }
 
+// Counts is the kernel's work since NewEnv, exact and deterministic: the
+// same (at, seq) order gives the same counts on every run.
+type Counts struct {
+	Resumes   int64 // processes the scheduler switched into (starts included)
+	Callbacks int64 // callback events run
+	InPlace   int64 // sleeps that took their wakeup in place, without parking
+}
+
+// Add returns the sum of c and o.
+func (c Counts) Add(o Counts) Counts {
+	return Counts{c.Resumes + o.Resumes, c.Callbacks + o.Callbacks, c.InPlace + o.InPlace}
+}
+
 // Env owns the virtual clock and the event queue of one simulation.
 type Env struct {
-	now    Time
-	seq    int64
-	heap   []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
-	freeW  *wakeup
-	idle   *Proc   // finished processes, ready to run another function
-	procs  []*Proc // every process whose coroutine can still be resumed, for Close
-	cur    *Proc   // the process running right now; nil in the scheduler and in callbacks
-	alive  int
-	fault  any // first panic value raised by a process
-	closed bool
+	now     Time
+	seq     int64
+	heap    []slot // 4-ary min-heap on (at, seq); seq is unique, so order is total
+	limit   Time   // the running RunUntil's limit; < 0 for none
+	freeW   *wakeup
+	cur     *Proc // the process running right now; nil in the scheduler and in callbacks
+	counts  Counts
+	idle    *Proc   // finished processes, ready to run another function
+	procs   []*Proc // every process whose coroutine can still be resumed, for Close
+	alive   int
+	fault   any // first panic value raised by a process
+	closed  bool
+	parkAll bool // every sleep parks: set by tests only (export_test.go)
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -133,8 +151,8 @@ func NewEnv() *Env { return &Env{} }
 // Close unwinds every parked process where it stands (its deferred functions
 // run, no fault is recorded) and drops the heap: a parked coroutine never ends
 // by itself, and it roots all that its stack reaches. Legal only between runs;
-// afterwards Now still reads, another Close is a no-op, and whatever
-// schedules, runs or blocks panics by name.
+// afterwards Now and Counts still read, another Close is a no-op, and
+// whatever schedules, runs or blocks panics by name.
 func (e *Env) Close() {
 	if e.cur != nil {
 		panic("sim: Close called from a running process")
@@ -144,7 +162,7 @@ func (e *Env) Close() {
 		p.stop()
 	}
 	f := e.fault // a deferred function of an unwinding process panicked
-	*e = Env{now: e.now, closed: true}
+	*e = Env{now: e.now, counts: e.counts, closed: true}
 	if f != nil {
 		panic(f)
 	}
@@ -163,6 +181,9 @@ func (e *Env) Now() Time { return e.now }
 // Alive returns the number of processes that have been spawned and have not
 // yet finished.
 func (e *Env) Alive() int { return e.alive }
+
+// Counts returns the kernel's work counts so far.
+func (e *Env) Counts() Counts { return e.counts }
 
 // push schedules w at time at, behind everything already scheduled for it.
 func (e *Env) push(at Time, w *wakeup) {
@@ -443,6 +464,7 @@ func (e *Env) Run() Time { return e.RunUntil(-1) }
 // limit) and returns the virtual time reached.
 func (e *Env) RunUntil(limit Time) Time {
 	e.mustBeOpen("RunUntil")
+	e.limit = limit
 	for len(e.heap) > 0 {
 		top := e.heap[0]
 		if limit >= 0 && top.at > limit {
@@ -457,6 +479,7 @@ func (e *Env) RunUntil(limit Time) Time {
 		if w.p == nil {
 			c := w.call
 			e.recycle(w)
+			e.counts.Callbacks++
 			e.runCallback(c)
 			continue
 		}
@@ -478,6 +501,7 @@ func (e *Env) RunUntil(limit Time) Time {
 		p.wokenTag = w.tag
 		e.recycle(w)
 		e.cur = p
+		e.counts.Resumes++
 		p.resume()
 		e.cur = nil
 		if f := e.fault; f != nil {
@@ -523,8 +547,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.mustBeRunning("Sleep")
-	p.env.scheduleWakeup(p.env.now+d, p, 0)
-	p.park()
+	p.sleepUntil(p.env.now + d)
 }
 
 // WaitUntil suspends the process until virtual time t (no-op if t has
@@ -535,16 +558,43 @@ func (p *Proc) WaitUntil(t Time) {
 		return
 	}
 	p.mustBeRunning("WaitUntil")
-	p.env.scheduleWakeup(t, p, 0)
-	p.park()
+	p.sleepUntil(t)
 }
 
 // Yield reschedules the process at the current time behind already-scheduled
 // same-time wakeups.
 func (p *Proc) Yield() {
 	p.mustBeRunning("Yield")
-	p.env.scheduleWakeup(p.env.now, p, 0)
-	p.park()
+	p.sleepUntil(p.env.now)
+}
+
+// sleepUntil delivers p's own wakeup at t: in place when it would be the next
+// one popped, parked otherwise.
+func (p *Proc) sleepUntil(t Time) {
+	if !p.env.inPlace(p, t) {
+		p.env.scheduleWakeup(t, p, 0)
+		p.park()
+	}
+}
+
+// inPlace takes the running process's wakeup at t without parking when that
+// wakeup is certain to be the next one RunUntil pops: nothing on the heap is
+// due at or before t (an entry due at t holds an earlier seq, so it goes
+// first), and t is within the run's limit. It uses up the seq the push would
+// have taken and moves the clock, so every later push, every (at, seq) order
+// and every virtual number is what the round trip would have given: nothing
+// else runs between the push and the pop it skips. Only a wakeup the process
+// gives itself qualifies; one that comes from an Event, Queue or Resource is
+// another process's to deliver.
+func (e *Env) inPlace(p *Proc, t Time) bool {
+	if e.parkAll || len(e.heap) > 0 && e.heap[0].at <= t || e.limit >= 0 && t > e.limit {
+		return false
+	}
+	e.seq++
+	e.now = t
+	p.wokenTag = 0
+	e.counts.InPlace++
+	return true
 }
 
 // Event is a one-shot condition processes can wait on. Create one with
