@@ -417,6 +417,45 @@ func TestFig1Table(t *testing.T) {
 	checkCopy(t, "Figure 1 table", fig1Begin, fig1End, got)
 }
 
+// renderFig8a renders EXPERIMENTS.md's Figure 8(a) table from r: each
+// design's mean latency on SATA (Cluster A) and NVMe (Cluster B), read-only
+// and write-heavy, at one decimal; then the sentence giving Opt-Block's gain
+// over Def-Block per drive and mix.
+func renderFig8a(r *records) (string, error) {
+	drives, mixes := []string{"SATA", "NVMe"}, []string{"read-only", "write-heavy"}
+	var b strings.Builder
+	b.WriteString("| design | SATA ro | SATA wh | NVMe ro | NVMe wh |\n|---|---|---|---|---|\n")
+	r.err = nil
+	for _, d := range []string{"Def-Block", "Opt-Block", "NonB-b", "NonB-i"} {
+		design := "H-RDMA-" + strings.Replace(d, "NonB", "Opt-NonB", 1)
+		fmt.Fprintf(&b, "| %s |", d)
+		for _, drive := range drives {
+			for _, mix := range mixes {
+				fmt.Fprintf(&b, " %.1f |", r.v("fig8a", drive+"."+mix+"."+design+"_us"))
+			}
+		}
+		b.WriteString("\n")
+	}
+	gain := func(drive, mix string) float64 { return r.v("fig8a", "improvement_pct.opt_vs_def."+drive+"."+mix) }
+	fmt.Fprintf(&b, "\nOpt-vs-Def gains: SATA %.1f%%/%.1f%%, NVMe %.1f%%/%.1f%% — inside the paper's\n", gain("SATA", mixes[0]), gain("SATA", mixes[1]), gain("NVMe", mixes[0]), gain("NVMe", mixes[1]))
+	b.WriteString("band on SATA (claims row 15) and, as the paper reports, smaller on NVMe\n" +
+		"(row 17) because the device itself is an order of magnitude faster.\n")
+	return b.String(), r.err
+}
+
+const fig8aBegin, fig8aEnd = "<!-- fig8a:begin -->\n", "<!-- fig8a:end -->"
+
+// TestFig8aTable renders the Figure 8(a) table and its gains sentence from
+// the committed records (no simulation runs) and holds EXPERIMENTS.md's copy
+// between the fig8a markers to them, byte for byte.
+func TestFig8aTable(t *testing.T) {
+	got, err := renderFig8a(committedRecords())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCopy(t, "Figure 8(a) table", fig8aBegin, fig8aEnd, got)
+}
+
 // TestClaimsAtQuickScale holds each claim that declares a quick band to it,
 // on the reduced-op runs the shape tests share (runExp at quick()). A claim
 // with no quick band runs nothing here.

@@ -110,7 +110,7 @@ func readMissBehindDirtyTail() func() {
 		f.Read(p, dirty*ps, int(clean*ps), Cached)
 	})
 	env.Run()
-	if c.Dirty() != par.ThrottlePages || len(c.pages) != par.MaxPages {
+	if c.Dirty() != par.ThrottlePages || c.pages.len() != par.MaxPages {
 		panic("readMissBehindDirtyTail: the fill left the cache not full or not dirty at the throttle")
 	}
 	next := clean
@@ -123,6 +123,33 @@ func readMissBehindDirtyTail() func() {
 
 // The host cost of a read miss that evicts past a dirty tail.
 func BenchmarkReadMissBehindDirtyTail(b *testing.B) { benchSteps(b, readMissBehindDirtyTail()) }
+
+// readMissEvict returns a step that makes one cached read of a page that is
+// not resident, in a full cache of clean pages: the read faults the page in
+// and evicts the clean ring's tail, dropping it from the resident-page table
+// and adding the new one. The reads cycle over twice the cache: every one
+// misses.
+func readMissEvict() func() {
+	env := sim.NewEnv()
+	par := DefaultParams()
+	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
+	ps, cached := int64(par.PageSize), int64(par.MaxPages)
+	f := c.OpenFile(0, 2*cached*ps)
+	env.Spawn("fill", func(p *sim.Proc) { f.Read(p, 0, int(cached*ps), Cached) })
+	env.Run()
+	if c.Dirty() != 0 || c.pages.len() != par.MaxPages {
+		panic("readMissEvict: the fill left the cache not full or not clean")
+	}
+	next := cached
+	read := func(p *sim.Proc) {
+		f.Read(p, next%(2*cached)*ps, int(ps), Cached)
+		next++
+	}
+	return func() { env.Spawn("read", read); env.Run() }
+}
+
+// The host cost of a read miss that evicts the clean tail.
+func BenchmarkReadMissEvict(b *testing.B) { benchSteps(b, readMissEvict()) }
 
 // throttledWrites returns a step in which two writers make cached writes
 // to resident pages of a cache that starts clean: a 576 KB write that
@@ -155,7 +182,8 @@ const throttledWriteCeiling = 2
 // the spare list, the extent maps are at size, and neither the write charge,
 // the read path nor a punch builds anything per call, nor a read miss that
 // evicts past a dirty tail. A throttled write costs only the events its park
-// and release re-arm (throttledWriteCeiling).
+// and release re-arm (throttledWriteCeiling). Nor does a read miss that
+// evicts the clean tail: the resident-page table is sized for the cache.
 func TestFileOpAllocationCeilings(t *testing.T) {
 	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
 		write, read, punch := regionModel(scheme)
@@ -173,6 +201,11 @@ func TestFileOpAllocationCeilings(t *testing.T) {
 	miss()
 	if got := testing.AllocsPerRun(200, miss); got > 0 {
 		t.Errorf("one cached read miss behind a dirty tail: %v allocations, ceiling 0", got)
+	}
+	evict := readMissEvict()
+	evict()
+	if got := testing.AllocsPerRun(200, evict); got > 0 {
+		t.Errorf("one cached read miss that evicts the clean tail: %v allocations, ceiling 0", got)
 	}
 	step, c := throttledWrites()
 	step()

@@ -107,7 +107,7 @@ type Cache struct {
 	env   *sim.Env
 	dev   *blockdev.Device
 	par   Params
-	pages map[pageKey]*page
+	pages pageTable // the resident pages by (file, idx)
 	// The recency rings, each through its sentinel: ring.next = most recent,
 	// ring.prev = least recent. Each is in stamp order, so the clean victim,
 	// the direct-reclaim victim and the writeback batch are ring tails.
@@ -149,7 +149,7 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		env:     env,
 		dev:     dev,
 		par:     par,
-		pages:   make(map[pageKey]*page),
+		pages:   newPageTable(par.MaxPages),
 		wbKick:  env.NewEvent(),
 		wbYield: env.NewEvent(),
 	}
@@ -210,14 +210,14 @@ func (c *Cache) admit(k pageKey) *page {
 	}
 	*pg = page{key: k, gen: pg.gen + 1}
 	pg.linkAfter(&c.clean)
-	c.pages[k] = pg
+	c.pages.add(pg)
 	return pg
 }
 
 // evict drops a resident page.
 func (c *Cache) evict(pg *page) {
 	pg.unlink()
-	delete(c.pages, pg.key)
+	c.pages.del(pg)
 	pg.next = c.spare
 	c.spare = pg
 }
@@ -345,8 +345,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		for i := first; i <= last+1; i++ {
 			missing := false
 			if i <= last {
-				_, resident := c.pages[pageKey{f.id, i}]
-				missing = !resident
+				missing = c.pages.get(pageKey{f.id, i}) == nil
 			}
 			if missing && runStart < 0 {
 				runStart = i
@@ -525,7 +524,7 @@ func (f *File) RecoverExtents() {
 // Reset drops every resident page (clean and dirty) — the page cache of a
 // power-cycled host.
 func (c *Cache) Reset() {
-	c.pages = make(map[pageKey]*page)
+	c.pages.clear()
 	c.clearRings()
 	c.spare = nil
 	c.dirty = 0
@@ -555,8 +554,8 @@ func (f *File) Punch(off int64) {
 	c := f.c
 	ps := int64(c.par.PageSize)
 	for i, end := (off+ps-1)/ps, (off+int64(e.size))/ps; i < end; i++ {
-		pg, ok := c.pages[pageKey{f.id, i}]
-		if !ok {
+		pg := c.pages.get(pageKey{f.id, i})
+		if pg == nil {
 			continue
 		}
 		if pg.dirty {
@@ -581,7 +580,7 @@ func (f *File) missPages(off int64, size int) int {
 	first, last := f.pageRange(off, size)
 	n := 0
 	for i := first; i <= last; i++ {
-		if _, ok := f.c.pages[pageKey{f.id, i}]; !ok {
+		if f.c.pages.get(pageKey{f.id, i}) == nil {
 			n++
 		}
 	}
@@ -598,12 +597,12 @@ func (f *File) residentRange(p *sim.Proc, off int64, size int, dirty bool) {
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
 		k := pageKey{f.id, i}
-		pg, ok := c.pages[k]
-		if !ok {
+		pg := c.pages.get(k)
+		if pg == nil {
 			c.evictFor(p, 1)
 			// A direct reclaim sleeps in its device write, and another
 			// proc may have faulted the page in meanwhile.
-			if pg, ok = c.pages[k]; !ok {
+			if pg = c.pages.get(k); pg == nil {
 				pg = c.admit(k)
 			}
 		}
@@ -627,7 +626,7 @@ func (f *File) touchRange(off int64, size int) {
 	c := f.c
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
-		if pg, ok := c.pages[pageKey{f.id, i}]; ok {
+		if pg := c.pages.get(pageKey{f.id, i}); pg != nil {
 			c.touch(pg)
 		}
 	}
@@ -640,7 +639,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 	if c.par.MaxPages <= 0 {
 		return
 	}
-	for len(c.pages)+n > c.par.MaxPages {
+	for c.pages.len()+n > c.par.MaxPages {
 		victim := c.clean.prev
 		if victim == &c.clean {
 			victim = c.dirtied.prev
@@ -650,7 +649,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			key, gen := victim.key, victim.gen
 			c.dev.ServeRaw(p, true, c.par.PageSize)
 			c.WritebackPages++
-			if c.pages[key] != victim || victim.gen != gen {
+			if c.pages.get(key) != victim || victim.gen != gen {
 				// While this reclaimer slept in the device write, the page
 				// left the cache: another reclaimer evicted it, or the
 				// flusher cleaned it and an eviction dropped it. Its record

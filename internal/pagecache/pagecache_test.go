@@ -221,8 +221,8 @@ func TestEvictionBoundsResidency(t *testing.T) {
 		}
 	})
 	env.Run()
-	if len(c.pages) > 100 {
-		t.Errorf("resident pages %d exceed MaxPages 100", len(c.pages))
+	if c.pages.len() > 100 {
+		t.Errorf("resident pages %d exceed MaxPages 100", c.pages.len())
 	}
 }
 
@@ -281,7 +281,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 	par.MaxPages = 8
 	c := New(env, dev, par)
 	f := c.OpenFile(0, 1<<30)
-	resident := func(i int) bool { _, ok := c.pages[pageKey{f.id, int64(i)}]; return ok }
+	resident := func(i int) bool { return c.pages.get(pageKey{f.id, int64(i)}) != nil }
 	env.Spawn("reader", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			f.Read(p, int64(i)*4096, 4096, Mmap)
@@ -290,7 +290,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 			f.Read(p, int64(i)*4096, 4096, Mmap)
 		}
 		before := map[*page]bool{}
-		for _, pg := range c.pages {
+		for _, pg := range c.pages.all() {
 			before[pg] = true
 		}
 		for i := 8; i < 12; i++ { // evicts 4..7, oldest first
@@ -304,14 +304,14 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 				t.Errorf("recently used page %d was evicted", i)
 			}
 		}
-		for _, pg := range c.pages {
+		for _, pg := range c.pages.all() {
 			if !before[pg] {
 				t.Errorf("page %d got a new record with evicted ones to spare", pg.key.idx)
 			}
 		}
 	})
 	env.Run()
-	if len(c.pages) != 8 || c.spare != nil {
-		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", len(c.pages), c.spare == nil)
+	if c.pages.len() != 8 || c.spare != nil {
+		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.pages.len(), c.spare == nil)
 	}
 }

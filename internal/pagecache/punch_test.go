@@ -34,7 +34,7 @@ func TestPunchDropsDeadPagesOnly(t *testing.T) {
 		t.Run(prof.name, func(t *testing.T) {
 			env, c, f := writebackRig(prof.p)
 			dev := c.dev
-			resident := func(i int64) bool { _, ok := c.pages[pageKey{f.id, i}]; return ok }
+			resident := func(i int64) bool { return c.pages.get(pageKey{f.id, i}) != nil }
 			drain := func() {
 				for c.Dirty() > 0 {
 					c.Kick()

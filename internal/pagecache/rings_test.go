@@ -35,9 +35,9 @@ func (m *recencyModel) touch(k pageKey, dirtied bool) {
 func (m *recencyModel) catchUp(c *Cache) error {
 	kept := m.order[:0]
 	for _, k := range m.order {
-		pg, ok := c.pages[k]
+		pg := c.pages.get(k)
 		switch {
-		case !ok:
+		case pg == nil:
 			delete(m.dirty, k)
 			continue
 		case pg.dirty && !m.dirty[k]:
@@ -48,8 +48,8 @@ func (m *recencyModel) catchUp(c *Cache) error {
 		kept = append(kept, k)
 	}
 	m.order = kept
-	if len(m.order) != len(c.pages) {
-		return fmt.Errorf("%d pages resident, %d of them admitted by an access", len(c.pages), len(m.order))
+	if len(m.order) != c.pages.len() {
+		return fmt.Errorf("%d pages resident, %d of them admitted by an access", c.pages.len(), len(m.order))
 	}
 	return nil
 }
@@ -80,7 +80,7 @@ func (m *recencyModel) agree(c *Cache) error {
 			if pg.dirty {
 				dirtyLen++
 			}
-			if c.ring(pg) != r || c.pages[pg.key] != pg {
+			if c.ring(pg) != r || c.pages.get(pg.key) != pg {
 				return fmt.Errorf("page %v (dirty %v) on the wrong ring or not resident", pg.key, pg.dirty)
 			}
 			if pg.next != r && pg.next.stamp >= pg.stamp {
@@ -88,8 +88,8 @@ func (m *recencyModel) agree(c *Cache) error {
 			}
 		}
 	}
-	if n != len(c.pages) || dirtyLen != c.dirty {
-		return fmt.Errorf("%d pages on the rings, %d resident; %d dirty counted", n, len(c.pages), c.dirty)
+	if n != c.pages.len() || dirtyLen != c.dirty {
+		return fmt.Errorf("%d pages on the rings, %d resident; %d dirty counted", n, c.pages.len(), c.dirty)
 	}
 	var clean, dirty []pageKey
 	for _, k := range m.order {
@@ -179,7 +179,7 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 							f.Punch(off)
 						case r < 0.3:
 							f.touchRange(off, ps)
-							if _, ok := c.pages[key]; ok {
+							if c.pages.get(key) != nil {
 								m.touch(key, false)
 							}
 						case r < 0.3+tc.writeShare*0.7:
@@ -242,7 +242,7 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 	env.Spawn("driver", func(p *sim.Proc) {
 		f.Write(p, 0, ps, "first", Cached)
 		f.Write(p, int64(ps), ps, "other", Cached)
-		victim := c.pages[k0]
+		victim := c.pages.get(k0)
 		env.Spawn("reclaimer", func(p *sim.Proc) {
 			c.evictFor(p, 1)
 			reclaimed = true
@@ -254,20 +254,20 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 			t.Fatalf("%d pages dirty after writeback began, want 0", c.Dirty())
 		}
 		c.evictFor(p, 1)
-		if _, ok := c.pages[k0]; ok {
+		if c.pages.get(k0) != nil {
 			t.Fatal("the bare eviction kept page 0")
 		}
 		f.Write(p, 0, ps, "second", Cached)
-		if reclaimed || c.pages[k0] != victim {
+		if reclaimed || c.pages.get(k0) != victim {
 			t.Fatalf("the rewrite did not land in the victim's record before the reclaimer woke (woke %v)", reclaimed)
 		}
 	})
 	env.Run()
-	pg, ok := c.pages[k0]
-	if !ok || !pg.dirty {
+	pg := c.pages.get(k0)
+	if ok := pg != nil; !ok || !pg.dirty {
 		t.Errorf("page 0 resident %v, dirty %v after its rewrite; want both (the reclaim dropped it unwritten)", ok, ok && pg.dirty)
 	}
-	if _, ok := c.pages[k1]; ok {
+	if c.pages.get(k1) != nil {
 		t.Error("page 1 still resident; the reclaimer needed its room")
 	}
 	if c.Dirty() != 1 {

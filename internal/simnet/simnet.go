@@ -175,17 +175,16 @@ func (f *Fabric) AddNode(name string) *Node {
 	if _, dup := f.nodes[name]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", name))
 	}
-	n := &Node{fabric: f, name: name}
-	n.tx = sim.NewQueue[*Flight](f.env, 0)
+	n := &Node{fabric: f, name: name, tx: nicTx{f: f}}
 	f.nodes[name] = n
-	f.env.Spawn("nic-tx:"+name, n.txEngine)
 	return n
 }
 
 // Flight is everything one message needs from Post to delivery, in a single
 // allocation: the message, the sender's handle on it with both its events,
-// and where and what to deliver. It is also the delivery callback event
-// itself (Fire), so scheduling a delivery allocates nothing.
+// its link in the NIC's transmit queue, and where and what to deliver. It is
+// also the delivery callback event itself (Fire), so scheduling a delivery
+// allocates nothing.
 //
 // A transport that has a record of its own per message embeds a Flight in it
 // and posts with PostFlight, making the two one object. The fabric holds a
@@ -208,7 +207,8 @@ type Flight struct {
 	dst       *Node
 	arriving  *Message // msg, or its bit-flipped copy
 	owner     Recycler
-	owed      int // deliveries still to fire; nonzero from PostFlight on
+	owed      int     // deliveries still to fire; nonzero from PostFlight on
+	queued    *Flight // the next Flight in the sender NIC's transmit queue
 }
 
 // Recycler is the owner of a Flight that carries many messages: the record
@@ -243,7 +243,7 @@ func (fl *Flight) Fire() {
 type Node struct {
 	fabric   *Fabric
 	name     string
-	tx       *sim.Queue[*Flight]
+	tx       nicTx
 	receiver func(m *Message)
 }
 
@@ -260,55 +260,95 @@ func (n *Node) Fabric() *Fabric { return n.fabric }
 // the receiver copies out whatever it keeps.
 func (n *Node) SetReceiver(fn func(m *Message)) { n.receiver = fn }
 
-// txEngine drains the NIC transmit queue, charging serialization time per
-// message and scheduling remote delivery.
-func (n *Node) txEngine(p *sim.Proc) {
-	f := n.fabric
-	for {
-		fl, ok := n.tx.Get(p)
-		if !ok {
+// nicTx is a node's NIC transmit engine: a FIFO of posted Flights, linked
+// through their queued fields, serialized one at a time. It is a chain of
+// callback events, not a process (DESIGN §16): a post to an idle NIC kicks it
+// at the instant of the post, in the slot a parked engine's wakeup would take;
+// each firing finishes the Flight whose serialization just ended, if any, and
+// starts the next one, due when its serialization ends, or leaves the NIC
+// idle.
+type nicTx struct {
+	f          *Fabric
+	head, tail *Flight // queued, oldest first
+	cur        *Flight // on the wire; nil while idle or kicked
+	busy       bool    // a firing is scheduled: the next post only queues
+}
+
+// post queues fl and kicks an idle NIC.
+func (tx *nicTx) post(fl *Flight) {
+	if tx.tail == nil {
+		tx.head = fl
+	} else {
+		tx.tail.queued = fl
+	}
+	tx.tail = fl
+	if !tx.busy {
+		tx.busy = true
+		tx.f.env.AtCall(tx.f.env.Now(), tx)
+	}
+}
+
+// Fire finishes the Flight on the wire and starts the next queued one.
+func (tx *nicTx) Fire() {
+	f := tx.f
+	if fl := tx.cur; fl != nil {
+		f.transmitted(fl)
+	}
+	fl := tx.head
+	tx.cur = fl
+	if fl == nil {
+		tx.busy = false
+		return
+	}
+	if tx.head = fl.queued; tx.head == nil {
+		tx.tail = nil
+	}
+	fl.queued = nil
+	f.env.AtCall(f.env.Now()+f.spec.SerializeTime(fl.msg.Size), tx)
+}
+
+// transmitted is a message's serialization end: Sent fires, the fault
+// injector rules on it, and its deliveries are scheduled.
+func (f *Fabric) transmitted(fl *Flight) {
+	msg := &fl.msg
+	now := f.env.Now()
+	fl.sent.Fire()
+	f.MsgCount++
+	f.ByteCount += int64(msg.Size)
+	fl.dst = f.nodes[msg.Dst]
+	if fl.dst == nil {
+		panic(fmt.Sprintf("simnet: send to unknown node %q", msg.Dst))
+	}
+	deliverAt := now + PropDelay + f.spec.RecvCPU
+	fl.arriving = msg
+	var dup *Flight
+	if f.faults != nil {
+		v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, now)
+		if v.Drop {
+			f.Dropped++
 			return
 		}
-		msg := &fl.msg
-		p.Sleep(f.spec.SerializeTime(msg.Size))
-		fl.sent.Fire()
-		f.MsgCount++
-		f.ByteCount += int64(msg.Size)
-		fl.dst = f.nodes[msg.Dst]
-		if fl.dst == nil {
-			panic(fmt.Sprintf("simnet: send to unknown node %q", msg.Dst))
-		}
-		deliverAt := p.Now() + PropDelay + f.spec.RecvCPU
-		fl.arriving = msg
-		var dup *Flight
-		if f.faults != nil {
-			v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, p.Now())
-			if v.Drop {
-				f.Dropped++
-				continue
-			}
-			deliverAt += v.ExtraDelay
-			if v.Corrupt {
-				if c, ok := msg.Payload.(Corruptible); ok {
-					cm := *msg
-					cm.Payload = c.CorruptCopy()
-					fl.arriving = &cm
-					f.Corrupted++
-				}
-			}
-			if v.Duplicate {
-				if dup = fl.snapshot(); dup == nil {
-					fl.owed = 2
-				}
+		deliverAt += v.ExtraDelay
+		if v.Corrupt {
+			if c, ok := msg.Payload.(Corruptible); ok {
+				cm := *msg
+				cm.Payload = c.CorruptCopy()
+				fl.arriving = &cm
+				f.Corrupted++
 			}
 		}
-		for i := 0; i < fl.owed; i++ {
-			// A duplicate trails the original by one receiver-CPU slot.
-			f.env.AtCall(deliverAt+sim.Time(i)*f.spec.RecvCPU, fl)
+		if v.Duplicate {
+			if dup = fl.snapshot(); dup == nil {
+				fl.owed = 2
+			}
 		}
-		if dup != nil {
-			f.env.AtCall(deliverAt+f.spec.RecvCPU, dup)
-		}
+	}
+	for i := 0; i < fl.owed; i++ {
+		// A duplicate trails the original by one receiver-CPU slot.
+		f.env.AtCall(deliverAt+sim.Time(i)*f.spec.RecvCPU, fl)
+	}
+	if dup != nil {
+		f.env.AtCall(deliverAt+f.spec.RecvCPU, dup)
 	}
 }
 
@@ -356,7 +396,7 @@ func (n *Node) PostFlight(fl *Flight, owner Recycler, dst string, size int, payl
 	fl.owner = owner
 	// One delivery is owed, unless the fault injector drops or duplicates it.
 	fl.owed = 1
-	n.tx.TryPut(fl) // unbounded queue: always succeeds
+	n.tx.post(fl)
 	return &fl.out
 }
 
