@@ -48,8 +48,9 @@ race:
 # window and a kill with a cold restart), the client's bypass reads of the
 # directory's held buckets and segments (TestPooledBucketsUnderFaults in
 # internal/core: drops, duplicated and late READs and a cold restart with
-# READs in flight; at quiesce every published record is free or held once,
-# by its segment), the
+# READs in flight; each pooled-fault test ends in the census of every
+# list, and TestCensusNamesWhatLeaks in internal/cluster plants leaks for
+# it to name), the
 # server's path matrix (every way an arrival reaches the storage phase, crashed at each
 # point), the hybrid slab's region-writer matrix (every way a region reaches
 # the SSD, refused, restarted and torn at each point), the store's command
@@ -68,8 +69,8 @@ race:
 # writers and a cold restart), the kernel's waits (internal/sim), the
 # fault injectors' scheduled windows (internal/fault, internal/blockdev) and
 # the hold-counted free list the client's requests, the server's replies,
-# the store's items and replication's frames and rounds recycle through
-# (internal/pool). A named subset of
+# the store's items, the directory's records and replication's frames and
+# rounds recycle through, and its census (internal/pool). A named subset of
 # `race`, kept separate so a detector hit points straight at the robustness
 # suite (and so it stays cheap enough to run on every edit).
 race-robustness:
@@ -247,23 +248,26 @@ claims:
 # the count a simplification is reported in, and one number to diff between
 # two commits. Beside each total, its split into code, comment (a line that is
 # only a // comment) and blank lines: a count bought by deleting rationale
-# comments, or by packing code denser, shows up as what it is.
+# comments, or by packing code denser, shows up as what it is. Last, the
+# package's *_test.go lines, so a change that trades test lines for production
+# lines shows both sides.
 #
-# LOC_ROWS prints the rows — "name total code comment blank", one per package,
-# `total` (internal/ only, so it diffs against every earlier count), then the
-# entry points under cmd/ and examples/ — for the tree in the current
+# LOC_ROWS prints the rows — "name total code comment blank tests", one per
+# package, `total` (internal/ only, so it diffs against every earlier count),
+# then the entry points under cmd/ and examples/ — for the tree in the current
 # directory; loc and loc-diff share it.
 LOC_ROWS = for d in internal/*/ total cmd/ examples/; do \
-		case "$$d" in total) files=$$(ls internal/*/*.go | grep -v _test.go);; \
-		cmd/|examples/) files=$$(ls $$d*/*.go | grep -v _test.go);; \
-		*) files=$$(ls $$d*.go | grep -v _test.go);; esac; \
-		cat $$files | awk -v name="$${d%/}" ' \
+		case "$$d" in total) all=$$(ls internal/*/*.go);; \
+		cmd/|examples/) all=$$(ls $$d*/*.go);; \
+		*) all=$$(ls $$d*.go);; esac; \
+		files=$$(echo "$$all" | grep -v _test.go); tests=$$(echo "$$all" | grep _test.go | xargs -r cat | wc -l); \
+		cat $$files | awk -v name="$${d%/}" -v tests="$$tests" ' \
 			/^[ \t]*$$/ { blank++; next } /^[ \t]*\/\// { comment++; next } { code++ } \
-			END { print name, code+comment+blank, code, comment, blank }'; \
+			END { print name, code+comment+blank, code, comment, blank, tests }'; \
 	done
 loc:
-	@printf '%-22s %6s %6s %8s %6s\n' package total code comment blank; \
-	$(LOC_ROWS) | awk '{ printf "%-22s %6d %6d %8d %6d\n", $$1, $$2, $$3, $$4, $$5 }'
+	@printf '%-22s %6s %6s %8s %6s %6s\n' package total code comment blank tests; \
+	$(LOC_ROWS) | awk '{ printf "%-22s %6d %6d %8d %6d %6d\n", $$1, $$2, $$3, $$4, $$5, $$6 }'
 
 # The same count at another commit and here, side by side:
 #
@@ -271,22 +275,22 @@ loc:
 #
 # takes a `git archive` snapshot of BASE in a temporary directory (as
 # virtual-identity does), counts both trees with loc's rule, and prints per
-# package total / code / comment / blank as before -> after (delta), skipping
-# packages nothing changed in. A simplification's size claim is this printed
-# diff, not a sentence.
+# package total / code / comment / blank / tests as before -> after (delta),
+# skipping packages nothing changed in. A simplification's size claim is this
+# printed diff, not a sentence.
 loc-diff:
 	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<git ref>" >&2; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(LOC_ROWS)) > "$$tmp/before.txt"; \
 	$(LOC_ROWS) > "$$tmp/after.txt"; \
-	echo "loc-diff: $(BASE) -> the working tree, non-test Go lines (before -> after, delta)"; \
+	echo "loc-diff: $(BASE) -> the working tree, Go lines (before -> after, delta); tests = *_test.go lines"; \
 	awk 'function cell(b, a) { return sprintf("%6d ->%6d (%+5d)", b, a, a - b) } \
-		NR == FNR { for (i = 2; i <= 5; i++) before[$$1, i] = $$i; seen[$$1] = 1; next } \
-		{ same = seen[$$1]; for (i = 2; i <= 5; i++) if (before[$$1, i] != $$i) same = 0; delete seen[$$1]; \
-		  if (!same) printf "%-22s total %s  code %s  comment %s  blank %s\n", $$1, \
-			cell(before[$$1, 2], $$2), cell(before[$$1, 3], $$3), cell(before[$$1, 4], $$4), cell(before[$$1, 5], $$5) } \
-		END { for (name in seen) printf "%-22s gone (was %d lines)\n", name, before[name, 2] }' \
+		NR == FNR { for (i = 2; i <= 6; i++) before[$$1, i] = $$i; seen[$$1] = 1; next } \
+		{ same = seen[$$1]; for (i = 2; i <= 6; i++) if (before[$$1, i] != $$i) same = 0; delete seen[$$1]; \
+		  if (!same) printf "%-22s total %s  code %s  comment %s  blank %s  tests %s\n", $$1, \
+			cell(before[$$1, 2], $$2), cell(before[$$1, 3], $$3), cell(before[$$1, 4], $$4), cell(before[$$1, 5], $$5), cell(before[$$1, 6], $$6) } \
+		END { for (name in seen) printf "%-22s gone (was %d lines, %d test lines)\n", name, before[name, 2], before[name, 6] }' \
 		"$$tmp/before.txt" "$$tmp/after.txt"
 
 # The pre-merge gate: static analysis, formatting, the counter rule and the

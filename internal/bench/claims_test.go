@@ -404,19 +404,6 @@ func renderFig1(r *records) (string, error) {
 	return b.String(), r.err
 }
 
-const fig1Begin, fig1End = "<!-- fig1:begin -->\n", "<!-- fig1:end -->"
-
-// TestFig1Table renders the Figure 1 table from the committed records (no
-// simulation runs) and holds EXPERIMENTS.md's copy between the fig1 markers
-// to it, byte for byte.
-func TestFig1Table(t *testing.T) {
-	got, err := renderFig1(committedRecords())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCopy(t, "Figure 1 table", fig1Begin, fig1End, got)
-}
-
 // renderFig8a renders EXPERIMENTS.md's Figure 8(a) table from r: each
 // design's mean latency on SATA (Cluster A) and NVMe (Cluster B), read-only
 // and write-heavy, at one decimal; then the sentence giving Opt-Block's gain
@@ -443,17 +430,110 @@ func renderFig8a(r *records) (string, error) {
 	return b.String(), r.err
 }
 
-const fig8aBegin, fig8aEnd = "<!-- fig8a:begin -->\n", "<!-- fig8a:end -->"
-
-// TestFig8aTable renders the Figure 8(a) table and its gains sentence from
-// the committed records (no simulation runs) and holds EXPERIMENTS.md's copy
-// between the fig8a markers to them, byte for byte.
-func TestFig8aTable(t *testing.T) {
-	got, err := renderFig8a(committedRecords())
-	if err != nil {
-		t.Fatal(err)
+// renderFig4 renders EXPERIMENTS.md's Figure 4 table from r: each eviction
+// I/O scheme's mean write time per value size, at three significant digits,
+// the fastest scheme of each size in bold.
+func renderFig4(r *records) (string, error) {
+	var b strings.Builder
+	b.WriteString("| size | direct µs | cached µs | mmap µs |\n|---|---|---|---|\n")
+	r.err = nil
+	for _, kb := range []int{2, 8, 32, 128, 512, 1024} {
+		size := fmt.Sprintf("%d KB", kb)
+		if kb == 1024 {
+			size = "1 MB"
+		}
+		var us []float64
+		for _, scheme := range []string{"direct", "cached", "mmap"} {
+			us = append(us, r.v("fig4", fmt.Sprintf("%s.%dKB_us", scheme, kb)))
+		}
+		fmt.Fprintf(&b, "| %s |", size)
+		for _, v := range us {
+			if v == slices.Min(us) {
+				fmt.Fprintf(&b, " **%s** |", sig3(v))
+			} else {
+				fmt.Fprintf(&b, " %s |", sig3(v))
+			}
+		}
+		b.WriteString("\n")
 	}
-	checkCopy(t, "Figure 8(a) table", fig8aBegin, fig8aEnd, got)
+	return b.String(), r.err
+}
+
+// renderFig7b renders EXPERIMENTS.md's Figure 7(b) table from r: each
+// design's mean latency per kv size, at three significant digits, and
+// NonB-i's gain over Def.
+func renderFig7b(r *records) (string, error) {
+	var b strings.Builder
+	b.WriteString("| kv | Def | Opt-Block | NonB-b | NonB-i | NonB-i gain |\n|---|---|---|---|---|---|\n")
+	r.err = nil
+	for _, kb := range []int{1, 4, 16, 64, 128} {
+		fmt.Fprintf(&b, "| %d KB |", kb)
+		for _, d := range []string{"Def", "Opt-Block", "Opt-NonB-b", "Opt-NonB-i"} {
+			fmt.Fprintf(&b, " %s |", sig3(r.v("fig7b", fmt.Sprintf("H-RDMA-%s.%dKB_us", d, kb))))
+		}
+		fmt.Fprintf(&b, " %.1f%% |\n", r.v("fig7b", fmt.Sprintf("improvement_pct.nonb_i_vs_def.%dKB", kb)))
+	}
+	return b.String(), r.err
+}
+
+// renderFig7c renders EXPERIMENTS.md's Figure 7(c) table from r, each
+// design's aggregate throughput in whole operations per second, and the
+// speedups claims rows 13 and 14 judge.
+func renderFig7c(r *records) (string, error) {
+	var b strings.Builder
+	b.WriteString("| design | ops/sec |\n|---|---|\n")
+	r.err = nil
+	for _, d := range []string{"Def-Block", "Opt-Block", "Opt-NonB-b", "Opt-NonB-i"} {
+		ops := strconv.FormatFloat(r.v("fig7c", "H-RDMA-"+d+".ops_per_sec"), 'f', 0, 64)
+		for i := len(ops) - 3; i > 0; i -= 3 {
+			ops = ops[:i] + "," + ops[i:]
+		}
+		fmt.Fprintf(&b, "| H-RDMA-%s | %s |\n", d, ops)
+	}
+	fmt.Fprintf(&b, "\nNonB = %.2f–%.2f× over Opt-Block (claims row 13). Adaptive I/O alone =\n%.2f× over Def (row 14; Deviations #3).\n",
+		r.v("fig7c", "speedup.nonb_b_vs_block"), r.v("fig7c", "speedup.nonb_i_vs_block"), r.v("fig7c", "speedup.optblock_vs_def"))
+	return b.String(), r.err
+}
+
+// renderFig8b renders EXPERIMENTS.md's Figure 8(b) table from r: a block's
+// access time — its write phase plus its read phase — per design, drive and
+// block size, at three significant digits, and NonB-i's access gain.
+func renderFig8b(r *records) (string, error) {
+	var b strings.Builder
+	b.WriteString("| | Opt-Block | NonB-i | improvement |\n|---|---|---|---|\n")
+	r.err = nil
+	for _, at := range []string{"SATA.2MB", "SATA.16MB", "NVMe.2MB", "NVMe.16MB"} {
+		drive, size, _ := strings.Cut(at, ".")
+		fmt.Fprintf(&b, "| %s %s MB |", drive, strings.TrimSuffix(size, "MB"))
+		for _, d := range []string{"Block", "NonB-i"} {
+			phase := func(p string) float64 { return r.v("fig8b", at+".H-RDMA-Opt-"+d+"."+p+"_ms") }
+			fmt.Fprintf(&b, " %s |", sig3(phase("write")+phase("read")))
+		}
+		fmt.Fprintf(&b, " %.1f%% |\n", r.v("fig8b", "improvement_pct.access."+at))
+	}
+	return b.String(), r.err
+}
+
+// TestFigureTables renders the tables of Figures 1, 4, 7(b), 7(c), 8(a) and
+// 8(b) from the committed records (no simulation runs) and holds
+// EXPERIMENTS.md's copy of each, between its own markers, to it, byte for
+// byte.
+func TestFigureTables(t *testing.T) {
+	for _, fig := range []struct {
+		id     string
+		render func(*records) (string, error)
+	}{
+		{"fig1", renderFig1}, {"fig4", renderFig4}, {"fig7b", renderFig7b},
+		{"fig7c", renderFig7c}, {"fig8a", renderFig8a}, {"fig8b", renderFig8b},
+	} {
+		t.Run(fig.id, func(t *testing.T) {
+			got, err := fig.render(committedRecords())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCopy(t, fig.id+" table", "<!-- "+fig.id+":begin -->\n", "<!-- "+fig.id+":end -->", got)
+		})
+	}
 }
 
 // TestClaimsAtQuickScale holds each claim that declares a quick band to it,

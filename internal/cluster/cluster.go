@@ -14,6 +14,7 @@ import (
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/replication"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
@@ -402,6 +403,32 @@ func (cl *Cluster) SettleIO() {
 		}
 	})
 	cl.Env.Run()
+}
+
+// Census tallies every pooled record of the deployment (DESIGN §16): each
+// client's requests; each server's replies, items and, with a directory, its
+// published buckets and segments; each replicator's frames and rounds. Taken
+// at a drained quiesce — Env.Run has returned and every caller has released
+// what it issued — its Err names any record unaccounted for and any whose
+// holds differ from the holders the walks found.
+func (cl *Cluster) Census() pool.Census {
+	var c pool.Census
+	add := func(owner string, ts ...pool.Tally) {
+		for _, t := range ts {
+			t.List = owner + " " + t.List
+			c = append(c, t)
+		}
+	}
+	for i, cli := range cl.Clients {
+		add(fmt.Sprintf("client%d", i), cli.Census())
+	}
+	for i, srv := range cl.Servers {
+		add(fmt.Sprintf("server%d", i), srv.Store().Census()...)
+	}
+	for i, r := range cl.Replicators {
+		add(fmt.Sprintf("server%d", i), r.Census()...)
+	}
+	return c
 }
 
 // ClientCounters sums every client's counters.

@@ -99,14 +99,17 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	// first mismatch on, the queue keeps its holds, as the server may not be
 	// done with those messages.
 	answered := true
-	for _, req := range batch {
+	for i, req := range batch {
 		msg, ok := cn.stream.Recv(p)
 		if !ok {
+			c.kept += len(batch) - i
 			break
 		}
 		resp := msg.Payload.(*protocol.Response)
 		if answered = answered && resp.ReqID == req.ID(); answered {
 			req.drop()
+		} else {
+			c.kept++
 		}
 		resp.Release()
 	}

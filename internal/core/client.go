@@ -232,6 +232,13 @@ func (c *Client) Release(req *Req) {
 	req.drop()
 }
 
+// Census tallies the client's request records at a drained quiesce: every
+// one is free but those kept for good, and none may be unaccounted once the
+// callers have released what they issued.
+func (c *Client) Census() pool.Tally {
+	return pool.Count("requests", &c.reqs, nil, c.kept, nil)
+}
+
 // Done reports whether the operation has completed (memcached_test).
 func (r *Req) Done() bool { return r.done.Fired() }
 
@@ -300,8 +307,11 @@ type Client struct {
 	resolving *sim.Queue[*Req]
 	resolver  func(*sim.Proc)
 
-	// reqs is the free list of request records (newReq, Req.drop).
+	// reqs is the free list of request records (newReq, Req.drop); kept
+	// counts the records a message the server never answered holds for good
+	// (attempt.settle, the socket exchange and flushConn keep them).
 	reqs pool.List[Req, *Req]
+	kept int
 
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
@@ -716,8 +726,10 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			c.Counters.Inc(metrics.CSends)
 			cn.stream.Send(p, wire.WireSize(), wire)
 		case late:
+			c.kept++
 			req.finish(timedOut, nil)
 		case !ok: // the stream closed under the exchange
+			c.kept++
 			req.finish(completed, &protocol.Response{Status: protocol.StatusError})
 		default:
 			// The delivery's hold on the reply is released once finish has
@@ -730,6 +742,8 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			att.settle(answered)
 			if req.Attempts == 1 {
 				req.drop()
+			} else {
+				c.kept++
 			}
 			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)

@@ -10,6 +10,7 @@ import (
 	"hybridkv/internal/blockdev"
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
 	"hybridkv/internal/server"
@@ -25,6 +26,16 @@ type testRig struct {
 	fabric  *simnet.Fabric
 	servers []*server.Server
 	client  *Client
+}
+
+// census tallies the rig's pooled records at a drained quiesce: the
+// client's requests and every server's replies, items and directory records.
+func (r *testRig) census() pool.Census {
+	c := pool.Census{r.client.Census()}
+	for _, srv := range r.servers {
+		c = append(c, srv.Store().Census()...)
+	}
+	return c
 }
 
 type rigOpts struct {

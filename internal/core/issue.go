@@ -528,7 +528,8 @@ const (
 func (att *attempt) settle(how ending) {
 	cn := att.cn
 	req := att.req
-	heard := att.state >= attSent && how > acked && how <= refused && att == &req.first
+	posted := att.state >= attSent && att == &req.first // its message holds the record
+	heard := posted && how > acked && how <= refused
 	switch att.state {
 	case attSettled:
 		return
@@ -584,6 +585,8 @@ func (att *attempt) settle(how ending) {
 	}
 	if heard {
 		req.drop()
+	} else if posted {
+		cn.c.kept++ // the server may still read the message
 	}
 }
 

@@ -69,9 +69,8 @@ func poolValue(key string) string { return "v:" + key }
 //     key any server stores must hold the one value issued for it, and every
 //     SET the server acknowledged or answered STORED must be stored;
 //   - a BufferAck'ed Issue returning before its message has left;
-//   - at quiesce, a released record that is not back on the free list when
-//     its request ended on the first attempt's answer, or that is held by
-//     anything but the message the server never answered.
+//   - at quiesce, a record the census cannot account for: neither free nor
+//     kept for good by a message the server never answered.
 func TestPooledRequestsUnderFaults(t *testing.T) {
 	for _, tr := range []struct {
 		name      string
@@ -293,30 +292,13 @@ func poolSoak(t *testing.T, transport Transport) {
 		}
 	}
 
-	held := 0
-	for req, po := range seen {
-		if pool.Holders(req) < 0 {
-			continue // free
-		}
-		held++
-		// Still held: the record was not reused, so it describes its last
-		// request. The one hold left must be its message's, which a server
-		// may still read: sent, and the request ended some other way than on
-		// the first attempt's answer — or, buffered, never matched to one.
-		sent := !rdma || req.first.wire.RespMR != 0
-		unanswered := req.TimedOut() || req.Attempts > 1 || po.buffered
-		if !req.released || pool.Holders(req) != 1 || !sent || !unanswered {
-			t.Errorf("%v %s: released=%v, %d holds, sent=%v, ended %v after %d attempts, and not free",
-				po.op.Code, po.op.Key, req.released, pool.Holders(req), sent, req.Err(), req.Attempts)
-		}
-	}
-	if made, free := c.reqs.Made, c.reqs.Len(); made != free+held {
-		t.Errorf("%d request records made: %d free and %d held for good, %d unaccounted for", made, free, held, made-free-held)
+	if err := r.census().Err(); err != nil {
+		t.Error(err)
 	}
 	if len(seen) >= ops*3/4 {
 		t.Errorf("%d operations used %d request records: the free list is not reused", ops, len(seen))
 	}
-	t.Logf("%d operations on %d request records, %d of them held for good", ops, len(seen), held)
+	t.Logf("%d operations on %d request records, %d of them held for good", ops, len(seen), c.kept)
 
 	// The soak drove what it claims to.
 	v := c.Counters.Val

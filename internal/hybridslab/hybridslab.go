@@ -91,6 +91,15 @@ func (m *Manager) NewItem() *Item {
 	return it
 }
 
+// Retired reports how many of the items the manager made a cold restart
+// left behind: held at the restart, an older incarnation's since, and never
+// put back (Unhold).
+func (m *Manager) Retired() int { return m.retired }
+
+// Retired reports whether it is one of those: an older incarnation's item,
+// whose holds nobody counts any more.
+func (it *Item) Retired() bool { return it.owner != nil && it.gen != it.owner.gen }
+
 // Hold adds a hold on it: one more holder may touch it until its own Unhold.
 // Holding an item nobody holds panics: it is free already.
 func (it *Item) Hold() { pool.Hold(it) }
@@ -228,8 +237,10 @@ type Manager struct {
 	// instead of mutating the rebuilt state.
 	gen uint32
 
-	// Items is the item free list (NewItem, Item.Unhold).
-	Items pool.List[Item, *Item]
+	// Items is the item free list (NewItem, Item.Unhold); retired counts the
+	// items it made that a cold restart left held, never to come back.
+	Items   pool.List[Item, *Item]
+	retired int
 
 	// epoch stamps flushed pages; the commit record must match it. It only
 	// grows, surviving recovery (restored to max-seen+1), so a newer copy of

@@ -88,9 +88,11 @@ func (m *Manager) WipeSSD() {
 
 // resetVolatile discards every RAM-side structure, modeling the cold
 // restart itself. The manager's generation bumps so workers suspended in
-// I/O across the crash abandon their work on resume.
+// I/O across the crash abandon their work on resume, and every item held
+// then is retired: an older incarnation's, it is never put back.
 func (m *Manager) resetVolatile() {
 	m.gen++
+	m.retired = m.Items.Made - m.Items.Len()
 	m.alloc = slab.New(m.cfg.Slab)
 	m.lrus = make([]slab.LRU[*Item], m.alloc.NumClasses())
 	m.ssdLRU = slab.LRU[*Item]{}

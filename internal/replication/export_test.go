@@ -79,11 +79,6 @@ func (r *Replicator) FinishForTest(p *sim.Proc, resp *protocol.Response, fwd *Fo
 	return epoch
 }
 
-// FramesForTest and RoundsForTest report how many frames and Forwards r's free
-// lists have made, and how many of them are back on the list.
-func (r *Replicator) FramesForTest() (made, free int) { return r.frames.Made, r.frames.Len() }
-func (r *Replicator) RoundsForTest() (made, free int) { return r.rounds.Made, r.rounds.Len() }
-
 // RecordForTest exposes a key's whole epoch record, suspect or not; ok is false
 // when the key has none.
 func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, suspect, ok bool) {

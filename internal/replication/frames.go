@@ -145,6 +145,16 @@ func (r *Replicator) newFrame(kind frameKind, key string) *frame {
 	return f
 }
 
+// Census tallies the replicator's frames and rounds at a drained quiesce
+// (DESIGN §16): nothing is in flight and no round is open, so every one of
+// them is free.
+func (r *Replicator) Census() []pool.Tally {
+	return []pool.Tally{
+		pool.Count("frames", &r.frames.List, nil, 0, nil),
+		pool.Count("rounds", &r.rounds, nil, 0, nil),
+	}
+}
+
 // Retain adds a hold on f: one more post, or one more delivery's reader.
 // Retaining a free frame panics.
 func (f *frame) Retain() { pool.Hold(f) }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"hybridkv/internal/cluster"
@@ -15,24 +14,7 @@ import (
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
-	"hybridkv/internal/simnet"
 )
-
-// frameFaults is the fabric's injector in TestPooledFramesUnderFaults. It
-// counts the messages it drops between two servers: replication frames, each
-// holding its post's hold on its frame for good.
-type frameFaults struct {
-	*fault.Injector
-	dropped int
-}
-
-func (f *frameFaults) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
-	v := f.Injector.Transmit(src, dst, size, now)
-	if v.Drop && strings.HasPrefix(src, "server") && strings.HasPrefix(dst, "server") {
-		f.dropped++
-	}
-	return v
-}
 
 // TestPooledFramesUnderFaults runs SETs, GETs, CAS chains and a counter on a
 // few keys of an R=3 cluster, with the scrubber and read repair on, through a
@@ -47,11 +29,10 @@ func (f *frameFaults) Transmit(src, dst string, size int, now sim.Time) simnet.V
 // sequence number orders it; a SET writer whose write fails leaves its key
 // alone, since the failed write may still land after any later one. Every
 // value names its key, and the history must come out clean. Once the run is
-// quiet, every round is back on its list and out of the replicator's table,
-// and every frame but those the fabric dropped a post of: at R=3 a frame is
-// posted to at most two peers, so the dropped posts hold at least half as
-// many frames as there are of them, and at most as many. No two spare slices
-// the frames gave back share an array.
+// quiet, the census finds every round and every frame back on its list —
+// the frames the fabric dropped a post of too — and no round is left in a
+// replicator's table. No two spare slices the frames gave back share an
+// array.
 func TestPooledFramesUnderFaults(t *testing.T) {
 	const (
 		setKeys = 3
@@ -68,7 +49,7 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 		ReplicationFactor: 3,
 	})
 	defer cl.Env.Close()
-	inj := &frameFaults{Injector: fault.New(fault.Config{Seed: 47, Drop: 0.02, Dup: 0.05})}
+	inj := fault.New(fault.Config{Seed: 47, Drop: 0.02, Dup: 0.05})
 	inj.AddCorrupt(47, 0.05)
 	inj.AddLinkDown("server1", 2*sim.Millisecond, 3*sim.Millisecond)
 	cl.Fabric.SetFaults(inj)
@@ -193,29 +174,26 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 		t.Error(v)
 	}
 	total := cl.ReplicationCounters()
-	if inj.dropped == 0 || inj.Dups == 0 || inj.Corrupts == 0 || inj.LinkDrops == 0 {
-		t.Errorf("faults: %d frames dropped, %d duplicated, %d corrupted, %d link drops; want some of each",
-			inj.dropped, inj.Dups, inj.Corrupts, inj.LinkDrops)
+	if inj.Drops == 0 || inj.Dups == 0 || inj.Corrupts == 0 || inj.LinkDrops == 0 {
+		t.Errorf("faults: %d messages dropped, %d duplicated, %d corrupted, %d link drops; want some of each",
+			inj.Drops, inj.Dups, inj.Corrupts, inj.LinkDrops)
 	}
 	if total.Val(metrics.CScrubRounds) == 0 || total.Val(metrics.CForwardResends) == 0 || total.Val(metrics.CCorruptFramesRejected) == 0 {
 		t.Errorf("scrub rounds %d, forward resends %d, corrupt frames rejected %d: want each path run",
 			total.Val(metrics.CScrubRounds), total.Val(metrics.CForwardResends), total.Val(metrics.CCorruptFramesRejected))
 	}
-	held := 0
-	for sid, r := range cl.Replicators {
-		if made, free := r.RoundsForTest(); free != made || r.OpenForwardsForTest() != 0 {
-			t.Errorf("server %d: %d rounds made, %d free, %d still registered", sid, made, free, r.OpenForwardsForTest())
-		}
-		made, free := r.FramesForTest()
-		held += made - free
+	if err := cl.Census().Err(); err != nil {
+		t.Error(err)
 	}
-	if held > inj.dropped || 2*held < inj.dropped {
-		t.Errorf("%d frames still held against %d posts the fabric dropped: want between half as many and as many", held, inj.dropped)
+	for sid, r := range cl.Replicators {
+		if n := r.OpenForwardsForTest(); n != 0 {
+			t.Errorf("server %d: %d rounds still registered", sid, n)
+		}
 	}
 	// Every spare slice a replicator keeps for its next digest, diff or
 	// manifest is its own: one array twice on the stacks would be filled by
 	// two frames at once. A spare still carried by a frame that nobody gave
-	// back would show above as one frame held beyond the dropped posts.
+	// back would show above as a frame the census cannot account for.
 	spares := 0
 	for sid, r := range cl.Replicators {
 		n, alias := r.SpareAliasForTest()
@@ -232,7 +210,6 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	// receiver rejects it, and the original goes back on its sender's list.
 	from, to := cl.Replicators[0], cl.Replicators[1]
 	rejected := to.Counters.Val(metrics.CCorruptFramesRejected)
-	madeBefore, freeBefore := from.FramesForTest()
 	if n := from.GarbleForwardForTest(to, key(0)); n != 0 {
 		t.Errorf("the corrupted copy of a forward counts %d holds, want none", n)
 	}
@@ -240,7 +217,7 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	if got := to.Counters.Val(metrics.CCorruptFramesRejected) - rejected; got != 1 {
 		t.Errorf("%d corrupted forwards rejected, want 1", got)
 	}
-	if made, free := from.FramesForTest(); made-free != madeBefore-freeBefore {
-		t.Errorf("after the corrupted forward: %d frames made, %d free; want %d held, as before", made, free, madeBefore-freeBefore)
+	if err := cl.Census().Err(); err != nil {
+		t.Errorf("after the corrupted forward: %v", err)
 	}
 }

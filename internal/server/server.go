@@ -848,8 +848,9 @@ func (s *Server) finish(p *sim.Proc, t *task) {
 // round, then answers. The rules every path shares live here, once:
 //
 //   - a task whose storage phase or ack wait a crash interrupted (e.g. during
-//     a hybrid eviction) is discarded: its response is lost with the process
-//     even if the server already restarted by the time the phase unwound;
+//     a hybrid eviction) is discarded: its responses are lost with the
+//     process even if the server already restarted by the time the phase
+//     unwound, and go back on the store's list unsent;
 //   - a deferred BufferAck goes out only when every member's write is applied
 //     and replicated — a member answering StatusNoReplica withholds it, so
 //     the client keeps its right to retransmit the whole task;
@@ -867,6 +868,9 @@ func (s *Server) tail(p *sim.Proc, t *task) {
 		}
 	}
 	if s.discarded(t) {
+		for _, resp := range resps {
+			resp.Release() // the sender's hold: no message will carry it
+		}
 		return
 	}
 	ack := t.ackDeferred

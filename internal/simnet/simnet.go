@@ -91,7 +91,7 @@ type Message struct {
 
 // Outgoing tracks the lifecycle of a message handed to the NIC. It lives in
 // the message's Flight, so when that Flight has an owner it is valid only
-// until the message's delivery (see Flight).
+// until the message's delivery or its drop (see Flight).
 type Outgoing struct {
 	// Sent fires when the message has fully left the sender's NIC — the
 	// source buffer is reusable from this point.
@@ -192,12 +192,17 @@ func (f *Fabric) AddNode(name string) *Node {
 // delivery has fired; the receiver is handed a pointer to the Message inside
 // it, valid only while its receiver callback runs. The sender's Outgoing
 // points into it too, so Sent and Delivered are valid until delivery: the
-// poster waits on Sent at once or not at all.
+// poster waits on Sent at once or not at all, and nobody waits on an owned
+// Flight's Delivered, which a drop leaves unfired for the Flight's next
+// message to fire. A poster parked on Sent is safe when a drop hands the
+// Flight back at that instant and it is posted again: Sent's Fire has taken
+// the poster's wakeup off the event already, and a woken process never looks
+// at its event again (sim.Proc.Wait parks once).
 //
 // A Flight posted with no owner carries one message, once. One posted with an
 // owner (a Recycler) is handed back to it after its last delivery — the
-// first, or the second of a duplicate — and may then be posted again; a
-// dropped one is never handed back. Posting a Flight that is still in flight
+// first, or the second of a duplicate — or, dropped, at its serialization
+// end, and may then be posted again. Posting a Flight that is still in flight
 // panics, and so does firing one whose last delivery has fired.
 type Flight struct {
 	msg       Message
@@ -213,7 +218,8 @@ type Flight struct {
 
 // Recycler is the owner of a Flight that carries many messages: the record
 // the Flight is embedded in, which knows the free list it belongs on. The
-// fabric calls Recycle once the Flight's last delivery has fired. Recycle
+// fabric calls Recycle once the Flight's last delivery has fired, or once a
+// dropped one's Sent has. Recycle
 // clears what the message referenced, so a free list keeps no dead value
 // reachable.
 type Recycler interface {
@@ -325,7 +331,13 @@ func (f *Fabric) transmitted(fl *Flight) {
 	if f.faults != nil {
 		v := f.faults.Transmit(msg.Src, msg.Dst, msg.Size, now)
 		if v.Drop {
+			// Lost on the wire: the Flight goes back as its last delivery
+			// would have given it, and with it whatever the message held.
 			f.Dropped++
+			fl.owed, fl.arriving = 0, nil
+			if fl.owner != nil {
+				fl.owner.Recycle()
+			}
 			return
 		}
 		deliverAt += v.ExtraDelay

@@ -134,9 +134,6 @@ func (d *Directory) Info() protocol.DirectoryInfo {
 	}
 }
 
-// Regions returns the directory's bucket and value MRs.
-func (d *Directory) Regions() (dir, val *verbs.MR) { return d.dirMR, d.valMR }
-
 // home is the home bucket of a key with this digest.
 func (d *Directory) home(digest uint64) int { return int(digest % uint64(d.buckets)) }
 
@@ -371,6 +368,37 @@ func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEven
 		d.Unpublish(it.Key)
 	case hybridslab.EvictLanded, hybridslab.EvictRestored:
 		d.Publish(it)
+	}
+}
+
+// census passes each published entry's item to visit and tallies the
+// published records: each bucket is held once, by its MR segment, and so is
+// each out-of-line value a bucket names; at a drained quiesce no READ holds
+// one. The shared empty bucket counts nothing.
+func (d *Directory) census(visit func(*hybridslab.Item) bool) []pool.Tally {
+	for _, e := range d.entries {
+		if e != nil {
+			visit(e.it)
+		}
+	}
+	var buckets pool.Walk[protocol.DirBucket, *protocol.DirBucket]
+	var segs pool.Walk[protocol.DirSegment, *protocol.DirSegment]
+	for b := 0; b < d.buckets; b++ {
+		v, _ := d.dirMR.Segment(int64(b) * protocol.DirBucketBytes)
+		bucket := v.(*protocol.DirBucket)
+		buckets.Visit(bucket)
+		for _, slot := range bucket.Ways {
+			if slot.Kind != protocol.DirAtOffset {
+				continue
+			}
+			if v, _ := d.valMR.Segment(slot.Off); v != nil {
+				segs.Visit(v.(*protocol.DirSegment))
+			}
+		}
+	}
+	return []pool.Tally{
+		pool.Count("buckets", &d.BucketRecs, &buckets, 0, nil),
+		pool.Count("segments", &d.SegmentRecs, &segs, 0, nil),
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"hybridkv/internal/blockdev"
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/pagecache"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
@@ -26,17 +27,6 @@ func spillingStore(env *sim.Env, asyncFlush bool) (*Store, *blockdev.Device) {
 	}, cache.OpenFile(0, 4<<30))), dev
 }
 
-// drainFree takes every item off the manager's free list — NewItem checks
-// each is untouched — and returns how many there were. The items stay the
-// caller's, so none is handed out again.
-func drainFree(m *hybridslab.Manager) int {
-	free := m.Items.Len()
-	for range free {
-		m.NewItem()
-	}
-	return free
-}
-
 // TestPooledItemsUnderFaults runs four storage workers against eight keys of
 // a spilling store with a directory, with nothing ordering them: GETs, SETs
 // (a string naming the key, or a counter congruent to the key's index mod 8),
@@ -52,9 +42,9 @@ func drainFree(m *hybridslab.Manager) int {
 //
 // Every answer must be a value written to its own key: an item released and
 // reused under one of its holders would hand out another key's. Once the run
-// is quiet, every item the manager made since the restart is free or held by
-// the table, the manager's residency or the directory — nothing leaks — and
-// each one held is its key's table entry.
+// is quiet, the census finds every item the manager made free, retired by
+// the restart, or held by exactly the table, the manager's residency and the
+// directory — nothing leaks — and each resident one is its key's table entry.
 func TestPooledItemsUnderFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -192,10 +182,6 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 			m.ReclaimQuarantined()
 		}
 	})
-	// before is every item made before the restart: afterwards they are an
-	// older incarnation's, never reused, whoever still refers to them.
-	before := map[*hybridslab.Item]bool{}
-	var madeBefore int
 	var recovered int64
 	env.Spawn("restart", func(p *sim.Proc) {
 		p.Wait(half)
@@ -205,12 +191,6 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 		}
 		m.AbortEvictionBatches()
 		d.Quiesce()
-		drainFree(m) // the drained items are the test's now
-		madeBefore = m.Items.Made
-		for _, it := range s.table {
-			before[it] = true
-		}
-		m.VisitLRU(1<<30, func(it *hybridslab.Item) bool { before[it] = true; return true })
 		recovered = s.RecoverCold(p).ItemsRecovered
 		s.PublishAll()
 		paused = false
@@ -218,48 +198,27 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 	})
 	env.Run()
 
-	if done != workers || madeBefore == 0 {
-		t.Fatalf("the run did not finish: %d of %d workers done, restart made %d", done, workers, madeBefore)
+	if done != workers || m.Retired() == 0 {
+		t.Fatalf("the run did not finish: %d of %d workers done, %d items retired by the restart", done, workers, m.Retired())
 	}
-	made := m.Items.Made - madeBefore
-	free := drainFree(m)
-	held := map[*hybridslab.Item]string{}
-	for key, it := range s.table {
-		held[it] = "table entry of " + key
+	if err := pool.Census(s.Census()).Err(); err != nil {
+		t.Error(err)
 	}
 	m.VisitLRU(1<<30, func(it *hybridslab.Item) bool {
-		if _, ok := held[it]; !ok {
-			held[it] = "resident"
+		if !it.Retired() && s.table[it.Key] != it {
+			t.Errorf("%q's item is resident, but not its table entry", it.Key)
 		}
 		return true
 	})
-	for _, e := range d.entries {
-		if e != nil && held[e.it] == "" {
-			held[e.it] = "published"
-		}
-	}
-	live := 0
-	for it, holder := range held {
-		if before[it] {
-			continue
-		}
-		live++
-		if s.table[it.Key] != it {
-			t.Errorf("%q's item is %s, but not its table entry", it.Key, holder)
-		}
-	}
-	if made != free+live {
-		t.Errorf("%d items made since the restart: %d free and %d held, %d unaccounted for", made, free, live, made-(free+live))
-	}
-	t.Logf("at %v: ssd loads %d; answers %v; recovered %d, corrupt loads %d, evacuated %d, compactions %d; items made %d before the restart and %d after",
-		env.Now(), m.SSDLoads, answered, recovered, m.CorruptLoads, m.QuarantineEvacuated, m.Compactions, madeBefore, made)
+	t.Logf("at %v: ssd loads %d; answers %v; recovered %d, corrupt loads %d, evacuated %d, compactions %d; items made %d, %d of them retired by the restart",
+		env.Now(), m.SSDLoads, answered, recovered, m.CorruptLoads, m.QuarantineEvacuated, m.Compactions, m.Items.Made, m.Retired())
 	for what, n := range map[string]int64{
 		"GET hits":        int64(answered[protocol.StatusOK]),
 		"corrupt answers": int64(answered[protocol.StatusCorrupt]),
 		"recovered items": recovered,
 		"evacuated slots": m.QuarantineEvacuated,
 		"compactions":     m.Compactions,
-		"items made":      int64(made),
+		"items made":      int64(m.Items.Made),
 		"items reused":    s.SetOps - int64(m.Items.Made),
 		"SSD loads":       m.SSDLoads,
 		"pages flushed":   m.FlushPages,

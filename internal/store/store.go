@@ -8,6 +8,8 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 
 	"hybridkv/internal/hybridslab"
@@ -397,9 +399,33 @@ func (s *Store) Reply(reqID uint64) *protocol.Response {
 	return protocol.NewReply(&s.replies, reqID)
 }
 
-// ReplyCounts reports how many replies the store has allocated and how many
-// are back on its free list.
-func (s *Store) ReplyCounts() (made, free int) { return s.replies.Made, s.replies.Len() }
+// Census tallies the store's pooled records at a drained quiesce (DESIGN
+// §16): every reply is free, and every item free, retired by a cold restart,
+// or held by exactly the holders a walk finds — its table entry, the
+// manager's residency and, with a directory attached, its directory entry,
+// whose published buckets and segments are tallied too.
+func (s *Store) Census() []pool.Tally {
+	var items pool.Walk[hybridslab.Item, *hybridslab.Item]
+	visit := func(it *hybridslab.Item) bool {
+		if !it.Retired() { // counted as the restart left it
+			items.Visit(it)
+		}
+		return true
+	}
+	for _, it := range s.table { // order-free: a walk counts
+		visit(it)
+	}
+	s.mgr.VisitLRU(math.MaxInt, visit)
+	var dir []pool.Tally
+	if d, ok := s.view.(*Directory); ok {
+		dir = d.census(visit)
+	}
+	return append([]pool.Tally{
+		pool.Count("replies", &s.replies, nil, 0, nil),
+		pool.Count("items", &s.mgr.Items, &items, s.mgr.Retired(),
+			func(it *hybridslab.Item) string { return fmt.Sprintf("item %q", it.Key) }),
+	}, dir...)
+}
 
 // Handle executes one parsed request against the store and builds the
 // response. This is the storage phase shared by the sync and async server

@@ -12,13 +12,17 @@ import (
 )
 
 // tag is a work request's payload: which WR posted it, and whether the
-// fabric garbled it on the way.
+// fabric garbled it on the way. It counts its holds (Shared), as a server's
+// reply does: a SEND or WRITE_IMM passes its poster's hold to the message.
 type tag struct {
 	id      int
 	garbled bool
+	holds   int
 }
 
 func (t *tag) CorruptCopy() any { return &tag{id: t.id, garbled: true} }
+func (t *tag) Retain()          { t.holds++ }
+func (t *tag) Release()         { t.holds-- }
 
 // legInjector is a seeded fault.Injector that writes down its verdict on
 // each SEND / WRITE_IMM leg from a to b, in serialization order — the order
@@ -48,7 +52,10 @@ func (li *legInjector) Transmit(src, dst string, size int, now sim.Time) simnet.
 // every leg, each completion still carries what its own work request posted,
 // and the two deliveries of a duplicate carry the same thing. A READ whose
 // request or response is duplicated completes once: the requester drops
-// the second response.
+// the second response. Once the run is quiet no transfer is outstanding:
+// every one was recycled, a dropped one at its serialization end, giving
+// back the hold its message carried, so every payload is held by no one but
+// the segment that publishes it.
 func TestRecycledTransfersUnderFaults(t *testing.T) {
 	const posts = 100_000
 	const segs = 64
@@ -77,7 +84,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 		for i := 0; i < posts; i++ {
 			switch rng.Intn(3) {
 			case 0:
-				pl := &tag{id: i}
+				pl := &tag{id: i, holds: 1}
 				sent = append(sent, pl)
 				wr := SendWR{Op: OpSend, Size: 64 + rng.Intn(960), Payload: pl}
 				if i%2 == 0 {
@@ -86,7 +93,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 					r.qpA.PostSend(p, wr)
 				}
 			case 1:
-				pl := &tag{id: i}
+				pl := &tag{id: i, holds: 1}
 				sent = append(sent, pl)
 				r.qpA.PostSend(p, SendWR{Op: OpWriteImm, Size: 64 + rng.Intn(960), Payload: pl, RemoteMR: remote.LKey()})
 			default:
@@ -109,6 +116,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 			t.Fatalf("receive completion carries %#v, not a posted payload", c.Payload)
 		}
 		got[pl.id] = append(got[pl.id], c.Payload)
+		Release(c.Payload)
 	}
 	var dups, garbled int
 	for n, pl := range sent {
@@ -153,6 +161,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 		if pl, ok := c.Payload.(*tag); !ok || pl.id != segTags[k].id {
 			t.Fatalf("READ %d of segment %d completed with %+v", c.WRID, k, c.Payload)
 		}
+		Release(c.Payload)
 		reads++
 	}
 	if dups < posts/20 || li.readDups < posts/20 || garbled < posts/20 || reads < posts/5 || in.Drops < posts/20 || in.Spikes < posts/20 {
@@ -179,9 +188,21 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 		if want := uint64(posts + i); c.WRID != want || c.Payload.(*tag).id != segTags[i%segs].id {
 			t.Fatalf("completion %d: WRID %d carrying %+v, want WRID %d with segment %d", i, c.WRID, c.Payload, want, i%segs)
 		}
+		Release(c.Payload)
 	}
 	if c, ok := r.sendA.Poll(); ok {
 		t.Fatalf("READ %d completed twice", c.WRID)
+	}
+
+	for _, pl := range sent {
+		if pl.holds != 0 {
+			t.Fatalf("WR %d's payload has %d holds at quiesce, want 0: a transfer carrying it is outstanding", pl.id, pl.holds)
+		}
+	}
+	for k, pl := range segTags {
+		if pl.holds != 1 {
+			t.Fatalf("segment %d's payload has %d holds at quiesce, want its segment's alone", k, pl.holds)
+		}
 	}
 }
 
