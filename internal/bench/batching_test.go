@@ -69,6 +69,7 @@ func TestBatchOneMatchesPlainDriver(t *testing.T) {
 					t.Fatalf("issue: %v", err)
 				}
 				client.Wait(p, req)
+				client.Release(req)
 			}
 		})
 		cl.Env.Run()

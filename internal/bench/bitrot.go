@@ -205,7 +205,7 @@ func rotLedgers(cl *cluster.Cluster, r *run) {
 // defense_holds (no defended cell served a single corrupt read, and every
 // defended R ≥ 2 cell lost zero acked writes), and replay_identical.
 var bitrotExp = Experiment{
-	ID: "bitrot", Title: "Bit-rot: at-rest SSD corruption vs read verification and scrub repair", robust: true,
+	ID: "bitrot", Title: "Bit-rot: at-rest SSD corruption vs read verification and scrub repair",
 	cells: func(o Options) (cells []cell) {
 		for _, factor := range []int{1, 2, 3} {
 			for _, defense := range rotDefenses {

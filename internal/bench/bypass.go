@@ -48,7 +48,7 @@ func bypassCounts(r *run) (fallbackPct, readsPerHit, bytesPerHit float64) {
 // bypass is the registry entry: {rpc, bypass} × {read-only, 95:5, 50:50
 // zipf; read-only uniform; read-only zipf with SSD overcommit}.
 var bypassExp = Experiment{
-	ID: "bypass", Title: "Server-bypass GETs: one-sided READ vs RPC read path", robust: true,
+	ID: "bypass", Title: "Server-bypass GETs: one-sided READ vs RPC read path",
 	cells: func(o Options) (cells []cell) {
 		perWorker := o.ops(4800) / (bypassClients * bypassWorkers)
 		for _, mix := range []struct {

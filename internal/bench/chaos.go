@@ -166,7 +166,7 @@ func floodClient(cl *cluster.Cluster) *core.Client {
 // chaos is the registry entry: the soak over the four hybrid designs. The
 // headline number per design is violations, which must be zero.
 var chaosExp = Experiment{
-	ID: "chaos", Title: "Chaos soak: faults + crashes + overload under the history invariant checker", robust: true,
+	ID: "chaos", Title: "Chaos soak: faults + crashes + overload under the history invariant checker",
 	cells: func(o Options) (cells []cell) {
 		for _, d := range hybrids {
 			cells = append(cells, chaosCell(d, checkerRounds(o), 42, 0, false))

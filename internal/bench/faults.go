@@ -80,7 +80,7 @@ func driveFaulted(cl *cluster.Cluster, gen *workload.Generator, ops int, faulted
 // faults is the registry entry: every design, clean vs faulted phase on
 // fresh clusters, reporting p50/p99 latency, goodput, and recovery counts.
 var faultsExp = Experiment{
-	ID: "faults", Title: "Degraded mode: tail latency and goodput under a fault schedule", robust: true,
+	ID: "faults", Title: "Degraded mode: tail latency and goodput under a fault schedule",
 	cells: func(o Options) (cells []cell) {
 		mem, kv, opsDef := o.geometry()
 		ops := o.ops(opsDef / 2)

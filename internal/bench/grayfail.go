@@ -199,7 +199,7 @@ var grayDefenses = []grayDefense{
 // crash cell still fails over (failovers > 0) despite the node being
 // browned when it died.
 var grayfailExp = Experiment{
-	ID: "grayfail", Title: "Gray failure: fail-slow node, brown-out routing, background pacing", robust: true,
+	ID: "grayfail", Title: "Gray failure: fail-slow node, brown-out routing, background pacing",
 	cells: func(o Options) (cells []cell) {
 		ops := o.ops(300)
 		// Writers must still be running when the crash cell kills the slow

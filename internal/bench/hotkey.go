@@ -196,7 +196,7 @@ func warmHotSet(cl *cluster.Cluster, c *core.Client, ch *chain) *sim.Event {
 // the fan-out chaos cell. Headlines: fanout_speedup_r3 (goodput of fan-out
 // over plain bypass at R=3) and chaos.violations (must be zero).
 var hotkeyExp = Experiment{
-	ID: "hotkey", Title: "Hot-key serving: celebrity flash crowd vs replicated-read fan-out", robust: true,
+	ID: "hotkey", Title: "Hot-key serving: celebrity flash crowd vs replicated-read fan-out",
 	cells: func(o Options) (cells []cell) {
 		for _, replicas := range []int{1, 2, 3} {
 			for _, path := range []string{"rpc", "bypass", "fanout"} {

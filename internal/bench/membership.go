@@ -138,7 +138,7 @@ func scaleCell(servers, factor, totalOps int) cell {
 
 // membership is the registry entry.
 var membershipExp = Experiment{
-	ID: "membership", Title: "Dynamic membership: join/decommission under chaos, zero acked-write loss, and the scaling sweep", robust: true,
+	ID: "membership", Title: "Dynamic membership: join/decommission under chaos, zero acked-write loss, and the scaling sweep",
 	cells: func(o Options) []cell {
 		cells := []cell{churnCell(checkerRounds(o), 42, memChaosLimit)}
 		// Scaling sweep: op/s vs node count at every factor.

@@ -124,7 +124,7 @@ func driveBursts(cl *cluster.Cluster, gen *workload.Generator, ops int, r *run) 
 // reporting admitted-GET p99, overall p99, goodput, shed and breaker
 // counters, and the buffer/queue high-water marks.
 var overloadExp = Experiment{
-	ID: "overload", Title: "Graceful degradation: bounded admission and shedding under bursty arrivals", robust: true,
+	ID: "overload", Title: "Graceful degradation: bounded admission and shedding under bursty arrivals",
 	cells: func(o Options) (cells []cell) {
 		mem, _, opsDef := o.geometry()
 		mem /= 8 // small memory: bursts must saturate at smoke scale

@@ -152,7 +152,7 @@ func recoveryCell(d cluster.Design, w workload.Config, ops int) cell {
 // recovery is the registry entry: each hybrid design × access pattern,
 // contrasting recovery time, scan outcome, and hit-ratio cost.
 var recoveryExp = Experiment{
-	ID: "recovery", Title: "Cold-restart recovery: crash consistency under torn writes", robust: true,
+	ID: "recovery", Title: "Cold-restart recovery: crash consistency under torn writes",
 	cells: func(o Options) (cells []cell) {
 		_, _, opsDef := o.geometry()
 		ops := o.ops(opsDef / 2)

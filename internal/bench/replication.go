@@ -66,7 +66,7 @@ func replicationCell(factor int, readFrac float64, ops int, kills bool) cell {
 // R=1 (the kills destroy data only one node held) and exactly zero for
 // every R ≥ 2 cell.
 var replicationExp = Experiment{
-	ID: "replication", Title: "Primary-backup replication: acked-write durability under whole-node kills", robust: true,
+	ID: "replication", Title: "Primary-backup replication: acked-write durability under whole-node kills",
 	cells: func(o Options) (cells []cell) {
 		for _, factor := range []int{1, 2, 3} {
 			for _, mix := range []mix{{"read", 1.0}, {"rw50", 0.5}} {

@@ -65,9 +65,6 @@ type Experiment struct {
 	// tablesOnly omits the sorted metric list under the tables (the
 	// breakdown figures and the 576-value batching sweep print tables only).
 	tablesOnly bool
-	// robust marks the robustness experiments, whose cells each end in a
-	// census of their cluster's pooled records (runCell).
-	robust bool
 	// cells declares the experiment's cells under o, in output order.
 	cells func(o Options) []cell
 	// derive computes the headline values that span cells. v looks any
@@ -292,9 +289,8 @@ type table struct {
 	cols  []*metrics.Series
 }
 
-// runCell builds, drives and collects one cell, and in a robustness
-// experiment then takes the census of its cluster's pooled records
-// (cluster.Census). A panic anywhere inside —
+// runCell builds, drives and collects one cell, then takes the census of its
+// cluster's pooled records (cluster.Census). A panic anywhere inside —
 // model code, a driver, a collector — comes back as an error naming the
 // experiment and the cell, with the stack.
 func (e *Experiment) runCell(c *cell) (r *run, err error) {
@@ -334,14 +330,11 @@ func (e *Experiment) runCell(c *cell) (r *run, err error) {
 	}
 	if cl != nil {
 		r.tally(cl.Env) // the measured run's counts, not the drain's
-		var leak error
-		if e.robust {
-			// Every value is taken: drain what a RunUntil limit left
-			// scheduled, then census the pooled records. A finding fails
-			// the cell, as a zero-op run does, and records nothing.
-			cl.Env.Run()
-			leak = cl.Census().Err()
-		}
+		// Every value is taken: drain what a RunUntil limit left scheduled,
+		// then census the pooled records. A finding fails the cell, as a
+		// zero-op run does, and records nothing.
+		cl.Env.Run()
+		leak := cl.Census().Err()
 		// All is read; a parked process would pin its cluster for good.
 		cl.Env.Close()
 		if leak != nil {

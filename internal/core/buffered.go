@@ -102,14 +102,14 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	for i, req := range batch {
 		msg, ok := cn.stream.Recv(p)
 		if !ok {
-			c.kept += len(batch) - i
+			c.kept = append(c.kept, batch[i:]...)
 			break
 		}
 		resp := msg.Payload.(*protocol.Response)
 		if answered = answered && resp.ReqID == req.ID(); answered {
 			req.drop()
 		} else {
-			c.kept++
+			c.kept = append(c.kept, req)
 		}
 		resp.Release()
 	}

@@ -232,11 +232,15 @@ func (c *Client) Release(req *Req) {
 	req.drop()
 }
 
-// Census tallies the client's request records at a drained quiesce: every
-// one is free but those kept for good, and none may be unaccounted once the
-// callers have released what they issued.
+// Census tallies the client's request records at a drained quiesce: once
+// the callers have released what they issued, every one is free or kept for
+// good, held by its unanswered message alone.
 func (c *Client) Census() pool.Tally {
-	return pool.Count("requests", &c.reqs, nil, c.kept, nil)
+	var kept pool.Walk[Req, *Req]
+	for _, req := range c.kept {
+		kept.Visit(req)
+	}
+	return pool.Count("requests", &c.reqs, &kept, 0)
 }
 
 // Done reports whether the operation has completed (memcached_test).
@@ -308,10 +312,10 @@ type Client struct {
 	resolver  func(*sim.Proc)
 
 	// reqs is the free list of request records (newReq, Req.drop); kept
-	// counts the records a message the server never answered holds for good
+	// lists the records a message the server never answered holds for good
 	// (attempt.settle, the socket exchange and flushConn keep them).
 	reqs pool.List[Req, *Req]
-	kept int
+	kept []*Req
 
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
@@ -726,10 +730,10 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			c.Counters.Inc(metrics.CSends)
 			cn.stream.Send(p, wire.WireSize(), wire)
 		case late:
-			c.kept++
+			c.kept = append(c.kept, req)
 			req.finish(timedOut, nil)
 		case !ok: // the stream closed under the exchange
-			c.kept++
+			c.kept = append(c.kept, req)
 			req.finish(completed, &protocol.Response{Status: protocol.StatusError})
 		default:
 			// The delivery's hold on the reply is released once finish has
@@ -743,7 +747,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 			if req.Attempts == 1 {
 				req.drop()
 			} else {
-				c.kept++
+				c.kept = append(c.kept, req)
 			}
 			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)

@@ -586,7 +586,7 @@ func (att *attempt) settle(how ending) {
 	if heard {
 		req.drop()
 	} else if posted {
-		cn.c.kept++ // the server may still read the message
+		cn.c.kept = append(cn.c.kept, req) // the server may still read the message
 	}
 }
 

@@ -70,7 +70,9 @@ func poolValue(key string) string { return "v:" + key }
 //     SET the server acknowledged or answered STORED must be stored;
 //   - a BufferAck'ed Issue returning before its message has left;
 //   - at quiesce, a record the census cannot account for: neither free nor
-//     kept for good by a message the server never answered.
+//     kept for good by a message the server never answered, or kept with a
+//     hold beside that message's, or kept though its first attempt was
+//     answered or never sent.
 func TestPooledRequestsUnderFaults(t *testing.T) {
 	for _, tr := range []struct {
 		name      string
@@ -295,10 +297,25 @@ func poolSoak(t *testing.T, transport Transport) {
 	if err := r.census().Err(); err != nil {
 		t.Error(err)
 	}
+	for req, po := range seen {
+		if pool.Holders(req) < 0 {
+			continue // free
+		}
+		// Kept for good: the record was not reused, so it describes its last
+		// request. Its one hold must be its message's, which a server may
+		// still read: sent, and the request ended some other way than on the
+		// first attempt's answer — or, buffered, never matched to one.
+		sent := !rdma || req.first.wire.RespMR != 0
+		unanswered := req.TimedOut() || req.Attempts > 1 || po.buffered
+		if !req.released || pool.Holders(req) != 1 || !sent || !unanswered {
+			t.Errorf("%v %s: released=%v, %d holds, sent=%v, ended %v after %d attempts, and not free",
+				po.op.Code, po.op.Key, req.released, pool.Holders(req), sent, req.Err(), req.Attempts)
+		}
+	}
 	if len(seen) >= ops*3/4 {
 		t.Errorf("%d operations used %d request records: the free list is not reused", ops, len(seen))
 	}
-	t.Logf("%d operations on %d request records, %d of them held for good", ops, len(seen), c.kept)
+	t.Logf("%d operations on %d request records, %d of them held for good", ops, len(seen), len(c.kept))
 
 	// The soak drove what it claims to.
 	v := c.Counters.Val

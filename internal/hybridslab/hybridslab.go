@@ -25,6 +25,7 @@ package hybridslab
 
 import (
 	"errors"
+	"strconv"
 
 	"hybridkv/internal/pagecache"
 	"hybridkv/internal/pool"
@@ -99,6 +100,9 @@ func (m *Manager) Retired() int { return m.retired }
 // Retired reports whether it is one of those: an older incarnation's item,
 // whose holds nobody counts any more.
 func (it *Item) Retired() bool { return it.owner != nil && it.gen != it.owner.gen }
+
+// String names the item by its key.
+func (it *Item) String() string { return "item " + strconv.Quote(it.Key) }
 
 // Hold adds a hold on it: one more holder may touch it until its own Unhold.
 // Holding an item nobody holds panics: it is free already.
@@ -363,7 +367,9 @@ func (m *Manager) loadScheme(class int) pagecache.Scheme {
 // Store inserts or replaces the item for key, charging p the slab
 // management and any eviction I/O time. This is the "Slab Allocation"
 // stage of a Set. A stored item is resident, and the manager holds it until
-// its residency ends (Release, or eviction dropping or retiring it).
+// its residency ends (Release, or eviction dropping or retiring it). It
+// returns ErrRecovering while a recovery scan runs, or once a cold restart
+// came while it was suspended.
 func (m *Manager) Store(p *sim.Proc, it *Item) error {
 	it.mustBeHeld("Store")
 	if m.recovering {
@@ -381,10 +387,19 @@ func (m *Manager) Store(p *sim.Proc, it *Item) error {
 	}
 	p.Sleep(slabMetaCost)
 	for {
+		if it.gen != m.gen {
+			// A cold restart came while the store was suspended: the item
+			// is an older incarnation's, and the rebuilt slab gives it no
+			// chunk.
+			return ErrRecovering
+		}
 		switch m.alloc.Alloc(class) {
 		case slab.AllocOK, slab.AllocNewPage:
 			// Copy the value into the chunk.
 			p.Sleep(sim.TransferTime(it.ValueSize, sim.MemcpyBps))
+			if it.gen != m.gen {
+				return ErrRecovering // the restart came during the copy
+			}
 			m.lrus[class].PushFront(&it.lru)
 			it.lru.Value = it
 			it.onSSD = false

@@ -33,27 +33,26 @@ func (w *Walk[T, P]) Visit(r P) {
 }
 
 // Count tallies l against w, the walk over its long-lived holders (nil: it
-// has none), with counted records kept for good; name, when set, describes a
-// record in Wrong, which otherwise gives its type and address.
-func Count[T any, P Record[T]](list string, l *List[T, P], w *Walk[T, P], counted int, name func(P) string) Tally {
+// has none), with counted records kept for good. Wrong names a record by its
+// String method, or else by its type and address.
+func Count[T any, P Record[T]](list string, l *List[T, P], w *Walk[T, P], counted int) Tally {
 	t := Tally{List: list, Made: l.Made, Free: l.Len(), Counted: counted}
 	if w == nil {
 		return t
 	}
-	for r, visits := range w.visits { // order-free: a count, and Wrong is sorted
+	for r, visits := range w.visits { // order-free: a count, and Err sorts Wrong
 		n := Holders(r)
 		if n > 0 {
 			t.Walked++
 		}
 		if n != visits {
 			what := fmt.Sprintf("%T %p", r, r)
-			if name != nil {
-				what = name(r)
+			if s, ok := any(r).(fmt.Stringer); ok {
+				what = s.String()
 			}
 			t.Wrong = append(t.Wrong, fmt.Sprintf("%s: %d holds, %d holders walked", what, n, visits))
 		}
 	}
-	slices.Sort(t.Wrong)
 	return t
 }
 
@@ -70,7 +69,7 @@ func (c Census) Err() error {
 			bad = append(bad, fmt.Sprintf("%s: %d unaccounted (%d made, %d free, %d walked, %d counted)",
 				t.List, n, t.Made, t.Free, t.Walked, t.Counted))
 		}
-		for _, w := range t.Wrong {
+		for _, w := range slices.Sorted(slices.Values(t.Wrong)) {
 			bad = append(bad, t.List+": "+w)
 		}
 	}

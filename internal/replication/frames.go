@@ -150,8 +150,8 @@ func (r *Replicator) newFrame(kind frameKind, key string) *frame {
 // them is free.
 func (r *Replicator) Census() []pool.Tally {
 	return []pool.Tally{
-		pool.Count("frames", &r.frames.List, nil, 0, nil),
-		pool.Count("rounds", &r.rounds, nil, 0, nil),
+		pool.Count("frames", &r.frames.List, nil, 0),
+		pool.Count("rounds", &r.rounds, nil, 0),
 	}
 }
 

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
@@ -374,7 +376,8 @@ func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEven
 // census passes each published entry's item to visit and tallies the
 // published records: each bucket is held once, by its MR segment, and so is
 // each out-of-line value a bucket names; at a drained quiesce no READ holds
-// one. The shared empty bucket counts nothing.
+// one. The shared empty bucket counts nothing. A bucket segment that holds
+// no bucket, or a way that names no value segment, is wrong.
 func (d *Directory) census(visit func(*hybridslab.Item) bool) []pool.Tally {
 	for _, e := range d.entries {
 		if e != nil {
@@ -383,23 +386,30 @@ func (d *Directory) census(visit func(*hybridslab.Item) bool) []pool.Tally {
 	}
 	var buckets pool.Walk[protocol.DirBucket, *protocol.DirBucket]
 	var segs pool.Walk[protocol.DirSegment, *protocol.DirSegment]
+	var wrong []string
 	for b := 0; b < d.buckets; b++ {
 		v, _ := d.dirMR.Segment(int64(b) * protocol.DirBucketBytes)
-		bucket := v.(*protocol.DirBucket)
+		bucket, ok := v.(*protocol.DirBucket)
+		if !ok {
+			wrong = append(wrong, fmt.Sprintf("bucket %d holds %T", b, v))
+			continue
+		}
 		buckets.Visit(bucket)
 		for _, slot := range bucket.Ways {
 			if slot.Kind != protocol.DirAtOffset {
 				continue
 			}
-			if v, _ := d.valMR.Segment(slot.Off); v != nil {
-				segs.Visit(v.(*protocol.DirSegment))
+			v, _ := d.valMR.Segment(slot.Off)
+			if seg, ok := v.(*protocol.DirSegment); ok {
+				segs.Visit(seg)
+			} else {
+				wrong = append(wrong, fmt.Sprintf("bucket %d names a segment at %d that holds %T", b, slot.Off, v))
 			}
 		}
 	}
-	return []pool.Tally{
-		pool.Count("buckets", &d.BucketRecs, &buckets, 0, nil),
-		pool.Count("segments", &d.SegmentRecs, &segs, 0, nil),
-	}
+	t := pool.Count("buckets", &d.BucketRecs, &buckets, 0)
+	t.Wrong = append(t.Wrong, wrong...)
+	return []pool.Tally{t, pool.Count("segments", &d.SegmentRecs, &segs, 0)}
 }
 
 // Quiesce empties the published state (crash, or the prelude to a cold

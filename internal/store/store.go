@@ -8,7 +8,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -403,16 +402,22 @@ func (s *Store) Reply(reqID uint64) *protocol.Response {
 // §16): every reply is free, and every item free, retired by a cold restart,
 // or held by exactly the holders a walk finds — its table entry, the
 // manager's residency and, with a directory attached, its directory entry,
-// whose published buckets and segments are tallied too.
+// whose published buckets and segments are tallied too. Wrong also names a
+// walked item that is retired or not its key's table entry.
 func (s *Store) Census() []pool.Tally {
 	var items pool.Walk[hybridslab.Item, *hybridslab.Item]
+	var wrong []string
 	visit := func(it *hybridslab.Item) bool {
-		if !it.Retired() { // counted as the restart left it
-			items.Visit(it)
+		items.Visit(it)
+		switch {
+		case it.Retired():
+			wrong = append(wrong, it.String()+": retired by a cold restart, and still held")
+		case s.table[it.Key] != it:
+			wrong = append(wrong, it.String()+": held, and not its key's table entry")
 		}
 		return true
 	}
-	for _, it := range s.table { // order-free: a walk counts
+	for _, it := range s.table { // order-free: a walk counts, and Err sorts
 		visit(it)
 	}
 	s.mgr.VisitLRU(math.MaxInt, visit)
@@ -420,11 +425,9 @@ func (s *Store) Census() []pool.Tally {
 	if d, ok := s.view.(*Directory); ok {
 		dir = d.census(visit)
 	}
-	return append([]pool.Tally{
-		pool.Count("replies", &s.replies, nil, 0, nil),
-		pool.Count("items", &s.mgr.Items, &items, s.mgr.Retired(),
-			func(it *hybridslab.Item) string { return fmt.Sprintf("item %q", it.Key) }),
-	}, dir...)
+	t := pool.Count("items", &s.mgr.Items, &items, s.mgr.Retired())
+	t.Wrong = append(t.Wrong, wrong...)
+	return append([]pool.Tally{pool.Count("replies", &s.replies, nil, 0), t}, dir...)
 }
 
 // Handle executes one parsed request against the store and builds the
