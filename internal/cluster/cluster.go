@@ -346,7 +346,7 @@ func (cl *Cluster) buildServer(i int) *server.Server {
 // and appends it to cl.Replicators.
 func (cl *Cluster) attachReplicator(id int, srv *server.Server) *replication.Replicator {
 	repl := replication.New(cl.Env, replication.Config{
-		ID: id, Factor: cl.Membership.Factor(), Pacer: cl.cfg.Pacer, NoScrub: cl.cfg.NoScrub,
+		ID: id, Pacer: cl.cfg.Pacer, NoScrub: cl.cfg.NoScrub,
 	}, cl.Membership, srv.Store(), srv.Device())
 	srv.AttachReplicator(repl)
 	return repl

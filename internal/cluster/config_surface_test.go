@@ -33,7 +33,7 @@ var configSurface = []struct {
 	{reflect.TypeOf(Profile{}), 10},
 	{reflect.TypeOf(core.Config{}), 6},
 	{reflect.TypeOf(server.Config{}), 4},
-	{reflect.TypeOf(replication.Config{}), 4},
+	{reflect.TypeOf(replication.Config{}), 3},
 	{reflect.TypeOf(hybridslab.Config{}), 7},
 	{reflect.TypeOf(slab.Config{}), 2},
 	{reflect.TypeOf(pagecache.Params{}), 4},

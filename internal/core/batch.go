@@ -39,7 +39,8 @@ type txBatch struct {
 // BeginBatch opens an explicit coalescing window: subsequent Issue calls on
 // this client park their wire messages per connection instead of posting
 // them, and Flush pushes each connection's parked ops out as one BatchFrame
-// per doorbell. Windows nest; only the outermost Flush sends.
+// per doorbell. A window is open or not — windows do not nest, and
+// BeginBatch on an open window changes nothing.
 //
 // Inside a window, WithBufferAck does not block Issue (nothing is on the
 // wire yet): the buffers become reusable after Flush, at DMA-sent time or —
@@ -49,27 +50,23 @@ func (c *Client) BeginBatch() error {
 	if c.cfg.Transport != RDMA {
 		return ErrTransport
 	}
-	c.batching++
+	c.batching = true
 	return nil
 }
 
-// Flush closes the innermost batch window. Closing the outermost window
-// hands every connection's parked operations to its TX engine: values up to
-// BatchInlineMax ride inline in coalesced frames of at most MaxBatchOps;
-// larger stores are posted as individual doorbells. Flush does not wait for
-// completions — use Wait/WaitAll as usual. Flushing with no open window is
-// a no-op.
+// Flush closes the batch window and hands every connection's parked
+// operations to its TX engine: values up to BatchInlineMax ride inline in
+// coalesced frames of at most MaxBatchOps; larger stores are posted as
+// individual doorbells. Flush does not wait for completions — use
+// Wait/WaitAll as usual. Flushing with no open window is a no-op.
 func (c *Client) Flush(p *sim.Proc) error {
 	if c.cfg.Transport != RDMA {
 		return ErrTransport
 	}
-	if c.batching == 0 {
+	if !c.batching {
 		return nil
 	}
-	c.batching--
-	if c.batching > 0 {
-		return nil
-	}
+	c.batching = false
 	for _, cn := range c.conns {
 		if len(cn.window) == 0 {
 			continue

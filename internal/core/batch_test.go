@@ -63,6 +63,38 @@ func TestBatchWindowCoalesces(t *testing.T) {
 	}
 }
 
+// TestBatchWindowsDoNotNest: a BeginBatch on an open window changes nothing
+// — each op is parked once — and the one Flush sends the single frame one
+// window would; a second Flush has no window to close and sends nothing.
+func TestBatchWindowsDoNotNest(t *testing.T) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	c := r.client
+	var sends0, frames0 int64
+	done := 0
+	r.env.Spawn("bench", func(p *sim.Proc) {
+		c.Set(p, "k", 4096, "v0", 0, 0)
+		sends0, frames0 = c.Counters.Val(metrics.CSends), c.Counters.Val(metrics.CFrames)
+		var reqs []*Req
+		for i := 0; i < 4; i++ {
+			c.BeginBatch()
+			req, _ := c.IGet(p, "k")
+			reqs = append(reqs, req)
+		}
+		if n := len(c.conns[0].window); n != 4 {
+			t.Errorf("%d attempts parked for 4 ops, want 4", n)
+		}
+		c.Flush(p)
+		c.Flush(p)
+		c.WaitAll(p, reqs)
+		done = len(reqs)
+	})
+	r.env.Run()
+	sends, frames := c.Counters.Val(metrics.CSends)-sends0, c.Counters.Val(metrics.CFrames)-frames0
+	if done != 4 || sends != 1 || frames != 1 {
+		t.Errorf("%d of 4 ops done, %d sends and %d frames, want 4, 1 and 1", done, sends, frames)
+	}
+}
+
 // TestDroppedBatchFrameRetriesAndConverges: losing a whole coalesced frame
 // must look to every member like its own lost attempt — each retries under
 // WithRetry and converges, even though the original send was shared.

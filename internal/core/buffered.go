@@ -99,13 +99,8 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	// first mismatch on, the queue keeps its holds, as the server may not be
 	// done with those messages.
 	answered := true
-	for i, req := range batch {
-		msg, ok := cn.stream.Recv(p)
-		if !ok {
-			c.kept = append(c.kept, batch[i:]...)
-			break
-		}
-		resp := msg.Payload.(*protocol.Response)
+	for _, req := range batch {
+		resp := cn.stream.Recv(p).Payload.(*protocol.Response)
 		if answered = answered && resp.ReqID == req.ID(); answered {
 			req.drop()
 		} else {

@@ -433,10 +433,7 @@ func (cn *conn) postRead(p *sim.Proc, req *Req, mr int, off int64, n int) (paylo
 func (cn *conn) readEngine(p *sim.Proc) {
 	c := cn.c
 	for {
-		wr, ok := cn.readq.Get(p)
-		if !ok {
-			return
-		}
+		wr, _ := cn.readq.Get(p)
 		wrs := append(cn.readWRs[:0], wr)
 		for len(wrs) < MaxBatchOps {
 			next, ok := cn.readq.TryGet()

@@ -295,7 +295,7 @@ type Client struct {
 	ring      *replication.Ring
 	nextID    uint64
 	buffering bool
-	batching  int // explicit BeginBatch/Flush window depth
+	batching  bool // an explicit BeginBatch/Flush window is open
 
 	// Hot-key serving state (Config.HotFanout; see hotread.go): the union
 	// of the per-connection hot sets, a round-robin cursor spreading hot
@@ -717,24 +717,21 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
 	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
 		var msg verbs.StreamMsg
-		var ok, late bool
+		heard := true
 		if timeout > 0 {
-			msg, ok, late = cn.stream.RecvTimeout(p, timeout)
+			msg, heard = cn.stream.RecvTimeout(p, timeout)
 		} else {
-			msg, ok = cn.stream.Recv(p)
+			msg = cn.stream.Recv(p)
 		}
 		switch {
-		case late && req.Attempts <= resends:
+		case !heard && req.Attempts <= resends:
 			req.Attempts++
 			c.Counters.Inc(metrics.CRetries)
 			c.Counters.Inc(metrics.CSends)
 			cn.stream.Send(p, wire.WireSize(), wire)
-		case late:
+		case !heard:
 			c.kept = append(c.kept, req)
 			req.finish(timedOut, nil)
-		case !ok: // the stream closed under the exchange
-			c.kept = append(c.kept, req)
-			req.finish(completed, &protocol.Response{Status: protocol.StatusError})
 		default:
 			// The delivery's hold on the reply is released once finish has
 			// copied it out, or at once for a stale one.

@@ -118,8 +118,6 @@ type endRow struct {
 	// the column adds).
 	moved  map[metrics.Counter]int64
 	adjust func(x *endCell, moved map[metrics.Counter]int64)
-	// unbuildable: why no cell of the row can be constructed.
-	unbuildable string
 }
 
 const endKey = "k"
@@ -311,17 +309,11 @@ var endRows = []endRow{
 			return x.c.roundTrip(p, endGet(endKey), endSocketRetry)
 		},
 	},
-	{
-		name:        "on a socket, the stream closed",
-		unbuildable: "nothing closes a verbs.Stream: the socket model has no Close, and the inbox is the package's own",
-	},
 }
 
 // cannot says why the cell cannot be constructed, "" when it can.
 func (row *endRow) cannot(col *endCol) string {
 	switch {
-	case row.unbuildable != "":
-		return row.unbuildable
 	case row.offWire && !(col.probe || row.ipoib && col.sent && !col.frame && !col.ack):
 		return "a bypass resolution or a socket exchange is never registered on its connection: it is not parked, queued, framed or acked"
 	case row.later && col.first:

@@ -80,10 +80,7 @@ func (c *Client) tickHeat(cn *conn, key string) {
 func (cn *conn) refresher(p *sim.Proc) {
 	c := cn.c
 	for {
-		key, ok := cn.heat.Get(p)
-		if !ok {
-			return
-		}
+		key, _ := cn.heat.Get(p)
 		c.Counters.Inc(metrics.CHotRefreshes)
 		if key != "" {
 			c.Counters.Inc(metrics.CHotSamples)

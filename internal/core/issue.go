@@ -202,7 +202,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	// Inside an explicit batch window nothing is on the wire yet, so
 	// WithBufferAck cannot block here; the buffers become reusable after
 	// Flush (see BeginBatch).
-	if o.ack && c.batching == 0 {
+	if o.ack && !c.batching {
 		p.Wait(&req.reusable)
 	}
 	return req, nil
@@ -249,7 +249,7 @@ func (c *Client) enqueueWire(req *Req, cn *conn) {
 	att.wire.RespMR = cn.respMR.LKey()
 	cn.pending[att.wire.ReqID] = att
 	req.hold()
-	if first && c.batching > 0 && att.wire.Op != protocol.OpDirQuery {
+	if first && c.batching && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
 		cn.txq.TryPut(txItem{att: att})
@@ -621,10 +621,7 @@ func (req *Req) lapse() ending {
 // every frame leaves as it is, under one credit.
 func (cn *conn) txEngine(p *sim.Proc) {
 	for {
-		item, ok := cn.txq.Get(p)
-		if !ok {
-			return
-		}
+		item, _ := cn.txq.Get(p)
 		one := [1]*attempt{item.att}
 		items := item.frame
 		if items == nil {

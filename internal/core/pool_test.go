@@ -173,7 +173,7 @@ func poolSoak(t *testing.T, transport Transport) {
 		if err != nil {
 			t.Fatalf("issue %s: %v", po.op.Key, err)
 		}
-		if rdma && c.batching == 0 && po.op.Code == protocol.OpSet && !req.Done() &&
+		if rdma && !c.batching && po.op.Code == protocol.OpSet && !req.Done() &&
 			req.opts.ack && req.first.state != attSent && req.first.state != attAcked {
 			t.Errorf("SET %s: BufferAck'ed Issue returned with its message still queued", po.op.Key)
 		}

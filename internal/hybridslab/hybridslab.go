@@ -519,10 +519,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 // asyncFlusher drains staged evictions in the background (write-behind).
 func (m *Manager) asyncFlusher(p *sim.Proc) {
 	for {
-		job, ok := m.flushQ.Get(p)
-		if !ok {
-			return
-		}
+		job, _ := m.flushQ.Get(p)
 		m.place(p, []flushJob{job})
 	}
 }
@@ -532,26 +529,21 @@ func (m *Manager) asyncFlusher(p *sim.Proc) {
 // evictionWindow accumulates evictions staged by one worker process while it
 // executes a batch of requests back-to-back.
 type evictionWindow struct {
-	depth int
-	jobs  []flushJob
+	jobs []flushJob
 }
 
 // BeginEvictionBatch opens a coalescing window for the calling process:
-// until the matching EndEvictionBatch, synchronous evictions it triggers
-// only stage their victims and free the RAM chunks; the SSD writes are
-// deferred and merged. Windows nest; other workers' evictions are
-// unaffected. A no-op for RAM-only managers (eviction just drops) and under
-// AsyncFlush (write-behind already decouples the write).
+// until its EndEvictionBatch, synchronous evictions it triggers only stage
+// their victims and free the RAM chunks; the SSD writes are deferred and
+// merged. A window is open or not — windows do not nest, and a second Begin
+// on an open one changes nothing; other workers' evictions are unaffected. A
+// no-op for RAM-only managers (eviction just drops) and under AsyncFlush
+// (write-behind already decouples the write).
 func (m *Manager) BeginEvictionBatch(p *sim.Proc) {
-	if m.file == nil || m.cfg.AsyncFlush {
+	if m.file == nil || m.cfg.AsyncFlush || m.windows[p] != nil {
 		return
 	}
-	w := m.windows[p]
-	if w == nil {
-		w = &evictionWindow{}
-		m.windows[p] = w
-	}
-	w.depth++
+	m.windows[p] = &evictionWindow{}
 }
 
 // EndEvictionBatch closes the calling process's window and lands its
@@ -559,9 +551,6 @@ func (m *Manager) BeginEvictionBatch(p *sim.Proc) {
 func (m *Manager) EndEvictionBatch(p *sim.Proc) {
 	w := m.windows[p]
 	if w == nil {
-		return
-	}
-	if w.depth--; w.depth > 0 {
 		return
 	}
 	delete(m.windows, p)

@@ -157,6 +157,18 @@ var writerRows = []writerRow{
 		},
 		act: func(p *sim.Proc, c *writerCell) { c.m.EvacuateQuarantined(p) },
 	},
+	{
+		// Windows do not nest: the second Begin keeps the one window, and
+		// the one End lands both jobs merged.
+		name: "window begun twice", writes: 1, lastRegions: 2,
+		prepare: func(c *writerCell) { c.coldest(2 * matrixChunkItems) },
+		act: func(p *sim.Proc, c *writerCell) {
+			c.m.BeginEvictionBatch(p)
+			c.m.BeginEvictionBatch(p)
+			c.evict(p, 2)
+			c.m.EndEvictionBatch(p)
+		},
+	},
 }
 
 // writerCol is one thing that happens to the write. In a clean run the last

@@ -60,7 +60,7 @@ func (r *Replicator) MembershipEpoch() uint64 { return r.mem.Epoch() }
 
 // replicaSet is the routing primitive: the membership's epoch-aware union.
 func (r *Replicator) replicaSet(key string) []int {
-	return r.mem.ReplicaSet(key, r.cfg.Factor)
+	return r.mem.ReplicaSet(key, r.mem.Factor())
 }
 
 // migrator drives this node's side of every membership transition. It
@@ -172,7 +172,7 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 	resp.Seg, resp.epoch, resp.Entries = f.Seg, f.epoch, r.frames.spareEntries()
 	newRing := r.mem.Ring()
 	theirs := func(key string, ks *keyState) bool {
-		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.cfg.Factor), f.From)
+		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.mem.Factor()), f.From)
 	}
 	for _, key := range sortedKeys(r.keys, theirs) {
 		ks := r.keys[key]

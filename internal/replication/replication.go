@@ -61,9 +61,6 @@ import (
 type Config struct {
 	// ID is the server id (the client ring's connection index).
 	ID int
-	// Factor is the replication factor R: each key lives on its primary
-	// plus R−1 backups.
-	Factor int
 	// NoScrub disables the anti-entropy scrubber entirely (the bitrot
 	// experiment's verify-without-scrub cells). False: digests are exchanged
 	// every scrubInterval.
@@ -140,7 +137,7 @@ type keyState struct {
 
 // maxRoundPeers bounds the peers of one key: its replica set minus self,
 // which during a migration is the union of two rings' sets. New rejects a
-// Factor that could exceed it.
+// membership factor that could exceed it.
 const maxRoundPeers = 16
 
 // peerSet is a key's replica set minus self, ascending (every send iterates
@@ -283,8 +280,8 @@ type Replicator struct {
 // migrator at every transition mem begins. Interconnect (or Join) must wire
 // it into the mesh before the simulation runs.
 func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.Device) *Replicator {
-	if 2*cfg.Factor > maxRoundPeers {
-		panic(fmt.Sprintf("replication: factor %d: a migrating key could have more than %d peers", cfg.Factor, maxRoundPeers))
+	if 2*mem.Factor() > maxRoundPeers {
+		panic(fmt.Sprintf("replication: factor %d: a migrating key could have more than %d peers", mem.Factor(), maxRoundPeers))
 	}
 	r := &Replicator{
 		env: env, cfg: cfg, mem: mem, st: st, dev: dev,
@@ -1014,7 +1011,8 @@ func (r *Replicator) engine(p *sim.Proc) {
 // process, so a scrub round's diff still follows the previous round's repairs.
 // A forward is therefore no longer ordered against the background frames of
 // the same peer; the same guard covers that too. Neither hand-off suspends.
-// The delivery's hold on f goes with it into a lane, or is given back here.
+// The delivery's hold on f goes with it into a lane, or is given back here
+// for an ack.
 func (r *Replicator) demux(f *frame) {
 	q := r.backQ
 	switch {
@@ -1025,9 +1023,7 @@ func (r *Replicator) demux(f *frame) {
 	case f.Kind == frameWrite && !f.Repair:
 		q = r.applyQ
 	}
-	if !q.TryPut(queued{f, r.gen}) {
-		f.Release()
-	}
+	q.TryPut(queued{f, r.gen}) // both lanes are unbounded
 }
 
 // queued is a frame waiting in a lane, with the incarnation it arrived in (a

@@ -104,11 +104,7 @@ func newPathRig(row pathRow, cfg Config) *pathRig {
 		r.post = func(p *sim.Proc, size int, payload any) { stream.Send(p, size, payload) }
 		env.Spawn("collector", func(p *sim.Proc) {
 			for {
-				msg, ok := stream.Recv(p)
-				if !ok {
-					return
-				}
-				r.note(msg.Payload)
+				r.note(stream.Recv(p).Payload)
 			}
 		})
 		return r
@@ -124,7 +120,7 @@ func newPathRig(row pathRow, cfg Config) *pathRig {
 		if row.replicas > 1 {
 			// Every server replicates every key, so server 0 coordinates as a
 			// member and both others are its backups.
-			repl := replication.New(env, replication.Config{ID: i, Factor: row.replicas}, mem, srv.Store(), srv.Device())
+			repl := replication.New(env, replication.Config{ID: i}, mem, srv.Store(), srv.Device())
 			srv.AttachReplicator(repl)
 			repls = append(repls, repl)
 		}

@@ -62,9 +62,10 @@ type Config struct {
 	// count (default 2 MB). Buffered GET requests are header-sized, so
 	// thousands fit and BufferAcks flow freely; buffered SET requests
 	// carry their values, so when the storage pool falls behind writes,
-	// the dispatcher stalls here, receives stop being re-posted, and
-	// clients run out of credits — the backpressure that throttles bset
-	// under write-heavy load (Figure 7(a)).
+	// the dispatcher blocks on its byte reservation and every arrival
+	// behind it waits for its BufferAck — the backpressure that throttles
+	// bset under write-heavy load (Figure 7(a)). Clients never run out of
+	// credits: recvDepth is deeper than any run keeps in flight.
 	BufferBytes int
 	// Overload bounds admission on the async pipeline: the dispatcher never
 	// blocks on the buffer reservation, and a request whose op class is over
@@ -801,10 +802,7 @@ func (s *Server) shed(p *sim.Proc, t *task, req *protocol.Request) {
 // queue as soon as the write is applied.
 func (s *Server) storageWorker(p *sim.Proc) {
 	for {
-		t, ok := s.reqQ.Get(p)
-		if !ok {
-			return
-		}
+		t, _ := s.reqQ.Get(p)
 		if len(s.stallWindows) > 0 {
 			if d := s.stallFor(p.Now()); d > 0 {
 				s.Stalled++
@@ -818,10 +816,7 @@ func (s *Server) storageWorker(p *sim.Proc) {
 // responder runs handed-over tails, one task at a time.
 func (s *Server) responder(p *sim.Proc) {
 	for {
-		t, ok := s.tailQ.Get(p)
-		if !ok {
-			return
-		}
+		t, _ := s.tailQ.Get(p)
 		s.tail(p, &t)
 	}
 }
@@ -993,18 +988,11 @@ func (s *Server) sendAck(p *sim.Proc, t *task) {
 func (s *Server) ipoibAcceptLoop(p *sim.Proc) {
 	n := 0
 	for {
-		stream, ok := s.host.Accept(p)
-		if !ok {
-			return
-		}
+		stream := s.host.Accept(p)
 		n++
 		s.env.Spawn(fmt.Sprintf("%s/conn%d", s.name, n), func(hp *sim.Proc) {
 			for {
-				msg, ok := stream.Recv(hp)
-				if !ok {
-					return
-				}
-				s.receive(hp, msg.Payload, task{stream: stream})
+				s.receive(hp, stream.Recv(hp).Payload, task{stream: stream})
 			}
 		})
 	}

@@ -219,8 +219,7 @@ func TestIPoIBServerRoundTrip(t *testing.T) {
 		stream := host.Dial(srv.Host())
 		req := &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 128, Value: "v"}
 		stream.Send(p, req.WireSize(), req)
-		msg, _ := stream.Recv(p)
-		resp = msg.Payload.(*protocol.Response)
+		resp = stream.Recv(p).Payload.(*protocol.Response)
 	})
 	env.Run()
 	if resp.Status != protocol.StatusStored {

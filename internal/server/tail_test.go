@@ -46,7 +46,7 @@ func newTailRig() *tailRig {
 	for i := 0; i < 2; i++ {
 		st := store.New(env, hybridslab.New(env, hybridslab.Config{Slab: slab.Config{MemLimit: 64 << 20}}, nil))
 		srv := NewRDMA(env, fab.AddNode(fmt.Sprintf("server%d", i)), st, Config{Pipeline: Async})
-		repl := replication.New(env, replication.Config{ID: i, Factor: 2, NoScrub: true}, mem, st, srv.Device())
+		repl := replication.New(env, replication.Config{ID: i, NoScrub: true}, mem, st, srv.Device())
 		srv.AttachReplicator(repl)
 		srv.Start()
 		repls = append(repls, repl)

@@ -173,7 +173,7 @@ func mixedModel(seed int64, h helpers) []string {
 				fire := func(ev *Event) func() {
 					return func() { note(hname, "fire"); ev.Fire() }
 				}
-				switch rng.Intn(9) {
+				switch rng.Intn(8) {
 				case 0:
 					p.Sleep(d())
 					note(name, "slept")
@@ -200,14 +200,9 @@ func mixedModel(seed int64, h helpers) []string {
 				case 5:
 					v := step
 					h.at(env, env.Now()+d(), func() { note(hname, "put=%v", shared.TryPut(v)) })
-					got, ok, timedOut := shared.GetTimeout(p, d())
-					note(name, "getTimeout=%d,%v,%v", got, ok, timedOut)
+					got, ok := shared.GetTimeout(p, d())
+					note(name, "getTimeout=%d,%v", got, ok)
 				case 6:
-					own := NewQueue[int](env, 0)
-					h.at(env, env.Now()+d(), func() { note(hname, "close"); own.Close() })
-					_, ok, timedOut := own.GetTimeout(p, d())
-					note(name, "closed=%v,%v", ok, timedOut)
-				case 7:
 					// An ack chained d after sent fires, through a process
 					// in both variants (the shape of an RC ack wait).
 					sent, acked, ackDelay := env.NewEvent(), env.NewEvent(), d()
@@ -221,7 +216,7 @@ func mixedModel(seed int64, h helpers) []string {
 					p.Wait(sent)
 					p.Wait(acked)
 					note(name, "acked")
-				case 8:
+				case 7:
 					h.at(env, env.Now()+d(), func() {
 						v, ok := narrow.TryGet()
 						note(hname, "drain=%d,%v", v, ok)

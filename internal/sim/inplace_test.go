@@ -92,8 +92,8 @@ func sleepModel(seed int64, parkAll bool) (trace []string, counts Counts, cut in
 				case 7:
 					v := step
 					env.AtFunc(env.Now()+d(), func() { q.TryPut(v) })
-					v, _, timedOut := q.GetTimeout(p, d())
-					if timedOut {
+					v, ok := q.GetTimeout(p, d())
+					if !ok {
 						v = -1
 					}
 					tag += 100 * v

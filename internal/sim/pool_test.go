@@ -79,9 +79,9 @@ func TestWakeupPoolSurvivesTimeoutRaces(t *testing.T) {
 					nextItem++
 				}
 				schedule(func() { q.TryPut(i) })
-				v, ok, timedOut := q.GetTimeout(p, budget)
-				if ok != wantEvent || timedOut == wantEvent {
-					t.Errorf("round %d: GetTimeout = (%d, %v, %v), want ok=%v", i, v, ok, timedOut, wantEvent)
+				v, ok := q.GetTimeout(p, budget)
+				if ok != wantEvent {
+					t.Errorf("round %d: GetTimeout = (%d, %v), want ok=%v", i, v, ok, wantEvent)
 					return
 				}
 				if ok {

@@ -37,7 +37,9 @@ func (r *ring[T]) pop() T {
 // Queue is a FIFO channel-like conduit between simulated processes with an
 // optional capacity bound. A capacity of 0 means unbounded. Handoff is
 // instantaneous in virtual time; use it to model request queues, NIC work
-// queues, device submission queues and similar structures.
+// queues, device submission queues and similar structures. A queue never
+// closes: it lives as long as the processes that drain it, so a consumer loop
+// has no exit.
 type Queue[T any] struct {
 	env     *Env
 	cap     int
@@ -45,7 +47,6 @@ type Queue[T any] struct {
 	getters ring[*qwaiter[T]]
 	putters ring[*qwaiter[T]]
 	spare   *qwaiter[T] // free list of waiter records
-	closed  bool
 }
 
 // qwaiter is one process blocked in Get (v receives the item) or Put (v is
@@ -55,8 +56,7 @@ type Queue[T any] struct {
 type qwaiter[T any] struct {
 	w      *wakeup
 	v      T
-	served bool // popped from its ring: an item (or, for a getter, closure) was handed over
-	closed bool // served by Close, not by an item
+	served bool // popped from its ring: an item was handed over
 	next   *qwaiter[T]
 }
 
@@ -84,26 +84,8 @@ func (q *Queue[T]) recycle(qw *qwaiter[T]) {
 	q.spare = qw
 }
 
-// Close marks the queue closed: subsequent Put panics, pending and future
-// Gets drain remaining items and then return ok=false.
-func (q *Queue[T]) Close() {
-	if q.closed {
-		return
-	}
-	q.closed = true
-	// Wake blocked getters; they will observe the close.
-	for g := q.popGetter(); g != nil; g = q.popGetter() {
-		g.closed = true
-		q.env.fireWakeup(g.w)
-	}
-}
-
 // TryPut appends v without blocking. It reports false if the queue is full.
-// Panics if the queue is closed.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed {
-		panic("sim: Put on closed Queue")
-	}
 	if g := q.popGetter(); g != nil {
 		g.v = v
 		q.env.fireWakeup(g.w)
@@ -141,34 +123,24 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 }
 
 // Get removes and returns the head item, blocking the process while the
-// queue is empty. ok is false only if the queue was closed and drained.
+// queue is empty. ok is always true: a queue never closes.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	if v, ok = q.TryGet(); ok {
 		return v, true
-	}
-	if q.closed {
-		return v, false
 	}
 	p.mustBeRunning("Queue.Get")
 	g := q.newWaiter(p, 0)
 	q.getters.push(g)
 	p.park()
-	return q.received(g)
+	return q.received(g), true
 }
 
 // GetTimeout is Get bounded by d of virtual time: it returns the head item
-// (ok=true), queue closure (ok=false, timedOut=false), or expiry of the
-// timeout with nothing received (timedOut=true). d ≤ 0 with an empty queue
-// times out immediately.
-func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool, timedOut bool) {
-	if v, ok = q.TryGet(); ok {
-		return v, true, false
-	}
-	if q.closed {
-		return v, false, false
-	}
-	if d <= 0 {
-		return v, false, true
+// with ok=true, or ok=false once the timeout expires with nothing received.
+// d ≤ 0 with an empty queue times out immediately.
+func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
+	if v, ok = q.TryGet(); ok || d <= 0 {
+		return v, ok
 	}
 	p.mustBeRunning("Queue.GetTimeout")
 	g := q.newWaiter(p, tagEvent)
@@ -178,23 +150,18 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool, timedOut bool) {
 		// Delivery of the timeout canceled g's wakeup, so g can no longer be
 		// served; it is recycled when it reaches the head of the line.
 		q.dropTimedOut()
-		return v, false, true
+		return v, false
 	}
 	// Served — possibly at the very instant the timeout was due, and woken
 	// by the timeout: the item is ours either way.
-	v, ok = q.received(g)
-	return v, ok, false
+	return q.received(g), true
 }
 
-// received collects what a served getter was handed and recycles it.
-func (q *Queue[T]) received(g *qwaiter[T]) (v T, ok bool) {
-	v, closed := g.v, g.closed
+// received collects the item a served getter was handed and recycles it.
+func (q *Queue[T]) received(g *qwaiter[T]) T {
+	v := g.v
 	q.recycle(g)
-	if closed {
-		// Woken by Close: drain any buffered remainder first.
-		return q.TryGet()
-	}
-	return v, true
+	return v
 }
 
 // popGetter removes and returns the first live blocked getter, or nil.

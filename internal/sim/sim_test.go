@@ -274,48 +274,6 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	}
 }
 
-func TestQueueCloseDrains(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, 0)
-	q.TryPut(1)
-	q.TryPut(2)
-	var got []int
-	var closedOK bool
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				closedOK = true
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	e.Spawn("closer", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		q.Close()
-	})
-	e.Run()
-	if len(got) != 2 || !closedOK {
-		t.Errorf("drained %v closed=%v, want [1 2] true", got, closedOK)
-	}
-}
-
-func TestQueueCloseWakesBlockedGetter(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, 0)
-	var ok = true
-	e.Spawn("consumer", func(p *Proc) { _, ok = q.Get(p) })
-	e.Spawn("closer", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		q.Close()
-	})
-	e.Run()
-	if ok {
-		t.Errorf("Get on closed empty queue returned ok=true")
-	}
-}
-
 func TestQueueTryVariants(t *testing.T) {
 	e := NewEnv()
 	q := NewQueue[int](e, 1)

@@ -57,22 +57,19 @@ func TestWaitTimeoutNonPositiveBudget(t *testing.T) {
 
 func TestGetTimeoutTable(t *testing.T) {
 	cases := []struct {
-		name string
-		// putAt < 0 means never put; closeAt < 0 means never close.
-		putAt, closeAt Time
-		budget         Time
-		wantOK         bool
-		wantTimedOut   bool
-		wantAt         Time
+		name   string
+		putAt  Time // < 0: never put
+		budget Time
+		wantOK bool
+		wantAt Time
 	}{
-		{"value before deadline", 30, -1, 100, true, false, 30},
-		{"deadline before value", 500, -1, 100, false, true, 100},
+		{"value before deadline", 30, 100, true, 30},
+		{"deadline before value", 500, 100, false, 100},
 		// The put runs at the deadline instant, ahead of the timeout's turn:
 		// the item is handed over, and must not be lost to the timeout.
-		{"value at the deadline instant", 100, -1, 100, true, false, 100},
-		{"nothing ever arrives", -1, -1, 70, false, true, 70},
-		{"zero budget empty queue", -1, -1, 0, false, true, 0},
-		{"closed while waiting", -1, 40, 100, false, false, 40},
+		{"value at the deadline instant", 100, 100, true, 100},
+		{"nothing ever arrives", -1, 70, false, 70},
+		{"zero budget empty queue", -1, 0, false, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,20 +78,16 @@ func TestGetTimeoutTable(t *testing.T) {
 			if tc.putAt >= 0 {
 				env.AtFunc(tc.putAt, func() { q.TryPut(7) })
 			}
-			if tc.closeAt >= 0 {
-				env.AtFunc(tc.closeAt, func() { q.Close() })
-			}
 			var v int
-			var ok, timedOut bool
+			var ok bool
 			var at Time
 			env.Spawn("consumer", func(p *Proc) {
-				v, ok, timedOut = q.GetTimeout(p, tc.budget)
+				v, ok = q.GetTimeout(p, tc.budget)
 				at = p.Now()
 			})
 			env.Run()
-			if ok != tc.wantOK || timedOut != tc.wantTimedOut || at != tc.wantAt {
-				t.Errorf("ok=%v timedOut=%v at=%v, want ok=%v timedOut=%v at=%v",
-					ok, timedOut, at, tc.wantOK, tc.wantTimedOut, tc.wantAt)
+			if ok != tc.wantOK || at != tc.wantAt {
+				t.Errorf("ok=%v at=%v, want ok=%v at=%v", ok, at, tc.wantOK, tc.wantAt)
 			}
 			if tc.wantOK && v != 7 {
 				t.Errorf("value = %d, want 7", v)
@@ -108,9 +101,9 @@ func TestGetTimeoutImmediateValue(t *testing.T) {
 	q := NewQueue[int](env, 0)
 	q.TryPut(1)
 	env.Spawn("consumer", func(p *Proc) {
-		v, ok, timedOut := q.GetTimeout(p, 100)
-		if !ok || timedOut || v != 1 || p.Now() != 0 {
-			t.Errorf("immediate get: v=%d ok=%v timedOut=%v at=%v", v, ok, timedOut, p.Now())
+		v, ok := q.GetTimeout(p, 100)
+		if !ok || v != 1 || p.Now() != 0 {
+			t.Errorf("immediate get: v=%d ok=%v at=%v", v, ok, p.Now())
 		}
 	})
 	env.Run()
@@ -122,8 +115,8 @@ func TestGetTimeoutThenNormalGetStillWorks(t *testing.T) {
 	q := NewQueue[int](env, 0)
 	var got int
 	env.Spawn("consumer", func(p *Proc) {
-		if _, ok, timedOut := q.GetTimeout(p, 10); ok || !timedOut {
-			t.Errorf("first get: ok=%v timedOut=%v", ok, timedOut)
+		if _, ok := q.GetTimeout(p, 10); ok {
+			t.Error("first get: ok=true, want a timeout")
 		}
 		v, ok := q.Get(p)
 		if !ok {

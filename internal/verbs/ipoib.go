@@ -107,8 +107,9 @@ func (h *Host) Dial(remote *Host) *Stream {
 }
 
 // Accept blocks until an inbound connection arrives.
-func (h *Host) Accept(p *sim.Proc) (*Stream, bool) {
-	return h.accept.Get(p)
+func (h *Host) Accept(p *sim.Proc) *Stream {
+	s, _ := h.accept.Get(p)
+	return s
 }
 
 // Send writes one message to the stream. The caller blocks for the kernel
@@ -128,21 +129,19 @@ func (s *Stream) Send(p *sim.Proc, size int, payload any) {
 }
 
 // Recv blocks until a message arrives on the stream.
-func (s *Stream) Recv(p *sim.Proc) (StreamMsg, bool) {
-	return s.inbox.Get(p)
+func (s *Stream) Recv(p *sim.Proc) StreamMsg {
+	msg, _ := s.inbox.Get(p)
+	return msg
 }
 
 // RecvTimeout is Recv bounded by d of virtual time (SO_RCVTIMEO semantics).
-// timedOut=true means nothing arrived before the deadline.
-func (s *Stream) RecvTimeout(p *sim.Proc, d sim.Time) (msg StreamMsg, ok bool, timedOut bool) {
+// ok=false means nothing arrived before the deadline.
+func (s *Stream) RecvTimeout(p *sim.Proc, d sim.Time) (msg StreamMsg, ok bool) {
 	return s.inbox.GetTimeout(p, d)
 }
 
 func (h *Host) deliver(m *simnet.Message) {
-	w, ok := m.Payload.(*streamWire)
-	if !ok {
-		panic("verbs: non-stream payload on IPoIB host")
-	}
+	w := m.Payload.(*streamWire)
 	s := h.streams[w.dstStream]
 	if s == nil {
 		panic(fmt.Sprintf("verbs: delivery to unknown stream %d on %s", w.dstStream, h.node.Name()))

@@ -165,18 +165,15 @@ func TestIPoIBStreamRoundTrip(t *testing.T) {
 	var reply StreamMsg
 	var rtt sim.Time
 	env.Spawn("server", func(p *sim.Proc) {
-		s, ok := hB.Accept(p)
-		if !ok {
-			return
-		}
-		m, _ := s.Recv(p)
+		s := hB.Accept(p)
+		m := s.Recv(p)
 		s.Send(p, m.Size, "pong:"+m.Payload.(string))
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		s := hA.Dial(hB)
 		t0 := p.Now()
 		s.Send(p, 1024, "ping")
-		reply, _ = s.Recv(p)
+		reply = s.Recv(p)
 		rtt = p.Now() - t0
 	})
 	env.Run()
@@ -198,9 +195,9 @@ func TestIPoIBOrderedDelivery(t *testing.T) {
 	hB := NewHost(f.AddNode("b"))
 	var got []int
 	env.Spawn("server", func(p *sim.Proc) {
-		s, _ := hB.Accept(p)
+		s := hB.Accept(p)
 		for i := 0; i < 20; i++ {
-			m, _ := s.Recv(p)
+			m := s.Recv(p)
 			got = append(got, m.Payload.(int))
 		}
 	})
