@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt counters maporder race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs claims loc loc-diff fuzz check
+.PHONY: build test vet fmt counters rigs maporder race race-robustness smoke robustness examples verify vuln benchmark-check virtual-identity ab reach allocs knobs claims loc loc-diff fuzz check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,21 @@ fmt:
 counters:
 	@out=$$(grep -rnE '\.(Add|Get)\("' internal | grep -v '^internal/metrics/metrics_test.go:'); \
 	test -z "$$out" || { echo "make counters: a counter written or read by name:"; echo "$$out"; exit 1; }
+
+# A driver that never returns fails its test (DESIGN §16): a test outside
+# internal/sim runs its driver processes under sim.Drive / sim.DriveUntil,
+# which name every driver whose function has not returned when the run ends.
+# A direct .Run() or .RunUntil( in a *_test.go under internal/, cmd/ or
+# examples/ carries a `// no driver: <why>` comment on its line or the line
+# above: a run of callbacks or engines alone, an allocation step, a window
+# whose parked driver is the point. internal/sim's own tests call Run because
+# they test it.
+rigs:
+	@out=$$(find internal cmd examples -name '*_test.go' -not -path 'internal/sim/*' | sort | xargs -r awk ' \
+		FNR == 1 { prev = "" } \
+		/\.(Run\(\)|RunUntil\()/ && $$0 !~ /\/\/ no driver: [^ ]/ && prev !~ /^[ \t]*\/\/ no driver: [^ ]/ { print FILENAME ":" FNR ": " $$0 } \
+		{ prev = $$0 }'); \
+	test -z "$$out" || { echo "make rigs: a direct Run with neither the driver rig nor a // no driver: reason:"; echo "$$out"; exit 1; }
 
 # Map iteration order decides nothing (DESIGN §16): every range over a map in
 # production code under internal/ sorts the slice it appends to, after the
@@ -293,10 +308,10 @@ loc-diff:
 		END { for (name in seen) printf "%-22s gone (was %d lines, %d test lines)\n", name, before[name, 2], before[name, 6] }' \
 		"$$tmp/before.txt" "$$tmp/after.txt"
 
-# The pre-merge gate: static analysis, formatting, the counter rule and the
-# map-order rule, the full suite under
+# The pre-merge gate: static analysis, formatting, the counter rule, the
+# driver-rig rule and the map-order rule, the full suite under
 # the race detector (plus the robustness packages at -count=2), a registry
 # smoke run (the ten robustness experiments among its 24), the three examples,
 # the golden gate over the committed snapshots, the benchmark's determinism
 # gate, and the gated vulnerability scan. Each thing runs once.
-check: vet fmt counters maporder race race-robustness smoke examples verify benchmark-check vuln
+check: vet fmt counters rigs maporder race race-robustness smoke examples verify benchmark-check vuln

@@ -10,8 +10,7 @@ func TestFetchPaysPenalty(t *testing.T) {
 	env := sim.NewEnv()
 	db := New(env)
 	var v any
-	env.Spawn("client", func(p *sim.Proc) { v = db.Fetch(p, "k1") })
-	end := env.Run()
+	end := sim.Drive(t, env, "client", func(p *sim.Proc) { v = db.Fetch(p, "k1") })
 	if end != Penalty {
 		t.Errorf("fetch took %v, want %v", end, Penalty)
 	}
@@ -26,10 +25,11 @@ func TestFetchPaysPenalty(t *testing.T) {
 func TestConcurrencyBound(t *testing.T) {
 	env := sim.NewEnv()
 	db := New(env)
+	var cs []sim.Driver
 	for i := 0; i < 2*Concurrency; i++ {
-		env.Spawn("client", func(p *sim.Proc) { db.Fetch(p, "k") })
+		cs = append(cs, sim.Driver{Name: "client", Fn: func(p *sim.Proc) { db.Fetch(p, "k") }})
 	}
-	if end := env.Run(); end != 2*Penalty {
+	if end := sim.DriveUntil(t, env, -1, cs...); end != 2*Penalty {
 		t.Errorf("%d fetches at depth %d took %v, want %v", 2*Concurrency, Concurrency, end, 2*Penalty)
 	}
 }

@@ -24,6 +24,7 @@ func chainRun(t *testing.T, rounds int) *run {
 			ch := checkerChain("t", rounds, 1, false, true)
 			r.spawnWriters(cl, cl.Clients[0], ch)
 			r.spawnCounter(cl, cl.Clients[0], ch)
+			// no driver: the actors are the registry's own; the log's liveness rule checks they finished
 			cl.Env.RunUntil(cl.Env.Now() + 100*sim.Millisecond)
 			r.Ops = int64(r.Log.Expected)
 		},
@@ -123,7 +124,7 @@ func TestScheduleTiming(t *testing.T) {
 		{after: quiet, kind: decommission, target: 0},
 		{kind: settle},
 	})
-	cl.Env.Run()
+	cl.Env.Run() // no driver: spawnSchedule is the registry's own interpreter; the windows it logs are the check
 	recovery := cl.Servers[1].RecoveryTime
 	if len(log.Crashes) != 2 || len(log.Rebalances) != 2 {
 		t.Fatalf("logged %d crash and %d rebalance windows, want 2 and 2", len(log.Crashes), len(log.Rebalances))

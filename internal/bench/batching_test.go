@@ -54,7 +54,7 @@ func TestBatchOneMatchesPlainDriver(t *testing.T) {
 	c.drive = func(cl *cluster.Cluster, r *run) {
 		gen, client := c.spec.gen(zipf(0.5, 7)), cl.Clients[0]
 		start := cl.Env.Now()
-		cl.Env.Spawn("plain", func(p *sim.Proc) {
+		sim.Drive(t, cl.Env, "plain", func(p *sim.Proc) {
 			vs := gen.ValueSize()
 			for i := 0; i < ops; i++ {
 				kind, key := gen.Next()
@@ -72,7 +72,6 @@ func TestBatchOneMatchesPlainDriver(t *testing.T) {
 				client.Release(req)
 			}
 		})
-		cl.Env.Run()
 		r.Elapsed, r.Ops = cl.Env.Now()-start, ops
 	}
 	if plain := runCell(t, c).Elapsed; batched != plain {

@@ -8,15 +8,14 @@ import (
 
 // rotDev builds a device with n durable extents of size sz at offsets 0, sz,
 // 2sz, … written at virtual time 0.
-func rotDev(env *sim.Env, n, sz int) *Device {
+func rotDev(t testing.TB, env *sim.Env, n, sz int) *Device {
 	d := New(env, SATA(), 1<<30)
-	env.Spawn("seed", func(p *sim.Proc) {
+	sim.Drive(t, env, "seed", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			off := int64(i * sz)
 			d.WriteAt(p, off, sz, i)
 		}
 	})
-	env.Run()
 	return d
 }
 
@@ -26,7 +25,7 @@ func rotDev(env *sim.Env, n, sz int) *Device {
 func TestBitRotDeterministicPerSeed(t *testing.T) {
 	rotten := func(seed int64) []bool {
 		env := sim.NewEnv()
-		d := rotDev(env, 200, 4096)
+		d := rotDev(t, env, 200, 4096)
 		d.AddBitRot(seed, 0, sim.Millisecond, 0.3)
 		out := make([]bool, 200)
 		for i := range out {
@@ -65,7 +64,7 @@ func TestBitRotDeterministicPerSeed(t *testing.T) {
 // latent sector errors behave under fresh programs.
 func TestBitRotRewriteRefreshesCells(t *testing.T) {
 	env := sim.NewEnv()
-	d := rotDev(env, 50, 4096)
+	d := rotDev(t, env, 50, 4096)
 	d.AddBitRot(3, 0, sim.Millisecond, 1.0) // every extent rots inside [0, 1ms)
 	victim := int64(-1)
 	for i := 0; i < 50; i++ {
@@ -83,11 +82,10 @@ func TestBitRotRewriteRefreshesCells(t *testing.T) {
 	}
 	// Rewrite after the whole window: WrittenAt now exceeds every candidate
 	// rot instant, so the extent is clean again at any later read.
-	env.Spawn("rewrite", func(p *sim.Proc) {
+	sim.Drive(t, env, "rewrite", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		d.WriteAt(p, victim, 4096, "fresh")
 	})
-	env.Run()
 	if d.Rotten(victim, env.Now()+sim.Second) {
 		t.Error("rewritten extent still reads rotten")
 	}
@@ -99,15 +97,14 @@ func TestBitRotRewriteRefreshesCells(t *testing.T) {
 func TestRottedReadChargesNormalServiceTime(t *testing.T) {
 	read := func(arm func(d *Device)) (elapsed sim.Time, payload any, ok bool) {
 		env := sim.NewEnv()
-		d := rotDev(env, 1, 4096)
+		d := rotDev(t, env, 1, 4096)
 		arm(d)
-		env.Spawn("read", func(p *sim.Proc) {
+		sim.Drive(t, env, "read", func(p *sim.Proc) {
 			p.Sleep(sim.Millisecond) // read after any rot window closed
 			t0 := p.Now()
 			payload, ok = d.ReadAt(p, 0, 4096)
 			elapsed = p.Now() - t0
 		})
-		env.Run()
 		return elapsed, payload, ok
 	}
 	cleanT, cleanV, cleanOK := read(func(d *Device) {
@@ -140,18 +137,17 @@ func TestRottedReadChargesNormalServiceTime(t *testing.T) {
 func TestBitRotDoesNotPerturbFaultRNG(t *testing.T) {
 	errs := func(rot bool) int64 {
 		env := sim.NewEnv()
-		d := rotDev(env, 100, 4096)
+		d := rotDev(t, env, 100, 4096)
 		d.SetFaults(21, 0.5, 0)
 		if rot {
 			d.AddBitRot(8, 0, sim.Millisecond, 0.5)
 		}
-		env.Spawn("reads", func(p *sim.Proc) {
+		sim.Drive(t, env, "reads", func(p *sim.Proc) {
 			p.Sleep(2 * sim.Millisecond)
 			for i := 0; i < 100; i++ {
 				d.ReadAt(p, int64(i*4096), 4096)
 			}
 		})
-		env.Run()
 		return d.ReadErrors
 	}
 	without, with := errs(false), errs(true)
@@ -164,7 +160,7 @@ func TestBitRotDoesNotPerturbFaultRNG(t *testing.T) {
 // Rotten (the ground-truth oracle) counts nothing.
 func TestRotReadCountsBites(t *testing.T) {
 	env := sim.NewEnv()
-	d := rotDev(env, 100, 4096)
+	d := rotDev(t, env, 100, 4096)
 	d.AddBitRot(8, 0, sim.Millisecond, 0.5)
 	rotted := 0
 	for i := 0; i < 100; i++ {
@@ -175,13 +171,12 @@ func TestRotReadCountsBites(t *testing.T) {
 	if d.RottenReads != 0 {
 		t.Fatalf("oracle Rotten bumped RottenReads to %d", d.RottenReads)
 	}
-	env.Spawn("reads", func(p *sim.Proc) {
+	sim.Drive(t, env, "reads", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		for i := 0; i < 100; i++ {
 			d.ReadAt(p, int64(i*4096), 4096)
 		}
 	})
-	env.Run()
 	if d.RottenReads != int64(rotted) {
 		t.Errorf("RottenReads = %d, oracle says %d extents were rotten", d.RottenReads, rotted)
 	}

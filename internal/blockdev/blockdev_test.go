@@ -38,11 +38,10 @@ func TestWriteThenRead(t *testing.T) {
 	d := New(env, SATA(), 1<<30)
 	var got any
 	var ok bool
-	env.Spawn("io", func(p *sim.Proc) {
+	end := sim.Drive(t, env, "io", func(p *sim.Proc) {
 		d.WriteAt(p, 4096, 32*1024, "item-7")
 		got, ok = d.ReadAt(p, 4096, 32*1024)
 	})
-	end := env.Run()
 	if !ok || got != "item-7" {
 		t.Errorf("read back (%v,%v)", got, ok)
 	}
@@ -56,8 +55,7 @@ func TestReadUnwrittenReturnsNotOK(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, NVMe(), 1<<30)
 	var ok bool
-	env.Spawn("io", func(p *sim.Proc) { _, ok = d.ReadAt(p, 0, 4096) })
-	env.Run()
+	sim.Drive(t, env, "io", func(p *sim.Proc) { _, ok = d.ReadAt(p, 0, 4096) })
 	if ok {
 		t.Errorf("read of unwritten extent reported ok")
 	}
@@ -67,11 +65,12 @@ func TestChannelParallelism(t *testing.T) {
 	// 8 concurrent 1MB reads on a 4-channel SATA drive must take 2 rounds.
 	env := sim.NewEnv()
 	d := New(env, SATA(), 1<<30)
+	var ws []sim.Driver
 	for i := 0; i < 4; i++ {
 		off := int64(i) << 20
-		env.Spawn("w", func(p *sim.Proc) { d.WriteAt(p, off, 1<<20, i) })
+		ws = append(ws, sim.Driver{Name: "w", Fn: func(p *sim.Proc) { d.WriteAt(p, off, 1<<20, i) }})
 	}
-	env.Run()
+	sim.DriveUntil(t, env, -1, ws...)
 
 	env2 := sim.NewEnv()
 	d2 := New(env2, SATA(), 1<<30)
@@ -79,11 +78,12 @@ func TestChannelParallelism(t *testing.T) {
 		off := int64(i) << 20
 		d2.Persist(off, 1<<20, 1<<20, i)
 	}
+	var rs []sim.Driver
 	for i := 0; i < 8; i++ {
 		off := int64(i) << 20
-		env2.Spawn("r", func(p *sim.Proc) { d2.ReadAt(p, off, 1<<20) })
+		rs = append(rs, sim.Driver{Name: "r", Fn: func(p *sim.Proc) { d2.ReadAt(p, off, 1<<20) }})
 	}
-	end := env2.Run()
+	end := sim.DriveUntil(t, env2, -1, rs...)
 	one := SATA().ReadTime(1 << 20)
 	if end != 2*one {
 		t.Errorf("8 reads on 4 channels took %v, want %v", end, 2*one)
@@ -94,12 +94,13 @@ func TestNVMeParallelismBeatsSATAUnderLoad(t *testing.T) {
 	run := func(prof Profile) sim.Time {
 		env := sim.NewEnv()
 		d := New(env, prof, 1<<30)
+		var rs []sim.Driver
 		for i := 0; i < 16; i++ {
 			off := int64(i) * 4096
 			d.Persist(off, 4096, 4096, i)
-			env.Spawn("r", func(p *sim.Proc) { d.ReadAt(p, off, 4096) })
+			rs = append(rs, sim.Driver{Name: "r", Fn: func(p *sim.Proc) { d.ReadAt(p, off, 4096) }})
 		}
-		return env.Run()
+		return sim.DriveUntil(t, env, -1, rs...)
 	}
 	sata, nvme := run(SATA()), run(NVMe())
 	if float64(sata)/float64(nvme) < 4 {
@@ -115,19 +116,17 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Errorf("out-of-capacity write did not panic")
 		}
 	}()
-	env.Spawn("w", func(p *sim.Proc) { d.WriteAt(p, 1<<20-100, 4096, nil) })
-	env.Run()
+	sim.Drive(t, env, "w", func(p *sim.Proc) { d.WriteAt(p, 1<<20-100, 4096, nil) })
 }
 
 func TestStatsAndBusyTime(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, SATA(), 1<<30)
-	env.Spawn("io", func(p *sim.Proc) {
+	sim.Drive(t, env, "io", func(p *sim.Proc) {
 		d.WriteAt(p, 0, 1000, nil)
 		d.ReadAt(p, 0, 1000)
 		d.ServeRaw(p, true, 500)
 	})
-	env.Run()
 	if d.Writes != 2 || d.Reads != 1 {
 		t.Errorf("ops writes=%d reads=%d, want 2/1", d.Writes, d.Reads)
 	}
@@ -168,7 +167,7 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 		d := New(env, NVMe(), 1<<30)
 		seen := make(map[int64]uint64)
 		ok := true
-		env.Spawn("io", func(p *sim.Proc) {
+		sim.Drive(t, env, "io", func(p *sim.Proc) {
 			for i, o := range offs {
 				off := int64(o) * 4096
 				val := tag + uint64(i)
@@ -182,7 +181,6 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 				}
 			}
 		})
-		env.Run()
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -10,17 +10,18 @@ import (
 
 // writeEnds issues one write per size on a fresh drive, the i-th at
 // offsets[i], and returns when each completed.
-func writeEnds(prof Profile, sizes []int, offsets []sim.Time) []sim.Time {
+func writeEnds(t testing.TB, prof Profile, sizes []int, offsets []sim.Time) []sim.Time {
 	env := sim.NewEnv()
 	d := New(env, prof, 1<<40)
 	ends := make([]sim.Time, len(sizes))
+	ws := make([]sim.Driver, len(sizes))
 	for i, size := range sizes {
-		env.SpawnAt(offsets[i], "w", func(p *sim.Proc) {
+		ws[i] = sim.Driver{Name: "w", At: offsets[i], Fn: func(p *sim.Proc) {
 			d.ServeRaw(p, true, size)
 			ends[i] = p.Now()
-		})
+		}}
 	}
-	env.Run()
+	sim.DriveUntil(t, env, -1, ws...)
 	return ends
 }
 
@@ -50,7 +51,7 @@ func TestWriteBandwidthShared(t *testing.T) {
 		{"second arrives at the first's end minus a base", []int{mb, mb}, []sim.Time{0, x(mb)},
 			[]sim.Time{prof.WriteTime(mb), x(mb) + prof.WriteTime(mb)}},
 	} {
-		got := writeEnds(prof, tc.sizes, tc.offsets)
+		got := writeEnds(t, prof, tc.sizes, tc.offsets)
 		for i := range got {
 			if got[i] != tc.want[i] {
 				t.Errorf("%s: write %d ends at %v, want %v", tc.name, i, got[i], tc.want[i])
@@ -65,15 +66,15 @@ func TestWriteBandwidthShared(t *testing.T) {
 func TestWaitingWritesLeaveChannelsToReads(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, SATA(), 1<<40)
+	var ds []sim.Driver
 	for i := 0; i < 8; i++ {
-		env.Spawn("w", func(p *sim.Proc) { d.ServeRaw(p, true, 1<<20) })
+		ds = append(ds, sim.Driver{Name: "w", Fn: func(p *sim.Proc) { d.ServeRaw(p, true, 1<<20) }})
 	}
 	var took sim.Time
-	env.SpawnAt(sim.Millisecond, "r", func(p *sim.Proc) {
+	end := sim.DriveUntil(t, env, -1, append(ds, sim.Driver{Name: "r", At: sim.Millisecond, Fn: func(p *sim.Proc) {
 		d.ServeRaw(p, false, 4096)
 		took = p.Now() - sim.Millisecond
-	})
-	end := env.Run()
+	}})...)
 	if want := SATA().ReadTime(4096); took != want {
 		t.Errorf("read beside eight queued writes took %v, want %v", took, want)
 	}
@@ -99,7 +100,7 @@ func TestWriteShareClosedFormProperty(t *testing.T) {
 			}
 			sizes = append(sizes, int(r%(16<<20)))
 		}
-		got := writeEnds(prof, sizes, make([]sim.Time, len(sizes)))
+		got := writeEnds(t, prof, sizes, make([]sim.Time, len(sizes)))
 		sort.Ints(sizes)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		var done sim.Time
@@ -139,7 +140,7 @@ func TestWriteShareBandwidthBoundProperty(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		ends := writeEnds(prof, sizes, offsets)
+		ends := writeEnds(t, prof, sizes, offsets)
 		last := ends[0]
 		for i := range ends {
 			if ends[i]-offsets[i] < prof.WriteTime(sizes[i]) {

@@ -41,7 +41,7 @@ func TestFailedChainIsNeverAcked(t *testing.T) {
 			// rounds, so each attempt ends in its NoReplica answer, not a timeout.
 			retry := core.WithRetry(core.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * sim.Millisecond})
 			var reqs []*core.Req
-			cl.Env.Spawn("writer", func(p *sim.Proc) {
+			sim.Drive(t, cl.Env, "writer", func(p *sim.Proc) {
 				if framed {
 					if err := c.BeginBatch(); err != nil {
 						t.Fatal(err)
@@ -62,7 +62,6 @@ func TestFailedChainIsNeverAcked(t *testing.T) {
 				}
 				c.WaitAll(p, reqs)
 			})
-			cl.Env.Run()
 			if framed && c.Counters.Val(metrics.CFrames) == 0 {
 				t.Fatal("the window sent no frame: the framed shape was not driven")
 			}

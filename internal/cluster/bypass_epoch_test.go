@@ -32,7 +32,7 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 
 	// Phase 1: store the victim and resolve it twice via bypass; the
 	// second GET must ride the per-key location cache.
-	cl.Env.Spawn("phase1", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "phase1", func(p *sim.Proc) {
 		if st := c.Set(p, victim, 4096, "genuine", 0, 0); st != protocol.StatusStored {
 			t.Errorf("victim set: %v", st)
 		}
@@ -49,7 +49,6 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	if c.Counters.Val(metrics.CBypassFastPath) == 0 {
 		t.Fatalf("location cache never engaged: %d bypass hits", c.Counters.Val(metrics.CBypassHits))
 	}
@@ -59,12 +58,11 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 
 	// Phase 2: a join bumps the membership epoch. The subscription fires
 	// synchronously: every conn's location cache and hot set are dropped.
-	cl.Env.Spawn("phase2", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "phase2", func(p *sim.Proc) {
 		_, done := cl.Join()
 		p.Wait(done)
 		p.Sleep(5 * sim.Millisecond)
 	})
-	cl.Env.Run()
 	if n := c.Counters.Val(metrics.CEpochInvalidations); n == 0 {
 		t.Fatal("epoch bump never invalidated client placement state")
 	}
@@ -72,7 +70,7 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 	// Phase 3: the victim is still served with the genuine value under the
 	// new ring — either a fresh bypass resolve or an RPC fallback, but never
 	// a stale cached location.
-	cl.Env.Spawn("phase3", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "phase3", func(p *sim.Proc) {
 		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 		if err != nil {
 			t.Errorf("post-join issue: %v", err)
@@ -83,7 +81,6 @@ func TestBypassEpochChangeInvalidatesPlacement(t *testing.T) {
 			t.Errorf("post-join GET status=%v value=%v", req.Status, req.Value)
 		}
 	})
-	cl.Env.Run()
 }
 
 // Decommissioning a server must release every piece of per-server client
@@ -104,7 +101,7 @@ func TestDecommissionReleasesClientState(t *testing.T) {
 	c := cl.Clients[0]
 	const keys = 24
 
-	cl.Env.Spawn("retire", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "retire", func(p *sim.Proc) {
 		for i := 0; i < keys; i++ {
 			key := memKey(i)
 			if st := c.Set(p, key, 2048, uint64(i+1), 0, 0); st != protocol.StatusStored {
@@ -134,7 +131,6 @@ func TestDecommissionReleasesClientState(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Fatal("decommission never retired the victim's conn state")

@@ -52,7 +52,7 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 
 	// Phase 1: the victim lands in RAM; two bypass GETs resolve it
 	// and populate the per-key location cache (the second is the fast path).
-	cl.Env.Spawn("phase1", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "phase1", func(p *sim.Proc) {
 		if st := c.Set(p, victim, valSize, "genuine", 0, 0); st != protocol.StatusStored {
 			t.Errorf("victim set: %v", st)
 		}
@@ -69,7 +69,6 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	if c.Counters.Val(metrics.CBypassFastPath) == 0 {
 		t.Fatalf("location cache never engaged: %d bypass hits", c.Counters.Val(metrics.CBypassHits))
 	}
@@ -77,12 +76,11 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 	// Phase 2: filler writes overrun the 2 MB RAM budget; the victim is the
 	// coldest item and evicts first (EvictStaged, then EvictLanded once the
 	// flush completes), republishing its slot SSD-resident.
-	cl.Env.Spawn("filler", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "filler", func(p *sim.Proc) {
 		for i := 0; i < 48; i++ {
 			c.Set(p, fmt.Sprintf("fill:%04d", i), valSize, i, 0, 0)
 		}
 	})
-	cl.Env.Run()
 	cl.SettleIO()
 	if staged == 0 || landed == 0 {
 		t.Fatalf("victim eviction lifecycle not observed: staged=%d landed=%d", staged, landed)
@@ -92,7 +90,7 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 	// bypass GET must refuse the one-sided result and come back via
 	// RPC with the genuine value.
 	fallbacks := c.Counters.Val(metrics.CBypassFallbacks)
-	cl.Env.Spawn("phase3", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "phase3", func(p *sim.Proc) {
 		req, err := c.Issue(p, core.Op{Code: protocol.OpGet, Key: victim})
 		if err != nil {
 			t.Errorf("post-eviction issue: %v", err)
@@ -106,7 +104,6 @@ func TestBypassEvictionInvalidatesLocationCache(t *testing.T) {
 			t.Errorf("post-eviction GET status=%v value=%v", req.Status, req.Value)
 		}
 	})
-	cl.Env.Run()
 	if got := c.Counters.Val(metrics.CBypassFallbacks); got <= fallbacks {
 		t.Fatalf("eviction did not force an RPC fallback: %d -> %d", fallbacks, got)
 	}

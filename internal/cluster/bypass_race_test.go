@@ -28,7 +28,7 @@ func TestBypassServesReads(t *testing.T) {
 
 	c := cl.Clients[0]
 	bad := 0
-	cl.Env.Spawn("reader", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "reader", func(p *sim.Proc) {
 		// Two passes: the first resolves via directory probes, the second
 		// re-reads through the per-key location cache (single-READ fast
 		// path).
@@ -72,7 +72,6 @@ func TestBypassServesReads(t *testing.T) {
 			t.Errorf("hedged GET did not resolve via bypass")
 		}
 	})
-	cl.Env.Run()
 
 	if bad != 0 {
 		t.Fatalf("%d of %d bypass reads returned wrong value/status", bad, 2*n)
@@ -98,7 +97,7 @@ func TestBypassServesReads(t *testing.T) {
 func TestBypassDisabledByDefault(t *testing.T) {
 	cl := New(Config{Design: HRDMAOptNonBI, Profile: ClusterA(), ServerMem: 64 << 20})
 	c := cl.Clients[0]
-	cl.Env.Spawn("reader", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "reader", func(p *sim.Proc) {
 		c.Set(p, "k", 1024, "v", 0, 0)
 		req, _ := c.Issue(p, core.Op{Code: protocol.OpGet, Key: "k"})
 		c.Wait(p, req)
@@ -106,7 +105,6 @@ func TestBypassDisabledByDefault(t *testing.T) {
 			t.Errorf("bypassed=%v status=%v on a bypass-disabled client", req.Bypassed(), req.Status)
 		}
 	})
-	cl.Env.Run()
 	if hits, boots := c.Counters.Val(metrics.CBypassHits), c.Counters.Val(metrics.CBypassBootstraps); hits != 0 || boots != 0 {
 		t.Fatalf("bypass machinery ran while disabled: %d hits, %d bootstraps", hits, boots)
 	}
@@ -151,10 +149,11 @@ func TestBypassRaceChaos(t *testing.T) {
 	// Writers: per-key CAS chains with the sequence number as the value, so
 	// a bypass read that returns a torn or resurrected snapshot is caught as
 	// future-read / stale-read.
+	var ds []sim.Driver
 	for w := 0; w < writers; w++ {
 		w := w
 		expected += rounds * 2
-		cl.Env.Spawn(fmt.Sprintf("bypass-writer%d", w), func(p *sim.Proc) {
+		ds = append(ds, sim.Driver{Name: fmt.Sprintf("bypass-writer%d", w), Fn: func(p *sim.Proc) {
 			next := make([]uint64, keysPerW)
 			for r := 0; r < rounds; r++ {
 				ki := r % keysPerW
@@ -200,7 +199,7 @@ func TestBypassRaceChaos(t *testing.T) {
 				})
 				p.Sleep(60 * sim.Microsecond)
 			}
-		})
+		}})
 	}
 
 	// Readers: bypass GETs over both the contended CAS keys and the
@@ -209,7 +208,7 @@ func TestBypassRaceChaos(t *testing.T) {
 	for rd := 0; rd < readers; rd++ {
 		rd := rd
 		expected += readRound
-		cl.Env.Spawn(fmt.Sprintf("bypass-reader%d", rd), func(p *sim.Proc) {
+		ds = append(ds, sim.Driver{Name: fmt.Sprintf("bypass-reader%d", rd), Fn: func(p *sim.Proc) {
 			for r := 0; r < readRound; r++ {
 				var key string
 				if r%2 == 0 {
@@ -242,22 +241,20 @@ func TestBypassRaceChaos(t *testing.T) {
 				log.Record(e)
 				p.Sleep(25 * sim.Microsecond)
 			}
-		})
+		}})
 	}
 
 	// Crash schedule: a warm crash mid-run (quiesced directory, READs must
 	// observe emptiness), then a cold restart (recovery gate + republish).
 	srv := cl.Servers[0]
-	cl.Env.Spawn("bypass-crasher", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, -1, append(ds, sim.Driver{Name: "bypass-crasher", Fn: func(p *sim.Proc) {
 		for i, how := range []server.OutageKind{server.WarmCrash, server.ColdCrash} {
 			p.Sleep(sim.Time(2+i) * sim.Millisecond) // 2 ms in, then 3 ms after the first is back
 			from := p.Now()
 			srv.Outage(p, how, 300*sim.Microsecond)
 			log.CrashWindow(from, p.Now())
 		}
-	})
-
-	cl.Env.Run()
+	}})...)
 
 	log.Expected = expected
 	for _, v := range log.Check() {

@@ -34,7 +34,7 @@ func TestGetsReadsTheTokenCompareAndSetChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl.Env.Spawn("cas", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "cas", func(p *sim.Proc) {
 		defer func() {
 			for _, s := range cl.Servers {
 				s.Store().StopCrawler()
@@ -88,7 +88,6 @@ func TestGetsReadsTheTokenCompareAndSetChecks(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	if got := c.Counters.Val(metrics.CHotFanouts); got < 4 {
 		t.Fatalf("hot-fanouts = %d", got)
 	}

@@ -22,12 +22,11 @@ func TestCensusNamesWhatLeaks(t *testing.T) {
 	defer cl.Env.Close()
 	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
 	cl.Preload(64, 256, key)
-	cl.Env.Spawn("reads", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "reads", func(p *sim.Proc) {
 		for i := range 64 {
 			cl.Clients[0].Get(p, key(i))
 		}
 	})
-	cl.Env.Run()
 	if err := cl.Census().Err(); err != nil {
 		t.Fatalf("a clean run: %v", err)
 	}

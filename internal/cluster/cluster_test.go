@@ -49,11 +49,10 @@ func TestEachDesignServesTraffic(t *testing.T) {
 		cl := New(Config{Design: d, Profile: ClusterA(), ServerMem: 64 << 20})
 		var setSt, getSt protocol.Status
 		var v any
-		cl.Env.Spawn("smoke", func(p *sim.Proc) {
+		sim.Drive(t, cl.Env, "smoke", func(p *sim.Proc) {
 			setSt = cl.Clients[0].Set(p, "hello", 32*1024, "world", 0, 0)
 			v, _, getSt = cl.Clients[0].Get(p, "hello")
 		})
-		cl.Env.Run()
 		if setSt != protocol.StatusStored || getSt != protocol.StatusOK || v != "world" {
 			t.Errorf("%v: set=%v get=%v v=%v", d, setSt, getSt, v)
 		}
@@ -99,8 +98,9 @@ func TestMultiNodeDeployment(t *testing.T) {
 		t.Fatalf("built %d servers / %d clients", len(cl.Servers), len(cl.Clients))
 	}
 	done := 0
+	var loads []sim.Driver
 	for i, c := range cl.Clients {
-		cl.Env.Spawn(fmt.Sprintf("load%d", i), func(p *sim.Proc) {
+		loads = append(loads, sim.Driver{Name: fmt.Sprintf("load%d", i), Fn: func(p *sim.Proc) {
 			for j := 0; j < 50; j++ {
 				key := fmt.Sprintf("c%d-k%d", i, j)
 				c.Set(p, key, 8192, j, 0, 0)
@@ -108,9 +108,9 @@ func TestMultiNodeDeployment(t *testing.T) {
 					done++
 				}
 			}
-		})
+		}})
 	}
-	cl.Env.Run()
+	sim.DriveUntil(t, cl.Env, -1, loads...)
 	if done != 8*50 {
 		t.Errorf("%d of 400 round trips verified", done)
 	}
@@ -129,12 +129,11 @@ func TestProfilesDiffer(t *testing.T) {
 func TestBackendDefaultPenalty(t *testing.T) {
 	cl := New(Config{Design: RDMAMem, Profile: ClusterA()})
 	var d sim.Time
-	cl.Env.Spawn("miss", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "miss", func(p *sim.Proc) {
 		t0 := p.Now()
 		cl.Backend.Fetch(p, "missing")
 		d = p.Now() - t0
 	})
-	cl.Env.Run()
 	if d < 1500*sim.Microsecond || d > 2*sim.Millisecond {
 		t.Errorf("backend penalty %v, want <2ms and ≈1.8ms", d)
 	}

@@ -31,7 +31,7 @@ func TestRottedReplicaRepairsWhenAPeerPullsIt(t *testing.T) {
 	var got any
 	var held bool
 	var pulls int64
-	cl.Env.Spawn("client", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, cl.Env.Now()+sim.Second, sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
 		do := func(op core.Op) {
 			req, _ := c.Issue(p, op)
 			c.Wait(p, req)
@@ -47,8 +47,7 @@ func TestRottedReplicaRepairsWhenAPeerPullsIt(t *testing.T) {
 		p.Sleep(5 * sim.Millisecond)
 		pulls = cl.Replicators[rotted].Counters.Val(metrics.CRepairPulls)
 		got, _, _, held = cl.Servers[rotted].Store().ReadItem(p, key)
-	})
-	cl.Env.RunUntil(cl.Env.Now() + sim.Second)
+	}})
 	if pulls == 0 {
 		t.Errorf("the rotted replica opened no repair pull")
 	}

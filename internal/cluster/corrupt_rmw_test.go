@@ -26,7 +26,7 @@ func TestReplicatedIncrOfARottedCopyIsRepaired(t *testing.T) {
 	c := cl.Clients[0]
 	var got uint64
 	var err error
-	cl.Env.Spawn("client", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, cl.Env.Now()+sim.Second, sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
 		do := func(op core.Op) *core.Req {
 			req, _ := c.Issue(p, op)
 			c.Wait(p, req)
@@ -42,8 +42,7 @@ func TestReplicatedIncrOfARottedCopyIsRepaired(t *testing.T) {
 		req := do(core.Op{Code: protocol.OpIncr, Key: key, Delta: 1})
 		got, _ = req.Value.(uint64)
 		err = req.Err()
-	})
-	cl.Env.RunUntil(cl.Env.Now() + sim.Second)
+	}})
 	if err != nil || got != 42 {
 		t.Errorf("Incr of the rotted counter -> (%d, %v), want 42", got, err)
 	}

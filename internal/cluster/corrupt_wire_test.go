@@ -31,14 +31,13 @@ func TestCorruptStatusNeverReachesTheWire(t *testing.T) {
 			now := cl.Env.Now()
 			cl.Devices[0].AddBitRot(17, now, now+sim.Millisecond, 1.0)
 			seen := map[protocol.Status]int{}
-			cl.Env.Spawn("reader", func(p *sim.Proc) {
+			sim.Drive(t, cl.Env, "reader", func(p *sim.Proc) {
 				p.Sleep(2 * sim.Millisecond) // past every extent's rot instant
 				for i := 0; i < keys; i++ {
 					_, _, st := cl.Clients[0].Get(p, key(i))
 					seen[st]++
 				}
 			})
-			cl.Env.Run()
 			if n := cl.Servers[0].Store().CorruptReads; n == 0 {
 				t.Fatalf("no read hit a rotted extent (statuses %v): the test lost its teeth", seen)
 			}

@@ -23,7 +23,7 @@ func Example() {
 		v, _, st := c.Get(p, "answer")
 		fmt.Println("get:", v, st)
 	})
-	cl.Env.Run()
+	cl.Env.Run() // no driver: an Example has no test to fail; its driver's last line of Output is the check
 	// Output:
 	// set: STORED
 	// get: 42 OK
@@ -57,7 +57,7 @@ func Example_nonBlocking() {
 		}
 		fmt.Println("completed:", done)
 	})
-	cl.Env.Run()
+	cl.Env.Run() // no driver: an Example has no test to fail; its driver's last line of Output is the check
 	// Output:
 	// first already done before waiting: false
 	// completed: 4
@@ -84,7 +84,7 @@ func Example_hybridRetention() {
 		}
 		fmt.Println("misses:", misses)
 	})
-	cl.Env.Run()
+	cl.Env.Run() // no driver: an Example has no test to fail; its driver's last line of Output is the check
 	fmt.Println("ssd items > 0:", cl.Servers[0].Store().Manager().SSDItems() > 0)
 	// Output:
 	// misses: 0

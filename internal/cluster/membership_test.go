@@ -80,7 +80,7 @@ func TestJoinMigratesAndServes(t *testing.T) {
 	cl := memCluster(3)
 	c := cl.Clients[0]
 
-	cl.Env.Spawn("mem-join", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-join", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -140,7 +140,6 @@ func TestJoinMigratesAndServes(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if want := int64(4 * replication.Segments); total.Val(metrics.CMigrateSeals) != want {
@@ -162,7 +161,7 @@ func TestDecommissionDrainsWithoutLoss(t *testing.T) {
 	c := cl.Clients[0]
 	victim := 2
 
-	cl.Env.Spawn("mem-decom", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-decom", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -182,7 +181,6 @@ func TestDecommissionDrainsWithoutLoss(t *testing.T) {
 		}
 		memVerify(t, c, p, "after decommission")
 	})
-	cl.Env.Run()
 
 	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Error("decommission never retired the client's conn state")
@@ -202,7 +200,7 @@ func TestKillDuringJoinConverges(t *testing.T) {
 	c := cl.Clients[0]
 	victim := 1
 
-	cl.Env.Spawn("mem-kill", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-kill", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -216,7 +214,6 @@ func TestKillDuringJoinConverges(t *testing.T) {
 		p.Sleep(5 * sim.Millisecond)
 		memVerify(t, c, p, "after kill-during-join")
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if total.Val(metrics.CMigrateSeals) == 0 {
@@ -232,7 +229,7 @@ func TestAbruptLeaveReReplicates(t *testing.T) {
 	c := cl.Clients[0]
 	victim := 1
 
-	cl.Env.Spawn("mem-leave", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-leave", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -256,7 +253,6 @@ func TestAbruptLeaveReReplicates(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	if n := c.Counters.Val(metrics.CRetiredConns); n == 0 {
 		t.Error("abrupt leave never retired the client's conn state")
@@ -270,7 +266,7 @@ func TestBackToBackTransitions(t *testing.T) {
 	cl := memCluster(3)
 	c := cl.Clients[0]
 
-	cl.Env.Spawn("mem-b2b", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-b2b", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -285,7 +281,6 @@ func TestBackToBackTransitions(t *testing.T) {
 		}
 		memVerify(t, c, p, "after join+decommission")
 	})
-	cl.Env.Run()
 
 	if got := cl.Membership.Transitions; got != 2 {
 		t.Errorf("Transitions = %d, want 2", got)
@@ -307,7 +302,7 @@ func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
 		NoScrub:           true,
 	})
 	c := cl.Clients[0]
-	cl.Env.Spawn("mem-join-noscrub", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-join-noscrub", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -315,7 +310,6 @@ func TestJoinedReplicatorKeepsScrubDisabled(t *testing.T) {
 		cl.AwaitRebalance(p)
 		memPreload(t, c, p) // the joiner now coordinates and accepts writes
 	})
-	cl.Env.Run()
 	for id, r := range cl.Replicators {
 		if n := r.Counters.Val(metrics.CScrubRounds); n != 0 {
 			t.Errorf("replicator %d ran %d scrub rounds on a scrub-disabled cluster", id, n)

@@ -33,7 +33,7 @@ func TestUnawaitedSetsOfOneKeyBothApply(t *testing.T) {
 				cl := New(Config{Design: d, Profile: ClusterA(), Servers: 3, ServerMem: 8 << 20, ReplicationFactor: 3})
 				c := cl.Clients[0]
 				log := &history.Log{Replicated: true}
-				cl.Env.Spawn("writer", func(p *sim.Proc) {
+				sim.Drive(t, cl.Env, "writer", func(p *sim.Proc) {
 					if framed {
 						if err := c.BeginBatch(); err != nil {
 							t.Fatal(err)
@@ -74,7 +74,6 @@ func TestUnawaitedSetsOfOneKeyBothApply(t *testing.T) {
 						}
 					}
 				})
-				cl.Env.Run()
 				if framed && c.Counters.Val(metrics.CFrames) != 1 {
 					t.Fatalf("frames=%d, want the two SETs in one frame", c.Counters.Val(metrics.CFrames))
 				}

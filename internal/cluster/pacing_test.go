@@ -32,7 +32,7 @@ func TestKillDuringJoinConvergesWithPacing(t *testing.T) {
 	const fgWrites = 64
 
 	fgAcked := 0
-	cl.Env.Spawn("mem-kill-paced", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "mem-kill-paced", func(p *sim.Proc) {
 		if !memPreload(t, c, p) {
 			return
 		}
@@ -66,7 +66,6 @@ func TestKillDuringJoinConvergesWithPacing(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	// Goodput floor: pacing slows the background, not the foreground.
 	if fgAcked != fgWrites {

@@ -49,7 +49,7 @@ func TestReplicatedPathMatrix(t *testing.T) {
 				}
 				var reqs []*core.Req
 				appliedAtFirstAck := int64(-1)
-				cl.Env.Spawn("writer", func(p *sim.Proc) {
+				sim.Drive(t, cl.Env, "writer", func(p *sim.Proc) {
 					if framed {
 						if err := c.BeginBatch(); err != nil {
 							t.Fatal(err)
@@ -82,7 +82,6 @@ func TestReplicatedPathMatrix(t *testing.T) {
 						}
 					}
 				})
-				cl.Env.Run()
 				if framed && (c.Counters.Val(metrics.CFrames) != 1 || c.Counters.Val(metrics.CFrameOps) != sets) {
 					t.Fatalf("frames=%d carrying %d ops, want one frame of %d", c.Counters.Val(metrics.CFrames), c.Counters.Val(metrics.CFrameOps), sets)
 				}

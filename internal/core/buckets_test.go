@@ -97,53 +97,54 @@ func TestPooledBucketsUnderFaults(t *testing.T) {
 		return bigValueBytes
 	}
 
-	done, inflightAtCrash, hits := 0, 0, 0
-	r.env.Spawn("preload", func(p *sim.Proc) {
+	inflightAtCrash, hits := 0, 0
+	sim.Drive(t, r.env, "preload", func(p *sim.Proc) {
 		for k := range keys {
 			c.Set(p, key(k), size(k), key(k)+"#0", 0, 0)
 		}
-		r.fabric.SetFaults(faults)
-		for w := range writers {
-			rng := rand.New(rand.NewSource(int64(w)))
-			r.env.Spawn("writer", func(p *sim.Proc) {
-				defer func() { done++ }()
-				for i := 1; i <= sets; i++ {
-					k := rng.Intn(keys)
-					req, err := c.Issue(p, Op{Code: protocol.OpSet, Key: key(k), ValueSize: size(k),
-						Value: fmt.Sprintf("%s#%d.%d", key(k), w, i)}, retry)
-					if err != nil {
-						t.Errorf("issue SET: %v", err)
-						return
-					}
-					c.Wait(p, req)
-					c.Release(req)
-					p.Sleep(3 * sim.Microsecond)
+	})
+	r.fabric.SetFaults(faults)
+	var ds []sim.Driver
+	for w := range writers {
+		rng := rand.New(rand.NewSource(int64(w)))
+		ds = append(ds, sim.Driver{Name: "writer", Fn: func(p *sim.Proc) {
+			for i := 1; i <= sets; i++ {
+				k := rng.Intn(keys)
+				req, err := c.Issue(p, Op{Code: protocol.OpSet, Key: key(k), ValueSize: size(k),
+					Value: fmt.Sprintf("%s#%d.%d", key(k), w, i)}, retry)
+				if err != nil {
+					t.Errorf("issue SET: %v", err)
+					return
 				}
-			})
-		}
-		for rd := range readers {
-			rng := rand.New(rand.NewSource(int64(100 + rd)))
-			r.env.Spawn("reader", func(p *sim.Proc) {
-				defer func() { done++ }()
-				for range gets {
-					k := rng.Intn(keys)
-					req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key(k)}, retry)
-					if err != nil {
-						t.Errorf("issue GET: %v", err)
-						return
-					}
-					c.Wait(p, req)
-					if req.Err() == nil {
-						hits++
-						if v, ok := req.Value.(string); !ok || !strings.HasPrefix(v, key(k)+"#") || req.ValueSize != size(k) {
-							t.Errorf("GET %s (bypassed %v): %v, %d bytes", key(k), req.Bypassed(), req.Value, req.ValueSize)
-						}
-					}
-					c.Release(req)
-					p.Sleep(2 * sim.Microsecond)
+				c.Wait(p, req)
+				c.Release(req)
+				p.Sleep(3 * sim.Microsecond)
+			}
+		}})
+	}
+	for rd := range readers {
+		rng := rand.New(rand.NewSource(int64(100 + rd)))
+		ds = append(ds, sim.Driver{Name: "reader", Fn: func(p *sim.Proc) {
+			for range gets {
+				k := rng.Intn(keys)
+				req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: key(k)}, retry)
+				if err != nil {
+					t.Errorf("issue GET: %v", err)
+					return
 				}
-			})
-		}
+				c.Wait(p, req)
+				if req.Err() == nil {
+					hits++
+					if v, ok := req.Value.(string); !ok || !strings.HasPrefix(v, key(k)+"#") || req.ValueSize != size(k) {
+						t.Errorf("GET %s (bypassed %v): %v, %d bytes", key(k), req.Bypassed(), req.Value, req.ValueSize)
+					}
+				}
+				c.Release(req)
+				p.Sleep(2 * sim.Microsecond)
+			}
+		}})
+	}
+	sim.DriveUntil(t, r.env, -1, append(ds, sim.Driver{Name: "crasher", Fn: func(p *sim.Proc) {
 		// A cold restart once READs are in flight: the directory quiesces
 		// under them, and the restart republishes what recovery found.
 		p.Sleep(300 * sim.Microsecond)
@@ -152,11 +153,7 @@ func TestPooledBucketsUnderFaults(t *testing.T) {
 		}
 		inflightAtCrash = len(c.conns[0].readWaits)
 		srv.Outage(p, server.ColdCrash, 200*sim.Microsecond)
-	})
-	r.env.Run()
-	if done != writers+readers {
-		t.Fatalf("%d of %d workers finished: the run went idle with a request unanswered", done, writers+readers)
-	}
+	}})...)
 	if faults.dropped == 0 || faults.lostReads == 0 || faults.dups == 0 || faults.late == 0 || inflightAtCrash == 0 {
 		t.Fatalf("faults never bit: %d dropped, %d READ responses lost, %d duplicated, %d late, %d READs in flight at the crash",
 			faults.dropped, faults.lostReads, faults.dups, faults.late, inflightAtCrash)

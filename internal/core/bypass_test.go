@@ -47,7 +47,7 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 	r := newBypassRig()
 	c := r.client
 	keys := []string{"small:0", "small:1", "small:2", "small:3"}
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		for i, key := range keys {
 			c.Set(p, key, protocol.DirInlineMax, i, 0, 0)
 		}
@@ -84,7 +84,6 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 			t.Errorf("inline hits left %d cached locations behind", n)
 		}
 	})
-	r.env.Run()
 }
 
 // Keys that hash to one bucket of the default geometry share it: two of them
@@ -119,7 +118,7 @@ func TestBypassCollidingKeysShareABucket(t *testing.T) {
 	}
 	r := newBypassRig()
 	c := r.client
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		for i, key := range keys[:2] {
 			c.Set(p, key, protocol.DirInlineMax, i, 0, 0)
 		}
@@ -170,7 +169,6 @@ func TestBypassCollidingKeysShareABucket(t *testing.T) {
 			t.Errorf("fallbacks = %d, want the displaced key's one", n)
 		}
 	})
-	r.env.Run()
 }
 
 // The server's heat sketch learns of one-sided GETs from the hot-set
@@ -183,7 +181,7 @@ func TestBypassHeatRidesTheRefresh(t *testing.T) {
 	r := newBypassRig()
 	c, st := r.client, r.servers[0].Store()
 	keys := make([]string, hotSampleEvery*k)
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("heat:%d", i)
 			c.Set(p, keys[i], 64, i, 0, 0)
@@ -218,7 +216,6 @@ func TestBypassHeatRidesTheRefresh(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 }
 
 // An out-of-line value costs two READs once (slot, then segment) and one
@@ -228,7 +225,7 @@ func TestBypassOutOfLineRepeatHitsUseCachedOffset(t *testing.T) {
 	r := newBypassRig()
 	c := r.client
 	const key = "large"
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		c.Set(p, key, 8<<10, "v1", 0, 0)
 		if n := bypassGet(t, p, c, key, "v1"); n != 2 {
 			t.Errorf("first out-of-line GET cost %d READs, want slot + segment", n)
@@ -252,7 +249,6 @@ func TestBypassOutOfLineRepeatHitsUseCachedOffset(t *testing.T) {
 			t.Errorf("GET from the refreshed offset cost %d READs", n)
 		}
 	})
-	r.env.Run()
 }
 
 // A value crossing DirInlineMax in both directions (512 B → 8 KB → 512 B):
@@ -262,7 +258,7 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 	r := newBypassRig()
 	c := r.client
 	const key = "resized"
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		c.Set(p, key, 512, "small-1", 0, 0)
 		if n := bypassGet(t, p, c, key, "small-1"); n != 1 {
 			t.Errorf("inline GET cost %d READs", n)
@@ -287,7 +283,6 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 			t.Errorf("inline GET after the shrink cost %d READs", n)
 		}
 	})
-	r.env.Run()
 }
 
 // The directory bootstrap is a key-less control op the server answers only as
@@ -299,7 +294,7 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
 	r := newBypassRig()
 	c := r.client
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ { // blocking SETs: RPCs, no directory needed yet
 			c.Set(p, fmt.Sprintf("win:%d", i), 64, i, 0, 0)
 		}
@@ -336,5 +331,4 @@ func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 }

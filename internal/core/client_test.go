@@ -123,7 +123,7 @@ func TestBlockingSetGetRDMA(t *testing.T) {
 	var size int
 	var setSt, getSt protocol.Status
 	var setLat, getLat sim.Time
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		t0 := p.Now()
 		setSt = r.client.Set(p, "user:1", 32*1024, "profile-1", 9, 0)
 		setLat = p.Now() - t0
@@ -131,7 +131,6 @@ func TestBlockingSetGetRDMA(t *testing.T) {
 		got, size, getSt = r.client.Get(p, "user:1")
 		getLat = p.Now() - t0
 	})
-	r.env.Run()
 	if setSt != protocol.StatusStored || getSt != protocol.StatusOK {
 		t.Fatalf("statuses set=%v get=%v", setSt, getSt)
 	}
@@ -149,10 +148,9 @@ func TestBlockingSetGetRDMA(t *testing.T) {
 func TestGetMissReturnsNotFound(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA})
 	var st protocol.Status
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		_, _, st = r.client.Get(p, "never-set")
 	})
-	r.env.Run()
 	if st != protocol.StatusNotFound {
 		t.Errorf("status %v", st)
 	}
@@ -174,7 +172,7 @@ func TestBlockingIPoIBSlowerThanRDMA(t *testing.T) {
 	measure := func(tr Transport) sim.Time {
 		r := newTestRig(rigOpts{transport: tr})
 		var total sim.Time
-		r.env.Spawn("bench", func(p *sim.Proc) {
+		sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 			t0 := p.Now()
 			for i := 0; i < 20; i++ {
 				key := fmt.Sprintf("k%d", i)
@@ -183,7 +181,6 @@ func TestBlockingIPoIBSlowerThanRDMA(t *testing.T) {
 			}
 			total = p.Now() - t0
 		})
-		r.env.Run()
 		return total
 	}
 	rdma, ipoib := measure(RDMA), measure(IPoIB)
@@ -197,7 +194,7 @@ func TestNonBlockingBatchCompletes(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	const n = 200
 	var reqs []*Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			req, err := r.client.ISet(p, fmt.Sprintf("k%04d", i), 8*1024, i, 0)
 			if err != nil {
@@ -213,7 +210,6 @@ func TestNonBlockingBatchCompletes(t *testing.T) {
 		}
 		r.client.WaitAll(p, reqs[n:])
 	})
-	r.env.Run()
 	for i, req := range reqs[:n] {
 		if !req.Done() || req.Status != protocol.StatusStored {
 			t.Fatalf("set %d incomplete: done=%v status=%v", i, req.Done(), req.Status)
@@ -236,20 +232,19 @@ func TestNonBlockingFasterThanBlocking(t *testing.T) {
 	blocking := func() sim.Time {
 		r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Sync})
 		var total sim.Time
-		r.env.Spawn("bench", func(p *sim.Proc) {
+		sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 			t0 := p.Now()
 			for i := 0; i < n; i++ {
 				r.client.Set(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
 			}
 			total = p.Now() - t0
 		})
-		r.env.Run()
 		return total / n
 	}()
 	nonblocking := func() sim.Time {
 		r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 		var total sim.Time
-		r.env.Spawn("bench", func(p *sim.Proc) {
+		sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 			t0 := p.Now()
 			var reqs []*Req
 			for i := 0; i < n; i++ {
@@ -259,7 +254,6 @@ func TestNonBlockingFasterThanBlocking(t *testing.T) {
 			r.client.WaitAll(p, reqs)
 			total = p.Now() - t0
 		})
-		r.env.Run()
 		return total / n
 	}()
 	if float64(blocking)/float64(nonblocking) < 2 {
@@ -270,7 +264,7 @@ func TestNonBlockingFasterThanBlocking(t *testing.T) {
 func TestBSetBuffersReusableBeforeCompletion(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	var reusableAt, doneAt sim.Time
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req, err := r.client.BSet(p, "k", 512*1024, "big", 0)
 		if err != nil {
 			t.Errorf("bset: %v", err)
@@ -280,7 +274,6 @@ func TestBSetBuffersReusableBeforeCompletion(t *testing.T) {
 		r.client.Wait(p, req)
 		doneAt = p.Now()
 	})
-	r.env.Run()
 	if reusableAt <= 0 || doneAt <= reusableAt {
 		t.Errorf("reusable at %v, done at %v: want 0 < reusable < done", reusableAt, doneAt)
 	}
@@ -289,7 +282,7 @@ func TestBSetBuffersReusableBeforeCompletion(t *testing.T) {
 func TestISetReturnsBeforeDataLeavesNIC(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	var isetRet, bsetRet sim.Time
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		t0 := p.Now()
 		req, _ := r.client.ISet(p, "k1", 1<<20, "v", 0)
 		isetRet = p.Now() - t0
@@ -299,7 +292,6 @@ func TestISetReturnsBeforeDataLeavesNIC(t *testing.T) {
 		bsetRet = p.Now() - t0
 		r.client.Wait(p, req2)
 	})
-	r.env.Run()
 	// 1MB serialization on FDR ≈ 175µs; iset must return in well under that.
 	if isetRet > 10*sim.Microsecond {
 		t.Errorf("iset returned in %v, want ≤10µs", isetRet)
@@ -311,7 +303,7 @@ func TestISetReturnsBeforeDataLeavesNIC(t *testing.T) {
 
 func TestTestSemantics(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req, _ := r.client.ISet(p, "k", 32*1024, "v", 0)
 		if r.client.Test(req) {
 			t.Errorf("Test true immediately after issue")
@@ -323,7 +315,6 @@ func TestTestSemantics(t *testing.T) {
 			t.Errorf("status %v after completion", req.Status)
 		}
 	})
-	r.env.Run()
 }
 
 // TestIssueOnIPoIB: Issue is the front door on the socket too. The stack has
@@ -337,7 +328,7 @@ func TestIssueOnIPoIB(t *testing.T) {
 	r.fabric.SetFaults(lost)
 	get := Op{Code: protocol.OpGet, Key: "k"}
 	retry := WithRetry(RetryPolicy{MaxAttempts: 3, AttemptTimeout: 50 * sim.Microsecond, Failover: true})
-	r.env.Spawn("app", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		done := func(req *Req, err error) *Req {
 			if err != nil || !req.Done() {
 				t.Fatalf("%v %q: err %v, done %v: want a request that is complete on return", req.Op, req.Key(), err, req.Done())
@@ -388,7 +379,6 @@ func TestIssueOnIPoIB(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 	if st := r.client.Counters; st.Val(metrics.CHedges) != 0 || st.Val(metrics.CFailovers) != 0 || st.Val(metrics.CRetries) != 3 || st.Val(metrics.CTimeouts) != 2 {
 		t.Errorf("hedges %d, failovers %d, retries %d, timeouts %d; want 0, 0, 3, 2", st.Val(metrics.CHedges), st.Val(metrics.CFailovers), st.Val(metrics.CRetries), st.Val(metrics.CTimeouts))
 	}
@@ -397,7 +387,7 @@ func TestIssueOnIPoIB(t *testing.T) {
 func TestMultiServerDistribution(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 4})
 	const n = 2000
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		var reqs []*Req
 		for i := 0; i < n; i++ {
 			req, _ := r.client.ISet(p, fmt.Sprintf("key-%05d", i), 4096, i, 0)
@@ -405,7 +395,6 @@ func TestMultiServerDistribution(t *testing.T) {
 		}
 		r.client.WaitAll(p, reqs)
 	})
-	r.env.Run()
 	total := int64(0)
 	for i, srv := range r.servers {
 		got := srv.Store().SetOps
@@ -420,7 +409,7 @@ func TestMultiServerDistribution(t *testing.T) {
 	}
 	// All keys retrievable (routing is stable).
 	var wrong int
-	r.env.Spawn("verify", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "verify", func(p *sim.Proc) {
 		for i := 0; i < n; i += 37 {
 			v, _, st := r.client.Get(p, fmt.Sprintf("key-%05d", i))
 			if st != protocol.StatusOK || v != i {
@@ -428,7 +417,6 @@ func TestMultiServerDistribution(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 	if wrong != 0 {
 		t.Errorf("%d keys misrouted", wrong)
 	}
@@ -444,14 +432,13 @@ func TestCreditsBoundOutstanding(t *testing.T) {
 	})
 	const n = 500
 	var reqs []*Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			req, _ := r.client.ISet(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0)
 			reqs = append(reqs, req)
 		}
 		r.client.WaitAll(p, reqs)
 	})
-	r.env.Run()
 	for i, req := range reqs {
 		if !req.Done() {
 			t.Fatalf("request %d never completed (deadlock?)", i)

@@ -67,7 +67,7 @@ func TestBlockingCommands(t *testing.T) {
 		for _, sc := range scripts {
 			t.Run(names[tr]+"/"+sc.name, func(t *testing.T) {
 				r := newTestRig(rigOpts{transport: tr, pipeline: server.Async})
-				r.env.Spawn("app", func(p *sim.Proc) {
+				sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 					var token uint64
 					for _, st := range sc.steps {
 						var opts []IssueOption
@@ -89,7 +89,6 @@ func TestBlockingCommands(t *testing.T) {
 						}
 					}
 				})
-				r.env.Run()
 				if st := r.client.Counters; st.Val(metrics.CIssued) != st.Val(metrics.CCompleted) {
 					t.Errorf("issued %d, completed %d", st.Val(metrics.CIssued), st.Val(metrics.CCompleted))
 				}
@@ -103,7 +102,7 @@ func TestMGetParallelism(t *testing.T) {
 	const n = 64
 	var keys []string
 	var mgetTime, seqTime sim.Time
-	r.env.Spawn("app", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("k%03d", i)
 			keys = append(keys, k)
@@ -127,7 +126,6 @@ func TestMGetParallelism(t *testing.T) {
 		}
 		seqTime = p.Now() - t0
 	})
-	r.env.Run()
 	if float64(seqTime)/float64(mgetTime) < 2 {
 		t.Errorf("mget (%v) not ≥2x faster than %d sequential gets (%v)", mgetTime, n, seqTime)
 	}
@@ -139,7 +137,7 @@ func TestBufferedModeDefersSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	var setLat, getLat, plainGet sim.Time
-	r.env.Spawn("app", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		// Buffered sets return almost immediately.
 		t0 := p.Now()
 		for i := 0; i < 8; i++ {
@@ -166,7 +164,6 @@ func TestBufferedModeDefersSets(t *testing.T) {
 		r.client.Get(p, "k1")
 		plainGet = p.Now() - t0
 	})
-	r.env.Run()
 	if setLat > 10*sim.Microsecond {
 		t.Errorf("buffered set latency %v, want local-only (<10µs)", setLat)
 	}
@@ -188,7 +185,7 @@ func bufferedSets(c *Client) int {
 func TestBufferedModeExplicitFlushAndThreshold(t *testing.T) {
 	r := newTestRig(rigOpts{transport: IPoIB})
 	r.client.SetBuffering(true)
-	r.env.Spawn("app", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		for i := 0; i < 70; i++ { // beyond the 64-entry threshold
 			r.client.Set(p, fmt.Sprintf("k%03d", i), 1024, i, 0, 0)
 		}
@@ -206,7 +203,6 @@ func TestBufferedModeExplicitFlushAndThreshold(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 }
 
 func TestBufferingRejectedOnRDMA(t *testing.T) {

@@ -467,7 +467,7 @@ func (x *endCell) run() {
 	t, c, row, col := x.t, x.c, x.row, x.col
 	var req *Req
 	var before, after metrics.Counters
-	x.r.env.Spawn("cell", func(p *sim.Proc) {
+	sim.Drive(t, x.r.env, "cell", func(p *sim.Proc) {
 		c.Set(p, endKey, 512, "v", 0, 0)
 		if row.bypass {
 			c.Set(p, "big", 8<<10, "V", 0, 0)
@@ -486,7 +486,6 @@ func (x *endCell) run() {
 		after = c.Counters
 		x.unplace(p)
 	})
-	x.r.env.Run()
 	if req == nil {
 		t.Fatal("the subject was never issued")
 	}

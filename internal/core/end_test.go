@@ -25,7 +25,7 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 	}
 	c := r.client
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		c.Set(p, "h", 512, "v", 0, 0)
 		var err error
 		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "h"}, WithHedge(sim.Microsecond))
@@ -35,7 +35,6 @@ func TestHedgeMidBootstrapLeavesTheResolverItsConnection(t *testing.T) {
 		}
 		c.Wait(p, req)
 	})
-	r.env.Run()
 	if req == nil || !req.Done() {
 		t.Fatal("the GET never completed")
 	}
@@ -79,7 +78,7 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 		t.Run(end, func(t *testing.T) {
 			r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 			c := r.client
-			r.env.Spawn("bench", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 				home := c.route("h", routeGet, nil)
 				r.servers[home.serverID].Crash()
 				if end == "the deadline" {
@@ -99,7 +98,6 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 					c.Wait(p, req)
 				}
 			})
-			r.env.Run()
 			if n := c.Counters.Val(metrics.CHedges); n != 10 {
 				t.Fatalf("hedges = %d of 10 GETs: the test proves nothing", n)
 			}
@@ -116,7 +114,7 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 func TestTimedOutAttemptsLeaveNoPendingEntry(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	c := r.client
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.servers[0].Crash()
 		for i := 0; i < 10; i++ {
 			req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "h"},
@@ -128,7 +126,6 @@ func TestTimedOutAttemptsLeaveNoPendingEntry(t *testing.T) {
 			c.Wait(p, req)
 		}
 	})
-	r.env.Run()
 	if n := c.Counters.Val(metrics.CRetries); n != 20 {
 		t.Fatalf("retries = %d, want 10 GETs x 2: the test proves nothing", n)
 	}
@@ -151,7 +148,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 			c := r.client
 			home := c.route("k", routeGet, nil)
 			reached := 0
-			r.env.Spawn("bench", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 				srv := r.servers[home.serverID]
 				srv.Crash()
 				for i := 0; i < 2; i++ { // two timeouts open the breaker
@@ -183,7 +180,6 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 					}
 				}
 			})
-			r.env.Run()
 			if reached != 100 {
 				t.Errorf("%d of 100 later GETs reached the recovered server", reached)
 			}
@@ -204,7 +200,7 @@ func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
 	r := newTestRig(rigOpts{transport: IPoIB, servers: 2, clientCfg: func(c *Config) { c.Breaker = 2 }})
 	c := r.client
 	c.SetBuffering(true)
-	r.env.Spawn("app", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		home := c.route("k", routeWrite, nil)
 		home.noteFailure()
 		home.noteFailure()
@@ -221,7 +217,6 @@ func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
 			t.Errorf("get after the flush: (%v, %v), breaker state %d; want the value, from home, and the breaker closed", v, st, home.brk.state)
 		}
 	})
-	r.env.Run()
 	if n := c.Counters.Val(metrics.CBreakerReroutes); n != 0 {
 		t.Errorf("breaker-reroutes = %d: a request was sent around a server that had answered", n)
 	}

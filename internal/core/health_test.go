@@ -23,7 +23,7 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 	c, srv := r.client, r.servers[0]
 	var probe *Req
 	var probeLat sim.Time
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		if st := c.Set(p, "k", 1024, "v", 0, 0); st != protocol.StatusStored {
 			t.Errorf("seed set: %v", st)
 		}
@@ -52,7 +52,6 @@ func TestHalfOpenSlowProbeRecloses(t *testing.T) {
 		c.Wait(p, probe)
 		probeLat = p.Now() - t0
 	})
-	r.env.Run()
 
 	if probe == nil || probe.Err() != nil {
 		t.Fatalf("slow probe failed: %v", probe.Err())
@@ -239,7 +238,7 @@ func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
 	})
 	c := r.client
 	home := c.route("k", routeWrite, nil)
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		home.health.browned[hcGet] = true
 		home.noteFailure() // Breaker 1: open
 		p.Sleep(breakerCooldown + 10*sim.Microsecond)
@@ -262,5 +261,4 @@ func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
 			t.Errorf("breaker-halfopen = %d, want 1", n)
 		}
 	})
-	r.env.Run()
 }

@@ -123,7 +123,7 @@ func TestIssueOutcomes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 			var req *Req
-			r.env.Spawn("bench", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 				if tc.preload {
 					r.client.Set(p, "k", 4096, "v0", 0, 0)
 				}
@@ -138,7 +138,6 @@ func TestIssueOutcomes(t *testing.T) {
 				}
 				r.client.Wait(p, req)
 			})
-			r.env.Run()
 			if req == nil {
 				t.Fatal("no request issued")
 			}
@@ -166,7 +165,7 @@ func TestIssueOutcomes(t *testing.T) {
 func TestDeadlineFiresExactlyOnce(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.fabric.SetFaults(dropAllRequests())
 		var err error
 		req, err = r.client.Issue(p, Op{Code: protocol.OpGet, Key: "k"},
@@ -182,7 +181,6 @@ func TestDeadlineFiresExactlyOnce(t *testing.T) {
 		}
 		p.Sleep(sim.Millisecond)
 	})
-	r.env.Run()
 	if n := r.client.Counters.Val(metrics.CTimeouts); n != 1 {
 		t.Errorf("timeouts counter = %d, want exactly 1", n)
 	}
@@ -201,7 +199,7 @@ func TestCancelReturnsCredit(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	depth := r.servers[0].RecvDepth()
 	var st protocol.Status
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.fabric.SetFaults(dropAllRequests())
 		reqs := make([]*Req, 0, depth)
 		for i := 0; i < depth; i++ {
@@ -228,7 +226,6 @@ func TestCancelReturnsCredit(t *testing.T) {
 		// Would deadlock here if any credit leaked.
 		st = r.client.Set(p, "after", 4096, "v", 0, 0)
 	})
-	r.env.Run()
 	if st != protocol.StatusStored {
 		t.Errorf("post-cancel set status %v", st)
 	}
@@ -243,7 +240,7 @@ func TestCancelReturnsCredit(t *testing.T) {
 // Cancel after completion is a no-op and Err keeps the real outcome.
 func TestCancelAfterDoneIsNoop(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req, _ := r.client.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"})
 		r.client.Wait(p, req)
 		r.client.Cancel(req)
@@ -251,7 +248,6 @@ func TestCancelAfterDoneIsNoop(t *testing.T) {
 			t.Errorf("Err() = %v after post-completion cancel", err)
 		}
 	})
-	r.env.Run()
 	if n := r.client.Counters.Val(metrics.CCancels); n != 0 {
 		t.Errorf("cancels counter = %d for a no-op cancel", n)
 	}
@@ -263,7 +259,7 @@ func TestCancelAfterDoneIsNoop(t *testing.T) {
 func TestRetryFailsOverToSecondServer(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := r.client.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"})
 		r.client.Wait(p, req0)
 		home := req0.conn.serverID
@@ -281,7 +277,6 @@ func TestRetryFailsOverToSecondServer(t *testing.T) {
 		}
 		r.client.Wait(p, req)
 	})
-	r.env.Run()
 	if err := req.Err(); err != nil && !errors.Is(err, ErrNotFound) {
 		t.Fatalf("failover get: %v", err)
 	}
@@ -307,7 +302,7 @@ func (sf *serverFilter) Transmit(src, dst string, size int, now sim.Time) simnet
 // healthy index first; WaitAll must drain both and surface the error.
 func TestWaitAnyAndWaitAllWithFailures(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.client.Set(p, "k", 512, "v", 0, 0)
 		r.fabric.SetFaults(&filterInjector{pick: func(n int) bool { return n == 1 }})
 		doomed, _ := r.client.Issue(p, Op{Code: protocol.OpGet, Key: "k"},
@@ -327,7 +322,6 @@ func TestWaitAnyAndWaitAllWithFailures(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 }
 
 // The response to a pre-retransmit attempt must be absorbed as stale, not
@@ -335,7 +329,7 @@ func TestWaitAnyAndWaitAllWithFailures(t *testing.T) {
 func TestLateResponseAfterRetransmitIsStale(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.client.Set(p, "k", 512, "v", 0, 0)
 		// Delay (not drop) the first request enough that the guard
 		// retransmits; the original response then arrives late.
@@ -353,7 +347,6 @@ func TestLateResponseAfterRetransmitIsStale(t *testing.T) {
 		r.client.Wait(p, req)
 		p.Sleep(2 * sim.Millisecond) // let the delayed original land
 	})
-	r.env.Run()
 	if err := req.Err(); err != nil {
 		t.Fatalf("retried get: %v", err)
 	}

@@ -180,8 +180,7 @@ func poolSoak(t *testing.T, transport Transport) {
 		return req
 	}
 
-	finished := 0
-	r.env.Spawn("preload", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "preload", func(p *sim.Proc) {
 		for w := 0; w < workers; w++ {
 			for i := 0; i < perWorker; i++ {
 				if po := plan(w, i); po.op.Code != protocol.OpSet {
@@ -189,51 +188,48 @@ func poolSoak(t *testing.T, transport Transport) {
 				}
 			}
 		}
-		r.fabric.SetFaults(faults)
-		for w := 0; w < workers; w++ {
-			r.env.Spawn("caller", func(p *sim.Proc) {
-				// Worker 0 issues in windows of four, framed on RDMA; worker 1 in
-				// windows of four; the others one at a time.
-				window := 1
-				if w < 2 {
-					window = 4
-				}
-				for base := 0; base < perWorker; base += window {
-					framed := rdma && w == 0
-					if framed {
-						if err := c.BeginBatch(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					var reqs []*Req
-					var pos []poolOp
-					for i := base; i < base+window && i < perWorker; i++ {
-						po := plan(w, i)
-						reqs = append(reqs, issue(p, po))
-						pos = append(pos, po)
-					}
-					if framed {
-						if err := c.Flush(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-					c.WaitAll(p, reqs)
-					for k, req := range reqs {
-						check(pos[k], req)
-						seen[req] = pos[k]
-						ops++
-						c.Release(req)
-					}
-					p.Sleep(20 * sim.Microsecond)
-				}
-				finished++
-			})
-		}
 	})
-	r.env.Run()
-	if finished != workers {
-		t.Fatalf("%d of %d callers finished", finished, workers)
+	r.fabric.SetFaults(faults)
+	callers := make([]sim.Driver, workers)
+	for w := range callers {
+		callers[w] = sim.Driver{Name: "caller", Fn: func(p *sim.Proc) {
+			// Worker 0 issues in windows of four, framed on RDMA; worker 1 in
+			// windows of four; the others one at a time.
+			window := 1
+			if w < 2 {
+				window = 4
+			}
+			for base := 0; base < perWorker; base += window {
+				framed := rdma && w == 0
+				if framed {
+					if err := c.BeginBatch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var reqs []*Req
+				var pos []poolOp
+				for i := base; i < base+window && i < perWorker; i++ {
+					po := plan(w, i)
+					reqs = append(reqs, issue(p, po))
+					pos = append(pos, po)
+				}
+				if framed {
+					if err := c.Flush(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.WaitAll(p, reqs)
+				for k, req := range reqs {
+					check(pos[k], req)
+					seen[req] = pos[k]
+					ops++
+					c.Release(req)
+				}
+				p.Sleep(20 * sim.Microsecond)
+			}
+		}}
 	}
+	sim.DriveUntil(t, r.env, -1, callers...)
 
 	// The fabric heals. A socket client then buffers Sets, libmemcached
 	// style: each is complete as queued and released at once, and the queue
@@ -241,7 +237,7 @@ func poolSoak(t *testing.T, transport Transport) {
 	// of the faulty phase, still in the stream, can keep it from matching.
 	faults.off = true
 	if !rdma {
-		r.env.Spawn("buffered", func(p *sim.Proc) {
+		sim.Drive(t, r.env, "buffered", func(p *sim.Proc) {
 			if err := c.SetBuffering(true); err != nil {
 				t.Fatal(err)
 			}
@@ -261,13 +257,12 @@ func poolSoak(t *testing.T, transport Transport) {
 				t.Fatal(err)
 			}
 		})
-		r.env.Run()
 	}
 
 	// Quiesce: a socket's late replies are drained by one clean exchange per
 	// connection, and every server's store is read back.
 	stored := make(map[string]bool)
-	r.env.Spawn("audit", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "audit", func(p *sim.Proc) {
 		for _, cn := range c.conns {
 			if !rdma {
 				c.Release(c.ipoibExchange(p, cn, Op{Code: protocol.OpGet, Key: "drain"}, c.newReq()))
@@ -287,7 +282,6 @@ func poolSoak(t *testing.T, transport Transport) {
 			}
 		}
 	})
-	r.env.Run()
 	for key := range mustStore {
 		if !stored[key] {
 			t.Errorf("SET %s was acknowledged or answered STORED, and no server stores it", key)
@@ -353,8 +347,7 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		}
 	}
 	get, big, next := on(0, "get"), on(0, "big"), on(1, "next")
-	done := false
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		c.Set(p, get, 64, "v", 0, 0)
 		r.env.Spawn("bulk", func(p *sim.Proc) {
 			bulk, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: big, ValueSize: 256 << 10, Value: "big"})
@@ -382,12 +375,7 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		}
 		c.Release(a)
 		c.Release(b)
-		done = true
 	})
-	r.env.Run()
-	if !done {
-		t.Fatal("the driver did not finish")
-	}
 }
 
 // dupOnce duplicates the next message the client sends once armed.
@@ -416,7 +404,7 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 	dup := &dupOnce{}
 	r.fabric.SetFaults(dup)
 	var held bool
-	r.env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		dup.armed = true
 		req, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 64, Value: "v"})
 		c.Wait(p, req)
@@ -426,7 +414,6 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 		c.Release(req)
 		held = pool.Holders(req) >= 0
 	})
-	r.env.Run()
 	if held {
 		t.Fatal("the answered SET's record was not freed on release")
 	}
@@ -434,10 +421,9 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 		t.Errorf("%d requests reached the server and %d stale answers came back, want 2 and 1",
 			srv.Requests, c.Counters.Val(metrics.CStaleResponses))
 	}
-	r.env.Spawn("audit", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "audit", func(p *sim.Proc) {
 		if v, _, _, _, st := srv.Store().Get(p, "k"); st != protocol.StatusOK || v != "v" || srv.Store().Len() != 1 {
 			t.Errorf("server stores k = %v (%v) among %d keys, want v alone", v, st, srv.Store().Len())
 		}
 	})
-	r.env.Run()
 }

@@ -25,7 +25,7 @@ func TestRetryRidesOutColdRestart(t *testing.T) {
 	c := r.client
 	srv := r.servers[0]
 	var bare, guarded *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ { // 40 × 32 KB into 1 MB: most keys flush
 			if st := c.Set(p, fmt.Sprintf("k%02d", i), 32<<10, i, 0, 0); st != protocol.StatusStored {
 				t.Errorf("fill set %d status %v", i, st)
@@ -57,7 +57,6 @@ func TestRetryRidesOutColdRestart(t *testing.T) {
 		}
 		c.Wait(p, guarded)
 	})
-	r.env.Run()
 
 	if bare == nil || guarded == nil {
 		t.Fatal("requests never issued")
@@ -90,7 +89,7 @@ func TestCrashMidBatchFrameFailsAllMembers(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 	c := r.client
 	var doomed, retried []*Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 4096, Value: "v"})
 		c.Wait(p, req0)
 		home := r.servers[req0.conn.serverID]
@@ -129,7 +128,6 @@ func TestCrashMidBatchFrameFailsAllMembers(t *testing.T) {
 		c.Flush(p)
 		c.WaitAll(p, retried)
 	})
-	r.env.Run()
 
 	if len(doomed) != 4 || len(retried) != 4 {
 		t.Fatalf("issued %d+%d members, want 4+4", len(doomed), len(retried))

@@ -83,8 +83,7 @@ func TestPooledRepliesUnderFaults(t *testing.T) {
 						req.Op, req.Key(), req.Status, req.Value, req.Attempts, want, wantValue)
 				}
 			}
-			finished := false
-			r.env.Spawn("driver", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 				for i := 0; i < ops; i++ {
 					if i%3 != 1 {
 						c.Set(p, fmt.Sprintf("k%d", i), 64, value(i), 0, 0)
@@ -111,12 +110,7 @@ func TestPooledRepliesUnderFaults(t *testing.T) {
 				// exchange reads it as stale: one clean exchange drains them.
 				faults.off = true
 				c.Get(p, "k0")
-				finished = true
 			})
-			r.env.Run()
-			if !finished {
-				t.Fatal("the run went idle with a request unanswered")
-			}
 			if faults.dropped == 0 {
 				t.Fatal("the injector dropped no reply")
 			}
@@ -143,28 +137,29 @@ func TestResolverQueueOwnership(t *testing.T) {
 		return 4 * protocol.DirInlineMax
 	}
 	reqs := make([]*Req, n)
-	r.env.Spawn("preload", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "preload", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			c.Set(p, fmt.Sprintf("key%d", i), size(i), fmt.Sprintf("value%d", i), 0, 0)
 		}
 		p.Sleep(sim.Millisecond) // every directory publish has landed
-		for i := 0; i < n; i++ {
-			r.env.Spawn("get", func(p *sim.Proc) {
-				req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: fmt.Sprintf("key%d", i)})
-				if err != nil {
-					t.Errorf("issue key%d: %v", i, err)
-					return
-				}
-				reqs[i] = req
-				c.Wait(p, req)
-			})
-		}
 	})
-	r.env.Run()
+	gets := make([]sim.Driver, n)
+	for i := range gets {
+		gets[i] = sim.Driver{Name: "get", Fn: func(p *sim.Proc) {
+			req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: fmt.Sprintf("key%d", i)})
+			if err != nil {
+				t.Errorf("issue key%d: %v", i, err)
+				return
+			}
+			reqs[i] = req
+			c.Wait(p, req)
+		}}
+	}
+	sim.DriveUntil(t, r.env, -1, gets...)
 	bypassed := 0
 	for i, req := range reqs {
-		if req == nil || !req.Done() {
-			t.Fatalf("GET key%d never completed", i)
+		if req == nil {
+			continue // its Issue failed, reported above
 		}
 		if want := fmt.Sprintf("value%d", i); req.Status != protocol.StatusOK || req.Value != want || req.ValueSize != size(i) {
 			t.Errorf("GET key%d: %v %v (%d bytes), want OK %v (%d bytes)", i, req.Status, req.Value, req.ValueSize, want, size(i))

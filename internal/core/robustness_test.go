@@ -21,7 +21,7 @@ func TestWaitAnyWithConcurrentCancel(t *testing.T) {
 	srv := r.servers[0]
 	var reqs []*Req
 	var woke int
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		srv.Crash() // nothing will ever answer
 		for i := 0; i < 3; i++ {
 			req, err := c.Issue(p, Op{Code: protocol.OpGet, Key: fmt.Sprintf("k%d", i)})
@@ -40,7 +40,6 @@ func TestWaitAnyWithConcurrentCancel(t *testing.T) {
 			c.Cancel(req) // cleanup so the sim drains
 		}
 	})
-	r.env.Run()
 
 	if woke != 1 {
 		t.Errorf("WaitAny woke on index %d, want 1 (the canceled request)", woke)
@@ -67,7 +66,7 @@ func TestBudgetExhaustionSurfacesBusy(t *testing.T) {
 	})
 	c := r.client
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		var err error
 		// 8 KB value against a 4 KB buffer with a 0.5 SET watermark:
 		// every attempt is over the limit and shed.
@@ -82,7 +81,6 @@ func TestBudgetExhaustionSurfacesBusy(t *testing.T) {
 		}
 		c.Wait(p, req)
 	})
-	r.env.Run()
 
 	if req == nil {
 		t.Fatal("request never issued")
@@ -117,7 +115,7 @@ func TestBudgetExhaustionSurfacesRecovering(t *testing.T) {
 		MaxAttempts: 2, AttemptTimeout: 50 * sim.Microsecond,
 		Backoff: 5 * sim.Microsecond, Jitter: -1,
 	}
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ { // overcommit so the recovery scan has work
 			c.Set(p, fmt.Sprintf("k%02d", i), 32<<10, i, 0, 0)
 		}
@@ -142,7 +140,6 @@ func TestBudgetExhaustionSurfacesRecovering(t *testing.T) {
 		}
 		c.Wait(p, recovering)
 	})
-	r.env.Run()
 
 	if silent == nil || recovering == nil {
 		t.Fatal("requests never issued")
@@ -168,7 +165,7 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 	srv := r.servers[0]
 	var during *Req
 	var probe protocol.Status
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		if st := c.Set(p, "k", 4096, "v", 0, 0); st != protocol.StatusStored {
 			t.Errorf("seed set status %v", st)
 		}
@@ -203,7 +200,6 @@ func TestDeadlineDuringOpenBreaker(t *testing.T) {
 		p.Sleep(breakerCooldown + 100*sim.Microsecond)
 		_, _, probe = c.Get(p, "k")
 	})
-	r.env.Run()
 
 	if during == nil {
 		t.Fatal("request never issued")
@@ -232,7 +228,7 @@ func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 	})
 	c := r.client
 	var rerouted *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		probe, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
 		if err != nil {
 			t.Errorf("issue: %v", err)
@@ -254,7 +250,6 @@ func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 		}
 		c.Wait(p, rerouted)
 	})
-	r.env.Run()
 
 	if rerouted == nil {
 		t.Fatal("request never issued")
@@ -277,7 +272,7 @@ func TestHedgedGetBeatsDeadServer(t *testing.T) {
 	c := r.client
 	var req *Req
 	var took sim.Time
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		probe, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "h"})
 		if err != nil {
 			t.Errorf("issue: %v", err)
@@ -296,7 +291,6 @@ func TestHedgedGetBeatsDeadServer(t *testing.T) {
 		c.Wait(p, req)
 		took = p.Now() - t0
 	})
-	r.env.Run()
 
 	if req == nil {
 		t.Fatal("request never issued")
@@ -320,7 +314,7 @@ func TestHedgedGetSingleServerNoPanic(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	c := r.client
 	var req *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.servers[0].Crash() // silence the only server so the hedge timer fires
 		var err error
 		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "solo"},
@@ -331,7 +325,6 @@ func TestHedgedGetSingleServerNoPanic(t *testing.T) {
 		}
 		c.Wait(p, req)
 	})
-	r.env.Run()
 
 	if req == nil {
 		t.Fatal("request never issued")
@@ -361,7 +354,7 @@ func TestServerAdmissionClassesAndAckedDrain(t *testing.T) {
 	srv := r.servers[0]
 	var sets []*Req
 	var getReq *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		// Overcommit memory so the early keys live on the SSD.
 		for i := 0; i < 40; i++ {
 			if st := c.Set(p, fmt.Sprintf("k%02d", i), 32<<10, i, 0, 0); st != protocol.StatusStored {
@@ -405,7 +398,6 @@ func TestServerAdmissionClassesAndAckedDrain(t *testing.T) {
 		}
 		c.WaitAll(p, append(append(stalls, sets...), getReq))
 	})
-	r.env.Run()
 
 	if srv.ShedSets == 0 {
 		t.Fatal("no SETs shed")
@@ -451,7 +443,7 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 	})
 	c := r.client
 	var early, late *Req
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		probe, err := c.Issue(p, Op{Code: protocol.OpGet, Key: "hr"})
 		if err != nil {
 			t.Errorf("issue: %v", err)
@@ -490,7 +482,6 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 		})
 		c.Wait(p, late)
 	})
-	r.env.Run()
 
 	if early == nil || late == nil {
 		t.Fatal("requests never issued")
@@ -537,7 +528,7 @@ func TestWaitAnyAcrossReplicas(t *testing.T) {
 
 	var reqs []*Req
 	woke := -1
-	r.env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		r.servers[0].Crash()
 		ra, err := c.Issue(p, Op{Code: protocol.OpGet, Key: keyA})
 		if err != nil {
@@ -553,7 +544,6 @@ func TestWaitAnyAcrossReplicas(t *testing.T) {
 		woke = c.WaitAny(p, reqs)
 		c.Cancel(ra) // the dead replica will never answer; drain the sim
 	})
-	r.env.Run()
 
 	if woke != 1 {
 		t.Fatalf("WaitAny woke on index %d, want 1 (the live replica's answer)", woke)

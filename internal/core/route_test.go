@@ -258,7 +258,7 @@ func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 	const key = "token-key"
 	primary := c.conns[c.replicas(key)[0]]
 	primary.health.browned[hcGet] = true
-	r.env.Spawn("gets", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "gets", func(p *sim.Proc) {
 		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.conn == primary {
 			t.Errorf("a plain GET stayed on the browned primary: the rig is not rerouting")
 		}
@@ -269,5 +269,4 @@ func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 			t.Errorf("CompareAndSet went to server%d, want the primary", cas.conn.serverID)
 		}
 	})
-	r.env.Run()
 }

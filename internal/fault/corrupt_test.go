@@ -100,11 +100,10 @@ func TestFabricDeliversCorruptCopy(t *testing.T) {
 	fab.SetFaults(in)
 	var got []any
 	b.SetReceiver(func(m *simnet.Message) { got = append(got, m.Payload) })
-	env.Spawn("tx", func(p *sim.Proc) {
+	sim.Drive(t, env, "tx", func(p *sim.Proc) {
 		a.Send(p, "b", 64, corruptToken{v: 7})
 		a.Send(p, "b", 64, "plain-string") // not Corruptible
 	})
-	env.Run()
 	if len(got) != 2 {
 		t.Fatalf("delivered %d messages, want 2", len(got))
 	}

@@ -25,7 +25,7 @@ type evictRig struct {
 	run     func(*sim.Proc)
 }
 
-func newEvictRig(pages int, windowed bool) *evictRig {
+func newEvictRig(tb testing.TB, pages int, windowed bool) *evictRig {
 	r := &evictRig{env: sim.NewEnv()}
 	// A merged run is bump-allocated and never reuses the pool, so the arena
 	// is sized for any step count a benchmark asks for.
@@ -39,12 +39,11 @@ func newEvictRig(pages int, windowed bool) *evictRig {
 	for i := range r.ring {
 		r.ring[i] = item(i, 32*1024)
 	}
-	r.env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(tb, r.env, "fill", func(p *sim.Proc) {
 		for _, it := range r.ring[:resident] {
 			r.m.Store(p, it)
 		}
 	})
-	r.env.Run()
 	if r.m.FlushPages != 0 || r.m.RAMItems() != resident {
 		panic("evictRig: the fill was meant to fill RAM exactly")
 	}
@@ -75,29 +74,30 @@ func newEvictRig(pages int, windowed bool) *evictRig {
 	return r
 }
 
+// step is what the ceilings count, so it runs no rig: a step left parked would
+// make the next Spawn build a fresh coroutine, and the ceiling counts that.
 func (r *evictRig) step() {
 	r.env.Spawn("step", r.run)
-	r.env.Run()
+	r.env.Run() // no driver: allocations are the subject (see above)
 }
 
 // loadModel returns a step that Loads one SSD-resident 32 KB item in place.
-func loadModel() (step func()) {
+func loadModel(tb testing.TB) (step func()) {
 	env := sim.NewEnv()
 	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
 	items := make([]*Item, 300)
-	env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(tb, env, "fill", func(p *sim.Proc) {
 		for i := range items {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	load := func(p *sim.Proc) {
 		if v, err := m.Load(p, items[0]); err != nil || v != 0 {
 			panic("loadModel: SSD load failed")
 		}
 	}
-	return func() { env.Spawn("load", load); env.Run() }
+	return func() { env.Spawn("load", load); env.Run() } // no driver: allocations are the subject, as in evictRig.step
 }
 
 func benchSteps(b *testing.B, step func()) {
@@ -113,10 +113,10 @@ func benchSteps(b *testing.B, step func()) {
 // page (its Stores included, one region write), a coalescing window of one
 // and of four pages (four regions, one merged write), and one in-place SSD
 // Load.
-func BenchmarkEvictPage(b *testing.B)      { benchSteps(b, newEvictRig(1, false).step) }
-func BenchmarkEvictWindowOf1(b *testing.B) { benchSteps(b, newEvictRig(1, true).step) }
-func BenchmarkEvictWindowOf4(b *testing.B) { benchSteps(b, newEvictRig(4, true).step) }
-func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel()) }
+func BenchmarkEvictPage(b *testing.B)      { benchSteps(b, newEvictRig(b, 1, false).step) }
+func BenchmarkEvictWindowOf1(b *testing.B) { benchSteps(b, newEvictRig(b, 1, true).step) }
+func BenchmarkEvictWindowOf4(b *testing.B) { benchSteps(b, newEvictRig(b, 4, true).step) }
+func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel(b)) }
 
 // What the region writer allocates, the page's Stores included (they allocate
 // nothing: the rig reuses its Items). One page of 30 victims is 8: the victim
@@ -134,10 +134,10 @@ func TestRegionWriterAllocationCeilings(t *testing.T) {
 		step    func()
 		ceiling float64
 	}{
-		{"synchronous eviction of one page", newEvictRig(1, false).step, 8},
-		{"window of one page", newEvictRig(1, true).step, 10},
-		{"window of four pages", newEvictRig(4, true).step, 33},
-		{"SSD load", loadModel(), 0},
+		{"synchronous eviction of one page", newEvictRig(t, 1, false).step, 8},
+		{"window of one page", newEvictRig(t, 1, true).step, 10},
+		{"window of four pages", newEvictRig(t, 4, true).step, 33},
+		{"SSD load", loadModel(t), 0},
 	} {
 		tc.step()
 		if got := testing.AllocsPerRun(100, tc.step); got > tc.ceiling {

@@ -34,13 +34,12 @@ func TestStoreAndLoadRAM(t *testing.T) {
 	m := newManager(env, 16<<20, PolicyDirect, false, blockdev.SATA())
 	it := item(1, 32*1024)
 	var got any
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if err := m.Store(p, it); err != nil {
 			t.Errorf("store: %v", err)
 		}
 		got, _ = m.Load(p, it)
 	})
-	env.Run()
 	if got != 1 {
 		t.Errorf("loaded %v, want 1", got)
 	}
@@ -56,10 +55,9 @@ func TestOversizeItemRejected(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 16<<20, PolicyDirect, false, blockdev.SATA())
 	var err error
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		err = m.Store(p, item(1, 2<<20))
 	})
-	env.Run()
 	if err != ErrTooLarge {
 		t.Errorf("err=%v, want ErrTooLarge", err)
 	}
@@ -70,7 +68,7 @@ func TestRAMOnlyEvictionDropsLRU(t *testing.T) {
 	m := newManager(env, 4<<20, PolicyDirect, false, blockdev.SATA())
 	const n = 300 // 300 × 32KB ≈ 9.4 MB in 4 MB of RAM
 	items := make([]*Item, n)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			if err := m.Store(p, items[i]); err != nil {
@@ -78,7 +76,6 @@ func TestRAMOnlyEvictionDropsLRU(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if m.DropEvictions == 0 {
 		t.Fatalf("no drop evictions with 2.3x overcommit")
 	}
@@ -89,8 +86,7 @@ func TestRAMOnlyEvictionDropsLRU(t *testing.T) {
 		t.Errorf("newest item dropped")
 	}
 	var err error
-	env.Spawn("get", func(p *sim.Proc) { _, err = m.Load(p, items[0]) })
-	env.Run()
+	sim.Drive(t, env, "get", func(p *sim.Proc) { _, err = m.Load(p, items[0]) })
 	if err != ErrDropped {
 		t.Errorf("Load of dropped item err=%v, want ErrDropped", err)
 	}
@@ -101,13 +97,12 @@ func TestHybridEvictionFlushesToSSD(t *testing.T) {
 	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
 	const n = 300
 	items := make([]*Item, n)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	if m.FlushPages == 0 {
 		t.Fatalf("no slab flushes despite overcommit")
 	}
@@ -122,7 +117,7 @@ func TestHybridEvictionFlushesToSSD(t *testing.T) {
 	}
 	// High data retention: everything still loadable.
 	var miss int
-	env.Spawn("get", func(p *sim.Proc) {
+	sim.Drive(t, env, "get", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			v, err := m.Load(p, items[i])
 			if err != nil || v != i {
@@ -130,7 +125,6 @@ func TestHybridEvictionFlushesToSSD(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if miss != 0 {
 		t.Errorf("%d of %d items unreadable from hybrid memory", miss, n)
 	}
@@ -143,7 +137,7 @@ func TestSSDLoadSlowerThanRAMLoad(t *testing.T) {
 	items := make([]*Item, n)
 	var ramT, ssdT sim.Time
 	var wasOnSSD bool
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
@@ -157,7 +151,6 @@ func TestSSDLoadSlowerThanRAMLoad(t *testing.T) {
 		m.Load(p, items[0])
 		ssdT = p.Now() - t0
 	})
-	env.Run()
 	if !wasOnSSD || items[n-1].OnSSD() {
 		t.Fatalf("placement unexpected: old wasOnSSD=%v new onSSD=%v", wasOnSSD, items[n-1].OnSSD())
 	}
@@ -179,12 +172,11 @@ func TestAdaptiveFlushFasterThanDirect(t *testing.T) {
 	run := func(policy IOPolicy) sim.Time {
 		env := sim.NewEnv()
 		m := newManager(env, 4<<20, policy, true, blockdev.SATA())
-		env.Spawn("op", func(p *sim.Proc) {
+		end := sim.Drive(t, env, "op", func(p *sim.Proc) {
 			for i := 0; i < 300; i++ {
 				m.Store(p, item(i, 32*1024))
 			}
 		})
-		end := env.Run()
 		if m.FlushPages == 0 {
 			t.Fatalf("policy %v: no flushes", policy)
 		}
@@ -218,7 +210,7 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
 	items := make([]*Item, 130)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 80; i++ { // ≈2.6 MB: fits in 4 MB, no eviction yet
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
@@ -229,7 +221,6 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	if items[0].OnSSD() {
 		t.Errorf("touched item was evicted while colder items remained")
 	}
@@ -242,7 +233,7 @@ func TestReleaseFreesRAMChunk(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 16<<20, PolicyDirect, false, blockdev.SATA())
 	it := item(1, 32*1024)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		m.Store(p, it)
 		cls := it.class
 		used := m.Allocator().Class(cls).UsedChunks
@@ -251,7 +242,6 @@ func TestReleaseFreesRAMChunk(t *testing.T) {
 			t.Errorf("used chunks %d after release, want %d", got, used-1)
 		}
 	})
-	env.Run()
 	if m.RAMItems() != 0 {
 		t.Errorf("RAMItems=%d after release", m.RAMItems())
 	}
@@ -262,13 +252,12 @@ func TestReleaseSSDItemReclaimsPages(t *testing.T) {
 	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
 	const n = 300
 	items := make([]*Item, n)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	before := m.SSDUsed()
 	if before == 0 {
 		t.Fatalf("nothing on SSD")
@@ -296,12 +285,11 @@ func TestSSDCapacityOverflowDrops(t *testing.T) {
 	dev := blockdev.New(env, blockdev.SATA(), 8<<30)
 	cache := pagecache.New(env, dev, pagecache.DefaultParams())
 	m := New(env, cfg, cache.OpenFile(0, 8<<30))
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 600; i++ { // ~19 MB into 2 MB RAM + 4 MB SSD
 			m.Store(p, item(i, 32*1024))
 		}
 	})
-	env.Run()
 	if m.DropEvictions == 0 {
 		t.Errorf("no drops despite SSD capacity overflow")
 	}
@@ -314,12 +302,11 @@ func TestNVMeFlushFasterThanSATA(t *testing.T) {
 	run := func(prof blockdev.Profile) sim.Time {
 		env := sim.NewEnv()
 		m := newManager(env, 4<<20, PolicyDirect, true, prof)
-		env.Spawn("op", func(p *sim.Proc) {
+		return sim.Drive(t, env, "op", func(p *sim.Proc) {
 			for i := 0; i < 300; i++ {
 				m.Store(p, item(i, 32*1024))
 			}
 		})
-		return env.Run()
 	}
 	if sata, nvme := run(blockdev.SATA()), run(blockdev.NVMe()); nvme >= sata {
 		t.Errorf("NVMe run %v not faster than SATA %v", nvme, sata)
@@ -331,7 +318,7 @@ func TestAccountingConsistencyAfterChurn(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 4<<20, PolicyAdaptive, true, blockdev.SATA())
 	live := make(map[int]*Item)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		seq := 0
 		for round := 0; round < 6; round++ {
 			for i := 0; i < 60; i++ {
@@ -349,7 +336,6 @@ func TestAccountingConsistencyAfterChurn(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	ram, ssd, dropped := 0, 0, 0
 	for _, it := range live {
 		switch {
@@ -389,14 +375,13 @@ func TestAsyncFlushOffloadsEviction(t *testing.T) {
 	run := func(async bool) (sim.Time, *Manager) {
 		m, env := mk(async)
 		var elapsed sim.Time
-		env.Spawn("op", func(p *sim.Proc) {
+		sim.Drive(t, env, "op", func(p *sim.Proc) {
 			t0 := p.Now()
 			for i := 0; i < 300; i++ {
 				m.Store(p, item(i, 32*1024))
 			}
 			elapsed = p.Now() - t0
 		})
-		env.Run()
 		return elapsed, m
 	}
 	syncT, _ := run(false)
@@ -423,7 +408,7 @@ func TestAsyncFlushItemsReadableDuringTransit(t *testing.T) {
 	}, cache.OpenFile(0, 4<<30))
 	items := make([]*Item, 300)
 	bad := 0
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
@@ -436,7 +421,6 @@ func TestAsyncFlushItemsReadableDuringTransit(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if bad != 0 {
 		t.Errorf("%d reads of staged/placed items returned wrong data", bad)
 	}
@@ -452,13 +436,12 @@ func TestAsyncFlushBoundedStaging(t *testing.T) {
 		AsyncFlush: true,
 	}, cache.OpenFile(0, 4<<30))
 	var staged sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 600; i++ {
 			m.Store(p, item(i, 32*1024))
 		}
 		staged = p.Now()
 	})
-	env.Run()
 	// The producer's last flush can be staged only once the one flusher has
 	// taken all but asyncFlushDepth of the others off the pool, one device
 	// write (~2.5 ms of direct I/O) each: sustained overcommit must have
@@ -477,21 +460,19 @@ func TestCorruptSSDExtentReadsAsMiss(t *testing.T) {
 	m := newManager(env, 4<<20, PolicyDirect, true, blockdev.SATA())
 	const n = 300
 	items := make([]*Item, n)
-	env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, env, "load", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	victim := items[0]
 	if !victim.OnSSD() {
 		t.Fatalf("victim not on SSD")
 	}
 	m.file.Discard(victim.ssdOff) // inject corruption
 	var err error
-	env.Spawn("get", func(p *sim.Proc) { _, err = m.Load(p, victim) })
-	env.Run()
+	sim.Drive(t, env, "get", func(p *sim.Proc) { _, err = m.Load(p, victim) })
 	if err != ErrDropped {
 		t.Fatalf("corrupt load err=%v, want ErrDropped", err)
 	}
@@ -500,8 +481,7 @@ func TestCorruptSSDExtentReadsAsMiss(t *testing.T) {
 	}
 	// Other SSD items are unaffected.
 	var v any
-	env.Spawn("get2", func(p *sim.Proc) { v, err = m.Load(p, items[1]) })
-	env.Run()
+	sim.Drive(t, env, "get2", func(p *sim.Proc) { v, err = m.Load(p, items[1]) })
 	if err != nil || v != 1 {
 		t.Errorf("healthy item load (%v,%v)", v, err)
 	}
@@ -525,13 +505,12 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 	m := newManager(env, 4<<20, PolicyAdaptive, true, blockdev.SATA())
 	const n = 300
 	items := make([]*Item, n)
-	env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, env, "load", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	// Kill two thirds of each flushed region.
 	killed := 0
 	for i, it := range items {
@@ -545,8 +524,7 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 		t.Fatalf("no fragmentation to compact (killed=%d)", killed)
 	}
 	var reclaimed int64
-	env.Spawn("compact", func(p *sim.Proc) { reclaimed = m.Compact(p, 0.5) })
-	env.Run()
+	sim.Drive(t, env, "compact", func(p *sim.Proc) { reclaimed = m.Compact(p, 0.5) })
 	if reclaimed == 0 || m.Compactions == 0 {
 		t.Fatalf("compaction reclaimed nothing (dead was %d)", before)
 	}
@@ -555,7 +533,7 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 	}
 	// Every surviving item is still readable with its original value.
 	bad := 0
-	env.Spawn("verify", func(p *sim.Proc) {
+	sim.Drive(t, env, "verify", func(p *sim.Proc) {
 		for i, it := range items {
 			if it.Dropped() {
 				continue
@@ -566,7 +544,6 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if bad != 0 {
 		t.Errorf("%d items unreadable after compaction", bad)
 	}
@@ -576,16 +553,14 @@ func TestCompactSkipsDenseRegions(t *testing.T) {
 	env := sim.NewEnv()
 	m := newManager(env, 4<<20, PolicyAdaptive, true, blockdev.SATA())
 	items := make([]*Item, 300)
-	env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, env, "load", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	var reclaimed int64
-	env.Spawn("compact", func(p *sim.Proc) { reclaimed = m.Compact(p, 0.5) })
-	env.Run()
+	sim.Drive(t, env, "compact", func(p *sim.Proc) { reclaimed = m.Compact(p, 0.5) })
 	if reclaimed != 0 || m.Compactions != 0 {
 		t.Errorf("compaction touched dense regions: reclaimed=%d n=%d", reclaimed, m.Compactions)
 	}

@@ -24,13 +24,12 @@ func rotFixture(t *testing.T, noVerify bool) (*sim.Env, *Manager, *blockdev.Devi
 	}, cache.OpenFile(0, 4<<30))
 	const n = 300
 	items := make([]*Item, n)
-	env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, env, "load", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			items[i] = item(i, 32*1024)
 			m.Store(p, items[i])
 		}
 	})
-	env.Run()
 	if !items[0].OnSSD() {
 		t.Fatal("fixture: oldest item not on SSD")
 	}
@@ -47,11 +46,10 @@ func TestRottedLoadQuarantinesRegion(t *testing.T) {
 	dev.AddBitRot(17, env.Now(), env.Now()+sim.Millisecond, 1.0)
 	victim := items[0]
 	var err error
-	env.Spawn("get", func(p *sim.Proc) {
+	sim.Drive(t, env, "get", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		_, err = m.Load(p, victim)
 	})
-	env.Run()
 	if err != ErrCorrupt {
 		t.Fatalf("rotted load err = %v, want ErrCorrupt", err)
 	}
@@ -101,11 +99,10 @@ func TestNoVerifyServesGarbledValue(t *testing.T) {
 	dev.AddBitRot(17, env.Now(), env.Now()+sim.Millisecond, 1.0)
 	var v any
 	var err error
-	env.Spawn("get", func(p *sim.Proc) {
+	sim.Drive(t, env, "get", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		v, err = m.Load(p, items[0])
 	})
-	env.Run()
 	if err != nil {
 		t.Fatalf("nodefense load err = %v, want nil (garbage, not failure)", err)
 	}
@@ -130,8 +127,7 @@ func TestVerifySlotCatchesRecordMismatch(t *testing.T) {
 		Key: "not-the-key", Value: 999, ValueSize: victim.ValueSize,
 	})
 	var err error
-	env.Spawn("get", func(p *sim.Proc) { _, err = m.Load(p, victim) })
-	env.Run()
+	sim.Drive(t, env, "get", func(p *sim.Proc) { _, err = m.Load(p, victim) })
 	if err != ErrCorrupt {
 		t.Fatalf("mismatched-record load err = %v, want ErrCorrupt", err)
 	}
@@ -140,8 +136,7 @@ func TestVerifySlotCatchesRecordMismatch(t *testing.T) {
 	}
 	// A healthy sibling on another region still loads clean.
 	var v any
-	env.Spawn("get2", func(p *sim.Proc) { v, err = m.Load(p, items[40]) })
-	env.Run()
+	sim.Drive(t, env, "get2", func(p *sim.Proc) { v, err = m.Load(p, items[40]) })
 	if err != nil || v != 40 {
 		t.Errorf("healthy item load = (%v, %v)", v, err)
 	}
@@ -163,7 +158,7 @@ func TestEvacuateQuarantinedMovesCleanRetiresRotten(t *testing.T) {
 	var moved int
 	var corrupt []*Item
 	var reclaimed int
-	env.Spawn("scrub", func(p *sim.Proc) {
+	sim.Drive(t, env, "scrub", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		// Find a rotted slot the foreground path quarantines.
 		for _, it := range items {
@@ -219,7 +214,6 @@ func TestEvacuateQuarantinedMovesCleanRetiresRotten(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 
 	if moved == 0 || len(corrupt) == 0 {
 		t.Fatalf("moved=%d corrupt=%d: rate 0.5 should split the region's slots both ways", moved, len(corrupt))

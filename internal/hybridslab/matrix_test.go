@@ -47,13 +47,12 @@ func newWriterCell(t *testing.T, cfg Config) *writerCell {
 	cfg.Slab, cfg.Policy = slab.Config{MemLimit: 4 << 20}, PolicyDirect
 	c.m = New(c.env, cfg, cache.OpenFile(0, 4<<30))
 	c.items = make([]*Item, 300)
-	c.env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(t, c.env, "fill", func(p *sim.Proc) {
 		for i := range c.items {
 			c.items[i] = item(i, 32*1024)
 			c.m.Store(p, c.items[i])
 		}
 	})
-	c.env.Run()
 	c.all = append(c.all, c.items...)
 	for k := 0; k < 6; k++ {
 		first, last := c.items[k*matrixChunkItems], c.items[(k+1)*matrixChunkItems-1]
@@ -354,7 +353,7 @@ func (c *writerCell) check() {
 		}
 	}
 	// Every live item still loads its value.
-	c.env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, c.env, "load", func(p *sim.Proc) {
 		for _, it := range live {
 			if isBad[it] {
 				continue
@@ -364,7 +363,6 @@ func (c *writerCell) check() {
 			}
 		}
 	})
-	c.env.Run()
 }
 
 func TestRegionWriterMatrix(t *testing.T) {
@@ -384,8 +382,7 @@ func TestRegionWriterMatrix(t *testing.T) {
 				}
 				flushes, commits, errs = c.m.FlushWrites, c.m.CommitWrites, c.m.FlushErrors
 				col.interfere(c, dataEnd, end)
-				c.env.Spawn("act", func(p *sim.Proc) { row.act(p, c) })
-				c.env.Run()
+				sim.Drive(t, c.env, "act", func(p *sim.Proc) { row.act(p, c) })
 				return c, c.m.FlushWrites - flushes, c.m.CommitWrites - commits, c.m.FlushErrors - errs
 			}
 			// The clean run is the clock the other columns set their
@@ -408,8 +405,7 @@ func TestRegionWriterMatrix(t *testing.T) {
 							flushes, commits, errs, c.m.flushFailStreak, wf, wc, we, streak)
 					}
 					c.check()
-					c.env.Spawn("power-cut", func(p *sim.Proc) { c.powerCycle(p, false, col.torn) })
-					c.env.Run()
+					sim.Drive(t, c.env, "power-cut", func(p *sim.Proc) { c.powerCycle(p, false, col.torn) })
 					c.check()
 				})
 			}
@@ -426,22 +422,23 @@ func TestPlaceRechecksEachJobAcrossColdRestart(t *testing.T) {
 	if row.writes != 2 {
 		t.Fatalf("row %q is not the job-by-job window", row.name)
 	}
-	start := func() *writerCell {
+	start := func() (*writerCell, sim.Driver) {
 		c := newWriterCell(t, row.cfg)
 		row.prepare(c)
-		c.env.Spawn("act", func(p *sim.Proc) { row.act(p, c) })
-		return c
+		return c, sim.Driver{Name: "act", Fn: func(p *sim.Proc) { row.act(p, c) }}
 	}
-	clean := start()
+	clean, act := start()
+	clean.env.Spawn(act.Name, act.Fn)
 	flushes := clean.m.FlushWrites
 	for i := 0; clean.m.FlushWrites == flushes && i < 1000; i++ {
+		// no driver: stepped only until the first job's region write lands, the act mid-window
 		clean.env.RunUntil(clean.env.Now() + 100*sim.Microsecond)
 	}
 	firstDataEnd := clean.env.Now()
 
-	c := start()
-	c.env.SpawnAt(midData(firstDataEnd), "power-cut", func(p *sim.Proc) { c.powerCycle(p, true, false) })
-	c.env.Run()
+	c, act := start()
+	sim.DriveUntil(t, c.env, -1, act,
+		sim.Driver{Name: "power-cut", At: midData(firstDataEnd), Fn: func(p *sim.Proc) { c.powerCycle(p, true, false) }})
 	if got := c.m.FlushWrites - flushes; got != 0 {
 		t.Errorf("%d region writes landed across the cold restart, want 0", got)
 	}

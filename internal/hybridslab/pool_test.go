@@ -30,8 +30,7 @@ func mustPanic(t *testing.T, env *sim.Env, what, want string, fn func(p *sim.Pro
 			t.Errorf("%s: panicked with %v, want %q", what, err, want)
 		}
 	}()
-	env.Spawn(what, fn)
-	env.Run()
+	sim.Drive(t, env, what, fn)
 }
 
 // A stored item's last hold puts it back on its manager's free list, zeroed,
@@ -43,12 +42,11 @@ func TestItemHolds(t *testing.T) {
 	m := newManager(env, 16<<20, PolicyDirect, false, blockdev.SATA())
 	it := m.NewItem()
 	it.Key, it.Value, it.ValueSize = "k", "v", 100
-	env.Spawn("store", func(p *sim.Proc) {
+	sim.Drive(t, env, "store", func(p *sim.Proc) {
 		if err := m.Store(p, it); err != nil {
 			t.Fatal(err)
 		}
 	})
-	env.Run()
 	if n := pool.Holders(it); n != 2 {
 		t.Fatalf("a stored item the caller still holds has %d holds, want 2", n)
 	}
@@ -88,7 +86,7 @@ func TestItemsOfAnOlderIncarnationAreNotReused(t *testing.T) {
 	live, spare := m.NewItem(), m.NewItem()
 	live.Key, live.ValueSize = "k", 100
 	spare.Unhold()
-	env.Spawn("restart", func(p *sim.Proc) {
+	sim.Drive(t, env, "restart", func(p *sim.Proc) {
 		if err := m.Store(p, live); err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +95,6 @@ func TestItemsOfAnOlderIncarnationAreNotReused(t *testing.T) {
 		live.Unhold()
 		live.Unhold() // uncounted: no panic
 	})
-	env.Run()
 	if m.Items.Len() != 1 {
 		t.Fatalf("%d items free after the restart, want only the spare %p", m.Items.Len(), spare)
 	}

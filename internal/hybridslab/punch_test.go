@@ -48,7 +48,7 @@ func runHorizon(t *testing.T, policy IOPolicy, later int64, release bool) horizo
 		}
 		return it
 	}
-	env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(t, env, "fill", func(p *sim.Proc) {
 		var recent [2]*Item
 		for m.SSDItems() == 0 {
 			recent[0], recent[1] = recent[1], store(p)
@@ -76,10 +76,9 @@ func runHorizon(t *testing.T, policy IOPolicy, later int64, release bool) horizo
 		store(p)
 		r.store2 = p.Now() - t0
 	})
-	env.Run()
 	for c.Dirty() > 0 {
 		c.Kick()
-		env.Run()
+		env.Run() // no driver: the writeback the Kick starts is all that runs
 	}
 	r.written, r.punched = dev.BytesWrite, c.PunchedPages
 	return r

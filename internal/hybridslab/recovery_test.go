@@ -26,14 +26,14 @@ func newRecoveryRig(seed int64, tornProb float64) (*sim.Env, *Manager, *blockdev
 	return env, m, dev
 }
 
-// driveRecoveryRig stores n 32 KB items, wrapping every run of 20 in an
+// recoveryDriver stores n 32 KB items, wrapping every run of 20 in an
 // eviction-coalescing window so crash points land inside merged flushes
 // (including between a merged data write and its commit record) as well as
 // plain per-job flushes. stop makes the driver quit at the next iteration
 // after a simulated power cut. Store errors are ignored: after a crash the
 // resumed call may observe ErrRecovering.
-func driveRecoveryRig(env *sim.Env, m *Manager, n int, stop *bool) {
-	env.Spawn("drv", func(p *sim.Proc) {
+func recoveryDriver(m *Manager, n int, stop *bool) func(p *sim.Proc) {
+	return func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			if *stop {
 				return
@@ -46,7 +46,7 @@ func driveRecoveryRig(env *sim.Env, m *Manager, n int, stop *bool) {
 				m.EndEvictionBatch(p)
 			}
 		}
-	})
+	}
 }
 
 // TestRecoverSweepCrashAnyPoint is the acceptance sweep: a power cut
@@ -66,8 +66,7 @@ func TestRecoverSweepCrashAnyPoint(t *testing.T) {
 	// crash point regardless of its tear-draw seed.
 	env, m, _ := newRecoveryRig(1, 0.5)
 	stop := false
-	driveRecoveryRig(env, m, n, &stop)
-	total := env.Run()
+	total := sim.Drive(t, env, "drv", recoveryDriver(m, n, &stop))
 	if m.FlushPages == 0 {
 		t.Fatalf("clean run flushed nothing; sweep would be vacuous")
 	}
@@ -77,10 +76,11 @@ func TestRecoverSweepCrashAnyPoint(t *testing.T) {
 		crashAt := total * sim.Time(k) / sim.Time(points+1)
 		env, m, _ := newRecoveryRig(int64(1000+k), 0.5)
 		stop := false
-		driveRecoveryRig(env, m, n, &stop)
-		env.RunUntil(crashAt)
+		env.Spawn("drv", recoveryDriver(m, n, &stop))
+		env.RunUntil(crashAt) // no driver: the power cut strikes the driver mid-run
+
 		stop = true
-		env.Spawn("recover", func(p *sim.Proc) {
+		sim.Drive(t, env, "recover", func(p *sim.Proc) {
 			items, rep := m.Recover(p)
 			if rep.PagesScanned != rep.PagesRecovered+rep.PagesDiscarded {
 				t.Errorf("crash@%v: scanned %d != recovered %d + discarded %d",
@@ -123,7 +123,6 @@ func TestRecoverSweepCrashAnyPoint(t *testing.T) {
 				t.Errorf("crash@%v: post-recovery load = (%v,%v)", crashAt, v, err)
 			}
 		})
-		env.Run()
 	}
 	// The sweep must have exercised both outcomes: pages surviving intact and
 	// pages rejected (20% of write commands tear).
@@ -149,8 +148,7 @@ func TestRecoverDiscardsUncommittedPage(t *testing.T) {
 	const n = 150
 	env, m, _ := newRecoveryRig(1, 0)
 	stop := false
-	driveRecoveryRig(env, m, n, &stop)
-	env.Run()
+	sim.Drive(t, env, "drv", recoveryDriver(m, n, &stop))
 
 	// Walk the SSD recency list directly (same package) to pick a victim page.
 	var onSSD []*Item
@@ -174,7 +172,7 @@ func TestRecoverDiscardsUncommittedPage(t *testing.T) {
 	// views, exactly what a power cut before the commit write leaves behind.
 	m.file.Discard(commitOff(pg.base, pg.size))
 
-	env.Spawn("recover", func(p *sim.Proc) {
+	sim.Drive(t, env, "recover", func(p *sim.Proc) {
 		items, rep := m.Recover(p)
 		if rep.PagesUncommitted != 1 {
 			t.Errorf("PagesUncommitted = %d, want 1", rep.PagesUncommitted)
@@ -201,7 +199,6 @@ func TestRecoverDiscardsUncommittedPage(t *testing.T) {
 			t.Errorf("uncommitted region %d not returned to the free pool", pg.base)
 		}
 	})
-	env.Run()
 }
 
 // TestFailedMergedFlushKeepsVictimsConsistent is the placeMerged error-path
@@ -220,7 +217,7 @@ func TestFailedMergedFlushKeepsVictimsConsistent(t *testing.T) {
 
 	const prefill = 200
 	items := make([]*Item, 0, prefill+80)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < prefill; i++ {
 			it := item(i, 32*1024)
 			items = append(items, it)
@@ -295,7 +292,6 @@ func TestFailedMergedFlushKeepsVictimsConsistent(t *testing.T) {
 			t.Errorf("no successful flush after faults disarmed")
 		}
 	})
-	env.Run()
 }
 
 // TestAbortEvictionBatchesTearsDownWindows is the crash-window regression: a
@@ -310,7 +306,7 @@ func TestAbortEvictionBatchesTearsDownWindows(t *testing.T) {
 		Slab:   slab.Config{MemLimit: 4 << 20},
 		Policy: PolicyDirect,
 	}, cache.OpenFile(0, 4<<30))
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			m.Store(p, item(i, 32*1024))
 		}
@@ -357,7 +353,6 @@ func TestAbortEvictionBatchesTearsDownWindows(t *testing.T) {
 			t.Errorf("post-abort load = (%v,%v)", v, err)
 		}
 	})
-	env.Run()
 	_ = dev
 }
 
@@ -369,8 +364,7 @@ func TestAbortEvictionBatchesTearsDownWindows(t *testing.T) {
 func TestRecoverBumpPointerClearsUncommittedLastPage(t *testing.T) {
 	env, m, _ := newRecoveryRig(1, 0)
 	stop := false
-	driveRecoveryRig(env, m, 150, &stop)
-	env.Run()
+	sim.Drive(t, env, "drv", recoveryDriver(m, 150, &stop))
 	var last *ssdPage
 	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
 		if pg := e.Value.ssdPage; last == nil || pg.base > last.base {
@@ -381,12 +375,11 @@ func TestRecoverBumpPointerClearsUncommittedLastPage(t *testing.T) {
 		t.Fatalf("fixture: no page at the end of the arena")
 	}
 	m.file.Discard(commitOff(last.base, last.size)) // the commit write never happened
-	env.Spawn("recover", func(p *sim.Proc) {
+	sim.Drive(t, env, "recover", func(p *sim.Proc) {
 		if _, rep := m.Recover(p); rep.PagesUncommitted != 1 {
 			t.Errorf("PagesUncommitted = %d, want 1", rep.PagesUncommitted)
 		}
 	})
-	env.Run()
 	if want := last.base + last.size; m.ssdNext != want {
 		t.Errorf("bump pointer %d after recovery, the pooled last page ends at %d", m.ssdNext, want)
 	}
@@ -402,7 +395,7 @@ func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 	env, m, _ := newRecoveryRig(1, 0)
 	older, newer := item(0, 32*1024), item(0, 32*1024)
 	older.Value, newer.Value = "older", "newer"
-	env.Spawn("drv", func(p *sim.Proc) {
+	sim.Drive(t, env, "drv", func(p *sim.Proc) {
 		m.Store(p, older)
 		for i := 1; i < 150; i++ {
 			if i == 75 {
@@ -411,14 +404,13 @@ func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 			m.Store(p, item(i, 32*1024))
 		}
 	})
-	env.Run()
 	if !older.onSSD || !newer.onSSD || older.ssdPage == newer.ssdPage {
 		t.Fatalf("fixture: the two copies must sit in two flushed pages (onSSD %v / %v)", older.onSSD, newer.onSSD)
 	}
 	loserOff, loserBase := older.ssdOff, older.ssdPage.base
 	siblings := older.ssdPage.live - 1
 
-	env.Spawn("recover", func(p *sim.Proc) {
+	sim.Drive(t, env, "recover", func(p *sim.Proc) {
 		items, _ := m.Recover(p)
 		var copies []any
 		var loserPage *ssdPage
@@ -448,7 +440,6 @@ func TestRecoverResolvesDuplicateKeyByEpoch(t *testing.T) {
 			t.Errorf("%d items free after recovery, want 1: the demoted copy", m.Items.Len())
 		}
 	})
-	env.Run()
 	if _, ok := m.file.PeekDurable(loserOff); ok {
 		t.Error("the losing copy's slot is still durable: the next cold restart would meet it again")
 	}

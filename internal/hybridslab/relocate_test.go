@@ -50,8 +50,7 @@ func quarantineRegionOf(t *testing.T, env *sim.Env, m *Manager, it *Item) {
 	t.Helper()
 	plantMismatch(m, it)
 	var err error
-	env.Spawn("trip", func(p *sim.Proc) { _, err = m.Load(p, it) })
-	env.Run()
+	sim.Drive(t, env, "trip", func(p *sim.Proc) { _, err = m.Load(p, it) })
 	if err != ErrCorrupt || len(m.quarantine) != 1 {
 		t.Fatalf("fixture: planted mismatch gave err=%v, %d quarantined", err, len(m.quarantine))
 	}
@@ -165,8 +164,7 @@ func relocationTime(t *testing.T, r relocation) sim.Time {
 	env, m, _, items := rotFixture(t, false)
 	r.prepare(t, env, m, items)
 	t0 := env.Now()
-	env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
-	return env.Run() - t0
+	return sim.Drive(t, env, "relocate", func(p *sim.Proc) { r.run(p, m) }) - t0
 }
 
 // A GET that overlaps a relocation must not lose a live, clean item: the
@@ -187,12 +185,12 @@ func TestLoadRacingRelocationKeepsItem(t *testing.T) {
 				startAt := total * sim.Time(k) / sim.Time(points+1)
 				var v any
 				var err error
-				env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
-				env.Spawn("get", func(p *sim.Proc) {
-					p.Sleep(startAt)
-					v, err = m.Load(p, items[k%2])
-				})
-				env.Run()
+				sim.DriveUntil(t, env, -1,
+					sim.Driver{Name: "relocate", Fn: func(p *sim.Proc) { r.run(p, m) }},
+					sim.Driver{Name: "get", Fn: func(p *sim.Proc) {
+						p.Sleep(startAt)
+						v, err = m.Load(p, items[k%2])
+					}})
 				if err != nil || v != k%2 {
 					if lost == 0 {
 						t.Logf("first loss: GET started +%v into a %v relocation: (%v, %v), CorruptLoads=%d",
@@ -221,14 +219,14 @@ func TestRelocationNobodySurvivedIntoIsRecycled(t *testing.T) {
 			env, m, _, items := rotFixture(t, false)
 			r.prepare(t, env, m, items)
 			total := relocationTime(t, r)
-			env.Spawn("relocate", func(p *sim.Proc) { r.run(p, m) })
-			env.Spawn("release", func(p *sim.Proc) {
-				// Past both slot reads, inside the region write.
-				p.Sleep(total - 100*sim.Microsecond)
-				m.Release(items[0])
-				m.Release(items[1])
-			})
-			env.Run()
+			sim.DriveUntil(t, env, -1,
+				sim.Driver{Name: "relocate", Fn: func(p *sim.Proc) { r.run(p, m) }},
+				sim.Driver{Name: "release", Fn: func(p *sim.Proc) {
+					// Past both slot reads, inside the region write.
+					p.Sleep(total - 100*sim.Microsecond)
+					m.Release(items[0])
+					m.Release(items[1])
+				}})
 			checkArena(t, m, false)
 			m.ReclaimQuarantined()
 			checkArena(t, m, false)
@@ -246,14 +244,13 @@ func TestCompactVerifiesWhatItReads(t *testing.T) {
 	pg := items[0].ssdPage
 	dev.AddBitRot(17, env.Now(), env.Now()+sim.Millisecond, 1.0)
 	var errs [2]error
-	env.Spawn("compact", func(p *sim.Proc) {
+	sim.Drive(t, env, "compact", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
 		m.Compact(p, 0.5)
 		for i := range errs {
 			_, errs[i] = m.Load(p, items[i])
 		}
 	})
-	env.Run()
 	if dev.RottenReads != 2 {
 		t.Fatalf("RottenReads = %d: the compactor was meant to read both rotted slots", dev.RottenReads)
 	}

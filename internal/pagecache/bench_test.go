@@ -13,7 +13,7 @@ import (
 // next region, punch rewrites the next region and punches its three slots
 // (seven whole pages each). The file is eight times the cache, so in steady
 // state the reads miss and the writes fault and evict.
-func regionModel(scheme Scheme) (write, read, punch func()) {
+func regionModel(tb testing.TB, scheme Scheme) (write, read, punch func()) {
 	env := sim.NewEnv()
 	par := DefaultParams()
 	par.MaxPages = 256
@@ -49,15 +49,17 @@ func regionModel(scheme Scheme) (write, read, punch func()) {
 			f.Punch(base + 512 + int64(i)*slot)
 		}
 	}
-	env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(tb, env, "fill", func(p *sim.Proc) {
 		for i := 0; i < regions; i++ {
 			doWrite(p)
 		}
 	})
-	env.Run()
-	return func() { env.Spawn("write", doWrite); env.Run() },
-		func() { env.Spawn("read", doRead); env.Run() },
-		func() { env.Spawn("punch", doPunch); env.Run() }
+	// The steps run no rig: allocations are the subject, and a step left
+	// parked would make the next Spawn build a fresh coroutine, which the
+	// ceilings count.
+	return func() { env.Spawn("write", doWrite); env.Run() }, // no driver: see above
+		func() { env.Spawn("read", doRead); env.Run() }, // no driver: see above
+		func() { env.Spawn("punch", doPunch); env.Run() } // no driver: see above
 }
 
 func benchSteps(b *testing.B, step func()) {
@@ -70,7 +72,7 @@ func benchSteps(b *testing.B, step func()) {
 }
 
 func benchScheme(b *testing.B, scheme Scheme, reads bool) {
-	write, read, _ := regionModel(scheme)
+	write, read, _ := regionModel(b, scheme)
 	if reads {
 		write = read
 	}
@@ -87,7 +89,7 @@ func BenchmarkReadMmap(b *testing.B)           { benchScheme(b, Mmap, true) }
 
 // The host cost of a cached region write and the punch of its three slots.
 func BenchmarkPunch(b *testing.B) {
-	_, _, punch := regionModel(Cached)
+	_, _, punch := regionModel(b, Cached)
 	benchSteps(b, punch)
 }
 
@@ -97,7 +99,7 @@ func BenchmarkPunch(b *testing.B) {
 // them. The flusher's watermark is raised to the throttle's, so nothing
 // cleans the dirty pages. The reads cycle over twice the clean capacity:
 // every one misses.
-func readMissBehindDirtyTail() func() {
+func readMissBehindDirtyTail(tb testing.TB) func() {
 	env := sim.NewEnv()
 	par := DefaultParams()
 	par.DirtyHighPages = par.ThrottlePages
@@ -105,11 +107,10 @@ func readMissBehindDirtyTail() func() {
 	ps := int64(par.PageSize)
 	dirty, clean := int64(par.ThrottlePages), int64(par.MaxPages-par.ThrottlePages)
 	f := c.OpenFile(0, (dirty+2*clean)*ps)
-	env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(tb, env, "fill", func(p *sim.Proc) {
 		f.Write(p, 0, int(dirty*ps), c, Cached)
 		f.Read(p, dirty*ps, int(clean*ps), Cached)
 	})
-	env.Run()
 	if c.Dirty() != par.ThrottlePages || c.pages.len() != par.MaxPages {
 		panic("readMissBehindDirtyTail: the fill left the cache not full or not dirty at the throttle")
 	}
@@ -118,25 +119,24 @@ func readMissBehindDirtyTail() func() {
 		f.Read(p, (dirty+next%(2*clean))*ps, int(ps), Cached)
 		next++
 	}
-	return func() { env.Spawn("read", read); env.Run() }
+	return func() { env.Spawn("read", read); env.Run() } // no driver: allocations are the subject, as in regionModel
 }
 
 // The host cost of a read miss that evicts past a dirty tail.
-func BenchmarkReadMissBehindDirtyTail(b *testing.B) { benchSteps(b, readMissBehindDirtyTail()) }
+func BenchmarkReadMissBehindDirtyTail(b *testing.B) { benchSteps(b, readMissBehindDirtyTail(b)) }
 
 // readMissEvict returns a step that makes one cached read of a page that is
 // not resident, in a full cache of clean pages: the read faults the page in
 // and evicts the clean ring's tail, dropping it from the resident-page table
 // and adding the new one. The reads cycle over twice the cache: every one
 // misses.
-func readMissEvict() func() {
+func readMissEvict(tb testing.TB) func() {
 	env := sim.NewEnv()
 	par := DefaultParams()
 	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
 	ps, cached := int64(par.PageSize), int64(par.MaxPages)
 	f := c.OpenFile(0, 2*cached*ps)
-	env.Spawn("fill", func(p *sim.Proc) { f.Read(p, 0, int(cached*ps), Cached) })
-	env.Run()
+	sim.Drive(tb, env, "fill", func(p *sim.Proc) { f.Read(p, 0, int(cached*ps), Cached) })
 	if c.Dirty() != 0 || c.pages.len() != par.MaxPages {
 		panic("readMissEvict: the fill left the cache not full or not clean")
 	}
@@ -145,11 +145,11 @@ func readMissEvict() func() {
 		f.Read(p, next%(2*cached)*ps, int(ps), Cached)
 		next++
 	}
-	return func() { env.Spawn("read", read); env.Run() }
+	return func() { env.Spawn("read", read); env.Run() } // no driver: allocations are the subject, as in regionModel
 }
 
 // The host cost of a read miss that evicts the clean tail.
-func BenchmarkReadMissEvict(b *testing.B) { benchSteps(b, readMissEvict()) }
+func BenchmarkReadMissEvict(b *testing.B) { benchSteps(b, readMissEvict(b)) }
 
 // throttledWrites returns a step in which two writers make cached writes
 // to resident pages of a cache that starts clean: a 576 KB write that
@@ -164,7 +164,7 @@ func throttledWrites() (step func(), c *Cache) {
 	f := c.OpenFile(0, 1<<20)
 	big := func(p *sim.Proc) { f.Write(p, 0, 144*4096, c, Cached) }
 	small := func(p *sim.Proc) { f.Write(p, 512*1024, 4*4096, c, Cached) }
-	return func() { env.Spawn("big", big); env.Spawn("small", small); env.Run() }, c
+	return func() { env.Spawn("big", big); env.Spawn("small", small); env.Run() }, c // no driver: as in regionModel
 }
 
 // The host cost of two cached writers, one of them throttled.
@@ -186,7 +186,7 @@ const throttledWriteCeiling = 2
 // evicts the clean tail: the resident-page table is sized for the cache.
 func TestFileOpAllocationCeilings(t *testing.T) {
 	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
-		write, read, punch := regionModel(scheme)
+		write, read, punch := regionModel(t, scheme)
 		for _, tc := range []struct {
 			name string
 			step func()
@@ -197,12 +197,12 @@ func TestFileOpAllocationCeilings(t *testing.T) {
 			}
 		}
 	}
-	miss := readMissBehindDirtyTail()
+	miss := readMissBehindDirtyTail(t)
 	miss()
 	if got := testing.AllocsPerRun(200, miss); got > 0 {
 		t.Errorf("one cached read miss behind a dirty tail: %v allocations, ceiling 0", got)
 	}
-	evict := readMissEvict()
+	evict := readMissEvict(t)
 	evict()
 	if got := testing.AllocsPerRun(200, evict); got > 0 {
 		t.Errorf("one cached read miss that evicts the clean tail: %v allocations, ceiling 0", got)

@@ -19,8 +19,7 @@ func durableFixture(t *testing.T) (*sim.Env, *File) {
 		{Off: 16384, Size: 512, Payload: "commit"},
 	}
 	var ok bool
-	env.Spawn("w", func(p *sim.Proc) { ok = f.WriteExtents(p, 0, 16896, exts, Direct) })
-	env.Run()
+	sim.Drive(t, env, "w", func(p *sim.Proc) { ok = f.WriteExtents(p, 0, 16896, exts, Direct) })
 	if !ok {
 		t.Fatal("WriteExtents failed with no faults armed")
 	}
@@ -96,10 +95,9 @@ func TestRecoverExtentsAfterWipe(t *testing.T) {
 	}
 	// And the view is rebuildable again after fresh writes.
 	var ok bool
-	f.c.env.Spawn("w2", func(p *sim.Proc) {
+	sim.Drive(t, f.c.env, "w2", func(p *sim.Proc) {
 		ok = f.WriteExtents(p, 0, 512, []Extent{{Off: 0, Size: 512, Payload: "fresh"}}, Direct)
 	})
-	f.c.env.Run()
 	if !ok {
 		t.Fatal("post-wipe write failed")
 	}

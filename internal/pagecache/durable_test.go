@@ -20,8 +20,7 @@ func TestWriteExtentsDurableAndRecover(t *testing.T) {
 		{Off: 4608, Size: 4096, Payload: "slot1"},
 	}
 	var ok bool
-	env.Spawn("w", func(p *sim.Proc) { ok = f.WriteExtents(p, 0, 8704, exts, Direct) })
-	env.Run()
+	sim.Drive(t, env, "w", func(p *sim.Proc) { ok = f.WriteExtents(p, 0, 8704, exts, Direct) })
 	if !ok {
 		t.Fatal("WriteExtents failed with no faults armed")
 	}
@@ -62,8 +61,7 @@ func TestTornWriteExtentsPersistPrefixOnly(t *testing.T) {
 	for i := 0; i < n; i++ {
 		exts = append(exts, Extent{Off: int64(i * sz), Size: sz, Payload: i})
 	}
-	env.Spawn("w", func(p *sim.Proc) { f.WriteExtents(p, 0, n*sz, exts, Direct) })
-	env.Run()
+	sim.Drive(t, env, "w", func(p *sim.Proc) { f.WriteExtents(p, 0, n*sz, exts, Direct) })
 	if dev.TornWrites != 1 {
 		t.Fatalf("TornWrites = %d, want 1", dev.TornWrites)
 	}
@@ -109,8 +107,7 @@ func TestTornMergedCommitDropsSuffix(t *testing.T) {
 	}
 	dev.SetTornWrites(3, 1.0)
 	var ok bool
-	env.Spawn("w", func(p *sim.Proc) { ok = f.WriteCommit(p, recs) })
-	env.Run()
+	sim.Drive(t, env, "w", func(p *sim.Proc) { ok = f.WriteCommit(p, recs) })
 	if !ok {
 		t.Fatal("WriteCommit failed with no write errors armed")
 	}
@@ -126,10 +123,9 @@ func TestTornMergedCommitDropsSuffix(t *testing.T) {
 
 	// A single sector-sized record is atomic even at tear probability 1.
 	var ok2 bool
-	env.Spawn("w2", func(p *sim.Proc) {
+	sim.Drive(t, env, "w2", func(p *sim.Proc) {
 		ok2 = f.WriteCommit(p, []Extent{{Off: 12288, Size: 512, Payload: "commitC"}})
 	})
-	env.Run()
 	if !ok2 {
 		t.Fatal("single-record WriteCommit failed")
 	}
@@ -149,17 +145,17 @@ func TestWriteInFlightAcrossColdRestartPlacesNothing(t *testing.T) {
 	dev := blockdev.New(env, blockdev.SATA(), 1<<30)
 	f := New(env, dev, DefaultParams()).OpenFile(0, 16<<20)
 	data, commit := true, true
-	env.Spawn("data", func(p *sim.Proc) {
-		data = f.WriteExtents(p, 0, 4608, []Extent{{Off: 0, Size: 512, Payload: "hdr"}, {Off: 512, Size: 4096, Payload: "slot"}}, Direct)
-	})
-	env.Spawn("commit", func(p *sim.Proc) {
-		commit = f.WriteCommit(p, []Extent{{Off: 1 << 20, Size: 512, Payload: "commit"}})
-	})
-	env.Spawn("power-cut", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Microsecond) // both commands are in the device
-		f.RecoverExtents()
-	})
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "data", Fn: func(p *sim.Proc) {
+			data = f.WriteExtents(p, 0, 4608, []Extent{{Off: 0, Size: 512, Payload: "hdr"}, {Off: 512, Size: 4096, Payload: "slot"}}, Direct)
+		}},
+		sim.Driver{Name: "commit", Fn: func(p *sim.Proc) {
+			commit = f.WriteCommit(p, []Extent{{Off: 1 << 20, Size: 512, Payload: "commit"}})
+		}},
+		sim.Driver{Name: "power-cut", Fn: func(p *sim.Proc) {
+			p.Sleep(10 * sim.Microsecond) // both commands are in the device
+			f.RecoverExtents()
+		}})
 	if data || commit {
 		t.Errorf("writes in flight across the power cut report success: data=%v commit=%v", data, commit)
 	}
@@ -167,10 +163,9 @@ func TestWriteInFlightAcrossColdRestartPlacesNothing(t *testing.T) {
 		t.Errorf("writes in flight across the power cut placed durable extents %v, %d logical", offs, len(f.extents))
 	}
 	// The next incarnation's writes land as usual.
-	env.Spawn("after", func(p *sim.Proc) {
+	sim.Drive(t, env, "after", func(p *sim.Proc) {
 		data = f.WriteExtents(p, 0, 512, []Extent{{Off: 0, Size: 512, Payload: "hdr2"}}, Direct)
 	})
-	env.Run()
 	if d, ok := f.PeekDurable(0); !data || !ok || d.Payload != "hdr2" {
 		t.Errorf("write after the restart: ok=%v durable=%+v", data, d)
 	}

@@ -14,21 +14,20 @@ func newCache(prof blockdev.Profile) (*sim.Env, *Cache) {
 }
 
 // timeOp measures the virtual time one operation takes inside a process.
-func timeOp(env *sim.Env, fn func(p *sim.Proc)) sim.Time {
+func timeOp(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) sim.Time {
 	var d sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		t0 := p.Now()
 		fn(p)
 		d = p.Now() - t0
 	})
-	env.Run()
 	return d
 }
 
 func TestDirectWritePaysDeviceLatency(t *testing.T) {
 	env, c := newCache(blockdev.SATA())
 	f := c.OpenFile(0, 1<<30)
-	d := timeOp(env, func(p *sim.Proc) {
+	d := timeOp(t, env, func(p *sim.Proc) {
 		f.Write(p, 0, 1<<20, "slab", Direct)
 	})
 	min := blockdev.SATA().WriteTime(1 << 20)
@@ -41,7 +40,7 @@ func TestCachedWriteMuchFasterThanDirect(t *testing.T) {
 	env, c := newCache(blockdev.SATA())
 	f := c.OpenFile(0, 1<<30)
 	var direct, cached sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		t0 := p.Now()
 		f.Write(p, 0, 1<<20, "a", Direct)
 		direct = p.Now() - t0
@@ -49,7 +48,6 @@ func TestCachedWriteMuchFasterThanDirect(t *testing.T) {
 		f.Write(p, 1<<20, 1<<20, "b", Cached)
 		cached = p.Now() - t0
 	})
-	env.Run()
 	if float64(direct)/float64(cached) < 5 {
 		t.Errorf("direct %v vs cached %v: want ≥5x gap for 1MB", direct, cached)
 	}
@@ -61,7 +59,7 @@ func TestMmapWarmWriteBeatsCachedSmall(t *testing.T) {
 	env, c := newCache(blockdev.SATA())
 	f := c.OpenFile(0, 1<<30)
 	var mm, ca sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		f.Write(p, 0, 4096, "warmup", Mmap) // fault in the page
 		t0 := p.Now()
 		f.Write(p, 0, 4096, "x", Mmap)
@@ -70,7 +68,6 @@ func TestMmapWarmWriteBeatsCachedSmall(t *testing.T) {
 		f.Write(p, 1<<20, 4096, "y", Cached)
 		ca = p.Now() - t0
 	})
-	env.Run()
 	if mm >= ca {
 		t.Errorf("warm 4KB mmap write %v not faster than cached %v", mm, ca)
 	}
@@ -81,7 +78,7 @@ func TestCachedBeatsMmapLargeCold(t *testing.T) {
 	env, c := newCache(blockdev.SATA())
 	f := c.OpenFile(0, 1<<30)
 	var mm, ca sim.Time
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		t0 := p.Now()
 		f.Write(p, 0, 1<<20, "m", Mmap)
 		mm = p.Now() - t0
@@ -89,7 +86,6 @@ func TestCachedBeatsMmapLargeCold(t *testing.T) {
 		f.Write(p, 16<<20, 1<<20, "c", Cached)
 		ca = p.Now() - t0
 	})
-	env.Run()
 	if ca >= mm {
 		t.Errorf("cold 1MB: cached %v not faster than mmap %v", ca, mm)
 	}
@@ -104,7 +100,7 @@ func TestSchemeOrderingMatchesFigure4(t *testing.T) {
 		env, c := newCache(blockdev.SATA())
 		f := c.OpenFile(0, 1<<30)
 		var d sim.Time
-		env.Spawn("op", func(p *sim.Proc) {
+		sim.Drive(t, env, "op", func(p *sim.Proc) {
 			if warm && s == Mmap {
 				f.Write(p, 0, size, "warm", s)
 			}
@@ -112,7 +108,6 @@ func TestSchemeOrderingMatchesFigure4(t *testing.T) {
 			f.Write(p, 0, size, "v", s)
 			d = p.Now() - t0
 		})
-		env.Run()
 		return d
 	}
 	small := 2048
@@ -134,7 +129,7 @@ func TestCachedReadHitVsMiss(t *testing.T) {
 	f := c.OpenFile(0, 1<<30)
 	var missT, hitT sim.Time
 	var v1, v2 any
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		f.Write(p, 0, 32*1024, "item", Direct) // on device, not resident
 		t0 := p.Now()
 		v1, _ = f.Read(p, 0, 32*1024, Cached)
@@ -143,7 +138,6 @@ func TestCachedReadHitVsMiss(t *testing.T) {
 		v2, _ = f.Read(p, 0, 32*1024, Cached)
 		hitT = p.Now() - t0
 	})
-	env.Run()
 	if v1 != "item" || v2 != "item" {
 		t.Errorf("read payloads %v/%v", v1, v2)
 	}
@@ -162,8 +156,7 @@ func TestReadOfUnwrittenExtent(t *testing.T) {
 	env, c := newCache(blockdev.NVMe())
 	f := c.OpenFile(0, 1<<20)
 	var ok bool
-	env.Spawn("op", func(p *sim.Proc) { _, ok = f.Read(p, 0, 4096, Cached) })
-	env.Run()
+	sim.Drive(t, env, "op", func(p *sim.Proc) { _, ok = f.Read(p, 0, 4096, Cached) })
 	if ok {
 		t.Errorf("read of never-written extent reported ok")
 	}
@@ -177,12 +170,11 @@ func TestDirtyThrottlingStallsWriters(t *testing.T) {
 	par.ThrottlePages = 128
 	c := New(env, dev, par)
 	f := c.OpenFile(0, 4<<30)
-	env.Spawn("writer", func(p *sim.Proc) {
+	sim.Drive(t, env, "writer", func(p *sim.Proc) {
 		for i := 0; i < 4096; i++ {
 			f.Write(p, int64(i)*4096, 4096, i, Cached)
 		}
 	})
-	env.Run()
 	if c.ThrottleStalls == 0 {
 		t.Errorf("sustained cached writes never hit dirty throttling")
 	}
@@ -194,12 +186,11 @@ func TestDirtyThrottlingStallsWriters(t *testing.T) {
 func TestWritebackDrainsDirtyPages(t *testing.T) {
 	env, c := newCache(blockdev.NVMe())
 	f := c.OpenFile(0, 1<<30)
-	env.Spawn("writer", func(p *sim.Proc) {
+	sim.Drive(t, env, "writer", func(p *sim.Proc) {
 		for i := 0; i < int(int64(c.Params().DirtyHighPages)+100); i++ {
 			f.Write(p, int64(i)*4096, 4096, i, Cached)
 		}
 	})
-	env.Run()
 	if c.Dirty() > c.Params().DirtyHighPages {
 		t.Errorf("dirty pages %d still above high watermark %d after idle",
 			c.Dirty(), c.Params().DirtyHighPages)
@@ -215,12 +206,11 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	par.ThrottlePages = 50
 	c := New(env, dev, par)
 	f := c.OpenFile(0, 4<<30)
-	env.Spawn("writer", func(p *sim.Proc) {
+	sim.Drive(t, env, "writer", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			f.Write(p, int64(i)*4096, 4096, i, Cached)
 		}
 	})
-	env.Run()
 	if c.pages.len() > 100 {
 		t.Errorf("resident pages %d exceed MaxPages 100", c.pages.len())
 	}
@@ -230,11 +220,10 @@ func TestMmapColdReadFaults(t *testing.T) {
 	env, c := newCache(blockdev.SATA())
 	f := c.OpenFile(0, 1<<30)
 	var v any
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		f.Write(p, 0, 64*1024, "blob", Direct) // on device only
 		v, _ = f.Read(p, 0, 64*1024, Mmap)
 	})
-	env.Run()
 	if v != "blob" {
 		t.Errorf("mmap read returned %v", v)
 	}
@@ -251,20 +240,18 @@ func TestOutOfFilePanics(t *testing.T) {
 			t.Errorf("out-of-file access did not panic")
 		}
 	}()
-	env.Spawn("op", func(p *sim.Proc) { f.Write(p, 4096, 8192, nil, Cached) })
-	env.Run()
+	sim.Drive(t, env, "op", func(p *sim.Proc) { f.Write(p, 4096, 8192, nil, Cached) })
 }
 
 func TestDiscardDropsExtent(t *testing.T) {
 	env, c := newCache(blockdev.NVMe())
 	f := c.OpenFile(0, 1<<20)
 	var ok bool
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		f.Write(p, 0, 4096, "x", Cached)
 		f.Discard(0)
 		_, ok = f.Read(p, 0, 4096, Cached)
 	})
-	env.Run()
 	if ok {
 		t.Errorf("read after Discard reported ok")
 	}
@@ -282,7 +269,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 	c := New(env, dev, par)
 	f := c.OpenFile(0, 1<<30)
 	resident := func(i int) bool { return c.pages.get(pageKey{f.id, int64(i)}) != nil }
-	env.Spawn("reader", func(p *sim.Proc) {
+	sim.Drive(t, env, "reader", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			f.Read(p, int64(i)*4096, 4096, Mmap)
 		}
@@ -310,7 +297,6 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if c.pages.len() != 8 || c.spare != nil {
 		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.pages.len(), c.spare == nil)
 	}

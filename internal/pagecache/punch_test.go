@@ -38,23 +38,21 @@ func TestPunchDropsDeadPagesOnly(t *testing.T) {
 			drain := func() {
 				for c.Dirty() > 0 {
 					c.Kick()
-					env.Run()
+					env.Run() // no driver: the writeback the Kick starts is all that runs
 				}
 			}
 			exts := []Extent{a, h, s, n, e}
-			env.Spawn("write", func(p *sim.Proc) {
+			sim.Drive(t, env, "write", func(p *sim.Proc) {
 				if !f.WriteExtents(p, 0, mb, exts, Cached) {
 					t.Fatal("region write refused")
 				}
 			})
-			env.Run()
 			drain()
-			env.Spawn("rewrite", func(p *sim.Proc) {
+			sim.Drive(t, env, "rewrite", func(p *sim.Proc) {
 				if !f.WriteExtents(p, 0, mb/2, exts[:4], Cached) {
 					t.Fatal("rewrite refused")
 				}
 			})
-			env.Run()
 			if c.Dirty() != mb/2/ps {
 				t.Fatalf("%d pages dirty after the rewrite, want %d", c.Dirty(), mb/2/ps)
 			}
@@ -111,8 +109,7 @@ func TestPunchDropsDeadPagesOnly(t *testing.T) {
 // written, or already discarded) leaves every page as it is.
 func TestPunchWithoutExtentDropsNothing(t *testing.T) {
 	env, c, f := writebackRig(drives[0].p)
-	env.Spawn("write", func(p *sim.Proc) { f.Write(p, 0, 64*1024, "x", Cached) })
-	env.Run()
+	sim.Drive(t, env, "write", func(p *sim.Proc) { f.Write(p, 0, 64*1024, "x", Cached) })
 	f.Punch(4096)
 	f.Punch(0)
 	f.Punch(0)

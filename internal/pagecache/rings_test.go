@@ -157,7 +157,7 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 					}
 				}
 				flushed, maxDirty := int64(0), 0
-				env.Spawn("driver", func(p *sim.Proc) {
+				sim.Drive(t, env, "driver", func(p *sim.Proc) {
 					for ; op < tc.ops && failed == nil; op++ {
 						k := rng.Intn(tc.keys)
 						key, off := pageKey{f.id, int64(k)}, int64(k*ps)
@@ -200,7 +200,6 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 						p.Sleep(sim.Time(rng.Intn(8000)) * sim.Nanosecond)
 					}
 				})
-				env.Run()
 				check("at the end")
 				if failed != nil {
 					t.Fatal(failed)
@@ -239,7 +238,7 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 	f := c.OpenFile(0, int64(4*ps))
 	k0, k1 := pageKey{f.id, 0}, pageKey{f.id, 1}
 	reclaimed := false
-	env.Spawn("driver", func(p *sim.Proc) {
+	sim.Drive(t, env, "driver", func(p *sim.Proc) {
 		f.Write(p, 0, ps, "first", Cached)
 		f.Write(p, int64(ps), ps, "other", Cached)
 		victim := c.pages.get(k0)
@@ -262,7 +261,6 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 			t.Fatalf("the rewrite did not land in the victim's record before the reclaimer woke (woke %v)", reclaimed)
 		}
 	})
-	env.Run()
 	pg := c.pages.get(k0)
 	if ok := pg != nil; !ok || !pg.dirty {
 		t.Errorf("page 0 resident %v, dirty %v after its rewrite; want both (the reclaim dropped it unwritten)", ok, ok && pg.dirty)

@@ -57,15 +57,14 @@ func TestThrottledWritebackDepth(t *testing.T) {
 
 			// Phase 1: 6 MB bursts (1 536 pages, above DirtyHighPages and
 			// below ThrottlePages), each left to drain.
-			env.Spawn("bursts", func(p *sim.Proc) {
+			sim.DriveUntil(t, env, 200*sim.Millisecond, sim.Driver{Name: "bursts", Fn: func(p *sim.Proc) {
 				for burst := 0; burst < 3; burst++ {
 					for i := 0; i < 6; i++ {
 						write(p)
 					}
 					p.Sleep(50 * sim.Millisecond)
 				}
-			})
-			env.RunUntil(200 * sim.Millisecond)
+			}})
 			if c.ThrottleStalls != 0 || c.WritebackPages == 0 {
 				t.Fatalf("bursts: %d throttle stalls, %d pages written back; want 0 and some", c.ThrottleStalls, c.WritebackPages)
 			}
@@ -76,17 +75,18 @@ func TestThrottledWritebackDepth(t *testing.T) {
 			// Phase 2: four writers, 8 MB each, far faster than the drive.
 			peak = 0
 			left := 4
-			for w := 0; w < 4; w++ {
-				env.Spawn("writer", func(p *sim.Proc) {
+			writers := make([]sim.Driver, left)
+			for w := range writers {
+				writers[w] = sim.Driver{Name: "writer", Fn: func(p *sim.Proc) {
 					for i := 0; i < 8; i++ {
 						write(p)
 					}
 					if left--; left == 0 {
 						running = false
 					}
-				})
+				}}
 			}
-			env.Run()
+			sim.DriveUntil(t, env, -1, writers...)
 			if c.ThrottleStalls == 0 {
 				t.Fatalf("four writers never throttled")
 			}
@@ -125,8 +125,9 @@ func TestThrottledWritebackRate(t *testing.T) {
 			var next int64
 			written := 0
 			var t0, t1 sim.Time
-			for w := 0; w < 8; w++ {
-				env.Spawn("writer", func(p *sim.Proc) {
+			writers := make([]sim.Driver, 8)
+			for w := range writers {
+				writers[w] = sim.Driver{Name: "writer", Fn: func(p *sim.Proc) {
 					for written < warm+window {
 						off := next
 						next += mb
@@ -138,9 +139,9 @@ func TestThrottledWritebackRate(t *testing.T) {
 							t1 = p.Now()
 						}
 					}
-				})
+				}}
 			}
-			env.Run()
+			sim.DriveUntil(t, env, -1, writers...)
 			got := window * mb / (t1 - t0).Seconds()
 			want := min(2*mb/prof.p.WriteTime(mb).Seconds(), float64(prof.p.WriteBps))
 			if math.Abs(got/want-1) > 0.01 {
@@ -172,7 +173,7 @@ func TestThrottleReleaseIgnoresLaterWriters(t *testing.T) {
 			run := func(withB bool) (released, bDirtied sim.Time) {
 				env, c, f := writebackRig(prof.p)
 				const mb = 1 << 20
-				env.Spawn("A", func(p *sim.Proc) {
+				ds := []sim.Driver{{Name: "A", Fn: func(p *sim.Proc) {
 					for off, parks := int64(0), 0; parks < 2; off += mb {
 						start := p.Now()
 						f.Write(p, off, mb, off, Cached)
@@ -181,9 +182,9 @@ func TestThrottleReleaseIgnoresLaterWriters(t *testing.T) {
 						}
 					}
 					released = p.Now()
-				})
+				}}}
 				if withB {
-					env.Spawn("B", func(p *sim.Proc) {
+					ds = append(ds, sim.Driver{Name: "B", Fn: func(p *sim.Proc) {
 						for parks, wasParked := 0, false; parks < 2; p.Sleep(sim.Microsecond) {
 							if c.parked > 0 && !wasParked {
 								parks++
@@ -192,9 +193,9 @@ func TestThrottleReleaseIgnoresLaterWriters(t *testing.T) {
 						}
 						bDirtied = p.Now() + cachedWriteTime
 						f.Write(p, 1<<30, mb, "B", Cached)
-					})
+					}})
 				}
-				env.Run()
+				sim.DriveUntil(t, env, -1, ds...)
 				if dev := c.dev; dev.BytesWrite != dev.Writes*mb {
 					t.Errorf("%d device writes of %d bytes: a write other than a 1 MB writeback command", dev.Writes, dev.BytesWrite)
 				}
@@ -232,8 +233,9 @@ func TestThrottledWritersLeaveInParkOrder(t *testing.T) {
 			var writes []*write
 			current := make([]*write, writers)
 			var next int64
-			for w := range writers {
-				env.Spawn("writer", func(p *sim.Proc) {
+			ds := make([]sim.Driver, writers)
+			for w := range ds {
+				ds[w] = sim.Driver{Name: "writer", Fn: func(p *sim.Proc) {
 					for range each {
 						wr := &write{start: p.Now()}
 						writes, current[w] = append(writes, wr), wr
@@ -242,10 +244,10 @@ func TestThrottledWritersLeaveInParkOrder(t *testing.T) {
 						f.Write(p, off, mb, off, Cached)
 						wr.end, current[w] = p.Now(), nil
 					}
-				})
+				}}
 			}
 			violations := 0
-			env.Spawn("monitor", func(p *sim.Proc) {
+			sim.DriveUntil(t, env, -1, append(ds, sim.Driver{Name: "monitor", Fn: func(p *sim.Proc) {
 				for len(writes) < writers*each || slices.ContainsFunc(current, func(w *write) bool { return w != nil }) {
 					parked := 0
 					for _, wr := range current {
@@ -260,8 +262,7 @@ func TestThrottledWritersLeaveInParkOrder(t *testing.T) {
 					}
 					p.Sleep(sim.Microsecond)
 				}
-			})
-			env.Run()
+			}})...)
 
 			var parked []*write
 			for _, wr := range writes {
@@ -303,9 +304,9 @@ func TestColdRestartReleasesParkedWriters(t *testing.T) {
 			}
 			var writes []*write
 			var next int64
-			done := 0
-			for range writers {
-				env.Spawn("writer", func(p *sim.Proc) {
+			ds := make([]sim.Driver, writers)
+			for w := range ds {
+				ds[w] = sim.Driver{Name: "writer", Fn: func(p *sim.Proc) {
 					for range 8 {
 						wr := &write{off: next, start: p.Now()}
 						next += mb
@@ -313,11 +314,10 @@ func TestColdRestartReleasesParkedWriters(t *testing.T) {
 						wr.ok = f.WriteExtents(p, wr.off, mb, []Extent{{Off: wr.off, Size: mb, Payload: wr.off}}, Cached)
 						wr.end = p.Now()
 					}
-					done++
-				})
+				}}
 			}
 			var cut, firstCompletion sim.Time
-			env.Spawn("power-cut", func(p *sim.Proc) {
+			sim.DriveUntil(t, env, -1, append(ds, sim.Driver{Name: "power-cut", Fn: func(p *sim.Proc) {
 				for c.parked < 2 {
 					p.Sleep(sim.Microsecond)
 				}
@@ -325,11 +325,7 @@ func TestColdRestartReleasesParkedWriters(t *testing.T) {
 				f.RecoverExtents()
 				p.Wait(c.wbYield)
 				firstCompletion = p.Now()
-			})
-			env.Run()
-			if done != writers {
-				t.Fatalf("%d of %d writers finished: a writer parked across the restart hangs", done, writers)
-			}
+			}})...)
 			parked := 0
 			for _, wr := range writes {
 				if wr.start >= cut || wr.end < cut {
@@ -376,7 +372,7 @@ func TestThrottleCountsPagesAtTakeTime(t *testing.T) {
 			// batch.
 			type write struct{ start, end sim.Time }
 			var writes []*write
-			env.Spawn("start", func(p *sim.Proc) {
+			start := sim.Driver{Name: "start", Fn: func(p *sim.Proc) {
 				f.Write(p, 0, 200*ps, "small", Cached)
 				c.Kick()
 				for i := range group {
@@ -388,19 +384,18 @@ func TestThrottleCountsPagesAtTakeTime(t *testing.T) {
 					})
 				}
 				env.Spawn("late", func(q *sim.Proc) { f.Write(q, 16*mb, 2*mb, "late", Cached) })
-			})
+			}}
 			var parkedAt, firstCompletion sim.Time
 			var done int64
 			var dirtyThen int
-			env.Spawn("monitor", func(p *sim.Proc) {
+			sim.DriveUntil(t, env, -1, start, sim.Driver{Name: "monitor", Fn: func(p *sim.Proc) {
 				for c.parked == 0 {
 					p.Sleep(sim.Microsecond)
 				}
 				parkedAt, done = p.Now(), c.WritebackPages
 				p.Wait(c.wbYield)
 				firstCompletion, dirtyThen = p.Now(), c.Dirty()
-			})
-			env.Run()
+			}})
 
 			var parked []*write
 			for _, wr := range writes {

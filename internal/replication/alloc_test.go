@@ -38,7 +38,7 @@ func replicatedModel(op func(p *sim.Proc, c *core.Client)) (step func(), cl *clu
 	})
 	return func() {
 		kick.TryPut(struct{}{})
-		cl.Env.Run()
+		cl.Env.Run() // no driver: it parks on kick between steps, and the step's allocations are what is counted
 	}, cl
 }
 
@@ -146,7 +146,7 @@ func forwardHandoffModel() (step func(), rejected func() int64) {
 	handoff := r.ForwardHandoffForTest()
 	return func() {
 		handoff()
-		cl.Env.Run()
+		cl.Env.Run() // no driver: the hand-off is posted without a process; the engine's own procs run it
 	}, func() int64 { return r.Counters.Val(metrics.CCorruptFramesRejected) }
 }
 
@@ -178,16 +178,15 @@ func TestForwardHandoffAllocationCeiling(t *testing.T) {
 // digestModel returns a replicator of a three-server R=2 cluster holding 512
 // keys at quiescence — every maintained digest computed and current — and the
 // keys.
-func digestModel() (*cluster.Cluster, []string) {
+func digestModel(t testing.TB) (*cluster.Cluster, []string) {
 	cl := itCluster()
 	keys := make([]string, 512)
-	cl.Env.Spawn("preload", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "preload", func(p *sim.Proc) {
 		for i := range keys {
 			keys[i] = itKey(i)
 			cl.Clients[0].Set(p, keys[i], 64, uint64(i), 0, 0)
 		}
 	})
-	cl.Env.Run()
 	return cl, keys
 }
 
@@ -196,7 +195,7 @@ func digestModel() (*cluster.Cluster, []string) {
 // record change is two XORs per peer sharing the key — neither a pass over the
 // key table, which is what computeDigest costs and what both replaced.
 func BenchmarkScrubRound(b *testing.B) {
-	cl, _ := digestModel()
+	cl, _ := digestModel(b)
 	r := cl.Replicators[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -206,7 +205,7 @@ func BenchmarkScrubRound(b *testing.B) {
 }
 
 func BenchmarkSetStateRefold(b *testing.B) {
-	cl, keys := digestModel()
+	cl, keys := digestModel(b)
 	r := cl.Replicators[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -221,7 +220,7 @@ func BenchmarkSetStateRefold(b *testing.B) {
 // frame gave back on its last release. One refold is none. A round was 4 while
 // every frame was allocated afresh, and 2 while every digest copy was.
 func TestScrubRoundAllocationCeiling(t *testing.T) {
-	cl, _ := digestModel()
+	cl, _ := digestModel(t)
 	r := cl.Replicators[0]
 	if words := r.ScrubRoundForTest(); words != 2*2*32 {
 		t.Fatalf("a round toward two peers carries %d words, want two digests of 2x32", words)
@@ -241,7 +240,7 @@ func TestScrubRoundAllocationCeiling(t *testing.T) {
 // which finds nothing to push or pull. fabric reports the messages and bytes
 // the fabric has carried.
 func scrubExchangeModel(t testing.TB) (step func(), fabric func() (msgs, bytes int64)) {
-	cl, keys := digestModel()
+	cl, keys := digestModel(t)
 	from, to := cl.Replicators[0], cl.Replicators[1]
 	ring := itRing(3)
 	bucket := -1
@@ -257,7 +256,7 @@ func scrubExchangeModel(t testing.TB) (step func(), fabric func() (msgs, bytes i
 	exchange := from.ScrubExchangeForTest(to, bucket)
 	return func() {
 			exchange()
-			cl.Env.Run()
+			cl.Env.Run() // no driver: the exchange is posted without a process; the engines run it
 		}, func() (int64, int64) {
 			return cl.Fabric.MsgCount, cl.Fabric.ByteCount
 		}
@@ -296,7 +295,7 @@ func TestScrubExchangeAllocationCeiling(t *testing.T) {
 }
 
 func TestSetStateRefoldAllocationCeiling(t *testing.T) {
-	cl, keys := digestModel()
+	cl, keys := digestModel(t)
 	r := cl.Replicators[0]
 	r.ScrubRoundForTest() // the digests exist: a refold has something to move
 	i := 0

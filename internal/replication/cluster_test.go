@@ -71,7 +71,7 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 	c := cl.Clients[0]
 	ring := itRing(3)
 
-	cl.Env.Spawn("it-driver", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-driver", func(p *sim.Proc) {
 		for i := 0; i < itKeys; i++ {
 			c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0)
 		}
@@ -97,7 +97,6 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if total.Val(metrics.CForwards) == 0 {
@@ -128,7 +127,7 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 		t.Fatal("no key maps away from server 2")
 	}
 
-	cl.Env.Spawn("it-proxy", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-proxy", func(p *sim.Proc) {
 		r := cl.Replicators[2]
 		req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: itValue, Value: uint64(7)}
 		resp := execute(p, r, req)
@@ -145,7 +144,6 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 }
 
 // Whole-node kill with the SSD wiped: the restarted node comes back owning
@@ -158,7 +156,7 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 	ring := itRing(3)
 	victim := 1
 
-	cl.Env.Spawn("it-kill", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-kill", func(p *sim.Proc) {
 		for i := 0; i < itKeys; i++ {
 			c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0)
 		}
@@ -188,7 +186,6 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if total.Val(metrics.CRepairPushes) == 0 {
@@ -209,7 +206,7 @@ func TestAckedAddSurvivesReplicaRestart(t *testing.T) {
 	key := "rmw:add"
 	backup := ring.Replicas(key, 2)[1]
 
-	cl.Env.Spawn("it-rmw", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-rmw", func(p *sim.Proc) {
 		if st := itDo(p, c, core.Op{Code: protocol.OpAdd, Key: key, ValueSize: itValue, Value: uint64(2)}); st != protocol.StatusStored {
 			t.Errorf("add: %v", st)
 			return
@@ -229,7 +226,6 @@ func TestAckedAddSurvivesReplicaRestart(t *testing.T) {
 			t.Errorf("get observed seq %d, want 2", seq)
 		}
 	})
-	cl.Env.Run()
 }
 
 // Whole-node kill with the SSD intact: recovery resurrects the values but
@@ -241,7 +237,7 @@ func TestColdRestartSuspectsConfirmed(t *testing.T) {
 	c := cl.Clients[0]
 	victim := 0
 
-	cl.Env.Spawn("it-restart", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-restart", func(p *sim.Proc) {
 		for i := 0; i < itKeys; i++ {
 			c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0)
 		}
@@ -261,7 +257,6 @@ func TestColdRestartSuspectsConfirmed(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 }
 
 // A round that re-coordinates above a conflicting epoch is re-registered
@@ -285,14 +280,15 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 	}
 	conflicts := func() int64 { total := cl.ReplicationCounters(); return total.Val(metrics.CEpochConflicts) }
 	for round := 0; round < 64 && conflicts() == 0; round++ {
+		coords := make([]sim.Driver, 2)
 		for i, sid := range []int{primary, proxy} {
 			r, seq := cl.Replicators[sid], uint64(2*round+i+1)
-			cl.Env.Spawn(fmt.Sprintf("it-coord%d", sid), func(p *sim.Proc) {
+			coords[i] = sim.Driver{Name: fmt.Sprintf("it-coord%d", sid), Fn: func(p *sim.Proc) {
 				req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: itValue, Value: seq}
 				execute(p, r, req)
-			})
+			}}
 		}
-		cl.Env.Run()
+		sim.DriveUntil(t, cl.Env, -1, coords...)
 	}
 	if conflicts() == 0 {
 		t.Fatal("two concurrent coordinators never conflicted: the test exercises nothing")
@@ -330,7 +326,7 @@ func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
 	cl := writePathCluster()
 	c := cl.Clients[0]
 	const key = "overtake:k"
-	cl.Env.Spawn("it-overtake", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-overtake", func(p *sim.Proc) {
 		var sets []*core.Req
 		for seq, size := range []int{512 << 10, 64} {
 			req, err := c.Issue(p, core.Op{Code: protocol.OpSet, Key: key, ValueSize: size, Value: uint64(seq + 1)})
@@ -360,7 +356,6 @@ func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
 			t.Errorf("GET after both SETs were answered: %v (%v), want 2", v, st)
 		}
 	})
-	cl.Env.Run()
 }
 
 // The same guard, mirrored: the suspended store call is a forwarded write's, on
@@ -375,21 +370,21 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 	set := func(size int, seq uint64) *protocol.Request {
 		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
 	}
-	cl.Env.Spawn("it-coord0", func(p *sim.Proc) {
-		if resp := execute(p, cl.Replicators[0], set(512<<10, 1)); resp.Status != protocol.StatusStored {
-			t.Errorf("the large SET: %v", resp.Status)
-		}
-	})
-	cl.Env.Spawn("it-coord1", func(p *sim.Proc) {
-		for cl.Servers[1].Store().SetOps == 0 { // until the forwarded value's store call has begun
-			p.Sleep(sim.Microsecond)
-		}
-		if resp := execute(p, cl.Replicators[1], set(64, 2)); resp.Status != protocol.StatusStored {
-			t.Errorf("the small SET: %v", resp.Status)
-		}
-	})
-	cl.Env.Run()
-	cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, -1,
+		sim.Driver{Name: "it-coord0", Fn: func(p *sim.Proc) {
+			if resp := execute(p, cl.Replicators[0], set(512<<10, 1)); resp.Status != protocol.StatusStored {
+				t.Errorf("the large SET: %v", resp.Status)
+			}
+		}},
+		sim.Driver{Name: "it-coord1", Fn: func(p *sim.Proc) {
+			for cl.Servers[1].Store().SetOps == 0 { // until the forwarded value's store call has begun
+				p.Sleep(sim.Microsecond)
+			}
+			if resp := execute(p, cl.Replicators[1], set(64, 2)); resp.Status != protocol.StatusStored {
+				t.Errorf("the small SET: %v", resp.Status)
+			}
+		}})
+	sim.Drive(t, cl.Env, "it-audit", func(p *sim.Proc) {
 		var epochs []uint64
 		for sid, s := range cl.Servers {
 			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
@@ -402,7 +397,6 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 			t.Errorf("epoch records %#x, want server 1's epoch on all three", epochs)
 		}
 	})
-	cl.Env.Run()
 }
 
 // A repair push has to carry a value and the epoch it was written under, read
@@ -420,21 +414,20 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 	set := func(size int, seq uint64) *protocol.Request {
 		return &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: size, Value: seq}
 	}
-	cl.Env.Spawn("it-preload", func(p *sim.Proc) { execute(p, cl.Replicators[0], set(256<<10, 1)) })
-	cl.Env.Run()
-	cl.Env.Spawn("it-corrupt", func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, key) })
-	cl.Env.Spawn("it-write", func(p *sim.Proc) {
-		pushes := func() int64 { return cl.Replicators[2].Counters.Val(metrics.CRepairPushes) }
-		for n := pushes(); cl.Servers[2].Store().Manager().Gets == 0 && pushes() == n; { // until server 2 is reading its copy back
-			p.Sleep(100 * sim.Nanosecond)
-		}
-		p.Sleep(2 * sim.Microsecond)
-		if resp := execute(p, cl.Replicators[2], set(64, 2)); resp.Status != protocol.StatusStored {
-			t.Errorf("the SET: %v", resp.Status)
-		}
-	})
-	cl.Env.Run()
-	cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-preload", func(p *sim.Proc) { execute(p, cl.Replicators[0], set(256<<10, 1)) })
+	sim.DriveUntil(t, cl.Env, -1,
+		sim.Driver{Name: "it-corrupt", Fn: func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, key) }},
+		sim.Driver{Name: "it-write", Fn: func(p *sim.Proc) {
+			pushes := func() int64 { return cl.Replicators[2].Counters.Val(metrics.CRepairPushes) }
+			for n := pushes(); cl.Servers[2].Store().Manager().Gets == 0 && pushes() == n; { // until server 2 is reading its copy back
+				p.Sleep(100 * sim.Nanosecond)
+			}
+			p.Sleep(2 * sim.Microsecond)
+			if resp := execute(p, cl.Replicators[2], set(64, 2)); resp.Status != protocol.StatusStored {
+				t.Errorf("the SET: %v", resp.Status)
+			}
+		}})
+	sim.Drive(t, cl.Env, "it-audit", func(p *sim.Proc) {
 		for sid, s := range cl.Servers {
 			epoch, sum, _ := cl.Replicators[sid].AppliedStateForTest(key)
 			v, _, _, ok := s.Store().ReadItem(p, key)
@@ -443,7 +436,6 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	total := cl.ReplicationCounters()
 	if n := total.Val(metrics.CScrubCorruptionsRepaired); n != 0 {
 		t.Errorf("%d divergence repairs applied: nothing diverged", n)
@@ -463,22 +455,20 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 	for at := sim.Microsecond; at < 5*sim.Microsecond; at += 40 * sim.Nanosecond {
 		cl := writePathCluster()
 		r, st := cl.Replicators[1], cl.Servers[1].Store()
-		cl.Env.Spawn("it-recovered", func(p *sim.Proc) {
+		stored := false
+		sim.DriveUntil(t, cl.Env, -1, sim.Driver{Name: "it-recovered", Fn: func(p *sim.Proc) {
 			// A value only server 1 holds, as a cold restart would resurrect it.
 			st.Set(p, key, 64, "resurrected", 0, 0)
 			r.OnColdRecovery([]string{key})
 			r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: key}, nil)
-		})
-		stored := false
-		cl.Env.SpawnAt(at, "it-write", func(p *sim.Proc) {
+		}}, sim.Driver{Name: "it-write", At: at, Fn: func(p *sim.Proc) {
 			req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: 64, Value: "written"}
 			stored = execute(p, r, req).Status == protocol.StatusStored
-		})
-		cl.Env.Run()
+		}})
 		if !stored {
 			t.Fatalf("SET started at +%v was not stored", at)
 		}
-		cl.Env.Spawn("it-audit", func(p *sim.Proc) {
+		sim.Drive(t, cl.Env, "it-audit", func(p *sim.Proc) {
 			for sid, s := range cl.Servers {
 				_, _, ok := cl.Replicators[sid].AppliedStateForTest(key)
 				if v, _, _, held := s.Store().ReadItem(p, key); !ok || !held || v != "written" {
@@ -488,7 +478,6 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 				}
 			}
 		})
-		cl.Env.Run()
 	}
 	if lost > 0 {
 		t.Errorf("the acked write was missing on a replica at %d of the start offsets", lost)
@@ -503,7 +492,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 	cl := writePathCluster()
 	r, st := cl.Replicators[1], cl.Servers[1].Store()
-	cl.Env.Spawn("it-suspects", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-suspects", func(p *sim.Proc) {
 		for _, key := range []string{"gone:get", "gone:add"} {
 			st.Set(p, key, 64, "resurrected", 0, 0)
 		}
@@ -521,7 +510,6 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	if drops, prevented := r.Counters.Val(metrics.CSuspectDrops), r.Counters.Val(metrics.CStaleReadsPrevented); drops != 2 || prevented != 0 {
 		t.Errorf("suspect-drops %d, stale-reads-prevented %d; want 2 and 0", drops, prevented)
 	}
@@ -536,7 +524,7 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 	cl := writePathCluster()
 	r, st := cl.Replicators[1], cl.Servers[1].Store()
-	cl.Env.Spawn("it-unconfirmed", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-unconfirmed", func(p *sim.Proc) {
 		for _, key := range []string{"old:get", "old:incr"} {
 			st.Set(p, key, 64, uint64(7), 0, 0)
 		}
@@ -555,7 +543,6 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 			t.Errorf("the refused Incr left (%v, present=%v), want the recovered 7 untouched", v, ok)
 		}
 	})
-	cl.Env.Run()
 	if prevented, drops := r.Counters.Val(metrics.CStaleReadsPrevented), r.Counters.Val(metrics.CSuspectDrops); prevented != 2 || drops != 0 {
 		t.Errorf("stale-reads-prevented %d, suspect-drops %d; want 2 and 0", prevented, drops)
 	}
@@ -578,7 +565,7 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 	inj.AddCorrupt(7, 0.3)
 	cl.Fabric.SetFaults(inj)
 	c := cl.Clients[0]
-	cl.Env.Spawn("it-garbled", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-garbled", func(p *sim.Proc) {
 		for i := 0; i < itKeys; i++ {
 			if st := c.Set(p, itKey(i), itValue, uint64(i+1), 0, 0); st != protocol.StatusStored {
 				t.Errorf("SET %s under in-flight corruption: %v", itKey(i), st)
@@ -592,7 +579,6 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 	total := cl.ReplicationCounters()
 	if rejected, resends := total.Val(metrics.CCorruptFramesRejected), total.Val(metrics.CForwardResends); rejected == 0 || resends == 0 {
 		t.Errorf("corrupt-frames-rejected %d, forward-resend rounds %d (the injector garbled %d messages): want forwards rejected and resent",

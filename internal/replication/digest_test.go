@@ -53,7 +53,7 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 		}
 		p.Sleep(40 * sim.Millisecond) // repairs settle
 	}
-	cl.Env.Spawn("it-digests", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-digests", func(p *sim.Proc) {
 		mix(p, 96)
 		check("writes, deletes and suspect marks")
 
@@ -70,7 +70,6 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 		mix(p, 64)
 		check("writes under the new ring")
 	})
-	cl.Env.Run()
 	if compared < 50 {
 		t.Fatalf("only %d maintained digests were ever compared: the scrubber is not using them", compared)
 	}

@@ -49,28 +49,28 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 			t0 := p.Now()
 			return execute(p, b, enSet("en:small", enSmall, seq)).Status, p.Now() - t0
 		}
-		cl.Env.Spawn("en-driver", func(p *sim.Proc) {
-			for i := 0; i < 60; i++ {
-				cl.Servers[1].Store().Set(p, fmt.Sprintf("en:fill:%03d", i), enBig, i, 0, 0)
-			}
-			small(p, 1) // makes the key, and the page of its slab class
-			if status, clean = small(p, 2); status != protocol.StatusStored {
-				t.Fatalf("fixture: the small SET was answered %v", status)
-			}
-			for i := 0; i < 120 && wedged == 0; i++ {
-				inFlight = p.Now()
-				execute(p, a, enSet(fmt.Sprintf("en:big:%03d", i), enBig, uint64(i)))
-				evicting, inFlight = p.Now()-inFlight, 0
-			}
-		})
-		cl.Env.Spawn("en-watch", func(p *sim.Proc) {
-			for ; wedged == 0; p.Sleep(10 * sim.Microsecond) {
-				if inFlight != 0 && p.Now()-inFlight > 100*sim.Microsecond {
-					status, wedged = small(p, 3)
+		sim.DriveUntil(t, cl.Env, -1,
+			sim.Driver{Name: "en-driver", Fn: func(p *sim.Proc) {
+				for i := 0; i < 60; i++ {
+					cl.Servers[1].Store().Set(p, fmt.Sprintf("en:fill:%03d", i), enBig, i, 0, 0)
 				}
-			}
-		})
-		cl.Env.Run()
+				small(p, 1) // makes the key, and the page of its slab class
+				if status, clean = small(p, 2); status != protocol.StatusStored {
+					t.Fatalf("fixture: the small SET was answered %v", status)
+				}
+				for i := 0; i < 120 && wedged == 0; i++ {
+					inFlight = p.Now()
+					execute(p, a, enSet(fmt.Sprintf("en:big:%03d", i), enBig, uint64(i)))
+					evicting, inFlight = p.Now()-inFlight, 0
+				}
+			}},
+			sim.Driver{Name: "en-watch", Fn: func(p *sim.Proc) {
+				for ; wedged == 0; p.Sleep(10 * sim.Microsecond) {
+					if inFlight != 0 && p.Now()-inFlight > 100*sim.Microsecond {
+						status, wedged = small(p, 3)
+					}
+				}
+			}})
 		if wedged == 0 {
 			t.Fatal("no SET server 0 coordinated was ever held up: nothing evicted")
 		}
@@ -104,8 +104,9 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 			noReplica, resends := int64(0), int64(0)
 			for set := 0; set < 8; set++ {
 				cl := spillPair(row.design, 2)
+				clients := make([]sim.Driver, len(cl.Clients))
 				for ci, c := range cl.Clients {
-					cl.Env.Spawn("en-client", func(p *sim.Proc) {
+					clients[ci] = sim.Driver{Name: "en-client", Fn: func(p *sim.Proc) {
 						for i := 0; i < 400; i++ {
 							switch st := c.Set(p, fmt.Sprintf("s%d:c%d:%04d", set, ci, i), enBig, uint64(i), 0, 0); st {
 							case protocol.StatusStored:
@@ -115,9 +116,9 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 								t.Errorf("%v: a SET was answered %v", row.design, st)
 							}
 						}
-					})
+					}}
 				}
-				cl.Env.Run()
+				sim.DriveUntil(t, cl.Env, -1, clients...)
 				total := cl.ReplicationCounters()
 				resends += total.Val(metrics.CForwardResends)
 				cl.Env.Close()
@@ -142,24 +143,24 @@ func TestEngineNeverWaitsOnTheStore(t *testing.T) {
 		a, b := cl.Replicators[0], cl.Replicators[1]
 		var status protocol.Status
 		var crashed, answered sim.Time
-		cl.Env.Spawn("en-driver", func(p *sim.Proc) {
-			for i := 0; i < replication.ApplyPoolForTest; i++ {
-				b.DeliverWriteForTest(0, fmt.Sprintf("en:wedge:%d", i), 0x100, i, 256<<10, false)
-			}
-			status = execute(p, a, enSet("en:queued", enSmall, 1)).Status
-			answered = p.Now()
-		})
-		cl.Env.Spawn("en-crash", func(p *sim.Proc) {
-			for waiting, _ := b.QueuedForTest(); waiting == 0; waiting, _ = b.QueuedForTest() {
-				p.Sleep(100 * sim.Nanosecond)
-			}
-			p.Sleep(sim.Microsecond)
-			cl.Servers[1].Crash()
-			crashed = p.Now()
-			p.Sleep(5 * sim.Millisecond)
-			cl.Servers[1].Restart()
-		})
-		cl.Env.Run()
+		sim.DriveUntil(t, cl.Env, -1,
+			sim.Driver{Name: "en-driver", Fn: func(p *sim.Proc) {
+				for i := 0; i < replication.ApplyPoolForTest; i++ {
+					b.DeliverWriteForTest(0, fmt.Sprintf("en:wedge:%d", i), 0x100, i, 256<<10, false)
+				}
+				status = execute(p, a, enSet("en:queued", enSmall, 1)).Status
+				answered = p.Now()
+			}},
+			sim.Driver{Name: "en-crash", Fn: func(p *sim.Proc) {
+				for waiting, _ := b.QueuedForTest(); waiting == 0; waiting, _ = b.QueuedForTest() {
+					p.Sleep(100 * sim.Nanosecond)
+				}
+				p.Sleep(sim.Microsecond)
+				cl.Servers[1].Crash()
+				crashed = p.Now()
+				p.Sleep(5 * sim.Millisecond)
+				cl.Servers[1].Restart()
+			}})
 		if crashed == 0 {
 			t.Fatal("the premise: server 0's forward never waited for an applier")
 		}

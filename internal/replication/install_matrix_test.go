@@ -94,7 +94,7 @@ func newInstallCell(t *testing.T, s int, fcfg fault.Config, spill bool) *install
 		Servers: 3, Clients: 1, ServerMem: mem, ReplicationFactor: 3,
 	})
 	c.cl.Fabric.SetFaults(c.inj)
-	c.cl.Env.Spawn("im-preload", func(p *sim.Proc) {
+	sim.Drive(t, c.cl.Env, "im-preload", func(p *sim.Proc) {
 		if spill && s < len(c.cl.Servers) {
 			st := c.cl.Servers[s].Store()
 			for i := 0; i < 384; i++ {
@@ -106,7 +106,6 @@ func newInstallCell(t *testing.T, s int, fcfg fault.Config, spill bool) *install
 		}
 		c.coordinate(p, 0, c.set(imBig))
 	})
-	c.cl.Env.Run()
 	if len(c.acked) != 1 {
 		t.Fatalf("fixture: the preload's SET was not stored")
 	}
@@ -563,9 +562,9 @@ func (c *installCell) wrote(sum uint64) bool {
 func (c *installCell) run(row imRow, clock bool) (begin, landed sim.Time) {
 	env := c.cl.Env
 	c.watch()
-	env.SpawnAt(c.start, "im-act", func(p *sim.Proc) { row.act(p, c) })
+	ds := []sim.Driver{{Name: "im-act", At: c.start, Fn: func(p *sim.Proc) { row.act(p, c) }}}
 	if clock {
-		env.SpawnAt(c.start, "im-clock", func(p *sim.Proc) {
+		ds = append(ds, sim.Driver{Name: "im-clock", At: c.start, Fn: func(p *sim.Proc) {
 			var ops0 int64
 			var was [3]any
 			record := func() [3]any {
@@ -588,9 +587,9 @@ func (c *installCell) run(row imRow, clock bool) (begin, landed sim.Time) {
 					landed, c.epoch = p.Now(), record()[0].(uint64)
 				}
 			}
-		})
+		}})
 	}
-	env.RunUntil(c.start + imRun)
+	sim.DriveUntil(c.t, env, c.start+imRun, ds...)
 	return begin, landed
 }
 
@@ -612,7 +611,7 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 	}
 	var final imWrite
 	var finalSize int
-	cl.Env.Spawn("im-audit", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, cl.Env.Now()+sim.Millisecond, sim.Driver{Name: "im-audit", Fn: func(p *sim.Proc) {
 		first := true
 		for sid, r := range cl.Replicators {
 			epoch, sum, suspect, ok := r.RecordForTest(imKey)
@@ -635,8 +634,7 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 				t.Errorf("server %d records %#x/%#x, another replica %#x/%#x", sid, epoch, sum, final.epoch, final.sum)
 			}
 		}
-	})
-	cl.Env.RunUntil(cl.Env.Now() + sim.Millisecond)
+	}})
 	if col.other != nil && col.other(row) != (finalSize == imSmall) {
 		t.Errorf("the replicas hold a value of %d bytes: the column's own write won = %v, want %v", finalSize, finalSize == imSmall, col.other(row))
 	}

@@ -93,14 +93,8 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 		c.Release(req)
 		return err
 	}
-	running := 0
-	worker := func(name string, fn func(p *sim.Proc)) {
-		running++
-		cl.Env.Spawn(name, func(p *sim.Proc) {
-			defer func() { running-- }()
-			fn(p)
-		})
-	}
+	var workers []sim.Driver
+	worker := func(name string, fn func(p *sim.Proc)) { workers = append(workers, sim.Driver{Name: name, Fn: fn}) }
 	think := func(p *sim.Proc, rng *rand.Rand) { p.Sleep(sim.Time(rng.Intn(20)) * sim.Microsecond) }
 	for ki := 0; ki < setKeys; ki++ {
 		w, c := ki, cl.Clients[ki%2]
@@ -159,17 +153,12 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	// writes it admitted are still queued when it dies: discarded, they give
 	// their rounds back.
 	cl.Servers[2].AddWorkerStall(3800*sim.Microsecond, 4*sim.Millisecond, 300*sim.Microsecond)
-	cl.Env.Spawn("pf-kill", func(p *sim.Proc) {
+	sim.DriveUntil(t, cl.Env, -1, append(workers, sim.Driver{Name: "pf-kill", Fn: func(p *sim.Proc) {
 		p.Sleep(4 * sim.Millisecond)
 		from := p.Now()
 		cl.Servers[2].Outage(p, server.KillRAM, 300*sim.Microsecond)
 		log.CrashWindow(from, p.Now())
-	})
-	cl.Env.Run()
-
-	if running > 0 {
-		t.Fatalf("the run went idle with %d workers unfinished", running)
-	}
+	}})...)
 	for _, v := range log.Check() {
 		t.Error(v)
 	}
@@ -213,7 +202,7 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	if n := from.GarbleForwardForTest(to, key(0)); n != 0 {
 		t.Errorf("the corrupted copy of a forward counts %d holds, want none", n)
 	}
-	cl.Env.Run()
+	cl.Env.Run() // no driver: the garbled copy is posted without a process
 	if got := to.Counters.Val(metrics.CCorruptFramesRejected) - rejected; got != 1 {
 		t.Errorf("%d corrupted forwards rejected, want 1", got)
 	}

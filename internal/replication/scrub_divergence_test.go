@@ -63,7 +63,7 @@ func TestScrubRepairsSameEpochContentDivergence(t *testing.T) {
 	cl := itCluster()
 	key := "diverge:loser"
 
-	cl.Env.Spawn("it-diverge", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-diverge", func(p *sim.Proc) {
 		coord, other, goodSum, ok := divergeSetup(t, p, cl, key)
 		if !ok {
 			return
@@ -84,7 +84,6 @@ func TestScrubRepairsSameEpochContentDivergence(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if total.Val(metrics.CScrubCorruptionsFound) == 0 {
@@ -105,7 +104,7 @@ func TestScrubCoordinatorWinsSameEpochDivergence(t *testing.T) {
 	key := "diverge:coord"
 	badSum := protocol.ValueSum(uint64(999))
 
-	cl.Env.Spawn("it-diverge", func(p *sim.Proc) {
+	sim.Drive(t, cl.Env, "it-diverge", func(p *sim.Proc) {
 		coord, other, _, ok := divergeSetup(t, p, cl, key)
 		if !ok {
 			return
@@ -126,7 +125,6 @@ func TestScrubCoordinatorWinsSameEpochDivergence(t *testing.T) {
 			}
 		}
 	})
-	cl.Env.Run()
 
 	total := cl.ReplicationCounters()
 	if total.Val(metrics.CScrubCorruptionsFound) == 0 {

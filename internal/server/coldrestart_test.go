@@ -18,7 +18,7 @@ func TestColdRestartRecoversCommittedState(t *testing.T) {
 	const fill = 40
 	var during *protocol.Response
 	hits := 0
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		for i := 0; i < fill; i++ {
 			r.sendReq(p, &protocol.Request{
 				Op: protocol.OpSet, ReqID: uint64(i + 1),
@@ -58,7 +58,6 @@ func TestColdRestartRecoversCommittedState(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 
 	if during == nil {
 		t.Fatal("no answer to the request sent during recovery")

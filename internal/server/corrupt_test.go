@@ -23,7 +23,7 @@ func TestUnreplicatedRottenReadModifyWriteAnswersItsMiss(t *testing.T) {
 		t.Run(tc.op.String(), func(t *testing.T) {
 			r := newDirectRig(t, 1<<20) // 1 MB of slab: 32 KB sets evict almost at once
 			var got *protocol.Response
-			r.env.Spawn("client", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 				id := uint64(0)
 				do := func(req *protocol.Request) *protocol.Response {
 					id++
@@ -39,7 +39,6 @@ func TestUnreplicatedRottenReadModifyWriteAnswersItsMiss(t *testing.T) {
 				p.Sleep(2 * sim.Millisecond) // past every extent's rot instant
 				got = do(&protocol.Request{Op: tc.op, Key: "k", Delta: 1})
 			})
-			r.env.Run()
 			if got == nil || got.Status != tc.want {
 				t.Fatalf("rotten %v answered %+v, want %v", tc.op, got, tc.want)
 			}

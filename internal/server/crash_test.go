@@ -30,7 +30,7 @@ func TestCrashDiscardsAndWarmRestartServes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, tc.cfg, 64<<20, false)
 			var resp *protocol.Response
-			r.env.Spawn("client", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 				r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 1024, Value: "v"})
 				if got := r.awaitResp(p); got.Status != protocol.StatusStored {
 					t.Errorf("pre-crash set status %v", got.Status)
@@ -48,7 +48,6 @@ func TestCrashDiscardsAndWarmRestartServes(t *testing.T) {
 				r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 3, Key: "k"})
 				resp = r.awaitResp(p)
 			})
-			r.env.Run()
 			if resp == nil {
 				t.Fatal("no response after restart")
 			}
@@ -85,7 +84,7 @@ func TestOutage(t *testing.T) {
 			var from, back sim.Time
 			var onSSD int
 			var after *protocol.Response
-			r.env.Spawn("outage", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "outage", func(p *sim.Proc) {
 				for i := 0; i < fill; i++ {
 					r.sendReq(p, &protocol.Request{
 						Op: protocol.OpSet, ReqID: uint64(i + 1),
@@ -114,12 +113,11 @@ func TestOutage(t *testing.T) {
 				r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 101, Key: "k39"})
 				after = r.awaitResp(p)
 			})
-			r.env.Run()
 
 			if r.srv.Discarded != 1 {
 				t.Errorf("Discarded = %d, want 1 (the request sent while down)", r.srv.Discarded)
 			}
-			if after == nil || after.ReqID != 101 {
+			if after.ReqID != 101 {
 				t.Fatalf("first response after the outage %+v, want ReqID 101", after)
 			}
 			if tc.how == WarmCrash {
@@ -183,7 +181,8 @@ func TestSyncCrashMidEvictionErrorsNotHangs(t *testing.T) {
 	r := newDirectRig(t, 1<<20) // 1 MB of slab: 32 KB sets evict almost at once
 	const fill = 40
 	var after *protocol.Response
-	r.env.Spawn("client", func(p *sim.Proc) {
+	// A wedged dispatcher would leave the post-restart get unanswered.
+	sim.DriveUntil(t, r.env, -1, sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
 		for i := 0; i < fill; i++ {
 			r.sendReq(p, &protocol.Request{
 				Op: protocol.OpSet, ReqID: uint64(i + 1),
@@ -201,18 +200,13 @@ func TestSyncCrashMidEvictionErrorsNotHangs(t *testing.T) {
 		r.srv.Restart()
 		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 101, Key: "k39"})
 		after = r.awaitResp(p)
-	})
-	// Crash the instant the dispatcher starts the victim's storage phase.
-	r.env.Spawn("saboteur", func(p *sim.Proc) {
+	}}, sim.Driver{Name: "saboteur", Fn: func(p *sim.Proc) {
+		// Crash the instant the dispatcher starts the victim's storage phase.
 		for r.srv.Requests < fill+1 {
 			p.Sleep(sim.Microsecond)
 		}
 		r.srv.Crash()
-	})
-	r.env.Run() // a wedged dispatcher would leave the post-restart get unanswered
-	if after == nil {
-		t.Fatal("server never answered after the mid-eviction crash")
-	}
+	}})
 	if after.ReqID != 101 {
 		t.Fatalf("first post-restart response answers ReqID %d, want 101 "+
 			"(the victim's response must be lost with the crash)", after.ReqID)

@@ -250,8 +250,7 @@ func TestPathMatrix(t *testing.T) {
 func pathCrashedBeforeReceive(t *testing.T, row pathRow) {
 	r := newPathRig(row, Config{})
 	r.srv.Crash()
-	r.env.Spawn("client", func(p *sim.Proc) { r.sendArrival(p, true) })
-	r.env.Run()
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) { r.sendArrival(p, true) })
 	n := int64(row.members())
 	if len(r.msgs) != 0 {
 		t.Errorf("a crashed server sent %d messages", len(r.msgs))
@@ -267,8 +266,7 @@ func pathCrashedBeforeReceive(t *testing.T, row pathRow) {
 func pathRecovering(t *testing.T, row pathRow) {
 	r := newPathRig(row, Config{})
 	r.srv.recovering = true // hold the window open: no scan is running to close it
-	r.env.Spawn("client", func(p *sim.Proc) { r.sendArrival(p, true) })
-	r.env.Run()
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) { r.sendArrival(p, true) })
 	n := row.members()
 	acks, resps := r.split()
 	if len(acks) != 0 || len(resps) != n {
@@ -291,23 +289,23 @@ func pathRecovering(t *testing.T, row pathRow) {
 // phase unwinds — and gives back whatever the task held.
 func pathCrashMidStoragePhase(t *testing.T, row pathRow) {
 	r := newPathRig(row, Config{})
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.sendArrival(p, true)
-		p.Sleep(5 * sim.Millisecond) // outlives the storage phase and any forward-resend rounds
-		if r.srv.Down() {
-			t.Error("saboteur never restarted the server")
-		}
-		r.sendProbe(p)
-	})
-	r.env.Spawn("saboteur", func(p *sim.Proc) {
-		// The first member's Set has begun and is sleeping in its slab phase.
-		for r.srv.Store().SetOps == 0 {
-			p.Sleep(10 * sim.Nanosecond)
-		}
-		r.srv.Crash()
-		r.srv.Restart()
-	})
-	r.env.Run()
+	sim.DriveUntil(t, r.env, -1,
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			r.sendArrival(p, true)
+			p.Sleep(5 * sim.Millisecond) // outlives the storage phase and any forward-resend rounds
+			if r.srv.Down() {
+				t.Error("saboteur never restarted the server")
+			}
+			r.sendProbe(p)
+		}},
+		sim.Driver{Name: "saboteur", Fn: func(p *sim.Proc) {
+			// The first member's Set has begun and is sleeping in its slab phase.
+			for r.srv.Store().SetOps == 0 {
+				p.Sleep(10 * sim.Nanosecond)
+			}
+			r.srv.Crash()
+			r.srv.Restart()
+		}})
 	_, resps := r.split()
 	if len(resps) != 1 || resps[0].resp.ReqID != 200 {
 		t.Fatalf("%d responses, want only the post-restart probe's (a wedged or leaky server?)", len(resps))
@@ -325,8 +323,7 @@ func pathCrashMidStoragePhase(t *testing.T, row pathRow) {
 // each member then gets exactly one response.
 func pathAckWanted(t *testing.T, row pathRow) {
 	r := newPathRig(row, Config{})
-	r.env.Spawn("client", func(p *sim.Proc) { r.sendArrival(p, true) })
-	r.env.Run()
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) { r.sendArrival(p, true) })
 	n := row.members()
 	acks, resps := r.split()
 	if len(resps) != n {
@@ -368,8 +365,7 @@ func pathAckWanted(t *testing.T, row pathRow) {
 func pathOverloadShed(t *testing.T, row pathRow) {
 	// One member alone overshoots the write watermark of a 4 KB buffer.
 	r := newPathRig(row, Config{BufferBytes: pathValueSize, Overload: true})
-	r.env.Spawn("client", func(p *sim.Proc) { r.sendArrival(p, true) })
-	r.env.Run()
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) { r.sendArrival(p, true) })
 	n := row.members()
 	acks, resps := r.split()
 	if len(resps) != n {

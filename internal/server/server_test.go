@@ -79,13 +79,12 @@ func (r *rig) awaitResp(p *sim.Proc) *protocol.Response {
 func TestSyncServerRoundTrip(t *testing.T) {
 	r := newRig(t, Config{Pipeline: Sync}, 64<<20, false)
 	var setResp, getResp *protocol.Response
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 1024, Value: "v"})
 		setResp = r.awaitResp(p)
 		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 2, Key: "k"})
 		getResp = r.awaitResp(p)
 	})
-	r.env.Run()
 	if setResp.Status != protocol.StatusStored || setResp.ReqID != 1 {
 		t.Errorf("set response %+v", setResp)
 	}
@@ -104,11 +103,10 @@ func TestSyncServerRoundTrip(t *testing.T) {
 func TestSyncServerIgnoresAckWanted(t *testing.T) {
 	r := newRig(t, Config{Pipeline: Sync}, 64<<20, false)
 	var first *protocol.Response
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 64, Value: "v", AckWanted: true})
 		first = r.awaitResp(p)
 	})
-	r.env.Run()
 	if first.Op != protocol.OpResponse {
 		t.Errorf("sync server sent %v before the response", first.Op)
 	}
@@ -118,7 +116,7 @@ func TestAsyncServerAcksBeforeResponse(t *testing.T) {
 	r := newRig(t, Config{Pipeline: Async}, 64<<20, false)
 	var msgs []*protocol.Response
 	var ackAt, respAt sim.Time
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 7, Key: "k", ValueSize: 32 * 1024, Value: "v", AckWanted: true})
 		m1 := r.awaitResp(p)
 		ackAt = p.Now()
@@ -126,7 +124,6 @@ func TestAsyncServerAcksBeforeResponse(t *testing.T) {
 		respAt = p.Now()
 		msgs = append(msgs, m1, m2)
 	})
-	r.env.Run()
 	if msgs[0].Op != protocol.OpBufferAck || msgs[0].ReqID != 7 {
 		t.Fatalf("first message %+v, want BufferAck", msgs[0])
 	}
@@ -147,7 +144,7 @@ func TestAsyncPipelinesStorage(t *testing.T) {
 	run := func(pipeline Pipeline) sim.Time {
 		r := newRig(t, Config{Pipeline: pipeline, StorageWorkers: 4}, 2<<20, true)
 		const n = 100
-		r.env.Spawn("client", func(p *sim.Proc) {
+		return sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
 				r.sendReq(p, &protocol.Request{
 					Op: protocol.OpSet, ReqID: uint64(i + 1),
@@ -158,7 +155,6 @@ func TestAsyncPipelinesStorage(t *testing.T) {
 				r.awaitResp(p)
 			}
 		})
-		return r.env.Run()
 	}
 	sync, async := run(Sync), run(Async)
 	if float64(sync)/float64(async) < 1.5 {
@@ -171,8 +167,7 @@ func TestAsyncBufferBytesBackpressure(t *testing.T) {
 	// must stall and stop re-posting receives until storage drains.
 	r := newRig(t, Config{Pipeline: Async, BufferBytes: 40 << 10, StorageWorkers: 1}, 2<<20, true)
 	const n = 12
-	done := 0
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			r.sendReq(p, &protocol.Request{
 				Op: protocol.OpSet, ReqID: uint64(i + 1),
@@ -180,26 +175,20 @@ func TestAsyncBufferBytesBackpressure(t *testing.T) {
 			})
 		}
 		for i := 0; i < n; i++ {
-			r.awaitResp(p)
-			done++
+			r.awaitResp(p) // a deadlock leaves the client here
 		}
 	})
-	r.env.Run()
-	if done != n {
-		t.Fatalf("only %d of %d responses under backpressure (deadlock?)", done, n)
-	}
 }
 
 func TestGetOfANeverStoredKeyMisses(t *testing.T) {
 	r := newRig(t, Config{Pipeline: Async}, 64<<20, false)
 	var miss *protocol.Response
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.sendReq(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 64, Value: "v"})
 		r.awaitResp(p)
 		r.sendReq(p, &protocol.Request{Op: protocol.OpGet, ReqID: 2, Key: "never"})
 		miss = r.awaitResp(p)
 	})
-	r.env.Run()
 	if miss.Status != protocol.StatusNotFound {
 		t.Errorf("get of a never-stored key: status %v", miss.Status)
 	}
@@ -215,13 +204,12 @@ func TestIPoIBServerRoundTrip(t *testing.T) {
 	srv.Start()
 	host := verbs.NewHost(cnode)
 	var resp *protocol.Response
-	env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, env, "client", func(p *sim.Proc) {
 		stream := host.Dial(srv.Host())
 		req := &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "k", ValueSize: 128, Value: "v"}
 		stream.Send(p, req.WireSize(), req)
 		resp = stream.Recv(p).Payload.(*protocol.Response)
 	})
-	env.Run()
 	if resp.Status != protocol.StatusStored {
 		t.Errorf("IPoIB set response %+v", resp)
 	}

@@ -104,7 +104,7 @@ func TestReplicatedWritesLeaveTheStoragePoolFree(t *testing.T) {
 		var sent sim.Time
 		run := func(crashed bool) (took sim.Time, r *tailRig) {
 			r = newTailRig()
-			r.env.Spawn("client", func(p *sim.Proc) {
+			sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 				r.send(p, tailSet(getID+1, "read-me", false))
 				p.Sleep(100 * sim.Microsecond)
 				if crashed {
@@ -119,7 +119,6 @@ func TestReplicatedWritesLeaveTheStoragePoolFree(t *testing.T) {
 				p.Sleep(5 * sim.Millisecond)
 				took = r.answers[getID].at - t0
 			})
-			r.env.Run()
 			if got := r.answers[getID].resp; got == nil || got.Status != protocol.StatusOK {
 				t.Fatalf("backup crashed=%v: the GET was answered %+v, want a hit", crashed, got)
 			}
@@ -145,26 +144,26 @@ func TestReplicatedWritesLeaveTheStoragePoolFree(t *testing.T) {
 		r := newTailRig()
 		n := responders + r.srv.cfg.StorageWorkers
 		held := 0
-		r.env.Spawn("client", func(p *sim.Proc) {
-			r.backup.Crash()
-			for i := 0; i < n; i++ {
-				req := tailSet(uint64(i+1), fmt.Sprintf("w%d", i), true)
-				held += req.WireSize()
-				r.send(p, req)
-			}
-		})
-		r.env.Spawn("probe", func(p *sim.Proc) {
-			p.Sleep(200 * sim.Microsecond) // every write applied, no resend yet
-			if q, w := r.srv.tailQ.Len(), r.srv.reqQ.Len(); q != n-responders || w != 0 {
-				t.Errorf("%d tasks in tailQ and %d waiting for a worker, want %d and 0", q, w, n-responders)
-			}
-			if got := r.srv.slots.InUse(); got != held {
-				t.Errorf("%d buffer bytes reserved with every write waiting for its ack, want all %d", got, held)
-			}
-			p.Sleep(200 * sim.Microsecond)
-			r.backup.Restart()
-		})
-		r.env.Run()
+		sim.DriveUntil(t, r.env, -1,
+			sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+				r.backup.Crash()
+				for i := 0; i < n; i++ {
+					req := tailSet(uint64(i+1), fmt.Sprintf("w%d", i), true)
+					held += req.WireSize()
+					r.send(p, req)
+				}
+			}},
+			sim.Driver{Name: "probe", Fn: func(p *sim.Proc) {
+				p.Sleep(200 * sim.Microsecond) // every write applied, no resend yet
+				if q, w := r.srv.tailQ.Len(), r.srv.reqQ.Len(); q != n-responders || w != 0 {
+					t.Errorf("%d tasks in tailQ and %d waiting for a worker, want %d and 0", q, w, n-responders)
+				}
+				if got := r.srv.slots.InUse(); got != held {
+					t.Errorf("%d buffer bytes reserved with every write waiting for its ack, want all %d", got, held)
+				}
+				p.Sleep(200 * sim.Microsecond)
+				r.backup.Restart()
+			}})
 		for i := 0; i < n; i++ {
 			if a := r.answers[uint64(i+1)]; a.resp == nil || a.resp.Status != protocol.StatusStored {
 				t.Errorf("SET %d answered %+v, want STORED once the backup was back", i+1, a.resp)
@@ -208,7 +207,7 @@ func tailModel(frame bool) (step func()) {
 	})
 	return func() {
 		kick.TryPut(struct{}{})
-		r.env.Run()
+		r.env.Run() // no driver: it parks on kick between steps, and the step's allocations are what is counted
 	}
 }
 

@@ -457,7 +457,7 @@ type unwind struct{}
 
 // Run executes the simulation until no scheduled wakeups remain, and returns
 // the final virtual time. Processes still blocked on events/queues at that
-// point remain parked; use Parked or Alive to detect them in tests.
+// point remain parked; a test whose driver must return runs it under Drive.
 func (e *Env) Run() Time { return e.RunUntil(-1) }
 
 // RunUntil executes scheduled wakeups with time ≤ limit (limit < 0 means no

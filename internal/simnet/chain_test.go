@@ -50,7 +50,7 @@ func TestTransmitChainInstants(t *testing.T) {
 			})
 		})
 	}
-	env.Run()
+	env.Run() // no driver: each watcher starts in its post's callback, and the sent instant it records is checked below
 
 	s0 := ser(sizes[0])
 	s1 := s0 + ser(sizes[1])

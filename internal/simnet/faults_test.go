@@ -27,12 +27,11 @@ func TestFaultDropLosesDeliveryButFiresSent(t *testing.T) {
 	delivered := 0
 	b.SetReceiver(func(m *Message) { delivered++ })
 	var sentFired bool
-	env.Spawn("s", func(p *sim.Proc) {
+	sim.Drive(t, env, "s", func(p *sim.Proc) {
 		out := a.Post("b", 4096, nil)
 		p.Wait(out.Sent)
 		sentFired = true
 	})
-	env.Run()
 	if delivered != 0 {
 		t.Errorf("dropped message delivered %d times", delivered)
 	}
@@ -52,8 +51,7 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 	f.SetFaults(&scriptedInjector{verdicts: []Verdict{{Duplicate: true}}})
 	var times []sim.Time
 	b.SetReceiver(func(m *Message) { times = append(times, env.Now()) })
-	env.Spawn("s", func(p *sim.Proc) { a.Post("b", 4096, nil) })
-	env.Run()
+	sim.Drive(t, env, "s", func(p *sim.Proc) { a.Post("b", 4096, nil) })
 	if len(times) != 2 {
 		t.Fatalf("duplicated message delivered %d times, want 2", len(times))
 	}
@@ -71,8 +69,7 @@ func TestFaultExtraDelayPostponesDelivery(t *testing.T) {
 		f.SetFaults(&scriptedInjector{verdicts: []Verdict{v}})
 		var at sim.Time
 		b.SetReceiver(func(m *Message) { at = env.Now() })
-		env.Spawn("s", func(p *sim.Proc) { a.Post("b", 4096, nil) })
-		env.Run()
+		sim.Drive(t, env, "s", func(p *sim.Proc) { a.Post("b", 4096, nil) })
 		return at
 	}
 	clean := measure(Verdict{})
@@ -89,8 +86,7 @@ func TestNilFaultsLeaveTrafficUntouched(t *testing.T) {
 	f.SetFaults(nil) // disarm
 	delivered := 0
 	b.SetReceiver(func(m *Message) { delivered++ })
-	env.Spawn("s", func(p *sim.Proc) { a.Post("b", 64, nil) })
-	env.Run()
+	sim.Drive(t, env, "s", func(p *sim.Proc) { a.Post("b", 64, nil) })
 	if delivered != 1 || f.Dropped != 0 {
 		t.Errorf("delivered=%d dropped=%d after disarming faults", delivered, f.Dropped)
 	}

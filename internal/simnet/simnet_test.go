@@ -17,10 +17,9 @@ func TestSmallMessageLatency(t *testing.T) {
 	env, _, a, b := rdmaPair(t)
 	var deliveredAt sim.Time = -1
 	b.SetReceiver(func(m *Message) { deliveredAt = env.Now() })
-	env.Spawn("sender", func(p *sim.Proc) {
+	sim.Drive(t, env, "sender", func(p *sim.Proc) {
 		a.Send(p, "b", 64, "hdr")
 	})
-	env.Run()
 	spec := FDRInfiniBand()
 	want := spec.SendCPU + spec.SerializeTime(64) + PropDelay + spec.RecvCPU
 	if deliveredAt != want {
@@ -36,8 +35,7 @@ func TestBandwidthDominatesLargeTransfers(t *testing.T) {
 	var deliveredAt sim.Time
 	b.SetReceiver(func(m *Message) { deliveredAt = env.Now() })
 	size := 32 << 20 // 32 MB
-	env.Spawn("sender", func(p *sim.Proc) { a.Send(p, "b", size, nil) })
-	env.Run()
+	sim.Drive(t, env, "sender", func(p *sim.Proc) { a.Send(p, "b", size, nil) })
 	// 32 MB at 6 GB/s ≈ 5.59 ms; latency terms are negligible.
 	lo, hi := 5*sim.Millisecond, 7*sim.Millisecond
 	if deliveredAt < lo || deliveredAt > hi {
@@ -52,8 +50,7 @@ func TestIPoIBSlowerThanRDMA(t *testing.T) {
 		a, b := f.AddNode("a"), f.AddNode("b")
 		var at sim.Time
 		b.SetReceiver(func(m *Message) { at = env.Now() })
-		env.Spawn("s", func(p *sim.Proc) { a.Send(p, "b", size, nil) })
-		env.Run()
+		sim.Drive(t, env, "s", func(p *sim.Proc) { a.Send(p, "b", size, nil) })
 		return at
 	}
 	for _, size := range []int{64, 4096, 32 * 1024, 512 * 1024} {
@@ -71,11 +68,10 @@ func TestLinkSerializationIsSequential(t *testing.T) {
 	var deliveries []sim.Time
 	b.SetReceiver(func(m *Message) { deliveries = append(deliveries, env.Now()) })
 	size := 6 << 20 // 6 MB ≈ 1 ms serialization each
-	env.Spawn("sender", func(p *sim.Proc) {
+	sim.Drive(t, env, "sender", func(p *sim.Proc) {
 		a.Post("b", size, 1)
 		a.Post("b", size, 2)
 	})
-	env.Run()
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d messages, want 2", len(deliveries))
 	}
@@ -89,14 +85,13 @@ func TestLinkSerializationIsSequential(t *testing.T) {
 func TestSentFiresBeforeDelivered(t *testing.T) {
 	env, _, a, _ := rdmaPair(t)
 	var sentAt, delivAt sim.Time
-	env.Spawn("sender", func(p *sim.Proc) {
+	sim.Drive(t, env, "sender", func(p *sim.Proc) {
 		out := a.Post("b", 4096, nil)
 		p.Wait(out.Sent)
 		sentAt = p.Now()
 		p.Wait(out.Delivered)
 		delivAt = p.Now()
 	})
-	env.Run()
 	if sentAt <= 0 || delivAt <= sentAt {
 		t.Errorf("sent=%v delivered=%v, want 0 < sent < delivered", sentAt, delivAt)
 	}
@@ -113,9 +108,9 @@ func TestIndependentLinksDoNotContend(t *testing.T) {
 	var times []sim.Time
 	c.SetReceiver(func(m *Message) { times = append(times, env.Now()) })
 	size := 6 << 20
-	env.Spawn("s1", func(p *sim.Proc) { a.Post("c", size, nil) })
-	env.Spawn("s2", func(p *sim.Proc) { b.Post("c", size, nil) })
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "s1", Fn: func(p *sim.Proc) { a.Post("c", size, nil) }},
+		sim.Driver{Name: "s2", Fn: func(p *sim.Proc) { b.Post("c", size, nil) }})
 	if len(times) != 2 {
 		t.Fatalf("delivered %d, want 2", len(times))
 	}
@@ -133,17 +128,17 @@ func TestBidirectionalFullDuplex(t *testing.T) {
 	b.SetReceiver(func(m *Message) { got = append(got, "b<-"+m.Src) })
 	size := 6 << 20
 	var aDone, bDone sim.Time
-	env.Spawn("sa", func(p *sim.Proc) {
-		out := a.Post("b", size, nil)
-		p.Wait(out.Delivered)
-		aDone = p.Now()
-	})
-	env.Spawn("sb", func(p *sim.Proc) {
-		out := b.Post("a", size, nil)
-		p.Wait(out.Delivered)
-		bDone = p.Now()
-	})
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "sa", Fn: func(p *sim.Proc) {
+			out := a.Post("b", size, nil)
+			p.Wait(out.Delivered)
+			aDone = p.Now()
+		}},
+		sim.Driver{Name: "sb", Fn: func(p *sim.Proc) {
+			out := b.Post("a", size, nil)
+			p.Wait(out.Delivered)
+			bDone = p.Now()
+		}})
 	if len(got) != 2 {
 		t.Fatalf("deliveries %v", got)
 	}
@@ -155,13 +150,12 @@ func TestBidirectionalFullDuplex(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	env, f, a, b := rdmaPair(t)
 	b.SetReceiver(func(m *Message) {})
-	env.Spawn("s", func(p *sim.Proc) {
+	sim.Drive(t, env, "s", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			out := a.Send(p, "b", 1000, nil)
 			p.Wait(out.Delivered)
 		}
 	})
-	env.Run()
 	if f.MsgCount != 4 || f.ByteCount != 4000 {
 		t.Errorf("fabric stats %d msgs/%d bytes, want 4/4000", f.MsgCount, f.ByteCount)
 	}

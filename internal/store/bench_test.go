@@ -21,13 +21,12 @@ func benchStore(b *testing.B, fn func(p *sim.Proc, s *Store, i int)) {
 		Slab: slab.Config{MemLimit: 1 << 30},
 	}, nil)
 	s := New(env, mgr)
-	env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(b, env, "bench", func(p *sim.Proc) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fn(p, s, i)
 		}
 	})
-	env.Run()
 }
 
 // BenchmarkStoreSet boxes its values before the timed loop: an int past 255
@@ -78,7 +77,7 @@ func BenchmarkStoreHandleBatch16(b *testing.B) {
 	}, nil)
 	s := New(env, mgr)
 	reqs := batchOf(16)
-	env.Spawn("bench", func(p *sim.Proc) {
+	sim.Drive(b, env, "bench", func(p *sim.Proc) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A frame's storage phases, as the server runs them: back-to-back
@@ -91,5 +90,4 @@ func BenchmarkStoreHandleBatch16(b *testing.B) {
 			mgr.EndEvictionBatch(p)
 		}
 	})
-	env.Run()
 }

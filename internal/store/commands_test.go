@@ -11,7 +11,7 @@ import (
 func TestAddSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if st := s.Add(p, "k", 100, "first", 0); st != protocol.StatusStored {
 			t.Errorf("add on fresh key: %v", st)
 		}
@@ -23,13 +23,12 @@ func TestAddSemantics(t *testing.T) {
 			t.Errorf("add overwrote: %v", v)
 		}
 	})
-	env.Run()
 }
 
 func TestCompareAndSetSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if st := s.CompareAndSet(p, "k", 10, "x", 0, 1); st != protocol.StatusNotFound {
 			t.Errorf("cas on missing key: %v", st)
 		}
@@ -47,13 +46,12 @@ func TestCompareAndSetSemantics(t *testing.T) {
 			t.Errorf("cas left value %v", v)
 		}
 	})
-	env.Run()
 }
 
 func TestIncrSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if _, st := s.Incr(p, "c", 1); st != protocol.StatusNotFound {
 			t.Errorf("incr on missing key: %v", st)
 		}
@@ -67,13 +65,12 @@ func TestIncrSemantics(t *testing.T) {
 			t.Errorf("incr on text: %v", st)
 		}
 	})
-	env.Run()
 }
 
 func TestIncrAdvancesCAS(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		s.Set(p, "c", counterSize, uint64(0), 0, 0)
 		_, _, _, cas1, _ := s.Get(p, "c")
 		s.Incr(p, "c", 1)
@@ -82,13 +79,12 @@ func TestIncrAdvancesCAS(t *testing.T) {
 			t.Errorf("incr did not advance CAS: %d -> %d", cas1, cas2)
 		}
 	})
-	env.Run()
 }
 
 func TestIncrOnSSDResidentCounter(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		// Push the counter to the SSD with filler. Eviction takes its victims
 		// from the class that is allocating, so the counter is stored at the
 		// fillers' size (at counterSize it stayed in RAM, and this test with it).
@@ -108,7 +104,6 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 			t.Errorf("counter after SSD incr: (%v,%v)", v, st)
 		}
 	})
-	env.Run()
 }
 
 // A counter that is not in RAM is rewritten through the store path rather
@@ -117,7 +112,7 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		s.Set(p, "c", 32*1024, uint64(41), 9, 0)
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
@@ -140,13 +135,12 @@ func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 			t.Errorf("get after the rewrite: flags %d, cas %d, %v", flags, cas, st)
 		}
 	})
-	env.Run()
 }
 
 func TestHandleExtendedOps(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if r := s.Handle(p, &protocol.Request{Op: protocol.OpAdd, Key: "k", ValueSize: 10, Value: "v"}); r.Status != protocol.StatusStored {
 			t.Errorf("handle add: %v", r.Status)
 		}
@@ -162,5 +156,4 @@ func TestHandleExtendedOps(t *testing.T) {
 			t.Errorf("handle cas: %v", r.Status)
 		}
 	})
-	env.Run()
 }

@@ -10,17 +10,15 @@ import (
 func TestCrawlerLeavesFreshItemsAlone(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("load", func(p *sim.Proc) {
+	s.StartCrawler(100*sim.Millisecond, 1000)
+	sim.DriveUntil(t, env, -1, sim.Driver{Name: "load", Fn: func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
 			s.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
 		}
-	})
-	s.StartCrawler(100*sim.Millisecond, 1000)
-	env.Spawn("stopper", func(p *sim.Proc) {
+	}}, sim.Driver{Name: "stopper", Fn: func(p *sim.Proc) {
 		p.Sleep(2 * sim.Second)
 		s.StopCrawler()
-	})
-	env.Run()
+	}})
 	if s.Len() != 30 || s.Manager().RAMItems() != 30 {
 		t.Errorf("keys %d, RAM items %d, want 30 each", s.Len(), s.Manager().RAMItems())
 	}
@@ -30,18 +28,17 @@ func TestCrawlerStopTerminatesRun(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	s.StartCrawler(sim.Second, 10)
-	env.Spawn("stopper", func(p *sim.Proc) {
+	end := sim.Drive(t, env, "stopper", func(p *sim.Proc) {
 		p.Sleep(2500 * sim.Millisecond)
 		s.StopCrawler()
-	})
-	end := env.Run() // must terminate: no periodic wakeups after stop
+	}) // must terminate: no periodic wakeups after stop
 	if end < 2500*sim.Millisecond || end > 4*sim.Second {
 		t.Errorf("run ended at %v, want shortly after the stop", end)
 	}
 	// Restarting after stop is allowed.
 	s.StartCrawler(sim.Second, 10)
 	s.StopCrawler()
-	env.Run()
+	env.Run() // no driver: the crawler is the only process, and the run ending is the check
 }
 
 func TestDoubleStartCrawlerErrors(t *testing.T) {
@@ -59,13 +56,13 @@ func TestDoubleStartCrawlerErrors(t *testing.T) {
 		t.Errorf("restart after stop: %v", err)
 	}
 	s.StopCrawler()
-	env.Run()
+	env.Run() // no driver: the crawler is the only process, and the run ending is the check
 }
 
 func TestStatsSnapshot(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
-	env.Spawn("load", func(p *sim.Proc) {
+	sim.Drive(t, env, "load", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("k%03d", i), 32*1024, i, 0, 0)
 		}
@@ -73,7 +70,6 @@ func TestStatsSnapshot(t *testing.T) {
 		s.Get(p, "nope")
 		s.Delete(p, "k199")
 	})
-	env.Run()
 	if s.Len() != 199 || s.SetOps != 200 || s.GetOps != 2 ||
 		s.GetHits != 1 || s.GetMisses != 1 || s.DeleteOps != 1 {
 		t.Errorf("stats: %d items, %d sets, %d gets (%d hits, %d misses), %d deletes",

@@ -238,7 +238,7 @@ func TestDirectoryModel(t *testing.T) {
 		want := map[string]any{} // reference map: last value each completed Set wrote
 		sets := 0
 		for round := 0; round < 12; round++ {
-			env.Spawn("driver", func(p *sim.Proc) {
+			sim.Drive(t, env, "driver", func(p *sim.Proc) {
 				for op := 0; op < 60; op++ {
 					key := keys[rng.Intn(len(keys))]
 					switch r := rng.Intn(10); {
@@ -267,8 +267,7 @@ func TestDirectoryModel(t *testing.T) {
 					}
 					m.check("op")
 				}
-			})
-			env.Run() // drains the flushes the round started
+			}) // drains the flushes the round started
 			if len(m.open) != 0 {
 				t.Fatalf("seed %d: windows still open at idle: %v", seed, m.open)
 			}

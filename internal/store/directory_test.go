@@ -444,13 +444,12 @@ func TestDirectorySSDResidentPublishesMetadataOnly(t *testing.T) {
 	// hybrid store: overcommit RAM until "k" is flushed out.
 	env := sim.NewEnv()
 	s := newStore(env, 2<<20, true)
-	env.Spawn("seed", func(p *sim.Proc) {
+	sim.Drive(t, env, "seed", func(p *sim.Proc) {
 		s.Set(p, "k", 32<<10, "v", 0, 0)
 		for i := 0; i < 128 && !s.table["k"].OnSSD(); i++ {
 			s.Set(p, fmt.Sprintf("fill%d", i), 32<<10, i, 0, 0)
 		}
 	})
-	env.Run()
 	it := s.table["k"]
 	if it == nil || !it.OnSSD() {
 		t.Skip("could not flush the item to SSD with this geometry")

@@ -65,7 +65,10 @@ func TestHotSketchAgingCoolsOff(t *testing.T) {
 func TestCrawlerPublishesHotSet(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("load", func(p *sim.Proc) {
+	if err := s.StartCrawler(100*sim.Millisecond, 1000); err != nil {
+		t.Fatalf("StartCrawler: %v", err)
+	}
+	sim.DriveUntil(t, env, -1, sim.Driver{Name: "load", Fn: func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			s.Set(p, fmt.Sprintf("k%02d", i), 1024, i, 0, 0)
 		}
@@ -74,15 +77,10 @@ func TestCrawlerPublishesHotSet(t *testing.T) {
 			s.Get(p, "k00")
 			s.Get(p, fmt.Sprintf("k%02d", i%64))
 		}
-	})
-	if err := s.StartCrawler(100*sim.Millisecond, 1000); err != nil {
-		t.Fatalf("StartCrawler: %v", err)
-	}
-	env.Spawn("stopper", func(p *sim.Proc) {
+	}}, sim.Driver{Name: "stopper", Fn: func(p *sim.Proc) {
 		p.Sleep(500 * sim.Millisecond)
 		s.StopCrawler()
-	})
-	env.Run()
+	}})
 	hot, version := s.HotSnapshot()
 	if version == 0 {
 		t.Fatal("hot-set version never advanced")

@@ -113,8 +113,9 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 	}
 	ops, quarter, half, done := 0, env.NewEvent(), env.NewEvent(), 0
 	rng := rand.New(rand.NewSource(45))
+	var ds []sim.Driver
 	for w := 0; w < workers; w++ {
-		env.Spawn("worker", func(p *sim.Proc) {
+		ds = append(ds, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
 			defer func() { done++ }()
 			for i := 0; i < perWorker; i += 4 {
 				m.BeginEvictionBatch(p)
@@ -152,19 +153,19 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 				}
 				m.EndEvictionBatch(p)
 			}
-		})
+		}})
 	}
 	running := func() bool { return done < workers }
-	env.Spawn("compactor", func(p *sim.Proc) {
+	ds = append(ds, sim.Driver{Name: "compactor", Fn: func(p *sim.Proc) {
 		for running() {
 			p.Sleep(100 * sim.Millisecond)
 			m.Compact(p, 0.25)
 		}
-	})
+	}})
 	// Half the extents on the SSD rot within a millisecond; then a reader
 	// GETs every filler, so corrupt copies are met and their regions
 	// quarantined with clean slots still in them, for the scrub to move.
-	env.Spawn("rot", func(p *sim.Proc) {
+	ds = append(ds, sim.Driver{Name: "rot", Fn: func(p *sim.Proc) {
 		p.Wait(quarter)
 		dev.AddBitRot(45, p.Now(), p.Now()+sim.Millisecond, 0.5)
 		p.Sleep(sim.Millisecond)
@@ -175,16 +176,15 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 				t.Errorf("GET %s answered %v", filler(f), v)
 			}
 		}
-	})
-	env.Spawn("scrubber", func(p *sim.Proc) {
+	}}, sim.Driver{Name: "scrubber", Fn: func(p *sim.Proc) {
 		for running() {
 			p.Sleep(3 * sim.Millisecond)
 			s.EvacuateQuarantined(p)
 			m.ReclaimQuarantined()
 		}
-	})
+	}})
 	var recovered int64
-	env.Spawn("restart", func(p *sim.Proc) {
+	sim.DriveUntil(t, env, -1, append(ds, sim.Driver{Name: "restart", Fn: func(p *sim.Proc) {
 		p.Wait(half)
 		paused = true
 		for idle < workers {
@@ -196,11 +196,10 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 		s.PublishAll()
 		paused = false
 		resume.Fire()
-	})
-	env.Run()
+	}})...)
 
-	if done != workers || m.Retired() == 0 {
-		t.Fatalf("the run did not finish: %d of %d workers done, %d items retired by the restart", done, workers, m.Retired())
+	if m.Retired() == 0 {
+		t.Fatal("the cold restart retired no item")
 	}
 	if err := pool.Census(s.Census()).Err(); err != nil {
 		t.Error(err)
@@ -260,7 +259,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
 			s, _ := spillingStore(env, false)
-			env.Spawn("fixture", func(p *sim.Proc) {
+			sim.Drive(t, env, "fixture", func(p *sim.Proc) {
 				// Stored at the fillers' size, first: the oldest of its class.
 				s.Set(p, "k", 32<<10, uint64(0), 0, 0)
 				for i := 0; s.table["k"].InPlace(); i++ {
@@ -270,7 +269,6 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 					s.Delete(p, fmt.Sprintf("fill-%03d", i)) // room in RAM for the overwrites
 				}
 			})
-			env.Run()
 			first := s.table["k"]
 			if first == nil || !first.OnSSD() {
 				t.Fatal("fixture: k is not on the SSD")
@@ -279,28 +277,27 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 			var v any
 			var ok bool
 			var answered, overwritten sim.Time
-			env.Spawn("reader", func(p *sim.Proc) {
-				v, ok = tc.read(s, p)
-				answered = p.Now()
-			})
-			env.Spawn("overwrite", func(p *sim.Proc) {
-				for _, o := range overwrites {
-					s.Set(p, o.key, 64, o.v, 0, 0)
-					if s.table[o.key] == first {
-						t.Errorf("the item the reader is loading was handed out to %s=%d", o.key, o.v)
+			sim.DriveUntil(t, env, -1,
+				sim.Driver{Name: "reader", Fn: func(p *sim.Proc) {
+					v, ok = tc.read(s, p)
+					answered = p.Now()
+				}},
+				sim.Driver{Name: "overwrite", Fn: func(p *sim.Proc) {
+					for _, o := range overwrites {
+						s.Set(p, o.key, 64, o.v, 0, 0)
+						if s.table[o.key] == first {
+							t.Errorf("the item the reader is loading was handed out to %s=%d", o.key, o.v)
+						}
 					}
-				}
-				overwritten = p.Now()
-			})
-			env.Run()
+					overwritten = p.Now()
+				}})
 			if overwritten >= answered {
 				t.Fatalf("the overwrites ended at %v, after the reader answered at %v: it was never parked under them", overwritten, answered)
 			}
 			if tc.want == nil && ok || tc.want != nil && (!ok || v != tc.want) {
 				t.Errorf("%s of k answered %v (ok %v), want %v", tc.name, v, ok, tc.want)
 			}
-			env.Spawn("after", func(p *sim.Proc) { s.Set(p, "z", 64, uint64(3003), 0, 0) })
-			env.Run()
+			sim.Drive(t, env, "after", func(p *sim.Proc) { s.Set(p, "z", 64, uint64(3003), 0, 0) })
 			if s.table["z"] != first {
 				t.Error("the released item was not the next one handed out once the reader let go")
 			}
@@ -322,42 +319,39 @@ func TestSetHoldsItsItemUntilTheSwap(t *testing.T) {
 	{
 		env := sim.NewEnv()
 		s := newStore(env, 1<<20, false)
-		env.Spawn("measure", func(p *sim.Proc) {
+		sim.Drive(t, env, "measure", func(p *sim.Proc) {
 			for ; s.mgr.DropEvictions == 0; room++ {
 				s.Set(p, fmt.Sprintf("fill-%03d", room), size, room, 0, 0)
 			}
 			room--
 		})
-		env.Run()
 	}
 	env := sim.NewEnv()
 	s := newStore(env, 1<<20, false)
-	env.Spawn("fill", func(p *sim.Proc) {
+	sim.Drive(t, env, "fill", func(p *sim.Proc) {
 		for i := 0; i < room-1; i++ {
 			s.Set(p, fmt.Sprintf("fill-%03d", i), size, i, 0, 0)
 		}
 	})
-	env.Run()
-	env.Spawn("first", func(p *sim.Proc) { s.Set(p, "first", size, "v", 0, 0) })
-	env.Spawn("second", func(p *sim.Proc) {
-		// The first SET's item is pushed after its hash, slab bookkeeping and
-		// copy; its swap comes updateCost later. This SET allocates after the
-		// same hash and bookkeeping: start it half a window after the copy.
-		p.Sleep(sim.TransferTime(size, sim.MemcpyBps) + updateCost/2)
-		s.Set(p, "second", size, "v", 0, 0)
-	})
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "first", Fn: func(p *sim.Proc) { s.Set(p, "first", size, "v", 0, 0) }},
+		sim.Driver{Name: "second", Fn: func(p *sim.Proc) {
+			// The first SET's item is pushed after its hash, slab bookkeeping and
+			// copy; its swap comes updateCost later. This SET allocates after the
+			// same hash and bookkeeping: start it half a window after the copy.
+			p.Sleep(sim.TransferTime(size, sim.MemcpyBps) + updateCost/2)
+			s.Set(p, "second", size, "v", 0, 0)
+		}})
 	it := s.table["first"]
 	if it == nil || !it.Dropped() || s.mgr.DropEvictions != int64(room) {
 		t.Fatalf("fixture: the second SET did not evict the first one's item before its swap (dropped %v, %d evictions of %d)",
 			it != nil && it.Dropped(), s.mgr.DropEvictions, room)
 	}
-	env.Spawn("get", func(p *sim.Proc) {
+	sim.Drive(t, env, "get", func(p *sim.Proc) {
 		if _, _, _, _, st := s.Get(p, "first"); st != protocol.StatusNotFound {
 			t.Errorf("GET of the evicted key answered %v", st)
 		}
 	})
-	env.Run()
 }
 
 // TestEvacuationHoldsItsCorruptItems rots a region of the SSD holding keys a
@@ -372,7 +366,7 @@ func TestSetHoldsItsItemUntilTheSwap(t *testing.T) {
 func TestEvacuationHoldsItsCorruptItems(t *testing.T) {
 	env := sim.NewEnv()
 	s, dev := spillingStore(env, false)
-	env.Spawn("fixture", func(p *sim.Proc) {
+	sim.Drive(t, env, "fixture", func(p *sim.Proc) {
 		for _, key := range []string{"a", "b", "c"} {
 			s.Set(p, key, 32<<10, key+"/0", 0, 0) // the oldest: evicted together
 		}
@@ -385,7 +379,6 @@ func TestEvacuationHoldsItsCorruptItems(t *testing.T) {
 			t.Fatalf("fixture: GET of a rotted key answered %v", st)
 		}
 	})
-	env.Run()
 	target := ""
 	s.SetCorruptNotify(func(p *sim.Proc, key string) {
 		if target == "" {
@@ -400,17 +393,15 @@ func TestEvacuationHoldsItsCorruptItems(t *testing.T) {
 		}
 		p.Sleep(100 * sim.Millisecond)
 	})
-	env.Spawn("scrub", func(p *sim.Proc) { s.EvacuateQuarantined(p) })
-	env.Run()
+	sim.Drive(t, env, "scrub", func(p *sim.Proc) { s.EvacuateQuarantined(p) })
 	if target == "" {
 		t.Fatal("fixture: the evacuation found nothing corrupt")
 	}
-	env.Spawn("get", func(p *sim.Proc) {
+	sim.Drive(t, env, "get", func(p *sim.Proc) {
 		if v, _, _, _, st := s.Get(p, target); st != protocol.StatusOK || v != target+"/2" {
 			t.Errorf("GET %s after the evacuation answered %v %v, want OK %s/2", target, st, v, target)
 		}
 	})
-	env.Run()
 }
 
 // TestCensusNamesAStaleHolder checks the census's rule beside the hold
@@ -421,8 +412,7 @@ func TestCensusNamesAStaleHolder(t *testing.T) {
 	env := sim.NewEnv()
 	s, _ := spillingStore(env, false)
 	s.SetReadView(newTestDirectory(16))
-	env.Spawn("set", func(p *sim.Proc) { s.Set(p, "k", 64, "v", 0, 0) })
-	env.Run()
+	sim.Drive(t, env, "set", func(p *sim.Proc) { s.Set(p, "k", 64, "v", 0, 0) })
 	if err := pool.Census(s.Census()).Err(); err != nil {
 		t.Fatalf("a stored key: %v", err)
 	}

@@ -30,17 +30,17 @@ func TestGetRacingSetOnOneKey(t *testing.T) {
 			env := sim.NewEnv()
 			s := newStore(env, tc.memLimit, true)
 			key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
-			env.Spawn("preload", func(p *sim.Proc) {
+			sim.Drive(t, env, "preload", func(p *sim.Proc) {
 				for i := 0; i < tc.keys; i++ {
 					s.Set(p, key(i), valueSize, i, 0, 0)
 				}
 			})
-			env.Run()
 
 			rng := rand.New(rand.NewSource(1))
 			var notFound, valueless, gets int
+			var ws []sim.Driver
 			for w := 0; w < 4; w++ {
-				env.Spawn("worker", func(p *sim.Proc) {
+				ws = append(ws, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
 					for i := 0; i < 2000; i++ {
 						k := key(rng.Intn(16) * tc.keys / 16)
 						if rng.Intn(2) == 0 {
@@ -57,9 +57,9 @@ func TestGetRacingSetOnOneKey(t *testing.T) {
 							valueless++
 						}
 					}
-				})
+				}})
 			}
-			env.Run()
+			sim.DriveUntil(t, env, -1, ws...)
 			if notFound > 0 || valueless > 0 {
 				t.Errorf("%d GETs of preloaded keys: %d NOT_FOUND, %d OK with no value", gets, notFound, valueless)
 			}
@@ -100,7 +100,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			d := newTestDirectory(1 << 10)
 			s.SetReadView(d)
 			var token uint64
-			env.Spawn("preload", func(p *sim.Proc) {
+			sim.Drive(t, env, "preload", func(p *sim.Proc) {
 				// Eviction takes its victims from the class that is allocating, so
 				// to start out spilled a raced key is stored at the fillers' size.
 				size := counterSize
@@ -126,7 +126,6 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				}
 				_, _, _, token, _ = s.Get(p, "cas")
 			})
-			env.Run()
 
 			// A seeded jitter between commands sweeps how the workers' suspensions
 			// line up instead of leaving them in lockstep.
@@ -155,8 +154,9 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 				}
 			}
 			var casStored, addStored int
+			var ws []sim.Driver
 			for w := 0; w < workers; w++ {
-				env.Spawn("worker", func(p *sim.Proc) {
+				ws = append(ws, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
 					if s.CompareAndSet(p, "cas", 64, fmt.Sprintf("w%d", w), 0, token) == protocol.StatusStored {
 						casStored++
 					}
@@ -179,9 +179,9 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 							s.Set(p, "raced", 64, uint64(i), 0, 0)
 						}
 					}
-				})
+				}})
 			}
-			env.Run()
+			sim.DriveUntil(t, env, -1, ws...)
 
 			if casStored != 1 {
 				t.Errorf("%d of %d CAS stores holding one token answered STORED, want 1", casStored, workers)
@@ -189,7 +189,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			if addStored != 1 {
 				t.Errorf("%d of %d adds of one fresh key answered STORED, want 1", addStored, workers)
 			}
-			env.Spawn("audit", func(p *sim.Proc) {
+			sim.Drive(t, env, "audit", func(p *sim.Proc) {
 				if v, _, _, _, _ := s.Get(p, "up"); v != uint64(workers*perWorker) {
 					t.Errorf("counter after %d increments: %v", workers*perWorker, v)
 				}
@@ -197,7 +197,6 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 					published(key, true)
 				}
 			})
-			env.Run()
 		})
 	}
 }
@@ -227,7 +226,7 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 	{
 		env := sim.NewEnv()
 		s := newStoreWithPolicy(env, memLimit, true, hybridslab.PolicyDirect)
-		env.Spawn("measure", func(p *sim.Proc) {
+		sim.Drive(t, env, "measure", func(p *sim.Proc) {
 			s.Set(p, "up", fillSize, uint64(0), 0, 0)
 			for s.Manager().FlushPages == 0 {
 				s.Set(p, filler(room), fillSize, room, 0, 0)
@@ -235,12 +234,11 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 			}
 			room-- // the last one evicted
 		})
-		env.Run()
 	}
 
 	env := sim.NewEnv()
 	s := newStoreWithPolicy(env, memLimit, true, hybridslab.PolicyDirect)
-	env.Spawn("preload", func(p *sim.Proc) {
+	sim.Drive(t, env, "preload", func(p *sim.Proc) {
 		// The counter is stored at the fillers' size (eviction takes its victims
 		// from the class that is allocating) and first: the oldest of its class.
 		s.Set(p, "up", fillSize, uint64(0), 0, 0)
@@ -251,32 +249,30 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 			t.Fatal("fixture: the counter left RAM before the race")
 		}
 	})
-	env.Run()
 
+	var ds []sim.Driver
 	for w := 0; w < workers; w++ {
-		env.Spawn("worker", func(p *sim.Proc) {
+		ds = append(ds, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
 			for i := 0; i < perWorker; i++ {
 				if _, st := s.Incr(p, "up", 1); st != protocol.StatusOK {
 					t.Errorf("incr: %v", st)
 				}
 			}
-		})
+		}})
 	}
 	staged := false
 	s.Manager().SetNotify(func(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
 		staged = staged || it.Key == "up" && ev == hybridslab.EvictStaged
 	})
-	env.Spawn("evictor", func(p *sim.Proc) {
+	sim.DriveUntil(t, env, -1, append(ds, sim.Driver{Name: "evictor", Fn: func(p *sim.Proc) {
 		s.Set(p, filler(room), fillSize, room, 0, 0)
-	})
-	env.Run()
+	}})...)
 	if !staged {
 		t.Fatal("the counter was never staged for eviction under the increments: the test proves nothing")
 	}
-	env.Spawn("audit", func(p *sim.Proc) {
+	sim.Drive(t, env, "audit", func(p *sim.Proc) {
 		if v, _, _, _, _ := s.Get(p, "up"); v != uint64(workers*perWorker) {
 			t.Errorf("%v of %d increments survived", v, workers*perWorker)
 		}
 	})
-	env.Run()
 }

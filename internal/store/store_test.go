@@ -33,7 +33,7 @@ func newStoreWithPolicy(env *sim.Env, memLimit int64, hybrid bool, policy hybrid
 func TestSetGetDelete(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if st := s.Set(p, "k1", 1024, "v1", 5, 0); st != protocol.StatusStored {
 			t.Errorf("set status %v", st)
 		}
@@ -51,7 +51,6 @@ func TestSetGetDelete(t *testing.T) {
 			t.Errorf("double delete %v", st)
 		}
 	})
-	env.Run()
 	if s.SetOps != 1 || s.GetOps != 2 || s.DeleteOps != 2 || s.GetHits != 1 || s.GetMisses != 1 {
 		t.Errorf("counters set=%d get=%d del=%d hit=%d miss=%d",
 			s.SetOps, s.GetOps, s.DeleteOps, s.GetHits, s.GetMisses)
@@ -61,7 +60,7 @@ func TestSetGetDelete(t *testing.T) {
 func TestReplaceUpdatesValueAndCAS(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		s.Set(p, "k", 100, "old", 0, 0)
 		_, _, _, cas1, _ := s.Get(p, "k")
 		s.Set(p, "k", 200, "new", 0, 0)
@@ -73,7 +72,6 @@ func TestReplaceUpdatesValueAndCAS(t *testing.T) {
 			t.Errorf("CAS did not advance: %d -> %d", cas1, cas2)
 		}
 	})
-	env.Run()
 	if s.Len() != 1 {
 		t.Errorf("table length %d after replace", s.Len())
 	}
@@ -100,18 +98,17 @@ func TestSetPanicsOnATTL(t *testing.T) {
 func TestTooLarge(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		if st := s.Set(p, "big", 2<<20, nil, 0, 0); st != protocol.StatusTooLarge {
 			t.Errorf("oversized set status %v", st)
 		}
 	})
-	env.Run()
 }
 
 func TestEvictedKeyIsMissRAMOnly(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			s.Set(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
 		}
@@ -122,14 +119,13 @@ func TestEvictedKeyIsMissRAMOnly(t *testing.T) {
 			t.Errorf("hot key missing: %v", st)
 		}
 	})
-	env.Run()
 }
 
 func TestHybridRetainsEverything(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 4<<20, true)
 	miss := 0
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			s.Set(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
 		}
@@ -139,7 +135,6 @@ func TestHybridRetainsEverything(t *testing.T) {
 			}
 		}
 	})
-	env.Run()
 	if miss != 0 {
 		t.Errorf("%d misses in hybrid store", miss)
 	}
@@ -148,13 +143,12 @@ func TestHybridRetainsEverything(t *testing.T) {
 func TestStageProfileAccumulates(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStoreWithPolicy(env, 4<<20, true, hybridslab.PolicyDirect)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			s.Set(p, fmt.Sprintf("k%04d", i), 32*1024, i, 0, 0)
 		}
 		s.Get(p, "k0000") // SSD load (direct I/O bypasses the page cache)
 	})
-	env.Run()
 	if s.Prof.Total(metrics.StageSlabAlloc) == 0 {
 		t.Errorf("slab-allocation stage empty")
 	}
@@ -175,7 +169,7 @@ func TestStageProfileAccumulates(t *testing.T) {
 func TestHandleDispatch(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
-	env.Spawn("op", func(p *sim.Proc) {
+	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		set := s.Handle(p, &protocol.Request{Op: protocol.OpSet, ReqID: 1, Key: "a", ValueSize: 128, Value: "v"})
 		if set.Status != protocol.StatusStored || set.ReqID != 1 {
 			t.Errorf("set resp %+v", set)
@@ -189,5 +183,4 @@ func TestHandleDispatch(t *testing.T) {
 			t.Errorf("bad-op resp %+v", bad)
 		}
 	})
-	env.Run()
 }

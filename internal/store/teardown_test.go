@@ -36,7 +36,7 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 			hooked := map[string]int{}
 			s.SetCorruptNotify(func(_ *sim.Proc, key string) { hooked[key]++ })
 			var st protocol.Status
-			env.Spawn("op", func(p *sim.Proc) {
+			sim.Drive(t, env, "op", func(p *sim.Proc) {
 				// Stored at the fillers' size so the fillers evict it.
 				s.Set(p, "k", 32*1024, tc.value, 0, 0)
 				for i := 0; i < 200; i++ {
@@ -49,7 +49,6 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 				p.Sleep(2 * sim.Millisecond) // past every extent's rot instant
 				st = tc.run(s, p)
 			})
-			env.Run()
 			if st != protocol.StatusCorrupt {
 				t.Errorf("%s of a rotted copy answered %v, want %v", tc.name, st, protocol.StatusCorrupt)
 			}

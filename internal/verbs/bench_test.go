@@ -17,10 +17,10 @@ func sendModel(recvs int) (step func()) {
 	for i := 0; i < recvs; i++ {
 		r.qpB.PostRecv(RecvWR{})
 	}
-	r.env.Run()
+	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
 		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 128, Payload: r})
-		r.env.Run()
+		r.env.Run() // no driver: the step posts without a process, and its allocations are what is counted
 		if _, ok := r.recvB.Poll(); !ok {
 			panic("no receive completion")
 		}
@@ -33,10 +33,10 @@ func readModel() (step func()) {
 	r := newRig()
 	remote, local := r.pdB.RegisterMRSetup(4096), r.pdA.RegisterMRSetup(4096)
 	remote.SetPayload("value", 4096)
-	r.env.Run()
+	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
 		r.qpA.PostSendSetup(SendWR{Op: OpRead, Size: 4096, RemoteMR: remote.LKey(), LocalMR: local, Signaled: true})
-		r.env.Run()
+		r.env.Run() // no driver: the step posts without a process, and its allocations are what is counted
 		if c, ok := r.sendA.Poll(); !ok || c.Payload != "value" {
 			panic("no READ completion")
 		}
@@ -53,13 +53,13 @@ func heldReadModel() (step func(), buckets *pool.List[protocol.DirBucket, *proto
 	r := newRig()
 	buckets = new(pool.List[protocol.DirBucket, *protocol.DirBucket])
 	remote := r.pdB.RegisterMRSetup(protocol.DirBucketBytes)
-	r.env.Run()
+	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
 		b := protocol.NewDirBucket(buckets)
 		remote.SetSegment(0, b, protocol.DirBucketBytes)
 		b.Release()
 		r.qpA.PostSendSetup(SendWR{Op: OpRead, Size: protocol.DirBucketBytes, RemoteMR: remote.LKey(), Signaled: true})
-		r.env.Run()
+		r.env.Run() // no driver: the step posts without a process, and its allocations are what is counted
 		c, ok := r.sendA.Poll()
 		if !ok || c.Payload != b {
 			panic("no READ completion of the published bucket")
@@ -85,10 +85,10 @@ func streamModel() (step func()) {
 			s.Send(p, 128, s)
 		}
 	})
-	env.Run()
+	env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
 		kick.TryPut(struct{}{})
-		env.Run()
+		env.Run() // no driver: the sender parks on kick between steps, and the step's allocations are what is counted
 		if _, ok := peer.inbox.TryGet(); !ok {
 			panic("no stream message")
 		}

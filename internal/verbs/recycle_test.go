@@ -63,7 +63,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 	in := fault.New(fault.Config{Seed: 7, Drop: 0.1, Dup: 0.25, Spike: 0.1})
 	in.AddCorrupt(11, 0.2)
 	li := &legInjector{in: in}
-	r.env.Run()
+	r.env.Run() // no driver: the rig's start-up is all that runs
 	r.devA.node.Fabric().SetFaults(li)
 
 	// b's region holds one tag per segment; a READ of segment k returns it.
@@ -80,7 +80,7 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 	var sent []*tag             // SEND / WRITE_IMM payloads, in post order
 	readSeg := map[uint64]int{} // READ WRID → segment it reads
 	rng := rand.New(rand.NewSource(3))
-	r.env.Spawn("poster", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "poster", func(p *sim.Proc) {
 		for i := 0; i < posts; i++ {
 			switch rng.Intn(3) {
 			case 0:
@@ -104,7 +104,6 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 			}
 		}
 	})
-	r.env.Run()
 
 	if len(li.legs) != len(sent) {
 		t.Fatalf("%d SEND / WRITE_IMM legs serialized, %d posted", len(li.legs), len(sent))
@@ -173,13 +172,12 @@ func TestRecycledTransfersUnderFaults(t *testing.T) {
 	// of its legs are duplicated: each of these duplicates both.
 	r.devA.node.Fabric().SetFaults(fault.New(fault.Config{Seed: 9, Dup: 1}))
 	const lossless = 1000
-	r.env.Spawn("reader", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "reader", func(p *sim.Proc) {
 		for i := 0; i < lossless; i++ {
 			r.qpA.PostSend(p, SendWR{WRID: uint64(posts + i), Op: OpRead, Size: 64,
 				RemoteMR: remote.LKey(), RemoteOff: int64(i % segs * 64), LocalMR: local, Signaled: true})
 		}
 	})
-	r.env.Run()
 	for i := 0; i < lossless; i++ {
 		c, ok := r.sendA.Poll()
 		if !ok {
@@ -225,7 +223,7 @@ func TestRecycledTransferMisuse(t *testing.T) {
 		r.qpB.PostRecv(RecvWR{})
 		r.qpB.PostRecv(RecvWR{})
 		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 64})
-		r.env.Run()
+		r.env.Run() // no driver: the SEND is posted without a process
 		if r.devA.free == nil || r.devA.free.next != nil {
 			panic("the delivered SEND's transfer is not alone on its HCA's free list")
 		}

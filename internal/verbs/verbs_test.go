@@ -36,13 +36,13 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 	r := newRig()
 	r.qpB.PostRecv(RecvWR{})
 	var got Completion
-	r.env.Spawn("server", func(p *sim.Proc) {
-		got = r.recvB.WaitPoll(p)
-	})
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 128, Payload: "req"})
-	})
-	r.env.Run()
+	sim.DriveUntil(t, r.env, -1,
+		sim.Driver{Name: "server", Fn: func(p *sim.Proc) {
+			got = r.recvB.WaitPoll(p)
+		}},
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 128, Payload: "req"})
+		}})
 	if got.QPN != r.qpB.QPN() || got.Payload != "req" {
 		t.Errorf("recv completion %+v", got)
 	}
@@ -53,15 +53,14 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 
 func TestSendWithoutRecvPanics(t *testing.T) {
 	r := newRig()
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 64})
-	})
 	defer func() {
 		if recover() == nil {
 			t.Errorf("RNR condition did not panic")
 		}
 	}()
-	r.env.Run()
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
+		r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 64})
+	})
 }
 
 func TestRDMAWriteImmConsumesRecv(t *testing.T) {
@@ -69,13 +68,13 @@ func TestRDMAWriteImmConsumesRecv(t *testing.T) {
 	mr := r.pdB.RegisterMRSetup(4096)
 	r.qpB.PostRecv(RecvWR{})
 	var got Completion
-	r.env.Spawn("server", func(p *sim.Proc) { got = r.recvB.WaitPoll(p) })
-	r.env.Spawn("client", func(p *sim.Proc) {
-		r.qpA.PostSend(p, SendWR{
-			Op: OpWriteImm, Size: 512, Payload: "x", RemoteMR: mr.LKey(),
-		})
-	})
-	r.env.Run()
+	sim.DriveUntil(t, r.env, -1,
+		sim.Driver{Name: "server", Fn: func(p *sim.Proc) { got = r.recvB.WaitPoll(p) }},
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			r.qpA.PostSend(p, SendWR{
+				Op: OpWriteImm, Size: 512, Payload: "x", RemoteMR: mr.LKey(),
+			})
+		}})
 	if got.QPN != r.qpB.QPN() || got.Payload != "x" {
 		t.Errorf("WRITE_IMM completion %+v", got)
 	}
@@ -94,7 +93,7 @@ func TestRDMAReadFetchesRemoteMR(t *testing.T) {
 	local := r.pdA.RegisterMRSetup(1 << 20)
 	var comp Completion
 	var doneAt sim.Time
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.qpA.PostSend(p, SendWR{
 			WRID: 11, Op: OpRead, RemoteMR: remote.LKey(),
 			LocalMR: local, Signaled: true,
@@ -102,7 +101,6 @@ func TestRDMAReadFetchesRemoteMR(t *testing.T) {
 		comp = r.sendA.WaitPoll(p)
 		doneAt = p.Now()
 	})
-	r.env.Run()
 	if comp.WRID != 11 || comp.QPN != r.qpA.QPN() || comp.Payload != "remote-data" {
 		t.Errorf("READ completion %+v", comp)
 	}
@@ -120,12 +118,11 @@ func TestNonInlineReusableAfterSerialization(t *testing.T) {
 	r.qpB.PostRecv(RecvWR{})
 	size := 1 << 20
 	var reusableAt sim.Time
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		ev := r.qpA.PostSend(p, SendWR{Op: OpSend, Size: size})
 		p.Wait(ev)
 		reusableAt = p.Now()
 	})
-	r.env.Run()
 	min := simnet.FDRInfiniBand().SerializeTime(size)
 	if reusableAt < min {
 		t.Errorf("1MB buffer reusable at %v, before DMA completes (%v)", reusableAt, min)
@@ -138,18 +135,18 @@ func TestQPOrderingPreserved(t *testing.T) {
 		r.qpB.PostRecv(RecvWR{})
 	}
 	var got []uint64
-	r.env.Spawn("server", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			c := r.recvB.WaitPoll(p)
-			got = append(got, c.Payload.(uint64))
-		}
-	})
-	r.env.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			r.qpA.PostSend(p, SendWR{Op: OpSend, Size: 64, Payload: uint64(i)})
-		}
-	})
-	r.env.Run()
+	sim.DriveUntil(t, r.env, -1,
+		sim.Driver{Name: "server", Fn: func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				c := r.recvB.WaitPoll(p)
+				got = append(got, c.Payload.(uint64))
+			}
+		}},
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				r.qpA.PostSend(p, SendWR{Op: OpSend, Size: 64, Payload: uint64(i)})
+			}
+		}})
 	for i, v := range got {
 		if v != uint64(i) {
 			t.Fatalf("RC ordering violated: %v", got)
@@ -164,19 +161,19 @@ func TestIPoIBStreamRoundTrip(t *testing.T) {
 	hB := NewHost(f.AddNode("server"))
 	var reply StreamMsg
 	var rtt sim.Time
-	env.Spawn("server", func(p *sim.Proc) {
-		s := hB.Accept(p)
-		m := s.Recv(p)
-		s.Send(p, m.Size, "pong:"+m.Payload.(string))
-	})
-	env.Spawn("client", func(p *sim.Proc) {
-		s := hA.Dial(hB)
-		t0 := p.Now()
-		s.Send(p, 1024, "ping")
-		reply = s.Recv(p)
-		rtt = p.Now() - t0
-	})
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "server", Fn: func(p *sim.Proc) {
+			s := hB.Accept(p)
+			m := s.Recv(p)
+			s.Send(p, m.Size, "pong:"+m.Payload.(string))
+		}},
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			s := hA.Dial(hB)
+			t0 := p.Now()
+			s.Send(p, 1024, "ping")
+			reply = s.Recv(p)
+			rtt = p.Now() - t0
+		}})
 	if reply.Payload != "pong:ping" {
 		t.Errorf("reply %+v", reply)
 	}
@@ -194,20 +191,20 @@ func TestIPoIBOrderedDelivery(t *testing.T) {
 	hA := NewHost(f.AddNode("a"))
 	hB := NewHost(f.AddNode("b"))
 	var got []int
-	env.Spawn("server", func(p *sim.Proc) {
-		s := hB.Accept(p)
-		for i := 0; i < 20; i++ {
-			m := s.Recv(p)
-			got = append(got, m.Payload.(int))
-		}
-	})
-	env.Spawn("client", func(p *sim.Proc) {
-		s := hA.Dial(hB)
-		for i := 0; i < 20; i++ {
-			s.Send(p, 100, i)
-		}
-	})
-	env.Run()
+	sim.DriveUntil(t, env, -1,
+		sim.Driver{Name: "server", Fn: func(p *sim.Proc) {
+			s := hB.Accept(p)
+			for i := 0; i < 20; i++ {
+				m := s.Recv(p)
+				got = append(got, m.Payload.(int))
+			}
+		}},
+		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
+			s := hA.Dial(hB)
+			for i := 0; i < 20; i++ {
+				s.Send(p, 100, i)
+			}
+		}})
 	if len(got) != 20 {
 		t.Fatalf("received %d messages", len(got))
 	}
@@ -223,12 +220,11 @@ func TestDeviceStats(t *testing.T) {
 	mr := r.pdB.RegisterMRSetup(4096)
 	r.qpB.PostRecv(RecvWR{})
 	r.qpB.PostRecv(RecvWR{})
-	r.env.Spawn("client", func(p *sim.Proc) {
+	sim.Drive(t, r.env, "client", func(p *sim.Proc) {
 		r.qpA.PostSend(p, SendWR{Op: OpSend, Size: 64})
 		r.qpA.PostSend(p, SendWR{Op: OpWriteImm, Size: 64, RemoteMR: mr.LKey()})
 		r.qpA.PostSend(p, SendWR{Op: OpRead, RemoteMR: mr.LKey()})
 	})
-	r.env.Run()
 	if r.devA.SendsPosted != 1 || r.devA.WritesPosted != 1 || r.devA.ReadsPosted != 1 {
 		t.Errorf("stats sends=%d writes=%d reads=%d, want 1/1/1",
 			r.devA.SendsPosted, r.devA.WritesPosted, r.devA.ReadsPosted)
