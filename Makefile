@@ -230,7 +230,10 @@ reach:
 # place, SleepParked one that parks) and the ratio of a process wakeup to a
 # callback event: printed for the eye, gating nothing —
 # nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
-# week and 25:1 the next is seen.
+# week and 25:1 the next is seen. Then one bytes line, the size and the Go size
+# class of each record an operation allocates or embeds (core's tier-1
+# TestRequestRecordSizes logs it): printed, not gated — the size pins gate —
+# so a change that moves a record across a class shows it here.
 ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool ./internal/workload
 allocs:
 	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
@@ -242,6 +245,7 @@ allocs:
 				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
 		END { flush(); printf "ns/op      %-12s Timer=%s SleepParked=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
 			"sim", ns["Timer"], ns["SleepParked"], ns["Handoff"], ns["CallbackEvent"], ns["SpawnRecycled"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
+	@$(GO) test -count=1 -run '^TestRequestRecordSizes$$' -v ./internal/core | sed -n 's/^ *alloc_test.go:[0-9]*: \(bytes \)/\1/p'
 
 # Independently settable values per configuration struct under internal/, one
 # line each with its pinned count and its fields: the table of the tier-1

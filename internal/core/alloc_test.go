@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -8,6 +9,7 @@ import (
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/simnet"
 )
 
 // opModel returns a step that runs one operation end to end — Issue, the
@@ -36,9 +38,7 @@ func driverModel(r *testRig, body func(p *sim.Proc, c *Client)) (step func()) {
 	r.env.Spawn("driver", func(p *sim.Proc) {
 		c.Set(p, "k", 512, r, 0, 0)
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			body(p, c)
 		}
 	})
@@ -268,16 +268,54 @@ func TestSecondAttemptAllocationCeilings(t *testing.T) {
 // attempt chain, the attempt's state and the breaker's probe holder cost no
 // bytes. Req was 560 bytes (the 576-byte size class), then 416 (the 416-byte
 // class): three 24-byte events in place of three of 48, its exported Op,
-// Status and Flags in one word, and its attempt and options packed. Now it is
-// 376, in the 384-byte class: its id and key are read off its first
-// attempt's message (ID, Key), and a retryable rejection is kept as its
-// one-byte status beside Status rather than as an error. attempt is 128, its
-// own class: no id beside its message's ReqID, and an 80-byte message.
+// Status and Flags in one word, and its attempt and options packed. Then 376,
+// in the 384-byte class: its id and key read off its first attempt's message
+// (ID, Key), and a retryable rejection kept as its one-byte status beside
+// Status rather than as an error. Now it is 320, the 320-byte class: four
+// 16-byte events in place of 24 (a waiter ring kept by its tail), no client
+// or latest-connection pointer (first.cn.c, cur.cn), and the busy hint in the
+// attempt's padding. attempt is 128, its own class: no id beside its
+// message's ReqID, an 80-byte message, and the hint's four bytes where state
+// left seven of padding.
+//
+// It also logs one line of each per-operation record's size and size class,
+// which make allocs prints, so a record that crosses a class shows there.
 func TestRequestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Req{}); got != 376 {
-		t.Errorf("Req is %d bytes, was 416", got)
+	line := "bytes      records     "
+	for _, r := range []struct {
+		name string
+		size uintptr
+	}{
+		{"core.Req", unsafe.Sizeof(Req{})},
+		{"core.attempt", unsafe.Sizeof(attempt{})},
+		{"sim.Event", unsafe.Sizeof(sim.Event{})},
+		{"simnet.Flight", unsafe.Sizeof(simnet.Flight{})},
+	} {
+		line += fmt.Sprintf(" %s=%d/%d", r.name, r.size, sizeClass(r.size))
+	}
+	t.Log(line + "  (unsafe.Sizeof/size class)")
+	if got := unsafe.Sizeof(Req{}); got > 320 {
+		t.Errorf("Req is %d bytes, over the 320-byte size class (376 at f0af065)", got)
 	}
 	if got := unsafe.Sizeof(attempt{}); got != 128 {
-		t.Errorf("attempt is %d bytes, was 152", got)
+		t.Errorf("attempt is %d bytes, want 128 (128 at f0af065)", got)
 	}
+}
+
+// sizeClasses are the Go runtime's small-object size classes up to 1 KiB
+// (runtime/sizeclasses.go): an allocation of n bytes takes the first that
+// holds it.
+var sizeClasses = []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160,
+	176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576,
+	640, 704, 768, 896, 1024}
+
+// sizeClass is the bytes an allocation of n takes on the heap; 0 past 1 KiB,
+// where none of these records is.
+func sizeClass(n uintptr) uintptr {
+	for _, c := range sizeClasses {
+		if n <= c {
+			return c
+		}
+	}
+	return 0
 }

@@ -129,6 +129,10 @@ const (
 )
 
 // Req is the memcached_req analog: the handle for one in-flight operation.
+// A caller that keeps its handles keeps one Req per operation, so its size is
+// the host's bytes per operation: 320 bytes, the 320-byte size class
+// (TestRequestRecordSizes), with four 16-byte events and its one-byte fields
+// packed beside Status and Holds.
 type Req struct {
 	// Op is the issued opcode.
 	Op protocol.Opcode
@@ -171,19 +175,18 @@ type Req struct {
 	// its hold for good, and the record goes to the GC), the guard, hedge and
 	// bypass-resolver procs, conn.readWaits, a frame's member list and a
 	// half-open breaker's probe.
+	//
+	// The record keeps no pointer to its client or to its latest connection:
+	// the first attempt's connection names the client (client), the latest
+	// attempt its connection (cur.cn); and the server's busy hint rides on
+	// the latest attempt (attempt.retryAfterUS).
 	done     sim.Event // server response received ("completion flag")
 	reusable sim.Event // user buffers reusable
 	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
-	c        *Client
-	conn     *conn     // connection of the latest attempt
 	cur      *attempt  // the latest attempt; nil until the first exists
 	first    attempt   // the first attempt's record
 	opts     issueOpts // as parsed from Issue's options
 	read     readWait  // the bypass resolver's READ in flight (one at a time)
-
-	// retryAfter is the server's busy hint: it floors the guard's next
-	// backoff. Cleared on retransmit.
-	retryAfter sim.Time
 
 	// What is behind Err and the accessors below.
 	how      outcome // how the request ended (finish); meaningless until done fires
@@ -200,15 +203,20 @@ func (r *Req) hold() { pool.Hold(r) }
 // client's free list, zeroed. Dropping a hold nobody took panics.
 func (r *Req) drop() {
 	if pool.Drop(r) {
-		r.c.reqs.Put(r)
+		r.client().reqs.Put(r)
 	}
 }
+
+// client is the client that issued the request: its first attempt's
+// connection's. Every request has a first attempt from Issue on, so every
+// holder after Issue finds it; a free record, zeroed, has none.
+func (r *Req) client() *Client { return r.first.cn.c }
 
 // newReq hands out a zero request record holding one hold, its caller's. It
 // panics if the record was touched after its last drop.
 func (c *Client) newReq() *Req {
 	r := c.reqs.Get()
-	if r.c != nil || r.done.Fired() || r.reusable.Fired() {
+	if r.first.cn != nil || r.done.Fired() || r.reusable.Fired() {
 		panic("core: a free request was touched after its last release")
 	}
 	return r
@@ -558,7 +566,6 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 func (c *Client) initReq(req *Req, op Op) {
 	c.nextID++
 	req.Op = op.Code
-	req.c = c
 	req.IssuedAt = c.env.Now()
 	req.first.wire = protocol.Request{
 		ReqID: c.nextID, Op: op.Code, Key: op.Key, Flags: op.Flags,

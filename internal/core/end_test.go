@@ -175,7 +175,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
 					c.Wait(p, req)
-					if req.conn == home {
+					if req.cur.cn == home {
 						reached++
 					}
 				}

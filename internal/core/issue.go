@@ -213,17 +213,17 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 // request's id; every later one — a retransmit, a hedge, a bypass fallback —
 // is its own allocation under a fresh id, because the earlier ones may still
 // be pending, queued or on the wire. Its message is the template initReq
-// wrote, but for the id.
+// wrote, but for the id; its busy hint is the one its predecessor held.
 func (req *Req) attach(cn *conn, state attState) *attempt {
-	att, wire := &req.first, req.first.wire
+	att, wire, hint := &req.first, req.first.wire, uint32(0)
 	if req.cur != nil {
-		att = new(attempt)
+		att, hint = new(attempt), req.cur.retryAfterUS
 		req.cur.next = att
-		req.c.nextID++
-		wire.ReqID = req.c.nextID
+		cn.c.nextID++
+		wire.ReqID = cn.c.nextID
 	}
-	*att = attempt{req: req, cn: cn, start: req.c.env.Now(), state: state, wire: wire}
-	req.cur, req.conn = att, cn
+	*att = attempt{req: req, cn: cn, start: cn.c.env.Now(), state: state, retryAfterUS: hint, wire: wire}
+	req.cur = att
 	req.Attempts++
 	if cn.brk != nil {
 		cn.brk.claim(att)
@@ -292,7 +292,7 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 	if req.done.Fired() {
 		return
 	}
-	c := req.c
+	c := req.client()
 	req.how = how
 	req.Status = protocol.StatusError
 	end := dropped
@@ -343,7 +343,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 	// sentinel and backoff hint belong to the old attempt alone.
 	req.nudge.Init()
 	req.rejected = protocol.StatusOK
-	req.retryAfter = 0
+	old.retryAfterUS = 0
 	c.enqueueWire(req, cn)
 }
 
@@ -401,10 +401,10 @@ func (c *Client) startGuard(req *Req) {
 			if pol.Jitter > 0 {
 				d += sim.Time(float64(backoff) * pol.Jitter * rng.Float64())
 			}
-			if req.retryAfter > d {
+			if hint := sim.Time(req.cur.retryAfterUS) * sim.Microsecond; hint > d {
 				// The server's busy hint floors the backoff: it knows its
 				// own storage backlog better than our doubling schedule.
-				d = req.retryAfter
+				d = hint
 			}
 			backoff *= 2
 			if backoff > pol.MaxBackoff {
@@ -443,8 +443,8 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.route(req.Key(), routeNext, req.conn)
-		if cn == req.conn {
+		cn := c.route(req.Key(), routeNext, req.cur.cn)
+		if cn == req.cur.cn {
 			return // no distinct replica to hedge onto
 		}
 		c.Counters.Inc(metrics.CHedges)
@@ -474,6 +474,13 @@ type attempt struct {
 	// hedge or a fallback leaves an earlier one flying beside the one it adds.
 	next  *attempt
 	state attState
+	// retryAfterUS is the request's busy hint, in µs, while this attempt is
+	// its latest: the last RetryAfterUS a busy response to any of its
+	// attempts carried, which floors the guard's next backoff. attach
+	// carries it on to the next attempt, and retransmit clears it on the
+	// attempt it gives up first, so a retransmit starts without it. It sits
+	// in the padding after state.
+	retryAfterUS uint32
 	// wire is the request message this attempt sends. The TX engine posts a
 	// pointer to it and the server reads it there, so it is complete before
 	// the attempt is queued and never written after.
@@ -744,7 +751,7 @@ func (cn *conn) land(resp *protocol.Response) {
 		req.rejected = resp.Status
 		switch resp.Status {
 		case protocol.StatusBusy:
-			req.retryAfter = sim.Time(resp.RetryAfterUS) * sim.Microsecond
+			req.cur.retryAfterUS = resp.RetryAfterUS
 		case protocol.StatusNoReplica:
 			// The coordinator itself is healthy (it answered); the
 			// chain behind it is not. No breaker food, just a counter.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"hybridkv/internal/cluster"
 	"hybridkv/internal/core"
@@ -30,9 +31,7 @@ func replicatedModel(op func(p *sim.Proc, c *core.Client)) (step func(), cl *clu
 	kick := sim.NewQueue[struct{}](cl.Env, 0)
 	cl.Env.Spawn("driver", func(p *sim.Proc) {
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			op(p, c)
 		}
 	})
@@ -304,5 +303,15 @@ func TestSetStateRefoldAllocationCeiling(t *testing.T) {
 	}
 	if stale, kept := r.StaleDigestsForTest(); len(stale) > 0 || kept != 2 {
 		t.Errorf("after the refolds: %d maintained digests kept, stale for peers %v", kept, stale)
+	}
+}
+
+// A Forward is the replication round a write's coordinator waits on, its
+// done event included; it comes off a free list, so its size is held memory,
+// not bytes per operation. Its 16-byte event makes it 184 bytes, still the
+// 192-byte size class it was in at 192 with a 24-byte event.
+func TestForwardSize(t *testing.T) {
+	if got := unsafe.Sizeof(replication.Forward{}); got != 184 {
+		t.Errorf("Forward is %d bytes, want 184 (192 at f0af065)", got)
 	}
 }

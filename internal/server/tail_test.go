@@ -195,9 +195,7 @@ func tailModel(frame bool) (step func()) {
 	kick := sim.NewQueue[struct{}](r.env, 0)
 	r.env.Spawn("driver", func(p *sim.Proc) {
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			if frame {
 				r.post(p, batch.WireSize(), batch)
 			} else {

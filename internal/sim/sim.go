@@ -79,15 +79,15 @@ func (f funcCall) Fire() { f() }
 // whichever is delivered first cancels the rest.
 //
 // Wakeups are pooled on the Env. A wakeup has exactly one holder at a time —
-// a waiter list (an Event's chain, a Queue's or Resource's slice) while
+// a waiter list (an Event's ring, a Queue's or Resource's slice) while
 // pending, the heap once fired or scheduled — and is recycled only when that
 // holder lets go of it: when it leaves the heap (delivered, or removed at the
 // instant it is canceled), or when a waiter list drops a canceled entry
 // instead of firing it. A process's own pending list is emptied at the
 // instant its other wakeups are canceled, so it never outlives them.
 //
-// next is the one link a wakeup has, and its holder owns it: an Event chains
-// its waiters through it, the free list its free wakeups. Recycling
+// next is the one link a wakeup has, and its holder owns it: an Event rings
+// its waiters through it, the free list chains its free wakeups. Recycling
 // overwrites it, so a holder that walks a chain reads a wakeup's next before
 // it lets go of that wakeup.
 type wakeup struct {
@@ -97,7 +97,7 @@ type wakeup struct {
 	index    int     // position on the heap, -1 while pending
 	canceled bool    // pending, and its process was woken by something else
 	free     bool    // on the free list; any use is a kernel bug
-	next     *wakeup // the next waiter on its Event, or the next free wakeup
+	next     *wakeup // the next waiter on its Event's ring, or the next free wakeup
 }
 
 // slot is one heap entry. The (at, seq) key is stored by value so comparing
@@ -601,12 +601,14 @@ func (e *Env) inPlace(p *Proc, t Time) bool {
 // Env.NewEvent, or embed one in a larger record: the zero Event is unfired
 // and usable.
 //
-// Its waiters are a chain through their wakeups' next links, first to last
-// in arrival order, so adding one allocates nothing. Every waiter is a
-// process's, and Fire reaches the Env through it: the event keeps no Env.
+// Its waiters are a ring through their wakeups' next links in arrival
+// order, and the event keeps only the ring's tail: tail.next is the first
+// waiter, so adding one allocates nothing and the event is one pointer and a
+// flag. Every waiter is a process's, and Fire reaches the Env through it: the
+// event keeps no Env.
 type Event struct {
-	first, last *wakeup
-	fired       bool
+	tail  *wakeup
+	fired bool
 }
 
 // NewEvent returns a fresh unfired event.
@@ -628,8 +630,14 @@ func (ev *Event) Fire() {
 	if ev.fired {
 		return
 	}
-	w := ev.first
-	ev.first, ev.last, ev.fired = nil, nil, true
+	ev.fired = true
+	tail := ev.tail
+	if tail == nil {
+		return
+	}
+	ev.tail = nil
+	w := tail.next
+	tail.next = nil // break the ring: the walk ends after the tail
 	for w != nil {
 		next := w.next // fireWakeup may recycle w, which overwrites next
 		w.p.env.fireWakeup(w)
@@ -637,13 +645,15 @@ func (ev *Event) Fire() {
 	}
 }
 
+// addWaiter splices w into the ring after the tail, and makes it the tail.
 func (ev *Event) addWaiter(w *wakeup) {
-	if ev.last == nil {
-		ev.first = w
+	if ev.tail == nil {
+		w.next = w
 	} else {
-		ev.last.next = w
+		w.next = ev.tail.next
+		ev.tail.next = w
 	}
-	ev.last = w
+	ev.tail = w
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it

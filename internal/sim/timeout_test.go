@@ -184,10 +184,10 @@ func TestWaitEither(t *testing.T) {
 			}
 			for _, ev := range []*Event{a, b} {
 				if !ev.Fired() {
-					if w := ev.first; w == nil || !w.canceled {
+					if w := ev.tail; w == nil || !w.canceled {
 						t.Errorf("%s: unfired event holds %+v, want the canceled wakeup", tc.name, w)
 					}
-					canceled = append(canceled, ev.first)
+					canceled = append(canceled, ev.tail)
 				}
 			}
 		})
@@ -217,7 +217,7 @@ func TestWaitEither(t *testing.T) {
 		}
 	})
 	env.Run()
-	if a.first != nil {
+	if a.tail != nil {
 		t.Error("WaitEither that returned at once left a waiter behind")
 	}
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"unsafe"
 
 	"hybridkv/internal/sim"
 )
@@ -40,5 +41,17 @@ func TestMessageAllocationCeiling(t *testing.T) {
 	}
 	if *delivered != 202 {
 		t.Errorf("delivered %d messages, want 202", *delivered)
+	}
+}
+
+// Every message is one Flight: allocated by a poster that has no record of
+// its own, embedded in the verbs transfer and the IPoIB send, which are
+// pooled. Its two
+// events are 16 bytes each (a waiter ring kept by its tail), which puts it in
+// the 160-byte size class; it was 168, the 176-byte class, with 24-byte
+// events.
+func TestFlightSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flight{}); got != 152 {
+		t.Errorf("Flight is %d bytes, want 152 (168 at f0af065)", got)
 	}
 }

@@ -22,9 +22,7 @@ func directoryModel(valueSize int) (set, republish func()) {
 	kick := sim.NewQueue[struct{}](env, 0)
 	env.Spawn("driver", func(p *sim.Proc) {
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			s.Set(p, "k", valueSize, "v", 0, 0)
 		}
 	})
@@ -95,9 +93,7 @@ func handleModel(req *protocol.Request) (step func()) {
 	env.Spawn("driver", func(p *sim.Proc) {
 		s.Set(p, "k", 512, "v", 0, 0)
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			resp := s.Handle(p, req)
 			if resp.Status != protocol.StatusOK && resp.Status != protocol.StatusStored {
 				panic("handle model: " + req.Op.String() + " answered " + resp.Status.String())
@@ -149,9 +145,7 @@ func overwriteSpilledModel() (step func(), items func() int64) {
 	kick := sim.NewQueue[struct{}](env, 0)
 	env.Spawn("driver", func(p *sim.Proc) {
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			for flushed := s.mgr.FlushPages; s.mgr.FlushPages == flushed; sets++ {
 				key := keys[sets%len(keys)]
 				if old := s.table[key]; old != nil && !old.OnSSD() {

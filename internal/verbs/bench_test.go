@@ -79,9 +79,7 @@ func streamModel() (step func()) {
 	kick := sim.NewQueue[struct{}](env, 0)
 	env.Spawn("sender", func(p *sim.Proc) {
 		for {
-			if _, ok := kick.Get(p); !ok {
-				return
-			}
+			kick.Get(p)
 			s.Send(p, 128, s)
 		}
 	})
