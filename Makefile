@@ -222,29 +222,35 @@ ab:
 reach:
 	@GO="$(GO)" bash internal/reach.sh
 
-# Heap allocations per operation, one line per layer of the op path: first the
-# tier-1 ceiling tests of those layers (testing.AllocsPerRun on a warmed rig —
-# a new allocation on the path fails here), then every benchmark of the layer
-# as name=allocs/op. The counts are exact and repeat run to run. Last, from the
-# same run, one ns/op line for the kernel's primitives (Timer a sleep taken in
-# place, SleepParked one that parks) and the ratio of a process wakeup to a
-# callback event: printed for the eye, gating nothing —
-# nanoseconds on a shared runner gate nothing, but a ratio that reads 8:1 one
-# week and 25:1 the next is seen. Then one bytes line, the size and the Go size
-# class of each record an operation allocates or embeds (core's tier-1
-# TestRequestRecordSizes logs it): printed, not gated — the size pins gate —
-# so a change that moves a record across a class shows it here.
+# Heap allocations per operation, one line per layer of the op path. Each
+# layer keeps one allocation table, a {name, model, ceiling} row per model;
+# its tier-1 ceiling test warms each row, counts it with testing.AllocsPerRun,
+# fails it over its ceiling and logs name=count, and its BenchmarkAllocs runs
+# the same rows as sub-benchmarks (go test -run '^$' -bench Allocs/<name>).
+# The first line per layer is those logs: every pair printed is a gated row,
+# and a new allocation on a path fails here. The counts are exact and repeat
+# run to run. Then one ns/op line for the kernel's primitives (Timer a sleep
+# taken in place, SleepParked one that parks) and the ratio of a process
+# wakeup to a callback event, from internal/sim's benchmarks run alone at
+# 200 ms each, so no other package's binary shares the cores: printed for the
+# eye, gating nothing — nanoseconds on a shared runner gate nothing, but a
+# ratio that reads 8:1 one week and 25:1 the next is seen. Then one bytes
+# line, the size and the Go size class of each record an operation allocates
+# or embeds (core's tier-1 TestRequestRecordSizes logs it): printed, not
+# gated — the size pins gate — so a change that moves a record across a class
+# shows it here.
 ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool ./internal/workload
 allocs:
-	@out=$$($(GO) test -count=1 -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }
-	@$(GO) test -run '^$$' -bench . -benchmem -benchtime 2000x $(ALLOC_PKGS) | awk ' \
-		function flush() { if (layer != "") printf "allocs/op  %-12s%s\n", layer, line } \
-		/^pkg:/ { flush(); n = split($$2, part, "/"); layer = part[n]; line = "" } \
+	@out=$$($(GO) test -count=1 -v -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || \
+		{ echo "$$out" | grep -vE '^=== |--- PASS|_test\.go:[0-9]+: [A-Za-z0-9]+=[0-9.]+$$|^(PASS|ok )'; exit 1; }; \
+	echo "$$out" | awk ' \
+		/^ +[a-z_]+_test\.go:[0-9]+: [A-Za-z0-9]+=[0-9.]+$$/ { line = line " " $$2 } \
+		/^ok / { n = split($$2, part, "/"); printf "allocs/op  %-12s%s\n", part[n], line; line = "" }'
+	@$(GO) test -count=1 -run '^$$' -bench 'Timer|SleepParked|Allocs/^(Handoff|CallbackEvent|Spawn|SpawnRecycled)$$' -benchtime 200ms ./internal/sim | awk ' \
 		/^Benchmark/ { name = $$1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-			for (i = 2; i <= NF; i++) { if ($$i == "allocs/op") line = line " " name "=" $$(i-1); \
-				if ($$i == "ns/op" && layer == "sim") ns[name] = $$(i-1) } } \
-		END { flush(); printf "ns/op      %-12s Timer=%s SleepParked=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
-			"sim", ns["Timer"], ns["SleepParked"], ns["Handoff"], ns["CallbackEvent"], ns["SpawnRecycled"], ns["Spawn"], ns["Handoff"] / ns["CallbackEvent"] }'
+			for (i = 2; i <= NF; i++) if ($$i == "ns/op") ns[name] = $$(i-1) } \
+		END { printf "ns/op      %-12s Timer=%s SleepParked=%s Handoff=%s CallbackEvent=%s SpawnRecycled=%s Spawn=%s  Handoff:CallbackEvent=%.0f:1\n", \
+			"sim", ns["Timer"], ns["SleepParked"], ns["Allocs/Handoff"], ns["Allocs/CallbackEvent"], ns["Allocs/SpawnRecycled"], ns["Allocs/Spawn"], ns["Allocs/Handoff"] / ns["Allocs/CallbackEvent"] }'
 	@$(GO) test -count=1 -run '^TestRequestRecordSizes$$' -v ./internal/core | sed -n 's/^ *alloc_test.go:[0-9]*: \(bytes \)/\1/p'
 
 # Independently settable values per configuration struct under internal/, one

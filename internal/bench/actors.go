@@ -137,7 +137,7 @@ func (r *run) spawnCounter(cl *cluster.Cluster, c *core.Client, ch *chain) {
 	cl.Env.Spawn(ch.ns+"-counter", func(p *sim.Proc) {
 		defer ch.leave()
 		ch.enter(p)
-		seed := core.Op{Code: protocol.OpSet, Key: key, ValueSize: core.CounterSize, Value: uint64(0)}
+		seed := core.Op{Code: protocol.OpSet, Key: key, ValueSize: protocol.CounterSize, Value: uint64(0)}
 		c.Release(do(p, c, seed, ch.set))
 		for round := 0; round < ch.rounds; round++ {
 			t0 := p.Now()

@@ -18,8 +18,8 @@ import (
 // async server node, driven by a parked process so that the step itself
 // spawns nothing. The value is pointer-shaped and the options are built
 // once: boxing and option closures are the caller's cost, not the client's.
-func opModel(r *testRig, op Op, check func(*Req), opts ...IssueOption) (step func()) {
-	return driverModel(r, func(p *sim.Proc, c *Client) {
+func opModel(tb testing.TB, r *testRig, op Op, check func(*Req), opts ...IssueOption) (step func()) {
+	return driverModel(tb, r, func(p *sim.Proc, c *Client) {
 		req, err := c.Issue(p, op, opts...)
 		if err != nil {
 			panic(err)
@@ -32,45 +32,35 @@ func opModel(r *testRig, op Op, check func(*Req), opts ...IssueOption) (step fun
 
 // driverModel is opModel for any one call: a step runs body once on the
 // parked driver, after the warm-up SET of "k".
-func driverModel(r *testRig, body func(p *sim.Proc, c *Client)) (step func()) {
+func driverModel(tb testing.TB, r *testRig, body func(p *sim.Proc, c *Client)) (step func()) {
 	c := r.client
-	kick := sim.NewQueue[struct{}](r.env, 0)
-	r.env.Spawn("driver", func(p *sim.Proc) {
-		c.Set(p, "k", 512, r, 0, 0)
-		for {
-			kick.Get(p)
-			body(p, c)
-		}
-	})
-	return func() {
-		kick.TryPut(struct{}{})
-		r.env.Run() // no driver: it parks on kick between steps, and the step's allocations are what is counted
-	}
+	sim.Drive(tb, r.env, "warm-up", func(p *sim.Proc) { c.Set(p, "k", 512, r, 0, 0) })
+	return sim.Stepper(tb, r.env, "driver", func(p *sim.Proc) { body(p, c) })
 }
 
 // The blocking calls: Get copies the answer out and Set its status, and each
 // releases its own request.
-func blockingGetModel() (step func()) {
+func blockingGetModel(tb testing.TB) (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	return driverModel(r, func(p *sim.Proc, c *Client) {
+	return driverModel(tb, r, func(p *sim.Proc, c *Client) {
 		if v, _, st := c.Get(p, "k"); st != protocol.StatusOK || v != r {
 			panic("blocking GET model: answered " + st.String())
 		}
 	})
 }
 
-func blockingSetModel(value any) (step func()) {
+func blockingSetModel(tb testing.TB) (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	return driverModel(r, func(p *sim.Proc, c *Client) {
-		if st := c.Set(p, "k", 512, value, 0, 0); st != protocol.StatusStored {
+	return driverModel(tb, r, func(p *sim.Proc, c *Client) {
+		if st := c.Set(p, "k", 512, tb, 0, 0); st != protocol.StatusStored {
 			panic("blocking SET model: answered " + st.String())
 		}
 	})
 }
 
-func rpcModel(op Op, want protocol.Status) (step func()) {
+func rpcModel(tb testing.TB, op Op, want protocol.Status) (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
-	return opModel(r, op, func(req *Req) {
+	return opModel(tb, r, op, func(req *Req) {
 		if req.Status != want {
 			panic("op model: " + req.Op.String() + " answered " + req.Status.String())
 		}
@@ -80,9 +70,9 @@ func rpcModel(op Op, want protocol.Status) (step func()) {
 // bypassHitModel is opModel for one 512-byte inline bypass hit: Issue, the
 // resolver process, the slot READ out and back, completion, Wait. No hit
 // ticks a hot-set refresh: the counter restarts after each.
-func bypassHitModel() (step func()) {
+func bypassHitModel(tb testing.TB) (step func()) {
 	r := newBypassRig()
-	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+	return opModel(tb, r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if !req.Bypassed() {
 			panic("bypass hit model: GET did not resolve one-sided")
 		}
@@ -93,10 +83,10 @@ func bypassHitModel() (step func()) {
 // sampledModel is bypassHitModel for the hit that ticks a hot-set refresh:
 // the hit, and its key carried to the server's heat sketch on one
 // OpDirQuery out and the directory answer back.
-func sampledModel() (step func()) {
+func sampledModel(tb testing.TB) (step func()) {
 	r := newBypassRig()
 	refreshes := int64(0)
-	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+	return opModel(tb, r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		c := r.client
 		if !req.Bypassed() {
 			panic("sampled model: GET did not resolve one-sided")
@@ -121,61 +111,38 @@ func loseFirstAttempts() *filterInjector {
 // answered; hedgeModel's too, and the hedge to the neighbour is answered (a
 // miss); fallbackModel resolves a key the directory does not publish, and the
 // RPC fallback is answered.
-func retransmitModel() (step func()) {
+func retransmitModel(tb testing.TB) (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	r.fabric.SetFaults(loseFirstAttempts())
-	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+	return opModel(tb, r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if req.Attempts != 2 || req.Status != protocol.StatusOK {
 			panic("retransmit model: the GET was not answered on its second attempt")
 		}
 	}, WithRetry(RetryPolicy{MaxAttempts: 2, AttemptTimeout: 20 * sim.Microsecond, Jitter: -1}))
 }
 
-func hedgeModel() (step func()) {
+func hedgeModel(tb testing.TB) (step func()) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 	r.fabric.SetFaults(loseFirstAttempts())
-	return opModel(r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
+	return opModel(tb, r, Op{Code: protocol.OpGet, Key: "k"}, func(req *Req) {
 		if req.Attempts != 2 || req.Status != protocol.StatusNotFound {
 			panic("hedge model: the GET was not answered by its hedge")
 		}
 	}, WithHedge(20*sim.Microsecond))
 }
 
-func fallbackModel() (step func()) {
-	return opModel(newBypassRig(), Op{Code: protocol.OpGet, Key: "absent"}, func(req *Req) {
+func fallbackModel(tb testing.TB) (step func()) {
+	return opModel(tb, newBypassRig(), Op{Code: protocol.OpGet, Key: "absent"}, func(req *Req) {
 		if req.Attempts != 2 || req.Bypassed() || req.Status != protocol.StatusNotFound {
 			panic("fallback model: the GET was not answered by its RPC fallback")
 		}
 	})
 }
 
-func benchOp(b *testing.B, step func()) {
-	step() // warm: pools, rings, maps, the directory bootstrap
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-// The client's host-cost lines: one operation each, end to end.
-func BenchmarkRPCSet(b *testing.B) {
-	benchOp(b, rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: b}, protocol.StatusStored))
-}
-func BenchmarkRPCGet(b *testing.B) {
-	benchOp(b, rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK))
-}
-func BenchmarkBlockingSet(b *testing.B)   { benchOp(b, blockingSetModel(b)) }
-func BenchmarkBlockingGet(b *testing.B)   { benchOp(b, blockingGetModel()) }
-func BenchmarkBypassHit(b *testing.B)     { benchOp(b, bypassHitModel()) }
-func BenchmarkBypassSampled(b *testing.B) { benchOp(b, sampledModel()) }
-
-// The second attempt's line: what a GET costs when its first attempt is not
-// the one that answers it.
-func BenchmarkRetransmit(b *testing.B)     { benchOp(b, retransmitModel()) }
-func BenchmarkHedge(b *testing.B)          { benchOp(b, hedgeModel()) }
-func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
-
+// allocTable is the client's line of make allocs: one operation each, end to
+// end, then what a GET costs when its first attempt is not the one that
+// answers it.
+//
 // What one operation allocates, every layer under the client included:
 // nothing. The stored item of a SET comes off its manager's free list and
 // goes back once the next SET of its key has replaced it (hybridslab.Item).
@@ -194,31 +161,11 @@ func BenchmarkBypassFallback(b *testing.B) { benchOp(b, fallbackModel()) }
 // messages — an RPC's request and response, a hit's READ out and back —
 // cost nothing: each verbs transfer comes off its HCA's free list and goes
 // back after delivery. The blocking Get and Set copy their answer out and
-// release their own request. Nothing is allocated per value byte. The
-// ceilings are what is measured: a new allocation anywhere on the path fails
-// here first. The SETs were 1 while every stored item was allocated afresh;
-// they were 2, 1, 1 and 1 while every request had a handle of its own, and 3,
-// 2, 2 and 3 while every answer and every resolver was allocated afresh too.
-func TestOperationAllocationCeilings(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		step    func()
-		ceiling float64
-	}{
-		{"RPC SET round trip", rpcModel(Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: t}, protocol.StatusStored), 0},
-		{"RPC GET round trip", rpcModel(Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK), 0},
-		{"blocking SET", blockingSetModel(t), 0},
-		{"blocking GET", blockingGetModel(), 0},
-		{"inline bypass hit", bypassHitModel(), 0},
-		{"sampled bypass GET + its refresh", sampledModel(), 0},
-	} {
-		tc.step()
-		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
-			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
-		}
-	}
-}
-
+// release their own request. Nothing is allocated per value byte. The SETs
+// were 1 while every stored item was allocated afresh; they were 2, 1, 1 and
+// 1 while every request had a handle of its own, and 3, 2, 2 and 3 while
+// every answer and every resolver was allocated afresh too.
+//
 // A second attempt — a retransmit, a hedge, a bypass fallback — allocates its
 // attempt record (1: the first attempt's is embedded in the Req, and the
 // earlier attempts may still be queued, pending or on the wire, so it cannot
@@ -246,20 +193,52 @@ func TestOperationAllocationCeilings(t *testing.T) {
 // handle of its own, 10 and 5 while an event's second and later waiters
 // lived in a slice of its own, and 7 and 4 while a dropped message's
 // transfer was never handed back.
-func TestSecondAttemptAllocationCeilings(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		step    func()
-		ceiling float64
-	}{
-		{"retransmitted GET", retransmitModel(), 6},
-		{"hedged GET", hedgeModel(), 3},
-		{"bypass fallback", fallbackModel(), 1},
-	} {
-		tc.step()
-		if got := testing.AllocsPerRun(500, tc.step); got > tc.ceiling {
-			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
-		}
+var allocTable = []struct {
+	name    string
+	model   func(testing.TB) (step func())
+	ceiling float64
+}{
+	{"RPCSet", func(tb testing.TB) func() {
+		return rpcModel(tb, Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: tb}, protocol.StatusStored)
+	}, 0},
+	{"RPCGet", func(tb testing.TB) func() {
+		return rpcModel(tb, Op{Code: protocol.OpGet, Key: "k"}, protocol.StatusOK)
+	}, 0},
+	{"BlockingSet", blockingSetModel, 0},
+	{"BlockingGet", blockingGetModel, 0},
+	{"BypassHit", bypassHitModel, 0},
+	{"BypassSampled", sampledModel, 0},
+	{"Retransmit", retransmitModel, 6},
+	{"Hedge", hedgeModel, 3},
+	{"BypassFallback", fallbackModel, 1},
+}
+
+// TestOperationAllocationCeilings logs each row's name=count for make allocs:
+// a new allocation anywhere on an operation's path fails here first.
+func TestOperationAllocationCeilings(t *testing.T) {
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model(t)
+			step() // warm: pools, rings, maps, the directory bootstrap
+			got := testing.AllocsPerRun(500, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model(b)
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }
 

@@ -305,11 +305,9 @@ type Client struct {
 	buffering bool
 	batching  bool // an explicit BeginBatch/Flush window is open
 
-	// Hot-key serving state (Config.HotFanout; see hotread.go): the union
-	// of the per-connection hot sets, a round-robin cursor spreading hot
-	// GETs across replica sets, and the GET counter that paces hot-set
-	// refreshes and the heat samples riding them.
-	hot     map[uint64]struct{}
+	// Hot-key serving state (Config.HotFanout; see hotread.go): a
+	// round-robin cursor spreading hot GETs across replica sets, and the GET
+	// counter that paces hot-set refreshes and the heat samples riding them.
 	hotRR   uint64
 	hotGets uint64
 
@@ -434,7 +432,7 @@ func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
 }
 
 // invalidatePlacement drops every placement-derived cache: per-connection
-// cached segment locations and hot sets, plus the hot union. Directory
+// cached segment locations and hot sets. Directory
 // geometry (MR keys, bucket counts) stays — it is a server property, not a
 // placement one, and the seqlock validation path catches individual slots
 // that move afterwards.
@@ -447,7 +445,6 @@ func (c *Client) invalidatePlacement(epoch uint64) {
 		clear(cn.locs)
 		cn.hotSet, cn.hotVersion = nil, 0
 	}
-	c.rebuildHot()
 	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 
@@ -470,7 +467,6 @@ func (c *Client) Retire(serverID int) {
 	cn.dir, cn.dirState = nil, dirNone
 	clear(cn.locs)
 	cn.hotSet, cn.hotVersion = nil, 0
-	c.rebuildHot()
 	c.Counters.Inc(metrics.CRetiredConns)
 }
 

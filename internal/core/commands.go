@@ -20,7 +20,3 @@ func (c *Client) Gets(p *sim.Proc, key string) (value any, size int, cas uint64,
 	c.Release(req)
 	return value, size, cas, status
 }
-
-// CounterSize is the stored size of a numeric counter value: what OpIncr
-// works on is an OpSet of this size whose value is a uint64.
-const CounterSize = 20

@@ -51,9 +51,9 @@ func TestBlockingCommands(t *testing.T) {
 			{op: Op{Code: protocol.OpCAS, Key: "k", ValueSize: 10, Value: "v3"}, want: protocol.StatusExists, token: -1},
 		}},
 		{"counters", []cmdStep{
-			set("hits", CounterSize, uint64(100)),
+			set("hits", protocol.CounterSize, uint64(100)),
 			{op: Op{Code: protocol.OpIncr, Key: "hits", Delta: 11}, want: ok, value: uint64(111)},
-			{op: Op{Code: protocol.OpGet, Key: "hits"}, want: ok, value: uint64(111), size: CounterSize},
+			{op: Op{Code: protocol.OpGet, Key: "hits"}, want: ok, value: uint64(111), size: protocol.CounterSize},
 			{op: Op{Code: protocol.OpIncr, Key: "nope", Delta: 1}, want: notFound},
 		}},
 		{"mget", []cmdStep{

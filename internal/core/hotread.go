@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -8,10 +10,10 @@ import (
 
 // This file is the client half of hot-key serving: servers detect their
 // hottest keys with a space-saving sketch (internal/store/hotkeys.go) and
-// publish the digests on the OpDirQuery bootstrap; the client unions the
-// per-server sets and, with Config.HotFanout on a replicated cluster,
-// route starts each hot GET's walk one member further round the key's
-// replica set instead of pinning it to the primary. Consistency holds
+// publish the digests on the OpDirQuery bootstrap; the client keeps each
+// server's set on its connection and, with Config.HotFanout on a replicated
+// cluster, route starts each hot GET's walk one member further round the
+// key's replica set instead of pinning it to the primary. Consistency holds
 // because replicated writes ack only after every replica applied (chain
 // forwarding), and a cold-recovered replica withholds unconfirmed keys from
 // both its RPC path (suspect gating) and its bypass directory (republish is
@@ -26,38 +28,26 @@ import (
 // nothing, and the simulation's Run still drains.
 const hotSampleEvery = 64
 
-// noteHot installs a server's published hot set on its connection and
-// rebuilds the client's union. Sets shrink as keys cool, so the union is
-// recomputed from scratch rather than accumulated.
+// noteHot installs a server's published hot set on its connection. Sets
+// shrink as keys cool, so the set replaces the connection's last one.
 func (c *Client) noteHot(cn *conn, info *protocol.DirectoryInfo) {
 	if info.HotVersion == cn.hotVersion && len(info.Hot) == len(cn.hotSet) {
 		return
 	}
 	cn.hotSet = info.Hot
 	cn.hotVersion = info.HotVersion
-	c.rebuildHot()
 }
 
-// rebuildHot recomputes the hot-set union from the per-connection sets.
-// Sets shrink as keys cool (and vanish on retire/epoch invalidation), so
-// the union is rebuilt from scratch rather than accumulated.
-func (c *Client) rebuildHot() {
-	union := make(map[uint64]struct{})
-	for _, other := range c.conns {
-		for _, d := range other.hotSet {
-			union[d] = struct{}{}
+// isHot reports whether a key digest is in a connection's hot set: each is
+// sorted by digest and at most 16 long (store.hotSketch.Hot), and a retired
+// or invalidated connection's is empty.
+func (c *Client) isHot(digest uint64) bool {
+	for _, cn := range c.conns {
+		if _, ok := slices.BinarySearch(cn.hotSet, digest); ok {
+			return true
 		}
 	}
-	c.hot = union
-}
-
-// isHot reports whether a key digest is in the client's current hot set.
-func (c *Client) isHot(digest uint64) bool {
-	if len(c.hot) == 0 {
-		return false
-	}
-	_, ok := c.hot[digest]
-	return ok
+	return false
 }
 
 // tickHeat counts one non-CAS GET issued on cn. Every hotSampleEvery-th

@@ -35,7 +35,7 @@ func TestRouteMatrix(t *testing.T) {
 		r       int // replication factor; 1 = unreplicated
 		states  string
 		in      intent
-		hot     bool   // the key is in the client's hot set
+		hot     bool   // the key is in a connection's hot set
 		rr      uint64 // hot round-robin cursor before the call
 		cur     int
 		want    int
@@ -150,7 +150,7 @@ func TestRouteMatrix(t *testing.T) {
 				}
 			}
 			if row.hot {
-				c.hot = map[uint64]struct{}{protocol.KeyDigest(key): {}}
+				c.conns[0].hotSet = []uint64{protocol.KeyDigest(key)}
 			}
 			c.hotRR = row.rr
 			var cur *conn

@@ -100,24 +100,11 @@ func loadModel(tb testing.TB) (step func()) {
 	return func() { env.Spawn("load", load); env.Run() } // no driver: allocations are the subject, as in evictRig.step
 }
 
-func benchSteps(b *testing.B, step func()) {
-	step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-// The host cost of the region writer: one synchronous eviction of a full slab
-// page (its Stores included, one region write), a coalescing window of one
-// and of four pages (four regions, one merged write), and one in-place SSD
-// Load.
-func BenchmarkEvictPage(b *testing.B)      { benchSteps(b, newEvictRig(b, 1, false).step) }
-func BenchmarkEvictWindowOf1(b *testing.B) { benchSteps(b, newEvictRig(b, 1, true).step) }
-func BenchmarkEvictWindowOf4(b *testing.B) { benchSteps(b, newEvictRig(b, 4, true).step) }
-func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel(b)) }
-
+// allocTable is the region writer's line of make allocs: one synchronous
+// eviction of a full slab page (its Stores included, one region write), a
+// coalescing window of one and of four pages (four regions, one merged
+// write), and one in-place SSD Load.
+//
 // What the region writer allocates, the page's Stores included (they allocate
 // nothing: the rig reuses its Items). One page of 30 victims is 8: the victim
 // slice, sized once (1), the region's slot records, one array (1), and the
@@ -128,20 +115,41 @@ func BenchmarkLoadFromSSD(b *testing.B)    { benchSteps(b, loadModel(b)) }
 // Load allocates nothing.
 // They were 42, 44 and 169 while the victim slice grew by appending and
 // every slot record was allocated on its own.
+var allocTable = []struct {
+	name    string
+	model   func(testing.TB) (step func())
+	ceiling float64
+}{
+	{"EvictPage", func(tb testing.TB) func() { return newEvictRig(tb, 1, false).step }, 8},
+	{"EvictWindowOf1", func(tb testing.TB) func() { return newEvictRig(tb, 1, true).step }, 10},
+	{"EvictWindowOf4", func(tb testing.TB) func() { return newEvictRig(tb, 4, true).step }, 33},
+	{"LoadFromSSD", loadModel, 0},
+}
+
+// TestRegionWriterAllocationCeilings logs each row's name=count for make allocs.
 func TestRegionWriterAllocationCeilings(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		step    func()
-		ceiling float64
-	}{
-		{"synchronous eviction of one page", newEvictRig(t, 1, false).step, 8},
-		{"window of one page", newEvictRig(t, 1, true).step, 10},
-		{"window of four pages", newEvictRig(t, 4, true).step, 33},
-		{"SSD load", loadModel(t), 0},
-	} {
-		tc.step()
-		if got := testing.AllocsPerRun(100, tc.step); got > tc.ceiling {
-			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
-		}
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model(t)
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(100, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model(b)
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

@@ -7,90 +7,68 @@ import (
 	"hybridkv/internal/sim"
 )
 
-// regionModel returns three steps over a file of 64 slab-page-like regions
-// (a 512-byte header and three 32 KB slots each): write rewrites the next
-// region with one WriteExtents under the scheme, read fetches one slot of the
-// next region, punch rewrites the next region and punches its three slots
-// (seven whole pages each). The file is eight times the cache, so in steady
-// state the reads miss and the writes fault and evict.
-func regionModel(tb testing.TB, scheme Scheme) (write, read, punch func()) {
-	env := sim.NewEnv()
-	par := DefaultParams()
-	par.MaxPages = 256
-	par.DirtyHighPages, par.ThrottlePages = 64, 128
-	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
-	const regions, slot = 64, 32 * 1024
-	const size = 512 + 3*slot
-	f := c.OpenFile(0, regions*size)
-	exts := make([]Extent, 4)
-	next := 0
-	doWrite := func(p *sim.Proc) {
-		base := int64(next%regions) * size
-		next++
-		exts[0] = Extent{Off: base, Size: 512, Payload: c}
-		for i := 1; i < len(exts); i++ {
-			exts[i] = Extent{Off: base + 512 + int64(i-1)*slot, Size: slot, Payload: c}
+// The three region ops: regionWrite rewrites the next region with one
+// WriteExtents under the scheme, regionRead fetches one slot of the next
+// region, regionPunch rewrites the next region and punches its three slots
+// (seven whole pages each).
+const (
+	regionWrite = iota
+	regionRead
+	regionPunch
+)
+
+// regionModel returns a step that makes one region op on a file of 64
+// slab-page-like regions (a 512-byte header and three 32 KB slots each). The
+// file is eight times the cache, so in steady state the reads miss and the
+// writes fault and evict.
+func regionModel(scheme Scheme, op int) func(testing.TB) (step func()) {
+	return func(tb testing.TB) (step func()) {
+		env := sim.NewEnv()
+		par := DefaultParams()
+		par.MaxPages = 256
+		par.DirtyHighPages, par.ThrottlePages = 64, 128
+		c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
+		const regions, slot = 64, 32 * 1024
+		const size = 512 + 3*slot
+		f := c.OpenFile(0, regions*size)
+		exts := make([]Extent, 4)
+		next := 0
+		doWrite := func(p *sim.Proc) {
+			base := int64(next%regions) * size
+			next++
+			exts[0] = Extent{Off: base, Size: 512, Payload: c}
+			for i := 1; i < len(exts); i++ {
+				exts[i] = Extent{Off: base + 512 + int64(i-1)*slot, Size: slot, Payload: c}
+			}
+			if !f.WriteExtents(p, base, size, exts, scheme) {
+				panic("regionModel: write refused")
+			}
 		}
-		if !f.WriteExtents(p, base, size, exts, scheme) {
-			panic("regionModel: write refused")
+		doRead := func(p *sim.Proc) {
+			base := int64(next%regions) * size
+			next++
+			if _, ok := f.Read(p, base+512, slot, scheme); !ok {
+				panic("regionModel: slot missing")
+			}
 		}
-	}
-	doRead := func(p *sim.Proc) {
-		base := int64(next%regions) * size
-		next++
-		if _, ok := f.Read(p, base+512, slot, scheme); !ok {
-			panic("regionModel: slot missing")
-		}
-	}
-	doPunch := func(p *sim.Proc) {
-		base := int64(next%regions) * size
-		doWrite(p)
-		for i := 0; i < 3; i++ {
-			f.Punch(base + 512 + int64(i)*slot)
-		}
-	}
-	sim.Drive(tb, env, "fill", func(p *sim.Proc) {
-		for i := 0; i < regions; i++ {
+		doPunch := func(p *sim.Proc) {
+			base := int64(next%regions) * size
 			doWrite(p)
+			for i := 0; i < 3; i++ {
+				f.Punch(base + 512 + int64(i)*slot)
+			}
 		}
-	})
-	// The steps run no rig: allocations are the subject, and a step left
-	// parked would make the next Spawn build a fresh coroutine, which the
-	// ceilings count.
-	return func() { env.Spawn("write", doWrite); env.Run() }, // no driver: see above
-		func() { env.Spawn("read", doRead); env.Run() }, // no driver: see above
-		func() { env.Spawn("punch", doPunch); env.Run() } // no driver: see above
-}
-
-func benchSteps(b *testing.B, step func()) {
-	step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+		sim.Drive(tb, env, "fill", func(p *sim.Proc) {
+			for i := 0; i < regions; i++ {
+				doWrite(p)
+			}
+		})
+		// The step runs no rig: allocations are the subject, and a step left
+		// parked would make the next Spawn build a fresh coroutine, which the
+		// ceilings count.
+		do := [...]func(*sim.Proc){doWrite, doRead, doPunch}[op]
+		return func() { env.Spawn("region", do); env.Run() } // no driver: see above
 	}
-}
-
-func benchScheme(b *testing.B, scheme Scheme, reads bool) {
-	write, read, _ := regionModel(b, scheme)
-	if reads {
-		write = read
-	}
-	benchSteps(b, write)
-}
-
-// The host cost of one region write and one slot read under each I/O scheme.
-func BenchmarkWriteExtentsDirect(b *testing.B) { benchScheme(b, Direct, false) }
-func BenchmarkWriteExtentsCached(b *testing.B) { benchScheme(b, Cached, false) }
-func BenchmarkWriteExtentsMmap(b *testing.B)   { benchScheme(b, Mmap, false) }
-func BenchmarkReadDirect(b *testing.B)         { benchScheme(b, Direct, true) }
-func BenchmarkReadCached(b *testing.B)         { benchScheme(b, Cached, true) }
-func BenchmarkReadMmap(b *testing.B)           { benchScheme(b, Mmap, true) }
-
-// The host cost of a cached region write and the punch of its three slots.
-func BenchmarkPunch(b *testing.B) {
-	_, _, punch := regionModel(b, Cached)
-	benchSteps(b, punch)
 }
 
 // readMissBehindDirtyTail returns a step that makes one cached read of a
@@ -122,9 +100,6 @@ func readMissBehindDirtyTail(tb testing.TB) func() {
 	return func() { env.Spawn("read", read); env.Run() } // no driver: allocations are the subject, as in regionModel
 }
 
-// The host cost of a read miss that evicts past a dirty tail.
-func BenchmarkReadMissBehindDirtyTail(b *testing.B) { benchSteps(b, readMissBehindDirtyTail(b)) }
-
 // readMissEvict returns a step that makes one cached read of a page that is
 // not resident, in a full cache of clean pages: the read faults the page in
 // and evicts the clean ring's tail, dropping it from the resident-page table
@@ -148,73 +123,86 @@ func readMissEvict(tb testing.TB) func() {
 	return func() { env.Spawn("read", read); env.Run() } // no driver: allocations are the subject, as in regionModel
 }
 
-// The host cost of a read miss that evicts the clean tail.
-func BenchmarkReadMissEvict(b *testing.B) { benchSteps(b, readMissEvict(b)) }
-
 // throttledWrites returns a step in which two writers make cached writes
 // to resident pages of a cache that starts clean: a 576 KB write that
 // leaves the dirty set above ThrottlePages, parks and is released by the
 // writeback command its overshoot starts, and a 16 KB one that does not.
-func throttledWrites() (step func(), c *Cache) {
+func throttledWrites(testing.TB) (step func()) {
 	env := sim.NewEnv()
 	par := DefaultParams()
 	par.MaxPages = 256
 	par.DirtyHighPages, par.ThrottlePages = 64, 128
-	c = New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
+	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
 	f := c.OpenFile(0, 1<<20)
 	big := func(p *sim.Proc) { f.Write(p, 0, 144*4096, c, Cached) }
 	small := func(p *sim.Proc) { f.Write(p, 512*1024, 4*4096, c, Cached) }
-	return func() { env.Spawn("big", big); env.Spawn("small", small); env.Run() }, c // no driver: as in regionModel
+	return func() {
+		stalls := c.ThrottleStalls
+		env.Spawn("big", big)
+		env.Spawn("small", small)
+		env.Run() // no driver: as in regionModel
+		if c.ThrottleStalls != stalls+1 {
+			panic("throttled-write model: other than one throttled write in a step")
+		}
+	}
 }
 
-// The host cost of two cached writers, one of them throttled.
-func BenchmarkThrottledWrite(b *testing.B) {
-	step, _ := throttledWrites()
-	benchSteps(b, step)
-}
-
-// throttledWriteCeiling is throttledWrites' step: the flusher's re-armed
-// kick and the writeback completion's fresh wake-up event. The throttle's
-// ticket is a number on the writer's stack and adds nothing.
-const throttledWriteCeiling = 2
-
+// allocTable is the page cache's line of make allocs: one region write and
+// one slot read under each I/O scheme, a region write and the punch of its
+// three slots, two read misses that evict, and two cached writers, one of
+// them throttled.
+//
 // Steady-state paging allocates nothing: resident pages are recycled through
 // the spare list, the extent maps are at size, and neither the write charge,
 // the read path nor a punch builds anything per call, nor a read miss that
-// evicts past a dirty tail. A throttled write costs only the events its park
-// and release re-arm (throttledWriteCeiling). Nor does a read miss that
-// evicts the clean tail: the resident-page table is sized for the cache.
+// evicts past a dirty tail, nor one that evicts the clean tail: the
+// resident-page table is sized for the cache. A throttled write costs only the
+// events its park and release re-arm: the flusher's re-armed kick and the
+// writeback completion's fresh wake-up event (2). The throttle's ticket is a
+// number on the writer's stack and adds nothing.
+var allocTable = []struct {
+	name    string
+	model   func(testing.TB) (step func())
+	ceiling float64
+}{
+	{"WriteExtentsDirect", regionModel(Direct, regionWrite), 0},
+	{"WriteExtentsCached", regionModel(Cached, regionWrite), 0},
+	{"WriteExtentsMmap", regionModel(Mmap, regionWrite), 0},
+	{"ReadDirect", regionModel(Direct, regionRead), 0},
+	{"ReadCached", regionModel(Cached, regionRead), 0},
+	{"ReadMmap", regionModel(Mmap, regionRead), 0},
+	{"Punch", regionModel(Cached, regionPunch), 0},
+	{"PunchDirect", regionModel(Direct, regionPunch), 0},
+	{"PunchMmap", regionModel(Mmap, regionPunch), 0},
+	{"ReadMissBehindDirtyTail", readMissBehindDirtyTail, 0},
+	{"ReadMissEvict", readMissEvict, 0},
+	{"ThrottledWrite", throttledWrites, 2},
+}
+
+// TestFileOpAllocationCeilings logs each row's name=count for make allocs.
 func TestFileOpAllocationCeilings(t *testing.T) {
-	for _, scheme := range []Scheme{Direct, Cached, Mmap} {
-		write, read, punch := regionModel(t, scheme)
-		for _, tc := range []struct {
-			name string
-			step func()
-		}{{"WriteExtents", write}, {"Read", read}, {"Punch", punch}} {
-			tc.step()
-			if got := testing.AllocsPerRun(200, tc.step); got > 0 {
-				t.Errorf("one %s %s: %v allocations, ceiling 0", scheme, tc.name, got)
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model(t)
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(200, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
 			}
-		}
+		})
 	}
-	miss := readMissBehindDirtyTail(t)
-	miss()
-	if got := testing.AllocsPerRun(200, miss); got > 0 {
-		t.Errorf("one cached read miss behind a dirty tail: %v allocations, ceiling 0", got)
-	}
-	evict := readMissEvict(t)
-	evict()
-	if got := testing.AllocsPerRun(200, evict); got > 0 {
-		t.Errorf("one cached read miss that evicts the clean tail: %v allocations, ceiling 0", got)
-	}
-	step, c := throttledWrites()
-	step()
-	stalls := c.ThrottleStalls
-	got := testing.AllocsPerRun(200, step)
-	if parks := c.ThrottleStalls - stalls; parks != 201 {
-		t.Fatalf("%d throttled writes in 201 steps, want one per step", parks)
-	}
-	if got > throttledWriteCeiling {
-		t.Errorf("two cached writers, one throttled: %v allocations, ceiling %d", got, throttledWriteCeiling)
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model(b)
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

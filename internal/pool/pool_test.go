@@ -116,32 +116,54 @@ func TestListContract(t *testing.T) {
 	}
 }
 
-// A warm hand-out, a second holder's hold and both drops allocate nothing.
-func TestListAllocationCeiling(t *testing.T) {
+// cycleModel returns a step that makes a warm Get, a second holder's Hold and
+// both Drops; the list makes one record.
+func cycleModel() (step func()) {
 	var l List[rec, *rec]
-	cycle := func() {
+	return func() {
 		r := l.Get()
 		Hold(r)
 		release(&l, r)
 		release(&l, r)
-	}
-	cycle()
-	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
-		t.Errorf("a warm Get/Hold/Drop/Drop: %v allocations, want 0", got)
-	}
-	if l.Made != 1 {
-		t.Errorf("made %d records, want 1", l.Made)
+		if l.Made != 1 {
+			panic("cycle model: a warm Get made a record")
+		}
 	}
 }
 
-// BenchmarkCycle is the list's host-cost line: a warm Get, Hold, Drop, Drop.
-func BenchmarkCycle(b *testing.B) {
-	var l List[rec, *rec]
-	b.ReportAllocs()
-	for b.Loop() {
-		r := l.Get()
-		Hold(r)
-		release(&l, r)
-		release(&l, r)
+// allocTable is the list's line of make allocs: a cycle allocates nothing.
+var allocTable = []struct {
+	name    string
+	model   func() (step func())
+	ceiling float64
+}{
+	{"Cycle", cycleModel, 0},
+}
+
+// TestListAllocationCeiling logs each row's name=count for make allocs.
+func TestListAllocationCeiling(t *testing.T) {
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model()
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(1000, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model()
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

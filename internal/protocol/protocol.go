@@ -38,6 +38,11 @@ const (
 	OpDirQuery
 )
 
+// CounterSize is the stored size of a numeric counter (decimal ASCII in real
+// memcached; 20 bytes covers a uint64): what OpIncr works on is an OpSet of
+// this size whose value is a uint64.
+const CounterSize = 20
+
 func (o Opcode) String() string {
 	switch o {
 	case OpSet:

@@ -125,7 +125,7 @@ func TestPooledFramesUnderFaults(t *testing.T) {
 	const ctr = "pf:ctr"
 	worker("pf-incr", func(p *sim.Proc) {
 		c, w := cl.Clients[0], setKeys+casKeys
-		seed := core.Op{Code: protocol.OpSet, Key: ctr, ValueSize: core.CounterSize, Value: uint64(0)}
+		seed := core.Op{Code: protocol.OpSet, Key: ctr, ValueSize: protocol.CounterSize, Value: uint64(0)}
 		c.Release(do(p, c, seed))
 		for range rounds {
 			t0 := p.Now()

@@ -43,37 +43,3 @@ func TestRingReplicasMemoMatchesTheWalk(t *testing.T) {
 	ring.Add(2)
 	check(ring, "added back")
 }
-
-func TestRingReplicasDoesNotAllocate(t *testing.T) {
-	ring := NewRing()
-	for id := 0; id < 4; id++ {
-		ring.Add(id)
-	}
-	keys := make([]string, 512)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("alloc:%04d", i)
-		ring.Replicas(keys[i], 3)
-	}
-	i := 0
-	if got := testing.AllocsPerRun(1000, func() { ring.Replicas(keys[i%len(keys)], 3); i++ }); got > 0 {
-		t.Errorf("Replicas on a warm ring: %v allocations, want 0", got)
-	}
-}
-
-// BenchmarkRingReplicas is one replica-set lookup on a warm ring — what the
-// anti-entropy digest pays per key per round, and the client per request.
-func BenchmarkRingReplicas(b *testing.B) {
-	ring := NewRing()
-	for id := 0; id < 4; id++ {
-		ring.Add(id)
-	}
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench:%06d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ring.Replicas(keys[i%len(keys)], 3)
-	}
-}

@@ -183,7 +183,7 @@ func TestReplicatedWritesLeaveTheStoragePoolFree(t *testing.T) {
 // the forward to the backup, the storage phase on a worker, the ack, the tail
 // on a responder. The requests are built once, so the step allocates only on
 // the server side and the fabric.
-func tailModel(frame bool) (step func()) {
+func tailModel(tb testing.TB, frame bool) (step func()) {
 	r := newTailRig()
 	var reqs []*protocol.Request
 	for i := 0; i < pathMembers; i++ {
@@ -192,35 +192,19 @@ func tailModel(frame bool) (step func()) {
 		reqs = append(reqs, req)
 	}
 	batch := &protocol.BatchFrame{BatchID: 100, Reqs: reqs}
-	kick := sim.NewQueue[struct{}](r.env, 0)
-	r.env.Spawn("driver", func(p *sim.Proc) {
-		for {
-			kick.Get(p)
-			if frame {
-				r.post(p, batch.WireSize(), batch)
-			} else {
-				r.send(p, reqs[0])
-			}
+	return sim.Stepper(tb, r.env, "driver", func(p *sim.Proc) {
+		if frame {
+			r.post(p, batch.WireSize(), batch)
+		} else {
+			r.send(p, reqs[0])
 		}
 	})
-	return func() {
-		kick.TryPut(struct{}{})
-		r.env.Run() // no driver: it parks on kick between steps, and the step's allocations are what is counted
-	}
 }
 
-// BenchmarkTailHandoff is the host-cost line of a replicated SET at R = 2
-// whose tail runs on a responder: the whole write, client post to answer.
-func BenchmarkTailHandoff(b *testing.B) {
-	step := tailModel(false)
-	step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
+// allocTable is the server's line of make allocs: a replicated SET at R = 2
+// whose tail runs on a responder, the whole write, client post to answer; and
+// a frame of four such SETs.
+//
 // Handing a task to a responder is no allocation: the queue carries the task
 // by value — a bare request's request, round and response in the task's
 // one-element arrays, a frame's in the slices admission and the storage phase
@@ -235,15 +219,39 @@ func BenchmarkTailHandoff(b *testing.B) {
 // free list. A frame of four is 6: its four replies and the two slices of its
 // members' rounds and answers. They were 3 and 14 while every round and frame
 // was allocated afresh, and 5 and 22 while every stored item was too.
+var allocTable = []struct {
+	name    string
+	model   func(testing.TB) (step func())
+	ceiling float64
+}{
+	{"TailHandoff", func(tb testing.TB) func() { return tailModel(tb, false) }, 1},
+	{"TailHandoffFrame", func(tb testing.TB) func() { return tailModel(tb, true) }, 6},
+}
+
+// TestTailHandoffAllocationCeiling logs each row's name=count for make allocs.
 func TestTailHandoffAllocationCeiling(t *testing.T) {
-	for _, tc := range []struct {
-		frame   bool
-		ceiling float64
-	}{{false, 1}, {true, 6}} {
-		step := tailModel(tc.frame)
-		step()
-		if got := testing.AllocsPerRun(300, step); got > tc.ceiling {
-			t.Errorf("one replicated write (frame=%v) with its tail on a responder: %v allocations, ceiling %v — what it cost with the tail on the worker; the hand-off's share is 0", tc.frame, got, tc.ceiling)
-		}
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model(t)
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(300, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model(b)
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

@@ -2,24 +2,14 @@ package sim
 
 import "testing"
 
-// Host-cost microbenchmarks and allocation ceilings for the kernel's
-// primitives. ns/op is host time per primitive, not virtual time; the
-// ceilings are what keeps every layer above allocation-free per event.
+// The kernel's allocation table and host-cost microbenchmarks. Each model
+// below is long-lived: building it spawns its processes, and each call of the
+// step it returns performs one primitive and runs the env until it is idle
+// again; the two sleep models' steps run the env to a limit instead, as their
+// sleepers are never idle. ns/op is host time, not virtual time; the ceilings
+// are what keeps every layer above allocation-free per event.
 //
 //	go test ./internal/sim -run '^$' -bench . -benchmem
-
-// Each model below is long-lived: building it spawns its processes, and each
-// call of the step it returns performs one primitive and runs the env until
-// it is idle again; the two sleep models' steps run the env to a limit
-// instead, as their sleepers are never idle.
-
-func benchSteps(b *testing.B, step func()) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
 
 // timerModel: one process sleeping 1 µs at a time with nothing else due, so
 // its sleeps take their wakeups in place. A step runs the env 1 ms further:
@@ -126,31 +116,53 @@ func spawnRecycledModel() (step func()) {
 
 // BenchmarkTimer prices a sleep taken in place, BenchmarkSleepParked one that
 // parks: the round trip through the heap that Sleep made before the fast path.
-func BenchmarkTimer(b *testing.B)         { benchSleeps(b, 1) }
-func BenchmarkSleepParked(b *testing.B)   { benchSleeps(b, 2) }
-func BenchmarkHandoff(b *testing.B)       { benchSteps(b, handoffModel()) }
-func BenchmarkEventFireWait(b *testing.B) { benchSteps(b, eventModel()) }
-func BenchmarkCallbackEvent(b *testing.B) { benchSteps(b, callbackModel()) }
-func BenchmarkSpawn(b *testing.B)         { benchSteps(b, spawnModel()) }
-func BenchmarkSpawnRecycled(b *testing.B) { benchSteps(b, spawnRecycledModel()) }
+// They time one sleep each, where allocTable's Timer and SleepParked steps
+// are a millisecond of sleeps and one sleep of each of two sleepers.
+func BenchmarkTimer(b *testing.B)       { benchSleeps(b, 1) }
+func BenchmarkSleepParked(b *testing.B) { benchSleeps(b, 2) }
 
+// allocTable is the kernel's line of make allocs: one row per primitive, its
+// ceiling the allocations one step may make. An event fired to a waiter is
+// the event itself (1); a fresh Spawn is set-up, not the op path: the Proc
+// and its coroutine (13).
+var allocTable = []struct {
+	name    string
+	model   func() (step func())
+	ceiling float64
+}{
+	{"Timer", timerModel, 0},
+	{"SleepParked", sleepParkedModel, 0},
+	{"Handoff", handoffModel, 0},
+	{"EventFireWait", eventModel, 1},
+	{"CallbackEvent", callbackModel, 0},
+	{"Spawn", spawnModel, 13},
+	{"SpawnRecycled", spawnRecycledModel, 0},
+}
+
+// TestKernelAllocationCeilings logs each row's name=count for make allocs.
 func TestKernelAllocationCeilings(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		step    func()
-		ceiling float64
-	}{
-		{"Sleep in place (a step: 1 ms of 1 µs sleeps)", timerModel(), 0},
-		{"Sleep parked, round trip through the heap", sleepParkedModel(), 0},
-		{"Queue put to get across two procs", handoffModel(), 0},
-		{"Event fire to wait (the event itself)", eventModel(), 1},
-		{"callback event", callbackModel(), 0},
-		{"recycled Spawn, start to finish", spawnRecycledModel(), 0},
-		{"fresh Spawn (set-up, not the op path: the Proc and its coroutine)", spawnModel(), 13},
-	} {
-		tc.step() // reach steady state: pools and rings filled
-		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {
-			t.Errorf("%s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
-		}
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model()
+			step() // reach steady state: pools and rings filled
+			got := testing.AllocsPerRun(200, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model()
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package sim
 
-// TB is what Drive needs of a test; *testing.T and *testing.B have it.
+// TB is what Drive and Stepper need of a test; *testing.T and *testing.B
+// have it.
 type TB interface {
 	Helper()
 	Fatalf(format string, args ...any)
+	Cleanup(func())
 }
 
 // Driver is a test's driver process: Fn, spawned as Name at At (SpawnAt's rule).
@@ -32,4 +34,31 @@ func DriveUntil(t TB, env *Env, limit Time, drivers ...Driver) Time {
 		t.Fatalf("sim: drivers %v never returned (run ended at %v)", open, env.Now())
 	}
 	return env.Now()
+}
+
+// Stepper spawns a driver that parks between steps and returns its step: one
+// run of body, then env run to idle. When t ends the driver returns, or t
+// fails naming it as DriveUntil does; a step after that panics.
+func Stepper(t TB, env *Env, name string, body func(p *Proc)) (step func()) {
+	kick, open, ended := NewQueue[bool](env, 0), true, false
+	env.Spawn(name, func(p *Proc) {
+		for more, _ := kick.Get(p); more; more, _ = kick.Get(p) {
+			body(p)
+		}
+		open = false
+	})
+	t.Cleanup(func() {
+		ended = true
+		kick.TryPut(false)
+		if env.Run(); open {
+			t.Fatalf("sim: driver %s never returned (run ended at %v)", name, env.Now())
+		}
+	})
+	return func() {
+		if ended {
+			panic("sim: a step of driver " + name + " after its test ended")
+		}
+		kick.TryPut(true)
+		env.Run()
+	}
 }

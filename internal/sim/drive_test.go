@@ -5,12 +5,22 @@ import (
 	"testing"
 )
 
-// fakeTB records what Drive reports instead of ending the test.
-type fakeTB struct{ failures []string }
+// fakeTB records what Drive and Stepper report instead of ending the test,
+// and ends when end is called.
+type fakeTB struct {
+	failures []string
+	cleanups []func()
+}
 
 func (f *fakeTB) Helper() {}
 func (f *fakeTB) Fatalf(format string, args ...any) {
 	f.failures = append(f.failures, fmt.Sprintf(format, args...))
+}
+func (f *fakeTB) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
+func (f *fakeTB) end() {
+	for i := len(f.cleanups) - 1; i >= 0; i-- {
+		f.cleanups[i]()
+	}
 }
 
 // Drive fails its test naming exactly the drivers whose function has not
@@ -80,5 +90,45 @@ func TestDriveNamesEveryDriverThatNeverReturned(t *testing.T) {
 	var tb fakeTB
 	if end := Drive(&tb, env, "one", sleep(Second)); end != Second || tb.failures != nil {
 		t.Errorf("Drive: ended at %v with %q, want %v and no failure", end, tb.failures, Second)
+	}
+}
+
+// Stepper's driver runs its body once a step and returns when its test ends;
+// one parked for good fails the test naming it, and a step after the end
+// panics naming it.
+func TestStepperNamesADriverThatNeverReturned(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		park       bool   // the body waits on an event nothing fires
+		want       string // what Stepper reports at the end; "" for no failure
+		runs, left int    // of body, in two steps; Env.Parked after the end
+	}{
+		{"returns", false, "", 2, 0},
+		{"parks for good", true, "sim: driver stepped never returned (run ended at 1µs)", 1, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Close()
+			var tb fakeTB
+			ev, runs := env.NewEvent(), 0
+			step := Stepper(&tb, env, "stepped", func(p *Proc) {
+				runs++
+				if p.Sleep(Microsecond); c.park {
+					p.Wait(ev)
+				}
+			})
+			step()
+			step()
+			tb.end()
+			if got := fmt.Sprint(tb.failures); got != "["+c.want+"]" || runs != c.runs || env.Parked() != c.left {
+				t.Errorf("Stepper reported %s, body ran %d times, %d parked; want [%s], %d, %d", got, runs, env.Parked(), c.want, c.runs, c.left)
+			}
+			defer func() {
+				if got, want := recover(), "sim: a step of driver stepped after its test ended"; got != want {
+					t.Errorf("a step after the end panicked with %v, want %q", got, want)
+				}
+			}()
+			step()
+		})
 	}
 }

@@ -10,37 +10,59 @@ import (
 // messageModel returns a step that posts one 64-byte message and runs the
 // fabric until it has been delivered: tx-queue handoff, serialization
 // sleep, Sent, the delivery callback event, Delivered, the receiver.
-func messageModel() (step func(), delivered *int) {
+func messageModel() (step func()) {
 	env := sim.NewEnv()
 	f := New(env, FDRInfiniBand())
 	a, b := f.AddNode("a"), f.AddNode("b")
 	n := 0
 	b.SetReceiver(func(*Message) { n++ })
-	env.Run()                                             // no driver: the fabric's start-up is all that runs
-	return func() { a.Post("b", 64, nil); env.Run() }, &n // no driver: the post is a callback chain, and its allocations are what is counted
-}
-
-// BenchmarkMessage is the host cost of one fabric message, post to delivery.
-func BenchmarkMessage(b *testing.B) {
-	step, _ := messageModel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	env.Run() // no driver: the fabric's start-up is all that runs
+	return func() {
+		before := n
+		a.Post("b", 64, nil)
+		env.Run() // no driver: the post is a callback chain, and its allocations are what is counted
+		if n != before+1 {
+			panic("message model: the post was not delivered once")
+		}
 	}
 }
 
-// One message is one allocation: the Flight is everything it carries
-// (Message, Outgoing, both events, delivery state) and the delivery callback
-// event too.
+// allocTable is the fabric's line of make allocs. One message is one
+// allocation: the Flight is everything it carries (Message, Outgoing, both
+// events, delivery state) and the delivery callback event too.
+var allocTable = []struct {
+	name    string
+	model   func() (step func())
+	ceiling float64
+}{
+	{"Message", messageModel, 1},
+}
+
+// TestMessageAllocationCeiling logs each row's name=count for make allocs.
 func TestMessageAllocationCeiling(t *testing.T) {
-	step, delivered := messageModel()
-	step()
-	if got := testing.AllocsPerRun(200, step); got > 1 {
-		t.Errorf("one message post to deliver: %v allocations, ceiling 1", got)
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model()
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(200, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
 	}
-	if *delivered != 202 {
-		t.Errorf("delivered %d messages, want 202", *delivered)
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model()
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }
 

@@ -99,10 +99,6 @@ func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas u
 	}
 }
 
-// counterSize is the stored size of a numeric counter (decimal ASCII in
-// real memcached; fixed 20 bytes covers uint64).
-const counterSize = 20
-
 // Incr adds delta to a counter value; the value must have been stored as a
 // uint64 (Counter helper). Returns the new value.
 func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
@@ -131,7 +127,7 @@ func (s *Store) incr(p *sim.Proc, key string, it *hybridslab.Item, v any, cas, d
 		// The authoritative copy lives in an SSD extent, or is on its way
 		// into one; rewrite through the regular store path so the new
 		// value lands somewhere live, with the item's flags.
-		switch st := s.SetIf(p, key, counterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
+		switch st := s.SetIf(p, key, protocol.CounterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
 		case protocol.StatusStored:
 			return next, protocol.StatusOK, false
 		case protocol.StatusNotStored:

@@ -55,7 +55,7 @@ func TestIncrSemantics(t *testing.T) {
 		if _, st := s.Incr(p, "c", 1); st != protocol.StatusNotFound {
 			t.Errorf("incr on missing key: %v", st)
 		}
-		s.Set(p, "c", counterSize, uint64(10), 0, 0)
+		s.Set(p, "c", protocol.CounterSize, uint64(10), 0, 0)
 		if v, st := s.Incr(p, "c", 5); st != protocol.StatusOK || v != 15 {
 			t.Errorf("incr -> (%d,%v)", v, st)
 		}
@@ -71,7 +71,7 @@ func TestIncrAdvancesCAS(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
-		s.Set(p, "c", counterSize, uint64(0), 0, 0)
+		s.Set(p, "c", protocol.CounterSize, uint64(0), 0, 0)
 		_, _, _, cas1, _ := s.Get(p, "c")
 		s.Incr(p, "c", 1)
 		_, _, _, cas2, _ := s.Get(p, "c")
@@ -87,7 +87,7 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		// Push the counter to the SSD with filler. Eviction takes its victims
 		// from the class that is allocating, so the counter is stored at the
-		// fillers' size (at counterSize it stayed in RAM, and this test with it).
+		// fillers' size (at protocol.CounterSize it stayed in RAM, and this test with it).
 		s.Set(p, "c", 32*1024, uint64(41), 0, 0)
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
@@ -125,7 +125,7 @@ func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
 		}
 		it := s.table["c"]
-		if it == cold || it.OnSSD() || it.Value != uint64(42) || it.ValueSize != counterSize || it.Flags != 9 {
+		if it == cold || it.OnSSD() || it.Value != uint64(42) || it.ValueSize != protocol.CounterSize || it.Flags != 9 {
 			t.Errorf("rewritten counter: %+v (the cold item was %p)", it, cold)
 		}
 		if it.CAS <= cold.CAS {
@@ -144,14 +144,14 @@ func TestHandleExtendedOps(t *testing.T) {
 		if r := s.Handle(p, &protocol.Request{Op: protocol.OpAdd, Key: "k", ValueSize: 10, Value: "v"}); r.Status != protocol.StatusStored {
 			t.Errorf("handle add: %v", r.Status)
 		}
-		s.Handle(p, &protocol.Request{Op: protocol.OpSet, Key: "c", ValueSize: counterSize, Value: uint64(1)})
+		s.Handle(p, &protocol.Request{Op: protocol.OpSet, Key: "c", ValueSize: protocol.CounterSize, Value: uint64(1)})
 		r := s.Handle(p, &protocol.Request{Op: protocol.OpIncr, Key: "c", Delta: 9})
-		if r.Status != protocol.StatusOK || r.Value != uint64(10) || r.ValueSize != counterSize {
+		if r.Status != protocol.StatusOK || r.Value != uint64(10) || r.ValueSize != protocol.CounterSize {
 			t.Errorf("handle incr: %+v", r)
 		}
 		// CAS via Handle.
 		g := s.Handle(p, &protocol.Request{Op: protocol.OpGet, Key: "c"})
-		r = s.Handle(p, &protocol.Request{Op: protocol.OpCAS, Key: "c", ValueSize: counterSize, Value: uint64(0), CAS: g.CAS})
+		r = s.Handle(p, &protocol.Request{Op: protocol.OpCAS, Key: "c", ValueSize: protocol.CounterSize, Value: uint64(0), CAS: g.CAS})
 		if r.Status != protocol.StatusStored {
 			t.Errorf("handle cas: %v", r.Status)
 		}

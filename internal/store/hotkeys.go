@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"hybridkv/internal/protocol"
@@ -157,7 +158,7 @@ func (h *hotSketch) Hot() []uint64 {
 // pass; clients learn the new set on their next directory query.
 func (s *Store) refreshHotSet() {
 	hot := s.hot.Hot()
-	if !digestsEqual(hot, s.hotSet) {
+	if !slices.Equal(hot, s.hotSet) {
 		s.hotSet = hot
 		s.hotVersion++
 	}
@@ -184,16 +185,4 @@ func (s *Store) Heat(key string) int64 {
 // immutable (the store replaces, never mutates, the published set).
 func (s *Store) HotSnapshot() ([]uint64, uint64) {
 	return s.hotSet, s.hotVersion
-}
-
-func digestsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

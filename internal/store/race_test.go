@@ -103,7 +103,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			sim.Drive(t, env, "preload", func(p *sim.Proc) {
 				// Eviction takes its victims from the class that is allocating, so
 				// to start out spilled a raced key is stored at the fillers' size.
-				size := counterSize
+				size := protocol.CounterSize
 				if tc.fill > 0 {
 					size = fillSize
 				}

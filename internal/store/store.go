@@ -454,7 +454,7 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 		resp.Status = st
 		if st == protocol.StatusOK {
 			resp.Value = v
-			resp.ValueSize = counterSize
+			resp.ValueSize = protocol.CounterSize
 		}
 	default:
 		resp.Status = protocol.StatusError

@@ -9,16 +9,13 @@ import (
 	"hybridkv/internal/simnet"
 )
 
-// sendModel returns a step that posts one 128-byte SEND and runs until the
-// peer's receive completion has been polled. recvs bounds how many steps may
-// be taken.
-func sendModel(recvs int) (step func()) {
+// sendModel returns a step that posts a receive at the peer and one 128-byte
+// SEND, and runs until the peer's receive completion has been polled.
+func sendModel(testing.TB) (step func()) {
 	r := newRig()
-	for i := 0; i < recvs; i++ {
-		r.qpB.PostRecv(RecvWR{})
-	}
 	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
+		r.qpB.PostRecv(RecvWR{})
 		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 128, Payload: r})
 		r.env.Run() // no driver: the step posts without a process, and its allocations are what is counted
 		if _, ok := r.recvB.Poll(); !ok {
@@ -29,7 +26,7 @@ func sendModel(recvs int) (step func()) {
 
 // readModel returns a step that posts one signaled 4 KB READ and runs until
 // its completion has been polled: request out, response back.
-func readModel() (step func()) {
+func readModel(testing.TB) (step func()) {
 	r := newRig()
 	remote, local := r.pdB.RegisterMRSetup(4096), r.pdA.RegisterMRSetup(4096)
 	remote.SetPayload("value", 4096)
@@ -48,10 +45,11 @@ func readModel() (step func()) {
 // posts one signaled READ of it, and runs until its completion has been
 // polled and its payload released, as a client's resolver does: the bucket
 // the step before published goes back on the list once the segment and the
-// READ that captured it have let go. Also returns the list.
-func heldReadModel() (step func(), buckets *pool.List[protocol.DirBucket, *protocol.DirBucket]) {
+// READ that captured it have let go, so the list makes two and the segment
+// holds one.
+func heldReadModel(testing.TB) (step func()) {
 	r := newRig()
-	buckets = new(pool.List[protocol.DirBucket, *protocol.DirBucket])
+	buckets := new(pool.List[protocol.DirBucket, *protocol.DirBucket])
 	remote := r.pdB.RegisterMRSetup(protocol.DirBucketBytes)
 	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
@@ -65,55 +63,33 @@ func heldReadModel() (step func(), buckets *pool.List[protocol.DirBucket, *proto
 			panic("no READ completion of the published bucket")
 		}
 		Release(c.Payload)
-	}, buckets
+		if buckets.Made > 2 || buckets.Len() != buckets.Made-1 {
+			panic("held READ model: a bucket neither held by the segment nor free")
+		}
+	}
 }
 
 // streamModel returns a step that sends one 128-byte message on an IPoIB
 // stream and runs until the peer's inbox holds it.
-func streamModel() (step func()) {
+func streamModel(tb testing.TB) (step func()) {
 	env := sim.NewEnv()
 	f := simnet.New(env, simnet.IPoIB())
 	a, b := NewHost(f.AddNode("a")), NewHost(f.AddNode("b"))
 	s := a.Dial(b)
 	peer, _ := b.accept.TryGet()
-	kick := sim.NewQueue[struct{}](env, 0)
-	env.Spawn("sender", func(p *sim.Proc) {
-		for {
-			kick.Get(p)
-			s.Send(p, 128, s)
-		}
-	})
-	env.Run() // no driver: the rig's start-up is all that runs
+	send := sim.Stepper(tb, env, "sender", func(p *sim.Proc) { s.Send(p, 128, s) })
 	return func() {
-		kick.TryPut(struct{}{})
-		env.Run() // no driver: the sender parks on kick between steps, and the step's allocations are what is counted
+		send()
 		if _, ok := peer.inbox.TryGet(); !ok {
 			panic("no stream message")
 		}
 	}
 }
 
-func benchSteps(b *testing.B, step func()) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-// BenchmarkSend and BenchmarkRead are the host cost of one verbs operation,
-// post to completion, on an idle fabric; BenchmarkHeldRead is a publish and a
-// READ of a held segment; BenchmarkStreamSend is one IPoIB message, send to
-// the peer's inbox.
-func BenchmarkSend(b *testing.B)       { benchSteps(b, sendModel(b.N)) }
-func BenchmarkRead(b *testing.B)       { benchSteps(b, readModel()) }
-func BenchmarkStreamSend(b *testing.B) { benchSteps(b, streamModel()) }
-
-func BenchmarkHeldRead(b *testing.B) {
-	step, _ := heldReadModel()
-	benchSteps(b, step)
-}
-
+// allocTable is the verbs layer's line of make allocs: one verbs operation,
+// post to completion, on an idle fabric; a publish and a READ of a held
+// segment; one IPoIB message, send to the peer's inbox.
+//
 // A message leg is no allocation: its transfer — wire record, fabric Flight
 // and delivery callback event in one — comes off the posting HCA's free list
 // and goes back on it after delivery. A SEND is one leg, a READ two (request
@@ -121,25 +97,41 @@ func BenchmarkHeldRead(b *testing.B) {
 // its Host. Each was one allocation per leg before the free lists. A READ of
 // a held segment holds what it captured and hands its reader a hold of its
 // own, so the record it read goes back on its list, not to the GC.
+var allocTable = []struct {
+	name    string
+	model   func(testing.TB) (step func())
+	ceiling float64
+}{
+	{"Send", sendModel, 0},
+	{"Read", readModel, 0},
+	{"StreamSend", streamModel, 0},
+	{"HeldRead", heldReadModel, 0},
+}
+
+// TestOperationAllocationCeilings logs each row's name=count for make allocs.
 func TestOperationAllocationCeilings(t *testing.T) {
-	heldRead, buckets := heldReadModel()
-	for _, tc := range []struct {
-		name    string
-		step    func()
-		ceiling float64
-	}{
-		{"SEND", sendModel(300), 0},
-		{"signaled READ", readModel(), 0},
-		{"signaled READ of a held segment", heldRead, 0},
-		{"IPoIB stream send", streamModel(), 0},
-	} {
-		tc.step()
-		if got := testing.AllocsPerRun(200, tc.step); got > tc.ceiling {
-			t.Errorf("one %s: %v allocations, ceiling %v", tc.name, got, tc.ceiling)
-		}
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model(t)
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(200, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
 	}
-	// The segment holds the last bucket; the one before it is free.
-	if buckets.Made != 2 || buckets.Len() != 1 {
-		t.Errorf("held READs made %d buckets, %d free: want 2, 1 free", buckets.Made, buckets.Len())
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model(b)
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }

@@ -167,7 +167,8 @@ func TestZipfCDFSharedAcrossGoroutines(t *testing.T) {
 // Keys are rendered once and served from the process's table after that:
 // the strings are the ones Sprintf would give, inside the keyspace and out
 // (KeyOf's, for a non-negative index: ten digits, and more once an index
-// needs them), and a draw from a warmed generator allocates nothing.
+// needs them). That a draw from a warmed generator allocates nothing is
+// allocTable's.
 func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
 	g := New(Config{Keys: 1000, Seed: 9})
 	for _, i := range []int{0, 7, 9, 10, 63, 64, 999, 1000, 4095, 123456, 9_999_999_999, 10_000_000_000, -3} {
@@ -177,15 +178,6 @@ func TestKeyTableRendersCanonicalKeysOnce(t *testing.T) {
 		}
 		if i >= 0 && KeyOf(i) != want {
 			t.Errorf("KeyOf(%d) = %q, want %q", i, KeyOf(i), want)
-		}
-	}
-	for _, pattern := range []Pattern{Uniform, Zipf} {
-		g := New(Config{Keys: 4096, ReadFraction: 0.5, Pattern: pattern, Seed: 3})
-		for i := 0; i < 4096; i++ {
-			g.Key(i)
-		}
-		if got := testing.AllocsPerRun(1000, func() { g.Next() }); got != 0 {
-			t.Errorf("pattern %v: Next on a warmed generator allocates %v times", pattern, got)
 		}
 	}
 }
@@ -265,16 +257,53 @@ func TestKeyTableAllocationCeiling(t *testing.T) {
 	}
 }
 
-// BenchmarkNext is the host cost of one draw from a generator whose keyspace
-// is rendered.
-func BenchmarkNext(b *testing.B) {
-	g := New(Config{Keys: 8192, Pattern: Zipf, ReadFraction: 0.95, Seed: 1})
-	for i := range 8192 {
-		g.Key(i)
+// nextModel returns a step that draws from a generator of pattern whose
+// keyspace is rendered.
+func nextModel(pattern Pattern) func() (step func()) {
+	return func() (step func()) {
+		g := New(Config{Keys: 8192, Pattern: pattern, ReadFraction: 0.95, Seed: 1})
+		for i := range 8192 {
+			g.Key(i)
+		}
+		return func() { g.Next() }
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		g.Next()
+}
+
+// allocTable is the generator's line of make allocs: a draw from a warmed
+// generator allocates nothing, under either pattern.
+var allocTable = []struct {
+	name    string
+	model   func() (step func())
+	ceiling float64
+}{
+	{"Next", nextModel(Zipf), 0},
+	{"NextUniform", nextModel(Uniform), 0},
+}
+
+// TestGeneratorAllocationCeilings logs each row's name=count for make allocs.
+func TestGeneratorAllocationCeilings(t *testing.T) {
+	for _, row := range allocTable {
+		t.Run(row.name, func(t *testing.T) {
+			step := row.model()
+			step() // warm: pools, rings and maps at size
+			got := testing.AllocsPerRun(1000, step)
+			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
+				t.Errorf("%s=%v, ceiling %v", row.name, got, row.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkAllocs runs allocTable's rows as sub-benchmarks.
+func BenchmarkAllocs(b *testing.B) {
+	for _, row := range allocTable {
+		b.Run(row.name, func(b *testing.B) {
+			step := row.model()
+			step()
+			b.ReportAllocs()
+			for b.Loop() {
+				step()
+			}
+		})
 	}
 }
