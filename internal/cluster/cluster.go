@@ -406,7 +406,7 @@ func (cl *Cluster) SettleIO() {
 }
 
 // Census tallies every pooled record of the deployment (DESIGN §16): each
-// client's requests; each server's replies, items and, with a directory, its
+// client's requests and bypass resolutions; each server's replies, items and, with a directory, its
 // published buckets and segments; each replicator's frames and rounds. Taken
 // at a drained quiesce — Env.Run has returned and every caller has released
 // what it issued — its Err names any record unaccounted for and any whose
@@ -420,7 +420,7 @@ func (cl *Cluster) Census() pool.Census {
 		}
 	}
 	for i, cli := range cl.Clients {
-		add(fmt.Sprintf("client%d", i), cli.Census())
+		add(fmt.Sprintf("client%d", i), cli.Census()...)
 	}
 	for i, srv := range cl.Servers {
 		add(fmt.Sprintf("server%d", i), srv.Store().Census()...)

@@ -147,13 +147,15 @@ func fallbackModel(tb testing.TB) (step func()) {
 // nothing. The stored item of a SET comes off its manager's free list and
 // goes back once the next SET of its key has replaced it (hybridslab.Item).
 // The request handle — its
-// attempt, wire message and options ride inside it — comes off the client's
-// free list and goes back at its last hold: the caller's Release, the answer
-// to its message, the TX engine's post. The server's answer comes off the
+// attempt and wire message ride inside it; its options are parsed into the
+// client's scratch record — comes off the client's free list and goes back
+// at its last hold: the caller's Release, the answer to its message, the TX
+// engine's post. The server's answer comes off the
 // store's free list and goes back once the client has landed it and the
 // message carrying it has been recycled (protocol.NewReply). A bypass hit's
 // resolver runs on a recycled process, spawned with a function bound once
-// per client, and takes the GET from the client's resolver queue. The hit
+// per client, and takes the GET's resolution — a record off the client's
+// free list, its READ's wait inside it — from the client's resolver queue. The hit
 // that ticks a hot-set refresh adds nothing: the refresh goes out from the
 // connection's long-lived refresher on a pooled request record, and the
 // server answers every query with a pooled reply carrying the one
@@ -250,12 +252,18 @@ func BenchmarkAllocs(b *testing.B) {
 // Status and Flags in one word, and its attempt and options packed. Then 376,
 // in the 384-byte class: its id and key read off its first attempt's message
 // (ID, Key), and a retryable rejection kept as its one-byte status beside
-// Status rather than as an error. Now it is 320, the 320-byte class: four
-// 16-byte events in place of 24 (a waiter ring kept by its tail), no client
-// or latest-connection pointer (first.cn.c, cur.cn), and the busy hint in the
-// attempt's padding. attempt is 128, its own class: no id beside its
-// message's ReqID, an 80-byte message, and the hint's four bytes where state
-// left seven of padding.
+// Status rather than as an error. Then 320, the 320-byte class: four 16-byte
+// events in place of 24 (a waiter ring kept by its tail), no client or
+// latest-connection pointer (first.cn.c, cur.cn), and the busy hint in the
+// attempt's padding. Now it is 256, the 256-byte class: Issue's options are
+// parsed into a scratch record on the client and read inside Issue (the
+// deadline and retry policy ride in the guard's closure, the one fact read
+// later is a flag byte where Status left one of padding), and a bypass READ's
+// wait record — the fourth event — lives on the GET's resolution. attempt is
+// 128, its own class: no id beside its message's ReqID, an 80-byte message,
+// and the hint's four bytes where state left seven of padding. The resolution
+// is pooled per client, so its size is not per operation; its pin catches
+// one that grows unseen.
 //
 // It also logs one line of each per-operation record's size and size class,
 // which make allocs prints, so a record that crosses a class shows there.
@@ -267,14 +275,18 @@ func TestRequestRecordSizes(t *testing.T) {
 	}{
 		{"core.Req", unsafe.Sizeof(Req{})},
 		{"core.attempt", unsafe.Sizeof(attempt{})},
+		{"core.resolution", unsafe.Sizeof(resolution{})},
 		{"sim.Event", unsafe.Sizeof(sim.Event{})},
 		{"simnet.Flight", unsafe.Sizeof(simnet.Flight{})},
 	} {
 		line += fmt.Sprintf(" %s=%d/%d", r.name, r.size, sizeClass(r.size))
 	}
 	t.Log(line + "  (unsafe.Sizeof/size class)")
-	if got := unsafe.Sizeof(Req{}); got > 320 {
-		t.Errorf("Req is %d bytes, over the 320-byte size class (376 at f0af065)", got)
+	if got := unsafe.Sizeof(Req{}); got > 256 {
+		t.Errorf("Req is %d bytes, over the 256-byte size class (320 at 5ec2674)", got)
+	}
+	if got := unsafe.Sizeof(resolution{}); got > 96 {
+		t.Errorf("resolution is %d bytes, over the 96-byte size class (96 when pooled)", got)
 	}
 	if got := unsafe.Sizeof(attempt{}); got != 128 {
 		t.Errorf("attempt is %d bytes, want 128 (128 at f0af065)", got)

@@ -45,10 +45,10 @@ func (c *Client) SetBuffering(on bool) error {
 // it, without a verdict, so whatever routing took for it — a half-open
 // breaker's probe slot — goes back through settle. The queue holds the
 // request, whose record carries the message, until the server has answered
-// it (flushConn).
-func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
+// it (flushConn). ack is WithBufferAck's wish, which the message carries.
+func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req, ack bool) *Req {
 	p.Sleep(prepCost)
-	c.initReq(req, op)
+	c.initReq(req, op, ack)
 	p.Sleep(sim.TransferTime(op.ValueSize, sim.MemcpyBps)) // copy into the output buffer
 	req.attach(cn, attOffWire)
 	req.hold()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/verbs"
@@ -92,58 +93,80 @@ type locEntry struct {
 	n   int
 }
 
-// readWait parks one resolver until its READ completion is demuxed. A
-// resolver has one READ in flight at a time, so the record lives in its Req
-// and is set up afresh for every READ.
+// readWait parks a resolver until its READ completion is demuxed. A
+// resolver has one READ in flight at a time, so the record lives in its
+// resolution and is set up afresh for every READ.
 type readWait struct {
 	ev      sim.Event
 	payload any // what the READ fetched
 }
 
-// bypassEligible reports whether this Issue should resolve via bypass.
-func (c *Client) bypassEligible(op Op, o *issueOpts) bool {
-	return op.Code == protocol.OpGet && c.cfg.Bypass && o.readPath != ReadRPC
+// bypassEligible reports whether this Issue, on path, should resolve via
+// bypass.
+func (c *Client) bypassEligible(op Op, path ReadPath) bool {
+	return op.Code == protocol.OpGet && c.cfg.Bypass && path != ReadRPC
 }
 
 // resolution is one GET being resolved one-sided: the resolver process, the
-// request, the connection it resolves on, and the READs spent on it so far.
-// The connection is the resolver's own — that of the request's first attempt,
-// which the resolution is: a hedge, a retransmit or the fallback may give the
-// request another attempt on another connection at any suspension, and a
-// resolver that asked the request where it stands would finish on a directory
-// it never bootstrapped.
+// request, the connection it resolves on, the READs spent on it so far and
+// the wait of the one in flight. The connection is the resolver's own — that
+// of the request's first attempt, which the resolution is: a hedge, a
+// retransmit or the fallback may give the request another attempt on another
+// connection at any suspension, and a resolver that asked the request where
+// it stands would finish on a directory it never bootstrapped.
+//
+// The record comes off its client's free list (Client.resolutions) in
+// startBypass, and its one holder is its resolver, which puts it back when it
+// returns (release). Its READ's entry in conn.readWaits takes no hold: the
+// resolver deletes the entry when it stops waiting, or the demux engine does
+// when it delivers, so no entry outlives the resolver. A completion that comes
+// later finds no entry, whoever has the record by then.
 type resolution struct {
 	c      *Client
 	p      *sim.Proc
 	req    *Req
 	cn     *conn
 	digest uint64
-	reads  int // READs posted for this GET
-	bytes  int // bytes they asked for
+	reads  int      // READs posted for this GET
+	bytes  int      // bytes they asked for
+	wait   readWait // the READ in flight
+	pool.Holds
 }
 
 // startBypass runs the resolution as its own process so Issue keeps
-// iset/iget semantics (return once the operation is in flight). The request
-// waits in c.resolving for the resolver spawned with it: processes start in
-// spawn order, so each resolver takes the oldest waiting GET — its own —
-// and any resolver would do, since they are all alike.
+// iset/iget semantics (return once the operation is in flight). The
+// resolution waits in c.resolving for the resolver spawned with it:
+// processes start in spawn order, so each resolver takes the oldest waiting
+// GET — its own — and any resolver would do, since they are all alike. The
+// resolution holds the request until its resolver returns.
 func (c *Client) startBypass(req *Req) {
 	req.hold()
-	c.resolving.TryPut(req)
+	r := c.resolutions.Get()
+	r.c, r.req, r.cn, r.digest = c, req, req.first.cn, protocol.KeyDigest(req.Key())
+	c.resolving.TryPut(r)
 	c.env.Spawn("client/bypass", c.resolver)
 }
 
 // resolveNext is a bypass resolver process: it resolves the oldest GET
-// waiting for one, or hands it to the RPC path. It holds the request from
-// startBypass until it returns.
+// waiting for one, or hands it to the RPC path.
 func (c *Client) resolveNext(p *sim.Proc) {
-	req, _ := c.resolving.TryGet()
-	defer req.drop()
-	defer req.tagPanic()
-	r := resolution{c: c, p: p, req: req, cn: req.first.cn, digest: protocol.KeyDigest(req.Key())}
+	r, _ := c.resolving.TryGet()
+	defer r.release()
+	defer r.req.tagPanic()
+	r.p = p
 	if !r.resolve() {
 		r.fallback()
 	}
+}
+
+// release ends the resolution: it gives back its hold on the request, and
+// the record goes back on its client's free list, zeroed.
+func (r *resolution) release() {
+	c, req := r.c, r.req
+	if pool.Drop(r) {
+		c.resolutions.Put(r)
+	}
+	req.drop()
 }
 
 // resolve attempts one-sided resolution; true means the request needs no
@@ -181,11 +204,28 @@ func (r *resolution) resolve() bool {
 	}
 }
 
-// read posts one READ on the resolver's connection and waits for it.
+// read hands one signaled one-sided READ to the resolver's connection's read
+// engine and blocks until its completion arrives via the demux engine, in
+// r.wait — or until bypassReadTimeout, when it reports !ok. No flow-control
+// credit is consumed: the server never buffers anything for a READ.
 func (r *resolution) read(mr int, off int64, n int) (payload any, ok bool) {
 	r.reads++
 	r.bytes += n
-	return r.cn.postRead(r.p, r.req, mr, off, n)
+	cn, w := r.cn, &r.wait
+	cn.c.nextID++
+	id := cn.c.nextID
+	w.ev.Init()
+	cn.readWaits[id] = r
+	cn.readq.TryPut(verbs.SendWR{
+		WRID: id, Op: verbs.OpRead, Size: n,
+		RemoteMR: mr, RemoteOff: off, Signaled: true,
+	})
+	if !r.p.WaitTimeout(&w.ev, bypassReadTimeout) {
+		delete(cn.readWaits, id)
+		return nil, false
+	}
+	payload, w.payload = w.payload, nil // the record must not pin the slot it was answered from
+	return payload, true
 }
 
 // probeOutcome is what one READ (or slot-then-segment pair) came to.
@@ -366,7 +406,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn, key string) protocol.Status {
 	// key it carries.
 	req := c.newReq()
 	defer c.Release(req)
-	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key})
+	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key}, false)
 	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
@@ -400,31 +440,6 @@ func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 
-// postRead hands one signaled one-sided READ for req to the connection's
-// read engine and blocks until its completion arrives via the demux engine,
-// in req.read. No flow-control credit is consumed: the server never buffers
-// anything for a READ. The wait entry holds req until it is deleted.
-func (cn *conn) postRead(p *sim.Proc, req *Req, mr int, off int64, n int) (payload any, ok bool) {
-	c := cn.c
-	c.nextID++
-	id := c.nextID
-	w := &req.read
-	w.ev.Init()
-	cn.readWaits[id] = req
-	req.hold()
-	cn.readq.TryPut(verbs.SendWR{
-		WRID: id, Op: verbs.OpRead, Size: n,
-		RemoteMR: mr, RemoteOff: off, Signaled: true,
-	})
-	if !p.WaitTimeout(&w.ev, bypassReadTimeout) {
-		delete(cn.readWaits, id)
-		req.drop()
-		return nil, false
-	}
-	payload, w.payload = w.payload, nil // the Req must not pin the slot it was answered from
-	return payload, true
-}
-
 // readEngine sweeps queued bypass READs onto the QP: a lone READ posts as
 // before (one doorbell), but when concurrent resolvers — a zipf read burst
 // probing co-resident hot slots — have stacked a backlog, the whole window
@@ -456,14 +471,13 @@ func (cn *conn) readEngine(p *sim.Proc) {
 func (cn *conn) bypassEngine(p *sim.Proc) {
 	for {
 		comp := cn.sendCQ.WaitPoll(p)
-		req := cn.readWaits[comp.WRID]
-		if req == nil {
+		r := cn.readWaits[comp.WRID]
+		if r == nil {
 			verbs.Release(comp.Payload) // resolver gave up on this READ
 			continue
 		}
 		delete(cn.readWaits, comp.WRID)
-		req.read.payload = comp.Payload
-		req.read.ev.Fire()
-		req.drop()
+		r.wait.payload = comp.Payload
+		r.wait.ev.Fire()
 	}
 }

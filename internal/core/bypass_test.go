@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"hybridkv/internal/metrics"
+	"strings"
 	"testing"
 
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/simnet"
 	"hybridkv/internal/store"
 )
 
@@ -331,4 +333,94 @@ func TestBypassBootstrapNeverRidesAFrame(t *testing.T) {
 			}
 		}
 	})
+}
+
+// lateBuckets delays the server's bucket READ responses, once armed, by
+// delays in turn, and notes when each was sent.
+type lateBuckets struct {
+	delays []sim.Time
+	sent   []sim.Time
+}
+
+func (l *lateBuckets) Transmit(src, dst string, size int, now sim.Time) simnet.Verdict {
+	if !strings.HasPrefix(src, "server") || size != protocol.DirBucketBytes || len(l.sent) == len(l.delays) {
+		return simnet.Verdict{}
+	}
+	l.sent = append(l.sent, now)
+	return simnet.Verdict{ExtraDelay: l.delays[len(l.sent)-1]}
+}
+
+// TestReadOutlivesItsResolution lets a bypass READ outlive the resolution
+// record that posted it. GET a's bucket READ is answered past the resolver's
+// patience: the resolver gives up on it, a falls back to RPC, and the record
+// goes back on the client's free list. GET b of a key in another bucket takes
+// that record and posts its own READ, and a's completion lands while b waits
+// on it. It must wake nobody — b resolves one-sided, from its own bucket, once
+// its own READ is back — and the bucket it carries must go back to the
+// server's directory, which the census checks.
+func TestReadOutlivesItsResolution(t *testing.T) {
+	r := newBypassRig()
+	c := r.client
+	late := &lateBuckets{delays: []sim.Time{bypassReadTimeout + 50*sim.Microsecond, 50 * sim.Microsecond}}
+	get := func(p *sim.Proc, key string) *Req {
+		req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: key})
+		c.Wait(p, req)
+		if req.Status != protocol.StatusOK || req.Value != "v"+key {
+			t.Fatalf("GET %s: %v %v, want OK v%s", key, req.Status, req.Value, key)
+		}
+		return req
+	}
+	var b *Req
+	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
+		keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+		for _, k := range keys {
+			c.Set(p, k, 64, "v"+k, 0, 0)
+		}
+		p.Sleep(sim.Millisecond) // every directory publish has landed
+		// The bootstrap, and the one resolution record the test makes.
+		c.Release(get(p, keys[0]))
+		bucket := func(k string) uint64 { return protocol.KeyDigest(k) % uint64(c.conns[0].dir.Buckets) }
+		a, bKey := keys[0], ""
+		for _, k := range keys[1:] {
+			if bucket(k) != bucket(a) {
+				bKey = k
+				break
+			}
+		}
+		if bKey == "" {
+			t.Fatal("every key shares a's bucket")
+		}
+
+		r.fabric.SetFaults(late)
+		start := p.Now()
+		ra := get(p, a)
+		if ra.Bypassed() || ra.Attempts != 2 || c.Counters.Val(metrics.CBypassFallbacks) != 1 {
+			t.Fatalf("GET a: bypassed %v after %d attempts, %d fallbacks; want its READ given up on and an RPC answer",
+				ra.Bypassed(), ra.Attempts, c.Counters.Val(metrics.CBypassFallbacks))
+		}
+		c.Release(ra)
+		p.Sleep(start + bypassReadTimeout + 25*sim.Microsecond - p.Now())
+		b = get(p, bKey)
+	})
+	if len(late.sent) != 2 {
+		t.Fatalf("%d bucket READ responses delayed, want a's and b's", len(late.sent))
+	}
+	aLands, bLands := late.sent[0]+late.delays[0], late.sent[1]+late.delays[1]
+	if aLands <= b.IssuedAt || aLands >= bLands {
+		t.Fatalf("a's READ lands at %v, outside b's wait (%v to %v)", aLands, b.IssuedAt, bLands)
+	}
+	if !b.Bypassed() || b.CompletedAt < bLands || c.Counters.Val(metrics.CBypassFallbacks) != 1 {
+		t.Errorf("GET b: bypassed %v, done at %v (its READ lands at %v), %d fallbacks; want a one-sided hit from its own READ",
+			b.Bypassed(), b.CompletedAt, bLands, c.Counters.Val(metrics.CBypassFallbacks))
+	}
+	c.Release(b)
+	if made := c.resolutions.Made; made != 1 {
+		t.Errorf("%d resolution records made, want the one a and b shared", made)
+	}
+	if n := len(c.conns[0].readWaits); n != 0 {
+		t.Errorf("%d READ waits left", n)
+	}
+	if err := r.census().Err(); err != nil {
+		t.Error(err)
+	}
 }

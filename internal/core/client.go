@@ -130,8 +130,8 @@ const (
 
 // Req is the memcached_req analog: the handle for one in-flight operation.
 // A caller that keeps its handles keeps one Req per operation, so its size is
-// the host's bytes per operation: 320 bytes, the 320-byte size class
-// (TestRequestRecordSizes), with four 16-byte events and its one-byte fields
+// the host's bytes per operation: 256 bytes, the 256-byte size class
+// (TestRequestRecordSizes), with three 16-byte events and its one-byte fields
 // packed beside Status and Holds.
 type Req struct {
 	// Op is the issued opcode.
@@ -144,6 +144,9 @@ type Req struct {
 	// right after such a rejection, Err surfaces its sentinel instead of the
 	// generic deadline error.
 	rejected protocol.Status
+	// retrying is set for a request issued under WithRetry: a retryable
+	// rejection then nudges its guard instead of completing the request.
+	retrying bool
 	// Flags / CAS are the item metadata from the response.
 	Flags uint32
 	CAS   uint64
@@ -158,23 +161,24 @@ type Req struct {
 
 	// Everything an operation needs on its common path is embedded by value
 	// — zero, or set up in initReq — so a request is one record: its three
-	// events, its parsed options, its first attempt (with the wire message
-	// that attempt sends), and the wait record of a bypass READ. Only a
-	// retransmit, a hedge or a bypass fallback — a second attempt — allocates
-	// again, and the request owns those too: its attempts are chained from
-	// first in the order attach made them, cur the latest, and finish settles
-	// whichever are still outstanding. first.wire is also the template later
-	// attempts copy their message from: written in initReq and by the first
-	// attach, never after.
+	// events and its first attempt (with the wire message that attempt
+	// sends). Its options are read inside Issue (issueOpts), and a bypass
+	// GET's resolution is a record of its own, pooled by the client
+	// (resolution). Only a retransmit, a hedge or a bypass fallback — a
+	// second attempt — allocates again, and the request owns those too: its
+	// attempts are chained from first in the order attach made them, cur the
+	// latest, and finish settles whichever are still outstanding. first.wire
+	// is also the template later attempts copy their message from: written
+	// in initReq and by the first attach, never after.
 	//
 	// The record is recycled through its client's free list (Client.reqs,
 	// DESIGN §16). The caller holds it from Issue until Release; so does
 	// every internal holder while it holds a pointer into the record — the
 	// TX queue or batch window, the server reading first.wire (from post
 	// until the first attempt is answered: one sent and never answered keeps
-	// its hold for good, and the record goes to the GC), the guard, hedge and
-	// bypass-resolver procs, conn.readWaits, a frame's member list and a
-	// half-open breaker's probe.
+	// its hold for good, and the record goes to the GC), the guard and hedge
+	// procs, the bypass resolution, a frame's member list and a half-open
+	// breaker's probe.
 	//
 	// The record keeps no pointer to its client or to its latest connection:
 	// the first attempt's connection names the client (client), the latest
@@ -185,8 +189,6 @@ type Req struct {
 	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
 	cur      *attempt  // the latest attempt; nil until the first exists
 	first    attempt   // the first attempt's record
-	opts     issueOpts // as parsed from Issue's options
-	read     readWait  // the bypass resolver's READ in flight (one at a time)
 
 	// What is behind Err and the accessors below.
 	how      outcome // how the request ended (finish); meaningless until done fires
@@ -240,15 +242,19 @@ func (c *Client) Release(req *Req) {
 	req.drop()
 }
 
-// Census tallies the client's request records at a drained quiesce: once
-// the callers have released what they issued, every one is free or kept for
-// good, held by its unanswered message alone.
-func (c *Client) Census() pool.Tally {
+// Census tallies the client's pooled records at a drained quiesce. Once the
+// callers have released what they issued, every request record is free or
+// kept for good, held by its unanswered message alone; and every resolution
+// is free, its resolver returned.
+func (c *Client) Census() []pool.Tally {
 	var kept pool.Walk[Req, *Req]
 	for _, req := range c.kept {
 		kept.Visit(req)
 	}
-	return pool.Count("requests", &c.reqs, &kept, 0)
+	return []pool.Tally{
+		pool.Count("requests", &c.reqs, &kept, 0),
+		pool.Count("resolutions", &c.resolutions, nil, 0),
+	}
 }
 
 // Done reports whether the operation has completed (memcached_test).
@@ -314,14 +320,21 @@ type Client struct {
 	// Bypass GETs waiting for their resolver process, oldest first, and the
 	// function every resolver is spawned with, bound once here so a spawn
 	// builds no closure (startBypass).
-	resolving *sim.Queue[*Req]
+	resolving *sim.Queue[*resolution]
 	resolver  func(*sim.Proc)
 
 	// reqs is the free list of request records (newReq, Req.drop); kept
 	// lists the records a message the server never answered holds for good
-	// (attempt.settle, the socket exchange and flushConn keep them).
-	reqs pool.List[Req, *Req]
-	kept []*Req
+	// (attempt.settle, the socket exchange and flushConn keep them);
+	// resolutions is the free list of bypass resolutions (startBypass,
+	// resolution.release).
+	reqs        pool.List[Req, *Req]
+	kept        []*Req
+	resolutions pool.List[resolution, *resolution]
+
+	// opts is Issue's scratch record of its parsed options, read only
+	// before Issue first suspends (issueOpts).
+	opts issueOpts
 
 	// Counters holds the client's counts, one slot per registered
 	// metrics.Counter: operations, wire sends and frames, and the recovery,
@@ -386,13 +399,13 @@ type conn struct {
 	memEpoch uint64
 	// Bypass read-path state (Config.Bypass only; see bypass.go): the
 	// bootstrapped directory geometry, the single-flight bootstrap latch,
-	// resolvers parked on READ completions, and the segment locations of
+	// resolutions parked on READ completions, and the segment locations of
 	// out-of-line values resolved before (inline values need no client
 	// state: the slot READ is the whole lookup).
 	dir       *protocol.DirectoryInfo
 	dirState  int
 	dirFetch  *sim.Event
-	readWaits map[uint64]*Req // by WRID: the request whose read record waits
+	readWaits map[uint64]*resolution // by WRID: the resolution whose READ it is
 	locs      map[string]locEntry
 	// readq feeds the READ-coalescing engine: concurrent resolvers enqueue
 	// WRs here and the engine sweeps the backlog under one doorbell, building
@@ -411,7 +424,7 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	c := &Client{env: env, cfg: cfg, resolving: sim.NewQueue[*Req](env, 0)}
+	c := &Client{env: env, cfg: cfg, resolving: sim.NewQueue[*resolution](env, 0)}
 	c.resolver = c.resolveNext
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
@@ -526,7 +539,7 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 	c.env.Spawn(name+"/tx", cn.txEngine)
 	c.env.Spawn(name+"/progress", cn.progressEngine)
 	if c.cfg.Bypass {
-		cn.readWaits = make(map[uint64]*Req)
+		cn.readWaits = make(map[uint64]*resolution)
 		cn.locs = make(map[string]locEntry)
 		cn.readq = sim.NewQueue[verbs.SendWR](c.env, 0)
 		cn.heat = sim.NewQueue[string](c.env, 0)
@@ -557,9 +570,10 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// initReq makes req — zero but for its parsed options — the handle for op as
-// of now, and writes the wire template its attempts are built from.
-func (c *Client) initReq(req *Req, op Op) {
+// initReq makes req — zero but for its retrying flag — the handle for op as
+// of now, and writes the wire template its attempts are built from; ack asks
+// the server for a BufferAck (WithBufferAck).
+func (c *Client) initReq(req *Req, op Op, ack bool) {
 	c.nextID++
 	req.Op = op.Code
 	req.IssuedAt = c.env.Now()
@@ -567,7 +581,7 @@ func (c *Client) initReq(req *Req, op Op) {
 		ReqID: c.nextID, Op: op.Code, Key: op.Key, Flags: op.Flags,
 		ValueSize: op.ValueSize, Value: op.Value,
 		CAS: op.CAS, Delta: op.Delta,
-		AckWanted: req.opts.ack,
+		AckWanted: ack,
 	}
 }
 
@@ -688,24 +702,22 @@ func (c *Client) roundTrip(p *sim.Proc, op Op, opts ...IssueOption) *Req {
 // ipoibExchange performs one blocking request/response on cn over the
 // socket stack: the send blocks for the kernel copy (buffers reusable on
 // return), then the client waits for the reply. The request's own options
-// bound that wait: under WithRetry every receive gets AttemptTimeout and the
-// request is resent up to MaxAttempts-1 times, under WithDeadline alone the
-// one receive gets the deadline, with neither it waits forever; past the
-// budget the request fails with ErrDeadlineExceeded. Hedge, failover, backoff
-// and BufferAck are ignored: a blocking socket carries one exchange at a time
-// to one server and its send has already copied the buffers, so none of them
-// has anything to act on.
-func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req) *Req {
-	o := &req.opts
-	o.ack = false
-	timeout, resends := o.deadline, 0
-	if o.retry != nil {
-		pol := *o.retry
+// bound that wait: under WithRetry (retry) every receive gets AttemptTimeout
+// and the request is resent up to MaxAttempts-1 times, under WithDeadline
+// (deadline) alone the one receive gets the deadline, with neither it waits
+// forever; past the budget the request fails with ErrDeadlineExceeded.
+// Hedge, failover, backoff and BufferAck are ignored: a blocking socket
+// carries one exchange at a time to one server and its send has already
+// copied the buffers, so none of them has anything to act on.
+func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline sim.Time, retry *RetryPolicy) *Req {
+	timeout, resends := deadline, 0
+	if retry != nil {
+		pol := *retry
 		pol.fill()
 		timeout, resends = pol.AttemptTimeout, pol.MaxAttempts-1
 	}
 	p.Sleep(prepCost)
-	c.initReq(req, op)
+	c.initReq(req, op, false)
 	// The exchange is the request's one attempt, resends included: it holds
 	// nothing a socket connection could give back but its verdict. The
 	// server reads its message in the request record, which it holds until

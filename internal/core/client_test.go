@@ -29,9 +29,10 @@ type testRig struct {
 }
 
 // census tallies the rig's pooled records at a drained quiesce: the
-// client's requests and every server's replies, items and directory records.
+// client's requests and resolutions, and every server's replies, items and
+// directory records.
 func (r *testRig) census() pool.Census {
-	c := pool.Census{r.client.Census()}
+	c := pool.Census(r.client.Census())
 	for _, srv := range r.servers {
 		c = append(c, srv.Store().Census()...)
 	}

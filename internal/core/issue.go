@@ -80,8 +80,11 @@ func (rp *RetryPolicy) fill() {
 // IssueOption customizes one Issue call.
 type IssueOption func(*issueOpts)
 
-// issueOpts is the parsed form of Issue's options; it lives inside the Req
-// (Req.opts), where the request's helper processes read it.
+// issueOpts is the parsed form of Issue's options. Issue parses them into
+// its client's one scratch record (Client.opts) and reads them there before
+// it first suspends; what outlives Issue is carried elsewhere: the buffer-ack
+// wish in the wire message (AckWanted), the deadline and retry policy in the
+// guard's closure, and whether a retry policy was given in Req.retrying.
 type issueOpts struct {
 	ack      bool
 	forCAS   bool     // the GET behind Gets; see casRead
@@ -141,15 +144,19 @@ func casRead(o *issueOpts) {
 // an operation went is Req.Err. The caller holds the handle until it hands
 // it back with Release, once done and read.
 func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
-	// The options are parsed straight into the handle they belong to: a
-	// local issueOpts would escape through the option funcs and be a second
-	// allocation on every operation.
+	// The options are parsed into the client's scratch record — a local
+	// issueOpts would escape through the option funcs and be an allocation on
+	// every operation — and copied out before the first suspension, after
+	// which another of the client's processes may parse into it.
 	req := c.newReq()
+	c.opts = issueOpts{}
 	for _, fn := range opts {
-		fn(&req.opts)
+		fn(&c.opts)
 	}
+	o := c.opts
+	req.retrying = o.retry != nil
 	in := intentOf(op.Code)
-	if req.opts.forCAS {
+	if o.forCAS {
 		in = routeWrite
 	}
 	cn := c.route(op.Key, in, nil)
@@ -160,17 +167,16 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if c.cfg.Transport == IPoIB {
 		switch {
 		case c.buffering && op.Code == protocol.OpSet:
-			return c.bufferSet(p, cn, op, req), nil
+			return c.bufferSet(p, cn, op, req, o.ack), nil
 		case c.buffering && op.Code == protocol.OpGet:
 			// The queued Sets leave on this connection before the Get does.
 			c.flushConn(p, cn)
 		}
-		return c.ipoibExchange(p, cn, op, req), nil
+		return c.ipoibExchange(p, cn, op, req, o.deadline, o.retry), nil
 	}
-	o := &req.opts
 	p.Sleep(prepCost)
-	c.initReq(req, op)
-	bypass := c.bypassEligible(op, o)
+	c.initReq(req, op, o.ack)
+	bypass := c.bypassEligible(op, o.readPath)
 	if bypass {
 		// Server-bypass resolution: no wire request yet — the resolver
 		// process posts one-sided READs, completing the request itself or
@@ -192,7 +198,11 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	}
 	c.Counters.Inc(metrics.CIssued)
 	if o.deadline > 0 || o.retry != nil {
-		c.startGuard(req)
+		deadline := sim.Time(0)
+		if o.deadline > 0 {
+			deadline = req.IssuedAt + o.deadline
+		}
+		c.startGuard(req, deadline, o.retry)
 	}
 	if o.hedge > 0 && op.Code == protocol.OpGet && len(c.conns) > 1 {
 		// With health tracking live the threshold adapts to the measured
@@ -362,24 +372,22 @@ func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
 }
 
 // startGuard starts the watchdog process for a request issued with a
-// deadline and/or retry policy.
-func (c *Client) startGuard(req *Req) {
+// deadline (the virtual time it runs out at; 0 for none) and/or a retry
+// policy (nil for none). Both live in the guard's closure alone: nothing else
+// reads them.
+func (c *Client) startGuard(req *Req, deadline sim.Time, retry *RetryPolicy) {
 	req.hold()
 	c.env.Spawn("client/guard", func(p *sim.Proc) {
 		defer req.drop()
 		defer req.tagPanic()
-		o := &req.opts
-		var deadline sim.Time
-		if o.deadline > 0 {
-			deadline = req.IssuedAt + o.deadline
-		}
-		if o.retry == nil {
+		c := req.client() // one word less in the closure
+		if retry == nil {
 			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
 				req.finish(timedOut, nil)
 			}
 			return
 		}
-		pol := *o.retry
+		pol := *retry
 		pol.fill()
 		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID())*0x9e3779b9))
 		backoff := pol.Backoff
@@ -729,7 +737,7 @@ func (cn *conn) land(resp *protocol.Response) {
 	case protocol.OpBufferAck:
 		att.ack()
 	case protocol.OpResponse:
-		how, nudging := answered, RetryableStatus(resp.Status) && req.opts.retry != nil
+		how, nudging := answered, RetryableStatus(resp.Status) && req.retrying
 		switch {
 		case resp.Status == protocol.StatusBusy:
 			// Shed at admission: breaker food, unlike recovering — a

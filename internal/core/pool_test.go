@@ -174,7 +174,7 @@ func poolSoak(t *testing.T, transport Transport) {
 			t.Fatalf("issue %s: %v", po.op.Key, err)
 		}
 		if rdma && !c.batching && po.op.Code == protocol.OpSet && !req.Done() &&
-			req.opts.ack && req.first.state != attSent && req.first.state != attAcked {
+			req.first.wire.AckWanted && req.first.state != attSent && req.first.state != attAcked {
 			t.Errorf("SET %s: BufferAck'ed Issue returned with its message still queued", po.op.Key)
 		}
 		return req
@@ -265,7 +265,7 @@ func poolSoak(t *testing.T, transport Transport) {
 	sim.Drive(t, r.env, "audit", func(p *sim.Proc) {
 		for _, cn := range c.conns {
 			if !rdma {
-				c.Release(c.ipoibExchange(p, cn, Op{Code: protocol.OpGet, Key: "drain"}, c.newReq()))
+				c.Release(c.ipoibExchange(p, cn, Op{Code: protocol.OpGet, Key: "drain"}, c.newReq(), 0, nil))
 			}
 		}
 		for _, srv := range r.servers {

@@ -129,24 +129,29 @@ func storeGetModel(tb testing.TB) (step func()) {
 }
 
 // handleBatchModel returns a step that runs a frame of 16 requests, SETs of
-// eight keys alternating with GETs of eight never stored, as the server runs
-// a frame's storage phases:
-// back-to-back inside one eviction-coalescing window. Each reply is released
-// as its client would once it has landed, so it is reused.
+// eight keys each followed by a GET of the key it stored, as the server runs a
+// frame's storage phases: back-to-back inside one eviction-coalescing window.
+// Every GET is a hit on the value the SET before it stored. Each reply is
+// released as its client would once it has landed, so it is reused.
 func handleBatchModel(tb testing.TB) (step func()) {
 	env, s, keys := ramStore()
 	reqs := make([]*protocol.Request, 16)
 	for i := range reqs {
+		key := keys[i/2]
 		if i%2 == 0 {
-			reqs[i] = &protocol.Request{Op: protocol.OpSet, ReqID: uint64(i), Key: keys[i], ValueSize: 4096, Value: i}
+			reqs[i] = &protocol.Request{Op: protocol.OpSet, ReqID: uint64(i), Key: key, ValueSize: 4096, Value: i}
 		} else {
-			reqs[i] = &protocol.Request{Op: protocol.OpGet, ReqID: uint64(i), Key: keys[i]}
+			reqs[i] = &protocol.Request{Op: protocol.OpGet, ReqID: uint64(i), Key: key}
 		}
 	}
 	return sim.Stepper(tb, env, "driver", func(p *sim.Proc) {
 		s.mgr.BeginEvictionBatch(p)
-		for _, req := range reqs {
-			s.Handle(p, req).Release()
+		for i, req := range reqs {
+			resp := s.Handle(p, req)
+			if req.Op == protocol.OpGet && (resp.Status != protocol.StatusOK || resp.Value != i-1) {
+				panic("handle batch model: a GET of the key the frame just stored answered " + resp.Status.String())
+			}
+			resp.Release()
 		}
 		s.mgr.EndEvictionBatch(p)
 	})
