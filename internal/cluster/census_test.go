@@ -129,3 +129,37 @@ func TestCensusNamesAParkedResolver(t *testing.T) {
 		t.Errorf("at the quiesce after: %v", err)
 	}
 }
+
+// TestCloseUnwindsAParkedResolver closes a cluster's Env while a bypass GET's
+// resolver is parked on a bucket READ whose response was lost: Close unwinds
+// the resolver, whose deferred panic tag must pass the unwinding through as
+// it is, so that Close records no fault and returns.
+func TestCloseUnwindsAParkedResolver(t *testing.T) {
+	cl := New(Config{Design: HRDMAOptNonBI, Profile: ClusterA(), Servers: 2, ServerMem: 16 << 20,
+		ReplicationFactor: 2, Bypass: true})
+	defer cl.Env.Close()
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	cl.Preload(8, 256, key)
+	c := cl.Clients[0]
+	sim.Drive(t, cl.Env, "warm-up", func(p *sim.Proc) {
+		for i := range 8 {
+			c.Get(p, key(i))
+		}
+	})
+
+	lose := &loseBuckets{}
+	cl.Fabric.SetFaults(lose)
+	var req *core.Req
+	sim.DriveUntil(t, cl.Env, cl.Env.Now()+50*sim.Microsecond, sim.Driver{Name: "get", Fn: func(p *sim.Proc) {
+		req, _ = c.IGet(p, key(0))
+	}})
+	if lose.lost != 1 || req.Done() {
+		t.Fatalf("%d bucket READ responses lost, GET done %v; want the GET's one lost and the GET in flight", lose.lost, req.Done())
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			t.Errorf("Close with a parked resolver panicked: %v", v)
+		}
+	}()
+	cl.Env.Close()
+}

@@ -269,9 +269,13 @@ func (r *Req) Key() string { return r.first.wire.Key }
 // tagPanic, deferred by a request's helper process (bypass resolver, guard,
 // hedge), adds the request id to a panic passing through it. Those
 // processes share one constant name each — a formatted name per request was
-// two allocations on every GET — so the id would otherwise be lost.
+// two allocations on every GET — so the id would otherwise be lost. Env.Close
+// unwinding the process is no fault and passes through untouched.
 func (r *Req) tagPanic() {
 	if v := recover(); v != nil {
+		if sim.Unwinding(v) {
+			panic(v)
+		}
 		panic(fmt.Sprintf("request %d (%v %q): %v", r.ID(), r.Op, r.Key(), v))
 	}
 }

@@ -365,7 +365,7 @@ func (p *Proc) runOnce() (reusable bool) {
 	returned := false
 	defer func() {
 		r := recover()
-		if r != nil && r != (unwind{}) && e.fault == nil {
+		if r != nil && !Unwinding(r) && e.fault == nil {
 			e.fault = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 		p.fn = nil
@@ -454,6 +454,12 @@ func (p *Proc) park() int {
 
 // unwind is what park panics with when Close has stopped the process.
 type unwind struct{}
+
+// Unwinding reports whether v, a value recovered in a process, is Close
+// unwinding the process rather than a fault. A deferred function that
+// recovers to annotate a fault re-raises such a v untouched, so that Close
+// records nothing.
+func Unwinding(v any) bool { return v == unwind{} }
 
 // Run executes the simulation until no scheduled wakeups remain, and returns
 // the final virtual time. Processes still blocked on events/queues at that

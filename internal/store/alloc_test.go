@@ -7,7 +7,9 @@ import (
 	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
+	"hybridkv/internal/simnet"
 	"hybridkv/internal/slab"
+	"hybridkv/internal/verbs"
 )
 
 // directoryModel returns a step on a RAM store with a directory attached that
@@ -25,6 +27,14 @@ func directoryModel(tb testing.TB, valueSize int, republish bool) (step func()) 
 		return func() { d.Publish(s.table["k"]) }
 	}
 	return set
+}
+
+// newDirectoryModel returns a step that brings up a directory of the default
+// geometry on one protection domain, as every cluster server does once.
+func newDirectoryModel(testing.TB) (step func()) {
+	env := sim.NewEnv()
+	pd := verbs.OpenDevice(simnet.New(env, simnet.FDRInfiniBand()).AddNode("srv")).AllocPD()
+	return func() { NewDirectory(pd, 0) }
 }
 
 // handleModel returns a step that runs req through Store.Handle on a RAM
@@ -175,6 +185,12 @@ func handleBatchModel(tb testing.TB) (step func()) {
 // allocate nothing (a SET was 1, its item, before items were reused), nor
 // does a frame of them.
 //
+// A directory's bring-up allocates 8: the directory and its two MRs, the
+// bucket region's segment array, the per-way versions and entries, the
+// per-bucket spill counts and the value arena's empty offset map. It was 282
+// while the bucket region kept its 32 768 segments in an offset map, grown by
+// rehash.
+//
 // What a page of SETs over SSD-resident items allocates is the eviction's
 // region write alone (8: the region writer's ceiling in internal/hybridslab).
 var allocTable = []struct {
@@ -185,6 +201,7 @@ var allocTable = []struct {
 	{"DirectorySet", func(tb testing.TB) func() { return directoryModel(tb, 64, false) }, 0},
 	{"DirectoryRepublish", func(tb testing.TB) func() { return directoryModel(tb, 64, true) }, 0},
 	{"DirectoryRepublishOutOfLine", func(tb testing.TB) func() { return directoryModel(tb, big, true) }, 0},
+	{"NewDirectory", newDirectoryModel, 8},
 	{"HandleGet", func(tb testing.TB) func() {
 		return handleModel(tb, &protocol.Request{Op: protocol.OpGet, Key: "k"})
 	}, 0},

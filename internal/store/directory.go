@@ -117,7 +117,7 @@ func NewDirectory(pd *verbs.PD, buckets int) *Directory {
 		buckets = 1 << 15
 	}
 	d := &Directory{
-		dirMR:    pd.RegisterMRSetup(buckets * protocol.DirBucketBytes),
+		dirMR:    pd.RegisterArrayMRSetup(buckets*protocol.DirBucketBytes, protocol.DirBucketBytes),
 		valMR:    pd.RegisterMRSetup(valArenaBytes),
 		buckets:  buckets,
 		versions: make([]uint64, buckets*protocol.DirWays),
@@ -142,11 +142,13 @@ func (d *Directory) home(digest uint64) int { return int(digest % uint64(d.bucke
 // ways returns the index range of bucket b's ways in entries and versions.
 func ways(b int) (lo, hi int) { return b * protocol.DirWays, (b + 1) * protocol.DirWays }
 
-// wayOf returns the index of the way key owns in bucket b, or -1.
-func (d *Directory) wayOf(b int, key string) int {
+// wayOf returns the index of the way key, whose digest is digest, owns in
+// bucket b, or -1. An entry's slot carries its key's digest, so only a way
+// whose digest matches has its key compared.
+func (d *Directory) wayOf(b int, key string, digest uint64) int {
 	lo, hi := ways(b)
 	for w := lo; w < hi; w++ {
-		if e := d.entries[w]; e != nil && e.it.Key == key {
+		if e := d.entries[w]; e != nil && e.slot.Digest == digest && e.it.Key == key {
 			return w
 		}
 	}
@@ -164,18 +166,18 @@ func (d *Directory) emptyWay(b int) int {
 	return -1
 }
 
-// find returns the bucket key lives in and the index of the way it owns
-// there, or -1 when it owns none (fresh insert, or displaced by colliding
-// keys). A key lives in its home bucket or, spilled, in its alternate, which
-// is searched — as a client does — only while the home counts spills.
-func (d *Directory) find(key string) (b, w int) {
-	digest := protocol.KeyDigest(key)
+// find returns the bucket key (whose digest is digest) lives in and the index
+// of the way it owns there, or -1 when it owns none (fresh insert, or
+// displaced by colliding keys). A key lives in its home bucket or, spilled,
+// in its alternate, which is searched — as a client does — only while the
+// home counts spills.
+func (d *Directory) find(key string, digest uint64) (b, w int) {
 	b = d.home(digest)
-	if w = d.wayOf(b, key); w >= 0 || d.spills[b] == 0 {
+	if w = d.wayOf(b, key, digest); w >= 0 || d.spills[b] == 0 {
 		return b, w
 	}
 	alt := protocol.AltBucket(b, digest, d.buckets)
-	if w = d.wayOf(alt, key); w >= 0 {
+	if w = d.wayOf(alt, key, digest); w >= 0 {
 		return alt, w
 	}
 	return b, -1
@@ -266,7 +268,7 @@ func (d *Directory) drop(e *dirEntry) {
 // bucket's other ways are republished as they were. A no-op when key owns
 // no way.
 func (d *Directory) PublishBegin(key string) {
-	b, w := d.find(key)
+	b, w := d.find(key, protocol.KeyDigest(key))
 	if w < 0 {
 		return
 	}
@@ -286,7 +288,7 @@ func (d *Directory) PublishBegin(key string) {
 func (d *Directory) Publish(it *hybridslab.Item) {
 	key := it.Key
 	digest := protocol.KeyDigest(key)
-	b, w := d.find(key)
+	b, w := d.find(key, digest)
 	if w < 0 {
 		b, w = d.place(digest)
 	}
@@ -342,7 +344,7 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 // (and, for a spilled key, the home's count dropped), its version advanced
 // so in-flight probes that saw the old slot fail their validation.
 func (d *Directory) Unpublish(key string) {
-	b, w := d.find(key)
+	b, w := d.find(key, protocol.KeyDigest(key))
 	if w < 0 {
 		return
 	}
@@ -360,7 +362,7 @@ func (d *Directory) Unpublish(key string) {
 // window after a replace), so the event is identity-checked against the
 // published entry and ignored unless it concerns the current one.
 func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
-	if _, w := d.find(it.Key); w < 0 || d.entries[w].it != it {
+	if _, w := d.find(it.Key, protocol.KeyDigest(it.Key)); w < 0 || d.entries[w].it != it {
 		return
 	}
 	switch ev {
@@ -429,7 +431,5 @@ func (d *Directory) Quiesce() {
 	}
 	clear(d.entries)
 	clear(d.spills)
-	for b := 0; b < d.buckets; b++ {
-		d.writeBucket(b)
-	}
+	d.dirMR.FillSegments(emptyBucket) // every bucket is empty: what writeBucket would publish
 }

@@ -80,7 +80,7 @@ func (m *dirModel) forward(key string, call func()) {
 	}
 	call()
 	for _, k := range spilled {
-		switch _, w := m.d.find(k); {
+		switch _, w := m.d.find(k, protocol.KeyDigest(k)); {
 		case w >= 0:
 		case k == key:
 			m.spillRemoved++
@@ -110,7 +110,7 @@ func (m *dirModel) check(step string) {
 				// A spilled key is found where it lives, by the directory and
 				// by a client's two READs alike.
 				key := m.key[slot.Digest]
-				if at, w := d.find(key); at != b || w < 0 {
+				if at, w := d.find(key, protocol.KeyDigest(key)); at != b || w < 0 {
 					t.Fatalf("after %s: %q lives in bucket %d, but find says bucket %d way %d", step, key, b, at, w)
 				}
 				if s, ok := d.slotFor(t, key); !ok || s != slot {

@@ -40,7 +40,7 @@ func (d *Directory) slotAt(t *testing.T, b, w int) protocol.DirSlot {
 
 // entry returns key's published entry, or nil when key owns no way.
 func (d *Directory) entry(key string) *dirEntry {
-	if _, w := d.find(key); w >= 0 {
+	if _, w := d.find(key, protocol.KeyDigest(key)); w >= 0 {
 		return d.entries[w]
 	}
 	return nil
@@ -50,7 +50,7 @@ func (d *Directory) entry(key string) *dirEntry {
 // it owns none.
 func (d *Directory) version(t *testing.T, key string) uint64 {
 	t.Helper()
-	_, w := d.find(key)
+	_, w := d.find(key, protocol.KeyDigest(key))
 	if w < 0 {
 		t.Fatalf("%q owns no way", key)
 	}
@@ -134,7 +134,7 @@ func TestDirectoryPublishLifecycle(t *testing.T) {
 
 	// Unpublish: the bucket reads as the empty bucket, the snapshot as
 	// emptiness, and the way's version advances.
-	_, w := d.find("k")
+	_, w := d.find("k", protocol.KeyDigest("k"))
 	d.Unpublish("k")
 	if b := d.bucketAt(t, d.home(protocol.KeyDigest("k"))); b != (protocol.DirBucket{}) {
 		t.Fatalf("bucket not empty after Unpublish: %+v", b)
@@ -321,7 +321,7 @@ func TestDirectorySpillThenDisplace(t *testing.T) {
 	}
 	lives := func(it *hybridslab.Item, want int) {
 		t.Helper()
-		if b, w := d.find(it.Key); w < 0 || b != want {
+		if b, w := d.find(it.Key, protocol.KeyDigest(it.Key)); w < 0 || b != want {
 			t.Fatalf("%q lives in bucket %d way %d, want bucket %d", it.Key, b, w, want)
 		}
 		if s, ok := d.slotFor(t, it.Key); !ok || s.Value != it.Value {

@@ -79,15 +79,20 @@ func (d *Device) AllocPD() *PD { return &PD{dev: d} }
 // MR is a registered memory region. Contents are modeled as an opaque
 // payload slot that WRITE_IMMs deposit into and RDMA READs fetch from.
 // Regions that serve offset-addressed READs (the server-bypass directory)
-// additionally carry a segment map keyed by byte offset; a READ with a
-// remote offset fetches the segment at that offset instead of the whole
-// payload slot. A segment holds a Shared value — a server's published bucket
-// or value — for as long as the value is the segment's.
+// additionally carry segments; a READ with a remote offset fetches the
+// segment at that offset instead of the whole payload slot. A segment holds
+// a Shared value — a server's published bucket or value — for as long as the
+// value is the segment's. A region registered as an array (the directory's
+// bucket array) keeps its fixed-size segments in a slice indexed by
+// offset/stride; any other (the value arena, whose offsets grow and are
+// never reused) keeps an offset map.
 type MR struct {
 	lkey     int
 	size     int
 	payload  any
 	plen     int
+	stride   int64 // > 0: an array region, whose segments are slots
+	slots    []any // slots[i] is the segment at i*stride, nil when empty
 	segments map[int64]mrSegment
 }
 
@@ -105,6 +110,29 @@ func (pd *PD) RegisterMRSetup(size int) *MR {
 	mr := &MR{lkey: d.nextMR, size: size}
 	d.mrs[mr.lkey] = mr
 	return mr
+}
+
+// RegisterArrayMRSetup registers, with no time charge, a region that is an
+// array of size/stride segments of stride bytes each, at the multiples of
+// stride: it is segment-addressed from the start, every segment empty. An
+// offset off the stride or past the end, or a segment of another length,
+// panics.
+func (pd *PD) RegisterArrayMRSetup(size, stride int) *MR {
+	if stride <= 0 || size%stride != 0 {
+		panic(fmt.Sprintf("verbs: MR size %d is not a whole number of %d-byte segments", size, stride))
+	}
+	mr := pd.RegisterMRSetup(size)
+	mr.stride, mr.slots = int64(stride), make([]any, size/stride)
+	return mr
+}
+
+// slot returns the index of an array region's segment at off.
+func (mr *MR) slot(off int64) int64 {
+	i := off / mr.stride
+	if off < 0 || off%mr.stride != 0 || i >= int64(len(mr.slots)) {
+		panic(fmt.Sprintf("verbs: offset %d is not a segment of a %d-byte MR of %d-byte segments", off, mr.size, mr.stride))
+	}
+	return i
 }
 
 // LKey returns the region's local key (also used as its remote key).
@@ -125,26 +153,55 @@ func (mr *MR) SetPayload(v any, n int) {
 // SetSegment stores contents at a byte offset inside the region, making it
 // addressable by RDMA READs carrying that offset: the segment takes a hold
 // on v and gives back its hold on the value it had. Offsets are opaque to
-// the HCA model; the caller owns the allocation discipline.
+// the HCA model (an array region's are its stride's multiples); the caller
+// owns the allocation discipline.
 func (mr *MR) SetSegment(off int64, v any, n int) {
 	if off < 0 || off+int64(n) > int64(mr.size) {
 		panic(fmt.Sprintf("verbs: segment [%d,%d) exceeds MR size %d", off, off+int64(n), mr.size))
 	}
-	if mr.segments == nil {
-		mr.segments = make(map[int64]mrSegment)
+	if mr.stride > 0 && int64(n) != mr.stride {
+		panic(fmt.Sprintf("verbs: a segment of %d bytes in an MR of %d-byte segments", n, mr.stride))
 	}
+	old := mr.swap(off, mrSegment{v: v, n: n})
 	retain(v)
-	old := mr.segments[off]
-	mr.segments[off] = mrSegment{v: v, n: n}
-	Release(old.v)
+	Release(old)
 }
 
 // ClearSegment removes the segment at off, giving back its hold on its
 // value; READs of it then return empty.
-func (mr *MR) ClearSegment(off int64) {
-	if seg, ok := mr.segments[off]; ok {
+func (mr *MR) ClearSegment(off int64) { Release(mr.swap(off, mrSegment{})) }
+
+// swap puts seg at off, an empty one taking the offset out of the map, and
+// returns the value it replaces; it takes and gives back no hold.
+func (mr *MR) swap(off int64, seg mrSegment) (old any) {
+	if mr.stride > 0 {
+		s := &mr.slots[mr.slot(off)]
+		old, *s = *s, seg.v
+		return old
+	}
+	old = mr.segments[off].v
+	if seg.v == nil && seg.n == 0 {
 		delete(mr.segments, off)
-		Release(seg.v)
+		return old
+	}
+	if mr.segments == nil {
+		mr.segments = make(map[int64]mrSegment)
+	}
+	mr.segments[off] = seg
+	return old
+}
+
+// FillSegments stores v at every segment of an array region, at its full
+// length, as SetSegment at each offset in turn would: each segment takes a
+// hold on v and gives back its hold on the value it had.
+func (mr *MR) FillSegments(v any) {
+	if mr.stride == 0 {
+		panic("verbs: FillSegments on an MR that is not an array of segments")
+	}
+	for i, old := range mr.slots {
+		mr.slots[i] = v
+		retain(v)
+		Release(old)
 	}
 }
 
@@ -152,6 +209,13 @@ func (mr *MR) ClearSegment(off int64) {
 // region segment-addressed, so in-flight READs observe emptiness rather than
 // the whole-payload slot.
 func (mr *MR) ClearSegments() {
+	if mr.stride > 0 {
+		for _, v := range mr.slots {
+			Release(v)
+		}
+		clear(mr.slots)
+		return
+	}
 	for _, seg := range mr.segments { // order-free: each value gets its one release
 		Release(seg.v)
 	}
@@ -163,6 +227,12 @@ func (mr *MR) ClearSegments() {
 
 // Segment returns the local contents at off (zero value if absent).
 func (mr *MR) Segment(off int64) (any, int) {
+	if mr.stride > 0 {
+		if v := mr.slots[mr.slot(off)]; v != nil {
+			return v, int(mr.stride)
+		}
+		return nil, 0
+	}
 	seg := mr.segments[off]
 	return seg.v, seg.n
 }
@@ -502,9 +572,8 @@ func (d *Device) deliver(m *simnet.Message) {
 			panic(fmt.Sprintf("verbs: READ of invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		payload, plen := mr.payload, mr.plen
-		if mr.segments != nil {
-			seg := mr.segments[w.remoteOff]
-			payload, plen = seg.v, seg.n
+		if mr.stride > 0 || mr.segments != nil { // segment-addressed
+			payload, plen = mr.Segment(w.remoteOff)
 		}
 		if w.size > 0 && w.size < plen {
 			plen = w.size
