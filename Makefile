@@ -158,13 +158,15 @@ verify:
 #
 # builds cmd/mc-bench from BASE (a `git archive` snapshot in a temporary
 # directory), runs the whole experiment registry at smoke scale with -json
-# there, then runs it from the working tree with -verify against that file.
-# The records hold only virtual-clock metrics, and a commit is self-identical
-# run to run, so one differing value is a behaviour change. EXCEPT names the
-# experiments a model change is meant to move: their differing records are
-# printed as the expected differences (experiment, metric, BASE, working
-# tree) and do not fail the target; a differing record of any other
-# experiment still does.
+# there, then runs it from the working tree with -verify against that file;
+# then the same for the ablations BASE lists (mc-bench -list: abl-*) at
+# -ops 300. An ablation that keeps no records has its printed tables compared
+# instead, with the [… wall] stamps stripped. The records hold only
+# virtual-clock metrics, and a commit is self-identical run to run, so one
+# differing value is a behaviour change. EXCEPT names the experiments a model
+# change is meant to move: their differing records (or tables) are printed as
+# the expected differences (experiment, metric, BASE, working tree) and do
+# not fail the target; a difference in any other experiment still does.
 virtual-identity:
 	@test -n "$(BASE)" || { echo "usage: make virtual-identity BASE=<git ref> [EXCEPT=\"exp ...\"]" >&2; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -174,10 +176,20 @@ virtual-identity:
 	"$$tmp/mc-bench-base" -smoke -json "$$tmp/base.json" >/dev/null; \
 	"$$tmp/mc-bench-head" -smoke -verify "$$tmp/base.json" >"$$tmp/verify.txt" 2>"$$tmp/verify.err" || \
 		grep -q '^verify:' "$$tmp/verify.txt" || { cat "$$tmp/verify.err" >&2; exit 1; }; \
+	abls=$$("$$tmp/mc-bench-base" -list | awk '$$1 ~ /^abl-/ { print $$1 }'); \
+	"$$tmp/mc-bench-base" -ops 300 -json "$$tmp/abl.json" $$abls >/dev/null; \
+	"$$tmp/mc-bench-head" -ops 300 -verify "$$tmp/abl.json" $$abls >>"$$tmp/verify.txt" 2>"$$tmp/verify.err" || \
+		! grep -q '^mc-bench:' "$$tmp/verify.err" || { cat "$$tmp/verify.err" >&2; exit 1; }; \
+	for a in $$abls; do \
+		grep -q "\"experiment\": \"$$a\"" "$$tmp/abl.json" && continue; \
+		"$$tmp/mc-bench-base" -ops 300 $$a | sed 's/\[[^]]* wall\]//' >"$$tmp/table-base.txt"; \
+		"$$tmp/mc-bench-head" -ops 300 $$a | sed 's/\[[^]]* wall\]//' >"$$tmp/table-head.txt"; \
+		diff "$$tmp/table-base.txt" "$$tmp/table-head.txt" | sed -n "s/^\([<>]\) */$$a table \1 /p" >>"$$tmp/verify.txt"; \
+	done; \
 	expected() { for e in $(EXCEPT); do [ "$$e" = "$$1" ] && return 0; done; return 1; }; \
-	bad=0; moved=0; \
+	bad=0; moved=0; summary=""; \
 	while read -r exp rest; do \
-		if [ "$$exp" = "verify:" ]; then summary="$$rest"; \
+		if [ "$$exp" = "verify:" ]; then summary="$$summary$${summary:+; }$$rest"; \
 		elif expected "$$exp"; then moved=$$((moved+1)); echo "  expected   $$exp $$rest"; \
 		else bad=$$((bad+1)); echo "  UNEXPECTED $$exp $$rest"; fi; \
 	done < "$$tmp/verify.txt"; \

@@ -182,9 +182,10 @@ func fallbackModel(tb testing.TB) (step func()) {
 // still read its message in the handle — so the handle is never recycled
 // and each such GET allocates a fresh one (1). A hedged GET is that handle
 // plus the hedger's closure (1) and the attempt (1). A retransmitted GET is
-// the handle plus the attempt (1) and the guard: its closure (1), its jitter
-// source (1: the rand.Rand around it stays on the guard's stack), and the
-// two wakeups its attempt-waits leave on the nudge (2). An event chains its
+// the handle plus the attempt (1) and the guard: its closure (1) and the
+// two wakeups its attempt-waits leave on the nudge (2); its policy has no
+// jitter, so the guard builds no jitter source (it was 6 while every guard
+// built one, jittered or not). An event chains its
 // waiters through their wakeups, so a second waiter on the completion flag
 // costs nothing, and a canceled one goes back to the free list when its
 // event fires; but the nudge of a retransmitted GET never fires, and its
@@ -210,7 +211,7 @@ var allocTable = []struct {
 	{"BlockingGet", blockingGetModel, 0},
 	{"BypassHit", bypassHitModel, 0},
 	{"BypassSampled", sampledModel, 0},
-	{"Retransmit", retransmitModel, 6},
+	{"Retransmit", retransmitModel, 5},
 	{"Hedge", hedgeModel, 3},
 	{"BypassFallback", fallbackModel, 1},
 }

@@ -389,7 +389,7 @@ func (c *Client) startGuard(req *Req, deadline sim.Time, retry *RetryPolicy) {
 		}
 		pol := *retry
 		pol.fill()
-		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID())*0x9e3779b9))
+		var rng *rand.Rand // built at the first jittered backoff: most policies never jitter
 		backoff := pol.Backoff
 		// The loop is left two ways: the request completed under it (return),
 		// or its time or its attempts ran out (the one timeout below).
@@ -407,6 +407,9 @@ func (c *Client) startGuard(req *Req, deadline sim.Time, retry *RetryPolicy) {
 			}
 			d := backoff
 			if pol.Jitter > 0 {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(pol.Seed ^ int64(req.ID())*0x9e3779b9))
+				}
 				d += sim.Time(float64(backoff) * pol.Jitter * rng.Float64())
 			}
 			if hint := sim.Time(req.cur.retryAfterUS) * sim.Microsecond; hint > d {

@@ -224,6 +224,7 @@ type Manager struct {
 	flushing int             // evictions in flight (concurrent workers)
 	flushEv  *sim.Event      // fired when a flush completes
 	flushQ   *sim.Queue[flushJob]
+	staging  *sim.Resource // write-behind slots: one per job staged and not yet taken by the flusher
 	ssdUsed  int64
 	ssdLimit int64
 	ssdNext  int64             // bump pointer for fresh flush pages
@@ -297,7 +298,8 @@ func New(env *sim.Env, cfg Config, file *pagecache.File) *Manager {
 			m.ssdLimit = file.Size()
 		}
 		if cfg.AsyncFlush {
-			m.flushQ = sim.NewQueue[flushJob](env, asyncFlushDepth)
+			m.flushQ = sim.NewQueue[flushJob](env, 0)
+			m.staging = sim.NewResource(env, asyncFlushDepth)
 			env.Spawn("hybridslab-flusher", m.asyncFlusher)
 		}
 	}
@@ -498,7 +500,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 	if w := m.windows[p]; m.cfg.AsyncFlush || w != nil {
 		// Staged: the staging copy holds the data, so the RAM chunks free
 		// now and the SSD write is deferred — to the background flusher
-		// (write-behind; Put blocks when the staging pool is full, the only
+		// (write-behind; staging blocks while the pool is full, the only
 		// stall the allocating request can see), or to this worker's
 		// EndEvictionBatch, where a window's jobs merge (doorbell batching).
 		for range victims {
@@ -507,7 +509,8 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 		if w != nil {
 			w.jobs = append(w.jobs, job)
 		} else {
-			m.flushQ.Put(p, job)
+			m.staging.Acquire(p)
+			m.flushQ.TryPut(job)
 		}
 	} else {
 		job.inRAM = true
@@ -520,6 +523,7 @@ func (m *Manager) evictOnePage(p *sim.Proc, class int) {
 func (m *Manager) asyncFlusher(p *sim.Proc) {
 	for {
 		job, _ := m.flushQ.Get(p)
+		m.staging.Release()
 		m.place(p, []flushJob{job})
 	}
 }

@@ -36,11 +36,6 @@ type RecoveryReport struct {
 	PagesTorn        int64
 	PagesUncommitted int64
 	ItemsRecovered   int64
-	// ItemsMissing counts header-listed slots with no durable extent: slots
-	// invalidated (freed, replaced) before the crash.
-	ItemsMissing int64
-	// BytesRecovered is the arena space re-accounted as live.
-	BytesRecovered int64
 	// MaxCAS is the highest CAS token among recovered items; the store's
 	// CAS counter must resume above it.
 	MaxCAS uint64
@@ -204,13 +199,11 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 		pg := &ssdPage{base: base, size: size, landed: m.written - m.dirtyLimit()}
 		rp := &recPage{pg: pg}
 		corrupt := false
-		missing := int64(0)
 		for i, im := range hdr.Items {
 			off := slotOff(base, i, hdr.Chunk)
 			se, sok := m.file.PeekDurable(off)
 			if !sok {
-				missing++ // invalidated before the crash
-				continue
+				continue // invalidated before the crash
 			}
 			rec, isRec := se.Payload.(*itemRecord)
 			if se.Torn() || !isRec || protocol.FNV1a(rec.Key) != im.Digest || rec.ValueSize != im.Len {
@@ -248,7 +241,6 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			m.purgeRegion(base, len(hdr.Items), hdr.Chunk)
 			continue
 		}
-		rep.ItemsMissing += missing
 		if pg.live == 0 {
 			// Every slot was freed before the crash.
 			rep.PagesDiscarded++
@@ -269,7 +261,6 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			continue
 		}
 		rep.PagesRecovered++
-		rep.BytesRecovered += rp.pg.size
 		m.ssdUsed += rp.pg.size
 		for _, it := range rp.items {
 			if it.dropped {

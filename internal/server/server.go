@@ -711,7 +711,7 @@ func (s *Server) receive(p *sim.Proc, payload any, t task) {
 	if wanted && !t.ackDeferred {
 		s.sendAck(p, &t)
 	}
-	s.reqQ.Put(p, t)
+	s.reqQ.TryPut(t)
 	if n := s.reqQ.Len(); n > s.QueuePeak {
 		s.QueuePeak = n
 	}
@@ -833,7 +833,7 @@ func (s *Server) finish(p *sim.Proc, t *task) {
 	}
 	s.storagePhase(p, t)
 	if s.tailQ != nil && t.replicating() {
-		s.tailQ.Put(p, *t)
+		s.tailQ.TryPut(*t)
 		return
 	}
 	s.tail(p, t)

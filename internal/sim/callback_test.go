@@ -161,10 +161,10 @@ func mixedModel(seed int64, h helpers) []string {
 	note := func(actor, format string, args ...any) {
 		trace = append(trace, fmt.Sprintf("%d %s %s", env.Now(), actor, fmt.Sprintf(format, args...)))
 	}
-	// Every Get below schedules its own put first and every Put its own
-	// drain, so workers steal from each other but none starves.
+	// Every Get below schedules its own put first and every take of the slot
+	// its own release, so workers steal from each other but none starves.
 	shared := NewQueue[int](env, 0)
-	narrow := NewQueue[int](env, 1) // bounded: Put blocks
+	slot := NewResource(env, 1) // held from a take to a helper's release
 	for w := 0; w < 6; w++ {
 		name := fmt.Sprintf("w%d", w)
 		env.Spawn(name, func(p *Proc) {
@@ -194,12 +194,12 @@ func mixedModel(seed int64, h helpers) []string {
 					note(name, "waitAny=%d", p.WaitAny(evs...))
 				case 4:
 					v := step
-					h.at(env, env.Now()+d(), func() { note(hname, "put=%v", shared.TryPut(v)) })
+					h.at(env, env.Now()+d(), func() { note(hname, "put"); shared.TryPut(v) })
 					got, ok := shared.Get(p)
 					note(name, "get=%d,%v", got, ok)
 				case 5:
 					v := step
-					h.at(env, env.Now()+d(), func() { note(hname, "put=%v", shared.TryPut(v)) })
+					h.at(env, env.Now()+d(), func() { note(hname, "put"); shared.TryPut(v) })
 					got, ok := shared.GetTimeout(p, d())
 					note(name, "getTimeout=%d,%v", got, ok)
 				case 6:
@@ -217,12 +217,9 @@ func mixedModel(seed int64, h helpers) []string {
 					p.Wait(acked)
 					note(name, "acked")
 				case 7:
-					h.at(env, env.Now()+d(), func() {
-						v, ok := narrow.TryGet()
-						note(hname, "drain=%d,%v", v, ok)
-					})
-					narrow.Put(p, step)
-					note(name, "put")
+					slot.Acquire(p)
+					h.at(env, env.Now()+d(), func() { note(hname, "release"); slot.Release() })
+					note(name, "took")
 				}
 			}
 		})

@@ -43,7 +43,7 @@ func TestDriveNamesEveryDriverThatNeverReturned(t *testing.T) {
 			return []Driver{{Name: "waiter", Fn: func(p *Proc) { p.Wait(env.NewEvent()) }}}
 		}, "sim: drivers map[0:waiter] never returned (run ended at 0s)", 0, 1},
 		{"parked on a queue get", -1, func(env *Env) []Driver {
-			q := NewQueue[int](env, 1)
+			q := NewQueue[int](env, 0)
 			return []Driver{{Name: "getter", Fn: func(p *Proc) { q.Get(p) }}}
 		}, "sim: drivers map[0:getter] never returned (run ended at 0s)", 0, 1},
 		{"two drivers, one returns", -1, func(env *Env) []Driver {
@@ -51,13 +51,13 @@ func TestDriveNamesEveryDriverThatNeverReturned(t *testing.T) {
 			return []Driver{{Name: "returns", Fn: sleep(Millisecond)}, {Name: "parks", Fn: func(p *Proc) { p.Wait(ev) }}}
 		}, "sim: drivers map[1:parks] never returned (run ended at 1ms)", Millisecond, 1},
 		{"returns past an engine parked for good", -1, func(env *Env) []Driver {
-			q := NewQueue[int](env, 1)
+			q := NewQueue[int](env, 0)
 			env.Spawn("engine", func(p *Proc) {
 				for {
 					q.Get(p)
 				}
 			})
-			return []Driver{{Name: "d", Fn: func(p *Proc) { q.Put(p, 1); p.Sleep(Microsecond) }}}
+			return []Driver{{Name: "d", Fn: func(p *Proc) { q.TryPut(1); p.Sleep(Microsecond) }}}
 		}, "", Microsecond, 1},
 		{"returns within the limit", 5 * Microsecond, func(env *Env) []Driver {
 			return []Driver{{Name: "d", Fn: sleep(Microsecond)}}

@@ -46,7 +46,7 @@ func sleepModel(seed int64, parkAll bool) (trace []string, counts Counts, cut in
 		}
 	}
 	q := NewQueue[int](env, 0)
-	narrow := NewQueue[int](env, 1) // bounded: Put blocks
+	slot := NewResource(env, 1) // held from a take to a callback's release
 	res := NewResource(env, 2)
 	for w := 0; w < 5; w++ {
 		name := fmt.Sprint("w", w)
@@ -98,8 +98,8 @@ func sleepModel(seed int64, parkAll bool) (trace []string, counts Counts, cut in
 					}
 					tag += 100 * v
 				case 8:
-					env.AtFunc(env.Now()+d(), func() { narrow.TryGet() })
-					narrow.Put(p, step)
+					slot.Acquire(p)
+					env.AtFunc(env.Now()+d(), slot.Release)
 				case 9:
 					res.Acquire(p)
 					sleep(p, d())

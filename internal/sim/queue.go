@@ -34,25 +34,23 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
-// Queue is a FIFO channel-like conduit between simulated processes with an
-// optional capacity bound. A capacity of 0 means unbounded. Handoff is
-// instantaneous in virtual time; use it to model request queues, NIC work
-// queues, device submission queues and similar structures. A queue never
-// closes: it lives as long as the processes that drain it, so a consumer loop
-// has no exit.
+// Queue is an unbounded FIFO channel-like conduit between simulated
+// processes: a put never blocks, a get blocks while the queue is empty.
+// Handoff is instantaneous in virtual time; use it to model request queues,
+// completion queues and similar structures. A producer that must be held back
+// bounds itself with a Resource. A queue never closes: it lives as long as the
+// processes that drain it, so a consumer loop has no exit.
 type Queue[T any] struct {
 	env     *Env
-	cap     int
 	items   ring[T]
 	getters ring[*qwaiter[T]]
-	putters ring[*qwaiter[T]]
 	spare   *qwaiter[T] // free list of waiter records
 }
 
-// qwaiter is one process blocked in Get (v receives the item) or Put (v is
-// the item). While it sits in the queue's getters or putters ring the ring
-// owns it; whoever pops it marks it served, and from then on the blocked
-// process owns it and recycles it on waking.
+// qwaiter is one process blocked in Get; v receives the item. While it sits
+// in the queue's getters ring the ring owns it; whoever pops it marks it
+// served, and from then on the blocked process owns it and recycles it on
+// waking.
 type qwaiter[T any] struct {
 	w      *wakeup
 	v      T
@@ -60,9 +58,13 @@ type qwaiter[T any] struct {
 	next   *qwaiter[T]
 }
 
-// NewQueue returns a queue bound to env. capacity ≤ 0 means unbounded.
+// NewQueue returns a queue bound to env. A queue is unbounded: capacity must
+// be ≤ 0, and a positive one panics — a Resource bounds admission.
 func NewQueue[T any](env *Env, capacity int) *Queue[T] {
-	return &Queue[T]{env: env, cap: capacity}
+	if capacity > 0 {
+		panic("sim: a Queue is unbounded; bound its producers with a sim.Resource")
+	}
+	return &Queue[T]{env: env}
 }
 
 // Len returns the number of buffered items.
@@ -84,31 +86,15 @@ func (q *Queue[T]) recycle(qw *qwaiter[T]) {
 	q.spare = qw
 }
 
-// TryPut appends v without blocking. It reports false if the queue is full.
-func (q *Queue[T]) TryPut(v T) bool {
+// TryPut appends v, or hands it to the first blocked getter. It never
+// blocks and never fails, so it may be called from any process or callback.
+func (q *Queue[T]) TryPut(v T) {
 	if g := q.popGetter(); g != nil {
 		g.v = v
 		q.env.fireWakeup(g.w)
-		return true
-	}
-	if q.cap > 0 && q.items.len() >= q.cap {
-		return false
-	}
-	q.items.push(v)
-	return true
-}
-
-// Put appends v, blocking the process while the queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	if q.TryPut(v) {
 		return
 	}
-	p.mustBeRunning("Queue.Put")
-	pw := q.newWaiter(p, 0)
-	pw.v = v
-	q.putters.push(pw)
-	p.park()
-	q.recycle(pw)
+	q.items.push(v)
 }
 
 // TryGet removes and returns the head item without blocking. ok is false if
@@ -117,9 +103,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if q.items.len() == 0 {
 		return v, false
 	}
-	v = q.items.pop()
-	q.admitPutter()
-	return v, true
+	return q.items.pop(), true
 }
 
 // Get removes and returns the head item, blocking the process while the
@@ -183,14 +167,4 @@ func (q *Queue[T]) dropTimedOut() {
 		q.env.recycle(g.w)
 		q.recycle(g)
 	}
-}
-
-// admitPutter moves one blocked putter's value into freed buffer space.
-func (q *Queue[T]) admitPutter() {
-	if q.putters.len() == 0 || (q.cap > 0 && q.items.len() >= q.cap) {
-		return
-	}
-	pw := q.putters.pop()
-	q.items.push(pw.v)
-	q.env.fireWakeup(pw.w)
 }

@@ -81,7 +81,8 @@ func helperModel(seed int64, start starter) (trace []string, procs int) {
 						func() { note(hname, "resolving") },
 						func(hp *Proc) {
 							hp.Sleep(work)
-							note(hname, fmt.Sprint("put=", handoff.TryPut(v)))
+							handoff.TryPut(v)
+							note(hname, "put")
 						})
 					got, _ := handoff.Get(p)
 					note(name, fmt.Sprint("got=", got))

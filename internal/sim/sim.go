@@ -15,7 +15,7 @@
 // bit-for-bit reproducible, and virtual time advances with nanosecond
 // precision regardless of host timer resolution.
 //
-// The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
+// The blocking primitives (Sleep, Event.Wait, Queue.Get,
 // Resource.Acquire) must only be called by the owning process while it is
 // the running process; from anywhere else they panic. Non-blocking variants
 // (TryGet, TryPut, Fire, ...) may be called from any process, from a callback

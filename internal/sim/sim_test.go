@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -208,7 +210,7 @@ func TestQueueFIFO(t *testing.T) {
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.Put(p, i)
+			q.TryPut(i)
 			p.Sleep(Microsecond)
 		}
 	})
@@ -233,26 +235,13 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueCapacityBlocksPutter(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, 2)
-	var putDone Time
-	e.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // must block until the consumer frees a slot
-		putDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		p.Sleep(70 * Microsecond)
-		if _, ok := q.Get(p); !ok {
-			t.Errorf("get failed")
+func TestQueueRefusesACapacity(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim.Resource") {
+			t.Errorf("NewQueue with a capacity: recovered %v, want a panic naming sim.Resource", r)
 		}
-	})
-	e.Run()
-	if putDone != 70*Microsecond {
-		t.Errorf("third Put completed at %v, want 70µs (after consumer)", putDone)
-	}
+	}()
+	NewQueue[int](NewEnv(), 2)
 }
 
 func TestQueueGetBlocksUntilPut(t *testing.T) {
@@ -266,7 +255,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	})
 	e.Spawn("producer", func(p *Proc) {
 		p.Sleep(15 * Microsecond)
-		q.Put(p, "hello")
+		q.TryPut("hello")
 	})
 	e.Run()
 	if v != "hello" || at != 15*Microsecond {
@@ -276,25 +265,25 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 
 func TestQueueTryVariants(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, 1)
+	q := NewQueue[int](e, 0)
 	if _, ok := q.TryGet(); ok {
 		t.Errorf("TryGet on empty queue succeeded")
 	}
-	if !q.TryPut(7) {
-		t.Errorf("TryPut on empty queue failed")
+	q.TryPut(7)
+	q.TryPut(8)
+	if q.Len() != 2 {
+		t.Errorf("Len=%d after two TryPuts, want 2", q.Len())
 	}
-	if q.TryPut(8) {
-		t.Errorf("TryPut on full queue succeeded")
-	}
-	v, ok := q.TryGet()
-	if !ok || v != 7 {
-		t.Errorf("TryGet=(%d,%v), want (7,true)", v, ok)
+	for _, want := range []int{7, 8} {
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Errorf("TryGet=(%d,%v), want (%d,true)", v, ok, want)
+		}
 	}
 }
 
 func TestQueueDirectHandoffToBlockedGetter(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, 1)
+	q := NewQueue[int](e, 0)
 	var v int
 	e.Spawn("consumer", func(p *Proc) { v, _ = q.Get(p) })
 	e.Spawn("producer", func(p *Proc) {
@@ -433,7 +422,7 @@ func TestDeterminism(t *testing.T) {
 	trace := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEnv()
-		q := NewQueue[int](e, 4)
+		q, slots := NewQueue[int](e, 0), NewResource(e, 4) // a queue of four slots
 		r := NewResource(e, 3)
 		ev := e.NewEvent()
 		var out []Time
@@ -449,8 +438,10 @@ func TestDeterminism(t *testing.T) {
 			case 1:
 				e.Spawn("q", func(p *Proc) {
 					p.Sleep(d)
-					q.Put(p, i)
+					slots.Acquire(p)
+					q.TryPut(i)
 					v, _ := q.Get(p)
+					slots.Release()
 					_ = v
 					out = append(out, p.Now())
 				})

@@ -185,11 +185,12 @@ func handleBatchModel(tb testing.TB) (step func()) {
 // allocate nothing (a SET was 1, its item, before items were reused), nor
 // does a frame of them.
 //
-// A directory's bring-up allocates 8: the directory and its two MRs, the
-// bucket region's segment array, the per-way versions and entries, the
-// per-bucket spill counts and the value arena's empty offset map. It was 282
-// while the bucket region kept its 32 768 segments in an offset map, grown by
-// rehash.
+// A directory's bring-up allocates 7: the directory and its two MRs, the
+// bucket region's segment array, the per-way versions and entries, and the
+// per-bucket spill counts; the value arena's offset map is made at its first
+// published segment. It was 8 while emptying a region made its map to switch
+// it from a whole-region payload to segments, and 282 while the bucket region
+// kept its 32 768 segments in an offset map, grown by rehash.
 //
 // What a page of SETs over SSD-resident items allocates is the eviction's
 // region write alone (8: the region writer's ceiling in internal/hybridslab).
@@ -201,7 +202,7 @@ var allocTable = []struct {
 	{"DirectorySet", func(tb testing.TB) func() { return directoryModel(tb, 64, false) }, 0},
 	{"DirectoryRepublish", func(tb testing.TB) func() { return directoryModel(tb, 64, true) }, 0},
 	{"DirectoryRepublishOutOfLine", func(tb testing.TB) func() { return directoryModel(tb, big, true) }, 0},
-	{"NewDirectory", newDirectoryModel, 8},
+	{"NewDirectory", newDirectoryModel, 7},
 	{"HandleGet", func(tb testing.TB) func() {
 		return handleModel(tb, &protocol.Request{Op: protocol.OpGet, Key: "k"})
 	}, 0},

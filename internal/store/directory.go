@@ -267,8 +267,11 @@ func (d *Directory) drop(e *dirEntry) {
 // probing clients re-probe or fall back to RPC until the commit; the
 // bucket's other ways are republished as they were. A no-op when key owns
 // no way.
-func (d *Directory) PublishBegin(key string) {
-	b, w := d.find(key, protocol.KeyDigest(key))
+func (d *Directory) PublishBegin(key string) { d.begin(d.find(key, protocol.KeyDigest(key))) }
+
+// begin opens the mutation window of way w of bucket b, where find located a
+// key; w < 0, no way, is a no-op.
+func (d *Directory) begin(b, w int) {
 	if w < 0 {
 		return
 	}
@@ -286,9 +289,15 @@ func (d *Directory) PublishBegin(key string) {
 // when it does not, or flagged SSD-resident — metadata only, clients fall
 // back to RPC — when the value is not in RAM.
 func (d *Directory) Publish(it *hybridslab.Item) {
+	digest := protocol.KeyDigest(it.Key)
+	b, w := d.find(it.Key, digest)
+	d.publish(it, digest, b, w)
+}
+
+// publish commits it at way w of bucket b, where find located its key, or
+// at a way place picks when w < 0.
+func (d *Directory) publish(it *hybridslab.Item, digest uint64, b, w int) {
 	key := it.Key
-	digest := protocol.KeyDigest(key)
-	b, w := d.find(key, digest)
 	if w < 0 {
 		b, w = d.place(digest)
 	}
@@ -343,8 +352,11 @@ func (d *Directory) Publish(it *hybridslab.Item) {
 // Unpublish removes key from the directory: snapshot cleared, way emptied
 // (and, for a spilled key, the home's count dropped), its version advanced
 // so in-flight probes that saw the old slot fail their validation.
-func (d *Directory) Unpublish(key string) {
-	b, w := d.find(key, protocol.KeyDigest(key))
+func (d *Directory) Unpublish(key string) { d.unpublish(d.find(key, protocol.KeyDigest(key))) }
+
+// unpublish empties way w of bucket b, where find located a key; w < 0, no
+// way, is a no-op.
+func (d *Directory) unpublish(b, w int) {
 	if w < 0 {
 		return
 	}
@@ -360,18 +372,21 @@ func (d *Directory) Unpublish(key string) {
 // EvictionUpdate applies a slab-manager eviction transition. Eviction can
 // act on a superseded incarnation of a key (an old item still in a flush
 // window after a replace), so the event is identity-checked against the
-// published entry and ignored unless it concerns the current one.
+// published entry and ignored unless it concerns the current one. The key
+// is found once, and the transition applied at the way it was found.
 func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
-	if _, w := d.find(it.Key, protocol.KeyDigest(it.Key)); w < 0 || d.entries[w].it != it {
+	digest := protocol.KeyDigest(it.Key)
+	b, w := d.find(it.Key, digest)
+	if w < 0 || d.entries[w].it != it {
 		return
 	}
 	switch ev {
 	case hybridslab.EvictStaged:
-		d.PublishBegin(it.Key)
+		d.begin(b, w)
 	case hybridslab.EvictDropped:
-		d.Unpublish(it.Key)
+		d.unpublish(b, w)
 	case hybridslab.EvictLanded, hybridslab.EvictRestored:
-		d.Publish(it)
+		d.publish(it, digest, b, w)
 	}
 }
 
@@ -421,9 +436,7 @@ func (d *Directory) census(visit func(*hybridslab.Item) bool) []pool.Tally {
 // Versions are retained, so republished slots never reuse a version an old
 // probe might hold.
 func (d *Directory) Quiesce() {
-	// Segment-addressed even when empty: a READ of an unpublished offset
-	// returns emptiness, not a whole-region payload.
-	d.valMR.ClearSegments()
+	d.valMR.ClearSegments() // a READ of any value segment now returns emptiness
 	for _, e := range d.entries {
 		if e != nil {
 			e.it.Unhold()

@@ -29,7 +29,7 @@ func sendModel(testing.TB) (step func()) {
 func readModel(testing.TB) (step func()) {
 	r := newRig()
 	remote, local := r.pdB.RegisterMRSetup(4096), r.pdA.RegisterMRSetup(4096)
-	remote.SetPayload("value", 4096)
+	remote.SetSegment(0, "value", 4096)
 	r.env.Run() // no driver: the rig's start-up is all that runs
 	return func() {
 		r.qpA.PostSendSetup(SendWR{Op: OpRead, Size: 4096, RemoteMR: remote.LKey(), LocalMR: local, Signaled: true})

@@ -38,7 +38,7 @@ type Host struct {
 	streams map[int]*Stream
 	nextID  int
 	accept  *sim.Queue[*Stream]
-	free    *streamSend // sends whose delivery has fired
+	xfers   transfers
 }
 
 // NewHost installs a socket stack on node.
@@ -51,41 +51,6 @@ func NewHost(node *simnet.Node) *Host {
 	}
 	node.SetReceiver(h.deliver)
 	return h
-}
-
-type streamWire struct {
-	dstStream int
-	msg       StreamMsg
-}
-
-// Snapshot implements simnet.Snapshotter for stream traffic, as wire's does.
-func (w *streamWire) Snapshot() any {
-	payload := snapshot(w.msg.Payload)
-	if payload == nil {
-		return nil
-	}
-	g := *w
-	g.msg.Payload = payload
-	return &g
-}
-
-// streamSend is one IPoIB message on the fabric, in a single allocation: the
-// stream wire and the Flight that carries it. Like a verbs transfer, it is
-// taken from the sending Host's free list and handed back by the fabric after
-// its last delivery; the sender holds its Sent event only until Send returns.
-type streamSend struct {
-	w    streamWire
-	fl   simnet.Flight
-	host *Host
-	next *streamSend // free-list link
-}
-
-// Recycle implements simnet.Recycler; a Shared payload loses its sender's
-// hold.
-func (r *streamSend) Recycle() {
-	Release(r.w.msg.Payload)
-	r.w = streamWire{}
-	r.next, r.host.free = r.host.free, r
 }
 
 // Dial opens a connection to the remote host (out-of-band handshake with no
@@ -117,14 +82,8 @@ func (h *Host) Accept(p *sim.Proc) *Stream {
 // per blocking-socket semantics.
 func (s *Stream) Send(p *sim.Proc, size int, payload any) {
 	h := s.local
-	r := h.free
-	if r == nil {
-		r = &streamSend{host: h}
-	} else {
-		h.free, r.next = r.next, nil
-	}
-	r.w = streamWire{dstStream: s.peer.id, msg: StreamMsg{Size: size, Payload: payload}}
-	out := h.node.SendFlight(p, &r.fl, r, s.remote.node.Name(), size, &r.w)
+	t := h.xfers.take(wire{kind: OpSend, dstQPN: s.peer.id, payload: payload, size: size})
+	out := h.node.SendFlight(p, &t.fl, t, s.remote.node.Name(), size, &t.w)
 	p.Wait(out.Sent)
 }
 
@@ -141,11 +100,11 @@ func (s *Stream) RecvTimeout(p *sim.Proc, d sim.Time) (msg StreamMsg, ok bool) {
 }
 
 func (h *Host) deliver(m *simnet.Message) {
-	w := m.Payload.(*streamWire)
-	s := h.streams[w.dstStream]
+	w := m.Payload.(*wire)
+	s := h.streams[w.dstQPN]
 	if s == nil {
-		panic(fmt.Sprintf("verbs: delivery to unknown stream %d on %s", w.dstStream, h.node.Name()))
+		panic(fmt.Sprintf("verbs: delivery to unknown stream %d on %s", w.dstQPN, h.node.Name()))
 	}
-	retain(w.msg.Payload)
-	s.inbox.TryPut(w.msg)
+	retain(w.payload)
+	s.inbox.TryPut(StreamMsg{Size: w.size, Payload: w.payload})
 }

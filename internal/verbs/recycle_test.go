@@ -224,10 +224,10 @@ func TestRecycledTransferMisuse(t *testing.T) {
 		r.qpB.PostRecv(RecvWR{})
 		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 64})
 		r.env.Run() // no driver: the SEND is posted without a process
-		if r.devA.free == nil || r.devA.free.next != nil {
+		if r.devA.xfers.free == nil || r.devA.xfers.free.next != nil {
 			panic("the delivered SEND's transfer is not alone on its HCA's free list")
 		}
-		return r, r.devA.free
+		return r, r.devA.xfers.free
 	}
 	t.Run("posted while in flight", func(t *testing.T) {
 		r, tr := recycled()

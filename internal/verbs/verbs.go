@@ -13,11 +13,12 @@
 //     completion on the responder's receive CQ. The requester learns that
 //     its source buffer is reusable from PostSend's event, when the NIC has
 //     read the message out of host memory.
-//   - WRITE_IMM deposits the payload into the remote MR with no remote CPU
-//     involvement, consumes a RECV and completes on the responder's receive
-//     CQ.
-//   - A signaled RDMA READ fetches the remote MR's current contents with no
-//     remote CPU involvement; the local completion carries the data.
+//   - WRITE_IMM names a remote MR, consumes a RECV and completes on the
+//     responder's receive CQ with the payload: no remote CPU moves it, and
+//     the completion is all the responder reads of it.
+//   - A signaled RDMA READ fetches a segment of the remote MR — what the
+//     responder last published at that offset — with no remote CPU
+//     involvement; the local completion carries the data.
 //   - Posting any WR charges the caller a doorbell cost; the NIC performs
 //     the transfer asynchronously (this is what non-blocking iset/iget
 //     exploit).
@@ -52,7 +53,7 @@ type Device struct {
 	mrs    map[int]*MR
 	nextQP int
 	nextMR int
-	free   *transfer // transfers whose last delivery has fired
+	xfers  transfers
 
 	// Stats
 	SendsPosted, WritesPosted, ReadsPosted int64
@@ -76,21 +77,17 @@ type PD struct{ dev *Device }
 // AllocPD allocates a protection domain (free in sim time, as in practice).
 func (d *Device) AllocPD() *PD { return &PD{dev: d} }
 
-// MR is a registered memory region. Contents are modeled as an opaque
-// payload slot that WRITE_IMMs deposit into and RDMA READs fetch from.
-// Regions that serve offset-addressed READs (the server-bypass directory)
-// additionally carry segments; a READ with a remote offset fetches the
-// segment at that offset instead of the whole payload slot. A segment holds
-// a Shared value — a server's published bucket or value — for as long as the
-// value is the segment's. A region registered as an array (the directory's
-// bucket array) keeps its fixed-size segments in a slice indexed by
-// offset/stride; any other (the value arena, whose offsets grow and are
-// never reused) keeps an offset map.
+// MR is a registered memory region. Its contents are modeled as segments:
+// values its owner publishes at byte offsets (SetSegment), which an RDMA READ
+// carrying the offset fetches; an offset where nothing is published reads
+// empty. A segment holds a Shared value — a server's published bucket or
+// value — for as long as the value is the segment's. A region registered as
+// an array (the directory's bucket array) keeps its fixed-size segments in a
+// slice indexed by offset/stride; any other (the value arena, whose offsets
+// grow and are never reused) keeps an offset map.
 type MR struct {
 	lkey     int
 	size     int
-	payload  any
-	plen     int
 	stride   int64 // > 0: an array region, whose segments are slots
 	slots    []any // slots[i] is the segment at i*stride, nil when empty
 	segments map[int64]mrSegment
@@ -137,18 +134,6 @@ func (mr *MR) slot(off int64) int64 {
 
 // LKey returns the region's local key (also used as its remote key).
 func (mr *MR) LKey() int { return mr.lkey }
-
-// Payload returns the last contents deposited in the region and its length.
-func (mr *MR) Payload() (any, int) { return mr.payload, mr.plen }
-
-// SetPayload stores contents into the region locally (memcpy cost is the
-// caller's to model).
-func (mr *MR) SetPayload(v any, n int) {
-	if n > mr.size {
-		panic(fmt.Sprintf("verbs: payload %d exceeds MR size %d", n, mr.size))
-	}
-	mr.payload, mr.plen = v, n
-}
 
 // SetSegment stores contents at a byte offset inside the region, making it
 // addressable by RDMA READs carrying that offset: the segment takes a hold
@@ -205,9 +190,8 @@ func (mr *MR) FillSegments(v any) {
 	}
 }
 
-// ClearSegments drops every segment, giving back their holds, but keeps the
-// region segment-addressed, so in-flight READs observe emptiness rather than
-// the whole-payload slot.
+// ClearSegments drops every segment, giving back their holds: READs then
+// return empty.
 func (mr *MR) ClearSegments() {
 	if mr.stride > 0 {
 		for _, v := range mr.slots {
@@ -218,9 +202,6 @@ func (mr *MR) ClearSegments() {
 	}
 	for _, seg := range mr.segments { // order-free: each value gets its one release
 		Release(seg.v)
-	}
-	if mr.segments == nil {
-		mr.segments = make(map[int64]mrSegment)
 	}
 	clear(mr.segments)
 }
@@ -251,8 +232,9 @@ type CQ struct {
 	q   *sim.Queue[Completion]
 }
 
-// CreateCQ allocates a completion queue. Depth ≤ 0 means unbounded (the
-// simulated HCA never overruns; overrun modeling is out of scope).
+// CreateCQ allocates a completion queue. A CQ is unbounded — the simulated
+// HCA never overruns; overrun modeling is out of scope — so depth must be
+// ≤ 0, and a positive one panics (sim.NewQueue).
 func (d *Device) CreateCQ(depth int) *CQ {
 	return &CQ{dev: d, q: sim.NewQueue[Completion](d.env, depth)}
 }
@@ -281,10 +263,11 @@ type SendWR struct {
 	Payload any
 	// RemoteMR is the remote region targeted by WRITE_IMM/READ.
 	RemoteMR int
-	// RemoteOff addresses a segment inside the remote region (READ of a
-	// segment-addressed MR only; ignored for whole-region operations).
+	// RemoteOff addresses the segment of the remote region a READ fetches.
 	RemoteOff int64
-	// LocalMR receives RDMA READ data.
+	// LocalMR, when set, is the region a READ's data lands in: the data
+	// the READ returns must fit it. The data itself reaches the reader on
+	// the completion.
 	LocalMR *MR
 	// Signaled asks for a READ's local completion.
 	Signaled bool
@@ -346,11 +329,12 @@ func (qp *QP) consumeRecv(op string) {
 	qp.recvs--
 }
 
-// wire is the fabric payload for verbs traffic.
+// wire is the fabric payload for verbs traffic, and for IPoIB traffic as a
+// SEND whose dstQPN names the peer's stream.
 type wire struct {
 	kind      Op
 	srcQPN    int
-	dstQPN    int
+	dstQPN    int    // the receiving QP, or the receiving stream
 	wrid      uint64 // requester's WRID (READ and its response)
 	payload   any
 	size      int
@@ -360,10 +344,10 @@ type wire struct {
 	ackFor    bool // this is a READ response
 }
 
-// CorruptCopy implements simnet.Corruptible for verbs traffic: an in-flight
-// bit flip lands in what the work request carried, when that payload knows
-// how to present itself garbled; the header fields are the link CRC's to
-// protect (a corrupt header is a dropped message).
+// CorruptCopy implements simnet.Corruptible: an in-flight bit flip lands in
+// what the work request carried, when that payload knows how to present
+// itself garbled; the header fields are the link CRC's to protect (a corrupt
+// header is a dropped message).
 func (w *wire) CorruptCopy() any {
 	g := *w
 	if c, ok := w.payload.(simnet.Corruptible); ok {
@@ -372,12 +356,16 @@ func (w *wire) CorruptCopy() any {
 	return &g
 }
 
-// Snapshot implements simnet.Snapshotter for verbs traffic: a duplicated
-// SEND carries a copy of what the work request carried, when that payload
-// copies itself (a request in its sender's request record); anything else is
-// delivered twice as it is.
+// Snapshot implements simnet.Snapshotter: a duplicated SEND carries a copy
+// of what the work request carried, when that payload copies itself (a
+// request in its sender's request record); anything else is delivered twice
+// as it is.
 func (w *wire) Snapshot() any {
-	payload := snapshot(w.payload)
+	s, ok := w.payload.(simnet.Snapshotter)
+	if !ok {
+		return nil
+	}
+	payload := s.Snapshot()
 	if payload == nil {
 		return nil
 	}
@@ -386,26 +374,35 @@ func (w *wire) Snapshot() any {
 	return &g
 }
 
-// snapshot is payload's Snapshot, or nil when it takes none.
-func snapshot(payload any) any {
-	if s, ok := payload.(simnet.Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil
-}
-
-// transfer is one verbs message on the fabric, in a single allocation: the
-// wire record the peer's HCA reads and the fabric's Flight that carries it.
-// The posting HCA takes it from its free list; the fabric holds it until its
-// last delivery has fired, the receiving Device reads w during the delivery
-// callback and copies out what it keeps, and the Flight then hands it back
-// (Recycle) for the HCA's next post. An Outgoing handed to the poster points
-// into fl, so it is valid until delivery (see simnet.Flight).
+// transfer is one message on the fabric — a verbs work request's or an IPoIB
+// stream's — in a single allocation: the wire record the peer reads and the
+// fabric's Flight that carries it. The sending Device or Host takes it from
+// its free list (transfers.take); the fabric holds it until its last delivery
+// has fired, the receiver reads w during the delivery callback and copies out
+// what it keeps, and the Flight then hands it back (Recycle) for the sender's
+// next message. An Outgoing handed to the poster points into fl, so it is
+// valid until delivery (see simnet.Flight).
 type transfer struct {
 	w    wire
 	fl   simnet.Flight
-	dev  *Device
-	next *transfer // free-list link
+	home *transfers // the free list it goes back on
+	next *transfer  // free-list link
+}
+
+// transfers is a sender's free list of transfers whose last delivery has
+// fired.
+type transfers struct{ free *transfer }
+
+// take returns a transfer off the list, or a new one, carrying w.
+func (l *transfers) take(w wire) *transfer {
+	t := l.free
+	if t == nil {
+		t = &transfer{home: l}
+	} else {
+		l.free, t.next = t.next, nil
+	}
+	t.w = w
+	return t
 }
 
 // Shared is a payload with counted holders — a server's pooled reply
@@ -437,12 +434,12 @@ func Release(payload any) {
 	}
 }
 
-// Recycle implements simnet.Recycler: t goes back on its HCA's free list,
+// Recycle implements simnet.Recycler: t goes back on its sender's free list,
 // holding no payload — a Shared one loses the message's hold.
 func (t *transfer) Recycle() {
 	Release(t.w.payload)
 	t.w = wire{}
-	t.next, t.dev.free = t.dev.free, t
+	t.next, t.home.free = t.home.free, t
 }
 
 // PostSend posts a send-queue WR, charging the caller only the doorbell
@@ -510,13 +507,7 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 
 // post hands a wire message to the local NIC towards node dst.
 func (d *Device) post(dst string, size int, w wire) *simnet.Outgoing {
-	t := d.free
-	if t == nil {
-		t = &transfer{dev: d}
-	} else {
-		d.free, t.next = t.next, nil
-	}
-	t.w = w
+	t := d.xfers.take(w)
 	return d.node.PostFlight(&t.fl, t, dst, size, &t.w)
 }
 
@@ -540,8 +531,8 @@ func (d *Device) deliver(m *simnet.Message) {
 			return
 		}
 		delete(qp.pendingReads, w.wrid)
-		if local != nil {
-			local.SetPayload(w.payload, w.size)
+		if local != nil && w.size > local.size {
+			panic(fmt.Sprintf("verbs: READ response of %d bytes exceeds local MR size %d", w.size, local.size))
 		}
 		if w.signaled {
 			retain(w.payload)
@@ -555,26 +546,21 @@ func (d *Device) deliver(m *simnet.Message) {
 		retain(w.payload)
 		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpWriteImm:
-		mr := d.mrs[w.remoteMR]
-		if mr == nil {
+		if d.mrs[w.remoteMR] == nil {
 			panic(fmt.Sprintf("verbs: WRITE_IMM to invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
-		mr.SetPayload(w.payload, w.size)
 		qp.consumeRecv("WRITE_IMM")
 		retain(w.payload)
 		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
 	case OpRead:
-		// Responder HCA streams the MR contents back; zero remote CPU. The
+		// Responder HCA streams the segment back; zero remote CPU. The
 		// response holds what it captured, so a later SetSegment or
 		// ClearSegment of the offset leaves this READ its snapshot.
 		mr := d.mrs[w.remoteMR]
 		if mr == nil {
 			panic(fmt.Sprintf("verbs: READ of invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
-		payload, plen := mr.payload, mr.plen
-		if mr.stride > 0 || mr.segments != nil { // segment-addressed
-			payload, plen = mr.Segment(w.remoteOff)
-		}
+		payload, plen := mr.Segment(w.remoteOff)
 		if w.size > 0 && w.size < plen {
 			plen = w.size
 		}
