@@ -30,13 +30,22 @@ counters:
 # examples/ carries a `// no driver: <why>` comment on its line or the line
 # above: a run of callbacks or engines alone, an allocation step, a window
 # whose parked driver is the point. internal/sim's own tests call Run because
-# they test it.
+# they test it. They close what they open instead: every NewEnv in
+# internal/sim's tests is testEnv's own, which closes the Env when its test
+# ends, or carries a `// no close: <why>` comment on its line or the line
+# above — an Env left open keeps its parked processes' coroutines, and all
+# they reach, alive for the rest of the test binary.
 rigs:
 	@out=$$(find internal cmd examples -name '*_test.go' -not -path 'internal/sim/*' | sort | xargs -r awk ' \
 		FNR == 1 { prev = "" } \
 		/\.(Run\(\)|RunUntil\()/ && $$0 !~ /\/\/ no driver: [^ ]/ && prev !~ /^[ \t]*\/\/ no driver: [^ ]/ { print FILENAME ":" FNR ": " $$0 } \
 		{ prev = $$0 }'); \
 	test -z "$$out" || { echo "make rigs: a direct Run with neither the driver rig nor a // no driver: reason:"; echo "$$out"; exit 1; }
+	@out=$$(find internal/sim -name '*_test.go' | sort | xargs -r awk ' \
+		FNR == 1 { prev = "" } \
+		/NewEnv\(/ && $$0 !~ /\/\/ no close: [^ ]/ && prev !~ /^[ \t]*\/\/ no close: [^ ]/ && prev !~ /^func testEnv\(/ { print FILENAME ":" FNR ": " $$0 } \
+		{ prev = $$0 }'); \
+	test -z "$$out" || { echo "make rigs: an Env in the internal/sim tests opened with neither testEnv nor a // no close: reason:"; echo "$$out"; exit 1; }
 
 # Map iteration order decides nothing (DESIGN §16): every range over a map in
 # production code under internal/ sorts the slice it appends to, after the

@@ -78,8 +78,8 @@ func (l *loseBuckets) Transmit(src, dst string, size int, now sim.Time) simnet.V
 // resolver has not returned its resolution record: its bucket READ was lost,
 // and the run is cut before the resolver gives up on it. The census must name
 // the client's resolutions list with that one record unaccounted for — and
-// the GET's request, which the caller and the resolution still hold — and
-// blame no server. Run on to a quiesce, the resolver falls back to RPC and
+// the GET's request, which its caller holds, and its attempt, which the
+// request and the resolution hold — and blame no server. Run on to a quiesce, the resolver falls back to RPC and
 // returns the record, and once the caller releases the GET the census is
 // clean again.
 func TestCensusNamesAParkedResolver(t *testing.T) {
@@ -111,7 +111,7 @@ func TestCensusNamesAParkedResolver(t *testing.T) {
 	if err == nil {
 		t.Fatal("the census found nothing wrong with a resolver that has not returned its record")
 	}
-	for _, want := range []string{"client0 resolutions: 1 unaccounted", "client0 requests: 1 unaccounted"} {
+	for _, want := range []string{"client0 resolutions: 1 unaccounted", "client0 requests: 1 unaccounted", "client0 attempts: 1 unaccounted"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("census: %v\nnames nothing like %q", err, want)
 		}

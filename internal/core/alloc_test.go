@@ -146,56 +146,46 @@ func fallbackModel(tb testing.TB) (step func()) {
 // What one operation allocates, every layer under the client included:
 // nothing. The stored item of a SET comes off its manager's free list and
 // goes back once the next SET of its key has replaced it (hybridslab.Item).
-// The request handle — its
-// attempt and wire message ride inside it; its options are parsed into the
-// client's scratch record — comes off the client's free list and goes back
-// at its last hold: the caller's Release, the answer to its message, the TX
-// engine's post. The server's answer comes off the
-// store's free list and goes back once the client has landed it and the
-// message carrying it has been recycled (protocol.NewReply). A bypass hit's
-// resolver runs on a recycled process, spawned with a function bound once
-// per client, and takes the GET's resolution — a record off the client's
-// free list, its READ's wait inside it — from the client's resolver queue. The hit
-// that ticks a hot-set refresh adds nothing: the refresh goes out from the
-// connection's long-lived refresher on a pooled request record, and the
-// server answers every query with a pooled reply carrying the one
-// DirectoryInfo it holds for its hot-set version and epoch. Its fabric
-// messages — an RPC's request and response, a hit's READ out and back —
-// cost nothing: each verbs transfer comes off its HCA's free list and goes
-// back after delivery. The blocking Get and Set copy their answer out and
-// release their own request. Nothing is allocated per value byte. The SETs
-// were 1 while every stored item was allocated afresh; they were 2, 1, 1 and
-// 1 while every request had a handle of its own, and 3, 2, 2 and 3 while
-// every answer and every resolver was allocated afresh too.
+// The request handle comes off the client's free list and goes back at the
+// caller's Release; its attempt — the wire message rides inside it; its
+// options are parsed into the client's scratch record — comes off the
+// client's list of attempts and goes back at its last hold once the request
+// has ended: the answer to its message, the TX engine's post. The server's
+// answer comes off the store's free list and goes back once the client has
+// landed it and the message carrying it has been recycled
+// (protocol.NewReply). A bypass hit's resolver runs on a recycled process,
+// spawned with a function bound once per client, and takes the GET's
+// resolution — a record off the client's free list, its READ's wait inside
+// it — from the client's resolver queue. The hit that ticks a hot-set
+// refresh adds nothing: the refresh goes out from the connection's
+// long-lived refresher on a pooled request record, and the server answers
+// every query with a pooled reply carrying the one DirectoryInfo it holds for
+// its hot-set version and epoch. Its fabric messages — an RPC's request and
+// response, a hit's READ out and back — cost nothing: each verbs transfer
+// comes off its HCA's free list and goes back after delivery. The blocking
+// Get and Set copy their answer out and release their own request. Nothing
+// is allocated per value byte.
 //
-// A second attempt — a retransmit, a hedge, a bypass fallback — allocates its
-// attempt record (1: the first attempt's is embedded in the Req, and the
-// earlier attempts may still be queued, pending or on the wire, so it cannot
-// be reused) and nothing else in the client: chaining a request's attempts
-// costs a pointer in a record that exists anyway. The rest of each ceiling is
-// the helper that made the attempt: the message the fabric lost goes back to
-// its HCA's free list as the rest of the traffic does, the answer included,
-// and costs nothing. A fallback's first
-// attempt never left the client, so its request handle is recycled: it is
-// the attempt (1) alone, its resolver spawned with no closure. A retransmit's
-// or a hedge's first attempt was sent and never answered — the server may
-// still read its message in the handle — so the handle is never recycled
-// and each such GET allocates a fresh one (1). A hedged GET is that handle
-// plus the hedger's closure (1) and the attempt (1). A retransmitted GET is
-// the handle plus the attempt (1) and the guard: its closure (1) and the
-// two wakeups its attempt-waits leave on the nudge (2); its policy has no
-// jitter, so the guard builds no jitter source (it was 6 while every guard
-// built one, jittered or not). An event chains its
-// waiters through their wakeups, so a second waiter on the completion flag
-// costs nothing, and a canceled one goes back to the free list when its
-// event fires; but the nudge of a retransmitted GET never fires, and its
-// leftovers go with the handle. The attempt-waits wait on the flag and the
-// nudge directly, with no joined event and no observers (the ceiling was 20
-// while they did). They were 21, 6 and 4 while every answer and every
-// resolver was allocated afresh, the fallback 2 while every request had a
-// handle of its own, 10 and 5 while an event's second and later waiters
-// lived in a slice of its own, and 7 and 4 while a dropped message's
-// transfer was never handed back.
+// A second attempt — a retransmit, a hedge, a bypass fallback — comes off
+// the same list as the first, and chaining a request's attempts costs a
+// pointer in a record that exists anyway. What a ceiling counts is the
+// helper that made the second attempt, and the first attempt when its
+// message keeps it: the message the fabric lost goes back to its HCA's free
+// list as the rest of the traffic does, the answer included, and costs
+// nothing. A fallback's first attempt never left the client, so both
+// attempts and the handle are recycled, and its resolver is spawned with no
+// closure: 0. A retransmit's or a hedge's first attempt was sent and never
+// answered — the server may still read its message — so it is never
+// recycled and each such GET takes a fresh one (1); the handle, which the
+// message does not pin, is recycled. A hedged GET is that attempt plus the
+// hedger's closure (1): 2. A retransmitted GET is that attempt plus the
+// guard's closure (1): 2. Its policy has no jitter, so the guard builds no
+// jitter source, and it waits on the request's completion flag and its nudge
+// directly, with no joined event and no observers. An event chains its
+// waiters through their wakeups, so a second waiter costs nothing, and a
+// canceled one goes back to the kernel's list when its event fires: the
+// retransmit fires the nudge before re-arming it, and finish fires it before
+// the attempt carrying it goes back zeroed.
 var allocTable = []struct {
 	name    string
 	model   func(testing.TB) (step func())
@@ -211,9 +201,9 @@ var allocTable = []struct {
 	{"BlockingGet", blockingGetModel, 0},
 	{"BypassHit", bypassHitModel, 0},
 	{"BypassSampled", sampledModel, 0},
-	{"Retransmit", retransmitModel, 5},
-	{"Hedge", hedgeModel, 3},
-	{"BypassFallback", fallbackModel, 1},
+	{"Retransmit", retransmitModel, 2},
+	{"Hedge", hedgeModel, 2},
+	{"BypassFallback", fallbackModel, 0},
 }
 
 // TestOperationAllocationCeilings logs each row's name=count for make allocs:
@@ -245,26 +235,20 @@ func BenchmarkAllocs(b *testing.B) {
 	}
 }
 
-// Req and attempt are allocated once per operation and once per second
-// attempt, and the benchmark's host_bytes_per_op has a 2 % bound: the
-// attempt chain, the attempt's state and the breaker's probe holder cost no
-// bytes. Req was 560 bytes (the 576-byte size class), then 416 (the 416-byte
-// class): three 24-byte events in place of three of 48, its exported Op,
-// Status and Flags in one word, and its attempt and options packed. Then 376,
-// in the 384-byte class: its id and key read off its first attempt's message
-// (ID, Key), and a retryable rejection kept as its one-byte status beside
-// Status rather than as an error. Then 320, the 320-byte class: four 16-byte
-// events in place of 24 (a waiter ring kept by its tail), no client or
-// latest-connection pointer (first.cn.c, cur.cn), and the busy hint in the
-// attempt's padding. Now it is 256, the 256-byte class: Issue's options are
-// parsed into a scratch record on the client and read inside Issue (the
-// deadline and retry policy ride in the guard's closure, the one fact read
-// later is a flag byte where Status left one of padding), and a bypass READ's
-// wait record — the fourth event — lives on the GET's resolution. attempt is
-// 128, its own class: no id beside its message's ReqID, an 80-byte message,
-// and the hint's four bytes where state left seven of padding. The resolution
-// is pooled per client, so its size is not per operation; its pin catches
-// one that grows unseen.
+// Req is allocated once per operation by a caller that never releases, and
+// the benchmark's host_bytes_per_op has a 2 % bound; an attempt is allocated
+// once per message a server never answered, as every other one is recycled.
+// The attempt ring and the breaker's probe holder cost no bytes. Req is 128
+// bytes, the 128-byte class: the answer (Op, Status and Flags in one word, the
+// value, CAS, timestamps and attempt count), its key and id, its completion
+// flag, and two pointers — the latest attempt while it is in flight, the
+// latest connection — and nothing of its in-flight state, which rides on its
+// attempts. attempt is 176, the 176-byte class: the 80-byte message, the
+// state, credit and frame bookkeeping with the busy hint in the padding
+// after state, the buffer-reusable and guard events and the retry policy
+// (read on a request's first attempt), and the hold count. The resolution is
+// pooled per client, so its size is not per operation; its pin catches one
+// that grows unseen.
 //
 // It also logs one line of each per-operation record's size and size class,
 // which make allocs prints, so a record that crosses a class shows there.
@@ -283,14 +267,14 @@ func TestRequestRecordSizes(t *testing.T) {
 		line += fmt.Sprintf(" %s=%d/%d", r.name, r.size, sizeClass(r.size))
 	}
 	t.Log(line + "  (unsafe.Sizeof/size class)")
-	if got := unsafe.Sizeof(Req{}); got > 256 {
-		t.Errorf("Req is %d bytes, over the 256-byte size class (320 at 5ec2674)", got)
+	if got := unsafe.Sizeof(Req{}); got > 128 {
+		t.Errorf("Req is %d bytes, over the 128-byte size class", got)
 	}
 	if got := unsafe.Sizeof(resolution{}); got > 96 {
 		t.Errorf("resolution is %d bytes, over the 96-byte size class (96 when pooled)", got)
 	}
-	if got := unsafe.Sizeof(attempt{}); got != 128 {
-		t.Errorf("attempt is %d bytes, want 128 (128 at f0af065)", got)
+	if got := unsafe.Sizeof(attempt{}); got != 176 {
+		t.Errorf("attempt is %d bytes, want 176", got)
 	}
 }
 

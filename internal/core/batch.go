@@ -28,7 +28,7 @@ const (
 // members' settle (issue.go) arbitrates through — who returns the credit
 // across batch acks, member responses, and per-op deadlines and cancels, and
 // who, giving back the last slot, drops the record. Its member list holds
-// each member's request until then: a late batch ack walks it.
+// each member attempt until then: a late batch ack walks it.
 type txBatch struct {
 	id             uint64
 	members        []*attempt
@@ -114,7 +114,7 @@ func (cn *conn) liveItems(items []*attempt) []*attempt {
 		if it.state == attQueued {
 			out = append(out, it)
 		} else {
-			it.req.drop()
+			it.drop()
 		}
 	}
 	return out
@@ -125,7 +125,7 @@ func (cn *conn) liveItems(items []*attempt) []*attempt {
 func (b *txBatch) drop() {
 	delete(b.members[0].cn.pendingBatch, b.id)
 	for _, att := range b.members {
-		att.req.drop()
+		att.drop()
 	}
 }
 
@@ -142,7 +142,7 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 		att.sent()
 		att.batch = b
 		b.members = append(b.members, att) // a copy: items may be the TX engine's stack
-		att.req.hold()
+		att.hold()
 		if att.wire.AckWanted {
 			frame.AckWanted = true
 		}
@@ -158,7 +158,7 @@ func (cn *conn) postBatch(p *sim.Proc, items []*attempt) {
 	})
 	p.Wait(sent)
 	for _, att := range items {
-		att.req.reusable.Fire()
-		att.req.drop() // the queue's hold
+		att.buffersFree()
+		att.drop() // the queue's hold
 	}
 }

@@ -37,19 +37,19 @@ type breaker struct {
 	// probe is the attempt the slot was taken for, from the moment it exists
 	// (allow runs when the attempt is routed, attach when it is made): the
 	// one attempt that gives the slot back if it ends without a verdict. It
-	// holds the attempt's request until the slot is given back or cleared
-	// (setProbe), so release never matches a record reused for another.
+	// holds the attempt until the slot is given back or cleared (setProbe),
+	// so release never matches a record reused for another.
 	probe *attempt
 }
 
 // setProbe makes att (nil: none) the probe, moving the hold from the old one.
 func (b *breaker) setProbe(att *attempt) {
 	if b.probe != nil {
-		b.probe.req.drop()
+		b.probe.drop()
 	}
 	b.probe = att
 	if att != nil {
-		att.req.hold()
+		att.hold()
 	}
 }
 

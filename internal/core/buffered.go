@@ -44,15 +44,15 @@ func (c *Client) SetBuffering(on bool) error {
 // later says about a deferred Set reaches its handle. Its attempt ends with
 // it, without a verdict, so whatever routing took for it — a half-open
 // breaker's probe slot — goes back through settle. The queue holds the
-// request, whose record carries the message, until the server has answered
-// it (flushConn). ack is WithBufferAck's wish, which the message carries.
+// attempt, which carries the message, until the server has answered it
+// (flushConn). ack is WithBufferAck's wish, which the message carries.
 func (c *Client) bufferSet(p *sim.Proc, cn *conn, op Op, req *Req, ack bool) *Req {
 	p.Sleep(prepCost)
 	c.initReq(req, op, ack)
 	p.Sleep(sim.TransferTime(op.ValueSize, sim.MemcpyBps)) // copy into the output buffer
-	req.attach(cn, attOffWire)
-	req.hold()
-	cn.buffered = append(cn.buffered, req)
+	att := req.attach(cn, attOffWire)
+	att.hold()
+	cn.buffered = append(cn.buffered, att)
 	c.Counters.Inc(metrics.CIssued)
 	req.finish(completed, &protocol.Response{Status: protocol.StatusStored})
 	if len(cn.buffered) >= bufferFlushThreshold {
@@ -80,13 +80,13 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	cn.buffered = nil
 	c.Counters.Inc(metrics.CSends)
 	if len(batch) == 1 {
-		wire := &batch[0].first.wire
+		wire := &batch[0].wire
 		cn.stream.Send(p, wire.WireSize(), wire)
 	} else {
 		c.nextID++
 		frame := &protocol.BatchFrame{BatchID: c.nextID, Reqs: make([]*protocol.Request, len(batch))}
-		for i, req := range batch {
-			frame.Reqs[i] = &req.first.wire
+		for i, att := range batch {
+			frame.Reqs[i] = &att.wire
 		}
 		c.Counters.Inc(metrics.CFrames)
 		c.Counters.Add(metrics.CFrameOps, int64(len(batch)))
@@ -99,12 +99,12 @@ func (c *Client) flushConn(p *sim.Proc, cn *conn) {
 	// first mismatch on, the queue keeps its holds, as the server may not be
 	// done with those messages.
 	answered := true
-	for _, req := range batch {
+	for _, att := range batch {
 		resp := cn.stream.Recv(p).Payload.(*protocol.Response)
-		if answered = answered && resp.ReqID == req.ID(); answered {
-			req.drop()
+		if answered = answered && resp.ReqID == att.wire.ReqID; answered {
+			att.drop()
 		} else {
-			c.kept = append(c.kept, req)
+			c.kept[att.wire.ReqID] = att
 		}
 		resp.Release()
 	}

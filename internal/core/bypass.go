@@ -108,24 +108,27 @@ func (c *Client) bypassEligible(op Op, path ReadPath) bool {
 }
 
 // resolution is one GET being resolved one-sided: the resolver process, the
-// request, the connection it resolves on, the READs spent on it so far and
-// the wait of the one in flight. The connection is the resolver's own — that
-// of the request's first attempt, which the resolution is: a hedge, a
-// retransmit or the fallback may give the request another attempt on another
-// connection at any suspension, and a resolver that asked the request where
-// it stands would finish on a directory it never bootstrapped.
+// request's first attempt, the READs spent on it so far and the wait of the
+// one in flight. The attempt is the resolution — off the wire, on the
+// connection the GET was routed to — and that connection is the resolver's
+// own: a hedge, a retransmit or the fallback may give the request another
+// attempt on another connection at any suspension, and a resolver that asked
+// the request where it stands would finish on a directory it never
+// bootstrapped.
 //
 // The record comes off its client's free list (Client.resolutions) in
 // startBypass, and its one holder is its resolver, which puts it back when it
-// returns (release). Its READ's entry in conn.readWaits takes no hold: the
-// resolver deletes the entry when it stops waiting, or the demux engine does
-// when it delivers, so no entry outlives the resolver. A completion that comes
-// later finds no entry, whoever has the record by then.
+// returns (release). It holds the attempt, not the request, until then: the
+// resolver reads the request through att.req, which finish clears, so it
+// never touches a request that has ended — and its caller may release. Its
+// READ's entry in conn.readWaits takes no hold: the resolver deletes the
+// entry when it stops waiting, or the demux engine does when it delivers, so
+// no entry outlives the resolver. A completion that comes later finds no
+// entry, whoever has the record by then.
 type resolution struct {
 	c      *Client
 	p      *sim.Proc
-	req    *Req
-	cn     *conn
+	att    *attempt
 	digest uint64
 	reads  int      // READs posted for this GET
 	bytes  int      // bytes they asked for
@@ -138,11 +141,12 @@ type resolution struct {
 // resolution waits in c.resolving for the resolver spawned with it:
 // processes start in spawn order, so each resolver takes the oldest waiting
 // GET — its own — and any resolver would do, since they are all alike. The
-// resolution holds the request until its resolver returns.
+// resolution holds the request's first attempt until its resolver returns.
 func (c *Client) startBypass(req *Req) {
-	req.hold()
+	att := req.cur
+	att.hold()
 	r := c.resolutions.Get()
-	r.c, r.req, r.cn, r.digest = c, req, req.first.cn, protocol.KeyDigest(req.Key())
+	r.c, r.att, r.digest = c, att, protocol.KeyDigest(req.Key())
 	c.resolving.TryPut(r)
 	c.env.Spawn("client/bypass", c.resolver)
 }
@@ -152,42 +156,46 @@ func (c *Client) startBypass(req *Req) {
 func (c *Client) resolveNext(p *sim.Proc) {
 	r, _ := c.resolving.TryGet()
 	defer r.release()
-	defer r.req.tagPanic()
+	defer r.att.tagPanic()
 	r.p = p
 	if !r.resolve() {
 		r.fallback()
 	}
 }
 
-// release ends the resolution: it gives back its hold on the request, and
+// release ends the resolution: it gives back its hold on the attempt, and
 // the record goes back on its client's free list, zeroed.
 func (r *resolution) release() {
-	c, req := r.c, r.req
+	c, att := r.c, r.att
 	if pool.Drop(r) {
 		c.resolutions.Put(r)
 	}
-	req.drop()
+	att.drop()
 }
+
+// ended reports whether the GET has ended: answered here, or by racing
+// guard, hedge or cancel machinery.
+func (r *resolution) ended() bool { return r.att.req == nil }
 
 // resolve attempts one-sided resolution; true means the request needs no
 // fallback (completed via bypass, or already completed by racing
 // guard/cancel machinery).
 func (r *resolution) resolve() bool {
-	req, cn := r.req, r.cn
+	cn, key := r.att.cn, r.att.wire.Key
 	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn) {
-		return req.done.Fired()
+		return r.ended()
 	}
-	if req.done.Fired() {
+	if r.ended() {
 		return true
 	}
 
 	// An out-of-line value resolved before: one READ of the cached segment
 	// location, validated by the digest the segment embeds.
-	if loc, ok := cn.locs[req.Key()]; ok {
+	if loc, ok := cn.locs[key]; ok {
 		if r.readSegment(loc, 0) == probeResolved {
 			return true
 		}
-		delete(cn.locs, req.Key()) // superseded: the cached location is dead
+		delete(cn.locs, key) // superseded: the cached location is dead
 	}
 
 	for reprobes := 0; ; reprobes++ {
@@ -211,7 +219,7 @@ func (r *resolution) resolve() bool {
 func (r *resolution) read(mr int, off int64, n int) (payload any, ok bool) {
 	r.reads++
 	r.bytes += n
-	cn, w := r.cn, &r.wait
+	cn, w := r.att.cn, &r.wait
 	cn.c.nextID++
 	id := cn.c.nextID
 	w.ev.Init()
@@ -241,14 +249,15 @@ const (
 // lacks the key but counts spills — and acts on the verdict of the way
 // holding the key's digest.
 func (r *resolution) probeSlot() probeOutcome {
-	home := int(r.digest % uint64(r.cn.dir.Buckets))
+	dir := r.att.cn.dir
+	home := int(r.digest % uint64(dir.Buckets))
 	bucket, out, ok := r.readBucket(home)
 	if !ok {
 		return out
 	}
 	slot, found := bucket.Way(r.digest)
 	if !found && bucket.Spill > 0 {
-		if bucket, out, ok = r.readBucket(protocol.AltBucket(home, r.digest, r.cn.dir.Buckets)); !ok {
+		if bucket, out, ok = r.readBucket(protocol.AltBucket(home, r.digest, dir.Buckets)); !ok {
 			return out
 		}
 		slot, found = bucket.Way(r.digest)
@@ -277,7 +286,7 @@ func (r *resolution) probeSlot() probeOutcome {
 // meanwhile (resolved), or the READ brought no bucket back — wedged, so the
 // guarded RPC path copes (fallback).
 func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutcome, ok bool) {
-	dir := r.cn.dir
+	dir := r.att.cn.dir
 	n := dir.BucketBytes()
 	got, read := r.read(dir.DirMR, int64(b)*int64(n), n)
 	held, isBucket := got.(*protocol.DirBucket)
@@ -285,7 +294,7 @@ func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutc
 		bucket = held.Copy()
 	}
 	verbs.Release(got)
-	if r.req.done.Fired() {
+	if r.ended() {
 		return bucket, probeResolved, false
 	}
 	return bucket, probeFallback, read && isBucket
@@ -297,7 +306,7 @@ func (r *resolution) readBucket(b int) (bucket protocol.DirBucket, out probeOutc
 // from the cache. An empty or foreign READ is transient: the segment was
 // superseded after its location was learned.
 func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
-	cn := r.cn
+	cn := r.att.cn
 	got, ok := r.read(cn.dir.ValMR, loc.off, loc.n)
 	var seg protocol.DirSegment
 	held, isSeg := got.(*protocol.DirSegment)
@@ -305,7 +314,7 @@ func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 		seg = held.Copy()
 	}
 	verbs.Release(got)
-	if r.req.done.Fired() {
+	if r.ended() {
 		return probeResolved
 	}
 	if !ok {
@@ -315,7 +324,7 @@ func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 		return probeTransient
 	}
 	if version != 0 {
-		cn.locs[r.req.Key()] = loc // the next GET of this key starts here
+		cn.locs[r.att.wire.Key] = loc // the next GET of this key starts here
 	}
 	r.complete(&seg)
 	return probeResolved
@@ -324,11 +333,12 @@ func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 // complete lands a validated value in the request and books what the hit
 // cost.
 func (r *resolution) complete(seg *protocol.DirSegment) {
-	c, p, req := r.c, r.p, r.req
+	c, p := r.c, r.p
 	p.Sleep(sim.TransferTime(seg.ValueSize, sim.MemcpyBps))
-	if req.done.Fired() {
+	if r.ended() {
 		return
 	}
+	req := r.att.req
 	req.bypassed = true
 	c.Counters.Inc(metrics.CBypassHits)
 	c.Counters.Add(metrics.CBypassHitReads, int64(r.reads))
@@ -336,7 +346,7 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 	if r.reads == 1 {
 		c.Counters.Inc(metrics.CBypassFastPath)
 	}
-	req.first.settle(answered) // the resolution is the request's first attempt
+	r.att.settle(answered) // the resolution is the request's first attempt
 	req.finish(completed, &protocol.Response{
 		Status: protocol.StatusOK, Value: seg.Value, ValueSize: seg.ValueSize, Flags: seg.Flags, CAS: seg.CAS,
 	})
@@ -347,18 +357,19 @@ func (r *resolution) complete(seg *protocol.DirSegment) {
 // working unchanged: the RPC attempt registered here is just the request's
 // next attempt.
 func (r *resolution) fallback() {
-	c, p, req := r.c, r.p, r.req
+	c, p := r.c, r.p
 	c.Counters.Inc(metrics.CBypassFallbacks)
-	if req.done.Fired() {
+	if r.ended() {
 		return
 	}
 	p.Sleep(prepCost)
-	if req.done.Fired() {
+	if r.ended() {
 		return
 	}
 	// Stays on the resolving connection unless that one has browned out and
 	// a healthy replica's RPC path exists.
-	cn := c.route(req.Key(), routeFallback, r.cn)
+	req := r.att.req
+	cn := c.route(req.Key(), routeFallback, r.att.cn)
 	c.enqueueWire(req, cn)
 }
 

@@ -128,11 +128,14 @@ const (
 	prepCost = 300 * sim.Nanosecond
 )
 
-// Req is the memcached_req analog: the handle for one in-flight operation.
-// A caller that keeps its handles keeps one Req per operation, so its size is
-// the host's bytes per operation: 256 bytes, the 256-byte size class
-// (TestRequestRecordSizes), with three 16-byte events and its one-byte fields
-// packed beside Status and Holds.
+// Req is the memcached_req analog: the handle for one operation. A caller
+// that keeps its handles keeps one Req per operation, so its size is the
+// host's bytes per operation: 128 bytes, the 128-byte size class
+// (TestRequestRecordSizes). It keeps the answer and what names the request.
+// What the request needs only while it is in flight — each transmission's
+// wire message, the buffer-reusable and guard events, the retry policy —
+// lives on its attempts, which come off the client's list and go back once
+// the request has ended and their last holder has let go.
 type Req struct {
 	// Op is the issued opcode.
 	Op protocol.Opcode
@@ -144,9 +147,8 @@ type Req struct {
 	// right after such a rejection, Err surfaces its sentinel instead of the
 	// generic deadline error.
 	rejected protocol.Status
-	// retrying is set for a request issued under WithRetry: a retryable
-	// rejection then nudges its guard instead of completing the request.
-	retrying bool
+	// how is how the request ended (finish); meaningless until done fires.
+	how outcome
 	// Flags / CAS are the item metadata from the response.
 	Flags uint32
 	CAS   uint64
@@ -159,42 +161,27 @@ type Req struct {
 	// Attempts counts transmissions (1 without retries).
 	Attempts int
 
-	// Everything an operation needs on its common path is embedded by value
-	// — zero, or set up in initReq — so a request is one record: its three
-	// events and its first attempt (with the wire message that attempt
-	// sends). Its options are read inside Issue (issueOpts), and a bypass
-	// GET's resolution is a record of its own, pooled by the client
-	// (resolution). Only a retransmit, a hedge or a bypass fallback — a
-	// second attempt — allocates again, and the request owns those too: its
-	// attempts are chained from first in the order attach made them, cur the
-	// latest, and finish settles whichever are still outstanding. first.wire
-	// is also the template later attempts copy their message from: written
-	// in initReq and by the first attach, never after.
-	//
-	// The record is recycled through its client's free list (Client.reqs,
-	// DESIGN §16). The caller holds it from Issue until Release; so does
-	// every internal holder while it holds a pointer into the record — the
-	// TX queue or batch window, the server reading first.wire (from post
-	// until the first attempt is answered: one sent and never answered keeps
-	// its hold for good, and the record goes to the GC), the guard and hedge
-	// procs, the bypass resolution, a frame's member list and a half-open
-	// breaker's probe.
-	//
-	// The record keeps no pointer to its client or to its latest connection:
-	// the first attempt's connection names the client (client), the latest
-	// attempt its connection (cur.cn); and the server's busy hint rides on
-	// the latest attempt (attempt.retryAfterUS).
-	done     sim.Event // server response received ("completion flag")
-	reusable sim.Event // user buffers reusable
-	nudge    sim.Event // guard wakeup: attempt rejected as retryable (recovering/busy)
-	cur      *attempt  // the latest attempt; nil until the first exists
-	first    attempt   // the first attempt's record
+	done sim.Event // the request ended ("completion flag"): finish fired it
+	key  string    // the requested key (Key)
+	id   uint64    // the first attempt's wire id (ID)
+	// cur is the latest attempt, from initReq until finish, and nil after.
+	// The attempts are a ring through their next links in the order attach
+	// made them, kept by the latest: cur.next is the first, whose events are
+	// the request's (first). finish settles every one, then lets go of the
+	// ring.
+	cur *attempt
+	// cn is the latest attempt's connection, which names the client
+	// (client); it outlives the attempts, for a guard that retransmits a
+	// request which ended while it backed off.
+	cn *conn
 
-	// What is behind Err and the accessors below.
-	how      outcome // how the request ended (finish); meaningless until done fires
-	acked    bool    // BufferAck received: the server holds the request
-	bypassed bool    // completed via one-sided bypass READ, no server CPU
-	released bool    // the caller's hold is given back (Release)
+	acked    bool // BufferAck received: the server holds the request
+	bypassed bool // completed via one-sided bypass READ, no server CPU
+	released bool // the caller's hold is given back (Release)
+	// The record is recycled through its client's free list (Client.reqs,
+	// DESIGN §16). The caller holds it from Issue until Release, and so do a
+	// guard and a hedge process until they return; nothing else points into
+	// it once the request has ended.
 	pool.Holds
 }
 
@@ -209,16 +196,20 @@ func (r *Req) drop() {
 	}
 }
 
-// client is the client that issued the request: its first attempt's
-// connection's. Every request has a first attempt from Issue on, so every
-// holder after Issue finds it; a free record, zeroed, has none.
-func (r *Req) client() *Client { return r.first.cn.c }
+// client is the client that issued the request: its latest connection's.
+// Every request has one from Issue on, so every holder after Issue finds it;
+// a free record, zeroed, has none.
+func (r *Req) client() *Client { return r.cn.c }
+
+// first is the request's first attempt, whose buffer-reusable and guard
+// events are the request's. Only a request in flight has one.
+func (r *Req) first() *attempt { return r.cur.next }
 
 // newReq hands out a zero request record holding one hold, its caller's. It
 // panics if the record was touched after its last drop.
 func (c *Client) newReq() *Req {
 	r := c.reqs.Get()
-	if r.first.cn != nil || r.done.Fired() || r.reusable.Fired() {
+	if r.cn != nil || r.cur != nil || r.done.Fired() {
 		panic("core: a free request was touched after its last release")
 	}
 	return r
@@ -226,11 +217,13 @@ func (c *Client) newReq() *Req {
 
 // Release gives the caller's hold on req back: the caller has read what it
 // keeps of the request, and the client may reuse the record for another
-// operation once its internal holders are done with it too. Every request
-// Issue returns is released at most once, after it is done; a caller that
-// never releases leaves the record to the GC. Releasing a request that is
-// not done, or a second time, panics. The blocking calls (Set, Get, Gets)
-// release their own.
+// operation once a guard or hedge process still running for it has returned.
+// Every request Issue returns is released at most once, after it is done. A
+// caller that never releases keeps only the answer: the request's attempts,
+// its wire messages among them, went back to the client when it ended, and
+// the record itself goes to the GC. Releasing a request that is not done, or
+// a second time, panics. The blocking calls (Set, Get, Gets) release their
+// own.
 func (c *Client) Release(req *Req) {
 	if !req.done.Fired() {
 		panic("core: Release of a request that is not done (or was released already)")
@@ -243,16 +236,17 @@ func (c *Client) Release(req *Req) {
 }
 
 // Census tallies the client's pooled records at a drained quiesce. Once the
-// callers have released what they issued, every request record is free or
-// kept for good, held by its unanswered message alone; and every resolution
-// is free, its resolver returned.
+// callers have released what they issued, every request record is free;
+// every attempt is free or kept for good, held by its unanswered message
+// alone; and every resolution is free, its resolver returned.
 func (c *Client) Census() []pool.Tally {
-	var kept pool.Walk[Req, *Req]
-	for _, req := range c.kept {
-		kept.Visit(req)
+	var kept pool.Walk[attempt, *attempt]
+	for _, att := range c.kept { // order-free: a count
+		kept.Visit(att)
 	}
 	return []pool.Tally{
-		pool.Count("requests", &c.reqs, &kept, 0),
+		pool.Count("requests", &c.reqs, nil, 0),
+		pool.Count("attempts", &c.attempts, &kept, 0),
 		pool.Count("resolutions", &c.resolutions, nil, 0),
 	}
 }
@@ -261,23 +255,28 @@ func (c *Client) Census() []pool.Tally {
 func (r *Req) Done() bool { return r.done.Fired() }
 
 // ID returns the request id on the wire: its first attempt's.
-func (r *Req) ID() uint64 { return r.first.wire.ReqID }
+func (r *Req) ID() uint64 { return r.id }
 
 // Key returns the requested key.
-func (r *Req) Key() string { return r.first.wire.Key }
+func (r *Req) Key() string { return r.key }
 
 // tagPanic, deferred by a request's helper process (bypass resolver, guard,
 // hedge), adds the request id to a panic passing through it. Those
 // processes share one constant name each — a formatted name per request was
 // two allocations on every GET — so the id would otherwise be lost. Env.Close
-// unwinding the process is no fault and passes through untouched.
-func (r *Req) tagPanic() {
-	if v := recover(); v != nil {
-		if sim.Unwinding(v) {
-			panic(v)
-		}
-		panic(fmt.Sprintf("request %d (%v %q): %v", r.ID(), r.Op, r.Key(), v))
+// unwinding the process is no fault and passes through untouched. The
+// resolver, which holds an attempt and not the request, tags with the
+// attempt's message (attempt.tagPanic).
+func (r *Req) tagPanic() { retag(recover(), r.id, r.Op, r.key) }
+
+func retag(v any, id uint64, op protocol.Opcode, key string) {
+	if v == nil {
+		return
 	}
+	if sim.Unwinding(v) {
+		panic(v)
+	}
+	panic(fmt.Sprintf("request %d (%v %q): %v", id, op, key, v))
 }
 
 // TimedOut reports whether the operation ended by deadline expiry.
@@ -327,13 +326,16 @@ type Client struct {
 	resolving *sim.Queue[*resolution]
 	resolver  func(*sim.Proc)
 
-	// reqs is the free list of request records (newReq, Req.drop); kept
-	// lists the records a message the server never answered holds for good
-	// (attempt.settle, the socket exchange and flushConn keep them);
+	// reqs is the free list of request records (newReq, Req.drop);
+	// attempts that of attempts (initReq, attach, attempt.drop); kept holds,
+	// by wire id, the attempts whose message a server may still read though
+	// it never answered it (attempt.settle, the socket exchange and flushConn
+	// keep them; on RDMA a late answer hands one back, land);
 	// resolutions is the free list of bypass resolutions (startBypass,
 	// resolution.release).
 	reqs        pool.List[Req, *Req]
-	kept        []*Req
+	attempts    pool.List[attempt, *attempt]
+	kept        map[uint64]*attempt
 	resolutions pool.List[resolution, *resolution]
 
 	// opts is Issue's scratch record of its parsed options, read only
@@ -388,7 +390,7 @@ type conn struct {
 	window       []*attempt          // ops parked by an open BeginBatch window
 	// IPoIB state
 	stream   *verbs.Stream
-	buffered []*Req // libmemcached-style deferred Sets
+	buffered []*attempt // libmemcached-style deferred Sets
 	// brk is the per-server circuit breaker (nil when Config.Breaker is
 	// zero: no state, no routing change). Released on Retire.
 	brk *breaker
@@ -428,7 +430,7 @@ type conn struct {
 // New creates a client on node. Connections are added with ConnectRDMA or
 // ConnectIPoIB, one per server, before issuing operations.
 func New(env *sim.Env, node *simnet.Node, cfg Config) *Client {
-	c := &Client{env: env, cfg: cfg, resolving: sim.NewQueue[*resolution](env, 0)}
+	c := &Client{env: env, cfg: cfg, resolving: sim.NewQueue[*resolution](env, 0), kept: make(map[uint64]*attempt)}
 	c.resolver = c.resolveNext
 	if cfg.Transport == RDMA {
 		c.dev = verbs.OpenDevice(node)
@@ -574,19 +576,25 @@ func (c *Client) ConnectIPoIB(srv IPoIBServer) {
 	c.ring.Add(cn.serverID)
 }
 
-// initReq makes req — zero but for its retrying flag — the handle for op as
-// of now, and writes the wire template its attempts are built from; ack asks
-// the server for a BufferAck (WithBufferAck).
+// initReq makes req — zero — the handle for op as of now, and takes its
+// first attempt off the client's list, holding the request's hold, with the
+// message every attempt sends (attach gives a later one a fresh id); ack asks
+// the server for a BufferAck (WithBufferAck). The attempt waits for attach
+// to place it.
 func (c *Client) initReq(req *Req, op Op, ack bool) {
 	c.nextID++
 	req.Op = op.Code
 	req.IssuedAt = c.env.Now()
-	req.first.wire = protocol.Request{
+	req.key, req.id = op.Key, c.nextID
+	att := c.attempts.Get()
+	att.req, att.next = req, att
+	att.wire = protocol.Request{
 		ReqID: c.nextID, Op: op.Code, Key: op.Key, Flags: op.Flags,
 		ValueSize: op.ValueSize, Value: op.Value,
 		CAS: op.CAS, Delta: op.Delta,
 		AckWanted: ack,
 	}
+	req.cur = att
 }
 
 // --- Non-blocking API extensions (Listing 1) ---
@@ -724,14 +732,14 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline 
 	c.initReq(req, op, false)
 	// The exchange is the request's one attempt, resends included: it holds
 	// nothing a socket connection could give back but its verdict. The
-	// server reads its message in the request record, which it holds until
-	// the answer comes — for good if the message was sent more than once,
-	// since the server may read another copy after answering one.
+	// server reads its message in the attempt, which it holds until the
+	// answer comes — for good if the message was sent more than once, since
+	// the server may read another copy after answering one.
 	att := req.attach(cn, attOffWire)
 	wire := &att.wire // a socket connection has no response region to name
 	c.Counters.Inc(metrics.CIssued)
 	c.Counters.Inc(metrics.CSends)
-	req.hold()
+	att.hold()
 	cn.stream.Send(p, wire.WireSize(), wire)
 	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
 	for !req.done.Fired() {
@@ -749,7 +757,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline 
 			c.Counters.Inc(metrics.CSends)
 			cn.stream.Send(p, wire.WireSize(), wire)
 		case !heard:
-			c.kept = append(c.kept, req)
+			c.kept[att.wire.ReqID] = att
 			req.finish(timedOut, nil)
 		default:
 			// The delivery's hold on the reply is released once finish has
@@ -761,9 +769,9 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline 
 			}
 			att.settle(answered)
 			if req.Attempts == 1 {
-				req.drop()
+				att.drop()
 			} else {
-				c.kept = append(c.kept, req)
+				c.kept[att.wire.ReqID] = att
 			}
 			p.Sleep(sim.TransferTime(resp.ValueSize, sim.MemcpyBps))
 			req.finish(completed, resp)

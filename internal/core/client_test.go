@@ -356,7 +356,7 @@ func TestIssueOnIPoIB(t *testing.T) {
 
 		// One lost request: the first resend is answered, on the same server.
 		lost.n, lost.pick = 0, func(n int) bool { return n == 1 }
-		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.cur.cn != r.client.route("k", routeGet, nil) {
+		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.cn != r.client.route("k", routeGet, nil) {
 			t.Errorf("one lost request under WithRetry: err %v after %d attempts", req.Err(), req.Attempts)
 		}
 		// A mute server: each option bounds the exchange by its own budget.

@@ -490,19 +490,11 @@ func (x *endCell) run() {
 		t.Fatal("the subject was never issued")
 	}
 
-	// Nothing is left on any connection, done fired once per request, and the
-	// subject's attempts are all settled.
+	// Nothing is left on any connection, done fired once per request, the
+	// subject points into no attempt, and every attempt is back on the
+	// client's list or kept, settled, by a message its server never answered.
 	drained(t, c)
-	attempts := 0
-	for att := &req.first; att != nil; att = att.next {
-		attempts++
-		if att.state != attSettled {
-			t.Errorf("attempt %d of the subject is still in state %d", attempts, att.state)
-		}
-	}
-	if attempts != req.Attempts && !row.ipoib { // a socket exchange is one attempt, resends included
-		t.Errorf("the subject's chain holds %d attempts, it made %d", attempts, req.Attempts)
-	}
+	attemptsReturned(t, c, req)
 	if err := req.Err(); !errors.Is(err, row.err) {
 		t.Errorf("Err() = %v, want %v", err, row.err)
 	}
@@ -540,6 +532,15 @@ func (x *endCell) run() {
 		if got := after.Val(ctr) - before.Val(ctr); got != want[ctr] {
 			t.Errorf("%s moved by %d, want %d", ctr, got, want[ctr])
 		}
+	}
+	// Every attempt the subject made is one the counters name: its first,
+	// then each retransmit (a socket's resend), hedge and bypass fallback.
+	made := int64(1)
+	for _, ctr := range []metrics.Counter{metrics.CRetries, metrics.CHedges, metrics.CBypassFallbacks} {
+		made += after.Val(ctr) - before.Val(ctr)
+	}
+	if int64(req.Attempts) != made {
+		t.Errorf("the subject counts %d attempts, its counters %d", req.Attempts, made)
 	}
 }
 

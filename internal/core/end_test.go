@@ -68,6 +68,30 @@ func drained(t *testing.T, c *Client) {
 	}
 }
 
+// attemptsReturned checks that req, ended, points into no attempt, and that
+// every attempt of c is free or kept: settled, its request forgotten, held by
+// its unanswered message alone.
+func attemptsReturned(t *testing.T, c *Client, req *Req) {
+	t.Helper()
+	if req.cur != nil {
+		t.Errorf("the ended request still points into its attempts")
+	}
+	for _, att := range c.kept {
+		if att.state != attSettled || att.req != nil || att.next != nil {
+			t.Errorf("a kept attempt is in state %d, or points into its request's ring", att.state)
+		}
+	}
+	for _, tally := range c.Census() {
+		if tally.List != "attempts" {
+			continue
+		}
+		if n := tally.Made - tally.Free - tally.Walked; n != 0 || tally.Wrong != nil {
+			t.Errorf("attempts: %d neither free nor kept (%d made, %d free, %d kept) %v",
+				n, tally.Made, tally.Free, tally.Walked, tally.Wrong)
+		}
+	}
+}
+
 // A hedge is added beside the attempt it hedges over, and the request used to
 // remember only the later of the two: with the home server silent, the
 // earlier one kept its credit for good however the request ended — by the
@@ -158,24 +182,27 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 				srv.Restart()
 				p.Sleep(breakerCooldown + 100*sim.Microsecond) // the next request is the probe
 				var probe *Req
+				var on *conn // where the probe's first attempt went
 				if end == "canceled" {
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
+					on = probe.cn
 					c.Cancel(probe)
 				} else {
 					// The recovered server limps for a while: the hedge's miss
 					// comes first, the probe's answer late.
 					srv.AddWorkerStall(p.Now(), p.Now()+200*sim.Microsecond, 100*sim.Microsecond)
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithHedge(10*sim.Microsecond))
+					on = probe.cn
 					c.Wait(p, probe)
 				}
-				if probe.first.cn != home || c.Counters.Val(metrics.CBreakerHalfOpen) != 1 {
+				if on != home || c.Counters.Val(metrics.CBreakerHalfOpen) != 1 {
 					t.Error("the request was not the half-open probe: the test proves nothing")
 				}
 				p.Sleep(5 * sim.Millisecond)
 				for i := 0; i < 100; i++ {
 					req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
 					c.Wait(p, req)
-					if req.cur.cn == home {
+					if req.cn == home {
 						reached++
 					}
 				}

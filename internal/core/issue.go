@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/verbs"
@@ -83,8 +84,8 @@ type IssueOption func(*issueOpts)
 // issueOpts is the parsed form of Issue's options. Issue parses them into
 // its client's one scratch record (Client.opts) and reads them there before
 // it first suspends; what outlives Issue is carried elsewhere: the buffer-ack
-// wish in the wire message (AckWanted), the deadline and retry policy in the
-// guard's closure, and whether a retry policy was given in Req.retrying.
+// wish in the wire message (AckWanted), the deadline in the guard's closure,
+// and the retry policy on the request's first attempt (attempt.retry).
 type issueOpts struct {
 	ack      bool
 	forCAS   bool     // the GET behind Gets; see casRead
@@ -154,7 +155,6 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 		fn(&c.opts)
 	}
 	o := c.opts
-	req.retrying = o.retry != nil
 	in := intentOf(op.Code)
 	if o.forCAS {
 		in = routeWrite
@@ -176,6 +176,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	}
 	p.Sleep(prepCost)
 	c.initReq(req, op, o.ack)
+	req.cur.retry = o.retry
 	bypass := c.bypassEligible(op, o.readPath)
 	if bypass {
 		// Server-bypass resolution: no wire request yet — the resolver
@@ -202,7 +203,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 		if o.deadline > 0 {
 			deadline = req.IssuedAt + o.deadline
 		}
-		c.startGuard(req, deadline, o.retry)
+		c.startGuard(req, deadline)
 	}
 	if o.hedge > 0 && op.Code == protocol.OpGet && len(c.conns) > 1 {
 		// With health tracking live the threshold adapts to the measured
@@ -213,27 +214,29 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	// WithBufferAck cannot block here; the buffers become reusable after
 	// Flush (see BeginBatch).
 	if o.ack && !c.batching {
-		p.Wait(&req.reusable)
+		p.Wait(&req.first().reusable)
 	}
 	return req, nil
 }
 
-// attach makes req's next attempt — on cn, standing at state — and chains it
-// to the ones before. The first attempt lives in the Req and goes by the
-// request's id; every later one — a retransmit, a hedge, a bypass fallback —
-// is its own allocation under a fresh id, because the earlier ones may still
-// be pending, queued or on the wire. Its message is the template initReq
-// wrote, but for the id; its busy hint is the one its predecessor held.
+// attach places req's next attempt on cn, standing at state, and makes it the
+// latest. The first is the one initReq took, and goes by the request's id;
+// every later one — a retransmit, a hedge, a bypass fallback — comes off the
+// client's list under a fresh id, because the earlier ones may still be
+// pending, queued or on the wire, and joins the ring behind the latest. Its
+// message is the latest's, but for the id; so is its busy hint.
 func (req *Req) attach(cn *conn, state attState) *attempt {
-	att, wire, hint := &req.first, req.first.wire, uint32(0)
-	if req.cur != nil {
-		att, hint = new(attempt), req.cur.retryAfterUS
-		req.cur.next = att
-		cn.c.nextID++
-		wire.ReqID = cn.c.nextID
+	att := req.cur
+	if req.Attempts > 0 {
+		c := cn.c
+		att = c.attempts.Get()
+		c.nextID++
+		att.req, att.wire, att.retryAfterUS = req, req.cur.wire, req.cur.retryAfterUS
+		att.wire.ReqID = c.nextID
+		att.next, req.cur.next = req.cur.next, att
 	}
-	*att = attempt{req: req, cn: cn, start: cn.c.env.Now(), state: state, retryAfterUS: hint, wire: wire}
-	req.cur = att
+	att.cn, att.start, att.state = cn, cn.c.env.Now(), state
+	req.cur, req.cn = att, cn
 	req.Attempts++
 	if cn.brk != nil {
 		cn.brk.claim(att)
@@ -248,17 +251,17 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 // may carry — see frameable). A request that ended while the attempt was
 // being prepared gets none: nothing would ever settle it. It does not touch
 // metrics.CIssued: retransmits are attempts, not operations. The window or
-// the queue holds the request until the TX engine has posted the attempt or
-// dropped it (post, liveItems).
+// the queue holds the attempt until the TX engine has posted it or dropped
+// it (post, liveItems).
 func (c *Client) enqueueWire(req *Req, cn *conn) {
 	if req.done.Fired() {
 		return
 	}
-	first := req.cur == nil
+	first := req.Attempts == 0
 	att := req.attach(cn, attQueued)
 	att.wire.RespMR = cn.respMR.LKey()
 	cn.pending[att.wire.ReqID] = att
-	req.hold()
+	att.hold()
 	if first && c.batching && att.wire.Op != protocol.OpDirQuery {
 		cn.window = append(cn.window, att)
 	} else {
@@ -295,9 +298,10 @@ const (
 // finish ends the request: it lands the answer (resp, for completed), stamps
 // and counts the completion, settles every attempt still outstanding — the
 // one that answered is settled already; a hedge, or the attempt a hedge or a
-// fallback joined, may well not be — and fires the completion flag and the
-// buffer-reusable event. It is the only place done fires, and it is
-// idempotent: the first of a response, a deadline and a cancel wins.
+// fallback joined, may well not be — fires the completion flag and the
+// request's events on its first attempt, and lets go of its attempts. It is
+// the only place done fires, and it is idempotent: the first of a response, a
+// deadline and a cancel wins.
 func (req *Req) finish(how outcome, resp *protocol.Response) {
 	if req.done.Fired() {
 		return
@@ -324,11 +328,39 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		c.Counters.Inc(metrics.CCancels)
 	}
 	req.CompletedAt = c.env.Now()
-	for att := &req.first; att != nil; att = att.next {
+	first, last := req.first(), req.cur
+	for att := first; ; att = att.next {
 		att.settle(end)
+		if att == last {
+			break
+		}
 	}
 	req.done.Fire()
-	req.reusable.Fire()
+	first.reusable.Fire()
+	// Nothing waits on the nudge now but a guard the completion flag has
+	// woken: firing it hands that wait's wakeup back to the kernel's list
+	// before the attempt goes back to the client's, zeroed.
+	first.nudge.Fire()
+	req.letGo(first, last)
+}
+
+// letGo ends the ring of attempts from first to last: each forgets its
+// request and its neighbour, and gives back the hold the ring held it by.
+// From here on the request points into no attempt and no attempt points at
+// it; whatever still holds one of them — the TX queue, a frame's member
+// list, a server still reading a message, a breaker's probe slot, a bypass
+// resolution — reads only the attempt.
+func (req *Req) letGo(first, last *attempt) {
+	req.cur = nil
+	for att := first; ; {
+		next, end := att.next, att == last
+		att.req, att.next = nil, nil
+		att.drop()
+		if end {
+			return
+		}
+		att = next
+	}
 }
 
 // Cancel abandons an in-flight request: it completes immediately with
@@ -337,22 +369,32 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 func (c *Client) Cancel(req *Req) { req.finish(canceled, nil) }
 
 // retransmit gives up on the current attempt and enqueues a fresh one, on the
-// next connection when failing over.
+// next connection when failing over. The request may have ended while its
+// guard backed off: the decision is counted all the same, and nothing is
+// sent.
 func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
-	old := req.cur
-	old.settle(req.lapse())
-	cn := old.cn
+	old, cn := req.cur, req.cn
+	if old != nil {
+		old.settle(req.lapse())
+	}
 	if failover && len(c.conns) > 1 {
-		cn = c.route(req.Key(), routeNext, old.cn)
+		cn = c.route(req.Key(), routeNext, cn)
 		c.Counters.Inc(metrics.CFailovers)
 	}
 	c.Counters.Inc(metrics.CRetries)
 	p.Sleep(prepCost)
+	req.rejected = protocol.StatusOK
+	if req.cur == nil {
+		return
+	}
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
-	// sentinel and backoff hint belong to the old attempt alone.
-	req.nudge.Init()
-	req.rejected = protocol.StatusOK
+	// sentinel and backoff hint belong to the old attempt alone. Only the
+	// guard, running here, waits on the nudge, so firing it first hands back
+	// the wakeups its earlier waits left there.
+	nudge := &req.first().nudge
+	nudge.Fire()
+	nudge.Init()
 	old.retryAfterUS = 0
 	c.enqueueWire(req, cn)
 }
@@ -362,25 +404,30 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 // returns false: the server rejected the attempt, so there is no response to
 // keep waiting for — the guard proceeds straight to backoff and retransmit.
 func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
-	if !req.nudge.Fired() {
+	if req.cur != nil && !req.first().nudge.Fired() {
 		// The timeout wakeup is canceled on delivery, so a guard that never
 		// needs it leaves nothing scheduled behind — the instrumentation is
 		// invisible to the run's virtual end time.
-		p.WaitEither(&req.done, &req.nudge, d)
+		p.WaitEither(&req.done, &req.first().nudge, d)
 	}
 	return req.done.Fired()
 }
 
 // startGuard starts the watchdog process for a request issued with a
 // deadline (the virtual time it runs out at; 0 for none) and/or a retry
-// policy (nil for none). Both live in the guard's closure alone: nothing else
-// reads them.
-func (c *Client) startGuard(req *Req, deadline sim.Time, retry *RetryPolicy) {
+// policy, which rides on the request's first attempt (attempt.retry). The
+// deadline lives in the guard's closure alone, and the guard reads the
+// policy when it starts: a request that ended before then needs neither.
+func (c *Client) startGuard(req *Req, deadline sim.Time) {
 	req.hold()
 	c.env.Spawn("client/guard", func(p *sim.Proc) {
 		defer req.drop()
 		defer req.tagPanic()
 		c := req.client() // one word less in the closure
+		var retry *RetryPolicy
+		if req.cur != nil {
+			retry = req.first().retry
+		}
 		if retry == nil {
 			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
 				req.finish(timedOut, nil)
@@ -454,8 +501,8 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.route(req.Key(), routeNext, req.cur.cn)
-		if cn == req.cur.cn {
+		cn := c.route(req.Key(), routeNext, req.cn)
+		if cn == req.cn {
 			return // no distinct replica to hedge onto
 		}
 		c.Counters.Inc(metrics.CHedges)
@@ -474,15 +521,30 @@ type txItem struct {
 // attempt is one transmission of a request, wire message included. Retries
 // create fresh attempts with fresh ids. What an attempt holds at any moment
 // follows from its state, and settle is the one place any of it is given back.
+//
+// Attempts come off their client's free list (Client.attempts, DESIGN §16):
+// initReq takes a request's first, attach every later one, each holding the
+// hold of the request's ring, which finish gives back. Whoever else may
+// touch an attempt holds it too while it may: the TX queue or batch window
+// until the TX engine has posted or dropped it, a frame's member list until
+// its last slot is given back, the server reading its message from post until
+// the attempt is answered (one that ended unanswered keeps that hold on
+// Client.kept until its late answer lands, for good if none does), a
+// half-open breaker's probe slot, and a bypass GET's
+// resolution. Its pending entry takes none: settle deletes it, and finish
+// settles every attempt before the ring lets go. The last drop puts it back,
+// zeroed. A holder reads the request through req only while it is in flight:
+// finish clears req on every attempt it lets go of.
 type attempt struct {
-	req   *Req
+	req   *Req // nil once the request has ended
 	cn    *conn
 	start sim.Time // enqueue time, for per-attempt service-time samples
 	// batch is non-nil once this attempt was coalesced into a doorbell batch:
 	// the whole frame left under one credit, which the shared record tracks.
 	batch *txBatch
-	// next chains the request's attempts in the order attach made them: a
-	// hedge or a fallback leaves an earlier one flying beside the one it adds.
+	// next rings the request's attempts in the order attach made them, the
+	// latest's leading back to the first: a hedge or a fallback leaves an
+	// earlier one flying beside the one it adds.
 	next  *attempt
 	state attState
 	// retryAfterUS is the request's busy hint, in µs, while this attempt is
@@ -496,7 +558,45 @@ type attempt struct {
 	// pointer to it and the server reads it there, so it is complete before
 	// the attempt is queued and never written after.
 	wire protocol.Request
+	// reusable and nudge are the request's events on its first attempt
+	// (Req.first) and unused on the others: reusable fires when the
+	// request's buffers are reusable — at the DMA-sent of any of its
+	// attempts, at a BufferAck, at finish — and nudge wakes its guard when an
+	// attempt is rejected as retryable (recovering/busy); retransmit re-arms
+	// it.
+	reusable sim.Event
+	nudge    sim.Event
+	// retry is the request's retry policy on its first attempt (nil for
+	// none): land reads whether a retryable rejection nudges the guard, and
+	// the guard the policy itself.
+	retry *RetryPolicy
+	pool.Holds
 }
+
+// hold adds one holder of the attempt; holding a free one panics.
+func (att *attempt) hold() { pool.Hold(att) }
+
+// drop gives back one hold; the last one puts the attempt back on its
+// client's free list, zeroed.
+func (att *attempt) drop() {
+	if pool.Drop(att) {
+		att.cn.c.attempts.Put(att)
+	}
+}
+
+// buffersFree fires the buffer-reusable event of att's request once att's
+// message has left the NIC or the server has acknowledged holding it —
+// unless the request has ended meanwhile: finish fired it then, and let go
+// of att.
+func (att *attempt) buffersFree() {
+	if req := att.req; req != nil {
+		req.first().reusable.Fire()
+	}
+}
+
+// tagPanic is Req.tagPanic for a process that holds the request's first
+// attempt rather than the request: the bypass resolver.
+func (att *attempt) tagPanic() { retag(recover(), att.wire.ReqID, att.wire.Op, att.wire.Key) }
 
 // attState is where an attempt stands, which is what it holds.
 type attState uint8
@@ -539,19 +639,20 @@ const (
 // stays on the connection, so what the server still sends for it — a late
 // response, a late BufferAck — finds no entry and counts as stale.
 //
-// A request's first attempt that was sent and is answered — with a value, a
-// rejection or a shed — gives back the hold its message took at post: the
-// server has done with it. One that ends any other way keeps it: the server
-// may still read the message, so the request record is never reused.
+// An attempt that was sent and is answered — with a value, a rejection or a
+// shed — gives back the hold its message took at post: the server has done
+// with it. One that ends any other way keeps it on Client.kept: the server
+// may still read the message, so the attempt is not reused until its late
+// answer lands (land), and never if none comes.
 func (att *attempt) settle(how ending) {
+	if att.state == attSettled {
+		return
+	}
 	cn := att.cn
 	req := att.req
-	posted := att.state >= attSent && att == &req.first // its message holds the record
+	posted := att.state >= attSent // its message holds the attempt
 	heard := posted && how > acked && how <= refused
-	switch att.state {
-	case attSettled:
-		return
-	case attSent:
+	if att.state == attSent {
 		// A bare attempt's credit comes back however it ends. A frame's one
 		// credit comes back when the server is first heard from about any
 		// member — the batch ack, the first response — or with the last slot.
@@ -602,9 +703,9 @@ func (att *attempt) settle(how ending) {
 		}
 	}
 	if heard {
-		req.drop()
+		att.drop()
 	} else if posted {
-		cn.c.kept = append(cn.c.kept, req) // the server may still read the message
+		cn.c.kept[att.wire.ReqID] = att // the server may still read the message
 	}
 }
 
@@ -618,7 +719,7 @@ func (att *attempt) ack() {
 	}
 	att.settle(acked)
 	att.req.acked = true
-	att.req.reusable.Fire()
+	att.buffersFree()
 }
 
 // lapse is how an attempt still outstanding ends when the guard stops
@@ -685,18 +786,16 @@ func (cn *conn) post(p *sim.Proc, items []*attempt) {
 	// The NIC serializes messages in order; waiting for DMA-sent here
 	// pipelines exactly like the hardware send queue.
 	p.Wait(sent)
-	att.req.reusable.Fire()
-	att.req.drop() // the queue's hold
+	att.buffersFree()
+	att.drop() // the queue's hold
 }
 
-// sent marks the attempt as on the wire. The first attempt's message lives
-// in the request record, which the server reads from now on: it takes a hold
-// that settle gives back once the attempt is answered.
+// sent marks the attempt as on the wire. The server reads its message in
+// the attempt from now on: it takes a hold that settle gives back once the
+// attempt is answered.
 func (att *attempt) sent() {
 	att.state = attSent
-	if att == &att.req.first {
-		att.req.hold()
-	}
+	att.hold()
 }
 
 // progressEngine polls the receive CQ: returns credits, lands values in the
@@ -720,7 +819,7 @@ func (cn *conn) progressEngine(p *sim.Proc) {
 // land acts on one response or BufferAck without suspending. One that finds
 // no pending entry — a duplicate, or one for an attempt that ended first:
 // given up on, outrun, its request timed out or canceled — is absorbed as
-// stale.
+// stale; a response among them hands a kept attempt back to the client.
 func (cn *conn) land(resp *protocol.Response) {
 	if b := cn.pendingBatch[resp.ReqID]; b != nil && resp.Op == protocol.OpBufferAck {
 		// One ack covers the whole coalesced frame: the first member
@@ -733,6 +832,12 @@ func (cn *conn) land(resp *protocol.Response) {
 	att := cn.pending[resp.ReqID]
 	if att == nil {
 		cn.c.Counters.Inc(metrics.CStaleResponses)
+		if kept := cn.c.kept[resp.ReqID]; kept != nil && resp.Op == protocol.OpResponse {
+			// The late answer of a message its attempt ended without: the
+			// server has done reading it, so the attempt goes back.
+			delete(cn.c.kept, resp.ReqID)
+			kept.drop()
+		}
 		return
 	}
 	req := att.req
@@ -740,7 +845,7 @@ func (cn *conn) land(resp *protocol.Response) {
 	case protocol.OpBufferAck:
 		att.ack()
 	case protocol.OpResponse:
-		how, nudging := answered, RetryableStatus(resp.Status) && req.retrying
+		how, nudging := answered, RetryableStatus(resp.Status) && req.first().retry != nil
 		switch {
 		case resp.Status == protocol.StatusBusy:
 			// Shed at admission: breaker food, unlike recovering — a
@@ -770,7 +875,7 @@ func (cn *conn) land(resp *protocol.Response) {
 		default:
 			cn.c.Counters.Inc(metrics.CRecovering)
 		}
-		req.nudge.Fire()
+		req.first().nudge.Fire()
 	default:
 		panic("core: unexpected opcode " + resp.Op.String())
 	}

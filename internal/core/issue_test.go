@@ -262,7 +262,7 @@ func TestRetryFailsOverToSecondServer(t *testing.T) {
 	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := r.client.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"})
 		r.client.Wait(p, req0)
-		home := req0.cur.cn.serverID
+		home := req0.cn.serverID
 		// Drop every request to the home server; the fallback must answer.
 		r.fabric.SetFaults(&serverFilter{dst: fmt.Sprintf("server%d", home)})
 		var err error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,10 +70,10 @@ func poolValue(key string) string { return "v:" + key }
 //     key any server stores must hold the one value issued for it, and every
 //     SET the server acknowledged or answered STORED must be stored;
 //   - a BufferAck'ed Issue returning before its message has left;
-//   - at quiesce, a record the census cannot account for: neither free nor
-//     kept for good by a message the server never answered, or kept with a
-//     hold beside that message's, or kept though its first attempt was
-//     answered or never sent.
+//   - at quiesce, a record the census cannot account for: a released request
+//     record that is not free; an attempt neither free nor kept by a message
+//     the server never answered, or kept with a hold beside that message's,
+//     or kept though it was never sent or its request was answered on it.
 func TestPooledRequestsUnderFaults(t *testing.T) {
 	for _, tr := range []struct {
 		name      string
@@ -140,8 +141,14 @@ func poolSoak(t *testing.T, transport Transport) {
 	ops := 0
 	seen := make(map[*Req]poolOp) // every record handed out, by its latest request
 	mustStore := make(map[string]bool)
+	// Requests answered on their first attempt, by id: the server has done
+	// with that attempt's message, so it must not be kept.
+	answered := make(map[uint64]poolOp)
 	check := func(po poolOp, req *Req) {
 		op := po.op
+		if !req.TimedOut() && req.Attempts == 1 && !po.buffered {
+			answered[req.ID()] = po
+		}
 		if req.Key() != op.Key || req.Op != op.Code {
 			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.Key())
 			return
@@ -174,7 +181,7 @@ func poolSoak(t *testing.T, transport Transport) {
 			t.Fatalf("issue %s: %v", po.op.Key, err)
 		}
 		if rdma && !c.batching && po.op.Code == protocol.OpSet && !req.Done() &&
-			req.first.wire.AckWanted && req.first.state != attSent && req.first.state != attAcked {
+			req.first().wire.AckWanted && req.first().state != attSent && req.first().state != attAcked {
 			t.Errorf("SET %s: BufferAck'ed Issue returned with its message still queued", po.op.Key)
 		}
 		return req
@@ -292,24 +299,30 @@ func poolSoak(t *testing.T, transport Transport) {
 		t.Error(err)
 	}
 	for req, po := range seen {
-		if pool.Holders(req) < 0 {
-			continue // free
+		if pool.Holders(req) >= 0 {
+			t.Errorf("%v %s: released, ended %v after %d attempts, and its record is not free (%d holds)",
+				po.op.Code, po.op.Key, req.Err(), req.Attempts, pool.Holders(req))
 		}
-		// Kept for good: the record was not reused, so it describes its last
-		// request. Its one hold must be its message's, which a server may
-		// still read: sent, and the request ended some other way than on the
-		// first attempt's answer — or, buffered, never matched to one.
-		sent := !rdma || req.first.wire.RespMR != 0
-		unanswered := req.TimedOut() || req.Attempts > 1 || po.buffered
-		if !req.released || pool.Holders(req) != 1 || !sent || !unanswered {
-			t.Errorf("%v %s: released=%v, %d holds, sent=%v, ended %v after %d attempts, and not free",
-				po.op.Code, po.op.Key, req.released, pool.Holders(req), sent, req.Err(), req.Attempts)
+	}
+	// Kept for good: an attempt whose message a server may still read — sent
+	// (on RDMA its message names the response region) and never answered,
+	// or sent more than once on a socket, or buffered and never matched to
+	// an answer. It forgot its request when the request ended, its one hold
+	// is its message's, and its request was not answered on it.
+	for id, att := range c.kept {
+		if att.req != nil || att.state != attSettled || rdma && att.wire.RespMR == 0 || pool.Holders(att) != 1 || id != att.wire.ReqID {
+			t.Errorf("kept attempt %d (%v %s): request forgotten %v, state %d, RespMR %d, %d holds, kept as %d",
+				att.wire.ReqID, att.wire.Op, att.wire.Key, att.req == nil, att.state, att.wire.RespMR, pool.Holders(att), id)
+		}
+		if po, ok := answered[id]; ok {
+			t.Errorf("%v %s: answered on its first attempt, which is kept for good", po.op.Code, po.op.Key)
 		}
 	}
 	if len(seen) >= ops*3/4 {
 		t.Errorf("%d operations used %d request records: the free list is not reused", ops, len(seen))
 	}
-	t.Logf("%d operations on %d request records, %d of them held for good", ops, len(seen), len(c.kept))
+	t.Logf("%d operations on %d request records and %d attempts, %d attempts held for good",
+		ops, len(seen), c.attempts.Made, len(c.kept))
 
 	// The soak drove what it claims to.
 	v := c.Counters.Val
@@ -331,11 +344,16 @@ func poolSoak(t *testing.T, transport Transport) {
 // TestRecordOutlivesALateHedge releases a request while the TX engine is
 // still posting its hedge: a GET whose hedge to the second server waits on
 // the client's NIC behind a 256 KB SET, and whose primary answers meanwhile.
-// The TX engine holds the record until its post is done — it fires the
-// request's buffer-reusable event at DMA-sent — so the BufferAck'ed SET issued
+// The hedge's attempt record outlives its request: the TX engine holds it
+// until its post is done — it fires the request's buffer-reusable event at
+// DMA-sent, if the request is still in flight — and its message, on its way,
+// keeps it until the second server's late answer hands it back. The request
+// record does not: its caller alone holds it,
+// and it is free the moment it is released. So the BufferAck'ed SET issued
 // right after, queued behind the hedge on the second server's connection,
-// gets a record of its own and returns only once its message has left; and
-// the released record, once free, has not been touched.
+// gets that very record and must still return only once its own message has
+// left: the hedge's late DMA-sent fires nothing of it, as the GET's
+// attempts name no request once it has ended.
 func TestRecordOutlivesALateHedge(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 	c := r.client
@@ -347,6 +365,7 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		}
 	}
 	get, big, next := on(0, "get"), on(0, "big"), on(1, "next")
+	var hedge *attempt
 	sim.Drive(t, r.env, "driver", func(p *sim.Proc) {
 		c.Set(p, get, 64, "v", 0, 0)
 		r.env.Spawn("bulk", func(p *sim.Proc) {
@@ -356,18 +375,31 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		})
 		req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: get}, WithHedge(sim.Microsecond))
 		c.Wait(p, req)
-		if req.Status != protocol.StatusOK || req.Attempts != 2 || pool.Holders(req) != 2 {
-			t.Fatalf("GET: %v after %d attempts, %d holds; want OK after 2, held by its caller and the TX engine",
-				req.Status, req.Attempts, pool.Holders(req))
+		if req.Status != protocol.StatusOK || req.Attempts != 2 || pool.Holders(req) != 1 || req.cur != nil {
+			t.Fatalf("GET: %v after %d attempts, %d holds, points into its attempts %v; want OK after 2, held by its caller alone, pointing into none",
+				req.Status, req.Attempts, pool.Holders(req), req.cur != nil)
+		}
+		if len(c.kept) != 1 {
+			t.Fatalf("%d attempts kept for good once the GET ended, want 1: its hedge, on its way", len(c.kept))
+		}
+		for _, att := range c.kept {
+			hedge = att
+		}
+		if hedge.req != nil || hedge.cn.serverID != 1 || pool.Holders(hedge) != 2 {
+			t.Errorf("the hedge: names its request %v, on server%d, %d holds; want none, server1, held by its message and the TX engine",
+				hedge.req != nil, hedge.cn.serverID, pool.Holders(hedge))
 		}
 		c.Release(req)
 		set, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: next, ValueSize: 64, Value: "v"}, WithBufferAck())
-		if set == req || set.first.state == attQueued {
-			t.Errorf("a BufferAck'ed SET returned from Issue with its message queued (on the GET's record: %v)", set == req)
+		if set != req {
+			t.Errorf("the BufferAck'ed SET did not reuse the released GET's record")
+		}
+		if !set.Done() && set.first().state == attQueued {
+			t.Error("a BufferAck'ed SET returned from Issue with its message queued")
 		}
 		c.Wait(p, set)
 		c.Release(set)
-		// Two requests in flight at once take both free records.
+		// Two requests in flight at once take two records.
 		a, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: next})
 		b, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: get})
 		if c.WaitAll(p, []*Req{a, b}) != nil || a.Value != "v" || b.Value != "v" {
@@ -376,6 +408,13 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 		c.Release(a)
 		c.Release(b)
 	})
+	if len(c.kept) != 0 || c.Counters.Val(metrics.CStaleResponses) != 1 {
+		t.Errorf("%d attempts kept at the quiesce after %d stale answers, want none after the hedge's one",
+			len(c.kept), c.Counters.Val(metrics.CStaleResponses))
+	}
+	if err := pool.Census(c.Census()).Err(); err != nil {
+		t.Error(err)
+	}
 }
 
 // dupOnce duplicates the next message the client sends once armed.
@@ -426,4 +465,117 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 			t.Errorf("server stores k = %v (%v) among %d keys, want v alone", v, st, srv.Store().Len())
 		}
 	})
+}
+
+// TestUnreleasedRequestKeepsOnlyItsAnswer keeps the handles of a SET, a GET
+// and a GET that timed out, as a caller of the paper's iset/iget that never
+// releases would: each points into no attempt once it has ended; the SET's
+// and the GET's attempts went back to the client at once, the timed-out
+// GET's is kept by its message until the server's late answer lands, and
+// then goes back too; later requests take them all, and each answer — key,
+// id, status, value, error — still reads as it was.
+func TestUnreleasedRequestKeepsOnlyItsAnswer(t *testing.T) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	c := r.client
+	type kept struct {
+		req    *Req
+		first  *attempt // its first attempt, taken while it was in flight
+		id     uint64
+		status protocol.Status
+		value  any
+		err    error
+	}
+	var held []kept
+	sim.Drive(t, r.env, "caller", func(p *sim.Proc) {
+		keep := func(op Op, opts ...IssueOption) {
+			req, _ := c.Issue(p, op, opts...)
+			first := req.first()
+			c.Wait(p, req)
+			held = append(held, kept{req, first, req.ID(), req.Status, req.Value, req.Err()})
+		}
+		keep(Op{Code: protocol.OpSet, Key: "a", ValueSize: 64, Value: "v:a"})
+		keep(Op{Code: protocol.OpGet, Key: "a"})
+		r.servers[0].AddWorkerStall(p.Now(), p.Now()+sim.Millisecond, sim.Millisecond)
+		keep(Op{Code: protocol.OpGet, Key: "a"}, WithDeadline(50*sim.Microsecond))
+		if len(c.kept) != 1 || c.kept[held[2].id] != held[2].first {
+			t.Errorf("%d attempts kept once the GET timed out, want its own alone", len(c.kept))
+		}
+		p.Sleep(2 * sim.Millisecond) // the stalled GET's late answer comes back stale
+		if len(c.kept) != 0 {
+			t.Errorf("%d attempts kept after the late answer, want none", len(c.kept))
+		}
+		for _, h := range held {
+			if h.req.cur != nil || h.first.req == h.req {
+				t.Errorf("request %d ended still pointing into its attempts, or named by one", h.id)
+			}
+		}
+		// Later operations take the attempt records back.
+		made := c.attempts.Made
+		for i := 0; i < 20; i++ {
+			if _, _, st := c.Get(p, "a"); st != protocol.StatusOK {
+				t.Errorf("GET after: %v", st)
+			}
+		}
+		if c.attempts.Made != made {
+			t.Errorf("20 GETs made %d attempt records, want none", c.attempts.Made-made)
+		}
+	})
+	for i, h := range held {
+		if h.first.wire.ReqID == h.id {
+			t.Errorf("kept request %d: its attempt still carries its message", i)
+		}
+	}
+	if len(held) != 3 || held[0].status != protocol.StatusStored || held[1].value != "v:a" || !errors.Is(held[2].err, ErrDeadlineExceeded) {
+		t.Fatalf("the kept requests ended %+v", held)
+	}
+	for i, h := range held {
+		req := h.req
+		if req.Key() != "a" || req.ID() != h.id || req.Status != h.status || req.Value != h.value || !errors.Is(req.Err(), h.err) {
+			t.Errorf("kept request %d reads key %q id %d %v %v %v after its attempt was reused; it read key a id %d %v %v %v",
+				i, req.Key(), req.ID(), req.Status, req.Value, req.Err(), h.id, h.status, h.value, h.err)
+		}
+		if pool.Holders(req) != 1 {
+			t.Errorf("kept request %d has %d holds, want its caller's alone", i, pool.Holders(req))
+		}
+	}
+}
+
+// TestUnansweredFirstMessageKeepsOnlyItsAttempt loses a GET's one message on
+// the fabric: the server may yet read it, so its attempt is kept for good,
+// held by that message alone and naming no request — while the request
+// record, timed out and released, is free at once and the next Issue takes it.
+func TestUnansweredFirstMessageKeepsOnlyItsAttempt(t *testing.T) {
+	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
+	c := r.client
+	sim.Drive(t, r.env, "caller", func(p *sim.Proc) {
+		c.Set(p, "k", 64, "v", 0, 0)
+		r.fabric.SetFaults(&filterInjector{pick: func(n int) bool { return n == 1 }})
+		lost, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithDeadline(100*sim.Microsecond))
+		c.Wait(p, lost)
+		if !lost.TimedOut() || len(c.kept) != 1 {
+			t.Fatalf("the lost GET: timed out %v, %d attempts kept; want true, 1", lost.TimedOut(), len(c.kept))
+		}
+		if att := c.kept[lost.ID()]; att == nil || att.req != nil || att.state != attSettled || pool.Holders(att) != 1 {
+			t.Fatalf("the kept attempt %p: names its request, is not settled, or has a hold beside its message's", att)
+		}
+		c.Release(lost)
+		if pool.Holders(lost) >= 0 {
+			t.Errorf("the released request has %d holds, want it free", pool.Holders(lost))
+		}
+		next, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
+		c.Wait(p, next)
+		if next != lost || next.Value != "v" || next.Key() != "k" {
+			t.Errorf("the next GET: on the released record %v, %v %v", next == lost, next.Status, next.Value)
+		}
+		c.Release(next)
+	})
+	census := r.census()
+	if err := census.Err(); err != nil {
+		t.Error(err)
+	}
+	for _, tally := range census {
+		if tally.List == "attempts" && tally.Walked != 1 {
+			t.Errorf("the census walked %d kept attempts, want the lost message's one", tally.Walked)
+		}
+	}
 }

@@ -92,7 +92,7 @@ func TestCrashMidBatchFrameFailsAllMembers(t *testing.T) {
 	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 4096, Value: "v"})
 		c.Wait(p, req0)
-		home := r.servers[req0.cur.cn.serverID]
+		home := r.servers[req0.cn.serverID]
 
 		// The frame is built, then its server dies before it can be served.
 		c.BeginBatch()

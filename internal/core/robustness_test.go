@@ -235,7 +235,7 @@ func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 			return
 		}
 		c.Wait(p, probe)
-		home := r.servers[probe.cur.cn.serverID]
+		home := r.servers[probe.cn.serverID]
 		home.Crash()
 		for i := 0; i < 2; i++ {
 			req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"},
@@ -279,7 +279,7 @@ func TestHedgedGetBeatsDeadServer(t *testing.T) {
 			return
 		}
 		c.Wait(p, probe)
-		r.servers[probe.cur.cn.serverID].Crash()
+		r.servers[probe.cn.serverID].Crash()
 
 		t0 := p.Now()
 		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "h"},
@@ -450,7 +450,7 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 			return
 		}
 		c.Wait(p, probe)
-		r.servers[probe.cur.cn.serverID].Crash()
+		r.servers[probe.cn.serverID].Crash()
 
 		// Race 1: cancel well before the hedge threshold.
 		early, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "hr"},
@@ -548,7 +548,7 @@ func TestWaitAnyAcrossReplicas(t *testing.T) {
 	if woke != 1 {
 		t.Fatalf("WaitAny woke on index %d, want 1 (the live replica's answer)", woke)
 	}
-	if reqs[0].cur.cn.serverID == reqs[1].cur.cn.serverID {
+	if reqs[0].cn.serverID == reqs[1].cn.serverID {
 		t.Error("both GETs routed to the same server; the test never spanned replicas")
 	}
 	if !errors.Is(reqs[1].Err(), ErrNotFound) {

@@ -259,14 +259,14 @@ func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 	primary := c.conns[c.replicas(key)[0]]
 	primary.health.browned[hcGet] = true
 	sim.Drive(t, r.env, "gets", func(p *sim.Proc) {
-		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.cur.cn == primary {
+		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.cn == primary {
 			t.Errorf("a plain GET stayed on the browned primary: the rig is not rerouting")
 		}
-		if gets := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead); gets.cur.cn != primary {
-			t.Errorf("Gets read server%d, CompareAndSet writes server%d", gets.cur.cn.serverID, primary.serverID)
+		if gets := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead); gets.cn != primary {
+			t.Errorf("Gets read server%d, CompareAndSet writes server%d", gets.cn.serverID, primary.serverID)
 		}
-		if cas := c.roundTrip(p, Op{Code: protocol.OpCAS, Key: key}); cas.cur.cn != primary {
-			t.Errorf("CompareAndSet went to server%d, want the primary", cas.cur.cn.serverID)
+		if cas := c.roundTrip(p, Op{Code: protocol.OpCAS, Key: key}); cas.cn != primary {
+			t.Errorf("CompareAndSet went to server%d, want the primary", cas.cn.serverID)
 		}
 	})
 }

@@ -14,8 +14,8 @@ import "testing"
 // timerModel: one process sleeping 1 µs at a time with nothing else due, so
 // its sleeps take their wakeups in place. A step runs the env 1 ms further:
 // 1000 sleeps, 999 of them in place and the last parked by the step's limit.
-func timerModel() (step func()) {
-	env := NewEnv()
+func timerModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	sleepers(env, 1, -1)
 	return func() { env.RunUntil(env.Now() + Millisecond) }
 }
@@ -23,8 +23,8 @@ func timerModel() (step func()) {
 // sleepParkedModel: two processes sleeping 1 µs at a time in lockstep, so the
 // other's wakeup is always due first and every sleep parks. A step is one
 // sleep of each (schedule, park, deliver, resume).
-func sleepParkedModel() (step func()) {
-	env := NewEnv()
+func sleepParkedModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	sleepers(env, 2, -1)
 	return func() { env.RunUntil(env.Now() + Microsecond) }
 }
@@ -45,7 +45,7 @@ func sleepers(env *Env, n, sleeps int) {
 
 // benchSleeps prices one Sleep: b.N of them between n sleepers, in one run.
 func benchSleeps(b *testing.B, n int) {
-	env := NewEnv()
+	env := testEnv(b)
 	sleepers(env, n, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,8 +53,8 @@ func benchSleeps(b *testing.B, n int) {
 }
 
 // handoffModel: a step puts one item that a blocked consumer receives.
-func handoffModel() (step func()) {
-	env := NewEnv()
+func handoffModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	q := NewQueue[int](env, 0)
 	env.Spawn("consumer", func(p *Proc) {
 		for {
@@ -67,8 +67,8 @@ func handoffModel() (step func()) {
 
 // eventModel: a step fires the event a process waits on; the process then
 // makes the next one.
-func eventModel() (step func()) {
-	env := NewEnv()
+func eventModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	var ev *Event
 	env.Spawn("waiter", func(p *Proc) {
 		for {
@@ -81,8 +81,8 @@ func eventModel() (step func()) {
 }
 
 // callbackModel: a step schedules one callback event and runs it.
-func callbackModel() (step func()) {
-	env := NewEnv()
+func callbackModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	n := 0
 	fn := func() { n++ }
 	return func() { env.AtFunc(env.Now()+Microsecond, fn); env.Run() }
@@ -93,8 +93,8 @@ func callbackModel() (step func()) {
 // coroutine ended, as a kernel that never recycled would have done; a child
 // that parked for good instead would cost the runtime a goroutine per step on
 // top (its g is never freed for reuse).
-func spawnModel() (step func()) {
-	env := NewEnv()
+func spawnModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	fn := func(*Proc) {}
 	return func() {
 		if p := env.idle; p != nil {
@@ -108,8 +108,8 @@ func spawnModel() (step func()) {
 
 // spawnRecycledModel: a step spawns a process that exits at once, on the Proc
 // the previous step's left behind.
-func spawnRecycledModel() (step func()) {
-	env := NewEnv()
+func spawnRecycledModel(tb testing.TB) (step func()) {
+	env := testEnv(tb)
 	fn := func(*Proc) {}
 	return func() { env.Spawn("child", fn); env.Run() }
 }
@@ -127,7 +127,7 @@ func BenchmarkSleepParked(b *testing.B) { benchSleeps(b, 2) }
 // and its coroutine (13).
 var allocTable = []struct {
 	name    string
-	model   func() (step func())
+	model   func(testing.TB) (step func())
 	ceiling float64
 }{
 	{"Timer", timerModel, 0},
@@ -143,7 +143,7 @@ var allocTable = []struct {
 func TestKernelAllocationCeilings(t *testing.T) {
 	for _, row := range allocTable {
 		t.Run(row.name, func(t *testing.T) {
-			step := row.model()
+			step := row.model(t)
 			step() // reach steady state: pools and rings filled
 			got := testing.AllocsPerRun(200, step)
 			if t.Logf("%s=%v", row.name, got); got > row.ceiling {
@@ -157,7 +157,7 @@ func TestKernelAllocationCeilings(t *testing.T) {
 func BenchmarkAllocs(b *testing.B) {
 	for _, row := range allocTable {
 		b.Run(row.name, func(b *testing.B) {
-			step := row.model()
+			step := row.model(b)
 			step()
 			b.ReportAllocs()
 			for b.Loop() {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAtFuncRunsInlineAtItsSlot(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	var order []string
 	env.Spawn("first", func(p *Proc) { p.Sleep(10); order = append(order, "proc-a") })
 	env.AtFunc(10, func() { order = append(order, fmt.Sprint("callback@", env.Now())) })
@@ -26,7 +26,7 @@ func TestAtFuncRunsInlineAtItsSlot(t *testing.T) {
 }
 
 func TestCallbackMaySpawnAndSchedule(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	var at []Time
 	env.AtFunc(3, func() {
 		env.Spawn("child", func(p *Proc) { p.Sleep(4); at = append(at, p.Now()) })
@@ -52,7 +52,7 @@ func recovered(fn func()) (msg string) {
 func explodingCallback() { panic("boom in a callback") }
 
 func TestCallbackPanicSurfacesFromRunWithItsSite(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	env.AtFunc(7, explodingCallback)
 	survivor := false
 	env.AtFunc(9, func() { survivor = true })
@@ -73,7 +73,7 @@ func TestCallbackPanicSurfacesFromRunWithItsSite(t *testing.T) {
 }
 
 func TestBlockingOutsideTheRunningProcessPanics(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	ev := env.NewEvent()
 	q := NewQueue[int](env, 0)
 	res := NewResource(env, 1)
@@ -112,7 +112,7 @@ func TestBlockingOutsideTheRunningProcessPanics(t *testing.T) {
 }
 
 func TestParkedCountsProcessesWithNothingScheduled(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	never := env.NewEvent()
 	env.Spawn("blocked", func(p *Proc) { p.Wait(never) })
 	env.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
@@ -153,8 +153,8 @@ var callbackHelpers = helpers{
 // ties — where only seq decides — are the common case. It returns the
 // (time, actor, what) trace. The rng is shared and drawn from in execution
 // order, so one reordering anywhere changes everything after it.
-func mixedModel(seed int64, h helpers) []string {
-	env := NewEnv()
+func mixedModel(tb testing.TB, seed int64, h helpers) []string {
+	env := testEnv(tb)
 	rng := rand.New(rand.NewSource(seed))
 	d := func() Time { return Time(rng.Intn(5)) }
 	var trace []string
@@ -231,7 +231,7 @@ func mixedModel(seed int64, h helpers) []string {
 
 func TestCallbackEventsOrderLikeHelperProcesses(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		procs, callbacks := mixedModel(seed, procHelpers), mixedModel(seed, callbackHelpers)
+		procs, callbacks := mixedModel(t, seed, procHelpers), mixedModel(t, seed, callbackHelpers)
 		if len(procs) < 1000 {
 			t.Fatalf("seed %d: model recorded only %d steps", seed, len(procs))
 		}

@@ -18,8 +18,8 @@ import (
 // helpers with timed waits and schedule callback events, with delays drawn
 // from 0..3 ns so that ties only seq decides are common. Nothing runs until
 // the caller advances env; trace fills with (at, seq, name) as it does.
-func steppedModel(seed int64) (env *Env, trace *[]string) {
-	env, trace = NewEnv(), new([]string)
+func steppedModel(tb testing.TB, seed int64) (env *Env, trace *[]string) {
+	env, trace = testEnv(tb), new([]string)
 	rng := rand.New(rand.NewSource(seed))
 	d := func() Time { return Time(rng.Intn(4)) }
 	note := func(name string) {
@@ -81,7 +81,7 @@ func TestRunUntilFromSeveralGoroutinesInTurn(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var traces [2][]string
 		for i, on := range []func(func()){here, elsewhere} {
-			env, trace := steppedModel(seed)
+			env, trace := steppedModel(t, seed)
 			for at := Time(0); env.Alive() > 0; at += 5 {
 				on(func() { env.RunUntil(at) })
 			}
@@ -109,7 +109,7 @@ func explodingProcess(p *Proc) {
 }
 
 func TestProcessPanicAndGoexitLeaveTheRunGoing(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	env.Spawn("fragile", explodingProcess)
 	ticks := 0
 	env.Spawn("ticker", func(p *Proc) {
@@ -172,7 +172,7 @@ func coroutinesBackTo(base int) int {
 
 func TestCloseUnwindsEveryParkedProcess(t *testing.T) {
 	base := settledCoroutines()
-	env := NewEnv()
+	env := testEnv(t)
 	never, q, res := env.NewEvent(), NewQueue[int](env, 0), NewResource(env, 1)
 	res.TryAcquire()
 	unwound := map[string]int{}
@@ -246,7 +246,7 @@ func TestCloseUnwindsEveryParkedProcess(t *testing.T) {
 // in Close's caller), and a deferred function that panics while Close unwinds
 // its process surfaces from Close.
 func TestCloseLeavesGoexitsAloneAndReraisesPanics(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	env.Spawn("quitter", func(p *Proc) { runtime.Goexit() })
 	env.Spawn("sore loser", func(p *Proc) {
 		defer func() { panic("boom while unwinding") }()

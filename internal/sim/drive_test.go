@@ -73,8 +73,7 @@ func TestDriveNamesEveryDriverThatNeverReturned(t *testing.T) {
 		}, "", Millisecond + Microsecond, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			env := NewEnv()
-			defer env.Close()
+			env := testEnv(t)
 			var tb fakeTB
 			end := DriveUntil(&tb, env, c.limit, c.rig(env)...)
 			if got := fmt.Sprint(tb.failures); got != "["+c.want+"]" {
@@ -85,8 +84,7 @@ func TestDriveNamesEveryDriverThatNeverReturned(t *testing.T) {
 			}
 		})
 	}
-	env := NewEnv()
-	defer env.Close()
+	env := testEnv(t)
 	var tb fakeTB
 	if end := Drive(&tb, env, "one", sleep(Second)); end != Second || tb.failures != nil {
 		t.Errorf("Drive: ended at %v with %q, want %v and no failure", end, tb.failures, Second)
@@ -107,8 +105,7 @@ func TestStepperNamesADriverThatNeverReturned(t *testing.T) {
 		{"parks for good", true, "sim: driver stepped never returned (run ended at 1µs)", 1, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			env := NewEnv()
-			defer env.Close()
+			env := testEnv(t)
 			var tb fakeTB
 			ev, runs := env.NewEvent(), 0
 			step := Stepper(&tb, env, "stepped", func(p *Proc) {

@@ -29,7 +29,7 @@ func TestEventSize(t *testing.T) {
 // since each is recycled exactly once, the round leaves the list as long as
 // it found it.
 func TestEventWaiterChain(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	var rec struct{ ev, other, another Event }
 	var woke []string
 	var free []int
@@ -119,7 +119,7 @@ const (
 func eventRingModel(t *testing.T, seed int64, steps int) {
 	const nev = 3
 	rng := rand.New(rand.NewSource(seed))
-	env := NewEnv()
+	env := testEnv(t)
 	var evs [nev]Event
 	var got []ringWake
 	running := map[*Proc]int{} // the id each process is running now

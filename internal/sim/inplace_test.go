@@ -22,8 +22,8 @@ import (
 // returns the (now, seq, proc, tag) trace, the kernel counts, and how many
 // sleeps a chunk's limit cut. The rng is shared and drawn from in execution
 // order: one reordering anywhere changes everything after it.
-func sleepModel(seed int64, parkAll bool) (trace []string, counts Counts, cut int) {
-	env := NewEnv()
+func sleepModel(tb testing.TB, seed int64, parkAll bool) (trace []string, counts Counts, cut int) {
+	env := testEnv(tb)
 	if parkAll {
 		env.ParkEverySleep()
 	}
@@ -134,8 +134,8 @@ func sleepModel(seed int64, parkAll bool) (trace []string, counts Counts, cut in
 
 func TestInPlaceSleepsTraceLikeParkedOnes(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		fast, on, cut := sleepModel(seed, false)
-		parked, off, _ := sleepModel(seed, true)
+		fast, on, cut := sleepModel(t, seed, false)
+		parked, off, _ := sleepModel(t, seed, true)
 		if len(parked) < 2000 || cut == 0 || on.InPlace == 0 {
 			t.Fatalf("seed %d: %d steps, %d sleeps cut by a limit, %d in place: the model exercises too little",
 				seed, len(parked), cut, on.InPlace)
@@ -163,8 +163,8 @@ func TestInPlaceSleepsTraceLikeParkedOnes(t *testing.T) {
 // is resumed at 3 µs, then sleeps 0 and yields (both in place: only the
 // callback at 10 µs is left). With every sleep parked, each of a's and b's
 // four sleeps is a resume instead.
-func countsModel(parkAll bool) Counts {
-	env := NewEnv()
+func countsModel(tb testing.TB, parkAll bool) Counts {
+	env := testEnv(tb)
 	if parkAll {
 		env.ParkEverySleep()
 	}
@@ -195,7 +195,7 @@ func TestKernelCounts(t *testing.T) {
 		{false, Counts{Resumes: 5, Callbacks: 1, InPlace: 3}},
 		{true, Counts{Resumes: 8, Callbacks: 1, InPlace: 0}},
 	} {
-		if got := countsModel(tc.parkAll); got != tc.want {
+		if got := countsModel(t, tc.parkAll); got != tc.want {
 			t.Errorf("every sleep parked %v: counts %+v, want %+v", tc.parkAll, got, tc.want)
 		}
 	}

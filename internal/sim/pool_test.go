@@ -29,7 +29,7 @@ func poolSize(env *Env) int {
 func TestWakeupPoolSurvivesTimeoutRaces(t *testing.T) {
 	const rounds = 100_000
 	const budget = 10
-	env := NewEnv()
+	env := testEnv(t)
 	q := NewQueue[int](env, 0)
 	eventWins, timeoutWins := 0, 0
 	env.Spawn("waiter", func(p *Proc) {
@@ -122,7 +122,7 @@ func TestWakeupPoolSurvivesTimeoutRaces(t *testing.T) {
 // removals from its middle, and every entry must know where it sits.
 func TestHeapOrdersAfterRemovals(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	env := NewEnv()
+	env := testEnv(t)
 	var live []*wakeup
 	checkIndices := func() {
 		for i, s := range env.heap {

@@ -45,8 +45,8 @@ var collapsedStarter starter = func(env *Env, name string, before func(), rest f
 // behind, so later ones run recycled. It returns the (at, seq, name) trace
 // and how many Procs were made. The rng is shared and drawn from in execution
 // order: one reordering anywhere changes everything after it.
-func helperModel(seed int64, start starter) (trace []string, procs int) {
-	env := NewEnv()
+func helperModel(tb testing.TB, seed int64, start starter) (trace []string, procs int) {
+	env := testEnv(tb)
 	rng := rand.New(rand.NewSource(seed))
 	d := func() Time { return Time(rng.Intn(4)) }
 	note := func(name, what string) {
@@ -135,8 +135,8 @@ func helperModel(seed int64, start starter) (trace []string, procs int) {
 
 func TestRecycledSpawnOrdersLikeAFreshOne(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		fresh, made := helperModel(seed, freshStarter)
-		recycled, reused := helperModel(seed, recycledStarter)
+		fresh, made := helperModel(t, seed, freshStarter)
+		recycled, reused := helperModel(t, seed, recycledStarter)
 		if len(fresh) < 1000 {
 			t.Fatalf("seed %d: model recorded only %d steps", seed, len(fresh))
 		}
@@ -154,7 +154,7 @@ func TestRecycledSpawnOrdersLikeAFreshOne(t *testing.T) {
 		}
 		// The comparison has teeth: a start that does not take its own slot
 		// is a different run.
-		if collapsed, _ := helperModel(seed, collapsedStarter); strings.Join(collapsed, "\n") == strings.Join(fresh, "\n") {
+		if collapsed, _ := helperModel(t, seed, collapsedStarter); strings.Join(collapsed, "\n") == strings.Join(fresh, "\n") {
 			t.Errorf("seed %d: collapsing the start hop left the trace unchanged", seed)
 		}
 	}
@@ -176,7 +176,7 @@ func coroutines() int {
 }
 
 func TestSpawnReusesFinishedProcesses(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	seen := map[*Proc]bool{}
 	base := coroutines()
 	for round := 0; round < 50; round++ {
@@ -212,7 +212,7 @@ func TestSpawnReusesFinishedProcesses(t *testing.T) {
 // handover of a Proc from one run to the next is ordered.
 func TestRecycledProcessesComeBackCleanOrNotAtAll(t *testing.T) {
 	const total = 100_000
-	env := NewEnv()
+	env := testEnv(t)
 	rng := rand.New(rand.NewSource(7))
 	ev := env.NewEvent() // never fires: timed waits on it leave canceled wakeups behind
 	ran := make([]int, total)

@@ -8,8 +8,19 @@ import (
 	"testing"
 )
 
+// testEnv is NewEnv for a test, a benchmark or a model one builds: the Env is
+// closed when tb ends, so the coroutines of the processes still parked on it
+// do not outlive tb — each would keep its whole Env reachable. make rigs
+// holds every NewEnv in this package's tests to this helper or to a
+// `// no close:` reason.
+func testEnv(tb testing.TB) *Env {
+	env := NewEnv()
+	tb.Cleanup(env.Close)
+	return env
+}
+
 func TestClockStartsAtZero(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	if e.Now() != 0 {
 		t.Fatalf("fresh env clock = %v, want 0", e.Now())
 	}
@@ -19,7 +30,7 @@ func TestClockStartsAtZero(t *testing.T) {
 }
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	var at Time
 	e.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(250 * Microsecond)
@@ -35,7 +46,7 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 }
 
 func TestNegativeSleepIsYield(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ran := false
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(-5)
@@ -50,7 +61,7 @@ func TestNegativeSleepIsYield(t *testing.T) {
 }
 
 func TestSequentialOrderingSameTimestamp(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -68,7 +79,7 @@ func TestSequentialOrderingSameTimestamp(t *testing.T) {
 }
 
 func TestSpawnAt(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	var at Time
 	e.SpawnAt(40*Microsecond, "late", func(p *Proc) { at = p.Now() })
 	e.Run()
@@ -78,7 +89,7 @@ func TestSpawnAt(t *testing.T) {
 }
 
 func TestSpawnFromWithinProcess(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	var childAt Time
 	e.Spawn("parent", func(p *Proc) {
 		p.Sleep(5 * Microsecond)
@@ -94,7 +105,7 @@ func TestSpawnFromWithinProcess(t *testing.T) {
 }
 
 func TestEventWakesAllWaiters(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	var woken []Time
 	for i := 0; i < 3; i++ {
@@ -119,7 +130,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 }
 
 func TestWaitReturnsAtOnceOnAFiredEvent(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	ev.Fire()
 	var at Time = -1
@@ -134,7 +145,7 @@ func TestWaitReturnsAtOnceOnAFiredEvent(t *testing.T) {
 }
 
 func TestDoubleFireIsNoop(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	n := 0
 	e.Spawn("w", func(p *Proc) { p.Wait(ev); n++ })
@@ -146,7 +157,7 @@ func TestDoubleFireIsNoop(t *testing.T) {
 }
 
 func TestWaitTimeoutFires(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	var ok bool
 	var at Time
@@ -165,7 +176,7 @@ func TestWaitTimeoutFires(t *testing.T) {
 }
 
 func TestWaitTimeoutExpires(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	var ok bool
 	var at Time
@@ -184,7 +195,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 }
 
 func TestWaitAny(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	a, b := e.NewEvent(), e.NewEvent()
 	var idx int
 	var at Time
@@ -205,7 +216,7 @@ func TestWaitAny(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	q := NewQueue[int](e, 0)
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
@@ -241,11 +252,11 @@ func TestQueueRefusesACapacity(t *testing.T) {
 			t.Errorf("NewQueue with a capacity: recovered %v, want a panic naming sim.Resource", r)
 		}
 	}()
-	NewQueue[int](NewEnv(), 2)
+	NewQueue[int](testEnv(t), 2)
 }
 
 func TestQueueGetBlocksUntilPut(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	q := NewQueue[string](e, 0)
 	var v string
 	var at Time
@@ -264,7 +275,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 }
 
 func TestQueueTryVariants(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	q := NewQueue[int](e, 0)
 	if _, ok := q.TryGet(); ok {
 		t.Errorf("TryGet on empty queue succeeded")
@@ -282,7 +293,7 @@ func TestQueueTryVariants(t *testing.T) {
 }
 
 func TestQueueDirectHandoffToBlockedGetter(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	q := NewQueue[int](e, 0)
 	var v int
 	e.Spawn("consumer", func(p *Proc) { v, _ = q.Get(p) })
@@ -300,7 +311,7 @@ func TestQueueDirectHandoffToBlockedGetter(t *testing.T) {
 }
 
 func TestResourceLimitsConcurrency(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	r := NewResource(e, 2)
 	active, maxActive := 0, 0
 	for i := 0; i < 6; i++ {
@@ -325,7 +336,7 @@ func TestResourceLimitsConcurrency(t *testing.T) {
 }
 
 func TestResourceFIFOAndN(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	r := NewResource(e, 3)
 	var order []string
 	e.Spawn("hold", func(p *Proc) {
@@ -355,7 +366,7 @@ func TestResourceFIFOAndN(t *testing.T) {
 }
 
 func TestResourceAccounting(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	r := NewResource(e, 4)
 	if !r.TryAcquireN(3) {
 		t.Fatalf("TryAcquireN(3) failed on fresh resource")
@@ -373,7 +384,7 @@ func TestResourceAccounting(t *testing.T) {
 }
 
 func TestRunUntilStopsAtLimit(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	hits := 0
 	e.Spawn("ticker", func(p *Proc) {
 		for i := 0; i < 100; i++ {
@@ -396,7 +407,7 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 }
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	if got := e.RunUntil(time5ms()); got != time5ms() {
 		t.Errorf("RunUntil on idle env = %v, want 5ms", got)
 	}
@@ -405,7 +416,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func time5ms() Time { return 5 * Millisecond }
 
 func TestAliveTracksProcesses(t *testing.T) {
-	e := NewEnv()
+	e := testEnv(t)
 	ev := e.NewEvent()
 	e.Spawn("blocked-forever", func(p *Proc) { p.Wait(ev) })
 	e.Spawn("finishes", func(p *Proc) { p.Sleep(Microsecond) })
@@ -421,7 +432,7 @@ func TestAliveTracksProcesses(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	trace := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))
-		e := NewEnv()
+		e := testEnv(t)
 		q, slots := NewQueue[int](e, 0), NewResource(e, 4) // a queue of four slots
 		r := NewResource(e, 3)
 		ev := e.NewEvent()
@@ -483,7 +494,7 @@ func TestDeterminism(t *testing.T) {
 // TestClockMonotonic is a property test: observed wake times never decrease.
 func TestClockMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	e := NewEnv()
+	e := testEnv(t)
 	var stamps []Time
 	for i := 0; i < 50; i++ {
 		d := Time(rng.Intn(1000)) * Microsecond

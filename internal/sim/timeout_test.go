@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestWaitTimeoutEventWins(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	ev := env.NewEvent()
 	env.AtFunc(50, func() { ev.Fire() })
 	var fired bool
@@ -23,7 +23,7 @@ func TestWaitTimeoutEventWins(t *testing.T) {
 }
 
 func TestWaitTimeoutTimeoutWins(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	ev := env.NewEvent()
 	var fired bool
 	var at Time
@@ -38,7 +38,7 @@ func TestWaitTimeoutTimeoutWins(t *testing.T) {
 }
 
 func TestWaitTimeoutNonPositiveBudget(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	ev := env.NewEvent()
 	env.Spawn("waiter", func(p *Proc) {
 		if p.WaitTimeout(ev, 0) {
@@ -73,7 +73,7 @@ func TestGetTimeoutTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			env := NewEnv()
+			env := testEnv(t)
 			q := NewQueue[int](env, 0)
 			if tc.putAt >= 0 {
 				env.AtFunc(tc.putAt, func() { q.TryPut(7) })
@@ -97,7 +97,7 @@ func TestGetTimeoutTable(t *testing.T) {
 }
 
 func TestGetTimeoutImmediateValue(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	q := NewQueue[int](env, 0)
 	q.TryPut(1)
 	env.Spawn("consumer", func(p *Proc) {
@@ -111,7 +111,7 @@ func TestGetTimeoutImmediateValue(t *testing.T) {
 
 func TestGetTimeoutThenNormalGetStillWorks(t *testing.T) {
 	// A timed-out getter must not wedge the queue for later consumers.
-	env := NewEnv()
+	env := testEnv(t)
 	q := NewQueue[int](env, 0)
 	var got int
 	env.Spawn("consumer", func(p *Proc) {
@@ -132,7 +132,7 @@ func TestGetTimeoutThenNormalGetStillWorks(t *testing.T) {
 }
 
 func TestWaitAnyReturnsFirstIndex(t *testing.T) {
-	env := NewEnv()
+	env := testEnv(t)
 	evs := []*Event{env.NewEvent(), env.NewEvent(), env.NewEvent()}
 	env.AtFunc(30, func() { evs[1].Fire() })
 	env.AtFunc(90, func() { evs[2].Fire() })
@@ -164,7 +164,7 @@ func TestWaitEither(t *testing.T) {
 		{"b fires first", 50, 30, true, 30},
 		{"timeout", 0, 0, false, 100},
 	} {
-		env := NewEnv()
+		env := testEnv(t)
 		a, b := env.NewEvent(), env.NewEvent()
 		if tc.fireA > 0 {
 			env.AtFunc(tc.fireA, a.Fire)
@@ -205,7 +205,7 @@ func TestWaitEither(t *testing.T) {
 		}
 	}
 
-	env := NewEnv()
+	env := testEnv(t)
 	a, b := env.NewEvent(), env.NewEvent()
 	b.Fire()
 	env.Spawn("waiter", func(p *Proc) {
