@@ -260,7 +260,7 @@ reach:
 # or embeds (core's tier-1 TestRequestRecordSizes logs it): printed, not
 # gated — the size pins gate — so a change that moves a record across a class
 # shows it here.
-ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/pool ./internal/workload
+ALLOC_PKGS = ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/replication ./internal/server ./internal/store ./internal/hybridslab ./internal/pagecache ./internal/keytab ./internal/pool ./internal/workload
 allocs:
 	@out=$$($(GO) test -count=1 -v -run AllocationCeiling $(ALLOC_PKGS) 2>&1) || \
 		{ echo "$$out" | grep -vE '^=== |--- PASS|_test\.go:[0-9]+: [A-Za-z0-9]+=[0-9.]+$$|^(PASS|ok )'; exit 1; }; \

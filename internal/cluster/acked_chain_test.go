@@ -32,7 +32,7 @@ func TestFailedChainIsNeverAcked(t *testing.T) {
 			var keys []string
 			for i := 0; len(keys) < 4; i++ {
 				key := fmt.Sprintf("chain:%03d", i)
-				if cl.Membership.Ring().Replicas(key, 2)[0] == 0 {
+				if cl.Membership.Ring().Replicas(protocol.KeyOf(key), 2)[0] == 0 {
 					keys = append(keys, key)
 				}
 			}

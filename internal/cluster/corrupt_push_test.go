@@ -25,7 +25,7 @@ func TestRottedReplicaRepairsWhenAPeerPullsIt(t *testing.T) {
 	cl := New(Config{Design: HRDMADef, Profile: prof, Servers: 3, ServerMem: 4 << 20, ReplicationFactor: 3, NoScrub: true})
 	defer cl.Env.Close()
 	const key = "rotted"
-	reps := cl.Membership.Ring().Replicas(key, 3)
+	reps := cl.Membership.Ring().Replicas(protocol.KeyOf(key), 3)
 	rotted, puller := reps[1], reps[2]
 	c := cl.Clients[0]
 	var got any
@@ -43,10 +43,10 @@ func TestRottedReplicaRepairsWhenAPeerPullsIt(t *testing.T) {
 		}
 		cl.Devices[rotted].AddBitRot(17, p.Now(), p.Now()+sim.Millisecond, 1.0)
 		p.Sleep(2 * sim.Millisecond) // past every extent's rot instant
-		cl.Replicators[puller].OnCorrupt(p, key)
+		cl.Replicators[puller].OnCorrupt(p, protocol.KeyOf(key))
 		p.Sleep(5 * sim.Millisecond)
 		pulls = cl.Replicators[rotted].Counters.Val(metrics.CRepairPulls)
-		got, _, _, held = cl.Servers[rotted].Store().ReadItem(p, key)
+		got, _, _, held = cl.Servers[rotted].Store().ReadItem(p, protocol.KeyOf(key))
 	}})
 	if pulls == 0 {
 		t.Errorf("the rotted replica opened no repair pull")

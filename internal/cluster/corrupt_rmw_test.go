@@ -22,7 +22,7 @@ func TestReplicatedIncrOfARottedCopyIsRepaired(t *testing.T) {
 	cl := New(Config{Design: HRDMADef, Profile: prof, Servers: 2, ServerMem: 4 << 20, ReplicationFactor: 2})
 	defer cl.Env.Close()
 	const key = "counter"
-	primary := cl.Membership.Ring().Replicas(key, 2)[0]
+	primary := cl.Membership.Ring().Replicas(protocol.KeyOf(key), 2)[0]
 	c := cl.Clients[0]
 	var got uint64
 	var err error

@@ -110,8 +110,8 @@ func TestJoinMigratesAndServes(t *testing.T) {
 		owned, held := 0, 0
 		for i := 0; i < memKeys; i++ {
 			key := memKey(i)
-			member := memHas(ring.Replicas(key, 2), 3)
-			_, _, _, ok := srv.Store().ReadItem(p, key)
+			member := memHas(ring.Replicas(protocol.KeyOf(key), 2), 3)
+			_, _, _, ok := srv.Store().ReadItem(p, protocol.KeyOf(key))
 			if member {
 				owned++
 				if !ok {
@@ -131,10 +131,10 @@ func TestJoinMigratesAndServes(t *testing.T) {
 		for sid, s := range cl.Servers[:3] {
 			for i := 0; i < memKeys; i++ {
 				key := memKey(i)
-				if memHas(ring.Replicas(key, 2), sid) {
+				if memHas(ring.Replicas(protocol.KeyOf(key), 2), sid) {
 					continue
 				}
-				if _, _, _, ok := s.Store().ReadItem(p, key); ok {
+				if _, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key)); ok {
 					t.Errorf("server %d still holds %q after losing it to the joiner", sid, key)
 				}
 			}
@@ -246,8 +246,8 @@ func TestAbruptLeaveReReplicates(t *testing.T) {
 		ring := cl.Membership.Ring()
 		for i := 0; i < memKeys; i++ {
 			key := memKey(i)
-			for _, sid := range ring.Replicas(key, 2) {
-				if _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, key); !ok {
+			for _, sid := range ring.Replicas(protocol.KeyOf(key), 2) {
+				if _, _, _, ok := cl.Servers[sid].Store().ReadItem(p, protocol.KeyOf(key)); !ok {
 					t.Errorf("server %d missing re-replicated copy of %q", sid, key)
 				}
 			}

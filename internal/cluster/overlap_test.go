@@ -69,7 +69,7 @@ func TestUnawaitedSetsOfOneKeyBothApply(t *testing.T) {
 					log.Record(history.Entry{Kind: history.Read, Key: key, Seq: seen, Hit: st == protocol.StatusOK,
 						OK: true, IssuedAt: issued, CompletedAt: p.Now()})
 					for sid, s := range cl.Servers {
-						if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+						if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key)); !ok || v != uint64(2) {
 							t.Errorf("server %d holds %v for %s (present=%v), want 2", sid, v, key, ok)
 						}
 					}

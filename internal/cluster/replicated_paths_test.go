@@ -40,7 +40,7 @@ func TestReplicatedPathMatrix(t *testing.T) {
 				c := cl.Clients[0]
 				var keys []string
 				for i := 0; len(keys) < sets; i++ { // all coordinated by server 0
-					if key := fmt.Sprintf("row:%03d", i); cl.Membership.Ring().Replicas(key, 3)[0] == 0 {
+					if key := fmt.Sprintf("row:%03d", i); cl.Membership.Ring().Replicas(protocol.KeyOf(key), 3)[0] == 0 {
 						keys = append(keys, key)
 					}
 				}
@@ -76,7 +76,7 @@ func TestReplicatedPathMatrix(t *testing.T) {
 					c.WaitAll(p, reqs)
 					for i, key := range keys {
 						for sid, s := range cl.Servers {
-							if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(i+1) {
+							if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key)); !ok || v != uint64(i+1) {
 								t.Errorf("server %d holds %v for %s (present=%v), want %d", sid, v, key, ok, i+1)
 							}
 						}

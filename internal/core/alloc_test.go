@@ -243,12 +243,12 @@ func BenchmarkAllocs(b *testing.B) {
 // value, CAS, timestamps and attempt count), its key and id, its completion
 // flag, and two pointers — the latest attempt while it is in flight, the
 // latest connection — and nothing of its in-flight state, which rides on its
-// attempts. attempt is 176, the 176-byte class: the 80-byte message, the
-// state, credit and frame bookkeeping with the busy hint in the padding
-// after state, the buffer-reusable and guard events and the retry policy
-// (read on a request's first attempt), and the hold count. The resolution is
-// pooled per client, so its size is not per operation; its pin catches one
-// that grows unseen.
+// attempts. attempt is 184, the 192-byte class: the 88-byte message (its
+// key's carried hash included), the state, credit and frame bookkeeping with
+// the busy hint in the padding after state, the buffer-reusable and guard
+// events and the retry policy (read on a request's first attempt), and the
+// hold count. The resolution is pooled per client, so its size is not per
+// operation; its pin catches one that grows unseen.
 //
 // It also logs one line of each per-operation record's size and size class,
 // which make allocs prints, so a record that crosses a class shows there.
@@ -273,8 +273,8 @@ func TestRequestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(resolution{}); got > 96 {
 		t.Errorf("resolution is %d bytes, over the 96-byte size class (96 when pooled)", got)
 	}
-	if got := unsafe.Sizeof(attempt{}); got != 176 {
-		t.Errorf("attempt is %d bytes, want 176", got)
+	if got := unsafe.Sizeof(attempt{}); got != 184 {
+		t.Errorf("attempt is %d bytes, want 184", got)
 	}
 }
 

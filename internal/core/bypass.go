@@ -146,7 +146,7 @@ func (c *Client) startBypass(req *Req) {
 	att := req.cur
 	att.hold()
 	r := c.resolutions.Get()
-	r.c, r.att, r.digest = c, att, protocol.KeyDigest(req.Key())
+	r.c, r.att, r.digest = c, att, protocol.KeyDigest(att.wire.HKey().Hash)
 	c.resolving.TryPut(r)
 	c.env.Spawn("client/bypass", c.resolver)
 }
@@ -181,7 +181,7 @@ func (r *resolution) ended() bool { return r.att.req == nil }
 // fallback (completed via bypass, or already completed by racing
 // guard/cancel machinery).
 func (r *resolution) resolve() bool {
-	cn, key := r.att.cn, r.att.wire.Key
+	cn, key := r.att.cn, r.att.wire.HKey()
 	if cn.dir == nil && !r.c.bootstrapDir(r.p, cn) {
 		return r.ended()
 	}
@@ -191,11 +191,11 @@ func (r *resolution) resolve() bool {
 
 	// An out-of-line value resolved before: one READ of the cached segment
 	// location, validated by the digest the segment embeds.
-	if loc, ok := cn.locs[key]; ok {
+	if loc, ok := cn.locs.Get(key); ok {
 		if r.readSegment(loc, 0) == probeResolved {
 			return true
 		}
-		delete(cn.locs, key) // superseded: the cached location is dead
+		cn.locs.Delete(key) // superseded: the cached location is dead
 	}
 
 	for reprobes := 0; ; reprobes++ {
@@ -324,7 +324,7 @@ func (r *resolution) readSegment(loc locEntry, version uint64) probeOutcome {
 		return probeTransient
 	}
 	if version != 0 {
-		cn.locs[r.att.wire.Key] = loc // the next GET of this key starts here
+		cn.locs.Put(r.att.wire.HKey(), loc) // the next GET of this key starts here
 	}
 	r.complete(&seg)
 	return probeResolved
@@ -369,7 +369,7 @@ func (r *resolution) fallback() {
 	// Stays on the resolving connection unless that one has browned out and
 	// a healthy replica's RPC path exists.
 	req := r.att.req
-	cn := c.route(req.Key(), routeFallback, r.att.cn)
+	cn := c.route(r.att.wire.HKey(), routeFallback, r.att.cn)
 	c.enqueueWire(req, cn)
 }
 
@@ -394,7 +394,7 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn) bool {
 		ev.Fire()
 	}()
 	c.Counters.Inc(metrics.CBypassBootstraps)
-	switch c.queryDir(p, cn, "") {
+	switch c.queryDir(p, cn, protocol.Key{}) {
 	case protocol.StatusOK:
 		cn.dirState = dirReady
 		return true
@@ -412,12 +412,12 @@ func (c *Client) bootstrapDir(p *sim.Proc, cn *conn) bool {
 // StatusNotFound when the server publishes no directory, StatusError when no
 // answer came in time. The query is a request like any other: its record
 // comes off the free list and goes back when it is answered.
-func (c *Client) queryDir(p *sim.Proc, cn *conn, key string) protocol.Status {
+func (c *Client) queryDir(p *sim.Proc, cn *conn, key protocol.Key) protocol.Status {
 	// A control op: it addresses the server, so nothing routes it, whatever
 	// key it carries.
 	req := c.newReq()
 	defer c.Release(req)
-	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key}, false)
+	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key.Str, hash: key.Hash}, false)
 	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
 	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
@@ -447,7 +447,7 @@ func (c *Client) noteMemberEpoch(cn *conn, info *protocol.DirectoryInfo) {
 		return
 	}
 	cn.memEpoch = info.MemberEpoch
-	clear(cn.locs)
+	cn.locs.Clear()
 	c.Counters.Inc(metrics.CEpochInvalidations)
 }
 

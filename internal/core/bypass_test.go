@@ -82,7 +82,7 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 		if st.Val(metrics.CBypassFallbacks) != 0 || st.Val(metrics.CBypassReprobes) != 0 {
 			t.Errorf("quiescent hits fell back %d times, re-probed %d times", st.Val(metrics.CBypassFallbacks), st.Val(metrics.CBypassReprobes))
 		}
-		if n := len(c.conns[0].locs); n != 0 {
+		if n := c.conns[0].locs.Len(); n != 0 {
 			t.Errorf("inline hits left %d cached locations behind", n)
 		}
 	})
@@ -96,8 +96,10 @@ func TestBypassInlineHitIsOneRead(t *testing.T) {
 // back to RPC once and still answers.
 func TestBypassCollidingKeysShareABucket(t *testing.T) {
 	const buckets = 1 << 15 // NewDirectory's default
-	home := func(key string) int { return int(protocol.KeyDigest(key) % buckets) }
-	alt := func(key string) int { return protocol.AltBucket(home(key), protocol.KeyDigest(key), buckets) }
+	home := func(key string) int { return int(protocol.KeyDigest(protocol.FNV1a(key)) % buckets) }
+	alt := func(key string) int {
+		return protocol.AltBucket(home(key), protocol.KeyDigest(protocol.FNV1a(key)), buckets)
+	}
 	// keyWhere returns the first key of the form prefix:i that pred accepts.
 	keyWhere := func(prefix string, pred func(string) bool) string {
 		for i := 0; ; i++ {
@@ -232,7 +234,7 @@ func TestBypassOutOfLineRepeatHitsUseCachedOffset(t *testing.T) {
 		if n := bypassGet(t, p, c, key, "v1"); n != 2 {
 			t.Errorf("first out-of-line GET cost %d READs, want slot + segment", n)
 		}
-		if _, cached := c.conns[0].locs[key]; !cached {
+		if _, cached := c.conns[0].locs.Get(protocol.KeyOf(key)); !cached {
 			t.Fatal("segment location not cached after the first resolution")
 		}
 		for i := 0; i < 3; i++ {
@@ -278,7 +280,7 @@ func TestBypassValueCrossingInlineMax(t *testing.T) {
 		if n := bypassGet(t, p, c, key, "small-2"); n != 2 {
 			t.Errorf("GET after shrinking cost %d READs, want dead offset + slot", n)
 		}
-		if loc, cached := c.conns[0].locs[key]; cached {
+		if loc, cached := c.conns[0].locs.Get(protocol.KeyOf(key)); cached {
 			t.Errorf("shrunk value left a cached offset behind: %+v", loc)
 		}
 		if n := bypassGet(t, p, c, key, "small-2"); n != 1 {
@@ -379,7 +381,7 @@ func TestReadOutlivesItsResolution(t *testing.T) {
 		p.Sleep(sim.Millisecond) // every directory publish has landed
 		// The bootstrap, and the one resolution record the test makes.
 		c.Release(get(p, keys[0]))
-		bucket := func(k string) uint64 { return protocol.KeyDigest(k) % uint64(c.conns[0].dir.Buckets) }
+		bucket := func(k string) uint64 { return protocol.KeyDigest(protocol.FNV1a(k)) % uint64(c.conns[0].dir.Buckets) }
 		a, bKey := keys[0], ""
 		for _, k := range keys[1:] {
 			if bucket(k) != bucket(a) {

@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hybridkv/internal/keytab"
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
@@ -260,6 +261,15 @@ func (r *Req) ID() uint64 { return r.id }
 // Key returns the requested key.
 func (r *Req) Key() string { return r.key }
 
+// hkey is the request's key with its hash: as its latest attempt carries
+// them, or hashed again for a request that has ended.
+func (r *Req) hkey() protocol.Key {
+	if att := r.cur; att != nil {
+		return att.wire.HKey()
+	}
+	return protocol.KeyOf(r.key)
+}
+
 // tagPanic, deferred by a request's helper process (bypass resolver, guard,
 // hedge), adds the request id to a panic passing through it. Those
 // processes share one constant name each — a formatted name per request was
@@ -412,7 +422,7 @@ type conn struct {
 	dirState  int
 	dirFetch  *sim.Event
 	readWaits map[uint64]*resolution // by WRID: the resolution whose READ it is
-	locs      map[string]locEntry
+	locs      keytab.Table[locEntry]
 	// readq feeds the READ-coalescing engine: concurrent resolvers enqueue
 	// WRs here and the engine sweeps the backlog under one doorbell, building
 	// each chain in readWRs (reused: the post copies the WRs out).
@@ -423,7 +433,7 @@ type conn struct {
 	// the single-flight latch for the refresh in progress.
 	hotSet     []uint64
 	hotVersion uint64
-	heat       *sim.Queue[string]
+	heat       *sim.Queue[protocol.Key]
 	hotRefresh bool
 }
 
@@ -461,7 +471,7 @@ func (c *Client) invalidatePlacement(epoch uint64) {
 			continue
 		}
 		cn.memEpoch = epoch
-		clear(cn.locs)
+		cn.locs.Clear()
 		cn.hotSet, cn.hotVersion = nil, 0
 	}
 	c.Counters.Inc(metrics.CEpochInvalidations)
@@ -484,7 +494,7 @@ func (c *Client) Retire(serverID int) {
 	cn.brk = nil
 	cn.health = nil
 	cn.dir, cn.dirState = nil, dirNone
-	clear(cn.locs)
+	cn.locs.Clear()
 	cn.hotSet, cn.hotVersion = nil, 0
 	c.Counters.Inc(metrics.CRetiredConns)
 }
@@ -546,9 +556,8 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 	c.env.Spawn(name+"/progress", cn.progressEngine)
 	if c.cfg.Bypass {
 		cn.readWaits = make(map[uint64]*resolution)
-		cn.locs = make(map[string]locEntry)
 		cn.readq = sim.NewQueue[verbs.SendWR](c.env, 0)
-		cn.heat = sim.NewQueue[string](c.env, 0)
+		cn.heat = sim.NewQueue[protocol.Key](c.env, 0)
 		c.env.Spawn(name+"/bypass", cn.bypassEngine)
 		c.env.Spawn(name+"/reads", cn.readEngine)
 		c.env.Spawn(name+"/refresh", cn.refresher)
@@ -589,7 +598,7 @@ func (c *Client) initReq(req *Req, op Op, ack bool) {
 	att := c.attempts.Get()
 	att.req, att.next = req, att
 	att.wire = protocol.Request{
-		ReqID: c.nextID, Op: op.Code, Key: op.Key, Flags: op.Flags,
+		ReqID: c.nextID, Op: op.Code, Key: op.Key, KeyHash: op.hash, Flags: op.Flags,
 		ValueSize: op.ValueSize, Value: op.Value,
 		CAS: op.CAS, Delta: op.Delta,
 		AckWanted: ack,

@@ -356,7 +356,7 @@ func TestIssueOnIPoIB(t *testing.T) {
 
 		// One lost request: the first resend is answered, on the same server.
 		lost.n, lost.pick = 0, func(n int) bool { return n == 1 }
-		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.cn != r.client.route("k", routeGet, nil) {
+		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.cn != r.client.route(protocol.KeyOf("k"), routeGet, nil) {
 			t.Errorf("one lost request under WithRetry: err %v after %d attempts", req.Err(), req.Attempts)
 		}
 		// A mute server: each option bounds the exchange by its own budget.
@@ -454,7 +454,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 	}
 	counts := make([]int, 4)
 	for i := 0; i < 40000; i++ {
-		counts[rg.Pick(fmt.Sprintf("object-%d", i))]++
+		counts[rg.Pick(protocol.KeyOf(fmt.Sprintf("object-%d", i)))]++
 	}
 	for i, c := range counts {
 		frac := float64(c) / 40000
@@ -465,12 +465,12 @@ func TestRingBalanceAndStability(t *testing.T) {
 	// Consistency: removing one server must keep other keys mostly stable.
 	before := make(map[int]int)
 	for i := 0; i < 1000; i++ {
-		before[i] = rg.Pick(fmt.Sprintf("object-%d", i))
+		before[i] = rg.Pick(protocol.KeyOf(fmt.Sprintf("object-%d", i)))
 	}
 	rg.Remove(3)
 	moved := 0
 	for i := 0; i < 1000; i++ {
-		after := rg.Pick(fmt.Sprintf("object-%d", i))
+		after := rg.Pick(protocol.KeyOf(fmt.Sprintf("object-%d", i)))
 		if before[i] != 3 && after != before[i] {
 			moved++
 		}

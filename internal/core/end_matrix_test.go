@@ -368,7 +368,7 @@ func newEndCell(t *testing.T, row *endRow, col *endCol) *endCell {
 	if x.op = row.op; x.op.Key == "" {
 		x.op = endGet(endKey)
 	}
-	x.home = x.c.route(x.op.Key, routeWrite, nil)
+	x.home = x.c.route(protocol.KeyOf(x.op.Key), routeWrite, nil)
 	x.other = x.c.conns[(x.home.serverID+1)%len(x.c.conns)]
 	if x.on = x.home; row.other {
 		x.on = x.other
@@ -390,7 +390,7 @@ func (x *endCell) shape(cn *conn, sh shape) {
 func (x *endCell) mate(name string) string {
 	for i := 0; ; i++ {
 		key := fmt.Sprintf("%s:%d", name, i)
-		if x.c.route(key, routeWrite, nil) == x.home {
+		if x.c.route(protocol.KeyOf(key), routeWrite, nil) == x.home {
 			return key
 		}
 	}

@@ -103,7 +103,7 @@ func TestHedgedOverAttemptIsSettledWithItsRequest(t *testing.T) {
 			r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async, servers: 2})
 			c := r.client
 			sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
-				home := c.route("h", routeGet, nil)
+				home := c.route(protocol.KeyOf("h"), routeGet, nil)
 				r.servers[home.serverID].Crash()
 				if end == "the deadline" {
 					r.servers[1-home.serverID].Crash()
@@ -170,7 +170,7 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 				clientCfg: func(cc *Config) { cc.Breaker = 2 },
 			})
 			c := r.client
-			home := c.route("k", routeGet, nil)
+			home := c.route(protocol.KeyOf("k"), routeGet, nil)
 			reached := 0
 			sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 				srv := r.servers[home.serverID]
@@ -228,7 +228,7 @@ func TestBufferedSetGivesBackTheProbeSlot(t *testing.T) {
 	c := r.client
 	c.SetBuffering(true)
 	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
-		home := c.route("k", routeWrite, nil)
+		home := c.route(protocol.KeyOf("k"), routeWrite, nil)
 		home.noteFailure()
 		home.noteFailure()
 		p.Sleep(breakerCooldown + sim.Microsecond) // the next attempt routed here takes the probe slot

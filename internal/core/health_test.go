@@ -80,8 +80,8 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	for _, cn := range c.conns {
 		cn.health.browned[hcGet] = true
 	}
-	want := c.route("k", routeWrite, nil)
-	if got := c.route("k", routeGet, nil); got != want {
+	want := c.route(protocol.KeyOf("k"), routeWrite, nil)
+	if got := c.route(protocol.KeyOf("k"), routeGet, nil); got != want {
 		t.Errorf("fully-browned set: GET routed to server%d, want the write route's server%d", got.serverID, want.serverID)
 	}
 
@@ -92,7 +92,7 @@ func TestBrownoutNeverBlocksLastLiveReplica(t *testing.T) {
 	})
 	c1 := r1.client
 	c1.conns[0].health.browned[hcGet] = true
-	if got := c1.route("k", routeGet, nil); got != c1.conns[0] {
+	if got := c1.route(protocol.KeyOf("k"), routeGet, nil); got != c1.conns[0] {
 		t.Error("unreplicated browned conn not returned as last-live")
 	}
 }
@@ -106,12 +106,12 @@ func TestBrownoutProbeTrickle(t *testing.T) {
 		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
-	home := c.route("k", routeWrite, nil)
+	home := c.route(protocol.KeyOf("k"), routeWrite, nil)
 	home.health.browned[hcGet] = true
 
 	probes, rerouted := 0, 0
 	for i := 0; i < 2*healthProbeEvery; i++ {
-		if c.route("k", routeGet, nil) == home {
+		if c.route(protocol.KeyOf("k"), routeGet, nil) == home {
 			probes++
 		} else {
 			rerouted++
@@ -136,12 +136,12 @@ func TestWriteClassBrownoutDoesNotRerouteGets(t *testing.T) {
 		clientCfg: func(cc *Config) { cc.Health = true },
 	})
 	c := r.client
-	home := c.route("k", routeWrite, nil)
+	home := c.route(protocol.KeyOf("k"), routeWrite, nil)
 	home.health.browned[hcWrite] = true
 	if !home.readHealthy() {
 		t.Error("write-class brown-out must not mark the read path unhealthy")
 	}
-	if got := c.route("k", routeGet, nil); got != home {
+	if got := c.route(protocol.KeyOf("k"), routeGet, nil); got != home {
 		t.Errorf("GET rerouted to server%d on a write-class brown-out", got.serverID)
 	}
 	if n := c.Counters.Val(metrics.CSlowRoutedGets); n != 0 {
@@ -237,13 +237,13 @@ func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
 		clientCfg: func(cc *Config) { cc.Breaker, cc.Health = 1, true },
 	})
 	c := r.client
-	home := c.route("k", routeWrite, nil)
+	home := c.route(protocol.KeyOf("k"), routeWrite, nil)
 	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		home.health.browned[hcGet] = true
 		home.noteFailure() // Breaker 1: open
 		p.Sleep(breakerCooldown + 10*sim.Microsecond)
 
-		if got := c.route("k", routeGet, nil); got == home {
+		if got := c.route(protocol.KeyOf("k"), routeGet, nil); got == home {
 			t.Fatal("GET routed to the browned home; the test never went around it")
 		}
 		if home.brk.state != bkOpen || home.brk.probing {
@@ -251,7 +251,7 @@ func TestBrownedHalfOpenBreakerIsNotStranded(t *testing.T) {
 		}
 
 		p.Sleep(10 * sim.Millisecond)
-		if got := c.route("k", routeWrite, nil); got != home {
+		if got := c.route(protocol.KeyOf("k"), routeWrite, nil); got != home {
 			t.Errorf("write routed to server%d: home's probe slot was stranded", got.serverID)
 		}
 		if home.brk.state != bkHalfOpen || !home.brk.probing {

@@ -55,7 +55,7 @@ func (c *Client) isHot(digest uint64) bool {
 // server, whose sketch then counts it itself. A tick whose connection is not
 // bootstrapped, or already has a refresh in flight, sends nothing: the next
 // tick samples instead.
-func (c *Client) tickHeat(cn *conn, key string) {
+func (c *Client) tickHeat(cn *conn, key protocol.Key) {
 	c.hotGets++
 	if c.hotGets%hotSampleEvery != 0 || cn.hotRefresh || cn.dirState != dirReady {
 		return
@@ -72,7 +72,7 @@ func (cn *conn) refresher(p *sim.Proc) {
 	for {
 		key, _ := cn.heat.Get(p)
 		c.Counters.Inc(metrics.CHotRefreshes)
-		if key != "" {
+		if key.Str != "" {
 			c.Counters.Inc(metrics.CHotSamples)
 		}
 		c.queryDir(p, cn, key)

@@ -29,6 +29,9 @@ type Op struct {
 	Flags     uint32
 	CAS       uint64
 	Delta     uint64
+	// hash is FNV1a(Key): Issue hashes the key once, and the request's
+	// message carries the hash to every table and ring the key meets.
+	hash uint64
 }
 
 // RetryPolicy governs retransmission of an unanswered request.
@@ -159,7 +162,9 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if o.forCAS {
 		in = routeWrite
 	}
-	cn := c.route(op.Key, in, nil)
+	k := protocol.KeyOf(op.Key)
+	op.hash = k.Hash
+	cn := c.route(k, in, nil)
 	// This is the one place that asks which transport the client is on, and
 	// the one place that asks whether it is buffering (SetBuffering): a
 	// buffered Set is queued and complete on return, and a Get pushes the
@@ -191,9 +196,9 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	if op.Code == protocol.OpGet && !o.forCAS && c.cfg.Bypass {
 		// The GET is on its way first; a refresh it ticks follows it. Its key
 		// rides the refresh only when the server will not see the GET.
-		sample := ""
+		var sample protocol.Key
 		if bypass {
-			sample = op.Key
+			sample = k
 		}
 		c.tickHeat(cn, sample)
 	}
@@ -378,7 +383,7 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 		old.settle(req.lapse())
 	}
 	if failover && len(c.conns) > 1 {
-		cn = c.route(req.Key(), routeNext, cn)
+		cn = c.route(req.hkey(), routeNext, cn)
 		c.Counters.Inc(metrics.CFailovers)
 	}
 	c.Counters.Inc(metrics.CRetries)
@@ -501,7 +506,7 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.route(req.Key(), routeNext, req.cn)
+		cn := c.route(req.hkey(), routeNext, req.cn)
 		if cn == req.cn {
 			return // no distinct replica to hedge onto
 		}

@@ -377,3 +377,28 @@ func (df *delayFirst) Transmit(src, dst string, size int, now sim.Time) simnet.V
 	}
 	return simnet.Verdict{}
 }
+
+// Issue hashes a key once and its message carries the hash (protocol.Key) to
+// the server, on both transports: the store files a SET under it, which the
+// census holds to FNV1a of the key, and counts a GET's heat under it, which
+// Heat finds by the key's own hash.
+func TestIssueCarriesTheKeyHash(t *testing.T) {
+	for _, tr := range []Transport{RDMA, IPoIB} {
+		r := newTestRig(rigOpts{transport: tr})
+		sim.Drive(t, r.env, "issue", func(p *sim.Proc) {
+			r.client.Set(p, "carried", 64, "v", 0, 0)
+			for range 3 {
+				req, _ := r.client.Issue(p, Op{Code: protocol.OpGet, Key: "carried"})
+				r.client.Wait(p, req)
+				r.client.Release(req)
+			}
+		})
+		if got := r.servers[0].Store().Heat("carried"); got != 3 {
+			t.Errorf("%v: the store counted %d GETs of the key under its hash, want 3", tr, got)
+		}
+		if err := r.census().Err(); err != nil {
+			t.Errorf("%v: %v", tr, err)
+		}
+		r.env.Close()
+	}
+}

@@ -277,7 +277,8 @@ func poolSoak(t *testing.T, transport Transport) {
 		}
 		for _, srv := range r.servers {
 			st := srv.Store()
-			for _, key := range st.Keys() {
+			for _, k := range st.Keys() {
+				key := k.Str
 				v, _, _, _, status := st.Get(p, key)
 				if status != protocol.StatusOK {
 					continue
@@ -359,7 +360,7 @@ func TestRecordOutlivesALateHedge(t *testing.T) {
 	c := r.client
 	on := func(srv int, prefix string) string {
 		for i := 0; ; i++ {
-			if key := fmt.Sprintf("%s%d", prefix, i); c.ring.Pick(key) == srv {
+			if key := fmt.Sprintf("%s%d", prefix, i); c.ring.Pick(protocol.KeyOf(key)) == srv {
 				return key
 			}
 		}

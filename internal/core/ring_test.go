@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/replication"
 )
 
@@ -26,7 +27,7 @@ func TestRingBalance(t *testing.T) {
 	keys := ringKeys(20000)
 	counts := make([]int, servers)
 	for _, k := range keys {
-		counts[r.Pick(k)]++
+		counts[r.Pick(protocol.KeyOf(k))]++
 	}
 	fair := float64(len(keys)) / servers
 	for s, n := range counts {
@@ -45,10 +46,10 @@ func TestRingStability(t *testing.T) {
 	keys := ringKeys(1000)
 	first := make([]int, len(keys))
 	for i, k := range keys {
-		first[i] = r.Pick(k)
+		first[i] = r.Pick(protocol.KeyOf(k))
 	}
 	for i, k := range keys {
-		if got := r.Pick(k); got != first[i] {
+		if got := r.Pick(protocol.KeyOf(k)); got != first[i] {
 			t.Fatalf("pick(%q) changed between calls: %d then %d", k, first[i], got)
 		}
 	}
@@ -66,12 +67,12 @@ func TestRingKeyMovementOnAdd(t *testing.T) {
 	keys := ringKeys(20000)
 	old := make([]int, len(keys))
 	for i, k := range keys {
-		old[i] = r.Pick(k)
+		old[i] = r.Pick(protocol.KeyOf(k))
 	}
 	r.Add(before)
 	moved := 0
 	for i, k := range keys {
-		now := r.Pick(k)
+		now := r.Pick(protocol.KeyOf(k))
 		if now == old[i] {
 			continue
 		}
@@ -101,13 +102,13 @@ func TestRingMovementBoundAcrossJoins(t *testing.T) {
 	}
 	owner := make([]int, len(keys))
 	for i, k := range keys {
-		owner[i] = r.Pick(k)
+		owner[i] = r.Pick(protocol.KeyOf(k))
 	}
 	for n := 3; n < 9; n++ {
 		r.Add(n)
 		moved := 0
 		for i, k := range keys {
-			now := r.Pick(k)
+			now := r.Pick(protocol.KeyOf(k))
 			if now != owner[i] {
 				moved++
 				if now != n {
@@ -140,12 +141,12 @@ func TestRingReplicaSetMovementOnJoin(t *testing.T) {
 	keys := ringKeys(20000)
 	old := make(map[string][]int, len(keys))
 	for _, k := range keys {
-		old[k] = r.Replicas(k, rf)
+		old[k] = r.Replicas(protocol.KeyOf(k), rf)
 	}
 	r.Add(before)
 	changed := 0
 	for _, k := range keys {
-		now := r.Replicas(k, rf)
+		now := r.Replicas(protocol.KeyOf(k), rf)
 		same := len(now) == len(old[k])
 		for i := range now {
 			if same && now[i] != old[k][i] {
@@ -197,12 +198,12 @@ func TestRingKeyMovementOnRemove(t *testing.T) {
 	keys := ringKeys(20000)
 	old := make([]int, len(keys))
 	for i, k := range keys {
-		old[i] = r.Pick(k)
+		old[i] = r.Pick(protocol.KeyOf(k))
 	}
 	const victim = 2
 	r.Remove(victim)
 	for i, k := range keys {
-		now := r.Pick(k)
+		now := r.Pick(protocol.KeyOf(k))
 		if now == victim {
 			t.Fatalf("key %q still maps to removed server", k)
 		}
@@ -219,5 +220,5 @@ func TestRingEmptyPanics(t *testing.T) {
 			t.Error("pick on empty ring did not panic")
 		}
 	}()
-	replication.NewRing().Pick("k")
+	replication.NewRing().Pick(protocol.KeyOf("k"))
 }

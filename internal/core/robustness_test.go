@@ -515,10 +515,10 @@ func TestWaitAnyAcrossReplicas(t *testing.T) {
 	var keyA, keyB string
 	for i := 0; i < 64 && (keyA == "" || keyB == ""); i++ {
 		k := fmt.Sprintf("wa:%02d", i)
-		if c.ring.Pick(k) == 0 && keyA == "" {
+		if c.ring.Pick(protocol.KeyOf(k)) == 0 && keyA == "" {
 			keyA = k
 		}
-		if c.ring.Pick(k) == 1 && keyB == "" {
+		if c.ring.Pick(protocol.KeyOf(k)) == 1 && keyB == "" {
 			keyB = k
 		}
 	}

@@ -56,9 +56,9 @@ func intentOf(op protocol.Opcode) intent {
 
 // replicas returns key's replica set under the shared membership view, or
 // nil on an unreplicated client.
-func (c *Client) replicas(key string) []int {
+func (c *Client) replicas(k protocol.Key) []int {
 	if m := c.cfg.Membership; m != nil {
-		return m.ReplicaSet(key, m.Factor())
+		return m.ReplicaSet(k, m.Factor())
 	}
 	return nil
 }
@@ -104,13 +104,13 @@ func (o order) index(cn *conn) int {
 // route picks the connection for one attempt on key. cur is the connection
 // of the attempt before it (routeNext, routeFallback), nil for a first
 // attempt. It allocates nothing outside a migration's union sets.
-func (c *Client) route(key string, in intent, cur *conn) *conn {
+func (c *Client) route(k protocol.Key, in intent, cur *conn) *conn {
 	if len(c.conns) == 0 {
 		panic("core: no server connections")
 	}
-	o := order{conns: c.conns, set: c.replicas(key)}
+	o := order{conns: c.conns, set: c.replicas(k)}
 	if o.set == nil {
-		o.home = c.ring.Pick(key)
+		o.home = c.ring.Pick(k)
 	}
 	n := o.len()
 	// Brown-out reorders reads among replicas only: a pool neighbour does not
@@ -125,7 +125,7 @@ func (c *Client) route(key string, in intent, cur *conn) *conn {
 	hot := false
 	switch in {
 	case routeGet:
-		if c.cfg.HotFanout && o.set != nil && c.isHot(protocol.KeyDigest(key)) {
+		if c.cfg.HotFanout && o.set != nil && c.isHot(protocol.KeyDigest(k.Hash)) {
 			hot = true
 			start = int(c.hotRR % uint64(n))
 			c.hotRR++

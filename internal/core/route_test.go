@@ -125,12 +125,12 @@ func TestRouteMatrix(t *testing.T) {
 			})
 			c := r.client
 			var order []*conn
-			if set := c.replicas(key); set != nil {
+			if set := c.replicas(protocol.KeyOf(key)); set != nil {
 				for _, id := range set {
 					order = append(order, c.conns[id])
 				}
 			} else {
-				home := c.ring.Pick(key)
+				home := c.ring.Pick(protocol.KeyOf(key))
 				for i := range c.conns {
 					order = append(order, c.conns[(home+i)%len(c.conns)])
 				}
@@ -150,7 +150,7 @@ func TestRouteMatrix(t *testing.T) {
 				}
 			}
 			if row.hot {
-				c.conns[0].hotSet = []uint64{protocol.KeyDigest(key)}
+				c.conns[0].hotSet = []uint64{protocol.KeyDigest(protocol.FNV1a(key))}
 			}
 			c.hotRR = row.rr
 			var cur *conn
@@ -170,7 +170,7 @@ func TestRouteMatrix(t *testing.T) {
 			}
 
 			before := c.Counters
-			got := c.route(key, row.in, cur)
+			got := c.route(protocol.KeyOf(key), row.in, cur)
 			after := c.Counters
 
 			if got != order[row.want] {
@@ -230,15 +230,15 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 		keys := make([]string, 64)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("alloc:%02d", i)
-			c.route(keys[i], routeGet, nil) // warm the ring's memo
+			c.route(protocol.KeyOf(keys[i]), routeGet, nil) // warm the ring's memo
 		}
 		i := 0
 		if got := testing.AllocsPerRun(1000, func() {
 			k := keys[i%len(keys)]
 			i++
-			cn := c.route(k, routeGet, nil)
-			c.route(k, routeWrite, nil)
-			c.route(k, routeNext, cn)
+			cn := c.route(protocol.KeyOf(k), routeGet, nil)
+			c.route(protocol.KeyOf(k), routeWrite, nil)
+			c.route(protocol.KeyOf(k), routeNext, cn)
 		}); got > 0 {
 			t.Errorf("R=%d: %v allocations per three routes, want 0", replicas, got)
 		}
@@ -256,7 +256,7 @@ func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 	})
 	c := r.client
 	const key = "token-key"
-	primary := c.conns[c.replicas(key)[0]]
+	primary := c.conns[c.replicas(protocol.KeyOf(key))[0]]
 	primary.health.browned[hcGet] = true
 	sim.Drive(t, r.env, "gets", func(p *sim.Proc) {
 		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.cn == primary {

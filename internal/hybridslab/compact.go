@@ -71,7 +71,7 @@ func (m *Manager) liveRegions(pred func(pg *ssdPage, live []*Item) bool) []liveR
 // incarnation's and never put back.
 func (m *Manager) relocate(p *sim.Proc, old *ssdPage, items []*Item) (fresh *ssdPage, corrupt []*Item, alive bool) {
 	gen0 := m.gen
-	class := items[0].class
+	class := int(items[0].class)
 	scheme := m.flushScheme(class)
 	keep := items[:0]
 	for _, it := range items {
@@ -151,7 +151,7 @@ func (m *Manager) Compact(p *sim.Proc, liveThreshold float64) (reclaimed int64) 
 	// Quarantined regions are the scrub pass's to drain and reclaim
 	// (EvacuateQuarantined); the compactor must not pool suspect media.
 	sparse := m.liveRegions(func(pg *ssdPage, live []*Item) bool {
-		liveBytes := len(live) * m.alloc.ChunkSize(live[0].class)
+		liveBytes := len(live) * m.alloc.ChunkSize(int(live[0].class))
 		return !pg.quarantined && float64(liveBytes) <= liveThreshold*float64(pg.size)
 	})
 	for _, r := range sparse {

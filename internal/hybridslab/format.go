@@ -25,7 +25,6 @@ package hybridslab
 
 import (
 	"hybridkv/internal/pagecache"
-	"hybridkv/internal/protocol"
 )
 
 const (
@@ -128,7 +127,7 @@ func (m *Manager) buildRegion(job flushJob, base int64, epoch uint64, data []pag
 	data = append(data, pagecache.Extent{Off: base, Size: PageHeaderSize, Payload: hdr})
 	recs := make([]itemRecord, len(job.victims))
 	for i, v := range job.victims {
-		hdr.Items[i] = itemMeta{Digest: protocol.FNV1a(v.Key), Len: v.ValueSize}
+		hdr.Items[i] = itemMeta{Digest: v.HKey().Hash, Len: v.ValueSize}
 		recs[i] = itemRecord{
 			Key:       v.Key,
 			Value:     v.Value,

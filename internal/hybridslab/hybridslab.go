@@ -29,6 +29,7 @@ import (
 
 	"hybridkv/internal/pagecache"
 	"hybridkv/internal/pool"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 	"hybridkv/internal/slab"
 )
@@ -53,20 +54,27 @@ const slabMetaCost = 200 * sim.Nanosecond
 // the next NewItem. An item built by hand counts no holds, and one a cold
 // restart left behind is never reused: the GC takes both.
 type Item struct {
-	Key       string
+	Key string
+	// Hash is FNV1a(Key), carried in from the request that stored the item
+	// (the slab header's key digest reads it); 0 on an item built without
+	// one, whose HKey hashes the key.
+	Hash      uint64
 	Value     any
 	ValueSize int
 	Flags     uint32
 	pool.Holds
 	CAS uint64
 
-	class   int
 	onSSD   bool
 	dropped bool
 	// inTransit marks a victim of an eviction in flight: it is on no
 	// recency list while the evicting worker may be suspended in flush I/O,
 	// so concurrent Touch/Release must not relink it.
 	inTransit bool
+	// class is the item's slab class: a byte, beside the flags (New refuses
+	// an allocator of more classes), so the carried Hash costs the item no
+	// size class.
+	class uint8
 	// gen is the manager incarnation that owns the item. A cold-restart
 	// recovery bumps the manager's generation; items from the previous
 	// incarnation (still referenced by workers that were suspended in I/O
@@ -100,6 +108,14 @@ func (m *Manager) Retired() int { return m.retired }
 // Retired reports whether it is one of those: an older incarnation's item,
 // whose holds nobody counts any more.
 func (it *Item) Retired() bool { return it.owner != nil && it.gen != it.owner.gen }
+
+// HKey returns the item's key with its hash.
+func (it *Item) HKey() protocol.Key {
+	if it.Hash == 0 {
+		return protocol.KeyOf(it.Key)
+	}
+	return protocol.Key{Hash: it.Hash, Str: it.Key}
+}
 
 // String names the item by its key.
 func (it *Item) String() string { return "item " + strconv.Quote(it.Key) }
@@ -291,6 +307,9 @@ func New(env *sim.Env, cfg Config, file *pagecache.File) *Manager {
 		ssdFree: make(map[int64][]int64),
 		windows: make(map[*sim.Proc]*evictionWindow),
 	}
+	if m.alloc.NumClasses() > 1<<8 {
+		panic("hybridslab: more slab classes than an item's class byte holds")
+	}
 	m.lrus = make([]slab.LRU[*Item], m.alloc.NumClasses())
 	if file != nil {
 		m.ssdLimit = cfg.SSDCapacity
@@ -381,7 +400,7 @@ func (m *Manager) Store(p *sim.Proc, it *Item) error {
 	if !ok {
 		return ErrTooLarge
 	}
-	it.class = class
+	it.class = uint8(class)
 	it.gen = m.gen
 	if n := m.punches; n > 0 {
 		m.punches = 0
@@ -968,7 +987,7 @@ func (m *Manager) Load(p *sim.Proc, it *Item) (any, error) {
 		return it.Value, nil
 	}
 	t0 := p.Now()
-	v, state := m.readSlot(p, it, m.loadScheme(it.class))
+	v, state := m.readSlot(p, it, m.loadScheme(int(it.class)))
 	m.SSDLoads++
 	switch state {
 	case slotGone:
@@ -1024,7 +1043,7 @@ func (m *Manager) Release(it *Item) {
 		m.freeSSD(it)
 	default:
 		m.lrus[it.class].Remove(&it.lru)
-		m.alloc.Free(it.class)
+		m.alloc.Free(int(it.class))
 	}
 	it.Value = nil
 	it.dropped = true
@@ -1051,6 +1070,16 @@ func (m *Manager) VisitLRU(limit int, fn func(*Item) bool) {
 		}
 		e = e.Prev()
 	}
+}
+
+// Listed returns how many items VisitLRU(limit, ...) would visit: each
+// recency list's length, up to limit.
+func (m *Manager) Listed(limit int) int {
+	n := min(m.ssdLRU.Len(), limit)
+	for i := range m.lrus {
+		n += min(m.lrus[i].Len(), limit)
+	}
+	return n
 }
 
 // RAMItems returns the number of RAM-resident items.

@@ -235,7 +235,7 @@ func TestReleaseFreesRAMChunk(t *testing.T) {
 	it := item(1, 32*1024)
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		m.Store(p, it)
-		cls := it.class
+		cls := int(it.class)
 		used := m.Allocator().Class(cls).UsedChunks
 		m.Release(it)
 		if got := m.Allocator().Class(cls).UsedChunks; got != used-1 {
@@ -492,7 +492,7 @@ func TestCorruptSSDExtentReadsAsMiss(t *testing.T) {
 func deadBytes(m *Manager) int64 {
 	dead := m.ssdNext
 	for e := m.ssdLRU.Back(); e != nil; e = e.Prev() {
-		dead -= int64(m.alloc.ChunkSize(e.Value.class))
+		dead -= int64(m.alloc.ChunkSize(int(e.Value.class)))
 	}
 	for size, offs := range m.ssdFree {
 		dead -= size * int64(len(offs))

@@ -52,7 +52,7 @@ const (
 // item, quarantine the region — is the caller's.
 func (m *Manager) readSlot(p *sim.Proc, it *Item, scheme pagecache.Scheme) (any, slotState) {
 	off := it.ssdOff
-	v, ok := m.file.Read(p, off, m.alloc.ChunkSize(it.class), scheme)
+	v, ok := m.file.Read(p, off, m.alloc.ChunkSize(int(it.class)), scheme)
 	switch {
 	case it.gen != m.gen || it.dropped:
 		return nil, slotGone
@@ -107,7 +107,7 @@ func (m *Manager) verifySlot(it *Item, rec *itemRecord) bool {
 	if !ok || hdr.Magic != pageMagic || hdr.Sum != headerSum(hdr) {
 		return false
 	}
-	chunk := m.alloc.ChunkSize(it.class)
+	chunk := m.alloc.ChunkSize(int(it.class))
 	if chunk <= 0 || hdr.Chunk != chunk {
 		return false
 	}

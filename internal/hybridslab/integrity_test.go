@@ -120,7 +120,7 @@ func TestNoVerifyServesGarbledValue(t *testing.T) {
 func TestVerifySlotCatchesRecordMismatch(t *testing.T) {
 	env, m, _, items := rotFixture(t, false)
 	victim := items[0]
-	chunk := m.alloc.ChunkSize(victim.class)
+	chunk := m.alloc.ChunkSize(int(victim.class))
 	// Swap in a record for a different key at the victim's slot: the header
 	// digest for this slot no longer matches.
 	m.file.SetExtent(victim.ssdOff, chunk, &itemRecord{

@@ -81,7 +81,7 @@ func (c *writerCell) sparseRegion() {
 
 func (c *writerCell) evict(p *sim.Proc, pages int) {
 	for i := 0; i < pages; i++ {
-		c.m.evictOnePage(p, c.items[0].class)
+		c.m.evictOnePage(p, int(c.items[0].class))
 	}
 }
 

@@ -59,7 +59,7 @@ func runHorizon(t *testing.T, policy IOPolicy, later int64, release bool) horizo
 		}
 		ps := int64(par.PageSize)
 		r.victimOff = victim.ssdOff
-		r.slotPages = (victim.ssdOff+int64(m.alloc.ChunkSize(victim.class)))/ps - (victim.ssdOff+ps-1)/ps
+		r.slotPages = (victim.ssdOff+int64(m.alloc.ChunkSize(int(victim.class))))/ps - (victim.ssdOff+ps-1)/ps
 		for _, it := range recent {
 			if it.OnSSD() {
 				t.Fatalf("item %s stored last is on the SSD", it.Key)

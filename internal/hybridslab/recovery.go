@@ -212,8 +212,8 @@ func (m *Manager) Recover(p *sim.Proc) ([]*Item, RecoveryReport) {
 			}
 			it := m.NewItem()
 			scanned = append(scanned, it)
-			it.Key, it.Value, it.ValueSize, it.Flags, it.CAS = rec.Key, rec.Value, rec.ValueSize, rec.Flags, rec.CAS
-			it.class, it.onSSD, it.ssdOff, it.ssdPage = hdr.Class, true, off, pg
+			it.Key, it.Hash, it.Value, it.ValueSize, it.Flags, it.CAS = rec.Key, im.Digest, rec.Value, rec.ValueSize, rec.Flags, rec.CAS
+			it.class, it.onSSD, it.ssdOff, it.ssdPage = uint8(hdr.Class), true, off, pg
 			if prev, dup := byKey[rec.Key]; dup {
 				// Two committed copies of one key (higher epoch wins). The
 				// running system invalidates stale slots eagerly, so this

@@ -41,7 +41,7 @@ var relocations = []relocation{
 // header summary no longer matches, so the slot fails verification when it is
 // next read off the SSD.
 func plantMismatch(m *Manager, it *Item) {
-	m.file.SetExtent(it.ssdOff, m.alloc.ChunkSize(it.class), &itemRecord{Key: "not-the-key", ValueSize: it.ValueSize})
+	m.file.SetExtent(it.ssdOff, m.alloc.ChunkSize(int(it.class)), &itemRecord{Key: "not-the-key", ValueSize: it.ValueSize})
 }
 
 // quarantineRegionOf makes a Load of it fail verification: the item is

@@ -154,6 +154,33 @@ type Request struct {
 	CAS uint64
 	// Delta carries the Incr amount.
 	Delta uint64
+	// KeyHash is FNV1a(Key), hashed once where the request was built and
+	// read by every table and ring the key meets on its way: host-side state
+	// that no header field carries, so WireSize does not count it. Zero on a
+	// request built without one; HKey hashes the key then.
+	KeyHash uint64
+}
+
+// Key is a key with its 64-bit FNV-1a hash: Hash is FNV1a(Str), always. A
+// key is hashed once where it is born (KeyOf) and travels with its hash from
+// then on, so the directory digest, the ring, the scrub bucket, the slab
+// header and every key table (internal/keytab) read the one hash instead of
+// each taking its own.
+type Key struct {
+	Hash uint64
+	Str  string
+}
+
+// KeyOf hashes s.
+func KeyOf(s string) Key { return Key{FNV1a(s), s} }
+
+// HKey returns the request's key with its hash: KeyHash as carried, or
+// FNV1a(Key) for a request built without one.
+func (r *Request) HKey() Key {
+	if r.KeyHash == 0 {
+		return KeyOf(r.Key)
+	}
+	return Key{r.KeyHash, r.Key}
 }
 
 // Response is a server→client message.
@@ -421,14 +448,14 @@ type DirSegment struct {
 // WireSize returns the bytes a segment READ of this value moves.
 func (s *DirSegment) WireSize() int { return DirSegHeaderBytes + s.ValueSize }
 
-// KeyDigest hashes a key for directory slot matching (FNV-1a). Digest 0 is
-// reserved to mean "empty slot", so real digests are folded away from it.
-func KeyDigest(key string) uint64 {
-	d := FNV1a(key)
-	if d == 0 {
-		d = 1
+// KeyDigest is a key's directory digest for slot matching: its FNV-1a hash
+// h (Key.Hash). Digest 0 is reserved to mean "empty slot", so real digests
+// are folded away from it.
+func KeyDigest(h uint64) uint64 {
+	if h == 0 {
+		return 1
 	}
-	return d
+	return h
 }
 
 // ErrShortHeader reports a truncated or corrupt header.
@@ -458,6 +485,7 @@ func UnmarshalHeader(b []byte) (*Request, error) {
 		return nil, ErrShortHeader
 	}
 	r.Key = string(b[reqFixedBytes : reqFixedBytes+int(keyLen)])
+	r.KeyHash = FNV1a(r.Key)
 	return r, nil
 }
 

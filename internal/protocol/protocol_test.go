@@ -39,7 +39,7 @@ func TestKeyedDirQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *keyed {
+	if keyed.KeyHash = FNV1a(keyed.Key); *got != *keyed {
 		t.Errorf("round trip: %+v, sent %+v", got, keyed)
 	}
 	if keyed.WireSize() != bare.WireSize()+len(keyed.Key) {
@@ -87,15 +87,14 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// Every client attempt embeds the Request it sends, and the request record
-// embeds its first attempt, so the benchmark's host_bytes_per_op (2 % bound)
-// pays for each byte here once per operation. At the parent commit (2caa2d8)
-// Request was 96 bytes (the 96-byte size class), its one-byte Op and
-// AckWanted each padded to a word; with them beside Flags it is 80, the
-// 80-byte class.
+// Every client attempt embeds the Request it sends, and attempts come off
+// the client's free list, so a byte here is paid once per pooled attempt,
+// not per operation. Request is 88 bytes, the 96-byte class: the one-byte Op
+// and AckWanted sit beside Flags rather than padded to a word each, and the
+// key's carried hash (KeyHash) is one word.
 func TestRequestSize(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got != 80 {
-		t.Errorf("Request is %d bytes, was 96", got)
+	if got := unsafe.Sizeof(Request{}); got != 88 {
+		t.Errorf("Request is %d bytes, want 88", got)
 	}
 }
 

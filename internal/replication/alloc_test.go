@@ -136,8 +136,8 @@ func scrubExchangeModel(tb testing.TB) (step func()) {
 	ring := itRing(3)
 	bucket := -1
 	for _, key := range keys {
-		if set := ring.Replicas(key, 2); slices.Contains(set, 0) && slices.Contains(set, 1) {
-			bucket = int(replication.HashKey(key) % 32)
+		if set := ring.Replicas(protocol.KeyOf(key), 2); slices.Contains(set, 0) && slices.Contains(set, 1) {
+			bucket = int(replication.HashKey(protocol.KeyOf(key)) % 32)
 			break
 		}
 	}
@@ -166,10 +166,10 @@ func ringModel(testing.TB) (step func()) {
 	keys := make([]string, 512)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("alloc:%04d", i)
-		ring.Replicas(keys[i], 3)
+		ring.Replicas(protocol.KeyOf(keys[i]), 3)
 	}
 	i := 0
-	return func() { ring.Replicas(keys[i%len(keys)], 3); i++ }
+	return func() { ring.Replicas(protocol.KeyOf(keys[i%len(keys)]), 3); i++ }
 }
 
 // allocTable is the replication layer's line of make allocs.
@@ -210,10 +210,10 @@ func ringModel(testing.TB) (step func()) {
 //
 // One scrub exchange is no allocation: the diff's bucket list and entries go
 // into slices earlier frames gave back, the responder's list of its keys in
-// the differing bucket into one scratch slice, and the initiator's set of the
-// peer's keys into one map, cleared after each diff. It was 14 on a warmed rig
-// while each of them, and the digest's copy, was made per exchange (the slices
-// grown append by append).
+// the differing bucket into one scratch slice, and the initiator merges its
+// own list with the diff's entries, both in key order. It was 14 on a warmed
+// rig while each of them, and the digest's copy, was made per exchange (the
+// slices grown append by append).
 var allocTable = []struct {
 	name    string
 	model   func(testing.TB) (step func())
@@ -258,10 +258,10 @@ func BenchmarkAllocs(b *testing.B) {
 
 // A Forward is the replication round a write's coordinator waits on, its
 // done event included; it comes off a free list, so its size is held memory,
-// not bytes per operation. Its 16-byte event makes it 184 bytes, still the
-// 192-byte size class it was in at 192 with a 24-byte event.
+// not bytes per operation. It is 192 bytes, the 192-byte size class: a
+// 16-byte event, and its key with the key's carried hash.
 func TestForwardSize(t *testing.T) {
-	if got := unsafe.Sizeof(replication.Forward{}); got != 184 {
-		t.Errorf("Forward is %d bytes, want 184 (192 at f0af065)", got)
+	if got := unsafe.Sizeof(replication.Forward{}); got != 192 {
+		t.Errorf("Forward is %d bytes, want 192", got)
 	}
 }

@@ -78,11 +78,11 @@ func TestWriteReplicatesToAllMembers(t *testing.T) {
 		for i := 0; i < itKeys; i++ {
 			key := itKey(i)
 			member := map[int]bool{}
-			for _, id := range ring.Replicas(key, 2) {
+			for _, id := range ring.Replicas(protocol.KeyOf(key), 2) {
 				member[id] = true
 			}
 			for sid, s := range cl.Servers {
-				v, _, _, ok := s.Store().ReadItem(p, key)
+				v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key))
 				if member[sid] && !ok {
 					t.Errorf("server %d is a replica of %q but does not hold it", sid, key)
 				}
@@ -115,7 +115,7 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		k := fmt.Sprintf("proxy:%04d", i)
 		m := map[int]bool{}
-		for _, id := range ring.Replicas(k, 2) {
+		for _, id := range ring.Replicas(protocol.KeyOf(k), 2) {
 			m[id] = true
 		}
 		if !m[2] {
@@ -135,7 +135,7 @@ func TestProxyCoordinatorForwardsWithoutApplying(t *testing.T) {
 			t.Fatalf("proxy-coordinated SET answered %v", resp.Status)
 		}
 		for sid, s := range cl.Servers {
-			_, _, _, ok := s.Store().ReadItem(p, key)
+			_, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key))
 			if member[sid] && !ok {
 				t.Errorf("replica %d missing proxy-coordinated write of %q", sid, key)
 			}
@@ -168,7 +168,7 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 		for i := 0; i < itKeys; i++ {
 			key := itKey(i)
 			shared := false
-			for _, id := range ring.Replicas(key, 2) {
+			for _, id := range ring.Replicas(protocol.KeyOf(key), 2) {
 				if id == victim {
 					shared = true
 				}
@@ -176,7 +176,7 @@ func TestWipedNodeReconvergesViaScrub(t *testing.T) {
 			if !shared {
 				continue
 			}
-			v, _, _, ok := s.Store().ReadItem(p, key)
+			v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key))
 			if !ok {
 				t.Errorf("wiped node never re-fetched its replica of %q", key)
 				continue
@@ -204,7 +204,7 @@ func TestAckedAddSurvivesReplicaRestart(t *testing.T) {
 	c := cl.Clients[0]
 	ring := itRing(3)
 	key := "rmw:add"
-	backup := ring.Replicas(key, 2)[1]
+	backup := ring.Replicas(protocol.KeyOf(key), 2)[1]
 
 	sim.Drive(t, cl.Env, "it-rmw", func(p *sim.Proc) {
 		if st := itDo(p, c, core.Op{Code: protocol.OpAdd, Key: key, ValueSize: itValue, Value: uint64(2)}); st != protocol.StatusStored {
@@ -214,7 +214,7 @@ func TestAckedAddSurvivesReplicaRestart(t *testing.T) {
 		s := cl.Servers[backup]
 		s.Outage(p, server.KillRAM, 300*sim.Microsecond)
 		p.Sleep(30 * sim.Millisecond)
-		v, _, _, ok := s.Store().ReadItem(p, key)
+		v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key))
 		if !ok {
 			t.Error("restarted backup lost the acked Add")
 		} else if seq, _ := v.(uint64); seq != 2 {
@@ -271,7 +271,7 @@ func TestRecoordinatedRoundLeavesNoForwardBehind(t *testing.T) {
 	key, primary, proxy := "", 0, 0
 	for i := 0; key == "" && i < 256; i++ {
 		k := fmt.Sprintf("contended:%04d", i)
-		set := ring.Replicas(k, 2)
+		set := ring.Replicas(protocol.KeyOf(k), 2)
 		for sid := 0; sid < 3; sid++ {
 			if sid != set[0] && sid != set[1] {
 				key, primary, proxy = k, set[0], sid
@@ -345,7 +345,7 @@ func TestSmallWriteOvertakingALargeOneOfTheSameKey(t *testing.T) {
 		for sid, s := range cl.Servers {
 			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
 			epochs = append(epochs, epoch)
-			if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+			if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key)); !ok || v != uint64(2) {
 				t.Errorf("server %d holds %v (present=%v) once both SETs are answered, want 2", sid, v, ok)
 			}
 		}
@@ -389,7 +389,7 @@ func TestForwardedLargeWriteOvertakenByTheReceiversOwn(t *testing.T) {
 		for sid, s := range cl.Servers {
 			epoch, _, _ := cl.Replicators[sid].AppliedStateForTest(key)
 			epochs = append(epochs, epoch)
-			if v, _, _, ok := s.Store().ReadItem(p, key); !ok || v != uint64(2) {
+			if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key)); !ok || v != uint64(2) {
 				t.Errorf("server %d holds %v (present=%v), want 2", sid, v, ok)
 			}
 		}
@@ -416,7 +416,7 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 	}
 	sim.Drive(t, cl.Env, "it-preload", func(p *sim.Proc) { execute(p, cl.Replicators[0], set(256<<10, 1)) })
 	sim.DriveUntil(t, cl.Env, -1,
-		sim.Driver{Name: "it-corrupt", Fn: func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, key) }},
+		sim.Driver{Name: "it-corrupt", Fn: func(p *sim.Proc) { cl.Replicators[1].OnCorrupt(p, protocol.KeyOf(key)) }},
 		sim.Driver{Name: "it-write", Fn: func(p *sim.Proc) {
 			pushes := func() int64 { return cl.Replicators[2].Counters.Val(metrics.CRepairPushes) }
 			for n := pushes(); cl.Servers[2].Store().Manager().Gets == 0 && pushes() == n; { // until server 2 is reading its copy back
@@ -430,7 +430,7 @@ func TestRepairPushReadsValueAndEpochTogether(t *testing.T) {
 	sim.Drive(t, cl.Env, "it-audit", func(p *sim.Proc) {
 		for sid, s := range cl.Servers {
 			epoch, sum, _ := cl.Replicators[sid].AppliedStateForTest(key)
-			v, _, _, ok := s.Store().ReadItem(p, key)
+			v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(key))
 			if !ok || v != uint64(2) || sum != protocol.ValueSum(uint64(2)) {
 				t.Errorf("server %d holds %v (present=%v) under %#x/%#x, want 2 under its content sum", sid, v, ok, epoch, sum)
 			}
@@ -459,7 +459,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 		sim.DriveUntil(t, cl.Env, -1, sim.Driver{Name: "it-recovered", Fn: func(p *sim.Proc) {
 			// A value only server 1 holds, as a cold restart would resurrect it.
 			st.Set(p, key, 64, "resurrected", 0, 0)
-			r.OnColdRecovery([]string{key})
+			r.OnColdRecovery([]protocol.Key{protocol.KeyOf(key)})
 			r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: key}, nil)
 		}}, sim.Driver{Name: "it-write", At: at, Fn: func(p *sim.Proc) {
 			req := &protocol.Request{Op: protocol.OpSet, Key: key, ValueSize: 64, Value: "written"}
@@ -471,7 +471,7 @@ func TestSuspectDropSparesAWriteThatLandedUnderIt(t *testing.T) {
 		sim.Drive(t, cl.Env, "it-audit", func(p *sim.Proc) {
 			for sid, s := range cl.Servers {
 				_, _, ok := cl.Replicators[sid].AppliedStateForTest(key)
-				if v, _, _, held := s.Store().ReadItem(p, key); !ok || !held || v != "written" {
+				if v, _, _, held := s.Store().ReadItem(p, protocol.KeyOf(key)); !ok || !held || v != "written" {
 					if lost++; lost <= 3 {
 						t.Errorf("SET started at +%v: server %d holds %v (present=%v, record=%v), want the value written", at, sid, v, held, ok)
 					}
@@ -496,7 +496,7 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 		for _, key := range []string{"gone:get", "gone:add"} {
 			st.Set(p, key, 64, "resurrected", 0, 0)
 		}
-		r.OnColdRecovery([]string{"gone:get", "gone:add"})
+		r.OnColdRecovery([]protocol.Key{protocol.KeyOf("gone:get"), protocol.KeyOf("gone:add")})
 		if resp := r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: "gone:get"}, nil); resp.Status != protocol.StatusNotFound {
 			t.Errorf("GET of a suspect key nobody holds: %v, want a miss", resp.Status)
 		}
@@ -505,7 +505,7 @@ func TestSuspectKeyNobodyHoldsIsDroppedAndTheRequestRuns(t *testing.T) {
 			t.Errorf("Add of a suspect key nobody holds: %v, want it decided on the absent key", resp.Status)
 		}
 		for sid, s := range cl.Servers {
-			if v, _, _, ok := s.Store().ReadItem(p, "gone:add"); !ok || v != "added" {
+			if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf("gone:add")); !ok || v != "added" {
 				t.Errorf("server %d holds %v (present=%v) for the added key", sid, v, ok)
 			}
 		}
@@ -528,7 +528,7 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 		for _, key := range []string{"old:get", "old:incr"} {
 			st.Set(p, key, 64, uint64(7), 0, 0)
 		}
-		r.OnColdRecovery([]string{"old:get", "old:incr"})
+		r.OnColdRecovery([]protocol.Key{protocol.KeyOf("old:get"), protocol.KeyOf("old:incr")})
 		cl.Servers[0].Crash()
 		cl.Servers[2].Crash()
 		get := &protocol.Request{Op: protocol.OpGet, ReqID: 41, Key: "old:get"}
@@ -539,7 +539,7 @@ func TestSuspectKeyNoPeerConfirmsIsRefused(t *testing.T) {
 		if resp := r.Apply(p, incr, nil); resp.Status != protocol.StatusRecovering || resp.ReqID != 42 {
 			t.Errorf("Incr of a suspect key no peer confirms: %+v, want StatusRecovering for request 42", resp)
 		}
-		if v, _, _, ok := st.ReadItem(p, "old:incr"); !ok || v != uint64(7) {
+		if v, _, _, ok := st.ReadItem(p, protocol.KeyOf("old:incr")); !ok || v != uint64(7) {
 			t.Errorf("the refused Incr left (%v, present=%v), want the recovered 7 untouched", v, ok)
 		}
 	})
@@ -573,7 +573,7 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 		}
 		for i := 0; i < itKeys; i++ {
 			for sid, s := range cl.Servers {
-				if v, _, _, ok := s.Store().ReadItem(p, itKey(i)); !ok || v != uint64(i+1) {
+				if v, _, _, ok := s.Store().ReadItem(p, protocol.KeyOf(itKey(i))); !ok || v != uint64(i+1) {
 					t.Errorf("server %d holds %v (present=%v) for %s, want %d", sid, v, ok, itKey(i), i+1)
 				}
 			}

@@ -1,10 +1,11 @@
 package replication_test
 
 import (
-	"hybridkv/internal/metrics"
 	"math/rand"
 	"testing"
 
+	"hybridkv/internal/metrics"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/server"
 	"hybridkv/internal/sim"
 )
@@ -39,7 +40,7 @@ func TestMaintainedDigestsMatchRecompute(t *testing.T) {
 			case 0:
 				// A corrupt local read somewhere: the key turns suspect there
 				// and leaves that node's digests until a peer's push repairs it.
-				cl.Replicators[rng.Intn(len(cl.Replicators))].OnCorrupt(p, key)
+				cl.Replicators[rng.Intn(len(cl.Replicators))].OnCorrupt(p, protocol.KeyOf(key))
 			case 1:
 				// Silent corruption: same epoch, different content sum.
 				cl.Replicators[rng.Intn(len(cl.Replicators))].SilentlyCorruptForTest(key, rng.Uint64())

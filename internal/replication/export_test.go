@@ -20,11 +20,12 @@ import (
 // periodic round were due. Returns false if the key has no confirmed live
 // record here (nothing to corrupt).
 func (r *Replicator) SilentlyCorruptForTest(key string, sum uint64) bool {
-	ks := r.keys[key]
+	k := protocol.KeyOf(key)
+	ks := r.keys.get(k)
 	if ks == nil || ks.epoch == 0 || ks.suspect {
 		return false
 	}
-	r.setState(key, ks, ks.epoch, ks.suspect, sum)
+	r.setState(k, ks, ks.epoch, ks.suspect, sum)
 	r.kick()
 	return true
 }
@@ -32,7 +33,8 @@ func (r *Replicator) SilentlyCorruptForTest(key string, sum uint64) bool {
 // AppliedStateForTest exposes a key's confirmed (epoch, content-sum)
 // record for convergence assertions.
 func (r *Replicator) AppliedStateForTest(key string) (epoch, sum uint64, ok bool) {
-	ks := r.keys[key]
+	k := protocol.KeyOf(key)
+	ks := r.keys.get(k)
 	if ks == nil || ks.epoch == 0 {
 		return 0, 0, false
 	}
@@ -82,7 +84,8 @@ func (r *Replicator) FinishForTest(p *sim.Proc, resp *protocol.Response, fwd *Fo
 // RecordForTest exposes a key's whole epoch record, suspect or not; ok is false
 // when the key has none.
 func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, suspect, ok bool) {
-	ks := r.keys[key]
+	k := protocol.KeyOf(key)
+	ks := r.keys.get(k)
 	if ks == nil {
 		return 0, 0, false, false
 	}
@@ -93,9 +96,11 @@ func (r *Replicator) RecordForTest(key string) (epoch, sum uint64, suspect, ok b
 // not be holding: keys with a pull open, and migration state — a segment still
 // installed, or a key still wanted in one.
 func (r *Replicator) OpenPullsForTest() (n int) {
-	for _, ks := range r.keys {
-		if ks.pull != nil {
-			n++
+	for b := range r.keys {
+		for _, ks := range r.keys[b].All() {
+			if ks.pull != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -103,7 +108,7 @@ func (r *Replicator) OpenPullsForTest() (n int) {
 
 func (r *Replicator) OpenWantsForTest() (n int) {
 	for _, st := range r.migPulls {
-		n += 1 + len(st.wants)
+		n += 1 + st.wants.Len()
 	}
 	return n
 }
@@ -113,12 +118,13 @@ func (r *Replicator) OpenWantsForTest() (n int) {
 // delayed in the fabric past a newer one looks like when it finally arrives.
 // Returns false when r holds no record to be below.
 func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key string) bool {
-	ks := r.keys[key]
+	k := protocol.KeyOf(key)
+	ks := r.keys.get(k)
 	if ks == nil || ks.epoch < 0x100 {
 		return false
 	}
 	v := version{epoch: ks.epoch - 0x100, value: "stale", size: 64, sum: protocol.ValueSum("stale")}
-	r.handle(p, &frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: key, version: v})
+	r.handle(p, &frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: k, version: v})
 	return true
 }
 
@@ -126,8 +132,9 @@ func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key strin
 // polled off the receive queue at this instant and in this incarnation: a
 // forward of a round nobody has open, or with repair a repair push.
 func (r *Replicator) DeliverWriteForTest(from int, key string, epoch uint64, value any, size int, repair bool) {
+	k := protocol.KeyOf(key)
 	v := version{epoch: epoch, value: value, size: size, sum: protocol.ValueSum(value)}
-	r.demux(&frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: key, Repair: repair, version: v})
+	r.demux(&frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: k, Repair: repair, version: v})
 }
 
 // ResendRoundsForTest hands to's engine a fresh copy of the write of every
@@ -148,7 +155,7 @@ func (r *Replicator) ResendRoundsForTest(to *Replicator) (n int) {
 // value fails its checksum: the applier that takes it rejects it, which
 // allocates nothing, so the step costs what the hand-off costs.
 func (r *Replicator) ForwardHandoffForTest() (step func()) {
-	f := &frame{Kind: frameWrite, ID: ^uint64(0), Key: "handoff", version: version{epoch: 0x100, value: "v", size: 1, sum: 1}}
+	f := &frame{Kind: frameWrite, ID: ^uint64(0), Key: protocol.KeyOf("handoff"), version: version{epoch: 0x100, value: "v", size: 1, sum: 1}}
 	return func() { r.demux(f) }
 }
 
@@ -158,7 +165,8 @@ func (r *Replicator) ForwardHandoffForTest() (step func()) {
 // then loses its post's hold, as its transfer does after the last delivery.
 // It returns the holds the copy counted when it was made.
 func (r *Replicator) GarbleForwardForTest(to *Replicator, key string) (copyHolds int) {
-	f := r.newFrame(frameWrite, key)
+	k := protocol.KeyOf(key)
+	f := r.newFrame(frameWrite, k)
 	f.From, f.ID = r.cfg.ID, ^uint64(0)
 	f.version = version{epoch: 0x100, value: "v", size: 1, sum: protocol.ValueSum("v")}
 	g := f.CorruptCopy().(*frame)
@@ -232,6 +240,7 @@ func (r *Replicator) SpareAliasForTest() (spares int, alias string) {
 // RefoldForTest moves key's record one epoch up through setState, which
 // refolds the key's entry in the maintained digest of every peer sharing it.
 func (r *Replicator) RefoldForTest(key string) {
-	ks := r.state(key)
-	r.setState(key, ks, ks.epoch+0x100, ks.suspect, ks.sum)
+	k := protocol.KeyOf(key)
+	ks := r.state(k)
+	r.setState(k, ks, ks.epoch+0x100, ks.suspect, ks.sum)
 }

@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"fmt"
+
 	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
 )
@@ -45,7 +47,7 @@ const (
 // value-content checksum so the receiver can tell same-epoch/different-
 // bytes divergence (silent corruption) from convergence.
 type KeyEpoch struct {
-	Key   string
+	Key   protocol.Key
 	Epoch uint64
 	Sum   uint64
 }
@@ -76,7 +78,9 @@ type frame struct {
 	From int    // sender's server id
 	ID   uint64 // forward round id (frameWrite/frameAck)
 
-	Key string
+	// Key is the frame's key, its hash carried beside it (host-side: wireSize
+	// counts the string alone), as in every KeyEpoch of Entries.
+	Key protocol.Key
 	// version is the write a frameWrite carries. A frameProbe uses its
 	// epoch and sum for the record it served; the other kinds its epoch
 	// alone: the replica's own in a stale-rejecting frameAck, the membership
@@ -139,19 +143,30 @@ func (l *frameList) spareEntries() (s []KeyEpoch) {
 
 // newFrame hands out a frame of kind about key off r's free list, holding its
 // builder's hold: the builder fills it in, sends it, and then Releases it.
-func (r *Replicator) newFrame(kind frameKind, key string) *frame {
+func (r *Replicator) newFrame(kind frameKind, k protocol.Key) *frame {
 	f := r.frames.Get()
-	f.Kind, f.Key, f.owner = kind, key, &r.frames
+	f.Kind, f.Key, f.owner = kind, k, &r.frames
 	return f
 }
 
 // Census tallies the replicator's frames and rounds at a drained quiesce
 // (DESIGN §16): nothing is in flight and no round is open, so every one of
-// them is free.
+// them is free. Its "keys" line counts nothing and names each record whose
+// key carries a hash that is not FNV1a of its string, or that sits in
+// another scrub bucket's table.
 func (r *Replicator) Census() []pool.Tally {
+	keys := pool.Tally{List: "keys"}
+	for b := range r.keys {
+		for k := range r.keys[b].All() {
+			if k.Hash != protocol.FNV1a(k.Str) || bucketOf(k) != uint64(b) {
+				keys.Wrong = append(keys.Wrong, fmt.Sprintf("%q: hash %#x in bucket %d's table", k.Str, k.Hash, b))
+			}
+		}
+	}
 	return []pool.Tally{
 		pool.Count("frames", &r.frames.List, nil, 0),
 		pool.Count("rounds", &r.rounds, nil, 0),
+		keys,
 	}
 }
 
@@ -196,9 +211,9 @@ const frameHeaderBytes = 64
 
 // wireSize is the modeled fabric size of the frame.
 func (f *frame) wireSize() int {
-	n := frameHeaderBytes + len(f.Key) + f.size + 8*len(f.Buckets)
+	n := frameHeaderBytes + len(f.Key.Str) + f.size + 8*len(f.Buckets)
 	for _, e := range f.Entries {
-		n += len(e.Key) + 17 // key + epoch + reserved byte + content sum
+		n += len(e.Key.Str) + 17 // key + epoch + reserved byte + content sum
 	}
 	return n
 }

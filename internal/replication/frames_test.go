@@ -5,13 +5,17 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hybridkv/internal/pool"
+	"hybridkv/internal/protocol"
+	"hybridkv/internal/sim"
 )
 
 // fillFrame builds a frame of kind off r's list, its slices taken off the
 // spare stacks as the scrub and the migration take them, and filled with
 // values that name tag.
 func fillFrame(r *Replicator, kind frameKind, tag uint64) *frame {
-	f := r.newFrame(kind, "")
+	f := r.newFrame(kind, protocol.Key{})
 	if kind != frameSegManifest {
 		f.Buckets = r.frames.spareBuckets()
 		for i := range uint64(4) {
@@ -21,7 +25,7 @@ func fillFrame(r *Replicator, kind frameKind, tag uint64) *frame {
 	if kind != frameDigest {
 		f.Entries = r.frames.spareEntries()
 		for i := range uint64(3) {
-			f.Entries = append(f.Entries, KeyEpoch{Key: fmt.Sprintf("k%d:%d", tag, i), Epoch: tag, Sum: i})
+			f.Entries = append(f.Entries, KeyEpoch{Key: protocol.KeyOf(fmt.Sprintf("k%d:%d", tag, i)), Epoch: tag, Sum: i})
 		}
 	}
 	return f
@@ -74,4 +78,23 @@ func TestSortedSharedKeysIsNotReentrant(t *testing.T) {
 		}
 	}()
 	r.sortedSharedKeys(1, nil)
+}
+
+// The census names a record filed under a hash that is not FNV1a of its key,
+// and counts nothing for the records that are right.
+func TestCensusNamesAWrongCarriedHash(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	r := &Replicator{env: env, cfg: Config{ID: 0}, mem: NewMembership(env, 2, []int{0, 1, 2})}
+	r.state(protocol.KeyOf("right"))
+	if err := pool.Census(r.Census()).Err(); err != nil {
+		t.Fatalf("a right key: %v", err)
+	}
+	bad := protocol.Key{Hash: 7, Str: "wrong"}
+	r.state(bad)
+	err := pool.Census(r.Census()).Err()
+	want := fmt.Sprintf(`keys: "wrong": hash 0x7 in bucket %d's table`, bucketOf(bad))
+	if err == nil || err.Error() != "pool census: "+want {
+		t.Errorf("census: %v\nwant only %q", err, want)
+	}
 }

@@ -42,7 +42,7 @@ var imKey = func() string {
 	ring := itRing(4)
 	for i := 0; ; i++ {
 		key := fmt.Sprintf("im:%03d", i)
-		for _, id := range ring.Replicas(key, 3) {
+		for _, id := range ring.Replicas(protocol.KeyOf(key), 3) {
 			if id == 3 {
 				return key
 			}
@@ -224,7 +224,7 @@ var imRows = []imRow{
 		// A corrupt read at the subject: the key turns suspect, a pull opens,
 		// both peers answer it with their copy, the first to arrive lands.
 		name: "repair push answering a pull", s: 1, storeCall: 1, clean: imCounts{pulls: 1, pushes: 2},
-		act: func(p *sim.Proc, c *installCell) { c.cl.Replicators[1].OnCorrupt(p, imKey) },
+		act: func(p *sim.Proc, c *installCell) { c.cl.Replicators[1].OnCorrupt(p, protocol.KeyOf(imKey)) },
 	},
 	{
 		// Server 0's forwards to the subject are lost for 1.5 ms: the write
@@ -393,7 +393,7 @@ var imCols = []imCol{
 		interfere: func(c *installCell, row imRow, begin, landed sim.Time) {
 			c.cl.Env.SpawnAt(landed-500*sim.Nanosecond, "im-suspect", func(p *sim.Proc) {
 				r := c.cl.Replicators[c.s]
-				r.OnCorrupt(p, imKey)
+				r.OnCorrupt(p, protocol.KeyOf(imKey))
 				t0 := p.Now()
 				resp := r.Apply(p, &protocol.Request{Op: protocol.OpGet, Key: imKey}, nil)
 				if waited := p.Now() - t0; waited > 100*sim.Microsecond {
@@ -606,7 +606,7 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 	// in its store is the one the record names; a server that is no replica
 	// (any more) holds neither.
 	replica := map[int]bool{}
-	for _, id := range cl.Membership.Ring().Replicas(imKey, 3) {
+	for _, id := range cl.Membership.Ring().Replicas(protocol.KeyOf(imKey), 3) {
 		replica[id] = true
 	}
 	var final imWrite
@@ -615,7 +615,7 @@ func (c *installCell) audit(row imRow, col imCol, clean imCounts) {
 		first := true
 		for sid, r := range cl.Replicators {
 			epoch, sum, suspect, ok := r.RecordForTest(imKey)
-			v, size, _, held := cl.Servers[sid].Store().ReadItem(p, imKey)
+			v, size, _, held := cl.Servers[sid].Store().ReadItem(p, protocol.KeyOf(imKey))
 			switch {
 			case !replica[sid]:
 				if ok || held {

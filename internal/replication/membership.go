@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -66,7 +67,7 @@ const (
 const Segments = 32
 
 // SegmentOf maps a key to its migration segment.
-func SegmentOf(key string) int { return int(HashKey(key) % Segments) }
+func SegmentOf(k protocol.Key) int { return int(HashKey(k) % Segments) }
 
 // Membership is the shared epoch-versioned view of the server fleet.
 type Membership struct {
@@ -268,12 +269,12 @@ func (m *Membership) finalize() {
 // ring's set (primary first) extended, while migrating, with whatever the
 // previous ring adds — so writes dual-apply and client failover can still
 // reach an old owner holding the data mid-migration.
-func (m *Membership) ReplicaSet(key string, n int) []int {
-	set := m.cur.Replicas(key, n)
+func (m *Membership) ReplicaSet(k protocol.Key, n int) []int {
+	set := m.cur.Replicas(k, n)
 	if m.prev == nil {
 		return set
 	}
-	for _, id := range m.prev.Replicas(key, n) {
+	for _, id := range m.prev.Replicas(k, n) {
 		if !containsID(set, id) {
 			set = append(set, id) // the ring's set is full to capacity: this copies
 		}
@@ -284,12 +285,12 @@ func (m *Membership) ReplicaSet(key string, n int) []int {
 // OldOwners returns key's replica set under the previous ring, minus dead
 // nodes and minus self — the pull sources of a double-read. Nil when no
 // migration is in flight.
-func (m *Membership) OldOwners(key string, self int) []int {
+func (m *Membership) OldOwners(k protocol.Key, self int) []int {
 	if m.prev == nil {
 		return nil
 	}
 	var out []int
-	for _, id := range m.prev.Replicas(key, m.factor) {
+	for _, id := range m.prev.Replicas(k, m.factor) {
 		if id != self && m.states[id] != NodeDead {
 			out = append(out, id)
 		}
@@ -302,12 +303,12 @@ func (m *Membership) OldOwners(key string, self int) []int {
 // double-read window: a migration is in flight, id has not sealed the
 // key's segment, and id is gaining the key (in the new replica set but not
 // the old one, so its local miss proves nothing).
-func (m *Membership) NeedsDoubleRead(id int, key string) bool {
-	if m.prev == nil || m.SealedFor(id, SegmentOf(key)) {
+func (m *Membership) NeedsDoubleRead(id int, k protocol.Key) bool {
+	if m.prev == nil || m.SealedFor(id, SegmentOf(k)) {
 		return false
 	}
-	return containsID(m.cur.Replicas(key, m.factor), id) &&
-		!containsID(m.prev.Replicas(key, m.factor), id)
+	return containsID(m.cur.Replicas(k, m.factor), id) &&
+		!containsID(m.prev.Replicas(k, m.factor), id)
 }
 
 func containsID(set []int, id int) bool {

@@ -3,6 +3,7 @@ package replication
 import (
 	"testing"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -33,13 +34,13 @@ func TestMembershipBootstrap(t *testing.T) {
 	}
 	// Stable: replica sets come straight off the single ring, everything
 	// sealed, no double reads anywhere.
-	if set := m.ReplicaSet("k", 2); len(set) != 2 {
+	if set := m.ReplicaSet(protocol.KeyOf("k"), 2); len(set) != 2 {
 		t.Errorf("stable ReplicaSet: %v", set)
 	}
 	if !m.SealedFor(0, 5) {
 		t.Error("stable membership reports an unsealed segment")
 	}
-	if m.NeedsDoubleRead(0, "k") {
+	if m.NeedsDoubleRead(0, protocol.KeyOf("k")) {
 		t.Error("stable membership demands a double read")
 	}
 }
@@ -65,22 +66,22 @@ func TestMembershipJoinLifecycle(t *testing.T) {
 	// any old-ring-only holder after.
 	sawUnion, sawDouble := false, false
 	for _, key := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		set := m.ReplicaSet(key, 2)
+		set := m.ReplicaSet(protocol.KeyOf(key), 2)
 		if len(set) < 2 {
 			t.Errorf("union set for %q too small: %v", key, set)
 		}
 		if len(set) > 2 {
 			sawUnion = true
 		}
-		if m.NeedsDoubleRead(3, key) && !containsID(m.OldOwners(key, 3), 3) {
+		if m.NeedsDoubleRead(3, protocol.KeyOf(key)) && !containsID(m.OldOwners(protocol.KeyOf(key), 3), 3) {
 			sawDouble = true
-			if len(m.OldOwners(key, 3)) == 0 {
+			if len(m.OldOwners(protocol.KeyOf(key), 3)) == 0 {
 				t.Errorf("double-read window for %q with no old owners to consult", key)
 			}
 		}
 		// A node that held the key under the old ring never double-reads it.
-		for _, id := range m.prev.Replicas(key, 2) {
-			if m.NeedsDoubleRead(id, key) {
+		for _, id := range m.prev.Replicas(protocol.KeyOf(key), 2) {
+			if m.NeedsDoubleRead(id, protocol.KeyOf(key)) {
 				t.Errorf("old owner %d forced to double-read %q", id, key)
 			}
 		}
@@ -117,7 +118,7 @@ func TestMembershipJoinLifecycle(t *testing.T) {
 	if m.State(3) != NodeActive {
 		t.Errorf("joiner state %d after finalize, want NodeActive", m.State(3))
 	}
-	if set := m.ReplicaSet("a", 2); len(set) != 2 {
+	if set := m.ReplicaSet(protocol.KeyOf("a"), 2); len(set) != 2 {
 		t.Errorf("post-finalize ReplicaSet still a union: %v", set)
 	}
 }
@@ -150,7 +151,7 @@ func TestMembershipLeaveSources(t *testing.T) {
 		}
 		// OldOwners never proposes a dead node as a double-read source.
 		for _, key := range []string{"a", "b", "c", "d"} {
-			if m == a && containsID(m.OldOwners(key, 0), 2) {
+			if m == a && containsID(m.OldOwners(protocol.KeyOf(key), 0), 2) {
 				t.Errorf("dead node offered as old owner of %q", key)
 			}
 		}

@@ -1,7 +1,9 @@
 package replication
 
 import (
+	"hybridkv/internal/keytab"
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -42,12 +44,12 @@ type segPull struct {
 	seg     int
 	epoch   uint64       // membership epoch of the transition
 	waiting map[int]bool // sources yet to answer with a manifest
-	wants   map[string]*migWant
+	wants   keytab.Table[*migWant]
 	done    *sim.Event
 }
 
 func (st *segPull) maybeDone() {
-	if len(st.waiting) == 0 && len(st.wants) == 0 &&
+	if len(st.waiting) == 0 && st.wants.Len() == 0 &&
 		st.done != nil && !st.done.Fired() {
 		st.done.Fire()
 	}
@@ -59,8 +61,8 @@ func (st *segPull) maybeDone() {
 func (r *Replicator) MembershipEpoch() uint64 { return r.mem.Epoch() }
 
 // replicaSet is the routing primitive: the membership's epoch-aware union.
-func (r *Replicator) replicaSet(key string) []int {
-	return r.mem.ReplicaSet(key, r.mem.Factor())
+func (r *Replicator) replicaSet(k protocol.Key) []int {
+	return r.mem.ReplicaSet(k, r.mem.Factor())
 }
 
 // migrator drives this node's side of every membership transition. It
@@ -117,14 +119,14 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 			// (Old wants carried over wedge the migration: one whose key landed
 			// while nothing was installed to notice is re-pulled forever, every
 			// answer a duplicate of what is already held.)
-			st, gen = &segPull{seg: seg, epoch: epoch, waiting: make(map[int]bool), wants: make(map[string]*migWant)}, r.gen
+			st, gen = &segPull{seg: seg, epoch: epoch, waiting: make(map[int]bool)}, r.gen
 			for _, id := range r.mem.Sources() {
 				if id != r.cfg.ID {
 					st.waiting[id] = true
 				}
 			}
 		}
-		if len(st.waiting) == 0 && len(st.wants) == 0 {
+		if len(st.waiting) == 0 && st.wants.Len() == 0 {
 			delete(r.migPulls, seg)
 			r.mem.SealFor(epoch, r.cfg.ID, seg)
 			r.Counters.Inc(metrics.CMigrateSeals)
@@ -143,15 +145,16 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		}
 		st.done = r.env.NewEvent()
 		r.migPulls[seg] = st
-		f := r.newFrame(frameSegPull, "")
+		f := r.newFrame(frameSegPull, protocol.Key{})
 		f.Seg, f.epoch = seg, epoch
 		for _, pid := range sortedKeys(st.waiting, nil) {
 			r.send(p, pid, f)
 		}
 		f.Release()
-		for _, key := range sortedKeys(st.wants, nil) {
-			f := r.newFrame(framePull, key)
-			for _, pid := range sortedKeys(st.wants[key].from, nil) {
+		for _, k := range sortedWants(&st.wants) {
+			w, _ := st.wants.Get(k)
+			f := r.newFrame(framePull, k)
+			for _, pid := range sortedKeys(w.from, nil) {
 				r.send(p, pid, f)
 			}
 			f.Release()
@@ -168,15 +171,14 @@ func (r *Replicator) handleSegPull(p *sim.Proc, f *frame) {
 	if !r.mem.Migrating() || r.mem.Epoch() != f.epoch {
 		return
 	}
-	resp := r.newFrame(frameSegManifest, "")
+	resp := r.newFrame(frameSegManifest, protocol.Key{})
 	resp.Seg, resp.epoch, resp.Entries = f.Seg, f.epoch, r.frames.spareEntries()
 	newRing := r.mem.Ring()
-	theirs := func(key string, ks *keyState) bool {
-		return ks.confirmed() && SegmentOf(key) == f.Seg && containsID(newRing.Replicas(key, r.mem.Factor()), f.From)
+	theirs := func(k protocol.Key, ks *keyState) bool {
+		return ks.confirmed() && SegmentOf(k) == f.Seg && containsID(newRing.Replicas(k, r.mem.Factor()), f.From)
 	}
-	for _, key := range sortedKeys(r.keys, theirs) {
-		ks := r.keys[key]
-		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch})
+	for _, k := range r.keys.sorted(nil, nil, theirs) {
+		resp.Entries = append(resp.Entries, KeyEpoch{Key: k, Epoch: r.keys.get(k).epoch})
 	}
 	r.Counters.Inc(metrics.CMigrateManifests)
 	r.post(p, f.From, resp)
@@ -191,13 +193,13 @@ func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 	}
 	delete(st.waiting, f.From)
 	for _, e := range f.Entries {
-		if r.keys[e.Key].confirmedEpoch() >= e.Epoch {
+		if r.keys.get(e.Key).confirmedEpoch() >= e.Epoch {
 			continue // already current (or fresher) locally
 		}
-		w := st.wants[e.Key]
+		w, _ := st.wants.Get(e.Key)
 		if w == nil {
 			w = &migWant{epoch: e.Epoch, from: make(map[int]bool)}
-			st.wants[e.Key] = w
+			st.wants.Put(e.Key, w)
 		}
 		if e.Epoch > w.epoch {
 			w.epoch = e.Epoch
@@ -210,16 +212,16 @@ func (r *Replicator) handleSegManifest(p *sim.Proc, f *frame) {
 
 // migSatisfy retires an open migration want once the key's local epoch
 // reached what a manifest promised. Called on every local epoch advance.
-func (r *Replicator) migSatisfy(key string, epoch uint64) {
-	st := r.migPulls[SegmentOf(key)]
+func (r *Replicator) migSatisfy(k protocol.Key, epoch uint64) {
+	st := r.migPulls[SegmentOf(k)]
 	if st == nil {
 		return
 	}
-	w := st.wants[key]
+	w, _ := st.wants.Get(k)
 	if w == nil || epoch < w.epoch {
 		return
 	}
-	delete(st.wants, key)
+	st.wants.Delete(k)
 	r.Counters.Inc(metrics.CMigrateKeysMoved)
 	st.maybeDone()
 }
@@ -228,12 +230,12 @@ func (r *Replicator) migSatisfy(key string, epoch uint64) {
 // want. Only when every source that promised (or was asked for) the key
 // missed is the want dropped: the key is then gone everywhere reachable,
 // and a miss is legal — sealing cannot lose what no longer exists.
-func (r *Replicator) migPullMissed(key string, from int) {
-	st := r.migPulls[SegmentOf(key)]
+func (r *Replicator) migPullMissed(k protocol.Key, from int) {
+	st := r.migPulls[SegmentOf(k)]
 	if st == nil {
 		return
 	}
-	w := st.wants[key]
+	w, _ := st.wants.Get(k)
 	if w == nil || !w.from[from] {
 		return
 	}
@@ -241,8 +243,18 @@ func (r *Replicator) migPullMissed(key string, from int) {
 	if len(w.from) > 0 {
 		return
 	}
-	delete(st.wants, key)
+	st.wants.Delete(k)
 	st.maybeDone()
+}
+
+// sortedWants lists the keys of wants, sorted.
+func sortedWants(wants *keytab.Table[*migWant]) []protocol.Key {
+	var keys []protocol.Key
+	for k := range wants.All() {
+		keys = append(keys, k)
+	}
+	sortKeys(keys)
+	return keys
 }
 
 // doubleRead confirms a key this node is gaining against the old owners
@@ -252,12 +264,12 @@ func (r *Replicator) migPullMissed(key string, from int) {
 // so the client fails over to an old owner instead of eating a fabricated
 // miss. It is the key's one pull (openPull), so a concurrent suspect
 // confirmation and a double-read coalesce.
-func (r *Replicator) doubleRead(p *sim.Proc, key string) bool {
-	srcs := r.mem.OldOwners(key, r.cfg.ID)
+func (r *Replicator) doubleRead(p *sim.Proc, k protocol.Key) bool {
+	srcs := r.mem.OldOwners(k, r.cfg.ID)
 	if len(srcs) == 0 {
 		return true // nobody left to consult; serve local state
 	}
-	ks := r.state(key)
+	ks := r.state(k)
 	if ks.epoch != 0 && !ks.suspect {
 		return true
 	}
@@ -265,7 +277,7 @@ func (r *Replicator) doubleRead(p *sim.Proc, key string) bool {
 	for _, pid := range srcs {
 		peers.add(pid)
 	}
-	return r.waitPull(p, ks, r.openPull(p, key, ks, &peers, metrics.CMigrateDoubleReads))
+	return r.waitPull(p, ks, r.openPull(p, k, ks, &peers, metrics.CMigrateDoubleReads))
 }
 
 // gcMoved drops every key this node no longer replicates after a finalized
@@ -277,13 +289,12 @@ func (r *Replicator) gcMoved(p *sim.Proc) {
 	if r.isDown() {
 		return
 	}
-	for _, key := range sortedKeys(r.keys, nil) {
-		ks := r.keys[key]
-		if ks == nil || containsID(r.replicaSet(key), r.cfg.ID) {
+	for _, k := range r.keys.sorted(nil, nil, nil) {
+		if r.keys.get(k) == nil || containsID(r.replicaSet(k), r.cfg.ID) {
 			continue
 		}
-		r.dropState(key)
-		r.st.Delete(p, key)
+		r.dropState(k)
+		r.st.DeleteIf(p, k, nil)
 		r.Counters.Inc(metrics.CMigrateGCKeys)
 	}
 }

@@ -32,7 +32,10 @@ import (
 // quiet, the census finds every round and every frame back on its list —
 // the frames the fabric dropped a post of too — and no round is left in a
 // replicator's table. No two spare slices the frames gave back share an
-// array.
+// array. The census also holds every key of every store's and replicator's
+// table to its carried hash (protocol.Key): FNV1a of the key, through every
+// path above that builds or rewrites one — a corrupted copy, a cold restart's
+// recovery scan included.
 func TestPooledFramesUnderFaults(t *testing.T) {
 	const (
 		setKeys = 3

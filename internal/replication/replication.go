@@ -183,7 +183,7 @@ func (ps *peerSet) index(id int) int {
 type Forward struct {
 	pool.Holds
 	id  uint64
-	key string
+	key protocol.Key
 	version
 
 	peers    peerSet
@@ -236,7 +236,7 @@ type Replicator struct {
 	// across a whole-node kill resumes in the next one (install, migrateSegment),
 	// and a frame that waited in a lane across one is dropped at dequeue.
 	gen       uint64
-	keys      map[string]*keyState
+	keys      keyTable
 	digestsAt placement // what the peers' maintained digests were computed under
 	fwds      map[uint64]*Forward
 	nextID    uint64
@@ -248,13 +248,11 @@ type Replicator struct {
 	rounds pool.List[Forward, *Forward]
 
 	// keyScratch (sortedSharedKeys' list, keysBusy while a caller holds it)
-	// and theirs (handleDiff's set of the peer's keys, empty between diffs)
-	// serve every digest and diff this replicator handles. One of each is
-	// enough because both handlers run on the one background lane, a frame at
-	// a time: a second user while one is suspended would be a second lane.
-	keyScratch []string
+	// serves every digest and diff this replicator handles. One is enough
+	// because both handlers run on the one background lane, a frame at a
+	// time: a second user while one is suspended would be a second lane.
+	keyScratch []protocol.Key
 	keysBusy   bool
-	theirs     map[string]bool
 
 	// Scrubber arming: every local epoch advance grants the scrubber a
 	// fresh burst of digest rounds, after which it blocks until the next
@@ -287,10 +285,8 @@ func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.
 		env: env, cfg: cfg, mem: mem, st: st, dev: dev,
 		peers:    make(map[int]*peerLink),
 		qpByQPN:  make(map[int]*verbs.QP),
-		keys:     make(map[string]*keyState),
 		fwds:     make(map[uint64]*Forward),
 		migPulls: make(map[int]*segPull),
-		theirs:   make(map[string]bool),
 	}
 	mem.Subscribe(func(epoch uint64, final bool) {
 		if !final && r.memWake != nil && !r.memWake.Fired() {
@@ -408,9 +404,8 @@ func (r *Replicator) refreshPeerIDs() { r.peerIDs = sortedKeys(r.peers, nil) }
 
 // sortedKeys lists the keys of m that keep admits (nil: all of them),
 // ascending. Map iteration order is random per run, and whatever a replicator
-// emits from a map — a manifest, resent pulls, the GC sweep, its own peer list
-// (a diff's entries: sortedSharedKeys) — must come out in the same order every
-// run.
+// emits from a map — the pull sources of a segment, its own peer list — must
+// come out in the same order every run.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
 	var keys []K
 	for k, v := range m {
@@ -464,17 +459,17 @@ func (r *Replicator) nextEpoch(cur uint64) uint64 {
 // of a non-blocking window): minted above the record alone they would share
 // an epoch, the peers would ack the later ones as duplicate deliveries of the
 // first, and a write answered STORED would be applied nowhere.
-func (r *Replicator) mint(key string, floor uint64) uint64 {
-	ks := r.state(key)
+func (r *Replicator) mint(k protocol.Key, floor uint64) uint64 {
+	ks := r.state(k)
 	ks.minted = r.nextEpoch(max(floor, ks.epoch, ks.minted))
 	return ks.minted
 }
 
-func (r *Replicator) state(key string) *keyState {
-	ks := r.keys[key]
+func (r *Replicator) state(k protocol.Key) *keyState {
+	ks := r.keys.get(k)
 	if ks == nil {
 		ks = &keyState{}
-		r.keys[key] = ks
+		r.keys.put(k, ks)
 	}
 	return ks
 }
@@ -483,8 +478,8 @@ func (r *Replicator) state(key string) *keyState {
 // determinism, and whether self is a member. The set is the union of the old
 // and new rings while a migration is in flight, so forwards dual-apply and no
 // interleaving with sealing can lose an acked write.
-func (r *Replicator) replicaPeers(key string) (peers peerSet, member bool) {
-	for _, id := range r.replicaSet(key) {
+func (r *Replicator) replicaPeers(k protocol.Key) (peers peerSet, member bool) {
+	for _, id := range r.replicaSet(k) {
 		if id == r.cfg.ID {
 			member = true
 		} else {
@@ -521,19 +516,19 @@ func (r *Replicator) Begin(p *sim.Proc, req *protocol.Request) *Forward {
 	if req.Op != protocol.OpSet {
 		return nil
 	}
-	fwd := r.open(req.Key, version{value: req.Value, size: req.ValueSize, flags: req.Flags})
+	fwd := r.open(req.HKey(), version{value: req.Value, size: req.ValueSize, flags: req.Flags})
 	r.sendWrite(p, fwd)
 	return fwd
 }
 
 // open registers the round of one write of key, minting v's epoch and stamping
 // its content checksum. Nothing here suspends.
-func (r *Replicator) open(key string, v version) *Forward {
-	peers, member := r.replicaPeers(key)
+func (r *Replicator) open(k protocol.Key, v version) *Forward {
+	peers, member := r.replicaPeers(k)
 	r.nextID++
 	fwd := r.rounds.Get()
-	fwd.id, fwd.key, fwd.proxy, fwd.version = r.nextID, key, !member, v
-	fwd.epoch = r.mint(key, 0)
+	fwd.id, fwd.key, fwd.proxy, fwd.version = r.nextID, k, !member, v
+	fwd.epoch = r.mint(k, 0)
 	fwd.sum = protocol.ValueSum(v.value)
 	fwd.open(peers)
 	r.fwds[fwd.id] = fwd
@@ -648,14 +643,14 @@ func (r *Replicator) newer(fwd *Forward) bool { return fwd.epoch > r.state(fwd.k
 // too: the store it would swap into and the table it would record in are the
 // dead incarnation's. Returns the store's status; StatusNotStored is a
 // refusal, at either point.
-func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() bool) protocol.Status {
+func (r *Replicator) install(p *sim.Proc, k protocol.Key, v *version, admit func() bool) protocol.Status {
 	if !admit() {
 		return protocol.StatusNotStored
 	}
 	gen := r.gen
-	st := r.st.SetIf(p, key, v.size, v.value, v.flags, func() bool { return r.gen == gen && admit() })
+	st := r.st.SetIf(p, k, v.size, v.value, v.flags, func() bool { return r.gen == gen && admit() })
 	if st == protocol.StatusStored {
-		r.landed(key, v)
+		r.landed(k, v)
 	}
 	return st
 }
@@ -665,11 +660,11 @@ func (r *Replicator) install(p *sim.Proc, key string, v *version, admit func() b
 // maintained digests) moves, a prior suspicion is cleared, the
 // scrubber is armed, and whoever was waiting for the key — a migration want,
 // an open pull and the readers parked on it — is answered.
-func (r *Replicator) landed(key string, v *version) {
-	ks := r.state(key)
-	r.setState(key, ks, v.epoch, false, v.sum)
+func (r *Replicator) landed(k protocol.Key, v *version) {
+	ks := r.state(k)
+	r.setState(k, ks, v.epoch, false, v.sum)
 	r.kick()
-	r.migSatisfy(key, v.epoch)
+	r.migSatisfy(k, v.epoch)
 	ks.closePull() // an open pull is satisfied by any confirmed write
 }
 
@@ -688,7 +683,7 @@ func (r *Replicator) await(p *sim.Proc, fwd *Forward) bool {
 				return true
 			}
 			// A replica rejected the apply holding a newer epoch.
-			if ks := r.keys[fwd.key]; ks != nil && ks.epoch >= fwd.conflict {
+			if ks := r.keys.get(fwd.key); ks != nil && ks.epoch >= fwd.conflict {
 				// The newer write is already applied locally too: this
 				// write completed and was overwritten, which is fine.
 				return true
@@ -737,24 +732,25 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 // retryable rejection for an RMW (which must not be decided on a guess, so
 // the client fails over to a replica that can). Also returns the key's peers.
 func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse protocol.Status) (*protocol.Response, peerSet) {
-	peers, member := r.replicaPeers(req.Key)
+	k := req.HKey()
+	peers, member := r.replicaPeers(k)
 	if !member {
 		// This server holds nothing authoritative for the key.
 		return r.refusal(req, refuse), peers
 	}
-	if r.mem.NeedsDoubleRead(r.cfg.ID, req.Key) {
+	if r.mem.NeedsDoubleRead(r.cfg.ID, k) {
 		// Double-read window: this server is gaining the key and has not
 		// sealed its segment, so a local miss proves nothing. Consult the
 		// old owners; if none answers in time, fail retryable — the client
 		// fails over to an old owner rather than eat a fabricated miss (or
 		// have an RMW decided against a phantom one).
-		if !r.doubleRead(p, req.Key) {
+		if !r.doubleRead(p, k) {
 			r.Counters.Inc(metrics.CMigrateReadRedirects)
 			return r.refusal(req, protocol.StatusRecovering), peers
 		}
 	}
-	if ks := r.keys[req.Key]; ks != nil && ks.suspect {
-		if !r.syncPull(p, req.Key, ks, &peers) {
+	if ks := r.keys.get(k); ks != nil && ks.suspect {
+		if !r.syncPull(p, k, ks, &peers) {
 			// Unconfirmed cold-recovered value and no peer reachable: refuse
 			// it rather than resurrect a superseded epoch.
 			r.Counters.Inc(metrics.CStaleReadsPrevented)
@@ -769,7 +765,7 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 		// replicas, and run the request on the repaired copy instead of
 		// garbage. Only when no peer can help does this degrade to a refusal.
 		// A replaced answer was never sent: it goes back to the free list.
-		if r.syncPull(p, req.Key, r.state(req.Key), &peers) {
+		if r.syncPull(p, k, r.state(k), &peers) {
 			resp.Release()
 			resp = r.st.Handle(p, req)
 		}
@@ -784,12 +780,13 @@ func (r *Replicator) confirmedRead(p *sim.Proc, req *protocol.Request, refuse pr
 // executeGet serves a replicated GET: a confirmed read, whose served hits
 // periodically probe the peers for epoch divergence (read repair).
 func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Response {
+	k := req.HKey()
 	resp, peers := r.confirmedRead(p, req, protocol.StatusNotFound)
 	if resp.Status == protocol.StatusOK {
 		r.gets++
 		if r.gets%readRepairEvery == 0 {
-			f := r.newFrame(frameProbe, req.Key)
-			if ks := r.keys[req.Key]; ks != nil {
+			f := r.newFrame(frameProbe, k)
+			if ks := r.keys.get(k); ks != nil {
 				f.epoch, f.sum = ks.epoch, ks.sum // the record behind the hit
 			}
 			for i := 0; i < peers.n; i++ {
@@ -805,6 +802,7 @@ func (r *Replicator) executeGet(p *sim.Proc, req *protocol.Request) *protocol.Re
 // cas, incr): the local store decides the outcome on a confirmed read, then
 // the post-image is replicated like a SET.
 func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Response {
+	k := req.HKey()
 	gen := r.gen
 	resp, _ := r.confirmedRead(p, req, protocol.StatusRecovering)
 	switch resp.Status {
@@ -814,27 +812,27 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 	}
 	// Nothing has suspended since the store swapped the command's result in: the
 	// record still names what the key held before.
-	was := r.state(req.Key).epoch
+	was := r.state(k).epoch
 	// Replicate the post-image just applied (it may already live on SSD —
 	// ReadItem loads it back without disturbing LRU or stats).
-	value, size, flags, ok := r.st.ReadItem(p, req.Key)
+	value, size, flags, ok := r.st.ReadItem(p, k)
 	if !ok {
 		// Evicted-and-dropped in the same instant: nothing replicable; the
 		// key is now a legal miss everywhere.
 		return resp
 	}
-	if r.gen != gen || r.state(req.Key).epoch != was {
+	if r.gen != gen || r.state(k).epoch != was {
 		// A write of the key landed here while the post-image was being read
 		// back (or the node died under the command) and replaced what the
 		// command stored: it completes as overwritten, with nothing to forward.
 		return resp
 	}
-	fwd := r.open(req.Key, version{value: value, size: size, flags: flags})
+	fwd := r.open(k, version{value: value, size: size, flags: flags})
 	if !fwd.proxy {
 		// The local copy was applied by Handle; record it like a SET, in the
 		// instant its epoch is minted (the sends suspend), so a prior
 		// suspicion on the key cannot outlive it.
-		r.landed(req.Key, &fwd.version)
+		r.landed(k, &fwd.version)
 	}
 	r.sendWrite(p, fwd)
 	if !r.await(p, fwd) {
@@ -859,14 +857,14 @@ func (r *Replicator) refusal(req *protocol.Request, st protocol.Status) *protoco
 // not) and the request runs against the key as it now is, absent: a GET
 // misses, an RMW is decided on a key that does not exist. Returns false on
 // timeout, and when the pull concluded with the key still suspect.
-func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peerSet) bool {
+func (r *Replicator) syncPull(p *sim.Proc, k protocol.Key, ks *keyState, peers *peerSet) bool {
 	if peers.n == 0 {
 		// Degenerate single-replica set: nobody can confirm; keep serving
 		// the recovered value as the unreplicated system would.
-		r.setState(key, ks, ks.epoch, false, ks.sum)
+		r.setState(k, ks, ks.epoch, false, ks.sum)
 		return true
 	}
-	return r.waitPull(p, ks, r.openPull(p, key, ks, peers, metrics.CRepairPulls)) && (!ks.suspect || ks.gone)
+	return r.waitPull(p, ks, r.openPull(p, k, ks, peers, metrics.CRepairPulls)) && (!ks.suspect || ks.gone)
 }
 
 // openPull asks every one of peers for its confirmed copy of key and returns
@@ -876,13 +874,13 @@ func (r *Replicator) syncPull(p *sim.Proc, key string, ks *keyState, peers *peer
 // repair and a migration double-read that coincide share it, with all their
 // readers — so with one open this only returns its event. counter names what
 // a newly opened round is counted as.
-func (r *Replicator) openPull(p *sim.Proc, key string, ks *keyState, peers *peerSet, counter metrics.Counter) *sim.Event {
+func (r *Replicator) openPull(p *sim.Proc, k protocol.Key, ks *keyState, peers *peerSet, counter metrics.Counter) *sim.Event {
 	if ks.pull != nil {
 		return ks.pull
 	}
 	ev := r.env.NewEvent()
 	ks.pull, ks.pullFrom = ev, make(map[int]bool, peers.n)
-	f := r.newFrame(framePull, key)
+	f := r.newFrame(framePull, k)
 	for i := 0; i < peers.n; i++ {
 		pid := int(peers.ids[i])
 		ks.pullFrom[pid] = true
@@ -922,11 +920,13 @@ func (ks *keyState) closePull() {
 // it arrived in, and the lane drops it when its turn comes.
 func (r *Replicator) Wipe() {
 	r.gen++
-	for _, ks := range r.keys { // order-free: each record is marked alone
-		ks.gone = true
+	for b := range r.keys {
+		for _, ks := range r.keys[b].All() {
+			ks.gone = true
+		}
+		r.keys[b].Clear()
 	}
 	r.dropDigests()
-	r.keys = make(map[string]*keyState)
 	r.fwds = make(map[uint64]*Forward)
 	r.migPulls = make(map[int]*segPull)
 }
@@ -936,10 +936,10 @@ func (r *Replicator) Wipe() {
 // so each must be re-confirmed against a peer before it is served. The
 // server calls this at the end of the recovery scan, before accepting
 // requests again.
-func (r *Replicator) OnColdRecovery(keys []string) {
-	for _, key := range keys {
-		ks := r.state(key)
-		r.setState(key, ks, 0, true, 0)
+func (r *Replicator) OnColdRecovery(keys []protocol.Key) {
+	for _, k := range keys {
+		ks := r.state(k)
+		r.setState(k, ks, 0, true, 0)
 		ks.pull, ks.pullFrom = nil, nil
 	}
 	// Arm the scrubber even when nothing was recovered (wiped SSD): the
@@ -953,14 +953,14 @@ func (r *Replicator) OnColdRecovery(keys []string) {
 // still apply — and open a background pull immediately, so the key is
 // repaired even if no client ever retries it. The reader that tripped the
 // corruption joins this same pull through executeGet's syncPull.
-func (r *Replicator) OnCorrupt(p *sim.Proc, key string) {
-	ks := r.state(key)
-	r.setState(key, ks, ks.epoch, true, ks.sum)
-	peers, member := r.replicaPeers(key)
+func (r *Replicator) OnCorrupt(p *sim.Proc, k protocol.Key) {
+	ks := r.state(k)
+	r.setState(k, ks, ks.epoch, true, ks.sum)
+	peers, member := r.replicaPeers(k)
 	if !member || peers.n == 0 {
 		return
 	}
-	r.openPull(p, key, ks, &peers, metrics.CRepairPulls)
+	r.openPull(p, k, ks, &peers, metrics.CRepairPulls)
 	r.kick()
 }
 
@@ -1175,28 +1175,28 @@ func (r *Replicator) handleAck(f *frame) {
 // the record — the released item's emptiness would go out under the new epoch
 // — so a read the record moved under is done again. With nothing confirmed
 // (never propagate an unconfirmed value), or a value that is gone: a miss.
-func (r *Replicator) pushKey(p *sim.Proc, pid int, key string) {
+func (r *Replicator) pushKey(p *sim.Proc, pid int, k protocol.Key) {
 	for {
-		ks := r.keys[key]
+		ks := r.keys.get(k)
 		if !ks.confirmed() {
-			r.post(p, pid, r.newFrame(framePullMiss, key))
+			r.post(p, pid, r.newFrame(framePullMiss, k))
 			return
 		}
 		v := version{epoch: ks.epoch}
-		value, size, flags, ok := r.st.ReadItem(p, key)
-		if r.keys[key] != ks || ks.confirmedEpoch() != v.epoch {
+		value, size, flags, ok := r.st.ReadItem(p, k)
+		if r.keys.get(k) != ks || ks.confirmedEpoch() != v.epoch {
 			continue
 		}
 		if !ok {
 			// The slab layer dropped the value (eviction under pressure): stop
 			// claiming the epoch in digests; a peer's copy can repair us later.
-			r.dropState(key)
-			r.post(p, pid, r.newFrame(framePullMiss, key))
+			r.dropState(k)
+			r.post(p, pid, r.newFrame(framePullMiss, k))
 			return
 		}
 		v.value, v.size, v.flags, v.sum = value, size, flags, protocol.ValueSum(value)
 		r.Counters.Inc(metrics.CRepairPushes)
-		f := r.newFrame(frameWrite, key)
+		f := r.newFrame(frameWrite, k)
 		f.Repair, f.version = true, v
 		r.post(p, pid, f)
 		return
@@ -1210,7 +1210,7 @@ func (r *Replicator) handlePullMiss(p *sim.Proc, f *frame) {
 	// An open migration want is bookkept independently of the suspect pull:
 	// the same framePull serves both, so a miss answers both.
 	r.migPullMissed(f.Key, f.From)
-	ks := r.keys[f.Key]
+	ks := r.keys.get(f.Key)
 	if ks == nil || ks.pull == nil || !ks.pullFrom[f.From] {
 		// No open pull, or this peer already answered: the fault injector
 		// duplicates frames, and one peer missing twice must not count as

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridkv/internal/metrics"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func TestRingReplicaSets(t *testing.T) {
 	}
 	keys := []string{"a", "bb", "repl:0001", "chaos:w2:k1", "flood:0042", "x:y:z"}
 	for _, key := range keys {
-		set := ring.Replicas(key, 3)
+		set := ring.Replicas(protocol.KeyOf(key), 3)
 		if len(set) != 3 {
 			t.Fatalf("Replicas(%q, 3) returned %d ids: %v", key, len(set), set)
 		}
@@ -31,16 +32,16 @@ func TestRingReplicaSets(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if set[0] != ring.Pick(key) {
-			t.Errorf("Replicas(%q)[0] = %d, want the primary %d", key, set[0], ring.Pick(key))
+		if set[0] != ring.Pick(protocol.KeyOf(key)) {
+			t.Errorf("Replicas(%q)[0] = %d, want the primary %d", key, set[0], ring.Pick(protocol.KeyOf(key)))
 		}
-		again := ring.Replicas(key, 3)
+		again := ring.Replicas(protocol.KeyOf(key), 3)
 		for i := range set {
 			if set[i] != again[i] {
 				t.Errorf("Replicas(%q) unstable: %v then %v", key, set, again)
 			}
 		}
-		if one := ring.Replicas(key, 1); len(one) != 1 || one[0] != ring.Pick(key) {
+		if one := ring.Replicas(protocol.KeyOf(key), 1); len(one) != 1 || one[0] != ring.Pick(protocol.KeyOf(key)) {
 			t.Errorf("Replicas(%q, 1) = %v, want just the primary", key, one)
 		}
 	}
@@ -86,13 +87,13 @@ func TestNextEpochOrdering(t *testing.T) {
 // consumed once, and answers from peers that were never asked are ignored.
 func TestPullMissDeduplicatesByPeer(t *testing.T) {
 	env := sim.NewEnv()
-	r := &Replicator{env: env, keys: make(map[string]*keyState)}
+	r := &Replicator{env: env}
 	ks := &keyState{suspect: true, pull: env.NewEvent(), pullFrom: map[int]bool{1: true, 2: true}}
-	r.keys["k"] = ks
+	r.keys.put(protocol.KeyOf("k"), ks)
 
-	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: "k", From: 1})
-	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: "k", From: 1}) // injector duplicate
-	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: "k", From: 9}) // never asked
+	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: protocol.KeyOf("k"), From: 1})
+	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: protocol.KeyOf("k"), From: 1}) // injector duplicate
+	r.handlePullMiss(nil, &frame{Kind: framePullMiss, Key: protocol.KeyOf("k"), From: 9}) // never asked
 
 	if ks.pull == nil || ks.pull.Fired() {
 		t.Fatal("pull concluded after one peer's duplicated miss; peer 2 never answered")
@@ -108,17 +109,17 @@ func TestPullMissDeduplicatesByPeer(t *testing.T) {
 // The digest must be insensitive to iteration order (XOR fold) and
 // sensitive to every component: epoch, key, and the value-content checksum.
 func TestDigestEntryDistinguishes(t *testing.T) {
-	base := digestEntry("k", 0x100, 7)
-	if digestEntry("k", 0x100, 7) != base {
+	base := digestEntry(protocol.KeyOf("k"), 0x100, 7)
+	if digestEntry(protocol.KeyOf("k"), 0x100, 7) != base {
 		t.Error("digestEntry is not deterministic")
 	}
-	if digestEntry("k", 0x200, 7) == base {
+	if digestEntry(protocol.KeyOf("k"), 0x200, 7) == base {
 		t.Error("digest ignores the epoch")
 	}
-	if digestEntry("j", 0x100, 7) == base {
+	if digestEntry(protocol.KeyOf("j"), 0x100, 7) == base {
 		t.Error("digest ignores the key")
 	}
-	if digestEntry("k", 0x100, 8) == base {
+	if digestEntry(protocol.KeyOf("k"), 0x100, 8) == base {
 		t.Error("digest ignores the value content checksum")
 	}
 }

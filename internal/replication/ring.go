@@ -48,10 +48,10 @@ const digestsPerServer = 80
 // NewRing returns an empty ring.
 func NewRing() *Ring { return &Ring{} }
 
-// HashKey hashes a key onto the ring's 64-bit space: FNV-1a, finished with
-// protocol.Mix64, which decorrelates the structured key strings that make raw
-// FNV cluster on a ring.
-func HashKey(s string) uint64 { return protocol.Mix64(protocol.FNV1a(s)) }
+// HashKey places a key on the ring's 64-bit space: its carried FNV-1a hash,
+// finished with protocol.Mix64, which decorrelates the structured key strings
+// that make raw FNV cluster on a ring.
+func HashKey(k protocol.Key) uint64 { return protocol.Mix64(k.Hash) }
 
 // Add inserts a server's virtual nodes.
 func (r *Ring) Add(serverID int) {
@@ -106,14 +106,14 @@ func (r *Ring) sortPoints() {
 	r.dirty = false
 }
 
-func (r *Ring) search(key string) int {
+func (r *Ring) search(k protocol.Key) int {
 	if len(r.points) == 0 {
 		panic("replication: empty hash ring")
 	}
 	if r.dirty {
 		r.sortPoints()
 	}
-	h := HashKey(key)
+	h := HashKey(k)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -122,8 +122,8 @@ func (r *Ring) search(key string) int {
 }
 
 // Pick returns the server id owning key (the key's primary).
-func (r *Ring) Pick(key string) int {
-	return r.points[r.search(key)].serverID
+func (r *Ring) Pick(k protocol.Key) int {
+	return r.points[r.search(k)].serverID
 }
 
 // Replicas returns the key's replica set: the first n distinct server ids
@@ -131,8 +131,8 @@ func (r *Ring) Pick(key string) int {
 // servers on the ring shortens the set. The set is memoised per ring point
 // and shared between calls: callers must not modify it (appending is safe —
 // its capacity is its length, so append copies).
-func (r *Ring) Replicas(key string, n int) []int {
-	start := r.search(key)
+func (r *Ring) Replicas(k protocol.Key, n int) []int {
+	start := r.search(k)
 	if r.memo == nil {
 		r.memo = make([][]int, len(r.points))
 		r.servers = len(r.Members())

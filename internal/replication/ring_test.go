@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"hybridkv/internal/protocol"
 )
 
 // The memoised replica sets must be exactly the uncached walk — for every n
@@ -19,8 +21,8 @@ func TestRingReplicasMemoMatchesTheWalk(t *testing.T) {
 		t.Helper()
 		for _, n := range []int{2, 1, 3, 9, 0, 3} {
 			for _, key := range keys {
-				got := r.Replicas(key, n)
-				want := r.walk(r.search(key), n)
+				got := r.Replicas(protocol.KeyOf(key), n)
+				want := r.walk(r.search(protocol.KeyOf(key)), n)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: Replicas(%q, %d) = %v, the walk gives %v", when, key, n, got, want)
 				}

@@ -2,7 +2,9 @@ package replication
 
 import (
 	"slices"
+	"strings"
 
+	"hybridkv/internal/keytab"
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
@@ -24,8 +26,8 @@ import (
 // is what lets the scrub see *silent corruption*: two replicas at the same
 // epoch whose bytes differ produce different digests and reconcile, where
 // an epoch-only digest would call them converged forever.
-func digestEntry(key string, epoch, sum uint64) uint64 {
-	return protocol.Mix64(HashKey(key) ^ protocol.Mix64(epoch) ^ protocol.Mix64(sum*0x9e3779b97f4a7c15+1))
+func digestEntry(k protocol.Key, epoch, sum uint64) uint64 {
+	return protocol.Mix64(HashKey(k) ^ protocol.Mix64(epoch) ^ protocol.Mix64(sum*0x9e3779b97f4a7c15+1))
 }
 
 // digestEntry2 is the second, independent fold of the same record. An
@@ -42,7 +44,9 @@ func digestEntry2(key string, epoch, sum uint64) uint64 {
 
 // hashKeyAlt is the alternate key hash of the second digest fold: FNV-1
 // (not 1a: multiply-then-xor, a genuinely different diffusion order)
-// finished with the alternate mixer.
+// finished with the alternate mixer. It is computed from the key's bytes,
+// never from the carried hash: it exists to catch what a collision of the
+// first fold's hash masks.
 func hashKeyAlt(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -66,9 +70,9 @@ func mixAlt(x uint64) uint64 {
 // sharedWith reports whether key is replicated on both this server and pid.
 // During a migration the union replica set applies, so digests also cover
 // keys mid-handoff between an old and a new owner.
-func (r *Replicator) sharedWith(pid int, key string) bool {
+func (r *Replicator) sharedWith(pid int, k protocol.Key) bool {
 	both := 0
-	for _, id := range r.replicaSet(key) {
+	for _, id := range r.replicaSet(k) {
 		if id == r.cfg.ID || id == pid {
 			both++
 		}
@@ -92,26 +96,67 @@ func (ks *keyState) confirmed() bool { return ks.confirmedEpoch() != 0 }
 
 // folds returns the two digest folds of key's record: zero — XOR's identity —
 // for a record that may not be claimed.
-func (ks *keyState) folds(key string) (uint64, uint64) {
+func (ks *keyState) folds(k protocol.Key) (uint64, uint64) {
 	if !ks.confirmed() {
 		return 0, 0
 	}
-	return digestEntry(key, ks.epoch, ks.sum), digestEntry2(key, ks.epoch, ks.sum)
+	return digestEntry(k, ks.epoch, ks.sum), digestEntry2(k.Str, ks.epoch, ks.sum)
+}
+
+// keyTable is the replicator's epoch records, one key table per scrub
+// bucket, so a digest or a diff walks the keys of the buckets it names and
+// no others. Which table holds a key is its scrub bucket, bucketOf.
+type keyTable [scrubBuckets]keytab.Table[*keyState]
+
+// bucketOf is k's scrub bucket: where its record folds into a digest (slots
+// 2b and 2b+1) and which table of a keyTable holds it.
+func bucketOf(k protocol.Key) uint64 { return HashKey(k) % scrubBuckets }
+
+// get returns k's record, or nil.
+func (t *keyTable) get(k protocol.Key) *keyState {
+	ks, _ := t[bucketOf(k)].Get(k)
+	return ks
+}
+
+func (t *keyTable) put(k protocol.Key, ks *keyState) { t[bucketOf(k)].Put(k, ks) }
+
+// sorted appends to keys every key of the buckets in marks (nil: all of
+// them) whose record keep accepts (nil: every one), and sorts what it
+// appended by key.
+func (t *keyTable) sorted(keys []protocol.Key, in *[scrubBuckets]bool, keep func(protocol.Key, *keyState) bool) []protocol.Key {
+	from := len(keys)
+	for b := range t {
+		if in != nil && !in[b] {
+			continue
+		}
+		for k, ks := range t[b].All() {
+			if keep == nil || keep(k, ks) {
+				keys = append(keys, k)
+			}
+		}
+	}
+	sortKeys(keys[from:])
+	return keys
+}
+
+// sortKeys sorts keys by their strings: the order of every list of keys a
+// replicator sends or acts on, so that it is the same every run.
+func sortKeys(keys []protocol.Key) {
+	slices.SortFunc(keys, func(a, b protocol.Key) int { return strings.Compare(a.Str, b.Str) })
 }
 
 // computeDigest folds the bucketed epoch+content digest over the confirmed
 // keys shared with pid, from scratch: bucket b occupies slots [2b] and
-// [2b+1] — the two independent folds of its keys. XOR folding makes the
-// digest independent of iteration order, preserving determinism over Go's
-// randomized map iteration.
+// [2b+1] — the two independent folds of its keys.
 func (r *Replicator) computeDigest(pid int) []uint64 {
 	buckets := make([]uint64, 2*scrubBuckets)
-	for key, ks := range r.keys { // order-free: XOR folds commute
-		if ks.confirmed() && r.sharedWith(pid, key) {
-			b := HashKey(key) % scrubBuckets
-			e1, e2 := ks.folds(key)
-			buckets[2*b] ^= e1
-			buckets[2*b+1] ^= e2
+	for b := range r.keys {
+		for k, ks := range r.keys[b].All() {
+			if ks.confirmed() && r.sharedWith(pid, k) {
+				e1, e2 := ks.folds(k)
+				buckets[2*b] ^= e1
+				buckets[2*b+1] ^= e2
+			}
 		}
 	}
 	return buckets
@@ -150,7 +195,7 @@ func (r *Replicator) digest(pid int) []uint64 {
 // digest, so what a round costs is the width of the digest, not the table.
 // The copy goes into a spare slice of an earlier frame.
 func (r *Replicator) digestFrame(pid int) *frame {
-	f := r.newFrame(frameDigest, "")
+	f := r.newFrame(frameDigest, protocol.Key{})
 	f.Buckets = append(r.frames.spareBuckets(), r.digest(pid)...)
 	return f
 }
@@ -165,43 +210,43 @@ func (r *Replicator) dropDigests() {
 // setState is the one place a key's replicated record changes: it moves the
 // key's entry in the maintained digest of every peer that shares it from the
 // old record to the new one.
-func (r *Replicator) setState(key string, ks *keyState, epoch uint64, suspect bool, sum uint64) {
+func (r *Replicator) setState(k protocol.Key, ks *keyState, epoch uint64, suspect bool, sum uint64) {
 	old := *ks
 	ks.epoch, ks.suspect, ks.sum = epoch, suspect, sum
-	r.refold(key, &old, ks)
+	r.refold(k, &old, ks)
 }
 
 // dropState removes key's record — whichever the table holds now, which
 // after a blocking call need not be the one the caller fetched before it —
 // from the table and from every digest.
-func (r *Replicator) dropState(key string) {
-	ks := r.keys[key]
+func (r *Replicator) dropState(k protocol.Key) {
+	ks := r.keys.get(k)
 	if ks == nil {
 		return
 	}
-	delete(r.keys, key)
-	r.refold(key, ks, &keyState{})
+	r.keys[bucketOf(k)].Delete(k)
+	r.refold(k, ks, &keyState{})
 	ks.gone = true
 }
 
 // refold replaces was by is (the same key's record before and after a
 // change) in the maintained digests.
-func (r *Replicator) refold(key string, was, is *keyState) {
+func (r *Replicator) refold(k protocol.Key, was, is *keyState) {
 	if was.gone || (!was.confirmed() && !is.confirmed()) {
 		return
 	}
 	if r.placementNow() != r.digestsAt {
 		return // every digest is stale: the next use recomputes
 	}
-	set := r.replicaSet(key)
+	set := r.replicaSet(k)
 	if !containsID(set, r.cfg.ID) {
 		return
 	}
 	// XOR is its own inverse: one delta takes the old entry out and puts the
 	// new one in, the same for every peer.
-	b := HashKey(key) % scrubBuckets
-	out1, out2 := was.folds(key)
-	in1, in2 := is.folds(key)
+	b := bucketOf(k)
+	out1, out2 := was.folds(k)
+	in1, in2 := is.folds(k)
 	for _, pid := range set {
 		if pl := r.peers[pid]; pl != nil && pl.digest != nil {
 			pl.digest[2*b] ^= out1 ^ in1
@@ -282,22 +327,23 @@ func (r *Replicator) handleDigest(p *sim.Proc, f *frame) {
 		}
 		return
 	}
-	resp := r.newFrame(frameDiff, "")
+	resp := r.newFrame(frameDiff, protocol.Key{})
 	resp.Buckets, resp.Entries = diff, r.frames.spareEntries()
-	for _, key := range r.sortedSharedKeys(f.From, diff) {
-		ks := r.keys[key]
-		resp.Entries = append(resp.Entries, KeyEpoch{Key: key, Epoch: ks.epoch, Sum: ks.sum})
+	for _, k := range r.sortedSharedKeys(f.From, diff) {
+		ks := r.keys.get(k)
+		resp.Entries = append(resp.Entries, KeyEpoch{Key: k, Epoch: ks.epoch, Sum: ks.sum})
 	}
 	r.doneKeys()
 	r.post(p, f.From, resp)
 }
 
 // sortedSharedKeys lists the confirmed keys shared with pid that fall in one
-// of the given buckets, in sorted order. Keys are filtered by bucket first: a
-// round that differs in one bucket sorts that bucket's keys, not the table.
-// The list is r.keyScratch, the caller's until it calls doneKeys; calling
-// again before that panics.
-func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
+// of the given buckets (an index out of range names none), in sorted order.
+// It walks the named buckets' tables alone: a round that differs in one
+// bucket visits and sorts that bucket's keys, not the table. The list is
+// r.keyScratch, the caller's until it calls doneKeys; calling again before
+// that panics.
+func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []protocol.Key {
 	if r.keysBusy {
 		panic("replication: sortedSharedKeys re-entered while its key list is in use")
 	}
@@ -308,15 +354,10 @@ func (r *Replicator) sortedSharedKeys(pid int, buckets []uint64) []string {
 			in[b] = true
 		}
 	}
-	keys := r.keyScratch[:0]
-	for key, ks := range r.keys { // order-free: sorted below
-		if ks.confirmed() && in[HashKey(key)%uint64(len(in))] && r.sharedWith(pid, key) {
-			keys = append(keys, key)
-		}
-	}
-	slices.Sort(keys)
-	r.keyScratch = keys
-	return keys
+	r.keyScratch = r.keys.sorted(r.keyScratch[:0], &in, func(k protocol.Key, ks *keyState) bool {
+		return ks.confirmed() && r.sharedWith(pid, k)
+	})
+	return r.keyScratch
 }
 
 // doneKeys gives sortedSharedKeys' list back: it may be refilled, and the
@@ -327,23 +368,25 @@ func (r *Replicator) doneKeys() {
 }
 
 // handleDiff reconciles against the peer's entries for the differing
-// buckets, then pushes what the peer does not hold at all.
+// buckets, then pushes what the peer does not hold at all. The peer listed
+// its entries in key order (its own sortedSharedKeys), as this side lists
+// its keys, so one merge walk of the two finds the keys it did not list.
 func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
-	theirs := r.theirs
 	for _, e := range f.Entries {
-		theirs[e.Key] = true
 		if r.reconcile(p, f.From, e) {
 			r.Counters.Inc(metrics.CRepairPulls)
 		}
 	}
-	// Keys we hold in a differing bucket that the peer did not list at all.
-	for _, key := range r.sortedSharedKeys(f.From, f.Buckets) {
-		if !theirs[key] {
-			r.pushKey(p, f.From, key)
+	theirs := f.Entries
+	for _, k := range r.sortedSharedKeys(f.From, f.Buckets) {
+		for len(theirs) > 0 && theirs[0].Key.Str < k.Str {
+			theirs = theirs[1:]
+		}
+		if len(theirs) == 0 || theirs[0].Key.Str != k.Str {
+			r.pushKey(p, f.From, k)
 		}
 	}
 	r.doneKeys()
-	clear(theirs)
 }
 
 // reconcile settles one key against the record a peer says it holds — an
@@ -354,7 +397,7 @@ func (r *Replicator) handleDiff(p *sim.Proc, f *frame) {
 // peer's judge applies it under the same rule) or pull the peer's. Reports
 // whether it asked the peer for its copy.
 func (r *Replicator) reconcile(p *sim.Proc, from int, theirs KeyEpoch) bool {
-	ks := r.keys[theirs.Key]
+	ks := r.keys.get(theirs.Key)
 	mine := ks.confirmedEpoch()
 	pull, push := mine < theirs.Epoch, mine > theirs.Epoch
 	if mine == theirs.Epoch && mine != 0 && ks.sum != theirs.Sum {

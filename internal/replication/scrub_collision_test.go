@@ -55,10 +55,10 @@ func TestDigestCollisionPairCaughtBySecondFold(t *testing.T) {
 	// Equal sums cancel; solve for the epoch2 that makes the Mix64 inputs —
 	// hence the outputs — equal:
 	//   Mix64(epoch2) = Mix64(epoch1) ^ HashKey(k1) ^ HashKey(k2)
-	epoch2 := mix64Inverse(protocol.Mix64(epoch1) ^ HashKey(k1) ^ HashKey(k2))
+	epoch2 := mix64Inverse(protocol.Mix64(epoch1) ^ HashKey(protocol.KeyOf(k1)) ^ HashKey(protocol.KeyOf(k2)))
 
-	d1 := digestEntry(k1, epoch1, sum)
-	d2 := digestEntry(k2, epoch2, sum)
+	d1 := digestEntry(protocol.KeyOf(k1), epoch1, sum)
+	d2 := digestEntry(protocol.KeyOf(k2), epoch2, sum)
 	if d1 != d2 {
 		t.Fatalf("constructed pair does not collide under digestEntry: %#x vs %#x", d1, d2)
 	}

@@ -27,7 +27,7 @@ func divergeSetup(t *testing.T, p *sim.Proc, cl *cluster.Cluster, key string) (c
 		t.Errorf("set %q: %v", key, st)
 		return 0, 0, 0, false
 	}
-	reps := itRing(3).Replicas(key, 2)
+	reps := itRing(3).Replicas(protocol.KeyOf(key), 2)
 	epoch, goodSum, okS := cl.Replicators[reps[0]].AppliedStateForTest(key)
 	if !okS {
 		t.Errorf("primary holds no confirmed record of %q after an acked SET", key)
@@ -71,7 +71,7 @@ func TestScrubRepairsSameEpochContentDivergence(t *testing.T) {
 		corruptApplied(t, p, cl, other, key)
 		p.Sleep(30 * sim.Millisecond)
 		for _, id := range []int{coord, other} {
-			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
+			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, protocol.KeyOf(key))
 			if !okR {
 				t.Errorf("replica %d lost %q during repair", id, key)
 				continue
@@ -112,7 +112,7 @@ func TestScrubCoordinatorWinsSameEpochDivergence(t *testing.T) {
 		corruptApplied(t, p, cl, coord, key)
 		p.Sleep(30 * sim.Millisecond)
 		for _, id := range []int{coord, other} {
-			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, key)
+			v, _, _, okR := cl.Servers[id].Store().ReadItem(p, protocol.KeyOf(key))
 			if !okR {
 				t.Errorf("replica %d lost %q during repair", id, key)
 				continue

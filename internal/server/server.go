@@ -723,7 +723,7 @@ func (s *Server) receive(p *sim.Proc, payload any, t task) {
 // the client resolved one-sided: it is counted in the heat sketch first.
 func (s *Server) dirQuery(req *protocol.Request) *protocol.Response {
 	if req.Key != "" {
-		s.st.NoteHeat(req.Key)
+		s.st.NoteHeat(req.HKey())
 	}
 	resp := s.st.Reply(req.ReqID)
 	resp.Status = protocol.StatusNotFound

@@ -321,10 +321,6 @@ func (f *Fabric) transmitted(fl *Flight) {
 	fl.sent.Fire()
 	f.MsgCount++
 	f.ByteCount += int64(msg.Size)
-	fl.dst = f.nodes[msg.Dst]
-	if fl.dst == nil {
-		panic(fmt.Sprintf("simnet: send to unknown node %q", msg.Dst))
-	}
 	deliverAt := now + PropDelay + f.spec.RecvCPU
 	fl.arriving = msg
 	var dup *Flight
@@ -390,18 +386,27 @@ func (fl *Flight) snapshot() *Flight {
 
 // Post hands a message to the NIC without charging caller CPU time (the
 // caller models its own cost, e.g. the verbs layer charging doorbell cost).
+// It looks node dst up by name; PostFlight's callers hold the node, found
+// once when they connected.
 func (n *Node) Post(dst string, size int, payload any) *Outgoing {
-	return n.PostFlight(new(Flight), nil, dst, size, payload)
+	to := n.fabric.nodes[dst]
+	if to == nil {
+		panic(fmt.Sprintf("simnet: send to unknown node %q", dst))
+	}
+	return n.PostFlight(new(Flight), nil, to, size, payload)
 }
 
-// PostFlight is Post carried by fl, a Flight the caller allocated — normally
-// inside the record payload points into. owner, normally that record, gets
-// fl back after its last delivery; with owner nil, fl is used once.
-func (n *Node) PostFlight(fl *Flight, owner Recycler, dst string, size int, payload any) *Outgoing {
+// PostFlight is Post to node dst carried by fl, a Flight the caller
+// allocated — normally inside the record payload points into. owner,
+// normally that record, gets fl back after its last delivery; with owner
+// nil, fl is used once. The flight carries dst to its delivery; the message
+// names it (Message.Dst) for the fault injector and the receiver.
+func (n *Node) PostFlight(fl *Flight, owner Recycler, dst *Node, size int, payload any) *Outgoing {
 	if fl.owed != 0 {
 		panic("simnet: Flight posted while still in flight")
 	}
-	fl.msg = Message{Src: n.name, Dst: dst, Size: size, Payload: payload}
+	fl.msg = Message{Src: n.name, Dst: dst.name, Size: size, Payload: payload}
+	fl.dst = dst
 	fl.sent.Init()
 	fl.delivered.Init()
 	fl.out = Outgoing{Sent: &fl.sent, Delivered: &fl.delivered}
@@ -419,7 +424,7 @@ func (n *Node) Send(p *sim.Proc, dst string, size int, payload any) *Outgoing {
 }
 
 // SendFlight is Send carried by fl, as PostFlight is Post.
-func (n *Node) SendFlight(p *sim.Proc, fl *Flight, owner Recycler, dst string, size int, payload any) *Outgoing {
+func (n *Node) SendFlight(p *sim.Proc, fl *Flight, owner Recycler, dst *Node, size int, payload any) *Outgoing {
 	p.Sleep(n.fabric.spec.SendCost(size))
 	return n.PostFlight(fl, owner, dst, size, payload)
 }

@@ -24,7 +24,7 @@ func directoryModel(tb testing.TB, valueSize int, republish bool) (step func()) 
 	s.SetReadView(d)
 	set := sim.Stepper(tb, env, "driver", func(p *sim.Proc) { s.Set(p, "k", valueSize, "v", 0, 0) })
 	if set(); republish {
-		return func() { d.Publish(s.table["k"]) }
+		return func() { d.Publish(s.item(protocol.KeyOf("k"))) }
 	}
 	return set
 }
@@ -71,7 +71,7 @@ func overwriteSpilledModel(tb testing.TB) (step func()) {
 	page := sim.Stepper(tb, env, "driver", func(p *sim.Proc) {
 		for flushed := s.mgr.FlushPages; s.mgr.FlushPages == flushed; sets++ {
 			key := keys[sets%len(keys)]
-			if old := s.table[key]; old != nil && !old.OnSSD() {
+			if old := s.item(protocol.KeyOf(key)); old != nil && !old.OnSSD() {
 				panic("overwrite model: the oldest key is in RAM")
 			}
 			s.Set(p, key, 32<<10, "v", 0, 0)

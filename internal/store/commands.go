@@ -23,14 +23,14 @@ import (
 // StatusStored — go ahead — or to the refusal to answer. cond is asked on
 // arrival, so a refusal costs no allocation, and again at the swap: one CAS
 // token buys one store, a fresh key is added once.
-func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
+func (s *Store) setWhen(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32, cond func(*hybridslab.Item) protocol.Status) protocol.Status {
 	p.Sleep(hashCost)
-	verdict := cond(s.table[key])
+	verdict := cond(s.item(k))
 	if verdict != protocol.StatusStored {
 		return verdict
 	}
-	st := s.SetIf(p, key, valueSize, value, flags, func() bool {
-		verdict = cond(s.table[key])
+	st := s.SetIf(p, k, valueSize, value, flags, func() bool {
+		verdict = cond(s.item(k))
 		return verdict == protocol.StatusStored
 	})
 	if verdict != protocol.StatusStored {
@@ -41,7 +41,11 @@ func (s *Store) setWhen(p *sim.Proc, key string, valueSize int, value any, flags
 
 // Add stores the value only if the key does not already exist.
 func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags uint32) protocol.Status {
-	return s.setWhen(p, key, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
+	return s.add(p, protocol.KeyOf(key), valueSize, value, flags)
+}
+
+func (s *Store) add(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32) protocol.Status {
+	return s.setWhen(p, k, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		if it != nil {
 			return protocol.StatusNotStored
 		}
@@ -52,7 +56,11 @@ func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags uin
 // CompareAndSet stores the value only if the caller's CAS token matches the
 // item's current token (memcached cas command).
 func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
-	return s.setWhen(p, key, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
+	return s.compareAndSet(p, protocol.KeyOf(key), valueSize, value, flags, cas)
+}
+
+func (s *Store) compareAndSet(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
+	return s.setWhen(p, k, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		switch {
 		case it == nil:
 			return protocol.StatusNotFound
@@ -66,8 +74,8 @@ func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any,
 // still reports whether key's entry is the item Incr read, unchanged since:
 // not replaced or removed (another item, or none), and not mutated in place
 // (every in-place write takes a fresh token).
-func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
-	return s.table[key] == it && it.CAS == cas
+func (s *Store) still(k protocol.Key, it *hybridslab.Item, cas uint64) bool {
+	return s.item(k) == it && it.CAS == cas
 }
 
 // read returns key's live item with its value and CAS token as they stand
@@ -76,20 +84,20 @@ func (s *Store) still(key string, it *hybridslab.Item, cas uint64) bool {
 // and an answer given for an item replaced meanwhile (a nil value, "dropped")
 // describes that item, not the key: again. The item comes back held, and the
 // caller lets go of it once it has asked still for the last time.
-func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas uint64, st protocol.Status) {
+func (s *Store) read(p *sim.Proc, k protocol.Key) (it *hybridslab.Item, v any, cas uint64, st protocol.Status) {
 	for {
 		p.Sleep(hashCost)
-		if it = s.table[key]; it == nil {
+		if it = s.item(k); it == nil {
 			return nil, nil, 0, protocol.StatusNotFound
 		}
 		it.Hold()
 		v, err := s.mgr.Load(p, it)
-		if s.table[key] != it {
+		if s.item(k) != it {
 			it.Unhold()
 			continue
 		}
 		if err != nil {
-			if st = s.loadFailed(p, key, err); st == protocol.StatusCorrupt {
+			if st = s.loadFailed(p, k, err); st == protocol.StatusCorrupt {
 				s.CorruptReads++
 			}
 			it.Unhold()
@@ -102,12 +110,16 @@ func (s *Store) read(p *sim.Proc, key string) (it *hybridslab.Item, v any, cas u
 // Incr adds delta to a counter value; the value must have been stored as a
 // uint64 (Counter helper). Returns the new value.
 func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
+	return s.increment(p, protocol.KeyOf(key), delta)
+}
+
+func (s *Store) increment(p *sim.Proc, k protocol.Key, delta uint64) (uint64, protocol.Status) {
 	for {
-		it, v, cas, st := s.read(p, key)
+		it, v, cas, st := s.read(p, k)
 		if it == nil {
 			return 0, st
 		}
-		next, st, again := s.incr(p, key, it, v, cas, delta)
+		next, st, again := s.incr(p, k, it, v, cas, delta)
 		it.Unhold()
 		if !again {
 			return next, st
@@ -117,7 +129,7 @@ func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.St
 
 // incr is one attempt of Incr on the item read returned, held across it:
 // the answer, or again when the key changed under the attempt.
-func (s *Store) incr(p *sim.Proc, key string, it *hybridslab.Item, v any, cas, delta uint64) (next uint64, st protocol.Status, again bool) {
+func (s *Store) incr(p *sim.Proc, k protocol.Key, it *hybridslab.Item, v any, cas, delta uint64) (next uint64, st protocol.Status, again bool) {
 	cur, ok := v.(uint64)
 	if !ok {
 		return 0, protocol.StatusBadValue, false
@@ -127,7 +139,7 @@ func (s *Store) incr(p *sim.Proc, key string, it *hybridslab.Item, v any, cas, d
 		// The authoritative copy lives in an SSD extent, or is on its way
 		// into one; rewrite through the regular store path so the new
 		// value lands somewhere live, with the item's flags.
-		switch st := s.SetIf(p, key, protocol.CounterSize, next, it.Flags, func() bool { return s.still(key, it, cas) }); st {
+		switch st := s.SetIf(p, k, protocol.CounterSize, next, it.Flags, func() bool { return s.still(k, it, cas) }); st {
 		case protocol.StatusStored:
 			return next, protocol.StatusOK, false
 		case protocol.StatusNotStored:
@@ -137,12 +149,12 @@ func (s *Store) incr(p *sim.Proc, key string, it *hybridslab.Item, v any, cas, d
 		}
 	}
 	// RAM-resident counters mutate in place: same class, no reallocation.
-	s.publishBegin(key)
+	s.publishBegin(k)
 	p.Sleep(updateCost)
-	if !s.still(key, it, cas) || !it.InPlace() {
+	if !s.still(k, it, cas) || !it.InPlace() {
 		// Replaced under the update — or staged for eviction under it:
 		// the flush lands what it captured, not what is written here.
-		s.republish(key)
+		s.republish(k)
 		return 0, 0, true
 	}
 	it.Value = next

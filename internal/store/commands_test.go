@@ -92,7 +92,7 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
 		}
-		if !s.table["c"].OnSSD() {
+		if !s.item(protocol.KeyOf("c")).OnSSD() {
 			t.Fatal("fixture: the counter is not on the SSD")
 		}
 		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
@@ -117,14 +117,14 @@ func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
 		}
-		cold := s.table["c"]
+		cold := s.item(protocol.KeyOf("c"))
 		if !cold.OnSSD() {
 			t.Fatal("fixture: the counter is not on the SSD")
 		}
 		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
 		}
-		it := s.table["c"]
+		it := s.item(protocol.KeyOf("c"))
 		if it == cold || it.OnSSD() || it.Value != uint64(42) || it.ValueSize != protocol.CounterSize || it.Flags != 9 {
 			t.Errorf("rewritten counter: %+v (the cold item was %p)", it, cold)
 		}

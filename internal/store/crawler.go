@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 
-	"hybridkv/internal/hybridslab"
 	"hybridkv/internal/sim"
 )
 
@@ -59,12 +58,9 @@ func (s *Store) StopCrawler() {
 
 // crawlOnce performs one crawl pass.
 func (s *Store) crawlOnce(p *sim.Proc, batch int) {
-	scanned := 0
-	s.mgr.VisitLRU(batch, func(*hybridslab.Item) bool {
-		scanned++
-		return true
-	})
-	if scanned > 0 {
+	// The walk examines nothing (there is no expiry), so it is charged from
+	// the lists' lengths: up to batch items of each.
+	if scanned := s.mgr.Listed(batch); scanned > 0 {
 		p.Sleep(sim.Time(scanned) * crawlItemCost)
 	}
 	// The crawler doubles as the hot-set publisher: each pass distills the

@@ -15,7 +15,7 @@ import (
 // with HiStore's published-and-versioned index making it safe).
 //
 // Layout. The directory MR is a bucket array; a key's home bucket is
-// KeyDigest(key) mod Buckets, and a bucket is protocol.DirWays fixed-size
+// KeyDigest(hash) mod Buckets, and a bucket is protocol.DirWays fixed-size
 // slots (protocol.DirSlotBytes each) published together, with the bucket's
 // spill count, as one protocol.DirBucket. One READ of a key's home bucket
 // answers the lookup from the way whose digest is the key's — a second READ,
@@ -267,7 +267,7 @@ func (d *Directory) drop(e *dirEntry) {
 // probing clients re-probe or fall back to RPC until the commit; the
 // bucket's other ways are republished as they were. A no-op when key owns
 // no way.
-func (d *Directory) PublishBegin(key string) { d.begin(d.find(key, protocol.KeyDigest(key))) }
+func (d *Directory) PublishBegin(k protocol.Key) { d.begin(d.find(k.Str, protocol.KeyDigest(k.Hash))) }
 
 // begin opens the mutation window of way w of bucket b, where find located a
 // key; w < 0, no way, is a no-op.
@@ -289,7 +289,7 @@ func (d *Directory) begin(b, w int) {
 // when it does not, or flagged SSD-resident — metadata only, clients fall
 // back to RPC — when the value is not in RAM.
 func (d *Directory) Publish(it *hybridslab.Item) {
-	digest := protocol.KeyDigest(it.Key)
+	digest := protocol.KeyDigest(it.HKey().Hash)
 	b, w := d.find(it.Key, digest)
 	d.publish(it, digest, b, w)
 }
@@ -352,7 +352,7 @@ func (d *Directory) publish(it *hybridslab.Item, digest uint64, b, w int) {
 // Unpublish removes key from the directory: snapshot cleared, way emptied
 // (and, for a spilled key, the home's count dropped), its version advanced
 // so in-flight probes that saw the old slot fail their validation.
-func (d *Directory) Unpublish(key string) { d.unpublish(d.find(key, protocol.KeyDigest(key))) }
+func (d *Directory) Unpublish(k protocol.Key) { d.unpublish(d.find(k.Str, protocol.KeyDigest(k.Hash))) }
 
 // unpublish empties way w of bucket b, where find located a key; w < 0, no
 // way, is a no-op.
@@ -375,7 +375,7 @@ func (d *Directory) unpublish(b, w int) {
 // published entry and ignored unless it concerns the current one. The key
 // is found once, and the transition applied at the way it was found.
 func (d *Directory) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
-	digest := protocol.KeyDigest(it.Key)
+	digest := protocol.KeyDigest(it.HKey().Hash)
 	b, w := d.find(it.Key, digest)
 	if w < 0 || d.entries[w].it != it {
 		return

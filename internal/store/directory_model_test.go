@@ -37,8 +37,9 @@ type dirModel struct {
 	spillDisplaced, spillRemoved         int // spilled keys displaced, and unpublished
 }
 
-func (m *dirModel) PublishBegin(key string) {
-	m.d.PublishBegin(key)
+func (m *dirModel) PublishBegin(k protocol.Key) {
+	key := k.Str
+	m.d.PublishBegin(k)
 	m.open[key] = true
 	m.check("PublishBegin " + key)
 }
@@ -49,15 +50,16 @@ func (m *dirModel) Publish(it *hybridslab.Item) {
 	m.check("Publish " + it.Key)
 }
 
-func (m *dirModel) Unpublish(key string) {
-	m.forward(key, func() { m.d.Unpublish(key) })
+func (m *dirModel) Unpublish(k protocol.Key) {
+	key := k.Str
+	m.forward(key, func() { m.d.Unpublish(k) })
 	delete(m.open, key)
 	m.check("Unpublish " + key)
 }
 
 func (m *dirModel) EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent) {
 	m.forward(it.Key, func() { m.d.EvictionUpdate(it, ev) })
-	if m.s.table[it.Key] == it { // else: a superseded incarnation, not the key's window
+	if m.s.item(protocol.KeyOf(it.Key)) == it { // else: a superseded incarnation, not the key's window
 		if ev == hybridslab.EvictStaged {
 			m.open[it.Key] = true
 			m.staged++
@@ -80,7 +82,7 @@ func (m *dirModel) forward(key string, call func()) {
 	}
 	call()
 	for _, k := range spilled {
-		switch _, w := m.d.find(k, protocol.KeyDigest(k)); {
+		switch _, w := m.d.find(k, protocol.KeyDigest(protocol.FNV1a(k))); {
 		case w >= 0:
 		case k == key:
 			m.spillRemoved++
@@ -110,7 +112,7 @@ func (m *dirModel) check(step string) {
 				// A spilled key is found where it lives, by the directory and
 				// by a client's two READs alike.
 				key := m.key[slot.Digest]
-				if at, w := d.find(key, protocol.KeyDigest(key)); at != b || w < 0 {
+				if at, w := d.find(key, protocol.KeyDigest(protocol.FNV1a(key))); at != b || w < 0 {
 					t.Fatalf("after %s: %q lives in bucket %d, but find says bucket %d way %d", step, key, b, at, w)
 				}
 				if s, ok := d.slotFor(t, key); !ok || s != slot {
@@ -138,7 +140,7 @@ func (m *dirModel) check(step string) {
 			continue
 		}
 		key := m.key[was.Digest]
-		it := m.s.table[key]
+		it := m.s.item(protocol.KeyOf(key))
 		if seg != was || it == nil || it.Value != seg.Value || it.CAS != seg.CAS {
 			t.Fatalf("after %s: cached offset %d reads %+v (published as %+v) but %q is now %+v", step, off, seg, was, key, it)
 		}
@@ -175,7 +177,7 @@ func (m *dirModel) checkSlot(step string, b, w int, bucket protocol.DirBucket) {
 	if slot.Version%2 != 0 {
 		t.Fatalf("after %s: %q has no window open but its slot reads odd: %+v", step, key, slot)
 	}
-	it := m.s.table[key]
+	it := m.s.item(protocol.KeyOf(key))
 	if it == nil {
 		t.Fatalf("after %s: slot serves %q, which the store no longer holds: %+v", step, key, slot)
 	}
@@ -232,7 +234,7 @@ func TestDirectoryModel(t *testing.T) {
 		keys := make([]string, 48)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key:%02d", i)
-			m.key[protocol.KeyDigest(keys[i])] = keys[i]
+			m.key[protocol.KeyDigest(protocol.FNV1a(keys[i]))] = keys[i]
 		}
 		rng := rand.New(rand.NewSource(seed))
 		want := map[string]any{} // reference map: last value each completed Set wrote
@@ -260,7 +262,7 @@ func TestDirectoryModel(t *testing.T) {
 						}
 					default:
 						// A flush that fails: staged, then restored.
-						if it := s.table[key]; it != nil && !it.OnSSD() && !it.Dropped() && !m.open[key] {
+						if it := s.item(protocol.KeyOf(key)); it != nil && !it.OnSSD() && !it.Dropped() && !m.open[key] {
 							m.EvictionUpdate(it, hybridslab.EvictStaged)
 							m.EvictionUpdate(it, hybridslab.EvictRestored)
 						}

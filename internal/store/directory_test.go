@@ -40,7 +40,7 @@ func (d *Directory) slotAt(t *testing.T, b, w int) protocol.DirSlot {
 
 // entry returns key's published entry, or nil when key owns no way.
 func (d *Directory) entry(key string) *dirEntry {
-	if _, w := d.find(key, protocol.KeyDigest(key)); w >= 0 {
+	if _, w := d.find(key, protocol.KeyDigest(protocol.FNV1a(key))); w >= 0 {
 		return d.entries[w]
 	}
 	return nil
@@ -50,7 +50,7 @@ func (d *Directory) entry(key string) *dirEntry {
 // it owns none.
 func (d *Directory) version(t *testing.T, key string) uint64 {
 	t.Helper()
-	_, w := d.find(key, protocol.KeyDigest(key))
+	_, w := d.find(key, protocol.KeyDigest(protocol.FNV1a(key)))
 	if w < 0 {
 		t.Fatalf("%q owns no way", key)
 	}
@@ -62,7 +62,7 @@ func (d *Directory) version(t *testing.T, key string) uint64 {
 // and whether any way holds it.
 func (d *Directory) slotFor(t *testing.T, key string) (protocol.DirSlot, bool) {
 	t.Helper()
-	digest := protocol.KeyDigest(key)
+	digest := protocol.KeyDigest(protocol.FNV1a(key))
 	home := d.bucketAt(t, d.home(digest))
 	if slot, ok := home.Way(digest); ok || home.Spill == 0 {
 		return slot, ok
@@ -109,7 +109,7 @@ func TestDirectoryPublishLifecycle(t *testing.T) {
 	}
 
 	// Mutation window: version goes odd, probing clients must fall back.
-	d.PublishBegin("k")
+	d.PublishBegin(protocol.KeyOf("k"))
 	if s, _ := d.slotFor(t, "k"); s.Version%2 != 1 {
 		t.Fatalf("PublishBegin left even version %d", s.Version)
 	}
@@ -134,9 +134,9 @@ func TestDirectoryPublishLifecycle(t *testing.T) {
 
 	// Unpublish: the bucket reads as the empty bucket, the snapshot as
 	// emptiness, and the way's version advances.
-	_, w := d.find("k", protocol.KeyDigest("k"))
-	d.Unpublish("k")
-	if b := d.bucketAt(t, d.home(protocol.KeyDigest("k"))); b != (protocol.DirBucket{}) {
+	_, w := d.find("k", protocol.KeyDigest(protocol.FNV1a("k")))
+	d.Unpublish(protocol.KeyOf("k"))
+	if b := d.bucketAt(t, d.home(protocol.KeyDigest(protocol.FNV1a("k")))); b != (protocol.DirBucket{}) {
 		t.Fatalf("bucket not empty after Unpublish: %+v", b)
 	}
 	if _, ok := d.segmentAt(t, slot2.Off); ok {
@@ -161,7 +161,7 @@ func TestDirectoryInlinePublish(t *testing.T) {
 		t.Fatal("no slot after Publish")
 	}
 	want := protocol.DirSlot{
-		Digest: protocol.KeyDigest("k"), Version: slot.Version, Kind: protocol.DirInline,
+		Digest: protocol.KeyDigest(protocol.FNV1a("k")), Version: slot.Version, Kind: protocol.DirInline,
 		ValueSize: protocol.DirInlineMax, Flags: 7, CAS: 3, Value: "v1",
 	}
 	if slot != want || slot.Version%2 != 0 {
@@ -173,7 +173,7 @@ func TestDirectoryInlinePublish(t *testing.T) {
 
 	// The seqlock covers the inline bytes: inside the window the slot is
 	// odd, and the commit replaces bytes and version together.
-	d.PublishBegin("k")
+	d.PublishBegin(protocol.KeyOf("k"))
 	if s, _ := d.slotFor(t, "k"); s.Version%2 != 1 {
 		t.Fatalf("PublishBegin left even version %d", s.Version)
 	}
@@ -230,7 +230,7 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 	c := &hybridslab.Item{Key: "c", Value: "vc", ValueSize: 10}
 	owner := func(w int, key string) {
 		t.Helper()
-		if s := d.slotAt(t, 0, w); s.Digest != protocol.KeyDigest(key) || s.Version%2 != 0 {
+		if s := d.slotAt(t, 0, w); s.Digest != protocol.KeyDigest(protocol.FNV1a(key)) || s.Version%2 != 0 {
 			t.Fatalf("way %d = %+v, want %q's committed slot", w, s, key)
 		}
 	}
@@ -254,11 +254,11 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 	if s, ok := d.slotFor(t, "a"); !ok || s.Value != "va2" {
 		t.Fatalf("a republished as %+v", s)
 	}
-	untouched(1, func() { d.PublishBegin("a") })
+	untouched(1, func() { d.PublishBegin(protocol.KeyOf("a")) })
 	if s := d.slotAt(t, 0, 0); s.Version%2 != 1 {
 		t.Fatalf("PublishBegin left way 0 even: %+v", s)
 	}
-	untouched(0, func() { d.PublishBegin("b") })
+	untouched(0, func() { d.PublishBegin(protocol.KeyOf("b")) })
 	untouched(1, func() { d.Publish(a) })
 	untouched(0, func() { d.Publish(b) })
 	if d.Displacements != 0 {
@@ -278,11 +278,11 @@ func TestDirectoryCollisionDisplacement(t *testing.T) {
 		t.Fatal("displaced key's segment still readable")
 	}
 	// The displaced key opening a window touches neither way.
-	untouched(0, func() { untouched(1, func() { d.PublishBegin("b") }) })
+	untouched(0, func() { untouched(1, func() { d.PublishBegin(protocol.KeyOf("b")) }) })
 
 	// Unpublish empties its way alone, and a key with no way takes the empty
 	// one without displacing.
-	untouched(1, func() { d.Unpublish("a") })
+	untouched(1, func() { d.Unpublish(protocol.KeyOf("a")) })
 	if s := d.slotAt(t, 0, 0); s != (protocol.DirSlot{}) {
 		t.Fatalf("way 0 after Unpublish = %+v", s)
 	}
@@ -305,7 +305,7 @@ func TestDirectorySpillThenDisplace(t *testing.T) {
 	keyWhere := func(pred func(home, digest uint64) bool) *hybridslab.Item {
 		for i := 0; ; i++ {
 			key := fmt.Sprintf("k%d", i)
-			digest := protocol.KeyDigest(key)
+			digest := protocol.KeyDigest(protocol.FNV1a(key))
 			if !used[key] && pred(digest%buckets, digest) {
 				used[key] = true
 				return &hybridslab.Item{Key: key, Value: "v" + key, ValueSize: 10}
@@ -316,12 +316,12 @@ func TestDirectorySpillThenDisplace(t *testing.T) {
 		return keyWhere(func(home, _ uint64) bool { return int(home) == b })
 	}
 	alt := func(it *hybridslab.Item) int {
-		digest := protocol.KeyDigest(it.Key)
+		digest := protocol.KeyDigest(protocol.FNV1a(it.Key))
 		return protocol.AltBucket(d.home(digest), digest, buckets)
 	}
 	lives := func(it *hybridslab.Item, want int) {
 		t.Helper()
-		if b, w := d.find(it.Key, protocol.KeyDigest(it.Key)); w < 0 || b != want {
+		if b, w := d.find(it.Key, protocol.KeyDigest(protocol.FNV1a(it.Key))); w < 0 || b != want {
 			t.Fatalf("%q lives in bucket %d way %d, want bucket %d", it.Key, b, w, want)
 		}
 		if s, ok := d.slotFor(t, it.Key); !ok || s.Value != it.Value {
@@ -350,7 +350,7 @@ func TestDirectorySpillThenDisplace(t *testing.T) {
 	c.Value = "v2"
 	lives(c, alt(c))
 	spill(h, 1)
-	d.Unpublish(c.Key)
+	d.Unpublish(protocol.KeyOf(c.Key))
 	spill(h, 0)
 	if d.entry(c.Key) != nil {
 		t.Fatal("c still published after Unpublish")
@@ -377,7 +377,7 @@ func TestDirectorySpillThenDisplace(t *testing.T) {
 	spill(alt(c), 0)
 
 	// Quiesce empties every header with the ways.
-	d.Unpublish(x.Key)
+	d.Unpublish(protocol.KeyOf(x.Key))
 	d.Publish(c)
 	lives(c, alt(c))
 	spill(h, 1)
@@ -446,11 +446,11 @@ func TestDirectorySSDResidentPublishesMetadataOnly(t *testing.T) {
 	s := newStore(env, 2<<20, true)
 	sim.Drive(t, env, "seed", func(p *sim.Proc) {
 		s.Set(p, "k", 32<<10, "v", 0, 0)
-		for i := 0; i < 128 && !s.table["k"].OnSSD(); i++ {
+		for i := 0; i < 128 && !s.item(protocol.KeyOf("k")).OnSSD(); i++ {
 			s.Set(p, fmt.Sprintf("fill%d", i), 32<<10, i, 0, 0)
 		}
 	})
-	it := s.table["k"]
+	it := s.item(protocol.KeyOf("k"))
 	if it == nil || !it.OnSSD() {
 		t.Skip("could not flush the item to SSD with this geometry")
 	}

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 
+	"hybridkv/internal/keytab"
 	"hybridkv/internal/protocol"
 )
 
@@ -49,7 +51,7 @@ const (
 // frequency — that bound is what publication thresholds compare against,
 // keeping roster-churn keys (count ≈ err+1) out of the hot set.
 type hotEntry struct {
-	key        string
+	key        protocol.Key
 	count, err int64
 }
 
@@ -58,29 +60,29 @@ type hotEntry struct {
 // only at sleep points and Touch never sleeps).
 type hotSketch struct {
 	cap     int
-	idx     map[string]int // key -> entries index
+	idx     keytab.Table[int] // key -> entries index
 	entries []hotEntry
 	total   int64 // touches since the last Age
+
+	cand []hotEntry // Hot's scratch: the candidates, and the set it returns
+	hot  []uint64
 }
 
 func newHotSketch(capacity int) *hotSketch {
-	return &hotSketch{
-		cap: capacity,
-		idx: make(map[string]int, capacity),
-	}
+	return &hotSketch{cap: capacity}
 }
 
 // Touch records one access. O(1) when the key is already a candidate or
 // the roster has room; O(cap) linear min-scan on replacement.
-func (h *hotSketch) Touch(key string) {
+func (h *hotSketch) Touch(k protocol.Key) {
 	h.total++
-	if i, ok := h.idx[key]; ok {
+	if i, ok := h.idx.Get(k); ok {
 		h.entries[i].count++
 		return
 	}
 	if len(h.entries) < h.cap {
-		h.idx[key] = len(h.entries)
-		h.entries = append(h.entries, hotEntry{key: key, count: 1})
+		h.idx.Put(k, len(h.entries))
+		h.entries = append(h.entries, hotEntry{key: k, count: 1})
 		return
 	}
 	// Replace the deterministic minimum: lowest count, lowest index on
@@ -92,10 +94,10 @@ func (h *hotSketch) Touch(key string) {
 			min = i
 		}
 	}
-	delete(h.idx, h.entries[min].key)
-	h.idx[key] = min
+	h.idx.Delete(h.entries[min].key)
+	h.idx.Put(k, min)
 	h.entries[min] = hotEntry{
-		key:   key,
+		key:   k,
 		count: h.entries[min].count + 1,
 		err:   h.entries[min].count,
 	}
@@ -114,52 +116,54 @@ func (h *hotSketch) Age() {
 		}
 	}
 	h.entries = kept
-	h.idx = make(map[string]int, len(h.entries))
+	h.idx.Clear()
 	for i, e := range h.entries {
-		h.idx[e.key] = i
+		h.idx.Put(e.key, i)
 	}
 	h.total /= 2
 }
 
 // Hot distills the roster into the published hot set: digests of keys whose
 // count clears both the share and absolute floors, hottest first, capped at
-// hotPublishMax, then digest-sorted for a canonical wire representation.
+// hotPublishMax, then digest-sorted for a canonical wire representation. The
+// set is the sketch's scratch, valid until the next call.
 func (h *hotSketch) Hot() []uint64 {
 	floor := int64(hotMinShare * float64(h.total))
 	if floor < hotMinCount {
 		floor = hotMinCount
 	}
-	cand := make([]hotEntry, 0, len(h.entries))
+	cand := h.cand[:0]
 	for _, e := range h.entries {
 		if e.count-e.err >= floor {
 			cand = append(cand, e)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].count != cand[j].count {
-			return cand[i].count > cand[j].count
+	slices.SortFunc(cand, func(a, b hotEntry) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return cand[i].key < cand[j].key
+		return strings.Compare(a.key.Str, b.key.Str)
 	})
 	if len(cand) > hotPublishMax {
 		cand = cand[:hotPublishMax]
 	}
-	hot := make([]uint64, len(cand))
-	for i, e := range cand {
-		hot[i] = protocol.KeyDigest(e.key)
+	hot := h.hot[:0]
+	for _, e := range cand {
+		hot = append(hot, protocol.KeyDigest(e.key.Hash))
 	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
+	slices.Sort(hot)
+	h.cand, h.hot = cand, hot
 	return hot
 }
 
 // refreshHotSet distills the sketch into the store's published hot set and
 // bumps the version only when membership changed, then ages the sketch once
 // it has absorbed a full window of touches. The crawler calls this once per
-// pass; clients learn the new set on their next directory query.
+// pass; clients learn the new set on their next directory query. A new set is
+// a copy: a published one is never written again.
 func (s *Store) refreshHotSet() {
-	hot := s.hot.Hot()
-	if !slices.Equal(hot, s.hotSet) {
-		s.hotSet = hot
+	if hot := s.hot.Hot(); !slices.Equal(hot, s.hotSet) {
+		s.hotSet = slices.Clone(hot)
 		s.hotVersion++
 	}
 	if s.hot.total >= hotAgeWindow {
@@ -170,11 +174,11 @@ func (s *Store) refreshHotSet() {
 // NoteHeat counts one read of key that the store never served — a GET a
 // client resolved one-sided, reported on its hot-set refresh — in the heat
 // sketch, as Get counts the reads it serves.
-func (s *Store) NoteHeat(key string) { s.hot.Touch(key) }
+func (s *Store) NoteHeat(k protocol.Key) { s.hot.Touch(k) }
 
 // Heat returns key's count in the heat sketch: 0 when it is no candidate.
 func (s *Store) Heat(key string) int64 {
-	if i, ok := s.hot.idx[key]; ok {
+	if i, ok := s.hot.idx.Get(protocol.KeyOf(key)); ok {
 		return s.hot.entries[i].count
 	}
 	return 0

@@ -14,12 +14,12 @@ func TestHotSketchFindsHeavyHitter(t *testing.T) {
 	// receives 30% of the traffic.
 	for i := 0; i < 1000; i++ {
 		if i%3 == 0 {
-			h.Touch("celebrity")
+			h.Touch(protocol.KeyOf("celebrity"))
 		}
-		h.Touch(fmt.Sprintf("cold%03d", i%200))
+		h.Touch(protocol.KeyOf(fmt.Sprintf("cold%03d", i%200)))
 	}
 	hot := h.Hot()
-	want := protocol.KeyDigest("celebrity")
+	want := protocol.KeyDigest(protocol.FNV1a("celebrity"))
 	found := false
 	for _, d := range hot {
 		if d == want {
@@ -37,7 +37,7 @@ func TestHotSketchFindsHeavyHitter(t *testing.T) {
 func TestHotSketchUniformTrafficStaysCold(t *testing.T) {
 	h := newHotSketch(8)
 	for i := 0; i < 2000; i++ {
-		h.Touch(fmt.Sprintf("k%04d", i%500))
+		h.Touch(protocol.KeyOf(fmt.Sprintf("k%04d", i%500)))
 	}
 	if hot := h.Hot(); len(hot) != 0 {
 		t.Errorf("uniform traffic published %d hot keys, want none", len(hot))
@@ -47,7 +47,7 @@ func TestHotSketchUniformTrafficStaysCold(t *testing.T) {
 func TestHotSketchAgingCoolsOff(t *testing.T) {
 	h := newHotSketch(8)
 	for i := 0; i < 500; i++ {
-		h.Touch("fading-star")
+		h.Touch(protocol.KeyOf("fading-star"))
 	}
 	if len(h.Hot()) == 0 {
 		t.Fatal("heavy hitter not detected before aging")
@@ -85,7 +85,7 @@ func TestCrawlerPublishesHotSet(t *testing.T) {
 	if version == 0 {
 		t.Fatal("hot-set version never advanced")
 	}
-	want := protocol.KeyDigest("k00")
+	want := protocol.KeyDigest(protocol.FNV1a("k00"))
 	found := false
 	for _, d := range hot {
 		if d == want {

@@ -69,7 +69,7 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 	m := s.Manager()
 	d := newTestDirectory(16)
 	s.SetReadView(d)
-	s.SetCorruptNotify(func(p *sim.Proc, _ string) { p.Sleep(20 * sim.Microsecond) })
+	s.SetCorruptNotify(func(p *sim.Proc, _ protocol.Key) { p.Sleep(20 * sim.Microsecond) })
 
 	const fillers = 256
 	filler := func(f int) string { return fmt.Sprintf("fill-%03d", f) }
@@ -248,7 +248,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 			return v, st == protocol.StatusOK
 		}, uint64(24)},
 		{"ReadItem", func(s *Store, p *sim.Proc) (any, bool) {
-			v, _, _, ok := s.ReadItem(p, "k")
+			v, _, _, ok := s.ReadItem(p, protocol.KeyOf("k"))
 			return v, ok
 		}, nil},
 		{"INCR", func(s *Store, p *sim.Proc) (any, bool) {
@@ -262,14 +262,14 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 			sim.Drive(t, env, "fixture", func(p *sim.Proc) {
 				// Stored at the fillers' size, first: the oldest of its class.
 				s.Set(p, "k", 32<<10, uint64(0), 0, 0)
-				for i := 0; s.table["k"].InPlace(); i++ {
+				for i := 0; s.item(protocol.KeyOf("k")).InPlace(); i++ {
 					s.Set(p, fmt.Sprintf("fill-%03d", i), 32<<10, i, 0, 0)
 				}
 				for i := 0; i < 256; i++ {
 					s.Delete(p, fmt.Sprintf("fill-%03d", i)) // room in RAM for the overwrites
 				}
 			})
-			first := s.table["k"]
+			first := s.item(protocol.KeyOf("k"))
 			if first == nil || !first.OnSSD() {
 				t.Fatal("fixture: k is not on the SSD")
 			}
@@ -285,7 +285,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 				sim.Driver{Name: "overwrite", Fn: func(p *sim.Proc) {
 					for _, o := range overwrites {
 						s.Set(p, o.key, 64, o.v, 0, 0)
-						if s.table[o.key] == first {
+						if s.item(protocol.KeyOf(o.key)) == first {
 							t.Errorf("the item the reader is loading was handed out to %s=%d", o.key, o.v)
 						}
 					}
@@ -298,7 +298,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 				t.Errorf("%s of k answered %v (ok %v), want %v", tc.name, v, ok, tc.want)
 			}
 			sim.Drive(t, env, "after", func(p *sim.Proc) { s.Set(p, "z", 64, uint64(3003), 0, 0) })
-			if s.table["z"] != first {
+			if s.item(protocol.KeyOf("z")) != first {
 				t.Error("the released item was not the next one handed out once the reader let go")
 			}
 		})
@@ -342,7 +342,7 @@ func TestSetHoldsItsItemUntilTheSwap(t *testing.T) {
 			p.Sleep(sim.TransferTime(size, sim.MemcpyBps) + updateCost/2)
 			s.Set(p, "second", size, "v", 0, 0)
 		}})
-	it := s.table["first"]
+	it := s.item(protocol.KeyOf("first"))
 	if it == nil || !it.Dropped() || s.mgr.DropEvictions != int64(room) {
 		t.Fatalf("fixture: the second SET did not evict the first one's item before its swap (dropped %v, %d evictions of %d)",
 			it != nil && it.Dropped(), s.mgr.DropEvictions, room)
@@ -370,7 +370,7 @@ func TestEvacuationHoldsItsCorruptItems(t *testing.T) {
 		for _, key := range []string{"a", "b", "c"} {
 			s.Set(p, key, 32<<10, key+"/0", 0, 0) // the oldest: evicted together
 		}
-		for i := 0; s.table["c"].InPlace(); i++ {
+		for i := 0; s.item(protocol.KeyOf("c")).InPlace(); i++ {
 			s.Set(p, fmt.Sprintf("fill-%03d", i), 32<<10, i, 0, 0)
 		}
 		dev.AddBitRot(7, p.Now(), p.Now()+sim.Millisecond, 1.0)
@@ -380,7 +380,8 @@ func TestEvacuationHoldsItsCorruptItems(t *testing.T) {
 		}
 	})
 	target := ""
-	s.SetCorruptNotify(func(p *sim.Proc, key string) {
+	s.SetCorruptNotify(func(p *sim.Proc, k protocol.Key) {
+		key := k.Str
 		if target == "" {
 			target = "a"
 			if key == "a" {
@@ -416,12 +417,29 @@ func TestCensusNamesAStaleHolder(t *testing.T) {
 	if err := pool.Census(s.Census()).Err(); err != nil {
 		t.Fatalf("a stored key: %v", err)
 	}
-	it := s.table["k"]
+	it := s.item(protocol.KeyOf("k"))
 	s.mgr.Release(it) // the residency's hold
 	it.Unhold()       // the table's
-	delete(s.table, "k")
+	s.table.Delete(protocol.KeyOf("k"))
 	err := pool.Census(s.Census()).Err()
 	if want := `items: item "k": held, and not its key's table entry`; err == nil || err.Error() != "pool census: "+want {
+		t.Errorf("census: %v\nwant only %q", err, want)
+	}
+}
+
+// TestCensusNamesAWrongCarriedHash checks the carried-hash rule at the
+// store's boundary: a key stored under a hash that is not FNV1a of its string
+// is filed where no probe by its real hash looks, and the census names its
+// item, whose holds are all in order.
+func TestCensusNamesAWrongCarriedHash(t *testing.T) {
+	env := sim.NewEnv()
+	s, _ := spillingStore(env, false)
+	sim.Drive(t, env, "set", func(p *sim.Proc) {
+		s.Set(p, "k", 64, "v", 0, 0)
+		s.SetIf(p, protocol.Key{Hash: protocol.FNV1a("k") ^ 1, Str: "j"}, 64, "w", 0, nil)
+	})
+	err := pool.Census(s.Census()).Err()
+	if want := `items: item "j": filed under a hash that is not its key's`; err == nil || err.Error() != "pool census: "+want {
 		t.Errorf("census: %v\nwant only %q", err, want)
 	}
 }

@@ -120,7 +120,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 					s.Delete(p, fmt.Sprintf("fill-%05d", i))
 				}
 				for _, key := range []string{"cas", "up", "raced"} {
-					if spilled := s.table[key].OnSSD(); spilled != (tc.fill > 0) {
+					if spilled := s.item(protocol.KeyOf(key)).OnSSD(); spilled != (tc.fill > 0) {
 						t.Fatalf("fixture: %s on the SSD = %v", key, spilled)
 					}
 				}
@@ -135,7 +135,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			// publishing a released item writes), and — once the race is over — no
 			// mutation window is left open.
 			published := func(key string, quiet bool) {
-				it := s.table[key]
+				it := s.item(protocol.KeyOf(key))
 				slot, ok := d.slotFor(t, key)
 				if it == nil || !ok {
 					return // displaced by a colliding filler key
@@ -245,7 +245,7 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 		for i := 0; i < room; i++ {
 			s.Set(p, filler(i), fillSize, i, 0, 0)
 		}
-		if s.Manager().FlushPages != 0 || !s.table["up"].InPlace() {
+		if s.Manager().FlushPages != 0 || !s.item(protocol.KeyOf("up")).InPlace() {
 			t.Fatal("fixture: the counter left RAM before the race")
 		}
 	})

@@ -9,9 +9,11 @@ package store
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"hybridkv/internal/hybridslab"
+	"hybridkv/internal/keytab"
 	"hybridkv/internal/metrics"
 	"hybridkv/internal/pool"
 	"hybridkv/internal/protocol"
@@ -31,9 +33,9 @@ const (
 // Publish when a key's current item (re)lands, and Unpublish when a key
 // dies; eviction transitions arrive via EvictionUpdate.
 type ReadView interface {
-	PublishBegin(key string)
+	PublishBegin(k protocol.Key)
 	Publish(it *hybridslab.Item)
-	Unpublish(key string)
+	Unpublish(k protocol.Key)
 	EvictionUpdate(it *hybridslab.Item, ev hybridslab.NotifyEvent)
 }
 
@@ -41,7 +43,7 @@ type ReadView interface {
 type Store struct {
 	env   *sim.Env
 	mgr   *hybridslab.Manager
-	table map[string]*hybridslab.Item
+	table keytab.Table[*hybridslab.Item]
 	cas   uint64
 	view  ReadView
 
@@ -62,7 +64,7 @@ type Store struct {
 	// integrity verification (the key is already gone locally). The server
 	// wires it to the replicator so a corrupt read opens a repair-pull
 	// even when the client never retries the key.
-	corruptNotify func(p *sim.Proc, key string)
+	corruptNotify func(p *sim.Proc, k protocol.Key)
 
 	// replies is the free list every answer of this store's server comes
 	// from (Reply).
@@ -78,16 +80,17 @@ type Store struct {
 
 // SetCorruptNotify installs the corrupt-read callback (replication repair
 // hook). Call before the simulation runs.
-func (s *Store) SetCorruptNotify(fn func(p *sim.Proc, key string)) { s.corruptNotify = fn }
+func (s *Store) SetCorruptNotify(fn func(p *sim.Proc, k protocol.Key)) { s.corruptNotify = fn }
 
 // New creates a store over the given slab manager.
 func New(env *sim.Env, mgr *hybridslab.Manager) *Store {
-	return &Store{
-		env:   env,
-		mgr:   mgr,
-		table: make(map[string]*hybridslab.Item),
-		hot:   newHotSketch(hotSketchCap),
-	}
+	return &Store{env: env, mgr: mgr, hot: newHotSketch(hotSketchCap)}
+}
+
+// item returns k's table entry, or nil.
+func (s *Store) item(k protocol.Key) *hybridslab.Item {
+	it, _ := s.table.Get(k)
+	return it
 }
 
 // Manager returns the underlying hybrid slab manager.
@@ -104,10 +107,10 @@ func (s *Store) EvacuateQuarantined(p *sim.Proc) {
 		// down a table entry the retired item still owns (a concurrent Set
 		// installs a new one). The evacuation holds every item of the list
 		// until the loop ends, so none is reused and matches by accident.
-		if s.table[it.Key] != it {
+		if s.item(it.HKey()) != it {
 			continue
 		}
-		s.loadFailed(p, it.Key, hybridslab.ErrCorrupt)
+		s.loadFailed(p, it.HKey(), hybridslab.ErrCorrupt)
 	}
 	for _, it := range corrupt {
 		it.Unhold()
@@ -122,18 +125,18 @@ func (s *Store) EvacuateQuarantined(p *sim.Proc) {
 // verification: quarantined, not legally evicted) fires the corrupt hook, so
 // replication opens a repair-pull, and answers StatusCorrupt; the rest (the
 // value dropped by eviction) is a miss.
-func (s *Store) loadFailed(p *sim.Proc, key string, err error) protocol.Status {
+func (s *Store) loadFailed(p *sim.Proc, k protocol.Key, err error) protocol.Status {
 	if errors.Is(err, hybridslab.ErrRecovering) {
 		return protocol.StatusRecovering
 	}
-	s.table[key].Unhold()
-	delete(s.table, key)
-	s.unpublish(key)
+	s.item(k).Unhold()
+	s.table.Delete(k)
+	s.unpublish(k)
 	if !errors.Is(err, hybridslab.ErrCorrupt) {
 		return protocol.StatusNotFound
 	}
 	if s.corruptNotify != nil {
-		s.corruptNotify(p, key)
+		s.corruptNotify(p, k)
 	}
 	return protocol.StatusCorrupt
 }
@@ -145,9 +148,9 @@ func (s *Store) SetReadView(v ReadView) {
 	s.mgr.SetNotify(v.EvictionUpdate)
 }
 
-func (s *Store) publishBegin(key string) {
+func (s *Store) publishBegin(k protocol.Key) {
 	if s.view != nil {
-		s.view.PublishBegin(key)
+		s.view.PublishBegin(k)
 	}
 }
 
@@ -157,9 +160,9 @@ func (s *Store) publish(it *hybridslab.Item) {
 	}
 }
 
-func (s *Store) unpublish(key string) {
+func (s *Store) unpublish(k protocol.Key) {
 	if s.view != nil {
-		s.view.Unpublish(key)
+		s.view.Unpublish(k)
 	}
 }
 
@@ -170,23 +173,22 @@ func (s *Store) PublishAll() {
 	if s.view == nil {
 		return
 	}
-	for _, key := range s.Keys() {
-		s.publish(s.table[key])
+	for _, k := range s.Keys() {
+		s.publish(s.item(k))
 	}
 }
 
 // Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.table) }
+func (s *Store) Len() int { return s.table.Len() }
 
 // Keys returns the live key set in sorted order. Replication uses it to
-// mark recovered keys suspect after a cold restart; sorting keeps the
-// simulation deterministic (map iteration order is random per run).
-func (s *Store) Keys() []string {
-	keys := make([]string, 0, len(s.table))
-	for key := range s.table {
-		keys = append(keys, key)
+// mark recovered keys suspect after a cold restart.
+func (s *Store) Keys() []protocol.Key {
+	keys := make([]protocol.Key, 0, s.table.Len())
+	for k := range s.table.All() {
+		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, func(a, b protocol.Key) int { return strings.Compare(a.Str, b.Str) })
 	return keys
 }
 
@@ -199,8 +201,8 @@ func (s *Store) Keys() []string {
 // failed load of the item the table still holds is torn down as Get's is
 // (loadFailed): a corrupt copy met on the repair path fires the corrupt hook,
 // so this replica repair-pulls the key with no client reading it.
-func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags uint32, ok bool) {
-	it := s.table[key]
+func (s *Store) ReadItem(p *sim.Proc, k protocol.Key) (value any, size int, flags uint32, ok bool) {
+	it := s.item(k)
 	if it == nil {
 		return nil, 0, 0, false
 	}
@@ -208,8 +210,8 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 	defer it.Unhold()
 	v, err := s.mgr.Load(p, it)
 	if err != nil {
-		if s.table[key] == it {
-			s.loadFailed(p, key, err)
+		if s.item(k) == it {
+			s.loadFailed(p, k, err)
 		}
 		return nil, 0, 0, false
 	}
@@ -223,11 +225,11 @@ func (s *Store) ReadItem(p *sim.Proc, key string) (value any, size int, flags ui
 func (s *Store) RecoverCold(p *sim.Proc) hybridslab.RecoveryReport {
 	// The old table's items are the torn-down incarnation's, never put back
 	// (hybridslab.Item.Unhold): the table goes with nothing to give up.
-	s.table = make(map[string]*hybridslab.Item)
+	s.table.Clear()
 	items, rep := s.mgr.Recover(p)
 	for _, it := range items {
 		it.Hold()
-		s.table[it.Key] = it
+		s.table.Put(it.HKey(), it)
 	}
 	if rep.MaxCAS > s.cas {
 		s.cas = rep.MaxCAS
@@ -243,7 +245,7 @@ func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uin
 	if expire != 0 {
 		panic("store: Set with a TTL; the store keeps no expiry")
 	}
-	return s.SetIf(p, key, valueSize, value, flags, nil)
+	return s.SetIf(p, protocol.KeyOf(key), valueSize, value, flags, nil)
 }
 
 // SetIf is Set under a guard: the one form of "store unless something changed
@@ -259,14 +261,14 @@ func (s *Store) Set(p *sim.Proc, key string, valueSize int, value any, flags uin
 // The item comes off the manager's free list holding SetIf's hold, which the
 // swap hands to the table entry; the entry it replaces gives the table's hold
 // on the old item up (Item.Unhold).
-func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags uint32, guard func() bool) protocol.Status {
+func (s *Store) SetIf(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32, guard func() bool) protocol.Status {
 	s.SetOps++
 
 	// Stage 1: slab allocation (may trigger hybrid eviction I/O).
 	t0 := p.Now()
 	p.Sleep(hashCost)
 	it := s.mgr.NewItem()
-	it.Key, it.Value, it.ValueSize, it.Flags = key, value, valueSize, flags
+	it.Key, it.Hash, it.Value, it.ValueSize, it.Flags = k.Str, k.Hash, value, valueSize, flags
 	if err := s.mgr.Store(p, it); err != nil {
 		it.Unhold()
 		s.Prof.Add(metrics.StageSlabAlloc, p.Now()-t0)
@@ -281,22 +283,22 @@ func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags u
 	// Read the table entry only now: the allocation above can suspend, and a
 	// concurrent worker may have replaced the key meanwhile.
 	t0 = p.Now()
-	s.publishBegin(key)
+	s.publishBegin(k)
 	p.Sleep(updateCost)
 	status := protocol.StatusStored
 	if guard == nil || guard() {
-		if old := s.table[key]; old != nil {
+		if old := s.item(k); old != nil {
 			s.mgr.Release(old)
 			old.Unhold()
 		}
 		s.cas++
 		it.CAS = s.cas
-		s.table[key] = it // SetIf's hold is the table's from here
+		s.table.Put(k, it) // SetIf's hold is the table's from here
 		s.publish(it)
 	} else {
 		s.mgr.Release(it)
 		it.Unhold()
-		s.republish(key)
+		s.republish(k)
 		status = protocol.StatusNotStored
 	}
 	s.Prof.Add(metrics.StageCacheUpdate, p.Now()-t0)
@@ -305,8 +307,8 @@ func (s *Store) SetIf(p *sim.Proc, key string, valueSize int, value any, flags u
 
 // republish closes the mutation window publishBegin opened for a change that
 // then did not happen: key's live item, if it has one, is what readers see.
-func (s *Store) republish(key string) {
-	if cur := s.table[key]; cur != nil {
+func (s *Store) republish(k protocol.Key) {
+	if cur := s.item(k); cur != nil {
 		s.publish(cur)
 	}
 }
@@ -315,8 +317,12 @@ func (s *Store) republish(key string) {
 // stages. A miss (never stored, or evicted-and-dropped) returns
 // StatusNotFound; a failed load answers as loadFailed says.
 func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32, cas uint64, status protocol.Status) {
+	return s.get(p, protocol.KeyOf(key))
+}
+
+func (s *Store) get(p *sim.Proc, k protocol.Key) (value any, size int, flags uint32, cas uint64, status protocol.Status) {
 	s.GetOps++
-	s.hot.Touch(key)
+	s.hot.Touch(k)
 
 	// Stage 2: cache check and load (may read from SSD).
 	t0 := p.Now()
@@ -327,16 +333,16 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 	// whichever live item the table holds once a load of it comes back unreplaced.
 	// The Get holds each item it loads until it is done with it, so one
 	// released under it is not reused for another key meanwhile.
-	for it := s.table[key]; it != nil; it = s.table[key] {
+	for it := s.item(k); it != nil; it = s.item(k) {
 		it.Hold()
 		v, err := s.mgr.Load(p, it)
-		if s.table[key] != it {
+		if s.item(k) != it {
 			it.Unhold()
 			continue
 		}
 		s.Prof.Add(metrics.StageCacheLoad, p.Now()-t0)
 		if err != nil {
-			st := s.loadFailed(p, key, err)
+			st := s.loadFailed(p, k, err)
 			it.Unhold()
 			switch st {
 			case protocol.StatusCorrupt:
@@ -365,26 +371,26 @@ func (s *Store) Get(p *sim.Proc, key string) (value any, size int, flags uint32,
 
 // Delete removes a key.
 func (s *Store) Delete(p *sim.Proc, key string) protocol.Status {
-	return s.DeleteIf(p, key, nil)
+	return s.DeleteIf(p, protocol.KeyOf(key), nil)
 }
 
 // DeleteIf is Delete under a guard, asked as SetIf's is: after the probe's
 // suspension, at the instant the entry is removed. Refused, the key is left
 // as it was and the answer is StatusNotStored.
-func (s *Store) DeleteIf(p *sim.Proc, key string, guard func() bool) protocol.Status {
+func (s *Store) DeleteIf(p *sim.Proc, k protocol.Key, guard func() bool) protocol.Status {
 	s.DeleteOps++
 	p.Sleep(hashCost)
 	if guard != nil && !guard() {
 		return protocol.StatusNotStored
 	}
-	it := s.table[key]
+	it := s.item(k)
 	if it == nil {
 		return protocol.StatusNotFound
 	}
 	s.mgr.Release(it)
 	it.Unhold()
-	delete(s.table, key)
-	s.unpublish(key)
+	s.table.Delete(k)
+	s.unpublish(k)
 	return protocol.StatusDeleted
 }
 
@@ -403,7 +409,9 @@ func (s *Store) Reply(reqID uint64) *protocol.Response {
 // or held by exactly the holders a walk finds — its table entry, the
 // manager's residency and, with a directory attached, its directory entry,
 // whose published buckets and segments are tallied too. Wrong also names a
-// walked item that is retired or not its key's table entry.
+// walked item that is retired or not its key's table entry, and a table
+// entry filed under a hash that is not its key's (protocol.Key: the carried
+// hash is always FNV1a of the key; a probe by the real one finds nothing).
 func (s *Store) Census() []pool.Tally {
 	var items pool.Walk[hybridslab.Item, *hybridslab.Item]
 	var wrong []string
@@ -412,12 +420,15 @@ func (s *Store) Census() []pool.Tally {
 		switch {
 		case it.Retired():
 			wrong = append(wrong, it.String()+": retired by a cold restart, and still held")
-		case s.table[it.Key] != it:
+		case s.item(it.HKey()) != it:
 			wrong = append(wrong, it.String()+": held, and not its key's table entry")
 		}
 		return true
 	}
-	for _, it := range s.table { // order-free: a walk counts, and Err sorts
+	for k, it := range s.table.All() {
+		if k.Hash != protocol.FNV1a(k.Str) || it.Hash != k.Hash {
+			wrong = append(wrong, it.String()+": filed under a hash that is not its key's")
+		}
 		visit(it)
 	}
 	s.mgr.VisitLRU(math.MaxInt, visit)
@@ -435,22 +446,23 @@ func (s *Store) Census() []pool.Tally {
 // designs.
 func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 	resp := s.Reply(req.ReqID)
+	k := req.HKey()
 	switch req.Op {
 	case protocol.OpSet:
-		resp.Status = s.SetIf(p, req.Key, req.ValueSize, req.Value, req.Flags, nil)
+		resp.Status = s.SetIf(p, k, req.ValueSize, req.Value, req.Flags, nil)
 	case protocol.OpGet:
-		v, size, flags, cas, st := s.Get(p, req.Key)
+		v, size, flags, cas, st := s.get(p, k)
 		resp.Status = st
 		resp.Value = v
 		resp.ValueSize = size
 		resp.Flags = flags
 		resp.CAS = cas
 	case protocol.OpAdd:
-		resp.Status = s.Add(p, req.Key, req.ValueSize, req.Value, req.Flags)
+		resp.Status = s.add(p, k, req.ValueSize, req.Value, req.Flags)
 	case protocol.OpCAS:
-		resp.Status = s.CompareAndSet(p, req.Key, req.ValueSize, req.Value, req.Flags, req.CAS)
+		resp.Status = s.compareAndSet(p, k, req.ValueSize, req.Value, req.Flags, req.CAS)
 	case protocol.OpIncr:
-		v, st := s.Incr(p, req.Key, req.Delta)
+		v, st := s.increment(p, k, req.Delta)
 		resp.Status = st
 		if st == protocol.StatusOK {
 			resp.Value = v

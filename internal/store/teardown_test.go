@@ -34,7 +34,7 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 				Policy: hybridslab.PolicyDirect,
 			}, cache.OpenFile(0, 4<<30)))
 			hooked := map[string]int{}
-			s.SetCorruptNotify(func(_ *sim.Proc, key string) { hooked[key]++ })
+			s.SetCorruptNotify(func(_ *sim.Proc, k protocol.Key) { hooked[k.Str]++ })
 			var st protocol.Status
 			sim.Drive(t, env, "op", func(p *sim.Proc) {
 				// Stored at the fillers' size so the fillers evict it.
@@ -42,7 +42,7 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 				for i := 0; i < 200; i++ {
 					s.Set(p, fmt.Sprintf("fill%04d", i), 32*1024, i, 0, 0)
 				}
-				if !s.table["k"].OnSSD() {
+				if !s.item(protocol.KeyOf("k")).OnSSD() {
 					t.Fatal("fixture: the key is not on the SSD")
 				}
 				dev.AddBitRot(17, p.Now(), p.Now()+sim.Millisecond, 1.0)
@@ -58,7 +58,7 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 			if len(hooked) != 1 || hooked["k"] != 1 {
 				t.Errorf("the corrupt hook fired %v, want once for k", hooked)
 			}
-			if _, ok := s.table["k"]; ok {
+			if ok := s.item(protocol.KeyOf("k")) != nil; ok {
 				t.Error("the rotted key is still in the table")
 			}
 		})

@@ -83,7 +83,7 @@ func (h *Host) Accept(p *sim.Proc) *Stream {
 func (s *Stream) Send(p *sim.Proc, size int, payload any) {
 	h := s.local
 	t := h.xfers.take(wire{kind: OpSend, dstQPN: s.peer.id, payload: payload, size: size})
-	out := h.node.SendFlight(p, &t.fl, t, s.remote.node.Name(), size, &t.w)
+	out := h.node.SendFlight(p, &t.fl, t, s.remote.node, size, &t.w)
 	p.Wait(out.Sent)
 }
 

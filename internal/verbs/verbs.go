@@ -281,7 +281,7 @@ type RecvWR struct{}
 type QP struct {
 	dev        *Device
 	qpn        int
-	remoteNode string
+	remoteNode *simnet.Node
 	remoteQPN  int
 	sendCQ     *CQ
 	recvCQ     *CQ
@@ -309,8 +309,8 @@ func (qp *QP) QPN() int { return qp.qpn }
 // Connect transitions both QPs to RTS against each other (out-of-band
 // connection management; no simulated cost, as setup is not measured).
 func Connect(a, b *QP) {
-	a.remoteNode, a.remoteQPN = b.dev.node.Name(), b.qpn
-	b.remoteNode, b.remoteQPN = a.dev.node.Name(), a.qpn
+	a.remoteNode, a.remoteQPN = b.dev.node, b.qpn
+	b.remoteNode, b.remoteQPN = a.dev.node, a.qpn
 	a.connected, b.connected = true, true
 }
 
@@ -506,7 +506,7 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 }
 
 // post hands a wire message to the local NIC towards node dst.
-func (d *Device) post(dst string, size int, w wire) *simnet.Outgoing {
+func (d *Device) post(dst *simnet.Node, size int, w wire) *simnet.Outgoing {
 	t := d.xfers.take(w)
 	return d.node.PostFlight(&t.fl, t, dst, size, &t.w)
 }
@@ -565,7 +565,7 @@ func (d *Device) deliver(m *simnet.Message) {
 			plen = w.size
 		}
 		retain(payload)
-		d.post(m.Src, plen, wire{
+		d.post(qp.remoteNode, plen, wire{
 			kind: OpRead, srcQPN: w.dstQPN, dstQPN: w.srcQPN,
 			wrid: w.wrid, payload: payload, size: plen,
 			signaled: w.signaled, ackFor: true,
