@@ -344,5 +344,8 @@ loc-diff:
 # the race detector (plus the robustness packages at -count=2), a registry
 # smoke run (the ten robustness experiments among its 24), the three examples,
 # the golden gate over the committed snapshots, the benchmark's determinism
-# gate, and the gated vulnerability scan. Each thing runs once.
-check: vet fmt counters rigs maporder race race-robustness smoke examples verify benchmark-check vuln
+# gate, the gated vulnerability scan, and who runs what (reach), so a
+# function only tests enter fails here as it does in CI. Each thing runs once,
+# but reach runs the smoke registry and the suite again under coverage: it
+# adds about 80 s on 2 cores.
+check: vet fmt counters rigs maporder race race-robustness smoke examples verify benchmark-check vuln reach

@@ -258,9 +258,6 @@ func (r *Req) Done() bool { return r.done.Fired() }
 // ID returns the request id on the wire: its first attempt's.
 func (r *Req) ID() uint64 { return r.id }
 
-// Key returns the requested key.
-func (r *Req) Key() string { return r.key }
-
 // hkey is the request's key with its hash: as its latest attempt carries
 // them, or hashed again for a request that has ended.
 func (r *Req) hkey() protocol.Key {

@@ -332,10 +332,10 @@ func TestIssueOnIPoIB(t *testing.T) {
 	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		done := func(req *Req, err error) *Req {
 			if err != nil || !req.Done() {
-				t.Fatalf("%v %q: err %v, done %v: want a request that is complete on return", req.Op, req.Key(), err, req.Done())
+				t.Fatalf("%v %q: err %v, done %v: want a request that is complete on return", req.Op, req.key, err, req.Done())
 			}
 			if !errors.Is(req.Err(), statusErr(req.Status)) && !req.TimedOut() {
-				t.Errorf("%v %q: status %v but err %v", req.Op, req.Key(), req.Status, req.Err())
+				t.Errorf("%v %q: status %v but err %v", req.Op, req.key, req.Status, req.Err())
 			}
 			return req
 		}

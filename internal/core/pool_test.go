@@ -149,8 +149,8 @@ func poolSoak(t *testing.T, transport Transport) {
 		if !req.TimedOut() && req.Attempts == 1 && !po.buffered {
 			answered[req.ID()] = po
 		}
-		if req.Key() != op.Key || req.Op != op.Code {
-			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.Key())
+		if req.key != op.Key || req.Op != op.Code {
+			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.key)
 			return
 		}
 		if req.Acked() && op.Code == protocol.OpSet {
@@ -531,9 +531,9 @@ func TestUnreleasedRequestKeepsOnlyItsAnswer(t *testing.T) {
 	}
 	for i, h := range held {
 		req := h.req
-		if req.Key() != "a" || req.ID() != h.id || req.Status != h.status || req.Value != h.value || !errors.Is(req.Err(), h.err) {
+		if req.key != "a" || req.ID() != h.id || req.Status != h.status || req.Value != h.value || !errors.Is(req.Err(), h.err) {
 			t.Errorf("kept request %d reads key %q id %d %v %v %v after its attempt was reused; it read key a id %d %v %v %v",
-				i, req.Key(), req.ID(), req.Status, req.Value, req.Err(), h.id, h.status, h.value, h.err)
+				i, req.key, req.ID(), req.Status, req.Value, req.Err(), h.id, h.status, h.value, h.err)
 		}
 		if pool.Holders(req) != 1 {
 			t.Errorf("kept request %d has %d holds, want its caller's alone", i, pool.Holders(req))
@@ -565,7 +565,7 @@ func TestUnansweredFirstMessageKeepsOnlyItsAttempt(t *testing.T) {
 		}
 		next, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
 		c.Wait(p, next)
-		if next != lost || next.Value != "v" || next.Key() != "k" {
+		if next != lost || next.Value != "v" || next.key != "k" {
 			t.Errorf("the next GET: on the released record %v, %v %v", next == lost, next.Status, next.Value)
 		}
 		c.Release(next)

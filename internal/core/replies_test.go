@@ -80,7 +80,7 @@ func TestPooledRepliesUnderFaults(t *testing.T) {
 				}
 				if req.Status != want || (wantValue != nil && req.Value != wantValue) {
 					t.Errorf("%v %s: %v %v after %d attempts, want %v %v",
-						req.Op, req.Key(), req.Status, req.Value, req.Attempts, want, wantValue)
+						req.Op, req.key, req.Status, req.Value, req.Attempts, want, wantValue)
 				}
 			}
 			sim.Drive(t, r.env, "driver", func(p *sim.Proc) {

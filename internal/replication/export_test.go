@@ -108,7 +108,9 @@ func (r *Replicator) OpenPullsForTest() (n int) {
 
 func (r *Replicator) OpenWantsForTest() (n int) {
 	for _, st := range r.migPulls {
-		n += 1 + st.wants.Len()
+		if st != nil {
+			n += 1 + st.wants.Len()
+		}
 	}
 	return n
 }

@@ -101,7 +101,7 @@ func newInstallCell(t *testing.T, s int, fcfg fault.Config, spill bool) *install
 				st.Set(p, fmt.Sprintf("fill-%04d", i), 32<<10, i, 0, 0)
 			}
 			for i := 200; i < 384; i++ {
-				st.Delete(p, fmt.Sprintf("fill-%04d", i))
+				st.DeleteIf(p, protocol.KeyOf(fmt.Sprintf("fill-%04d", i)), nil)
 			}
 		}
 		c.coordinate(p, 0, c.set(imBig))

@@ -162,7 +162,7 @@ func (m *Membership) BeginJoin(id int) *sim.Event {
 	next := m.cur.Clone()
 	next.Add(id)
 	m.states[id] = NodeJoining
-	return m.begin(next, nil)
+	return m.begin(next)
 }
 
 // BeginLeave starts a leave transition: id drops off the current ring. A
@@ -183,21 +183,22 @@ func (m *Membership) BeginLeave(id int, graceful bool) *sim.Event {
 	}
 	if graceful {
 		m.states[id] = NodeLeaving
-		return m.begin(next, nil)
+		return m.begin(next)
 	}
 	m.states[id] = NodeDead
-	return m.begin(next, map[int]bool{id: true})
+	return m.begin(next)
 }
 
 // begin swaps in the next ring, arms the seal bookkeeping, and notifies
-// subscribers. exclude drops ids from the source set (abrupt leavers).
-func (m *Membership) begin(next *Ring, exclude map[int]bool) *sim.Event {
+// subscribers. The sources are the old ring's live members: never an abrupt
+// leaver, which BeginLeave has marked dead.
+func (m *Membership) begin(next *Ring) *sim.Event {
 	m.prev, m.cur = m.cur, next
 	m.epoch++
 	m.Transitions++
 	m.sources = m.sources[:0]
 	for _, id := range m.prev.Members() {
-		if m.states[id] != NodeDead && !exclude[id] {
+		if m.states[id] != NodeDead {
 			m.sources = append(m.sources, id)
 		}
 	}

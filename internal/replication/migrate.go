@@ -102,7 +102,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 	var gen uint64
 	for {
 		if !r.mem.Migrating() || r.mem.Epoch() != epoch {
-			delete(r.migPulls, seg)
+			r.migPulls[seg] = nil
 			return false
 		}
 		if r.isDown() {
@@ -127,7 +127,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 			}
 		}
 		if len(st.waiting) == 0 && st.wants.Len() == 0 {
-			delete(r.migPulls, seg)
+			r.migPulls[seg] = nil
 			r.mem.SealFor(epoch, r.cfg.ID, seg)
 			r.Counters.Inc(metrics.CMigrateSeals)
 			return true
@@ -137,7 +137,7 @@ func (r *Replicator) migrateSegment(p *sim.Proc, epoch uint64, seg int) bool {
 		// every segment; the loop re-checks supersession after the wait.
 		r.pace(p)
 		if !r.mem.Migrating() || r.mem.Epoch() != epoch {
-			delete(r.migPulls, seg)
+			r.migPulls[seg] = nil
 			return false
 		}
 		if r.isDown() || gen != r.gen {

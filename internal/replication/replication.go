@@ -128,6 +128,9 @@ type keyState struct {
 	minted uint64
 	// gone marks a record dropped from the key table. A proc that fetched it
 	// before a blocking call may still write to it; it is in no digest.
+	// dropState and Wipe are the only removals and both set it, so a record
+	// that is not gone is its key's table entry: a caller holding one across
+	// a suspension asks gone, not the table, whether it is still the key's.
 	gone bool
 
 	// Open synchronous pull, shared by concurrent readers of the key.
@@ -230,7 +233,6 @@ type Replicator struct {
 	backQ   *sim.Queue[queued] // every other frame but acks, for the one background process
 	peers   map[int]*peerLink
 	peerIDs []int // sorted; all sends iterate this for determinism
-	qpByQPN map[int]*verbs.QP
 
 	// gen counts Wipes: the incarnation of everything below. A proc suspended
 	// across a whole-node kill resumes in the next one (install, migrateSegment),
@@ -266,7 +268,7 @@ type Replicator struct {
 	// in-flight transition (see migrate.go).
 	mem      *Membership
 	memWake  *sim.Event
-	migPulls map[int]*segPull
+	migPulls [Segments]*segPull // by segment; nil where no pull is open
 
 	// Counters: DESIGN.md §10 says what each one counts.
 	Counters metrics.Counters
@@ -283,10 +285,8 @@ func New(env *sim.Env, cfg Config, mem *Membership, st *store.Store, dev *verbs.
 	}
 	r := &Replicator{
 		env: env, cfg: cfg, mem: mem, st: st, dev: dev,
-		peers:    make(map[int]*peerLink),
-		qpByQPN:  make(map[int]*verbs.QP),
-		fwds:     make(map[uint64]*Forward),
-		migPulls: make(map[int]*segPull),
+		peers: make(map[int]*peerLink),
+		fwds:  make(map[uint64]*Forward),
 	}
 	mem.Subscribe(func(epoch uint64, final bool) {
 		if !final && r.memWake != nil && !r.memWake.Fired() {
@@ -394,8 +394,6 @@ func link(a, b *Replicator) {
 	}
 	a.peers[b.cfg.ID] = &peerLink{qp: qa}
 	b.peers[a.cfg.ID] = &peerLink{qp: qb}
-	a.qpByQPN[qa.QPN()] = qa
-	b.qpByQPN[qb.QPN()] = qb
 	a.refreshPeerIDs()
 	b.refreshPeerIDs()
 }
@@ -621,47 +619,53 @@ func (r *Replicator) applyLocalWrite(p *sim.Proc, req *protocol.Request, fwd *Fo
 	// Refused by the guard, a newer epoch is already applied locally — a
 	// concurrent coordinator's, or a later round of this one: last-write-wins,
 	// this write completes as overwritten.
-	if st := r.install(p, fwd.key, &fwd.version, func() bool { return r.newer(fwd) }); st != protocol.StatusNotStored {
+	if st := r.install(p, fwd.key, &fwd.version, fwd.newer); st != protocol.StatusNotStored {
 		resp.Status = st
 	}
 	return resp
 }
 
 // newer is the coordinator's guard: the round's epoch is still above the
-// key's record.
-func (r *Replicator) newer(fwd *Forward) bool { return fwd.epoch > r.state(fwd.key).epoch }
+// key's record ks.
+func (fwd *Forward) newer(ks *keyState) bool { return fwd.epoch > ks.epoch }
 
 // install is the one way a version of a key reaches the local store and —
 // through landed — the epoch record, whoever coordinated the write and however
 // it arrived. admit is the caller's rule for "this version may still replace
-// what the key holds" (the coordinator's newer, a write frame's judge). It is
+// the key's record" (the coordinator's newer, a write frame's judge). It is
 // asked before the store call, so a version that is already stale costs no
 // allocation and no time, and again by the store at the instant of the swap,
 // because the call suspends — allocation, eviction, copy — and other writes of
 // the key land meanwhile: the record never moves backwards and never names a
-// value the store does not hold. A whole-node kill under the call refuses it
-// too: the store it would swap into and the table it would record in are the
-// dead incarnation's. Returns the store's status; StatusNotStored is a
-// refusal, at either point.
-func (r *Replicator) install(p *sim.Proc, k protocol.Key, v *version, admit func() bool) protocol.Status {
-	if !admit() {
+// value the store does not hold. The record is looked up once, and again at
+// the swap only if it was dropped under the call (gone). A whole-node kill
+// under the call refuses it too: the store it would swap into and the table
+// it would record in are the dead incarnation's. Returns the store's status;
+// StatusNotStored is a refusal, at either point.
+func (r *Replicator) install(p *sim.Proc, k protocol.Key, v *version, admit func(*keyState) bool) protocol.Status {
+	ks := r.state(k)
+	if !admit(ks) {
 		return protocol.StatusNotStored
 	}
 	gen := r.gen
-	st := r.st.SetIf(p, k, v.size, v.value, v.flags, func() bool { return r.gen == gen && admit() })
+	st := r.st.SetIf(p, k, v.size, v.value, v.flags, func() bool {
+		if r.gen == gen && ks.gone {
+			ks = r.state(k)
+		}
+		return r.gen == gen && admit(ks)
+	})
 	if st == protocol.StatusStored {
-		r.landed(k, v)
+		r.landed(k, ks, v)
 	}
 	return st
 }
 
 // landed records that v is what the local store holds for key, in the same
-// instant the store swapped it in: the epoch record (and with it the
+// instant the store swapped it in: the epoch record ks (and with it the
 // maintained digests) moves, a prior suspicion is cleared, the
 // scrubber is armed, and whoever was waiting for the key — a migration want,
 // an open pull and the readers parked on it — is answered.
-func (r *Replicator) landed(k protocol.Key, v *version) {
-	ks := r.state(k)
+func (r *Replicator) landed(k protocol.Key, ks *keyState, v *version) {
 	r.setState(k, ks, v.epoch, false, v.sum)
 	r.kick()
 	r.migSatisfy(k, v.epoch)
@@ -719,7 +723,7 @@ func (r *Replicator) recoordinate(p *sim.Proc, fwd *Forward) {
 	fwd.open(peers)
 	r.fwds[fwd.id] = fwd
 	if !fwd.proxy && member {
-		r.install(p, fwd.key, &fwd.version, func() bool { return r.newer(fwd) })
+		r.install(p, fwd.key, &fwd.version, fwd.newer)
 	}
 	r.sendWrite(p, fwd)
 }
@@ -832,7 +836,7 @@ func (r *Replicator) executeRMW(p *sim.Proc, req *protocol.Request) *protocol.Re
 		// The local copy was applied by Handle; record it like a SET, in the
 		// instant its epoch is minted (the sends suspend), so a prior
 		// suspicion on the key cannot outlive it.
-		r.landed(k, &fwd.version)
+		r.landed(k, r.state(k), &fwd.version)
 	}
 	r.sendWrite(p, fwd)
 	if !r.await(p, fwd) {
@@ -928,7 +932,7 @@ func (r *Replicator) Wipe() {
 	}
 	r.dropDigests()
 	r.fwds = make(map[uint64]*Forward)
-	r.migPulls = make(map[int]*segPull)
+	r.migPulls = [Segments]*segPull{}
 }
 
 // OnColdRecovery marks every cold-recovered key suspect: the SSD resurrects
@@ -990,9 +994,7 @@ func (r *Replicator) engine(p *sim.Proc) {
 		// Replenish before looking at isDown: the NIC of a dead node still
 		// consumes a receive per frame, and a pool left to run dry while the
 		// process is down would strand the peers' sends long after it is back.
-		if qp := r.qpByQPN[c.QPN]; qp != nil {
-			qp.PostRecv(verbs.RecvWR{})
-		}
+		c.QP.PostRecv(verbs.RecvWR{})
 		if f, ok := c.Payload.(*frame); ok {
 			if r.isDown() { // a dead node neither applies nor acks
 				f.Release()
@@ -1083,9 +1085,8 @@ const (
 )
 
 // judge decides what write frame f — its value verified, sum its content
-// checksum — does to the key's record as it stands at this instant.
-func (r *Replicator) judge(f *frame, sum uint64) verdict {
-	ks := r.state(f.Key)
+// checksum — does to the key's record ks as it stands at this instant.
+func (r *Replicator) judge(f *frame, sum uint64, ks *keyState) verdict {
 	switch {
 	case f.epoch < ks.epoch:
 		return stale
@@ -1125,8 +1126,9 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 		return
 	}
 	var how verdict
-	st := r.install(p, f.Key, &v, func() bool {
-		how = r.judge(f, v.sum)
+	var judged *keyState
+	st := r.install(p, f.Key, &v, func(ks *keyState) bool {
+		how, judged = r.judge(f, v.sum, ks), ks
 		return how >= lands
 	})
 	if how == repairs && st == protocol.StatusStored {
@@ -1145,7 +1147,7 @@ func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 	ack := r.newFrame(frameAck, f.Key)
 	ack.ID, ack.Applied, ack.epoch = f.ID, applied, f.epoch
 	if how == stale {
-		ack.epoch = r.state(f.Key).epoch // tell the coordinator the newer epoch
+		ack.epoch = judged.epoch // tell the coordinator the newer epoch
 	}
 	r.post(p, f.From, ack)
 }
@@ -1184,7 +1186,7 @@ func (r *Replicator) pushKey(p *sim.Proc, pid int, k protocol.Key) {
 		}
 		v := version{epoch: ks.epoch}
 		value, size, flags, ok := r.st.ReadItem(p, k)
-		if r.keys.get(k) != ks || ks.confirmedEpoch() != v.epoch {
+		if ks.gone || ks.confirmedEpoch() != v.epoch {
 			continue
 		}
 		if !ok {

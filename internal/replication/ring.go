@@ -13,6 +13,7 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hybridkv/internal/protocol"
@@ -76,16 +77,12 @@ func (r *Ring) Clone() *Ring {
 
 // Members returns the distinct server ids on the ring, sorted ascending.
 func (r *Ring) Members() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, pt := range r.points {
-		if !seen[pt.serverID] {
-			seen[pt.serverID] = true
-			out = append(out, pt.serverID)
-		}
+	out := make([]int, len(r.points))
+	for i, pt := range r.points {
+		out[i] = pt.serverID
 	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Remove drops a server's virtual nodes.

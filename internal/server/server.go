@@ -136,10 +136,9 @@ type Server struct {
 	name string
 
 	// RDMA mode
-	dev     *verbs.Device
-	recvCQ  *verbs.CQ
-	sendCQ  *verbs.CQ
-	qpByQPN map[int]*verbs.QP
+	dev    *verbs.Device
+	recvCQ *verbs.CQ
+	sendCQ *verbs.CQ
 
 	// IPoIB mode
 	host *verbs.Host
@@ -326,12 +325,11 @@ func (t *task) repost() {
 func NewRDMA(env *sim.Env, node *simnet.Node, st *store.Store, cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		env:     env,
-		st:      st,
-		cfg:     cfg,
-		name:    "server:" + node.Name(),
-		dev:     verbs.OpenDevice(node),
-		qpByQPN: make(map[int]*verbs.QP),
+		env:  env,
+		st:   st,
+		cfg:  cfg,
+		name: "server:" + node.Name(),
+		dev:  verbs.OpenDevice(node),
 	}
 	s.recvCQ = s.dev.CreateCQ(0)
 	s.sendCQ = s.dev.CreateCQ(0)
@@ -438,7 +436,6 @@ func (s *Server) AcceptQP(clientQP *verbs.QP) *verbs.QP {
 	for i := 0; i < recvDepth; i++ {
 		qp.PostRecv(verbs.RecvWR{})
 	}
-	s.qpByQPN[qp.QPN()] = qp
 	return qp
 }
 
@@ -602,11 +599,7 @@ func (s *Server) Outage(p *sim.Proc, how OutageKind, down sim.Time) {
 func (s *Server) rdmaDispatcher(p *sim.Proc) {
 	for {
 		c := s.recvCQ.WaitPoll(p)
-		qp := s.qpByQPN[c.QPN]
-		if qp == nil {
-			panic(fmt.Sprintf("server: completion for unknown QP %d", c.QPN))
-		}
-		s.receive(p, c.Payload, task{qp: qp})
+		s.receive(p, c.Payload, task{qp: c.QP})
 	}
 }
 

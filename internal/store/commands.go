@@ -40,11 +40,7 @@ func (s *Store) setWhen(p *sim.Proc, k protocol.Key, valueSize int, value any, f
 }
 
 // Add stores the value only if the key does not already exist.
-func (s *Store) Add(p *sim.Proc, key string, valueSize int, value any, flags uint32) protocol.Status {
-	return s.add(p, protocol.KeyOf(key), valueSize, value, flags)
-}
-
-func (s *Store) add(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32) protocol.Status {
+func (s *Store) Add(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32) protocol.Status {
 	return s.setWhen(p, k, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		if it != nil {
 			return protocol.StatusNotStored
@@ -55,11 +51,7 @@ func (s *Store) add(p *sim.Proc, k protocol.Key, valueSize int, value any, flags
 
 // CompareAndSet stores the value only if the caller's CAS token matches the
 // item's current token (memcached cas command).
-func (s *Store) CompareAndSet(p *sim.Proc, key string, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
-	return s.compareAndSet(p, protocol.KeyOf(key), valueSize, value, flags, cas)
-}
-
-func (s *Store) compareAndSet(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
+func (s *Store) CompareAndSet(p *sim.Proc, k protocol.Key, valueSize int, value any, flags uint32, cas uint64) protocol.Status {
 	return s.setWhen(p, k, valueSize, value, flags, func(it *hybridslab.Item) protocol.Status {
 		switch {
 		case it == nil:
@@ -109,11 +101,7 @@ func (s *Store) read(p *sim.Proc, k protocol.Key) (it *hybridslab.Item, v any, c
 
 // Incr adds delta to a counter value; the value must have been stored as a
 // uint64 (Counter helper). Returns the new value.
-func (s *Store) Incr(p *sim.Proc, key string, delta uint64) (uint64, protocol.Status) {
-	return s.increment(p, protocol.KeyOf(key), delta)
-}
-
-func (s *Store) increment(p *sim.Proc, k protocol.Key, delta uint64) (uint64, protocol.Status) {
+func (s *Store) Incr(p *sim.Proc, k protocol.Key, delta uint64) (uint64, protocol.Status) {
 	for {
 		it, v, cas, st := s.read(p, k)
 		if it == nil {

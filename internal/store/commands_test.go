@@ -12,10 +12,10 @@ func TestAddSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
-		if st := s.Add(p, "k", 100, "first", 0); st != protocol.StatusStored {
+		if st := s.Add(p, protocol.KeyOf("k"), 100, "first", 0); st != protocol.StatusStored {
 			t.Errorf("add on fresh key: %v", st)
 		}
-		if st := s.Add(p, "k", 100, "second", 0); st != protocol.StatusNotStored {
+		if st := s.Add(p, protocol.KeyOf("k"), 100, "second", 0); st != protocol.StatusNotStored {
 			t.Errorf("add on existing key: %v", st)
 		}
 		v, _, _, _, _ := s.Get(p, "k")
@@ -29,16 +29,16 @@ func TestCompareAndSetSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
-		if st := s.CompareAndSet(p, "k", 10, "x", 0, 1); st != protocol.StatusNotFound {
+		if st := s.CompareAndSet(p, protocol.KeyOf("k"), 10, "x", 0, 1); st != protocol.StatusNotFound {
 			t.Errorf("cas on missing key: %v", st)
 		}
 		s.Set(p, "k", 10, "v1", 0, 0)
 		_, _, _, cas, _ := s.Get(p, "k")
-		if st := s.CompareAndSet(p, "k", 10, "v2", 0, cas); st != protocol.StatusStored {
+		if st := s.CompareAndSet(p, protocol.KeyOf("k"), 10, "v2", 0, cas); st != protocol.StatusStored {
 			t.Errorf("cas with current token: %v", st)
 		}
 		// The old token is now stale.
-		if st := s.CompareAndSet(p, "k", 10, "v3", 0, cas); st != protocol.StatusExists {
+		if st := s.CompareAndSet(p, protocol.KeyOf("k"), 10, "v3", 0, cas); st != protocol.StatusExists {
 			t.Errorf("cas with stale token: %v", st)
 		}
 		v, _, _, _, _ := s.Get(p, "k")
@@ -52,16 +52,16 @@ func TestIncrSemantics(t *testing.T) {
 	env := sim.NewEnv()
 	s := newStore(env, 16<<20, false)
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
-		if _, st := s.Incr(p, "c", 1); st != protocol.StatusNotFound {
+		if _, st := s.Incr(p, protocol.KeyOf("c"), 1); st != protocol.StatusNotFound {
 			t.Errorf("incr on missing key: %v", st)
 		}
 		s.Set(p, "c", protocol.CounterSize, uint64(10), 0, 0)
-		if v, st := s.Incr(p, "c", 5); st != protocol.StatusOK || v != 15 {
+		if v, st := s.Incr(p, protocol.KeyOf("c"), 5); st != protocol.StatusOK || v != 15 {
 			t.Errorf("incr -> (%d,%v)", v, st)
 		}
 		// Non-counter values are rejected.
 		s.Set(p, "s", 10, "text", 0, 0)
-		if _, st := s.Incr(p, "s", 1); st != protocol.StatusBadValue {
+		if _, st := s.Incr(p, protocol.KeyOf("s"), 1); st != protocol.StatusBadValue {
 			t.Errorf("incr on text: %v", st)
 		}
 	})
@@ -73,7 +73,7 @@ func TestIncrAdvancesCAS(t *testing.T) {
 	sim.Drive(t, env, "op", func(p *sim.Proc) {
 		s.Set(p, "c", protocol.CounterSize, uint64(0), 0, 0)
 		_, _, _, cas1, _ := s.Get(p, "c")
-		s.Incr(p, "c", 1)
+		s.Incr(p, protocol.KeyOf("c"), 1)
 		_, _, _, cas2, _ := s.Get(p, "c")
 		if cas2 <= cas1 {
 			t.Errorf("incr did not advance CAS: %d -> %d", cas1, cas2)
@@ -95,7 +95,7 @@ func TestIncrOnSSDResidentCounter(t *testing.T) {
 		if !s.item(protocol.KeyOf("c")).OnSSD() {
 			t.Fatal("fixture: the counter is not on the SSD")
 		}
-		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
+		if v, st := s.Incr(p, protocol.KeyOf("c"), 1); st != protocol.StatusOK || v != 42 {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
 		}
 		// The stored value must be durable across further reads.
@@ -121,7 +121,7 @@ func TestIncrOnSSDResidentCounterRewritesValueAndCAS(t *testing.T) {
 		if !cold.OnSSD() {
 			t.Fatal("fixture: the counter is not on the SSD")
 		}
-		if v, st := s.Incr(p, "c", 1); st != protocol.StatusOK || v != 42 {
+		if v, st := s.Incr(p, protocol.KeyOf("c"), 1); st != protocol.StatusOK || v != 42 {
 			t.Fatalf("incr on cold counter -> (%d,%v)", v, st)
 		}
 		it := s.item(protocol.KeyOf("c"))

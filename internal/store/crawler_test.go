@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -68,7 +69,7 @@ func TestStatsSnapshot(t *testing.T) {
 		}
 		s.Get(p, "k000")
 		s.Get(p, "nope")
-		s.Delete(p, "k199")
+		s.DeleteIf(p, protocol.KeyOf("k199"), nil)
 	})
 	if s.Len() != 199 || s.SetOps != 200 || s.GetOps != 2 ||
 		s.GetHits != 1 || s.GetMisses != 1 || s.DeleteOps != 1 {

@@ -251,7 +251,7 @@ func TestDirectoryModel(t *testing.T) {
 							want[key] = val
 						}
 					case r < 7:
-						if s.Delete(p, key) == protocol.StatusDeleted {
+						if s.DeleteIf(p, protocol.KeyOf(key), nil) == protocol.StatusDeleted {
 							delete(want, key)
 						}
 					case r < 9:

@@ -144,9 +144,9 @@ func pooledItemsUnderFaults(t *testing.T, asyncFlush bool) {
 						answer("SET", ki, s.Set(p, key, big, uint64(ki+8*j), 0, 0), nil, false)
 					case op < 8:
 						_, _, _, cas, _ := s.Get(p, key)
-						answer("CAS", ki, s.CompareAndSet(p, key, big, fmt.Sprintf("%s/cas%d.%d", key, w, j), 0, cas), nil, false)
+						answer("CAS", ki, s.CompareAndSet(p, protocol.KeyOf(key), big, fmt.Sprintf("%s/cas%d.%d", key, w, j), 0, cas), nil, false)
 					default:
-						next, st := s.Incr(p, key, 8)
+						next, st := s.Incr(p, protocol.KeyOf(key), 8)
 						answer("INCR", ki, st, next, true)
 					}
 					p.Sleep(sim.Time(rng.Intn(2000)) * sim.Nanosecond)
@@ -252,7 +252,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 			return v, ok
 		}, nil},
 		{"INCR", func(s *Store, p *sim.Proc) (any, bool) {
-			v, st := s.Incr(p, "k", 1)
+			v, st := s.Incr(p, protocol.KeyOf("k"), 1)
 			return v, st == protocol.StatusOK
 		}, uint64(25)},
 	} {
@@ -266,7 +266,7 @@ func TestItemOutlivesOverwritesDuringSSDLoad(t *testing.T) {
 					s.Set(p, fmt.Sprintf("fill-%03d", i), 32<<10, i, 0, 0)
 				}
 				for i := 0; i < 256; i++ {
-					s.Delete(p, fmt.Sprintf("fill-%03d", i)) // room in RAM for the overwrites
+					s.DeleteIf(p, protocol.KeyOf(fmt.Sprintf("fill-%03d", i)), nil) // room in RAM for the overwrites
 				}
 			})
 			first := s.item(protocol.KeyOf("k"))

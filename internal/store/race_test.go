@@ -117,7 +117,7 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 					s.Set(p, fmt.Sprintf("fill-%05d", i), fillSize, i, 0, 0)
 				}
 				for i := 0; i < tc.fill; i++ {
-					s.Delete(p, fmt.Sprintf("fill-%05d", i))
+					s.DeleteIf(p, protocol.KeyOf(fmt.Sprintf("fill-%05d", i)), nil)
 				}
 				for _, key := range []string{"cas", "up", "raced"} {
 					if spilled := s.item(protocol.KeyOf(key)).OnSSD(); spilled != (tc.fill > 0) {
@@ -157,21 +157,21 @@ func TestConditionalCommandsRacingOnOneKey(t *testing.T) {
 			var ws []sim.Driver
 			for w := 0; w < workers; w++ {
 				ws = append(ws, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
-					if s.CompareAndSet(p, "cas", 64, fmt.Sprintf("w%d", w), 0, token) == protocol.StatusStored {
+					if s.CompareAndSet(p, protocol.KeyOf("cas"), 64, fmt.Sprintf("w%d", w), 0, token) == protocol.StatusStored {
 						casStored++
 					}
-					if s.Add(p, "fresh", 64, w, 0) == protocol.StatusStored {
+					if s.Add(p, protocol.KeyOf("fresh"), 64, w, 0) == protocol.StatusStored {
 						addStored++
 					}
 					for i := 0; i < perWorker; i++ {
-						if _, st := s.Incr(p, "up", 1); st != protocol.StatusOK {
+						if _, st := s.Incr(p, protocol.KeyOf("up"), 1); st != protocol.StatusOK {
 							t.Errorf("incr: %v", st)
 						}
 						published("up", false)
 						p.Sleep(sim.Time(rng.Intn(400)) * sim.Nanosecond)
 						// An increment racing a replacement of the same key.
 						if w%2 == 0 {
-							if _, st := s.Incr(p, "raced", 1); st != protocol.StatusOK {
+							if _, st := s.Incr(p, protocol.KeyOf("raced"), 1); st != protocol.StatusOK {
 								t.Errorf("incr of a replaced counter: %v", st)
 							}
 							published("raced", false)
@@ -254,7 +254,7 @@ func TestIncrementsRacingTheEvictionOfTheirCounter(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		ds = append(ds, sim.Driver{Name: "worker", Fn: func(p *sim.Proc) {
 			for i := 0; i < perWorker; i++ {
-				if _, st := s.Incr(p, "up", 1); st != protocol.StatusOK {
+				if _, st := s.Incr(p, protocol.KeyOf("up"), 1); st != protocol.StatusOK {
 					t.Errorf("incr: %v", st)
 				}
 			}

@@ -369,14 +369,10 @@ func (s *Store) get(p *sim.Proc, k protocol.Key) (value any, size int, flags uin
 	return nil, 0, 0, 0, protocol.StatusNotFound
 }
 
-// Delete removes a key.
-func (s *Store) Delete(p *sim.Proc, key string) protocol.Status {
-	return s.DeleteIf(p, protocol.KeyOf(key), nil)
-}
-
-// DeleteIf is Delete under a guard, asked as SetIf's is: after the probe's
-// suspension, at the instant the entry is removed. Refused, the key is left
-// as it was and the answer is StatusNotStored.
+// DeleteIf removes a key under a guard, asked as SetIf's is: after the
+// probe's suspension, at the instant the entry is removed; a nil guard always
+// passes. Refused, the key is left as it was and the answer is
+// StatusNotStored.
 func (s *Store) DeleteIf(p *sim.Proc, k protocol.Key, guard func() bool) protocol.Status {
 	s.DeleteOps++
 	p.Sleep(hashCost)
@@ -458,11 +454,11 @@ func (s *Store) Handle(p *sim.Proc, req *protocol.Request) *protocol.Response {
 		resp.Flags = flags
 		resp.CAS = cas
 	case protocol.OpAdd:
-		resp.Status = s.add(p, k, req.ValueSize, req.Value, req.Flags)
+		resp.Status = s.Add(p, k, req.ValueSize, req.Value, req.Flags)
 	case protocol.OpCAS:
-		resp.Status = s.compareAndSet(p, k, req.ValueSize, req.Value, req.Flags, req.CAS)
+		resp.Status = s.CompareAndSet(p, k, req.ValueSize, req.Value, req.Flags, req.CAS)
 	case protocol.OpIncr:
-		v, st := s.increment(p, k, req.Delta)
+		v, st := s.Incr(p, k, req.Delta)
 		resp.Status = st
 		if st == protocol.StatusOK {
 			resp.Value = v

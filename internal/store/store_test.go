@@ -41,13 +41,13 @@ func TestSetGetDelete(t *testing.T) {
 		if st != protocol.StatusOK || v != "v1" || size != 1024 || flags != 5 || cas == 0 {
 			t.Errorf("get (%v,%d,%d,%d,%v)", v, size, flags, cas, st)
 		}
-		if st := s.Delete(p, "k1"); st != protocol.StatusDeleted {
+		if st := s.DeleteIf(p, protocol.KeyOf("k1"), nil); st != protocol.StatusDeleted {
 			t.Errorf("delete status %v", st)
 		}
 		if _, _, _, _, st := s.Get(p, "k1"); st != protocol.StatusNotFound {
 			t.Errorf("get after delete %v", st)
 		}
-		if st := s.Delete(p, "k1"); st != protocol.StatusNotFound {
+		if st := s.DeleteIf(p, protocol.KeyOf("k1"), nil); st != protocol.StatusNotFound {
 			t.Errorf("double delete %v", st)
 		}
 	})

@@ -22,7 +22,7 @@ func TestReadModifyWriteOfARottedCopyAnswersCorrupt(t *testing.T) {
 		value any
 		run   func(s *Store, p *sim.Proc) protocol.Status
 	}{
-		{"incr", uint64(41), func(s *Store, p *sim.Proc) protocol.Status { _, st := s.Incr(p, "k", 1); return st }},
+		{"incr", uint64(41), func(s *Store, p *sim.Proc) protocol.Status { _, st := s.Incr(p, protocol.KeyOf("k"), 1); return st }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()

@@ -1,8 +1,6 @@
 package verbs
 
 import (
-	"fmt"
-
 	"hybridkv/internal/sim"
 	"hybridkv/internal/simnet"
 )
@@ -20,34 +18,29 @@ type StreamMsg struct {
 	Payload any
 }
 
-// Stream is one direction-pair (full duplex) connection between two nodes.
+// Stream is one direction-pair (full duplex) connection between two nodes:
+// what it sends is addressed to its peer, the other end's Stream.
 type Stream struct {
-	env    *sim.Env
-	local  *Host
-	remote *Host
-	id     int
-	inbox  *sim.Queue[StreamMsg]
-	peer   *Stream
+	local *Host
+	inbox *sim.Queue[StreamMsg]
+	peer  *Stream
 }
 
 // Host is the socket endpoint demultiplexer on one node. At most one Host or
 // one verbs Device may own a node's receiver.
 type Host struct {
-	env     *sim.Env
-	node    *simnet.Node
-	streams map[int]*Stream
-	nextID  int
-	accept  *sim.Queue[*Stream]
-	xfers   transfers
+	env    *sim.Env
+	node   *simnet.Node
+	accept *sim.Queue[*Stream]
+	xfers  transfers
 }
 
 // NewHost installs a socket stack on node.
 func NewHost(node *simnet.Node) *Host {
 	h := &Host{
-		env:     node.Fabric().Env(),
-		node:    node,
-		streams: make(map[int]*Stream),
-		accept:  sim.NewQueue[*Stream](node.Fabric().Env(), 0),
+		env:    node.Fabric().Env(),
+		node:   node,
+		accept: sim.NewQueue[*Stream](node.Fabric().Env(), 0),
 	}
 	node.SetReceiver(h.deliver)
 	return h
@@ -56,16 +49,8 @@ func NewHost(node *simnet.Node) *Host {
 // Dial opens a connection to the remote host (out-of-band handshake with no
 // simulated cost; connection setup is not part of the measured path).
 func (h *Host) Dial(remote *Host) *Stream {
-	h.nextID++
-	local := &Stream{env: h.env, local: h, remote: remote, id: h.nextID,
-		inbox: sim.NewQueue[StreamMsg](h.env, 0)}
-	h.streams[local.id] = local
-
-	remote.nextID++
-	rs := &Stream{env: h.env, local: remote, remote: h, id: remote.nextID,
-		inbox: sim.NewQueue[StreamMsg](h.env, 0)}
-	remote.streams[rs.id] = rs
-
+	local := &Stream{local: h, inbox: sim.NewQueue[StreamMsg](h.env, 0)}
+	rs := &Stream{local: remote, inbox: sim.NewQueue[StreamMsg](h.env, 0)}
 	local.peer, rs.peer = rs, local
 	remote.accept.TryPut(rs)
 	return local
@@ -82,8 +67,8 @@ func (h *Host) Accept(p *sim.Proc) *Stream {
 // per blocking-socket semantics.
 func (s *Stream) Send(p *sim.Proc, size int, payload any) {
 	h := s.local
-	t := h.xfers.take(wire{kind: OpSend, dstQPN: s.peer.id, payload: payload, size: size})
-	out := h.node.SendFlight(p, &t.fl, t, s.remote.node, size, &t.w)
+	t := h.xfers.take(wire{kind: OpSend, stream: s.peer, payload: payload, size: size})
+	out := h.node.SendFlight(p, &t.fl, t, s.peer.local.node, size, &t.w)
 	p.Wait(out.Sent)
 }
 
@@ -101,10 +86,6 @@ func (s *Stream) RecvTimeout(p *sim.Proc, d sim.Time) (msg StreamMsg, ok bool) {
 
 func (h *Host) deliver(m *simnet.Message) {
 	w := m.Payload.(*wire)
-	s := h.streams[w.dstQPN]
-	if s == nil {
-		panic(fmt.Sprintf("verbs: delivery to unknown stream %d on %s", w.dstQPN, h.node.Name()))
-	}
 	retain(w.payload)
-	s.inbox.TryPut(StreamMsg{Size: w.size, Payload: w.payload})
+	w.stream.inbox.TryPut(StreamMsg{Size: w.size, Payload: w.payload})
 }

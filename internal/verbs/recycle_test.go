@@ -233,7 +233,7 @@ func TestRecycledTransferMisuse(t *testing.T) {
 		r, tr := recycled()
 		r.qpA.PostSendSetup(SendWR{Op: OpSend, Size: 64}) // takes tr
 		mustPanic(t, "posted while still in flight", func() {
-			r.devA.node.PostFlight(&tr.fl, tr, r.qpA.remoteNode, 64, &tr.w)
+			r.devA.node.PostFlight(&tr.fl, tr, r.devB.node, 64, &tr.w)
 		})
 	})
 	t.Run("fired after its last delivery", func(t *testing.T) {

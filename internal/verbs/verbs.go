@@ -49,9 +49,7 @@ const (
 type Device struct {
 	env    *sim.Env
 	node   *simnet.Node
-	qps    map[int]*QP
 	mrs    map[int]*MR
-	nextQP int
 	nextMR int
 	xfers  transfers
 
@@ -64,7 +62,6 @@ func OpenDevice(node *simnet.Node) *Device {
 	d := &Device{
 		env:  node.Fabric().Env(),
 		node: node,
-		qps:  make(map[int]*QP),
 		mrs:  make(map[int]*MR),
 	}
 	node.SetReceiver(d.deliver)
@@ -219,10 +216,11 @@ func (mr *MR) Segment(off int64) (any, int) {
 }
 
 // Completion is one CQ entry: a READ's on the send CQ (WRID names it), or a
-// consumed RECV's on the receive CQ (QPN says which QP took the message).
+// consumed RECV's on the receive CQ. QP is the local queue pair it belongs
+// to: the one the READ was posted on, or the one that took the message.
 type Completion struct {
 	WRID    uint64
-	QPN     int // local QP number
+	QP      *QP
 	Payload any
 }
 
@@ -277,42 +275,29 @@ type SendWR struct {
 // it carries nothing: a QP's receive queue is its depth.
 type RecvWR struct{}
 
-// QP is a reliable-connected queue pair.
+// QP is a reliable-connected queue pair. Connect links it to its peer, which
+// every message it posts is addressed to.
 type QP struct {
-	dev        *Device
-	qpn        int
-	remoteNode *simnet.Node
-	remoteQPN  int
-	sendCQ     *CQ
-	recvCQ     *CQ
-	recvs      int // posted receives not yet consumed
-	connected  bool
+	dev    *Device
+	remote *QP // the connected peer; nil until Connect
+	sendCQ *CQ
+	recvCQ *CQ
+	recvs  int // posted receives not yet consumed
 
 	pendingReads map[uint64]*MR // WRID of each READ in flight → its LocalMR (may be nil)
 }
 
 // CreateQP allocates a queue pair bound to the given CQs.
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
-	d.nextQP++
-	qp := &QP{
-		dev: d, qpn: d.nextQP,
-		sendCQ: sendCQ, recvCQ: recvCQ,
+	return &QP{
+		dev: d, sendCQ: sendCQ, recvCQ: recvCQ,
 		pendingReads: make(map[uint64]*MR),
 	}
-	d.qps[qp.qpn] = qp
-	return qp
 }
-
-// QPN returns the local queue pair number.
-func (qp *QP) QPN() int { return qp.qpn }
 
 // Connect transitions both QPs to RTS against each other (out-of-band
 // connection management; no simulated cost, as setup is not measured).
-func Connect(a, b *QP) {
-	a.remoteNode, a.remoteQPN = b.dev.node, b.qpn
-	b.remoteNode, b.remoteQPN = a.dev.node, a.qpn
-	a.connected, b.connected = true, true
-}
+func Connect(a, b *QP) { a.remote, b.remote = b, a }
 
 // PostRecv posts a receive work request (no time cost; pre-posted buffers).
 func (qp *QP) PostRecv(RecvWR) { qp.recvs++ }
@@ -324,18 +309,19 @@ func (qp *QP) RecvDepth() int { return qp.recvs }
 // the RC QP would answer RNR, which no runtime here ever provokes.
 func (qp *QP) consumeRecv(op string) {
 	if qp.recvs == 0 {
-		panic(fmt.Sprintf("verbs: RNR — %s with no posted RECV on %s qp%d", op, qp.dev.node.Name(), qp.qpn))
+		panic(fmt.Sprintf("verbs: RNR — %s with no posted RECV on a QP of %s", op, qp.dev.node.Name()))
 	}
 	qp.recvs--
 }
 
-// wire is the fabric payload for verbs traffic, and for IPoIB traffic as a
-// SEND whose dstQPN names the peer's stream.
+// wire is the fabric payload: a verbs message addressed to the QP that
+// receives it, or an IPoIB message, a SEND addressed to the stream that
+// receives it.
 type wire struct {
 	kind      Op
-	srcQPN    int
-	dstQPN    int    // the receiving QP, or the receiving stream
-	wrid      uint64 // requester's WRID (READ and its response)
+	qp        *QP     // the receiving QP (verbs)
+	stream    *Stream // the receiving stream (IPoIB)
+	wrid      uint64  // requester's WRID (READ and its response)
 	payload   any
 	size      int
 	remoteMR  int
@@ -450,7 +436,7 @@ func (t *transfer) Recycle() {
 // reuses after delivery: it is valid until then, so a caller that wants it
 // waits on it at once.
 func (qp *QP) PostSend(p *sim.Proc, wr SendWR) *sim.Event {
-	if !qp.connected {
+	if qp.remote == nil {
 		panic("verbs: PostSend on unconnected QP")
 	}
 	p.Sleep(doorbellCost)
@@ -462,7 +448,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr SendWR) *sim.Event {
 // pays one MMIO write regardless of chain length, and the HCA walks the
 // list asynchronously.
 func (qp *QP) PostSendList(p *sim.Proc, wrs []SendWR) {
-	if !qp.connected {
+	if qp.remote == nil {
 		panic("verbs: PostSendList on unconnected QP")
 	}
 	if len(wrs) == 0 {
@@ -493,22 +479,21 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 		// A small request packet travels out; the data comes back on the
 		// reverse link driven by the remote HCA, no remote CPU.
 		qp.pendingReads[wr.WRID] = wr.LocalMR
-		return qp.dev.post(qp.remoteNode, readReqBytes, wire{
-			kind: OpRead, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
-			wrid: wr.WRID, remoteMR: wr.RemoteMR, remoteOff: wr.RemoteOff,
+		return qp.dev.post(qp.remote, readReqBytes, wire{
+			kind: OpRead, wrid: wr.WRID, remoteMR: wr.RemoteMR, remoteOff: wr.RemoteOff,
 			size: wr.Size, signaled: wr.Signaled,
 		})
 	}
-	return qp.dev.post(qp.remoteNode, wr.Size, wire{
-		kind: wr.Op, srcQPN: qp.qpn, dstQPN: qp.remoteQPN,
-		payload: wr.Payload, size: wr.Size, remoteMR: wr.RemoteMR,
+	return qp.dev.post(qp.remote, wr.Size, wire{
+		kind: wr.Op, payload: wr.Payload, size: wr.Size, remoteMR: wr.RemoteMR,
 	})
 }
 
-// post hands a wire message to the local NIC towards node dst.
-func (d *Device) post(dst *simnet.Node, size int, w wire) *simnet.Outgoing {
+// post hands a wire message, addressed to QP dst, to the local NIC.
+func (d *Device) post(dst *QP, size int, w wire) *simnet.Outgoing {
+	w.qp = dst
 	t := d.xfers.take(w)
-	return d.node.PostFlight(&t.fl, t, dst, size, &t.w)
+	return d.node.PostFlight(&t.fl, t, dst.dev.node, size, &t.w)
 }
 
 // deliver demultiplexes an arriving fabric message to verbs semantics.
@@ -517,10 +502,7 @@ func (d *Device) deliver(m *simnet.Message) {
 	if !ok {
 		panic("verbs: non-verbs payload on device node")
 	}
-	qp := d.qps[w.dstQPN]
-	if qp == nil {
-		panic(fmt.Sprintf("verbs: delivery to unknown QP %d on %s", w.dstQPN, d.node.Name()))
-	}
+	qp := w.qp
 	if w.kind == OpRead && w.ackFor {
 		// READ response arriving back at the requester. One whose READ has
 		// completed already — a duplicated response, or the answer to a
@@ -536,7 +518,7 @@ func (d *Device) deliver(m *simnet.Message) {
 		}
 		if w.signaled {
 			retain(w.payload)
-			qp.sendCQ.push(Completion{WRID: w.wrid, QPN: qp.qpn, Payload: w.payload})
+			qp.sendCQ.push(Completion{WRID: w.wrid, QP: qp, Payload: w.payload})
 		}
 		return
 	}
@@ -544,16 +526,16 @@ func (d *Device) deliver(m *simnet.Message) {
 	case OpSend:
 		qp.consumeRecv("SEND")
 		retain(w.payload)
-		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
+		qp.recvCQ.push(Completion{QP: qp, Payload: w.payload})
 	case OpWriteImm:
 		if d.mrs[w.remoteMR] == nil {
 			panic(fmt.Sprintf("verbs: WRITE_IMM to invalid MR %d on %s", w.remoteMR, d.node.Name()))
 		}
 		qp.consumeRecv("WRITE_IMM")
 		retain(w.payload)
-		qp.recvCQ.push(Completion{QPN: qp.qpn, Payload: w.payload})
+		qp.recvCQ.push(Completion{QP: qp, Payload: w.payload})
 	case OpRead:
-		// Responder HCA streams the segment back; zero remote CPU. The
+		// Responder HCA sends the segment back; zero remote CPU. The
 		// response holds what it captured, so a later SetSegment or
 		// ClearSegment of the offset leaves this READ its snapshot.
 		mr := d.mrs[w.remoteMR]
@@ -565,9 +547,8 @@ func (d *Device) deliver(m *simnet.Message) {
 			plen = w.size
 		}
 		retain(payload)
-		d.post(qp.remoteNode, plen, wire{
-			kind: OpRead, srcQPN: w.dstQPN, dstQPN: w.srcQPN,
-			wrid: w.wrid, payload: payload, size: plen,
+		d.post(qp.remote, plen, wire{
+			kind: OpRead, wrid: w.wrid, payload: payload, size: plen,
 			signaled: w.signaled, ackFor: true,
 		})
 	}

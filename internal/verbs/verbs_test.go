@@ -43,7 +43,7 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 		sim.Driver{Name: "client", Fn: func(p *sim.Proc) {
 			r.qpA.PostSend(p, SendWR{WRID: 1, Op: OpSend, Size: 128, Payload: "req"})
 		}})
-	if got.QPN != r.qpB.QPN() || got.Payload != "req" {
+	if got.QP != r.qpB || got.Payload != "req" {
 		t.Errorf("recv completion %+v", got)
 	}
 	if r.qpB.RecvDepth() != 0 {
@@ -75,7 +75,7 @@ func TestRDMAWriteImmConsumesRecv(t *testing.T) {
 				Op: OpWriteImm, Size: 512, Payload: "x", RemoteMR: mr.LKey(),
 			})
 		}})
-	if got.QPN != r.qpB.QPN() || got.Payload != "x" {
+	if got.QP != r.qpB || got.Payload != "x" {
 		t.Errorf("WRITE_IMM completion %+v", got)
 	}
 	if r.qpB.RecvDepth() != 0 {
@@ -98,7 +98,7 @@ func TestRDMAReadFetchesRemoteMR(t *testing.T) {
 		comp = r.sendA.WaitPoll(p)
 		doneAt = p.Now()
 	})
-	if comp.WRID != 11 || comp.QPN != r.qpA.QPN() || comp.Payload != "remote-data" {
+	if comp.WRID != 11 || comp.QP != r.qpA || comp.Payload != "remote-data" {
 		t.Errorf("READ completion %+v", comp)
 	}
 	min := 2*simnet.PropDelay + simnet.FDRInfiniBand().SerializeTime(100*1024)
