@@ -238,16 +238,16 @@ func BenchmarkAllocs(b *testing.B) {
 // Req is allocated once per operation by a caller that never releases, and
 // the benchmark's host_bytes_per_op has a 2 % bound; an attempt is allocated
 // once per message a server never answered, as every other one is recycled.
-// The attempt ring and the breaker's probe holder cost no bytes. Req is 128
-// bytes, the 128-byte class: the answer (Op, Status and Flags in one word, the
-// value, CAS, timestamps and attempt count), its key and id, its completion
-// flag, and two pointers — the latest attempt while it is in flight, the
-// latest connection — and nothing of its in-flight state, which rides on its
-// attempts. attempt is 184, the 192-byte class: the 88-byte message (its
-// key's carried hash included), the state, credit and frame bookkeeping with
-// the busy hint in the padding after state, the buffer-reusable and guard
-// events and the retry policy (read on a request's first attempt), and the
-// hold count. The resolution is pooled per client, so its size is not per
+// The attempt ring and the breaker's probe holder cost no bytes. Req is 80
+// bytes, the 80-byte class: the answer (Op, Status and Flags in one word, the
+// value, CAS, timestamps and attempt count), one pointer — the latest attempt
+// while it is in flight — and its flags and hold count in one word. Nothing
+// of its in-flight state is on it: the key, the wire id and the connection
+// ride on its attempts, and the completion flag's waiters on its first.
+// attempt is 192, the 192-byte class: the 88-byte message (its key's carried
+// hash included), the state, credit and frame bookkeeping with the busy hint
+// and the retry flag in the padding after state, the buffer-reusable, guard
+// and completion events (a request's first attempt's), and the hold count. The resolution is pooled per client, so its size is not per
 // operation; its pin catches one that grows unseen.
 //
 // It also logs one line of each per-operation record's size and size class,
@@ -267,14 +267,14 @@ func TestRequestRecordSizes(t *testing.T) {
 		line += fmt.Sprintf(" %s=%d/%d", r.name, r.size, sizeClass(r.size))
 	}
 	t.Log(line + "  (unsafe.Sizeof/size class)")
-	if got := unsafe.Sizeof(Req{}); got > 128 {
-		t.Errorf("Req is %d bytes, over the 128-byte size class", got)
+	if got := unsafe.Sizeof(Req{}); got != 80 {
+		t.Errorf("Req is %d bytes, want 80 (the 80-byte size class)", got)
 	}
 	if got := unsafe.Sizeof(resolution{}); got > 96 {
 		t.Errorf("resolution is %d bytes, over the 96-byte size class (96 when pooled)", got)
 	}
-	if got := unsafe.Sizeof(attempt{}); got != 184 {
-		t.Errorf("attempt is %d bytes, want 184", got)
+	if got := unsafe.Sizeof(attempt{}); got != 192 {
+		t.Errorf("attempt is %d bytes, want 192", got)
 	}
 }
 

@@ -420,7 +420,7 @@ func (c *Client) queryDir(p *sim.Proc, cn *conn, key protocol.Key) protocol.Stat
 	c.initReq(req, Op{Code: protocol.OpDirQuery, Key: key.Str, hash: key.Hash}, false)
 	c.Counters.Inc(metrics.CIssued)
 	c.enqueueWire(req, cn)
-	if !p.WaitTimeout(&req.done, dirQueryTimeout) {
+	if !p.WaitTimeout(req.event(), dirQueryTimeout) {
 		req.finish(timedOut, nil)
 	}
 	if req.Status != protocol.StatusOK {
@@ -475,20 +475,17 @@ func (cn *conn) readEngine(p *sim.Proc) {
 	}
 }
 
-// bypassEngine demultiplexes READ completions from the connection's send
-// CQ (requests are posted unsignaled, so bypass READs are its only
-// traffic) to the resolvers parked on them. Spawned only on bypass-enabled
-// clients.
-func (cn *conn) bypassEngine(p *sim.Proc) {
-	for {
-		comp := cn.sendCQ.WaitPoll(p)
-		r := cn.readWaits[comp.WRID]
-		if r == nil {
-			verbs.Release(comp.Payload) // resolver gave up on this READ
-			continue
-		}
-		delete(cn.readWaits, comp.WRID)
-		r.wait.payload = comp.Payload
-		r.wait.ev.Fire()
+// readDone is the bypass engine, the connection's send CQ's completion
+// handler: it demultiplexes READ completions (requests are posted
+// unsignaled, so bypass READs are the CQ's only traffic) to the resolvers
+// parked on them. Set only on bypass-enabled clients.
+func (cn *conn) readDone(comp verbs.Completion) {
+	r := cn.readWaits[comp.WRID]
+	if r == nil {
+		verbs.Release(comp.Payload) // resolver gave up on this READ
+		return
 	}
+	delete(cn.readWaits, comp.WRID)
+	r.wait.payload = comp.Payload
+	r.wait.ev.Fire()
 }

@@ -42,7 +42,7 @@
 // a TX engine process drains an issue queue, respecting per-connection
 // flow-control credits (the server's pre-posted receive depth), posts the
 // work request, and fires the request's buffer-reusable event at DMA-sent
-// time; a progress engine process polls the receive CQ and hands each
+// time; the progress engine, the receive CQ's completion handler, hands each
 // BufferAck and Response to the attempt it is for. Recovery runs beside them:
 // requests issued with a deadline or retry policy get a guard process that
 // times out, retransmits (idempotency-aware, with exponential backoff +
@@ -131,12 +131,14 @@ const (
 
 // Req is the memcached_req analog: the handle for one operation. A caller
 // that keeps its handles keeps one Req per operation, so its size is the
-// host's bytes per operation: 128 bytes, the 128-byte size class
-// (TestRequestRecordSizes). It keeps the answer and what names the request.
-// What the request needs only while it is in flight — each transmission's
-// wire message, the buffer-reusable and guard events, the retry policy —
-// lives on its attempts, which come off the client's list and go back once
-// the request has ended and their last holder has let go.
+// host's bytes per operation: 80 bytes, the 80-byte size class
+// (TestRequestRecordSizes). It keeps the answer, and while the request is in
+// flight the latest of its attempts. Everything else it needs in flight —
+// the key, each transmission's wire message and id, the connection it went
+// on, the buffer-reusable and guard events, the waiters on the completion
+// flag, whether it retries — lives on its attempts, which come off the
+// client's list and go back once the request has ended and their last holder
+// has let go; the retry policy and the deadline live in its guard.
 type Req struct {
 	// Op is the issued opcode.
 	Op protocol.Opcode
@@ -148,7 +150,7 @@ type Req struct {
 	// right after such a rejection, Err surfaces its sentinel instead of the
 	// generic deadline error.
 	rejected protocol.Status
-	// how is how the request ended (finish); meaningless until done fires.
+	// how is how the request ended (finish); meaningless until done.
 	how outcome
 	// Flags / CAS are the item metadata from the response.
 	Flags uint32
@@ -162,20 +164,14 @@ type Req struct {
 	// Attempts counts transmissions (1 without retries).
 	Attempts int
 
-	done sim.Event // the request ended ("completion flag"): finish fired it
-	key  string    // the requested key (Key)
-	id   uint64    // the first attempt's wire id (ID)
 	// cur is the latest attempt, from initReq until finish, and nil after.
 	// The attempts are a ring through their next links in the order attach
 	// made them, kept by the latest: cur.next is the first, whose events are
 	// the request's (first). finish settles every one, then lets go of the
 	// ring.
 	cur *attempt
-	// cn is the latest attempt's connection, which names the client
-	// (client); it outlives the attempts, for a guard that retransmits a
-	// request which ended while it backed off.
-	cn *conn
 
+	done     bool // the request ended ("completion flag"): finish set it
 	acked    bool // BufferAck received: the server holds the request
 	bypassed bool // completed via one-sided bypass READ, no server CPU
 	released bool // the caller's hold is given back (Release)
@@ -189,28 +185,41 @@ type Req struct {
 // hold adds one holder of the record; holding a free record panics.
 func (r *Req) hold() { pool.Hold(r) }
 
-// drop gives back one hold; the last one puts the record back on its
-// client's free list, zeroed. Dropping a hold nobody took panics.
-func (r *Req) drop() {
+// drop gives back one hold of c's request; the last one puts the record back
+// on c's free list, zeroed. Dropping a hold nobody took panics. The holder
+// names the client: the record keeps no pointer to it.
+func (r *Req) drop(c *Client) {
 	if pool.Drop(r) {
-		r.client().reqs.Put(r)
+		c.reqs.Put(r)
 	}
 }
 
-// client is the client that issued the request: its latest connection's.
-// Every request has one from Issue on, so every holder after Issue finds it;
-// a free record, zeroed, has none.
-func (r *Req) client() *Client { return r.cn.c }
-
-// first is the request's first attempt, whose buffer-reusable and guard
-// events are the request's. Only a request in flight has one.
+// first is the request's first attempt, whose buffer-reusable, guard and
+// completion events are the request's. Only a request in flight has one.
 func (r *Req) first() *attempt { return r.cur.next }
+
+// ended is the completion event of every request that has ended: fired once
+// and for good, so a wait on it returns at once and touches nothing.
+var ended = func() (ev sim.Event) {
+	ev.Fire()
+	return ev
+}()
+
+// event is what a wait for the request parks on: its first attempt's done
+// event while it is in flight — finish fires it — and ended once it has
+// ended.
+func (r *Req) event() *sim.Event {
+	if r.done {
+		return &ended
+	}
+	return &r.first().done
+}
 
 // newReq hands out a zero request record holding one hold, its caller's. It
 // panics if the record was touched after its last drop.
 func (c *Client) newReq() *Req {
 	r := c.reqs.Get()
-	if r.cn != nil || r.cur != nil || r.done.Fired() {
+	if r.cur != nil || r.done || r.Attempts != 0 {
 		panic("core: a free request was touched after its last release")
 	}
 	return r
@@ -219,21 +228,25 @@ func (c *Client) newReq() *Req {
 // Release gives the caller's hold on req back: the caller has read what it
 // keeps of the request, and the client may reuse the record for another
 // operation once a guard or hedge process still running for it has returned.
-// Every request Issue returns is released at most once, after it is done. A
+// Every request Issue returns is released at most once, after it is done, on
+// the client that issued it: the record keeps no pointer to its client, so
+// released on another it goes on that one's free list, and both clients'
+// censuses then report the crossing (a record missing on one, one it never
+// made free on the other). A
 // caller that never releases keeps only the answer: the request's attempts,
 // its wire messages among them, went back to the client when it ended, and
 // the record itself goes to the GC. Releasing a request that is not done, or
 // a second time, panics. The blocking calls (Set, Get, Gets) release their
 // own.
 func (c *Client) Release(req *Req) {
-	if !req.done.Fired() {
+	if !req.done {
 		panic("core: Release of a request that is not done (or was released already)")
 	}
 	if req.released {
 		panic("core: request released twice")
 	}
 	req.released = true
-	req.drop()
+	req.drop(c)
 }
 
 // Census tallies the client's pooled records at a drained quiesce. Once the
@@ -253,29 +266,16 @@ func (c *Client) Census() []pool.Tally {
 }
 
 // Done reports whether the operation has completed (memcached_test).
-func (r *Req) Done() bool { return r.done.Fired() }
+func (r *Req) Done() bool { return r.done }
 
-// ID returns the request id on the wire: its first attempt's.
-func (r *Req) ID() uint64 { return r.id }
-
-// hkey is the request's key with its hash: as its latest attempt carries
-// them, or hashed again for a request that has ended.
-func (r *Req) hkey() protocol.Key {
-	if att := r.cur; att != nil {
-		return att.wire.HKey()
-	}
-	return protocol.KeyOf(r.key)
-}
-
-// tagPanic, deferred by a request's helper process (bypass resolver, guard,
-// hedge), adds the request id to a panic passing through it. Those
+// retag adds the request's wire id, opcode and key to a panic v recovered in
+// one of its helper processes (bypass resolver, guard, hedge). Those
 // processes share one constant name each — a formatted name per request was
-// two allocations on every GET — so the id would otherwise be lost. Env.Close
-// unwinding the process is no fault and passes through untouched. The
-// resolver, which holds an attempt and not the request, tags with the
-// attempt's message (attempt.tagPanic).
-func (r *Req) tagPanic() { retag(recover(), r.id, r.Op, r.key) }
-
+// two allocations on every GET — so the request would otherwise be lost. The
+// record keeps neither id nor key, so each process names the request by what
+// it keeps: the resolver by the attempt it holds (attempt.tagPanic), a guard
+// or a hedge by its first attempt's id and key, taken when it started.
+// Env.Close unwinding the process is no fault and passes through untouched.
 func retag(v any, id uint64, op protocol.Opcode, key string) {
 	if v == nil {
 		return
@@ -507,9 +507,9 @@ type RDMAServer interface {
 }
 
 // ConnectRDMA establishes a verbs connection to the server: creates the QP,
-// registers the response region, pre-posts receives, and starts the TX and
-// progress engines. Setup is free in simulated time (connection setup is
-// not a measured path).
+// registers the response region, pre-posts receives, starts the TX engine
+// and hands the receive CQ to the progress engine. Setup is free in
+// simulated time (connection setup is not a measured path).
 func (c *Client) ConnectRDMA(srv RDMAServer) {
 	if c.cfg.Transport != RDMA {
 		panic("core: ConnectRDMA on an IPoIB client")
@@ -550,12 +550,12 @@ func (c *Client) ConnectRDMA(srv RDMAServer) {
 	c.ring.Add(cn.serverID)
 	name := fmt.Sprintf("client/conn%d", cn.serverID)
 	c.env.Spawn(name+"/tx", cn.txEngine)
-	c.env.Spawn(name+"/progress", cn.progressEngine)
+	recvCQ.OnCompletion(cn.progress)
 	if c.cfg.Bypass {
 		cn.readWaits = make(map[uint64]*resolution)
 		cn.readq = sim.NewQueue[verbs.SendWR](c.env, 0)
 		cn.heat = sim.NewQueue[protocol.Key](c.env, 0)
-		c.env.Spawn(name+"/bypass", cn.bypassEngine)
+		sendCQ.OnCompletion(cn.readDone)
 		c.env.Spawn(name+"/reads", cn.readEngine)
 		c.env.Spawn(name+"/refresh", cn.refresher)
 	}
@@ -591,7 +591,6 @@ func (c *Client) initReq(req *Req, op Op, ack bool) {
 	c.nextID++
 	req.Op = op.Code
 	req.IssuedAt = c.env.Now()
-	req.key, req.id = op.Key, c.nextID
 	att := c.attempts.Get()
 	att.req, att.next = req, att
 	att.wire = protocol.Request{
@@ -635,18 +634,18 @@ func (c *Client) BGet(p *sim.Proc, key string) (*Req, error) {
 
 // Test reports whether the operation has completed without blocking
 // (memcached_test).
-func (c *Client) Test(req *Req) bool { return req.done.Fired() }
+func (c *Client) Test(req *Req) bool { return req.done }
 
 // Wait blocks until the operation completes (memcached_wait).
 func (c *Client) Wait(p *sim.Proc, req *Req) {
-	p.Wait(&req.done)
+	p.Wait(req.event())
 }
 
 // WaitTimeout waits up to d of virtual time for the operation. On timeout
 // the request completes locally with ErrDeadlineExceeded (its flow-control
 // credit is reclaimed) and false is returned.
 func (c *Client) WaitTimeout(p *sim.Proc, req *Req, d sim.Time) bool {
-	ok := p.WaitTimeout(&req.done, d)
+	ok := p.WaitTimeout(req.event(), d)
 	if !ok {
 		req.finish(timedOut, nil)
 	}
@@ -661,7 +660,7 @@ func (c *Client) WaitAny(p *sim.Proc, reqs []*Req) int {
 	}
 	evs := make([]*sim.Event, len(reqs))
 	for i, r := range reqs {
-		evs[i] = &r.done
+		evs[i] = r.event()
 	}
 	return p.WaitAny(evs...)
 }
@@ -748,7 +747,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline 
 	att.hold()
 	cn.stream.Send(p, wire.WireSize(), wire)
 	att.start = p.Now() // a socket attempt's service time runs from the end of the blocking send
-	for !req.done.Fired() {
+	for !req.done {
 		var msg verbs.StreamMsg
 		heard := true
 		if timeout > 0 {
@@ -769,7 +768,7 @@ func (c *Client) ipoibExchange(p *sim.Proc, cn *conn, op Op, req *Req, deadline 
 			// The delivery's hold on the reply is released once finish has
 			// copied it out, or at once for a stale one.
 			resp := msg.Payload.(*protocol.Response)
-			if resp.ReqID != req.ID() {
+			if resp.ReqID != att.wire.ReqID {
 				resp.Release()
 				continue // stale reply from an abandoned request
 			}

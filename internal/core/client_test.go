@@ -39,6 +39,10 @@ func (r *testRig) census() pool.Census {
 	return c
 }
 
+// connOf is the connection req's latest attempt is on. A test reads it while
+// the request is in flight: one that has ended keeps no attempt.
+func connOf(req *Req) *conn { return req.cur.cn }
+
 type rigOpts struct {
 	transport Transport
 	pipeline  server.Pipeline
@@ -332,10 +336,10 @@ func TestIssueOnIPoIB(t *testing.T) {
 	sim.Drive(t, r.env, "app", func(p *sim.Proc) {
 		done := func(req *Req, err error) *Req {
 			if err != nil || !req.Done() {
-				t.Fatalf("%v %q: err %v, done %v: want a request that is complete on return", req.Op, req.key, err, req.Done())
+				t.Fatalf("%v: err %v, done %v: want a request that is complete on return", req.Op, err, req.Done())
 			}
 			if !errors.Is(req.Err(), statusErr(req.Status)) && !req.TimedOut() {
-				t.Errorf("%v %q: status %v but err %v", req.Op, req.key, req.Status, req.Err())
+				t.Errorf("%v: status %v but err %v", req.Op, req.Status, req.Err())
 			}
 			return req
 		}
@@ -356,8 +360,11 @@ func TestIssueOnIPoIB(t *testing.T) {
 
 		// One lost request: the first resend is answered, on the same server.
 		lost.n, lost.pick = 0, func(n int) bool { return n == 1 }
-		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || req.cn != r.client.route(protocol.KeyOf("k"), routeGet, nil) {
-			t.Errorf("one lost request under WithRetry: err %v after %d attempts", req.Err(), req.Attempts)
+		home := r.servers[r.client.route(protocol.KeyOf("k"), routeGet, nil).serverID]
+		before := home.Requests
+		if req := issue(get, retry); req.Err() != nil || req.Attempts != 2 || home.Requests != before+1 {
+			t.Errorf("one lost request under WithRetry: err %v after %d attempts, %d reached its server",
+				req.Err(), req.Attempts, home.Requests-before)
 		}
 		// A mute server: each option bounds the exchange by its own budget.
 		lost.pick = func(int) bool { return true }

@@ -185,14 +185,14 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 				var on *conn // where the probe's first attempt went
 				if end == "canceled" {
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
-					on = probe.cn
+					on = connOf(probe)
 					c.Cancel(probe)
 				} else {
 					// The recovered server limps for a while: the hedge's miss
 					// comes first, the probe's answer late.
 					srv.AddWorkerStall(p.Now(), p.Now()+200*sim.Microsecond, 100*sim.Microsecond)
 					probe, _ = c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithHedge(10*sim.Microsecond))
-					on = probe.cn
+					on = connOf(probe)
 					c.Wait(p, probe)
 				}
 				if on != home || c.Counters.Val(metrics.CBreakerHalfOpen) != 1 {
@@ -201,10 +201,10 @@ func TestProbeThatEndsWithoutAVerdictHandsItsSlotBack(t *testing.T) {
 				p.Sleep(5 * sim.Millisecond)
 				for i := 0; i < 100; i++ {
 					req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
-					c.Wait(p, req)
-					if req.cn == home {
+					if connOf(req) == home {
 						reached++
 					}
+					c.Wait(p, req)
 				}
 			})
 			if reached != 100 {

@@ -96,7 +96,7 @@ func RetryableStatus(s protocol.Status) bool {
 // the generic deadline error: the caller learns *why* the attempts failed.
 func (r *Req) Err() error {
 	switch {
-	case !r.done.Fired():
+	case !r.done:
 		return ErrInFlight
 	case r.how == canceled:
 		return ErrCanceled

@@ -87,8 +87,9 @@ type IssueOption func(*issueOpts)
 // issueOpts is the parsed form of Issue's options. Issue parses them into
 // its client's one scratch record (Client.opts) and reads them there before
 // it first suspends; what outlives Issue is carried elsewhere: the buffer-ack
-// wish in the wire message (AckWanted), the deadline in the guard's closure,
-// and the retry policy on the request's first attempt (attempt.retry).
+// wish in the wire message (AckWanted), the deadline and the retry policy in
+// the guard's closure, and whether there is a policy on the request's first
+// attempt (attempt.retrying).
 type issueOpts struct {
 	ack      bool
 	forCAS   bool     // the GET behind Gets; see casRead
@@ -181,7 +182,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 	}
 	p.Sleep(prepCost)
 	c.initReq(req, op, o.ack)
-	req.cur.retry = o.retry
+	req.cur.retrying = o.retry != nil
 	bypass := c.bypassEligible(op, o.readPath)
 	if bypass {
 		// Server-bypass resolution: no wire request yet — the resolver
@@ -208,7 +209,7 @@ func (c *Client) Issue(p *sim.Proc, op Op, opts ...IssueOption) (*Req, error) {
 		if o.deadline > 0 {
 			deadline = req.IssuedAt + o.deadline
 		}
-		c.startGuard(req, deadline)
+		c.startGuard(req, deadline, o.retry)
 	}
 	if o.hedge > 0 && op.Code == protocol.OpGet && len(c.conns) > 1 {
 		// With health tracking live the threshold adapts to the measured
@@ -241,7 +242,7 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 		att.next, req.cur.next = req.cur.next, att
 	}
 	att.cn, att.start, att.state = cn, cn.c.env.Now(), state
-	req.cur, req.cn = att, cn
+	req.cur = att
 	req.Attempts++
 	if cn.brk != nil {
 		cn.brk.claim(att)
@@ -259,7 +260,7 @@ func (req *Req) attach(cn *conn, state attState) *attempt {
 // the queue holds the attempt until the TX engine has posted it or dropped
 // it (post, liveItems).
 func (c *Client) enqueueWire(req *Req, cn *conn) {
-	if req.done.Fired() {
+	if req.done {
 		return
 	}
 	first := req.Attempts == 0
@@ -303,15 +304,16 @@ const (
 // finish ends the request: it lands the answer (resp, for completed), stamps
 // and counts the completion, settles every attempt still outstanding — the
 // one that answered is settled already; a hedge, or the attempt a hedge or a
-// fallback joined, may well not be — fires the completion flag and the
+// fallback joined, may well not be — sets the completion flag and fires the
 // request's events on its first attempt, and lets go of its attempts. It is
-// the only place done fires, and it is idempotent: the first of a response, a
+// the only place done is set, and it is idempotent: the first of a response, a
 // deadline and a cancel wins.
 func (req *Req) finish(how outcome, resp *protocol.Response) {
-	if req.done.Fired() {
+	if req.done {
 		return
 	}
-	c := req.client()
+	first, last := req.first(), req.cur
+	c := last.cn.c
 	req.how = how
 	req.Status = protocol.StatusError
 	end := dropped
@@ -333,18 +335,20 @@ func (req *Req) finish(how outcome, resp *protocol.Response) {
 		c.Counters.Inc(metrics.CCancels)
 	}
 	req.CompletedAt = c.env.Now()
-	first, last := req.first(), req.cur
 	for att := first; ; att = att.next {
 		att.settle(end)
 		if att == last {
 			break
 		}
 	}
-	req.done.Fire()
+	req.done = true
+	// Firing done wakes whoever waits for the request, and hands back the
+	// wakeup a WaitAny that another request woke left there. Nothing waits on
+	// the nudge now but a guard the completion flag has woken, and firing it
+	// hands that wait's wakeup back: none stays on the attempt when it goes
+	// back to the client's list, zeroed.
+	first.done.Fire()
 	first.reusable.Fire()
-	// Nothing waits on the nudge now but a guard the completion flag has
-	// woken: firing it hands that wait's wakeup back to the kernel's list
-	// before the attempt goes back to the client's, zeroed.
 	first.nudge.Fire()
 	req.letGo(first, last)
 }
@@ -374,24 +378,30 @@ func (req *Req) letGo(first, last *attempt) {
 func (c *Client) Cancel(req *Req) { req.finish(canceled, nil) }
 
 // retransmit gives up on the current attempt and enqueues a fresh one, on the
-// next connection when failing over. The request may have ended while its
-// guard backed off: the decision is counted all the same, and nothing is
-// sent.
-func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
-	old, cn := req.cur, req.cn
+// next connection when failing over. The guard calls it when its backoff has
+// run out, and the request may have ended at that very instant, ordered
+// before the guard's wakeup — a cancel, a caller's WaitTimeout, a response —
+// so the guard passes the key and the latest connection it saw, and the
+// latest attempt, while there is one, names the connection instead. The
+// request may also end while the new attempt is prepared. Either way the
+// decision is counted all the same, and nothing is sent.
+func (c *Client) retransmit(p *sim.Proc, req *Req, k protocol.Key, cn *conn, failover bool) {
+	old := req.cur
 	if old != nil {
+		cn = old.cn
 		old.settle(req.lapse())
 	}
 	if failover && len(c.conns) > 1 {
-		cn = c.route(req.hkey(), routeNext, cn)
+		cn = c.route(k, routeNext, cn)
 		c.Counters.Inc(metrics.CFailovers)
 	}
 	c.Counters.Inc(metrics.CRetries)
 	p.Sleep(prepCost)
 	req.rejected = protocol.StatusOK
-	if req.cur == nil {
+	if req.done {
 		return
 	}
+	// In flight now, so in flight when the guard called: old is set.
 	// Fresh nudge per attempt: a recovering/busy rejection of the old
 	// attempt must not short-circuit the new one's response wait, and its
 	// sentinel and backoff hint belong to the old attempt alone. Only the
@@ -409,32 +419,32 @@ func (c *Client) retransmit(p *sim.Proc, req *Req, failover bool) {
 // returns false: the server rejected the attempt, so there is no response to
 // keep waiting for — the guard proceeds straight to backoff and retransmit.
 func (c *Client) awaitOutcome(p *sim.Proc, req *Req, d sim.Time) bool {
-	if req.cur != nil && !req.first().nudge.Fired() {
+	if req.done {
+		return true
+	}
+	if first := req.first(); !first.nudge.Fired() {
 		// The timeout wakeup is canceled on delivery, so a guard that never
 		// needs it leaves nothing scheduled behind — the instrumentation is
 		// invisible to the run's virtual end time.
-		p.WaitEither(&req.done, &req.first().nudge, d)
+		p.WaitEither(&first.done, &first.nudge, d)
 	}
-	return req.done.Fired()
+	return req.done
 }
 
 // startGuard starts the watchdog process for a request issued with a
 // deadline (the virtual time it runs out at; 0 for none) and/or a retry
-// policy, which rides on the request's first attempt (attempt.retry). The
-// deadline lives in the guard's closure alone, and the guard reads the
-// policy when it starts: a request that ended before then needs neither.
-func (c *Client) startGuard(req *Req, deadline sim.Time) {
+// policy (nil for none). Both live in the guard's closure alone: a request
+// that ended before the guard starts needs neither. So do the first
+// attempt's id and key, which outlive the attempt: the jitter seed and a
+// panic's tag read them.
+func (c *Client) startGuard(req *Req, deadline sim.Time, retry *RetryPolicy) {
 	req.hold()
+	id, key := req.first().wire.ReqID, req.first().wire.Key
 	c.env.Spawn("client/guard", func(p *sim.Proc) {
-		defer req.drop()
-		defer req.tagPanic()
-		c := req.client() // one word less in the closure
-		var retry *RetryPolicy
-		if req.cur != nil {
-			retry = req.first().retry
-		}
-		if retry == nil {
-			if !p.WaitTimeout(&req.done, deadline-p.Now()) {
+		defer req.drop(c)
+		defer func() { retag(recover(), id, req.Op, key) }()
+		if retry == nil || req.done {
+			if !p.WaitTimeout(req.event(), deadline-p.Now()) {
 				req.finish(timedOut, nil)
 			}
 			return
@@ -460,10 +470,14 @@ func (c *Client) startGuard(req *Req, deadline sim.Time) {
 			d := backoff
 			if pol.Jitter > 0 {
 				if rng == nil {
-					rng = rand.New(rand.NewSource(pol.Seed ^ int64(req.ID())*0x9e3779b9))
+					rng = rand.New(rand.NewSource(pol.Seed ^ int64(id)*0x9e3779b9))
 				}
 				d += sim.Time(float64(backoff) * pol.Jitter * rng.Float64())
 			}
+			// The request is in flight here, and may not be after the
+			// backoff: the retransmit routes the key from the connection
+			// its latest attempt went on.
+			k, cn := req.cur.wire.HKey(), req.cur.cn
 			if hint := sim.Time(req.cur.retryAfterUS) * sim.Microsecond; hint > d {
 				// The server's busy hint floors the backoff: it knows its
 				// own storage backlog better than our doubling schedule.
@@ -475,13 +489,13 @@ func (c *Client) startGuard(req *Req, deadline sim.Time) {
 			}
 			// Back off as a wait-on-done: a response landing during the
 			// backoff window ends the guard without a spurious retransmit.
-			if p.WaitTimeout(&req.done, d) {
+			if p.WaitTimeout(req.event(), d) {
 				return
 			}
 			if past() {
 				break
 			}
-			c.retransmit(p, req, pol.Failover)
+			c.retransmit(p, req, k, cn, pol.Failover)
 		}
 		req.finish(timedOut, nil)
 	})
@@ -492,13 +506,16 @@ func (c *Client) startGuard(req *Req, deadline sim.Time) {
 // mirrored to the next connection route offers as an extra attempt —
 // without abandoning the primary, so the first response (either server)
 // completes the request; finish settles the other, whose answer then finds
-// nothing and is absorbed as stale.
+// nothing and is absorbed as stale. The request is in flight when the hedge
+// routes, so its latest attempt names the key and the connection to leave
+// out; the hedge keeps the first attempt's id and key for a panic's tag.
 func (c *Client) startHedge(req *Req, after sim.Time) {
 	req.hold()
+	id, key := req.first().wire.ReqID, req.first().wire.Key
 	c.env.Spawn("client/hedge", func(p *sim.Proc) {
-		defer req.drop()
-		defer req.tagPanic()
-		if p.WaitTimeout(&req.done, after) || req.done.Fired() {
+		defer req.drop(c)
+		defer func() { retag(recover(), id, req.Op, key) }()
+		if p.WaitTimeout(req.event(), after) || req.done {
 			if req.bypassed {
 				// The GET already resolved on the bypass path; the hedge
 				// would have mirrored an answered read to another server.
@@ -506,8 +523,9 @@ func (c *Client) startHedge(req *Req, after sim.Time) {
 			}
 			return
 		}
-		cn := c.route(req.hkey(), routeNext, req.cn)
-		if cn == req.cn {
+		on := req.cur.cn
+		cn := c.route(req.cur.wire.HKey(), routeNext, on)
+		if cn == on {
 			return // no distinct replica to hedge onto
 		}
 		c.Counters.Inc(metrics.CHedges)
@@ -552,6 +570,10 @@ type attempt struct {
 	// earlier one flying beside the one it adds.
 	next  *attempt
 	state attState
+	// retrying is set on the request's first attempt when it was issued
+	// under WithRetry: land then hands a retryable rejection to its guard,
+	// which keeps the policy itself.
+	retrying bool
 	// retryAfterUS is the request's busy hint, in µs, while this attempt is
 	// its latest: the last RetryAfterUS a busy response to any of its
 	// attempts carried, which floors the guard's next backoff. attach
@@ -563,18 +585,16 @@ type attempt struct {
 	// pointer to it and the server reads it there, so it is complete before
 	// the attempt is queued and never written after.
 	wire protocol.Request
-	// reusable and nudge are the request's events on its first attempt
-	// (Req.first) and unused on the others: reusable fires when the
+	// reusable, nudge and done are the request's events on its first
+	// attempt (Req.first) and unused on the others: reusable fires when the
 	// request's buffers are reusable — at the DMA-sent of any of its
-	// attempts, at a BufferAck, at finish — and nudge wakes its guard when an
-	// attempt is rejected as retryable (recovering/busy); retransmit re-arms
-	// it.
+	// attempts, at a BufferAck, at finish — nudge wakes its guard when an
+	// attempt is rejected as retryable (recovering/busy), and retransmit
+	// re-arms it; done is where waits for the request's completion park
+	// while it is in flight (Req.event), and finish fires it.
 	reusable sim.Event
 	nudge    sim.Event
-	// retry is the request's retry policy on its first attempt (nil for
-	// none): land reads whether a retryable rejection nudges the guard, and
-	// the guard the policy itself.
-	retry *RetryPolicy
+	done     sim.Event
 	pool.Holds
 }
 
@@ -803,22 +823,20 @@ func (att *attempt) sent() {
 	att.hold()
 }
 
-// progressEngine polls the receive CQ: returns credits, lands values in the
-// user buffer, and fires completion flags (dark-green path of Figure 3).
-// Each delivery holds its reply until it has landed: land copies out
-// everything it keeps, and the release hands the reply back to the server's
-// free list once its sender has let go of it too.
-func (cn *conn) progressEngine(p *sim.Proc) {
-	for {
-		comp := cn.recvCQ.WaitPoll(p)
-		cn.qp.PostRecv(verbs.RecvWR{}) // replenish the local pool
-		resp, ok := comp.Payload.(*protocol.Response)
-		if !ok {
-			panic("core: non-response payload on client receive CQ")
-		}
-		cn.land(resp)
-		resp.Release()
+// progress is the progress engine, the receive CQ's completion handler:
+// it returns credits, lands values in the user buffer, and fires completion
+// flags (dark-green path of Figure 3). Each delivery holds its reply until
+// it has landed: land copies out everything it keeps, and the release hands
+// the reply back to the server's free list once its sender has let go of it
+// too.
+func (cn *conn) progress(comp verbs.Completion) {
+	cn.qp.PostRecv(verbs.RecvWR{}) // replenish the local pool
+	resp, ok := comp.Payload.(*protocol.Response)
+	if !ok {
+		panic("core: non-response payload on client receive CQ")
 	}
+	cn.land(resp)
+	resp.Release()
 }
 
 // land acts on one response or BufferAck without suspending. One that finds
@@ -850,7 +868,7 @@ func (cn *conn) land(resp *protocol.Response) {
 	case protocol.OpBufferAck:
 		att.ack()
 	case protocol.OpResponse:
-		how, nudging := answered, RetryableStatus(resp.Status) && req.first().retry != nil
+		how, nudging := answered, RetryableStatus(resp.Status) && req.first().retrying
 		switch {
 		case resp.Status == protocol.StatusBusy:
 			// Shed at admission: breaker food, unlike recovering — a

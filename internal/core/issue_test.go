@@ -261,8 +261,8 @@ func TestRetryFailsOverToSecondServer(t *testing.T) {
 	var req *Req
 	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := r.client.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"})
+		home := connOf(req0).serverID
 		r.client.Wait(p, req0)
-		home := req0.cn.serverID
 		// Drop every request to the home server; the fallback must answer.
 		r.fabric.SetFaults(&serverFilter{dst: fmt.Sprintf("server%d", home)})
 		var err error

@@ -141,16 +141,17 @@ func poolSoak(t *testing.T, transport Transport) {
 	ops := 0
 	seen := make(map[*Req]poolOp) // every record handed out, by its latest request
 	mustStore := make(map[string]bool)
-	// Requests answered on their first attempt, by id: the server has done
-	// with that attempt's message, so it must not be kept.
-	answered := make(map[uint64]poolOp)
+	// Requests answered on their first attempt, by key — each operation has
+	// its own, and its attempts carry it: the server has done with that
+	// attempt's message, so it must not be kept.
+	answered := make(map[string]poolOp)
 	check := func(po poolOp, req *Req) {
 		op := po.op
 		if !req.TimedOut() && req.Attempts == 1 && !po.buffered {
-			answered[req.ID()] = po
+			answered[op.Key] = po
 		}
-		if req.key != op.Key || req.Op != op.Code {
-			t.Errorf("%v %s came back as %v %s", op.Code, op.Key, req.Op, req.key)
+		if req.Op != op.Code {
+			t.Errorf("%v %s came back as %v", op.Code, op.Key, req.Op)
 			return
 		}
 		if req.Acked() && op.Code == protocol.OpSet {
@@ -315,7 +316,7 @@ func poolSoak(t *testing.T, transport Transport) {
 			t.Errorf("kept attempt %d (%v %s): request forgotten %v, state %d, RespMR %d, %d holds, kept as %d",
 				att.wire.ReqID, att.wire.Op, att.wire.Key, att.req == nil, att.state, att.wire.RespMR, pool.Holders(att), id)
 		}
-		if po, ok := answered[id]; ok {
+		if po, ok := answered[att.wire.Key]; ok {
 			t.Errorf("%v %s: answered on its first attempt, which is kept for good", po.op.Code, po.op.Key)
 		}
 	}
@@ -473,15 +474,16 @@ func TestDuplicateOutlivesItsAnswer(t *testing.T) {
 // releases would: each points into no attempt once it has ended; the SET's
 // and the GET's attempts went back to the client at once, the timed-out
 // GET's is kept by its message until the server's late answer lands, and
-// then goes back too; later requests take them all, and each answer — key,
-// id, status, value, error — still reads as it was.
+// then goes back too; later requests take them all, and each answer —
+// status, value, error, attempts, outcome — still reads as it was. The key
+// and the wire id were the attempts', and went with them.
 func TestUnreleasedRequestKeepsOnlyItsAnswer(t *testing.T) {
 	r := newTestRig(rigOpts{transport: RDMA, pipeline: server.Async})
 	c := r.client
 	type kept struct {
 		req    *Req
 		first  *attempt // its first attempt, taken while it was in flight
-		id     uint64
+		id     uint64   // that attempt's wire id, taken then too
 		status protocol.Status
 		value  any
 		err    error
@@ -491,8 +493,9 @@ func TestUnreleasedRequestKeepsOnlyItsAnswer(t *testing.T) {
 		keep := func(op Op, opts ...IssueOption) {
 			req, _ := c.Issue(p, op, opts...)
 			first := req.first()
+			id := first.wire.ReqID
 			c.Wait(p, req)
-			held = append(held, kept{req, first, req.ID(), req.Status, req.Value, req.Err()})
+			held = append(held, kept{req, first, id, req.Status, req.Value, req.Err()})
 		}
 		keep(Op{Code: protocol.OpSet, Key: "a", ValueSize: 64, Value: "v:a"})
 		keep(Op{Code: protocol.OpGet, Key: "a"})
@@ -531,9 +534,9 @@ func TestUnreleasedRequestKeepsOnlyItsAnswer(t *testing.T) {
 	}
 	for i, h := range held {
 		req := h.req
-		if req.key != "a" || req.ID() != h.id || req.Status != h.status || req.Value != h.value || !errors.Is(req.Err(), h.err) {
-			t.Errorf("kept request %d reads key %q id %d %v %v %v after its attempt was reused; it read key a id %d %v %v %v",
-				i, req.key, req.ID(), req.Status, req.Value, req.Err(), h.id, h.status, h.value, h.err)
+		if req.Attempts != 1 || req.TimedOut() != (i == 2) || req.Status != h.status || req.Value != h.value || !errors.Is(req.Err(), h.err) {
+			t.Errorf("kept request %d reads %v, %d attempts, timed out %v, %v %v %v after its attempt was reused; it read %v %v %v",
+				i, req.Op, req.Attempts, req.TimedOut(), req.Status, req.Value, req.Err(), h.status, h.value, h.err)
 		}
 		if pool.Holders(req) != 1 {
 			t.Errorf("kept request %d has %d holds, want its caller's alone", i, pool.Holders(req))
@@ -552,11 +555,12 @@ func TestUnansweredFirstMessageKeepsOnlyItsAttempt(t *testing.T) {
 		c.Set(p, "k", 64, "v", 0, 0)
 		r.fabric.SetFaults(&filterInjector{pick: func(n int) bool { return n == 1 }})
 		lost, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"}, WithDeadline(100*sim.Microsecond))
+		id := lost.first().wire.ReqID
 		c.Wait(p, lost)
 		if !lost.TimedOut() || len(c.kept) != 1 {
 			t.Fatalf("the lost GET: timed out %v, %d attempts kept; want true, 1", lost.TimedOut(), len(c.kept))
 		}
-		if att := c.kept[lost.ID()]; att == nil || att.req != nil || att.state != attSettled || pool.Holders(att) != 1 {
+		if att := c.kept[id]; att == nil || att.req != nil || att.state != attSettled || pool.Holders(att) != 1 {
 			t.Fatalf("the kept attempt %p: names its request, is not settled, or has a hold beside its message's", att)
 		}
 		c.Release(lost)
@@ -565,7 +569,7 @@ func TestUnansweredFirstMessageKeepsOnlyItsAttempt(t *testing.T) {
 		}
 		next, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"})
 		c.Wait(p, next)
-		if next != lost || next.Value != "v" || next.key != "k" {
+		if next != lost || next.Value != "v" {
 			t.Errorf("the next GET: on the released record %v, %v %v", next == lost, next.Status, next.Value)
 		}
 		c.Release(next)

@@ -91,8 +91,8 @@ func TestCrashMidBatchFrameFailsAllMembers(t *testing.T) {
 	var doomed, retried []*Req
 	sim.Drive(t, r.env, "bench", func(p *sim.Proc) {
 		req0, _ := c.Issue(p, Op{Code: protocol.OpSet, Key: "k", ValueSize: 4096, Value: "v"})
+		home := r.servers[connOf(req0).serverID]
 		c.Wait(p, req0)
-		home := r.servers[req0.cn.serverID]
 
 		// The frame is built, then its server dies before it can be served.
 		c.BeginBatch()

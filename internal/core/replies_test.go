@@ -79,8 +79,8 @@ func TestPooledRepliesUnderFaults(t *testing.T) {
 					want = protocol.StatusStored
 				}
 				if req.Status != want || (wantValue != nil && req.Value != wantValue) {
-					t.Errorf("%v %s: %v %v after %d attempts, want %v %v",
-						req.Op, req.key, req.Status, req.Value, req.Attempts, want, wantValue)
+					t.Errorf("%v k%d: %v %v after %d attempts, want %v %v",
+						req.Op, i, req.Status, req.Value, req.Attempts, want, wantValue)
 				}
 			}
 			sim.Drive(t, r.env, "driver", func(p *sim.Proc) {

@@ -234,8 +234,8 @@ func TestBreakerReroutesAroundOpenServer(t *testing.T) {
 			t.Errorf("issue: %v", err)
 			return
 		}
+		home := r.servers[connOf(probe).serverID]
 		c.Wait(p, probe)
-		home := r.servers[probe.cn.serverID]
 		home.Crash()
 		for i := 0; i < 2; i++ {
 			req, _ := c.Issue(p, Op{Code: protocol.OpGet, Key: "k"},
@@ -278,8 +278,9 @@ func TestHedgedGetBeatsDeadServer(t *testing.T) {
 			t.Errorf("issue: %v", err)
 			return
 		}
+		on := connOf(probe)
 		c.Wait(p, probe)
-		r.servers[probe.cn.serverID].Crash()
+		r.servers[on.serverID].Crash()
 
 		t0 := p.Now()
 		req, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "h"},
@@ -449,8 +450,9 @@ func TestHedgedGetRacesConcurrentCancel(t *testing.T) {
 			t.Errorf("issue: %v", err)
 			return
 		}
+		on := connOf(probe)
 		c.Wait(p, probe)
-		r.servers[probe.cn.serverID].Crash()
+		r.servers[on.serverID].Crash()
 
 		// Race 1: cancel well before the hedge threshold.
 		early, err = c.Issue(p, Op{Code: protocol.OpGet, Key: "hr"},
@@ -541,15 +543,15 @@ func TestWaitAnyAcrossReplicas(t *testing.T) {
 			return
 		}
 		reqs = []*Req{ra, rb}
+		if connOf(ra) == connOf(rb) {
+			t.Error("both GETs routed to the same server; the test never spanned replicas")
+		}
 		woke = c.WaitAny(p, reqs)
 		c.Cancel(ra) // the dead replica will never answer; drain the sim
 	})
 
 	if woke != 1 {
 		t.Fatalf("WaitAny woke on index %d, want 1 (the live replica's answer)", woke)
-	}
-	if reqs[0].cn.serverID == reqs[1].cn.serverID {
-		t.Error("both GETs routed to the same server; the test never spanned replicas")
 	}
 	if !errors.Is(reqs[1].Err(), ErrNotFound) {
 		t.Errorf("live replica err = %v, want ErrNotFound (clean miss)", reqs[1].Err())

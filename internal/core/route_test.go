@@ -259,14 +259,23 @@ func TestGetsRoutesAsTheWriteWill(t *testing.T) {
 	primary := c.conns[c.replicas(protocol.KeyOf(key))[0]]
 	primary.health.browned[hcGet] = true
 	sim.Drive(t, r.env, "gets", func(p *sim.Proc) {
-		if get := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}); get.cn == primary {
+		// Where each went, read while it is in flight: an ended request
+		// keeps no attempt.
+		on := func(op Op, opts ...IssueOption) *conn {
+			req, _ := c.Issue(p, op, opts...)
+			cn := connOf(req)
+			c.Wait(p, req)
+			c.Release(req)
+			return cn
+		}
+		if get := on(Op{Code: protocol.OpGet, Key: key}); get == primary {
 			t.Errorf("a plain GET stayed on the browned primary: the rig is not rerouting")
 		}
-		if gets := c.roundTrip(p, Op{Code: protocol.OpGet, Key: key}, casRead); gets.cn != primary {
-			t.Errorf("Gets read server%d, CompareAndSet writes server%d", gets.cn.serverID, primary.serverID)
+		if gets := on(Op{Code: protocol.OpGet, Key: key}, casRead); gets != primary {
+			t.Errorf("Gets read server%d, CompareAndSet writes server%d", gets.serverID, primary.serverID)
 		}
-		if cas := c.roundTrip(p, Op{Code: protocol.OpCAS, Key: key}); cas.cn != primary {
-			t.Errorf("CompareAndSet went to server%d, want the primary", cas.cn.serverID)
+		if cas := on(Op{Code: protocol.OpCAS, Key: key}); cas != primary {
+			t.Errorf("CompareAndSet went to server%d, want the primary", cas.serverID)
 		}
 	})
 }

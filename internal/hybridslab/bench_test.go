@@ -106,23 +106,24 @@ func loadModel(tb testing.TB) (step func()) {
 // write), and one in-place SSD Load.
 //
 // What the region writer allocates, the page's Stores included (they allocate
-// nothing: the rig reuses its Items). One page of 30 victims is 8: the victim
+// nothing: the rig reuses its Items). One page of 30 victims is 6: the victim
 // slice, sized once (1), the region's slot records, one array (1), and the
-// region's header, its slot summaries, the extent slice, the commit record,
-// the arena page and the flush-done event (6). A window adds itself and its
-// job list (10); a window of four writes four such regions with one extent
-// slice, and its job list is allocated three times as it grows (33). An SSD
-// Load allocates nothing.
-// They were 42, 44 and 169 while the victim slice grew by appending and
-// every slot record was allocated on its own.
+// region's header, its slot summaries, the commit record and the arena page
+// (4); the run's extent slice comes off the manager's free list, and the
+// flush-done event is re-armed in place. A window adds itself and its job
+// list (8); a window of four writes four such regions, and its job list is
+// allocated three times as it grows (28). An SSD Load allocates nothing.
+// They were 8, 10 and 33 while every run made its extent slice and every
+// finished job a fresh flush-done event, and 42, 44 and 169 while the victim
+// slice grew by appending and every slot record was allocated on its own.
 var allocTable = []struct {
 	name    string
 	model   func(testing.TB) (step func())
 	ceiling float64
 }{
-	{"EvictPage", func(tb testing.TB) func() { return newEvictRig(tb, 1, false).step }, 8},
-	{"EvictWindowOf1", func(tb testing.TB) func() { return newEvictRig(tb, 1, true).step }, 10},
-	{"EvictWindowOf4", func(tb testing.TB) func() { return newEvictRig(tb, 4, true).step }, 33},
+	{"EvictPage", func(tb testing.TB) func() { return newEvictRig(tb, 1, false).step }, 6},
+	{"EvictWindowOf1", func(tb testing.TB) func() { return newEvictRig(tb, 1, true).step }, 8},
+	{"EvictWindowOf4", func(tb testing.TB) func() { return newEvictRig(tb, 4, true).step }, 28},
 	{"LoadFromSSD", loadModel, 0},
 }
 

@@ -238,7 +238,7 @@ type Manager struct {
 
 	file     *pagecache.File // nil for RAM-only
 	flushing int             // evictions in flight (concurrent workers)
-	flushEv  *sim.Event      // fired when a flush completes
+	flushEv  *sim.Event      // fired and re-armed when a flush completes (jobDone)
 	flushQ   *sim.Queue[flushJob]
 	staging  *sim.Resource // write-behind slots: one per job staged and not yet taken by the flusher
 	ssdUsed  int64
@@ -252,6 +252,10 @@ type Manager struct {
 	// order. They are withheld from the free pool until ReclaimQuarantined
 	// (the scrub pass) releases the fully-dead ones.
 	quarantine []*ssdPage
+	// extents is writeRun's free list of extent slices. Writers on
+	// different workers may be in flight at once, so each takes its own
+	// and gives it back once both of its writes have returned.
+	extents [][]pagecache.Extent
 
 	// gen counts cold-restart recoveries: workers suspended in I/O across a
 	// crash observe a changed generation on resume and abandon their work
@@ -690,8 +694,9 @@ func (m *Manager) writeRun(p *sim.Proc, run []flushJob, base int64, scheme pagec
 		total += job.size()
 	}
 	// One backing array serves both writes — every region's data extents,
-	// then the commit records — so a run of one allocates one slice.
-	data := make([]pagecache.Extent, 0, slots+len(run))
+	// then the commit records — and comes off the manager's free list.
+	data := m.takeExtents(slots + len(run))
+	defer m.putExtents(data)
 	commits := data[slots:slots]
 	off := base
 	for _, job := range run {
@@ -726,6 +731,26 @@ func (m *Manager) writeRun(p *sim.Proc, run []flushJob, base int64, scheme pagec
 	m.flushFailStreak = 0
 	m.CommitWrites++
 	return runLanded
+}
+
+// takeExtents hands out an empty extent slice with room for n, off the
+// manager's free list when the slice on top has that room.
+func (m *Manager) takeExtents(n int) []pagecache.Extent {
+	if k := len(m.extents); k > 0 {
+		buf := m.extents[k-1]
+		m.extents = m.extents[:k-1]
+		if cap(buf) >= n {
+			return buf
+		}
+	}
+	return make([]pagecache.Extent, 0, n)
+}
+
+// putExtents gives back a slice takeExtents handed out, cleared so that it
+// keeps no payload alive: the file has copied the extents out.
+func (m *Manager) putExtents(buf []pagecache.Extent) {
+	clear(buf[:cap(buf)])
+	m.extents = append(m.extents, buf[:0])
 }
 
 // purgeRegion drops every extent a region may hold on the SSD — header, n
@@ -802,12 +827,13 @@ func (m *Manager) abandonJob(job flushJob) {
 	}
 }
 
-// jobDone retires one in-flight eviction and wakes allocation waiters.
+// jobDone retires one in-flight eviction and wakes allocation waiters. The
+// event is re-armed in place: Fire has woken every waiter and left none on
+// it, so a worker that waits from here on waits for the next flush.
 func (m *Manager) jobDone() {
 	m.flushing--
-	ev := m.flushEv
-	m.flushEv = m.env.NewEvent()
-	ev.Fire()
+	m.flushEv.Fire()
+	m.flushEv.Init()
 }
 
 // nextEpoch returns a fresh commit epoch.

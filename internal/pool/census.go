@@ -10,7 +10,9 @@ import (
 // are the list's, Walked the distinct held records a walk over the list's
 // long-lived holders visited, Counted those an exception its owner counts
 // keeps for good. Wrong names each walked record whose holds differ from the
-// holders the walk found: a stray hold, or one a holder never took.
+// holders the walk found — a stray hold, or one a holder never took — and a
+// list with more records free than it made: records another list made were
+// put back on it.
 type Tally struct {
 	List                        string
 	Made, Free, Walked, Counted int
@@ -37,6 +39,9 @@ func (w *Walk[T, P]) Visit(r P) {
 // String method, or else by its type and address.
 func Count[T any, P Record[T]](list string, l *List[T, P], w *Walk[T, P], counted int) Tally {
 	t := Tally{List: list, Made: l.Made, Free: l.Len(), Counted: counted}
+	if t.Free > t.Made {
+		t.Wrong = append(t.Wrong, fmt.Sprintf("%d more free than made: put back on the wrong list", t.Free-t.Made))
+	}
 	if w == nil {
 		return t
 	}

@@ -23,8 +23,8 @@ func release(l *List[rec, *rec], r *rec) {
 // hands out a record holding its caller's hold, fresh only from an empty
 // list, the last freed first; the last Drop reports itself, and Put zeroes the
 // record; a Hold or a Drop of a free record, and a Get of a free record
-// someone wrote over, panic where they happen; a record built by hand counts
-// nothing.
+// someone wrote over, panic where they happen; a census finds a record put
+// back on a list that did not make it; a record built by hand counts nothing.
 func TestListContract(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -95,6 +95,15 @@ func TestListContract(t *testing.T) {
 			*r = rec{v: 1} // a holder that let go writes through its stale pointer
 			l.Get()
 		}, "touched after its last drop"},
+		{"a record put back on another list", func(t *testing.T, l *List[rec, *rec]) {
+			var other List[rec, *rec]
+			release(&other, l.Get())
+			err := Census{Count("mine", l, nil, 0), Count("other", &other, nil, 0)}.Err()
+			if err == nil || !strings.Contains(err.Error(), "mine: 1 unaccounted") ||
+				!strings.Contains(err.Error(), "other: 1 more free than made") {
+				t.Errorf("census after the crossing: %v; want the record missing on one list and named free on the other", err)
+			}
+		}, ""},
 		{"a record built by hand counts nothing", func(t *testing.T, l *List[rec, *rec]) {
 			r := &rec{v: 1}
 			Hold(r)

@@ -585,3 +585,31 @@ func TestForwardGarbledInFlightIsRejectedAndResent(t *testing.T) {
 			rejected, resends, inj.Corrupts)
 	}
 }
+
+// The receiver's integrity check guards the fabric, not the sender: it
+// recomputes the sum of a value that in-flight corruption wrapped in
+// protocol.Garbled (frame.CorruptCopy garbles the top-level value) and
+// rejects it, and it trusts the stamp of a value that arrived plain, even one
+// its sender summed wrong. Both arrive as repair pushes, which are never
+// acked.
+func TestReceiverVerifiesGarbledValuesAndTrustsPlainOnes(t *testing.T) {
+	cl := writePathCluster()
+	b := cl.Replicators[1]
+	stamp := protocol.ValueSum("w")
+	sim.Drive(t, cl.Env, "it-stamp", func(p *sim.Proc) {
+		b.DeliverStampedWriteForTest(0, "stamp:plain", 0x100, "v", 1, stamp, true)
+		b.DeliverStampedWriteForTest(0, "stamp:garbled", 0x100, protocol.Garbled{Inner: "v"}, 1, protocol.ValueSum("v"), true)
+		p.Sleep(sim.Millisecond)
+	})
+	if epoch, sum, _, ok := b.RecordForTest("stamp:plain"); !ok || epoch != 0x100 || sum != stamp {
+		t.Errorf("the plain value under a wrong stamp: record (epoch %#x, sum %#x, present %v); want it applied at 0x100 under the stamp %#x",
+			epoch, sum, ok, stamp)
+	}
+	if _, _, _, ok := b.RecordForTest("stamp:garbled"); ok {
+		t.Error("the garbled value was applied")
+	}
+	total := cl.ReplicationCounters()
+	if rejected := total.Val(metrics.CCorruptFramesRejected); rejected != 1 {
+		t.Errorf("corrupt-frames-rejected %d, want 1: the garbled value alone", rejected)
+	}
+}

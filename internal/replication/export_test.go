@@ -134,8 +134,14 @@ func (r *Replicator) DeliverStaleForwardForTest(p *sim.Proc, from int, key strin
 // polled off the receive queue at this instant and in this incarnation: a
 // forward of a round nobody has open, or with repair a repair push.
 func (r *Replicator) DeliverWriteForTest(from int, key string, epoch uint64, value any, size int, repair bool) {
+	r.DeliverStampedWriteForTest(from, key, epoch, value, size, protocol.ValueSum(value), repair)
+}
+
+// DeliverStampedWriteForTest is DeliverWriteForTest with the sum the sender
+// stamped on the frame given, matching the value or not.
+func (r *Replicator) DeliverStampedWriteForTest(from int, key string, epoch uint64, value any, size int, sum uint64, repair bool) {
 	k := protocol.KeyOf(key)
-	v := version{epoch: epoch, value: value, size: size, sum: protocol.ValueSum(value)}
+	v := version{epoch: epoch, value: value, size: size, sum: sum}
 	r.demux(&frame{Kind: frameWrite, From: from, ID: ^uint64(0), Key: k, Repair: repair, version: v})
 }
 
@@ -154,10 +160,12 @@ func (r *Replicator) ResendRoundsForTest(to *Replicator) (n int) {
 }
 
 // ForwardHandoffForTest returns a step that hands r's engine one forward whose
-// value fails its checksum: the applier that takes it rejects it, which
-// allocates nothing, so the step costs what the hand-off costs.
+// value was garbled in flight and fails its checksum: the applier that takes
+// it rejects it, which allocates nothing, so the step costs what the hand-off
+// costs.
 func (r *Replicator) ForwardHandoffForTest() (step func()) {
-	f := &frame{Kind: frameWrite, ID: ^uint64(0), Key: protocol.KeyOf("handoff"), version: version{epoch: 0x100, value: "v", size: 1, sum: 1}}
+	garbled := version{epoch: 0x100, value: protocol.Garbled{Inner: "v"}, size: 1, sum: protocol.ValueSum("v")}
+	f := &frame{Kind: frameWrite, ID: ^uint64(0), Key: protocol.KeyOf("handoff"), version: garbled}
 	return func() { r.demux(f) }
 }
 

@@ -61,9 +61,10 @@ type version struct {
 	value any
 	size  int
 	// sum is the end-to-end content checksum, protocol.ValueSum(value),
-	// computed once by whoever built the version: a frame's receiver re-derives
-	// it and silently rejects a value corrupted in flight, and the record of
-	// every replica that lands the version takes it.
+	// computed once by whoever built the version: a frame's receiver
+	// re-derives it only for a value corrupted in flight, which it silently
+	// rejects, and the record of every replica that lands the version takes
+	// it.
 	sum uint64
 }
 
@@ -188,7 +189,10 @@ func (f *frame) Release() {
 // fabric, so a corrupt header is a dropped frame, already modeled by drop
 // injection — and every other kind is delivered as itself, held by its reader
 // like any delivery. The stamped sum is deliberately left as the sender
-// computed it, which is exactly how the receiver detects the mismatch. A
+// computed it, which is exactly how the receiver detects the mismatch — and
+// the garbling must wrap the frame's top-level value: a receiver trusts the
+// stamp of a value that arrives unwrapped (handleWrite), so a corruption
+// modeled anywhere deeper would be applied unverified. A
 // write's copy counts no holds, has no owner and carries no slices: its
 // reader's Retain and Release pass it by, the original goes back on its list
 // when the transfer lets go of it, and whatever slices the original had go on

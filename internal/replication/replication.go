@@ -418,7 +418,7 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V, keep func(K, V) bool) []K {
 func (r *Replicator) start() {
 	r.applyQ = sim.NewQueue[queued](r.env, 0)
 	r.backQ = sim.NewQueue[queued](r.env, 0)
-	r.env.Spawn("repl-engine", r.engine)
+	r.recvCQ.OnCompletion(r.engine)
 	for i := 0; i < applyPool; i++ {
 		r.env.Spawn("repl-apply", r.lane(r.applyQ))
 	}
@@ -984,23 +984,21 @@ func winsSameEpoch(senderID, myID int, epoch uint64) bool {
 	return senderID < myID
 }
 
-// engine is the replicator's communication phase: it drains the receive CQ and
-// hands every frame to the lane that handles it, and suspends nowhere else —
-// in particular never in the store, so neither a forward nor an ack for one of
-// this node's own rounds waits behind the store call of the frame before it.
-func (r *Replicator) engine(p *sim.Proc) {
-	for {
-		c := r.recvCQ.WaitPoll(p)
-		// Replenish before looking at isDown: the NIC of a dead node still
-		// consumes a receive per frame, and a pool left to run dry while the
-		// process is down would strand the peers' sends long after it is back.
-		c.QP.PostRecv(verbs.RecvWR{})
-		if f, ok := c.Payload.(*frame); ok {
-			if r.isDown() { // a dead node neither applies nor acks
-				f.Release()
-			} else {
-				r.demux(f)
-			}
+// engine is the replicator's communication phase, the receive CQ's
+// completion handler: it hands every frame to the lane that handles it and
+// never suspends — in particular never in the store, so neither a forward nor
+// an ack for one of this node's own rounds waits behind the store call of the
+// frame before it.
+func (r *Replicator) engine(c verbs.Completion) {
+	// Replenish before looking at isDown: the NIC of a dead node still
+	// consumes a receive per frame, and a pool left to run dry while the
+	// process is down would strand the peers' sends long after it is back.
+	c.QP.PostRecv(verbs.RecvWR{})
+	if f, ok := c.Payload.(*frame); ok {
+		if r.isDown() { // a dead node neither applies nor acks
+			f.Release()
+		} else {
+			r.demux(f)
 		}
 	}
 }
@@ -1115,15 +1113,21 @@ func (r *Replicator) judge(f *frame, sum uint64, ks *keyState) verdict {
 // answered with what became of it; a repair push is never acked.
 func (r *Replicator) handleWrite(p *sim.Proc, f *frame) {
 	v := f.version
-	// The one recompute on the receiving side: it verifies the frame, and
-	// the epoch record takes it if the write applies.
-	if v.sum = protocol.ValueSum(f.value); f.sum != 0 && v.sum != f.sum {
-		// The frame's value no longer matches the checksum the sender
-		// stamped: it was corrupted in flight. Reject silently — never
-		// apply, never ack — and let the coordinator's resend rounds (or
-		// anti-entropy) deliver a clean copy.
-		r.Counters.Inc(metrics.CCorruptFramesRejected)
-		return
+	// The sender stamped the value's sum, and a value that crossed the fabric
+	// intact still has it: the epoch record takes the stamp if the write
+	// applies. Only a value corrupted in flight — frame.CorruptCopy wraps it
+	// in protocol.Garbled, at the top level — or an unstamped one is summed
+	// again here. The check guards the fabric, not the sender: a plain value
+	// under a stamp that does not match it is applied as stamped.
+	if _, garbled := f.value.(protocol.Garbled); garbled || f.sum == 0 {
+		if v.sum = protocol.ValueSum(f.value); f.sum != 0 && v.sum != f.sum {
+			// The frame's value no longer matches the checksum the sender
+			// stamped: it was corrupted in flight. Reject silently — never
+			// apply, never ack — and let the coordinator's resend rounds (or
+			// anti-entropy) deliver a clean copy.
+			r.Counters.Inc(metrics.CCorruptFramesRejected)
+			return
+		}
 	}
 	var how verdict
 	var judged *keyState

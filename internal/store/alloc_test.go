@@ -193,7 +193,7 @@ func handleBatchModel(tb testing.TB) (step func()) {
 // kept its 32 768 segments in an offset map, grown by rehash.
 //
 // What a page of SETs over SSD-resident items allocates is the eviction's
-// region write alone (8: the region writer's ceiling in internal/hybridslab).
+// region write alone (6: the region writer's ceiling in internal/hybridslab).
 var allocTable = []struct {
 	name    string
 	model   func(testing.TB) (step func())
@@ -209,7 +209,7 @@ var allocTable = []struct {
 	{"HandleSet", func(tb testing.TB) func() {
 		return handleModel(tb, &protocol.Request{Op: protocol.OpSet, Key: "k", ValueSize: 512, Value: "v"})
 	}, 0},
-	{"StoreOverwriteSpilled", overwriteSpilledModel, 8},
+	{"StoreOverwriteSpilled", overwriteSpilledModel, 6},
 	{"StoreSet", storeSetModel, 0},
 	{"StoreGet", storeGetModel, 0},
 	{"StoreHandleBatch16", handleBatchModel, 0},

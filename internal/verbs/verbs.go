@@ -224,10 +224,17 @@ type Completion struct {
 	Payload any
 }
 
-// CQ is a completion queue.
+// CQ is a completion queue. Its consumer polls it from a process (Poll,
+// WaitPoll), or hands it a completion handler (OnCompletion) that consumes
+// every completion in a callback event, with no process to resume.
 type CQ struct {
 	dev *Device
 	q   *sim.Queue[Completion]
+	// handler consumes every completion, once OnCompletion has set it;
+	// draining is set while the callback that will run it is scheduled or
+	// running.
+	handler  func(Completion)
+	draining bool
 }
 
 // CreateCQ allocates a completion queue. A CQ is unbounded — the simulated
@@ -246,8 +253,32 @@ func (cq *CQ) WaitPoll(p *sim.Proc) Completion {
 	return c
 }
 
+// OnCompletion makes h the CQ's one consumer, in place of a process that
+// polls it in a loop: h must not block, and nothing else polls the CQ. A
+// completion that finds the CQ idle schedules one callback event at the
+// current time, in the (at, seq) slot the parked poller's wakeup would have
+// taken; it drains the CQ into h in order, those that arrived before it runs
+// and those h's own work adds included, as the poller drained them in one
+// resume.
+func (cq *CQ) OnCompletion(h func(Completion)) { cq.handler = h }
+
 func (cq *CQ) push(c Completion) {
 	cq.q.TryPut(c)
+	if cq.handler != nil && !cq.draining {
+		cq.draining = true
+		cq.dev.env.AtCall(cq.dev.env.Now(), (*cqDrain)(cq))
+	}
+}
+
+// cqDrain is a CQ as the callback event that drains it into its handler.
+type cqDrain CQ
+
+func (d *cqDrain) Fire() {
+	cq := (*CQ)(d)
+	for c, ok := cq.q.TryGet(); ok; c, ok = cq.q.TryGet() {
+		cq.handler(c)
+	}
+	cq.draining = false
 }
 
 // SendWR is a send-queue work request.
