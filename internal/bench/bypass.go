@@ -85,7 +85,7 @@ var bypassExp = Experiment{
 						fallback, reads, bytes := bypassCounts(r)
 						r.show("Get µs", "get_us", us(r.GetLat.Mean()))
 						r.show("p99 µs", "get_p99_us", us(r.GetLat.Quantile(0.99)))
-						r.show("kops", "kops", opsPerSec(r.Ops, r.Elapsed)/1e3)
+						r.show("kops", "kops", metrics.Throughput(r.Ops, r.Elapsed)/1e3)
 						r.plot("fallback%", fallback)
 						r.set("misses", float64(r.Misses))
 						if !on {

@@ -97,7 +97,7 @@ func hotkeyCell(path string, replicas, ops int) cell {
 		},
 		collect: func(_ *cluster.Cluster, r *run) {
 			fallback, reads, bytes := bypassCounts(r)
-			r.show("goodput kops", "goodput_kops", opsPerSec(r.OK, r.Elapsed)/1e3)
+			r.show("goodput kops", "goodput_kops", metrics.Throughput(r.OK, r.Elapsed)/1e3)
 			r.set("get_us", us(r.GetLat.Mean()))
 			r.show("p99 µs", "get_p99_us", us(r.GetLat.Quantile(0.99)))
 			r.plot("fanouts", float64(r.Clients.Val(metrics.CHotFanouts)))

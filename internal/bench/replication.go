@@ -73,7 +73,7 @@ var replicationExp = Experiment{
 				c := replicationCell(factor, mix.read, o.ops(600), true)
 				c.prefix = fmt.Sprintf("R%d.%s.", factor, mix.name)
 				c.collect = func(_ *cluster.Cluster, r *run) {
-					r.show("goodput op/s", "goodput_ops", opsPerSec(r.OK, r.Elapsed))
+					r.show("goodput op/s", "goodput_ops", metrics.Throughput(r.OK, r.Elapsed))
 					r.show("p99 µs", "p99_us", us(r.Lat.Quantile(0.99)))
 					r.set("ok", float64(r.OK))
 					r.set("misses", float64(r.Misses))

@@ -521,14 +521,3 @@ func pct(part, whole int64) float64 {
 	}
 	return 100 * float64(part) / float64(whole)
 }
-
-// opsPerSec is n operations per virtual second of elapsed, by plain float
-// division. metrics.Throughput divides by Duration.Seconds, which sums
-// whole seconds and the fraction separately and can differ in the last
-// bit; the post-paper cells' committed values were taken with this form.
-func opsPerSec(n int64, elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n) / (float64(elapsed) / float64(sim.Second))
-}

@@ -364,8 +364,14 @@ func (cl *Cluster) attachDirectory(srv *server.Server) {
 // sets in index order, lets background writeback settle, and returns
 // the virtual time consumed. The caller's measurement starts after this.
 // Key i holds the value "v<i>" (the string "v" then i in decimal): the
-// benchmark's reply check accepts exactly that for a preloaded key.
+// benchmark's reply check accepts exactly that for a preloaded key. Each
+// server's key table is sized first for 9/8 of its share of the copies, so
+// the preload does not grow it step by step.
 func (cl *Cluster) Preload(n, valueSize int, keyOf func(int) string) sim.Time {
+	copies := n * min(max(cl.cfg.ReplicationFactor, 1), len(cl.Servers))
+	for _, srv := range cl.Servers {
+		srv.Store().Reserve(copies / len(cl.Servers) * 9 / 8)
+	}
 	start := cl.Env.Now()
 	cl.Env.Spawn("preload", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {

@@ -619,8 +619,9 @@ func (att *attempt) buffersFree() {
 	}
 }
 
-// tagPanic is Req.tagPanic for a process that holds the request's first
-// attempt rather than the request: the bypass resolver.
+// tagPanic re-raises a panic in a process that holds the request's first
+// attempt rather than the request, the bypass resolver, through retag with
+// the attempt's wire id, opcode and key.
 func (att *attempt) tagPanic() { retag(recover(), att.wire.ReqID, att.wire.Op, att.wire.Key) }
 
 // attState is where an attempt stands, which is what it holds.

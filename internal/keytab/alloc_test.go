@@ -38,9 +38,33 @@ func grownModel(op string) func(testing.TB) (step func()) {
 	}
 }
 
+// reservedModel returns a step that clears a table Reserve sized for 4096
+// keys and puts 4096 keys into it; it panics if the table grew. The array is
+// the one Reserve made, so a table sized before a fill allocates nothing
+// while it fills.
+func reservedModel(testing.TB) (step func()) {
+	keys := make([]protocol.Key, 4096)
+	for i := range keys {
+		keys[i] = protocol.KeyOf(fmt.Sprintf("alloc:%04d", i))
+	}
+	var t Table[*int]
+	t.Reserve(len(keys))
+	size, v := len(t.slots), new(int)
+	return func() {
+		t.Clear()
+		for _, k := range keys {
+			t.Put(k, v)
+		}
+		if len(t.slots) != size {
+			panic("reservedModel: the table grew past what Reserve sized")
+		}
+	}
+}
+
 // allocTable is the key table's line of make allocs: a grown table's Get,
 // Put and Delete allocate nothing — its slots hold the keys and values, and
-// only growing past half full makes a new array.
+// only growing past half full makes a new array — and neither does filling
+// a table Reserve sized.
 var allocTable = []struct {
 	name    string
 	model   func(testing.TB) (step func())
@@ -49,6 +73,7 @@ var allocTable = []struct {
 	{"Get", grownModel("get"), 0},
 	{"Put", grownModel("put"), 0},
 	{"DeletePut", grownModel("delete"), 0},
+	{"ReservedPuts", reservedModel, 0},
 }
 
 // TestKeyTabAllocationCeilings logs each row's name=count for make allocs.

@@ -1,17 +1,21 @@
-// Package keytab is the one per-key table of the store, the replicator and
-// the client: an open-addressed hash table from string keys to values, probed
-// by the 64-bit FNV-1a hash each key carries beside it (protocol.Key), so a
-// key is hashed once per operation however many tables it touches.
+// Package keytab is the program's one open-addressed hash table: the per-key
+// table of the store, the replicator and the client, and the page cache's
+// index of resident pages. A power-of-two slot array at most half full,
+// linear probing from a Fibonacci-hashed home slot, and backward-shift
+// deletion, so there are no tombstones and a lookup stops at the first empty
+// slot. A slot holds the key, its hash and its value together, so a probe
+// that hits reads one slot and nothing else: the hash is compared first, and
+// the key's string only where the hashes match. Ranging over a table walks the
+// slots in order, decided by the slot array's size and the sequence of puts
+// and deletes alone: deterministic, unlike a map's.
 //
-// It is pagecache's pageTable idiom made generic: a power-of-two slot array
-// at most half full, linear probing from a Fibonacci-hashed home slot, and
-// backward-shift deletion, so there are no tombstones and a lookup stops at
-// the first empty slot. A slot holds the key, its hash and its value
-// together, so a probe that hits reads one slot and nothing else: the hash is
-// compared first, and the key's string only where the hashes match (equal
-// keys share their bytes, which the string compare sees at once). Ranging
-// over a table walks the slots in order, which is decided by the sequence of
-// puts and deletes alone: deterministic, unlike a map's.
+// A key is a protocol.Key, probed by the 64-bit hash it carries, so a key is
+// hashed once per operation however many tables it touches. A string key
+// carries FNV-1a of its string (protocol.KeyOf). A hash-only key has an empty
+// string, so its hash alone names it: its maker gives distinct keys distinct,
+// non-zero hashes (the zero Key marks an empty slot). The page cache's keys
+// are hash-only: a file id in the top bits over a permutation of the page
+// index, which is never 0 (pagecache.fileKeys).
 package keytab
 
 import (
@@ -35,7 +39,7 @@ type slot[V any] struct {
 	val V
 }
 
-func (s *slot[V]) empty() bool { return s.key.Hash == 0 && len(s.key.Str) == 0 }
+func (s *slot[V]) empty() bool { return s.key == protocol.Key{} }
 
 // minSlots is the smallest slot array, a new table's first.
 const minSlots = 16
@@ -46,62 +50,81 @@ func (t *Table[V]) home(h uint64) int { return int(h * 0x9E3779B97F4A7C15 >> t.s
 // Len returns the number of keys.
 func (t *Table[V]) Len() int { return t.n }
 
-// find returns the slot holding k, or -1.
-func (t *Table[V]) find(k protocol.Key) int {
-	if t.n == 0 {
-		return -1
-	}
+// probe returns the slot holding k and true, or the empty slot that ends k's
+// probe run, where k goes, and false. The slot array must not be nil. An
+// empty slot ends the run before it is compared, so the zero key, which
+// marks one, is never found.
+func (t *Table[V]) probe(k protocol.Key) (int, bool) {
 	mask := len(t.slots) - 1
 	for i := t.home(k.Hash); ; i = (i + 1) & mask {
 		s := &t.slots[i]
-		if s.key.Hash == k.Hash && s.key.Str == k.Str {
-			return i
-		}
 		if s.empty() {
-			return -1
+			return i, false
+		}
+		if s.key == k {
+			return i, true
 		}
 	}
 }
 
-// Get returns k's value, and whether k is in the table. It is find's probe
+// Get returns k's value, and whether k is in the table. It is probe's loop
 // written out again: the lookup every operation makes several of returns the
 // slot's value straight from the probe.
 func (t *Table[V]) Get(k protocol.Key) (v V, ok bool) {
 	if t.n == 0 {
-		return v, false
+		return
 	}
 	mask := len(t.slots) - 1
 	for i := t.home(k.Hash); ; i = (i + 1) & mask {
 		s := &t.slots[i]
-		if s.key.Hash == k.Hash && s.key.Str == k.Str {
-			return s.val, true
-		}
 		if s.empty() {
-			return v, false
+			return
+		}
+		if s.key == k {
+			return s.val, true
 		}
 	}
 }
 
-// Put sets k's value, adding k if it is not in the table.
+// Put sets k's value, adding k if it is not in the table. One probe finds
+// the key or the empty slot it goes in; only a growth probes again.
 func (t *Table[V]) Put(k protocol.Key, v V) {
 	if k == (protocol.Key{}) {
 		panic("keytab: the zero key marks an empty slot")
 	}
-	if i := t.find(k); i >= 0 {
+	if t.slots == nil {
+		t.resize(minSlots)
+	}
+	i, ok := t.probe(k)
+	if ok {
 		t.slots[i].val = v
 		return
 	}
 	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
+		t.resize(2 * len(t.slots))
+		i, _ = t.probe(k)
 	}
-	t.place(slot[V]{k, v})
+	t.slots[i] = slot[V]{k, v}
 	t.n++
 }
 
-// grow doubles the slot array (or makes the first) and re-places every key.
-func (t *Table[V]) grow() {
+// Reserve sizes the slot array for n keys in one allocation, unless it is
+// that large already, so that the table does not grow until it holds more
+// than n.
+func (t *Table[V]) Reserve(n int) {
+	size := minSlots
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.resize(size)
+	}
+}
+
+// resize makes a slot array of size slots, a power of two, and re-places
+// every key.
+func (t *Table[V]) resize(size int) {
 	old := t.slots
-	size := max(2*len(old), minSlots)
 	t.slots = make([]slot[V], size)
 	t.shift = 64
 	for s := size; s > 1; s >>= 1 {
@@ -109,27 +132,21 @@ func (t *Table[V]) grow() {
 	}
 	for i := range old {
 		if !old[i].empty() {
-			t.place(old[i])
+			j, _ := t.probe(old[i].key)
+			t.slots[j] = old[i]
 		}
 	}
-}
-
-// place puts s in the first empty slot of its key's probe run.
-func (t *Table[V]) place(s slot[V]) {
-	mask := len(t.slots) - 1
-	i := t.home(s.key.Hash)
-	for !t.slots[i].empty() {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
 }
 
 // Delete removes k, and reports whether it was in the table. Each later slot
 // of the probe run whose home does not lie cyclically in (hole, its slot]
 // moves back into the hole, which moves on to where it was.
 func (t *Table[V]) Delete(k protocol.Key) bool {
-	hole := t.find(k)
-	if hole < 0 {
+	if t.n == 0 {
+		return false
+	}
+	hole, ok := t.probe(k)
+	if !ok {
 		return false
 	}
 	mask := len(t.slots) - 1

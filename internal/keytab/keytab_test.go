@@ -54,7 +54,7 @@ func (t *Table[V]) audit(model map[protocol.Key]V, eq func(a, b V) bool) (wrappe
 // on every probe, so only the string compare tells them apart.
 func collidingHashes(n int) []uint64 {
 	var t Table[int]
-	t.grow()
+	t.resize(minSlots)
 	var homes []uint64
 	for h := uint64(1); len(homes) < 2; h++ {
 		if t.home(h) >= minSlots-2 {
@@ -135,6 +135,46 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
+// Reserve sizes the slot array once: at least minSlots, and the smallest
+// power of two that holds n keys at most half full (the page cache's sizes
+// for MaxPages n). n puts then leave it as it is; a Reserve for fewer keys
+// than the table has room for changes nothing, and one for more keeps every
+// key the table holds.
+func TestReserveSizesTheSlotArrayOnce(t *testing.T) {
+	for _, tc := range []struct{ n, slots int }{
+		{0, minSlots},
+		{8, 16},
+		{9, 32},
+		{32, 64},
+		{32768, 65536},
+	} {
+		t.Run(fmt.Sprint(tc.n), func(t *testing.T) {
+			var tbl Table[int]
+			tbl.Reserve(tc.n)
+			if len(tbl.slots) != tc.slots {
+				t.Fatalf("Reserve(%d): %d slots, want %d", tc.n, len(tbl.slots), tc.slots)
+			}
+			model := map[protocol.Key]int{}
+			for i := range tc.n {
+				k := protocol.KeyOf(fmt.Sprintf("key:%05d", i))
+				tbl.Put(k, i)
+				model[k] = i
+			}
+			tbl.Reserve(tc.n / 2)
+			if len(tbl.slots) != tc.slots {
+				t.Fatalf("%d puts and a smaller Reserve: %d slots, want %d", tc.n, len(tbl.slots), tc.slots)
+			}
+			tbl.Reserve(tc.slots)
+			if len(tbl.slots) != 2*tc.slots {
+				t.Fatalf("Reserve(%d) on %d slots: %d slots, want %d", tc.slots, tc.slots, len(tbl.slots), 2*tc.slots)
+			}
+			if _, err := tbl.audit(model, func(a, b int) bool { return a == b }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // A missing key is a miss on an empty table, a zero table included, and a
 // key whose hash matches but whose string differs is not the key.
 func TestTableComparesStringsOnAHashMatch(t *testing.T) {
@@ -152,6 +192,27 @@ func TestTableComparesStringsOnAHashMatch(t *testing.T) {
 	if va, _ := tbl.Get(a); va != "A" || tbl.Len() != 2 {
 		t.Fatalf("after Put(b): Get(a) = %q, Len %d", va, tbl.Len())
 	}
+}
+
+// The zero key marks an empty slot, so it is never in a table: Get and Delete
+// miss it however many keys the table holds, and Put refuses it.
+func TestTheZeroKeyIsNeverFound(t *testing.T) {
+	var tbl Table[int]
+	for i := range 20 {
+		tbl.Put(protocol.KeyOf(fmt.Sprint(i)), i)
+	}
+	if v, ok := tbl.Get(protocol.Key{}); ok {
+		t.Errorf("Get(zero key) = %d, true", v)
+	}
+	if tbl.Delete(protocol.Key{}) || tbl.Len() != 20 {
+		t.Errorf("Delete(zero key) took a key away: Len %d, want 20", tbl.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put(zero key) did not panic")
+		}
+	}()
+	tbl.Put(protocol.Key{}, 0)
 }
 
 // The order All yields is a function of the operations alone: two tables

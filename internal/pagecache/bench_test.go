@@ -89,7 +89,7 @@ func readMissBehindDirtyTail(tb testing.TB) func() {
 		f.Write(p, 0, int(dirty*ps), c, Cached)
 		f.Read(p, dirty*ps, int(clean*ps), Cached)
 	})
-	if c.Dirty() != par.ThrottlePages || c.pages.len() != par.MaxPages {
+	if c.Dirty() != par.ThrottlePages || c.pages.Len() != par.MaxPages {
 		panic("readMissBehindDirtyTail: the fill left the cache not full or not dirty at the throttle")
 	}
 	next := clean
@@ -112,7 +112,7 @@ func readMissEvict(tb testing.TB) func() {
 	ps, cached := int64(par.PageSize), int64(par.MaxPages)
 	f := c.OpenFile(0, 2*cached*ps)
 	sim.Drive(tb, env, "fill", func(p *sim.Proc) { f.Read(p, 0, int(cached*ps), Cached) })
-	if c.Dirty() != 0 || c.pages.len() != par.MaxPages {
+	if c.Dirty() != 0 || c.pages.Len() != par.MaxPages {
 		panic("readMissEvict: the fill left the cache not full or not clean")
 	}
 	next := cached

@@ -21,6 +21,8 @@ import (
 	"fmt"
 
 	"hybridkv/internal/blockdev"
+	"hybridkv/internal/keytab"
+	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -80,9 +82,22 @@ func DefaultParams() Params {
 	}
 }
 
-type pageKey struct {
-	file int
-	idx  int64
+// A page's key in the cache's table is hash-only (keytab): the file id in the
+// top bits, and below them the page index XORed with idxBits of Mix64(file
+// id). The XOR permutes a file's indices, so while OpenFile keeps both parts
+// inside their bits no two pages share a key, and as file ids start at 1 no
+// key is 0. A file's run of pages keeps a run of keys, which the table's
+// Fibonacci home spreads evenly, and the XOR sets the files' runs apart. (A
+// Mix64 of the whole packing spreads them at random instead: in a sequential
+// walk of the pages that took twice the host time per table operation.)
+const (
+	idxBits  = 40
+	maxFiles = 1<<(64-idxBits) - 1 // the largest file id
+)
+
+// fileKeys is the base of file's page keys: page idx's is the base XOR idx.
+func fileKeys(file int) uint64 {
+	return uint64(file)<<idxBits | protocol.Mix64(uint64(file))&(1<<idxBits-1)
 }
 
 // page is one resident page. Its recency links are intrusive: a clean page
@@ -90,7 +105,7 @@ type pageKey struct {
 // evicted pages are kept on a spare list and reused by the next fault, so
 // steady-state paging allocates nothing.
 type page struct {
-	key   pageKey
+	hash  uint64 // its table key's hash (File.key)
 	dirty bool
 	// gen counts the admissions of this page record: a direct reclaimer
 	// that slept in its device write evicts its victim only if the record
@@ -104,10 +119,13 @@ type page struct {
 
 // Cache is one host's page cache in front of one device.
 type Cache struct {
-	env   *sim.Env
-	dev   *blockdev.Device
-	par   Params
-	pages pageTable // the resident pages by (file, idx)
+	env *sim.Env
+	dev *blockdev.Device
+	par Params
+	// pages indexes the resident pages by File.key, its slot array sized
+	// once for MaxPages, so paging allocates nothing however far a file
+	// grows; only an unbounded cache (MaxPages ≤ 0) grows it.
+	pages keytab.Table[*page]
 	// The recency rings, each through its sentinel: ring.next = most recent,
 	// ring.prev = least recent. Each is in stamp order, so the clean victim,
 	// the direct-reclaim victim and the writeback batch are ring tails.
@@ -149,10 +167,10 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		env:     env,
 		dev:     dev,
 		par:     par,
-		pages:   newPageTable(par.MaxPages),
 		wbKick:  env.NewEvent(),
 		wbYield: env.NewEvent(),
 	}
+	c.pages.Reserve(par.MaxPages)
 	c.extraWB = c.extraWriteback
 	c.clearRings()
 	env.Spawn("pagecache-flusher", c.flusher)
@@ -172,6 +190,9 @@ func (c *Cache) ring(pg *page) *page {
 	}
 	return &c.clean
 }
+
+// key returns the page's table key.
+func (pg *page) key() protocol.Key { return protocol.Key{Hash: pg.hash} }
 
 // unlink takes a resident page out of its ring.
 func (pg *page) unlink() {
@@ -199,25 +220,33 @@ func (c *Cache) touch(pg *page) {
 	}
 }
 
+// page returns the resident page of key k, or nil.
+func (c *Cache) page(k protocol.Key) *page {
+	pg, _ := c.pages.Get(k)
+	return pg
+}
+
 // admit makes page k resident, clean, at the clean ring's head, reusing an
 // evicted page record when one is spare; the caller touches it.
-func (c *Cache) admit(k pageKey) *page {
+func (c *Cache) admit(k protocol.Key) *page {
 	pg := c.spare
 	if pg == nil {
 		pg = new(page)
 	} else {
 		c.spare = pg.next
 	}
-	*pg = page{key: k, gen: pg.gen + 1}
+	*pg = page{hash: k.Hash, gen: pg.gen + 1}
 	pg.linkAfter(&c.clean)
-	c.pages.add(pg)
+	c.pages.Put(k, pg)
 	return pg
 }
 
 // evict drops a resident page.
 func (c *Cache) evict(pg *page) {
 	pg.unlink()
-	c.pages.del(pg)
+	if !c.pages.Delete(pg.key()) {
+		panic("pagecache: dropping a page that is not resident")
+	}
 	pg.next = c.spare
 	c.spare = pg
 }
@@ -232,7 +261,7 @@ func (c *Cache) Dirty() int { return c.dirty }
 // file-relative; the file owns [base, base+size) on the device.
 type File struct {
 	c       *Cache
-	id      int
+	keys    uint64 // fileKeys of its id
 	base    int64
 	size    int64
 	extents map[int64]extent
@@ -247,11 +276,19 @@ type extent struct {
 	payload any
 }
 
-// OpenFile carves a file over [base, base+size) of the device.
+// OpenFile carves a file over [base, base+size) of the device. It panics
+// past maxFiles files, or on a file of 1<<idxBits pages or more: their page
+// keys would overflow their bits (fileKeys).
 func (c *Cache) OpenFile(base, size int64) *File {
+	if c.files >= maxFiles || (size-1)/int64(c.par.PageSize) >= 1<<idxBits {
+		panic(fmt.Sprintf("pagecache: file %d of %d bytes is outside the page keys' domain", c.files+1, size))
+	}
 	c.files++
-	return &File{c: c, id: c.files, base: base, size: size, extents: make(map[int64]extent)}
+	return &File{c: c, keys: fileKeys(c.files), base: base, size: size, extents: make(map[int64]extent)}
 }
+
+// key returns page idx's key in the cache's table.
+func (f *File) key(idx int64) protocol.Key { return protocol.Key{Hash: f.keys ^ uint64(idx)} }
 
 // Cache returns the page cache the file is accessed through.
 func (f *File) Cache() *Cache { return f.c }
@@ -345,7 +382,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		for i := first; i <= last+1; i++ {
 			missing := false
 			if i <= last {
-				missing = c.pages.get(pageKey{f.id, i}) == nil
+				missing = c.page(f.key(i)) == nil
 			}
 			if missing && runStart < 0 {
 				runStart = i
@@ -524,7 +561,7 @@ func (f *File) RecoverExtents() {
 // Reset drops every resident page (clean and dirty) — the page cache of a
 // power-cycled host.
 func (c *Cache) Reset() {
-	c.pages.clear()
+	c.pages.Clear()
 	c.clearRings()
 	c.spare = nil
 	c.dirty = 0
@@ -554,7 +591,7 @@ func (f *File) Punch(off int64) {
 	c := f.c
 	ps := int64(c.par.PageSize)
 	for i, end := (off+ps-1)/ps, (off+int64(e.size))/ps; i < end; i++ {
-		pg := c.pages.get(pageKey{f.id, i})
+		pg := c.page(f.key(i))
 		if pg == nil {
 			continue
 		}
@@ -580,7 +617,7 @@ func (f *File) missPages(off int64, size int) int {
 	first, last := f.pageRange(off, size)
 	n := 0
 	for i := first; i <= last; i++ {
-		if f.c.pages.get(pageKey{f.id, i}) == nil {
+		if f.c.page(f.key(i)) == nil {
 			n++
 		}
 	}
@@ -596,13 +633,13 @@ func (f *File) residentRange(p *sim.Proc, off int64, size int, dirty bool) {
 	c := f.c
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
-		k := pageKey{f.id, i}
-		pg := c.pages.get(k)
+		k := f.key(i)
+		pg := c.page(k)
 		if pg == nil {
 			c.evictFor(p, 1)
 			// A direct reclaim sleeps in its device write, and another
 			// proc may have faulted the page in meanwhile.
-			if pg = c.pages.get(k); pg == nil {
+			if pg = c.page(k); pg == nil {
 				pg = c.admit(k)
 			}
 		}
@@ -626,7 +663,7 @@ func (f *File) touchRange(off int64, size int) {
 	c := f.c
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
-		if pg := c.pages.get(pageKey{f.id, i}); pg != nil {
+		if pg := c.page(f.key(i)); pg != nil {
 			c.touch(pg)
 		}
 	}
@@ -639,17 +676,17 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 	if c.par.MaxPages <= 0 {
 		return
 	}
-	for c.pages.len()+n > c.par.MaxPages {
+	for c.pages.Len()+n > c.par.MaxPages {
 		victim := c.clean.prev
 		if victim == &c.clean {
 			victim = c.dirtied.prev
 			if victim == &c.dirtied {
 				return
 			}
-			key, gen := victim.key, victim.gen
+			key, gen := victim.key(), victim.gen
 			c.dev.ServeRaw(p, true, c.par.PageSize)
 			c.WritebackPages++
-			if c.pages.get(key) != victim || victim.gen != gen {
+			if c.page(key) != victim || victim.gen != gen {
 				// While this reclaimer slept in the device write, the page
 				// left the cache: another reclaimer evicted it, or the
 				// flusher cleaned it and an eviction dropped it. Its record

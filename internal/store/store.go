@@ -181,6 +181,10 @@ func (s *Store) PublishAll() {
 // Len returns the number of live keys.
 func (s *Store) Len() int { return s.table.Len() }
 
+// Reserve sizes the key table for n keys at once, so a fill up to n never
+// grows it.
+func (s *Store) Reserve(n int) { s.table.Reserve(n) }
+
 // Keys returns the live key set in sorted order. Replication uses it to
 // mark recovered keys suspect after a cold restart.
 func (s *Store) Keys() []protocol.Key {
