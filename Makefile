@@ -127,15 +127,16 @@ examples:
 	@for ex in examples/*/; do $(GO) run ./$$ex >/dev/null || { echo "make examples: $$ex failed" >&2; exit 1; }; done
 
 # Native fuzzing of the parsers that face the wire (internal/protocol/
-# fuzz_test.go) and of the one hash table every per-key index shares
-# (internal/keytab/fuzz_test.go): each target for a short fixed time, one
+# fuzz_test.go), of the one hash table every per-key index shares
+# (internal/keytab/fuzz_test.go) and of the page cache's index of resident
+# pages (internal/pagecache/index_test.go): each target for a short fixed time, one
 # `go test` each because -fuzz takes exactly one. The seed corpus already runs
 # under plain `go test`; this explores from it, so it is not part of `check` —
 # a finding lands in the package's testdata/fuzz/ as a new seed, to be
 # committed with its fix.
 FUZZTIME ?= 10s
 fuzz:
-	@for t in protocol:FuzzUnmarshalHeader protocol:FuzzUnmarshalResponse protocol:FuzzUnmarshalBatch keytab:FuzzTable; do \
+	@for t in protocol:FuzzUnmarshalHeader protocol:FuzzUnmarshalResponse protocol:FuzzUnmarshalBatch keytab:FuzzTable pagecache:FuzzPageIndex; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 

@@ -11,6 +11,7 @@
 //	mc-bench -json <path> all     (write records; a directory gets one BENCH_<id>.json each)
 //	mc-bench -verify <path> all   (compare records against committed ones, exactly)
 //	mc-bench -cpuprofile <file> fig8b   (also write a pprof CPU profile of the run)
+//	mc-bench -memprofile <file> fig7b   (also write a pprof allocation profile of the run)
 //
 // Experiment ids follow the paper's figure numbering (fig1a..fig8b), the
 // ablations are abl-*; see DESIGN.md §5 for the per-experiment index.
@@ -23,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -107,6 +109,25 @@ func startCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
+// startMemProfile creates path and returns the function that writes the
+// allocation profile of the run so far into it (alloc_space and
+// alloc_objects count every sampled allocation since the program started)
+// and closes it.
+func startMemProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		runtime.GC() // the in-use figures as of the run's end
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
+
 func main() {
 	list := flag.Bool("list", false, "list available experiments and ablations and exit")
 	full := flag.Bool("full", false, "use the paper's full sizes (1 GB server memory) instead of the 4x-scaled default")
@@ -116,8 +137,9 @@ func main() {
 	jsonPath := flag.String("json", "", "also write every run experiment's metrics as JSON records to this file, or as one BENCH_<id>.json each into this directory")
 	verifyPath := flag.String("verify", "", "compare every run experiment's records, exactly, against the committed ones in this file or directory of BENCH_<id>.json; print the differing records instead of the tables and exit non-zero on any")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiments run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the experiments run to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] [-csv dir] [-json path] [-verify path] [-cpuprofile file] <experiment-id>... | all\n\n")
+		fmt.Fprintf(os.Stderr, "usage: mc-bench [-list] [-full] [-ops N] [-smoke] [-csv dir] [-json path] [-verify path] [-cpuprofile file] [-memprofile file] <experiment-id>... | all\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -167,6 +189,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	writeMemProfile := func() error { return nil }
+	if *memProfile != "" {
+		var err error
+		if writeMemProfile, err = startMemProfile(*memProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "mc-bench: memprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	var results []*bench.Result
 	for _, id := range ids {
 		e := bench.ByID(id)
@@ -195,6 +225,9 @@ func main() {
 	}
 	if err := stopProfile(); err != nil {
 		fail("cpuprofile: %v", err)
+	}
+	if err := writeMemProfile(); err != nil {
+		fail("memprofile: %v", err)
 	}
 	if *jsonPath != "" && len(results) > 0 {
 		if err := writeJSON(*jsonPath, results); err != nil {

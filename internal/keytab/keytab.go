@@ -1,6 +1,5 @@
 // Package keytab is the program's one open-addressed hash table: the per-key
-// table of the store, the replicator and the client, and the page cache's
-// index of resident pages. A power-of-two slot array at most half full,
+// table of the store, the replicator and the client. A power-of-two slot array at most half full,
 // linear probing from a Fibonacci-hashed home slot, and backward-shift
 // deletion, so there are no tombstones and a lookup stops at the first empty
 // slot. A slot holds the key, its hash and its value together, so a probe
@@ -13,9 +12,7 @@
 // hashed once per operation however many tables it touches. A string key
 // carries FNV-1a of its string (protocol.KeyOf). A hash-only key has an empty
 // string, so its hash alone names it: its maker gives distinct keys distinct,
-// non-zero hashes (the zero Key marks an empty slot). The page cache's keys
-// are hash-only: a file id in the top bits over a permutation of the page
-// index, which is never 0 (pagecache.fileKeys).
+// non-zero hashes (the zero Key marks an empty slot).
 package keytab
 
 import (

@@ -136,8 +136,8 @@ func TestTableMatchesMap(t *testing.T) {
 }
 
 // Reserve sizes the slot array once: at least minSlots, and the smallest
-// power of two that holds n keys at most half full (the page cache's sizes
-// for MaxPages n). n puts then leave it as it is; a Reserve for fewer keys
+// power of two that holds n keys at most half full (the store's sizes for
+// its share of the preload). n puts then leave it as it is; a Reserve for fewer keys
 // than the table has room for changes nothing, and one for more keeps every
 // key the table holds.
 func TestReserveSizesTheSlotArrayOnce(t *testing.T) {

@@ -89,7 +89,7 @@ func readMissBehindDirtyTail(tb testing.TB) func() {
 		f.Write(p, 0, int(dirty*ps), c, Cached)
 		f.Read(p, dirty*ps, int(clean*ps), Cached)
 	})
-	if c.Dirty() != par.ThrottlePages || c.pages.Len() != par.MaxPages {
+	if c.Dirty() != par.ThrottlePages || c.resident != par.MaxPages {
 		panic("readMissBehindDirtyTail: the fill left the cache not full or not dirty at the throttle")
 	}
 	next := clean
@@ -102,8 +102,8 @@ func readMissBehindDirtyTail(tb testing.TB) func() {
 
 // readMissEvict returns a step that makes one cached read of a page that is
 // not resident, in a full cache of clean pages: the read faults the page in
-// and evicts the clean ring's tail, dropping it from the resident-page table
-// and adding the new one. The reads cycle over twice the cache: every one
+// and evicts the clean ring's tail, dropping it from its bucket
+// and pushing the new one. The reads cycle over twice the cache: every one
 // misses.
 func readMissEvict(tb testing.TB) func() {
 	env := sim.NewEnv()
@@ -112,7 +112,7 @@ func readMissEvict(tb testing.TB) func() {
 	ps, cached := int64(par.PageSize), int64(par.MaxPages)
 	f := c.OpenFile(0, 2*cached*ps)
 	sim.Drive(tb, env, "fill", func(p *sim.Proc) { f.Read(p, 0, int(cached*ps), Cached) })
-	if c.Dirty() != 0 || c.pages.Len() != par.MaxPages {
+	if c.Dirty() != 0 || c.resident != par.MaxPages {
 		panic("readMissEvict: the fill left the cache not full or not clean")
 	}
 	next := cached
@@ -156,7 +156,7 @@ func throttledWrites(testing.TB) (step func()) {
 // the spare list, the extent maps are at size, and neither the write charge,
 // the read path nor a punch builds anything per call, nor a read miss that
 // evicts past a dirty tail, nor one that evicts the clean tail: the
-// resident-page table is sized for the cache. A throttled write costs only the
+// resident-page index is made for MaxPages at the first fault. A throttled write costs only the
 // events its park and release re-arm: the flusher's re-armed kick and the
 // writeback completion's fresh wake-up event (2). The throttle's ticket is a
 // number on the writer's stack and adds nothing.

@@ -19,10 +19,9 @@ package pagecache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hybridkv/internal/blockdev"
-	"hybridkv/internal/keytab"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -82,30 +81,15 @@ func DefaultParams() Params {
 	}
 }
 
-// A page's key in the cache's table is hash-only (keytab): the file id in the
-// top bits, and below them the page index XORed with idxBits of Mix64(file
-// id). The XOR permutes a file's indices, so while OpenFile keeps both parts
-// inside their bits no two pages share a key, and as file ids start at 1 no
-// key is 0. A file's run of pages keeps a run of keys, which the table's
-// Fibonacci home spreads evenly, and the XOR sets the files' runs apart. (A
-// Mix64 of the whole packing spreads them at random instead: in a sequential
-// walk of the pages that took twice the host time per table operation.)
-const (
-	idxBits  = 40
-	maxFiles = 1<<(64-idxBits) - 1 // the largest file id
-)
-
-// fileKeys is the base of file's page keys: page idx's is the base XOR idx.
-func fileKeys(file int) uint64 {
-	return uint64(file)<<idxBits | protocol.Mix64(uint64(file))&(1<<idxBits-1)
-}
-
-// page is one resident page. Its recency links are intrusive: a clean page
-// sits on the cache's clean ring and a dirty one on its dirty ring, and
-// evicted pages are kept on a spare list and reused by the next fault, so
-// steady-state paging allocates nothing.
+// page is one resident page, page idx of file. Its links are intrusive: chain
+// is the next page of its bucket in the cache's index, a clean page sits on
+// the cache's clean ring and a dirty one on its dirty ring, and evicted pages
+// are kept on a spare list and reused by the next fault, so steady-state
+// paging allocates nothing.
 type page struct {
-	hash  uint64 // its table key's hash (File.key)
+	file  *File
+	idx   int64
+	chain *page
 	dirty bool
 	// gen counts the admissions of this page record: a direct reclaimer
 	// that slept in its device write evicts its victim only if the record
@@ -122,10 +106,14 @@ type Cache struct {
 	env *sim.Env
 	dev *blockdev.Device
 	par Params
-	// pages indexes the resident pages by File.key, its slot array sized
-	// once for MaxPages, so paging allocates nothing however far a file
-	// grows; only an unbounded cache (MaxPages ≤ 0) grows it.
-	pages keytab.Table[*page]
+	// buckets indexes the resident pages: page idx of file f heads or is
+	// chained from buckets[f.bucket(idx)], so a run of a file's pages sits
+	// in a run of buckets. The array is made at the first admission, a power
+	// of two of at least MaxPages buckets, so a cache that never pages has
+	// none and the chains average at most one page.
+	buckets  []*page
+	mask     uint64 // len(buckets) - 1
+	resident int    // pages in the index
 	// The recency rings, each through its sentinel: ring.next = most recent,
 	// ring.prev = least recent. Each is in stamp order, so the clean victim,
 	// the direct-reclaim victim and the writeback batch are ring tails.
@@ -160,8 +148,8 @@ type Cache struct {
 
 // New creates a page cache over dev and starts its flusher daemon.
 func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
-	if par.PageSize <= 0 {
-		panic("pagecache: PageSize must be positive")
+	if par.PageSize <= 0 || par.MaxPages <= 0 {
+		panic("pagecache: PageSize and MaxPages must be positive")
 	}
 	c := &Cache{
 		env:     env,
@@ -170,7 +158,6 @@ func New(env *sim.Env, dev *blockdev.Device, par Params) *Cache {
 		wbKick:  env.NewEvent(),
 		wbYield: env.NewEvent(),
 	}
-	c.pages.Reserve(par.MaxPages)
 	c.extraWB = c.extraWriteback
 	c.clearRings()
 	env.Spawn("pagecache-flusher", c.flusher)
@@ -190,9 +177,6 @@ func (c *Cache) ring(pg *page) *page {
 	}
 	return &c.clean
 }
-
-// key returns the page's table key.
-func (pg *page) key() protocol.Key { return protocol.Key{Hash: pg.hash} }
 
 // unlink takes a resident page out of its ring.
 func (pg *page) unlink() {
@@ -220,33 +204,52 @@ func (c *Cache) touch(pg *page) {
 	}
 }
 
-// page returns the resident page of key k, or nil.
-func (c *Cache) page(k protocol.Key) *page {
-	pg, _ := c.pages.Get(k)
-	return pg
+// page returns page idx of f if it is resident, or nil.
+func (c *Cache) page(f *File, idx int64) *page {
+	if c.resident == 0 {
+		return nil
+	}
+	for pg := c.buckets[f.bucket(idx)]; pg != nil; pg = pg.chain {
+		if pg.idx == idx && pg.file == f {
+			return pg
+		}
+	}
+	return nil
 }
 
-// admit makes page k resident, clean, at the clean ring's head, reusing an
-// evicted page record when one is spare; the caller touches it.
-func (c *Cache) admit(k protocol.Key) *page {
+// admit makes page idx of f resident, clean, at the clean ring's head,
+// reusing an evicted page record when one is spare; the caller touches it.
+func (c *Cache) admit(f *File, idx int64) *page {
+	if c.buckets == nil {
+		n := 1 << bits.Len(uint(c.par.MaxPages-1))
+		c.buckets, c.mask = make([]*page, n), uint64(n-1)
+	}
 	pg := c.spare
 	if pg == nil {
 		pg = new(page)
 	} else {
 		c.spare = pg.next
 	}
-	*pg = page{hash: k.Hash, gen: pg.gen + 1}
+	b := &c.buckets[f.bucket(idx)]
+	*pg = page{file: f, idx: idx, chain: *b, gen: pg.gen + 1}
+	*b = pg
+	c.resident++
 	pg.linkAfter(&c.clean)
-	c.pages.Put(k, pg)
 	return pg
 }
 
 // evict drops a resident page.
 func (c *Cache) evict(pg *page) {
-	pg.unlink()
-	if !c.pages.Delete(pg.key()) {
-		panic("pagecache: dropping a page that is not resident")
+	at := &c.buckets[pg.file.bucket(pg.idx)]
+	for *at != pg {
+		if *at == nil {
+			panic("pagecache: dropping a page that is not resident")
+		}
+		at = &(*at).chain
 	}
+	*at = pg.chain
+	c.resident--
+	pg.unlink()
 	pg.next = c.spare
 	c.spare = pg
 }
@@ -261,7 +264,7 @@ func (c *Cache) Dirty() int { return c.dirty }
 // file-relative; the file owns [base, base+size) on the device.
 type File struct {
 	c       *Cache
-	keys    uint64 // fileKeys of its id
+	seed    uint64 // its number's Fibonacci multiple: where its run of buckets starts
 	base    int64
 	size    int64
 	extents map[int64]extent
@@ -276,19 +279,14 @@ type extent struct {
 	payload any
 }
 
-// OpenFile carves a file over [base, base+size) of the device. It panics
-// past maxFiles files, or on a file of 1<<idxBits pages or more: their page
-// keys would overflow their bits (fileKeys).
+// OpenFile carves a file over [base, base+size) of the device.
 func (c *Cache) OpenFile(base, size int64) *File {
-	if c.files >= maxFiles || (size-1)/int64(c.par.PageSize) >= 1<<idxBits {
-		panic(fmt.Sprintf("pagecache: file %d of %d bytes is outside the page keys' domain", c.files+1, size))
-	}
 	c.files++
-	return &File{c: c, keys: fileKeys(c.files), base: base, size: size, extents: make(map[int64]extent)}
+	return &File{c: c, seed: uint64(c.files) * 0x9E3779B97F4A7C15, base: base, size: size, extents: make(map[int64]extent)}
 }
 
-// key returns page idx's key in the cache's table.
-func (f *File) key(idx int64) protocol.Key { return protocol.Key{Hash: f.keys ^ uint64(idx)} }
+// bucket returns the index of page idx's bucket in the cache's index.
+func (f *File) bucket(idx int64) uint64 { return (f.seed + uint64(idx)) & f.c.mask }
 
 // Cache returns the page cache the file is accessed through.
 func (f *File) Cache() *Cache { return f.c }
@@ -382,7 +380,7 @@ func (f *File) Read(p *sim.Proc, off int64, size int, scheme Scheme) (payload an
 		for i := first; i <= last+1; i++ {
 			missing := false
 			if i <= last {
-				missing = c.page(f.key(i)) == nil
+				missing = c.page(f, i) == nil
 			}
 			if missing && runStart < 0 {
 				runStart = i
@@ -561,7 +559,8 @@ func (f *File) RecoverExtents() {
 // Reset drops every resident page (clean and dirty) — the page cache of a
 // power-cycled host.
 func (c *Cache) Reset() {
-	c.pages.Clear()
+	clear(c.buckets)
+	c.resident = 0
 	c.clearRings()
 	c.spare = nil
 	c.dirty = 0
@@ -591,7 +590,7 @@ func (f *File) Punch(off int64) {
 	c := f.c
 	ps := int64(c.par.PageSize)
 	for i, end := (off+ps-1)/ps, (off+int64(e.size))/ps; i < end; i++ {
-		pg := c.page(f.key(i))
+		pg := c.page(f, i)
 		if pg == nil {
 			continue
 		}
@@ -617,7 +616,7 @@ func (f *File) missPages(off int64, size int) int {
 	first, last := f.pageRange(off, size)
 	n := 0
 	for i := first; i <= last; i++ {
-		if f.c.page(f.key(i)) == nil {
+		if f.c.page(f, i) == nil {
 			n++
 		}
 	}
@@ -627,20 +626,18 @@ func (f *File) missPages(off int64, size int) int {
 // residentRange marks pages resident (dirty if dirty=true), evicting as
 // needed to stay under MaxPages.
 func (f *File) residentRange(p *sim.Proc, off int64, size int, dirty bool) {
-	if size <= 0 {
-		return
-	}
 	c := f.c
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
-		k := f.key(i)
-		pg := c.page(k)
+		pg := c.page(f, i)
 		if pg == nil {
-			c.evictFor(p, 1)
 			// A direct reclaim sleeps in its device write, and another
 			// proc may have faulted the page in meanwhile.
-			if pg = c.page(k); pg == nil {
-				pg = c.admit(k)
+			if c.evictFor(p, 1) {
+				pg = c.page(f, i)
+			}
+			if pg == nil {
+				pg = c.admit(f, i)
 			}
 		}
 		if dirty && !pg.dirty {
@@ -663,7 +660,7 @@ func (f *File) touchRange(off int64, size int) {
 	c := f.c
 	first, last := f.pageRange(off, size)
 	for i := first; i <= last; i++ {
-		if pg := c.page(f.key(i)); pg != nil {
+		if pg := c.page(f, i); pg != nil {
 			c.touch(pg)
 		}
 	}
@@ -671,22 +668,21 @@ func (f *File) touchRange(off int64, size int) {
 
 // evictFor makes room for n new pages by dropping the least recent clean
 // pages; when no page is clean, the least recent dirty page is written in
-// the caller's context and then dropped (direct reclaim).
-func (c *Cache) evictFor(p *sim.Proc, n int) {
-	if c.par.MaxPages <= 0 {
-		return
-	}
-	for c.pages.Len()+n > c.par.MaxPages {
+// the caller's context and then dropped (direct reclaim). It reports whether
+// it slept in a direct reclaim's write.
+func (c *Cache) evictFor(p *sim.Proc, n int) (slept bool) {
+	for c.resident+n > c.par.MaxPages {
 		victim := c.clean.prev
 		if victim == &c.clean {
 			victim = c.dirtied.prev
 			if victim == &c.dirtied {
-				return
+				return slept
 			}
-			key, gen := victim.key(), victim.gen
+			gen := victim.gen
 			c.dev.ServeRaw(p, true, c.par.PageSize)
+			slept = true
 			c.WritebackPages++
-			if c.page(key) != victim || victim.gen != gen {
+			if victim.gen != gen || c.page(victim.file, victim.idx) != victim {
 				// While this reclaimer slept in the device write, the page
 				// left the cache: another reclaimer evicted it, or the
 				// flusher cleaned it and an eviction dropped it. Its record
@@ -701,6 +697,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 		}
 		c.evict(victim)
 	}
+	return slept
 }
 
 // throttle stalls a writer that left the dirty set above ThrottlePages for

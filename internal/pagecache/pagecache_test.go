@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hybridkv/internal/blockdev"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -212,8 +211,8 @@ func TestEvictionBoundsResidency(t *testing.T) {
 			f.Write(p, int64(i)*4096, 4096, i, Cached)
 		}
 	})
-	if c.pages.Len() > 100 {
-		t.Errorf("resident pages %d exceed MaxPages 100", c.pages.Len())
+	if c.resident > 100 {
+		t.Errorf("resident pages %d exceed MaxPages 100", c.resident)
 	}
 }
 
@@ -244,56 +243,6 @@ func TestOutOfFilePanics(t *testing.T) {
 	sim.Drive(t, env, "op", func(p *sim.Proc) { f.Write(p, 4096, 8192, nil, Cached) })
 }
 
-// Page keys are hash-only keys (keytab): the pages at the edges of the
-// keys' domain — the first and last file ids and page indices, and their
-// neighbours — get distinct, non-zero keys with an empty string. An index
-// past the domain carries into the file id's bits, so OpenFile refuses a
-// file that reaches it, and a file id past maxFiles.
-func TestPageKeysAtTheDomainEdges(t *testing.T) {
-	type pageID struct {
-		file int
-		idx  int64
-	}
-	seen := map[protocol.Key]pageID{}
-	for _, file := range []int{1, 2, maxFiles - 1, maxFiles} {
-		f := File{keys: fileKeys(file)}
-		for _, idx := range []int64{0, 1, 1<<idxBits - 2, 1<<idxBits - 1} {
-			k := f.key(idx)
-			if k.Hash == 0 || k.Str != "" {
-				t.Errorf("page %d of file %d: key %+v, want a non-zero hash-only key", idx, file, k)
-			}
-			if was, dup := seen[k]; dup {
-				t.Errorf("page %d of file %d shares its key with %+v", idx, file, was)
-			}
-			seen[k] = pageID{file, idx}
-		}
-	}
-	if f := (File{keys: fileKeys(2)}); f.key(1<<idxBits).Hash>>idxBits == 2 {
-		t.Error("an index past the domain stays in its file's keys: the test's premise is stale")
-	}
-
-	env := sim.NewEnv()
-	defer env.Close()
-	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), DefaultParams())
-	ps := int64(c.par.PageSize)
-	mustPanic := func(what string, open func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("OpenFile accepted %s", what)
-			}
-		}()
-		open()
-	}
-	c.OpenFile(0, ps<<idxBits) // its last page is the last index
-	mustPanic("a file one byte past the last page index", func() { c.OpenFile(0, ps<<idxBits+1) })
-	c.files = maxFiles - 1
-	if f := c.OpenFile(0, ps); f.keys != fileKeys(maxFiles) {
-		t.Fatalf("file keys %#x, want maxFiles' %#x", f.keys, fileKeys(maxFiles))
-	}
-	mustPanic("a file id past maxFiles", func() { c.OpenFile(0, ps) })
-}
-
 func TestDiscardDropsExtent(t *testing.T) {
 	env, c := newCache(blockdev.NVMe())
 	f := c.OpenFile(0, 1<<20)
@@ -319,7 +268,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 	par.MaxPages = 8
 	c := New(env, dev, par)
 	f := c.OpenFile(0, 1<<30)
-	resident := func(i int) bool { return c.page(f.key(int64(i))) != nil }
+	resident := func(i int) bool { return c.page(f, int64(i)) != nil }
 	sim.Drive(t, env, "reader", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			f.Read(p, int64(i)*4096, 4096, Mmap)
@@ -328,7 +277,7 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 			f.Read(p, int64(i)*4096, 4096, Mmap)
 		}
 		before := map[*page]bool{}
-		for _, pg := range c.pages.All() {
+		for _, pg := range indexed(c) {
 			before[pg] = true
 		}
 		for i := 8; i < 12; i++ { // evicts 4..7, oldest first
@@ -342,13 +291,13 @@ func TestEvictionIsLRUAndRecyclesPages(t *testing.T) {
 				t.Errorf("recently used page %d was evicted", i)
 			}
 		}
-		for k, pg := range c.pages.All() {
+		for _, pg := range indexed(c) {
 			if !before[pg] {
-				t.Errorf("page %v got a new record with evicted ones to spare", k)
+				t.Errorf("page %d got a new record with evicted ones to spare", pg.idx)
 			}
 		}
 	})
-	if c.pages.Len() != 8 || c.spare != nil {
-		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.pages.Len(), c.spare == nil)
+	if c.resident != 8 || c.spare != nil {
+		t.Errorf("resident %d (want 8), spare list empty=%v (want true)", c.resident, c.spare == nil)
 	}
 }

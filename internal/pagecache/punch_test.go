@@ -34,7 +34,7 @@ func TestPunchDropsDeadPagesOnly(t *testing.T) {
 		t.Run(prof.name, func(t *testing.T) {
 			env, c, f := writebackRig(prof.p)
 			dev := c.dev
-			resident := func(i int64) bool { return c.page(f.key(i)) != nil }
+			resident := func(i int64) bool { return c.page(f, i) != nil }
 			drain := func() {
 				for c.Dirty() > 0 {
 					c.Kick()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hybridkv/internal/blockdev"
-	"hybridkv/internal/protocol"
 	"hybridkv/internal/sim"
 )
 
@@ -18,11 +17,12 @@ import (
 // page writeback or a reclaim cleaned is marked clean). It never reads a
 // stamp or a ring, so a ring out of recency order shows as a disagreement.
 type recencyModel struct {
-	order []protocol.Key // least recent first
-	dirty map[protocol.Key]bool
+	f     *File   // the one file the test accesses
+	order []int64 // its resident pages' indices, least recent first
+	dirty map[int64]bool
 }
 
-func (m *recencyModel) touch(k protocol.Key, dirtied bool) {
+func (m *recencyModel) touch(k int64, dirtied bool) {
 	if i := slices.Index(m.order, k); i >= 0 {
 		m.order = slices.Delete(m.order, i, i+1)
 	}
@@ -36,7 +36,7 @@ func (m *recencyModel) touch(k protocol.Key, dirtied bool) {
 func (m *recencyModel) catchUp(c *Cache) error {
 	kept := m.order[:0]
 	for _, k := range m.order {
-		pg := c.page(k)
+		pg := c.page(m.f, k)
 		switch {
 		case pg == nil:
 			delete(m.dirty, k)
@@ -49,17 +49,17 @@ func (m *recencyModel) catchUp(c *Cache) error {
 		kept = append(kept, k)
 	}
 	m.order = kept
-	if len(m.order) != c.pages.Len() {
-		return fmt.Errorf("%d pages resident, %d of them admitted by an access", c.pages.Len(), len(m.order))
+	if len(m.order) != c.resident {
+		return fmt.Errorf("%d pages resident, %d of them admitted by an access", c.resident, len(m.order))
 	}
 	return nil
 }
 
-// ringKeys lists up to n keys of a ring from its tail.
-func ringKeys(r *page, n int) []protocol.Key {
-	var ks []protocol.Key
+// ringKeys lists up to n page indices of a ring from its tail.
+func ringKeys(r *page, n int) []int64 {
+	var ks []int64
 	for pg := r.prev; pg != r && len(ks) < n; pg = pg.prev {
-		ks = append(ks, pg.key())
+		ks = append(ks, pg.idx)
 	}
 	return ks
 }
@@ -81,18 +81,18 @@ func (m *recencyModel) agree(c *Cache) error {
 			if pg.dirty {
 				dirtyLen++
 			}
-			if c.ring(pg) != r || c.page(pg.key()) != pg {
-				return fmt.Errorf("page %v (dirty %v) on the wrong ring or not resident", pg.key(), pg.dirty)
+			if c.ring(pg) != r || c.page(pg.file, pg.idx) != pg {
+				return fmt.Errorf("page %v (dirty %v) on the wrong ring or not resident", pg.idx, pg.dirty)
 			}
 			if pg.next != r && pg.next.stamp >= pg.stamp {
-				return fmt.Errorf("stamps out of order on a ring: %v at %d before %v at %d", pg.key(), pg.stamp, pg.next.key(), pg.next.stamp)
+				return fmt.Errorf("stamps out of order on a ring: %v at %d before %v at %d", pg.idx, pg.stamp, pg.next.idx, pg.next.stamp)
 			}
 		}
 	}
-	if n != c.pages.Len() || dirtyLen != c.dirty {
-		return fmt.Errorf("%d pages on the rings, %d resident; %d dirty counted", n, c.pages.Len(), c.dirty)
+	if n != c.resident || dirtyLen != c.dirty {
+		return fmt.Errorf("%d pages on the rings, %d resident; %d dirty counted", n, c.resident, c.dirty)
 	}
-	var clean, dirty []protocol.Key
+	var clean, dirty []int64
 	for _, k := range m.order {
 		if m.dirty[k] {
 			dirty = append(dirty, k)
@@ -145,7 +145,7 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 				c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
 				ps := par.PageSize
 				f := c.OpenFile(0, int64(tc.keys*ps))
-				m := &recencyModel{dirty: make(map[protocol.Key]bool)}
+				m := &recencyModel{f: f, dirty: make(map[int64]bool)}
 				rng := rand.New(rand.NewSource(seed))
 				var failed error
 				op := 0
@@ -161,7 +161,7 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 				sim.Drive(t, env, "driver", func(p *sim.Proc) {
 					for ; op < tc.ops && failed == nil; op++ {
 						k := rng.Intn(tc.keys)
-						key, off := f.key(int64(k)), int64(k*ps)
+						key, off := int64(k), int64(k*ps)
 						check("before it")
 						maxDirty = max(maxDirty, c.Dirty())
 						switch r := rng.Float64(); {
@@ -180,7 +180,7 @@ func TestRingsMatchOneRecencyList(t *testing.T) {
 							f.Punch(off)
 						case r < 0.3:
 							f.touchRange(off, ps)
-							if c.page(key) != nil {
+							if c.page(f, key) != nil {
 								m.touch(key, false)
 							}
 						case r < 0.3+tc.writeShare*0.7:
@@ -237,12 +237,11 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 	c := New(env, blockdev.New(env, blockdev.NVMe(), 1<<30), par)
 	ps := par.PageSize
 	f := c.OpenFile(0, int64(4*ps))
-	k0, k1 := f.key(0), f.key(1)
 	reclaimed := false
 	sim.Drive(t, env, "driver", func(p *sim.Proc) {
 		f.Write(p, 0, ps, "first", Cached)
 		f.Write(p, int64(ps), ps, "other", Cached)
-		victim := c.page(k0)
+		victim := c.page(f, 0)
 		env.Spawn("reclaimer", func(p *sim.Proc) {
 			c.evictFor(p, 1)
 			reclaimed = true
@@ -254,19 +253,19 @@ func TestDirectReclaimVictimReadmitted(t *testing.T) {
 			t.Fatalf("%d pages dirty after writeback began, want 0", c.Dirty())
 		}
 		c.evictFor(p, 1)
-		if c.page(k0) != nil {
+		if c.page(f, 0) != nil {
 			t.Fatal("the bare eviction kept page 0")
 		}
 		f.Write(p, 0, ps, "second", Cached)
-		if reclaimed || c.page(k0) != victim {
+		if reclaimed || c.page(f, 0) != victim {
 			t.Fatalf("the rewrite did not land in the victim's record before the reclaimer woke (woke %v)", reclaimed)
 		}
 	})
-	pg := c.page(k0)
+	pg := c.page(f, 0)
 	if ok := pg != nil; !ok || !pg.dirty {
 		t.Errorf("page 0 resident %v, dirty %v after its rewrite; want both (the reclaim dropped it unwritten)", ok, ok && pg.dirty)
 	}
-	if c.page(k1) != nil {
+	if c.page(f, 1) != nil {
 		t.Error("page 1 still resident; the reclaimer needed its room")
 	}
 	if c.Dirty() != 1 {

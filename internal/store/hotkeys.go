@@ -24,8 +24,7 @@ import (
 const (
 	// hotSketchCap bounds the candidate roster. 64 entries comfortably
 	// covers any plausible number of simultaneously hot keys while keeping
-	// the per-access update O(1) amortized (the min scan only runs on
-	// roster replacement).
+	// the per-access update a few heap steps (hotSketch.heap).
 	hotSketchCap = 64
 	// hotPublishMax bounds the published hot set: the wire payload rides
 	// the OpDirQuery bootstrap and fan-out only helps for keys hot enough
@@ -53,6 +52,7 @@ const (
 type hotEntry struct {
 	key        protocol.Key
 	count, err int64
+	at         int // its place in hotSketch.heap
 }
 
 // hotSketch is the store's space-saving top-K structure. It is not
@@ -62,7 +62,12 @@ type hotSketch struct {
 	cap     int
 	idx     keytab.Table[int] // key -> entries index
 	entries []hotEntry
-	total   int64 // touches since the last Age
+	// heap holds the entries' indices in a min-heap by (count, index), so
+	// its root is the entry a replacement takes: the lowest count, the
+	// lowest index on ties (stable under the deterministic insertion order,
+	// never map iteration order — the simulation must replay identically).
+	heap  []int
+	total int64 // touches since the last Age
 
 	cand []hotEntry // Hot's scratch: the candidates, and the set it returns
 	hot  []uint64
@@ -72,28 +77,23 @@ func newHotSketch(capacity int) *hotSketch {
 	return &hotSketch{cap: capacity}
 }
 
-// Touch records one access. O(1) when the key is already a candidate or
-// the roster has room; O(cap) linear min-scan on replacement.
+// Touch records one access: a count raised and its entry sifted down the
+// heap, a new entry sifted up, or the heap's root replaced and sifted down.
 func (h *hotSketch) Touch(k protocol.Key) {
 	h.total++
 	if i, ok := h.idx.Get(k); ok {
 		h.entries[i].count++
+		h.down(h.entries[i].at)
 		return
 	}
-	if len(h.entries) < h.cap {
-		h.idx.Put(k, len(h.entries))
-		h.entries = append(h.entries, hotEntry{key: k, count: 1})
+	if n := len(h.entries); n < h.cap {
+		h.idx.Put(k, n)
+		h.entries = append(h.entries, hotEntry{key: k, count: 1, at: n})
+		h.heap = append(h.heap, n)
+		h.up(n)
 		return
 	}
-	// Replace the deterministic minimum: lowest count, lowest index on
-	// ties (stable under the deterministic insertion order, never map
-	// iteration order — the simulation must replay identically).
-	min := 0
-	for i := 1; i < len(h.entries); i++ {
-		if h.entries[i].count < h.entries[min].count {
-			min = i
-		}
-	}
+	min := h.heap[0]
 	h.idx.Delete(h.entries[min].key)
 	h.idx.Put(k, min)
 	h.entries[min] = hotEntry{
@@ -101,11 +101,55 @@ func (h *hotSketch) Touch(k protocol.Key) {
 		count: h.entries[min].count + 1,
 		err:   h.entries[min].count,
 	}
+	h.down(0)
+}
+
+// less orders heap places i and j by their entries' (count, index).
+func (h *hotSketch) less(i, j int) bool {
+	a, b := h.heap[i], h.heap[j]
+	ca, cb := h.entries[a].count, h.entries[b].count
+	return ca < cb || ca == cb && a < b
+}
+
+// swap exchanges heap places i and j.
+func (h *hotSketch) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.entries[h.heap[i]].at, h.entries[h.heap[j]].at = i, j
+}
+
+// up sifts heap place i toward the root.
+func (h *hotSketch) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts heap place i toward the leaves.
+func (h *hotSketch) down(i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(h.heap) {
+			return
+		}
+		if r := least + 1; r < len(h.heap) && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h.swap(i, least)
+		i = least
+	}
 }
 
 // Age halves every count and drops zeroed entries, so the sketch tracks
-// recent traffic rather than all-time totals. Called after each hot-set
-// distillation.
+// recent traffic rather than all-time totals, and rebuilds the heap over the
+// entries it keeps. Called after each hot-set distillation.
 func (h *hotSketch) Age() {
 	kept := h.entries[:0]
 	for _, e := range h.entries {
@@ -117,8 +161,14 @@ func (h *hotSketch) Age() {
 	}
 	h.entries = kept
 	h.idx.Clear()
+	h.heap = h.heap[:0]
 	for i, e := range h.entries {
 		h.idx.Put(e.key, i)
+		h.heap = append(h.heap, i)
+		h.entries[i].at = i
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 	h.total /= 2
 }
